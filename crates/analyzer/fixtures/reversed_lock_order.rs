@@ -1,6 +1,6 @@
 //! Seeded violation: channel shard acquired before die shard, the
-//! reverse of the documented Manager < PendingIo < Queue < Die <
-//! Channel < Shared order.  `self_check()` asserts the `lock_order`
+//! reverse of the documented Manager < Queue < Die < Channel < Shared
+//! order.  `self_check()` asserts the `lock_order`
 //! rule catches this.
 
 impl Device {

@@ -4,15 +4,16 @@
 //! Rust sources, with three pluggable rules:
 //!
 //! * [`rules::lock_order`] — acquisitions of the die/channel/shared shard
-//!   locks in `crates/flash` and the manager/pending-io locks in
-//!   `crates/core` must follow the documented total order and go through
-//!   the named choke points.
+//!   locks in `crates/flash` and the manager lock in `crates/core` must
+//!   follow the documented total order and go through the named choke
+//!   points.
 //! * [`rules::panic_freedom`] — no `unwrap`/`expect`/`panic!`-family code
 //!   in production paths of `crates/flash` and `crates/core`; direct
 //!   indexing is additionally denied on the per-command hot path.
 //! * [`rules::queue_discipline`] — no blocking `NandDevice` calls
-//!   reachable from `CommandQueue` completion/poll paths, and no
-//!   `Completion` results dropped unchecked.
+//!   reachable from `CommandQueue` completion/poll paths, no
+//!   `Completion` results dropped unchecked, and in `crates/core` no
+//!   timed device call or queue submission outside the `io` module.
 //!
 //! Findings can be suppressed case-by-case with
 //! `// analyzer:allow(<rule>) <justification>`; the justification is
@@ -140,6 +141,11 @@ const FIXTURES: &[(&str, &str, &str)] = &[
     (
         "crates/flash/src/queue.rs",
         include_str!("../fixtures/dropped_completion.rs"),
+        rules::queue_discipline::RULE,
+    ),
+    (
+        "crates/core/src/gc.rs",
+        include_str!("../fixtures/device_call_outside_io.rs"),
         rules::queue_discipline::RULE,
     ),
 ];

@@ -4,7 +4,7 @@
 //! (`flash_sim::lockorder::LockClass`):
 //!
 //! ```text
-//! Manager < PendingIo < Queue < Arbiter < Die(id asc) < Channel(id asc) < Shared
+//! Manager < Queue < Arbiter < Die(id asc) < Channel(id asc) < Shared
 //! ```
 //!
 //! All acquisitions go through named choke points, so a token-level scan
@@ -27,14 +27,13 @@ pub const RULE: &str = "lock_order";
 /// entries share a rank: ascending die ids within the class are checked
 /// by the runtime sanitizer, not statically.
 const RANKS: &[(&str, u8)] = &[
-    ("lock_inner", 0),      // LockClass::Manager
-    ("lock_pending_io", 1), // LockClass::PendingIo
-    ("queue_shard", 2),     // LockClass::Queue
-    ("arbiter_shard", 3),   // LockClass::Arbiter
-    ("die_shard", 4),       // LockClass::Die(_)
-    ("lock_all_dies", 4),   // LockClass::Die(ascending sweep)
-    ("channel_shard", 5),   // LockClass::Channel(_)
-    ("shared_shard", 6),    // LockClass::Shared
+    ("lock_inner", 0),    // LockClass::Manager
+    ("queue_shard", 1),   // LockClass::Queue
+    ("arbiter_shard", 2), // LockClass::Arbiter
+    ("die_shard", 3),     // LockClass::Die(_)
+    ("lock_all_dies", 3), // LockClass::Die(ascending sweep)
+    ("channel_shard", 4), // LockClass::Channel(_)
+    ("shared_shard", 5),  // LockClass::Shared
 ];
 
 /// Files in which raw `.lock(` calls are forbidden outside the choke
@@ -87,7 +86,7 @@ pub fn check(view: &FileView<'_>) -> Vec<RawFinding> {
                     message: format!(
                         "lock-order violation in `{}`: `{name}` (rank {rank}) acquired after \
                          `{prev_name}` (rank {prev_rank}, line {prev_line}); documented order is \
-                         Manager < PendingIo < Queue < Arbiter < Die < Channel < Shared",
+                         Manager < Queue < Arbiter < Die < Channel < Shared",
                         item.name
                     ),
                 });

@@ -1,6 +1,6 @@
 //! Queue-discipline rule.
 //!
-//! Two invariants around `CommandQueue`:
+//! Three invariants around `CommandQueue`:
 //!
 //! 1. **No blocking device calls off the execute path.**  Completion
 //!    and poll paths in `queue.rs` must never call the blocking
@@ -10,6 +10,12 @@
 //!    device's error arm; dropping the result of `wait`/`poll`/`drain`
 //!    on the floor (`q.wait(h);` or `let _ = q.wait(h);`) silently
 //!    swallows media failures.
+//! 3. **One request path in the storage manager.**  Inside
+//!    `crates/core/src` the same blocking device calls (and their
+//!    `_tagged` twins) and every `queue.submit*` are legal only in the
+//!    `io` module, whose `exec` is the crate's single device choke point
+//!    — a second site would bypass the queue the arbiter polices or fork
+//!    the path that later changes (op-context, causal time) go through.
 
 use super::{is_method_call, FileView, RawFinding};
 
@@ -28,6 +34,11 @@ const COMPLETION_CALLS: &[&str] = &["wait", "poll", "drain"];
 
 /// Crate roots the dropped-completion check applies to.
 const SCOPES: &[&str] = &["crates/flash/src", "crates/core/src"];
+
+/// The storage manager's crate root and, within it, the one module
+/// allowed to touch the device's timed operations and the queue.
+const CORE_ROOT: &str = "crates/core/src";
+const CORE_IO_MODULE: &str = "crates/core/src/io.rs";
 
 /// Run the rule over one file.
 pub fn check(view: &FileView<'_>) -> Vec<RawFinding> {
@@ -58,6 +69,31 @@ pub fn check(view: &FileView<'_>) -> Vec<RawFinding> {
                         ),
                     });
                 }
+            }
+        }
+    }
+
+    // Invariant 3: the storage manager's single request path.
+    if path.contains(CORE_ROOT) && !path.ends_with(CORE_IO_MODULE) {
+        for (i, t) in toks.iter().enumerate() {
+            if !view.is_production(i) || !is_method_call(toks, i, &t.text) {
+                continue;
+            }
+            let device_call = BLOCKING_DEVICE_CALLS
+                .iter()
+                .any(|c| t.text == *c || t.text.strip_prefix(c) == Some("_tagged"));
+            let queue_submit =
+                t.text.starts_with("submit") && i >= 2 && toks[i - 2].is_ident("queue");
+            if device_call || queue_submit {
+                out.push(RawFinding {
+                    rule: RULE,
+                    line: t.line,
+                    message: format!(
+                        "`.{}()` outside `{CORE_IO_MODULE}`; the storage manager issues every \
+                         device command through `Env::exec`",
+                        t.text
+                    ),
+                });
             }
         }
     }
@@ -190,6 +226,20 @@ mod tests {
     fn nullary_drain_dropped_is_flagged() {
         let f = run("crates/flash/src/queue.rs", "fn f(q: &Q) { q.drain(); }");
         assert_eq!(f.len(), 1);
+    }
+
+    #[test]
+    fn core_device_calls_are_legal_only_in_the_io_module() {
+        let src = "fn gc(&self) { self.device.copyback(a, b, t); self.device.read_metadata_tagged(a, t, g); \
+                   let h = self.queue.submit_tagged(c, t, g); flusher.submit(n, o, p, d, t); }";
+        let f = run("crates/core/src/gc.rs", src);
+        assert_eq!(f.len(), 3, "{f:?}");
+        assert!(f.iter().all(|x| x.message.contains("Env::exec")));
+        assert!(run("crates/core/src/io.rs", src).is_empty());
+        assert!(run("crates/mirror/src/device.rs", src).is_empty());
+        // Test code may drive the device directly.
+        let test_src = format!("#[cfg(test)]\nmod tests {{ {src} }}");
+        assert!(run("crates/core/src/gc.rs", &test_src).is_empty());
     }
 
     #[test]

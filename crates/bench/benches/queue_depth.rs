@@ -144,7 +144,7 @@ fn bench_queue_depth(c: &mut Criterion) {
             let h = queue.submit(
                 FlashCommand::Program {
                     addr,
-                    data: data.clone(),
+                    data: &data,
                     meta: PageMetadata::new(1, u64::from(i)),
                 },
                 SimTime::ZERO,
@@ -171,7 +171,7 @@ fn bench_queue_depth(c: &mut Criterion) {
             round += 1;
             let cmds = (0..geo.total_dies()).map(|die| FlashCommand::Program {
                 addr: PageAddr::new(DieId(die), 0, 0, page),
-                data: data.clone(),
+                data: &data,
                 meta: PageMetadata::new(1, u64::from(die)),
             });
             let handles = queue.submit_batch(cmds, SimTime::ZERO);

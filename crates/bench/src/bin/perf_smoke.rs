@@ -20,7 +20,9 @@
 //! direction-aware: simulated time and latency percentiles gate on
 //! increases; simulated throughput, `x` speedups and utilisation floors
 //! on decreases; `x` penalties on increases (metrics new in this PR are
-//! warn-only, and skipped non-gating metrics are listed by name).  All
+//! warn-only, and skipped non-gating metrics are listed by name; a
+//! baseline that does not parse or shares no gated metric with the run
+//! fails the gate too).  All
 //! numbers except the `_wall_ms` ones are simulated device time and
 //! therefore deterministic across runs and machines — exactly what a CI
 //! artifact needs to be comparable.

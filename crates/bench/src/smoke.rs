@@ -89,7 +89,7 @@ pub fn run_at_depth(total: u32, depth: usize) -> (SimTime, UtilizationSummary) {
         let h = queue.submit(
             FlashCommand::Program {
                 addr: striped_addr(&geo, i),
-                data: data.clone(),
+                data: &data,
                 meta: PageMetadata::new(1, u64::from(i)),
             },
             clock,
@@ -523,15 +523,13 @@ pub fn latency_section(quick: bool) -> Section {
     for chunk in batch.chunks(64) {
         now = now.max(noftl.write_windowed(chunk, now, 16).unwrap());
     }
-    // A read sweep through the asynchronous path fills
-    // `flash.queue.read.wait_ns`.  The percentiles are sampled *here*,
+    // A read sweep fills `flash.queue.read.wait_ns` (every read goes
+    // through the queue).  The percentiles are sampled *here*,
     // before the KV phase: its compaction merges also ride the queued
     // read path now (deliberately overlapped, so individually longer
     // waits buy shorter scans) and would skew the sweep's distribution.
     for p in 0..pages {
-        let handle = noftl.submit_read(obj, p, now).unwrap();
-        let (_, done) = noftl.wait_io(handle).unwrap();
-        now = now.max(done);
+        now = now.max(noftl.read(obj, p, now).unwrap().1);
     }
     let read_snap = noftl.metrics_snapshot();
     // KV puts (into a second region of the same stack) fill
@@ -598,35 +596,38 @@ pub struct ParsedMetric {
     pub unit: String,
 }
 
-/// Parse the metrics out of a `BENCH_*.json` file produced by
-/// [`write_json`].  Line-oriented on the emitter's fixed shape (the
-/// workspace's `serde` is an offline marker stub with no deserialisers);
-/// unknown lines are skipped, so the parser tolerates points written by
-/// future emitters that add fields.
-pub fn parse_bench_json(text: &str) -> Vec<ParsedMetric> {
+/// Parse the metrics out of a `BENCH_*.json` perf point (as written by
+/// [`write_json`]; whitespace and key order are free, fields this reader
+/// does not know are ignored).  Anything that is not a perf point — bad
+/// JSON, no `sections` object, a metric without a numeric `value` and a
+/// string `unit` — is an error, never an empty list: a gate comparing
+/// against nothing passes vacuously.
+pub fn parse_bench_json(text: &str) -> Result<Vec<ParsedMetric>, String> {
+    use noftl_obs::json::{self, Json};
+    let root = json::parse(text)?;
+    let Some(Json::Obj(sections)) = root.get("sections") else {
+        return Err("no `sections` object".to_string());
+    };
     let mut out = Vec::new();
-    let mut section = String::new();
-    for line in text.lines() {
-        let t = line.trim();
-        let Some(rest) = t.strip_prefix('"') else { continue };
-        let Some((name, rest)) = rest.split_once('"') else { continue };
-        let rest = rest.trim_start().trim_start_matches(':').trim_start();
-        if rest == "{" {
-            section = name.to_string();
-            continue;
+    for (section, metrics) in sections {
+        let Json::Obj(metrics) = metrics else {
+            return Err(format!("section `{section}` is not an object"));
+        };
+        for (name, metric) in metrics {
+            let value = metric.get("value").and_then(Json::as_f64);
+            let unit = metric.get("unit").and_then(Json::as_str);
+            let (Some(value), Some(unit)) = (value, unit) else {
+                return Err(format!("metric `{section}/{name}` lacks a value or a unit"));
+            };
+            out.push(ParsedMetric {
+                section: section.clone(),
+                name: name.clone(),
+                value,
+                unit: unit.to_string(),
+            });
         }
-        let Some(body) = rest.strip_prefix("{\"value\":") else { continue };
-        let Some((value, tail)) = body.split_once(',') else { continue };
-        let Ok(value) = value.trim().parse::<f64>() else { continue };
-        let Some(unit) = tail.split('"').nth(3) else { continue };
-        out.push(ParsedMetric {
-            section: section.clone(),
-            name: name.to_string(),
-            value,
-            unit: unit.to_string(),
-        });
     }
-    out
+    Ok(out)
 }
 
 /// Verdict of comparing a fresh perf point against a committed baseline.
@@ -688,13 +689,23 @@ fn gate_direction(name: &str, unit: &str) -> GateDirection {
 /// are warn-only — a new PR may add metrics freely — and whatever is
 /// skipped as non-gating is listed by name in a single note, so a
 /// silently-ungated metric is visible in the job log.
+///
+/// A baseline that does not parse, or that shares no gated metric with
+/// `sections`, is a failure: such a comparison checks nothing.
 pub fn compare_perf_points(
     old_text: &str,
     sections: &[Section],
     tolerance: f64,
 ) -> BenchComparison {
-    let old = parse_bench_json(old_text);
     let mut cmp = BenchComparison::default();
+    let old = match parse_bench_json(old_text) {
+        Ok(old) => old,
+        Err(e) => {
+            cmp.failures.push(format!("baseline is not a perf point: {e}"));
+            return cmp;
+        }
+    };
+    let mut gated = 0usize;
     let mut skipped: Vec<String> = Vec::new();
     for section in sections {
         for m in &section.metrics {
@@ -717,6 +728,7 @@ pub fn compare_perf_points(
                 skipped.push(format!("{}/{}", section.name, m.name));
                 continue;
             }
+            gated += 1;
             let (regressed, improved) = match direction {
                 GateDirection::LowerIsBetter => (
                     m.value > baseline.value * (1.0 + tolerance),
@@ -761,6 +773,9 @@ pub fn compare_perf_points(
             skipped.len(),
             skipped.join(", ")
         ));
+    }
+    if gated == 0 {
+        cmp.failures.push("the baseline shares no gated metric with this run".to_string());
     }
     cmp
 }
@@ -839,13 +854,67 @@ mod tests {
         write_json(&path, "quick", &sections).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        let parsed = parse_bench_json(&text);
+        let parsed = parse_bench_json(&text).unwrap();
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].section, "queue_depth");
         assert_eq!(parsed[0].name, "depth_1_us");
         assert_eq!(parsed[0].value, 45760.0);
         assert_eq!(parsed[0].unit, "us_sim");
         assert_eq!(parsed[1].unit, "x");
+    }
+
+    /// The committed perf point, as the repository holds it.
+    fn committed_point() -> String {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        std::fs::read_to_string(format!("{root}/BENCH_PR{PERF_POINT_PR}.json"))
+            .expect("the current perf point is committed at the repo root")
+    }
+
+    #[test]
+    fn a_reindented_baseline_still_gates() {
+        let committed = committed_point();
+        let metrics = parse_bench_json(&committed).unwrap();
+        assert!(metrics.len() > 50, "the committed point carries the whole trajectory");
+        // Re-indent: one token per line, tabs instead of spaces.  A line
+        // scanner keyed on the emitter's layout reads zero metrics here.
+        let reindented =
+            committed.replace(", ", ",\n\t\t\t").replace("{\"value\"", "{\n\t\t\t\"value\"");
+        assert_ne!(reindented, committed);
+        let mut reparsed = parse_bench_json(&reindented).unwrap();
+        let mut original = metrics;
+        let by_name = |m: &ParsedMetric| (m.section.clone(), m.name.clone());
+        reparsed.sort_by_key(by_name);
+        original.sort_by_key(by_name);
+        assert_eq!(reparsed, original);
+        // ...and a regression against it is still caught.
+        let depth_1 = original.iter().find(|m| m.name == "depth_1_us").unwrap().value;
+        let fresh = vec![Section {
+            name: "queue_depth",
+            metrics: vec![Metric::new("depth_1_us", depth_1 * 2.0, "us_sim")],
+        }];
+        let cmp = compare_perf_points(&reindented, &fresh, 0.2);
+        assert_eq!(cmp.failures.len(), 1, "failures: {:?}", cmp.failures);
+        assert!(cmp.failures[0].contains("depth_1_us"));
+    }
+
+    #[test]
+    fn a_baseline_that_gates_nothing_fails_the_comparison() {
+        let fresh = vec![Section {
+            name: "queue_depth",
+            metrics: vec![Metric::new("depth_1_us", 1000.0, "us_sim")],
+        }];
+        let committed = committed_point();
+        let truncated = &committed[..committed.len() / 2];
+        for (what, baseline) in [("empty object", "{}"), ("truncated", truncated), ("empty", "")] {
+            let cmp = compare_perf_points(baseline, &fresh, 0.2);
+            assert_eq!(cmp.failures.len(), 1, "{what}: {:?}", cmp.failures);
+            assert!(cmp.failures[0].contains("not a perf point"), "{what}: {:?}", cmp.failures);
+        }
+        // Parses, but none of its metrics is one this run gates.
+        let disjoint = r#"{"sections": {"other": {"x_us": {"value": 1.0, "unit": "us_sim"}}}}"#;
+        let cmp = compare_perf_points(disjoint, &fresh, 0.2);
+        assert_eq!(cmp.failures.len(), 1, "{:?}", cmp.failures);
+        assert!(cmp.failures[0].contains("no gated metric"));
     }
 
     #[test]

@@ -3,15 +3,14 @@
 //! The paper's Figure 1 shows "Flushers" next to the buffer manager: the
 //! threads that write dirty pages back to flash in the background.  The
 //! flusher accumulates dirty pages and writes them out through the
-//! storage manager's asynchronous interface
-//! ([`NoFtl::submit_write`]/[`NoFtl::wait_io`]), keeping a bounded
-//! **window** of pages in flight: the first `window` pages are issued at
-//! the flush instant, and every later page is issued the moment the
-//! oldest outstanding write completes — exactly how a depth-limited host
-//! driver feeds a device.  With a window at least as deep as the region's
-//! die count, an N-page flush still completes in roughly
-//! `ceil(N / dies)` program times, but the host never holds more than
-//! `window` page submissions outstanding, and the clock the next
+//! storage manager's windowed pipeline ([`NoFtl::write_windowed`]),
+//! keeping a bounded **window** of pages in flight: the first `window`
+//! pages are issued at the flush instant, and every later page is issued
+//! the moment the oldest outstanding write completes — exactly how a
+//! depth-limited host driver feeds a device.  With a window at least as
+//! deep as the region's die count, an N-page flush still completes in
+//! roughly `ceil(N / dies)` program times, but the host never holds more
+//! than `window` page submissions outstanding, and the clock the next
 //! submission carries is a *real completion time*, so flush progress
 //! interleaves honestly with concurrent WAL forces and reads.
 //!
@@ -127,10 +126,10 @@ impl Flusher {
     }
 
     /// Drive the batch through the storage manager's completion-driven
-    /// pipeline ([`NoFtl::write_windowed`]): keep up to `window`
-    /// asynchronous writes outstanding, issue the next page at the
-    /// completion instant of the oldest one, and fold the maximum
-    /// completion over the *entire* window into the returned time.
+    /// pipeline ([`NoFtl::write_windowed`]): keep up to `window` writes
+    /// outstanding, issue the next page at the completion instant of the
+    /// oldest one, and fold the maximum completion over the *entire*
+    /// window into the returned time.
     fn write_out(
         &self,
         noftl: &NoFtl,

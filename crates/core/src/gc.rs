@@ -1,4 +1,4 @@
-//! Per-region garbage collection: victim selection.
+//! Per-region page allocation and garbage collection.
 //!
 //! Under NoFTL garbage collection runs *inside each region*.  Because a
 //! region only holds objects with similar update behaviour, the pages of a
@@ -6,11 +6,22 @@
 //! mostly invalid when they are collected (cheap victims), blocks in cold
 //! regions are rarely collected at all.  That is the mechanism behind the
 //! paper's reduction in COPYBACK and ERASE counts.
+//!
+//! `Space` is the allocator and collector of one region at work;
+//! [`GcCandidate`] and [`select_victim`] are the victim-selection policy.
 
-use flash_sim::{BlockInfo, BlockState};
+use flash_sim::queue::FlashCommand;
+use flash_sim::SimTime;
+use flash_sim::{BlockAddr, BlockInfo, BlockState, IoTag, PageAddr, PageMetadata, PageState};
 use serde::{Deserialize, Serialize};
 
-use crate::config::GcPolicy;
+use crate::config::{GcPolicy, WearLevelingPolicy};
+use crate::manager::{region_slot, Env, Inner};
+use crate::object::ObjectState;
+use crate::recovery::{MetaDirectory, META_OBJECT_ID};
+use crate::region::{RegionId, RegionRuntime};
+use crate::wear::needs_static_wl;
+use crate::Result;
 
 /// A candidate victim block within one region die.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -79,10 +90,242 @@ pub fn select_victim(policy: GcPolicy, candidates: &[GcCandidate], now_seq: u64)
     }
 }
 
+/// One region's allocator and garbage collector at work: the region's
+/// runtime state plus the two translation tables a page move has to keep
+/// current, borrowed out of the locked manager state for the duration of
+/// one allocation (and the GC it may trigger).
+pub(crate) struct Space<'a> {
+    env: &'a Env,
+    pub(crate) region: &'a mut RegionRuntime,
+    objects: &'a mut [Option<ObjectState>],
+    meta: &'a mut MetaDirectory,
+}
+
+impl Inner {
+    /// The allocator/collector view of region `rid`.
+    pub(crate) fn space<'a>(&'a mut self, env: &'a Env, rid: RegionId) -> Result<Space<'a>> {
+        let region = region_slot(&mut self.regions, rid)?;
+        Ok(Space { env, region, objects: &mut self.objects, meta: &mut self.meta })
+    }
+}
+
+impl Space<'_> {
+    /// Allocate the next physical page of the region, running GC when a
+    /// die's free-block pool runs low.  Returns `None` when the region is
+    /// completely full.
+    ///
+    /// The die is chosen by the region's
+    /// [`PlacementPolicy`](crate::placement::PlacementPolicy): the policy
+    /// produces a probe order over the region's dies (for the default
+    /// [`RoundRobin`](crate::placement::RoundRobin) exactly the seed
+    /// allocator's `next_die` stripe; for
+    /// [`QueueAware`](crate::placement::QueueAware) sorted by the device's
+    /// per-die load snapshots), and the allocator takes the first die in
+    /// that order able to yield a page.  Host writes (through the request
+    /// path's single call site), rebalancing and the metadata journal all
+    /// allocate here, so a policy governs the complete write path of its
+    /// region.
+    pub(crate) fn allocate(&mut self, at: SimTime) -> Option<PageAddr> {
+        let Env { device, config, obs, .. } = self.env;
+        let device = device.as_ref();
+        let pages_per_block = device.geometry().pages_per_block;
+        let die_count = self.region.dies.len();
+        if die_count == 0 {
+            return None;
+        }
+        let kind = self.region.placement_kind(config);
+        let policy = kind.policy();
+        let stripe_die = self.region.next_die;
+        // Probe order and load snapshots fill region-owned scratch
+        // buffers (taken out for the borrow, put back below), so the
+        // per-write path allocates nothing — as cheap as the seed
+        // allocator's modular loop.
+        let mut loads = std::mem::take(&mut self.region.load_scratch);
+        loads.clear();
+        if policy.needs_loads() {
+            loads.extend(self.region.dies.iter().map(|d| device.die_load(d.die, at)));
+        }
+        let mut order = std::mem::take(&mut self.region.probe_scratch);
+        policy.probe_order_into(die_count, stripe_die, at, &loads, &mut order);
+        let mut picked = None;
+        for (probe, &idx) in order.iter().enumerate() {
+            if (self.region.dies[idx].free_blocks.len() as u32) <= config.gc_low_watermark {
+                self.gc_die(idx, at);
+            }
+            if let Some(ppa) =
+                self.region.dies[idx].next_host_page(device, config.wear_leveling, pages_per_block)
+            {
+                self.region.next_die = (idx + 1) % die_count;
+                obs.note_allocation(kind, probe as u64 + 1, idx, stripe_die, die_count);
+                picked = Some(ppa);
+                break;
+            }
+        }
+        self.region.probe_scratch = order;
+        self.region.load_scratch = loads;
+        picked
+    }
+
+    /// Update the owner's translation after a page move (GC copyback or
+    /// rebalance): regular objects through the directory, checkpoint
+    /// chunks through the metadata journal map.
+    pub(crate) fn retranslate(&mut self, meta: &PageMetadata, src: PageAddr, dst: PageAddr) {
+        if meta.object_id == META_OBJECT_ID {
+            let idx = meta.logical_page as usize;
+            for map in [&mut self.meta.map, &mut self.meta.staging] {
+                if map.get(idx).copied().flatten() == Some(src) {
+                    map[idx] = Some(dst);
+                }
+            }
+        } else if let Some(Some(obj)) = self.objects.get_mut(meta.object_id as usize) {
+            if obj.translate(meta.logical_page) == Some(src) {
+                obj.set_translation(meta.logical_page, dst);
+            }
+        }
+    }
+
+    /// Run garbage collection on one die of the region until its
+    /// free-block pool reaches the high watermark or no more victims exist.
+    fn gc_die(&mut self, die_idx: usize, at: SimTime) {
+        let Env { device, config, obs, .. } = self.env;
+        let stats = &mut self.region.stats;
+        stats.gc_runs += 1;
+        let (cb_before, er_before) = (stats.gc_copybacks, stats.gc_erases);
+        let high = config.gc_high_watermark as usize;
+        let mut guard = 0u32;
+        while self.region.dies[die_idx].free_blocks.len() < high {
+            guard += 1;
+            if guard > device.geometry().blocks_per_die() * 2 {
+                break;
+            }
+            let region = &*self.region;
+            let candidates: Vec<GcCandidate> = region.dies[die_idx]
+                .used_blocks
+                .iter()
+                .enumerate()
+                .filter_map(|(slot, b)| {
+                    let info = device.block_info(*b).ok()?;
+                    let seq = region
+                        .block_invalidate_seq
+                        .get(&(b.die.0, b.plane, b.block))
+                        .copied()
+                        .unwrap_or(0);
+                    GcCandidate::from_info(slot, &info, seq)
+                })
+                .collect();
+            let Some(slot) = select_victim(config.gc_policy, &candidates, region.invalidate_seq)
+            else {
+                break;
+            };
+            let victim = region.dies[die_idx].used_blocks[slot];
+            if !self.collect_block(die_idx, victim, at) {
+                break;
+            }
+        }
+        let stats = &self.region.stats;
+        obs.note_gc(
+            u64::from(self.region.dies[die_idx].die.0),
+            stats.gc_copybacks - cb_before,
+            stats.gc_erases - er_before,
+            at,
+        );
+        self.maybe_static_wl(die_idx, at);
+    }
+
+    /// Relocate all valid pages of `victim` via copyback (updating the
+    /// owning objects' translations) and erase it.  Returns `false` if the
+    /// block could not be fully collected.
+    fn collect_block(&mut self, die_idx: usize, victim: BlockAddr, at: SimTime) -> bool {
+        let Env { device, config, .. } = self.env;
+        let device = device.as_ref();
+        let pages_per_block = device.geometry().pages_per_block;
+        // GC relocation is maintenance traffic: tagged `Background` so the
+        // arbiter budgets its channel time (the copyback itself is
+        // die-internal and takes no channel).
+        let tag = IoTag::background(Some(self.region.id.0));
+        for src in (0..pages_per_block).map(|page| victim.page(page)) {
+            match device.page_state(src) {
+                Ok(PageState::Valid) => {}
+                Ok(_) => continue,
+                Err(_) => return false,
+            }
+            let Ok(read) = self.env.exec(FlashCommand::MetadataRead { addr: src }, at, tag) else {
+                return false;
+            };
+            let Some(meta) = read.meta else { continue };
+            let Some(dst) = self.region.dies[die_idx].next_gc_page(
+                device,
+                config.wear_leveling,
+                pages_per_block,
+            ) else {
+                return false;
+            };
+            if self.env.exec(FlashCommand::Copyback { src, dst }, at, tag).is_err() {
+                return false;
+            }
+            self.region.stats.gc_copybacks += 1;
+            self.retranslate(&meta, src, dst);
+        }
+        let erased = self.env.exec(FlashCommand::Erase { block: victim }, at, tag);
+        let die = &mut self.region.dies[die_idx];
+        match erased {
+            Ok(_) => {
+                self.region.stats.gc_erases += 1;
+                die.used_blocks.retain(|b| *b != victim);
+                die.free_blocks.push(victim);
+                true
+            }
+            Err(e) => {
+                if e.is_permanent() {
+                    die.used_blocks.retain(|b| *b != victim);
+                }
+                false
+            }
+        }
+    }
+
+    /// Threshold-based static wear leveling within one die of the region.
+    fn maybe_static_wl(&mut self, die_idx: usize, at: SimTime) {
+        let Env { device, config, .. } = self.env;
+        if !matches!(config.wear_leveling, WearLevelingPolicy::Static { .. }) {
+            return;
+        }
+        let die = &self.region.dies[die_idx];
+        let counts: Vec<(BlockAddr, u64, BlockState)> = die
+            .used_blocks
+            .iter()
+            .chain(die.free_blocks.iter())
+            .filter_map(|b| device.block_info(*b).ok().map(|i| (*b, i.erase_count, i.state)))
+            .collect();
+        let Some(max) = counts.iter().map(|(_, c, _)| *c).max() else { return };
+        let Some(min) = counts.iter().map(|(_, c, _)| *c).min() else { return };
+        if !needs_static_wl(config.wear_leveling, min, max) {
+            return;
+        }
+        let victim = counts
+            .iter()
+            .filter(|(b, _, s)| *s == BlockState::Full && die.used_blocks.contains(b))
+            .min_by_key(|(_, c, _)| *c)
+            .map(|(b, _, _)| *b);
+        if let Some(victim) = victim {
+            if self.collect_block(die_idx, victim, at) {
+                self.region.stats.wl_migrations += 1;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::NoFtlConfig;
+    use crate::manager::NoFtl;
+    use crate::object::ObjectId;
+    use crate::region::RegionSpec;
+    use crate::testutil::{make_noftl, page};
+    use flash_sim::{DeviceBuilder, FlashGeometry, TimingModel};
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn cand(slot: usize, valid: u32, invalid: u32) -> GcCandidate {
         GcCandidate {
@@ -160,5 +403,221 @@ mod tests {
             let chosen = select_victim(policy, &cands, 50).unwrap();
             prop_assert!(cands.iter().any(|c| c.slot == chosen));
         }
+    }
+
+    #[test]
+    fn sustained_overwrites_trigger_gc_and_preserve_data() {
+        let noftl = make_noftl();
+        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(2)).unwrap();
+        let obj = noftl.create_object("t", r).unwrap();
+        let geo = *noftl.device().geometry();
+        // Working set = 60 % of the region's raw capacity.
+        let working_set = 2 * geo.pages_per_die() * 6 / 10;
+        let mut t = SimTime::ZERO;
+        let mut latest = vec![0u8; working_set as usize];
+        for round in 0..5u8 {
+            for p in 0..working_set {
+                let v = round.wrapping_mul(37).wrapping_add(p as u8);
+                t = noftl.write(obj, p, &page(v), t).unwrap();
+                latest[p as usize] = v;
+            }
+        }
+        let rs = noftl.region_stats(r).unwrap();
+        assert!(rs.gc_runs > 0);
+        assert!(rs.gc_erases > 0);
+        assert!(noftl.device().stats().block_erases > 0);
+        for p in 0..working_set {
+            let (data, _) = noftl.read(obj, p, t).unwrap();
+            assert_eq!(data, page(latest[p as usize]), "page {p}");
+        }
+    }
+
+    #[test]
+    fn hot_cold_separation_reduces_copybacks() {
+        // Two objects: one hot (overwritten constantly) and one cold
+        // (written once).  Placing them in separate regions (the paper's
+        // proposal) must produce fewer GC copybacks than mixing them in a
+        // single region (traditional placement), because in the mixed case
+        // victim blocks contain valid cold pages that have to be relocated.
+        fn run(separate: bool) -> u64 {
+            let device = Arc::new(
+                DeviceBuilder::new(FlashGeometry::small_test())
+                    .timing(TimingModel::instant())
+                    .build(),
+            );
+            let noftl = NoFtl::new(device.clone(), NoFtlConfig::default());
+            let (hot_region, cold_region) = if separate {
+                let h = noftl.create_region(RegionSpec::named("rgHot").with_die_count(2)).unwrap();
+                let c = noftl.create_region(RegionSpec::named("rgCold").with_die_count(2)).unwrap();
+                (h, c)
+            } else {
+                let all =
+                    noftl.create_region(RegionSpec::named("rgAll").with_die_count(4)).unwrap();
+                (all, all)
+            };
+            let hot = noftl.create_object("hot", hot_region).unwrap();
+            let cold = noftl.create_object("cold", cold_region).unwrap();
+            let geo = *device.geometry();
+            let pages_per_die = geo.pages_per_die();
+            let cold_pages = pages_per_die; // fills a good part of its share
+            let hot_pages = pages_per_die / 4;
+            let t = SimTime::ZERO;
+            // Interleave cold fill with hot updates so blocks mix in the
+            // shared-region case.
+            let mut cold_written = 0u64;
+            for round in 0..40u64 {
+                for p in 0..hot_pages {
+                    noftl.write(hot, p, &page((round % 251) as u8), t).unwrap();
+                }
+                while cold_written < cold_pages
+                    && cold_written < (round + 1) * (cold_pages / 40 + 1)
+                {
+                    noftl.write(cold, cold_written, &page(0xCC), t).unwrap();
+                    cold_written += 1;
+                }
+            }
+            device.stats().copybacks
+        }
+        let mixed = run(false);
+        let separated = run(true);
+        assert!(
+            separated < mixed,
+            "region separation should reduce copybacks (separated={separated}, mixed={mixed})"
+        );
+    }
+
+    #[test]
+    fn queue_aware_placement_steers_around_a_busy_die() {
+        use crate::placement::PlacementPolicyKind;
+        // Two fresh managers over identical devices; dies 0 and 1 form the
+        // region, and die 0 (the round-robin cursor's first choice) is
+        // made busy with a burst of background erases before a write
+        // lands.  RoundRobin ignores the load and queues behind the
+        // erases; QueueAware starts on the idle die immediately.
+        let run = |placement: PlacementPolicyKind| {
+            let device = Arc::new(
+                DeviceBuilder::new(FlashGeometry::small_test())
+                    .timing(TimingModel::mlc_2015())
+                    .build(),
+            );
+            let config = NoFtlConfig { placement, ..NoFtlConfig::default() };
+            let noftl = NoFtl::new(device.clone(), config);
+            let r = noftl.create_region(RegionSpec::named("rg").with_die_count(2)).unwrap();
+            let obj = noftl.create_object("t", r).unwrap();
+            let dies = noftl.region_dies(r).unwrap();
+            // Background erase storm on the first region die (a stand-in
+            // for GC/wear-leveling traffic).
+            let blocks = device.geometry().blocks_per_die();
+            for b in 0..4u32 {
+                device
+                    .erase_block(flash_sim::BlockAddr::new(dies[0], 0, b % blocks), SimTime::ZERO)
+                    .unwrap();
+            }
+            noftl.write(obj, 0, &page(0x5E), SimTime::ZERO).unwrap()
+        };
+        let rr_done = run(PlacementPolicyKind::RoundRobin);
+        let qa_done = run(PlacementPolicyKind::QueueAware);
+        assert!(
+            qa_done < rr_done,
+            "queue-aware write ({qa_done}) must dodge the busy die ({rr_done})"
+        );
+    }
+
+    #[test]
+    fn region_spec_placement_overrides_the_config_default() {
+        use crate::placement::PlacementPolicyKind;
+        // Config default RoundRobin, but the region opts into QueueAware:
+        // the write behaves queue-aware (starts on the idle die).
+        let device = Arc::new(
+            DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build(),
+        );
+        let noftl = NoFtl::new(device.clone(), NoFtlConfig::default());
+        let r = noftl
+            .create_region(
+                RegionSpec::named("rg")
+                    .with_die_count(2)
+                    .with_placement(PlacementPolicyKind::QueueAware),
+            )
+            .unwrap();
+        let obj = noftl.create_object("t", r).unwrap();
+        let dies = noftl.region_dies(r).unwrap();
+        for b in 0..4u32 {
+            device.erase_block(flash_sim::BlockAddr::new(dies[0], 0, b), SimTime::ZERO).unwrap();
+        }
+        let busy_until = device.die_busy_until(dies[0]);
+        let done = noftl.write(obj, 0, &page(0x7A), SimTime::ZERO).unwrap();
+        assert!(
+            done < busy_until,
+            "override must steer the write to the idle die (done {done}, busy {busy_until})"
+        );
+        // The mapping still round-trips.
+        assert_eq!(noftl.read(obj, 0, done).unwrap().0, page(0x7A));
+    }
+
+    #[test]
+    fn queue_aware_batch_balances_skewed_die_load() {
+        use crate::placement::PlacementPolicyKind;
+        // A 4-die region with erase storms on half the dies, then a
+        // 32-page batch: QueueAware must finish the batch earlier than
+        // RoundRobin because it feeds the idle dies first.
+        let run = |placement: PlacementPolicyKind| {
+            let device = Arc::new(
+                DeviceBuilder::new(FlashGeometry::small_test())
+                    .timing(TimingModel::mlc_2015())
+                    .build(),
+            );
+            let config = NoFtlConfig { placement, ..NoFtlConfig::default() };
+            let noftl = NoFtl::new(device.clone(), config);
+            let r = noftl.create_region(RegionSpec::named("rg").with_die_count(4)).unwrap();
+            let obj = noftl.create_object("t", r).unwrap();
+            let dies = noftl.region_dies(r).unwrap();
+            for die in &dies[..2] {
+                for b in 0..3u32 {
+                    device
+                        .erase_block(flash_sim::BlockAddr::new(*die, 0, b), SimTime::ZERO)
+                        .unwrap();
+                }
+            }
+            let batch: Vec<(ObjectId, u64, Vec<u8>)> =
+                (0..32u64).map(|p| (obj, p, page(p as u8))).collect();
+            let done = noftl.write_batch(&batch, SimTime::ZERO).unwrap();
+            for p in 0..32u64 {
+                assert_eq!(noftl.read(obj, p, done).unwrap().0, page(p as u8), "page {p}");
+            }
+            done
+        };
+        let rr = run(PlacementPolicyKind::RoundRobin);
+        let qa = run(PlacementPolicyKind::QueueAware);
+        assert!(qa < rr, "queue-aware batch ({qa}) must beat round-robin ({rr}) under skew");
+    }
+
+    #[test]
+    fn static_wl_policy_is_exercised() {
+        let device = Arc::new(
+            DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::instant()).build(),
+        );
+        let config = NoFtlConfig {
+            wear_leveling: WearLevelingPolicy::Static { threshold: 2 },
+            gc_policy: GcPolicy::CostBenefit,
+            ..NoFtlConfig::default()
+        };
+        let noftl = NoFtl::new(device.clone(), config);
+        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
+        let cold = noftl.create_object("cold", r).unwrap();
+        let hot = noftl.create_object("hot", r).unwrap();
+        let geo = *device.geometry();
+        let t = SimTime::ZERO;
+        // A block's worth of cold data that never changes...
+        for p in 0..geo.pages_per_block as u64 {
+            noftl.write(cold, p, &page(0xCC), t).unwrap();
+        }
+        // ...and a hot page hammered long enough to wear out the rest.
+        for i in 0..(geo.pages_per_die() * 6) {
+            noftl.write(hot, 0, &page((i % 255) as u8), t).unwrap();
+        }
+        let rs = noftl.region_stats(r).unwrap();
+        assert!(rs.wl_migrations > 0, "static WL should have migrated the cold block");
+        // Cold data is still correct after migration.
+        assert_eq!(noftl.read(cold, 0, t).unwrap().0, page(0xCC));
     }
 }

@@ -46,6 +46,7 @@ pub mod error;
 pub mod flusher;
 pub mod gc;
 pub mod hotcold;
+pub mod io;
 pub mod kv;
 pub mod manager;
 pub mod object;
@@ -60,6 +61,7 @@ pub use config::{GcPolicy, NoFtlConfig, WearLevelingPolicy};
 pub use ddl::{Ddl, DdlStatement};
 pub use error::NoFtlError;
 pub use hotcold::{ObjectProfile, Temperature};
+pub use io::{IoKind, IoRequest};
 pub use kv::{KvConfig, KvOpenReport, KvStats, KvStore};
 pub use manager::NoFtl;
 pub use object::ObjectId;
@@ -73,6 +75,35 @@ pub use stats::{NoFtlStats, ObjectStats, RegionStats};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, NoFtlError>;
+
+/// Fixtures shared by the unit tests of the manager's modules.
+#[cfg(test)]
+pub(crate) mod testutil {
+    use super::*;
+    use flash_sim::{DeviceBuilder, FlashBackend, FlashGeometry, NandDevice, TimingModel};
+    use std::sync::Arc;
+
+    pub(crate) fn make_noftl() -> NoFtl {
+        let device = Arc::new(
+            DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build(),
+        );
+        NoFtl::new(device, NoFtlConfig::default())
+    }
+
+    pub(crate) fn page(byte: u8) -> Vec<u8> {
+        vec![byte; 4096]
+    }
+
+    pub(crate) fn raw_device(noftl: &NoFtl) -> &NandDevice {
+        noftl.device().as_any().downcast_ref::<NandDevice>().unwrap()
+    }
+
+    /// A rebooted copy of the manager's device, as a crash would leave it.
+    pub(crate) fn reboot(noftl: &NoFtl) -> Arc<dyn FlashBackend> {
+        let snap = raw_device(noftl).snapshot();
+        Arc::new(NandDevice::from_snapshot(&snap, TimingModel::mlc_2015()).unwrap())
+    }
+}
 
 #[cfg(test)]
 mod lib_tests {

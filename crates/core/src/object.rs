@@ -9,7 +9,11 @@
 use flash_sim::PageAddr;
 use serde::{Deserialize, Serialize};
 
+use crate::error::NoFtlError;
+use crate::manager::NoFtl;
 use crate::region::RegionId;
+use crate::stats::ObjectStats;
+use crate::Result;
 
 /// Identifier of a database object.  `0` is reserved; real objects start
 /// at 1 so the id can double as the `object_id` stored in flash page
@@ -79,12 +83,125 @@ impl ObjectState {
     pub(crate) fn logical_extent(&self) -> u64 {
         self.map.iter().rposition(|e| e.is_some()).map(|i| i as u64 + 1).unwrap_or(0)
     }
+
+    /// The public statistics snapshot of this object.
+    fn stats(&self, object_id: ObjectId) -> ObjectStats {
+        ObjectStats {
+            object_id,
+            name: self.name.clone(),
+            region: self.region,
+            pages: self.mapped_pages(),
+            reads: self.counters.reads,
+            writes: self.counters.writes,
+        }
+    }
+}
+
+/// The object directory of the storage manager.
+impl NoFtl {
+    /// Register a new database object in a region.
+    pub fn create_object(&self, name: &str, region: RegionId) -> Result<ObjectId> {
+        let mut inner = self.lock_inner();
+        if inner.object_by_name.contains_key(name) {
+            return Err(NoFtlError::ObjectExists { name: name.to_string() });
+        }
+        let id = inner.objects.len() as ObjectId;
+        inner.region_mut(region)?.objects.push(id);
+        inner.objects.push(Some(ObjectState::new(name, region)));
+        inner.object_by_name.insert(name.to_string(), id);
+        Ok(id)
+    }
+
+    /// Register a new object in a region identified by name.
+    pub fn create_object_in(&self, name: &str, region_name: &str) -> Result<ObjectId> {
+        let rid = self
+            .region_id(region_name)
+            .ok_or_else(|| NoFtlError::UnknownRegion { region: region_name.to_string() })?;
+        self.create_object(name, rid)
+    }
+
+    /// Look up an object id by name.
+    pub fn object_id(&self, name: &str) -> Option<ObjectId> {
+        self.lock_inner().object_by_name.get(name).copied()
+    }
+
+    /// Drop an object: all of its pages become invalid (reclaimable by GC).
+    pub fn drop_object(&self, obj: ObjectId) -> Result<()> {
+        let mut inner = self.lock_inner();
+        let state = inner
+            .objects
+            .get_mut(obj as usize)
+            .and_then(|o| o.take())
+            .ok_or_else(|| NoFtlError::UnknownObject { object: obj.to_string() })?;
+        inner.object_by_name.remove(&state.name);
+        if let Ok(region) = inner.region_mut(state.region) {
+            region.objects.retain(|o| *o != obj);
+            for ppa in state.map.iter().flatten() {
+                let _ = self.env.device.mark_invalid(*ppa);
+                region.record_invalidation(*ppa);
+            }
+        }
+        Ok(())
+    }
+
+    /// Release a logical page: its flash page becomes invalid and the
+    /// translation is removed.
+    pub fn free_page(&self, obj: ObjectId, page: u64) -> Result<()> {
+        let mut inner = self.lock_inner();
+        let state = inner.object_mut(obj)?;
+        let rid = state.region;
+        if let Some(old) = state.clear_translation(page) {
+            let _ = self.env.device.mark_invalid(old);
+            inner.region_mut(rid)?.record_invalidation(old);
+        }
+        Ok(())
+    }
+
+    /// Statistics snapshot of one object.
+    pub fn object_stats(&self, obj: ObjectId) -> Result<ObjectStats> {
+        Ok(self.lock_inner().object(obj)?.stats(obj))
+    }
+
+    /// Statistics snapshots of all live objects.
+    pub fn all_object_stats(&self) -> Vec<ObjectStats> {
+        let inner = self.lock_inner();
+        let live = inner.objects.iter().enumerate();
+        live.filter_map(|(id, o)| o.as_ref().map(|state| state.stats(id as ObjectId))).collect()
+    }
+
+    /// Ids and names of all live objects whose name starts with `prefix`.
+    /// Layers that manage families of objects (e.g. the NoFTL-KV run
+    /// directory) use this to rediscover their members after a mount.
+    pub fn objects_with_prefix(&self, prefix: &str) -> Vec<(ObjectId, String)> {
+        let inner = self.lock_inner();
+        inner
+            .objects
+            .iter()
+            .enumerate()
+            .filter_map(|(id, o)| o.as_ref().map(|state| (id as ObjectId, state.name.clone())))
+            .filter(|(_, name)| name.starts_with(prefix))
+            .collect()
+    }
+
+    /// Number of live (mapped) pages of an object.
+    pub fn object_pages(&self, obj: ObjectId) -> Result<u64> {
+        Ok(self.lock_inner().object(obj)?.mapped_pages())
+    }
+
+    /// Logical extent of an object: the highest written logical page number
+    /// plus one (0 for an empty object).  The DBMS layer uses this to size
+    /// its extent allocation.
+    pub fn object_extent(&self, obj: ObjectId) -> Result<u64> {
+        Ok(self.lock_inner().object(obj)?.logical_extent())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flash_sim::DieId;
+    use crate::region::RegionSpec;
+    use crate::testutil::{make_noftl, page};
+    use flash_sim::{DieId, SimTime};
 
     fn ppa(block: u32) -> PageAddr {
         PageAddr::new(DieId(0), 0, block, 0)
@@ -119,5 +236,44 @@ mod tests {
     fn clear_of_unmapped_page_is_none() {
         let mut o = ObjectState::new("t", RegionId(0));
         assert_eq!(o.clear_translation(42), None);
+    }
+
+    #[test]
+    fn duplicate_object_name_rejected() {
+        let noftl = make_noftl();
+        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
+        noftl.create_object("t", r).unwrap();
+        assert!(matches!(noftl.create_object("t", r), Err(NoFtlError::ObjectExists { .. })));
+    }
+
+    #[test]
+    fn free_page_and_drop_object_invalidate_pages() {
+        let noftl = make_noftl();
+        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
+        let obj = noftl.create_object("t", r).unwrap();
+        noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
+        noftl.write(obj, 1, &page(1), SimTime::ZERO).unwrap();
+        noftl.free_page(obj, 0).unwrap();
+        assert!(noftl.read(obj, 0, SimTime::ZERO).is_err());
+        assert_eq!(noftl.object_pages(obj).unwrap(), 1);
+        noftl.drop_object(obj).unwrap();
+        assert!(noftl.object_stats(obj).is_err());
+        assert!(noftl.object_id("t").is_none());
+        // Freeing a never-written page is a no-op.
+        let obj2 = noftl.create_object("t2", r).unwrap();
+        noftl.free_page(obj2, 5).unwrap();
+    }
+
+    #[test]
+    fn all_object_stats_lists_every_object() {
+        let noftl = make_noftl();
+        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(2)).unwrap();
+        let a = noftl.create_object("a", r).unwrap();
+        let _b = noftl.create_object("b", r).unwrap();
+        noftl.write(a, 0, &page(1), SimTime::ZERO).unwrap();
+        let stats = noftl.all_object_stats();
+        assert_eq!(stats.len(), 2);
+        assert_eq!(stats.iter().find(|s| s.name == "a").unwrap().writes, 1);
+        assert_eq!(stats.iter().find(|s| s.name == "b").unwrap().writes, 0);
     }
 }

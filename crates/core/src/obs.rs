@@ -20,7 +20,7 @@
 //!   write pipeline, sampled at every submission;
 //! * `core.flush.window_ns` — issue→drain latency of whole windows;
 //! * `core.read.window_occupancy` / `core.read.window_ns` — the same two
-//!   views of the windowed *read* pipeline (scans, compaction merges);
+//!   views of the windowed *read* pipeline (KV and B+-tree scans);
 //! * `core.gc.{runs,pages_moved,blocks_erased}` — GC activity;
 //! * `core.flusher.{batches,pages}` / `core.flusher.inflight_hwm` — the
 //!   background flusher's batch counters and window high-water mark;
@@ -45,8 +45,51 @@ pub(crate) const TRACK_KV: u64 = 100;
 /// Tracer track for windowed-flush spans.
 pub(crate) const TRACK_FLUSH: u64 = 103;
 
+/// The two histograms and the tracer span one direction of the windowed
+/// pipeline records into.  Reads and writes each own one, so scan/merge
+/// read windows never skew the write-flush latency distribution.
+#[derive(Debug)]
+pub(crate) struct WindowObs {
+    registry: Arc<MetricsRegistry>,
+    occupancy: Histogram,
+    window_ns: Histogram,
+    category: &'static str,
+    span: &'static str,
+}
+
+impl WindowObs {
+    fn new(registry: &Arc<MetricsRegistry>, category: &'static str, span: &'static str) -> Self {
+        WindowObs {
+            occupancy: registry.histogram(&format!("{category}.window_occupancy"), Unit::Count),
+            window_ns: registry.histogram(&format!("{category}.window_ns"), Unit::SimNanos),
+            registry: Arc::clone(registry),
+            category,
+            span,
+        }
+    }
+
+    /// Sample the pipeline's in-flight depth at one submission instant.
+    pub(crate) fn note_occupancy(&self, inflight: u64) {
+        self.occupancy.record(inflight);
+    }
+
+    /// Record a completed window: issue→drain latency plus a tracer span
+    /// on the flush track.
+    pub(crate) fn note_done(&self, pages: u64, issued: SimTime, done: SimTime) {
+        self.window_ns.record(done.since(issued).as_nanos());
+        self.registry.tracer().span(
+            self.category,
+            self.span,
+            TRACK_FLUSH,
+            issued.as_nanos(),
+            done.as_nanos(),
+            &[("pages", pages)],
+        );
+    }
+}
+
 /// Handles the storage manager records into on allocation, GC, windowed
-/// writes and background flushes.
+/// I/O and background flushes.
 #[derive(Debug)]
 pub(crate) struct CoreObs {
     registry: Arc<MetricsRegistry>,
@@ -55,10 +98,10 @@ pub(crate) struct CoreObs {
     probes_total: Counter,
     steered: Counter,
     steer_delta_total: Counter,
-    flush_window_occupancy: Histogram,
-    flush_window_ns: Histogram,
-    read_window_occupancy: Histogram,
-    read_window_ns: Histogram,
+    /// `core.flush.window_*`: the windowed write pipeline.
+    pub(crate) flush_window: WindowObs,
+    /// `core.read.window_*`: the windowed read pipeline.
+    pub(crate) read_window: WindowObs,
     gc_runs: Counter,
     gc_pages_moved: Counter,
     gc_blocks_erased: Counter,
@@ -75,10 +118,8 @@ impl CoreObs {
             probes_total: registry.counter("core.placement.probes_total"),
             steered: registry.counter("core.placement.steered"),
             steer_delta_total: registry.counter("core.placement.steer_delta_total"),
-            flush_window_occupancy: registry.histogram("core.flush.window_occupancy", Unit::Count),
-            flush_window_ns: registry.histogram("core.flush.window_ns", Unit::SimNanos),
-            read_window_occupancy: registry.histogram("core.read.window_occupancy", Unit::Count),
-            read_window_ns: registry.histogram("core.read.window_ns", Unit::SimNanos),
+            flush_window: WindowObs::new(&registry, "core.flush", "write_window"),
+            read_window: WindowObs::new(&registry, "core.read", "read_window"),
             gc_runs: registry.counter("core.gc.runs"),
             gc_pages_moved: registry.counter("core.gc.pages_moved"),
             gc_blocks_erased: registry.counter("core.gc.blocks_erased"),
@@ -134,48 +175,6 @@ impl CoreObs {
             die_track,
             at.as_nanos(),
             &[("pages_moved", pages_moved), ("blocks_erased", blocks_erased)],
-        );
-    }
-
-    /// Sample the windowed write pipeline's in-flight depth at one
-    /// submission instant.
-    pub(crate) fn note_window_occupancy(&self, inflight: u64) {
-        self.flush_window_occupancy.record(inflight);
-    }
-
-    /// Record a completed write window: issue→drain latency plus a
-    /// tracer span on the flush track.
-    pub(crate) fn note_window_done(&self, pages: u64, issued: SimTime, done: SimTime) {
-        self.flush_window_ns.record(done.since(issued).as_nanos());
-        self.registry.tracer().span(
-            "core.flush",
-            "write_window",
-            TRACK_FLUSH,
-            issued.as_nanos(),
-            done.as_nanos(),
-            &[("pages", pages)],
-        );
-    }
-
-    /// Sample the windowed read pipeline's in-flight depth at one
-    /// submission instant.
-    pub(crate) fn note_read_window_occupancy(&self, inflight: u64) {
-        self.read_window_occupancy.record(inflight);
-    }
-
-    /// Record a completed read window: issue→drain latency plus a
-    /// tracer span on the flush track.  Kept separate from
-    /// [`CoreObs::note_window_done`] so scan/merge read windows never
-    /// skew the write-flush latency distribution.
-    pub(crate) fn note_read_window_done(&self, pages: u64, issued: SimTime, done: SimTime) {
-        self.read_window_ns.record(done.since(issued).as_nanos());
-        self.registry.tracer().span(
-            "core.read",
-            "read_window",
-            TRACK_FLUSH,
-            issued.as_nanos(),
-            done.as_nanos(),
-            &[("pages", pages)],
         );
     }
 

@@ -21,11 +21,23 @@
 //!   the payload checksum and discarded.  The outcome is summarised in a
 //!   [`MountReport`].
 
-use flash_sim::{DieId, PageAddr, ServiceClass, SimTime};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
-use crate::object::{ObjectCounters, ObjectId};
+use flash_sim::queue::FlashCommand;
+use flash_sim::{
+    BlockAddr, BlockState, DieId, FlashBackend, IoTag, PageAddr, PageMetadata, PageState,
+    ServiceClass, SimTime,
+};
+
+use crate::config::NoFtlConfig;
+use crate::error::NoFtlError;
+use crate::manager::{Env, Inner, NoFtl};
+use crate::object::{ObjectCounters, ObjectId, ObjectState};
 use crate::placement::PlacementPolicyKind;
-use crate::region::{RegionId, RegionSpec};
+use crate::region::{RegionDie, RegionId, RegionRuntime, RegionSpec};
+use crate::Result;
 
 /// Reserved object id for checkpoint chunks ("no object" is 0, real
 /// objects count up from 1, the metadata journal counts down from the
@@ -51,6 +63,26 @@ pub(crate) const CHUNK_HEADER: usize = 24;
 /// older code decode as "no checkpoint" instead of mis-aligning the
 /// cursor on the new fields.
 const BLOB_MAGIC: &[u8; 8] = b"NFCKPT04";
+
+/// In-memory state of the region-metadata journal: where checkpoint chunk
+/// pages currently live.  The chunks themselves carry all recovery
+/// information in their page payloads and OOB records; this directory only
+/// lets the *running* manager invalidate superseded chunks and lets GC
+/// keep the chunk locations current when it relocates them.
+#[derive(Debug, Default)]
+pub(crate) struct MetaDirectory {
+    /// Region hosting the checkpoint chunks (created lazily).
+    pub(crate) region: Option<RegionId>,
+    /// Chunk index → physical page of the newest *completed* checkpoint.
+    pub(crate) map: Vec<Option<PageAddr>>,
+    /// Chunk pages of a checkpoint currently being written.  The previous
+    /// checkpoint's pages stay valid (and in `map`) until every new chunk
+    /// is durable, so a crash mid-checkpoint always leaves one complete
+    /// checkpoint on flash.
+    pub(crate) staging: Vec<Option<PageAddr>>,
+    /// Sequence number of the newest completed checkpoint.
+    pub(crate) seq: u64,
+}
 
 /// Summary of what `NoFtl::mount` found and rebuilt.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -439,9 +471,472 @@ pub(crate) fn decode_chunk(page: &[u8]) -> Option<(u64, u32, u32, &[u8])> {
     Some((seq, index, count, &page[CHUNK_HEADER..CHUNK_HEADER + len]))
 }
 
+impl Inner {
+    /// Everything a checkpoint persists, as of now.
+    fn image(&self, device: &dyn FlashBackend, seq: u64, meta_region: RegionId) -> CheckpointImage {
+        CheckpointImage {
+            seq,
+            epoch_watermark: device.current_epoch(),
+            meta_region: Some(meta_region),
+            free_dies: self.free_dies.clone(),
+            dirty_dies: device.geometry().dies().filter(|d| device.die_touched(*d)).collect(),
+            replication: device.replication_blob(),
+            regions: self
+                .regions
+                .iter()
+                .flatten()
+                .map(|r| RegionImage {
+                    id: r.id,
+                    spec: r.spec.clone(),
+                    dies: r.die_ids(),
+                    objects: r.objects.clone(),
+                })
+                .collect(),
+            objects: self
+                .objects
+                .iter()
+                .enumerate()
+                .filter_map(|(id, o)| {
+                    o.as_ref().map(|state| ObjectImage {
+                        id: id as ObjectId,
+                        name: state.name.clone(),
+                        region: state.region,
+                        counters: state.counters,
+                        map: state
+                            .map
+                            .iter()
+                            .enumerate()
+                            .filter_map(|(lp, ppa)| ppa.map(|p| (lp as u64, p)))
+                            .collect(),
+                    })
+                })
+                .collect(),
+        }
+    }
+}
+
+/// One checkpoint chunk page found by the mount scan.
+struct ScannedChunk {
+    count: u32,
+    epoch: u64,
+    addr: PageAddr,
+    payload: Vec<u8>,
+}
+
+/// What the mount's full OOB scan found.
+#[derive(Default)]
+struct Scan {
+    /// (object, logical page) → (epoch, ppa) of the newest valid version.
+    winners: HashMap<(ObjectId, u64), (u64, PageAddr)>,
+    /// Superseded or unreachable pages to invalidate.
+    losers: Vec<PageAddr>,
+    /// Checkpoint chunks by sequence number, then chunk index.
+    chunks: HashMap<u64, HashMap<u32, ScannedChunk>>,
+}
+
+impl Scan {
+    /// Read the OOB area of every valid page (and the payload wherever a
+    /// checksum must be verified), all issued at `at`; `report.completed_at`
+    /// advances to the slowest read.  Torn pages are discarded on the spot.
+    fn run(env: &Env, at: SimTime, report: &mut MountReport) -> Result<Scan> {
+        let device = env.device.as_ref();
+        let geo = *device.geometry();
+        let verify_payloads = device.stores_data();
+        let mut scan = Scan::default();
+        for die in geo.dies() {
+            // Partial-device mount: a die that was never programmed or
+            // erased (per the device's touched flags, which survive
+            // snapshot/restore, and the checkpoint's dirty-die directory)
+            // holds no pages, no chunks and no allocation state worth
+            // scanning — `RegionDie::rebuild` reconstructs it from block
+            // states without OOB reads.
+            if !device.die_touched(die) {
+                report.dies_skipped += 1;
+                continue;
+            }
+            let blocks = (0..geo.planes_per_die)
+                .flat_map(|plane| (0..geo.blocks_per_plane).map(move |b| (plane, b)));
+            for (plane, block) in blocks {
+                let baddr = BlockAddr::new(die, plane, block);
+                let info = device.block_info(baddr)?;
+                if info.state == BlockState::Bad {
+                    continue;
+                }
+                for addr in (0..info.write_ptr).map(|page| baddr.page(page)) {
+                    if device.page_state(addr)? != PageState::Valid {
+                        continue;
+                    }
+                    report.pages_scanned += 1;
+                    let oob =
+                        env.exec(FlashCommand::MetadataRead { addr }, at, IoTag::default())?;
+                    report.completed_at = report.completed_at.max(oob.outcome.completed_at);
+                    let Some(meta) = oob.meta else {
+                        // OOB destroyed (early tear / interrupted erase):
+                        // nothing recoverable here.
+                        report.unreadable_metadata_pages += 1;
+                        continue;
+                    };
+                    let is_chunk = meta.object_id == META_OBJECT_ID;
+                    // A chunk's payload is the checkpoint itself; a data
+                    // page's is read only to verify its checksum.
+                    let must_read = is_chunk || (verify_payloads && meta.checksum != 0);
+                    let mut payload = Vec::new();
+                    if must_read {
+                        let read = env.exec(FlashCommand::Read { addr }, at, IoTag::default())?;
+                        report.completed_at = report.completed_at.max(read.outcome.completed_at);
+                        payload = read.data;
+                    }
+                    let filed = if must_read && !meta.payload_matches(&payload) {
+                        false
+                    } else if is_chunk {
+                        scan.note_chunk(&meta, addr, payload)
+                    } else {
+                        scan.note_page(&meta, addr);
+                        true
+                    };
+                    if !filed {
+                        report.torn_pages_discarded += 1;
+                        let _ = device.mark_invalid(addr);
+                    }
+                }
+            }
+        }
+        Ok(scan)
+    }
+
+    /// File one checkpoint chunk page whose checksum matched; of two
+    /// copies of the same chunk the higher write epoch wins.  Returns
+    /// `false` for a payload that is not a chunk after all.
+    fn note_chunk(&mut self, meta: &PageMetadata, addr: PageAddr, payload: Vec<u8>) -> bool {
+        let Some((seq, index, count, _)) = decode_chunk(&payload) else { return false };
+        let by_idx = self.chunks.entry(seq).or_default();
+        if by_idx.get(&index).is_some_and(|c| c.epoch >= meta.epoch) {
+            self.losers.push(addr);
+        } else {
+            let chunk = ScannedChunk { count, epoch: meta.epoch, addr, payload };
+            if let Some(old) = by_idx.insert(index, chunk) {
+                self.losers.push(old.addr);
+            }
+        }
+        true
+    }
+
+    /// File one intact data page; of two versions of the same logical
+    /// page the higher write epoch wins.
+    fn note_page(&mut self, meta: &PageMetadata, addr: PageAddr) {
+        match self.winners.entry((meta.object_id, meta.logical_page)) {
+            Entry::Vacant(e) => {
+                e.insert((meta.epoch, addr));
+            }
+            Entry::Occupied(mut e) if meta.epoch > e.get().0 => {
+                self.losers.push(e.get().1);
+                e.insert((meta.epoch, addr));
+            }
+            // Older version — or an epoch tie from a torn copyback, where
+            // both copies are identical and either may win.
+            Entry::Occupied(_) => self.losers.push(addr),
+        }
+    }
+
+    /// Pick the newest *complete*, decodable checkpoint and the pages of
+    /// its chunks; every other chunk page becomes a loser.
+    fn newest_checkpoint(&mut self) -> Option<(CheckpointImage, Vec<Option<PageAddr>>)> {
+        let mut seqs: Vec<u64> = self.chunks.keys().copied().collect();
+        seqs.sort_unstable_by(|a, b| b.cmp(a));
+        let best = seqs.into_iter().find_map(|seq| {
+            let by_idx = &self.chunks[&seq];
+            let count = by_idx.values().next()?.count;
+            if count == 0 || by_idx.len() != count as usize {
+                return None;
+            }
+            let mut blob = Vec::new();
+            let mut addrs = Vec::with_capacity(count as usize);
+            for index in 0..count {
+                let chunk = by_idx.get(&index)?;
+                blob.extend_from_slice(decode_chunk(&chunk.payload)?.3);
+                addrs.push(Some(chunk.addr));
+            }
+            Some((CheckpointImage::decode(&blob)?, addrs))
+        });
+        let chosen: HashSet<PageAddr> =
+            best.iter().flat_map(|(_, addrs)| addrs.iter().flatten().copied()).collect();
+        let stale = self.chunks.values().flat_map(|by_idx| by_idx.values().map(|c| c.addr));
+        self.losers.extend(stale.filter(|addr| !chosen.contains(addr)));
+        best
+    }
+}
+
+impl NoFtl {
+    /// Sequence number of the newest completed region-metadata checkpoint
+    /// (0 if none has been taken yet).
+    pub fn checkpoint_seq(&self) -> u64 {
+        self.lock_inner().meta.seq
+    }
+
+    /// The region hosting the region-metadata journal, if a checkpoint has
+    /// been taken.
+    pub fn meta_region(&self) -> Option<RegionId> {
+        self.lock_inner().meta.region
+    }
+
+    /// Pick (and if necessary create) the region hosting checkpoint
+    /// chunks: a dedicated one-die region when unassigned dies exist,
+    /// otherwise the least latency-sensitive live region.
+    fn ensure_meta_region(&self) -> Result<RegionId> {
+        {
+            let mut inner = self.lock_inner();
+            if let Some(rid) = inner.meta.region {
+                return Ok(rid);
+            }
+            if inner.free_dies.is_empty() {
+                // Journal and checkpoint programs are die-time injected
+                // into whichever region hosts them, so prefer the least
+                // latency-sensitive one.  Ties keep declaration order,
+                // which on a device without service classes reduces to
+                // "the first live region" — the pre-arbiter behavior.
+                let rank = |class: ServiceClass| match class {
+                    ServiceClass::Background => 0u8,
+                    ServiceClass::Throughput => 1,
+                    ServiceClass::Latency => 2,
+                };
+                let picked = inner
+                    .regions
+                    .iter()
+                    .flatten()
+                    .min_by_key(|r| rank(r.service_class(&self.env.config)))
+                    .map(|r| r.id)
+                    .ok_or_else(|| NoFtlError::Recovery {
+                        message: "no free die and no region available for the metadata journal"
+                            .to_string(),
+                    })?;
+                inner.meta.region = Some(picked);
+                return Ok(picked);
+            }
+        }
+        let rid = match self.create_region(RegionSpec::named(META_REGION_NAME).with_die_count(1)) {
+            Ok(rid) => rid,
+            // Present from a previous incarnation (e.g. after a remount).
+            Err(NoFtlError::RegionExists { .. }) => {
+                self.region_id(META_REGION_NAME).ok_or_else(|| NoFtlError::Recovery {
+                    message: format!("region '{META_REGION_NAME}' exists but has no id entry"),
+                })?
+            }
+            Err(e) => return Err(e),
+        };
+        // analyzer:allow(lock_order) two disjoint lock sections: the probe guard above is scoped out before create_region runs, then the choice is recorded
+        self.lock_inner().meta.region = Some(rid);
+        Ok(rid)
+    }
+
+    /// Checkpoint the region metadata: region specs and die assignment,
+    /// the free-die pool, and the full object directory (names, regions,
+    /// access counters and logical-to-physical page maps) are serialised
+    /// and programmed into the metadata region as self-describing chunk
+    /// pages under the reserved [`META_OBJECT_ID`].
+    ///
+    /// [`NoFtl::mount`] replays the newest complete checkpoint and then
+    /// rebuilds everything written after it from out-of-band page
+    /// metadata (mount always performs a full OOB scan; the checkpoint's
+    /// job is the *directory* — region and object identity — which the
+    /// OOB records alone cannot provide).  A checkpoint is never required
+    /// for data durability — only DDL (regions/objects created after the
+    /// last checkpoint) needs a new checkpoint to survive a crash with
+    /// its name and placement intact.
+    ///
+    /// The previous checkpoint's chunk pages are invalidated only after
+    /// every chunk of the new one is durable, so a crash at any instant
+    /// leaves at least one complete checkpoint on flash.
+    ///
+    /// Returns the completion time of the slowest chunk program.
+    pub fn checkpoint(&self, at: SimTime) -> Result<SimTime> {
+        let rid = self.ensure_meta_region()?;
+        let env = &self.env;
+        let mut inner = self.lock_inner();
+        let inner = &mut *inner;
+        let seq = inner.meta.seq + 1;
+        let blob = inner.image(env.device.as_ref(), seq, rid).encode();
+        let page_size = env.device.geometry().page_size as usize;
+        let cap = page_size - CHUNK_HEADER;
+        let chunk_count = blob.len().div_ceil(cap).max(1) as u32;
+        // Checkpoint chunks are durability traffic even when the journal
+        // falls back to a regular region: never budget-defer.
+        let tag = IoTag { exempt: true, ..inner.tag(env, rid, None) };
+        let mut done = at;
+        // Phase 1: program every new chunk into staging.  `meta.map` (the
+        // previous checkpoint) is left untouched so its pages stay valid —
+        // a crash anywhere in this loop loses only the half-written new
+        // checkpoint, never the old one.  GC may relocate either
+        // generation concurrently; `retranslate` tracks both.
+        inner.meta.staging = vec![None; chunk_count as usize];
+        for (index, body) in blob.chunks(cap).enumerate() {
+            let page = encode_chunk(seq, index as u32, chunk_count, body, page_size);
+            let addr = inner
+                .space(env, rid)?
+                .allocate(at)
+                .ok_or(NoFtlError::RegionFull { region: rid })?;
+            let meta = PageMetadata::new(META_OBJECT_ID, index as u64).with_payload_checksum(&page);
+            let out = env.exec(FlashCommand::Program { addr, data: &page, meta }, at, tag)?;
+            done = done.max(out.outcome.completed_at);
+            inner.meta.staging[index] = Some(addr);
+        }
+        // Phase 2: the new checkpoint is fully durable — retire the old
+        // chunk pages and promote the staged ones.
+        let old = std::mem::replace(&mut inner.meta.map, std::mem::take(&mut inner.meta.staging));
+        for page in old.into_iter().flatten() {
+            let _ = env.device.mark_invalid(page);
+            inner.region_mut(rid)?.record_invalidation(page);
+        }
+        inner.meta.seq = seq;
+        Ok(done)
+    }
+
+    /// Mount a device: rebuild the full storage-manager state from the
+    /// newest complete checkpoint plus the out-of-band page metadata of
+    /// everything written after it.
+    ///
+    /// The mount performs a full OOB scan (reading page payloads where a
+    /// checksum must be verified), discards torn pages, breaks duplicate
+    /// mappings by write epoch and reconstructs per-die allocation state
+    /// from the physical block states.  Objects created after the last
+    /// checkpoint have no directory entry; their pages are preserved under
+    /// a synthesised `__orphan_<id>` name and reported in the
+    /// [`MountReport`].
+    ///
+    /// An empty device mounts as a fresh manager; a device that holds data
+    /// but no complete checkpoint fails with [`NoFtlError::NoCheckpoint`].
+    pub fn mount(
+        device: Arc<dyn FlashBackend>,
+        config: NoFtlConfig,
+        at: SimTime,
+    ) -> Result<(NoFtl, MountReport)> {
+        config
+            .validate()
+            .map_err(|e| NoFtlError::Recovery { message: format!("invalid config: {e}") })?;
+        let env = Env::new(device, config);
+        let device = env.device.as_ref();
+        let mut report = MountReport { completed_at: at, ..MountReport::default() };
+        let mut scan = Scan::run(&env, at, &mut report)?;
+        let Some((image, chunk_pages)) = scan.newest_checkpoint() else {
+            if scan.winners.is_empty() {
+                // Pristine device: a fresh manager.
+                let inner = Inner::fresh(device);
+                return Ok((NoFtl::assemble(env, inner), report));
+            }
+            return Err(NoFtlError::NoCheckpoint);
+        };
+        let Scan { winners, mut losers, .. } = scan;
+        report.checkpoint_seq = image.seq;
+
+        // Hand the persisted replication state (mirror health + dirty
+        // segment maps) back to the backend.  A checkpoint written before
+        // replication existed carries no blob; the backend then treats
+        // every non-source child as stale ("rebuild everything") rather
+        // than trusting it silently.
+        let restored =
+            device.restore_replication(image.replication.as_deref(), report.completed_at)?;
+        report.completed_at = report.completed_at.max(restored);
+
+        // Rebuild regions, objects and the free pool from the directory.
+        let max_region = image.regions.iter().map(|r| r.id.0).max().unwrap_or(0) as usize;
+        let mut regions: Vec<Option<RegionRuntime>> = (0..=max_region).map(|_| None).collect();
+        let mut region_by_name = HashMap::new();
+        let mut die_owner: HashMap<DieId, RegionId> = HashMap::new();
+        for rimg in &image.regions {
+            let mut rt = RegionRuntime::new(rimg.id, rimg.spec.clone(), device, Vec::new());
+            for die in &rimg.dies {
+                die_owner.insert(*die, rimg.id);
+                rt.dies.push(RegionDie::rebuild(device, *die));
+            }
+            rt.objects = rimg.objects.clone();
+            region_by_name.insert(rt.name.clone(), rimg.id);
+            regions[rimg.id.0 as usize] = Some(rt);
+        }
+        let free_dies: Vec<DieId> =
+            device.geometry().dies().filter(|d| !die_owner.contains_key(d)).collect();
+
+        let checkpoint_map: HashMap<(ObjectId, u64), PageAddr> = image
+            .objects
+            .iter()
+            .flat_map(|o| o.map.iter().map(move |(lp, ppa)| ((o.id, *lp), *ppa)))
+            .collect();
+        let max_obj = image
+            .objects
+            .iter()
+            .map(|o| o.id)
+            .chain(winners.keys().map(|(obj, _)| *obj))
+            .max()
+            .unwrap_or(0) as usize;
+        let mut objects: Vec<Option<ObjectState>> = (0..=max_obj).map(|_| None).collect();
+        let mut object_by_name = HashMap::new();
+        for oimg in &image.objects {
+            let mut state = ObjectState::new(oimg.name.clone(), oimg.region);
+            state.counters = oimg.counters;
+            object_by_name.insert(oimg.name.clone(), oimg.id);
+            objects[oimg.id as usize] = Some(state);
+        }
+
+        // Install the winning mappings; synthesise directory entries for
+        // objects created after the checkpoint.
+        let mut winner_list: Vec<((ObjectId, u64), (u64, PageAddr))> =
+            winners.into_iter().collect();
+        winner_list.sort_unstable_by_key(|((obj, lp), _)| (*obj, *lp));
+        for ((obj, lp), (epoch, ppa)) in winner_list {
+            if objects.get(obj as usize).map(|o| o.is_none()).unwrap_or(true) {
+                let Some(rid) = die_owner.get(&ppa.die).copied() else {
+                    // Page on a die no region owns (e.g. its region was
+                    // dropped right before the crash): unreachable data.
+                    losers.push(ppa);
+                    continue;
+                };
+                let name = format!("__orphan_{obj}");
+                objects[obj as usize] = Some(ObjectState::new(name.clone(), rid));
+                object_by_name.insert(name, obj);
+                if let Some(region) = regions[rid.0 as usize].as_mut() {
+                    region.objects.push(obj);
+                }
+                report.orphaned_objects.push(obj);
+            }
+            // The entry was installed just above when missing; a `None`
+            // here would mean the page's die has no owning region, and
+            // that case already `continue`d.
+            let Some(state) = objects[obj as usize].as_mut() else { continue };
+            state.set_translation(lp, ppa);
+            report.mapped_pages += 1;
+            // A same-epoch page at a new address was relocated by GC after
+            // the checkpoint was taken.
+            if epoch > image.epoch_watermark || checkpoint_map.get(&(obj, lp)) != Some(&ppa) {
+                report.pages_after_checkpoint += 1;
+            }
+        }
+
+        // Invalidate superseded physical pages.
+        for addr in losers {
+            let _ = device.mark_invalid(addr);
+            let owner = die_owner.get(&addr.die).and_then(|rid| regions[rid.0 as usize].as_mut());
+            if let Some(region) = owner {
+                region.record_invalidation(addr);
+            }
+            report.stale_pages_invalidated += 1;
+        }
+
+        let meta = MetaDirectory {
+            region: image.meta_region,
+            map: chunk_pages,
+            staging: Vec::new(),
+            seq: image.seq,
+        };
+        report.regions = image.regions.len();
+        report.objects = image.objects.len();
+        let inner = Inner { regions, region_by_name, free_dies, objects, object_by_name, meta };
+        Ok((NoFtl::assemble(env, inner), report))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{make_noftl, page, raw_device, reboot};
+    use flash_sim::{DeviceBuilder, FlashGeometry, TimingModel};
 
     fn sample_image() -> CheckpointImage {
         CheckpointImage {
@@ -500,5 +995,231 @@ mod tests {
         // A data page is not mistaken for a chunk.
         assert!(decode_chunk(&vec![0xAAu8; 4096]).is_none());
         assert!(decode_chunk(&[]).is_none());
+    }
+
+    #[test]
+    fn checkpoint_and_mount_rebuild_state() {
+        let noftl = make_noftl();
+        let rg_hot = noftl.create_region(RegionSpec::named("rgHot").with_die_count(2)).unwrap();
+        let rg_cold = noftl.create_region(RegionSpec::named("rgCold").with_die_count(1)).unwrap();
+        let orders = noftl.create_object("orders", rg_hot).unwrap();
+        let history = noftl.create_object("history", rg_cold).unwrap();
+        let mut t = SimTime::ZERO;
+        for p in 0..10u64 {
+            t = noftl.write(orders, p, &page(p as u8), t).unwrap();
+        }
+        t = noftl.write(history, 0, &page(0xCC), t).unwrap();
+        t = noftl.checkpoint(t).unwrap();
+        assert_eq!(noftl.checkpoint_seq(), 1);
+        // Post-checkpoint writes are recovered from OOB metadata alone.
+        for p in 5..15u64 {
+            t = noftl.write(orders, p, &page(0x40 + p as u8), t).unwrap();
+        }
+        let device2 = reboot(&noftl);
+        let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
+        assert_eq!(report.checkpoint_seq, 1);
+        assert_eq!(report.regions, 3, "rgHot, rgCold and the meta region");
+        assert_eq!(report.objects, 2);
+        assert!(report.pages_after_checkpoint >= 10);
+        assert!(report.orphaned_objects.is_empty());
+        assert_eq!(noftl2.region_id("rgHot"), Some(rg_hot));
+        assert_eq!(noftl2.region_id("rgCold"), Some(rg_cold));
+        assert_eq!(noftl2.object_id("orders"), Some(orders));
+        assert_eq!(noftl2.object_id("history"), Some(history));
+        assert_eq!(noftl2.region_dies(rg_hot).unwrap().len(), 2);
+        let done = report.completed_at;
+        for p in 0..5u64 {
+            assert_eq!(noftl2.read(orders, p, done).unwrap().0, page(p as u8), "page {p}");
+        }
+        for p in 5..15u64 {
+            assert_eq!(noftl2.read(orders, p, done).unwrap().0, page(0x40 + p as u8), "page {p}");
+        }
+        assert_eq!(noftl2.read(history, 0, done).unwrap().0, page(0xCC));
+        // The remounted manager keeps working: writes and re-checkpoints.
+        let t2 = noftl2.write(orders, 99, &page(0x77), done).unwrap();
+        assert_eq!(noftl2.read(orders, 99, t2).unwrap().0, page(0x77));
+        noftl2.checkpoint(t2).unwrap();
+        assert_eq!(noftl2.checkpoint_seq(), 2);
+    }
+
+    #[test]
+    fn mount_of_pristine_device_is_fresh() {
+        let device = Arc::new(DeviceBuilder::new(FlashGeometry::small_test()).build());
+        let (noftl, report) = NoFtl::mount(device, NoFtlConfig::default(), SimTime::ZERO).unwrap();
+        assert_eq!(report.checkpoint_seq, 0);
+        assert_eq!(report.pages_scanned, 0);
+        assert_eq!(noftl.free_die_count(), 4);
+        noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
+    }
+
+    #[test]
+    fn mount_without_checkpoint_fails_when_data_exists() {
+        let noftl = make_noftl();
+        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
+        let obj = noftl.create_object("t", r).unwrap();
+        noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
+        let device2 = reboot(&noftl);
+        assert!(matches!(
+            NoFtl::mount(device2, NoFtlConfig::default(), SimTime::ZERO),
+            Err(NoFtlError::NoCheckpoint)
+        ));
+    }
+
+    #[test]
+    fn mount_preserves_orphan_objects_created_after_checkpoint() {
+        let noftl = make_noftl();
+        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(2)).unwrap();
+        let a = noftl.create_object("a", r).unwrap();
+        let mut t = noftl.write(a, 0, &page(1), SimTime::ZERO).unwrap();
+        t = noftl.checkpoint(t).unwrap();
+        // Object created after the checkpoint: its directory entry is lost
+        // but its data must survive under a synthesised name.
+        let b = noftl.create_object("b", r).unwrap();
+        t = noftl.write(b, 3, &page(9), t).unwrap();
+        let device2 = reboot(&noftl);
+        let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
+        assert_eq!(report.orphaned_objects, vec![b]);
+        assert_eq!(noftl2.object_id(&format!("__orphan_{b}")), Some(b));
+        assert_eq!(noftl2.read(b, 3, report.completed_at).unwrap().0, page(9));
+        assert_eq!(noftl2.read(a, 0, report.completed_at).unwrap().0, page(1));
+    }
+
+    #[test]
+    fn mount_skips_untouched_dies() {
+        let noftl = make_noftl();
+        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
+        let obj = noftl.create_object("t", r).unwrap();
+        let mut t = SimTime::ZERO;
+        for p in 0..6u64 {
+            t = noftl.write(obj, p, &page(p as u8), t).unwrap();
+        }
+        t = noftl.checkpoint(t).unwrap();
+        let device2 = reboot(&noftl);
+        let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
+        // One die holds the region, one the metadata journal; the other
+        // two of small_test's four dies were never written and their OOB
+        // scan is skipped entirely.
+        assert_eq!(report.dies_skipped, 2);
+        assert!(report.pages_scanned > 0);
+        for p in 0..6u64 {
+            assert_eq!(noftl2.read(obj, p, report.completed_at).unwrap().0, page(p as u8));
+        }
+        // The skipped dies are still usable: they returned to the free
+        // pool and can host a new region.
+        assert_eq!(noftl2.free_die_count(), 2);
+        noftl2.create_region(RegionSpec::named("rg2").with_die_count(2)).unwrap();
+    }
+
+    #[test]
+    fn torn_write_is_discarded_on_mount_and_old_version_survives() {
+        let noftl = make_noftl();
+        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
+        let obj = noftl.create_object("t", r).unwrap();
+        let mut t = noftl.write(obj, 0, &page(0x11), SimTime::ZERO).unwrap();
+        t = noftl.checkpoint(t).unwrap();
+        // Cut power in the middle of the overwrite of logical page 0.
+        let device = raw_device(&noftl);
+        let quiesce = device.quiesce_time();
+        let probe_span = {
+            // A program on this device takes a fixed time under mlc_2015.
+            let probe = DeviceBuilder::new(FlashGeometry::small_test())
+                .timing(TimingModel::mlc_2015())
+                .build();
+            let out = probe
+                .program_page(
+                    flash_sim::PageAddr::new(DieId(0), 0, 0, 0),
+                    &page(0),
+                    PageMetadata::new(1, 0),
+                    SimTime::ZERO,
+                )
+                .unwrap();
+            out.completed_at.as_nanos() - out.started_at.as_nanos()
+        };
+        device.arm_power_cut(quiesce + flash_sim::Duration(probe_span * 9 / 10));
+        let err = noftl.write(obj, 0, &page(0x22), quiesce).unwrap_err();
+        assert!(matches!(err, NoFtlError::Flash(e) if e.is_power_loss()));
+        let device2 = reboot(&noftl);
+        let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
+        assert_eq!(report.torn_pages_discarded, 1);
+        // The pre-crash committed version is still readable.
+        assert_eq!(noftl2.read(obj, 0, report.completed_at).unwrap().0, page(0x11));
+    }
+
+    #[test]
+    fn torn_multichunk_checkpoint_falls_back_to_previous() {
+        let noftl = make_noftl();
+        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(2)).unwrap();
+        let obj = noftl.create_object("t", r).unwrap();
+        let mut t = SimTime::ZERO;
+        // Enough mapped pages that the checkpoint blob spans several chunks.
+        for p in 0..200u64 {
+            t = noftl.write(obj, p, &page(p as u8), t).unwrap();
+        }
+        t = noftl.checkpoint(t).unwrap();
+        assert!(
+            noftl.checkpoint_seq() == 1 && noftl.meta_region().is_some(),
+            "first checkpoint completed"
+        );
+        // Post-checkpoint overwrites, then a power cut that tears the
+        // *second* checkpoint in the middle of its first chunk program
+        // (chunk 0 is dense with real payload, so the tear is guaranteed
+        // to corrupt it — a tear in a later chunk's zero padding would
+        // harmlessly reproduce the complete page).
+        for p in 0..5u64 {
+            t = noftl.write(obj, p, &page(0xE0 + p as u8), t).unwrap();
+        }
+        let probe =
+            DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build();
+        let out = probe
+            .program_page(
+                flash_sim::PageAddr::new(DieId(0), 0, 0, 0),
+                &page(0),
+                PageMetadata::new(1, 0),
+                SimTime::ZERO,
+            )
+            .unwrap();
+        let span = out.completed_at.as_nanos() - out.started_at.as_nanos();
+        let q = noftl.device().quiesce_time();
+        raw_device(&noftl).arm_power_cut(q + flash_sim::Duration(span * 9 / 10));
+        let err = noftl.checkpoint(q).unwrap_err();
+        assert!(matches!(err, NoFtlError::Flash(e) if e.is_power_loss()));
+        // Mount must fall back to the complete checkpoint #1 and still
+        // recover every page (including the post-checkpoint overwrites,
+        // which come from the OOB scan).
+        let device2 = reboot(&noftl);
+        let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
+        assert_eq!(report.checkpoint_seq, 1, "torn checkpoint #2 is ignored");
+        let done = report.completed_at;
+        for p in 0..5u64 {
+            assert_eq!(noftl2.read(obj, p, done).unwrap().0, page(0xE0 + p as u8), "page {p}");
+        }
+        for p in 5..200u64 {
+            assert_eq!(noftl2.read(obj, p, done).unwrap().0, page(p as u8), "page {p}");
+        }
+    }
+
+    #[test]
+    fn meta_region_cannot_be_dropped() {
+        let noftl = make_noftl();
+        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
+        let obj = noftl.create_object("t", r).unwrap();
+        noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
+        noftl.checkpoint(SimTime::ZERO).unwrap();
+        let meta = noftl.meta_region().unwrap();
+        assert!(matches!(noftl.drop_region(meta, SimTime::ZERO), Err(NoFtlError::Recovery { .. })));
+    }
+
+    #[test]
+    fn checkpoint_without_free_dies_uses_first_region() {
+        let device = Arc::new(DeviceBuilder::new(FlashGeometry::small_test()).build());
+        let (noftl, rid) = NoFtl::with_single_region(device, NoFtlConfig::default());
+        let obj = noftl.create_object("t", rid).unwrap();
+        let t = noftl.write(obj, 0, &page(5), SimTime::ZERO).unwrap();
+        noftl.checkpoint(t).unwrap();
+        assert_eq!(noftl.meta_region(), Some(rid));
+        let device2 = reboot(&noftl);
+        let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
+        assert_eq!(report.checkpoint_seq, 1);
+        assert_eq!(noftl2.read(obj, 0, report.completed_at).unwrap().0, page(5));
     }
 }

@@ -206,6 +206,15 @@ impl RegionDie {
         out
     }
 
+    /// Take every block that may hold data — used blocks and both write
+    /// frontiers — out of tracking, for a die that is being emptied.
+    pub(crate) fn take_data_blocks(&mut self) -> Vec<BlockAddr> {
+        let mut blocks: Vec<BlockAddr> = self.used_blocks.drain(..).collect();
+        blocks.extend(self.active.take().map(|(b, _)| b));
+        blocks.extend(self.gc_active.take().map(|(b, _)| b));
+        blocks
+    }
+
     /// Total usable blocks currently tracked by this die (free + used +
     /// frontiers).
     pub(crate) fn tracked_blocks(&self) -> usize {

@@ -3,17 +3,17 @@
 //! The repository's documented lock hierarchy is a single total order:
 //!
 //! ```text
-//! manager → pending-io → mirror → mirror-range → queue → arbiter → die(id) → channel(id) → shared
+//! manager → mirror → mirror-range → queue → arbiter → die(id) → channel(id) → shared
 //! ```
 //!
 //! with ascending ids inside the `die`/`channel` classes.  Every shard-lock
 //! acquisition in `crates/flash` and `crates/core` goes through one choke
 //! point per lock class ([`lock_tracked`] behind `die_shard`,
-//! `channel_shard`, `shared_shard`, `queue_shard`, `lock_inner`,
-//! `lock_pending_io`), so in debug builds each acquisition is recorded on a
-//! thread-local held-lock stack and checked against the order *before* the
-//! thread blocks on the mutex: a would-be deadlock panics with a message
-//! naming both locks instead of hanging the test suite.
+//! `channel_shard`, `shared_shard`, `queue_shard`, `lock_inner`), so in
+//! debug builds each acquisition is recorded on a thread-local held-lock
+//! stack and checked against the order *before* the thread blocks on the
+//! mutex: a would-be deadlock panics with a message naming both locks
+//! instead of hanging the test suite.
 //!
 //! In release builds [`LockToken`] is a zero-sized type with no `Drop`
 //! impl and [`acquire`] compiles down to nothing — the sanitizer adds zero
@@ -46,8 +46,6 @@ use parking_lot::{Mutex, MutexGuard};
 pub enum LockClass {
     /// `noftl-core`'s manager state (`NoFtl::inner`).
     Manager,
-    /// `noftl-core`'s pending-I/O completion map.
-    PendingIo,
     /// `noftl-mirror`'s replica state (health machine + segment maps).
     /// Sits above `Queue` because the mirror fans out to its children's
     /// command queues while holding it.
@@ -72,7 +70,6 @@ impl fmt::Display for LockClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LockClass::Manager => write!(f, "manager"),
-            LockClass::PendingIo => write!(f, "pending-io"),
             LockClass::Mirror => write!(f, "mirror"),
             LockClass::MirrorRange => write!(f, "mirror-range"),
             LockClass::Queue => write!(f, "queue"),
@@ -133,8 +130,8 @@ pub fn acquire(class: LockClass) -> LockToken {
                     panic!(
                         "lock-order violation: acquiring {class} while holding {h}; \
                          the documented order is \
-                         manager -> pending-io -> mirror -> mirror-range -> queue \
-                         -> arbiter -> die -> channel -> shared, \
+                         manager -> mirror -> mirror-range -> queue -> arbiter \
+                         -> die -> channel -> shared, \
                          ascending ids within a class"
                     );
                 }
@@ -220,8 +217,7 @@ mod tests {
 
     #[test]
     fn lock_classes_order_matches_documentation() {
-        assert!(LockClass::Manager < LockClass::PendingIo);
-        assert!(LockClass::PendingIo < LockClass::Mirror);
+        assert!(LockClass::Manager < LockClass::Mirror);
         assert!(LockClass::Mirror < LockClass::MirrorRange);
         assert!(LockClass::MirrorRange < LockClass::Queue);
         assert!(LockClass::Queue < LockClass::Arbiter);
@@ -274,14 +270,13 @@ mod tests {
         #[test]
         fn manager_may_nest_device_shards() {
             let _m = acquire(LockClass::Manager);
-            let _p = acquire(LockClass::PendingIo);
             let _q = acquire(LockClass::Queue);
             let _d = acquire(LockClass::Die(0));
-            assert_eq!(held_depth(), 4);
+            assert_eq!(held_depth(), 3);
         }
 
         #[test]
-        fn mirror_nests_between_pending_io_and_child_queues() {
+        fn mirror_nests_between_manager_and_child_queues() {
             // The replication layer's acquisition path: manager state, the
             // mirror's own health/segment state, a rebuild range lock, then
             // a child device's command queue.

@@ -29,7 +29,7 @@
 //! let data = vec![0xA5; device.geometry().page_size as usize];
 //! let addr = flash_sim::PageAddr::new(flash_sim::DieId(0), 0, 0, 0);
 //! let h = queue.submit(
-//!     FlashCommand::Program { addr, data, meta: PageMetadata::new(1, 0) },
+//!     FlashCommand::Program { addr, data: &data, meta: PageMetadata::new(1, 0) },
 //!     SimTime::ZERO,
 //! );
 //! let completion = queue.wait(h).unwrap();
@@ -54,8 +54,12 @@ use crate::trace::OpKind;
 use crate::Result;
 
 /// One command of the device's native interface, in submission form.
-#[derive(Debug, Clone)]
-pub enum FlashCommand {
+///
+/// A program *borrows* its payload: the queue executes inside
+/// [`CommandQueue::submit`], so nothing outlives the call and no caller
+/// has to copy a page just to build a command.
+#[derive(Debug, Clone, Copy)]
+pub enum FlashCommand<'a> {
     /// `READ PAGE`: payload + OOB metadata.
     Read {
         /// Page to read.
@@ -71,7 +75,7 @@ pub enum FlashCommand {
         /// Target page (must be erased and sequential within its block).
         addr: PageAddr,
         /// Page payload (may be empty when the device stores no data).
-        data: Vec<u8>,
+        data: &'a [u8],
         /// OOB metadata; a zero epoch is stamped by the device.
         meta: PageMetadata,
     },
@@ -89,7 +93,7 @@ pub enum FlashCommand {
     },
 }
 
-impl FlashCommand {
+impl FlashCommand<'_> {
     /// The die the command executes on (copybacks are same-die by rule;
     /// for a cross-die copyback this reports the source die and the
     /// device rejects the command at execution).
@@ -250,7 +254,7 @@ impl CommandQueue {
     /// a real completion-queue entry's status field.  The queue lock is
     /// *not* held while the device executes, so concurrent submitters to
     /// different dies proceed in parallel.
-    pub fn submit(&self, command: FlashCommand, at: SimTime) -> CmdHandle {
+    pub fn submit(&self, command: FlashCommand<'_>, at: SimTime) -> CmdHandle {
         self.submit_tagged(command, at, IoTag::default())
     }
 
@@ -259,7 +263,7 @@ impl CommandQueue {
     /// arbiter-enabled device, drives admission (budget deferral for
     /// `Background`, gap backfill for foreground, exemption for
     /// durability traffic).
-    pub fn submit_tagged(&self, command: FlashCommand, at: SimTime, tag: IoTag) -> CmdHandle {
+    pub fn submit_tagged(&self, command: FlashCommand<'_>, at: SimTime, tag: IoTag) -> CmdHandle {
         let die = command.die().0 as usize;
         let kind = command.kind();
         let handle = {
@@ -273,7 +277,7 @@ impl CommandQueue {
             }
             h
         };
-        let result = self.execute(&command, at, tag);
+        let result = self.execute(command, at, tag);
         let completion = Completion { handle, kind, issued_at: at, result };
         self.obs.note_completion(
             kind,
@@ -291,34 +295,34 @@ impl CommandQueue {
 
     /// Submit a batch of commands, all issued at `at`.  Handles come back
     /// in submission order.
-    pub fn submit_batch(
+    pub fn submit_batch<'a>(
         &self,
-        commands: impl IntoIterator<Item = FlashCommand>,
+        commands: impl IntoIterator<Item = FlashCommand<'a>>,
         at: SimTime,
     ) -> Vec<CmdHandle> {
         commands.into_iter().map(|c| self.submit(c, at)).collect()
     }
 
-    fn execute(&self, command: &FlashCommand, at: SimTime, tag: IoTag) -> Result<CmdOutput> {
+    fn execute(&self, command: FlashCommand<'_>, at: SimTime, tag: IoTag) -> Result<CmdOutput> {
         match command {
             FlashCommand::Read { addr } => {
-                let (data, meta, outcome) = self.device.read_page_tagged(*addr, at, tag)?;
+                let (data, meta, outcome) = self.device.read_page_tagged(addr, at, tag)?;
                 Ok(CmdOutput { data, meta, outcome })
             }
             FlashCommand::MetadataRead { addr } => {
-                let (meta, outcome) = self.device.read_metadata_tagged(*addr, at, tag)?;
+                let (meta, outcome) = self.device.read_metadata_tagged(addr, at, tag)?;
                 Ok(CmdOutput { data: Vec::new(), meta, outcome })
             }
             FlashCommand::Program { addr, data, meta } => {
-                let outcome = self.device.program_page_tagged(*addr, data, *meta, at, tag)?;
+                let outcome = self.device.program_page_tagged(addr, data, meta, at, tag)?;
                 Ok(CmdOutput { data: Vec::new(), meta: None, outcome })
             }
             FlashCommand::Erase { block } => {
-                let outcome = self.device.erase_block(*block, at)?;
+                let outcome = self.device.erase_block(block, at)?;
                 Ok(CmdOutput { data: Vec::new(), meta: None, outcome })
             }
             FlashCommand::Copyback { src, dst } => {
-                let outcome = self.device.copyback(*src, *dst, at)?;
+                let outcome = self.device.copyback(src, dst, at)?;
                 Ok(CmdOutput { data: Vec::new(), meta: None, outcome })
             }
         }
@@ -402,7 +406,7 @@ mod tests {
         let h = q.submit(
             FlashCommand::Program {
                 addr: paddr(0, 0, 0),
-                data: data.clone(),
+                data: &data,
                 meta: PageMetadata::new(1, 7),
             },
             SimTime::ZERO,
@@ -434,10 +438,11 @@ mod tests {
     fn fanout_over_dies_completes_in_parallel() {
         let q = queue();
         // One program per die, all submitted at t=0.
+        let pages: Vec<Vec<u8>> = (0..4).map(|die| vec![die; 4096]).collect();
         let handles = q.submit_batch(
             (0..4).map(|die| FlashCommand::Program {
                 addr: paddr(die, 0, 0),
-                data: vec![die as u8; 4096],
+                data: &pages[die as usize],
                 meta: PageMetadata::new(1, die as u64),
             }),
             SimTime::ZERO,
@@ -472,10 +477,11 @@ mod tests {
     #[test]
     fn same_die_commands_execute_in_submission_order() {
         let q = queue();
+        let data = payload(&q, 3);
         let hs = q.submit_batch(
             (0..4).map(|p| FlashCommand::Program {
                 addr: paddr(0, 0, p),
-                data: vec![p as u8; 4096],
+                data: &data,
                 meta: PageMetadata::new(1, p as u64),
             }),
             SimTime::ZERO,
@@ -499,7 +505,7 @@ mod tests {
         let h_prog = q.submit(
             FlashCommand::Program {
                 addr: paddr(1, 0, 0),
-                data: vec![1; 4096],
+                data: &[1; 4096],
                 meta: PageMetadata::new(1, 0),
             },
             SimTime::ZERO,
@@ -519,7 +525,7 @@ mod tests {
         let h = q.submit(
             FlashCommand::Program {
                 addr: paddr(1, 0, 0),
-                data: payload(&q, 9),
+                data: &payload(&q, 9),
                 meta: PageMetadata::new(3, 5),
             },
             SimTime::ZERO,

@@ -14,8 +14,7 @@
 //! # Locking
 //!
 //! Two mirror-level locks slot into the workspace's total order
-//! `manager < pending-io < mirror < mirror-range < queue < die <
-//! channel < shared`:
+//! `manager < mirror < mirror-range < queue < die < channel < shared`:
 //!
 //! * [`LockClass::Mirror`] guards health states and dirty maps and is
 //!   deliberately held across child-queue submission — planning a
@@ -48,8 +47,8 @@ use flash_sim::lockorder::{self, LockClass, TrackedGuard};
 use flash_sim::queue::{CommandQueue, FlashCommand};
 use flash_sim::{
     BlockAddr, BlockInfo, DeviceLossInjector, DeviceStats, DieId, DieLoad, DieStats, FlashBackend,
-    FlashError, FlashGeometry, NandDevice, OpOutcome, PageAddr, PageMetadata, PageState, Result,
-    SimTime, TimingModel, WearSummary,
+    FlashError, FlashGeometry, IoTag, NandDevice, OpOutcome, PageAddr, PageMetadata, PageState,
+    Result, SimTime, TimingModel, WearSummary,
 };
 use noftl_obs::MetricsRegistry;
 
@@ -328,20 +327,16 @@ impl MirrorDevice {
         }
     }
 
-    fn submit_and_wait(&self, child: usize, cmd: FlashCommand, at: SimTime) -> Result<OpOutcome> {
-        let h = self.queues[child].submit(cmd, at);
-        self.queues[child].wait(h)?.result.map(|out| out.outcome)
-    }
-
-    /// Plan and execute a fan-out mutation of `seg`: submit to in-sync
-    /// children, record a dirty segment for everyone else, honouring the
-    /// rebuild range locks.  `make_cmd` builds the per-child command.
+    /// Plan and execute a fan-out mutation of `seg`: submit `cmd` (with
+    /// the caller's arbiter `tag`) to in-sync children, record a dirty
+    /// segment for everyone else, honouring the rebuild range locks.
     fn fan_out(
         &self,
         seg: u64,
         dirty_only_seg: Option<u64>,
         at: SimTime,
-        make_cmd: impl Fn() -> FlashCommand,
+        cmd: FlashCommand<'_>,
+        tag: IoTag,
     ) -> Result<OpOutcome> {
         let mut state = self.mirror_shard();
         self.sweep_losses(&mut state, at);
@@ -385,11 +380,14 @@ impl MirrorDevice {
         let mut merged: Option<OpOutcome> = None;
         let mut first_err: Option<FlashError> = None;
         for &(i, replica) in &targets {
-            let result = match make_cmd() {
+            let result = match cmd {
                 FlashCommand::Program { addr, data, meta } if replica => {
-                    self.children[i].program_replica(addr, &data, meta, at)
+                    self.children[i].program_replica(addr, data, meta, at)
                 }
-                cmd => self.submit_and_wait(i, cmd, at),
+                cmd => {
+                    let h = self.queues[i].submit_tagged(cmd, at, tag);
+                    self.queues[i].wait(h).and_then(|c| c.result).map(|out| out.outcome)
+                }
             };
             match result {
                 Ok(out) => {
@@ -420,6 +418,7 @@ impl MirrorDevice {
         addr: PageAddr,
         at: SimTime,
         metadata_only: bool,
+        tag: IoTag,
     ) -> Result<(Vec<u8>, Option<PageMetadata>, OpOutcome)> {
         let seg = self.segment_of(addr.block());
         let mut state = self.mirror_shard();
@@ -461,7 +460,7 @@ impl MirrorDevice {
         } else {
             FlashCommand::Read { addr }
         };
-        let h = self.queues[best].submit(cmd, at);
+        let h = self.queues[best].submit_tagged(cmd, at, tag);
         let out = self.queues[best].wait(h)?.result?;
         self.obs.note_read(best, degraded, at, out.outcome.completed_at);
         Ok((out.data, out.meta, out.outcome))
@@ -579,7 +578,16 @@ impl FlashBackend for MirrorDevice {
         addr: PageAddr,
         at: SimTime,
     ) -> Result<(Vec<u8>, Option<PageMetadata>, OpOutcome)> {
-        self.read_from_best(addr, at, false)
+        self.read_page_tagged(addr, at, IoTag::default())
+    }
+
+    fn read_page_tagged(
+        &self,
+        addr: PageAddr,
+        at: SimTime,
+        tag: IoTag,
+    ) -> Result<(Vec<u8>, Option<PageMetadata>, OpOutcome)> {
+        self.read_from_best(addr, at, false, tag)
     }
 
     fn read_metadata(
@@ -587,7 +595,16 @@ impl FlashBackend for MirrorDevice {
         addr: PageAddr,
         at: SimTime,
     ) -> Result<(Option<PageMetadata>, OpOutcome)> {
-        self.read_from_best(addr, at, true).map(|(_, meta, out)| (meta, out))
+        self.read_metadata_tagged(addr, at, IoTag::default())
+    }
+
+    fn read_metadata_tagged(
+        &self,
+        addr: PageAddr,
+        at: SimTime,
+        tag: IoTag,
+    ) -> Result<(Option<PageMetadata>, OpOutcome)> {
+        self.read_from_best(addr, at, true, tag).map(|(_, meta, out)| (meta, out))
     }
 
     fn program_page(
@@ -597,20 +614,29 @@ impl FlashBackend for MirrorDevice {
         meta: PageMetadata,
         at: SimTime,
     ) -> Result<OpOutcome> {
-        let mut meta = meta;
+        self.program_page_tagged(addr, data, meta, at, IoTag::default())
+    }
+
+    fn program_page_tagged(
+        &self,
+        addr: PageAddr,
+        data: &[u8],
+        mut meta: PageMetadata,
+        at: SimTime,
+        tag: IoTag,
+    ) -> Result<OpOutcome> {
         if meta.epoch == 0 {
             meta.epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
         } else {
             self.epoch.fetch_max(meta.epoch, Ordering::AcqRel);
         }
         let seg = self.segment_of(addr.block());
-        let data = data.to_vec();
-        self.fan_out(seg, None, at, || FlashCommand::Program { addr, data: data.clone(), meta })
+        self.fan_out(seg, None, at, FlashCommand::Program { addr, data, meta }, tag)
     }
 
     fn erase_block(&self, addr: BlockAddr, at: SimTime) -> Result<OpOutcome> {
         let seg = self.segment_of(addr);
-        self.fan_out(seg, None, at, || FlashCommand::Erase { block: addr })
+        self.fan_out(seg, None, at, FlashCommand::Erase { block: addr }, IoTag::default())
     }
 
     fn copyback(&self, src: PageAddr, dst: PageAddr, at: SimTime) -> Result<OpOutcome> {
@@ -619,7 +645,8 @@ impl FlashBackend for MirrorDevice {
         // segment goes dirty and the rebuild recreates it later.
         let src_seg = self.segment_of(src.block());
         let dst_seg = self.segment_of(dst.block());
-        self.fan_out(src_seg, Some(dst_seg), at, || FlashCommand::Copyback { src, dst })
+        let cmd = FlashCommand::Copyback { src, dst };
+        self.fan_out(src_seg, Some(dst_seg), at, cmd, IoTag::default())
     }
 
     fn mark_invalid(&self, addr: PageAddr) -> Result<()> {

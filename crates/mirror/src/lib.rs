@@ -109,6 +109,49 @@ mod tests {
         assert!(m.fully_online());
     }
 
+    /// The mirror is transparent to the arbiter: a tag handed to the
+    /// `_tagged` calls reaches every child's admission, so `Background`
+    /// traffic is budgeted (and durability traffic exempt) on a mirror
+    /// exactly as on a single device.
+    #[test]
+    fn io_tags_reach_the_children_arbiters() {
+        let registry = Arc::new(noftl_obs::MetricsRegistry::new());
+        let children: Vec<Arc<NandDevice>> = (0..2)
+            .map(|_| {
+                Arc::new(
+                    flash_sim::DeviceBuilder::new(FlashGeometry::small_test())
+                        .timing(TimingModel::mlc_2015())
+                        .arbiter(flash_sim::ArbiterConfig::default())
+                        .metrics(registry.clone())
+                        .build(),
+                )
+            })
+            .collect();
+        let m = MirrorDevice::new(children, Arc::new(DeviceLossInjector::new(2))).unwrap();
+        let count = |name: &str| registry.snapshot().counter(name).unwrap_or(0);
+        let background = flash_sim::IoTag::background(Some(0));
+        let mut t = SimTime::ZERO;
+        for p in 0..4u32 {
+            let meta = PageMetadata::new(1, u64::from(p));
+            t = m
+                .program_page_tagged(page(0, 0, p), &payload(p as u8), meta, t, background)
+                .unwrap()
+                .completed_at;
+        }
+        // Each program lands on both children.
+        assert_eq!(count("flash.arbiter.class.background.ops"), 8);
+        m.read_page_tagged(page(0, 0, 0), t, background).unwrap();
+        m.read_metadata_tagged(page(0, 0, 1), t, background).unwrap();
+        assert_eq!(count("flash.arbiter.class.background.ops"), 10);
+        let durable = flash_sim::IoTag::durability(flash_sim::ServiceClass::Background, Some(0));
+        m.program_page_tagged(page(1, 0, 0), &payload(9), PageMetadata::new(1, 9), t, durable)
+            .unwrap();
+        assert_eq!(count("flash.arbiter.exempt"), 2);
+        // Untagged calls keep the default class.
+        m.read_page(page(0, 0, 2), t).unwrap();
+        assert_eq!(count("flash.arbiter.class.throughput.ops"), 1);
+    }
+
     #[test]
     fn lost_child_goes_faulted_and_accrues_dirt() {
         let m = mirror(2);

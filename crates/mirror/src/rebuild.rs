@@ -366,7 +366,7 @@ impl MirrorDevice {
     fn submit_queued(
         &self,
         child: usize,
-        cmd: FlashCommand,
+        cmd: FlashCommand<'_>,
         at: SimTime,
     ) -> Result<flash_sim::OpOutcome> {
         let h = self.queue(child).submit(cmd, at);

@@ -4,27 +4,46 @@
 //! A counting global allocator wraps `System`; the test registers every
 //! handle kind up front (registration may allocate), then drives the
 //! disabled paths hard and asserts the allocation count did not move.
+//! The count is **per thread**: the harness runs the tests of this file
+//! (and its own bookkeeping) on parallel threads, and a process-wide
+//! counter would charge one test for its neighbour's allocations.
 //! CI runs this in `--release`, where the claim matters; the invariant
 //! is structural (early return before any argument is materialized), so
 //! it holds in debug builds too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
 
 use noftl_obs::{MetricsRegistry, Unit};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread.  Const-initialised and
+    /// without a destructor, so touching it from inside the allocator
+    /// neither allocates nor runs into thread teardown.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the only addition
+// is a thread-local counter bump that does not allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -46,7 +65,7 @@ fn disabled_paths_do_not_allocate() {
     assert!(!registry.is_enabled());
     assert!(!tracer.is_enabled());
 
-    let before = ALLOCATIONS.load(Relaxed);
+    let before = allocations();
     for i in 0..10_000u64 {
         counter.inc();
         counter.add(i);
@@ -56,7 +75,7 @@ fn disabled_paths_do_not_allocate() {
         tracer.span("na", "span", 0, i, i + 5, &[("pages", i)]);
         tracer.instant("na", "tick", 1, i, &[]);
     }
-    let after = ALLOCATIONS.load(Relaxed);
+    let after = allocations();
 
     assert_eq!(after - before, 0, "disabled observability path allocated");
     assert_eq!(counter.get(), 0);
@@ -74,13 +93,13 @@ fn enabled_counters_and_histograms_stay_allocation_free_too() {
     let gauge = registry.gauge("na.on.gauge");
     let hist = registry.histogram("na.on.hist_ns", Unit::SimNanos);
 
-    let before = ALLOCATIONS.load(Relaxed);
+    let before = allocations();
     for i in 0..10_000u64 {
         counter.inc();
         gauge.set_max(i);
         hist.record(i * 91);
     }
-    let after = ALLOCATIONS.load(Relaxed);
+    let after = allocations();
 
     assert_eq!(after - before, 0, "enabled metric update allocated");
     assert_eq!(counter.get(), 10_000);

@@ -12,8 +12,9 @@
 //! row/object pairing; the reconstruction below keeps the published die
 //! counts and groups objects by the update behaviour the text describes
 //! (hot insert streams, hot updates, large read-mostly objects, small hot
-//! tables, order indexes, metadata/history).  EXPERIMENTS.md documents
-//! this reconstruction explicitly.
+//! tables, order indexes, metadata/history).  What this reconstruction
+//! measures against the paper's Figure 3 is recorded in the "Figure 3
+//! reference" block of `benchmark/README.md`.
 
 use noftl_core::{ObjectProfile, PlacementAdvisor, PlacementConfig, RegionAssignment};
 

@@ -19,8 +19,8 @@
 //! * [`obs`] — the cross-layer observability layer: metrics registry,
 //!   latency histograms and the event tracer (`noftl-obs`).
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory and
-//! `EXPERIMENTS.md` for the paper-vs-measured comparison.
+//! See `README.md` for a tour and the "Figure 3 reference" block of
+//! `benchmark/README.md` for the paper-vs-measured comparison.
 
 #![warn(missing_docs)]
 

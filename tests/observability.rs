@@ -37,9 +37,7 @@ fn chrome_trace_from_a_mixed_workload_is_valid() {
         (0..32u64).map(|p| (obj, p, vec![p as u8; 4096])).collect();
     let mut now = noftl.write_windowed(&batch, SimTime::ZERO, 8).unwrap();
     for p in 0..32u64 {
-        let handle = noftl.submit_read(obj, p, now).unwrap();
-        let (_, done) = noftl.wait_io(handle).unwrap();
-        now = now.max(done);
+        now = now.max(noftl.read(obj, p, now).unwrap().1);
     }
     let trace = dump::chrome_trace(noftl.metrics());
     let events = validate_chrome_trace(&trace).expect("trace parses as trace_event JSON");

@@ -38,8 +38,9 @@ fn tpcc_runs_on_both_placements_and_regions_reduce_gc_copybacks() {
     // The tiny CI-sized run cannot reproduce the magnitudes; it checks that
     // the multi-region placement does not *hurt*: GC work stays in the same
     // ballpark or below, and throughput stays within 20 % of the baseline.
-    // The full-size directional comparison is produced by the `figure3`
-    // bench binary and recorded in EXPERIMENTS.md.
+    // The full-size directional comparison is produced by the repo
+    // benchmark (`tpcc_regions` vs `tpcc_traditional`) and recorded in the
+    // "Figure 3 reference" block of `benchmark/README.md`.
     let copyback_budget = cmp.traditional.gc_copybacks + cmp.traditional.host_writes / 20;
     assert!(
         cmp.regions.gc_copybacks <= copyback_budget,

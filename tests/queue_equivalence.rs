@@ -1,6 +1,6 @@
 //! Command-queue acceptance tests.
 //!
-//! Three properties of the submission-queue redesign are checked here:
+//! Four properties of the submission-queue redesign are checked here:
 //!
 //! 1. **Equivalence** — N random interleaved submissions through
 //!    [`CommandQueue`] produce the same final device state (block states,
@@ -17,6 +17,11 @@
 //!    tears exactly the commands whose scheduled completion exceeds the
 //!    cut instant, and a NoFTL mount after the cut keeps every committed
 //!    page while discarding the torn ones.
+//! 4. **One request path** — at the storage-manager level every
+//!    multi-page verb is a loop over the same per-request core: a batch
+//!    equals the same blocking writes issued at the same instant, and a
+//!    window of one equals chained blocking calls — device image,
+//!    per-region statistics and completion times alike.
 
 use std::sync::Arc;
 
@@ -27,7 +32,7 @@ use noftl_regions::flash::{
     BlockAddr, DeviceBuilder, DieId, FlashGeometry, NandDevice, PageAddr, PageMetadata, SimTime,
     TimingModel,
 };
-use noftl_regions::noftl::{NoFtl, NoFtlConfig, RegionSpec};
+use noftl_regions::noftl::{NoFtl, NoFtlConfig, ObjectId, RegionId, RegionSpec, RegionStats};
 
 fn device() -> NandDevice {
     DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build()
@@ -43,11 +48,30 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A generated command that owns its payload (a [`FlashCommand`] borrows
+/// it from whoever submits).
+#[derive(Debug)]
+enum OwnedCommand {
+    Program { addr: PageAddr, data: Vec<u8>, meta: PageMetadata },
+    Other(FlashCommand<'static>),
+}
+
+impl OwnedCommand {
+    fn as_command(&self) -> FlashCommand<'_> {
+        match self {
+            OwnedCommand::Program { addr, data, meta } => {
+                FlashCommand::Program { addr: *addr, data, meta: *meta }
+            }
+            OwnedCommand::Other(cmd) => *cmd,
+        }
+    }
+}
+
 /// Generate `nops` random commands that are *valid by construction*
 /// (sequential programming, erase-before-reuse, same-die copybacks), by
 /// tracking a shadow model of every block's write pointer and the set of
 /// programmed pages per die.
-fn generate_commands(seed: u64, nops: usize, geo: &FlashGeometry) -> Vec<FlashCommand> {
+fn generate_commands(seed: u64, nops: usize, geo: &FlashGeometry) -> Vec<OwnedCommand> {
     let mut rng = seed;
     let dies = geo.total_dies();
     let blocks = geo.blocks_per_plane;
@@ -76,21 +100,21 @@ fn generate_commands(seed: u64, nops: usize, geo: &FlashGeometry) -> Vec<FlashCo
                 let meta = PageMetadata::new(1 + die, lp).with_payload_checksum(&data);
                 write_ptr[d][block as usize] = next + 1;
                 written[d].push(addr);
-                out.push(FlashCommand::Program { addr, data, meta });
+                out.push(OwnedCommand::Program { addr, data, meta });
             }
             5 | 6 => {
                 if written[d].is_empty() {
                     continue;
                 }
                 let idx = (splitmix(&mut rng) % written[d].len() as u64) as usize;
-                out.push(FlashCommand::Read { addr: written[d][idx] });
+                out.push(OwnedCommand::Other(FlashCommand::Read { addr: written[d][idx] }));
             }
             7 => {
                 if written[d].is_empty() {
                     continue;
                 }
                 let idx = (splitmix(&mut rng) % written[d].len() as u64) as usize;
-                out.push(FlashCommand::MetadataRead { addr: written[d][idx] });
+                out.push(OwnedCommand::Other(FlashCommand::MetadataRead { addr: written[d][idx] }));
             }
             8 => {
                 // Copyback: a programmed source, destination at another
@@ -108,7 +132,7 @@ fn generate_commands(seed: u64, nops: usize, geo: &FlashGeometry) -> Vec<FlashCo
                 let dst = PageAddr::new(DieId(die), 0, dblock, next);
                 write_ptr[d][dblock as usize] = next + 1;
                 written[d].push(dst);
-                out.push(FlashCommand::Copyback { src, dst });
+                out.push(OwnedCommand::Other(FlashCommand::Copyback { src, dst }));
             }
             _ => {
                 // Erase a block that has been written to.
@@ -118,7 +142,8 @@ fn generate_commands(seed: u64, nops: usize, geo: &FlashGeometry) -> Vec<FlashCo
                 }
                 write_ptr[d][block as usize] = 0;
                 written[d].retain(|p| p.block != block);
-                out.push(FlashCommand::Erase { block: BlockAddr::new(DieId(die), 0, block) });
+                let block = BlockAddr::new(DieId(die), 0, block);
+                out.push(OwnedCommand::Other(FlashCommand::Erase { block }));
             }
         }
     }
@@ -131,22 +156,22 @@ type BlockingOutcome =
     Result<(Vec<u8>, Option<PageMetadata>, SimTime), noftl_regions::flash::FlashError>;
 
 /// Replay one command through the legacy blocking API.
-fn run_blocking(dev: &NandDevice, cmd: &FlashCommand, at: SimTime) -> BlockingOutcome {
+fn run_blocking(dev: &NandDevice, cmd: FlashCommand<'_>, at: SimTime) -> BlockingOutcome {
     match cmd {
         FlashCommand::Read { addr } => {
-            dev.read_page(*addr, at).map(|(d, m, o)| (d, m, o.completed_at))
+            dev.read_page(addr, at).map(|(d, m, o)| (d, m, o.completed_at))
         }
         FlashCommand::MetadataRead { addr } => {
-            dev.read_metadata(*addr, at).map(|(m, o)| (Vec::new(), m, o.completed_at))
+            dev.read_metadata(addr, at).map(|(m, o)| (Vec::new(), m, o.completed_at))
         }
         FlashCommand::Program { addr, data, meta } => {
-            dev.program_page(*addr, data, *meta, at).map(|o| (Vec::new(), None, o.completed_at))
+            dev.program_page(addr, data, meta, at).map(|o| (Vec::new(), None, o.completed_at))
         }
         FlashCommand::Erase { block } => {
-            dev.erase_block(*block, at).map(|o| (Vec::new(), None, o.completed_at))
+            dev.erase_block(block, at).map(|o| (Vec::new(), None, o.completed_at))
         }
         FlashCommand::Copyback { src, dst } => {
-            dev.copyback(*src, *dst, at).map(|o| (Vec::new(), None, o.completed_at))
+            dev.copyback(src, dst, at).map(|o| (Vec::new(), None, o.completed_at))
         }
     }
 }
@@ -171,13 +196,14 @@ proptest! {
         let blocking_dev = device();
         let mut blocking: Vec<BlockingOutcome> = Vec::with_capacity(commands.len());
         for cmd in &commands {
-            blocking.push(run_blocking(&blocking_dev, cmd, SimTime::ZERO));
+            blocking.push(run_blocking(&blocking_dev, cmd.as_command(), SimTime::ZERO));
         }
 
         // Queued: the same submission order through the command queue.
         let queued_dev = Arc::new(device());
         let queue = CommandQueue::new(queued_dev.clone());
-        let handles = queue.submit_batch(commands.iter().cloned(), SimTime::ZERO);
+        let handles =
+            queue.submit_batch(commands.iter().map(OwnedCommand::as_command), SimTime::ZERO);
         for (i, h) in handles.into_iter().enumerate() {
             let completion = queue.wait(h).unwrap();
             match (&blocking[i], completion.result) {
@@ -259,18 +285,19 @@ fn concurrent_disjoint_die_reads_do_not_serialize() {
 #[test]
 fn power_cut_tears_exactly_the_late_queued_programs() {
     let geo = FlashGeometry::small_test();
-    let batch = |start_block: u32| -> Vec<FlashCommand> {
-        // Two programs per die (depth 2 everywhere), all issued at t=0.
+    // Two programs per die (depth 2 everywhere), all issued at t=0.
+    let pages: Vec<Vec<u8>> =
+        (0..2 * geo.total_dies()).map(|i| vec![i as u8; geo.page_size as usize]).collect();
+    let batch = |start_block: u32| -> Vec<FlashCommand<'_>> {
         (0..2 * geo.total_dies())
             .map(|i| {
                 let die = i % geo.total_dies();
                 let page = i / geo.total_dies();
-                let addr = PageAddr::new(DieId(die), 0, start_block, page);
-                let data = vec![i as u8; geo.page_size as usize];
+                let data = &pages[i as usize];
                 FlashCommand::Program {
-                    addr,
-                    data: data.clone(),
-                    meta: PageMetadata::new(1, i as u64).with_payload_checksum(&data),
+                    addr: PageAddr::new(DieId(die), 0, start_block, page),
+                    data,
+                    meta: PageMetadata::new(1, i as u64).with_payload_checksum(data),
                 }
             })
             .collect()
@@ -337,8 +364,7 @@ fn queued_write_batch_under_power_cut_mounts_cleanly() {
     let probe = NoFtl::new(probe_dev.clone(), NoFtlConfig::default());
     let prg = probe.create_region(RegionSpec::named("rg").with_die_count(4)).unwrap();
     let pobj = probe.create_object("t", prg).unwrap();
-    let w0 = probe.submit_write(pobj, 0, &page(1), SimTime::ZERO).unwrap();
-    let (_, first_done) = probe.wait_io(w0).unwrap();
+    let first_done = probe.write(pobj, 0, &page(1), SimTime::ZERO).unwrap();
     let span = first_done.as_nanos();
     let cut = SimTime(quiesce.as_nanos() + span * 3 / 2);
     dev.arm_power_cut(cut);
@@ -366,4 +392,124 @@ fn queued_write_batch_under_power_cut_mounts_cleanly() {
     }
     assert!(new_versions >= 1, "the first wave of the batch completed before the cut");
     assert!(new_versions < 8, "the cut must have prevented part of the batch");
+}
+
+/// A two-region manager small enough that a few hundred writes make GC
+/// fire: `rgA` over two dies holding two objects, `rgB` over one die
+/// holding a third.
+fn two_region_stack() -> (Arc<NandDevice>, NoFtl, [RegionId; 2], [ObjectId; 3]) {
+    let dev = Arc::new(device());
+    let noftl = NoFtl::new(dev.clone(), NoFtlConfig::default());
+    let a = noftl.create_region(RegionSpec::named("rgA").with_die_count(2)).unwrap();
+    let b = noftl.create_region(RegionSpec::named("rgB").with_die_count(1)).unwrap();
+    let objects = [
+        noftl.create_object("a0", a).unwrap(),
+        noftl.create_object("a1", a).unwrap(),
+        noftl.create_object("b0", b).unwrap(),
+    ];
+    (dev, noftl, [a, b], objects)
+}
+
+/// Rounds of random writes over `two_region_stack`'s objects.  Each
+/// object keeps to a small set of hot pages, so blocks fill with
+/// overwritten versions and GC has to run.
+fn generate_rounds(seed: u64, rounds: usize, psz: usize) -> Vec<Vec<(usize, u64, Vec<u8>)>> {
+    let mut rng = seed;
+    (0..rounds)
+        .map(|_| {
+            let len = 1 + (splitmix(&mut rng) % 32) as usize;
+            (0..len)
+                .map(|_| {
+                    let obj = (splitmix(&mut rng) % 3) as usize;
+                    let page = splitmix(&mut rng) % 20;
+                    (obj, page, vec![(splitmix(&mut rng) & 0xFF) as u8; psz])
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Everything two runs of one workload must agree on.
+fn outcome(
+    dev: &NandDevice,
+    noftl: &NoFtl,
+    regions: [RegionId; 2],
+) -> (noftl_regions::flash::DeviceSnapshot, Vec<RegionStats>) {
+    (dev.snapshot(), regions.iter().map(|r| noftl.region_stats(*r).unwrap()).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `write_batch(.., at)` is the same blocking `write`s all issued at
+    /// `at`: same device image (placement, GC, epochs), same per-region
+    /// statistics, and the batch completes with its slowest page.
+    #[test]
+    fn write_batch_equals_blocking_writes_at_one_instant(
+        seed in 0u64..(1u64 << 48),
+        rounds in 40usize..60,
+    ) {
+        let psz = FlashGeometry::small_test().page_size as usize;
+        let workload = generate_rounds(seed, rounds, psz);
+
+        let (bdev, batched, bregions, bobjs) = two_region_stack();
+        let (sdev, single, sregions, sobjs) = two_region_stack();
+        let (mut bt, mut st) = (SimTime::ZERO, SimTime::ZERO);
+        for round in &workload {
+            let batch: Vec<(ObjectId, u64, Vec<u8>)> =
+                round.iter().map(|(o, p, d)| (bobjs[*o], *p, d.clone())).collect();
+            bt = batched.write_batch(&batch, bt).unwrap();
+            let at = st;
+            for (o, p, d) in round {
+                st = st.max(single.write(sobjs[*o], *p, d, at).unwrap());
+            }
+            prop_assert_eq!(bt, st, "batch completion is the max over its pages");
+        }
+        let gc_runs: u64 =
+            bregions.iter().map(|r| batched.region_stats(*r).unwrap().gc_runs).sum();
+        prop_assert!(gc_runs > 0, "the workload must make GC fire");
+        let (a, b) = (outcome(&bdev, &batched, bregions), outcome(&sdev, &single, sregions));
+        prop_assert_eq!(a.0.blocks, b.0.blocks);
+        prop_assert_eq!(a.0.stats, b.0.stats);
+        prop_assert_eq!(a.0.epoch, b.0.epoch);
+        prop_assert_eq!(a.1, b.1);
+    }
+
+    /// `write_windowed` / `read_windowed` with a window of one are chained
+    /// blocking calls: each page issued at the previous one's completion.
+    #[test]
+    fn a_window_of_one_equals_chained_blocking_calls(
+        seed in 0u64..(1u64 << 48),
+        rounds in 40usize..60,
+    ) {
+        let psz = FlashGeometry::small_test().page_size as usize;
+        let workload = generate_rounds(seed, rounds, psz);
+
+        let (wdev, windowed, wregions, wobjs) = two_region_stack();
+        let (cdev, chained, cregions, cobjs) = two_region_stack();
+        let (mut wt, mut ct) = (SimTime::ZERO, SimTime::ZERO);
+        for round in &workload {
+            let batch: Vec<(ObjectId, u64, Vec<u8>)> =
+                round.iter().map(|(o, p, d)| (wobjs[*o], *p, d.clone())).collect();
+            wt = windowed.write_windowed(&batch, wt, 1).unwrap();
+            for (o, p, d) in round {
+                ct = chained.write(cobjs[*o], *p, d, ct).unwrap();
+            }
+            prop_assert_eq!(wt, ct);
+
+            let reads: Vec<(ObjectId, u64)> = batch.iter().map(|(o, p, _)| (*o, *p)).collect();
+            let (payloads, done) = windowed.read_windowed(&reads, wt, 1).unwrap();
+            wt = done;
+            for ((o, p, _), payload) in round.iter().zip(&payloads) {
+                let (data, done) = chained.read(cobjs[*o], *p, ct).unwrap();
+                prop_assert_eq!(&data, payload);
+                ct = done;
+            }
+            prop_assert_eq!(wt, ct);
+        }
+        let (a, b) = (outcome(&wdev, &windowed, wregions), outcome(&cdev, &chained, cregions));
+        prop_assert_eq!(a.0.blocks, b.0.blocks);
+        prop_assert_eq!(a.0.stats, b.0.stats);
+        prop_assert_eq!(a.1, b.1);
+    }
 }
