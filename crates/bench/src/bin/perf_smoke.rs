@@ -3,15 +3,17 @@
 //! `recovery` and `mirror` benches in quick mode — plus the `latency` section's
 //! histogram percentiles read back out of the shared metrics registry and,
 //! with `--scenarios`, the workload lab's YCSB/replay/multi-tenant
-//! scenario matrix — write them to a `BENCH_PR10.json` perf-trajectory
-//! point and optionally gate against a committed baseline point.
+//! scenario matrix — write them to a perf-trajectory point and
+//! optionally gate against the committed baseline, `BENCH_BASELINE.json`
+//! (a copy of the newest numbered `BENCH_PR<n>.json` point).
 //!
 //! ```text
 //! cargo run --release -p noftl-bench --bin perf_smoke -- \
-//!     --scenarios all --out BENCH_PR10.json --compare BENCH_PR9.json
+//!     --scenarios all --out target/bench_point.json --compare BENCH_BASELINE.json
 //! ```
 //!
-//! Flags: `--out <path>` (default `BENCH_PR10.json`), `--full` for the
+//! Flags: `--out <path>` (default `BENCH_PR<n>.json` for the `n` stamped
+//! into the point, [`smoke::PERF_POINT_PR`]), `--full` for the
 //! larger workloads, `--scenarios <kv|btree|mixed|all>` to append the
 //! `scenarios` section, `--only-scenarios` to emit *only* that section
 //! (the CI scenario matrix runs one group per job), and
@@ -36,7 +38,7 @@ use noftl_bench::smoke;
 const TOLERANCE: f64 = 0.20;
 
 fn main() {
-    let mut out = PathBuf::from("BENCH_PR10.json");
+    let mut out = PathBuf::from(format!("BENCH_PR{}.json", smoke::PERF_POINT_PR));
     let mut baseline: Option<PathBuf> = None;
     let mut quick = true;
     let mut scenario_group: Option<ScenarioGroup> = None;

@@ -555,8 +555,11 @@ pub fn latency_section(quick: bool) -> Section {
     Section { name: "latency", metrics }
 }
 
-/// The PR number stamped into the perf-trajectory JSON.
-pub const PERF_POINT_PR: u32 = 10;
+/// The PR number stamped into the perf-trajectory JSON.  Rolling the
+/// perf point is: bump this, regenerate `BENCH_PR<n>.json` with
+/// `perf_smoke --quick --scenarios all`, copy it over
+/// `BENCH_BASELINE.json` — the one file CI gates and diffs against.
+pub const PERF_POINT_PR: u32 = 13;
 
 /// Serialise sections into a `BENCH_*.json` perf-trajectory point.
 pub fn write_json(path: &Path, mode: &str, sections: &[Section]) -> std::io::Result<()> {
@@ -863,11 +866,22 @@ mod tests {
         assert_eq!(parsed[1].unit, "x");
     }
 
+    fn committed(file: &str) -> String {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        std::fs::read_to_string(format!("{root}/{file}"))
+            .unwrap_or_else(|e| panic!("{file} is committed at the repo root: {e}"))
+    }
+
     /// The committed perf point, as the repository holds it.
     fn committed_point() -> String {
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        std::fs::read_to_string(format!("{root}/BENCH_PR{PERF_POINT_PR}.json"))
-            .expect("the current perf point is committed at the repo root")
+        committed("BENCH_BASELINE.json")
+    }
+
+    #[test]
+    fn the_baseline_pointer_is_the_newest_numbered_point() {
+        let baseline = committed_point();
+        assert_eq!(baseline, committed(&format!("BENCH_PR{PERF_POINT_PR}.json")));
+        assert!(baseline.contains(&format!("\"pr\": {PERF_POINT_PR},")));
     }
 
     #[test]

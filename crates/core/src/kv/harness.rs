@@ -18,7 +18,9 @@
 //! Because the simulator is deterministic the harness first performs a
 //! dry run to learn the workload's time span — and the simulated-time
 //! windows of its compaction merges, so cuts can be aimed *into a
-//! compaction* to prove that a torn merge never loses source data.
+//! compaction* to prove that a torn merge never loses source data, and
+//! (with [`KvCrashConfig::multi_page_tail`]) *between the tail pages* of
+//! a run to prove that a partial tail is never adopted.
 //!
 //! [`KvStore`]: super::store::KvStore
 
@@ -52,6 +54,10 @@ pub struct KvCrashConfig {
     pub ops: u64,
     /// Distinct keys in the working set.
     pub keys: u64,
+    /// Pad every key to this many bytes (`0`: the bare 10-byte
+    /// `user000123` form).  Long keys inflate the fence index, which is
+    /// how a small workload gets runs with multi-page tails.
+    pub key_len: usize,
     /// Workload RNG seed.
     pub seed: u64,
     /// Die-level write placement under test.  The default honours the
@@ -70,8 +76,23 @@ impl Default for KvCrashConfig {
             region_dies: 2,
             ops: 400,
             keys: 48,
+            key_len: 0,
             seed: 0x5EED_4B56,
             placement: PlacementPolicyKind::from_env(PlacementPolicyKind::RoundRobin),
+        }
+    }
+}
+
+impl KvCrashConfig {
+    /// A workload whose every run carries a tail of three or more pages —
+    /// more than its region has dies: kilobyte keys make each data page
+    /// cost a kilobyte of fence index, so a flush of two dozen keys
+    /// already spills its tail (and the merges above it more so).
+    pub fn multi_page_tail() -> Self {
+        KvCrashConfig {
+            kv: KvConfig { memtable_bytes: 28 * 1024, ..KvCrashConfig::default().kv },
+            key_len: 1000,
+            ..KvCrashConfig::default()
         }
     }
 }
@@ -98,11 +119,12 @@ pub struct KvCrashOutcome {
     pub open: KvOpenReport,
 }
 
-/// Deterministic SplitMix64, the harness's workload RNG.
-struct Rng(u64);
+/// Deterministic SplitMix64: the harness's workload RNG, shared with the
+/// KV unit tests.
+pub(crate) struct Rng(pub(crate) u64);
 
 impl Rng {
-    fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -110,13 +132,18 @@ impl Rng {
         z ^ (z >> 31)
     }
 
-    fn below(&mut self, bound: u64) -> u64 {
+    pub(crate) fn below(&mut self, bound: u64) -> u64 {
         self.next() % bound.max(1)
     }
 }
 
-fn key_bytes(key: u64) -> Vec<u8> {
-    format!("user{key:06}").into_bytes()
+fn key_bytes(key: u64, key_len: usize) -> Vec<u8> {
+    format!("user{key:06}{:.<pad$}", "", pad = key_len.saturating_sub(10)).into_bytes()
+}
+
+/// The key number `key_bytes` encoded.
+fn key_number(key: &[u8]) -> Option<u64> {
+    std::str::from_utf8(key.get(4..10)?).ok()?.parse().ok()
 }
 
 fn value_bytes(key: u64, op: u64) -> Vec<u8> {
@@ -157,6 +184,7 @@ struct RunResult {
     cut_during_compaction: bool,
     end: SimTime,
     compaction_windows: Vec<(u64, u64)>,
+    tail_windows: Vec<(u64, u64)>,
 }
 
 /// Run the put/delete workload until `ops` operations complete or the
@@ -174,11 +202,11 @@ fn run_workload(cfg: &KvCrashConfig, stack: &Stack, start: SimTime) -> RunResult
         let delete = rng.below(10) < 2;
         let result = if delete {
             pending.remove(&k);
-            store.delete(&key_bytes(k), now)
+            store.delete(&key_bytes(k, cfg.key_len), now)
         } else {
             let v = value_bytes(k, op);
             pending.insert(k, v.clone());
-            store.put(&key_bytes(k), &v, now)
+            store.put(&key_bytes(k, cfg.key_len), &v, now)
         };
         match result {
             Ok(t) => {
@@ -208,14 +236,25 @@ fn run_workload(cfg: &KvCrashConfig, stack: &Stack, start: SimTime) -> RunResult
         cut_during_compaction: stats.compactions_started > stats.compactions,
         end: now.max(stack.device.quiesce_time()),
         compaction_windows: stats.compaction_windows,
+        tail_windows: stats.tail_windows,
     }
+}
+
+/// The uncut workload: what it did and when its setup ended.
+fn dry_run(cfg: &KvCrashConfig) -> Result<(RunResult, SimTime)> {
+    let (dry, setup_end) = build_stack(cfg)?;
+    Ok((run_workload(cfg, &dry, setup_end), setup_end))
+}
+
+/// The `fraction`-th of `windows` (`fraction` already clamped to `[0, 1)`).
+fn pick(windows: &[(u64, u64)], fraction: f64) -> Option<(u64, u64)> {
+    windows.get(((windows.len() as f64) * fraction) as usize).copied()
 }
 
 /// Execute one full crash cycle with the cut at
 /// `setup_end + fraction · span`.  `fraction` is clamped to `[0, 1)`.
 pub fn run_kv_crash_cycle(cfg: &KvCrashConfig, fraction: f64) -> Result<KvCrashOutcome> {
-    let (dry, dry_setup_end) = build_stack(cfg)?;
-    let dry_run = run_workload(cfg, &dry, dry_setup_end);
+    let (dry_run, dry_setup_end) = dry_run(cfg)?;
     let span = dry_run.end.as_nanos().saturating_sub(dry_setup_end.as_nanos()).max(1);
     let fraction = fraction.clamp(0.0, 0.999_999);
     let cut_at = SimTime(dry_setup_end.as_nanos() + (span as f64 * fraction) as u64);
@@ -230,19 +269,61 @@ pub fn run_kv_crash_cycle_in_compaction(
     cfg: &KvCrashConfig,
     fraction: f64,
 ) -> Result<Option<KvCrashOutcome>> {
-    let (dry, dry_setup_end) = build_stack(cfg)?;
-    let dry_run = run_workload(cfg, &dry, dry_setup_end);
-    if dry_run.compaction_windows.is_empty() {
-        return Ok(None);
-    }
+    let (dry_run, _) = dry_run(cfg)?;
     let fraction = fraction.clamp(0.0, 0.999_999);
-    let pick = ((dry_run.compaction_windows.len() as f64) * fraction) as usize;
-    let (start, end) = dry_run.compaction_windows[pick.min(dry_run.compaction_windows.len() - 1)];
+    let Some((start, end)) = pick(&dry_run.compaction_windows, fraction) else {
+        return Ok(None);
+    };
     // Aim at the merge's queued batch: somewhere strictly inside the
     // window, biased by the fractional part so repeated calls sweep it.
     let inside = start + ((end.saturating_sub(start)) as f64 * (0.2 + 0.6 * fraction)) as u64;
     let outcome = run_cycle_with_cut(cfg, SimTime(inside.max(start + 1)))?;
     Ok(Some(outcome))
+}
+
+/// Execute crash cycles with the cut aimed *between the first and the
+/// last tail page* of a run written with two or more tail pages: the
+/// `fraction`-th such run a flush wrote, or with `in_compaction` the
+/// `fraction`-th a compaction merge wrote.
+///
+/// The run's pages issue together and the tail goes last, so shortly
+/// before the batch completes some tail pages have landed and others are
+/// in flight.  Exactly when is the dies' business (completion order is
+/// not page order, and a torn page whose lost suffix was padding still
+/// verifies), so the instant is found rather than predicted: the cut
+/// steps back from the batch's completion, a quarter program time per
+/// cycle, until the reopened store reports a rejected partial tail
+/// ([`KvOpenReport::partial_tails_rejected`]).  Every step is a full,
+/// verified crash cycle; the last one's outcome is returned — a hit,
+/// unless the whole batch was walked without one.  `Ok(None)` if the dry
+/// run wrote no such run (use [`KvCrashConfig::multi_page_tail`]).
+pub fn run_kv_crash_cycle_in_tail(
+    cfg: &KvCrashConfig,
+    fraction: f64,
+    in_compaction: bool,
+) -> Result<Option<KvCrashOutcome>> {
+    let (dry_run, _) = dry_run(cfg)?;
+    let merges = &dry_run.compaction_windows;
+    let eligible: Vec<(u64, u64)> = dry_run
+        .tail_windows
+        .iter()
+        .filter(|(issued, done)| {
+            merges.iter().any(|(start, end)| start <= issued && done <= end) == in_compaction
+        })
+        .copied()
+        .collect();
+    let Some((issued, done)) = pick(&eligible, fraction.clamp(0.0, 0.999_999)) else {
+        return Ok(None);
+    };
+    let step = ((cfg.timing.program_page_us * 250.0) as u64).max(1); // tPROG / 4, in ns
+    let mut cut_at = done.saturating_sub(step).max(issued + 1);
+    loop {
+        let outcome = run_cycle_with_cut(cfg, SimTime(cut_at))?;
+        if outcome.open.partial_tails_rejected > 0 || cut_at <= issued + step {
+            return Ok(Some(outcome));
+        }
+        cut_at -= step;
+    }
 }
 
 fn run_cycle_with_cut(cfg: &KvCrashConfig, cut_at: SimTime) -> Result<KvCrashOutcome> {
@@ -263,7 +344,7 @@ fn run_cycle_with_cut(cfg: &KvCrashConfig, cut_at: SimTime) -> Result<KvCrashOut
     let mut now = open.completed_at;
     let mut actual: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     for k in 0..cfg.keys {
-        let (got, t) = store2.get(&key_bytes(k), now)?;
+        let (got, t) = store2.get(&key_bytes(k, cfg.key_len), now)?;
         now = t;
         if let Some(v) = got {
             actual.insert(k, v);
@@ -286,15 +367,8 @@ fn run_cycle_with_cut(cfg: &KvCrashConfig, cut_at: SimTime) -> Result<KvCrashOut
     }
     // A full scan must agree with the point-lookup view exactly.
     let (scanned, _) = store2.scan(None, None, now)?;
-    let scan_view: BTreeMap<u64, Vec<u8>> = scanned
-        .into_iter()
-        .filter_map(|(k, v)| {
-            String::from_utf8_lossy(&k)
-                .strip_prefix("user")
-                .and_then(|s| s.parse().ok())
-                .map(|key: u64| (key, v))
-        })
-        .collect();
+    let scan_view: BTreeMap<u64, Vec<u8>> =
+        scanned.into_iter().filter_map(|(k, v)| Some((key_number(&k)?, v))).collect();
     if scan_view != actual {
         return Err(NoFtlError::Kv {
             message: format!(
@@ -338,6 +412,33 @@ mod tests {
         assert!(outcome.flushes_acknowledged > 0);
         assert!(outcome.mount.checkpoint_seq > 0);
         assert!(outcome.verified_keys <= KvCrashConfig::default().keys);
+    }
+
+    #[test]
+    fn multi_page_tail_workload_spills_tails_in_flushes_and_merges() {
+        let cfg = KvCrashConfig::multi_page_tail();
+        let (run, _) = dry_run(&cfg).unwrap();
+        assert!(run.in_flight.is_none(), "dry run must not crash");
+        let in_merge = |(issued, done): &(u64, u64)| {
+            run.compaction_windows.iter().any(|(start, end)| start <= issued && done <= end)
+        };
+        let merged = run.tail_windows.iter().filter(|w| in_merge(w)).count();
+        assert!(merged > 0, "no merge wrote a multi-page tail");
+        assert!(run.tail_windows.len() > merged, "no flush wrote a multi-page tail");
+    }
+
+    #[test]
+    fn cut_between_tail_pages_never_adopts_the_partial_tail() {
+        for in_compaction in [false, true] {
+            let outcome =
+                run_kv_crash_cycle_in_tail(&KvCrashConfig::multi_page_tail(), 0.5, in_compaction)
+                    .unwrap()
+                    .expect("the workload writes multi-page tails");
+            let partial = outcome.open.partial_tails_rejected;
+            assert!(partial > 0, "in_compaction={in_compaction}: the cut missed");
+            assert_eq!(outcome.cut_during_compaction, in_compaction);
+            assert!(outcome.open.tail_pages_read > 0);
+        }
     }
 
     #[test]

@@ -12,8 +12,12 @@
 //!   sorted run: an ordinary NoFTL *object* whose data pages are written
 //!   through [`NoFtl::write_batch`], so the whole flush fans out across
 //!   the region's dies at one shared issue time via the command-queue
-//!   submission API.  The last page of a run is a self-describing footer
-//!   carrying a sparse per-page index.
+//!   submission API.  A run ends in a self-describing *tail* (format
+//!   v2, one or more pages): the first key of every data page and a
+//!   Bloom filter over the run's keys, so a point lookup knows which
+//!   runs to skip and which single page of the others to read.  Index
+//!   and filter stay resident in [`RunMeta`] — about 1 % of the run's
+//!   size, bounded by the data, hence fixed constants and no option.
 //! * **Compaction as region-local GC** ([`store`]) — when a level
 //!   accumulates enough runs they are merged (newest version wins,
 //!   tombstones dropped at the bottom) and the merged run is written as
@@ -24,10 +28,12 @@
 //!   and sequence numbers are exactly the storage manager's object
 //!   directory, journalled by [`NoFtl::checkpoint`] chunk pages.  After a
 //!   power cut, [`NoFtl::mount`] discards torn pages via the OOB payload
-//!   checksum and [`KvStore::open`] then discards incomplete (torn tail)
-//!   runs and runs superseded by a durable merge.  A flush is *committed*
-//!   once `flush` returns: run pages durable and the directory
-//!   checkpointed.
+//!   checksum and [`KvStore::open`] then discards incomplete runs (a
+//!   page missing, or a tail without all its members) and runs
+//!   superseded by a durable merge; a tail of another format version
+//!   fails the open instead of being taken for torn.  A flush is
+//!   *committed* once `flush` returns: run pages durable and the
+//!   directory checkpointed.
 //!
 //! [`harness`] drives a put/delete workload into a cut → reboot → mount →
 //! open → verify cycle, the KV analogue of `dbms::crash_harness`.
@@ -44,7 +50,8 @@ pub mod run;
 pub mod store;
 
 pub use harness::{
-    run_kv_crash_cycle, run_kv_crash_cycle_in_compaction, KvCrashConfig, KvCrashOutcome,
+    run_kv_crash_cycle, run_kv_crash_cycle_in_compaction, run_kv_crash_cycle_in_tail,
+    KvCrashConfig, KvCrashOutcome,
 };
 pub use run::RunMeta;
 pub use store::{KvConfig, KvOpenReport, KvStats, KvStore};

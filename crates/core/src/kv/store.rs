@@ -24,7 +24,7 @@ use crate::region::RegionId;
 use crate::Result;
 
 use super::memtable::Memtable;
-use super::run::{self, Entry, RunMeta};
+use super::run::{self, Bloom, Entry, RunMeta, TailError};
 
 /// Configuration of a [`KvStore`].
 #[derive(Debug, Clone, Copy)]
@@ -75,9 +75,16 @@ pub struct KvStats {
     pub memtable_hits: u64,
     /// Run pages read on behalf of gets/scans/merges.
     pub run_page_reads: u64,
+    /// Run pages read on behalf of gets alone.
+    pub get_page_reads: u64,
+    /// Runs whose key range covered a get's key, so their filter was
+    /// consulted (`run_probes - bloom_skips` runs were then read).
+    pub run_probes: u64,
+    /// Probed runs a get skipped because the filter ruled the key out.
+    pub bloom_skips: u64,
     /// Memtable flushes completed.
     pub flushes: u64,
-    /// Pages written by flushes (data + footer).
+    /// Pages written by flushes (data + tail).
     pub flushed_pages: u64,
     /// Compaction merges started.
     pub compactions_started: u64,
@@ -90,6 +97,12 @@ pub struct KvStats {
     /// Simulated-time windows `(start_ns, end_ns)` of completed
     /// compaction merges — the crash harness aims power cuts into these.
     pub compaction_windows: Vec<(u64, u64)>,
+    /// Simulated-time windows `(issue_ns, done_ns)` of the page batches
+    /// of runs written with two or more tail pages.  The pages issue
+    /// together and the tail goes last, so just before `done_ns` the last
+    /// tail page is in flight behind earlier ones that already landed —
+    /// where the crash harness aims to leave a partial tail.
+    pub tail_windows: Vec<(u64, u64)>,
 }
 
 /// Rows returned by [`KvStore::scan`]: live key/value pairs in key order.
@@ -106,11 +119,20 @@ pub struct KvOpenReport {
     /// Runs dropped because a durable merged run covers their sequence
     /// range (crash landed between a merge commit and the source drops).
     pub superseded_runs_discarded: usize,
+    /// Candidates that end in a tail page yet are not complete runs —
+    /// pages missing below it, or the tail's own last member missing: the
+    /// cut fell after a tail page landed and before the whole run had.
+    /// Counted among named runs (then discarded as torn) and orphans
+    /// (left alone) alike; none is ever adopted.
+    pub partial_tails_rejected: usize,
     /// Total entries across recovered runs (tombstones included).
     pub entries_recovered: u64,
+    /// Pages read off the ends of the candidates to find, validate and
+    /// decode their tails.
+    pub tail_pages_read: u64,
     /// Next flush sequence number.
     pub next_seq: u64,
-    /// Device time when the open (footer reads included) finished.
+    /// Device time when the open (tail reads included) finished.
     pub completed_at: SimTime,
 }
 
@@ -212,14 +234,19 @@ impl KvStore {
     /// Re-open a store on a freshly mounted storage manager.
     ///
     /// Rebuilds the run directory from the checkpointed object directory:
-    /// every surviving run object's footer is read back and validated.
+    /// every surviving run object's tail is read back and validated.
     /// Runs torn by a power cut (missing pages after the mount's OOB
-    /// checksum scan, or an unreadable footer) are discarded — they
-    /// belong to flushes that were never acknowledged.  So are orphan
-    /// objects that decode as this store's runs (same situation, crash
-    /// during the directory checkpoint) and runs whose sequence range is
-    /// covered by a durable higher-level merge (crash between a merge
-    /// commit and its source drops).
+    /// checksum scan, or a missing or incomplete tail) are discarded —
+    /// they belong to flushes that were never acknowledged.  So are
+    /// orphan objects that decode as this store's runs (same situation,
+    /// crash during the directory checkpoint) and runs whose sequence
+    /// range is covered by a durable higher-level merge (crash between a
+    /// merge commit and its source drops).
+    ///
+    /// A tail page of another format version is *not* a torn run: it is
+    /// data another build wrote, and discarding it would erase the store.
+    /// `open` then fails with [`NoFtlError::Kv`] naming both versions and
+    /// changes nothing.
     pub fn open(
         noftl: Arc<NoFtl>,
         name: &str,
@@ -239,15 +266,17 @@ impl KvStore {
         // that lost their directory entry to a crash mid-checkpoint).
         let mut candidates = noftl.objects_with_prefix(&Self::run_prefix(name));
         candidates.extend(noftl.objects_with_prefix("__orphan_"));
-        let mut runs: Vec<RunMeta> = Vec::new();
+        // Judge every candidate before touching any: a run of another
+        // format version must fail the open with the image as it was.
+        let mut judged = Vec::with_capacity(candidates.len());
         for (obj, obj_name) in candidates {
-            let orphan = obj_name.starts_with("__orphan_");
-            match Self::load_run(&noftl, name, obj, &mut now) {
-                Some(mut meta) if !orphan => {
-                    meta.object = obj;
-                    report.entries_recovered += meta.entries;
-                    runs.push(meta);
-                }
+            let meta = Self::load_run(&noftl, name, &config, obj, &mut now, &mut report)?;
+            judged.push((obj, obj_name.starts_with("__orphan_"), meta));
+        }
+        let mut runs: Vec<RunMeta> = Vec::new();
+        for (obj, orphan, meta) in judged {
+            match meta {
+                Some(meta) if !orphan => runs.push(meta),
                 Some(_) => {
                     // A complete run that never made it into the directory:
                     // its flush was not acknowledged.  Discard.
@@ -301,37 +330,62 @@ impl KvStore {
         Ok((store, report))
     }
 
-    /// Validate one candidate run object and decode its footer into a
-    /// [`RunMeta`].  `None` = not a complete run of `store`.
-    fn load_run(noftl: &NoFtl, store: &str, obj: ObjectId, now: &mut SimTime) -> Option<RunMeta> {
-        let extent = noftl.object_extent(obj).ok()?;
+    /// Validate one candidate run object and decode its tail into a
+    /// [`RunMeta`].  `Ok(None)` = not a complete run of `store`; `Err` =
+    /// a run of another format version.
+    fn load_run(
+        noftl: &NoFtl,
+        store: &str,
+        config: &KvConfig,
+        obj: ObjectId,
+        now: &mut SimTime,
+        report: &mut KvOpenReport,
+    ) -> Result<Option<RunMeta>> {
+        let (Ok(extent), Ok(mapped)) = (noftl.object_extent(obj), noftl.object_pages(obj)) else {
+            return Ok(None);
+        };
         if extent == 0 {
-            return None; // no durable pages at all
+            return Ok(None); // no durable pages at all
         }
-        // Torn data pages were discarded by the mount's OOB checksum scan,
-        // leaving holes in the page map: mapped != extent ⇒ incomplete.
-        if noftl.object_pages(obj).ok()? != extent {
-            return None;
-        }
-        let (payload, t) = noftl.read(obj, extent - 1, *now).ok()?;
+        let other_version = |found: u16| {
+            kv_err(format!(
+                "run object {obj} of store '{store}' has tail format v{found}, this build reads \
+                 v{}; refusing to treat it as torn",
+                run::FORMAT_VERSION
+            ))
+        };
+        // The last page names its position in the tail, which locates the
+        // tail's other members.
+        let Ok((last, t)) = noftl.read(obj, extent - 1, *now) else { return Ok(None) };
         *now = t;
-        let footer = run::decode_footer(&payload)?;
-        if footer.store != store || u64::from(footer.data_pages) + 1 != extent {
-            return None;
+        report.tail_pages_read += 1;
+        let (seq, total) = match run::tail_page(&last) {
+            Ok((seq, total, _)) => (seq, total),
+            Err(TailError::Version(found)) => return Err(other_version(found)),
+            Err(TailError::Torn) => return Ok(None),
+        };
+        // Torn pages were discarded by the mount's OOB checksum scan,
+        // leaving holes in the page map (mapped != extent), or cutting the
+        // object short of its tail's last member.
+        if mapped != extent || seq + 1 != total || u64::from(total) > extent {
+            report.partial_tails_rejected += 1;
+            return Ok(None);
         }
-        let min_key = footer.index.first().map(|(k, _)| k.clone()).unwrap_or_default();
-        Some(RunMeta {
-            object: obj,
-            level: footer.level,
-            seq_lo: footer.seq_lo,
-            seq_hi: footer.seq_hi,
-            entries: footer.entries,
-            data_pages: footer.data_pages,
-            min_key,
-            max_key: footer.max_key,
-            index: footer.index,
-            written_at: *now,
-        })
+        let first = extent - u64::from(total);
+        let rest: Vec<_> = (first..extent - 1).map(|page| (obj, page)).collect();
+        let Ok((mut tail, t)) = noftl.read_windowed(&rest, *now, config.read_window) else {
+            return Ok(None);
+        };
+        *now = (*now).max(t);
+        report.tail_pages_read += rest.len() as u64;
+        tail.push(last);
+        match run::decode_tail(&tail) {
+            Ok((name, meta)) if name == store && u64::from(meta.data_pages) == first => {
+                Ok(Some(RunMeta { object: obj, written_at: *now, ..meta }))
+            }
+            Ok(_) | Err(TailError::Torn) => Ok(None),
+            Err(TailError::Version(found)) => Err(other_version(found)),
+        }
     }
 
     /// The store's name.
@@ -407,22 +461,28 @@ impl KvStore {
             inner.stats.memtable_hits += 1;
             return Ok((hit.map(<[u8]>::to_vec), at));
         }
+        let hash = Bloom::hash(key);
         let mut now = at;
         for run_meta in &inner.runs {
-            if !run_meta.may_contain(key) {
+            // The fence index names the one page that can hold the key.
+            let Some(page) = run_meta.page_window(key) else { continue };
+            inner.stats.run_probes += 1;
+            self.obs.get_run_probes.inc();
+            if !run_meta.filter.may_contain(hash) {
+                inner.stats.bloom_skips += 1;
+                self.obs.get_bloom_skips.inc();
                 continue;
             }
-            let (start, end) = run_meta.page_window(key);
-            for page in start..end {
-                let (payload, t) = self.noftl.read(run_meta.object, u64::from(page), now)?;
-                now = t;
-                inner.stats.run_page_reads += 1;
-                let entries = run::decode_data_page(&payload).ok_or_else(|| {
-                    kv_err(format!("run object {} page {page} is not a data page", run_meta.object))
-                })?;
-                if let Some(value) = run::search_entries(&entries, key) {
-                    return Ok((value.clone(), now));
-                }
+            let (payload, t) = self.noftl.read(run_meta.object, u64::from(page), now)?;
+            now = t;
+            inner.stats.run_page_reads += 1;
+            inner.stats.get_page_reads += 1;
+            self.obs.get_page_reads.inc();
+            let hit = run::lookup_in_page(&payload, key).ok_or_else(|| {
+                kv_err(format!("run object {} page {page} is not a data page", run_meta.object))
+            })?;
+            if let Some(value) = hit {
+                return Ok((value.map(<[u8]>::to_vec), now));
             }
         }
         Ok((None, now))
@@ -657,6 +717,9 @@ impl KvStore {
         // strictly sequential page writes.
         let window = if self.config.queued_flush { usize::MAX } else { 1 };
         let (_, mut now) = self.noftl.execute(&requests, at, window)?;
+        if encoded.meta.tail_pages >= 2 {
+            inner.stats.tail_windows.push((at.as_nanos(), now.as_nanos()));
+        }
         if self.config.auto_checkpoint {
             now = self.noftl.checkpoint(now)?;
         }
@@ -702,8 +765,14 @@ impl KvStore {
     /// at any instant leaves either the sources or the merge — never
     /// neither.
     fn compact_level(&self, inner: &mut KvInner, level: u32, at: SimTime) -> Result<SimTime> {
-        let sources: Vec<RunMeta> =
-            inner.runs.iter().filter(|r| r.level == level).cloned().collect();
+        // (seq_lo, seq_hi, object, data pages) of the level's runs, newest
+        // first like `inner.runs`.
+        let sources: Vec<(u64, u64, ObjectId, u32)> = inner
+            .runs
+            .iter()
+            .filter(|r| r.level == level)
+            .map(|r| (r.seq_lo, r.seq_hi, r.object, r.data_pages))
+            .collect();
         if sources.len() < 2 {
             return Ok(at);
         }
@@ -712,7 +781,7 @@ impl KvStore {
         // `sources.len() >= 2` was checked above, so the fold always sees
         // at least one run.
         let (seq_lo, seq_hi) =
-            sources.iter().fold((u64::MAX, 0), |(lo, hi), r| (lo.min(r.seq_lo), hi.max(r.seq_hi)));
+            sources.iter().fold((u64::MAX, 0), |(lo, hi), s| (lo.min(s.0), hi.max(s.1)));
         // Tombstones may be dropped once no older run could still hold a
         // shadowed version of the key.
         let bottom = !inner.runs.iter().any(|r| r.seq_hi < seq_lo);
@@ -720,25 +789,23 @@ impl KvStore {
         // Merge: read sources oldest-first so newer versions win.
         let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
         let mut now = at;
-        let mut ordered = sources.clone();
-        ordered.sort_by_key(|r| r.seq_hi);
-        for src in &ordered {
-            if src.data_pages == 0 {
+        for &(_, _, object, data_pages) in sources.iter().rev() {
+            if data_pages == 0 {
                 continue;
             }
             // Merge input is read through the bounded pipeline: up to
             // `read_window` pages of the source run in flight at once.
             // Compaction merge input is maintenance traffic.
             let background = Some(ServiceClass::Background);
-            let reads: Vec<IoRequest<'_>> = (0..src.data_pages)
-                .map(|page| IoRequest::read(src.object, u64::from(page)).with_class(background))
+            let reads: Vec<IoRequest<'_>> = (0..data_pages)
+                .map(|page| IoRequest::read(object, u64::from(page)).with_class(background))
                 .collect();
             let (pages, t) = self.noftl.execute(&reads, now, self.config.read_window)?;
             now = now.max(t);
             inner.stats.run_page_reads += reads.len() as u64;
             for (page, payload) in pages.iter().enumerate() {
                 let entries = run::decode_data_page(payload).ok_or_else(|| {
-                    kv_err(format!("run object {} page {page} is not a data page", src.object))
+                    kv_err(format!("run object {object} page {page} is not a data page"))
                 })?;
                 for (key, value) in entries {
                     merged.insert(key, value);
@@ -760,9 +827,9 @@ impl KvStore {
 
         // Retire the sources through the normal drop path: their pages
         // become invalid and the region's GC reclaims the blocks.
-        for src in &sources {
-            self.noftl.drop_object(src.object)?;
-            inner.runs.retain(|r| r.object != src.object);
+        for &(_, _, object, _) in &sources {
+            self.noftl.drop_object(object)?;
+            inner.runs.retain(|r| r.object != object);
             inner.stats.compacted_runs += 1;
         }
         if self.config.auto_checkpoint {
@@ -822,6 +889,15 @@ mod tests {
         assert!(stats.memtable_hits > 0);
         assert!(stats.run_page_reads > 0);
         assert_eq!(kv.get(b"missing", t).unwrap().0, None);
+        // A get reads one page per run the filter let through; the
+        // registry mirrors the three counters.
+        let stats = kv.stats();
+        assert!(stats.get_page_reads > 0 && stats.get_page_reads <= stats.run_page_reads);
+        assert_eq!(stats.get_page_reads, stats.run_probes - stats.bloom_skips);
+        let counter = |name: &str| noftl.metrics().counter(name).get();
+        assert_eq!(counter("kv.get.page_reads"), stats.get_page_reads);
+        assert_eq!(counter("kv.get.run_probes"), stats.run_probes);
+        assert_eq!(counter("kv.get.bloom_skips"), stats.bloom_skips);
     }
 
     #[test]
@@ -1133,6 +1209,120 @@ mod tests {
         t2 = kv2.put(b"after-reopen", b"ok", t2).unwrap();
         t2 = kv2.flush(t2).unwrap();
         assert_eq!(kv2.get(b"after-reopen", t2).unwrap().0.as_deref(), Some(b"ok".as_slice()));
+    }
+
+    #[test]
+    fn open_refuses_a_run_of_another_format_version_and_deletes_nothing() {
+        let (_d, noftl, rid) = stack(TimingModel::instant());
+        let (kv, mut t) =
+            KvStore::create(Arc::clone(&noftl), rid, "s", small_config(), SimTime::ZERO).unwrap();
+        for i in 0..40u64 {
+            t = kv.put(&key(i), &val(i, 0), t).unwrap();
+        }
+        t = kv.flush(t).unwrap();
+        drop(kv);
+        // A run as a v1 build left it: one data page, then a single
+        // footer page with the tail magic and version 1.
+        let page_size = noftl.device().geometry().page_size as usize;
+        let encoded = run::encode_run("s", 0, 9, 9, &[(key(1), Some(val(1, 1)))], page_size);
+        let mut footer = encoded.pages[1].clone();
+        footer[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let old = noftl.create_object("__kv_s_r0_9_9", rid).unwrap();
+        t = noftl.write(old, 0, &encoded.pages[0], t).unwrap();
+        t = noftl.write(old, 1, &footer, t).unwrap();
+
+        let err = KvStore::open(Arc::clone(&noftl), "s", small_config(), t).unwrap_err();
+        let NoFtlError::Kv { message } = &err else { panic!("expected a Kv error, got {err}") };
+        assert!(message.contains("v1") && message.contains("v2"), "must name both: {message}");
+        assert_eq!(noftl.object_id("__kv_s_r0_9_9"), Some(old), "the old run must survive");
+        assert_eq!(noftl.objects_with_prefix("__kv_s_r").len(), 2, "and so must the new one");
+
+        // A last page that is no tail page at all is still just torn.
+        t = noftl.write(old, 1, &encoded.pages[0], t).unwrap();
+        let (kv, report) = KvStore::open(Arc::clone(&noftl), "s", small_config(), t).unwrap();
+        assert_eq!((report.runs_recovered, report.torn_runs_discarded), (1, 1));
+        assert_eq!(noftl.object_id("__kv_s_r0_9_9"), None);
+        assert_eq!(kv.get(&key(7), t).unwrap().0.as_deref(), Some(val(7, 0).as_slice()));
+    }
+
+    #[test]
+    fn point_reads_cost_one_page_at_a_size_with_multi_page_tails() {
+        // Far past the size the quick perf point reaches: ~2 200 data
+        // pages, merged runs of hundreds of pages with multi-page tails.
+        // With the v1 footer these runs kept one fence per 2–8 pages.
+        const KEYS: u64 = 20_000;
+        let device = Arc::new(
+            DeviceBuilder::new(FlashGeometry::example()).timing(TimingModel::instant()).build(),
+        );
+        let noftl = Arc::new(NoFtl::new(device, NoFtlConfig::default()));
+        let rid = noftl.create_region(RegionSpec::named("rgKv").with_die_count(6)).unwrap();
+        let (kv, mut t) =
+            KvStore::create(Arc::clone(&noftl), rid, "s", KvConfig::default(), SimTime::ZERO)
+                .unwrap();
+        let key = |i: u64| format!("user{i:012}").into_bytes();
+        let absent = |i: u64| format!("user{i:012}+").into_bytes(); // between key(i) and key(i+1)
+        let value = |i: u64, round: u32| {
+            let mut v = vec![round as u8; 400];
+            v[..8].copy_from_slice(&i.to_le_bytes());
+            v[8..12].copy_from_slice(&round.to_le_bytes());
+            v
+        };
+        // Page reads per get over every 7th key, each checked against
+        // `expect`, plus the same for absent in-range keys.
+        let measure = |kv: &KvStore, mut t: SimTime, expect: &dyn Fn(u64) -> Vec<u8>| {
+            let before = kv.stats();
+            for i in (0..KEYS).step_by(7) {
+                let (got, t2) = kv.get(&key(i), t).unwrap();
+                t = t2;
+                assert_eq!(got, Some(expect(i)), "key {i}");
+            }
+            let mid = kv.stats();
+            for i in (0..KEYS - 1).step_by(7) {
+                let (got, t2) = kv.get(&absent(i), t).unwrap();
+                t = t2;
+                assert_eq!(got, None, "absent key {i}");
+            }
+            let after = kv.stats();
+            assert_eq!(after.memtable_hits, before.memtable_hits, "the memtable was flushed");
+            for (a, b) in [(&before, &mid), (&mid, &after)] {
+                let reads = b.get_page_reads - a.get_page_reads;
+                assert_eq!(reads, (b.run_probes - a.run_probes) - (b.bloom_skips - a.bloom_skips));
+                assert_eq!(reads, b.run_page_reads - a.run_page_reads, "gets only");
+            }
+            let per_get = |a: &KvStats, b: &KvStats| {
+                (b.get_page_reads - a.get_page_reads) as f64 / (b.gets - a.gets) as f64
+            };
+            (per_get(&before, &mid), per_get(&mid, &after), t)
+        };
+
+        for i in 0..KEYS {
+            t = kv.put(&key(i), &value(i, 0), t).unwrap();
+        }
+        t = kv.flush(t).unwrap();
+        let spilled = kv.inner.lock().runs.iter().filter(|r| r.tail_pages >= 2).count();
+        assert!(spilled > 0, "the load must build runs large enough to spill their tail");
+        let (present, missing, t2) = measure(&kv, t, &|i| value(i, 0));
+        t = t2;
+        assert_eq!(present, 1.0, "ordered load ⇒ disjoint runs ⇒ exactly one page per get");
+        assert!(missing <= 0.05, "{missing} page reads per absent-key get after the load");
+
+        // Zipfian overwrites (rank = KEYS^u, s = 1) make the runs overlap.
+        let mut rng = super::super::harness::Rng(0x21BF_1A4E);
+        let mut latest = vec![0u32; KEYS as usize];
+        for _ in 0..KEYS {
+            let u = (rng.next() >> 11) as f64 / (1u64 << 53) as f64;
+            let i = ((KEYS as f64).powf(u) as u64 - 1).min(KEYS - 1);
+            latest[i as usize] += 1;
+            t = kv.put(&key(i), &value(i, latest[i as usize]), t).unwrap();
+        }
+        t = kv.flush(t).unwrap();
+        assert!(kv.run_count() > 1);
+        let (present, missing, _) = measure(&kv, t, &|i| value(i, latest[i as usize]));
+        assert!((1.0..=1.1).contains(&present), "{present} page reads per get after overwrites");
+        // An absent key costs a read only on a filter false positive
+        // (~1 %), once per run whose key range covers it.
+        let bound = 0.015 * kv.run_count() as f64;
+        assert!(missing <= bound, "{missing} page reads per absent-key get over {bound}");
     }
 
     #[test]

@@ -25,7 +25,11 @@
 //! * `core.flusher.{batches,pages}` / `core.flusher.inflight_hwm` — the
 //!   background flusher's batch counters and window high-water mark;
 //! * `kv.put.latency_ns`, `kv.flush.latency_ns`, `kv.compact.latency_ns`
-//!   and `kv.{flushes,compactions}` — LSM store activity.
+//!   and `kv.{flushes,compactions}` — LSM store activity;
+//! * `kv.get.{run_probes,bloom_skips,page_reads}` — the point-read path:
+//!   runs whose key range covered a get's key, those of them the run's
+//!   Bloom filter ruled out, and the run pages actually read (one per
+//!   remaining probe, so `page_reads = run_probes - bloom_skips`).
 //!
 //! Tracer track IDs: flash dies use their die index (see
 //! `flash-sim`); host-side spans use fixed tracks `100` (KV),
@@ -186,11 +190,17 @@ impl CoreObs {
     }
 }
 
-/// Handles the KV store records into on puts, memtable flushes and
+/// Handles the KV store records into on puts, gets, memtable flushes and
 /// compactions.
 #[derive(Debug)]
 pub(crate) struct KvObs {
     registry: Arc<MetricsRegistry>,
+    /// `kv.get.page_reads`: run pages read by gets.
+    pub(crate) get_page_reads: Counter,
+    /// `kv.get.run_probes`: runs whose key range covered a get's key.
+    pub(crate) get_run_probes: Counter,
+    /// `kv.get.bloom_skips`: probed runs the filter ruled out.
+    pub(crate) get_bloom_skips: Counter,
     put_latency: Histogram,
     flush_latency: Histogram,
     compact_latency: Histogram,
@@ -201,6 +211,9 @@ pub(crate) struct KvObs {
 impl KvObs {
     pub(crate) fn new(registry: Arc<MetricsRegistry>) -> Self {
         KvObs {
+            get_page_reads: registry.counter("kv.get.page_reads"),
+            get_run_probes: registry.counter("kv.get.run_probes"),
+            get_bloom_skips: registry.counter("kv.get.bloom_skips"),
             put_latency: registry.histogram("kv.put.latency_ns", Unit::SimNanos),
             flush_latency: registry.histogram("kv.flush.latency_ns", Unit::SimNanos),
             compact_latency: registry.histogram("kv.compact.latency_ns", Unit::SimNanos),

@@ -61,8 +61,8 @@ fn main() {
         stats.flushed_pages, stats.compacted_pages
     );
 
-    // Reads: memtable first, then runs newest-to-oldest via the sparse
-    // per-run index.
+    // Reads: memtable first, then runs newest-to-oldest — the run's
+    // filter says whether to look, its fence index which one page.
     let (got, t2) = store.get(&key(42), t).unwrap();
     t = t2;
     println!("get(user000042) -> {:?}", String::from_utf8_lossy(&got.unwrap()));

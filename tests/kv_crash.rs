@@ -2,8 +2,10 @@
 //! consistency.
 //!
 //! The property test sweeps ≥ 25 random power-cut instants (every fifth
-//! cut aimed *inside a compaction merge*) across a put/delete workload
-//! whose memtable flushes and size-tiered compactions fire continuously.
+//! cut aimed *inside a compaction merge*, every fifth *between the tail
+//! pages* of a run whose tail spans several pages — alternately a
+//! flush's and a merge's) across a put/delete workload whose memtable
+//! flushes and size-tiered compactions fire continuously.
 //! After every cut the device is rebooted from its snapshot, the storage
 //! manager remounted (`NoFtl::mount`) and the store reopened
 //! (`KvStore::open`); the harness then verifies that
@@ -11,7 +13,8 @@
 //! * every key covered by an acknowledged flush is present with its
 //!   exact value (no lost committed keys);
 //! * torn tail runs and merge results whose directory checkpoint never
-//!   landed are discarded — never half-adopted;
+//!   landed are discarded — never half-adopted, and a run that got the
+//!   first pages of its tail onto flash but not the last is not a run;
 //! * a cut inside a compaction merge loses nothing: the source runs
 //!   survive until the merged run is durable *and* checkpointed;
 //! * a full scan of the reopened store agrees with the point-lookup
@@ -24,7 +27,8 @@ use std::sync::Arc;
 use common::{property_rounds, splitmix};
 use noftl_regions::flash::{DeviceBuilder, FlashGeometry, SimTime, TimingModel};
 use noftl_regions::noftl::kv::{
-    run_kv_crash_cycle, run_kv_crash_cycle_in_compaction, KvConfig, KvCrashConfig, KvStore,
+    run_kv_crash_cycle, run_kv_crash_cycle_in_compaction, run_kv_crash_cycle_in_tail, KvConfig,
+    KvCrashConfig, KvStore,
 };
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementPolicyKind, RegionSpec};
 
@@ -37,7 +41,14 @@ fn random_power_cuts_recover_every_committed_key() {
     let mut torn_total = 0u64;
     let mut compaction_cuts = 0u64;
     let mut in_flight_survivals = 0u64;
+    let mut tail_cuts = [0u64; 2]; // [in a flush's run, in a merge's run]
     for round in 0..rounds {
+        // Rounds 2, 7, 12, … cut between the tail pages of a run; they
+        // need the workload whose runs have multi-page tails.
+        let tail_aimed = round % 5 == 2;
+        let in_merge = round % 10 == 7;
+        let base =
+            if tail_aimed { KvCrashConfig::multi_page_tail() } else { KvCrashConfig::default() };
         let cfg = KvCrashConfig {
             // Vary the workload itself every few rounds so the cuts do
             // not all land in identical histories.
@@ -49,14 +60,23 @@ fn random_power_cuts_recover_every_committed_key() {
             placement: if round % 2 == 1 {
                 PlacementPolicyKind::QueueAware
             } else {
-                KvCrashConfig::default().placement
+                base.placement
             },
-            ..KvCrashConfig::default()
+            ..base
         };
         let fraction = (splitmix(&mut rng) % 1_000) as f64 / 1_000.0;
         // Every fifth round aims the cut inside a compaction merge so
         // the crash-during-compaction path is guaranteed coverage.
-        let outcome = if round % 5 == 4 {
+        let outcome = if tail_aimed {
+            let outcome = run_kv_crash_cycle_in_tail(&cfg, fraction, in_merge)
+                .unwrap_or_else(|e| panic!("round {round} (tail-aimed) failed: {e}"))
+                .expect("the multi-page-tail workload spills tails in flushes and merges");
+            let partial = outcome.open.partial_tails_rejected;
+            assert!(partial > 0, "round {round}: no cut left a partial tail");
+            assert_eq!(outcome.cut_during_compaction, in_merge, "round {round}");
+            tail_cuts[usize::from(in_merge)] += 1;
+            outcome
+        } else if round % 5 == 4 {
             run_kv_crash_cycle_in_compaction(&cfg, fraction)
                 .unwrap_or_else(|e| panic!("round {round} (compaction-aimed) failed: {e}"))
                 .expect("the default workload compacts")
@@ -81,10 +101,15 @@ fn random_power_cuts_recover_every_committed_key() {
         compaction_cuts > 0,
         "no cut ever landed inside a compaction — the aimed rounds missed"
     );
+    assert!(
+        tail_cuts.iter().all(|n| *n > 0),
+        "the sweep must cut inside a flush's and a merge's multi-page tail (got {tail_cuts:?})"
+    );
     println!(
         "{rounds} cuts: {flushes_total} flushes acknowledged, {committed_total} committed keys \
          verified, {torn_total} torn runs discarded, {compaction_cuts} cuts during compaction, \
-         {in_flight_survivals} in-flight flushes survived"
+         {in_flight_survivals} in-flight flushes survived, {tail_cuts:?} cuts between the tail \
+         pages of a flushed / merged run"
     );
 }
 
@@ -99,6 +124,28 @@ fn cut_during_compaction_merge_loses_nothing() {
     assert!(outcome.cut_during_compaction, "the cut must land inside the merge");
     assert!(outcome.flushes_acknowledged > 0);
     assert!(outcome.committed_keys > 0);
+}
+
+#[test]
+fn cut_between_tail_pages_discards_the_run_and_keeps_merge_sources() {
+    // Deterministic: the first flush and the first merge that write a
+    // multi-page tail, cut after their first tail page landed and before
+    // their last.  The harness fails internally if the partial tail is
+    // adopted, an acknowledged write is lost or — for the merge — the
+    // sources do not survive.
+    for in_merge in [false, true] {
+        let outcome = run_kv_crash_cycle_in_tail(&KvCrashConfig::multi_page_tail(), 0.0, in_merge)
+            .expect("cycle runs")
+            .expect("the workload writes multi-page tails");
+        let partial = outcome.open.partial_tails_rejected;
+        assert!(partial > 0, "in_merge={in_merge}: no partial tail was left");
+        assert_eq!(outcome.cut_during_compaction, in_merge);
+        assert!(outcome.open.tail_pages_read > 0);
+        if in_merge {
+            assert!(outcome.committed_keys > 0, "the merge's sources hold acknowledged keys");
+            assert!(outcome.open.runs_recovered >= 2, "the unfinished merge's sources survive");
+        }
+    }
 }
 
 #[test]
