@@ -7,6 +7,8 @@
 //! rebalancing — sufficient for TPC-C, whose only index deletes are the
 //! NEW_ORDER removals performed by the Delivery transaction.
 
+use std::ops::ControlFlow;
+
 use parking_lot::Mutex;
 
 use flash_sim::SimTime;
@@ -20,6 +22,16 @@ use crate::PAGE_SIZE;
 
 const NONE_PAGE: u64 = u64::MAX;
 const HEADER: usize = 1 + 2 + 8;
+
+/// Bytes after an entry's key: a record id in a leaf, a child page in an
+/// internal node.
+const fn payload_len(leaf: bool) -> usize {
+    if leaf {
+        10
+    } else {
+        8
+    }
+}
 
 #[derive(Debug, Clone)]
 struct Node {
@@ -56,7 +68,7 @@ impl Node {
     }
 
     fn serialized_size(&self) -> usize {
-        let payload = if self.leaf { 10 } else { 8 };
+        let payload = payload_len(self.leaf);
         HEADER + self.keys.iter().map(|k| 2 + k.len() + payload).sum::<usize>()
     }
 
@@ -135,6 +147,80 @@ impl Node {
         } else {
             self.children[idx - 1]
         }
+    }
+}
+
+/// A borrowed view of a serialized node — same on-flash format as
+/// [`Node`], nothing decoded ahead of use.  The read-only paths (point
+/// lookups, range descents, leaf walks) search the page image where the
+/// buffer pool holds it; [`Node`] stays the owned form insert, delete
+/// and split work on.
+struct NodeView<'a> {
+    leaf: bool,
+    n: usize,
+    /// See [`Node::extra`].
+    extra: u64,
+    /// The `n` entries, validated by [`NodeView::parse`].
+    entries: &'a [u8],
+}
+
+impl<'a> NodeView<'a> {
+    /// Validate `buf` as a node.  Walks all `n` entries, so it rejects
+    /// exactly the images [`Node::decode`] rejects and the accessors
+    /// below can slice without checking again.
+    fn parse(buf: &'a [u8]) -> Result<Self> {
+        if buf.len() < HEADER {
+            return Err(DbError::Corrupted { message: "B+-tree node too short".into() });
+        }
+        let leaf = buf[0] != 0;
+        let n = u16::from_le_bytes(buf[1..3].try_into().expect("2 bytes")) as usize;
+        let extra = u64::from_le_bytes(buf[3..11].try_into().expect("8 bytes"));
+        let entries = &buf[HEADER..];
+        let truncated = || DbError::Corrupted { message: "truncated B+-tree entry".into() };
+        let mut off = 0usize;
+        for _ in 0..n {
+            let klen = entries.get(off..off + 2).ok_or_else(truncated)?;
+            off += 2
+                + u16::from_le_bytes(klen.try_into().expect("2 bytes")) as usize
+                + payload_len(leaf);
+            if off > entries.len() {
+                return Err(truncated());
+            }
+        }
+        Ok(NodeView { leaf, n, extra, entries })
+    }
+
+    /// The entries in key order as `(key, payload)`: the payload is the
+    /// 10-byte record id in a leaf, the 8-byte child page in an internal
+    /// node.
+    fn iter(&self) -> impl Iterator<Item = (&'a [u8], &'a [u8])> + '_ {
+        let payload = payload_len(self.leaf);
+        let mut rest = self.entries;
+        (0..self.n).map(move |_| {
+            let klen = u16::from_le_bytes(rest[..2].try_into().expect("2 bytes")) as usize;
+            let (entry, tail) = rest.split_at(2 + klen + payload);
+            rest = tail;
+            (&entry[2..2 + klen], &entry[2 + klen..])
+        })
+    }
+
+    /// Leaf entries as `(key, record id)`.
+    fn rids(&self) -> impl Iterator<Item = (&'a [u8], RecordId)> + '_ {
+        self.iter().filter_map(|(key, payload)| Some((key, RecordId::decode(payload)?)))
+    }
+
+    /// Exact-match lookup in a leaf.
+    fn search(&self, key: &[u8]) -> Option<RecordId> {
+        self.rids().take_while(|(k, _)| *k <= key).find(|(k, _)| *k == key).map(|(_, rid)| rid)
+    }
+
+    /// Page of the child to follow for `key` in an internal node (see
+    /// [`Node::child_for`]).
+    fn child_for(&self, key: &[u8]) -> u64 {
+        self.iter()
+            .take_while(|(k, _)| *k <= key)
+            .last()
+            .map_or(self.extra, |(_, child)| u64::from_le_bytes(child.try_into().expect("8 bytes")))
     }
 }
 
@@ -244,6 +330,76 @@ impl BTree {
     fn read_node(&self, pool: &BufferPool, page: u64, now: SimTime) -> Result<(Node, SimTime)> {
         let (bytes, t) = pool.read_page(self.obj, page, now)?;
         Ok((Node::decode(&bytes)?, t))
+    }
+
+    /// Lend the node on `page` to `f` without copying or decoding it.
+    fn view_node<R>(
+        &self,
+        pool: &BufferPool,
+        page: u64,
+        now: SimTime,
+        f: impl FnOnce(&NodeView<'_>) -> R,
+    ) -> Result<(R, SimTime)> {
+        let (viewed, t) =
+            pool.with_page(self.obj, page, now, |buf| NodeView::parse(buf).map(|node| f(&node)))?;
+        Ok((viewed?, t))
+    }
+
+    /// Descend from `root` to the leaf that would contain `key`.
+    fn leaf_for(
+        &self,
+        pool: &BufferPool,
+        root: u64,
+        key: &[u8],
+        now: SimTime,
+    ) -> Result<(u64, SimTime)> {
+        let (mut page, mut t) = (root, now);
+        loop {
+            let (child, t2) =
+                self.view_node(pool, page, t, |node| (!node.leaf).then(|| node.child_for(key)))?;
+            t = t2;
+            match child {
+                Some(child) => page = child,
+                None => return Ok((page, t)),
+            }
+        }
+    }
+
+    /// Walk the leaf chain from `page`, handing every entry to `visit`
+    /// in key order until it returns `false` or the chain ends.
+    ///
+    /// The chain is a pointer chase (the next leaf is only known after
+    /// reading the current one), but leaves are allocated in ascending
+    /// page order, so the chain climbs through the file.  Sequential
+    /// readahead from the current leaf primes the pool through the
+    /// backend's windowed read pipeline — the upcoming fetches overlap
+    /// the region's dies instead of serializing, and a wrong guess
+    /// merely warms another node of the same tree.
+    fn walk_leaves(
+        &self,
+        pool: &BufferPool,
+        mut page: u64,
+        page_count: u64,
+        now: SimTime,
+        mut visit: impl FnMut(&[u8], RecordId) -> bool,
+    ) -> Result<SimTime> {
+        let mut t = now;
+        let readahead = pool.flush_window() as u64;
+        loop {
+            if readahead > 1 {
+                let end = page.saturating_add(readahead).min(page_count);
+                let batch: Vec<(ObjectId, u64)> = (page..end).map(|p| (self.obj, p)).collect();
+                t = t.max(pool.prefetch(&batch, t)?);
+            }
+            let (next, t2) = self.view_node(pool, page, t, |node| {
+                node.rids().all(|(key, rid)| visit(key, rid)).then_some(node.extra)
+            })?;
+            t = t2;
+            match next {
+                Some(next) if next != NONE_PAGE => page = next,
+                _ => return Ok(t),
+            }
+        }
     }
 
     fn write_node(
@@ -384,17 +540,18 @@ impl BTree {
         let mut t = self.ensure_init(&mut inner, pool, now)?;
         let mut page = inner.root;
         loop {
-            let (node, t2) = self.read_node(pool, page, t)?;
+            let (step, t2) = self.view_node(pool, page, t, |node| {
+                if node.leaf {
+                    ControlFlow::Break(node.search(key))
+                } else {
+                    ControlFlow::Continue(node.child_for(key))
+                }
+            })?;
             t = t2;
-            if node.leaf {
-                let found = node
-                    .keys
-                    .binary_search_by(|k| k.as_slice().cmp(key))
-                    .ok()
-                    .map(|pos| node.rids[pos]);
-                return Ok((found, t));
+            match step {
+                ControlFlow::Continue(child) => page = child,
+                ControlFlow::Break(found) => return Ok((found, t)),
             }
-            page = node.child_for(key);
         }
     }
 
@@ -408,48 +565,20 @@ impl BTree {
         now: SimTime,
     ) -> Result<ScanResult> {
         let mut inner = self.inner.lock();
-        let mut t = self.ensure_init(&mut inner, pool, now)?;
-        let mut page = inner.root;
-        // Descend to the leaf that would contain `low`.
-        loop {
-            let (node, t2) = self.read_node(pool, page, t)?;
-            t = t2;
-            if node.leaf {
-                break;
-            }
-            page = node.child_for(low);
-        }
+        let t = self.ensure_init(&mut inner, pool, now)?;
+        let (leaf, t) = self.leaf_for(pool, inner.root, low, t)?;
         let mut out = Vec::new();
-        // The leaf chain is a pointer chase (the next leaf is only known
-        // after decoding the current one), but leaves are allocated in
-        // ascending page order, so the chain climbs through the file.
-        // Sequential readahead from the current leaf primes the pool
-        // through the backend's windowed read pipeline — the upcoming
-        // fetches overlap the region's dies instead of serializing, and
-        // a wrong guess merely warms another node of the same tree.
-        let readahead = pool.flush_window() as u64;
-        loop {
-            if readahead > 1 {
-                let end = page.saturating_add(readahead).min(inner.page_count);
-                let batch: Vec<(ObjectId, u64)> = (page..end).map(|p| (self.obj, p)).collect();
-                t = t.max(pool.prefetch(&batch, t)?);
+        let t = self.walk_leaves(pool, leaf, inner.page_count, t, |key, rid| {
+            if key < low {
+                return true;
             }
-            let (node, t2) = self.read_node(pool, page, t)?;
-            t = t2;
-            for (i, key) in node.keys.iter().enumerate() {
-                if key.as_slice() < low {
-                    continue;
-                }
-                if key.as_slice() >= high {
-                    return Ok((out, t));
-                }
-                out.push((key.clone(), node.rids[i]));
+            if key >= high {
+                return false;
             }
-            if node.extra == NONE_PAGE {
-                return Ok((out, t));
-            }
-            page = node.extra;
-        }
+            out.push((key.to_vec(), rid));
+            true
+        })?;
+        Ok((out, t))
     }
 
     /// Bounded range scan: the first `limit` `(key, rid)` pairs with
@@ -465,43 +594,19 @@ impl BTree {
         now: SimTime,
     ) -> Result<ScanResult> {
         let mut inner = self.inner.lock();
-        let mut t = self.ensure_init(&mut inner, pool, now)?;
+        let t = self.ensure_init(&mut inner, pool, now)?;
         let mut out = Vec::new();
         if limit == 0 {
             return Ok((out, t));
         }
-        let mut page = inner.root;
-        loop {
-            let (node, t2) = self.read_node(pool, page, t)?;
-            t = t2;
-            if node.leaf {
-                break;
+        let (leaf, t) = self.leaf_for(pool, inner.root, low, t)?;
+        let t = self.walk_leaves(pool, leaf, inner.page_count, t, |key, rid| {
+            if key >= low {
+                out.push((key.to_vec(), rid));
             }
-            page = node.child_for(low);
-        }
-        let readahead = pool.flush_window() as u64;
-        loop {
-            if readahead > 1 {
-                let end = page.saturating_add(readahead).min(inner.page_count);
-                let batch: Vec<(ObjectId, u64)> = (page..end).map(|p| (self.obj, p)).collect();
-                t = t.max(pool.prefetch(&batch, t)?);
-            }
-            let (node, t2) = self.read_node(pool, page, t)?;
-            t = t2;
-            for (i, key) in node.keys.iter().enumerate() {
-                if key.as_slice() < low {
-                    continue;
-                }
-                out.push((key.clone(), node.rids[i]));
-                if out.len() >= limit {
-                    return Ok((out, t));
-                }
-            }
-            if node.extra == NONE_PAGE {
-                return Ok((out, t));
-            }
-            page = node.extra;
-        }
+            out.len() < limit
+        })?;
+        Ok((out, t))
     }
 
     /// Range scan for all keys starting with `prefix`.
@@ -745,6 +850,114 @@ mod tests {
             assert_eq!(found, Some(rid(i as u64)));
         }
         assert!(pool.stats().evictions > 0);
+    }
+
+    /// `Node::decode` and `NodeView::parse` must accept or reject `buf`
+    /// together and, when they accept, hold the same entries; on a
+    /// well-ordered node `search` / `child_for` must agree for every probe.
+    fn assert_view_matches_node(buf: &[u8], probes: &[Vec<u8>]) {
+        let (node, view) = match (Node::decode(buf), NodeView::parse(buf)) {
+            (Err(_), Err(_)) => return,
+            (Ok(node), Ok(view)) => (node, view),
+            (node, view) => panic!(
+                "decode {} but parse {} a {}-byte image",
+                if node.is_ok() { "accepts" } else { "rejects" },
+                if view.is_ok() { "accepts" } else { "rejects" },
+                buf.len()
+            ),
+        };
+        assert_eq!((node.leaf, node.extra, node.keys.len()), (view.leaf, view.extra, view.n));
+        let keys = node.keys.iter().map(Vec::as_slice);
+        if node.leaf {
+            let scanned: Vec<_> = view.rids().collect();
+            assert_eq!(scanned, keys.zip(node.rids.iter().copied()).collect::<Vec<_>>());
+        } else {
+            let children: Vec<_> =
+                view.iter().map(|(k, c)| (k, u64::from_le_bytes(c.try_into().unwrap()))).collect();
+            assert_eq!(children, keys.zip(node.children.iter().copied()).collect::<Vec<_>>());
+        }
+        if !node.keys.windows(2).all(|w| w[0] < w[1]) {
+            return; // a corrupted length re-framed the keys out of order
+        }
+        for probe in probes.iter().chain(&node.keys) {
+            if node.leaf {
+                let owned = node.keys.binary_search(probe).ok().map(|pos| node.rids[pos]);
+                assert_eq!(view.search(probe), owned);
+            } else {
+                assert_eq!(view.child_for(probe), node.child_for(probe));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// The borrowed view is the owned node: same answers as a
+        /// `BTreeMap` model on intact images, same verdict as
+        /// `Node::decode` on every truncation and on every corrupted
+        /// length field (entry count and each key length).
+        #[test]
+        fn node_view_agrees_with_node_decode_and_the_model(
+            leaf in any::<bool>(),
+            extra in any::<u64>(),
+            entries in prop::collection::vec(
+                (prop::collection::vec(any::<u8>(), 1..40), any::<u64>()), 0..200),
+            probes in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..40), 1..12),
+        ) {
+            // 0..max entries: keep what fits one page.
+            let mut model = std::collections::BTreeMap::new();
+            let mut node = if leaf { Node::new_leaf() } else { Node::new_internal(extra) };
+            node.extra = extra;
+            let mut size = HEADER;
+            for (key, payload) in entries {
+                let entry = 2 + key.len() + payload_len(leaf);
+                if size + entry <= PAGE_SIZE && !model.contains_key(&key) {
+                    size += entry;
+                    model.insert(key, payload);
+                }
+            }
+            for (key, payload) in &model {
+                node.keys.push(key.clone());
+                if leaf {
+                    node.rids.push(rid(*payload));
+                } else {
+                    node.children.push(*payload);
+                }
+            }
+            prop_assert_eq!(node.serialized_size(), size);
+            let image = node.encode();
+
+            // Intact image: the view answers like the model.
+            let view = NodeView::parse(&image).unwrap();
+            for probe in probes.iter().chain(model.keys()) {
+                if leaf {
+                    prop_assert_eq!(view.search(probe), model.get(probe).map(|p| rid(*p)));
+                } else {
+                    let below = model.range::<Vec<u8>, _>(..=probe).next_back();
+                    prop_assert_eq!(view.child_for(probe), below.map_or(extra, |(_, c)| *c));
+                }
+            }
+            assert_view_matches_node(&image, &probes);
+
+            // Every truncation (past the entries the image is zero padding).
+            for len in 0..(node.serialized_size() + 2).min(PAGE_SIZE) {
+                assert_view_matches_node(&image[..len], &probes);
+            }
+            // Every length field, nudged and maxed.
+            let mut fields = vec![1usize];
+            let mut off = HEADER;
+            for key in &node.keys {
+                fields.push(off);
+                off += 2 + key.len() + payload_len(leaf);
+            }
+            for field in fields {
+                let stored = u16::from_le_bytes(image[field..field + 2].try_into().unwrap());
+                for bad in [stored.wrapping_add(1), stored.wrapping_sub(1), 0, u16::MAX] {
+                    let mut corrupt = image.clone();
+                    corrupt[field..field + 2].copy_from_slice(&bad.to_le_bytes());
+                    assert_view_matches_node(&corrupt, &probes);
+                }
+            }
+        }
     }
 
     proptest! {

@@ -9,6 +9,12 @@
 //!   added to the caller's clock.  The device still becomes busy, so heavy
 //!   write-back and GC traffic delays subsequent reads — exactly the
 //!   interference effect the paper measures.
+//!
+//! Readers **borrow**, writers **own**: [`BufferPool::with_page`] lends
+//! the resident frame to a closure (a hit copies nothing), while
+//! [`BufferPool::read_page`] hands out an owned copy for the
+//! read-modify-write callers that give it back through
+//! [`BufferPool::write_page`].
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
@@ -73,6 +79,11 @@ struct Capture {
 
 struct PoolInner {
     frames: Vec<Option<Frame>>,
+    /// Indices of the empty frames (`frames[i]` is `None` exactly for the
+    /// `i` in here).  An eviction pushes its frame, the install that
+    /// caused it pops it again, so once the pool has filled up this is
+    /// empty between calls and a miss goes straight to the clock sweep.
+    free: Vec<usize>,
     map: HashMap<(ObjectId, u64), usize>,
     hand: usize,
     stats: BufferStats,
@@ -121,6 +132,8 @@ impl BufferPool {
             flush_hist: OnceLock::new(),
             inner: Mutex::new(PoolInner {
                 frames: (0..capacity).map(|_| None).collect(),
+                // Popped from the back: frame 0 fills first.
+                free: (0..capacity).rev().collect(),
                 map: HashMap::with_capacity(capacity),
                 hand: 0,
                 stats: BufferStats::default(),
@@ -156,12 +169,12 @@ impl BufferPool {
         self.inner.lock().stats
     }
 
-    /// Find (or make) a free frame using the clock algorithm.  Dirty
-    /// victims are written back at `now` without charging the caller.
-    fn find_victim(&self, inner: &mut PoolInner, now: SimTime) -> Result<usize> {
-        // Fast path: an empty frame.
-        if let Some(idx) = inner.frames.iter().position(|f| f.is_none()) {
-            return Ok(idx);
+    /// Make sure a free frame exists, evicting one by the clock algorithm
+    /// if none does.  Dirty victims are written back at `now` without
+    /// charging the caller.
+    fn make_room(&self, inner: &mut PoolInner, now: SimTime) -> Result<()> {
+        if !inner.free.is_empty() {
+            return Ok(());
         }
         // Clock sweep.
         for _ in 0..inner.frames.len() * 2 + 1 {
@@ -185,7 +198,8 @@ impl BufferPool {
             inner.stats.evictions += 1;
             inner.map.remove(&key);
             inner.frames[idx] = None;
-            return Ok(idx);
+            inner.free.push(idx);
+            return Ok(());
         }
         Err(DbError::Storage {
             message: if self.no_steal {
@@ -196,31 +210,66 @@ impl BufferPool {
         })
     }
 
-    /// Read a page, returning a copy of its contents and the time at which
-    /// the data is available.
-    pub fn read_page(&self, obj: ObjectId, page: u64, now: SimTime) -> Result<(Vec<u8>, SimTime)> {
-        let mut inner = self.inner.lock();
-        inner.stats.logical_reads += 1;
-        if let Some(&idx) = inner.map.get(&(obj, page)) {
-            inner.stats.hits += 1;
-            let frame = inner.frames[idx].as_mut().expect("mapped frame exists");
-            frame.ref_bit = true;
-            return Ok((frame.data.clone(), now));
-        }
-        inner.stats.misses += 1;
-        let idx = self.find_victim(&mut inner, now)?;
-        // Drop the lock during the storage read?  The read itself is a pure
-        // simulated-time computation, so holding the lock keeps the code
-        // simple and the results deterministic.
-        let (data, done) = self.backend.read_page(obj, page, now)?;
-        let mut data = data;
+    /// Put a page into a free frame ([`Self::make_room`] ran) and return
+    /// the frame's index.
+    fn install(
+        inner: &mut PoolInner,
+        key: (ObjectId, u64),
+        mut data: Vec<u8>,
+        dirty: bool,
+    ) -> usize {
         if data.len() != PAGE_SIZE {
             data.resize(PAGE_SIZE, 0);
         }
-        inner.frames[idx] =
-            Some(Frame { key: (obj, page), data: data.clone(), dirty: false, ref_bit: true });
-        inner.map.insert((obj, page), idx);
-        Ok((data, done))
+        let idx = inner.free.pop().expect("the caller made room");
+        inner.frames[idx] = Some(Frame { key, data, dirty, ref_bit: true });
+        inner.map.insert(key, idx);
+        idx
+    }
+
+    /// Lend a page to `f`: the one lookup / miss / install path of the
+    /// pool.  A hit runs `f` on the resident frame without copying it; a
+    /// miss charges the flash read and installs the backend's buffer as
+    /// the frame.  Returns `f`'s result and the time at which the data
+    /// was available.
+    ///
+    /// `f` runs under the pool lock, so it must not call back into the
+    /// pool (the lock is not re-entrant): extract what is needed — a
+    /// child pointer, a record's bytes — and return.
+    pub fn with_page<R>(
+        &self,
+        obj: ObjectId,
+        page: u64,
+        now: SimTime,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<(R, SimTime)> {
+        let mut inner = self.inner.lock();
+        inner.stats.logical_reads += 1;
+        let (idx, done) = match inner.map.get(&(obj, page)) {
+            Some(&idx) => {
+                inner.stats.hits += 1;
+                (idx, now)
+            }
+            None => {
+                inner.stats.misses += 1;
+                self.make_room(&mut inner, now)?;
+                // The read is a pure simulated-time computation, so it
+                // runs under the lock: simple and deterministic.
+                let (data, done) = self.backend.read_page(obj, page, now)?;
+                (Self::install(&mut inner, (obj, page), data, false), done)
+            }
+        };
+        let frame = inner.frames[idx].as_mut().expect("mapped frame exists");
+        frame.ref_bit = true;
+        Ok((f(&frame.data), done))
+    }
+
+    /// Read a page, returning an owned copy of its contents and the time
+    /// at which the data is available — for callers that modify the page
+    /// and write it back; read-only callers borrow through
+    /// [`BufferPool::with_page`].
+    pub fn read_page(&self, obj: ObjectId, page: u64, now: SimTime) -> Result<(Vec<u8>, SimTime)> {
+        self.with_page(obj, page, now, <[u8]>::to_vec)
     }
 
     /// Prefetch a set of pages into the pool through the backend's
@@ -248,14 +297,10 @@ impl BufferPool {
             return Ok(now);
         }
         let (payloads, done) = self.backend.read_windowed(&missing, now, self.flush_window)?;
-        for ((obj, page), mut data) in missing.into_iter().zip(payloads) {
+        for (key, data) in missing.into_iter().zip(payloads) {
             inner.stats.prefetched += 1;
-            let idx = self.find_victim(&mut inner, now)?;
-            if data.len() != PAGE_SIZE {
-                data.resize(PAGE_SIZE, 0);
-            }
-            inner.frames[idx] = Some(Frame { key: (obj, page), data, dirty: false, ref_bit: true });
-            inner.map.insert((obj, page), idx);
+            self.make_room(&mut inner, now)?;
+            Self::install(&mut inner, key, data, false);
         }
         Ok(done)
     }
@@ -289,10 +334,8 @@ impl BufferPool {
             frame.ref_bit = true;
             return Ok(now);
         }
-        let idx = self.find_victim(&mut inner, now)?;
-        inner.frames[idx] =
-            Some(Frame { key: (obj, page), data: data.to_vec(), dirty: true, ref_bit: true });
-        inner.map.insert((obj, page), idx);
+        self.make_room(&mut inner, now)?;
+        Self::install(&mut inner, (obj, page), data.to_vec(), true);
         Ok(now)
     }
 
@@ -447,6 +490,44 @@ mod tests {
         assert_eq!(data, page(7));
         assert!(t > done, "a miss must pay the flash read latency");
         assert_eq!(pool2.stats().misses, 1);
+    }
+
+    #[test]
+    fn with_page_lends_the_frame_a_later_read_copies() {
+        let backend = backend();
+        let obj = backend.create_object("t").unwrap();
+        let pool = BufferPool::new(backend.clone(), 8);
+        pool.write_page(obj, 0, &page(7), SimTime::ZERO).unwrap();
+        let done = pool.flush_all(SimTime::ZERO).unwrap();
+        let cold = BufferPool::new(backend, 8);
+        // Miss: charged, installed; the closure sees the page.
+        let (first, t) = cold.with_page(obj, 0, done, |p| (p.len(), p[0])).unwrap();
+        assert_eq!(first, (PAGE_SIZE, 7));
+        assert!(t > done);
+        // Hit: free, same bytes; `read_page` is the same path plus a copy.
+        let (sum, t2) = cold.with_page(obj, 0, t, |p| p.iter().map(|b| *b as usize).sum()).unwrap();
+        assert_eq!((sum, t2), (7 * PAGE_SIZE, t));
+        assert_eq!(cold.read_page(obj, 0, t).unwrap(), (page(7), t));
+        let s = cold.stats();
+        assert_eq!((s.logical_reads, s.misses, s.hits), (3, 1, 2));
+    }
+
+    #[test]
+    fn a_failed_read_gives_its_frame_back() {
+        let backend = backend();
+        let obj = backend.create_object("t").unwrap();
+        let pool = BufferPool::new(backend, 4);
+        // Reads of never-written pages fail after room was made for them…
+        for p in 0..10u64 {
+            assert!(pool.read_page(obj, 100 + p, SimTime::ZERO).is_err());
+        }
+        // …and must not leak it: the pool still holds four pages without
+        // evicting anything.
+        for p in 0..4u64 {
+            pool.write_page(obj, p, &page(p as u8), SimTime::ZERO).unwrap();
+        }
+        assert_eq!(pool.stats().evictions, 0);
+        assert_eq!(pool.dirty_pages(), 4);
     }
 
     #[test]

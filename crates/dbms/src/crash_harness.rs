@@ -2,9 +2,9 @@
 //! verify.
 //!
 //! The harness drives a mixed, TPC-C-ish key-value workload (inserts,
-//! updates, deletes and occasional rollbacks over an indexed table)
-//! against the full NoFTL stack, cuts power at a chosen simulated
-//! instant, "reboots" the device by round-tripping its state through a
+//! updates, deletes, read-only transactions and occasional rollbacks over
+//! an indexed table) against the full NoFTL stack, cuts power at a chosen
+//! simulated instant, "reboots" the device by round-tripping its state through a
 //! [`flash_sim::DeviceSnapshot`] (optionally via a file-backed image),
 //! remounts the storage manager with `NoFtl::mount`, replays the WAL tail
 //! with [`Database::recover`] and then verifies the ACID contract:
@@ -108,8 +108,11 @@ impl Default for CrashHarnessConfig {
 pub struct CrashOutcome {
     /// The armed power-cut instant.
     pub cut_at: SimTime,
-    /// Transactions whose commit was acknowledged before the cut.
+    /// Writing transactions whose commit was acknowledged before the cut.
     pub committed_txns: u64,
+    /// Read-only transactions committed before the cut (no log record,
+    /// no force — they must neither lose nor resurrect anything).
+    pub read_only_txns: u64,
     /// Whether the cut interrupted a commit (whose effects may then
     /// legitimately survive in full).
     pub cut_during_commit: bool,
@@ -236,6 +239,7 @@ struct RunResult {
     /// crash (only meaningful when `phase == DuringCommit`).
     with_in_flight: BTreeMap<i64, i64>,
     committed_txns: u64,
+    read_only_txns: u64,
     phase: CrashPhase,
     end: SimTime,
     region_names: Vec<String>,
@@ -248,6 +252,7 @@ fn run_workload(cfg: &CrashHarnessConfig, stack: &Stack, start: SimTime) -> RunR
     let mut rng = Rng(cfg.seed);
     let mut committed: BTreeMap<i64, i64> = BTreeMap::new();
     let mut committed_txns = 0u64;
+    let mut read_only_txns = 0u64;
     let mut phase = CrashPhase::None;
     let mut with_in_flight = BTreeMap::new();
     let mut now = start;
@@ -270,6 +275,32 @@ fn run_workload(cfg: &CrashHarnessConfig, stack: &Stack, start: SimTime) -> RunR
                 }
             }
             db.rollback(&mut txn);
+            now = txn.now;
+            continue;
+        }
+        // ~15 % of transactions only read, and commit: they see exactly
+        // the committed world and their commit leaves the log alone.
+        if rng.below(100) < 15 {
+            for _ in 0..ops {
+                let key = rng.below(cfg.keys as u64) as i64;
+                let seen = match db.index_get(&mut txn, TABLE, INDEX, &key_bytes(key)) {
+                    Ok(found) => found.map(|(_, record)| record[1].clone()),
+                    Err(_) => {
+                        phase = CrashPhase::DuringOps;
+                        break 'txns;
+                    }
+                };
+                assert_eq!(
+                    seen,
+                    committed.get(&key).map(|v| Value::Int(*v)),
+                    "a reader must see the committed value of key {key}"
+                );
+            }
+            if db.commit(&mut txn).is_err() {
+                phase = CrashPhase::DuringOps;
+                break 'txns;
+            }
+            read_only_txns += 1;
             now = txn.now;
             continue;
         }
@@ -340,6 +371,7 @@ fn run_workload(cfg: &CrashHarnessConfig, stack: &Stack, start: SimTime) -> RunR
         committed,
         with_in_flight,
         committed_txns,
+        read_only_txns,
         phase,
         end: now.max(stack.device.quiesce_time()),
         region_names,
@@ -493,6 +525,7 @@ pub fn run_crash_cycle(cfg: &CrashHarnessConfig, fraction: f64) -> Result<CrashO
     Ok(CrashOutcome {
         cut_at,
         committed_txns: run.committed_txns,
+        read_only_txns: run.read_only_txns,
         cut_during_commit: run.phase == CrashPhase::DuringCommit,
         in_flight_survived: matches_in_flight && !matches_committed,
         rows_verified: actual.len() as u64,
@@ -517,7 +550,9 @@ mod tests {
         let (stack, setup_end) = build_stack(&cfg).unwrap();
         let run = run_workload(&cfg, &stack, setup_end);
         assert_eq!(run.phase, CrashPhase::None);
-        assert!(run.committed_txns > 20, "committed {}", run.committed_txns);
+        assert!(run.committed_txns > 15, "committed {}", run.committed_txns);
+        assert!(run.read_only_txns > 0, "the mix must contain read-only transactions");
+        assert_eq!(stack.db.read_only_commit_count(), run.read_only_txns);
         assert!(!run.committed.is_empty());
         assert!(stack.db.wal_stats().truncations > 0, "segment guard must fire");
     }

@@ -6,9 +6,9 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use flash_sim::{Duration, SimTime};
-
 use flash_sim::crc32;
+use flash_sim::{Duration, SimTime};
+use noftl_obs::Counter;
 
 use crate::btree::BTree;
 use crate::buffer::{BufferPool, BufferStats};
@@ -42,7 +42,9 @@ const CATALOG_SLOT_PAGES: u64 = 64;
 pub struct DatabaseConfig {
     /// Buffer pool capacity in pages.
     pub buffer_pages: usize,
-    /// Whether commits force a WAL page.
+    /// Whether the database keeps a write-ahead log.  With it, the commit
+    /// of a transaction that wrote forces the log; a read-only commit
+    /// never touches it (see [`Database::commit`]).
     pub wal_enabled: bool,
     /// CPU cost charged to a transaction for each record operation.
     pub op_cpu: Duration,
@@ -110,6 +112,10 @@ pub struct Database {
     metadata_pages: AtomicU64,
     next_txn: AtomicU64,
     commits: AtomicU64,
+    read_only_commits: AtomicU64,
+    /// `dbms.txn.read_only_commits`, bound at open when the backend has a
+    /// registry (it sits on the read path, so no per-commit name lookup).
+    read_only_counter: Option<Counter>,
     rollbacks: AtomicU64,
     /// Set when a commit's log force fails under redo logging: the pool
     /// then holds effects of a transaction that is neither durable nor
@@ -117,6 +123,10 @@ pub struct Database {
     /// checkpoint) is refused until the instance is recovered.
     poisoned: std::sync::atomic::AtomicBool,
     config: DatabaseConfig,
+}
+
+fn read_only_counter(backend: &Arc<dyn StorageBackend>) -> Option<Counter> {
+    backend.metrics().map(|registry| registry.counter("dbms.txn.read_only_commits"))
 }
 
 fn ensure_object(backend: &Arc<dyn StorageBackend>, name: &str) -> Result<ObjectId> {
@@ -144,6 +154,7 @@ impl Database {
         let pool = BufferPool::with_policy(Arc::clone(&backend), config.buffer_pages, no_steal)
             .with_flush_window(config.flush_window);
         Ok(Database {
+            read_only_counter: read_only_counter(&backend),
             backend,
             pool,
             catalog: Catalog::new(),
@@ -154,6 +165,7 @@ impl Database {
             metadata_pages: AtomicU64::new(0),
             next_txn: AtomicU64::new(1),
             commits: AtomicU64::new(0),
+            read_only_commits: AtomicU64::new(0),
             rollbacks: AtomicU64::new(0),
             poisoned: std::sync::atomic::AtomicBool::new(false),
             config,
@@ -180,9 +192,17 @@ impl Database {
         self.wal.as_ref().map(|w| w.stats()).unwrap_or_default()
     }
 
-    /// Committed transaction count.
+    /// Committed transaction count (read-only commits included).
     pub fn commit_count(&self) -> u64 {
         self.commits.load(Ordering::Relaxed)
+    }
+
+    /// Commits of transactions that wrote nothing: counted in
+    /// [`Database::commit_count`], but they appended no log record and
+    /// forced nothing.  Mirrored as `dbms.txn.read_only_commits` in the
+    /// backend's metrics registry.
+    pub fn read_only_commit_count(&self) -> u64 {
+        self.read_only_commits.load(Ordering::Relaxed)
     }
 
     /// Rolled-back transaction count.
@@ -440,16 +460,31 @@ impl Database {
         Ok(out)
     }
 
-    /// Commit a transaction: with redo logging, append after-images of
-    /// every page the transaction dirtied, then the commit record, and
-    /// force the log.  The log force is the synchronous part of the
-    /// commit and is charged to the transaction's response time.
+    /// Commit a transaction.
     ///
-    /// Once the current WAL segment exceeds the configured page budget the
-    /// commit additionally triggers a checkpoint (flush, catalog snapshot,
-    /// backend metadata journal) and truncates the log.
+    /// A transaction that wrote nothing (`txn.writes == 0`) has nothing
+    /// to redo, so its commit appends no log record, forces nothing,
+    /// probes no checkpoint and takes no simulated time: a read costs
+    /// the page fetches of its misses and nothing else.
+    ///
+    /// A transaction that wrote appends — with redo logging — the
+    /// after-images of every page it dirtied, then the commit record,
+    /// and forces the log.  The force is the synchronous part of the
+    /// commit and is charged to the transaction's response time.  Once
+    /// the current WAL segment exceeds the configured page budget the
+    /// commit additionally triggers a checkpoint (flush, catalog
+    /// snapshot, backend metadata journal) and truncates the log.
     pub fn commit(&self, txn: &mut Txn) -> Result<TxnOutcome> {
         self.check_usable()?;
+        if txn.writes == 0 {
+            self.discard_capture();
+            self.commits.fetch_add(1, Ordering::Relaxed);
+            self.read_only_commits.fetch_add(1, Ordering::Relaxed);
+            if let Some(counter) = &self.read_only_counter {
+                counter.inc();
+            }
+            return Ok(TxnOutcome::Committed);
+        }
         if let Some(wal) = &self.wal {
             if self.config.redo_logging {
                 for (obj, page) in self.pool.take_capture() {
@@ -485,16 +520,25 @@ impl Database {
         Ok(TxnOutcome::Committed)
     }
 
+    /// Drop the write-set capture [`Database::begin`] opened, so it can
+    /// never leak into a later transaction's log images.
+    fn discard_capture(&self) {
+        if self.config.redo_logging && self.wal.is_some() {
+            let _ = self.pool.take_capture();
+        }
+    }
+
     /// Roll back a transaction.  The engine's workloads pre-validate their
     /// inputs before writing (as the TPC-C NewOrder transaction does for
     /// the 1 % "unused item" case), so rollback only has to be recorded
-    /// and the captured write set discarded.
+    /// and the captured write set discarded.  A transaction that wrote
+    /// nothing leaves no trace in the log either.
     pub fn rollback(&self, txn: &mut Txn) -> TxnOutcome {
-        if let Some(wal) = &self.wal {
-            if self.config.redo_logging {
-                let _ = self.pool.take_capture();
+        self.discard_capture();
+        if txn.writes > 0 {
+            if let Some(wal) = &self.wal {
+                wal.append(&WalRecord::Rollback { txn: txn.id });
             }
-            wal.append(&WalRecord::Rollback { txn: txn.id });
         }
         self.rollbacks.fetch_add(1, Ordering::Relaxed);
         TxnOutcome::RolledBack
@@ -785,6 +829,7 @@ impl Database {
         let metadata_extent = backend.object_extent(metadata_obj)?;
 
         let db = Database {
+            read_only_counter: read_only_counter(&backend),
             backend,
             pool,
             catalog,
@@ -795,6 +840,7 @@ impl Database {
             metadata_pages: AtomicU64::new(metadata_extent),
             next_txn: AtomicU64::new(max_txn + 1),
             commits: AtomicU64::new(0),
+            read_only_commits: AtomicU64::new(0),
             rollbacks: AtomicU64::new(0),
             poisoned: std::sync::atomic::AtomicBool::new(false),
             config,
@@ -905,6 +951,132 @@ mod tests {
     }
 
     #[test]
+    fn read_only_commit_costs_nothing_and_a_writer_forces_once() {
+        let db = open_db(128);
+        let t0 = SimTime::ZERO;
+        db.create_table("t", customer_schema(), t0).unwrap();
+        db.create_index("t", "i", t0).unwrap();
+        let key = composite_key(&[1, 1]);
+        let mut writer = db.begin(t0);
+        db.insert(&mut writer, "t", &customer(1, 1, 0.0, "X"), &[("i", key.clone())]).unwrap();
+        db.commit(&mut writer).unwrap();
+        assert_eq!(db.wal_stats().forces, 1, "a writer forces exactly once");
+        assert_eq!(db.read_only_commit_count(), 0);
+
+        let wal_before = db.wal_stats();
+        let mut reader = db.begin(writer.now);
+        assert!(db.index_get(&mut reader, "t", "i", &key).unwrap().is_some());
+        let before = reader.now;
+        assert_eq!(db.commit(&mut reader).unwrap(), TxnOutcome::Committed);
+        assert_eq!(reader.now, before, "a read-only commit takes no simulated time");
+        assert_eq!(db.wal_stats(), wal_before, "no record, no force");
+        assert_eq!(db.commit_count(), 2);
+        assert_eq!(db.read_only_commit_count(), 1);
+        let snap = db.metrics_snapshot().unwrap();
+        assert_eq!(snap.counter("dbms.txn.read_only_commits"), Some(1));
+
+        // A rollback that wrote nothing leaves no trace in the log either.
+        let mut aborted = db.begin(reader.now);
+        db.index_lookup(&mut aborted, "t", "i", &key).unwrap();
+        db.rollback(&mut aborted);
+        assert_eq!(db.wal_stats(), wal_before);
+        assert_eq!(db.rollback_count(), 1);
+    }
+
+    fn redo_config() -> DatabaseConfig {
+        DatabaseConfig { buffer_pages: 64, redo_logging: true, ..Default::default() }
+    }
+
+    fn restart_placement() -> PlacementConfig {
+        PlacementConfig::traditional(8, [METADATA_OBJECT.to_string()])
+    }
+
+    /// A redo-logging database with an indexed `customer` table on a
+    /// fresh device, checkpointed after the DDL.
+    fn open_redo_customer_db() -> (Arc<flash_sim::NandDevice>, Database, SimTime) {
+        let device = Arc::new(
+            DeviceBuilder::new(FlashGeometry::example()).timing(TimingModel::mlc_2015()).build(),
+        );
+        let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
+        let backend = Arc::new(NoFtlBackend::new(noftl, &restart_placement()).unwrap());
+        let db = Database::open(backend, redo_config()).unwrap();
+        db.create_table("customer", customer_schema(), SimTime::ZERO).unwrap();
+        db.create_index("customer", "c_idx", SimTime::ZERO).unwrap();
+        let t = db.checkpoint(SimTime::ZERO).unwrap();
+        (device, db, t)
+    }
+
+    /// "Reboot": rebuild the device from its snapshot, remount, recover.
+    fn reboot_and_recover(
+        device: &flash_sim::NandDevice,
+        at: SimTime,
+    ) -> (Database, RecoveryReport, SimTime) {
+        let snap = device.snapshot();
+        let device2 =
+            Arc::new(flash_sim::NandDevice::from_snapshot(&snap, TimingModel::mlc_2015()).unwrap());
+        let (noftl2, mount) = NoFtl::mount(device2, NoFtlConfig::default(), at).unwrap();
+        let backend2 =
+            Arc::new(NoFtlBackend::attach(Arc::new(noftl2), &restart_placement()).unwrap());
+        let (db2, report) = Database::recover(backend2, redo_config(), mount.completed_at).unwrap();
+        (db2, report, mount.completed_at)
+    }
+
+    /// Two writers under redo logging, optionally with a read-only
+    /// transaction (plus a DDL page write while its capture is open)
+    /// between them; crash, recover.  Returns the log records the second
+    /// writer appended, the recovery report and the recovered balances.
+    fn two_writers_then_recover(with_reader: bool) -> (u64, RecoveryReport, Vec<Value>) {
+        let (device, db, mut now) = open_redo_customer_db();
+        let insert = |id: i64, now: SimTime| {
+            let mut txn = db.begin(now);
+            let key = composite_key(&[1, id]);
+            db.insert(&mut txn, "customer", &customer(id, 1, id as f64, "W"), &[("c_idx", key)])
+                .unwrap();
+            db.commit(&mut txn).unwrap();
+            txn.now
+        };
+        now = insert(1, now);
+        if with_reader {
+            let mut reader = db.begin(now);
+            db.index_get(&mut reader, "customer", "c_idx", &composite_key(&[1, 1])).unwrap();
+            // A page written outside any transaction while the reader's
+            // capture is open must not surface in the next writer's log.
+            db.record_metadata_change("NOTE", reader.now).unwrap();
+            db.commit(&mut reader).unwrap();
+            now = reader.now;
+        }
+        let records_before = db.wal_stats().records;
+        now = insert(2, now);
+        let second_writer_records = db.wal_stats().records - records_before;
+
+        let (db2, report, recovered_at) = reboot_and_recover(&device, now);
+        let mut txn = db2.begin(recovered_at);
+        let balances = [1, 2]
+            .iter()
+            .map(|id| {
+                let key = composite_key(&[1, *id]);
+                db2.index_get(&mut txn, "customer", "c_idx", &key).unwrap().unwrap().1[2].clone()
+            })
+            .collect();
+        (second_writer_records, report, balances)
+    }
+
+    #[test]
+    fn read_only_txn_between_writers_leaves_no_trace_in_log_or_recovery() {
+        let (records, report, balances) = two_writers_then_recover(false);
+        let (records_r, report_r, balances_r) = two_writers_then_recover(true);
+        // Heap page + index page images, one note, one commit record.
+        assert_eq!(records, 4);
+        assert_eq!(records_r, records, "the second writer logs only its own page images");
+        assert_eq!(
+            report_r, report,
+            "recovery after a read-only transaction equals recovery without"
+        );
+        assert_eq!(balances_r, balances);
+        assert_eq!(balances, vec![Value::Float(1.0), Value::Float(2.0)]);
+    }
+
+    #[test]
     fn rollback_is_counted() {
         let db = open_db(128);
         let mut txn = db.begin(SimTime::ZERO);
@@ -965,21 +1137,7 @@ mod tests {
 
     #[test]
     fn clean_restart_recovers_catalog_and_data() {
-        use flash_sim::NandDevice;
-        use noftl_core::PlacementConfig;
-
-        let device = Arc::new(
-            DeviceBuilder::new(FlashGeometry::example()).timing(TimingModel::mlc_2015()).build(),
-        );
-        let noftl = Arc::new(noftl_core::NoFtl::new(device.clone(), NoFtlConfig::default()));
-        let placement = PlacementConfig::traditional(8, [METADATA_OBJECT.to_string()]);
-        let backend = Arc::new(NoFtlBackend::new(Arc::clone(&noftl), &placement).unwrap());
-        let config = DatabaseConfig { buffer_pages: 64, redo_logging: true, ..Default::default() };
-        let db = Database::open(backend, config).unwrap();
-        let t0 = SimTime::ZERO;
-        db.create_table("customer", customer_schema(), t0).unwrap();
-        db.create_index("customer", "c_idx", t0).unwrap();
-        let t = db.checkpoint(t0).unwrap();
+        let (device, db, t) = open_redo_customer_db();
         // A committed transaction after the checkpoint lives only in the
         // WAL tail (no-steal keeps its pages out of storage).
         let mut txn = db.begin(t);
@@ -997,20 +1155,14 @@ mod tests {
         )
         .unwrap();
 
-        // "Reboot": rebuild the device from its snapshot and remount.
-        let snap = device.snapshot();
-        let device2 = Arc::new(NandDevice::from_snapshot(&snap, TimingModel::mlc_2015()).unwrap());
-        let (noftl2, mount) =
-            noftl_core::NoFtl::mount(device2, NoFtlConfig::default(), txn.now).unwrap();
-        let backend2 = Arc::new(NoFtlBackend::attach(Arc::new(noftl2), &placement).unwrap());
-        let (db2, report) = Database::recover(backend2, config, mount.completed_at).unwrap();
+        let (db2, report, recovered_at) = reboot_and_recover(&device, txn.now);
         assert_eq!(report.tables_recovered, 1);
         assert_eq!(report.indexes_recovered, 1);
         assert!(report.committed_txns >= 1);
         assert!(report.redo_pages_applied >= 2, "heap + index images replayed");
         assert!(report.uncommitted_images_skipped == 0, "ghost never reached the log tail images");
         // The committed row is back, the ghost is gone.
-        let mut txn2 = db2.begin(mount.completed_at);
+        let mut txn2 = db2.begin(recovered_at);
         let (_, rec) = db2.index_get(&mut txn2, "customer", "c_idx", &key).unwrap().unwrap();
         assert_eq!(rec[0], Value::Int(7));
         assert_eq!(rec[3], Value::Str("TAIL".into()));

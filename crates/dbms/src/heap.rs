@@ -163,9 +163,10 @@ impl HeapFile {
         rid: RecordId,
         now: SimTime,
     ) -> Result<(Vec<u8>, SimTime)> {
-        let (bytes, t) = pool.read_page(self.obj, rid.page, now)?;
-        let page = SlottedPage::from_bytes(bytes)?;
-        Ok((page.get(rid.slot)?.to_vec(), t))
+        let (record, t) = pool.with_page(self.obj, rid.page, now, |page| {
+            SlottedPage::record_in(page, rid.slot).map(<[u8]>::to_vec)
+        })?;
+        Ok((record?, t))
     }
 
     /// Overwrite the record at `rid` in place.

@@ -129,14 +129,34 @@ impl SlottedPage {
 
     /// Read the record in `slot`.
     pub fn get(&self, slot: u16) -> Result<&[u8]> {
-        if slot >= self.slot_count() {
+        Self::record_in(&self.buf, slot)
+    }
+
+    /// Read the record in `slot` of a serialized page where it lies —
+    /// what a reader borrowing a buffer-pool frame uses instead of
+    /// copying the page into a [`SlottedPage`] first.
+    pub fn record_in(buf: &[u8], slot: u16) -> Result<&[u8]> {
+        if buf.len() != PAGE_SIZE {
+            return Err(DbError::Corrupted {
+                message: format!("page buffer has {} bytes, expected {PAGE_SIZE}", buf.len()),
+            });
+        }
+        let slot_count = u16::from_le_bytes(buf[0..2].try_into().expect("2 bytes"));
+        if slot >= slot_count {
             return Err(DbError::InvalidRid { message: format!("slot {slot} out of range") });
         }
-        let (off, len) = self.slot(slot);
+        let base = HEADER_LEN + slot as usize * SLOT_LEN;
+        let entry = buf.get(base..base + SLOT_LEN).ok_or_else(|| DbError::Corrupted {
+            message: format!("slot {slot} lies beyond the page"),
+        })?;
+        let off = u16::from_le_bytes(entry[0..2].try_into().expect("2 bytes")) as usize;
+        let len = u16::from_le_bytes(entry[2..4].try_into().expect("2 bytes")) as usize;
         if off == 0 {
             return Err(DbError::InvalidRid { message: format!("slot {slot} is deleted") });
         }
-        Ok(&self.buf[off as usize..off as usize + len as usize])
+        buf.get(off..off + len).ok_or_else(|| DbError::Corrupted {
+            message: format!("record of slot {slot} lies beyond the page"),
+        })
     }
 
     /// Overwrite the record in `slot` in place.  The new record must not be
@@ -255,9 +275,14 @@ mod tests {
 
     proptest! {
         /// Inserted records always read back verbatim, regardless of order
-        /// and interleaved deletes.
+        /// and interleaved deletes — from the owned page and, borrowed,
+        /// from its serialized image; deleted and out-of-range slots are
+        /// refused by both.
         #[test]
-        fn insert_read_consistency(records in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..200), 1..30)) {
+        fn insert_read_consistency(
+            records in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..200), 1..30),
+            deleted in prop::collection::vec(any::<bool>(), 30..31),
+        ) {
             let mut p = SlottedPage::new();
             let mut stored: Vec<(u16, Vec<u8>)> = Vec::new();
             for r in &records {
@@ -265,10 +290,49 @@ mod tests {
                     stored.push((slot, r.clone()));
                 }
             }
-            for (slot, expected) in &stored {
-                prop_assert_eq!(p.get(*slot).unwrap(), &expected[..]);
+            for (slot, _) in &stored {
+                if deleted[*slot as usize] {
+                    p.delete(*slot).unwrap();
+                }
             }
-            prop_assert_eq!(p.live_records(), stored.len());
+            let image = p.as_bytes();
+            for (slot, expected) in &stored {
+                if deleted[*slot as usize] {
+                    prop_assert!(matches!(p.get(*slot), Err(DbError::InvalidRid { .. })));
+                    prop_assert!(matches!(
+                        SlottedPage::record_in(image, *slot),
+                        Err(DbError::InvalidRid { .. })
+                    ));
+                } else {
+                    prop_assert_eq!(p.get(*slot).unwrap(), &expected[..]);
+                    prop_assert_eq!(SlottedPage::record_in(image, *slot).unwrap(), &expected[..]);
+                }
+            }
+            let live = stored.iter().filter(|(slot, _)| !deleted[*slot as usize]).count();
+            prop_assert_eq!(p.live_records(), live);
+            for beyond in [p.slots(), p.slots() + 1, u16::MAX] {
+                prop_assert!(matches!(
+                    SlottedPage::record_in(image, beyond),
+                    Err(DbError::InvalidRid { .. })
+                ));
+            }
+            prop_assert!(matches!(
+                SlottedPage::record_in(&image[..PAGE_SIZE - 1], 0),
+                Err(DbError::Corrupted { .. })
+            ));
         }
+    }
+
+    #[test]
+    fn record_in_refuses_slots_that_point_outside_the_page() {
+        let mut p = SlottedPage::new();
+        let slot = p.insert(b"abc").unwrap();
+        let mut image = p.into_bytes();
+        // Record end past the page.
+        image[HEADER_LEN + 2..HEADER_LEN + 4].copy_from_slice(&u16::MAX.to_le_bytes());
+        assert!(matches!(SlottedPage::record_in(&image, slot), Err(DbError::Corrupted { .. })));
+        // A slot count whose directory runs off the page.
+        image[0..2].copy_from_slice(&u16::MAX.to_le_bytes());
+        assert!(matches!(SlottedPage::record_in(&image, 2_000), Err(DbError::Corrupted { .. })));
     }
 }

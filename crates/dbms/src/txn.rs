@@ -2,7 +2,9 @@
 //!
 //! The engine's transactions are deliberately lightweight: each one carries
 //! its own simulated clock (response time accumulates as it waits for
-//! buffer misses and the commit-time log force) plus a few counters.  The
+//! buffer misses and — if it wrote — the commit-time log force) plus a
+//! few counters.  `writes == 0` at commit marks a read-only transaction,
+//! which [`crate::Database::commit`] lets go without touching the log.  The
 //! TPC-C driver runs one transaction at a time per logical client; device
 //! contention between clients emerges from the shared die/channel
 //! `busy_until` state, not from locking inside the engine.
@@ -27,7 +29,7 @@ pub struct Txn {
     /// When the transaction started.
     pub started_at: SimTime,
     /// The transaction's current simulated time (advances as it performs
-    /// I/O and waits for the commit log force).
+    /// I/O and, having written, waits for the commit log force).
     pub now: SimTime,
     /// Logical page reads performed.
     pub reads: u64,

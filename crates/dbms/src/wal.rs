@@ -3,7 +3,10 @@
 //! Every record carries a monotonically increasing **LSN** and a CRC, and
 //! the log stream is chunked into self-validating pages, so after a crash
 //! the intact prefix of the log can be recovered and the torn tail
-//! discarded.  Two kinds of payload flow through the log:
+//! discarded.  Only transactions that wrote reach the log: a read-only
+//! commit (or rollback) has nothing to redo, so [`crate::Database`]
+//! appends no record and forces nothing for it.  Two kinds of payload
+//! flow through the log:
 //!
 //! * **Note** records — the small logical operation records the space-
 //!   management experiments measure (one per DML statement, as before);
@@ -183,7 +186,8 @@ struct WalInner {
 pub struct WalStats {
     /// Log records appended.
     pub records: u64,
-    /// Log forces (group-commit boundaries).
+    /// Log forces: one per commit of a transaction that wrote, one per
+    /// checkpoint — none for read-only commits.
     pub forces: u64,
     /// Bytes appended (record payloads, before framing).
     pub appended_bytes: u64,
@@ -329,8 +333,8 @@ impl Wal {
         Some(payload.to_vec())
     }
 
-    /// Force every unforced log page to storage (group-commit boundary).
-    /// The pages are submitted as one queued batch issued at `now`, so a
+    /// Force every unforced log page to storage (the durability point of
+    /// a writing transaction's commit, and of a checkpoint).  The pages are submitted as one queued batch issued at `now`, so a
     /// multi-page force overlaps across the log region's dies; the
     /// returned time — the part of a commit the transaction must wait
     /// for — is the completion of the slowest page.

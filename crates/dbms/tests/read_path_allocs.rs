@@ -1,0 +1,116 @@
+//! Allocation budget of a warm point read.
+//!
+//! `Database::index_get` on resident pages borrows its way down the
+//! B+-tree and into the heap page: no page is copied and no node is
+//! decoded, so the only allocations left are the ones that carry the
+//! result out — the record's bytes, the `Vec<Value>` and one `String`
+//! per string column.  A counting global allocator (per thread, as in
+//! `crates/obs/tests/no_alloc.rs`, so parallel tests do not charge each
+//! other) holds the path to that.  CI runs this in `--release`, where
+//! the claim matters.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use dbms_engine::{ColumnType, Database, DatabaseConfig, NoFtlBackend, Schema, Value, PAGE_SIZE};
+use flash_sim::{DeviceBuilder, FlashGeometry, SimTime, TimingModel};
+use noftl_core::{NoFtl, NoFtlConfig, PlacementConfig};
+
+struct CountingAlloc;
+
+thread_local! {
+    /// Allocations made by the current thread and the largest of them.
+    /// Const-initialised and without destructors, so touching them from
+    /// inside the allocator neither allocates nor trips thread teardown.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(size: usize) {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the only addition
+// is a pair of thread-local cell updates that do not allocate.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+const RECORDS: u64 = 20_000;
+const KEY_LEN: usize = 24;
+
+fn key(id: u64) -> Vec<u8> {
+    format!("user{id:020}").into_bytes()
+}
+
+#[test]
+fn warm_index_get_copies_no_page_and_allocates_only_its_result() {
+    let device = Arc::new(
+        DeviceBuilder::new(FlashGeometry::example()).timing(TimingModel::instant()).build(),
+    );
+    let noftl = Arc::new(NoFtl::new(device, NoFtlConfig::default()));
+    let placement = PlacementConfig::traditional(8, ["t".to_string()]);
+    let backend = Arc::new(NoFtlBackend::new(noftl, &placement).unwrap());
+    // Everything stays resident: the reads below are all hits.
+    let config = DatabaseConfig { buffer_pages: 4_096, ..DatabaseConfig::default() };
+    let db = Database::open(backend, config).unwrap();
+    let schema =
+        Schema::new(vec![("k", ColumnType::Str(KEY_LEN as u16)), ("v", ColumnType::Str(100))]);
+    let string_columns = 2;
+    db.create_table("t", schema, SimTime::ZERO).unwrap();
+    db.create_index("t", "i", SimTime::ZERO).unwrap();
+    let mut now = SimTime::ZERO;
+    for id in 0..RECORDS {
+        let mut txn = db.begin(now);
+        let k = key(id);
+        let row = vec![Value::Str(String::from_utf8(k.clone()).unwrap()), Value::Str("v".into())];
+        db.insert(&mut txn, "t", &row, &[("i", k)]).unwrap();
+        db.commit(&mut txn).unwrap();
+        now = txn.now;
+    }
+    // More leaves than one internal node can address ⇒ at least 3 levels.
+    let max_children = (PAGE_SIZE - 11) / (2 + KEY_LEN + 8) + 1;
+    let index_pages = db.table("t").unwrap().index("i").unwrap().tree.page_count();
+    assert!(index_pages as usize > max_children + 1, "tree of {index_pages} pages is too shallow");
+
+    let keys: Vec<Vec<u8>> = (0..200).map(|i| key(i * 97 % RECORDS)).collect();
+    let misses_before = db.buffer_stats().misses;
+    let allocs_before = ALLOCATIONS.with(Cell::get);
+    LARGEST.with(|l| l.set(0));
+    let mut txn = db.begin(now);
+    for k in &keys {
+        let (_, row) = db.index_get(&mut txn, "t", "i", k).unwrap().expect("loaded key");
+        assert_eq!(row.len(), string_columns);
+    }
+    db.commit(&mut txn).unwrap();
+    let allocs = ALLOCATIONS.with(Cell::get) - allocs_before;
+    let largest = LARGEST.with(Cell::get);
+
+    assert_eq!(db.buffer_stats().misses, misses_before, "the reads were meant to be warm");
+    assert!(largest < PAGE_SIZE, "a warm read allocated {largest} bytes — a page was copied");
+    // Per read: the record's bytes, the `Vec<Value>`, one `String` per
+    // string column.  Nothing for the descent, the commit or the begin.
+    let budget = (2 + string_columns) as u64 * keys.len() as u64;
+    assert!(
+        allocs <= budget,
+        "{allocs} allocations for {} warm reads (budget {budget})",
+        keys.len()
+    );
+}

@@ -481,14 +481,20 @@ mod tests {
         let (db, scale, t0) = setup();
         let mut rng = StdRng::seed_from_u64(3);
         let writes_before = db.buffer_stats().logical_writes;
+        let wal_before = db.wal_stats();
+        let read_only_before = db.read_only_commit_count();
         for i in 0..5 {
             let mut txn = db.begin(t0 + flash_sim::Duration::from_us(i));
             order_status(&db, &scale, &mut rng, &mut txn, 1).unwrap();
             let mut txn = db.begin(t0 + flash_sim::Duration::from_us(100 + i));
             stock_level(&db, &scale, &mut rng, &mut txn, 1).unwrap();
         }
-        // No table writes (WAL pages are written outside the buffer pool).
+        // No table writes…
         assert_eq!(db.buffer_stats().logical_writes, writes_before);
+        // …and nothing for the log either: no record, no force.
+        assert_eq!(db.wal_stats().records, wal_before.records);
+        assert_eq!(db.wal_stats().forces, wal_before.forces);
+        assert_eq!(db.read_only_commit_count(), read_only_before + 10);
     }
 
     #[test]

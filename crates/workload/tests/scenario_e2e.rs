@@ -21,6 +21,17 @@ fn oltp_beside_compaction_runs_and_interferes() {
         "sharing channels with a compacting neighbor cannot improve the tail: penalty {:.3}",
         report.p99_penalty
     );
+    // Reads commit without a log force and the table is cache-resident,
+    // so the writes are the ops that meet the neighbor on the device.
+    assert!(report.oltp_shared.write_ops > 0);
+    assert_eq!(report.oltp_shared.write_ops, report.oltp_alone.write_ops);
+    assert!(report.oltp_shared.write_ops < report.oltp_shared.ops / 10, "YCSB-B is 5 % updates");
+    assert!(
+        report.write_p99_penalty >= report.p99_penalty,
+        "the write tail ({:.3}) carries at least the all-ops penalty ({:.3})",
+        report.write_p99_penalty,
+        report.p99_penalty
+    );
 }
 
 #[test]
@@ -52,6 +63,14 @@ fn arbiter_caps_the_noisy_neighbor_penalty() {
         on.oltp_alone.p99_us
     );
     assert!(on.p99_penalty <= 2.0, "arbiter-on penalty {:.3} > 2.0", on.p99_penalty);
+    // The contrast the arbiter exists for shows on the write tail.
+    assert!(on.write_p99_penalty <= 2.0, "arbiter-on write penalty {:.3}", on.write_p99_penalty);
+    assert!(
+        off.write_p99_penalty > 2.0 * on.write_p99_penalty,
+        "without the arbiter the write tail must pay for the neighbor: {:.3} vs {:.3}",
+        off.write_p99_penalty,
+        on.write_p99_penalty
+    );
     assert!(
         on.compact_shared.achieved_kops >= off.compact_shared.achieved_kops * 0.75,
         "background tenant degraded more than 25%: {:.3} vs {:.3}",

@@ -96,5 +96,8 @@ fn main() {
         mt.compact_flushes,
         mt.compact_compactions
     );
-    println!("  p99 noisy-neighbor penalty: {:.2}x", mt.p99_penalty);
+    println!(
+        "  p99 noisy-neighbor penalty: {:.2}x over all ops, {:.2}x over the {} writing ops",
+        mt.p99_penalty, mt.write_p99_penalty, mt.oltp_shared.write_ops
+    );
 }

@@ -1,8 +1,9 @@
 //! Crash-consistency acceptance tests.
 //!
 //! The property test sweeps 50 random power-cut instants across a mixed
-//! TPC-C-ish workload (inserts, updates, deletes, rollbacks over an
-//! indexed table with checkpoints and WAL truncations firing mid-run).
+//! TPC-C-ish workload (inserts, updates, deletes, read-only transactions
+//! and rollbacks over an indexed table with checkpoints and WAL
+//! truncations firing mid-run).
 //! After every cut the device is rebooted from its snapshot, the storage
 //! manager remounted (`NoFtl::mount`) and the database recovered
 //! (`Database::recover`); the harness then verifies that
@@ -30,6 +31,7 @@ fn fifty_random_power_cuts_recover_committed_data_only() {
     let rounds = property_rounds(50);
     let mut rng = 0xDEAD_BEEFu64;
     let mut committed_total = 0u64;
+    let mut read_only_total = 0u64;
     let mut in_flight_survivals = 0u64;
     let mut torn_discards = 0u64;
     for round in 0..rounds {
@@ -53,6 +55,7 @@ fn fifty_random_power_cuts_recover_committed_data_only() {
         let outcome = run_crash_cycle(&cfg, fraction)
             .unwrap_or_else(|e| panic!("round {round} (fraction {fraction:.3}) failed: {e}"));
         committed_total += outcome.committed_txns;
+        read_only_total += outcome.read_only_txns;
         in_flight_survivals += u64::from(outcome.in_flight_survived);
         torn_discards += outcome.mount.torn_pages_discarded;
         // The mount always replays a checkpoint (setup takes one) and the
@@ -65,6 +68,9 @@ fn fifty_random_power_cuts_recover_committed_data_only() {
         committed_total > rounds * 10,
         "committed only {committed_total} txns over {rounds} rounds"
     );
+    // …with read-only transactions (which commit without touching the
+    // log) interleaved between the writers the bar is checked on…
+    assert!(read_only_total > 0, "no read-only transaction ran in {rounds} rounds");
     // …and at least some cuts should land mid-operation, producing torn
     // pages that recovery had to discard.
     assert!(torn_discards > 0, "no cut ever tore a page — cuts are not exercising the device");
