@@ -1,14 +1,14 @@
 //! Seeded violations for the `queue_discipline` rule: a Completion
-//! result dropped on the floor, and a blocking device call reachable
-//! from a poll path.  `self_check()` asserts both shapes are caught.
+//! result dropped on the floor, and a timed device call reachable from a
+//! poll path.  `self_check()` asserts both shapes are caught.
 
 impl CommandQueue {
     fn fire_and_forget(&self, handle: IoHandle) {
         self.wait(handle); // Completion (and its error arm) silently discarded
     }
 
-    fn poll_and_patch(&self, addr: PageAddr, buf: &mut [u8]) {
-        // Blocking NAND read on the poll path, outside execute/submit.
-        self.device.read_page(addr, buf);
+    fn poll_and_patch(&self, addr: PageAddr, at: SimTime) -> bool {
+        // A NAND read on the poll path, outside `submit_tagged`.
+        self.device.execute(FlashCommand::Read { addr }, at, IoTag::default()).is_ok()
     }
 }

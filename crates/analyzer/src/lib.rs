@@ -10,10 +10,13 @@
 //! * [`rules::panic_freedom`] — no `unwrap`/`expect`/`panic!`-family code
 //!   in production paths of `crates/flash` and `crates/core`; direct
 //!   indexing is additionally denied on the per-command hot path.
-//! * [`rules::queue_discipline`] — no blocking `NandDevice` calls
-//!   reachable from `CommandQueue` completion/poll paths, no
-//!   `Completion` results dropped unchecked, and in `crates/core` no
-//!   timed device call or queue submission outside the `io` module.
+//! * [`rules::queue_discipline`] — no timed device call
+//!   (`device.execute` or a per-command verb) reachable from
+//!   `CommandQueue` completion/poll paths, no `Completion` results
+//!   dropped unchecked, in `crates/core` no timed device call or queue
+//!   submission outside the `io` module, and in `crates/flash` no
+//!   reservation of die or channel time outside `sched.rs`, `die.rs` and
+//!   `NandDevice::run`.
 //!
 //! Findings can be suppressed case-by-case with
 //! `// analyzer:allow(<rule>) <justification>`; the justification is
@@ -146,6 +149,11 @@ const FIXTURES: &[(&str, &str, &str)] = &[
     (
         "crates/core/src/gc.rs",
         include_str!("../fixtures/device_call_outside_io.rs"),
+        rules::queue_discipline::RULE,
+    ),
+    (
+        "crates/flash/src/device.rs",
+        include_str!("../fixtures/second_reservation_site.rs"),
         rules::queue_discipline::RULE,
     ),
 ];

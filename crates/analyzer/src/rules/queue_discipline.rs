@@ -1,33 +1,70 @@
 //! Queue-discipline rule.
 //!
-//! Three invariants around `CommandQueue`:
+//! Four invariants around `CommandQueue` and the command path under it:
 //!
-//! 1. **No blocking device calls off the execute path.**  Completion
-//!    and poll paths in `queue.rs` must never call the blocking
-//!    `NandDevice` operations directly — those belong to the dedicated
-//!    execute/submit functions, where the queue lock is not held.
+//! 1. **No timed device calls off the submit path.**  In `queue.rs` the
+//!    device's timed entry point — `device.execute(..)`, or any of the
+//!    per-command verbs it replaced — is legal only inside
+//!    `submit_tagged`, where the queue lock is not held; completion and
+//!    poll paths must never touch the NAND device.
 //! 2. **Completion errors must be observed.**  A `Completion` carries the
 //!    device's error arm; dropping the result of `wait`/`poll`/`drain`
 //!    on the floor (`q.wait(h);` or `let _ = q.wait(h);`) silently
 //!    swallows media failures.
 //! 3. **One request path in the storage manager.**  Inside
-//!    `crates/core/src` the same blocking device calls (and their
-//!    `_tagged` twins) and every `queue.submit*` are legal only in the
-//!    `io` module, whose `exec` is the crate's single device choke point
-//!    — a second site would bypass the queue the arbiter polices or fork
-//!    the path that later changes (op-context, causal time) go through.
+//!    `crates/core/src` the same timed device calls and every
+//!    `queue.submit*` are legal only in the `io` module, whose `exec` is
+//!    the crate's single device choke point — a second site would bypass
+//!    the queue the arbiter polices or fork the path that later changes
+//!    (op-context, causal time) go through.
+//! 4. **One reservation site in the device.**  Die and channel time is
+//!    claimed by `sched::schedule`, which `NandDevice::run` reaches in
+//!    exactly one place (its `phases`); `Die::reserve` and
+//!    `Channel::reserve*` are called by `schedule` alone.  A second site
+//!    under `crates/flash/src` would be a command path of its own — and
+//!    one more place for causal time to replace.
 
-use super::{is_method_call, FileView, RawFinding};
+use super::{is_call, is_method_call, FileView, RawFinding};
+use crate::lexer::Tok;
 
 /// Rule name for `analyzer:allow`.
 pub const RULE: &str = "queue_discipline";
 
-/// Blocking `NandDevice` entry points.
-const BLOCKING_DEVICE_CALLS: &[&str] =
+/// The per-command verbs of the timed device interface (each also has a
+/// `_tagged` form).
+const DEVICE_VERBS: &[&str] =
     &["read_page", "program_page", "erase_block", "copyback", "read_metadata"];
 
 /// Functions in `queue.rs` allowed to invoke the device directly.
-const EXECUTE_FNS: &[&str] = &["execute", "submit", "submit_batch"];
+const EXECUTE_FNS: &[&str] = &["submit_tagged"];
+
+/// The device crate's root; within it, the files that own the
+/// reservation primitives, and the one function elsewhere that may call
+/// them (as `(file, fn)`).
+const FLASH_ROOT: &str = "crates/flash/src";
+const RESERVATION_FILES: &[&str] = &["crates/flash/src/sched.rs", "crates/flash/src/die.rs"];
+const RESERVATION_SITE: (&str, &str) = ("crates/flash/src/device.rs", "phases");
+
+/// Is the token at `i` a timed device call: a per-command verb (plain or
+/// `_tagged`), or `execute` on a receiver named `device` (`NoFtl::execute`
+/// is also called `.execute(`, so the bare name would not do)?
+fn is_timed_device_call(toks: &[Tok], i: usize) -> bool {
+    let name = toks[i].text.as_str();
+    if !is_method_call(toks, i, name) {
+        return false;
+    }
+    let verb = DEVICE_VERBS.iter().any(|v| name == *v || name.strip_prefix(v) == Some("_tagged"));
+    verb || (name == "execute" && i >= 2 && toks[i - 2].is_ident("device"))
+}
+
+/// Is the token at `i` a claim on die or channel time: a call of
+/// `schedule`, or a `.reserve(` / `.reserve_with(` method call?  (A
+/// `Vec::reserve` in the device crate would need an `analyzer:allow`.)
+fn is_reservation(toks: &[Tok], i: usize) -> bool {
+    is_call(toks, i, "schedule")
+        || is_method_call(toks, i, "reserve")
+        || is_method_call(toks, i, "reserve_with")
+}
 
 /// Completion-bearing calls whose result must be consumed.
 const COMPLETION_CALLS: &[&str] = &["wait", "poll", "drain"];
@@ -46,7 +83,7 @@ pub fn check(view: &FileView<'_>) -> Vec<RawFinding> {
     let toks = view.tokens;
     let path = view.path.replace('\\', "/");
 
-    // Invariant 1: blocking device calls outside the execute path.
+    // Invariant 1: timed device calls outside the submit path.
     if path.ends_with("crates/flash/src/queue.rs") || path.ends_with("fixtures/queue.rs") {
         for item in view.fn_items() {
             if item.body.start < toks.len() && !view.is_production(item.body.start) {
@@ -56,15 +93,36 @@ pub fn check(view: &FileView<'_>) -> Vec<RawFinding> {
                 continue;
             }
             for i in item.body.clone() {
-                if BLOCKING_DEVICE_CALLS.contains(&toks[i].text.as_str())
-                    && is_method_call(toks, i, &toks[i].text)
-                {
+                if is_timed_device_call(toks, i) {
                     out.push(RawFinding {
                         rule: RULE,
                         line: toks[i].line,
                         message: format!(
-                            "blocking device call `.{}()` reachable from `{}`; completion/poll \
+                            "timed device call `.{}()` reachable from `{}`; completion/poll \
                              paths must not touch the NAND device directly",
+                            toks[i].text, item.name
+                        ),
+                    });
+                }
+            }
+        }
+    }
+
+    // Invariant 4: the device's single reservation site.
+    if path.contains(FLASH_ROOT) && !RESERVATION_FILES.iter().any(|f| path.ends_with(f)) {
+        for item in view.fn_items() {
+            if path.ends_with(RESERVATION_SITE.0) && item.name == RESERVATION_SITE.1 {
+                continue;
+            }
+            for i in item.body.clone() {
+                if view.is_production(i) && is_reservation(toks, i) {
+                    out.push(RawFinding {
+                        rule: RULE,
+                        line: toks[i].line,
+                        message: format!(
+                            "`{}()` in `{}` is a second reservation site; die and channel time \
+                             is claimed only by `sched::schedule`, called from \
+                             `NandDevice::run`'s `phases`",
                             toks[i].text, item.name
                         ),
                     });
@@ -79,12 +137,9 @@ pub fn check(view: &FileView<'_>) -> Vec<RawFinding> {
             if !view.is_production(i) || !is_method_call(toks, i, &t.text) {
                 continue;
             }
-            let device_call = BLOCKING_DEVICE_CALLS
-                .iter()
-                .any(|c| t.text == *c || t.text.strip_prefix(c) == Some("_tagged"));
             let queue_submit =
                 t.text.starts_with("submit") && i >= 2 && toks[i - 2].is_ident("queue");
-            if device_call || queue_submit {
+            if is_timed_device_call(toks, i) || queue_submit {
                 out.push(RawFinding {
                     rule: RULE,
                     line: t.line,
@@ -230,10 +285,13 @@ mod tests {
 
     #[test]
     fn core_device_calls_are_legal_only_in_the_io_module() {
+        // `noftl.execute(..)` is the storage manager's own verb, not the
+        // device's: only a receiver named `device` counts.
         let src = "fn gc(&self) { self.device.copyback(a, b, t); self.device.read_metadata_tagged(a, t, g); \
-                   let h = self.queue.submit_tagged(c, t, g); flusher.submit(n, o, p, d, t); }";
+                   let h = self.queue.submit_tagged(c, t, g); flusher.submit(n, o, p, d, t); \
+                   self.env.device.execute(c, t, g); noftl.execute(r, t, w); }";
         let f = run("crates/core/src/gc.rs", src);
-        assert_eq!(f.len(), 3, "{f:?}");
+        assert_eq!(f.len(), 4, "{f:?}");
         assert!(f.iter().all(|x| x.message.contains("Env::exec")));
         assert!(run("crates/core/src/io.rs", src).is_empty());
         assert!(run("crates/mirror/src/device.rs", src).is_empty());
@@ -243,10 +301,42 @@ mod tests {
     }
 
     #[test]
-    fn blocking_device_call_outside_execute_is_flagged() {
-        let src = "fn poll_inner(&self) { self.dev.read_page(a, b); }\nfn execute(&self) { self.dev.read_page(a, b); }";
+    fn timed_device_call_outside_submit_tagged_is_flagged() {
+        let src = "fn poll_inner(&self) { self.device.execute(c, t, g); }\n\
+                   fn wait(&self) { let r = self.dev.read_page_tagged(a, t, g); }\n\
+                   fn submit_tagged(&self) { self.device.execute(c, t, g); }";
         let f = run("crates/flash/src/queue.rs", src);
-        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f.len(), 2, "{f:?}");
         assert!(f[0].message.contains("poll_inner"));
+        assert!(f[1].message.contains("wait"));
+    }
+
+    #[test]
+    fn reservations_are_legal_only_in_sched_die_and_phases() {
+        let src = "fn phases(&self) { sched::schedule(d, c, s, t); }\n\
+                   fn fast_read(&self) { sched::schedule(d, None, s, t); }\n\
+                   fn peek(&self) { let (a, b, c) = die.reserve(t, dur); chan.reserve_with(p, t, dur, n); }";
+        let f = run("crates/flash/src/device.rs", src);
+        assert_eq!(f.len(), 3, "{f:?}");
+        assert!(f.iter().all(|x| x.message.contains("second reservation site")));
+        assert!(f[0].message.contains("fast_read"));
+        // The primitives' own files, and code outside the device crate.
+        assert!(run("crates/flash/src/sched.rs", src).is_empty());
+        assert!(run("crates/flash/src/die.rs", src).is_empty());
+        assert!(run("crates/core/src/gc.rs", src).is_empty());
+        // Only `device.rs` has a sanctioned `phases`.
+        assert_eq!(run("crates/flash/src/queue.rs", src).len(), 4);
+        let test_src = format!("#[cfg(test)]\nmod tests {{ {src} }}");
+        assert!(run("crates/flash/src/device.rs", &test_src).is_empty());
+    }
+
+    #[test]
+    fn the_reservation_fixture_is_caught_by_the_reservation_invariant() {
+        let f = run(
+            "crates/flash/src/device.rs",
+            include_str!("../../fixtures/second_reservation_site.rs"),
+        );
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f.iter().all(|x| x.message.contains("second reservation site")));
     }
 }

@@ -5,7 +5,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use flash_sim::{
-    BlockAddr, DeviceBuilder, DieId, FlashGeometry, PageMetadata, SimTime, TimingModel,
+    BlockAddr, DeviceBuilder, DieId, FlashBackend, FlashGeometry, PageMetadata, SimTime,
+    TimingModel,
 };
 
 fn bench_flash_ops(c: &mut Criterion) {

@@ -28,8 +28,8 @@ use std::sync::Arc;
 
 use flash_sim::queue::{CommandQueue, FlashCommand};
 use flash_sim::{
-    DeviceBuilder, DieId, FlashGeometry, NandDevice, PageAddr, PageMetadata, SimTime, TimingModel,
-    UtilizationSummary,
+    DeviceBuilder, DieId, FlashBackend, FlashGeometry, NandDevice, PageAddr, PageMetadata, SimTime,
+    TimingModel, UtilizationSummary,
 };
 use noftl_bench::smoke;
 use noftl_obs::MetricsSnapshot;

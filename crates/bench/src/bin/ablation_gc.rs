@@ -9,15 +9,16 @@
 //! ```text
 //! cargo run --release -p noftl-bench --bin ablation_gc
 //! ```
-//! Environment knobs: `ABL_TXNS` (default 5000).
+//! Environment knobs: `ABL_TXNS` (default 5000); any other `ABL_*`
+//! variable, or a value that is not a number, is refused.
 
-use noftl_bench::{env_u64, Experiment};
+use noftl_bench::{env_knobs, Experiment};
 use noftl_core::GcPolicy;
 use tpcc_workload::placement;
 
 fn main() {
     let dies = Experiment::figure3_geometry().total_dies();
-    let txns = env_u64("ABL_TXNS", 5_000);
+    let [txns] = env_knobs("ABL_", [("ABL_TXNS", 5_000)]);
     println!("== Ablation: GC policy / headroom vs. placement ==\n");
     println!(
         "{:<14} {:<14} {:>9} {:>10} {:>12} {:>12} {:>8}",

@@ -9,9 +9,10 @@
 //! ```text
 //! cargo run --release -p noftl-bench --bin ablation_regions
 //! ```
-//! Environment knobs: `ABL_TXNS` (default 6000).
+//! Environment knobs: `ABL_TXNS` (default 6000); any other `ABL_*`
+//! variable, or a value that is not a number, is refused.
 
-use noftl_bench::{env_u64, Experiment};
+use noftl_bench::{env_knobs, Experiment};
 use noftl_core::{PlacementConfig, RegionAssignment};
 use tpcc_workload::placement;
 
@@ -63,7 +64,7 @@ fn two_region(total_dies: u32) -> PlacementConfig {
 
 fn main() {
     let dies = Experiment::figure3_geometry().total_dies();
-    let txns = env_u64("ABL_TXNS", 6_000);
+    let [txns] = env_knobs("ABL_", [("ABL_TXNS", 6_000)]);
     let configs: Vec<(&str, PlacementConfig)> = vec![
         ("1 region (traditional)", placement::traditional(dies)),
         ("2 regions (hot/cold)", two_region(dies)),

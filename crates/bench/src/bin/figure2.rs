@@ -13,14 +13,16 @@
 //! ```text
 //! cargo run --release -p noftl-bench --bin figure2
 //! ```
-//! Environment knobs: `FIG2_TXNS` (default 4000), `FIG2_DIES` (default 64).
+//! Environment knobs: `FIG2_TXNS` (default 4000), `FIG2_DIES` (default
+//! 64); any other `FIG2_*` variable, or a value that is not a number, is
+//! refused.
 
-use noftl_bench::{env_u64, Experiment};
+use noftl_bench::{env_knobs, Experiment};
 use tpcc_workload::placement;
 
 fn main() {
-    let dies = env_u64("FIG2_DIES", 64) as u32;
-    let txns = env_u64("FIG2_TXNS", 4_000);
+    let [dies, txns] = env_knobs("FIG2_", [("FIG2_DIES", 64), ("FIG2_TXNS", 4_000)]);
+    let dies = dies as u32;
 
     println!("== Figure 2: multi-region data placement configuration for TPC-C ==\n");
     let paper = placement::figure2(dies);

@@ -11,21 +11,31 @@
 //! cargo run --release -p noftl-bench --bin figure3
 //! ```
 //! Environment knobs: `FIG3_TXNS` (default 12000), `FIG3_CLIENTS` (20),
-//! `FIG3_WAREHOUSES` (2), `FIG3_BUFFER_PAGES` (1500), `FIG3_SEED`.
+//! `FIG3_WAREHOUSES` (2), `FIG3_BUFFER_PAGES` (1500), `FIG3_SEED`; any
+//! other `FIG3_*` variable, or a value that is not a number, is refused.
 
-use noftl_bench::{env_u64, Experiment};
+use noftl_bench::{env_knobs, Experiment};
 use tpcc_workload::{placement, ComparisonReport, ScaleConfig};
 
-fn configure(mut exp: Experiment) -> Experiment {
-    exp.driver.total_transactions = env_u64("FIG3_TXNS", 12_000);
-    exp.driver.clients = env_u64("FIG3_CLIENTS", 20) as usize;
-    exp.driver.seed = env_u64("FIG3_SEED", 20_160_315);
-    exp.buffer_pages = env_u64("FIG3_BUFFER_PAGES", 1_500) as usize;
-    exp.scale = ScaleConfig::small(env_u64("FIG3_WAREHOUSES", 2) as i64);
-    exp
-}
-
 fn main() {
+    let [txns, clients, seed, buffer_pages, warehouses] = env_knobs(
+        "FIG3_",
+        [
+            ("FIG3_TXNS", 12_000),
+            ("FIG3_CLIENTS", 20),
+            ("FIG3_SEED", 20_160_315),
+            ("FIG3_BUFFER_PAGES", 1_500),
+            ("FIG3_WAREHOUSES", 2),
+        ],
+    );
+    let configure = |mut exp: Experiment| {
+        exp.driver.total_transactions = txns;
+        exp.driver.clients = clients as usize;
+        exp.driver.seed = seed;
+        exp.buffer_pages = buffer_pages as usize;
+        exp.scale = ScaleConfig::small(warehouses as i64);
+        exp
+    };
     let dies = Experiment::figure3_geometry().total_dies();
     println!("== Figure 3: traditional vs. multi-region data placement (TPC-C, {dies} dies) ==\n");
 

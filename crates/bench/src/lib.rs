@@ -181,11 +181,46 @@ impl ExperimentResult {
     }
 }
 
-/// Read an environment variable as a number, falling back to `default`.
-/// Lets the figure binaries be scaled up or down without recompiling
-/// (e.g. `FIG3_TXNS=40000 cargo run --release -p noftl-bench --bin figure3`).
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+/// Read the numeric environment knobs of a figure / ablation binary, so
+/// it can be scaled up or down without recompiling (e.g.
+/// `FIG3_TXNS=40000 cargo run --release -p noftl-bench --bin figure3`).
+/// `knobs` lists every variable the binary reads as `(name, default)`,
+/// each starting with the binary's `prefix`; the values come back in the
+/// same order.
+///
+/// A run must not silently ignore what it was told: a value that does not
+/// parse (`FIG3_TXNS=12k`), or a set variable with the prefix that is not
+/// in the list (`FIG3_TXN`), ends the process with status 2 and a message
+/// naming the variable and, for an unknown one, the names that exist.
+pub fn env_knobs<const N: usize>(prefix: &str, knobs: [(&str, u64); N]) -> [u64; N] {
+    let vars = std::env::vars_os()
+        .map(|(k, v)| (k.to_string_lossy().into_owned(), v.to_string_lossy().into_owned()));
+    read_knobs(prefix, knobs, vars).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2)
+    })
+}
+
+/// [`env_knobs`] over an explicit variable list, reporting instead of
+/// exiting.
+fn read_knobs<const N: usize>(
+    prefix: &str,
+    knobs: [(&str, u64); N],
+    vars: impl Iterator<Item = (String, String)>,
+) -> Result<[u64; N], String> {
+    let mut values = knobs.map(|(_, default)| default);
+    for (name, value) in vars.filter(|(name, _)| name.starts_with(prefix)) {
+        let Some(slot) = knobs.iter().position(|(known, _)| *known == name) else {
+            let known: Vec<&str> = knobs.iter().map(|(known, _)| *known).collect();
+            return Err(format!(
+                "unknown environment variable {name}: this binary reads {}",
+                known.join(", ")
+            ));
+        };
+        values[slot] =
+            value.parse().map_err(|_| format!("{name}={value:?} is not a non-negative integer"))?;
+    }
+    Ok(values)
 }
 
 #[cfg(test)]
@@ -205,11 +240,22 @@ mod tests {
     }
 
     #[test]
-    fn env_u64_parses_and_defaults() {
-        assert_eq!(env_u64("THIS_VAR_DOES_NOT_EXIST_12345", 7), 7);
-        std::env::set_var("NOFTL_BENCH_TEST_VAR", "42");
-        assert_eq!(env_u64("NOFTL_BENCH_TEST_VAR", 7), 42);
-        std::env::set_var("NOFTL_BENCH_TEST_VAR", "not a number");
-        assert_eq!(env_u64("NOFTL_BENCH_TEST_VAR", 7), 7);
+    fn env_knobs_parse_default_and_refuse_what_they_cannot_use() {
+        let knobs = [("FIG9_TXNS", 7), ("FIG9_DIES", 64)];
+        let read = |vars: &[(&str, &str)]| {
+            let vars = vars.iter().map(|(k, v)| (k.to_string(), v.to_string()));
+            read_knobs("FIG9_", knobs, vars)
+        };
+        assert_eq!(read(&[]), Ok([7, 64]));
+        // Other programs' variables, and other binaries' knobs, pass by.
+        assert_eq!(read(&[("FIG9_DIES", "16"), ("PATH", "/bin"), ("FIG3_TXN", "x")]), Ok([7, 16]));
+        // Not a number: refused, naming the variable — not the default.
+        let err = read(&[("FIG9_TXNS", "12k")]).unwrap_err();
+        assert!(err.contains("FIG9_TXNS") && err.contains("12k"), "{err}");
+        assert!(read(&[("FIG9_TXNS", "-1")]).is_err());
+        // A misspelled name: refused, listing the names that exist.
+        let err = read(&[("FIG9_TXN", "12000")]).unwrap_err();
+        assert!(err.contains("FIG9_TXN:"), "{err}");
+        assert!(err.contains("FIG9_TXNS, FIG9_DIES"), "{err}");
     }
 }

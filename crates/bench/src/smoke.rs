@@ -17,8 +17,8 @@ use std::time::Instant;
 use dbms_engine::{Database, DatabaseConfig, NoFtlBackend, Schema, Value};
 use flash_sim::queue::{CommandQueue, FlashCommand};
 use flash_sim::{
-    BlockAddr, DeviceBuilder, DeviceSnapshot, DieId, FlashGeometry, NandDevice, PageAddr,
-    PageMetadata, SimTime, TimingModel, UtilizationSummary,
+    BlockAddr, DeviceBuilder, DeviceSnapshot, DieId, FlashBackend, FlashGeometry, NandDevice,
+    PageAddr, PageMetadata, SimTime, TimingModel, UtilizationSummary,
 };
 use noftl_core::flusher::Flusher;
 use noftl_core::kv::{KvConfig, KvStore};

@@ -154,7 +154,7 @@ mod tests {
     use super::*;
     use crate::config::NoFtlConfig;
     use crate::region::RegionSpec;
-    use flash_sim::{DeviceBuilder, FlashGeometry, TimingModel};
+    use flash_sim::{DeviceBuilder, FlashBackend, FlashGeometry, TimingModel};
     use std::sync::Arc;
 
     fn setup() -> (NoFtl, ObjectId) {

@@ -82,12 +82,6 @@ impl From<noftl_core::NoFtlError> for DbError {
     }
 }
 
-impl From<ftl_sim::FtlError> for DbError {
-    fn from(e: ftl_sim::FtlError) -> Self {
-        DbError::storage(e)
-    }
-}
-
 impl From<flash_sim::FlashError> for DbError {
     fn from(e: flash_sim::FlashError) -> Self {
         DbError::storage(e)
@@ -104,8 +98,6 @@ mod tests {
         assert!(matches!(e, DbError::Storage { .. }));
         assert!(e.to_string().contains("storage error"));
         assert!(DbError::not_found("table t").to_string().contains("table t"));
-        let e: DbError = ftl_sim::FtlError::OutOfSpace.into();
-        assert!(e.to_string().contains("device full"));
         let e: DbError = flash_sim::FlashError::oob("addr").into();
         assert!(e.to_string().contains("out of bounds"));
     }

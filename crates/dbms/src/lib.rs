@@ -1,4 +1,4 @@
-//! # dbms-engine — a small storage engine over native flash or a block device
+//! # dbms-engine — a small storage engine over native flash
 //!
 //! The paper integrates NoFTL regions into Shore-MT and drives them with
 //! TPC-C.  This crate is the equivalent substrate for the reproduction: a
@@ -16,10 +16,9 @@
 //!   ([`catalog`], [`txn`], [`wal`]);
 //! * a [`Database`] facade used by the TPC-C workload.
 //!
-//! The engine is storage-agnostic through the [`StorageBackend`] trait:
-//! [`storage::NoFtlBackend`] places objects into NoFTL regions (the
-//! paper's proposal), [`storage::BlockBackend`] maps objects onto a legacy
-//! block device (an FTL SSD) the way a conventional DBMS would.
+//! The engine reaches its storage through the [`StorageBackend`] seam;
+//! [`storage::NoFtlBackend`], which places objects into NoFTL regions
+//! (the paper's proposal), is the one implementation in the tree.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -45,7 +44,7 @@ pub use db::{Database, DatabaseConfig, RecoveryReport};
 pub use error::DbError;
 pub use heap::RecordId;
 pub use schema::{ColumnType, Schema};
-pub use storage::{BlockBackend, NoFtlBackend, ObjectId, StorageBackend};
+pub use storage::{NoFtlBackend, ObjectId, StorageBackend};
 pub use txn::Txn;
 pub use value::{Record, Value};
 pub use wal::{Lsn, Wal, WalRecord, WalStats};

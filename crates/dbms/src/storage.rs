@@ -1,21 +1,17 @@
-//! Storage backends: where pages physically live.
+//! The storage backend: where pages physically live.
 //!
-//! The same engine runs on two very different storage stacks:
-//!
-//! * [`NoFtlBackend`] — the paper's proposal: objects are registered
-//!   directly with the NoFTL storage manager and placed into **regions**
-//!   according to a [`PlacementConfig`]; the flash is addressed natively.
-//! * [`BlockBackend`] — the conventional stack: objects are mapped onto
-//!   extents of a legacy block device (e.g. the FTL SSD from `ftl-sim`),
-//!   which hides all flash knowledge from the DBMS.
+//! [`StorageBackend`] is the seam between the buffer pool / WAL and the
+//! storage stack underneath.  The tree has one implementation,
+//! [`NoFtlBackend`] — the paper's proposal: objects are registered
+//! directly with the NoFTL storage manager and placed into **regions**
+//! according to a [`PlacementConfig`]; the flash is addressed natively.
+//! The trait remains so that a decorator can sit on the seam (the
+//! benchmark's per-layer tracer does).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use flash_sim::SimTime;
-use ftl_sim::BlockDevice;
 use noftl_core::{NoFtl, PlacementConfig, RegionId, RegionSpec};
 
 use crate::error::DbError;
@@ -41,12 +37,9 @@ pub trait StorageBackend: Send + Sync {
     /// (0 for an empty object).
     fn object_extent(&self, obj: ObjectId) -> Result<u64>;
 
-    /// Checkpoint backend-level metadata (a no-op for backends without
-    /// any).  The NoFTL backend journals its region metadata here so that
-    /// a crashed device can be remounted.
-    fn checkpoint(&self, at: SimTime) -> Result<SimTime> {
-        Ok(at)
-    }
+    /// Checkpoint backend-level metadata.  The NoFTL backend journals its
+    /// region metadata here so that a crashed device can be remounted.
+    fn checkpoint(&self, at: SimTime) -> Result<SimTime>;
 
     /// Read a logical page of an object.
     fn read_page(&self, obj: ObjectId, page: u64, at: SimTime) -> Result<(Vec<u8>, SimTime)>;
@@ -58,65 +51,40 @@ pub trait StorageBackend: Send + Sync {
     /// oldest outstanding one.  Returns the payloads **in request order**
     /// plus the maximum completion over the whole window.  Range scans
     /// and compaction merges drive this so their page fetches overlap the
-    /// region's dies instead of serializing.  Backends without
-    /// asynchronous submission fall back to chained `read_page` calls.
+    /// region's dies instead of serializing.
     fn read_windowed(
         &self,
         reads: &[(ObjectId, u64)],
         at: SimTime,
         window: usize,
-    ) -> Result<(Vec<Vec<u8>>, SimTime)> {
-        let _ = window;
-        let mut out = Vec::with_capacity(reads.len());
-        let mut clock = at;
-        for (obj, page) in reads {
-            let (data, done) = self.read_page(*obj, *page, clock)?;
-            clock = clock.max(done);
-            out.push(data);
-        }
-        Ok((out, clock))
-    }
+    ) -> Result<(Vec<Vec<u8>>, SimTime)>;
 
     /// Write a logical page of an object.
     fn write_page(&self, obj: ObjectId, page: u64, data: &[u8], at: SimTime) -> Result<SimTime>;
 
     /// Write a batch of pages, all issued at `at`; returns the completion
-    /// time of the slowest one.  Backends with internal parallelism (the
-    /// NoFTL stack's per-die command queues) overlap the writes; the
-    /// default implementation degrades to sequential `write_page` calls
-    /// that still share the issue time.
-    fn write_batch(&self, writes: &[(ObjectId, u64, Vec<u8>)], at: SimTime) -> Result<SimTime> {
-        let mut done = at;
-        for (obj, page, data) in writes {
-            done = done.max(self.write_page(*obj, *page, data, at)?);
-        }
-        Ok(done)
-    }
+    /// time of the slowest one.  The NoFTL stack's per-die command queues
+    /// overlap the writes.
+    fn write_batch(&self, writes: &[(ObjectId, u64, Vec<u8>)], at: SimTime) -> Result<SimTime>;
 
     /// Write a batch through a bounded completion-driven pipeline: at
     /// most `window` pages in flight, each further page issued at the
     /// completion of the oldest outstanding one, returning the maximum
     /// completion over the whole window.  The buffer pool's flushers
     /// drive this so checkpoint write-back overlaps the region's dies
-    /// without unbounded outstanding I/O.  Backends without asynchronous
-    /// submission fall back to [`StorageBackend::write_batch`].
+    /// without unbounded outstanding I/O.
     fn write_windowed(
         &self,
         writes: &[(ObjectId, u64, Vec<u8>)],
         at: SimTime,
         window: usize,
-    ) -> Result<SimTime> {
-        let _ = window;
-        self.write_batch(writes, at)
-    }
+    ) -> Result<SimTime>;
 
     /// The metrics registry of the stack underneath, when the backend
-    /// has one (the NoFTL stack shares the flash device's registry; the
-    /// legacy block backend reports nothing).  The WAL and buffer pool
-    /// record their force/flush latencies through this.
-    fn metrics(&self) -> Option<&Arc<noftl_obs::MetricsRegistry>> {
-        None
-    }
+    /// has one (the NoFTL stack shares the flash device's registry).  The
+    /// WAL and buffer pool record their force/flush latencies through
+    /// this.
+    fn metrics(&self) -> Option<&Arc<noftl_obs::MetricsRegistry>>;
 
     /// Release a logical page.
     fn free_page(&self, obj: ObjectId, page: u64) -> Result<()>;
@@ -124,10 +92,6 @@ pub trait StorageBackend: Send + Sync {
     /// Total host reads and writes served by the backend so far.
     fn io_counts(&self) -> (u64, u64);
 }
-
-// ---------------------------------------------------------------------
-// NoFTL backend
-// ---------------------------------------------------------------------
 
 /// Storage backend that places objects into NoFTL regions.
 pub struct NoFtlBackend {
@@ -267,162 +231,10 @@ impl StorageBackend for NoFtlBackend {
     }
 }
 
-// ---------------------------------------------------------------------
-// Block-device backend
-// ---------------------------------------------------------------------
-
-struct ObjectExtents {
-    /// Base LBA of each allocated extent, indexed by extent number.
-    extents: Vec<u64>,
-}
-
-struct BlockInner {
-    objects: Vec<Option<ObjectExtents>>,
-    by_name: HashMap<String, ObjectId>,
-    next_free_lba: u64,
-    host_reads: u64,
-    host_writes: u64,
-}
-
-/// Storage backend over a legacy block device (the conventional I/O path
-/// the paper argues against).  Objects are laid out in fixed-size extents
-/// allocated from a simple bump allocator.
-pub struct BlockBackend {
-    device: Arc<dyn BlockDevice>,
-    extent_pages: u64,
-    inner: Mutex<BlockInner>,
-}
-
-impl BlockBackend {
-    /// Create a backend over `device` using extents of `extent_pages`
-    /// pages (e.g. 32 pages = 128 KiB, the paper's example extent size).
-    pub fn new(device: Arc<dyn BlockDevice>, extent_pages: u64) -> Self {
-        BlockBackend {
-            device,
-            extent_pages: extent_pages.max(1),
-            inner: Mutex::new(BlockInner {
-                objects: vec![None],
-                by_name: HashMap::new(),
-                next_free_lba: 0,
-                host_reads: 0,
-                host_writes: 0,
-            }),
-        }
-    }
-
-    /// The underlying block device.
-    pub fn device(&self) -> &Arc<dyn BlockDevice> {
-        &self.device
-    }
-
-    fn lba_for(
-        &self,
-        inner: &mut BlockInner,
-        obj: ObjectId,
-        page: u64,
-        allocate: bool,
-    ) -> Result<u64> {
-        let extent_pages = self.extent_pages;
-        let capacity = self.device.capacity_sectors();
-        if inner.objects.get(obj as usize).and_then(|o| o.as_ref()).is_none() {
-            return Err(DbError::not_found(format!("object {obj}")));
-        }
-        let extent_no = (page / extent_pages) as usize;
-        loop {
-            let allocated =
-                inner.objects[obj as usize].as_ref().expect("checked above").extents.len();
-            if allocated > extent_no {
-                break;
-            }
-            if !allocate {
-                return Err(DbError::InvalidRid {
-                    message: format!("object {obj} page {page} has never been written"),
-                });
-            }
-            let base = inner.next_free_lba;
-            if base + extent_pages > capacity {
-                return Err(DbError::Storage {
-                    message: "block device out of space for new extent".to_string(),
-                });
-            }
-            inner.next_free_lba += extent_pages;
-            inner.objects[obj as usize].as_mut().expect("checked above").extents.push(base);
-        }
-        let extents = inner.objects[obj as usize].as_ref().expect("checked above");
-        Ok(extents.extents[extent_no] + page % extent_pages)
-    }
-}
-
-impl StorageBackend for BlockBackend {
-    fn page_size(&self) -> u32 {
-        self.device.sector_size()
-    }
-
-    fn create_object(&self, name: &str) -> Result<ObjectId> {
-        let mut inner = self.inner.lock();
-        if inner.by_name.contains_key(name) {
-            return Err(DbError::AlreadyExists { what: format!("object '{name}'") });
-        }
-        let id = inner.objects.len() as ObjectId;
-        inner.objects.push(Some(ObjectExtents { extents: Vec::new() }));
-        inner.by_name.insert(name.to_string(), id);
-        Ok(id)
-    }
-
-    fn lookup_object(&self, name: &str) -> Option<ObjectId> {
-        self.inner.lock().by_name.get(name).copied()
-    }
-
-    fn object_extent(&self, obj: ObjectId) -> Result<u64> {
-        let inner = self.inner.lock();
-        let extents = inner
-            .objects
-            .get(obj as usize)
-            .and_then(|o| o.as_ref())
-            .ok_or_else(|| DbError::not_found(format!("object {obj}")))?;
-        Ok(extents.extents.len() as u64 * self.extent_pages)
-    }
-
-    fn read_page(&self, obj: ObjectId, page: u64, at: SimTime) -> Result<(Vec<u8>, SimTime)> {
-        let mut inner = self.inner.lock();
-        let lba = self.lba_for(&mut inner, obj, page, false)?;
-        inner.host_reads += 1;
-        drop(inner);
-        self.device.read(lba, at).map_err(Into::into)
-    }
-
-    fn write_page(&self, obj: ObjectId, page: u64, data: &[u8], at: SimTime) -> Result<SimTime> {
-        let mut inner = self.inner.lock();
-        let lba = self.lba_for(&mut inner, obj, page, true)?;
-        inner.host_writes += 1;
-        drop(inner);
-        self.device.write(lba, data, at).map_err(Into::into)
-    }
-
-    fn free_page(&self, obj: ObjectId, page: u64) -> Result<()> {
-        let mut inner = self.inner.lock();
-        match self.lba_for(&mut inner, obj, page, false) {
-            Ok(lba) => {
-                drop(inner);
-                self.device.trim(lba).map_err(Into::into)
-            }
-            // Freeing a page that was never written is a no-op.
-            Err(DbError::InvalidRid { .. }) => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn io_counts(&self) -> (u64, u64) {
-        let inner = self.inner.lock();
-        (inner.host_reads, inner.host_writes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flash_sim::{DeviceBuilder, Duration, FlashGeometry};
-    use ftl_sim::block_device::MemBlockDevice;
+    use flash_sim::{DeviceBuilder, FlashGeometry};
     use noftl_core::NoFtlConfig;
 
     fn page(b: u8) -> Vec<u8> {
@@ -486,52 +298,5 @@ mod tests {
         let noftl = Arc::new(NoFtl::new(device, NoFtlConfig::default()));
         let placement = PlacementConfig { regions: vec![] };
         assert!(NoFtlBackend::new(noftl, &placement).is_err());
-    }
-
-    fn block_backend() -> BlockBackend {
-        let device = Arc::new(MemBlockDevice::new(4096, 1024, Duration::from_us(50)));
-        BlockBackend::new(device, 8)
-    }
-
-    #[test]
-    fn block_backend_allocates_extents_on_demand() {
-        let backend = block_backend();
-        let a = backend.create_object("a").unwrap();
-        let b = backend.create_object("b").unwrap();
-        assert_ne!(a, b);
-        assert!(backend.create_object("a").is_err());
-        // Writing page 0 and page 9 of object a allocates two extents.
-        backend.write_page(a, 0, &page(1), SimTime::ZERO).unwrap();
-        backend.write_page(a, 9, &page(2), SimTime::ZERO).unwrap();
-        backend.write_page(b, 0, &page(3), SimTime::ZERO).unwrap();
-        assert_eq!(backend.read_page(a, 0, SimTime::ZERO).unwrap().0, page(1));
-        assert_eq!(backend.read_page(a, 9, SimTime::ZERO).unwrap().0, page(2));
-        assert_eq!(backend.read_page(b, 0, SimTime::ZERO).unwrap().0, page(3));
-        // Reading a page of an unallocated extent fails.
-        assert!(backend.read_page(b, 100, SimTime::ZERO).is_err());
-        assert_eq!(backend.io_counts().1, 3);
-        // Unknown object.
-        assert!(backend.read_page(99, 0, SimTime::ZERO).is_err());
-    }
-
-    #[test]
-    fn block_backend_free_page_is_tolerant() {
-        let backend = block_backend();
-        let a = backend.create_object("a").unwrap();
-        backend.write_page(a, 0, &page(1), SimTime::ZERO).unwrap();
-        backend.free_page(a, 0).unwrap();
-        // Never-written page: no-op.
-        backend.free_page(a, 500).unwrap();
-    }
-
-    #[test]
-    fn block_backend_out_of_space() {
-        let device = Arc::new(MemBlockDevice::new(4096, 16, Duration::ZERO));
-        let backend = BlockBackend::new(device, 8);
-        let a = backend.create_object("a").unwrap();
-        backend.write_page(a, 0, &page(1), SimTime::ZERO).unwrap();
-        backend.write_page(a, 8, &page(1), SimTime::ZERO).unwrap();
-        // Third extent exceeds the 16-sector device.
-        assert!(backend.write_page(a, 16, &page(1), SimTime::ZERO).is_err());
     }
 }

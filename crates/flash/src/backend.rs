@@ -29,6 +29,7 @@ use crate::block::{BlockInfo, PageState};
 use crate::device::{DieLoad, NandDevice, OpOutcome};
 use crate::geometry::FlashGeometry;
 use crate::metadata::PageMetadata;
+use crate::queue::{CmdOutput, FlashCommand};
 use crate::stats::{DeviceStats, DieStats, WearSummary};
 use crate::time::SimTime;
 use crate::timing::TimingModel;
@@ -118,6 +119,37 @@ pub trait FlashBackend: Send + Sync {
     /// On-die copyback of a valid page.
     fn copyback(&self, src: PageAddr, dst: PageAddr, at: SimTime) -> Result<OpOutcome>;
 
+    /// Execute one [`FlashCommand`] issued at `at`: the entry point
+    /// [`crate::queue::CommandQueue`] submits through.  The provided body
+    /// turns the command into the matching per-command verb, so a backend
+    /// that forwards verb by verb (a mirror, a tracing decorator) needs
+    /// nothing more; [`NandDevice`] overrides it with its single command
+    /// path and answers the verbs from there.
+    fn execute(&self, command: FlashCommand<'_>, at: SimTime, tag: IoTag) -> Result<CmdOutput> {
+        match command {
+            FlashCommand::Read { addr } => {
+                let (data, meta, outcome) = self.read_page_tagged(addr, at, tag)?;
+                Ok(CmdOutput { data, meta, outcome })
+            }
+            FlashCommand::MetadataRead { addr } => {
+                let (meta, outcome) = self.read_metadata_tagged(addr, at, tag)?;
+                Ok(CmdOutput { data: Vec::new(), meta, outcome })
+            }
+            FlashCommand::Program { addr, data, meta } => {
+                let outcome = self.program_page_tagged(addr, data, meta, at, tag)?;
+                Ok(CmdOutput { data: Vec::new(), meta: None, outcome })
+            }
+            FlashCommand::Erase { block } => {
+                let outcome = self.erase_block(block, at)?;
+                Ok(CmdOutput { data: Vec::new(), meta: None, outcome })
+            }
+            FlashCommand::Copyback { src, dst } => {
+                let outcome = self.copyback(src, dst, at)?;
+                Ok(CmdOutput { data: Vec::new(), meta: None, outcome })
+            }
+        }
+    }
+
     /// Mark a page invalid (untimed state transition).
     fn mark_invalid(&self, addr: PageAddr) -> Result<()>;
 
@@ -196,12 +228,15 @@ impl FlashBackend for NandDevice {
         NandDevice::metrics(self)
     }
 
+    // The per-command verbs are adapters over the device's one command
+    // path; the untagged forms carry the default tag.
+
     fn read_page(
         &self,
         addr: PageAddr,
         at: SimTime,
     ) -> Result<(Vec<u8>, Option<PageMetadata>, OpOutcome)> {
-        NandDevice::read_page(self, addr, at)
+        self.read_page_tagged(addr, at, IoTag::default())
     }
 
     fn read_page_tagged(
@@ -210,7 +245,8 @@ impl FlashBackend for NandDevice {
         at: SimTime,
         tag: IoTag,
     ) -> Result<(Vec<u8>, Option<PageMetadata>, OpOutcome)> {
-        NandDevice::read_page_tagged(self, addr, at, tag)
+        let out = NandDevice::execute(self, FlashCommand::Read { addr }, at, tag)?;
+        Ok((out.data, out.meta, out.outcome))
     }
 
     fn read_metadata(
@@ -218,7 +254,7 @@ impl FlashBackend for NandDevice {
         addr: PageAddr,
         at: SimTime,
     ) -> Result<(Option<PageMetadata>, OpOutcome)> {
-        NandDevice::read_metadata(self, addr, at)
+        self.read_metadata_tagged(addr, at, IoTag::default())
     }
 
     fn read_metadata_tagged(
@@ -227,7 +263,8 @@ impl FlashBackend for NandDevice {
         at: SimTime,
         tag: IoTag,
     ) -> Result<(Option<PageMetadata>, OpOutcome)> {
-        NandDevice::read_metadata_tagged(self, addr, at, tag)
+        let out = NandDevice::execute(self, FlashCommand::MetadataRead { addr }, at, tag)?;
+        Ok((out.meta, out.outcome))
     }
 
     fn program_page(
@@ -237,7 +274,7 @@ impl FlashBackend for NandDevice {
         meta: PageMetadata,
         at: SimTime,
     ) -> Result<OpOutcome> {
-        NandDevice::program_page(self, addr, data, meta, at)
+        self.program_page_tagged(addr, data, meta, at, IoTag::default())
     }
 
     fn program_page_tagged(
@@ -248,15 +285,22 @@ impl FlashBackend for NandDevice {
         at: SimTime,
         tag: IoTag,
     ) -> Result<OpOutcome> {
-        NandDevice::program_page_tagged(self, addr, data, meta, at, tag)
+        let cmd = FlashCommand::Program { addr, data, meta };
+        Ok(NandDevice::execute(self, cmd, at, tag)?.outcome)
     }
 
     fn erase_block(&self, addr: BlockAddr, at: SimTime) -> Result<OpOutcome> {
-        NandDevice::erase_block(self, addr, at)
+        let cmd = FlashCommand::Erase { block: addr };
+        Ok(NandDevice::execute(self, cmd, at, IoTag::default())?.outcome)
     }
 
     fn copyback(&self, src: PageAddr, dst: PageAddr, at: SimTime) -> Result<OpOutcome> {
-        NandDevice::copyback(self, src, dst, at)
+        let cmd = FlashCommand::Copyback { src, dst };
+        Ok(NandDevice::execute(self, cmd, at, IoTag::default())?.outcome)
+    }
+
+    fn execute(&self, command: FlashCommand<'_>, at: SimTime, tag: IoTag) -> Result<CmdOutput> {
+        NandDevice::execute(self, command, at, tag)
     }
 
     fn mark_invalid(&self, addr: PageAddr) -> Result<()> {

@@ -81,6 +81,15 @@ impl Block {
         self.valid_pages = 0;
     }
 
+    /// Turn a valid page invalid (superseded, or moved away by a
+    /// copyback); a page in any other state is left as it is.
+    pub(crate) fn invalidate(&mut self, page: u32) {
+        if self.pages[page as usize] == PageState::Valid {
+            self.pages[page as usize] = PageState::Invalid;
+            self.valid_pages = self.valid_pages.saturating_sub(1);
+        }
+    }
+
     /// Number of invalid (reclaimable) pages.
     pub(crate) fn invalid_pages(&self) -> u32 {
         self.pages.iter().filter(|p| **p == PageState::Invalid).count() as u32

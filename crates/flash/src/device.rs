@@ -1,10 +1,22 @@
 //! The simulated NAND device and its native command interface.
 //!
-//! [`NandDevice`] is the single entry point used by both flash management
-//! layers in this repository: the traditional FTL (`ftl-sim`) and the
-//! NoFTL storage manager (`noftl-core`).  It enforces NAND programming
-//! rules, models per-die/per-channel timing, tracks wear and maintains
-//! the statistics needed to reproduce the paper's evaluation.
+//! [`NandDevice`] is what the NoFTL storage manager (`noftl-core`) — and
+//! the mirror that fronts several devices — drives.  It enforces NAND
+//! programming rules, models per-die/per-channel timing, tracks wear and
+//! maintains the statistics needed to reproduce the paper's evaluation.
+//!
+//! ## One command path
+//!
+//! Every timed command — the five [`FlashCommand`] variants — enters
+//! through [`NandDevice::execute`] and runs the same phases, each written
+//! once: static checks against the geometry → power check → arbiter
+//! admission (commands that move data) → validation under the die shard →
+//! epoch stamp → one reservation of die and channel time
+//! ([`crate::sched`]) → tear, if an armed power cut catches the command
+//! in flight, else apply → accounting (metrics, [`DeviceStats`], trace).
+//! [`NandDevice::program_replica`] is the one named exception: the same
+//! path with the epoch ratchet off.  The per-command methods of
+//! [`crate::FlashBackend`] are adapters over `execute`.
 //!
 //! ## Concurrency model
 //!
@@ -37,7 +49,8 @@ use crate::geometry::FlashGeometry;
 use crate::lockorder::{self, LockClass, TrackedGuard};
 use crate::metadata::PageMetadata;
 use crate::obs::{ArbiterObs, DeviceObs};
-use crate::sched;
+use crate::queue::{CmdOutput, FlashCommand};
+use crate::sched::{self, Scheduled, Shape};
 use crate::stats::{DeviceStats, DieStats, UtilizationSummary, WearSummary};
 use crate::time::{Duration, SimTime};
 use crate::timing::TimingModel;
@@ -46,6 +59,10 @@ use crate::Result;
 
 /// Sentinel for "no power cut armed" in the atomic cut register.
 const POWER_CUT_NONE: u64 = u64::MAX;
+
+/// The one page a program or copyback writes: where, the payload (empty
+/// for an all-zero page) and the OOB metadata.
+type PageWrite<'a> = (PageAddr, &'a [u8], Option<PageMetadata>);
 
 /// Result of a successfully scheduled flash operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -257,7 +274,7 @@ pub struct DeviceSnapshot {
 
 /// The simulated native NAND flash device.
 ///
-/// All methods take the host's issue time and return an [`OpOutcome`]
+/// Every command takes the host's issue time and returns an [`OpOutcome`]
 /// carrying the completion time; the device never blocks real threads.
 /// The device is `Send + Sync` with per-die lock shards: concurrent
 /// clients whose operations target different dies proceed without
@@ -325,18 +342,10 @@ impl NandDevice {
         (v != POWER_CUT_NONE).then_some(SimTime(v))
     }
 
-    /// Record a failed operation in the aggregate statistics.
-    fn note_error(&self) {
-        self.shared_shard().stats.errors += 1;
-    }
-
     /// Fail if the device has already lost power at `at`.
     fn check_powered(&self, at: SimTime) -> Result<()> {
         match self.cut_instant() {
-            Some(cut) if at >= cut => {
-                self.note_error();
-                Err(FlashError::PowerLoss { at: cut })
-            }
+            Some(cut) if at >= cut => Err(FlashError::PowerLoss { at: cut }),
             _ => Ok(()),
         }
     }
@@ -440,191 +449,30 @@ impl NandDevice {
         }
     }
 
-    /// Read a page: returns the payload (empty if the device does not store
-    /// data), its OOB metadata, and the operation outcome.
-    pub fn read_page(
-        &self,
-        addr: PageAddr,
-        at: SimTime,
-    ) -> Result<(Vec<u8>, Option<PageMetadata>, OpOutcome)> {
-        self.read_page_tagged(addr, at, IoTag::default())
-    }
-
-    /// [`NandDevice::read_page`] carrying an arbiter [`IoTag`].  On an
-    /// arbiter-enabled device a `Background` tag runs the channel
-    /// transfer through its region's bandwidth budget (possibly deferring
-    /// the operation) while foreground tags may backfill idle gaps; with
-    /// the arbiter disabled the tag is ignored.
-    pub fn read_page_tagged(
-        &self,
-        addr: PageAddr,
-        at: SimTime,
-        tag: IoTag,
-    ) -> Result<(Vec<u8>, Option<PageMetadata>, OpOutcome)> {
-        self.check_page(addr)?;
-        self.check_powered(at)?;
-        let ch = self.geometry.channel_of_die(addr.die);
-        let (issue, policy) =
-            self.admit(tag, ch, self.timing.transfer_time(self.geometry.page_size), at);
-        let mut die = self.die_shard(addr.die);
-        {
-            let block = &die.planes[addr.plane as usize].blocks[addr.block as usize];
-            if block.state == BlockState::Bad {
-                self.note_error();
-                return Err(FlashError::BadBlock { addr: addr.block() });
-            }
-            if block.pages[addr.page as usize] == PageState::Free {
-                self.note_error();
-                return Err(FlashError::UnwrittenPage { addr });
-            }
-        }
-        let sched = {
-            let mut chan = self.channel_shard(ch);
-            sched::schedule_read(
-                &mut die,
-                &mut chan,
-                &self.timing,
-                issue,
-                self.geometry.page_size,
-                policy,
-            )
-        };
-        self.note_backfill(sched.backfilled);
-        // A read whose result would only arrive after the power cut never
-        // reaches the host.
-        if let Some(cut) = self.cut_instant() {
-            if sched.complete > cut {
-                self.note_error();
-                return Err(FlashError::PowerLoss { at: cut });
-            }
-        }
-        let block = &die.planes[addr.plane as usize].blocks[addr.block as usize];
-        let data = if self.store_data {
-            let psz = self.geometry.page_size as usize;
-            block
-                .data
-                .as_ref()
-                .map(|d| d[addr.page as usize * psz..(addr.page as usize + 1) * psz].to_vec())
-                .unwrap_or_else(|| vec![0u8; psz])
-        } else {
-            Vec::new()
-        };
-        let meta = block.meta[addr.page as usize];
-        self.obs.note_op(OpKind::Read, addr.die, &sched, at, die.busy_time.as_nanos());
-        let mut shared = self.shared_shard();
-        shared.stats.page_reads += 1;
-        shared.stats.bytes_transferred += self.geometry.page_size as u64;
-        shared.stats.read_latency_sum += sched.complete - at;
-        shared.stats.queue_depth_hwm = shared.stats.queue_depth_hwm.max(sched.depth as u64);
-        shared.trace.record(FlashOp {
-            kind: OpKind::Read,
-            addr,
-            issued_at: at,
-            completed_at: sched.complete,
-            latency: sched.latency(at),
-            queue_depth: sched.depth,
-        });
-        Ok((data, meta, OpOutcome { started_at: sched.start, completed_at: sched.complete }))
-    }
-
-    /// Read only the OOB metadata of a page (cheaper than a full read);
-    /// used by GC and recovery to discover which logical page a physical
-    /// page holds.
-    pub fn read_metadata(
-        &self,
-        addr: PageAddr,
-        at: SimTime,
-    ) -> Result<(Option<PageMetadata>, OpOutcome)> {
-        self.read_metadata_tagged(addr, at, IoTag::default())
-    }
-
-    /// [`NandDevice::read_metadata`] carrying an arbiter [`IoTag`] (see
-    /// [`NandDevice::read_page_tagged`]).
-    pub fn read_metadata_tagged(
-        &self,
-        addr: PageAddr,
-        at: SimTime,
-        tag: IoTag,
-    ) -> Result<(Option<PageMetadata>, OpOutcome)> {
-        self.check_page(addr)?;
-        self.check_powered(at)?;
-        let ch = self.geometry.channel_of_die(addr.die);
-        let (issue, policy) = self.admit(tag, ch, self.timing.oob_transfer_time(), at);
-        let mut die = self.die_shard(addr.die);
-        {
-            let block = &die.planes[addr.plane as usize].blocks[addr.block as usize];
-            if block.state == BlockState::Bad {
-                self.note_error();
-                return Err(FlashError::BadBlock { addr: addr.block() });
-            }
-        }
-        let sched = {
-            let mut chan = self.channel_shard(ch);
-            sched::schedule_metadata_read(
-                &mut die,
-                &mut chan,
-                &self.timing,
-                issue,
-                self.geometry.oob_size,
-                policy,
-            )
-        };
-        self.note_backfill(sched.backfilled);
-        if let Some(cut) = self.cut_instant() {
-            if sched.complete > cut {
-                self.note_error();
-                return Err(FlashError::PowerLoss { at: cut });
-            }
-        }
-        let meta =
-            die.planes[addr.plane as usize].blocks[addr.block as usize].meta[addr.page as usize];
-        self.obs.note_op(OpKind::MetadataRead, addr.die, &sched, at, die.busy_time.as_nanos());
-        let mut shared = self.shared_shard();
-        shared.stats.metadata_reads += 1;
-        shared.stats.bytes_transferred += self.geometry.oob_size as u64;
-        shared.stats.queue_depth_hwm = shared.stats.queue_depth_hwm.max(sched.depth as u64);
-        shared.trace.record(FlashOp {
-            kind: OpKind::MetadataRead,
-            addr,
-            issued_at: at,
-            completed_at: sched.complete,
-            latency: sched.latency(at),
-            queue_depth: sched.depth,
-        });
-        Ok((meta, OpOutcome { started_at: sched.start, completed_at: sched.complete }))
-    }
-
-    /// Program a page with payload `data` and OOB metadata `meta`.
+    /// Execute one command of the native interface, issued at `at`: the
+    /// device's only timed entry point.  Returns the payload (reads only;
+    /// empty if the device does not store data), the OOB metadata (reads
+    /// and metadata reads) and the operation's start and completion.
     ///
-    /// Enforces NAND rules: the target page must be erased and must be the
-    /// next sequential page of its block.  If `meta.epoch` is zero the
-    /// device stamps the next device-wide epoch.
-    pub fn program_page(
-        &self,
-        addr: PageAddr,
-        data: &[u8],
-        meta: PageMetadata,
-        at: SimTime,
-    ) -> Result<OpOutcome> {
-        self.program_page_inner(addr, data, meta, at, true, IoTag::default())
+    /// NAND rules are enforced: a page is programmed only when erased and
+    /// only as the next sequential page of its block; a copyback stays on
+    /// one die; an erase beyond the block's endurance budget fails and
+    /// retires the block.  A program whose `meta.epoch` is zero is stamped
+    /// with the next device-wide epoch.
+    ///
+    /// On an arbiter-enabled device the [`IoTag`] drives admission of the
+    /// commands that move data over a channel (reads, metadata reads,
+    /// programs): a `Background` tag runs the transfer through its
+    /// region's bandwidth budget (possibly deferring the command) while
+    /// foreground tags may backfill idle gaps.  With the arbiter disabled
+    /// the tag is ignored.
+    pub fn execute(&self, cmd: FlashCommand<'_>, at: SimTime, tag: IoTag) -> Result<CmdOutput> {
+        self.run(cmd, at, tag, true)
     }
 
-    /// [`NandDevice::program_page`] carrying an arbiter [`IoTag`] (see
-    /// [`NandDevice::read_page_tagged`]).
-    pub fn program_page_tagged(
-        &self,
-        addr: PageAddr,
-        data: &[u8],
-        meta: PageMetadata,
-        at: SimTime,
-        tag: IoTag,
-    ) -> Result<OpOutcome> {
-        self.program_page_inner(addr, data, meta, at, true, tag)
-    }
-
-    /// Program a page as part of a replication rebuild: identical to
-    /// [`NandDevice::program_page`] except that a caller-assigned epoch
-    /// does **not** ratchet the device-wide epoch counter.
+    /// Program a page as part of a replication rebuild: identical to a
+    /// [`FlashCommand::Program`] except that a caller-assigned epoch does
+    /// **not** ratchet the device-wide epoch counter.
     ///
     /// The counter is the high-water mark of the *consistent* history
     /// this device holds.  A rebuild replays source pages (with their
@@ -643,7 +491,8 @@ impl NandDevice {
     ) -> Result<OpOutcome> {
         // Rebuild copies are maintenance traffic: tagged `Background` so
         // an arbiter-enabled device budgets them like GC and compaction.
-        self.program_page_inner(addr, data, meta, at, false, IoTag::background(None))
+        let cmd = FlashCommand::Program { addr, data, meta };
+        self.run(cmd, at, IoTag::background(None), false).map(|out| out.outcome)
     }
 
     /// Commit a rebuilt history: advance the epoch counter to `to` (never
@@ -652,336 +501,281 @@ impl NandDevice {
         self.epoch.fetch_max(to, Ordering::AcqRel);
     }
 
-    fn program_page_inner(
+    /// Take one command through [`Self::phases`] and count it in
+    /// `DeviceStats::errors` if any phase rejected it.
+    fn run(
         &self,
-        addr: PageAddr,
-        data: &[u8],
-        mut meta: PageMetadata,
+        cmd: FlashCommand<'_>,
         at: SimTime,
-        ratchet: bool,
         tag: IoTag,
-    ) -> Result<OpOutcome> {
-        self.check_page(addr)?;
-        self.note_touched(addr.die);
-        if self.store_data && !data.is_empty() && data.len() != self.geometry.page_size as usize {
-            return Err(FlashError::BadPageSize {
-                expected: self.geometry.page_size,
-                got: data.len(),
-            });
+        ratchet: bool,
+    ) -> Result<CmdOutput> {
+        let result = self.phases(cmd, at, tag, ratchet);
+        if result.is_err() {
+            self.shared_shard().stats.errors += 1;
         }
+        result
+    }
+
+    /// The command path, every phase once and in this order: static
+    /// checks → power check → arbiter admission → validation under the
+    /// die shard → epoch stamp → the one reservation of die and channel
+    /// time → tear (an armed power cut catches the command in flight) or
+    /// apply → accounting.  `ratchet` is [`Self::program_replica`]'s one
+    /// difference.
+    fn phases(
+        &self,
+        cmd: FlashCommand<'_>,
+        at: SimTime,
+        tag: IoTag,
+        ratchet: bool,
+    ) -> Result<CmdOutput> {
+        self.check_static(cmd)?;
         self.check_powered(at)?;
-        let ch = self.geometry.channel_of_die(addr.die);
-        let (issue, policy) =
-            self.admit(tag, ch, self.timing.transfer_time(self.geometry.page_size), at);
-        let mut die = self.die_shard(addr.die);
-        {
-            let block = &die.planes[addr.plane as usize].blocks[addr.block as usize];
-            if block.state == BlockState::Bad {
-                self.note_error();
-                return Err(FlashError::BadBlock { addr: addr.block() });
+        // Admission: only a command that moves data over the channel is
+        // the arbiter's business; a die-only command issues at `at`.
+        let kind = cmd.kind();
+        let shape = Shape::of(kind, &self.timing, &self.geometry);
+        let ch = self.geometry.channel_of_die(cmd.die());
+        let (issue, policy) = match shape.xfer {
+            Some((xfer, _)) => self.admit(tag, ch, xfer, at),
+            None => (at, ChannelPolicy::Direct),
+        };
+        let mut die = self.die_shard(cmd.die());
+        let (moved_data, moved_meta) = self.validate(&mut die, cmd)?;
+        // The page this command programs, if any: a program's own payload
+        // under its (now stamped) metadata, a copyback's captured source.
+        let write: Option<PageWrite<'_>> = match cmd {
+            FlashCommand::Program { addr, data, mut meta } => {
+                if meta.epoch == 0 {
+                    meta.epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+                } else if ratchet {
+                    // Caller-assigned epoch (a mirror stamping a shared
+                    // sequence): ratchet the counter so `current_epoch` —
+                    // and the snapshot that persists it — reports the
+                    // newest epoch this device has stored as part of its
+                    // consistent history.  Rebuild replays
+                    // (`program_replica`) deliberately skip this.
+                    self.epoch.fetch_max(meta.epoch, Ordering::AcqRel);
+                }
+                Some((addr, data, Some(meta)))
             }
-            if block.pages[addr.page as usize] != PageState::Free {
-                self.note_error();
-                return Err(FlashError::PageNotErased { addr });
+            FlashCommand::Copyback { dst, .. } => {
+                Some((dst, moved_data.as_deref().unwrap_or_default(), moved_meta))
             }
-            if addr.page != block.write_ptr {
-                self.note_error();
-                return Err(FlashError::NonSequentialProgram {
-                    addr,
-                    expected_next: block.write_ptr,
-                });
-            }
-        }
-        if meta.epoch == 0 {
-            meta.epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        } else if ratchet {
-            // Caller-assigned epoch (a mirror stamping a shared sequence):
-            // ratchet the counter so `current_epoch` — and the snapshot
-            // that persists it — reports the newest epoch this device has
-            // stored as part of its consistent history.  Rebuild replays
-            // (`program_replica`) deliberately skip this.
-            self.epoch.fetch_max(meta.epoch, Ordering::AcqRel);
-        }
+            _ => None,
+        };
         let sched = {
-            let mut chan = self.channel_shard(ch);
-            sched::schedule_program(
-                &mut die,
-                &mut chan,
-                &self.timing,
-                issue,
-                self.geometry.page_size,
-                policy,
-            )
+            let mut channel = shape.xfer.map(|_| self.channel_shard(ch));
+            sched::schedule(&mut die, channel.as_deref_mut().map(|c| (c, policy)), &shape, issue)
         };
         self.note_backfill(sched.backfilled);
-        let pages_per_block = self.geometry.pages_per_block;
+        if let Some(cut) = self.cut_instant().filter(|cut| sched.complete > *cut) {
+            // Power failed before the command completed.  One that had
+            // not started leaves no mark, and a read whose result would
+            // only arrive after the cut never reaches the host.
+            if sched.start < cut {
+                self.tear(&mut die, cmd, write, &sched, cut);
+            }
+            return Err(FlashError::PowerLoss { at: cut });
+        }
+        let out = self.apply(&mut die, cmd, write, &sched);
+        // Accounting.
+        self.obs.note_op(kind, cmd.die(), &sched, at, die.busy_time.as_nanos());
+        let bytes = shape.xfer.map_or(0, |(_, bytes)| u64::from(bytes));
+        let mut shared = self.shared_shard();
+        shared.stats.note(kind, bytes, sched.latency(at), sched.depth);
+        shared.trace.record(FlashOp {
+            kind,
+            addr: cmd.target(),
+            issued_at: at,
+            completed_at: sched.complete,
+            latency: sched.latency(at),
+            queue_depth: sched.depth,
+        });
+        Ok(out)
+    }
+
+    /// Static checks: the command against the geometry, no device state.
+    fn check_static(&self, cmd: FlashCommand<'_>) -> Result<()> {
+        match cmd {
+            FlashCommand::Read { addr } | FlashCommand::MetadataRead { addr } => {
+                self.check_page(addr)
+            }
+            FlashCommand::Program { addr, data, .. } => {
+                self.check_page(addr)?;
+                self.note_touched(addr.die);
+                let expected = self.geometry.page_size;
+                if self.store_data && !data.is_empty() && data.len() != expected as usize {
+                    return Err(FlashError::BadPageSize { expected, got: data.len() });
+                }
+                Ok(())
+            }
+            FlashCommand::Erase { block } => {
+                self.check_block(block)?;
+                self.note_touched(block.die);
+                Ok(())
+            }
+            FlashCommand::Copyback { src, dst } => {
+                self.check_page(src)?;
+                self.check_page(dst)?;
+                self.note_touched(dst.die);
+                if src.die != dst.die || (self.strict_copyback_plane && src.plane != dst.plane) {
+                    return Err(FlashError::CopybackCrossDie { src, dst });
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Validate the command against the die's state.  An erase beyond the
+    /// endurance budget fails *and* retires its block.  What a copyback
+    /// moves — payload (if stored) and OOB metadata of its source — is
+    /// captured here, before its destination is written.
+    fn validate(
+        &self,
+        die: &mut Die,
+        cmd: FlashCommand<'_>,
+    ) -> Result<(Option<Vec<u8>>, Option<PageMetadata>)> {
+        let mut moved = (None, None);
+        match cmd {
+            FlashCommand::Read { addr } => readable(die.block(addr.block()), addr)?,
+            FlashCommand::MetadataRead { addr } => usable(die.block(addr.block()), addr.block())?,
+            FlashCommand::Program { addr, .. } => programmable(die.block(addr.block()), addr)?,
+            FlashCommand::Erase { block: addr } => {
+                let block = die.block_mut(addr);
+                usable(block, addr)?;
+                if block.erase_count >= self.endurance {
+                    block.state = BlockState::Bad;
+                    return Err(FlashError::WornOut { addr, erase_count: block.erase_count });
+                }
+            }
+            FlashCommand::Copyback { src, dst } => {
+                let source = die.block(src.block());
+                readable(source, src)?;
+                let page = src.page as usize;
+                let psz = self.geometry.page_size as usize;
+                let data = if self.store_data { source.data.as_ref() } else { None };
+                moved = (data.map(|d| d[page * psz..(page + 1) * psz].to_vec()), source.meta[page]);
+                programmable(die.block(dst.block()), dst)?;
+            }
+        }
+        Ok(moved)
+    }
+
+    /// Power failed at `cut` with the command in flight on the die.
+    fn tear(
+        &self,
+        die: &mut Die,
+        cmd: FlashCommand<'_>,
+        write: Option<PageWrite<'_>>,
+        sched: &Scheduled,
+        cut: SimTime,
+    ) {
+        let dur = (sched.complete - sched.start).0.max(1);
+        let elapsed = (cut - sched.start).0;
+        if let Some((addr, payload, meta)) = write {
+            // Torn program: the page looks programmed (it consumes its
+            // slot in the block's sequential order) but holds only a
+            // prefix of the payload; the OOB area is written in the second
+            // half of the operation, so an early tear loses the metadata
+            // entirely.  Recovery detects the former through the payload
+            // checksum and the latter through the missing metadata.  A
+            // torn copyback is a torn program of its destination; the
+            // source is left untouched — the host died before it could
+            // mark the source invalid, so recovery may find both copies
+            // and must break the epoch tie.
+            let psz = self.geometry.page_size as u128;
+            let done = ((psz * elapsed as u128) / dur as u128) as usize;
+            let meta = if elapsed * 2 >= dur { meta } else { None };
+            self.write_page(die, addr, payload, done, meta);
+        } else if let FlashCommand::Erase { block } = cmd {
+            // Interrupted erase: the cells are left in an indeterminate
+            // state — payloads and OOB metadata are destroyed, but the
+            // block is *not* erased (its write pointer and page states are
+            // unchanged, so it must be erased again after reboot before it
+            // can be programmed).  The wear counter is not charged for the
+            // incomplete cycle.
+            let block = die.block_mut(block);
+            if let Some(buf) = block.data.as_mut() {
+                buf.fill(0xFF);
+            }
+            block.meta.fill(None);
+        }
+    }
+
+    /// The command completed: what it reads comes back in the output,
+    /// what it programs or erases changes the die.
+    fn apply(
+        &self,
+        die: &mut Die,
+        cmd: FlashCommand<'_>,
+        write: Option<PageWrite<'_>>,
+        sched: &Scheduled,
+    ) -> CmdOutput {
         let psz = self.geometry.page_size as usize;
-        let store = self.store_data;
-        if let Some(cut) = self.cut_instant() {
-            if sched.complete > cut {
-                // Torn program: power failed while the cells were being
-                // written.  The page looks programmed (it consumes its slot
-                // in the block's sequential order) but holds only a prefix
-                // of the payload; the OOB area is written in the second
-                // half of the operation, so an early tear loses the
-                // metadata entirely.  Recovery detects the former through
-                // the payload checksum and the latter through the missing
-                // metadata.
-                if sched.start < cut {
-                    let dur = (sched.complete - sched.start).0.max(1);
-                    let elapsed = (cut - sched.start).0;
-                    let done = ((psz as u128 * elapsed as u128) / dur as u128) as usize;
-                    let block = &mut die.planes[addr.plane as usize].blocks[addr.block as usize];
-                    if store {
-                        let buf = block
-                            .data
-                            .get_or_insert_with(|| vec![0u8; pages_per_block as usize * psz]);
-                        let off = addr.page as usize * psz;
-                        buf[off..off + psz].fill(0);
-                        if !data.is_empty() {
-                            let done = done.min(psz).min(data.len());
-                            buf[off..off + done].copy_from_slice(&data[..done]);
-                        }
-                    }
-                    block.meta[addr.page as usize] =
-                        if elapsed * 2 >= dur { Some(meta) } else { None };
-                    block.pages[addr.page as usize] = PageState::Valid;
-                    block.valid_pages += 1;
-                    block.write_ptr = addr.page + 1;
-                    block.state = if block.write_ptr == pages_per_block {
-                        BlockState::Full
-                    } else {
-                        BlockState::Open
+        let outcome = OpOutcome { started_at: sched.start, completed_at: sched.complete };
+        let mut out = CmdOutput { data: Vec::new(), meta: None, outcome };
+        match cmd {
+            FlashCommand::Read { addr } | FlashCommand::MetadataRead { addr } => {
+                let block = die.block(addr.block());
+                let page = addr.page as usize;
+                if cmd.kind() == OpKind::Read && self.store_data {
+                    out.data = match &block.data {
+                        Some(d) => d[page * psz..(page + 1) * psz].to_vec(),
+                        None => vec![0u8; psz],
                     };
                 }
-                self.note_error();
-                return Err(FlashError::PowerLoss { at: cut });
+                out.meta = block.meta[page];
+            }
+            FlashCommand::Erase { block } => {
+                let block = die.block_mut(block);
+                block.reset_erased();
+                block.erase_count += 1;
+            }
+            FlashCommand::Program { .. } | FlashCommand::Copyback { .. } => {
+                if let Some((addr, payload, meta)) = write {
+                    self.write_page(die, addr, payload, psz, meta);
+                }
+                if let FlashCommand::Copyback { src, .. } = cmd {
+                    // Source page becomes invalid.
+                    die.block_mut(src.block()).invalidate(src.page);
+                }
             }
         }
-        let block = &mut die.planes[addr.plane as usize].blocks[addr.block as usize];
-        if store {
+        out
+    }
+
+    /// Program `addr` with the first `len` bytes of `payload` (the rest of
+    /// the page, or all of it for an empty payload, reads as zeros) and
+    /// `meta` in its OOB area: the page turns valid and the block's write
+    /// pointer moves past it.  A full program passes the page size, a
+    /// torn one how far it got.
+    fn write_page(
+        &self,
+        die: &mut Die,
+        addr: PageAddr,
+        payload: &[u8],
+        len: usize,
+        meta: Option<PageMetadata>,
+    ) {
+        let pages_per_block = self.geometry.pages_per_block;
+        let psz = self.geometry.page_size as usize;
+        let page = addr.page as usize;
+        let block = die.block_mut(addr.block());
+        if self.store_data {
             let buf = block.data.get_or_insert_with(|| vec![0u8; pages_per_block as usize * psz]);
-            let off = addr.page as usize * psz;
-            if data.is_empty() {
-                buf[off..off + psz].fill(0);
-            } else {
-                buf[off..off + psz].copy_from_slice(data);
-            }
+            let (written, rest) =
+                buf[page * psz..(page + 1) * psz].split_at_mut(len.min(payload.len()));
+            written.copy_from_slice(&payload[..written.len()]);
+            rest.fill(0);
         }
-        block.pages[addr.page as usize] = PageState::Valid;
-        block.meta[addr.page as usize] = Some(meta);
+        block.meta[page] = meta;
+        block.pages[page] = PageState::Valid;
         block.valid_pages += 1;
         block.write_ptr = addr.page + 1;
         block.state =
             if block.write_ptr == pages_per_block { BlockState::Full } else { BlockState::Open };
-        self.obs.note_op(OpKind::Program, addr.die, &sched, at, die.busy_time.as_nanos());
-        let mut shared = self.shared_shard();
-        shared.stats.page_programs += 1;
-        shared.stats.bytes_transferred += self.geometry.page_size as u64;
-        shared.stats.program_latency_sum += sched.complete - at;
-        shared.stats.queue_depth_hwm = shared.stats.queue_depth_hwm.max(sched.depth as u64);
-        shared.trace.record(FlashOp {
-            kind: OpKind::Program,
-            addr,
-            issued_at: at,
-            completed_at: sched.complete,
-            latency: sched.latency(at),
-            queue_depth: sched.depth,
-        });
-        Ok(OpOutcome { started_at: sched.start, completed_at: sched.complete })
-    }
-
-    /// Erase a block, returning it to the free state.  Fails permanently if
-    /// the block exceeds its endurance budget (the block is then retired).
-    pub fn erase_block(&self, addr: BlockAddr, at: SimTime) -> Result<OpOutcome> {
-        self.check_block(addr)?;
-        self.note_touched(addr.die);
-        self.check_powered(at)?;
-        let mut die = self.die_shard(addr.die);
-        {
-            let block = &die.planes[addr.plane as usize].blocks[addr.block as usize];
-            if block.state == BlockState::Bad {
-                self.note_error();
-                return Err(FlashError::BadBlock { addr });
-            }
-            if block.erase_count >= self.endurance {
-                let count = block.erase_count;
-                die.planes[addr.plane as usize].blocks[addr.block as usize].state = BlockState::Bad;
-                self.note_error();
-                return Err(FlashError::WornOut { addr, erase_count: count });
-            }
-        }
-        let sched = sched::schedule_erase(&mut die, &self.timing, at);
-        if let Some(cut) = self.cut_instant() {
-            if sched.complete > cut {
-                // Interrupted erase: the cells are left in an indeterminate
-                // state — payloads and OOB metadata are destroyed, but the
-                // block is *not* erased (its write pointer and page states
-                // are unchanged, so it must be erased again after reboot
-                // before it can be programmed).  The wear counter is not
-                // charged for the incomplete cycle.
-                if sched.start < cut {
-                    let block = &mut die.planes[addr.plane as usize].blocks[addr.block as usize];
-                    if let Some(buf) = block.data.as_mut() {
-                        buf.fill(0xFF);
-                    }
-                    for m in &mut block.meta {
-                        *m = None;
-                    }
-                }
-                self.note_error();
-                return Err(FlashError::PowerLoss { at: cut });
-            }
-        }
-        let block = &mut die.planes[addr.plane as usize].blocks[addr.block as usize];
-        block.reset_erased();
-        block.erase_count += 1;
-        self.obs.note_op(OpKind::Erase, addr.die, &sched, at, die.busy_time.as_nanos());
-        let mut shared = self.shared_shard();
-        shared.stats.block_erases += 1;
-        shared.stats.erase_latency_sum += sched.complete - at;
-        shared.stats.queue_depth_hwm = shared.stats.queue_depth_hwm.max(sched.depth as u64);
-        shared.trace.record(FlashOp {
-            kind: OpKind::Erase,
-            addr: addr.page(0),
-            issued_at: at,
-            completed_at: sched.complete,
-            latency: sched.latency(at),
-            queue_depth: sched.depth,
-        });
-        Ok(OpOutcome { started_at: sched.start, completed_at: sched.complete })
-    }
-
-    /// Copy a valid page to a free page **on the same die** without moving
-    /// the data over the channel.  This is the operation GC uses to
-    /// relocate still-valid pages out of a victim block.
-    pub fn copyback(&self, src: PageAddr, dst: PageAddr, at: SimTime) -> Result<OpOutcome> {
-        self.check_page(src)?;
-        self.check_page(dst)?;
-        self.note_touched(dst.die);
-        if src.die != dst.die || (self.strict_copyback_plane && src.plane != dst.plane) {
-            return Err(FlashError::CopybackCrossDie { src, dst });
-        }
-        self.check_powered(at)?;
-        let mut die = self.die_shard(src.die);
-        // Validate source.
-        let (src_meta, src_data) = {
-            let sblock = &die.planes[src.plane as usize].blocks[src.block as usize];
-            if sblock.state == BlockState::Bad {
-                self.note_error();
-                return Err(FlashError::BadBlock { addr: src.block() });
-            }
-            if sblock.pages[src.page as usize] == PageState::Free {
-                self.note_error();
-                return Err(FlashError::UnwrittenPage { addr: src });
-            }
-            let psz = self.geometry.page_size as usize;
-            let data = if self.store_data {
-                sblock
-                    .data
-                    .as_ref()
-                    .map(|d| d[src.page as usize * psz..(src.page as usize + 1) * psz].to_vec())
-            } else {
-                None
-            };
-            (sblock.meta[src.page as usize], data)
-        };
-        // Validate destination.
-        {
-            let dblock = &die.planes[dst.plane as usize].blocks[dst.block as usize];
-            if dblock.state == BlockState::Bad {
-                self.note_error();
-                return Err(FlashError::BadBlock { addr: dst.block() });
-            }
-            if dblock.pages[dst.page as usize] != PageState::Free {
-                self.note_error();
-                return Err(FlashError::PageNotErased { addr: dst });
-            }
-            if dst.page != dblock.write_ptr {
-                self.note_error();
-                return Err(FlashError::NonSequentialProgram {
-                    addr: dst,
-                    expected_next: dblock.write_ptr,
-                });
-            }
-        }
-        let sched = sched::schedule_copyback(&mut die, &self.timing, at);
-        let pages_per_block = self.geometry.pages_per_block;
-        let psz = self.geometry.page_size as usize;
-        let store = self.store_data;
-        if let Some(cut) = self.cut_instant() {
-            if sched.complete > cut {
-                // Torn copyback: the destination page may be partially
-                // written (same model as a torn program) and the source is
-                // left untouched — the host died before it could mark the
-                // source invalid, so recovery may find both copies and must
-                // break the epoch tie.
-                if sched.start < cut {
-                    let dur = (sched.complete - sched.start).0.max(1);
-                    let elapsed = (cut - sched.start).0;
-                    let done = ((psz as u128 * elapsed as u128) / dur as u128) as usize;
-                    let dblock = &mut die.planes[dst.plane as usize].blocks[dst.block as usize];
-                    if store {
-                        let buf = dblock
-                            .data
-                            .get_or_insert_with(|| vec![0u8; pages_per_block as usize * psz]);
-                        let off = dst.page as usize * psz;
-                        buf[off..off + psz].fill(0);
-                        if let Some(d) = &src_data {
-                            let done = done.min(psz).min(d.len());
-                            buf[off..off + done].copy_from_slice(&d[..done]);
-                        }
-                    }
-                    dblock.meta[dst.page as usize] =
-                        if elapsed * 2 >= dur { src_meta } else { None };
-                    dblock.pages[dst.page as usize] = PageState::Valid;
-                    dblock.valid_pages += 1;
-                    dblock.write_ptr = dst.page + 1;
-                    dblock.state = if dblock.write_ptr == pages_per_block {
-                        BlockState::Full
-                    } else {
-                        BlockState::Open
-                    };
-                }
-                self.note_error();
-                return Err(FlashError::PowerLoss { at: cut });
-            }
-        }
-        let dblock = &mut die.planes[dst.plane as usize].blocks[dst.block as usize];
-        if store {
-            let buf = dblock.data.get_or_insert_with(|| vec![0u8; pages_per_block as usize * psz]);
-            let off = dst.page as usize * psz;
-            match &src_data {
-                Some(d) => buf[off..off + psz].copy_from_slice(d),
-                None => buf[off..off + psz].fill(0),
-            }
-        }
-        dblock.pages[dst.page as usize] = PageState::Valid;
-        dblock.meta[dst.page as usize] = src_meta;
-        dblock.valid_pages += 1;
-        dblock.write_ptr = dst.page + 1;
-        dblock.state =
-            if dblock.write_ptr == pages_per_block { BlockState::Full } else { BlockState::Open };
-        // Source page becomes invalid.
-        let sblock = &mut die.planes[src.plane as usize].blocks[src.block as usize];
-        if sblock.pages[src.page as usize] == PageState::Valid {
-            sblock.pages[src.page as usize] = PageState::Invalid;
-            sblock.valid_pages = sblock.valid_pages.saturating_sub(1);
-        }
-        self.obs.note_op(OpKind::Copyback, src.die, &sched, at, die.busy_time.as_nanos());
-        let mut shared = self.shared_shard();
-        shared.stats.copybacks += 1;
-        shared.stats.copyback_latency_sum += sched.complete - at;
-        shared.stats.queue_depth_hwm = shared.stats.queue_depth_hwm.max(sched.depth as u64);
-        shared.trace.record(FlashOp {
-            kind: OpKind::Copyback,
-            addr: dst,
-            issued_at: at,
-            completed_at: sched.complete,
-            latency: sched.latency(at),
-            queue_depth: sched.depth,
-        });
-        Ok(OpOutcome { started_at: sched.start, completed_at: sched.complete })
     }
 
     /// Mark a page as invalid (superseded by an out-of-place update).
@@ -993,16 +787,12 @@ impl NandDevice {
     pub fn mark_invalid(&self, addr: PageAddr) -> Result<()> {
         self.check_page(addr)?;
         let mut die = self.die_shard(addr.die);
-        let block = &mut die.planes[addr.plane as usize].blocks[addr.block as usize];
-        match block.pages[addr.page as usize] {
-            PageState::Valid => {
-                block.pages[addr.page as usize] = PageState::Invalid;
-                block.valid_pages = block.valid_pages.saturating_sub(1);
-                Ok(())
-            }
-            PageState::Invalid => Ok(()),
-            PageState::Free => Err(FlashError::UnwrittenPage { addr }),
+        let block = die.block_mut(addr.block());
+        if block.pages[addr.page as usize] == PageState::Free {
+            return Err(FlashError::UnwrittenPage { addr });
         }
+        block.invalidate(addr.page);
+        Ok(())
     }
 
     /// Mark a whole block bad (e.g. after a program failure).
@@ -1010,7 +800,7 @@ impl NandDevice {
         self.check_block(addr)?;
         self.note_touched(addr.die);
         let mut die = self.die_shard(addr.die);
-        die.planes[addr.plane as usize].blocks[addr.block as usize].state = BlockState::Bad;
+        die.block_mut(addr).state = BlockState::Bad;
         Ok(())
     }
 
@@ -1018,14 +808,14 @@ impl NandDevice {
     pub fn block_info(&self, addr: BlockAddr) -> Result<BlockInfo> {
         self.check_block(addr)?;
         let die = self.die_shard(addr.die);
-        Ok(BlockInfo::from_block(&die.planes[addr.plane as usize].blocks[addr.block as usize]))
+        Ok(BlockInfo::from_block(die.block(addr)))
     }
 
     /// State of a single page.
     pub fn page_state(&self, addr: PageAddr) -> Result<PageState> {
         self.check_page(addr)?;
         let die = self.die_shard(addr.die);
-        Ok(die.planes[addr.plane as usize].blocks[addr.block as usize].pages[addr.page as usize])
+        Ok(die.block(addr.block()).pages[addr.page as usize])
     }
 
     /// Aggregate device statistics.
@@ -1311,9 +1101,41 @@ impl NandDevice {
     }
 }
 
+/// A block that is not retired (factory-bad, worn out or failed).
+fn usable(block: &Block, addr: BlockAddr) -> Result<()> {
+    if block.state == BlockState::Bad {
+        return Err(FlashError::BadBlock { addr });
+    }
+    Ok(())
+}
+
+/// What a read and a copyback's source need: a usable block and a page
+/// programmed since its last erase.
+fn readable(block: &Block, addr: PageAddr) -> Result<()> {
+    usable(block, addr.block())?;
+    if block.pages[addr.page as usize] == PageState::Free {
+        return Err(FlashError::UnwrittenPage { addr });
+    }
+    Ok(())
+}
+
+/// What a program and a copyback's destination need: a usable block whose
+/// next sequential page is `addr`, still erased.
+fn programmable(block: &Block, addr: PageAddr) -> Result<()> {
+    usable(block, addr.block())?;
+    if block.pages[addr.page as usize] != PageState::Free {
+        return Err(FlashError::PageNotErased { addr });
+    }
+    if addr.page != block.write_ptr {
+        return Err(FlashError::NonSequentialProgram { addr, expected_next: block.write_ptr });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::FlashBackend;
 
     fn dev() -> NandDevice {
         DeviceBuilder::new(FlashGeometry::small_test()).build()

@@ -7,6 +7,7 @@
 
 use std::collections::VecDeque;
 
+use crate::addr::BlockAddr;
 use crate::block::Block;
 use crate::time::{Duration, SimTime};
 
@@ -54,6 +55,17 @@ impl Die {
             inflight: VecDeque::new(),
             queue_depth_hwm: 0,
         }
+    }
+
+    /// The block at `addr` (bounds-checked against the geometry by the
+    /// caller; the die component of `addr` is not consulted).
+    pub(crate) fn block(&self, addr: BlockAddr) -> &Block {
+        &self.planes[addr.plane as usize].blocks[addr.block as usize]
+    }
+
+    /// Mutable access to the block at `addr` (see [`Die::block`]).
+    pub(crate) fn block_mut(&mut self, addr: BlockAddr) -> &mut Block {
+        &mut self.planes[addr.plane as usize].blocks[addr.block as usize]
     }
 
     /// Number of operations still executing (or queued) on this die as of

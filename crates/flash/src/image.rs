@@ -351,6 +351,7 @@ impl DeviceSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::FlashBackend;
     use crate::device::DeviceBuilder;
     use crate::time::SimTime;
 

@@ -6,19 +6,21 @@
 //! **native interface** instead of a legacy block-device interface.
 //!
 //! The simulated device provides exactly the command set listed in the
-//! paper's Figure 1:
+//! paper's Figure 1, as the variants of one [`FlashCommand`]:
 //!
-//! * `READ PAGE` — [`NandDevice::read_page`]
-//! * `PROGRAM PAGE` — [`NandDevice::program_page`]
-//! * `ERASE BLOCK` — [`NandDevice::erase_block`]
-//! * `COPYBACK` — [`NandDevice::copyback`] (die-internal page move, no
+//! * `READ PAGE` — [`FlashCommand::Read`]
+//! * `PROGRAM PAGE` — [`FlashCommand::Program`]
+//! * `ERASE BLOCK` — [`FlashCommand::Erase`]
+//! * `COPYBACK` — [`FlashCommand::Copyback`] (die-internal page move, no
 //!   channel transfer)
 //! * page metadata handling — every page carries an out-of-band
-//!   [`PageMetadata`] record readable via [`NandDevice::read_metadata`]
+//!   [`PageMetadata`] record readable via [`FlashCommand::MetadataRead`]
 //!
-//! Every command is also available through an explicit submit/poll
-//! completion protocol — see the [`queue`] module — which is how batched
-//! and concurrent clients exploit the device's die-level parallelism.
+//! [`NandDevice::execute`] takes any of them through one command path;
+//! the per-command methods of [`FlashBackend`] are adapters over it.
+//! Clients submit through an explicit submit/poll completion protocol —
+//! see the [`queue`] module — which is how batched and concurrent clients
+//! exploit the device's die-level parallelism.
 //!
 //! ## Time model
 //!

@@ -1,9 +1,9 @@
 //! Command-queue submission API: explicit submit/poll/wait completion
 //! handling over the native flash command set.
 //!
-//! The blocking methods on [`NandDevice`](crate::NandDevice) couple
-//! issuing a command with consuming its result.  This module separates the
-//! two, NVMe-style: a [`CommandQueue`] accepts [`FlashCommand`]s via
+//! [`FlashBackend::execute`] couples issuing a command with consuming its
+//! result.  This module separates the two, NVMe-style: a
+//! [`CommandQueue`] accepts [`FlashCommand`]s via
 //! [`CommandQueue::submit`], which returns a [`CmdHandle`] immediately;
 //! the outcome is retrieved later with [`CommandQueue::poll`],
 //! [`CommandQueue::wait`] or [`CommandQueue::drain`].  Because the device
@@ -53,7 +53,8 @@ use crate::time::SimTime;
 use crate::trace::OpKind;
 use crate::Result;
 
-/// One command of the device's native interface, in submission form.
+/// One command of the device's native interface: the argument of
+/// [`FlashBackend::execute`] and of [`CommandQueue::submit`].
 ///
 /// A program *borrows* its payload: the queue executes inside
 /// [`CommandQueue::submit`], so nothing outlives the call and no caller
@@ -104,6 +105,18 @@ impl FlashCommand<'_> {
             | FlashCommand::Program { addr, .. } => addr.die,
             FlashCommand::Erase { block } => block.die,
             FlashCommand::Copyback { src, .. } => src.die,
+        }
+    }
+
+    /// The page the trace files the command under: for an erase the first
+    /// page of the block, for a copyback the destination.
+    pub(crate) fn target(&self) -> PageAddr {
+        match self {
+            FlashCommand::Read { addr }
+            | FlashCommand::MetadataRead { addr }
+            | FlashCommand::Program { addr, .. } => *addr,
+            FlashCommand::Erase { block } => block.page(0),
+            FlashCommand::Copyback { dst, .. } => *dst,
         }
     }
 
@@ -277,7 +290,7 @@ impl CommandQueue {
             }
             h
         };
-        let result = self.execute(command, at, tag);
+        let result = self.device.execute(command, at, tag);
         let completion = Completion { handle, kind, issued_at: at, result };
         self.obs.note_completion(
             kind,
@@ -301,31 +314,6 @@ impl CommandQueue {
         at: SimTime,
     ) -> Vec<CmdHandle> {
         commands.into_iter().map(|c| self.submit(c, at)).collect()
-    }
-
-    fn execute(&self, command: FlashCommand<'_>, at: SimTime, tag: IoTag) -> Result<CmdOutput> {
-        match command {
-            FlashCommand::Read { addr } => {
-                let (data, meta, outcome) = self.device.read_page_tagged(addr, at, tag)?;
-                Ok(CmdOutput { data, meta, outcome })
-            }
-            FlashCommand::MetadataRead { addr } => {
-                let (meta, outcome) = self.device.read_metadata_tagged(addr, at, tag)?;
-                Ok(CmdOutput { data: Vec::new(), meta, outcome })
-            }
-            FlashCommand::Program { addr, data, meta } => {
-                let outcome = self.device.program_page_tagged(addr, data, meta, at, tag)?;
-                Ok(CmdOutput { data: Vec::new(), meta: None, outcome })
-            }
-            FlashCommand::Erase { block } => {
-                let outcome = self.device.erase_block(block, at)?;
-                Ok(CmdOutput { data: Vec::new(), meta: None, outcome })
-            }
-            FlashCommand::Copyback { src, dst } => {
-                let outcome = self.device.copyback(src, dst, at)?;
-                Ok(CmdOutput { data: Vec::new(), meta: None, outcome })
-            }
-        }
     }
 
     /// Claim the completion of `handle` if it is ready, removing it from

@@ -15,8 +15,10 @@
 //! * **Metadata read**: array read + a tiny OOB transfer.
 
 use crate::die::{Channel, ChannelPolicy, Die};
+use crate::geometry::FlashGeometry;
 use crate::time::{Duration, SimTime};
 use crate::timing::TimingModel;
+use crate::trace::OpKind;
 
 /// Outcome of scheduling one operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,62 +42,62 @@ impl Scheduled {
     }
 }
 
-/// Schedule a page read: array read on the die, then transfer on the channel.
-pub(crate) fn schedule_read(
+/// What one command occupies: the die's array for `array`, and — for the
+/// three kinds that move data — the channel for a transfer before or
+/// after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Shape {
+    /// Time the die's array is busy.
+    pub array: Duration,
+    /// Channel transfer `(duration, bytes moved)`; `None` for die-only
+    /// commands.
+    pub xfer: Option<(Duration, u32)>,
+    /// The transfer precedes the array phase (a program loads the page
+    /// register first) instead of following it (a read ships its result).
+    pub xfer_first: bool,
+}
+
+impl Shape {
+    /// The resource model of the module docs, one row per command kind.
+    pub(crate) fn of(kind: OpKind, timing: &TimingModel, geometry: &FlashGeometry) -> Shape {
+        let page = || Some((timing.transfer_time(geometry.page_size), geometry.page_size));
+        let (array, xfer, xfer_first) = match kind {
+            OpKind::Read => (timing.read_array_time(), page(), false),
+            OpKind::Program => (timing.program_array_time(), page(), true),
+            OpKind::Erase => (timing.erase_time(), None, false),
+            OpKind::Copyback => (timing.copyback_time(), None, false),
+            OpKind::MetadataRead => {
+                let oob = Some((timing.oob_transfer_time(), geometry.oob_size));
+                (timing.read_array_time(), oob, false)
+            }
+        };
+        Shape { array, xfer, xfer_first }
+    }
+}
+
+/// Reserve the die — and, for a command that moves data, its channel
+/// under the arbiter's `policy` — for one command of `shape` issued at
+/// `at`.  This is the only place a command claims device time.
+pub(crate) fn schedule(
     die: &mut Die,
-    channel: &mut Channel,
-    timing: &TimingModel,
+    channel: Option<(&mut Channel, ChannelPolicy)>,
+    shape: &Shape,
     at: SimTime,
-    bytes: u32,
-    policy: ChannelPolicy,
 ) -> Scheduled {
-    let (start, array_done, depth) = die.reserve(at, timing.read_array_time());
-    let xfer = timing.transfer_time(bytes);
-    let (_, complete, backfilled) = channel.reserve_with(policy, array_done, xfer, bytes as u64);
-    Scheduled { start, complete, depth, backfilled }
-}
-
-/// Schedule a page program: transfer on the channel, then array program on
-/// the die.
-pub(crate) fn schedule_program(
-    die: &mut Die,
-    channel: &mut Channel,
-    timing: &TimingModel,
-    at: SimTime,
-    bytes: u32,
-    policy: ChannelPolicy,
-) -> Scheduled {
-    let xfer = timing.transfer_time(bytes);
-    let (start, xfer_done, backfilled) = channel.reserve_with(policy, at, xfer, bytes as u64);
-    let (_, complete, depth) = die.reserve(xfer_done, timing.program_array_time());
-    Scheduled { start, complete, depth, backfilled }
-}
-
-/// Schedule a block erase (die-only).
-pub(crate) fn schedule_erase(die: &mut Die, timing: &TimingModel, at: SimTime) -> Scheduled {
-    let (start, complete, depth) = die.reserve(at, timing.erase_time());
-    Scheduled { start, complete, depth, backfilled: false }
-}
-
-/// Schedule a copyback (die-only internal move).
-pub(crate) fn schedule_copyback(die: &mut Die, timing: &TimingModel, at: SimTime) -> Scheduled {
-    let (start, complete, depth) = die.reserve(at, timing.copyback_time());
-    Scheduled { start, complete, depth, backfilled: false }
-}
-
-/// Schedule an OOB metadata read: array read plus a small transfer.
-pub(crate) fn schedule_metadata_read(
-    die: &mut Die,
-    channel: &mut Channel,
-    timing: &TimingModel,
-    at: SimTime,
-    oob_bytes: u32,
-    policy: ChannelPolicy,
-) -> Scheduled {
-    let (start, array_done, depth) = die.reserve(at, timing.read_array_time());
-    let (_, complete, backfilled) =
-        channel.reserve_with(policy, array_done, timing.oob_transfer_time(), oob_bytes as u64);
-    Scheduled { start, complete, depth, backfilled }
+    let (Some((channel, policy)), Some((xfer, bytes))) = (channel, shape.xfer) else {
+        let (start, complete, depth) = die.reserve(at, shape.array);
+        return Scheduled { start, complete, depth, backfilled: false };
+    };
+    if shape.xfer_first {
+        let (start, loaded, backfilled) = channel.reserve_with(policy, at, xfer, bytes as u64);
+        let (_, complete, depth) = die.reserve(loaded, shape.array);
+        Scheduled { start, complete, depth, backfilled }
+    } else {
+        let (start, array_done, depth) = die.reserve(at, shape.array);
+        let (_, complete, backfilled) =
+            channel.reserve_with(policy, array_done, xfer, bytes as u64);
+        Scheduled { start, complete, depth, backfilled }
+    }
 }
 
 #[cfg(test)]
@@ -106,12 +108,19 @@ mod tests {
         Die::new(1, 4, 8)
     }
 
+    /// Schedule one `kind` command (4 KiB pages, 64 B OOB) with the
+    /// arbiter off.
+    fn issue(kind: OpKind, die: &mut Die, channel: Option<&mut Channel>, at: SimTime) -> Scheduled {
+        let shape = Shape::of(kind, &TimingModel::mlc_2015(), &FlashGeometry::small_test());
+        schedule(die, channel.map(|c| (c, ChannelPolicy::Direct)), &shape, at)
+    }
+
     #[test]
     fn read_latency_is_array_plus_transfer() {
         let mut d = die();
         let mut ch = Channel::default();
         let t = TimingModel::mlc_2015();
-        let s = schedule_read(&mut d, &mut ch, &t, SimTime::ZERO, 4096, ChannelPolicy::Direct);
+        let s = issue(OpKind::Read, &mut d, Some(&mut ch), SimTime::ZERO);
         let expected = t.read_array_time().as_us_f64() + t.transfer_time(4096).as_us_f64();
         assert!((s.latency(SimTime::ZERO).as_us_f64() - expected).abs() < 1e-6);
     }
@@ -121,7 +130,7 @@ mod tests {
         let mut d = die();
         let mut ch = Channel::default();
         let t = TimingModel::mlc_2015();
-        let s = schedule_program(&mut d, &mut ch, &t, SimTime::ZERO, 4096, ChannelPolicy::Direct);
+        let s = issue(OpKind::Program, &mut d, Some(&mut ch), SimTime::ZERO);
         let expected = t.program_array_time().as_us_f64() + t.transfer_time(4096).as_us_f64();
         assert!((s.latency(SimTime::ZERO).as_us_f64() - expected).abs() < 1e-6);
     }
@@ -129,9 +138,10 @@ mod tests {
     #[test]
     fn copyback_avoids_the_channel() {
         let mut d = die();
-        let ch = Channel::default();
+        let mut ch = Channel::default();
         let t = TimingModel::mlc_2015();
-        let s = schedule_copyback(&mut d, &t, SimTime::ZERO);
+        // Even when handed the channel, a die-only shape leaves it alone.
+        let s = issue(OpKind::Copyback, &mut d, Some(&mut ch), SimTime::ZERO);
         assert_eq!(ch.bytes_transferred, 0);
         assert!(
             s.latency(SimTime::ZERO) < {
@@ -150,9 +160,8 @@ mod tests {
         let mut d2 = die();
         let mut ch1 = Channel::default();
         let mut ch2 = Channel::default();
-        let t = TimingModel::mlc_2015();
-        let a = schedule_read(&mut d1, &mut ch1, &t, SimTime::ZERO, 4096, ChannelPolicy::Direct);
-        let b = schedule_read(&mut d2, &mut ch2, &t, SimTime::ZERO, 4096, ChannelPolicy::Direct);
+        let a = issue(OpKind::Read, &mut d1, Some(&mut ch1), SimTime::ZERO);
+        let b = issue(OpKind::Read, &mut d2, Some(&mut ch2), SimTime::ZERO);
         // Same completion time: full parallelism across dies and channels.
         assert_eq!(a.complete, b.complete);
     }
@@ -162,8 +171,8 @@ mod tests {
         let mut d = die();
         let mut ch = Channel::default();
         let t = TimingModel::mlc_2015();
-        let a = schedule_read(&mut d, &mut ch, &t, SimTime::ZERO, 4096, ChannelPolicy::Direct);
-        let b = schedule_read(&mut d, &mut ch, &t, SimTime::ZERO, 4096, ChannelPolicy::Direct);
+        let a = issue(OpKind::Read, &mut d, Some(&mut ch), SimTime::ZERO);
+        let b = issue(OpKind::Read, &mut d, Some(&mut ch), SimTime::ZERO);
         assert!(b.complete > a.complete);
         // The array phases serialize, transfers pipeline after them.
         assert!(b.start >= a.start + t.read_array_time());
@@ -175,8 +184,8 @@ mod tests {
         let mut d2 = die();
         let mut shared = Channel::default();
         let t = TimingModel::mlc_2015();
-        let a = schedule_read(&mut d1, &mut shared, &t, SimTime::ZERO, 4096, ChannelPolicy::Direct);
-        let b = schedule_read(&mut d2, &mut shared, &t, SimTime::ZERO, 4096, ChannelPolicy::Direct);
+        let a = issue(OpKind::Read, &mut d1, Some(&mut shared), SimTime::ZERO);
+        let b = issue(OpKind::Read, &mut d2, Some(&mut shared), SimTime::ZERO);
         // Array reads overlap (different dies) but the second transfer must
         // queue behind the first on the shared channel.
         assert_eq!(b.complete, a.complete + t.transfer_time(4096));
@@ -186,7 +195,7 @@ mod tests {
     fn erase_is_die_only() {
         let mut d = die();
         let t = TimingModel::mlc_2015();
-        let s = schedule_erase(&mut d, &t, SimTime::from_us(7));
+        let s = issue(OpKind::Erase, &mut d, None, SimTime::from_us(7));
         assert_eq!(s.start, SimTime::from_us(7));
         assert_eq!(s.complete, SimTime::from_us(7) + t.erase_time());
     }
@@ -197,10 +206,8 @@ mod tests {
         let mut d2 = die();
         let mut ch1 = Channel::default();
         let mut ch2 = Channel::default();
-        let t = TimingModel::mlc_2015();
-        let full = schedule_read(&mut d1, &mut ch1, &t, SimTime::ZERO, 4096, ChannelPolicy::Direct);
-        let meta =
-            schedule_metadata_read(&mut d2, &mut ch2, &t, SimTime::ZERO, 64, ChannelPolicy::Direct);
+        let full = issue(OpKind::Read, &mut d1, Some(&mut ch1), SimTime::ZERO);
+        let meta = issue(OpKind::MetadataRead, &mut d2, Some(&mut ch2), SimTime::ZERO);
         assert!(meta.complete < full.complete);
     }
 }

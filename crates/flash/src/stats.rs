@@ -8,6 +8,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::addr::DieId;
 use crate::time::Duration;
+use crate::trace::OpKind;
 
 /// Aggregate operation counters and timing accumulators for the device.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -32,7 +33,11 @@ pub struct DeviceStats {
     pub erase_latency_sum: Duration,
     /// Sum of end-to-end copyback latencies.
     pub copyback_latency_sum: Duration,
-    /// Number of failed operations (bad block, worn out, ...).
+    /// Number of timed commands the device rejected, for any reason: an
+    /// address outside the geometry, a payload of the wrong size, a
+    /// cross-die copyback, a NAND-rule violation, a bad or worn-out
+    /// block, or power loss.  Equals the `Err` completions of the queues
+    /// above the device (`flash.queue.failed`).
     pub errors: u64,
     /// Deepest any die's command queue has ever been (1 = no operation
     /// ever queued behind another on the same die).
@@ -40,6 +45,25 @@ pub struct DeviceStats {
 }
 
 impl DeviceStats {
+    /// Account one completed command of `kind` that moved `bytes` over
+    /// its channel, took `latency` from issue to completion and found its
+    /// die's queue `depth` deep.  (Metadata reads keep no latency sum.)
+    pub(crate) fn note(&mut self, kind: OpKind, bytes: u64, latency: Duration, depth: u32) {
+        let (count, latency_sum) = match kind {
+            OpKind::Read => (&mut self.page_reads, Some(&mut self.read_latency_sum)),
+            OpKind::Program => (&mut self.page_programs, Some(&mut self.program_latency_sum)),
+            OpKind::Erase => (&mut self.block_erases, Some(&mut self.erase_latency_sum)),
+            OpKind::Copyback => (&mut self.copybacks, Some(&mut self.copyback_latency_sum)),
+            OpKind::MetadataRead => (&mut self.metadata_reads, None),
+        };
+        *count += 1;
+        if let Some(sum) = latency_sum {
+            *sum += latency;
+        }
+        self.bytes_transferred += bytes;
+        self.queue_depth_hwm = self.queue_depth_hwm.max(u64::from(depth));
+    }
+
     /// Mean end-to-end page read latency in microseconds.
     pub fn avg_read_latency_us(&self) -> f64 {
         if self.page_reads == 0 {

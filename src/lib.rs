@@ -6,9 +6,8 @@
 //! downstream users can depend on a single crate:
 //!
 //! * [`flash`] — the native NAND flash device simulator (`flash-sim`);
-//! * [`ftl`] — the conventional FTL-based SSD baseline (`ftl-sim`);
 //! * [`noftl`] — NoFTL regions, the paper's contribution (`noftl-core`);
-//! * [`dbms`] — the storage engine that runs on either stack (`dbms-engine`);
+//! * [`dbms`] — the storage engine that runs on NoFTL regions (`dbms-engine`);
 //! * [`tpcc`] — the TPC-C workload and placement configurations
 //!   (`tpcc-workload`);
 //! * [`workload`] — the workload lab: deterministic YCSB A–F generators,
@@ -26,7 +25,6 @@
 
 pub use dbms_engine as dbms;
 pub use flash_sim as flash;
-pub use ftl_sim as ftl;
 pub use noftl_bench as bench;
 pub use noftl_core as noftl;
 pub use noftl_obs as obs;

@@ -1,5 +1,5 @@
 //! Smoke test for the `noftl-regions` facade crate: every workspace member
-//! must be reachable through the root crate's re-exports (`flash`, `ftl`,
+//! must be reachable through the root crate's re-exports (`flash`,
 //! `noftl`, `dbms`, `tpcc`, `workload`, `bench`), and a tiny device must
 //! work end to end when driven exclusively through those paths.
 
@@ -75,9 +75,6 @@ fn tiny_device_through_facade_reexports() {
 
 #[test]
 fn remaining_reexports_are_wired() {
-    // ftl: the baseline SSD's config is reachable and valid.
-    assert!(noftl_regions::ftl::FtlConfig::default().validate().is_ok());
-
     // tpcc: placement helpers produce the paper's region layout.
     let cfg = noftl_regions::tpcc::placement::figure2(64);
     assert_eq!(cfg.total_dies(), 64);

@@ -1,9 +1,11 @@
-//! End-to-end checks of the paper's directional claims on a scaled-down
-//! TPC-C experiment: multi-region placement must not lose throughput and
-//! must reduce GC work compared with traditional placement.
+//! End-to-end sanity of the paper's experiment on a scaled-down TPC-C
+//! run: both placements execute the full mix, and the multi-region
+//! placement stays inside a GC-copyback budget.
 //!
-//! The full-size experiment lives in `noftl-bench` (`--bin figure3`);
-//! these tests use a small device/scale so they finish quickly in CI.
+//! This does **not** check the paper's directional claims — at full size
+//! they do not reproduce today (see the budget assertion's message).  The
+//! full-size experiment lives in `noftl-bench` (`--bin figure3`); this
+//! test uses a small device/scale so it finishes quickly in CI.
 
 use noftl_bench::Experiment;
 use noftl_regions::tpcc::{placement, ComparisonReport};
@@ -16,7 +18,7 @@ fn scaled(mut exp: Experiment) -> Experiment {
 }
 
 #[test]
-fn tpcc_runs_on_both_placements_and_regions_reduce_gc_copybacks() {
+fn tpcc_runs_on_both_placements_and_regions_stay_inside_the_copyback_budget() {
     let dies = 16;
     let traditional = scaled(Experiment::smoke(placement::traditional(dies), "traditional"))
         .with_dies(dies)
@@ -34,17 +36,20 @@ fn tpcc_runs_on_both_placements_and_regions_reduce_gc_copybacks() {
         traditional: traditional.report.clone(),
         regions: regions.report.clone(),
     };
-    // Directional claims (paper: +20 % TPS, −20 % copybacks, −4.3 % erases).
-    // The tiny CI-sized run cannot reproduce the magnitudes; it checks that
-    // the multi-region placement does not *hurt*: GC work stays in the same
-    // ballpark or below, and throughput stays within 20 % of the baseline.
-    // The full-size directional comparison is produced by the repo
-    // benchmark (`tpcc_regions` vs `tpcc_traditional`) and recorded in the
-    // "Figure 3 reference" block of `benchmark/README.md`.
+    // A budget, not the paper's claim (+21 % TPS, −19.2 % copybacks,
+    // −4.4 % erases): the tiny CI-sized run only checks that the
+    // multi-region placement does not blow GC work up — copybacks stay
+    // within the baseline's plus 5 % of its host writes.  The full-size
+    // comparison is produced by `figure3` and by the repo benchmark
+    // (`tpcc_regions` vs `tpcc_traditional`, the "Figure 3 reference"
+    // block of `benchmark/README.md`).
     let copyback_budget = cmp.traditional.gc_copybacks + cmp.traditional.host_writes / 20;
     assert!(
         cmp.regions.gc_copybacks <= copyback_budget,
-        "regions should not blow up GC copybacks (traditional={}, regions={}, budget={})",
+        "regions exceed the GC-copyback budget (traditional={}, regions={}, budget={}). \
+         Passing this budget reproduces nothing: at full size `figure3` measures regions vs \
+         traditional at TPS -15.1 %, copybacks +101.0 %, erases +16.5 %, against the paper's \
+         +21 % / -19.2 % / -4.4 %",
         cmp.traditional.gc_copybacks,
         cmp.regions.gc_copybacks,
         copyback_budget

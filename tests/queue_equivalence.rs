@@ -29,8 +29,8 @@ use proptest::prelude::*;
 
 use noftl_regions::flash::queue::{CommandQueue, FlashCommand};
 use noftl_regions::flash::{
-    BlockAddr, DeviceBuilder, DieId, FlashGeometry, NandDevice, PageAddr, PageMetadata, SimTime,
-    TimingModel,
+    BlockAddr, DeviceBuilder, DieId, FlashBackend, FlashGeometry, NandDevice, PageAddr,
+    PageMetadata, SimTime, TimingModel,
 };
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, ObjectId, RegionId, RegionSpec, RegionStats};
 

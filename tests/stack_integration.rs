@@ -1,14 +1,11 @@
-//! Cross-crate integration tests: the full stack from the flash simulator
-//! up to the storage engine, under both storage backends.
+//! Cross-crate integration test: the full stack from the flash simulator
+//! up to the storage engine.
 
 use std::sync::Arc;
 
 use noftl_regions::dbms::value::{composite_key, Value};
-use noftl_regions::dbms::{
-    BlockBackend, ColumnType, Database, DatabaseConfig, NoFtlBackend, Schema,
-};
+use noftl_regions::dbms::{ColumnType, Database, DatabaseConfig, NoFtlBackend, Schema};
 use noftl_regions::flash::{DeviceBuilder, FlashGeometry, SimTime, TimingModel};
-use noftl_regions::ftl::{FtlConfig, FtlSsd};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementConfig};
 
 fn schema() -> Schema {
@@ -74,55 +71,4 @@ fn engine_on_noftl_regions_backend() {
     let stats = device.stats();
     assert!(stats.page_programs > 0);
     assert!(stats.total_ops() > 0);
-}
-
-#[test]
-fn engine_on_legacy_ftl_block_device() {
-    // The same engine and workload, but through the conventional I/O path:
-    // block device -> FTL -> flash.
-    let device = Arc::new(
-        DeviceBuilder::new(FlashGeometry::example()).timing(TimingModel::mlc_2015()).build(),
-    );
-    let ssd = Arc::new(FtlSsd::new(Arc::clone(&device), FtlConfig::enterprise()));
-    let backend = Arc::new(BlockBackend::new(ssd.clone(), 32));
-    let db =
-        Database::open(backend, DatabaseConfig { buffer_pages: 64, ..Default::default() }).unwrap();
-    exercise(&db);
-    assert!(ssd.stats().host_writes > 0);
-    assert!(device.stats().page_programs > 0);
-}
-
-#[test]
-fn noftl_and_ftl_share_one_native_device_interface() {
-    // Both flash management layers run against the *same* NandDevice type
-    // and produce comparable statistics — the property that makes the
-    // paper's comparison meaningful.
-    let geometry = FlashGeometry::small_test();
-    let dev_a = Arc::new(DeviceBuilder::new(geometry).build());
-    let dev_b = Arc::new(DeviceBuilder::new(geometry).build());
-    let noftl = NoFtl::with_single_region(dev_a.clone(), NoFtlConfig::paper_defaults()).0;
-    let ssd = FtlSsd::new(
-        Arc::clone(&dev_b),
-        FtlConfig { overprovisioning: 0.3, ..FtlConfig::consumer() },
-    );
-
-    let obj = {
-        let rid = noftl.region_ids()[0];
-        noftl.create_object("o", rid).unwrap()
-    };
-    let data = vec![9u8; 4096];
-    let mut ta = SimTime::ZERO;
-    let mut tb = SimTime::ZERO;
-    use noftl_regions::ftl::BlockDevice;
-    for i in 0..200u64 {
-        ta = noftl.write(obj, i % 50, &data, ta).unwrap();
-        tb = ssd.write(i % 50, &data, tb).unwrap();
-    }
-    let a = dev_a.stats();
-    let b = dev_b.stats();
-    assert_eq!(a.page_programs, 200);
-    assert_eq!(b.page_programs, 200);
-    // Both experienced the same host write pattern; wear summaries are
-    // available from the same interface.
-    assert!(dev_a.wear_summary().total_erases <= dev_b.wear_summary().total_erases + 50);
 }
