@@ -8,7 +8,7 @@ impl Device {
         let chan = self.channel_shard(ch);
         let shared = self.shared_shard();
         let _ = shared.stats.reads;
-        Ok((d.busy_until, chan.busy_until))
+        Ok((d.timeline.end(), chan.timeline.end()))
     }
 
     fn first_die_load(&self) -> u64 {

@@ -7,6 +7,6 @@ impl Device {
     fn mixed_up(&self, die: DieId, ch: u32) -> u64 {
         let chan = self.channel_shard(ch);
         let d = self.die_shard(die); // out of order: Channel(4) held, Die(3) requested
-        chan.busy_until.max(d.busy_until)
+        chan.timeline.end().max(d.timeline.end())
     }
 }

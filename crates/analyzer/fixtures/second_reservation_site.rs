@@ -1,8 +1,8 @@
 //! Seeded violations for the `queue_discipline` rule's single-reservation
 //! invariant: device code outside `NandDevice::run`'s `phases` claiming
 //! die and channel time — once through `sched::schedule`, once by
-//! reserving the die directly.  `self_check()` asserts the rule catches
-//! this.
+//! reserving on the die's timeline directly.  `self_check()` asserts the
+//! rule catches this.
 
 impl NandDevice {
     fn read_fast_path(&self, addr: PageAddr, at: SimTime) -> SimTime {
@@ -15,7 +15,6 @@ impl NandDevice {
     fn settle(&self, die: DieId, at: SimTime) -> SimTime {
         let mut die = self.die_shard(die);
         // Claims die time behind the scheduler's back.
-        let (_, idle_at, _) = die.reserve(at, self.timing.read_array_time());
-        idle_at
+        die.timeline.reserve(at, self.timing.read_array_time()).end
     }
 }

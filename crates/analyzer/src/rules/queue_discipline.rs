@@ -17,12 +17,13 @@
 //!    the crate's single device choke point — a second site would bypass
 //!    the queue the arbiter polices or fork the path that later changes
 //!    (op-context, causal time) go through.
-//! 4. **One reservation site in the device.**  Die and channel time is
-//!    claimed by `sched::schedule`, which `NandDevice::run` reaches in
-//!    exactly one place (its `phases`); `Die::reserve` and
-//!    `Channel::reserve*` are called by `schedule` alone.  A second site
-//!    under `crates/flash/src` would be a command path of its own — and
-//!    one more place for causal time to replace.
+//! 4. **One reservation site in the device.**  Device time is claimed
+//!    by `Timeline::reserve` and by nothing else; `Die::reserve` and
+//!    `Channel::reserve` wrap it, `sched::schedule` alone calls those, and
+//!    `NandDevice::run` reaches `schedule` in exactly one place (its
+//!    `phases`).  A second site under `crates/flash/src` would be a
+//!    command path of its own with a reservation rule of its own.
+//!    (`Timeline::probe` only looks and is legal anywhere.)
 
 use super::{is_call, is_method_call, FileView, RawFinding};
 use crate::lexer::Tok;
@@ -58,12 +59,11 @@ fn is_timed_device_call(toks: &[Tok], i: usize) -> bool {
 }
 
 /// Is the token at `i` a claim on die or channel time: a call of
-/// `schedule`, or a `.reserve(` / `.reserve_with(` method call?  (A
-/// `Vec::reserve` in the device crate would need an `analyzer:allow`.)
+/// `schedule`, or a `.reserve(` method call — `Timeline::reserve` or one
+/// of its two wrappers?  (A `Vec::reserve` in the device crate would need
+/// an `analyzer:allow`.)
 fn is_reservation(toks: &[Tok], i: usize) -> bool {
-    is_call(toks, i, "schedule")
-        || is_method_call(toks, i, "reserve")
-        || is_method_call(toks, i, "reserve_with")
+    is_call(toks, i, "schedule") || is_method_call(toks, i, "reserve")
 }
 
 /// Completion-bearing calls whose result must be consumed.
@@ -121,8 +121,8 @@ pub fn check(view: &FileView<'_>) -> Vec<RawFinding> {
                         line: toks[i].line,
                         message: format!(
                             "`{}()` in `{}` is a second reservation site; die and channel time \
-                             is claimed only by `sched::schedule`, called from \
-                             `NandDevice::run`'s `phases`",
+                             is claimed only by `Timeline::reserve` under `sched::schedule`, \
+                             called from `NandDevice::run`'s `phases`",
                             toks[i].text, item.name
                         ),
                     });
@@ -315,7 +315,8 @@ mod tests {
     fn reservations_are_legal_only_in_sched_die_and_phases() {
         let src = "fn phases(&self) { sched::schedule(d, c, s, t); }\n\
                    fn fast_read(&self) { sched::schedule(d, None, s, t); }\n\
-                   fn peek(&self) { let (a, b, c) = die.reserve(t, dur); chan.reserve_with(p, t, dur, n); }";
+                   fn peek(&self) { let slot = die.reserve(t, dur); chan.timeline.reserve(t, dur); \
+                   die.timeline.probe(t, dur); }";
         let f = run("crates/flash/src/device.rs", src);
         assert_eq!(f.len(), 3, "{f:?}");
         assert!(f.iter().all(|x| x.message.contains("second reservation site")));

@@ -7,7 +7,7 @@
 //! which [`crate::Database::commit`] lets go without touching the log.  The
 //! TPC-C driver runs one transaction at a time per logical client; device
 //! contention between clients emerges from the shared die/channel
-//! `busy_until` state, not from locking inside the engine.
+//! occupancy timelines of the device, not from locking inside the engine.
 
 use flash_sim::{Duration, SimTime};
 use serde::{Deserialize, Serialize};

@@ -19,11 +19,12 @@
 //!   no matter how saturated the channel budget is.
 //!
 //! Foreground (`Latency`/`Throughput`) and [`IoTag::exempt`] traffic is
-//! never metered; on an arbiter-enabled device it additionally *backfills*
-//! the idle channel gaps that deferred background transfers leave behind
-//! (see `ChannelPolicy` in the `die` module).  With the arbiter disabled
-//! every tag is ignored and scheduling is byte-identical to the untagged
-//! path.
+//! never metered.  Pacing is all the arbiter does: the channel time a
+//! deferral leaves idle is ordinary free time on the channel's occupancy
+//! timeline, which every transfer — any class, arbiter on or off — may
+//! claim (first fit into idle windows is the device's one reservation
+//! rule, see the `die` module).  With the arbiter disabled every tag is
+//! ignored and scheduling is byte-identical to the untagged path.
 
 use serde::{Deserialize, Serialize};
 
@@ -40,8 +41,7 @@ use crate::time::SimTime;
     Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
 )]
 pub enum ServiceClass {
-    /// Tail-latency sensitive (OLTP point I/O): never metered, first pick
-    /// of backfillable channel gaps.
+    /// Tail-latency sensitive (OLTP point I/O): never metered.
     Latency,
     /// Ordinary throughput-oriented traffic — the default.
     #[default]
@@ -126,7 +126,7 @@ impl IoTag {
         IoTag { class: ServiceClass::Background, region, exempt: false }
     }
 
-    /// Durability traffic: never metered, backfills like foreground.
+    /// Durability traffic: never metered, whatever its class.
     pub fn durability(class: ServiceClass, region: Option<u32>) -> Self {
         IoTag { class, region, exempt: true }
     }

@@ -174,10 +174,11 @@ pub trait FlashBackend: Send + Sync {
     /// Latest completion time over the whole backend.
     fn quiesce_time(&self) -> SimTime;
 
-    /// When a die becomes idle given the operations issued so far.
+    /// End of all work reserved on a die so far.
     fn die_busy_until(&self, die: DieId) -> SimTime;
 
-    /// Instantaneous load snapshot of one die as of `at`.
+    /// Load of one die as of `at`: where a program issued at `at` would
+    /// start, and how many reserved commands are unfinished at `at`.
     fn die_load(&self, die: DieId, at: SimTime) -> DieLoad;
 
     /// Load snapshots of every die as of `at`, indexed by die id.

@@ -20,7 +20,7 @@
 //!
 //! ## Concurrency model
 //!
-//! Device state is sharded by die: every die (planes, blocks, busy clock)
+//! Device state is sharded by die: every die (planes, blocks, timeline)
 //! lives behind its own mutex, every channel behind its own, and only a
 //! thin shared section (aggregate statistics, the operation trace) is
 //! device-global.  Concurrent clients operating on different dies
@@ -43,7 +43,7 @@ use crate::addr::{BlockAddr, DieId, PageAddr};
 use crate::arbiter::{ArbiterConfig, IoTag, ServiceClass, TokenBucket};
 use crate::badblock::BadBlockPolicy;
 use crate::block::{Block, BlockInfo, BlockSnapshot, BlockState, PageState};
-use crate::die::{Channel, ChannelPolicy, Die};
+use crate::die::{Channel, Die};
 use crate::error::FlashError;
 use crate::geometry::FlashGeometry;
 use crate::lockorder::{self, LockClass, TrackedGuard};
@@ -73,16 +73,18 @@ pub struct OpOutcome {
     pub completed_at: SimTime,
 }
 
-/// Instantaneous load of one die, as reported by [`NandDevice::die_load`]
-/// and [`NandDevice::die_loads`]: the input of queue-aware write
-/// placement.  `busy_until` is the instant the die's accepted work drains;
-/// `queue_depth` counts the commands still in flight at the observation
-/// time (0 = idle).
+/// Load of one die as of an observation instant, as reported by
+/// [`NandDevice::die_load`] and [`NandDevice::die_loads`]: the input of
+/// queue-aware write placement.  Both fields answer for that instant, not
+/// for the end of everything the die has ever been handed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DieLoad {
-    /// The die is executing accepted operations until this instant.
+    /// Where a program's array phase issued at the observation instant
+    /// would start: the first idle window of tPROG on the die's timeline
+    /// (the observation instant itself on a die with that much room).
     pub busy_until: SimTime,
-    /// Commands in flight (executing or queued) at the observation time.
+    /// Commands reserved on the die and unfinished at the observation
+    /// instant (0 = idle).
     pub queue_depth: u32,
 }
 
@@ -155,10 +157,9 @@ impl DeviceBuilder {
     }
 
     /// Enable the cross-region I/O arbiter with the given tuning: per-
-    /// region channel-bandwidth budgets for `Background`-class transfers
-    /// plus gap backfilling for foreground traffic.  Off by default —
-    /// without it, tagged submissions schedule byte-identically to
-    /// untagged ones.
+    /// region channel-bandwidth budgets that pace `Background`-class
+    /// transfers.  Off by default — without it, tagged submissions
+    /// schedule byte-identically to untagged ones.
     pub fn arbiter(mut self, config: ArbiterConfig) -> Self {
         self.arbiter = Some(config);
         self
@@ -286,7 +287,7 @@ pub struct NandDevice {
     endurance: u64,
     store_data: bool,
     strict_copyback_plane: bool,
-    /// Per-die shards: planes, blocks and the die's busy clock.
+    /// Per-die shards: planes, blocks and the die's occupancy timeline.
     dies: Vec<Mutex<Die>>,
     /// Per-channel transfer-bus occupancy.
     channels: Vec<Mutex<Channel>>,
@@ -400,47 +401,41 @@ impl NandDevice {
         self.arbiter.is_some()
     }
 
-    /// Decide the issue time and channel policy of a tagged transfer op
-    /// whose channel occupancy is `xfer`.  With the arbiter disabled this
-    /// is the identity: issue at `at`, schedule exactly as before.
-    fn admit(
-        &self,
-        tag: IoTag,
-        region_channel: u32,
-        xfer: Duration,
-        at: SimTime,
-    ) -> (SimTime, ChannelPolicy) {
+    /// Decide the issue instant of a tagged transfer op whose channel
+    /// occupancy is `xfer`: a `Background` transfer is paced by its
+    /// region's token bucket, everything else — and everything with the
+    /// arbiter disabled — issues at `at`.  The channel time a deferral
+    /// leaves idle is simply free on the timeline.
+    fn admit(&self, tag: IoTag, region_channel: u32, xfer: Duration, at: SimTime) -> SimTime {
         let Some(slot) = &self.arbiter else {
-            return (at, ChannelPolicy::Direct);
+            return at;
         };
         slot.obs.note_class(tag.class);
         if tag.exempt {
             slot.obs.exempt.inc();
-            return (at, ChannelPolicy::Backfill);
+            return at;
         }
-        match tag.class {
-            ServiceClass::Latency | ServiceClass::Throughput => (at, ChannelPolicy::Backfill),
-            ServiceClass::Background => {
-                let key = (tag.region.unwrap_or(u32::MAX), region_channel);
-                let admission = {
-                    let mut state = self.arbiter_shard(slot);
-                    let bucket =
-                        state.buckets.entry(key).or_insert_with(|| TokenBucket::new(&slot.config));
-                    bucket.admit(&slot.config, at, xfer.as_nanos())
-                };
-                if admission.deferred {
-                    slot.obs.deferred.inc();
-                    slot.obs.deferral_ns.add(admission.issue.as_nanos() - at.as_nanos());
-                    if admission.aged {
-                        slot.obs.aging_capped.inc();
-                    }
-                }
-                (admission.issue, ChannelPolicy::Append)
+        if tag.class != ServiceClass::Background {
+            return at;
+        }
+        let key = (tag.region.unwrap_or(u32::MAX), region_channel);
+        let admission = {
+            let mut state = self.arbiter_shard(slot);
+            let bucket = state.buckets.entry(key).or_insert_with(|| TokenBucket::new(&slot.config));
+            bucket.admit(&slot.config, at, xfer.as_nanos())
+        };
+        if admission.deferred {
+            slot.obs.deferred.inc();
+            slot.obs.deferral_ns.add(admission.issue.as_nanos() - at.as_nanos());
+            if admission.aged {
+                slot.obs.aging_capped.inc();
             }
         }
+        admission.issue
     }
 
-    /// Record a backfilled transfer (arbiter-enabled devices only).
+    /// Count a transfer that landed before its channel's last reserved
+    /// end (arbiter-enabled devices only).
     fn note_backfill(&self, backfilled: bool) {
         if backfilled {
             if let Some(slot) = &self.arbiter {
@@ -463,9 +458,9 @@ impl NandDevice {
     /// On an arbiter-enabled device the [`IoTag`] drives admission of the
     /// commands that move data over a channel (reads, metadata reads,
     /// programs): a `Background` tag runs the transfer through its
-    /// region's bandwidth budget (possibly deferring the command) while
-    /// foreground tags may backfill idle gaps.  With the arbiter disabled
-    /// the tag is ignored.
+    /// region's bandwidth budget (possibly deferring the command); every
+    /// other tag issues at `at`.  With the arbiter disabled the tag is
+    /// ignored.
     pub fn execute(&self, cmd: FlashCommand<'_>, at: SimTime, tag: IoTag) -> Result<CmdOutput> {
         self.run(cmd, at, tag, true)
     }
@@ -537,10 +532,7 @@ impl NandDevice {
         let kind = cmd.kind();
         let shape = Shape::of(kind, &self.timing, &self.geometry);
         let ch = self.geometry.channel_of_die(cmd.die());
-        let (issue, policy) = match shape.xfer {
-            Some((xfer, _)) => self.admit(tag, ch, xfer, at),
-            None => (at, ChannelPolicy::Direct),
-        };
+        let issue = shape.xfer.map_or(at, |(xfer, _)| self.admit(tag, ch, xfer, at));
         let mut die = self.die_shard(cmd.die());
         let (moved_data, moved_meta) = self.validate(&mut die, cmd)?;
         // The page this command programs, if any: a program's own payload
@@ -567,9 +559,9 @@ impl NandDevice {
         };
         let sched = {
             let mut channel = shape.xfer.map(|_| self.channel_shard(ch));
-            sched::schedule(&mut die, channel.as_deref_mut().map(|c| (c, policy)), &shape, issue)
+            sched::schedule(&mut die, channel.as_deref_mut(), &shape, issue)
         };
-        self.note_backfill(sched.backfilled);
+        self.note_backfill(sched.bus.is_some_and(|bus| bus.backfilled));
         if let Some(cut) = self.cut_instant().filter(|cut| sched.complete > *cut) {
             // Power failed before the command completed.  One that had
             // not started leaves no mark, and a read whose result would
@@ -584,14 +576,14 @@ impl NandDevice {
         self.obs.note_op(kind, cmd.die(), &sched, at, die.busy_time.as_nanos());
         let bytes = shape.xfer.map_or(0, |(_, bytes)| u64::from(bytes));
         let mut shared = self.shared_shard();
-        shared.stats.note(kind, bytes, sched.latency(at), sched.depth);
+        shared.stats.note(kind, bytes, sched.latency(at), sched.array.depth);
         shared.trace.record(FlashOp {
             kind,
             addr: cmd.target(),
             issued_at: at,
             completed_at: sched.complete,
             latency: sched.latency(at),
-            queue_depth: sched.depth,
+            queue_depth: sched.array.depth,
         });
         Ok(out)
     }
@@ -827,21 +819,21 @@ impl NandDevice {
     /// device becomes fully idle given the operations issued so far.
     pub fn quiesce_time(&self) -> SimTime {
         let die_max = (0..self.dies.len())
-            .map(|i| self.die_shard(DieId(i as u32)).busy_until)
+            .map(|i| self.die_shard(DieId(i as u32)).timeline.end())
             .max()
             .unwrap_or(SimTime::ZERO);
         let ch_max = (0..self.channels.len())
-            .map(|i| self.channel_shard(i as u32).busy_until)
+            .map(|i| self.channel_shard(i as u32).timeline.end())
             .max()
             .unwrap_or(SimTime::ZERO);
         die_max.max(ch_max)
     }
 
-    /// Busy-until time of a single die (used by allocation policies that
-    /// prefer idle dies).  An out-of-range die reports as idle.
+    /// End of all work reserved on a single die.  An out-of-range die
+    /// reports as idle.
     pub fn die_busy_until(&self, die: DieId) -> SimTime {
         if (die.0 as usize) < self.dies.len() {
-            self.die_shard(die).busy_until
+            self.die_shard(die).timeline.end()
         } else {
             SimTime::ZERO
         }
@@ -861,29 +853,28 @@ impl NandDevice {
         self.touched.get(die.0 as usize).is_some_and(|f| f.load(Ordering::Acquire))
     }
 
-    /// Instantaneous load snapshot of one die as of `at`: when its current
-    /// work drains and how many commands are still in flight.  This is the
-    /// cheap per-die view queue-aware placement policies steer by — one
-    /// shard lock, no allocation, and purely observational (the timing
-    /// state is not perturbed).  An out-of-range die reports as idle.
+    /// Load of one die as of `at`: where a program's array phase issued
+    /// at `at` would start — the first-fit scan a reservation runs, minus
+    /// the insert; not the first idle instant, because the few idle
+    /// microseconds before an already queued program are of no use to
+    /// another one — and how many reserved commands are unfinished at
+    /// `at`.  This is the cheap per-die view queue-aware placement and the
+    /// mirror's read selection steer by: one shard lock, no allocation,
+    /// purely observational.  An out-of-range die reports as idle.
     pub fn die_load(&self, die: DieId, at: SimTime) -> DieLoad {
         if (die.0 as usize) >= self.dies.len() {
             return DieLoad::default();
         }
-        let d = self.die_shard(die);
-        DieLoad { busy_until: d.busy_until, queue_depth: d.pending_at(at) }
+        let timeline = &self.die_shard(die).timeline;
+        let (_, slot) = timeline.probe(at, self.timing.program_array_time());
+        DieLoad { busy_until: slot.start, queue_depth: timeline.pending_at(at) }
     }
 
     /// Load snapshots of every die as of `at`, indexed by die id.  Shards
     /// are locked one at a time (not all at once), so concurrent I/O on
     /// other dies is never stalled by a load scan.
     pub fn die_loads(&self, at: SimTime) -> Vec<DieLoad> {
-        (0..self.dies.len())
-            .map(|i| {
-                let d = self.die_shard(DieId(i as u32));
-                DieLoad { busy_until: d.busy_until, queue_depth: d.pending_at(at) }
-            })
-            .collect()
+        (0..self.dies.len()).map(|i| self.die_load(DieId(i as u32), at)).collect()
     }
 
     fn die_stats_from(die: &Die) -> DieStats {
@@ -1019,7 +1010,7 @@ impl NandDevice {
     /// Rebuild a device from a snapshot — the simulator's power cycle.
     ///
     /// Block contents, wear, bad-block marks and the write-epoch counter
-    /// are restored exactly; the die/channel busy clocks start idle (a
+    /// are restored exactly; the die/channel timelines start empty (a
     /// rebooted device has no operations in flight) and any armed power
     /// cut is cleared.  The caller supplies the timing model, which is a
     /// property of the simulation rather than of the persisted state.
@@ -1362,7 +1353,8 @@ mod tests {
         assert_eq!(loads[1], DieLoad::default(), "untouched die is idle");
         assert_eq!(loads[0].earliest_start(SimTime::ZERO), last);
         assert_eq!(loads[1].earliest_start(SimTime::from_us(7)), SimTime::from_us(7));
-        // Observed after everything drained: depth 0, busy_until unchanged.
+        // Observed as everything drains: depth 0, and a program could
+        // start right there.
         let after = d.die_load(DieId(0), last);
         assert_eq!(after.queue_depth, 0);
         assert_eq!(after.busy_until, last);
@@ -1370,6 +1362,57 @@ mod tests {
         assert_eq!(d.die_load(DieId(0), SimTime::ZERO).queue_depth, 3);
         // Out-of-range dies report as idle.
         assert_eq!(d.die_load(DieId(99), SimTime::ZERO), DieLoad::default());
+    }
+
+    #[test]
+    fn die_load_answers_for_the_instant_it_is_asked_about() {
+        let d = dev();
+        // One program reserved 40 ms ahead (a client stepped a whole
+        // transaction before its neighbors); the die is idle until then.
+        let ahead = SimTime::from_us(40_000);
+        let out =
+            d.program_page(page(0, 0, 0), &payload(1, &d), PageMetadata::new(1, 0), ahead).unwrap();
+        assert_eq!(d.die_busy_until(DieId(0)), out.completed_at, "end of all reserved work");
+        assert_eq!(d.quiesce_time(), out.completed_at);
+        // Asked about t = 100 us, with far more than tPROG of room before
+        // the reservation: a program could start right away.
+        let now = SimTime::from_us(100);
+        let load = d.die_load(DieId(0), now);
+        assert_eq!(load.earliest_start(now), now);
+        assert_eq!(load.queue_depth, 1, "the reservation is unfinished at t = 100 us");
+        assert_eq!(d.die_loads(now)[0], load);
+        // Asked about an instant with less than tPROG of room before it:
+        // the idle sliver is of no use to a program, which would start
+        // when the reservation ends.
+        let t_prog = d.timing().program_array_time().0;
+        let array_start = out.completed_at.0 - t_prog;
+        let squeezed = SimTime(array_start - t_prog / 2);
+        assert_eq!(d.die_load(DieId(0), squeezed).earliest_start(squeezed), out.completed_at);
+        // Exactly tPROG of room still fits.
+        let fits = SimTime(array_start - t_prog);
+        assert_eq!(d.die_load(DieId(0), fits).earliest_start(fits), fits);
+        // Nothing above was perturbed by asking.
+        assert_eq!(d.die_load(DieId(0), now), load);
+    }
+
+    #[test]
+    fn reservations_below_a_forgotten_floor_are_counted() {
+        let d = dev();
+        let clamped = || d.metrics().counter("flash.timeline.clamped").get();
+        let b = BlockAddr::new(DieId(0), 0, 0);
+        // More erases on die 0, spaced out, than its timeline remembers.
+        for i in 0..5_000u64 {
+            d.erase_block(b, SimTime::from_us(i * 10_000)).unwrap();
+        }
+        assert_eq!(clamped(), 0, "in-order issue never needs forgotten history");
+        // The first holes are forgotten: an erase issued at t=0 cannot be
+        // placed in them any more, lands later — and says so.
+        let late = d.erase_block(b, SimTime::ZERO).unwrap();
+        assert!(late.started_at > SimTime::from_us(10_000));
+        assert_eq!(clamped(), 1);
+        // Other dies' timelines are their own.
+        d.erase_block(BlockAddr::new(DieId(1), 0, 0), SimTime::ZERO).unwrap();
+        assert_eq!(clamped(), 1);
     }
 
     #[test]
@@ -1723,7 +1766,7 @@ mod tests {
             let t0 = seed_pages(&d);
             // A saturating same-instant background burst on die 0's channel
             // overdraws the region budget: later reads are deferred, and
-            // each deferral opens an idle gap on the channel.
+            // each deferral leaves the channel idle for a while.
             let bg = IoTag::background(Some(7));
             for _ in 0..120 {
                 d.read_page_tagged(page(0, 0, 0), t0, bg).unwrap();
@@ -1736,7 +1779,7 @@ mod tests {
                 "every burst read admitted as background"
             );
             // A latency read from the die sharing the channel lands in one
-            // of the opened gaps instead of queueing behind the burst.
+            // of those idle windows instead of queueing behind the burst.
             let before = d.quiesce_time();
             // Die 1 shares channel 0 with the bursting die 0.
             let lat = IoTag::new(ServiceClass::Latency, Some(1));

@@ -27,11 +27,21 @@
 //! The simulator is *discrete-time* and fully deterministic.  There is no
 //! global event loop: every operation is issued at a caller-supplied
 //! [`SimTime`] and the device returns the operation's *completion time*,
-//! computed from per-die and per-channel `busy_until` timestamps plus the
-//! latencies of the configured [`TimingModel`].  Queueing and parallelism
-//! across channels, dies and planes therefore emerge naturally: two
-//! operations issued to different dies overlap, two operations issued to
-//! the same die serialize.
+//! computed from the latencies of the configured [`TimingModel`] and a
+//! per-die and per-channel **occupancy timeline** — the intervals of
+//! simulated time already claimed on that resource.  A command takes the
+//! first idle window at or after its issue instant that is long enough,
+//! whether that window lies after all reserved work or in a hole between
+//! two earlier reservations, so what it waits for is what is busy *in
+//! simulated time*, not whatever the host happened to call first.
+//! Queueing and parallelism across channels, dies and planes emerge
+//! naturally: two operations issued to different dies overlap, two issued
+//! to the same die serialize.  Each timeline remembers a bounded number
+//! of reservations (`flash.timeline.clamped` counts the ones that would
+//! have needed more), and the residual dependence on call order — a
+//! simulated-earlier command that fits no idle window goes behind a
+//! later one that was called first — is measured and gated by
+//! `tests/call_order.rs`.
 //!
 //! ## Structural model
 //!

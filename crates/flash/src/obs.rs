@@ -13,6 +13,9 @@
 //!   counters; `flash.die<i>.busy_ns` — the die's cumulative busy time;
 //! * `flash.device.quiesce_ns` — latest completion seen so far;
 //! * `flash.queue.depth_hwm` — deepest any die queue has been;
+//! * `flash.timeline.clamped` — reservations issued below the floor of a
+//!   die's or channel's bounded occupancy history (0 on every committed
+//!   workload; non-zero means completions may be pessimistic);
 //! * `flash.queue.<kind>.wait_ns` — submit→complete through the
 //!   command queue, per kind; `flash.queue.{submitted,failed}`;
 //! * `flash.queue.class.<class>.wait_ns` — the same waits split by
@@ -20,8 +23,9 @@
 //! * `flash.arbiter.*` — arbiter decisions on arbiter-enabled devices:
 //!   `class.<class>.ops` admissions per class, `deferred`/`deferral_ns`
 //!   budget deferrals, `aging_capped` deferrals clipped by the
-//!   anti-starvation bound, `backfills` foreground transfers landed in
-//!   background-opened gaps, `exempt` durability ops waved through.
+//!   anti-starvation bound, `backfills` transfers that landed before
+//!   their channel's last reserved end, `exempt` durability ops waved
+//!   through.
 
 use std::sync::Arc;
 
@@ -75,6 +79,7 @@ pub(crate) struct DeviceObs {
     dies: Vec<DieObs>,
     depth_hwm: Gauge,
     quiesce_ns: Gauge,
+    clamped: Counter,
 }
 
 impl DeviceObs {
@@ -96,7 +101,8 @@ impl DeviceObs {
             .collect();
         let depth_hwm = registry.gauge("flash.queue.depth_hwm");
         let quiesce_ns = registry.gauge("flash.device.quiesce_ns");
-        DeviceObs { registry, latency, dies, depth_hwm, quiesce_ns }
+        let clamped = registry.counter("flash.timeline.clamped");
+        DeviceObs { registry, latency, dies, depth_hwm, quiesce_ns, clamped }
     }
 
     pub(crate) fn registry(&self) -> &Arc<MetricsRegistry> {
@@ -127,8 +133,12 @@ impl DeviceObs {
             // Busy time is monotone, so max == last-writer without racing.
             d.busy_ns.set_max(busy_ns);
         }
-        self.depth_hwm.set_max(u64::from(sched.depth));
+        self.depth_hwm.set_max(u64::from(sched.array.depth));
         self.quiesce_ns.set_max(sched.complete.as_nanos());
+        let clamped = [Some(sched.array), sched.bus].iter().flatten().filter(|s| s.clamped).count();
+        if clamped > 0 {
+            self.clamped.add(clamped as u64);
+        }
     }
 }
 
@@ -217,7 +227,7 @@ pub(crate) struct ArbiterObs {
     pub deferral_ns: Counter,
     /// Deferrals clipped by the anti-starvation aging bound.
     pub aging_capped: Counter,
-    /// Foreground transfers that landed in a background-opened gap.
+    /// Transfers that landed before their channel's last reserved end.
     pub backfills: Counter,
     /// Exempt (durability) ops waved past the budget.
     pub exempt: Counter,

@@ -274,8 +274,7 @@ impl CommandQueue {
     /// [`CommandQueue::submit`] carrying an arbiter [`IoTag`]: the tag's
     /// service class feeds the per-class queue-wait histograms and, on an
     /// arbiter-enabled device, drives admission (budget deferral for
-    /// `Background`, gap backfill for foreground, exemption for
-    /// durability traffic).
+    /// `Background`, exemption for durability traffic).
     pub fn submit_tagged(&self, command: FlashCommand<'_>, at: SimTime, tag: IoTag) -> CmdHandle {
         let die = command.die().0 as usize;
         let kind = command.kind();

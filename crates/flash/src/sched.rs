@@ -13,8 +13,13 @@
 //! * **Copyback**: die-only (internal read + program, no channel traffic) —
 //!   this is exactly why GC under NoFTL prefers copybacks.
 //! * **Metadata read**: array read + a tiny OOB transfer.
+//!
+//! Each phase is one reservation on the resource's occupancy timeline
+//! (`Timeline` in the `die` module): the first idle window at or after the
+//! instant the previous phase ends.  There is one reservation rule — for
+//! dies and channels, with the arbiter on or off.
 
-use crate::die::{Channel, ChannelPolicy, Die};
+use crate::die::{Channel, Die, Slot};
 use crate::geometry::FlashGeometry;
 use crate::time::{Duration, SimTime};
 use crate::timing::TimingModel;
@@ -27,12 +32,11 @@ pub(crate) struct Scheduled {
     pub start: SimTime,
     /// When the result is available to the host (end-to-end completion).
     pub complete: SimTime,
-    /// Die queue depth at issue time (1 = the die was idle).
-    pub depth: u32,
-    /// Whether the channel transfer landed in a backfilled idle gap
-    /// (arbiter-enabled devices only; always false under
-    /// [`ChannelPolicy::Direct`]).
-    pub backfilled: bool,
+    /// The command's claim on its die; `array.depth` is the die's queue
+    /// depth at issue time (1 = the die was idle).
+    pub array: Slot,
+    /// Its claim on the channel, if it moves data.
+    pub bus: Option<Slot>,
 }
 
 impl Scheduled {
@@ -75,28 +79,28 @@ impl Shape {
     }
 }
 
-/// Reserve the die — and, for a command that moves data, its channel
-/// under the arbiter's `policy` — for one command of `shape` issued at
-/// `at`.  This is the only place a command claims device time.
+/// Reserve the die — and, for a command that moves data, its channel —
+/// for one command of `shape` issued at `at`: channel then die for a
+/// program, die then channel for a read.  This is the only place a
+/// command claims device time.
 pub(crate) fn schedule(
     die: &mut Die,
-    channel: Option<(&mut Channel, ChannelPolicy)>,
+    channel: Option<&mut Channel>,
     shape: &Shape,
     at: SimTime,
 ) -> Scheduled {
-    let (Some((channel, policy)), Some((xfer, bytes))) = (channel, shape.xfer) else {
-        let (start, complete, depth) = die.reserve(at, shape.array);
-        return Scheduled { start, complete, depth, backfilled: false };
+    let (Some(channel), Some((xfer, bytes))) = (channel, shape.xfer) else {
+        let array = die.reserve(at, shape.array);
+        return Scheduled { start: array.start, complete: array.end, array, bus: None };
     };
     if shape.xfer_first {
-        let (start, loaded, backfilled) = channel.reserve_with(policy, at, xfer, bytes as u64);
-        let (_, complete, depth) = die.reserve(loaded, shape.array);
-        Scheduled { start, complete, depth, backfilled }
+        let bus = channel.reserve(at, xfer, u64::from(bytes));
+        let array = die.reserve(bus.end, shape.array);
+        Scheduled { start: bus.start, complete: array.end, array, bus: Some(bus) }
     } else {
-        let (start, array_done, depth) = die.reserve(at, shape.array);
-        let (_, complete, backfilled) =
-            channel.reserve_with(policy, array_done, xfer, bytes as u64);
-        Scheduled { start, complete, depth, backfilled }
+        let array = die.reserve(at, shape.array);
+        let bus = channel.reserve(array.end, xfer, u64::from(bytes));
+        Scheduled { start: array.start, complete: bus.end, array, bus: Some(bus) }
     }
 }
 
@@ -108,11 +112,10 @@ mod tests {
         Die::new(1, 4, 8)
     }
 
-    /// Schedule one `kind` command (4 KiB pages, 64 B OOB) with the
-    /// arbiter off.
+    /// Schedule one `kind` command (4 KiB pages, 64 B OOB).
     fn issue(kind: OpKind, die: &mut Die, channel: Option<&mut Channel>, at: SimTime) -> Scheduled {
         let shape = Shape::of(kind, &TimingModel::mlc_2015(), &FlashGeometry::small_test());
-        schedule(die, channel.map(|c| (c, ChannelPolicy::Direct)), &shape, at)
+        schedule(die, channel, &shape, at)
     }
 
     #[test]
@@ -189,6 +192,28 @@ mod tests {
         // Array reads overlap (different dies) but the second transfer must
         // queue behind the first on the shared channel.
         assert_eq!(b.complete, a.complete + t.transfer_time(4096));
+    }
+
+    #[test]
+    fn a_command_called_later_but_issued_earlier_takes_the_earlier_window() {
+        // The host runs one client's whole transaction before the next
+        // client's: the second call carries the earlier simulated instant.
+        let mut d = die();
+        let mut ch = Channel::default();
+        let t = TimingModel::mlc_2015();
+        let late = issue(OpKind::Read, &mut d, Some(&mut ch), SimTime::from_us(40_000));
+        let early = issue(OpKind::Read, &mut d, Some(&mut ch), SimTime::from_us(100));
+        let read = t.read_array_time() + t.transfer_time(4096);
+        assert_eq!(early.latency(SimTime::from_us(100)), read, "the die was idle at t=100 us");
+        assert_eq!(early.array.depth, 1);
+        let shipped = early.bus.expect("a read moves data");
+        assert!(shipped.backfilled, "its transfer lies before the channel's last reserved end");
+        assert_eq!(late.latency(SimTime::from_us(40_000)), read);
+        // Not enough room before a reservation: wait behind it.
+        let squeezed = SimTime::from_us(39_999);
+        let behind = issue(OpKind::Read, &mut d, Some(&mut ch), squeezed);
+        assert_eq!(behind.start, late.start + t.read_array_time());
+        assert_eq!(behind.array.depth, 2);
     }
 
     #[test]

@@ -6,19 +6,31 @@
 //! the arbiter on (all tag shapes plus a `Background` burst that the
 //! budget defers), and under a sweep of power-cut instants aimed into
 //! in-flight programs, copybacks and erases on both sides of the
-//! half-way OOB rule.  Each run is folded into a digest of every result,
-//! the final statistics, every block image, the trace and the arbiter
-//! counters.
+//! half-way OOB rule.  Each run is folded into two digests:
 //!
-//! The three `GOLDEN_*` constants were recorded on the tree *before* the
-//! five per-command bodies in `device.rs` became one `run`, by driving
-//! the stream through the `FlashBackend` verbs.  They must hold through
-//! the verbs (now adapters), through `NandDevice::execute`, and through a
-//! `CommandQueue` over a backend that forwards verb by verb and inherits
-//! the trait's provided `execute` — the shape of the benchmark's tracing
-//! decorator and of `MirrorDevice`.  `DeviceStats::errors` is left out of
-//! the digest: it deliberately counts more rejections than it used to
-//! (see `every_rejection_is_counted_once`).
+//! * **state** — everything that is not an instant: each result's
+//!   `Ok` / `Err` variant with payload and metadata, every block image,
+//!   the epoch, and the operation / byte / error counts of `DeviceStats`;
+//! * **timing** — everything that is: each outcome's start and
+//!   completion, the latency sums and queue depths of `DeviceStats`, the
+//!   per-die statistics, `quiesce_time`, the trace and the
+//!   `flash.arbiter.*` counters.
+//!
+//! A refactor keeps both.  A deliberate change to the timing model keeps
+//! the state digests and re-records the timing ones — which is what PR 18
+//! did when first-fit occupancy timelines replaced `busy_until`:
+//! `GOLDEN_STATE` was recorded **on its parent tree** (where
+//! `GOLDEN_PLAIN` / `GOLDEN_ARBITER` of PR 17 still held) and holds on the
+//! change; the two `GOLDEN_*_TIMING` constants and the power-cut sweep
+//! were re-recorded (the sweep's cut instants are derived from the uncut
+//! run's spans, so which commands it tears legitimately moves with them).
+//!
+//! Every golden must hold through the `FlashBackend` verbs (adapters),
+//! through `NandDevice::execute`, and through a `CommandQueue` over a
+//! backend that forwards verb by verb and inherits the trait's provided
+//! `execute` — the shape of the benchmark's tracing decorator and of
+//! `MirrorDevice`.  Print fresh values with `NOFTL_PRINT_GOLDEN=1 cargo
+//! test -p flash-sim --test command_path -- --nocapture`.
 
 use std::sync::Arc;
 
@@ -30,9 +42,16 @@ use flash_sim::{
 };
 use noftl_obs::MetricsRegistry;
 
-const GOLDEN_PLAIN: u64 = 16_601_654_031_550_461_093;
-const GOLDEN_ARBITER: u64 = 10_703_579_578_043_190_174;
-const GOLDEN_CUTS: u64 = 8_946_448_317_284_031_461;
+/// Recorded on PR 18's parent tree and unchanged by it.  One value for
+/// the arbiter-off and the arbiter-on run: the arbiter moves instants,
+/// never state.
+const GOLDEN_STATE: u64 = 14_091_992_286_656_848_606;
+/// Re-recorded by PR 18 (parent tree: 13_881_526_689_653_679_313).
+const GOLDEN_PLAIN_TIMING: u64 = 15_872_030_341_653_916_134;
+/// Re-recorded by PR 18 (parent tree: 13_058_841_021_014_955_802).
+const GOLDEN_ARBITER_TIMING: u64 = 6_140_367_934_666_672_634;
+/// Re-recorded by PR 18 (parent tree: 7_273_812_503_983_929_843).
+const GOLDEN_CUTS: u64 = 10_789_030_694_904_977_424;
 
 const STREAM_SEED: u64 = 0x5EED_C0DE_2016;
 const STREAM_LEN: usize = 2_400;
@@ -491,7 +510,10 @@ fn variant(e: &FlashError) -> String {
 
 /// What one run of the stream produced, beyond its digest.
 struct Run {
-    digest: u64,
+    /// Digest of everything that is not an instant (see the module docs).
+    state: u64,
+    /// Digest of every instant, latency and depth.
+    timing: u64,
     /// `(kind, started_at, completed_at)` of every successful command.
     spans: Vec<(OpKind, SimTime, SimTime)>,
     /// `Debug` name of every error variant seen, with its count.
@@ -503,7 +525,7 @@ fn run(device: NandDevice, stream: &[Cmd], way: Way) -> Run {
     let device = Arc::new(device);
     let geo = *device.geometry();
     let queue = CommandQueue::new(Arc::new(ForwardOnly(Arc::clone(&device))));
-    let mut digest = Digest::new();
+    let (mut state, mut timing) = (Digest::new(), Digest::new());
     let mut spans = Vec::new();
     let mut errors = std::collections::BTreeMap::new();
     let mut buf;
@@ -533,31 +555,45 @@ fn run(device: NandDevice, stream: &[Cmd], way: Way) -> Run {
         };
         match &outcome {
             Ok((data, meta, out)) => {
-                digest.bytes(b"ok");
-                digest.bytes(data);
-                digest.debug(&(meta, out));
+                state.bytes(b"ok");
+                state.bytes(data);
+                state.debug(meta);
+                timing.debug(out);
                 spans.push((command.kind(), out.started_at, out.completed_at));
             }
             Err(e) => {
-                digest.debug(e);
+                // No error carries an instant of the device's choosing
+                // (`PowerLoss::at` is the armed cut, an input).
+                state.debug(e);
                 *errors.entry(variant(e)).or_insert(0) += 1;
             }
         }
     }
     let snapshot = device.snapshot();
-    digest.debug(&DeviceStats { errors: 0, ..snapshot.stats.clone() });
-    digest.debug(&snapshot.die_stats);
-    digest.debug(&(snapshot.epoch, device.quiesce_time()));
+    // The counts of `DeviceStats` are state; its latency sums and queue
+    // depth are timing.
+    let counts = DeviceStats {
+        read_latency_sum: Duration::ZERO,
+        program_latency_sum: Duration::ZERO,
+        erase_latency_sum: Duration::ZERO,
+        copyback_latency_sum: Duration::ZERO,
+        queue_depth_hwm: 0,
+        ..snapshot.stats.clone()
+    };
+    state.debug(&(&counts, snapshot.epoch));
     for block in &snapshot.blocks {
-        digest.debug(&(block.state, block.write_ptr, block.erase_count, block.valid_pages));
-        digest.debug(&(&block.pages, &block.meta));
-        digest.bytes(block.data.as_deref().unwrap_or_default());
+        state.debug(&(block.state, block.write_ptr, block.erase_count, block.valid_pages));
+        state.debug(&(&block.pages, &block.meta));
+        state.bytes(block.data.as_deref().unwrap_or_default());
     }
-    digest.debug(&device.trace());
+    timing.debug(&snapshot.stats);
+    timing.debug(&snapshot.die_stats);
+    timing.debug(&device.quiesce_time());
+    timing.debug(&device.trace());
     for name in ARBITER_COUNTERS {
-        digest.debug(&device.metrics().counter(name).get());
+        timing.debug(&device.metrics().counter(name).get());
     }
-    Run { digest: digest.0, spans, errors, device }
+    Run { state: state.0, timing: timing.0, spans, errors, device }
 }
 
 /// Cut instants aimed into in-flight commands of the uncut run: for three
@@ -596,9 +632,19 @@ fn cuts_digest(stream: &[Cmd], cuts: &[SimTime], way: Way) -> u64 {
         device.arm_power_cut(*cut);
         let cut_run = run(device, stream, way);
         assert!(cut_run.errors.contains_key("PowerLoss"), "cut at {cut:?} hit nothing");
-        digest.debug(&cut_run.digest);
+        digest.debug(&(cut_run.state, cut_run.timing));
     }
     digest.0
+}
+
+/// Compare a digest with its golden — or, under `NOFTL_PRINT_GOLDEN`,
+/// print it instead.
+fn check(name: &str, way: Way, got: u64, golden: u64) {
+    if std::env::var("NOFTL_PRINT_GOLDEN").is_ok() {
+        println!("{name} ({way:?}): {got}");
+    } else {
+        assert_eq!(got, golden, "{name} through {way:?}");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -641,7 +687,9 @@ fn the_stream_covers_every_kind_and_every_rejection() {
 fn arbiter_off_digest_is_golden_every_way() {
     let stream = build_stream();
     for way in WAYS {
-        assert_eq!(plain_digest(&stream, way).digest, GOLDEN_PLAIN, "{way:?}");
+        let run = plain_digest(&stream, way);
+        check("GOLDEN_STATE (arbiter off)", way, run.state, GOLDEN_STATE);
+        check("GOLDEN_PLAIN_TIMING", way, run.timing, GOLDEN_PLAIN_TIMING);
     }
 }
 
@@ -649,7 +697,9 @@ fn arbiter_off_digest_is_golden_every_way() {
 fn arbiter_on_digest_is_golden_every_way() {
     let stream = build_stream();
     for way in WAYS {
-        assert_eq!(arbiter_digest(&stream, way).digest, GOLDEN_ARBITER, "{way:?}");
+        let run = arbiter_digest(&stream, way);
+        check("GOLDEN_STATE (arbiter on)", way, run.state, GOLDEN_STATE);
+        check("GOLDEN_ARBITER_TIMING", way, run.timing, GOLDEN_ARBITER_TIMING);
     }
 }
 
@@ -658,7 +708,7 @@ fn power_cut_sweep_digest_is_golden_every_way() {
     let stream = build_stream();
     let cuts = cut_instants(&plain_digest(&stream, Way::Verbs));
     for way in WAYS {
-        assert_eq!(cuts_digest(&stream, &cuts, way), GOLDEN_CUTS, "{way:?}");
+        check("GOLDEN_CUTS", way, cuts_digest(&stream, &cuts, way), GOLDEN_CUTS);
     }
 }
 

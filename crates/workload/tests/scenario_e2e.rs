@@ -1,6 +1,6 @@
 //! End-to-end multi-tenant scenario: the noisy KV neighbor really
-//! compacts, the OLTP tenant really pays a tail penalty, and the whole
-//! thing is deterministic run to run.
+//! compacts, the OLTP tenant's tail is measured against running alone,
+//! and the whole thing is deterministic run to run.
 
 use noftl_workload::{oltp_beside_compaction, MultiTenantConfig};
 
@@ -44,33 +44,41 @@ fn scenario_is_deterministic() {
     assert_eq!(a.compact_flushes, b.compact_flushes);
 }
 
+/// Up to PR 17 this test required the arbiter-off write tail to be more
+/// than twice the arbiter-on one, and the committed perf point showed
+/// 17.7× (`mt_oltp_write_p99_penalty_noarb`, PR 10 / PR 15).  That
+/// interference was never there: the tenants sit on disjoint dies and
+/// share only a channel that carries 10 µs transfers and is < 6 % busy.
+/// The 17.7× was eager reservation — the compacting tenant, run ahead in
+/// call order, parked the channel's `busy_until` in the future and the
+/// OLTP tenant's simulated-earlier transfers queued behind work that had
+/// not happened yet.  The arbiter "fixed" it only because gap backfill
+/// was an arbiter feature; since PR 18 first-fit into idle time is the
+/// device's one reservation rule and both penalties read 1.000.  What
+/// remains of the arbiter is token-bucket pacing of `Background`
+/// transfers, and what can be asserted is what is true: on or off, the
+/// OLTP tenant's read and write tails stay within 2× of running alone,
+/// and pacing does not cost the background tenant more than 25 %.
 #[test]
-fn arbiter_caps_the_noisy_neighbor_penalty() {
+fn oltp_tail_stays_within_2x_and_background_within_25_percent_arbiter_on_or_off() {
     let off = oltp_beside_compaction(&MultiTenantConfig::quick()).expect("scenario");
     let on = oltp_beside_compaction(&MultiTenantConfig::quick().with_arbiter()).expect("scenario");
-    eprintln!(
-        "off: penalty={:.3} oltp_kops={:.3} compact_kops={:.3} alone_p99={:.1}",
-        off.p99_penalty,
-        off.oltp_shared.achieved_kops,
-        off.compact_shared.achieved_kops,
-        off.oltp_alone.p99_us
-    );
-    eprintln!(
-        "on:  penalty={:.3} oltp_kops={:.3} compact_kops={:.3} alone_p99={:.1}",
-        on.p99_penalty,
-        on.oltp_shared.achieved_kops,
-        on.compact_shared.achieved_kops,
-        on.oltp_alone.p99_us
-    );
-    assert!(on.p99_penalty <= 2.0, "arbiter-on penalty {:.3} > 2.0", on.p99_penalty);
-    // The contrast the arbiter exists for shows on the write tail.
-    assert!(on.write_p99_penalty <= 2.0, "arbiter-on write penalty {:.3}", on.write_p99_penalty);
-    assert!(
-        off.write_p99_penalty > 2.0 * on.write_p99_penalty,
-        "without the arbiter the write tail must pay for the neighbor: {:.3} vs {:.3}",
-        off.write_p99_penalty,
-        on.write_p99_penalty
-    );
+    for (name, report) in [("off", &off), ("on", &on)] {
+        eprintln!(
+            "{name}: penalty={:.3} write_penalty={:.3} oltp_kops={:.3} compact_kops={:.3} alone_p99={:.1}",
+            report.p99_penalty,
+            report.write_p99_penalty,
+            report.oltp_shared.achieved_kops,
+            report.compact_shared.achieved_kops,
+            report.oltp_alone.p99_us
+        );
+        assert!(report.p99_penalty <= 2.0, "arbiter {name}: penalty {:.3}", report.p99_penalty);
+        assert!(
+            report.write_p99_penalty <= 2.0,
+            "arbiter {name}: write penalty {:.3}",
+            report.write_p99_penalty
+        );
+    }
     assert!(
         on.compact_shared.achieved_kops >= off.compact_shared.achieved_kops * 0.75,
         "background tenant degraded more than 25%: {:.3} vs {:.3}",

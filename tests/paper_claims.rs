@@ -48,8 +48,10 @@ fn tpcc_runs_on_both_placements_and_regions_stay_inside_the_copyback_budget() {
         cmp.regions.gc_copybacks <= copyback_budget,
         "regions exceed the GC-copyback budget (traditional={}, regions={}, budget={}). \
          Passing this budget reproduces nothing: at full size `figure3` measures regions vs \
-         traditional at TPS -15.1 %, copybacks +101.0 %, erases +16.5 %, against the paper's \
-         +21 % / -19.2 % / -4.4 %",
+         traditional at TPS -20.5 % (3 339 vs 2 654), copybacks +99.1 %, erases +16.5 %, against \
+         the paper's +21 % / -19.2 % / -4.4 % — re-measured at PR 18, under first-fit \
+         reservation, where the TPS row is a queueing result and no longer the simulator's \
+         call order",
         cmp.traditional.gc_copybacks,
         cmp.regions.gc_copybacks,
         copyback_budget

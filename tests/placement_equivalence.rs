@@ -12,24 +12,39 @@
 //! records, wear and statistics) and the device write-epoch counter must
 //! hash to exactly the same values after the refactor.
 //!
+//! The image CRC covers the statistics, and those hold latency sums and
+//! queue depths: a change to the device's *timing* model moves it without
+//! moving a single page.  Each golden therefore carries a second,
+//! **placement-only** digest — the same image with `stats` and
+//! `die_stats` blanked, i.e. every block's page states, payloads, OOB
+//! records and wear plus the device epoch.  PR 18 (first-fit occupancy
+//! timelines instead of `busy_until`) recorded the placement digests on
+//! its parent tree, kept them green, and only then regenerated the image
+//! CRCs.
+//!
 //! Regenerate with `NOFTL_PRINT_GOLDEN=1 cargo test --test
-//! placement_equivalence -- --nocapture` *only* when a change is meant to
-//! alter physical placement.
+//! placement_equivalence -- --nocapture`: the placement digest *only*
+//! when a change is meant to alter physical placement, the image CRC
+//! also when it is meant to alter timing.
 
 use std::sync::Arc;
 
-use noftl_regions::flash::{DeviceBuilder, FlashGeometry, NandDevice, SimTime, TimingModel};
+use noftl_regions::flash::{
+    DeviceBuilder, DeviceSnapshot, DeviceStats, DieStats, FlashGeometry, NandDevice, SimTime,
+    TimingModel,
+};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, RegionSpec};
 
 mod common;
 use common::splitmix;
 
-/// (seed, golden CRC32 of the device image, golden device epoch).
-/// Captured against the pre-refactor allocator; see module docs.
-const GOLDEN: &[(u64, u32, u64)] = &[
-    (0x9E37_0001, 0x3BBE_9136, 984),
-    (0x9E37_0002, 0xB1F0_FE68, 984),
-    (0x9E37_0003, 0x70DC_2852, 984),
+/// (seed, golden CRC32 of the device image, golden placement-only CRC32,
+/// golden device epoch); see module docs.  The image CRCs were
+/// `0x3BBE_9136`, `0xB1F0_FE68`, `0x70DC_2852` up to PR 17.
+const GOLDEN: &[(u64, u32, u32, u64)] = &[
+    (0x9E37_0001, 0x0574_0385, 0xD34F_9DDC, 984),
+    (0x9E37_0002, 0xBFCF_7ED3, 0xF129_4BC1, 984),
+    (0x9E37_0003, 0xCEF5_BCF8, 0x2A6C_81E4, 984),
 ];
 
 fn page(b: u8) -> Vec<u8> {
@@ -38,6 +53,8 @@ fn page(b: u8) -> Vec<u8> {
 
 struct WorkloadRun {
     digest: u32,
+    /// CRC of the image with the statistics blanked: placement only.
+    placement: u32,
     epoch: u64,
     device: Arc<NandDevice>,
     noftl: NoFtl,
@@ -92,25 +109,42 @@ fn run_workload(seed: u64, config: NoFtlConfig) -> WorkloadRun {
     // The image format ends with a CRC-32 over the entire payload; that
     // trailer *is* the digest of the full device state.  (Hashing the
     // whole image would always yield the CRC residue constant.)
-    let image = device.snapshot().encode();
-    let digest = u32::from_le_bytes(image[image.len() - 4..].try_into().expect("4 bytes"));
+    let snapshot = device.snapshot();
+    let digest = image_crc(&snapshot);
+    let placement = image_crc(&DeviceSnapshot {
+        stats: DeviceStats::default(),
+        die_stats: vec![DieStats::default(); snapshot.die_stats.len()],
+        ..snapshot
+    });
     let epoch = device.current_epoch();
-    WorkloadRun { digest, epoch, device, noftl, expected, done: t }
+    WorkloadRun { digest, placement, epoch, device, noftl, expected, done: t }
+}
+
+fn image_crc(snapshot: &DeviceSnapshot) -> u32 {
+    let image = snapshot.encode();
+    u32::from_le_bytes(image[image.len() - 4..].try_into().expect("4 bytes"))
 }
 
 #[test]
 fn round_robin_reproduces_the_seed_allocator_byte_for_byte() {
     let print = std::env::var("NOFTL_PRINT_GOLDEN").is_ok();
-    for (seed, golden_crc, golden_epoch) in GOLDEN {
+    for (seed, golden_crc, golden_placement, golden_epoch) in GOLDEN {
         let run = run_workload(*seed, NoFtlConfig::default());
         if print {
-            println!("    ({seed:#x}, {:#010x}, {}),", run.digest, run.epoch);
+            println!(
+                "    ({seed:#x}, {:#010x}, {:#010x}, {}),",
+                run.digest, run.placement, run.epoch
+            );
             continue;
         }
         assert_eq!(
-            (run.digest, run.epoch),
-            (*golden_crc, *golden_epoch),
+            (run.placement, run.epoch),
+            (*golden_placement, *golden_epoch),
             "seed {seed:#x}: RoundRobin placement diverged from the pre-refactor allocator"
+        );
+        assert_eq!(
+            run.digest, *golden_crc,
+            "seed {seed:#x}: same placement, but the image's statistics (timing) moved"
         );
     }
 }
@@ -135,7 +169,7 @@ fn queue_aware_runs_the_same_workload_without_losing_a_page() {
     // still have garbage-collected.
     let config =
         NoFtlConfig { placement: PlacementPolicyKind::QueueAware, ..NoFtlConfig::default() };
-    for (seed, _, golden_epoch) in GOLDEN {
+    for (seed, _, _, golden_epoch) in GOLDEN {
         let run = run_workload(*seed, config);
         assert_eq!(
             run.epoch, *golden_epoch,
