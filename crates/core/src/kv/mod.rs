@@ -26,7 +26,9 @@
 //!   normal GC/erase machinery.
 //! * **Crash safety rides the checkpoint/mount path** — the run directory
 //!   and sequence numbers are exactly the storage manager's object
-//!   directory, journalled by [`NoFtl::checkpoint`] chunk pages.  After a
+//!   directory, journalled by [`NoFtl::checkpoint`] chunk pages: the
+//!   runs' names, not their page maps (those are the run pages' own OOB
+//!   records), so a commit costs one chunk page whatever it covers.  After a
 //!   power cut, [`NoFtl::mount`] discards torn pages via the OOB payload
 //!   checksum and [`KvStore::open`] then discards incomplete runs (a
 //!   page missing, or a tail without all its members) and runs

@@ -5,7 +5,8 @@
 //! contract in one line: **a put is committed once a flush covering it
 //! returns** — run pages written (as one queued multi-die batch) *and*
 //! the object directory checkpointed through the storage manager's
-//! region-metadata journal.
+//! region-metadata journal.  The checkpoint names the run; which
+//! physical pages hold it is read back from their OOB records on mount.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -1116,6 +1117,36 @@ mod tests {
         // Source run objects are gone from the manager's directory.
         let live_runs = noftl.objects_with_prefix("__kv_s_r").len();
         assert_eq!(live_runs, kv.run_count());
+    }
+
+    #[test]
+    fn every_page_program_is_a_run_page_or_one_checkpoint_chunk() {
+        let (device, noftl, rid) = stack(TimingModel::instant());
+        let config = KvConfig { compaction_threshold: 3, ..small_config() };
+        let (kv, mut t) =
+            KvStore::create(Arc::clone(&noftl), rid, "s", config, SimTime::ZERO).unwrap();
+        let counter = |name: &str| noftl.metrics().counter(name).get();
+        let programs_before = device.stats().page_programs;
+        let checkpoints_before = counter("core.checkpoint.count");
+        for round in 1..=9u64 {
+            for i in 0..40u64 {
+                t = kv.put(&key(i), &val(i, round), t).unwrap();
+            }
+            t = kv.flush(t).unwrap();
+        }
+        // A flush commits with one checkpoint, a merge with two (the
+        // merged run, then the retired sources), and a checkpoint is the
+        // run directory — one chunk page — however many run pages are
+        // mapped by then.
+        let stats = kv.stats();
+        assert!(stats.flushes >= 9 && stats.compactions > 0);
+        let checkpoints = counter("core.checkpoint.count") - checkpoints_before;
+        assert_eq!(checkpoints, stats.flushes + 2 * stats.compactions);
+        assert_eq!(counter("core.checkpoint.pages"), counter("core.checkpoint.count"));
+        assert_eq!(
+            device.stats().page_programs - programs_before,
+            stats.flushed_pages + stats.compacted_pages + checkpoints,
+        );
     }
 
     #[test]

@@ -22,6 +22,9 @@
 //! * `core.read.window_occupancy` / `core.read.window_ns` — the same two
 //!   views of the windowed *read* pipeline (KV and B+-tree scans);
 //! * `core.gc.{runs,pages_moved,blocks_erased}` — GC activity;
+//! * `core.checkpoint.{count,pages}` / `core.checkpoint.latency_ns` — the
+//!   region-metadata journal: completed checkpoints, the chunk pages they
+//!   programmed, and issue→durable latency of each;
 //! * `core.flusher.{batches,pages}` / `core.flusher.inflight_hwm` — the
 //!   background flusher's batch counters and window high-water mark;
 //! * `kv.put.latency_ns`, `kv.flush.latency_ns`, `kv.compact.latency_ns`
@@ -92,8 +95,8 @@ impl WindowObs {
     }
 }
 
-/// Handles the storage manager records into on allocation, GC, windowed
-/// I/O and background flushes.
+/// Handles the storage manager records into on allocation, GC,
+/// checkpoints, windowed I/O and background flushes.
 #[derive(Debug)]
 pub(crate) struct CoreObs {
     registry: Arc<MetricsRegistry>,
@@ -109,6 +112,9 @@ pub(crate) struct CoreObs {
     gc_runs: Counter,
     gc_pages_moved: Counter,
     gc_blocks_erased: Counter,
+    checkpoints: Counter,
+    checkpoint_pages: Counter,
+    checkpoint_latency: Histogram,
     flusher_batches: Counter,
     flusher_pages: Counter,
     flusher_inflight_hwm: Gauge,
@@ -127,6 +133,9 @@ impl CoreObs {
             gc_runs: registry.counter("core.gc.runs"),
             gc_pages_moved: registry.counter("core.gc.pages_moved"),
             gc_blocks_erased: registry.counter("core.gc.blocks_erased"),
+            checkpoints: registry.counter("core.checkpoint.count"),
+            checkpoint_pages: registry.counter("core.checkpoint.pages"),
+            checkpoint_latency: registry.histogram("core.checkpoint.latency_ns", Unit::SimNanos),
             flusher_batches: registry.counter("core.flusher.batches"),
             flusher_pages: registry.counter("core.flusher.pages"),
             flusher_inflight_hwm: registry.gauge("core.flusher.inflight_hwm"),
@@ -180,6 +189,13 @@ impl CoreObs {
             at.as_nanos(),
             &[("pages_moved", pages_moved), ("blocks_erased", blocks_erased)],
         );
+    }
+
+    /// Record one completed checkpoint of `pages` chunk pages.
+    pub(crate) fn note_checkpoint(&self, pages: u64, issued: SimTime, done: SimTime) {
+        self.checkpoints.inc();
+        self.checkpoint_pages.add(pages);
+        self.checkpoint_latency.record(done.since(issued).as_nanos());
     }
 
     /// Record one background-flusher batch.

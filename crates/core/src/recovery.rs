@@ -2,24 +2,27 @@
 //!
 //! Under NoFTL there is no FTL to hide durability problems behind: region
 //! membership, the object directory and the logical-to-physical page maps
-//! all live in DBMS-owned memory and would be lost on power failure.  This
-//! module implements the persistent half of the storage manager's
-//! crash-consistency story:
+//! all live in DBMS-owned memory and would be lost on power failure.  The
+//! page maps are already on flash — every programmed page carries its
+//! (object, logical page, write epoch, checksum) in its OOB record — so
+//! this module persists only what those records cannot say:
 //!
-//! * **Checkpoints** — `NoFtl::checkpoint` serialises the region specs,
-//!   the die assignment, the free-die pool and every object's directory
-//!   entry (name, region, counters, page map) into a compact blob, splits
-//!   it into page-sized chunks and programs them into a dedicated metadata
-//!   region under the reserved [`META_OBJECT_ID`].  Chunks are
-//!   self-describing (sequence number, index, count, CRC via the OOB
-//!   checksum), so a mount can always find the newest *complete*
-//!   checkpoint even if a later one was torn mid-write.
+//! * **Checkpoints** — `NoFtl::checkpoint` serialises the *directory* —
+//!   region specs, the die assignment, the free-die pool and every
+//!   object's entry (name, region, counters), no page map — into a compact
+//!   blob, splits it into page-sized chunks (one, for all but the largest
+//!   directories) and programs them into a dedicated metadata region under
+//!   the reserved [`META_OBJECT_ID`].  Its cost is O(regions + objects),
+//!   independent of how many pages are mapped.  Chunks are self-describing
+//!   (sequence number, index, count, CRC via the OOB checksum), so a mount
+//!   can always find the newest *complete* checkpoint even if a later one
+//!   was torn mid-write.
 //! * **Mount** — `NoFtl::mount` scans the device's out-of-band metadata,
-//!   replays the newest complete checkpoint and then uses the per-page OOB
-//!   records (object id, logical page, write epoch) to rebuild every
-//!   mapping written *after* that checkpoint; torn pages are detected via
-//!   the payload checksum and discarded.  The outcome is summarised in a
-//!   [`MountReport`].
+//!   rebuilds regions and objects from the newest complete checkpoint and
+//!   *every* mapping, written before that checkpoint or after it, from the
+//!   per-page OOB records (newest write epoch wins); torn pages are
+//!   detected via the payload checksum and discarded.  The outcome is
+//!   summarised in a [`MountReport`].
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -56,13 +59,13 @@ const CHUNK_MAGIC: u32 = 0x4E46_434B; // "NFCK"
 pub(crate) const CHUNK_HEADER: usize = 24;
 
 /// Magic prefix of the checkpoint blob itself.  Version 02 added the
-/// per-region placement-policy tag; version 03 added the dirty-die
-/// directory (mount skips dies never written) and the opaque replication
-/// blob (mirror health + per-child dirty-segment maps); version 04 added
-/// the per-region service-class tag.  Each bump makes blobs written by
-/// older code decode as "no checkpoint" instead of mis-aligning the
-/// cursor on the new fields.
-const BLOB_MAGIC: &[u8; 8] = b"NFCKPT04";
+/// per-region placement-policy tag; version 03 the opaque replication
+/// blob (mirror health + per-child dirty-segment maps); version 04 the
+/// per-region service-class tag; version 05 dropped the per-object page
+/// maps and the dirty-die list, neither of which mount ever read.  Each
+/// bump makes blobs written by older code decode as "no checkpoint"
+/// instead of mis-aligning the cursor on the changed fields.
+const BLOB_MAGIC: &[u8; 8] = b"NFCKPT05";
 
 /// In-memory state of the region-metadata journal: where checkpoint chunk
 /// pages currently live.  The chunks themselves carry all recovery
@@ -99,8 +102,9 @@ pub struct MountReport {
     pub orphaned_objects: Vec<ObjectId>,
     /// Live logical pages mapped after recovery.
     pub mapped_pages: u64,
-    /// Mapped pages whose write epoch postdates the checkpoint watermark —
-    /// i.e. mappings rebuilt purely from OOB metadata.
+    /// Mapped pages whose write epoch postdates the checkpoint watermark,
+    /// i.e. pages programmed after the checkpoint was taken.  A page GC
+    /// relocated after the checkpoint keeps its epoch and is not counted.
     pub pages_after_checkpoint: u64,
     /// Pages discarded because their payload checksum did not match
     /// (torn writes).
@@ -113,9 +117,8 @@ pub struct MountReport {
     pub unreadable_metadata_pages: u64,
     /// Total valid pages scanned.
     pub pages_scanned: u64,
-    /// Dies whose OOB scan was skipped because neither the device's
-    /// touched flags nor the checkpoint's dirty-die directory recorded
-    /// any write to them.
+    /// Dies whose OOB scan was skipped because the device's touched flags
+    /// recorded no program or erase on them.
     pub dies_skipped: u64,
     /// Simulated time at which the mount completed.
     pub completed_at: SimTime,
@@ -130,14 +133,14 @@ pub(crate) struct RegionImage {
     pub objects: Vec<ObjectId>,
 }
 
-/// One object directory entry as recorded in a checkpoint.
+/// One object directory entry as recorded in a checkpoint: identity and
+/// counters only — its page map is rebuilt from OOB records on mount.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ObjectImage {
     pub id: ObjectId,
     pub name: String,
     pub region: RegionId,
     pub counters: ObjectCounters,
-    pub map: Vec<(u64, PageAddr)>,
 }
 
 /// A decoded checkpoint.
@@ -149,10 +152,6 @@ pub(crate) struct CheckpointImage {
     pub epoch_watermark: u64,
     pub meta_region: Option<RegionId>,
     pub free_dies: Vec<DieId>,
-    /// Directory of dies that had ever been programmed or erased at
-    /// checkpoint time.  Mount unions this with the device's own
-    /// `die_touched` probes and skips the OOB scan of every other die.
-    pub dirty_dies: Vec<DieId>,
     /// Opaque replication state ([`flash_sim::FlashBackend::replication_blob`]):
     /// the mirror's child health and dirty-segment maps.  `None` for
     /// unreplicated backends.
@@ -288,10 +287,6 @@ impl CheckpointImage {
         for d in &self.free_dies {
             put_u32(&mut out, d.0);
         }
-        put_u32(&mut out, self.dirty_dies.len() as u32);
-        for d in &self.dirty_dies {
-            put_u32(&mut out, d.0);
-        }
         match &self.replication {
             Some(blob) => {
                 out.push(1);
@@ -326,14 +321,6 @@ impl CheckpointImage {
             put_u32(&mut out, o.region.0);
             put_u64(&mut out, o.counters.reads);
             put_u64(&mut out, o.counters.writes);
-            put_u64(&mut out, o.map.len() as u64);
-            for (lp, ppa) in &o.map {
-                put_u64(&mut out, *lp);
-                put_u32(&mut out, ppa.die.0);
-                put_u32(&mut out, ppa.plane);
-                put_u32(&mut out, ppa.block);
-                put_u32(&mut out, ppa.page);
-            }
         }
         let crc = flash_sim::crc32(&out);
         put_u32(&mut out, crc);
@@ -362,11 +349,6 @@ impl CheckpointImage {
         let mut free_dies = Vec::with_capacity(free_count);
         for _ in 0..free_count {
             free_dies.push(DieId(c.u32()?));
-        }
-        let dirty_count = c.u32()? as usize;
-        let mut dirty_dies = Vec::with_capacity(dirty_count);
-        for _ in 0..dirty_count {
-            dirty_dies.push(DieId(c.u32()?));
         }
         let replication = if c.u8()? != 0 {
             let len = c.u32()? as usize;
@@ -405,17 +387,7 @@ impl CheckpointImage {
             let name = c.string()?;
             let region = RegionId(c.u32()?);
             let counters = ObjectCounters { reads: c.u64()?, writes: c.u64()? };
-            let map_len = c.u64()? as usize;
-            let mut map = Vec::with_capacity(map_len);
-            for _ in 0..map_len {
-                let lp = c.u64()?;
-                let die = DieId(c.u32()?);
-                let plane = c.u32()?;
-                let block = c.u32()?;
-                let page = c.u32()?;
-                map.push((lp, PageAddr::new(die, plane, block, page)));
-            }
-            objects.push(ObjectImage { id, name, region, counters, map });
+            objects.push(ObjectImage { id, name, region, counters });
         }
         if c.pos != body.len() {
             return None;
@@ -425,7 +397,6 @@ impl CheckpointImage {
             epoch_watermark,
             meta_region,
             free_dies,
-            dirty_dies,
             replication,
             regions,
             objects,
@@ -479,7 +450,6 @@ impl Inner {
             epoch_watermark: device.current_epoch(),
             meta_region: Some(meta_region),
             free_dies: self.free_dies.clone(),
-            dirty_dies: device.geometry().dies().filter(|d| device.die_touched(*d)).collect(),
             replication: device.replication_blob(),
             regions: self
                 .regions
@@ -502,16 +472,43 @@ impl Inner {
                         name: state.name.clone(),
                         region: state.region,
                         counters: state.counters,
-                        map: state
-                            .map
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(lp, ppa)| ppa.map(|p| (lp as u64, p)))
-                            .collect(),
                     })
                 })
                 .collect(),
         }
+    }
+
+    /// Program checkpoint `seq`'s blob into `meta.staging`, one chunk page
+    /// at a time; returns the completion time of the slowest program.  GC
+    /// may relocate staged or current chunks meanwhile (`retranslate`
+    /// tracks both).  On an error `meta.staging` holds the chunks
+    /// programmed so far.
+    fn stage_chunks(
+        &mut self,
+        env: &Env,
+        rid: RegionId,
+        seq: u64,
+        blob: &[u8],
+        at: SimTime,
+    ) -> Result<SimTime> {
+        let page_size = env.device.geometry().page_size as usize;
+        let cap = page_size - CHUNK_HEADER;
+        let chunk_count = blob.len().div_ceil(cap).max(1);
+        // Checkpoint chunks are durability traffic even when the journal
+        // falls back to a regular region: never budget-defer.
+        let tag = IoTag { exempt: true, ..self.tag(env, rid, None) };
+        let mut done = at;
+        self.meta.staging = vec![None; chunk_count];
+        for (index, body) in blob.chunks(cap).enumerate() {
+            let page = encode_chunk(seq, index as u32, chunk_count as u32, body, page_size);
+            let addr =
+                self.space(env, rid)?.allocate(at).ok_or(NoFtlError::RegionFull { region: rid })?;
+            let meta = PageMetadata::new(META_OBJECT_ID, index as u64).with_payload_checksum(&page);
+            let out = env.exec(FlashCommand::Program { addr, data: &page, meta }, at, tag)?;
+            done = done.max(out.outcome.completed_at);
+            self.meta.staging[index] = Some(addr);
+        }
+        Ok(done)
     }
 }
 
@@ -546,10 +543,9 @@ impl Scan {
         for die in geo.dies() {
             // Partial-device mount: a die that was never programmed or
             // erased (per the device's touched flags, which survive
-            // snapshot/restore, and the checkpoint's dirty-die directory)
-            // holds no pages, no chunks and no allocation state worth
-            // scanning — `RegionDie::rebuild` reconstructs it from block
-            // states without OOB reads.
+            // snapshot/restore) holds no pages, no chunks and no
+            // allocation state worth scanning — `RegionDie::rebuild`
+            // reconstructs it from block states without OOB reads.
             if !device.die_touched(die) {
                 report.dies_skipped += 1;
                 continue;
@@ -729,23 +725,25 @@ impl NoFtl {
     }
 
     /// Checkpoint the region metadata: region specs and die assignment,
-    /// the free-die pool, and the full object directory (names, regions,
-    /// access counters and logical-to-physical page maps) are serialised
-    /// and programmed into the metadata region as self-describing chunk
-    /// pages under the reserved [`META_OBJECT_ID`].
+    /// the free-die pool and the object directory (names, regions, access
+    /// counters) are serialised and programmed into the metadata region as
+    /// self-describing chunk pages under the reserved [`META_OBJECT_ID`].
+    /// Page maps are not part of it, so a checkpoint costs O(regions +
+    /// objects) — typically one page — however much data is mapped.
     ///
-    /// [`NoFtl::mount`] replays the newest complete checkpoint and then
-    /// rebuilds everything written after it from out-of-band page
-    /// metadata (mount always performs a full OOB scan; the checkpoint's
-    /// job is the *directory* — region and object identity — which the
-    /// OOB records alone cannot provide).  A checkpoint is never required
-    /// for data durability — only DDL (regions/objects created after the
-    /// last checkpoint) needs a new checkpoint to survive a crash with
-    /// its name and placement intact.
+    /// [`NoFtl::mount`] takes region and object identity from the newest
+    /// complete checkpoint — the *directory*, which the OOB records alone
+    /// cannot provide — and every logical-to-physical mapping from a full
+    /// OOB scan.  A checkpoint is therefore never required for data
+    /// durability — only DDL (regions/objects created after the last
+    /// checkpoint) needs a new checkpoint to survive a crash with its name
+    /// and placement intact.
     ///
     /// The previous checkpoint's chunk pages are invalidated only after
     /// every chunk of the new one is durable, so a crash at any instant
-    /// leaves at least one complete checkpoint on flash.
+    /// leaves at least one complete checkpoint on flash.  A checkpoint
+    /// that fails part-way invalidates the chunks it did program, so the
+    /// retry (which reuses the sequence number) starts clean.
     ///
     /// Returns the completion time of the slowest chunk program.
     pub fn checkpoint(&self, at: SimTime) -> Result<SimTime> {
@@ -755,44 +753,34 @@ impl NoFtl {
         let inner = &mut *inner;
         let seq = inner.meta.seq + 1;
         let blob = inner.image(env.device.as_ref(), seq, rid).encode();
-        let page_size = env.device.geometry().page_size as usize;
-        let cap = page_size - CHUNK_HEADER;
-        let chunk_count = blob.len().div_ceil(cap).max(1) as u32;
-        // Checkpoint chunks are durability traffic even when the journal
-        // falls back to a regular region: never budget-defer.
-        let tag = IoTag { exempt: true, ..inner.tag(env, rid, None) };
-        let mut done = at;
         // Phase 1: program every new chunk into staging.  `meta.map` (the
         // previous checkpoint) is left untouched so its pages stay valid —
-        // a crash anywhere in this loop loses only the half-written new
-        // checkpoint, never the old one.  GC may relocate either
-        // generation concurrently; `retranslate` tracks both.
-        inner.meta.staging = vec![None; chunk_count as usize];
-        for (index, body) in blob.chunks(cap).enumerate() {
-            let page = encode_chunk(seq, index as u32, chunk_count, body, page_size);
-            let addr = inner
-                .space(env, rid)?
-                .allocate(at)
-                .ok_or(NoFtlError::RegionFull { region: rid })?;
-            let meta = PageMetadata::new(META_OBJECT_ID, index as u64).with_payload_checksum(&page);
-            let out = env.exec(FlashCommand::Program { addr, data: &page, meta }, at, tag)?;
-            done = done.max(out.outcome.completed_at);
-            inner.meta.staging[index] = Some(addr);
+        // a crash anywhere in this phase loses only the half-written new
+        // checkpoint, never the old one.
+        let staged = inner.stage_chunks(env, rid, seq, &blob, at);
+        // Phase 2: if the new checkpoint is fully durable, promote the
+        // staged chunks and retire the old ones; if it failed, retire
+        // whatever it staged — left valid, those pages would be copied
+        // forward by GC for good, and a leftover chunk with a higher index
+        // would make mount reject the retry that reuses `seq`.
+        let mut retired = std::mem::take(&mut inner.meta.staging);
+        if staged.is_ok() {
+            std::mem::swap(&mut retired, &mut inner.meta.map);
         }
-        // Phase 2: the new checkpoint is fully durable — retire the old
-        // chunk pages and promote the staged ones.
-        let old = std::mem::replace(&mut inner.meta.map, std::mem::take(&mut inner.meta.staging));
-        for page in old.into_iter().flatten() {
+        let region = inner.region_mut(rid)?;
+        for page in retired.into_iter().flatten() {
             let _ = env.device.mark_invalid(page);
-            inner.region_mut(rid)?.record_invalidation(page);
+            region.record_invalidation(page);
         }
+        let done = staged?;
         inner.meta.seq = seq;
+        env.obs.note_checkpoint(inner.meta.map.len() as u64, at, done);
         Ok(done)
     }
 
     /// Mount a device: rebuild the full storage-manager state from the
-    /// newest complete checkpoint plus the out-of-band page metadata of
-    /// everything written after it.
+    /// newest complete checkpoint (regions, objects) plus the out-of-band
+    /// metadata of every valid page (the page maps).
     ///
     /// The mount performs a full OOB scan (reading page payloads where a
     /// checksum must be verified), discards torn pages, breaks duplicate
@@ -854,11 +842,6 @@ impl NoFtl {
         let free_dies: Vec<DieId> =
             device.geometry().dies().filter(|d| !die_owner.contains_key(d)).collect();
 
-        let checkpoint_map: HashMap<(ObjectId, u64), PageAddr> = image
-            .objects
-            .iter()
-            .flat_map(|o| o.map.iter().map(move |(lp, ppa)| ((o.id, *lp), *ppa)))
-            .collect();
         let max_obj = image
             .objects
             .iter()
@@ -902,11 +885,7 @@ impl NoFtl {
             let Some(state) = objects[obj as usize].as_mut() else { continue };
             state.set_translation(lp, ppa);
             report.mapped_pages += 1;
-            // A same-epoch page at a new address was relocated by GC after
-            // the checkpoint was taken.
-            if epoch > image.epoch_watermark || checkpoint_map.get(&(obj, lp)) != Some(&ppa) {
-                report.pages_after_checkpoint += 1;
-            }
+            report.pages_after_checkpoint += u64::from(epoch > image.epoch_watermark);
         }
 
         // Invalidate superseded physical pages.
@@ -944,7 +923,6 @@ mod tests {
             epoch_watermark: 991,
             meta_region: Some(RegionId(2)),
             free_dies: vec![DieId(6), DieId(7)],
-            dirty_dies: vec![DieId(0), DieId(1), DieId(2)],
             replication: Some(vec![0xAB; 17]),
             regions: vec![RegionImage {
                 id: RegionId(0),
@@ -960,10 +938,6 @@ mod tests {
                 name: "orders".to_string(),
                 region: RegionId(0),
                 counters: ObjectCounters { reads: 10, writes: 20 },
-                map: vec![
-                    (0, PageAddr::new(DieId(0), 0, 3, 1)),
-                    (7, PageAddr::new(DieId(1), 0, 2, 5)),
-                ],
             }],
         }
     }
@@ -1120,22 +1094,7 @@ mod tests {
         // Cut power in the middle of the overwrite of logical page 0.
         let device = raw_device(&noftl);
         let quiesce = device.quiesce_time();
-        let probe_span = {
-            // A program on this device takes a fixed time under mlc_2015.
-            let probe = DeviceBuilder::new(FlashGeometry::small_test())
-                .timing(TimingModel::mlc_2015())
-                .build();
-            let out = probe
-                .program_page(
-                    flash_sim::PageAddr::new(DieId(0), 0, 0, 0),
-                    &page(0),
-                    PageMetadata::new(1, 0),
-                    SimTime::ZERO,
-                )
-                .unwrap();
-            out.completed_at.as_nanos() - out.started_at.as_nanos()
-        };
-        device.arm_power_cut(quiesce + flash_sim::Duration(probe_span * 9 / 10));
+        device.arm_power_cut(quiesce + flash_sim::Duration(program_span() * 9 / 10));
         let err = noftl.write(obj, 0, &page(0x22), quiesce).unwrap_err();
         assert!(matches!(err, NoFtlError::Flash(e) if e.is_power_loss()));
         let device2 = reboot(&noftl);
@@ -1145,57 +1104,195 @@ mod tests {
         assert_eq!(noftl2.read(obj, 0, report.completed_at).unwrap().0, page(0x11));
     }
 
-    #[test]
-    fn torn_multichunk_checkpoint_falls_back_to_previous() {
-        let noftl = make_noftl();
-        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(2)).unwrap();
-        let obj = noftl.create_object("t", r).unwrap();
-        let mut t = SimTime::ZERO;
-        // Enough mapped pages that the checkpoint blob spans several chunks.
-        for p in 0..200u64 {
-            t = noftl.write(obj, p, &page(p as u8), t).unwrap();
+    /// Register `n` empty objects whose 120-byte names (~150 B of
+    /// directory each) make the checkpoint blob span several chunk pages.
+    fn widen_directory(noftl: &NoFtl, rid: RegionId, n: usize) -> Vec<ObjectId> {
+        (0..n).map(|i| noftl.create_object(&format!("{i:0>120}"), rid).unwrap()).collect()
+    }
+
+    /// Chunk pages of the newest completed checkpoint, per the manager.
+    fn current_chunks(noftl: &NoFtl) -> Vec<PageAddr> {
+        noftl.lock_inner().meta.map.iter().flatten().copied().collect()
+    }
+
+    /// Valid pages on the device that carry the journal's object id.
+    fn valid_chunk_pages(noftl: &NoFtl) -> Vec<PageAddr> {
+        let device = raw_device(noftl);
+        let geo = *device.geometry();
+        let mut found = Vec::new();
+        for die in geo.dies() {
+            for plane in 0..geo.planes_per_die {
+                for block in 0..geo.blocks_per_plane {
+                    for page in 0..geo.pages_per_block {
+                        let addr = PageAddr::new(die, plane, block, page);
+                        if device.page_state(addr).unwrap() != PageState::Valid {
+                            continue;
+                        }
+                        let meta = device.read_metadata(addr, SimTime::ZERO).unwrap().0;
+                        if meta.is_some_and(|m| m.object_id == META_OBJECT_ID) {
+                            found.push(addr);
+                        }
+                    }
+                }
+            }
         }
-        t = noftl.checkpoint(t).unwrap();
-        assert!(
-            noftl.checkpoint_seq() == 1 && noftl.meta_region().is_some(),
-            "first checkpoint completed"
-        );
-        // Post-checkpoint overwrites, then a power cut that tears the
-        // *second* checkpoint in the middle of its first chunk program
-        // (chunk 0 is dense with real payload, so the tear is guaranteed
-        // to corrupt it — a tear in a later chunk's zero padding would
-        // harmlessly reproduce the complete page).
-        for p in 0..5u64 {
-            t = noftl.write(obj, p, &page(0xE0 + p as u8), t).unwrap();
-        }
+        found
+    }
+
+    /// Latency of one uncontended page program under `mlc_2015`.
+    fn program_span() -> u64 {
         let probe =
             DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build();
-        let out = probe
-            .program_page(
-                flash_sim::PageAddr::new(DieId(0), 0, 0, 0),
-                &page(0),
-                PageMetadata::new(1, 0),
-                SimTime::ZERO,
-            )
-            .unwrap();
-        let span = out.completed_at.as_nanos() - out.started_at.as_nanos();
-        let q = noftl.device().quiesce_time();
-        raw_device(&noftl).arm_power_cut(q + flash_sim::Duration(span * 9 / 10));
-        let err = noftl.checkpoint(q).unwrap_err();
-        assert!(matches!(err, NoFtlError::Flash(e) if e.is_power_loss()));
-        // Mount must fall back to the complete checkpoint #1 and still
-        // recover every page (including the post-checkpoint overwrites,
-        // which come from the OOB scan).
+        let addr = PageAddr::new(DieId(0), 0, 0, 0);
+        let out =
+            probe.program_page(addr, &page(0), PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
+        out.completed_at.as_nanos() - out.started_at.as_nanos()
+    }
+
+    #[test]
+    fn torn_multichunk_checkpoint_falls_back_to_previous() {
+        // Tear checkpoint #2 in its first chunk, then in its second (with
+        // the first one complete on flash).
+        for torn_chunk in 0..2u64 {
+            let noftl = make_noftl();
+            let r = noftl.create_region(RegionSpec::named("rg").with_die_count(2)).unwrap();
+            let obj = noftl.create_object("t", r).unwrap();
+            // The page maps no longer make a checkpoint large; a directory
+            // of long names does.
+            widen_directory(&noftl, r, 100);
+            let mut t = SimTime::ZERO;
+            for p in 0..20u64 {
+                t = noftl.write(obj, p, &page(p as u8), t).unwrap();
+            }
+            t = noftl.checkpoint(t).unwrap();
+            assert_eq!(noftl.checkpoint_seq(), 1, "first checkpoint completed");
+            assert!(current_chunks(&noftl).len() >= 3, "the directory spans several chunks");
+            // Post-checkpoint overwrites, then a power cut 90 % into the
+            // program of one of checkpoint #2's leading chunks.  Those are
+            // dense with directory bytes from the first to the last, so
+            // the tear is guaranteed to corrupt the page (a tear in the
+            // last chunk's zero padding would harmlessly reproduce it).
+            for p in 0..5u64 {
+                t = noftl.write(obj, p, &page(0xE0 + p as u8), t).unwrap();
+            }
+            let span = program_span();
+            let q = noftl.device().quiesce_time();
+            let cut = q + flash_sim::Duration(span * torn_chunk + span * 9 / 10);
+            raw_device(&noftl).arm_power_cut(cut);
+            let err = noftl.checkpoint(q).unwrap_err();
+            assert!(matches!(err, NoFtlError::Flash(e) if e.is_power_loss()));
+            // Mount must fall back to the complete checkpoint #1 and still
+            // recover every page (including the post-checkpoint
+            // overwrites, which come from the OOB scan).
+            let device2 = reboot(&noftl);
+            let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
+            assert_eq!(report.checkpoint_seq, 1, "torn checkpoint #2 is ignored");
+            assert!(report.torn_pages_discarded >= 1, "chunk {torn_chunk} was torn, not completed");
+            assert_eq!(report.objects, 101);
+            let done = report.completed_at;
+            for p in 0..5u64 {
+                assert_eq!(noftl2.read(obj, p, done).unwrap().0, page(0xE0 + p as u8), "page {p}");
+            }
+            for p in 5..20u64 {
+                assert_eq!(noftl2.read(obj, p, done).unwrap().0, page(p as u8), "page {p}");
+            }
+        }
+    }
+
+    #[test]
+    fn checkpoint_size_is_independent_of_mapped_pages() {
+        // Same directory, 10 vs 2 000 mapped pages: the same chunk count
+        // and the same number of page programs per checkpoint.
+        let cost = |mapped: u64| {
+            let device = Arc::new(DeviceBuilder::new(FlashGeometry::example()).build());
+            let noftl = NoFtl::new(device.clone(), NoFtlConfig::default());
+            let r = noftl.create_region(RegionSpec::named("rg").with_die_count(4)).unwrap();
+            let obj = noftl.create_object("t", r).unwrap();
+            widen_directory(&noftl, r, 40);
+            let mut t = SimTime::ZERO;
+            for p in 0..mapped {
+                t = noftl.write(obj, p, &page(p as u8), t).unwrap();
+            }
+            let before = device.stats().page_programs;
+            noftl.checkpoint(t).unwrap();
+            let chunks = current_chunks(&noftl).len() as u64;
+            (chunks, device.stats().page_programs - before)
+        };
+        let (small, large) = (cost(10), cost(2_000));
+        assert_eq!(small, large);
+        assert_eq!(small.0, small.1, "a checkpoint programs its chunks and nothing else");
+        assert_eq!(small.0, 2, "40 x ~150 B of directory is two chunks, mapped pages or not");
+    }
+
+    #[test]
+    fn an_nfckpt04_blob_is_no_checkpoint() {
+        // A blob under the previous format version's magic — intact CRC,
+        // whatever follows — must decode as "no checkpoint" rather than
+        // have the cursor run over fields that are no longer there.
+        let mut old = sample_image().encode();
+        old.truncate(old.len() - 4);
+        old[..8].copy_from_slice(b"NFCKPT04");
+        let crc = flash_sim::crc32(&old);
+        put_u32(&mut old, crc);
+        assert_eq!(CheckpointImage::decode(&old), None);
+        // ...and a device whose only checkpoint is such a blob mounts as
+        // one without a checkpoint.
+        let noftl = make_noftl();
+        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
+        let obj = noftl.create_object("t", r).unwrap();
+        let t = noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
+        let chunk = encode_chunk(1, 0, 1, &old, 4096);
+        let addr = PageAddr::new(noftl.region_dies(r).unwrap()[0], 0, 5, 0);
+        let meta = PageMetadata::new(META_OBJECT_ID, 0).with_payload_checksum(&chunk);
+        raw_device(&noftl).program_page(addr, &chunk, meta, t).unwrap();
+        assert!(matches!(
+            NoFtl::mount(reboot(&noftl), NoFtlConfig::default(), t),
+            Err(NoFtlError::NoCheckpoint)
+        ));
+    }
+
+    #[test]
+    fn failed_checkpoint_retires_its_chunks_and_the_retry_mounts() {
+        // One region over every die, so the journal shares it, filled to
+        // its last two pages: chunks 0 and 1 of a three-chunk checkpoint
+        // fit, chunk 2 hits `RegionFull`.
+        let device = Arc::new(DeviceBuilder::new(FlashGeometry::small_test()).build());
+        let (noftl, rid) = NoFtl::with_single_region(device, NoFtlConfig::default());
+        let filler = noftl.create_object("filler", rid).unwrap();
+        noftl.checkpoint(SimTime::ZERO).unwrap();
+        let wide = widen_directory(&noftl, rid, 60);
+        let capacity = FlashGeometry::small_test().total_pages();
+        let mut t = SimTime::ZERO;
+        for p in 0..capacity - 3 {
+            t = noftl.write(filler, p, &page(p as u8), t).unwrap();
+        }
+        let err = noftl.checkpoint(t).unwrap_err();
+        assert!(matches!(err, NoFtlError::RegionFull { .. }), "got {err:?}");
+        assert_eq!(noftl.checkpoint_seq(), 1);
+        assert_eq!(
+            valid_chunk_pages(&noftl),
+            current_chunks(&noftl),
+            "the failed attempt left no valid chunk"
+        );
+        // Make room, shrink the directory to one chunk, retry: the retry
+        // reuses sequence number 2.
+        for obj in wide {
+            noftl.drop_object(obj).unwrap();
+        }
+        for p in 0..64 {
+            noftl.free_page(filler, p).unwrap();
+        }
+        t = noftl.checkpoint(t).unwrap();
+        assert_eq!(noftl.checkpoint_seq(), 2);
         let device2 = reboot(&noftl);
         let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
-        assert_eq!(report.checkpoint_seq, 1, "torn checkpoint #2 is ignored");
-        let done = report.completed_at;
-        for p in 0..5u64 {
-            assert_eq!(noftl2.read(obj, p, done).unwrap().0, page(0xE0 + p as u8), "page {p}");
-        }
-        for p in 5..200u64 {
-            assert_eq!(noftl2.read(obj, p, done).unwrap().0, page(p as u8), "page {p}");
-        }
+        assert_eq!(report.checkpoint_seq, 2, "the retried checkpoint is the newest complete one");
+        assert_eq!(report.objects, 1);
+        let current = current_chunks(&noftl2);
+        assert_eq!(current.len(), 1);
+        assert_eq!(valid_chunk_pages(&noftl2), current, "no chunk outside `meta.map` is valid");
+        let last = capacity - 4;
+        assert_eq!(noftl2.read(filler, last, report.completed_at).unwrap().0, page(last as u8));
     }
 
     #[test]

@@ -65,6 +65,14 @@ fn kv_spans_and_histograms_reach_the_registry() {
     assert!(snap.counter("kv.flushes").unwrap_or(0) >= 1);
     let flush = snap.histogram("kv.flush.latency_ns").unwrap();
     assert!(flush.count >= 1 && flush.percentile(0.5) > 0);
+    // The journal behind those commits: one checkpoint for the create,
+    // one per flush and two per merge, each a single chunk page.
+    let checkpoints = snap.counter("core.checkpoint.count").unwrap_or(0);
+    let kv = store.stats();
+    assert_eq!(checkpoints, 1 + kv.flushes + 2 * kv.compactions);
+    assert_eq!(snap.counter("core.checkpoint.pages"), Some(checkpoints));
+    let latency = snap.histogram("core.checkpoint.latency_ns").expect("checkpoint histogram");
+    assert!(latency.count == checkpoints && latency.percentile(0.5) > 0);
     let trace = dump::chrome_trace(noftl.metrics());
     assert!(trace.contains("memtable_flush"));
 }
