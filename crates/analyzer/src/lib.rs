@@ -79,24 +79,37 @@ pub fn analyze_source(path: &str, src: &str) -> Analysis {
     analysis
 }
 
-/// Analyze every `.rs` file under the given roots (files are accepted
-/// too).  Paths are reported relative to `strip_prefix` when possible.
-pub fn analyze_paths(roots: &[PathBuf], strip_prefix: Option<&Path>) -> std::io::Result<Analysis> {
+/// Every `.rs` file under the given roots (files are accepted too), each
+/// with the path the rules scope on and findings are reported under:
+/// relative to `strip_prefix` when possible.
+fn scanned_files(
+    roots: &[PathBuf],
+    strip_prefix: Option<&Path>,
+) -> std::io::Result<Vec<(PathBuf, String)>> {
     let mut files = Vec::new();
     for root in roots {
         collect_rs_files(root, &mut files)?;
     }
     files.sort();
     files.dedup();
+    Ok(files
+        .into_iter()
+        .map(|file| {
+            let display = strip_prefix
+                .and_then(|p| file.strip_prefix(p).ok())
+                .unwrap_or(&file)
+                .to_string_lossy()
+                .replace('\\', "/");
+            (file, display)
+        })
+        .collect())
+}
 
+/// Analyze every `.rs` file under the given roots.
+pub fn analyze_paths(roots: &[PathBuf], strip_prefix: Option<&Path>) -> std::io::Result<Analysis> {
     let mut total = Analysis::default();
-    for file in &files {
+    for (file, display) in scanned_files(roots, strip_prefix)? {
         let src = fs::read_to_string(file)?;
-        let display = strip_prefix
-            .and_then(|p| file.strip_prefix(p).ok())
-            .unwrap_or(file)
-            .to_string_lossy()
-            .replace('\\', "/");
         let one = analyze_source(&display, &src);
         total.findings.extend(one.findings);
         total.files_scanned += one.files_scanned;
@@ -163,12 +176,65 @@ const FIXTURES: &[(&str, &str, &str)] = &[
 const CLEAN_FIXTURE: (&str, &str) =
     ("crates/flash/src/device.rs", include_str!("../fixtures/clean.rs"));
 
-/// Self-check: prove each seeded-violation fixture is caught by its rule
-/// and that the clean fixture passes.  CI runs this before trusting a
-/// clean workspace report — a linter that cannot find a planted bug is
-/// not reporting "no bugs", it is reporting nothing.
-pub fn self_check() -> Result<(), String> {
+/// The rules' path-suffix lists.  A rule scoped by such a list goes blind
+/// without a finding when the file it names is moved or deleted, so the
+/// self-check requires every entry to match a scanned file.
+const PATH_LISTS: &[(&str, &[&str])] = &[
+    ("panic_freedom::HOT_PATH_FILES", rules::panic_freedom::HOT_PATH_FILES),
+    ("lock_order::CHOKE_FILES", rules::lock_order::CHOKE_FILES),
+    ("queue_discipline::RESERVATION_FILES", rules::queue_discipline::RESERVATION_FILES),
+];
+
+/// Seeded stale list: a scanned tree that has every listed file except
+/// `sched.rs`, which two of the lists name.
+const STALE_LIST_FIXTURE: &str = include_str!("../fixtures/tree_without_sched.txt");
+
+/// The entries of [`PATH_LISTS`] that are the suffix of none of `files`,
+/// as `(list, entry)`.
+fn stale_path_entries(files: &[&str]) -> Vec<(&'static str, &'static str)> {
+    let mut stale = Vec::new();
+    for (list, entries) in PATH_LISTS {
+        for entry in *entries {
+            if !files.iter().any(|f| f.ends_with(entry)) {
+                stale.push((*list, *entry));
+            }
+        }
+    }
+    stale
+}
+
+/// Self-check: prove each seeded-violation fixture is caught by its rule,
+/// that the clean fixture passes, and that no path-list entry of a rule
+/// has gone stale against the files under `roots` (scoped exactly as
+/// [`analyze_paths`] scopes them).  CI runs this before trusting a clean
+/// workspace report — a linter that cannot find a planted bug is not
+/// reporting "no bugs", it is reporting nothing.
+pub fn self_check(roots: &[PathBuf], strip_prefix: Option<&Path>) -> Result<(), String> {
     let mut errors = Vec::new();
+    let seeded = stale_path_entries(&STALE_LIST_FIXTURE.lines().collect::<Vec<_>>());
+    if seeded
+        != [
+            ("panic_freedom::HOT_PATH_FILES", "src/sched.rs"),
+            ("queue_discipline::RESERVATION_FILES", "crates/flash/src/sched.rs"),
+        ]
+    {
+        errors.push(format!(
+            "stale-list fixture (a tree without `sched.rs`) reported {seeded:?}, \
+             not the two `sched.rs` entries"
+        ));
+    }
+    match scanned_files(roots, strip_prefix) {
+        Ok(files) => {
+            let scoped: Vec<&str> = files.iter().map(|(_, display)| display.as_str()).collect();
+            for (list, entry) in stale_path_entries(&scoped) {
+                errors.push(format!(
+                    "`{list}` entry `{entry}` matches no scanned file; the rule it scopes \
+                     checks nothing there"
+                ));
+            }
+        }
+        Err(e) => errors.push(format!("cannot list the scanned roots: {e}")),
+    }
     for (path, src, expected_rule) in FIXTURES {
         let analysis = analyze_source(path, src);
         if !analysis.findings.iter().any(|f| f.rule == *expected_rule) {
@@ -204,10 +270,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn self_check_passes() {
-        if let Err(e) = self_check() {
-            panic!("self-check failed:\n{e}");
-        }
+    fn self_check_fails_on_a_path_list_entry_that_matches_nothing() {
+        // This crate's own sources hold none of the listed files.
+        let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("src");
+        let err = self_check(&[root], None).unwrap_err();
+        let entries: usize = PATH_LISTS.iter().map(|(_, entries)| entries.len()).sum();
+        assert_eq!(err.lines().count(), entries, "one line per entry of every list:\n{err}");
+        assert!(err.contains("`panic_freedom::HOT_PATH_FILES` entry `src/queue.rs`"), "{err}");
     }
 
     #[test]

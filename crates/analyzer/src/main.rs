@@ -4,10 +4,13 @@
 //! noftl-analyzer [--deny-warnings] [--self-check] [PATH ...]
 //! ```
 //!
-//! With no paths, scans the default roots (`crates/flash/src`,
-//! `crates/core/src`) relative to the current directory.  Exit codes:
-//! `0` clean (or findings without `--deny-warnings`), `1` findings under
-//! `--deny-warnings`, `2` self-check failure or I/O error.
+//! With no paths, scans the default roots
+//! ([`noftl_analyzer::DEFAULT_ROOTS`]) relative to the current directory.
+//! `--self-check` runs the seeded-violation fixtures instead of the scan,
+//! and lists the same roots to prove that no path list of a rule names a
+//! file that is no longer there.  Exit codes: `0` clean (or findings
+//! without `--deny-warnings`), `1` findings under `--deny-warnings`, `2`
+//! self-check failure or I/O error.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -32,19 +35,6 @@ fn main() -> ExitCode {
         }
     }
 
-    if self_check {
-        return match noftl_analyzer::self_check() {
-            Ok(()) => {
-                println!("self-check: all seeded-violation fixtures detected, clean fixture clean");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("self-check FAILED:\n{e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
     let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
     if paths.is_empty() {
         paths = noftl_analyzer::DEFAULT_ROOTS.iter().map(PathBuf::from).collect();
@@ -55,6 +45,22 @@ fn main() -> ExitCode {
             );
             return ExitCode::from(2);
         }
+    }
+
+    if self_check {
+        return match noftl_analyzer::self_check(&paths, Some(Path::new(&cwd))) {
+            Ok(()) => {
+                println!(
+                    "self-check: all seeded-violation fixtures detected, clean fixture clean, \
+                     every rule's path list matches the scanned tree"
+                );
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("self-check FAILED:\n{e}");
+                ExitCode::from(2)
+            }
+        };
     }
 
     match noftl_analyzer::analyze_paths(&paths, Some(Path::new(&cwd))) {

@@ -38,7 +38,7 @@ const RANKS: &[(&str, u8)] = &[
 
 /// Files in which raw `.lock(` calls are forbidden outside the choke
 /// points themselves (matched by path suffix).
-const CHOKE_FILES: &[&str] = &["device.rs", "queue.rs", "manager.rs"];
+pub const CHOKE_FILES: &[&str] = &["device.rs", "queue.rs", "manager.rs"];
 
 fn rank_of(name: &str) -> Option<u8> {
     RANKS.iter().find(|(n, _)| *n == name).map(|(_, r)| *r)

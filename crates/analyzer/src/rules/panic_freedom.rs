@@ -25,8 +25,7 @@ const PANICKY_METHODS: &[&str] = &["unwrap", "expect"];
 const PANICKY_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
 /// Files (by path suffix) where direct slice indexing is also denied.
-const HOT_PATH_FILES: &[&str] =
-    &["src/queue.rs", "src/sched.rs", "src/flusher.rs", "src/atomic.rs"];
+pub const HOT_PATH_FILES: &[&str] = &["src/queue.rs", "src/sched.rs"];
 
 /// Crate roots (by path substring) the rule applies to.
 const SCOPES: &[&str] =

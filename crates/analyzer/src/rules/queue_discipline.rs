@@ -39,11 +39,12 @@ const DEVICE_VERBS: &[&str] =
 /// Functions in `queue.rs` allowed to invoke the device directly.
 const EXECUTE_FNS: &[&str] = &["submit_tagged"];
 
-/// The device crate's root; within it, the files that own the
-/// reservation primitives, and the one function elsewhere that may call
-/// them (as `(file, fn)`).
+/// The device crate's root and the one function outside
+/// [`RESERVATION_FILES`] that may call the reservation primitives (as
+/// `(file, fn)`).
 const FLASH_ROOT: &str = "crates/flash/src";
-const RESERVATION_FILES: &[&str] = &["crates/flash/src/sched.rs", "crates/flash/src/die.rs"];
+/// Files (by path suffix) that own the reservation primitives.
+pub const RESERVATION_FILES: &[&str] = &["crates/flash/src/sched.rs", "crates/flash/src/die.rs"];
 const RESERVATION_SITE: (&str, &str) = ("crates/flash/src/device.rs", "phases");
 
 /// Is the token at `i` a timed device call: a per-command verb (plain or
@@ -286,9 +287,10 @@ mod tests {
     #[test]
     fn core_device_calls_are_legal_only_in_the_io_module() {
         // `noftl.execute(..)` is the storage manager's own verb, not the
-        // device's: only a receiver named `device` counts.
+        // device's: only a receiver named `device` counts — as only a
+        // receiver named `queue` makes a `.submit(` a queue submission.
         let src = "fn gc(&self) { self.device.copyback(a, b, t); self.device.read_metadata_tagged(a, t, g); \
-                   let h = self.queue.submit_tagged(c, t, g); flusher.submit(n, o, p, d, t); \
+                   let h = self.queue.submit_tagged(c, t, g); memtable.submit(k, v); \
                    self.env.device.execute(c, t, g); noftl.execute(r, t, w); }";
         let f = run("crates/core/src/gc.rs", src);
         assert_eq!(f.len(), 4, "{f:?}");

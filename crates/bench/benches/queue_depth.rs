@@ -13,14 +13,10 @@
 //!    per command compared to the blocking calls (criterion numbers)?
 //!
 //! Run with `cargo bench -p noftl-bench --bench queue_depth`.  The
-//! simulated-time comparison, the utilization report (summary *and*
-//! per-die busy fractions) and the **skewed-workload scenario** — an
-//! erase storm on half the dies while the completion-driven flusher
-//! writes back a batch, comparing `RoundRobin` against `QueueAware`
-//! placement on flush completion time and minimum per-die utilization —
-//! are printed before the criterion samples.  The headline measurements
-//! themselves live in `noftl_bench::smoke`, shared with the CI
-//! `perf_smoke` binary.
+//! simulated-time comparison and the utilization report (summary *and*
+//! per-die busy fractions) are printed before the criterion samples.  The
+//! headline measurements themselves live in `noftl_bench::smoke`, shared
+//! with the CI `perf_smoke` binary.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -87,36 +83,6 @@ fn simulated_reports() {
         "queued write_batch must beat sequential submission ({:?} vs {:?})",
         cmp.queued,
         cmp.sequential
-    );
-
-    // Skewed workload: an erase storm occupies half the dies while the
-    // completion-driven flusher writes back a batch — the scenario the
-    // queue-aware placement policy exists for.
-    let skew = smoke::skewed_flush_comparison(pages, 3);
-    println!("skewed-load flush, {pages} pages, erase storm on half the dies:");
-    println!("  round-robin: {:>10.1} us simulated", skew.round_robin.as_secs_f64() * 1e6);
-    per_die_report("round-robin", &skew.rr_util, &skew.rr_metrics);
-    println!("  queue-aware: {:>10.1} us simulated", skew.queue_aware.as_secs_f64() * 1e6);
-    per_die_report("queue-aware", &skew.qa_util, &skew.qa_metrics);
-    println!("  speedup: {:.2}x", skew.speedup());
-    // The flusher window HWM is read from the registry too — the same
-    // number `FlusherStats::inflight_hwm` used to be printed from.
-    for (label, snap) in [("round-robin", &skew.rr_metrics), ("queue-aware", &skew.qa_metrics)] {
-        if let Some(hwm) = snap.gauge("core.flusher.inflight_hwm") {
-            println!("  {label} flusher in-flight hwm: {hwm}");
-        }
-    }
-    assert!(
-        skew.queue_aware < skew.round_robin,
-        "queue-aware flush must beat round-robin under skew ({:?} vs {:?})",
-        skew.queue_aware,
-        skew.round_robin
-    );
-    assert!(
-        skew.qa_util.min > skew.rr_util.min,
-        "queue-aware must raise minimum die utilisation ({:.3} vs {:.3})",
-        skew.qa_util.min,
-        skew.rr_util.min
     );
 }
 

@@ -1,6 +1,6 @@
 //! CI perf-smoke harness: run the headline measurements of the
-//! `queue_depth` (incl. the skewed-load placement comparison), `kv_ops`,
-//! `recovery` and `mirror` benches in quick mode — plus the `latency` section's
+//! `queue_depth`, `kv_ops`, `recovery` and `mirror` benches in quick
+//! mode — plus the `latency` section's
 //! histogram percentiles read back out of the shared metrics registry and,
 //! with `--scenarios`, the workload lab's YCSB/replay/multi-tenant
 //! scenario matrix — write them to a perf-trajectory point and

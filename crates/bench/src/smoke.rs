@@ -17,12 +17,11 @@ use std::time::Instant;
 use dbms_engine::{Database, DatabaseConfig, NoFtlBackend, Schema, Value};
 use flash_sim::queue::{CommandQueue, FlashCommand};
 use flash_sim::{
-    BlockAddr, DeviceBuilder, DeviceSnapshot, DieId, FlashBackend, FlashGeometry, NandDevice,
-    PageAddr, PageMetadata, SimTime, TimingModel, UtilizationSummary,
+    DeviceBuilder, DeviceSnapshot, DieId, FlashGeometry, NandDevice, PageAddr, PageMetadata,
+    SimTime, TimingModel, UtilizationSummary,
 };
-use noftl_core::flusher::Flusher;
 use noftl_core::kv::{KvConfig, KvStore};
-use noftl_core::{NoFtl, NoFtlConfig, PlacementConfig, PlacementPolicyKind, RegionSpec};
+use noftl_core::{NoFtl, NoFtlConfig, PlacementConfig, RegionSpec};
 use noftl_obs::MetricsSnapshot;
 
 /// One headline number.
@@ -168,76 +167,6 @@ pub fn write_batch_comparison(pages: u64) -> BatchComparison {
     }
 }
 
-/// Skewed-load flush comparison: the measuring stick of the queue-aware
-/// placement redesign.
-///
-/// Half of an 8-die region's dies are busy with a background erase storm
-/// (a stand-in for GC / wear-leveling traffic) when the flusher writes a
-/// batch of dirty pages back through the completion-driven pipeline.
-/// Under `RoundRobin` a fixed 1/N of the batch queues behind the storm
-/// and gates the flush; `QueueAware` reads the per-die load snapshots and
-/// feeds the idle dies until the load evens out, finishing earlier *and*
-/// leaving no die idling at the tail — visible as a higher minimum per-die
-/// busy fraction.
-#[derive(Debug)]
-pub struct SkewedFlushComparison {
-    /// Simulated flush completion under round-robin placement.
-    pub round_robin: SimTime,
-    /// Simulated flush completion under queue-aware placement.
-    pub queue_aware: SimTime,
-    /// Device utilisation after the round-robin flush.
-    pub rr_util: UtilizationSummary,
-    /// Device utilisation after the queue-aware flush.
-    pub qa_util: UtilizationSummary,
-    /// Metrics snapshot of the round-robin run's stack.
-    pub rr_metrics: MetricsSnapshot,
-    /// Metrics snapshot of the queue-aware run's stack.
-    pub qa_metrics: MetricsSnapshot,
-}
-
-impl SkewedFlushComparison {
-    /// Round-robin-over-queue-aware simulated-time ratio.
-    pub fn speedup(&self) -> f64 {
-        self.round_robin.as_secs_f64() / self.queue_aware.as_secs_f64().max(f64::MIN_POSITIVE)
-    }
-}
-
-/// Measure [`SkewedFlushComparison`] for a flush of `pages` pages with
-/// `storm_erases` background erases on each of the first half of the
-/// region's dies.
-pub fn skewed_flush_comparison(pages: u64, storm_erases: u32) -> SkewedFlushComparison {
-    let run = |placement: PlacementPolicyKind| {
-        let dev = device();
-        let config = NoFtlConfig { placement, ..NoFtlConfig::default() };
-        let noftl = NoFtl::new(dev.clone(), config);
-        let dies_total = dev.geometry().total_dies();
-        let rid =
-            noftl.create_region(RegionSpec::named("rgSkew").with_die_count(dies_total)).unwrap();
-        let obj = noftl.create_object("t", rid).unwrap();
-        let dies = noftl.region_dies(rid).unwrap();
-        // Background erase storm on the first half of the dies, issued at
-        // t=0 straight to the device (the region sees the blocks erased
-        // either way; only the dies' busy windows matter).
-        for die in &dies[..dies.len() / 2] {
-            for b in 0..storm_erases {
-                dev.erase_block(BlockAddr::new(*die, 0, b), SimTime::ZERO).unwrap();
-            }
-        }
-        // Flush `pages` dirty pages through the completion-driven
-        // pipeline while the storm is in flight.
-        let flusher = Flusher::new(pages as usize + 1);
-        for p in 0..pages {
-            flusher.submit(&noftl, obj, p, vec![p as u8; 4096], SimTime::ZERO).unwrap();
-        }
-        let done = flusher.flush_all(&noftl, SimTime::ZERO).unwrap();
-        let snap = noftl.metrics_snapshot();
-        (done, dev.utilization(), snap)
-    };
-    let (round_robin, rr_util, rr_metrics) = run(PlacementPolicyKind::RoundRobin);
-    let (queue_aware, qa_util, qa_metrics) = run(PlacementPolicyKind::QueueAware);
-    SkewedFlushComparison { round_robin, queue_aware, rr_util, qa_util, rr_metrics, qa_metrics }
-}
-
 /// Per-die busy fractions reconstructed from a stack's metrics snapshot:
 /// `flash.die<i>.busy_ns` over `flash.device.quiesce_ns`.  This is the
 /// registry-backed replacement for the bespoke per-die counters the
@@ -252,10 +181,9 @@ pub fn per_die_busy_fractions(snap: &MetricsSnapshot) -> Vec<f64> {
     fractions
 }
 
-/// Queue-depth section: simulated batch completion vs queue depth, the
+/// Queue-depth section: simulated batch completion vs queue depth and the
 /// queued/sequential `write_batch` headline (with its per-die utilisation
-/// spread), and the skewed-load flush comparison of the placement
-/// policies.
+/// spread).
 pub fn queue_depth_section() -> Section {
     let dies = FlashGeometry::example().total_dies() as usize;
     let mut metrics = Vec::new();
@@ -276,22 +204,6 @@ pub fn queue_depth_section() -> Section {
     metrics.push(Metric::new("write_batch_util_mean", cmp.queued_util.mean, "fraction"));
     metrics.push(Metric::new("write_batch_util_min", cmp.queued_util.min, "fraction"));
     metrics.push(Metric::new("write_batch_util_max", cmp.queued_util.max, "fraction"));
-    let skew = skewed_flush_comparison(64, 3);
-    metrics.push(Metric::new(
-        "skewed_flush_round_robin_us",
-        skew.round_robin.as_secs_f64() * 1e6,
-        "us_sim",
-    ));
-    metrics.push(Metric::new(
-        "skewed_flush_queue_aware_us",
-        skew.queue_aware.as_secs_f64() * 1e6,
-        "us_sim",
-    ));
-    metrics.push(Metric::new("skewed_flush_speedup", skew.speedup(), "x"));
-    metrics.push(Metric::new("skewed_util_min_round_robin", skew.rr_util.min, "fraction"));
-    metrics.push(Metric::new("skewed_util_min_queue_aware", skew.qa_util.min, "fraction"));
-    metrics.push(Metric::new("skewed_util_mean_round_robin", skew.rr_util.mean, "fraction"));
-    metrics.push(Metric::new("skewed_util_mean_queue_aware", skew.qa_util.mean, "fraction"));
     Section { name: "queue_depth", metrics }
 }
 
@@ -559,7 +471,7 @@ pub fn latency_section(quick: bool) -> Section {
 /// perf point is: bump this, regenerate `BENCH_PR<n>.json` with
 /// `perf_smoke --quick --scenarios all`, copy it over
 /// `BENCH_BASELINE.json` — the one file CI gates and diffs against.
-pub const PERF_POINT_PR: u32 = 18;
+pub const PERF_POINT_PR: u32 = 20;
 
 /// Serialise sections into a `BENCH_*.json` perf-trajectory point.
 pub fn write_json(path: &Path, mode: &str, sections: &[Section]) -> std::io::Result<()> {
@@ -1119,22 +1031,5 @@ mod tests {
         let cmp = compare_perf_points(&old_text, &better, 0.2);
         assert!(cmp.failures.is_empty(), "failures: {:?}", cmp.failures);
         assert!(cmp.notes.iter().any(|n| n.contains("improved")));
-    }
-
-    #[test]
-    fn skewed_flush_prefers_queue_aware() {
-        let skew = skewed_flush_comparison(64, 3);
-        assert!(
-            skew.queue_aware < skew.round_robin,
-            "queue-aware flush ({:?}) must beat round-robin ({:?}) under skew",
-            skew.queue_aware,
-            skew.round_robin
-        );
-        assert!(
-            skew.qa_util.min > skew.rr_util.min,
-            "queue-aware must raise the minimum per-die utilisation ({:.3} vs {:.3})",
-            skew.qa_util.min,
-            skew.rr_util.min
-        );
     }
 }

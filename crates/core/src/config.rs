@@ -2,10 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use flash_sim::ServiceClass;
-
-use crate::placement::PlacementPolicyKind;
-
 /// Garbage-collection victim selection policy (per region).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GcPolicy {
@@ -45,19 +41,6 @@ pub struct NoFtlConfig {
     /// Fraction of each region's raw capacity that must remain unexported
     /// as GC headroom (the NoFTL analogue of SSD over-provisioning).
     pub gc_headroom: f64,
-    /// Die-level write placement inside regions.  The default
-    /// [`PlacementPolicyKind::RoundRobin`] reproduces the seed allocator's
-    /// striping byte-for-byte; [`PlacementPolicyKind::QueueAware`] steers
-    /// writes toward idle dies using the device's load snapshots.
-    /// Individual regions can override this via
-    /// [`crate::RegionSpec::with_placement`].
-    pub placement: PlacementPolicyKind,
-    /// Default I/O service class for regions that do not set one via
-    /// [`crate::RegionSpec::with_service_class`].  `Throughput` leaves
-    /// the arbiter neutral; maintenance traffic (GC relocation, KV
-    /// compaction, rebuild copies) is always tagged `Background`
-    /// regardless of this default.
-    pub service_class: ServiceClass,
 }
 
 impl NoFtlConfig {
@@ -70,8 +53,6 @@ impl NoFtlConfig {
             gc_policy: GcPolicy::Greedy,
             wear_leveling: WearLevelingPolicy::Dynamic,
             gc_headroom: 0.10,
-            placement: PlacementPolicyKind::RoundRobin,
-            service_class: ServiceClass::Throughput,
         }
     }
 

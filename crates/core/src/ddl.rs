@@ -25,7 +25,6 @@ use crate::manager::NoFtl;
 use crate::object::ObjectId;
 use flash_sim::ServiceClass;
 
-use crate::placement::PlacementPolicyKind;
 use crate::region::{RegionId, RegionSpec};
 use crate::Result;
 
@@ -33,7 +32,7 @@ use crate::Result;
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DdlStatement {
     /// `CREATE REGION name (MAX_CHIPS=.., MAX_CHANNELS=.., MAX_SIZE=..,
-    /// DIES=.., PLACEMENT=.., CLASS=..)`
+    /// DIES=.., CLASS=..)`
     CreateRegion {
         /// Region name.
         name: String,
@@ -45,9 +44,6 @@ pub enum DdlStatement {
         max_channels: Option<u32>,
         /// `MAX_SIZE` limit in bytes, if given.
         max_size_bytes: Option<u64>,
-        /// `PLACEMENT` policy override (`ROUND_ROBIN`/`QUEUE_AWARE`), if
-        /// given.
-        placement: Option<PlacementPolicyKind>,
         /// `CLASS` service-class override
         /// (`LATENCY`/`THROUGHPUT`/`BACKGROUND`), if given.
         class: Option<ServiceClass>,
@@ -202,7 +198,6 @@ fn parse_create_region(rest: &str) -> Result<DdlStatement> {
     let mut max_chips = None;
     let mut max_channels = None;
     let mut max_size_bytes = None;
-    let mut placement = None;
     let mut class = None;
     if let Some(body) = body {
         let opts = parse_kv_options(&body)?;
@@ -221,13 +216,6 @@ fn parse_create_region(rest: &str) -> Result<DdlStatement> {
                     )
                 }
                 "MAX_SIZE" => max_size_bytes = Some(parse_size(&v)?),
-                "PLACEMENT" => {
-                    placement = Some(PlacementPolicyKind::parse(&v).ok_or_else(|| {
-                        ddl_err(format!(
-                            "bad PLACEMENT value '{v}' (expected ROUND_ROBIN or QUEUE_AWARE)"
-                        ))
-                    })?)
-                }
                 "CLASS" => {
                     class = Some(ServiceClass::parse(&v).ok_or_else(|| {
                         ddl_err(format!(
@@ -239,15 +227,7 @@ fn parse_create_region(rest: &str) -> Result<DdlStatement> {
             }
         }
     }
-    Ok(DdlStatement::CreateRegion {
-        name,
-        dies,
-        max_chips,
-        max_channels,
-        max_size_bytes,
-        placement,
-        class,
-    })
+    Ok(DdlStatement::CreateRegion { name, dies, max_chips, max_channels, max_size_bytes, class })
 }
 
 fn parse_create_tablespace(rest: &str) -> Result<DdlStatement> {
@@ -329,7 +309,6 @@ impl<'a> Ddl<'a> {
                 max_chips,
                 max_channels,
                 max_size_bytes,
-                placement,
                 class,
             } => {
                 let mut spec = RegionSpec::named(name.clone());
@@ -337,7 +316,6 @@ impl<'a> Ddl<'a> {
                 spec.max_chips = *max_chips;
                 spec.max_channels = *max_channels;
                 spec.max_size_bytes = *max_size_bytes;
-                spec.placement = *placement;
                 spec.service_class = *class;
                 self.noftl.create_region(spec)?;
                 Ok(())
@@ -443,24 +421,16 @@ mod tests {
                 max_chips: Some(8),
                 max_channels: Some(4),
                 max_size_bytes: Some(1280 * 1024 * 1024),
-                placement: None,
                 class: None,
             }
         );
-        let s = parse_statement("CREATE REGION rgBusy (DIES=2, PLACEMENT=QUEUE_AWARE)").unwrap();
-        assert_eq!(
-            s,
-            DdlStatement::CreateRegion {
-                name: "rgBusy".into(),
-                dies: Some(2),
-                max_chips: None,
-                max_channels: None,
-                max_size_bytes: None,
-                placement: Some(PlacementPolicyKind::QueueAware),
-                class: None,
-            }
+        // Die selection inside a region is not a DDL option: the clause is
+        // refused by name, never silently accepted.
+        let err = parse_statement("CREATE REGION rg (DIES=2, PLACEMENT=QUEUE_AWARE)").unwrap_err();
+        assert!(
+            err.to_string().contains("unknown CREATE REGION option 'PLACEMENT'"),
+            "unexpected error: {err}"
         );
-        assert!(parse_statement("CREATE REGION rgBad (PLACEMENT=FANCY)").is_err());
         let s = parse_statement("CREATE REGION rgOltp (DIES=2, CLASS=LATENCY)").unwrap();
         assert_eq!(
             s,
@@ -470,7 +440,6 @@ mod tests {
                 max_chips: None,
                 max_channels: None,
                 max_size_bytes: None,
-                placement: None,
                 class: Some(ServiceClass::Latency),
             }
         );

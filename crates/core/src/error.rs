@@ -69,12 +69,6 @@ pub enum NoFtlError {
         /// Human-readable description.
         message: String,
     },
-    /// A configuration input (e.g. the `NOFTL_PLACEMENT` environment
-    /// variable) could not be parsed.
-    Config {
-        /// Human-readable description.
-        message: String,
-    },
     /// `NoFtl::mount` found data on the device but no complete region-
     /// metadata checkpoint to rebuild the directory from.
     NoCheckpoint,
@@ -115,7 +109,6 @@ impl fmt::Display for NoFtlError {
                 write!(f, "bad page buffer size: expected {expected}, got {got}")
             }
             NoFtlError::Ddl { message } => write!(f, "DDL error: {message}"),
-            NoFtlError::Config { message } => write!(f, "configuration error: {message}"),
             NoFtlError::NoCheckpoint => write!(
                 f,
                 "device holds data but no complete region-metadata checkpoint; \

@@ -114,41 +114,19 @@ impl Space<'_> {
     /// die's free-block pool runs low.  Returns `None` when the region is
     /// completely full.
     ///
-    /// The die is chosen by the region's
-    /// [`PlacementPolicy`](crate::placement::PlacementPolicy): the policy
-    /// produces a probe order over the region's dies (for the default
-    /// [`RoundRobin`](crate::placement::RoundRobin) exactly the seed
-    /// allocator's `next_die` stripe; for
-    /// [`QueueAware`](crate::placement::QueueAware) sorted by the device's
-    /// per-die load snapshots), and the allocator takes the first die in
-    /// that order able to yield a page.  Host writes (through the request
-    /// path's single call site), rebalancing and the metadata journal all
-    /// allocate here, so a policy governs the complete write path of its
-    /// region.
+    /// Pages are striped over the region's dies: the probe starts at the
+    /// die after the previous allocation's (`next_die`) and takes the
+    /// first die able to yield a page, so a full or failing die never
+    /// blocks allocation while any die in the region has space.  Host
+    /// writes (through the request path's single call site), rebalancing
+    /// and the metadata journal all allocate here.
     pub(crate) fn allocate(&mut self, at: SimTime) -> Option<PageAddr> {
         let Env { device, config, obs, .. } = self.env;
         let device = device.as_ref();
         let pages_per_block = device.geometry().pages_per_block;
         let die_count = self.region.dies.len();
-        if die_count == 0 {
-            return None;
-        }
-        let kind = self.region.placement_kind(config);
-        let policy = kind.policy();
-        let stripe_die = self.region.next_die;
-        // Probe order and load snapshots fill region-owned scratch
-        // buffers (taken out for the borrow, put back below), so the
-        // per-write path allocates nothing — as cheap as the seed
-        // allocator's modular loop.
-        let mut loads = std::mem::take(&mut self.region.load_scratch);
-        loads.clear();
-        if policy.needs_loads() {
-            loads.extend(self.region.dies.iter().map(|d| device.die_load(d.die, at)));
-        }
-        let mut order = std::mem::take(&mut self.region.probe_scratch);
-        policy.probe_order_into(die_count, stripe_die, at, &loads, &mut order);
-        let mut picked = None;
-        for (probe, &idx) in order.iter().enumerate() {
+        for attempt in 0..die_count {
+            let idx = (self.region.next_die + attempt) % die_count;
             if (self.region.dies[idx].free_blocks.len() as u32) <= config.gc_low_watermark {
                 self.gc_die(idx, at);
             }
@@ -156,14 +134,11 @@ impl Space<'_> {
                 self.region.dies[idx].next_host_page(device, config.wear_leveling, pages_per_block)
             {
                 self.region.next_die = (idx + 1) % die_count;
-                obs.note_allocation(kind, probe as u64 + 1, idx, stripe_die, die_count);
-                picked = Some(ppa);
-                break;
+                obs.note_allocation(attempt as u64 + 1);
+                return Some(ppa);
             }
         }
-        self.region.probe_scratch = order;
-        self.region.load_scratch = loads;
-        picked
+        None
     }
 
     /// Update the owner's translation after a page move (GC copyback or
@@ -320,10 +295,9 @@ mod tests {
     use super::*;
     use crate::config::NoFtlConfig;
     use crate::manager::NoFtl;
-    use crate::object::ObjectId;
     use crate::region::RegionSpec;
     use crate::testutil::{make_noftl, page};
-    use flash_sim::{DeviceBuilder, FlashBackend, FlashGeometry, TimingModel};
+    use flash_sim::{DeviceBuilder, FlashGeometry, TimingModel};
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -484,111 +458,6 @@ mod tests {
             separated < mixed,
             "region separation should reduce copybacks (separated={separated}, mixed={mixed})"
         );
-    }
-
-    #[test]
-    fn queue_aware_placement_steers_around_a_busy_die() {
-        use crate::placement::PlacementPolicyKind;
-        // Two fresh managers over identical devices; dies 0 and 1 form the
-        // region, and die 0 (the round-robin cursor's first choice) is
-        // made busy with a burst of background erases before a write
-        // lands.  RoundRobin ignores the load and queues behind the
-        // erases; QueueAware starts on the idle die immediately.
-        let run = |placement: PlacementPolicyKind| {
-            let device = Arc::new(
-                DeviceBuilder::new(FlashGeometry::small_test())
-                    .timing(TimingModel::mlc_2015())
-                    .build(),
-            );
-            let config = NoFtlConfig { placement, ..NoFtlConfig::default() };
-            let noftl = NoFtl::new(device.clone(), config);
-            let r = noftl.create_region(RegionSpec::named("rg").with_die_count(2)).unwrap();
-            let obj = noftl.create_object("t", r).unwrap();
-            let dies = noftl.region_dies(r).unwrap();
-            // Background erase storm on the first region die (a stand-in
-            // for GC/wear-leveling traffic).
-            let blocks = device.geometry().blocks_per_die();
-            for b in 0..4u32 {
-                device
-                    .erase_block(flash_sim::BlockAddr::new(dies[0], 0, b % blocks), SimTime::ZERO)
-                    .unwrap();
-            }
-            noftl.write(obj, 0, &page(0x5E), SimTime::ZERO).unwrap()
-        };
-        let rr_done = run(PlacementPolicyKind::RoundRobin);
-        let qa_done = run(PlacementPolicyKind::QueueAware);
-        assert!(
-            qa_done < rr_done,
-            "queue-aware write ({qa_done}) must dodge the busy die ({rr_done})"
-        );
-    }
-
-    #[test]
-    fn region_spec_placement_overrides_the_config_default() {
-        use crate::placement::PlacementPolicyKind;
-        // Config default RoundRobin, but the region opts into QueueAware:
-        // the write behaves queue-aware (starts on the idle die).
-        let device = Arc::new(
-            DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build(),
-        );
-        let noftl = NoFtl::new(device.clone(), NoFtlConfig::default());
-        let r = noftl
-            .create_region(
-                RegionSpec::named("rg")
-                    .with_die_count(2)
-                    .with_placement(PlacementPolicyKind::QueueAware),
-            )
-            .unwrap();
-        let obj = noftl.create_object("t", r).unwrap();
-        let dies = noftl.region_dies(r).unwrap();
-        for b in 0..4u32 {
-            device.erase_block(flash_sim::BlockAddr::new(dies[0], 0, b), SimTime::ZERO).unwrap();
-        }
-        let busy_until = device.die_busy_until(dies[0]);
-        let done = noftl.write(obj, 0, &page(0x7A), SimTime::ZERO).unwrap();
-        assert!(
-            done < busy_until,
-            "override must steer the write to the idle die (done {done}, busy {busy_until})"
-        );
-        // The mapping still round-trips.
-        assert_eq!(noftl.read(obj, 0, done).unwrap().0, page(0x7A));
-    }
-
-    #[test]
-    fn queue_aware_batch_balances_skewed_die_load() {
-        use crate::placement::PlacementPolicyKind;
-        // A 4-die region with erase storms on half the dies, then a
-        // 32-page batch: QueueAware must finish the batch earlier than
-        // RoundRobin because it feeds the idle dies first.
-        let run = |placement: PlacementPolicyKind| {
-            let device = Arc::new(
-                DeviceBuilder::new(FlashGeometry::small_test())
-                    .timing(TimingModel::mlc_2015())
-                    .build(),
-            );
-            let config = NoFtlConfig { placement, ..NoFtlConfig::default() };
-            let noftl = NoFtl::new(device.clone(), config);
-            let r = noftl.create_region(RegionSpec::named("rg").with_die_count(4)).unwrap();
-            let obj = noftl.create_object("t", r).unwrap();
-            let dies = noftl.region_dies(r).unwrap();
-            for die in &dies[..2] {
-                for b in 0..3u32 {
-                    device
-                        .erase_block(flash_sim::BlockAddr::new(*die, 0, b), SimTime::ZERO)
-                        .unwrap();
-                }
-            }
-            let batch: Vec<(ObjectId, u64, Vec<u8>)> =
-                (0..32u64).map(|p| (obj, p, page(p as u8))).collect();
-            let done = noftl.write_batch(&batch, SimTime::ZERO).unwrap();
-            for p in 0..32u64 {
-                assert_eq!(noftl.read(obj, p, done).unwrap().0, page(p as u8), "page {p}");
-            }
-            done
-        };
-        let rr = run(PlacementPolicyKind::RoundRobin);
-        let qa = run(PlacementPolicyKind::QueueAware);
-        assert!(qa < rr, "queue-aware batch ({qa}) must beat round-robin ({rr}) under skew");
     }
 
     #[test]

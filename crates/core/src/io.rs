@@ -126,17 +126,16 @@ impl Env {
 }
 
 impl Inner {
-    /// The arbiter tag for traffic of region `rid`: the region's resolved
-    /// service class (spec override or config default) unless `class`
-    /// forces another, keyed by region id so the device meters each
-    /// region's channel budget separately.  Traffic of the
-    /// metadata-journal region is durability-exempt — checkpoints are
+    /// The arbiter tag for traffic of region `rid`: the region's service
+    /// class unless `class` forces another, keyed by region id so the
+    /// device meters each region's channel budget separately.  Traffic of
+    /// the metadata-journal region is durability-exempt — checkpoints are
     /// never budget-deferred.
-    pub(crate) fn tag(&self, env: &Env, rid: RegionId, class: Option<ServiceClass>) -> IoTag {
+    pub(crate) fn tag(&self, rid: RegionId, class: Option<ServiceClass>) -> IoTag {
         let Ok(region) = self.region(rid) else {
             return IoTag::default();
         };
-        let class = class.unwrap_or(region.service_class(&env.config));
+        let class = class.unwrap_or(region.service_class());
         if region.name == META_REGION_NAME {
             IoTag::durability(class, Some(rid.0))
         } else {
@@ -160,7 +159,7 @@ impl Inner {
                 let ppa = state
                     .translate(req.page)
                     .ok_or(NoFtlError::PageNotWritten { object: req.object, page: req.page })?;
-                let tag = self.tag(env, rid, req.class);
+                let tag = self.tag(rid, req.class);
                 let out = env.exec(FlashCommand::Read { addr: ppa }, at, tag)?;
                 let completed = out.outcome.completed_at;
                 self.object_mut(req.object)?.counters.reads += 1;
@@ -192,7 +191,7 @@ impl Inner {
         let ppa =
             self.space(env, rid)?.allocate(at).ok_or(NoFtlError::RegionFull { region: rid })?;
         let meta = PageMetadata::new(req.object, req.page).with_payload_checksum(data);
-        let tag = self.tag(env, rid, req.class);
+        let tag = self.tag(rid, req.class);
         let out = env.exec(FlashCommand::Program { addr: ppa, data, meta }, at, tag)?;
         Ok((ppa, out.outcome.completed_at))
     }
@@ -305,8 +304,8 @@ impl NoFtl {
     ///
     /// Returns the payloads of the read requests, in request order, and
     /// the **maximum completion across all requests**, not the last one's:
-    /// under queue-aware placement a later page steered to an idle die
-    /// can complete before an earlier page queued behind a busy one.
+    /// a later page on an idle die can complete before an earlier page
+    /// queued behind a busy one.
     ///
     /// Payload sizes are checked before anything is issued.  After that a
     /// failing request (e.g. a power cut tearing part of a batch) does not
@@ -822,14 +821,12 @@ mod tests {
 
         #[test]
         fn unclassed_regions_fall_back_to_the_manager_default() {
-            let config =
-                NoFtlConfig { service_class: ServiceClass::Latency, ..NoFtlConfig::default() };
-            let noftl = make_arbiter_noftl(config);
+            let noftl = make_arbiter_noftl(NoFtlConfig::default());
             let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
             let obj = noftl.create_object("t", r).unwrap();
             noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
-            assert_eq!(counter(&noftl, "flash.arbiter.class.latency.ops"), 1);
-            assert_eq!(counter(&noftl, "flash.arbiter.class.throughput.ops"), 0);
+            assert_eq!(counter(&noftl, "flash.arbiter.class.throughput.ops"), 1);
+            assert_eq!(counter(&noftl, "flash.arbiter.class.latency.ops"), 0);
         }
 
         #[test]

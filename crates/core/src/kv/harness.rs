@@ -31,7 +31,6 @@ use flash_sim::{DeviceBuilder, FlashGeometry, NandDevice, SimTime, TimingModel};
 
 use crate::error::NoFtlError;
 use crate::manager::NoFtl;
-use crate::placement::PlacementPolicyKind;
 use crate::recovery::MountReport;
 use crate::region::RegionSpec;
 use crate::{NoFtlConfig, Result};
@@ -60,11 +59,6 @@ pub struct KvCrashConfig {
     pub key_len: usize,
     /// Workload RNG seed.
     pub seed: u64,
-    /// Die-level write placement under test.  The default honours the
-    /// [`crate::PLACEMENT_ENV`] environment variable (falling back to
-    /// round-robin), so the whole sweep can be pointed at either policy;
-    /// the tier-1 crash tests also alternate it per round explicitly.
-    pub placement: PlacementPolicyKind,
 }
 
 impl Default for KvCrashConfig {
@@ -78,7 +72,6 @@ impl Default for KvCrashConfig {
             keys: 48,
             key_len: 0,
             seed: 0x5EED_4B56,
-            placement: PlacementPolicyKind::from_env(PlacementPolicyKind::RoundRobin),
         }
     }
 }
@@ -157,16 +150,9 @@ struct Stack {
     store: KvStore,
 }
 
-fn noftl_config(cfg: &KvCrashConfig) -> NoFtlConfig {
-    NoFtlConfig { placement: cfg.placement, ..NoFtlConfig::default() }
-}
-
 fn build_stack(cfg: &KvCrashConfig) -> Result<(Stack, SimTime)> {
-    // The infallible `Default` impl can only log a malformed placement
-    // override; here the harness can return it as a proper config error.
-    PlacementPolicyKind::try_from_env(cfg.placement)?;
     let device = Arc::new(DeviceBuilder::new(cfg.geometry).timing(cfg.timing).build());
-    let noftl = Arc::new(NoFtl::new(device.clone(), noftl_config(cfg)));
+    let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
     let rid = noftl.create_region(RegionSpec::named("rgKv").with_die_count(cfg.region_dies))?;
     let (store, created_at) =
         KvStore::create(Arc::clone(&noftl), rid, STORE, cfg.kv, SimTime::ZERO)?;
@@ -337,7 +323,7 @@ fn run_cycle_with_cut(cfg: &KvCrashConfig, cut_at: SimTime) -> Result<KvCrashOut
         NandDevice::from_snapshot(&snap, cfg.timing)
             .map_err(|e| NoFtlError::Recovery { message: format!("reboot failed: {e}") })?,
     );
-    let (noftl2, mount) = NoFtl::mount(device2.clone(), noftl_config(cfg), cut_at)?;
+    let (noftl2, mount) = NoFtl::mount(device2.clone(), NoFtlConfig::default(), cut_at)?;
     let (store2, open) = KvStore::open(Arc::new(noftl2), STORE, cfg.kv, mount.completed_at)?;
 
     // ---- Verification -------------------------------------------------

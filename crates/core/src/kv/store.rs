@@ -39,10 +39,6 @@ pub struct KvConfig {
     /// queued multi-die path).  `false` falls back to one blocking write
     /// per page — the ablation the `kv_ops` bench measures.
     pub queued_flush: bool,
-    /// Checkpoint the storage manager after create/flush/compaction so
-    /// the run directory is durable (the store's commit point).  Disable
-    /// only when the caller batches its own checkpoints.
-    pub auto_checkpoint: bool,
     /// Maximum reads in flight when scans and compaction merges pull run
     /// pages through [`NoFtl::read_windowed`] — the read-side counterpart
     /// of `queued_flush`.  `1` degrades to one blocking read at a time.
@@ -55,7 +51,6 @@ impl Default for KvConfig {
             memtable_bytes: 64 * 1024,
             compaction_threshold: 4,
             queued_flush: true,
-            auto_checkpoint: true,
             read_window: 8,
         }
     }
@@ -200,9 +195,8 @@ impl KvStore {
     }
 
     /// Create a new store in `region`.  Registers the store's marker
-    /// object and (with `auto_checkpoint`) checkpoints so the store
-    /// survives a crash even before its first flush.  Returns the store
-    /// and the completion time.
+    /// object and checkpoints so the store survives a crash even before
+    /// its first flush.  Returns the store and the completion time.
     pub fn create(
         noftl: Arc<NoFtl>,
         region: RegionId,
@@ -212,10 +206,7 @@ impl KvStore {
     ) -> Result<(KvStore, SimTime)> {
         Self::validate_name(name)?;
         noftl.create_object(&Self::marker_name(name), region)?;
-        let mut now = at;
-        if config.auto_checkpoint {
-            now = noftl.checkpoint(now)?;
-        }
+        let now = noftl.checkpoint(at)?;
         let store = KvStore {
             obs: KvObs::new(Arc::clone(noftl.metrics())),
             noftl,
@@ -721,9 +712,7 @@ impl KvStore {
         if encoded.meta.tail_pages >= 2 {
             inner.stats.tail_windows.push((at.as_nanos(), now.as_nanos()));
         }
-        if self.config.auto_checkpoint {
-            now = self.noftl.checkpoint(now)?;
-        }
+        now = self.noftl.checkpoint(now)?;
         let mut meta = encoded.meta;
         meta.object = obj;
         meta.written_at = now;
@@ -833,9 +822,7 @@ impl KvStore {
             inner.runs.retain(|r| r.object != object);
             inner.stats.compacted_runs += 1;
         }
-        if self.config.auto_checkpoint {
-            now = self.noftl.checkpoint(now)?;
-        }
+        now = self.noftl.checkpoint(now)?;
         inner.stats.compactions += 1;
         inner.stats.compaction_windows.push((started.as_nanos(), now.as_nanos()));
         self.obs.note_compact(u64::from(level), started, now);

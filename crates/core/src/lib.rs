@@ -29,9 +29,9 @@
 //!   the paper's Figure 2;
 //! * a small **DDL dialect** ([`ddl`]): `CREATE REGION`,
 //!   `CREATE TABLESPACE`, `CREATE TABLE ... TABLESPACE`;
-//! * **flusher batches** ([`flusher`]) and **short atomic writes**
-//!   ([`atomic`]) exploiting direct control of out-of-place updates
-//!   (advantage (iv) in the paper's introduction);
+//! * **windowed flushes** ([`NoFtl::write_windowed`]) and **short atomic
+//!   writes** ([`NoFtl::write_atomic`]) exploiting direct control of
+//!   out-of-place updates (advantage (iv) in the paper's introduction);
 //! * **NoFTL-KV** ([`kv`]) — a log-structured key-value layer whose
 //!   memtable flushes and compactions are region-local queued multi-die
 //!   batches, with crash safety riding the checkpoint/mount path.
@@ -39,11 +39,9 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod atomic;
 pub mod config;
 pub mod ddl;
 pub mod error;
-pub mod flusher;
 pub mod gc;
 pub mod hotcold;
 pub mod io;
@@ -65,10 +63,7 @@ pub use io::{IoKind, IoRequest};
 pub use kv::{KvConfig, KvOpenReport, KvStats, KvStore};
 pub use manager::NoFtl;
 pub use object::ObjectId;
-pub use placement::{
-    suggest_policies, PlacementAdvisor, PlacementConfig, PlacementPolicy, PlacementPolicyKind,
-    QueueAware, RegionAssignment, RoundRobin, PLACEMENT_ENV,
-};
+pub use placement::{PlacementAdvisor, PlacementConfig, RegionAssignment};
 pub use recovery::{MountReport, META_OBJECT_ID, META_REGION_NAME};
 pub use region::{RegionId, RegionInfo, RegionSpec};
 pub use stats::{NoFtlStats, ObjectStats, RegionStats};

@@ -202,11 +202,6 @@ impl NoFtl {
         self.env.obs.registry().snapshot()
     }
 
-    /// Pre-bound metric handles (crate-internal recording sites).
-    pub(crate) fn obs(&self) -> &CoreObs {
-        &self.env.obs
-    }
-
     /// Lock the manager state.  This is the sole acquisition site of the
     /// manager lock, the first class in the documented lock order: it may
     /// be held across queue and device calls (allocation and translation

@@ -1,5 +1,4 @@
-//! Registry handles pre-bound by the storage manager, flusher and KV
-//! store.
+//! Registry handles pre-bound by the storage manager and KV store.
 //!
 //! All handles are registered once at construction (the cold path) so
 //! per-operation recording is pure relaxed atomics; a disabled registry
@@ -9,13 +8,13 @@
 //!
 //! Metric names (see the README's Observability section):
 //!
-//! * `core.placement.decisions.{round_robin,queue_aware}` — allocations
-//!   resolved by each policy;
+//! * `core.placement.allocations` — pages handed out by the region
+//!   allocator;
 //! * `core.placement.probes_total` — dies probed before one yielded a
-//!   page (1 per allocation when the first choice works);
-//! * `core.placement.steered` / `core.placement.steer_delta_total` —
-//!   allocations that landed off the round-robin stripe position, and
-//!   the summed ring distance of those deflections;
+//!   page (1 per allocation when the stripe position works, so
+//!   `probes_total - allocations` full dies were skipped);
+//! * `core.placement.steered` — allocations that skipped at least one
+//!   full die and so landed off the stripe position;
 //! * `core.flush.window_occupancy` — in-flight depth of the windowed
 //!   write pipeline, sampled at every submission;
 //! * `core.flush.window_ns` — issue→drain latency of whole windows;
@@ -25,8 +24,6 @@
 //! * `core.checkpoint.{count,pages}` / `core.checkpoint.latency_ns` — the
 //!   region-metadata journal: completed checkpoints, the chunk pages they
 //!   programmed, and issue→durable latency of each;
-//! * `core.flusher.{batches,pages}` / `core.flusher.inflight_hwm` — the
-//!   background flusher's batch counters and window high-water mark;
 //! * `kv.put.latency_ns`, `kv.flush.latency_ns`, `kv.compact.latency_ns`
 //!   and `kv.{flushes,compactions}` — LSM store activity;
 //! * `kv.get.{run_probes,bloom_skips,page_reads}` — the point-read path:
@@ -41,11 +38,9 @@
 
 use std::sync::Arc;
 
-use noftl_obs::{Counter, Gauge, Histogram, MetricsRegistry, Unit};
+use noftl_obs::{Counter, Histogram, MetricsRegistry, Unit};
 
 use flash_sim::SimTime;
-
-use crate::placement::PlacementPolicyKind;
 
 /// Tracer track for KV store spans.
 pub(crate) const TRACK_KV: u64 = 100;
@@ -96,15 +91,13 @@ impl WindowObs {
 }
 
 /// Handles the storage manager records into on allocation, GC,
-/// checkpoints, windowed I/O and background flushes.
+/// checkpoints and windowed I/O.
 #[derive(Debug)]
 pub(crate) struct CoreObs {
     registry: Arc<MetricsRegistry>,
-    decisions_rr: Counter,
-    decisions_qa: Counter,
+    allocations: Counter,
     probes_total: Counter,
     steered: Counter,
-    steer_delta_total: Counter,
     /// `core.flush.window_*`: the windowed write pipeline.
     pub(crate) flush_window: WindowObs,
     /// `core.read.window_*`: the windowed read pipeline.
@@ -115,19 +108,14 @@ pub(crate) struct CoreObs {
     checkpoints: Counter,
     checkpoint_pages: Counter,
     checkpoint_latency: Histogram,
-    flusher_batches: Counter,
-    flusher_pages: Counter,
-    flusher_inflight_hwm: Gauge,
 }
 
 impl CoreObs {
     pub(crate) fn new(registry: Arc<MetricsRegistry>) -> Self {
         CoreObs {
-            decisions_rr: registry.counter("core.placement.decisions.round_robin"),
-            decisions_qa: registry.counter("core.placement.decisions.queue_aware"),
+            allocations: registry.counter("core.placement.allocations"),
             probes_total: registry.counter("core.placement.probes_total"),
             steered: registry.counter("core.placement.steered"),
-            steer_delta_total: registry.counter("core.placement.steer_delta_total"),
             flush_window: WindowObs::new(&registry, "core.flush", "write_window"),
             read_window: WindowObs::new(&registry, "core.read", "read_window"),
             gc_runs: registry.counter("core.gc.runs"),
@@ -136,9 +124,6 @@ impl CoreObs {
             checkpoints: registry.counter("core.checkpoint.count"),
             checkpoint_pages: registry.counter("core.checkpoint.pages"),
             checkpoint_latency: registry.histogram("core.checkpoint.latency_ns", Unit::SimNanos),
-            flusher_batches: registry.counter("core.flusher.batches"),
-            flusher_pages: registry.counter("core.flusher.pages"),
-            flusher_inflight_hwm: registry.gauge("core.flusher.inflight_hwm"),
             registry,
         }
     }
@@ -147,26 +132,13 @@ impl CoreObs {
         &self.registry
     }
 
-    /// Record one successful page allocation: which policy decided, how
-    /// many dies were probed, and how far off the round-robin stripe
-    /// position (`expected`) the chosen die landed.
-    pub(crate) fn note_allocation(
-        &self,
-        kind: PlacementPolicyKind,
-        probes: u64,
-        chosen: usize,
-        expected: usize,
-        die_count: usize,
-    ) {
-        match kind {
-            PlacementPolicyKind::RoundRobin => self.decisions_rr.inc(),
-            PlacementPolicyKind::QueueAware => self.decisions_qa.inc(),
-        }
+    /// Record one successful page allocation that probed `probes` dies
+    /// (1 = the stripe position yielded the page).
+    pub(crate) fn note_allocation(&self, probes: u64) {
+        self.allocations.inc();
         self.probes_total.add(probes);
-        if chosen != expected && die_count > 0 {
+        if probes > 1 {
             self.steered.inc();
-            let delta = (chosen + die_count - expected) % die_count;
-            self.steer_delta_total.add(delta as u64);
         }
     }
 
@@ -196,13 +168,6 @@ impl CoreObs {
         self.checkpoints.inc();
         self.checkpoint_pages.add(pages);
         self.checkpoint_latency.record(done.since(issued).as_nanos());
-    }
-
-    /// Record one background-flusher batch.
-    pub(crate) fn note_flusher_batch(&self, pages: u64, inflight_hwm: u64) {
-        self.flusher_batches.inc();
-        self.flusher_pages.add(pages);
-        self.flusher_inflight_hwm.set_max(inflight_hwm);
     }
 }
 

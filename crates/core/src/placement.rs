@@ -1,259 +1,27 @@
-//! Placement: which region an object lives in, and which die inside the
-//! region takes the next write.
+//! Placement: which region an object lives in, and how many dies each
+//! region gets.
 //!
-//! Two layers of policy live here:
+//! The paper's Figure 2 shows a hand-tuned assignment of the TPC-C objects
+//! to 6 regions and of the 64 flash dies to those regions "based on sizes
+//! of objects and their I/O rate (required level of I/O parallelism)".
+//! [`PlacementAdvisor::assign_dies`] automates exactly that computation:
+//! given groups of objects and their measured profiles, it apportions the
+//! available dies proportionally to a weighted combination of I/O rate and
+//! size (largest-remainder method, at least one die per region).
 //!
-//! * **Region-level** — the paper's Figure 2 shows a hand-tuned assignment
-//!   of the TPC-C objects to 6 regions and of the 64 flash dies to those
-//!   regions "based on sizes of objects and their I/O rate (required level
-//!   of I/O parallelism)".  [`PlacementAdvisor::assign_dies`] automates
-//!   exactly that computation: given groups of objects and their measured
-//!   profiles, it apportions the available dies proportionally to a
-//!   weighted combination of I/O rate and size (largest-remainder method,
-//!   at least one die per region).
-//! * **Die-level** — inside a region every host write must pick a die.
-//!   [`PlacementPolicy`] abstracts that choice: [`RoundRobin`] reproduces
-//!   the seed allocator's striping byte-for-byte (proven by the
-//!   `placement_equivalence` golden harness), while [`QueueAware`] reads
-//!   the device's per-die load snapshots ([`flash_sim::DieLoad`]) and
-//!   steers single-page writes and `write_batch` fan-out toward idle dies,
-//!   so skewed background load (GC storms, a busy co-resident object) no
-//!   longer gates the whole batch.  Policies are selected per region via
-//!   [`crate::NoFtlConfig::placement`] and the per-region override
-//!   [`crate::RegionSpec::with_placement`], and tie into the [`hotcold`]
-//!   classifier through [`PlacementPolicyKind::for_temperature`].
-//!
-//! [`hotcold`]: crate::hotcold
+//! That is the only placement decision there is.  *Inside* a region pages
+//! are striped over the region's dies by the allocator
+//! (`Space::allocate` in [`crate::gc`]), deliberately blind to die load:
+//! where a page is written decides which die serves its reads, and
+//! steering fresh data toward idle dies cost `tpcc_traditional` 18 % of
+//! its throughput on the repo benchmark (README, "Placement inside a
+//! region").
 
 use serde::{Deserialize, Serialize};
 
-use flash_sim::{DieLoad, ServiceClass, SimTime};
+use flash_sim::ServiceClass;
 
-use crate::error::NoFtlError;
-use crate::hotcold::{classify, ObjectProfile, Temperature};
-
-/// Environment variable overriding the default die-level placement policy
-/// (`round_robin` or `queue_aware`).  Read by
-/// [`PlacementPolicyKind::from_env`]; the crash harnesses use it so the
-/// tier-1 crash sweeps can be pointed at either policy without a rebuild.
-pub const PLACEMENT_ENV: &str = "NOFTL_PLACEMENT";
-
-/// How a region picks the die of the next host-write allocation.
-///
-/// The storage manager asks the policy for a *probe order* over the
-/// region's dies; it then walks that order, running GC on a die whose
-/// free-block pool is low and taking the first die that yields a page.
-/// The policy therefore only expresses *preference* — a full or failing
-/// die never blocks allocation as long as any die in the region has
-/// space, under every policy.
-pub trait PlacementPolicy: Send + Sync + std::fmt::Debug {
-    /// Stable display name (bench labels, reports).
-    fn name(&self) -> &'static str;
-
-    /// Whether [`PlacementPolicy::probe_order`] wants per-die load
-    /// snapshots.  Policies that return `false` (the default) skip the
-    /// per-die lock acquisitions entirely, keeping the hot allocation
-    /// path as cheap as the seed allocator.
-    fn needs_loads(&self) -> bool {
-        false
-    }
-
-    /// Fill `order` with the sequence in which the region's dies are
-    /// probed for the next allocation (cleared first; afterwards a
-    /// permutation of `0..die_count`).  `cursor` is the region's
-    /// round-robin pointer (the die after the previous allocation's),
-    /// `at` is the issue time of the write, and `loads[i]` is the load
-    /// snapshot of the region's `i`-th die — empty unless
-    /// [`PlacementPolicy::needs_loads`] returns true.
-    ///
-    /// The buffer-filling shape lets the storage manager reuse one
-    /// scratch vector per region, so the per-write allocation path stays
-    /// heap-allocation-free like the seed allocator's modular loop.
-    fn probe_order_into(
-        &self,
-        die_count: usize,
-        cursor: usize,
-        at: SimTime,
-        loads: &[DieLoad],
-        order: &mut Vec<usize>,
-    );
-
-    /// Convenience wrapper over [`PlacementPolicy::probe_order_into`]
-    /// returning a fresh vector.
-    fn probe_order(
-        &self,
-        die_count: usize,
-        cursor: usize,
-        at: SimTime,
-        loads: &[DieLoad],
-    ) -> Vec<usize> {
-        let mut order = Vec::with_capacity(die_count);
-        self.probe_order_into(die_count, cursor, at, loads, &mut order);
-        order
-    }
-}
-
-/// The seed allocator: stripe writes round-robin over the region's dies.
-/// Byte-identical to the pre-policy write path (golden-tested), and the
-/// default.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RoundRobin;
-
-impl PlacementPolicy for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round_robin"
-    }
-
-    fn probe_order_into(
-        &self,
-        die_count: usize,
-        cursor: usize,
-        _at: SimTime,
-        _loads: &[DieLoad],
-        order: &mut Vec<usize>,
-    ) {
-        order.clear();
-        order.extend((0..die_count).map(|attempt| (cursor + attempt) % die_count));
-    }
-}
-
-/// Queue-aware placement: prefer the die that could start the program
-/// soonest ([`DieLoad::earliest_start`]), breaking ties by in-flight
-/// queue depth and then by round-robin distance from the cursor.
-///
-/// On an idle region every die ties and the round-robin distance decides,
-/// so `QueueAware` degrades to exactly [`RoundRobin`]'s striping; under
-/// skew (a die busy with GC erases, a deep queue from an earlier batch)
-/// writes flow to the idle dies until the load evens out.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueueAware;
-
-impl PlacementPolicy for QueueAware {
-    fn name(&self) -> &'static str {
-        "queue_aware"
-    }
-
-    fn needs_loads(&self) -> bool {
-        true
-    }
-
-    fn probe_order_into(
-        &self,
-        die_count: usize,
-        cursor: usize,
-        at: SimTime,
-        loads: &[DieLoad],
-        order: &mut Vec<usize>,
-    ) {
-        order.clear();
-        order.extend(0..die_count);
-        order.sort_by_key(|&i| {
-            let load = loads.get(i).copied().unwrap_or_default();
-            let rr_distance = (i + die_count - cursor % die_count) % die_count;
-            (load.earliest_start(at), load.queue_depth, rr_distance)
-        });
-    }
-}
-
-/// Serialisable selector for a [`PlacementPolicy`] implementation — the
-/// form policies take in [`crate::NoFtlConfig`] and
-/// [`crate::RegionSpec`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PlacementPolicyKind {
-    /// [`RoundRobin`] striping (the default; seed-equivalent).
-    #[default]
-    RoundRobin,
-    /// [`QueueAware`] steering toward idle dies.
-    QueueAware,
-}
-
-impl PlacementPolicyKind {
-    /// The policy implementation this kind selects.
-    pub fn policy(self) -> &'static dyn PlacementPolicy {
-        match self {
-            PlacementPolicyKind::RoundRobin => &RoundRobin,
-            PlacementPolicyKind::QueueAware => &QueueAware,
-        }
-    }
-
-    /// Stable display name.
-    pub fn name(self) -> &'static str {
-        self.policy().name()
-    }
-
-    /// Parse a policy name (`round_robin`/`rr`, `queue_aware`/`qa`;
-    /// dashes and case are ignored).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().replace('-', "_").as_str() {
-            "round_robin" | "roundrobin" | "rr" => Some(PlacementPolicyKind::RoundRobin),
-            "queue_aware" | "queueaware" | "qa" => Some(PlacementPolicyKind::QueueAware),
-            _ => None,
-        }
-    }
-
-    /// Resolve an optional [`PLACEMENT_ENV`] value: an unset variable
-    /// selects `default`; a set value must name a policy or the malformed
-    /// input is surfaced as a [`NoFtlError::Config`].  Pure so it can be
-    /// unit-tested without mutating the process environment.
-    pub fn parse_env_value(value: Option<&str>, default: Self) -> crate::Result<Self> {
-        match value {
-            None => Ok(default),
-            Some(v) => Self::parse(v).ok_or_else(|| NoFtlError::Config {
-                message: format!(
-                    "malformed {PLACEMENT_ENV} value '{v}': \
-                     expected round_robin/rr or queue_aware/qa"
-                ),
-            }),
-        }
-    }
-
-    /// The kind selected by the [`PLACEMENT_ENV`] environment variable:
-    /// `default` when unset, an error when set to an unparseable value.
-    /// Config-load paths that can return an error (the crash harnesses)
-    /// call this instead of [`PlacementPolicyKind::from_env`].
-    pub fn try_from_env(default: Self) -> crate::Result<Self> {
-        let value = std::env::var(PLACEMENT_ENV).ok();
-        Self::parse_env_value(value.as_deref(), default)
-    }
-
-    /// The kind selected by the [`PLACEMENT_ENV`] environment variable,
-    /// or `default` when the variable is unset.  A malformed value is
-    /// *logged* and falls back to `default` — infallible contexts
-    /// (`Default` impls) cannot return the parse error, but they no
-    /// longer swallow it silently.
-    pub fn from_env(default: Self) -> Self {
-        Self::try_from_env(default).unwrap_or_else(|e| {
-            eprintln!("noftl: {e}; falling back to {}", default.name());
-            default
-        })
-    }
-
-    /// The policy suggested for an object temperature: hot objects write
-    /// (and therefore GC) constantly, so their regions benefit from
-    /// queue-aware steering; warm and cold regions keep the predictable
-    /// round-robin stripe.
-    pub fn for_temperature(temperature: Temperature) -> Self {
-        match temperature {
-            Temperature::Hot => PlacementPolicyKind::QueueAware,
-            Temperature::Warm | Temperature::Cold => PlacementPolicyKind::RoundRobin,
-        }
-    }
-}
-
-/// Suggest a die-level policy per object from measured profiles: the
-/// [`classify`] verdict mapped through
-/// [`PlacementPolicyKind::for_temperature`].  Callers building a
-/// [`PlacementConfig`] apply the hottest member's suggestion to each
-/// region's [`crate::RegionSpec`].
-pub fn suggest_policies(
-    profiles: &[ObjectProfile],
-    hot_fraction: f64,
-) -> Vec<(String, PlacementPolicyKind)> {
-    classify(profiles, hot_fraction)
-        .into_iter()
-        .map(|(name, temp)| (name, PlacementPolicyKind::for_temperature(temp)))
-        .collect()
-}
+use crate::hotcold::ObjectProfile;
 
 /// One region of a placement configuration: its name, the objects placed
 /// in it, and the number of dies assigned to it.
@@ -498,46 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_env_value_accepts_all_spellings() {
-        for (input, want) in [
-            ("round_robin", PlacementPolicyKind::RoundRobin),
-            ("rr", PlacementPolicyKind::RoundRobin),
-            ("Round-Robin", PlacementPolicyKind::RoundRobin),
-            ("queue_aware", PlacementPolicyKind::QueueAware),
-            ("QA", PlacementPolicyKind::QueueAware),
-            (" queueaware ", PlacementPolicyKind::QueueAware),
-        ] {
-            let got =
-                PlacementPolicyKind::parse_env_value(Some(input), PlacementPolicyKind::RoundRobin)
-                    .unwrap();
-            assert_eq!(got, want, "input {input:?}");
-        }
-    }
-
-    #[test]
-    fn parse_env_value_unset_selects_the_default() {
-        for default in [PlacementPolicyKind::RoundRobin, PlacementPolicyKind::QueueAware] {
-            assert_eq!(PlacementPolicyKind::parse_env_value(None, default).unwrap(), default);
-        }
-    }
-
-    #[test]
-    fn parse_env_value_rejects_malformed_input_instead_of_falling_back() {
-        let err = PlacementPolicyKind::parse_env_value(
-            Some("queue_awrae"),
-            PlacementPolicyKind::RoundRobin,
-        )
-        .unwrap_err();
-        match err {
-            NoFtlError::Config { message } => {
-                assert!(message.contains("queue_awrae"), "names the bad input: {message}");
-                assert!(message.contains(PLACEMENT_ENV), "names the variable: {message}");
-            }
-            other => panic!("expected Config error, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn traditional_config_uses_one_region() {
         let cfg = PlacementConfig::traditional(64, ["a".to_string(), "b".to_string()]);
         assert_eq!(cfg.region_count(), 1);
@@ -607,95 +335,6 @@ mod tests {
         assert!(advisor.auto_group(&profiles, 0).is_empty());
         // More groups than objects collapses to one object per group.
         assert_eq!(advisor.auto_group(&profiles, 10).len(), 3);
-    }
-
-    fn load(busy_us: u64, depth: u32) -> DieLoad {
-        DieLoad { busy_until: SimTime::from_us(busy_us), queue_depth: depth }
-    }
-
-    #[test]
-    fn round_robin_probe_order_starts_at_cursor() {
-        assert_eq!(RoundRobin.probe_order(4, 2, SimTime::ZERO, &[]), vec![2, 3, 0, 1]);
-        assert_eq!(RoundRobin.probe_order(1, 0, SimTime::ZERO, &[]), vec![0]);
-        assert!(!RoundRobin.needs_loads());
-    }
-
-    #[test]
-    fn queue_aware_prefers_the_earliest_start() {
-        // Die 1 drains first, then die 2; die 0 is busiest.
-        let loads = [load(300, 3), load(10, 1), load(20, 1)];
-        assert_eq!(QueueAware.probe_order(3, 0, SimTime::ZERO, &loads), vec![1, 2, 0]);
-        assert!(QueueAware.needs_loads());
-    }
-
-    #[test]
-    fn queue_aware_breaks_start_ties_by_depth_then_cursor_distance() {
-        // All three dies already idle at the issue time: earliest start
-        // ties at `at`, depth ties at 0 → round-robin distance decides,
-        // so an idle region stripes exactly like RoundRobin.
-        let idle = [load(0, 0), load(0, 0), load(0, 0)];
-        let at = SimTime::from_us(500);
-        assert_eq!(QueueAware.probe_order(3, 2, at, &idle), vec![2, 0, 1]);
-        // Equal drain instants, different in-flight depth: shallower wins.
-        let loads = [load(700, 2), load(700, 1), load(700, 3)];
-        assert_eq!(QueueAware.probe_order(3, 0, SimTime::ZERO, &loads), vec![1, 0, 2]);
-    }
-
-    #[test]
-    fn policy_kind_parse_env_and_names() {
-        assert_eq!(
-            PlacementPolicyKind::parse("queue-aware"),
-            Some(PlacementPolicyKind::QueueAware)
-        );
-        assert_eq!(PlacementPolicyKind::parse("QA"), Some(PlacementPolicyKind::QueueAware));
-        assert_eq!(PlacementPolicyKind::parse("rr"), Some(PlacementPolicyKind::RoundRobin));
-        assert_eq!(
-            PlacementPolicyKind::parse("Round_Robin"),
-            Some(PlacementPolicyKind::RoundRobin)
-        );
-        assert_eq!(PlacementPolicyKind::parse("nonsense"), None);
-        assert_eq!(PlacementPolicyKind::default(), PlacementPolicyKind::RoundRobin);
-        assert_eq!(PlacementPolicyKind::QueueAware.name(), "queue_aware");
-        assert_eq!(PlacementPolicyKind::RoundRobin.name(), "round_robin");
-    }
-
-    #[test]
-    fn hot_objects_are_suggested_queue_aware() {
-        let profiles = vec![
-            profile("stock", 100, 100, 10_000),
-            profile("item", 200, 5_000, 0), // read-only → cold
-        ];
-        let suggestions = suggest_policies(&profiles, 0.8);
-        let get = |n: &str| suggestions.iter().find(|(name, _)| name == n).unwrap().1;
-        assert_eq!(get("stock"), PlacementPolicyKind::QueueAware);
-        assert_eq!(get("item"), PlacementPolicyKind::RoundRobin);
-        assert_eq!(
-            PlacementPolicyKind::for_temperature(Temperature::Warm),
-            PlacementPolicyKind::RoundRobin
-        );
-    }
-
-    proptest! {
-        #[test]
-        fn queue_aware_probe_order_is_a_permutation(
-            cursor in 0usize..8,
-            loads in prop::collection::vec((0u64..1_000, 0u32..4), 1..8),
-        ) {
-            let die_loads: Vec<DieLoad> =
-                loads.iter().map(|(busy, depth)| load(*busy, *depth)).collect();
-            let n = die_loads.len();
-            let order = QueueAware.probe_order(n, cursor, SimTime::from_us(50), &die_loads);
-            let mut sorted = order.clone();
-            sorted.sort_unstable();
-            prop_assert_eq!(sorted, (0..n).collect::<Vec<_>>());
-            // The head of the order is a die with the minimal start time.
-            let min_start = die_loads
-                .iter()
-                .map(|l| l.earliest_start(SimTime::from_us(50)))
-                .min()
-                .unwrap();
-            prop_assert_eq!(die_loads[order[0]].earliest_start(SimTime::from_us(50)), min_start);
-        }
     }
 
     proptest! {

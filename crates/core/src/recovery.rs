@@ -38,7 +38,6 @@ use crate::config::NoFtlConfig;
 use crate::error::NoFtlError;
 use crate::manager::{Env, Inner, NoFtl};
 use crate::object::{ObjectCounters, ObjectId, ObjectState};
-use crate::placement::PlacementPolicyKind;
 use crate::region::{RegionDie, RegionId, RegionRuntime, RegionSpec};
 use crate::Result;
 
@@ -62,10 +61,11 @@ pub(crate) const CHUNK_HEADER: usize = 24;
 /// per-region placement-policy tag; version 03 the opaque replication
 /// blob (mirror health + per-child dirty-segment maps); version 04 the
 /// per-region service-class tag; version 05 dropped the per-object page
-/// maps and the dirty-die list, neither of which mount ever read.  Each
-/// bump makes blobs written by older code decode as "no checkpoint"
-/// instead of mis-aligning the cursor on the changed fields.
-const BLOB_MAGIC: &[u8; 8] = b"NFCKPT05";
+/// maps and the dirty-die list, neither of which mount ever read;
+/// version 06 dropped the placement-policy tag again.  Each bump makes
+/// blobs written by older code decode as "no checkpoint" instead of
+/// mis-aligning the cursor on the changed fields.
+const BLOB_MAGIC: &[u8; 8] = b"NFCKPT06";
 
 /// In-memory state of the region-metadata journal: where checkpoint chunk
 /// pages currently live.  The chunks themselves carry all recovery
@@ -198,16 +198,8 @@ fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
     }
 }
 
-fn put_placement(out: &mut Vec<u8>, v: Option<PlacementPolicyKind>) {
-    out.push(match v {
-        None => 0,
-        Some(PlacementPolicyKind::RoundRobin) => 1,
-        Some(PlacementPolicyKind::QueueAware) => 2,
-    });
-}
-
-/// Tagged byte for the per-region service-class override: 0 = none,
-/// otherwise `ServiceClass::code() + 1` (same shape as `put_placement`).
+/// Tagged byte for the per-region service class: 0 = none, otherwise
+/// `ServiceClass::code() + 1`.
 fn put_service_class(out: &mut Vec<u8>, v: Option<ServiceClass>) {
     out.push(match v {
         None => 0,
@@ -255,18 +247,8 @@ impl<'a> Cursor<'a> {
         Some(if self.u8()? != 0 { Some(self.u64()?) } else { None })
     }
 
-    /// Decode the placement-policy tag written by `put_placement`; the
-    /// outer `None` marks a corrupt blob, the inner one "no override".
-    fn placement(&mut self) -> Option<Option<PlacementPolicyKind>> {
-        match self.u8()? {
-            0 => Some(None),
-            1 => Some(Some(PlacementPolicyKind::RoundRobin)),
-            2 => Some(Some(PlacementPolicyKind::QueueAware)),
-            _ => None,
-        }
-    }
-
-    /// Decode the service-class tag written by `put_service_class`.
+    /// Decode the service-class tag written by `put_service_class`; the
+    /// outer `None` marks a corrupt blob, the inner one "no class set".
     fn service_class(&mut self) -> Option<Option<ServiceClass>> {
         match self.u8()? {
             0 => Some(None),
@@ -303,7 +285,6 @@ impl CheckpointImage {
             put_opt_u32(&mut out, r.spec.max_chips);
             put_opt_u32(&mut out, r.spec.max_channels);
             put_opt_u64(&mut out, r.spec.max_size_bytes);
-            put_placement(&mut out, r.spec.placement);
             put_service_class(&mut out, r.spec.service_class);
             put_u32(&mut out, r.dies.len() as u32);
             for d in &r.dies {
@@ -366,7 +347,6 @@ impl CheckpointImage {
             spec.max_chips = c.opt_u32()?;
             spec.max_channels = c.opt_u32()?;
             spec.max_size_bytes = c.opt_u64()?;
-            spec.placement = c.placement()?;
             spec.service_class = c.service_class()?;
             let die_count = c.u32()? as usize;
             let mut dies = Vec::with_capacity(die_count);
@@ -496,7 +476,7 @@ impl Inner {
         let chunk_count = blob.len().div_ceil(cap).max(1);
         // Checkpoint chunks are durability traffic even when the journal
         // falls back to a regular region: never budget-defer.
-        let tag = IoTag { exempt: true, ..self.tag(env, rid, None) };
+        let tag = IoTag { exempt: true, ..self.tag(rid, None) };
         let mut done = at;
         self.meta.staging = vec![None; chunk_count];
         for (index, body) in blob.chunks(cap).enumerate() {
@@ -699,7 +679,7 @@ impl NoFtl {
                     .regions
                     .iter()
                     .flatten()
-                    .min_by_key(|r| rank(r.service_class(&self.env.config)))
+                    .min_by_key(|r| rank(r.service_class()))
                     .map(|r| r.id)
                     .ok_or_else(|| NoFtlError::Recovery {
                         message: "no free die and no region available for the metadata journal"
@@ -929,7 +909,7 @@ mod tests {
                 spec: RegionSpec::named("rgHot")
                     .with_die_count(2)
                     .with_max_channels(1)
-                    .with_placement(PlacementPolicyKind::QueueAware),
+                    .with_service_class(ServiceClass::Latency),
                 dies: vec![DieId(0), DieId(1)],
                 objects: vec![1, 2],
             }],
@@ -1225,30 +1205,32 @@ mod tests {
     }
 
     #[test]
-    fn an_nfckpt04_blob_is_no_checkpoint() {
-        // A blob under the previous format version's magic — intact CRC,
+    fn an_older_format_blob_is_no_checkpoint() {
+        // A blob under an earlier format version's magic — intact CRC,
         // whatever follows — must decode as "no checkpoint" rather than
         // have the cursor run over fields that are no longer there.
-        let mut old = sample_image().encode();
-        old.truncate(old.len() - 4);
-        old[..8].copy_from_slice(b"NFCKPT04");
-        let crc = flash_sim::crc32(&old);
-        put_u32(&mut old, crc);
-        assert_eq!(CheckpointImage::decode(&old), None);
-        // ...and a device whose only checkpoint is such a blob mounts as
-        // one without a checkpoint.
-        let noftl = make_noftl();
-        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
-        let obj = noftl.create_object("t", r).unwrap();
-        let t = noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
-        let chunk = encode_chunk(1, 0, 1, &old, 4096);
-        let addr = PageAddr::new(noftl.region_dies(r).unwrap()[0], 0, 5, 0);
-        let meta = PageMetadata::new(META_OBJECT_ID, 0).with_payload_checksum(&chunk);
-        raw_device(&noftl).program_page(addr, &chunk, meta, t).unwrap();
-        assert!(matches!(
-            NoFtl::mount(reboot(&noftl), NoFtlConfig::default(), t),
-            Err(NoFtlError::NoCheckpoint)
-        ));
+        for magic in [b"NFCKPT04", b"NFCKPT05"] {
+            let mut old = sample_image().encode();
+            old.truncate(old.len() - 4);
+            old[..8].copy_from_slice(magic);
+            let crc = flash_sim::crc32(&old);
+            put_u32(&mut old, crc);
+            assert_eq!(CheckpointImage::decode(&old), None);
+            // ...and a device whose only checkpoint is such a blob mounts
+            // as one without a checkpoint.
+            let noftl = make_noftl();
+            let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
+            let obj = noftl.create_object("t", r).unwrap();
+            let t = noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
+            let chunk = encode_chunk(1, 0, 1, &old, 4096);
+            let addr = PageAddr::new(noftl.region_dies(r).unwrap()[0], 0, 5, 0);
+            let meta = PageMetadata::new(META_OBJECT_ID, 0).with_payload_checksum(&chunk);
+            raw_device(&noftl).program_page(addr, &chunk, meta, t).unwrap();
+            assert!(matches!(
+                NoFtl::mount(reboot(&noftl), NoFtlConfig::default(), t),
+                Err(NoFtlError::NoCheckpoint)
+            ));
+        }
     }
 
     #[test]

@@ -5,12 +5,11 @@
 //! a region with more dies offers more I/O parallelism.  All space
 //! reclamation (GC) and wear leveling happen region-locally.
 
-use flash_sim::{BlockAddr, DieId, DieLoad, FlashBackend, FlashGeometry, PageAddr, ServiceClass};
+use flash_sim::{BlockAddr, DieId, FlashBackend, FlashGeometry, PageAddr, ServiceClass};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use crate::config::{NoFtlConfig, WearLevelingPolicy};
-use crate::placement::PlacementPolicyKind;
 use crate::stats::RegionStats;
 use crate::wear::{pick_free_block, FreeBlockCandidate};
 
@@ -39,13 +38,9 @@ pub struct RegionSpec {
     pub max_channels: Option<u32>,
     /// Upper bound on the region's raw capacity in bytes.
     pub max_size_bytes: Option<u64>,
-    /// Die-level write placement override for this region; `None` falls
-    /// back to [`NoFtlConfig::placement`].  Persisted through region
-    /// checkpoints, so a remounted region keeps its policy.
-    pub placement: Option<PlacementPolicyKind>,
-    /// I/O service class override for this region; `None` falls back to
-    /// [`NoFtlConfig::service_class`].  Persisted through region
-    /// checkpoints like the placement override.
+    /// I/O service class of this region; `None` is `Throughput`, which
+    /// leaves the arbiter neutral.  Persisted through region checkpoints,
+    /// so a remounted region keeps its class.
     pub service_class: Option<ServiceClass>,
 }
 
@@ -58,7 +53,6 @@ impl RegionSpec {
             max_chips: None,
             max_channels: None,
             max_size_bytes: None,
-            placement: None,
             service_class: None,
         }
     }
@@ -87,14 +81,7 @@ impl RegionSpec {
         self
     }
 
-    /// Override the die-level write placement policy for this region
-    /// (DDL: `PLACEMENT=QUEUE_AWARE`).
-    pub fn with_placement(mut self, placement: PlacementPolicyKind) -> Self {
-        self.placement = Some(placement);
-        self
-    }
-
-    /// Override the I/O service class for this region (DDL:
+    /// Set the I/O service class of this region (DDL:
     /// `CLASS=LATENCY`).  The class rides on every flash command the
     /// region submits and drives the device arbiter's admission.
     pub fn with_service_class(mut self, class: ServiceClass) -> Self {
@@ -373,11 +360,6 @@ pub(crate) struct RegionRuntime {
     pub block_invalidate_seq: HashMap<(u32, u32, u32), u64>,
     /// Region-level statistics.
     pub stats: RegionStats,
-    /// Reusable buffer for the placement policy's probe order, so the
-    /// per-write allocation path performs no heap allocation.
-    pub probe_scratch: Vec<usize>,
-    /// Reusable buffer for per-die load snapshots (queue-aware policies).
-    pub load_scratch: Vec<DieLoad>,
 }
 
 impl RegionRuntime {
@@ -398,21 +380,14 @@ impl RegionRuntime {
             invalidate_seq: 0,
             block_invalidate_seq: HashMap::new(),
             stats: RegionStats::default(),
-            probe_scratch: Vec::new(),
-            load_scratch: Vec::new(),
         }
     }
 
-    /// The I/O service class in effect for this region: the spec's
-    /// override or the manager default.
-    pub(crate) fn service_class(&self, config: &NoFtlConfig) -> ServiceClass {
-        self.spec.service_class.unwrap_or(config.service_class)
-    }
-
-    /// The die-level placement policy in effect for this region: the
-    /// spec's override when present, the manager-wide default otherwise.
-    pub(crate) fn placement_kind(&self, config: &NoFtlConfig) -> PlacementPolicyKind {
-        self.spec.placement.unwrap_or(config.placement)
+    /// The I/O service class in effect for this region.  Maintenance
+    /// traffic (GC relocation, KV compaction, rebuild copies) is tagged
+    /// `Background` whatever this says.
+    pub(crate) fn service_class(&self) -> ServiceClass {
+        self.spec.service_class.unwrap_or(ServiceClass::Throughput)
     }
 
     /// Record that a page in `block` has been invalidated (for cost-benefit

@@ -93,9 +93,11 @@ struct PoolInner {
 }
 
 /// Default bound on in-flight pages of a [`BufferPool::flush_all`]
-/// pipeline — the storage manager's flusher default, defined once in
-/// `noftl_core` (the die count of the largest preset geometry).
-pub const DEFAULT_FLUSH_WINDOW: usize = noftl_core::flusher::DEFAULT_WINDOW;
+/// pipeline: the die count of the largest preset geometry
+/// (`FlashGeometry::edbt_paper` has 64 dies), so the default saturates
+/// every preset's die-level parallelism while still bounding outstanding
+/// I/O.
+pub const DEFAULT_FLUSH_WINDOW: usize = 64;
 
 /// A fixed-capacity buffer pool over a [`StorageBackend`].
 pub struct BufferPool {

@@ -28,9 +28,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use flash_sim::{DeviceBuilder, DeviceSnapshot, FlashGeometry, NandDevice, SimTime, TimingModel};
-use noftl_core::{
-    MountReport, NoFtl, NoFtlConfig, PlacementConfig, PlacementPolicyKind, RegionAssignment,
-};
+use noftl_core::{MountReport, NoFtl, NoFtlConfig, PlacementConfig, RegionAssignment};
 
 use crate::db::{
     Database, DatabaseConfig, RecoveryReport, CATALOG_OBJECT, LOG_OBJECT, METADATA_OBJECT,
@@ -67,11 +65,6 @@ pub struct CrashHarnessConfig {
     /// Round-trip the device snapshot through a file-backed image on
     /// reboot (exercises the persistence path; slower).
     pub image_file: bool,
-    /// Die-level write placement under test.  The default honours the
-    /// `NOFTL_PLACEMENT` environment variable (falling back to
-    /// round-robin), so the whole sweep can be pointed at either policy;
-    /// the tier-1 crash tests also alternate it per round explicitly.
-    pub placement: PlacementPolicyKind,
     /// Enable the stack's cross-layer event tracer for the cycle.  The
     /// determinism tests run identical cycles with this on and off and
     /// require byte-identical mount reports — tracing must never perturb
@@ -96,7 +89,6 @@ impl Default for CrashHarnessConfig {
             keys: 32,
             seed: 0xC0FFEE,
             image_file: false,
-            placement: PlacementPolicyKind::from_env(PlacementPolicyKind::RoundRobin),
             trace: false,
             mount_cuts: 0,
         }
@@ -203,17 +195,10 @@ fn db_config(cfg: &CrashHarnessConfig) -> DatabaseConfig {
 
 /// Build device → NoFTL → backend → database and run the DDL setup,
 /// finishing with a checkpoint.  Returns the stack and the setup end time.
-fn noftl_config(cfg: &CrashHarnessConfig) -> NoFtlConfig {
-    NoFtlConfig { placement: cfg.placement, ..NoFtlConfig::default() }
-}
-
 fn build_stack(cfg: &CrashHarnessConfig) -> Result<(Stack, SimTime)> {
-    // The infallible `Default` impl can only log a malformed placement
-    // override; here the harness can return it as a proper config error.
-    PlacementPolicyKind::try_from_env(cfg.placement)?;
     let device = Arc::new(DeviceBuilder::new(cfg.geometry).timing(cfg.timing).build());
     device.metrics().tracer().set_enabled(cfg.trace);
-    let noftl = Arc::new(NoFtl::new(device.clone(), noftl_config(cfg)));
+    let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
     let backend = Arc::new(NoFtlBackend::new(Arc::clone(&noftl), &placement())?);
     let db = Database::open(backend, db_config(cfg))?;
     let t0 = SimTime::ZERO;
@@ -434,7 +419,7 @@ pub fn run_crash_cycle(cfg: &CrashHarnessConfig, fraction: f64) -> Result<CrashO
     for attempt in 0..cfg.mount_cuts {
         // Land the cut a little into the mount's device scan.
         device2.arm_power_cut(SimTime(mount_at.as_nanos() + 40_000 + attempt * 25_000));
-        match NoFtl::mount(device2.clone(), noftl_config(cfg), mount_at) {
+        match NoFtl::mount(device2.clone(), NoFtlConfig::default(), mount_at) {
             Err(noftl_core::NoFtlError::Flash(e)) if e.is_power_loss() => {
                 interrupted_mounts += 1;
             }
@@ -448,8 +433,8 @@ pub fn run_crash_cycle(cfg: &CrashHarnessConfig, fraction: f64) -> Result<CrashO
         device2 = reboot_device(&device2, cfg.timing, false, cfg.seed ^ (attempt + 1))?;
         mount_at = SimTime(mount_at.as_nanos() + 100_000);
     }
-    let (noftl2, mount) =
-        NoFtl::mount(device2.clone(), noftl_config(cfg), mount_at).map_err(DbError::storage)?;
+    let (noftl2, mount) = NoFtl::mount(device2.clone(), NoFtlConfig::default(), mount_at)
+        .map_err(DbError::storage)?;
     let noftl2 = Arc::new(noftl2);
     let backend2 = Arc::new(NoFtlBackend::attach(Arc::clone(&noftl2), &placement())?);
     let (db2, recovery) = Database::recover(backend2, db_config(cfg), mount.completed_at)?;

@@ -37,6 +37,9 @@ pub const CATALOG_OBJECT: &str = "DBMS-catalog";
 /// snapshot always leaves the previous one intact.
 const CATALOG_SLOT_PAGES: u64 = 64;
 
+/// CPU cost charged to a transaction for each record operation: 2 µs.
+const OP_CPU: Duration = Duration(2_000);
+
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatabaseConfig {
@@ -46,8 +49,6 @@ pub struct DatabaseConfig {
     /// of a transaction that wrote forces the log; a read-only commit
     /// never touches it (see [`Database::commit`]).
     pub wal_enabled: bool,
-    /// CPU cost charged to a transaction for each record operation.
-    pub op_cpu: Duration,
     /// ARIES-lite redo logging: commits append full after-images of the
     /// transaction's dirtied pages before the commit record, the buffer
     /// pool runs **no-steal** (uncommitted data never reaches storage),
@@ -69,7 +70,6 @@ impl Default for DatabaseConfig {
         DatabaseConfig {
             buffer_pages: 2_000,
             wal_enabled: true,
-            op_cpu: Duration::from_us(2),
             redo_logging: false,
             wal_segment_pages: 1_024,
             flush_window: crate::buffer::DEFAULT_FLUSH_WINDOW,
@@ -310,7 +310,7 @@ impl Database {
         let (rid, t) = table_def.heap.insert(&self.pool, &encoded, txn.now)?;
         txn.advance_to(t);
         txn.writes += 1;
-        txn.add_cpu(self.config.op_cpu);
+        txn.add_cpu(OP_CPU);
         for (index, key) in index_keys {
             let idx = table_def.index(index)?;
             let t = idx.tree.insert(&self.pool, key, rid, txn.now)?;
@@ -329,7 +329,7 @@ impl Database {
         let (bytes, t) = table_def.heap.get(&self.pool, rid, txn.now)?;
         txn.advance_to(t);
         txn.reads += 1;
-        txn.add_cpu(self.config.op_cpu);
+        txn.add_cpu(OP_CPU);
         table_def.schema.decode(&bytes)
     }
 
@@ -342,7 +342,7 @@ impl Database {
         let t = table_def.heap.update(&self.pool, rid, &encoded, txn.now)?;
         txn.advance_to(t);
         txn.writes += 1;
-        txn.add_cpu(self.config.op_cpu);
+        txn.add_cpu(OP_CPU);
         if let Some(wal) = &self.wal {
             wal.append_note(txn.id, format!("UPDATE {table} {}:{}", rid.page, rid.slot));
         }
@@ -362,7 +362,7 @@ impl Database {
         let t = table_def.heap.delete(&self.pool, rid, txn.now)?;
         txn.advance_to(t);
         txn.writes += 1;
-        txn.add_cpu(self.config.op_cpu);
+        txn.add_cpu(OP_CPU);
         for (index, key) in index_keys {
             let idx = table_def.index(index)?;
             let (_, t) = idx.tree.delete(&self.pool, key, txn.now)?;
@@ -388,7 +388,7 @@ impl Database {
         let (found, t) = idx.tree.search(&self.pool, key, txn.now)?;
         txn.advance_to(t);
         txn.reads += 1;
-        txn.add_cpu(self.config.op_cpu);
+        txn.add_cpu(OP_CPU);
         Ok(found)
     }
 
@@ -420,7 +420,7 @@ impl Database {
         let (out, t) = idx.tree.range(&self.pool, low, high, txn.now)?;
         txn.advance_to(t);
         txn.reads += 1;
-        txn.add_cpu(self.config.op_cpu);
+        txn.add_cpu(OP_CPU);
         Ok(out)
     }
 
@@ -439,7 +439,7 @@ impl Database {
         let (out, t) = idx.tree.range_from(&self.pool, low, limit, txn.now)?;
         txn.advance_to(t);
         txn.reads += 1;
-        txn.add_cpu(self.config.op_cpu);
+        txn.add_cpu(OP_CPU);
         Ok(out)
     }
 
@@ -456,7 +456,7 @@ impl Database {
         let (out, t) = idx.tree.prefix_scan(&self.pool, prefix, txn.now)?;
         txn.advance_to(t);
         txn.reads += 1;
-        txn.add_cpu(self.config.op_cpu);
+        txn.add_cpu(OP_CPU);
         Ok(out)
     }
 

@@ -7,7 +7,7 @@
 //! set (read/program/erase/copyback with caller-supplied issue times and
 //! device-returned completion times), the page/block state probes the
 //! region manager's GC and mount scan need, and the load/metrics probes
-//! placement policies and the observability layer read.
+//! the mirror's read selection and the observability layer read.
 //!
 //! Two hooks exist purely for replicated backends and default to no-ops
 //! on a plain device:

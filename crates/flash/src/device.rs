@@ -75,8 +75,8 @@ pub struct OpOutcome {
 
 /// Load of one die as of an observation instant, as reported by
 /// [`NandDevice::die_load`] and [`NandDevice::die_loads`]: the input of
-/// queue-aware write placement.  Both fields answer for that instant, not
-/// for the end of everything the die has ever been handed.
+/// the mirror's read-source selection.  Both fields answer for that
+/// instant, not for the end of everything the die has ever been handed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DieLoad {
     /// Where a program's array phase issued at the observation instant
@@ -90,7 +90,7 @@ pub struct DieLoad {
 
 impl DieLoad {
     /// Earliest instant an operation issued at `at` could start on this
-    /// die — the sort key queue-aware placement orders dies by.
+    /// die — the key the mirror's read selection ranks replicas by.
     pub fn earliest_start(&self, at: SimTime) -> SimTime {
         self.busy_until.max(at)
     }
@@ -104,7 +104,6 @@ pub struct DeviceBuilder {
     bad_blocks: BadBlockPolicy,
     store_data: bool,
     trace_capacity: usize,
-    strict_copyback_plane: bool,
     metrics: Option<Arc<MetricsRegistry>>,
     arbiter: Option<ArbiterConfig>,
 }
@@ -118,7 +117,6 @@ impl DeviceBuilder {
             bad_blocks: BadBlockPolicy::none(),
             store_data: true,
             trace_capacity: 0,
-            strict_copyback_plane: false,
             metrics: None,
             arbiter: None,
         }
@@ -146,13 +144,6 @@ impl DeviceBuilder {
     /// Retain a trace of the `cap` most recent operations.
     pub fn trace_capacity(mut self, cap: usize) -> Self {
         self.trace_capacity = cap;
-        self
-    }
-
-    /// Require copyback source and destination to share a plane (real
-    /// devices often do); off by default.
-    pub fn strict_copyback_plane(mut self, strict: bool) -> Self {
-        self.strict_copyback_plane = strict;
         self
     }
 
@@ -208,7 +199,6 @@ impl DeviceBuilder {
             timing: self.timing,
             endurance: self.bad_blocks.endurance_cycles,
             store_data: self.store_data,
-            strict_copyback_plane: self.strict_copyback_plane,
             dies: dies.into_iter().map(Mutex::new).collect(),
             channels: (0..g.channels).map(|_| Mutex::new(Channel::default())).collect(),
             epoch: AtomicU64::new(0),
@@ -286,7 +276,6 @@ pub struct NandDevice {
     timing: TimingModel,
     endurance: u64,
     store_data: bool,
-    strict_copyback_plane: bool,
     /// Per-die shards: planes, blocks and the die's occupancy timeline.
     dies: Vec<Mutex<Die>>,
     /// Per-channel transfer-bus occupancy.
@@ -612,7 +601,7 @@ impl NandDevice {
                 self.check_page(src)?;
                 self.check_page(dst)?;
                 self.note_touched(dst.die);
-                if src.die != dst.die || (self.strict_copyback_plane && src.plane != dst.plane) {
+                if src.die != dst.die {
                     return Err(FlashError::CopybackCrossDie { src, dst });
                 }
                 Ok(())
@@ -858,9 +847,9 @@ impl NandDevice {
     /// the insert; not the first idle instant, because the few idle
     /// microseconds before an already queued program are of no use to
     /// another one — and how many reserved commands are unfinished at
-    /// `at`.  This is the cheap per-die view queue-aware placement and the
-    /// mirror's read selection steer by: one shard lock, no allocation,
-    /// purely observational.  An out-of-range die reports as idle.
+    /// `at`.  This is the cheap per-die view the mirror's read selection
+    /// steers by: one shard lock, no allocation, purely observational.
+    /// An out-of-range die reports as idle.
     pub fn die_load(&self, die: DieId, at: SimTime) -> DieLoad {
         if (die.0 as usize) >= self.dies.len() {
             return DieLoad::default();
@@ -1074,7 +1063,6 @@ impl NandDevice {
             timing,
             endurance: snap.endurance,
             store_data: snap.store_data,
-            strict_copyback_plane: false,
             dies: dies.into_iter().map(Mutex::new).collect(),
             channels: (0..g.channels).map(|_| Mutex::new(Channel::default())).collect(),
             epoch: AtomicU64::new(snap.epoch),

@@ -49,8 +49,7 @@ pub enum FlashError {
         /// Erase count at the time of failure.
         erase_count: u64,
     },
-    /// Copyback source and destination must be on the same die (and, when
-    /// `strict_copyback_plane` is enabled, on the same plane).
+    /// Copyback source and destination must be on the same die.
     CopybackCrossDie {
         /// Source page.
         src: PageAddr,

@@ -480,8 +480,8 @@ impl MirrorDevice {
             .unwrap_or(0)
     }
 
-    /// Children whose load should gate queue-aware placement: everything
-    /// that currently receives writes.
+    /// Children whose load the mirror's own die-load probes report:
+    /// everything that currently receives writes.
     fn load_children(&self) -> Vec<usize> {
         let state = self.mirror_shard();
         let active: Vec<usize> = state

@@ -10,7 +10,7 @@
 //! The trace is written to `target/observe.trace.json` by default.
 //! Every layer records into the *same* registry (shared with the
 //! device), so the final snapshot spans flash commands, queue waits, GC,
-//! placement decisions, flush windows, the WAL, the buffer pool and the
+//! page allocations, flush windows, the WAL, the buffer pool and the
 //! KV store — with zero configuration beyond enabling the tracer.
 
 use std::sync::Arc;

@@ -34,10 +34,3 @@ pub use tpcc_workload as tpcc;
 // The one-call rendering facade (`obs::dump::{table, prometheus,
 // chrome_trace}`) is what examples reach for, so it gets a root alias.
 pub use noftl_obs::dump;
-
-// Die-level write placement is part of the repo's top-level story (the
-// queue-aware allocation redesign), so the policy types are additionally
-// re-exported at the root: the policy trait, its two implementations, the
-// serialisable selector and the per-die load snapshot they steer by.
-pub use flash_sim::DieLoad;
-pub use noftl_core::{PlacementPolicy, PlacementPolicyKind, QueueAware, RoundRobin};

@@ -23,7 +23,7 @@ use noftl_regions::dbms::{Database, DatabaseConfig, NoFtlBackend};
 use noftl_regions::flash::{
     DeviceBuilder, DeviceSnapshot, FlashGeometry, NandDevice, SimTime, TimingModel,
 };
-use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementConfig, PlacementPolicyKind};
+use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementConfig};
 use std::sync::Arc;
 
 #[test]
@@ -40,15 +40,6 @@ fn fifty_random_power_cuts_recover_committed_data_only() {
             // Vary the workload itself every few rounds so the cuts do not
             // all land in identical histories.
             seed: 0xC0FFEE ^ (round / 5),
-            // Alternate the placement policy so both RoundRobin and
-            // QueueAware are covered by the tier-1 sweep (odd rounds force
-            // QueueAware; even rounds keep the default, which honours the
-            // NOFTL_PLACEMENT env toggle).
-            placement: if round % 2 == 1 {
-                PlacementPolicyKind::QueueAware
-            } else {
-                CrashHarnessConfig::default().placement
-            },
             ..CrashHarnessConfig::default()
         };
         let fraction = (splitmix(&mut rng) % 1_000) as f64 / 1_000.0;

@@ -39,6 +39,12 @@ fn paper_ddl_example_end_to_end() {
     assert_eq!(stats.pages, 128);
     assert_eq!(stats.region, ts.region);
 
+    // Die selection inside a region is not a DDL option: the clause is
+    // refused by name and creates nothing.
+    let err = ddl.run_script("CREATE REGION rg (DIES=2, PLACEMENT=QUEUE_AWARE)").unwrap_err();
+    assert!(err.to_string().contains("unknown CREATE REGION option 'PLACEMENT'"), "{err}");
+    assert!(noftl.region_id("rg").is_none());
+
     // Dropping the table frees its pages; dropping the region returns the dies.
     ddl.run_script("DROP TABLE T; DROP REGION rgHotTbl;").unwrap();
     assert!(noftl.region_id("rgHotTbl").is_none());

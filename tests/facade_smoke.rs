@@ -97,14 +97,4 @@ fn remaining_reexports_are_wired() {
         noftl_regions::workload::stream_digest(ops)
     );
     assert_eq!(noftl_regions::workload::key_bytes(42), b"user000000000042");
-
-    // placement policies: trait, implementations, selector and the die
-    // load snapshot are re-exported at the root crate.
-    use noftl_regions::{DieLoad, PlacementPolicy, PlacementPolicyKind, QueueAware, RoundRobin};
-    let at = noftl_regions::flash::SimTime::ZERO;
-    assert_eq!(RoundRobin.probe_order(3, 1, at, &[]), vec![1, 2, 0]);
-    let loads = [DieLoad::default(), DieLoad::default()];
-    assert_eq!(QueueAware.probe_order(2, 0, at, &loads)[0], 0);
-    assert_eq!(PlacementPolicyKind::QueueAware.policy().name(), "queue_aware");
-    assert_eq!(PlacementPolicyKind::parse("queue_aware"), Some(PlacementPolicyKind::QueueAware));
 }

@@ -30,7 +30,7 @@ use noftl_regions::noftl::kv::{
     run_kv_crash_cycle, run_kv_crash_cycle_in_compaction, run_kv_crash_cycle_in_tail, KvConfig,
     KvCrashConfig, KvStore,
 };
-use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementPolicyKind, RegionSpec};
+use noftl_regions::noftl::{NoFtl, NoFtlConfig, RegionSpec};
 
 #[test]
 fn random_power_cuts_recover_every_committed_key() {
@@ -53,15 +53,6 @@ fn random_power_cuts_recover_every_committed_key() {
             // Vary the workload itself every few rounds so the cuts do
             // not all land in identical histories.
             seed: 0x5EED_4B56 ^ (round / 5),
-            // Alternate the placement policy so both RoundRobin and
-            // QueueAware are covered by the tier-1 sweep (odd rounds force
-            // QueueAware; even rounds keep the default, which honours the
-            // NOFTL_PLACEMENT env toggle).
-            placement: if round % 2 == 1 {
-                PlacementPolicyKind::QueueAware
-            } else {
-                base.placement
-            },
             ..base
         };
         let fraction = (splitmix(&mut rng) % 1_000) as f64 / 1_000.0;

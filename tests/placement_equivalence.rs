@@ -1,16 +1,15 @@
-//! Placement-policy equivalence harness, mirroring the PR 3
-//! queue-equivalence suite.
+//! Allocator equivalence harness, mirroring the PR 3 queue-equivalence
+//! suite.
 //!
-//! The write path is policy-driven (`placement::PlacementPolicy`); the
-//! default `RoundRobin` policy must reproduce the *seed* allocator
-//! byte-for-byte.  The golden digests below were captured by running
-//! `workload_digest` against the pre-refactor tree (commit `e591582`,
-//! where `allocate_in_region` still striped round-robin inline): for a
-//! deterministic mixed workload — single writes, queued batches,
-//! overwrites deep enough to run GC, page frees — the full device image
-//! (`DeviceSnapshot::encode`, which covers page states, payloads, OOB
-//! records, wear and statistics) and the device write-epoch counter must
-//! hash to exactly the same values after the refactor.
+//! The region allocator (`Space::allocate` in `noftl-core`'s `gc.rs`)
+//! must reproduce the *seed* allocator byte-for-byte.  The golden digests
+//! below were captured by running `workload_digest` against commit
+//! `e591582`, where `allocate_in_region` striped over the region's dies
+//! inline: for a deterministic mixed workload — single writes, queued
+//! batches, overwrites deep enough to run GC, page frees — the full
+//! device image (`DeviceSnapshot::encode`, which covers page states,
+//! payloads, OOB records, wear and statistics) and the device write-epoch
+//! counter must hash to exactly the same values ever since.
 //!
 //! The image CRC covers the statistics, and those hold latency sums and
 //! queue depths: a change to the device's *timing* model moves it without
@@ -30,8 +29,7 @@
 use std::sync::Arc;
 
 use noftl_regions::flash::{
-    DeviceBuilder, DeviceSnapshot, DeviceStats, DieStats, FlashGeometry, NandDevice, SimTime,
-    TimingModel,
+    DeviceBuilder, DeviceSnapshot, DeviceStats, DieStats, FlashGeometry, SimTime, TimingModel,
 };
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, RegionSpec};
 
@@ -56,7 +54,6 @@ struct WorkloadRun {
     /// CRC of the image with the statistics blanked: placement only.
     placement: u32,
     epoch: u64,
-    device: Arc<NandDevice>,
     noftl: NoFtl,
     /// Live `(object, logical page) → value byte` expectation at the end.
     expected: std::collections::HashMap<(u32, u64), u8>,
@@ -117,7 +114,7 @@ fn run_workload(seed: u64, config: NoFtlConfig) -> WorkloadRun {
         ..snapshot
     });
     let epoch = device.current_epoch();
-    WorkloadRun { digest, placement, epoch, device, noftl, expected, done: t }
+    WorkloadRun { digest, placement, epoch, noftl, expected, done: t }
 }
 
 fn image_crc(snapshot: &DeviceSnapshot) -> u32 {
@@ -140,12 +137,18 @@ fn round_robin_reproduces_the_seed_allocator_byte_for_byte() {
         assert_eq!(
             (run.placement, run.epoch),
             (*golden_placement, *golden_epoch),
-            "seed {seed:#x}: RoundRobin placement diverged from the pre-refactor allocator"
+            "seed {seed:#x}: placement diverged from the seed allocator"
         );
         assert_eq!(
             run.digest, *golden_crc,
             "seed {seed:#x}: same placement, but the image's statistics (timing) moved"
         );
+        // The digests pin the physical image; the translations must agree
+        // with it: every live logical page reads back its latest value.
+        for ((obj, p), v) in &run.expected {
+            let (data, _) = run.noftl.read(*obj, *p, run.done).unwrap();
+            assert_eq!(data, page(*v), "seed {seed:#x}: object {obj} page {p}");
+        }
     }
 }
 
@@ -157,28 +160,4 @@ fn identical_runs_produce_identical_images() {
     let r1 = run_workload(0xD1CE, NoFtlConfig::default());
     let r2 = run_workload(0xD1CE, NoFtlConfig::default());
     assert_eq!((r1.digest, r1.epoch), (r2.digest, r2.epoch));
-}
-
-#[test]
-fn queue_aware_runs_the_same_workload_without_losing_a_page() {
-    use noftl_regions::noftl::PlacementPolicyKind;
-    // The other half of the equivalence story: QueueAware may place pages
-    // differently (that is the point), but every live logical page of the
-    // very same workload must read back its latest value, the epoch
-    // counter must match (same number of programs), and the region must
-    // still have garbage-collected.
-    let config =
-        NoFtlConfig { placement: PlacementPolicyKind::QueueAware, ..NoFtlConfig::default() };
-    for (seed, _, _, golden_epoch) in GOLDEN {
-        let run = run_workload(*seed, config);
-        assert_eq!(
-            run.epoch, *golden_epoch,
-            "seed {seed:#x}: policy choice must not change how many programs happen"
-        );
-        for ((obj, p), v) in &run.expected {
-            let (data, _) = run.noftl.read(*obj, *p, run.done).unwrap();
-            assert_eq!(data, page(*v), "seed {seed:#x}: object {obj} page {p}");
-        }
-        drop(run.device);
-    }
 }
