@@ -15,9 +15,4 @@ impl Device {
         // analyzer:allow(panic_freedom) geometry guarantees at least one die per device
         self.die_loads().first().copied().expect("non-empty")
     }
-
-    fn drain_completions(&self, queue: &CommandQueue) -> usize {
-        let done = queue.drain();
-        done.iter().filter(|c| c.result.is_ok()).count()
-    }
 }

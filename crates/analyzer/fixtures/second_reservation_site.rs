@@ -1,4 +1,4 @@
-//! Seeded violations for the `queue_discipline` rule's single-reservation
+//! Seeded violations for the `command_path` rule's single-reservation
 //! invariant: device code outside `NandDevice::run`'s `phases` claiming
 //! die and channel time — once through `sched::schedule`, once by
 //! reserving on the die's timeline directly.  `self_check()` asserts the

@@ -31,7 +31,7 @@ pub struct AllowDirective {
 }
 
 /// The set of rule names a directive may reference.
-pub const KNOWN_RULES: &[&str] = &["lock_order", "panic_freedom", "queue_discipline"];
+pub const KNOWN_RULES: &[&str] = &["lock_order", "panic_freedom", "command_path"];
 
 const MARKER: &str = "analyzer:allow";
 

@@ -10,13 +10,10 @@
 //! * [`rules::panic_freedom`] — no `unwrap`/`expect`/`panic!`-family code
 //!   in production paths of `crates/flash` and `crates/core`; direct
 //!   indexing is additionally denied on the per-command hot path.
-//! * [`rules::queue_discipline`] — no timed device call
-//!   (`device.execute` or a per-command verb) reachable from
-//!   `CommandQueue` completion/poll paths, no `Completion` results
-//!   dropped unchecked, in `crates/core` no timed device call or queue
-//!   submission outside the `io` module, and in `crates/flash` no
-//!   reservation of die or channel time outside `sched.rs`, `die.rs` and
-//!   `NandDevice::run`.
+//! * [`rules::command_path`] — in `crates/core` no timed device call
+//!   (`device.execute` or a per-command verb) outside the `io` module,
+//!   and in `crates/flash` no reservation of die or channel time outside
+//!   `sched.rs`, `die.rs` and `NandDevice::run`.
 //!
 //! Findings can be suppressed case-by-case with
 //! `// analyzer:allow(<rule>) <justification>`; the justification is
@@ -51,7 +48,7 @@ pub fn analyze_source(path: &str, src: &str) -> Analysis {
     let mut raw = Vec::new();
     raw.extend(rules::lock_order::check(&view));
     raw.extend(rules::panic_freedom::check(&view));
-    raw.extend(rules::queue_discipline::check(&view));
+    raw.extend(rules::command_path::check(&view));
 
     let mut suppressions = Suppressions::new(allow::parse(&lexed.comments));
     let mut analysis = Analysis { files_scanned: 1, ..Analysis::default() };
@@ -155,19 +152,14 @@ const FIXTURES: &[(&str, &str, &str)] = &[
         rules::panic_freedom::RULE,
     ),
     (
-        "crates/flash/src/queue.rs",
-        include_str!("../fixtures/dropped_completion.rs"),
-        rules::queue_discipline::RULE,
-    ),
-    (
         "crates/core/src/gc.rs",
         include_str!("../fixtures/device_call_outside_io.rs"),
-        rules::queue_discipline::RULE,
+        rules::command_path::RULE,
     ),
     (
         "crates/flash/src/device.rs",
         include_str!("../fixtures/second_reservation_site.rs"),
-        rules::queue_discipline::RULE,
+        rules::command_path::RULE,
     ),
 ];
 
@@ -182,7 +174,7 @@ const CLEAN_FIXTURE: (&str, &str) =
 const PATH_LISTS: &[(&str, &[&str])] = &[
     ("panic_freedom::HOT_PATH_FILES", rules::panic_freedom::HOT_PATH_FILES),
     ("lock_order::CHOKE_FILES", rules::lock_order::CHOKE_FILES),
-    ("queue_discipline::RESERVATION_FILES", rules::queue_discipline::RESERVATION_FILES),
+    ("command_path::RESERVATION_FILES", rules::command_path::RESERVATION_FILES),
 ];
 
 /// Seeded stale list: a scanned tree that has every listed file except
@@ -215,7 +207,7 @@ pub fn self_check(roots: &[PathBuf], strip_prefix: Option<&Path>) -> Result<(), 
     if seeded
         != [
             ("panic_freedom::HOT_PATH_FILES", "src/sched.rs"),
-            ("queue_discipline::RESERVATION_FILES", "crates/flash/src/sched.rs"),
+            ("command_path::RESERVATION_FILES", "crates/flash/src/sched.rs"),
         ]
     {
         errors.push(format!(
@@ -276,7 +268,7 @@ mod tests {
         let err = self_check(&[root], None).unwrap_err();
         let entries: usize = PATH_LISTS.iter().map(|(_, entries)| entries.len()).sum();
         assert_eq!(err.lines().count(), entries, "one line per entry of every list:\n{err}");
-        assert!(err.contains("`panic_freedom::HOT_PATH_FILES` entry `src/queue.rs`"), "{err}");
+        assert!(err.contains("`panic_freedom::HOT_PATH_FILES` entry `src/sched.rs`"), "{err}");
     }
 
     #[test]

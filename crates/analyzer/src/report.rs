@@ -10,7 +10,7 @@ pub struct Finding {
     /// 1-based line number.
     pub line: u32,
     /// Rule that produced the finding (`lock_order`, `panic_freedom`,
-    /// `queue_discipline`, or `allow_directive` for escape-hatch misuse).
+    /// `command_path`, or `allow_directive` for escape-hatch misuse).
     pub rule: &'static str,
     /// Human-readable description.
     pub message: String,

@@ -4,7 +4,7 @@
 //! (`flash_sim::lockorder::LockClass`):
 //!
 //! ```text
-//! Manager < Queue < Arbiter < Die(id asc) < Channel(id asc) < Shared
+//! Manager < Mirror < MirrorRange < Arbiter < Die(id asc) < Channel(id asc) < Shared
 //! ```
 //!
 //! All acquisitions go through named choke points, so a token-level scan
@@ -28,17 +28,16 @@ pub const RULE: &str = "lock_order";
 /// by the runtime sanitizer, not statically.
 const RANKS: &[(&str, u8)] = &[
     ("lock_inner", 0),    // LockClass::Manager
-    ("queue_shard", 1),   // LockClass::Queue
-    ("arbiter_shard", 2), // LockClass::Arbiter
-    ("die_shard", 3),     // LockClass::Die(_)
-    ("lock_all_dies", 3), // LockClass::Die(ascending sweep)
-    ("channel_shard", 4), // LockClass::Channel(_)
-    ("shared_shard", 5),  // LockClass::Shared
+    ("arbiter_shard", 1), // LockClass::Arbiter
+    ("die_shard", 2),     // LockClass::Die(_)
+    ("lock_all_dies", 2), // LockClass::Die(ascending sweep)
+    ("channel_shard", 3), // LockClass::Channel(_)
+    ("shared_shard", 4),  // LockClass::Shared
 ];
 
 /// Files in which raw `.lock(` calls are forbidden outside the choke
 /// points themselves (matched by path suffix).
-pub const CHOKE_FILES: &[&str] = &["device.rs", "queue.rs", "manager.rs"];
+pub const CHOKE_FILES: &[&str] = &["device.rs", "manager.rs"];
 
 fn rank_of(name: &str) -> Option<u8> {
     RANKS.iter().find(|(n, _)| *n == name).map(|(_, r)| *r)
@@ -132,8 +131,8 @@ mod tests {
     }
 
     #[test]
-    fn arbiter_sits_between_queue_and_die() {
-        let clean = "fn f(&self) { let q = self.queue_shard(); let a = self.arbiter_shard(s); let d = self.die_shard(0); }";
+    fn arbiter_sits_between_manager_and_die() {
+        let clean = "fn f(&self) { let m = self.lock_inner(); let a = self.arbiter_shard(s); let d = self.die_shard(0); }";
         assert!(run("crates/flash/src/device.rs", clean).is_empty());
         let bad = "fn f(&self) { let d = self.die_shard(0); let a = self.arbiter_shard(s); }";
         let f = run("crates/flash/src/device.rs", bad);
@@ -151,8 +150,8 @@ mod tests {
 
     #[test]
     fn re_entry_is_flagged() {
-        let src = "fn f(&self) { let a = self.queue_shard(); let b = self.queue_shard(); }";
-        let f = run("crates/flash/src/queue.rs", src);
+        let src = "fn f(&self) { let a = self.shared_shard(); let b = self.shared_shard(); }";
+        let f = run("crates/flash/src/device.rs", src);
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("re-entry"));
     }
@@ -160,7 +159,7 @@ mod tests {
     #[test]
     fn raw_lock_in_choke_file_is_flagged() {
         let src = "fn f(&self) { let g = self.inner.lock(); }";
-        let f = run("crates/flash/src/queue.rs", src);
+        let f = run("crates/flash/src/device.rs", src);
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("raw `.lock()`"));
     }

@@ -1,9 +1,9 @@
 //! Rule infrastructure: a token-stream view of one file with test code
 //! masked out, plus function-item extraction shared by all rules.
 
+pub mod command_path;
 pub mod lock_order;
 pub mod panic_freedom;
-pub mod queue_discipline;
 
 use crate::lexer::{Tok, TokKind};
 

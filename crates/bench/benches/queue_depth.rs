@@ -1,6 +1,6 @@
-//! Throughput vs queue depth through the command-queue submission API.
+//! Throughput vs queue depth: how many commands a host keeps in flight.
 //!
-//! Two questions, matching the redesign's acceptance criteria:
+//! Two questions:
 //!
 //! 1. **Simulated time** — how long (device time) does a fixed batch of
 //!    programs take when the host keeps 1, 4, 8 or `dies` commands in
@@ -9,8 +9,8 @@
 //!    the dies, and a queued `NoFtl::write_batch` over a 4-die region
 //!    must complete in less simulated time than sequential submission of
 //!    the same pages.
-//! 2. **Wall-clock overhead** — what does the submit/poll protocol cost
-//!    per command compared to the blocking calls (criterion numbers)?
+//! 2. **Wall-clock overhead** — what does one `execute`, and one
+//!    per-die fan-out of them, cost on the host (criterion numbers)?
 //!
 //! Run with `cargo bench -p noftl-bench --bench queue_depth`.  The
 //! simulated-time comparison and the utilization report (summary *and*
@@ -22,10 +22,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 
-use flash_sim::queue::{CommandQueue, FlashCommand};
 use flash_sim::{
-    DeviceBuilder, DieId, FlashBackend, FlashGeometry, NandDevice, PageAddr, PageMetadata, SimTime,
-    TimingModel, UtilizationSummary,
+    DeviceBuilder, DieId, FlashBackend, FlashCommand, FlashGeometry, IoTag, NandDevice, PageAddr,
+    PageMetadata, SimTime, TimingModel, UtilizationSummary,
 };
 use noftl_bench::smoke;
 use noftl_obs::MetricsSnapshot;
@@ -90,14 +89,13 @@ fn bench_queue_depth(c: &mut Criterion) {
     // Simulated-time report (printed once, independent of criterion).
     simulated_reports();
 
-    // Wall-clock cost of the submission protocol itself.
+    // Wall-clock cost of the command path itself.
     let mut group = c.benchmark_group("queue_depth");
     group.sample_size(20);
 
-    group.bench_function("submit_wait_program", |b| {
+    group.bench_function("execute_program", |b| {
         let dev = device();
         let geo = *dev.geometry();
-        let queue = CommandQueue::new(dev.clone());
         let data = vec![0x11u8; geo.page_size as usize];
         let mut i = 0u32;
         let span = geo.total_dies() * geo.pages_per_block;
@@ -107,22 +105,18 @@ fn bench_queue_depth(c: &mut Criterion) {
                 let _ = dev.erase_block(addr.block(), SimTime::ZERO);
             }
             i += 1;
-            let h = queue.submit(
-                FlashCommand::Program {
-                    addr,
-                    data: &data,
-                    meta: PageMetadata::new(1, u64::from(i)),
-                },
-                SimTime::ZERO,
-            );
-            black_box(queue.wait(h).unwrap());
+            let program = FlashCommand::Program {
+                addr,
+                data: &data,
+                meta: PageMetadata::new(1, u64::from(i)),
+            };
+            black_box(dev.execute(program, SimTime::ZERO, IoTag::default()).unwrap());
         });
     });
 
     group.bench_function("fanout_batch_per_die", |b| {
         let dev = device();
         let geo = *dev.geometry();
-        let queue = CommandQueue::new(dev.clone());
         let data = vec![0x22u8; geo.page_size as usize];
         let mut round = 0u32;
         b.iter(|| {
@@ -135,14 +129,13 @@ fn bench_queue_depth(c: &mut Criterion) {
             }
             let page = round;
             round += 1;
-            let cmds = (0..geo.total_dies()).map(|die| FlashCommand::Program {
-                addr: PageAddr::new(DieId(die), 0, 0, page),
-                data: &data,
-                meta: PageMetadata::new(1, u64::from(die)),
-            });
-            let handles = queue.submit_batch(cmds, SimTime::ZERO);
-            for h in handles {
-                black_box(queue.wait(h).unwrap());
+            for die in 0..geo.total_dies() {
+                let program = FlashCommand::Program {
+                    addr: PageAddr::new(DieId(die), 0, 0, page),
+                    data: &data,
+                    meta: PageMetadata::new(1, u64::from(die)),
+                };
+                black_box(dev.execute(program, SimTime::ZERO, IoTag::default()).unwrap());
             }
         });
     });

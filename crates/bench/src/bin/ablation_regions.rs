@@ -75,10 +75,14 @@ fn main() {
         "{:<26} {:>10} {:>12} {:>12} {:>12} {:>8}",
         "Placement", "TPS", "HostWrites", "Copybacks", "Erases", "WA"
     );
+    let mut failed = false;
     for (label, placement) in configs {
         let mut exp = Experiment::figure3_base(placement, label);
         exp.driver.total_transactions = txns;
-        let result = exp.run();
+        let Some(result) = exp.run_row(&format!("{label:<26}")) else {
+            failed = true;
+            continue;
+        };
         let r = &result.report;
         println!(
             "{:<26} {:>10.1} {:>12} {:>12} {:>12} {:>8.3}",
@@ -89,5 +93,8 @@ fn main() {
             r.gc_erases,
             r.write_amplification()
         );
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

@@ -32,7 +32,10 @@ fn main() {
     // Measure object I/O profiles under traditional placement.
     let mut exp = Experiment::figure3_base(placement::traditional(dies), "profiling run");
     exp.driver.total_transactions = txns;
-    let result = exp.run();
+    let result = exp.run().unwrap_or_else(|e| {
+        println!("profiling run failed: {e}");
+        std::process::exit(1)
+    });
     // Group the measured objects exactly as the paper's Figure 2 groups them,
     // then let the advisor apportion the dies from the measured profiles.
     let groups: Vec<(String, Vec<String>)> =

@@ -14,7 +14,7 @@
 //! `FIG3_WAREHOUSES` (2), `FIG3_BUFFER_PAGES` (1500), `FIG3_SEED`; any
 //! other `FIG3_*` variable, or a value that is not a number, is refused.
 
-use noftl_bench::{env_knobs, Experiment};
+use noftl_bench::{env_knobs, Experiment, ExperimentResult};
 use tpcc_workload::{placement, ComparisonReport, ScaleConfig};
 
 fn main() {
@@ -39,21 +39,26 @@ fn main() {
     let dies = Experiment::figure3_geometry().total_dies();
     println!("== Figure 3: traditional vs. multi-region data placement (TPC-C, {dies} dies) ==\n");
 
-    println!("running traditional placement ...");
-    let traditional = configure(Experiment::figure3_base(
+    // An arm that fails (a region out of space) is reported as a row of
+    // its own; the other arm's table is still printed.
+    let run_arm = |exp: Experiment| -> Option<ExperimentResult> {
+        println!("running {} ...", exp.label);
+        let result = exp.run_row(&format!("{:<30}", exp.label))?;
+        println!("{}", result.region_table());
+        Some(result)
+    };
+    let traditional = run_arm(configure(Experiment::figure3_base(
         placement::traditional(dies),
         "Traditional data placement",
-    ))
-    .run();
-    println!("{}", traditional.region_table());
-
-    println!("running multi-region placement (Figure 2) ...");
-    let regions = configure(Experiment::figure3_base(
+    )));
+    let regions = run_arm(configure(Experiment::figure3_base(
         placement::figure2(dies),
         "Data placement using Regions",
-    ))
-    .run();
-    println!("{}", regions.region_table());
+    )));
+    let (Some(traditional), Some(regions)) = (traditional, regions) else {
+        println!("no comparison: an arm did not finish");
+        std::process::exit(1)
+    };
 
     let cmp = ComparisonReport {
         traditional: traditional.report.clone(),

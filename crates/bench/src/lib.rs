@@ -14,7 +14,7 @@ pub mod smoke;
 
 use std::sync::Arc;
 
-use dbms_engine::{Database, DatabaseConfig, NoFtlBackend};
+use dbms_engine::{Database, DatabaseConfig, DbError, NoFtlBackend};
 use flash_sim::{DeviceBuilder, FlashGeometry, NandDevice, SimTime, TimingModel};
 use noftl_core::{NoFtl, NoFtlConfig, ObjectProfile, PlacementConfig};
 use tpcc_workload::{Driver, DriverConfig, Loader, RunReport, ScaleConfig};
@@ -28,7 +28,7 @@ pub struct Experiment {
     pub geometry: FlashGeometry,
     /// NAND timing model.
     pub timing: TimingModel,
-    /// NoFTL configuration (GC watermarks, wear leveling, headroom).
+    /// NoFTL configuration (GC watermarks, wear leveling).
     pub noftl: NoFtlConfig,
     /// Data placement (regions and die assignment).
     pub placement: PlacementConfig,
@@ -108,35 +108,39 @@ impl Experiment {
 
     /// Run the experiment.  Returns the run report (device counters are
     /// deltas over the measured phase only) plus the device and storage
-    /// manager handles for further inspection.
-    pub fn run(&self) -> ExperimentResult {
+    /// manager handles for further inspection — or the error that ended
+    /// the load or the run, e.g. a region that filled up.
+    pub fn run(&self) -> Result<ExperimentResult, DbError> {
         let device = Arc::new(DeviceBuilder::new(self.geometry).timing(self.timing).build());
         let noftl = Arc::new(NoFtl::new(device.clone(), self.noftl));
-        let backend = Arc::new(
-            NoFtlBackend::new(Arc::clone(&noftl), &self.placement)
-                .expect("placement must contain at least one region"),
-        );
+        let backend = Arc::new(NoFtlBackend::new(Arc::clone(&noftl), &self.placement)?);
         let db = Database::open(
             backend,
             DatabaseConfig { buffer_pages: self.buffer_pages, ..Default::default() },
-        )
-        .expect("database opens");
+        )?;
         let loader = Loader::new(self.scale, self.driver.seed ^ 0xC0FFEE);
-        let (load_stats, loaded_at) = loader.load(&db, SimTime::ZERO).expect("load succeeds");
+        let (load_stats, loaded_at) = loader.load(&db, SimTime::ZERO)?;
         let before = device.stats();
         let driver = Driver::new(self.driver);
-        let mut report = driver.run(&db, &self.scale, loaded_at).expect("run succeeds");
+        let mut report = driver.run(&db, &self.scale, loaded_at)?;
         report.label = self.label.clone();
         let after = device.stats();
         report.attach_device(&after.delta_since(&before), &device.wear_summary());
         let profiles = noftl.all_object_stats().iter().map(ObjectProfile::from_stats).collect();
-        ExperimentResult {
+        Ok(ExperimentResult {
             report,
             device,
             noftl,
             object_profiles: profiles,
             loaded_rows: load_stats.total_rows(),
-        }
+        })
+    }
+
+    /// [`Experiment::run`] for a figure table: a run that fails prints
+    /// `<row> FAILED: <error>` where its row would be and yields `None`,
+    /// so the arms that finished are still reported.
+    pub fn run_row(&self, row: &str) -> Option<ExperimentResult> {
+        self.run().map_err(|e| println!("{row} FAILED: {e}")).ok()
     }
 }
 
@@ -231,12 +235,28 @@ mod tests {
     #[test]
     fn smoke_experiment_runs_end_to_end() {
         let exp = Experiment::smoke(placement::traditional(8), "smoke");
-        let result = exp.run();
+        let result = exp.run().unwrap();
         assert!(result.report.committed > 200);
         assert!(result.report.tps > 0.0);
         assert!(result.loaded_rows > 300);
         assert!(!result.object_profiles.is_empty());
         assert!(result.region_table().contains("rgAll"));
+    }
+
+    /// A device too small for the run ends it with the full region's
+    /// name in an error, not with a panic.
+    #[test]
+    fn a_region_that_fills_up_is_an_error_not_a_panic() {
+        let mut exp = Experiment::smoke(placement::figure2(8), "undersized");
+        exp.geometry.blocks_per_plane = 6;
+        match exp.run() {
+            Err(DbError::Storage { message }) => {
+                assert!(message.starts_with("region rg"), "{message}");
+                assert!(message.ends_with("is out of space"), "{message}");
+            }
+            Err(other) => panic!("expected a full region, got {other}"),
+            Ok(result) => panic!("6 blocks per die held {} rows", result.loaded_rows),
+        }
     }
 
     #[test]

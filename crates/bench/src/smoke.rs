@@ -9,16 +9,16 @@
 //! [`crate::scenarios`]) into the current `BENCH_PR*.json` point of the
 //! repo's perf trajectory.
 
+use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
 use dbms_engine::{Database, DatabaseConfig, NoFtlBackend, Schema, Value};
-use flash_sim::queue::{CommandQueue, FlashCommand};
 use flash_sim::{
-    DeviceBuilder, DeviceSnapshot, DieId, FlashGeometry, NandDevice, PageAddr, PageMetadata,
-    SimTime, TimingModel, UtilizationSummary,
+    DeviceBuilder, DeviceSnapshot, DieId, FlashCommand, FlashGeometry, IoTag, NandDevice, PageAddr,
+    PageMetadata, SimTime, TimingModel, UtilizationSummary,
 };
 use noftl_core::kv::{KvConfig, KvStore};
 use noftl_core::{NoFtl, NoFtlConfig, PlacementConfig, RegionSpec};
@@ -70,34 +70,27 @@ pub fn striped_addr(geo: &FlashGeometry, i: u32) -> PageAddr {
 pub fn run_at_depth(total: u32, depth: usize) -> (SimTime, UtilizationSummary) {
     let dev = device();
     let geo = *dev.geometry();
-    let queue = CommandQueue::new(dev.clone());
     let data = vec![0xD7u8; geo.page_size as usize];
-    let mut window = Vec::with_capacity(depth);
+    // Completion instants of the commands in flight, oldest first.
+    let mut window: VecDeque<SimTime> = VecDeque::with_capacity(depth);
     let mut clock = SimTime::ZERO;
     let mut done = SimTime::ZERO;
     for i in 0..total {
         if window.len() == depth {
-            // The oldest in-flight command gates the next submission —
-            // exactly how a depth-limited host driver behaves.
-            let h = window.remove(0);
-            let c = queue.wait(h).unwrap();
-            let completed = c.result.unwrap().outcome.completed_at;
-            clock = clock.max(completed);
-            done = done.max(completed);
+            // The oldest in-flight command gates the next one — exactly
+            // how a depth-limited host driver behaves.
+            if let Some(completed) = window.pop_front() {
+                clock = clock.max(completed);
+            }
         }
-        let h = queue.submit(
-            FlashCommand::Program {
-                addr: striped_addr(&geo, i),
-                data: &data,
-                meta: PageMetadata::new(1, u64::from(i)),
-            },
-            clock,
-        );
-        window.push(h);
-    }
-    for h in window {
-        let c = queue.wait(h).unwrap();
-        done = done.max(c.result.unwrap().outcome.completed_at);
+        let program = FlashCommand::Program {
+            addr: striped_addr(&geo, i),
+            data: &data,
+            meta: PageMetadata::new(1, u64::from(i)),
+        };
+        let completed = dev.execute(program, clock, IoTag::default()).unwrap().outcome.completed_at;
+        done = done.max(completed);
+        window.push_back(completed);
     }
     (done, dev.utilization())
 }
@@ -401,12 +394,12 @@ pub fn mirror_section(quick: bool) -> Section {
 
 /// The latency quantiles the smoke run reports per histogram.
 const LATENCY_SPECS: [(&str, &str, f64); 12] = [
-    ("queued_read_p50_us", "flash.queue.read.wait_ns", 0.5),
-    ("queued_read_p99_us", "flash.queue.read.wait_ns", 0.99),
-    ("queued_read_p999_us", "flash.queue.read.wait_ns", 0.999),
-    ("queued_write_p50_us", "flash.queue.program.wait_ns", 0.5),
-    ("queued_write_p99_us", "flash.queue.program.wait_ns", 0.99),
-    ("queued_write_p999_us", "flash.queue.program.wait_ns", 0.999),
+    ("queued_read_p50_us", "flash.op.read.latency_ns", 0.5),
+    ("queued_read_p99_us", "flash.op.read.latency_ns", 0.99),
+    ("queued_read_p999_us", "flash.op.read.latency_ns", 0.999),
+    ("queued_write_p50_us", "flash.op.program.latency_ns", 0.5),
+    ("queued_write_p99_us", "flash.op.program.latency_ns", 0.99),
+    ("queued_write_p999_us", "flash.op.program.latency_ns", 0.999),
     ("flush_window_p50_us", "core.flush.window_ns", 0.5),
     ("flush_window_p99_us", "core.flush.window_ns", 0.99),
     ("flush_window_p999_us", "core.flush.window_ns", 0.999),
@@ -416,8 +409,8 @@ const LATENCY_SPECS: [(&str, &str, f64); 12] = [
 ];
 
 /// Latency section: percentile latencies read back out of the shared
-/// metrics registry after a mixed workload — queued reads, queued writes
-/// (programs), windowed flushes and KV puts.  All values are simulated
+/// metrics registry after a mixed workload — device reads, device
+/// programs, windowed flushes and KV puts.  All values are simulated
 /// time, so the percentiles are deterministic across runs and machines.
 pub fn latency_section(quick: bool) -> Section {
     let pages: u64 = if quick { 192 } else { 768 };
@@ -427,7 +420,7 @@ pub fn latency_section(quick: bool) -> Section {
     let rid = noftl.create_region(RegionSpec::named("rgLat").with_die_count(4)).unwrap();
     let obj = noftl.create_object("t", rid).unwrap();
 
-    // Windowed writes fill `flash.queue.program.wait_ns` and
+    // Windowed writes fill `flash.op.program.latency_ns` and
     // `core.flush.window_ns`.
     let batch: Vec<(u32, u64, Vec<u8>)> =
         (0..pages).map(|p| (obj, p, vec![p as u8; 4096])).collect();
@@ -435,11 +428,11 @@ pub fn latency_section(quick: bool) -> Section {
     for chunk in batch.chunks(64) {
         now = now.max(noftl.write_windowed(chunk, now, 16).unwrap());
     }
-    // A read sweep fills `flash.queue.read.wait_ns` (every read goes
-    // through the queue).  The percentiles are sampled *here*,
-    // before the KV phase: its compaction merges also ride the queued
-    // read path now (deliberately overlapped, so individually longer
-    // waits buy shorter scans) and would skew the sweep's distribution.
+    // A read sweep fills `flash.op.read.latency_ns`.  The percentiles
+    // are sampled *here*, before the KV phase: its compaction merges
+    // read through the same device (deliberately overlapped, so
+    // individually longer waits buy shorter scans) and would skew the
+    // sweep's distribution.
     for p in 0..pages {
         now = now.max(noftl.read(obj, p, now).unwrap().1);
     }
@@ -459,7 +452,7 @@ pub fn latency_section(quick: bool) -> Section {
     let metrics = LATENCY_SPECS
         .iter()
         .map(|&(name, hist, q)| {
-            let source = if hist == "flash.queue.read.wait_ns" { &read_snap } else { &snap };
+            let source = if hist == "flash.op.read.latency_ns" { &read_snap } else { &snap };
             let value = source.histogram(hist).map_or(0, |h| h.percentile(q));
             Metric::new(name, value as f64 / 1e3, "us_sim")
         })

@@ -38,21 +38,17 @@ pub struct NoFtlConfig {
     pub gc_policy: GcPolicy,
     /// Wear-leveling policy.
     pub wear_leveling: WearLevelingPolicy,
-    /// Fraction of each region's raw capacity that must remain unexported
-    /// as GC headroom (the NoFTL analogue of SSD over-provisioning).
-    pub gc_headroom: f64,
 }
 
 impl NoFtlConfig {
     /// Defaults mirroring the paper's prototype: greedy GC, dynamic wear
-    /// leveling, 10 % GC headroom per region.
+    /// leveling.
     pub fn paper_defaults() -> Self {
         NoFtlConfig {
             gc_low_watermark: 2,
             gc_high_watermark: 4,
             gc_policy: GcPolicy::Greedy,
             wear_leveling: WearLevelingPolicy::Dynamic,
-            gc_headroom: 0.10,
         }
     }
 
@@ -63,9 +59,6 @@ impl NoFtlConfig {
         }
         if self.gc_high_watermark < self.gc_low_watermark {
             return Err("gc_high_watermark must be >= gc_low_watermark".into());
-        }
-        if !(0.0..0.9).contains(&self.gc_headroom) {
-            return Err(format!("gc_headroom must be in [0, 0.9), got {}", self.gc_headroom));
         }
         Ok(())
     }
@@ -92,8 +85,6 @@ mod tests {
         let c = NoFtlConfig { gc_low_watermark: 0, ..NoFtlConfig::default() };
         assert!(c.validate().is_err());
         let c = NoFtlConfig { gc_high_watermark: 1, gc_low_watermark: 2, ..NoFtlConfig::default() };
-        assert!(c.validate().is_err());
-        let c = NoFtlConfig { gc_headroom: 0.95, ..NoFtlConfig::default() };
         assert!(c.validate().is_err());
     }
 }

@@ -56,6 +56,8 @@ pub enum NoFtlError {
     RegionFull {
         /// The region that is full.
         region: RegionId,
+        /// Its name, so the message means something in a figure table.
+        name: String,
     },
     /// The data buffer does not match the device page size.
     BadPageSize {
@@ -104,7 +106,7 @@ impl fmt::Display for NoFtlError {
             NoFtlError::PageNotWritten { object, page } => {
                 write!(f, "object {object} page {page} has never been written")
             }
-            NoFtlError::RegionFull { region } => write!(f, "region {:?} is out of space", region),
+            NoFtlError::RegionFull { name, .. } => write!(f, "region {name} is out of space"),
             NoFtlError::BadPageSize { expected, got } => {
                 write!(f, "bad page buffer size: expected {expected}, got {got}")
             }

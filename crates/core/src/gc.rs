@@ -10,12 +10,14 @@
 //! `Space` is the allocator and collector of one region at work;
 //! [`GcCandidate`] and [`select_victim`] are the victim-selection policy.
 
-use flash_sim::queue::FlashCommand;
-use flash_sim::SimTime;
-use flash_sim::{BlockAddr, BlockInfo, BlockState, IoTag, PageAddr, PageMetadata, PageState};
+use flash_sim::{
+    BlockAddr, BlockInfo, BlockState, FlashCommand, IoTag, PageAddr, PageMetadata, PageState,
+    SimTime,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{GcPolicy, WearLevelingPolicy};
+use crate::error::NoFtlError;
 use crate::manager::{region_slot, Env, Inner};
 use crate::object::ObjectState;
 use crate::recovery::{MetaDirectory, META_OBJECT_ID};
@@ -111,8 +113,8 @@ impl Inner {
 
 impl Space<'_> {
     /// Allocate the next physical page of the region, running GC when a
-    /// die's free-block pool runs low.  Returns `None` when the region is
-    /// completely full.
+    /// die's free-block pool runs low.  Fails with `RegionFull` (naming
+    /// the region) when no die can yield a page.
     ///
     /// Pages are striped over the region's dies: the probe starts at the
     /// die after the previous allocation's (`next_die`) and takes the
@@ -120,7 +122,7 @@ impl Space<'_> {
     /// blocks allocation while any die in the region has space.  Host
     /// writes (through the request path's single call site), rebalancing
     /// and the metadata journal all allocate here.
-    pub(crate) fn allocate(&mut self, at: SimTime) -> Option<PageAddr> {
+    pub(crate) fn allocate(&mut self, at: SimTime) -> Result<PageAddr> {
         let Env { device, config, obs, .. } = self.env;
         let device = device.as_ref();
         let pages_per_block = device.geometry().pages_per_block;
@@ -135,10 +137,10 @@ impl Space<'_> {
             {
                 self.region.next_die = (idx + 1) % die_count;
                 obs.note_allocation(attempt as u64 + 1);
-                return Some(ppa);
+                return Ok(ppa);
             }
         }
-        None
+        Err(NoFtlError::RegionFull { region: self.region.id, name: self.region.name.clone() })
     }
 
     /// Update the owner's translation after a page move (GC copyback or

@@ -1,27 +1,16 @@
-//! Hot/cold classification of database objects.
+//! Per-object I/O profiles: the hot/cold signal of database objects.
 //!
 //! The paper's central argument: *"the overhead of garbage collection
 //! \[...\] is highly dependent on the ability to separate between hot and
 //! cold data"* and, unlike the resource-starved SSD controller, *"the DBMS
 //! maintains such and other statistics and metadata for each particular
 //! database object."*  This module turns the per-object counters that the
-//! storage manager collects anyway into a temperature classification and
-//! into [`ObjectProfile`]s consumed by the placement advisor.
+//! storage manager collects anyway into the [`ObjectProfile`]s consumed
+//! by the placement advisor.
 
 use serde::{Deserialize, Serialize};
 
 use crate::stats::ObjectStats;
-
-/// Relative update temperature of an object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum Temperature {
-    /// Rarely or never updated (e.g. `ITEM`, `HISTORY` appends only).
-    Cold,
-    /// Moderately updated.
-    Warm,
-    /// Frequently updated (e.g. `STOCK`, `DISTRICT`, `ORDERLINE` inserts).
-    Hot,
-}
 
 /// An object's I/O profile, the input to placement decisions.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -60,43 +49,6 @@ impl ObjectProfile {
     }
 }
 
-/// Classify objects into temperatures using relative update intensity.
-///
-/// Objects are ranked by [`ObjectProfile::update_intensity`]; the top
-/// `hot_fraction` of the aggregate write volume is classified [`Temperature::Hot`],
-/// objects with (almost) no writes are [`Temperature::Cold`], the rest are
-/// [`Temperature::Warm`].
-pub fn classify(profiles: &[ObjectProfile], hot_fraction: f64) -> Vec<(String, Temperature)> {
-    let total_writes: u64 = profiles.iter().map(|p| p.writes).sum();
-    if total_writes == 0 {
-        return profiles.iter().map(|p| (p.name.clone(), Temperature::Cold)).collect();
-    }
-    // Sort by update intensity, hottest first.
-    let mut order: Vec<&ObjectProfile> = profiles.iter().collect();
-    order.sort_by(|a, b| {
-        b.update_intensity()
-            .partial_cmp(&a.update_intensity())
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| b.writes.cmp(&a.writes))
-            .then_with(|| a.name.cmp(&b.name))
-    });
-    let hot_budget = (total_writes as f64 * hot_fraction.clamp(0.0, 1.0)).ceil() as u64;
-    let mut covered = 0u64;
-    let mut out = Vec::with_capacity(profiles.len());
-    for p in order {
-        let temp = if p.writes == 0 {
-            Temperature::Cold
-        } else if covered < hot_budget {
-            covered += p.writes;
-            Temperature::Hot
-        } else {
-            Temperature::Warm
-        };
-        out.push((p.name.clone(), temp));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,40 +80,5 @@ mod tests {
         assert_eq!(p.name, "customer");
         assert_eq!(p.pages, 10);
         assert_eq!(p.io_rate(), 7);
-    }
-
-    #[test]
-    fn classification_separates_hot_and_cold() {
-        let profiles = vec![
-            profile("stock", 100, 100, 10_000),    // very hot
-            profile("orderline", 500, 100, 5_000), // hot
-            profile("item", 200, 5_000, 0),        // read-only → cold
-            profile("history", 300, 0, 100),       // appends, low intensity → warm/cold-ish
-        ];
-        let classes = classify(&profiles, 0.8);
-        let get = |n: &str| classes.iter().find(|(name, _)| name == n).unwrap().1;
-        assert_eq!(get("stock"), Temperature::Hot);
-        assert_eq!(get("item"), Temperature::Cold);
-        assert!(get("history") != Temperature::Hot);
-        // The hottest objects cover the hot budget before history does.
-        assert_eq!(get("orderline"), Temperature::Hot);
-    }
-
-    #[test]
-    fn all_read_only_objects_are_cold() {
-        let profiles = vec![profile("a", 10, 100, 0), profile("b", 10, 50, 0)];
-        let classes = classify(&profiles, 0.5);
-        assert!(classes.iter().all(|(_, t)| *t == Temperature::Cold));
-    }
-
-    #[test]
-    fn empty_profile_list() {
-        assert!(classify(&[], 0.5).is_empty());
-    }
-
-    #[test]
-    fn temperature_ordering() {
-        assert!(Temperature::Cold < Temperature::Warm);
-        assert!(Temperature::Warm < Temperature::Hot);
     }
 }

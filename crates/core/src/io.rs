@@ -12,11 +12,11 @@
 //!   commit stay atomic with respect to GC;
 //! * `Env::exec` is the **only** code in the crate that talks to the
 //!   device's timed operations, always as one
-//!   [`CommandQueue`](flash_sim::queue::CommandQueue) submit + wait.  GC,
+//!   [`FlashBackend::execute`](flash_sim::FlashBackend::execute).  GC,
 //!   region shrink, checkpoint chunks and the mount scan issue their
 //!   physical commands through it too, so everything the arbiter polices
-//!   and the queue metrics count passes one function (`noftl-analyzer`'s
-//!   `queue_discipline` rule keeps it that way).
+//!   passes one function (`noftl-analyzer`'s `command_path` rule keeps
+//!   it that way).
 //!
 //! The public verbs — [`NoFtl::read`], [`NoFtl::write`],
 //! [`NoFtl::write_batch`], [`NoFtl::write_windowed`],
@@ -25,8 +25,9 @@
 
 use std::collections::VecDeque;
 
-use flash_sim::queue::{CmdOutput, FlashCommand};
-use flash_sim::{BlockAddr, IoTag, PageAddr, PageMetadata, ServiceClass, SimTime};
+use flash_sim::{
+    BlockAddr, CmdOutput, FlashCommand, IoTag, PageAddr, PageMetadata, ServiceClass, SimTime,
+};
 
 use crate::error::NoFtlError;
 use crate::manager::{Env, Inner, NoFtl};
@@ -81,16 +82,14 @@ impl<'a> IoRequest<'a> {
 
 impl Env {
     /// Issue one physical flash command at `at`: the crate's single
-    /// device choke point.  The queue executes inside `submit`, so the
-    /// completion is ready to claim as soon as the handle exists.
+    /// device choke point.
     pub(crate) fn exec(
         &self,
         command: FlashCommand<'_>,
         at: SimTime,
         tag: IoTag,
     ) -> flash_sim::Result<CmdOutput> {
-        let handle = self.queue.submit_tagged(command, at, tag);
-        self.queue.wait(handle)?.result
+        self.device.execute(command, at, tag)
     }
 
     /// Erase `blocks` of `die`, all issued at `at`, and return them to the
@@ -188,8 +187,7 @@ impl Inner {
     ) -> Result<(PageAddr, SimTime)> {
         env.check_page_size(data)?;
         let rid = self.object(req.object)?.region;
-        let ppa =
-            self.space(env, rid)?.allocate(at).ok_or(NoFtlError::RegionFull { region: rid })?;
+        let ppa = self.space(env, rid)?.allocate(at)?;
         let meta = PageMetadata::new(req.object, req.page).with_payload_checksum(data);
         let tag = self.tag(rid, req.class);
         let out = env.exec(FlashCommand::Program { addr: ppa, data, meta }, at, tag)?;
@@ -243,10 +241,10 @@ impl NoFtl {
         Ok(done)
     }
 
-    /// Write a batch of pages, all issued at `at`, fanned out through the
-    /// device's command queue: [`NoFtl::execute`] with an unbounded
-    /// window.  Every page is allocated striped over its region's dies
-    /// (running GC where a die's free pool is low) and carries the same
+    /// Write a batch of pages, all issued at `at` and fanned out over the
+    /// dies: [`NoFtl::execute`] with an unbounded window.  Every page is
+    /// allocated striped over its region's dies (running GC where a
+    /// die's free pool is low) and carries the same
     /// issue time, so the batch executes with full die-level parallelism
     /// in the timing model; the returned time is the completion of the
     /// slowest page.  This is the path used by the WAL group-commit force
@@ -421,15 +419,6 @@ impl NoFtl {
         }
         Ok(done)
     }
-
-    /// Submission counters of the device-level queue backing this
-    /// manager: every read, program, copyback, erase and metadata read
-    /// the manager has issued.  Clients wanting a raw queue create their
-    /// own [`CommandQueue`](flash_sim::queue::CommandQueue) over
-    /// [`NoFtl::device`] — queues are independent.
-    pub fn io_queue_stats(&self) -> flash_sim::QueueStats {
-        self.env.queue.stats()
-    }
 }
 
 #[cfg(test)]
@@ -574,14 +563,12 @@ mod tests {
         let rs = noftl.region_stats(r).unwrap();
         assert_eq!(rs.host_writes, 2);
         assert_eq!(rs.host_reads, 2);
-        // Every one of them went through the manager's queue, and nothing
-        // is left parked in it.
-        let qs = noftl.io_queue_stats();
-        assert_eq!((qs.submitted, qs.claimed), (4, 4));
+        // Each of them was exactly one device command.
+        assert_eq!(noftl.device().stats().total_ops(), 4);
     }
 
     #[test]
-    fn read_of_unwritten_page_fails_before_reaching_the_queue() {
+    fn read_of_unwritten_page_fails_before_reaching_the_device() {
         let noftl = make_noftl();
         let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
         let obj = noftl.create_object("t", r).unwrap();
@@ -589,16 +576,17 @@ mod tests {
             noftl.read(obj, 5, SimTime::ZERO),
             Err(NoFtlError::PageNotWritten { page: 5, .. })
         ));
-        assert_eq!(noftl.io_queue_stats().submitted, 0);
+        let stats = noftl.device().stats();
+        assert_eq!((stats.total_ops(), stats.errors), (0, 0));
     }
 
-    /// The single path: the blocking verbs no longer bypass the queue.
+    /// The single path: every verb costs one device command per page.
     #[test]
-    fn blocking_verbs_go_through_the_queue() {
+    fn every_verb_is_one_device_command_per_page() {
         let noftl = make_noftl();
         let r = noftl.create_region(RegionSpec::named("rg").with_die_count(2)).unwrap();
         let obj = noftl.create_object("t", r).unwrap();
-        let submitted = || noftl.metrics_snapshot().counter("flash.queue.submitted").unwrap_or(0);
+        let submitted = || noftl.device().stats().total_ops();
         let t = noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
         assert_eq!(submitted(), 1, "write");
         let (_, t) = noftl.read(obj, 0, t).unwrap();
@@ -606,7 +594,6 @@ mod tests {
         let batch = vec![(obj, 0u64, page(2)), (obj, 1u64, page(2))];
         noftl.write_atomic(&batch, t).unwrap();
         assert_eq!(submitted(), 4, "write_atomic");
-        assert_eq!(noftl.io_queue_stats().submitted, 4);
     }
 
     /// A read the device fails is not a served read: neither the object's
@@ -684,8 +671,8 @@ mod tests {
 
     #[test]
     fn queued_batch_beats_sequential_submission() {
-        // The acceptance check of the command-queue redesign at the
-        // storage-manager level: a batch fanned over a 4-die region must
+        // The acceptance check of batched issue at the storage-manager
+        // level: a batch fanned over a 4-die region must
         // finish in less simulated time than the same writes submitted
         // sequentially (each issued only after the previous completed).
         let make = || {

@@ -11,9 +11,8 @@
 //! * **Sorted runs** ([`run`]) — a flushed memtable becomes one immutable
 //!   sorted run: an ordinary NoFTL *object* whose data pages are written
 //!   through [`NoFtl::write_batch`], so the whole flush fans out across
-//!   the region's dies at one shared issue time via the command-queue
-//!   submission API.  A run ends in a self-describing *tail* (format
-//!   v2, one or more pages): the first key of every data page and a
+//!   the region's dies at one shared issue time.  A run ends in a
+//!   self-describing *tail* (format v2, one or more pages): the first key of every data page and a
 //!   Bloom filter over the run's keys, so a point lookup knows which
 //!   runs to skip and which single page of the others to read.  Index
 //!   and filter stay resident in [`RunMeta`] — about 1 % of the run's

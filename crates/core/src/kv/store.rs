@@ -1,5 +1,5 @@
 //! The NoFTL-KV store: memtable + per-region sorted runs, flushed and
-//! compacted through the command-queue submission API.
+//! compacted as multi-die batches.
 //!
 //! See the [module docs](super) for the architecture.  The durability
 //! contract in one line: **a put is committed once a flush covering it
@@ -705,8 +705,8 @@ impl KvStore {
             .map(|(i, page)| IoRequest::write(obj, i as u64, page).with_class(class))
             .collect();
         // Queued: the whole run issues at one shared time and fans across
-        // the region's dies via the command queue.  The ablation chains
-        // strictly sequential page writes.
+        // the region's dies.  The ablation chains strictly sequential
+        // page writes.
         let window = if self.config.queued_flush { usize::MAX } else { 1 };
         let (_, mut now) = self.noftl.execute(&requests, at, window)?;
         if encoded.meta.tail_pages >= 2 {
@@ -1019,7 +1019,7 @@ mod tests {
     }
 
     #[test]
-    fn flush_issues_one_queued_multi_die_batch() {
+    fn flush_issues_one_multi_die_batch() {
         let (device, noftl, rid) = stack(TimingModel::mlc_2015());
         let (kv, mut t) =
             KvStore::create(Arc::clone(&noftl), rid, "s", KvConfig::default(), SimTime::ZERO)
@@ -1027,23 +1027,23 @@ mod tests {
         for i in 0..300u64 {
             t = kv.put(&key(i), &val(i, 0), t).unwrap();
         }
-        let before = noftl.io_queue_stats();
+        let ops = || (noftl.device().stats().total_ops(), noftl.device().die_stats());
+        let (total_before, dies_before) = ops();
         t = kv.flush(t).unwrap();
-        let after = noftl.io_queue_stats();
+        let (total_after, dies_after) = ops();
         let pages = kv.stats().flushed_pages;
         assert!(pages >= 4, "300 entries must span several pages (got {pages})");
-        // Every run page went through the submission queue (as did the
-        // checkpoint chunks that make the run durable)...
-        assert!(after.submitted - before.submitted >= pages);
+        // Every run page is a device command (as are the checkpoint
+        // chunks that make the run durable)...
+        assert!(total_after - total_before >= pages);
         // ...fanned over more than one die of the store's region.
-        let submitted =
-            |s: &flash_sim::QueueStats, die: &flash_sim::DieId| s.per_die_submitted[die.0 as usize];
+        let delta = |die: &flash_sim::DieId| {
+            dies_after[die.0 as usize].ops - dies_before[die.0 as usize].ops
+        };
         let region_dies = noftl.region_dies(rid).unwrap();
-        let on_region: u64 =
-            region_dies.iter().map(|d| submitted(&after, d) - submitted(&before, d)).sum();
+        let on_region: u64 = region_dies.iter().map(delta).sum();
         assert_eq!(on_region, pages, "exactly the run pages land on the region's dies");
-        let dies_hit =
-            region_dies.iter().filter(|d| submitted(&after, d) > submitted(&before, d)).count();
+        let dies_hit = region_dies.iter().filter(|d| delta(d) > 0).count();
         assert!(dies_hit >= 2, "flush must fan across dies (hit {dies_hit})");
         let _ = t;
         let _ = device;

@@ -58,7 +58,7 @@ pub mod wear;
 pub use config::{GcPolicy, NoFtlConfig, WearLevelingPolicy};
 pub use ddl::{Ddl, DdlStatement};
 pub use error::NoFtlError;
-pub use hotcold::{ObjectProfile, Temperature};
+pub use hotcold::ObjectProfile;
 pub use io::{IoKind, IoRequest};
 pub use kv::{KvConfig, KvOpenReport, KvStats, KvStore};
 pub use manager::NoFtl;

@@ -23,8 +23,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use flash_sim::lockorder::{self, LockClass, TrackedGuard};
-use flash_sim::queue::{CommandQueue, FlashCommand};
-use flash_sim::{DieId, FlashBackend, IoTag, PageState, SimTime};
+use flash_sim::{DieId, FlashBackend, FlashCommand, IoTag, PageState, SimTime};
 
 use noftl_obs::{MetricsRegistry, MetricsSnapshot};
 
@@ -37,30 +36,20 @@ use crate::region::{RegionDie, RegionId, RegionRuntime, RegionSpec};
 use crate::stats::{NoFtlStats, RegionStats};
 use crate::Result;
 
-/// The immutable half of the manager: the device, the one submission
-/// queue in front of it, the configuration and the pre-bound metric
-/// handles.  Borrowed as a unit by the methods on the locked [`Inner`]
-/// state (allocator, GC, request path), which therefore need no handle on
+/// The immutable half of the manager: the device, the configuration and
+/// the pre-bound metric handles.  Borrowed as a unit by the methods on
+/// the locked [`Inner`] state (allocator, GC, request path), which therefore need no handle on
 /// the manager — and cannot re-take its lock.
 pub(crate) struct Env {
     pub(crate) device: Arc<dyn FlashBackend>,
     pub(crate) config: NoFtlConfig,
-    /// Every timed device command of the crate is submitted here (see
-    /// `Env::exec` in [`crate::io`]).  The queue stays private to the
-    /// crate: an external `poll`/`drain` could steal completions.
-    pub(crate) queue: CommandQueue,
     /// Atomics-only: safe under any tracked lock.
     pub(crate) obs: CoreObs,
 }
 
 impl Env {
     pub(crate) fn new(device: Arc<dyn FlashBackend>, config: NoFtlConfig) -> Self {
-        Env {
-            queue: CommandQueue::new(device.clone()),
-            obs: CoreObs::new(Arc::clone(device.metrics())),
-            device,
-            config,
-        }
+        Env { obs: CoreObs::new(Arc::clone(device.metrics())), device, config }
     }
 }
 
@@ -191,7 +180,7 @@ impl NoFtl {
     }
 
     /// The metrics registry shared with the underlying device: every
-    /// layer of the stack (device, queue, manager, KV) records into it.
+    /// layer of the stack (device, manager, KV) records into it.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         self.env.obs.registry()
     }
@@ -204,7 +193,7 @@ impl NoFtl {
 
     /// Lock the manager state.  This is the sole acquisition site of the
     /// manager lock, the first class in the documented lock order: it may
-    /// be held across queue and device calls (allocation and translation
+    /// be held across device calls (allocation and translation
     /// commit must be atomic with respect to GC) but never acquired while
     /// any later-ordered lock is held.
     pub(crate) fn lock_inner(&self) -> TrackedGuard<'_, Inner> {
@@ -339,7 +328,7 @@ impl NoFtl {
     /// Configuration/occupancy snapshot of a region.
     pub fn region_info(&self, rid: RegionId) -> Result<crate::region::RegionInfo> {
         let inner = self.lock_inner();
-        Ok(inner.region(rid)?.info(self.env.device.geometry(), &self.env.config))
+        Ok(inner.region(rid)?.info(self.env.device.geometry()))
     }
 
     /// Number of dies still unassigned.
@@ -403,7 +392,7 @@ impl NoFtl {
                     }
                     let read = env.exec(FlashCommand::Read { addr: src }, at, tag)?;
                     let Some(meta) = read.meta else { continue };
-                    let dst = space.allocate(at).ok_or(NoFtlError::RegionFull { region: rid })?;
+                    let dst = space.allocate(at)?;
                     let program = FlashCommand::Program { addr: dst, data: &read.data, meta };
                     let out = env.exec(program, read.outcome.completed_at, tag)?;
                     done = done.max(out.outcome.completed_at);
@@ -560,7 +549,6 @@ mod tests {
         assert_eq!(info.dies.len(), 2);
         assert_eq!(info.objects, vec![obj]);
         assert_eq!(info.capacity_pages, 2 * geo.pages_per_die());
-        assert!(info.effective_capacity_pages <= info.capacity_pages);
         assert_eq!(info.tracked_blocks, 2 * geo.blocks_per_die() as u64);
         assert!(info.free_blocks < info.tracked_blocks, "one block is now open");
         assert_eq!(noftl.object_extent(obj).unwrap(), 11);

@@ -28,10 +28,9 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use flash_sim::queue::FlashCommand;
 use flash_sim::{
-    BlockAddr, BlockState, DieId, FlashBackend, IoTag, PageAddr, PageMetadata, PageState,
-    ServiceClass, SimTime,
+    BlockAddr, BlockState, DieId, FlashBackend, FlashCommand, IoTag, PageAddr, PageMetadata,
+    PageState, ServiceClass, SimTime,
 };
 
 use crate::config::NoFtlConfig;
@@ -481,8 +480,7 @@ impl Inner {
         self.meta.staging = vec![None; chunk_count];
         for (index, body) in blob.chunks(cap).enumerate() {
             let page = encode_chunk(seq, index as u32, chunk_count as u32, body, page_size);
-            let addr =
-                self.space(env, rid)?.allocate(at).ok_or(NoFtlError::RegionFull { region: rid })?;
+            let addr = self.space(env, rid)?.allocate(at)?;
             let meta = PageMetadata::new(META_OBJECT_ID, index as u64).with_payload_checksum(&page);
             let out = env.exec(FlashCommand::Program { addr, data: &page, meta }, at, tag)?;
             done = done.max(out.outcome.completed_at);

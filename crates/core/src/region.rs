@@ -9,7 +9,7 @@ use flash_sim::{BlockAddr, DieId, FlashBackend, FlashGeometry, PageAddr, Service
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-use crate::config::{NoFtlConfig, WearLevelingPolicy};
+use crate::config::WearLevelingPolicy;
 use crate::stats::RegionStats;
 use crate::wear::{pick_free_block, FreeBlockCandidate};
 
@@ -335,8 +335,6 @@ pub struct RegionInfo {
     pub tracked_blocks: u64,
     /// Raw capacity in pages.
     pub capacity_pages: u64,
-    /// Capacity available to objects after GC headroom.
-    pub effective_capacity_pages: u64,
 }
 
 /// Runtime state of a region.
@@ -413,18 +411,8 @@ impl RegionRuntime {
         self.dies.len() as u64 * geo.pages_per_die()
     }
 
-    /// Effective capacity available to objects after reserving GC headroom.
-    pub(crate) fn effective_capacity_pages(
-        &self,
-        geo: &FlashGeometry,
-        config: &NoFtlConfig,
-    ) -> u64 {
-        let raw = self.capacity_pages(geo);
-        (raw as f64 * (1.0 - config.gc_headroom)).floor() as u64
-    }
-
     /// Build the public snapshot of this region.
-    pub(crate) fn info(&self, geo: &FlashGeometry, config: &NoFtlConfig) -> RegionInfo {
+    pub(crate) fn info(&self, geo: &FlashGeometry) -> RegionInfo {
         RegionInfo {
             id: self.id,
             name: self.name.clone(),
@@ -434,7 +422,6 @@ impl RegionRuntime {
             free_blocks: self.total_free_blocks() as u64,
             tracked_blocks: self.dies.iter().map(|d| d.tracked_blocks() as u64).sum(),
             capacity_pages: self.capacity_pages(geo),
-            effective_capacity_pages: self.effective_capacity_pages(geo, config),
         }
     }
 }
@@ -529,8 +516,6 @@ mod tests {
             vec![DieId(0), DieId(1)],
         );
         assert_eq!(rt.capacity_pages(&geo), 2 * geo.pages_per_die());
-        let config = NoFtlConfig { gc_headroom: 0.5, ..NoFtlConfig::default() };
-        assert_eq!(rt.effective_capacity_pages(&geo, &config), geo.pages_per_die());
         assert_eq!(rt.die_ids(), vec![DieId(0), DieId(1)]);
         assert_eq!(rt.total_free_blocks(), 2 * geo.blocks_per_die() as usize);
     }

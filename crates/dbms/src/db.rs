@@ -552,8 +552,8 @@ impl Database {
     /// Snapshot the metrics registry of the storage stack underneath,
     /// when the backend exposes one (the NoFTL stack does; the legacy
     /// block backend reports `None`).  The snapshot spans every layer —
-    /// flash device, command queue, storage manager, WAL and buffer
-    /// pool — because they all record into the shared registry.
+    /// flash device, storage manager, WAL and buffer pool — because they
+    /// all record into the shared registry.
     pub fn metrics_snapshot(&self) -> Option<noftl_obs::MetricsSnapshot> {
         self.backend.metrics().map(|registry| registry.snapshot())
     }

@@ -207,8 +207,7 @@ impl StorageBackend for NoFtlBackend {
     }
 
     fn write_batch(&self, writes: &[(ObjectId, u64, Vec<u8>)], at: SimTime) -> Result<SimTime> {
-        // Fans the batch across the dies of each target region through the
-        // storage manager's command queue.
+        // Fans the batch across the dies of each target region.
         self.noftl.write_batch(writes, at).map_err(Into::into)
     }
 

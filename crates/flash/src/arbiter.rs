@@ -32,11 +32,11 @@ use crate::time::SimTime;
 
 /// Priority class of one submitted flash command.
 ///
-/// The class travels with the command through the submission queue and the
-/// device's issue path; the region layer above resolves it from the
-/// region's spec (or the manager-wide default) and overrides it for
-/// maintenance I/O (GC relocation, compaction merges, rebuild copies are
-/// `Background` regardless of the region's class).
+/// The class travels with the command down the device's issue path; the
+/// region layer above resolves it from the region's spec (or the
+/// manager-wide default) and overrides it for maintenance I/O (GC
+/// relocation, compaction merges, rebuild copies are `Background`
+/// regardless of the region's class).
 #[derive(
     Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
 )]

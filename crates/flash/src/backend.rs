@@ -1,9 +1,8 @@
 //! The flash backend abstraction the storage manager runs on.
 //!
-//! `NoFtl` and the [`crate::queue::CommandQueue`] were written against a
-//! single [`NandDevice`]; the replication layer (`noftl-mirror`) fronts
-//! *several* devices behind the same call surface.  [`FlashBackend`]
-//! captures that surface as a trait: the full timed native-flash command
+//! `NoFtl` was written against a single [`NandDevice`]; the replication
+//! layer (`noftl-mirror`) fronts *several* devices behind the same call
+//! surface.  [`FlashBackend`] captures that surface as a trait: the full timed native-flash command
 //! set (read/program/erase/copyback with caller-supplied issue times and
 //! device-returned completion times), the page/block state probes the
 //! region manager's GC and mount scan need, and the load/metrics probes
@@ -26,10 +25,10 @@ use noftl_obs::MetricsRegistry;
 use crate::addr::{BlockAddr, DieId, PageAddr};
 use crate::arbiter::IoTag;
 use crate::block::{BlockInfo, PageState};
+use crate::command::{CmdOutput, FlashCommand};
 use crate::device::{DieLoad, NandDevice, OpOutcome};
 use crate::geometry::FlashGeometry;
 use crate::metadata::PageMetadata;
-use crate::queue::{CmdOutput, FlashCommand};
 use crate::stats::{DeviceStats, DieStats, WearSummary};
 use crate::time::SimTime;
 use crate::timing::TimingModel;
@@ -119,12 +118,13 @@ pub trait FlashBackend: Send + Sync {
     /// On-die copyback of a valid page.
     fn copyback(&self, src: PageAddr, dst: PageAddr, at: SimTime) -> Result<OpOutcome>;
 
-    /// Execute one [`FlashCommand`] issued at `at`: the entry point
-    /// [`crate::queue::CommandQueue`] submits through.  The provided body
-    /// turns the command into the matching per-command verb, so a backend
-    /// that forwards verb by verb (a mirror, a tracing decorator) needs
-    /// nothing more; [`NandDevice`] overrides it with its single command
-    /// path and answers the verbs from there.
+    /// Execute one [`FlashCommand`] issued at `at`: the entry point every
+    /// client above the backend calls.  The provided body turns the
+    /// command into the matching per-command verb, which is all a
+    /// forward-only decorator (a tracing wrapper) needs — at the price of
+    /// the tag on erases and copybacks, whose verbs carry none.
+    /// [`NandDevice`] and the mirror override it with their real command
+    /// path and answer the verbs from there.
     fn execute(&self, command: FlashCommand<'_>, at: SimTime, tag: IoTag) -> Result<CmdOutput> {
         match command {
             FlashCommand::Read { addr } => {

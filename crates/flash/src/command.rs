@@ -1,0 +1,119 @@
+//! The native command set as plain data: what [`FlashBackend::execute`]
+//! takes and what it hands back.
+//!
+//! [`FlashCommand`] is the paper's Figure 1 interface — read, metadata
+//! read, program, erase, copyback — and [`CmdOutput`] the successful
+//! result of any of them.  Every layer speaks these two types; there is
+//! no submission queue in between: a caller that wants several commands
+//! in flight issues them at the same simulated instant (or at the
+//! completion instants of earlier ones) and keeps the results it already
+//! holds.
+//!
+//! ```
+//! use flash_sim::{DeviceBuilder, FlashCommand, FlashGeometry, IoTag, PageMetadata, SimTime};
+//!
+//! let device = DeviceBuilder::new(FlashGeometry::small_test()).build();
+//! let data = vec![0xA5; device.geometry().page_size as usize];
+//! let addr = flash_sim::PageAddr::new(flash_sim::DieId(0), 0, 0, 0);
+//! let program = FlashCommand::Program { addr, data: &data, meta: PageMetadata::new(1, 0) };
+//! let out = device.execute(program, SimTime::ZERO, IoTag::default()).unwrap();
+//! assert!(out.outcome.completed_at > SimTime::ZERO);
+//! ```
+//!
+//! [`FlashBackend::execute`]: crate::FlashBackend::execute
+
+use crate::addr::{BlockAddr, DieId, PageAddr};
+use crate::device::OpOutcome;
+use crate::metadata::PageMetadata;
+use crate::trace::OpKind;
+
+/// One command of the device's native interface: the argument of
+/// [`FlashBackend::execute`](crate::FlashBackend::execute).
+///
+/// A program *borrows* its payload: the command executes inside the
+/// call, so nothing outlives it and no caller has to copy a page just to
+/// build a command.
+#[derive(Debug, Clone, Copy)]
+pub enum FlashCommand<'a> {
+    /// `READ PAGE`: payload + OOB metadata.
+    Read {
+        /// Page to read.
+        addr: PageAddr,
+    },
+    /// OOB-only metadata read (cheaper than a full page read).
+    MetadataRead {
+        /// Page whose OOB area to read.
+        addr: PageAddr,
+    },
+    /// `PROGRAM PAGE` with payload and OOB metadata.
+    Program {
+        /// Target page (must be erased and sequential within its block).
+        addr: PageAddr,
+        /// Page payload (may be empty when the device stores no data).
+        data: &'a [u8],
+        /// OOB metadata; a zero epoch is stamped by the device.
+        meta: PageMetadata,
+    },
+    /// `ERASE BLOCK`.
+    Erase {
+        /// Block to erase.
+        block: BlockAddr,
+    },
+    /// `COPYBACK` (die-internal page move).
+    Copyback {
+        /// Source page.
+        src: PageAddr,
+        /// Destination page (same die, erased, sequential).
+        dst: PageAddr,
+    },
+}
+
+impl FlashCommand<'_> {
+    /// The die the command executes on (copybacks are same-die by rule;
+    /// for a cross-die copyback this reports the source die and the
+    /// device rejects the command at execution).
+    pub fn die(&self) -> DieId {
+        match self {
+            FlashCommand::Read { addr }
+            | FlashCommand::MetadataRead { addr }
+            | FlashCommand::Program { addr, .. } => addr.die,
+            FlashCommand::Erase { block } => block.die,
+            FlashCommand::Copyback { src, .. } => src.die,
+        }
+    }
+
+    /// The page the trace files the command under: for an erase the first
+    /// page of the block, for a copyback the destination.
+    pub(crate) fn target(&self) -> PageAddr {
+        match self {
+            FlashCommand::Read { addr }
+            | FlashCommand::MetadataRead { addr }
+            | FlashCommand::Program { addr, .. } => *addr,
+            FlashCommand::Erase { block } => block.page(0),
+            FlashCommand::Copyback { dst, .. } => *dst,
+        }
+    }
+
+    /// The trace kind this command maps to.
+    pub fn kind(&self) -> OpKind {
+        match self {
+            FlashCommand::Read { .. } => OpKind::Read,
+            FlashCommand::MetadataRead { .. } => OpKind::MetadataRead,
+            FlashCommand::Program { .. } => OpKind::Program,
+            FlashCommand::Erase { .. } => OpKind::Erase,
+            FlashCommand::Copyback { .. } => OpKind::Copyback,
+        }
+    }
+}
+
+/// Successful payload of an executed command.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CmdOutput {
+    /// Page payload (reads only; empty otherwise).
+    pub data: Vec<u8>,
+    /// OOB metadata (reads and metadata reads; `None` otherwise or when
+    /// the page's OOB area was lost to a torn operation).
+    pub meta: Option<PageMetadata>,
+    /// Start/completion times of the operation.
+    pub outcome: OpOutcome,
+}

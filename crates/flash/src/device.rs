@@ -43,13 +43,13 @@ use crate::addr::{BlockAddr, DieId, PageAddr};
 use crate::arbiter::{ArbiterConfig, IoTag, ServiceClass, TokenBucket};
 use crate::badblock::BadBlockPolicy;
 use crate::block::{Block, BlockInfo, BlockSnapshot, BlockState, PageState};
+use crate::command::{CmdOutput, FlashCommand};
 use crate::die::{Channel, Die};
 use crate::error::FlashError;
 use crate::geometry::FlashGeometry;
 use crate::lockorder::{self, LockClass, TrackedGuard};
 use crate::metadata::PageMetadata;
 use crate::obs::{ArbiterObs, DeviceObs};
-use crate::queue::{CmdOutput, FlashCommand};
 use crate::sched::{self, Scheduled, Shape};
 use crate::stats::{DeviceStats, DieStats, UtilizationSummary, WearSummary};
 use crate::time::{Duration, SimTime};
@@ -269,8 +269,7 @@ pub struct DeviceSnapshot {
 /// carrying the completion time; the device never blocks real threads.
 /// The device is `Send + Sync` with per-die lock shards: concurrent
 /// clients whose operations target different dies proceed without
-/// contending on any common lock (see the module docs), which is what the
-/// submission-queue API in [`crate::queue`] builds on.
+/// contending on any common lock (see the module docs).
 pub struct NandDevice {
     geometry: FlashGeometry,
     timing: TimingModel,
@@ -320,8 +319,8 @@ impl NandDevice {
     }
 
     /// The device's metrics registry (shared by the whole stack above:
-    /// the command queue, `NoFtl` and the storage engine all record
-    /// here).  Snapshot it, export it, or flip its tracer on.
+    /// `NoFtl` and the storage engine record here too).  Snapshot it,
+    /// export it, or flip its tracer on.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         self.obs.registry()
     }
@@ -377,9 +376,9 @@ impl NandDevice {
     }
 
     /// Lock the arbiter's admission state.  This is the sole acquisition
-    /// site of the arbiter lock; it sits between the queue and the die
-    /// shards in the documented order and is always released before any
-    /// die or channel lock is taken.
+    /// site of the arbiter lock; it sits above the die shards in the
+    /// documented order and is always released before any die or channel
+    /// lock is taken.
     fn arbiter_shard<'a>(&self, slot: &'a ArbiterSlot) -> TrackedGuard<'a, ArbiterState> {
         let _ = self;
         lockorder::lock_tracked(LockClass::Arbiter, &slot.state)
@@ -485,8 +484,8 @@ impl NandDevice {
         self.epoch.fetch_max(to, Ordering::AcqRel);
     }
 
-    /// Take one command through [`Self::phases`] and count it in
-    /// `DeviceStats::errors` if any phase rejected it.
+    /// Take one command through [`Self::phases`]; if any phase rejected
+    /// it, count it in `DeviceStats::errors` and trace the error instant.
     fn run(
         &self,
         cmd: FlashCommand<'_>,
@@ -497,6 +496,7 @@ impl NandDevice {
         let result = self.phases(cmd, at, tag, ratchet);
         if result.is_err() {
             self.shared_shard().stats.errors += 1;
+            self.obs.note_error(cmd.die(), at);
         }
         result
     }

@@ -105,12 +105,6 @@ pub enum FlashError {
         /// Human-readable description.
         message: String,
     },
-    /// A command-queue completion was requested for a handle this queue
-    /// never issued, or whose completion was already claimed.
-    UnknownHandle {
-        /// The raw handle sequence number.
-        handle: u64,
-    },
 }
 
 impl fmt::Display for FlashError {
@@ -148,9 +142,6 @@ impl fmt::Display for FlashError {
             }
             FlashError::MirrorConfig { message } => write!(f, "mirror error: {message}"),
             FlashError::Image { message } => write!(f, "device image error: {message}"),
-            FlashError::UnknownHandle { handle } => {
-                write!(f, "unknown or already-claimed command handle #{handle}")
-            }
         }
     }
 }

@@ -18,9 +18,9 @@
 //!
 //! [`NandDevice::execute`] takes any of them through one command path;
 //! the per-command methods of [`FlashBackend`] are adapters over it.
-//! Clients submit through an explicit submit/poll completion protocol —
-//! see the [`queue`] module — which is how batched and concurrent clients
-//! exploit the device's die-level parallelism.
+//! There is no submission queue above it: commands issued at the same
+//! simulated instant to different dies overlap, which is how batched
+//! and concurrent clients exploit the device's die-level parallelism.
 //!
 //! ## Time model
 //!
@@ -71,6 +71,7 @@ pub mod arbiter;
 pub mod backend;
 pub mod badblock;
 pub mod block;
+pub mod command;
 pub mod crc;
 pub mod device;
 pub mod die;
@@ -81,7 +82,6 @@ pub mod image;
 pub mod lockorder;
 pub mod metadata;
 pub(crate) mod obs;
-pub mod queue;
 pub mod sched;
 pub mod stats;
 pub mod time;
@@ -93,6 +93,7 @@ pub use arbiter::{ArbiterConfig, IoTag, ServiceClass};
 pub use backend::FlashBackend;
 pub use badblock::BadBlockPolicy;
 pub use block::{BlockInfo, BlockSnapshot, BlockState, PageState};
+pub use command::{CmdOutput, FlashCommand};
 pub use crc::crc32;
 pub use device::{DeviceBuilder, DeviceSnapshot, DieLoad, NandDevice, OpOutcome};
 pub use error::FlashError;
@@ -100,7 +101,6 @@ pub use fault::DeviceLossInjector;
 pub use geometry::FlashGeometry;
 pub use lockorder::{LockClass, TrackedGuard};
 pub use metadata::PageMetadata;
-pub use queue::{CmdHandle, CmdOutput, CommandQueue, Completion, FlashCommand, QueueStats};
 pub use stats::{DeviceStats, DieStats, UtilizationSummary, WearSummary};
 pub use time::{Duration, SimTime};
 pub use timing::TimingModel;

@@ -3,13 +3,13 @@
 //! The repository's documented lock hierarchy is a single total order:
 //!
 //! ```text
-//! manager → mirror → mirror-range → queue → arbiter → die(id) → channel(id) → shared
+//! manager → mirror → mirror-range → arbiter → die(id) → channel(id) → shared
 //! ```
 //!
 //! with ascending ids inside the `die`/`channel` classes.  Every shard-lock
 //! acquisition in `crates/flash` and `crates/core` goes through one choke
 //! point per lock class ([`lock_tracked`] behind `die_shard`,
-//! `channel_shard`, `shared_shard`, `queue_shard`, `lock_inner`), so in
+//! `channel_shard`, `shared_shard`, `arbiter_shard`, `lock_inner`), so in
 //! debug builds each acquisition is recorded on a thread-local held-lock
 //! stack and checked against the order *before* the thread blocks on the
 //! mutex: a would-be deadlock panics with a message naming both locks
@@ -47,16 +47,14 @@ pub enum LockClass {
     /// `noftl-core`'s manager state (`NoFtl::inner`).
     Manager,
     /// `noftl-mirror`'s replica state (health machine + segment maps).
-    /// Sits above `Queue` because the mirror fans out to its children's
-    /// command queues while holding it.
+    /// Sits above the device classes because the mirror fans out to its
+    /// children while holding it.
     Mirror,
     /// `noftl-mirror`'s write-vs-rebuild range locks.
     MirrorRange,
-    /// The command queue's submission state (`CommandQueue::inner`).
-    Queue,
     /// The device's I/O-arbiter admission state (token buckets).  Sits
-    /// between `Queue` and the die shards: admission is decided before
-    /// any die or channel lock is taken.
+    /// above the die shards: admission is decided before any die or
+    /// channel lock is taken.
     Arbiter,
     /// A per-die device shard, ordered by die id.
     Die(u32),
@@ -72,7 +70,6 @@ impl fmt::Display for LockClass {
             LockClass::Manager => write!(f, "manager"),
             LockClass::Mirror => write!(f, "mirror"),
             LockClass::MirrorRange => write!(f, "mirror-range"),
-            LockClass::Queue => write!(f, "queue"),
             LockClass::Arbiter => write!(f, "arbiter"),
             LockClass::Die(id) => write!(f, "die({id})"),
             LockClass::Channel(id) => write!(f, "channel({id})"),
@@ -130,7 +127,7 @@ pub fn acquire(class: LockClass) -> LockToken {
                     panic!(
                         "lock-order violation: acquiring {class} while holding {h}; \
                          the documented order is \
-                         manager -> mirror -> mirror-range -> queue -> arbiter \
+                         manager -> mirror -> mirror-range -> arbiter \
                          -> die -> channel -> shared, \
                          ascending ids within a class"
                     );
@@ -219,8 +216,7 @@ mod tests {
     fn lock_classes_order_matches_documentation() {
         assert!(LockClass::Manager < LockClass::Mirror);
         assert!(LockClass::Mirror < LockClass::MirrorRange);
-        assert!(LockClass::MirrorRange < LockClass::Queue);
-        assert!(LockClass::Queue < LockClass::Arbiter);
+        assert!(LockClass::MirrorRange < LockClass::Arbiter);
         assert!(LockClass::Arbiter < LockClass::Die(0));
         assert!(LockClass::Die(7) < LockClass::Channel(0));
         assert!(LockClass::Channel(3) < LockClass::Shared);
@@ -270,27 +266,27 @@ mod tests {
         #[test]
         fn manager_may_nest_device_shards() {
             let _m = acquire(LockClass::Manager);
-            let _q = acquire(LockClass::Queue);
+            let _a = acquire(LockClass::Arbiter);
             let _d = acquire(LockClass::Die(0));
             assert_eq!(held_depth(), 3);
         }
 
         #[test]
-        fn mirror_nests_between_manager_and_child_queues() {
+        fn mirror_nests_between_manager_and_child_devices() {
             // The replication layer's acquisition path: manager state, the
             // mirror's own health/segment state, a rebuild range lock, then
-            // a child device's command queue.
+            // a child device's die shard.
             let _m = acquire(LockClass::Manager);
             let _mi = acquire(LockClass::Mirror);
             let _r = acquire(LockClass::MirrorRange);
-            let _q = acquire(LockClass::Queue);
+            let _d = acquire(LockClass::Die(0));
             assert_eq!(held_depth(), 4);
         }
 
         #[test]
         #[should_panic(expected = "lock-order violation")]
-        fn queue_before_mirror_panics() {
-            let _q = acquire(LockClass::Queue);
+        fn die_before_mirror_panics() {
+            let _d = acquire(LockClass::Die(0));
             let _m = acquire(LockClass::Mirror);
         }
 

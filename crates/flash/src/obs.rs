@@ -1,4 +1,4 @@
-//! Registry handles pre-bound by the device and command queue.
+//! Registry handles pre-bound by the device.
 //!
 //! All handles are registered once at construction (the cold path) so
 //! the per-operation cost is pure atomics — `noftl-obs` never touches
@@ -8,7 +8,9 @@
 //! Metric names (see the README's Observability section):
 //!
 //! * `flash.op.<kind>.latency_ns` — issue→complete latency per native
-//!   command, the revived `Scheduled::latency`;
+//!   command, the revived `Scheduled::latency`; with the tracer on, the
+//!   same interval is a `flash.op` span on the die's track (a rejected
+//!   command is an `error` instant there);
 //! * `flash.die<i>.{reads,programs,erases,copybacks}` — per-die op
 //!   counters; `flash.die<i>.busy_ns` — the die's cumulative busy time;
 //! * `flash.device.quiesce_ns` — latest completion seen so far;
@@ -16,10 +18,6 @@
 //! * `flash.timeline.clamped` — reservations issued below the floor of a
 //!   die's or channel's bounded occupancy history (0 on every committed
 //!   workload; non-zero means completions may be pessimistic);
-//! * `flash.queue.<kind>.wait_ns` — submit→complete through the
-//!   command queue, per kind; `flash.queue.{submitted,failed}`;
-//! * `flash.queue.class.<class>.wait_ns` — the same waits split by
-//!   [`ServiceClass`] (`latency`/`throughput`/`background`);
 //! * `flash.arbiter.*` — arbiter decisions on arbiter-enabled devices:
 //!   `class.<class>.ops` admissions per class, `deferred`/`deferral_ns`
 //!   budget deferrals, `aging_capped` deferrals clipped by the
@@ -109,9 +107,11 @@ impl DeviceObs {
         &self.registry
     }
 
-    /// Record one completed native command.  `busy_ns` is the executing
-    /// die's cumulative busy time, read under the die shard the caller
-    /// already holds.
+    /// Record one completed native command: its latency sample, the
+    /// per-die counters and — the one place a command is traced, however
+    /// many backends are stacked above the device — a span on the die's
+    /// track.  `busy_ns` is the executing die's cumulative busy time,
+    /// read under the die shard the caller already holds.
     pub(crate) fn note_op(
         &self,
         kind: OpKind,
@@ -139,80 +139,20 @@ impl DeviceObs {
         if clamped > 0 {
             self.clamped.add(clamped as u64);
         }
-    }
-}
-
-/// Handles the command queue records into at submit→complete.
-#[derive(Debug)]
-pub(crate) struct QueueObs {
-    registry: Arc<MetricsRegistry>,
-    waits: Vec<Histogram>,
-    class_waits: Vec<Histogram>,
-    submitted: Counter,
-    failed: Counter,
-}
-
-impl QueueObs {
-    pub(crate) fn new(registry: Arc<MetricsRegistry>) -> Self {
-        let waits = OPS
-            .iter()
-            .map(|k| {
-                registry.histogram(&format!("flash.queue.{}.wait_ns", op_name(*k)), Unit::SimNanos)
-            })
-            .collect();
-        let class_waits = ServiceClass::ALL
-            .iter()
-            .map(|c| {
-                registry
-                    .histogram(&format!("flash.queue.class.{}.wait_ns", c.name()), Unit::SimNanos)
-            })
-            .collect();
-        let submitted = registry.counter("flash.queue.submitted");
-        let failed = registry.counter("flash.queue.failed");
-        QueueObs { registry, waits, class_waits, submitted, failed }
+        self.registry.tracer().span(
+            "flash.op",
+            op_name(kind),
+            u64::from(die.0),
+            at.as_nanos(),
+            sched.complete.as_nanos(),
+            &[],
+        );
     }
 
-    /// Record one completion: the submit→complete wait histogram for the
-    /// kind and the service class, plus a tracer span on the die's track
-    /// (instant on failure).
-    pub(crate) fn note_completion(
-        &self,
-        kind: OpKind,
-        class: ServiceClass,
-        die: DieId,
-        issued_at: SimTime,
-        completed_at: Option<SimTime>,
-    ) {
-        self.submitted.inc();
-        let track = u64::from(die.0);
-        match completed_at {
-            Some(done) => {
-                if let Some(h) = self.waits.get(op_slot(kind)) {
-                    h.record(done.since(issued_at).as_nanos());
-                }
-                if let Some(h) = self.class_waits.get(class.slot()) {
-                    h.record(done.since(issued_at).as_nanos());
-                }
-                self.registry.tracer().span(
-                    "flash.queue",
-                    op_name(kind),
-                    track,
-                    issued_at.as_nanos(),
-                    done.as_nanos(),
-                    &[],
-                );
-            }
-            None => {
-                self.failed.inc();
-                self.registry.tracer().instant(
-                    "flash.queue",
-                    "error",
-                    track,
-                    issued_at.as_nanos(),
-                    &[],
-                );
-            }
-        }
+    /// Trace one rejected command as an instant on its die's track
+    /// (`DeviceStats::errors` holds the count).
+    pub(crate) fn note_error(&self, die: DieId, at: SimTime) {
+        self.registry.tracer().instant("flash.op", "error", u64::from(die.0), at.as_nanos(), &[]);
     }
 }
 

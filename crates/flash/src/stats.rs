@@ -36,8 +36,8 @@ pub struct DeviceStats {
     /// Number of timed commands the device rejected, for any reason: an
     /// address outside the geometry, a payload of the wrong size, a
     /// cross-die copyback, a NAND-rule violation, a bad or worn-out
-    /// block, or power loss.  Equals the `Err` completions of the queues
-    /// above the device (`flash.queue.failed`).
+    /// block, or power loss.  Each is also an `error` instant on its
+    /// die's tracer track.
     pub errors: u64,
     /// Deepest any die's command queue has ever been (1 = no operation
     /// ever queued behind another on the same die).

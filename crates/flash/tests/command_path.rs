@@ -26,19 +26,18 @@
 //! run's spans, so which commands it tears legitimately moves with them).
 //!
 //! Every golden must hold through the `FlashBackend` verbs (adapters),
-//! through `NandDevice::execute`, and through a `CommandQueue` over a
-//! backend that forwards verb by verb and inherits the trait's provided
-//! `execute` — the shape of the benchmark's tracing decorator and of
-//! `MirrorDevice`.  Print fresh values with `NOFTL_PRINT_GOLDEN=1 cargo
+//! through `NandDevice::execute`, and through a backend that forwards
+//! verb by verb and inherits the trait's provided `execute` — the shape
+//! of the benchmark's tracing decorator.  Print fresh values with `NOFTL_PRINT_GOLDEN=1 cargo
 //! test -p flash-sim --test command_path -- --nocapture`.
 
 use std::sync::Arc;
 
 use flash_sim::{
-    ArbiterConfig, BadBlockPolicy, BlockAddr, BlockInfo, BlockState, CommandQueue, DeviceBuilder,
-    DeviceStats, DieId, DieLoad, DieStats, Duration, FlashBackend, FlashCommand, FlashError,
-    FlashGeometry, IoTag, NandDevice, OpKind, OpOutcome, PageAddr, PageMetadata, PageState,
-    ServiceClass, SimTime, TimingModel, WearSummary,
+    ArbiterConfig, BadBlockPolicy, BlockAddr, BlockInfo, BlockState, DeviceBuilder, DeviceStats,
+    DieId, DieLoad, DieStats, Duration, FlashBackend, FlashCommand, FlashError, FlashGeometry,
+    IoTag, NandDevice, OpKind, OpOutcome, PageAddr, PageMetadata, PageState, ServiceClass, SimTime,
+    TimingModel, WearSummary,
 };
 use noftl_obs::MetricsRegistry;
 
@@ -483,10 +482,10 @@ impl FlashBackend for ForwardOnly {
 enum Way {
     Verbs,
     Execute,
-    QueueOverForwarder,
+    ForwardOnly,
 }
 
-const WAYS: [Way; 3] = [Way::Verbs, Way::Execute, Way::QueueOverForwarder];
+const WAYS: [Way; 3] = [Way::Verbs, Way::Execute, Way::ForwardOnly];
 
 // ---------------------------------------------------------------------
 // Running and digesting
@@ -524,7 +523,7 @@ struct Run {
 fn run(device: NandDevice, stream: &[Cmd], way: Way) -> Run {
     let device = Arc::new(device);
     let geo = *device.geometry();
-    let queue = CommandQueue::new(Arc::new(ForwardOnly(Arc::clone(&device))));
+    let forwarder = ForwardOnly(Arc::clone(&device));
     let (mut state, mut timing) = (Digest::new(), Digest::new());
     let mut spans = Vec::new();
     let mut errors = std::collections::BTreeMap::new();
@@ -547,11 +546,7 @@ fn run(device: NandDevice, stream: &[Cmd], way: Way) -> Run {
         let outcome = match way {
             Way::Verbs => via_verbs(&*device, command, cmd.at, cmd.tag),
             Way::Execute => via_execute(&*device, command, cmd.at, cmd.tag),
-            Way::QueueOverForwarder => {
-                let handle = queue.submit_tagged(command, cmd.at, cmd.tag);
-                let done = queue.wait(handle).expect("handle was just issued");
-                done.result.map(|out| (out.data, out.meta, out.outcome))
-            }
+            Way::ForwardOnly => via_execute(&forwarder, command, cmd.at, cmd.tag),
         };
         match &outcome {
             Ok((data, meta, out)) => {
@@ -712,9 +707,9 @@ fn power_cut_sweep_digest_is_golden_every_way() {
     }
 }
 
-/// `DeviceStats::errors`, the `Err` completions a queue hands back and
-/// `flash.queue.failed` count the same thing: every rejected command,
-/// whether it was turned away before the die was locked (bad address,
+/// `DeviceStats::errors`, the `Err` results `execute` hands back and the
+/// `error` instants on the tracer's die tracks count the same thing:
+/// every rejected command, whether it was turned away before the die was locked (bad address,
 /// bad payload size, cross-die copyback), by a NAND rule, by a bad or
 /// worn-out block, or by the power cut.
 #[test]
@@ -725,7 +720,8 @@ fn every_rejection_is_counted_once() {
             .bad_blocks(BadBlockPolicy { factory_bad_fraction: 0.0, endurance_cycles: 1, seed: 0 })
             .build(),
     );
-    let queue = CommandQueue::new(Arc::clone(&device) as Arc<dyn FlashBackend>);
+    device.metrics().tracer().set_enabled(true);
+    let issue = |cmd, at| device.execute(cmd, at, IoTag::default());
     let page = |die, block, page| PageAddr::new(DieId(die), 0, block, page);
     let full = vec![7u8; 4096];
     let meta = PageMetadata::new(1, 0);
@@ -733,30 +729,28 @@ fn every_rejection_is_counted_once() {
     device.retire_block(retired).unwrap();
     let worn = BlockAddr::new(DieId(2), 0, 0);
     let t0 = SimTime::ZERO;
-    let mut handles = vec![
+    let mut results = vec![
         // Accepted: a program to read back, and the one erase `worn` has.
-        queue.submit(FlashCommand::Program { addr: page(0, 0, 0), data: &full, meta }, t0),
-        queue.submit(FlashCommand::Erase { block: worn }, t0),
+        issue(FlashCommand::Program { addr: page(0, 0, 0), data: &full, meta }, t0),
+        issue(FlashCommand::Erase { block: worn }, t0),
         // Turned away before the die is locked.
-        queue.submit(FlashCommand::Read { addr: page(99, 0, 0) }, t0),
-        queue.submit(FlashCommand::Program { addr: page(0, 0, 1), data: &[1, 2, 3], meta }, t0),
-        queue.submit(FlashCommand::Copyback { src: page(0, 0, 0), dst: page(1, 0, 0) }, t0),
+        issue(FlashCommand::Read { addr: page(99, 0, 0) }, t0),
+        issue(FlashCommand::Program { addr: page(0, 0, 1), data: &[1, 2, 3], meta }, t0),
+        issue(FlashCommand::Copyback { src: page(0, 0, 0), dst: page(1, 0, 0) }, t0),
         // NAND rules.
-        queue.submit(FlashCommand::Read { addr: page(1, 0, 0) }, t0),
-        queue.submit(FlashCommand::Program { addr: page(1, 1, 5), data: &full, meta }, t0),
+        issue(FlashCommand::Read { addr: page(1, 0, 0) }, t0),
+        issue(FlashCommand::Program { addr: page(1, 1, 5), data: &full, meta }, t0),
         // Bad and worn-out blocks.
-        queue.submit(FlashCommand::Program { addr: retired.page(0), data: &full, meta }, t0),
-        queue.submit(FlashCommand::Erase { block: worn }, t0),
+        issue(FlashCommand::Program { addr: retired.page(0), data: &full, meta }, t0),
+        issue(FlashCommand::Erase { block: worn }, t0),
     ];
     // The cut lands inside the second program; the read is issued after it.
     let idle = device.quiesce_time();
     let cut = idle + Duration::from_us(100);
     device.arm_power_cut(cut);
-    handles
-        .push(queue.submit(FlashCommand::Program { addr: page(0, 0, 1), data: &full, meta }, idle));
-    handles.push(queue.submit(FlashCommand::Read { addr: page(0, 0, 0) }, cut));
+    results.push(issue(FlashCommand::Program { addr: page(0, 0, 1), data: &full, meta }, idle));
+    results.push(issue(FlashCommand::Read { addr: page(0, 0, 0) }, cut));
 
-    let results: Vec<_> = handles.into_iter().map(|h| queue.wait(h).unwrap().result).collect();
     let variants: Vec<String> =
         results.iter().filter_map(|r| r.as_ref().err()).map(variant).collect();
     assert_eq!(
@@ -774,5 +768,9 @@ fn every_rejection_is_counted_once() {
         ]
     );
     assert_eq!(device.stats().errors, variants.len() as u64);
-    assert_eq!(device.metrics().counter("flash.queue.failed").get(), variants.len() as u64);
+    let events = device.metrics().tracer().events();
+    let instants = events.iter().filter(|e| e.cat == "flash.op" && e.dur_ns.is_none());
+    assert_eq!(instants.count(), variants.len());
+    // The two accepted commands are the only spans.
+    assert_eq!(events.iter().filter(|e| e.dur_ns.is_some()).count(), 2);
 }

@@ -2,11 +2,11 @@
 //! [`FlashBackend`].
 //!
 //! Writes fan out to every child that is in sync for the targeted
-//! segment, all queued at the caller's submit time so the children stay
+//! segment, all issued at the caller's instant so the children stay
 //! page-for-page identical.  Reads are served by any in-sync child,
 //! chosen queue-aware (earliest start on the target die) with a
 //! round-robin tie-break.  Device loss is injected through the shared
-//! [`DeviceLossInjector`]: the mirror consults it at submit time, drives
+//! [`DeviceLossInjector`]: the mirror consults it at issue time, drives
 //! the lost child's health machine to [`ChildHealth::Faulted`] and keeps
 //! serving from the survivors while the child's [`SegmentMap`] records
 //! every write it misses.
@@ -14,13 +14,13 @@
 //! # Locking
 //!
 //! Two mirror-level locks slot into the workspace's total order
-//! `manager < mirror < mirror-range < queue < die < channel < shared`:
+//! `manager < mirror < mirror-range < arbiter < die < channel < shared`:
 //!
 //! * [`LockClass::Mirror`] guards health states and dirty maps and is
-//!   deliberately held across child-queue submission — planning a
+//!   deliberately held across the children's `execute` — planning a
 //!   fan-out and executing it are atomic with respect to rebuild
 //!   progress, so a segment can never be locked for copy between the
-//!   plan and the submit.
+//!   plan and the execution.
 //! * [`LockClass::MirrorRange`] guards the write-vs-rebuild range locks:
 //!   the set of segments whose copy is in flight and the set redirtied
 //!   by foreground writes racing those copies.
@@ -44,11 +44,10 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use flash_sim::lockorder::{self, LockClass, TrackedGuard};
-use flash_sim::queue::{CommandQueue, FlashCommand};
 use flash_sim::{
-    BlockAddr, BlockInfo, DeviceLossInjector, DeviceStats, DieId, DieLoad, DieStats, FlashBackend,
-    FlashError, FlashGeometry, IoTag, NandDevice, OpOutcome, PageAddr, PageMetadata, PageState,
-    Result, SimTime, TimingModel, WearSummary,
+    BlockAddr, BlockInfo, CmdOutput, DeviceLossInjector, DeviceStats, DieId, DieLoad, DieStats,
+    FlashBackend, FlashCommand, FlashError, FlashGeometry, IoTag, NandDevice, OpOutcome, PageAddr,
+    PageMetadata, PageState, Result, SimTime, TimingModel, WearSummary,
 };
 use noftl_obs::MetricsRegistry;
 
@@ -100,7 +99,6 @@ pub(crate) struct RangeLocks {
 pub struct MirrorDevice {
     geometry: FlashGeometry,
     children: Vec<Arc<NandDevice>>,
-    queues: Vec<CommandQueue>,
     injector: Arc<DeviceLossInjector>,
     /// Mirror-owned write-epoch sequence (see module docs).
     epoch: AtomicU64,
@@ -190,11 +188,9 @@ impl MirrorDevice {
                 }
             })
             .collect();
-        let queues = children.iter().map(|c| CommandQueue::new(c.clone())).collect();
         let obs = MirrorObs::new(Arc::clone(children[0].metrics()), children.len());
         Ok(MirrorDevice {
             geometry,
-            queues,
             injector,
             epoch: AtomicU64::new(epoch),
             rr: AtomicUsize::new(0),
@@ -305,10 +301,6 @@ impl MirrorDevice {
         lockorder::lock_tracked(LockClass::MirrorRange, &self.ranges)
     }
 
-    pub(crate) fn queue(&self, child: usize) -> &CommandQueue {
-        &self.queues[child]
-    }
-
     /// Fault every child whose scheduled loss instant has been reached
     /// by `at`.  Called at the top of every timed operation.
     pub(crate) fn sweep_losses(&self, state: &mut MirrorState, at: SimTime) {
@@ -327,8 +319,8 @@ impl MirrorDevice {
         }
     }
 
-    /// Plan and execute a fan-out mutation of `seg`: submit `cmd` (with
-    /// the caller's arbiter `tag`) to in-sync children, record a dirty
+    /// Plan and execute a fan-out mutation of `seg`: execute `cmd` (with
+    /// the caller's arbiter `tag`) on in-sync children, record a dirty
     /// segment for everyone else, honouring the rebuild range locks.
     fn fan_out(
         &self,
@@ -375,8 +367,8 @@ impl MirrorDevice {
         if targets.is_empty() {
             return Err(FlashError::NoHealthyChild { at });
         }
-        // Submit while still holding the mirror lock (Mirror < Queue):
-        // no rebuild can range-lock `seg` between plan and execution.
+        // Execute while still holding the mirror lock (Mirror < Die): no
+        // rebuild can range-lock `seg` between plan and execution.
         let mut merged: Option<OpOutcome> = None;
         let mut first_err: Option<FlashError> = None;
         for &(i, replica) in &targets {
@@ -384,10 +376,7 @@ impl MirrorDevice {
                 FlashCommand::Program { addr, data, meta } if replica => {
                     self.children[i].program_replica(addr, data, meta, at)
                 }
-                cmd => {
-                    let h = self.queues[i].submit_tagged(cmd, at, tag);
-                    self.queues[i].wait(h).and_then(|c| c.result).map(|out| out.outcome)
-                }
+                cmd => self.children[i].execute(cmd, at, tag).map(|out| out.outcome),
             };
             match result {
                 Ok(out) => {
@@ -412,14 +401,15 @@ impl MirrorDevice {
         }
     }
 
-    /// Serve a read command from the best in-sync child.
+    /// Serve `read` — a read or metadata read of `addr` — from the best
+    /// in-sync child.
     fn read_from_best(
         &self,
         addr: PageAddr,
         at: SimTime,
-        metadata_only: bool,
+        read: FlashCommand<'_>,
         tag: IoTag,
-    ) -> Result<(Vec<u8>, Option<PageMetadata>, OpOutcome)> {
+    ) -> Result<CmdOutput> {
         let seg = self.segment_of(addr.block());
         let mut state = self.mirror_shard();
         self.sweep_losses(&mut state, at);
@@ -455,15 +445,9 @@ impl MirrorDevice {
                 best_start = start;
             }
         }
-        let cmd = if metadata_only {
-            FlashCommand::MetadataRead { addr }
-        } else {
-            FlashCommand::Read { addr }
-        };
-        let h = self.queues[best].submit_tagged(cmd, at, tag);
-        let out = self.queues[best].wait(h)?.result?;
+        let out = self.children[best].execute(read, at, tag)?;
         self.obs.note_read(best, degraded, at, out.outcome.completed_at);
-        Ok((out.data, out.meta, out.outcome))
+        Ok(out)
     }
 
     /// The child untimed state probes are served from: the first
@@ -573,6 +557,9 @@ impl FlashBackend for MirrorDevice {
         self.children[0].metrics()
     }
 
+    // The per-command verbs are adapters over `execute`, the mirror's
+    // one command path; the untagged forms carry the default tag.
+
     fn read_page(
         &self,
         addr: PageAddr,
@@ -587,7 +574,8 @@ impl FlashBackend for MirrorDevice {
         at: SimTime,
         tag: IoTag,
     ) -> Result<(Vec<u8>, Option<PageMetadata>, OpOutcome)> {
-        self.read_from_best(addr, at, false, tag)
+        let out = self.execute(FlashCommand::Read { addr }, at, tag)?;
+        Ok((out.data, out.meta, out.outcome))
     }
 
     fn read_metadata(
@@ -604,7 +592,8 @@ impl FlashBackend for MirrorDevice {
         at: SimTime,
         tag: IoTag,
     ) -> Result<(Option<PageMetadata>, OpOutcome)> {
-        self.read_from_best(addr, at, true, tag).map(|(_, meta, out)| (meta, out))
+        let out = self.execute(FlashCommand::MetadataRead { addr }, at, tag)?;
+        Ok((out.meta, out.outcome))
     }
 
     fn program_page(
@@ -621,32 +610,50 @@ impl FlashBackend for MirrorDevice {
         &self,
         addr: PageAddr,
         data: &[u8],
-        mut meta: PageMetadata,
+        meta: PageMetadata,
         at: SimTime,
         tag: IoTag,
     ) -> Result<OpOutcome> {
-        if meta.epoch == 0 {
-            meta.epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        } else {
-            self.epoch.fetch_max(meta.epoch, Ordering::AcqRel);
-        }
-        let seg = self.segment_of(addr.block());
-        self.fan_out(seg, None, at, FlashCommand::Program { addr, data, meta }, tag)
+        Ok(self.execute(FlashCommand::Program { addr, data, meta }, at, tag)?.outcome)
     }
 
     fn erase_block(&self, addr: BlockAddr, at: SimTime) -> Result<OpOutcome> {
-        let seg = self.segment_of(addr);
-        self.fan_out(seg, None, at, FlashCommand::Erase { block: addr }, IoTag::default())
+        Ok(self.execute(FlashCommand::Erase { block: addr }, at, IoTag::default())?.outcome)
     }
 
     fn copyback(&self, src: PageAddr, dst: PageAddr, at: SimTime) -> Result<OpOutcome> {
-        // A child can only copy back from its own array if its copy of
-        // the *source* segment is in sync; otherwise the destination
-        // segment goes dirty and the rebuild recreates it later.
-        let src_seg = self.segment_of(src.block());
-        let dst_seg = self.segment_of(dst.block());
-        let cmd = FlashCommand::Copyback { src, dst };
-        self.fan_out(src_seg, Some(dst_seg), at, cmd, IoTag::default())
+        Ok(self.execute(FlashCommand::Copyback { src, dst }, at, IoTag::default())?.outcome)
+    }
+
+    fn execute(&self, command: FlashCommand<'_>, at: SimTime, tag: IoTag) -> Result<CmdOutput> {
+        let written = |outcome| CmdOutput { data: Vec::new(), meta: None, outcome };
+        match command {
+            FlashCommand::Read { addr } | FlashCommand::MetadataRead { addr } => {
+                self.read_from_best(addr, at, command, tag)
+            }
+            FlashCommand::Program { addr, data, mut meta } => {
+                if meta.epoch == 0 {
+                    meta.epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+                } else {
+                    self.epoch.fetch_max(meta.epoch, Ordering::AcqRel);
+                }
+                let seg = self.segment_of(addr.block());
+                let stamped = FlashCommand::Program { addr, data, meta };
+                self.fan_out(seg, None, at, stamped, tag).map(written)
+            }
+            FlashCommand::Erase { block } => {
+                self.fan_out(self.segment_of(block), None, at, command, tag).map(written)
+            }
+            FlashCommand::Copyback { src, dst } => {
+                // A child can only copy back from its own array if its
+                // copy of the *source* segment is in sync; otherwise the
+                // destination segment goes dirty and the rebuild
+                // recreates it later.
+                let src_seg = self.segment_of(src.block());
+                let dst_seg = self.segment_of(dst.block());
+                self.fan_out(src_seg, Some(dst_seg), at, command, tag).map(written)
+            }
+        }
     }
 
     fn mark_invalid(&self, addr: PageAddr) -> Result<()> {

@@ -150,6 +150,49 @@ mod tests {
         // Untagged calls keep the default class.
         m.read_page(page(0, 0, 2), t).unwrap();
         assert_eq!(count("flash.arbiter.class.throughput.ops"), 1);
+        // `execute` is the same path: its tag reaches the child too.
+        let before = count("flash.arbiter.class.background.ops");
+        m.execute(flash_sim::FlashCommand::Read { addr: page(0, 0, 3) }, t, background).unwrap();
+        assert_eq!(count("flash.arbiter.class.background.ops"), before + 1);
+    }
+
+    /// Stacking a mirror over the devices adds no second observation: N
+    /// host programs are N latency samples and N die-track spans on each
+    /// in-sync child (own registry each, tracer on) — and one read is one
+    /// sample on the child that served it.
+    #[test]
+    fn every_command_is_observed_once_at_the_device() {
+        let children: Vec<Arc<NandDevice>> = (0..2)
+            .map(|_| Arc::new(flash_sim::DeviceBuilder::new(FlashGeometry::small_test()).build()))
+            .collect();
+        for child in &children {
+            child.metrics().tracer().set_enabled(true);
+        }
+        let m = MirrorDevice::new(children, Arc::new(DeviceLossInjector::new(2))).unwrap();
+        let n = 6u32;
+        let mut t = SimTime::ZERO;
+        for p in 0..n {
+            let program = flash_sim::FlashCommand::Program {
+                addr: page(p % 2, 0, p / 2),
+                data: &payload(p as u8),
+                meta: PageMetadata::new(1, u64::from(p)),
+            };
+            t = m.execute(program, t, flash_sim::IoTag::default()).unwrap().outcome.completed_at;
+        }
+        m.read_page(page(0, 0, 0), t).unwrap();
+        let samples = |child: &NandDevice, hist: &str| {
+            child.metrics().snapshot().histogram(hist).map_or(0, |h| h.count)
+        };
+        let mut reads = 0;
+        for child in m.children() {
+            assert_eq!(samples(child, "flash.op.program.latency_ns"), u64::from(n));
+            let events = child.metrics().tracer().events();
+            let programs = events.iter().filter(|e| e.name == "program" && e.dur_ns.is_some());
+            assert_eq!(programs.count(), n as usize, "one span per program, on the die track");
+            assert!(events.iter().all(|e| e.cat == "flash.op"), "the device is the only observer");
+            reads += samples(child, "flash.op.read.latency_ns");
+        }
+        assert_eq!(reads, 1);
     }
 
     #[test]

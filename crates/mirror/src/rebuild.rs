@@ -11,7 +11,7 @@
 //! stays queued and the copy counts as requeued work.
 //!
 //! The per-segment copy streams the source block through a bounded
-//! window of queued reads (`window` in flight), programming each page on
+//! window of reads (`window` in flight), programming each page on
 //! the target at its read-completion instant with the source's OOB
 //! metadata preserved, so after the copy the two blocks compare
 //! identical shape-and-OOB in [the verify scan].  Source pages that are
@@ -20,8 +20,10 @@
 //!
 //! [the verify scan]: crate::MirrorDevice::restore_replication
 
-use flash_sim::queue::{CmdHandle, FlashCommand};
-use flash_sim::{BlockState, FlashError, PageMetadata, PageState, Result, SimTime};
+use flash_sim::{
+    BlockState, CmdOutput, FlashCommand, FlashError, IoTag, PageMetadata, PageState, Result,
+    SimTime,
+};
 
 use crate::device::MirrorDevice;
 use crate::health::ChildHealth;
@@ -280,8 +282,8 @@ impl MirrorDevice {
         }
         let mut clock = at;
         if tb.state != BlockState::Free {
-            let out = self.submit_queued(child, FlashCommand::Erase { block }, clock)?;
-            clock = out.completed_at;
+            let erase = FlashCommand::Erase { block };
+            clock = tgt_dev.execute(erase, clock, IoTag::default())?.outcome.completed_at;
         }
         if sb.write_ptr == 0 {
             copy.completed_at = clock;
@@ -297,37 +299,32 @@ impl MirrorDevice {
             }
         }
         let window = window.max(1);
-        let mut pending: std::collections::VecDeque<(u32, CmdHandle)> =
+        let mut pending: std::collections::VecDeque<(u32, Result<CmdOutput>)> =
             std::collections::VecDeque::with_capacity(window);
         let mut next = 0u32;
         // `slot_free` paces the window: the first `window` reads issue at
         // the step time, each further read when a slot frees up.
         let mut slot_free = clock;
-        let outcome = loop {
+        loop {
             while pending.len() < window && next < sb.write_ptr {
                 if self.injector().is_lost(source, slot_free) {
                     break;
                 }
-                let h = self
-                    .queue(source)
-                    .submit(FlashCommand::Read { addr: block.page(next) }, slot_free);
-                pending.push_back((next, h));
+                let read = FlashCommand::Read { addr: block.page(next) };
+                pending.push_back((next, src_dev.execute(read, slot_free, IoTag::default())));
                 next += 1;
             }
-            let Some((page, h)) = pending.pop_front() else {
+            let Some((page, read)) = pending.pop_front() else {
                 if next < sb.write_ptr {
                     // Loop exited early: the source disappeared.
-                    break Err(FlashError::DeviceLost { child: source, at: slot_free });
+                    return Err(FlashError::DeviceLost { child: source, at: slot_free });
                 }
-                break Ok(());
+                break;
             };
-            let out = match self.queue(source).wait(h).and_then(|c| c.result) {
-                Ok(out) => out,
-                Err(e) => break Err(e),
-            };
+            let out = read?;
             let read_done = out.outcome.completed_at;
             if self.injector().is_lost(child, read_done) {
-                break Err(FlashError::DeviceLost { child, at: read_done });
+                return Err(FlashError::DeviceLost { child, at: read_done });
             }
             // A torn source OOB area (power cut mid-program before the
             // blob was cut) still gets its payload copied; the metadata
@@ -338,22 +335,11 @@ impl MirrorDevice {
             // ratcheting the target's epoch counter: until this rebuild
             // commits, the copies are not consistent history, and a crash
             // now must leave a device whose counter still reads stale.
-            match tgt_dev.program_replica(block.page(page), &out.data, meta, read_done) {
-                Ok(out) => {
-                    clock = clock.max(out.completed_at);
-                    copy.pages_copied += 1;
-                }
-                Err(e) => break Err(e),
-            }
+            let programmed =
+                tgt_dev.program_replica(block.page(page), &out.data, meta, read_done)?;
+            clock = clock.max(programmed.completed_at);
+            copy.pages_copied += 1;
             slot_free = slot_free.max(read_done);
-        };
-        if let Err(e) = outcome {
-            // Claim every outstanding read completion before bailing so
-            // the source queue does not accumulate orphaned handles.
-            for (_, h) in pending.drain(..) {
-                let _ = self.queue(source).wait(h);
-            }
-            return Err(e);
         }
         for page in invalid_pages {
             tgt_dev.mark_invalid(block.page(page))?;
@@ -361,15 +347,5 @@ impl MirrorDevice {
         }
         copy.completed_at = clock;
         Ok(copy)
-    }
-
-    fn submit_queued(
-        &self,
-        child: usize,
-        cmd: FlashCommand<'_>,
-        at: SimTime,
-    ) -> Result<flash_sim::OpOutcome> {
-        let h = self.queue(child).submit(cmd, at);
-        self.queue(child).wait(h)?.result.map(|out| out.outcome)
     }
 }

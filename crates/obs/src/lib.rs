@@ -26,7 +26,7 @@
 //!   release-mode no-allocation test in `tests/no_alloc.rs`.
 //!
 //! Naming scheme (see the README's Observability section):
-//! `layer.component.metric`, e.g. `flash.queue.read.wait_ns`,
+//! `layer.component.metric`, e.g. `flash.op.read.latency_ns`,
 //! `core.placement.probes_total`, `kv.put.latency_ns`.
 
 #![warn(missing_docs)]

@@ -10,7 +10,7 @@
 //! fast path the release-mode no-allocation test pins down.
 //!
 //! Naming scheme: dotted lowercase `layer.component.metric`, with a unit
-//! suffix on time-valued metrics (`flash.queue.read.wait_ns`).  Stacks
+//! suffix on time-valued metrics (`flash.op.read.latency_ns`).  Stacks
 //! built by `DeviceBuilder` default to a fresh registry per device (so
 //! tests and benches stay isolated); [`global()`] offers the
 //! process-wide instance for components that want to share one.

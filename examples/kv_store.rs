@@ -6,7 +6,7 @@
 //! ```
 //!
 //! The example loads a working set, shows the memtable flushing to
-//! sorted runs through the command-queue submission API, lets
+//! sorted runs as multi-die batches, lets
 //! size-tiered compaction merge and retire runs through the region's GC
 //! path, and finishes with a power cut in the middle of a flush — after
 //! reboot + mount + reopen, every acknowledged key is still there and
@@ -48,11 +48,11 @@ fn main() {
         t = store.flush(t).unwrap();
         let s = store.stats();
         println!(
-            "round {round}: {} flushes, {} compactions, {} runs live, queue submissions {}",
+            "round {round}: {} flushes, {} compactions, {} runs live, device commands {}",
             s.flushes,
             s.compactions,
             store.run_count(),
-            noftl.io_queue_stats().submitted,
+            noftl.device().stats().total_ops(),
         );
     }
     let stats = store.stats();

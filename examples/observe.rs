@@ -9,7 +9,7 @@
 //!
 //! The trace is written to `target/observe.trace.json` by default.
 //! Every layer records into the *same* registry (shared with the
-//! device), so the final snapshot spans flash commands, queue waits, GC,
+//! device), so the final snapshot spans flash commands, GC,
 //! page allocations, flush windows, the WAL, the buffer pool and the
 //! KV store — with zero configuration beyond enabling the tracer.
 

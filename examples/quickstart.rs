@@ -38,10 +38,10 @@ fn main() {
     let region = ddl.tablespace("tsHotTbl").unwrap().region;
     let info = noftl.region_info(region).unwrap();
     println!(
-        "region {} owns {} dies ({} pages of effective capacity)",
+        "region {} owns {} dies ({} pages of raw capacity)",
         info.name,
         info.dies.len(),
-        info.effective_capacity_pages
+        info.capacity_pages
     );
 
     // 4. Write and read pages of table T through the storage manager.

@@ -30,10 +30,12 @@ fn main() {
     println!("TPC-C (tiny scale) on {dies} dies: traditional vs. six-region placement\n");
     let traditional =
         small(Experiment::figure3_base(placement::traditional(dies), "Traditional data placement"))
-            .run();
+            .run()
+            .expect("the traditional arm runs");
     let regions =
         small(Experiment::figure3_base(placement::figure2(dies), "Data placement using Regions"))
-            .run();
+            .run()
+            .expect("the regions arm runs");
 
     println!("per-region view of the multi-region run:\n{}", regions.region_table());
     let cmp = ComparisonReport {

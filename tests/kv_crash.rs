@@ -142,8 +142,8 @@ fn cut_between_tail_pages_discards_the_run_and_keeps_merge_sources() {
 #[test]
 fn flush_and_compaction_issue_queued_multi_die_batches() {
     // The acceptance assertion at the facade level: a memtable flush and
-    // a compaction merge both go through the command-queue submission
-    // API, fanning their pages over the region's dies.
+    // a compaction merge both issue their pages as one batch, fanned over
+    // the region's dies.
     let device = Arc::new(
         DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build(),
     );
@@ -163,38 +163,37 @@ fn flush_and_compaction_issue_queued_multi_die_batches() {
     };
 
     t = fill(&store, t, 1);
-    let before = noftl.io_queue_stats();
+    let ops = || (noftl.device().stats().total_ops(), noftl.device().die_stats());
+    let (total_before, dies_before) = ops();
     t = store.flush(t).unwrap();
-    let after_flush = noftl.io_queue_stats();
+    let (total_after_flush, dies_after_flush) = ops();
     let flushed = store.stats().flushed_pages;
     assert!(flushed >= 4, "300 entries must span several pages");
     assert!(
-        after_flush.submitted - before.submitted >= flushed,
-        "every flush page (and the checkpoint behind it) must go through the submission queue"
+        total_after_flush - total_before >= flushed,
+        "every flush page (and the checkpoint behind it) must be a device command"
     );
     let region_dies = noftl.region_dies(rid).unwrap();
     let per_die: Vec<u64> = region_dies
         .iter()
-        .map(|d| {
-            after_flush.per_die_submitted[d.0 as usize] - before.per_die_submitted[d.0 as usize]
-        })
+        .map(|d| dies_after_flush[d.0 as usize].ops - dies_before[d.0 as usize].ops)
         .collect();
     assert_eq!(per_die.iter().sum::<u64>(), flushed, "the region's dies see exactly the run");
     let dies_hit = per_die.iter().filter(|n| **n > 0).count();
     assert!(dies_hit >= 2, "flush must fan across dies (hit {dies_hit})");
 
     // A second flush triggers the threshold-2 compaction; its merged run
-    // is also written as a queued batch.
+    // is also written as one batch.
     t = fill(&store, t, 2);
     t = store.flush(t).unwrap();
-    let after_compaction = noftl.io_queue_stats();
+    let (total_after_compaction, _) = ops();
     let stats = store.stats();
     assert!(stats.compactions > 0, "threshold 2 must compact on the second flush");
     assert!(stats.compacted_pages >= 4);
     assert!(
-        after_compaction.submitted - after_flush.submitted
+        total_after_compaction - total_after_flush
             >= stats.flushed_pages - flushed + stats.compacted_pages,
-        "the merge pages must also be queued submissions"
+        "the merge pages must also be device commands"
     );
 
     // Round 2 values win after the merge.

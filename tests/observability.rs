@@ -42,8 +42,8 @@ fn chrome_trace_from_a_mixed_workload_is_valid() {
     let trace = dump::chrome_trace(noftl.metrics());
     let events = validate_chrome_trace(&trace).expect("trace parses as trace_event JSON");
     assert!(events > 0, "the workload must have produced spans");
-    // Queue spans and flush-window spans both appear.
-    assert!(trace.contains("\"cat\": \"flash.queue\""));
+    // Device-command spans and flush-window spans both appear.
+    assert!(trace.contains("\"cat\": \"flash.op\""));
     assert!(trace.contains("\"name\": \"write_window\""));
 }
 
@@ -117,8 +117,11 @@ fn database_metrics_snapshot_spans_every_layer() {
     let snap = db.metrics_snapshot().expect("the NoFTL backend exposes a registry");
     // Flash layer: programs happened on some die.
     assert!(snap.counters.iter().any(|(name, v)| name.contains("programs") && *v > 0));
-    // Queue layer: submissions flowed through.
-    assert!(snap.counter("flash.queue.submitted").unwrap_or(0) > 0);
+    // ...each timed at the device.
+    let programs = |s: &obs::MetricsSnapshot| {
+        s.histogram("flash.op.program.latency_ns").map_or(0, |h| h.count)
+    };
+    assert!(programs(&snap) > 0);
     // WAL layer: every commit forced the log.
     let forces = snap.histogram("dbms.wal.force_ns").expect("wal histogram");
     assert!(forces.count >= 20, "one force per commit, got {}", forces.count);
@@ -131,10 +134,10 @@ fn database_metrics_snapshot_spans_every_layer() {
     // A disabled registry stops recording but keeps handles valid.
     let registry: &Arc<obs::MetricsRegistry> = noftl.metrics();
     registry.set_enabled(false);
-    let before = registry.snapshot().counter("flash.queue.submitted").unwrap_or(0);
+    let before = programs(&registry.snapshot());
     let mut txn = db.begin(now);
     db.insert(&mut txn, "t", &vec![Value::Int(999), Value::Int(0)], &[]).unwrap();
     db.commit(&mut txn).unwrap();
-    let after = registry.snapshot().counter("flash.queue.submitted").unwrap_or(0);
+    let after = programs(&registry.snapshot());
     assert_eq!(before, after, "a disabled registry must not record");
 }

@@ -22,9 +22,12 @@ fn tpcc_runs_on_both_placements_and_regions_stay_inside_the_copyback_budget() {
     let dies = 16;
     let traditional = scaled(Experiment::smoke(placement::traditional(dies), "traditional"))
         .with_dies(dies)
-        .run();
-    let regions =
-        scaled(Experiment::smoke(placement::figure2(dies), "regions")).with_dies(dies).run();
+        .run()
+        .unwrap();
+    let regions = scaled(Experiment::smoke(placement::figure2(dies), "regions"))
+        .with_dies(dies)
+        .run()
+        .unwrap();
 
     // Both configurations execute the full mix successfully.
     assert!(traditional.report.committed > 1_000);

@@ -1,35 +1,31 @@
-//! Command-queue acceptance tests.
+//! Command-path acceptance tests above the device.
 //!
-//! Four properties of the submission-queue redesign are checked here:
+//! Three properties are checked here (that `execute` and the per-command
+//! verbs agree is `crates/flash/tests/command_path.rs`'s job):
 //!
-//! 1. **Equivalence** — N random interleaved submissions through
-//!    [`CommandQueue`] produce the same final device state (block states,
-//!    payloads, OOB metadata, per-page epochs) and the same per-op
-//!    outcomes as the same operations issued sequentially through the
-//!    legacy blocking API.  The blocking calls are thin submit+wait
-//!    wrappers, so any divergence would expose a hole in the per-die
-//!    lock-shard refactor.
-//! 2. **Concurrency** — threads submitting to disjoint dies through one
-//!    shared queue produce exactly the per-die timings of a
-//!    single-threaded run: there is no device-global lock left whose
+//! 1. **Concurrency** — threads issuing commands to disjoint dies of one
+//!    shared device produce exactly the per-die timings of a
+//!    single-threaded run: there is no device-global lock whose
 //!    acquisition order could perturb the timing model.
-//! 3. **Crash interaction** — with a power cut armed, a queued batch
-//!    tears exactly the commands whose scheduled completion exceeds the
-//!    cut instant, and a NoFTL mount after the cut keeps every committed
-//!    page while discarding the torn ones.
-//! 4. **One request path** — at the storage-manager level every
+//! 2. **Crash interaction** — with a power cut armed, a batch issued at
+//!    one instant tears exactly the commands whose scheduled completion
+//!    exceeds the cut instant, and a NoFTL mount after the cut keeps
+//!    every committed page while discarding the torn ones.
+//! 3. **One request path** — at the storage-manager level every
 //!    multi-page verb is a loop over the same per-request core: a batch
 //!    equals the same blocking writes issued at the same instant, and a
 //!    window of one equals chained blocking calls — device image,
 //!    per-region statistics and completion times alike.
+//!
+//! (The file keeps its name because the tier-1 floor lists its tests by
+//! path.)
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use noftl_regions::flash::queue::{CommandQueue, FlashCommand};
 use noftl_regions::flash::{
-    BlockAddr, DeviceBuilder, DieId, FlashBackend, FlashGeometry, NandDevice, PageAddr,
+    DeviceBuilder, DieId, FlashBackend, FlashCommand, FlashGeometry, IoTag, NandDevice, PageAddr,
     PageMetadata, SimTime, TimingModel,
 };
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, ObjectId, RegionId, RegionSpec, RegionStats};
@@ -39,7 +35,7 @@ fn device() -> NandDevice {
 }
 
 /// SplitMix64; the proptest stub provides the seed, this drives the
-/// command generator.
+/// workload generator.
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -48,191 +44,9 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A generated command that owns its payload (a [`FlashCommand`] borrows
-/// it from whoever submits).
-#[derive(Debug)]
-enum OwnedCommand {
-    Program { addr: PageAddr, data: Vec<u8>, meta: PageMetadata },
-    Other(FlashCommand<'static>),
-}
-
-impl OwnedCommand {
-    fn as_command(&self) -> FlashCommand<'_> {
-        match self {
-            OwnedCommand::Program { addr, data, meta } => {
-                FlashCommand::Program { addr: *addr, data, meta: *meta }
-            }
-            OwnedCommand::Other(cmd) => *cmd,
-        }
-    }
-}
-
-/// Generate `nops` random commands that are *valid by construction*
-/// (sequential programming, erase-before-reuse, same-die copybacks), by
-/// tracking a shadow model of every block's write pointer and the set of
-/// programmed pages per die.
-fn generate_commands(seed: u64, nops: usize, geo: &FlashGeometry) -> Vec<OwnedCommand> {
-    let mut rng = seed;
-    let dies = geo.total_dies();
-    let blocks = geo.blocks_per_plane;
-    let ppb = geo.pages_per_block;
-    let psz = geo.page_size as usize;
-    // Shadow state per (die, block): next programmable page.
-    let mut write_ptr = vec![vec![0u32; blocks as usize]; dies as usize];
-    // Pages that have been programmed since their block's last erase.
-    let mut written: Vec<Vec<PageAddr>> = vec![Vec::new(); dies as usize];
-    let mut out = Vec::with_capacity(nops);
-    while out.len() < nops {
-        let die = (splitmix(&mut rng) % dies as u64) as u32;
-        let d = die as usize;
-        match splitmix(&mut rng) % 10 {
-            // Programs dominate so the device actually fills up.
-            0..=4 => {
-                let block = (splitmix(&mut rng) % blocks as u64) as u32;
-                let next = write_ptr[d][block as usize];
-                if next >= ppb {
-                    continue;
-                }
-                let addr = PageAddr::new(DieId(die), 0, block, next);
-                let byte = (splitmix(&mut rng) & 0xFF) as u8;
-                let data = vec![byte; psz];
-                let lp = splitmix(&mut rng) % 1024;
-                let meta = PageMetadata::new(1 + die, lp).with_payload_checksum(&data);
-                write_ptr[d][block as usize] = next + 1;
-                written[d].push(addr);
-                out.push(OwnedCommand::Program { addr, data, meta });
-            }
-            5 | 6 => {
-                if written[d].is_empty() {
-                    continue;
-                }
-                let idx = (splitmix(&mut rng) % written[d].len() as u64) as usize;
-                out.push(OwnedCommand::Other(FlashCommand::Read { addr: written[d][idx] }));
-            }
-            7 => {
-                if written[d].is_empty() {
-                    continue;
-                }
-                let idx = (splitmix(&mut rng) % written[d].len() as u64) as usize;
-                out.push(OwnedCommand::Other(FlashCommand::MetadataRead { addr: written[d][idx] }));
-            }
-            8 => {
-                // Copyback: a programmed source, destination at another
-                // block's write pointer on the same die.
-                if written[d].is_empty() {
-                    continue;
-                }
-                let sidx = (splitmix(&mut rng) % written[d].len() as u64) as usize;
-                let src = written[d][sidx];
-                let dblock = (splitmix(&mut rng) % blocks as u64) as u32;
-                let next = write_ptr[d][dblock as usize];
-                if dblock == src.block || next >= ppb {
-                    continue;
-                }
-                let dst = PageAddr::new(DieId(die), 0, dblock, next);
-                write_ptr[d][dblock as usize] = next + 1;
-                written[d].push(dst);
-                out.push(OwnedCommand::Other(FlashCommand::Copyback { src, dst }));
-            }
-            _ => {
-                // Erase a block that has been written to.
-                let block = (splitmix(&mut rng) % blocks as u64) as u32;
-                if write_ptr[d][block as usize] == 0 {
-                    continue;
-                }
-                write_ptr[d][block as usize] = 0;
-                written[d].retain(|p| p.block != block);
-                let block = BlockAddr::new(DieId(die), 0, block);
-                out.push(OwnedCommand::Other(FlashCommand::Erase { block }));
-            }
-        }
-    }
-    out
-}
-
-/// What one blocking call yields, reduced to what a completion record
-/// exposes: payload, OOB metadata, completion time.
-type BlockingOutcome =
-    Result<(Vec<u8>, Option<PageMetadata>, SimTime), noftl_regions::flash::FlashError>;
-
-/// Replay one command through the legacy blocking API.
-fn run_blocking(dev: &NandDevice, cmd: FlashCommand<'_>, at: SimTime) -> BlockingOutcome {
-    match cmd {
-        FlashCommand::Read { addr } => {
-            dev.read_page(addr, at).map(|(d, m, o)| (d, m, o.completed_at))
-        }
-        FlashCommand::MetadataRead { addr } => {
-            dev.read_metadata(addr, at).map(|(m, o)| (Vec::new(), m, o.completed_at))
-        }
-        FlashCommand::Program { addr, data, meta } => {
-            dev.program_page(addr, data, meta, at).map(|o| (Vec::new(), None, o.completed_at))
-        }
-        FlashCommand::Erase { block } => {
-            dev.erase_block(block, at).map(|o| (Vec::new(), None, o.completed_at))
-        }
-        FlashCommand::Copyback { src, dst } => {
-            dev.copyback(src, dst, at).map(|o| (Vec::new(), None, o.completed_at))
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// N random interleaved submissions through `CommandQueue` leave the
-    /// device in the same state — block-for-block, epoch-for-epoch — as
-    /// the same operations through the legacy blocking API, with
-    /// identical per-operation completion times and verdicts.
-    #[test]
-    fn queued_and_blocking_submission_are_equivalent(
-        seed in 0u64..(1u64 << 48),
-        nops in 60usize..160,
-    ) {
-        let geo = FlashGeometry::small_test();
-        let commands = generate_commands(seed, nops, &geo);
-
-        // Reference: the blocking API, one call after another (all issued
-        // at t=0; the per-die clocks provide the serialisation).
-        let blocking_dev = device();
-        let mut blocking: Vec<BlockingOutcome> = Vec::with_capacity(commands.len());
-        for cmd in &commands {
-            blocking.push(run_blocking(&blocking_dev, cmd.as_command(), SimTime::ZERO));
-        }
-
-        // Queued: the same submission order through the command queue.
-        let queued_dev = Arc::new(device());
-        let queue = CommandQueue::new(queued_dev.clone());
-        let handles =
-            queue.submit_batch(commands.iter().map(OwnedCommand::as_command), SimTime::ZERO);
-        for (i, h) in handles.into_iter().enumerate() {
-            let completion = queue.wait(h).unwrap();
-            match (&blocking[i], completion.result) {
-                (Ok((data, meta, done)), Ok(out)) => {
-                    prop_assert_eq!(data, &out.data, "payload of op {}", i);
-                    prop_assert_eq!(meta, &out.meta, "metadata of op {}", i);
-                    prop_assert_eq!(*done, out.outcome.completed_at, "completion of op {}", i);
-                }
-                (Err(expected), Err(got)) => prop_assert_eq!(expected, &got, "error of op {}", i),
-                (expected, got) => {
-                    prop_assert!(false, "op {i}: blocking {expected:?} vs queued {got:?}");
-                }
-            }
-        }
-
-        // Identical final device images: page states, payloads, OOB
-        // metadata (thus per-page epochs), wear and statistics.
-        let a = blocking_dev.snapshot();
-        let b = queued_dev.snapshot();
-        prop_assert_eq!(a.blocks, b.blocks);
-        prop_assert_eq!(a.stats, b.stats);
-        prop_assert_eq!(a.epoch, b.epoch);
-        prop_assert_eq!(a.wear, b.wear);
-    }
-}
-
-/// Threads submitting to disjoint dies through one shared queue get the
-/// same per-die completion times as a single-threaded run — they no
-/// longer serialize on a device-global mutex, so nothing about their
+/// Threads issuing commands to disjoint dies of one shared device get the
+/// same per-die completion times as a single-threaded run — they do not
+/// serialize on a device-global mutex, so nothing about their
 /// interleaving can influence the timing model.
 #[test]
 fn concurrent_disjoint_die_reads_do_not_serialize() {
@@ -247,69 +61,62 @@ fn concurrent_disjoint_die_reads_do_not_serialize() {
             }
         }
     };
-    let read_die = move |queue: &CommandQueue, die: u32, at: SimTime| -> Vec<SimTime> {
-        let handles: Vec<_> = (0..geo.pages_per_block)
+    let read_die = move |dev: &NandDevice, die: u32, at: SimTime| -> Vec<SimTime> {
+        (0..geo.pages_per_block)
             .map(|p| {
-                queue.submit(FlashCommand::Read { addr: PageAddr::new(DieId(die), 0, 0, p) }, at)
+                let read = FlashCommand::Read { addr: PageAddr::new(DieId(die), 0, 0, p) };
+                dev.execute(read, at, IoTag::default()).unwrap().outcome.completed_at
             })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| queue.wait(h).unwrap().result.unwrap().outcome.completed_at)
             .collect()
     };
 
     // Single-threaded reference.
-    let ref_dev = Arc::new(device());
+    let ref_dev = device();
     prep(&ref_dev);
     let t0 = ref_dev.quiesce_time();
-    let ref_queue = CommandQueue::new(ref_dev.clone());
-    let expect0 = read_die(&ref_queue, 0, t0);
-    let expect2 = read_die(&ref_queue, 2, t0);
+    let expect0 = read_die(&ref_dev, 0, t0);
+    let expect2 = read_die(&ref_dev, 2, t0);
 
-    // Two threads on dies of different channels, one shared queue.
-    let dev = Arc::new(device());
+    // Two threads on dies of different channels, one shared device.
+    let dev = device();
     prep(&dev);
-    let queue = Arc::new(CommandQueue::new(dev.clone()));
-    let (qa, qb) = (Arc::clone(&queue), Arc::clone(&queue));
-    let ta = std::thread::spawn(move || read_die(&qa, 0, t0));
-    let tb = std::thread::spawn(move || read_die(&qb, 2, t0));
-    let got0 = ta.join().unwrap();
-    let got2 = tb.join().unwrap();
+    let (got0, got2) = std::thread::scope(|s| {
+        let ta = s.spawn(|| read_die(&dev, 0, t0));
+        let tb = s.spawn(|| read_die(&dev, 2, t0));
+        (ta.join().unwrap(), tb.join().unwrap())
+    });
     assert_eq!(got0, expect0, "die 0 timings must match the single-threaded run");
     assert_eq!(got2, expect2, "die 2 timings must match the single-threaded run");
 }
 
-/// With a power cut armed, a queued fan-out batch tears exactly the
-/// commands whose scheduled completion exceeds the cut instant.
+/// With a power cut armed, a fan-out batch issued at one instant tears
+/// exactly the commands whose scheduled completion exceeds the cut.
 #[test]
 fn power_cut_tears_exactly_the_late_queued_programs() {
     let geo = FlashGeometry::small_test();
     // Two programs per die (depth 2 everywhere), all issued at t=0.
     let pages: Vec<Vec<u8>> =
         (0..2 * geo.total_dies()).map(|i| vec![i as u8; geo.page_size as usize]).collect();
-    let batch = |start_block: u32| -> Vec<FlashCommand<'_>> {
+    let issue_batch = |dev: &NandDevice| -> Vec<_> {
         (0..2 * geo.total_dies())
             .map(|i| {
                 let die = i % geo.total_dies();
                 let page = i / geo.total_dies();
                 let data = &pages[i as usize];
-                FlashCommand::Program {
-                    addr: PageAddr::new(DieId(die), 0, start_block, page),
+                let program = FlashCommand::Program {
+                    addr: PageAddr::new(DieId(die), 0, 0, page),
                     data,
                     meta: PageMetadata::new(1, i as u64).with_payload_checksum(data),
-                }
+                };
+                dev.execute(program, SimTime::ZERO, IoTag::default())
             })
             .collect()
     };
 
     // Probe run (no cut) to learn every command's completion time.
-    let probe_dev = Arc::new(device());
-    let probe_q = CommandQueue::new(probe_dev.clone());
-    let probe_handles = probe_q.submit_batch(batch(0), SimTime::ZERO);
-    let completions: Vec<SimTime> = probe_handles
+    let completions: Vec<SimTime> = issue_batch(&device())
         .into_iter()
-        .map(|h| probe_q.wait(h).unwrap().result.unwrap().outcome.completed_at)
+        .map(|result| result.unwrap().outcome.completed_at)
         .collect();
     let earliest = *completions.iter().min().unwrap();
     let latest = *completions.iter().max().unwrap();
@@ -317,21 +124,18 @@ fn power_cut_tears_exactly_the_late_queued_programs() {
     // Cut strictly between the first and second wave.
     let cut = SimTime((earliest.as_nanos() + latest.as_nanos()) / 2);
 
-    let dev = Arc::new(device());
+    let dev = device();
     dev.arm_power_cut(cut);
-    let queue = CommandQueue::new(dev.clone());
-    let handles = queue.submit_batch(batch(0), SimTime::ZERO);
     let mut survived = 0;
-    for (i, h) in handles.into_iter().enumerate() {
-        let completion = queue.wait(h).unwrap();
+    for (i, result) in issue_batch(&dev).into_iter().enumerate() {
         if completions[i] <= cut {
-            let out = completion.result.unwrap_or_else(|e| {
+            let out = result.unwrap_or_else(|e| {
                 panic!("op {i} completing at {:?} <= cut {cut:?} must survive: {e}", completions[i])
             });
             assert_eq!(out.outcome.completed_at, completions[i]);
             survived += 1;
         } else {
-            let err = completion.result.expect_err("op completing after the cut must tear");
+            let err = result.expect_err("op completing after the cut must tear");
             assert!(err.is_power_loss(), "op {i}: {err}");
         }
     }
@@ -357,7 +161,7 @@ fn queued_write_batch_under_power_cut_mounts_cleanly() {
     }
     t = noftl.checkpoint(t).unwrap();
 
-    // Overwrite all 8 via a queued batch with a cut landing mid-batch:
+    // Overwrite all 8 via one batch with a cut landing mid-batch:
     // two waves of 4 (one per die); tear the second wave.
     let quiesce = dev.quiesce_time();
     let probe_dev = Arc::new(device());
