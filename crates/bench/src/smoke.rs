@@ -464,7 +464,7 @@ pub fn latency_section(quick: bool) -> Section {
 /// perf point is: bump this, regenerate `BENCH_PR<n>.json` with
 /// `perf_smoke --quick --scenarios all`, copy it over
 /// `BENCH_BASELINE.json` — the one file CI gates and diffs against.
-pub const PERF_POINT_PR: u32 = 20;
+pub const PERF_POINT_PR: u32 = 22;
 
 /// Serialise sections into a `BENCH_*.json` perf-trajectory point.
 pub fn write_json(path: &Path, mode: &str, sections: &[Section]) -> std::io::Result<()> {

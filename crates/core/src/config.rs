@@ -30,9 +30,10 @@ pub enum WearLevelingPolicy {
 /// Configuration of the NoFTL storage manager.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NoFtlConfig {
-    /// GC is triggered on a die when its free-block count drops to this value.
+    /// A die starts collecting — one GC quantum in front of each page it
+    /// allocates — when its free-block count drops to this value.
     pub gc_low_watermark: u32,
-    /// GC keeps reclaiming until the die has this many free blocks again.
+    /// A collecting die stops once it has this many free blocks again.
     pub gc_high_watermark: u32,
     /// Victim selection policy.
     pub gc_policy: GcPolicy,

@@ -9,6 +9,14 @@
 //!
 //! `Space` is the allocator and collector of one region at work;
 //! [`GcCandidate`] and [`select_victim`] are the victim-selection policy.
+//!
+//! Collection is *paced by host writes*: a die between its low and high
+//! free-block watermark relocates a quantum of its current victim in
+//! front of every page it hands out, instead of reclaiming the whole gap
+//! — two blocks, some 30 ms of copybacks and erases on the paper's
+//! device — in front of the one write that found it at the low mark.
+//! The work is the same; what a host read or write can find queued ahead
+//! of it on the die is a few copybacks, not two blocks' worth.
 
 use flash_sim::{
     BlockAddr, BlockInfo, BlockState, FlashCommand, IoTag, PageAddr, PageMetadata, PageState,
@@ -21,7 +29,7 @@ use crate::error::NoFtlError;
 use crate::manager::{region_slot, Env, Inner};
 use crate::object::ObjectState;
 use crate::recovery::{MetaDirectory, META_OBJECT_ID};
-use crate::region::{RegionId, RegionRuntime};
+use crate::region::{RegionId, RegionRuntime, Victim};
 use crate::wear::needs_static_wl;
 use crate::Result;
 
@@ -112,16 +120,16 @@ impl Inner {
 }
 
 impl Space<'_> {
-    /// Allocate the next physical page of the region, running GC when a
-    /// die's free-block pool runs low.  Fails with `RegionFull` (naming
-    /// the region) when no die can yield a page.
+    /// Allocate the next physical page of the region.  Fails with
+    /// `RegionFull` (naming the region) when no die can yield a page.
     ///
     /// Pages are striped over the region's dies: the probe starts at the
     /// die after the previous allocation's (`next_die`) and takes the
     /// first die able to yield a page, so a full or failing die never
     /// blocks allocation while any die in the region has space.  Host
     /// writes (through the request path's single call site), rebalancing
-    /// and the metadata journal all allocate here.
+    /// and the metadata journal all allocate here, and an allocation on a
+    /// collecting die pays for one quantum of its GC first (`pace_gc`).
     pub(crate) fn allocate(&mut self, at: SimTime) -> Result<PageAddr> {
         let Env { device, config, obs, .. } = self.env;
         let device = device.as_ref();
@@ -129,9 +137,7 @@ impl Space<'_> {
         let die_count = self.region.dies.len();
         for attempt in 0..die_count {
             let idx = (self.region.next_die + attempt) % die_count;
-            if (self.region.dies[idx].free_blocks.len() as u32) <= config.gc_low_watermark {
-                self.gc_die(idx, at);
-            }
+            self.pace_gc(idx, at);
             if let Some(ppa) =
                 self.region.dies[idx].next_host_page(device, config.wear_leveling, pages_per_block)
             {
@@ -161,108 +167,147 @@ impl Space<'_> {
         }
     }
 
-    /// Run garbage collection on one die of the region until its
-    /// free-block pool reaches the high watermark or no more victims exist.
-    fn gc_die(&mut self, die_idx: usize, at: SimTime) {
-        let Env { device, config, obs, .. } = self.env;
-        let stats = &mut self.region.stats;
-        stats.gc_runs += 1;
-        let (cb_before, er_before) = (stats.gc_copybacks, stats.gc_erases);
-        let high = config.gc_high_watermark as usize;
-        let mut guard = 0u32;
-        while self.region.dies[die_idx].free_blocks.len() < high {
-            guard += 1;
-            if guard > device.geometry().blocks_per_die() * 2 {
-                break;
-            }
-            let region = &*self.region;
-            let candidates: Vec<GcCandidate> = region.dies[die_idx]
-                .used_blocks
-                .iter()
-                .enumerate()
-                .filter_map(|(slot, b)| {
-                    let info = device.block_info(*b).ok()?;
-                    let seq = region
-                        .block_invalidate_seq
-                        .get(&(b.die.0, b.plane, b.block))
-                        .copied()
-                        .unwrap_or(0);
-                    GcCandidate::from_info(slot, &info, seq)
-                })
-                .collect();
-            let Some(slot) = select_victim(config.gc_policy, &candidates, region.invalidate_seq)
-            else {
-                break;
-            };
-            let victim = region.dies[die_idx].used_blocks[slot];
-            if !self.collect_block(die_idx, victim, at) {
-                break;
-            }
+    /// GC paced by host writes.  A die is *collecting* from the moment its
+    /// free-block pool falls to the low watermark until it is back at the
+    /// high one; while it is, every allocation on it runs one [`step`]
+    /// first, so the die never owes a host write more than one quantum of
+    /// copybacks (and one erase).  Only a die a step leaves without a
+    /// single free block repeats the step until it has one.
+    ///
+    /// [`step`]: Self::step
+    fn pace_gc(&mut self, die_idx: usize, at: SimTime) {
+        let Env { config, obs, .. } = self.env;
+        let die = &mut self.region.dies[die_idx];
+        die.collecting |= die.free_blocks.len() as u32 <= config.gc_low_watermark;
+        if !die.collecting || die.nothing_to_collect {
+            return;
         }
-        let stats = &self.region.stats;
-        obs.note_gc(
-            u64::from(self.region.dies[die_idx].die.0),
-            stats.gc_copybacks - cb_before,
-            stats.gc_erases - er_before,
-            at,
-        );
-        self.maybe_static_wl(die_idx, at);
+        let before = self.region.stats.gc_copybacks;
+        let mut forced = false;
+        while self.step(die_idx, at) && self.region.dies[die_idx].free_blocks.is_empty() {
+            forced = true;
+        }
+        obs.note_gc_step(self.region.stats.gc_copybacks - before, forced);
     }
 
-    /// Relocate all valid pages of `victim` via copyback (updating the
-    /// owning objects' translations) and erase it.  Returns `false` if the
-    /// block could not be fully collected.
-    fn collect_block(&mut self, die_idx: usize, victim: BlockAddr, at: SimTime) -> bool {
-        let Env { device, config, .. } = self.env;
+    /// The one collector primitive: relocate up to one quantum of valid
+    /// pages of the die's victim via copyback (updating the owners'
+    /// translations page by page) and erase the victim once its last valid
+    /// page has moved.  Without a victim in progress the GC policy chooses
+    /// one; its quantum is `ceil(v / (P - v)) + 1` for `v` valid of `P`
+    /// pages — the rate at which the block is reclaimed exactly as fast as
+    /// host writes use up the `P - v` pages it frees, plus one to get
+    /// ahead.  Returns `false` when nothing was or could be collected.
+    fn step(&mut self, die_idx: usize, at: SimTime) -> bool {
+        let Env { device, config, obs, .. } = self.env;
         let device = device.as_ref();
         let pages_per_block = device.geometry().pages_per_block;
+        let Some(mut victim) =
+            self.region.dies[die_idx].victim.take().or_else(|| self.choose_victim(die_idx))
+        else {
+            self.region.dies[die_idx].nothing_to_collect = true;
+            return false;
+        };
         // GC relocation is maintenance traffic: tagged `Background` so the
         // arbiter budgets its channel time (the copyback itself is
         // die-internal and takes no channel).
         let tag = IoTag::background(Some(self.region.id.0));
-        for src in (0..pages_per_block).map(|page| victim.page(page)) {
+        let mut budget = victim.quantum;
+        while victim.cursor < pages_per_block {
+            let src = victim.block.page(victim.cursor);
             match device.page_state(src) {
+                Ok(PageState::Valid) if budget == 0 => {
+                    self.region.dies[die_idx].victim = Some(victim);
+                    return true;
+                }
                 Ok(PageState::Valid) => {}
-                Ok(_) => continue,
+                Ok(_) => {
+                    victim.cursor += 1;
+                    continue;
+                }
                 Err(_) => return false,
             }
             let Ok(read) = self.env.exec(FlashCommand::MetadataRead { addr: src }, at, tag) else {
                 return false;
             };
-            let Some(meta) = read.meta else { continue };
-            let Some(dst) = self.region.dies[die_idx].next_gc_page(
-                device,
-                config.wear_leveling,
-                pages_per_block,
-            ) else {
-                return false;
-            };
-            if self.env.exec(FlashCommand::Copyback { src, dst }, at, tag).is_err() {
-                return false;
-            }
-            self.region.stats.gc_copybacks += 1;
-            self.retranslate(&meta, src, dst);
-        }
-        let erased = self.env.exec(FlashCommand::Erase { block: victim }, at, tag);
-        let die = &mut self.region.dies[die_idx];
-        match erased {
-            Ok(_) => {
-                self.region.stats.gc_erases += 1;
-                die.used_blocks.retain(|b| *b != victim);
-                die.free_blocks.push(victim);
-                true
-            }
-            Err(e) => {
-                if e.is_permanent() {
-                    die.used_blocks.retain(|b| *b != victim);
+            if let Some(meta) = read.meta {
+                let Some(dst) = self.region.dies[die_idx].next_gc_page(
+                    device,
+                    config.wear_leveling,
+                    pages_per_block,
+                ) else {
+                    return false;
+                };
+                if self.env.exec(FlashCommand::Copyback { src, dst }, at, tag).is_err() {
+                    return false;
                 }
-                false
+                self.region.stats.gc_copybacks += 1;
+                victim.moved += 1;
+                budget -= 1;
+                self.retranslate(&meta, src, dst);
             }
+            victim.cursor += 1;
         }
+        let erased = self.env.exec(FlashCommand::Erase { block: victim.block }, at, tag);
+        let die = &mut self.region.dies[die_idx];
+        if let Err(e) = erased {
+            if e.is_permanent() {
+                die.used_blocks.retain(|b| *b != victim.block);
+            }
+            return false;
+        }
+        die.used_blocks.retain(|b| *b != victim.block);
+        die.free_blocks.push(victim.block);
+        if die.free_blocks.len() >= config.gc_high_watermark as usize {
+            die.collecting = false;
+        }
+        let stats = &mut self.region.stats;
+        stats.gc_runs += 1;
+        stats.gc_erases += 1;
+        obs.note_gc(u64::from(die.die.0), victim.moved, at);
+        if victim.wear_leveling {
+            stats.wl_migrations += 1;
+        } else {
+            self.static_wl(die_idx, at);
+        }
+        true
     }
 
-    /// Threshold-based static wear leveling within one die of the region.
-    fn maybe_static_wl(&mut self, die_idx: usize, at: SimTime) {
+    /// The GC policy's choice among the die's full blocks with something
+    /// to reclaim.
+    fn choose_victim(&self, die_idx: usize) -> Option<Victim> {
+        let Env { device, config, .. } = self.env;
+        let pages_per_block = device.geometry().pages_per_block;
+        let region = &*self.region;
+        let candidates: Vec<GcCandidate> = region.dies[die_idx]
+            .used_blocks
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, b)| {
+                let info = device.block_info(*b).ok()?;
+                let seq = region
+                    .block_invalidate_seq
+                    .get(&(b.die.0, b.plane, b.block))
+                    .copied()
+                    .unwrap_or(0);
+                GcCandidate::from_info(slot, &info, seq)
+            })
+            .collect();
+        let slot = select_victim(config.gc_policy, &candidates, region.invalidate_seq)?;
+        let chosen = candidates.iter().find(|c| c.slot == slot)?;
+        Some(Victim {
+            block: region.dies[die_idx].used_blocks[slot],
+            cursor: 0,
+            quantum: chosen.valid_pages.div_ceil(pages_per_block - chosen.valid_pages) + 1,
+            moved: 0,
+            wear_leveling: false,
+        })
+    }
+
+    /// Threshold-based static wear leveling within one die of the region,
+    /// checked whenever the die has collected a victim: the least-worn
+    /// full block goes through the same step, in one piece.
+    fn static_wl(&mut self, die_idx: usize, at: SimTime) {
         let Env { device, config, .. } = self.env;
         if !matches!(config.wear_leveling, WearLevelingPolicy::Static { .. }) {
             return;
@@ -279,15 +324,14 @@ impl Space<'_> {
         if !needs_static_wl(config.wear_leveling, min, max) {
             return;
         }
-        let victim = counts
+        let coldest = counts
             .iter()
             .filter(|(b, _, s)| *s == BlockState::Full && die.used_blocks.contains(b))
-            .min_by_key(|(_, c, _)| *c)
-            .map(|(b, _, _)| *b);
-        if let Some(victim) = victim {
-            if self.collect_block(die_idx, victim, at) {
-                self.region.stats.wl_migrations += 1;
-            }
+            .min_by_key(|(_, c, _)| *c);
+        if let Some(&(block, ..)) = coldest {
+            self.region.dies[die_idx].victim =
+                Some(Victim { block, cursor: 0, quantum: u32::MAX, moved: 0, wear_leveling: true });
+            self.step(die_idx, at);
         }
     }
 }
@@ -296,6 +340,7 @@ impl Space<'_> {
 mod tests {
     use super::*;
     use crate::config::NoFtlConfig;
+    use crate::io::IoRequest;
     use crate::manager::NoFtl;
     use crate::region::RegionSpec;
     use crate::testutil::{make_noftl, page};
@@ -378,6 +423,139 @@ mod tests {
             let policy = if cb { GcPolicy::CostBenefit } else { GcPolicy::Greedy };
             let chosen = select_victim(policy, &cands, 50).unwrap();
             prop_assert!(cands.iter().any(|c| c.slot == chosen));
+        }
+    }
+
+    /// A one-die region filled to `fill_pct` % with one object, and the
+    /// object's page count.
+    fn one_die_region(fill_pct: u64) -> (NoFtl, RegionId, crate::ObjectId, u64) {
+        let device = Arc::new(
+            DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::instant()).build(),
+        );
+        let pages = device.geometry().pages_per_die() * fill_pct / 100;
+        let noftl = NoFtl::new(device, NoFtlConfig::default());
+        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
+        let obj = noftl.create_object("t", r).unwrap();
+        for p in 0..pages {
+            noftl.write(obj, p, &page(p as u8), SimTime::ZERO).unwrap();
+        }
+        (noftl, r, obj, pages)
+    }
+
+    /// The collector this one replaced, as a reference: a die found at the
+    /// low watermark is collected up to the high one in a single burst,
+    /// ahead of the write that found it there.
+    fn burst_then_write(noftl: &NoFtl, r: RegionId, req: &IoRequest<'_>) -> Result<()> {
+        let mut inner = noftl.lock_inner();
+        let config = noftl.env.config;
+        let mut space = inner.space(&noftl.env, r)?;
+        if space.region.dies[0].free_blocks.len() as u32 <= config.gc_low_watermark {
+            while space.region.dies[0].free_blocks.len() < config.gc_high_watermark as usize {
+                let Some(victim) = space.choose_victim(0) else { break };
+                space.region.dies[0].victim = Some(Victim { quantum: u32::MAX, ..victim });
+                if !space.step(0, SimTime::ZERO) {
+                    break;
+                }
+            }
+        }
+        inner.io(&noftl.env, req, SimTime::ZERO).map(|_| ())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Between two host allocations a collecting die relocates at most
+        /// its victim's quantum and erases at most one block (unless it
+        /// had no free block left), every page reads back, and the paced
+        /// collector never runs out of space on an overwrite stream the
+        /// burst collector survives.
+        #[test]
+        fn paced_gc_is_bounded_and_survives_what_the_burst_collector_survives(
+            fill_pct in 50u64..86,
+            stream in prop::collection::vec((any::<u32>(), any::<u8>()), 300..600),
+        ) {
+            let (reference, rr, robj, pages) = one_die_region(fill_pct);
+            let survived = stream.iter().all(|&(p, v)| {
+                let data = page(v);
+                let req = IoRequest::write(robj, u64::from(p) % pages, &data);
+                burst_then_write(&reference, rr, &req).is_ok()
+            });
+            prop_assume!(survived);
+
+            let (noftl, r, obj, pages) = one_die_region(fill_pct);
+            let mut latest: Vec<u8> = (0..pages).map(|p| p as u8).collect();
+            let forced_steps = noftl.metrics().counter("core.gc.forced_steps");
+            for &(p, v) in &stream {
+                let p = u64::from(p) % pages;
+                let quantum = {
+                    let mut inner = noftl.lock_inner();
+                    let space = inner.space(&noftl.env, r).unwrap();
+                    let die = &space.region.dies[0];
+                    let low = die.free_blocks.len() as u32 <= noftl.env.config.gc_low_watermark;
+                    if die.collecting || low {
+                        die.victim.or_else(|| space.choose_victim(0)).map_or(0, |v| v.quantum)
+                    } else {
+                        0
+                    }
+                };
+                let before = (noftl.device().stats(), forced_steps.get());
+                let written = noftl.write(obj, p, &page(v), SimTime::ZERO);
+                prop_assert!(written.is_ok(), "paced GC ran out of space: {written:?}");
+                latest[p as usize] = v;
+                let after = noftl.device().stats();
+                if forced_steps.get() == before.1 {
+                    prop_assert!(after.copybacks - before.0.copybacks <= u64::from(quantum));
+                    prop_assert!(after.block_erases - before.0.block_erases <= 1);
+                }
+            }
+            prop_assert!(noftl.region_stats(r).unwrap().gc_runs > 0, "the stream must make GC run");
+            for p in 0..pages {
+                prop_assert_eq!(&noftl.read(obj, p, SimTime::ZERO).unwrap().0, &page(latest[p as usize]));
+            }
+        }
+    }
+
+    #[test]
+    fn a_victim_in_progress_survives_neither_shrink_nor_drop() {
+        let noftl = make_noftl();
+        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(3)).unwrap();
+        let obj = noftl.create_object("t", r).unwrap();
+        // 45 % of three dies, two thirds of the two that stay.
+        let pages = 3 * noftl.device().geometry().pages_per_die() * 45 / 100;
+        let mut t = SimTime::ZERO;
+        for p in 0..pages {
+            t = noftl.write(obj, p, &page(p as u8), t).unwrap();
+        }
+        // Scattered overwrites (so that victims keep valid pages) until
+        // the region's last die — the one a shrink removes — is between
+        // two steps of a victim.
+        let mut x = 7u64;
+        let mut overwrite_until_mid_victim = |mut t: SimTime| {
+            for i in 0u32..20_000 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                t = noftl.write(obj, (x >> 33) % pages, &page(i as u8), t).unwrap();
+                if noftl.lock_inner().region(r).unwrap().dies.last().unwrap().victim.is_some() {
+                    return t;
+                }
+            }
+            panic!("no victim was ever left in progress");
+        };
+        t = overwrite_until_mid_victim(t);
+        let expected: Vec<Vec<u8>> = (0..pages).map(|p| noftl.read(obj, p, t).unwrap().0).collect();
+        t = noftl.shrink_region(r, 1, t).unwrap();
+        for (p, data) in expected.iter().enumerate() {
+            assert_eq!(&noftl.read(obj, p as u64, t).unwrap().0, data, "page {p} after shrink");
+        }
+        // The same for a region that is dropped mid-victim: all four dies
+        // must come back erased, or the writes below hit programmed pages.
+        t = overwrite_until_mid_victim(t);
+        noftl.drop_object(obj).unwrap();
+        t = noftl.drop_region(r, t).unwrap();
+        assert_eq!(noftl.free_die_count(), 4);
+        let all = noftl.create_region(RegionSpec::named("rgAll").with_die_count(4)).unwrap();
+        let obj = noftl.create_object("t2", all).unwrap();
+        for p in 0..4 * noftl.device().geometry().pages_per_die() * 9 / 10 {
+            t = noftl.write(obj, p, &page(p as u8), t).unwrap();
         }
     }
 

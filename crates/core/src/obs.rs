@@ -20,7 +20,13 @@
 //! * `core.flush.window_ns` — issue→drain latency of whole windows;
 //! * `core.read.window_occupancy` / `core.read.window_ns` — the same two
 //!   views of the windowed *read* pipeline (KV and B+-tree scans);
-//! * `core.gc.{runs,pages_moved,blocks_erased}` — GC activity;
+//! * `core.gc.{runs,pages_moved,blocks_erased}` — GC activity, one run per
+//!   collected victim block;
+//! * `core.gc.step_pages` — copybacks one allocation on a collecting die
+//!   paid for before its own program (the maximum is the GC stall bound);
+//! * `core.gc.forced_steps` — allocations whose die a step left without a
+//!   single free block, and which repeated the step until it had one (the
+//!   only ones the quantum does not bound);
 //! * `core.checkpoint.{count,pages}` / `core.checkpoint.latency_ns` — the
 //!   region-metadata journal: completed checkpoints, the chunk pages they
 //!   programmed, and issue→durable latency of each;
@@ -105,6 +111,8 @@ pub(crate) struct CoreObs {
     gc_runs: Counter,
     gc_pages_moved: Counter,
     gc_blocks_erased: Counter,
+    gc_step_pages: Histogram,
+    gc_forced_steps: Counter,
     checkpoints: Counter,
     checkpoint_pages: Counter,
     checkpoint_latency: Histogram,
@@ -121,6 +129,8 @@ impl CoreObs {
             gc_runs: registry.counter("core.gc.runs"),
             gc_pages_moved: registry.counter("core.gc.pages_moved"),
             gc_blocks_erased: registry.counter("core.gc.blocks_erased"),
+            gc_step_pages: registry.histogram("core.gc.step_pages", Unit::Count),
+            gc_forced_steps: registry.counter("core.gc.forced_steps"),
             checkpoints: registry.counter("core.checkpoint.count"),
             checkpoint_pages: registry.counter("core.checkpoint.pages"),
             checkpoint_latency: registry.histogram("core.checkpoint.latency_ns", Unit::SimNanos),
@@ -142,24 +152,26 @@ impl CoreObs {
         }
     }
 
-    /// Record one GC invocation on a die: pages relocated via copyback
-    /// and blocks reclaimed, plus a tracer instant on the die's track.
-    pub(crate) fn note_gc(
-        &self,
-        die_track: u64,
-        pages_moved: u64,
-        blocks_erased: u64,
-        at: SimTime,
-    ) {
+    /// Record the GC work one allocation paid for on a collecting die.
+    pub(crate) fn note_gc_step(&self, pages_moved: u64, forced: bool) {
+        self.gc_step_pages.record(pages_moved);
+        if forced {
+            self.gc_forced_steps.inc();
+        }
+    }
+
+    /// Record one collected victim on a die: pages relocated via copyback
+    /// and the erased block, plus a tracer instant on the die's track.
+    pub(crate) fn note_gc(&self, die_track: u64, pages_moved: u64, at: SimTime) {
         self.gc_runs.inc();
         self.gc_pages_moved.add(pages_moved);
-        self.gc_blocks_erased.add(blocks_erased);
+        self.gc_blocks_erased.inc();
         self.registry.tracer().instant(
             "core.gc",
             "gc",
             die_track,
             at.as_nanos(),
-            &[("pages_moved", pages_moved), ("blocks_erased", blocks_erased)],
+            &[("pages_moved", pages_moved), ("blocks_erased", 1)],
         );
     }
 

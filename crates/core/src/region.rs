@@ -116,6 +116,21 @@ impl RegionSpec {
     }
 }
 
+/// The block a die is collecting, between two steps of its collector.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Victim {
+    /// The block (still listed in `used_blocks`).
+    pub block: BlockAddr,
+    /// First page of the block the collector has not looked at yet.
+    pub cursor: u32,
+    /// Valid pages relocated per step.
+    pub quantum: u32,
+    /// Copybacks spent on this victim so far.
+    pub moved: u64,
+    /// Chosen by static wear leveling, not by the GC policy.
+    pub wear_leveling: bool,
+}
+
 /// Allocation state of one die inside a region.
 #[derive(Debug)]
 pub(crate) struct RegionDie {
@@ -129,43 +144,61 @@ pub(crate) struct RegionDie {
     pub gc_active: Option<(BlockAddr, u32)>,
     /// Blocks with data (open or full), i.e. GC candidates once full.
     pub used_blocks: Vec<BlockAddr>,
+    /// Set when the free pool falls to the low watermark, cleared at the
+    /// high one; while set, host allocations on the die pace its GC.
+    /// Volatile, like `victim` and `nothing_to_collect`: a mounted die
+    /// starts with none of them.
+    pub collecting: bool,
+    /// The victim in progress.
+    pub victim: Option<Victim>,
+    /// The last victim search found no candidate, and neither an
+    /// invalidation nor a frontier roll-over has happened on the die since.
+    pub nothing_to_collect: bool,
 }
 
 impl RegionDie {
+    fn empty(die: DieId) -> Self {
+        RegionDie {
+            die,
+            free_blocks: Vec::new(),
+            active: None,
+            gc_active: None,
+            used_blocks: Vec::new(),
+            collecting: false,
+            victim: None,
+            nothing_to_collect: false,
+        }
+    }
+
     /// Build the allocation state for a die, treating every non-bad block
     /// of the die as free.  The caller must ensure the die actually is
     /// erased (true at device start-up and after a die is migrated out of
     /// another region).
     pub(crate) fn new(device: &dyn FlashBackend, die: DieId) -> Self {
         let geo = device.geometry();
-        let mut free_blocks = Vec::with_capacity(geo.blocks_per_die() as usize);
+        let mut out = Self::empty(die);
         for plane in 0..geo.planes_per_die {
             for block in 0..geo.blocks_per_plane {
                 let addr = BlockAddr::new(die, plane, block);
                 if let Ok(info) = device.block_info(addr) {
                     if info.state != flash_sim::BlockState::Bad {
-                        free_blocks.push(addr);
+                        out.free_blocks.push(addr);
                     }
                 }
             }
         }
-        RegionDie { die, free_blocks, active: None, gc_active: None, used_blocks: Vec::new() }
+        out
     }
 
     /// Rebuild the allocation state of a die from the physical block
     /// states found on a remounted device: erased blocks go back to the
     /// free pool, partially programmed blocks become write frontiers
     /// (continuing at their hardware write pointer) and full blocks become
-    /// GC candidates.  Bad blocks are dropped from tracking.
+    /// GC candidates — a block the collector was halfway through included.
+    /// Bad blocks are dropped from tracking.
     pub(crate) fn rebuild(device: &dyn FlashBackend, die: DieId) -> Self {
         let geo = device.geometry();
-        let mut out = RegionDie {
-            die,
-            free_blocks: Vec::new(),
-            active: None,
-            gc_active: None,
-            used_blocks: Vec::new(),
-        };
+        let mut out = Self::empty(die);
         for plane in 0..geo.planes_per_die {
             for block in 0..geo.blocks_per_plane {
                 let addr = BlockAddr::new(die, plane, block);
@@ -194,8 +227,10 @@ impl RegionDie {
     }
 
     /// Take every block that may hold data — used blocks and both write
-    /// frontiers — out of tracking, for a die that is being emptied.
+    /// frontiers — out of tracking, for a die that is being emptied; a
+    /// victim in progress is one of them and is forgotten.
     pub(crate) fn take_data_blocks(&mut self) -> Vec<BlockAddr> {
+        (self.victim, self.collecting) = (None, false);
         let mut blocks: Vec<BlockAddr> = self.used_blocks.drain(..).collect();
         blocks.extend(self.active.take().map(|(b, _)| b));
         blocks.extend(self.gc_active.take().map(|(b, _)| b));
@@ -211,14 +246,13 @@ impl RegionDie {
             + usize::from(self.gc_active.is_some())
     }
 
-    /// Pick and open a fresh block for the host frontier.
-    pub(crate) fn open_host_block(
-        &mut self,
+    /// Take the block `policy` allocates next out of `free_blocks`.
+    fn open_block(
+        free_blocks: &mut Vec<BlockAddr>,
         device: &dyn FlashBackend,
         policy: WearLevelingPolicy,
-    ) -> bool {
-        let cands: Vec<FreeBlockCandidate> = self
-            .free_blocks
+    ) -> Option<BlockAddr> {
+        let cands: Vec<FreeBlockCandidate> = free_blocks
             .iter()
             .enumerate()
             .map(|(slot, b)| FreeBlockCandidate {
@@ -226,39 +260,7 @@ impl RegionDie {
                 erase_count: device.block_info(*b).map(|i| i.erase_count).unwrap_or(0),
             })
             .collect();
-        match pick_free_block(policy, &cands) {
-            Some(slot) => {
-                let block = self.free_blocks.swap_remove(slot);
-                self.active = Some((block, 0));
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Pick and open a fresh block for the GC frontier.
-    pub(crate) fn open_gc_block(
-        &mut self,
-        device: &dyn FlashBackend,
-        policy: WearLevelingPolicy,
-    ) -> bool {
-        let cands: Vec<FreeBlockCandidate> = self
-            .free_blocks
-            .iter()
-            .enumerate()
-            .map(|(slot, b)| FreeBlockCandidate {
-                slot,
-                erase_count: device.block_info(*b).map(|i| i.erase_count).unwrap_or(0),
-            })
-            .collect();
-        match pick_free_block(policy, &cands) {
-            Some(slot) => {
-                let block = self.free_blocks.swap_remove(slot);
-                self.gc_active = Some((block, 0));
-                true
-            }
-            None => false,
-        }
+        pick_free_block(policy, &cands).map(|slot| free_blocks.swap_remove(slot))
     }
 
     /// Next page of the host frontier, opening a new block when necessary.
@@ -269,23 +271,7 @@ impl RegionDie {
         policy: WearLevelingPolicy,
         pages_per_block: u32,
     ) -> Option<PageAddr> {
-        loop {
-            match self.active {
-                Some((block, next)) if next < pages_per_block => {
-                    self.active = Some((block, next + 1));
-                    return Some(block.page(next));
-                }
-                Some((block, _)) => {
-                    self.used_blocks.push(block);
-                    self.active = None;
-                }
-                None => {
-                    if !self.open_host_block(device, policy) {
-                        return None;
-                    }
-                }
-            }
-        }
+        self.next_page(false, device, policy, pages_per_block)
     }
 
     /// Next page of the GC frontier, opening a new block when necessary.
@@ -295,20 +281,32 @@ impl RegionDie {
         policy: WearLevelingPolicy,
         pages_per_block: u32,
     ) -> Option<PageAddr> {
+        self.next_page(true, device, policy, pages_per_block)
+    }
+
+    fn next_page(
+        &mut self,
+        gc: bool,
+        device: &dyn FlashBackend,
+        policy: WearLevelingPolicy,
+        pages_per_block: u32,
+    ) -> Option<PageAddr> {
+        let frontier = if gc { &mut self.gc_active } else { &mut self.active };
         loop {
-            match self.gc_active {
+            match *frontier {
                 Some((block, next)) if next < pages_per_block => {
-                    self.gc_active = Some((block, next + 1));
+                    *frontier = Some((block, next + 1));
                     return Some(block.page(next));
                 }
                 Some((block, _)) => {
+                    // A block that just filled up may be a GC candidate.
+                    *frontier = None;
                     self.used_blocks.push(block);
-                    self.gc_active = None;
+                    self.nothing_to_collect = false;
                 }
                 None => {
-                    if !self.open_gc_block(device, policy) {
-                        return None;
-                    }
+                    let block = Self::open_block(&mut self.free_blocks, device, policy)?;
+                    *frontier = Some((block, 0));
                 }
             }
         }
@@ -394,6 +392,9 @@ impl RegionRuntime {
         self.invalidate_seq += 1;
         let seq = self.invalidate_seq;
         self.block_invalidate_seq.insert((ppa.die.0, ppa.plane, ppa.block), seq);
+        if let Some(die) = self.dies.iter_mut().find(|d| d.die == ppa.die) {
+            die.nothing_to_collect = false;
+        }
     }
 
     /// The die ids owned by the region.
@@ -503,6 +504,21 @@ mod tests {
         let gc =
             die.next_gc_page(&device, WearLevelingPolicy::Dynamic, geo.pages_per_block).unwrap();
         assert_ne!(host.block(), gc.block(), "host and GC data never share a block");
+    }
+
+    #[test]
+    fn emptying_a_die_forgets_its_victim() {
+        let device = DeviceBuilder::new(FlashGeometry::small_test()).build();
+        let geo = *device.geometry();
+        let mut die = RegionDie::new(&device, DieId(0));
+        for _ in 0..=geo.pages_per_block {
+            die.next_host_page(&device, WearLevelingPolicy::Dynamic, geo.pages_per_block).unwrap();
+        }
+        let block = die.used_blocks[0];
+        die.collecting = true;
+        die.victim = Some(Victim { block, cursor: 3, quantum: 2, moved: 3, wear_leveling: false });
+        assert_eq!(die.take_data_blocks().len(), 2, "the full block and the host frontier");
+        assert!(die.victim.is_none() && !die.collecting);
     }
 
     #[test]

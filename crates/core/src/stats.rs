@@ -11,7 +11,7 @@ pub struct RegionStats {
     pub host_reads: u64,
     /// Host page writes served by this region.
     pub host_writes: u64,
-    /// GC invocations in this region.
+    /// GC runs in this region: victim blocks collected and erased.
     pub gc_runs: u64,
     /// Valid pages relocated by region GC (copybacks).
     pub gc_copybacks: u64,
@@ -64,7 +64,7 @@ pub struct NoFtlStats {
     pub host_reads: u64,
     /// Host page writes.
     pub host_writes: u64,
-    /// GC invocations.
+    /// GC runs (victim blocks collected and erased).
     pub gc_runs: u64,
     /// GC copybacks (valid-page relocations).
     pub gc_copybacks: u64,

@@ -31,16 +31,21 @@ pub fn traditional(total_dies: u32) -> PlacementConfig {
 /// (2, 11, 10, 29, 6, 6); for other device sizes the counts are scaled
 /// proportionally (largest-remainder, at least one die each).
 pub fn figure2(total_dies: u32) -> PlacementConfig {
-    // The engine's write-ahead log (an append/overwrite-hot object that
-    // Shore-MT kept on a separate device) is grouped with the other hot
-    // insert streams rather than with the 2-die metadata region, so that
-    // commit forces are not bottlenecked on two dies.
+    // The engine's write-ahead log (which Shore-MT kept on a separate
+    // device) is a live segment of up to `wal_segment_pages` pages whose
+    // tail page is rewritten at every commit force.  It shares `rgWhDist`
+    // with WAREHOUSE and DISTRICT, the two tables that are hot in the
+    // buffer pool and all but idle on flash: six dies keep a commit force
+    // from queueing, hold the whole segment (the 2-die `rgMeta` cannot),
+    // and no append-only object sits in the blocks the log keeps
+    // invalidating — next to ORDERLINE in `rgOrderStream`, every log lap
+    // cost a lap of ORDERLINE copybacks (EXPERIMENTS.md, hypothesis (a)).
     let groups: Vec<(&str, Vec<&str>, u32)> = vec![
         ("rgMeta", vec!["DBMS-metadata", "HISTORY"], 2),
-        ("rgOrderStream", vec!["ORDERLINE", "NEW_ORDER", "ORDER", "DBMS-log"], 11),
+        ("rgOrderStream", vec!["ORDERLINE", "NEW_ORDER", "ORDER"], 11),
         ("rgCustomer", vec!["CUSTOMER", "C_IDX", "I_IDX", "S_IDX", "W_IDX"], 10),
         ("rgStock", vec!["OL_IDX", "STOCK", "C_NAME_IDX", "ITEM", "D_IDX"], 29),
-        ("rgWhDist", vec!["WAREHOUSE", "DISTRICT"], 6),
+        ("rgWhDist", vec!["WAREHOUSE", "DISTRICT", "DBMS-log"], 6),
         ("rgOrderIdx", vec!["NO_IDX", "O_IDX", "O_CUST_IDX"], 6),
     ];
     let paper_total: u32 = groups.iter().map(|(_, _, d)| *d).sum();

@@ -21,7 +21,7 @@ use common::{property_rounds, splitmix};
 use noftl_regions::dbms::crash_harness::{run_crash_cycle, CrashHarnessConfig};
 use noftl_regions::dbms::{Database, DatabaseConfig, NoFtlBackend};
 use noftl_regions::flash::{
-    DeviceBuilder, DeviceSnapshot, FlashGeometry, NandDevice, SimTime, TimingModel,
+    DeviceBuilder, DeviceSnapshot, Duration, FlashGeometry, NandDevice, SimTime, TimingModel,
 };
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementConfig};
 use std::sync::Arc;
@@ -108,6 +108,71 @@ fn snapshot_restore_preserves_wear_and_bad_blocks() {
     for p in 0..8u64 {
         let expected = 24 + p; // last round of writes wins
         assert_eq!(noftl2.read(obj, p, report.completed_at).unwrap().0, vec![expected as u8; 4096]);
+    }
+}
+
+#[test]
+fn power_cut_between_two_gc_steps_of_one_victim_loses_nothing() {
+    // GC collects a victim a quantum per host write, so power can fail
+    // with a block half relocated.  Every relocated page was retranslated
+    // right after its copyback and the victim is erased only when empty,
+    // so a mount finds each acknowledged page exactly once — and the
+    // half-collected block as one more full block with invalid pages.
+    let device = Arc::new(
+        DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build(),
+    );
+    let noftl = NoFtl::new(device.clone(), NoFtlConfig::default());
+    let rid = noftl
+        .create_region(noftl_regions::noftl::RegionSpec::named("rg").with_die_count(1))
+        .unwrap();
+    let obj = noftl.create_object("t", rid).unwrap();
+    let pages = device.geometry().pages_per_die() * 7 / 10;
+    let mut t = SimTime::ZERO;
+    let mut latest: Vec<u8> = (0..pages).map(|p| p as u8).collect();
+    for p in 0..pages {
+        t = noftl.write(obj, p, &vec![latest[p as usize]; 4096], t).unwrap();
+    }
+    t = noftl.checkpoint(t).unwrap();
+    // Scattered overwrites until one write's step has moved pages of a
+    // victim without erasing it: the victim is parked with valid pages left.
+    let mut rng = 0xC0FFEEu64;
+    let mut overwrite = |noftl: &NoFtl, latest: &mut Vec<u8>, t: SimTime| {
+        let r = splitmix(&mut rng);
+        let (p, v) = (r % pages, (r >> 32) as u8);
+        let done = noftl.write(obj, p, &vec![v; 4096], t).unwrap();
+        latest[p as usize] = v;
+        done
+    };
+    for i in 0.. {
+        let before = noftl.region_stats(rid).unwrap();
+        t = overwrite(&noftl, &mut latest, t);
+        let after = noftl.region_stats(rid).unwrap();
+        if after.gc_copybacks > before.gc_copybacks && after.gc_erases == before.gc_erases {
+            break;
+        }
+        assert!(i < 10_000, "no victim was ever left half collected");
+    }
+    // Power fails on the idle device, before the step the next write pays.
+    let idle = t + Duration::from_ms(100);
+    device.arm_power_cut(idle);
+    assert!(noftl.write(obj, 0, &vec![0xEE; 4096], idle + Duration::from_ms(1)).is_err());
+    let rebooted =
+        Arc::new(NandDevice::from_snapshot(&device.snapshot(), TimingModel::mlc_2015()).unwrap());
+    let (noftl, report) = NoFtl::mount(rebooted, NoFtlConfig::default(), idle).unwrap();
+    assert_eq!(report.mapped_pages, pages, "one version of every acknowledged page");
+    let mut t = report.completed_at;
+    for p in 0..pages {
+        assert_eq!(noftl.read(obj, p, t).unwrap().0, vec![latest[p as usize]; 4096], "page {p}");
+    }
+    // The mounted die starts without a victim; collection goes on through
+    // every block, the half-collected one included.
+    let erases = noftl.region_stats(rid).unwrap().gc_erases;
+    for _ in 0..(4 * device.geometry().pages_per_die()) {
+        t = overwrite(&noftl, &mut latest, t);
+    }
+    assert!(noftl.region_stats(rid).unwrap().gc_erases > erases);
+    for p in 0..pages {
+        assert_eq!(noftl.read(obj, p, t).unwrap().0, vec![latest[p as usize]; 4096], "page {p}");
     }
 }
 

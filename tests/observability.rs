@@ -48,6 +48,35 @@ fn chrome_trace_from_a_mixed_workload_is_valid() {
 }
 
 #[test]
+fn gc_pacing_is_visible_in_the_registry() {
+    // 60 % of two dies overwritten five times over: GC runs throughout.
+    let (noftl, obj) = stack();
+    let pages = 2 * noftl.device().geometry().pages_per_die() * 6 / 10;
+    let mut t = SimTime::ZERO;
+    let mut rng = 0x0B5E_u64;
+    for i in 0..6 * pages {
+        rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let p = if i < pages { i } else { (rng >> 33) % pages };
+        t = noftl.write(obj, p, &vec![i as u8; 4096], t).unwrap();
+    }
+    let snap = noftl.metrics_snapshot();
+    let stats = noftl.stats();
+    assert!(stats.gc_erases > 0, "the workload must make GC run");
+    // One run per collected victim, in the side API and the registry alike.
+    assert_eq!(stats.gc_runs, stats.gc_erases);
+    assert_eq!(snap.counter("core.gc.runs"), Some(stats.gc_runs));
+    assert_eq!(snap.counter("core.gc.pages_moved"), Some(stats.gc_copybacks));
+    // Every allocation on a collecting die is a sample; the largest is the
+    // GC stall bound: with no forced step, at most one block's pages.
+    let steps = snap.histogram("core.gc.step_pages").expect("registered");
+    assert!(steps.count > 0 && steps.max > 0);
+    assert!(steps.max <= u64::from(noftl.device().geometry().pages_per_block));
+    assert_eq!(snap.counter("core.gc.forced_steps"), Some(0), "no die ever ran dry");
+    // Each victim is a `core.gc` instant on its die's track.
+    assert!(dump::chrome_trace(noftl.metrics()).contains("\"cat\": \"core.gc\""));
+}
+
+#[test]
 fn kv_spans_and_histograms_reach_the_registry() {
     let (noftl, _obj) = stack();
     let kv_rid = noftl.create_region(RegionSpec::named("rgKv").with_die_count(2)).unwrap();

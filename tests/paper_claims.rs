@@ -2,10 +2,11 @@
 //! run: both placements execute the full mix, and the multi-region
 //! placement stays inside a GC-copyback budget.
 //!
-//! This does **not** check the paper's directional claims — at full size
-//! they do not reproduce today (see the budget assertion's message).  The
-//! full-size experiment lives in `noftl-bench` (`--bin figure3`); this
-//! test uses a small device/scale so it finishes quickly in CI.
+//! This does **not** check the paper's directional claims: the run is too
+//! small for either arm to collect much (see the budget assertion).  The
+//! full-size experiment lives in `noftl-bench` (`--bin figure3`, and the
+//! `--ignored figure3_` sign gate in its tests); this test uses a small
+//! device/scale so it finishes quickly in CI.
 
 use noftl_bench::Experiment;
 use noftl_regions::tpcc::{placement, ComparisonReport};
@@ -40,21 +41,23 @@ fn tpcc_runs_on_both_placements_and_regions_stay_inside_the_copyback_budget() {
         regions: regions.report.clone(),
     };
     // A budget, not the paper's claim (+21 % TPS, −19.2 % copybacks,
-    // −4.4 % erases): the tiny CI-sized run only checks that the
-    // multi-region placement does not blow GC work up — copybacks stay
-    // within the baseline's plus 5 % of its host writes.  The full-size
-    // comparison is produced by `figure3` and by the repo benchmark
-    // (`tpcc_regions` vs `tpcc_traditional`, the "Figure 3 reference"
-    // block of `benchmark/README.md`).
+    // −4.4 % erases): copybacks stay within the baseline's plus 5 % of its
+    // host writes.  The plain `regions <= traditional` does not hold at
+    // this size and for a reason that is not GC quality: on 16 dies and
+    // 1 500 transactions the single 16-die region never reaches a
+    // watermark (0 copybacks) while the one- and two-die regions of the
+    // scaled Figure 2 do (90, 3 % of 2 951 host writes).  The sign is
+    // gated where the experiment is full size: `noftl-bench`'s
+    // `figure3_regions_copy_no_more_and_keep_pace_with_traditional`.
     let copyback_budget = cmp.traditional.gc_copybacks + cmp.traditional.host_writes / 20;
     assert!(
         cmp.regions.gc_copybacks <= copyback_budget,
         "regions exceed the GC-copyback budget (traditional={}, regions={}, budget={}). \
-         Passing this budget reproduces nothing: at full size `figure3` measures regions vs \
-         traditional at TPS -20.5 % (3 339 vs 2 654), copybacks +99.1 %, erases +16.5 %, against \
-         the paper's +21 % / -19.2 % / -4.4 % — re-measured at PR 18, under first-fit \
-         reservation, where the TPS row is a queueing result and no longer the simulator's \
-         call order",
+         At full size `figure3` measures regions vs traditional at TPS -3.5 %, copybacks \
+         -11.0 %, erases +3.4 % (12 000 transactions, PR 22: GC paced by host writes, the log \
+         out of rgOrderStream) against the paper's +21 % / -19.2 % / -4.4 %; at 24 000 \
+         transactions -5.2 % / +19.6 % / +3.0 % (was -52.2 % / +246.9 % / +30.4 %), and at \
+         36 000 rgOrderStream is out of space",
         cmp.traditional.gc_copybacks,
         cmp.regions.gc_copybacks,
         copyback_budget
