@@ -78,4 +78,10 @@ fn main() {
         traditional.device.wear_summary().max_erase_count,
         regions.device.wear_summary().max_erase_count
     );
+    // 1.000 = every flash read was a page a transaction asked for.
+    println!(
+        "flash reads / buffer misses: traditional {:.3} vs regions {:.3}",
+        traditional.reads_per_miss(),
+        regions.reads_per_miss()
+    );
 }

@@ -368,29 +368,21 @@ impl BTree {
     /// Walk the leaf chain from `page`, handing every entry to `visit`
     /// in key order until it returns `false` or the chain ends.
     ///
-    /// The chain is a pointer chase (the next leaf is only known after
-    /// reading the current one), but leaves are allocated in ascending
-    /// page order, so the chain climbs through the file.  Sequential
-    /// readahead from the current leaf primes the pool through the
-    /// backend's windowed read pipeline — the upcoming fetches overlap
-    /// the region's dies instead of serializing, and a wrong guess
-    /// merely warms another node of the same tree.
+    /// The chain is a pointer chase: the next leaf is only known after
+    /// reading the current one, and the walk reads nothing ahead of it.
+    /// Readahead by page number would be a guess (the leaves of a tree
+    /// grown by random inserts are not in file order), and no workload in
+    /// the repo scans far enough for one to pay: TPC-C's scans touch one
+    /// or two leaves, the YCSB-style short scans at most 50 rows.
     fn walk_leaves(
         &self,
         pool: &BufferPool,
         mut page: u64,
-        page_count: u64,
         now: SimTime,
         mut visit: impl FnMut(&[u8], RecordId) -> bool,
     ) -> Result<SimTime> {
         let mut t = now;
-        let readahead = pool.flush_window() as u64;
         loop {
-            if readahead > 1 {
-                let end = page.saturating_add(readahead).min(page_count);
-                let batch: Vec<(ObjectId, u64)> = (page..end).map(|p| (self.obj, p)).collect();
-                t = t.max(pool.prefetch(&batch, t)?);
-            }
             let (next, t2) = self.view_node(pool, page, t, |node| {
                 node.rids().all(|(key, rid)| visit(key, rid)).then_some(node.extra)
             })?;
@@ -568,7 +560,7 @@ impl BTree {
         let t = self.ensure_init(&mut inner, pool, now)?;
         let (leaf, t) = self.leaf_for(pool, inner.root, low, t)?;
         let mut out = Vec::new();
-        let t = self.walk_leaves(pool, leaf, inner.page_count, t, |key, rid| {
+        let t = self.walk_leaves(pool, leaf, t, |key, rid| {
             if key < low {
                 return true;
             }
@@ -583,9 +575,8 @@ impl BTree {
 
     /// Bounded range scan: the first `limit` `(key, rid)` pairs with
     /// `key >= low`, in key order — the YCSB-style "short scan" walk.
-    /// Same leaf chase as [`range`](Self::range) (including the
-    /// windowed-readahead priming), but it stops as soon as `limit` pairs
-    /// are collected instead of walking to a high bound.
+    /// Same leaf chase as [`range`](Self::range), but it stops as soon as
+    /// `limit` pairs are collected instead of walking to a high bound.
     pub fn range_from(
         &self,
         pool: &BufferPool,
@@ -600,7 +591,7 @@ impl BTree {
             return Ok((out, t));
         }
         let (leaf, t) = self.leaf_for(pool, inner.root, low, t)?;
-        let t = self.walk_leaves(pool, leaf, inner.page_count, t, |key, rid| {
+        let t = self.walk_leaves(pool, leaf, t, |key, rid| {
             if key >= low {
                 out.push((key.to_vec(), rid));
             }
@@ -751,33 +742,37 @@ mod tests {
     }
 
     #[test]
-    fn cold_range_scan_prefetches_the_leaf_chain() {
-        let (pool, tree) = setup(256);
-        let mut t = SimTime::ZERO;
-        for i in 0..2_000i64 {
-            t = tree.insert(&pool, &composite_key(&[i]), rid(i as u64), t).unwrap();
-        }
-        t = pool.flush_all(t).unwrap();
-        assert!(tree.page_count() > 8, "scan must cross several leaves");
+    fn cold_range_scan_reads_the_pages_it_visits_and_no_other() {
+        // Ascending inserts lay the leaf chain out in file order, shuffled
+        // ones do not; either way a scan fetches a node when it gets there.
+        let orders: [fn(i64) -> i64; 2] = [|i| i, |i| (i * 2_654_435_761i64).rem_euclid(2_000)];
+        for order in orders {
+            let (pool, tree) = setup(256);
+            let mut t = SimTime::ZERO;
+            for i in 0..2_000i64 {
+                let k = order(i);
+                t = tree.insert(&pool, &composite_key(&[k]), rid(k as u64), t).unwrap();
+            }
+            t = pool.flush_all(t).unwrap();
+            assert!(tree.page_count() > 8, "scan must cross several leaves");
 
-        // A cold pool over the same backing object: the scan's leaf walk
-        // must prime itself through the windowed prefetch path and still
-        // return exactly the same rows.
-        let cold = BufferPool::new(pool.backend().clone(), 256);
-        let (warm_rows, _) =
-            tree.range(&pool, &composite_key(&[0]), &composite_key(&[2_000]), t).unwrap();
-        let (cold_rows, _) =
-            tree.range(&cold, &composite_key(&[0]), &composite_key(&[2_000]), t).unwrap();
-        assert_eq!(warm_rows.len(), 2_000);
-        assert_eq!(warm_rows, cold_rows, "readahead must not change scan results");
-        let s = cold.stats();
-        assert!(s.prefetched > 0, "cold scan never used the windowed path");
-        assert!(
-            s.prefetched > s.misses,
-            "most leaf fetches should ride the prefetch window (prefetched {}, misses {})",
-            s.prefetched,
-            s.misses
-        );
+            // A range that ends mid-file: reading on past it would show.
+            let (low, high) = (composite_key(&[300]), composite_key(&[900]));
+            let visits_before = pool.stats().logical_reads;
+            let (warm_rows, _) = tree.range(&pool, &low, &high, t).unwrap();
+            // The walk looks at its first leaf a second time.
+            let nodes = pool.stats().logical_reads - visits_before - 1;
+
+            // A cold pool over the same backing object.
+            let cold = BufferPool::new(pool.backend().clone(), 256);
+            let reads_before = cold.backend().io_counts().0;
+            let (cold_rows, _) = tree.range(&cold, &low, &high, t).unwrap();
+            assert_eq!(warm_rows.len(), 600);
+            assert_eq!(warm_rows, cold_rows);
+            assert!(nodes < tree.page_count() / 2, "{nodes} nodes visited");
+            assert_eq!(cold.backend().io_counts().0 - reads_before, nodes);
+            assert_eq!(cold.stats().misses, nodes);
+        }
     }
 
     #[test]

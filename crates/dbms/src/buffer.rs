@@ -47,8 +47,9 @@ pub struct BufferStats {
     pub logical_reads: u64,
     /// Logical page writes requested.
     pub logical_writes: u64,
-    /// Pages pulled in ahead of demand through the windowed prefetch
-    /// path (range scans priming the leaf chain).
+    /// Always 0: nothing reads ahead of demand.  The frozen benchmark's
+    /// metric table still reads the field (`dbms.buffer.prefetched`); it
+    /// goes when that table is re-baselined.
     pub prefetched: u64,
 }
 
@@ -272,39 +273,6 @@ impl BufferPool {
     /// [`BufferPool::with_page`].
     pub fn read_page(&self, obj: ObjectId, page: u64, now: SimTime) -> Result<(Vec<u8>, SimTime)> {
         self.with_page(obj, page, now, <[u8]>::to_vec)
-    }
-
-    /// Prefetch a set of pages into the pool through the backend's
-    /// windowed read pipeline ([`StorageBackend::read_windowed`]).
-    /// Resident pages are skipped; the rest are fetched with at most
-    /// [`BufferPool::flush_window`] reads in flight and installed clean,
-    /// so the following demand reads hit without touching storage.
-    /// Range scans use this to prime the upcoming stretch of a B⁺-tree
-    /// leaf chain so the fetches overlap the region's dies.  Returns the
-    /// completion time of the slowest fetch (`now` if everything was
-    /// already resident).
-    pub fn prefetch(&self, pages: &[(ObjectId, u64)], now: SimTime) -> Result<SimTime> {
-        let mut inner = self.inner.lock();
-        let mut missing: Vec<(ObjectId, u64)> = Vec::new();
-        let mut seen = HashSet::new();
-        for &(obj, page) in pages {
-            if !inner.map.contains_key(&(obj, page)) && seen.insert((obj, page)) {
-                missing.push((obj, page));
-            }
-        }
-        // Prefetching more than fits would evict our own freshly loaded
-        // frames; clamp to the pool's capacity.
-        missing.truncate(self.capacity);
-        if missing.is_empty() {
-            return Ok(now);
-        }
-        let (payloads, done) = self.backend.read_windowed(&missing, now, self.flush_window)?;
-        for (key, data) in missing.into_iter().zip(payloads) {
-            inner.stats.prefetched += 1;
-            self.make_room(&mut inner, now)?;
-            Self::install(&mut inner, key, data, false);
-        }
-        Ok(done)
     }
 
     /// Write a page into the pool (dirtying it).  No flash I/O happens now;
@@ -555,54 +523,6 @@ mod tests {
 
     fn pool_quiesce(backend: &Arc<NoFtlBackend>) -> SimTime {
         backend.noftl().device().quiesce_time()
-    }
-
-    #[test]
-    fn prefetch_installs_clean_frames_and_beats_serial_misses() {
-        let backend = backend();
-        let obj = backend.create_object("t").unwrap();
-        let pool = BufferPool::new(backend.clone(), 16);
-        for p in 0..8u64 {
-            pool.write_page(obj, p, &page(p as u8), SimTime::ZERO).unwrap();
-        }
-        let flushed = pool.flush_all(SimTime::ZERO).unwrap();
-        let start = flushed.max(pool_quiesce(&backend));
-
-        // Windowed prefetch on a cold pool: one overlapped batch.  This
-        // runs first — simulated time never rewinds, so whichever variant
-        // runs second would queue behind the first one's die occupancy.
-        let warm = BufferPool::new(backend.clone(), 16);
-        let batch: Vec<(ObjectId, u64)> = (0..8u64).map(|p| (obj, p)).collect();
-        let done = warm.prefetch(&batch, start).unwrap();
-        let prefetch_ns = done.as_nanos() - start.as_nanos();
-        assert!(done > start, "prefetch must pay for its flash reads");
-
-        // Serial baseline on another cold pool: chained demand misses,
-        // issued from the prefetch's completion (the dies are idle again).
-        let cold = BufferPool::new(backend.clone(), 16);
-        let serial_start = done.max(pool_quiesce(&backend));
-        let mut t = serial_start;
-        for p in 0..8u64 {
-            t = cold.read_page(obj, p, t).unwrap().1;
-        }
-        let serial_ns = t.as_nanos() - serial_start.as_nanos();
-        assert!(
-            prefetch_ns < serial_ns,
-            "windowed prefetch ({prefetch_ns} ns) must beat serial misses ({serial_ns} ns)"
-        );
-        assert_eq!(warm.stats().prefetched, 8);
-        assert_eq!(warm.stats().misses, 0);
-
-        // The demand reads now all hit, free of charge, with the data.
-        for p in 0..8u64 {
-            let (data, t2) = warm.read_page(obj, p, done).unwrap();
-            assert_eq!(data, page(p as u8), "page {p}");
-            assert_eq!(t2, done, "a primed read must be a hit");
-        }
-        assert_eq!(warm.stats().hits, 8);
-        // Re-prefetching resident pages is free.
-        assert_eq!(warm.prefetch(&batch, done).unwrap(), done);
-        assert_eq!(warm.stats().prefetched, 8);
     }
 
     #[test]

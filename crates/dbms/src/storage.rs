@@ -49,9 +49,10 @@ pub trait StorageBackend: Send + Sync {
     /// [`StorageBackend::write_windowed`].  At most `window` reads are in
     /// flight; each further read is issued at the completion of the
     /// oldest outstanding one.  Returns the payloads **in request order**
-    /// plus the maximum completion over the whole window.  Range scans
-    /// and compaction merges drive this so their page fetches overlap the
-    /// region's dies instead of serializing.
+    /// plus the maximum completion over the whole window.  The engine
+    /// itself has no caller (range scans read no page ahead of demand);
+    /// the method stays because the frozen benchmark's storage decorator
+    /// implements it.
     fn read_windowed(
         &self,
         reads: &[(ObjectId, u64)],

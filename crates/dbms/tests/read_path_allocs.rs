@@ -1,4 +1,5 @@
-//! Allocation budget of a warm point read.
+//! Allocation budgets of the warm read paths: a point read and a range
+//! scan.
 //!
 //! `Database::index_get` on resident pages borrows its way down the
 //! B+-tree and into the heap page: no page is copied and no node is
@@ -6,8 +7,9 @@
 //! result out — the record's bytes, the `Vec<Value>` and one `String`
 //! per string column.  A counting global allocator (per thread, as in
 //! `crates/obs/tests/no_alloc.rs`, so parallel tests do not charge each
-//! other) holds the path to that.  CI runs this in `--release`, where
-//! the claim matters.
+//! other) holds the path to that.  `Database::index_scan_from` over
+//! resident leaves allocates its result rows and nothing per leaf.  CI
+//! runs this in `--release`, where the claim matters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -60,20 +62,19 @@ fn key(id: u64) -> Vec<u8> {
     format!("user{id:020}").into_bytes()
 }
 
-#[test]
-fn warm_index_get_copies_no_page_and_allocates_only_its_result() {
+/// A database of `RECORDS` rows behind a three-level index, all of it
+/// resident: the reads of both tests are hits.
+fn loaded_db() -> (Database, SimTime) {
     let device = Arc::new(
         DeviceBuilder::new(FlashGeometry::example()).timing(TimingModel::instant()).build(),
     );
     let noftl = Arc::new(NoFtl::new(device, NoFtlConfig::default()));
     let placement = PlacementConfig::traditional(8, ["t".to_string()]);
     let backend = Arc::new(NoFtlBackend::new(noftl, &placement).unwrap());
-    // Everything stays resident: the reads below are all hits.
     let config = DatabaseConfig { buffer_pages: 4_096, ..DatabaseConfig::default() };
     let db = Database::open(backend, config).unwrap();
     let schema =
         Schema::new(vec![("k", ColumnType::Str(KEY_LEN as u16)), ("v", ColumnType::Str(100))]);
-    let string_columns = 2;
     db.create_table("t", schema, SimTime::ZERO).unwrap();
     db.create_index("t", "i", SimTime::ZERO).unwrap();
     let mut now = SimTime::ZERO;
@@ -89,6 +90,13 @@ fn warm_index_get_copies_no_page_and_allocates_only_its_result() {
     let max_children = (PAGE_SIZE - 11) / (2 + KEY_LEN + 8) + 1;
     let index_pages = db.table("t").unwrap().index("i").unwrap().tree.page_count();
     assert!(index_pages as usize > max_children + 1, "tree of {index_pages} pages is too shallow");
+    (db, now)
+}
+
+#[test]
+fn warm_index_get_copies_no_page_and_allocates_only_its_result() {
+    let (db, now) = loaded_db();
+    let string_columns = 2;
 
     let keys: Vec<Vec<u8>> = (0..200).map(|i| key(i * 97 % RECORDS)).collect();
     let misses_before = db.buffer_stats().misses;
@@ -112,5 +120,31 @@ fn warm_index_get_copies_no_page_and_allocates_only_its_result() {
         allocs <= budget,
         "{allocs} allocations for {} warm reads (budget {budget})",
         keys.len()
+    );
+}
+
+#[test]
+fn warm_range_scan_allocates_nothing_per_leaf() {
+    let (db, now) = loaded_db();
+    let rows_wanted = 6_000;
+    let before = db.buffer_stats();
+    let allocs_before = ALLOCATIONS.with(Cell::get);
+    let mut txn = db.begin(now);
+    let rows = db.index_scan_from(&mut txn, "t", "i", &key(1_000), rows_wanted).unwrap();
+    db.commit(&mut txn).unwrap();
+    let allocs = ALLOCATIONS.with(Cell::get) - allocs_before;
+    let after = db.buffer_stats();
+
+    assert_eq!(rows.len(), rows_wanted);
+    assert_eq!(after.misses, before.misses, "warm");
+    // Three logical reads are the descent (root, inner node, first leaf);
+    // the walk then reads one node per leaf of the chain.
+    let leaves = after.logical_reads - before.logical_reads - 3;
+    assert!(leaves >= 100, "the scan crossed only {leaves} leaves");
+    // One key copy per row and the result vector's doublings.
+    let budget = rows_wanted as u64 + 32;
+    assert!(
+        allocs <= budget,
+        "{allocs} allocations for {rows_wanted} rows over {leaves} warm leaves (budget {budget})"
     );
 }
