@@ -1,5 +1,4 @@
-//! Experiment harness shared by the figure/ablation binaries and the
-//! integration tests.
+//! Experiment harness and figure / ablation binaries.
 //!
 //! [`Experiment`] wires the full stack together — flash device → NoFTL
 //! storage manager (with a given placement) → storage engine → TPC-C — and
@@ -8,9 +7,6 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-
-pub mod scenarios;
-pub mod smoke;
 
 use std::sync::Arc;
 

@@ -35,24 +35,15 @@ pub struct KvConfig {
     /// Number of runs in one level that triggers a size-tiered merge into
     /// the next level.
     pub compaction_threshold: usize,
-    /// Fan flushes/compactions out through [`NoFtl::write_batch`] (the
-    /// queued multi-die path).  `false` falls back to one blocking write
-    /// per page — the ablation the `kv_ops` bench measures.
-    pub queued_flush: bool,
     /// Maximum reads in flight when scans and compaction merges pull run
-    /// pages through [`NoFtl::read_windowed`] — the read-side counterpart
-    /// of `queued_flush`.  `1` degrades to one blocking read at a time.
+    /// pages through [`NoFtl::read_windowed`].  `1` degrades to one
+    /// blocking read at a time.
     pub read_window: usize,
 }
 
 impl Default for KvConfig {
     fn default() -> Self {
-        KvConfig {
-            memtable_bytes: 64 * 1024,
-            compaction_threshold: 4,
-            queued_flush: true,
-            read_window: 8,
-        }
+        KvConfig { memtable_bytes: 64 * 1024, compaction_threshold: 4, read_window: 8 }
     }
 }
 
@@ -704,11 +695,9 @@ impl KvStore {
             .enumerate()
             .map(|(i, page)| IoRequest::write(obj, i as u64, page).with_class(class))
             .collect();
-        // Queued: the whole run issues at one shared time and fans across
-        // the region's dies.  The ablation chains strictly sequential
-        // page writes.
-        let window = if self.config.queued_flush { usize::MAX } else { 1 };
-        let (_, mut now) = self.noftl.execute(&requests, at, window)?;
+        // The whole run issues at one shared time and fans across the
+        // region's dies.
+        let (_, mut now) = self.noftl.execute(&requests, at, usize::MAX)?;
         if encoded.meta.tail_pages >= 2 {
             inner.stats.tail_windows.push((at.as_nanos(), now.as_nanos()));
         }
@@ -1050,28 +1039,6 @@ mod tests {
     }
 
     #[test]
-    fn queued_flush_beats_sequential_flush() {
-        let run = |queued: bool| {
-            let (_d, noftl, rid) = stack(TimingModel::mlc_2015());
-            let config = KvConfig { queued_flush: queued, ..KvConfig::default() };
-            let (kv, mut t) =
-                KvStore::create(Arc::clone(&noftl), rid, "s", config, SimTime::ZERO).unwrap();
-            for i in 0..300u64 {
-                t = kv.put(&key(i), &val(i, 0), t).unwrap();
-            }
-            let start = t;
-            let done = kv.flush(t).unwrap();
-            done - start
-        };
-        let queued = run(true);
-        let sequential = run(false);
-        assert!(
-            queued < sequential,
-            "queued flush ({queued:?}) must beat sequential ({sequential:?})"
-        );
-    }
-
-    #[test]
     fn compaction_merges_runs_and_retires_sources() {
         let (_d, noftl, rid) = stack(TimingModel::instant());
         let config = KvConfig { compaction_threshold: 3, ..small_config() };
@@ -1265,8 +1232,8 @@ mod tests {
 
     #[test]
     fn point_reads_cost_one_page_at_a_size_with_multi_page_tails() {
-        // Far past the size the quick perf point reaches: ~2 200 data
-        // pages, merged runs of hundreds of pages with multi-page tails.
+        // ~2 200 data pages, merged runs of hundreds of pages with
+        // multi-page tails.
         // With the v1 footer these runs kept one fence per 2–8 pages.
         const KEYS: u64 = 20_000;
         let device = Arc::new(

@@ -51,7 +51,7 @@ use crate::lockorder::{self, LockClass, TrackedGuard};
 use crate::metadata::PageMetadata;
 use crate::obs::{ArbiterObs, DeviceObs};
 use crate::sched::{self, Scheduled, Shape};
-use crate::stats::{DeviceStats, DieStats, UtilizationSummary, WearSummary};
+use crate::stats::{DeviceStats, DieStats, WearSummary};
 use crate::time::{Duration, SimTime};
 use crate::timing::TimingModel;
 use crate::trace::{FlashOp, OpKind, TraceBuffer};
@@ -892,16 +892,6 @@ impl NandDevice {
             .collect()
     }
 
-    /// Utilisation summary over the whole device: per-die busy fraction of
-    /// the window from time zero to the current quiesce time, plus the
-    /// deepest per-die queue observed.  This is the headline figure of the
-    /// queue-depth bench: with parallel submission the mean approaches the
-    /// per-die maximum; with serial submission it collapses to `1/dies`.
-    pub fn utilization(&self) -> UtilizationSummary {
-        let elapsed = self.quiesce_time().since(SimTime::ZERO);
-        UtilizationSummary::from_die_stats(&self.die_stats(), elapsed)
-    }
-
     fn wear_summary_from(dies: &[TrackedGuard<'_, Die>]) -> WearSummary {
         let mut bad = 0u64;
         let counts: Vec<u64> = dies
@@ -1310,11 +1300,6 @@ mod tests {
         let ds = d.die_stats();
         assert_eq!(ds[0].queue_depth_hwm, 4);
         assert_eq!(ds[1].queue_depth_hwm, 0, "untouched die never queued");
-        let util = d.utilization();
-        assert_eq!(util.queue_depth_hwm, 4);
-        assert!(util.per_die[0] > 0.9, "die 0 was busy almost the whole window");
-        assert_eq!(util.per_die[1], 0.0);
-        assert!(util.max >= util.mean && util.mean >= util.min);
     }
 
     #[test]

@@ -101,7 +101,7 @@ pub use fault::DeviceLossInjector;
 pub use geometry::FlashGeometry;
 pub use lockorder::{LockClass, TrackedGuard};
 pub use metadata::PageMetadata;
-pub use stats::{DeviceStats, DieStats, UtilizationSummary, WearSummary};
+pub use stats::{DeviceStats, DieStats, WearSummary};
 pub use time::{Duration, SimTime};
 pub use timing::TimingModel;
 pub use trace::{FlashOp, OpKind, TraceBuffer};

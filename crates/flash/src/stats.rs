@@ -6,7 +6,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::addr::DieId;
 use crate::time::Duration;
 use crate::trace::OpKind;
 
@@ -142,93 +141,6 @@ pub struct DieStats {
     pub queue_depth_hwm: u32,
 }
 
-impl DieStats {
-    /// Fraction of the `elapsed` window this die spent executing array
-    /// operations (0.0 = idle the whole time, 1.0 = saturated).
-    pub fn utilization(&self, elapsed: Duration) -> f64 {
-        if elapsed.0 == 0 {
-            0.0
-        } else {
-            (self.busy_time.0 as f64 / elapsed.0 as f64).min(1.0)
-        }
-    }
-}
-
-/// Device-wide parallelism summary derived from the per-die statistics,
-/// reported by the queue-depth bench: how evenly work spread over the
-/// dies and how deep the per-die command queues ran.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct UtilizationSummary {
-    /// The observation window (device creation to quiesce time).
-    pub elapsed: Duration,
-    /// Per-die busy fraction over the window, indexed by die id.
-    pub per_die: Vec<f64>,
-    /// Mean busy fraction over all dies.
-    pub mean: f64,
-    /// Busiest die's fraction.
-    pub max: f64,
-    /// Idlest die's fraction.
-    pub min: f64,
-    /// Deepest per-die queue depth observed anywhere on the device.
-    pub queue_depth_hwm: u32,
-}
-
-impl UtilizationSummary {
-    /// Build the summary from per-die statistics over `elapsed`.
-    pub fn from_die_stats(dies: &[DieStats], elapsed: Duration) -> Self {
-        let per_die: Vec<f64> = dies.iter().map(|d| d.utilization(elapsed)).collect();
-        let mean = if per_die.is_empty() {
-            0.0
-        } else {
-            per_die.iter().sum::<f64>() / per_die.len() as f64
-        };
-        UtilizationSummary {
-            elapsed,
-            mean,
-            max: per_die.iter().copied().fold(0.0, f64::max),
-            min: if per_die.is_empty() {
-                0.0
-            } else {
-                per_die.iter().copied().fold(f64::INFINITY, f64::min)
-            },
-            queue_depth_hwm: dies.iter().map(|d| d.queue_depth_hwm).max().unwrap_or(0),
-            per_die,
-        }
-    }
-
-    /// The same summary narrowed to a subset of dies — e.g. the dies one
-    /// region owns on a device shared with other regions.  Without this,
-    /// a region-scoped bench that summarizes the *whole* device reports
-    /// `min = 0.0` from dies the region never touched.  `per_die`,
-    /// `mean`, `max` and `min` are recomputed over the subset (die ids
-    /// out of range are ignored); `elapsed` and `queue_depth_hwm` keep
-    /// the device-wide values.
-    pub fn restricted_to(&self, dies: &[DieId]) -> UtilizationSummary {
-        let mut ids: Vec<usize> =
-            dies.iter().map(|d| d.0 as usize).filter(|&i| i < self.per_die.len()).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        let per_die: Vec<f64> = ids.iter().map(|&i| self.per_die[i]).collect();
-        let mean = if per_die.is_empty() {
-            0.0
-        } else {
-            per_die.iter().sum::<f64>() / per_die.len() as f64
-        };
-        UtilizationSummary {
-            elapsed: self.elapsed,
-            mean,
-            max: per_die.iter().copied().fold(0.0, f64::max),
-            min: if per_die.is_empty() {
-                0.0
-            } else {
-                per_die.iter().copied().fold(f64::INFINITY, f64::min)
-            },
-            queue_depth_hwm: self.queue_depth_hwm,
-            per_die,
-        }
-    }
-}
-
 /// Summary of wear distribution over the device, used to evaluate the
 /// longevity claims of the paper (fewer erases, more even wear).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -327,67 +239,6 @@ mod tests {
         let w = WearSummary::from_counts(std::iter::empty(), 0);
         assert_eq!(w.total_erases, 0);
         assert_eq!(w.imbalance(), 1.0);
-    }
-
-    #[test]
-    fn die_utilization_is_busy_fraction() {
-        let d = DieStats { busy_time: Duration::from_us(25), ..Default::default() };
-        assert!((d.utilization(Duration::from_us(100)) - 0.25).abs() < 1e-9);
-        assert_eq!(d.utilization(Duration::ZERO), 0.0);
-        // Saturation clamps at 1.0.
-        assert_eq!(d.utilization(Duration::from_us(10)), 1.0);
-    }
-
-    #[test]
-    fn utilization_summary_aggregates_dies() {
-        let dies = [
-            DieStats {
-                busy_time: Duration::from_us(100),
-                queue_depth_hwm: 3,
-                ..Default::default()
-            },
-            DieStats { busy_time: Duration::from_us(50), queue_depth_hwm: 1, ..Default::default() },
-        ];
-        let s = UtilizationSummary::from_die_stats(&dies, Duration::from_us(100));
-        assert_eq!(s.per_die.len(), 2);
-        assert!((s.max - 1.0).abs() < 1e-9);
-        assert!((s.min - 0.5).abs() < 1e-9);
-        assert!((s.mean - 0.75).abs() < 1e-9);
-        assert_eq!(s.queue_depth_hwm, 3);
-        // Empty input degenerates cleanly.
-        let empty = UtilizationSummary::from_die_stats(&[], Duration::from_us(1));
-        assert_eq!(empty.mean, 0.0);
-        assert_eq!(empty.min, 0.0);
-        assert_eq!(empty.queue_depth_hwm, 0);
-    }
-
-    #[test]
-    fn restriction_drops_idle_foreign_dies() {
-        // Dies 0-1 belong to "our" region and were busy; dies 2-3 belong
-        // to someone else and idled — they must not drag min to zero.
-        let dies = [
-            DieStats { busy_time: Duration::from_us(80), queue_depth_hwm: 2, ..Default::default() },
-            DieStats { busy_time: Duration::from_us(60), queue_depth_hwm: 1, ..Default::default() },
-            DieStats::default(),
-            DieStats::default(),
-        ];
-        let whole = UtilizationSummary::from_die_stats(&dies, Duration::from_us(100));
-        assert_eq!(whole.min, 0.0, "whole-device min counts the idle dies");
-        let ours = whole.restricted_to(&[DieId(0), DieId(1)]);
-        assert_eq!(ours.per_die.len(), 2);
-        assert!((ours.min - 0.6).abs() < 1e-9);
-        assert!((ours.max - 0.8).abs() < 1e-9);
-        assert!((ours.mean - 0.7).abs() < 1e-9);
-        assert_eq!(ours.elapsed, whole.elapsed);
-        assert_eq!(ours.queue_depth_hwm, whole.queue_depth_hwm);
-        // Out-of-range and duplicate ids are tolerated.
-        let odd = whole.restricted_to(&[DieId(1), DieId(1), DieId(99)]);
-        assert_eq!(odd.per_die.len(), 1);
-        assert!((odd.min - 0.6).abs() < 1e-9);
-        // Empty restriction degenerates cleanly.
-        let none = whole.restricted_to(&[]);
-        assert_eq!(none.mean, 0.0);
-        assert_eq!(none.min, 0.0);
     }
 
     #[test]

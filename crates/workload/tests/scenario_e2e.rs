@@ -45,8 +45,7 @@ fn scenario_is_deterministic() {
 }
 
 /// Up to PR 17 this test required the arbiter-off write tail to be more
-/// than twice the arbiter-on one, and the committed perf point showed
-/// 17.7× (`mt_oltp_write_p99_penalty_noarb`, PR 10 / PR 15).  That
+/// than twice the arbiter-on one, and PRs 10 and 15 measured 17.7×.  That
 /// interference was never there: the tenants sit on disjoint dies and
 /// share only a channel that carries 10 µs transfers and is < 6 % busy.
 /// The 17.7× was eager reservation — the compacting tenant, run ahead in

@@ -13,7 +13,7 @@
 //! * [`workload`] — the workload lab: deterministic YCSB A–F generators,
 //!   rate-controlled trace replay and multi-tenant scenarios
 //!   (`noftl-workload`);
-//! * [`bench`](mod@bench) — the experiment harness used by the figure
+//! * [`bench`](mod@bench) — the experiment harness and figure / ablation
 //!   binaries (`noftl-bench`);
 //! * [`obs`] — the cross-layer observability layer: metrics registry,
 //!   latency histograms and the event tracer (`noftl-obs`).

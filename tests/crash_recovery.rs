@@ -178,8 +178,7 @@ fn power_cut_between_two_gc_steps_of_one_victim_loses_nothing() {
 
 #[test]
 fn recovery_reports_scale_with_wal_length() {
-    // Longer WAL tails require more redo work — the relationship the
-    // criterion bench (`benches/recovery.rs`) measures.
+    // Longer WAL tails require more redo work.
     let device = Arc::new(
         DeviceBuilder::new(FlashGeometry::example()).timing(TimingModel::mlc_2015()).build(),
     );

@@ -1,7 +1,7 @@
 //! End-to-end sanity of the paper's experiment on a scaled-down TPC-C
-//! run: both placements execute the full mix, and the multi-region
-//! placement stays inside a GC-copyback budget, and neither reads flash
-//! pages no transaction asked for.
+//! run: both placements execute the full mix, every region of the
+//! multi-region placement stays inside a GC-copyback budget, and neither
+//! arm reads flash pages no transaction asked for.
 //!
 //! This does **not** check the paper's directional claims: the run is too
 //! small for either arm to collect much (see the budget assertion).  The
@@ -10,7 +10,7 @@
 //! device/scale so it finishes quickly in CI.
 
 use noftl_bench::Experiment;
-use noftl_regions::tpcc::{placement, ComparisonReport};
+use noftl_regions::tpcc::placement;
 
 fn scaled(mut exp: Experiment) -> Experiment {
     exp.driver.total_transactions = 1_500;
@@ -37,40 +37,35 @@ fn tpcc_runs_on_both_placements_and_regions_stay_inside_the_copyback_budget() {
     assert!(traditional.report.host_reads > 0);
     assert!(regions.report.host_reads > 0);
 
-    let cmp = ComparisonReport {
-        traditional: traditional.report.clone(),
-        regions: regions.report.clone(),
-    };
     // A budget, not the paper's claim (+21 % TPS, −19.2 % copybacks,
-    // −4.4 % erases): copybacks stay within the baseline's plus 5 % of its
-    // host writes.  The plain `regions <= traditional` does not hold at
-    // this size and for a reason that is not GC quality: on 16 dies and
-    // 1 500 transactions the single 16-die region never reaches a
-    // watermark (0 copybacks) while the one- and two-die regions of the
-    // scaled Figure 2 do (89 copybacks on 1 816 host writes).  The budget
-    // comes from the *traditional* arm's host writes (0 + 1 793 / 20 = 89)
-    // and holds with no page to spare since PR 23 deleted the scan
-    // readahead that evicted dirty pages: copybacks stayed (90 → 89), host
-    // writes fell 39 % / 38 % (2 951 → 1 793, 2 919 → 1 816).  One copyback
-    // more or 20 host writes fewer turns this red without saying anything
-    // about GC; ROADMAP direction 1 (iii) has the follow-up.  The sign is
-    // gated where the experiment is full size: `noftl-bench`'s
+    // −4.4 % erases): every region copies at most 10 % of the pages the
+    // host wrote into *it*.  The plain `regions <= traditional` does not
+    // hold at this size and for a reason that is not GC quality: on 16
+    // dies and 1 500 transactions the single 16-die region never reaches a
+    // watermark (0 copybacks on 1 859 host writes) while the one-die
+    // `rgWhDist` of the scaled Figure 2, which holds the log, does —
+    // 89 copybacks on its 1 378 host writes, 6.5 %; the other five regions
+    // copy nothing.  Both sides of the bound are the collecting region's
+    // own write traffic, so a change that saves reads or writes elsewhere
+    // does not move it.  The sign is gated where the experiment is full
+    // size: `noftl-bench`'s
     // `figure3_regions_copy_no_more_and_keep_pace_with_traditional`.
-    let copyback_budget = cmp.traditional.gc_copybacks + cmp.traditional.host_writes / 20;
+    let mut over_budget = false;
+    let mut per_region = String::new();
+    for rid in regions.noftl.region_ids() {
+        let name = regions.noftl.region_info(rid).expect("region exists").name;
+        let stats = regions.noftl.region_stats(rid).expect("region exists");
+        let bound = stats.host_writes / 10;
+        over_budget |= stats.gc_copybacks > bound;
+        per_region += &format!(
+            "\n  {name}: {} copybacks on {} host writes, bound {bound}",
+            stats.gc_copybacks, stats.host_writes
+        );
+    }
     assert!(
-        cmp.regions.gc_copybacks <= copyback_budget,
-        "regions exceed the GC-copyback budget: {} copybacks on {} host writes against {} + {} / 20 \
-         = {} from the traditional arm.  At PR 23 this read 89 on 1 816 against 0 + 1 793 / 20 = 89 \
-         — a margin of 0 pages, so a one-page drift fails here.  At full size `figure3` measures \
-         regions vs traditional at TPS -8.8 %, copybacks -5.8 %, erases +2.8 % (12 000 transactions; PR 22 read -3.5 % / -11.0 % / \
-         +3.4 % under a floor of wasted readahead that PR 23 removed from both arms) against the \
-         paper's +21 % / -19.2 % / -4.4 %; at 24 000 transactions -11.3 % / +35.2 % / +2.9 %, and at 36 000 \
-         rgOrderStream is out of space",
-        cmp.regions.gc_copybacks,
-        cmp.regions.host_writes,
-        cmp.traditional.gc_copybacks,
-        cmp.traditional.host_writes,
-        copyback_budget
+        !over_budget,
+        "a region copies more than 10 % of its own host writes (measured when the bound was \
+         picked: rgWhDist 89 on 1 378, bound 137; every other region 0):{per_region}"
     );
     // Flash reads are pages the transactions asked for: a range scan
     // reads nothing ahead of the leaf it is on.
@@ -89,7 +84,7 @@ fn tpcc_runs_on_both_placements_and_regions_stay_inside_the_copyback_budget() {
     // Throughput at this miniature scale is dominated by how many dies the
     // tiny working set happens to land on, so only sanity is asserted here;
     // the throughput comparison is the figure3 binary's job.
-    assert!(cmp.regions.tps > 0.0 && cmp.traditional.tps > 0.0);
+    assert!(regions.report.tps > 0.0 && traditional.report.tps > 0.0);
 }
 
 /// Helper extension used by the tests: adjust the smoke geometry to a
