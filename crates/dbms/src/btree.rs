@@ -6,6 +6,17 @@
 //! Leaves are linked for range scans.  Deletion removes entries without
 //! rebalancing — sufficient for TPC-C, whose only index deletes are the
 //! NEW_ORDER removals performed by the Delivery transaction.
+//!
+//! A node splits where the insert lands.  When the new key is the last
+//! one of an overflowing leaf, the old entries stay on the left and the
+//! new key alone starts the right leaf; when an internal node's new
+//! separator is its last, the key before it moves up.  Every other split
+//! is 50/50.  Key-ordered loads (the TPC-C loader fills every index in
+//! key order) thus leave full pages behind instead of half-empty ones —
+//! the rule of SQLite's `balance_quick` and PostgreSQL's rightmost-leaf
+//! fill.  Appends that take turns across key groups (ORDER keys during
+//! a TPC-C run, district after district) land before the next group's
+//! first key, not at the leaf's end, and still split 50/50.
 
 use std::ops::ControlFlow;
 
@@ -462,24 +473,25 @@ impl BTree {
     ) -> Result<(Option<(Vec<u8>, u64)>, SimTime, bool)> {
         let (mut node, mut t) = self.read_node(pool, page, now)?;
         if node.leaf {
-            match node.keys.binary_search_by(|k| k.as_slice().cmp(key)) {
+            let pos = match node.keys.binary_search_by(|k| k.as_slice().cmp(key)) {
                 Ok(pos) => {
                     // Upsert: overwrite the payload.
                     node.rids[pos] = rid;
                     t = self.write_node(pool, page, &node, t)?;
                     return Ok((None, t, false));
                 }
-                Err(pos) => {
-                    node.keys.insert(pos, key.to_vec());
-                    node.rids.insert(pos, rid);
-                }
-            }
+                Err(pos) => pos,
+            };
+            node.keys.insert(pos, key.to_vec());
+            node.rids.insert(pos, rid);
             if node.serialized_size() <= PAGE_SIZE {
                 t = self.write_node(pool, page, &node, t)?;
                 return Ok((None, t, true));
             }
-            // Split the leaf.
-            let mid = node.keys.len() / 2;
+            // Split the leaf where the insert landed: a new last key goes
+            // alone to the right, anything else splits 50/50.
+            let last = node.keys.len() - 1;
+            let mid = if pos == last { last } else { node.keys.len() / 2 };
             let right_page = inner.page_count;
             inner.page_count += 1;
             let mut right = Node::new_leaf();
@@ -506,8 +518,11 @@ impl BTree {
             t = self.write_node(pool, page, &node, t)?;
             return Ok((None, t, inserted));
         }
-        // Split the internal node; the middle key moves up.
-        let mid = node.keys.len() / 2;
+        // Split the internal node; the middle key moves up — or, when the
+        // new separator is the last one, the key before it, so the right
+        // node starts with the one separator and the left keeps the rest.
+        let last = node.keys.len() - 1;
+        let mid = if pos == last { last - 1 } else { node.keys.len() / 2 };
         let up_key = node.keys[mid].clone();
         let right_page = inner.page_count;
         inner.page_count += 1;
@@ -679,6 +694,118 @@ mod tests {
         RecordId::new(n, (n % 100) as u16)
     }
 
+    /// The tree's depth (1 = a lone leaf) and its leaves in chain order.
+    fn shape(pool: &BufferPool, tree: &BTree, t: SimTime) -> (u64, Vec<Node>) {
+        let root = tree.inner.lock().root;
+        let (mut node, mut depth) = (tree.read_node(pool, root, t).unwrap().0, 1);
+        while !node.leaf {
+            node = tree.read_node(pool, node.extra, t).unwrap().0;
+            depth += 1;
+        }
+        let mut leaves = vec![node];
+        let mut next = leaves[0].extra;
+        while next != NONE_PAGE {
+            let (leaf, _) = tree.read_node(pool, next, t).unwrap();
+            next = leaf.extra;
+            leaves.push(leaf);
+        }
+        (depth, leaves)
+    }
+
+    /// Share of the page a node's entries take up.
+    fn fill(node: &Node) -> f64 {
+        node.serialized_size() as f64 / PAGE_SIZE as f64
+    }
+
+    /// SplitMix64: a seeded stream for shuffles, no dependency needed.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn shuffle<T>(items: &mut [T], seed: u64) {
+        let mut state = seed;
+        for i in (1..items.len()).rev() {
+            items.swap(i, (splitmix(&mut state) % (i as u64 + 1)) as usize);
+        }
+    }
+
+    #[test]
+    fn ascending_inserts_fill_every_leaf_but_the_last() {
+        let (pool, tree) = setup(256);
+        let mut t = SimTime::ZERO;
+        // Wide keys, so the inner level splits too.
+        let key = |i: i64| composite_key(&[i, 0, 0, 0, 0, 0]);
+        for i in 0..10_000i64 {
+            t = tree.insert(&pool, &key(i), rid(i as u64), t).unwrap();
+        }
+        let (depth, leaves) = shape(&pool, &tree, t);
+        assert!(depth >= 3, "depth {depth}: the inner level never split");
+        for (i, leaf) in leaves[..leaves.len() - 1].iter().enumerate() {
+            assert!(fill(leaf) >= 0.95, "leaf {i} of {} is {:.3} full", leaves.len(), fill(leaf));
+        }
+    }
+
+    #[test]
+    fn per_group_appends_fill_the_leaves_they_end() {
+        // ORDER-shaped keys (w, d, o) the way TPC-C writes them: the
+        // loader fills one district after the other in key order, then
+        // the run's districts take turns appending.
+        let key = |g: i64, o: i64| composite_key(&[g / 10 + 1, g % 10 + 1, o]);
+        let full = |leaves: &[Node]| leaves.iter().all(|l| fill(l) >= 0.95);
+        let (pool, tree) = setup(256);
+        let mut t = SimTime::ZERO;
+        for g in 0..20 {
+            for o in 0..1_000 {
+                t = tree.insert(&pool, &key(g, o), rid(o as u64), t).unwrap();
+            }
+        }
+        let (_, loaded) = shape(&pool, &tree, t);
+        assert!(full(&loaded[..loaded.len() - 1]), "a loaded leaf is not full");
+        for o in 1_000..1_300 {
+            for g in 0..20 {
+                t = tree.insert(&pool, &key(g, o), rid(o as u64), t).unwrap();
+            }
+        }
+        let (_, leaves) = shape(&pool, &tree, t);
+        // The last district appends at the end of the tree, from the
+        // leaf its load ended in: every leaf but its open one is full.
+        let last = leaves.iter().position(|l| l.keys.contains(&key(19, 999))).unwrap();
+        assert!(full(&leaves[last..leaves.len() - 1]), "the last district's leaves are not full");
+        // Most other districts' tails share a leaf with the next
+        // district's head, so their appends are not the leaf's last key
+        // and split 50/50, as every split did before: no fuller, but,
+        // apart from each district's open leaf, no emptier either.
+        let open = |l: &&Node| (0..20).any(|g| l.keys.contains(&key(g, 1_299)));
+        let least = leaves.iter().filter(|l| !open(l)).map(fill).fold(1.0, f64::min);
+        assert!(least >= 0.5, "a leaf is {least:.3} full");
+    }
+
+    #[test]
+    fn shuffled_inserts_cost_no_more_pages_than_even_splits() {
+        // A random key is the last of its leaf about once per leaf's
+        // worth of inserts; that split leaves a full page, which splits
+        // 50/50 on its next insert.
+        let mut pages = 0;
+        for seed in 1..=5 {
+            let (pool, tree) = setup(256);
+            let mut keys: Vec<i64> = (0..20_000).collect();
+            shuffle(&mut keys, seed);
+            let mut t = SimTime::ZERO;
+            for k in keys {
+                t = tree.insert(&pool, &composite_key(&[k]), rid(k as u64), t).unwrap();
+            }
+            pages += tree.page_count();
+        }
+        // With every split 50/50 (before PR 25) the same inserts took
+        // 130, 131, 133, 135 and 134 pages.
+        const EVEN_SPLIT_PAGES: u64 = 663;
+        assert!(pages * 100 <= EVEN_SPLIT_PAGES * 102, "{pages} pages against {EVEN_SPLIT_PAGES}");
+    }
+
     #[test]
     fn empty_tree_lookups() {
         let (pool, tree) = setup(64);
@@ -757,7 +884,14 @@ mod tests {
             assert!(tree.page_count() > 8, "scan must cross several leaves");
 
             // A range that ends mid-file: reading on past it would show.
+            // The walk goes down the inner levels, then along the leaves
+            // from the one holding 300 to the one holding 900, where it
+            // meets the bound.
             let (low, high) = (composite_key(&[300]), composite_key(&[900]));
+            let (depth, leaves) = shape(&pool, &tree, t);
+            let leaf_of = |key: &Vec<u8>| leaves.iter().position(|l| l.keys.contains(key)).unwrap();
+            let expected = depth - 1 + (leaf_of(&high) - leaf_of(&low) + 1) as u64;
+            assert!(expected < tree.page_count(), "the range covers the whole tree");
             let visits_before = pool.stats().logical_reads;
             let (warm_rows, _) = tree.range(&pool, &low, &high, t).unwrap();
             // The walk looks at its first leaf a second time.
@@ -769,7 +903,7 @@ mod tests {
             let (cold_rows, _) = tree.range(&cold, &low, &high, t).unwrap();
             assert_eq!(warm_rows.len(), 600);
             assert_eq!(warm_rows, cold_rows);
-            assert!(nodes < tree.page_count() / 2, "{nodes} nodes visited");
+            assert_eq!(nodes, expected, "{nodes} nodes visited of {}", tree.page_count());
             assert_eq!(cold.backend().io_counts().0 - reads_before, nodes);
             assert_eq!(cold.stats().misses, nodes);
         }
@@ -987,6 +1121,70 @@ mod tests {
             let scanned: Vec<i64> = all.iter().map(|(k, _)| crate::value::decode_key_int(&k[..8])).collect();
             let expected: Vec<i64> = model.keys().copied().collect();
             prop_assert_eq!(scanned, expected);
+        }
+
+        /// Whatever order the keys come in — ascending (every split an
+        /// append), descending, shuffled, or appends taking turns across
+        /// groups — with upserts mixed in, every key is found and every
+        /// scan returns its keys in order.
+        #[test]
+        fn every_insert_order_keeps_keys_found_and_scans_ordered(
+            order in 0u8..4,
+            n in 1i64..1_500,
+            groups in 1i64..6,
+            seed in any::<u64>(),
+            upsert_every in 1usize..20,
+        ) {
+            // (group, sequence) in per-group append order.
+            let mut keys: Vec<(i64, i64)> = (0..n).map(|i| (i % groups, i / groups)).collect();
+            match order {
+                0 => keys.sort(),
+                1 => keys.sort_by(|a, b| b.cmp(a)),
+                2 => shuffle(&mut keys, seed),
+                _ => {}
+            }
+            let (pool, tree) = setup(64);
+            let mut model = std::collections::BTreeMap::new();
+            let (mut t, mut state) = (SimTime::ZERO, seed);
+            for (i, &(g, s)) in keys.iter().enumerate() {
+                let mut put = |g: i64, s: i64, payload: u64| {
+                    t = tree.insert(&pool, &composite_key(&[g, s]), rid(payload), t).unwrap();
+                    model.insert((g, s), rid(payload));
+                };
+                put(g, s, i as u64);
+                if i % upsert_every == 0 {
+                    // Overwrite a key already in the tree.
+                    let (g, s) = keys[(splitmix(&mut state) % (i as u64 + 1)) as usize];
+                    put(g, s, n as u64 + i as u64);
+                }
+            }
+            prop_assert_eq!(tree.len(), model.len() as u64);
+            for ((g, s), r) in &model {
+                let (found, t2) = tree.search(&pool, &composite_key(&[*g, *s]), t).unwrap();
+                t = t2;
+                prop_assert_eq!(found, Some(*r));
+            }
+            let decode = |rows: &[(Vec<u8>, RecordId)]| -> Vec<((i64, i64), RecordId)> {
+                rows.iter()
+                    .map(|(k, r)| {
+                        let col = |c: usize| crate::value::decode_key_int(&k[8 * c..8 * c + 8]);
+                        ((col(0), col(1)), *r)
+                    })
+                    .collect()
+            };
+            // The model's pairs of groups `from..to`.
+            let groups_of = |from: i64, to: i64| -> Vec<((i64, i64), RecordId)> {
+                model.range((from, i64::MIN)..(to, i64::MIN)).map(|(k, r)| (*k, *r)).collect()
+            };
+            let (low, high) = (composite_key(&[0]), composite_key(&[groups]));
+            let (all, t2) = tree.range(&pool, &low, &high, t).unwrap();
+            t = t2;
+            prop_assert_eq!(decode(&all), groups_of(0, groups));
+            for g in 0..groups {
+                let (rows, t2) = tree.prefix_scan(&pool, &composite_key(&[g]), t).unwrap();
+                t = t2;
+                prop_assert_eq!(decode(&rows), groups_of(g, g + 1));
+            }
         }
     }
 }

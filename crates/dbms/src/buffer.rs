@@ -1,4 +1,13 @@
-//! Buffer pool with clock eviction and asynchronous write-back.
+//! Buffer pool with clean-first clock eviction and asynchronous
+//! write-back.
+//!
+//! On native flash an evicted dirty page costs a program (705 µs of die
+//! time on `mlc_2015`) and an evicted clean page costs nothing until it
+//! is read again (75 µs), so the clock passes over a dirty, unreferenced
+//! frame once more than over a clean one — GCLOCK with weight 2 for dirty
+//! frames, in the spirit of CFLRU (Park et al., CASES 2006).  The weight
+//! is not a knob: a dirty frame is still the victim when no clean one is
+//! left, and under no-steal dirty frames are never victims at all.
 //!
 //! The time model mirrors a DBMS with background flushers (paper, Figure 1):
 //!
@@ -70,6 +79,9 @@ struct Frame {
     data: Vec<u8>,
     dirty: bool,
     ref_bit: bool,
+    /// The sweep found this frame dirty and unreferenced and passed over
+    /// it once; cleared on every reference.
+    spared: bool,
 }
 
 /// Ordered, deduplicated write set recorded while a capture is active.
@@ -172,15 +184,16 @@ impl BufferPool {
         self.inner.lock().stats
     }
 
-    /// Make sure a free frame exists, evicting one by the clock algorithm
-    /// if none does.  Dirty victims are written back at `now` without
-    /// charging the caller.
+    /// Make sure a free frame exists, evicting one by the clean-first
+    /// clock if none does.  Dirty victims are written back at `now`
+    /// without charging the caller.
     fn make_room(&self, inner: &mut PoolInner, now: SimTime) -> Result<()> {
         if !inner.free.is_empty() {
             return Ok(());
         }
-        // Clock sweep.
-        for _ in 0..inner.frames.len() * 2 + 1 {
+        // Clock sweep: a referenced frame loses its bit, a dirty one is
+        // passed over once more, so three turns reach any frame.
+        for _ in 0..inner.frames.len() * 3 + 1 {
             let idx = inner.hand;
             inner.hand = (inner.hand + 1) % inner.frames.len();
             let frame = inner.frames[idx].as_mut().expect("no empty frames on this path");
@@ -190,6 +203,12 @@ impl BufferPool {
             }
             if frame.dirty && self.no_steal {
                 // Dirty frames are pinned under no-steal; keep sweeping.
+                continue;
+            }
+            if frame.dirty && !frame.spared {
+                // Evicting a clean frame is free; a dirty one costs a
+                // program, so it gets one more turn.
+                frame.spared = true;
                 continue;
             }
             // Victim found.
@@ -225,7 +244,7 @@ impl BufferPool {
             data.resize(PAGE_SIZE, 0);
         }
         let idx = inner.free.pop().expect("the caller made room");
-        inner.frames[idx] = Some(Frame { key, data, dirty, ref_bit: true });
+        inner.frames[idx] = Some(Frame { key, data, dirty, ref_bit: true, spared: false });
         inner.map.insert(key, idx);
         idx
     }
@@ -264,6 +283,7 @@ impl BufferPool {
         };
         let frame = inner.frames[idx].as_mut().expect("mapped frame exists");
         frame.ref_bit = true;
+        frame.spared = false;
         Ok((f(&frame.data), done))
     }
 
@@ -302,6 +322,7 @@ impl BufferPool {
             frame.data.copy_from_slice(data);
             frame.dirty = true;
             frame.ref_bit = true;
+            frame.spared = false;
             return Ok(now);
         }
         self.make_room(&mut inner, now)?;
@@ -509,9 +530,9 @@ mod tests {
         for p in 0..10u64 {
             pool.write_page(obj, p, &page(p as u8), SimTime::ZERO).unwrap();
         }
+        // Nothing but dirty frames to evict: every eviction writes back.
         let s = pool.stats();
-        assert!(s.evictions > 0);
-        assert!(s.dirty_writebacks > 0);
+        assert_eq!((s.evictions, s.dirty_writebacks), (6, 6));
         assert!(backend.io_counts().1 > 0, "evictions reach the flash");
         // All pages still readable with their latest contents (some from
         // the pool, some from flash).
@@ -519,6 +540,70 @@ mod tests {
             let (data, _) = pool.read_page(obj, p, pool_quiesce(&backend)).unwrap();
             assert_eq!(data, page(p as u8), "page {p}");
         }
+    }
+
+    /// A pool of four frames over pages 0..3, all referenced: pages 0 and
+    /// 1 dirty, 2 and 3 clean (written, flushed, read back).  Page 4 is on
+    /// flash, not in the pool.
+    fn two_dirty_two_clean(no_steal: bool) -> (BufferPool, ObjectId, SimTime) {
+        let backend = backend();
+        let obj = backend.create_object("t").unwrap();
+        let pool = BufferPool::with_policy(backend, 4, no_steal);
+        for p in 0..4u64 {
+            pool.write_page(obj, p, &page(p as u8), SimTime::ZERO).unwrap();
+        }
+        let done = pool.flush_all(SimTime::ZERO).unwrap();
+        let cold = BufferPool::new(pool.backend().clone(), 4);
+        cold.write_page(obj, 4, &page(4), done).unwrap();
+        let done = cold.flush_all(done).unwrap();
+        for p in 0..2u64 {
+            pool.write_page(obj, p, &page(10 + p as u8), done).unwrap();
+        }
+        (pool, obj, done)
+    }
+
+    fn resident(pool: &BufferPool, obj: ObjectId) -> Vec<u64> {
+        (0..5).filter(|&p| pool.page_image(obj, p).is_some()).collect()
+    }
+
+    #[test]
+    fn a_clean_frame_is_evicted_before_a_dirty_one() {
+        // The hand starts at frame 0, which is dirty: the clock passes
+        // over both dirty frames and takes the first clean one.
+        let (pool, obj, t) = two_dirty_two_clean(false);
+        let (data, _) = pool.read_page(obj, 4, t).unwrap();
+        assert_eq!(data, page(4));
+        assert_eq!(resident(&pool, obj), [0, 1, 3, 4]);
+        let s = pool.stats();
+        assert_eq!((s.evictions, s.dirty_writebacks), (1, 0));
+        // Referenced again, the passed-over dirty frames earn their pass
+        // back: two more misses take clean pages 3, then 4, although the
+        // second sweep clears every reference bit before it finds one.
+        pool.read_page(obj, 0, t).unwrap();
+        pool.read_page(obj, 1, t).unwrap();
+        pool.read_page(obj, 2, t).unwrap();
+        assert_eq!(resident(&pool, obj), [0, 1, 2, 4]);
+        pool.read_page(obj, 3, t).unwrap();
+        assert_eq!(resident(&pool, obj), [0, 1, 2, 3]);
+        let s = pool.stats();
+        assert_eq!((s.evictions, s.dirty_writebacks), (3, 0));
+    }
+
+    #[test]
+    fn no_steal_evicts_only_clean_frames_and_asks_for_a_checkpoint() {
+        let (pool, obj, t) = two_dirty_two_clean(true);
+        // Two clean frames: both can go, the dirty ones stay.
+        pool.read_page(obj, 4, t).unwrap();
+        pool.write_page(obj, 4, &page(14), t).unwrap();
+        pool.write_page(obj, 3, &page(13), t).unwrap();
+        assert_eq!(resident(&pool, obj), [0, 1, 3, 4]);
+        assert_eq!(pool.stats().dirty_writebacks, 0);
+        // Every frame dirty: nothing can go.
+        let err = pool.read_page(obj, 2, t).unwrap_err();
+        assert!(err.to_string().contains("checkpoint"), "{err}");
+        let t = pool.flush_all(t).unwrap();
+        assert_eq!(pool.read_page(obj, 2, t).unwrap().0, page(2));
+        assert_eq!(pool.stats().dirty_writebacks, 0);
     }
 
     fn pool_quiesce(backend: &Arc<NoFtlBackend>) -> SimTime {

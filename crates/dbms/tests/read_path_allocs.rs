@@ -126,7 +126,9 @@ fn warm_index_get_copies_no_page_and_allocates_only_its_result() {
 #[test]
 fn warm_range_scan_allocates_nothing_per_leaf() {
     let (db, now) = loaded_db();
-    let rows_wanted = 6_000;
+    // Key-ordered inserts leave full leaves: enough rows for 100 of them.
+    let rows_per_leaf = (PAGE_SIZE - 11) / (2 + KEY_LEN + 10);
+    let rows_wanted = 100 * rows_per_leaf + 1;
     let before = db.buffer_stats();
     let allocs_before = ALLOCATIONS.with(Cell::get);
     let mut txn = db.begin(now);
