@@ -1,9 +1,7 @@
 //! NoFTL storage manager configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Garbage-collection victim selection policy (per region).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GcPolicy {
     /// Pick the full block with the fewest valid pages.
     Greedy,
@@ -13,7 +11,7 @@ pub enum GcPolicy {
 }
 
 /// Wear-leveling policy (per region).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WearLevelingPolicy {
     /// No wear awareness in block allocation.
     None,
@@ -28,7 +26,7 @@ pub enum WearLevelingPolicy {
 }
 
 /// Configuration of the NoFTL storage manager.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoFtlConfig {
     /// A die starts collecting — one GC quantum in front of each page it
     /// allocates — when its free-block count drops to this value.

@@ -18,7 +18,6 @@
 use std::collections::HashMap;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::error::NoFtlError;
 use crate::manager::NoFtl;
@@ -29,7 +28,7 @@ use crate::region::{RegionId, RegionSpec};
 use crate::Result;
 
 /// A parsed DDL statement.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DdlStatement {
     /// `CREATE REGION name (MAX_CHIPS=.., MAX_CHANNELS=.., MAX_SIZE=..,
     /// DIES=.., CLASS=..)`
@@ -276,7 +275,7 @@ pub fn parse_script(sql: &str) -> Result<Vec<DdlStatement>> {
 
 /// A tablespace: a named binding to a region (plus the declared extent
 /// size, which the DBMS layer uses for its own extent allocation).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tablespace {
     /// Tablespace name.
     pub name: String,

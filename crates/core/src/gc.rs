@@ -22,7 +22,6 @@ use flash_sim::{
     BlockAddr, BlockInfo, BlockState, FlashCommand, IoTag, PageAddr, PageMetadata, PageState,
     SimTime,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::config::{GcPolicy, WearLevelingPolicy};
 use crate::error::NoFtlError;
@@ -34,7 +33,7 @@ use crate::wear::needs_static_wl;
 use crate::Result;
 
 /// A candidate victim block within one region die.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GcCandidate {
     /// Index of the block in the caller's used-block list.
     pub slot: usize,

@@ -8,12 +8,10 @@
 //! storage manager collects anyway into the [`ObjectProfile`]s consumed
 //! by the placement advisor.
 
-use serde::{Deserialize, Serialize};
-
 use crate::stats::ObjectStats;
 
 /// An object's I/O profile, the input to placement decisions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectProfile {
     /// Object name.
     pub name: String,

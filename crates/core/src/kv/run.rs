@@ -44,6 +44,7 @@
 //! there is no budget to trade against, and a format whose readers must
 //! agree on the probe sequence is not a tuning surface.
 
+use flash_sim::codec::{put_bytes, put_bytes16, put_u16, put_u32, put_u64, Reader};
 use flash_sim::SimTime;
 
 use crate::object::ObjectId;
@@ -212,8 +213,8 @@ pub fn encode_run(
             return;
         }
         let mut full = Vec::with_capacity(page_size);
-        full.extend_from_slice(&DATA_MAGIC.to_le_bytes());
-        full.extend_from_slice(&count.to_le_bytes());
+        put_u32(&mut full, DATA_MAGIC);
+        put_u32(&mut full, *count);
         full.extend_from_slice(page);
         full.resize(page_size, 0);
         pages.push(full);
@@ -237,12 +238,8 @@ pub fn encode_run(
             index.push(key.clone());
         }
         filter.insert(Bloom::hash(key));
-        page.extend_from_slice(&(key.len() as u16).to_le_bytes());
-        let vtag = match value {
-            Some(v) => v.len() as u32,
-            None => TOMBSTONE,
-        };
-        page.extend_from_slice(&vtag.to_le_bytes());
+        put_u16(&mut page, key.len() as u16);
+        put_u32(&mut page, value.as_ref().map_or(TOMBSTONE, |v| v.len() as u32));
         page.extend_from_slice(key);
         if let Some(v) = value {
             page.extend_from_slice(v);
@@ -259,31 +256,27 @@ pub fn encode_run(
     let fences: usize = index.iter().map(|first| 2 + first.len()).sum();
     let tail_len = 40 + store.len() + max_key.len() + fences + filter.bits.len();
     let mut tail = Vec::with_capacity(tail_len);
-    tail.extend_from_slice(&(store.len() as u16).to_le_bytes());
-    tail.extend_from_slice(store.as_bytes());
-    tail.extend_from_slice(&level.to_le_bytes());
-    tail.extend_from_slice(&seq_lo.to_le_bytes());
-    tail.extend_from_slice(&seq_hi.to_le_bytes());
-    tail.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    tail.extend_from_slice(&data_pages.to_le_bytes());
-    tail.extend_from_slice(&(max_key.len() as u16).to_le_bytes());
-    tail.extend_from_slice(&max_key);
+    put_bytes16(&mut tail, store.as_bytes());
+    put_u32(&mut tail, level);
+    put_u64(&mut tail, seq_lo);
+    put_u64(&mut tail, seq_hi);
+    put_u64(&mut tail, entries.len() as u64);
+    put_u32(&mut tail, data_pages);
+    put_bytes16(&mut tail, &max_key);
     for first in &index {
-        tail.extend_from_slice(&(first.len() as u16).to_le_bytes());
-        tail.extend_from_slice(first);
+        put_bytes16(&mut tail, first);
     }
-    tail.extend_from_slice(&(filter.bits.len() as u32).to_le_bytes());
-    tail.extend_from_slice(&filter.bits);
+    put_bytes(&mut tail, &filter.bits);
     debug_assert_eq!(tail.len(), tail_len, "the size computed above is exact");
 
     let chunks = tail.chunks(page_size - TAIL_HEADER);
     let tail_pages = chunks.len() as u32;
     for (seq, chunk) in chunks.enumerate() {
         let mut full = Vec::with_capacity(page_size);
-        full.extend_from_slice(&TAIL_MAGIC.to_le_bytes());
-        full.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        full.extend_from_slice(&(seq as u32).to_le_bytes());
-        full.extend_from_slice(&tail_pages.to_le_bytes());
+        put_u32(&mut full, TAIL_MAGIC);
+        put_u16(&mut full, FORMAT_VERSION);
+        put_u32(&mut full, seq as u32);
+        put_u32(&mut full, tail_pages);
         full.extend_from_slice(chunk);
         full.resize(page_size, 0);
         pages.push(full);
@@ -319,45 +312,23 @@ pub enum TailError {
     Version(u16),
 }
 
-struct Cursor<'a>(&'a [u8], usize);
-
-impl<'a> Cursor<'a> {
-    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        let out = self.0.get(self.1..self.1.checked_add(n)?)?;
-        self.1 += n;
-        Some(out)
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        Some(u16::from_le_bytes(self.bytes(2)?.try_into().ok()?))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.bytes(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.bytes(8)?.try_into().ok()?))
-    }
-}
-
 /// Read one tail page's header: its position `seq` among the `total`
 /// pages of its tail, and its chunk of the tail bytes.
 pub fn tail_page(page: &[u8]) -> Result<(u32, u32, &[u8]), TailError> {
-    let mut c = Cursor(page, 0);
-    if c.u32() != Some(TAIL_MAGIC) {
+    let mut r = Reader::new(page);
+    if r.u32() != Some(TAIL_MAGIC) {
         return Err(TailError::Torn);
     }
-    match c.u16() {
+    match r.u16() {
         Some(FORMAT_VERSION) => {}
         Some(other) => return Err(TailError::Version(other)),
         None => return Err(TailError::Torn),
     }
-    let (seq, total) = c.u32().zip(c.u32()).ok_or(TailError::Torn)?;
+    let (seq, total) = r.u32().zip(r.u32()).ok_or(TailError::Torn)?;
     if seq >= total {
         return Err(TailError::Torn);
     }
-    Ok((seq, total, &page[TAIL_HEADER..]))
+    Ok((seq, total, r.rest()))
 }
 
 /// Decode a complete tail from its pages, in object order: the name of
@@ -377,19 +348,17 @@ pub fn decode_tail<P: AsRef<[u8]>>(pages: &[P]) -> Result<(String, RunMeta), Tai
 }
 
 fn decode_tail_bytes(bytes: &[u8], tail_pages: u32) -> Option<(String, RunMeta)> {
-    let mut c = Cursor(bytes, 0);
-    let store_len = c.u16()? as usize;
-    let store = String::from_utf8(c.bytes(store_len)?.to_vec()).ok()?;
-    let level = c.u32()?;
-    let seq_lo = c.u64()?;
-    let seq_hi = c.u64()?;
+    let mut r = Reader::new(bytes);
+    let store = r.str16()?.to_owned();
+    let level = r.u32()?;
+    let seq_lo = r.u64()?;
+    let seq_hi = r.u64()?;
     if seq_lo > seq_hi {
         return None;
     }
-    let entries = c.u64()?;
-    let data_pages = c.u32()?;
-    let maxk_len = c.u16()? as usize;
-    let max_key = c.bytes(maxk_len)?.to_vec();
+    let entries = r.u64()?;
+    let data_pages = r.u32()?;
+    let max_key = r.bytes16()?.to_vec();
     // Every index entry takes at least its length field, which bounds
     // `data_pages` by the bytes present before anything is allocated.
     if data_pages as usize > bytes.len() / 2 {
@@ -397,15 +366,14 @@ fn decode_tail_bytes(bytes: &[u8], tail_pages: u32) -> Option<(String, RunMeta)>
     }
     let mut index = Vec::with_capacity(data_pages as usize);
     for _ in 0..data_pages {
-        let klen = c.u16()? as usize;
-        index.push(c.bytes(klen)?.to_vec());
+        index.push(r.bytes16()?.to_vec());
     }
-    let filter_len = c.u32()? as usize;
+    let bits = r.bytes()?;
     let sized_for = usize::try_from(entries).ok()?.checked_mul(BLOOM_BITS_PER_KEY)?.div_ceil(8);
-    if filter_len != sized_for {
+    if bits.len() != sized_for {
         return None;
     }
-    let filter = Bloom { bits: c.bytes(filter_len)?.to_vec() };
+    let filter = Bloom { bits: bits.to_vec() };
     let written_at = SimTime::ZERO;
     let meta = RunMeta {
         object: 0,
@@ -429,16 +397,16 @@ type EntryRef<'a> = (&'a [u8], Option<&'a [u8]>);
 /// Walk a data page's framing: its entry count and an iterator over the
 /// borrowed entries, each `None` where the framing runs off the page.
 fn data_page_entries(page: &[u8]) -> Option<impl Iterator<Item = Option<EntryRef<'_>>>> {
-    let mut c = Cursor(page, 0);
-    if c.u32()? != DATA_MAGIC {
+    let mut r = Reader::new(page);
+    if r.u32()? != DATA_MAGIC {
         return None;
     }
-    let count = c.u32()?;
+    let count = r.u32()?;
     Some((0..count).map(move |_| {
-        let klen = c.u16()? as usize;
-        let vtag = c.u32()?;
-        let key = c.bytes(klen)?;
-        let value = if vtag == TOMBSTONE { None } else { Some(c.bytes(vtag as usize)?) };
+        let klen = r.u16()? as usize;
+        let vtag = r.u32()?;
+        let key = r.take(klen)?;
+        let value = if vtag == TOMBSTONE { None } else { Some(r.take(vtag as usize)?) };
         Some((key, value))
     }))
 }
@@ -657,6 +625,36 @@ mod tests {
         page[DATA_HEADER + ENTRY_HEADER + 2..][..2].copy_from_slice(&u16::MAX.to_le_bytes());
         assert!(decode_data_page(&page).is_none());
         assert!(lookup_in_page(&page, b"k").is_none());
+    }
+
+    #[test]
+    fn every_strict_prefix_and_a_flipped_magic_are_rejected() {
+        let entries = vec![(b"a".to_vec(), Some(b"1".to_vec())), (b"b".to_vec(), None)];
+        let run = encode_run("s", 0, 1, 1, &entries, 4096);
+        // The data page up to the end of its last entry (padding follows).
+        let used = DATA_HEADER + 2 * ENTRY_HEADER + 3;
+        let data = &run.pages[0];
+        assert_eq!(decode_data_page(&data[..used]), Some(entries));
+        for n in 0..used {
+            assert!(decode_data_page(&data[..n]).is_none(), "data prefix of {n} bytes");
+            assert!(lookup_in_page(&data[..n], b"b").is_none(), "data prefix of {n} bytes");
+        }
+        // The tail bytes: 40 fixed, store, max key, one fence, 3 filter bytes.
+        let (_, _, chunk) = tail_page(&run.pages[1]).unwrap();
+        let tail_len = 40 + 1 + 1 + 3 + 3;
+        assert_eq!(decode_tail_bytes(&chunk[..tail_len], 1), Some(("s".into(), run.meta)));
+        for n in 0..tail_len {
+            assert_eq!(decode_tail_bytes(&chunk[..n], 1), None, "tail prefix of {n} bytes");
+        }
+        for n in 0..TAIL_HEADER {
+            assert_eq!(tail_page(&run.pages[1][..n]), Err(TailError::Torn), "header of {n} bytes");
+        }
+        for page in &run.pages {
+            let mut flipped = page.clone();
+            flipped[0] ^= 0x01;
+            assert!(decode_data_page(&flipped).is_none());
+            assert_eq!(tail_page(&flipped), Err(TailError::Torn));
+        }
     }
 
     #[test]

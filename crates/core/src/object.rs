@@ -7,7 +7,6 @@
 //! statistics used for hot/cold classification and placement decisions.
 
 use flash_sim::PageAddr;
-use serde::{Deserialize, Serialize};
 
 use crate::error::NoFtlError;
 use crate::manager::NoFtl;
@@ -21,7 +20,7 @@ use crate::Result;
 pub type ObjectId = u32;
 
 /// Per-object access counters used for hot/cold classification.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObjectCounters {
     /// Logical page reads served for this object.
     pub reads: u64,

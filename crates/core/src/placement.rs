@@ -17,15 +17,13 @@
 //! its throughput on the repo benchmark (README, "Placement inside a
 //! region").
 
-use serde::{Deserialize, Serialize};
-
 use flash_sim::ServiceClass;
 
 use crate::hotcold::ObjectProfile;
 
 /// One region of a placement configuration: its name, the objects placed
 /// in it, and the number of dies assigned to it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionAssignment {
     /// Region name.
     pub region_name: String,
@@ -49,7 +47,7 @@ impl RegionAssignment {
 
 /// A complete data-placement configuration (the shape of the paper's
 /// Figure 2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacementConfig {
     /// The regions, in declaration order.
     pub regions: Vec<RegionAssignment>,
@@ -102,7 +100,7 @@ impl PlacementConfig {
 }
 
 /// Computes die apportionments from object profiles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacementAdvisor {
     /// Relative weight of a group's I/O rate in the die share.
     pub io_weight: f64,

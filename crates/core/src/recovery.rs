@@ -16,7 +16,8 @@
 //!   independent of how many pages are mapped.  Chunks are self-describing
 //!   (sequence number, index, count, CRC via the OOB checksum), so a mount
 //!   can always find the newest *complete* checkpoint even if a later one
-//!   was torn mid-write.
+//!   was torn mid-write.  Blob and chunk pages are written and read with
+//!   [`flash_sim::codec`]; the blob is sealed by a CRC-32 trailer.
 //! * **Mount** — `NoFtl::mount` scans the device's out-of-band metadata,
 //!   rebuilds regions and objects from the newest complete checkpoint and
 //!   *every* mapping, written before that checkpoint or after it, from the
@@ -28,6 +29,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use flash_sim::codec::{open, put_bytes, put_opt, put_u32, put_u64, put_u8, seal, Reader};
 use flash_sim::{
     BlockAddr, BlockState, DieId, FlashBackend, FlashCommand, IoTag, PageAddr, PageMetadata,
     PageState, ServiceClass, SimTime,
@@ -159,219 +161,79 @@ pub(crate) struct CheckpointImage {
     pub objects: Vec<ObjectImage>,
 }
 
-// ---------------------------------------------------------------------
-// Blob codec (hand-rolled little-endian; the vendored serde is a marker
-// stub with no serialisers)
-// ---------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_opt_u32(out: &mut Vec<u8>, v: Option<u32>) {
-    match v {
-        Some(v) => {
-            out.push(1);
-            put_u32(out, v);
-        }
-        None => out.push(0),
-    }
-}
-
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            out.push(1);
-            put_u64(out, v);
-        }
-        None => out.push(0),
-    }
-}
-
-/// Tagged byte for the per-region service class: 0 = none, otherwise
-/// `ServiceClass::code() + 1`.
-fn put_service_class(out: &mut Vec<u8>, v: Option<ServiceClass>) {
-    out.push(match v {
-        None => 0,
-        Some(c) => c.code() + 1,
-    });
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn string(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).ok()
-    }
-
-    fn opt_u32(&mut self) -> Option<Option<u32>> {
-        Some(if self.u8()? != 0 { Some(self.u32()?) } else { None })
-    }
-
-    fn opt_u64(&mut self) -> Option<Option<u64>> {
-        Some(if self.u8()? != 0 { Some(self.u64()?) } else { None })
-    }
-
-    /// Decode the service-class tag written by `put_service_class`; the
-    /// outer `None` marks a corrupt blob, the inner one "no class set".
-    fn service_class(&mut self) -> Option<Option<ServiceClass>> {
-        match self.u8()? {
-            0 => Some(None),
-            b => ServiceClass::from_code(b - 1).map(Some),
-        }
-    }
-}
-
 impl CheckpointImage {
     /// Serialise into the blob format (magic ... crc32).
     pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256);
-        out.extend_from_slice(BLOB_MAGIC);
-        put_u64(&mut out, self.seq);
-        put_u64(&mut out, self.epoch_watermark);
-        put_opt_u32(&mut out, self.meta_region.map(|r| r.0));
-        put_u32(&mut out, self.free_dies.len() as u32);
-        for d in &self.free_dies {
-            put_u32(&mut out, d.0);
-        }
-        match &self.replication {
-            Some(blob) => {
-                out.push(1);
-                put_u32(&mut out, blob.len() as u32);
-                out.extend_from_slice(blob);
+        seal(BLOB_MAGIC, 256, |out| {
+            put_u64(out, self.seq);
+            put_u64(out, self.epoch_watermark);
+            put_opt(out, self.meta_region.map(|r| r.0), put_u32);
+            put_dies(out, &self.free_dies);
+            put_opt(out, self.replication.as_deref(), put_bytes);
+            put_u32(out, self.regions.len() as u32);
+            for r in &self.regions {
+                put_u32(out, r.id.0);
+                put_bytes(out, r.spec.name.as_bytes());
+                put_opt(out, r.spec.die_count, put_u32);
+                put_opt(out, r.spec.max_chips, put_u32);
+                put_opt(out, r.spec.max_channels, put_u32);
+                put_opt(out, r.spec.max_size_bytes, put_u64);
+                // 0 = no class, otherwise `ServiceClass::code() + 1`.
+                put_u8(out, r.spec.service_class.map_or(0, |c| c.code() + 1));
+                put_dies(out, &r.dies);
+                put_u32(out, r.objects.len() as u32);
+                for o in &r.objects {
+                    put_u32(out, *o);
+                }
             }
-            None => out.push(0),
-        }
-        put_u32(&mut out, self.regions.len() as u32);
-        for r in &self.regions {
-            put_u32(&mut out, r.id.0);
-            put_str(&mut out, &r.spec.name);
-            put_opt_u32(&mut out, r.spec.die_count);
-            put_opt_u32(&mut out, r.spec.max_chips);
-            put_opt_u32(&mut out, r.spec.max_channels);
-            put_opt_u64(&mut out, r.spec.max_size_bytes);
-            put_service_class(&mut out, r.spec.service_class);
-            put_u32(&mut out, r.dies.len() as u32);
-            for d in &r.dies {
-                put_u32(&mut out, d.0);
+            put_u32(out, self.objects.len() as u32);
+            for o in &self.objects {
+                put_u32(out, o.id);
+                put_bytes(out, o.name.as_bytes());
+                put_u32(out, o.region.0);
+                put_u64(out, o.counters.reads);
+                put_u64(out, o.counters.writes);
             }
-            put_u32(&mut out, r.objects.len() as u32);
-            for o in &r.objects {
-                put_u32(&mut out, *o);
-            }
-        }
-        put_u32(&mut out, self.objects.len() as u32);
-        for o in &self.objects {
-            put_u32(&mut out, o.id);
-            put_str(&mut out, &o.name);
-            put_u32(&mut out, o.region.0);
-            put_u64(&mut out, o.counters.reads);
-            put_u64(&mut out, o.counters.writes);
-        }
-        let crc = flash_sim::crc32(&out);
-        put_u32(&mut out, crc);
-        out
+        })
     }
 
     /// Decode a blob produced by [`CheckpointImage::encode`]; `None` on
     /// any corruption (bad magic, bad CRC, truncation).
     pub(crate) fn decode(buf: &[u8]) -> Option<CheckpointImage> {
-        if buf.len() < BLOB_MAGIC.len() + 4 {
-            return None;
-        }
-        let (body, crc_bytes) = buf.split_at(buf.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().ok()?);
-        if flash_sim::crc32(body) != stored {
-            return None;
-        }
-        let mut c = Cursor { buf: body, pos: 0 };
-        if c.take(BLOB_MAGIC.len())? != BLOB_MAGIC {
-            return None;
-        }
-        let seq = c.u64()?;
-        let epoch_watermark = c.u64()?;
-        let meta_region = c.opt_u32()?.map(RegionId);
-        let free_count = c.u32()? as usize;
-        let mut free_dies = Vec::with_capacity(free_count);
-        for _ in 0..free_count {
-            free_dies.push(DieId(c.u32()?));
-        }
-        let replication = if c.u8()? != 0 {
-            let len = c.u32()? as usize;
-            Some(c.take(len)?.to_vec())
-        } else {
-            None
-        };
-        let region_count = c.u32()? as usize;
-        let mut regions = Vec::with_capacity(region_count);
-        for _ in 0..region_count {
-            let id = RegionId(c.u32()?);
-            let name = c.string()?;
-            let mut spec = RegionSpec::named(name);
-            spec.die_count = c.opt_u32()?;
-            spec.max_chips = c.opt_u32()?;
-            spec.max_channels = c.opt_u32()?;
-            spec.max_size_bytes = c.opt_u64()?;
-            spec.service_class = c.service_class()?;
-            let die_count = c.u32()? as usize;
-            let mut dies = Vec::with_capacity(die_count);
-            for _ in 0..die_count {
-                dies.push(DieId(c.u32()?));
-            }
-            let obj_count = c.u32()? as usize;
-            let mut objects = Vec::with_capacity(obj_count);
-            for _ in 0..obj_count {
-                objects.push(c.u32()?);
-            }
-            regions.push(RegionImage { id, spec, dies, objects });
-        }
-        let object_count = c.u32()? as usize;
-        let mut objects = Vec::with_capacity(object_count);
-        for _ in 0..object_count {
-            let id = c.u32()?;
-            let name = c.string()?;
-            let region = RegionId(c.u32()?);
-            let counters = ObjectCounters { reads: c.u64()?, writes: c.u64()? };
-            objects.push(ObjectImage { id, name, region, counters });
-        }
-        if c.pos != body.len() {
-            return None;
-        }
-        Some(CheckpointImage {
+        let mut r = open(buf, BLOB_MAGIC)?;
+        let seq = r.u64()?;
+        let epoch_watermark = r.u64()?;
+        let meta_region = r.opt(Reader::u32)?.map(RegionId);
+        let free_dies = dies(&mut r)?;
+        let replication = r.opt(|r| r.bytes().map(<[u8]>::to_vec))?;
+        let regions = (0..r.u32()?)
+            .map(|_| {
+                let id = RegionId(r.u32()?);
+                let mut spec = RegionSpec::named(r.str()?);
+                spec.die_count = r.opt(Reader::u32)?;
+                spec.max_chips = r.opt(Reader::u32)?;
+                spec.max_channels = r.opt(Reader::u32)?;
+                spec.max_size_bytes = r.opt(Reader::u64)?;
+                spec.service_class = match r.u8()? {
+                    0 => None,
+                    code => Some(ServiceClass::from_code(code - 1)?),
+                };
+                let dies = dies(&mut r)?;
+                let objects = (0..r.u32()?).map(|_| r.u32()).collect::<Option<_>>()?;
+                Some(RegionImage { id, spec, dies, objects })
+            })
+            .collect::<Option<_>>()?;
+        let objects = (0..r.u32()?)
+            .map(|_| {
+                Some(ObjectImage {
+                    id: r.u32()?,
+                    name: r.str()?.to_owned(),
+                    region: RegionId(r.u32()?),
+                    counters: ObjectCounters { reads: r.u64()?, writes: r.u64()? },
+                })
+            })
+            .collect::<Option<_>>()?;
+        r.rest().is_empty().then_some(CheckpointImage {
             seq,
             epoch_watermark,
             meta_region,
@@ -381,6 +243,17 @@ impl CheckpointImage {
             objects,
         })
     }
+}
+
+fn put_dies(out: &mut Vec<u8>, dies: &[DieId]) {
+    put_u32(out, dies.len() as u32);
+    for d in dies {
+        put_u32(out, d.0);
+    }
+}
+
+fn dies(r: &mut Reader<'_>) -> Option<Vec<DieId>> {
+    (0..r.u32()?).map(|_| r.u32().map(DieId)).collect()
 }
 
 /// Build one checkpoint chunk page: header + blob slice, zero-padded to
@@ -393,32 +266,23 @@ pub(crate) fn encode_chunk(
     page_size: usize,
 ) -> Vec<u8> {
     debug_assert!(CHUNK_HEADER + chunk.len() <= page_size);
-    let mut page = vec![0u8; page_size];
-    page[0..4].copy_from_slice(&CHUNK_MAGIC.to_le_bytes());
-    page[4..12].copy_from_slice(&seq.to_le_bytes());
-    page[12..16].copy_from_slice(&index.to_le_bytes());
-    page[16..20].copy_from_slice(&count.to_le_bytes());
-    page[20..24].copy_from_slice(&(chunk.len() as u32).to_le_bytes());
-    page[CHUNK_HEADER..CHUNK_HEADER + chunk.len()].copy_from_slice(chunk);
+    let mut page = Vec::with_capacity(page_size);
+    put_u32(&mut page, CHUNK_MAGIC);
+    put_u64(&mut page, seq);
+    put_u32(&mut page, index);
+    put_u32(&mut page, count);
+    put_bytes(&mut page, chunk);
+    page.resize(page_size, 0);
     page
 }
 
 /// Parse a checkpoint chunk page; `None` if the page is not a chunk.
 pub(crate) fn decode_chunk(page: &[u8]) -> Option<(u64, u32, u32, &[u8])> {
-    if page.len() < CHUNK_HEADER {
+    let mut r = Reader::new(page);
+    if r.u32()? != CHUNK_MAGIC {
         return None;
     }
-    if u32::from_le_bytes(page[0..4].try_into().ok()?) != CHUNK_MAGIC {
-        return None;
-    }
-    let seq = u64::from_le_bytes(page[4..12].try_into().ok()?);
-    let index = u32::from_le_bytes(page[12..16].try_into().ok()?);
-    let count = u32::from_le_bytes(page[16..20].try_into().ok()?);
-    let len = u32::from_le_bytes(page[20..24].try_into().ok()?) as usize;
-    if CHUNK_HEADER + len > page.len() {
-        return None;
-    }
-    Some((seq, index, count, &page[CHUNK_HEADER..CHUNK_HEADER + len]))
+    Some((r.u64()?, r.u32()?, r.u32()?, r.bytes()?))
 }
 
 impl Inner {
@@ -929,12 +793,13 @@ mod tests {
 
     #[test]
     fn corrupted_blob_is_rejected() {
-        let mut blob = sample_image().encode();
-        let mid = blob.len() / 2;
-        blob[mid] ^= 0x40;
-        assert_eq!(CheckpointImage::decode(&blob), None);
-        assert_eq!(CheckpointImage::decode(&[]), None);
-        assert_eq!(CheckpointImage::decode(&blob[..blob.len() - 3]), None);
+        let blob = sample_image().encode();
+        for n in 0..blob.len() {
+            assert_eq!(CheckpointImage::decode(&blob[..n]), None, "prefix of {n} bytes");
+        }
+        let mut flipped = blob.clone();
+        flipped[blob.len() / 2] ^= 0x40;
+        assert_eq!(CheckpointImage::decode(&flipped), None);
     }
 
     #[test]
@@ -944,6 +809,12 @@ mod tests {
         let (seq, idx, count, body) = decode_chunk(&page).unwrap();
         assert_eq!((seq, idx, count), (3, 0, 1));
         assert_eq!(body, &blob[..]);
+        for n in 0..CHUNK_HEADER + blob.len() {
+            assert!(decode_chunk(&page[..n]).is_none(), "prefix of {n} bytes");
+        }
+        let mut foreign = page.clone();
+        foreign[0] ^= 0x01;
+        assert!(decode_chunk(&foreign).is_none(), "another magic");
         // A data page is not mistaken for a chunk.
         assert!(decode_chunk(&vec![0xAAu8; 4096]).is_none());
         assert!(decode_chunk(&[]).is_none());

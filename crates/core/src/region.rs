@@ -6,7 +6,6 @@
 //! reclamation (GC) and wear leveling happen region-locally.
 
 use flash_sim::{BlockAddr, DieId, FlashBackend, FlashGeometry, PageAddr, ServiceClass};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use crate::config::WearLevelingPolicy;
@@ -14,7 +13,7 @@ use crate::stats::RegionStats;
 use crate::wear::{pick_free_block, FreeBlockCandidate};
 
 /// Identifier of a region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RegionId(pub u32);
 
 /// Declarative description of a region, mirroring the paper's DDL:
@@ -25,7 +24,7 @@ pub struct RegionId(pub u32);
 ///
 /// The storage manager resolves the spec against the device geometry and
 /// the pool of unassigned dies when the region is created.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionSpec {
     /// Region name (unique).
     pub name: String,
@@ -315,7 +314,7 @@ impl RegionDie {
 
 /// Read-only snapshot of a region's configuration and occupancy, exposed
 /// through [`crate::NoFtl::region_info`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionInfo {
     /// Region id.
     pub id: RegionId,

@@ -1,11 +1,9 @@
 //! Statistics exposed by the NoFTL storage manager.
 
-use serde::{Deserialize, Serialize};
-
 use flash_sim::Duration;
 
 /// Per-region counters.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegionStats {
     /// Host page reads served from this region.
     pub host_reads: u64,
@@ -58,7 +56,7 @@ impl RegionStats {
 }
 
 /// Aggregate storage-manager statistics (sums over regions).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NoFtlStats {
     /// Host page reads.
     pub host_reads: u64,
@@ -123,7 +121,7 @@ impl NoFtlStats {
 }
 
 /// Per-object statistics snapshot (for the DBA and the placement advisor).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectStats {
     /// Object id.
     pub object_id: u32,

@@ -29,7 +29,6 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use flash_sim::SimTime;
 use noftl_obs::{Histogram, Unit};
@@ -40,7 +39,7 @@ use crate::Result;
 use crate::PAGE_SIZE;
 
 /// Buffer pool counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BufferStats {
     /// Page requests served from the pool.
     pub hits: u64,

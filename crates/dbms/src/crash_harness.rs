@@ -186,10 +186,8 @@ struct Stack {
 fn db_config(cfg: &CrashHarnessConfig) -> DatabaseConfig {
     DatabaseConfig {
         buffer_pages: cfg.buffer_pages,
-        wal_enabled: true,
         redo_logging: true,
         wal_segment_pages: cfg.wal_segment_pages,
-        ..DatabaseConfig::default()
     }
 }
 

@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use flash_sim::crc32;
-use flash_sim::{Duration, SimTime};
+use flash_sim::codec::{put_bytes16, put_u32, put_u64, Reader};
+use flash_sim::{crc32, Duration, SimTime};
 use noftl_obs::Counter;
 
 use crate::btree::BTree;
@@ -37,6 +37,15 @@ pub const CATALOG_OBJECT: &str = "DBMS-catalog";
 /// snapshot always leaves the previous one intact.
 const CATALOG_SLOT_PAGES: u64 = 64;
 
+/// Magic of a catalog snapshot's first page (`"DBCT"`).
+const CATALOG_MAGIC: u32 = 0x4442_4354;
+
+/// Catalog snapshot header: magic:4 | seq:8 | len:4 | crc:4 | pad:4.
+const CATALOG_HEADER: usize = 24;
+
+/// A decoded catalog: `(name, schema, index names)` per table.
+type CatalogTables = Vec<(String, Schema, Vec<String>)>;
+
 /// CPU cost charged to a transaction for each record operation: 2 µs.
 const OP_CPU: Duration = Duration(2_000);
 
@@ -45,10 +54,6 @@ const OP_CPU: Duration = Duration(2_000);
 pub struct DatabaseConfig {
     /// Buffer pool capacity in pages.
     pub buffer_pages: usize,
-    /// Whether the database keeps a write-ahead log.  With it, the commit
-    /// of a transaction that wrote forces the log; a read-only commit
-    /// never touches it (see [`Database::commit`]).
-    pub wal_enabled: bool,
     /// ARIES-lite redo logging: commits append full after-images of the
     /// transaction's dirtied pages before the commit record, the buffer
     /// pool runs **no-steal** (uncommitted data never reaches storage),
@@ -60,20 +65,11 @@ pub struct DatabaseConfig {
     /// many pages, the next commit triggers a checkpoint and truncates
     /// the log.
     pub wal_segment_pages: u64,
-    /// In-flight page bound of the buffer pool's completion-driven flush
-    /// pipeline (see [`crate::buffer::BufferPool::flush_all`]).
-    pub flush_window: usize,
 }
 
 impl Default for DatabaseConfig {
     fn default() -> Self {
-        DatabaseConfig {
-            buffer_pages: 2_000,
-            wal_enabled: true,
-            redo_logging: false,
-            wal_segment_pages: 1_024,
-            flush_window: crate::buffer::DEFAULT_FLUSH_WINDOW,
-        }
+        DatabaseConfig { buffer_pages: 2_000, redo_logging: false, wal_segment_pages: 1_024 }
     }
 }
 
@@ -101,11 +97,15 @@ pub struct RecoveryReport {
 }
 
 /// A running database instance.
+///
+/// Every instance keeps a write-ahead log: the commit of a transaction
+/// that wrote forces it, a read-only commit never touches it (see
+/// [`Database::commit`]).
 pub struct Database {
     backend: Arc<dyn StorageBackend>,
     pool: BufferPool,
     catalog: Catalog,
-    wal: Option<Wal>,
+    wal: Wal,
     metadata_obj: ObjectId,
     catalog_obj: ObjectId,
     catalog_seq: AtomicU64,
@@ -141,18 +141,13 @@ impl Database {
     pub fn open(backend: Arc<dyn StorageBackend>, config: DatabaseConfig) -> Result<Self> {
         let metadata_obj = backend.create_object(METADATA_OBJECT)?;
         let catalog_obj = backend.create_object(CATALOG_OBJECT)?;
-        let wal = if config.wal_enabled {
-            let log_obj = backend.create_object(LOG_OBJECT)?;
-            // Without redo logging the log is I/O ballast (the paper's
-            // experiments): spilled pages stay volatile, exactly one page
-            // write per force, as in the original engine.
-            Some(Wal::new(log_obj).with_durable_spill(config.redo_logging))
-        } else {
-            None
-        };
-        let no_steal = config.wal_enabled && config.redo_logging;
-        let pool = BufferPool::with_policy(Arc::clone(&backend), config.buffer_pages, no_steal)
-            .with_flush_window(config.flush_window);
+        // Without redo logging the log is I/O ballast (the paper's
+        // experiments): spilled pages stay volatile, exactly one page
+        // write per force, as in the original engine.
+        let wal =
+            Wal::new(backend.create_object(LOG_OBJECT)?).with_durable_spill(config.redo_logging);
+        let pool =
+            BufferPool::with_policy(Arc::clone(&backend), config.buffer_pages, config.redo_logging);
         Ok(Database {
             read_only_counter: read_only_counter(&backend),
             backend,
@@ -187,9 +182,9 @@ impl Database {
         self.pool.stats()
     }
 
-    /// WAL statistics (zeroes when the WAL is disabled).
+    /// WAL statistics.
     pub fn wal_stats(&self) -> WalStats {
-        self.wal.as_ref().map(|w| w.stats()).unwrap_or_default()
+        self.wal.stats()
     }
 
     /// Committed transaction count (read-only commits included).
@@ -226,11 +221,10 @@ impl Database {
     /// of the objects the paper's Figure 2 places in its own region).
     fn record_metadata_change(&self, description: &str, now: SimTime) -> Result<()> {
         let page_no = self.metadata_pages.fetch_add(1, Ordering::Relaxed);
-        let mut page = vec![0u8; PAGE_SIZE];
         let bytes = description.as_bytes();
-        let take = bytes.len().min(PAGE_SIZE - 2);
-        page[..2].copy_from_slice(&(take as u16).to_le_bytes());
-        page[2..2 + take].copy_from_slice(&bytes[..take]);
+        let mut page = Vec::with_capacity(PAGE_SIZE);
+        put_bytes16(&mut page, &bytes[..bytes.len().min(PAGE_SIZE - 2)]);
+        page.resize(PAGE_SIZE, 0);
         self.pool.write_page(self.metadata_obj, page_no, &page, now)?;
         Ok(())
     }
@@ -289,7 +283,7 @@ impl Database {
     /// engine's lightweight transaction model, redo logging assumes one
     /// transaction executes at a time (the TPC-C driver's model).
     pub fn begin(&self, now: SimTime) -> Txn {
-        if self.config.redo_logging && self.wal.is_some() {
+        if self.config.redo_logging {
             self.pool.begin_capture();
         }
         Txn::begin(self.next_txn.fetch_add(1, Ordering::Relaxed), now)
@@ -317,9 +311,7 @@ impl Database {
             txn.advance_to(t);
             txn.writes += 1;
         }
-        if let Some(wal) = &self.wal {
-            wal.append_note(txn.id, format!("INSERT {table} {}:{}", rid.page, rid.slot));
-        }
+        self.wal.append_note(txn.id, format!("INSERT {table} {}:{}", rid.page, rid.slot));
         Ok(rid)
     }
 
@@ -343,9 +335,7 @@ impl Database {
         txn.advance_to(t);
         txn.writes += 1;
         txn.add_cpu(OP_CPU);
-        if let Some(wal) = &self.wal {
-            wal.append_note(txn.id, format!("UPDATE {table} {}:{}", rid.page, rid.slot));
-        }
+        self.wal.append_note(txn.id, format!("UPDATE {table} {}:{}", rid.page, rid.slot));
         Ok(())
     }
 
@@ -369,9 +359,7 @@ impl Database {
             txn.advance_to(t);
             txn.writes += 1;
         }
-        if let Some(wal) = &self.wal {
-            wal.append_note(txn.id, format!("DELETE {table} {}:{}", rid.page, rid.slot));
-        }
+        self.wal.append_note(txn.id, format!("DELETE {table} {}:{}", rid.page, rid.slot));
         Ok(())
     }
 
@@ -485,37 +473,33 @@ impl Database {
             }
             return Ok(TxnOutcome::Committed);
         }
-        if let Some(wal) = &self.wal {
-            if self.config.redo_logging {
-                for (obj, page) in self.pool.take_capture() {
-                    if let Some(image) = self.pool.page_image(obj, page) {
-                        wal.append(&WalRecord::PageImage { txn: txn.id, obj, page, image });
-                    }
+        if self.config.redo_logging {
+            for (obj, page) in self.pool.take_capture() {
+                if let Some(image) = self.pool.page_image(obj, page) {
+                    self.wal.append(&WalRecord::PageImage { txn: txn.id, obj, page, image });
                 }
             }
-            wal.append(&WalRecord::Commit { txn: txn.id });
-            let t = match wal.force(&*self.backend, txn.now) {
-                Ok(t) => t,
-                Err(e) => {
-                    // The transaction's pool pages are neither durable nor
-                    // undoable: refuse further mutation so a checkpoint can
-                    // never flush them (atomicity would be lost).
-                    if self.config.redo_logging {
-                        self.poisoned.store(true, Ordering::Relaxed);
-                    }
-                    return Err(e);
-                }
-            };
-            txn.advance_to(t);
         }
-        self.commits.fetch_add(1, Ordering::Relaxed);
-        if let Some(wal) = &self.wal {
-            let pool_pressure =
-                self.config.redo_logging && self.pool.dirty_pages() * 4 >= self.pool.capacity() * 3;
-            if wal.needs_truncation(self.config.wal_segment_pages) || pool_pressure {
-                let t = self.checkpoint(txn.now)?;
-                txn.advance_to(t);
+        self.wal.append(&WalRecord::Commit { txn: txn.id });
+        let t = match self.wal.force(&*self.backend, txn.now) {
+            Ok(t) => t,
+            Err(e) => {
+                // The transaction's pool pages are neither durable nor
+                // undoable: refuse further mutation so a checkpoint can
+                // never flush them (atomicity would be lost).
+                if self.config.redo_logging {
+                    self.poisoned.store(true, Ordering::Relaxed);
+                }
+                return Err(e);
             }
+        };
+        txn.advance_to(t);
+        self.commits.fetch_add(1, Ordering::Relaxed);
+        let pool_pressure =
+            self.config.redo_logging && self.pool.dirty_pages() * 4 >= self.pool.capacity() * 3;
+        if self.wal.needs_truncation(self.config.wal_segment_pages) || pool_pressure {
+            let t = self.checkpoint(txn.now)?;
+            txn.advance_to(t);
         }
         Ok(TxnOutcome::Committed)
     }
@@ -523,7 +507,7 @@ impl Database {
     /// Drop the write-set capture [`Database::begin`] opened, so it can
     /// never leak into a later transaction's log images.
     fn discard_capture(&self) {
-        if self.config.redo_logging && self.wal.is_some() {
+        if self.config.redo_logging {
             let _ = self.pool.take_capture();
         }
     }
@@ -536,9 +520,7 @@ impl Database {
     pub fn rollback(&self, txn: &mut Txn) -> TxnOutcome {
         self.discard_capture();
         if txn.writes > 0 {
-            if let Some(wal) = &self.wal {
-                wal.append(&WalRecord::Rollback { txn: txn.id });
-            }
+            self.wal.append(&WalRecord::Rollback { txn: txn.id });
         }
         self.rollbacks.fetch_add(1, Ordering::Relaxed);
         TxnOutcome::RolledBack
@@ -565,53 +547,36 @@ impl Database {
     /// Serialise the catalog (table names, schemas, index names).
     fn encode_catalog(&self, seq: u64) -> Vec<u8> {
         let mut blob = Vec::with_capacity(256);
-        blob.extend_from_slice(&seq.to_le_bytes());
+        put_u64(&mut blob, seq);
         let names = self.catalog.table_names();
-        blob.extend_from_slice(&(names.len() as u32).to_le_bytes());
+        put_u32(&mut blob, names.len() as u32);
         for name in names {
             let table = self.catalog.table(&name).expect("listed table exists");
-            blob.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            blob.extend_from_slice(name.as_bytes());
-            blob.extend_from_slice(&table.schema.encode_def());
+            put_bytes16(&mut blob, name.as_bytes());
+            table.schema.encode_def(&mut blob);
             let mut index_names: Vec<String> = table.indexes.read().keys().cloned().collect();
             index_names.sort();
-            blob.extend_from_slice(&(index_names.len() as u32).to_le_bytes());
+            put_u32(&mut blob, index_names.len() as u32);
             for index in index_names {
-                blob.extend_from_slice(&(index.len() as u16).to_le_bytes());
-                blob.extend_from_slice(index.as_bytes());
+                put_bytes16(&mut blob, index.as_bytes());
             }
         }
         blob
     }
 
-    /// Decode a catalog blob into `(seq, tables)` where each table is
-    /// `(name, schema, index names)`.
-    #[allow(clippy::type_complexity)]
-    fn decode_catalog(blob: &[u8]) -> Option<(u64, Vec<(String, Schema, Vec<String>)>)> {
-        let mut pos = 0usize;
-        let seq = u64::from_le_bytes(blob.get(pos..pos + 8)?.try_into().ok()?);
-        pos += 8;
-        let count = u32::from_le_bytes(blob.get(pos..pos + 4)?.try_into().ok()?) as usize;
-        pos += 4;
-        let mut tables = Vec::with_capacity(count);
-        for _ in 0..count {
-            let nlen = u16::from_le_bytes(blob.get(pos..pos + 2)?.try_into().ok()?) as usize;
-            pos += 2;
-            let name = String::from_utf8(blob.get(pos..pos + nlen)?.to_vec()).ok()?;
-            pos += nlen;
-            let (schema, used) = Schema::decode_def(blob.get(pos..)?)?;
-            pos += used;
-            let icount = u32::from_le_bytes(blob.get(pos..pos + 4)?.try_into().ok()?) as usize;
-            pos += 4;
-            let mut indexes = Vec::with_capacity(icount);
-            for _ in 0..icount {
-                let ilen = u16::from_le_bytes(blob.get(pos..pos + 2)?.try_into().ok()?) as usize;
-                pos += 2;
-                indexes.push(String::from_utf8(blob.get(pos..pos + ilen)?.to_vec()).ok()?);
-                pos += ilen;
-            }
-            tables.push((name, schema, indexes));
-        }
+    /// Decode a catalog blob into `(seq, tables)`.
+    fn decode_catalog(blob: &[u8]) -> Option<(u64, CatalogTables)> {
+        let mut r = Reader::new(blob);
+        let seq = r.u64()?;
+        let tables = (0..r.u32()?)
+            .map(|_| {
+                let name = r.str16()?.to_owned();
+                let schema = Schema::decode_def(&mut r)?;
+                let indexes =
+                    (0..r.u32()?).map(|_| r.str16().map(str::to_owned)).collect::<Option<_>>()?;
+                Some((name, schema, indexes))
+            })
+            .collect::<Option<_>>()?;
         Some((seq, tables))
     }
 
@@ -623,80 +588,73 @@ impl Database {
     fn write_catalog_snapshot(&self, now: SimTime) -> Result<SimTime> {
         let seq = self.catalog_seq.load(Ordering::Relaxed) + 1;
         let blob = self.encode_catalog(seq);
-        const HEADER: usize = 24; // magic:4 | seq:8 | len:4 | crc:4 | pad:4
-        let capacity = (CATALOG_SLOT_PAGES as usize * PAGE_SIZE) - HEADER;
-        if blob.len() > capacity {
+        if blob.len() > CATALOG_SLOT_PAGES as usize * PAGE_SIZE - CATALOG_HEADER {
             return Err(DbError::TooLarge {
                 message: format!("catalog snapshot of {} bytes exceeds slot", blob.len()),
             });
         }
         let base = (seq % 2) * CATALOG_SLOT_PAGES;
-        let mut first = vec![0u8; PAGE_SIZE];
-        first[0..4].copy_from_slice(&0x4442_4354u32.to_le_bytes()); // "DBCT"
-        first[4..12].copy_from_slice(&seq.to_le_bytes());
-        first[12..16].copy_from_slice(&(blob.len() as u32).to_le_bytes());
-        first[16..20].copy_from_slice(&crc32(&blob).to_le_bytes());
-        let head = blob.len().min(PAGE_SIZE - HEADER);
-        first[HEADER..HEADER + head].copy_from_slice(&blob[..head]);
+        let (head, tail) = blob.split_at(blob.len().min(PAGE_SIZE - CATALOG_HEADER));
+        let mut first = Vec::with_capacity(PAGE_SIZE);
+        put_u32(&mut first, CATALOG_MAGIC);
+        put_u64(&mut first, seq);
+        put_u32(&mut first, blob.len() as u32);
+        put_u32(&mut first, crc32(&blob));
+        put_u32(&mut first, 0);
+        first.extend_from_slice(head);
+        first.resize(PAGE_SIZE, 0);
         let mut done = self.backend.write_page(self.catalog_obj, base, &first, now)?;
-        let mut off = head;
-        let mut page_no = base + 1;
-        while off < blob.len() {
-            let take = (blob.len() - off).min(PAGE_SIZE);
-            let mut page = vec![0u8; PAGE_SIZE];
-            page[..take].copy_from_slice(&blob[off..off + take]);
+        for (page_no, chunk) in (base + 1..).zip(tail.chunks(PAGE_SIZE)) {
+            let mut page = Vec::with_capacity(PAGE_SIZE);
+            page.extend_from_slice(chunk);
+            page.resize(PAGE_SIZE, 0);
             done = done.max(self.backend.write_page(self.catalog_obj, page_no, &page, now)?);
-            off += take;
-            page_no += 1;
         }
         self.catalog_seq.store(seq, Ordering::Relaxed);
         Ok(done)
     }
 
-    /// Read the newest intact catalog snapshot from storage.
-    #[allow(clippy::type_complexity)]
+    /// Read the newest intact catalog snapshot from storage (`(0, [])`
+    /// when neither slot holds one).
     fn read_catalog_snapshot(
         backend: &Arc<dyn StorageBackend>,
         catalog_obj: ObjectId,
         at: SimTime,
-    ) -> (u64, Vec<(String, Schema, Vec<String>)>) {
-        const HEADER: usize = 24;
-        let mut best: (u64, Vec<(String, Schema, Vec<String>)>) = (0, Vec::new());
-        for slot in 0..2u64 {
-            let base = slot * CATALOG_SLOT_PAGES;
-            let Ok((first, _)) = backend.read_page(catalog_obj, base, at) else { continue };
-            if first.len() < HEADER
-                || u32::from_le_bytes(first[0..4].try_into().expect("4 bytes")) != 0x4442_4354
-            {
-                continue;
-            }
-            let seq = u64::from_le_bytes(first[4..12].try_into().expect("8 bytes"));
-            let len = u32::from_le_bytes(first[12..16].try_into().expect("4 bytes")) as usize;
-            let crc = u32::from_le_bytes(first[16..20].try_into().expect("4 bytes"));
-            if len > (CATALOG_SLOT_PAGES as usize * PAGE_SIZE) - HEADER {
-                continue;
-            }
-            let mut blob = first[HEADER..HEADER + len.min(PAGE_SIZE - HEADER)].to_vec();
-            let mut page_no = base + 1;
-            let mut intact = true;
-            while blob.len() < len {
-                let Ok((page, _)) = backend.read_page(catalog_obj, page_no, at) else {
-                    intact = false;
-                    break;
-                };
-                let take = (len - blob.len()).min(PAGE_SIZE);
-                blob.extend_from_slice(&page[..take]);
-                page_no += 1;
-            }
-            if !intact || crc32(&blob) != crc {
-                continue;
-            }
-            let Some((decoded_seq, tables)) = Self::decode_catalog(&blob) else { continue };
-            if decoded_seq == seq && seq > best.0 {
-                best = (seq, tables);
-            }
+    ) -> (u64, CatalogTables) {
+        (0..2u64)
+            .filter_map(|slot| {
+                Self::read_catalog_slot(backend, catalog_obj, slot * CATALOG_SLOT_PAGES, at)
+            })
+            .fold((0, Vec::new()), |best, slot| if slot.0 > best.0 { slot } else { best })
+    }
+
+    /// The catalog snapshot whose slot starts at page `base`, if intact.
+    fn read_catalog_slot(
+        backend: &Arc<dyn StorageBackend>,
+        catalog_obj: ObjectId,
+        base: u64,
+        at: SimTime,
+    ) -> Option<(u64, CatalogTables)> {
+        let (first, _) = backend.read_page(catalog_obj, base, at).ok()?;
+        let mut r = Reader::new(&first);
+        if r.u32()? != CATALOG_MAGIC {
+            return None;
         }
-        best
+        let (seq, len, crc, _pad) = (r.u64()?, r.u32()? as usize, r.u32()?, r.u32()?);
+        if len > CATALOG_SLOT_PAGES as usize * PAGE_SIZE - CATALOG_HEADER {
+            return None;
+        }
+        let mut blob = r.take(len.min(PAGE_SIZE - CATALOG_HEADER))?.to_vec();
+        let mut page_no = base + 1;
+        while blob.len() < len {
+            let (page, _) = backend.read_page(catalog_obj, page_no, at).ok()?;
+            blob.extend_from_slice(page.get(..(len - blob.len()).min(PAGE_SIZE))?);
+            page_no += 1;
+        }
+        if crc32(&blob) != crc {
+            return None;
+        }
+        Self::decode_catalog(&blob).filter(|(decoded_seq, _)| *decoded_seq == seq)
     }
 
     /// Take a full checkpoint: flush every dirty page, write a catalog
@@ -720,15 +678,11 @@ impl Database {
     pub fn checkpoint(&self, now: SimTime) -> Result<SimTime> {
         self.check_usable()?;
         let data_done = self.pool.flush_all(now)?;
-        let wal_done =
-            if let Some(wal) = &self.wal { wal.force(&*self.backend, now)? } else { now };
-        let mut done = data_done.max(wal_done);
+        let mut done = data_done.max(self.wal.force(&*self.backend, now)?);
         done = done.max(self.write_catalog_snapshot(done)?);
         done = done.max(self.backend.checkpoint(done)?);
-        if let Some(wal) = &self.wal {
-            wal.truncate(&*self.backend)?;
-            wal.append(&WalRecord::Checkpoint);
-        }
+        self.wal.truncate(&*self.backend)?;
+        self.wal.append(&WalRecord::Checkpoint);
         Ok(done)
     }
 
@@ -749,39 +703,34 @@ impl Database {
         let mut report = RecoveryReport::default();
         let metadata_obj = ensure_object(&backend, METADATA_OBJECT)?;
         let catalog_obj = ensure_object(&backend, CATALOG_OBJECT)?;
-        let log_obj =
-            if config.wal_enabled { Some(ensure_object(&backend, LOG_OBJECT)?) } else { None };
-        let mut t = now;
+        let log_obj = ensure_object(&backend, LOG_OBJECT)?;
 
         // ---- Redo pass -------------------------------------------------
+        let (records, mut t) = Wal::scan(&*backend, log_obj, now)?;
+        report.wal_records_scanned = records.len() as u64;
         let mut max_txn = 0u64;
-        if let Some(log_obj) = log_obj {
-            let (records, t_scan) = Wal::scan(&*backend, log_obj, t)?;
-            t = t.max(t_scan);
-            report.wal_records_scanned = records.len() as u64;
-            let mut committed = std::collections::HashSet::new();
-            for (_, record) in &records {
-                match record {
-                    WalRecord::Commit { txn } => {
-                        committed.insert(*txn);
-                        max_txn = max_txn.max(*txn);
-                    }
-                    WalRecord::Note { txn, .. }
-                    | WalRecord::PageImage { txn, .. }
-                    | WalRecord::Rollback { txn } => max_txn = max_txn.max(*txn),
-                    WalRecord::Checkpoint => {}
+        let mut committed = std::collections::HashSet::new();
+        for (_, record) in &records {
+            match record {
+                WalRecord::Commit { txn } => {
+                    committed.insert(*txn);
+                    max_txn = max_txn.max(*txn);
                 }
+                WalRecord::Note { txn, .. }
+                | WalRecord::PageImage { txn, .. }
+                | WalRecord::Rollback { txn } => max_txn = max_txn.max(*txn),
+                WalRecord::Checkpoint => {}
             }
-            report.committed_txns = committed.len() as u64;
-            for (_, record) in &records {
-                if let WalRecord::PageImage { txn, obj, page, image } = record {
-                    if committed.contains(txn) {
-                        let t_w = backend.write_page(*obj, *page, image, t)?;
-                        t = t.max(t_w);
-                        report.redo_pages_applied += 1;
-                    } else {
-                        report.uncommitted_images_skipped += 1;
-                    }
+        }
+        report.committed_txns = committed.len() as u64;
+        for (_, record) in &records {
+            if let WalRecord::PageImage { txn, obj, page, image } = record {
+                if committed.contains(txn) {
+                    let t_w = backend.write_page(*obj, *page, image, t)?;
+                    t = t.max(t_w);
+                    report.redo_pages_applied += 1;
+                } else {
+                    report.uncommitted_images_skipped += 1;
                 }
             }
         }
@@ -789,9 +738,8 @@ impl Database {
         // ---- Catalog rebuild ------------------------------------------
         let (catalog_seq, tables) = Self::read_catalog_snapshot(&backend, catalog_obj, t);
         report.catalog_seq = catalog_seq;
-        let no_steal = config.wal_enabled && config.redo_logging;
-        let pool = BufferPool::with_policy(Arc::clone(&backend), config.buffer_pages, no_steal)
-            .with_flush_window(config.flush_window);
+        let pool =
+            BufferPool::with_policy(Arc::clone(&backend), config.buffer_pages, config.redo_logging);
         let catalog = Catalog::new();
         for (name, schema, index_names) in tables {
             let Some(heap_obj) = backend.lookup_object(&name) else {
@@ -816,16 +764,10 @@ impl Database {
 
         // ---- Reset the log: free the replayed history and restart the
         // stream at page 0 (page numbers are reused across truncations).
-        let wal = match log_obj {
-            Some(log_obj) => {
-                let old_extent = backend.object_extent(log_obj)?;
-                for page_no in 0..old_extent {
-                    let _ = backend.free_page(log_obj, page_no);
-                }
-                Some(Wal::new(log_obj).with_durable_spill(config.redo_logging))
-            }
-            None => None,
-        };
+        for page_no in 0..backend.object_extent(log_obj)? {
+            let _ = backend.free_page(log_obj, page_no);
+        }
+        let wal = Wal::new(log_obj).with_durable_spill(config.redo_logging);
         let metadata_extent = backend.object_extent(metadata_obj)?;
 
         let db = Database {
@@ -928,26 +870,6 @@ mod tests {
         assert!(txn.now > before, "the WAL force must take simulated time");
         assert_eq!(db.wal_stats().forces, 1);
         assert!(db.wal_stats().records >= 2);
-        // Without WAL, commit is free.
-        let device = Arc::new(DeviceBuilder::new(FlashGeometry::example()).build());
-        let noftl = Arc::new(NoFtl::new(device, NoFtlConfig::default()));
-        let backend = Arc::new(
-            NoFtlBackend::new(
-                noftl,
-                &PlacementConfig::traditional(8, [METADATA_OBJECT.to_string()]),
-            )
-            .unwrap(),
-        );
-        let db2 = Database::open(
-            backend,
-            DatabaseConfig { wal_enabled: false, ..DatabaseConfig::default() },
-        )
-        .unwrap();
-        let mut txn2 = db2.begin(SimTime::ZERO);
-        let before = txn2.now;
-        db2.commit(&mut txn2).unwrap();
-        assert_eq!(txn2.now, before);
-        assert_eq!(db2.wal_stats().forces, 0);
     }
 
     #[test]
@@ -1074,6 +996,32 @@ mod tests {
         );
         assert_eq!(balances_r, balances);
         assert_eq!(balances, vec![Value::Float(1.0), Value::Float(2.0)]);
+    }
+
+    #[test]
+    fn catalog_snapshots_reject_every_prefix_and_a_flipped_byte() {
+        let db = open_db(64);
+        db.create_table("customer", customer_schema(), SimTime::ZERO).unwrap();
+        db.create_index("customer", "c_idx", SimTime::ZERO).unwrap();
+        let blob = db.encode_catalog(5);
+        let tables = vec![("customer".to_string(), customer_schema(), vec!["c_idx".to_string()])];
+        assert_eq!(Database::decode_catalog(&blob), Some((5, tables.clone())));
+        for n in 0..blob.len() {
+            assert_eq!(Database::decode_catalog(&blob[..n]), None, "prefix of {n} bytes");
+        }
+        let mut flipped = blob.clone();
+        flipped[8] ^= 0x02; // one table becomes three: the blob runs out
+        assert_eq!(Database::decode_catalog(&flipped), None);
+
+        // On storage the CRC in the `DBCT` header catches any flipped byte.
+        let backend = db.backend();
+        let t = db.write_catalog_snapshot(SimTime::ZERO).unwrap();
+        assert_eq!(Database::read_catalog_snapshot(backend, db.catalog_obj, t), (1, tables));
+        let slot = CATALOG_SLOT_PAGES; // seq 1 lives in slot 1
+        let (mut page, _) = backend.read_page(db.catalog_obj, slot, t).unwrap();
+        page[CATALOG_HEADER] ^= 0x01;
+        let t = backend.write_page(db.catalog_obj, slot, &page, t).unwrap();
+        assert_eq!(Database::read_catalog_snapshot(backend, db.catalog_obj, t), (0, Vec::new()));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Heap files: unordered collections of records in slotted pages.
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use flash_sim::SimTime;
 
@@ -12,7 +11,7 @@ use crate::storage::ObjectId;
 use crate::Result;
 
 /// Physical address of a record: page number within the heap plus slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RecordId {
     /// Logical page number within the heap object.
     pub page: u64,

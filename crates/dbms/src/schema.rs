@@ -1,13 +1,13 @@
 //! Table schemas and fixed-layout record encoding.
 
-use serde::{Deserialize, Serialize};
+use flash_sim::codec::{put_bytes16, put_u16, put_u8, Reader};
 
 use crate::error::DbError;
 use crate::value::{Record, Value};
 use crate::Result;
 
 /// Column data types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnType {
     /// 64-bit signed integer (8 bytes on disk).
     Int,
@@ -28,7 +28,7 @@ impl ColumnType {
 }
 
 /// A table schema: ordered, named, typed columns.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     columns: Vec<(String, ColumnType)>,
 }
@@ -64,53 +64,39 @@ impl Schema {
         self.columns.iter().map(|(_, t)| t.encoded_len()).sum()
     }
 
-    /// Serialise the schema *definition* (column names and types) so the
+    /// Append the schema *definition* (column names and types) so the
     /// catalog can be checkpointed and rebuilt during crash recovery.
-    pub fn encode_def(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.columns.len() * 12);
-        out.extend_from_slice(&(self.columns.len() as u16).to_le_bytes());
+    pub fn encode_def(&self, out: &mut Vec<u8>) {
+        put_u16(out, self.columns.len() as u16);
         for (name, ty) in &self.columns {
-            out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
+            put_bytes16(out, name.as_bytes());
             match ty {
-                ColumnType::Int => out.push(0),
-                ColumnType::Float => out.push(1),
+                ColumnType::Int => put_u8(out, 0),
+                ColumnType::Float => put_u8(out, 1),
                 ColumnType::Str(n) => {
-                    out.push(2);
-                    out.extend_from_slice(&n.to_le_bytes());
+                    put_u8(out, 2);
+                    put_u16(out, *n);
                 }
             }
         }
-        out
     }
 
-    /// Decode a definition produced by [`Schema::encode_def`].  Returns
-    /// the schema and the number of bytes consumed; `None` on corruption.
-    pub fn decode_def(buf: &[u8]) -> Option<(Schema, usize)> {
-        let mut pos = 0usize;
-        let count = u16::from_le_bytes(buf.get(pos..pos + 2)?.try_into().ok()?) as usize;
-        pos += 2;
-        let mut columns = Vec::with_capacity(count);
-        for _ in 0..count {
-            let nlen = u16::from_le_bytes(buf.get(pos..pos + 2)?.try_into().ok()?) as usize;
-            pos += 2;
-            let name = String::from_utf8(buf.get(pos..pos + nlen)?.to_vec()).ok()?;
-            pos += nlen;
-            let tag = *buf.get(pos)?;
-            pos += 1;
-            let ty = match tag {
-                0 => ColumnType::Int,
-                1 => ColumnType::Float,
-                2 => {
-                    let n = u16::from_le_bytes(buf.get(pos..pos + 2)?.try_into().ok()?);
-                    pos += 2;
-                    ColumnType::Str(n)
-                }
-                _ => return None,
-            };
-            columns.push((name, ty));
-        }
-        Some((Schema { columns }, pos))
+    /// Read a definition written by [`Schema::encode_def`]; `None` on
+    /// corruption.
+    pub fn decode_def(r: &mut Reader<'_>) -> Option<Schema> {
+        let columns = (0..r.u16()?)
+            .map(|_| {
+                let name = r.str16()?.to_owned();
+                let ty = match r.u8()? {
+                    0 => ColumnType::Int,
+                    1 => ColumnType::Float,
+                    2 => ColumnType::Str(r.u16()?),
+                    _ => return None,
+                };
+                Some((name, ty))
+            })
+            .collect::<Option<_>>()?;
+        Some(Schema { columns })
     }
 
     /// Encode a record according to the schema.
@@ -251,6 +237,20 @@ mod tests {
             .encode(&vec![Value::Str("x".into()), Value::Float(0.0), Value::Str("y".into())])
             .is_err());
         assert!(s.decode(&[0u8; 3]).is_err());
+    }
+
+    #[test]
+    fn definition_roundtrip_and_rejection() {
+        let mut def = Vec::new();
+        schema().encode_def(&mut def);
+        assert_eq!(Schema::decode_def(&mut Reader::new(&def)), Some(schema()));
+        for n in 0..def.len() {
+            assert_eq!(Schema::decode_def(&mut Reader::new(&def[..n])), None, "prefix of {n}");
+        }
+        // The `balance` column's type tag (0/1/2) becomes 3.
+        let tag = 2 + (2 + 2) + 1 + (2 + 7);
+        def[tag] ^= 0x02;
+        assert_eq!(Schema::decode_def(&mut Reader::new(&def)), None);
     }
 
     #[test]

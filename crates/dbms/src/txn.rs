@@ -10,10 +10,9 @@
 //! occupancy timelines of the device, not from locking inside the engine.
 
 use flash_sim::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a finished transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnOutcome {
     /// Committed successfully.
     Committed,

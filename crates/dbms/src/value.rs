@@ -6,11 +6,10 @@
 //! record of a table the same size, so in-place updates never need to
 //! relocate a record — which matches how TPC-C updates behave.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single column value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// 64-bit signed integer.
     Int(i64),

@@ -28,6 +28,7 @@ use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 
+use flash_sim::codec::{put_bytes, put_u32, put_u64, put_u8, Reader};
 use flash_sim::{crc32, SimTime};
 use noftl_obs::{Histogram, Unit};
 
@@ -98,64 +99,47 @@ impl WalRecord {
         }
     }
 
-    fn encode_body(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
+    /// Append the record body: a tag byte, then the variant's fields.
+    fn encode_body(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::Note { txn, text } => {
-                out.push(1);
-                out.extend_from_slice(&txn.to_le_bytes());
-                out.extend_from_slice(&(text.len() as u32).to_le_bytes());
-                out.extend_from_slice(text.as_bytes());
+                put_u8(out, 1);
+                put_u64(out, *txn);
+                put_bytes(out, text.as_bytes());
             }
             WalRecord::PageImage { txn, obj, page, image } => {
-                out.push(2);
-                out.extend_from_slice(&txn.to_le_bytes());
-                out.extend_from_slice(&obj.to_le_bytes());
-                out.extend_from_slice(&page.to_le_bytes());
-                out.extend_from_slice(&(image.len() as u32).to_le_bytes());
-                out.extend_from_slice(image);
+                put_u8(out, 2);
+                put_u64(out, *txn);
+                put_u32(out, *obj);
+                put_u64(out, *page);
+                put_bytes(out, image);
             }
             WalRecord::Commit { txn } => {
-                out.push(3);
-                out.extend_from_slice(&txn.to_le_bytes());
+                put_u8(out, 3);
+                put_u64(out, *txn);
             }
             WalRecord::Rollback { txn } => {
-                out.push(4);
-                out.extend_from_slice(&txn.to_le_bytes());
+                put_u8(out, 4);
+                put_u64(out, *txn);
             }
-            WalRecord::Checkpoint => out.push(5),
+            WalRecord::Checkpoint => put_u8(out, 5),
         }
-        out
     }
 
-    fn decode_body(body: &[u8]) -> Option<WalRecord> {
-        let (&tag, rest) = body.split_first()?;
-        let u64_at = |b: &[u8], o: usize| -> Option<u64> {
-            Some(u64::from_le_bytes(b.get(o..o + 8)?.try_into().ok()?))
-        };
-        let u32_at = |b: &[u8], o: usize| -> Option<u32> {
-            Some(u32::from_le_bytes(b.get(o..o + 4)?.try_into().ok()?))
-        };
-        match tag {
-            1 => {
-                let txn = u64_at(rest, 0)?;
-                let len = u32_at(rest, 8)? as usize;
-                let text = String::from_utf8(rest.get(12..12 + len)?.to_vec()).ok()?;
-                Some(WalRecord::Note { txn, text })
-            }
-            2 => {
-                let txn = u64_at(rest, 0)?;
-                let obj = u32_at(rest, 8)?;
-                let page = u64_at(rest, 12)?;
-                let len = u32_at(rest, 20)? as usize;
-                let image = rest.get(24..24 + len)?.to_vec();
-                Some(WalRecord::PageImage { txn, obj, page, image })
-            }
-            3 => Some(WalRecord::Commit { txn: u64_at(rest, 0)? }),
-            4 => Some(WalRecord::Rollback { txn: u64_at(rest, 0)? }),
-            5 => Some(WalRecord::Checkpoint),
-            _ => None,
-        }
+    fn decode_body(r: &mut Reader<'_>) -> Option<WalRecord> {
+        Some(match r.u8()? {
+            1 => WalRecord::Note { txn: r.u64()?, text: r.str()?.to_owned() },
+            2 => WalRecord::PageImage {
+                txn: r.u64()?,
+                obj: r.u32()?,
+                page: r.u64()?,
+                image: r.bytes()?.to_vec(),
+            },
+            3 => WalRecord::Commit { txn: r.u64()? },
+            4 => WalRecord::Rollback { txn: r.u64()? },
+            5 => WalRecord::Checkpoint,
+            _ => return None,
+        })
     }
 }
 
@@ -167,7 +151,8 @@ struct WalInner {
     /// Payload of the current (partial) page; always shorter than
     /// `PAGE_CAP`.
     cur_payload: Vec<u8>,
-    /// Completed pages not yet forced to storage.
+    /// Completed pages not yet forced to storage (always empty for a
+    /// volatile log, which never writes a completed page).
     pending: Vec<(u64, Vec<u8>)>,
     /// First page of the current segment (everything before it has been
     /// freed by truncation).
@@ -179,6 +164,30 @@ struct WalInner {
     /// Pages freed by truncation over the log's lifetime (feeds the
     /// cumulative `pages` statistic now that page numbers are reused).
     pages_retired: u64,
+}
+
+impl WalInner {
+    /// Stream `bytes` into the current page, moving on to the next page
+    /// number whenever one fills up.  A full page is kept for the next
+    /// force only when `durable`; a volatile log reuses its buffer.
+    fn stream(&mut self, mut bytes: &[u8], durable: bool) {
+        while !bytes.is_empty() {
+            let take = (PAGE_CAP - self.cur_payload.len()).min(bytes.len());
+            let (head, rest) = bytes.split_at(take);
+            self.cur_payload.extend_from_slice(head);
+            bytes = rest;
+            if self.cur_payload.len() == PAGE_CAP {
+                if durable {
+                    let full =
+                        std::mem::replace(&mut self.cur_payload, Vec::with_capacity(PAGE_CAP));
+                    self.pending.push((self.cur_page, full));
+                } else {
+                    self.cur_payload.clear();
+                }
+                self.cur_page += 1;
+            }
+        }
+    }
 }
 
 /// Statistics of the log.
@@ -257,42 +266,26 @@ impl Wal {
         let lsn = inner.next_lsn;
         inner.next_lsn += 1;
         inner.records += 1;
-        let framed = if self.durable_spill {
+        let mut frame = Vec::new();
+        if self.durable_spill {
             // Frame: len:4 | crc:4 | lsn:8 | body.  `len` counts lsn + body.
-            let body = record.encode_body();
-            inner.appended_bytes += body.len() as u64;
-            let mut framed = Vec::with_capacity(16 + body.len());
-            framed.extend_from_slice(&((8 + body.len()) as u32).to_le_bytes());
-            let mut checked = Vec::with_capacity(8 + body.len());
-            checked.extend_from_slice(&lsn.to_le_bytes());
-            checked.extend_from_slice(&body);
-            framed.extend_from_slice(&crc32(&checked).to_le_bytes());
-            framed.extend_from_slice(&checked);
-            framed
+            let mut checked = Vec::with_capacity(32);
+            put_u64(&mut checked, lsn);
+            record.encode_body(&mut checked);
+            inner.appended_bytes += checked.len() as u64 - 8;
+            frame.reserve_exact(8 + checked.len());
+            put_u32(&mut frame, checked.len() as u32);
+            put_u32(&mut frame, crc32(&checked));
+            frame.extend_from_slice(&checked);
         } else {
             // Volatile log: the original engine's compact length-prefixed
             // text records (pure I/O ballast; never scanned back).
             let text = record.legacy_text();
             inner.appended_bytes += text.len() as u64;
-            let mut framed = Vec::with_capacity(4 + text.len());
-            framed.extend_from_slice(&(text.len() as u32).to_le_bytes());
-            framed.extend_from_slice(text.as_bytes());
-            framed
-        };
-        // Stream the frame into pages, spilling as they fill up.
-        let mut rest = framed.as_slice();
-        while !rest.is_empty() {
-            let room = PAGE_CAP - inner.cur_payload.len();
-            let take = room.min(rest.len());
-            inner.cur_payload.extend_from_slice(&rest[..take]);
-            rest = &rest[take..];
-            if inner.cur_payload.len() == PAGE_CAP {
-                let page_no = inner.cur_page;
-                let full = std::mem::replace(&mut inner.cur_payload, Vec::with_capacity(PAGE_CAP));
-                inner.pending.push((page_no, full));
-                inner.cur_page += 1;
-            }
+            frame.reserve_exact(4 + text.len());
+            put_bytes(&mut frame, text.as_bytes());
         }
+        inner.stream(&frame, self.durable_spill);
         lsn
     }
 
@@ -301,36 +294,31 @@ impl Wal {
         self.append(&WalRecord::Note { txn, text: text.into() })
     }
 
+    /// Frame a payload as log page `page_no`: the `WALP` header
+    /// (magic:4 | page_no:8 | used:4 | crc:4 | reserved:4), the payload,
+    /// zero padding.
     fn seal(page_no: u64, payload: &[u8]) -> Vec<u8> {
         debug_assert!(payload.len() <= PAGE_CAP);
-        let mut page = vec![0u8; PAGE_SIZE];
-        page[0..4].copy_from_slice(&PAGE_MAGIC.to_le_bytes());
-        page[4..12].copy_from_slice(&page_no.to_le_bytes());
-        page[12..16].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        page[16..20].copy_from_slice(&crc32(payload).to_le_bytes());
-        page[PAGE_HEADER..PAGE_HEADER + payload.len()].copy_from_slice(payload);
+        let mut page = Vec::with_capacity(PAGE_SIZE);
+        put_u32(&mut page, PAGE_MAGIC);
+        put_u64(&mut page, page_no);
+        put_u32(&mut page, payload.len() as u32);
+        put_u32(&mut page, crc32(payload));
+        put_u32(&mut page, 0);
+        page.extend_from_slice(payload);
+        page.resize(PAGE_SIZE, 0);
         page
     }
 
-    fn unseal(page_no: u64, page: &[u8]) -> Option<Vec<u8>> {
-        if page.len() < PAGE_HEADER {
+    /// The payload of log page `page_no`; `None` unless it is an intact
+    /// page of that number.
+    fn unseal(page_no: u64, page: &[u8]) -> Option<&[u8]> {
+        let mut r = Reader::new(page);
+        if r.u32()? != PAGE_MAGIC || r.u64()? != page_no {
             return None;
         }
-        if u32::from_le_bytes(page[0..4].try_into().ok()?) != PAGE_MAGIC {
-            return None;
-        }
-        if u64::from_le_bytes(page[4..12].try_into().ok()?) != page_no {
-            return None;
-        }
-        let used = u32::from_le_bytes(page[12..16].try_into().ok()?) as usize;
-        if PAGE_HEADER + used > page.len() {
-            return None;
-        }
-        let payload = &page[PAGE_HEADER..PAGE_HEADER + used];
-        if crc32(payload) != u32::from_le_bytes(page[16..20].try_into().ok()?) {
-            return None;
-        }
-        Some(payload.to_vec())
+        let (used, crc, _reserved) = (r.u32()?, r.u32()?, r.u32()?);
+        r.take(used as usize).filter(|payload| crc32(payload) == crc)
     }
 
     /// Force every unforced log page to storage (the durability point of
@@ -342,12 +330,9 @@ impl Wal {
         let mut inner = self.inner.lock();
         inner.forces += 1;
         let pending = std::mem::take(&mut inner.pending);
-        let mut batch: Vec<(crate::storage::ObjectId, u64, Vec<u8>)> =
-            Vec::with_capacity(pending.len() + 1);
-        if self.durable_spill {
-            for (page_no, payload) in &pending {
-                batch.push((self.obj, *page_no, Self::seal(*page_no, payload)));
-            }
+        let mut batch = Vec::with_capacity(pending.len() + 1);
+        for (page_no, payload) in pending {
+            batch.push((self.obj, page_no, Self::seal(page_no, &payload)));
         }
         batch.push((self.obj, inner.cur_page, Self::seal(inner.cur_page, &inner.cur_payload)));
         let done = backend.write_batch(&batch, now)?;
@@ -437,44 +422,31 @@ impl Wal {
         let mut stream = Vec::new();
         let mut in_run = false;
         for page_no in 0..extent {
-            let payload = match backend.read_page(obj, page_no, at) {
-                Ok((bytes, t)) => {
-                    now = now.max(t);
-                    Self::unseal(page_no, &bytes)
-                }
-                Err(_) => None,
-            };
-            match payload {
-                Some(p) => {
+            let read = backend.read_page(obj, page_no, at).ok();
+            if let Some((_, t)) = &read {
+                now = now.max(*t);
+            }
+            match read.as_ref().and_then(|(bytes, _)| Self::unseal(page_no, bytes)) {
+                Some(payload) => {
                     in_run = true;
-                    stream.extend_from_slice(&p);
+                    stream.extend_from_slice(payload);
                 }
                 None if in_run => break, // torn tail
                 None => continue,        // truncated prefix
             }
         }
-        // Parse records until the stream runs dry or a frame fails its CRC.
-        let mut records = Vec::new();
-        let mut pos = 0usize;
-        while pos + 8 <= stream.len() {
-            let len =
-                u32::from_le_bytes(stream[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            if len < 8 || pos + 8 + len > stream.len() {
-                break;
-            }
-            let crc = u32::from_le_bytes(stream[pos + 4..pos + 8].try_into().expect("4 bytes"));
-            let checked = &stream[pos + 8..pos + 8 + len];
-            if crc32(checked) != crc {
-                break;
-            }
-            let lsn = u64::from_le_bytes(checked[..8].try_into().expect("8 bytes"));
-            let Some(record) = WalRecord::decode_body(&checked[8..]) else {
-                break;
-            };
-            records.push((lsn, record));
-            pos += 8 + len;
-        }
+        let mut r = Reader::new(&stream);
+        let records = std::iter::from_fn(|| Self::frame(&mut r)).collect();
         Ok((records, now))
+    }
+
+    /// The next record of a log stream: `None` where the stream runs dry
+    /// or at the first frame that is short, fails its CRC or does not
+    /// decode.
+    fn frame(r: &mut Reader<'_>) -> Option<(Lsn, WalRecord)> {
+        let (len, crc) = (r.u32()?, r.u32()?);
+        let mut checked = Reader::new(r.take(len as usize).filter(|c| crc32(c) == crc)?);
+        Some((checked.u64()?, WalRecord::decode_body(&mut checked)?))
     }
 }
 
@@ -595,10 +567,65 @@ mod tests {
 
     #[test]
     fn record_codec_rejects_garbage() {
-        assert!(WalRecord::decode_body(&[]).is_none());
-        assert!(WalRecord::decode_body(&[9, 0, 0]).is_none());
-        assert!(WalRecord::decode_body(&[2, 1]).is_none());
-        let body = WalRecord::Checkpoint.encode_body();
-        assert_eq!(WalRecord::decode_body(&body), Some(WalRecord::Checkpoint));
+        let decode = |bytes: &[u8]| WalRecord::decode_body(&mut Reader::new(bytes));
+        assert!(decode(&[9, 0, 0]).is_none());
+        let records = [
+            WalRecord::Note { txn: 7, text: "INSERT t 3:12".into() },
+            WalRecord::PageImage { txn: 7, obj: 3, page: 17, image: vec![0xA5; 40] },
+            WalRecord::Commit { txn: 7 },
+            WalRecord::Rollback { txn: 8 },
+            WalRecord::Checkpoint,
+        ];
+        for record in records {
+            let mut body = Vec::new();
+            record.encode_body(&mut body);
+            assert_eq!(decode(&body), Some(record.clone()));
+            for n in 0..body.len() {
+                assert_eq!(decode(&body[..n]), None, "{record:?}: prefix of {n} bytes");
+            }
+            body[0] ^= 0x08;
+            assert_eq!(decode(&body), None, "{record:?}: flipped tag");
+        }
+    }
+
+    #[test]
+    fn torn_pages_and_frames_end_the_log() {
+        let payload = b"frames".to_vec();
+        let page = Wal::seal(4, &payload);
+        assert_eq!(Wal::unseal(4, &page), Some(&payload[..]));
+        assert_eq!(Wal::unseal(5, &page), None, "another page number");
+        for n in 0..PAGE_HEADER + payload.len() {
+            assert_eq!(Wal::unseal(4, &page[..n]), None, "page prefix of {n} bytes");
+        }
+        let mut flipped = page.clone();
+        flipped[PAGE_HEADER] ^= 0x01;
+        assert_eq!(Wal::unseal(4, &flipped), None, "payload fails its CRC");
+
+        let wal = Wal::new(1);
+        wal.append(&WalRecord::Commit { txn: 3 });
+        let stream = wal.inner.lock().cur_payload.clone();
+        assert_eq!(Wal::frame(&mut Reader::new(&stream)), Some((1, WalRecord::Commit { txn: 3 })));
+        for n in 0..stream.len() {
+            assert_eq!(Wal::frame(&mut Reader::new(&stream[..n])), None, "frame prefix of {n}");
+        }
+        let mut flipped = stream.clone();
+        flipped[8] ^= 0x01;
+        assert_eq!(Wal::frame(&mut Reader::new(&flipped)), None, "lsn fails the frame CRC");
+    }
+
+    #[test]
+    fn a_volatile_log_spills_by_page_number_and_writes_only_the_tail() {
+        let backend = backend();
+        let obj = backend.create_object("log").unwrap();
+        let wal = Wal::new(obj).with_durable_spill(false);
+        for i in 0..300u64 {
+            wal.append_note(i, format!("INSERT t {i}:0"));
+        }
+        assert_eq!(wal.stats().segment_pages, 2, "the notes spilled into a second page");
+        assert!(wal.inner.lock().pending.is_empty(), "a volatile log keeps no full page");
+        let programs = |b: &NoFtlBackend| b.noftl().device().stats().page_programs;
+        let before = programs(&backend);
+        wal.force(&*backend, SimTime::ZERO).unwrap();
+        assert_eq!(programs(&backend) - before, 1, "one force, one page: the current one");
     }
 }

@@ -5,11 +5,10 @@
 //! `Copy` newtypes so they can be passed around freely and stored in
 //! mapping tables.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Global die index (0-based across the whole device).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DieId(pub u32);
 
 impl fmt::Display for DieId {
@@ -19,7 +18,7 @@ impl fmt::Display for DieId {
 }
 
 /// A plane within a specific die.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PlaneAddr {
     /// Owning die.
     pub die: DieId,
@@ -41,7 +40,7 @@ impl fmt::Display for PlaneAddr {
 }
 
 /// Physical address of an erase block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockAddr {
     /// Owning die.
     pub die: DieId,
@@ -75,7 +74,7 @@ impl fmt::Display for BlockAddr {
 }
 
 /// Physical address of a flash page (the unit of read/program).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageAddr {
     /// Owning die.
     pub die: DieId,

@@ -26,8 +26,6 @@
 //! rule, see the `die` module).  With the arbiter disabled every tag is
 //! ignored and scheduling is byte-identical to the untagged path.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// Priority class of one submitted flash command.
@@ -37,9 +35,7 @@ use crate::time::SimTime;
 /// manager-wide default) and overrides it for maintenance I/O (GC
 /// relocation, compaction merges, rebuild copies are `Background`
 /// regardless of the region's class).
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ServiceClass {
     /// Tail-latency sensitive (OLTP point I/O): never metered.
     Latency,

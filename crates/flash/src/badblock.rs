@@ -9,10 +9,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Policy describing initial bad blocks and endurance limits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BadBlockPolicy {
     /// Fraction of blocks that are factory-bad (typically ≤ 2 %).
     pub factory_bad_fraction: f64,

@@ -5,12 +5,10 @@
 //! block therefore behaves like an append-only log segment, which is what
 //! forces out-of-place updates at the layers above.
 
-use serde::{Deserialize, Serialize};
-
 use crate::metadata::PageMetadata;
 
 /// Lifecycle state of a single flash page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageState {
     /// Erased and programmable.
     Free,
@@ -22,7 +20,7 @@ pub enum PageState {
 }
 
 /// Lifecycle state of an erase block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockState {
     /// Fully erased; no page programmed yet.
     Free,
@@ -154,7 +152,7 @@ impl Block {
 /// Read-only snapshot of a block's state, exposed to flash management
 /// layers (the NoFTL storage manager and the FTL) for victim selection,
 /// wear leveling and free-space accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockInfo {
     /// Lifecycle state.
     pub state: BlockState,

@@ -10,15 +10,13 @@
 //! channels; [`FlashGeometry::edbt_paper`] reproduces that layout with a
 //! capacity scaled to simulation-friendly sizes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::{BlockAddr, DieId, PageAddr};
 
 /// Static description of the flash device layout.
 ///
 /// All counts are per parent unit (e.g. `dies_per_chip` is the number of
 /// dies on each chip).  The geometry is immutable once the device is built.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlashGeometry {
     /// Number of independent data channels connecting the controller to the
     /// flash packages.  Transfers on different channels proceed in parallel.

@@ -8,16 +8,15 @@
 //! the cut instant, "reboots" by round-tripping it through an image, and
 //! hands the reborn device to `NoFtl::mount` for recovery.
 //!
-//! The format is hand-rolled little-endian (the workspace's `serde` is an
-//! offline marker stub with no serialisers) and ends with a CRC-32 over
-//! the entire payload, so truncated or corrupted image files are rejected
-//! instead of silently producing a half-restored device.
+//! The format is written and read with [`crate::codec`] and sealed by a
+//! CRC-32 over the entire payload, so truncated or corrupted image files
+//! are rejected instead of silently producing a half-restored device.
 
 use std::io::{Read, Write};
 use std::path::Path;
 
 use crate::block::{BlockSnapshot, BlockState, PageState};
-use crate::crc::crc32;
+use crate::codec::{open, put_opt, put_u32, put_u64, put_u8, seal, Reader};
 use crate::device::DeviceSnapshot;
 use crate::error::FlashError;
 use crate::geometry::FlashGeometry;
@@ -34,48 +33,6 @@ fn err(message: impl Into<String>) -> FlashError {
     FlashError::Image { message: message.into() }
 }
 
-// ---------------------------------------------------------------------
-// Little-endian writer/reader helpers
-// ---------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(err("image truncated"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        // analyzer:allow(panic_freedom) take(4) returned exactly 4 bytes, so the fixed-array conversion cannot fail
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        // analyzer:allow(panic_freedom) take(8) returned exactly 8 bytes, so the fixed-array conversion cannot fail
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-}
-
 fn block_state_tag(s: BlockState) -> u8 {
     match s {
         BlockState::Free => 0,
@@ -85,13 +42,13 @@ fn block_state_tag(s: BlockState) -> u8 {
     }
 }
 
-fn block_state_from(tag: u8) -> Result<BlockState> {
-    Ok(match tag {
+fn block_state_from(tag: u8) -> Option<BlockState> {
+    Some(match tag {
         0 => BlockState::Free,
         1 => BlockState::Open,
         2 => BlockState::Full,
         3 => BlockState::Bad,
-        t => return Err(err(format!("unknown block state tag {t}"))),
+        _ => return None,
     })
 }
 
@@ -103,219 +60,168 @@ fn page_state_tag(s: PageState) -> u8 {
     }
 }
 
-fn page_state_from(tag: u8) -> Result<PageState> {
-    Ok(match tag {
+fn page_state_from(tag: u8) -> Option<PageState> {
+    Some(match tag {
         0 => PageState::Free,
         1 => PageState::Valid,
         2 => PageState::Invalid,
-        t => return Err(err(format!("unknown page state tag {t}"))),
+        _ => return None,
     })
 }
-
-// ---------------------------------------------------------------------
-// Encode / decode
-// ---------------------------------------------------------------------
 
 impl DeviceSnapshot {
     /// Serialise the snapshot into the binary image format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1024 + self.blocks.len() * 64);
-        out.extend_from_slice(MAGIC);
-        let g = &self.geometry;
-        for v in [
-            g.channels,
-            g.chips_per_channel,
-            g.dies_per_chip,
-            g.planes_per_die,
-            g.blocks_per_plane,
-            g.pages_per_block,
-            g.page_size,
-            g.oob_size,
-        ] {
-            put_u32(&mut out, v);
-        }
-        put_u64(&mut out, self.epoch);
-        out.push(u8::from(self.store_data));
-        put_u64(&mut out, self.endurance);
-        let s = &self.stats;
-        for v in [
-            s.page_reads,
-            s.page_programs,
-            s.block_erases,
-            s.copybacks,
-            s.metadata_reads,
-            s.bytes_transferred,
-            s.read_latency_sum.0,
-            s.program_latency_sum.0,
-            s.erase_latency_sum.0,
-            s.copyback_latency_sum.0,
-            s.errors,
-            s.queue_depth_hwm,
-        ] {
-            put_u64(&mut out, v);
-        }
-        put_u32(&mut out, self.die_stats.len() as u32);
-        for d in &self.die_stats {
-            put_u64(&mut out, d.ops);
-            put_u64(&mut out, d.busy_time.0);
-            put_u64(&mut out, d.total_erases);
-            put_u64(&mut out, d.max_erase_count);
-            put_u32(&mut out, d.queue_depth_hwm);
-        }
-        put_u32(&mut out, self.blocks.len() as u32);
-        for b in &self.blocks {
-            out.push(block_state_tag(b.state));
-            put_u32(&mut out, b.write_ptr);
-            put_u64(&mut out, b.erase_count);
-            put_u32(&mut out, b.valid_pages);
-            put_u32(&mut out, b.pages.len() as u32);
-            for p in &b.pages {
-                out.push(page_state_tag(*p));
+        seal(MAGIC, 1024 + self.blocks.len() * 64, |out| {
+            let g = &self.geometry;
+            for v in [
+                g.channels,
+                g.chips_per_channel,
+                g.dies_per_chip,
+                g.planes_per_die,
+                g.blocks_per_plane,
+                g.pages_per_block,
+                g.page_size,
+                g.oob_size,
+            ] {
+                put_u32(out, v);
             }
-            for m in &b.meta {
-                match m {
-                    Some(m) => {
-                        out.push(1);
-                        out.extend_from_slice(&m.encode());
-                    }
-                    None => out.push(0),
+            put_u64(out, self.epoch);
+            put_u8(out, u8::from(self.store_data));
+            put_u64(out, self.endurance);
+            let s = &self.stats;
+            for v in [
+                s.page_reads,
+                s.page_programs,
+                s.block_erases,
+                s.copybacks,
+                s.metadata_reads,
+                s.bytes_transferred,
+                s.read_latency_sum.0,
+                s.program_latency_sum.0,
+                s.erase_latency_sum.0,
+                s.copyback_latency_sum.0,
+                s.errors,
+                s.queue_depth_hwm,
+            ] {
+                put_u64(out, v);
+            }
+            put_u32(out, self.die_stats.len() as u32);
+            for d in &self.die_stats {
+                put_u64(out, d.ops);
+                put_u64(out, d.busy_time.0);
+                put_u64(out, d.total_erases);
+                put_u64(out, d.max_erase_count);
+                put_u32(out, d.queue_depth_hwm);
+            }
+            put_u32(out, self.blocks.len() as u32);
+            for b in &self.blocks {
+                put_u8(out, block_state_tag(b.state));
+                put_u32(out, b.write_ptr);
+                put_u64(out, b.erase_count);
+                put_u32(out, b.valid_pages);
+                put_u32(out, b.pages.len() as u32);
+                for p in &b.pages {
+                    put_u8(out, page_state_tag(*p));
                 }
-            }
-            match &b.data {
-                Some(data) => {
-                    out.push(1);
-                    put_u64(&mut out, data.len() as u64);
+                for m in &b.meta {
+                    put_opt(out, m.as_ref(), |out, m| out.extend_from_slice(&m.encode()));
+                }
+                put_opt(out, b.data.as_deref(), |out, data| {
+                    put_u64(out, data.len() as u64);
                     out.extend_from_slice(data);
-                }
-                None => out.push(0),
+                });
             }
-        }
-        let crc = crc32(&out);
-        put_u32(&mut out, crc);
-        out
+        })
     }
 
     /// Decode an image produced by [`DeviceSnapshot::encode`].  The wear
     /// summary is recomputed from the decoded blocks.
     pub fn decode(buf: &[u8]) -> Result<DeviceSnapshot> {
-        if buf.len() < MAGIC.len() + 4 {
-            return Err(err("image too short"));
-        }
-        let (body, crc_bytes) = buf.split_at(buf.len() - 4);
-        // analyzer:allow(panic_freedom) split_at(len - 4) yields exactly 4 trailing bytes, so the fixed-array conversion cannot fail
-        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        if crc32(body) != stored {
-            return Err(err("image checksum mismatch (corrupted or truncated file)"));
-        }
-        let mut c = Cursor { buf: body, pos: 0 };
-        if c.take(MAGIC.len())? != MAGIC {
-            return Err(err("bad image magic"));
-        }
+        let mut r = open(buf, MAGIC)
+            .ok_or_else(|| err("not an intact NFLIMG02 image (truncated or corrupted file)"))?;
+        Self::decode_body(&mut r).ok_or_else(|| err("image payload does not match its geometry"))
+    }
+
+    fn decode_body(r: &mut Reader<'_>) -> Option<DeviceSnapshot> {
         let geometry = FlashGeometry {
-            channels: c.u32()?,
-            chips_per_channel: c.u32()?,
-            dies_per_chip: c.u32()?,
-            planes_per_die: c.u32()?,
-            blocks_per_plane: c.u32()?,
-            pages_per_block: c.u32()?,
-            page_size: c.u32()?,
-            oob_size: c.u32()?,
+            channels: r.u32()?,
+            chips_per_channel: r.u32()?,
+            dies_per_chip: r.u32()?,
+            planes_per_die: r.u32()?,
+            blocks_per_plane: r.u32()?,
+            pages_per_block: r.u32()?,
+            page_size: r.u32()?,
+            oob_size: r.u32()?,
         };
-        let epoch = c.u64()?;
-        let store_data = c.u8()? != 0;
-        let endurance = c.u64()?;
+        let epoch = r.u64()?;
+        let store_data = r.u8()? != 0;
+        let endurance = r.u64()?;
         let stats = DeviceStats {
-            page_reads: c.u64()?,
-            page_programs: c.u64()?,
-            block_erases: c.u64()?,
-            copybacks: c.u64()?,
-            metadata_reads: c.u64()?,
-            bytes_transferred: c.u64()?,
-            read_latency_sum: Duration(c.u64()?),
-            program_latency_sum: Duration(c.u64()?),
-            erase_latency_sum: Duration(c.u64()?),
-            copyback_latency_sum: Duration(c.u64()?),
-            errors: c.u64()?,
-            queue_depth_hwm: c.u64()?,
+            page_reads: r.u64()?,
+            page_programs: r.u64()?,
+            block_erases: r.u64()?,
+            copybacks: r.u64()?,
+            metadata_reads: r.u64()?,
+            bytes_transferred: r.u64()?,
+            read_latency_sum: Duration(r.u64()?),
+            program_latency_sum: Duration(r.u64()?),
+            erase_latency_sum: Duration(r.u64()?),
+            copyback_latency_sum: Duration(r.u64()?),
+            errors: r.u64()?,
+            queue_depth_hwm: r.u64()?,
         };
-        let die_count = c.u32()? as usize;
-        if die_count > 1 << 20 {
-            return Err(err("implausible die count"));
+        let die_stats = (0..r.u32()?)
+            .map(|_| {
+                Some(DieStats {
+                    ops: r.u64()?,
+                    busy_time: Duration(r.u64()?),
+                    total_erases: r.u64()?,
+                    max_erase_count: r.u64()?,
+                    queue_depth_hwm: r.u32()?,
+                })
+            })
+            .collect::<Option<_>>()?;
+        let block_count = r.u32()?;
+        if u64::from(block_count) != geometry.total_blocks() {
+            return None;
         }
-        let mut die_stats = Vec::with_capacity(die_count);
-        for _ in 0..die_count {
-            die_stats.push(DieStats {
-                ops: c.u64()?,
-                busy_time: Duration(c.u64()?),
-                total_erases: c.u64()?,
-                max_erase_count: c.u64()?,
-                queue_depth_hwm: c.u32()?,
-            });
-        }
-        let block_count = c.u32()? as usize;
-        if block_count as u64 != geometry.total_blocks() {
-            return Err(err("block count does not match geometry"));
-        }
-        let mut blocks = Vec::with_capacity(block_count);
-        for _ in 0..block_count {
-            let state = block_state_from(c.u8()?)?;
-            let write_ptr = c.u32()?;
-            let erase_count = c.u64()?;
-            let valid_pages = c.u32()?;
-            let page_count = c.u32()? as usize;
-            if page_count != geometry.pages_per_block as usize {
-                return Err(err("page count does not match geometry"));
-            }
-            let mut pages = Vec::with_capacity(page_count);
-            for _ in 0..page_count {
-                pages.push(page_state_from(c.u8()?)?);
-            }
-            let mut meta = Vec::with_capacity(page_count);
-            for _ in 0..page_count {
-                meta.push(if c.u8()? != 0 {
-                    Some(
-                        PageMetadata::decode(c.take(PageMetadata::ENCODED_LEN)?)
-                            .ok_or_else(|| err("bad page metadata"))?,
-                    )
-                } else {
-                    None
-                });
-            }
-            let data = if c.u8()? != 0 {
-                let len = c.u64()? as usize;
-                let expected = page_count * geometry.page_size as usize;
-                if len != expected {
-                    return Err(err("block data length does not match geometry"));
+        let page_count = geometry.pages_per_block;
+        let data_len = u64::from(page_count) * u64::from(geometry.page_size);
+        let blocks: Vec<BlockSnapshot> = (0..block_count)
+            .map(|_| {
+                let state = block_state_from(r.u8()?)?;
+                let (write_ptr, erase_count, valid_pages) = (r.u32()?, r.u64()?, r.u32()?);
+                if r.u32()? != page_count {
+                    return None;
                 }
-                Some(c.take(len)?.to_vec())
-            } else {
-                None
-            };
-            blocks.push(BlockSnapshot {
-                state,
-                write_ptr,
-                erase_count,
-                pages,
-                meta,
-                data,
-                valid_pages,
-            });
+                let pages =
+                    (0..page_count).map(|_| page_state_from(r.u8()?)).collect::<Option<_>>()?;
+                let meta = (0..page_count)
+                    .map(|_| r.opt(|r| PageMetadata::decode(r.take(PageMetadata::ENCODED_LEN)?)))
+                    .collect::<Option<_>>()?;
+                let data = r.opt(|r| {
+                    let len = r.u64().filter(|len| *len == data_len)?;
+                    r.take(len as usize).map(<[u8]>::to_vec)
+                })?;
+                Some(BlockSnapshot {
+                    state,
+                    write_ptr,
+                    erase_count,
+                    pages,
+                    meta,
+                    data,
+                    valid_pages,
+                })
+            })
+            .collect::<Option<_>>()?;
+        if !r.rest().is_empty() {
+            return None;
         }
-        if c.pos != body.len() {
-            return Err(err("trailing bytes after image payload"));
-        }
-        let mut bad = 0u64;
-        let wear = WearSummary::from_counts(
-            blocks.iter().map(|b| {
-                if b.state == BlockState::Bad {
-                    bad += 1;
-                }
-                b.erase_count
-            }),
-            0,
-        );
+        let bad = blocks.iter().filter(|b| b.state == BlockState::Bad).count() as u64;
+        let wear = WearSummary::from_counts(blocks.iter().map(|b| b.erase_count), 0);
         let wear = WearSummary { bad_blocks: bad, ..wear };
-        Ok(DeviceSnapshot {
+        Some(DeviceSnapshot {
             stats,
             die_stats,
             wear,
@@ -392,6 +298,33 @@ mod tests {
         bytes.truncate(bytes.len() / 2);
         assert!(DeviceSnapshot::decode(&bytes).is_err());
         assert!(DeviceSnapshot::decode(&[]).is_err());
+    }
+
+    #[test]
+    fn every_strict_prefix_and_a_flipped_byte_are_rejected() {
+        let geometry = FlashGeometry {
+            blocks_per_plane: 2,
+            pages_per_block: 4,
+            page_size: 512,
+            ..FlashGeometry::small_test()
+        };
+        let d = DeviceBuilder::new(geometry).build();
+        let addr = crate::PageAddr::new(crate::DieId(1), 0, 1, 0);
+        d.program_page(addr, &[7; 512], PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
+        let image = d.snapshot().encode();
+        assert_eq!(DeviceSnapshot::decode(&image).unwrap().blocks, d.snapshot().blocks);
+        for n in 0..image.len() {
+            assert!(DeviceSnapshot::decode(&image[..n]).is_err(), "prefix of {n} bytes");
+        }
+        // Below the CRC: every bound of the body is checked on its own.
+        let body = &image[MAGIC.len()..image.len() - 4];
+        for n in 0..body.len() {
+            let decoded = DeviceSnapshot::decode_body(&mut Reader::new(&body[..n]));
+            assert!(decoded.is_none(), "body prefix of {n} bytes");
+        }
+        let mut flipped = image.clone();
+        flipped[MAGIC.len()] ^= 0x01;
+        assert!(DeviceSnapshot::decode(&flipped).is_err());
     }
 
     #[test]

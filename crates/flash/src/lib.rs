@@ -54,6 +54,16 @@
 //! (out-of-place updates are mandatory), and erases operate on whole blocks
 //! and wear them out.
 //!
+//! ## Persistent formats
+//!
+//! [`codec`] is the byte codec of every streamed on-flash format in the
+//! workspace: little-endian `put_*` writers, the bounds-checked
+//! [`codec::Reader`] that answers `None` instead of panicking on a torn
+//! buffer, and the magic + CRC-32 [`codec::seal`] / [`codec::open`] of
+//! the device image ([`image`]), the NoFTL checkpoint blob and the mirror
+//! blob.  The fixed 24-byte OOB record ([`PageMetadata`]) is not streamed
+//! and keeps its own fixed-offset encoding.
+//!
 //! ## What this substitutes for
 //!
 //! The paper evaluates on a real native-flash board with 64 dies.  We do
@@ -71,6 +81,7 @@ pub mod arbiter;
 pub mod backend;
 pub mod badblock;
 pub mod block;
+pub mod codec;
 pub mod command;
 pub mod crc;
 pub mod device;

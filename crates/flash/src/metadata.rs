@@ -8,14 +8,12 @@
 //! disambiguate stale copies after a crash and to drive hot/cold
 //! statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a database object (table heap, index, log, catalog...)
 /// as assigned by the storage manager.  `0` is reserved for "no object".
 pub type ObjectId = u32;
 
 /// Out-of-band metadata stored alongside a flash page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PageMetadata {
     /// The database object the page belongs to.
     pub object_id: ObjectId,

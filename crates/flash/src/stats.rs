@@ -4,13 +4,11 @@
 //! and GC ERASEs plus latency figures; everything needed to regenerate
 //! that table comes from these counters.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::Duration;
 use crate::trace::OpKind;
 
 /// Aggregate operation counters and timing accumulators for the device.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeviceStats {
     /// Number of page reads.
     pub page_reads: u64,
@@ -126,7 +124,7 @@ impl DeviceStats {
 }
 
 /// Per-die utilisation statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DieStats {
     /// Total array operations executed by this die.
     pub ops: u64,
@@ -143,7 +141,7 @@ pub struct DieStats {
 
 /// Summary of wear distribution over the device, used to evaluate the
 /// longevity claims of the paper (fewer erases, more even wear).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WearSummary {
     /// Total erases performed over the device lifetime.
     pub total_erases: u64,

@@ -6,12 +6,10 @@
 //! preserve the *ratios* the evaluation depends on (program ≫ read,
 //! erase ≫ program, copyback cheaper than read+transfer+program).
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::Duration;
 
 /// Latency parameters of the simulated NAND device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingModel {
     /// Array read time (tR): cell array -> page register, in microseconds.
     pub read_page_us: f64,

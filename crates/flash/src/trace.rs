@@ -4,14 +4,13 @@
 //! debugging flash-management layers and for the examples that visualise
 //! what the device is doing.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 use crate::addr::PageAddr;
 use crate::time::{Duration, SimTime};
 
 /// Kind of a traced flash command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
     /// Page read (array read + channel transfer out).
     Read,
@@ -26,7 +25,7 @@ pub enum OpKind {
 }
 
 /// A single traced flash command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlashOp {
     /// Command kind.
     pub kind: OpKind,

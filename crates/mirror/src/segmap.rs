@@ -14,7 +14,7 @@
 //! — the mandated fail-safe direction.
 
 use crate::health::ChildHealth;
-use flash_sim::crc32;
+use flash_sim::codec::{open, put_u32, put_u64, put_u8, seal, Reader};
 
 /// Magic prefix of the persisted mirror blob.
 pub const BLOB_MAGIC: &[u8; 8] = b"NFMIRR01";
@@ -111,23 +111,20 @@ impl SegmentMap {
     }
 
     fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.segments.to_le_bytes());
-        out.extend_from_slice(&(self.words.len() as u32).to_le_bytes());
+        put_u64(out, self.segments);
+        put_u32(out, self.words.len() as u32);
         for w in &self.words {
-            out.extend_from_slice(&w.to_le_bytes());
+            put_u64(out, *w);
         }
     }
 
-    fn decode_from(c: &mut Cursor<'_>) -> Option<SegmentMap> {
-        let segments = c.u64()?;
-        let word_count = c.u32()? as usize;
-        if word_count != segments.div_ceil(64) as usize {
+    fn decode_from(r: &mut Reader<'_>) -> Option<SegmentMap> {
+        let segments = r.u64()?;
+        let word_count = r.u32()?;
+        if u64::from(word_count) != segments.div_ceil(64) {
             return None;
         }
-        let mut words = Vec::with_capacity(word_count);
-        for _ in 0..word_count {
-            words.push(c.u64()?);
-        }
+        let words: Vec<u64> = (0..word_count).map(|_| r.u64()).collect::<Option<_>>()?;
         // Bits beyond `segments` must be zero or the blob is corrupt.
         if segments % 64 != 0 {
             if let Some(last) = words.last() {
@@ -164,71 +161,29 @@ pub struct MirrorBlob {
 impl MirrorBlob {
     /// Serialise: magic | watermark | child count | children | crc32.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(BLOB_MAGIC);
-        out.extend_from_slice(&self.watermark.to_le_bytes());
-        out.extend_from_slice(&(self.children.len() as u32).to_le_bytes());
-        for child in &self.children {
-            out.push(child.health.encode());
-            child.dirty.encode_into(&mut out);
-        }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        seal(BLOB_MAGIC, 0, |out| {
+            put_u64(out, self.watermark);
+            put_u32(out, self.children.len() as u32);
+            for child in &self.children {
+                put_u8(out, child.health.encode());
+                child.dirty.encode_into(out);
+            }
+        })
     }
 
     /// Decode a blob produced by [`MirrorBlob::encode`].  Any framing,
     /// length or checksum mismatch yields `None` — the caller must then
     /// assume every non-source child is entirely stale.
     pub fn decode(buf: &[u8]) -> Option<MirrorBlob> {
-        if buf.len() < BLOB_MAGIC.len() + 4 || &buf[..BLOB_MAGIC.len()] != BLOB_MAGIC {
-            return None;
-        }
-        let (body, crc_bytes) = buf.split_at(buf.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().ok()?);
-        if crc32(body) != stored {
-            return None;
-        }
-        let mut c = Cursor { buf: &body[BLOB_MAGIC.len()..] };
-        let watermark = c.u64()?;
-        let count = c.u32()? as usize;
-        let mut children = Vec::with_capacity(count);
-        for _ in 0..count {
-            let health = ChildHealth::decode(c.u8()?)?;
-            let dirty = SegmentMap::decode_from(&mut c)?;
-            children.push(ChildBlob { health, dirty });
-        }
-        if !c.buf.is_empty() {
-            return None;
-        }
-        Some(MirrorBlob { watermark, children })
-    }
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Option<&[u8]> {
-        if self.buf.len() < n {
-            return None;
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Some(head)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4).and_then(|b| b.try_into().ok()).map(u32::from_le_bytes)
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).and_then(|b| b.try_into().ok()).map(u64::from_le_bytes)
+        let mut r = open(buf, BLOB_MAGIC)?;
+        let watermark = r.u64()?;
+        let children = (0..r.u32()?)
+            .map(|_| {
+                let health = ChildHealth::decode(r.u8()?)?;
+                Some(ChildBlob { health, dirty: SegmentMap::decode_from(&mut r)? })
+            })
+            .collect::<Option<_>>()?;
+        r.rest().is_empty().then_some(MirrorBlob { watermark, children })
     }
 }
 

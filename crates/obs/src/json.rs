@@ -1,11 +1,11 @@
 //! Minimal JSON support: escaping for the emitters and a strict
 //! recursive-descent parser for validating emitted documents.
 //!
-//! The workspace's vendored `serde` is an offline marker stub with no
-//! deserializer, so trace/bench JSON produced by this repo is validated
-//! with this hand-rolled parser instead.  It accepts exactly the JSON
-//! grammar (RFC 8259) minus `\u` surrogate-pair pedantry: escapes are
-//! decoded for the BMP and rejected when malformed.
+//! The workspace has no JSON crate (it builds offline), so trace/bench
+//! JSON produced by this repo is validated with this hand-rolled parser.
+//! It accepts exactly the JSON grammar (RFC 8259) minus `\u`
+//! surrogate-pair pedantry: escapes are decoded for the BMP and rejected
+//! when malformed.  It is the workspace's one JSON reader.
 
 use std::collections::BTreeMap;
 

@@ -189,7 +189,6 @@ fn recovery_reports_scale_with_wal_length() {
         buffer_pages: 256,
         redo_logging: true,
         wal_segment_pages: 100_000, // no truncation: the tail only grows
-        ..DatabaseConfig::default()
     };
     let db = Database::open(backend, config).unwrap();
     db.create_table(
