@@ -10,21 +10,6 @@ pub enum GcPolicy {
     CostBenefit,
 }
 
-/// Wear-leveling policy (per region).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WearLevelingPolicy {
-    /// No wear awareness in block allocation.
-    None,
-    /// Allocate the least-worn free block.
-    Dynamic,
-    /// Dynamic allocation plus proactive migration when the wear spread
-    /// inside a region exceeds `threshold` erase cycles.
-    Static {
-        /// Maximum tolerated wear spread.
-        threshold: u64,
-    },
-}
-
 /// Configuration of the NoFTL storage manager.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoFtlConfig {
@@ -35,20 +20,13 @@ pub struct NoFtlConfig {
     pub gc_high_watermark: u32,
     /// Victim selection policy.
     pub gc_policy: GcPolicy,
-    /// Wear-leveling policy.
-    pub wear_leveling: WearLevelingPolicy,
 }
 
 impl NoFtlConfig {
-    /// Defaults mirroring the paper's prototype: greedy GC, dynamic wear
-    /// leveling.
+    /// Defaults mirroring the paper's prototype: greedy GC (wear leveling
+    /// is always dynamic: a die opens its least-worn free block).
     pub fn paper_defaults() -> Self {
-        NoFtlConfig {
-            gc_low_watermark: 2,
-            gc_high_watermark: 4,
-            gc_policy: GcPolicy::Greedy,
-            wear_leveling: WearLevelingPolicy::Dynamic,
-        }
+        NoFtlConfig { gc_low_watermark: 2, gc_high_watermark: 4, gc_policy: GcPolicy::Greedy }
     }
 
     /// Validate the configuration.

@@ -19,17 +19,15 @@
 //! of it on the die is a few copybacks, not two blocks' worth.
 
 use flash_sim::{
-    BlockAddr, BlockInfo, BlockState, FlashCommand, IoTag, PageAddr, PageMetadata, PageState,
-    SimTime,
+    BlockInfo, BlockState, FlashCommand, IoTag, PageAddr, PageMetadata, PageState, SimTime,
 };
 
-use crate::config::{GcPolicy, WearLevelingPolicy};
+use crate::config::GcPolicy;
 use crate::error::NoFtlError;
 use crate::manager::{region_slot, Env, Inner};
 use crate::object::ObjectState;
 use crate::recovery::{MetaDirectory, META_OBJECT_ID};
 use crate::region::{RegionId, RegionRuntime, Victim};
-use crate::wear::needs_static_wl;
 use crate::Result;
 
 /// A candidate victim block within one region die.
@@ -130,16 +128,14 @@ impl Space<'_> {
     /// and the metadata journal all allocate here, and an allocation on a
     /// collecting die pays for one quantum of its GC first (`pace_gc`).
     pub(crate) fn allocate(&mut self, at: SimTime) -> Result<PageAddr> {
-        let Env { device, config, obs, .. } = self.env;
+        let Env { device, obs, .. } = self.env;
         let device = device.as_ref();
         let pages_per_block = device.geometry().pages_per_block;
         let die_count = self.region.dies.len();
         for attempt in 0..die_count {
             let idx = (self.region.next_die + attempt) % die_count;
             self.pace_gc(idx, at);
-            if let Some(ppa) =
-                self.region.dies[idx].next_host_page(device, config.wear_leveling, pages_per_block)
-            {
+            if let Some(ppa) = self.region.dies[idx].next_host_page(device, pages_per_block) {
                 self.region.next_die = (idx + 1) % die_count;
                 obs.note_allocation(attempt as u64 + 1);
                 return Ok(ppa);
@@ -230,11 +226,8 @@ impl Space<'_> {
                 return false;
             };
             if let Some(meta) = read.meta {
-                let Some(dst) = self.region.dies[die_idx].next_gc_page(
-                    device,
-                    config.wear_leveling,
-                    pages_per_block,
-                ) else {
+                let Some(dst) = self.region.dies[die_idx].next_gc_page(device, pages_per_block)
+                else {
                     return false;
                 };
                 if self.env.exec(FlashCommand::Copyback { src, dst }, at, tag).is_err() {
@@ -264,11 +257,6 @@ impl Space<'_> {
         stats.gc_runs += 1;
         stats.gc_erases += 1;
         obs.note_gc(u64::from(die.die.0), victim.moved, at);
-        if victim.wear_leveling {
-            stats.wl_migrations += 1;
-        } else {
-            self.static_wl(die_idx, at);
-        }
         true
     }
 
@@ -299,39 +287,7 @@ impl Space<'_> {
             cursor: 0,
             quantum: chosen.valid_pages.div_ceil(pages_per_block - chosen.valid_pages) + 1,
             moved: 0,
-            wear_leveling: false,
         })
-    }
-
-    /// Threshold-based static wear leveling within one die of the region,
-    /// checked whenever the die has collected a victim: the least-worn
-    /// full block goes through the same step, in one piece.
-    fn static_wl(&mut self, die_idx: usize, at: SimTime) {
-        let Env { device, config, .. } = self.env;
-        if !matches!(config.wear_leveling, WearLevelingPolicy::Static { .. }) {
-            return;
-        }
-        let die = &self.region.dies[die_idx];
-        let counts: Vec<(BlockAddr, u64, BlockState)> = die
-            .used_blocks
-            .iter()
-            .chain(die.free_blocks.iter())
-            .filter_map(|b| device.block_info(*b).ok().map(|i| (*b, i.erase_count, i.state)))
-            .collect();
-        let Some(max) = counts.iter().map(|(_, c, _)| *c).max() else { return };
-        let Some(min) = counts.iter().map(|(_, c, _)| *c).min() else { return };
-        if !needs_static_wl(config.wear_leveling, min, max) {
-            return;
-        }
-        let coldest = counts
-            .iter()
-            .filter(|(b, _, s)| *s == BlockState::Full && die.used_blocks.contains(b))
-            .min_by_key(|(_, c, _)| *c);
-        if let Some(&(block, ..)) = coldest {
-            self.region.dies[die_idx].victim =
-                Some(Victim { block, cursor: 0, quantum: u32::MAX, moved: 0, wear_leveling: true });
-            self.step(die_idx, at);
-        }
     }
 }
 
@@ -637,35 +593,5 @@ mod tests {
             separated < mixed,
             "region separation should reduce copybacks (separated={separated}, mixed={mixed})"
         );
-    }
-
-    #[test]
-    fn static_wl_policy_is_exercised() {
-        let device = Arc::new(
-            DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::instant()).build(),
-        );
-        let config = NoFtlConfig {
-            wear_leveling: WearLevelingPolicy::Static { threshold: 2 },
-            gc_policy: GcPolicy::CostBenefit,
-            ..NoFtlConfig::default()
-        };
-        let noftl = NoFtl::new(device.clone(), config);
-        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
-        let cold = noftl.create_object("cold", r).unwrap();
-        let hot = noftl.create_object("hot", r).unwrap();
-        let geo = *device.geometry();
-        let t = SimTime::ZERO;
-        // A block's worth of cold data that never changes...
-        for p in 0..geo.pages_per_block as u64 {
-            noftl.write(cold, p, &page(0xCC), t).unwrap();
-        }
-        // ...and a hot page hammered long enough to wear out the rest.
-        for i in 0..(geo.pages_per_die() * 6) {
-            noftl.write(hot, 0, &page((i % 255) as u8), t).unwrap();
-        }
-        let rs = noftl.region_stats(r).unwrap();
-        assert!(rs.wl_migrations > 0, "static WL should have migrated the cold block");
-        // Cold data is still correct after migration.
-        assert_eq!(noftl.read(cold, 0, t).unwrap().0, page(0xCC));
     }
 }

@@ -352,7 +352,7 @@ fn run_cycle_with_cut(cfg: &KvCrashConfig, cut_at: SimTime) -> Result<KvCrashOut
         });
     }
     // A full scan must agree with the point-lookup view exactly.
-    let (scanned, _) = store2.scan(None, None, now)?;
+    let (scanned, _) = store2.scan(None, None, usize::MAX, now)?;
     let scan_view: BTreeMap<u64, Vec<u8>> =
         scanned.into_iter().filter_map(|(k, v)| Some((key_number(&k)?, v))).collect();
     if scan_view != actual {

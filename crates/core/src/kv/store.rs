@@ -8,7 +8,7 @@
 //! region-metadata journal.  The checkpoint names the run; which
 //! physical pages hold it is read back from their OOB records on mount.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -94,6 +94,11 @@ pub struct KvStats {
 
 /// Rows returned by [`KvStore::scan`]: live key/value pairs in key order.
 pub type ScanResult = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// An inclusive scan bound (`None` = unbounded).
+fn bound(key: Option<&[u8]>) -> Bound<&[u8]> {
+    key.map_or(Bound::Unbounded, Bound::Included)
+}
 
 /// What [`KvStore::open`] found while rebuilding the run directory.
 #[derive(Debug, Clone, Default)]
@@ -471,115 +476,56 @@ impl KvStore {
         Ok((None, now))
     }
 
-    /// Range scan over `[lo, hi]` (inclusive; `None` = unbounded).
-    /// Returns live key/value pairs in key order.
+    /// Range scan: up to `limit` live entries with keys in `[lo, hi]`
+    /// (inclusive; `None` = unbounded), in key order.  A `limit` of
+    /// `usize::MAX` returns the whole range.
+    ///
+    /// The merge streams.  Each run has a cursor that pulls the run's pages
+    /// in the range through the windowed pipeline,
+    /// [`KvConfig::read_window`] pages at a time and only once its buffered
+    /// entries are used up.  The sources are merged smallest key first, and
+    /// the newest version of a key wins: the memtable, then the runs newest
+    /// first.  Tombstones take no result slot: the merge drains past masked
+    /// keys until `limit` live rows are found or every source is exhausted.
+    /// So a short scan of a large store reads a handful of pages, and a
+    /// full scan reads each run's range once.
     pub fn scan(
         &self,
         lo: Option<&[u8]>,
         hi: Option<&[u8]>,
-        at: SimTime,
-    ) -> Result<(ScanResult, SimTime)> {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        inner.stats.scans += 1;
-        let mut now = at;
-        let in_range = |key: &[u8]| lo.is_none_or(|lo| key >= lo) && hi.is_none_or(|hi| key <= hi);
-        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-        // Oldest to newest so later versions overwrite earlier ones.
-        for run_meta in inner.runs.iter().rev() {
-            if run_meta.entries == 0 {
-                continue;
-            }
-            let (start, end) = run_meta.range_window(lo, hi);
-            if start >= end {
-                continue;
-            }
-            // Pull the run's window through the bounded read pipeline so
-            // the page fetches overlap the region's dies.
-            let reads: Vec<_> =
-                (start..end).map(|page| (run_meta.object, u64::from(page))).collect();
-            let (pages, t) = self.noftl.read_windowed(&reads, now, self.config.read_window)?;
-            now = now.max(t);
-            inner.stats.run_page_reads += reads.len() as u64;
-            for (i, payload) in pages.iter().enumerate() {
-                let page = start + i as u32;
-                let entries = run::decode_data_page(payload).ok_or_else(|| {
-                    kv_err(format!("run object {} page {page} is not a data page", run_meta.object))
-                })?;
-                for (key, value) in entries {
-                    if in_range(&key) {
-                        merged.insert(key, value);
-                    }
-                }
-            }
-        }
-        let lo_bound = lo.map_or(Bound::Unbounded, Bound::Included);
-        let hi_bound = hi.map_or(Bound::Unbounded, Bound::Included);
-        for (key, value) in inner.memtable.range(lo_bound, hi_bound) {
-            merged.insert(key.to_vec(), value.map(<[u8]>::to_vec));
-        }
-        let out = merged.into_iter().filter_map(|(k, v)| v.map(|v| (k, v))).collect::<Vec<_>>();
-        Ok((out, now))
-    }
-
-    /// Bounded range scan: up to `limit` live entries with key `>= lo`
-    /// (`None` = from the start), in key order.
-    ///
-    /// Unlike [`scan`](Self::scan), the merge is *limit-aware*: the runs
-    /// are drained through per-run streaming cursors (each pulling pages
-    /// through the windowed pipeline in [`KvConfig::read_window`]-sized
-    /// chunks on demand), merged smallest-key-first with the newest
-    /// source winning each key.  Tombstones do not consume result slots:
-    /// the merge keeps draining past masked keys until `limit` live rows
-    /// are found or every source is exhausted, so delete-heavy workloads
-    /// get exactly as many rows as a full scan would (the former
-    /// under-fill).  A short scan of a large store still touches a
-    /// handful of pages instead of every run tail.
-    pub fn scan_limit(
-        &self,
-        lo: Option<&[u8]>,
         limit: usize,
         at: SimTime,
     ) -> Result<(ScanResult, SimTime)> {
-        if limit == 0 {
+        if limit == 0 || lo.zip(hi).is_some_and(|(lo, hi)| lo > hi) {
             return Ok((Vec::new(), at));
         }
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
         inner.stats.scans += 1;
         let mut now = at;
+        let in_range = |key: &[u8]| lo.is_none_or(|lo| key >= lo) && hi.is_none_or(|hi| key <= hi);
         // One streaming cursor per run, in `inner.runs` order (newest
-        // seq_hi first): each holds the run's undrained entries at or
-        // above `lo` and refills a window of pages at a time on demand.
+        // seq_hi first): each holds the run's undrained entries in range
+        // and refills a window of pages at a time on demand.
         struct Cursor {
             object: ObjectId,
             next_page: u32,
             end: u32,
-            buf: std::collections::VecDeque<(Vec<u8>, Option<Vec<u8>>)>,
+            buf: VecDeque<Entry>,
         }
         let mut cursors: Vec<Cursor> = inner
             .runs
             .iter()
             .filter(|r| r.entries != 0)
             .map(|r| {
-                let (start, end) = r.range_window(lo, None);
-                Cursor {
-                    object: r.object,
-                    next_page: start,
-                    end,
-                    buf: std::collections::VecDeque::new(),
-                }
+                let (next_page, end) = r.range_window(lo, hi);
+                Cursor { object: r.object, next_page, end, buf: VecDeque::new() }
             })
             .collect();
         let window = self.config.read_window.max(1) as u32;
         // The memtable: the newest source of all.
-        let lo_bound = lo.map_or(Bound::Unbounded, Bound::Included);
-        let mut mem: std::collections::VecDeque<(Vec<u8>, Option<Vec<u8>>)> = inner
-            .memtable
-            .range(lo_bound, Bound::Unbounded)
-            .map(|(k, v)| (k.to_vec(), v.map(<[u8]>::to_vec)))
-            .collect();
-        let mut out: ScanResult = Vec::with_capacity(limit);
+        let mut mem = inner.memtable.range(bound(lo), bound(hi)).peekable();
+        let mut out: ScanResult = Vec::new();
         loop {
             // Refill every drained cursor that still has pages.
             for c in &mut cursors {
@@ -596,41 +542,27 @@ impl KvStore {
                         let entries = run::decode_data_page(payload).ok_or_else(|| {
                             kv_err(format!("run object {} page {p} is not a data page", c.object))
                         })?;
-                        for (key, value) in entries {
-                            if lo.is_none_or(|lo| key.as_slice() >= lo) {
-                                c.buf.push_back((key, value));
-                            }
-                        }
+                        c.buf.extend(entries.into_iter().filter(|(key, _)| in_range(key)));
                     }
                     c.next_page = chunk_end;
                 }
             }
             // Smallest key across all sources.
-            let mut min_key: Option<Vec<u8>> = mem.front().map(|(k, _)| k.clone());
-            for c in &cursors {
-                if let Some((k, _)) = c.buf.front() {
-                    if min_key.as_ref().is_none_or(|m| k < m) {
-                        min_key = Some(k.clone());
-                    }
+            let mut min_key: Option<&[u8]> = mem.peek().map(|&(k, _)| k);
+            for (k, _) in cursors.iter().filter_map(|c| c.buf.front()) {
+                if min_key.is_none_or(|m| k.as_slice() < m) {
+                    min_key = Some(k);
                 }
             }
-            let Some(min_key) = min_key else { break };
+            let Some(min_key) = min_key.map(<[u8]>::to_vec) else { break };
             // Newest version wins: the memtable first, then the runs in
             // `inner.runs` order; every older version of the key is
             // popped so the next round sees fresh fronts.
-            let mut winner: Option<Option<Vec<u8>>> = None;
-            if mem.front().is_some_and(|(k, _)| *k == min_key) {
-                if let Some((_, v)) = mem.pop_front() {
-                    winner = Some(v);
-                }
-            }
+            let mut winner =
+                mem.next_if(|&(k, _)| k == min_key).map(|(_, v)| v.map(<[u8]>::to_vec));
             for c in &mut cursors {
-                if c.buf.front().is_some_and(|(k, _)| *k == min_key) {
-                    if let Some((_, v)) = c.buf.pop_front() {
-                        if winner.is_none() {
-                            winner = Some(v);
-                        }
-                    }
+                if let Some((_, v)) = c.buf.pop_front_if(|(k, _)| *k == min_key) {
+                    winner.get_or_insert(v);
                 }
             }
             // A `Some(None)` winner is a tombstone: drained, not emitted.
@@ -878,7 +810,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_limit_drains_past_tombstones_to_fill_the_limit() {
+    fn scan_drains_past_tombstones_to_fill_the_limit() {
         let (_d, noftl, rid) = stack(TimingModel::instant());
         let (kv, mut t) =
             KvStore::create(Arc::clone(&noftl), rid, "s", small_config(), SimTime::ZERO).unwrap();
@@ -896,7 +828,7 @@ mod tests {
         t = kv.flush(t).unwrap();
         // 12 live rows remain (0, 10, ..., 110).  A limit-8 scan must
         // return 8 of them, not under-fill on the masked candidates.
-        let (rows, t2) = kv.scan_limit(None, 8, t).unwrap();
+        let (rows, t2) = kv.scan(None, None, 8, t).unwrap();
         t = t2;
         let expect: Vec<Vec<u8>> = (0..8u64).map(|i| key(i * 10)).collect();
         assert_eq!(rows.len(), 8, "limit-8 over 12 live rows must fill");
@@ -905,13 +837,93 @@ mod tests {
             assert_eq!(v, &val(i as u64 * 10, 0));
         }
         // Asking past exhaustion returns every live row, no phantoms.
-        let (rows, t2) = kv.scan_limit(None, 100, t).unwrap();
+        let (rows, t2) = kv.scan(None, None, 100, t).unwrap();
         t = t2;
         assert_eq!(rows.len(), 12);
         // A lo bound mid-range still fills from the bound onward.
-        let (rows, _) = kv.scan_limit(Some(&key(55)), 4, t).unwrap();
+        let (rows, _) = kv.scan(Some(&key(55)), None, 4, t).unwrap();
         let expect: Vec<Vec<u8>> = [60u64, 70, 80, 90].iter().map(|i| key(*i)).collect();
         assert_eq!(rows.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(), expect);
+    }
+
+    /// The whole-window merge the streaming scan replaced, kept as its
+    /// reference: every run's pages in `[lo, hi]` read at once and folded
+    /// oldest to newest into one map, the memtable last, tombstones
+    /// dropped at the end.
+    fn full_merge(kv: &KvStore, lo: Option<&[u8]>, hi: Option<&[u8]>) -> ScanResult {
+        if lo.zip(hi).is_some_and(|(lo, hi)| lo > hi) {
+            return Vec::new();
+        }
+        let inner = kv.inner.lock();
+        let in_range = |key: &[u8]| lo.is_none_or(|lo| key >= lo) && hi.is_none_or(|hi| key <= hi);
+        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
+        for run_meta in inner.runs.iter().rev() {
+            let (start, end) = run_meta.range_window(lo, hi);
+            for page in start..end {
+                let (payload, _) =
+                    kv.noftl.read(run_meta.object, u64::from(page), SimTime::ZERO).unwrap();
+                for (key, value) in run::decode_data_page(&payload).unwrap() {
+                    if in_range(&key) {
+                        merged.insert(key, value);
+                    }
+                }
+            }
+        }
+        for (key, value) in inner.memtable.range(bound(lo), bound(hi)) {
+            merged.insert(key.to_vec(), value.map(<[u8]>::to_vec));
+        }
+        merged.into_iter().filter_map(|(k, v)| Some((k, v?))).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// Over random put / delete / flush histories (flushes cascade
+        /// into compactions), the streaming scan returns exactly the
+        /// reference merge's first `limit` live rows in `[lo, hi]`, and
+        /// the reference agrees with a model of the history.
+        #[test]
+        fn streaming_scan_equals_the_full_merge_prefix(
+            history in proptest::collection::vec((0u8..10, 0u64..80), 20..300),
+            scans in proptest::collection::vec((0u64..90, 0u64..90, 0usize..40), 1..12),
+        ) {
+            let (_d, noftl, rid) = stack(TimingModel::instant());
+            let (kv, mut t) =
+                KvStore::create(Arc::clone(&noftl), rid, "s", small_config(), SimTime::ZERO)
+                    .unwrap();
+            let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+            for (round, &(op, i)) in history.iter().enumerate() {
+                t = match op {
+                    0..=5 => {
+                        model.insert(key(i), val(i, round as u64));
+                        kv.put(&key(i), &val(i, round as u64), t).unwrap()
+                    }
+                    6..=8 => {
+                        model.remove(&key(i));
+                        kv.delete(&key(i), t).unwrap()
+                    }
+                    _ => kv.flush(t).unwrap(),
+                };
+            }
+            // Keys 80..90 lie past every written key; 85.. means unbounded.
+            let edge = |i: u64| (i < 85).then(|| key(i));
+            for (lo, hi, limit) in scans {
+                let (lo, hi) = (edge(lo), edge(hi));
+                let limit = if limit == 39 { usize::MAX } else { limit };
+                let reference = full_merge(&kv, lo.as_deref(), hi.as_deref());
+                let modelled: ScanResult = model
+                    .iter()
+                    .filter(|(k, _)| {
+                        lo.as_ref().is_none_or(|lo| *k >= lo) && hi.as_ref().is_none_or(|hi| *k <= hi)
+                    })
+                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .collect();
+                proptest::prop_assert_eq!(&reference, &modelled);
+                let (rows, _) = kv.scan(lo.as_deref(), hi.as_deref(), limit, t).unwrap();
+                let expected: ScanResult = reference.into_iter().take(limit).collect();
+                proptest::prop_assert_eq!(rows, expected);
+            }
+        }
     }
 
     #[test]
@@ -965,7 +977,7 @@ mod tests {
             }
             t = kv.flush(t).unwrap();
             let scan_start = t;
-            let (rows, t2) = kv.scan(None, None, t).unwrap();
+            let (rows, t2) = kv.scan(None, None, usize::MAX, t).unwrap();
             let scan_ns = t2.as_nanos() - scan_start.as_nanos();
             (rows, scan_ns, kv.stats().run_page_reads, kv.stats().compactions)
         };
@@ -993,7 +1005,7 @@ mod tests {
         t = kv.flush(t).unwrap();
         t = kv.put(&key(10), &val(10, 9), t).unwrap(); // newer, memtable only
         t = kv.delete(&key(11), t).unwrap(); // tombstone in memtable
-        let (rows, t2) = kv.scan(Some(&key(5)), Some(&key(14)), t).unwrap();
+        let (rows, t2) = kv.scan(Some(&key(5)), Some(&key(14)), usize::MAX, t).unwrap();
         t = t2;
         let keys: Vec<u64> = rows
             .iter()
@@ -1003,7 +1015,7 @@ mod tests {
         let ten = rows.iter().find(|(k, _)| k == &key(10)).unwrap();
         assert_eq!(ten.1, val(10, 9), "memtable version wins");
         // Unbounded scan returns everything alive.
-        let (all, _) = kv.scan(None, None, t).unwrap();
+        let (all, _) = kv.scan(None, None, usize::MAX, t).unwrap();
         assert_eq!(all.len(), 49);
     }
 
@@ -1161,7 +1173,7 @@ mod tests {
         assert_eq!(kv.run_count(), 1);
         let merged_entries = { kv.inner.lock().runs[0].entries };
         assert_eq!(merged_entries, 0, "all entries were tombstoned and dropped at the bottom");
-        let (rows, _) = kv.scan(None, None, t).unwrap();
+        let (rows, _) = kv.scan(None, None, usize::MAX, t).unwrap();
         assert!(rows.is_empty());
     }
 

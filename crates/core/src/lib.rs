@@ -22,8 +22,8 @@
 //!   pages round-robin over the region's dies for I/O parallelism;
 //! * **per-region garbage collection** ([`gc`]) using greedy or
 //!   cost-benefit victim selection and die-internal copybacks;
-//! * **wear leveling** ([`wear`]) inside regions and a global view used to
-//!   rebalance dies between regions;
+//! * **dynamic wear leveling** inside regions ([`region`]): a die opens
+//!   its least-worn free block;
 //! * **hot/cold statistics** ([`hotcold`]) per object, feeding the
 //!   [`placement`] advisor that derives multi-region configurations such as
 //!   the paper's Figure 2;
@@ -53,9 +53,8 @@ pub mod placement;
 pub mod recovery;
 pub mod region;
 pub mod stats;
-pub mod wear;
 
-pub use config::{GcPolicy, NoFtlConfig, WearLevelingPolicy};
+pub use config::{GcPolicy, NoFtlConfig};
 pub use ddl::{Ddl, DdlStatement};
 pub use error::NoFtlError;
 pub use hotcold::ObjectProfile;

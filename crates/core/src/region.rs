@@ -8,9 +8,7 @@
 use flash_sim::{BlockAddr, DieId, FlashBackend, FlashGeometry, PageAddr, ServiceClass};
 use std::collections::HashMap;
 
-use crate::config::WearLevelingPolicy;
 use crate::stats::RegionStats;
-use crate::wear::{pick_free_block, FreeBlockCandidate};
 
 /// Identifier of a region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -126,8 +124,6 @@ pub(crate) struct Victim {
     pub quantum: u32,
     /// Copybacks spent on this victim so far.
     pub moved: u64,
-    /// Chosen by static wear leveling, not by the GC policy.
-    pub wear_leveling: bool,
 }
 
 /// Allocation state of one die inside a region.
@@ -245,21 +241,17 @@ impl RegionDie {
             + usize::from(self.gc_active.is_some())
     }
 
-    /// Take the block `policy` allocates next out of `free_blocks`.
+    /// Take the least-worn free block (the first of equals) out of
+    /// `free_blocks`: dynamic wear leveling, the one allocation rule.
     fn open_block(
         free_blocks: &mut Vec<BlockAddr>,
         device: &dyn FlashBackend,
-        policy: WearLevelingPolicy,
     ) -> Option<BlockAddr> {
-        let cands: Vec<FreeBlockCandidate> = free_blocks
+        let (slot, _) = free_blocks
             .iter()
             .enumerate()
-            .map(|(slot, b)| FreeBlockCandidate {
-                slot,
-                erase_count: device.block_info(*b).map(|i| i.erase_count).unwrap_or(0),
-            })
-            .collect();
-        pick_free_block(policy, &cands).map(|slot| free_blocks.swap_remove(slot))
+            .min_by_key(|(_, b)| device.block_info(**b).map(|i| i.erase_count).unwrap_or(0))?;
+        Some(free_blocks.swap_remove(slot))
     }
 
     /// Next page of the host frontier, opening a new block when necessary.
@@ -267,27 +259,24 @@ impl RegionDie {
     pub(crate) fn next_host_page(
         &mut self,
         device: &dyn FlashBackend,
-        policy: WearLevelingPolicy,
         pages_per_block: u32,
     ) -> Option<PageAddr> {
-        self.next_page(false, device, policy, pages_per_block)
+        self.next_page(false, device, pages_per_block)
     }
 
     /// Next page of the GC frontier, opening a new block when necessary.
     pub(crate) fn next_gc_page(
         &mut self,
         device: &dyn FlashBackend,
-        policy: WearLevelingPolicy,
         pages_per_block: u32,
     ) -> Option<PageAddr> {
-        self.next_page(true, device, policy, pages_per_block)
+        self.next_page(true, device, pages_per_block)
     }
 
     fn next_page(
         &mut self,
         gc: bool,
         device: &dyn FlashBackend,
-        policy: WearLevelingPolicy,
         pages_per_block: u32,
     ) -> Option<PageAddr> {
         let frontier = if gc { &mut self.gc_active } else { &mut self.active };
@@ -304,7 +293,7 @@ impl RegionDie {
                     self.nothing_to_collect = false;
                 }
                 None => {
-                    let block = Self::open_block(&mut self.free_blocks, device, policy)?;
+                    let block = Self::open_block(&mut self.free_blocks, device)?;
                     *frontier = Some((block, 0));
                 }
             }
@@ -429,7 +418,7 @@ impl RegionRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flash_sim::{DeviceBuilder, FlashGeometry};
+    use flash_sim::{DeviceBuilder, FlashGeometry, SimTime};
 
     #[test]
     fn spec_builder_and_resolution() {
@@ -460,21 +449,35 @@ mod tests {
         let mut die = RegionDie::new(&device, DieId(0));
         let initial_blocks = die.free_blocks.len();
         assert_eq!(initial_blocks, geo.blocks_per_die() as usize);
-        let p0 =
-            die.next_host_page(&device, WearLevelingPolicy::Dynamic, geo.pages_per_block).unwrap();
-        let p1 =
-            die.next_host_page(&device, WearLevelingPolicy::Dynamic, geo.pages_per_block).unwrap();
+        let p0 = die.next_host_page(&device, geo.pages_per_block).unwrap();
+        let p1 = die.next_host_page(&device, geo.pages_per_block).unwrap();
         assert_eq!(p0.block(), p1.block());
         assert_eq!(p0.page + 1, p1.page);
         // Exhaust the first block; the next page must come from a new block.
         for _ in 2..geo.pages_per_block {
-            die.next_host_page(&device, WearLevelingPolicy::Dynamic, geo.pages_per_block).unwrap();
+            die.next_host_page(&device, geo.pages_per_block).unwrap();
         }
-        let p_next =
-            die.next_host_page(&device, WearLevelingPolicy::Dynamic, geo.pages_per_block).unwrap();
+        let p_next = die.next_host_page(&device, geo.pages_per_block).unwrap();
         assert_ne!(p_next.block(), p0.block());
         assert_eq!(die.used_blocks.len(), 1);
         assert_eq!(die.tracked_blocks(), initial_blocks);
+    }
+
+    #[test]
+    fn a_frontier_opens_the_least_worn_free_block() {
+        let device = DeviceBuilder::new(FlashGeometry::small_test()).build();
+        let geo = *device.geometry();
+        let mut die = RegionDie::new(&device, DieId(0));
+        // Wear the first two free blocks once: the third is the first of
+        // the unworn ones.
+        let worn = [die.free_blocks[0], die.free_blocks[1]];
+        for block in worn {
+            device.erase_block(block, SimTime::ZERO).unwrap();
+        }
+        let third = die.free_blocks[2];
+        assert_eq!(die.next_host_page(&device, geo.pages_per_block).unwrap().block(), third);
+        let gc = die.next_gc_page(&device, geo.pages_per_block).unwrap().block();
+        assert!(!worn.contains(&gc), "a worn block waits while an unworn one is free");
     }
 
     #[test]
@@ -484,13 +487,9 @@ mod tests {
         let mut die = RegionDie::new(&device, DieId(1));
         let total_pages = geo.pages_per_die();
         for _ in 0..total_pages {
-            assert!(die
-                .next_host_page(&device, WearLevelingPolicy::Dynamic, geo.pages_per_block)
-                .is_some());
+            assert!(die.next_host_page(&device, geo.pages_per_block).is_some());
         }
-        assert!(die
-            .next_host_page(&device, WearLevelingPolicy::Dynamic, geo.pages_per_block)
-            .is_none());
+        assert!(die.next_host_page(&device, geo.pages_per_block).is_none());
     }
 
     #[test]
@@ -498,10 +497,8 @@ mod tests {
         let device = DeviceBuilder::new(FlashGeometry::small_test()).build();
         let geo = *device.geometry();
         let mut die = RegionDie::new(&device, DieId(0));
-        let host =
-            die.next_host_page(&device, WearLevelingPolicy::Dynamic, geo.pages_per_block).unwrap();
-        let gc =
-            die.next_gc_page(&device, WearLevelingPolicy::Dynamic, geo.pages_per_block).unwrap();
+        let host = die.next_host_page(&device, geo.pages_per_block).unwrap();
+        let gc = die.next_gc_page(&device, geo.pages_per_block).unwrap();
         assert_ne!(host.block(), gc.block(), "host and GC data never share a block");
     }
 
@@ -511,11 +508,11 @@ mod tests {
         let geo = *device.geometry();
         let mut die = RegionDie::new(&device, DieId(0));
         for _ in 0..=geo.pages_per_block {
-            die.next_host_page(&device, WearLevelingPolicy::Dynamic, geo.pages_per_block).unwrap();
+            die.next_host_page(&device, geo.pages_per_block).unwrap();
         }
         let block = die.used_blocks[0];
         die.collecting = true;
-        die.victim = Some(Victim { block, cursor: 3, quantum: 2, moved: 3, wear_leveling: false });
+        die.victim = Some(Victim { block, cursor: 3, quantum: 2, moved: 3 });
         assert_eq!(die.take_data_blocks().len(), 2, "the full block and the host frontier");
         assert!(die.victim.is_none() && !die.collecting);
     }

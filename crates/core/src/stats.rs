@@ -15,7 +15,10 @@ pub struct RegionStats {
     pub gc_copybacks: u64,
     /// Blocks erased by region GC.
     pub gc_erases: u64,
-    /// Static wear-leveling migrations inside the region.
+    /// Always 0: wear leveling only picks the least-worn free block and
+    /// never migrates data.  The frozen benchmark's metric table still
+    /// reads the field (`core.wl_migrations`); it goes when that table is
+    /// re-baselined.
     pub wl_migrations: u64,
     /// Pages migrated because a die was removed from the region.
     pub rebalance_moves: u64,
@@ -68,7 +71,7 @@ pub struct NoFtlStats {
     pub gc_copybacks: u64,
     /// GC erases.
     pub gc_erases: u64,
-    /// Static wear-leveling migrations.
+    /// Always 0 (see [`RegionStats::wl_migrations`]).
     pub wl_migrations: u64,
     /// Pages moved for region rebalancing.
     pub rebalance_moves: u64,

@@ -1,13 +1,14 @@
-//! Storage backends the workload lab drives.
+//! Storage backends the YCSB generators drive.
 //!
-//! [`WorkloadBackend`] is the five-verb surface every YCSB mix and trace
-//! needs — insert, update, point read, bounded scan, flush — expressed in
+//! [`WorkloadBackend`] is the surface every YCSB mix needs — insert,
+//! update, point read, delete, bounded scan, flush — expressed in
 //! simulated time: every verb takes the issue instant and returns the
-//! completion instant, so open-loop replay and latency histograms fall
-//! out naturally.  Two implementations ship: [`KvBackend`] over the
-//! NoFTL-KV LSM store and [`BtreeBackend`] over the dbms B+-tree, both
-//! consuming *identical* key streams (the generators never look at the
-//! backend).
+//! completion instant, so the loop that issues the ops (the benchmark's
+//! closed and open loops) times each one without a clock of its own.  Two implementations
+//! ship: [`KvBackend`] over the NoFTL-KV LSM store and [`BtreeBackend`]
+//! over the dbms B+-tree, both consuming *identical* key streams (the
+//! generators never look at the backend); the B+-tree is the reference
+//! the cross-backend tests hold KV's results against.
 
 use std::fmt;
 use std::sync::Arc;
@@ -16,6 +17,8 @@ use dbms_engine::{ColumnType, Database, DatabaseConfig, NoFtlBackend, Schema, Va
 use flash_sim::SimTime;
 use noftl_core::kv::{KvConfig, KvStore};
 use noftl_core::{NoFtl, PlacementConfig, RegionId};
+
+use crate::ycsb::YcsbSpec;
 
 /// Workload-layer error: a backend refused an operation.
 #[derive(Debug)]
@@ -69,6 +72,16 @@ pub trait WorkloadBackend {
     fn flush(&self, at: SimTime) -> Result<SimTime>;
 }
 
+/// Load `spec.record_count` ordered records through `backend`, returning
+/// the completion time of the load (including the durability flush).
+pub fn load_phase(spec: &YcsbSpec, backend: &dyn WorkloadBackend, at: SimTime) -> Result<SimTime> {
+    let mut t = at;
+    for id in 0..spec.record_count {
+        t = backend.insert(&spec.key(id), &spec.value_for(id), t)?;
+    }
+    backend.flush(t)
+}
+
 /// [`WorkloadBackend`] over the NoFTL-KV store.
 pub struct KvBackend {
     store: KvStore,
@@ -85,11 +98,6 @@ impl KvBackend {
     ) -> Result<(Self, SimTime)> {
         let (store, t) = KvStore::create(noftl, region, name, config, at)?;
         Ok((KvBackend { store }, t))
-    }
-
-    /// Wrap an existing store.
-    pub fn new(store: KvStore) -> Self {
-        KvBackend { store }
     }
 
     /// The wrapped store (for stats).
@@ -121,7 +129,7 @@ impl WorkloadBackend for KvBackend {
     }
 
     fn scan(&self, start: &[u8], limit: usize, at: SimTime) -> Result<(usize, SimTime)> {
-        let (rows, t) = self.store.scan_limit(Some(start), limit, at)?;
+        let (rows, t) = self.store.scan(Some(start), None, limit, at)?;
         Ok((rows.len(), t))
     }
 

@@ -1,6 +1,6 @@
 //! Deterministic keyed random numbers and the key-choice distributions.
 //!
-//! Everything in the workload lab derives from [`KeyedRng`]: a SplitMix64
+//! Every generator of this crate derives from [`KeyedRng`]: a SplitMix64
 //! stream whose initial state is the workload seed mixed with an FNV hash
 //! of a *stream name*.  Two generators keyed with the same `(seed, name)`
 //! pair produce byte-identical streams on every run and every machine —
@@ -51,7 +51,7 @@ impl KeyedRng {
         if bound == 0 {
             return 0;
         }
-        // The modulo bias is < 2^-40 for every bound the lab uses
+        // The modulo bias is < 2^-40 for every bound the generators use
         // (record counts are millions at most); not worth a reject loop.
         self.next_u64() % bound
     }

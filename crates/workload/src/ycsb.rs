@@ -32,7 +32,7 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// One-letter code used by the trace format.
+    /// One-letter code, the byte [`stream_digest`] hashes for the kind.
     pub fn code(self) -> char {
         match self {
             OpKind::Read => 'R',
@@ -44,7 +44,7 @@ impl OpKind {
         }
     }
 
-    /// Parse a one-letter trace code.
+    /// Parse a one-letter code.
     pub fn from_code(c: char) -> Option<Self> {
         Some(match c {
             'R' => OpKind::Read,
@@ -271,9 +271,9 @@ impl Iterator for OpStream {
 }
 
 /// Order-sensitive digest of an op stream — two streams with the same
-/// digest replayed the same ops in the same order.  The run reports carry
-/// it so cross-backend comparisons can assert they consumed identical
-/// streams.
+/// digest replayed the same ops in the same order.  The benchmark's
+/// result objects carry it, and the cross-backend tests assert on it that
+/// both backends consumed identical streams.
 pub fn stream_digest(ops: impl IntoIterator<Item = Op>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for op in ops {

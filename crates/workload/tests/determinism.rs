@@ -1,16 +1,17 @@
-//! The workload lab's core promise: a fixed seed produces byte-identical
-//! op streams on every run, both backends consume *identical* streams,
-//! and the Zipfian sampler's empirical skew tracks its theta.
+//! The generators' core promise: a fixed seed produces byte-identical
+//! op streams on every run, both backends consume *identical* streams and
+//! see identical rows, and the Zipfian sampler's empirical skew tracks its
+//! theta.
 
 use std::sync::Arc;
 
 use flash_sim::{DeviceBuilder, FlashGeometry, SimTime, TimingModel};
 use noftl_core::kv::KvConfig;
 use noftl_core::{NoFtl, NoFtlConfig, PlacementConfig, RegionSpec};
-use noftl_obs::MetricsRegistry;
 use noftl_workload::rng::{KeyedRng, Zipfian};
-use noftl_workload::trace::from_spec;
-use noftl_workload::{load_phase, replay, run_ycsb, BtreeBackend, KvBackend, RunReport, YcsbSpec};
+use noftl_workload::{
+    load_phase, stream_digest, BtreeBackend, KvBackend, OpKind, WorkloadBackend, YcsbSpec,
+};
 use proptest::prelude::*;
 
 fn kv_stack() -> (KvBackend, SimTime) {
@@ -19,9 +20,9 @@ fn kv_stack() -> (KvBackend, SimTime) {
     );
     let noftl = Arc::new(NoFtl::new(dev, NoFtlConfig::default()));
     let rid = noftl
-        .create_region(RegionSpec::named("rgLab").with_die_count(4))
+        .create_region(RegionSpec::named("rgYcsb").with_die_count(4))
         .expect("example device has 8 dies");
-    let (backend, t) = KvBackend::create(noftl, rid, "lab", KvConfig::default(), SimTime::ZERO)
+    let (backend, t) = KvBackend::create(noftl, rid, "ycsb", KvConfig::default(), SimTime::ZERO)
         .expect("fresh store");
     (backend, t)
 }
@@ -42,18 +43,52 @@ fn btree_stack(value_len: usize) -> (BtreeBackend, SimTime) {
     .expect("fresh database")
 }
 
-fn run_kv(spec: &YcsbSpec) -> RunReport {
-    let (backend, t) = kv_stack();
-    let loaded = load_phase(spec, &backend, t).expect("load");
-    let registry = MetricsRegistry::new();
-    run_ycsb(spec, &backend, &registry, loaded).expect("run")
+/// What one backend made of a spec's stream.
+#[derive(Debug)]
+struct Consumed {
+    /// Operations issued.
+    ops: u64,
+    /// Digest of the ops issued, in issue order.
+    digest: u64,
+    /// Rows each scan returned, in stream order.
+    scan_rows: Vec<usize>,
 }
 
-fn run_btree(spec: &YcsbSpec) -> RunReport {
+/// Load `spec` into `backend`, then issue its stream closed-loop (each op
+/// at the previous op's completion).
+fn consume(spec: &YcsbSpec, backend: &dyn WorkloadBackend, at: SimTime) -> Consumed {
+    let mut now = load_phase(spec, backend, at).expect("load");
+    let (mut issued, mut scan_rows) = (Vec::new(), Vec::new());
+    for op in spec.stream() {
+        let (key, value) = (spec.key(op.key), spec.value_for(op.key));
+        now = match op.kind {
+            OpKind::Read => backend.read(&key, now).expect("read").1,
+            OpKind::Update => backend.update(&key, &value, now).expect("update"),
+            OpKind::Insert => backend.insert(&key, &value, now).expect("insert"),
+            OpKind::Delete => backend.delete(&key, now).expect("delete"),
+            OpKind::ReadModifyWrite => {
+                let (_, read) = backend.read(&key, now).expect("read");
+                backend.update(&key, &value, read).expect("update")
+            }
+            OpKind::Scan => {
+                let (rows, done) = backend.scan(&key, op.scan_len as usize, now).expect("scan");
+                scan_rows.push(rows);
+                done
+            }
+        };
+        issued.push(op);
+    }
+    Consumed { ops: issued.len() as u64, digest: stream_digest(issued), scan_rows }
+}
+
+fn run_kv(spec: &YcsbSpec) -> Consumed {
+    let (backend, t) = kv_stack();
+    consume(spec, &backend, t)
+}
+
+fn run_btree(spec: &YcsbSpec) -> Consumed {
     let (backend, t) = btree_stack(spec.value_len);
-    let loaded = load_phase(spec, &backend, t).expect("load");
-    let registry = MetricsRegistry::new();
-    run_ycsb(spec, &backend, &registry, loaded).expect("run")
+    consume(spec, &backend, t)
 }
 
 /// Fixed seed ⇒ the generated op stream is byte-identical across
@@ -71,9 +106,9 @@ fn fixed_seed_yields_byte_identical_streams() {
     assert_ne!(first, third);
 }
 
-/// Both backends replay the *same* key stream (equal order-sensitive
-/// digests) and, because neither workload deletes, their scans see the
-/// same rows.
+/// Both backends consume the *same* key stream (equal order-sensitive
+/// digests) and, because neither workload deletes, every scan sees the
+/// same number of rows on both: KV's merged scan against the B+-tree.
 #[test]
 fn kv_and_btree_consume_identical_streams() {
     for which in ['A', 'B', 'C', 'D', 'E', 'F'] {
@@ -83,23 +118,21 @@ fn kv_and_btree_consume_identical_streams() {
         assert_eq!(kv.ops, spec.op_count, "workload {which}");
         assert_eq!(bt.ops, spec.op_count, "workload {which}");
         assert_eq!(
-            kv.stream_digest, bt.stream_digest,
-            "workload {which}: backends must replay identical streams"
+            kv.digest, bt.digest,
+            "workload {which}: backends must consume identical streams"
         );
         assert_eq!(
-            kv.rows_scanned, bt.rows_scanned,
+            kv.scan_rows, bt.scan_rows,
             "workload {which}: identical streams over identical data must scan identical rows"
         );
-        assert!(kv.throughput_kops > 0.0 && bt.throughput_kops > 0.0, "workload {which}");
-        assert!(kv.p99_us >= kv.p50_us && bt.p99_us >= bt.p50_us, "workload {which}");
     }
 }
 
-/// The cross-backend stream equality extends to both new modes: the
+/// The cross-backend stream equality extends to both other modes: the
 /// scrambled-key rendering and the delete-bearing mix.  Deletes land on
 /// both backends identically, so scans over the surviving rows agree —
-/// which also exercises `scan_limit`'s drain-past-tombstones fill on the
-/// KV side against the B+-tree's tombstone-free baseline.
+/// which exercises the KV scan's drain-past-tombstones fill against the
+/// B+-tree's tombstone-free reference.
 #[test]
 fn scrambled_and_delete_modes_match_across_backends() {
     let scrambled = YcsbSpec::core('A', 150, 250, 0x5eed).expect("core workload").scrambled();
@@ -113,12 +146,9 @@ fn scrambled_and_delete_modes_match_across_backends() {
         let kv = run_kv(spec);
         let bt = run_btree(spec);
         assert_eq!(kv.ops, spec.op_count, "{label}");
+        assert_eq!(kv.digest, bt.digest, "{label}: backends must consume identical streams");
         assert_eq!(
-            kv.stream_digest, bt.stream_digest,
-            "{label}: backends must replay identical streams"
-        );
-        assert_eq!(
-            kv.rows_scanned, bt.rows_scanned,
+            kv.scan_rows, bt.scan_rows,
             "{label}: scans over identically-deleted data must see identical rows"
         );
     }
@@ -126,37 +156,15 @@ fn scrambled_and_delete_modes_match_across_backends() {
     // stream shape: digests cover (kind, key id, scan_len), so the
     // scrambled and ordered runs share a digest yet touch different keys.
     let plain = YcsbSpec::core('A', 150, 250, 0x5eed).expect("core workload");
-    assert_eq!(run_kv(&plain).stream_digest, run_kv(&scrambled).stream_digest);
+    assert_eq!(run_kv(&plain).digest, run_kv(&scrambled).digest);
 }
 
-/// Scans actually return rows on both backends (workload E is 95% scans).
+/// Scans actually return rows (workload E is 95% scans).
 #[test]
 fn workload_e_scans_return_rows() {
     let spec = YcsbSpec::core('E', 150, 200, 0x0e).expect("E is core");
-    let kv = run_kv(&spec);
-    assert!(kv.rows_scanned > 0, "E must touch scanned rows, got {}", kv.rows_scanned);
-}
-
-/// Open-loop replay of the same trace on two fresh stacks reproduces the
-/// exact same simulated numbers — no wall-clock leakage anywhere.
-#[test]
-fn trace_replay_is_deterministic_across_stacks() {
-    let spec = YcsbSpec::core('B', 200, 300, 0x7ace).expect("B is core");
-    let trace = from_spec(&spec, 5.0);
-    let mut reports = Vec::new();
-    for _ in 0..2 {
-        let (backend, t) = kv_stack();
-        let loaded = load_phase(&spec, &backend, t).expect("load");
-        let registry = MetricsRegistry::new();
-        reports.push(replay(&trace, &backend, &registry, "det", 100, loaded).expect("replay"));
-    }
-    let (a, b) = (&reports[0], &reports[1]);
-    assert_eq!(a.ops, spec.op_count);
-    assert_eq!(a.misses, 0, "workload B only touches loaded keys");
-    assert_eq!(a.ops, b.ops);
-    assert_eq!(a.drained_at, b.drained_at);
-    assert_eq!(a.achieved_kops.to_bits(), b.achieved_kops.to_bits());
-    assert_eq!(a.p99_us.to_bits(), b.p99_us.to_bits());
+    let rows: usize = run_kv(&spec).scan_rows.iter().sum();
+    assert!(rows > 0, "E must touch scanned rows, got {rows}");
 }
 
 /// More theta, more skew: the hottest rank's share grows monotonically.

@@ -66,7 +66,7 @@ fn main() {
     let (got, t2) = store.get(&key(42), t).unwrap();
     t = t2;
     println!("get(user000042) -> {:?}", String::from_utf8_lossy(&got.unwrap()));
-    let (rows, t3) = store.scan(Some(&key(100)), Some(&key(104)), t).unwrap();
+    let (rows, t3) = store.scan(Some(&key(100)), Some(&key(104)), usize::MAX, t).unwrap();
     t = t3;
     println!("scan(user000100..=user000104) -> {} rows", rows.len());
 

@@ -10,9 +10,8 @@
 //! * [`dbms`] — the storage engine that runs on NoFTL regions (`dbms-engine`);
 //! * [`tpcc`] — the TPC-C workload and placement configurations
 //!   (`tpcc-workload`);
-//! * [`workload`] — the workload lab: deterministic YCSB A–F generators,
-//!   rate-controlled trace replay and multi-tenant scenarios
-//!   (`noftl-workload`);
+//! * [`workload`] — deterministic YCSB A–F generators and the NoFTL-KV /
+//!   B+-tree backends they drive (`noftl-workload`);
 //! * [`bench`](mod@bench) — the experiment harness and figure / ablation
 //!   binaries (`noftl-bench`);
 //! * [`obs`] — the cross-layer observability layer: metrics registry,
