@@ -5,10 +5,10 @@
 //!
 //! 1. the placement used by the Figure 3 experiment (the paper's published
 //!    die counts 2/11/10/29/6/6);
-//! 2. the placement the *advisor* derives from object statistics measured
-//!    during a traditional-placement run, showing that the die shares are
-//!    reproducible from the DBMS's own knowledge of object sizes and I/O
-//!    rates (the mechanism §2 of the paper describes).
+//! 2. the placement `placement::assign_dies` derives from object
+//!    statistics measured during a traditional-placement run, showing that
+//!    the die shares are reproducible from the DBMS's own knowledge of
+//!    object sizes and I/O rates (the mechanism §2 of the paper describes).
 //!
 //! ```text
 //! cargo run --release -p noftl-bench --bin figure2
@@ -29,7 +29,7 @@ fn main() {
     println!("{}", paper.to_table());
 
     println!("-- Placement derived by the advisor from measured object statistics --\n");
-    // Measure object I/O profiles under traditional placement.
+    // Measure object statistics under traditional placement.
     let mut exp = Experiment::figure3_base(placement::traditional(dies), "profiling run");
     exp.driver.total_transactions = txns;
     let result = exp.run().unwrap_or_else(|e| {
@@ -37,7 +37,7 @@ fn main() {
         std::process::exit(1)
     });
     // Group the measured objects exactly as the paper's Figure 2 groups them,
-    // then let the advisor apportion the dies from the measured profiles.
+    // then apportion the dies from the measured statistics.
     let groups: Vec<(String, Vec<String>)> =
         paper.regions.iter().map(|r| (r.region_name.clone(), r.objects.clone())).collect();
     let advised = placement::advised(&result.object_profiles, &groups, dies);
@@ -45,7 +45,7 @@ fn main() {
 
     println!("-- Measured object profiles (pages / reads / writes) --\n");
     let mut profiles = result.object_profiles.clone();
-    profiles.sort_by_key(|p| std::cmp::Reverse(p.reads + p.writes));
+    profiles.sort_by_key(|p| std::cmp::Reverse(p.io_total()));
     println!("{:<16} {:>10} {:>12} {:>12}", "Object", "Pages", "Reads", "Writes");
     for p in profiles {
         println!("{:<16} {:>10} {:>12} {:>12}", p.name, p.pages, p.reads, p.writes);

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use dbms_engine::{Database, DatabaseConfig, DbError, NoFtlBackend};
 use flash_sim::{DeviceBuilder, Duration, FlashGeometry, NandDevice, SimTime, TimingModel};
-use noftl_core::{NoFtl, NoFtlConfig, ObjectProfile, PlacementConfig};
+use noftl_core::{NoFtl, NoFtlConfig, ObjectStats, PlacementConfig};
 use tpcc_workload::{Driver, DriverConfig, Loader, RunReport, ScaleConfig};
 
 /// One end-to-end TPC-C experiment configuration.
@@ -24,7 +24,7 @@ pub struct Experiment {
     pub geometry: FlashGeometry,
     /// NAND timing model.
     pub timing: TimingModel,
-    /// NoFTL configuration (GC watermarks, wear leveling).
+    /// NoFTL configuration (GC watermarks).
     pub noftl: NoFtlConfig,
     /// Data placement (regions and die assignment).
     pub placement: PlacementConfig,
@@ -127,12 +127,12 @@ impl Experiment {
         let die_busy = (device.die_stats().iter().zip(&busy_before))
             .map(|(after, before)| Duration(after.busy_time.0 - before.busy_time.0))
             .collect();
-        let profiles = noftl.all_object_stats().iter().map(ObjectProfile::from_stats).collect();
+        let object_profiles = noftl.all_object_stats();
         Ok(ExperimentResult {
             report,
             device,
             noftl,
-            object_profiles: profiles,
+            object_profiles,
             loaded_rows: load_stats.total_rows(),
             loaded_misses,
             die_busy,
@@ -155,9 +155,9 @@ pub struct ExperimentResult {
     pub device: Arc<NandDevice>,
     /// The NoFTL storage manager (for per-region statistics).
     pub noftl: Arc<NoFtl>,
-    /// Per-object I/O profiles measured over the whole run (load + run),
-    /// used by the placement advisor / Figure 2 binary.
-    pub object_profiles: Vec<ObjectProfile>,
+    /// Per-object statistics measured over the whole run (load + run),
+    /// from which the Figure 2 binary apportions dies.
+    pub object_profiles: Vec<ObjectStats>,
     /// Rows loaded into the database before the measured phase.
     pub loaded_rows: u64,
     /// Buffer misses at the end of the load (`report.buffer` runs from the

@@ -1,15 +1,5 @@
 //! NoFTL storage manager configuration.
 
-/// Garbage-collection victim selection policy (per region).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GcPolicy {
-    /// Pick the full block with the fewest valid pages.
-    Greedy,
-    /// Cost-benefit selection that also considers how long ago a block was
-    /// last invalidated (favours cold blocks).
-    CostBenefit,
-}
-
 /// Configuration of the NoFTL storage manager.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoFtlConfig {
@@ -18,15 +8,14 @@ pub struct NoFtlConfig {
     pub gc_low_watermark: u32,
     /// A collecting die stops once it has this many free blocks again.
     pub gc_high_watermark: u32,
-    /// Victim selection policy.
-    pub gc_policy: GcPolicy,
 }
 
 impl NoFtlConfig {
-    /// Defaults mirroring the paper's prototype: greedy GC (wear leveling
-    /// is always dynamic: a die opens its least-worn free block).
+    /// Defaults mirroring the paper's prototype (victim selection is
+    /// always greedy and wear leveling always dynamic; neither is a
+    /// setting).
     pub fn paper_defaults() -> Self {
-        NoFtlConfig { gc_low_watermark: 2, gc_high_watermark: 4, gc_policy: GcPolicy::Greedy }
+        NoFtlConfig { gc_low_watermark: 2, gc_high_watermark: 4 }
     }
 
     /// Validate the configuration.
@@ -61,7 +50,7 @@ mod tests {
     fn validation_rejects_bad_configs() {
         let c = NoFtlConfig { gc_low_watermark: 0, ..NoFtlConfig::default() };
         assert!(c.validate().is_err());
-        let c = NoFtlConfig { gc_high_watermark: 1, gc_low_watermark: 2, ..NoFtlConfig::default() };
+        let c = NoFtlConfig { gc_high_watermark: 1, gc_low_watermark: 2 };
         assert!(c.validate().is_err());
     }
 }

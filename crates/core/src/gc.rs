@@ -8,7 +8,8 @@
 //! paper's reduction in COPYBACK and ERASE counts.
 //!
 //! `Space` is the allocator and collector of one region at work;
-//! [`GcCandidate`] and [`select_victim`] are the victim-selection policy.
+//! [`GcCandidate`] and [`select_victim`] are the one victim-selection
+//! rule: greedy.
 //!
 //! Collection is *paced by host writes*: a die between its low and high
 //! free-block watermark relocates a quantum of its current victim in
@@ -22,7 +23,6 @@ use flash_sim::{
     BlockInfo, BlockState, FlashCommand, IoTag, PageAddr, PageMetadata, PageState, SimTime,
 };
 
-use crate::config::GcPolicy;
 use crate::error::NoFtlError;
 use crate::manager::{region_slot, Env, Inner};
 use crate::object::ObjectState;
@@ -41,15 +41,12 @@ pub struct GcCandidate {
     pub invalid_pages: u32,
     /// Erase count of the block.
     pub erase_count: u64,
-    /// Sequence number of the most recent invalidation that hit the block
-    /// (0 = never invalidated); smaller values mean colder blocks.
-    pub last_invalidate_seq: u64,
 }
 
 impl GcCandidate {
     /// Build a candidate from a block snapshot; returns `None` for blocks
     /// that are not worth collecting (not full, or without invalid pages).
-    pub fn from_info(slot: usize, info: &BlockInfo, last_invalidate_seq: u64) -> Option<Self> {
+    pub fn from_info(slot: usize, info: &BlockInfo) -> Option<Self> {
         if info.state != BlockState::Full || info.invalid_pages == 0 {
             return None;
         }
@@ -58,43 +55,15 @@ impl GcCandidate {
             valid_pages: info.valid_pages,
             invalid_pages: info.invalid_pages,
             erase_count: info.erase_count,
-            last_invalidate_seq,
         })
-    }
-
-    /// Classic cost-benefit score `(1-u)/(2u) * age` — higher is better.
-    pub fn cost_benefit_score(&self, now_seq: u64) -> f64 {
-        let total = (self.valid_pages + self.invalid_pages).max(1) as f64;
-        let u = self.valid_pages as f64 / total;
-        let age = now_seq.saturating_sub(self.last_invalidate_seq) as f64 + 1.0;
-        if u <= f64::EPSILON {
-            return f64::MAX / 2.0;
-        }
-        (1.0 - u) / (2.0 * u) * age
     }
 }
 
-/// Pick a victim among `candidates` under `policy`.  Ties are broken
-/// toward less-worn blocks.
-pub fn select_victim(policy: GcPolicy, candidates: &[GcCandidate], now_seq: u64) -> Option<usize> {
-    if candidates.is_empty() {
-        return None;
-    }
-    match policy {
-        GcPolicy::Greedy => {
-            candidates.iter().min_by_key(|c| (c.valid_pages, c.erase_count, c.slot)).map(|c| c.slot)
-        }
-        GcPolicy::CostBenefit => candidates
-            .iter()
-            .max_by(|a, b| {
-                a.cost_benefit_score(now_seq)
-                    .partial_cmp(&b.cost_benefit_score(now_seq))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(b.erase_count.cmp(&a.erase_count))
-                    .then(b.slot.cmp(&a.slot))
-            })
-            .map(|c| c.slot),
-    }
+/// Greedy victim selection: the candidate with the fewest valid pages
+/// (the fewest copybacks), ties broken toward the less-worn block, then
+/// the lower slot.
+pub fn select_victim(candidates: &[GcCandidate]) -> Option<usize> {
+    candidates.iter().min_by_key(|c| (c.valid_pages, c.erase_count, c.slot)).map(|c| c.slot)
 }
 
 /// One region's allocator and garbage collector at work: the region's
@@ -188,11 +157,11 @@ impl Space<'_> {
     /// The one collector primitive: relocate up to one quantum of valid
     /// pages of the die's victim via copyback (updating the owners'
     /// translations page by page) and erase the victim once its last valid
-    /// page has moved.  Without a victim in progress the GC policy chooses
-    /// one; its quantum is `ceil(v / (P - v)) + 1` for `v` valid of `P`
-    /// pages — the rate at which the block is reclaimed exactly as fast as
-    /// host writes use up the `P - v` pages it frees, plus one to get
-    /// ahead.  Returns `false` when nothing was or could be collected.
+    /// page has moved.  Without a victim in progress [`select_victim`]
+    /// chooses one; its quantum is `ceil(v / (P - v)) + 1` for `v` valid
+    /// of `P` pages — the rate at which the block is reclaimed exactly as
+    /// fast as host writes use up the `P - v` pages it frees, plus one to
+    /// get ahead.  Returns `false` when nothing was or could be collected.
     fn step(&mut self, die_idx: usize, at: SimTime) -> bool {
         let Env { device, config, obs, .. } = self.env;
         let device = device.as_ref();
@@ -260,30 +229,21 @@ impl Space<'_> {
         true
     }
 
-    /// The GC policy's choice among the die's full blocks with something
-    /// to reclaim.
+    /// The greedy choice among the die's full blocks with something to
+    /// reclaim.
     fn choose_victim(&self, die_idx: usize) -> Option<Victim> {
-        let Env { device, config, .. } = self.env;
+        let device = &self.env.device;
         let pages_per_block = device.geometry().pages_per_block;
-        let region = &*self.region;
-        let candidates: Vec<GcCandidate> = region.dies[die_idx]
-            .used_blocks
+        let used_blocks = &self.region.dies[die_idx].used_blocks;
+        let candidates: Vec<GcCandidate> = used_blocks
             .iter()
             .enumerate()
-            .filter_map(|(slot, b)| {
-                let info = device.block_info(*b).ok()?;
-                let seq = region
-                    .block_invalidate_seq
-                    .get(&(b.die.0, b.plane, b.block))
-                    .copied()
-                    .unwrap_or(0);
-                GcCandidate::from_info(slot, &info, seq)
-            })
+            .filter_map(|(slot, b)| GcCandidate::from_info(slot, &device.block_info(*b).ok()?))
             .collect();
-        let slot = select_victim(config.gc_policy, &candidates, region.invalidate_seq)?;
+        let slot = select_victim(&candidates)?;
         let chosen = candidates.iter().find(|c| c.slot == slot)?;
         Some(Victim {
-            block: region.dies[die_idx].used_blocks[slot],
+            block: used_blocks[slot],
             cursor: 0,
             quantum: chosen.valid_pages.div_ceil(pages_per_block - chosen.valid_pages) + 1,
             moved: 0,
@@ -304,30 +264,18 @@ mod tests {
     use std::sync::Arc;
 
     fn cand(slot: usize, valid: u32, invalid: u32) -> GcCandidate {
-        GcCandidate {
-            slot,
-            valid_pages: valid,
-            invalid_pages: invalid,
-            erase_count: 0,
-            last_invalidate_seq: 0,
-        }
+        GcCandidate { slot, valid_pages: valid, invalid_pages: invalid, erase_count: 0 }
     }
 
     #[test]
     fn greedy_minimises_copy_cost() {
         let cands = vec![cand(0, 6, 2), cand(1, 1, 7), cand(2, 3, 5)];
-        assert_eq!(select_victim(GcPolicy::Greedy, &cands, 10), Some(1));
-    }
-
-    #[test]
-    fn cost_benefit_prefers_fully_invalid() {
-        let cands = vec![cand(0, 0, 8), cand(1, 1, 7)];
-        assert_eq!(select_victim(GcPolicy::CostBenefit, &cands, 10), Some(0));
+        assert_eq!(select_victim(&cands), Some(1));
     }
 
     #[test]
     fn empty_input_gives_none() {
-        assert_eq!(select_victim(GcPolicy::Greedy, &[], 0), None);
+        assert_eq!(select_victim(&[]), None);
     }
 
     #[test]
@@ -340,11 +288,11 @@ mod tests {
             invalid_pages: 4,
             free_pages: 0,
         };
-        assert!(GcCandidate::from_info(0, &full, 0).is_some());
+        assert!(GcCandidate::from_info(0, &full).is_some());
         let clean = BlockInfo { invalid_pages: 0, valid_pages: 8, ..full };
-        assert!(GcCandidate::from_info(0, &clean, 0).is_none());
+        assert!(GcCandidate::from_info(0, &clean).is_none());
         let open = BlockInfo { state: BlockState::Open, ..full };
-        assert!(GcCandidate::from_info(0, &open, 0).is_none());
+        assert!(GcCandidate::from_info(0, &open).is_none());
     }
 
     proptest! {
@@ -360,14 +308,14 @@ mod tests {
                 .collect();
             prop_assume!(!cands.is_empty());
             let min_valid = cands.iter().map(|c| c.valid_pages).min().unwrap();
-            let chosen = select_victim(GcPolicy::Greedy, &cands, 100).unwrap();
+            let chosen = select_victim(&cands).unwrap();
             let chosen_valid = cands.iter().find(|c| c.slot == chosen).unwrap().valid_pages;
             prop_assert_eq!(chosen_valid, min_valid);
         }
 
-        /// Both policies always return a slot that exists among the candidates.
+        /// Selection always returns a slot that exists among the candidates.
         #[test]
-        fn selection_returns_existing_slot(valids in prop::collection::vec(0u32..8, 1..12), cb in any::<bool>()) {
+        fn selection_returns_existing_slot(valids in prop::collection::vec(0u32..8, 1..12)) {
             let cands: Vec<GcCandidate> = valids
                 .iter()
                 .enumerate()
@@ -375,8 +323,7 @@ mod tests {
                 .filter(|c| c.invalid_pages > 0)
                 .collect();
             prop_assume!(!cands.is_empty());
-            let policy = if cb { GcPolicy::CostBenefit } else { GcPolicy::Greedy };
-            let chosen = select_victim(policy, &cands, 50).unwrap();
+            let chosen = select_victim(&cands).unwrap();
             prop_assert!(cands.iter().any(|c| c.slot == chosen));
         }
     }

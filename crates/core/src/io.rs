@@ -713,6 +713,22 @@ mod tests {
     }
 
     #[test]
+    fn a_window_of_zero_is_a_window_of_one() {
+        let run = |window| {
+            let noftl = make_noftl();
+            let r = noftl.create_region(RegionSpec::named("rg").with_die_count(4)).unwrap();
+            let obj = noftl.create_object("t", r).unwrap();
+            let writes: Vec<_> = (0..6u64).map(|p| (obj, p, page(p as u8))).collect();
+            let done = noftl.write_windowed(&writes, SimTime::ZERO, window).unwrap();
+            for (_, p, data) in &writes {
+                assert_eq!(&noftl.read(obj, *p, done).unwrap().0, data);
+            }
+            done
+        };
+        assert_eq!(run(0), run(1));
+    }
+
+    #[test]
     fn atomic_write_commits_all_or_nothing() {
         let noftl = make_noftl();
         let r = noftl.create_region(RegionSpec::named("rg").with_die_count(2)).unwrap();

@@ -20,13 +20,13 @@
 //!   are registered in a region and addressed by `(ObjectId, logical page)`;
 //! * **out-of-place updates** with per-region write allocation that stripes
 //!   pages round-robin over the region's dies for I/O parallelism;
-//! * **per-region garbage collection** ([`gc`]) using greedy or
-//!   cost-benefit victim selection and die-internal copybacks;
+//! * **per-region garbage collection** ([`gc`]) using greedy victim
+//!   selection and die-internal copybacks;
 //! * **dynamic wear leveling** inside regions ([`region`]): a die opens
 //!   its least-worn free block;
-//! * **hot/cold statistics** ([`hotcold`]) per object, feeding the
-//!   [`placement`] advisor that derives multi-region configurations such as
-//!   the paper's Figure 2;
+//! * **per-object statistics** ([`ObjectStats`]), from which
+//!   [`placement::assign_dies`] apportions dies to regions in
+//!   configurations such as the paper's Figure 2;
 //! * a small **DDL dialect** ([`ddl`]): `CREATE REGION`,
 //!   `CREATE TABLESPACE`, `CREATE TABLE ... TABLESPACE`;
 //! * **windowed flushes** ([`NoFtl::write_windowed`]) and **short atomic
@@ -43,7 +43,6 @@ pub mod config;
 pub mod ddl;
 pub mod error;
 pub mod gc;
-pub mod hotcold;
 pub mod io;
 pub mod kv;
 pub mod manager;
@@ -54,18 +53,17 @@ pub mod recovery;
 pub mod region;
 pub mod stats;
 
-pub use config::{GcPolicy, NoFtlConfig};
+pub use config::NoFtlConfig;
 pub use ddl::{Ddl, DdlStatement};
 pub use error::NoFtlError;
-pub use hotcold::ObjectProfile;
 pub use io::{IoKind, IoRequest};
 pub use kv::{KvConfig, KvOpenReport, KvStats, KvStore};
 pub use manager::NoFtl;
 pub use object::ObjectId;
-pub use placement::{PlacementAdvisor, PlacementConfig, RegionAssignment};
+pub use placement::{PlacementConfig, RegionAssignment};
 pub use recovery::{MountReport, META_OBJECT_ID, META_REGION_NAME};
 pub use region::{RegionId, RegionInfo, RegionSpec};
-pub use stats::{NoFtlStats, ObjectStats, RegionStats};
+pub use stats::{ObjectStats, RegionStats};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, NoFtlError>;

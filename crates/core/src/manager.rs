@@ -33,7 +33,7 @@ use crate::object::{ObjectId, ObjectState};
 use crate::obs::CoreObs;
 use crate::recovery::MetaDirectory;
 use crate::region::{RegionDie, RegionId, RegionRuntime, RegionSpec};
-use crate::stats::{NoFtlStats, RegionStats};
+use crate::stats::RegionStats;
 use crate::Result;
 
 /// The immutable half of the manager: the device, the configuration and
@@ -200,10 +200,10 @@ impl NoFtl {
         lockorder::lock_tracked(LockClass::Manager, &self.inner)
     }
 
-    /// Aggregate statistics over all regions.
-    pub fn stats(&self) -> NoFtlStats {
+    /// Statistics summed over all regions.
+    pub fn stats(&self) -> RegionStats {
         let inner = self.lock_inner();
-        let mut agg = NoFtlStats::default();
+        let mut agg = RegionStats::default();
         for region in inner.regions.iter().flatten() {
             agg.accumulate(&region.stats);
         }

@@ -20,8 +20,8 @@
 //! * `core.flush.window_ns` — issue→drain latency of whole windows;
 //! * `core.read.window_occupancy` / `core.read.window_ns` — the same two
 //!   views of the windowed *read* pipeline (KV and B+-tree scans);
-//! * `core.gc.{runs,pages_moved,blocks_erased}` — GC activity, one run per
-//!   collected victim block;
+//! * `core.gc.{runs,pages_moved}` — GC activity, one run per collected
+//!   (and erased) victim block;
 //! * `core.gc.step_pages` — copybacks one allocation on a collecting die
 //!   paid for before its own program (the maximum is the GC stall bound);
 //! * `core.gc.forced_steps` — allocations whose die a step left without a
@@ -110,7 +110,6 @@ pub(crate) struct CoreObs {
     pub(crate) read_window: WindowObs,
     gc_runs: Counter,
     gc_pages_moved: Counter,
-    gc_blocks_erased: Counter,
     gc_step_pages: Histogram,
     gc_forced_steps: Counter,
     checkpoints: Counter,
@@ -128,7 +127,6 @@ impl CoreObs {
             read_window: WindowObs::new(&registry, "core.read", "read_window"),
             gc_runs: registry.counter("core.gc.runs"),
             gc_pages_moved: registry.counter("core.gc.pages_moved"),
-            gc_blocks_erased: registry.counter("core.gc.blocks_erased"),
             gc_step_pages: registry.histogram("core.gc.step_pages", Unit::Count),
             gc_forced_steps: registry.counter("core.gc.forced_steps"),
             checkpoints: registry.counter("core.checkpoint.count"),
@@ -160,18 +158,17 @@ impl CoreObs {
         }
     }
 
-    /// Record one collected victim on a die: pages relocated via copyback
-    /// and the erased block, plus a tracer instant on the die's track.
+    /// Record one collected (and erased) victim on a die and the pages it
+    /// relocated via copyback, plus a tracer instant on the die's track.
     pub(crate) fn note_gc(&self, die_track: u64, pages_moved: u64, at: SimTime) {
         self.gc_runs.inc();
         self.gc_pages_moved.add(pages_moved);
-        self.gc_blocks_erased.inc();
         self.registry.tracer().instant(
             "core.gc",
             "gc",
             die_track,
             at.as_nanos(),
-            &[("pages_moved", pages_moved), ("blocks_erased", 1)],
+            &[("pages_moved", pages_moved)],
         );
     }
 

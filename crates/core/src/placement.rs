@@ -4,10 +4,10 @@
 //! The paper's Figure 2 shows a hand-tuned assignment of the TPC-C objects
 //! to 6 regions and of the 64 flash dies to those regions "based on sizes
 //! of objects and their I/O rate (required level of I/O parallelism)".
-//! [`PlacementAdvisor::assign_dies`] automates exactly that computation:
-//! given groups of objects and their measured profiles, it apportions the
-//! available dies proportionally to a weighted combination of I/O rate and
-//! size (largest-remainder method, at least one die per region).
+//! [`assign_dies`] automates exactly that computation: given groups of
+//! objects and the [`ObjectStats`] the storage manager keeps for each, it
+//! apportions the available dies proportionally to a weighted combination
+//! of I/O and size (largest-remainder method, at least one die per region).
 //!
 //! That is the only placement decision there is.  *Inside* a region pages
 //! are striped over the region's dies by the allocator
@@ -19,7 +19,7 @@
 
 use flash_sim::ServiceClass;
 
-use crate::hotcold::ObjectProfile;
+use crate::stats::ObjectStats;
 
 /// One region of a placement configuration: its name, the objects placed
 /// in it, and the number of dies assigned to it.
@@ -99,132 +99,88 @@ impl PlacementConfig {
     }
 }
 
-/// Computes die apportionments from object profiles.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlacementAdvisor {
-    /// Relative weight of a group's I/O rate in the die share.
-    pub io_weight: f64,
-    /// Relative weight of a group's size (pages) in the die share.
-    pub size_weight: f64,
-    /// Minimum number of dies any region receives.
-    pub min_dies_per_region: u32,
-}
+/// Weight of a group's share of all object I/O in its die share.
+const IO_WEIGHT: f64 = 0.6;
+/// Weight of a group's share of all object pages in its die share.
+const SIZE_WEIGHT: f64 = 0.4;
+/// Dies every region receives before the rest are apportioned.
+const MIN_DIES_PER_REGION: u32 = 1;
 
-impl Default for PlacementAdvisor {
-    fn default() -> Self {
-        PlacementAdvisor { io_weight: 0.6, size_weight: 0.4, min_dies_per_region: 1 }
-    }
-}
-
-impl PlacementAdvisor {
-    /// Apportion `total_dies` dies over the given object groups.
-    ///
-    /// Each group becomes one region named after the group.  The die share
-    /// of a group is proportional to
-    /// `io_weight * (group I/O / total I/O) + size_weight * (group pages / total pages)`,
-    /// subject to the minimum per region, rounded with the largest-remainder
-    /// method so the shares always sum to `total_dies`.
-    ///
-    /// # Panics
-    /// Panics if `total_dies` cannot satisfy the per-region minimum — that
-    /// is a configuration error in the calling experiment.
-    pub fn assign_dies(
-        &self,
-        groups: &[(String, Vec<ObjectProfile>)],
-        total_dies: u32,
-    ) -> PlacementConfig {
-        assert!(!groups.is_empty(), "placement advisor needs at least one object group");
-        let min_total = self.min_dies_per_region * groups.len() as u32;
-        assert!(
-            total_dies >= min_total,
-            "cannot assign {total_dies} dies to {} regions with a minimum of {} each",
-            groups.len(),
-            self.min_dies_per_region
-        );
-        let total_io: u64 = groups.iter().flat_map(|(_, ps)| ps.iter()).map(|p| p.io_rate()).sum();
-        let total_pages: u64 = groups.iter().flat_map(|(_, ps)| ps.iter()).map(|p| p.pages).sum();
-        let weights: Vec<f64> = groups
+/// Apportion `total_dies` dies over the given object groups, from the
+/// statistics the storage manager keeps for each object.
+///
+/// Each group becomes one region named after the group.  The die share
+/// of a group is proportional to
+/// `0.6 * (group I/O / total I/O) + 0.4 * (group pages / total pages)`,
+/// on top of one die per region, rounded with the largest-remainder
+/// method so the shares always sum to `total_dies`.
+///
+/// # Panics
+/// Panics if `total_dies` cannot satisfy the per-region minimum — that
+/// is a configuration error in the calling experiment.
+pub fn assign_dies(groups: &[(String, Vec<ObjectStats>)], total_dies: u32) -> PlacementConfig {
+    assert!(!groups.is_empty(), "die apportioning needs at least one object group");
+    let min_total = MIN_DIES_PER_REGION * groups.len() as u32;
+    assert!(
+        total_dies >= min_total,
+        "cannot assign {total_dies} dies to {} regions with a minimum of {MIN_DIES_PER_REGION} each",
+        groups.len(),
+    );
+    let total_io: u64 = groups.iter().flat_map(|(_, os)| os.iter()).map(|o| o.io_total()).sum();
+    let total_pages: u64 = groups.iter().flat_map(|(_, os)| os.iter()).map(|o| o.pages).sum();
+    let weights: Vec<f64> = groups
+        .iter()
+        .map(|(_, os)| {
+            let io: u64 = os.iter().map(|o| o.io_total()).sum();
+            let pages: u64 = os.iter().map(|o| o.pages).sum();
+            let io_share = if total_io == 0 { 0.0 } else { io as f64 / total_io as f64 };
+            let size_share = if total_pages == 0 { 0.0 } else { pages as f64 / total_pages as f64 };
+            IO_WEIGHT * io_share + SIZE_WEIGHT * size_share
+        })
+        .collect();
+    let weight_sum: f64 = weights.iter().sum();
+    // Distribute the dies above the per-region minimum proportionally.
+    let distributable = total_dies - min_total;
+    let mut dies: Vec<u32> = vec![MIN_DIES_PER_REGION; groups.len()];
+    if distributable > 0 {
+        let shares: Vec<f64> = weights
             .iter()
-            .map(|(_, ps)| {
-                let io: u64 = ps.iter().map(|p| p.io_rate()).sum();
-                let pages: u64 = ps.iter().map(|p| p.pages).sum();
-                let io_share = if total_io == 0 { 0.0 } else { io as f64 / total_io as f64 };
-                let size_share =
-                    if total_pages == 0 { 0.0 } else { pages as f64 / total_pages as f64 };
-                self.io_weight * io_share + self.size_weight * size_share
+            .map(|w| {
+                if weight_sum <= f64::EPSILON {
+                    distributable as f64 / groups.len() as f64
+                } else {
+                    w / weight_sum * distributable as f64
+                }
             })
             .collect();
-        let weight_sum: f64 = weights.iter().sum();
-        // Distribute the dies above the per-region minimum proportionally.
-        let distributable = total_dies - min_total;
-        let mut dies: Vec<u32> = vec![self.min_dies_per_region; groups.len()];
-        if distributable > 0 {
-            let shares: Vec<f64> = weights
-                .iter()
-                .map(|w| {
-                    if weight_sum <= f64::EPSILON {
-                        distributable as f64 / groups.len() as f64
-                    } else {
-                        w / weight_sum * distributable as f64
-                    }
-                })
-                .collect();
-            let floors: Vec<u32> = shares.iter().map(|s| s.floor() as u32).collect();
-            let mut assigned: u32 = floors.iter().sum();
-            for (d, f) in dies.iter_mut().zip(floors.iter()) {
-                *d += *f;
-            }
-            // Largest remainder: hand out the leftover dies to the groups
-            // with the largest fractional parts.
-            let mut remainders: Vec<(usize, f64)> =
-                shares.iter().enumerate().map(|(i, s)| (i, s - s.floor())).collect();
-            remainders.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-            let mut i = 0;
-            while assigned < distributable {
-                dies[remainders[i % remainders.len()].0] += 1;
-                assigned += 1;
-                i += 1;
-            }
+        let floors: Vec<u32> = shares.iter().map(|s| s.floor() as u32).collect();
+        let mut assigned: u32 = floors.iter().sum();
+        for (d, f) in dies.iter_mut().zip(floors.iter()) {
+            *d += *f;
         }
-        PlacementConfig {
-            regions: groups
-                .iter()
-                .zip(dies)
-                .map(|((name, ps), d)| RegionAssignment {
-                    region_name: name.clone(),
-                    objects: ps.iter().map(|p| p.name.clone()).collect(),
-                    dies: d,
-                    service_class: None,
-                })
-                .collect(),
+        // Largest remainder: hand out the leftover dies to the groups
+        // with the largest fractional parts.
+        let mut remainders: Vec<(usize, f64)> =
+            shares.iter().enumerate().map(|(i, s)| (i, s - s.floor())).collect();
+        remainders.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        let mut i = 0;
+        while assigned < distributable {
+            dies[remainders[i % remainders.len()].0] += 1;
+            assigned += 1;
+            i += 1;
         }
     }
-
-    /// Group objects automatically into `num_groups` buckets of similar
-    /// update intensity (hottest group first).  This is the fully automatic
-    /// variant of the manual grouping in the paper's Figure 2.
-    pub fn auto_group(
-        &self,
-        profiles: &[ObjectProfile],
-        num_groups: usize,
-    ) -> Vec<(String, Vec<ObjectProfile>)> {
-        if profiles.is_empty() || num_groups == 0 {
-            return Vec::new();
-        }
-        let mut sorted: Vec<ObjectProfile> = profiles.to_vec();
-        sorted.sort_by(|a, b| {
-            b.update_intensity()
-                .partial_cmp(&a.update_intensity())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.name.cmp(&b.name))
-        });
-        let num_groups = num_groups.min(sorted.len());
-        let per_group = sorted.len().div_ceil(num_groups);
-        sorted
-            .chunks(per_group)
-            .enumerate()
-            .map(|(i, chunk)| (format!("rgAuto{i}"), chunk.to_vec()))
-            .collect()
+    PlacementConfig {
+        regions: groups
+            .iter()
+            .zip(dies)
+            .map(|((name, os), d)| RegionAssignment {
+                region_name: name.clone(),
+                objects: os.iter().map(|o| o.name.clone()).collect(),
+                dies: d,
+                service_class: None,
+            })
+            .collect(),
     }
 }
 
@@ -233,11 +189,12 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn profile(name: &str, pages: u64, reads: u64, writes: u64) -> ObjectProfile {
-        ObjectProfile { name: name.into(), pages, reads, writes }
+    fn profile(name: &str, pages: u64, reads: u64, writes: u64) -> ObjectStats {
+        let region = crate::RegionId(0);
+        ObjectStats { object_id: 0, name: name.into(), region, pages, reads, writes }
     }
 
-    fn groups() -> Vec<(String, Vec<ObjectProfile>)> {
+    fn groups() -> Vec<(String, Vec<ObjectStats>)> {
         vec![
             (
                 "rgMeta".into(),
@@ -274,8 +231,7 @@ mod tests {
 
     #[test]
     fn die_shares_sum_to_total_and_respect_minimum() {
-        let advisor = PlacementAdvisor::default();
-        let cfg = advisor.assign_dies(&groups(), 64);
+        let cfg = assign_dies(&groups(), 64);
         assert_eq!(cfg.total_dies(), 64);
         assert_eq!(cfg.region_count(), 6);
         assert!(cfg.regions.iter().all(|r| r.dies >= 1));
@@ -289,8 +245,7 @@ mod tests {
 
     #[test]
     fn table_rendering_contains_all_regions() {
-        let advisor = PlacementAdvisor::default();
-        let cfg = advisor.assign_dies(&groups(), 64);
+        let cfg = assign_dies(&groups(), 64);
         let table = cfg.to_table();
         for r in &cfg.regions {
             assert!(table.contains(&r.region_name));
@@ -302,37 +257,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot assign")]
     fn too_few_dies_panics() {
-        PlacementAdvisor::default().assign_dies(&groups(), 3);
+        assign_dies(&groups(), 3);
     }
 
     #[test]
     fn zero_io_groups_still_get_their_minimum() {
-        let advisor = PlacementAdvisor::default();
         let gs = vec![
             ("rgA".into(), vec![profile("a", 0, 0, 0)]),
             ("rgB".into(), vec![profile("b", 0, 0, 0)]),
         ];
-        let cfg = advisor.assign_dies(&gs, 8);
+        let cfg = assign_dies(&gs, 8);
         assert_eq!(cfg.total_dies(), 8);
         assert!(cfg.regions.iter().all(|r| r.dies >= 1));
-    }
-
-    #[test]
-    fn auto_group_orders_hot_first() {
-        let advisor = PlacementAdvisor::default();
-        let profiles = vec![
-            profile("cold", 1000, 100, 0),
-            profile("hot", 100, 100, 10_000),
-            profile("warm", 500, 100, 500),
-        ];
-        let gs = advisor.auto_group(&profiles, 3);
-        assert_eq!(gs.len(), 3);
-        assert_eq!(gs[0].1[0].name, "hot");
-        assert_eq!(gs[2].1[0].name, "cold");
-        assert!(advisor.auto_group(&[], 3).is_empty());
-        assert!(advisor.auto_group(&profiles, 0).is_empty());
-        // More groups than objects collapses to one object per group.
-        assert_eq!(advisor.auto_group(&profiles, 10).len(), 3);
     }
 
     proptest! {
@@ -341,14 +277,14 @@ mod tests {
             dies in 6u32..128,
             weights in prop::collection::vec((1u64..10_000, 1u64..10_000, 1u64..10_000), 2..6),
         ) {
-            let gs: Vec<(String, Vec<ObjectProfile>)> = weights
+            let gs: Vec<(String, Vec<ObjectStats>)> = weights
                 .iter()
                 .enumerate()
                 .map(|(i, (pages, reads, writes))| {
                     (format!("g{i}"), vec![profile(&format!("o{i}"), *pages, *reads, *writes)])
                 })
                 .collect();
-            let cfg = PlacementAdvisor::default().assign_dies(&gs, dies);
+            let cfg = assign_dies(&gs, dies);
             prop_assert_eq!(cfg.total_dies(), dies);
             prop_assert!(cfg.regions.iter().all(|r| r.dies >= 1));
         }

@@ -6,7 +6,6 @@
 //! reclamation (GC) and wear leveling happen region-locally.
 
 use flash_sim::{BlockAddr, DieId, FlashBackend, FlashGeometry, PageAddr, ServiceClass};
-use std::collections::HashMap;
 
 use crate::stats::RegionStats;
 
@@ -338,10 +337,6 @@ pub(crate) struct RegionRuntime {
     pub next_die: usize,
     /// Objects currently placed in this region (by id).
     pub objects: Vec<u32>,
-    /// Monotonic invalidation sequence (region-local GC "age" clock).
-    pub invalidate_seq: u64,
-    /// Last invalidation sequence per block.
-    pub block_invalidate_seq: HashMap<(u32, u32, u32), u64>,
     /// Region-level statistics.
     pub stats: RegionStats,
 }
@@ -361,8 +356,6 @@ impl RegionRuntime {
             dies: dies.into_iter().map(|d| RegionDie::new(device, d)).collect(),
             next_die: 0,
             objects: Vec::new(),
-            invalidate_seq: 0,
-            block_invalidate_seq: HashMap::new(),
             stats: RegionStats::default(),
         }
     }
@@ -374,12 +367,10 @@ impl RegionRuntime {
         self.spec.service_class.unwrap_or(ServiceClass::Throughput)
     }
 
-    /// Record that a page in `block` has been invalidated (for cost-benefit
-    /// GC aging).
+    /// Record that the page at `ppa` has been invalidated: its die has
+    /// something to collect again, so a victim search that found nothing
+    /// there is rearmed.
     pub(crate) fn record_invalidation(&mut self, ppa: PageAddr) {
-        self.invalidate_seq += 1;
-        let seq = self.invalidate_seq;
-        self.block_invalidate_seq.insert((ppa.die.0, ppa.plane, ppa.block), seq);
         if let Some(die) = self.dies.iter_mut().find(|d| d.die == ppa.die) {
             die.nothing_to_collect = false;
         }
@@ -418,7 +409,10 @@ impl RegionRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flash_sim::{DeviceBuilder, FlashGeometry, SimTime};
+    use crate::testutil::page;
+    use crate::{NoFtl, NoFtlConfig};
+    use flash_sim::{DeviceBuilder, FlashGeometry, SimTime, TimingModel};
+    use std::sync::Arc;
 
     #[test]
     fn spec_builder_and_resolution() {
@@ -533,14 +527,32 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_sequence_advances() {
-        let device = DeviceBuilder::new(FlashGeometry::small_test()).build();
-        let mut rt =
-            RegionRuntime::new(RegionId(0), RegionSpec::named("r"), &device, vec![DieId(0)]);
-        let p = PageAddr::new(DieId(0), 0, 3, 1);
-        rt.record_invalidation(p);
-        rt.record_invalidation(p);
-        assert_eq!(rt.invalidate_seq, 2);
-        assert_eq!(rt.block_invalidate_seq.get(&(0, 0, 3)), Some(&2));
+    fn an_invalidation_rearms_a_die_whose_victim_search_found_nothing() {
+        let device = Arc::new(
+            DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::instant()).build(),
+        );
+        let noftl = NoFtl::new(device, NoFtlConfig::default());
+        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
+        let obj = noftl.create_object("t", r).unwrap();
+        // `(nothing_to_collect, free blocks)` of the region's one die.
+        let die = || {
+            let inner = noftl.lock_inner();
+            let d = &inner.region(r).unwrap().dies[0];
+            (d.nothing_to_collect, d.free_blocks.len())
+        };
+        // Fresh pages only: every full block is all valid, so once the die
+        // is collecting its victim search finds nothing.
+        let mut next = 0;
+        while !die().0 {
+            noftl.write(obj, next, &page(next as u8), SimTime::ZERO).unwrap();
+            next += 1;
+        }
+        assert!(die().1 > 0, "room left for a write and its GC");
+        assert_eq!(noftl.region_stats(r).unwrap().gc_runs, 0);
+        // One freed page gives the die a victim, and the next allocation
+        // collects it.
+        noftl.free_page(obj, 0).unwrap();
+        noftl.write(obj, next, &page(next as u8), SimTime::ZERO).unwrap();
+        assert_eq!(noftl.region_stats(r).unwrap().gc_runs, 1);
     }
 }

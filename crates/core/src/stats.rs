@@ -29,60 +29,8 @@ pub struct RegionStats {
 }
 
 impl RegionStats {
-    /// Mean host read latency in microseconds.
-    pub fn avg_read_latency_us(&self) -> f64 {
-        if self.host_reads == 0 {
-            0.0
-        } else {
-            self.read_latency_sum.as_us_f64() / self.host_reads as f64
-        }
-    }
-
-    /// Mean host write latency in microseconds.
-    pub fn avg_write_latency_us(&self) -> f64 {
-        if self.host_writes == 0 {
-            0.0
-        } else {
-            self.write_latency_sum.as_us_f64() / self.host_writes as f64
-        }
-    }
-
-    /// Write amplification within the region: (host writes + GC copybacks)
-    /// per host write.
-    pub fn write_amplification(&self) -> f64 {
-        if self.host_writes == 0 {
-            0.0
-        } else {
-            (self.host_writes + self.gc_copybacks) as f64 / self.host_writes as f64
-        }
-    }
-}
-
-/// Aggregate storage-manager statistics (sums over regions).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct NoFtlStats {
-    /// Host page reads.
-    pub host_reads: u64,
-    /// Host page writes.
-    pub host_writes: u64,
-    /// GC runs (victim blocks collected and erased).
-    pub gc_runs: u64,
-    /// GC copybacks (valid-page relocations).
-    pub gc_copybacks: u64,
-    /// GC erases.
-    pub gc_erases: u64,
-    /// Always 0 (see [`RegionStats::wl_migrations`]).
-    pub wl_migrations: u64,
-    /// Pages moved for region rebalancing.
-    pub rebalance_moves: u64,
-    /// Sum of host read latencies.
-    pub read_latency_sum: Duration,
-    /// Sum of host write latencies.
-    pub write_latency_sum: Duration,
-}
-
-impl NoFtlStats {
-    /// Accumulate a region's counters into the aggregate.
+    /// Add another region's counters to these: [`crate::NoFtl::stats`]
+    /// sums every region this way.
     pub fn accumulate(&mut self, r: &RegionStats) {
         self.host_reads += r.host_reads;
         self.host_writes += r.host_writes;
@@ -113,7 +61,8 @@ impl NoFtlStats {
         }
     }
 
-    /// Write amplification: (host writes + copybacks) / host writes.
+    /// Write amplification within the region: (host writes + GC copybacks)
+    /// per host write.
     pub fn write_amplification(&self) -> f64 {
         if self.host_writes == 0 {
             0.0
@@ -123,7 +72,8 @@ impl NoFtlStats {
     }
 }
 
-/// Per-object statistics snapshot (for the DBA and the placement advisor).
+/// Per-object statistics snapshot (for the DBA and
+/// [`crate::placement::assign_dies`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObjectStats {
     /// Object id.
@@ -144,17 +94,6 @@ impl ObjectStats {
     /// Total I/O operations on the object.
     pub fn io_total(&self) -> u64 {
         self.reads + self.writes
-    }
-
-    /// Fraction of the object's I/O that is writes (0 when the object has
-    /// seen no I/O).
-    pub fn write_ratio(&self) -> f64 {
-        let total = self.io_total();
-        if total == 0 {
-            0.0
-        } else {
-            self.writes as f64 / total as f64
-        }
     }
 }
 
@@ -182,7 +121,7 @@ mod tests {
 
     #[test]
     fn aggregate_accumulates_regions() {
-        let mut agg = NoFtlStats::default();
+        let mut agg = RegionStats::default();
         let r1 = RegionStats { host_reads: 5, gc_erases: 2, ..Default::default() };
         let r2 = RegionStats { host_reads: 7, gc_copybacks: 3, ..Default::default() };
         agg.accumulate(&r1);
@@ -193,7 +132,7 @@ mod tests {
     }
 
     #[test]
-    fn object_stats_ratios() {
+    fn object_io_total() {
         let o = ObjectStats {
             object_id: 1,
             name: "orderline".into(),
@@ -203,8 +142,5 @@ mod tests {
             writes: 70,
         };
         assert_eq!(o.io_total(), 100);
-        assert!((o.write_ratio() - 0.7).abs() < 1e-9);
-        let idle = ObjectStats { reads: 0, writes: 0, ..o };
-        assert_eq!(idle.write_ratio(), 0.0);
     }
 }

@@ -562,40 +562,16 @@ impl BTree {
         }
     }
 
-    /// Range scan: all `(key, rid)` pairs with `low <= key < high`, in key
-    /// order.
+    /// Range scan: the first `limit` `(key, rid)` pairs with
+    /// `low <= key < high`, in key order (`high == None`: no upper bound;
+    /// `limit == usize::MAX`: no limit).  The walk stops at the high bound
+    /// or at `limit` pairs, whichever comes first, and reads nothing for
+    /// `limit == 0`.
     pub fn range(
         &self,
         pool: &BufferPool,
         low: &[u8],
-        high: &[u8],
-        now: SimTime,
-    ) -> Result<ScanResult> {
-        let mut inner = self.inner.lock();
-        let t = self.ensure_init(&mut inner, pool, now)?;
-        let (leaf, t) = self.leaf_for(pool, inner.root, low, t)?;
-        let mut out = Vec::new();
-        let t = self.walk_leaves(pool, leaf, t, |key, rid| {
-            if key < low {
-                return true;
-            }
-            if key >= high {
-                return false;
-            }
-            out.push((key.to_vec(), rid));
-            true
-        })?;
-        Ok((out, t))
-    }
-
-    /// Bounded range scan: the first `limit` `(key, rid)` pairs with
-    /// `key >= low`, in key order — the YCSB-style "short scan" walk.
-    /// Same leaf chase as [`range`](Self::range), but it stops as soon as
-    /// `limit` pairs are collected instead of walking to a high bound.
-    pub fn range_from(
-        &self,
-        pool: &BufferPool,
-        low: &[u8],
+        high: Option<&[u8]>,
         limit: usize,
         now: SimTime,
     ) -> Result<ScanResult> {
@@ -607,9 +583,13 @@ impl BTree {
         }
         let (leaf, t) = self.leaf_for(pool, inner.root, low, t)?;
         let t = self.walk_leaves(pool, leaf, t, |key, rid| {
-            if key >= low {
-                out.push((key.to_vec(), rid));
+            if key < low {
+                return true;
             }
+            if high.is_some_and(|high| key >= high) {
+                return false;
+            }
+            out.push((key.to_vec(), rid));
             out.len() < limit
         })?;
         Ok((out, t))
@@ -636,11 +616,11 @@ impl BTree {
                 }
                 None => {
                     // Prefix was all 0xFF (or empty): scan to the end.
-                    return self.range(pool, prefix, &vec![0xFFu8; prefix.len() + 9], now);
+                    return self.range(pool, prefix, None, usize::MAX, now);
                 }
             }
         }
-        self.range(pool, prefix, &high, now)
+        self.range(pool, prefix, Some(&high), usize::MAX, now)
     }
 
     /// Remove `key`.  Returns whether the key existed.
@@ -812,8 +792,8 @@ mod tests {
         assert!(tree.is_empty());
         let (found, _) = tree.search(&pool, &composite_key(&[1]), SimTime::ZERO).unwrap();
         assert_eq!(found, None);
-        let (range, _) =
-            tree.range(&pool, &composite_key(&[0]), &composite_key(&[100]), SimTime::ZERO).unwrap();
+        let (low, high) = (composite_key(&[0]), composite_key(&[100]));
+        let (range, _) = tree.range(&pool, &low, Some(&high), usize::MAX, SimTime::ZERO).unwrap();
         assert!(range.is_empty());
         let (deleted, _) = tree.delete(&pool, &composite_key(&[1]), SimTime::ZERO).unwrap();
         assert!(!deleted);
@@ -859,8 +839,8 @@ mod tests {
         for i in 0..2_000i64 {
             t = tree.insert(&pool, &composite_key(&[i]), rid(i as u64), t).unwrap();
         }
-        let (results, _) =
-            tree.range(&pool, &composite_key(&[100]), &composite_key(&[120]), t).unwrap();
+        let (low, high) = (composite_key(&[100]), composite_key(&[120]));
+        let (results, _) = tree.range(&pool, &low, Some(&high), usize::MAX, t).unwrap();
         assert_eq!(results.len(), 20);
         let keys: Vec<i64> =
             results.iter().map(|(k, _)| crate::value::decode_key_int(&k[..8])).collect();
@@ -893,14 +873,14 @@ mod tests {
             let expected = depth - 1 + (leaf_of(&high) - leaf_of(&low) + 1) as u64;
             assert!(expected < tree.page_count(), "the range covers the whole tree");
             let visits_before = pool.stats().logical_reads;
-            let (warm_rows, _) = tree.range(&pool, &low, &high, t).unwrap();
+            let (warm_rows, _) = tree.range(&pool, &low, Some(&high), usize::MAX, t).unwrap();
             // The walk looks at its first leaf a second time.
             let nodes = pool.stats().logical_reads - visits_before - 1;
 
             // A cold pool over the same backing object.
             let cold = BufferPool::new(pool.backend().clone(), 256);
             let reads_before = cold.backend().io_counts().0;
-            let (cold_rows, _) = tree.range(&cold, &low, &high, t).unwrap();
+            let (cold_rows, _) = tree.range(&cold, &low, Some(&high), usize::MAX, t).unwrap();
             assert_eq!(warm_rows.len(), 600);
             assert_eq!(warm_rows, cold_rows);
             assert_eq!(nodes, expected, "{nodes} nodes visited of {}", tree.page_count());
@@ -1117,7 +1097,8 @@ mod tests {
                 prop_assert_eq!(found, Some(*r));
             }
             // A full range scan returns exactly the model's keys in order.
-            let (all, _) = tree.range(&pool, &composite_key(&[-1]), &composite_key(&[301]), t).unwrap();
+            let (low, high) = (composite_key(&[-1]), composite_key(&[301]));
+            let (all, _) = tree.range(&pool, &low, Some(&high), usize::MAX, t).unwrap();
             let scanned: Vec<i64> = all.iter().map(|(k, _)| crate::value::decode_key_int(&k[..8])).collect();
             let expected: Vec<i64> = model.keys().copied().collect();
             prop_assert_eq!(scanned, expected);
@@ -1126,7 +1107,7 @@ mod tests {
         /// Whatever order the keys come in — ascending (every split an
         /// append), descending, shuffled, or appends taking turns across
         /// groups — with upserts mixed in, every key is found and every
-        /// scan returns its keys in order.
+        /// scan returns its keys in order, up to its bound or its limit.
         #[test]
         fn every_insert_order_keeps_keys_found_and_scans_ordered(
             order in 0u8..4,
@@ -1134,6 +1115,7 @@ mod tests {
             groups in 1i64..6,
             seed in any::<u64>(),
             upsert_every in 1usize..20,
+            limit in 0usize..1_600,
         ) {
             // (group, sequence) in per-group append order.
             let mut keys: Vec<(i64, i64)> = (0..n).map(|i| (i % groups, i / groups)).collect();
@@ -1176,10 +1158,22 @@ mod tests {
             let groups_of = |from: i64, to: i64| -> Vec<((i64, i64), RecordId)> {
                 model.range((from, i64::MIN)..(to, i64::MIN)).map(|(k, r)| (*k, *r)).collect()
             };
+            let first = |mut rows: Vec<_>| {
+                rows.truncate(limit);
+                rows
+            };
             let (low, high) = (composite_key(&[0]), composite_key(&[groups]));
-            let (all, t2) = tree.range(&pool, &low, &high, t).unwrap();
+            let (all, t2) = tree.range(&pool, &low, Some(&high), usize::MAX, t).unwrap();
             t = t2;
             prop_assert_eq!(decode(&all), groups_of(0, groups));
+            let (rows, t2) = tree.range(&pool, &low, Some(&high), limit, t).unwrap();
+            t = t2;
+            prop_assert_eq!(decode(&rows), first(groups_of(0, groups)));
+            // No upper bound: only the limit stops the walk.
+            let middle = composite_key(&[groups / 2]);
+            let (rows, t2) = tree.range(&pool, &middle, None, limit, t).unwrap();
+            t = t2;
+            prop_assert_eq!(decode(&rows), first(groups_of(groups / 2, groups)));
             for g in 0..groups {
                 let (rows, t2) = tree.prefix_scan(&pool, &composite_key(&[g]), t).unwrap();
                 t = t2;

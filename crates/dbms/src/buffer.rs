@@ -104,11 +104,10 @@ struct PoolInner {
     capture: Option<Capture>,
 }
 
-/// Default bound on in-flight pages of a [`BufferPool::flush_all`]
-/// pipeline: the die count of the largest preset geometry
-/// (`FlashGeometry::edbt_paper` has 64 dies), so the default saturates
-/// every preset's die-level parallelism while still bounding outstanding
-/// I/O.
+/// Bound on in-flight pages of the [`BufferPool::flush_all`] pipeline:
+/// the die count of the largest preset geometry
+/// (`FlashGeometry::edbt_paper` has 64 dies), so it saturates every
+/// preset's die-level parallelism while still bounding outstanding I/O.
 pub const DEFAULT_FLUSH_WINDOW: usize = 64;
 
 /// A fixed-capacity buffer pool over a [`StorageBackend`].
@@ -119,8 +118,6 @@ pub struct BufferPool {
     /// data cannot reach storage behind the WAL's back.  Required for the
     /// redo-only (no undo pass) recovery protocol.
     no_steal: bool,
-    /// In-flight page bound of the completion-driven flush pipeline.
-    flush_window: usize,
     inner: Mutex<PoolInner>,
     /// `dbms.buffer.flush_ns` handle, bound lazily on the first flush.
     flush_hist: OnceLock<Histogram>,
@@ -142,7 +139,6 @@ impl BufferPool {
             backend,
             capacity,
             no_steal,
-            flush_window: DEFAULT_FLUSH_WINDOW,
             flush_hist: OnceLock::new(),
             inner: Mutex::new(PoolInner {
                 frames: (0..capacity).map(|_| None).collect(),
@@ -154,18 +150,6 @@ impl BufferPool {
                 capture: None,
             }),
         }
-    }
-
-    /// Set the in-flight page bound of the flush pipeline (clamped to at
-    /// least 1; 1 degenerates to strictly sequential write-back).
-    pub fn with_flush_window(mut self, window: usize) -> Self {
-        self.flush_window = window.max(1);
-        self
-    }
-
-    /// The in-flight page bound of the flush pipeline.
-    pub fn flush_window(&self) -> usize {
-        self.flush_window
     }
 
     /// The backend underneath the pool.
@@ -372,7 +356,7 @@ impl BufferPool {
     }
 
     /// Write back every dirty page through the backend's
-    /// completion-driven pipeline: at most [`BufferPool::flush_window`]
+    /// completion-driven pipeline: at most [`DEFAULT_FLUSH_WINDOW`]
     /// pages in flight, each further page issued the instant the oldest
     /// outstanding one completes, overlapping the backend's internal
     /// parallelism (per-die command queues under NoFTL).  The returned
@@ -390,7 +374,7 @@ impl BufferPool {
         if batch.is_empty() {
             return Ok(now);
         }
-        let done = self.backend.write_windowed(&batch, now, self.flush_window)?;
+        let done = self.backend.write_windowed(&batch, now, DEFAULT_FLUSH_WINDOW)?;
         if let Some(registry) = self.backend.metrics() {
             let hist = self
                 .flush_hist
@@ -474,6 +458,7 @@ mod tests {
         pool.write_page(obj, 0, &page(7), SimTime::ZERO).unwrap();
         let done = pool.flush_all(SimTime::ZERO).unwrap();
         assert!(done > SimTime::ZERO);
+        assert_eq!(pool.dirty_pages(), 0);
         // Build a second pool so the page is not cached.
         let pool2 = BufferPool::new(backend.clone(), 8);
         let (data, t) = pool2.read_page(obj, 0, done).unwrap();
@@ -637,46 +622,5 @@ mod tests {
         let backend = backend();
         let pool = BufferPool::new(backend, 0);
         assert!(pool.capacity() >= 4);
-    }
-
-    #[test]
-    fn flush_window_is_configurable_and_preserves_data() {
-        let backend = backend();
-        let obj = backend.create_object("t").unwrap();
-        let pool = BufferPool::new(backend.clone(), 32);
-        assert_eq!(pool.flush_window(), DEFAULT_FLUSH_WINDOW);
-        // A window of 1 degenerates to strictly sequential write-back and
-        // must still land every page.
-        let pool = BufferPool::new(backend.clone(), 32).with_flush_window(0);
-        assert_eq!(pool.flush_window(), 1);
-        for p in 0..6u64 {
-            pool.write_page(obj, p, &page(p as u8), SimTime::ZERO).unwrap();
-        }
-        let done = pool.flush_all(SimTime::ZERO).unwrap();
-        assert!(done > SimTime::ZERO);
-        assert_eq!(pool.dirty_pages(), 0);
-        let fresh = BufferPool::new(backend, 32);
-        for p in 0..6u64 {
-            assert_eq!(fresh.read_page(obj, p, done).unwrap().0, page(p as u8));
-        }
-    }
-
-    #[test]
-    fn windowed_flush_matches_batch_fanout_when_the_window_is_deep() {
-        // With a window covering the whole dirty set, the pipeline issues
-        // every page at the flush instant — identical simulated timing to
-        // the old one-shot write_batch.
-        let run = |window: usize| {
-            let backend = backend();
-            let obj = backend.create_object("t").unwrap();
-            let pool = BufferPool::new(backend, 32).with_flush_window(window);
-            for p in 0..8u64 {
-                pool.write_page(obj, p, &page(p as u8), SimTime::ZERO).unwrap();
-            }
-            pool.flush_all(SimTime::ZERO).unwrap()
-        };
-        let deep = run(16);
-        let narrow = run(1);
-        assert!(deep < narrow, "deep window ({deep}) must overlap dies, window 1 ({narrow}) not");
     }
 }

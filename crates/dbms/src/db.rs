@@ -394,37 +394,22 @@ impl Database {
         }
     }
 
-    /// Range scan over an index: keys in `[low, high)`.
+    /// Range scan over an index: the first `limit` `(key, rid)` pairs
+    /// with keys in `[low, high)`, in key order — [`crate::btree::BTree::range`]:
+    /// `high == None` has no upper bound (a YCSB-style short scan),
+    /// `limit == usize::MAX` no limit.
     pub fn index_range(
         &self,
         txn: &mut Txn,
         table: &str,
         index: &str,
         low: &[u8],
-        high: &[u8],
-    ) -> Result<Vec<(Vec<u8>, RecordId)>> {
-        let table_def = self.catalog.table(table)?;
-        let idx = table_def.index(index)?;
-        let (out, t) = idx.tree.range(&self.pool, low, high, txn.now)?;
-        txn.advance_to(t);
-        txn.reads += 1;
-        txn.add_cpu(OP_CPU);
-        Ok(out)
-    }
-
-    /// Bounded index scan: the first `limit` `(key, rid)` pairs with
-    /// `key >= low`, in key order (a YCSB-style short scan).
-    pub fn index_scan_from(
-        &self,
-        txn: &mut Txn,
-        table: &str,
-        index: &str,
-        low: &[u8],
+        high: Option<&[u8]>,
         limit: usize,
     ) -> Result<Vec<(Vec<u8>, RecordId)>> {
         let table_def = self.catalog.table(table)?;
         let idx = table_def.index(index)?;
-        let (out, t) = idx.tree.range_from(&self.pool, low, limit, txn.now)?;
+        let (out, t) = idx.tree.range(&self.pool, low, high, limit, txn.now)?;
         txn.advance_to(t);
         txn.reads += 1;
         txn.add_cpu(OP_CPU);
@@ -1052,15 +1037,9 @@ mod tests {
             db.index_prefix(&mut txn, "orderline", "ol_idx", &composite_key(&[1, 1, 7])).unwrap();
         assert_eq!(lines.len(), 5);
         // Orders 5..10 (exclusive).
-        let range = db
-            .index_range(
-                &mut txn,
-                "orderline",
-                "ol_idx",
-                &composite_key(&[1, 1, 5]),
-                &composite_key(&[1, 1, 10]),
-            )
-            .unwrap();
+        let (low, high) = (composite_key(&[1, 1, 5]), composite_key(&[1, 1, 10]));
+        let range =
+            db.index_range(&mut txn, "orderline", "ol_idx", &low, Some(&high), usize::MAX).unwrap();
         assert_eq!(range.len(), 25);
     }
 

@@ -7,7 +7,7 @@
 //! result out — the record's bytes, the `Vec<Value>` and one `String`
 //! per string column.  A counting global allocator (per thread, as in
 //! `crates/obs/tests/no_alloc.rs`, so parallel tests do not charge each
-//! other) holds the path to that.  `Database::index_scan_from` over
+//! other) holds the path to that.  `Database::index_range` over
 //! resident leaves allocates its result rows and nothing per leaf.  CI
 //! runs this in `--release`, where the claim matters.
 
@@ -132,7 +132,7 @@ fn warm_range_scan_allocates_nothing_per_leaf() {
     let before = db.buffer_stats();
     let allocs_before = ALLOCATIONS.with(Cell::get);
     let mut txn = db.begin(now);
-    let rows = db.index_scan_from(&mut txn, "t", "i", &key(1_000), rows_wanted).unwrap();
+    let rows = db.index_range(&mut txn, "t", "i", &key(1_000), None, rows_wanted).unwrap();
     db.commit(&mut txn).unwrap();
     let allocs = ALLOCATIONS.with(Cell::get) - allocs_before;
     let after = db.buffer_stats();

@@ -16,7 +16,8 @@
 //! measures against the paper's Figure 3 is recorded in the "Figure 3
 //! reference" block of `benchmark/README.md`.
 
-use noftl_core::{ObjectProfile, PlacementAdvisor, PlacementConfig, RegionAssignment};
+use noftl_core::placement::assign_dies;
+use noftl_core::{ObjectStats, PlacementConfig, RegionAssignment};
 
 use crate::schema::object_names;
 
@@ -104,25 +105,24 @@ pub fn figure2(total_dies: u32) -> PlacementConfig {
     PlacementConfig { regions }
 }
 
-/// Derive a placement automatically from measured object statistics using
-/// the [`PlacementAdvisor`] — the automated counterpart of the paper's
-/// hand-built Figure 2 (used by the `figure2` bench binary to show that
-/// the measured I/O profile reproduces the paper's die shares).
+/// Derive a placement automatically from measured object statistics with
+/// [`assign_dies`] — the automated counterpart of the paper's hand-built
+/// Figure 2 (used by the `figure2` bench binary to show that the measured
+/// I/O profile reproduces the paper's die shares).
 pub fn advised(
-    profiles: &[ObjectProfile],
+    objects: &[ObjectStats],
     groups: &[(String, Vec<String>)],
     total_dies: u32,
 ) -> PlacementConfig {
-    let advisor = PlacementAdvisor::default();
-    let grouped: Vec<(String, Vec<ObjectProfile>)> = groups
+    let grouped: Vec<(String, Vec<ObjectStats>)> = groups
         .iter()
         .map(|(name, members)| {
-            let members: Vec<ObjectProfile> =
-                profiles.iter().filter(|p| members.contains(&p.name)).cloned().collect();
+            let members: Vec<ObjectStats> =
+                objects.iter().filter(|o| members.contains(&o.name)).cloned().collect();
             (name.clone(), members)
         })
         .collect();
-    advisor.assign_dies(&grouped, total_dies)
+    assign_dies(&grouped, total_dies)
 }
 
 #[cfg(test)]
@@ -172,17 +172,25 @@ mod tests {
 
     #[test]
     fn advised_placement_covers_groups() {
-        let profiles = vec![
-            ObjectProfile { name: "STOCK".into(), pages: 10_000, reads: 50_000, writes: 40_000 },
-            ObjectProfile { name: "ORDERLINE".into(), pages: 5_000, reads: 10_000, writes: 30_000 },
-            ObjectProfile { name: "ITEM".into(), pages: 2_000, reads: 20_000, writes: 0 },
-            ObjectProfile { name: "HISTORY".into(), pages: 1_000, reads: 0, writes: 5_000 },
+        let object = |name: &str, pages, reads, writes| ObjectStats {
+            object_id: 0,
+            name: name.into(),
+            region: noftl_core::RegionId(0),
+            pages,
+            reads,
+            writes,
+        };
+        let objects = vec![
+            object("STOCK", 10_000, 50_000, 40_000),
+            object("ORDERLINE", 5_000, 10_000, 30_000),
+            object("ITEM", 2_000, 20_000, 0),
+            object("HISTORY", 1_000, 0, 5_000),
         ];
         let groups = vec![
             ("rgHot".to_string(), vec!["STOCK".to_string(), "ORDERLINE".to_string()]),
             ("rgCold".to_string(), vec!["ITEM".to_string(), "HISTORY".to_string()]),
         ];
-        let cfg = advised(&profiles, &groups, 16);
+        let cfg = advised(&objects, &groups, 16);
         assert_eq!(cfg.total_dies(), 16);
         let hot = cfg.regions.iter().find(|r| r.region_name == "rgHot").unwrap();
         let cold = cfg.regions.iter().find(|r| r.region_name == "rgCold").unwrap();

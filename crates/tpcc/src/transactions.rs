@@ -383,7 +383,7 @@ pub fn stock_level(
     // Order lines of the last 20 orders.
     let low = dbms_engine::value::composite_key(&[w_id, d_id, (next_o_id - 20).max(1), 0]);
     let high = dbms_engine::value::composite_key(&[w_id, d_id, next_o_id, 0]);
-    let lines = db.index_range(txn, "ORDERLINE", "OL_IDX", &low, &high)?;
+    let lines = db.index_range(txn, "ORDERLINE", "OL_IDX", &low, Some(&high), usize::MAX)?;
     let mut items = std::collections::BTreeSet::new();
     for (_, ol_rid) in lines {
         let ol = db.get(txn, "ORDERLINE", ol_rid)?;

@@ -231,7 +231,7 @@ impl WorkloadBackend for BtreeBackend {
 
     fn scan(&self, start: &[u8], limit: usize, at: SimTime) -> Result<(usize, SimTime)> {
         let mut txn = self.db.begin(at);
-        let pairs = self.db.index_scan_from(&mut txn, TABLE, INDEX, start, limit)?;
+        let pairs = self.db.index_range(&mut txn, TABLE, INDEX, start, None, limit)?;
         // YCSB scans fetch the rows, not just the keys.
         let mut rows = 0usize;
         for (_, rid) in &pairs {

@@ -44,9 +44,8 @@ fn exercise(db: &Database) {
     let rec = db.get(&mut txn, "t", rids[10]).unwrap();
     assert_eq!(rec[1], Value::Int(999));
     // Range scan.
-    let hits = db
-        .index_range(&mut txn, "t", "t_pk", &composite_key(&[100]), &composite_key(&[110]))
-        .unwrap();
+    let (low, high) = (composite_key(&[100]), composite_key(&[110]));
+    let hits = db.index_range(&mut txn, "t", "t_pk", &low, Some(&high), usize::MAX).unwrap();
     assert_eq!(hits.len(), 10);
     db.commit(&mut txn).unwrap();
     // Everything survives a checkpoint.
