@@ -6,9 +6,7 @@ impl Device {
     fn timings(&self, die: DieId, ch: u32) -> Result<(u64, u64), FlashError> {
         let d = self.die_shard(die);
         let chan = self.channel_shard(ch);
-        let shared = self.shared_shard();
-        let _ = shared.stats.reads;
-        Ok((d.timeline.end(), chan.timeline.end()))
+        Ok((d.timeline.end(), chan.end()))
     }
 
     fn first_die_load(&self) -> u64 {

@@ -1,7 +1,7 @@
-//! Seeded violation: channel shard acquired before die shard, the
-//! reverse of the documented Manager < Queue < Die < Channel < Shared
-//! order.  `self_check()` asserts the `lock_order`
-//! rule catches this.
+//! Seeded violation: channel shard acquired before die shard, against
+//! the documented Manager < Mirror < MirrorRange < Arbiter < Die <
+//! Channel order.  `self_check()` asserts the `lock_order` rule catches
+//! this.
 
 impl Device {
     fn mixed_up(&self, die: DieId, ch: u32) -> u64 {

@@ -3,17 +3,17 @@
 //! A hand-rolled token scanner (no external parser) over the workspace's
 //! Rust sources, with three pluggable rules:
 //!
-//! * [`rules::lock_order`] — acquisitions of the die/channel/shared shard
-//!   locks in `crates/flash` and the manager lock in `crates/core` must
-//!   follow the documented total order and go through the named choke
-//!   points.
+//! * [`rules::lock_order`] — acquisitions of the manager lock in
+//!   `crates/core`, the mirror and range locks in `crates/mirror` and the
+//!   arbiter, die and channel shards in `crates/flash` must follow the
+//!   documented total order and go through the named choke points.
 //! * [`rules::panic_freedom`] — no `unwrap`/`expect`/`panic!`-family code
 //!   in production paths of `crates/flash` and `crates/core`; direct
 //!   indexing is additionally denied on the per-command hot path.
 //! * [`rules::command_path`] — in `crates/core` no timed device call
 //!   (`device.execute` or a per-command verb) outside the `io` module,
 //!   and in `crates/flash` no reservation of die or channel time outside
-//!   `sched.rs`, `die.rs` and `NandDevice::run`.
+//!   `sched.rs`, `die.rs` and `NandDevice::phases`.
 //!
 //! Findings can be suppressed case-by-case with
 //! `// analyzer:allow(<rule>) <justification>`; the justification is

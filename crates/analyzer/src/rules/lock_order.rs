@@ -4,7 +4,7 @@
 //! (`flash_sim::lockorder::LockClass`):
 //!
 //! ```text
-//! Manager < Mirror < MirrorRange < Arbiter < Die(id asc) < Channel(id asc) < Shared
+//! Manager < Mirror < MirrorRange < Arbiter < Die(id asc) < Channel(id asc)
 //! ```
 //!
 //! All acquisitions go through named choke points, so a token-level scan
@@ -28,12 +28,16 @@ pub const RULE: &str = "lock_order";
 /// by the runtime sanitizer, not statically.
 const RANKS: &[(&str, u8)] = &[
     ("lock_inner", 0),    // LockClass::Manager
-    ("arbiter_shard", 1), // LockClass::Arbiter
-    ("die_shard", 2),     // LockClass::Die(_)
-    ("lock_all_dies", 2), // LockClass::Die(ascending sweep)
-    ("channel_shard", 3), // LockClass::Channel(_)
-    ("shared_shard", 4),  // LockClass::Shared
+    ("mirror_shard", 1),  // LockClass::Mirror
+    ("range_shard", 2),   // LockClass::MirrorRange
+    ("arbiter_shard", 3), // LockClass::Arbiter
+    ("die_shard", 4),     // LockClass::Die(_)
+    ("lock_all_dies", 4), // LockClass::Die(ascending sweep)
+    ("channel_shard", 5), // LockClass::Channel(_)
 ];
+
+/// The documented order, as the violation message spells it.
+const ORDER: &str = "Manager < Mirror < MirrorRange < Arbiter < Die < Channel";
 
 /// Files in which raw `.lock(` calls are forbidden outside the choke
 /// points themselves (matched by path suffix).
@@ -85,7 +89,7 @@ pub fn check(view: &FileView<'_>) -> Vec<RawFinding> {
                     message: format!(
                         "lock-order violation in `{}`: `{name}` (rank {rank}) acquired after \
                          `{prev_name}` (rank {prev_rank}, line {prev_line}); documented order is \
-                         Manager < Queue < Arbiter < Die < Channel < Shared",
+                         {ORDER}",
                         item.name
                     ),
                 });
@@ -126,7 +130,7 @@ mod tests {
 
     #[test]
     fn ascending_choke_calls_are_clean() {
-        let src = "fn f(&self) { let d = self.die_shard(0); let c = self.channel_shard(1); let s = self.shared_shard(); }";
+        let src = "fn f(&self) { let a = self.arbiter_shard(s); let d = self.die_shard(0); let c = self.channel_shard(1); }";
         assert!(run("crates/flash/src/device.rs", src).is_empty());
     }
 
@@ -141,6 +145,18 @@ mod tests {
     }
 
     #[test]
+    fn mirror_sits_between_manager_and_the_device() {
+        let clean = "fn f(&self) { let m = self.lock_inner(); let s = self.mirror_shard(); let r = self.range_shard(); let d = self.die_shard(0); }";
+        assert!(run("crates/mirror/src/device.rs", clean).is_empty());
+        let bad = "fn f(&self) { let r = self.range_shard(); let s = self.mirror_shard(); }";
+        let f = run("crates/mirror/src/rebuild.rs", bad);
+        assert_eq!(f.len(), 1);
+        assert!(f[0].message.contains("lock-order violation"));
+        assert!(f[0].message.contains("`mirror_shard` (rank 1) acquired after `range_shard`"));
+        assert!(f[0].message.contains(ORDER));
+    }
+
+    #[test]
     fn descending_choke_calls_are_flagged() {
         let src = "fn f(&self) { let c = self.channel_shard(1); let d = self.die_shard(0); }";
         let f = run("crates/flash/src/device.rs", src);
@@ -150,7 +166,7 @@ mod tests {
 
     #[test]
     fn re_entry_is_flagged() {
-        let src = "fn f(&self) { let a = self.shared_shard(); let b = self.shared_shard(); }";
+        let src = "fn f(&self) { let a = self.channel_shard(0); let b = self.channel_shard(1); }";
         let f = run("crates/flash/src/device.rs", src);
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("re-entry"));

@@ -14,6 +14,7 @@
 //! `FIG3_WAREHOUSES` (2), `FIG3_BUFFER_PAGES` (1500), `FIG3_SEED`; any
 //! other `FIG3_*` variable, or a value that is not a number, is refused.
 
+use flash_sim::FlashBackend;
 use noftl_bench::{env_knobs, Experiment, ExperimentResult};
 use tpcc_workload::{placement, ComparisonReport, ScaleConfig};
 

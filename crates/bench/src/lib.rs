@@ -11,7 +11,9 @@
 use std::sync::Arc;
 
 use dbms_engine::{Database, DatabaseConfig, DbError, NoFtlBackend};
-use flash_sim::{DeviceBuilder, Duration, FlashGeometry, NandDevice, SimTime, TimingModel};
+use flash_sim::{
+    DeviceBuilder, Duration, FlashBackend, FlashGeometry, NandDevice, SimTime, TimingModel,
+};
 use noftl_core::{NoFtl, NoFtlConfig, ObjectStats, PlacementConfig};
 use tpcc_workload::{Driver, DriverConfig, Loader, RunReport, ScaleConfig};
 
@@ -123,7 +125,7 @@ impl Experiment {
         let mut report = driver.run(&db, &self.scale, loaded_at)?;
         report.label = self.label.clone();
         let after = device.stats();
-        report.attach_device(&after.delta_since(&before), &device.wear_summary());
+        report.attach_device(&after.delta_since(&before));
         let die_busy = (device.die_stats().iter().zip(&busy_before))
             .map(|(after, before)| Duration(after.busy_time.0 - before.busy_time.0))
             .collect();

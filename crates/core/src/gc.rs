@@ -259,7 +259,7 @@ mod tests {
     use crate::manager::NoFtl;
     use crate::region::RegionSpec;
     use crate::testutil::{make_noftl, page};
-    use flash_sim::{DeviceBuilder, FlashGeometry, TimingModel};
+    use flash_sim::{DeviceBuilder, FlashBackend, FlashGeometry, TimingModel};
     use proptest::prelude::*;
     use std::sync::Arc;
 

@@ -427,7 +427,7 @@ mod tests {
     use crate::config::NoFtlConfig;
     use crate::region::RegionSpec;
     use crate::testutil::{make_noftl, page, raw_device};
-    use flash_sim::{DeviceBuilder, FlashGeometry, TimingModel};
+    use flash_sim::{DeviceBuilder, FlashBackend, FlashGeometry, TimingModel};
     use std::sync::Arc;
 
     #[test]

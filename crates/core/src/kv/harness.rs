@@ -27,7 +27,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use flash_sim::{DeviceBuilder, FlashGeometry, NandDevice, SimTime, TimingModel};
+use flash_sim::{DeviceBuilder, FlashBackend, FlashGeometry, NandDevice, SimTime, TimingModel};
 
 use crate::error::NoFtlError;
 use crate::manager::NoFtl;
@@ -66,7 +66,7 @@ impl Default for KvCrashConfig {
         KvCrashConfig {
             geometry: FlashGeometry::small_test(),
             timing: TimingModel::mlc_2015(),
-            kv: KvConfig { memtable_bytes: 2048, compaction_threshold: 3, ..KvConfig::default() },
+            kv: KvConfig { memtable_bytes: 2048, compaction_threshold: 3 },
             region_dies: 2,
             ops: 400,
             keys: 48,

@@ -27,6 +27,11 @@ use crate::Result;
 use super::memtable::Memtable;
 use super::run::{self, Bloom, Entry, RunMeta, TailError};
 
+/// Maximum reads in flight when scans, compaction merges and `open`'s tail
+/// reads pull run pages through the windowed pipeline
+/// ([`NoFtl::read_windowed`], [`NoFtl::execute`]).
+const READ_WINDOW: usize = 8;
+
 /// Configuration of a [`KvStore`].
 #[derive(Debug, Clone, Copy)]
 pub struct KvConfig {
@@ -35,15 +40,11 @@ pub struct KvConfig {
     /// Number of runs in one level that triggers a size-tiered merge into
     /// the next level.
     pub compaction_threshold: usize,
-    /// Maximum reads in flight when scans and compaction merges pull run
-    /// pages through [`NoFtl::read_windowed`].  `1` degrades to one
-    /// blocking read at a time.
-    pub read_window: usize,
 }
 
 impl Default for KvConfig {
     fn default() -> Self {
-        KvConfig { memtable_bytes: 64 * 1024, compaction_threshold: 4, read_window: 8 }
+        KvConfig { memtable_bytes: 64 * 1024, compaction_threshold: 4 }
     }
 }
 
@@ -258,7 +259,7 @@ impl KvStore {
         // format version must fail the open with the image as it was.
         let mut judged = Vec::with_capacity(candidates.len());
         for (obj, obj_name) in candidates {
-            let meta = Self::load_run(&noftl, name, &config, obj, &mut now, &mut report)?;
+            let meta = Self::load_run(&noftl, name, obj, &mut now, &mut report)?;
             judged.push((obj, obj_name.starts_with("__orphan_"), meta));
         }
         let mut runs: Vec<RunMeta> = Vec::new();
@@ -324,7 +325,6 @@ impl KvStore {
     fn load_run(
         noftl: &NoFtl,
         store: &str,
-        config: &KvConfig,
         obj: ObjectId,
         now: &mut SimTime,
         report: &mut KvOpenReport,
@@ -361,7 +361,7 @@ impl KvStore {
         }
         let first = extent - u64::from(total);
         let rest: Vec<_> = (first..extent - 1).map(|page| (obj, page)).collect();
-        let Ok((mut tail, t)) = noftl.read_windowed(&rest, *now, config.read_window) else {
+        let Ok((mut tail, t)) = noftl.read_windowed(&rest, *now, READ_WINDOW) else {
             return Ok(None);
         };
         *now = (*now).max(t);
@@ -481,11 +481,11 @@ impl KvStore {
     /// `usize::MAX` returns the whole range.
     ///
     /// The merge streams.  Each run has a cursor that pulls the run's pages
-    /// in the range through the windowed pipeline,
-    /// [`KvConfig::read_window`] pages at a time and only once its buffered
-    /// entries are used up.  The sources are merged smallest key first, and
-    /// the newest version of a key wins: the memtable, then the runs newest
-    /// first.  Tombstones take no result slot: the merge drains past masked
+    /// in the range through the windowed pipeline, `READ_WINDOW` (8) pages
+    /// at a time and only once its buffered entries are used up.  The
+    /// sources are merged smallest key first, and the newest version of a
+    /// key wins: the memtable, then the runs newest first.  Tombstones
+    /// take no result slot: the merge drains past masked
     /// keys until `limit` live rows are found or every source is exhausted.
     /// So a short scan of a large store reads a handful of pages, and a
     /// full scan reads each run's range once.
@@ -522,7 +522,7 @@ impl KvStore {
                 Cursor { object: r.object, next_page, end, buf: VecDeque::new() }
             })
             .collect();
-        let window = self.config.read_window.max(1) as u32;
+        let window = READ_WINDOW as u32;
         // The memtable: the newest source of all.
         let mut mem = inner.memtable.range(bound(lo), bound(hi)).peekable();
         let mut out: ScanResult = Vec::new();
@@ -533,8 +533,7 @@ impl KvStore {
                     let chunk_end = c.end.min(c.next_page + window);
                     let reads: Vec<_> =
                         (c.next_page..chunk_end).map(|p| (c.object, u64::from(p))).collect();
-                    let (pages, t) =
-                        self.noftl.read_windowed(&reads, now, self.config.read_window)?;
+                    let (pages, t) = self.noftl.read_windowed(&reads, now, READ_WINDOW)?;
                     now = now.max(t);
                     inner.stats.run_page_reads += reads.len() as u64;
                     for (i, payload) in pages.iter().enumerate() {
@@ -705,13 +704,13 @@ impl KvStore {
                 continue;
             }
             // Merge input is read through the bounded pipeline: up to
-            // `read_window` pages of the source run in flight at once.
+            // `READ_WINDOW` pages of the source run in flight at once.
             // Compaction merge input is maintenance traffic.
             let background = Some(ServiceClass::Background);
             let reads: Vec<IoRequest<'_>> = (0..data_pages)
                 .map(|page| IoRequest::read(object, u64::from(page)).with_class(background))
                 .collect();
-            let (pages, t) = self.noftl.execute(&reads, now, self.config.read_window)?;
+            let (pages, t) = self.noftl.execute(&reads, now, READ_WINDOW)?;
             now = now.max(t);
             inner.stats.run_page_reads += reads.len() as u64;
             for (page, payload) in pages.iter().enumerate() {
@@ -756,7 +755,7 @@ mod tests {
     use super::*;
     use crate::region::RegionSpec;
     use crate::NoFtlConfig;
-    use flash_sim::{DeviceBuilder, FlashGeometry, NandDevice, TimingModel};
+    use flash_sim::{DeviceBuilder, FlashBackend, FlashGeometry, NandDevice, TimingModel};
 
     fn stack(timing: TimingModel) -> (Arc<NandDevice>, Arc<NoFtl>, RegionId) {
         let device =
@@ -767,7 +766,7 @@ mod tests {
     }
 
     fn small_config() -> KvConfig {
-        KvConfig { memtable_bytes: 4 * 1024, compaction_threshold: 3, ..KvConfig::default() }
+        KvConfig { memtable_bytes: 4 * 1024, compaction_threshold: 3 }
     }
 
     fn key(i: u64) -> Vec<u8> {
@@ -962,35 +961,43 @@ mod tests {
     }
 
     #[test]
-    fn windowed_scan_and_compaction_match_serial_reads_and_finish_no_later() {
-        // Identical workloads under read_window = 1 (serial reads) and
-        // the default pipeline: same scan contents, same compaction
-        // output, and the windowed variant never finishes later under a
-        // real timing model (its reads overlap the region's dies).
-        let run = |read_window: usize| {
-            let (_d, noftl, rid) = stack(TimingModel::mlc_2015());
-            let config = KvConfig { read_window, ..small_config() };
-            let (kv, mut t) =
-                KvStore::create(Arc::clone(&noftl), rid, "s", config, SimTime::ZERO).unwrap();
-            for i in 0..120u64 {
-                t = kv.put(&key(i), &val(i, 0), t).unwrap();
-            }
-            t = kv.flush(t).unwrap();
-            let scan_start = t;
-            let (rows, t2) = kv.scan(None, None, usize::MAX, t).unwrap();
-            let scan_ns = t2.as_nanos() - scan_start.as_nanos();
-            (rows, scan_ns, kv.stats().run_page_reads, kv.stats().compactions)
-        };
-        let (serial_rows, serial_ns, serial_reads, serial_compactions) = run(1);
-        let (windowed_rows, windowed_ns, windowed_reads, windowed_compactions) =
-            run(KvConfig::default().read_window);
-        assert_eq!(serial_rows, windowed_rows, "window width must not change scan contents");
-        assert_eq!(serial_reads, windowed_reads, "both variants read the same pages");
-        assert_eq!(serial_compactions, windowed_compactions);
-        assert!(serial_compactions > 0, "workload must exercise the merge path");
+    fn a_windowed_scan_reads_each_run_page_once_and_beats_serial_reads() {
+        // After puts, flushes and compactions, a full scan returns every
+        // key once with its value, reads each page of each run once, and
+        // under a real timing model finishes before reading those pages
+        // one blocking read after another would (its windows overlap the
+        // region's dies).
+        let (_d, noftl, rid) = stack(TimingModel::mlc_2015());
+        let (kv, mut t) =
+            KvStore::create(Arc::clone(&noftl), rid, "s", small_config(), SimTime::ZERO).unwrap();
+        for i in 0..1_000u64 {
+            t = kv.put(&key(i), &val(i, 0), t).unwrap();
+        }
+        t = kv.flush(t).unwrap();
+        assert!(kv.stats().compactions > 0, "workload must exercise the merge path");
+        let pages: Vec<(ObjectId, u64)> = kv
+            .inner
+            .lock()
+            .runs
+            .iter()
+            .flat_map(|r| {
+                let (first, end) = r.range_window(None, None);
+                (first..end).map(move |p| (r.object, u64::from(p)))
+            })
+            .collect();
+        assert!(pages.len() > READ_WINDOW, "the scan must need more than one window");
+        let reads_before = kv.stats().run_page_reads;
+        let (rows, scanned) = kv.scan(None, None, usize::MAX, t).unwrap();
+        assert_eq!(rows, (0..1_000).map(|i| (key(i), val(i, 0))).collect::<ScanResult>());
+        assert_eq!(kv.stats().run_page_reads - reads_before, pages.len() as u64);
+        let mut serial = scanned;
+        for &(object, page) in &pages {
+            serial = noftl.read(object, page, serial).unwrap().1;
+        }
+        let (windowed_ns, serial_ns) = ((scanned - t).as_nanos(), (serial - scanned).as_nanos());
         assert!(
-            windowed_ns <= serial_ns,
-            "windowed scan ({windowed_ns} ns) slower than serial ({serial_ns} ns)"
+            windowed_ns < serial_ns,
+            "windowed scan ({windowed_ns} ns) no faster than serial ({serial_ns} ns)"
         );
     }
 
@@ -1156,8 +1163,7 @@ mod tests {
     #[test]
     fn bottom_level_compaction_drops_tombstones() {
         let (_d, noftl, rid) = stack(TimingModel::instant());
-        let config =
-            KvConfig { compaction_threshold: 2, memtable_bytes: 1 << 20, ..KvConfig::default() };
+        let config = KvConfig { compaction_threshold: 2, memtable_bytes: 1 << 20 };
         let (kv, mut t) =
             KvStore::create(Arc::clone(&noftl), rid, "s", config, SimTime::ZERO).unwrap();
         for i in 0..20u64 {

@@ -27,7 +27,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use flash_sim::{DeviceBuilder, DeviceSnapshot, FlashGeometry, NandDevice, SimTime, TimingModel};
+use flash_sim::{
+    DeviceBuilder, DeviceSnapshot, FlashBackend, FlashGeometry, NandDevice, SimTime, TimingModel,
+};
 use noftl_core::{MountReport, NoFtl, NoFtlConfig, PlacementConfig, RegionAssignment};
 
 use crate::db::{

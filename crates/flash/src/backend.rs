@@ -26,7 +26,9 @@ use crate::addr::{BlockAddr, DieId, PageAddr};
 use crate::arbiter::IoTag;
 use crate::block::{BlockInfo, PageState};
 use crate::command::{CmdOutput, FlashCommand};
-use crate::device::{DieLoad, NandDevice, OpOutcome};
+#[cfg(doc)]
+use crate::device::NandDevice;
+use crate::device::{DieLoad, OpOutcome};
 use crate::geometry::FlashGeometry;
 use crate::metadata::PageMetadata;
 use crate::stats::{DeviceStats, DieStats, WearSummary};
@@ -36,8 +38,10 @@ use crate::Result;
 
 /// The native-flash command surface the storage manager programs against.
 ///
-/// Implemented by [`NandDevice`] (one simulated chip array) and by
-/// `noftl_mirror::MirrorDevice` (a replicated set of them).  All timed
+/// Implemented by [`NandDevice`] (one simulated chip array; this trait is
+/// its whole command and probe surface, so a caller holding the concrete
+/// device imports the trait) and by `noftl_mirror::MirrorDevice` (a
+/// replicated set of them).  All timed
 /// operations take the caller's simulated clock and return the operation's
 /// completion; state probes are untimed.
 pub trait FlashBackend: Send + Sync {
@@ -124,7 +128,9 @@ pub trait FlashBackend: Send + Sync {
     /// forward-only decorator (a tracing wrapper) needs — at the price of
     /// the tag on erases and copybacks, whose verbs carry none.
     /// [`NandDevice`] and the mirror override it with their real command
-    /// path and answer the verbs from there.
+    /// path and answer the verbs from there, so the verbs stay required:
+    /// given default bodies over `execute`, they and this provided body
+    /// would call each other.
     fn execute(&self, command: FlashCommand<'_>, at: SimTime, tag: IoTag) -> Result<CmdOutput> {
         match command {
             FlashCommand::Read { addr } => {
@@ -213,155 +219,6 @@ pub trait FlashBackend: Send + Sync {
     fn restore_replication(&self, blob: Option<&[u8]>, at: SimTime) -> Result<SimTime> {
         let _ = blob;
         Ok(at)
-    }
-}
-
-impl FlashBackend for NandDevice {
-    fn geometry(&self) -> &FlashGeometry {
-        NandDevice::geometry(self)
-    }
-
-    fn timing(&self) -> &TimingModel {
-        NandDevice::timing(self)
-    }
-
-    fn metrics(&self) -> &Arc<MetricsRegistry> {
-        NandDevice::metrics(self)
-    }
-
-    // The per-command verbs are adapters over the device's one command
-    // path; the untagged forms carry the default tag.
-
-    fn read_page(
-        &self,
-        addr: PageAddr,
-        at: SimTime,
-    ) -> Result<(Vec<u8>, Option<PageMetadata>, OpOutcome)> {
-        self.read_page_tagged(addr, at, IoTag::default())
-    }
-
-    fn read_page_tagged(
-        &self,
-        addr: PageAddr,
-        at: SimTime,
-        tag: IoTag,
-    ) -> Result<(Vec<u8>, Option<PageMetadata>, OpOutcome)> {
-        let out = NandDevice::execute(self, FlashCommand::Read { addr }, at, tag)?;
-        Ok((out.data, out.meta, out.outcome))
-    }
-
-    fn read_metadata(
-        &self,
-        addr: PageAddr,
-        at: SimTime,
-    ) -> Result<(Option<PageMetadata>, OpOutcome)> {
-        self.read_metadata_tagged(addr, at, IoTag::default())
-    }
-
-    fn read_metadata_tagged(
-        &self,
-        addr: PageAddr,
-        at: SimTime,
-        tag: IoTag,
-    ) -> Result<(Option<PageMetadata>, OpOutcome)> {
-        let out = NandDevice::execute(self, FlashCommand::MetadataRead { addr }, at, tag)?;
-        Ok((out.meta, out.outcome))
-    }
-
-    fn program_page(
-        &self,
-        addr: PageAddr,
-        data: &[u8],
-        meta: PageMetadata,
-        at: SimTime,
-    ) -> Result<OpOutcome> {
-        self.program_page_tagged(addr, data, meta, at, IoTag::default())
-    }
-
-    fn program_page_tagged(
-        &self,
-        addr: PageAddr,
-        data: &[u8],
-        meta: PageMetadata,
-        at: SimTime,
-        tag: IoTag,
-    ) -> Result<OpOutcome> {
-        let cmd = FlashCommand::Program { addr, data, meta };
-        Ok(NandDevice::execute(self, cmd, at, tag)?.outcome)
-    }
-
-    fn erase_block(&self, addr: BlockAddr, at: SimTime) -> Result<OpOutcome> {
-        let cmd = FlashCommand::Erase { block: addr };
-        Ok(NandDevice::execute(self, cmd, at, IoTag::default())?.outcome)
-    }
-
-    fn copyback(&self, src: PageAddr, dst: PageAddr, at: SimTime) -> Result<OpOutcome> {
-        let cmd = FlashCommand::Copyback { src, dst };
-        Ok(NandDevice::execute(self, cmd, at, IoTag::default())?.outcome)
-    }
-
-    fn execute(&self, command: FlashCommand<'_>, at: SimTime, tag: IoTag) -> Result<CmdOutput> {
-        NandDevice::execute(self, command, at, tag)
-    }
-
-    fn mark_invalid(&self, addr: PageAddr) -> Result<()> {
-        NandDevice::mark_invalid(self, addr)
-    }
-
-    fn retire_block(&self, addr: BlockAddr) -> Result<()> {
-        NandDevice::retire_block(self, addr)
-    }
-
-    fn block_info(&self, addr: BlockAddr) -> Result<BlockInfo> {
-        NandDevice::block_info(self, addr)
-    }
-
-    fn page_state(&self, addr: PageAddr) -> Result<PageState> {
-        NandDevice::page_state(self, addr)
-    }
-
-    fn stats(&self) -> DeviceStats {
-        NandDevice::stats(self)
-    }
-
-    fn die_stats(&self) -> Vec<DieStats> {
-        NandDevice::die_stats(self)
-    }
-
-    fn wear_summary(&self) -> WearSummary {
-        NandDevice::wear_summary(self)
-    }
-
-    fn quiesce_time(&self) -> SimTime {
-        NandDevice::quiesce_time(self)
-    }
-
-    fn die_busy_until(&self, die: DieId) -> SimTime {
-        NandDevice::die_busy_until(self, die)
-    }
-
-    fn die_load(&self, die: DieId, at: SimTime) -> DieLoad {
-        NandDevice::die_load(self, die, at)
-    }
-
-    fn die_loads(&self, at: SimTime) -> Vec<DieLoad> {
-        NandDevice::die_loads(self, at)
-    }
-
-    fn current_epoch(&self) -> u64 {
-        NandDevice::current_epoch(self)
-    }
-
-    fn stores_data(&self) -> bool {
-        NandDevice::stores_data(self)
-    }
-
-    fn die_touched(&self, die: DieId) -> bool {
-        NandDevice::die_touched(self, die)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

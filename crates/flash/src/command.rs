@@ -10,7 +10,9 @@
 //! holds.
 //!
 //! ```
-//! use flash_sim::{DeviceBuilder, FlashCommand, FlashGeometry, IoTag, PageMetadata, SimTime};
+//! use flash_sim::{
+//!     DeviceBuilder, FlashBackend, FlashCommand, FlashGeometry, IoTag, PageMetadata, SimTime,
+//! };
 //!
 //! let device = DeviceBuilder::new(FlashGeometry::small_test()).build();
 //! let data = vec![0xA5; device.geometry().page_size as usize];
@@ -25,7 +27,22 @@
 use crate::addr::{BlockAddr, DieId, PageAddr};
 use crate::device::OpOutcome;
 use crate::metadata::PageMetadata;
-use crate::trace::OpKind;
+
+/// Kind of a flash command: what the device's counters, latency
+/// histograms and `flash.op` tracer spans are filed under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpKind {
+    /// Page read (array read + channel transfer out).
+    Read,
+    /// Page program (channel transfer in + array program).
+    Program,
+    /// Block erase.
+    Erase,
+    /// Die-internal copyback.
+    Copyback,
+    /// OOB metadata read.
+    MetadataRead,
+}
 
 /// One command of the device's native interface: the argument of
 /// [`FlashBackend::execute`](crate::FlashBackend::execute).
@@ -82,19 +99,7 @@ impl FlashCommand<'_> {
         }
     }
 
-    /// The page the trace files the command under: for an erase the first
-    /// page of the block, for a copyback the destination.
-    pub(crate) fn target(&self) -> PageAddr {
-        match self {
-            FlashCommand::Read { addr }
-            | FlashCommand::MetadataRead { addr }
-            | FlashCommand::Program { addr, .. } => *addr,
-            FlashCommand::Erase { block } => block.page(0),
-            FlashCommand::Copyback { dst, .. } => *dst,
-        }
-    }
-
-    /// The trace kind this command maps to.
+    /// The kind this command is counted and traced as.
     pub fn kind(&self) -> OpKind {
         match self {
             FlashCommand::Read { .. } => OpKind::Read,

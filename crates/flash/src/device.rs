@@ -7,31 +7,41 @@
 //!
 //! ## One command path
 //!
+//! [`NandDevice`] is spelled once: every method the storage manager calls
+//! is a method of its [`FlashBackend`] implementation, and the inherent
+//! methods are only what a plain device has beyond the trait (power
+//! cuts, snapshots, replica programs).
+//!
 //! Every timed command — the five [`FlashCommand`] variants — enters
-//! through [`NandDevice::execute`] and runs the same phases, each written
-//! once: static checks against the geometry → power check → arbiter
-//! admission (commands that move data) → validation under the die shard →
-//! epoch stamp → one reservation of die and channel time
+//! through [`FlashBackend::execute`] and runs the same phases, each
+//! written once: static checks against the geometry → power check →
+//! arbiter admission (commands that move data) → validation under the die
+//! shard → epoch stamp → one reservation of die and channel time
 //! ([`crate::sched`]) → tear, if an armed power cut catches the command
-//! in flight, else apply → accounting (metrics, [`DeviceStats`], trace).
+//! in flight, else apply → accounting under the same die shard (the
+//! die's [`DeviceStats`], the registry's metrics and its tracer's
+//! `flash.op` span — the device's one command trace).
 //! [`NandDevice::program_replica`] is the one named exception: the same
-//! path with the epoch ratchet off.  The per-command methods of
-//! [`crate::FlashBackend`] are adapters over `execute`.
+//! path with the epoch ratchet off.  The per-command verbs of
+//! [`FlashBackend`] are adapters over `execute`.
 //!
 //! ## Concurrency model
 //!
-//! Device state is sharded by die: every die (planes, blocks, timeline)
-//! lives behind its own mutex, every channel behind its own, and only a
-//! thin shared section (aggregate statistics, the operation trace) is
-//! device-global.  Concurrent clients operating on different dies
-//! therefore never contend on a common lock — the host-side analogue of
-//! the die-level parallelism the timing model already exposes.  The lock
-//! hierarchy is fixed (die → channel → shared) so operations that touch a
-//! die and its channel cannot deadlock.  Every acquisition goes through
-//! one choke point per class (`die_shard`, `channel_shard`,
-//! `shared_shard`, `lock_all_dies`), which the [`crate::lockorder`]
-//! sanitizer checks against the documented order in debug builds and the
-//! `noftl-analyzer` lock-order rule checks statically.
+//! Device state is sharded by die: every die (planes, blocks, timeline,
+//! and the ledger of the commands it completed) lives behind its own
+//! mutex and every channel's timeline behind its own; nothing else is
+//! locked.  A rejected command is counted in one atomic, because some are
+//! turned away before any die is locked.  Concurrent clients operating on
+//! different dies therefore never contend on a common lock — the
+//! host-side analogue of the die-level parallelism the timing model
+//! already exposes.  The lock hierarchy is fixed (arbiter → die →
+//! channel) so operations that touch a die and its channel cannot
+//! deadlock.  Every acquisition goes through one choke point per class
+//! (`arbiter_shard`, `die_shard`, `channel_shard`, `lock_all_dies`),
+//! which the [`crate::lockorder`] sanitizer checks against the documented
+//! order in debug builds and the `noftl-analyzer` lock-order rule checks
+//! statically.  [`FlashBackend::stats`] sums the die ledgers under
+//! `lock_all_dies`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,10 +51,11 @@ use parking_lot::Mutex;
 
 use crate::addr::{BlockAddr, DieId, PageAddr};
 use crate::arbiter::{ArbiterConfig, IoTag, ServiceClass, TokenBucket};
+use crate::backend::FlashBackend;
 use crate::badblock::BadBlockPolicy;
 use crate::block::{Block, BlockInfo, BlockSnapshot, BlockState, PageState};
-use crate::command::{CmdOutput, FlashCommand};
-use crate::die::{Channel, Die};
+use crate::command::{CmdOutput, FlashCommand, OpKind};
+use crate::die::{Die, Timeline};
 use crate::error::FlashError;
 use crate::geometry::FlashGeometry;
 use crate::lockorder::{self, LockClass, TrackedGuard};
@@ -54,7 +65,6 @@ use crate::sched::{self, Scheduled, Shape};
 use crate::stats::{DeviceStats, DieStats, WearSummary};
 use crate::time::{Duration, SimTime};
 use crate::timing::TimingModel;
-use crate::trace::{FlashOp, OpKind, TraceBuffer};
 use crate::Result;
 
 /// Sentinel for "no power cut armed" in the atomic cut register.
@@ -74,7 +84,7 @@ pub struct OpOutcome {
 }
 
 /// Load of one die as of an observation instant, as reported by
-/// [`NandDevice::die_load`] and [`NandDevice::die_loads`]: the input of
+/// [`FlashBackend::die_load`] and [`FlashBackend::die_loads`]: the input of
 /// the mirror's read-source selection.  Both fields answer for that
 /// instant, not for the end of everything the die has ever been handed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -103,7 +113,6 @@ pub struct DeviceBuilder {
     timing: TimingModel,
     bad_blocks: BadBlockPolicy,
     store_data: bool,
-    trace_capacity: usize,
     metrics: Option<Arc<MetricsRegistry>>,
     arbiter: Option<ArbiterConfig>,
 }
@@ -116,7 +125,6 @@ impl DeviceBuilder {
             timing: TimingModel::default(),
             bad_blocks: BadBlockPolicy::none(),
             store_data: true,
-            trace_capacity: 0,
             metrics: None,
             arbiter: None,
         }
@@ -141,12 +149,6 @@ impl DeviceBuilder {
         self
     }
 
-    /// Retain a trace of the `cap` most recent operations.
-    pub fn trace_capacity(mut self, cap: usize) -> Self {
-        self.trace_capacity = cap;
-        self
-    }
-
     /// Enable the cross-region I/O arbiter with the given tuning: per-
     /// region channel-bandwidth budgets that pace `Background`-class
     /// transfers.  Off by default — without it, tagged submissions
@@ -159,7 +161,9 @@ impl DeviceBuilder {
     /// Record metrics into an existing registry (e.g.
     /// [`noftl_obs::global()`], or one shared across devices).  By
     /// default each device gets its own enabled registry, so tests and
-    /// benches observe only their own stack.
+    /// benches observe only their own stack.  Turn the registry's tracer
+    /// on for a command trace: one `flash.op` span per completed command
+    /// on its die's track, one `error` instant per rejected one.
     pub fn metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(registry);
         self
@@ -200,13 +204,11 @@ impl DeviceBuilder {
             endurance: self.bad_blocks.endurance_cycles,
             store_data: self.store_data,
             dies: dies.into_iter().map(Mutex::new).collect(),
-            channels: (0..g.channels).map(|_| Mutex::new(Channel::default())).collect(),
+            channels: (0..g.channels).map(|_| Mutex::new(Timeline::default())).collect(),
             epoch: AtomicU64::new(0),
             power_cut: AtomicU64::new(POWER_CUT_NONE),
-            shared: Mutex::new(Shared {
-                stats: DeviceStats::default(),
-                trace: TraceBuffer::new(self.trace_capacity),
-            }),
+            restored: DeviceStats::default(),
+            errors: AtomicU64::new(0),
             touched: (0..g.total_dies()).map(|_| AtomicBool::new(false)).collect(),
             obs: DeviceObs::new(registry, g.total_dies()),
             arbiter,
@@ -226,14 +228,6 @@ struct ArbiterSlot {
     config: ArbiterConfig,
     state: Mutex<ArbiterState>,
     obs: ArbiterObs,
-}
-
-/// Device-global state that every operation may touch: aggregate counters
-/// and the optional operation trace.  Kept deliberately small so that the
-/// hot path holds this lock only for a few counter bumps.
-struct Shared {
-    stats: DeviceStats,
-    trace: TraceBuffer,
 }
 
 /// A complete image of the device state, used both as a read-only summary
@@ -275,10 +269,11 @@ pub struct NandDevice {
     timing: TimingModel,
     endurance: u64,
     store_data: bool,
-    /// Per-die shards: planes, blocks and the die's occupancy timeline.
+    /// Per-die shards: planes, blocks, the die's occupancy timeline and
+    /// the ledger of the commands it completed.
     dies: Vec<Mutex<Die>>,
     /// Per-channel transfer-bus occupancy.
-    channels: Vec<Mutex<Channel>>,
+    channels: Vec<Mutex<Timeline>>,
     /// Device-wide write sequence number, stamped into page metadata when
     /// the caller does not supply an epoch.
     epoch: AtomicU64,
@@ -287,8 +282,13 @@ pub struct NandDevice {
     /// or after it fail with `FlashError::PowerLoss`, and an operation
     /// still in flight at that instant is torn.
     power_cut: AtomicU64,
-    /// Aggregate statistics and trace (thin shared section).
-    shared: Mutex<Shared>,
+    /// Counters carried over from the snapshot a device was rebuilt from
+    /// by [`NandDevice::from_snapshot`] (zero on a new device): its
+    /// statistics are these plus its own.
+    restored: DeviceStats,
+    /// Commands rejected by any phase.  Counted outside the die ledgers
+    /// because some are turned away before any die is locked.
+    errors: AtomicU64,
     /// Per-die "ever programmed/erased" flags (lock-free), kept so
     /// `NoFtl::mount` can skip the OOB scan of dies that never held data.
     touched: Vec<AtomicBool>,
@@ -308,23 +308,6 @@ impl std::fmt::Debug for NandDevice {
 }
 
 impl NandDevice {
-    /// Device geometry.
-    pub fn geometry(&self) -> &FlashGeometry {
-        &self.geometry
-    }
-
-    /// Timing model in use.
-    pub fn timing(&self) -> &TimingModel {
-        &self.timing
-    }
-
-    /// The device's metrics registry (shared by the whole stack above:
-    /// `NoFtl` and the storage engine record here too).  Snapshot it,
-    /// export it, or flip its tracer on.
-    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        self.obs.registry()
-    }
-
     /// The armed power-cut instant, if any (atomic read).
     fn cut_instant(&self) -> Option<SimTime> {
         let v = self.power_cut.load(Ordering::Acquire);
@@ -361,18 +344,11 @@ impl NandDevice {
         lockorder::lock_tracked(LockClass::Die(die.0), &self.dies[die.0 as usize])
     }
 
-    /// Lock channel `ch`'s transfer-bus shard.  This is the sole
-    /// acquisition site of channel shards; it must only be reached while
-    /// no later-ordered lock is held.
-    fn channel_shard(&self, ch: u32) -> TrackedGuard<'_, Channel> {
+    /// Lock channel `ch`'s transfer-bus timeline.  This is the sole
+    /// acquisition site of channel shards and the last lock in the
+    /// documented order.
+    fn channel_shard(&self, ch: u32) -> TrackedGuard<'_, Timeline> {
         lockorder::lock_tracked(LockClass::Channel(ch), &self.channels[ch as usize])
-    }
-
-    /// Lock the device-global shared section (stats + trace).  This is
-    /// the sole acquisition site of the shared shard and the last lock in
-    /// the documented order.
-    fn shared_shard(&self) -> TrackedGuard<'_, Shared> {
-        lockorder::lock_tracked(LockClass::Shared, &self.shared)
     }
 
     /// Lock the arbiter's admission state.  This is the sole acquisition
@@ -382,11 +358,6 @@ impl NandDevice {
     fn arbiter_shard<'a>(&self, slot: &'a ArbiterSlot) -> TrackedGuard<'a, ArbiterState> {
         let _ = self;
         lockorder::lock_tracked(LockClass::Arbiter, &slot.state)
-    }
-
-    /// Whether the cross-region arbiter is enabled on this device.
-    pub fn arbiter_enabled(&self) -> bool {
-        self.arbiter.is_some()
     }
 
     /// Decide the issue instant of a tagged transfer op whose channel
@@ -432,27 +403,6 @@ impl NandDevice {
         }
     }
 
-    /// Execute one command of the native interface, issued at `at`: the
-    /// device's only timed entry point.  Returns the payload (reads only;
-    /// empty if the device does not store data), the OOB metadata (reads
-    /// and metadata reads) and the operation's start and completion.
-    ///
-    /// NAND rules are enforced: a page is programmed only when erased and
-    /// only as the next sequential page of its block; a copyback stays on
-    /// one die; an erase beyond the block's endurance budget fails and
-    /// retires the block.  A program whose `meta.epoch` is zero is stamped
-    /// with the next device-wide epoch.
-    ///
-    /// On an arbiter-enabled device the [`IoTag`] drives admission of the
-    /// commands that move data over a channel (reads, metadata reads,
-    /// programs): a `Background` tag runs the transfer through its
-    /// region's bandwidth budget (possibly deferring the command); every
-    /// other tag issues at `at`.  With the arbiter disabled the tag is
-    /// ignored.
-    pub fn execute(&self, cmd: FlashCommand<'_>, at: SimTime, tag: IoTag) -> Result<CmdOutput> {
-        self.run(cmd, at, tag, true)
-    }
-
     /// Program a page as part of a replication rebuild: identical to a
     /// [`FlashCommand::Program`] except that a caller-assigned epoch does
     /// **not** ratchet the device-wide epoch counter.
@@ -485,7 +435,7 @@ impl NandDevice {
     }
 
     /// Take one command through [`Self::phases`]; if any phase rejected
-    /// it, count it in `DeviceStats::errors` and trace the error instant.
+    /// it, count it in `errors` and trace the error instant.
     fn run(
         &self,
         cmd: FlashCommand<'_>,
@@ -495,7 +445,7 @@ impl NandDevice {
     ) -> Result<CmdOutput> {
         let result = self.phases(cmd, at, tag, ratchet);
         if result.is_err() {
-            self.shared_shard().stats.errors += 1;
+            self.errors.fetch_add(1, Ordering::Relaxed);
             self.obs.note_error(cmd.die(), at);
         }
         result
@@ -505,8 +455,8 @@ impl NandDevice {
     /// checks → power check → arbiter admission → validation under the
     /// die shard → epoch stamp → the one reservation of die and channel
     /// time → tear (an armed power cut catches the command in flight) or
-    /// apply → accounting.  `ratchet` is [`Self::program_replica`]'s one
-    /// difference.
+    /// apply → accounting under the die shard.  `ratchet` is
+    /// [`Self::program_replica`]'s one difference.
     fn phases(
         &self,
         cmd: FlashCommand<'_>,
@@ -561,19 +511,10 @@ impl NandDevice {
             return Err(FlashError::PowerLoss { at: cut });
         }
         let out = self.apply(&mut die, cmd, write, &sched);
-        // Accounting.
+        // Accounting, in the die shard the command already holds.
         self.obs.note_op(kind, cmd.die(), &sched, at, die.busy_time.as_nanos());
         let bytes = shape.xfer.map_or(0, |(_, bytes)| u64::from(bytes));
-        let mut shared = self.shared_shard();
-        shared.stats.note(kind, bytes, sched.latency(at), sched.array.depth);
-        shared.trace.record(FlashOp {
-            kind,
-            addr: cmd.target(),
-            issued_at: at,
-            completed_at: sched.complete,
-            latency: sched.latency(at),
-            queue_depth: sched.array.depth,
-        });
+        die.stats.note(kind, bytes, sched.latency(at), sched.array.depth);
         Ok(out)
     }
 
@@ -759,111 +700,11 @@ impl NandDevice {
             if block.write_ptr == pages_per_block { BlockState::Full } else { BlockState::Open };
     }
 
-    /// Mark a page as invalid (superseded by an out-of-place update).
-    ///
-    /// This is host-maintained bookkeeping (no flash command is issued and
-    /// no time passes); the simulator keeps it next to the physical page so
-    /// that block-level valid-page counts used by GC victim selection stay
-    /// consistent.
-    pub fn mark_invalid(&self, addr: PageAddr) -> Result<()> {
-        self.check_page(addr)?;
-        let mut die = self.die_shard(addr.die);
-        let block = die.block_mut(addr.block());
-        if block.pages[addr.page as usize] == PageState::Free {
-            return Err(FlashError::UnwrittenPage { addr });
-        }
-        block.invalidate(addr.page);
-        Ok(())
-    }
-
-    /// Mark a whole block bad (e.g. after a program failure).
-    pub fn retire_block(&self, addr: BlockAddr) -> Result<()> {
-        self.check_block(addr)?;
-        self.note_touched(addr.die);
-        let mut die = self.die_shard(addr.die);
-        die.block_mut(addr).state = BlockState::Bad;
-        Ok(())
-    }
-
-    /// Snapshot of one block's state.
-    pub fn block_info(&self, addr: BlockAddr) -> Result<BlockInfo> {
-        self.check_block(addr)?;
-        let die = self.die_shard(addr.die);
-        Ok(BlockInfo::from_block(die.block(addr)))
-    }
-
-    /// State of a single page.
-    pub fn page_state(&self, addr: PageAddr) -> Result<PageState> {
-        self.check_page(addr)?;
-        let die = self.die_shard(addr.die);
-        Ok(die.block(addr.block()).pages[addr.page as usize])
-    }
-
-    /// Aggregate device statistics.
-    pub fn stats(&self) -> DeviceStats {
-        self.shared_shard().stats.clone()
-    }
-
-    /// Latest completion time over all dies and channels — i.e. when the
-    /// device becomes fully idle given the operations issued so far.
-    pub fn quiesce_time(&self) -> SimTime {
-        let die_max = (0..self.dies.len())
-            .map(|i| self.die_shard(DieId(i as u32)).timeline.end())
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        let ch_max = (0..self.channels.len())
-            .map(|i| self.channel_shard(i as u32).timeline.end())
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        die_max.max(ch_max)
-    }
-
-    /// End of all work reserved on a single die.  An out-of-range die
-    /// reports as idle.
-    pub fn die_busy_until(&self, die: DieId) -> SimTime {
-        if (die.0 as usize) < self.dies.len() {
-            self.die_shard(die).timeline.end()
-        } else {
-            SimTime::ZERO
-        }
-    }
-
     /// Record that a die's contents may have changed (lock-free flag).
     fn note_touched(&self, die: DieId) {
         if let Some(flag) = self.touched.get(die.0 as usize) {
             flag.store(true, Ordering::Release);
         }
-    }
-
-    /// Has this die ever been programmed, erased or retired?  A `false`
-    /// answer is a guarantee: every block of the die is still in its
-    /// factory state, so a mount scan of it cannot find anything.
-    pub fn die_touched(&self, die: DieId) -> bool {
-        self.touched.get(die.0 as usize).is_some_and(|f| f.load(Ordering::Acquire))
-    }
-
-    /// Load of one die as of `at`: where a program's array phase issued
-    /// at `at` would start — the first-fit scan a reservation runs, minus
-    /// the insert; not the first idle instant, because the few idle
-    /// microseconds before an already queued program are of no use to
-    /// another one — and how many reserved commands are unfinished at
-    /// `at`.  This is the cheap per-die view the mirror's read selection
-    /// steers by: one shard lock, no allocation, purely observational.
-    /// An out-of-range die reports as idle.
-    pub fn die_load(&self, die: DieId, at: SimTime) -> DieLoad {
-        if (die.0 as usize) >= self.dies.len() {
-            return DieLoad::default();
-        }
-        let timeline = &self.die_shard(die).timeline;
-        let (_, slot) = timeline.probe(at, self.timing.program_array_time());
-        DieLoad { busy_until: slot.start, queue_depth: timeline.pending_at(at) }
-    }
-
-    /// Load snapshots of every die as of `at`, indexed by die id.  Shards
-    /// are locked one at a time (not all at once), so concurrent I/O on
-    /// other dies is never stalled by a load scan.
-    pub fn die_loads(&self, at: SimTime) -> Vec<DieLoad> {
-        (0..self.dies.len()).map(|i| self.die_load(DieId(i as u32), at)).collect()
     }
 
     fn die_stats_from(die: &Die) -> DieStats {
@@ -883,13 +724,6 @@ impl NandDevice {
             max_erase_count,
             queue_depth_hwm: die.queue_depth_hwm,
         }
-    }
-
-    /// Per-die statistics.
-    pub fn die_stats(&self) -> Vec<DieStats> {
-        (0..self.dies.len())
-            .map(|i| Self::die_stats_from(&self.die_shard(DieId(i as u32))))
-            .collect()
     }
 
     fn wear_summary_from(dies: &[TrackedGuard<'_, Die>]) -> WearSummary {
@@ -914,10 +748,15 @@ impl NandDevice {
         (0..self.dies.len()).map(|i| self.die_shard(DieId(i as u32))).collect()
     }
 
-    /// Wear distribution over the whole device.
-    pub fn wear_summary(&self) -> WearSummary {
-        let dies = self.lock_all_dies();
-        Self::wear_summary_from(&dies)
+    /// The device's statistics with `dies` locked: the restored
+    /// counters, every die's ledger and the rejected commands.
+    fn stats_of(&self, dies: &[TrackedGuard<'_, Die>]) -> DeviceStats {
+        let mut total = self.restored.clone();
+        for die in dies {
+            total.accumulate(&die.stats);
+        }
+        total.errors += self.errors.load(Ordering::Relaxed);
+        total
     }
 
     /// Arm a simulated power cut at instant `at`.  Operations issued at or
@@ -948,19 +787,6 @@ impl NandDevice {
         self.power_cut.store(POWER_CUT_NONE, Ordering::Release);
     }
 
-    /// Current device-wide write epoch (the stamp given to the most recent
-    /// program that did not supply its own).  Recovery uses this as the
-    /// checkpoint watermark: pages with a larger epoch were written after
-    /// the checkpoint was taken.
-    pub fn current_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Whether the device stores page payloads.
-    pub fn stores_data(&self) -> bool {
-        self.store_data
-    }
-
     /// Full snapshot: summary statistics plus the complete per-block state
     /// (page payloads, OOB metadata, wear, bad blocks), captured with every
     /// die shard locked so it is a consistent point-in-time image.
@@ -968,9 +794,8 @@ impl NandDevice {
     /// rebuilt into a live device with [`NandDevice::from_snapshot`].
     pub fn snapshot(&self) -> DeviceSnapshot {
         let dies = self.lock_all_dies();
-        let shared = self.shared_shard();
         DeviceSnapshot {
-            stats: shared.stats.clone(),
+            stats: self.stats_of(&dies),
             die_stats: dies.iter().map(|d| Self::die_stats_from(d)).collect(),
             wear: Self::wear_summary_from(&dies),
             geometry: self.geometry,
@@ -989,7 +814,8 @@ impl NandDevice {
     /// Rebuild a device from a snapshot — the simulator's power cycle.
     ///
     /// Block contents, wear, bad-block marks and the write-epoch counter
-    /// are restored exactly; the die/channel timelines start empty (a
+    /// are restored exactly, and the rebuilt device's statistics are the
+    /// snapshot's plus its own; the die/channel timelines start empty (a
     /// rebooted device has no operations in flight) and any armed power
     /// cut is cleared.  The caller supplies the timing model, which is a
     /// property of the simulation rather than of the persisted state.
@@ -1054,19 +880,245 @@ impl NandDevice {
             endurance: snap.endurance,
             store_data: snap.store_data,
             dies: dies.into_iter().map(Mutex::new).collect(),
-            channels: (0..g.channels).map(|_| Mutex::new(Channel::default())).collect(),
+            channels: (0..g.channels).map(|_| Mutex::new(Timeline::default())).collect(),
             epoch: AtomicU64::new(snap.epoch),
             power_cut: AtomicU64::new(POWER_CUT_NONE),
-            shared: Mutex::new(Shared { stats: snap.stats.clone(), trace: TraceBuffer::new(0) }),
+            restored: snap.stats.clone(),
+            errors: AtomicU64::new(0),
             touched,
             obs: DeviceObs::new(Arc::new(MetricsRegistry::new()), g.total_dies()),
             arbiter: None,
         })
     }
+}
 
-    /// Retained operation trace (oldest first); empty when tracing is off.
-    pub fn trace(&self) -> Vec<FlashOp> {
-        self.shared_shard().trace.ops().copied().collect()
+impl FlashBackend for NandDevice {
+    fn geometry(&self) -> &FlashGeometry {
+        &self.geometry
+    }
+
+    fn timing(&self) -> &TimingModel {
+        &self.timing
+    }
+
+    /// The device's metrics registry (shared by the whole stack above:
+    /// `NoFtl` and the storage engine record here too).  Snapshot it,
+    /// export it, or flip its tracer on.
+    fn metrics(&self) -> &Arc<MetricsRegistry> {
+        self.obs.registry()
+    }
+
+    // The per-command verbs are adapters over `execute`; the untagged
+    // forms carry the default tag.
+
+    fn read_page(
+        &self,
+        addr: PageAddr,
+        at: SimTime,
+    ) -> Result<(Vec<u8>, Option<PageMetadata>, OpOutcome)> {
+        self.read_page_tagged(addr, at, IoTag::default())
+    }
+
+    fn read_page_tagged(
+        &self,
+        addr: PageAddr,
+        at: SimTime,
+        tag: IoTag,
+    ) -> Result<(Vec<u8>, Option<PageMetadata>, OpOutcome)> {
+        let out = self.execute(FlashCommand::Read { addr }, at, tag)?;
+        Ok((out.data, out.meta, out.outcome))
+    }
+
+    fn read_metadata(
+        &self,
+        addr: PageAddr,
+        at: SimTime,
+    ) -> Result<(Option<PageMetadata>, OpOutcome)> {
+        self.read_metadata_tagged(addr, at, IoTag::default())
+    }
+
+    fn read_metadata_tagged(
+        &self,
+        addr: PageAddr,
+        at: SimTime,
+        tag: IoTag,
+    ) -> Result<(Option<PageMetadata>, OpOutcome)> {
+        let out = self.execute(FlashCommand::MetadataRead { addr }, at, tag)?;
+        Ok((out.meta, out.outcome))
+    }
+
+    fn program_page(
+        &self,
+        addr: PageAddr,
+        data: &[u8],
+        meta: PageMetadata,
+        at: SimTime,
+    ) -> Result<OpOutcome> {
+        self.program_page_tagged(addr, data, meta, at, IoTag::default())
+    }
+
+    fn program_page_tagged(
+        &self,
+        addr: PageAddr,
+        data: &[u8],
+        meta: PageMetadata,
+        at: SimTime,
+        tag: IoTag,
+    ) -> Result<OpOutcome> {
+        Ok(self.execute(FlashCommand::Program { addr, data, meta }, at, tag)?.outcome)
+    }
+
+    fn erase_block(&self, addr: BlockAddr, at: SimTime) -> Result<OpOutcome> {
+        Ok(self.execute(FlashCommand::Erase { block: addr }, at, IoTag::default())?.outcome)
+    }
+
+    fn copyback(&self, src: PageAddr, dst: PageAddr, at: SimTime) -> Result<OpOutcome> {
+        Ok(self.execute(FlashCommand::Copyback { src, dst }, at, IoTag::default())?.outcome)
+    }
+
+    /// Execute one command of the native interface, issued at `at`: the
+    /// device's only timed entry point.  Returns the payload (reads only;
+    /// empty if the device does not store data), the OOB metadata (reads
+    /// and metadata reads) and the operation's start and completion.
+    ///
+    /// NAND rules are enforced: a page is programmed only when erased and
+    /// only as the next sequential page of its block; a copyback stays on
+    /// one die; an erase beyond the block's endurance budget fails and
+    /// retires the block.  A program whose `meta.epoch` is zero is stamped
+    /// with the next device-wide epoch.
+    ///
+    /// On an arbiter-enabled device the [`IoTag`] drives admission of the
+    /// commands that move data over a channel (reads, metadata reads,
+    /// programs): a `Background` tag runs the transfer through its
+    /// region's bandwidth budget (possibly deferring the command); every
+    /// other tag issues at `at`.  With the arbiter disabled the tag is
+    /// ignored.
+    fn execute(&self, command: FlashCommand<'_>, at: SimTime, tag: IoTag) -> Result<CmdOutput> {
+        self.run(command, at, tag, true)
+    }
+
+    /// Mark a page as invalid (superseded by an out-of-place update).
+    ///
+    /// This is host-maintained bookkeeping (no flash command is issued and
+    /// no time passes); the simulator keeps it next to the physical page so
+    /// that block-level valid-page counts used by GC victim selection stay
+    /// consistent.
+    fn mark_invalid(&self, addr: PageAddr) -> Result<()> {
+        self.check_page(addr)?;
+        let mut die = self.die_shard(addr.die);
+        let block = die.block_mut(addr.block());
+        if block.pages[addr.page as usize] == PageState::Free {
+            return Err(FlashError::UnwrittenPage { addr });
+        }
+        block.invalidate(addr.page);
+        Ok(())
+    }
+
+    fn retire_block(&self, addr: BlockAddr) -> Result<()> {
+        self.check_block(addr)?;
+        self.note_touched(addr.die);
+        let mut die = self.die_shard(addr.die);
+        die.block_mut(addr).state = BlockState::Bad;
+        Ok(())
+    }
+
+    fn block_info(&self, addr: BlockAddr) -> Result<BlockInfo> {
+        self.check_block(addr)?;
+        let die = self.die_shard(addr.die);
+        Ok(BlockInfo::from_block(die.block(addr)))
+    }
+
+    fn page_state(&self, addr: PageAddr) -> Result<PageState> {
+        self.check_page(addr)?;
+        let die = self.die_shard(addr.die);
+        Ok(die.block(addr.block()).pages[addr.page as usize])
+    }
+
+    fn stats(&self) -> DeviceStats {
+        let dies = self.lock_all_dies();
+        self.stats_of(&dies)
+    }
+
+    fn die_stats(&self) -> Vec<DieStats> {
+        (0..self.dies.len())
+            .map(|i| Self::die_stats_from(&self.die_shard(DieId(i as u32))))
+            .collect()
+    }
+
+    fn wear_summary(&self) -> WearSummary {
+        let dies = self.lock_all_dies();
+        Self::wear_summary_from(&dies)
+    }
+
+    /// Latest completion time over all dies and channels — i.e. when the
+    /// device becomes fully idle given the operations issued so far.
+    fn quiesce_time(&self) -> SimTime {
+        let die_max = (0..self.dies.len())
+            .map(|i| self.die_shard(DieId(i as u32)).timeline.end())
+            .max()
+            .unwrap_or(SimTime::ZERO);
+        let ch_max = (0..self.channels.len())
+            .map(|i| self.channel_shard(i as u32).end())
+            .max()
+            .unwrap_or(SimTime::ZERO);
+        die_max.max(ch_max)
+    }
+
+    /// End of all work reserved on a single die.  An out-of-range die
+    /// reports as idle.
+    fn die_busy_until(&self, die: DieId) -> SimTime {
+        if (die.0 as usize) < self.dies.len() {
+            self.die_shard(die).timeline.end()
+        } else {
+            SimTime::ZERO
+        }
+    }
+
+    /// Load of one die as of `at`: where a program's array phase issued
+    /// at `at` would start — the first-fit scan a reservation runs, minus
+    /// the insert; not the first idle instant, because the few idle
+    /// microseconds before an already queued program are of no use to
+    /// another one — and how many reserved commands are unfinished at
+    /// `at`.  This is the cheap per-die view the mirror's read selection
+    /// steers by: one shard lock, no allocation, purely observational.
+    /// An out-of-range die reports as idle.
+    fn die_load(&self, die: DieId, at: SimTime) -> DieLoad {
+        if (die.0 as usize) >= self.dies.len() {
+            return DieLoad::default();
+        }
+        let timeline = &self.die_shard(die).timeline;
+        let (_, slot) = timeline.probe(at, self.timing.program_array_time());
+        DieLoad { busy_until: slot.start, queue_depth: timeline.pending_at(at) }
+    }
+
+    /// Load snapshots of every die as of `at`, indexed by die id.  Shards
+    /// are locked one at a time (not all at once), so concurrent I/O on
+    /// other dies is never stalled by a load scan.
+    fn die_loads(&self, at: SimTime) -> Vec<DieLoad> {
+        (0..self.dies.len()).map(|i| self.die_load(DieId(i as u32), at)).collect()
+    }
+
+    /// Current device-wide write epoch (the stamp given to the most recent
+    /// program that did not supply its own).  Recovery uses this as the
+    /// checkpoint watermark: pages with a larger epoch were written after
+    /// the checkpoint was taken.
+    fn current_epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
+    }
+
+    fn stores_data(&self) -> bool {
+        self.store_data
+    }
+
+    /// Has this die ever been programmed, erased or retired?  A `false`
+    /// answer is a guarantee: every block of the die is still in its
+    /// factory state, so a mount scan of it cannot find anything.
+    fn die_touched(&self, die: DieId) -> bool {
+        self.touched.get(die.0 as usize).is_some_and(|f| f.load(Ordering::Acquire))
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
     }
 }
 
@@ -1104,7 +1156,6 @@ fn programmable(block: &Block, addr: PageAddr) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::FlashBackend;
 
     fn dev() -> NandDevice {
         DeviceBuilder::new(FlashGeometry::small_test()).build()
@@ -1434,19 +1485,31 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_operations_when_enabled() {
-        let d = DeviceBuilder::new(FlashGeometry::small_test()).trace_capacity(10).build();
-        d.program_page(page(0, 0, 0), &[], PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
-        d.read_page(page(0, 0, 0), SimTime::ZERO).unwrap();
-        let trace = d.trace();
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace[0].kind, OpKind::Program);
-        assert_eq!(trace[1].kind, OpKind::Read);
-        // Trace entries carry end-to-end latency and the die queue depth.
-        assert_eq!(trace[0].latency, trace[0].completed_at - trace[0].issued_at);
-        assert_eq!(trace[0].queue_depth, 1);
-        assert_eq!(trace[1].queue_depth, 2, "read issued at t=0 queues behind the program");
-        assert!(trace[1].latency > trace[0].latency);
+    fn the_registry_tracer_is_the_command_trace() {
+        let d = DeviceBuilder::new(FlashGeometry::small_test()).build();
+        let tracer = d.metrics().tracer();
+        d.read_metadata(page(1, 0, 0), SimTime::ZERO).unwrap();
+        assert!(tracer.events().is_empty(), "off by default");
+        tracer.set_enabled(true);
+        let program =
+            d.program_page(page(2, 0, 0), &[], PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
+        let read = d.read_page(page(2, 0, 0), SimTime::ZERO).unwrap().2;
+        d.read_page(page(2, 0, 5), SimTime::from_us(3)).unwrap_err();
+        let events = tracer.events();
+        let shape: Vec<_> =
+            events.iter().map(|e| (e.cat, e.name, e.track, e.ts_ns, e.dur_ns)).collect();
+        // One span per completed command on its die's track, from issue
+        // to completion (the read queues behind the program); one
+        // `error` instant per rejected command.
+        assert_eq!(
+            shape,
+            [
+                ("flash.op", "program", 2, 0, Some(program.completed_at.as_nanos())),
+                ("flash.op", "read", 2, 0, Some(read.completed_at.as_nanos())),
+                ("flash.op", "error", 2, 3_000, None),
+            ]
+        );
+        assert!(read.completed_at > program.completed_at);
     }
 
     #[test]
@@ -1515,6 +1578,33 @@ mod tests {
         // (0,1) must continue at page 6.
         let next = page(0, 1, 6);
         restored.program_page(next, &[], PageMetadata::new(2, 6), SimTime::ZERO).unwrap();
+    }
+
+    #[test]
+    fn a_rebuilt_device_keeps_the_snapshots_counters() {
+        let d = dev();
+        let p = page(1, 0, 0);
+        d.program_page(p, &payload(1, &d), PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
+        d.read_page(p, d.quiesce_time()).unwrap();
+        d.erase_block(BlockAddr::new(DieId(3), 0, 0), SimTime::ZERO).unwrap();
+        d.read_page(page(0, 0, 0), SimTime::ZERO).unwrap_err();
+        let snap = d.snapshot();
+        assert_eq!(snap.stats, d.stats());
+        assert_eq!((snap.stats.total_ops(), snap.stats.errors), (3, 1));
+        let restored = NandDevice::from_snapshot(&snap, *d.timing()).unwrap();
+        assert_eq!(restored.stats(), snap.stats, "the snapshot's counters survive the reboot");
+        // The rebuilt device counts on top of them.
+        let after = restored.read_page(p, SimTime::ZERO).unwrap().2;
+        restored.read_page(page(0, 0, 0), SimTime::ZERO).unwrap_err();
+        let s = restored.stats();
+        assert_eq!((s.page_reads, s.page_programs, s.block_erases, s.errors), (2, 1, 1, 2));
+        assert_eq!(
+            s.read_latency_sum,
+            snap.stats.read_latency_sum + (after.completed_at - SimTime::ZERO)
+        );
+        // And a second generation keeps both.
+        let again = NandDevice::from_snapshot(&restored.snapshot(), *d.timing()).unwrap();
+        assert_eq!(again.stats(), s);
     }
 
     #[test]
@@ -1627,13 +1717,16 @@ mod tests {
     fn threads_on_disjoint_dies_do_not_interfere() {
         // Two threads hammering disjoint dies (on disjoint channels in the
         // small_test geometry) must produce exactly the same per-die timing
-        // and state as a single-threaded run: with the global device mutex
-        // replaced by per-die shards, there is no common lock whose
-        // acquisition order could matter.
+        // and state as a single-threaded run: with the device sharded by
+        // die, there is no common lock whose acquisition order could
+        // matter — and no command goes uncounted in the die ledgers.
         use std::sync::Arc;
 
-        fn run_die(d: &NandDevice, die: u32, rounds: u32) -> SimTime {
+        /// The last completion, and the thread's own tally of what it
+        /// programmed (all issued at t=0, so latency = completion).
+        fn run_die(d: &NandDevice, die: u32, rounds: u32) -> (SimTime, DeviceStats) {
             let mut last = SimTime::ZERO;
+            let mut tally = DeviceStats::default();
             for b in 0..rounds {
                 for p in 0..d.geometry().pages_per_block {
                     let addr = PageAddr::new(DieId(die), 0, b, p);
@@ -1642,15 +1735,18 @@ mod tests {
                         .program_page(addr, &data, PageMetadata::new(1, p as u64), SimTime::ZERO)
                         .unwrap();
                     last = last.max(out.completed_at);
+                    tally.page_programs += 1;
+                    tally.program_latency_sum += out.completed_at - SimTime::ZERO;
+                    tally.bytes_transferred += data.len() as u64;
                 }
             }
-            last
+            (last, tally)
         }
 
         let reference =
             DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build();
-        let ref0 = run_die(&reference, 0, 4);
-        let ref2 = run_die(&reference, 2, 4);
+        let (ref0, _) = run_die(&reference, 0, 4);
+        let (ref2, _) = run_die(&reference, 2, 4);
 
         let shared = Arc::new(
             DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build(),
@@ -1659,8 +1755,17 @@ mod tests {
         let t0 = std::thread::spawn(move || run_die(&d0, 0, 4));
         let d2 = Arc::clone(&shared);
         let t2 = std::thread::spawn(move || run_die(&d2, 2, 4));
-        assert_eq!(t0.join().unwrap(), ref0);
-        assert_eq!(t2.join().unwrap(), ref2);
+        let (last0, tally0) = t0.join().unwrap();
+        let (last2, tally2) = t2.join().unwrap();
+        assert_eq!(last0, ref0);
+        assert_eq!(last2, ref2);
+        // The device's statistics are the sum of what the threads saw.
+        let stats = shared.stats();
+        let mut sum = DeviceStats::default();
+        sum.accumulate(&tally0);
+        sum.accumulate(&tally2);
+        assert_eq!(DeviceStats { queue_depth_hwm: 0, ..stats.clone() }, sum);
+        assert_eq!(stats, reference.stats());
         // Same per-die busy time and op counts as the single-threaded run.
         let a = reference.die_stats();
         let b = shared.die_stats();

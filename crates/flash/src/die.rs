@@ -1,11 +1,12 @@
-//! Die, plane and channel state, and the occupancy `Timeline` both
-//! resources are reserved on.
+//! Die and plane state, and the occupancy `Timeline` dies and channels
+//! are reserved on.
 //!
 //! A die is the unit of command parallelism: it executes one array
 //! operation (read, program, erase, copyback) at a time.  A channel is the
-//! bus the dies behind it share for page transfers.  Each keeps a
-//! `Timeline` — the disjoint intervals of simulated time already claimed
-//! on it — and a new reservation takes the **first idle window at or after
+//! bus the dies behind it share for page transfers; its whole state is
+//! its `Timeline`.  Each resource keeps a `Timeline` — the disjoint
+//! intervals of simulated time already claimed on it — and a new
+//! reservation takes the **first idle window at or after
 //! its issue instant that is long enough**, wherever that window lies: a
 //! hole between two existing reservations is as good as the tail.  Where a
 //! command lands therefore depends on the simulated instants of the
@@ -17,6 +18,7 @@ use std::collections::VecDeque;
 
 use crate::addr::BlockAddr;
 use crate::block::Block;
+use crate::stats::DeviceStats;
 use crate::time::{Duration, SimTime};
 
 /// Reservations a [`Timeline`] remembers.  A constant of the model, not a
@@ -130,13 +132,16 @@ impl Plane {
     }
 }
 
-/// One die: a set of planes plus the timing/occupancy state used by the
-/// scheduler.
+/// One die: a set of planes, the timing/occupancy state used by the
+/// scheduler, and the ledger of the commands it completed.
 #[derive(Debug)]
 pub(crate) struct Die {
     pub planes: Vec<Plane>,
     /// When the die's array is claimed.
     pub timeline: Timeline,
+    /// Every command completed on this die, counted under the die shard
+    /// the command already holds; the device's statistics are the sum.
+    pub stats: DeviceStats,
     /// Total time the die has spent executing array operations.
     pub busy_time: Duration,
     /// Total array operations executed (reads + programs + erases + copybacks).
@@ -153,6 +158,7 @@ impl Die {
                 .map(|_| Plane::new(blocks_per_plane, pages_per_block))
                 .collect(),
             timeline: Timeline::default(),
+            stats: DeviceStats::default(),
             busy_time: Duration::ZERO,
             ops: 0,
             queue_depth_hwm: 0,
@@ -177,27 +183,6 @@ impl Die {
         self.busy_time += dur;
         self.ops += 1;
         self.queue_depth_hwm = self.queue_depth_hwm.max(slot.depth);
-        slot
-    }
-}
-
-/// Channel occupancy state: the bus shared by all dies of a channel for
-/// data transfers between controller and page registers.
-#[derive(Debug, Default)]
-pub(crate) struct Channel {
-    /// When the bus is claimed.
-    pub timeline: Timeline,
-    pub busy_time: Duration,
-    pub bytes_transferred: u64,
-}
-
-impl Channel {
-    /// Reserve the bus for a transfer of `bytes` taking `dur`, issued at
-    /// `at`.
-    pub(crate) fn reserve(&mut self, at: SimTime, dur: Duration, bytes: u64) -> Slot {
-        let slot = self.timeline.reserve(at, dur);
-        self.busy_time += dur;
-        self.bytes_transferred += bytes;
         slot
     }
 }
@@ -265,19 +250,10 @@ mod tests {
     }
 
     #[test]
-    fn channel_reserve_tracks_bytes() {
-        let mut ch = Channel::default();
-        ch.reserve(SimTime::ZERO, Duration::from_us(10), 4096);
-        ch.reserve(SimTime::ZERO, Duration::from_us(10), 4096);
-        assert_eq!(ch.bytes_transferred, 8192);
-        assert_eq!(ch.timeline.end(), SimTime::from_us(20));
-    }
-
-    #[test]
     fn a_reservation_fills_a_hole_and_leaves_the_rest_of_it_free() {
-        let mut ch = Channel::default();
-        let at = |t: &mut Channel, at: u64, dur: u64| {
-            let slot = t.reserve(SimTime(at), Duration(dur), 64);
+        let mut ch = Timeline::default();
+        let at = |t: &mut Timeline, at: u64, dur: u64| {
+            let slot = t.reserve(SimTime(at), Duration(dur));
             (slot.start, slot.end, slot.backfilled)
         };
         // A transfer issued at t=100 on an idle channel claims [100, 150)
@@ -285,7 +261,7 @@ mod tests {
         assert_eq!(at(&mut ch, 100, 50), (SimTime(100), SimTime(150), false));
         // One that fits before it lands there and does not move the tail.
         assert_eq!(at(&mut ch, 10, 40), (SimTime(10), SimTime(50), true));
-        assert_eq!(ch.timeline.end(), SimTime(150));
+        assert_eq!(ch.end(), SimTime(150));
         // What is left of the hole stays usable: [0,10) and [50,100).
         assert_eq!(at(&mut ch, 0, 45), (SimTime(50), SimTime(95), true));
         // Nothing left that fits 60 ns: it goes to the tail.
@@ -300,24 +276,24 @@ mod tests {
         // behind the erase reserves its transfer for when its array phase
         // ends, milliseconds ahead.
         let (mut a, mut b) = (Die::new(1, 4, 8), Die::new(1, 4, 8));
-        let mut ch = Channel::default();
+        let mut ch = Timeline::default();
         let (erase, array, xfer) =
             (Duration::from_us(3_000), Duration::from_us(75), Duration::from_us(10));
         a.reserve(SimTime::ZERO, erase);
         let read = a.reserve(SimTime::ZERO, array);
-        let shipped = ch.reserve(read.end, xfer, 4096);
+        let shipped = ch.reserve(read.end, xfer);
         assert_eq!(shipped.start, SimTime::from_us(3_075));
         // A program to idle die B at t=100 us loads its page register
         // right away: the channel is free until the read ships.  (Appended
         // at the channel's last reserved end it would have started 3 ms
         // late on a die that has nothing to do.)
-        let load = ch.reserve(SimTime::from_us(100), xfer, 4096);
+        let load = ch.reserve(SimTime::from_us(100), xfer);
         assert_eq!((load.start, load.backfilled), (SimTime::from_us(100), true));
         assert_eq!(load.depth, 1, "nothing unfinished lay before it");
         let program = b.reserve(load.end, Duration::from_us(1_300));
         assert_eq!(program.start, SimTime::from_us(110));
         // The read's transfer is untouched.
-        assert_eq!(ch.timeline.end(), SimTime::from_us(3_085));
+        assert_eq!(ch.end(), SimTime::from_us(3_085));
     }
 
     #[test]

@@ -16,11 +16,20 @@
 //! * page metadata handling — every page carries an out-of-band
 //!   [`PageMetadata`] record readable via [`FlashCommand::MetadataRead`]
 //!
-//! [`NandDevice::execute`] takes any of them through one command path;
+//! [`FlashBackend::execute`] takes any of them through one command path;
 //! the per-command methods of [`FlashBackend`] are adapters over it.
-//! There is no submission queue above it: commands issued at the same
-//! simulated instant to different dies overlap, which is how batched
-//! and concurrent clients exploit the device's die-level parallelism.
+//! [`NandDevice`] is spelled once: [`FlashBackend`] is its command and
+//! probe surface (import the trait to call it on the concrete device),
+//! and the inherent methods are only power cuts, snapshots and replica
+//! programs.  There is no submission queue above it: commands issued at
+//! the same simulated instant to different dies overlap, which is how
+//! batched and concurrent clients exploit the device's die-level
+//! parallelism.
+//!
+//! Each completed command is counted once, in the ledger of the die that
+//! ran it ([`FlashBackend::stats`] sums them), and traced once, as a
+//! `flash.op` span of the metrics registry's tracer on the die's track
+//! (turn the tracer on for a command trace).
 //!
 //! ## Time model
 //!
@@ -97,14 +106,13 @@ pub mod sched;
 pub mod stats;
 pub mod time;
 pub mod timing;
-pub mod trace;
 
 pub use addr::{BlockAddr, DieId, PageAddr, PlaneAddr};
 pub use arbiter::{ArbiterConfig, IoTag, ServiceClass};
 pub use backend::FlashBackend;
 pub use badblock::BadBlockPolicy;
 pub use block::{BlockInfo, BlockSnapshot, BlockState, PageState};
-pub use command::{CmdOutput, FlashCommand};
+pub use command::{CmdOutput, FlashCommand, OpKind};
 pub use crc::crc32;
 pub use device::{DeviceBuilder, DeviceSnapshot, DieLoad, NandDevice, OpOutcome};
 pub use error::FlashError;
@@ -115,7 +123,6 @@ pub use metadata::PageMetadata;
 pub use stats::{DeviceStats, DieStats, WearSummary};
 pub use time::{Duration, SimTime};
 pub use timing::TimingModel;
-pub use trace::{FlashOp, OpKind, TraceBuffer};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, FlashError>;

@@ -3,13 +3,14 @@
 //! The repository's documented lock hierarchy is a single total order:
 //!
 //! ```text
-//! manager → mirror → mirror-range → arbiter → die(id) → channel(id) → shared
+//! manager → mirror → mirror-range → arbiter → die(id) → channel(id)
 //! ```
 //!
 //! with ascending ids inside the `die`/`channel` classes.  Every shard-lock
 //! acquisition in `crates/flash` and `crates/core` goes through one choke
-//! point per lock class ([`lock_tracked`] behind `die_shard`,
-//! `channel_shard`, `shared_shard`, `arbiter_shard`, `lock_inner`), so in
+//! point per lock class ([`lock_tracked`] behind `lock_inner`,
+//! `mirror_shard`, `range_shard`, `arbiter_shard`, `die_shard` /
+//! `lock_all_dies` and `channel_shard`), so in
 //! debug builds each acquisition is recorded on a thread-local held-lock
 //! stack and checked against the order *before* the thread blocks on the
 //! mutex: a would-be deadlock panics with a message naming both locks
@@ -30,8 +31,7 @@
 //! // Ascending acquisitions are fine; tokens release on drop.
 //! let die = acquire(LockClass::Die(0));
 //! let chan = acquire(LockClass::Channel(0));
-//! let shared = acquire(LockClass::Shared);
-//! drop((shared, chan, die));
+//! drop((chan, die));
 //! ```
 
 use std::fmt;
@@ -58,10 +58,9 @@ pub enum LockClass {
     Arbiter,
     /// A per-die device shard, ordered by die id.
     Die(u32),
-    /// A per-channel device shard, ordered by channel id.
+    /// A per-channel device shard, ordered by channel id.  The last
+    /// class: nothing is acquired while a channel is held.
     Channel(u32),
-    /// The device's thin shared section (aggregate stats + trace).
-    Shared,
 }
 
 impl fmt::Display for LockClass {
@@ -73,7 +72,6 @@ impl fmt::Display for LockClass {
             LockClass::Arbiter => write!(f, "arbiter"),
             LockClass::Die(id) => write!(f, "die({id})"),
             LockClass::Channel(id) => write!(f, "channel({id})"),
-            LockClass::Shared => write!(f, "shared"),
         }
     }
 }
@@ -128,7 +126,7 @@ pub fn acquire(class: LockClass) -> LockToken {
                         "lock-order violation: acquiring {class} while holding {h}; \
                          the documented order is \
                          manager -> mirror -> mirror-range -> arbiter \
-                         -> die -> channel -> shared, \
+                         -> die -> channel, \
                          ascending ids within a class"
                     );
                 }
@@ -150,7 +148,7 @@ impl Drop for LockToken {
         HELD.with(|held| {
             let mut held = held.borrow_mut();
             // Guards are not always released in LIFO order (e.g. a caller
-            // may drop a die guard before a later-acquired shared guard),
+            // may drop a die guard before a later-acquired channel guard),
             // so remove by search rather than popping the top.
             if let Some(pos) = held.iter().rposition(|&c| c == self.class) {
                 held.remove(pos);
@@ -219,7 +217,6 @@ mod tests {
         assert!(LockClass::MirrorRange < LockClass::Arbiter);
         assert!(LockClass::Arbiter < LockClass::Die(0));
         assert!(LockClass::Die(7) < LockClass::Channel(0));
-        assert!(LockClass::Channel(3) < LockClass::Shared);
         assert!(LockClass::Die(1) < LockClass::Die(2));
         assert!(LockClass::Channel(0) < LockClass::Channel(1));
     }
@@ -231,9 +228,9 @@ mod tests {
         #[test]
         fn ascending_acquisitions_are_recorded_and_released() {
             assert_eq!(held_depth(), 0);
-            let a = acquire(LockClass::Die(0));
-            let b = acquire(LockClass::Channel(0));
-            let c = acquire(LockClass::Shared);
+            let a = acquire(LockClass::Arbiter);
+            let b = acquire(LockClass::Die(0));
+            let c = acquire(LockClass::Channel(0));
             assert_eq!(held_depth(), 3);
             // Non-LIFO release must unrecord correctly too.
             drop(b);
@@ -252,8 +249,8 @@ mod tests {
         #[test]
         #[should_panic(expected = "recursive acquisition")]
         fn recursive_acquisition_panics() {
-            let _a = acquire(LockClass::Shared);
-            let _b = acquire(LockClass::Shared);
+            let _a = acquire(LockClass::Channel(1));
+            let _b = acquire(LockClass::Channel(1));
         }
 
         #[test]
@@ -294,7 +291,7 @@ mod tests {
         fn tracked_guard_releases_mutex_before_unrecording() {
             let m = Mutex::new(5u32);
             {
-                let mut g = lock_tracked(LockClass::Shared, &m);
+                let mut g = lock_tracked(LockClass::Channel(0), &m);
                 *g += 1;
                 assert_eq!(held_depth(), 1);
             }

@@ -31,9 +31,9 @@ use noftl_obs::{Counter, Gauge, Histogram, MetricsRegistry, Unit};
 
 use crate::addr::DieId;
 use crate::arbiter::ServiceClass;
+use crate::command::OpKind;
 use crate::sched::Scheduled;
 use crate::time::SimTime;
-use crate::trace::OpKind;
 
 /// Every op kind, in slot order.
 const OPS: [OpKind; 5] =

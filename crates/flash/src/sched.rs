@@ -19,11 +19,11 @@
 //! instant the previous phase ends.  There is one reservation rule — for
 //! dies and channels, with the arbiter on or off.
 
-use crate::die::{Channel, Die, Slot};
+use crate::command::OpKind;
+use crate::die::{Die, Slot, Timeline};
 use crate::geometry::FlashGeometry;
 use crate::time::{Duration, SimTime};
 use crate::timing::TimingModel;
-use crate::trace::OpKind;
 
 /// Outcome of scheduling one operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,21 +85,21 @@ impl Shape {
 /// command claims device time.
 pub(crate) fn schedule(
     die: &mut Die,
-    channel: Option<&mut Channel>,
+    channel: Option<&mut Timeline>,
     shape: &Shape,
     at: SimTime,
 ) -> Scheduled {
-    let (Some(channel), Some((xfer, bytes))) = (channel, shape.xfer) else {
+    let (Some(channel), Some((xfer, _))) = (channel, shape.xfer) else {
         let array = die.reserve(at, shape.array);
         return Scheduled { start: array.start, complete: array.end, array, bus: None };
     };
     if shape.xfer_first {
-        let bus = channel.reserve(at, xfer, u64::from(bytes));
+        let bus = channel.reserve(at, xfer);
         let array = die.reserve(bus.end, shape.array);
         Scheduled { start: bus.start, complete: array.end, array, bus: Some(bus) }
     } else {
         let array = die.reserve(at, shape.array);
-        let bus = channel.reserve(array.end, xfer, u64::from(bytes));
+        let bus = channel.reserve(array.end, xfer);
         Scheduled { start: array.start, complete: bus.end, array, bus: Some(bus) }
     }
 }
@@ -113,7 +113,12 @@ mod tests {
     }
 
     /// Schedule one `kind` command (4 KiB pages, 64 B OOB).
-    fn issue(kind: OpKind, die: &mut Die, channel: Option<&mut Channel>, at: SimTime) -> Scheduled {
+    fn issue(
+        kind: OpKind,
+        die: &mut Die,
+        channel: Option<&mut Timeline>,
+        at: SimTime,
+    ) -> Scheduled {
         let shape = Shape::of(kind, &TimingModel::mlc_2015(), &FlashGeometry::small_test());
         schedule(die, channel, &shape, at)
     }
@@ -121,7 +126,7 @@ mod tests {
     #[test]
     fn read_latency_is_array_plus_transfer() {
         let mut d = die();
-        let mut ch = Channel::default();
+        let mut ch = Timeline::default();
         let t = TimingModel::mlc_2015();
         let s = issue(OpKind::Read, &mut d, Some(&mut ch), SimTime::ZERO);
         let expected = t.read_array_time().as_us_f64() + t.transfer_time(4096).as_us_f64();
@@ -131,7 +136,7 @@ mod tests {
     #[test]
     fn program_latency_is_transfer_plus_array() {
         let mut d = die();
-        let mut ch = Channel::default();
+        let mut ch = Timeline::default();
         let t = TimingModel::mlc_2015();
         let s = issue(OpKind::Program, &mut d, Some(&mut ch), SimTime::ZERO);
         let expected = t.program_array_time().as_us_f64() + t.transfer_time(4096).as_us_f64();
@@ -141,11 +146,11 @@ mod tests {
     #[test]
     fn copyback_avoids_the_channel() {
         let mut d = die();
-        let mut ch = Channel::default();
+        let mut ch = Timeline::default();
         let t = TimingModel::mlc_2015();
         // Even when handed the channel, a die-only shape leaves it alone.
         let s = issue(OpKind::Copyback, &mut d, Some(&mut ch), SimTime::ZERO);
-        assert_eq!(ch.bytes_transferred, 0);
+        assert_eq!(ch.end(), SimTime::ZERO);
         assert!(
             s.latency(SimTime::ZERO) < {
                 // read + transfer out + transfer in + program (external move)
@@ -161,8 +166,8 @@ mod tests {
     fn reads_to_different_dies_overlap() {
         let mut d1 = die();
         let mut d2 = die();
-        let mut ch1 = Channel::default();
-        let mut ch2 = Channel::default();
+        let mut ch1 = Timeline::default();
+        let mut ch2 = Timeline::default();
         let a = issue(OpKind::Read, &mut d1, Some(&mut ch1), SimTime::ZERO);
         let b = issue(OpKind::Read, &mut d2, Some(&mut ch2), SimTime::ZERO);
         // Same completion time: full parallelism across dies and channels.
@@ -172,7 +177,7 @@ mod tests {
     #[test]
     fn reads_to_same_die_serialize() {
         let mut d = die();
-        let mut ch = Channel::default();
+        let mut ch = Timeline::default();
         let t = TimingModel::mlc_2015();
         let a = issue(OpKind::Read, &mut d, Some(&mut ch), SimTime::ZERO);
         let b = issue(OpKind::Read, &mut d, Some(&mut ch), SimTime::ZERO);
@@ -185,7 +190,7 @@ mod tests {
     fn dies_sharing_a_channel_contend_on_transfers() {
         let mut d1 = die();
         let mut d2 = die();
-        let mut shared = Channel::default();
+        let mut shared = Timeline::default();
         let t = TimingModel::mlc_2015();
         let a = issue(OpKind::Read, &mut d1, Some(&mut shared), SimTime::ZERO);
         let b = issue(OpKind::Read, &mut d2, Some(&mut shared), SimTime::ZERO);
@@ -199,7 +204,7 @@ mod tests {
         // The host runs one client's whole transaction before the next
         // client's: the second call carries the earlier simulated instant.
         let mut d = die();
-        let mut ch = Channel::default();
+        let mut ch = Timeline::default();
         let t = TimingModel::mlc_2015();
         let late = issue(OpKind::Read, &mut d, Some(&mut ch), SimTime::from_us(40_000));
         let early = issue(OpKind::Read, &mut d, Some(&mut ch), SimTime::from_us(100));
@@ -229,8 +234,8 @@ mod tests {
     fn metadata_read_is_cheaper_than_full_read() {
         let mut d1 = die();
         let mut d2 = die();
-        let mut ch1 = Channel::default();
-        let mut ch2 = Channel::default();
+        let mut ch1 = Timeline::default();
+        let mut ch2 = Timeline::default();
         let full = issue(OpKind::Read, &mut d1, Some(&mut ch1), SimTime::ZERO);
         let meta = issue(OpKind::MetadataRead, &mut d2, Some(&mut ch2), SimTime::ZERO);
         assert!(meta.complete < full.complete);

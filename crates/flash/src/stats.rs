@@ -4,8 +4,8 @@
 //! and GC ERASEs plus latency figures; everything needed to regenerate
 //! that table comes from these counters.
 
+use crate::command::OpKind;
 use crate::time::Duration;
-use crate::trace::OpKind;
 
 /// Aggregate operation counters and timing accumulators for the device.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -59,6 +59,25 @@ impl DeviceStats {
         }
         self.bytes_transferred += bytes;
         self.queue_depth_hwm = self.queue_depth_hwm.max(u64::from(depth));
+    }
+
+    /// Add another ledger's counters to these: counts and latency sums
+    /// add, the queue-depth high-water mark is the deeper of the two.
+    /// [`crate::FlashBackend::stats`] sums a device's dies, and a mirror
+    /// its children, this way.
+    pub fn accumulate(&mut self, s: &DeviceStats) {
+        self.page_reads += s.page_reads;
+        self.page_programs += s.page_programs;
+        self.block_erases += s.block_erases;
+        self.copybacks += s.copybacks;
+        self.metadata_reads += s.metadata_reads;
+        self.bytes_transferred += s.bytes_transferred;
+        self.read_latency_sum += s.read_latency_sum;
+        self.program_latency_sum += s.program_latency_sum;
+        self.erase_latency_sum += s.erase_latency_sum;
+        self.copyback_latency_sum += s.copyback_latency_sum;
+        self.errors += s.errors;
+        self.queue_depth_hwm = self.queue_depth_hwm.max(s.queue_depth_hwm);
     }
 
     /// Mean end-to-end page read latency in microseconds.
@@ -218,6 +237,58 @@ mod tests {
         let d = late.delta_since(&early);
         assert_eq!(d.page_reads, 15);
         assert_eq!(d.copybacks, 3);
+    }
+
+    #[test]
+    fn accumulate_adds_counts_and_keeps_the_deeper_queue() {
+        let a = DeviceStats {
+            page_reads: 3,
+            page_programs: 2,
+            block_erases: 1,
+            copybacks: 4,
+            metadata_reads: 5,
+            bytes_transferred: 4096,
+            read_latency_sum: Duration(30),
+            program_latency_sum: Duration(20),
+            erase_latency_sum: Duration(10),
+            copyback_latency_sum: Duration(40),
+            errors: 1,
+            queue_depth_hwm: 6,
+        };
+        let b = DeviceStats {
+            page_reads: 7,
+            page_programs: 8,
+            block_erases: 9,
+            copybacks: 10,
+            metadata_reads: 11,
+            bytes_transferred: 8192,
+            read_latency_sum: Duration(70),
+            program_latency_sum: Duration(80),
+            erase_latency_sum: Duration(90),
+            copyback_latency_sum: Duration(100),
+            errors: 2,
+            queue_depth_hwm: 3,
+        };
+        let mut sum = DeviceStats::default();
+        sum.accumulate(&a);
+        sum.accumulate(&b);
+        let expected = DeviceStats {
+            page_reads: 10,
+            page_programs: 10,
+            block_erases: 10,
+            copybacks: 14,
+            metadata_reads: 16,
+            bytes_transferred: 12_288,
+            read_latency_sum: Duration(100),
+            program_latency_sum: Duration(100),
+            erase_latency_sum: Duration(100),
+            copyback_latency_sum: Duration(140),
+            errors: 3,
+            queue_depth_hwm: 6,
+        };
+        assert_eq!(sum, expected);
+        // What accumulates is exactly what `delta_since` takes apart.
+        assert_eq!(sum.delta_since(&a), DeviceStats { queue_depth_hwm: 6, ..b });
     }
 
     #[test]

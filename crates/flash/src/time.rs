@@ -199,43 +199,6 @@ impl fmt::Display for Duration {
     }
 }
 
-/// A shared monotonically advancing clock used by components that need a
-/// notion of "current simulated time" outside of a single request path
-/// (e.g. background flushers and wear-leveling daemons).
-#[derive(Debug, Default)]
-pub struct SimClock {
-    now: parking_lot::Mutex<SimTime>,
-}
-
-impl SimClock {
-    /// Create a clock starting at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        *self.now.lock()
-    }
-
-    /// Advance the clock to `t` if `t` is later than the current time.
-    /// Returns the (possibly unchanged) current time.
-    pub fn advance_to(&self, t: SimTime) -> SimTime {
-        let mut now = self.now.lock();
-        if t > *now {
-            *now = t;
-        }
-        *now
-    }
-
-    /// Advance the clock by `d` and return the new time.
-    pub fn advance_by(&self, d: Duration) -> SimTime {
-        let mut now = self.now.lock();
-        *now += d;
-        *now
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,19 +236,6 @@ mod tests {
         assert_eq!(a.min(b), a);
         assert_eq!(b.since(a).as_nanos(), 4_000);
         assert_eq!(a.since(b).as_nanos(), 0);
-    }
-
-    #[test]
-    fn clock_is_monotonic() {
-        let clock = SimClock::new();
-        assert_eq!(clock.now(), SimTime::ZERO);
-        clock.advance_to(SimTime::from_us(10));
-        assert_eq!(clock.now().as_us(), 10);
-        // Moving backwards is a no-op.
-        clock.advance_to(SimTime::from_us(5));
-        assert_eq!(clock.now().as_us(), 10);
-        clock.advance_by(Duration::from_us(5));
-        assert_eq!(clock.now().as_us(), 15);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!   the epoch, and the operation / byte / error counts of `DeviceStats`;
 //! * **timing** — everything that is: each outcome's start and
 //!   completion, the latency sums and queue depths of `DeviceStats`, the
-//!   per-die statistics, `quiesce_time`, the trace and the
+//!   per-die statistics, `quiesce_time`, the registry tracer's events
+//!   (the device's command trace: one `flash.op` span per completed
+//!   command, one `error` instant per rejected one) and the
 //!   `flash.arbiter.*` counters.
 //!
 //! A refactor keeps both.  A deliberate change to the timing model keeps
@@ -24,9 +26,14 @@
 //! change; the two `GOLDEN_*_TIMING` constants and the power-cut sweep
 //! were re-recorded (the sweep's cut instants are derived from the uncut
 //! run's spans, so which commands it tears legitimately moves with them).
+//! Deleting the device's second command trace, which the timing digests
+//! folded, took the same protocol: on the parent tree that term was
+//! replaced by the registry tracer's events and the three timing goldens
+//! were re-recorded there, then held unchanged on the change
+//! (`GOLDEN_STATE` did not move).
 //!
 //! Every golden must hold through the `FlashBackend` verbs (adapters),
-//! through `NandDevice::execute`, and through a backend that forwards
+//! through `FlashBackend::execute` on the device, and through a backend that forwards
 //! verb by verb and inherits the trait's provided `execute` — the shape
 //! of the benchmark's tracing decorator.  Print fresh values with `NOFTL_PRINT_GOLDEN=1 cargo
 //! test -p flash-sim --test command_path -- --nocapture`.
@@ -45,12 +52,15 @@ use noftl_obs::MetricsRegistry;
 /// the arbiter-off and the arbiter-on run: the arbiter moves instants,
 /// never state.
 const GOLDEN_STATE: u64 = 14_091_992_286_656_848_606;
-/// Re-recorded by PR 18 (parent tree: 13_881_526_689_653_679_313).
-const GOLDEN_PLAIN_TIMING: u64 = 15_872_030_341_653_916_134;
-/// Re-recorded by PR 18 (parent tree: 13_058_841_021_014_955_802).
-const GOLDEN_ARBITER_TIMING: u64 = 6_140_367_934_666_672_634;
-/// Re-recorded by PR 18 (parent tree: 7_273_812_503_983_929_843).
-const GOLDEN_CUTS: u64 = 10_789_030_694_904_977_424;
+/// Re-recorded with the tracer term on the parent tree of the trace's
+/// deletion (folding the deleted trace: 15_872_030_341_653_916_134).
+const GOLDEN_PLAIN_TIMING: u64 = 2_623_791_418_031_635_320;
+/// Re-recorded likewise (folding the deleted trace:
+/// 6_140_367_934_666_672_634).
+const GOLDEN_ARBITER_TIMING: u64 = 2_019_465_470_576_111_629;
+/// Re-recorded likewise (folding the deleted trace:
+/// 10_789_030_694_904_977_424).
+const GOLDEN_CUTS: u64 = 2_680_319_460_121_286_272;
 
 const STREAM_SEED: u64 = 0x5EED_C0DE_2016;
 const STREAM_LEN: usize = 2_400;
@@ -181,14 +191,13 @@ impl Model {
 }
 
 fn builder() -> DeviceBuilder {
-    DeviceBuilder::new(FlashGeometry::small_test())
-        .timing(TimingModel::mlc_2015())
-        .bad_blocks(BadBlockPolicy {
+    DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).bad_blocks(
+        BadBlockPolicy {
             factory_bad_fraction: 0.05,
             endurance_cycles: ENDURANCE,
             seed: 0x0bad_b10c,
-        })
-        .trace_capacity(STREAM_LEN + BURST_LEN)
+        },
+    )
 }
 
 fn random_tag(rng: &mut u64) -> IoTag {
@@ -522,6 +531,7 @@ struct Run {
 
 fn run(device: NandDevice, stream: &[Cmd], way: Way) -> Run {
     let device = Arc::new(device);
+    device.metrics().tracer().set_enabled(true);
     let geo = *device.geometry();
     let forwarder = ForwardOnly(Arc::clone(&device));
     let (mut state, mut timing) = (Digest::new(), Digest::new());
@@ -584,7 +594,7 @@ fn run(device: NandDevice, stream: &[Cmd], way: Way) -> Run {
     timing.debug(&snapshot.stats);
     timing.debug(&snapshot.die_stats);
     timing.debug(&device.quiesce_time());
-    timing.debug(&device.trace());
+    timing.debug(&device.metrics().tracer().events());
     for name in ARBITER_COUNTERS {
         timing.debug(&device.metrics().counter(name).get());
     }

@@ -711,19 +711,7 @@ impl FlashBackend for MirrorDevice {
     fn stats(&self) -> DeviceStats {
         let mut total = DeviceStats::default();
         for child in &self.children {
-            let s = child.stats();
-            total.page_reads += s.page_reads;
-            total.page_programs += s.page_programs;
-            total.block_erases += s.block_erases;
-            total.copybacks += s.copybacks;
-            total.metadata_reads += s.metadata_reads;
-            total.bytes_transferred += s.bytes_transferred;
-            total.read_latency_sum += s.read_latency_sum;
-            total.program_latency_sum += s.program_latency_sum;
-            total.erase_latency_sum += s.erase_latency_sum;
-            total.copyback_latency_sum += s.copyback_latency_sum;
-            total.errors += s.errors;
-            total.queue_depth_hwm = total.queue_depth_hwm.max(s.queue_depth_hwm);
+            total.accumulate(&child.stats());
         }
         total
     }
@@ -889,6 +877,7 @@ impl FlashBackend for MirrorDevice {
             // that persisted the blob).
             let mut dirty = blob.children[i].dirty.clone();
             {
+                // analyzer:allow(lock_order) the early-return branch above dropped its guard
                 let state = self.mirror_shard();
                 if state.children[i].assume_all_dirty {
                     // Construction had no information; the blob and the
@@ -902,6 +891,7 @@ impl FlashBackend for MirrorDevice {
                 if dirty.is_all_clean() { ChildHealth::Online } else { ChildHealth::Faulted };
             plans.push((health, dirty, false));
         }
+        // analyzer:allow(lock_order) every earlier guard here was dropped with its block
         let mut state = self.mirror_shard();
         for (child, (health, dirty, assume)) in state.children.iter_mut().zip(plans) {
             child.health = health;

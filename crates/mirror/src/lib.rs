@@ -195,6 +195,31 @@ mod tests {
         assert_eq!(reads, 1);
     }
 
+    /// The mirror's statistics are the sum over its children: a program
+    /// counts once per replica, a read once on the child that served it,
+    /// a rejection once per child that rejected it.
+    #[test]
+    fn stats_are_the_sum_over_the_children() {
+        let m = mirror(2);
+        let mut t = SimTime::ZERO;
+        for p in 0..3 {
+            let meta = PageMetadata::new(1, u64::from(p));
+            t = m.program_page(page(0, 0, p), &payload(1), meta, t).unwrap().completed_at;
+        }
+        m.read_page(page(0, 0, 1), t).unwrap();
+        m.program_page(page(0, 0, 7), &payload(2), PageMetadata::new(1, 7), t).unwrap_err();
+        let (a, b) = (m.children()[0].stats(), m.children()[1].stats());
+        let s = m.stats();
+        assert_eq!((s.page_programs, s.page_reads, s.errors), (6, 1, 2));
+        assert_eq!(s.page_programs, a.page_programs + b.page_programs);
+        assert_eq!(s.page_reads, a.page_reads + b.page_reads);
+        assert_eq!(s.bytes_transferred, a.bytes_transferred + b.bytes_transferred);
+        assert_eq!(s.program_latency_sum, a.program_latency_sum + b.program_latency_sum);
+        assert_eq!(s.read_latency_sum, a.read_latency_sum + b.read_latency_sum);
+        assert_eq!(s.errors, a.errors + b.errors);
+        assert_eq!(s.queue_depth_hwm, a.queue_depth_hwm.max(b.queue_depth_hwm));
+    }
+
     #[test]
     fn lost_child_goes_faulted_and_accrues_dirt() {
         let m = mirror(2);

@@ -21,8 +21,8 @@
 //! [the verify scan]: crate::MirrorDevice::restore_replication
 
 use flash_sim::{
-    BlockState, CmdOutput, FlashCommand, FlashError, IoTag, PageMetadata, PageState, Result,
-    SimTime,
+    BlockState, CmdOutput, FlashBackend, FlashCommand, FlashError, IoTag, PageMetadata, PageState,
+    Result, SimTime,
 };
 
 use crate::device::MirrorDevice;
@@ -159,8 +159,7 @@ impl MirrorDevice {
                     // it at its stale pre-loss value on purpose).
                     let c = &mut state.children[child];
                     c.health = c.health.check_transition(ChildHealth::Online)?;
-                    self.children()[child]
-                        .ratchet_epoch(flash_sim::FlashBackend::current_epoch(self));
+                    self.children()[child].ratchet_epoch(FlashBackend::current_epoch(self));
                     let faulted_at = c.faulted_at.take().unwrap_or(SimTime::ZERO);
                     self.obs.note_back_online(child, faulted_at, at);
                     self.obs.set_segments_remaining(0);
@@ -177,6 +176,7 @@ impl MirrorDevice {
         // Copy with the mirror lock released: foreground traffic to every
         // other segment proceeds; traffic to this one skips + redirties.
         let result = self.copy_segment(source, child, seg, window, at);
+        // analyzer:allow(lock_order) the planning block above dropped both its guards
         let mut state = self.mirror_shard();
         let mut ranges = self.range_shard();
         ranges.locked.remove(&seg);

@@ -6,7 +6,9 @@
 
 use std::sync::Arc;
 
-use flash_sim::{DeviceLossInjector, FlashGeometry, NandDevice, SimTime, TimingModel};
+use flash_sim::{
+    DeviceLossInjector, FlashBackend, FlashGeometry, NandDevice, SimTime, TimingModel,
+};
 use noftl_core::{NoFtl, NoFtlConfig};
 use noftl_mirror::{ChildHealth, MirrorDevice};
 

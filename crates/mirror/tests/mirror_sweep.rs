@@ -20,7 +20,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use flash_sim::{DeviceLossInjector, FlashError, FlashGeometry, NandDevice, SimTime, TimingModel};
+use flash_sim::{
+    DeviceLossInjector, FlashBackend, FlashError, FlashGeometry, NandDevice, SimTime, TimingModel,
+};
 use noftl_core::{NoFtl, NoFtlConfig};
 use noftl_mirror::{ChildHealth, MirrorDevice};
 use rand::{rngs::StdRng, Rng, SeedableRng};

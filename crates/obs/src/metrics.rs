@@ -22,7 +22,7 @@ use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 use crate::hist::{Histogram, HistogramSnapshot};
 use crate::tracer::Tracer;
 
-/// Shared on/off switch: one per registry, referenced by every handle.
+/// The on/off switch: one per registry, referenced by every handle.
 #[derive(Debug)]
 pub struct Flag(AtomicBool);
 

@@ -258,7 +258,7 @@ mod tests {
     use crate::loader::Loader;
     use crate::placement;
     use dbms_engine::{DatabaseConfig, NoFtlBackend};
-    use flash_sim::{DeviceBuilder, FlashGeometry, TimingModel};
+    use flash_sim::{DeviceBuilder, FlashBackend, FlashGeometry, TimingModel};
     use noftl_core::{NoFtl, NoFtlConfig};
     use std::sync::Arc;
 
@@ -304,7 +304,7 @@ mod tests {
             ..Default::default()
         });
         let mut report = driver.run(&db, &scale, loaded_at).unwrap();
-        report.attach_device(&device.stats(), &device.wear_summary());
+        report.attach_device(&device.stats());
         assert_eq!(report.committed + report.rolled_back, 200);
         assert!(report.committed > 150);
         assert!(report.tps > 0.0);

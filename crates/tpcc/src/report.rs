@@ -1,6 +1,6 @@
 //! Run reports and the Figure 3 comparison table.
 
-use flash_sim::{DeviceStats, Duration, WearSummary};
+use flash_sim::{DeviceStats, Duration};
 
 use crate::driver::TxnType;
 
@@ -67,7 +67,7 @@ impl RunReport {
 
     /// Fill in the device-level counters from a device snapshot
     /// (typically the delta between the stats after and before the run).
-    pub fn attach_device(&mut self, dev: &DeviceStats, _wear: &WearSummary) {
+    pub fn attach_device(&mut self, dev: &DeviceStats) {
         self.host_reads = dev.page_reads;
         self.host_writes = dev.page_programs;
         self.gc_copybacks = dev.copybacks;
@@ -230,7 +230,7 @@ mod tests {
             program_latency_sum: Duration::from_us(700),
             ..Default::default()
         };
-        r.attach_device(&dev, &WearSummary::default());
+        r.attach_device(&dev);
         assert_eq!(r.host_reads, 5);
         assert_eq!(r.host_writes, 7);
         assert_eq!(r.gc_copybacks, 3);

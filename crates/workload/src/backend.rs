@@ -4,19 +4,17 @@
 //! update, point read, delete, bounded scan, flush — expressed in
 //! simulated time: every verb takes the issue instant and returns the
 //! completion instant, so the loop that issues the ops (the benchmark's
-//! closed and open loops) times each one without a clock of its own.  Two implementations
-//! ship: [`KvBackend`] over the NoFTL-KV LSM store and [`BtreeBackend`]
-//! over the dbms B+-tree, both consuming *identical* key streams (the
-//! generators never look at the backend); the B+-tree is the reference
-//! the cross-backend tests hold KV's results against.
+//! closed and open loops) times each one without a clock of its own.
+//! [`KvBackend`] over the NoFTL-KV LSM store ships here; the benchmark's
+//! B+-tree table implements the trait itself.  The generators never look
+//! at the backend, so every backend consumes the *identical* key stream.
 
 use std::fmt;
 use std::sync::Arc;
 
-use dbms_engine::{ColumnType, Database, DatabaseConfig, NoFtlBackend, Schema, Value};
 use flash_sim::SimTime;
 use noftl_core::kv::{KvConfig, KvStore};
-use noftl_core::{NoFtl, PlacementConfig, RegionId};
+use noftl_core::{NoFtl, RegionId};
 
 use crate::ycsb::YcsbSpec;
 
@@ -135,114 +133,5 @@ impl WorkloadBackend for KvBackend {
 
     fn flush(&self, at: SimTime) -> Result<SimTime> {
         Ok(self.store.flush(at)?)
-    }
-}
-
-/// Table/index names the B+-tree backend uses.
-const TABLE: &str = "usertable";
-const INDEX: &str = "k";
-
-/// [`WorkloadBackend`] over the dbms: a heap table with a B+-tree key
-/// index, one transaction per operation (auto-commit, YCSB's model).
-pub struct BtreeBackend {
-    db: Database,
-    value_len: u16,
-}
-
-impl BtreeBackend {
-    /// Open a database on `noftl` with a `usertable(k, v)` schema sized
-    /// for `value_len`-byte values, using `placement` region config.
-    pub fn create(
-        noftl: Arc<NoFtl>,
-        placement: &PlacementConfig,
-        config: DatabaseConfig,
-        value_len: usize,
-        at: SimTime,
-    ) -> Result<(Self, SimTime)> {
-        let backend = Arc::new(NoFtlBackend::new(noftl, placement)?);
-        let db = Database::open(backend, config)?;
-        let value_len = u16::try_from(value_len)
-            .map_err(|_| WorkloadError(format!("value_len {value_len} exceeds column limit")))?;
-        db.create_table(
-            TABLE,
-            Schema::new(vec![("k", ColumnType::Str(24)), ("v", ColumnType::Str(value_len))]),
-            at,
-        )?;
-        db.create_index(TABLE, INDEX, at)?;
-        Ok((BtreeBackend { db, value_len }, at))
-    }
-
-    /// The wrapped database (for stats / metrics snapshots).
-    pub fn database(&self) -> &Database {
-        &self.db
-    }
-
-    fn record(&self, key: &[u8], value: &[u8]) -> Result<Vec<Value>> {
-        let k = String::from_utf8(key.to_vec())
-            .map_err(|_| WorkloadError("btree backend requires UTF-8 keys".into()))?;
-        let mut v = String::from_utf8(value.to_vec())
-            .map_err(|_| WorkloadError("btree backend requires UTF-8 values".into()))?;
-        v.truncate(self.value_len as usize);
-        Ok(vec![Value::Str(k), Value::Str(v)])
-    }
-}
-
-impl WorkloadBackend for BtreeBackend {
-    fn tag(&self) -> &'static str {
-        "btree"
-    }
-
-    fn insert(&self, key: &[u8], value: &[u8], at: SimTime) -> Result<SimTime> {
-        let record = self.record(key, value)?;
-        let mut txn = self.db.begin(at);
-        self.db.insert(&mut txn, TABLE, &record, &[(INDEX, key.to_vec())])?;
-        self.db.commit(&mut txn)?;
-        Ok(txn.now)
-    }
-
-    fn update(&self, key: &[u8], value: &[u8], at: SimTime) -> Result<SimTime> {
-        let record = self.record(key, value)?;
-        let mut txn = self.db.begin(at);
-        match self.db.index_lookup(&mut txn, TABLE, INDEX, key)? {
-            Some(rid) => self.db.update(&mut txn, TABLE, rid, &record)?,
-            None => {
-                self.db.insert(&mut txn, TABLE, &record, &[(INDEX, key.to_vec())])?;
-            }
-        }
-        self.db.commit(&mut txn)?;
-        Ok(txn.now)
-    }
-
-    fn read(&self, key: &[u8], at: SimTime) -> Result<(bool, SimTime)> {
-        let mut txn = self.db.begin(at);
-        let found = self.db.index_get(&mut txn, TABLE, INDEX, key)?.is_some();
-        self.db.commit(&mut txn)?;
-        Ok((found, txn.now))
-    }
-
-    fn delete(&self, key: &[u8], at: SimTime) -> Result<SimTime> {
-        let mut txn = self.db.begin(at);
-        if let Some(rid) = self.db.index_lookup(&mut txn, TABLE, INDEX, key)? {
-            self.db.delete(&mut txn, TABLE, rid, &[(INDEX, key.to_vec())])?;
-        }
-        self.db.commit(&mut txn)?;
-        Ok(txn.now)
-    }
-
-    fn scan(&self, start: &[u8], limit: usize, at: SimTime) -> Result<(usize, SimTime)> {
-        let mut txn = self.db.begin(at);
-        let pairs = self.db.index_range(&mut txn, TABLE, INDEX, start, None, limit)?;
-        // YCSB scans fetch the rows, not just the keys.
-        let mut rows = 0usize;
-        for (_, rid) in &pairs {
-            self.db.get(&mut txn, TABLE, *rid)?;
-            rows += 1;
-        }
-        self.db.commit(&mut txn)?;
-        Ok((rows, txn.now))
-    }
-
-    fn flush(&self, at: SimTime) -> Result<SimTime> {
-        Ok(self.db.flush_all(at)?)
     }
 }

@@ -1,7 +1,7 @@
 //! # noftl-workload — YCSB generators and the backends they drive
 //!
-//! Deterministic op streams for the NoFTL-regions stack and the two
-//! storage backends that consume them.  This crate generates; it does not
+//! Deterministic op streams for the NoFTL-regions stack and the storage
+//! surface that consumes them.  This crate generates; it does not
 //! measure: `benchmark/` drives these generators (closed- and open-loop)
 //! and is the one instrument that turns them into numbers.
 //!
@@ -10,12 +10,13 @@
 //!   draws on every run and machine.
 //! * [`ycsb`] — the six YCSB core workloads A–F as pure-function op
 //!   streams ([`ycsb::YcsbSpec::core`]); backends never influence the
-//!   stream, so NoFTL-KV and the B+-tree consume *identical* keys, which
+//!   stream, so every backend consumes *identical* keys, which
 //!   [`stream_digest`] proves.
-//! * [`backend`] — the [`backend::WorkloadBackend`] surface, its two
-//!   implementations ([`backend::KvBackend`] over NoFTL-KV and
-//!   [`backend::BtreeBackend`] over the dbms heap + B+-tree, one
-//!   auto-commit transaction per op) and [`load_phase`].
+//! * [`backend`] — the [`backend::WorkloadBackend`] surface, its
+//!   implementation over NoFTL-KV ([`backend::KvBackend`]) and
+//!   [`load_phase`].  The benchmark's B+-tree table (the dbms heap + key
+//!   index, one auto-commit transaction per op) implements the trait
+//!   itself.
 //!
 //! Every backend verb takes a simulated issue instant and returns the
 //! simulated completion, so whatever drives them gets deterministic
@@ -27,6 +28,6 @@ pub mod backend;
 pub mod rng;
 pub mod ycsb;
 
-pub use backend::{load_phase, BtreeBackend, KvBackend, Result, WorkloadBackend, WorkloadError};
+pub use backend::{load_phase, KvBackend, Result, WorkloadBackend, WorkloadError};
 pub use rng::{KeyDistribution, KeyedRng, Zipfian};
 pub use ycsb::{key_bytes, stream_digest, Op, OpKind, YcsbSpec};

@@ -1,16 +1,19 @@
 //! The generators' core promise: a fixed seed produces byte-identical
-//! op streams on every run, both backends consume *identical* streams and
-//! see identical rows, and the Zipfian sampler's empirical skew tracks its
+//! op streams on every run, every backend consumes the *identical* stream
+//! — NoFTL-KV and an in-memory ordered map, the reference its rows are
+//! held against — and the Zipfian sampler's empirical skew tracks its
 //! theta.
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use flash_sim::{DeviceBuilder, FlashGeometry, SimTime, TimingModel};
 use noftl_core::kv::KvConfig;
-use noftl_core::{NoFtl, NoFtlConfig, PlacementConfig, RegionSpec};
+use noftl_core::{NoFtl, NoFtlConfig, RegionSpec};
 use noftl_workload::rng::{KeyedRng, Zipfian};
 use noftl_workload::{
-    load_phase, stream_digest, BtreeBackend, KvBackend, OpKind, WorkloadBackend, YcsbSpec,
+    load_phase, stream_digest, KvBackend, OpKind, Result, WorkloadBackend, YcsbSpec,
 };
 use proptest::prelude::*;
 
@@ -27,20 +30,41 @@ fn kv_stack() -> (KvBackend, SimTime) {
     (backend, t)
 }
 
-fn btree_stack(value_len: usize) -> (BtreeBackend, SimTime) {
-    let dev = Arc::new(
-        DeviceBuilder::new(FlashGeometry::example()).timing(TimingModel::mlc_2015()).build(),
-    );
-    let noftl = Arc::new(NoFtl::new(dev, NoFtlConfig::default()));
-    let placement = PlacementConfig::traditional(4, ["usertable".to_string()]);
-    BtreeBackend::create(
-        noftl,
-        &placement,
-        dbms_engine::DatabaseConfig::default(),
-        value_len,
-        SimTime::ZERO,
-    )
-    .expect("fresh database")
+/// The reference backend: an ordered map with the verbs' meaning and no
+/// storage underneath (every op completes at its issue instant).
+#[derive(Default)]
+struct Model(RefCell<BTreeMap<Vec<u8>, Vec<u8>>>);
+
+impl WorkloadBackend for Model {
+    fn tag(&self) -> &'static str {
+        "model"
+    }
+
+    fn insert(&self, key: &[u8], value: &[u8], at: SimTime) -> Result<SimTime> {
+        self.0.borrow_mut().insert(key.to_vec(), value.to_vec());
+        Ok(at)
+    }
+
+    fn update(&self, key: &[u8], value: &[u8], at: SimTime) -> Result<SimTime> {
+        self.insert(key, value, at)
+    }
+
+    fn read(&self, key: &[u8], at: SimTime) -> Result<(bool, SimTime)> {
+        Ok((self.0.borrow().contains_key(key), at))
+    }
+
+    fn delete(&self, key: &[u8], at: SimTime) -> Result<SimTime> {
+        self.0.borrow_mut().remove(key);
+        Ok(at)
+    }
+
+    fn scan(&self, start: &[u8], limit: usize, at: SimTime) -> Result<(usize, SimTime)> {
+        Ok((self.0.borrow().range(start.to_vec()..).take(limit).count(), at))
+    }
+
+    fn flush(&self, at: SimTime) -> Result<SimTime> {
+        Ok(at)
+    }
 }
 
 /// What one backend made of a spec's stream.
@@ -86,9 +110,8 @@ fn run_kv(spec: &YcsbSpec) -> Consumed {
     consume(spec, &backend, t)
 }
 
-fn run_btree(spec: &YcsbSpec) -> Consumed {
-    let (backend, t) = btree_stack(spec.value_len);
-    consume(spec, &backend, t)
+fn run_model(spec: &YcsbSpec) -> Consumed {
+    consume(spec, &Model::default(), SimTime::ZERO)
 }
 
 /// Fixed seed ⇒ the generated op stream is byte-identical across
@@ -106,23 +129,23 @@ fn fixed_seed_yields_byte_identical_streams() {
     assert_ne!(first, third);
 }
 
-/// Both backends consume the *same* key stream (equal order-sensitive
-/// digests) and, because neither workload deletes, every scan sees the
-/// same number of rows on both: KV's merged scan against the B+-tree.
+/// KV and the model consume the *same* key stream (equal order-sensitive
+/// digests), and every scan sees the same number of rows on both: KV's
+/// merged scan against the ordered map.
 #[test]
-fn kv_and_btree_consume_identical_streams() {
+fn kv_and_the_model_consume_identical_streams() {
     for which in ['A', 'B', 'C', 'D', 'E', 'F'] {
         let spec = YcsbSpec::core(which, 150, 250, 0x5eed).expect("core workload");
         let kv = run_kv(&spec);
-        let bt = run_btree(&spec);
+        let model = run_model(&spec);
         assert_eq!(kv.ops, spec.op_count, "workload {which}");
-        assert_eq!(bt.ops, spec.op_count, "workload {which}");
+        assert_eq!(model.ops, spec.op_count, "workload {which}");
         assert_eq!(
-            kv.digest, bt.digest,
+            kv.digest, model.digest,
             "workload {which}: backends must consume identical streams"
         );
         assert_eq!(
-            kv.scan_rows, bt.scan_rows,
+            kv.scan_rows, model.scan_rows,
             "workload {which}: identical streams over identical data must scan identical rows"
         );
     }
@@ -132,7 +155,7 @@ fn kv_and_btree_consume_identical_streams() {
 /// scrambled-key rendering and the delete-bearing mix.  Deletes land on
 /// both backends identically, so scans over the surviving rows agree —
 /// which exercises the KV scan's drain-past-tombstones fill against the
-/// B+-tree's tombstone-free reference.
+/// model's tombstone-free reference.
 #[test]
 fn scrambled_and_delete_modes_match_across_backends() {
     let scrambled = YcsbSpec::core('A', 150, 250, 0x5eed).expect("core workload").scrambled();
@@ -144,11 +167,11 @@ fn scrambled_and_delete_modes_match_across_backends() {
         ("scrambled A+deletes", &scrambled_deletes),
     ] {
         let kv = run_kv(spec);
-        let bt = run_btree(spec);
+        let model = run_model(spec);
         assert_eq!(kv.ops, spec.op_count, "{label}");
-        assert_eq!(kv.digest, bt.digest, "{label}: backends must consume identical streams");
+        assert_eq!(kv.digest, model.digest, "{label}: backends must consume identical streams");
         assert_eq!(
-            kv.scan_rows, bt.scan_rows,
+            kv.scan_rows, model.scan_rows,
             "{label}: scans over identically-deleted data must see identical rows"
         );
     }

@@ -8,7 +8,9 @@
 
 use std::sync::Arc;
 
-use noftl_regions::flash::{DeviceBuilder, FlashGeometry, NandDevice, SimTime, TimingModel};
+use noftl_regions::flash::{
+    DeviceBuilder, FlashBackend, FlashGeometry, NandDevice, SimTime, TimingModel,
+};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, RegionSpec};
 
 /// Run a skewed update workload against two objects (one hot, one cold)

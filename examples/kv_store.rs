@@ -14,7 +14,9 @@
 
 use std::sync::Arc;
 
-use noftl_regions::flash::{DeviceBuilder, FlashGeometry, NandDevice, SimTime, TimingModel};
+use noftl_regions::flash::{
+    DeviceBuilder, FlashBackend, FlashGeometry, NandDevice, SimTime, TimingModel,
+};
 use noftl_regions::noftl::kv::{KvConfig, KvStore};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, RegionSpec};
 
@@ -33,8 +35,7 @@ fn main() {
     );
     let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
     let region = noftl.create_region(RegionSpec::named("rgKv").with_die_count(6)).unwrap();
-    let config =
-        KvConfig { memtable_bytes: 16 * 1024, compaction_threshold: 3, ..KvConfig::default() };
+    let config = KvConfig { memtable_bytes: 16 * 1024, compaction_threshold: 3 };
     let (store, mut t) =
         KvStore::create(Arc::clone(&noftl), region, "users", config, SimTime::ZERO).unwrap();
     println!("created store 'users' over a 6-die region\n");

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use noftl_regions::dbms::ColumnType;
 use noftl_regions::dbms::{Database, DatabaseConfig, NoFtlBackend, Schema, Value};
 use noftl_regions::dump;
-use noftl_regions::flash::{DeviceBuilder, FlashGeometry, SimTime, TimingModel};
+use noftl_regions::flash::{DeviceBuilder, FlashBackend, FlashGeometry, SimTime, TimingModel};
 use noftl_regions::noftl::kv::{KvConfig, KvStore};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementConfig, RegionSpec};
 use noftl_regions::obs::validate_chrome_trace;
@@ -64,8 +64,7 @@ fn main() {
     // one die), small memtable so flushes and a compaction happen
     // during the load.
     let kv_region = noftl.create_region(RegionSpec::named("rgKv").with_die_count(3)).unwrap();
-    let config =
-        KvConfig { memtable_bytes: 16 * 1024, compaction_threshold: 3, ..KvConfig::default() };
+    let config = KvConfig { memtable_bytes: 16 * 1024, compaction_threshold: 3 };
     let (store, mut t) =
         KvStore::create(Arc::clone(&noftl), kv_region, "users", config, now).unwrap();
     for round in 0..3u64 {

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use noftl_regions::flash::{DeviceBuilder, FlashGeometry, SimTime, TimingModel};
+use noftl_regions::flash::{DeviceBuilder, FlashBackend, FlashGeometry, SimTime, TimingModel};
 use noftl_regions::noftl::{Ddl, NoFtl, NoFtlConfig};
 
 fn main() {

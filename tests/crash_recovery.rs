@@ -21,7 +21,8 @@ use common::{property_rounds, splitmix};
 use noftl_regions::dbms::crash_harness::{run_crash_cycle, CrashHarnessConfig};
 use noftl_regions::dbms::{Database, DatabaseConfig, NoFtlBackend};
 use noftl_regions::flash::{
-    DeviceBuilder, DeviceSnapshot, Duration, FlashGeometry, NandDevice, SimTime, TimingModel,
+    DeviceBuilder, DeviceSnapshot, Duration, FlashBackend, FlashGeometry, NandDevice, SimTime,
+    TimingModel,
 };
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementConfig};
 use std::sync::Arc;

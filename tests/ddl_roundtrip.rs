@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use noftl_regions::flash::{DeviceBuilder, FlashGeometry, SimTime};
+use noftl_regions::flash::{DeviceBuilder, FlashBackend, FlashGeometry, SimTime};
 use noftl_regions::noftl::{Ddl, NoFtl, NoFtlConfig};
 
 #[test]

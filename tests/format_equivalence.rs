@@ -23,7 +23,8 @@ use noftl_mirror::{ChildBlob, ChildHealth, MirrorBlob, SegmentMap};
 use noftl_regions::dbms::value::{composite_key, Value};
 use noftl_regions::dbms::{ColumnType, Database, DatabaseConfig, NoFtlBackend, Schema};
 use noftl_regions::flash::{
-    DeviceBuilder, DeviceSnapshot, DeviceStats, DieStats, FlashGeometry, SimTime, TimingModel,
+    DeviceBuilder, DeviceSnapshot, DeviceStats, DieStats, FlashBackend, FlashGeometry, SimTime,
+    TimingModel,
 };
 use noftl_regions::noftl::kv::{KvConfig, KvStore};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementConfig, RegionSpec};
@@ -93,8 +94,7 @@ fn scripted_image() -> (u32, u64) {
 
     // KV: two flushed level-0 runs merge into one level-1 run.
     let region = noftl.create_region(RegionSpec::named("rgKv").with_die_count(2)).unwrap();
-    let config =
-        KvConfig { memtable_bytes: 8 * 1024, compaction_threshold: 2, ..KvConfig::default() };
+    let config = KvConfig { memtable_bytes: 8 * 1024, compaction_threshold: 2 };
     let (store, mut t) = KvStore::create(Arc::clone(&noftl), region, "kv", config, t).unwrap();
     for round in 0..2u64 {
         for i in 0..150u64 {

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use noftl_regions::dbms::crash_harness::{run_crash_cycle, CrashHarnessConfig};
 use noftl_regions::dbms::{ColumnType, Database, DatabaseConfig, NoFtlBackend, Schema, Value};
-use noftl_regions::flash::{DeviceBuilder, FlashGeometry, SimTime, TimingModel};
+use noftl_regions::flash::{DeviceBuilder, FlashBackend, FlashGeometry, SimTime, TimingModel};
 use noftl_regions::noftl::kv::{KvConfig, KvStore};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementConfig, RegionSpec};
 use noftl_regions::obs::validate_chrome_trace;

@@ -37,7 +37,8 @@
 use std::sync::Arc;
 
 use noftl_regions::flash::{
-    DeviceBuilder, DeviceSnapshot, DeviceStats, DieStats, FlashGeometry, SimTime, TimingModel,
+    DeviceBuilder, DeviceSnapshot, DeviceStats, DieStats, FlashBackend, FlashGeometry, SimTime,
+    TimingModel,
 };
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, RegionSpec};
 
