@@ -1,10 +1,11 @@
 //! Registry handles pre-bound by the storage manager and KV store.
 //!
 //! All handles are registered once at construction (the cold path) so
-//! per-operation recording is pure relaxed atomics; a disabled registry
-//! reduces every call below to one relaxed load.  `noftl-obs` never
+//! per-operation recording is pure relaxed atomics.  `noftl-obs` never
 //! touches the tracked lock order, so every recording site here is safe
-//! under any combination of manager/die/shared locks.
+//! under any combination of manager and device locks.  GC runs and
+//! copybacks are counted in `RegionStats`, flushes, compactions and the
+//! get path's probes in `KvStats`; nothing here counts them again.
 //!
 //! Metric names (see the README's Observability section):
 //!
@@ -20,8 +21,6 @@
 //! * `core.flush.window_ns` — issue→drain latency of whole windows;
 //! * `core.read.window_occupancy` / `core.read.window_ns` — the same two
 //!   views of the windowed *read* pipeline (KV and B+-tree scans);
-//! * `core.gc.{runs,pages_moved}` — GC activity, one run per collected
-//!   (and erased) victim block;
 //! * `core.gc.step_pages` — copybacks one allocation on a collecting die
 //!   paid for before its own program (the maximum is the GC stall bound);
 //! * `core.gc.forced_steps` — allocations whose die a step left without a
@@ -31,11 +30,7 @@
 //!   region-metadata journal: completed checkpoints, the chunk pages they
 //!   programmed, and issue→durable latency of each;
 //! * `kv.put.latency_ns`, `kv.flush.latency_ns`, `kv.compact.latency_ns`
-//!   and `kv.{flushes,compactions}` — LSM store activity;
-//! * `kv.get.{run_probes,bloom_skips,page_reads}` — the point-read path:
-//!   runs whose key range covered a get's key, those of them the run's
-//!   Bloom filter ruled out, and the run pages actually read (one per
-//!   remaining probe, so `page_reads = run_probes - bloom_skips`).
+//!   — LSM store latencies.
 //!
 //! Tracer track IDs: flash dies use their die index (see
 //! `flash-sim`); host-side spans use fixed tracks `100` (KV),
@@ -108,8 +103,6 @@ pub(crate) struct CoreObs {
     pub(crate) flush_window: WindowObs,
     /// `core.read.window_*`: the windowed read pipeline.
     pub(crate) read_window: WindowObs,
-    gc_runs: Counter,
-    gc_pages_moved: Counter,
     gc_step_pages: Histogram,
     gc_forced_steps: Counter,
     checkpoints: Counter,
@@ -125,8 +118,6 @@ impl CoreObs {
             steered: registry.counter("core.placement.steered"),
             flush_window: WindowObs::new(&registry, "core.flush", "write_window"),
             read_window: WindowObs::new(&registry, "core.read", "read_window"),
-            gc_runs: registry.counter("core.gc.runs"),
-            gc_pages_moved: registry.counter("core.gc.pages_moved"),
             gc_step_pages: registry.histogram("core.gc.step_pages", Unit::Count),
             gc_forced_steps: registry.counter("core.gc.forced_steps"),
             checkpoints: registry.counter("core.checkpoint.count"),
@@ -158,11 +149,9 @@ impl CoreObs {
         }
     }
 
-    /// Record one collected (and erased) victim on a die and the pages it
-    /// relocated via copyback, plus a tracer instant on the die's track.
+    /// Trace one collected (and erased) victim as an instant on its die's
+    /// track, with the pages it relocated via copyback.
     pub(crate) fn note_gc(&self, die_track: u64, pages_moved: u64, at: SimTime) {
-        self.gc_runs.inc();
-        self.gc_pages_moved.add(pages_moved);
         self.registry.tracer().instant(
             "core.gc",
             "gc",
@@ -180,35 +169,22 @@ impl CoreObs {
     }
 }
 
-/// Handles the KV store records into on puts, gets, memtable flushes and
+/// Handles the KV store records into on puts, memtable flushes and
 /// compactions.
 #[derive(Debug)]
 pub(crate) struct KvObs {
     registry: Arc<MetricsRegistry>,
-    /// `kv.get.page_reads`: run pages read by gets.
-    pub(crate) get_page_reads: Counter,
-    /// `kv.get.run_probes`: runs whose key range covered a get's key.
-    pub(crate) get_run_probes: Counter,
-    /// `kv.get.bloom_skips`: probed runs the filter ruled out.
-    pub(crate) get_bloom_skips: Counter,
     put_latency: Histogram,
     flush_latency: Histogram,
     compact_latency: Histogram,
-    flushes: Counter,
-    compactions: Counter,
 }
 
 impl KvObs {
     pub(crate) fn new(registry: Arc<MetricsRegistry>) -> Self {
         KvObs {
-            get_page_reads: registry.counter("kv.get.page_reads"),
-            get_run_probes: registry.counter("kv.get.run_probes"),
-            get_bloom_skips: registry.counter("kv.get.bloom_skips"),
             put_latency: registry.histogram("kv.put.latency_ns", Unit::SimNanos),
             flush_latency: registry.histogram("kv.flush.latency_ns", Unit::SimNanos),
             compact_latency: registry.histogram("kv.compact.latency_ns", Unit::SimNanos),
-            flushes: registry.counter("kv.flushes"),
-            compactions: registry.counter("kv.compactions"),
             registry,
         }
     }
@@ -220,7 +196,6 @@ impl KvObs {
 
     /// Record one memtable flush as a histogram sample and tracer span.
     pub(crate) fn note_flush(&self, entries: u64, issued: SimTime, done: SimTime) {
-        self.flushes.inc();
         self.flush_latency.record(done.since(issued).as_nanos());
         self.registry.tracer().span(
             "kv",
@@ -234,7 +209,6 @@ impl KvObs {
 
     /// Record one level compaction as a histogram sample and tracer span.
     pub(crate) fn note_compact(&self, level: u64, issued: SimTime, done: SimTime) {
-        self.compactions.inc();
         self.compact_latency.record(done.since(issued).as_nanos());
         self.registry.tracer().span(
             "kv",

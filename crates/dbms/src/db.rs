@@ -8,7 +8,6 @@ use parking_lot::RwLock;
 
 use flash_sim::codec::{put_bytes16, put_u32, put_u64, Reader};
 use flash_sim::{crc32, Duration, SimTime};
-use noftl_obs::Counter;
 
 use crate::btree::BTree;
 use crate::buffer::{BufferPool, BufferStats};
@@ -113,9 +112,6 @@ pub struct Database {
     next_txn: AtomicU64,
     commits: AtomicU64,
     read_only_commits: AtomicU64,
-    /// `dbms.txn.read_only_commits`, bound at open when the backend has a
-    /// registry (it sits on the read path, so no per-commit name lookup).
-    read_only_counter: Option<Counter>,
     rollbacks: AtomicU64,
     /// Set when a commit's log force fails under redo logging: the pool
     /// then holds effects of a transaction that is neither durable nor
@@ -123,10 +119,6 @@ pub struct Database {
     /// checkpoint) is refused until the instance is recovered.
     poisoned: std::sync::atomic::AtomicBool,
     config: DatabaseConfig,
-}
-
-fn read_only_counter(backend: &Arc<dyn StorageBackend>) -> Option<Counter> {
-    backend.metrics().map(|registry| registry.counter("dbms.txn.read_only_commits"))
 }
 
 fn ensure_object(backend: &Arc<dyn StorageBackend>, name: &str) -> Result<ObjectId> {
@@ -149,7 +141,6 @@ impl Database {
         let pool =
             BufferPool::with_policy(Arc::clone(&backend), config.buffer_pages, config.redo_logging);
         Ok(Database {
-            read_only_counter: read_only_counter(&backend),
             backend,
             pool,
             catalog: Catalog::new(),
@@ -194,8 +185,7 @@ impl Database {
 
     /// Commits of transactions that wrote nothing: counted in
     /// [`Database::commit_count`], but they appended no log record and
-    /// forced nothing.  Mirrored as `dbms.txn.read_only_commits` in the
-    /// backend's metrics registry.
+    /// forced nothing.
     pub fn read_only_commit_count(&self) -> u64 {
         self.read_only_commits.load(Ordering::Relaxed)
     }
@@ -453,9 +443,6 @@ impl Database {
             self.discard_capture();
             self.commits.fetch_add(1, Ordering::Relaxed);
             self.read_only_commits.fetch_add(1, Ordering::Relaxed);
-            if let Some(counter) = &self.read_only_counter {
-                counter.inc();
-            }
             return Ok(TxnOutcome::Committed);
         }
         if self.config.redo_logging {
@@ -517,10 +504,12 @@ impl Database {
     }
 
     /// Snapshot the metrics registry of the storage stack underneath,
-    /// when the backend exposes one (the NoFTL stack does; the legacy
-    /// block backend reports `None`).  The snapshot spans every layer —
-    /// flash device, storage manager, WAL and buffer pool — because they
-    /// all record into the shared registry.
+    /// when the backend exposes one (`NoFtlBackend` does).  The snapshot
+    /// spans every layer — flash device, storage manager, WAL and buffer
+    /// pool — because they all record into the shared registry.  Counts
+    /// are not in it: they live in [`Database::buffer_stats`],
+    /// [`Database::wal_stats`], the commit counters and the stats of the
+    /// layers below.
     pub fn metrics_snapshot(&self) -> Option<noftl_obs::MetricsSnapshot> {
         self.backend.metrics().map(|registry| registry.snapshot())
     }
@@ -756,7 +745,6 @@ impl Database {
         let metadata_extent = backend.object_extent(metadata_obj)?;
 
         let db = Database {
-            read_only_counter: read_only_counter(&backend),
             backend,
             pool,
             catalog,
@@ -879,8 +867,6 @@ mod tests {
         assert_eq!(db.wal_stats(), wal_before, "no record, no force");
         assert_eq!(db.commit_count(), 2);
         assert_eq!(db.read_only_commit_count(), 1);
-        let snap = db.metrics_snapshot().unwrap();
-        assert_eq!(snap.counter("dbms.txn.read_only_commits"), Some(1));
 
         // A rollback that wrote nothing leaves no trace in the log either.
         let mut aborted = db.begin(reader.now);

@@ -388,9 +388,6 @@ impl Wal {
         inner.segment_start = 0;
         inner.cur_page = 0;
         inner.truncations += 1;
-        if let Some(registry) = backend.metrics() {
-            registry.counter("dbms.wal.truncations").inc();
-        }
         Ok(freed)
     }
 

@@ -158,9 +158,8 @@ impl DeviceBuilder {
         self
     }
 
-    /// Record metrics into an existing registry (e.g.
-    /// [`noftl_obs::global()`], or one shared across devices).  By
-    /// default each device gets its own enabled registry, so tests and
+    /// Record metrics into an existing registry (e.g. one shared across
+    /// devices).  By default each device gets its own registry, so tests and
     /// benches observe only their own stack.  Turn the registry's tracer
     /// on for a command trace: one `flash.op` span per completed command
     /// on its die's track, one `error` instant per rejected one.
@@ -210,7 +209,7 @@ impl DeviceBuilder {
             restored: DeviceStats::default(),
             errors: AtomicU64::new(0),
             touched: (0..g.total_dies()).map(|_| AtomicBool::new(false)).collect(),
-            obs: DeviceObs::new(registry, g.total_dies()),
+            obs: DeviceObs::new(registry),
             arbiter,
         }
     }
@@ -512,7 +511,7 @@ impl NandDevice {
         }
         let out = self.apply(&mut die, cmd, write, &sched);
         // Accounting, in the die shard the command already holds.
-        self.obs.note_op(kind, cmd.die(), &sched, at, die.busy_time.as_nanos());
+        self.obs.note_op(kind, cmd.die(), &sched, at);
         let bytes = shape.xfer.map_or(0, |(_, bytes)| u64::from(bytes));
         die.stats.note(kind, bytes, sched.latency(at), sched.array.depth);
         Ok(out)
@@ -886,7 +885,7 @@ impl NandDevice {
             restored: snap.stats.clone(),
             errors: AtomicU64::new(0),
             touched,
-            obs: DeviceObs::new(Arc::new(MetricsRegistry::new()), g.total_dies()),
+            obs: DeviceObs::new(Arc::new(MetricsRegistry::new())),
             arbiter: None,
         })
     }

@@ -2,8 +2,9 @@
 //!
 //! All handles are registered once at construction (the cold path) so
 //! the per-operation cost is pure atomics — `noftl-obs` never touches
-//! the tracked lock order, and a disabled registry reduces every call
-//! below to one relaxed load.
+//! the tracked lock order.  Command counts, busy time, the queue-depth
+//! high-water mark and the quiesce instant are not here: they live in
+//! the die's `DeviceStats` / `DieStats` and in `quiesce_time()`.
 //!
 //! Metric names (see the README's Observability section):
 //!
@@ -11,10 +12,6 @@
 //!   command, the revived `Scheduled::latency`; with the tracer on, the
 //!   same interval is a `flash.op` span on the die's track (a rejected
 //!   command is an `error` instant there);
-//! * `flash.die<i>.{reads,programs,erases,copybacks}` — per-die op
-//!   counters; `flash.die<i>.busy_ns` — the die's cumulative busy time;
-//! * `flash.device.quiesce_ns` — latest completion seen so far;
-//! * `flash.queue.depth_hwm` — deepest any die queue has been;
 //! * `flash.timeline.clamped` — reservations issued below the floor of a
 //!   die's or channel's bounded occupancy history (0 on every committed
 //!   workload; non-zero means completions may be pessimistic);
@@ -27,7 +24,7 @@
 
 use std::sync::Arc;
 
-use noftl_obs::{Counter, Gauge, Histogram, MetricsRegistry, Unit};
+use noftl_obs::{Counter, Histogram, MetricsRegistry, Unit};
 
 use crate::addr::DieId;
 use crate::arbiter::ServiceClass;
@@ -60,81 +57,37 @@ fn op_slot(kind: OpKind) -> usize {
     }
 }
 
-#[derive(Debug)]
-struct DieObs {
-    reads: Counter,
-    programs: Counter,
-    erases: Counter,
-    copybacks: Counter,
-    busy_ns: Gauge,
-}
-
 /// Handles the device records into on every native command.
 #[derive(Debug)]
 pub(crate) struct DeviceObs {
     registry: Arc<MetricsRegistry>,
     latency: Vec<Histogram>,
-    dies: Vec<DieObs>,
-    depth_hwm: Gauge,
-    quiesce_ns: Gauge,
     clamped: Counter,
 }
 
 impl DeviceObs {
-    pub(crate) fn new(registry: Arc<MetricsRegistry>, die_count: u32) -> Self {
+    pub(crate) fn new(registry: Arc<MetricsRegistry>) -> Self {
         let latency = OPS
             .iter()
             .map(|k| {
                 registry.histogram(&format!("flash.op.{}.latency_ns", op_name(*k)), Unit::SimNanos)
             })
             .collect();
-        let dies = (0..die_count)
-            .map(|i| DieObs {
-                reads: registry.counter(&format!("flash.die{i}.reads")),
-                programs: registry.counter(&format!("flash.die{i}.programs")),
-                erases: registry.counter(&format!("flash.die{i}.erases")),
-                copybacks: registry.counter(&format!("flash.die{i}.copybacks")),
-                busy_ns: registry.gauge(&format!("flash.die{i}.busy_ns")),
-            })
-            .collect();
-        let depth_hwm = registry.gauge("flash.queue.depth_hwm");
-        let quiesce_ns = registry.gauge("flash.device.quiesce_ns");
         let clamped = registry.counter("flash.timeline.clamped");
-        DeviceObs { registry, latency, dies, depth_hwm, quiesce_ns, clamped }
+        DeviceObs { registry, latency, clamped }
     }
 
     pub(crate) fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
     }
 
-    /// Record one completed native command: its latency sample, the
-    /// per-die counters and — the one place a command is traced, however
-    /// many backends are stacked above the device — a span on the die's
-    /// track.  `busy_ns` is the executing die's cumulative busy time,
-    /// read under the die shard the caller already holds.
-    pub(crate) fn note_op(
-        &self,
-        kind: OpKind,
-        die: DieId,
-        sched: &Scheduled,
-        at: SimTime,
-        busy_ns: u64,
-    ) {
+    /// Record one completed native command: its latency sample and — the
+    /// one place a command is traced, however many backends are stacked
+    /// above the device — a span on the die's track.
+    pub(crate) fn note_op(&self, kind: OpKind, die: DieId, sched: &Scheduled, at: SimTime) {
         if let Some(h) = self.latency.get(op_slot(kind)) {
             h.record(sched.latency(at).as_nanos());
         }
-        if let Some(d) = self.dies.get(die.0 as usize) {
-            match kind {
-                OpKind::Read | OpKind::MetadataRead => d.reads.inc(),
-                OpKind::Program => d.programs.inc(),
-                OpKind::Erase => d.erases.inc(),
-                OpKind::Copyback => d.copybacks.inc(),
-            }
-            // Busy time is monotone, so max == last-writer without racing.
-            d.busy_ns.set_max(busy_ns);
-        }
-        self.depth_hwm.set_max(u64::from(sched.array.depth));
-        self.quiesce_ns.set_max(sched.complete.as_nanos());
         let clamped = [Some(sched.array), sched.bus].iter().flatten().filter(|s| s.clamped).count();
         if clamped > 0 {
             self.clamped.add(clamped as u64);

@@ -14,7 +14,7 @@
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-use crate::metrics::{Flag, Unit};
+use crate::metrics::Unit;
 
 /// Values below this are recorded exactly (one bucket per value).
 const LINEAR_MAX: u64 = 16;
@@ -59,7 +59,6 @@ fn bucket_hi(i: usize) -> u64 {
 pub(crate) struct HistInner {
     pub(crate) name: String,
     pub(crate) unit: Unit,
-    enabled: Arc<Flag>,
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
     sum: AtomicU64,
@@ -70,20 +69,18 @@ pub(crate) struct HistInner {
 /// A shareable, lock-free, mergeable latency histogram handle.
 ///
 /// Cloning is cheap (an `Arc` bump) and all clones record into the same
-/// buckets.  When the owning registry is disabled, [`Histogram::record`]
-/// is a single relaxed load and an untaken branch.
+/// buckets.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     inner: Arc<HistInner>,
 }
 
 impl Histogram {
-    pub(crate) fn new(name: &str, unit: Unit, enabled: Arc<Flag>) -> Self {
+    pub(crate) fn new(name: &str, unit: Unit) -> Self {
         Histogram {
             inner: Arc::new(HistInner {
                 name: name.to_string(),
                 unit,
-                enabled,
                 buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
                 count: AtomicU64::new(0),
                 sum: AtomicU64::new(0),
@@ -103,13 +100,9 @@ impl Histogram {
         self.inner.unit
     }
 
-    /// Record one observation.  Lock-free; a no-op (one relaxed load)
-    /// when the registry is disabled.
+    /// Record one observation.  Lock-free.
     #[inline]
     pub fn record(&self, v: u64) {
-        if !self.inner.enabled.get() {
-            return;
-        }
         let i = bucket_index(v);
         if let Some(b) = self.inner.buckets.get(i) {
             b.fetch_add(1, Relaxed);
@@ -229,7 +222,7 @@ mod tests {
     use super::*;
 
     fn hist() -> Histogram {
-        Histogram::new("t", Unit::SimNanos, Arc::new(Flag::new(true)))
+        Histogram::new("t", Unit::SimNanos)
     }
 
     #[test]
@@ -269,17 +262,6 @@ mod tests {
         assert_eq!(s.percentile(1.0), 1000);
         assert_eq!(s.max, 1000);
         assert_eq!(s.min, 1);
-    }
-
-    #[test]
-    fn disabled_histogram_records_nothing() {
-        let flag = Arc::new(Flag::new(false));
-        let h = Histogram::new("t", Unit::SimNanos, flag.clone());
-        h.record(42);
-        assert_eq!(h.count(), 0);
-        flag.set(true);
-        h.record(42);
-        assert_eq!(h.count(), 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! * [`MetricsRegistry`] — named [`Counter`]s, [`Gauge`]s and
 //!   log-bucketed latency [`Histogram`]s (p50/p90/p99/p999 + max,
-//!   mergeable, in simulated- or wall-clock units);
+//!   mergeable, in simulated time or plain counts);
 //! * [`Tracer`] — a bounded ring of typed span/instant [`TraceEvent`]s,
 //!   exportable as Chrome `trace_event` JSON
 //!   ([`Tracer::to_chrome_json`]) and validated by
@@ -21,9 +21,15 @@
 //!   without touching the documented lock order.  (The tracer's ring
 //!   mutex and the registry's registration lock are plain-`std` leaf
 //!   locks on cold paths only.)
-//! * **Free when off.**  A disabled registry or tracer costs one relaxed
-//!   load per call site and allocates nothing — asserted by the
-//!   release-mode no-allocation test in `tests/no_alloc.rs`.
+//! * **No allocation on update.**  A counter, gauge or histogram update
+//!   allocates nothing, and a disabled tracer costs one relaxed load per
+//!   call site — both asserted by the release-mode no-allocation test in
+//!   `tests/no_alloc.rs`.
+//!
+//! What lives here: distributions, traces and decisions.  A plain count
+//! of what a layer did lives in that layer's stats struct
+//! (`DeviceStats`, `RegionStats`, `KvStats`, `WalStats`, ...), never
+//! also in the registry.
 //!
 //! Naming scheme (see the README's Observability section):
 //! `layer.component.metric`, e.g. `flash.op.read.latency_ns`,
@@ -39,31 +45,5 @@ pub mod prom;
 pub mod tracer;
 
 pub use hist::{Histogram, HistogramSnapshot};
-pub use metrics::{global, Counter, Gauge, MetricsRegistry, MetricsSnapshot, Unit};
+pub use metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, Unit};
 pub use tracer::{validate_chrome_trace, TraceEvent, Tracer};
-
-/// Wall-clock stopwatch recording into a histogram on drop-free `stop`.
-///
-/// ```
-/// let r = noftl_obs::MetricsRegistry::new();
-/// let h = r.histogram("demo.wall_ns", noftl_obs::Unit::WallNanos);
-/// let sw = noftl_obs::Stopwatch::start();
-/// // ... work ...
-/// sw.stop(&h);
-/// assert_eq!(h.count(), 1);
-/// ```
-#[derive(Debug)]
-pub struct Stopwatch(std::time::Instant);
-
-impl Stopwatch {
-    /// Start timing now.
-    pub fn start() -> Self {
-        Stopwatch(std::time::Instant::now())
-    }
-
-    /// Record the elapsed wall-clock nanoseconds into `hist`.
-    pub fn stop(self, hist: &Histogram) {
-        let ns = u64::try_from(self.0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        hist.record(ns);
-    }
-}

@@ -4,43 +4,22 @@
 //! (`counter`/`gauge`/`histogram`) is the cold path and takes a plain
 //! `std::sync::RwLock`; the handles it returns are `Arc`s over atomics,
 //! so every *update* is lock-free and never participates in the
-//! workspace's tracked lock order (`flash_sim::lockorder`).  All handles
-//! share the registry's enabled flag: when the registry is disabled,
-//! every update is one relaxed atomic load and an untaken branch — the
-//! fast path the release-mode no-allocation test pins down.
+//! workspace's tracked lock order (`flash_sim::lockorder`).  An update
+//! allocates nothing — the release-mode no-allocation test pins that
+//! down.
 //!
 //! Naming scheme: dotted lowercase `layer.component.metric`, with a unit
 //! suffix on time-valued metrics (`flash.op.read.latency_ns`).  Stacks
 //! built by `DeviceBuilder` default to a fresh registry per device (so
-//! tests and benches stay isolated); [`global()`] offers the
-//! process-wide instance for components that want to share one.
+//! tests and benches stay isolated); pass one `Arc<MetricsRegistry>` to
+//! several builders to share it.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::hist::{Histogram, HistogramSnapshot};
 use crate::tracer::Tracer;
-
-/// The on/off switch: one per registry, referenced by every handle.
-#[derive(Debug)]
-pub struct Flag(AtomicBool);
-
-impl Flag {
-    pub(crate) fn new(v: bool) -> Self {
-        Flag(AtomicBool::new(v))
-    }
-
-    /// Relaxed read — the only cost a disabled metric pays.
-    #[inline]
-    pub fn get(&self) -> bool {
-        self.0.load(Relaxed)
-    }
-
-    pub(crate) fn set(&self, v: bool) {
-        self.0.store(v, Relaxed);
-    }
-}
 
 /// Unit tag carried by histograms, so exporters and the perf harness
 /// know how to scale values.
@@ -48,8 +27,6 @@ impl Flag {
 pub enum Unit {
     /// Simulated-clock nanoseconds (deterministic across runs).
     SimNanos,
-    /// Wall-clock nanoseconds (machine-dependent).
-    WallNanos,
     /// Dimensionless counts (e.g. window occupancy, probe counts).
     Count,
 }
@@ -59,7 +36,6 @@ impl Unit {
     pub fn as_str(self) -> &'static str {
         match self {
             Unit::SimNanos => "sim_ns",
-            Unit::WallNanos => "wall_ns",
             Unit::Count => "count",
         }
     }
@@ -68,26 +44,14 @@ impl Unit {
 /// A monotonically increasing counter handle.
 #[derive(Debug, Clone)]
 pub struct Counter {
-    inner: Arc<CounterInner>,
-}
-
-#[derive(Debug)]
-struct CounterInner {
-    value: AtomicU64,
-    enabled: Arc<Flag>,
+    value: Arc<AtomicU64>,
 }
 
 impl Counter {
-    fn new(enabled: Arc<Flag>) -> Self {
-        Counter { inner: Arc::new(CounterInner { value: AtomicU64::new(0), enabled }) }
-    }
-
-    /// Add `n`.  Lock-free; a no-op when the registry is disabled.
+    /// Add `n`.  Lock-free.
     #[inline]
     pub fn add(&self, n: u64) {
-        if self.inner.enabled.get() {
-            self.inner.value.fetch_add(n, Relaxed);
-        }
+        self.value.fetch_add(n, Relaxed);
     }
 
     /// Add one.
@@ -98,40 +62,32 @@ impl Counter {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.inner.value.load(Relaxed)
+        self.value.load(Relaxed)
     }
 }
 
 /// A last-value / high-water-mark gauge handle.
 #[derive(Debug, Clone)]
 pub struct Gauge {
-    inner: Arc<CounterInner>,
+    value: Arc<AtomicU64>,
 }
 
 impl Gauge {
-    fn new(enabled: Arc<Flag>) -> Self {
-        Gauge { inner: Arc::new(CounterInner { value: AtomicU64::new(0), enabled }) }
-    }
-
     /// Overwrite the value.
     #[inline]
     pub fn set(&self, v: u64) {
-        if self.inner.enabled.get() {
-            self.inner.value.store(v, Relaxed);
-        }
+        self.value.store(v, Relaxed);
     }
 
     /// Raise the value to `v` if larger (high-water marks).
     #[inline]
     pub fn set_max(&self, v: u64) {
-        if self.inner.enabled.get() {
-            self.inner.value.fetch_max(v, Relaxed);
-        }
+        self.value.fetch_max(v, Relaxed);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.inner.value.load(Relaxed)
+        self.value.load(Relaxed)
     }
 }
 
@@ -150,7 +106,6 @@ struct Tables {
 /// sharing the `Arc<MetricsRegistry>` itself.
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    enabled: Arc<Flag>,
     tables: RwLock<Tables>,
     tracer: Tracer,
 }
@@ -162,31 +117,10 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// An enabled registry with tracing off (the tracer has its own
+    /// An empty registry with tracing off (the tracer has its own
     /// switch; see [`Tracer::set_enabled`]).
     pub fn new() -> Self {
-        MetricsRegistry {
-            enabled: Arc::new(Flag::new(true)),
-            tables: RwLock::new(Tables::default()),
-            tracer: Tracer::default(),
-        }
-    }
-
-    /// A registry whose every update is the disabled fast path.
-    pub fn disabled() -> Self {
-        let r = Self::new();
-        r.set_enabled(false);
-        r
-    }
-
-    /// Toggle metric recording (existing handles observe the change).
-    pub fn set_enabled(&self, v: bool) {
-        self.enabled.set(v);
-    }
-
-    /// Whether metric recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.get()
+        MetricsRegistry { tables: RwLock::new(Tables::default()), tracer: Tracer::default() }
     }
 
     /// The registry's event tracer (disabled by default).
@@ -202,7 +136,7 @@ impl MetricsRegistry {
         let mut t = self.tables.write().unwrap_or_else(PoisonError::into_inner);
         t.counters
             .entry(name.to_string())
-            .or_insert_with(|| Counter::new(self.enabled.clone()))
+            .or_insert_with(|| Counter { value: Arc::default() })
             .clone()
     }
 
@@ -212,7 +146,7 @@ impl MetricsRegistry {
             return g;
         }
         let mut t = self.tables.write().unwrap_or_else(PoisonError::into_inner);
-        t.gauges.entry(name.to_string()).or_insert_with(|| Gauge::new(self.enabled.clone())).clone()
+        t.gauges.entry(name.to_string()).or_insert_with(|| Gauge { value: Arc::default() }).clone()
     }
 
     /// Get or register a histogram.  The unit is fixed at first
@@ -223,10 +157,7 @@ impl MetricsRegistry {
             return h;
         }
         let mut t = self.tables.write().unwrap_or_else(PoisonError::into_inner);
-        t.hists
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(name, unit, self.enabled.clone()))
-            .clone()
+        t.hists.entry(name.to_string()).or_insert_with(|| Histogram::new(name, unit)).clone()
     }
 
     fn read_tables<R>(&self, f: impl FnOnce(&Tables) -> R) -> R {
@@ -242,14 +173,6 @@ impl MetricsRegistry {
             histograms: t.hists.values().map(Histogram::snapshot).collect(),
         })
     }
-}
-
-/// The process-wide registry, for components that opt into sharing one
-/// (stacks built by `DeviceBuilder` default to per-device instances so
-/// tests stay isolated).
-pub fn global() -> &'static MetricsRegistry {
-    static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::new)
 }
 
 /// An immutable, mergeable copy of a registry's metrics.
@@ -301,22 +224,6 @@ mod tests {
         g.set_max(3);
         g.set_max(11);
         assert_eq!(r.gauge("a.g").get(), 11);
-    }
-
-    #[test]
-    fn disabled_registry_drops_updates() {
-        let r = MetricsRegistry::disabled();
-        let c = r.counter("x");
-        let h = r.histogram("h", Unit::Count);
-        c.inc();
-        h.record(9);
-        assert_eq!(c.get(), 0);
-        assert_eq!(h.count(), 0);
-        r.set_enabled(true);
-        c.inc();
-        h.record(9);
-        assert_eq!(c.get(), 1);
-        assert_eq!(h.count(), 1);
     }
 
     #[test]

@@ -58,7 +58,7 @@ mod tests {
 
     #[test]
     fn sanitize_maps_dots_and_leading_digits() {
-        assert_eq!(sanitize("flash.die0.programs"), "flash_die0_programs");
+        assert_eq!(sanitize("flash.op.read.latency_ns"), "flash_op_read_latency_ns");
         assert_eq!(sanitize("9lives"), "_9lives");
     }
 

@@ -1,9 +1,9 @@
-//! The disabled fast path must be free: no allocation on any disabled
-//! counter/gauge/histogram/tracer call.
+//! Instrumentation must stay out of the measured path: a disabled tracer
+//! call and every counter/gauge/histogram update allocate nothing.
 //!
-//! A counting global allocator wraps `System`; the test registers every
-//! handle kind up front (registration may allocate), then drives the
-//! disabled paths hard and asserts the allocation count did not move.
+//! A counting global allocator wraps `System`; each test registers its
+//! handles up front (registration may allocate), then drives the update
+//! paths hard and asserts the allocation count did not move.
 //! The count is **per thread**: the harness runs the tests of this file
 //! (and its own bookkeeping) on parallel threads, and a process-wide
 //! counter would charge one test for its neighbour's allocations.
@@ -56,38 +56,26 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
-fn disabled_paths_do_not_allocate() {
-    let registry = MetricsRegistry::disabled();
-    let counter = registry.counter("na.counter");
-    let gauge = registry.gauge("na.gauge");
-    let hist = registry.histogram("na.hist_ns", Unit::SimNanos);
+fn disabled_tracer_does_not_allocate() {
+    let registry = MetricsRegistry::new();
     let tracer = registry.tracer();
-    assert!(!registry.is_enabled());
     assert!(!tracer.is_enabled());
 
     let before = allocations();
     for i in 0..10_000u64 {
-        counter.inc();
-        counter.add(i);
-        gauge.set(i);
-        gauge.set_max(i);
-        hist.record(i * 37);
         tracer.span("na", "span", 0, i, i + 5, &[("pages", i)]);
         tracer.instant("na", "tick", 1, i, &[]);
     }
     let after = allocations();
 
-    assert_eq!(after - before, 0, "disabled observability path allocated");
-    assert_eq!(counter.get(), 0);
-    assert_eq!(hist.count(), 0);
+    assert_eq!(after - before, 0, "disabled tracer allocated");
     assert!(tracer.is_empty());
 }
 
 #[test]
 fn enabled_counters_and_histograms_stay_allocation_free_too() {
-    // Stronger than the tentpole asks: even when *enabled*, counter,
-    // gauge and histogram updates are pure atomics (only the tracer
-    // allocates, for its event payloads).
+    // Counter, gauge and histogram updates are pure atomics (only an
+    // enabled tracer allocates, for its event payloads).
     let registry = MetricsRegistry::new();
     let counter = registry.counter("na.on.counter");
     let gauge = registry.gauge("na.on.gauge");

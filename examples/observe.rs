@@ -12,6 +12,9 @@
 //! device), so the final snapshot spans flash commands, GC,
 //! page allocations, flush windows, the WAL, the buffer pool and the
 //! KV store — with zero configuration beyond enabling the tracer.
+//! The registry holds distributions, traces and decisions; the counts
+//! live in each layer's stats struct, printed after the table as the
+//! stack's ledgers.
 
 use std::sync::Arc;
 
@@ -49,9 +52,9 @@ fn main() {
         db.commit(&mut txn).unwrap();
         now = txn.now;
     }
-    // Readers: their commits touch no log page — the table below shows
-    // 50 `dbms.txn.read_only_commits` while `dbms.wal.force_ns` counts
-    // only the writers' and the checkpoints' forces.
+    // Readers: their commits touch no log page — the ledgers below show
+    // 50 read-only commits while `dbms.wal.force_ns` counts only the
+    // writers' and the checkpoints' forces.
     for rid in rids.iter().step_by(4) {
         let mut txn = db.begin(now);
         db.get(&mut txn, "acct", *rid).unwrap();
@@ -79,6 +82,25 @@ fn main() {
     // ---- What the stack saw ------------------------------------------
     let registry = noftl.metrics();
     println!("== metrics table ==\n{}", dump::table(registry));
+
+    println!("== ledgers ==");
+    println!("device: {:?}", device.stats());
+    for (die, d) in device.die_stats().iter().enumerate() {
+        println!("  die {die}: {d:?}");
+    }
+    for rid in noftl.region_ids() {
+        let name = noftl.region_name(rid).unwrap();
+        println!("region {name}: {:?}", noftl.region_stats(rid).unwrap());
+    }
+    println!("buffer: {:?}", db.buffer_stats());
+    println!("wal: {:?}", db.wal_stats());
+    println!("commits: {} ({} read-only)", db.commit_count(), db.read_only_commit_count());
+    let kv = store.stats();
+    println!(
+        "kv: flushes {} compactions {} get_page_reads {} run_probes {} bloom_skips {}",
+        kv.flushes, kv.compactions, kv.get_page_reads, kv.run_probes, kv.bloom_skips
+    );
+    println!();
 
     let prom = dump::prometheus(registry);
     let excerpt: Vec<&str> = prom.lines().take(12).collect();
