@@ -1,11 +1,10 @@
-//! KV crash harness: workload → power cut → reboot → mount → open →
-//! verify, the key-value analogue of `dbms::crash_harness`.
+//! KV crash contract: the put/delete workload that [`crate::crash`]
+//! drives through cut → power cycle → mount → `KvStore::open` → verify,
+//! the key-value analogue of `dbms::crash_harness`.
 //!
-//! The harness drives a deterministic put/delete workload with auto
-//! flushes (and therefore cascading compactions) against a [`KvStore`],
-//! cuts power at a chosen simulated instant, reboots the device from its
-//! snapshot, remounts the storage manager and reopens the store, then
-//! verifies the store's durability contract:
+//! The workload is deterministic puts and deletes with auto flushes (and
+//! therefore cascading compactions).  Besides the driver's checks, the
+//! reopened store must honour its durability contract:
 //!
 //! * **no lost committed keys** — every key state covered by an
 //!   *acknowledged* flush is fully present with its exact value;
@@ -15,44 +14,40 @@
 //! * **scan/get agreement** — a full range scan of the reopened store
 //!   returns exactly the point-lookup view.
 //!
-//! Because the simulator is deterministic the harness first performs a
-//! dry run to learn the workload's time span — and the simulated-time
-//! windows of its compaction merges, so cuts can be aimed *into a
-//! compaction* to prove that a torn merge never loses source data, and
-//! (with [`KvCrashConfig::multi_page_tail`]) *between the tail pages* of
-//! a run to prove that a partial tail is never adopted.
-//!
-//! [`KvStore`]: super::store::KvStore
+//! The dry run also yields the simulated-time windows of the compaction
+//! merges, so cuts can be aimed *into a compaction* to prove that a torn
+//! merge never loses source data, and (with
+//! [`KvCrashConfig::multi_page_tail`]) *between the tail pages* of a run
+//! to prove that a partial tail is never adopted.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use flash_sim::{DeviceBuilder, FlashBackend, FlashGeometry, NandDevice, SimTime, TimingModel};
+use flash_sim::{DeviceBuilder, FlashBackend, FlashGeometry, SimTime, TimingModel};
 
+use crate::crash::{self, Contract, Ledger, SplitMix64, Stack};
 use crate::error::NoFtlError;
 use crate::manager::NoFtl;
-use crate::recovery::MountReport;
 use crate::region::RegionSpec;
 use crate::{NoFtlConfig, Result};
 
 use super::store::{KvConfig, KvOpenReport, KvStore};
 
-/// Harness configuration.
+/// Distinct keys in the working set.
+pub const KEYS: u64 = 48;
+/// Operations to attempt (~80 % puts, ~20 % deletes).
+const OPS: u64 = 400;
+/// Dies of the store's region.
+const REGION_DIES: u32 = 2;
+const STORE: &str = "kvcrash";
+
+/// Harness configuration.  The device is the tiny unit-test geometry with
+/// the MLC timing model.
 #[derive(Debug, Clone)]
 pub struct KvCrashConfig {
-    /// Device geometry (default: the tiny unit-test geometry).
-    pub geometry: FlashGeometry,
-    /// Device timing model.
-    pub timing: TimingModel,
     /// Store configuration.  The default shrinks the memtable threshold
     /// so flushes and compactions fire every few dozen operations.
     pub kv: KvConfig,
-    /// Dies of the store's region.
-    pub region_dies: u32,
-    /// Operations to attempt (~80 % puts, ~20 % deletes).
-    pub ops: u64,
-    /// Distinct keys in the working set.
-    pub keys: u64,
     /// Pad every key to this many bytes (`0`: the bare 10-byte
     /// `user000123` form).  Long keys inflate the fence index, which is
     /// how a small workload gets runs with multi-page tails.
@@ -64,12 +59,7 @@ pub struct KvCrashConfig {
 impl Default for KvCrashConfig {
     fn default() -> Self {
         KvCrashConfig {
-            geometry: FlashGeometry::small_test(),
-            timing: TimingModel::mlc_2015(),
             kv: KvConfig { memtable_bytes: 2048, compaction_threshold: 3 },
-            region_dies: 2,
-            ops: 400,
-            keys: 48,
             key_len: 0,
             seed: 0x5EED_4B56,
         }
@@ -90,45 +80,10 @@ impl KvCrashConfig {
     }
 }
 
-/// Outcome of one workload → cut → reboot → open → verify cycle.
-#[derive(Debug, Clone)]
-pub struct KvCrashOutcome {
-    /// The armed power-cut instant.
-    pub cut_at: SimTime,
-    /// Keys (with exact values) covered by the last acknowledged flush.
-    pub committed_keys: u64,
-    /// Flushes acknowledged before the cut.
-    pub flushes_acknowledged: u64,
-    /// Whether the cut landed inside a compaction merge.
-    pub cut_during_compaction: bool,
-    /// Whether the flush in flight at the cut survived in full (its
-    /// checkpoint landed before the power went out).
-    pub in_flight_flush_survived: bool,
-    /// Keys verified after recovery.
-    pub verified_keys: u64,
-    /// The storage-manager mount summary.
-    pub mount: MountReport,
-    /// The store-open summary (torn/superseded runs discarded).
-    pub open: KvOpenReport,
-}
-
-/// Deterministic SplitMix64: the harness's workload RNG, shared with the
-/// KV unit tests.
-pub(crate) struct Rng(pub(crate) u64);
-
-impl Rng {
-    pub(crate) fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    pub(crate) fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound.max(1)
-    }
-}
+/// Outcome of one workload → cut → reboot → open → verify cycle: the
+/// run's report, the committed and recovered key states, and the
+/// store-open summary (torn and superseded runs discarded).
+pub type KvCrashOutcome = crash::Outcome<KvCrashConfig>;
 
 fn key_bytes(key: u64, key_len: usize) -> Vec<u8> {
     format!("user{key:06}{:.<pad$}", "", pad = key_len.saturating_sub(10)).into_bytes()
@@ -143,108 +98,131 @@ fn value_bytes(key: u64, op: u64) -> Vec<u8> {
     format!("v-{key:06}-{op:08}-pad-pad-pad").into_bytes()
 }
 
-const STORE: &str = "kvcrash";
+/// Key number → value.
+type World = BTreeMap<u64, Vec<u8>>;
 
-struct Stack {
-    device: Arc<NandDevice>,
-    store: KvStore,
+/// What a KV crash run did besides committing key states.
+#[derive(Debug, Clone)]
+pub struct KvRunReport {
+    /// Flushes acknowledged before the cut.
+    pub flushes_acknowledged: u64,
+    /// Whether the cut landed inside a compaction merge.
+    pub cut_during_compaction: bool,
+    /// `(start, end)` of every compaction merge, in ns.
+    pub compaction_windows: Vec<(u64, u64)>,
+    /// `(issued, completed)` of every run written with a multi-page tail,
+    /// in ns.
+    pub tail_windows: Vec<(u64, u64)>,
 }
 
-fn build_stack(cfg: &KvCrashConfig) -> Result<(Stack, SimTime)> {
-    let device = Arc::new(DeviceBuilder::new(cfg.geometry).timing(cfg.timing).build());
-    let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
-    let rid = noftl.create_region(RegionSpec::named("rgKv").with_die_count(cfg.region_dies))?;
-    let (store, created_at) =
-        KvStore::create(Arc::clone(&noftl), rid, STORE, cfg.kv, SimTime::ZERO)?;
-    let setup_end = created_at.max(device.quiesce_time());
-    Ok((Stack { device, store }, setup_end))
-}
+/// The store's side of the crash driver.
+impl Contract for KvCrashConfig {
+    type Engine = KvStore;
+    type World = World;
+    type Report = KvRunReport;
+    type Recovery = KvOpenReport;
+    type Error = NoFtlError;
 
-struct RunResult {
-    /// World as of the last *acknowledged* flush.
-    committed: BTreeMap<u64, Vec<u8>>,
-    /// World including the operation that errored out (meaningful only if
-    /// that operation's flush may have landed before the cut).
-    in_flight: Option<BTreeMap<u64, Vec<u8>>>,
-    flushes_acknowledged: u64,
-    cut_during_compaction: bool,
-    end: SimTime,
-    compaction_windows: Vec<(u64, u64)>,
-    tail_windows: Vec<(u64, u64)>,
-}
+    fn build(&self) -> Result<Stack<KvStore>> {
+        let device = Arc::new(
+            DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build(),
+        );
+        let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
+        let rid = noftl.create_region(RegionSpec::named("rgKv").with_die_count(REGION_DIES))?;
+        let (store, created_at) =
+            KvStore::create(Arc::clone(&noftl), rid, STORE, self.kv, SimTime::ZERO)?;
+        let setup_end = created_at.max(device.quiesce_time());
+        Ok(Stack { device, noftl, engine: store, setup_end })
+    }
 
-/// Run the put/delete workload until `ops` operations complete or the
-/// device loses power.
-fn run_workload(cfg: &KvCrashConfig, stack: &Stack, start: SimTime) -> RunResult {
-    let mut rng = Rng(cfg.seed);
-    let mut pending: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-    let mut committed: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-    let mut in_flight = None;
-    let mut flushes_seen = 0u64;
-    let mut now = start;
-    let store = &stack.store;
-    for op in 0..cfg.ops {
-        let k = rng.below(cfg.keys);
-        let delete = rng.below(10) < 2;
-        let result = if delete {
-            pending.remove(&k);
-            store.delete(&key_bytes(k, cfg.key_len), now)
-        } else {
-            let v = value_bytes(k, op);
-            pending.insert(k, v.clone());
-            store.put(&key_bytes(k, cfg.key_len), &v, now)
-        };
-        match result {
-            Ok(t) => {
-                now = t;
-                let flushes = store.stats().flushes;
-                if flushes > flushes_seen {
-                    // The operation triggered a flush and it was
-                    // acknowledged: everything so far is durable.
-                    flushes_seen = flushes;
-                    committed = pending.clone();
+    /// Run the put/delete workload until `OPS` operations complete or the
+    /// device loses power.
+    fn run(
+        &self,
+        stack: &Stack<KvStore>,
+        ledger: &mut Ledger<World>,
+    ) -> Result<(SimTime, KvRunReport)> {
+        let store = &stack.engine;
+        let key_len = self.key_len;
+        let mut rng = SplitMix64(self.seed);
+        let mut pending = World::new();
+        let mut flushes_seen = 0u64;
+        let mut now = stack.setup_end;
+        for op in 0..OPS {
+            let k = rng.below(KEYS);
+            let delete = rng.below(10) < 2;
+            let result = if delete {
+                pending.remove(&k);
+                store.delete(&key_bytes(k, key_len), now)
+            } else {
+                let v = value_bytes(k, op);
+                pending.insert(k, v.clone());
+                store.put(&key_bytes(k, key_len), &v, now)
+            };
+            match result {
+                Ok(t) => {
+                    now = t;
+                    let flushes = store.stats().flushes;
+                    if flushes > flushes_seen {
+                        // The operation triggered a flush and it was
+                        // acknowledged: everything so far is durable.
+                        flushes_seen = flushes;
+                        ledger.commit(pending.clone());
+                    }
+                }
+                Err(_) => {
+                    // Power cut.  The erroring operation entered the
+                    // memtable before the flush attempt, so if its flush's
+                    // checkpoint landed the recovered world includes it.
+                    ledger.cut(Some(pending));
+                    break;
                 }
             }
-            Err(_) => {
-                // Power cut.  The erroring operation entered the memtable
-                // before the flush attempt, so if its flush's checkpoint
-                // landed the recovered world includes this operation too.
-                in_flight = Some(pending.clone());
-                break;
+        }
+        let stats = store.stats();
+        let report = KvRunReport {
+            flushes_acknowledged: flushes_seen,
+            cut_during_compaction: stats.compactions_started > stats.compactions,
+            compaction_windows: stats.compaction_windows,
+            tail_windows: stats.tail_windows,
+        };
+        Ok((now, report))
+    }
+
+    /// Reopen the store, then read every key by point lookup; a full scan
+    /// must agree with that view exactly.
+    fn recover(&self, noftl: Arc<NoFtl>, at: SimTime) -> Result<(KvOpenReport, World)> {
+        let (store, open) = KvStore::open(noftl, STORE, self.kv, at)?;
+        let mut now = open.completed_at;
+        let mut actual = World::new();
+        for k in 0..KEYS {
+            let (got, t) = store.get(&key_bytes(k, self.key_len), now)?;
+            now = t;
+            if let Some(v) = got {
+                actual.insert(k, v);
             }
         }
-    }
-    let stats = store.stats();
-    RunResult {
-        committed,
-        in_flight,
-        flushes_acknowledged: flushes_seen,
-        cut_during_compaction: stats.compactions_started > stats.compactions,
-        end: now.max(stack.device.quiesce_time()),
-        compaction_windows: stats.compaction_windows,
-        tail_windows: stats.tail_windows,
+        let (scanned, _) = store.scan(None, None, usize::MAX, now)?;
+        let scan_view: World =
+            scanned.into_iter().filter_map(|(k, v)| Some((key_number(&k)?, v))).collect();
+        if scan_view != actual {
+            let (scanned, looked_up) = (scan_view.len(), actual.len());
+            let message = format!("scan sees {scanned} keys but point lookups see {looked_up}");
+            return Err(NoFtlError::Kv { message });
+        }
+        Ok((open, actual))
     }
 }
 
-/// The uncut workload: what it did and when its setup ended.
-fn dry_run(cfg: &KvCrashConfig) -> Result<(RunResult, SimTime)> {
-    let (dry, setup_end) = build_stack(cfg)?;
-    Ok((run_workload(cfg, &dry, setup_end), setup_end))
-}
-
-/// The `fraction`-th of `windows` (`fraction` already clamped to `[0, 1)`).
+/// The `fraction`-th of `windows`.
 fn pick(windows: &[(u64, u64)], fraction: f64) -> Option<(u64, u64)> {
-    windows.get(((windows.len() as f64) * fraction) as usize).copied()
+    windows.get(((windows.len() as f64) * crash::clamp(fraction)) as usize).copied()
 }
 
 /// Execute one full crash cycle with the cut at
 /// `setup_end + fraction · span`.  `fraction` is clamped to `[0, 1)`.
 pub fn run_kv_crash_cycle(cfg: &KvCrashConfig, fraction: f64) -> Result<KvCrashOutcome> {
-    let (dry_run, dry_setup_end) = dry_run(cfg)?;
-    let span = dry_run.end.as_nanos().saturating_sub(dry_setup_end.as_nanos()).max(1);
-    let fraction = fraction.clamp(0.0, 0.999_999);
-    let cut_at = SimTime(dry_setup_end.as_nanos() + (span as f64 * fraction) as u64);
-    run_cycle_with_cut(cfg, cut_at)
+    crash::cycle(cfg, crash::dry_run(cfg)?.cut_at(fraction))
 }
 
 /// Execute one crash cycle with the cut aimed *inside a compaction
@@ -255,16 +233,15 @@ pub fn run_kv_crash_cycle_in_compaction(
     cfg: &KvCrashConfig,
     fraction: f64,
 ) -> Result<Option<KvCrashOutcome>> {
-    let (dry_run, _) = dry_run(cfg)?;
-    let fraction = fraction.clamp(0.0, 0.999_999);
-    let Some((start, end)) = pick(&dry_run.compaction_windows, fraction) else {
+    let dry = crash::dry_run(cfg)?;
+    let Some((start, end)) = pick(&dry.report.compaction_windows, fraction) else {
         return Ok(None);
     };
     // Aim at the merge's queued batch: somewhere strictly inside the
-    // window, biased by the fractional part so repeated calls sweep it.
-    let inside = start + ((end.saturating_sub(start)) as f64 * (0.2 + 0.6 * fraction)) as u64;
-    let outcome = run_cycle_with_cut(cfg, SimTime(inside.max(start + 1)))?;
-    Ok(Some(outcome))
+    // window, biased by the fraction so repeated calls sweep it.
+    let bias = 0.2 + 0.6 * crash::clamp(fraction);
+    let inside = start + ((end.saturating_sub(start)) as f64 * bias) as u64;
+    crash::cycle(cfg, SimTime(inside.max(start + 1))).map(Some)
 }
 
 /// Execute crash cycles with the cut aimed *between the first and the
@@ -288,9 +265,10 @@ pub fn run_kv_crash_cycle_in_tail(
     fraction: f64,
     in_compaction: bool,
 ) -> Result<Option<KvCrashOutcome>> {
-    let (dry_run, _) = dry_run(cfg)?;
-    let merges = &dry_run.compaction_windows;
-    let eligible: Vec<(u64, u64)> = dry_run
+    let dry = crash::dry_run(cfg)?;
+    let merges = &dry.report.compaction_windows;
+    let eligible: Vec<(u64, u64)> = dry
+        .report
         .tail_windows
         .iter()
         .filter(|(issued, done)| {
@@ -298,113 +276,52 @@ pub fn run_kv_crash_cycle_in_tail(
         })
         .copied()
         .collect();
-    let Some((issued, done)) = pick(&eligible, fraction.clamp(0.0, 0.999_999)) else {
+    let Some((issued, done)) = pick(&eligible, fraction) else {
         return Ok(None);
     };
-    let step = ((cfg.timing.program_page_us * 250.0) as u64).max(1); // tPROG / 4, in ns
+    let step = ((TimingModel::mlc_2015().program_page_us * 250.0) as u64).max(1); // tPROG / 4, in ns
     let mut cut_at = done.saturating_sub(step).max(issued + 1);
     loop {
-        let outcome = run_cycle_with_cut(cfg, SimTime(cut_at))?;
-        if outcome.open.partial_tails_rejected > 0 || cut_at <= issued + step {
+        let outcome = crash::cycle(cfg, SimTime(cut_at))?;
+        if outcome.recovery.partial_tails_rejected > 0 || cut_at <= issued + step {
             return Ok(Some(outcome));
         }
         cut_at -= step;
     }
 }
 
-fn run_cycle_with_cut(cfg: &KvCrashConfig, cut_at: SimTime) -> Result<KvCrashOutcome> {
-    let (stack, setup_end) = build_stack(cfg)?;
-    stack.device.arm_power_cut(cut_at);
-    let run = run_workload(cfg, &stack, setup_end);
-
-    // Reboot → mount → open.
-    let snap = stack.device.snapshot();
-    let device2 = Arc::new(
-        NandDevice::from_snapshot(&snap, cfg.timing)
-            .map_err(|e| NoFtlError::Recovery { message: format!("reboot failed: {e}") })?,
-    );
-    let (noftl2, mount) = NoFtl::mount(device2.clone(), NoFtlConfig::default(), cut_at)?;
-    let (store2, open) = KvStore::open(Arc::new(noftl2), STORE, cfg.kv, mount.completed_at)?;
-
-    // ---- Verification -------------------------------------------------
-    let mut now = open.completed_at;
-    let mut actual: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-    for k in 0..cfg.keys {
-        let (got, t) = store2.get(&key_bytes(k, cfg.key_len), now)?;
-        now = t;
-        if let Some(v) = got {
-            actual.insert(k, v);
-        }
-    }
-    let matches_committed = actual == run.committed;
-    let matches_in_flight = run.in_flight.as_ref() == Some(&actual);
-    if !matches_committed && !matches_in_flight {
-        return Err(NoFtlError::Kv {
-            message: format!(
-                "recovered state matches neither the committed world ({} keys, {} flushes) \
-                 nor the in-flight world ({:?} keys); actual has {} keys (cut at {} ns)",
-                run.committed.len(),
-                run.flushes_acknowledged,
-                run.in_flight.as_ref().map(BTreeMap::len),
-                actual.len(),
-                cut_at.as_nanos()
-            ),
-        });
-    }
-    // A full scan must agree with the point-lookup view exactly.
-    let (scanned, _) = store2.scan(None, None, usize::MAX, now)?;
-    let scan_view: BTreeMap<u64, Vec<u8>> =
-        scanned.into_iter().filter_map(|(k, v)| Some((key_number(&k)?, v))).collect();
-    if scan_view != actual {
-        return Err(NoFtlError::Kv {
-            message: format!(
-                "scan sees {} keys but point lookups see {}",
-                scan_view.len(),
-                actual.len()
-            ),
-        });
-    }
-
-    Ok(KvCrashOutcome {
-        cut_at,
-        committed_keys: run.committed.len() as u64,
-        flushes_acknowledged: run.flushes_acknowledged,
-        cut_during_compaction: run.cut_during_compaction,
-        in_flight_flush_survived: matches_in_flight && !matches_committed,
-        verified_keys: actual.len() as u64,
-        mount,
-        open,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The uncut workload's committed world and report.
+    fn uncut(cfg: &KvCrashConfig) -> (World, KvRunReport) {
+        assert!(crash::dry_run(cfg).is_ok(), "dry run must not crash");
+        let stack = cfg.build().unwrap();
+        let mut ledger = Ledger::new(&stack.noftl);
+        let (_, report) = cfg.run(&stack, &mut ledger).unwrap();
+        (ledger.committed, report)
+    }
+
     #[test]
     fn dry_run_produces_flushes_and_compactions() {
-        let cfg = KvCrashConfig::default();
-        let (stack, setup_end) = build_stack(&cfg).unwrap();
-        let run = run_workload(&cfg, &stack, setup_end);
-        assert!(run.in_flight.is_none(), "dry run must not crash");
+        let (committed, run) = uncut(&KvCrashConfig::default());
         assert!(run.flushes_acknowledged >= 5, "got {}", run.flushes_acknowledged);
         assert!(!run.compaction_windows.is_empty(), "workload must compact");
-        assert!(!run.committed.is_empty());
+        assert!(!committed.is_empty());
     }
 
     #[test]
     fn mid_workload_cut_recovers_committed_keys() {
         let outcome = run_kv_crash_cycle(&KvCrashConfig::default(), 0.5).unwrap();
-        assert!(outcome.flushes_acknowledged > 0);
+        assert!(outcome.report.flushes_acknowledged > 0);
         assert!(outcome.mount.checkpoint_seq > 0);
-        assert!(outcome.verified_keys <= KvCrashConfig::default().keys);
+        assert!(outcome.recovered.len() as u64 <= KEYS);
     }
 
     #[test]
     fn multi_page_tail_workload_spills_tails_in_flushes_and_merges() {
-        let cfg = KvCrashConfig::multi_page_tail();
-        let (run, _) = dry_run(&cfg).unwrap();
-        assert!(run.in_flight.is_none(), "dry run must not crash");
+        let (_, run) = uncut(&KvCrashConfig::multi_page_tail());
         let in_merge = |(issued, done): &(u64, u64)| {
             run.compaction_windows.iter().any(|(start, end)| start <= issued && done <= end)
         };
@@ -420,10 +337,10 @@ mod tests {
                 run_kv_crash_cycle_in_tail(&KvCrashConfig::multi_page_tail(), 0.5, in_compaction)
                     .unwrap()
                     .expect("the workload writes multi-page tails");
-            let partial = outcome.open.partial_tails_rejected;
+            let partial = outcome.recovery.partial_tails_rejected;
             assert!(partial > 0, "in_compaction={in_compaction}: the cut missed");
-            assert_eq!(outcome.cut_during_compaction, in_compaction);
-            assert!(outcome.open.tail_pages_read > 0);
+            assert_eq!(outcome.report.cut_during_compaction, in_compaction);
+            assert!(outcome.recovery.tail_pages_read > 0);
         }
     }
 
@@ -432,6 +349,9 @@ mod tests {
         let outcome = run_kv_crash_cycle_in_compaction(&KvCrashConfig::default(), 0.4)
             .unwrap()
             .expect("default workload compacts");
-        assert!(outcome.cut_during_compaction, "the cut was aimed into a merge window but missed");
+        assert!(
+            outcome.report.cut_during_compaction,
+            "the cut was aimed into a merge window but missed"
+        );
     }
 }

@@ -36,8 +36,13 @@
 //!   *committed* once `flush` returns: run pages durable and the
 //!   directory checkpointed.
 //!
-//! [`harness`] drives a put/delete workload into a cut → reboot → mount →
-//! open → verify cycle, the KV analogue of `dbms::crash_harness`.
+//! [`harness`] is the store's crash contract for the one crash driver,
+//! [`crate::crash`]: it builds the store, runs a put/delete workload,
+//! reopens with [`KvStore::open`] and reads back (a full scan must match
+//! the point lookups), and it aims cuts into compaction merges and between
+//! the tail pages of a run.  The driver does the dry run, the cut, the
+//! power cycle, the mount and the checks every stack owes — the KV
+//! analogue of `dbms::crash_harness`, over the same loop.
 //!
 //! [`NoFtl`]: crate::NoFtl
 //! [`NoFtl::write_batch`]: crate::NoFtl::write_batch
@@ -52,7 +57,7 @@ pub mod store;
 
 pub use harness::{
     run_kv_crash_cycle, run_kv_crash_cycle_in_compaction, run_kv_crash_cycle_in_tail,
-    KvCrashConfig, KvCrashOutcome,
+    KvCrashConfig, KvCrashOutcome, KvRunReport,
 };
 pub use run::RunMeta;
 pub use store::{KvConfig, KvOpenReport, KvStats, KvStore};

@@ -439,8 +439,8 @@ pub fn lookup_in_page<'a>(page: &'a [u8], key: &[u8]) -> Option<Lookup<'a>> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::harness::Rng;
     use super::*;
+    use crate::crash::SplitMix64;
 
     fn kv(i: u32) -> Entry {
         (format!("key-{i:06}").into_bytes(), Some(vec![i as u8; 40]))
@@ -566,13 +566,13 @@ mod tests {
 
     #[test]
     fn filter_has_no_false_negatives_and_few_false_positives() {
-        let mut rng = Rng(0xB100_F11E);
+        let mut rng = SplitMix64(0xB100_F11E);
         for round in 0..8 {
             let n = 1 + rng.below(5_000);
             let mut keys: Vec<Vec<u8>> = (0..n)
                 .map(|_| {
                     let len = 1 + rng.below(40);
-                    (0..len).map(|_| rng.next() as u8).collect()
+                    (0..len).map(|_| rng.next_u64() as u8).collect()
                 })
                 .collect();
             keys.sort();

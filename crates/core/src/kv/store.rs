@@ -1185,9 +1185,8 @@ mod tests {
         }
         t = kv.flush(t).unwrap();
         let runs_before = kv.run_count();
-        // Clean reboot: snapshot → new device → mount → open.
-        let snap = device.snapshot();
-        let device2 = Arc::new(NandDevice::from_snapshot(&snap, TimingModel::mlc_2015()).unwrap());
+        // Clean reboot: power cycle → mount → open.
+        let device2 = crate::crash::power_cycle(&device, false).unwrap();
         let (noftl2, mount) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
         let (kv2, report) =
             KvStore::open(Arc::new(noftl2), "s", small_config(), mount.completed_at).unwrap();
@@ -1302,10 +1301,10 @@ mod tests {
         assert!(missing <= 0.05, "{missing} page reads per absent-key get after the load");
 
         // Zipfian overwrites (rank = KEYS^u, s = 1) make the runs overlap.
-        let mut rng = super::super::harness::Rng(0x21BF_1A4E);
+        let mut rng = crate::crash::SplitMix64(0x21BF_1A4E);
         let mut latest = vec![0u32; KEYS as usize];
         for _ in 0..KEYS {
-            let u = (rng.next() >> 11) as f64 / (1u64 << 53) as f64;
+            let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
             let i = ((KEYS as f64).powf(u) as u64 - 1).min(KEYS - 1);
             latest[i as usize] += 1;
             t = kv.put(&key(i), &value(i, latest[i as usize]), t).unwrap();

@@ -40,6 +40,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod config;
+pub mod crash;
 pub mod ddl;
 pub mod error;
 pub mod gc;
@@ -92,8 +93,7 @@ pub(crate) mod testutil {
 
     /// A rebooted copy of the manager's device, as a crash would leave it.
     pub(crate) fn reboot(noftl: &NoFtl) -> Arc<dyn FlashBackend> {
-        let snap = raw_device(noftl).snapshot();
-        Arc::new(NandDevice::from_snapshot(&snap, TimingModel::mlc_2015()).unwrap())
+        crate::crash::power_cycle(raw_device(noftl), false).unwrap()
     }
 }
 

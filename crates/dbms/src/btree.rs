@@ -654,6 +654,7 @@ mod tests {
     use crate::storage::{NoFtlBackend, StorageBackend};
     use crate::value::composite_key;
     use flash_sim::{DeviceBuilder, FlashGeometry, TimingModel};
+    use noftl_core::crash::SplitMix64;
     use noftl_core::{NoFtl, NoFtlConfig, PlacementConfig};
     use proptest::prelude::*;
     use std::sync::Arc;
@@ -697,19 +698,10 @@ mod tests {
         node.serialized_size() as f64 / PAGE_SIZE as f64
     }
 
-    /// SplitMix64: a seeded stream for shuffles, no dependency needed.
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     fn shuffle<T>(items: &mut [T], seed: u64) {
-        let mut state = seed;
+        let mut rng = SplitMix64(seed);
         for i in (1..items.len()).rev() {
-            items.swap(i, (splitmix(&mut state) % (i as u64 + 1)) as usize);
+            items.swap(i, rng.below(i as u64 + 1) as usize);
         }
     }
 
@@ -1127,7 +1119,7 @@ mod tests {
             }
             let (pool, tree) = setup(64);
             let mut model = std::collections::BTreeMap::new();
-            let (mut t, mut state) = (SimTime::ZERO, seed);
+            let (mut t, mut rng) = (SimTime::ZERO, SplitMix64(seed));
             for (i, &(g, s)) in keys.iter().enumerate() {
                 let mut put = |g: i64, s: i64, payload: u64| {
                     t = tree.insert(&pool, &composite_key(&[g, s]), rid(payload), t).unwrap();
@@ -1136,7 +1128,7 @@ mod tests {
                 put(g, s, i as u64);
                 if i % upsert_every == 0 {
                     // Overwrite a key already in the tree.
-                    let (g, s) = keys[(splitmix(&mut state) % (i as u64 + 1)) as usize];
+                    let (g, s) = keys[rng.below(i as u64 + 1) as usize];
                     put(g, s, n as u64 + i as u64);
                 }
             }

@@ -1,35 +1,30 @@
-//! Crash-consistency harness: workload → power cut → reboot → recover →
-//! verify.
+//! Crash-consistency contract of the database: the workload that
+//! [`noftl_core::crash`] drives through cut → power cycle → mount →
+//! [`Database::recover`] → verify.
 //!
-//! The harness drives a mixed, TPC-C-ish key-value workload (inserts,
-//! updates, deletes, read-only transactions and occasional rollbacks over
-//! an indexed table) against the full NoFTL stack, cuts power at a chosen
-//! simulated instant, "reboots" the device by round-tripping its state through a
-//! [`flash_sim::DeviceSnapshot`] (optionally via a file-backed image),
-//! remounts the storage manager with `NoFtl::mount`, replays the WAL tail
-//! with [`Database::recover`] and then verifies the ACID contract:
+//! The workload is a mixed, TPC-C-ish key-value mix (inserts, updates,
+//! deletes, read-only transactions and occasional rollbacks over an
+//! indexed table) with checkpoints and WAL truncations firing mid-run.
+//! The driver cuts power anywhere in it — commits, checkpoints, GC and WAL
+//! forces alike — and checks that the remounted manager has the pre-crash
+//! regions and objects and that the recovered table is the committed one,
+//! or the one in-flight commit whole.  That is the ACID contract:
 //!
 //! * **no torn pages** — every surviving page passed its checksum;
 //! * **no lost committed writes** — every transaction whose commit was
 //!   acknowledged before the cut is fully present;
 //! * **atomicity** — the one transaction that may have been in flight at
-//!   the cut is either completely present or completely absent;
-//! * **metadata fidelity** — the remounted manager exposes the same
-//!   regions and objects as the pre-crash instance.
+//!   the cut is either completely present or completely absent.
 //!
-//! Because the simulator is deterministic, the harness first performs a
-//! *dry run* to learn the workload's time span, then rebuilds an
-//! identical stack and re-runs it with a power cut armed at
-//! `setup_end + fraction · (workload_end - setup_end)` — so a fraction in
-//! `[0, 1)` sweeps cut instants across the entire workload, hitting
-//! commits, checkpoints, GC and WAL forces alike.
+//! Two rules only a database has are this contract's own: a read-only
+//! transaction sees exactly the committed value of every key it reads,
+//! and the heap's live-record count matches the index view.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use flash_sim::{
-    DeviceBuilder, DeviceSnapshot, FlashBackend, FlashGeometry, NandDevice, SimTime, TimingModel,
-};
+use flash_sim::{DeviceBuilder, Duration, FlashBackend, FlashGeometry, SimTime, TimingModel};
+use noftl_core::crash::{self, Contract, Ledger, SplitMix64, Stack};
 use noftl_core::{MountReport, NoFtl, NoFtlConfig, PlacementConfig, RegionAssignment};
 
 use crate::db::{
@@ -45,23 +40,19 @@ use crate::Result;
 const TABLE: &str = "acct";
 /// Index on the table's key column.
 const INDEX: &str = "acct_idx";
+/// Distinct keys in the working set.
+pub const KEYS: i64 = 32;
+/// A 64-page buffer pool, redo logging, and a WAL segment budget of 8
+/// pages, small so checkpoints and truncations happen mid-workload.
+const DB_CONFIG: DatabaseConfig =
+    DatabaseConfig { buffer_pages: 64, redo_logging: true, wal_segment_pages: 8 };
 
-/// Harness configuration.
+/// Harness configuration.  The device is the tiny unit-test geometry with
+/// the MLC timing model.
 #[derive(Debug, Clone)]
 pub struct CrashHarnessConfig {
-    /// Device geometry (default: the tiny unit-test geometry).
-    pub geometry: FlashGeometry,
-    /// Device timing model.
-    pub timing: TimingModel,
-    /// Buffer-pool pages.
-    pub buffer_pages: usize,
-    /// WAL segment budget in pages (small by default so checkpoints and
-    /// truncations happen mid-workload).
-    pub wal_segment_pages: u64,
     /// Transactions to attempt.
     pub txns: u64,
-    /// Distinct keys in the working set.
-    pub keys: i64,
     /// Workload RNG seed.
     pub seed: u64,
     /// Round-trip the device snapshot through a file-backed image on
@@ -75,20 +66,15 @@ pub struct CrashHarnessConfig {
     /// Crash-during-recovery schedule: number of *additional* power cuts
     /// to land while the recovery mount itself is scanning the device.
     /// Each interrupted boot is treated as a crash of its own (the torn
-    /// device round-trips through a snapshot again) before the mount is
-    /// retried; the final mount must still satisfy every ACID check.
+    /// device is power-cycled again) before the mount is retried; the
+    /// final mount must still satisfy every ACID check.
     pub mount_cuts: u64,
 }
 
 impl Default for CrashHarnessConfig {
     fn default() -> Self {
         CrashHarnessConfig {
-            geometry: FlashGeometry::small_test(),
-            timing: TimingModel::mlc_2015(),
-            buffer_pages: 64,
-            wal_segment_pages: 8,
             txns: 120,
-            keys: 32,
             seed: 0xC0FFEE,
             image_file: false,
             trace: false,
@@ -127,23 +113,6 @@ pub struct CrashOutcome {
     pub interrupted_mounts: u64,
 }
 
-/// Deterministic SplitMix64, the harness's workload RNG.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound.max(1)
-    }
-}
-
 fn key_bytes(key: i64) -> Vec<u8> {
     key.to_be_bytes().to_vec()
 }
@@ -156,235 +125,184 @@ fn schema() -> Schema {
     Schema::new(vec![("k", ColumnType::Int), ("v", ColumnType::Int), ("pad", ColumnType::Str(32))])
 }
 
+/// The table and its index on two dies, log and catalog on one.
 fn placement() -> PlacementConfig {
+    let region = |name: &str, objects: &[&str], dies| RegionAssignment {
+        region_name: name.into(),
+        objects: objects.iter().map(|o| o.to_string()).collect(),
+        dies,
+        service_class: None,
+    };
     PlacementConfig {
         regions: vec![
-            RegionAssignment {
-                region_name: "rgData".into(),
-                objects: vec![TABLE.into(), INDEX.into()],
-                dies: 2,
-                service_class: None,
-            },
-            RegionAssignment {
-                region_name: "rgLog".into(),
-                objects: vec![
-                    LOG_OBJECT.to_string(),
-                    METADATA_OBJECT.to_string(),
-                    CATALOG_OBJECT.to_string(),
-                ],
-                dies: 1,
-                service_class: None,
-            },
+            region("rgData", &[TABLE, INDEX], 2),
+            region("rgLog", &[LOG_OBJECT, METADATA_OBJECT, CATALOG_OBJECT], 1),
         ],
     }
 }
 
-struct Stack {
-    device: Arc<NandDevice>,
-    noftl: Arc<NoFtl>,
-    db: Database,
+/// Key → value column.
+type World = BTreeMap<i64, i64>;
+
+/// What a crash run did besides committing table states.
+#[derive(Debug, Clone)]
+pub struct RunReport {
+    /// Writing transactions whose commit was acknowledged.
+    pub committed_txns: u64,
+    /// Read-only transactions committed.
+    pub read_only_txns: u64,
+    /// WAL pages when the run stopped.
+    pub wal_pages: u64,
 }
 
-fn db_config(cfg: &CrashHarnessConfig) -> DatabaseConfig {
-    DatabaseConfig {
-        buffer_pages: cfg.buffer_pages,
-        redo_logging: true,
-        wal_segment_pages: cfg.wal_segment_pages,
+/// The database's side of the crash driver.
+impl Contract for CrashHarnessConfig {
+    type Engine = Database;
+    type World = World;
+    type Report = RunReport;
+    type Recovery = RecoveryReport;
+    type Error = DbError;
+
+    /// Device → NoFTL → backend → database, then the DDL setup, finishing
+    /// with a checkpoint.
+    fn build(&self) -> Result<Stack<Database>> {
+        let device = Arc::new(
+            DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build(),
+        );
+        device.metrics().tracer().set_enabled(self.trace);
+        let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
+        let backend = Arc::new(NoFtlBackend::new(Arc::clone(&noftl), &placement())?);
+        let db = Database::open(backend, DB_CONFIG)?;
+        db.create_table(TABLE, schema(), SimTime::ZERO)?;
+        db.create_index(TABLE, INDEX, SimTime::ZERO)?;
+        let setup_end = db.checkpoint(SimTime::ZERO)?.max(device.quiesce_time());
+        Ok(Stack { device, noftl, engine: db, setup_end })
     }
-}
 
-/// Build device → NoFTL → backend → database and run the DDL setup,
-/// finishing with a checkpoint.  Returns the stack and the setup end time.
-fn build_stack(cfg: &CrashHarnessConfig) -> Result<(Stack, SimTime)> {
-    let device = Arc::new(DeviceBuilder::new(cfg.geometry).timing(cfg.timing).build());
-    device.metrics().tracer().set_enabled(cfg.trace);
-    let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
-    let backend = Arc::new(NoFtlBackend::new(Arc::clone(&noftl), &placement())?);
-    let db = Database::open(backend, db_config(cfg))?;
-    let t0 = SimTime::ZERO;
-    db.create_table(TABLE, schema(), t0)?;
-    db.create_index(TABLE, INDEX, t0)?;
-    let setup_end = db.checkpoint(t0)?.max(device.quiesce_time());
-    Ok((Stack { device, noftl, db }, setup_end))
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CrashPhase {
-    /// No crash happened (dry run, or the cut was never reached).
-    None,
-    /// Crash before the in-flight transaction reached commit.
-    DuringOps,
-    /// Crash inside commit: the transaction may or may not be durable.
-    DuringCommit,
-}
-
-struct RunResult {
-    committed: BTreeMap<i64, i64>,
-    /// Full post-transaction world of the transaction in flight at the
-    /// crash (only meaningful when `phase == DuringCommit`).
-    with_in_flight: BTreeMap<i64, i64>,
-    committed_txns: u64,
-    read_only_txns: u64,
-    phase: CrashPhase,
-    end: SimTime,
-    region_names: Vec<String>,
-    object_names: Vec<String>,
-}
-
-/// Run the workload until `txns` transactions complete or the device
-/// loses power.
-fn run_workload(cfg: &CrashHarnessConfig, stack: &Stack, start: SimTime) -> RunResult {
-    let mut rng = Rng(cfg.seed);
-    let mut committed: BTreeMap<i64, i64> = BTreeMap::new();
-    let mut committed_txns = 0u64;
-    let mut read_only_txns = 0u64;
-    let mut phase = CrashPhase::None;
-    let mut with_in_flight = BTreeMap::new();
-    let mut now = start;
-    let db = &stack.db;
-    'txns: for _ in 0..cfg.txns {
-        let mut txn = db.begin(now);
-        let mut pending = committed.clone();
-        let ops = 1 + rng.below(3);
-        // ~5 % of transactions abort.  Like TPC-C's NewOrder "unused
-        // item" case the decision pre-validates: an aborting transaction
-        // only reads (the engine's rollback contract — no undo pass).
-        let will_rollback = rng.below(100) < 5;
-        if will_rollback {
+    /// Run the workload until `txns` transactions complete or the device
+    /// loses power.  An engine error is the cut's, except for what this
+    /// contract rules out: a reader seeing other than the committed value,
+    /// or a key the transaction knows missing from the index.
+    fn run(
+        &self,
+        stack: &Stack<Database>,
+        ledger: &mut Ledger<World>,
+    ) -> Result<(SimTime, RunReport)> {
+        let db = &stack.engine;
+        let mut rng = SplitMix64(self.seed);
+        let mut committed_txns = 0;
+        let mut read_only_txns = 0;
+        let mut now = stack.setup_end;
+        'txns: for _ in 0..self.txns {
+            let mut txn = db.begin(now);
+            let mut pending = ledger.committed.clone();
+            let ops = 1 + rng.below(3);
+            // ~5 % of transactions abort.  Like TPC-C's NewOrder "unused
+            // item" case the decision pre-validates: an aborting transaction
+            // only reads (the engine's rollback contract — no undo pass).
+            let rollback = rng.below(100) < 5;
+            // ~15 % of the others only read, and commit: they see exactly
+            // the committed world and their commit leaves the log alone.
+            let read_only = !rollback && rng.below(100) < 15;
             for _ in 0..ops {
-                let key = rng.below(cfg.keys as u64) as i64;
-                let _ = rng.next();
-                if db.index_lookup(&mut txn, TABLE, INDEX, &key_bytes(key)).is_err() {
-                    phase = CrashPhase::DuringOps;
+                let key = rng.below(KEYS as u64) as i64;
+                let step = if rollback {
+                    let _ = rng.next_u64();
+                    db.index_lookup(&mut txn, TABLE, INDEX, &key_bytes(key)).map(drop)
+                } else if read_only {
+                    let found = db.index_get(&mut txn, TABLE, INDEX, &key_bytes(key));
+                    let committed = ledger.committed.get(&key).map(|v| Value::Int(*v));
+                    match found.map(|hit| hit.map(|(_, record)| record[1].clone())) {
+                        Ok(seen) if seen != committed => {
+                            return Err(corrupted(format!(
+                                "a reader saw {seen:?} for key {key}, committed {committed:?}"
+                            )));
+                        }
+                        read => read.map(drop),
+                    }
+                } else {
+                    // `pending` may run ahead of the engine: an operation
+                    // that fails ends the run and drops `pending` with it.
+                    let val = rng.next_u64() as i64;
+                    if pending.insert(key, val).is_none() {
+                        db.insert(&mut txn, TABLE, &row(key, val), &[(INDEX, key_bytes(key))])
+                            .map(drop)
+                    } else {
+                        let update = rng.below(10) < 7;
+                        match db.index_lookup(&mut txn, TABLE, INDEX, &key_bytes(key)) {
+                            Ok(Some(rid)) if update => {
+                                db.update(&mut txn, TABLE, rid, &row(key, val))
+                            }
+                            Ok(Some(rid)) => {
+                                pending.remove(&key);
+                                db.delete(&mut txn, TABLE, rid, &[(INDEX, key_bytes(key))])
+                            }
+                            Ok(None) => {
+                                return Err(corrupted(format!("key {key} missing from index")))
+                            }
+                            Err(e) => Err(e),
+                        }
+                    }
+                };
+                if step.is_err() {
+                    ledger.cut(None);
                     break 'txns;
                 }
             }
-            db.rollback(&mut txn);
-            now = txn.now;
-            continue;
-        }
-        // ~15 % of transactions only read, and commit: they see exactly
-        // the committed world and their commit leaves the log alone.
-        if rng.below(100) < 15 {
-            for _ in 0..ops {
-                let key = rng.below(cfg.keys as u64) as i64;
-                let seen = match db.index_get(&mut txn, TABLE, INDEX, &key_bytes(key)) {
-                    Ok(found) => found.map(|(_, record)| record[1].clone()),
-                    Err(_) => {
-                        phase = CrashPhase::DuringOps;
-                        break 'txns;
-                    }
-                };
-                assert_eq!(
-                    seen,
-                    committed.get(&key).map(|v| Value::Int(*v)),
-                    "a reader must see the committed value of key {key}"
-                );
-            }
-            if db.commit(&mut txn).is_err() {
-                phase = CrashPhase::DuringOps;
-                break 'txns;
-            }
-            read_only_txns += 1;
-            now = txn.now;
-            continue;
-        }
-        for _ in 0..ops {
-            let key = rng.below(cfg.keys as u64) as i64;
-            let val = rng.next() as i64;
-            let result = if let Some(_old) = pending.get(&key).copied() {
-                if rng.below(10) < 7 {
-                    // Update through the index.
-                    match db.index_lookup(&mut txn, TABLE, INDEX, &key_bytes(key)) {
-                        Ok(Some(rid)) => {
-                            db.update(&mut txn, TABLE, rid, &row(key, val)).map(|()| {
-                                pending.insert(key, val);
-                            })
-                        }
-                        Ok(None) => Err(DbError::Corrupted {
-                            message: format!("key {key} committed but missing from index"),
-                        }),
-                        Err(e) => Err(e),
-                    }
-                } else {
-                    match db.index_lookup(&mut txn, TABLE, INDEX, &key_bytes(key)) {
-                        Ok(Some(rid)) => {
-                            db.delete(&mut txn, TABLE, rid, &[(INDEX, key_bytes(key))]).map(|()| {
-                                pending.remove(&key);
-                            })
-                        }
-                        Ok(None) => Err(DbError::Corrupted {
-                            message: format!("key {key} committed but missing from index"),
-                        }),
-                        Err(e) => Err(e),
-                    }
-                }
+            if rollback {
+                db.rollback(&mut txn);
+            } else if db.commit(&mut txn).is_err() {
+                ledger.cut((!read_only).then_some(pending));
+                break;
+            } else if read_only {
+                read_only_txns += 1;
             } else {
-                db.insert(&mut txn, TABLE, &row(key, val), &[(INDEX, key_bytes(key))]).map(|_| {
-                    pending.insert(key, val);
-                })
-            };
-            if result.is_err() {
-                phase = CrashPhase::DuringOps;
-                break 'txns;
-            }
-        }
-        match db.commit(&mut txn) {
-            Ok(_) => {
-                committed = pending;
+                ledger.commit(pending);
                 committed_txns += 1;
-                now = txn.now;
             }
-            Err(_) => {
-                phase = CrashPhase::DuringCommit;
-                with_in_flight = pending;
-                break 'txns;
+            now = txn.now;
+        }
+        let report = RunReport { committed_txns, read_only_txns, wal_pages: db.wal_stats().pages };
+        Ok((now, report))
+    }
+
+    /// Reopen on the remounted manager, then read every key of the
+    /// universe back through the index; the heap's live-record count must
+    /// agree with that view.
+    fn recover(&self, noftl: Arc<NoFtl>, at: SimTime) -> Result<(RecoveryReport, World)> {
+        let backend = Arc::new(NoFtlBackend::attach(noftl, &placement())?);
+        let (db, recovery) = Database::recover(backend, DB_CONFIG, at)?;
+        let mut txn = db.begin(at);
+        let mut actual = World::new();
+        for key in 0..KEYS {
+            if let Some((_, record)) = db.index_get(&mut txn, TABLE, INDEX, &key_bytes(key))? {
+                match (&record[0], &record[1]) {
+                    (Value::Int(k), Value::Int(v)) if *k == key => {
+                        actual.insert(key, *v);
+                    }
+                    _ => return Err(corrupted(format!("key {key} decoded to {record:?}"))),
+                }
             }
         }
+        let (heap, index) = (db.table(TABLE)?.heap.record_count(), actual.len());
+        if heap != index as u64 {
+            return Err(corrupted(format!("heap holds {heap} records, the index sees {index}")));
+        }
+        Ok((recovery, actual))
     }
-    let mut region_names: Vec<String> = stack
-        .noftl
-        .region_ids()
-        .into_iter()
-        .filter_map(|rid| stack.noftl.region_name(rid).ok())
-        .collect();
-    region_names.sort();
-    let mut object_names: Vec<String> =
-        stack.noftl.all_object_stats().into_iter().map(|s| s.name).collect();
-    object_names.sort();
-    RunResult {
-        committed,
-        with_in_flight,
-        committed_txns,
-        read_only_txns,
-        phase,
-        end: now.max(stack.device.quiesce_time()),
-        region_names,
-        object_names,
+
+    fn image_file(&self) -> bool {
+        self.image_file
+    }
+
+    /// Each cut lands a little into its mount's device scan.
+    fn torn_mounts(&self) -> Vec<(Duration, Duration)> {
+        (0..self.mount_cuts).map(|i| (Duration(40_000 + i * 25_000), Duration(100_000))).collect()
     }
 }
 
-/// Reboot the device: snapshot the (possibly torn) state and rebuild a
-/// fresh device from it, optionally round-tripping through a file-backed
-/// image.
-fn reboot_device(
-    device: &NandDevice,
-    timing: TimingModel,
-    via_file: bool,
-    tag: u64,
-) -> Result<Arc<NandDevice>> {
-    let snap = device.snapshot();
-    let snap = if via_file {
-        let path =
-            std::env::temp_dir().join(format!("noftl-crash-{}-{tag}.img", std::process::id()));
-        snap.save(&path).map_err(DbError::storage)?;
-        let loaded = DeviceSnapshot::load(&path).map_err(DbError::storage);
-        std::fs::remove_file(&path).ok();
-        loaded?
-    } else {
-        snap
-    };
-    NandDevice::from_snapshot(&snap, timing).map(Arc::new).map_err(DbError::storage)
+fn corrupted(message: String) -> DbError {
+    DbError::Corrupted { message }
 }
 
 /// Execute one full crash cycle: workload, power cut at
@@ -393,136 +311,19 @@ fn reboot_device(
 /// `fraction` is clamped to `[0, 1)`.  Returns an error if any of the
 /// crash-consistency guarantees is violated.
 pub fn run_crash_cycle(cfg: &CrashHarnessConfig, fraction: f64) -> Result<CrashOutcome> {
-    // Dry run: learn the workload's time span on an identical stack.
-    let (dry, dry_setup_end) = build_stack(cfg)?;
-    let dry_run = run_workload(cfg, &dry, dry_setup_end);
-    assert_eq!(dry_run.phase, CrashPhase::None, "dry run must not crash");
-
-    // Armed run on a fresh, identical stack.
-    let (stack, setup_end) = build_stack(cfg)?;
-    debug_assert_eq!(setup_end, dry_setup_end, "the simulator is deterministic");
-    let span = dry_run.end.as_nanos().saturating_sub(setup_end.as_nanos()).max(1);
-    let fraction = fraction.clamp(0.0, 0.999_999);
-    let cut_at = SimTime(setup_end.as_nanos() + (span as f64 * fraction) as u64);
-    stack.device.arm_power_cut(cut_at);
-    let run = run_workload(cfg, &stack, setup_end);
-    let wal_pages_at_crash = stack.db.wal_stats().pages;
-
-    // Reboot → mount → recover.  With `mount_cuts > 0` the recovery boot
-    // is itself crash-tested: power dies again while the mount is
-    // scanning, the torn device round-trips through another snapshot and
-    // the mount is retried — a failed mount must leave no state behind
-    // that the retry could trip over.
-    let mut device2 = reboot_device(&stack.device, cfg.timing, cfg.image_file, cfg.seed)?;
-    let mut mount_at = cut_at;
-    let mut interrupted_mounts = 0u64;
-    for attempt in 0..cfg.mount_cuts {
-        // Land the cut a little into the mount's device scan.
-        device2.arm_power_cut(SimTime(mount_at.as_nanos() + 40_000 + attempt * 25_000));
-        match NoFtl::mount(device2.clone(), NoFtlConfig::default(), mount_at) {
-            Err(noftl_core::NoFtlError::Flash(e)) if e.is_power_loss() => {
-                interrupted_mounts += 1;
-            }
-            Err(e) => return Err(DbError::storage(e)),
-            Ok(_) => {
-                // The cut landed after the scan finished — legal; the
-                // power-cycle below discards this instance anyway.
-            }
-        }
-        device2.clear_power_cut();
-        device2 = reboot_device(&device2, cfg.timing, false, cfg.seed ^ (attempt + 1))?;
-        mount_at = SimTime(mount_at.as_nanos() + 100_000);
-    }
-    let (noftl2, mount) = NoFtl::mount(device2.clone(), NoFtlConfig::default(), mount_at)
-        .map_err(DbError::storage)?;
-    let noftl2 = Arc::new(noftl2);
-    let backend2 = Arc::new(NoFtlBackend::attach(Arc::clone(&noftl2), &placement())?);
-    let (db2, recovery) = Database::recover(backend2, db_config(cfg), mount.completed_at)?;
-
-    // ---- Verification -------------------------------------------------
-    // Region/object state: the mounted manager exposes the same regions
-    // and objects the pre-crash instance had.
-    let mut region_names: Vec<String> =
-        noftl2.region_ids().into_iter().filter_map(|rid| noftl2.region_name(rid).ok()).collect();
-    region_names.sort();
-    if region_names != run.region_names {
-        return Err(DbError::Corrupted {
-            message: format!(
-                "regions diverged after mount: {region_names:?} != {:?}",
-                run.region_names
-            ),
-        });
-    }
-    let mut object_names: Vec<String> =
-        noftl2.all_object_stats().into_iter().map(|s| s.name).collect();
-    object_names.sort();
-    if object_names != run.object_names {
-        return Err(DbError::Corrupted {
-            message: format!(
-                "objects diverged after mount: {object_names:?} != {:?}",
-                run.object_names
-            ),
-        });
-    }
-
-    // Data: read back every key in the universe through the index.
-    let mut txn = db2.begin(recovery_time(&mount));
-    let mut actual: BTreeMap<i64, i64> = BTreeMap::new();
-    for key in 0..cfg.keys {
-        if let Some((_, record)) = db2.index_get(&mut txn, TABLE, INDEX, &key_bytes(key))? {
-            match (&record[0], &record[1]) {
-                (Value::Int(k), Value::Int(v)) if *k == key => {
-                    actual.insert(key, *v);
-                }
-                _ => {
-                    return Err(DbError::Corrupted {
-                        message: format!("key {key} decoded to wrong record {record:?}"),
-                    })
-                }
-            }
-        }
-    }
-    let matches_committed = actual == run.committed;
-    let matches_in_flight = run.phase == CrashPhase::DuringCommit && actual == run.with_in_flight;
-    if !matches_committed && !matches_in_flight {
-        return Err(DbError::Corrupted {
-            message: format!(
-                "recovered state matches neither the committed world ({} keys) nor the \
-                 in-flight world; actual has {} keys (phase {:?}, cut at {} ns)",
-                run.committed.len(),
-                actual.len(),
-                run.phase,
-                cut_at.as_nanos()
-            ),
-        });
-    }
-    // The heap's live-record count must agree with the index view.
-    let heap_records = db2.table(TABLE)?.heap.record_count();
-    if heap_records != actual.len() as u64 {
-        return Err(DbError::Corrupted {
-            message: format!(
-                "heap holds {heap_records} records but the index sees {}",
-                actual.len()
-            ),
-        });
-    }
-
+    let outcome = crash::cycle(cfg, crash::dry_run(cfg)?.cut_at(fraction))?;
     Ok(CrashOutcome {
-        cut_at,
-        committed_txns: run.committed_txns,
-        read_only_txns: run.read_only_txns,
-        cut_during_commit: run.phase == CrashPhase::DuringCommit,
-        in_flight_survived: matches_in_flight && !matches_committed,
-        rows_verified: actual.len() as u64,
-        mount,
-        recovery,
-        wal_pages_at_crash,
-        interrupted_mounts,
+        cut_at: outcome.cut_at,
+        committed_txns: outcome.report.committed_txns,
+        read_only_txns: outcome.report.read_only_txns,
+        cut_during_commit: outcome.cut_in_flight,
+        in_flight_survived: outcome.in_flight_survived,
+        rows_verified: outcome.recovered.len() as u64,
+        mount: outcome.mount,
+        recovery: outcome.recovery,
+        wal_pages_at_crash: outcome.report.wal_pages,
+        interrupted_mounts: outcome.torn_mounts,
     })
-}
-
-fn recovery_time(mount: &MountReport) -> SimTime {
-    mount.completed_at
 }
 
 #[cfg(test)]
@@ -532,14 +333,15 @@ mod tests {
     #[test]
     fn dry_run_without_cut_is_clean() {
         let cfg = CrashHarnessConfig { txns: 30, ..CrashHarnessConfig::default() };
-        let (stack, setup_end) = build_stack(&cfg).unwrap();
-        let run = run_workload(&cfg, &stack, setup_end);
-        assert_eq!(run.phase, CrashPhase::None);
+        assert!(crash::dry_run(&cfg).is_ok(), "dry run must not crash");
+        let stack = cfg.build().unwrap();
+        let mut ledger = Ledger::new(&stack.noftl);
+        let (_, run) = cfg.run(&stack, &mut ledger).unwrap();
         assert!(run.committed_txns > 15, "committed {}", run.committed_txns);
         assert!(run.read_only_txns > 0, "the mix must contain read-only transactions");
-        assert_eq!(stack.db.read_only_commit_count(), run.read_only_txns);
-        assert!(!run.committed.is_empty());
-        assert!(stack.db.wal_stats().truncations > 0, "segment guard must fire");
+        assert_eq!(stack.engine.read_only_commit_count(), run.read_only_txns);
+        assert!(!ledger.committed.is_empty());
+        assert!(stack.engine.wal_stats().truncations > 0, "segment guard must fire");
     }
 
     #[test]
@@ -566,6 +368,6 @@ mod tests {
         let cfg =
             CrashHarnessConfig { txns: 40, image_file: true, ..CrashHarnessConfig::default() };
         let outcome = run_crash_cycle(&cfg, 0.7).unwrap();
-        assert!(outcome.rows_verified <= cfg.keys as u64);
+        assert!(outcome.rows_verified <= KEYS as u64);
     }
 }

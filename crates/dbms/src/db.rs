@@ -899,14 +899,12 @@ mod tests {
         (device, db, t)
     }
 
-    /// "Reboot": rebuild the device from its snapshot, remount, recover.
+    /// Reboot: power-cycle the device, remount, recover.
     fn reboot_and_recover(
         device: &flash_sim::NandDevice,
         at: SimTime,
     ) -> (Database, RecoveryReport, SimTime) {
-        let snap = device.snapshot();
-        let device2 =
-            Arc::new(flash_sim::NandDevice::from_snapshot(&snap, TimingModel::mlc_2015()).unwrap());
+        let device2 = noftl_core::crash::power_cycle(device, false).unwrap();
         let (noftl2, mount) = NoFtl::mount(device2, NoFtlConfig::default(), at).unwrap();
         let backend2 =
             Arc::new(NoFtlBackend::attach(Arc::new(noftl2), &restart_placement()).unwrap());

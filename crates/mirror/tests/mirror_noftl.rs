@@ -9,7 +9,7 @@ use std::sync::Arc;
 use flash_sim::{
     DeviceLossInjector, FlashBackend, FlashGeometry, NandDevice, SimTime, TimingModel,
 };
-use noftl_core::{NoFtl, NoFtlConfig};
+use noftl_core::{crash, NoFtl, NoFtlConfig};
 use noftl_mirror::{ChildHealth, MirrorDevice};
 
 fn fresh_mirror() -> Arc<MirrorDevice> {
@@ -18,14 +18,11 @@ fn fresh_mirror() -> Arc<MirrorDevice> {
     )
 }
 
-/// Snapshot every child and reassemble the mirror — the simulator's
-/// equivalent of power-cycling a box with two flash devices in it.
+/// Power-cycle every child and reassemble the mirror — a box with two
+/// flash devices in it, rebooted.
 fn reboot(mirror: &MirrorDevice) -> Arc<MirrorDevice> {
-    let children: Vec<Arc<NandDevice>> = mirror
-        .children()
-        .iter()
-        .map(|c| Arc::new(NandDevice::from_snapshot(&c.snapshot(), *c.timing()).unwrap()))
-        .collect();
+    let children: Vec<Arc<NandDevice>> =
+        mirror.children().iter().map(|c| crash::power_cycle(c, false).unwrap()).collect();
     let injector = Arc::new(DeviceLossInjector::new(children.len()));
     Arc::new(MirrorDevice::new(children, injector).unwrap())
 }
@@ -113,11 +110,8 @@ fn mount_with_child_still_missing_serves_degraded_and_rebuilds_later() {
 
     // Reboot with the child still absent: restore cannot verify it and
     // must fail safe ("assume everything stale"), yet the mount serves.
-    let children: Vec<Arc<NandDevice>> = mirror
-        .children()
-        .iter()
-        .map(|c| Arc::new(NandDevice::from_snapshot(&c.snapshot(), *c.timing()).unwrap()))
-        .collect();
+    let children: Vec<Arc<NandDevice>> =
+        mirror.children().iter().map(|c| crash::power_cycle(c, false).unwrap()).collect();
     let injector = Arc::new(DeviceLossInjector::new(children.len()));
     injector.arm(1, SimTime::ZERO);
     let mirror2 = Arc::new(MirrorDevice::new(children, injector).unwrap());

@@ -11,18 +11,21 @@
 //!    checkpointing the degraded state;
 //! 3. sometimes reattaches the child and rebuilds — and sometimes cuts
 //!    power *mid-rebuild*, leaving torn copies for recovery to discard;
-//! 4. reboots both children from snapshots, sometimes cutting power
-//!    again *while the mount is scanning* before the retry succeeds,
-//!    and sometimes booting with the lost child still absent;
-//! 5. remounts, verifies every acknowledged write, rebuilds to fully
-//!    online and verifies again from the rebuilt mirror.
+//! 4. power-cycles the box through the crash driver, sometimes cutting
+//!    power again *while the mount is scanning* (the box is then
+//!    power-cycled once more before the retry), and sometimes booting
+//!    with the lost child still absent;
+//! 5. remounts, checks the directory and every acknowledged write,
+//!    rebuilds to fully online and verifies again from the rebuilt
+//!    mirror.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use flash_sim::{
-    DeviceLossInjector, FlashBackend, FlashError, FlashGeometry, NandDevice, SimTime, TimingModel,
+    DeviceLossInjector, Duration, FlashBackend, FlashError, FlashGeometry, SimTime, TimingModel,
 };
+use noftl_core::crash::{self, Bootable, Directory};
 use noftl_core::{NoFtl, NoFtlConfig};
 use noftl_mirror::{ChildHealth, MirrorDevice};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -30,17 +33,39 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 const CYCLES: u64 = 25;
 const PAGES: u64 = 24;
 
-fn reboot(mirror: &MirrorDevice, lost: Option<usize>) -> Arc<MirrorDevice> {
-    let children: Vec<Arc<NandDevice>> = mirror
-        .children()
-        .iter()
-        .map(|c| Arc::new(NandDevice::from_snapshot(&c.snapshot(), *c.timing()).unwrap()))
-        .collect();
-    let injector = Arc::new(DeviceLossInjector::new(children.len()));
-    if let Some(child) = lost {
-        injector.arm(child, SimTime::ZERO);
+/// The box under test: a mirror, and the child that stays absent across
+/// reboots, if any.
+struct Mirror {
+    device: Arc<MirrorDevice>,
+    absent: Option<usize>,
+}
+
+impl Bootable for Mirror {
+    fn backend(&self) -> Arc<dyn FlashBackend> {
+        self.device.clone()
     }
-    Arc::new(MirrorDevice::new(children, injector).unwrap())
+
+    fn cut_power(&self, at: SimTime) {
+        for child in self.device.children() {
+            child.arm_power_cut(at);
+        }
+    }
+
+    /// Power-cycle every child and reassemble the mirror.
+    fn reboot(&self) -> noftl_core::Result<Mirror> {
+        let children = self
+            .device
+            .children()
+            .iter()
+            .map(|c| crash::power_cycle(c, false))
+            .collect::<noftl_core::Result<Vec<_>>>()?;
+        let injector = Arc::new(DeviceLossInjector::new(children.len()));
+        if let Some(child) = self.absent {
+            injector.arm(child, SimTime::ZERO);
+        }
+        let device = Arc::new(MirrorDevice::new(children, injector)?);
+        Ok(Mirror { device, absent: self.absent })
+    }
 }
 
 #[test]
@@ -148,40 +173,31 @@ fn randomized_loss_and_crash_sweep_loses_no_acknowledged_write() {
         );
 
         // Phase 4: reboot. Sometimes the lost child is still absent;
-        // sometimes power dies again during the mount itself.
+        // sometimes power dies again during the mount itself, and the box
+        // is power-cycled once more for the real mount.
         let still_absent =
             mirror.health(lost_child) == ChildHealth::Faulted && rng.random_range(0..100) < 30;
-        let mirror2 = reboot(&mirror, still_absent.then_some(lost_child));
+        let absent = still_absent.then_some(lost_child);
+        let rebooted = Mirror { device: mirror.clone(), absent }.reboot().unwrap();
         if still_absent {
             absent_boots += 1;
         }
-        let mut mount_at = SimTime(t.as_nanos() + 10_000);
-        if rng.random_range(0..100) < 40 {
-            for child in mirror2.children() {
-                child.arm_power_cut(SimTime(
-                    mount_at.as_nanos() + rng.random_range(1_000..100_000u64),
-                ));
-            }
-            match NoFtl::mount(mirror2.clone(), NoFtlConfig::default(), mount_at) {
-                Err(e) => {
-                    torn_mounts += 1;
-                    assert!(
-                        format!("{e}").contains("power"),
-                        "cycle {cycle}: mount died of the wrong cause: {e}"
-                    );
-                }
-                Ok(_) => {
-                    // The cut landed after the mount finished scanning —
-                    // legal; power-cycle once more for the real mount.
-                }
-            }
-            for child in mirror2.children() {
-                child.clear_power_cut();
-            }
-            mount_at = SimTime(mount_at.as_nanos() + 1_000_000);
-        }
-        let (noftl2, report) =
-            NoFtl::mount(mirror2.clone(), NoFtlConfig::default(), mount_at).unwrap();
+        let torn: Vec<(Duration, Duration)> = if rng.random_range(0..100) < 40 {
+            vec![(Duration(rng.random_range(1_000..100_000u64)), Duration(1_000_000))]
+        } else {
+            Vec::new()
+        };
+        let mount_at = SimTime(t.as_nanos() + 10_000);
+        let mounted = crash::mount(rebooted, mount_at, &torn)
+            .unwrap_or_else(|e| panic!("cycle {cycle}: mount failed: {e}"));
+        // No object or region was created or dropped after the first
+        // checkpoint, so the directory at the crash is the committed one.
+        let directory = Directory::of(&noftl);
+        crash::check_mounted(&mounted.noftl, &directory, &directory)
+            .and_then(|()| crash::check_recovered(&mounted.noftl, &directory))
+            .unwrap_or_else(|e| panic!("cycle {cycle}: {e}"));
+        torn_mounts += mounted.torn_mounts;
+        let (mirror2, noftl2, report) = (mounted.machine.device, mounted.noftl, mounted.report);
         let mut t2 = report.completed_at;
 
         // Zero acknowledged-write loss, served possibly degraded.

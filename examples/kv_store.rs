@@ -14,9 +14,8 @@
 
 use std::sync::Arc;
 
-use noftl_regions::flash::{
-    DeviceBuilder, FlashBackend, FlashGeometry, NandDevice, SimTime, TimingModel,
-};
+use noftl_regions::flash::{DeviceBuilder, FlashBackend, FlashGeometry, SimTime, TimingModel};
+use noftl_regions::noftl::crash;
 use noftl_regions::noftl::kv::{KvConfig, KvStore};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, RegionSpec};
 
@@ -84,8 +83,7 @@ fn main() {
         Err(e) => println!("\npower cut during flush: {e}"),
     }
 
-    let snap = device.snapshot();
-    let device2 = Arc::new(NandDevice::from_snapshot(&snap, TimingModel::mlc_2015()).unwrap());
+    let device2 = crash::power_cycle(&device, false).unwrap();
     let (noftl2, mount) = NoFtl::mount(device2, NoFtlConfig::default(), quiesce).unwrap();
     println!(
         "mounted: checkpoint #{}, {} torn pages discarded",

@@ -1,17 +1,4 @@
-//! Helpers shared by the crash/equivalence property-test suites.
-//!
-//! Not every test binary uses every helper; dead-code warnings here only
-//! reflect per-binary slices of the shared module.
-#![allow(dead_code)]
-
-/// Deterministic SplitMix64 for picking cut fractions.
-pub fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+//! Helpers shared by the crash property-test suites.
 
 /// Rounds of a hand-rolled property loop: the `PROPTEST_CASES`
 /// convention (pinned in CI to bound runtime; local runs keep the

@@ -17,20 +17,20 @@
 
 mod common;
 
-use common::{property_rounds, splitmix};
-use noftl_regions::dbms::crash_harness::{run_crash_cycle, CrashHarnessConfig};
+use common::property_rounds;
+use noftl_regions::dbms::crash_harness::{run_crash_cycle, CrashHarnessConfig, KEYS};
 use noftl_regions::dbms::{Database, DatabaseConfig, NoFtlBackend};
 use noftl_regions::flash::{
-    DeviceBuilder, DeviceSnapshot, Duration, FlashBackend, FlashGeometry, NandDevice, SimTime,
-    TimingModel,
+    DeviceBuilder, DeviceSnapshot, Duration, FlashBackend, FlashGeometry, SimTime, TimingModel,
 };
+use noftl_regions::noftl::crash::{power_cycle, SplitMix64};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementConfig};
 use std::sync::Arc;
 
 #[test]
 fn fifty_random_power_cuts_recover_committed_data_only() {
     let rounds = property_rounds(50);
-    let mut rng = 0xDEAD_BEEFu64;
+    let mut rng = SplitMix64(0xDEAD_BEEF);
     let mut committed_total = 0u64;
     let mut read_only_total = 0u64;
     let mut in_flight_survivals = 0u64;
@@ -43,7 +43,7 @@ fn fifty_random_power_cuts_recover_committed_data_only() {
             seed: 0xC0FFEE ^ (round / 5),
             ..CrashHarnessConfig::default()
         };
-        let fraction = (splitmix(&mut rng) % 1_000) as f64 / 1_000.0;
+        let fraction = (rng.next_u64() % 1_000) as f64 / 1_000.0;
         let outcome = run_crash_cycle(&cfg, fraction)
             .unwrap_or_else(|e| panic!("round {round} (fraction {fraction:.3}) failed: {e}"));
         committed_total += outcome.committed_txns;
@@ -53,7 +53,7 @@ fn fifty_random_power_cuts_recover_committed_data_only() {
         // The mount always replays a checkpoint (setup takes one) and the
         // recovered table view is bounded by the key universe.
         assert!(outcome.mount.checkpoint_seq > 0, "round {round}");
-        assert!(outcome.rows_verified <= 32, "round {round}");
+        assert!(outcome.rows_verified <= KEYS as u64, "round {round}");
     }
     // Across the cuts the workload must have made real progress…
     assert!(
@@ -103,7 +103,8 @@ fn snapshot_restore_preserves_wear_and_bad_blocks() {
     let decoded = DeviceSnapshot::decode(&snap.encode()).unwrap();
     assert_eq!(decoded.blocks, snap.blocks);
     assert_eq!(decoded.wear.total_erases, snap.wear.total_erases);
-    let device2 = Arc::new(NandDevice::from_snapshot(&decoded, TimingModel::mlc_2015()).unwrap());
+    // The same round trip, through a file, as a power cycle.
+    let device2 = power_cycle(&device, true).unwrap();
     let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
     assert_eq!(report.checkpoint_seq, 1);
     for p in 0..8u64 {
@@ -136,9 +137,9 @@ fn power_cut_between_two_gc_steps_of_one_victim_loses_nothing() {
     t = noftl.checkpoint(t).unwrap();
     // Scattered overwrites until one write's step has moved pages of a
     // victim without erasing it: the victim is parked with valid pages left.
-    let mut rng = 0xC0FFEEu64;
+    let mut rng = SplitMix64(0xC0FFEE);
     let mut overwrite = |noftl: &NoFtl, latest: &mut Vec<u8>, t: SimTime| {
-        let r = splitmix(&mut rng);
+        let r = rng.next_u64();
         let (p, v) = (r % pages, (r >> 32) as u8);
         let done = noftl.write(obj, p, &vec![v; 4096], t).unwrap();
         latest[p as usize] = v;
@@ -157,9 +158,8 @@ fn power_cut_between_two_gc_steps_of_one_victim_loses_nothing() {
     let idle = t + Duration::from_ms(100);
     device.arm_power_cut(idle);
     assert!(noftl.write(obj, 0, &vec![0xEE; 4096], idle + Duration::from_ms(1)).is_err());
-    let rebooted =
-        Arc::new(NandDevice::from_snapshot(&device.snapshot(), TimingModel::mlc_2015()).unwrap());
-    let (noftl, report) = NoFtl::mount(rebooted, NoFtlConfig::default(), idle).unwrap();
+    let (noftl, report) =
+        NoFtl::mount(power_cycle(&device, false).unwrap(), NoFtlConfig::default(), idle).unwrap();
     assert_eq!(report.mapped_pages, pages, "one version of every acknowledged page");
     let mut t = report.completed_at;
     for p in 0..pages {
@@ -214,8 +214,7 @@ fn recovery_reports_scale_with_wal_length() {
         }
         // Reboot + recover after each chunk; the WAL tail has grown, so
         // redo replays more images.
-        let snap = device.snapshot();
-        let device2 = Arc::new(NandDevice::from_snapshot(&snap, TimingModel::mlc_2015()).unwrap());
+        let device2 = power_cycle(&device, false).unwrap();
         let (noftl2, mount) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
         let backend2 = Arc::new(NoFtlBackend::attach(Arc::new(noftl2), &placement).unwrap());
         let (_db2, report) = Database::recover(backend2, config, mount.completed_at).unwrap();

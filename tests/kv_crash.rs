@@ -24,8 +24,10 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{property_rounds, splitmix};
+use common::property_rounds;
 use noftl_regions::flash::{DeviceBuilder, FlashGeometry, SimTime, TimingModel};
+use noftl_regions::noftl::crash::SplitMix64;
+use noftl_regions::noftl::kv::harness::KEYS;
 use noftl_regions::noftl::kv::{
     run_kv_crash_cycle, run_kv_crash_cycle_in_compaction, run_kv_crash_cycle_in_tail, KvConfig,
     KvCrashConfig, KvStore,
@@ -35,7 +37,7 @@ use noftl_regions::noftl::{NoFtl, NoFtlConfig, RegionSpec};
 #[test]
 fn random_power_cuts_recover_every_committed_key() {
     let rounds = property_rounds(30).max(25); // the acceptance floor
-    let mut rng = 0x4B56_C0DEu64;
+    let mut rng = SplitMix64(0x4B56_C0DE);
     let mut flushes_total = 0u64;
     let mut committed_total = 0u64;
     let mut torn_total = 0u64;
@@ -55,16 +57,16 @@ fn random_power_cuts_recover_every_committed_key() {
             seed: 0x5EED_4B56 ^ (round / 5),
             ..base
         };
-        let fraction = (splitmix(&mut rng) % 1_000) as f64 / 1_000.0;
+        let fraction = (rng.next_u64() % 1_000) as f64 / 1_000.0;
         // Every fifth round aims the cut inside a compaction merge so
         // the crash-during-compaction path is guaranteed coverage.
         let outcome = if tail_aimed {
             let outcome = run_kv_crash_cycle_in_tail(&cfg, fraction, in_merge)
                 .unwrap_or_else(|e| panic!("round {round} (tail-aimed) failed: {e}"))
                 .expect("the multi-page-tail workload spills tails in flushes and merges");
-            let partial = outcome.open.partial_tails_rejected;
+            let partial = outcome.recovery.partial_tails_rejected;
             assert!(partial > 0, "round {round}: no cut left a partial tail");
-            assert_eq!(outcome.cut_during_compaction, in_merge, "round {round}");
+            assert_eq!(outcome.report.cut_during_compaction, in_merge, "round {round}");
             tail_cuts[usize::from(in_merge)] += 1;
             outcome
         } else if round % 5 == 4 {
@@ -75,13 +77,13 @@ fn random_power_cuts_recover_every_committed_key() {
             run_kv_crash_cycle(&cfg, fraction)
                 .unwrap_or_else(|e| panic!("round {round} (fraction {fraction:.3}) failed: {e}"))
         };
-        flushes_total += outcome.flushes_acknowledged;
-        committed_total += outcome.committed_keys;
-        torn_total += outcome.open.torn_runs_discarded as u64;
-        compaction_cuts += u64::from(outcome.cut_during_compaction);
-        in_flight_survivals += u64::from(outcome.in_flight_flush_survived);
+        flushes_total += outcome.report.flushes_acknowledged;
+        committed_total += outcome.committed.len() as u64;
+        torn_total += outcome.recovery.torn_runs_discarded as u64;
+        compaction_cuts += u64::from(outcome.report.cut_during_compaction);
+        in_flight_survivals += u64::from(outcome.in_flight_survived);
         assert!(outcome.mount.checkpoint_seq > 0, "round {round}: setup checkpoint must exist");
-        assert!(outcome.verified_keys <= cfg.keys, "round {round}");
+        assert!(outcome.recovered.len() as u64 <= KEYS, "round {round}");
     }
     assert!(
         flushes_total > rounds,
@@ -112,9 +114,9 @@ fn cut_during_compaction_merge_loses_nothing() {
     let outcome = run_kv_crash_cycle_in_compaction(&KvCrashConfig::default(), 0.0)
         .expect("cycle runs")
         .expect("the default workload compacts");
-    assert!(outcome.cut_during_compaction, "the cut must land inside the merge");
-    assert!(outcome.flushes_acknowledged > 0);
-    assert!(outcome.committed_keys > 0);
+    assert!(outcome.report.cut_during_compaction, "the cut must land inside the merge");
+    assert!(outcome.report.flushes_acknowledged > 0);
+    assert!(outcome.committed.len() as u64 > 0);
 }
 
 #[test]
@@ -128,13 +130,16 @@ fn cut_between_tail_pages_discards_the_run_and_keeps_merge_sources() {
         let outcome = run_kv_crash_cycle_in_tail(&KvCrashConfig::multi_page_tail(), 0.0, in_merge)
             .expect("cycle runs")
             .expect("the workload writes multi-page tails");
-        let partial = outcome.open.partial_tails_rejected;
+        let partial = outcome.recovery.partial_tails_rejected;
         assert!(partial > 0, "in_merge={in_merge}: no partial tail was left");
-        assert_eq!(outcome.cut_during_compaction, in_merge);
-        assert!(outcome.open.tail_pages_read > 0);
+        assert_eq!(outcome.report.cut_during_compaction, in_merge);
+        assert!(outcome.recovery.tail_pages_read > 0);
         if in_merge {
-            assert!(outcome.committed_keys > 0, "the merge's sources hold acknowledged keys");
-            assert!(outcome.open.runs_recovered >= 2, "the unfinished merge's sources survive");
+            assert!(
+                outcome.committed.len() as u64 > 0,
+                "the merge's sources hold acknowledged keys"
+            );
+            assert!(outcome.recovery.runs_recovered >= 2, "the unfinished merge's sources survive");
         }
     }
 }

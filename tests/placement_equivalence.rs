@@ -40,10 +40,8 @@ use noftl_regions::flash::{
     DeviceBuilder, DeviceSnapshot, DeviceStats, DieStats, FlashBackend, FlashGeometry, SimTime,
     TimingModel,
 };
+use noftl_regions::noftl::crash::SplitMix64;
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, RegionSpec};
-
-mod common;
-use common::splitmix;
 
 /// (seed, golden CRC32 of the device image, golden placement-only CRC32,
 /// golden device epoch); see module docs.  The image CRCs were
@@ -86,21 +84,21 @@ fn run_workload(seed: u64, config: NoFtlConfig) -> WorkloadRun {
     // so GC runs repeatedly while the workload is in flight.
     let working = 3 * geo.pages_per_die() * 6 / 10;
     let mut expected = std::collections::HashMap::new();
-    let mut rng = seed;
+    let mut rng = SplitMix64(seed);
     let mut t = SimTime::ZERO;
     for _round in 0..4u64 {
         // Single out-of-place writes to random logical pages of `a`.
         for _ in 0..working {
-            let p = splitmix(&mut rng) % working;
-            let v = (splitmix(&mut rng) % 251) as u8;
+            let p = rng.next_u64() % working;
+            let v = (rng.next_u64() % 251) as u8;
             t = noftl.write(a, p, &page(v), t).unwrap();
             expected.insert((a, p), v);
         }
         // A queued batch on `b` (the write_batch allocation path).
         let batch: Vec<(u32, u64, Vec<u8>)> = (0..16)
             .map(|_| {
-                let p = splitmix(&mut rng) % 32;
-                let v = (splitmix(&mut rng) % 251) as u8;
+                let p = rng.next_u64() % 32;
+                let v = (rng.next_u64() % 251) as u8;
                 expected.insert((b, p), v);
                 (b, p, page(v))
             })
@@ -108,7 +106,7 @@ fn run_workload(seed: u64, config: NoFtlConfig) -> WorkloadRun {
         t = noftl.write_batch(&batch, t).unwrap();
         // Free a few pages so invalidation accounting is exercised too.
         for _ in 0..4 {
-            let p = splitmix(&mut rng) % working;
+            let p = rng.next_u64() % working;
             noftl.free_page(a, p).unwrap();
             expected.remove(&(a, p));
         }

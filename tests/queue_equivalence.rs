@@ -28,20 +28,11 @@ use noftl_regions::flash::{
     DeviceBuilder, DieId, FlashBackend, FlashCommand, FlashGeometry, IoTag, NandDevice, PageAddr,
     PageMetadata, SimTime, TimingModel,
 };
+use noftl_regions::noftl::crash::{self, SplitMix64};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, ObjectId, RegionId, RegionSpec, RegionStats};
 
 fn device() -> NandDevice {
     DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build()
-}
-
-/// SplitMix64; the proptest stub provides the seed, this drives the
-/// workload generator.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Threads issuing commands to disjoint dies of one shared device get the
@@ -178,9 +169,8 @@ fn queued_write_batch_under_power_cut_mounts_cleanly() {
     let err = noftl.write_batch(&batch, quiesce).unwrap_err();
     assert!(matches!(err, noftl_regions::noftl::NoFtlError::Flash(e) if e.is_power_loss()));
 
-    // Reboot from the snapshot and mount.
-    let snap = dev.snapshot();
-    let dev2 = Arc::new(NandDevice::from_snapshot(&snap, TimingModel::mlc_2015()).unwrap());
+    // Power-cycle and mount.
+    let dev2 = crash::power_cycle(&dev, false).unwrap();
     let (mounted, report) = NoFtl::mount(dev2, NoFtlConfig::default(), t).unwrap();
     assert!(report.torn_pages_discarded > 0, "the cut must have torn part of the batch");
     // Every page reads as either its base version or its batch version —
@@ -218,15 +208,15 @@ fn two_region_stack() -> (Arc<NandDevice>, NoFtl, [RegionId; 2], [ObjectId; 3]) 
 /// object keeps to a small set of hot pages, so blocks fill with
 /// overwritten versions and GC has to run.
 fn generate_rounds(seed: u64, rounds: usize, psz: usize) -> Vec<Vec<(usize, u64, Vec<u8>)>> {
-    let mut rng = seed;
+    let mut rng = SplitMix64(seed);
     (0..rounds)
         .map(|_| {
-            let len = 1 + (splitmix(&mut rng) % 32) as usize;
+            let len = 1 + (rng.next_u64() % 32) as usize;
             (0..len)
                 .map(|_| {
-                    let obj = (splitmix(&mut rng) % 3) as usize;
-                    let page = splitmix(&mut rng) % 20;
-                    (obj, page, vec![(splitmix(&mut rng) & 0xFF) as u8; psz])
+                    let obj = (rng.next_u64() % 3) as usize;
+                    let page = rng.next_u64() % 20;
+                    (obj, page, vec![(rng.next_u64() & 0xFF) as u8; psz])
                 })
                 .collect()
         })
