@@ -3,7 +3,8 @@
 //! the key-value analogue of `dbms::crash_harness`.
 //!
 //! The workload is deterministic puts and deletes with auto flushes (and
-//! therefore cascading compactions).  Besides the driver's checks, the
+//! therefore cascading compactions).  Besides the directory checks that
+//! [`crate::crash`] runs for every stack, the
 //! reopened store must honour its durability contract:
 //!
 //! * **no lost committed keys** — every key state covered by an
