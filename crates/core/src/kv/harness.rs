@@ -42,6 +42,11 @@ const OPS: u64 = 400;
 const REGION_DIES: u32 = 2;
 const STORE: &str = "kvcrash";
 
+/// The device's timing model.
+fn timing() -> TimingModel {
+    TimingModel::mlc_2015()
+}
+
 /// Harness configuration.  The device is the tiny unit-test geometry with
 /// the MLC timing model.
 #[derive(Debug, Clone)]
@@ -125,9 +130,8 @@ impl Contract for KvCrashConfig {
     type Error = NoFtlError;
 
     fn build(&self) -> Result<Stack<KvStore>> {
-        let device = Arc::new(
-            DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build(),
-        );
+        let device =
+            Arc::new(DeviceBuilder::new(FlashGeometry::small_test()).timing(timing()).build());
         let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
         let rid = noftl.create_region(RegionSpec::named("rgKv").with_die_count(REGION_DIES))?;
         let (store, created_at) =
@@ -280,7 +284,7 @@ pub fn run_kv_crash_cycle_in_tail(
     let Some((issued, done)) = pick(&eligible, fraction) else {
         return Ok(None);
     };
-    let step = ((TimingModel::mlc_2015().program_page_us * 250.0) as u64).max(1); // tPROG / 4, in ns
+    let step = ((timing().program_page_us * 250.0) as u64).max(1); // tPROG / 4, in ns
     let mut cut_at = done.saturating_sub(step).max(issued + 1);
     loop {
         let outcome = crash::cycle(cfg, SimTime(cut_at))?;

@@ -12,9 +12,9 @@
 //! 3. sometimes reattaches the child and rebuilds — and sometimes cuts
 //!    power *mid-rebuild*, leaving torn copies for recovery to discard;
 //! 4. power-cycles the box through the crash driver, sometimes cutting
-//!    power again *while the mount is scanning* (the box is then
-//!    power-cycled once more before the retry), and sometimes booting
-//!    with the lost child still absent;
+//!    power again *while the mount is scanning*, each child at its own
+//!    instant (the box is then power-cycled once more before the retry),
+//!    and sometimes booting with the lost child still absent;
 //! 5. remounts, checks the directory and every acknowledged write,
 //!    rebuilds to fully online and verifies again from the rebuilt
 //!    mirror.
@@ -33,11 +33,14 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 const CYCLES: u64 = 25;
 const PAGES: u64 = 24;
 
-/// The box under test: a mirror, and the child that stays absent across
-/// reboots, if any.
+/// The box under test: a mirror, the child that stays absent across
+/// reboots, if any, and how long after a cut's instant each child loses
+/// power.  Staggered cuts let one child die during the mount scan while
+/// the other keeps serving.
 struct Mirror {
     device: Arc<MirrorDevice>,
     absent: Option<usize>,
+    stagger: Vec<Duration>,
 }
 
 impl Bootable for Mirror {
@@ -46,8 +49,8 @@ impl Bootable for Mirror {
     }
 
     fn cut_power(&self, at: SimTime) {
-        for child in self.device.children() {
-            child.arm_power_cut(at);
+        for (child, &lag) in self.device.children().iter().zip(&self.stagger) {
+            child.arm_power_cut(at + lag);
         }
     }
 
@@ -64,7 +67,7 @@ impl Bootable for Mirror {
             injector.arm(child, SimTime::ZERO);
         }
         let device = Arc::new(MirrorDevice::new(children, injector)?);
-        Ok(Mirror { device, absent: self.absent })
+        Ok(Mirror { device, absent: self.absent, stagger: self.stagger.clone() })
     }
 }
 
@@ -173,17 +176,21 @@ fn randomized_loss_and_crash_sweep_loses_no_acknowledged_write() {
         );
 
         // Phase 4: reboot. Sometimes the lost child is still absent;
-        // sometimes power dies again during the mount itself, and the box
-        // is power-cycled once more for the real mount.
+        // sometimes power dies again during the mount itself, each child
+        // at its own instant, and the box is power-cycled once more for
+        // the real mount.
         let still_absent =
             mirror.health(lost_child) == ChildHealth::Faulted && rng.random_range(0..100) < 30;
         let absent = still_absent.then_some(lost_child);
-        let rebooted = Mirror { device: mirror.clone(), absent }.reboot().unwrap();
+        let stagger = vec![Duration::ZERO; 2];
+        let mut rebooted = Mirror { device: mirror.clone(), absent, stagger }.reboot().unwrap();
         if still_absent {
             absent_boots += 1;
         }
         let torn: Vec<(Duration, Duration)> = if rng.random_range(0..100) < 40 {
-            vec![(Duration(rng.random_range(1_000..100_000u64)), Duration(1_000_000))]
+            rebooted.stagger =
+                (0..2).map(|_| Duration(rng.random_range(1_000..100_000u64))).collect();
+            vec![(Duration::ZERO, Duration(1_000_000))]
         } else {
             Vec::new()
         };
@@ -194,7 +201,7 @@ fn randomized_loss_and_crash_sweep_loses_no_acknowledged_write() {
         // checkpoint, so the directory at the crash is the committed one.
         let directory = Directory::of(&noftl);
         crash::check_mounted(&mounted.noftl, &directory, &directory)
-            .and_then(|()| crash::check_recovered(&mounted.noftl, &directory))
+            .and_then(|()| crash::check_recovered(&mounted.noftl, &directory, false))
             .unwrap_or_else(|e| panic!("cycle {cycle}: {e}"));
         torn_mounts += mounted.torn_mounts;
         let (mirror2, noftl2, report) = (mounted.machine.device, mounted.noftl, mounted.report);
