@@ -19,11 +19,12 @@
 //!   write-back and GC traffic delays subsequent reads — exactly the
 //!   interference effect the paper measures.
 //!
-//! Readers **borrow**, writers **own**: [`BufferPool::with_page`] lends
-//! the resident frame to a closure (a hit copies nothing), while
-//! [`BufferPool::read_page`] hands out an owned copy for the
-//! read-modify-write callers that give it back through
-//! [`BufferPool::write_page`].
+//! Readers **borrow**, writers **edit in place**: [`BufferPool::with_page`]
+//! lends the resident frame to a closure (a hit copies nothing), and
+//! [`BufferPool::with_page_mut`] lends it mutably, so a heap or B+-tree
+//! write changes the frame where it lies and copies no page.  Only a page
+//! that is new, or rewritten from bytes the caller kept (a B+-tree split's
+//! parent), goes through [`BufferPool::write_page`].
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
@@ -232,11 +233,43 @@ impl BufferPool {
         idx
     }
 
-    /// Lend a page to `f`: the one lookup / miss / install path of the
-    /// pool.  A hit runs `f` on the resident frame without copying it; a
-    /// miss charges the flash read and installs the backend's buffer as
-    /// the frame.  Returns `f`'s result and the time at which the data
-    /// was available.
+    /// The one lookup / miss / install path of the pool: count a logical
+    /// read, find the page's frame or charge the flash read and install
+    /// the backend's buffer as a clean frame, and mark it referenced.
+    /// Returns the frame's index and the time at which its data was
+    /// available.
+    fn lend(
+        &self,
+        inner: &mut PoolInner,
+        obj: ObjectId,
+        page: u64,
+        now: SimTime,
+    ) -> Result<(usize, SimTime)> {
+        inner.stats.logical_reads += 1;
+        let (idx, done) = match inner.map.get(&(obj, page)) {
+            Some(&idx) => {
+                inner.stats.hits += 1;
+                (idx, now)
+            }
+            None => {
+                inner.stats.misses += 1;
+                self.make_room(inner, now)?;
+                // The read is a pure simulated-time computation, so it
+                // runs under the lock: simple and deterministic.
+                let (data, done) = self.backend.read_page(obj, page, now)?;
+                (Self::install(inner, (obj, page), data, false), done)
+            }
+        };
+        let frame = inner.frames[idx].as_mut().expect("mapped frame exists");
+        frame.ref_bit = true;
+        frame.spared = false;
+        Ok((idx, done))
+    }
+
+    /// Lend a page to `f`: a hit runs `f` on the resident frame without
+    /// copying it; a miss charges the flash read and installs the
+    /// backend's buffer as the frame.  Returns `f`'s result and the time
+    /// at which the data was available.
     ///
     /// `f` runs under the pool lock, so it must not call back into the
     /// pool (the lock is not re-entrant): extract what is needed — a
@@ -249,38 +282,52 @@ impl BufferPool {
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<(R, SimTime)> {
         let mut inner = self.inner.lock();
-        inner.stats.logical_reads += 1;
-        let (idx, done) = match inner.map.get(&(obj, page)) {
-            Some(&idx) => {
-                inner.stats.hits += 1;
-                (idx, now)
-            }
-            None => {
-                inner.stats.misses += 1;
-                self.make_room(&mut inner, now)?;
-                // The read is a pure simulated-time computation, so it
-                // runs under the lock: simple and deterministic.
-                let (data, done) = self.backend.read_page(obj, page, now)?;
-                (Self::install(&mut inner, (obj, page), data, false), done)
-            }
-        };
+        let (idx, done) = self.lend(&mut inner, obj, page, now)?;
+        Ok((f(&inner.frames[idx].as_ref().expect("mapped frame exists").data), done))
+    }
+
+    /// Lend a page to `f` for editing in place: the read of
+    /// [`BufferPool::with_page`], then `f` on the resident frame.  `f`
+    /// returns its result and whether it wrote; a write dirties the frame
+    /// and counts as one logical write (joining the write-set capture),
+    /// so the call counts what a copy-out read plus a
+    /// [`BufferPool::write_page`] of the edited copy would.  A closure
+    /// that reports no write must leave the frame as it found it; the
+    /// frame then stays clean.  Same locking rule as `with_page`.
+    pub fn with_page_mut<R>(
+        &self,
+        obj: ObjectId,
+        page: u64,
+        now: SimTime,
+        f: impl FnOnce(&mut [u8]) -> (R, bool),
+    ) -> Result<(R, SimTime)> {
+        let mut inner = self.inner.lock();
+        let (idx, done) = self.lend(&mut inner, obj, page, now)?;
         let frame = inner.frames[idx].as_mut().expect("mapped frame exists");
-        frame.ref_bit = true;
-        frame.spared = false;
-        Ok((f(&frame.data), done))
+        let (result, wrote) = f(&mut frame.data);
+        if wrote {
+            frame.dirty = true;
+            Self::count_write(&mut inner, obj, page);
+        }
+        Ok((result, done))
     }
 
-    /// Read a page, returning an owned copy of its contents and the time
-    /// at which the data is available — for callers that modify the page
-    /// and write it back; read-only callers borrow through
-    /// [`BufferPool::with_page`].
-    pub fn read_page(&self, obj: ObjectId, page: u64, now: SimTime) -> Result<(Vec<u8>, SimTime)> {
-        self.with_page(obj, page, now, <[u8]>::to_vec)
+    /// Count a logical write of `(obj, page)` and add the page to the
+    /// write set being captured, if any.
+    fn count_write(inner: &mut PoolInner, obj: ObjectId, page: u64) {
+        inner.stats.logical_writes += 1;
+        if let Some(capture) = inner.capture.as_mut() {
+            if capture.seen.insert((obj, page)) {
+                capture.order.push((obj, page));
+            }
+        }
     }
 
-    /// Write a page into the pool (dirtying it).  No flash I/O happens now;
-    /// the page reaches storage on eviction or an explicit flush.  Returns
-    /// `now` unchanged — the caller is not charged.
+    /// Write a whole page into the pool (dirtying it) — for a page that
+    /// is new, or rewritten from bytes the caller already holds.  No flash
+    /// I/O happens now; the page reaches storage on eviction or an
+    /// explicit flush.  Returns `now` unchanged — the caller is not
+    /// charged.
     pub fn write_page(
         &self,
         obj: ObjectId,
@@ -294,12 +341,7 @@ impl BufferPool {
             });
         }
         let mut inner = self.inner.lock();
-        inner.stats.logical_writes += 1;
-        if let Some(capture) = inner.capture.as_mut() {
-            if capture.seen.insert((obj, page)) {
-                capture.order.push((obj, page));
-            }
-        }
+        Self::count_write(&mut inner, obj, page);
         if let Some(&idx) = inner.map.get(&(obj, page)) {
             let frame = inner.frames[idx].as_mut().expect("mapped frame exists");
             frame.data.copy_from_slice(data);
@@ -334,25 +376,6 @@ impl BufferPool {
             .map
             .get(&(obj, page))
             .map(|&idx| inner.frames[idx].as_ref().expect("mapped frame exists").data.clone())
-    }
-
-    /// Synchronously write one page to storage if it is dirty (used for
-    /// WAL-style forced writes).  Returns the completion time (or `now` if
-    /// the page was clean or absent).
-    pub fn flush_page(&self, obj: ObjectId, page: u64, now: SimTime) -> Result<SimTime> {
-        let mut inner = self.inner.lock();
-        if let Some(&idx) = inner.map.get(&(obj, page)) {
-            let frame = inner.frames[idx].as_mut().expect("mapped frame exists");
-            if frame.dirty {
-                let data = frame.data.clone();
-                frame.dirty = false;
-                let key = frame.key;
-                let done = self.backend.write_page(key.0, key.1, &data, now)?;
-                inner.stats.flushed += 1;
-                return Ok(done);
-            }
-        }
-        Ok(now)
     }
 
     /// Write back every dirty page through the backend's
@@ -438,7 +461,7 @@ mod tests {
         assert_eq!(t1, t0);
         assert_eq!(pool.dirty_pages(), 1);
         // Reading it back is a hit: also free.
-        let (data, t2) = pool.read_page(obj, 0, t1).unwrap();
+        let (data, t2) = pool.with_page(obj, 0, t1, <[u8]>::to_vec).unwrap();
         assert_eq!(data, page(1));
         assert_eq!(t2, t1);
         let s = pool.stats();
@@ -461,7 +484,7 @@ mod tests {
         assert_eq!(pool.dirty_pages(), 0);
         // Build a second pool so the page is not cached.
         let pool2 = BufferPool::new(backend.clone(), 8);
-        let (data, t) = pool2.read_page(obj, 0, done).unwrap();
+        let (data, t) = pool2.with_page(obj, 0, done, <[u8]>::to_vec).unwrap();
         assert_eq!(data, page(7));
         assert!(t > done, "a miss must pay the flash read latency");
         assert_eq!(pool2.stats().misses, 1);
@@ -479,12 +502,64 @@ mod tests {
         let (first, t) = cold.with_page(obj, 0, done, |p| (p.len(), p[0])).unwrap();
         assert_eq!(first, (PAGE_SIZE, 7));
         assert!(t > done);
-        // Hit: free, same bytes; `read_page` is the same path plus a copy.
+        // Hit: free, same bytes.
         let (sum, t2) = cold.with_page(obj, 0, t, |p| p.iter().map(|b| *b as usize).sum()).unwrap();
         assert_eq!((sum, t2), (7 * PAGE_SIZE, t));
-        assert_eq!(cold.read_page(obj, 0, t).unwrap(), (page(7), t));
+        assert_eq!(cold.with_page(obj, 0, t, <[u8]>::to_vec).unwrap(), (page(7), t));
         let s = cold.stats();
         assert_eq!((s.logical_reads, s.misses, s.hits), (3, 1, 2));
+    }
+
+    #[test]
+    fn with_page_mut_counts_a_copy_out_read_plus_a_write_back() {
+        // Two identical devices, each holding page 0 on flash only, so the
+        // two pools see the same miss latency.
+        let cold = || {
+            let backend = backend();
+            let obj = backend.create_object("t").unwrap();
+            let seed = BufferPool::new(backend.clone(), 8);
+            seed.write_page(obj, 0, &page(7), SimTime::ZERO).unwrap();
+            let done = seed.flush_all(SimTime::ZERO).unwrap();
+            let pool = BufferPool::new(backend, 8);
+            pool.begin_capture();
+            (pool, obj, done)
+        };
+        let ((copying, obj, done), (editing, _, _)) = (cold(), cold());
+        // A miss, then a hit, each writing the page once.
+        for value in [8u8, 9] {
+            let (mut copy, t_copy) = copying.with_page(obj, 0, done, <[u8]>::to_vec).unwrap();
+            copy[0] = value;
+            copying.write_page(obj, 0, &copy, t_copy).unwrap();
+            let ((), t_edit) = editing
+                .with_page_mut(obj, 0, done, |frame| {
+                    frame[0] = value;
+                    ((), true)
+                })
+                .unwrap();
+            assert_eq!(t_edit, t_copy);
+            assert_eq!(editing.stats(), copying.stats());
+            assert_eq!(editing.page_image(obj, 0), copying.page_image(obj, 0));
+        }
+        let s = editing.stats();
+        assert_eq!((s.logical_reads, s.logical_writes, s.misses, s.hits), (2, 2, 1, 1));
+        assert_eq!(editing.dirty_pages(), 1);
+        assert_eq!(editing.take_capture(), [(obj, 0)]);
+        assert_eq!(copying.take_capture(), [(obj, 0)]);
+
+        // A closure that reports no write, or fails, leaves the frame clean
+        // and the capture empty; it still counts its read.
+        let (reader, obj, done) = cold();
+        reader.with_page_mut(obj, 0, done, |frame| (frame[0], false)).unwrap();
+        let (failed, _) = reader
+            .with_page_mut(obj, 0, done, |_| {
+                (Err::<(), _>(DbError::Corrupted { message: "x".into() }), false)
+            })
+            .unwrap();
+        assert!(failed.is_err());
+        let s = reader.stats();
+        assert_eq!((s.logical_reads, s.logical_writes, s.misses, s.hits), (2, 0, 1, 1));
+        assert_eq!(reader.dirty_pages(), 0);
+        assert!(reader.take_capture().is_empty());
     }
 
     #[test]
@@ -494,7 +569,7 @@ mod tests {
         let pool = BufferPool::new(backend, 4);
         // Reads of never-written pages fail after room was made for them…
         for p in 0..10u64 {
-            assert!(pool.read_page(obj, 100 + p, SimTime::ZERO).is_err());
+            assert!(pool.with_page(obj, 100 + p, SimTime::ZERO, <[u8]>::to_vec).is_err());
         }
         // …and must not leak it: the pool still holds four pages without
         // evicting anything.
@@ -521,7 +596,7 @@ mod tests {
         // All pages still readable with their latest contents (some from
         // the pool, some from flash).
         for p in 0..10u64 {
-            let (data, _) = pool.read_page(obj, p, pool_quiesce(&backend)).unwrap();
+            let (data, _) = pool.with_page(obj, p, pool_quiesce(&backend), <[u8]>::to_vec).unwrap();
             assert_eq!(data, page(p as u8), "page {p}");
         }
     }
@@ -555,7 +630,7 @@ mod tests {
         // The hand starts at frame 0, which is dirty: the clock passes
         // over both dirty frames and takes the first clean one.
         let (pool, obj, t) = two_dirty_two_clean(false);
-        let (data, _) = pool.read_page(obj, 4, t).unwrap();
+        let (data, _) = pool.with_page(obj, 4, t, <[u8]>::to_vec).unwrap();
         assert_eq!(data, page(4));
         assert_eq!(resident(&pool, obj), [0, 1, 3, 4]);
         let s = pool.stats();
@@ -563,11 +638,11 @@ mod tests {
         // Referenced again, the passed-over dirty frames earn their pass
         // back: two more misses take clean pages 3, then 4, although the
         // second sweep clears every reference bit before it finds one.
-        pool.read_page(obj, 0, t).unwrap();
-        pool.read_page(obj, 1, t).unwrap();
-        pool.read_page(obj, 2, t).unwrap();
+        pool.with_page(obj, 0, t, <[u8]>::to_vec).unwrap();
+        pool.with_page(obj, 1, t, <[u8]>::to_vec).unwrap();
+        pool.with_page(obj, 2, t, <[u8]>::to_vec).unwrap();
         assert_eq!(resident(&pool, obj), [0, 1, 2, 4]);
-        pool.read_page(obj, 3, t).unwrap();
+        pool.with_page(obj, 3, t, <[u8]>::to_vec).unwrap();
         assert_eq!(resident(&pool, obj), [0, 1, 2, 3]);
         let s = pool.stats();
         assert_eq!((s.evictions, s.dirty_writebacks), (3, 0));
@@ -577,36 +652,21 @@ mod tests {
     fn no_steal_evicts_only_clean_frames_and_asks_for_a_checkpoint() {
         let (pool, obj, t) = two_dirty_two_clean(true);
         // Two clean frames: both can go, the dirty ones stay.
-        pool.read_page(obj, 4, t).unwrap();
+        pool.with_page(obj, 4, t, <[u8]>::to_vec).unwrap();
         pool.write_page(obj, 4, &page(14), t).unwrap();
         pool.write_page(obj, 3, &page(13), t).unwrap();
         assert_eq!(resident(&pool, obj), [0, 1, 3, 4]);
         assert_eq!(pool.stats().dirty_writebacks, 0);
         // Every frame dirty: nothing can go.
-        let err = pool.read_page(obj, 2, t).unwrap_err();
+        let err = pool.with_page(obj, 2, t, <[u8]>::to_vec).unwrap_err();
         assert!(err.to_string().contains("checkpoint"), "{err}");
         let t = pool.flush_all(t).unwrap();
-        assert_eq!(pool.read_page(obj, 2, t).unwrap().0, page(2));
+        assert_eq!(pool.with_page(obj, 2, t, <[u8]>::to_vec).unwrap().0, page(2));
         assert_eq!(pool.stats().dirty_writebacks, 0);
     }
 
     fn pool_quiesce(backend: &Arc<NoFtlBackend>) -> SimTime {
         backend.noftl().device().quiesce_time()
-    }
-
-    #[test]
-    fn flush_page_only_writes_dirty_frames() {
-        let backend = backend();
-        let obj = backend.create_object("t").unwrap();
-        let pool = BufferPool::new(backend.clone(), 8);
-        // Flushing an absent page is a no-op.
-        assert_eq!(pool.flush_page(obj, 0, SimTime::ZERO).unwrap(), SimTime::ZERO);
-        pool.write_page(obj, 0, &page(1), SimTime::ZERO).unwrap();
-        let done = pool.flush_page(obj, 0, SimTime::ZERO).unwrap();
-        assert!(done > SimTime::ZERO);
-        // Now clean: flushing again is free.
-        assert_eq!(pool.flush_page(obj, 0, done).unwrap(), done);
-        assert_eq!(pool.dirty_pages(), 0);
     }
 
     #[test]

@@ -301,7 +301,7 @@ impl Database {
             txn.advance_to(t);
             txn.writes += 1;
         }
-        self.wal.append_note(txn.id, format!("INSERT {table} {}:{}", rid.page, rid.slot));
+        self.wal.append_note(txn.id, format_args!("INSERT {table} {}:{}", rid.page, rid.slot));
         Ok(rid)
     }
 
@@ -325,7 +325,7 @@ impl Database {
         txn.advance_to(t);
         txn.writes += 1;
         txn.add_cpu(OP_CPU);
-        self.wal.append_note(txn.id, format!("UPDATE {table} {}:{}", rid.page, rid.slot));
+        self.wal.append_note(txn.id, format_args!("UPDATE {table} {}:{}", rid.page, rid.slot));
         Ok(())
     }
 
@@ -349,7 +349,7 @@ impl Database {
             txn.advance_to(t);
             txn.writes += 1;
         }
-        self.wal.append_note(txn.id, format!("DELETE {table} {}:{}", rid.page, rid.slot));
+        self.wal.append_note(txn.id, format_args!("DELETE {table} {}:{}", rid.page, rid.slot));
         Ok(())
     }
 

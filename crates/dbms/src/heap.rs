@@ -9,6 +9,7 @@ use crate::error::DbError;
 use crate::page::SlottedPage;
 use crate::storage::ObjectId;
 use crate::Result;
+use crate::PAGE_SIZE;
 
 /// Physical address of a record: page number within the heap plus slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -95,11 +96,13 @@ impl HeapFile {
         let mut records = 0u64;
         let mut t = now;
         for page_no in 0..extent {
-            let Ok((bytes, t_read)) = pool.read_page(obj, page_no, t) else { continue };
+            let Ok((live, t_read)) = pool.with_page(obj, page_no, t, |frame| {
+                SlottedPage::new(frame).map_or(0, |page| page.iter().count() as u64)
+            }) else {
+                continue;
+            };
             t = t_read;
-            if let Ok(page) = SlottedPage::from_bytes(bytes) {
-                records += page.iter().count() as u64;
-            }
+            records += live;
         }
         let heap = HeapFile {
             obj,
@@ -131,26 +134,29 @@ impl HeapFile {
     ) -> Result<(RecordId, SimTime)> {
         let mut inner = self.inner.lock();
         let mut t = now;
-        // Try the current fill page first.
+        // Try the current fill page first; a record that does not fit
+        // leaves it as it was.
         if let Some(page_no) = inner.fill_page {
-            let (bytes, t_read) = pool.read_page(self.obj, page_no, t)?;
+            let (slot, t_read) = self.edit(pool, page_no, t, |page| {
+                let slot = page.insert(record);
+                Ok((slot, slot.is_some()))
+            })?;
             t = t_read;
-            let mut page = SlottedPage::from_bytes(bytes)?;
-            if let Some(slot) = page.insert(record) {
-                let t_write = pool.write_page(self.obj, page_no, page.as_bytes(), t)?;
+            if let Some(slot) = slot {
                 inner.records += 1;
-                return Ok((RecordId::new(page_no, slot), t_write));
+                return Ok((RecordId::new(page_no, slot), t));
             }
         }
         // Allocate a fresh page.
         let page_no = inner.page_count;
         inner.page_count += 1;
         inner.fill_page = Some(page_no);
-        let mut page = SlottedPage::new();
-        let slot = page.insert(record).ok_or_else(|| DbError::TooLarge {
-            message: format!("record of {} bytes does not fit in an empty page", record.len()),
-        })?;
-        let t_write = pool.write_page(self.obj, page_no, page.as_bytes(), t)?;
+        let mut frame = [0u8; PAGE_SIZE];
+        let slot =
+            SlottedPage::init(&mut frame[..])?.insert(record).ok_or_else(|| DbError::TooLarge {
+                message: format!("record of {} bytes does not fit in an empty page", record.len()),
+            })?;
+        let t_write = pool.write_page(self.obj, page_no, &frame, t)?;
         inner.records += 1;
         Ok((RecordId::new(page_no, slot), t_write))
     }
@@ -162,8 +168,8 @@ impl HeapFile {
         rid: RecordId,
         now: SimTime,
     ) -> Result<(Vec<u8>, SimTime)> {
-        let (record, t) = pool.with_page(self.obj, rid.page, now, |page| {
-            SlottedPage::record_in(page, rid.slot).map(<[u8]>::to_vec)
+        let (record, t) = pool.with_page(self.obj, rid.page, now, |frame| {
+            SlottedPage::new(frame)?.get(rid.slot).map(<[u8]>::to_vec)
         })?;
         Ok((record?, t))
     }
@@ -176,21 +182,36 @@ impl HeapFile {
         record: &[u8],
         now: SimTime,
     ) -> Result<SimTime> {
-        let (bytes, t) = pool.read_page(self.obj, rid.page, now)?;
-        let mut page = SlottedPage::from_bytes(bytes)?;
-        page.update(rid.slot, record)?;
-        pool.write_page(self.obj, rid.page, page.as_bytes(), t)
+        let ((), t) =
+            self.edit(pool, rid.page, now, |page| Ok((page.update(rid.slot, record)?, true)))?;
+        Ok(t)
     }
 
     /// Delete the record at `rid`.
     pub fn delete(&self, pool: &BufferPool, rid: RecordId, now: SimTime) -> Result<SimTime> {
-        let (bytes, t) = pool.read_page(self.obj, rid.page, now)?;
-        let mut page = SlottedPage::from_bytes(bytes)?;
-        page.delete(rid.slot)?;
-        let t = pool.write_page(self.obj, rid.page, page.as_bytes(), t)?;
+        let ((), t) = self.edit(pool, rid.page, now, |page| Ok((page.delete(rid.slot)?, true)))?;
         let mut inner = self.inner.lock();
         inner.records = inner.records.saturating_sub(1);
         Ok(t)
+    }
+
+    /// Edit page `page_no` where the buffer pool holds it.  `f` returns
+    /// its result and whether it wrote; an `f` that fails must leave the
+    /// page untouched (the [`SlottedPage`] mutators do), and the frame
+    /// then stays clean.
+    fn edit<R>(
+        &self,
+        pool: &BufferPool,
+        page_no: u64,
+        now: SimTime,
+        f: impl FnOnce(&mut SlottedPage<&mut [u8]>) -> Result<(R, bool)>,
+    ) -> Result<(R, SimTime)> {
+        let (edited, t) = pool.with_page_mut(self.obj, page_no, now, |frame| {
+            let edited = SlottedPage::new(frame).and_then(|mut page| f(&mut page));
+            let wrote = matches!(edited, Ok((_, true)));
+            (edited.map(|(result, _)| result), wrote)
+        })?;
+        Ok((edited?, t))
     }
 
     /// Scan the whole heap, invoking `f(rid, record_bytes)` for every live
@@ -204,12 +225,14 @@ impl HeapFile {
         let page_count = self.inner.lock().page_count;
         let mut t = now;
         for page_no in 0..page_count {
-            let (bytes, t_read) = pool.read_page(self.obj, page_no, t)?;
+            let (scanned, t_read) = pool.with_page(self.obj, page_no, t, |frame| {
+                for (slot, rec) in SlottedPage::new(frame)?.iter() {
+                    f(RecordId::new(page_no, slot), rec);
+                }
+                Ok::<_, DbError>(())
+            })?;
+            scanned?;
             t = t_read;
-            let page = SlottedPage::from_bytes(bytes)?;
-            for (slot, rec) in page.iter() {
-                f(RecordId::new(page_no, slot), rec);
-            }
         }
         Ok(t)
     }

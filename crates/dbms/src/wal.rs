@@ -24,6 +24,8 @@
 //! which frees the old segment's pages and restarts the stream at a fresh
 //! page boundary.
 
+use std::fmt::{self, Display};
+use std::io::Write as _;
 use std::sync::OnceLock;
 
 use parking_lot::Mutex;
@@ -85,28 +87,26 @@ pub enum WalRecord {
     Checkpoint,
 }
 
-impl WalRecord {
-    /// The record's compact textual form, used by the *volatile* log mode
-    /// (no recovery) to reproduce the original engine's log byte stream,
-    /// whose I/O footprint the paper's experiments measure.
-    fn legacy_text(&self) -> String {
+/// The record's compact textual form, which the *volatile* log mode (no
+/// recovery) streams to reproduce the original engine's log byte stream,
+/// whose I/O footprint the paper's experiments measure.
+impl Display for WalRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WalRecord::Note { text, .. } => text.clone(),
-            WalRecord::PageImage { obj, page, .. } => format!("IMG {obj} {page}"),
-            WalRecord::Commit { txn } => format!("COMMIT {txn}"),
-            WalRecord::Rollback { txn } => format!("ROLLBACK {txn}"),
-            WalRecord::Checkpoint => "CHECKPOINT".to_string(),
+            WalRecord::Note { text, .. } => f.write_str(text),
+            WalRecord::PageImage { obj, page, .. } => write!(f, "IMG {obj} {page}"),
+            WalRecord::Commit { txn } => write!(f, "COMMIT {txn}"),
+            WalRecord::Rollback { txn } => write!(f, "ROLLBACK {txn}"),
+            WalRecord::Checkpoint => f.write_str("CHECKPOINT"),
         }
     }
+}
 
+impl WalRecord {
     /// Append the record body: a tag byte, then the variant's fields.
     fn encode_body(&self, out: &mut Vec<u8>) {
         match self {
-            WalRecord::Note { txn, text } => {
-                put_u8(out, 1);
-                put_u64(out, *txn);
-                put_bytes(out, text.as_bytes());
-            }
+            WalRecord::Note { txn, text } => put_note(out, *txn, text),
             WalRecord::PageImage { txn, obj, page, image } => {
                 put_u8(out, 2);
                 put_u64(out, *txn);
@@ -143,6 +143,24 @@ impl WalRecord {
     }
 }
 
+/// Append `text` as [`Display`] formats it behind its `u32` length: the
+/// layout of [`put_bytes`], with no `String` in between.
+fn put_text(out: &mut Vec<u8>, text: impl Display) {
+    let at = out.len();
+    put_u32(out, 0);
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(out, "{text}");
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Append a [`WalRecord::Note`] body: tag, transaction, the text.
+fn put_note(out: &mut Vec<u8>, txn: u64, text: impl Display) {
+    put_u8(out, 1);
+    put_u64(out, txn);
+    put_text(out, text);
+}
+
 struct WalInner {
     /// LSN handed to the next appended record.
     next_lsn: Lsn,
@@ -164,6 +182,8 @@ struct WalInner {
     /// Pages freed by truncation over the log's lifetime (feeds the
     /// cumulative `pages` statistic now that page numbers are reused).
     pages_retired: u64,
+    /// The frame of the record being appended, reused by every append.
+    frame: Vec<u8>,
 }
 
 impl WalInner {
@@ -243,6 +263,7 @@ impl Wal {
                 appended_bytes: 0,
                 truncations: 0,
                 pages_retired: 0,
+                frame: Vec::new(),
             }),
         }
     }
@@ -262,36 +283,45 @@ impl Wal {
     /// Append a typed record (buffered; not durable until [`Wal::force`]).
     /// Returns the record's LSN.
     pub fn append(&self, record: &WalRecord) -> Lsn {
+        self.append_with(|out| record.encode_body(out), record)
+    }
+
+    /// Append a [`WalRecord::Note`] whose text is `text` as [`Display`]
+    /// formats it — `format_args!` formats straight into the log's frame
+    /// buffer, with no `String` in between.
+    pub fn append_note(&self, txn: u64, text: impl Display) -> Lsn {
+        self.append_with(|out| put_note(out, txn, &text), &text)
+    }
+
+    /// Append one record into the reused frame buffer: `body` writes its
+    /// encoded body (durable log), `text` is its textual form (volatile
+    /// log, see [`WalRecord`]'s `Display`).
+    fn append_with(&self, body: impl FnOnce(&mut Vec<u8>), text: impl Display) -> Lsn {
         let mut inner = self.inner.lock();
         let lsn = inner.next_lsn;
         inner.next_lsn += 1;
         inner.records += 1;
-        let mut frame = Vec::new();
+        let mut frame = std::mem::take(&mut inner.frame);
+        frame.clear();
         if self.durable_spill {
             // Frame: len:4 | crc:4 | lsn:8 | body.  `len` counts lsn + body.
-            let mut checked = Vec::with_capacity(32);
-            put_u64(&mut checked, lsn);
-            record.encode_body(&mut checked);
-            inner.appended_bytes += checked.len() as u64 - 8;
-            frame.reserve_exact(8 + checked.len());
-            put_u32(&mut frame, checked.len() as u32);
-            put_u32(&mut frame, crc32(&checked));
-            frame.extend_from_slice(&checked);
+            put_u64(&mut frame, 0); // len and crc, filled in below
+            put_u64(&mut frame, lsn);
+            body(&mut frame);
+            let checked = &frame[8..];
+            let (len, crc) = (checked.len() as u32, crc32(checked));
+            frame[..4].copy_from_slice(&len.to_le_bytes());
+            frame[4..8].copy_from_slice(&crc.to_le_bytes());
+            inner.appended_bytes += u64::from(len) - 8;
         } else {
             // Volatile log: the original engine's compact length-prefixed
             // text records (pure I/O ballast; never scanned back).
-            let text = record.legacy_text();
-            inner.appended_bytes += text.len() as u64;
-            frame.reserve_exact(4 + text.len());
-            put_bytes(&mut frame, text.as_bytes());
+            put_text(&mut frame, text);
+            inner.appended_bytes += frame.len() as u64 - 4;
         }
         inner.stream(&frame, self.durable_spill);
+        inner.frame = frame;
         lsn
-    }
-
-    /// Convenience wrapper appending a [`WalRecord::Note`].
-    pub fn append_note(&self, txn: u64, text: impl Into<String>) -> Lsn {
-        self.append(&WalRecord::Note { txn, text: text.into() })
     }
 
     /// Frame a payload as log page `page_no`: the `WALP` header
@@ -608,6 +638,68 @@ mod tests {
         let mut flipped = stream.clone();
         flipped[8] ^= 0x01;
         assert_eq!(Wal::frame(&mut Reader::new(&flipped)), None, "lsn fails the frame CRC");
+    }
+
+    /// The frames the log streamed before notes were formatted in place:
+    /// durable `len | crc | lsn | body` with the note text behind
+    /// `put_bytes`, volatile `put_bytes` of the record's text.
+    fn reference_stream(records: &[WalRecord], durable: bool) -> Vec<u8> {
+        let mut stream = Vec::new();
+        for (lsn, record) in (1u64..).zip(records) {
+            if durable {
+                let mut checked = Vec::new();
+                put_u64(&mut checked, lsn);
+                match record {
+                    WalRecord::Note { txn, text } => {
+                        put_u8(&mut checked, 1);
+                        put_u64(&mut checked, *txn);
+                        put_bytes(&mut checked, text.as_bytes());
+                    }
+                    other => other.encode_body(&mut checked),
+                }
+                put_u32(&mut stream, checked.len() as u32);
+                put_u32(&mut stream, crc32(&checked));
+                stream.extend_from_slice(&checked);
+            } else {
+                let text = match record {
+                    WalRecord::Note { text, .. } => text.clone(),
+                    WalRecord::PageImage { obj, page, .. } => format!("IMG {obj} {page}"),
+                    WalRecord::Commit { txn } => format!("COMMIT {txn}"),
+                    WalRecord::Rollback { txn } => format!("ROLLBACK {txn}"),
+                    WalRecord::Checkpoint => "CHECKPOINT".to_string(),
+                };
+                put_bytes(&mut stream, text.as_bytes());
+            }
+        }
+        stream
+    }
+
+    #[test]
+    fn notes_formatted_in_place_stream_the_same_bytes() {
+        let (table, page, slot) = ("stock", 41u64, 7u16);
+        let records = [
+            WalRecord::Note { txn: 5, text: format!("UPDATE {table} {page}:{slot}") },
+            WalRecord::Note { txn: 5, text: "é".repeat(300) },
+            WalRecord::PageImage { txn: 5, obj: 3, page: 9, image: vec![0x5A; PAGE_SIZE] },
+            WalRecord::Commit { txn: 5 },
+            WalRecord::Rollback { txn: 6 },
+            WalRecord::Checkpoint,
+        ];
+        for durable in [true, false] {
+            let wal = Wal::new(1).with_durable_spill(durable);
+            wal.append_note(5, format_args!("UPDATE {table} {page}:{slot}"));
+            for record in &records[1..] {
+                wal.append(record);
+            }
+            let inner = wal.inner.lock();
+            let mut streamed: Vec<u8> =
+                inner.pending.iter().flat_map(|(_, page)| page.iter().copied()).collect();
+            streamed.extend_from_slice(&inner.cur_payload);
+            // The durable stream spills (the page image), the volatile one
+            // stays on its first page: both are here in full.
+            assert_eq!(streamed, reference_stream(&records, durable), "durable: {durable}");
+            assert_eq!(inner.cur_page, u64::from(durable));
+        }
     }
 
     #[test]

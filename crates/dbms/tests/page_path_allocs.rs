@@ -1,5 +1,5 @@
-//! Allocation budgets of the warm read paths: a point read and a range
-//! scan.
+//! Allocation budgets of the warm page paths: a point read, a range scan,
+//! and the writes — update, insert and delete.
 //!
 //! `Database::index_get` on resident pages borrows its way down the
 //! B+-tree and into the heap page: no page is copied and no node is
@@ -8,14 +8,18 @@
 //! per string column.  A counting global allocator (per thread, as in
 //! `crates/obs/tests/no_alloc.rs`, so parallel tests do not charge each
 //! other) holds the path to that.  `Database::index_range` over
-//! resident leaves allocates its result rows and nothing per leaf.  CI
-//! runs this in `--release`, where the claim matters.
+//! resident leaves allocates its result rows and nothing per leaf.  The
+//! writes edit the heap page and the leaf in their buffer frames and
+//! copy no page either.  CI runs this in `--release`, where the claim
+//! matters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use dbms_engine::{ColumnType, Database, DatabaseConfig, NoFtlBackend, Schema, Value, PAGE_SIZE};
+use dbms_engine::{
+    ColumnType, Database, DatabaseConfig, NoFtlBackend, Record, RecordId, Schema, Value, PAGE_SIZE,
+};
 use flash_sim::{DeviceBuilder, FlashGeometry, SimTime, TimingModel};
 use noftl_core::{NoFtl, NoFtlConfig, PlacementConfig};
 
@@ -62,6 +66,18 @@ fn key(id: u64) -> Vec<u8> {
     format!("user{id:020}").into_bytes()
 }
 
+fn row(id: u64) -> Record {
+    vec![Value::Str(String::from_utf8(key(id)).unwrap()), Value::Str("v".into())]
+}
+
+/// Allocations `f` makes on this thread and the largest of them.
+fn counted(f: impl FnOnce()) -> (u64, usize) {
+    LARGEST.with(|l| l.set(0));
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    (ALLOCATIONS.with(Cell::get) - before, LARGEST.with(Cell::get))
+}
+
 /// A database of `RECORDS` rows behind a three-level index, all of it
 /// resident: the reads of both tests are hits.
 fn loaded_db() -> (Database, SimTime) {
@@ -80,9 +96,7 @@ fn loaded_db() -> (Database, SimTime) {
     let mut now = SimTime::ZERO;
     for id in 0..RECORDS {
         let mut txn = db.begin(now);
-        let k = key(id);
-        let row = vec![Value::Str(String::from_utf8(k.clone()).unwrap()), Value::Str("v".into())];
-        db.insert(&mut txn, "t", &row, &[("i", k)]).unwrap();
+        db.insert(&mut txn, "t", &row(id), &[("i", key(id))]).unwrap();
         db.commit(&mut txn).unwrap();
         now = txn.now;
     }
@@ -149,4 +163,72 @@ fn warm_range_scan_allocates_nothing_per_leaf() {
         allocs <= budget,
         "{allocs} allocations for {rows_wanted} rows over {leaves} warm leaves (budget {budget})"
     );
+}
+
+/// Warm writes edit their pages where the pool holds them.  Per
+/// operation, what is left to allocate is:
+///
+/// * `update`: the record `Schema::encode` builds — 1;
+/// * `insert`: the same encoded record — 1.  The index key arrives built,
+///   the B+-tree descent copies its internal nodes into the tree's
+///   reused path buffer, and the log note is formatted into the log's
+///   reused frame buffer;
+/// * `delete`: nothing — 0.
+///
+/// The commit forces the log, which seals a page of its own; it runs
+/// outside the counted windows.
+#[test]
+fn warm_writes_copy_no_page() {
+    const OPS: u64 = 20;
+    let (db, now) = loaded_db();
+    let table = db.table("t").unwrap();
+    let tree = &table.index("i").unwrap().tree;
+    let mut txn = db.begin(now);
+    // Start a fresh heap fill page, so the counted inserts all land in
+    // it (a page holds about 30 of these records).
+    let (pages, mut id) = (table.heap.page_count(), RECORDS);
+    while table.heap.page_count() == pages {
+        db.insert(&mut txn, "t", &row(id), &[("i", key(id))]).unwrap();
+        id += 1;
+    }
+    // Rows spread over the tree: each delete makes room in its leaf for
+    // the insert of the same key that follows, so no insert splits.
+    let ids: Vec<u64> = (0..OPS).map(|i| 1 + i * 997 % RECORDS).collect();
+    let rids: Vec<RecordId> = ids
+        .iter()
+        .map(|&i| db.index_lookup(&mut txn, "t", "i", &key(i)).unwrap().expect("loaded key"))
+        .collect();
+    let rows: Vec<Record> = ids.iter().map(|&i| row(i)).collect();
+    let keys: Vec<[(&str, Vec<u8>); 1]> = ids.iter().map(|&i| [("i", key(i))]).collect();
+    let (misses, tree_pages) = (db.buffer_stats().misses, tree.page_count());
+
+    let update = counted(|| {
+        for (rid, row) in rids.iter().zip(&rows) {
+            db.update(&mut txn, "t", *rid, row).unwrap();
+        }
+    });
+    let delete = counted(|| {
+        for (rid, keys) in rids.iter().zip(&keys) {
+            db.delete(&mut txn, "t", *rid, keys).unwrap();
+        }
+    });
+    let insert = counted(|| {
+        for (row, keys) in rows.iter().zip(&keys) {
+            db.insert(&mut txn, "t", row, keys).unwrap();
+        }
+    });
+    db.commit(&mut txn).unwrap();
+
+    assert_eq!(db.buffer_stats().misses, misses, "the writes were meant to be warm");
+    assert_eq!(tree.page_count(), tree_pages, "an insert split its leaf");
+    for (op, (allocs, largest), per_op) in
+        [("update", update, 1), ("delete", delete, 0), ("insert", insert, 1)]
+    {
+        assert!(largest < PAGE_SIZE, "a warm {op} allocated {largest} bytes — a page was copied");
+        assert!(
+            allocs <= per_op * OPS,
+            "{allocs} allocations for {OPS} warm {op}s (budget {})",
+            per_op * OPS
+        );
+    }
 }
