@@ -25,8 +25,8 @@ pub struct IndexDef {
 pub struct TableDef {
     /// Table name.
     pub name: String,
-    /// Column schema.
-    pub schema: Schema,
+    /// Column schema, shared with every [`crate::Row`] read from the table.
+    pub schema: Arc<Schema>,
     /// The heap file holding the rows.
     pub heap: HeapFile,
     /// Indexes on the table, by name.
@@ -97,7 +97,7 @@ mod tests {
     fn table(name: &str) -> TableDef {
         TableDef {
             name: name.to_string(),
-            schema: Schema::new(vec![("id", ColumnType::Int)]),
+            schema: Arc::new(Schema::new(vec![("id", ColumnType::Int)])),
             heap: HeapFile::new(1),
             indexes: RwLock::new(HashMap::new()),
         }

@@ -211,8 +211,8 @@ impl Contract for CrashHarnessConfig {
                     db.index_lookup(&mut txn, TABLE, INDEX, &key_bytes(key)).map(drop)
                 } else if read_only {
                     let found = db.index_get(&mut txn, TABLE, INDEX, &key_bytes(key));
-                    let committed = ledger.committed.get(&key).map(|v| Value::Int(*v));
-                    match found.map(|hit| hit.map(|(_, record)| record[1].clone())) {
+                    let committed = ledger.committed.get(&key).copied();
+                    match found.map(|hit| hit.map(|(_, record)| record.int(1))) {
                         Ok(seen) if seen != committed => {
                             return Err(corrupted(format!(
                                 "a reader saw {seen:?} for key {key}, committed {committed:?}"
@@ -276,12 +276,10 @@ impl Contract for CrashHarnessConfig {
         let mut actual = World::new();
         for key in 0..KEYS {
             if let Some((_, record)) = db.index_get(&mut txn, TABLE, INDEX, &key_bytes(key))? {
-                match (&record[0], &record[1]) {
-                    (Value::Int(k), Value::Int(v)) if *k == key => {
-                        actual.insert(key, *v);
-                    }
-                    _ => return Err(corrupted(format!("key {key} decoded to {record:?}"))),
+                if record.int(0) != key {
+                    return Err(corrupted(format!("key {key} found the row of {}", record.int(0))));
                 }
+                actual.insert(key, record.int(1));
             }
         }
         let (heap, index) = (db.table(TABLE)?.heap.record_count(), actual.len());

@@ -14,10 +14,10 @@ use crate::buffer::{BufferPool, BufferStats};
 use crate::catalog::{Catalog, IndexDef, TableDef};
 use crate::error::DbError;
 use crate::heap::{HeapFile, RecordId};
+use crate::row::{AsRecord, Row};
 use crate::schema::Schema;
 use crate::storage::{ObjectId, StorageBackend};
 use crate::txn::{Txn, TxnOutcome};
-use crate::value::Record;
 use crate::wal::{Wal, WalRecord, WalStats};
 use crate::Result;
 use crate::PAGE_SIZE;
@@ -44,6 +44,10 @@ const CATALOG_HEADER: usize = 24;
 
 /// A decoded catalog: `(name, schema, index names)` per table.
 type CatalogTables = Vec<(String, Schema, Vec<String>)>;
+
+/// No index keys: for [`Database::insert`] / [`Database::delete`] on a
+/// table without indexes.
+pub const NO_KEYS: &[(&str, &[u8])] = &[];
 
 /// CPU cost charged to a transaction for each record operation: 2 µs.
 const OP_CPU: Duration = Duration(2_000);
@@ -229,7 +233,7 @@ impl Database {
         let obj = self.backend.create_object(name)?;
         let table = TableDef {
             name: name.to_string(),
-            schema,
+            schema: Arc::new(schema),
             heap: HeapFile::new(obj),
             indexes: RwLock::new(HashMap::new()),
         };
@@ -279,25 +283,25 @@ impl Database {
         Txn::begin(self.next_txn.fetch_add(1, Ordering::Relaxed), now)
     }
 
-    /// Insert a record into a table and register it under the given index
-    /// keys (`(index name, key bytes)` pairs).
+    /// Insert a record — values or a [`Row`] — into a table and register
+    /// it under the given index keys (`(index name, key bytes)` pairs).
     pub fn insert(
         &self,
         txn: &mut Txn,
         table: &str,
-        record: &Record,
-        index_keys: &[(&str, Vec<u8>)],
+        record: &(impl AsRecord + ?Sized),
+        index_keys: &[(&str, impl AsRef<[u8]>)],
     ) -> Result<RecordId> {
         self.check_usable()?;
         let table_def = self.catalog.table(table)?;
-        let encoded = table_def.schema.encode(record)?;
+        let encoded = record.encoded(&table_def.schema)?;
         let (rid, t) = table_def.heap.insert(&self.pool, &encoded, txn.now)?;
         txn.advance_to(t);
         txn.writes += 1;
         txn.add_cpu(OP_CPU);
         for (index, key) in index_keys {
             let idx = table_def.index(index)?;
-            let t = idx.tree.insert(&self.pool, key, rid, txn.now)?;
+            let t = idx.tree.insert(&self.pool, key.as_ref(), rid, txn.now)?;
             txn.advance_to(t);
             txn.writes += 1;
         }
@@ -305,22 +309,29 @@ impl Database {
         Ok(rid)
     }
 
-    /// Fetch a record by its id.
-    pub fn get(&self, txn: &mut Txn, table: &str, rid: RecordId) -> Result<Record> {
+    /// Fetch a record by its id, as the heap stores it: its one copy of
+    /// the bytes is the row's.
+    pub fn get(&self, txn: &mut Txn, table: &str, rid: RecordId) -> Result<Row> {
         let table_def = self.catalog.table(table)?;
         let (bytes, t) = table_def.heap.get(&self.pool, rid, txn.now)?;
         txn.advance_to(t);
         txn.reads += 1;
         txn.add_cpu(OP_CPU);
-        table_def.schema.decode(&bytes)
+        Row::new(Arc::clone(&table_def.schema), bytes)
     }
 
     /// Overwrite a record in place (the schema's fixed layout guarantees
-    /// the new version fits).
-    pub fn update(&self, txn: &mut Txn, table: &str, rid: RecordId, record: &Record) -> Result<()> {
+    /// the new version fits).  A [`Row`] is stored as it is, unencoded.
+    pub fn update(
+        &self,
+        txn: &mut Txn,
+        table: &str,
+        rid: RecordId,
+        record: &(impl AsRecord + ?Sized),
+    ) -> Result<()> {
         self.check_usable()?;
         let table_def = self.catalog.table(table)?;
-        let encoded = table_def.schema.encode(record)?;
+        let encoded = record.encoded(&table_def.schema)?;
         let t = table_def.heap.update(&self.pool, rid, &encoded, txn.now)?;
         txn.advance_to(t);
         txn.writes += 1;
@@ -335,7 +346,7 @@ impl Database {
         txn: &mut Txn,
         table: &str,
         rid: RecordId,
-        index_keys: &[(&str, Vec<u8>)],
+        index_keys: &[(&str, impl AsRef<[u8]>)],
     ) -> Result<()> {
         self.check_usable()?;
         let table_def = self.catalog.table(table)?;
@@ -345,7 +356,7 @@ impl Database {
         txn.add_cpu(OP_CPU);
         for (index, key) in index_keys {
             let idx = table_def.index(index)?;
-            let (_, t) = idx.tree.delete(&self.pool, key, txn.now)?;
+            let (_, t) = idx.tree.delete(&self.pool, key.as_ref(), txn.now)?;
             txn.advance_to(t);
             txn.writes += 1;
         }
@@ -377,15 +388,15 @@ impl Database {
         table: &str,
         index: &str,
         key: &[u8],
-    ) -> Result<Option<(RecordId, Record)>> {
+    ) -> Result<Option<(RecordId, Row)>> {
         match self.index_lookup(txn, table, index, key)? {
             Some(rid) => Ok(Some((rid, self.get(txn, table, rid)?))),
             None => Ok(None),
         }
     }
 
-    /// Range scan over an index: the first `limit` `(key, rid)` pairs
-    /// with keys in `[low, high)`, in key order — [`crate::btree::BTree::range`]:
+    /// Range scan over an index: the record ids of the first `limit` keys
+    /// in `[low, high)`, in key order — [`crate::btree::BTree::range`]:
     /// `high == None` has no upper bound (a YCSB-style short scan),
     /// `limit == usize::MAX` no limit.
     pub fn index_range(
@@ -396,31 +407,34 @@ impl Database {
         low: &[u8],
         high: Option<&[u8]>,
         limit: usize,
-    ) -> Result<Vec<(Vec<u8>, RecordId)>> {
+    ) -> Result<Vec<RecordId>> {
         let table_def = self.catalog.table(table)?;
         let idx = table_def.index(index)?;
-        let (out, t) = idx.tree.range(&self.pool, low, high, limit, txn.now)?;
+        let mut rids = Vec::new();
+        let t = idx.tree.range(&self.pool, low, high, limit, txn.now, |_, rid| rids.push(rid))?;
         txn.advance_to(t);
         txn.reads += 1;
         txn.add_cpu(OP_CPU);
-        Ok(out)
+        Ok(rids)
     }
 
-    /// Prefix scan over an index.
+    /// Prefix scan over an index: the record ids of every key starting
+    /// with `prefix`, in key order.
     pub fn index_prefix(
         &self,
         txn: &mut Txn,
         table: &str,
         index: &str,
         prefix: &[u8],
-    ) -> Result<Vec<(Vec<u8>, RecordId)>> {
+    ) -> Result<Vec<RecordId>> {
         let table_def = self.catalog.table(table)?;
         let idx = table_def.index(index)?;
-        let (out, t) = idx.tree.prefix_scan(&self.pool, prefix, txn.now)?;
+        let mut rids = Vec::new();
+        let t = idx.tree.prefix_scan(&self.pool, prefix, txn.now, |_, rid| rids.push(rid))?;
         txn.advance_to(t);
         txn.reads += 1;
         txn.add_cpu(OP_CPU);
-        Ok(out)
+        Ok(rids)
     }
 
     /// Commit a transaction.
@@ -732,6 +746,7 @@ impl Database {
                 indexes.insert(index.clone(), Arc::new(IndexDef { name: index, tree }));
                 report.indexes_recovered += 1;
             }
+            let schema = Arc::new(schema);
             catalog.add_table(TableDef { name, schema, heap, indexes: RwLock::new(indexes) })?;
             report.tables_recovered += 1;
         }
@@ -771,7 +786,7 @@ mod tests {
     use super::*;
     use crate::schema::ColumnType;
     use crate::storage::NoFtlBackend;
-    use crate::value::{composite_key, Value};
+    use crate::value::{composite_key, Record, Value};
     use flash_sim::{DeviceBuilder, FlashGeometry, TimingModel};
     use noftl_core::{NoFtl, NoFtlConfig, PlacementConfig};
 
@@ -818,11 +833,15 @@ mod tests {
         // Point lookup through the index.
         let (found_rid, rec) = db.index_get(&mut txn, "customer", "c_idx", &key).unwrap().unwrap();
         assert_eq!(found_rid, rid);
-        assert_eq!(rec[0], Value::Int(42));
-        // Update in place.
+        assert_eq!((rec.int(0), rec.str(3)), (42, "BARBARBAR".into()));
+        // Update in place, from values and from the row.
         db.update(&mut txn, "customer", rid, &customer(42, 1, 99.5, "BARBARBAR")).unwrap();
+        let mut rec = db.get(&mut txn, "customer", rid).unwrap();
+        assert_eq!(rec.float(2), 99.5);
+        rec.set_str(3, "FOO");
+        db.update(&mut txn, "customer", rid, &rec).unwrap();
         let rec = db.get(&mut txn, "customer", rid).unwrap();
-        assert_eq!(rec[2], Value::Float(99.5));
+        assert_eq!(rec.bytes(), customer_schema().encode(&customer(42, 1, 99.5, "FOO")).unwrap());
         // Delete removes heap record and index entry.
         db.delete(&mut txn, "customer", rid, &[("c_idx", key.clone())]).unwrap();
         assert!(db.get(&mut txn, "customer", rid).is_err());
@@ -837,7 +856,7 @@ mod tests {
         let db = open_db(128);
         db.create_table("t", customer_schema(), SimTime::ZERO).unwrap();
         let mut txn = db.begin(SimTime::ZERO);
-        db.insert(&mut txn, "t", &customer(1, 1, 0.0, "X"), &[]).unwrap();
+        db.insert(&mut txn, "t", &customer(1, 1, 0.0, "X"), NO_KEYS).unwrap();
         let before = txn.now;
         db.commit(&mut txn).unwrap();
         assert!(txn.now > before, "the WAL force must take simulated time");
@@ -916,7 +935,7 @@ mod tests {
     /// transaction (plus a DDL page write while its capture is open)
     /// between them; crash, recover.  Returns the log records the second
     /// writer appended, the recovery report and the recovered balances.
-    fn two_writers_then_recover(with_reader: bool) -> (u64, RecoveryReport, Vec<Value>) {
+    fn two_writers_then_recover(with_reader: bool) -> (u64, RecoveryReport, Vec<f64>) {
         let (device, db, mut now) = open_redo_customer_db();
         let insert = |id: i64, now: SimTime| {
             let mut txn = db.begin(now);
@@ -946,7 +965,7 @@ mod tests {
             .iter()
             .map(|id| {
                 let key = composite_key(&[1, *id]);
-                db2.index_get(&mut txn, "customer", "c_idx", &key).unwrap().unwrap().1[2].clone()
+                db2.index_get(&mut txn, "customer", "c_idx", &key).unwrap().unwrap().1.float(2)
             })
             .collect();
         (second_writer_records, report, balances)
@@ -964,7 +983,7 @@ mod tests {
             "recovery after a read-only transaction equals recovery without"
         );
         assert_eq!(balances_r, balances);
-        assert_eq!(balances, vec![Value::Float(1.0), Value::Float(2.0)]);
+        assert_eq!(balances, vec![1.0, 2.0]);
     }
 
     #[test]
@@ -1032,7 +1051,7 @@ mod tests {
         let db = open_db(64);
         let mut txn = db.begin(SimTime::ZERO);
         assert!(db.get(&mut txn, "nope", RecordId::new(0, 0)).is_err());
-        assert!(db.insert(&mut txn, "nope", &vec![], &[]).is_err());
+        assert!(db.insert(&mut txn, "nope", &Record::new(), NO_KEYS).is_err());
         assert!(db.create_index("nope", "i", SimTime::ZERO).is_err());
         db.create_table("t", customer_schema(), SimTime::ZERO).unwrap();
         assert!(db.index_lookup(&mut txn, "t", "missing_idx", b"k").is_err());
@@ -1040,8 +1059,18 @@ mod tests {
         assert!(db.create_table("t", customer_schema(), SimTime::ZERO).is_err());
         db.create_index("t", "i", SimTime::ZERO).unwrap();
         assert!(db.create_index("t", "i", SimTime::ZERO).is_err());
-        // Schema mismatch on insert.
-        assert!(db.insert(&mut txn, "t", &vec![Value::Int(1)], &[]).is_err());
+        // Schema mismatch on insert, and a row of another table's schema.
+        assert!(db.insert(&mut txn, "t", &vec![Value::Int(1)], NO_KEYS).is_err());
+        let ids = Schema::new(vec![("id", ColumnType::Int)]);
+        db.create_table("ids", ids, SimTime::ZERO).unwrap();
+        let rid = db.insert(&mut txn, "ids", &vec![Value::Int(1)], NO_KEYS).unwrap();
+        let row = db.get(&mut txn, "ids", rid).unwrap();
+        let rid = db.insert(&mut txn, "t", &customer(1, 1, 0.0, "X"), NO_KEYS).unwrap();
+        for mismatch in
+            [db.update(&mut txn, "t", rid, &row), db.insert(&mut txn, "t", &row, NO_KEYS).map(drop)]
+        {
+            assert!(matches!(mismatch, Err(DbError::SchemaMismatch { .. })));
+        }
         // Empty schema rejected.
         assert!(db.create_table("empty", Schema::new(vec![]), SimTime::ZERO).is_err());
     }
@@ -1075,8 +1104,7 @@ mod tests {
         // The committed row is back, the ghost is gone.
         let mut txn2 = db2.begin(recovered_at);
         let (_, rec) = db2.index_get(&mut txn2, "customer", "c_idx", &key).unwrap().unwrap();
-        assert_eq!(rec[0], Value::Int(7));
-        assert_eq!(rec[3], Value::Str("TAIL".into()));
+        assert_eq!((rec.int(0), rec.str(3)), (7, "TAIL".into()));
         assert!(db2
             .index_lookup(&mut txn2, "customer", "c_idx", &composite_key(&[1, 8]))
             .unwrap()
@@ -1100,12 +1128,12 @@ mod tests {
         let t0 = SimTime::ZERO;
         db.create_table("t", customer_schema(), t0).unwrap();
         let mut txn = db.begin(t0);
-        let rid = db.insert(&mut txn, "t", &customer(1, 2, 3.0, "A"), &[]).unwrap();
+        let rid = db.insert(&mut txn, "t", &customer(1, 2, 3.0, "A"), NO_KEYS).unwrap();
         let done = db.flush_all(txn.now).unwrap();
         assert!(done >= txn.now);
         // Data readable via a fresh transaction.
         let mut txn2 = db.begin(done);
-        assert_eq!(db.get(&mut txn2, "t", rid).unwrap()[0], Value::Int(1));
+        assert_eq!(db.get(&mut txn2, "t", rid).unwrap().int(0), 1);
         assert_eq!(db.table_names(), vec!["t".to_string()]);
         assert!(db.table("t").is_ok());
         assert!(db.buffer_stats().logical_writes > 0);

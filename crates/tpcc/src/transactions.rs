@@ -3,13 +3,15 @@
 //! All transaction logic runs against the `dbms-engine` API; every index
 //! access, heap fetch and update turns into buffer-pool traffic and —
 //! on misses, evictions and commits — into native flash commands, which is
-//! what the paper's evaluation measures.
+//! what the paper's evaluation measures.  Rows are read and edited in
+//! their bytes ([`Row`]): a transaction decodes no record it reads and
+//! encodes none it updates; only the rows it inserts start as values.
 
 use rand::rngs::StdRng;
 
 use dbms_engine::txn::TxnOutcome;
 use dbms_engine::value::Value;
-use dbms_engine::{Database, Record, RecordId, Txn};
+use dbms_engine::{Database, Record, RecordId, Row, Txn, NO_KEYS};
 
 use crate::loader::ScaleConfig;
 use crate::random;
@@ -36,16 +38,7 @@ const OL_AMOUNT: usize = 8;
 const S_QUANTITY: usize = 2;
 const S_YTD: usize = 13;
 const S_ORDER_CNT: usize = 14;
-const S_REMOTE_CNT: usize = 15;
 const I_PRICE: usize = 3;
-
-fn int(rec: &Record, idx: usize) -> i64 {
-    rec[idx].as_int().unwrap_or(0)
-}
-
-fn float(rec: &Record, idx: usize) -> f64 {
-    rec[idx].as_float().unwrap_or(0.0)
-}
 
 /// Select a customer either by id (40 %) or by last name (60 %), as the
 /// spec prescribes for Payment and OrderStatus.  Returns the record id and
@@ -57,7 +50,7 @@ fn select_customer(
     txn: &mut Txn,
     w_id: i64,
     d_id: i64,
-) -> dbms_engine::Result<Option<(RecordId, Record)>> {
+) -> dbms_engine::Result<Option<(RecordId, Row)>> {
     if random::uniform(rng, 1, 100) <= 60 {
         // By last name: take the middle customer with that name.
         let last = random::random_last_name(rng);
@@ -72,9 +65,9 @@ fn select_customer(
             let c_id = random::nurand_customer_id(rng, scale.customers_per_district);
             return db.index_get(txn, "CUSTOMER", "C_IDX", &schema::customer_key(w_id, d_id, c_id));
         }
-        let (_, rid) = matches[matches.len() / 2];
-        let rec = db.get(txn, "CUSTOMER", rid)?;
-        Ok(Some((rid, rec)))
+        let rid = matches[matches.len() / 2];
+        let row = db.get(txn, "CUSTOMER", rid)?;
+        Ok(Some((rid, row)))
     } else {
         let c_id = random::nurand_customer_id(rng, scale.customers_per_district);
         db.index_get(txn, "CUSTOMER", "C_IDX", &schema::customer_key(w_id, d_id, c_id))
@@ -112,22 +105,22 @@ pub fn new_order(
     let (_, warehouse) = db
         .index_get(txn, "WAREHOUSE", "W_IDX", &schema::warehouse_key(w_id))?
         .ok_or_else(|| dbms_engine::DbError::not_found(format!("warehouse {w_id}")))?;
-    let w_tax = float(&warehouse, W_TAX);
+    let w_tax = warehouse.float(W_TAX);
     let (d_rid, mut district) = db
         .index_get(txn, "DISTRICT", "D_IDX", &schema::district_key(w_id, d_id))?
         .ok_or_else(|| dbms_engine::DbError::not_found(format!("district {w_id}-{d_id}")))?;
-    let d_tax = float(&district, D_TAX);
-    let o_id = int(&district, D_NEXT_O_ID);
+    let d_tax = district.float(D_TAX);
+    let o_id = district.int(D_NEXT_O_ID);
     let (_, customer) = db
         .index_get(txn, "CUSTOMER", "C_IDX", &schema::customer_key(w_id, d_id, c_id))?
         .ok_or_else(|| dbms_engine::DbError::not_found(format!("customer {c_id}")))?;
-    let c_discount = float(&customer, C_DISCOUNT);
+    let c_discount = customer.float(C_DISCOUNT);
 
     // Validate the items; an unused item number aborts the transaction.
     let mut item_prices = Vec::with_capacity(lines.len());
     for (_, i_id, _) in &lines {
         match db.index_get(txn, "ITEM", "I_IDX", &schema::item_key(*i_id))? {
-            Some((_, item)) => item_prices.push(float(&item, I_PRICE)),
+            Some((_, item)) => item_prices.push(item.float(I_PRICE)),
             None => {
                 return Ok(db.rollback(txn));
             }
@@ -135,7 +128,7 @@ pub fn new_order(
     }
 
     // All inputs valid: perform the writes.
-    district[D_NEXT_O_ID] = Value::Int(o_id + 1);
+    district.set_int(D_NEXT_O_ID, o_id + 1);
     db.update(txn, "DISTRICT", d_rid, &district)?;
 
     let order: Record = vec![
@@ -153,8 +146,8 @@ pub fn new_order(
         "ORDER",
         &order,
         &[
-            ("O_IDX", schema::order_key(w_id, d_id, o_id)),
-            ("O_CUST_IDX", schema::order_customer_key(w_id, d_id, c_id, o_id)),
+            ("O_IDX", &schema::order_key(w_id, d_id, o_id)[..]),
+            ("O_CUST_IDX", &schema::order_customer_key(w_id, d_id, c_id, o_id)[..]),
         ],
     )?;
     let no: Record = vec![Value::Int(o_id), Value::Int(d_id), Value::Int(w_id)];
@@ -165,16 +158,15 @@ pub fn new_order(
         let (s_rid, mut stock) = db
             .index_get(txn, "STOCK", "S_IDX", &schema::stock_key(w_id, *i_id))?
             .ok_or_else(|| dbms_engine::DbError::not_found(format!("stock {w_id}/{i_id}")))?;
-        let mut s_quantity = int(&stock, S_QUANTITY);
+        let mut s_quantity = stock.int(S_QUANTITY);
         if s_quantity >= quantity + 10 {
             s_quantity -= quantity;
         } else {
             s_quantity = s_quantity - quantity + 91;
         }
-        stock[S_QUANTITY] = Value::Int(s_quantity);
-        stock[S_YTD] = Value::Float(float(&stock, S_YTD) + *quantity as f64);
-        stock[S_ORDER_CNT] = Value::Int(int(&stock, S_ORDER_CNT) + 1);
-        stock[S_REMOTE_CNT] = Value::Int(int(&stock, S_REMOTE_CNT));
+        stock.set_int(S_QUANTITY, s_quantity);
+        stock.set_float(S_YTD, stock.float(S_YTD) + *quantity as f64);
+        stock.set_int(S_ORDER_CNT, stock.int(S_ORDER_CNT) + 1);
         db.update(txn, "STOCK", s_rid, &stock)?;
 
         let amount = *quantity as f64 * price * (1.0 + w_tax + d_tax) * (1.0 - c_discount);
@@ -228,32 +220,32 @@ pub fn payment(
     let (w_rid, mut warehouse) = db
         .index_get(txn, "WAREHOUSE", "W_IDX", &schema::warehouse_key(w_id))?
         .ok_or_else(|| dbms_engine::DbError::not_found(format!("warehouse {w_id}")))?;
-    warehouse[W_YTD] = Value::Float(float(&warehouse, W_YTD) + amount);
+    warehouse.set_float(W_YTD, warehouse.float(W_YTD) + amount);
     db.update(txn, "WAREHOUSE", w_rid, &warehouse)?;
     let (d_rid, mut district) = db
         .index_get(txn, "DISTRICT", "D_IDX", &schema::district_key(w_id, d_id))?
         .ok_or_else(|| dbms_engine::DbError::not_found(format!("district {w_id}-{d_id}")))?;
-    district[D_YTD] = Value::Float(float(&district, D_YTD) + amount);
+    district.set_float(D_YTD, district.float(D_YTD) + amount);
     db.update(txn, "DISTRICT", d_rid, &district)?;
 
     // Customer update.
     let Some((c_rid, mut customer)) = select_customer(db, scale, rng, txn, c_w_id, c_d_id)? else {
         return Ok(db.rollback(txn));
     };
-    customer[C_BALANCE] = Value::Float(float(&customer, C_BALANCE) - amount);
-    customer[C_YTD_PAYMENT] = Value::Float(float(&customer, C_YTD_PAYMENT) + amount);
-    customer[C_PAYMENT_CNT] = Value::Int(int(&customer, C_PAYMENT_CNT) + 1);
-    if customer[C_CREDIT].as_str() == Some("BC") {
-        let c_id = int(&customer, 0);
-        let old = customer[C_DATA].as_str().unwrap_or("").to_string();
+    customer.set_float(C_BALANCE, customer.float(C_BALANCE) - amount);
+    customer.set_float(C_YTD_PAYMENT, customer.float(C_YTD_PAYMENT) + amount);
+    customer.set_int(C_PAYMENT_CNT, customer.int(C_PAYMENT_CNT) + 1);
+    let c_id = customer.int(0);
+    if customer.str(C_CREDIT) == "BC" {
+        let old = customer.str(C_DATA);
         let new_data = format!("{c_id} {c_d_id} {c_w_id} {d_id} {w_id} {amount:.2}|{old}");
-        customer[C_DATA] = Value::Str(new_data);
+        customer.set_str(C_DATA, &new_data);
     }
     db.update(txn, "CUSTOMER", c_rid, &customer)?;
 
     // History row (no index).
     let hist: Record = vec![
-        Value::Int(int(&customer, 0)),
+        Value::Int(c_id),
         Value::Int(c_d_id),
         Value::Int(c_w_id),
         Value::Int(d_id),
@@ -262,7 +254,7 @@ pub fn payment(
         Value::Float(amount),
         Value::Str("payment-history-data".into()),
     ];
-    db.insert(txn, "HISTORY", &hist, &[])?;
+    db.insert(txn, "HISTORY", &hist, NO_KEYS)?;
     db.commit(txn)
 }
 
@@ -278,27 +270,18 @@ pub fn order_status(
     let Some((_, customer)) = select_customer(db, scale, rng, txn, w_id, d_id)? else {
         return Ok(db.rollback(txn));
     };
-    let c_id = int(&customer, 0);
+    let c_id = customer.int(0);
     // Most recent order of the customer.
-    let orders = db.index_prefix(
-        txn,
-        "ORDER",
-        "O_CUST_IDX",
-        &dbms_engine::value::composite_key(&[w_id, d_id, c_id]),
-    )?;
-    if let Some((_, o_rid)) = orders.last() {
-        let order = db.get(txn, "ORDER", *o_rid)?;
-        let o_id = int(&order, 0);
+    let orders =
+        db.index_prefix(txn, "ORDER", "O_CUST_IDX", &schema::customer_key(w_id, d_id, c_id))?;
+    if let Some(&o_rid) = orders.last() {
+        let o_id = db.get(txn, "ORDER", o_rid)?.int(0);
         // Read all of its order lines.
-        let lines = db.index_prefix(
-            txn,
-            "ORDERLINE",
-            "OL_IDX",
-            &dbms_engine::value::composite_key(&[w_id, d_id, o_id]),
-        )?;
-        for (_, ol_rid) in lines {
+        let lines =
+            db.index_prefix(txn, "ORDERLINE", "OL_IDX", &schema::order_key(w_id, d_id, o_id))?;
+        for ol_rid in lines {
             let ol = db.get(txn, "ORDERLINE", ol_rid)?;
-            debug_assert_eq!(int(&ol, 0), o_id);
+            debug_assert_eq!(ol.int(0), o_id);
         }
     }
     db.commit(txn)
@@ -316,18 +299,19 @@ pub fn delivery(
     let carrier = random::uniform(rng, 1, 10);
     for d_id in 1..=scale.districts_per_warehouse {
         // Oldest undelivered order of the district.
-        let pending = db.index_prefix(
-            txn,
-            "NEW_ORDER",
-            "NO_IDX",
-            &dbms_engine::value::composite_key(&[w_id, d_id]),
-        )?;
-        let Some((no_key, no_rid)) = pending.first().cloned() else {
+        let pending =
+            db.index_prefix(txn, "NEW_ORDER", "NO_IDX", &schema::district_key(w_id, d_id))?;
+        let Some(&no_rid) = pending.first() else {
             continue;
         };
-        let no_row = db.get(txn, "NEW_ORDER", no_rid)?;
-        let o_id = int(&no_row, 0);
-        db.delete(txn, "NEW_ORDER", no_rid, &[("NO_IDX", no_key)])?;
+        let o_id = db.get(txn, "NEW_ORDER", no_rid)?.int(0);
+        // The key its insert registered, rebuilt from the row.
+        db.delete(
+            txn,
+            "NEW_ORDER",
+            no_rid,
+            &[("NO_IDX", schema::new_order_key(w_id, d_id, o_id))],
+        )?;
 
         // Update the order's carrier.
         let Some((o_rid, mut order)) =
@@ -335,22 +319,18 @@ pub fn delivery(
         else {
             continue;
         };
-        let c_id = int(&order, O_C_ID);
-        order[O_CARRIER_ID] = Value::Int(carrier);
+        let c_id = order.int(O_C_ID);
+        order.set_int(O_CARRIER_ID, carrier);
         db.update(txn, "ORDER", o_rid, &order)?;
 
         // Stamp every order line and sum the amounts.
-        let lines = db.index_prefix(
-            txn,
-            "ORDERLINE",
-            "OL_IDX",
-            &dbms_engine::value::composite_key(&[w_id, d_id, o_id]),
-        )?;
+        let lines =
+            db.index_prefix(txn, "ORDERLINE", "OL_IDX", &schema::order_key(w_id, d_id, o_id))?;
         let mut total = 0.0;
-        for (_, ol_rid) in lines {
+        for ol_rid in lines {
             let mut ol = db.get(txn, "ORDERLINE", ol_rid)?;
-            total += float(&ol, OL_AMOUNT);
-            ol[OL_DELIVERY_D] = Value::Str("20160315130000".into());
+            total += ol.float(OL_AMOUNT);
+            ol.set_str(OL_DELIVERY_D, "20160315130000");
             db.update(txn, "ORDERLINE", ol_rid, &ol)?;
         }
 
@@ -358,8 +338,8 @@ pub fn delivery(
         if let Some((c_rid, mut customer)) =
             db.index_get(txn, "CUSTOMER", "C_IDX", &schema::customer_key(w_id, d_id, c_id))?
         {
-            customer[C_BALANCE] = Value::Float(float(&customer, C_BALANCE) + total);
-            customer[C_DELIVERY_CNT] = Value::Int(int(&customer, C_DELIVERY_CNT) + 1);
+            customer.set_float(C_BALANCE, customer.float(C_BALANCE) + total);
+            customer.set_int(C_DELIVERY_CNT, customer.int(C_DELIVERY_CNT) + 1);
             db.update(txn, "CUSTOMER", c_rid, &customer)?;
         }
     }
@@ -379,22 +359,21 @@ pub fn stock_level(
     let (_, district) = db
         .index_get(txn, "DISTRICT", "D_IDX", &schema::district_key(w_id, d_id))?
         .ok_or_else(|| dbms_engine::DbError::not_found(format!("district {w_id}-{d_id}")))?;
-    let next_o_id = int(&district, D_NEXT_O_ID);
+    let next_o_id = district.int(D_NEXT_O_ID);
     // Order lines of the last 20 orders.
-    let low = dbms_engine::value::composite_key(&[w_id, d_id, (next_o_id - 20).max(1), 0]);
-    let high = dbms_engine::value::composite_key(&[w_id, d_id, next_o_id, 0]);
+    let low = schema::orderline_key(w_id, d_id, (next_o_id - 20).max(1), 0);
+    let high = schema::orderline_key(w_id, d_id, next_o_id, 0);
     let lines = db.index_range(txn, "ORDERLINE", "OL_IDX", &low, Some(&high), usize::MAX)?;
     let mut items = std::collections::BTreeSet::new();
-    for (_, ol_rid) in lines {
-        let ol = db.get(txn, "ORDERLINE", ol_rid)?;
-        items.insert(int(&ol, OL_I_ID));
+    for ol_rid in lines {
+        items.insert(db.get(txn, "ORDERLINE", ol_rid)?.int(OL_I_ID));
     }
     let mut low_stock = 0u64;
     for i_id in items {
         if let Some((_, stock)) =
             db.index_get(txn, "STOCK", "S_IDX", &schema::stock_key(w_id, i_id))?
         {
-            if int(&stock, S_QUANTITY) < threshold {
+            if stock.int(S_QUANTITY) < threshold {
                 low_stock += 1;
             }
         }
@@ -451,7 +430,7 @@ mod tests {
             .index_get(&mut txn, "DISTRICT", "D_IDX", &schema::district_key(1, 2))
             .unwrap()
             .unwrap();
-        let grown = int(&d1, D_NEXT_O_ID) + int(&d2, D_NEXT_O_ID);
+        let grown = d1.int(D_NEXT_O_ID) + d2.int(D_NEXT_O_ID);
         assert!(grown > 2 * (scale.initial_orders_per_district + 1));
     }
 
@@ -473,7 +452,7 @@ mod tests {
             .index_get(&mut txn, "WAREHOUSE", "W_IDX", &schema::warehouse_key(1))
             .unwrap()
             .unwrap();
-        assert!(float(&w, W_YTD) > 300_000.0);
+        assert!(w.float(W_YTD) > 300_000.0);
     }
 
     #[test]
@@ -506,16 +485,17 @@ mod tests {
         let mut txn = db.begin(t0);
         delivery(&db, &scale, &mut rng, &mut txn, 1).unwrap();
         let pending_after = db.table("NEW_ORDER").unwrap().heap.record_count();
-        // One order per district is delivered.
+        // One order per district is delivered, and its NO_IDX entry with it.
         assert_eq!(pending_after, pending_before - scale.districts_per_warehouse as u64);
+        let entries = db.table("NEW_ORDER").unwrap().index("NO_IDX").unwrap().tree.len();
+        assert_eq!(entries, pending_after);
         // Delivered orders have a carrier assigned.
-        let orders = db
-            .index_prefix(&mut txn, "ORDER", "O_IDX", &dbms_engine::value::composite_key(&[1, 1]))
-            .unwrap();
+        let orders =
+            db.index_prefix(&mut txn, "ORDER", "O_IDX", &schema::district_key(1, 1)).unwrap();
         let mut delivered = 0;
-        for (_, rid) in orders {
+        for rid in orders {
             let o = db.get(&mut txn, "ORDER", rid).unwrap();
-            if int(&o, O_CARRIER_ID) > 0 {
+            if o.int(O_CARRIER_ID) > 0 {
                 delivered += 1;
             }
         }

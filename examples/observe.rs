@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use noftl_regions::dbms::ColumnType;
-use noftl_regions::dbms::{Database, DatabaseConfig, NoFtlBackend, Schema, Value};
+use noftl_regions::dbms::{Database, DatabaseConfig, NoFtlBackend, Schema, Value, NO_KEYS};
 use noftl_regions::dump;
 use noftl_regions::flash::{DeviceBuilder, FlashBackend, FlashGeometry, SimTime, TimingModel};
 use noftl_regions::noftl::kv::{KvConfig, KvStore};
@@ -47,7 +47,7 @@ fn main() {
     for i in 0..200i64 {
         let mut txn = db.begin(now);
         rids.push(
-            db.insert(&mut txn, "acct", &vec![Value::Int(i), Value::Int(i * 13)], &[]).unwrap(),
+            db.insert(&mut txn, "acct", &vec![Value::Int(i), Value::Int(i * 13)], NO_KEYS).unwrap(),
         );
         db.commit(&mut txn).unwrap();
         now = txn.now;

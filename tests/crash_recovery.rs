@@ -206,8 +206,8 @@ fn recovery_reports_scale_with_wal_length() {
     for chunk in 0..3 {
         for i in 0..20i64 {
             let mut txn = db.begin(t);
-            use noftl_regions::dbms::Value;
-            db.insert(&mut txn, "t", &vec![Value::Int(chunk * 20 + i), Value::Int(0)], &[])
+            use noftl_regions::dbms::{Value, NO_KEYS};
+            db.insert(&mut txn, "t", &vec![Value::Int(chunk * 20 + i), Value::Int(0)], NO_KEYS)
                 .unwrap();
             db.commit(&mut txn).unwrap();
             t = txn.now;

@@ -70,7 +70,7 @@ fn tiny_device_through_facade_reexports() {
     db.commit(&mut txn).unwrap();
     let mut txn = db.begin(txn.now);
     let (_, rec) = db.index_get(&mut txn, "t", "t_pk", &composite_key(&[7])).unwrap().unwrap();
-    assert_eq!(rec[0], Value::Int(7));
+    assert_eq!(rec.int(0), 7);
 }
 
 #[test]

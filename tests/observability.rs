@@ -14,7 +14,9 @@
 use std::sync::Arc;
 
 use noftl_regions::dbms::crash_harness::{run_crash_cycle, CrashHarnessConfig};
-use noftl_regions::dbms::{ColumnType, Database, DatabaseConfig, NoFtlBackend, Schema, Value};
+use noftl_regions::dbms::{
+    ColumnType, Database, DatabaseConfig, NoFtlBackend, Schema, Value, NO_KEYS,
+};
 use noftl_regions::dump;
 use noftl_regions::flash::{DeviceBuilder, FlashBackend, FlashGeometry, SimTime, TimingModel};
 use noftl_regions::noftl::kv::{KvConfig, KvStore};
@@ -153,7 +155,7 @@ fn database_metrics_snapshot_spans_every_layer() {
     let mut now = db.checkpoint(SimTime::ZERO).unwrap();
     for i in 0..20i64 {
         let mut txn = db.begin(now);
-        db.insert(&mut txn, "t", &vec![Value::Int(i), Value::Int(i * 3)], &[]).unwrap();
+        db.insert(&mut txn, "t", &vec![Value::Int(i), Value::Int(i * 3)], NO_KEYS).unwrap();
         db.commit(&mut txn).unwrap();
         now = txn.now;
     }

@@ -36,13 +36,12 @@ fn exercise(db: &Database) {
     let mut txn = db.begin(txn.now);
     for id in (0..500i64).step_by(37) {
         let (_, rec) = db.index_get(&mut txn, "t", "t_pk", &composite_key(&[id])).unwrap().unwrap();
-        assert_eq!(rec[0], Value::Int(id));
-        assert_eq!(rec[1], Value::Int(id * 2));
+        assert_eq!((rec.int(0), rec.int(1)), (id, id * 2));
     }
     // Updates stay in place.
     db.update(&mut txn, "t", rids[10], &row(10, 999)).unwrap();
     let rec = db.get(&mut txn, "t", rids[10]).unwrap();
-    assert_eq!(rec[1], Value::Int(999));
+    assert_eq!(rec.int(1), 999);
     // Range scan.
     let (low, high) = (composite_key(&[100]), composite_key(&[110]));
     let hits = db.index_range(&mut txn, "t", "t_pk", &low, Some(&high), usize::MAX).unwrap();
@@ -51,7 +50,7 @@ fn exercise(db: &Database) {
     // Everything survives a checkpoint.
     db.flush_all(txn.now).unwrap();
     let mut txn = db.begin(txn.now);
-    assert_eq!(db.get(&mut txn, "t", rids[499]).unwrap()[0], Value::Int(499));
+    assert_eq!(db.get(&mut txn, "t", rids[499]).unwrap().int(0), 499);
 }
 
 #[test]
