@@ -34,7 +34,7 @@ pub struct Experiment {
     pub scale: ScaleConfig,
     /// Buffer pool size in 4 KiB pages.
     pub buffer_pages: usize,
-    /// Driver configuration (clients, transaction count, mix, seed).
+    /// Driver configuration (clients, transaction count, seed).
     pub driver: DriverConfig,
 }
 
@@ -67,12 +67,7 @@ impl Experiment {
             placement,
             scale: ScaleConfig::small(2),
             buffer_pages: 1_500,
-            driver: DriverConfig {
-                clients: 20,
-                total_transactions: 12_000,
-                seed: 20160315,
-                ..DriverConfig::default()
-            },
+            driver: DriverConfig { clients: 20, total_transactions: 12_000, seed: 20160315 },
         }
     }
 
@@ -95,12 +90,7 @@ impl Experiment {
             placement,
             scale: ScaleConfig::tiny(),
             buffer_pages: 64,
-            driver: DriverConfig {
-                clients: 4,
-                total_transactions: 400,
-                seed: 7,
-                ..DriverConfig::default()
-            },
+            driver: DriverConfig { clients: 4, total_transactions: 400, seed: 7 },
         }
     }
 

@@ -31,22 +31,9 @@ use crate::Result;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DdlStatement {
     /// `CREATE REGION name (MAX_CHIPS=.., MAX_CHANNELS=.., MAX_SIZE=..,
-    /// DIES=.., CLASS=..)`
-    CreateRegion {
-        /// Region name.
-        name: String,
-        /// Explicit die count (`DIES=n`), if given.
-        dies: Option<u32>,
-        /// `MAX_CHIPS` limit, if given.
-        max_chips: Option<u32>,
-        /// `MAX_CHANNELS` limit, if given.
-        max_channels: Option<u32>,
-        /// `MAX_SIZE` limit in bytes, if given.
-        max_size_bytes: Option<u64>,
-        /// `CLASS` service-class override
-        /// (`LATENCY`/`THROUGHPUT`/`BACKGROUND`), if given.
-        class: Option<ServiceClass>,
-    },
+    /// DIES=.., CLASS=..)`: the options fill the region's [`RegionSpec`]
+    /// (`DIES` is its die count, `CLASS` its service class).
+    CreateRegion(RegionSpec),
     /// `CREATE TABLESPACE name (REGION=.., EXTENT_SIZE=..)`
     CreateTablespace {
         /// Tablespace name.
@@ -193,40 +180,27 @@ fn parse_create_region(rest: &str) -> Result<DdlStatement> {
     if name.is_empty() || name.contains(char::is_whitespace) {
         return Err(ddl_err(format!("invalid region name '{name}'")));
     }
-    let mut dies = None;
-    let mut max_chips = None;
-    let mut max_channels = None;
-    let mut max_size_bytes = None;
-    let mut class = None;
-    if let Some(body) = body {
-        let opts = parse_kv_options(&body)?;
-        for (k, v) in opts {
-            match k.as_str() {
-                "DIES" => {
-                    dies = Some(v.parse().map_err(|_| ddl_err(format!("bad DIES value '{v}'")))?)
-                }
-                "MAX_CHIPS" => {
-                    max_chips =
-                        Some(v.parse().map_err(|_| ddl_err(format!("bad MAX_CHIPS value '{v}'")))?)
-                }
-                "MAX_CHANNELS" => {
-                    max_channels = Some(
-                        v.parse().map_err(|_| ddl_err(format!("bad MAX_CHANNELS value '{v}'")))?,
-                    )
-                }
-                "MAX_SIZE" => max_size_bytes = Some(parse_size(&v)?),
-                "CLASS" => {
-                    class = Some(ServiceClass::parse(&v).ok_or_else(|| {
-                        ddl_err(format!(
-                            "bad CLASS value '{v}' (expected LATENCY, THROUGHPUT or BACKGROUND)"
-                        ))
-                    })?)
-                }
-                other => return Err(ddl_err(format!("unknown CREATE REGION option '{other}'"))),
+    let mut spec = RegionSpec::named(name);
+    let count = |key: &str, v: &str| {
+        v.parse::<u32>().map_err(|_| ddl_err(format!("bad {key} value '{v}'")))
+    };
+    for (k, v) in parse_kv_options(body.as_deref().unwrap_or_default())? {
+        match k.as_str() {
+            "DIES" => spec.die_count = Some(count(&k, &v)?),
+            "MAX_CHIPS" => spec.max_chips = Some(count(&k, &v)?),
+            "MAX_CHANNELS" => spec.max_channels = Some(count(&k, &v)?),
+            "MAX_SIZE" => spec.max_size_bytes = Some(parse_size(&v)?),
+            "CLASS" => {
+                spec.service_class = Some(ServiceClass::parse(&v).ok_or_else(|| {
+                    ddl_err(format!(
+                        "bad CLASS value '{v}' (expected LATENCY, THROUGHPUT or BACKGROUND)"
+                    ))
+                })?)
             }
+            other => return Err(ddl_err(format!("unknown CREATE REGION option '{other}'"))),
         }
     }
-    Ok(DdlStatement::CreateRegion { name, dies, max_chips, max_channels, max_size_bytes, class })
+    Ok(DdlStatement::CreateRegion(spec))
 }
 
 fn parse_create_tablespace(rest: &str) -> Result<DdlStatement> {
@@ -302,21 +276,8 @@ impl<'a> Ddl<'a> {
     /// Execute a single parsed statement.
     pub fn execute(&self, stmt: &DdlStatement) -> Result<()> {
         match stmt {
-            DdlStatement::CreateRegion {
-                name,
-                dies,
-                max_chips,
-                max_channels,
-                max_size_bytes,
-                class,
-            } => {
-                let mut spec = RegionSpec::named(name.clone());
-                spec.die_count = *dies;
-                spec.max_chips = *max_chips;
-                spec.max_channels = *max_channels;
-                spec.max_size_bytes = *max_size_bytes;
-                spec.service_class = *class;
-                self.noftl.create_region(spec)?;
+            DdlStatement::CreateRegion(spec) => {
+                self.noftl.create_region(spec.clone())?;
                 Ok(())
             }
             DdlStatement::CreateTablespace { name, region, extent_size_bytes } => {
@@ -414,14 +375,12 @@ mod tests {
         .unwrap();
         assert_eq!(
             s,
-            DdlStatement::CreateRegion {
-                name: "rgHotTbl".into(),
-                dies: None,
-                max_chips: Some(8),
-                max_channels: Some(4),
-                max_size_bytes: Some(1280 * 1024 * 1024),
-                class: None,
-            }
+            DdlStatement::CreateRegion(
+                RegionSpec::named("rgHotTbl")
+                    .with_max_chips(8)
+                    .with_max_channels(4)
+                    .with_max_size_bytes(1280 * 1024 * 1024)
+            )
         );
         // Die selection inside a region is not a DDL option: the clause is
         // refused by name, never silently accepted.
@@ -433,14 +392,11 @@ mod tests {
         let s = parse_statement("CREATE REGION rgOltp (DIES=2, CLASS=LATENCY)").unwrap();
         assert_eq!(
             s,
-            DdlStatement::CreateRegion {
-                name: "rgOltp".into(),
-                dies: Some(2),
-                max_chips: None,
-                max_channels: None,
-                max_size_bytes: None,
-                class: Some(ServiceClass::Latency),
-            }
+            DdlStatement::CreateRegion(
+                RegionSpec::named("rgOltp")
+                    .with_die_count(2)
+                    .with_service_class(ServiceClass::Latency)
+            )
         );
         assert!(parse_statement("CREATE REGION rgBad (CLASS=URGENT)").is_err());
         let s = parse_statement("CREATE TABLESPACE tsHotTbl (REGION=rgHotTbl, EXTENT_SIZE=128K)")

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use flash_sim::SimTime;
-use noftl_core::{NoFtl, PlacementConfig, RegionId, RegionSpec};
+use noftl_core::{NoFtl, PlacementConfig, RegionAssignment, RegionId, RegionSpec};
 
 use crate::error::DbError;
 use crate::Result;
@@ -108,40 +108,40 @@ impl NoFtlBackend {
     /// Objects whose name does not appear in the configuration fall back
     /// to the first region.
     pub fn new(noftl: Arc<NoFtl>, placement: &PlacementConfig) -> Result<Self> {
-        let mut regions = HashMap::new();
-        let mut default_region = None;
-        for assignment in &placement.regions {
+        Self::resolve(noftl, placement, |noftl, assignment| {
             let mut spec =
                 RegionSpec::named(&assignment.region_name).with_die_count(assignment.dies);
             spec.service_class = assignment.service_class;
-            let rid = noftl.create_region(spec).map_err(DbError::storage)?;
-            if default_region.is_none() {
-                default_region = Some(rid);
-            }
-            regions.insert(assignment.region_name.clone(), rid);
-        }
-        let default_region = default_region.ok_or_else(|| DbError::Storage {
-            message: "placement configuration has no regions".to_string(),
-        })?;
-        Ok(NoFtlBackend { noftl, placement: placement.clone(), regions, default_region })
+            noftl.create_region(spec).map_err(DbError::storage)
+        })
     }
 
     /// Attach to a *mounted* NoFTL manager whose regions already exist
     /// (after `NoFtl::mount`), resolving the placement configuration's
     /// regions by name instead of creating them.
     pub fn attach(noftl: Arc<NoFtl>, placement: &PlacementConfig) -> Result<Self> {
-        let mut regions = HashMap::new();
-        let mut default_region = None;
-        for assignment in &placement.regions {
-            let rid = noftl.region_id(&assignment.region_name).ok_or_else(|| DbError::Storage {
+        Self::resolve(noftl, placement, |noftl, assignment| {
+            noftl.region_id(&assignment.region_name).ok_or_else(|| DbError::Storage {
                 message: format!(
                     "mounted device has no region '{}' required by the placement configuration",
                     assignment.region_name
                 ),
-            })?;
-            if default_region.is_none() {
-                default_region = Some(rid);
-            }
+            })
+        })
+    }
+
+    /// Obtain the id of every region of `placement` with `region`, in
+    /// declaration order; the first one is the default region.
+    fn resolve(
+        noftl: Arc<NoFtl>,
+        placement: &PlacementConfig,
+        region: impl Fn(&NoFtl, &RegionAssignment) -> Result<RegionId>,
+    ) -> Result<Self> {
+        let mut regions = HashMap::new();
+        let mut default_region = None;
+        for assignment in &placement.regions {
+            let rid = region(&noftl, assignment)?;
+            default_region.get_or_insert(rid);
             regions.insert(assignment.region_name.clone(), rid);
         }
         let default_region = default_region.ok_or_else(|| DbError::Storage {

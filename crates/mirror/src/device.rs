@@ -6,10 +6,31 @@
 //! page-for-page identical.  Reads are served by any in-sync child,
 //! chosen queue-aware (earliest start on the target die) with a
 //! round-robin tie-break.  Device loss is injected through the shared
-//! [`DeviceLossInjector`]: the mirror consults it at issue time, drives
-//! the lost child's health machine to [`ChildHealth::Faulted`] and keeps
-//! serving from the survivors while the child's [`SegmentMap`] records
-//! every write it misses.
+//! [`DeviceLossInjector`]: at every timed command the mirror faults each
+//! child whose loss instant has been reached (driving its health machine
+//! to [`ChildHealth::Faulted`]) and keeps serving from the survivors
+//! while the child's [`SegmentMap`] records every write it misses.
+//!
+//! # The in-sync rule
+//!
+//! One rule says which children a command may touch, and the timed
+//! fan-out (program, erase, copyback), the untimed `mark_invalid` /
+//! `retire_block` and the read-candidate filter all ask it.  A command
+//! writes one segment `W` (a copyback: its destination) and a copyback
+//! also reads one segment `R`, its source, on each child's own array:
+//!
+//! * an `Online` child takes the command, a `Faulted` one skips it;
+//! * a `Rebuilding` child takes it only if every segment of {`R`, `W`}
+//!   is clean and has no copy in flight;
+//! * a child that skips goes stale for `W`, and a rebuilding one puts
+//!   every segment of {`R`, `W`} whose copy is in flight into the
+//!   redirtied set, so the copy that lands keeps its bit;
+//! * a read of a page goes to a child that would take a write of the
+//!   page's segment.
+//!
+//! A child's staleness is one value: its map, or none when nothing
+//! trustworthy is known (torn blob, unknown history), in which case
+//! every segment counts as stale.
 //!
 //! # Locking
 //!
@@ -59,24 +80,36 @@ use crate::segmap::{ChildBlob, MirrorBlob, SegmentMap};
 #[derive(Debug)]
 pub(crate) struct ChildState {
     pub(crate) health: ChildHealth,
-    /// Segments this child is known to be stale for.
-    pub(crate) dirty: SegmentMap,
-    /// Fail-safe flag: treat *every* segment as dirty regardless of the
-    /// map (set when no trustworthy staleness information exists — torn
-    /// blob, child attached with unknown history).  Cleared when a
+    /// Segments this child is stale for, or `None` when no trustworthy
+    /// staleness information exists (torn blob, child attached with
+    /// unknown history): then every segment counts as stale, until a
     /// rebuild materialises the map or a restore verifies the child.
-    pub(crate) assume_all_dirty: bool,
+    pub(crate) dirty: Option<SegmentMap>,
     /// When the child left `Online`, for the degraded-mode trace span.
     pub(crate) faulted_at: Option<SimTime>,
 }
 
 impl ChildState {
-    pub(crate) fn is_dirty(&self, seg: u64) -> bool {
-        self.assume_all_dirty || self.dirty.is_dirty(seg)
+    fn new(health: ChildHealth, dirty: Option<SegmentMap>) -> ChildState {
+        ChildState { health, dirty, faulted_at: None }
     }
 
-    fn mark_dirty(&mut self, seg: u64) {
-        self.dirty.mark(seg);
+    /// The in-sync rule (module docs): may this child take a command
+    /// that reads segment `r` and writes segment `w`?
+    fn takes(&self, ranges: &RangeLocks, r: u64, w: u64) -> bool {
+        match self.health {
+            ChildHealth::Online => true,
+            ChildHealth::Faulted => false,
+            ChildHealth::Rebuilding => [r, w].iter().all(|s| {
+                self.dirty.as_ref().is_some_and(|m| !m.is_dirty(*s)) && !ranges.locked.contains(s)
+            }),
+        }
+    }
+
+    /// The staleness map, materialised as "every segment" if nothing
+    /// was known, so rebuild progress is trackable.
+    pub(crate) fn map(&mut self, segments: u64) -> &mut SegmentMap {
+        self.dirty.get_or_insert_with(|| SegmentMap::all_dirty(segments))
     }
 }
 
@@ -129,7 +162,7 @@ impl MirrorDevice {
     /// Pristine children all start `Online`.  If any child already holds
     /// data, the child with the highest stored write epoch becomes the
     /// only `Online` member and every other child starts `Faulted` with
-    /// the fail-safe "assume everything stale" map until
+    /// no staleness map — every segment counts as stale — until
     /// [`MirrorDevice::restore_replication`] (or a full rebuild)
     /// establishes what they actually hold.
     pub fn new(
@@ -164,27 +197,15 @@ impl MirrorDevice {
             }
         }
         let epoch = children.iter().map(|c| c.current_epoch()).max().unwrap_or(0);
-        let segments = geometry.total_blocks();
-        let pristine: Vec<bool> =
-            children.iter().map(|c| geometry.dies().all(|d| !c.die_touched(d))).collect();
-        let all_pristine = pristine.iter().all(|&p| p);
+        let pristine = geometry.dies().all(|d| children.iter().all(|c| !c.die_touched(d)));
         let source = Self::pick_source(&children);
         let states = (0..children.len())
             .map(|i| {
-                if all_pristine || i == source {
-                    ChildState {
-                        health: ChildHealth::Online,
-                        dirty: SegmentMap::all_clean(segments),
-                        assume_all_dirty: false,
-                        faulted_at: None,
-                    }
+                if pristine || i == source {
+                    let clean = SegmentMap::all_clean(geometry.total_blocks());
+                    ChildState::new(ChildHealth::Online, Some(clean))
                 } else {
-                    ChildState {
-                        health: ChildHealth::Faulted,
-                        dirty: SegmentMap::all_clean(segments),
-                        assume_all_dirty: true,
-                        faulted_at: None,
-                    }
+                    ChildState::new(ChildHealth::Faulted, None)
                 }
             })
             .collect();
@@ -277,15 +298,10 @@ impl MirrorDevice {
     }
 
     /// Number of segments `child` is stale for (the full segment count
-    /// while the fail-safe "assume everything dirty" flag is set).
+    /// while nothing trustworthy is known about it).
     pub fn dirty_segments(&self, child: usize) -> u64 {
         let state = self.mirror_shard();
-        let c = &state.children[child];
-        if c.assume_all_dirty {
-            self.segment_count()
-        } else {
-            c.dirty.dirty_count()
-        }
+        state.children[child].dirty.as_ref().map_or(self.segment_count(), SegmentMap::dirty_count)
     }
 
     /// True when every child is `Online`.
@@ -319,61 +335,61 @@ impl MirrorDevice {
         }
     }
 
-    /// Plan and execute a fan-out mutation of `seg`: execute `cmd` (with
-    /// the caller's arbiter `tag`) on in-sync children, record a dirty
-    /// segment for everyone else, honouring the rebuild range locks.
+    /// Route a command that reads segment `r` and writes segment `w`
+    /// (the same segment unless it is a copyback) by the in-sync rule:
+    /// return the children that take it.  Every other child goes stale
+    /// for `w`; a rebuilding one redirties each of `r`, `w` whose copy is
+    /// in flight, so the copy that lands keeps the bit set.
+    fn route(&self, state: &mut MirrorState, r: u64, w: u64) -> Vec<usize> {
+        let mut ranges = self.range_shard();
+        let mut targets = Vec::new();
+        for (i, child) in state.children.iter_mut().enumerate() {
+            if child.takes(&ranges, r, w) {
+                targets.push(i);
+                continue;
+            }
+            if let Some(map) = &mut child.dirty {
+                map.mark(w);
+            }
+            if child.health == ChildHealth::Rebuilding {
+                for s in [r, w] {
+                    if ranges.locked.contains(&s) {
+                        ranges.redirtied.insert(s);
+                    }
+                }
+            }
+        }
+        targets
+    }
+
+    /// Execute `cmd` (with the caller's arbiter `tag`), which reads
+    /// segment `r` and writes segment `w`, on the children that take it.
     fn fan_out(
         &self,
-        seg: u64,
-        dirty_only_seg: Option<u64>,
+        r: u64,
+        w: u64,
         at: SimTime,
         cmd: FlashCommand<'_>,
         tag: IoTag,
     ) -> Result<OpOutcome> {
         let mut state = self.mirror_shard();
         self.sweep_losses(&mut state, at);
-        // (child index, replica?): programs to a `Rebuilding` child use
-        // the replica path so its epoch counter — the marker of its
-        // consistent history — stays put until the rebuild commits.
-        let mut targets: Vec<(usize, bool)> = Vec::new();
-        {
-            let mut ranges = self.range_shard();
-            for (i, child) in state.children.iter_mut().enumerate() {
-                match child.health {
-                    ChildHealth::Online => targets.push((i, false)),
-                    ChildHealth::Faulted => {
-                        child.mark_dirty(dirty_only_seg.unwrap_or(seg));
-                        self.obs.note_write_skip(i);
-                    }
-                    ChildHealth::Rebuilding => {
-                        if ranges.locked.contains(&seg) {
-                            ranges.redirtied.insert(seg);
-                            self.obs.note_write_skip(i);
-                        } else if child.is_dirty(seg)
-                            || dirty_only_seg.is_some_and(|d| child.is_dirty(d))
-                        {
-                            // The stale copy will be overwritten by the
-                            // rebuild; applying now would diverge from
-                            // the source's block layout.
-                            child.mark_dirty(dirty_only_seg.unwrap_or(seg));
-                            self.obs.note_write_skip(i);
-                        } else {
-                            targets.push((i, true));
-                        }
-                    }
-                }
-            }
-        }
-        if targets.is_empty() {
-            return Err(FlashError::NoHealthyChild { at });
+        let targets = self.route(&mut state, r, w);
+        for i in (0..self.children.len()).filter(|i| !targets.contains(i)) {
+            self.obs.note_write_skip(i);
         }
         // Execute while still holding the mirror lock (Mirror < Die): no
-        // rebuild can range-lock `seg` between plan and execution.
+        // rebuild can range-lock a segment between plan and execution.
         let mut merged: Option<OpOutcome> = None;
         let mut first_err: Option<FlashError> = None;
-        for &(i, replica) in &targets {
+        for i in targets {
             let result = match cmd {
-                FlashCommand::Program { addr, data, meta } if replica => {
+                // A `Rebuilding` child takes programs on the replica path,
+                // so its epoch counter — the marker of its consistent
+                // history — stays put until the rebuild commits.
+                FlashCommand::Program { addr, data, meta }
+                    if state.children[i].health == ChildHealth::Rebuilding =>
+                {
                     self.children[i].program_replica(addr, data, meta, at)
                 }
                 cmd => self.children[i].execute(cmd, at, tag).map(|out| out.outcome),
@@ -381,24 +397,29 @@ impl MirrorDevice {
             match result {
                 Ok(out) => {
                     self.obs.note_program(i);
-                    merged = Some(match merged {
-                        None => out,
-                        Some(m) => OpOutcome {
-                            started_at: m.started_at.min(out.started_at),
-                            completed_at: m.completed_at.max(out.completed_at),
-                        },
-                    });
+                    let m = merged.get_or_insert(out);
+                    m.started_at = m.started_at.min(out.started_at);
+                    m.completed_at = m.completed_at.max(out.completed_at);
                 }
-                Err(e) => first_err = Some(first_err.unwrap_or(e)),
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
             }
         }
-        match (first_err, merged) {
-            (Some(e), _) => Err(e),
-            (None, Some(out)) => Ok(out),
-            // Unreachable (targets is non-empty and nothing failed), but
-            // degrade to the no-target error rather than panicking.
-            (None, None) => Err(FlashError::NoHealthyChild { at }),
+        match first_err {
+            Some(e) => Err(e),
+            None => merged.ok_or(FlashError::NoHealthyChild { at }),
         }
+    }
+
+    /// Apply an untimed mutation of segment `seg` to the children that
+    /// take it.
+    fn apply_untimed(&self, seg: u64, op: impl Fn(&NandDevice) -> Result<()>) -> Result<()> {
+        let mut state = self.mirror_shard();
+        for i in self.route(&mut state, seg, seg) {
+            op(&self.children[i])?;
+        }
+        Ok(())
     }
 
     /// Serve `read` — a read or metadata read of `addr` — from the best
@@ -415,17 +436,8 @@ impl MirrorDevice {
         self.sweep_losses(&mut state, at);
         let candidates: Vec<usize> = {
             let ranges = self.range_shard();
-            state
-                .children
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| match c.health {
-                    ChildHealth::Online => true,
-                    ChildHealth::Rebuilding => !c.is_dirty(seg) && !ranges.locked.contains(&seg),
-                    ChildHealth::Faulted => false,
-                })
-                .map(|(i, _)| i)
-                .collect()
+            let takes = |i: &usize| state.children[*i].takes(&ranges, seg, seg);
+            (0..self.children.len()).filter(takes).collect()
         };
         if candidates.is_empty() {
             return Err(FlashError::NoHealthyChild { at });
@@ -639,65 +651,25 @@ impl FlashBackend for MirrorDevice {
                 }
                 let seg = self.segment_of(addr.block());
                 let stamped = FlashCommand::Program { addr, data, meta };
-                self.fan_out(seg, None, at, stamped, tag).map(written)
+                self.fan_out(seg, seg, at, stamped, tag).map(written)
             }
             FlashCommand::Erase { block } => {
-                self.fan_out(self.segment_of(block), None, at, command, tag).map(written)
+                let seg = self.segment_of(block);
+                self.fan_out(seg, seg, at, command, tag).map(written)
             }
             FlashCommand::Copyback { src, dst } => {
-                // A child can only copy back from its own array if its
-                // copy of the *source* segment is in sync; otherwise the
-                // destination segment goes dirty and the rebuild
-                // recreates it later.
-                let src_seg = self.segment_of(src.block());
-                let dst_seg = self.segment_of(dst.block());
-                self.fan_out(src_seg, Some(dst_seg), at, command, tag).map(written)
+                let (r, w) = (self.segment_of(src.block()), self.segment_of(dst.block()));
+                self.fan_out(r, w, at, command, tag).map(written)
             }
         }
     }
 
     fn mark_invalid(&self, addr: PageAddr) -> Result<()> {
-        let seg = self.segment_of(addr.block());
-        let mut state = self.mirror_shard();
-        let mut ranges = self.range_shard();
-        for (i, child) in state.children.iter_mut().enumerate() {
-            match child.health {
-                ChildHealth::Online => self.children[i].mark_invalid(addr)?,
-                ChildHealth::Faulted => child.mark_dirty(seg),
-                ChildHealth::Rebuilding => {
-                    if ranges.locked.contains(&seg) {
-                        ranges.redirtied.insert(seg);
-                    } else if child.is_dirty(seg) {
-                        child.mark_dirty(seg);
-                    } else {
-                        self.children[i].mark_invalid(addr)?;
-                    }
-                }
-            }
-        }
-        Ok(())
+        self.apply_untimed(self.segment_of(addr.block()), |c| c.mark_invalid(addr))
     }
 
     fn retire_block(&self, addr: BlockAddr) -> Result<()> {
-        let seg = self.segment_of(addr);
-        let mut state = self.mirror_shard();
-        let mut ranges = self.range_shard();
-        for (i, child) in state.children.iter_mut().enumerate() {
-            match child.health {
-                ChildHealth::Online => self.children[i].retire_block(addr)?,
-                ChildHealth::Faulted => child.mark_dirty(seg),
-                ChildHealth::Rebuilding => {
-                    if ranges.locked.contains(&seg) {
-                        ranges.redirtied.insert(seg);
-                    } else if child.is_dirty(seg) {
-                        child.mark_dirty(seg);
-                    } else {
-                        self.children[i].retire_block(addr)?;
-                    }
-                }
-            }
-        }
-        Ok(())
+        self.apply_untimed(self.segment_of(addr), |c| c.retire_block(addr))
     }
 
     fn block_info(&self, addr: BlockAddr) -> Result<BlockInfo> {
@@ -771,14 +743,7 @@ impl FlashBackend for MirrorDevice {
     }
 
     fn die_loads(&self, at: SimTime) -> Vec<DieLoad> {
-        let mut merged = vec![DieLoad::default(); self.geometry.total_dies() as usize];
-        for i in self.load_children() {
-            for (slot, l) in merged.iter_mut().zip(self.children[i].die_loads(at)) {
-                slot.busy_until = slot.busy_until.max(l.busy_until);
-                slot.queue_depth = slot.queue_depth.max(l.queue_depth);
-            }
-        }
-        merged
+        self.geometry.dies().map(|die| self.die_load(die, at)).collect()
     }
 
     fn current_epoch(&self) -> u64 {
@@ -804,11 +769,8 @@ impl FlashBackend for MirrorDevice {
             .children
             .iter()
             .map(|c| {
-                let mut dirty = if c.assume_all_dirty {
-                    SegmentMap::all_dirty(self.segment_count())
-                } else {
-                    c.dirty.clone()
-                };
+                let mut dirty =
+                    c.dirty.clone().unwrap_or_else(|| SegmentMap::all_dirty(self.segment_count()));
                 if c.health == ChildHealth::Rebuilding {
                     // Copies still in flight (and anything they raced)
                     // must not be trusted across a crash.
@@ -826,77 +788,44 @@ impl FlashBackend for MirrorDevice {
     fn restore_replication(&self, blob: Option<&[u8]>, at: SimTime) -> Result<SimTime> {
         let mut now = at;
         // Nothing written anywhere: a fresh mirror stays fully online.
-        if self.geometry.dies().all(|d| !self.die_touched(d)) {
-            let mut state = self.mirror_shard();
-            for c in state.children.iter_mut() {
-                c.health = ChildHealth::Online;
-                c.dirty = SegmentMap::all_clean(self.segment_count());
-                c.assume_all_dirty = false;
-            }
-            return Ok(now);
-        }
+        let pristine = self.geometry.dies().all(|d| !self.die_touched(d));
         let source = Self::pick_source(&self.children);
+        let segments = self.segment_count();
         let decoded = blob
             .and_then(MirrorBlob::decode)
             .filter(|b| b.children.len() == self.children.len())
-            .filter(|b| b.children.iter().all(|c| c.dirty.segments() == self.segment_count()));
+            .filter(|b| b.children.iter().all(|c| c.dirty.segments() == segments));
         // Compute every child's staleness before mutating any state.
-        let mut plans: Vec<(ChildHealth, SegmentMap, bool)> =
-            Vec::with_capacity(self.children.len());
+        let mut plans = Vec::with_capacity(self.children.len());
         for i in 0..self.children.len() {
-            if i == source {
-                plans.push((
-                    ChildHealth::Online,
-                    SegmentMap::all_clean(self.segment_count()),
-                    false,
-                ));
+            if pristine || i == source {
+                plans.push((ChildHealth::Online, Some(SegmentMap::all_clean(segments))));
                 continue;
             }
-            if self.injector.is_lost(i, at) {
-                // The child is not reachable, so nothing can be
-                // verified about it: fail safe until it reattaches.
-                plans.push((
-                    ChildHealth::Faulted,
-                    SegmentMap::all_clean(self.segment_count()),
-                    true,
-                ));
-                continue;
-            }
-            let Some(ref blob) = decoded else {
-                // Missing or torn blob: rebuild everything, never risk
-                // silent staleness.
-                plans.push((
-                    ChildHealth::Faulted,
-                    SegmentMap::all_clean(self.segment_count()),
-                    true,
-                ));
+            // A lost child cannot be verified, and a missing or torn blob
+            // leaves nothing to trust: rebuild everything, never risk
+            // silent staleness.
+            let Some(blob) = decoded.as_ref().filter(|_| !self.injector.is_lost(i, at)) else {
+                plans.push((ChildHealth::Faulted, None));
                 continue;
             };
             // Persisted map ∪ anything accrued since construction ∪ the
             // scan's ground truth (covers writes after the checkpoint
             // that persisted the blob).
             let mut dirty = blob.children[i].dirty.clone();
-            {
-                // analyzer:allow(lock_order) the early-return branch above dropped its guard
-                let state = self.mirror_shard();
-                if state.children[i].assume_all_dirty {
-                    // Construction had no information; the blob and the
-                    // scan below supersede the fail-safe flag.
-                } else {
-                    dirty.union(&state.children[i].dirty);
-                }
+            if let Some(accrued) = &self.mirror_shard().children[i].dirty {
+                dirty.union(accrued);
             }
             dirty.union(&self.verify_dirty(source, i, &mut now)?);
             let health =
                 if dirty.is_all_clean() { ChildHealth::Online } else { ChildHealth::Faulted };
-            plans.push((health, dirty, false));
+            plans.push((health, Some(dirty)));
         }
-        // analyzer:allow(lock_order) every earlier guard here was dropped with its block
+        // analyzer:allow(lock_order) the loop's guard was a temporary
         let mut state = self.mirror_shard();
-        for (child, (health, dirty, assume)) in state.children.iter_mut().zip(plans) {
+        for (child, (health, dirty)) in state.children.iter_mut().zip(plans) {
             child.health = health;
             child.dirty = dirty;
-            child.assume_all_dirty = assume;
             if health == ChildHealth::Online {
                 child.faulted_at = None;
             }

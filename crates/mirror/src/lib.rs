@@ -5,18 +5,28 @@
 //! single [`flash_sim::FlashBackend`] — `noftl-core` mounts a
 //! [`MirrorDevice`] exactly like a bare device.
 //!
-//! * **Writes** fan out to every in-sync child at the same submit
+//! * **One in-sync rule** says which children a command on a segment may
+//!   touch: an `Online` child takes it, a `Faulted` one skips it, and a
+//!   `Rebuilding` one takes it only if every segment it reads or writes
+//!   is clean and not being copied.  A child that skips goes stale for
+//!   the segment written.
+//! * **Writes** (program, erase, copyback, invalidation, retirement) go
+//!   to every child the rule admits, timed ones at the same submit
 //!   instant, so the children stay page-for-page identical.
-//! * **Reads** are served by any in-sync child, picked queue-aware
-//!   (earliest start on the target die) with a round-robin tie-break.
+//! * **Reads** are served by a child that would take a write of the
+//!   page's segment, picked queue-aware (earliest start on the target
+//!   die) with a round-robin tie-break.
 //! * **Device loss** (via [`flash_sim::DeviceLossInjector`]) drives a
-//!   per-child health machine `Online → Faulted → Rebuilding → Online`;
-//!   while a child is out, a [`SegmentMap`] — a bitmap with one bit per
-//!   erase block — records exactly which segments it missed.
+//!   per-child health machine `Online → Faulted → Rebuilding → Online`:
+//!   the first timed command at or after a child's loss instant faults
+//!   it.  While a child is out, a [`SegmentMap`] — a bitmap with one bit
+//!   per erase block — records exactly which segments it missed; a child
+//!   with unknown history has no map, and every segment counts as stale.
 //! * **Online rebuild** drains the dirty map segment by segment while
 //!   foreground traffic continues, protected by write-vs-rebuild range
-//!   locks: a foreground write racing an in-flight copy skips the child
-//!   and redirties the segment instead of colliding with it.
+//!   locks: a write into an already-copied segment is applied, while one
+//!   that races an in-flight copy skips the child and redirties the
+//!   segment instead of colliding with it.
 //! * **Persistence**: the mirror's health + segment maps travel inside
 //!   the checkpoint as an opaque replication blob ([`MirrorBlob`],
 //!   CRC-guarded).  A torn blob degrades to "rebuild everything" —
@@ -350,6 +360,42 @@ mod tests {
         assert!(report.child_online);
         let (data, _, _) = m.children()[1].read_page(page(0, 2, 1), SimTime(9_000_000)).unwrap();
         assert_eq!(data, payload(3));
+    }
+
+    /// A 2-way mirror with page 0 of block 0 on both children, whose
+    /// child 1 is rebuilding and stale for exactly the segment of block
+    /// `stale` (page 0 written while it was lost).
+    fn rebuilding_stale_for(stale: u32) -> MirrorDevice {
+        let m = mirror(2);
+        m.program_page(page(0, 0, 0), &payload(1), PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
+        m.injector().arm(1, SimTime(10));
+        m.program_page(page(0, stale, 0), &payload(2), PageMetadata::new(1, 1), SimTime(1_000_000))
+            .unwrap();
+        m.injector().clear(1);
+        m.start_rebuild(1, SimTime(2_000_000)).unwrap();
+        assert_eq!(m.dirty_segments(1), 1);
+        m
+    }
+
+    #[test]
+    fn a_copyback_out_of_a_segment_in_copy_dirties_its_destination() {
+        let m = rebuilding_stale_for(2);
+        m.test_lock_segment(m.segment_of(page(0, 2, 0).block()));
+        m.copyback(page(0, 2, 0), page(0, 3, 0), SimTime(3_000_000)).unwrap();
+        // Child 1 skipped the copyback, so it is stale for the
+        // destination too.
+        assert_eq!(m.dirty_segments(1), 2, "the destination segment was left clean");
+    }
+
+    #[test]
+    fn a_copyback_into_a_segment_in_copy_redirties_it() {
+        let m = rebuilding_stale_for(3);
+        let dst = m.segment_of(page(0, 3, 0).block());
+        m.test_lock_segment(dst);
+        m.copyback(page(0, 0, 0), page(0, 3, 1), SimTime(3_000_000)).unwrap();
+        // The copy in flight may have read the block before the
+        // copyback: the segment must stay dirty when it lands.
+        assert!(m.test_unlock_segment(dst), "the destination segment was not redirtied");
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! foreground traffic continues.
 //!
 //! A rebuild copies one segment (erase block) at a time.  The segment is
-//! entered into the `MirrorRange`-guarded lock set first,
-//! which makes foreground mutations of it *skip and redirty* instead of
-//! racing the copy; the copy itself then runs without the mirror lock
+//! entered into the `MirrorRange`-guarded lock set first, which by the
+//! mirror's in-sync rule makes foreground mutations of it — and
+//! copybacks out of it — *skip and redirty* instead of racing the copy;
+//! the copy itself then runs without the mirror lock
 //! held so every other segment keeps serving reads and writes at full
 //! speed.  When the copy lands the segment's dirty bit is cleared —
 //! unless a foreground write redirtied it mid-copy, in which case it
@@ -102,15 +103,10 @@ impl MirrorDevice {
         {
             return Err(FlashError::NoHealthyChild { at });
         }
+        let segments = self.segment_count();
         let c = &mut state.children[child];
         c.health = c.health.check_transition(ChildHealth::Rebuilding)?;
-        if c.assume_all_dirty {
-            // No trustworthy map: materialise "everything" so progress
-            // is trackable and the blob stays exact from here on.
-            c.dirty = crate::SegmentMap::all_dirty(self.segment_count());
-            c.assume_all_dirty = false;
-        }
-        self.obs.set_segments_remaining(c.dirty.dirty_count());
+        self.obs.set_segments_remaining(c.map(segments).dirty_count());
         Ok(())
     }
 
@@ -151,7 +147,7 @@ impl MirrorDevice {
             else {
                 return Err(FlashError::NoHealthyChild { at });
             };
-            match state.children[child].dirty.first_dirty() {
+            match state.children[child].map(self.segment_count()).first_dirty() {
                 None => {
                     // Drained: the child is in sync again.  Commit the
                     // rebuilt history by ratcheting the child's epoch
@@ -188,13 +184,14 @@ impl MirrorDevice {
             }
             Ok(mut copy) => {
                 let requeued = ranges.redirtied.remove(&seg);
+                let dirty = state.children[child].map(self.segment_count());
                 if !requeued {
-                    state.children[child].dirty.clear(seg);
+                    dirty.clear(seg);
                 }
                 copy.requeued = requeued;
                 let copy_ns = copy.completed_at.as_nanos().saturating_sub(at.as_nanos());
                 self.obs.note_segment_copied(copy_ns, requeued);
-                self.obs.set_segments_remaining(state.children[child].dirty.dirty_count());
+                self.obs.set_segments_remaining(dirty.dirty_count());
                 Ok(Some(copy))
             }
         }

@@ -11,7 +11,7 @@ use rand::SeedableRng;
 
 use dbms_engine::txn::TxnOutcome;
 use dbms_engine::Database;
-use flash_sim::{Duration, SimTime};
+use flash_sim::SimTime;
 
 use crate::loader::ScaleConfig;
 use crate::random;
@@ -78,11 +78,6 @@ impl TxnMix {
         TxnMix { new_order: 45, payment: 43, order_status: 4, delivery: 4, stock_level: 4 }
     }
 
-    /// A write-heavy mix useful for GC stress ablations.
-    pub fn write_heavy() -> Self {
-        TxnMix { new_order: 60, payment: 38, order_status: 1, delivery: 1, stock_level: 0 }
-    }
-
     /// Total weight.
     pub fn total(&self) -> u32 {
         self.new_order + self.payment + self.order_status + self.delivery + self.stock_level
@@ -112,37 +107,16 @@ impl TxnMix {
     }
 }
 
-impl Default for TxnMix {
-    fn default() -> Self {
-        Self::standard()
-    }
-}
-
-/// Driver configuration.
+/// Driver configuration: every run executes the standard mix with no
+/// think time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DriverConfig {
     /// Number of logical clients (terminals).
     pub clients: usize,
     /// Total transactions to execute across all clients.
     pub total_transactions: u64,
-    /// Transaction mix.
-    pub mix: TxnMix,
     /// RNG seed (each client derives its own stream).
     pub seed: u64,
-    /// Optional think time added after every transaction.
-    pub think_time: Duration,
-}
-
-impl Default for DriverConfig {
-    fn default() -> Self {
-        DriverConfig {
-            clients: 20,
-            total_transactions: 10_000,
-            mix: TxnMix::standard(),
-            seed: 42,
-            think_time: Duration::ZERO,
-        }
-    }
 }
 
 struct Client {
@@ -170,6 +144,7 @@ impl Driver {
         start: SimTime,
     ) -> dbms_engine::Result<RunReport> {
         let cfg = &self.config;
+        let mix = TxnMix::standard();
         let mut clients: Vec<Client> = (0..cfg.clients.max(1))
             .map(|i| Client {
                 rng: StdRng::seed_from_u64(
@@ -193,7 +168,7 @@ impl Driver {
                 .map(|(i, _)| i)
                 .expect("at least one client");
             let client = &mut clients[idx];
-            let txn_type = cfg.mix.pick(&mut client.rng);
+            let txn_type = mix.pick(&mut client.rng);
             let mut txn = db.begin(client.clock);
             let w_id = client.home_warehouse;
             let outcome = match txn_type {
@@ -224,7 +199,7 @@ impl Driver {
                 }
                 TxnOutcome::RolledBack => rolled_back += 1,
             }
-            client.clock = txn.now + cfg.think_time;
+            client.clock = txn.now;
         }
 
         let makespan = clients.iter().map(|c| c.clock).max().unwrap_or(start).since(start);
@@ -258,7 +233,7 @@ mod tests {
     use crate::loader::Loader;
     use crate::placement;
     use dbms_engine::{DatabaseConfig, NoFtlBackend};
-    use flash_sim::{DeviceBuilder, FlashBackend, FlashGeometry, TimingModel};
+    use flash_sim::{DeviceBuilder, Duration, FlashBackend, FlashGeometry, TimingModel};
     use noftl_core::{NoFtl, NoFtlConfig};
     use std::sync::Arc;
 
@@ -297,12 +272,7 @@ mod tests {
             .unwrap();
         let scale = crate::loader::ScaleConfig::tiny();
         let (_, loaded_at) = Loader::new(scale, 11).load(&db, SimTime::ZERO).unwrap();
-        let driver = Driver::new(DriverConfig {
-            clients: 4,
-            total_transactions: 200,
-            seed: 5,
-            ..Default::default()
-        });
+        let driver = Driver::new(DriverConfig { clients: 4, total_transactions: 200, seed: 5 });
         let mut report = driver.run(&db, &scale, loaded_at).unwrap();
         report.attach_device(&device.stats());
         assert_eq!(report.committed + report.rolled_back, 200);
@@ -323,14 +293,9 @@ mod tests {
             Database::open(backend2, DatabaseConfig { buffer_pages: 48, ..Default::default() })
                 .unwrap();
         let (_, loaded2) = Loader::new(scale, 11).load(&db2, SimTime::ZERO).unwrap();
-        let report2 = Driver::new(DriverConfig {
-            clients: 4,
-            total_transactions: 200,
-            seed: 5,
-            ..Default::default()
-        })
-        .run(&db2, &scale, loaded2)
-        .unwrap();
+        let report2 = Driver::new(DriverConfig { clients: 4, total_transactions: 200, seed: 5 })
+            .run(&db2, &scale, loaded2)
+            .unwrap();
         assert_eq!(report.committed, report2.committed);
         assert_eq!(report.makespan, report2.makespan);
     }

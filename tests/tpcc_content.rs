@@ -37,12 +37,7 @@ fn digest() -> (u32, u64, u64) {
     let db = Database::open(backend, config).unwrap();
     let scale = ScaleConfig::tiny();
     let (_, loaded) = Loader::new(scale, 3).load(&db, SimTime::ZERO).unwrap();
-    let driver = Driver::new(DriverConfig {
-        clients: 4,
-        total_transactions: 2_000,
-        seed: 7,
-        ..DriverConfig::default()
-    });
+    let driver = Driver::new(DriverConfig { clients: 4, total_transactions: 2_000, seed: 7 });
     let report = driver.run(&db, &scale, loaded).unwrap();
     assert_eq!(report.committed + report.rolled_back, 2_000);
     let t = db.flush_all(loaded + report.makespan).unwrap();
