@@ -1,21 +1,25 @@
-//! Experiment harness and figure / ablation binaries.
+//! Experiment harness behind the `noftl` binary.
 //!
 //! [`Experiment`] wires the full stack together — flash device → NoFTL
 //! storage manager (with a given placement) → storage engine → TPC-C — and
-//! runs one configuration end to end, returning a [`RunReport`] whose
-//! device counters cover only the measured run (not the initial load).
+//! runs one configuration end to end, returning an [`ExperimentResult`]
+//! whose device and buffer pool counters cover only the measured run (not
+//! the initial load).  [`ComparisonReport`] sets two results side by side
+//! in the shape of the paper's Figure 3.  Nothing here prints: the
+//! `noftl` binary (`noftl fig2 | fig3 | ablation`) does.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 use std::sync::Arc;
 
-use dbms_engine::{Database, DatabaseConfig, DbError, NoFtlBackend};
+use dbms_engine::{BufferStats, Database, DatabaseConfig, DbError, NoFtlBackend};
 use flash_sim::{
-    DeviceBuilder, Duration, FlashBackend, FlashGeometry, NandDevice, SimTime, TimingModel,
+    DeviceBuilder, DeviceStats, Duration, FlashBackend, FlashGeometry, NandDevice, SimTime,
+    TimingModel,
 };
 use noftl_core::{NoFtl, NoFtlConfig, ObjectStats, PlacementConfig};
-use tpcc_workload::{Driver, DriverConfig, Loader, RunReport, ScaleConfig};
+use tpcc_workload::{Driver, DriverConfig, Loader, RunReport, ScaleConfig, TxnType};
 
 /// One end-to-end TPC-C experiment configuration.
 #[derive(Debug, Clone)]
@@ -56,8 +60,8 @@ impl Experiment {
         }
     }
 
-    /// Default experiment skeleton used by the figure binaries; the
-    /// placement and label are filled in by the caller.
+    /// Default experiment skeleton of `noftl fig3`, `fig2` and
+    /// `ablation`; the placement and label are filled in by the caller.
     pub fn figure3_base(placement: PlacementConfig, label: &str) -> Self {
         Experiment {
             label: label.to_string(),
@@ -94,10 +98,11 @@ impl Experiment {
         }
     }
 
-    /// Run the experiment.  Returns the run report (device counters are
-    /// deltas over the measured phase only) plus the device and storage
-    /// manager handles for further inspection — or the error that ended
-    /// the load or the run, e.g. a region that filled up.
+    /// Run the experiment.  Returns the run report, the device and
+    /// buffer pool counters of the measured phase (the load excluded) and
+    /// the device and storage manager handles for further inspection — or
+    /// the error that ended the load or the run, e.g. a region that filled
+    /// up.
     pub fn run(&self) -> Result<ExperimentResult, DbError> {
         let device = Arc::new(DeviceBuilder::new(self.geometry).timing(self.timing).build());
         let noftl = Arc::new(NoFtl::new(device.clone(), self.noftl));
@@ -108,53 +113,60 @@ impl Experiment {
         )?;
         let loader = Loader::new(self.scale, self.driver.seed ^ 0xC0FFEE);
         let (load_stats, loaded_at) = loader.load(&db, SimTime::ZERO)?;
-        let before = device.stats();
+        let device_before = device.stats();
         let busy_before = device.die_stats();
-        let loaded_misses = db.buffer_stats().misses;
-        let driver = Driver::new(self.driver);
-        let mut report = driver.run(&db, &self.scale, loaded_at)?;
-        report.label = self.label.clone();
-        let after = device.stats();
-        report.attach_device(&after.delta_since(&before));
+        let buffer_before = db.buffer_stats();
+        let report = Driver::new(self.driver).run(&db, &self.scale, loaded_at)?;
+        let device_stats = device.stats().delta_since(&device_before);
+        let buffer_stats = buffer_delta(&db.buffer_stats(), &buffer_before);
         let die_busy = (device.die_stats().iter().zip(&busy_before))
             .map(|(after, before)| Duration(after.busy_time.0 - before.busy_time.0))
             .collect();
         let object_profiles = noftl.all_object_stats();
         Ok(ExperimentResult {
             report,
+            device_stats,
+            buffer_stats,
             device,
             noftl,
             object_profiles,
             loaded_rows: load_stats.total_rows(),
-            loaded_misses,
             die_busy,
         })
     }
+}
 
-    /// [`Experiment::run`] for a figure table: a run that fails prints
-    /// `<row> FAILED: <error>` where its row would be and yields `None`,
-    /// so the arms that finished are still reported.
-    pub fn run_row(&self, row: &str) -> Option<ExperimentResult> {
-        self.run().map_err(|e| println!("{row} FAILED: {e}")).ok()
+/// `after − before`, field by field.
+fn buffer_delta(after: &BufferStats, before: &BufferStats) -> BufferStats {
+    BufferStats {
+        hits: after.hits - before.hits,
+        misses: after.misses - before.misses,
+        evictions: after.evictions - before.evictions,
+        dirty_writebacks: after.dirty_writebacks - before.dirty_writebacks,
+        flushed: after.flushed - before.flushed,
+        logical_reads: after.logical_reads - before.logical_reads,
+        logical_writes: after.logical_writes - before.logical_writes,
+        prefetched: after.prefetched - before.prefetched,
     }
 }
 
 /// Everything produced by one experiment run.
 pub struct ExperimentResult {
-    /// The workload report (with device deltas attached).
+    /// What the TPC-C driver counted: transactions, makespan, TPS.
     pub report: RunReport,
+    /// Device counters over the measured phase.
+    pub device_stats: DeviceStats,
+    /// Buffer pool counters over the measured phase.
+    pub buffer_stats: BufferStats,
     /// The simulated flash device (for wear summaries etc.).
     pub device: Arc<NandDevice>,
     /// The NoFTL storage manager (for per-region statistics).
     pub noftl: Arc<NoFtl>,
     /// Per-object statistics measured over the whole run (load + run),
-    /// from which the Figure 2 binary apportions dies.
+    /// from which `noftl fig2` apportions dies.
     pub object_profiles: Vec<ObjectStats>,
     /// Rows loaded into the database before the measured phase.
     pub loaded_rows: u64,
-    /// Buffer misses at the end of the load (`report.buffer` runs from the
-    /// open of the database; the device counters do not).
-    pub loaded_misses: u64,
     /// Busy time of each die over the measured phase, by die id.
     pub die_busy: Vec<Duration>,
 }
@@ -165,8 +177,19 @@ impl ExperimentResult {
     /// it is read ahead of demand (GC moves pages by copyback and reads
     /// none).
     pub fn reads_per_miss(&self) -> f64 {
-        let misses = self.report.buffer.misses - self.loaded_misses;
-        self.report.host_reads as f64 / misses.max(1) as f64
+        self.device_stats.page_reads as f64 / self.buffer_stats.misses.max(1) as f64
+    }
+
+    /// Write amplification over the measured phase: pages programmed by
+    /// the host plus pages GC copied back, per host page; 0 when the host
+    /// wrote nothing.
+    pub fn write_amplification(&self) -> f64 {
+        let d = &self.device_stats;
+        if d.page_programs == 0 {
+            0.0
+        } else {
+            (d.page_programs + d.copybacks) as f64 / d.page_programs as f64
+        }
     }
 
     /// Render per-region statistics as a small table; the two busy
@@ -208,58 +231,88 @@ impl ExperimentResult {
     }
 }
 
-/// Read the numeric environment knobs of a figure / ablation binary, so
-/// it can be scaled up or down without recompiling (e.g.
-/// `FIG3_TXNS=40000 cargo run --release -p noftl-bench --bin figure3`).
-/// `knobs` lists every variable the binary reads as `(name, default)`,
-/// each starting with the binary's `prefix`; the values come back in the
-/// same order.
-///
-/// A run must not silently ignore what it was told: a value that does not
-/// parse (`FIG3_TXNS=12k`), or a set variable with the prefix that is not
-/// in the list (`FIG3_TXN`), ends the process with status 2 and a message
-/// naming the variable and, for an unknown one, the names that exist.
-pub fn env_knobs<const N: usize>(prefix: &str, knobs: [(&str, u64); N]) -> [u64; N] {
-    let vars = std::env::vars_os()
-        .map(|(k, v)| (k.to_string_lossy().into_owned(), v.to_string_lossy().into_owned()));
-    read_knobs(prefix, knobs, vars).unwrap_or_else(|message| {
-        eprintln!("{message}");
-        std::process::exit(2)
-    })
+/// A side-by-side comparison of the two arms in the shape of the
+/// paper's Figure 3.
+pub struct ComparisonReport<'a> {
+    /// The baseline run ("Traditional data placement").
+    pub traditional: &'a ExperimentResult,
+    /// The multi-region run ("Data placement using Regions").
+    pub regions: &'a ExperimentResult,
 }
 
-/// [`env_knobs`] over an explicit variable list, reporting instead of
-/// exiting.
-fn read_knobs<const N: usize>(
-    prefix: &str,
-    knobs: [(&str, u64); N],
-    vars: impl Iterator<Item = (String, String)>,
-) -> Result<[u64; N], String> {
-    let mut values = knobs.map(|(_, default)| default);
-    for (name, value) in vars.filter(|(name, _)| name.starts_with(prefix)) {
-        let Some(slot) = knobs.iter().position(|(known, _)| *known == name) else {
-            let known: Vec<&str> = knobs.iter().map(|(known, _)| *known).collect();
-            return Err(format!(
-                "unknown environment variable {name}: this binary reads {}",
-                known.join(", ")
-            ));
-        };
-        values[slot] =
-            value.parse().map_err(|_| format!("{name}={value:?} is not a non-negative integer"))?;
+impl ComparisonReport<'_> {
+    /// Relative change of the regions run versus the baseline, in percent
+    /// (positive = the regions value is larger).
+    pub fn delta_pct(base: f64, new: f64) -> f64 {
+        if base.abs() < f64::EPSILON {
+            0.0
+        } else {
+            (new - base) / base * 100.0
+        }
     }
-    Ok(values)
+
+    /// Throughput improvement of regions over traditional placement, in
+    /// percent (the paper reports ≈ +20 %).
+    pub fn tps_improvement_pct(&self) -> f64 {
+        Self::delta_pct(self.traditional.report.tps, self.regions.report.tps)
+    }
+
+    /// Reduction in GC copybacks, in percent (the paper reports ≈ −20 %).
+    pub fn copyback_reduction_pct(&self) -> f64 {
+        let (t, r) = (&self.traditional.device_stats, &self.regions.device_stats);
+        -Self::delta_pct(t.copybacks as f64, r.copybacks as f64)
+    }
+
+    /// Reduction in GC erases, in percent (the paper reports ≈ −4.3 %).
+    pub fn erase_reduction_pct(&self) -> f64 {
+        let (t, r) = (&self.traditional.device_stats, &self.regions.device_stats);
+        -Self::delta_pct(t.block_erases as f64, r.block_erases as f64)
+    }
+
+    /// Render the comparison as a plain-text table mirroring Figure 3.
+    pub fn to_table(&self) -> String {
+        let mut out = format!("{:<28} {:>18} {:>18}\n", "", "Traditional", "Regions");
+        let mut row = |name: &str, value: &dyn Fn(&ExperimentResult) -> String| {
+            let (t, r) = (value(self.traditional), value(self.regions));
+            out.push_str(&format!("{name:<28} {t:>18} {r:>18}\n"));
+        };
+        row("TPS", &|x| format!("{:.2}", x.report.tps));
+        row("READ 4KB (us)", &|x| format!("{:.2}", x.device_stats.avg_read_latency_us()));
+        row("WRITE 4KB (us)", &|x| format!("{:.2}", x.device_stats.avg_program_latency_us()));
+        for txn in [TxnType::NewOrder, TxnType::Payment, TxnType::StockLevel] {
+            row(&format!("{} TRX (ms)", txn.name()), &|x| {
+                let stats = x.report.type_stats(txn).copied().unwrap_or_default();
+                format!("{:.2}", stats.mean_response_ms())
+            });
+        }
+        row("Transactions", &|x| x.report.committed.to_string());
+        row("Host READ I/Os (4KB)", &|x| x.device_stats.page_reads.to_string());
+        row("Host WRITE I/Os (4KB)", &|x| x.device_stats.page_programs.to_string());
+        row("GC COPYBACKs", &|x| x.device_stats.copybacks.to_string());
+        row("GC ERASEs", &|x| x.device_stats.block_erases.to_string());
+        row("Write amplification", &|x| format!("{:.3}", x.write_amplification()));
+        out.push_str(&format!(
+            "\nRegions vs. traditional: TPS {:+.1}%, copybacks {:+.1}%, erases {:+.1}%\n",
+            self.tps_improvement_pct(),
+            -self.copyback_reduction_pct(),
+            -self.erase_reduction_pct(),
+        ));
+        out
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpcc_workload::placement;
+    use tpcc_workload::{placement, TxnTypeStats};
 
     #[test]
     fn smoke_experiment_runs_end_to_end() {
         let exp = Experiment::smoke(placement::traditional(8), "smoke");
         let result = exp.run().unwrap();
         assert!(result.report.committed > 200);
+        assert!(result.device_stats.page_reads > 0);
+        assert!(result.buffer_stats.misses > 0);
         assert!(result.report.tps > 0.0);
         assert!(result.loaded_rows > 300);
         assert!(!result.object_profiles.is_empty());
@@ -310,44 +363,85 @@ mod tests {
         let arm = |placement, label| Experiment::figure3_base(placement, label).run().unwrap();
         let traditional = arm(placement::traditional(dies), "traditional");
         let regions = arm(placement::figure2(dies), "regions");
-        let (t, r) = (&traditional.report, &regions.report);
+        let (t, r) = (&traditional.device_stats, &regions.device_stats);
+        let (t_tps, r_tps) = (traditional.report.tps, regions.report.tps);
         // Both ratios and both region tables on every run (CI passes
         // `--nocapture`): the next PR sees the margin, not only which
         // bound broke.
         let measured = format!(
             "regions / traditional: copybacks {:.3} x ({} vs {}, bound 1.000), \
              TPS {:.3} x ({:.0} vs {:.0}, bound 0.850)\n{}{}",
-            r.gc_copybacks as f64 / t.gc_copybacks as f64,
-            r.gc_copybacks,
-            t.gc_copybacks,
-            r.tps / t.tps,
-            r.tps,
-            t.tps,
+            r.copybacks as f64 / t.copybacks as f64,
+            r.copybacks,
+            t.copybacks,
+            r_tps / t_tps,
+            r_tps,
+            t_tps,
             traditional.region_table(),
             regions.region_table()
         );
         println!("{measured}");
-        assert!(r.gc_copybacks <= t.gc_copybacks, "regions copy more pages — {measured}");
-        assert!(r.tps >= 0.85 * t.tps, "regions do not keep pace — {measured}");
+        assert!(r.copybacks <= t.copybacks, "regions copy more pages — {measured}");
+        assert!(r_tps >= 0.85 * t_tps, "regions do not keep pace — {measured}");
+    }
+
+    /// A result with the given TPS and GC counts on a fresh device.
+    fn result(tps: f64, copybacks: u64, erases: u64) -> ExperimentResult {
+        let device = Arc::new(DeviceBuilder::new(FlashGeometry::example()).build());
+        let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
+        let new_order =
+            TxnTypeStats { count: 450, committed: 445, total_response: Duration::from_ms(900) };
+        ExperimentResult {
+            report: RunReport {
+                committed: 1000,
+                rolled_back: 10,
+                makespan: Duration::from_ms(500),
+                tps,
+                per_type: vec![(TxnType::NewOrder, new_order)],
+            },
+            device_stats: DeviceStats {
+                page_reads: 100_000,
+                page_programs: 20_000,
+                copybacks,
+                block_erases: erases,
+                ..Default::default()
+            },
+            buffer_stats: BufferStats::default(),
+            device,
+            noftl,
+            object_profiles: Vec::new(),
+            loaded_rows: 0,
+            die_busy: Vec::new(),
+        }
+    }
+
+    /// The paper's own Figure 3 numbers give its published deltas.
+    #[test]
+    fn comparison_percentages_match_expectations() {
+        let (traditional, regions) =
+            (result(595.0, 4_326_612, 110_410), result(720.0, 3_496_984, 105_564));
+        let cmp = ComparisonReport { traditional: &traditional, regions: &regions };
+        assert!((cmp.tps_improvement_pct() - 21.0).abs() < 0.1);
+        assert!((cmp.copyback_reduction_pct() - 19.2).abs() < 0.2);
+        assert!((cmp.erase_reduction_pct() - 4.4).abs() < 0.2);
+        let table = cmp.to_table();
+        assert!(table.contains("GC COPYBACKs"));
+        assert!(table.contains("NewOrder TRX (ms)"));
+        assert!(table.contains("Traditional"));
+        assert!(table.contains("Regions"));
     }
 
     #[test]
-    fn env_knobs_parse_default_and_refuse_what_they_cannot_use() {
-        let knobs = [("FIG9_TXNS", 7), ("FIG9_DIES", 64)];
-        let read = |vars: &[(&str, &str)]| {
-            let vars = vars.iter().map(|(k, v)| (k.to_string(), v.to_string()));
-            read_knobs("FIG9_", knobs, vars)
-        };
-        assert_eq!(read(&[]), Ok([7, 64]));
-        // Other programs' variables, and other binaries' knobs, pass by.
-        assert_eq!(read(&[("FIG9_DIES", "16"), ("PATH", "/bin"), ("FIG3_TXN", "x")]), Ok([7, 16]));
-        // Not a number: refused, naming the variable — not the default.
-        let err = read(&[("FIG9_TXNS", "12k")]).unwrap_err();
-        assert!(err.contains("FIG9_TXNS") && err.contains("12k"), "{err}");
-        assert!(read(&[("FIG9_TXNS", "-1")]).is_err());
-        // A misspelled name: refused, listing the names that exist.
-        let err = read(&[("FIG9_TXN", "12000")]).unwrap_err();
-        assert!(err.contains("FIG9_TXN:"), "{err}");
-        assert!(err.contains("FIG9_TXNS, FIG9_DIES"), "{err}");
+    fn delta_pct_handles_zero_baseline() {
+        assert_eq!(ComparisonReport::delta_pct(0.0, 10.0), 0.0);
+        assert!((ComparisonReport::delta_pct(100.0, 120.0) - 20.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn write_amplification_guards_zero() {
+        let mut r = result(1.0, 3, 0);
+        assert!((r.write_amplification() - 20_003.0 / 20_000.0).abs() < 1e-9);
+        r.device_stats.page_programs = 0;
+        assert_eq!(r.write_amplification(), 0.0);
     }
 }

@@ -209,20 +209,11 @@ impl Driver {
             0.0
         };
         Ok(RunReport {
-            label: String::new(),
             committed,
             rolled_back,
             makespan,
             tps,
             per_type: per_type.into_iter().collect(),
-            host_reads: 0,
-            host_writes: 0,
-            gc_copybacks: 0,
-            gc_erases: 0,
-            avg_read_latency_us: 0.0,
-            avg_write_latency_us: 0.0,
-            buffer: db.buffer_stats(),
-            wal_forces: db.wal_stats().forces,
         })
     }
 }
@@ -273,13 +264,12 @@ mod tests {
         let scale = crate::loader::ScaleConfig::tiny();
         let (_, loaded_at) = Loader::new(scale, 11).load(&db, SimTime::ZERO).unwrap();
         let driver = Driver::new(DriverConfig { clients: 4, total_transactions: 200, seed: 5 });
-        let mut report = driver.run(&db, &scale, loaded_at).unwrap();
-        report.attach_device(&device.stats());
+        let report = driver.run(&db, &scale, loaded_at).unwrap();
         assert_eq!(report.committed + report.rolled_back, 200);
         assert!(report.committed > 150);
         assert!(report.tps > 0.0);
         assert!(report.makespan > Duration::ZERO);
-        assert!(report.host_reads > 0, "device reads must have happened");
+        assert!(device.stats().page_reads > 0, "device reads must have happened");
         let new_order = report.type_stats(TxnType::NewOrder).unwrap();
         assert!(new_order.count > 50);
         assert!(new_order.mean_response_ms() > 0.0);

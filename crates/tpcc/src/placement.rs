@@ -51,64 +51,93 @@ pub fn figure2(total_dies: u32) -> PlacementConfig {
     ];
     let paper_total: u32 = groups.iter().map(|(_, _, d)| *d).sum();
     assert_eq!(paper_total, 64, "paper assigns 64 dies");
-    let mut regions: Vec<RegionAssignment> = Vec::with_capacity(groups.len());
-    if total_dies == paper_total {
-        for (name, objects, dies) in groups {
-            regions.push(RegionAssignment {
-                region_name: name.to_string(),
-                objects: objects.iter().map(|s| s.to_string()).collect(),
-                dies,
-                service_class: None,
-            });
-        }
-    } else {
-        assert!(
-            total_dies >= groups.len() as u32,
-            "need at least {} dies for the six-region placement",
-            groups.len()
-        );
-        // Scale proportionally with a largest-remainder pass.
-        let shares: Vec<f64> = groups
-            .iter()
-            .map(|(_, _, d)| *d as f64 / paper_total as f64 * total_dies as f64)
-            .collect();
-        let mut dies: Vec<u32> = shares.iter().map(|s| (s.floor() as u32).max(1)).collect();
-        let mut assigned: u32 = dies.iter().sum();
-        let mut order: Vec<(usize, f64)> =
-            shares.iter().enumerate().map(|(i, s)| (i, s - s.floor())).collect();
-        order.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        let mut i = 0;
-        while assigned < total_dies {
-            dies[order[i % order.len()].0] += 1;
-            assigned += 1;
-            i += 1;
-        }
-        while assigned > total_dies {
-            // Remove from the largest region(s) but never below one die.
-            let max_idx = (0..dies.len()).max_by_key(|&i| dies[i]).expect("non-empty");
-            if dies[max_idx] > 1 {
-                dies[max_idx] -= 1;
-                assigned -= 1;
-            } else {
-                break;
-            }
-        }
-        for ((name, objects, _), d) in groups.into_iter().zip(dies) {
-            regions.push(RegionAssignment {
-                region_name: name.to_string(),
-                objects: objects.iter().map(|s| s.to_string()).collect(),
-                dies: d,
-                service_class: None,
-            });
+    assert!(
+        total_dies >= groups.len() as u32,
+        "need at least {} dies for the six-region placement",
+        groups.len()
+    );
+    // Scale proportionally with a largest-remainder pass (exact, with no
+    // remainders, at the paper's 64 dies).
+    let shares: Vec<f64> =
+        groups.iter().map(|(_, _, d)| *d as f64 / paper_total as f64 * total_dies as f64).collect();
+    let mut dies: Vec<u32> = shares.iter().map(|s| (s.floor() as u32).max(1)).collect();
+    let mut assigned: u32 = dies.iter().sum();
+    let mut order: Vec<(usize, f64)> =
+        shares.iter().enumerate().map(|(i, s)| (i, s - s.floor())).collect();
+    order.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    let mut i = 0;
+    while assigned < total_dies {
+        dies[order[i % order.len()].0] += 1;
+        assigned += 1;
+        i += 1;
+    }
+    while assigned > total_dies {
+        // Remove from the largest region(s) but never below one die.
+        let max_idx = (0..dies.len()).max_by_key(|&i| dies[i]).expect("non-empty");
+        if dies[max_idx] > 1 {
+            dies[max_idx] -= 1;
+            assigned -= 1;
+        } else {
+            break;
         }
     }
-    PlacementConfig { regions }
+    let regions = groups.iter().zip(dies).map(|((name, objects, _), d)| region(name, objects, d));
+    PlacementConfig { regions: regions.collect() }
+}
+
+/// One region over `dies` dies holding `objects`.
+fn region(name: &str, objects: &[&str], dies: u32) -> RegionAssignment {
+    RegionAssignment {
+        region_name: name.to_string(),
+        objects: objects.iter().map(|s| s.to_string()).collect(),
+        dies,
+        service_class: None,
+    }
+}
+
+/// A two-region hot/cold split over `total_dies` dies: the update-heavy
+/// objects (order streams, STOCK, WAREHOUSE, DISTRICT, their indexes and
+/// the log) on three quarters of the dies, everything else on the rest.
+/// The middle arm of the region-count ablation (`noftl ablation`).
+pub fn hot_cold(total_dies: u32) -> PlacementConfig {
+    let hot = [
+        "STOCK",
+        "ORDERLINE",
+        "NEW_ORDER",
+        "ORDER",
+        "DISTRICT",
+        "WAREHOUSE",
+        "OL_IDX",
+        "NO_IDX",
+        "O_IDX",
+        "O_CUST_IDX",
+        "DBMS-log",
+    ];
+    let cold = [
+        "CUSTOMER",
+        "C_IDX",
+        "C_NAME_IDX",
+        "ITEM",
+        "I_IDX",
+        "S_IDX",
+        "W_IDX",
+        "D_IDX",
+        "HISTORY",
+        "DBMS-metadata",
+    ];
+    let hot_dies = (total_dies * 3 / 4).max(1);
+    PlacementConfig {
+        regions: vec![
+            region("rgHot", &hot, hot_dies),
+            region("rgCold", &cold, total_dies - hot_dies),
+        ],
+    }
 }
 
 /// Derive a placement automatically from measured object statistics with
 /// [`assign_dies`] — the automated counterpart of the paper's hand-built
-/// Figure 2 (used by the `figure2` bench binary to show that the measured
-/// I/O profile reproduces the paper's die shares).
+/// Figure 2 (used by `noftl fig2` to show that the measured I/O profile
+/// reproduces the paper's die shares).
 pub fn advised(
     objects: &[ObjectStats],
     groups: &[(String, Vec<String>)],

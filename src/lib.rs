@@ -12,8 +12,8 @@
 //!   (`tpcc-workload`);
 //! * [`workload`] — deterministic YCSB A–F generators and the NoFTL-KV /
 //!   B+-tree backends they drive (`noftl-workload`);
-//! * [`bench`](mod@bench) — the experiment harness and figure / ablation
-//!   binaries (`noftl-bench`);
+//! * [`bench`](mod@bench) — the experiment harness behind the `noftl`
+//!   binary, `noftl fig2 | fig3 | ablation` (`noftl-bench`);
 //! * [`obs`] — the cross-layer observability layer: metrics registry,
 //!   latency histograms and the event tracer (`noftl-obs`).
 //!

@@ -5,7 +5,7 @@
 //!
 //! This does **not** check the paper's directional claims: the run is too
 //! small for either arm to collect much (see the budget assertion).  The
-//! full-size experiment lives in `noftl-bench` (`--bin figure3`, and the
+//! full-size experiment lives in `noftl-bench` (`noftl fig3`, and the
 //! `--ignored figure3_` sign gate in its tests); this test uses a small
 //! device/scale so it finishes quickly in CI.
 
@@ -34,8 +34,8 @@ fn tpcc_runs_on_both_placements_and_regions_stay_inside_the_copyback_budget() {
     // Both configurations execute the full mix successfully.
     assert!(traditional.report.committed > 1_000);
     assert!(regions.report.committed > 1_000);
-    assert!(traditional.report.host_reads > 0);
-    assert!(regions.report.host_reads > 0);
+    assert!(traditional.device_stats.page_reads > 0);
+    assert!(regions.device_stats.page_reads > 0);
 
     // A budget, not the paper's claim (+21 % TPS, −19.2 % copybacks,
     // −4.4 % erases): every region copies at most 10 % of the pages the
@@ -69,21 +69,21 @@ fn tpcc_runs_on_both_placements_and_regions_stay_inside_the_copyback_budget() {
     );
     // Flash reads are pages the transactions asked for: a range scan
     // reads nothing ahead of the leaf it is on.
-    for arm in [&traditional, &regions] {
+    for (label, arm) in [("traditional", &traditional), ("regions", &regions)] {
         let ratio = arm.reads_per_miss();
         assert!(
             ratio <= 1.15,
-            "{}: {} flash reads are {ratio:.3} x the buffer misses; measured 1.000 on both arms at \
-             this size (176 / 206 reads) and at `figure3`'s defaults.  PR 22 read 64 pages ahead \
-             at every leaf of every scan: 4 393 / 4 280 reads here, 2.42 x / 2.35 x its misses \
-             (the batches thrashed the 96-page pool), and 1.83 x at the benchmark's size",
-            arm.report.label,
-            arm.report.host_reads
+            "{label}: {} flash reads are {ratio:.3} x the buffer misses; measured 1.000 on both \
+             arms at this size (176 / 206 reads) and at `noftl fig3`'s defaults.  PR 22 read 64 \
+             pages ahead at every leaf of every scan: 4 393 / 4 280 reads here, 2.42 x / 2.35 x \
+             its misses (the batches thrashed the 96-page pool), and 1.83 x at the benchmark's \
+             size",
+            arm.device_stats.page_reads
         );
     }
     // Throughput at this miniature scale is dominated by how many dies the
     // tiny working set happens to land on, so only sanity is asserted here;
-    // the throughput comparison is the figure3 binary's job.
+    // the throughput comparison is `noftl fig3`'s job.
     assert!(regions.report.tps > 0.0 && traditional.report.tps > 0.0);
 }
 
