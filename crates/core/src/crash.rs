@@ -395,6 +395,7 @@ pub fn mount<M: Bootable>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::read_page;
     use crate::RegionSpec;
     use flash_sim::{DeviceBuilder, FlashGeometry, TimingModel};
     use std::collections::BTreeMap;
@@ -469,7 +470,8 @@ mod tests {
 
         fn recover(&self, noftl: Arc<NoFtl>, at: SimTime) -> Result<((), Self::World), NoFtlError> {
             let obj = noftl.object_id("t").unwrap();
-            let read = |page| noftl.read(obj, page, at).ok().map(|(data, _)| (page, data[0]));
+            let read =
+                |page| read_page(&noftl, obj, page, at).ok().map(|(data, _)| (page, data[0]));
             Ok(((), (0..8).filter_map(read).collect()))
         }
     }

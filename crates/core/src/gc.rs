@@ -258,7 +258,7 @@ mod tests {
     use crate::io::IoRequest;
     use crate::manager::NoFtl;
     use crate::region::RegionSpec;
-    use crate::testutil::{make_noftl, page};
+    use crate::testutil::{make_noftl, page, read_page};
     use flash_sim::{DeviceBuilder, FlashBackend, FlashGeometry, TimingModel};
     use proptest::prelude::*;
     use std::sync::Arc;
@@ -360,7 +360,7 @@ mod tests {
                 }
             }
         }
-        inner.io(&noftl.env, req, SimTime::ZERO).map(|_| ())
+        inner.io(&noftl.env, req, &mut [], SimTime::ZERO).map(|_| ())
     }
 
     proptest! {
@@ -412,7 +412,7 @@ mod tests {
             }
             prop_assert!(noftl.region_stats(r).unwrap().gc_runs > 0, "the stream must make GC run");
             for p in 0..pages {
-                prop_assert_eq!(&noftl.read(obj, p, SimTime::ZERO).unwrap().0, &page(latest[p as usize]));
+                prop_assert_eq!(&read_page(&noftl, obj, p, SimTime::ZERO).unwrap().0, &page(latest[p as usize]));
             }
         }
     }
@@ -443,10 +443,15 @@ mod tests {
             panic!("no victim was ever left in progress");
         };
         t = overwrite_until_mid_victim(t);
-        let expected: Vec<Vec<u8>> = (0..pages).map(|p| noftl.read(obj, p, t).unwrap().0).collect();
+        let expected: Vec<Vec<u8>> =
+            (0..pages).map(|p| read_page(&noftl, obj, p, t).unwrap().0).collect();
         t = noftl.shrink_region(r, 1, t).unwrap();
         for (p, data) in expected.iter().enumerate() {
-            assert_eq!(&noftl.read(obj, p as u64, t).unwrap().0, data, "page {p} after shrink");
+            assert_eq!(
+                &read_page(&noftl, obj, p as u64, t).unwrap().0,
+                data,
+                "page {p} after shrink"
+            );
         }
         // The same for a region that is dropped mid-victim: all four dies
         // must come back erased, or the writes below hit programmed pages.
@@ -483,7 +488,7 @@ mod tests {
         assert!(rs.gc_erases > 0);
         assert!(noftl.device().stats().block_erases > 0);
         for p in 0..working_set {
-            let (data, _) = noftl.read(obj, p, t).unwrap();
+            let (data, _) = read_page(&noftl, obj, p, t).unwrap();
             assert_eq!(data, page(latest[p as usize]), "page {p}");
         }
     }

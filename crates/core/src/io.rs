@@ -115,6 +115,13 @@ impl Env {
         Ok(done)
     }
 
+    /// A buffer for one page read: a page, or nothing when the device
+    /// stores no payloads (what such a device's reads return).
+    pub(crate) fn page_buf(&self) -> Vec<u8> {
+        let device = &self.device;
+        vec![0; if device.stores_data() { device.geometry().page_size as usize } else { 0 }]
+    }
+
     fn check_page_size(&self, data: &[u8]) -> Result<()> {
         let expected = self.device.geometry().page_size;
         if !data.is_empty() && data.len() != expected as usize {
@@ -142,15 +149,17 @@ impl Inner {
         }
     }
 
-    /// Carry out one request issued at `at`: the payload (empty for a
-    /// write) and the completion time.  A request that fails leaves
-    /// translations, object counters and region statistics untouched.
+    /// Carry out one request issued at `at` and return its completion
+    /// time; a read copies its page into `buf` (a write ignores it).  A
+    /// request that fails leaves translations, object counters and region
+    /// statistics untouched.
     pub(crate) fn io(
         &mut self,
         env: &Env,
         req: &IoRequest<'_>,
+        buf: &mut [u8],
         at: SimTime,
-    ) -> Result<(Vec<u8>, SimTime)> {
+    ) -> Result<SimTime> {
         match req.kind {
             IoKind::Read => {
                 let state = self.object(req.object)?;
@@ -159,18 +168,18 @@ impl Inner {
                     .translate(req.page)
                     .ok_or(NoFtlError::PageNotWritten { object: req.object, page: req.page })?;
                 let tag = self.tag(rid, req.class);
-                let out = env.exec(FlashCommand::Read { addr: ppa }, at, tag)?;
+                let out = env.exec(FlashCommand::Read { addr: ppa, data: buf }, at, tag)?;
                 let completed = out.outcome.completed_at;
                 self.object_mut(req.object)?.counters.reads += 1;
                 let stats = &mut self.region_mut(rid)?.stats;
                 stats.host_reads += 1;
                 stats.read_latency_sum += completed - at;
-                Ok((out.data, completed))
+                Ok(completed)
             }
             IoKind::Write(data) => {
                 let (ppa, completed) = self.stage_write(env, req, data, at)?;
                 self.commit_write(env, req, ppa, at, completed)?;
-                Ok((Vec::new(), completed))
+                Ok(completed)
             }
         }
     }
@@ -228,17 +237,17 @@ fn write_requests(
 }
 
 impl NoFtl {
-    /// Read a logical page of an object.  Returns the payload and the
-    /// completion time.
-    pub fn read(&self, obj: ObjectId, page: u64, at: SimTime) -> Result<(Vec<u8>, SimTime)> {
-        self.lock_inner().io(&self.env, &IoRequest::read(obj, page), at)
+    /// Read a logical page of an object into `buf` — one page, filled by
+    /// the device itself; left as it is on a device that stores no
+    /// payloads.  Returns the completion time.
+    pub fn read(&self, obj: ObjectId, page: u64, buf: &mut [u8], at: SimTime) -> Result<SimTime> {
+        self.lock_inner().io(&self.env, &IoRequest::read(obj, page), buf, at)
     }
 
     /// Write (out-of-place) a logical page of an object.  Returns the
     /// completion time.
     pub fn write(&self, obj: ObjectId, page: u64, data: &[u8], at: SimTime) -> Result<SimTime> {
-        let (_, done) = self.lock_inner().io(&self.env, &IoRequest::write(obj, page, data), at)?;
-        Ok(done)
+        self.lock_inner().io(&self.env, &IoRequest::write(obj, page, data), &mut [], at)
     }
 
     /// Write a batch of pages, all issued at `at` and fanned out over the
@@ -351,14 +360,16 @@ impl NoFtl {
                     clock = clock.max(oldest);
                 }
             }
-            let result = self.lock_inner().io(&self.env, &req, clock);
+            let read = matches!(req.kind, IoKind::Read);
+            let mut data = if read { self.env.page_buf() } else { Vec::new() };
+            let result = self.lock_inner().io(&self.env, &req, &mut data, clock);
             match result {
-                Ok((data, completed)) => {
+                Ok(completed) => {
                     done = done.max(completed);
                     if pages > window {
                         inflight.push_back(completed);
                     }
-                    if matches!(req.kind, IoKind::Read) {
+                    if read {
                         payloads.push(data);
                     }
                     succeeded += 1;
@@ -426,7 +437,7 @@ mod tests {
     use super::*;
     use crate::config::NoFtlConfig;
     use crate::region::RegionSpec;
-    use crate::testutil::{make_noftl, page, raw_device};
+    use crate::testutil::{make_noftl, page, raw_device, read_page};
     use flash_sim::{DeviceBuilder, FlashBackend, FlashGeometry, TimingModel};
     use std::sync::Arc;
 
@@ -436,7 +447,7 @@ mod tests {
         let r = noftl.create_region(RegionSpec::named("rg").with_die_count(2)).unwrap();
         let obj = noftl.create_object("t", r).unwrap();
         let done = noftl.write(obj, 7, &page(0xAA), SimTime::ZERO).unwrap();
-        let (data, done2) = noftl.read(obj, 7, done).unwrap();
+        let (data, done2) = read_page(&noftl, obj, 7, done).unwrap();
         assert_eq!(data, page(0xAA));
         assert!(done2 > done);
         let os = noftl.object_stats(obj).unwrap();
@@ -460,7 +471,7 @@ mod tests {
         for i in 0..5u8 {
             t = noftl.write(obj, 0, &page(i), t).unwrap();
         }
-        let (data, _) = noftl.read(obj, 0, t).unwrap();
+        let (data, _) = read_page(&noftl, obj, 0, t).unwrap();
         assert_eq!(data, page(4));
         assert_eq!(noftl.object_pages(obj).unwrap(), 1, "only one live page");
     }
@@ -471,7 +482,7 @@ mod tests {
         let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
         let obj = noftl.create_object("t", r).unwrap();
         assert!(matches!(
-            noftl.read(obj, 3, SimTime::ZERO),
+            read_page(&noftl, obj, 3, SimTime::ZERO),
             Err(NoFtlError::PageNotWritten { page: 3, .. })
         ));
     }
@@ -501,7 +512,7 @@ mod tests {
         // earlier than four serialized writes would.
         assert!(batch_done > single);
         for i in 0..4u64 {
-            let (data, _) = noftl.read(obj, i, batch_done).unwrap();
+            let (data, _) = read_page(&noftl, obj, i, batch_done).unwrap();
             assert_eq!(data, page(i as u8));
         }
     }
@@ -539,7 +550,7 @@ mod tests {
         assert!(rs.gc_runs > 0, "the workload must actually trigger GC");
         assert!(rs.gc_erases > 0);
         for p in 0..working_set {
-            let (data, _) = noftl.read(obj, p, t).unwrap();
+            let (data, _) = read_page(&noftl, obj, p, t).unwrap();
             assert_eq!(data, page(latest[p as usize]), "page {p}");
         }
     }
@@ -555,8 +566,8 @@ mod tests {
         let t1 = noftl.write(obj, 1, &page(0xA1), SimTime::ZERO).unwrap();
         assert!(t0 > SimTime::ZERO);
         assert_eq!(t0, t1, "striped writes overlap in simulated time");
-        let (d0, rt0) = noftl.read(obj, 0, t0).unwrap();
-        let (d1, rt1) = noftl.read(obj, 1, t0).unwrap();
+        let (d0, rt0) = read_page(&noftl, obj, 0, t0).unwrap();
+        let (d1, rt1) = read_page(&noftl, obj, 1, t0).unwrap();
         assert_eq!(d0, page(0xA0));
         assert_eq!(d1, page(0xA1));
         assert_eq!(rt0, rt1, "reads on disjoint dies overlap too");
@@ -573,7 +584,7 @@ mod tests {
         let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
         let obj = noftl.create_object("t", r).unwrap();
         assert!(matches!(
-            noftl.read(obj, 5, SimTime::ZERO),
+            read_page(&noftl, obj, 5, SimTime::ZERO),
             Err(NoFtlError::PageNotWritten { page: 5, .. })
         ));
         let stats = noftl.device().stats();
@@ -589,7 +600,7 @@ mod tests {
         let submitted = || noftl.device().stats().total_ops();
         let t = noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
         assert_eq!(submitted(), 1, "write");
-        let (_, t) = noftl.read(obj, 0, t).unwrap();
+        let (_, t) = read_page(&noftl, obj, 0, t).unwrap();
         assert_eq!(submitted(), 2, "read");
         let batch = vec![(obj, 0u64, page(2)), (obj, 1u64, page(2))];
         noftl.write_atomic(&batch, t).unwrap();
@@ -604,10 +615,10 @@ mod tests {
         let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
         let obj = noftl.create_object("t", r).unwrap();
         let t = noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
-        noftl.read(obj, 0, t).unwrap();
+        read_page(&noftl, obj, 0, t).unwrap();
         raw_device(&noftl).arm_power_cut(noftl.device().quiesce_time());
         let later = noftl.device().quiesce_time() + flash_sim::Duration(1_000);
-        let err = noftl.read(obj, 0, later).unwrap_err();
+        let err = read_page(&noftl, obj, 0, later).unwrap_err();
         assert!(matches!(err, NoFtlError::Flash(e) if e.is_power_loss()));
         assert_eq!(noftl.object_stats(obj).unwrap().reads, 1);
         let rs = noftl.region_stats(r).unwrap();
@@ -631,7 +642,7 @@ mod tests {
             let err = noftl.execute(&requests, SimTime::ZERO, window).unwrap_err();
             assert!(matches!(err, NoFtlError::PageNotWritten { page: 9, .. }));
             let t = noftl.device().quiesce_time();
-            assert_eq!(noftl.read(obj, 1, t).unwrap().0, data, "window {window}");
+            assert_eq!(read_page(&noftl, obj, 1, t).unwrap().0, data, "window {window}");
         }
     }
 
@@ -660,7 +671,7 @@ mod tests {
         ];
         let (payloads, done) = noftl.execute(&mixed, t, 1).unwrap();
         assert_eq!(payloads, vec![b, a.clone()]);
-        assert_eq!(noftl.read(obj, 2, done).unwrap().0, a);
+        assert_eq!(read_page(&noftl, obj, 2, done).unwrap().0, a);
         let class_ops = |class: &str| {
             let name = format!("flash.arbiter.class.{class}.ops");
             noftl.metrics_snapshot().counter(&name).unwrap_or(0)
@@ -707,8 +718,8 @@ mod tests {
         assert_eq!(ds.iter().filter(|d| d.ops > 0).count(), 4);
         // Data identical either way.
         for (_, p, d) in &writes {
-            assert_eq!(&queued.read(obj, *p, queued_done).unwrap().0, d);
-            assert_eq!(&serial.read(obj, *p, serial_done).unwrap().0, d);
+            assert_eq!(&read_page(&queued, obj, *p, queued_done).unwrap().0, d);
+            assert_eq!(&read_page(&serial, obj, *p, serial_done).unwrap().0, d);
         }
     }
 
@@ -721,7 +732,7 @@ mod tests {
             let writes: Vec<_> = (0..6u64).map(|p| (obj, p, page(p as u8))).collect();
             let done = noftl.write_windowed(&writes, SimTime::ZERO, window).unwrap();
             for (_, p, data) in &writes {
-                assert_eq!(&noftl.read(obj, *p, done).unwrap().0, data);
+                assert_eq!(&read_page(&noftl, obj, *p, done).unwrap().0, data);
             }
             done
         };
@@ -739,12 +750,12 @@ mod tests {
         // Successful atomic batch.
         let batch = vec![(obj, 0u64, page(2)), (obj, 1u64, page(2))];
         let done = noftl.write_atomic(&batch, t0).unwrap();
-        assert_eq!(noftl.read(obj, 0, done).unwrap().0, page(2));
-        assert_eq!(noftl.read(obj, 1, done).unwrap().0, page(2));
+        assert_eq!(read_page(&noftl, obj, 0, done).unwrap().0, page(2));
+        assert_eq!(read_page(&noftl, obj, 1, done).unwrap().0, page(2));
         // Failing atomic batch (unknown object in the middle): nothing changes.
         let bad = vec![(obj, 0u64, page(3)), (999u32, 0u64, page(3))];
         assert!(noftl.write_atomic(&bad, done).is_err());
-        assert_eq!(noftl.read(obj, 0, done).unwrap().0, page(2));
+        assert_eq!(read_page(&noftl, obj, 0, done).unwrap().0, page(2));
     }
 
     #[test]
@@ -765,7 +776,7 @@ mod tests {
         let mut seq_clock = done;
         let mut blocking = Vec::new();
         for p in 0..16u64 {
-            let (data, fin) = noftl.read(obj, p, seq_clock).unwrap();
+            let (data, fin) = read_page(&noftl, obj, p, seq_clock).unwrap();
             blocking.push(data);
             seq_clock = fin;
         }
@@ -817,7 +828,7 @@ mod tests {
                 .unwrap();
             let obj = noftl.create_object("t", r).unwrap();
             let t = noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
-            noftl.read(obj, 0, t).unwrap();
+            read_page(&noftl, obj, 0, t).unwrap();
             assert_eq!(counter(&noftl, "flash.arbiter.class.latency.ops"), 2);
             assert_eq!(counter(&noftl, "flash.arbiter.class.background.ops"), 0);
         }

@@ -137,6 +137,8 @@ struct KvInner {
     runs: Vec<RunMeta>,
     next_seq: u64,
     stats: KvStats,
+    /// The page a get reads a run page into, reused by every get.
+    page: Vec<u8>,
 }
 
 /// A log-structured key-value store over one NoFTL region.
@@ -204,6 +206,7 @@ impl KvStore {
         Self::validate_name(name)?;
         noftl.create_object(&Self::marker_name(name), region)?;
         let now = noftl.checkpoint(at)?;
+        let page = noftl.env.page_buf();
         let store = KvStore {
             obs: KvObs::new(Arc::clone(noftl.metrics())),
             noftl,
@@ -215,6 +218,7 @@ impl KvStore {
                 runs: Vec::new(),
                 next_seq: 1,
                 stats: KvStats::default(),
+                page,
             }),
         };
         Ok((store, now))
@@ -303,6 +307,7 @@ impl KvStore {
         report.runs_recovered = runs.len();
         report.next_seq = runs.iter().map(|r| r.seq_hi).max().unwrap_or(0) + 1;
         report.completed_at = now;
+        let page = noftl.env.page_buf();
         let store = KvStore {
             obs: KvObs::new(Arc::clone(noftl.metrics())),
             noftl,
@@ -314,6 +319,7 @@ impl KvStore {
                 runs,
                 next_seq: report.next_seq,
                 stats: KvStats::default(),
+                page,
             }),
         };
         Ok((store, report))
@@ -344,7 +350,8 @@ impl KvStore {
         };
         // The last page names its position in the tail, which locates the
         // tail's other members.
-        let Ok((last, t)) = noftl.read(obj, extent - 1, *now) else { return Ok(None) };
+        let mut last = noftl.env.page_buf();
+        let Ok(t) = noftl.read(obj, extent - 1, &mut last, *now) else { return Ok(None) };
         *now = t;
         report.tail_pages_read += 1;
         let (seq, total) = match run::tail_page(&last) {
@@ -459,11 +466,10 @@ impl KvStore {
                 inner.stats.bloom_skips += 1;
                 continue;
             }
-            let (payload, t) = self.noftl.read(run_meta.object, u64::from(page), now)?;
-            now = t;
+            now = self.noftl.read(run_meta.object, u64::from(page), &mut inner.page, now)?;
             inner.stats.run_page_reads += 1;
             inner.stats.get_page_reads += 1;
-            let hit = run::lookup_in_page(&payload, key).ok_or_else(|| {
+            let hit = run::lookup_in_page(&inner.page, key).ok_or_else(|| {
                 kv_err(format!("run object {} page {page} is not a data page", run_meta.object))
             })?;
             if let Some(value) = hit {
@@ -751,6 +757,7 @@ impl KvStore {
 mod tests {
     use super::*;
     use crate::region::RegionSpec;
+    use crate::testutil::read_page;
     use crate::NoFtlConfig;
     use flash_sim::{DeviceBuilder, FlashBackend, FlashGeometry, NandDevice, TimingModel};
 
@@ -852,7 +859,7 @@ mod tests {
             let (start, end) = run_meta.range_window(lo, hi);
             for page in start..end {
                 let (payload, _) =
-                    kv.noftl.read(run_meta.object, u64::from(page), SimTime::ZERO).unwrap();
+                    read_page(&kv.noftl, run_meta.object, u64::from(page), SimTime::ZERO).unwrap();
                 for (key, value) in run::decode_data_page(&payload).unwrap() {
                     if in_range(&key) {
                         merged.insert(key, value);
@@ -984,7 +991,7 @@ mod tests {
         assert_eq!(kv.stats().run_page_reads - reads_before, pages.len() as u64);
         let mut serial = scanned;
         for &(object, page) in &pages {
-            serial = noftl.read(object, page, serial).unwrap().1;
+            serial = read_page(&noftl, object, page, serial).unwrap().1;
         }
         let (windowed_ns, serial_ns) = ((scanned - t).as_nanos(), (serial - scanned).as_nanos());
         assert!(

@@ -73,7 +73,7 @@ pub type Result<T> = std::result::Result<T, NoFtlError>;
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
-    use flash_sim::{DeviceBuilder, FlashBackend, FlashGeometry, NandDevice, TimingModel};
+    use flash_sim::{DeviceBuilder, FlashBackend, FlashGeometry, NandDevice, SimTime, TimingModel};
     use std::sync::Arc;
 
     pub(crate) fn make_noftl() -> NoFtl {
@@ -85,6 +85,17 @@ pub(crate) mod testutil {
 
     pub(crate) fn page(byte: u8) -> Vec<u8> {
         vec![byte; 4096]
+    }
+
+    /// [`NoFtl::read`] into a fresh page: the payload and the completion.
+    pub(crate) fn read_page(
+        noftl: &NoFtl,
+        obj: ObjectId,
+        page: u64,
+        at: SimTime,
+    ) -> Result<(Vec<u8>, SimTime)> {
+        let mut data = vec![0; 4096];
+        noftl.read(obj, page, &mut data, at).map(|done| (data, done))
     }
 
     pub(crate) fn raw_device(noftl: &NoFtl) -> &NandDevice {
@@ -100,6 +111,7 @@ pub(crate) mod testutil {
 #[cfg(test)]
 mod lib_tests {
     use super::*;
+    use crate::testutil::read_page;
     use flash_sim::{DeviceBuilder, FlashGeometry, SimTime};
     use std::sync::Arc;
 
@@ -111,7 +123,7 @@ mod lib_tests {
         let obj = noftl.create_object("t_smoke", region).unwrap();
         let data = vec![0x42u8; 4096];
         let done = noftl.write(obj, 0, &data, SimTime::ZERO).unwrap();
-        let (back, _) = noftl.read(obj, 0, done).unwrap();
+        let (back, _) = read_page(&noftl, obj, 0, done).unwrap();
         assert_eq!(back, data);
     }
 }

@@ -378,6 +378,7 @@ impl NoFtl {
         // Rebalance copies are maintenance traffic.
         let tag = IoTag::background(Some(rid.0));
         let mut done = at;
+        let mut data = env.page_buf();
         for _ in 0..remove_dies {
             let mut space = inner.space(env, rid)?;
             let Some(mut die) = space.region.dies.pop() else { break };
@@ -390,10 +391,11 @@ impl NoFtl {
                     if !matches!(env.device.page_state(src), Ok(PageState::Valid)) {
                         continue;
                     }
-                    let read = env.exec(FlashCommand::Read { addr: src }, at, tag)?;
+                    let read =
+                        env.exec(FlashCommand::Read { addr: src, data: &mut data }, at, tag)?;
                     let Some(meta) = read.meta else { continue };
                     let dst = space.allocate(at)?;
-                    let program = FlashCommand::Program { addr: dst, data: &read.data, meta };
+                    let program = FlashCommand::Program { addr: dst, data: &data, meta };
                     let out = env.exec(program, read.outcome.completed_at, tag)?;
                     done = done.max(out.outcome.completed_at);
                     env.device.mark_invalid(src)?;
@@ -412,7 +414,7 @@ impl NoFtl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{make_noftl, page};
+    use crate::testutil::{make_noftl, page, read_page};
     use flash_sim::{DeviceBuilder, FlashGeometry};
 
     #[test]
@@ -468,7 +470,10 @@ mod tests {
     #[test]
     fn unknown_object_and_region_errors() {
         let noftl = make_noftl();
-        assert!(matches!(noftl.read(42, 0, SimTime::ZERO), Err(NoFtlError::UnknownObject { .. })));
+        assert!(matches!(
+            read_page(&noftl, 42, 0, SimTime::ZERO),
+            Err(NoFtlError::UnknownObject { .. })
+        ));
         assert!(noftl.region_stats(RegionId(9)).is_err());
         assert!(noftl.create_object("x", RegionId(9)).is_err());
         assert!(noftl.create_object_in("x", "nope").is_err());
@@ -493,7 +498,7 @@ mod tests {
         let r2 = noftl.create_region(RegionSpec::named("rg2").with_die_count(4)).unwrap();
         let obj2 = noftl.create_object("t2", r2).unwrap();
         noftl.write(obj2, 0, &page(7), SimTime::ZERO).unwrap();
-        assert_eq!(noftl.read(obj2, 0, SimTime::ZERO).unwrap().0, page(7));
+        assert_eq!(read_page(&noftl, obj2, 0, SimTime::ZERO).unwrap().0, page(7));
     }
 
     #[test]
@@ -517,7 +522,7 @@ mod tests {
         assert_eq!(noftl.region_dies(r).unwrap().len(), 1);
         assert_eq!(noftl.free_die_count(), 3);
         for p in 0..40u64 {
-            let (data, _) = noftl.read(obj, p, done).unwrap();
+            let (data, _) = read_page(&noftl, obj, p, done).unwrap();
             assert_eq!(data, page(p as u8), "page {p}");
         }
         let rs = noftl.region_stats(r).unwrap();

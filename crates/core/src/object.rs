@@ -199,7 +199,7 @@ impl NoFtl {
 mod tests {
     use super::*;
     use crate::region::RegionSpec;
-    use crate::testutil::{make_noftl, page};
+    use crate::testutil::{make_noftl, page, read_page};
     use flash_sim::{DieId, SimTime};
 
     fn ppa(block: u32) -> PageAddr {
@@ -253,7 +253,7 @@ mod tests {
         noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
         noftl.write(obj, 1, &page(1), SimTime::ZERO).unwrap();
         noftl.free_page(obj, 0).unwrap();
-        assert!(noftl.read(obj, 0, SimTime::ZERO).is_err());
+        assert!(read_page(&noftl, obj, 0, SimTime::ZERO).is_err());
         assert_eq!(noftl.object_pages(obj).unwrap(), 1);
         noftl.drop_object(obj).unwrap();
         assert!(noftl.object_stats(obj).is_err());

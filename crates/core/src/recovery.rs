@@ -381,6 +381,7 @@ impl Scan {
         let device = env.device.as_ref();
         let geo = *device.geometry();
         let verify_payloads = device.stores_data();
+        let mut payload = env.page_buf();
         let mut scan = Scan::default();
         for die in geo.dies() {
             // Partial-device mount: a die that was never programmed or
@@ -418,16 +419,15 @@ impl Scan {
                     // A chunk's payload is the checkpoint itself; a data
                     // page's is read only to verify its checksum.
                     let must_read = is_chunk || (verify_payloads && meta.checksum != 0);
-                    let mut payload = Vec::new();
                     if must_read {
-                        let read = env.exec(FlashCommand::Read { addr }, at, IoTag::default())?;
+                        let read = FlashCommand::Read { addr, data: &mut payload };
+                        let read = env.exec(read, at, IoTag::default())?;
                         report.completed_at = report.completed_at.max(read.outcome.completed_at);
-                        payload = read.data;
                     }
                     let filed = if must_read && !meta.payload_matches(&payload) {
                         false
                     } else if is_chunk {
-                        scan.note_chunk(&meta, addr, payload)
+                        scan.note_chunk(&meta, addr, &payload)
                     } else {
                         scan.note_page(&meta, addr);
                         true
@@ -445,13 +445,13 @@ impl Scan {
     /// File one checkpoint chunk page whose checksum matched; of two
     /// copies of the same chunk the higher write epoch wins.  Returns
     /// `false` for a payload that is not a chunk after all.
-    fn note_chunk(&mut self, meta: &PageMetadata, addr: PageAddr, payload: Vec<u8>) -> bool {
-        let Some((seq, index, count, _)) = decode_chunk(&payload) else { return false };
+    fn note_chunk(&mut self, meta: &PageMetadata, addr: PageAddr, payload: &[u8]) -> bool {
+        let Some((seq, index, count, _)) = decode_chunk(payload) else { return false };
         let by_idx = self.chunks.entry(seq).or_default();
         if by_idx.get(&index).is_some_and(|c| c.epoch >= meta.epoch) {
             self.losers.push(addr);
         } else {
-            let chunk = ScannedChunk { count, epoch: meta.epoch, addr, payload };
+            let chunk = ScannedChunk { count, epoch: meta.epoch, addr, payload: payload.to_vec() };
             if let Some(old) = by_idx.insert(index, chunk) {
                 self.losers.push(old.addr);
             }
@@ -756,7 +756,7 @@ impl NoFtl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{make_noftl, page, raw_device, reboot};
+    use crate::testutil::{make_noftl, page, raw_device, read_page, reboot};
     use flash_sim::{DeviceBuilder, FlashGeometry, TimingModel};
 
     fn sample_image() -> CheckpointImage {
@@ -852,15 +852,19 @@ mod tests {
         assert_eq!(noftl2.region_dies(rg_hot).unwrap().len(), 2);
         let done = report.completed_at;
         for p in 0..5u64 {
-            assert_eq!(noftl2.read(orders, p, done).unwrap().0, page(p as u8), "page {p}");
+            assert_eq!(read_page(&noftl2, orders, p, done).unwrap().0, page(p as u8), "page {p}");
         }
         for p in 5..15u64 {
-            assert_eq!(noftl2.read(orders, p, done).unwrap().0, page(0x40 + p as u8), "page {p}");
+            assert_eq!(
+                read_page(&noftl2, orders, p, done).unwrap().0,
+                page(0x40 + p as u8),
+                "page {p}"
+            );
         }
-        assert_eq!(noftl2.read(history, 0, done).unwrap().0, page(0xCC));
+        assert_eq!(read_page(&noftl2, history, 0, done).unwrap().0, page(0xCC));
         // The remounted manager keeps working: writes and re-checkpoints.
         let t2 = noftl2.write(orders, 99, &page(0x77), done).unwrap();
-        assert_eq!(noftl2.read(orders, 99, t2).unwrap().0, page(0x77));
+        assert_eq!(read_page(&noftl2, orders, 99, t2).unwrap().0, page(0x77));
         noftl2.checkpoint(t2).unwrap();
         assert_eq!(noftl2.checkpoint_seq(), 2);
     }
@@ -903,8 +907,8 @@ mod tests {
         let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
         assert_eq!(report.orphaned_objects, vec![b]);
         assert_eq!(noftl2.object_id(&format!("__orphan_{b}")), Some(b));
-        assert_eq!(noftl2.read(b, 3, report.completed_at).unwrap().0, page(9));
-        assert_eq!(noftl2.read(a, 0, report.completed_at).unwrap().0, page(1));
+        assert_eq!(read_page(&noftl2, b, 3, report.completed_at).unwrap().0, page(9));
+        assert_eq!(read_page(&noftl2, a, 0, report.completed_at).unwrap().0, page(1));
     }
 
     #[test]
@@ -925,7 +929,7 @@ mod tests {
         assert_eq!(report.dies_skipped, 2);
         assert!(report.pages_scanned > 0);
         for p in 0..6u64 {
-            assert_eq!(noftl2.read(obj, p, report.completed_at).unwrap().0, page(p as u8));
+            assert_eq!(read_page(&noftl2, obj, p, report.completed_at).unwrap().0, page(p as u8));
         }
         // The skipped dies are still usable: they returned to the free
         // pool and can host a new region.
@@ -950,7 +954,7 @@ mod tests {
         let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
         assert_eq!(report.torn_pages_discarded, 1);
         // The pre-crash committed version is still readable.
-        assert_eq!(noftl2.read(obj, 0, report.completed_at).unwrap().0, page(0x11));
+        assert_eq!(read_page(&noftl2, obj, 0, report.completed_at).unwrap().0, page(0x11));
     }
 
     /// Register `n` empty objects whose 120-byte names (~150 B of
@@ -1040,10 +1044,14 @@ mod tests {
             assert_eq!(report.objects, 101);
             let done = report.completed_at;
             for p in 0..5u64 {
-                assert_eq!(noftl2.read(obj, p, done).unwrap().0, page(0xE0 + p as u8), "page {p}");
+                assert_eq!(
+                    read_page(&noftl2, obj, p, done).unwrap().0,
+                    page(0xE0 + p as u8),
+                    "page {p}"
+                );
             }
             for p in 5..20u64 {
-                assert_eq!(noftl2.read(obj, p, done).unwrap().0, page(p as u8), "page {p}");
+                assert_eq!(read_page(&noftl2, obj, p, done).unwrap().0, page(p as u8), "page {p}");
             }
         }
     }
@@ -1143,7 +1151,10 @@ mod tests {
         assert_eq!(current.len(), 1);
         assert_eq!(valid_chunk_pages(&noftl2), current, "no chunk outside `meta.map` is valid");
         let last = capacity - 4;
-        assert_eq!(noftl2.read(filler, last, report.completed_at).unwrap().0, page(last as u8));
+        assert_eq!(
+            read_page(&noftl2, filler, last, report.completed_at).unwrap().0,
+            page(last as u8)
+        );
     }
 
     #[test]
@@ -1168,6 +1179,6 @@ mod tests {
         let device2 = reboot(&noftl);
         let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
         assert_eq!(report.checkpoint_seq, 1);
-        assert_eq!(noftl2.read(obj, 0, report.completed_at).unwrap().0, page(5));
+        assert_eq!(read_page(&noftl2, obj, 0, report.completed_at).unwrap().0, page(5));
     }
 }

@@ -25,6 +25,12 @@
 //! write changes the frame where it lies and copies no page.  Only a page
 //! that is new, or rewritten from bytes the caller kept (a B+-tree split's
 //! parent), goes through [`BufferPool::write_page`].
+//!
+//! A frame owns its page buffer for the life of the pool.  A miss reuses
+//! the buffer of the frame it evicts (or of a free frame): the storage
+//! backend reads the page straight into it
+//! ([`StorageBackend::read_page_into`]), so once the pool has filled up a
+//! miss allocates nothing, whether its victim was clean or written back.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
@@ -74,8 +80,11 @@ impl BufferStats {
     }
 }
 
+#[derive(Default)]
 struct Frame {
     key: (ObjectId, u64),
+    /// The page; in a free frame, the buffer the next page to land in
+    /// the frame reuses (empty until the frame first holds a page).
     data: Vec<u8>,
     dirty: bool,
     ref_bit: bool,
@@ -91,11 +100,11 @@ struct Capture {
 }
 
 struct PoolInner {
-    frames: Vec<Option<Frame>>,
-    /// Indices of the empty frames (`frames[i]` is `None` exactly for the
-    /// `i` in here).  An eviction pushes its frame, the install that
-    /// caused it pops it again, so once the pool has filled up this is
-    /// empty between calls and a miss goes straight to the clock sweep.
+    frames: Vec<Frame>,
+    /// Indices of the free frames, which hold no page (and are never
+    /// dirty).  An eviction pushes its frame, the fill that caused it pops
+    /// it again, so once the pool has filled up this is empty between
+    /// calls and a miss goes straight to the clock sweep.
     free: Vec<usize>,
     map: HashMap<(ObjectId, u64), usize>,
     hand: usize,
@@ -142,7 +151,7 @@ impl BufferPool {
             no_steal,
             flush_hist: OnceLock::new(),
             inner: Mutex::new(PoolInner {
-                frames: (0..capacity).map(|_| None).collect(),
+                frames: (0..capacity).map(|_| Frame::default()).collect(),
                 // Popped from the back: frame 0 fills first.
                 free: (0..capacity).rev().collect(),
                 map: HashMap::with_capacity(capacity),
@@ -168,19 +177,21 @@ impl BufferPool {
         self.inner.lock().stats
     }
 
-    /// Make sure a free frame exists, evicting one by the clean-first
-    /// clock if none does.  Dirty victims are written back at `now`
-    /// without charging the caller.
-    fn make_room(&self, inner: &mut PoolInner, now: SimTime) -> Result<()> {
-        if !inner.free.is_empty() {
-            return Ok(());
+    /// The free frame the next page goes into, evicting one by the
+    /// clean-first clock if none is free; it stays free until
+    /// [`Self::occupy`] takes it, so a fill that fails gives it back.
+    /// Dirty victims are written back at `now` without charging the
+    /// caller.
+    fn make_room(&self, inner: &mut PoolInner, now: SimTime) -> Result<usize> {
+        if let Some(&idx) = inner.free.last() {
+            return Ok(idx);
         }
         // Clock sweep: a referenced frame loses its bit, a dirty one is
         // passed over once more, so three turns reach any frame.
         for _ in 0..inner.frames.len() * 3 + 1 {
             let idx = inner.hand;
             inner.hand = (inner.hand + 1) % inner.frames.len();
-            let frame = inner.frames[idx].as_mut().expect("no empty frames on this path");
+            let frame = &mut inner.frames[idx];
             if frame.ref_bit {
                 frame.ref_bit = false;
                 continue;
@@ -195,17 +206,17 @@ impl BufferPool {
                 frame.spared = true;
                 continue;
             }
-            // Victim found.
+            // Victim found: it keeps its buffer for the page replacing it.
             let key = frame.key;
             if frame.dirty {
                 self.backend.write_page(key.0, key.1, &frame.data, now)?;
+                frame.dirty = false;
                 inner.stats.dirty_writebacks += 1;
             }
             inner.stats.evictions += 1;
             inner.map.remove(&key);
-            inner.frames[idx] = None;
             inner.free.push(idx);
-            return Ok(());
+            return Ok(idx);
         }
         Err(DbError::Storage {
             message: if self.no_steal {
@@ -216,28 +227,20 @@ impl BufferPool {
         })
     }
 
-    /// Put a page into a free frame ([`Self::make_room`] ran) and return
-    /// the frame's index.
-    fn install(
-        inner: &mut PoolInner,
-        key: (ObjectId, u64),
-        mut data: Vec<u8>,
-        dirty: bool,
-    ) -> usize {
-        if data.len() != PAGE_SIZE {
-            data.resize(PAGE_SIZE, 0);
-        }
+    /// Take the free frame [`Self::make_room`] chose, whose buffer now
+    /// holds the page `key`, and return its index.
+    fn occupy(inner: &mut PoolInner, key: (ObjectId, u64), dirty: bool) -> usize {
         let idx = inner.free.pop().expect("the caller made room");
-        inner.frames[idx] = Some(Frame { key, data, dirty, ref_bit: true, spared: false });
+        let frame = &mut inner.frames[idx];
+        (frame.key, frame.dirty, frame.ref_bit, frame.spared) = (key, dirty, true, false);
         inner.map.insert(key, idx);
         idx
     }
 
-    /// The one lookup / miss / install path of the pool: count a logical
-    /// read, find the page's frame or charge the flash read and install
-    /// the backend's buffer as a clean frame, and mark it referenced.
-    /// Returns the frame's index and the time at which its data was
-    /// available.
+    /// The one lookup / miss / fill path of the pool: count a logical
+    /// read, find the page's frame or charge the flash read into a free
+    /// frame's buffer, and mark it referenced.  Returns the frame's index
+    /// and the time at which its data was available.
     fn lend(
         &self,
         inner: &mut PoolInner,
@@ -253,22 +256,24 @@ impl BufferPool {
             }
             None => {
                 inner.stats.misses += 1;
-                self.make_room(inner, now)?;
+                let free = self.make_room(inner, now)?;
                 // The read is a pure simulated-time computation, so it
                 // runs under the lock: simple and deterministic.
-                let (data, done) = self.backend.read_page(obj, page, now)?;
-                (Self::install(inner, (obj, page), data, false), done)
+                let data = &mut inner.frames[free].data;
+                data.resize(PAGE_SIZE, 0);
+                let done = self.backend.read_page_into(obj, page, data, now)?;
+                (Self::occupy(inner, (obj, page), false), done)
             }
         };
-        let frame = inner.frames[idx].as_mut().expect("mapped frame exists");
+        let frame = &mut inner.frames[idx];
         frame.ref_bit = true;
         frame.spared = false;
         Ok((idx, done))
     }
 
     /// Lend a page to `f`: a hit runs `f` on the resident frame without
-    /// copying it; a miss charges the flash read and installs the
-    /// backend's buffer as the frame.  Returns `f`'s result and the time
+    /// copying it; a miss charges the flash read, which fills a free (or
+    /// just evicted) frame's buffer.  Returns `f`'s result and the time
     /// at which the data was available.
     ///
     /// `f` runs under the pool lock, so it must not call back into the
@@ -283,7 +288,7 @@ impl BufferPool {
     ) -> Result<(R, SimTime)> {
         let mut inner = self.inner.lock();
         let (idx, done) = self.lend(&mut inner, obj, page, now)?;
-        Ok((f(&inner.frames[idx].as_ref().expect("mapped frame exists").data), done))
+        Ok((f(&inner.frames[idx].data), done))
     }
 
     /// Lend a page to `f` for editing in place: the read of
@@ -303,7 +308,7 @@ impl BufferPool {
     ) -> Result<(R, SimTime)> {
         let mut inner = self.inner.lock();
         let (idx, done) = self.lend(&mut inner, obj, page, now)?;
-        let frame = inner.frames[idx].as_mut().expect("mapped frame exists");
+        let frame = &mut inner.frames[idx];
         let (result, wrote) = f(&mut frame.data);
         if wrote {
             frame.dirty = true;
@@ -343,15 +348,18 @@ impl BufferPool {
         let mut inner = self.inner.lock();
         Self::count_write(&mut inner, obj, page);
         if let Some(&idx) = inner.map.get(&(obj, page)) {
-            let frame = inner.frames[idx].as_mut().expect("mapped frame exists");
+            let frame = &mut inner.frames[idx];
             frame.data.copy_from_slice(data);
             frame.dirty = true;
             frame.ref_bit = true;
             frame.spared = false;
             return Ok(now);
         }
-        self.make_room(&mut inner, now)?;
-        Self::install(&mut inner, (obj, page), data.to_vec(), true);
+        let free = self.make_room(&mut inner, now)?;
+        let buf = &mut inner.frames[free].data;
+        buf.clear();
+        buf.extend_from_slice(data);
+        Self::occupy(&mut inner, (obj, page), true);
         Ok(now)
     }
 
@@ -372,10 +380,7 @@ impl BufferPool {
     /// no statistics impact).  Used by commit to snapshot after-images.
     pub fn page_image(&self, obj: ObjectId, page: u64) -> Option<Vec<u8>> {
         let inner = self.inner.lock();
-        inner
-            .map
-            .get(&(obj, page))
-            .map(|&idx| inner.frames[idx].as_ref().expect("mapped frame exists").data.clone())
+        inner.map.get(&(obj, page)).map(|&idx| inner.frames[idx].data.clone())
     }
 
     /// Write back every dirty page through the backend's
@@ -390,7 +395,6 @@ impl BufferPool {
         let batch: Vec<(ObjectId, u64, Vec<u8>)> = inner
             .frames
             .iter()
-            .flatten()
             .filter(|f| f.dirty)
             .map(|f| (f.key.0, f.key.1, f.data.clone()))
             .collect();
@@ -414,7 +418,7 @@ impl BufferPool {
             );
         }
         let mut flushed = 0u64;
-        for frame in inner.frames.iter_mut().flatten() {
+        for frame in inner.frames.iter_mut() {
             if frame.dirty {
                 frame.dirty = false;
                 flushed += 1;
@@ -426,7 +430,7 @@ impl BufferPool {
 
     /// Number of dirty pages currently in the pool.
     pub fn dirty_pages(&self) -> usize {
-        self.inner.lock().frames.iter().flatten().filter(|f| f.dirty).count()
+        self.inner.lock().frames.iter().filter(|f| f.dirty).count()
     }
 }
 
@@ -498,7 +502,7 @@ mod tests {
         pool.write_page(obj, 0, &page(7), SimTime::ZERO).unwrap();
         let done = pool.flush_all(SimTime::ZERO).unwrap();
         let cold = BufferPool::new(backend, 8);
-        // Miss: charged, installed; the closure sees the page.
+        // Miss: charged, filled; the closure sees the page.
         let (first, t) = cold.with_page(obj, 0, done, |p| (p.len(), p[0])).unwrap();
         assert_eq!(first, (PAGE_SIZE, 7));
         assert!(t > done);

@@ -44,6 +44,26 @@ pub trait StorageBackend: Send + Sync {
     /// Read a logical page of an object.
     fn read_page(&self, obj: ObjectId, page: u64, at: SimTime) -> Result<(Vec<u8>, SimTime)>;
 
+    /// Read a logical page of an object into `buf` (one page): the path a
+    /// buffer-pool miss takes, so the page lands in the frame it will
+    /// live in.  The provided body copies out of
+    /// [`StorageBackend::read_page`] (a shorter payload leaves zeros
+    /// behind it), which is all a forward-only decorator needs;
+    /// [`NoFtlBackend`] has the device fill `buf` itself.
+    fn read_page_into(
+        &self,
+        obj: ObjectId,
+        page: u64,
+        buf: &mut [u8],
+        at: SimTime,
+    ) -> Result<SimTime> {
+        let (data, done) = self.read_page(obj, page, at)?;
+        let n = data.len().min(buf.len());
+        buf[..n].copy_from_slice(&data[..n]);
+        buf[n..].fill(0);
+        Ok(done)
+    }
+
     /// Read a batch of pages through a bounded completion-driven
     /// pipeline — the read-side counterpart of
     /// [`StorageBackend::write_windowed`].  At most `window` reads are in
@@ -191,7 +211,18 @@ impl StorageBackend for NoFtlBackend {
     }
 
     fn read_page(&self, obj: ObjectId, page: u64, at: SimTime) -> Result<(Vec<u8>, SimTime)> {
-        self.noftl.read(obj, page, at).map_err(Into::into)
+        let mut data = vec![0; self.page_size() as usize];
+        self.read_page_into(obj, page, &mut data, at).map(|done| (data, done))
+    }
+
+    fn read_page_into(
+        &self,
+        obj: ObjectId,
+        page: u64,
+        buf: &mut [u8],
+        at: SimTime,
+    ) -> Result<SimTime> {
+        self.noftl.read(obj, page, buf, at).map_err(Into::into)
     }
 
     fn read_windowed(

@@ -169,9 +169,13 @@ struct WalInner {
     /// Payload of the current (partial) page; always shorter than
     /// `PAGE_CAP`.
     cur_payload: Vec<u8>,
-    /// Completed pages not yet forced to storage (always empty for a
-    /// volatile log, which never writes a completed page).
-    pending: Vec<(u64, Vec<u8>)>,
+    /// The pages the next force writes: `batch[..sealed]` are the
+    /// completed pages not yet forced (none for a volatile log, which
+    /// never writes a completed page), sealed as they fill up; the force
+    /// seals the current page behind them.  The batch keeps its page
+    /// buffers from force to force.
+    batch: Vec<(ObjectId, u64, Vec<u8>)>,
+    sealed: usize,
     /// First page of the current segment (everything before it has been
     /// freed by truncation).
     segment_start: u64,
@@ -188,25 +192,34 @@ struct WalInner {
 
 impl WalInner {
     /// Stream `bytes` into the current page, moving on to the next page
-    /// number whenever one fills up.  A full page is kept for the next
-    /// force only when `durable`; a volatile log reuses its buffer.
-    fn stream(&mut self, mut bytes: &[u8], durable: bool) {
+    /// number whenever one fills up.  A full page is sealed for the next
+    /// force of object `spill`, if given; a volatile log (`None`) drops it.
+    fn stream(&mut self, mut bytes: &[u8], spill: Option<ObjectId>) {
         while !bytes.is_empty() {
             let take = (PAGE_CAP - self.cur_payload.len()).min(bytes.len());
             let (head, rest) = bytes.split_at(take);
             self.cur_payload.extend_from_slice(head);
             bytes = rest;
             if self.cur_payload.len() == PAGE_CAP {
-                if durable {
-                    let full =
-                        std::mem::replace(&mut self.cur_payload, Vec::with_capacity(PAGE_CAP));
-                    self.pending.push((self.cur_page, full));
-                } else {
-                    self.cur_payload.clear();
+                if let Some(obj) = spill {
+                    self.seal_current(obj);
+                    self.sealed += 1;
                 }
+                self.cur_payload.clear();
                 self.cur_page += 1;
             }
         }
+    }
+
+    /// Seal the current page of log object `obj` into the batch slot
+    /// behind the sealed pages, reusing the slot's page buffer.
+    fn seal_current(&mut self, obj: ObjectId) {
+        if self.batch.len() == self.sealed {
+            self.batch.push((obj, 0, Vec::with_capacity(PAGE_SIZE)));
+        }
+        let (_, page_no, page) = &mut self.batch[self.sealed];
+        *page_no = self.cur_page;
+        Wal::seal(self.cur_page, &self.cur_payload, page);
     }
 }
 
@@ -256,7 +269,8 @@ impl Wal {
                 next_lsn: 1,
                 cur_page: 0,
                 cur_payload: Vec::with_capacity(PAGE_CAP),
-                pending: Vec::new(),
+                batch: Vec::new(),
+                sealed: 0,
                 segment_start: 0,
                 records: 0,
                 forces: 0,
@@ -319,25 +333,24 @@ impl Wal {
             put_text(&mut frame, text);
             inner.appended_bytes += frame.len() as u64 - 4;
         }
-        inner.stream(&frame, self.durable_spill);
+        inner.stream(&frame, self.durable_spill.then_some(self.obj));
         inner.frame = frame;
         lsn
     }
 
-    /// Frame a payload as log page `page_no`: the `WALP` header
-    /// (magic:4 | page_no:8 | used:4 | crc:4 | reserved:4), the payload,
-    /// zero padding.
-    fn seal(page_no: u64, payload: &[u8]) -> Vec<u8> {
+    /// Frame a payload as log page `page_no` into `page`: the `WALP`
+    /// header (magic:4 | page_no:8 | used:4 | crc:4 | reserved:4), the
+    /// payload, zero padding.
+    fn seal(page_no: u64, payload: &[u8], page: &mut Vec<u8>) {
         debug_assert!(payload.len() <= PAGE_CAP);
-        let mut page = Vec::with_capacity(PAGE_SIZE);
-        put_u32(&mut page, PAGE_MAGIC);
-        put_u64(&mut page, page_no);
-        put_u32(&mut page, payload.len() as u32);
-        put_u32(&mut page, crc32(payload));
-        put_u32(&mut page, 0);
+        page.clear();
+        put_u32(page, PAGE_MAGIC);
+        put_u64(page, page_no);
+        put_u32(page, payload.len() as u32);
+        put_u32(page, crc32(payload));
+        put_u32(page, 0);
         page.extend_from_slice(payload);
         page.resize(PAGE_SIZE, 0);
-        page
     }
 
     /// The payload of log page `page_no`; `None` unless it is an intact
@@ -359,13 +372,10 @@ impl Wal {
     pub fn force(&self, backend: &dyn StorageBackend, now: SimTime) -> Result<SimTime> {
         let mut inner = self.inner.lock();
         inner.forces += 1;
-        let pending = std::mem::take(&mut inner.pending);
-        let mut batch = Vec::with_capacity(pending.len() + 1);
-        for (page_no, payload) in pending {
-            batch.push((self.obj, page_no, Self::seal(page_no, &payload)));
-        }
-        batch.push((self.obj, inner.cur_page, Self::seal(inner.cur_page, &inner.cur_payload)));
-        let done = backend.write_batch(&batch, now)?;
+        inner.seal_current(self.obj);
+        let pages = std::mem::take(&mut inner.sealed) + 1;
+        let batch = &inner.batch[..pages];
+        let done = backend.write_batch(batch, now)?;
         if let Some(registry) = backend.metrics() {
             let hist = self
                 .force_hist
@@ -407,7 +417,7 @@ impl Wal {
         let mut inner = self.inner.lock();
         // Anything still buffered belongs to the pre-checkpoint world the
         // caller just made durable; it is dropped with the segment.
-        inner.pending.clear();
+        inner.sealed = 0;
         inner.cur_payload.clear();
         let mut freed = 0u64;
         for page_no in inner.segment_start..=inner.cur_page {
@@ -448,12 +458,13 @@ impl Wal {
         // Find the surviving segment: the first readable, valid page.
         let mut stream = Vec::new();
         let mut in_run = false;
+        let mut page = vec![0; PAGE_SIZE];
         for page_no in 0..extent {
-            let read = backend.read_page(obj, page_no, at).ok();
-            if let Some((_, t)) = &read {
-                now = now.max(*t);
+            let read = backend.read_page_into(obj, page_no, &mut page, at).ok();
+            if let Some(t) = read {
+                now = now.max(t);
             }
-            match read.as_ref().and_then(|(bytes, _)| Self::unseal(page_no, bytes)) {
+            match read.and_then(|_| Self::unseal(page_no, &page)) {
                 Some(payload) => {
                     in_run = true;
                     stream.extend_from_slice(payload);
@@ -618,7 +629,8 @@ mod tests {
     #[test]
     fn torn_pages_and_frames_end_the_log() {
         let payload = b"frames".to_vec();
-        let page = Wal::seal(4, &payload);
+        let mut page = Vec::new();
+        Wal::seal(4, &payload, &mut page);
         assert_eq!(Wal::unseal(4, &page), Some(&payload[..]));
         assert_eq!(Wal::unseal(5, &page), None, "another page number");
         for n in 0..PAGE_HEADER + payload.len() {
@@ -692,8 +704,10 @@ mod tests {
                 wal.append(record);
             }
             let inner = wal.inner.lock();
-            let mut streamed: Vec<u8> =
-                inner.pending.iter().flat_map(|(_, page)| page.iter().copied()).collect();
+            let sealed = inner.batch[..inner.sealed].iter();
+            let mut streamed: Vec<u8> = sealed
+                .flat_map(|(_, no, page)| Wal::unseal(*no, page).unwrap().iter().copied())
+                .collect();
             streamed.extend_from_slice(&inner.cur_payload);
             // The durable stream spills (the page image), the volatile one
             // stays on its first page: both are here in full.
@@ -711,7 +725,7 @@ mod tests {
             wal.append_note(i, format!("INSERT t {i}:0"));
         }
         assert_eq!(wal.stats().segment_pages, 2, "the notes spilled into a second page");
-        assert!(wal.inner.lock().pending.is_empty(), "a volatile log keeps no full page");
+        assert_eq!(wal.inner.lock().sealed, 0, "a volatile log keeps no full page");
         let programs = |b: &NoFtlBackend| b.noftl().device().stats().page_programs;
         let before = programs(&backend);
         wal.force(&*backend, SimTime::ZERO).unwrap();

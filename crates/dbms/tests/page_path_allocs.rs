@@ -1,5 +1,5 @@
-//! Allocation budgets of the warm page paths: a point read, a range scan,
-//! and the writes — update, insert and delete.
+//! Allocation budgets of the page paths: a point read warm and cold, a
+//! range scan, and the writes — update, insert and delete.
 //!
 //! `Database::index_get` on resident pages borrows its way down the
 //! B+-tree and into the heap page: no page is copied, no node is decoded
@@ -11,8 +11,10 @@
 //! allocates its `Vec<RecordId>` as it grows and nothing per row or per
 //! leaf.  The writes edit the heap page and the leaf in their buffer
 //! frames and copy no page either; an update of a `Row` stores its bytes
-//! as they are and allocates nothing.  CI runs this in `--release`, where
-//! the claim matters.
+//! as they are and allocates nothing.  A point read that misses in a full
+//! pool costs no more: the device reads each page into the buffer of the
+//! frame it evicts, clean or written back.  CI runs this in `--release`,
+//! where the claim matters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -80,15 +82,20 @@ fn counted(f: impl FnOnce()) -> (u64, usize) {
 }
 
 /// A database of `RECORDS` rows behind a three-level index, all of it
-/// resident: the reads of both tests are hits.
+/// resident: the reads of the warm tests are hits.
 fn loaded_db() -> (Database, SimTime) {
+    loaded_db_with_pool(4_096)
+}
+
+/// [`loaded_db`] with a pool of `buffer_pages` frames.
+fn loaded_db_with_pool(buffer_pages: usize) -> (Database, SimTime) {
     let device = Arc::new(
         DeviceBuilder::new(FlashGeometry::example()).timing(TimingModel::instant()).build(),
     );
     let noftl = Arc::new(NoFtl::new(device, NoFtlConfig::default()));
     let placement = PlacementConfig::traditional(8, ["t".to_string()]);
     let backend = Arc::new(NoFtlBackend::new(noftl, &placement).unwrap());
-    let config = DatabaseConfig { buffer_pages: 4_096, ..DatabaseConfig::default() };
+    let config = DatabaseConfig { buffer_pages, ..DatabaseConfig::default() };
     let db = Database::open(backend, config).unwrap();
     let schema =
         Schema::new(vec![("k", ColumnType::Str(KEY_LEN as u16)), ("v", ColumnType::Str(100))]);
@@ -127,6 +134,44 @@ fn warm_index_get_copies_no_page_and_allocates_only_the_rows_bytes() {
     // Per read: the row's bytes.  Nothing for the descent, nothing to
     // decode.
     assert_eq!(allocs, keys.len() as u64, "allocations for {} warm reads", keys.len());
+}
+
+/// With the pool full, point reads whose leaf and heap page miss read
+/// each page into the buffer of the frame they evict — a clean one, or a
+/// dirty one written back first — and allocate what a warm read does: the
+/// row's bytes, and nothing of a page's size.
+#[test]
+fn cold_index_get_reads_into_the_victims_buffer() {
+    let (db, now) = loaded_db_with_pool(32);
+    let keys: Vec<Vec<u8>> = (0..200).map(|i| key(i * 97 % RECORDS)).collect();
+    // Dirty a dozen frames, so the clock has written-back victims too.
+    let mut txn = db.begin(now);
+    for i in 0..12 {
+        let rid = db.index_lookup(&mut txn, "t", "i", &key(i * 1_601)).unwrap().unwrap();
+        let row = db.get(&mut txn, "t", rid).unwrap();
+        db.update(&mut txn, "t", rid, &row).unwrap();
+    }
+    db.commit(&mut txn).unwrap();
+    let before = db.buffer_stats();
+    let mut txn = db.begin(txn.now);
+    let (allocs, largest) = counted(|| {
+        for k in &keys {
+            db.index_get(&mut txn, "t", "i", k).unwrap().expect("loaded key");
+        }
+    });
+    db.commit(&mut txn).unwrap();
+    let after = db.buffer_stats();
+
+    let misses = after.misses - before.misses;
+    let written_back = after.dirty_writebacks - before.dirty_writebacks;
+    let clean = after.evictions - before.evictions - written_back;
+    assert!(
+        misses > keys.len() as u64 * 3 / 2,
+        "{misses} misses: leaf and heap were meant to miss"
+    );
+    assert!(written_back > 0 && clean > 0, "{written_back} dirty and {clean} clean victims");
+    assert!(largest < PAGE_SIZE, "a cold read allocated {largest} bytes — a page was allocated");
+    assert_eq!(allocs, keys.len() as u64, "allocations for {} cold reads", keys.len());
 }
 
 #[test]

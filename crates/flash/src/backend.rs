@@ -56,54 +56,58 @@ pub trait FlashBackend: Send + Sync {
 
     /// Read a page: payload (empty if the device stores none), OOB
     /// metadata, and the operation outcome with its completion time.
+    /// The provided body is [`Self::read_page_tagged`] with the default
+    /// tag.
     fn read_page(
         &self,
         addr: PageAddr,
         at: SimTime,
-    ) -> Result<(Vec<u8>, Option<PageMetadata>, OpOutcome)>;
+    ) -> Result<(Vec<u8>, Option<PageMetadata>, OpOutcome)> {
+        self.read_page_tagged(addr, at, IoTag::default())
+    }
 
     /// [`Self::read_page`] carrying an arbiter [`IoTag`].  Backends
-    /// without an arbiter (the default) ignore the tag.
+    /// without an arbiter ignore the tag.
     fn read_page_tagged(
         &self,
         addr: PageAddr,
         at: SimTime,
         tag: IoTag,
-    ) -> Result<(Vec<u8>, Option<PageMetadata>, OpOutcome)> {
-        let _ = tag;
-        self.read_page(addr, at)
-    }
+    ) -> Result<(Vec<u8>, Option<PageMetadata>, OpOutcome)>;
 
-    /// Read only the OOB metadata of a page (the mount scan's workhorse).
+    /// Read only the OOB metadata of a page (the mount scan's workhorse);
+    /// the provided body is [`Self::read_metadata_tagged`] with the
+    /// default tag.
     fn read_metadata(
         &self,
         addr: PageAddr,
         at: SimTime,
-    ) -> Result<(Option<PageMetadata>, OpOutcome)>;
+    ) -> Result<(Option<PageMetadata>, OpOutcome)> {
+        self.read_metadata_tagged(addr, at, IoTag::default())
+    }
 
-    /// [`Self::read_metadata`] carrying an arbiter [`IoTag`] (ignored by
-    /// default).
+    /// [`Self::read_metadata`] carrying an arbiter [`IoTag`].
     fn read_metadata_tagged(
         &self,
         addr: PageAddr,
         at: SimTime,
         tag: IoTag,
-    ) -> Result<(Option<PageMetadata>, OpOutcome)> {
-        let _ = tag;
-        self.read_metadata(addr, at)
-    }
+    ) -> Result<(Option<PageMetadata>, OpOutcome)>;
 
-    /// Program a page (strictly sequential within its block).
+    /// Program a page (strictly sequential within its block); the
+    /// provided body is [`Self::program_page_tagged`] with the default
+    /// tag.
     fn program_page(
         &self,
         addr: PageAddr,
         data: &[u8],
         meta: PageMetadata,
         at: SimTime,
-    ) -> Result<OpOutcome>;
+    ) -> Result<OpOutcome> {
+        self.program_page_tagged(addr, data, meta, at, IoTag::default())
+    }
 
-    /// [`Self::program_page`] carrying an arbiter [`IoTag`] (ignored by
-    /// default).
+    /// [`Self::program_page`] carrying an arbiter [`IoTag`].
     fn program_page_tagged(
         &self,
         addr: PageAddr,
@@ -111,10 +115,7 @@ pub trait FlashBackend: Send + Sync {
         meta: PageMetadata,
         at: SimTime,
         tag: IoTag,
-    ) -> Result<OpOutcome> {
-        let _ = tag;
-        self.program_page(addr, data, meta, at)
-    }
+    ) -> Result<OpOutcome>;
 
     /// Erase a block.
     fn erase_block(&self, addr: BlockAddr, at: SimTime) -> Result<OpOutcome>;
@@ -126,33 +127,32 @@ pub trait FlashBackend: Send + Sync {
     /// client above the backend calls.  The provided body turns the
     /// command into the matching per-command verb, which is all a
     /// forward-only decorator (a tracing wrapper) needs — at the price of
-    /// the tag on erases and copybacks, whose verbs carry none.
+    /// the tag on erases and copybacks, whose verbs carry none, and of a
+    /// read's page, which its verb allocates and this body copies into
+    /// the read's buffer.
     /// [`NandDevice`] and the mirror override it with their real command
-    /// path and answer the verbs from there, so the verbs stay required:
-    /// given default bodies over `execute`, they and this provided body
-    /// would call each other.
+    /// path and answer the verbs from there
+    /// ([`crate::verbs_over_execute!`]), so the tagged verbs stay
+    /// required: given default bodies over `execute`, they and this
+    /// provided body would call each other.
     fn execute(&self, command: FlashCommand<'_>, at: SimTime, tag: IoTag) -> Result<CmdOutput> {
+        let written = |outcome| CmdOutput { meta: None, outcome };
         match command {
-            FlashCommand::Read { addr } => {
-                let (data, meta, outcome) = self.read_page_tagged(addr, at, tag)?;
-                Ok(CmdOutput { data, meta, outcome })
+            FlashCommand::Read { addr, data } => {
+                let (page, meta, outcome) = self.read_page_tagged(addr, at, tag)?;
+                let n = page.len().min(data.len());
+                data[..n].copy_from_slice(&page[..n]);
+                Ok(CmdOutput { meta, outcome })
             }
             FlashCommand::MetadataRead { addr } => {
                 let (meta, outcome) = self.read_metadata_tagged(addr, at, tag)?;
-                Ok(CmdOutput { data: Vec::new(), meta, outcome })
+                Ok(CmdOutput { meta, outcome })
             }
             FlashCommand::Program { addr, data, meta } => {
-                let outcome = self.program_page_tagged(addr, data, meta, at, tag)?;
-                Ok(CmdOutput { data: Vec::new(), meta: None, outcome })
+                self.program_page_tagged(addr, data, meta, at, tag).map(written)
             }
-            FlashCommand::Erase { block } => {
-                let outcome = self.erase_block(block, at)?;
-                Ok(CmdOutput { data: Vec::new(), meta: None, outcome })
-            }
-            FlashCommand::Copyback { src, dst } => {
-                let outcome = self.copyback(src, dst, at)?;
-                Ok(CmdOutput { data: Vec::new(), meta: None, outcome })
-            }
+            FlashCommand::Erase { block } => self.erase_block(block, at).map(written),
+            FlashCommand::Copyback { src, dst } => self.copyback(src, dst, at).map(written),
         }
     }
 
@@ -220,6 +220,70 @@ pub trait FlashBackend: Send + Sync {
         let _ = blob;
         Ok(at)
     }
+}
+
+/// Implements the required per-command verbs of [`FlashBackend`] as
+/// adapters over the implementing backend's own `execute` (a read
+/// allocates the page it returns; erases and copybacks carry the default
+/// tag).  Invoked inside the `impl FlashBackend` of a backend whose
+/// `execute` is its real command path — [`NandDevice`] and the mirror.
+#[macro_export]
+macro_rules! verbs_over_execute {
+    () => {
+        fn read_page_tagged(
+            &self,
+            addr: $crate::PageAddr,
+            at: $crate::SimTime,
+            tag: $crate::IoTag,
+        ) -> $crate::Result<(Vec<u8>, Option<$crate::PageMetadata>, $crate::OpOutcome)> {
+            let len = if self.stores_data() { self.geometry().page_size as usize } else { 0 };
+            let mut data = vec![0; len];
+            let out =
+                self.execute($crate::FlashCommand::Read { addr, data: &mut data }, at, tag)?;
+            Ok((data, out.meta, out.outcome))
+        }
+
+        fn read_metadata_tagged(
+            &self,
+            addr: $crate::PageAddr,
+            at: $crate::SimTime,
+            tag: $crate::IoTag,
+        ) -> $crate::Result<(Option<$crate::PageMetadata>, $crate::OpOutcome)> {
+            let out = self.execute($crate::FlashCommand::MetadataRead { addr }, at, tag)?;
+            Ok((out.meta, out.outcome))
+        }
+
+        fn program_page_tagged(
+            &self,
+            addr: $crate::PageAddr,
+            data: &[u8],
+            meta: $crate::PageMetadata,
+            at: $crate::SimTime,
+            tag: $crate::IoTag,
+        ) -> $crate::Result<$crate::OpOutcome> {
+            let program = $crate::FlashCommand::Program { addr, data, meta };
+            Ok(self.execute(program, at, tag)?.outcome)
+        }
+
+        fn erase_block(
+            &self,
+            block: $crate::BlockAddr,
+            at: $crate::SimTime,
+        ) -> $crate::Result<$crate::OpOutcome> {
+            let erase = $crate::FlashCommand::Erase { block };
+            Ok(self.execute(erase, at, $crate::IoTag::default())?.outcome)
+        }
+
+        fn copyback(
+            &self,
+            src: $crate::PageAddr,
+            dst: $crate::PageAddr,
+            at: $crate::SimTime,
+        ) -> $crate::Result<$crate::OpOutcome> {
+            let copyback = $crate::FlashCommand::Copyback { src, dst };
+            Ok(self.execute(copyback, at, $crate::IoTag::default())?.outcome)
+        }
+    };
 }
 
 #[cfg(test)]

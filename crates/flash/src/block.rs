@@ -4,6 +4,13 @@
 //! strictly in order and can only be programmed once per erase cycle; the
 //! block therefore behaves like an append-only log segment, which is what
 //! forces out-of-place updates at the layers above.
+//!
+//! A block's payload buffer outlives its erases.  The first program after
+//! an erase zero-fills the buffer the block already holds instead of
+//! allocating a new one, so a device in steady state (blocks cycling
+//! through program and erase) allocates nothing for its payloads.  What
+//! can be observed is unchanged: an erased block holds no payload — it
+//! reads, snapshots and images exactly as a block that never had one.
 
 use crate::metadata::PageMetadata;
 
@@ -45,8 +52,10 @@ pub(crate) struct Block {
     pub pages: Vec<PageState>,
     /// Per-page OOB metadata (None until programmed).
     pub meta: Vec<Option<PageMetadata>>,
-    /// Page payloads, lazily allocated on first program after an erase.
-    pub data: Option<Vec<u8>>,
+    /// Page payloads: empty until the first program after an erase, a
+    /// whole block's worth from then on.  An erase clears it and keeps
+    /// its capacity for the next cycle.
+    pub data: Vec<u8>,
     /// Number of pages currently in `Valid` state.
     pub valid_pages: u32,
 }
@@ -59,7 +68,7 @@ impl Block {
             erase_count: 0,
             pages: vec![PageState::Free; pages_per_block as usize],
             meta: vec![None; pages_per_block as usize],
-            data: None,
+            data: Vec::new(),
             valid_pages: 0,
         }
     }
@@ -75,7 +84,7 @@ impl Block {
         for m in &mut self.meta {
             *m = None;
         }
-        self.data = None;
+        self.data.clear();
         self.valid_pages = 0;
     }
 
@@ -131,7 +140,7 @@ impl Block {
             erase_count: self.erase_count,
             pages: self.pages.clone(),
             meta: self.meta.clone(),
-            data: self.data.clone(),
+            data: (!self.data.is_empty()).then(|| self.data.clone()),
             valid_pages: self.valid_pages,
         }
     }
@@ -143,7 +152,7 @@ impl Block {
             erase_count: s.erase_count,
             pages: s.pages.clone(),
             meta: s.meta.clone(),
-            data: s.data.clone(),
+            data: s.data.clone().unwrap_or_default(),
             valid_pages: s.valid_pages,
         }
     }
@@ -193,7 +202,7 @@ mod tests {
         assert_eq!(b.valid_pages, 0);
         assert_eq!(b.free_pages(), 8);
         assert_eq!(b.invalid_pages(), 0);
-        assert!(b.data.is_none());
+        assert!(b.data.is_empty());
     }
 
     #[test]
@@ -204,14 +213,16 @@ mod tests {
         b.erase_count = 3;
         b.pages = vec![PageState::Valid, PageState::Invalid, PageState::Valid, PageState::Valid];
         b.valid_pages = 3;
-        b.data = Some(vec![1u8; 4 * 16]);
+        b.data = vec![1u8; 4 * 16];
         b.reset_erased();
         assert_eq!(b.state, BlockState::Free);
         assert_eq!(b.write_ptr, 0);
         assert_eq!(b.valid_pages, 0);
         assert_eq!(b.erase_count, 3, "erase_count is managed by the caller");
         assert!(b.pages.iter().all(|p| *p == PageState::Free));
-        assert!(b.data.is_none());
+        assert!(b.data.is_empty(), "an erased block holds no payload");
+        assert_eq!(b.data.capacity(), 4 * 16, "and keeps its buffer");
+        assert!(b.to_snapshot().data.is_none());
     }
 
     #[test]

@@ -9,6 +9,11 @@
 //! completion instants of earlier ones) and keeps the results it already
 //! holds.
 //!
+//! Payloads are lent, never handed over.  A program borrows the bytes it
+//! writes, and a read borrows the buffer it fills: the device copies the
+//! page straight into the caller's destination (a buffer-pool frame, a
+//! store's page buffer), so no page is allocated on the way up.
+//!
 //! ```
 //! use flash_sim::{
 //!     DeviceBuilder, FlashBackend, FlashCommand, FlashGeometry, IoTag, PageMetadata, SimTime,
@@ -20,6 +25,11 @@
 //! let program = FlashCommand::Program { addr, data: &data, meta: PageMetadata::new(1, 0) };
 //! let out = device.execute(program, SimTime::ZERO, IoTag::default()).unwrap();
 //! assert!(out.outcome.completed_at > SimTime::ZERO);
+//!
+//! let mut page = vec![0; data.len()];
+//! let read = FlashCommand::Read { addr, data: &mut page };
+//! let out = device.execute(read, out.outcome.completed_at, IoTag::default()).unwrap();
+//! assert_eq!((page, out.meta.unwrap().object_id), (data, 1));
 //! ```
 //!
 //! [`FlashBackend::execute`]: crate::FlashBackend::execute
@@ -47,15 +57,20 @@ pub enum OpKind {
 /// One command of the device's native interface: the argument of
 /// [`FlashBackend::execute`](crate::FlashBackend::execute).
 ///
-/// A program *borrows* its payload: the command executes inside the
-/// call, so nothing outlives it and no caller has to copy a page just to
-/// build a command.
-#[derive(Debug, Clone, Copy)]
+/// A program *borrows* its payload and a read *borrows* its destination:
+/// the command executes inside the call, so nothing outlives it and no
+/// caller has to copy a page just to build a command or take its result.
+#[derive(Debug)]
 pub enum FlashCommand<'a> {
-    /// `READ PAGE`: payload + OOB metadata.
+    /// `READ PAGE`: the payload is copied into `data`, the OOB metadata
+    /// comes back in the [`CmdOutput`].
     Read {
         /// Page to read.
         addr: PageAddr,
+        /// Destination of the payload: one page, or empty to take only
+        /// the timing and metadata.  Left as it is when the device
+        /// stores no payloads.
+        data: &'a mut [u8],
     },
     /// OOB-only metadata read (cheaper than a full page read).
     MetadataRead {
@@ -86,12 +101,26 @@ pub enum FlashCommand<'a> {
 }
 
 impl FlashCommand<'_> {
+    /// The same command again, with a read's destination reborrowed: how
+    /// one command is handed to several backends in turn.
+    pub fn reborrow(&mut self) -> FlashCommand<'_> {
+        match self {
+            FlashCommand::Read { addr, data } => FlashCommand::Read { addr: *addr, data },
+            FlashCommand::MetadataRead { addr } => FlashCommand::MetadataRead { addr: *addr },
+            FlashCommand::Program { addr, data, meta } => {
+                FlashCommand::Program { addr: *addr, data, meta: *meta }
+            }
+            FlashCommand::Erase { block } => FlashCommand::Erase { block: *block },
+            FlashCommand::Copyback { src, dst } => FlashCommand::Copyback { src: *src, dst: *dst },
+        }
+    }
+
     /// The die the command executes on (copybacks are same-die by rule;
     /// for a cross-die copyback this reports the source die and the
     /// device rejects the command at execution).
     pub fn die(&self) -> DieId {
         match self {
-            FlashCommand::Read { addr }
+            FlashCommand::Read { addr, .. }
             | FlashCommand::MetadataRead { addr }
             | FlashCommand::Program { addr, .. } => addr.die,
             FlashCommand::Erase { block } => block.die,
@@ -111,11 +140,10 @@ impl FlashCommand<'_> {
     }
 }
 
-/// Successful payload of an executed command.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Successful result of an executed command (a read's payload is in
+/// the buffer it lent).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CmdOutput {
-    /// Page payload (reads only; empty otherwise).
-    pub data: Vec<u8>,
     /// OOB metadata (reads and metadata reads; `None` otherwise or when
     /// the page's OOB area was lost to a torn operation).
     pub meta: Option<PageMetadata>,

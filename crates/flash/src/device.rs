@@ -54,7 +54,7 @@ use crate::arbiter::{ArbiterConfig, IoTag, ServiceClass, TokenBucket};
 use crate::backend::FlashBackend;
 use crate::badblock::BadBlockPolicy;
 use crate::block::{Block, BlockInfo, BlockSnapshot, BlockState, PageState};
-use crate::command::{CmdOutput, FlashCommand, OpKind};
+use crate::command::{CmdOutput, FlashCommand};
 use crate::die::{Die, Timeline};
 use crate::error::FlashError;
 use crate::geometry::FlashGeometry;
@@ -70,9 +70,18 @@ use crate::Result;
 /// Sentinel for "no power cut armed" in the atomic cut register.
 const POWER_CUT_NONE: u64 = u64::MAX;
 
-/// The one page a program or copyback writes: where, the payload (empty
-/// for an all-zero page) and the OOB metadata.
-type PageWrite<'a> = (PageAddr, &'a [u8], Option<PageMetadata>);
+/// Where the page a program or copyback writes takes its bytes from: the
+/// program's payload (empty for an all-zero page), or a copyback's source
+/// page on the same die.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    Bytes(&'a [u8]),
+    Page(PageAddr),
+}
+
+/// The one page a program or copyback writes: where, from what, and the
+/// OOB metadata.
+type PageWrite<'a> = (PageAddr, Source<'a>, Option<PageMetadata>);
 
 /// Result of a successfully scheduled flash operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -442,10 +451,11 @@ impl NandDevice {
         tag: IoTag,
         ratchet: bool,
     ) -> Result<CmdOutput> {
+        let die = cmd.die();
         let result = self.phases(cmd, at, tag, ratchet);
         if result.is_err() {
             self.errors.fetch_add(1, Ordering::Relaxed);
-            self.obs.note_error(cmd.die(), at);
+            self.obs.note_error(die, at);
         }
         result
     }
@@ -463,18 +473,19 @@ impl NandDevice {
         tag: IoTag,
         ratchet: bool,
     ) -> Result<CmdOutput> {
-        self.check_static(cmd)?;
+        self.check_static(&cmd)?;
         self.check_powered(at)?;
         // Admission: only a command that moves data over the channel is
         // the arbiter's business; a die-only command issues at `at`.
-        let kind = cmd.kind();
+        let (kind, die_id) = (cmd.kind(), cmd.die());
         let shape = Shape::of(kind, &self.timing, &self.geometry);
-        let ch = self.geometry.channel_of_die(cmd.die());
+        let ch = self.geometry.channel_of_die(die_id);
         let issue = shape.xfer.map_or(at, |(xfer, _)| self.admit(tag, ch, xfer, at));
-        let mut die = self.die_shard(cmd.die());
-        let (moved_data, moved_meta) = self.validate(&mut die, cmd)?;
+        let mut die = self.die_shard(die_id);
+        let moved_meta = self.validate(&mut die, &cmd)?;
         // The page this command programs, if any: a program's own payload
-        // under its (now stamped) metadata, a copyback's captured source.
+        // under its (now stamped) metadata, a copyback's source page under
+        // the metadata captured from it.
         let write: Option<PageWrite<'_>> = match cmd {
             FlashCommand::Program { addr, data, mut meta } => {
                 if meta.epoch == 0 {
@@ -488,11 +499,9 @@ impl NandDevice {
                     // (`program_replica`) deliberately skip this.
                     self.epoch.fetch_max(meta.epoch, Ordering::AcqRel);
                 }
-                Some((addr, data, Some(meta)))
+                Some((addr, Source::Bytes(data), Some(meta)))
             }
-            FlashCommand::Copyback { dst, .. } => {
-                Some((dst, moved_data.as_deref().unwrap_or_default(), moved_meta))
-            }
+            FlashCommand::Copyback { src, dst } => Some((dst, Source::Page(src), moved_meta)),
             _ => None,
         };
         let sched = {
@@ -505,32 +514,39 @@ impl NandDevice {
             // not started leaves no mark, and a read whose result would
             // only arrive after the cut never reaches the host.
             if sched.start < cut {
-                self.tear(&mut die, cmd, write, &sched, cut);
+                self.tear(&mut die, &cmd, write, &sched, cut);
             }
             return Err(FlashError::PowerLoss { at: cut });
         }
         let out = self.apply(&mut die, cmd, write, &sched);
         // Accounting, in the die shard the command already holds.
-        self.obs.note_op(kind, cmd.die(), &sched, at);
+        self.obs.note_op(kind, die_id, &sched, at);
         let bytes = shape.xfer.map_or(0, |(_, bytes)| u64::from(bytes));
         die.stats.note(kind, bytes, sched.latency(at), sched.array.depth);
         Ok(out)
     }
 
     /// Static checks: the command against the geometry, no device state.
-    fn check_static(&self, cmd: FlashCommand<'_>) -> Result<()> {
-        match cmd {
-            FlashCommand::Read { addr } | FlashCommand::MetadataRead { addr } => {
-                self.check_page(addr)
+    /// A payload — a program's source, a read's destination — is one
+    /// page or empty.
+    fn check_static(&self, cmd: &FlashCommand<'_>) -> Result<()> {
+        let expected = self.geometry.page_size;
+        let payload = |len: usize| {
+            if self.store_data && len != 0 && len != expected as usize {
+                return Err(FlashError::BadPageSize { expected, got: len });
             }
+            Ok(())
+        };
+        match *cmd {
+            FlashCommand::Read { addr, ref data } => {
+                self.check_page(addr)?;
+                payload(data.len())
+            }
+            FlashCommand::MetadataRead { addr } => self.check_page(addr),
             FlashCommand::Program { addr, data, .. } => {
                 self.check_page(addr)?;
                 self.note_touched(addr.die);
-                let expected = self.geometry.page_size;
-                if self.store_data && !data.is_empty() && data.len() != expected as usize {
-                    return Err(FlashError::BadPageSize { expected, got: data.len() });
-                }
-                Ok(())
+                payload(data.len())
             }
             FlashCommand::Erase { block } => {
                 self.check_block(block)?;
@@ -550,17 +566,13 @@ impl NandDevice {
     }
 
     /// Validate the command against the die's state.  An erase beyond the
-    /// endurance budget fails *and* retires its block.  What a copyback
-    /// moves — payload (if stored) and OOB metadata of its source — is
-    /// captured here, before its destination is written.
-    fn validate(
-        &self,
-        die: &mut Die,
-        cmd: FlashCommand<'_>,
-    ) -> Result<(Option<Vec<u8>>, Option<PageMetadata>)> {
-        let mut moved = (None, None);
-        match cmd {
-            FlashCommand::Read { addr } => readable(die.block(addr.block()), addr)?,
+    /// endurance budget fails *and* retires its block.  The OOB metadata a
+    /// copyback moves is captured here, before its destination is written
+    /// (its payload moves inside the die, in [`Self::write_page`]).
+    fn validate(&self, die: &mut Die, cmd: &FlashCommand<'_>) -> Result<Option<PageMetadata>> {
+        let mut moved = None;
+        match *cmd {
+            FlashCommand::Read { addr, .. } => readable(die.block(addr.block()), addr)?,
             FlashCommand::MetadataRead { addr } => usable(die.block(addr.block()), addr.block())?,
             FlashCommand::Program { addr, .. } => programmable(die.block(addr.block()), addr)?,
             FlashCommand::Erase { block: addr } => {
@@ -574,10 +586,7 @@ impl NandDevice {
             FlashCommand::Copyback { src, dst } => {
                 let source = die.block(src.block());
                 readable(source, src)?;
-                let page = src.page as usize;
-                let psz = self.geometry.page_size as usize;
-                let data = if self.store_data { source.data.as_ref() } else { None };
-                moved = (data.map(|d| d[page * psz..(page + 1) * psz].to_vec()), source.meta[page]);
+                moved = source.meta[src.page as usize];
                 programmable(die.block(dst.block()), dst)?;
             }
         }
@@ -588,7 +597,7 @@ impl NandDevice {
     fn tear(
         &self,
         die: &mut Die,
-        cmd: FlashCommand<'_>,
+        cmd: &FlashCommand<'_>,
         write: Option<PageWrite<'_>>,
         sched: &Scheduled,
         cut: SimTime,
@@ -610,7 +619,7 @@ impl NandDevice {
             let done = ((psz * elapsed as u128) / dur as u128) as usize;
             let meta = if elapsed * 2 >= dur { meta } else { None };
             self.write_page(die, addr, payload, done, meta);
-        } else if let FlashCommand::Erase { block } = cmd {
+        } else if let FlashCommand::Erase { block } = *cmd {
             // Interrupted erase: the cells are left in an indeterminate
             // state — payloads and OOB metadata are destroyed, but the
             // block is *not* erased (its write pointer and page states are
@@ -618,15 +627,13 @@ impl NandDevice {
             // can be programmed).  The wear counter is not charged for the
             // incomplete cycle.
             let block = die.block_mut(block);
-            if let Some(buf) = block.data.as_mut() {
-                buf.fill(0xFF);
-            }
+            block.data.fill(0xFF);
             block.meta.fill(None);
         }
     }
 
-    /// The command completed: what it reads comes back in the output,
-    /// what it programs or erases changes the die.
+    /// The command completed: what it reads lands in the read's buffer
+    /// and the output, what it programs or erases changes the die.
     fn apply(
         &self,
         die: &mut Die,
@@ -636,18 +643,20 @@ impl NandDevice {
     ) -> CmdOutput {
         let psz = self.geometry.page_size as usize;
         let outcome = OpOutcome { started_at: sched.start, completed_at: sched.complete };
-        let mut out = CmdOutput { data: Vec::new(), meta: None, outcome };
+        let mut out = CmdOutput { meta: None, outcome };
         match cmd {
-            FlashCommand::Read { addr } | FlashCommand::MetadataRead { addr } => {
+            FlashCommand::Read { addr, data } => {
                 let block = die.block(addr.block());
                 let page = addr.page as usize;
-                if cmd.kind() == OpKind::Read && self.store_data {
-                    out.data = match &block.data {
-                        Some(d) => d[page * psz..(page + 1) * psz].to_vec(),
-                        None => vec![0u8; psz],
-                    };
+                // A readable page of a device that stores payloads lies in
+                // a block holding a whole block's payload.
+                if self.store_data && !data.is_empty() {
+                    data.copy_from_slice(&block.data[page * psz..(page + 1) * psz]);
                 }
                 out.meta = block.meta[page];
+            }
+            FlashCommand::MetadataRead { addr } => {
+                out.meta = die.block(addr.block()).meta[addr.page as usize];
             }
             FlashCommand::Erase { block } => {
                 let block = die.block_mut(block);
@@ -667,30 +676,48 @@ impl NandDevice {
         out
     }
 
-    /// Program `addr` with the first `len` bytes of `payload` (the rest of
+    /// Program `addr` with the first `len` bytes of `source` (the rest of
     /// the page, or all of it for an empty payload, reads as zeros) and
     /// `meta` in its OOB area: the page turns valid and the block's write
     /// pointer moves past it.  A full program passes the page size, a
-    /// torn one how far it got.
+    /// torn one how far it got.  The first program after an erase
+    /// zero-fills the buffer the block kept; a copyback's payload moves
+    /// from its source block's buffer straight into it.
     fn write_page(
         &self,
         die: &mut Die,
         addr: PageAddr,
-        payload: &[u8],
+        source: Source<'_>,
         len: usize,
         meta: Option<PageMetadata>,
     ) {
         let pages_per_block = self.geometry.pages_per_block;
         let psz = self.geometry.page_size as usize;
         let page = addr.page as usize;
-        let block = die.block_mut(addr.block());
         if self.store_data {
-            let buf = block.data.get_or_insert_with(|| vec![0u8; pages_per_block as usize * psz]);
-            let (written, rest) =
-                buf[page * psz..(page + 1) * psz].split_at_mut(len.min(payload.len()));
-            written.copy_from_slice(&payload[..written.len()]);
-            rest.fill(0);
+            // Out of its block while the page is written, so a copyback
+            // can read its source block (or this one) beside it.
+            let mut buf = std::mem::take(&mut die.block_mut(addr.block()).data);
+            if buf.is_empty() {
+                buf.resize(pages_per_block as usize * psz, 0);
+            }
+            let at = page * psz;
+            let n = match source {
+                Source::Bytes(payload) => len.min(payload.len()),
+                Source::Page(_) => len.min(psz),
+            };
+            let from = |src: PageAddr| src.page as usize * psz..src.page as usize * psz + n;
+            match source {
+                Source::Bytes(payload) => buf[at..at + n].copy_from_slice(&payload[..n]),
+                Source::Page(src) if src.block() == addr.block() => buf.copy_within(from(src), at),
+                Source::Page(src) => {
+                    buf[at..at + n].copy_from_slice(&die.block(src.block()).data[from(src)]);
+                }
+            }
+            buf[at + n..at + psz].fill(0);
+            die.block_mut(addr.block()).data = buf;
         }
+        let block = die.block_mut(addr.block());
         block.meta[page] = meta;
         block.pages[page] = PageState::Valid;
         block.valid_pages += 1;
@@ -833,17 +860,16 @@ impl NandDevice {
         let psz = g.page_size as usize;
         let ppb = g.pages_per_block as usize;
         for (i, b) in snap.blocks.iter().enumerate() {
-            if b.pages.len() != ppb || b.meta.len() != ppb {
+            // A block holds a whole block's payload exactly when it holds
+            // programmed pages of a device that stores payloads.
+            let payload = (snap.store_data && b.write_ptr > 0).then_some(ppb * psz);
+            if b.pages.len() != ppb
+                || b.meta.len() != ppb
+                || b.data.as_ref().map(Vec::len) != payload
+            {
                 return Err(FlashError::Image {
-                    message: format!("block {i} has wrong page count"),
+                    message: format!("block {i} does not match the geometry"),
                 });
-            }
-            if let Some(data) = &b.data {
-                if data.len() != ppb * psz {
-                    return Err(FlashError::Image {
-                        message: format!("block {i} has wrong data length"),
-                    });
-                }
             }
         }
         // A die counts as touched if any of its blocks ever left the
@@ -907,78 +933,13 @@ impl FlashBackend for NandDevice {
         self.obs.registry()
     }
 
-    // The per-command verbs are adapters over `execute`; the untagged
-    // forms carry the default tag.
-
-    fn read_page(
-        &self,
-        addr: PageAddr,
-        at: SimTime,
-    ) -> Result<(Vec<u8>, Option<PageMetadata>, OpOutcome)> {
-        self.read_page_tagged(addr, at, IoTag::default())
-    }
-
-    fn read_page_tagged(
-        &self,
-        addr: PageAddr,
-        at: SimTime,
-        tag: IoTag,
-    ) -> Result<(Vec<u8>, Option<PageMetadata>, OpOutcome)> {
-        let out = self.execute(FlashCommand::Read { addr }, at, tag)?;
-        Ok((out.data, out.meta, out.outcome))
-    }
-
-    fn read_metadata(
-        &self,
-        addr: PageAddr,
-        at: SimTime,
-    ) -> Result<(Option<PageMetadata>, OpOutcome)> {
-        self.read_metadata_tagged(addr, at, IoTag::default())
-    }
-
-    fn read_metadata_tagged(
-        &self,
-        addr: PageAddr,
-        at: SimTime,
-        tag: IoTag,
-    ) -> Result<(Option<PageMetadata>, OpOutcome)> {
-        let out = self.execute(FlashCommand::MetadataRead { addr }, at, tag)?;
-        Ok((out.meta, out.outcome))
-    }
-
-    fn program_page(
-        &self,
-        addr: PageAddr,
-        data: &[u8],
-        meta: PageMetadata,
-        at: SimTime,
-    ) -> Result<OpOutcome> {
-        self.program_page_tagged(addr, data, meta, at, IoTag::default())
-    }
-
-    fn program_page_tagged(
-        &self,
-        addr: PageAddr,
-        data: &[u8],
-        meta: PageMetadata,
-        at: SimTime,
-        tag: IoTag,
-    ) -> Result<OpOutcome> {
-        Ok(self.execute(FlashCommand::Program { addr, data, meta }, at, tag)?.outcome)
-    }
-
-    fn erase_block(&self, addr: BlockAddr, at: SimTime) -> Result<OpOutcome> {
-        Ok(self.execute(FlashCommand::Erase { block: addr }, at, IoTag::default())?.outcome)
-    }
-
-    fn copyback(&self, src: PageAddr, dst: PageAddr, at: SimTime) -> Result<OpOutcome> {
-        Ok(self.execute(FlashCommand::Copyback { src, dst }, at, IoTag::default())?.outcome)
-    }
+    crate::verbs_over_execute!();
 
     /// Execute one command of the native interface, issued at `at`: the
-    /// device's only timed entry point.  Returns the payload (reads only;
-    /// empty if the device does not store data), the OOB metadata (reads
-    /// and metadata reads) and the operation's start and completion.
+    /// device's only timed entry point.  A read copies the page into the
+    /// buffer it lent (one page, or empty for none; untouched if the
+    /// device does not store data).  Returns the OOB metadata (reads and
+    /// metadata reads) and the operation's start and completion.
     ///
     /// NAND rules are enforced: a page is programmed only when erased and
     /// only as the next sequential page of its block; a copyback stays on
@@ -1251,6 +1212,14 @@ mod tests {
         let (read, meta, _) = d.read_page(dst, SimTime::ZERO).unwrap();
         assert_eq!(read, data);
         assert_eq!(meta.unwrap().logical_page, 10);
+        // Within one block too: the destination's next page.
+        d.copyback(dst, page(1, 1, 1), SimTime::ZERO).unwrap();
+        assert_eq!(d.read_page(page(1, 1, 1), SimTime::ZERO).unwrap().0, data);
+        assert_eq!(
+            d.read_page(dst, SimTime::ZERO).unwrap().0,
+            data,
+            "the source is left as it was"
+        );
     }
 
     #[test]
@@ -1481,6 +1450,11 @@ mod tests {
             .program_page(page(0, 0, 0), &[1, 2, 3], PageMetadata::new(1, 0), SimTime::ZERO)
             .unwrap_err();
         assert!(matches!(err, FlashError::BadPageSize { .. }));
+        // A read lends a page or nothing, too.
+        d.program_page(page(0, 0, 0), &[], PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
+        let read = FlashCommand::Read { addr: page(0, 0, 0), data: &mut [0; 3] };
+        let err = d.execute(read, SimTime::ZERO, IoTag::default()).unwrap_err();
+        assert!(matches!(err, FlashError::BadPageSize { expected: 4096, got: 3 }));
     }
 
     #[test]
@@ -1688,6 +1662,53 @@ mod tests {
         // A full erase after "reboot" makes the block usable again.
         d.erase_block(b, d.quiesce_time()).unwrap();
         assert_eq!(d.block_info(b).unwrap().state, BlockState::Free);
+    }
+
+    /// An erase keeps the block's payload buffer, and nothing can tell:
+    /// fill a block, erase it, tear an erase of the erased block, program
+    /// page 0 — the block then snapshots and images exactly as on a fresh
+    /// device given only the last two commands (the counters of the longer
+    /// history aside).
+    #[test]
+    fn a_kept_payload_buffer_images_as_a_fresh_one() {
+        let timing = TimingModel::mlc_2015();
+        let build = || DeviceBuilder::new(FlashGeometry::small_test()).timing(timing).build();
+        let b = BlockAddr::new(DieId(0), 0, 0);
+        let image = |d: &NandDevice| d.snapshot().blocks[0].clone();
+        // The last two commands, issued on an idle die at `at`.
+        let tear_then_program = |d: &NandDevice, at: SimTime| {
+            d.arm_power_cut(at + Duration::from_us(1));
+            assert!(d.erase_block(b, at).unwrap_err().is_power_loss());
+            d.clear_power_cut();
+            assert!(image(d).data.is_none(), "a torn erase of an erased block writes no payload");
+            let meta = PageMetadata::with_epoch(7, 0, 1_000);
+            d.program_page(b.page(0), &payload(0x3C, d), meta, d.quiesce_time()).unwrap();
+        };
+
+        let d = build();
+        for i in 0..d.geometry().pages_per_block {
+            let meta = PageMetadata::new(1, u64::from(i));
+            d.program_page(b.page(i), &payload(0xEE, &d), meta, SimTime::ZERO).unwrap();
+        }
+        assert!(image(&d).data.is_some());
+        d.erase_block(b, d.quiesce_time()).unwrap();
+        assert!(image(&d).data.is_none(), "an erased block holds no payload");
+        tear_then_program(&d, d.quiesce_time());
+        let fresh = build();
+        tear_then_program(&fresh, SimTime::ZERO);
+
+        let (mut kept, fresh) = (d.snapshot(), fresh.snapshot());
+        let psz = d.geometry().page_size as usize;
+        let data = kept.blocks[0].data.as_deref().unwrap();
+        assert_eq!(&data[..psz], &payload(0x3C, &d)[..]);
+        assert!(data[psz..].iter().all(|&byte| byte == 0), "pages 1.. read as zeros");
+        kept.blocks[0].erase_count = fresh.blocks[0].erase_count;
+        kept.stats = fresh.stats.clone();
+        kept.die_stats = fresh.die_stats.clone();
+        kept.wear = fresh.wear.clone();
+        assert_eq!(kept.epoch, fresh.epoch);
+        assert_eq!(kept.blocks, fresh.blocks);
+        assert_eq!(kept.encode(), fresh.encode(), "NFLIMG02 bytes");
     }
 
     #[test]

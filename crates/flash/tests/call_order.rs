@@ -138,7 +138,7 @@ impl Client {
     fn step(&mut self, device: &NandDevice, run: &mut Run) {
         let op = self.next_op(device.geometry());
         let command = match op {
-            Op::Read(addr) => FlashCommand::Read { addr },
+            Op::Read(addr) => FlashCommand::Read { addr, data: &mut [] },
             Op::Program(addr) => {
                 let meta = PageMetadata::new(self.id, self.issued as u64);
                 FlashCommand::Program { addr, data: &[], meta }

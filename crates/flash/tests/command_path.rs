@@ -354,8 +354,8 @@ type Outcome = Result<(Vec<u8>, Option<PageMetadata>, OpOutcome), FlashError>;
 fn via_verbs(dev: &dyn FlashBackend, cmd: FlashCommand<'_>, at: SimTime, tag: IoTag) -> Outcome {
     let plain = tag == IoTag::default();
     match cmd {
-        FlashCommand::Read { addr } if plain => dev.read_page(addr, at),
-        FlashCommand::Read { addr } => dev.read_page_tagged(addr, at, tag),
+        FlashCommand::Read { addr, .. } if plain => dev.read_page(addr, at),
+        FlashCommand::Read { addr, .. } => dev.read_page_tagged(addr, at, tag),
         FlashCommand::MetadataRead { addr } if plain => {
             dev.read_metadata(addr, at).map(|(m, o)| (Vec::new(), m, o))
         }
@@ -375,8 +375,10 @@ fn via_verbs(dev: &dyn FlashBackend, cmd: FlashCommand<'_>, at: SimTime, tag: Io
     }
 }
 
+/// `execute`; a read's payload is in the buffer the command lent, not in
+/// the outcome.
 fn via_execute(dev: &dyn FlashBackend, cmd: FlashCommand<'_>, at: SimTime, tag: IoTag) -> Outcome {
-    dev.execute(cmd, at, tag).map(|out| (out.data, out.meta, out.outcome))
+    dev.execute(cmd, at, tag).map(|out| (Vec::new(), out.meta, out.outcome))
 }
 
 /// A backend that forwards every method the trait had before `execute`
@@ -538,9 +540,10 @@ fn run(device: NandDevice, stream: &[Cmd], way: Way) -> Run {
     let mut spans = Vec::new();
     let mut errors = std::collections::BTreeMap::new();
     let mut buf;
+    let mut page = vec![0; geo.page_size as usize];
     for cmd in stream {
         let command = match cmd.op {
-            Op::Read(addr) => FlashCommand::Read { addr },
+            Op::Read(addr) => FlashCommand::Read { addr, data: &mut page },
             Op::MetadataRead(addr) => FlashCommand::MetadataRead { addr },
             Op::Program(addr, payload, meta) => {
                 buf = match payload {
@@ -553,6 +556,7 @@ fn run(device: NandDevice, stream: &[Cmd], way: Way) -> Run {
             Op::Erase(block) => FlashCommand::Erase { block },
             Op::Copyback(src, dst) => FlashCommand::Copyback { src, dst },
         };
+        let kind = command.kind();
         let outcome = match way {
             Way::Verbs => via_verbs(&*device, command, cmd.at, cmd.tag),
             Way::Execute => via_execute(&*device, command, cmd.at, cmd.tag),
@@ -561,10 +565,11 @@ fn run(device: NandDevice, stream: &[Cmd], way: Way) -> Run {
         match &outcome {
             Ok((data, meta, out)) => {
                 state.bytes(b"ok");
-                state.bytes(data);
+                let lent = way != Way::Verbs && kind == OpKind::Read;
+                state.bytes(if lent { &page } else { data });
                 state.debug(meta);
                 timing.debug(out);
-                spans.push((command.kind(), out.started_at, out.completed_at));
+                spans.push((kind, out.started_at, out.completed_at));
             }
             Err(e) => {
                 // No error carries an instant of the device's choosing
@@ -744,11 +749,11 @@ fn every_rejection_is_counted_once() {
         issue(FlashCommand::Program { addr: page(0, 0, 0), data: &full, meta }, t0),
         issue(FlashCommand::Erase { block: worn }, t0),
         // Turned away before the die is locked.
-        issue(FlashCommand::Read { addr: page(99, 0, 0) }, t0),
+        issue(FlashCommand::Read { addr: page(99, 0, 0), data: &mut [] }, t0),
         issue(FlashCommand::Program { addr: page(0, 0, 1), data: &[1, 2, 3], meta }, t0),
         issue(FlashCommand::Copyback { src: page(0, 0, 0), dst: page(1, 0, 0) }, t0),
         // NAND rules.
-        issue(FlashCommand::Read { addr: page(1, 0, 0) }, t0),
+        issue(FlashCommand::Read { addr: page(1, 0, 0), data: &mut [] }, t0),
         issue(FlashCommand::Program { addr: page(1, 1, 5), data: &full, meta }, t0),
         // Bad and worn-out blocks.
         issue(FlashCommand::Program { addr: retired.page(0), data: &full, meta }, t0),
@@ -759,7 +764,7 @@ fn every_rejection_is_counted_once() {
     let cut = idle + Duration::from_us(100);
     device.arm_power_cut(cut);
     results.push(issue(FlashCommand::Program { addr: page(0, 0, 1), data: &full, meta }, idle));
-    results.push(issue(FlashCommand::Read { addr: page(0, 0, 0) }, cut));
+    results.push(issue(FlashCommand::Read { addr: page(0, 0, 0), data: &mut [] }, cut));
 
     let variants: Vec<String> =
         results.iter().filter_map(|r| r.as_ref().err()).map(variant).collect();

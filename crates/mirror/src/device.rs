@@ -68,7 +68,7 @@ use flash_sim::lockorder::{self, LockClass, TrackedGuard};
 use flash_sim::{
     BlockAddr, BlockInfo, CmdOutput, DeviceLossInjector, DeviceStats, DieId, DieLoad, DieStats,
     FlashBackend, FlashCommand, FlashError, FlashGeometry, IoTag, NandDevice, OpOutcome, PageAddr,
-    PageMetadata, PageState, Result, SimTime, TimingModel, WearSummary,
+    PageState, Result, SimTime, TimingModel, WearSummary,
 };
 use noftl_obs::MetricsRegistry;
 
@@ -369,7 +369,7 @@ impl MirrorDevice {
         r: u64,
         w: u64,
         at: SimTime,
-        cmd: FlashCommand<'_>,
+        mut cmd: FlashCommand<'_>,
         tag: IoTag,
     ) -> Result<OpOutcome> {
         let mut state = self.mirror_shard();
@@ -392,7 +392,7 @@ impl MirrorDevice {
                 {
                     self.children[i].program_replica(addr, data, meta, at)
                 }
-                cmd => self.children[i].execute(cmd, at, tag).map(|out| out.outcome),
+                _ => self.children[i].execute(cmd.reborrow(), at, tag).map(|out| out.outcome),
             };
             match result {
                 Ok(out) => {
@@ -569,78 +569,14 @@ impl FlashBackend for MirrorDevice {
         self.children[0].metrics()
     }
 
-    // The per-command verbs are adapters over `execute`, the mirror's
-    // one command path; the untagged forms carry the default tag.
-
-    fn read_page(
-        &self,
-        addr: PageAddr,
-        at: SimTime,
-    ) -> Result<(Vec<u8>, Option<PageMetadata>, OpOutcome)> {
-        self.read_page_tagged(addr, at, IoTag::default())
-    }
-
-    fn read_page_tagged(
-        &self,
-        addr: PageAddr,
-        at: SimTime,
-        tag: IoTag,
-    ) -> Result<(Vec<u8>, Option<PageMetadata>, OpOutcome)> {
-        let out = self.execute(FlashCommand::Read { addr }, at, tag)?;
-        Ok((out.data, out.meta, out.outcome))
-    }
-
-    fn read_metadata(
-        &self,
-        addr: PageAddr,
-        at: SimTime,
-    ) -> Result<(Option<PageMetadata>, OpOutcome)> {
-        self.read_metadata_tagged(addr, at, IoTag::default())
-    }
-
-    fn read_metadata_tagged(
-        &self,
-        addr: PageAddr,
-        at: SimTime,
-        tag: IoTag,
-    ) -> Result<(Option<PageMetadata>, OpOutcome)> {
-        let out = self.execute(FlashCommand::MetadataRead { addr }, at, tag)?;
-        Ok((out.meta, out.outcome))
-    }
-
-    fn program_page(
-        &self,
-        addr: PageAddr,
-        data: &[u8],
-        meta: PageMetadata,
-        at: SimTime,
-    ) -> Result<OpOutcome> {
-        self.program_page_tagged(addr, data, meta, at, IoTag::default())
-    }
-
-    fn program_page_tagged(
-        &self,
-        addr: PageAddr,
-        data: &[u8],
-        meta: PageMetadata,
-        at: SimTime,
-        tag: IoTag,
-    ) -> Result<OpOutcome> {
-        Ok(self.execute(FlashCommand::Program { addr, data, meta }, at, tag)?.outcome)
-    }
-
-    fn erase_block(&self, addr: BlockAddr, at: SimTime) -> Result<OpOutcome> {
-        Ok(self.execute(FlashCommand::Erase { block: addr }, at, IoTag::default())?.outcome)
-    }
-
-    fn copyback(&self, src: PageAddr, dst: PageAddr, at: SimTime) -> Result<OpOutcome> {
-        Ok(self.execute(FlashCommand::Copyback { src, dst }, at, IoTag::default())?.outcome)
-    }
+    // The verbs are adapters over `execute`, the mirror's one command
+    // path.
+    flash_sim::verbs_over_execute!();
 
     fn execute(&self, command: FlashCommand<'_>, at: SimTime, tag: IoTag) -> Result<CmdOutput> {
-        let written = |outcome| CmdOutput { data: Vec::new(), meta: None, outcome };
+        let written = |outcome| CmdOutput { meta: None, outcome };
         match command {
-            FlashCommand::Read { addr } | FlashCommand::MetadataRead { addr } => {
+            FlashCommand::Read { addr, .. } | FlashCommand::MetadataRead { addr } => {
                 self.read_from_best(addr, at, command, tag)
             }
             FlashCommand::Program { addr, data, mut meta } => {

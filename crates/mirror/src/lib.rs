@@ -162,7 +162,8 @@ mod tests {
         assert_eq!(count("flash.arbiter.class.throughput.ops"), 1);
         // `execute` is the same path: its tag reaches the child too.
         let before = count("flash.arbiter.class.background.ops");
-        m.execute(flash_sim::FlashCommand::Read { addr: page(0, 0, 3) }, t, background).unwrap();
+        let read = flash_sim::FlashCommand::Read { addr: page(0, 0, 3), data: &mut [] };
+        m.execute(read, t, background).unwrap();
         assert_eq!(count("flash.arbiter.class.background.ops"), before + 1);
     }
 

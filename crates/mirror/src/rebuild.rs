@@ -296,8 +296,12 @@ impl MirrorDevice {
             }
         }
         let window = window.max(1);
-        let mut pending: std::collections::VecDeque<(u32, Result<CmdOutput>)> =
+        // Each read in flight fills a page buffer of its own, handed back
+        // to `spare` once the page is programmed on the target.
+        let mut pending: std::collections::VecDeque<(u32, Vec<u8>, Result<CmdOutput>)> =
             std::collections::VecDeque::with_capacity(window);
+        let mut spare: Vec<Vec<u8>> = Vec::with_capacity(window);
+        let page_size = src_dev.geometry().page_size as usize;
         let mut next = 0u32;
         // `slot_free` paces the window: the first `window` reads issue at
         // the step time, each further read when a slot frees up.
@@ -307,11 +311,13 @@ impl MirrorDevice {
                 if self.injector().is_lost(source, slot_free) {
                     break;
                 }
-                let read = FlashCommand::Read { addr: block.page(next) };
-                pending.push_back((next, src_dev.execute(read, slot_free, IoTag::default())));
+                let mut data = spare.pop().unwrap_or_else(|| vec![0; page_size]);
+                let read = FlashCommand::Read { addr: block.page(next), data: &mut data };
+                let out = src_dev.execute(read, slot_free, IoTag::default());
+                pending.push_back((next, data, out));
                 next += 1;
             }
-            let Some((page, read)) = pending.pop_front() else {
+            let Some((page, data, read)) = pending.pop_front() else {
                 if next < sb.write_ptr {
                     // Loop exited early: the source disappeared.
                     return Err(FlashError::DeviceLost { child: source, at: slot_free });
@@ -332,8 +338,8 @@ impl MirrorDevice {
             // ratcheting the target's epoch counter: until this rebuild
             // commits, the copies are not consistent history, and a crash
             // now must leave a device whose counter still reads stale.
-            let programmed =
-                tgt_dev.program_replica(block.page(page), &out.data, meta, read_done)?;
+            let programmed = tgt_dev.program_replica(block.page(page), &data, meta, read_done)?;
+            spare.push(data);
             clock = clock.max(programmed.completed_at);
             copy.pages_copied += 1;
             slot_free = slot_free.max(read_done);

@@ -9,8 +9,15 @@ use std::sync::Arc;
 use flash_sim::{
     DeviceLossInjector, FlashBackend, FlashGeometry, NandDevice, SimTime, TimingModel,
 };
-use noftl_core::{crash, NoFtl, NoFtlConfig};
+use noftl_core::{crash, NoFtl, NoFtlConfig, ObjectId};
 use noftl_mirror::{ChildHealth, MirrorDevice};
+
+/// Logical page `page` of `obj` as the manager reads it at `at`.
+fn read(noftl: &NoFtl, obj: ObjectId, page: u64, at: SimTime) -> Vec<u8> {
+    let mut data = vec![0; 4096];
+    noftl.read(obj, page, &mut data, at).unwrap();
+    data
+}
 
 fn fresh_mirror() -> Arc<MirrorDevice> {
     Arc::new(
@@ -66,10 +73,10 @@ fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirt
 
     // Degraded reads already serve the freshest data.
     for p in 0..4u64 {
-        assert_eq!(noftl2.read(obj, p, t).unwrap().0, vec![0xA0 + p as u8; 4096]);
+        assert_eq!(read(&noftl2, obj, p, t), vec![0xA0 + p as u8; 4096]);
     }
     for p in 4..12u64 {
-        assert_eq!(noftl2.read(obj, p, t).unwrap().0, vec![p as u8 + 1; 4096]);
+        assert_eq!(read(&noftl2, obj, p, t), vec![p as u8 + 1; 4096]);
     }
 
     // Rebuild copies exactly the restored dirty segments.
@@ -93,7 +100,7 @@ fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirt
     assert!(mirror3.fully_online(), "verify scan found divergence after a completed rebuild");
     assert_eq!(mirror3.dirty_segments(1), 0);
     for p in 0..4u64 {
-        assert_eq!(noftl3.read(obj, p, report.completed_at).unwrap().0, vec![0xA0 + p as u8; 4096]);
+        assert_eq!(read(&noftl3, obj, p, report.completed_at), vec![0xA0 + p as u8; 4096]);
     }
 }
 
@@ -120,7 +127,7 @@ fn mount_with_child_still_missing_serves_degraded_and_rebuilds_later() {
     assert_eq!(mirror2.health(1), ChildHealth::Faulted);
     assert_eq!(mirror2.dirty_segments(1), mirror2.segment_count());
     for p in 0..8u64 {
-        assert_eq!(noftl2.read(obj, p, t).unwrap().0, vec![p as u8 + 10; 4096]);
+        assert_eq!(read(&noftl2, obj, p, t), vec![p as u8 + 10; 4096]);
     }
 
     // The device reattaches: clear the loss, rebuild, fully online.
@@ -156,7 +163,7 @@ fn power_cut_during_mount_recovers_on_retry() {
     }
     let (noftl2, report) = NoFtl::mount(mirror2, NoFtlConfig::default(), t).unwrap();
     for p in 0..10u64 {
-        assert_eq!(noftl2.read(obj, p, report.completed_at).unwrap().0, vec![p as u8 + 3; 4096]);
+        assert_eq!(read(&noftl2, obj, p, report.completed_at), vec![p as u8 + 3; 4096]);
     }
 }
 
@@ -186,7 +193,7 @@ mod props {
             };
             for i in 0..8u64 {
                 t = noftl.write(obj, i, &vec![(rand() % 251) as u8; 4096], t).unwrap();
-                expected.insert(i, noftl.read(obj, i, t).unwrap().0);
+                expected.insert(i, read(&noftl, obj, i, t));
             }
             t = noftl.checkpoint(t).unwrap();
             mirror.injector().arm(1, t);
@@ -213,7 +220,7 @@ mod props {
             prop_assert!(dirty > 0);
             prop_assert!(dirty < mirror2.segment_count());
             for (page, val) in &expected {
-                prop_assert_eq!(&noftl2.read(obj, *page, t).unwrap().0, val);
+                prop_assert_eq!(&read(&noftl2, obj, *page, t), val);
             }
             mirror2.start_rebuild(1, t).unwrap();
             let report = mirror2.rebuild(1, 4, t).unwrap();

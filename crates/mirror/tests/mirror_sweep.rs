@@ -209,7 +209,8 @@ fn randomized_loss_and_crash_sweep_loses_no_acknowledged_write() {
 
         // Zero acknowledged-write loss, served possibly degraded.
         for (page, val) in &acked {
-            let (data, done) = noftl2.read(obj, *page, t2).unwrap();
+            let mut data = vec![0; 4096];
+            let done = noftl2.read(obj, *page, &mut data, t2).unwrap();
             assert_eq!(&data, val, "cycle {cycle}: page {page} lost after remount");
             t2 = t2.max(done);
         }
@@ -238,7 +239,8 @@ fn randomized_loss_and_crash_sweep_loses_no_acknowledged_write() {
         }
         assert!(mirror2.fully_online(), "cycle {cycle}");
         for (page, val) in &acked {
-            let (data, done) = noftl2.read(obj, *page, t2).unwrap();
+            let mut data = vec![0; 4096];
+            let done = noftl2.read(obj, *page, &mut data, t2).unwrap();
             assert_eq!(&data, val, "cycle {cycle}: page {page} lost after rebuild");
             t2 = t2.max(done);
         }

@@ -51,7 +51,8 @@ fn main() {
         let data = vec![page as u8; 4096];
         now = noftl.write(table, page, &data, now).expect("write");
     }
-    let (data, done) = noftl.read(table, 17, now).expect("read");
+    let mut data = vec![0; 4096];
+    let done = noftl.read(table, 17, &mut data, now).expect("read");
     println!("page 17 read back correctly: {}", data == vec![17u8; 4096]);
     println!("64 writes + 1 read finished at simulated t = {done}");
 

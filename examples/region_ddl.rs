@@ -61,7 +61,8 @@ fn main() {
         noftl.region_info(rg_cold).unwrap().dies.len(),
     );
     // The archived data survived the shrink.
-    let (data, _) = noftl.read(archive, 10, done).unwrap();
+    let mut data = vec![0; 4096];
+    noftl.read(archive, 10, &mut data, done).unwrap();
     assert_eq!(data, vec![2u8; 4096]);
     println!("archive data intact after shrinking its region");
 

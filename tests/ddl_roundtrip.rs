@@ -32,7 +32,8 @@ fn paper_ddl_example_end_to_end() {
     for page in 0..128u64 {
         now = noftl.write(table, page, &vec![(page % 251) as u8; 4096], now).unwrap();
     }
-    let (data, _) = noftl.read(table, 99, now).unwrap();
+    let mut data = vec![0; 4096];
+    noftl.read(table, 99, &mut data, now).unwrap();
     assert_eq!(data, vec![99u8; 4096]);
     let stats = noftl.object_stats(table).unwrap();
     assert_eq!(stats.writes, 128);

@@ -26,7 +26,8 @@ fn tiny_device_through_facade_reexports() {
     for page in 0..8u64 {
         now = noftl.write(obj, page, &vec![page as u8; 4096], now).unwrap();
     }
-    let (data, _) = noftl.read(obj, 5, now).unwrap();
+    let mut data = vec![0; 4096];
+    noftl.read(obj, 5, &mut data, now).unwrap();
     assert_eq!(data, vec![5u8; 4096]);
 
     // noftl::kv: the NoFTL-KV layer round-trips through the facade too.

@@ -41,8 +41,9 @@ fn chrome_trace_from_a_mixed_workload_is_valid() {
     let batch: Vec<(u32, u64, Vec<u8>)> =
         (0..32u64).map(|p| (obj, p, vec![p as u8; 4096])).collect();
     let mut now = noftl.write_windowed(&batch, SimTime::ZERO, 8).unwrap();
+    let mut page = vec![0; 4096];
     for p in 0..32u64 {
-        now = now.max(noftl.read(obj, p, now).unwrap().1);
+        now = now.max(noftl.read(obj, p, &mut page, now).unwrap());
     }
     let trace = dump::chrome_trace(noftl.metrics());
     let events = validate_chrome_trace(&trace).expect("trace parses as trace_event JSON");

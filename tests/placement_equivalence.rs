@@ -156,7 +156,8 @@ fn round_robin_reproduces_the_seed_allocator_byte_for_byte() {
         // The digests pin the physical image; the translations must agree
         // with it: every live logical page reads back its latest value.
         for ((obj, p), v) in &run.expected {
-            let (data, _) = run.noftl.read(*obj, *p, run.done).unwrap();
+            let mut data = vec![0; 4096];
+            run.noftl.read(*obj, *p, &mut data, run.done).unwrap();
             assert_eq!(data, page(*v), "seed {seed:#x}: object {obj} page {p}");
         }
     }

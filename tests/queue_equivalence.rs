@@ -55,7 +55,8 @@ fn concurrent_disjoint_die_reads_do_not_serialize() {
     let read_die = move |dev: &NandDevice, die: u32, at: SimTime| -> Vec<SimTime> {
         (0..geo.pages_per_block)
             .map(|p| {
-                let read = FlashCommand::Read { addr: PageAddr::new(DieId(die), 0, 0, p) };
+                let addr = PageAddr::new(DieId(die), 0, 0, p);
+                let read = FlashCommand::Read { addr, data: &mut [] };
                 dev.execute(read, at, IoTag::default()).unwrap().outcome.completed_at
             })
             .collect()
@@ -178,7 +179,8 @@ fn queued_write_batch_under_power_cut_mounts_cleanly() {
     let done = report.completed_at;
     let mut new_versions = 0;
     for p in 0..8u64 {
-        let (data, _) = mounted.read(obj, p, done).unwrap();
+        let mut data = vec![0; 4096];
+        mounted.read(obj, p, &mut data, done).unwrap();
         let old = page(0x10 + p as u8);
         let new = page(0x40 + p as u8);
         assert!(data == old || data == new, "page {p} must be one complete version");
@@ -295,7 +297,8 @@ proptest! {
             let (payloads, done) = windowed.read_windowed(&reads, wt, 1).unwrap();
             wt = done;
             for ((o, p, _), payload) in round.iter().zip(&payloads) {
-                let (data, done) = chained.read(cobjs[*o], *p, ct).unwrap();
+                let mut data = vec![0; 4096];
+                let done = chained.read(cobjs[*o], *p, &mut data, ct).unwrap();
                 prop_assert_eq!(&data, payload);
                 ct = done;
             }
