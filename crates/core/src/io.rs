@@ -18,10 +18,10 @@
 //!   passes one function (`noftl-analyzer`'s `command_path` rule keeps
 //!   it that way).
 //!
-//! The public verbs — [`NoFtl::read`], [`NoFtl::write`],
-//! [`NoFtl::write_batch`], [`NoFtl::write_windowed`],
-//! [`NoFtl::read_windowed`], [`NoFtl::write_atomic`] and the general
-//! [`NoFtl::execute`] — are thin loops over the core.
+//! The public page I/O is four verbs over the core: [`NoFtl::read`] and
+//! [`NoFtl::write`] for one page, [`NoFtl::execute`] for many — a windowed
+//! pipeline of reads and writes that hands each page read to the caller —
+//! and [`NoFtl::write_atomic`] for all-or-nothing batches.
 
 use std::collections::VecDeque;
 
@@ -32,7 +32,6 @@ use flash_sim::{
 use crate::error::NoFtlError;
 use crate::manager::{Env, Inner, NoFtl};
 use crate::object::ObjectId;
-use crate::obs::WindowObs;
 use crate::recovery::META_REGION_NAME;
 use crate::region::{RegionDie, RegionId};
 use crate::Result;
@@ -229,13 +228,6 @@ impl Inner {
     }
 }
 
-/// The `(object, page, payload)` triples of the batch verbs as requests.
-fn write_requests(
-    writes: &[(ObjectId, u64, Vec<u8>)],
-) -> impl ExactSizeIterator<Item = IoRequest<'_>> + Clone {
-    writes.iter().map(|(obj, page, data)| IoRequest::write(*obj, *page, data))
-}
-
 impl NoFtl {
     /// Read a logical page of an object into `buf` — one page, filled by
     /// the device itself; left as it is on a device that stores no
@@ -250,109 +242,69 @@ impl NoFtl {
         self.lock_inner().io(&self.env, &IoRequest::write(obj, page, data), &mut [], at)
     }
 
-    /// Write a batch of pages, all issued at `at` and fanned out over the
-    /// dies: [`NoFtl::execute`] with an unbounded window.  Every page is
-    /// allocated striped over its region's dies (running GC where a
-    /// die's free pool is low) and carries the same
-    /// issue time, so the batch executes with full die-level parallelism
-    /// in the timing model; the returned time is the completion of the
-    /// slowest page.  This is the path used by the WAL group-commit force
-    /// and KV memtable flushes.
-    pub fn write_batch(&self, writes: &[(ObjectId, u64, Vec<u8>)], at: SimTime) -> Result<SimTime> {
-        Ok(self.pipeline(write_requests(writes), at, usize::MAX, None)?.1)
-    }
-
-    /// Write a batch of pages through the bounded completion-driven
-    /// pipeline ([`NoFtl::execute`]): up to `window` pages in flight,
-    /// each further page issued at the completion instant of the oldest
-    /// outstanding one — the behaviour of a depth-limited host driver.
-    /// With `window >= dies` this reproduces [`NoFtl::write_batch`]'s
-    /// fan-out timing exactly while holding only `window` submissions
-    /// outstanding.  Occupancy and latency land in `core.flush.window_*`.
-    pub fn write_windowed(
-        &self,
-        writes: &[(ObjectId, u64, Vec<u8>)],
-        at: SimTime,
-        window: usize,
-    ) -> Result<SimTime> {
-        let obs = Some(&self.env.obs.flush_window);
-        Ok(self.pipeline(write_requests(writes), at, window, obs)?.1)
-    }
-
-    /// Read a batch of pages through the same pipeline
-    /// ([`NoFtl::execute`]).  This is the path KV scans, B⁺-tree range
-    /// scans and heap scans use to overlap their page fetches across dies
-    /// instead of reading one page at a time.  Returns the payloads **in
-    /// request order** and the maximum completion across the whole
-    /// window; occupancy and latency land in `core.read.window_*`.
-    pub fn read_windowed(
-        &self,
-        reads: &[(ObjectId, u64)],
-        at: SimTime,
-        window: usize,
-    ) -> Result<(Vec<Vec<u8>>, SimTime)> {
-        let requests = reads.iter().map(|&(obj, page)| IoRequest::read(obj, page));
-        self.pipeline(requests, at, window, Some(&self.env.obs.read_window))
-    }
-
-    /// The general entry: run `requests` — reads and writes, each
+    /// The multi-page verb: run `requests` — reads and writes, each
     /// optionally forcing its service class — through the bounded
-    /// completion-driven pipeline.
+    /// completion-driven pipeline, and hand each read's page to
+    /// `on_read`.
     ///
     /// Up to `window` requests are kept in flight; each further request
     /// is issued at the completion instant of the oldest outstanding one.
-    /// A window of at least `requests.len()` therefore issues everything
-    /// at `at` (a fan-out batch), a window of 1 chains the requests like
-    /// blocking calls.  The manager lock is taken per request, and each
-    /// write's allocation, program and translation commit happen under
-    /// one hold of it — a GC pass triggered by a later allocation always
-    /// sees current mappings and may safely relocate any page already
-    /// committed.
+    /// A window of at least the request count therefore issues everything
+    /// at `at` (a fan-out batch: the WAL force, KV flushes), a window of 1
+    /// chains the requests like blocking calls.  The manager lock is
+    /// taken per request, and each write's allocation, program and
+    /// translation commit happen under one hold of it — a GC pass
+    /// triggered by a later allocation always sees current mappings and
+    /// may safely relocate any page already committed.
     ///
-    /// Returns the payloads of the read requests, in request order, and
-    /// the **maximum completion across all requests**, not the last one's:
-    /// a later page on an idle die can complete before an earlier page
-    /// queued behind a busy one.
+    /// Each read's page goes to `on_read` with its request, in request
+    /// order, with the manager lock released.  The page lives in one
+    /// buffer the call reuses, so it is valid only for that call.
+    /// Returns the **maximum completion across all requests**, not the
+    /// last one's: a later page on an idle die can complete before an
+    /// earlier page queued behind a busy one.
+    ///
+    /// Every call samples its reads into `core.read.window_*` and its
+    /// writes into `core.flush.window_*`.
     ///
     /// Payload sizes are checked before anything is issued.  After that a
     /// failing request (e.g. a power cut tearing part of a batch) does not
     /// stop the ones behind it: every request whose issue instant the
     /// pipeline reaches is issued, the translation of every *successful*
     /// write is committed, torn pages stay unmapped for recovery to
-    /// discard, and the first failure in request order is returned.
-    pub fn execute(
+    /// discard, and the first failure in request order — a request's, or
+    /// `on_read`'s — is returned.
+    pub fn execute<'a, I>(
         &self,
-        requests: &[IoRequest<'_>],
+        requests: I,
         at: SimTime,
         window: usize,
-    ) -> Result<(Vec<Vec<u8>>, SimTime)> {
-        self.pipeline(requests.iter().copied(), at, window, None)
-    }
-
-    /// The one windowed driver behind every multi-page verb; `obs` selects
-    /// the window histograms a host-facing wrapper samples into.
-    fn pipeline<'a>(
-        &self,
-        requests: impl ExactSizeIterator<Item = IoRequest<'a>> + Clone,
-        at: SimTime,
-        window: usize,
-        obs: Option<&WindowObs>,
-    ) -> Result<(Vec<Vec<u8>>, SimTime)> {
-        let mut reads = 0;
+        mut on_read: impl FnMut(&IoRequest<'a>, &[u8]) -> Result<()>,
+    ) -> Result<SimTime>
+    where
+        I: IntoIterator<Item = IoRequest<'a>>,
+        I::IntoIter: Clone,
+    {
+        let requests = requests.into_iter();
+        let (mut reads, mut writes) = (0u64, 0u64);
         for req in requests.clone() {
             match req.kind {
-                IoKind::Write(data) => self.env.check_page_size(data)?,
+                IoKind::Write(data) => {
+                    self.env.check_page_size(data)?;
+                    writes += 1;
+                }
                 IoKind::Read => reads += 1,
             }
         }
-        let pages = requests.len();
+        let pages = (reads + writes) as usize;
         let window = window.max(1);
         // Completions of the requests in flight, oldest first.  Tracked
         // only when the window can fill up.
         let mut inflight = VecDeque::with_capacity(if pages > window { window } else { 0 });
+        let mut buf = if reads > 0 { self.env.page_buf() } else { Vec::new() };
+        let obs = &self.env.obs;
         let mut succeeded = 0usize;
         let (mut clock, mut done) = (at, at);
-        let mut payloads = Vec::with_capacity(reads);
         let mut failure: Option<NoFtlError> = None;
         for req in requests {
             if inflight.len() == window {
@@ -361,23 +313,23 @@ impl NoFtl {
                 }
             }
             let read = matches!(req.kind, IoKind::Read);
-            let mut data = if read { self.env.page_buf() } else { Vec::new() };
-            let result = self.lock_inner().io(&self.env, &req, &mut data, clock);
-            match result {
-                Ok(completed) => {
-                    done = done.max(completed);
-                    if pages > window {
-                        inflight.push_back(completed);
-                    }
-                    if read {
-                        payloads.push(data);
-                    }
-                    succeeded += 1;
-                    if let Some(obs) = obs {
-                        obs.note_occupancy(succeeded.min(window) as u64);
-                    }
-                }
+            let result = self.lock_inner().io(&self.env, &req, &mut buf, clock);
+            let completed = match result {
+                Ok(completed) => completed,
                 Err(e) => {
+                    failure.get_or_insert(e);
+                    continue;
+                }
+            };
+            done = done.max(completed);
+            if pages > window {
+                inflight.push_back(completed);
+            }
+            succeeded += 1;
+            let window_obs = if read { &obs.read_window } else { &obs.flush_window };
+            window_obs.note_occupancy(succeeded.min(window) as u64);
+            if read {
+                if let Err(e) = on_read(&req, &buf) {
                     failure.get_or_insert(e);
                 }
             }
@@ -385,10 +337,12 @@ impl NoFtl {
         if let Some(e) = failure {
             return Err(e);
         }
-        if let Some(obs) = obs.filter(|_| pages > 0) {
-            obs.note_done(pages as u64, at, done);
+        for (window_obs, count) in [(&obs.read_window, reads), (&obs.flush_window, writes)] {
+            if count > 0 {
+                window_obs.note_done(count, at, done);
+            }
         }
-        Ok((payloads, done))
+        Ok(done)
     }
 
     /// Atomically write a batch of pages: either all of them become
@@ -409,8 +363,9 @@ impl NoFtl {
             self.env.check_page_size(data)?;
         }
         let mut inner = self.lock_inner();
+        let requests = writes.iter().map(|(obj, page, data)| IoRequest::write(*obj, *page, data));
         let mut staged: Vec<(PageAddr, SimTime)> = Vec::with_capacity(writes.len());
-        for (req, (_, _, data)) in write_requests(writes).zip(writes) {
+        for (req, (_, _, data)) in requests.clone().zip(writes) {
             match inner.stage_write(&self.env, &req, data, at) {
                 Ok(programmed) => staged.push(programmed),
                 Err(e) => {
@@ -424,7 +379,7 @@ impl NoFtl {
         }
         // Commit: switch the translations.
         let mut done = at;
-        for (req, (ppa, completed)) in write_requests(writes).zip(staged) {
+        for (req, (ppa, completed)) in requests.zip(staged) {
             done = done.max(completed);
             inner.commit_write(&self.env, &req, ppa, at, completed)?;
         }
@@ -440,6 +395,34 @@ mod tests {
     use crate::testutil::{make_noftl, page, raw_device, read_page};
     use flash_sim::{DeviceBuilder, FlashBackend, FlashGeometry, TimingModel};
     use std::sync::Arc;
+
+    /// [`NoFtl::execute`] over `(object, page, payload)` writes.
+    fn write_pages(
+        noftl: &NoFtl,
+        writes: &[(ObjectId, u64, Vec<u8>)],
+        at: SimTime,
+        window: usize,
+    ) -> Result<SimTime> {
+        let requests = writes.iter().map(|(obj, page, data)| IoRequest::write(*obj, *page, data));
+        noftl.execute(requests, at, window, |_, _| Ok(()))
+    }
+
+    /// [`NoFtl::execute`] over `(object, page)` reads: the payloads in
+    /// request order and the completion.
+    fn read_pages(
+        noftl: &NoFtl,
+        reads: &[(ObjectId, u64)],
+        at: SimTime,
+        window: usize,
+    ) -> Result<(Vec<Vec<u8>>, SimTime)> {
+        let mut pages = Vec::new();
+        let requests = reads.iter().map(|&(obj, page)| IoRequest::read(obj, page));
+        let done = noftl.execute(requests, at, window, |_, data| {
+            pages.push(data.to_vec());
+            Ok(())
+        })?;
+        Ok((pages, done))
+    }
 
     #[test]
     fn write_read_roundtrip_and_stats() {
@@ -506,7 +489,7 @@ mod tests {
         let writes: Vec<(ObjectId, u64, Vec<u8>)> =
             (0..4).map(|i| (obj, i as u64, page(i as u8))).collect();
         let single = noftl.write(obj, 99, &page(9), SimTime::ZERO).unwrap();
-        let batch_done = noftl.write_batch(&writes, SimTime::ZERO).unwrap();
+        let batch_done = write_pages(&noftl, &writes, SimTime::ZERO, usize::MAX).unwrap();
         // The batch of four pages over two dies takes about two program
         // times, i.e. it must finish later than a single write but much
         // earlier than four serialized writes would.
@@ -544,7 +527,7 @@ mod tests {
                     (obj, p, page(v))
                 })
                 .collect();
-            t = noftl.write_batch(&batch, t).unwrap();
+            t = write_pages(&noftl, &batch, t, usize::MAX).unwrap();
         }
         let rs = noftl.region_stats(r).unwrap();
         assert!(rs.gc_runs > 0, "the workload must actually trigger GC");
@@ -639,11 +622,26 @@ mod tests {
             IoRequest::write(obj, 1, &data),
         ];
         for window in [1, usize::MAX] {
-            let err = noftl.execute(&requests, SimTime::ZERO, window).unwrap_err();
+            let err = noftl.execute(requests, SimTime::ZERO, window, |_, _| Ok(())).unwrap_err();
             assert!(matches!(err, NoFtlError::PageNotWritten { page: 9, .. }));
             let t = noftl.device().quiesce_time();
             assert_eq!(read_page(&noftl, obj, 1, t).unwrap().0, data, "window {window}");
         }
+        // A failing `on_read` fails its read the same way.
+        let mut seen = Vec::new();
+        let reads = [IoRequest::read(obj, 0), IoRequest::read(obj, 1)];
+        let t = noftl.device().quiesce_time();
+        let err = noftl
+            .execute(reads, t, 1, |req, _| {
+                seen.push(req.page);
+                match req.page {
+                    0 => Err(NoFtlError::Kv { message: "undecodable".into() }),
+                    _ => Ok(()),
+                }
+            })
+            .unwrap_err();
+        assert!(matches!(err, NoFtlError::Kv { .. }));
+        assert_eq!(seen, [0, 1], "the read behind it still reaches the caller");
     }
 
     /// `execute` mixes directions and forces classes per request; reads
@@ -662,15 +660,19 @@ mod tests {
         let (a, b) = (page(0xA), page(0xB));
         let background = Some(ServiceClass::Background);
         let writes = [IoRequest::write(obj, 0, &a), IoRequest::write(obj, 1, &b)];
-        let (none, t) = noftl.execute(&writes, SimTime::ZERO, 2).unwrap();
-        assert!(none.is_empty(), "writes yield no payloads");
+        let mut payloads = Vec::new();
+        let mut keep = |req: &IoRequest<'_>, data: &[u8]| {
+            payloads.push((req.page, data.to_vec()));
+            Ok(())
+        };
+        let t = noftl.execute(writes, SimTime::ZERO, 2, &mut keep).unwrap();
         let mixed = [
             IoRequest::read(obj, 1).with_class(background),
             IoRequest::write(obj, 2, &a).with_class(background),
             IoRequest::read(obj, 0),
         ];
-        let (payloads, done) = noftl.execute(&mixed, t, 1).unwrap();
-        assert_eq!(payloads, vec![b, a.clone()]);
+        let done = noftl.execute(mixed, t, 1, &mut keep).unwrap();
+        assert_eq!(payloads, vec![(1, b), (0, a.clone())], "writes yield no payloads");
         assert_eq!(read_page(&noftl, obj, 2, done).unwrap().0, a);
         let class_ops = |class: &str| {
             let name = format!("flash.arbiter.class.{class}.ops");
@@ -702,7 +704,7 @@ mod tests {
 
         let (queued, obj) = make();
         let batch: Vec<_> = writes.iter().map(|(_, p, d)| (obj, *p, d.clone())).collect();
-        let queued_done = queued.write_batch(&batch, SimTime::ZERO).unwrap();
+        let queued_done = write_pages(&queued, &batch, SimTime::ZERO, usize::MAX).unwrap();
 
         let (serial, obj) = make();
         let mut serial_done = SimTime::ZERO;
@@ -730,7 +732,7 @@ mod tests {
             let r = noftl.create_region(RegionSpec::named("rg").with_die_count(4)).unwrap();
             let obj = noftl.create_object("t", r).unwrap();
             let writes: Vec<_> = (0..6u64).map(|p| (obj, p, page(p as u8))).collect();
-            let done = noftl.write_windowed(&writes, SimTime::ZERO, window).unwrap();
+            let done = write_pages(&noftl, &writes, SimTime::ZERO, window).unwrap();
             for (_, p, data) in &writes {
                 assert_eq!(&read_page(&noftl, obj, *p, done).unwrap().0, data);
             }
@@ -765,10 +767,10 @@ mod tests {
         let obj = noftl.create_object("t", r).unwrap();
         let writes: Vec<(ObjectId, u64, Vec<u8>)> =
             (0..16u64).map(|p| (obj, p, page(p as u8))).collect();
-        let t = noftl.write_batch(&writes, SimTime::ZERO).unwrap();
+        let t = write_pages(&noftl, &writes, SimTime::ZERO, usize::MAX).unwrap();
 
         let reads: Vec<(ObjectId, u64)> = (0..16u64).map(|p| (obj, p)).collect();
-        let (payloads, done) = noftl.read_windowed(&reads, t, 8).unwrap();
+        let (payloads, done) = read_pages(&noftl, &reads, t, 8).unwrap();
         let windowed_span = done - t;
 
         // Sequential baseline on the now-idle device: each read issued at
@@ -794,7 +796,7 @@ mod tests {
         );
 
         // An unwritten page fails the whole batch and leaks no pending IO.
-        let err = noftl.read_windowed(&[(obj, 99)], t, 4).unwrap_err();
+        let err = read_pages(&noftl, &[(obj, 99)], t, 4).unwrap_err();
         assert!(matches!(err, NoFtlError::PageNotWritten { .. }));
     }
 

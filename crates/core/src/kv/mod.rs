@@ -10,7 +10,7 @@
 //!   size threshold.  Puts and deletes (tombstones) land here first.
 //! * **Sorted runs** ([`run`]) — a flushed memtable becomes one immutable
 //!   sorted run: an ordinary NoFTL *object* whose data pages are written
-//!   through [`NoFtl::write_batch`], so the whole flush fans out across
+//!   through one [`NoFtl::execute`], so the whole flush fans out across
 //!   the region's dies at one shared issue time.  A run ends in a
 //!   self-describing *tail* (format v2, one or more pages): the first key of every data page and a
 //!   Bloom filter over the run's keys, so a point lookup knows which
@@ -45,7 +45,7 @@
 //! analogue of `dbms::crash_harness`, over the same loop.
 //!
 //! [`NoFtl`]: crate::NoFtl
-//! [`NoFtl::write_batch`]: crate::NoFtl::write_batch
+//! [`NoFtl::execute`]: crate::NoFtl::execute
 //! [`NoFtl::checkpoint`]: crate::NoFtl::checkpoint
 //! [`NoFtl::mount`]: crate::NoFtl::mount
 //! [`KvStore::open`]: store::KvStore::open

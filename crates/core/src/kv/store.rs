@@ -28,8 +28,7 @@ use super::memtable::Memtable;
 use super::run::{self, Bloom, Entry, RunMeta, TailError};
 
 /// Maximum reads in flight when scans, compaction merges and `open`'s tail
-/// reads pull run pages through the windowed pipeline
-/// ([`NoFtl::read_windowed`], [`NoFtl::execute`]).
+/// reads pull run pages through the windowed pipeline ([`NoFtl::execute`]).
 const READ_WINDOW: usize = 8;
 
 /// Configuration of a [`KvStore`].
@@ -166,6 +165,11 @@ impl std::fmt::Debug for KvStore {
 
 fn kv_err(message: impl Into<String>) -> NoFtlError {
     NoFtlError::Kv { message: message.into() }
+}
+
+/// The error of a run page read that did not decode as a data page.
+fn not_data(req: &IoRequest<'_>) -> NoFtlError {
+    kv_err(format!("run object {} page {} is not a data page", req.object, req.page))
 }
 
 impl KvStore {
@@ -367,14 +371,19 @@ impl KvStore {
             return Ok(None);
         }
         let first = extent - u64::from(total);
-        let rest: Vec<_> = (first..extent - 1).map(|page| (obj, page)).collect();
-        let Ok((mut tail, t)) = noftl.read_windowed(&rest, *now, READ_WINDOW) else {
-            return Ok(None);
-        };
+        // The whole tail in one buffer, `last` at its end.
+        let mut tail = Vec::with_capacity(total as usize * last.len());
+        let rest = (first..extent - 1).map(|page| IoRequest::read(obj, page));
+        let read = noftl.execute(rest, *now, READ_WINDOW, |_, page| {
+            tail.extend_from_slice(page);
+            Ok(())
+        });
+        let Ok(t) = read else { return Ok(None) };
         *now = (*now).max(t);
-        report.tail_pages_read += rest.len() as u64;
-        tail.push(last);
-        match run::decode_tail(&tail) {
+        report.tail_pages_read += u64::from(total - 1);
+        tail.extend_from_slice(&last);
+        let pages: Vec<&[u8]> = tail.chunks(last.len()).collect();
+        match run::decode_tail(&pages) {
             Ok((name, meta)) if name == store && u64::from(meta.data_pages) == first => {
                 Ok(Some(RunMeta { object: obj, written_at: *now, ..meta }))
             }
@@ -534,18 +543,16 @@ impl KvStore {
             for c in &mut cursors {
                 while c.buf.is_empty() && c.next_page < c.end {
                     let chunk_end = c.end.min(c.next_page + window);
-                    let reads: Vec<_> =
-                        (c.next_page..chunk_end).map(|p| (c.object, u64::from(p))).collect();
-                    let (pages, t) = self.noftl.read_windowed(&reads, now, READ_WINDOW)?;
-                    now = now.max(t);
-                    inner.stats.run_page_reads += reads.len() as u64;
-                    for (i, payload) in pages.iter().enumerate() {
-                        let p = c.next_page + i as u32;
-                        let entries = run::decode_data_page(payload).ok_or_else(|| {
-                            kv_err(format!("run object {} page {p} is not a data page", c.object))
-                        })?;
+                    let reads =
+                        (c.next_page..chunk_end).map(|p| IoRequest::read(c.object, u64::from(p)));
+                    let t = self.noftl.execute(reads, now, READ_WINDOW, |req, payload| {
+                        let entries =
+                            run::decode_data_page(payload).ok_or_else(|| not_data(req))?;
                         c.buf.extend(entries.into_iter().filter(|(key, _)| in_range(key)));
-                    }
+                        Ok(())
+                    })?;
+                    now = now.max(t);
+                    inner.stats.run_page_reads += u64::from(chunk_end - c.next_page);
                     c.next_page = chunk_end;
                 }
             }
@@ -623,15 +630,14 @@ impl KvStore {
         let encoded = run::encode_run(&self.name, level, seq_lo, seq_hi, entries, page_size);
         let obj = self.noftl.create_object(&self.run_name(level, seq_lo, seq_hi), self.region)?;
         let page_count = encoded.pages.len() as u64;
-        let requests: Vec<IoRequest<'_>> = encoded
+        let requests = encoded
             .pages
             .iter()
             .enumerate()
-            .map(|(i, page)| IoRequest::write(obj, i as u64, page).with_class(class))
-            .collect();
+            .map(|(i, page)| IoRequest::write(obj, i as u64, page).with_class(class));
         // The whole run issues at one shared time and fans across the
         // region's dies.
-        let (_, mut now) = self.noftl.execute(&requests, at, usize::MAX)?;
+        let mut now = self.noftl.execute(requests, at, usize::MAX, |_, _| Ok(()))?;
         if encoded.meta.tail_pages >= 2 {
             inner.stats.tail_windows.push((at.as_nanos(), now.as_nanos()));
         }
@@ -710,20 +716,14 @@ impl KvStore {
             // `READ_WINDOW` pages of the source run in flight at once.
             // Compaction merge input is maintenance traffic.
             let background = Some(ServiceClass::Background);
-            let reads: Vec<IoRequest<'_>> = (0..data_pages)
-                .map(|page| IoRequest::read(object, u64::from(page)).with_class(background))
-                .collect();
-            let (pages, t) = self.noftl.execute(&reads, now, READ_WINDOW)?;
+            let reads = (0..data_pages)
+                .map(|page| IoRequest::read(object, u64::from(page)).with_class(background));
+            let t = self.noftl.execute(reads, now, READ_WINDOW, |req, payload| {
+                merged.extend(run::decode_data_page(payload).ok_or_else(|| not_data(req))?);
+                Ok(())
+            })?;
             now = now.max(t);
-            inner.stats.run_page_reads += reads.len() as u64;
-            for (page, payload) in pages.iter().enumerate() {
-                let entries = run::decode_data_page(payload).ok_or_else(|| {
-                    kv_err(format!("run object {object} page {page} is not a data page"))
-                })?;
-                for (key, value) in entries {
-                    merged.insert(key, value);
-                }
-            }
+            inner.stats.run_page_reads += u64::from(data_pages);
         }
         if bottom {
             merged.retain(|_, v| v.is_some());

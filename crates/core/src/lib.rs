@@ -29,7 +29,7 @@
 //!   configurations such as the paper's Figure 2;
 //! * a small **DDL dialect** ([`ddl`]): `CREATE REGION`,
 //!   `CREATE TABLESPACE`, `CREATE TABLE ... TABLESPACE`;
-//! * **windowed flushes** ([`NoFtl::write_windowed`]) and **short atomic
+//! * **windowed page I/O** ([`NoFtl::execute`]) and **short atomic
 //!   writes** ([`NoFtl::write_atomic`]) exploiting direct control of
 //!   out-of-place updates (advantage (iv) in the paper's introduction);
 //! * **NoFTL-KV** ([`kv`]) — a log-structured key-value layer whose

@@ -246,11 +246,6 @@ impl NoFtl {
                 chosen.push(d);
             }
             lane += 1;
-            // Guard against all lanes being empty (cannot happen given the
-            // availability check above, but keeps the loop obviously finite).
-            if lane > (want as usize + 1) * lane_count {
-                break;
-            }
         }
         // Return unchosen dies to the pool.
         let mut remaining: Vec<DieId> = lanes.into_iter().flatten().collect();
@@ -351,7 +346,7 @@ impl NoFtl {
         taken.reverse();
         let region = inner.region_mut(rid)?;
         for die in taken {
-            region.dies.push(RegionDie::new(self.env.device.as_ref(), die));
+            region.dies.push(RegionDie::rebuild(self.env.device.as_ref(), die));
         }
         Ok(())
     }

@@ -16,11 +16,12 @@
 //!   `probes_total - allocations` full dies were skipped);
 //! * `core.placement.steered` — allocations that skipped at least one
 //!   full die and so landed off the stripe position;
-//! * `core.flush.window_occupancy` — in-flight depth of the windowed
-//!   write pipeline, sampled at every submission;
-//! * `core.flush.window_ns` — issue→drain latency of whole windows;
+//! * `core.flush.window_occupancy` — in-flight depth of `NoFtl::execute`'s
+//!   pipeline, sampled at every write it submits;
+//! * `core.flush.window_ns` — issue→drain latency of every `execute`
+//!   with writes (WAL forces, buffer flushes, KV run writes);
 //! * `core.read.window_occupancy` / `core.read.window_ns` — the same two
-//!   views of the windowed *read* pipeline (KV and B+-tree scans);
+//!   views of every `execute`'s reads (KV scans, merges and tail reads);
 //! * `core.gc.step_pages` — copybacks one allocation on a collecting die
 //!   paid for before its own program (the maximum is the GC stall bound);
 //! * `core.gc.forced_steps` — allocations whose die a step left without a
@@ -48,9 +49,10 @@ pub(crate) const TRACK_KV: u64 = 100;
 /// Tracer track for windowed-flush spans.
 pub(crate) const TRACK_FLUSH: u64 = 103;
 
-/// The two histograms and the tracer span one direction of the windowed
-/// pipeline records into.  Reads and writes each own one, so scan/merge
-/// read windows never skew the write-flush latency distribution.
+/// The two histograms and the tracer span one direction of
+/// `NoFtl::execute`'s pipeline records into.  Reads and writes each own
+/// one, so scan/merge read windows never skew the write-flush latency
+/// distribution.
 #[derive(Debug)]
 pub(crate) struct WindowObs {
     registry: Arc<MetricsRegistry>,
@@ -99,9 +101,9 @@ pub(crate) struct CoreObs {
     allocations: Counter,
     probes_total: Counter,
     steered: Counter,
-    /// `core.flush.window_*`: the windowed write pipeline.
+    /// `core.flush.window_*`: the writes of every `execute`.
     pub(crate) flush_window: WindowObs,
-    /// `core.read.window_*`: the windowed read pipeline.
+    /// `core.read.window_*`: the reads of every `execute`.
     pub(crate) read_window: WindowObs,
     gc_step_pages: Histogram,
     gc_forced_steps: Counter,

@@ -39,7 +39,7 @@ use crate::config::NoFtlConfig;
 use crate::error::NoFtlError;
 use crate::manager::{Env, Inner, NoFtl};
 use crate::object::{ObjectCounters, ObjectId, ObjectState};
-use crate::region::{RegionDie, RegionId, RegionRuntime, RegionSpec};
+use crate::region::{RegionId, RegionRuntime, RegionSpec};
 use crate::Result;
 
 /// Reserved object id for checkpoint chunks ("no object" is 0, real
@@ -672,11 +672,8 @@ impl NoFtl {
         let mut region_by_name = HashMap::new();
         let mut die_owner: HashMap<DieId, RegionId> = HashMap::new();
         for rimg in &image.regions {
-            let mut rt = RegionRuntime::new(rimg.id, rimg.spec.clone(), device, Vec::new());
-            for die in &rimg.dies {
-                die_owner.insert(*die, rimg.id);
-                rt.dies.push(RegionDie::rebuild(device, *die));
-            }
+            die_owner.extend(rimg.dies.iter().map(|die| (*die, rimg.id)));
+            let mut rt = RegionRuntime::new(rimg.id, rimg.spec.clone(), device, rimg.dies.clone());
             rt.objects = rimg.objects.clone();
             region_by_name.insert(rt.name.clone(), rimg.id);
             regions[rimg.id.0 as usize] = Some(rt);
@@ -1166,6 +1163,28 @@ mod tests {
         noftl.checkpoint(SimTime::ZERO).unwrap();
         let meta = noftl.meta_region().unwrap();
         assert!(matches!(noftl.drop_region(meta, SimTime::ZERO), Err(NoFtlError::Recovery { .. })));
+    }
+
+    /// A region created after the last checkpoint is lost to a power cut,
+    /// and the mount returns its dies to the free pool with its pages still
+    /// on them.  A region built on those dies later must take its blocks as
+    /// they are, not as erased.
+    #[test]
+    fn a_region_on_dies_a_mount_freed_writes_and_reads() {
+        let noftl = make_noftl();
+        let mut t = noftl.checkpoint(SimTime::ZERO).unwrap();
+        let free = noftl.free_die_count();
+        let late = noftl.create_region(RegionSpec::named("rgLate").with_die_count(free)).unwrap();
+        let obj = noftl.create_object("late", late).unwrap();
+        for p in 0..2 * u64::from(free) {
+            t = noftl.write(obj, p, &page(p as u8), t).unwrap();
+        }
+        let (noftl2, report) = NoFtl::mount(reboot(&noftl), NoFtlConfig::default(), t).unwrap();
+        assert_eq!(noftl2.free_die_count(), free, "the late region's dies are free again");
+        let again = noftl2.create_region(RegionSpec::named("rgLate").with_die_count(free)).unwrap();
+        let obj2 = noftl2.create_object("late", again).unwrap();
+        let done = noftl2.write(obj2, 0, &page(0x5A), report.completed_at).unwrap();
+        assert_eq!(read_page(&noftl2, obj2, 0, done).unwrap().0, page(0x5A));
     }
 
     #[test]

@@ -164,32 +164,14 @@ impl RegionDie {
         }
     }
 
-    /// Build the allocation state for a die, treating every non-bad block
-    /// of the die as free.  The caller must ensure the die actually is
-    /// erased (true at device start-up and after a die is migrated out of
-    /// another region).
-    pub(crate) fn new(device: &dyn FlashBackend, die: DieId) -> Self {
-        let geo = device.geometry();
-        let mut out = Self::empty(die);
-        for plane in 0..geo.planes_per_die {
-            for block in 0..geo.blocks_per_plane {
-                let addr = BlockAddr::new(die, plane, block);
-                if let Ok(info) = device.block_info(addr) {
-                    if info.state != flash_sim::BlockState::Bad {
-                        out.free_blocks.push(addr);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Rebuild the allocation state of a die from the physical block
-    /// states found on a remounted device: erased blocks go back to the
-    /// free pool, partially programmed blocks become write frontiers
-    /// (continuing at their hardware write pointer) and full blocks become
-    /// GC candidates — a block the collector was halfway through included.
-    /// Bad blocks are dropped from tracking.
+    /// Build the allocation state of a die from its physical block states:
+    /// erased blocks go to the free pool, partially programmed blocks
+    /// become write frontiers (continuing at their hardware write pointer)
+    /// and full blocks become GC candidates — a block the collector was
+    /// halfway through included.  Bad blocks are dropped from tracking.
+    /// Every die a region takes is built this way: a die a mount returned
+    /// to the free pool may still hold the pages of a region the power cut
+    /// lost, and on an erased die this is every non-bad block, free.
     pub(crate) fn rebuild(device: &dyn FlashBackend, die: DieId) -> Self {
         let geo = device.geometry();
         let mut out = Self::empty(die);
@@ -353,7 +335,7 @@ impl RegionRuntime {
             id,
             name,
             spec,
-            dies: dies.into_iter().map(|d| RegionDie::new(device, d)).collect(),
+            dies: dies.into_iter().map(|d| RegionDie::rebuild(device, d)).collect(),
             next_die: 0,
             objects: Vec::new(),
             stats: RegionStats::default(),
@@ -440,7 +422,7 @@ mod tests {
     fn region_die_allocation_walks_blocks_sequentially() {
         let device = DeviceBuilder::new(FlashGeometry::small_test()).build();
         let geo = *device.geometry();
-        let mut die = RegionDie::new(&device, DieId(0));
+        let mut die = RegionDie::rebuild(&device, DieId(0));
         let initial_blocks = die.free_blocks.len();
         assert_eq!(initial_blocks, geo.blocks_per_die() as usize);
         let p0 = die.next_host_page(&device, geo.pages_per_block).unwrap();
@@ -461,7 +443,7 @@ mod tests {
     fn a_frontier_opens_the_least_worn_free_block() {
         let device = DeviceBuilder::new(FlashGeometry::small_test()).build();
         let geo = *device.geometry();
-        let mut die = RegionDie::new(&device, DieId(0));
+        let mut die = RegionDie::rebuild(&device, DieId(0));
         // Wear the first two free blocks once: the third is the first of
         // the unworn ones.
         let worn = [die.free_blocks[0], die.free_blocks[1]];
@@ -478,7 +460,7 @@ mod tests {
     fn region_die_exhaustion_returns_none() {
         let device = DeviceBuilder::new(FlashGeometry::small_test()).build();
         let geo = *device.geometry();
-        let mut die = RegionDie::new(&device, DieId(1));
+        let mut die = RegionDie::rebuild(&device, DieId(1));
         let total_pages = geo.pages_per_die();
         for _ in 0..total_pages {
             assert!(die.next_host_page(&device, geo.pages_per_block).is_some());
@@ -490,7 +472,7 @@ mod tests {
     fn gc_frontier_is_separate_from_host_frontier() {
         let device = DeviceBuilder::new(FlashGeometry::small_test()).build();
         let geo = *device.geometry();
-        let mut die = RegionDie::new(&device, DieId(0));
+        let mut die = RegionDie::rebuild(&device, DieId(0));
         let host = die.next_host_page(&device, geo.pages_per_block).unwrap();
         let gc = die.next_gc_page(&device, geo.pages_per_block).unwrap();
         assert_ne!(host.block(), gc.block(), "host and GC data never share a block");
@@ -500,7 +482,7 @@ mod tests {
     fn emptying_a_die_forgets_its_victim() {
         let device = DeviceBuilder::new(FlashGeometry::small_test()).build();
         let geo = *device.geometry();
-        let mut die = RegionDie::new(&device, DieId(0));
+        let mut die = RegionDie::rebuild(&device, DieId(0));
         for _ in 0..=geo.pages_per_block {
             die.next_host_page(&device, geo.pages_per_block).unwrap();
         }

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use flash_sim::SimTime;
-use noftl_core::{NoFtl, PlacementConfig, RegionAssignment, RegionId, RegionSpec};
+use noftl_core::{IoRequest, NoFtl, PlacementConfig, RegionAssignment, RegionId, RegionSpec};
 
 use crate::error::DbError;
 use crate::Result;
@@ -72,7 +72,8 @@ pub trait StorageBackend: Send + Sync {
     /// plus the maximum completion over the whole window.  The engine
     /// itself has no caller (range scans read no page ahead of demand);
     /// the method stays because the frozen benchmark's storage decorator
-    /// implements it.
+    /// implements it.  [`NoFtlBackend`] collects the pages
+    /// [`NoFtl::execute`] hands over into the returned `Vec`s.
     fn read_windowed(
         &self,
         reads: &[(ObjectId, u64)],
@@ -231,7 +232,13 @@ impl StorageBackend for NoFtlBackend {
         at: SimTime,
         window: usize,
     ) -> Result<(Vec<Vec<u8>>, SimTime)> {
-        self.noftl.read_windowed(reads, at, window).map_err(Into::into)
+        let mut pages = Vec::with_capacity(reads.len());
+        let requests = reads.iter().map(|&(obj, page)| IoRequest::read(obj, page));
+        let done = self.noftl.execute(requests, at, window, |_, page| {
+            pages.push(page.to_vec());
+            Ok(())
+        })?;
+        Ok((pages, done))
     }
 
     fn write_page(&self, obj: ObjectId, page: u64, data: &[u8], at: SimTime) -> Result<SimTime> {
@@ -240,7 +247,7 @@ impl StorageBackend for NoFtlBackend {
 
     fn write_batch(&self, writes: &[(ObjectId, u64, Vec<u8>)], at: SimTime) -> Result<SimTime> {
         // Fans the batch across the dies of each target region.
-        self.noftl.write_batch(writes, at).map_err(Into::into)
+        self.write_windowed(writes, at, usize::MAX)
     }
 
     fn write_windowed(
@@ -249,7 +256,8 @@ impl StorageBackend for NoFtlBackend {
         at: SimTime,
         window: usize,
     ) -> Result<SimTime> {
-        self.noftl.write_windowed(writes, at, window).map_err(Into::into)
+        let requests = writes.iter().map(|(obj, page, data)| IoRequest::write(*obj, *page, data));
+        Ok(self.noftl.execute(requests, at, window, |_, _| Ok(()))?)
     }
 
     fn free_page(&self, obj: ObjectId, page: u64) -> Result<()> {

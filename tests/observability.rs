@@ -7,6 +7,8 @@
 //!   off.
 //! * `Database::metrics_snapshot` exposes one registry spanning every
 //!   layer of the stack.
+//! * Every `NoFtl::execute` samples one window rule: its writes into
+//!   `core.flush.window_*`, its reads into `core.read.window_*`.
 //! * Counts live in each layer's stats struct, not in the registry, and
 //!   the layers' ledgers add up: the regions' host and GC work is the
 //!   device's command count.
@@ -20,7 +22,9 @@ use noftl_regions::dbms::{
 use noftl_regions::dump;
 use noftl_regions::flash::{DeviceBuilder, FlashBackend, FlashGeometry, SimTime, TimingModel};
 use noftl_regions::noftl::kv::{KvConfig, KvStore};
-use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementConfig, RegionSpec, RegionStats};
+use noftl_regions::noftl::{
+    IoRequest, NoFtl, NoFtlConfig, PlacementConfig, RegionSpec, RegionStats,
+};
 use noftl_regions::obs::validate_chrome_trace;
 
 fn stack() -> (Arc<NoFtl>, u32) {
@@ -38,9 +42,9 @@ fn stack() -> (Arc<NoFtl>, u32) {
 #[test]
 fn chrome_trace_from_a_mixed_workload_is_valid() {
     let (noftl, obj) = stack();
-    let batch: Vec<(u32, u64, Vec<u8>)> =
-        (0..32u64).map(|p| (obj, p, vec![p as u8; 4096])).collect();
-    let mut now = noftl.write_windowed(&batch, SimTime::ZERO, 8).unwrap();
+    let pages: Vec<Vec<u8>> = (0..32u8).map(|p| vec![p; 4096]).collect();
+    let batch = pages.iter().enumerate().map(|(p, data)| IoRequest::write(obj, p as u64, data));
+    let mut now = noftl.execute(batch, SimTime::ZERO, 8, |_, _| Ok(())).unwrap();
     let mut page = vec![0; 4096];
     for p in 0..32u64 {
         now = now.max(noftl.read(obj, p, &mut page, now).unwrap());
@@ -123,6 +127,57 @@ fn kv_spans_and_histograms_reach_the_registry() {
     assert!(latency.count == checkpoints && latency.percentile(0.5) > 0);
     let trace = dump::chrome_trace(noftl.metrics());
     assert!(trace.contains("memtable_flush"));
+}
+
+/// One window rule for every `NoFtl::execute`: a call samples one
+/// `window_ns` per direction it has requests in — writes into
+/// `core.flush.*`, reads into `core.read.*` — and one occupancy per page.
+#[test]
+fn every_execute_samples_the_windows_of_its_directions() {
+    let device = Arc::new(
+        DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build(),
+    );
+    let noftl = Arc::new(NoFtl::new(device, NoFtlConfig::default()));
+    // `(window_ns, window_occupancy)` sample counts of one direction.
+    let windows = |dir: &str| {
+        let snap = noftl.metrics_snapshot();
+        let count = |name: String| snap.histogram(&name).map_or(0, |h| h.count);
+        (count(format!("core.{dir}.window_ns")), count(format!("core.{dir}.window_occupancy")))
+    };
+
+    // A writing commit forces the log once: one write `execute`.
+    let placement = PlacementConfig::traditional(2, ["t".to_string()]);
+    let backend = Arc::new(NoFtlBackend::new(Arc::clone(&noftl), &placement).unwrap());
+    let db = Database::open(backend, DatabaseConfig::default()).unwrap();
+    let schema = Schema::new(vec![("k", ColumnType::Int), ("v", ColumnType::Int)]);
+    db.create_table("t", schema, SimTime::ZERO).unwrap();
+    let now = db.checkpoint(SimTime::ZERO).unwrap();
+    let before = windows("flush");
+    let mut txn = db.begin(now);
+    db.insert(&mut txn, "t", &vec![Value::Int(1), Value::Int(2)], NO_KEYS).unwrap();
+    db.commit(&mut txn).unwrap();
+    let after = windows("flush");
+    assert_eq!(after.0 - before.0, 1, "one force, one write window");
+    assert!(after.1 > before.1, "each forced log page samples the occupancy");
+
+    // KV flushes write one run each; a compaction reads each source run in
+    // one `execute` and writes the merged run in another.
+    // The log's checkpoint took a die for the metadata journal: one is left.
+    let kv_rid = noftl.create_region(RegionSpec::named("rgKv").with_die_count(1)).unwrap();
+    let config = KvConfig { memtable_bytes: 8 * 1024, compaction_threshold: 2 };
+    let (store, mut t) =
+        KvStore::create(Arc::clone(&noftl), kv_rid, "win", config, SimTime::ZERO).unwrap();
+    let (flush_before, read_before) = (windows("flush"), windows("read"));
+    for i in 0..400u64 {
+        t = store.put(format!("k{i:05}").as_bytes(), &[b'v'; 64], t).unwrap();
+    }
+    let kv = store.stats();
+    assert!(kv.flushes >= 2 && kv.compactions >= 1, "{kv:?}");
+    let (flush, read) = (windows("flush"), windows("read"));
+    assert_eq!(flush.0 - flush_before.0, kv.flushes + kv.compactions);
+    assert_eq!(flush.1 - flush_before.1, kv.flushed_pages + kv.compacted_pages);
+    assert_eq!(read.0 - read_before.0, kv.compacted_runs, "one read window per merged run");
+    assert_eq!(read.1 - read_before.1, kv.run_page_reads);
 }
 
 #[test]

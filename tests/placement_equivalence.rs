@@ -41,7 +41,7 @@ use noftl_regions::flash::{
     TimingModel,
 };
 use noftl_regions::noftl::crash::SplitMix64;
-use noftl_regions::noftl::{NoFtl, NoFtlConfig, RegionSpec};
+use noftl_regions::noftl::{IoRequest, NoFtl, NoFtlConfig, RegionSpec};
 
 /// (seed, golden CRC32 of the device image, golden placement-only CRC32,
 /// golden device epoch); see module docs.  The image CRCs were
@@ -94,7 +94,7 @@ fn run_workload(seed: u64, config: NoFtlConfig) -> WorkloadRun {
             t = noftl.write(a, p, &page(v), t).unwrap();
             expected.insert((a, p), v);
         }
-        // A queued batch on `b` (the write_batch allocation path).
+        // A queued batch on `b` (the fan-out `execute` allocation path).
         let batch: Vec<(u32, u64, Vec<u8>)> = (0..16)
             .map(|_| {
                 let p = rng.next_u64() % 32;
@@ -103,7 +103,8 @@ fn run_workload(seed: u64, config: NoFtlConfig) -> WorkloadRun {
                 (b, p, page(v))
             })
             .collect();
-        t = noftl.write_batch(&batch, t).unwrap();
+        let requests = batch.iter().map(|(obj, p, data)| IoRequest::write(*obj, *p, data));
+        t = noftl.execute(requests, t, usize::MAX, |_, _| Ok(())).unwrap();
         // Free a few pages so invalidation accounting is exercised too.
         for _ in 0..4 {
             let p = rng.next_u64() % working;

@@ -29,7 +29,9 @@ use noftl_regions::flash::{
     PageMetadata, SimTime, TimingModel,
 };
 use noftl_regions::noftl::crash::{self, SplitMix64};
-use noftl_regions::noftl::{NoFtl, NoFtlConfig, ObjectId, RegionId, RegionSpec, RegionStats};
+use noftl_regions::noftl::{
+    IoRequest, NoFtl, NoFtlConfig, ObjectId, RegionId, RegionSpec, RegionStats,
+};
 
 fn device() -> NandDevice {
     DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build()
@@ -165,9 +167,9 @@ fn queued_write_batch_under_power_cut_mounts_cleanly() {
     let cut = SimTime(quiesce.as_nanos() + span * 3 / 2);
     dev.arm_power_cut(cut);
 
-    let batch: Vec<(u32, u64, Vec<u8>)> =
-        (0..8u64).map(|p| (obj, p, page(0x40 + p as u8))).collect();
-    let err = noftl.write_batch(&batch, quiesce).unwrap_err();
+    let pages: Vec<Vec<u8>> = (0..8u8).map(|p| page(0x40 + p)).collect();
+    let batch = pages.iter().enumerate().map(|(p, data)| IoRequest::write(obj, p as u64, data));
+    let err = noftl.execute(batch, quiesce, usize::MAX, |_, _| Ok(())).unwrap_err();
     assert!(matches!(err, noftl_regions::noftl::NoFtlError::Flash(e) if e.is_power_loss()));
 
     // Power-cycle and mount.
@@ -237,9 +239,10 @@ fn outcome(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// `write_batch(.., at)` is the same blocking `write`s all issued at
-    /// `at`: same device image (placement, GC, epochs), same per-region
-    /// statistics, and the batch completes with its slowest page.
+    /// A fan-out `execute(.., at, usize::MAX, ..)` of writes is the same
+    /// blocking `write`s all issued at `at`: same device image (placement,
+    /// GC, epochs), same per-region statistics, and the batch completes
+    /// with its slowest page.
     #[test]
     fn write_batch_equals_blocking_writes_at_one_instant(
         seed in 0u64..(1u64 << 48),
@@ -252,9 +255,8 @@ proptest! {
         let (sdev, single, sregions, sobjs) = two_region_stack();
         let (mut bt, mut st) = (SimTime::ZERO, SimTime::ZERO);
         for round in &workload {
-            let batch: Vec<(ObjectId, u64, Vec<u8>)> =
-                round.iter().map(|(o, p, d)| (bobjs[*o], *p, d.clone())).collect();
-            bt = batched.write_batch(&batch, bt).unwrap();
+            let batch = round.iter().map(|(o, p, d)| IoRequest::write(bobjs[*o], *p, d));
+            bt = batched.execute(batch, bt, usize::MAX, |_, _| Ok(())).unwrap();
             let at = st;
             for (o, p, d) in round {
                 st = st.max(single.write(sobjs[*o], *p, d, at).unwrap());
@@ -271,8 +273,9 @@ proptest! {
         prop_assert_eq!(a.1, b.1);
     }
 
-    /// `write_windowed` / `read_windowed` with a window of one are chained
-    /// blocking calls: each page issued at the previous one's completion.
+    /// `execute` with a window of one — of writes, then of reads — is
+    /// chained blocking calls: each page issued at the previous one's
+    /// completion.
     #[test]
     fn a_window_of_one_equals_chained_blocking_calls(
         seed in 0u64..(1u64 << 48),
@@ -285,17 +288,21 @@ proptest! {
         let (cdev, chained, cregions, cobjs) = two_region_stack();
         let (mut wt, mut ct) = (SimTime::ZERO, SimTime::ZERO);
         for round in &workload {
-            let batch: Vec<(ObjectId, u64, Vec<u8>)> =
-                round.iter().map(|(o, p, d)| (wobjs[*o], *p, d.clone())).collect();
-            wt = windowed.write_windowed(&batch, wt, 1).unwrap();
+            let batch = round.iter().map(|(o, p, d)| IoRequest::write(wobjs[*o], *p, d));
+            wt = windowed.execute(batch, wt, 1, |_, _| Ok(())).unwrap();
             for (o, p, d) in round {
                 ct = chained.write(cobjs[*o], *p, d, ct).unwrap();
             }
             prop_assert_eq!(wt, ct);
 
-            let reads: Vec<(ObjectId, u64)> = batch.iter().map(|(o, p, _)| (*o, *p)).collect();
-            let (payloads, done) = windowed.read_windowed(&reads, wt, 1).unwrap();
-            wt = done;
+            let reads = round.iter().map(|(o, p, _)| IoRequest::read(wobjs[*o], *p));
+            let mut payloads = Vec::new();
+            wt = windowed
+                .execute(reads, wt, 1, |_, data| {
+                    payloads.push(data.to_vec());
+                    Ok(())
+                })
+                .unwrap();
             for ((o, p, _), payload) in round.iter().zip(&payloads) {
                 let mut data = vec![0; 4096];
                 let done = chained.read(cobjs[*o], *p, &mut data, ct).unwrap();
