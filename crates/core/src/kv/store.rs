@@ -412,11 +412,6 @@ impl KvStore {
         self.inner.lock().runs.len()
     }
 
-    /// Entries currently buffered in the memtable.
-    pub fn memtable_len(&self) -> usize {
-        self.inner.lock().memtable.len()
-    }
-
     fn check_entry_size(&self, key: &[u8], value_len: usize) -> Result<()> {
         let page_size = self.noftl.device().geometry().page_size as usize;
         if key.is_empty() {

@@ -160,12 +160,6 @@ impl FlashError {
         matches!(self, FlashError::PowerLoss { .. })
     }
 
-    /// True if the error reports the loss of a whole device (the mirror
-    /// layer faults the child and degrades instead of failing the I/O).
-    pub fn is_device_loss(&self) -> bool {
-        matches!(self, FlashError::DeviceLost { .. })
-    }
-
     /// True if the error indicates a permanently unusable block.
     pub fn is_permanent(&self) -> bool {
         matches!(

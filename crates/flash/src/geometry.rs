@@ -97,12 +97,6 @@ impl FlashGeometry {
         self.chips_per_channel * self.dies_per_chip
     }
 
-    /// Total number of planes in the device.
-    #[inline]
-    pub fn total_planes(&self) -> u32 {
-        self.total_dies() * self.planes_per_die
-    }
-
     /// Number of blocks in one die.
     #[inline]
     pub fn blocks_per_die(&self) -> u32 {
@@ -153,12 +147,6 @@ impl FlashGeometry {
     #[inline]
     pub fn channel_of_die(&self, die: DieId) -> u32 {
         die.0 / self.dies_per_channel()
-    }
-
-    /// The chip (global index) a given die belongs to.
-    #[inline]
-    pub fn chip_of_die(&self, die: DieId) -> u32 {
-        die.0 / self.dies_per_chip
     }
 
     /// Iterate over all die ids of the device.

@@ -39,18 +39,6 @@ impl TimingModel {
         }
     }
 
-    /// Faster SLC-class timings, useful for ablations.
-    pub fn slc() -> Self {
-        TimingModel {
-            read_page_us: 25.0,
-            program_page_us: 200.0,
-            erase_block_us: 1_500.0,
-            cmd_overhead_us: 5.0,
-            xfer_us_per_kib: 2.5,
-            oob_xfer_us: 1.0,
-        }
-    }
-
     /// Zero-latency model for functional tests that do not care about time.
     pub fn instant() -> Self {
         TimingModel {
