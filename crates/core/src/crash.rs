@@ -241,7 +241,7 @@ pub struct Outcome<C: Contract> {
     pub committed: C::World,
     /// Whether a commit or flush was in flight at the cut.
     pub cut_in_flight: bool,
-    /// Whether recovery restored the in-flight world.
+    /// Whether recovery brought back the in-flight world.
     pub in_flight_survived: bool,
     /// The recovered world.
     pub recovered: C::World,

@@ -114,11 +114,9 @@ impl Env {
         Ok(done)
     }
 
-    /// A buffer for one page read: a page, or nothing when the device
-    /// stores no payloads (what such a device's reads return).
+    /// A buffer for one page read.
     pub(crate) fn page_buf(&self) -> Vec<u8> {
-        let device = &self.device;
-        vec![0; if device.stores_data() { device.geometry().page_size as usize } else { 0 }]
+        vec![0; self.device.geometry().page_size as usize]
     }
 
     fn check_page_size(&self, data: &[u8]) -> Result<()> {
@@ -230,8 +228,7 @@ impl Inner {
 
 impl NoFtl {
     /// Read a logical page of an object into `buf` — one page, filled by
-    /// the device itself; left as it is on a device that stores no
-    /// payloads.  Returns the completion time.
+    /// the device itself.  Returns the completion time.
     pub fn read(&self, obj: ObjectId, page: u64, buf: &mut [u8], at: SimTime) -> Result<SimTime> {
         self.lock_inner().io(&self.env, &IoRequest::read(obj, page), buf, at)
     }

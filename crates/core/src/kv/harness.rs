@@ -64,11 +64,7 @@ pub struct KvCrashConfig {
 
 impl Default for KvCrashConfig {
     fn default() -> Self {
-        KvCrashConfig {
-            kv: KvConfig { memtable_bytes: 2048, compaction_threshold: 3 },
-            key_len: 0,
-            seed: 0x5EED_4B56,
-        }
+        KvCrashConfig { kv: KvConfig { memtable_bytes: 2048 }, key_len: 0, seed: 0x5EED_4B56 }
     }
 }
 
@@ -79,7 +75,7 @@ impl KvCrashConfig {
     /// already spills its tail (and the merges above it more so).
     pub fn multi_page_tail() -> Self {
         KvCrashConfig {
-            kv: KvConfig { memtable_bytes: 28 * 1024, ..KvCrashConfig::default().kv },
+            kv: KvConfig { memtable_bytes: 28 * 1024 },
             key_len: 1000,
             ..KvCrashConfig::default()
         }

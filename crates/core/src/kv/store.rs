@@ -31,19 +31,20 @@ use super::run::{self, Bloom, Entry, RunMeta, TailError};
 /// reads pull run pages through the windowed pipeline ([`NoFtl::execute`]).
 const READ_WINDOW: usize = 8;
 
+/// Number of runs in one level that triggers a size-tiered merge into the
+/// next level.
+const COMPACTION_THRESHOLD: usize = 4;
+
 /// Configuration of a [`KvStore`].
 #[derive(Debug, Clone, Copy)]
 pub struct KvConfig {
     /// Memtable flush threshold in approximate resident bytes.
     pub memtable_bytes: usize,
-    /// Number of runs in one level that triggers a size-tiered merge into
-    /// the next level.
-    pub compaction_threshold: usize,
 }
 
 impl Default for KvConfig {
     fn default() -> Self {
-        KvConfig { memtable_bytes: 64 * 1024, compaction_threshold: 4 }
+        KvConfig { memtable_bytes: 64 * 1024 }
     }
 }
 
@@ -651,11 +652,8 @@ impl KvStore {
     }
 
     /// Run size-tiered compactions until no level holds
-    /// `compaction_threshold` runs or more.  The threshold is clamped to
-    /// 2: a merge needs at least two sources, and a lower configured
-    /// value would re-select the same single-run level forever.
+    /// [`COMPACTION_THRESHOLD`] runs or more.
     fn maybe_compact(&self, inner: &mut KvInner, at: SimTime) -> Result<SimTime> {
-        let threshold = self.config.compaction_threshold.max(2);
         let mut now = at;
         // Each merge strictly shrinks the run count, so this terminates.
         loop {
@@ -663,8 +661,10 @@ impl KvStore {
             for r in &inner.runs {
                 *by_level.entry(r.level).or_default() += 1;
             }
-            let Some(level) =
-                by_level.iter().find(|(_, count)| **count >= threshold).map(|(level, _)| *level)
+            let Some(level) = by_level
+                .iter()
+                .find(|(_, count)| **count >= COMPACTION_THRESHOLD)
+                .map(|(level, _)| *level)
             else {
                 return Ok(now);
             };
@@ -765,7 +765,7 @@ mod tests {
     }
 
     fn small_config() -> KvConfig {
-        KvConfig { memtable_bytes: 4 * 1024, compaction_threshold: 3 }
+        KvConfig { memtable_bytes: 4 * 1024 }
     }
 
     fn key(i: u64) -> Vec<u8> {
@@ -1054,9 +1054,8 @@ mod tests {
     #[test]
     fn compaction_merges_runs_and_retires_sources() {
         let (_d, noftl, rid) = stack(TimingModel::instant());
-        let config = KvConfig { compaction_threshold: 3, ..small_config() };
         let (kv, mut t) =
-            KvStore::create(Arc::clone(&noftl), rid, "s", config, SimTime::ZERO).unwrap();
+            KvStore::create(Arc::clone(&noftl), rid, "s", small_config(), SimTime::ZERO).unwrap();
         // Overwrite the same keys across enough flushes to force merges.
         for round in 1..=9u64 {
             for i in 0..40u64 {
@@ -1065,9 +1064,9 @@ mod tests {
             t = kv.flush(t).unwrap();
         }
         let stats = kv.stats();
-        assert!(stats.compactions > 0, "threshold 3 over 9 flushes must compact");
+        assert!(stats.compactions > 0, "threshold 4 over 9 flushes must compact");
         assert_eq!(stats.compactions_started, stats.compactions);
-        assert!(stats.compacted_runs >= 3);
+        assert!(stats.compacted_runs >= 4);
         assert!(!stats.compaction_windows.is_empty());
         assert!(
             kv.run_count() < stats.flushes as usize,
@@ -1089,9 +1088,8 @@ mod tests {
     #[test]
     fn every_page_program_is_a_run_page_or_one_checkpoint_chunk() {
         let (device, noftl, rid) = stack(TimingModel::instant());
-        let config = KvConfig { compaction_threshold: 3, ..small_config() };
         let (kv, mut t) =
-            KvStore::create(Arc::clone(&noftl), rid, "s", config, SimTime::ZERO).unwrap();
+            KvStore::create(Arc::clone(&noftl), rid, "s", small_config(), SimTime::ZERO).unwrap();
         let counter = |name: &str| noftl.metrics().counter(name).get();
         let programs_before = device.stats().page_programs;
         let checkpoints_before = counter("core.checkpoint.count");
@@ -1132,9 +1130,8 @@ mod tests {
                     .with_service_class(flash_sim::ServiceClass::Latency),
             )
             .unwrap();
-        let config = KvConfig { compaction_threshold: 3, ..small_config() };
         let (kv, mut t) =
-            KvStore::create(Arc::clone(&noftl), rid, "s", config, SimTime::ZERO).unwrap();
+            KvStore::create(Arc::clone(&noftl), rid, "s", small_config(), SimTime::ZERO).unwrap();
         let bg = || device.metrics().counter("flash.arbiter.class.background.ops").get();
         for round in 1..=4u64 {
             for i in 0..40u64 {
@@ -1142,7 +1139,7 @@ mod tests {
             }
             t = kv.flush(t).unwrap();
         }
-        assert!(kv.stats().compactions > 0, "threshold 3 over 4 flushes must compact");
+        assert!(kv.stats().compactions > 0, "threshold 4 over 4 flushes must compact");
         // Both the merge reads and the merged-run writes are maintenance
         // traffic: tagged Background even though the region is Latency.
         assert!(bg() > 0, "compaction I/O must be admitted as background");
@@ -1157,17 +1154,19 @@ mod tests {
     #[test]
     fn bottom_level_compaction_drops_tombstones() {
         let (_d, noftl, rid) = stack(TimingModel::instant());
-        let config = KvConfig { compaction_threshold: 2, memtable_bytes: 1 << 20 };
+        let config = KvConfig { memtable_bytes: 1 << 20 };
         let (kv, mut t) =
             KvStore::create(Arc::clone(&noftl), rid, "s", config, SimTime::ZERO).unwrap();
-        for i in 0..20u64 {
-            t = kv.put(&key(i), &val(i, 0), t).unwrap();
+        for round in 0..3u64 {
+            for i in 0..20u64 {
+                t = kv.put(&key(i), &val(i, round), t).unwrap();
+            }
+            t = kv.flush(t).unwrap();
         }
-        t = kv.flush(t).unwrap();
         for i in 0..20u64 {
             t = kv.delete(&key(i), t).unwrap();
         }
-        t = kv.flush(t).unwrap(); // two L0 runs → merge into L1 (bottom)
+        t = kv.flush(t).unwrap(); // four L0 runs → merge into L1 (bottom)
         let stats = kv.stats();
         assert!(stats.compactions > 0);
         assert_eq!(kv.run_count(), 1);
@@ -1328,25 +1327,6 @@ mod tests {
             KvStore::open(noftl, "nope", KvConfig::default(), SimTime::ZERO),
             Err(NoFtlError::Kv { .. })
         ));
-    }
-
-    #[test]
-    fn compaction_threshold_below_two_is_clamped() {
-        // Regression: threshold 1 used to make maybe_compact re-select a
-        // single-run level forever (compact_level needs >= 2 sources and
-        // returned without changing anything), hanging the first flush.
-        let (_d, noftl, rid) = stack(TimingModel::instant());
-        let config = KvConfig { compaction_threshold: 1, ..KvConfig::default() };
-        let (kv, mut t) =
-            KvStore::create(Arc::clone(&noftl), rid, "s", config, SimTime::ZERO).unwrap();
-        for round in 0..3u64 {
-            for i in 0..20u64 {
-                t = kv.put(&key(i), &val(i, round), t).unwrap();
-            }
-            t = kv.flush(t).unwrap(); // must terminate
-        }
-        assert!(kv.stats().compactions > 0, "clamped threshold 2 still merges");
-        assert_eq!(kv.get(&key(7), t).unwrap().0.as_deref(), Some(val(7, 2).as_slice()));
     }
 
     #[test]

@@ -380,7 +380,6 @@ impl Scan {
     fn run(env: &Env, at: SimTime, report: &mut MountReport) -> Result<Scan> {
         let device = env.device.as_ref();
         let geo = *device.geometry();
-        let verify_payloads = device.stores_data();
         let mut payload = env.page_buf();
         let mut scan = Scan::default();
         for die in geo.dies() {
@@ -418,7 +417,7 @@ impl Scan {
                     let is_chunk = meta.object_id == META_OBJECT_ID;
                     // A chunk's payload is the checkpoint itself; a data
                     // page's is read only to verify its checksum.
-                    let must_read = is_chunk || (verify_payloads && meta.checksum != 0);
+                    let must_read = is_chunk || meta.checksum != 0;
                     if must_read {
                         let read = FlashCommand::Read { addr, data: &mut payload };
                         let read = env.exec(read, at, IoTag::default())?;
@@ -662,9 +661,9 @@ impl NoFtl {
         // replication existed carries no blob; the backend then treats
         // every non-source child as stale ("rebuild everything") rather
         // than trusting it silently.
-        let restored =
+        let replicated =
             device.restore_replication(image.replication.as_deref(), report.completed_at)?;
-        report.completed_at = report.completed_at.max(restored);
+        report.completed_at = report.completed_at.max(replicated);
 
         // Rebuild regions, objects and the free pool from the directory.
         let max_region = image.regions.iter().map(|r| r.id.0).max().unwrap_or(0) as usize;

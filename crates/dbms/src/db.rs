@@ -87,7 +87,7 @@ pub struct RecoveryReport {
     pub redo_pages_applied: u64,
     /// Page images skipped because their transaction never committed.
     pub uncommitted_images_skipped: u64,
-    /// Sequence number of the catalog snapshot that was restored
+    /// Sequence number of the catalog snapshot that recovery loaded
     /// (0 = none existed; the catalog starts empty).
     pub catalog_seq: u64,
     /// Tables re-attached from the catalog snapshot.

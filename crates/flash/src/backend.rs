@@ -54,8 +54,8 @@ pub trait FlashBackend: Send + Sync {
     /// The metrics registry shared by the whole stack above this backend.
     fn metrics(&self) -> &Arc<MetricsRegistry>;
 
-    /// Read a page: payload (empty if the device stores none), OOB
-    /// metadata, and the operation outcome with its completion time.
+    /// Read a page: payload, OOB metadata, and the operation outcome with
+    /// its completion time.
     /// The provided body is [`Self::read_page_tagged`] with the default
     /// tag.
     fn read_page(
@@ -193,7 +193,10 @@ pub trait FlashBackend: Send + Sync {
     /// Current device-wide write epoch (checkpoint watermark).
     fn current_epoch(&self) -> u64;
 
-    /// Whether page payloads are stored (and can be read back).
+    /// Whether page payloads are stored (and can be read back): always
+    /// `true`, since every device stores what it is programmed with.
+    /// Nothing in the workspace asks; the method stays only because the
+    /// benchmark's `bench-trace` decorator implements it.
     fn stores_data(&self) -> bool;
 
     /// Has this die ever been programmed or erased?  `NoFtl::mount` skips
@@ -236,8 +239,7 @@ macro_rules! verbs_over_execute {
             at: $crate::SimTime,
             tag: $crate::IoTag,
         ) -> $crate::Result<(Vec<u8>, Option<$crate::PageMetadata>, $crate::OpOutcome)> {
-            let len = if self.stores_data() { self.geometry().page_size as usize } else { 0 };
-            let mut data = vec![0; len];
+            let mut data = vec![0; self.geometry().page_size as usize];
             let out =
                 self.execute($crate::FlashCommand::Read { addr, data: &mut data }, at, tag)?;
             Ok((data, out.meta, out.outcome))

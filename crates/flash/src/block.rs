@@ -109,10 +109,11 @@ impl Block {
 }
 
 /// Full image of one erase block, as captured by `NandDevice::snapshot`
-/// and restored by `NandDevice::from_snapshot`.  Unlike [`BlockInfo`] it
+/// and rebuilt by `NandDevice::from_snapshot`.  Unlike [`BlockInfo`] it
 /// carries the page payloads and OOB metadata, so a device rebuilt from a
 /// snapshot serves byte-identical reads — the basis of the power-cycle
-/// ("reboot") simulation in the crash-consistency tests.
+/// ("reboot") simulation in the crash-consistency tests.  It holds state
+/// only: the valid-page count is derived from `pages` on rebuild.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockSnapshot {
     /// Lifecycle state.
@@ -125,11 +126,8 @@ pub struct BlockSnapshot {
     pub pages: Vec<PageState>,
     /// Per-page OOB metadata.
     pub meta: Vec<Option<PageMetadata>>,
-    /// Page payloads (`None` if never programmed since the last erase or
-    /// the device does not store data).
+    /// Page payloads (`None` if never programmed since the last erase).
     pub data: Option<Vec<u8>>,
-    /// Pages currently in `Valid` state.
-    pub valid_pages: u32,
 }
 
 impl Block {
@@ -141,7 +139,6 @@ impl Block {
             pages: self.pages.clone(),
             meta: self.meta.clone(),
             data: (!self.data.is_empty()).then(|| self.data.clone()),
-            valid_pages: self.valid_pages,
         }
     }
 
@@ -153,7 +150,7 @@ impl Block {
             pages: s.pages.clone(),
             meta: s.meta.clone(),
             data: s.data.clone().unwrap_or_default(),
-            valid_pages: s.valid_pages,
+            valid_pages: s.pages.iter().filter(|p| **p == PageState::Valid).count() as u32,
         }
     }
 }

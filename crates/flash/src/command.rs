@@ -68,8 +68,7 @@ pub enum FlashCommand<'a> {
         /// Page to read.
         addr: PageAddr,
         /// Destination of the payload: one page, or empty to take only
-        /// the timing and metadata.  Left as it is when the device
-        /// stores no payloads.
+        /// the timing and metadata.
         data: &'a mut [u8],
     },
     /// OOB-only metadata read (cheaper than a full page read).
@@ -81,7 +80,7 @@ pub enum FlashCommand<'a> {
     Program {
         /// Target page (must be erased and sequential within its block).
         addr: PageAddr,
-        /// Page payload (may be empty when the device stores no data).
+        /// Page payload: one page, or empty for a page of zeros.
         data: &'a [u8],
         /// OOB metadata; a zero epoch is stamped by the device.
         meta: PageMetadata,

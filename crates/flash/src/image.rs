@@ -8,9 +8,17 @@
 //! the cut instant, "reboots" by round-tripping it through an image, and
 //! hands the reborn device to `NoFtl::mount` for recovery.
 //!
+//! An `NFLIMG03` image holds the NAND array's state and nothing else: the
+//! geometry, the write epoch, the endurance budget and every block's
+//! state, write pointer, erase count, page states, OOB records and
+//! payload.  It holds no run counters (operation statistics, per-die
+//! utilisation, queue depths) and no derived value (a block's valid-page
+//! count, the wear summary): a rebuilt device counts from zero and
+//! derives the rest from the blocks.
+//!
 //! The format is written and read with [`crate::codec`] and sealed by a
 //! CRC-32 over the entire payload, so truncated or corrupted image files
-//! are rejected instead of silently producing a half-restored device.
+//! are rejected instead of silently producing a half-rebuilt device.
 
 use std::io::{Read, Write};
 use std::path::Path;
@@ -21,13 +29,11 @@ use crate::device::DeviceSnapshot;
 use crate::error::FlashError;
 use crate::geometry::FlashGeometry;
 use crate::metadata::PageMetadata;
-use crate::stats::{DeviceStats, DieStats, WearSummary};
-use crate::time::Duration;
 use crate::Result;
 
-// Format version 02: adds the queue-depth high-water marks (device-wide
-// and per die) introduced with the command-queue submission API.
-const MAGIC: &[u8; 8] = b"NFLIMG02";
+// Format version 03: version 02 without the store-data flag, the device
+// and per-die statistics and each block's valid-page count.
+const MAGIC: &[u8; 8] = b"NFLIMG03";
 
 fn err(message: impl Into<String>) -> FlashError {
     FlashError::Image { message: message.into() }
@@ -87,39 +93,12 @@ impl DeviceSnapshot {
                 put_u32(out, v);
             }
             put_u64(out, self.epoch);
-            put_u8(out, u8::from(self.store_data));
             put_u64(out, self.endurance);
-            let s = &self.stats;
-            for v in [
-                s.page_reads,
-                s.page_programs,
-                s.block_erases,
-                s.copybacks,
-                s.metadata_reads,
-                s.bytes_transferred,
-                s.read_latency_sum.0,
-                s.program_latency_sum.0,
-                s.erase_latency_sum.0,
-                s.copyback_latency_sum.0,
-                s.errors,
-                s.queue_depth_hwm,
-            ] {
-                put_u64(out, v);
-            }
-            put_u32(out, self.die_stats.len() as u32);
-            for d in &self.die_stats {
-                put_u64(out, d.ops);
-                put_u64(out, d.busy_time.0);
-                put_u64(out, d.total_erases);
-                put_u64(out, d.max_erase_count);
-                put_u32(out, d.queue_depth_hwm);
-            }
             put_u32(out, self.blocks.len() as u32);
             for b in &self.blocks {
                 put_u8(out, block_state_tag(b.state));
                 put_u32(out, b.write_ptr);
                 put_u64(out, b.erase_count);
-                put_u32(out, b.valid_pages);
                 put_u32(out, b.pages.len() as u32);
                 for p in &b.pages {
                     put_u8(out, page_state_tag(*p));
@@ -135,11 +114,10 @@ impl DeviceSnapshot {
         })
     }
 
-    /// Decode an image produced by [`DeviceSnapshot::encode`].  The wear
-    /// summary is recomputed from the decoded blocks.
+    /// Decode an image produced by [`DeviceSnapshot::encode`].
     pub fn decode(buf: &[u8]) -> Result<DeviceSnapshot> {
         let mut r = open(buf, MAGIC)
-            .ok_or_else(|| err("not an intact NFLIMG02 image (truncated or corrupted file)"))?;
+            .ok_or_else(|| err("not an intact NFLIMG03 image (truncated or corrupted file)"))?;
         Self::decode_body(&mut r).ok_or_else(|| err("image payload does not match its geometry"))
     }
 
@@ -155,33 +133,7 @@ impl DeviceSnapshot {
             oob_size: r.u32()?,
         };
         let epoch = r.u64()?;
-        let store_data = r.u8()? != 0;
         let endurance = r.u64()?;
-        let stats = DeviceStats {
-            page_reads: r.u64()?,
-            page_programs: r.u64()?,
-            block_erases: r.u64()?,
-            copybacks: r.u64()?,
-            metadata_reads: r.u64()?,
-            bytes_transferred: r.u64()?,
-            read_latency_sum: Duration(r.u64()?),
-            program_latency_sum: Duration(r.u64()?),
-            erase_latency_sum: Duration(r.u64()?),
-            copyback_latency_sum: Duration(r.u64()?),
-            errors: r.u64()?,
-            queue_depth_hwm: r.u64()?,
-        };
-        let die_stats = (0..r.u32()?)
-            .map(|_| {
-                Some(DieStats {
-                    ops: r.u64()?,
-                    busy_time: Duration(r.u64()?),
-                    total_erases: r.u64()?,
-                    max_erase_count: r.u64()?,
-                    queue_depth_hwm: r.u32()?,
-                })
-            })
-            .collect::<Option<_>>()?;
         let block_count = r.u32()?;
         if u64::from(block_count) != geometry.total_blocks() {
             return None;
@@ -191,7 +143,7 @@ impl DeviceSnapshot {
         let blocks: Vec<BlockSnapshot> = (0..block_count)
             .map(|_| {
                 let state = block_state_from(r.u8()?)?;
-                let (write_ptr, erase_count, valid_pages) = (r.u32()?, r.u64()?, r.u32()?);
+                let (write_ptr, erase_count) = (r.u32()?, r.u64()?);
                 if r.u32()? != page_count {
                     return None;
                 }
@@ -204,33 +156,10 @@ impl DeviceSnapshot {
                     let len = r.u64().filter(|len| *len == data_len)?;
                     r.take(len as usize).map(<[u8]>::to_vec)
                 })?;
-                Some(BlockSnapshot {
-                    state,
-                    write_ptr,
-                    erase_count,
-                    pages,
-                    meta,
-                    data,
-                    valid_pages,
-                })
+                Some(BlockSnapshot { state, write_ptr, erase_count, pages, meta, data })
             })
             .collect::<Option<_>>()?;
-        if !r.rest().is_empty() {
-            return None;
-        }
-        let bad = blocks.iter().filter(|b| b.state == BlockState::Bad).count() as u64;
-        let wear = WearSummary::from_counts(blocks.iter().map(|b| b.erase_count), 0);
-        let wear = WearSummary { bad_blocks: bad, ..wear };
-        Some(DeviceSnapshot {
-            stats,
-            die_stats,
-            wear,
-            geometry,
-            epoch,
-            store_data,
-            endurance,
-            blocks,
-        })
+        r.rest().is_empty().then_some(DeviceSnapshot { geometry, epoch, endurance, blocks })
     }
 
     /// Write the snapshot to a file-backed image.
@@ -279,12 +208,10 @@ mod tests {
         let snap = populated_snapshot();
         let decoded = DeviceSnapshot::decode(&snap.encode()).unwrap();
         assert_eq!(decoded.blocks, snap.blocks);
-        assert_eq!(decoded.stats, snap.stats);
         assert_eq!(decoded.epoch, snap.epoch);
         assert_eq!(decoded.geometry, snap.geometry);
         assert_eq!(decoded.endurance, snap.endurance);
-        assert_eq!(decoded.wear.bad_blocks, 1);
-        assert_eq!(decoded.wear.total_erases, snap.wear.total_erases);
+        assert_eq!(decoded.blocks.iter().filter(|b| b.state == BlockState::Bad).count(), 1);
     }
 
     #[test]
@@ -336,7 +263,7 @@ mod tests {
         let loaded = DeviceSnapshot::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(loaded.blocks, snap.blocks);
-        assert_eq!(loaded.stats, snap.stats);
+        assert_eq!(loaded.epoch, snap.epoch);
     }
 
     #[test]

@@ -73,6 +73,12 @@
 //! blob.  The fixed 24-byte OOB record ([`PageMetadata`]) is not streamed
 //! and keeps its own fixed-offset encoding.
 //!
+//! The device image (`NFLIMG03`, a [`DeviceSnapshot`]) is the NAND
+//! array's state: geometry, write epoch, endurance and every block's
+//! pages, OOB records, payloads and wear.  It holds no run counters — a
+//! device rebuilt from it counts from zero and keeps its wear — and no
+//! derived values such as a block's valid-page count.
+//!
 //! ## What this substitutes for
 //!
 //! The paper evaluates on a real native-flash board with 64 dies.  We do

@@ -169,7 +169,7 @@ struct Run {
 /// commands at a time.  Returns mean command latency (ns), makespan (ns)
 /// and the sorted command multiset.
 fn closed_loop(stride: usize) -> (f64, u64, Vec<(u32, Op)>) {
-    let device = DeviceBuilder::new(FlashGeometry::example()).store_data(false).build();
+    let device = DeviceBuilder::new(FlashGeometry::example()).build();
     let geo = *device.geometry();
     assert!(CLIENTS as u32 * OWNED_BLOCKS <= geo.blocks_per_plane);
     // The pages the clients read, programmed before the clock starts.

@@ -580,6 +580,7 @@ fn run(device: NandDevice, stream: &[Cmd], way: Way) -> Run {
         }
     }
     let snapshot = device.snapshot();
+    let stats = device.stats();
     // The counts of `DeviceStats` are state; its latency sums and queue
     // depth are timing.
     let counts = DeviceStats {
@@ -588,16 +589,17 @@ fn run(device: NandDevice, stream: &[Cmd], way: Way) -> Run {
         erase_latency_sum: Duration::ZERO,
         copyback_latency_sum: Duration::ZERO,
         queue_depth_hwm: 0,
-        ..snapshot.stats.clone()
+        ..stats.clone()
     };
     state.debug(&(&counts, snapshot.epoch));
     for block in &snapshot.blocks {
-        state.debug(&(block.state, block.write_ptr, block.erase_count, block.valid_pages));
+        let valid = block.pages.iter().filter(|p| **p == PageState::Valid).count() as u32;
+        state.debug(&(block.state, block.write_ptr, block.erase_count, valid));
         state.debug(&(&block.pages, &block.meta));
         state.bytes(block.data.as_deref().unwrap_or_default());
     }
-    timing.debug(&snapshot.stats);
-    timing.debug(&snapshot.die_stats);
+    timing.debug(&stats);
+    timing.debug(&device.die_stats());
     timing.debug(&device.quiesce_time());
     timing.debug(&device.metrics().tracer().events());
     for name in ARBITER_COUNTERS {

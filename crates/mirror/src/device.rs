@@ -156,8 +156,7 @@ impl std::fmt::Debug for MirrorDevice {
 
 impl MirrorDevice {
     /// Assemble a mirror over `children`, which must be at least two
-    /// devices of identical geometry that store page payloads, with a
-    /// loss injector sized to match.
+    /// devices of identical geometry, with a loss injector sized to match.
     ///
     /// Pristine children all start `Online`.  If any child already holds
     /// data, the child with the highest stored write epoch becomes the
@@ -188,11 +187,6 @@ impl MirrorDevice {
             if *child.geometry() != geometry {
                 return Err(FlashError::MirrorConfig {
                     message: format!("child {i} geometry differs from child 0"),
-                });
-            }
-            if !child.stores_data() {
-                return Err(FlashError::MirrorConfig {
-                    message: format!("child {i} stores no page payloads; mirroring needs them"),
                 });
             }
         }

@@ -65,7 +65,7 @@ fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirt
     assert!(report.checkpoint_seq >= 2);
     t = report.completed_at;
 
-    // The persisted blob (plus verify scan) restored exactly the stale
+    // The persisted blob (plus verify scan) brought back exactly the stale
     // set — not "everything", which is what a torn blob would force.
     assert_eq!(mirror2.health(1), ChildHealth::Faulted);
     let dirty_restored = mirror2.dirty_segments(1);
@@ -79,7 +79,7 @@ fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirt
         assert_eq!(read(&noftl2, obj, p, t), vec![p as u8 + 1; 4096]);
     }
 
-    // Rebuild copies exactly the restored dirty segments.
+    // Rebuild copies exactly the reloaded dirty segments.
     let programs_before = mirror2.children()[1].stats().page_programs;
     mirror2.start_rebuild(1, t).unwrap();
     let report = mirror2.rebuild(1, 4, t).unwrap();
@@ -174,7 +174,7 @@ mod props {
     proptest! {
         /// Checkpoint → crash → mount round-trips the mirror config and
         /// segment map for arbitrary degraded write patterns: the
-        /// restored dirty set covers exactly the blocks the lost child
+        /// reloaded dirty set covers exactly the blocks the lost child
         /// missed and every acknowledged write survives.
         #[test]
         fn roundtrip_restores_exact_staleness(

@@ -225,7 +225,7 @@ fn randomized_loss_and_crash_sweep_loses_no_acknowledged_write() {
                 mirror2.start_rebuild(child, t2).unwrap();
                 let report = mirror2.rebuild(child, 4, t2).unwrap();
                 assert!(report.child_online, "cycle {cycle}");
-                // The rebuild copies exactly what the restored map said
+                // The rebuild copies exactly what the reloaded map said
                 // was stale — requeues are impossible without foreground
                 // traffic.
                 assert_eq!(

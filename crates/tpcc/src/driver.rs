@@ -57,51 +57,34 @@ impl TxnType {
     }
 }
 
-/// Transaction mix as integer weights.
+/// The standard TPC-C mix as integer weights out of 100, in
+/// [`TxnType::all`] order.
+const MIX: [(TxnType, u32); 5] = [
+    (TxnType::NewOrder, 45),
+    (TxnType::Payment, 43),
+    (TxnType::OrderStatus, 4),
+    (TxnType::Delivery, 4),
+    (TxnType::StockLevel, 4),
+];
+
+/// The standard TPC-C transaction mix (45/43/4/4/4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TxnMix {
-    /// Weight of NewOrder.
-    pub new_order: u32,
-    /// Weight of Payment.
-    pub payment: u32,
-    /// Weight of OrderStatus.
-    pub order_status: u32,
-    /// Weight of Delivery.
-    pub delivery: u32,
-    /// Weight of StockLevel.
-    pub stock_level: u32,
-}
+pub struct TxnMix;
 
 impl TxnMix {
-    /// The standard TPC-C mix (45/43/4/4/4).
+    /// The standard TPC-C mix.
     pub fn standard() -> Self {
-        TxnMix { new_order: 45, payment: 43, order_status: 4, delivery: 4, stock_level: 4 }
-    }
-
-    /// Total weight.
-    pub fn total(&self) -> u32 {
-        self.new_order + self.payment + self.order_status + self.delivery + self.stock_level
+        TxnMix
     }
 
     /// Pick a transaction type according to the weights.
     pub fn pick(&self, rng: &mut StdRng) -> TxnType {
-        let total = self.total().max(1);
-        let roll = random::uniform(rng, 1, total as i64) as u32;
-        let mut acc = self.new_order;
-        if roll <= acc {
-            return TxnType::NewOrder;
-        }
-        acc += self.payment;
-        if roll <= acc {
-            return TxnType::Payment;
-        }
-        acc += self.order_status;
-        if roll <= acc {
-            return TxnType::OrderStatus;
-        }
-        acc += self.delivery;
-        if roll <= acc {
-            return TxnType::Delivery;
+        let mut roll = random::uniform(rng, 1, 100) as u32;
+        for (kind, weight) in MIX {
+            if roll <= weight {
+                return kind;
+            }
+            roll -= weight;
         }
         TxnType::StockLevel
     }
@@ -231,7 +214,7 @@ mod tests {
     #[test]
     fn mix_weights_are_respected() {
         let mix = TxnMix::standard();
-        assert_eq!(mix.total(), 100);
+        assert_eq!(MIX.iter().map(|(_, weight)| weight).sum::<u32>(), 100);
         let mut rng = StdRng::seed_from_u64(9);
         let mut counts = std::collections::HashMap::new();
         for _ in 0..10_000 {
@@ -244,10 +227,6 @@ mod tests {
         assert!(counts[&TxnType::Delivery] > 0);
         assert!(counts[&TxnType::StockLevel] > 0);
         assert!(counts[&TxnType::OrderStatus] > 0);
-        // Degenerate mix still picks something.
-        let zero =
-            TxnMix { new_order: 0, payment: 0, order_status: 0, delivery: 0, stock_level: 0 };
-        let _ = zero.pick(&mut rng);
         assert_eq!(TxnType::NewOrder.name(), "NewOrder");
     }
 

@@ -26,9 +26,8 @@ fn run(separate_regions: bool) -> (u64, u64, f64) {
         page_size: 4096,
         oob_size: 64,
     };
-    let device: Arc<NandDevice> = Arc::new(
-        DeviceBuilder::new(geometry).timing(TimingModel::mlc_2015()).store_data(false).build(),
-    );
+    let device: Arc<NandDevice> =
+        Arc::new(DeviceBuilder::new(geometry).timing(TimingModel::mlc_2015()).build());
     let noftl = NoFtl::new(device.clone(), NoFtlConfig::paper_defaults());
     let (hot_region, cold_region) = if separate_regions {
         (

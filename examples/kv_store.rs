@@ -34,13 +34,13 @@ fn main() {
     );
     let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
     let region = noftl.create_region(RegionSpec::named("rgKv").with_die_count(6)).unwrap();
-    let config = KvConfig { memtable_bytes: 16 * 1024, compaction_threshold: 3 };
+    let config = KvConfig { memtable_bytes: 16 * 1024 };
     let (store, mut t) =
         KvStore::create(Arc::clone(&noftl), region, "users", config, SimTime::ZERO).unwrap();
     println!("created store 'users' over a 6-die region\n");
 
     // Load three rounds of the same working set: the memtable threshold
-    // flushes level-0 runs, and the third run triggers a merge.
+    // flushes level-0 runs, and every fourth run triggers a merge.
     for round in 1..=3u64 {
         for i in 0..400u64 {
             t = store.put(&key(i), &val(i, round), t).unwrap();

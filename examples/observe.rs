@@ -67,7 +67,7 @@ fn main() {
     // one die), small memtable so flushes and a compaction happen
     // during the load.
     let kv_region = noftl.create_region(RegionSpec::named("rgKv").with_die_count(3)).unwrap();
-    let config = KvConfig { memtable_bytes: 16 * 1024, compaction_threshold: 3 };
+    let config = KvConfig { memtable_bytes: 16 * 1024 };
     let (store, mut t) =
         KvStore::create(Arc::clone(&noftl), kv_region, "users", config, now).unwrap();
     for round in 0..3u64 {

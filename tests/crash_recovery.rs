@@ -101,8 +101,10 @@ fn snapshot_restore_preserves_wear_and_bad_blocks() {
     noftl.checkpoint(t).unwrap();
     let snap = device.snapshot();
     let decoded = DeviceSnapshot::decode(&snap.encode()).unwrap();
-    assert_eq!(decoded.blocks, snap.blocks);
-    assert_eq!(decoded.wear.total_erases, snap.wear.total_erases);
+    assert_eq!(
+        (decoded.epoch, decoded.endurance, &decoded.blocks),
+        (snap.epoch, snap.endurance, &snap.blocks)
+    );
     // The same round trip, through a file, as a power cycle.
     let device2 = power_cycle(&device, true).unwrap();
     let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();

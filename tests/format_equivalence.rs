@@ -4,17 +4,20 @@
 //! page payloads onto one device: WAL pages in both log modes (the
 //! durable redo log and the volatile one TPC-C runs with), catalog
 //! snapshots, NoFTL checkpoint chunks, and a KV store's data and tail
-//! pages across a flush and a compaction.  The device image with its
-//! statistics blanked — page states, payloads, OOB records, wear and the
-//! epoch, as `placement_equivalence.rs` digests it — must hash to the
-//! golden below, and a sample `MirrorBlob` must encode to the golden
-//! bytes beside it.
+//! pages across a flush and a compaction.  The `NFLIMG03` device image —
+//! page states, payloads, OOB records, wear and the epoch, as
+//! `placement_equivalence.rs` digests it — must hash to the golden below,
+//! and a sample `MirrorBlob` must encode to the golden bytes beside it.
 //!
 //! The goldens were recorded on the parent of the change that moved every
 //! format onto `flash_sim::codec`, before any codec was touched, so a
-//! codec change that moves one byte of any format fails here.  Regenerate
-//! with `NOFTL_PRINT_GOLDEN=1 cargo test --test format_equivalence --
-//! --nocapture` only beside a format version bump.
+//! codec change that moves one byte of any format fails here.  The image
+//! golden moved twice since, each time recorded on the parent of the
+//! change by encoding its snapshot in the `NFLIMG03` layout with a
+//! test-local encoder: once for the format (`0x11C5_F3D3`, epoch 68, with
+//! a KV compaction threshold of 2) and once when the threshold became a
+//! constant 4.  Regenerate with `NOFTL_PRINT_GOLDEN=1 cargo test --test
+//! format_equivalence -- --nocapture` only beside a format version bump.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -22,15 +25,12 @@ use std::sync::Arc;
 use noftl_mirror::{ChildBlob, ChildHealth, MirrorBlob, SegmentMap};
 use noftl_regions::dbms::value::{composite_key, Value};
 use noftl_regions::dbms::{ColumnType, Database, DatabaseConfig, NoFtlBackend, Schema};
-use noftl_regions::flash::{
-    DeviceBuilder, DeviceSnapshot, DeviceStats, DieStats, FlashBackend, FlashGeometry, SimTime,
-    TimingModel,
-};
+use noftl_regions::flash::{DeviceBuilder, FlashBackend, FlashGeometry, SimTime, TimingModel};
 use noftl_regions::noftl::kv::{KvConfig, KvStore};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementConfig, RegionSpec};
 
-/// Placement-only CRC of the scripted device image, and its epoch.
-const GOLDEN_IMAGE: (u32, u64) = (0xED3A_E891, 68);
+/// CRC of the scripted device image, and its epoch.
+const GOLDEN_IMAGE: (u32, u64) = (0x399E_912E, 58);
 /// Length and CRC trailer of the sample mirror blob.
 const GOLDEN_MIRROR: (usize, u32) = (135, 0xBF83_E692);
 
@@ -59,7 +59,7 @@ fn trailer(bytes: &[u8]) -> u32 {
     u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().unwrap())
 }
 
-/// Run the script and digest the device: `(placement-only CRC, epoch)`.
+/// Run the script and digest the device: `(image CRC, epoch)`.
 fn scripted_image() -> (u32, u64) {
     let geometry = FlashGeometry { blocks_per_plane: 32, ..FlashGeometry::example() };
     let device = Arc::new(DeviceBuilder::new(geometry).timing(TimingModel::mlc_2015()).build());
@@ -92,9 +92,10 @@ fn scripted_image() -> (u32, u64) {
     t = insert_rows(&db, 400..410, t);
     t = db.checkpoint(t).unwrap();
 
-    // KV: two flushed level-0 runs merge into one level-1 run.
+    // KV: two rounds spill the memtable into level-0 runs, and four of
+    // them merge into a level-1 run.
     let region = noftl.create_region(RegionSpec::named("rgKv").with_die_count(2)).unwrap();
-    let config = KvConfig { memtable_bytes: 8 * 1024, compaction_threshold: 2 };
+    let config = KvConfig { memtable_bytes: 8 * 1024 };
     let (store, mut t) = KvStore::create(Arc::clone(&noftl), region, "kv", config, t).unwrap();
     for round in 0..2u64 {
         for i in 0..150u64 {
@@ -106,13 +107,7 @@ fn scripted_image() -> (u32, u64) {
     }
     assert!(store.stats().compactions >= 1, "the script compacted");
 
-    let snapshot = device.snapshot();
-    let placement_only = DeviceSnapshot {
-        stats: DeviceStats::default(),
-        die_stats: vec![DieStats::default(); snapshot.die_stats.len()],
-        ..snapshot
-    };
-    (trailer(&placement_only.encode()), device.current_epoch())
+    (trailer(&device.snapshot().encode()), device.current_epoch())
 }
 
 fn sample_mirror_blob() -> Vec<u8> {

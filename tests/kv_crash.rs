@@ -154,9 +154,9 @@ fn flush_and_compaction_issue_queued_multi_die_batches() {
     );
     let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
     let rid = noftl.create_region(RegionSpec::named("rgKv").with_die_count(3)).unwrap();
-    let config = KvConfig { compaction_threshold: 2, ..KvConfig::default() };
     let (store, mut t) =
-        KvStore::create(Arc::clone(&noftl), rid, "queued", config, SimTime::ZERO).unwrap();
+        KvStore::create(Arc::clone(&noftl), rid, "queued", KvConfig::default(), SimTime::ZERO)
+            .unwrap();
 
     let fill = |store: &KvStore, mut t: SimTime, round: u64| {
         for i in 0..300u64 {
@@ -187,13 +187,15 @@ fn flush_and_compaction_issue_queued_multi_die_batches() {
     let dies_hit = per_die.iter().filter(|n| **n > 0).count();
     assert!(dies_hit >= 2, "flush must fan across dies (hit {dies_hit})");
 
-    // A second flush triggers the threshold-2 compaction; its merged run
-    // is also written as one batch.
-    t = fill(&store, t, 2);
-    t = store.flush(t).unwrap();
+    // The fourth flush triggers the compaction of four runs; its merged
+    // run is also written as one batch.
+    for round in 2..=4 {
+        t = fill(&store, t, round);
+        t = store.flush(t).unwrap();
+    }
     let (total_after_compaction, _) = ops();
     let stats = store.stats();
-    assert!(stats.compactions > 0, "threshold 2 must compact on the second flush");
+    assert!(stats.compactions > 0, "four runs must compact on the fourth flush");
     assert!(stats.compacted_pages >= 4);
     assert!(
         total_after_compaction - total_after_flush
@@ -201,7 +203,7 @@ fn flush_and_compaction_issue_queued_multi_die_batches() {
         "the merge pages must also be device commands"
     );
 
-    // Round 2 values win after the merge.
+    // Round 4 values win after the merge.
     let (got, _) = store.get(b"user000123", t).unwrap();
-    assert_eq!(got.as_deref(), Some(b"value-000123-r2-padpadpadpad".as_slice()));
+    assert_eq!(got.as_deref(), Some(b"value-000123-r4-padpadpadpad".as_slice()));
 }

@@ -102,7 +102,7 @@ fn gc_pacing_is_visible_in_the_registry() {
 fn kv_spans_and_histograms_reach_the_registry() {
     let (noftl, _obj) = stack();
     let kv_rid = noftl.create_region(RegionSpec::named("rgKv").with_die_count(2)).unwrap();
-    let config = KvConfig { memtable_bytes: 8 * 1024, ..KvConfig::default() };
+    let config = KvConfig { memtable_bytes: 8 * 1024 };
     let (store, mut t) =
         KvStore::create(Arc::clone(&noftl), kv_rid, "obs", config, SimTime::ZERO).unwrap();
     for i in 0..200u64 {
@@ -164,7 +164,7 @@ fn every_execute_samples_the_windows_of_its_directions() {
     // one `execute` and writes the merged run in another.
     // The log's checkpoint took a die for the metadata journal: one is left.
     let kv_rid = noftl.create_region(RegionSpec::named("rgKv").with_die_count(1)).unwrap();
-    let config = KvConfig { memtable_bytes: 8 * 1024, compaction_threshold: 2 };
+    let config = KvConfig { memtable_bytes: 8 * 1024 };
     let (store, mut t) =
         KvStore::create(Arc::clone(&noftl), kv_rid, "win", config, SimTime::ZERO).unwrap();
     let (flush_before, read_before) = (windows("flush"), windows("read"));

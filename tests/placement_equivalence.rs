@@ -6,20 +6,19 @@
 //! below were captured by running `workload_digest` against commit
 //! `e591582`, where `allocate_in_region` striped over the region's dies
 //! inline: for a deterministic mixed workload — single writes, queued
-//! batches, overwrites deep enough to run GC, page frees — the full
-//! device image (`DeviceSnapshot::encode`, which covers page states,
-//! payloads, OOB records, wear and statistics) and the device write-epoch
-//! counter must hash to exactly the same values ever since.
+//! batches, overwrites deep enough to run GC, page frees — the device
+//! image and the device write-epoch counter must hash to exactly the same
+//! values ever since.
 //!
-//! The image CRC covers the statistics, and those hold latency sums and
-//! queue depths: a change to the device's *timing* model moves it without
-//! moving a single page.  Each golden therefore carries a second,
-//! **placement-only** digest — the same image with `stats` and
-//! `die_stats` blanked, i.e. every block's page states, payloads, OOB
-//! records and wear plus the device epoch.  PR 18 (first-fit occupancy
-//! timelines instead of `busy_until`) recorded the placement digests on
-//! its parent tree, kept them green, and only then regenerated the image
-//! CRCs.
+//! Each golden carries two digests.  The **placement** digest is the CRC
+//! of the `NFLIMG03` image (`DeviceSnapshot::encode`): every block's page
+//! states, payloads, OOB records and wear plus the device epoch.  The
+//! **timing** digest is a CRC of the live device's counters
+//! (`stats()` and `die_stats()`), which hold latency sums and queue
+//! depths: a change to the device's *timing* model moves it without
+//! moving a single page.  PR 18 (first-fit occupancy timelines instead of
+//! `busy_until`) recorded the placement digests on its parent tree, kept
+//! them green, and only then regenerated the timing digests.
 //!
 //! PR 22 moved both on purpose: GC relocates a quantum of its victim per
 //! host allocation instead of two blocks in one burst, so host pages and
@@ -29,30 +28,34 @@
 //! all three seeds were regenerated by the procedure below after the
 //! read-back check at the end of the test passed on the new images.
 //!
+//! The move to `NFLIMG03` (an image without counters) moved both digests
+//! without moving a page: their values were recorded on that change's
+//! parent, by encoding its snapshot in the `NFLIMG03` layout with a
+//! test-local encoder and hashing its live counters as below, and the
+//! change reproduces them.
+//!
 //! Regenerate with `NOFTL_PRINT_GOLDEN=1 cargo test --test
 //! placement_equivalence -- --nocapture`: the placement digest *only*
-//! when a change is meant to alter physical placement, the image CRC
-//! also when it is meant to alter timing.
+//! when a change is meant to alter physical placement or the image
+//! format, the timing digest also when it is meant to alter timing.
 
 use std::sync::Arc;
 
 use noftl_regions::flash::{
-    DeviceBuilder, DeviceSnapshot, DeviceStats, DieStats, FlashBackend, FlashGeometry, SimTime,
-    TimingModel,
+    crc32, DeviceBuilder, FlashBackend, FlashGeometry, SimTime, TimingModel,
 };
 use noftl_regions::noftl::crash::SplitMix64;
 use noftl_regions::noftl::{IoRequest, NoFtl, NoFtlConfig, RegionSpec};
 
-/// (seed, golden CRC32 of the device image, golden placement-only CRC32,
-/// golden device epoch); see module docs.  The image CRCs were
-/// `0x3BBE_9136`, `0xB1F0_FE68`, `0x70DC_2852` up to PR 17; image /
-/// placement were `0x0574_0385` / `0xD34F_9DDC`, `0xBFCF_7ED3` /
-/// `0xF129_4BC1`, `0xCEF5_BCF8` / `0x2A6C_81E4` under the burst collector
-/// (PRs 18–21).
+/// (seed, golden timing CRC32, golden placement CRC32, golden device
+/// epoch); see module docs.  Under `NFLIMG02`, whose image held the
+/// counters, the digests were a CRC of the full image and a CRC of the
+/// image with its counters blanked: `0x9946_4C23` / `0x00BF_A14B`,
+/// `0x4E33_DBB2` / `0x1AFE_15A6`, `0x7171_F78D` / `0x6E5B_5692`.
 const GOLDEN: &[(u64, u32, u32, u64)] = &[
-    (0x9E37_0001, 0x9946_4C23, 0x00BF_A14B, 984),
-    (0x9E37_0002, 0x4E33_DBB2, 0x1AFE_15A6, 984),
-    (0x9E37_0003, 0x7171_F78D, 0x6E5B_5692, 984),
+    (0x9E37_0001, 0x856F_360B, 0x2D41_FCBA, 984),
+    (0x9E37_0002, 0x87DD_54FB, 0x6B3A_E887, 984),
+    (0x9E37_0003, 0x096D_22A8, 0x565F_C12E, 984),
 ];
 
 fn page(b: u8) -> Vec<u8> {
@@ -60,8 +63,9 @@ fn page(b: u8) -> Vec<u8> {
 }
 
 struct WorkloadRun {
-    digest: u32,
-    /// CRC of the image with the statistics blanked: placement only.
+    /// CRC of the live device's counters: timing.
+    timing: u32,
+    /// CRC of the device image: placement.
     placement: u32,
     epoch: u64,
     noftl: NoFtl,
@@ -115,33 +119,24 @@ fn run_workload(seed: u64, config: NoFtlConfig) -> WorkloadRun {
     let stats = noftl.region_stats(r).unwrap();
     assert!(stats.gc_runs > 0, "seed {seed:#x}: the workload must trigger GC");
     // The image format ends with a CRC-32 over the entire payload; that
-    // trailer *is* the digest of the full device state.  (Hashing the
-    // whole image would always yield the CRC residue constant.)
-    let snapshot = device.snapshot();
-    let digest = image_crc(&snapshot);
-    let placement = image_crc(&DeviceSnapshot {
-        stats: DeviceStats::default(),
-        die_stats: vec![DieStats::default(); snapshot.die_stats.len()],
-        ..snapshot
-    });
+    // trailer *is* the digest of the device state.  (Hashing the whole
+    // image would always yield the CRC residue constant.)
+    let image = device.snapshot().encode();
+    let placement = u32::from_le_bytes(image[image.len() - 4..].try_into().expect("4 bytes"));
+    let timing = crc32(format!("{:?}", (device.stats(), device.die_stats())).as_bytes());
     let epoch = device.current_epoch();
-    WorkloadRun { digest, placement, epoch, noftl, expected, done: t }
-}
-
-fn image_crc(snapshot: &DeviceSnapshot) -> u32 {
-    let image = snapshot.encode();
-    u32::from_le_bytes(image[image.len() - 4..].try_into().expect("4 bytes"))
+    WorkloadRun { timing, placement, epoch, noftl, expected, done: t }
 }
 
 #[test]
 fn round_robin_reproduces_the_seed_allocator_byte_for_byte() {
     let print = std::env::var("NOFTL_PRINT_GOLDEN").is_ok();
-    for (seed, golden_crc, golden_placement, golden_epoch) in GOLDEN {
+    for (seed, golden_timing, golden_placement, golden_epoch) in GOLDEN {
         let run = run_workload(*seed, NoFtlConfig::default());
         if print {
             println!(
                 "    ({seed:#x}, {:#010x}, {:#010x}, {}),",
-                run.digest, run.placement, run.epoch
+                run.timing, run.placement, run.epoch
             );
             continue;
         }
@@ -151,8 +146,8 @@ fn round_robin_reproduces_the_seed_allocator_byte_for_byte() {
             "seed {seed:#x}: placement diverged from the seed allocator"
         );
         assert_eq!(
-            run.digest, *golden_crc,
-            "seed {seed:#x}: same placement, but the image's statistics (timing) moved"
+            run.timing, *golden_timing,
+            "seed {seed:#x}: same placement, but the device's statistics (timing) moved"
         );
         // The digests pin the physical image; the translations must agree
         // with it: every live logical page reads back its latest value.
@@ -171,5 +166,5 @@ fn identical_runs_produce_identical_images() {
     // change, never noise.
     let r1 = run_workload(0xD1CE, NoFtlConfig::default());
     let r2 = run_workload(0xD1CE, NoFtlConfig::default());
-    assert_eq!((r1.digest, r1.epoch), (r2.digest, r2.epoch));
+    assert_eq!((r1.placement, r1.timing, r1.epoch), (r2.placement, r2.timing, r2.epoch));
 }

@@ -25,8 +25,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use noftl_regions::flash::{
-    DeviceBuilder, DieId, FlashBackend, FlashCommand, FlashGeometry, IoTag, NandDevice, PageAddr,
-    PageMetadata, SimTime, TimingModel,
+    DeviceBuilder, DeviceSnapshot, DeviceStats, DieId, FlashBackend, FlashCommand, FlashGeometry,
+    IoTag, NandDevice, PageAddr, PageMetadata, SimTime, TimingModel,
 };
 use noftl_regions::noftl::crash::{self, SplitMix64};
 use noftl_regions::noftl::{
@@ -227,13 +227,15 @@ fn generate_rounds(seed: u64, rounds: usize, psz: usize) -> Vec<Vec<(usize, u64,
         .collect()
 }
 
-/// Everything two runs of one workload must agree on.
+/// Everything two runs of one workload must agree on: the device image,
+/// the live device's counters and the per-region statistics.
 fn outcome(
     dev: &NandDevice,
     noftl: &NoFtl,
     regions: [RegionId; 2],
-) -> (noftl_regions::flash::DeviceSnapshot, Vec<RegionStats>) {
-    (dev.snapshot(), regions.iter().map(|r| noftl.region_stats(*r).unwrap()).collect())
+) -> (DeviceSnapshot, DeviceStats, Vec<RegionStats>) {
+    let regions = regions.iter().map(|r| noftl.region_stats(*r).unwrap()).collect();
+    (dev.snapshot(), dev.stats(), regions)
 }
 
 proptest! {
@@ -268,9 +270,9 @@ proptest! {
         prop_assert!(gc_runs > 0, "the workload must make GC fire");
         let (a, b) = (outcome(&bdev, &batched, bregions), outcome(&sdev, &single, sregions));
         prop_assert_eq!(a.0.blocks, b.0.blocks);
-        prop_assert_eq!(a.0.stats, b.0.stats);
-        prop_assert_eq!(a.0.epoch, b.0.epoch);
         prop_assert_eq!(a.1, b.1);
+        prop_assert_eq!(a.0.epoch, b.0.epoch);
+        prop_assert_eq!(a.2, b.2);
     }
 
     /// `execute` with a window of one — of writes, then of reads — is
@@ -313,7 +315,7 @@ proptest! {
         }
         let (a, b) = (outcome(&wdev, &windowed, wregions), outcome(&cdev, &chained, cregions));
         prop_assert_eq!(a.0.blocks, b.0.blocks);
-        prop_assert_eq!(a.0.stats, b.0.stats);
         prop_assert_eq!(a.1, b.1);
+        prop_assert_eq!(a.2, b.2);
     }
 }
