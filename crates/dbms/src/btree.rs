@@ -23,15 +23,20 @@
 //! borrowed `NodeView`; nothing is decoded).  Writes edit the leaf in
 //! its frame: an insert shifts the entries after the key and writes it
 //! into the gap, an upsert overwrites the 10-byte record id, a delete
-//! shifts the entries back and zeroes the tail they vacate — the page
-//! always ends up as `Node::encode` would write it.  Only a split
-//! decodes into the owned `Node`; it rewrites each parent from the copy
-//! the descent took into a per-tree path buffer.  With the heap editing
-//! its pages the same way, a TPC-C transaction went from 1 596
-//! allocations and 370 KB to 406 and 96 KB (`host_allocs_per_op` /
-//! `host_alloc_bytes_per_op`, `tpcc_traditional` at the default seed),
-//! every simulated number unchanged.  Scans copy no key either: they
-//! hand each `(key, rid)` to a closure while the key lies in the leaf.
+//! shifts the entries back and zeroes the tail they vacate.  A split
+//! decodes nothing either: it writes its two halves, then the widened
+//! parent or a new root, from the node's image — the full leaf as the
+//! descent found it, each parent as the descent copied it into a
+//! per-tree path buffer — into page buffers the tree keeps, so once the
+//! tree has split at a depth a split there allocates nothing.  Every
+//! image is the one the owned reference node of the tests writes for
+//! the same edit (property-tested, byte for byte).  Scans copy no key
+//! either: they hand each `(key, rid)` to a closure while the key lies
+//! in the leaf.  With the heap and the rows read and edited in their
+//! frames too, a TPC-C transaction allocates 21.3 times and 7 944 B
+//! (`host_allocs_per_op` / `host_alloc_bytes_per_op`, `tpcc_traditional`
+//! at the default seed; 80.1 and 21 302 B while splits decoded and rows
+//! were copied), every simulated number unchanged.
 
 use std::ops::ControlFlow;
 
@@ -50,6 +55,9 @@ use crate::PAGE_SIZE;
 const NONE_PAGE: u64 = u64::MAX;
 const HEADER: usize = 1 + 2 + 8;
 
+/// A node entry, `(key, payload)`.
+type Entry<'e> = (&'e [u8], &'e [u8]);
+
 /// Bytes after an entry's key: a record id in a leaf, a child page in an
 /// internal node.
 const fn payload_len(leaf: bool) -> usize {
@@ -60,102 +68,23 @@ const fn payload_len(leaf: bool) -> usize {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct Node {
-    leaf: bool,
-    /// For leaves: the next leaf in key order (`NONE_PAGE` = last leaf).
-    /// For internal nodes: the child covering keys below `keys[0]`.
-    extra: u64,
-    keys: Vec<Vec<u8>>,
-    /// Leaf payloads (parallel to `keys`).
-    rids: Vec<RecordId>,
-    /// Internal children: `children[i]` covers keys in `[keys[i], keys[i+1])`.
-    children: Vec<u64>,
-}
-
-impl Node {
-    /// An empty node; `extra` as in [`Node::extra`].
-    fn new(leaf: bool, extra: u64) -> Self {
-        Node { leaf, extra, ..Node::default() }
-    }
-
-    fn serialized_size(&self) -> usize {
-        let payload = payload_len(self.leaf);
-        HEADER + self.keys.iter().map(|k| 2 + k.len() + payload).sum::<usize>()
-    }
-
-    /// The page image: leaf flag, entry count, `extra`, then each key
-    /// behind its `u16` length and its payload; zeros after the entries.
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(PAGE_SIZE);
-        put_u8(&mut out, u8::from(self.leaf));
-        put_u16(&mut out, self.keys.len() as u16);
-        put_u64(&mut out, self.extra);
-        for (i, key) in self.keys.iter().enumerate() {
-            put_bytes16(&mut out, key);
-            if self.leaf {
-                out.extend_from_slice(&self.rids[i].encode());
-            } else {
-                put_u64(&mut out, self.children[i]);
-            }
-        }
-        out.resize(PAGE_SIZE, 0);
-        out
-    }
-
-    /// Decode a node image — the images [`NodeView::parse`] accepts.
-    fn decode(buf: &[u8]) -> Result<Self> {
-        let view = NodeView::parse(buf)?;
-        let mut node = Node::new(view.leaf, view.extra);
-        for (key, payload) in view.iter() {
-            node.keys.push(key.to_vec());
-            if view.leaf {
-                node.rids.extend(RecordId::decode(payload));
-            } else {
-                node.children.push(child_page(payload));
-            }
-        }
-        Ok(node)
-    }
-
-    /// Split this overflowing node, just given an entry at index `pos`,
-    /// into itself and `right`, to be written as page `right_page`.  A
-    /// new last key goes alone to the right (a leaf) or up (an internal
-    /// node, whose key before it moves up); every other split is 50/50.
-    /// Returns the separator for the parent and `right`.
-    fn split(&mut self, pos: usize, right_page: u64) -> (Vec<u8>, Node) {
-        let last = self.keys.len() - 1;
-        if self.leaf {
-            let mid = if pos == last { last } else { self.keys.len() / 2 };
-            let mut right = Node::new(true, NONE_PAGE);
-            right.keys = self.keys.split_off(mid);
-            right.rids = self.rids.split_off(mid);
-            right.extra = std::mem::replace(&mut self.extra, right_page);
-            return (right.keys[0].clone(), right);
-        }
-        let mid = if pos == last { last - 1 } else { self.keys.len() / 2 };
-        let mut right = Node::new(false, NONE_PAGE);
-        right.keys = self.keys.split_off(mid + 1);
-        right.children = self.children.split_off(mid + 1);
-        right.extra = self.children.pop().expect("mid is a child");
-        (self.keys.pop().expect("mid is a key"), right)
-    }
-}
-
 /// The child page an internal node's entry points to.
 fn child_page(payload: &[u8]) -> u64 {
     u64::from_le_bytes(payload.try_into().expect("8 bytes"))
 }
 
-/// A borrowed view of a serialized node — same on-flash format as
-/// [`Node`], nothing decoded ahead of use.  Every descent searches the
-/// page image where the buffer pool holds it, and inserts and deletes
-/// edit a leaf there ([`insert_in_leaf`], [`delete_from_leaf`]); [`Node`]
-/// is the owned form only a split works on.
+/// A borrowed view of a serialized node, nothing decoded ahead of use:
+/// a leaf flag, the entry count, `extra`, then each key behind its `u16`
+/// length and its payload; zeros after the entries.  Every descent
+/// searches the page image where the buffer pool holds it, inserts and
+/// deletes edit a leaf there ([`insert_in_leaf`], [`delete_from_leaf`]),
+/// and a split writes its halves from it ([`split_node`]).
+#[derive(Clone, Copy)]
 struct NodeView<'a> {
     leaf: bool,
     n: usize,
-    /// See [`Node::extra`].
+    /// For a leaf: the next leaf in key order (`NONE_PAGE` = last leaf).
+    /// For an internal node: the child covering the keys below its first.
     extra: u64,
     /// The `n` entries and nothing after them, validated by
     /// [`NodeView::parse`].
@@ -164,8 +93,7 @@ struct NodeView<'a> {
 
 impl<'a> NodeView<'a> {
     /// Validate `buf` as a node.  Walks all `n` entries, so the
-    /// accessors below (and [`Node::decode`]) can slice without checking
-    /// again.
+    /// accessors below can slice without checking again.
     fn parse(buf: &'a [u8]) -> Result<Self> {
         if buf.len() < HEADER {
             return Err(DbError::Corrupted { message: "B+-tree node too short".into() });
@@ -205,7 +133,7 @@ impl<'a> NodeView<'a> {
     /// The entries in key order as `(key, payload)`: the payload is the
     /// 10-byte record id in a leaf, the 8-byte child page in an internal
     /// node.
-    fn iter(&self) -> impl Iterator<Item = (&'a [u8], &'a [u8])> + '_ {
+    fn iter(self) -> impl Iterator<Item = Entry<'a>> + Clone {
         let payload = payload_len(self.leaf);
         let mut rest = self.entries;
         (0..self.n).map(move |_| {
@@ -216,8 +144,13 @@ impl<'a> NodeView<'a> {
         })
     }
 
+    /// The entries with `entry` inserted as entry `pos`.
+    fn with(self, pos: usize, entry: Entry<'a>) -> impl Iterator<Item = Entry<'a>> + Clone {
+        self.iter().take(pos).chain(std::iter::once(entry)).chain(self.iter().skip(pos))
+    }
+
     /// Leaf entries as `(key, record id)`.
-    fn rids(&self) -> impl Iterator<Item = (&'a [u8], RecordId)> + '_ {
+    fn rids(self) -> impl Iterator<Item = (&'a [u8], RecordId)> {
         self.iter().filter_map(|(key, payload)| Some((key, RecordId::decode(payload)?)))
     }
 
@@ -242,15 +175,15 @@ enum LeafInsert {
     Upserted,
     /// The key was added in order.
     Inserted,
-    /// The key does not fit and the page is untouched: the decoded leaf
-    /// and the index the key goes to, for the split.
-    Full(Node, usize),
+    /// The key does not fit and the page is untouched: the index the key
+    /// goes to, for the split.
+    Full(usize),
 }
 
 /// Insert or overwrite `key` → `rid` in the leaf image `page` where it
 /// lies: an upsert overwrites the entry's 10-byte record id, an insert
 /// shifts the entries after the key right and writes it into the gap.
-/// The page ends up as [`Node::encode`] would write the edited node.
+/// The page ends up as [`encode_node`] would write the edited node.
 fn insert_in_leaf(page: &mut [u8], key: &[u8], rid: RecordId) -> Result<LeafInsert> {
     let node = NodeView::parse(page)?;
     debug_assert!(node.leaf);
@@ -263,7 +196,7 @@ fn insert_in_leaf(page: &mut [u8], key: &[u8], rid: RecordId) -> Result<LeafInse
     }
     let size = 2 + key.len() + payload_len(true);
     if end + size > PAGE_SIZE {
-        return Ok(LeafInsert::Full(Node::decode(page)?, pos));
+        return Ok(LeafInsert::Full(pos));
     }
     page.copy_within(at..end, at + size);
     page[at..at + 2].copy_from_slice(&(key.len() as u16).to_le_bytes());
@@ -275,7 +208,7 @@ fn insert_in_leaf(page: &mut [u8], key: &[u8], rid: RecordId) -> Result<LeafInse
 
 /// Remove `key` from the leaf image `page` where it lies: shift the
 /// entries after it left and zero the bytes that leaves unused at the
-/// tail, so the page ends up as [`Node::encode`] would write it.
+/// tail, so the page ends up as [`encode_node`] would write it.
 /// Returns whether `key` was there (the page is untouched if not).
 fn delete_from_leaf(page: &mut [u8], key: &[u8]) -> Result<bool> {
     let node = NodeView::parse(page)?;
@@ -292,6 +225,57 @@ fn delete_from_leaf(page: &mut [u8], key: &[u8]) -> Result<bool> {
     Ok(true)
 }
 
+/// Write into `out` the image of a node of `n` entries, the first `n`
+/// of `entries`: leaf flag, entry count, `extra`, the entries, zeros.
+fn encode_node<'e>(
+    out: &mut Vec<u8>,
+    leaf: bool,
+    extra: u64,
+    n: usize,
+    entries: impl Iterator<Item = Entry<'e>>,
+) {
+    out.clear();
+    put_u8(out, u8::from(leaf));
+    put_u16(out, n as u16);
+    put_u64(out, extra);
+    for (key, payload) in entries.take(n) {
+        put_bytes16(out, key);
+        out.extend_from_slice(payload);
+    }
+    out.resize(PAGE_SIZE, 0);
+}
+
+/// Split `node`, given `entry` as its entry `pos` and with it one entry
+/// too many for a page, into `halves` — the left one stays on the node's
+/// page, the right one goes to `right_page` — and put the key that goes
+/// up to the parent into `sep`.  A new last key goes alone to the right
+/// (a leaf) or up (an internal node, whose key before it moves up);
+/// every other split is 50/50.  A leaf's separator is the right half's
+/// first key; an internal node's moves up, and its child becomes the
+/// right half's `extra`.
+fn split_node(
+    node: NodeView<'_>,
+    pos: usize,
+    entry: Entry<'_>,
+    right_page: u64,
+    halves: &mut [Vec<u8>; 2],
+    sep: &mut Vec<u8>,
+) {
+    // `n` entries with the new one, which is the last at `pos == node.n`.
+    let (entries, n) = (node.with(pos, entry), node.n + 1);
+    let mid = if pos < node.n { n / 2 } else { node.n - usize::from(!node.leaf) };
+    let (up, child) = entries.clone().nth(mid).expect("mid is an entry");
+    sep.clear();
+    sep.extend_from_slice(up);
+    let (left_extra, right_extra, skip) = match node.leaf {
+        true => (right_page, node.extra, mid),
+        false => (node.extra, child_page(child), mid + 1),
+    };
+    let [left, right] = halves;
+    encode_node(left, node.leaf, left_extra, mid, entries.clone());
+    encode_node(right, node.leaf, right_extra, n - skip, entries.skip(skip));
+}
+
 /// The internal nodes an insert descended through, root first: their
 /// page numbers and, back to back, their images as read.  Kept across
 /// inserts, so a descent allocates nothing once it has been this deep.
@@ -301,13 +285,26 @@ struct Path {
     images: Vec<u8>,
 }
 
-#[derive(Debug)]
+/// The page buffers a split writes from, kept across inserts as [`Path`]
+/// is: the full leaf as the descent found it, the two halves (the left
+/// one also builds a widened parent or a new root), and the separator
+/// going up with the one the level below sent.
+#[derive(Debug, Default)]
+struct Split {
+    leaf: Vec<u8>,
+    halves: [Vec<u8>; 2],
+    sep: Vec<u8>,
+    carry: Vec<u8>,
+}
+
+#[derive(Debug, Default)]
 struct BTreeInner {
     root: u64,
     page_count: u64,
     entries: u64,
     initialized: bool,
     path: Path,
+    split: Split,
 }
 
 /// A B+-tree index over a storage object.
@@ -320,16 +317,7 @@ pub struct BTree {
 impl BTree {
     /// Create a (lazily initialised) B+-tree over storage object `obj`.
     pub fn new(obj: ObjectId) -> Self {
-        BTree {
-            obj,
-            inner: Mutex::new(BTreeInner {
-                root: 0,
-                page_count: 1,
-                entries: 0,
-                initialized: false,
-                path: Path::default(),
-            }),
-        }
+        BTree { obj, inner: Mutex::new(BTreeInner { page_count: 1, ..BTreeInner::default() }) }
     }
 
     /// The storage object backing this index.
@@ -353,41 +341,33 @@ impl BTree {
         if extent == 0 {
             return Ok((BTree::new(obj), now));
         }
-        let mut t = now;
-        let mut present: Vec<(u64, Node)> = Vec::new();
+        let (mut t, mut present, mut entries) = (now, Vec::new(), 0u64);
+        let mut referenced = std::collections::HashSet::new();
         for page_no in 0..extent {
-            let Ok((node, t_read)) = pool.with_page(obj, page_no, t, Node::decode) else {
+            let Ok((parsed, t_read)) = pool.with_page(obj, page_no, t, |buf| {
+                let Ok(node) = NodeView::parse(buf) else { return false };
+                if node.leaf {
+                    entries += node.n as u64;
+                } else {
+                    referenced.insert(node.extra);
+                    referenced.extend(node.iter().map(|(_, child)| child_page(child)));
+                }
+                true
+            }) else {
                 continue;
             };
             t = t_read;
-            if let Ok(node) = node {
-                present.push((page_no, node));
-            }
+            present.extend(parsed.then_some(page_no));
         }
-        let mut referenced = std::collections::HashSet::new();
-        for (_, node) in &present {
-            if !node.leaf {
-                referenced.insert(node.extra);
-                referenced.extend(node.children.iter().copied());
-            }
-        }
-        let root =
-            present.iter().map(|(p, _)| *p).filter(|p| !referenced.contains(p)).max().unwrap_or(0);
-        let entries: u64 =
-            present.iter().filter(|(_, n)| n.leaf).map(|(_, n)| n.keys.len() as u64).sum();
-        Ok((
-            BTree {
-                obj,
-                inner: Mutex::new(BTreeInner {
-                    root,
-                    page_count: extent,
-                    entries,
-                    initialized: true,
-                    path: Path::default(),
-                }),
-            },
-            t,
-        ))
+        let root = present.into_iter().filter(|p| !referenced.contains(p)).max().unwrap_or(0);
+        let inner = BTreeInner {
+            root,
+            page_count: extent,
+            entries,
+            initialized: true,
+            ..BTreeInner::default()
+        };
+        Ok((BTree { obj, inner: Mutex::new(inner) }, t))
     }
 
     /// Number of entries currently in the index.
@@ -436,16 +416,6 @@ impl BTree {
         }
     }
 
-    fn write_node(
-        &self,
-        pool: &BufferPool,
-        page: u64,
-        node: &Node,
-        now: SimTime,
-    ) -> Result<SimTime> {
-        pool.write_page(self.obj, page, &node.encode(), now)
-    }
-
     fn ensure_init(
         &self,
         inner: &mut BTreeInner,
@@ -455,7 +425,9 @@ impl BTree {
         if inner.initialized {
             return Ok(now);
         }
-        let t = self.write_node(pool, 0, &Node::new(true, NONE_PAGE), now)?;
+        let leaf = &mut inner.split.halves[0];
+        encode_node(leaf, true, NONE_PAGE, 0, std::iter::empty());
+        let t = pool.write_page(self.obj, 0, leaf, now)?;
         inner.initialized = true;
         Ok(t)
     }
@@ -488,18 +460,14 @@ impl BTree {
                 }
                 let child = NodeView::parse(frame).map(|node| node.child_for(key));
                 if let (Ok(_), Some(path)) = (&child, path.as_mut()) {
+                    path.pages.push(page);
                     path.images.extend_from_slice(frame);
                 }
                 (child.map(ControlFlow::Continue), false)
             })?;
             t = t2;
             match step? {
-                ControlFlow::Continue(child) => {
-                    if let Some(path) = path.as_mut() {
-                        path.pages.push(page);
-                    }
-                    page = child;
-                }
+                ControlFlow::Continue(child) => page = child,
                 ControlFlow::Break(done) => return Ok((done, page, t)),
             }
         }
@@ -518,55 +486,57 @@ impl BTree {
         }
         let mut guard = self.inner.lock();
         let t = self.ensure_init(&mut guard, pool, now)?;
-        let inner = &mut *guard;
-        inner.path.pages.clear();
-        inner.path.images.clear();
+        let BTreeInner { root, page_count, entries, path, split, .. } = &mut *guard;
+        let Split { leaf, halves, sep, carry } = split;
+        path.pages.clear();
+        path.images.clear();
         let (outcome, leaf_page, mut t) =
-            self.descend(pool, inner.root, key, t, Some(&mut inner.path), |leaf| {
-                let outcome = insert_in_leaf(leaf, key, rid)?;
-                let wrote = !matches!(outcome, LeafInsert::Full(..));
-                Ok((outcome, wrote))
+            self.descend(pool, *root, key, t, Some(path), |frame| {
+                let outcome = insert_in_leaf(frame, key, rid)?;
+                let full = matches!(outcome, LeafInsert::Full(_));
+                if full {
+                    leaf.clear();
+                    leaf.extend_from_slice(frame);
+                }
+                Ok((outcome, !full))
             })?;
-        let (mut node, pos) = match outcome {
-            LeafInsert::Upserted => return Ok(t),
-            LeafInsert::Inserted => {
-                inner.entries += 1;
-                return Ok(t);
-            }
-            LeafInsert::Full(node, pos) => (node, pos),
-        };
-        inner.entries += 1;
-        node.keys.insert(pos, key.to_vec());
-        node.rids.insert(pos, rid);
-        // Split bottom-up: each split hands its separator to the parent,
-        // which the descent copied, until one takes it without splitting.
-        let (mut page, mut pos) = (leaf_page, pos);
-        let mut parents = inner.path.pages.iter().zip(inner.path.images.chunks(PAGE_SIZE)).rev();
+        *entries += u64::from(!matches!(outcome, LeafInsert::Upserted));
+        let LeafInsert::Full(pos) = outcome else { return Ok(t) };
+        // Split bottom-up, from the leaf's image and then from the copies
+        // the descent took of its parents: each split hands its separator
+        // and right page up, until a parent takes them without splitting.
+        carry.clear();
+        carry.extend_from_slice(key);
+        // The entry for the level being split: the key and record id for
+        // the leaf, then each separator and the page right of it.
+        let (mut payload, mut len) = (rid.encode(), payload_len(true));
+        let (mut page, mut pos, mut image) = (leaf_page, pos, &leaf[..]);
+        let mut parents = path.pages.iter().zip(path.images.chunks(PAGE_SIZE)).rev();
         loop {
-            let right_page = inner.page_count;
-            inner.page_count += 1;
-            let (sep, right) = node.split(pos, right_page);
-            t = self.write_node(pool, page, &node, t)?;
-            t = self.write_node(pool, right_page, &right, t)?;
-            let Some((&parent, image)) = parents.next() else {
+            let right_page = *page_count;
+            *page_count += 1;
+            let entry = (&carry[..], &payload[..len]);
+            split_node(NodeView::parse(image)?, pos, entry, right_page, halves, sep);
+            t = pool.write_page(self.obj, page, &halves[0], t)?;
+            t = pool.write_page(self.obj, right_page, &halves[1], t)?;
+            std::mem::swap(carry, sep);
+            len = payload_len(false);
+            payload[..len].copy_from_slice(&right_page.to_le_bytes());
+            let entry = (&carry[..], &payload[..len]);
+            let Some((&parent, parent_image)) = parents.next() else {
                 // The root split: grow the tree.
-                let mut root = Node::new(false, inner.root);
-                root.keys.push(sep);
-                root.children.push(right_page);
-                let root_page = inner.page_count;
-                inner.page_count += 1;
-                t = self.write_node(pool, root_page, &root, t)?;
-                inner.root = root_page;
-                return Ok(t);
+                encode_node(&mut halves[0], false, *root, 1, std::iter::once(entry));
+                *root = *page_count;
+                *page_count += 1;
+                return pool.write_page(self.obj, *root, &halves[0], t);
             };
-            node = Node::decode(image)?;
-            pos = node.keys.partition_point(|k| k.as_slice() <= sep.as_slice());
-            node.keys.insert(pos, sep);
-            node.children.insert(pos, right_page);
-            if node.serialized_size() <= PAGE_SIZE {
-                return self.write_node(pool, parent, &node, t);
+            let node = NodeView::parse(parent_image)?;
+            pos = node.iter().take_while(|(k, _)| *k <= &carry[..]).count();
+            if HEADER + node.entries.len() + 2 + carry.len() + len <= PAGE_SIZE {
+                encode_node(&mut halves[0], false, node.extra, node.n + 1, node.with(pos, entry));
+                return pool.write_page(self.obj, parent, &halves[0], t);
             }
-            page = parent;
+            (page, image) = (parent, parent_image);
         }
     }
 
@@ -602,23 +572,13 @@ impl BTree {
         self.scan(pool, low, |key| high.is_none_or(|high| key < high), limit, now, visit)
     }
 
-    /// Range scan over all keys starting with `prefix`, as
-    /// [`BTree::range`] without a limit.
-    pub fn prefix_scan(
-        &self,
-        pool: &BufferPool,
-        prefix: &[u8],
-        now: SimTime,
-        visit: impl FnMut(&[u8], RecordId),
-    ) -> Result<SimTime> {
-        self.scan(pool, prefix, |key| key.starts_with(prefix), usize::MAX, now, visit)
-    }
-
     /// Hand `visit` the first `limit` pairs from `low` on while `in_range`
-    /// holds, which must fail from some key on.  The walk stops at the
-    /// first key out of range or at `limit` pairs, whichever comes first,
-    /// and reads nothing for `limit == 0`.
-    fn scan(
+    /// holds, which must fail from some key on — a range scan below a
+    /// high bound, or a prefix scan while keys start with the prefix.  The
+    /// walk stops at the first key out of range or at `limit` pairs,
+    /// whichever comes first, and reads nothing for `limit == 0`.  Same
+    /// borrowing rule as [`BTree::range`].
+    pub fn scan(
         &self,
         pool: &BufferPool,
         low: &[u8],
@@ -675,6 +635,90 @@ mod tests {
     use proptest::prelude::*;
     use std::sync::Arc;
 
+    /// The owned node: the reference every in-place edit and split is held
+    /// to, byte for byte, through [`Node::encode`].
+    #[derive(Debug, Clone, Default)]
+    struct Node {
+        leaf: bool,
+        /// For leaves: the next leaf in key order (`NONE_PAGE` = last leaf).
+        /// For internal nodes: the child covering keys below `keys[0]`.
+        extra: u64,
+        keys: Vec<Vec<u8>>,
+        /// Leaf payloads (parallel to `keys`).
+        rids: Vec<RecordId>,
+        /// Internal children: `children[i]` covers keys in `[keys[i], keys[i+1])`.
+        children: Vec<u64>,
+    }
+
+    impl Node {
+        /// An empty node; `extra` as in [`Node::extra`].
+        fn new(leaf: bool, extra: u64) -> Self {
+            Node { leaf, extra, ..Node::default() }
+        }
+
+        fn serialized_size(&self) -> usize {
+            let payload = payload_len(self.leaf);
+            HEADER + self.keys.iter().map(|k| 2 + k.len() + payload).sum::<usize>()
+        }
+
+        /// The page image: leaf flag, entry count, `extra`, then each key
+        /// behind its `u16` length and its payload; zeros after the entries.
+        fn encode(&self) -> Vec<u8> {
+            let mut out = Vec::with_capacity(PAGE_SIZE);
+            put_u8(&mut out, u8::from(self.leaf));
+            put_u16(&mut out, self.keys.len() as u16);
+            put_u64(&mut out, self.extra);
+            for (i, key) in self.keys.iter().enumerate() {
+                put_bytes16(&mut out, key);
+                if self.leaf {
+                    out.extend_from_slice(&self.rids[i].encode());
+                } else {
+                    put_u64(&mut out, self.children[i]);
+                }
+            }
+            out.resize(PAGE_SIZE, 0);
+            out
+        }
+
+        /// Decode a node image — the images [`NodeView::parse`] accepts.
+        fn decode(buf: &[u8]) -> Result<Self> {
+            let view = NodeView::parse(buf)?;
+            let mut node = Node::new(view.leaf, view.extra);
+            for (key, payload) in view.iter() {
+                node.keys.push(key.to_vec());
+                if view.leaf {
+                    node.rids.extend(RecordId::decode(payload));
+                } else {
+                    node.children.push(child_page(payload));
+                }
+            }
+            Ok(node)
+        }
+
+        /// Split this overflowing node, just given an entry at index `pos`,
+        /// into itself and `right`, to be written as page `right_page`.  A
+        /// new last key goes alone to the right (a leaf) or up (an internal
+        /// node, whose key before it moves up); every other split is 50/50.
+        /// Returns the separator for the parent and `right`.
+        fn split(&mut self, pos: usize, right_page: u64) -> (Vec<u8>, Node) {
+            let last = self.keys.len() - 1;
+            if self.leaf {
+                let mid = if pos == last { last } else { self.keys.len() / 2 };
+                let mut right = Node::new(true, NONE_PAGE);
+                right.keys = self.keys.split_off(mid);
+                right.rids = self.rids.split_off(mid);
+                right.extra = std::mem::replace(&mut self.extra, right_page);
+                return (right.keys[0].clone(), right);
+            }
+            let mid = if pos == last { last - 1 } else { self.keys.len() / 2 };
+            let mut right = Node::new(false, NONE_PAGE);
+            right.keys = self.keys.split_off(mid + 1);
+            right.children = self.children.split_off(mid + 1);
+            right.extra = self.children.pop().expect("mid is a child");
+            (self.keys.pop().expect("mid is a key"), right)
+        }
+    }
+
     fn setup(pool_pages: usize) -> (BufferPool, BTree) {
         let device = Arc::new(
             DeviceBuilder::new(FlashGeometry::example()).timing(TimingModel::instant()).build(),
@@ -707,10 +751,13 @@ mod tests {
         (pairs, t)
     }
 
-    /// The pairs `BTree::prefix_scan` hands out, collected.
+    /// The pairs a prefix scan hands out, collected.
     fn prefix_scan(tree: &BTree, pool: &BufferPool, prefix: &[u8], t: SimTime) -> (Pairs, SimTime) {
         let mut pairs = Vec::new();
-        let t = tree.prefix_scan(pool, prefix, t, |k, r| pairs.push((k.to_vec(), r))).unwrap();
+        let in_range = |key: &[u8]| key.starts_with(prefix);
+        let t =
+            tree.scan(pool, prefix, in_range, usize::MAX, t, |k, r| pairs.push((k.to_vec(), r)));
+        let t = t.unwrap();
         (pairs, t)
     }
 
@@ -854,6 +901,33 @@ mod tests {
         // Missing keys are not found.
         let (missing, _) = tree.search(&pool, &composite_key(&[n + 10]), t).unwrap();
         assert_eq!(missing, None);
+    }
+
+    #[test]
+    fn attach_finds_the_root_and_counts_the_entries_from_the_images() {
+        let (pool, tree) = setup(64);
+        let mut t = SimTime::ZERO;
+        for i in 0..3_000i64 {
+            let k = (i * 2_654_435_761i64).rem_euclid(3_000);
+            t = tree.insert(&pool, &composite_key(&[k]), rid(k as u64), t).unwrap();
+        }
+        for k in (0..3_000i64).step_by(3) {
+            t = tree.delete(&pool, &composite_key(&[k]), t).unwrap().1;
+        }
+        t = pool.flush_all(t).unwrap();
+        // A cold pool over the same object, as recovery has.
+        let cold = BufferPool::new(pool.backend().clone(), 64);
+        let (attached, t) = BTree::attach(tree.obj, &cold, tree.page_count(), t).unwrap();
+        let shape = |tree: &BTree| {
+            let inner = tree.inner.lock();
+            (inner.root, inner.page_count, inner.entries)
+        };
+        assert_eq!(shape(&attached), shape(&tree));
+        assert_eq!(attached.len(), 2_000);
+        for k in 0..3_000i64 {
+            let (found, _) = attached.search(&cold, &composite_key(&[k]), t).unwrap();
+            assert_eq!(found, (k % 3 != 0).then(|| rid(k as u64)), "key {k}");
+        }
     }
 
     #[test]
@@ -1128,13 +1202,13 @@ mod tests {
         }
         match insert {
             Some(rid) => match insert_in_leaf(page, key, rid).unwrap() {
-                LeafInsert::Full(node, pos) => {
+                LeafInsert::Full(pos) => {
                     assert!(
                         reference.serialized_size() > PAGE_SIZE,
                         "a {}-byte key fits",
                         key.len()
                     );
-                    assert_eq!((page.as_slice(), node.encode()), (&before[..], before.clone()));
+                    assert_eq!(page.as_slice(), &before[..]);
                     assert_eq!(Err(pos), found);
                     reference.keys.truncate(reference.keys.len() / 2);
                     reference.rids.truncate(reference.keys.len());
@@ -1189,6 +1263,111 @@ mod tests {
                     prop_assert_eq!(NodeView::parse(&page).unwrap().entries.len(), PAGE_SIZE - HEADER);
                 }
             }
+        }
+    }
+
+    /// The longest key [`BTree::insert`] takes.
+    const MAX_KEY: usize = PAGE_SIZE / 4 - 12 - HEADER;
+
+    /// Key `rank` of a drawn node: the rank big-endian, so keys sort by
+    /// it whatever follows, then `tail` bytes up to a `len`-byte key.
+    fn ranked_key(rank: u32, len: usize, rng: &mut SplitMix64) -> Vec<u8> {
+        let mut key = rank.to_be_bytes().to_vec();
+        key.extend((4..len).map(|_| rng.next_u64() as u8));
+        key
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// A split writes, from the node's image and the entry it is given,
+        /// exactly the halves and separator of `Node::decode → insert →
+        /// split → encode`, at every position of the new entry (first and
+        /// last included, so both the rightmost rule and the 50/50 rule
+        /// fire), for leaves and internal nodes with keys of one length or
+        /// of many, up to the longest key an insert takes.  A parent
+        /// widened by the entry is `Node::decode → insert → encode` too.
+        #[test]
+        fn decode_free_splits_equal_decode_insert_split_encode(
+            leaf in any::<bool>(),
+            fixed in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = SplitMix64(seed);
+            let fixed_len = 4 + rng.below(MAX_KEY as u64 - 3) as usize;
+            // Mostly short keys of many lengths, now and then a long one.
+            let key_len = |rng: &mut SplitMix64| match (fixed, rng.below(4)) {
+                (true, _) => fixed_len,
+                (false, 0) => 4 + rng.below(MAX_KEY as u64 - 3) as usize,
+                (false, _) => 4 + rng.below(40) as usize,
+            };
+            let payload = |rank: u32| match leaf {
+                true => rid(u64::from(rank)).encode().to_vec(),
+                false => (u64::from(rank) * 7).to_le_bytes().to_vec(),
+            };
+            // Even ranks fill the node until the next entry overflows it.
+            let mut node = Node::new(leaf, rng.next_u64());
+            loop {
+                let key = ranked_key(2 * node.keys.len() as u32 + 2, key_len(&mut rng), &mut rng);
+                if node.serialized_size() + 2 + key.len() + payload_len(leaf) > PAGE_SIZE {
+                    break;
+                }
+                if leaf {
+                    node.rids.push(rid(u64::from(2 * node.keys.len() as u32 + 2)));
+                } else {
+                    node.children.push(u64::from(2 * node.keys.len() as u32 + 2) * 7);
+                }
+                node.keys.push(key);
+            }
+            let (n, image) = (node.keys.len(), node.encode());
+            let free = PAGE_SIZE - node.serialized_size();
+            let right_page = rng.next_u64();
+            let (mut halves, mut sep) = (<[Vec<u8>; 2]>::default(), Vec::new());
+            let mut rules = [false; 2];
+            for pos in 0..=n {
+                // An odd rank sorts between the even ones; long enough
+                // to overflow the page.
+                let least = (free + 1).saturating_sub(2 + payload_len(leaf)).max(4);
+                let len = match fixed {
+                    true => fixed_len,
+                    false => least + rng.below((MAX_KEY - least) as u64 + 1) as usize,
+                };
+                let key = ranked_key(2 * pos as u32 + 1, len, &mut rng);
+                let value = payload(2 * pos as u32 + 1);
+                let mut reference = node.clone();
+                reference.keys.insert(pos, key.clone());
+                if leaf {
+                    reference.rids.insert(pos, RecordId::decode(&value).unwrap());
+                } else {
+                    reference.children.insert(pos, child_page(&value));
+                }
+                prop_assert!(reference.serialized_size() > PAGE_SIZE);
+                let (expected_sep, right) = reference.split(pos, right_page);
+                let view = NodeView::parse(&image).unwrap();
+                split_node(view, pos, (&key, &value), right_page, &mut halves, &mut sep);
+                prop_assert_eq!(&sep, &expected_sep, "separator, entry {} of {}", pos, n + 1);
+                prop_assert_eq!(&halves[0], &reference.encode(), "left half, entry {}", pos);
+                prop_assert_eq!(&halves[1], &right.encode(), "right half, entry {}", pos);
+                rules[usize::from(pos == n)] = true;
+
+                // The first half of the node takes a short entry as it is.
+                let mut widened = node.clone();
+                widened.keys.truncate(n / 2);
+                widened.rids.truncate(n / 2);
+                widened.children.truncate(n / 2);
+                let at = pos.min(n / 2);
+                let short = ranked_key(2 * at as u32 + 1, 4 + rng.below(8) as usize, &mut rng);
+                let half = widened.encode();
+                widened.keys.insert(at, short.clone());
+                if leaf {
+                    widened.rids.insert(at, RecordId::decode(&value).unwrap());
+                } else {
+                    widened.children.insert(at, child_page(&value));
+                }
+                let view = NodeView::parse(&half).unwrap();
+                encode_node(&mut sep, leaf, view.extra, view.n + 1, view.with(at, (&short, &value)));
+                prop_assert_eq!(&sep, &widened.encode(), "widened node, entry {}", at);
+            }
+            prop_assert_eq!(rules, [true, true]);
         }
     }
 

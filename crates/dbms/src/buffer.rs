@@ -106,6 +106,9 @@ struct PoolInner {
     /// it again, so once the pool has filled up this is empty between
     /// calls and a miss goes straight to the clock sweep.
     free: Vec<usize>,
+    /// Sized for twice the frames: evictions leave tombstones, and a
+    /// table at most half full reclaims them in place instead of
+    /// reallocating, so a miss never allocates here.
     map: HashMap<(ObjectId, u64), usize>,
     hand: usize,
     stats: BufferStats,
@@ -154,7 +157,7 @@ impl BufferPool {
                 frames: (0..capacity).map(|_| Frame::default()).collect(),
                 // Popped from the back: frame 0 fills first.
                 free: (0..capacity).rev().collect(),
-                map: HashMap::with_capacity(capacity),
+                map: HashMap::with_capacity(2 * capacity + 2),
                 hand: 0,
                 stats: BufferStats::default(),
                 capture: None,

@@ -52,6 +52,14 @@ pub const NO_KEYS: &[(&str, &[u8])] = &[];
 /// CPU cost charged to a transaction for each record operation: 2 µs.
 const OP_CPU: Duration = Duration(2_000);
 
+/// Charge `txn` one record operation the pool finished at `t`: the wait,
+/// one read (or, with `write`, one write) and [`OP_CPU`].
+fn charge(txn: &mut Txn, t: SimTime, write: bool) {
+    txn.advance_to(t);
+    *if write { &mut txn.writes } else { &mut txn.reads } += 1;
+    txn.add_cpu(OP_CPU);
+}
+
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatabaseConfig {
@@ -296,9 +304,7 @@ impl Database {
         let table_def = self.catalog.table(table)?;
         let encoded = record.encoded(&table_def.schema)?;
         let (rid, t) = table_def.heap.insert(&self.pool, &encoded, txn.now)?;
-        txn.advance_to(t);
-        txn.writes += 1;
-        txn.add_cpu(OP_CPU);
+        charge(txn, t, true);
         for (index, key) in index_keys {
             let idx = table_def.index(index)?;
             let t = idx.tree.insert(&self.pool, key.as_ref(), rid, txn.now)?;
@@ -309,15 +315,28 @@ impl Database {
         Ok(rid)
     }
 
-    /// Fetch a record by its id, as the heap stores it: its one copy of
-    /// the bytes is the row's.
+    /// Fetch a record by its id: [`Database::read`], copied into an
+    /// owned row.
     pub fn get(&self, txn: &mut Txn, table: &str, rid: RecordId) -> Result<Row> {
+        self.read(txn, table, rid, |row| row.owned())
+    }
+
+    /// Lend the record at `rid` to `f` as a row over its bytes, where the
+    /// buffer frame holds them: nothing is copied.  `f` runs under the
+    /// pool lock and must not call back into the database.
+    pub fn read<R>(
+        &self,
+        txn: &mut Txn,
+        table: &str,
+        rid: RecordId,
+        f: impl FnOnce(&Row<&[u8]>) -> R,
+    ) -> Result<R> {
         let table_def = self.catalog.table(table)?;
-        let (bytes, t) = table_def.heap.get(&self.pool, rid, txn.now)?;
-        txn.advance_to(t);
-        txn.reads += 1;
-        txn.add_cpu(OP_CPU);
-        Row::new(Arc::clone(&table_def.schema), bytes)
+        let (read, t) = table_def.heap.read(&self.pool, rid, txn.now, |bytes| {
+            Row::new(Arc::clone(&table_def.schema), bytes).map(|row| f(&row))
+        })?;
+        charge(txn, t, false);
+        read
     }
 
     /// Overwrite a record in place (the schema's fixed layout guarantees
@@ -333,11 +352,31 @@ impl Database {
         let table_def = self.catalog.table(table)?;
         let encoded = record.encoded(&table_def.schema)?;
         let t = table_def.heap.update(&self.pool, rid, &encoded, txn.now)?;
-        txn.advance_to(t);
-        txn.writes += 1;
-        txn.add_cpu(OP_CPU);
+        charge(txn, t, true);
         self.wal.append_note(txn.id, format_args!("UPDATE {table} {}:{}", rid.page, rid.slot));
         Ok(())
+    }
+
+    /// Edit the record at `rid` where its buffer frame holds it: `f` gets
+    /// it as a row over its bytes, and what it sets is the update.  Same
+    /// accounting as [`Database::update`], same locking rule as
+    /// [`Database::read`].
+    pub fn update_with<R>(
+        &self,
+        txn: &mut Txn,
+        table: &str,
+        rid: RecordId,
+        f: impl FnOnce(&mut Row<&mut [u8]>) -> R,
+    ) -> Result<R> {
+        self.check_usable()?;
+        let table_def = self.catalog.table(table)?;
+        let (edited, t) = table_def.heap.edit(&self.pool, rid.page, txn.now, |page| {
+            let mut row = Row::new(Arc::clone(&table_def.schema), page.get_mut(rid.slot)?)?;
+            Ok((f(&mut row), true))
+        })?;
+        charge(txn, t, true);
+        self.wal.append_note(txn.id, format_args!("UPDATE {table} {}:{}", rid.page, rid.slot));
+        Ok(edited)
     }
 
     /// Delete a record and remove the given index keys.
@@ -351,9 +390,7 @@ impl Database {
         self.check_usable()?;
         let table_def = self.catalog.table(table)?;
         let t = table_def.heap.delete(&self.pool, rid, txn.now)?;
-        txn.advance_to(t);
-        txn.writes += 1;
-        txn.add_cpu(OP_CPU);
+        charge(txn, t, true);
         for (index, key) in index_keys {
             let idx = table_def.index(index)?;
             let (_, t) = idx.tree.delete(&self.pool, key.as_ref(), txn.now)?;
@@ -372,16 +409,14 @@ impl Database {
         index: &str,
         key: &[u8],
     ) -> Result<Option<RecordId>> {
-        let table_def = self.catalog.table(table)?;
-        let idx = table_def.index(index)?;
+        let idx = self.catalog.table(table)?.index(index)?;
         let (found, t) = idx.tree.search(&self.pool, key, txn.now)?;
-        txn.advance_to(t);
-        txn.reads += 1;
-        txn.add_cpu(OP_CPU);
+        charge(txn, t, false);
         Ok(found)
     }
 
-    /// Index lookup followed by a heap fetch.
+    /// Index lookup followed by a heap fetch: [`Database::index_read`],
+    /// copied into an owned row.
     pub fn index_get(
         &self,
         txn: &mut Txn,
@@ -389,16 +424,28 @@ impl Database {
         index: &str,
         key: &[u8],
     ) -> Result<Option<(RecordId, Row)>> {
-        match self.index_lookup(txn, table, index, key)? {
-            Some(rid) => Ok(Some((rid, self.get(txn, table, rid)?))),
-            None => Ok(None),
-        }
+        self.index_read(txn, table, index, key, |row| row.owned())
+    }
+
+    /// [`Database::index_lookup`] followed by [`Database::read`]: `f`'s
+    /// result for the record `key` names, and its id.
+    pub fn index_read<R>(
+        &self,
+        txn: &mut Txn,
+        table: &str,
+        index: &str,
+        key: &[u8],
+        f: impl FnOnce(&Row<&[u8]>) -> R,
+    ) -> Result<Option<(RecordId, R)>> {
+        let found = self.index_lookup(txn, table, index, key)?;
+        found.map(|rid| Ok((rid, self.read(txn, table, rid, f)?))).transpose()
     }
 
     /// Range scan over an index: the record ids of the first `limit` keys
-    /// in `[low, high)`, in key order — [`crate::btree::BTree::range`]:
-    /// `high == None` has no upper bound (a YCSB-style short scan),
-    /// `limit == usize::MAX` no limit.
+    /// in `[low, high)`, in key order, into `rids` (cleared first) —
+    /// [`crate::btree::BTree::range`]: `high == None` has no upper bound
+    /// (a YCSB-style short scan), `limit == usize::MAX` no limit.
+    #[allow(clippy::too_many_arguments)]
     pub fn index_range(
         &self,
         txn: &mut Txn,
@@ -407,34 +454,32 @@ impl Database {
         low: &[u8],
         high: Option<&[u8]>,
         limit: usize,
-    ) -> Result<Vec<RecordId>> {
-        let table_def = self.catalog.table(table)?;
-        let idx = table_def.index(index)?;
-        let mut rids = Vec::new();
+        rids: &mut Vec<RecordId>,
+    ) -> Result<()> {
+        let idx = self.catalog.table(table)?.index(index)?;
+        rids.clear();
         let t = idx.tree.range(&self.pool, low, high, limit, txn.now, |_, rid| rids.push(rid))?;
-        txn.advance_to(t);
-        txn.reads += 1;
-        txn.add_cpu(OP_CPU);
-        Ok(rids)
+        charge(txn, t, false);
+        Ok(())
     }
 
     /// Prefix scan over an index: the record ids of every key starting
-    /// with `prefix`, in key order.
+    /// with `prefix`, in key order, into `rids` (cleared first).
     pub fn index_prefix(
         &self,
         txn: &mut Txn,
         table: &str,
         index: &str,
         prefix: &[u8],
-    ) -> Result<Vec<RecordId>> {
-        let table_def = self.catalog.table(table)?;
-        let idx = table_def.index(index)?;
-        let mut rids = Vec::new();
-        let t = idx.tree.prefix_scan(&self.pool, prefix, txn.now, |_, rid| rids.push(rid))?;
-        txn.advance_to(t);
-        txn.reads += 1;
-        txn.add_cpu(OP_CPU);
-        Ok(rids)
+        rids: &mut Vec<RecordId>,
+    ) -> Result<()> {
+        let idx = self.catalog.table(table)?.index(index)?;
+        rids.clear();
+        let in_range = |key: &[u8]| key.starts_with(prefix);
+        let push = |_: &[u8], rid| rids.push(rid);
+        let t = idx.tree.scan(&self.pool, prefix, in_range, usize::MAX, txn.now, push)?;
+        charge(txn, t, false);
+        Ok(())
     }
 
     /// Commit a transaction.
@@ -842,6 +887,29 @@ mod tests {
         db.update(&mut txn, "customer", rid, &rec).unwrap();
         let rec = db.get(&mut txn, "customer", rid).unwrap();
         assert_eq!(rec.bytes(), customer_schema().encode(&customer(42, 1, 99.5, "FOO")).unwrap());
+        // A read lends the row where it lies; an edit in place is an
+        // update as `update` counts one, and stores what `update` would.
+        let (reads, writes) = (txn.reads, txn.writes);
+        let (found, last) = db
+            .index_read(&mut txn, "customer", "c_idx", &key, |r| r.str(3).into_owned())
+            .unwrap()
+            .unwrap();
+        assert_eq!((found, last.as_str()), (rid, "FOO"));
+        let old = db
+            .update_with(&mut txn, "customer", rid, |r| {
+                let old = r.float(2);
+                r.set_float(2, old + 0.5);
+                r.set_str(3, "BARBAZ");
+                old
+            })
+            .unwrap();
+        assert_eq!(old, 99.5);
+        let encoded = customer_schema().encode(&customer(42, 1, 100.0, "BARBAZ")).unwrap();
+        assert!(db.read(&mut txn, "customer", rid, |r| r.bytes() == encoded).unwrap());
+        assert_eq!((txn.reads, txn.writes), (reads + 3, writes + 1));
+        assert!(db.update_with(&mut txn, "customer", RecordId::new(0, 99), |_| ()).is_err());
+        assert!(db.read(&mut txn, "customer", RecordId::new(0, 99), |_| ()).is_err());
+        assert_eq!(txn.writes, writes + 1, "a refused edit is not counted");
         // Delete removes heap record and index entry.
         db.delete(&mut txn, "customer", rid, &[("c_idx", key.clone())]).unwrap();
         assert!(db.get(&mut txn, "customer", rid).is_err());
@@ -1035,15 +1103,25 @@ mod tests {
                     .unwrap();
             }
         }
-        // All lines of order 7.
-        let lines =
-            db.index_prefix(&mut txn, "orderline", "ol_idx", &composite_key(&[1, 1, 7])).unwrap();
-        assert_eq!(lines.len(), 5);
-        // Orders 5..10 (exclusive).
+        // All lines of order 7, into one vector every scan reuses.
+        let mut rids = Vec::new();
+        let prefix = composite_key(&[1, 1, 7]);
+        db.index_prefix(&mut txn, "orderline", "ol_idx", &prefix, &mut rids).unwrap();
+        assert_eq!(rids.len(), 5);
+        let lines: Vec<i64> = rids
+            .iter()
+            .map(|rid| db.read(&mut txn, "orderline", *rid, |r| r.int(1)).unwrap())
+            .collect();
+        assert_eq!(lines, [1, 2, 3, 4, 5]);
+        // Orders 5..10 (exclusive): the scan clears what the last one left.
         let (low, high) = (composite_key(&[1, 1, 5]), composite_key(&[1, 1, 10]));
-        let range =
-            db.index_range(&mut txn, "orderline", "ol_idx", &low, Some(&high), usize::MAX).unwrap();
-        assert_eq!(range.len(), 25);
+        db.index_range(&mut txn, "orderline", "ol_idx", &low, Some(&high), usize::MAX, &mut rids)
+            .unwrap();
+        assert_eq!(rids.len(), 25);
+        db.index_range(&mut txn, "orderline", "ol_idx", &low, None, 3, &mut rids).unwrap();
+        assert_eq!(rids.len(), 3);
+        db.index_prefix(&mut txn, "orderline", "ol_idx", &composite_key(&[2]), &mut rids).unwrap();
+        assert!(rids.is_empty());
     }
 
     #[test]

@@ -161,15 +161,22 @@ impl HeapFile {
         Ok((RecordId::new(page_no, slot), t_write))
     }
 
-    /// Read the record at `rid`.
-    pub fn get(
+    /// Read the record at `rid`: a copy of its bytes.
+    pub fn get(&self, pool: &BufferPool, rid: RecordId, t: SimTime) -> Result<(Vec<u8>, SimTime)> {
+        self.read(pool, rid, t, <[u8]>::to_vec)
+    }
+
+    /// Lend the record at `rid` to `f` where the buffer pool holds it,
+    /// under the pool lock: `f` must not call back into the pool.
+    pub fn read<R>(
         &self,
         pool: &BufferPool,
         rid: RecordId,
         now: SimTime,
-    ) -> Result<(Vec<u8>, SimTime)> {
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<(R, SimTime)> {
         let (record, t) = pool.with_page(self.obj, rid.page, now, |frame| {
-            SlottedPage::new(frame)?.get(rid.slot).map(<[u8]>::to_vec)
+            SlottedPage::new(frame)?.get(rid.slot).map(f)
         })?;
         Ok((record?, t))
     }
@@ -199,7 +206,7 @@ impl HeapFile {
     /// its result and whether it wrote; an `f` that fails must leave the
     /// page untouched (the [`SlottedPage`] mutators do), and the frame
     /// then stays clean.
-    fn edit<R>(
+    pub(crate) fn edit<R>(
         &self,
         pool: &BufferPool,
         page_no: u64,
@@ -275,6 +282,15 @@ mod tests {
         let t = heap.update(&pool, rid, b"record-two", t).unwrap();
         let (data, t) = heap.get(&pool, rid, t).unwrap();
         assert_eq!(data, b"record-two");
+        // An edit where the record lies, and a read that lends it.
+        let ((), t) = heap
+            .edit(&pool, rid.page, t, |page| {
+                page.get_mut(rid.slot)?[..6].copy_from_slice(b"RECORD");
+                Ok(((), true))
+            })
+            .unwrap();
+        let (data, t) = heap.read(&pool, rid, t, |rec| rec == b"RECORD-two").unwrap();
+        assert!(data);
         assert_eq!(heap.record_count(), 1);
         heap.delete(&pool, rid, t).unwrap();
         assert!(heap.get(&pool, rid, t).is_err());

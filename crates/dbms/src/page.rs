@@ -14,6 +14,8 @@
 //!   tombstone (page offsets below the header are impossible, so 0 is free
 //!   to use as the dead marker).
 
+use std::ops::Range;
+
 use crate::error::DbError;
 use crate::Result;
 use crate::PAGE_SIZE;
@@ -73,23 +75,27 @@ impl<B: AsRef<[u8]>> SlottedPage<B> {
     /// Read the record in `slot` where it lies.  A slot count or slot
     /// entry that points outside the page is `Corrupted`, not a panic.
     pub fn get(&self, slot: u16) -> Result<&[u8]> {
-        let buf = self.as_bytes();
+        Ok(&self.as_bytes()[self.span(slot)?])
+    }
+
+    /// Where the record in `slot` lies, checked as [`SlottedPage::get`]
+    /// says.
+    fn span(&self, slot: u16) -> Result<Range<usize>> {
+        let beyond = |what| DbError::Corrupted { message: format!("{what} lies beyond the page") };
         if slot >= self.slot_count() {
             return Err(DbError::InvalidRid { message: format!("slot {slot} out of range") });
         }
-        let base = HEADER_LEN + slot as usize * SLOT_LEN;
-        if base + SLOT_LEN > buf.len() {
-            return Err(DbError::Corrupted {
-                message: format!("slot {slot} lies beyond the page"),
-            });
+        if HEADER_LEN + (slot as usize + 1) * SLOT_LEN > PAGE_SIZE {
+            return Err(beyond(format!("slot {slot}")));
         }
         let (off, len) = self.slot(slot);
         if off == 0 {
             return Err(DbError::InvalidRid { message: format!("slot {slot} is deleted") });
         }
-        buf.get(off as usize..off as usize + len as usize).ok_or_else(|| DbError::Corrupted {
-            message: format!("record of slot {slot} lies beyond the page"),
-        })
+        let span = off as usize..off as usize + len as usize;
+        (span.end <= PAGE_SIZE)
+            .then_some(span)
+            .ok_or_else(|| beyond(format!("record of slot {slot}")))
     }
 
     /// Iterate over `(slot, record)` pairs of live records.
@@ -114,6 +120,13 @@ impl<B: AsRef<[u8]> + AsMut<[u8]>> SlottedPage<B> {
         // slot_count = 0, free_end = PAGE_SIZE
         bytes[2..4].copy_from_slice(&(PAGE_SIZE as u16).to_le_bytes());
         Ok(page)
+    }
+
+    /// Edit the record in `slot` where it lies; refused as
+    /// [`SlottedPage::get`] refuses.
+    pub fn get_mut(&mut self, slot: u16) -> Result<&mut [u8]> {
+        let span = self.span(slot)?;
+        Ok(&mut self.buf.as_mut()[span])
     }
 
     fn set_u16(&mut self, at: usize, v: u16) {
@@ -202,6 +215,10 @@ mod tests {
         assert_eq!(p.iter().count(), 2);
         p.update(s0, b"HELLO").unwrap();
         assert_eq!(p.get(s0).unwrap(), b"HELLO");
+        // An edit where the record lies.
+        p.get_mut(s0).unwrap()[0] = b'J';
+        assert_eq!(p.get(s0).unwrap(), b"JELLO");
+        p.update(s0, b"HELLO").unwrap();
         // Shrinking updates adjust the visible length.
         p.update(s1, b"hi").unwrap();
         assert_eq!(p.get(s1).unwrap(), b"hi");
@@ -209,6 +226,8 @@ mod tests {
         assert!(matches!(p.update(s1, b"too long now"), Err(DbError::TooLarge { .. })));
         p.delete(s0).unwrap();
         assert!(p.get(s0).is_err());
+        assert!(matches!(p.get_mut(s0), Err(DbError::InvalidRid { .. })));
+        assert!(matches!(p.get_mut(9), Err(DbError::InvalidRid { .. })));
         assert!(p.delete(s0).is_err());
         let collected: Vec<_> = p.iter().map(|(s, r)| (s, r.to_vec())).collect();
         assert_eq!(collected, vec![(s1, b"hi".to_vec())]);
@@ -300,9 +319,14 @@ mod tests {
         // Record end past the page.
         image[HEADER_LEN + 2..HEADER_LEN + 4].copy_from_slice(&u16::MAX.to_le_bytes());
         let view = |image: &[u8], slot| SlottedPage::new(image).unwrap().get(slot).map(<[u8]>::len);
+        let edit = |image: &mut [u8], slot| {
+            SlottedPage::new(image).unwrap().get_mut(slot).map(|record| record.len())
+        };
         assert!(matches!(view(&image, slot), Err(DbError::Corrupted { .. })));
+        assert!(matches!(edit(&mut image, slot), Err(DbError::Corrupted { .. })));
         // A slot count whose directory runs off the page.
         image[0..2].copy_from_slice(&u16::MAX.to_le_bytes());
         assert!(matches!(view(&image, 2_000), Err(DbError::Corrupted { .. })));
+        assert!(matches!(edit(&mut image, 2_000), Err(DbError::Corrupted { .. })));
     }
 }

@@ -1,11 +1,13 @@
 //! Rows: a record kept in its fixed-layout bytes.
 //!
-//! [`crate::Database::get`] hands out a [`Row`]: the bytes the heap
-//! stores plus the table's schema, which knows where every column starts
-//! ([`Schema::field`]).  A getter reads a column where it lies; a setter
-//! writes it there, exactly as [`Schema::encode`] would; and
-//! [`crate::Database::update`] stores the row's bytes as they are.  So a
-//! read decodes nothing and an update encodes nothing.  A [`Record`]
+//! A [`Row`] is a record's bytes plus its table's schema, which knows
+//! where every column starts ([`Schema::field`]).  A getter reads a
+//! column where it lies; a setter writes it there, exactly as
+//! [`Schema::encode`] would.  The bytes are whatever the row is over: a
+//! `Row` owns a copy, a `Row<&[u8]>` is the record in its buffer frame,
+//! lent by [`crate::Database::read`], and a `Row<&mut [u8]>` edits it
+//! there, lent by [`crate::Database::update_with`].  So a read decodes
+//! and copies nothing and an update encodes nothing.  A [`Record`]
 //! (`Vec<Value>`) is still what an insert usually starts from: both are
 //! [`AsRecord`].
 
@@ -19,35 +21,34 @@ use crate::schema::{ColumnType, Schema};
 use crate::value::Record;
 use crate::Result;
 
-/// A record in its encoded bytes, with its table's schema.
+/// A record in its encoded bytes `B`, with its table's schema.
 ///
 /// The getters and setters take a column index and panic if the column
 /// does not exist or is of another type (a float column also takes
 /// [`Row::set_int`], as [`Schema::encode`] takes an `Int` there).
 #[derive(Debug, Clone)]
-pub struct Row {
+pub struct Row<B = Vec<u8>> {
     schema: Arc<Schema>,
-    bytes: Vec<u8>,
+    bytes: B,
 }
 
-impl Row {
+impl<B: AsRef<[u8]>> Row<B> {
     /// The row `bytes` hold for `schema`: `Corrupted` if they are shorter
     /// than a record or a string's stored length exceeds its column.
-    /// Bytes past the record are dropped.
-    pub fn new(schema: Arc<Schema>, mut bytes: Vec<u8>) -> Result<Row> {
-        let len = schema.record_len();
-        if bytes.len() < len {
+    /// Bytes past the record are not the row's.
+    pub fn new(schema: Arc<Schema>, bytes: B) -> Result<Row<B>> {
+        let (len, buf) = (schema.record_len(), bytes.as_ref());
+        if buf.len() < len {
             return Err(DbError::Corrupted {
                 message: format!(
                     "record buffer of {} bytes is shorter than schema length {len}",
-                    bytes.len()
+                    buf.len()
                 ),
             });
         }
-        bytes.truncate(len);
         for col in 0..schema.len() {
             if let (at, ColumnType::Str(n)) = schema.field(col) {
-                let stored = u16::from_le_bytes([bytes[at], bytes[at + 1]]);
+                let stored = u16::from_le_bytes([buf[at], buf[at + 1]]);
                 if stored > n {
                     return Err(DbError::Corrupted {
                         message: format!("string length {stored} exceeds column size {n}"),
@@ -60,7 +61,12 @@ impl Row {
 
     /// The encoded record.
     pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+        &self.bytes.as_ref()[..self.schema.record_len()]
+    }
+
+    /// An owned copy: the record's bytes, copied once.
+    pub fn owned(&self) -> Row {
+        Row { schema: Arc::clone(&self.schema), bytes: self.bytes().to_vec() }
     }
 
     /// The bytes of column `col`, which must be of `kind`'s type (a
@@ -72,7 +78,7 @@ impl Row {
     }
 
     fn word(&self, col: usize, kind: ColumnType) -> [u8; 8] {
-        self.bytes[self.span(col, kind)].try_into().expect("8 bytes")
+        self.bytes.as_ref()[self.span(col, kind)].try_into().expect("8 bytes")
     }
 
     /// The integer in column `col`.
@@ -88,30 +94,32 @@ impl Row {
     /// The string in column `col`, borrowed; bytes that are not UTF-8
     /// (a multi-byte character cut by truncation) read as U+FFFD.
     pub fn str(&self, col: usize) -> Cow<'_, str> {
-        let field = &self.bytes[self.span(col, ColumnType::Str(0))];
+        let field = &self.bytes.as_ref()[self.span(col, ColumnType::Str(0))];
         let len = usize::from(u16::from_le_bytes([field[0], field[1]]));
         String::from_utf8_lossy(&field[2..2 + len])
     }
+}
 
+impl<B: AsRef<[u8]> + AsMut<[u8]>> Row<B> {
     /// Store `v` in column `col`; a float column stores it as `v as f64`.
     pub fn set_int(&mut self, col: usize, v: i64) {
         if self.schema.field(col).1 == ColumnType::Float {
             return self.set_float(col, v as f64);
         }
         let span = self.span(col, ColumnType::Int);
-        self.bytes[span].copy_from_slice(&v.to_le_bytes());
+        self.bytes.as_mut()[span].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Store `v` in column `col`.
     pub fn set_float(&mut self, col: usize, v: f64) {
         let span = self.span(col, ColumnType::Float);
-        self.bytes[span].copy_from_slice(&v.to_le_bytes());
+        self.bytes.as_mut()[span].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Store `s` in column `col`: cut to the column's size, zero-padded.
     pub fn set_str(&mut self, col: usize, s: &str) {
         let span = self.span(col, ColumnType::Str(0));
-        let (len, text) = self.bytes[span].split_at_mut(2);
+        let (len, text) = self.bytes.as_mut()[span].split_at_mut(2);
         let take = s.len().min(text.len());
         len.copy_from_slice(&(take as u16).to_le_bytes());
         text[..take].copy_from_slice(&s.as_bytes()[..take]);
@@ -134,12 +142,12 @@ impl AsRecord for Record {
 }
 
 /// A row lends its bytes; a row of another schema is a `SchemaMismatch`.
-impl AsRecord for Row {
+impl<B: AsRef<[u8]>> AsRecord for Row<B> {
     fn encoded(&self, schema: &Schema) -> Result<Cow<'_, [u8]>> {
         if !std::ptr::eq(&*self.schema, schema) && *self.schema != *schema {
             return Err(DbError::SchemaMismatch { message: "row of another schema".into() });
         }
-        Ok(Cow::Borrowed(&self.bytes))
+        Ok(Cow::Borrowed(self.bytes()))
     }
 }
 
@@ -219,7 +227,7 @@ mod tests {
     }
 
     /// Each getter reads what `decode` decoded.
-    fn assert_getters_match(row: &Row, reference: &Record) {
+    fn assert_getters_match<B: AsRef<[u8]>>(row: &Row<B>, reference: &Record) {
         for (col, value) in reference.iter().enumerate() {
             match value {
                 Value::Int(v) => assert_eq!(row.int(col), *v, "column {col}"),
@@ -231,13 +239,23 @@ mod tests {
         }
     }
 
+    fn set<B: AsRef<[u8]> + AsMut<[u8]>>(row: &mut Row<B>, col: usize, edit: &Value) {
+        match edit {
+            Value::Int(v) => row.set_int(col, *v),
+            Value::Float(v) => row.set_float(col, *v),
+            Value::Str(s) => row.set_str(col, s),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
         /// Random schemas and records, strings past their column and ints
         /// in float columns: the getters read what `decode` returned, any
         /// run of setters leaves the bytes `encode` writes for the same
         /// edits, and a short buffer or an over-long string length is
-        /// `Corrupted`.
+        /// `Corrupted` — for an owned row and for one borrowed, and one
+        /// mutably borrowed, from a frame that holds the record followed
+        /// by bytes that are not the row's and stay as they are.
         #[test]
         fn row_bytes_equal_the_value_round_trip(seed in any::<u64>(), edits in 0usize..24) {
             let mut rng = SplitMix64(seed);
@@ -246,30 +264,48 @@ mod tests {
             let mut record: Record = types.iter().map(|ty| value(&mut rng, *ty)).collect();
             let bytes = schema.encode(&record).unwrap();
             let mut row = Row::new(Arc::clone(&schema), bytes.clone()).unwrap();
-            assert_getters_match(&row, &decode(&schema, &bytes).unwrap());
+            let len = schema.record_len();
+            let tail: Vec<u8> = (0..rng.below(5)).map(|_| rng.next_u64() as u8).collect();
+            let mut frame = [&bytes[..], &tail].concat();
+            let borrowed = |frame: &[u8]| Row::new(Arc::clone(&schema), frame).unwrap().bytes().to_vec();
+            let reference = decode(&schema, &bytes).unwrap();
+            assert_getters_match(&row, &reference);
+            assert_getters_match(&Row::new(Arc::clone(&schema), &frame[..]).unwrap(), &reference);
+            prop_assert_eq!(borrowed(&frame), bytes.clone());
 
             for _ in 0..edits {
                 let col = rng.below(types.len() as u64) as usize;
                 let edit = value(&mut rng, types[col]);
-                match &edit {
-                    Value::Int(v) => row.set_int(col, *v),
-                    Value::Float(v) => row.set_float(col, *v),
-                    Value::Str(s) => row.set_str(col, s),
-                }
+                set(&mut row, col, &edit);
+                set(&mut Row::new(Arc::clone(&schema), &mut frame[..]).unwrap(), col, &edit);
                 record[col] = edit;
                 let bytes = schema.encode(&record).unwrap();
                 prop_assert_eq!(row.bytes(), &bytes[..]);
-                assert_getters_match(&row, &decode(&schema, &bytes).unwrap());
+                prop_assert_eq!(&frame[..len], &bytes[..]);
+                prop_assert_eq!(&frame[len..], &tail[..]);
+                let reference = decode(&schema, &bytes).unwrap();
+                assert_getters_match(&row, &reference);
+                assert_getters_match(&Row::new(Arc::clone(&schema), &frame[..]).unwrap(), &reference);
+                assert_getters_match(&Row::new(Arc::clone(&schema), &mut frame[..]).unwrap(), &reference);
             }
             prop_assert_eq!(&*row.encoded(&schema).unwrap(), row.bytes());
+            let lent = Row::new(Arc::clone(&schema), &frame[..]).unwrap();
+            prop_assert_eq!(&*lent.encoded(&schema).unwrap(), row.bytes());
+            prop_assert_eq!(lent.owned().bytes(), row.bytes());
 
-            // A buffer one byte short, or shorter.
-            let short = rng.below(schema.record_len() as u64) as usize;
-            let corrupted = |r: Result<Row>| matches!(r, Err(DbError::Corrupted { .. }));
-            prop_assert!(corrupted(Row::new(Arc::clone(&schema), row.bytes()[..short].to_vec())));
+            // A buffer one byte short, or shorter: owned, borrowed and
+            // mutably borrowed.
+            let short = rng.below(len as u64) as usize;
+            let corrupted = |r: Result<Vec<u8>>| matches!(r, Err(DbError::Corrupted { .. }));
+            let owned = |bytes: &[u8]| Row::new(Arc::clone(&schema), bytes.to_vec()).map(|r| r.bytes().to_vec());
+            let lent = |bytes: &[u8]| Row::new(Arc::clone(&schema), bytes).map(|r| r.bytes().to_vec());
+            let lent_mut = |bytes: &mut [u8]| Row::new(Arc::clone(&schema), bytes).map(|r| r.bytes().to_vec());
+            prop_assert!(corrupted(owned(&row.bytes()[..short])));
+            prop_assert!(corrupted(lent(&frame[..short])));
+            prop_assert!(corrupted(lent_mut(&mut frame[..short])));
             let mut longer = row.bytes().to_vec();
             longer.push(7);
-            prop_assert_eq!(Row::new(Arc::clone(&schema), longer).unwrap().bytes(), row.bytes());
+            prop_assert_eq!(owned(&longer).unwrap(), row.bytes());
             // A string length past its column.
             for (col, ty) in types.iter().enumerate() {
                 let ColumnType::Str(n) = *ty else { continue };
@@ -278,7 +314,9 @@ mod tests {
                 let len = n + 1 + rng.below(u64::from(u16::MAX - n)) as u16;
                 bytes[at..at + 2].copy_from_slice(&len.to_le_bytes());
                 prop_assert!(decode(&schema, &bytes).is_err());
-                prop_assert!(corrupted(Row::new(Arc::clone(&schema), bytes)));
+                prop_assert!(corrupted(owned(&bytes)));
+                prop_assert!(corrupted(lent(&bytes)));
+                prop_assert!(corrupted(lent_mut(&mut bytes)));
             }
         }
     }

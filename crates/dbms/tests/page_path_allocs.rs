@@ -1,48 +1,66 @@
 //! Allocation budgets of the page paths: a point read warm and cold, a
-//! range scan, and the writes — update, insert and delete.
+//! range scan, the writes — update, insert and delete — and B+-tree
+//! splits.
 //!
-//! `Database::index_get` on resident pages borrows its way down the
-//! B+-tree and into the heap page: no page is copied, no node is decoded
-//! and no record either, so a read allocates exactly one thing — the
-//! row's bytes, copied out of the frame.  A counting global allocator
-//! (per thread, as in `crates/obs/tests/no_alloc.rs`, so parallel tests
-//! do not charge each other) holds the path to that.
-//! `Database::index_range` over resident leaves copies no key: it
-//! allocates its `Vec<RecordId>` as it grows and nothing per row or per
-//! leaf.  The writes edit the heap page and the leaf in their buffer
-//! frames and copy no page either; an update of a `Row` stores its bytes
-//! as they are and allocates nothing.  A point read that misses in a full
-//! pool costs no more: the device reads each page into the buffer of the
-//! frame it evicts, clean or written back.  CI runs this in `--release`,
-//! where the claim matters.
+//! `Database::read` and `Database::index_read` on resident pages borrow
+//! their way down the B+-tree and into the heap page and lend the row to
+//! the caller where its frame holds it: no page, node or record is
+//! copied or decoded, and they allocate nothing.  `Database::get` and
+//! `index_get` are the same read plus one copy, the row's bytes, and
+//! allocate exactly that, warm or cold: a point read that misses in a
+//! full pool reads each page into the buffer of the frame it evicts,
+//! clean or written back.  A counting global allocator (per thread, as in
+//! `crates/obs/tests/no_alloc.rs`, so parallel tests do not charge each
+//! other) holds the paths to that, and records the sizes of the first
+//! allocations of each counted window, so a budget that fails says what
+//! it saw.  `Database::index_range` over resident leaves copies no key:
+//! it fills the caller's `Vec<RecordId>`, which allocates while it grows
+//! and never once it has grown.  The writes edit the heap page and the
+//! leaf in their buffer frames and copy no page either: an update of a
+//! `Row`, or one made in the frame by `Database::update_with`, allocates
+//! nothing.  A B+-tree split writes its halves, and the widened parent or
+//! new root, from page buffers the tree keeps, so once the tree has split
+//! at a depth a leaf or an internal split there allocates nothing.  CI
+//! runs this in `--release`, where the claim matters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::fmt;
 use std::sync::Arc;
 
+use dbms_engine::btree::BTree;
 use dbms_engine::{
-    ColumnType, Database, DatabaseConfig, NoFtlBackend, Record, RecordId, Schema, Value, PAGE_SIZE,
+    BufferPool, ColumnType, Database, DatabaseConfig, NoFtlBackend, Record, RecordId, Schema,
+    StorageBackend, Value, PAGE_SIZE,
 };
 use flash_sim::{DeviceBuilder, FlashGeometry, SimTime, TimingModel};
 use noftl_core::{NoFtl, NoFtlConfig, PlacementConfig};
 
 struct CountingAlloc;
 
+/// How many allocation sizes a counted window records.
+const SEEN: usize = 32;
+
 thread_local! {
-    /// Allocations made by the current thread and the largest of them.
+    /// Allocations made by the current thread since the counted window
+    /// opened, the largest of them and the sizes of the first [`SEEN`].
     /// Const-initialised and without destructors, so touching them from
     /// inside the allocator neither allocates nor trips thread teardown.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    static SIZES: [Cell<usize>; SEEN] = const { [const { Cell::new(0) }; SEEN] };
 }
 
 fn count(size: usize) {
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOCATIONS.try_with(|n| {
+        let _ = SIZES.try_with(|sizes| sizes.get(n.get()).map(|seen| seen.set(size)));
+        n.set(n.get() + 1);
+    });
     let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the only addition
-// is a pair of thread-local cell updates that do not allocate.
+// is a few thread-local cell updates that do not allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
@@ -62,6 +80,38 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// What a counted window allocated.
+struct Counted {
+    allocs: u64,
+    largest: usize,
+    /// The sizes of the first [`SEEN`] allocations, in order.
+    sizes: Vec<usize>,
+}
+
+impl fmt::Display for Counted {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} allocations (largest {} B; sizes {:?}",
+            self.allocs, self.largest, self.sizes
+        )?;
+        if self.allocs > SEEN as u64 {
+            write!(f, " and {} more", self.allocs - SEEN as u64)?;
+        }
+        write!(f, ")")
+    }
+}
+
+/// What `f` allocates on this thread.
+fn counted(f: impl FnOnce()) -> Counted {
+    LARGEST.with(|l| l.set(0));
+    ALLOCATIONS.with(|n| n.set(0));
+    f();
+    let (allocs, largest) = (ALLOCATIONS.with(Cell::get), LARGEST.with(Cell::get));
+    let sizes = SIZES.with(|sizes| sizes[..allocs.min(SEEN)].iter().map(Cell::get).collect());
+    Counted { allocs: allocs as u64, largest, sizes }
+}
+
 const RECORDS: u64 = 20_000;
 const KEY_LEN: usize = 24;
 
@@ -71,14 +121,6 @@ fn key(id: u64) -> Vec<u8> {
 
 fn row(id: u64) -> Record {
     vec![Value::Str(String::from_utf8(key(id)).unwrap()), Value::Str("v".into())]
-}
-
-/// Allocations `f` makes on this thread and the largest of them.
-fn counted(f: impl FnOnce()) -> (u64, usize) {
-    LARGEST.with(|l| l.set(0));
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    (ALLOCATIONS.with(Cell::get) - before, LARGEST.with(Cell::get))
 }
 
 /// A database of `RECORDS` rows behind a three-level index, all of it
@@ -115,25 +157,51 @@ fn loaded_db_with_pool(buffer_pages: usize) -> (Database, SimTime) {
     (db, now)
 }
 
+/// The keys of 200 point reads spread over the table.
+fn spread_keys() -> Vec<Vec<u8>> {
+    (0..200).map(|i| key(i * 97 % RECORDS)).collect()
+}
+
+/// A warm `index_get` allocates the row's bytes and nothing else; the
+/// same reads through `index_read`, and then by record id through
+/// `read`, borrow the row and allocate nothing.
 #[test]
 fn warm_index_get_copies_no_page_and_allocates_only_the_rows_bytes() {
     let (db, now) = loaded_db();
-
-    let keys: Vec<Vec<u8>> = (0..200).map(|i| key(i * 97 % RECORDS)).collect();
+    let keys = spread_keys();
     let misses_before = db.buffer_stats().misses;
     let mut txn = db.begin(now);
-    let (allocs, largest) = counted(|| {
+    let get = counted(|| {
         for k in &keys {
             db.index_get(&mut txn, "t", "i", k).unwrap().expect("loaded key");
+        }
+    });
+    let mut rids = Vec::with_capacity(keys.len());
+    let index_read = counted(|| {
+        for k in &keys {
+            let (rid, len) =
+                db.index_read(&mut txn, "t", "i", k, |row| row.str(0).len()).unwrap().unwrap();
+            assert_eq!(len, KEY_LEN);
+            rids.push(rid);
+        }
+    });
+    let read = counted(|| {
+        for (rid, k) in rids.iter().zip(&keys) {
+            assert!(db.read(&mut txn, "t", *rid, |row| row.str(0).as_bytes() == &k[..]).unwrap());
         }
     });
     db.commit(&mut txn).unwrap();
 
     assert_eq!(db.buffer_stats().misses, misses_before, "the reads were meant to be warm");
-    assert!(largest < PAGE_SIZE, "a warm read allocated {largest} bytes — a page was copied");
-    // Per read: the row's bytes.  Nothing for the descent, nothing to
-    // decode.
-    assert_eq!(allocs, keys.len() as u64, "allocations for {} warm reads", keys.len());
+    let reads = keys.len() as u64;
+    // Per read: the row's bytes for `index_get`, and nothing for a
+    // borrowed row.  Nothing for the descent, nothing to decode.
+    for (op, window, per_read) in
+        [("index_get", get, 1), ("index_read", index_read, 0), ("read", read, 0)]
+    {
+        assert!(window.largest < PAGE_SIZE, "a warm {op} copied a page: {window}");
+        assert_eq!(window.allocs, per_read * reads, "{reads} warm {op}s: {window}");
+    }
 }
 
 /// With the pool full, point reads whose leaf and heap page miss read
@@ -143,7 +211,7 @@ fn warm_index_get_copies_no_page_and_allocates_only_the_rows_bytes() {
 #[test]
 fn cold_index_get_reads_into_the_victims_buffer() {
     let (db, now) = loaded_db_with_pool(32);
-    let keys: Vec<Vec<u8>> = (0..200).map(|i| key(i * 97 % RECORDS)).collect();
+    let keys = spread_keys();
     // Dirty a dozen frames, so the clock has written-back victims too.
     let mut txn = db.begin(now);
     for i in 0..12 {
@@ -154,7 +222,7 @@ fn cold_index_get_reads_into_the_victims_buffer() {
     db.commit(&mut txn).unwrap();
     let before = db.buffer_stats();
     let mut txn = db.begin(txn.now);
-    let (allocs, largest) = counted(|| {
+    let window = counted(|| {
         for k in &keys {
             db.index_get(&mut txn, "t", "i", k).unwrap().expect("loaded key");
         }
@@ -170,10 +238,12 @@ fn cold_index_get_reads_into_the_victims_buffer() {
         "{misses} misses: leaf and heap were meant to miss"
     );
     assert!(written_back > 0 && clean > 0, "{written_back} dirty and {clean} clean victims");
-    assert!(largest < PAGE_SIZE, "a cold read allocated {largest} bytes — a page was allocated");
-    assert_eq!(allocs, keys.len() as u64, "allocations for {} cold reads", keys.len());
+    assert!(window.largest < PAGE_SIZE, "a cold read allocated a page: {window}");
+    assert_eq!(window.allocs, keys.len() as u64, "{} cold reads: {window}", keys.len());
 }
 
+/// A scan into an empty vector allocates its doublings, and one into a
+/// vector that has already grown nothing.
 #[test]
 fn warm_range_scan_allocates_nothing_per_row() {
     let (db, now) = loaded_db();
@@ -182,15 +252,23 @@ fn warm_range_scan_allocates_nothing_per_row() {
     let rows_wanted = 100 * rows_per_leaf + 1;
     let before = db.buffer_stats();
     let mut txn = db.begin(now);
-    let (low, mut rids) = (key(1_000), Vec::new());
-    let (allocs, _) = counted(|| {
-        rids = db.index_range(&mut txn, "t", "i", &low, None, rows_wanted).unwrap();
+    let (low, prefix, mut rids) = (key(1_000), key(1_000)[..KEY_LEN - 2].to_vec(), Vec::new());
+    let first = counted(|| {
+        db.index_range(&mut txn, "t", "i", &low, None, rows_wanted, &mut rids).unwrap();
+    });
+    let after = db.buffer_stats();
+    assert_eq!(rids.len(), rows_wanted);
+    let grown = rids.clone();
+    // The same scan again, and a shorter one, into the vector as it is.
+    let again = counted(|| {
+        db.index_range(&mut txn, "t", "i", &low, None, rows_wanted, &mut rids).unwrap();
+        assert_eq!(rids, grown);
+        db.index_prefix(&mut txn, "t", "i", &prefix, &mut rids).unwrap();
     });
     db.commit(&mut txn).unwrap();
-    let after = db.buffer_stats();
 
-    assert_eq!(rids.len(), rows_wanted);
-    assert_eq!(after.misses, before.misses, "warm");
+    assert_eq!(rids, grown[..100]);
+    assert_eq!(db.buffer_stats().misses, before.misses, "warm");
     // Three logical reads are the descent (root, inner node, first leaf);
     // the walk then reads one node per leaf of the chain.
     let leaves = after.logical_reads - before.logical_reads - 3;
@@ -199,9 +277,10 @@ fn warm_range_scan_allocates_nothing_per_row() {
     // count, and no key copy.
     let doublings = u64::from(usize::BITS - rows_wanted.leading_zeros()) + 1;
     assert!(
-        allocs <= doublings,
-        "{allocs} allocations for {rows_wanted} rows over {leaves} warm leaves (budget {doublings})"
+        first.allocs <= doublings,
+        "{rows_wanted} rows over {leaves} warm leaves, budget {doublings}: {first}"
     );
+    assert_eq!(again.allocs, 0, "scans into a grown vector: {again}");
 }
 
 /// Warm writes edit their pages where the pool holds them.  Per
@@ -209,6 +288,7 @@ fn warm_range_scan_allocates_nothing_per_row() {
 ///
 /// * `update` of a row read before: nothing — 0.  Its bytes are stored
 ///   as they are;
+/// * `update_with`, which sets a column in the frame: nothing — 0;
 /// * `insert` of values: the record `Schema::encode` builds — 1.  The
 ///   index key arrives built, the B+-tree descent copies its internal
 ///   nodes into the tree's reused path buffer, and the log note is
@@ -248,6 +328,11 @@ fn warm_writes_copy_no_page() {
             db.update(&mut txn, "t", *rid, row).unwrap();
         }
     });
+    let update_with = counted(|| {
+        for rid in &rids {
+            db.update_with(&mut txn, "t", *rid, |row| row.set_str(1, "w")).unwrap();
+        }
+    });
     let delete = counted(|| {
         for (rid, keys) in rids.iter().zip(&keys) {
             db.delete(&mut txn, "t", *rid, keys).unwrap();
@@ -262,14 +347,69 @@ fn warm_writes_copy_no_page() {
 
     assert_eq!(db.buffer_stats().misses, misses, "the writes were meant to be warm");
     assert_eq!(tree.page_count(), tree_pages, "an insert split its leaf");
-    for (op, (allocs, largest), per_op) in
-        [("update", update, 0), ("delete", delete, 0), ("insert", insert, 1)]
-    {
-        assert!(largest < PAGE_SIZE, "a warm {op} allocated {largest} bytes — a page was copied");
+    let ops = [
+        ("update", update, 0),
+        ("update_with", update_with, 0),
+        ("delete", delete, 0),
+        ("insert", insert, 1),
+    ];
+    for (op, window, per_op) in ops {
+        assert!(window.largest < PAGE_SIZE, "a warm {op} copied a page: {window}");
         assert!(
-            allocs <= per_op * OPS,
-            "{allocs} allocations for {OPS} warm {op}s (budget {})",
+            window.allocs <= per_op * OPS,
+            "{OPS} warm {op}s, budget {}: {window}",
             per_op * OPS
         );
+    }
+}
+
+/// Splits write from page buffers the tree keeps.  Ascending keys fill a
+/// three-level tree: every split of the load is a rightmost one, at both
+/// levels, so the tree has split at each depth and every leaf and inner
+/// node is full.  Keys between the loaded ones then land inside full
+/// leaves and split them 50/50, and each full parent 50/50 with its
+/// first.  With the pool full and clean before each insert, so that the
+/// frames a split fills are clean victims' buffers and nothing reaches
+/// the device, an insert that splits a leaf, or a leaf and its parent,
+/// allocates nothing.
+#[test]
+fn splits_allocate_nothing_once_the_tree_has_split_at_that_depth() {
+    let device = Arc::new(
+        DeviceBuilder::new(FlashGeometry::example()).timing(TimingModel::instant()).build(),
+    );
+    let noftl = Arc::new(NoFtl::new(device, NoFtlConfig::default()));
+    let placement = PlacementConfig::traditional(8, ["i".to_string()]);
+    let backend = Arc::new(NoFtlBackend::new(noftl, &placement).unwrap());
+    let pool = BufferPool::new(backend.clone(), 32);
+    let tree = BTree::new(backend.create_object("i").unwrap());
+    let mut t = SimTime::ZERO;
+    for id in 0..RECORDS {
+        t = tree.insert(&pool, &key(2 * id), RecordId::new(id, 0), t).unwrap();
+    }
+    let odd: Vec<Vec<u8>> = (0..400).map(|i| key(2 * (i * 4_099 % RECORDS) + 1)).collect();
+    let (mut leaf_splits, mut inner_splits) = (0, 0);
+    for (i, k) in odd.iter().enumerate() {
+        t = pool.flush_all(t).unwrap();
+        let pages = tree.page_count();
+        let window = counted(|| t = tree.insert(&pool, k, RecordId::new(i as u64, 1), t).unwrap());
+        match tree.page_count() - pages {
+            0 => continue,
+            1 => leaf_splits += 1,
+            2 => inner_splits += 1,
+            grew => panic!("insert {i} added {grew} pages: the root split"),
+        }
+        assert_eq!(
+            window.allocs,
+            0,
+            "insert {i} split {} nodes: {window}",
+            tree.page_count() - pages
+        );
+    }
+    assert!(
+        leaf_splits > 0 && inner_splits > 0,
+        "{leaf_splits} leaf and {inner_splits} inner splits"
+    );
+    for (i, k) in odd.iter().enumerate() {
+        assert_eq!(tree.search(&pool, k, t).unwrap().0, Some(RecordId::new(i as u64, 1)));
     }
 }

@@ -3,9 +3,17 @@
 //! All transaction logic runs against the `dbms-engine` API; every index
 //! access, heap fetch and update turns into buffer-pool traffic and —
 //! on misses, evictions and commits — into native flash commands, which is
-//! what the paper's evaluation measures.  Rows are read and edited in
-//! their bytes ([`Row`]): a transaction decodes no record it reads and
-//! encodes none it updates; only the rows it inserts start as values.
+//! what the paper's evaluation measures.  Rows are read and edited where
+//! their buffer frames hold them: a read ([`Database::read`],
+//! [`Database::index_read`]) returns the columns the transaction uses and
+//! copies no row, an update ([`Database::update_with`]) sets its columns
+//! in the frame, and every scan of a transaction fills the one vector of
+//! record ids it keeps.  Only the rows a transaction inserts start as
+//! values.  Each read-then-update pair makes the calls, in the order and
+//! at the simulated instants, that reading a copy and storing it back
+//! made, so every simulated figure is unchanged.
+
+use std::fmt::Write;
 
 use rand::rngs::StdRng;
 
@@ -41,37 +49,30 @@ const S_ORDER_CNT: usize = 14;
 const I_PRICE: usize = 3;
 
 /// Select a customer either by id (40 %) or by last name (60 %), as the
-/// spec prescribes for Payment and OrderStatus.  Returns the record id and
-/// the customer row.
-fn select_customer(
+/// spec prescribes for Payment and OrderStatus, and read it with `f`.  A
+/// by-name selection scans into `rids`.  Returns the record id and what
+/// `f` returned.
+fn select_customer<R>(
     db: &Database,
     scale: &ScaleConfig,
     rng: &mut StdRng,
     txn: &mut Txn,
-    w_id: i64,
-    d_id: i64,
-) -> dbms_engine::Result<Option<(RecordId, Row)>> {
+    (w_id, d_id): (i64, i64),
+    rids: &mut Vec<RecordId>,
+    f: impl FnOnce(&Row<&[u8]>) -> R,
+) -> dbms_engine::Result<Option<(RecordId, R)>> {
     if random::uniform(rng, 1, 100) <= 60 {
         // By last name: take the middle customer with that name.
         let last = random::random_last_name(rng);
-        let matches = db.index_prefix(
-            txn,
-            "CUSTOMER",
-            "C_NAME_IDX",
-            &schema::customer_name_prefix(w_id, d_id, &last),
-        )?;
-        if matches.is_empty() {
-            // Fall back to a by-id lookup (small scales do not have every name).
-            let c_id = random::nurand_customer_id(rng, scale.customers_per_district);
-            return db.index_get(txn, "CUSTOMER", "C_IDX", &schema::customer_key(w_id, d_id, c_id));
+        let prefix = schema::customer_name_prefix(w_id, d_id, &last);
+        db.index_prefix(txn, "CUSTOMER", "C_NAME_IDX", &prefix, rids)?;
+        if let Some(&rid) = rids.get(rids.len() / 2) {
+            return Ok(Some((rid, db.read(txn, "CUSTOMER", rid, f)?)));
         }
-        let rid = matches[matches.len() / 2];
-        let row = db.get(txn, "CUSTOMER", rid)?;
-        Ok(Some((rid, row)))
-    } else {
-        let c_id = random::nurand_customer_id(rng, scale.customers_per_district);
-        db.index_get(txn, "CUSTOMER", "C_IDX", &schema::customer_key(w_id, d_id, c_id))
+        // Fall back to a by-id lookup (small scales do not have every name).
     }
+    let c_id = random::nurand_customer_id(rng, scale.customers_per_district);
+    db.index_read(txn, "CUSTOMER", "C_IDX", &schema::customer_key(w_id, d_id, c_id), f)
 }
 
 /// The NewOrder transaction (TPC-C §2.4).  Returns `RolledBack` for the
@@ -102,25 +103,25 @@ pub fn new_order(
     }
 
     // Warehouse, district and customer reads.
-    let (_, warehouse) = db
-        .index_get(txn, "WAREHOUSE", "W_IDX", &schema::warehouse_key(w_id))?
+    let (_, w_tax) = db
+        .index_read(txn, "WAREHOUSE", "W_IDX", &schema::warehouse_key(w_id), |w| w.float(W_TAX))?
         .ok_or_else(|| dbms_engine::DbError::not_found(format!("warehouse {w_id}")))?;
-    let w_tax = warehouse.float(W_TAX);
-    let (d_rid, mut district) = db
-        .index_get(txn, "DISTRICT", "D_IDX", &schema::district_key(w_id, d_id))?
+    let district_key = schema::district_key(w_id, d_id);
+    let (d_rid, (d_tax, o_id)) = db
+        .index_read(txn, "DISTRICT", "D_IDX", &district_key, |d| {
+            (d.float(D_TAX), d.int(D_NEXT_O_ID))
+        })?
         .ok_or_else(|| dbms_engine::DbError::not_found(format!("district {w_id}-{d_id}")))?;
-    let d_tax = district.float(D_TAX);
-    let o_id = district.int(D_NEXT_O_ID);
-    let (_, customer) = db
-        .index_get(txn, "CUSTOMER", "C_IDX", &schema::customer_key(w_id, d_id, c_id))?
+    let customer_key = schema::customer_key(w_id, d_id, c_id);
+    let (_, c_discount) = db
+        .index_read(txn, "CUSTOMER", "C_IDX", &customer_key, |c| c.float(C_DISCOUNT))?
         .ok_or_else(|| dbms_engine::DbError::not_found(format!("customer {c_id}")))?;
-    let c_discount = customer.float(C_DISCOUNT);
 
     // Validate the items; an unused item number aborts the transaction.
     let mut item_prices = Vec::with_capacity(lines.len());
     for (_, i_id, _) in &lines {
-        match db.index_get(txn, "ITEM", "I_IDX", &schema::item_key(*i_id))? {
-            Some((_, item)) => item_prices.push(item.float(I_PRICE)),
+        match db.index_read(txn, "ITEM", "I_IDX", &schema::item_key(*i_id), |i| i.float(I_PRICE))? {
+            Some((_, price)) => item_prices.push(price),
             None => {
                 return Ok(db.rollback(txn));
             }
@@ -128,8 +129,7 @@ pub fn new_order(
     }
 
     // All inputs valid: perform the writes.
-    district.set_int(D_NEXT_O_ID, o_id + 1);
-    db.update(txn, "DISTRICT", d_rid, &district)?;
+    db.update_with(txn, "DISTRICT", d_rid, |d| d.set_int(D_NEXT_O_ID, o_id + 1))?;
 
     let order: Record = vec![
         Value::Int(o_id),
@@ -155,19 +155,21 @@ pub fn new_order(
 
     let mut total = 0.0;
     for ((line, i_id, quantity), price) in lines.iter().zip(item_prices.iter()) {
-        let (s_rid, mut stock) = db
-            .index_get(txn, "STOCK", "S_IDX", &schema::stock_key(w_id, *i_id))?
+        let (s_rid, mut s_quantity) = db
+            .index_read(txn, "STOCK", "S_IDX", &schema::stock_key(w_id, *i_id), |s| {
+                s.int(S_QUANTITY)
+            })?
             .ok_or_else(|| dbms_engine::DbError::not_found(format!("stock {w_id}/{i_id}")))?;
-        let mut s_quantity = stock.int(S_QUANTITY);
         if s_quantity >= quantity + 10 {
             s_quantity -= quantity;
         } else {
             s_quantity = s_quantity - quantity + 91;
         }
-        stock.set_int(S_QUANTITY, s_quantity);
-        stock.set_float(S_YTD, stock.float(S_YTD) + *quantity as f64);
-        stock.set_int(S_ORDER_CNT, stock.int(S_ORDER_CNT) + 1);
-        db.update(txn, "STOCK", s_rid, &stock)?;
+        db.update_with(txn, "STOCK", s_rid, |s| {
+            s.set_int(S_QUANTITY, s_quantity);
+            s.set_float(S_YTD, s.float(S_YTD) + *quantity as f64);
+            s.set_int(S_ORDER_CNT, s.int(S_ORDER_CNT) + 1);
+        })?;
 
         let amount = *quantity as f64 * price * (1.0 + w_tax + d_tax) * (1.0 - c_discount);
         total += amount;
@@ -217,31 +219,36 @@ pub fn payment(
     };
 
     // Update warehouse and district YTD.
-    let (w_rid, mut warehouse) = db
-        .index_get(txn, "WAREHOUSE", "W_IDX", &schema::warehouse_key(w_id))?
+    let (w_rid, ()) = db
+        .index_read(txn, "WAREHOUSE", "W_IDX", &schema::warehouse_key(w_id), |_| ())?
         .ok_or_else(|| dbms_engine::DbError::not_found(format!("warehouse {w_id}")))?;
-    warehouse.set_float(W_YTD, warehouse.float(W_YTD) + amount);
-    db.update(txn, "WAREHOUSE", w_rid, &warehouse)?;
-    let (d_rid, mut district) = db
-        .index_get(txn, "DISTRICT", "D_IDX", &schema::district_key(w_id, d_id))?
+    db.update_with(txn, "WAREHOUSE", w_rid, |w| w.set_float(W_YTD, w.float(W_YTD) + amount))?;
+    let (d_rid, ()) = db
+        .index_read(txn, "DISTRICT", "D_IDX", &schema::district_key(w_id, d_id), |_| ())?
         .ok_or_else(|| dbms_engine::DbError::not_found(format!("district {w_id}-{d_id}")))?;
-    district.set_float(D_YTD, district.float(D_YTD) + amount);
-    db.update(txn, "DISTRICT", d_rid, &district)?;
+    db.update_with(txn, "DISTRICT", d_rid, |d| d.set_float(D_YTD, d.float(D_YTD) + amount))?;
 
     // Customer update.
-    let Some((c_rid, mut customer)) = select_customer(db, scale, rng, txn, c_w_id, c_d_id)? else {
+    let mut rids = Vec::new();
+    let Some((c_rid, c_id)) =
+        select_customer(db, scale, rng, txn, (c_w_id, c_d_id), &mut rids, |c| c.int(0))?
+    else {
         return Ok(db.rollback(txn));
     };
-    customer.set_float(C_BALANCE, customer.float(C_BALANCE) - amount);
-    customer.set_float(C_YTD_PAYMENT, customer.float(C_YTD_PAYMENT) + amount);
-    customer.set_int(C_PAYMENT_CNT, customer.int(C_PAYMENT_CNT) + 1);
-    let c_id = customer.int(0);
-    if customer.str(C_CREDIT) == "BC" {
-        let old = customer.str(C_DATA);
-        let new_data = format!("{c_id} {c_d_id} {c_w_id} {d_id} {w_id} {amount:.2}|{old}");
-        customer.set_str(C_DATA, &new_data);
-    }
-    db.update(txn, "CUSTOMER", c_rid, &customer)?;
+    db.update_with(txn, "CUSTOMER", c_rid, |c| {
+        c.set_float(C_BALANCE, c.float(C_BALANCE) - amount);
+        c.set_float(C_YTD_PAYMENT, c.float(C_YTD_PAYMENT) + amount);
+        c.set_int(C_PAYMENT_CNT, c.int(C_PAYMENT_CNT) + 1);
+        if c.str(C_CREDIT) == "BC" {
+            // One buffer, sized for the old data behind the new entry.
+            let old = c.str(C_DATA);
+            let mut new_data = String::with_capacity(64 + old.len());
+            let entry =
+                write!(new_data, "{c_id} {c_d_id} {c_w_id} {d_id} {w_id} {amount:.2}|{old}");
+            entry.expect("a String takes any write");
+            c.set_str(C_DATA, &new_data);
+        }
+    })?;
 
     // History row (no index).
     let hist: Record = vec![
@@ -267,21 +274,22 @@ pub fn order_status(
     w_id: i64,
 ) -> dbms_engine::Result<TxnOutcome> {
     let d_id = random::uniform(rng, 1, scale.districts_per_warehouse);
-    let Some((_, customer)) = select_customer(db, scale, rng, txn, w_id, d_id)? else {
+    let mut rids = Vec::new();
+    let Some((_, c_id)) =
+        select_customer(db, scale, rng, txn, (w_id, d_id), &mut rids, |c| c.int(0))?
+    else {
         return Ok(db.rollback(txn));
     };
-    let c_id = customer.int(0);
     // Most recent order of the customer.
-    let orders =
-        db.index_prefix(txn, "ORDER", "O_CUST_IDX", &schema::customer_key(w_id, d_id, c_id))?;
-    if let Some(&o_rid) = orders.last() {
-        let o_id = db.get(txn, "ORDER", o_rid)?.int(0);
+    let customer_key = schema::customer_key(w_id, d_id, c_id);
+    db.index_prefix(txn, "ORDER", "O_CUST_IDX", &customer_key, &mut rids)?;
+    if let Some(&o_rid) = rids.last() {
+        let o_id = db.read(txn, "ORDER", o_rid, |o| o.int(0))?;
         // Read all of its order lines.
-        let lines =
-            db.index_prefix(txn, "ORDERLINE", "OL_IDX", &schema::order_key(w_id, d_id, o_id))?;
-        for ol_rid in lines {
-            let ol = db.get(txn, "ORDERLINE", ol_rid)?;
-            debug_assert_eq!(ol.int(0), o_id);
+        let order_key = schema::order_key(w_id, d_id, o_id);
+        db.index_prefix(txn, "ORDERLINE", "OL_IDX", &order_key, &mut rids)?;
+        for &ol_rid in &rids {
+            db.read(txn, "ORDERLINE", ol_rid, |ol| debug_assert_eq!(ol.int(0), o_id))?;
         }
     }
     db.commit(txn)
@@ -297,14 +305,15 @@ pub fn delivery(
     w_id: i64,
 ) -> dbms_engine::Result<TxnOutcome> {
     let carrier = random::uniform(rng, 1, 10);
+    let mut rids = Vec::new();
     for d_id in 1..=scale.districts_per_warehouse {
         // Oldest undelivered order of the district.
-        let pending =
-            db.index_prefix(txn, "NEW_ORDER", "NO_IDX", &schema::district_key(w_id, d_id))?;
-        let Some(&no_rid) = pending.first() else {
+        let district_key = schema::district_key(w_id, d_id);
+        db.index_prefix(txn, "NEW_ORDER", "NO_IDX", &district_key, &mut rids)?;
+        let Some(&no_rid) = rids.first() else {
             continue;
         };
-        let o_id = db.get(txn, "NEW_ORDER", no_rid)?.int(0);
+        let o_id = db.read(txn, "NEW_ORDER", no_rid, |no| no.int(0))?;
         // The key its insert registered, rebuilt from the row.
         db.delete(
             txn,
@@ -314,33 +323,31 @@ pub fn delivery(
         )?;
 
         // Update the order's carrier.
-        let Some((o_rid, mut order)) =
-            db.index_get(txn, "ORDER", "O_IDX", &schema::order_key(w_id, d_id, o_id))?
+        let order_key = schema::order_key(w_id, d_id, o_id);
+        let Some((o_rid, c_id)) =
+            db.index_read(txn, "ORDER", "O_IDX", &order_key, |o| o.int(O_C_ID))?
         else {
             continue;
         };
-        let c_id = order.int(O_C_ID);
-        order.set_int(O_CARRIER_ID, carrier);
-        db.update(txn, "ORDER", o_rid, &order)?;
+        db.update_with(txn, "ORDER", o_rid, |o| o.set_int(O_CARRIER_ID, carrier))?;
 
         // Stamp every order line and sum the amounts.
-        let lines =
-            db.index_prefix(txn, "ORDERLINE", "OL_IDX", &schema::order_key(w_id, d_id, o_id))?;
+        db.index_prefix(txn, "ORDERLINE", "OL_IDX", &order_key, &mut rids)?;
         let mut total = 0.0;
-        for ol_rid in lines {
-            let mut ol = db.get(txn, "ORDERLINE", ol_rid)?;
-            total += ol.float(OL_AMOUNT);
-            ol.set_str(OL_DELIVERY_D, "20160315130000");
-            db.update(txn, "ORDERLINE", ol_rid, &ol)?;
+        for &ol_rid in &rids {
+            total += db.read(txn, "ORDERLINE", ol_rid, |ol| ol.float(OL_AMOUNT))?;
+            db.update_with(txn, "ORDERLINE", ol_rid, |ol| {
+                ol.set_str(OL_DELIVERY_D, "20160315130000")
+            })?;
         }
 
         // Credit the customer.
-        if let Some((c_rid, mut customer)) =
-            db.index_get(txn, "CUSTOMER", "C_IDX", &schema::customer_key(w_id, d_id, c_id))?
-        {
-            customer.set_float(C_BALANCE, customer.float(C_BALANCE) + total);
-            customer.set_int(C_DELIVERY_CNT, customer.int(C_DELIVERY_CNT) + 1);
-            db.update(txn, "CUSTOMER", c_rid, &customer)?;
+        let customer_key = schema::customer_key(w_id, d_id, c_id);
+        if let Some((c_rid, ())) = db.index_read(txn, "CUSTOMER", "C_IDX", &customer_key, |_| ())? {
+            db.update_with(txn, "CUSTOMER", c_rid, |c| {
+                c.set_float(C_BALANCE, c.float(C_BALANCE) + total);
+                c.set_int(C_DELIVERY_CNT, c.int(C_DELIVERY_CNT) + 1);
+            })?;
         }
     }
     db.commit(txn)
@@ -356,24 +363,26 @@ pub fn stock_level(
 ) -> dbms_engine::Result<TxnOutcome> {
     let d_id = random::uniform(rng, 1, scale.districts_per_warehouse);
     let threshold = random::uniform(rng, 10, 20);
-    let (_, district) = db
-        .index_get(txn, "DISTRICT", "D_IDX", &schema::district_key(w_id, d_id))?
+    let district_key = schema::district_key(w_id, d_id);
+    let (_, next_o_id) = db
+        .index_read(txn, "DISTRICT", "D_IDX", &district_key, |d| d.int(D_NEXT_O_ID))?
         .ok_or_else(|| dbms_engine::DbError::not_found(format!("district {w_id}-{d_id}")))?;
-    let next_o_id = district.int(D_NEXT_O_ID);
     // Order lines of the last 20 orders.
     let low = schema::orderline_key(w_id, d_id, (next_o_id - 20).max(1), 0);
     let high = schema::orderline_key(w_id, d_id, next_o_id, 0);
-    let lines = db.index_range(txn, "ORDERLINE", "OL_IDX", &low, Some(&high), usize::MAX)?;
+    let mut rids = Vec::new();
+    db.index_range(txn, "ORDERLINE", "OL_IDX", &low, Some(&high), usize::MAX, &mut rids)?;
     let mut items = std::collections::BTreeSet::new();
-    for ol_rid in lines {
-        items.insert(db.get(txn, "ORDERLINE", ol_rid)?.int(OL_I_ID));
+    for &ol_rid in &rids {
+        items.insert(db.read(txn, "ORDERLINE", ol_rid, |ol| ol.int(OL_I_ID))?);
     }
     let mut low_stock = 0u64;
     for i_id in items {
-        if let Some((_, stock)) =
-            db.index_get(txn, "STOCK", "S_IDX", &schema::stock_key(w_id, i_id))?
+        let stock_key = schema::stock_key(w_id, i_id);
+        if let Some((_, quantity)) =
+            db.index_read(txn, "STOCK", "S_IDX", &stock_key, |s| s.int(S_QUANTITY))?
         {
-            if stock.int(S_QUANTITY) < threshold {
+            if quantity < threshold {
                 low_stock += 1;
             }
         }
@@ -490,12 +499,12 @@ mod tests {
         let entries = db.table("NEW_ORDER").unwrap().index("NO_IDX").unwrap().tree.len();
         assert_eq!(entries, pending_after);
         // Delivered orders have a carrier assigned.
-        let orders =
-            db.index_prefix(&mut txn, "ORDER", "O_IDX", &schema::district_key(1, 1)).unwrap();
+        let mut orders = Vec::new();
+        db.index_prefix(&mut txn, "ORDER", "O_IDX", &schema::district_key(1, 1), &mut orders)
+            .unwrap();
         let mut delivered = 0;
         for rid in orders {
-            let o = db.get(&mut txn, "ORDER", rid).unwrap();
-            if o.int(O_CARRIER_ID) > 0 {
+            if db.read(&mut txn, "ORDER", rid, |o| o.int(O_CARRIER_ID)).unwrap() > 0 {
                 delivered += 1;
             }
         }

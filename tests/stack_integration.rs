@@ -44,8 +44,9 @@ fn exercise(db: &Database) {
     assert_eq!(rec.int(1), 999);
     // Range scan.
     let (low, high) = (composite_key(&[100]), composite_key(&[110]));
-    let hits = db.index_range(&mut txn, "t", "t_pk", &low, Some(&high), usize::MAX).unwrap();
-    assert_eq!(hits.len(), 10);
+    let mut hits = Vec::new();
+    db.index_range(&mut txn, "t", "t_pk", &low, Some(&high), usize::MAX, &mut hits).unwrap();
+    assert_eq!(hits, rids[100..110]);
     db.commit(&mut txn).unwrap();
     // Everything survives a checkpoint.
     db.flush_all(txn.now).unwrap();
