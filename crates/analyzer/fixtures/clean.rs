@@ -4,9 +4,8 @@
 
 impl Device {
     fn timings(&self, die: DieId, ch: u32) -> Result<(u64, u64), FlashError> {
-        let d = self.die_shard(die);
-        let chan = self.channel_shard(ch);
-        Ok((d.timeline.end(), chan.end()))
+        let state = self.lock_device();
+        Ok((state.dies[die.0 as usize].timeline.end(), state.channels[ch as usize].end()))
     }
 
     fn first_die_load(&self) -> u64 {

@@ -1,12 +1,11 @@
-//! Seeded violation: channel shard acquired before die shard, against
-//! the documented Manager < Mirror < MirrorRange < Arbiter < Die <
-//! Channel order.  `self_check()` asserts the `lock_order` rule catches
-//! this.
+//! Seeded violation: a device locked before its mirror, against the
+//! documented Manager < Mirror < Device order.  `self_check()` asserts
+//! the `lock_order` rule catches this.
 
 impl Device {
-    fn mixed_up(&self, die: DieId, ch: u32) -> u64 {
-        let chan = self.channel_shard(ch);
-        let d = self.die_shard(die); // out of order: Channel(4) held, Die(3) requested
-        chan.timeline.end().max(d.timeline.end())
+    fn mixed_up(&self, mirror: &Mirror) -> u64 {
+        let d = self.lock_device();
+        let m = mirror.mirror_shard(); // out of order: Device held, Mirror requested
+        d.epoch.max(m.epoch)
     }
 }

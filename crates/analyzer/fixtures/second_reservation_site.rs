@@ -6,15 +6,15 @@
 
 impl NandDevice {
     fn read_fast_path(&self, addr: PageAddr, at: SimTime) -> SimTime {
-        let mut die = self.die_shard(addr.die);
+        let mut state = self.lock_device();
         let shape = Shape::of(OpKind::Read, &self.timing, &self.geometry);
         // A second command path beside `phases`.
-        sched::schedule(&mut die, None, &shape, at).complete
+        sched::schedule(&mut state.dies[addr.die.0 as usize], None, &shape, at).complete
     }
 
     fn settle(&self, die: DieId, at: SimTime) -> SimTime {
-        let mut die = self.die_shard(die);
+        let mut state = self.lock_device();
         // Claims die time behind the scheduler's back.
-        die.timeline.reserve(at, self.timing.read_array_time()).end
+        state.dies[die.0 as usize].timeline.reserve(at, self.timing.read_array_time()).end
     }
 }

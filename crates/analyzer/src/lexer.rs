@@ -3,7 +3,7 @@
 //! The analyzer has no crates.io access, so there is no `syn`; a
 //! token-level scan is the right altitude for the rules it checks anyway:
 //! every rule keys on identifier/punctuation sequences (`.unwrap(`,
-//! `die_shard(`, `#[test]`), none needs a full syntax tree.  The lexer
+//! `lock_device(`, `#[test]`), none needs a full syntax tree.  The lexer
 //! handles the parts that a naive text search gets wrong — comments
 //! (line, nested block, doc), string/char/lifetime literals, raw strings —
 //! so `"panic!"` inside a string literal or a doc example is never

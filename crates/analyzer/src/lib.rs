@@ -4,9 +4,9 @@
 //! Rust sources, with three pluggable rules:
 //!
 //! * [`rules::lock_order`] — acquisitions of the manager lock in
-//!   `crates/core`, the mirror and range locks in `crates/mirror` and the
-//!   arbiter, die and channel shards in `crates/flash` must follow the
-//!   documented total order and go through the named choke points.
+//!   `crates/core`, the mirror lock in `crates/mirror` and the device
+//!   lock in `crates/flash` must follow the documented total order and go
+//!   through the named choke points.
 //! * [`rules::panic_freedom`] — no `unwrap`/`expect`/`panic!`-family code
 //!   in production paths of `crates/flash` and `crates/core`; direct
 //!   indexing is additionally denied on the per-command hot path.

@@ -4,12 +4,12 @@
 //! (`flash_sim::lockorder::LockClass`):
 //!
 //! ```text
-//! Manager < Mirror < MirrorRange < Arbiter < Die(id asc) < Channel(id asc)
+//! Manager < Mirror < Device
 //! ```
 //!
 //! All acquisitions go through named choke points, so a token-level scan
 //! can model them: within one function body the sequence of choke-point
-//! calls must be non-decreasing in rank, and no shard choke may appear
+//! calls must be non-decreasing in rank, and no choke point may appear
 //! twice (re-entry on a non-reentrant mutex deadlocks; two textual
 //! acquisitions are legal only when the first guard is provably dropped,
 //! which the author asserts with `analyzer:allow(lock_order)`).
@@ -23,21 +23,16 @@ use super::{is_call, is_method_call, FileView, RawFinding};
 /// Rule name for `analyzer:allow`.
 pub const RULE: &str = "lock_order";
 
-/// Choke-point names and their rank in the documented order.  Die-class
-/// entries share a rank: ascending die ids within the class are checked
-/// by the runtime sanitizer, not statically.
+/// Choke-point names and their rank in the documented order: one per
+/// layer.
 const RANKS: &[(&str, u8)] = &[
-    ("lock_inner", 0),    // LockClass::Manager
-    ("mirror_shard", 1),  // LockClass::Mirror
-    ("range_shard", 2),   // LockClass::MirrorRange
-    ("arbiter_shard", 3), // LockClass::Arbiter
-    ("die_shard", 4),     // LockClass::Die(_)
-    ("lock_all_dies", 4), // LockClass::Die(ascending sweep)
-    ("channel_shard", 5), // LockClass::Channel(_)
+    ("lock_inner", 0),   // LockClass::Manager
+    ("mirror_shard", 1), // LockClass::Mirror
+    ("lock_device", 2),  // LockClass::Device
 ];
 
 /// The documented order, as the violation message spells it.
-const ORDER: &str = "Manager < Mirror < MirrorRange < Arbiter < Die < Channel";
+const ORDER: &str = "Manager < Mirror < Device";
 
 /// Files in which raw `.lock(` calls are forbidden outside the choke
 /// points themselves (matched by path suffix).
@@ -130,35 +125,25 @@ mod tests {
 
     #[test]
     fn ascending_choke_calls_are_clean() {
-        let src = "fn f(&self) { let a = self.arbiter_shard(s); let d = self.die_shard(0); let c = self.channel_shard(1); }";
-        assert!(run("crates/flash/src/device.rs", src).is_empty());
-    }
-
-    #[test]
-    fn arbiter_sits_between_manager_and_die() {
-        let clean = "fn f(&self) { let m = self.lock_inner(); let a = self.arbiter_shard(s); let d = self.die_shard(0); }";
-        assert!(run("crates/flash/src/device.rs", clean).is_empty());
-        let bad = "fn f(&self) { let d = self.die_shard(0); let a = self.arbiter_shard(s); }";
-        let f = run("crates/flash/src/device.rs", bad);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("lock-order violation"));
+        let src = "fn f(&self) { let m = self.lock_inner(); let s = self.mirror_shard(); let d = self.lock_device(); }";
+        assert!(run("crates/mirror/src/device.rs", src).is_empty());
     }
 
     #[test]
     fn mirror_sits_between_manager_and_the_device() {
-        let clean = "fn f(&self) { let m = self.lock_inner(); let s = self.mirror_shard(); let r = self.range_shard(); let d = self.die_shard(0); }";
-        assert!(run("crates/mirror/src/device.rs", clean).is_empty());
-        let bad = "fn f(&self) { let r = self.range_shard(); let s = self.mirror_shard(); }";
+        let clean = "fn f(&self) { let m = self.lock_inner(); let d = self.lock_device(); }";
+        assert!(run("crates/core/src/manager.rs", clean).is_empty());
+        let bad = "fn f(&self) { let d = self.lock_device(); let s = self.mirror_shard(); }";
         let f = run("crates/mirror/src/rebuild.rs", bad);
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("lock-order violation"));
-        assert!(f[0].message.contains("`mirror_shard` (rank 1) acquired after `range_shard`"));
+        assert!(f[0].message.contains("`mirror_shard` (rank 1) acquired after `lock_device`"));
         assert!(f[0].message.contains(ORDER));
     }
 
     #[test]
     fn descending_choke_calls_are_flagged() {
-        let src = "fn f(&self) { let c = self.channel_shard(1); let d = self.die_shard(0); }";
+        let src = "fn f(&self) { let d = self.lock_device(); let m = self.lock_inner(); }";
         let f = run("crates/flash/src/device.rs", src);
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("lock-order violation"));
@@ -166,7 +151,7 @@ mod tests {
 
     #[test]
     fn re_entry_is_flagged() {
-        let src = "fn f(&self) { let a = self.channel_shard(0); let b = self.channel_shard(1); }";
+        let src = "fn f(&self) { let a = self.lock_device(); let b = self.lock_device(); }";
         let f = run("crates/flash/src/device.rs", src);
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("re-entry"));
@@ -188,7 +173,7 @@ mod tests {
 
     #[test]
     fn test_functions_are_ignored() {
-        let src = "#[test]\nfn t() { let c = x.channel_shard(1); let d = x.die_shard(0); }";
+        let src = "#[test]\nfn t() { let d = x.lock_device(); let m = x.mirror_shard(); }";
         assert!(run("crates/flash/src/device.rs", src).is_empty());
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Production code in `crates/flash/src`, `crates/core/src` and
 //! `crates/obs/src` must not contain `unwrap`/`expect` calls or
-//! `panic!`-family macros: on the device hot path a panic poisons shard
-//! mutexes and takes the whole simulated SSD down, and the
+//! `panic!`-family macros: on the device hot path a panic unwinds out of
+//! the device lock and takes the whole simulated SSD down, and the
 //! observability layer is instrumented into those same paths.  Direct slice indexing is additionally denied in
 //! the files on the per-command hot path, where a slip past a bounds
 //! check is most likely and most costly.

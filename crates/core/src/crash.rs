@@ -17,7 +17,7 @@
 //! [`dry_run`] learns the workload's span and [`DryRun::cut_at`] maps a
 //! fraction of it to a cut instant.  [`cycle`] then rebuilds an identical
 //! stack, arms the cut, runs the workload into it, [`power_cycle`]s the
-//! device (optionally through a file-backed image) and [`mount`]s it,
+//! device through its image bytes and [`mount`]s it,
 //! surviving the cuts a contract lands during the mount itself.  After
 //! the contract recovers, it verifies that
 //!
@@ -195,11 +195,6 @@ pub trait Contract {
         at: SimTime,
     ) -> Result<(Self::Recovery, Self::World), Self::Error>;
 
-    /// Reboot the cut device through a file-backed image.
-    fn image_file(&self) -> bool {
-        false
-    }
-
     /// The recovery mounts that lose power before one succeeds, as
     /// [`mount`] takes them.
     fn torn_mounts(&self) -> Vec<(Duration, Duration)> {
@@ -279,7 +274,7 @@ pub fn cycle<C: Contract>(contract: &C, cut_at: SimTime) -> Result<Outcome<C>, C
     let mut ledger = Ledger::new(&stack.noftl);
     let (_, report) = contract.run(&stack, &mut ledger)?;
     let at_cut = Directory::of(&stack.noftl);
-    let device = power_cycle(&stack.device, contract.image_file())?;
+    let device = power_cycle(&stack.device)?;
     let mounted = mount(device, cut_at, &contract.torn_mounts())?;
     check_mounted(&mounted.noftl, &ledger.directory, &at_cut)?;
     let at = mounted.report.completed_at;
@@ -306,23 +301,13 @@ pub fn cycle<C: Contract>(contract: &C, cut_at: SimTime) -> Result<Outcome<C>, C
     })
 }
 
-/// The power cycle: snapshot `device` as the cut left it, optionally
-/// round-trip the snapshot through a file-backed image, and boot a fresh
-/// device from it with the same timing model.  The new device has no
+/// The power cycle: snapshot `device` as the cut left it, round-trip the
+/// snapshot through its `NFLIMG03` image bytes, and boot a fresh device
+/// from them with the same timing model.  The new device has no
 /// operation in flight and no cut armed.
-pub fn power_cycle(device: &NandDevice, via_image: bool) -> Result<Arc<NandDevice>> {
-    let mut snapshot = device.snapshot();
-    if via_image {
-        // Named after the process and the device, so concurrent cycles of
-        // different devices never share a file.
-        let name = format!("noftl-crash-{}-{device:p}.img", std::process::id());
-        let path = std::env::temp_dir().join(name);
-        snapshot.save(&path)?;
-        let loaded = DeviceSnapshot::load(&path);
-        std::fs::remove_file(&path).ok();
-        snapshot = loaded?;
-    }
-    Ok(Arc::new(NandDevice::from_snapshot(&snapshot, *device.timing())?))
+pub fn power_cycle(device: &NandDevice) -> Result<Arc<NandDevice>> {
+    let image = DeviceSnapshot::decode(&device.snapshot().encode())?;
+    Ok(Arc::new(NandDevice::from_snapshot(&image, *device.timing())?))
 }
 
 /// A machine the driver can cut and power-cycle: one device, or a mirror
@@ -346,7 +331,7 @@ impl Bootable for Arc<NandDevice> {
     }
 
     fn reboot(&self) -> Result<Self> {
-        power_cycle(self, false)
+        power_cycle(self)
     }
 }
 
@@ -514,7 +499,7 @@ mod tests {
         let mut ledger = Ledger::new(&stack.noftl);
         let (end, ()) = contract.run(&stack, &mut ledger).unwrap();
         let torn = [(Duration(40_000), Duration(100_000)), (Duration(65_000), Duration(100_000))];
-        let device = power_cycle(&stack.device, true).unwrap();
+        let device = power_cycle(&stack.device).unwrap();
         let mounted = mount(device, end, &torn).unwrap();
         assert!(mounted.torn_mounts > 0, "no cut landed inside a mount");
         let directory = Directory::of(&stack.noftl);
@@ -541,7 +526,7 @@ mod tests {
         // legal only when the run itself changed the directory.
         let obj = stack.noftl.create_object_in("u", "rg").unwrap();
         let at = stack.noftl.write(obj, 0, &[7; 4096], stack.setup_end).unwrap();
-        let mounted = mount(power_cycle(&stack.device, false).unwrap(), at, &[]).unwrap();
+        let mounted = mount(power_cycle(&stack.device).unwrap(), at, &[]).unwrap();
         assert_eq!(mounted.report.orphaned_objects, vec![obj]);
         assert!(check_recovered(&mounted.noftl, &directory, true).is_ok());
         let err = check_recovered(&mounted.noftl, &directory, false).unwrap_err();

@@ -104,7 +104,7 @@ pub(crate) mod testutil {
 
     /// A rebooted copy of the manager's device, as a crash would leave it.
     pub(crate) fn reboot(noftl: &NoFtl) -> Arc<dyn FlashBackend> {
-        crate::crash::power_cycle(raw_device(noftl), false).unwrap()
+        crate::crash::power_cycle(raw_device(noftl)).unwrap()
     }
 }
 

@@ -18,6 +18,7 @@
 //!   **mount**.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -53,6 +54,13 @@ impl Env {
     }
 }
 
+/// Object ids by name, hashed with fixed keys.  KV run objects come and
+/// go, and each removal can leave a tombstone; with a per-process random
+/// hasher, when the table ran out of room and whether it then grew varied
+/// from run to run — one allocation now and then.  Fixed keys make it a
+/// function of the names.
+pub(crate) type ObjectNames = HashMap<String, ObjectId, BuildHasherDefault<DefaultHasher>>;
+
 /// The state behind the manager lock.
 pub(crate) struct Inner {
     pub(crate) regions: Vec<Option<RegionRuntime>>,
@@ -61,7 +69,7 @@ pub(crate) struct Inner {
     /// Indexed by `ObjectId`; slot 0 is unused so object ids can be stored
     /// directly in flash page metadata (where 0 means "no object").
     pub(crate) objects: Vec<Option<ObjectState>>,
-    pub(crate) object_by_name: HashMap<String, ObjectId>,
+    pub(crate) object_by_name: ObjectNames,
     /// Region-metadata journal state.
     pub(crate) meta: MetaDirectory,
 }
@@ -74,7 +82,7 @@ impl Inner {
             region_by_name: HashMap::new(),
             free_dies: device.geometry().dies().collect(),
             objects: vec![None],
-            object_by_name: HashMap::new(),
+            object_by_name: ObjectNames::default(),
             meta: MetaDirectory::default(),
         }
     }

@@ -37,7 +37,7 @@ use flash_sim::{
 
 use crate::config::NoFtlConfig;
 use crate::error::NoFtlError;
-use crate::manager::{Env, Inner, NoFtl};
+use crate::manager::{Env, Inner, NoFtl, ObjectNames};
 use crate::object::{ObjectCounters, ObjectId, ObjectState};
 use crate::region::{RegionId, RegionRuntime, RegionSpec};
 use crate::Result;
@@ -688,7 +688,7 @@ impl NoFtl {
             .max()
             .unwrap_or(0) as usize;
         let mut objects: Vec<Option<ObjectState>> = (0..=max_obj).map(|_| None).collect();
-        let mut object_by_name = HashMap::new();
+        let mut object_by_name = ObjectNames::default();
         for oimg in &image.objects {
             let mut state = ObjectState::new(oimg.name.clone(), oimg.region);
             state.counters = oimg.counters;

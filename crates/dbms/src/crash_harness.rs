@@ -55,9 +55,6 @@ pub struct CrashHarnessConfig {
     pub txns: u64,
     /// Workload RNG seed.
     pub seed: u64,
-    /// Round-trip the device snapshot through a file-backed image on
-    /// reboot (exercises the persistence path; slower).
-    pub image_file: bool,
     /// Enable the stack's cross-layer event tracer for the cycle.  The
     /// determinism tests run identical cycles with this on and off and
     /// require byte-identical mount reports — tracing must never perturb
@@ -73,13 +70,7 @@ pub struct CrashHarnessConfig {
 
 impl Default for CrashHarnessConfig {
     fn default() -> Self {
-        CrashHarnessConfig {
-            txns: 120,
-            seed: 0xC0FFEE,
-            image_file: false,
-            trace: false,
-            mount_cuts: 0,
-        }
+        CrashHarnessConfig { txns: 120, seed: 0xC0FFEE, trace: false, mount_cuts: 0 }
     }
 }
 
@@ -289,10 +280,6 @@ impl Contract for CrashHarnessConfig {
         Ok((recovery, actual))
     }
 
-    fn image_file(&self) -> bool {
-        self.image_file
-    }
-
     /// Each cut lands a little into its mount's device scan.
     fn torn_mounts(&self) -> Vec<(Duration, Duration)> {
         (0..self.mount_cuts).map(|i| (Duration(40_000 + i * 25_000), Duration(100_000))).collect()
@@ -363,8 +350,7 @@ mod tests {
 
     #[test]
     fn cut_through_file_backed_image_recovers() {
-        let cfg =
-            CrashHarnessConfig { txns: 40, image_file: true, ..CrashHarnessConfig::default() };
+        let cfg = CrashHarnessConfig { txns: 40, ..CrashHarnessConfig::default() };
         let outcome = run_crash_cycle(&cfg, 0.7).unwrap();
         assert!(outcome.rows_verified <= KEYS as u64);
     }

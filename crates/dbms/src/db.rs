@@ -991,7 +991,7 @@ mod tests {
         device: &flash_sim::NandDevice,
         at: SimTime,
     ) -> (Database, RecoveryReport, SimTime) {
-        let device2 = noftl_core::crash::power_cycle(device, false).unwrap();
+        let device2 = noftl_core::crash::power_cycle(device).unwrap();
         let (noftl2, mount) = NoFtl::mount(device2, NoFtlConfig::default(), at).unwrap();
         let backend2 =
             Arc::new(NoFtlBackend::attach(Arc::new(noftl2), &restart_placement()).unwrap());

@@ -15,35 +15,29 @@
 //! Every timed command — the five [`FlashCommand`] variants — enters
 //! through [`FlashBackend::execute`] and runs the same phases, each
 //! written once: static checks against the geometry → power check →
-//! arbiter admission (commands that move data) → validation under the die
-//! shard → epoch stamp → one reservation of die and channel time
-//! ([`crate::sched`]) → tear, if an armed power cut catches the command
-//! in flight, else apply → accounting under the same die shard (the
-//! die's [`DeviceStats`], the registry's metrics and its tracer's
-//! `flash.op` span — the device's one command trace).
+//! arbiter admission (commands that move data) → validation → epoch
+//! stamp → one reservation of die and channel time ([`crate::sched`]) →
+//! tear, if an armed power cut catches the command in flight, else apply
+//! → accounting (the device's [`DeviceStats`], the registry's metrics and
+//! its tracer's `flash.op` span — the device's one command trace).
 //! [`NandDevice::program_replica`] is the one named exception: the same
 //! path with the epoch ratchet off.  The per-command verbs of
 //! [`FlashBackend`] are adapters over `execute`.
 //!
 //! ## Concurrency model
 //!
-//! Device state is sharded by die: every die (planes, blocks, timeline,
-//! and the ledger of the commands it completed) lives behind its own
-//! mutex and every channel's timeline behind its own; nothing else is
-//! locked.  A rejected command is counted in one atomic, because some are
-//! turned away before any die is locked.  Concurrent clients operating on
-//! different dies therefore never contend on a common lock — the
-//! host-side analogue of the die-level parallelism the timing model
-//! already exposes.  The lock hierarchy is fixed (arbiter → die →
-//! channel) so operations that touch a die and its channel cannot
-//! deadlock.  Every acquisition goes through one choke point per class
-//! (`arbiter_shard`, `die_shard`, `channel_shard`, `lock_all_dies`),
-//! which the [`crate::lockorder`] sanitizer checks against the documented
-//! order in debug builds and the `noftl-analyzer` lock-order rule checks
-//! statically.  [`FlashBackend::stats`] sums the die ledgers under
-//! `lock_all_dies`.
+//! All of a device's mutable state — the dies (planes, blocks, occupancy
+//! timelines), the channel timelines, the arbiter's token buckets, the
+//! command ledger, the write epoch and the armed power cut — sits behind
+//! one mutex, taken through one choke point (`lock_device`, lock class
+//! [`LockClass::Device`]).  A command holds it from its static checks to
+//! its accounting, so every command is atomic and the device is `Send +
+//! Sync`.  The die- and channel-level parallelism the paper measures is
+//! simulated time, claimed on the timelines: where a command lands
+//! depends on its issue instant and what is already reserved, never on
+//! which host thread called or when.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use noftl_obs::MetricsRegistry;
@@ -66,9 +60,6 @@ use crate::stats::{DeviceStats, DieStats, WearSummary};
 use crate::time::{Duration, SimTime};
 use crate::timing::TimingModel;
 use crate::Result;
-
-/// Sentinel for "no power cut armed" in the atomic cut register.
-const POWER_CUT_NONE: u64 = u64::MAX;
 
 /// Where the page a program or copyback writes takes its bytes from: the
 /// program's payload (empty for an all-zero page), or a copyback's source
@@ -192,45 +183,85 @@ impl DeviceBuilder {
                 BlockState::Bad;
         }
         let registry = self.metrics.unwrap_or_else(|| Arc::new(MetricsRegistry::new()));
-        let arbiter = self.arbiter.map(|config| ArbiterSlot {
-            config,
-            obs: ArbiterObs::new(&registry),
-            state: Mutex::new(ArbiterState { buckets: std::collections::HashMap::new() }),
-        });
+        let arbiter =
+            self.arbiter.map(|config| ArbiterSlot { config, obs: ArbiterObs::new(&registry) });
         NandDevice {
             geometry: g,
             timing: self.timing,
             endurance: self.bad_blocks.endurance_cycles,
-            dies: dies.into_iter().map(Mutex::new).collect(),
-            channels: (0..g.channels).map(|_| Mutex::new(Timeline::default())).collect(),
-            epoch: AtomicU64::new(0),
-            power_cut: AtomicU64::new(POWER_CUT_NONE),
-            errors: AtomicU64::new(0),
-            touched: (0..g.total_dies()).map(|_| AtomicBool::new(false)).collect(),
+            state: Mutex::new(DeviceState::new(&g, dies, 0)),
             obs: DeviceObs::new(registry),
             arbiter,
         }
     }
 }
 
-/// Admission state of an arbiter-enabled device: one token bucket per
-/// `(region, channel)` pair, created on first use.
-struct ArbiterState {
-    buckets: std::collections::HashMap<(u32, u32), TokenBucket>,
-}
-
-/// The arbiter of an enabled device: tuning, admission state behind its
-/// own lock class, and pre-bound decision counters.
+/// The arbiter of an enabled device: its tuning and pre-bound decision
+/// counters.  Its token buckets are device state.
 struct ArbiterSlot {
     config: ArbiterConfig,
-    state: Mutex<ArbiterState>,
     obs: ArbiterObs,
+}
+
+/// Everything about a device that changes, behind its one lock.
+struct DeviceState {
+    /// Planes, blocks, occupancy timeline and counters of each die.
+    dies: Vec<Die>,
+    /// Per-channel transfer-bus occupancy.
+    channels: Vec<Timeline>,
+    /// The arbiter's admission state: one token bucket per `(region,
+    /// channel)` pair, created on first use.
+    buckets: HashMap<(u32, u32), TokenBucket>,
+    /// Every command the device completed or rejected.
+    stats: DeviceStats,
+    /// Device-wide write sequence number, stamped into page metadata when
+    /// the caller does not supply an epoch.
+    epoch: u64,
+    /// When armed, the simulated instant at which the device loses power:
+    /// operations issued at or after it fail with `FlashError::PowerLoss`,
+    /// and an operation still in flight at that instant is torn.
+    power_cut: Option<SimTime>,
+}
+
+impl DeviceState {
+    /// The state of a device of geometry `g` over `dies`: idle channels,
+    /// an empty ledger, write epoch `epoch` and no power cut armed.
+    fn new(g: &FlashGeometry, dies: Vec<Die>, epoch: u64) -> DeviceState {
+        DeviceState {
+            dies,
+            channels: (0..g.channels).map(|_| Timeline::default()).collect(),
+            buckets: HashMap::new(),
+            stats: DeviceStats::default(),
+            epoch,
+            power_cut: None,
+        }
+    }
+
+    /// Fail if the device has already lost power at `at`.
+    fn check_powered(&self, at: SimTime) -> Result<()> {
+        match self.power_cut {
+            Some(cut) if at >= cut => Err(FlashError::PowerLoss { at: cut }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Record that a die's contents may have changed.
+    fn note_touched(&mut self, die: DieId) {
+        if let Some(die) = self.dies.get_mut(die.0 as usize) {
+            die.touched = true;
+        }
+    }
+
+    /// Every block of the device in `(die, plane, block)` row-major order.
+    fn blocks(&self) -> impl Iterator<Item = &Block> {
+        self.dies.iter().flat_map(|d| d.planes.iter()).flat_map(|p| p.blocks.iter())
+    }
 }
 
 /// The NAND array's state and nothing else: the persistence unit of the
 /// crash-consistency subsystem.  The snapshot captures every block's
 /// pages, payloads, OOB metadata and wear, can be saved to / loaded from
-/// a file-backed image (see [`DeviceSnapshot::save`]) and turned back
+/// an `NFLIMG03` image (see [`DeviceSnapshot::encode`]) and turned back
 /// into a live device with [`NandDevice::from_snapshot`] — the
 /// simulator's equivalent of power-cycling the board.  Run counters are
 /// not state: they stay on the live device
@@ -252,32 +283,13 @@ pub struct DeviceSnapshot {
 ///
 /// Every command takes the host's issue time and returns an [`OpOutcome`]
 /// carrying the completion time; the device never blocks real threads.
-/// The device is `Send + Sync` with per-die lock shards: concurrent
-/// clients whose operations target different dies proceed without
-/// contending on any common lock (see the module docs).
+/// The device is `Send + Sync`: its mutable state sits behind one lock,
+/// and each command holds it from start to finish (see the module docs).
 pub struct NandDevice {
     geometry: FlashGeometry,
     timing: TimingModel,
     endurance: u64,
-    /// Per-die shards: planes, blocks, the die's occupancy timeline and
-    /// the ledger of the commands it completed.
-    dies: Vec<Mutex<Die>>,
-    /// Per-channel transfer-bus occupancy.
-    channels: Vec<Mutex<Timeline>>,
-    /// Device-wide write sequence number, stamped into page metadata when
-    /// the caller does not supply an epoch.
-    epoch: AtomicU64,
-    /// When armed, the simulated instant at which the device loses power
-    /// (nanoseconds; `POWER_CUT_NONE` when disarmed): operations issued at
-    /// or after it fail with `FlashError::PowerLoss`, and an operation
-    /// still in flight at that instant is torn.
-    power_cut: AtomicU64,
-    /// Commands rejected by any phase.  Counted outside the die ledgers
-    /// because some are turned away before any die is locked.
-    errors: AtomicU64,
-    /// Per-die "ever programmed/erased" flags (lock-free), kept so
-    /// `NoFtl::mount` can skip the OOB scan of dies that never held data.
-    touched: Vec<AtomicBool>,
+    state: Mutex<DeviceState>,
     /// Pre-registered metric handles (atomics-only; see `crate::obs`).
     obs: DeviceObs,
     /// Cross-region I/O arbiter (None = disabled, the pre-arbiter path).
@@ -294,18 +306,10 @@ impl std::fmt::Debug for NandDevice {
 }
 
 impl NandDevice {
-    /// The armed power-cut instant, if any (atomic read).
-    fn cut_instant(&self) -> Option<SimTime> {
-        let v = self.power_cut.load(Ordering::Acquire);
-        (v != POWER_CUT_NONE).then_some(SimTime(v))
-    }
-
-    /// Fail if the device has already lost power at `at`.
-    fn check_powered(&self, at: SimTime) -> Result<()> {
-        match self.cut_instant() {
-            Some(cut) if at >= cut => Err(FlashError::PowerLoss { at: cut }),
-            _ => Ok(()),
-        }
+    /// Lock the device's state.  This is the sole acquisition site of the
+    /// device lock.
+    fn lock_device(&self) -> TrackedGuard<'_, DeviceState> {
+        lockorder::lock_tracked(LockClass::Device, &self.state)
     }
 
     fn check_page(&self, addr: PageAddr) -> Result<()> {
@@ -324,34 +328,19 @@ impl NandDevice {
         }
     }
 
-    /// Lock the shard owning `die`.  Addresses are bounds-checked before
-    /// this is called.  This is the sole acquisition site of die shards.
-    fn die_shard(&self, die: DieId) -> TrackedGuard<'_, Die> {
-        lockorder::lock_tracked(LockClass::Die(die.0), &self.dies[die.0 as usize])
-    }
-
-    /// Lock channel `ch`'s transfer-bus timeline.  This is the sole
-    /// acquisition site of channel shards and the last lock in the
-    /// documented order.
-    fn channel_shard(&self, ch: u32) -> TrackedGuard<'_, Timeline> {
-        lockorder::lock_tracked(LockClass::Channel(ch), &self.channels[ch as usize])
-    }
-
-    /// Lock the arbiter's admission state.  This is the sole acquisition
-    /// site of the arbiter lock; it sits above the die shards in the
-    /// documented order and is always released before any die or channel
-    /// lock is taken.
-    fn arbiter_shard<'a>(&self, slot: &'a ArbiterSlot) -> TrackedGuard<'a, ArbiterState> {
-        let _ = self;
-        lockorder::lock_tracked(LockClass::Arbiter, &slot.state)
-    }
-
     /// Decide the issue instant of a tagged transfer op whose channel
     /// occupancy is `xfer`: a `Background` transfer is paced by its
     /// region's token bucket, everything else — and everything with the
     /// arbiter disabled — issues at `at`.  The channel time a deferral
     /// leaves idle is simply free on the timeline.
-    fn admit(&self, tag: IoTag, region_channel: u32, xfer: Duration, at: SimTime) -> SimTime {
+    fn admit(
+        &self,
+        buckets: &mut HashMap<(u32, u32), TokenBucket>,
+        tag: IoTag,
+        region_channel: u32,
+        xfer: Duration,
+        at: SimTime,
+    ) -> SimTime {
         let Some(slot) = &self.arbiter else {
             return at;
         };
@@ -364,11 +353,8 @@ impl NandDevice {
             return at;
         }
         let key = (tag.region.unwrap_or(u32::MAX), region_channel);
-        let admission = {
-            let mut state = self.arbiter_shard(slot);
-            let bucket = state.buckets.entry(key).or_insert_with(|| TokenBucket::new(&slot.config));
-            bucket.admit(&slot.config, at, xfer.as_nanos())
-        };
+        let bucket = buckets.entry(key).or_insert_with(|| TokenBucket::new(&slot.config));
+        let admission = bucket.admit(&slot.config, at, xfer.as_nanos());
         if admission.deferred {
             slot.obs.deferred.inc();
             slot.obs.deferral_ns.add(admission.issue.as_nanos() - at.as_nanos());
@@ -417,11 +403,13 @@ impl NandDevice {
     /// Commit a rebuilt history: advance the epoch counter to `to` (never
     /// backwards).  See [`NandDevice::program_replica`].
     pub fn ratchet_epoch(&self, to: u64) {
-        self.epoch.fetch_max(to, Ordering::AcqRel);
+        let mut state = self.lock_device();
+        state.epoch = state.epoch.max(to);
     }
 
-    /// Take one command through [`Self::phases`]; if any phase rejected
-    /// it, count it in `errors` and trace the error instant.
+    /// Take one command through [`Self::phases`] under the device lock;
+    /// if any phase rejected it, count it in `errors` and trace the
+    /// error instant.
     fn run(
         &self,
         cmd: FlashCommand<'_>,
@@ -430,44 +418,48 @@ impl NandDevice {
         ratchet: bool,
     ) -> Result<CmdOutput> {
         let die = cmd.die();
-        let result = self.phases(cmd, at, tag, ratchet);
+        let mut state = self.lock_device();
+        let result = self.phases(&mut state, cmd, at, tag, ratchet);
         if result.is_err() {
-            self.errors.fetch_add(1, Ordering::Relaxed);
+            state.stats.errors += 1;
             self.obs.note_error(die, at);
         }
         result
     }
 
     /// The command path, every phase once and in this order: static
-    /// checks → power check → arbiter admission → validation under the
-    /// die shard → epoch stamp → the one reservation of die and channel
-    /// time → tear (an armed power cut catches the command in flight) or
-    /// apply → accounting under the die shard.  `ratchet` is
-    /// [`Self::program_replica`]'s one difference.
+    /// checks → power check → arbiter admission → validation → epoch
+    /// stamp → the one reservation of die and channel time → tear (an
+    /// armed power cut catches the command in flight) or apply →
+    /// accounting.  `ratchet` is [`Self::program_replica`]'s one
+    /// difference.
     fn phases(
         &self,
+        state: &mut DeviceState,
         cmd: FlashCommand<'_>,
         at: SimTime,
         tag: IoTag,
         ratchet: bool,
     ) -> Result<CmdOutput> {
-        self.check_static(&cmd)?;
-        self.check_powered(at)?;
+        self.check_static(state, &cmd)?;
+        state.check_powered(at)?;
         // Admission: only a command that moves data over the channel is
         // the arbiter's business; a die-only command issues at `at`.
         let (kind, die_id) = (cmd.kind(), cmd.die());
         let shape = Shape::of(kind, &self.timing, &self.geometry);
         let ch = self.geometry.channel_of_die(die_id);
-        let issue = shape.xfer.map_or(at, |(xfer, _)| self.admit(tag, ch, xfer, at));
-        let mut die = self.die_shard(die_id);
-        let moved_meta = self.validate(&mut die, &cmd)?;
+        let DeviceState { dies, channels, buckets, stats, epoch, power_cut } = state;
+        let issue = shape.xfer.map_or(at, |(xfer, _)| self.admit(buckets, tag, ch, xfer, at));
+        let die = &mut dies[die_id.0 as usize];
+        let moved_meta = self.validate(die, &cmd)?;
         // The page this command programs, if any: a program's own payload
         // under its (now stamped) metadata, a copyback's source page under
         // the metadata captured from it.
         let write: Option<PageWrite<'_>> = match cmd {
             FlashCommand::Program { addr, data, mut meta } => {
                 if meta.epoch == 0 {
-                    meta.epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+                    *epoch += 1;
+                    meta.epoch = *epoch;
                 } else if ratchet {
                     // Caller-assigned epoch (a mirror stamping a shared
                     // sequence): ratchet the counter so `current_epoch` —
@@ -475,39 +467,36 @@ impl NandDevice {
                     // newest epoch this device has stored as part of its
                     // consistent history.  Rebuild replays
                     // (`program_replica`) deliberately skip this.
-                    self.epoch.fetch_max(meta.epoch, Ordering::AcqRel);
+                    *epoch = (*epoch).max(meta.epoch);
                 }
                 Some((addr, Source::Bytes(data), Some(meta)))
             }
             FlashCommand::Copyback { src, dst } => Some((dst, Source::Page(src), moved_meta)),
             _ => None,
         };
-        let sched = {
-            let mut channel = shape.xfer.map(|_| self.channel_shard(ch));
-            sched::schedule(&mut die, channel.as_deref_mut(), &shape, issue)
-        };
+        let channel = shape.xfer.map(|_| &mut channels[ch as usize]);
+        let sched = sched::schedule(die, channel, &shape, issue);
         self.note_backfill(sched.bus.is_some_and(|bus| bus.backfilled));
-        if let Some(cut) = self.cut_instant().filter(|cut| sched.complete > *cut) {
+        if let Some(cut) = power_cut.filter(|cut| sched.complete > *cut) {
             // Power failed before the command completed.  One that had
             // not started leaves no mark, and a read whose result would
             // only arrive after the cut never reaches the host.
             if sched.start < cut {
-                self.tear(&mut die, &cmd, write, &sched, cut);
+                self.tear(die, &cmd, write, &sched, cut);
             }
             return Err(FlashError::PowerLoss { at: cut });
         }
-        let out = self.apply(&mut die, cmd, write, &sched);
-        // Accounting, in the die shard the command already holds.
+        let out = self.apply(die, cmd, write, &sched);
         self.obs.note_op(kind, die_id, &sched, at);
         let bytes = shape.xfer.map_or(0, |(_, bytes)| u64::from(bytes));
-        die.stats.note(kind, bytes, sched.latency(at), sched.array.depth);
+        stats.note(kind, bytes, sched.latency(at), sched.array.depth);
         Ok(out)
     }
 
-    /// Static checks: the command against the geometry, no device state.
-    /// A payload — a program's source, a read's destination — is one
-    /// page or empty.
-    fn check_static(&self, cmd: &FlashCommand<'_>) -> Result<()> {
+    /// Static checks: the command against the geometry, no device state
+    /// beyond marking the die it may change as touched.  A payload — a
+    /// program's source, a read's destination — is one page or empty.
+    fn check_static(&self, state: &mut DeviceState, cmd: &FlashCommand<'_>) -> Result<()> {
         let expected = self.geometry.page_size;
         let payload = |len: usize| {
             if len != 0 && len != expected as usize {
@@ -523,18 +512,18 @@ impl NandDevice {
             FlashCommand::MetadataRead { addr } => self.check_page(addr),
             FlashCommand::Program { addr, data, .. } => {
                 self.check_page(addr)?;
-                self.note_touched(addr.die);
+                state.note_touched(addr.die);
                 payload(data.len())
             }
             FlashCommand::Erase { block } => {
                 self.check_block(block)?;
-                self.note_touched(block.die);
+                state.note_touched(block.die);
                 Ok(())
             }
             FlashCommand::Copyback { src, dst } => {
                 self.check_page(src)?;
                 self.check_page(dst)?;
-                self.note_touched(dst.die);
+                state.note_touched(dst.die);
                 if src.die != dst.die {
                     return Err(FlashError::CopybackCrossDie { src, dst });
                 }
@@ -702,13 +691,6 @@ impl NandDevice {
             if block.write_ptr == pages_per_block { BlockState::Full } else { BlockState::Open };
     }
 
-    /// Record that a die's contents may have changed (lock-free flag).
-    fn note_touched(&self, die: DieId) {
-        if let Some(flag) = self.touched.get(die.0 as usize) {
-            flag.store(true, Ordering::Release);
-        }
-    }
-
     fn die_stats_from(die: &Die) -> DieStats {
         let total_erases: u64 =
             die.planes.iter().flat_map(|p| p.blocks.iter()).map(|b| b.erase_count).sum();
@@ -728,37 +710,10 @@ impl NandDevice {
         }
     }
 
-    fn wear_summary_from(dies: &[TrackedGuard<'_, Die>]) -> WearSummary {
-        let mut bad = 0u64;
-        let counts: Vec<u64> = dies
-            .iter()
-            .flat_map(|d| d.planes.iter())
-            .flat_map(|p| p.blocks.iter())
-            .map(|b| {
-                if b.state == BlockState::Bad {
-                    bad += 1;
-                }
-                b.erase_count
-            })
-            .collect();
-        WearSummary::from_counts(counts.into_iter(), bad)
-    }
-
-    /// Lock every die shard in ascending index order (the only sanctioned
-    /// way to observe a consistent multi-die image).
-    fn lock_all_dies(&self) -> Vec<TrackedGuard<'_, Die>> {
-        (0..self.dies.len()).map(|i| self.die_shard(DieId(i as u32))).collect()
-    }
-
-    /// The device's statistics with `dies` locked: every die's ledger
-    /// and the rejected commands.
-    fn stats_of(&self, dies: &[TrackedGuard<'_, Die>]) -> DeviceStats {
-        let mut total = DeviceStats::default();
-        for die in dies {
-            total.accumulate(&die.stats);
-        }
-        total.errors += self.errors.load(Ordering::Relaxed);
-        total
+    /// Load of `die` as of `at` (see [`FlashBackend::die_load`]).
+    fn load_of(&self, die: &Die, at: SimTime) -> DieLoad {
+        let (_, slot) = die.timeline.probe(at, self.timing.program_array_time());
+        DieLoad { busy_until: slot.start, queue_depth: die.timeline.pending_at(at) }
     }
 
     /// Arm a simulated power cut at instant `at`.  Operations issued at or
@@ -776,36 +731,31 @@ impl NandDevice {
     /// After the cut, capture the device with [`NandDevice::snapshot`] and
     /// "reboot" it with [`NandDevice::from_snapshot`].
     pub fn arm_power_cut(&self, at: SimTime) {
-        self.power_cut.store(at.0, Ordering::Release);
+        self.lock_device().power_cut = Some(at);
     }
 
     /// The armed power-cut instant, if any.
     pub fn power_cut_at(&self) -> Option<SimTime> {
-        self.cut_instant()
+        self.lock_device().power_cut
     }
 
     /// Disarm a previously armed power cut.
     pub fn clear_power_cut(&self) {
-        self.power_cut.store(POWER_CUT_NONE, Ordering::Release);
+        self.lock_device().power_cut = None;
     }
 
     /// Full snapshot: the complete per-block state (page payloads, OOB
-    /// metadata, wear, bad blocks), captured with every die shard locked
-    /// so it is a consistent point-in-time image.
+    /// metadata, wear, bad blocks), captured under the device lock so it
+    /// is a consistent point-in-time image.
     /// The snapshot can be persisted with [`DeviceSnapshot::save`] and
     /// rebuilt into a live device with [`NandDevice::from_snapshot`].
     pub fn snapshot(&self) -> DeviceSnapshot {
-        let dies = self.lock_all_dies();
+        let state = self.lock_device();
         DeviceSnapshot {
             geometry: self.geometry,
-            epoch: self.epoch.load(Ordering::Acquire),
+            epoch: state.epoch,
             endurance: self.endurance,
-            blocks: dies
-                .iter()
-                .flat_map(|d| d.planes.iter())
-                .flat_map(|p| p.blocks.iter())
-                .map(|b| b.to_snapshot())
-                .collect(),
+            blocks: state.blocks().map(Block::to_snapshot).collect(),
         }
     }
 
@@ -844,18 +794,6 @@ impl NandDevice {
                 });
             }
         }
-        // A die counts as touched if any of its blocks ever left the
-        // pristine state — the same condition under which the mount scan
-        // could find anything.
-        let touched: Vec<AtomicBool> =
-            snap.blocks
-                .chunks(g.blocks_per_die() as usize)
-                .map(|chunk| {
-                    AtomicBool::new(chunk.iter().any(|b| {
-                        b.write_ptr > 0 || b.erase_count > 0 || b.state != BlockState::Free
-                    }))
-                })
-                .collect();
         // `total_blocks == total_dies * blocks_per_die` was validated
         // above, so chunking yields exactly one full chunk per die.
         let dies: Vec<Die> = snap
@@ -868,6 +806,12 @@ impl NandDevice {
                 {
                     *slot = Block::from_snapshot(snapshot);
                 }
+                // A die counts as touched if any of its blocks ever left
+                // the pristine state — the same condition under which the
+                // mount scan could find anything.
+                die.touched = chunk
+                    .iter()
+                    .any(|b| b.write_ptr > 0 || b.erase_count > 0 || b.state != BlockState::Free);
                 die
             })
             .collect();
@@ -875,12 +819,7 @@ impl NandDevice {
             geometry: g,
             timing,
             endurance: snap.endurance,
-            dies: dies.into_iter().map(Mutex::new).collect(),
-            channels: (0..g.channels).map(|_| Mutex::new(Timeline::default())).collect(),
-            epoch: AtomicU64::new(snap.epoch),
-            power_cut: AtomicU64::new(POWER_CUT_NONE),
-            errors: AtomicU64::new(0),
-            touched,
+            state: Mutex::new(DeviceState::new(&g, dies, snap.epoch)),
             obs: DeviceObs::new(Arc::new(MetricsRegistry::new())),
             arbiter: None,
         })
@@ -935,8 +874,8 @@ impl FlashBackend for NandDevice {
     /// consistent.
     fn mark_invalid(&self, addr: PageAddr) -> Result<()> {
         self.check_page(addr)?;
-        let mut die = self.die_shard(addr.die);
-        let block = die.block_mut(addr.block());
+        let mut state = self.lock_device();
+        let block = state.dies[addr.die.0 as usize].block_mut(addr.block());
         if block.pages[addr.page as usize] == PageState::Free {
             return Err(FlashError::UnwrittenPage { addr });
         }
@@ -946,62 +885,51 @@ impl FlashBackend for NandDevice {
 
     fn retire_block(&self, addr: BlockAddr) -> Result<()> {
         self.check_block(addr)?;
-        self.note_touched(addr.die);
-        let mut die = self.die_shard(addr.die);
-        die.block_mut(addr).state = BlockState::Bad;
+        let mut state = self.lock_device();
+        state.note_touched(addr.die);
+        state.dies[addr.die.0 as usize].block_mut(addr).state = BlockState::Bad;
         Ok(())
     }
 
     fn block_info(&self, addr: BlockAddr) -> Result<BlockInfo> {
         self.check_block(addr)?;
-        let die = self.die_shard(addr.die);
-        Ok(BlockInfo::from_block(die.block(addr)))
+        let state = self.lock_device();
+        Ok(BlockInfo::from_block(state.dies[addr.die.0 as usize].block(addr)))
     }
 
     fn page_state(&self, addr: PageAddr) -> Result<PageState> {
         self.check_page(addr)?;
-        let die = self.die_shard(addr.die);
-        Ok(die.block(addr.block()).pages[addr.page as usize])
+        let state = self.lock_device();
+        Ok(state.dies[addr.die.0 as usize].block(addr.block()).pages[addr.page as usize])
     }
 
     fn stats(&self) -> DeviceStats {
-        let dies = self.lock_all_dies();
-        self.stats_of(&dies)
+        self.lock_device().stats.clone()
     }
 
     fn die_stats(&self) -> Vec<DieStats> {
-        (0..self.dies.len())
-            .map(|i| Self::die_stats_from(&self.die_shard(DieId(i as u32))))
-            .collect()
+        self.lock_device().dies.iter().map(Self::die_stats_from).collect()
     }
 
     fn wear_summary(&self) -> WearSummary {
-        let dies = self.lock_all_dies();
-        Self::wear_summary_from(&dies)
+        let state = self.lock_device();
+        let bad = state.blocks().filter(|b| b.state == BlockState::Bad).count() as u64;
+        WearSummary::from_counts(state.blocks().map(|b| b.erase_count), bad)
     }
 
     /// Latest completion time over all dies and channels — i.e. when the
     /// device becomes fully idle given the operations issued so far.
     fn quiesce_time(&self) -> SimTime {
-        let die_max = (0..self.dies.len())
-            .map(|i| self.die_shard(DieId(i as u32)).timeline.end())
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        let ch_max = (0..self.channels.len())
-            .map(|i| self.channel_shard(i as u32).end())
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        die_max.max(ch_max)
+        let state = self.lock_device();
+        let dies = state.dies.iter().map(|d| &d.timeline);
+        dies.chain(&state.channels).map(Timeline::end).max().unwrap_or(SimTime::ZERO)
     }
 
     /// End of all work reserved on a single die.  An out-of-range die
     /// reports as idle.
     fn die_busy_until(&self, die: DieId) -> SimTime {
-        if (die.0 as usize) < self.dies.len() {
-            self.die_shard(die).timeline.end()
-        } else {
-            SimTime::ZERO
-        }
+        let state = self.lock_device();
+        state.dies.get(die.0 as usize).map_or(SimTime::ZERO, |d| d.timeline.end())
     }
 
     /// Load of one die as of `at`: where a program's array phase issued
@@ -1010,22 +938,17 @@ impl FlashBackend for NandDevice {
     /// microseconds before an already queued program are of no use to
     /// another one — and how many reserved commands are unfinished at
     /// `at`.  This is the cheap per-die view the mirror's read selection
-    /// steers by: one shard lock, no allocation, purely observational.
-    /// An out-of-range die reports as idle.
+    /// steers by: one lock, no allocation, purely observational.  An
+    /// out-of-range die reports as idle.
     fn die_load(&self, die: DieId, at: SimTime) -> DieLoad {
-        if (die.0 as usize) >= self.dies.len() {
-            return DieLoad::default();
-        }
-        let timeline = &self.die_shard(die).timeline;
-        let (_, slot) = timeline.probe(at, self.timing.program_array_time());
-        DieLoad { busy_until: slot.start, queue_depth: timeline.pending_at(at) }
+        let state = self.lock_device();
+        state.dies.get(die.0 as usize).map_or(DieLoad::default(), |d| self.load_of(d, at))
     }
 
-    /// Load snapshots of every die as of `at`, indexed by die id.  Shards
-    /// are locked one at a time (not all at once), so concurrent I/O on
-    /// other dies is never stalled by a load scan.
+    /// Load snapshots of every die as of `at`, indexed by die id, all
+    /// read under one acquisition of the device lock.
     fn die_loads(&self, at: SimTime) -> Vec<DieLoad> {
-        (0..self.dies.len()).map(|i| self.die_load(DieId(i as u32), at)).collect()
+        self.lock_device().dies.iter().map(|d| self.load_of(d, at)).collect()
     }
 
     /// Current device-wide write epoch (the stamp given to the most recent
@@ -1033,7 +956,7 @@ impl FlashBackend for NandDevice {
     /// checkpoint watermark: pages with a larger epoch were written after
     /// the checkpoint was taken.
     fn current_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.lock_device().epoch
     }
 
     fn stores_data(&self) -> bool {
@@ -1044,7 +967,7 @@ impl FlashBackend for NandDevice {
     /// answer is a guarantee: every block of the die is still in its
     /// factory state, so a mount scan of it cannot find anything.
     fn die_touched(&self, die: DieId) -> bool {
-        self.touched.get(die.0 as usize).is_some_and(|f| f.load(Ordering::Acquire))
+        self.lock_device().dies.get(die.0 as usize).is_some_and(|d| d.touched)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -1711,25 +1634,25 @@ mod tests {
         assert_eq!(kept.encode(), fresh.encode(), "NFLIMG03 bytes");
     }
 
-    /// Satellite requirement of the lock-order sanitizer: taking a channel
-    /// shard before its die shard is a lock-order violation and must panic
-    /// in debug builds before the thread can block on the mutex.
+    /// The device lock is not re-entrant: a device method called with
+    /// the lock already held must panic in debug builds before the thread
+    /// can block on the mutex.
     #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "lock-order violation")]
-    fn channel_shard_before_die_shard_panics_in_debug() {
+    #[should_panic(expected = "recursive acquisition of device")]
+    fn re_entering_the_device_lock_panics_in_debug() {
         let d = dev();
-        let _chan = d.channel_shard(0);
-        let _die = d.die_shard(DieId(0));
+        let _state = d.lock_device();
+        d.stats();
     }
 
     #[test]
     fn threads_on_disjoint_dies_do_not_interfere() {
         // Two threads hammering disjoint dies (on disjoint channels in the
         // small_test geometry) must produce exactly the same per-die timing
-        // and state as a single-threaded run: with the device sharded by
-        // die, there is no common lock whose acquisition order could
-        // matter — and no command goes uncounted in the die ledgers.
+        // and state as a single-threaded run: a thread's timings depend on
+        // the simulated instants of its commands, not on how the host
+        // interleaves the threads — and no command goes uncounted.
         use std::sync::Arc;
 
         /// The last completion, and the thread's own tally of what it

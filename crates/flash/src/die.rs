@@ -18,7 +18,6 @@ use std::collections::VecDeque;
 
 use crate::addr::BlockAddr;
 use crate::block::Block;
-use crate::stats::DeviceStats;
 use crate::time::{Duration, SimTime};
 
 /// Reservations a [`Timeline`] remembers.  A constant of the model, not a
@@ -133,15 +132,12 @@ impl Plane {
 }
 
 /// One die: a set of planes, the timing/occupancy state used by the
-/// scheduler, and the ledger of the commands it completed.
+/// scheduler, and its counters.
 #[derive(Debug)]
 pub(crate) struct Die {
     pub planes: Vec<Plane>,
     /// When the die's array is claimed.
     pub timeline: Timeline,
-    /// Every command completed on this die, counted under the die shard
-    /// the command already holds; the device's statistics are the sum.
-    pub stats: DeviceStats,
     /// Total time the die has spent executing array operations.
     pub busy_time: Duration,
     /// Total array operations executed (reads + programs + erases + copybacks).
@@ -149,6 +145,9 @@ pub(crate) struct Die {
     /// Deepest the die's command queue has ever been (including the
     /// operation being issued).
     pub queue_depth_hwm: u32,
+    /// Ever programmed, erased or retired: `NoFtl::mount` skips the OOB
+    /// scan of a die that never held data.
+    pub touched: bool,
 }
 
 impl Die {
@@ -158,10 +157,10 @@ impl Die {
                 .map(|_| Plane::new(blocks_per_plane, pages_per_block))
                 .collect(),
             timeline: Timeline::default(),
-            stats: DeviceStats::default(),
             busy_time: Duration::ZERO,
             ops: 0,
             queue_depth_hwm: 0,
+            touched: false,
         }
     }
 

@@ -1,20 +1,23 @@
-//! Runtime lock-order sanitizer for the workspace's shard locks.
+//! Runtime lock-order sanitizer for the workspace's layer locks.
 //!
-//! The repository's documented lock hierarchy is a single total order:
+//! Each layer the sanitizer tracks has exactly one lock, and the layers
+//! nest in one total order:
 //!
 //! ```text
-//! manager → mirror → mirror-range → arbiter → die(id) → channel(id)
+//! manager → mirror → device
 //! ```
 //!
-//! with ascending ids inside the `die`/`channel` classes.  Every shard-lock
-//! acquisition in `crates/flash` and `crates/core` goes through one choke
-//! point per lock class ([`lock_tracked`] behind `lock_inner`,
-//! `mirror_shard`, `range_shard`, `arbiter_shard`, `die_shard` /
-//! `lock_all_dies` and `channel_shard`), so in
-//! debug builds each acquisition is recorded on a thread-local held-lock
-//! stack and checked against the order *before* the thread blocks on the
-//! mutex: a would-be deadlock panics with a message naming both locks
-//! instead of hanging the test suite.
+//! The stack is driven from one host thread, so a finer grain would buy
+//! nothing: the parallelism the paper measures — dies and channels — is
+//! simulated time on the device's timelines, not host threads.  Every
+//! acquisition goes through one choke point per class ([`lock_tracked`]
+//! behind `lock_inner`, `mirror_shard` and `lock_device`), so in debug
+//! builds each acquisition is recorded on a thread-local held-lock stack
+//! and checked against the order *before* the thread blocks on the
+//! mutex: a would-be deadlock — or a re-entry of a lock the thread
+//! already holds — panics with a message naming both locks instead of
+//! hanging the test suite.  The children of a mirror are two locks of one
+//! class; nothing holds one while it takes the other.
 //!
 //! In release builds [`LockToken`] is a zero-sized type with no `Drop`
 //! impl and [`acquire`] compiles down to nothing — the sanitizer adds zero
@@ -29,9 +32,9 @@
 //! use flash_sim::lockorder::{acquire, LockClass};
 //!
 //! // Ascending acquisitions are fine; tokens release on drop.
-//! let die = acquire(LockClass::Die(0));
-//! let chan = acquire(LockClass::Channel(0));
-//! drop((chan, die));
+//! let mirror = acquire(LockClass::Mirror);
+//! let device = acquire(LockClass::Device);
+//! drop((device, mirror));
 //! ```
 
 use std::fmt;
@@ -46,21 +49,15 @@ use parking_lot::{Mutex, MutexGuard};
 pub enum LockClass {
     /// `noftl-core`'s manager state (`NoFtl::inner`).
     Manager,
-    /// `noftl-mirror`'s replica state (health machine + segment maps).
-    /// Sits above the device classes because the mirror fans out to its
-    /// children while holding it.
+    /// `noftl-mirror`'s replica state (health machine, segment maps, the
+    /// mirror's epoch).  Sits above the device because the mirror fans
+    /// out to its children — and copies rebuild segments — while holding
+    /// it.
     Mirror,
-    /// `noftl-mirror`'s write-vs-rebuild range locks.
-    MirrorRange,
-    /// The device's I/O-arbiter admission state (token buckets).  Sits
-    /// above the die shards: admission is decided before any die or
-    /// channel lock is taken.
-    Arbiter,
-    /// A per-die device shard, ordered by die id.
-    Die(u32),
-    /// A per-channel device shard, ordered by channel id.  The last
-    /// class: nothing is acquired while a channel is held.
-    Channel(u32),
+    /// A device's whole mutable state: dies, channels, arbiter buckets,
+    /// ledger, epoch and power cut.  The last class: nothing is acquired
+    /// while a device is held.
+    Device,
 }
 
 impl fmt::Display for LockClass {
@@ -68,10 +65,7 @@ impl fmt::Display for LockClass {
         match self {
             LockClass::Manager => write!(f, "manager"),
             LockClass::Mirror => write!(f, "mirror"),
-            LockClass::MirrorRange => write!(f, "mirror-range"),
-            LockClass::Arbiter => write!(f, "arbiter"),
-            LockClass::Die(id) => write!(f, "die({id})"),
-            LockClass::Channel(id) => write!(f, "channel({id})"),
+            LockClass::Device => write!(f, "device"),
         }
     }
 }
@@ -124,10 +118,7 @@ pub fn acquire(class: LockClass) -> LockToken {
                     // analyzer:allow(panic_freedom) the sanitizer's entire purpose is to panic on a violation; debug builds only
                     panic!(
                         "lock-order violation: acquiring {class} while holding {h}; \
-                         the documented order is \
-                         manager -> mirror -> mirror-range -> arbiter \
-                         -> die -> channel, \
-                         ascending ids within a class"
+                         the documented order is manager -> mirror -> device"
                     );
                 }
             }
@@ -147,8 +138,8 @@ impl Drop for LockToken {
     fn drop(&mut self) {
         HELD.with(|held| {
             let mut held = held.borrow_mut();
-            // Guards are not always released in LIFO order (e.g. a caller
-            // may drop a die guard before a later-acquired channel guard),
+            // Guards are not always released in LIFO order (a caller may
+            // drop a mirror guard before a later-acquired device guard),
             // so remove by search rather than popping the top.
             if let Some(pos) = held.iter().rposition(|&c| c == self.class) {
                 held.remove(pos);
@@ -213,12 +204,7 @@ mod tests {
     #[test]
     fn lock_classes_order_matches_documentation() {
         assert!(LockClass::Manager < LockClass::Mirror);
-        assert!(LockClass::Mirror < LockClass::MirrorRange);
-        assert!(LockClass::MirrorRange < LockClass::Arbiter);
-        assert!(LockClass::Arbiter < LockClass::Die(0));
-        assert!(LockClass::Die(7) < LockClass::Channel(0));
-        assert!(LockClass::Die(1) < LockClass::Die(2));
-        assert!(LockClass::Channel(0) < LockClass::Channel(1));
+        assert!(LockClass::Mirror < LockClass::Device);
     }
 
     #[cfg(debug_assertions)]
@@ -228,9 +214,9 @@ mod tests {
         #[test]
         fn ascending_acquisitions_are_recorded_and_released() {
             assert_eq!(held_depth(), 0);
-            let a = acquire(LockClass::Arbiter);
-            let b = acquire(LockClass::Die(0));
-            let c = acquire(LockClass::Channel(0));
+            let a = acquire(LockClass::Manager);
+            let b = acquire(LockClass::Mirror);
+            let c = acquire(LockClass::Device);
             assert_eq!(held_depth(), 3);
             // Non-LIFO release must unrecord correctly too.
             drop(b);
@@ -240,58 +226,52 @@ mod tests {
         }
 
         #[test]
-        #[should_panic(expected = "lock-order violation")]
-        fn channel_before_die_panics() {
-            let _chan = acquire(LockClass::Channel(0));
-            let _die = acquire(LockClass::Die(0));
-        }
-
-        #[test]
         #[should_panic(expected = "recursive acquisition")]
         fn recursive_acquisition_panics() {
-            let _a = acquire(LockClass::Channel(1));
-            let _b = acquire(LockClass::Channel(1));
+            let _a = acquire(LockClass::Device);
+            let _b = acquire(LockClass::Device);
         }
 
         #[test]
-        #[should_panic(expected = "lock-order violation")]
-        fn descending_die_ids_panic() {
-            let _hi = acquire(LockClass::Die(3));
-            let _lo = acquire(LockClass::Die(1));
-        }
-
-        #[test]
-        fn manager_may_nest_device_shards() {
+        fn manager_may_nest_the_device() {
             let _m = acquire(LockClass::Manager);
-            let _a = acquire(LockClass::Arbiter);
-            let _d = acquire(LockClass::Die(0));
-            assert_eq!(held_depth(), 3);
+            let _d = acquire(LockClass::Device);
+            assert_eq!(held_depth(), 2);
         }
 
         #[test]
         fn mirror_nests_between_manager_and_child_devices() {
             // The replication layer's acquisition path: manager state, the
-            // mirror's own health/segment state, a rebuild range lock, then
-            // a child device's die shard.
+            // mirror's own state, then one child device at a time.
             let _m = acquire(LockClass::Manager);
             let _mi = acquire(LockClass::Mirror);
-            let _r = acquire(LockClass::MirrorRange);
-            let _d = acquire(LockClass::Die(0));
-            assert_eq!(held_depth(), 4);
+            {
+                let _first = acquire(LockClass::Device);
+                assert_eq!(held_depth(), 3);
+            }
+            let _second = acquire(LockClass::Device);
+            assert_eq!(held_depth(), 3);
         }
 
         #[test]
         #[should_panic(expected = "lock-order violation")]
-        fn die_before_mirror_panics() {
-            let _d = acquire(LockClass::Die(0));
+        fn device_before_mirror_panics() {
+            let _d = acquire(LockClass::Device);
             let _m = acquire(LockClass::Mirror);
+        }
+
+        #[test]
+        #[should_panic(expected = "lock-order violation")]
+        fn device_before_manager_panics() {
+            let _d = acquire(LockClass::Device);
+            let _m = acquire(LockClass::Manager);
         }
 
         #[test]
         fn tracked_guard_releases_mutex_before_unrecording() {
             let m = Mutex::new(5u32);
             {
-                let mut g = lock_tracked(LockClass::Channel(0), &m);
+                let mut g = lock_tracked(LockClass::Device, &m);
                 *g += 1;
                 assert_eq!(held_depth(), 1);
             }
@@ -310,8 +290,8 @@ mod tests {
             // acquisition does not panic: the release hot path pays
             // nothing for the sanitizer.
             assert_eq!(std::mem::size_of::<LockToken>(), 0);
-            let _chan = acquire(LockClass::Channel(0));
-            let _die = acquire(LockClass::Die(0));
+            let _device = acquire(LockClass::Device);
+            let _mirror = acquire(LockClass::Mirror);
             assert_eq!(held_depth(), 0);
         }
     }

@@ -4,7 +4,7 @@
 //! the per-operation cost is pure atomics — `noftl-obs` never touches
 //! the tracked lock order.  Command counts, busy time, the queue-depth
 //! high-water mark and the quiesce instant are not here: they live in
-//! the die's `DeviceStats` / `DieStats` and in `quiesce_time()`.
+//! the device's `DeviceStats`, its `DieStats` and `quiesce_time()`.
 //!
 //! Metric names (see the README's Observability section):
 //!

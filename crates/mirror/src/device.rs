@@ -21,10 +21,9 @@
 //!
 //! * an `Online` child takes the command, a `Faulted` one skips it;
 //! * a `Rebuilding` child takes it only if every segment of {`R`, `W`}
-//!   is clean and has no copy in flight;
-//! * a child that skips goes stale for `W`, and a rebuilding one puts
-//!   every segment of {`R`, `W`} whose copy is in flight into the
-//!   redirtied set, so the copy that lands keeps its bit;
+//!   is clean;
+//! * a child that skips goes stale for `W`, and for `R` too: a copyback
+//!   invalidates its source page;
 //! * a read of a page goes to a child that would take a write of the
 //!   page's segment.
 //!
@@ -34,17 +33,15 @@
 //!
 //! # Locking
 //!
-//! Two mirror-level locks slot into the workspace's total order
-//! `manager < mirror < mirror-range < arbiter < die < channel < shared`:
-//!
-//! * [`LockClass::Mirror`] guards health states and dirty maps and is
-//!   deliberately held across the children's `execute` — planning a
-//!   fan-out and executing it are atomic with respect to rebuild
-//!   progress, so a segment can never be locked for copy between the
-//!   plan and the execution.
-//! * [`LockClass::MirrorRange`] guards the write-vs-rebuild range locks:
-//!   the set of segments whose copy is in flight and the set redirtied
-//!   by foreground writes racing those copies.
+//! The mirror has one lock, [`LockClass::Mirror`], over health states,
+//! dirty maps, the epoch sequence and the read cursor.  It sits between
+//! the manager's and the children's in the workspace's total order
+//! `manager < mirror < device`, and every command holds it across the
+//! children's `execute`: planning a fan-out and executing it are atomic.
+//! A rebuild step holds it across its whole segment copy too, so a
+//! foreground command lands either before a copy (the segment is still
+//! dirty and the copy brings it over) or after it (the segment is clean
+//! and the child takes the command) — never during one.
 //!
 //! # Epochs
 //!
@@ -58,8 +55,6 @@
 //! rebuild source.
 
 use std::any::Any;
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -96,13 +91,13 @@ impl ChildState {
 
     /// The in-sync rule (module docs): may this child take a command
     /// that reads segment `r` and writes segment `w`?
-    fn takes(&self, ranges: &RangeLocks, r: u64, w: u64) -> bool {
+    fn takes(&self, r: u64, w: u64) -> bool {
         match self.health {
             ChildHealth::Online => true,
             ChildHealth::Faulted => false,
-            ChildHealth::Rebuilding => [r, w].iter().all(|s| {
-                self.dirty.as_ref().is_some_and(|m| !m.is_dirty(*s)) && !ranges.locked.contains(s)
-            }),
+            ChildHealth::Rebuilding => {
+                [r, w].iter().all(|s| self.dirty.as_ref().is_some_and(|m| !m.is_dirty(*s)))
+            }
         }
     }
 
@@ -116,16 +111,10 @@ impl ChildState {
 #[derive(Debug)]
 pub(crate) struct MirrorState {
     pub(crate) children: Vec<ChildState>,
-}
-
-/// Write-vs-rebuild range locks.
-#[derive(Debug, Default)]
-pub(crate) struct RangeLocks {
-    /// Segments whose rebuild copy is in flight right now.
-    pub(crate) locked: HashSet<u64>,
-    /// Locked segments a foreground write raced; the rebuild must not
-    /// clear their dirty bit when the copy lands.
-    pub(crate) redirtied: HashSet<u64>,
+    /// Mirror-owned write-epoch sequence (see module docs).
+    pub(crate) epoch: u64,
+    /// Round-robin cursor for read tie-breaking.
+    rr: usize,
 }
 
 /// A nexus-style replicated flash backend over 2+ [`NandDevice`]s.
@@ -133,12 +122,7 @@ pub struct MirrorDevice {
     geometry: FlashGeometry,
     children: Vec<Arc<NandDevice>>,
     injector: Arc<DeviceLossInjector>,
-    /// Mirror-owned write-epoch sequence (see module docs).
-    epoch: AtomicU64,
-    /// Round-robin cursor for read tie-breaking.
-    rr: AtomicUsize,
     state: Mutex<MirrorState>,
-    ranges: Mutex<RangeLocks>,
     pub(crate) obs: MirrorObs,
 }
 
@@ -149,7 +133,7 @@ impl std::fmt::Debug for MirrorDevice {
         f.debug_struct("MirrorDevice")
             .field("children", &self.children.len())
             .field("healths", &healths)
-            .field("epoch", &self.epoch.load(Ordering::Acquire))
+            .field("epoch", &state.epoch)
             .finish_non_exhaustive()
     }
 }
@@ -207,10 +191,7 @@ impl MirrorDevice {
         Ok(MirrorDevice {
             geometry,
             injector,
-            epoch: AtomicU64::new(epoch),
-            rr: AtomicUsize::new(0),
-            state: Mutex::new(MirrorState { children: states }),
-            ranges: Mutex::new(RangeLocks::default()),
+            state: Mutex::new(MirrorState { children: states, epoch, rr: 0 }),
             obs,
             children,
         })
@@ -307,10 +288,6 @@ impl MirrorDevice {
         lockorder::lock_tracked(LockClass::Mirror, &self.state)
     }
 
-    pub(crate) fn range_shard(&self) -> TrackedGuard<'_, RangeLocks> {
-        lockorder::lock_tracked(LockClass::MirrorRange, &self.ranges)
-    }
-
     /// Fault every child whose scheduled loss instant has been reached
     /// by `at`.  Called at the top of every timed operation.
     pub(crate) fn sweep_losses(&self, state: &mut MirrorState, at: SimTime) {
@@ -332,25 +309,15 @@ impl MirrorDevice {
     /// Route a command that reads segment `r` and writes segment `w`
     /// (the same segment unless it is a copyback) by the in-sync rule:
     /// return the children that take it.  Every other child goes stale
-    /// for `w`; a rebuilding one redirties each of `r`, `w` whose copy is
-    /// in flight, so the copy that lands keeps the bit set.
-    fn route(&self, state: &mut MirrorState, r: u64, w: u64) -> Vec<usize> {
-        let mut ranges = self.range_shard();
+    /// for `w` and `r` (a copyback invalidates its source page).
+    fn route(state: &mut MirrorState, r: u64, w: u64) -> Vec<usize> {
         let mut targets = Vec::new();
         for (i, child) in state.children.iter_mut().enumerate() {
-            if child.takes(&ranges, r, w) {
+            if child.takes(r, w) {
                 targets.push(i);
-                continue;
-            }
-            if let Some(map) = &mut child.dirty {
+            } else if let Some(map) = &mut child.dirty {
                 map.mark(w);
-            }
-            if child.health == ChildHealth::Rebuilding {
-                for s in [r, w] {
-                    if ranges.locked.contains(&s) {
-                        ranges.redirtied.insert(s);
-                    }
-                }
+                map.mark(r);
             }
         }
         targets
@@ -358,6 +325,8 @@ impl MirrorDevice {
 
     /// Execute `cmd` (with the caller's arbiter `tag`), which reads
     /// segment `r` and writes segment `w`, on the children that take it.
+    /// A program whose `meta.epoch` is zero is stamped from the mirror's
+    /// sequence first; one that carries an epoch ratchets the sequence.
     fn fan_out(
         &self,
         r: u64,
@@ -367,13 +336,21 @@ impl MirrorDevice {
         tag: IoTag,
     ) -> Result<OpOutcome> {
         let mut state = self.mirror_shard();
+        if let FlashCommand::Program { meta, .. } = &mut cmd {
+            if meta.epoch == 0 {
+                state.epoch += 1;
+                meta.epoch = state.epoch;
+            } else {
+                state.epoch = state.epoch.max(meta.epoch);
+            }
+        }
         self.sweep_losses(&mut state, at);
-        let targets = self.route(&mut state, r, w);
+        let targets = Self::route(&mut state, r, w);
         for i in (0..self.children.len()).filter(|i| !targets.contains(i)) {
             self.obs.note_write_skip(i);
         }
-        // Execute while still holding the mirror lock (Mirror < Die): no
-        // rebuild can range-lock a segment between plan and execution.
+        // Execute while still holding the mirror lock (Mirror < Device):
+        // no rebuild step can copy a segment between plan and execution.
         let mut merged: Option<OpOutcome> = None;
         let mut first_err: Option<FlashError> = None;
         for i in targets {
@@ -410,7 +387,7 @@ impl MirrorDevice {
     /// take it.
     fn apply_untimed(&self, seg: u64, op: impl Fn(&NandDevice) -> Result<()>) -> Result<()> {
         let mut state = self.mirror_shard();
-        for i in self.route(&mut state, seg, seg) {
+        for i in Self::route(&mut state, seg, seg) {
             op(&self.children[i])?;
         }
         Ok(())
@@ -428,11 +405,8 @@ impl MirrorDevice {
         let seg = self.segment_of(addr.block());
         let mut state = self.mirror_shard();
         self.sweep_losses(&mut state, at);
-        let candidates: Vec<usize> = {
-            let ranges = self.range_shard();
-            let takes = |i: &usize| state.children[*i].takes(&ranges, seg, seg);
-            (0..self.children.len()).filter(takes).collect()
-        };
+        let candidates: Vec<usize> =
+            (0..self.children.len()).filter(|i| state.children[*i].takes(seg, seg)).collect();
         if candidates.is_empty() {
             return Err(FlashError::NoHealthyChild { at });
         }
@@ -440,7 +414,8 @@ impl MirrorDevice {
         // Queue-aware selection: earliest start on the target die wins;
         // the round-robin cursor rotates the scan order so ties spread
         // over the replica set.
-        let rr = self.rr.fetch_add(1, Ordering::Relaxed);
+        let rr = state.rr;
+        state.rr = rr.wrapping_add(1);
         let mut best = candidates[rr % candidates.len()];
         let mut best_start = self.children[best].die_load(addr.die, at).earliest_start(at);
         for off in 1..candidates.len() {
@@ -536,18 +511,6 @@ impl MirrorDevice {
         }
         Ok(map)
     }
-
-    #[cfg(test)]
-    pub(crate) fn test_lock_segment(&self, seg: u64) {
-        self.range_shard().locked.insert(seg);
-    }
-
-    #[cfg(test)]
-    pub(crate) fn test_unlock_segment(&self, seg: u64) -> bool {
-        let mut ranges = self.range_shard();
-        ranges.locked.remove(&seg);
-        ranges.redirtied.remove(&seg)
-    }
 }
 
 impl FlashBackend for MirrorDevice {
@@ -573,15 +536,9 @@ impl FlashBackend for MirrorDevice {
             FlashCommand::Read { addr, .. } | FlashCommand::MetadataRead { addr } => {
                 self.read_from_best(addr, at, command, tag)
             }
-            FlashCommand::Program { addr, data, mut meta } => {
-                if meta.epoch == 0 {
-                    meta.epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-                } else {
-                    self.epoch.fetch_max(meta.epoch, Ordering::AcqRel);
-                }
+            FlashCommand::Program { addr, .. } => {
                 let seg = self.segment_of(addr.block());
-                let stamped = FlashCommand::Program { addr, data, meta };
-                self.fan_out(seg, seg, at, stamped, tag).map(written)
+                self.fan_out(seg, seg, at, command, tag).map(written)
             }
             FlashCommand::Erase { block } => {
                 let seg = self.segment_of(block);
@@ -677,7 +634,7 @@ impl FlashBackend for MirrorDevice {
     }
 
     fn current_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.mirror_shard().epoch
     }
 
     fn stores_data(&self) -> bool {
@@ -694,24 +651,16 @@ impl FlashBackend for MirrorDevice {
 
     fn replication_blob(&self) -> Option<Vec<u8>> {
         let state = self.mirror_shard();
-        let ranges = self.range_shard();
         let children = state
             .children
             .iter()
             .map(|c| {
-                let mut dirty =
+                let dirty =
                     c.dirty.clone().unwrap_or_else(|| SegmentMap::all_dirty(self.segment_count()));
-                if c.health == ChildHealth::Rebuilding {
-                    // Copies still in flight (and anything they raced)
-                    // must not be trusted across a crash.
-                    for &s in ranges.locked.iter().chain(ranges.redirtied.iter()) {
-                        dirty.mark(s);
-                    }
-                }
                 ChildBlob { health: c.health, dirty }
             })
             .collect();
-        let blob = MirrorBlob { watermark: self.epoch.load(Ordering::Acquire), children };
+        let blob = MirrorBlob { watermark: state.epoch, children };
         Some(blob.encode())
     }
 
@@ -726,6 +675,7 @@ impl FlashBackend for MirrorDevice {
             .filter(|b| b.children.len() == self.children.len())
             .filter(|b| b.children.iter().all(|c| c.dirty.segments() == segments));
         // Compute every child's staleness before mutating any state.
+        let mut state = self.mirror_shard();
         let mut plans = Vec::with_capacity(self.children.len());
         for i in 0..self.children.len() {
             if pristine || i == source {
@@ -743,7 +693,7 @@ impl FlashBackend for MirrorDevice {
             // scan's ground truth (covers writes after the checkpoint
             // that persisted the blob).
             let mut dirty = blob.children[i].dirty.clone();
-            if let Some(accrued) = &self.mirror_shard().children[i].dirty {
+            if let Some(accrued) = &state.children[i].dirty {
                 dirty.union(accrued);
             }
             dirty.union(&self.verify_dirty(source, i, &mut now)?);
@@ -751,8 +701,6 @@ impl FlashBackend for MirrorDevice {
                 if dirty.is_all_clean() { ChildHealth::Online } else { ChildHealth::Faulted };
             plans.push((health, Some(dirty)));
         }
-        // analyzer:allow(lock_order) the loop's guard was a temporary
-        let mut state = self.mirror_shard();
         for (child, (health, dirty)) in state.children.iter_mut().zip(plans) {
             child.health = health;
             child.dirty = dirty;

@@ -8,8 +8,8 @@
 //! * **One in-sync rule** says which children a command on a segment may
 //!   touch: an `Online` child takes it, a `Faulted` one skips it, and a
 //!   `Rebuilding` one takes it only if every segment it reads or writes
-//!   is clean and not being copied.  A child that skips goes stale for
-//!   the segment written.
+//!   is clean.  A child that skips goes stale for the segments the
+//!   command changes.
 //! * **Writes** (program, erase, copyback, invalidation, retirement) go
 //!   to every child the rule admits, timed ones at the same submit
 //!   instant, so the children stay page-for-page identical.
@@ -23,10 +23,10 @@
 //!   per erase block — records exactly which segments it missed; a child
 //!   with unknown history has no map, and every segment counts as stale.
 //! * **Online rebuild** drains the dirty map segment by segment while
-//!   foreground traffic continues, protected by write-vs-rebuild range
-//!   locks: a write into an already-copied segment is applied, while one
-//!   that races an in-flight copy skips the child and redirties the
-//!   segment instead of colliding with it.
+//!   foreground traffic continues: a step holds the mirror lock across
+//!   its copy, so a write into an already-copied segment is applied and
+//!   one into a segment not yet copied skips the child, which the copy
+//!   then brings over.
 //! * **Persistence**: the mirror's health + segment maps travel inside
 //!   the checkpoint as an opaque replication blob ([`MirrorBlob`],
 //!   CRC-guarded).  A torn blob degrades to "rebuild everything" —
@@ -303,7 +303,6 @@ mod tests {
         let report = m.rebuild(1, 4, SimTime(20_000_000)).unwrap();
         assert!(report.child_online);
         assert_eq!(report.segments_copied, 2);
-        assert_eq!(report.segments_requeued, 0);
         assert_eq!(report.pages_copied, 2);
         // The rebuild programmed exactly the missed pages, nothing else.
         assert_eq!(m.children()[1].stats().page_programs - programs_before, 2);
@@ -330,73 +329,145 @@ mod tests {
         assert_eq!(m.health(1), ChildHealth::Rebuilding);
     }
 
+    /// A foreground thread that programs, invalidates and copies back
+    /// pages across every segment while another thread rebuilds the lost
+    /// child leaves the two children identical, at every seed.
+    ///
+    /// It holds under every interleaving the host picks.  A rebuild step
+    /// holds the mirror lock from choosing its segment to clearing the
+    /// segment's dirty bit, and every foreground command holds it across
+    /// its fan-out.  So each command lands either before a segment's copy
+    /// — the rebuilding child skips it, the segment stays dirty and the
+    /// copy brings the command's effect over — or after it, when the
+    /// segment is clean and the child takes the command like its sibling.
+    /// The rebuild ends only when no segment is dirty.  Erase counts are
+    /// left out of the comparison: a copy erases a target block that held
+    /// stale pages, and only on the rebuilt child.
     #[test]
-    fn foreground_write_racing_a_copy_redirties_the_segment() {
+    fn foreground_traffic_beside_a_rebuild_leaves_the_children_identical() {
+        let g = FlashGeometry::small_test();
+        let (ppb, bpp) = (g.pages_per_block, g.blocks_per_plane);
+        let block_at = |die, block| flash_sim::BlockAddr::new(flash_sim::DieId(die), 0, block);
+        for seed in 0..16u64 {
+            let m = Arc::new(mirror(2));
+            // Every other block holds a page on both children; child 1
+            // then misses a page in a quarter of the blocks.
+            for die in 0..g.total_dies() {
+                for block in (0..g.blocks_per_plane).step_by(2) {
+                    let meta = PageMetadata::new(1, u64::from(block));
+                    m.program_page(page(die, block, 0), &payload(1), meta, SimTime::ZERO).unwrap();
+                }
+            }
+            m.injector().arm(1, SimTime(10));
+            for die in 0..g.total_dies() {
+                for block in (0..g.blocks_per_plane).step_by(4) {
+                    let meta = PageMetadata::new(2, u64::from(block));
+                    m.program_page(page(die, block, 1), &payload(2), meta, SimTime(1_000_000))
+                        .unwrap();
+                }
+            }
+            m.injector().clear(1);
+            m.start_rebuild(1, SimTime(2_000_000)).unwrap();
+
+            // Both threads start together; from there the host picks the
+            // interleaving.
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let foreground = {
+                let (m, start) = (Arc::clone(&m), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                    let mut next = move || {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        x
+                    };
+                    let mut clock = SimTime(2_000_000);
+                    for step in 0..160u64 {
+                        let r = next();
+                        let die = (r % u64::from(g.total_dies())) as u32;
+                        let block = ((r >> 8) % u64::from(bpp)) as u32;
+                        let written = m.block_info(block_at(die, block)).unwrap().write_ptr;
+                        match (r >> 16) % 3 {
+                            0 if written < ppb => {
+                                let meta = PageMetadata::new(3, step);
+                                let data = payload(step as u8);
+                                m.program_page(page(die, block, written), &data, meta, clock)
+                                    .unwrap();
+                            }
+                            1 if written > 0 => {
+                                let victim = ((r >> 24) % u64::from(written)) as u32;
+                                m.mark_invalid(page(die, block, victim)).unwrap();
+                            }
+                            2 if written > 0 => {
+                                let dst =
+                                    (block + 1 + ((r >> 24) % u64::from(bpp - 1)) as u32) % bpp;
+                                let free = m.block_info(block_at(die, dst)).unwrap().write_ptr;
+                                if free < ppb {
+                                    let src =
+                                        page(die, block, ((r >> 32) % u64::from(written)) as u32);
+                                    m.copyback(src, page(die, dst, free), clock).unwrap();
+                                }
+                            }
+                            _ => {}
+                        }
+                        clock = SimTime(clock.as_nanos() + 20_000);
+                        std::thread::yield_now();
+                    }
+                })
+            };
+            let rebuild = {
+                let m = Arc::clone(&m);
+                let window = 1 + (seed % 4) as usize;
+                std::thread::spawn(move || {
+                    start.wait();
+                    m.rebuild(1, window, SimTime(2_000_000)).unwrap()
+                })
+            };
+            foreground.join().unwrap();
+            assert!(rebuild.join().unwrap().child_online, "seed {seed}");
+
+            assert_eq!(m.health(1), ChildHealth::Online, "seed {seed}");
+            assert_eq!(m.dirty_segments(1), 0, "seed {seed}");
+            let blob = m.replication_blob().unwrap();
+            let at = m.quiesce_time();
+            m.restore_replication(Some(&blob), at).unwrap();
+            assert!(m.fully_online(), "seed {seed}: the verify scan found a stale segment");
+            assert_eq!(m.dirty_segments(1), 0, "seed {seed}");
+
+            let at = m.quiesce_time();
+            let [a, b] = [&m.children()[0], &m.children()[1]];
+            for seg in 0..m.segment_count() {
+                let block = m.block_of(seg);
+                let info = |d: &NandDevice| flash_sim::BlockInfo {
+                    erase_count: 0,
+                    ..d.block_info(block).unwrap()
+                };
+                assert_eq!(info(a), info(b), "seed {seed}, segment {seg}");
+                for p in 0..info(a).write_ptr {
+                    if a.page_state(block.page(p)).unwrap() == flash_sim::PageState::Valid {
+                        let read = |d: &NandDevice| {
+                            let (data, meta, _) = d.read_page(block.page(p), at).unwrap();
+                            (data, meta)
+                        };
+                        assert_eq!(read(a), read(b), "seed {seed}, segment {seg}, page {p}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A copyback changes its source segment too — it invalidates the
+    /// source page — so a child that skips it is stale for both.
+    #[test]
+    fn a_skipped_copyback_leaves_the_child_stale_for_source_and_destination() {
         let m = mirror(2);
-        m.program_page(page(0, 0, 0), &payload(1), PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
+        m.program_page(page(0, 2, 0), &payload(1), PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
         m.injector().arm(1, SimTime(10));
-        let at = SimTime(1_000_000);
-        m.program_page(page(0, 2, 0), &payload(2), PageMetadata::new(1, 1), at).unwrap();
-        m.injector().clear(1);
-        m.start_rebuild(1, SimTime(2_000_000)).unwrap();
-        let seg = m.segment_of(page(0, 2, 0).block());
-        assert_eq!(m.dirty_segments(1), 1);
-
-        // Simulate the copy being in flight, then race a foreground write
-        // into the locked segment.
-        m.test_lock_segment(seg);
-        let skips_before = m.children()[1].stats().page_programs;
-        m.program_page(page(0, 2, 1), &payload(3), PageMetadata::new(1, 2), SimTime(3_000_000))
-            .unwrap();
-        // Child 1 did not receive the program...
-        assert_eq!(m.children()[1].stats().page_programs, skips_before);
-        // ...and the unlock reports the redirty, keeping the segment dirty.
-        assert!(m.test_unlock_segment(seg));
-        assert_eq!(m.dirty_segments(1), 1);
-
-        // The real rebuild then converges: first pass requeues nothing
-        // here (lock released), copies the segment including the raced
-        // write.
-        let report = m.rebuild(1, 4, SimTime(4_000_000)).unwrap();
-        assert!(report.child_online);
-        let (data, _, _) = m.children()[1].read_page(page(0, 2, 1), SimTime(9_000_000)).unwrap();
-        assert_eq!(data, payload(3));
-    }
-
-    /// A 2-way mirror with page 0 of block 0 on both children, whose
-    /// child 1 is rebuilding and stale for exactly the segment of block
-    /// `stale` (page 0 written while it was lost).
-    fn rebuilding_stale_for(stale: u32) -> MirrorDevice {
-        let m = mirror(2);
-        m.program_page(page(0, 0, 0), &payload(1), PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
-        m.injector().arm(1, SimTime(10));
-        m.program_page(page(0, stale, 0), &payload(2), PageMetadata::new(1, 1), SimTime(1_000_000))
-            .unwrap();
-        m.injector().clear(1);
-        m.start_rebuild(1, SimTime(2_000_000)).unwrap();
-        assert_eq!(m.dirty_segments(1), 1);
-        m
-    }
-
-    #[test]
-    fn a_copyback_out_of_a_segment_in_copy_dirties_its_destination() {
-        let m = rebuilding_stale_for(2);
-        m.test_lock_segment(m.segment_of(page(0, 2, 0).block()));
-        m.copyback(page(0, 2, 0), page(0, 3, 0), SimTime(3_000_000)).unwrap();
-        // Child 1 skipped the copyback, so it is stale for the
-        // destination too.
-        assert_eq!(m.dirty_segments(1), 2, "the destination segment was left clean");
-    }
-
-    #[test]
-    fn a_copyback_into_a_segment_in_copy_redirties_it() {
-        let m = rebuilding_stale_for(3);
-        let dst = m.segment_of(page(0, 3, 0).block());
-        m.test_lock_segment(dst);
-        m.copyback(page(0, 0, 0), page(0, 3, 1), SimTime(3_000_000)).unwrap();
-        // The copy in flight may have read the block before the
-        // copyback: the segment must stay dirty when it lands.
-        assert!(m.test_unlock_segment(dst), "the destination segment was not redirtied");
+        m.copyback(page(0, 2, 0), page(0, 3, 0), SimTime(1_000_000)).unwrap();
+        assert_eq!(m.health(1), ChildHealth::Faulted);
+        assert_eq!(m.dirty_segments(1), 2, "the source segment was left clean");
     }
 
     #[test]

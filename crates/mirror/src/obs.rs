@@ -13,9 +13,7 @@
 //! * `mirror.rebuild.copy_ns` — per-segment rebuild copy latency;
 //! * `mirror.rebuild.segments_remaining` — dirty segments left on the
 //!   child currently rebuilding (gauge);
-//! * `mirror.rebuild.{segments_copied,segments_requeued}` — rebuild
-//!   progress counters (a requeue is a segment redirtied by a foreground
-//!   write racing its copy).
+//! * `mirror.rebuild.segments_copied` — rebuild progress counter.
 //!
 //! Trace events land on [`TRACK_MIRROR`]: an instant per child fault and
 //! a `mirror.degraded` span covering each child's fault → back-online
@@ -49,7 +47,6 @@ pub(crate) struct MirrorObs {
     rebuild_copy: Histogram,
     segments_remaining: Gauge,
     segments_copied: Counter,
-    segments_requeued: Counter,
 }
 
 impl MirrorObs {
@@ -69,7 +66,6 @@ impl MirrorObs {
             rebuild_copy: registry.histogram("mirror.rebuild.copy_ns", Unit::SimNanos),
             segments_remaining: registry.gauge("mirror.rebuild.segments_remaining"),
             segments_copied: registry.counter("mirror.rebuild.segments_copied"),
-            segments_requeued: registry.counter("mirror.rebuild.segments_requeued"),
             children: per_child,
             registry,
         }
@@ -121,13 +117,9 @@ impl MirrorObs {
         );
     }
 
-    pub(crate) fn note_segment_copied(&self, copy_ns: u64, requeued: bool) {
+    pub(crate) fn note_segment_copied(&self, copy_ns: u64) {
         self.rebuild_copy.record(copy_ns);
-        if requeued {
-            self.segments_requeued.inc();
-        } else {
-            self.segments_copied.inc();
-        }
+        self.segments_copied.inc();
     }
 
     pub(crate) fn set_segments_remaining(&self, n: u64) {

@@ -1,15 +1,14 @@
 //! Online rebuild: drain a faulted child's dirty segment map while
 //! foreground traffic continues.
 //!
-//! A rebuild copies one segment (erase block) at a time.  The segment is
-//! entered into the `MirrorRange`-guarded lock set first, which by the
-//! mirror's in-sync rule makes foreground mutations of it — and
-//! copybacks out of it — *skip and redirty* instead of racing the copy;
-//! the copy itself then runs without the mirror lock
-//! held so every other segment keeps serving reads and writes at full
-//! speed.  When the copy lands the segment's dirty bit is cleared —
-//! unless a foreground write redirtied it mid-copy, in which case it
-//! stays queued and the copy counts as requeued work.
+//! A rebuild copies one segment (erase block) per step and holds the
+//! mirror lock for the whole step: it picks the lowest dirty segment,
+//! copies it and clears its dirty bit.  A foreground command waits for a
+//! step in flight; between steps it runs under the mirror's in-sync rule,
+//! so a write into a segment not yet copied skips the child and leaves
+//! the segment dirty, and one into a copied segment lands on the child
+//! as on every other.  The stack is driven from one host thread, so
+//! nothing ever actually waits.
 //!
 //! The per-segment copy streams the source block through a bounded
 //! window of reads (`window` in flight), programming each page on
@@ -41,9 +40,6 @@ pub struct SegmentCopy {
     /// The source block was `Bad`, so the target block was retired
     /// instead of copied.
     pub retired: bool,
-    /// A foreground write raced the copy; the segment stays dirty and
-    /// will be copied again.
-    pub requeued: bool,
     /// Simulated instant the copy (and its bookkeeping) finished.
     pub completed_at: SimTime,
 }
@@ -55,8 +51,6 @@ pub struct RebuildReport {
     pub child: usize,
     /// Segments whose copy landed and cleared their dirty bit.
     pub segments_copied: u64,
-    /// Copies that raced a foreground write and were queued again.
-    pub segments_requeued: u64,
     /// Total pages programmed on the target.
     pub pages_copied: u64,
     /// Pages re-invalidated on the target.
@@ -110,91 +104,65 @@ impl MirrorDevice {
         Ok(())
     }
 
-    /// Copy the lowest-numbered dirty segment of `child`.
+    /// Copy the lowest-numbered dirty segment of `child`, holding the
+    /// mirror lock from planning to clearing the segment's dirty bit.
     ///
     /// Returns `Ok(None)` once the map is drained — at which point the
     /// child has transitioned back to `Online`.  `window` bounds the
-    /// number of source reads in flight during the copy.
+    /// number of source reads in flight during the copy.  A failed copy
+    /// leaves the segment dirty.
     pub fn rebuild_step(
         &self,
         child: usize,
         window: usize,
         at: SimTime,
     ) -> Result<Option<SegmentCopy>> {
-        let (seg, source) = {
-            let mut state = self.mirror_shard();
-            self.sweep_losses(&mut state, at);
-            match state.children[child].health {
-                ChildHealth::Rebuilding => {}
-                ChildHealth::Faulted => {
-                    // Lost again mid-rebuild.
-                    return Err(FlashError::DeviceLost {
-                        child,
-                        at: state.children[child].faulted_at.unwrap_or(at),
-                    });
-                }
-                ChildHealth::Online => {
-                    return Err(FlashError::MirrorConfig {
-                        message: format!("child {child} is not rebuilding"),
-                    });
-                }
-            }
-            let Some(source) = state
-                .children
-                .iter()
-                .enumerate()
-                .position(|(i, c)| i != child && c.health == ChildHealth::Online)
-            else {
-                return Err(FlashError::NoHealthyChild { at });
-            };
-            match state.children[child].map(self.segment_count()).first_dirty() {
-                None => {
-                    // Drained: the child is in sync again.  Commit the
-                    // rebuilt history by ratcheting the child's epoch
-                    // counter up to the mirror's (replica programs left
-                    // it at its stale pre-loss value on purpose).
-                    let c = &mut state.children[child];
-                    c.health = c.health.check_transition(ChildHealth::Online)?;
-                    self.children()[child].ratchet_epoch(FlashBackend::current_epoch(self));
-                    let faulted_at = c.faulted_at.take().unwrap_or(SimTime::ZERO);
-                    self.obs.note_back_online(child, faulted_at, at);
-                    self.obs.set_segments_remaining(0);
-                    return Ok(None);
-                }
-                Some(seg) => {
-                    let mut ranges = self.range_shard();
-                    ranges.locked.insert(seg);
-                    ranges.redirtied.remove(&seg);
-                    (seg, source)
-                }
-            }
-        };
-        // Copy with the mirror lock released: foreground traffic to every
-        // other segment proceeds; traffic to this one skips + redirties.
-        let result = self.copy_segment(source, child, seg, window, at);
-        // analyzer:allow(lock_order) the planning block above dropped both its guards
         let mut state = self.mirror_shard();
-        let mut ranges = self.range_shard();
-        ranges.locked.remove(&seg);
-        match result {
-            Err(e) => {
-                // The segment stays dirty; a redirty is subsumed by that.
-                ranges.redirtied.remove(&seg);
-                Err(e)
+        self.sweep_losses(&mut state, at);
+        match state.children[child].health {
+            ChildHealth::Rebuilding => {}
+            ChildHealth::Faulted => {
+                // Lost again mid-rebuild.
+                return Err(FlashError::DeviceLost {
+                    child,
+                    at: state.children[child].faulted_at.unwrap_or(at),
+                });
             }
-            Ok(mut copy) => {
-                let requeued = ranges.redirtied.remove(&seg);
-                let dirty = state.children[child].map(self.segment_count());
-                if !requeued {
-                    dirty.clear(seg);
-                }
-                copy.requeued = requeued;
-                let copy_ns = copy.completed_at.as_nanos().saturating_sub(at.as_nanos());
-                self.obs.note_segment_copied(copy_ns, requeued);
-                self.obs.set_segments_remaining(dirty.dirty_count());
-                Ok(Some(copy))
+            ChildHealth::Online => {
+                return Err(FlashError::MirrorConfig {
+                    message: format!("child {child} is not rebuilding"),
+                });
             }
         }
+        let Some(source) = state
+            .children
+            .iter()
+            .enumerate()
+            .position(|(i, c)| i != child && c.health == ChildHealth::Online)
+        else {
+            return Err(FlashError::NoHealthyChild { at });
+        };
+        let epoch = state.epoch;
+        let c = &mut state.children[child];
+        let Some(seg) = c.map(self.segment_count()).first_dirty() else {
+            // Drained: the child is in sync again.  Commit the rebuilt
+            // history by ratcheting the child's epoch counter up to the
+            // mirror's (replica programs left it at its stale pre-loss
+            // value on purpose).
+            c.health = c.health.check_transition(ChildHealth::Online)?;
+            self.children()[child].ratchet_epoch(epoch);
+            let faulted_at = c.faulted_at.take().unwrap_or(SimTime::ZERO);
+            self.obs.note_back_online(child, faulted_at, at);
+            self.obs.set_segments_remaining(0);
+            return Ok(None);
+        };
+        let copy = self.copy_segment(source, child, seg, window, at)?;
+        let dirty = c.map(self.segment_count());
+        dirty.clear(seg);
+        let copy_ns = copy.completed_at.as_nanos().saturating_sub(at.as_nanos());
+        self.obs.note_segment_copied(copy_ns);
+        self.obs.set_segments_remaining(dirty.dirty_count());
+        Ok(Some(copy))
     }
 
     /// Drain `child`'s dirty map to completion, advancing the simulated
@@ -203,7 +171,6 @@ impl MirrorDevice {
         let mut report = RebuildReport {
             child,
             segments_copied: 0,
-            segments_requeued: 0,
             pages_copied: 0,
             pages_invalidated: 0,
             blocks_retired: 0,
@@ -220,11 +187,7 @@ impl MirrorDevice {
                     return Ok(report);
                 }
                 Some(copy) => {
-                    if copy.requeued {
-                        report.segments_requeued += 1;
-                    } else {
-                        report.segments_copied += 1;
-                    }
+                    report.segments_copied += 1;
                     report.pages_copied += copy.pages_copied as u64;
                     report.pages_invalidated += copy.pages_invalidated as u64;
                     if copy.retired {
@@ -237,8 +200,8 @@ impl MirrorDevice {
     }
 
     /// Stream one segment from `source` to `child` through a bounded
-    /// read window.  Runs without mirror-level locks; the caller holds
-    /// the segment's range lock.
+    /// read window.  The caller holds the mirror lock, so this takes no
+    /// mirror-level lock itself.
     fn copy_segment(
         &self,
         source: usize,
@@ -255,7 +218,6 @@ impl MirrorDevice {
             pages_copied: 0,
             pages_invalidated: 0,
             retired: false,
-            requeued: false,
             completed_at: at,
         };
         let sb = src_dev.block_info(block)?;
@@ -286,9 +248,8 @@ impl MirrorDevice {
             copy.completed_at = clock;
             return Ok(copy);
         }
-        // Snapshot per-page validity up front; a foreground invalidation
-        // racing the copy redirties the segment, so divergence here is
-        // re-copied later anyway.
+        // Snapshot per-page validity up front: with the mirror lock held
+        // no foreground command changes the source block meanwhile.
         let mut invalid_pages = Vec::new();
         for page in 0..sb.write_ptr {
             if src_dev.page_state(block.page(page))? == PageState::Invalid {

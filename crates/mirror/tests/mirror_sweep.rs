@@ -60,7 +60,7 @@ impl Bootable for Mirror {
             .device
             .children()
             .iter()
-            .map(|c| crash::power_cycle(c, false))
+            .map(|c| crash::power_cycle(c))
             .collect::<noftl_core::Result<Vec<_>>>()?;
         let injector = Arc::new(DeviceLossInjector::new(children.len()));
         if let Some(child) = self.absent {
@@ -226,13 +226,11 @@ fn randomized_loss_and_crash_sweep_loses_no_acknowledged_write() {
                 let report = mirror2.rebuild(child, 4, t2).unwrap();
                 assert!(report.child_online, "cycle {cycle}");
                 // The rebuild copies exactly what the reloaded map said
-                // was stale — requeues are impossible without foreground
-                // traffic.
+                // was stale.
                 assert_eq!(
                     report.segments_copied, dirty,
                     "cycle {cycle}: rebuild copied a different segment count than the map held"
                 );
-                assert_eq!(report.segments_requeued, 0, "cycle {cycle}");
                 total_copied += report.segments_copied;
                 t2 = t2.max(report.completed_at);
             }

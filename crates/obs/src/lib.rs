@@ -17,8 +17,8 @@
 //!
 //! * **Pure std, atomics-only hot path.**  Updating any handle is a
 //!   relaxed atomic; nothing here acquires a `flash_sim::lockorder`
-//!   tracked lock, so instrumentation can be inserted inside any shard
-//!   without touching the documented lock order.  (The tracer's ring
+//!   tracked lock, so instrumentation can be inserted under any layer's
+//!   lock without touching the documented lock order.  (The tracer's ring
 //!   mutex and the registry's registration lock are plain-`std` leaf
 //!   locks on cold paths only.)
 //! * **No allocation on update.**  A counter, gauge or histogram update

@@ -9,9 +9,10 @@
 //! The tracer is **disabled by default** and the enabled check is a
 //! relaxed atomic load taken before any argument is materialized, so a
 //! disabled tracer allocates nothing (pinned by the no-alloc test).  The
-//! ring itself sits behind a plain `std::sync::Mutex` — a leaf lock that
-//! never nests inside another acquisition and is invisible to the
-//! `flash_sim::lockorder` sanitizer by design.
+//! ring itself sits behind a plain `std::sync::Mutex` — a leaf lock
+//! (nothing is acquired while it is held; a device records its spans
+//! under its own lock) that is invisible to the `flash_sim::lockorder`
+//! sanitizer by design.
 //!
 //! Export: [`Tracer::to_chrome_json`] emits the Chrome trace-event JSON
 //! array format — load it at `chrome://tracing` or <https://ui.perfetto.dev>.

@@ -1,5 +1,5 @@
 //! Crash consistency end to end: run a workload, cut power mid-flight,
-//! reboot the device from a file-backed image, remount the storage
+//! reboot the device from its image, remount the storage
 //! manager and recover the database from the WAL tail.
 //!
 //! ```text
@@ -14,11 +14,7 @@ fn main() {
     // the way.  `fraction` places the power cut within the workload's
     // simulated time span.
     for fraction in [0.25, 0.5, 0.85] {
-        let cfg = CrashHarnessConfig {
-            txns: 120,
-            image_file: true, // persist the torn device to a file and boot the image
-            ..CrashHarnessConfig::default()
-        };
+        let cfg = CrashHarnessConfig { txns: 120, ..CrashHarnessConfig::default() };
         let outcome = run_crash_cycle(&cfg, fraction).expect("recovery verifies");
         println!(
             "cut at {:>12} ns ({}):",

@@ -83,7 +83,7 @@ fn main() {
         Err(e) => println!("\npower cut during flush: {e}"),
     }
 
-    let device2 = crash::power_cycle(&device, false).unwrap();
+    let device2 = crash::power_cycle(&device).unwrap();
     let (noftl2, mount) = NoFtl::mount(device2, NoFtlConfig::default(), quiesce).unwrap();
     println!(
         "mounted: checkpoint #{}, {} torn pages discarded",

@@ -74,10 +74,11 @@ fn fifty_random_power_cuts_recover_committed_data_only() {
 
 #[test]
 fn device_image_file_roundtrip_reboots_the_full_stack() {
-    // One cycle with the snapshot persisted to a file-backed image (the
-    // "pull the SSD, image it, boot the image" path).
-    let cfg = CrashHarnessConfig { txns: 60, image_file: true, ..CrashHarnessConfig::default() };
-    let outcome = run_crash_cycle(&cfg, 0.42).expect("file-backed reboot cycle");
+    // One cycle through the device's image: every power cycle boots from
+    // the `NFLIMG03` bytes of the cut device (the "pull the SSD, image it,
+    // boot the image" path).
+    let cfg = CrashHarnessConfig { txns: 60, ..CrashHarnessConfig::default() };
+    let outcome = run_crash_cycle(&cfg, 0.42).expect("reboot cycle through the image");
     assert!(outcome.committed_txns > 0);
     assert_eq!(outcome.recovery.tables_recovered, 1);
     assert_eq!(outcome.recovery.indexes_recovered, 1);
@@ -105,8 +106,8 @@ fn snapshot_restore_preserves_wear_and_bad_blocks() {
         (decoded.epoch, decoded.endurance, &decoded.blocks),
         (snap.epoch, snap.endurance, &snap.blocks)
     );
-    // The same round trip, through a file, as a power cycle.
-    let device2 = power_cycle(&device, true).unwrap();
+    // The same round trip, as a power cycle.
+    let device2 = power_cycle(&device).unwrap();
     let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
     assert_eq!(report.checkpoint_seq, 1);
     for p in 0..8u64 {
@@ -163,7 +164,7 @@ fn power_cut_between_two_gc_steps_of_one_victim_loses_nothing() {
     device.arm_power_cut(idle);
     assert!(noftl.write(obj, 0, &vec![0xEE; 4096], idle + Duration::from_ms(1)).is_err());
     let (noftl, report) =
-        NoFtl::mount(power_cycle(&device, false).unwrap(), NoFtlConfig::default(), idle).unwrap();
+        NoFtl::mount(power_cycle(&device).unwrap(), NoFtlConfig::default(), idle).unwrap();
     assert_eq!(report.mapped_pages, pages, "one version of every acknowledged page");
     let mut t = report.completed_at;
     for p in 0..pages {
@@ -222,7 +223,7 @@ fn recovery_reports_scale_with_wal_length() {
         }
         // Reboot + recover after each chunk; the WAL tail has grown, so
         // redo replays more images.
-        let device2 = power_cycle(&device, false).unwrap();
+        let device2 = power_cycle(&device).unwrap();
         let (noftl2, mount) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
         let backend2 = Arc::new(NoFtlBackend::attach(Arc::new(noftl2), &placement).unwrap());
         let (_db2, report) = Database::recover(backend2, config, mount.completed_at).unwrap();

@@ -5,8 +5,9 @@
 //!
 //! 1. **Concurrency** — threads issuing commands to disjoint dies of one
 //!    shared device produce exactly the per-die timings of a
-//!    single-threaded run: there is no device-global lock whose
-//!    acquisition order could perturb the timing model.
+//!    single-threaded run: a thread's timings depend on the simulated
+//!    instants of its commands, not on how the host interleaves the
+//!    threads on the device's one lock.
 //! 2. **Crash interaction** — with a power cut armed, a batch issued at
 //!    one instant tears exactly the commands whose scheduled completion
 //!    exceeds the cut instant, and a NoFTL mount after the cut keeps
@@ -38,9 +39,10 @@ fn device() -> NandDevice {
 }
 
 /// Threads issuing commands to disjoint dies of one shared device get the
-/// same per-die completion times as a single-threaded run — they do not
-/// serialize on a device-global mutex, so nothing about their
-/// interleaving can influence the timing model.
+/// same per-die completion times as a single-threaded run: the host
+/// serializes their commands on the device lock in whatever order it
+/// picks, but a command's timing depends only on its simulated issue
+/// instant and what is reserved on its die and channel.
 #[test]
 fn concurrent_disjoint_die_reads_do_not_serialize() {
     let geo = FlashGeometry::small_test();
@@ -173,7 +175,7 @@ fn queued_write_batch_under_power_cut_mounts_cleanly() {
     assert!(matches!(err, noftl_regions::noftl::NoFtlError::Flash(e) if e.is_power_loss()));
 
     // Power-cycle and mount.
-    let dev2 = crash::power_cycle(&dev, false).unwrap();
+    let dev2 = crash::power_cycle(&dev).unwrap();
     let (mounted, report) = NoFtl::mount(dev2, NoFtlConfig::default(), t).unwrap();
     assert!(report.torn_pages_discarded > 0, "the cut must have torn part of the batch");
     // Every page reads as either its base version or its batch version —
