@@ -30,8 +30,6 @@ pub struct Experiment {
     pub geometry: FlashGeometry,
     /// NAND timing model.
     pub timing: TimingModel,
-    /// NoFTL configuration (GC watermarks).
-    pub noftl: NoFtlConfig,
     /// Data placement (regions and die assignment).
     pub placement: PlacementConfig,
     /// TPC-C scale.
@@ -67,7 +65,6 @@ impl Experiment {
             label: label.to_string(),
             geometry: Self::figure3_geometry(),
             timing: TimingModel::mlc_2015(),
-            noftl: NoFtlConfig::paper_defaults(),
             placement,
             scale: ScaleConfig::small(2),
             buffer_pages: 1_500,
@@ -90,7 +87,6 @@ impl Experiment {
                 oob_size: 64,
             },
             timing: TimingModel::mlc_2015(),
-            noftl: NoFtlConfig::paper_defaults(),
             placement,
             scale: ScaleConfig::tiny(),
             buffer_pages: 64,
@@ -105,7 +101,7 @@ impl Experiment {
     /// up.
     pub fn run(&self) -> Result<ExperimentResult, DbError> {
         let device = Arc::new(DeviceBuilder::new(self.geometry).timing(self.timing).build());
-        let noftl = Arc::new(NoFtl::new(device.clone(), self.noftl));
+        let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::paper_defaults()));
         let backend = Arc::new(NoFtlBackend::new(Arc::clone(&noftl), &self.placement)?);
         let db = Database::open(
             backend,

@@ -32,7 +32,7 @@
 
 use std::sync::Arc;
 
-use flash_sim::{DeviceSnapshot, Duration, FlashBackend, NandDevice, SimTime};
+use flash_sim::{Duration, FlashBackend, NandDevice, SimTime};
 
 use crate::{MountReport, NoFtl, NoFtlConfig, NoFtlError};
 
@@ -301,13 +301,11 @@ pub fn cycle<C: Contract>(contract: &C, cut_at: SimTime) -> Result<Outcome<C>, C
     })
 }
 
-/// The power cycle: snapshot `device` as the cut left it, round-trip the
-/// snapshot through its `NFLIMG03` image bytes, and boot a fresh device
-/// from them with the same timing model.  The new device has no
-/// operation in flight and no cut armed.
+/// The power cycle: image `device` as the cut left it and boot a fresh
+/// device from the `NFLIMG03` bytes with the same timing model.  The new
+/// device has no operation in flight and no cut armed.
 pub fn power_cycle(device: &NandDevice) -> Result<Arc<NandDevice>> {
-    let image = DeviceSnapshot::decode(&device.snapshot().encode())?;
-    Ok(Arc::new(NandDevice::from_snapshot(&image, *device.timing())?))
+    Ok(Arc::new(NandDevice::from_image(&device.image(), *device.timing())?))
 }
 
 /// A machine the driver can cut and power-cycle: one device, or a mirror

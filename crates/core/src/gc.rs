@@ -30,6 +30,12 @@ use crate::recovery::{MetaDirectory, META_OBJECT_ID};
 use crate::region::{RegionId, RegionRuntime, Victim};
 use crate::Result;
 
+/// A die starts collecting — one GC quantum in front of each page it
+/// allocates — when its free-block count drops to this value.
+pub(crate) const GC_LOW_WATERMARK: u32 = 2;
+/// A collecting die stops once it has this many free blocks again.
+pub(crate) const GC_HIGH_WATERMARK: u32 = 4;
+
 /// A candidate victim block within one region die.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GcCandidate {
@@ -140,9 +146,9 @@ impl Space<'_> {
     ///
     /// [`step`]: Self::step
     fn pace_gc(&mut self, die_idx: usize, at: SimTime) {
-        let Env { config, obs, .. } = self.env;
+        let obs = &self.env.obs;
         let die = &mut self.region.dies[die_idx];
-        die.collecting |= die.free_blocks.len() as u32 <= config.gc_low_watermark;
+        die.collecting |= die.free_blocks.len() as u32 <= GC_LOW_WATERMARK;
         if !die.collecting || die.nothing_to_collect {
             return;
         }
@@ -163,7 +169,7 @@ impl Space<'_> {
     /// fast as host writes use up the `P - v` pages it frees, plus one to
     /// get ahead.  Returns `false` when nothing was or could be collected.
     fn step(&mut self, die_idx: usize, at: SimTime) -> bool {
-        let Env { device, config, obs, .. } = self.env;
+        let Env { device, obs } = self.env;
         let device = device.as_ref();
         let pages_per_block = device.geometry().pages_per_block;
         let Some(mut victim) =
@@ -219,7 +225,7 @@ impl Space<'_> {
         }
         die.used_blocks.retain(|b| *b != victim.block);
         die.free_blocks.push(victim.block);
-        if die.free_blocks.len() >= config.gc_high_watermark as usize {
+        if die.free_blocks.len() >= GC_HIGH_WATERMARK as usize {
             die.collecting = false;
         }
         let stats = &mut self.region.stats;
@@ -349,10 +355,9 @@ mod tests {
     /// ahead of the write that found it there.
     fn burst_then_write(noftl: &NoFtl, r: RegionId, req: &IoRequest<'_>) -> Result<()> {
         let mut inner = noftl.lock_inner();
-        let config = noftl.env.config;
         let mut space = inner.space(&noftl.env, r)?;
-        if space.region.dies[0].free_blocks.len() as u32 <= config.gc_low_watermark {
-            while space.region.dies[0].free_blocks.len() < config.gc_high_watermark as usize {
+        if space.region.dies[0].free_blocks.len() as u32 <= GC_LOW_WATERMARK {
+            while space.region.dies[0].free_blocks.len() < GC_HIGH_WATERMARK as usize {
                 let Some(victim) = space.choose_victim(0) else { break };
                 space.region.dies[0].victim = Some(Victim { quantum: u32::MAX, ..victim });
                 if !space.step(0, SimTime::ZERO) {
@@ -393,7 +398,7 @@ mod tests {
                     let mut inner = noftl.lock_inner();
                     let space = inner.space(&noftl.env, r).unwrap();
                     let die = &space.region.dies[0];
-                    let low = die.free_blocks.len() as u32 <= noftl.env.config.gc_low_watermark;
+                    let low = die.free_blocks.len() as u32 <= GC_LOW_WATERMARK;
                     if die.collecting || low {
                         die.victim.or_else(|| space.choose_victim(0)).map_or(0, |v| v.quantum)
                     } else {

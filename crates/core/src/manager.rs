@@ -37,20 +37,19 @@ use crate::region::{RegionDie, RegionId, RegionRuntime, RegionSpec};
 use crate::stats::RegionStats;
 use crate::Result;
 
-/// The immutable half of the manager: the device, the configuration and
-/// the pre-bound metric handles.  Borrowed as a unit by the methods on
-/// the locked [`Inner`] state (allocator, GC, request path), which therefore need no handle on
-/// the manager — and cannot re-take its lock.
+/// The immutable half of the manager: the device and the pre-bound
+/// metric handles.  Borrowed as a unit by the methods on the locked
+/// [`Inner`] state (allocator, GC, request path), which therefore need no
+/// handle on the manager — and cannot re-take its lock.
 pub(crate) struct Env {
     pub(crate) device: Arc<dyn FlashBackend>,
-    pub(crate) config: NoFtlConfig,
     /// Atomics-only: safe under any tracked lock.
     pub(crate) obs: CoreObs,
 }
 
 impl Env {
-    pub(crate) fn new(device: Arc<dyn FlashBackend>, config: NoFtlConfig) -> Self {
-        Env { obs: CoreObs::new(Arc::clone(device.metrics())), device, config }
+    pub(crate) fn new(device: Arc<dyn FlashBackend>) -> Self {
+        Env { obs: CoreObs::new(Arc::clone(device.metrics())), device }
     }
 }
 
@@ -145,15 +144,11 @@ impl std::fmt::Debug for NoFtl {
 
 impl NoFtl {
     /// Create a storage manager over `device`.  All dies start in the free
-    /// pool; create regions to make them usable.
-    ///
-    /// # Panics
-    /// Panics if the configuration fails validation (a programming error).
-    pub fn new(device: Arc<dyn FlashBackend>, config: NoFtlConfig) -> Self {
-        // analyzer:allow(panic_freedom) configuration failures are programming errors, documented under `# Panics`
-        config.validate().unwrap_or_else(|e| panic!("invalid NoFTL configuration: {e}"));
+    /// pool; create regions to make them usable.  The configuration has
+    /// no settings ([`NoFtlConfig`]).
+    pub fn new(device: Arc<dyn FlashBackend>, _config: NoFtlConfig) -> Self {
         let inner = Inner::fresh(device.as_ref());
-        Self::assemble(Env::new(device, config), inner)
+        Self::assemble(Env::new(device), inner)
     }
 
     /// Put a manager together from its two halves (fresh in [`NoFtl::new`],
@@ -180,11 +175,6 @@ impl NoFtl {
     /// The underlying native flash device.
     pub fn device(&self) -> &Arc<dyn FlashBackend> {
         &self.env.device
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &NoFtlConfig {
-        &self.env.config
     }
 
     /// The metrics registry shared with the underlying device: every

@@ -384,10 +384,11 @@ impl Scan {
         let mut scan = Scan::default();
         for die in geo.dies() {
             // Partial-device mount: a die that was never programmed or
-            // erased (per the device's touched flags, which survive
-            // snapshot/restore) holds no pages, no chunks and no
-            // allocation state worth scanning — `RegionDie::rebuild`
-            // reconstructs it from block states without OOB reads.
+            // erased (per the device's touched flags, which a device
+            // booted from an image derives from its blocks) holds no
+            // pages, no chunks and no allocation state worth scanning —
+            // `RegionDie::rebuild` reconstructs it from block states
+            // without OOB reads.
             if !device.die_touched(die) {
                 report.dies_skipped += 1;
                 continue;
@@ -635,13 +636,10 @@ impl NoFtl {
     /// but no complete checkpoint fails with [`NoFtlError::NoCheckpoint`].
     pub fn mount(
         device: Arc<dyn FlashBackend>,
-        config: NoFtlConfig,
+        _config: NoFtlConfig,
         at: SimTime,
     ) -> Result<(NoFtl, MountReport)> {
-        config
-            .validate()
-            .map_err(|e| NoFtlError::Recovery { message: format!("invalid config: {e}") })?;
-        let env = Env::new(device, config);
+        let env = Env::new(device);
         let device = env.device.as_ref();
         let mut report = MountReport { completed_at: at, ..MountReport::default() };
         let mut scan = Scan::run(&env, at, &mut report)?;

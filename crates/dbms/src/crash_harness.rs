@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use flash_sim::{DeviceBuilder, Duration, FlashBackend, FlashGeometry, SimTime, TimingModel};
 use noftl_core::crash::{self, Contract, Ledger, SplitMix64, Stack};
-use noftl_core::{MountReport, NoFtl, NoFtlConfig, PlacementConfig, RegionAssignment};
+use noftl_core::{NoFtl, NoFtlConfig, PlacementConfig, RegionAssignment};
 
 use crate::db::{
     Database, DatabaseConfig, RecoveryReport, CATALOG_OBJECT, LOG_OBJECT, METADATA_OBJECT,
@@ -74,35 +74,10 @@ impl Default for CrashHarnessConfig {
     }
 }
 
-/// Outcome of one workload → cut → recover → verify cycle.
-#[derive(Debug, Clone)]
-pub struct CrashOutcome {
-    /// The armed power-cut instant.
-    pub cut_at: SimTime,
-    /// Writing transactions whose commit was acknowledged before the cut.
-    pub committed_txns: u64,
-    /// Read-only transactions committed before the cut (no log record,
-    /// no force — they must neither lose nor resurrect anything).
-    pub read_only_txns: u64,
-    /// Whether the cut interrupted a commit (whose effects may then
-    /// legitimately survive in full).
-    pub cut_during_commit: bool,
-    /// Whether the in-flight transaction's effects survived recovery.
-    pub in_flight_survived: bool,
-    /// Rows present (and verified) after recovery.
-    pub rows_verified: u64,
-    /// The storage-manager mount summary.
-    pub mount: MountReport,
-    /// The database recovery summary.
-    pub recovery: RecoveryReport,
-    /// WAL pages at the moment of the crash (log length the redo pass had
-    /// to consider).
-    pub wal_pages_at_crash: u64,
-    /// Recovery mounts that were themselves interrupted by a power cut
-    /// before the final mount succeeded (see
-    /// [`CrashHarnessConfig::mount_cuts`]).
-    pub interrupted_mounts: u64,
-}
+/// Outcome of one workload → cut → recover → verify cycle: the run's
+/// report, the committed and recovered tables, and the mount and
+/// recovery summaries.
+pub type CrashOutcome = crash::Outcome<CrashHarnessConfig>;
 
 fn key_bytes(key: i64) -> Vec<u8> {
     key.to_be_bytes().to_vec()
@@ -296,19 +271,7 @@ fn corrupted(message: String) -> DbError {
 /// `fraction` is clamped to `[0, 1)`.  Returns an error if any of the
 /// crash-consistency guarantees is violated.
 pub fn run_crash_cycle(cfg: &CrashHarnessConfig, fraction: f64) -> Result<CrashOutcome> {
-    let outcome = crash::cycle(cfg, crash::dry_run(cfg)?.cut_at(fraction))?;
-    Ok(CrashOutcome {
-        cut_at: outcome.cut_at,
-        committed_txns: outcome.report.committed_txns,
-        read_only_txns: outcome.report.read_only_txns,
-        cut_during_commit: outcome.cut_in_flight,
-        in_flight_survived: outcome.in_flight_survived,
-        rows_verified: outcome.recovered.len() as u64,
-        mount: outcome.mount,
-        recovery: outcome.recovery,
-        wal_pages_at_crash: outcome.report.wal_pages,
-        interrupted_mounts: outcome.torn_mounts,
-    })
+    crash::cycle(cfg, crash::dry_run(cfg)?.cut_at(fraction))
 }
 
 #[cfg(test)]
@@ -333,7 +296,7 @@ mod tests {
     fn mid_workload_cut_recovers() {
         let cfg = CrashHarnessConfig { txns: 60, ..CrashHarnessConfig::default() };
         let outcome = run_crash_cycle(&cfg, 0.5).unwrap();
-        assert!(outcome.committed_txns > 0);
+        assert!(outcome.report.committed_txns > 0);
         assert!(outcome.mount.checkpoint_seq > 0);
     }
 
@@ -344,14 +307,14 @@ mod tests {
         // At least one of the two armed cuts must actually have landed
         // inside the mount scan; recovery after the retries still passes
         // every ACID check (run_crash_cycle errors otherwise).
-        assert!(outcome.interrupted_mounts > 0, "no mount was interrupted");
-        assert!(outcome.committed_txns > 0);
+        assert!(outcome.torn_mounts > 0, "no mount was interrupted");
+        assert!(outcome.report.committed_txns > 0);
     }
 
     #[test]
     fn cut_through_file_backed_image_recovers() {
         let cfg = CrashHarnessConfig { txns: 40, ..CrashHarnessConfig::default() };
         let outcome = run_crash_cycle(&cfg, 0.7).unwrap();
-        assert!(outcome.rows_verified <= KEYS as u64);
+        assert!(outcome.recovered.len() <= KEYS as usize);
     }
 }

@@ -40,11 +40,6 @@ pub enum DbError {
         /// Human-readable description.
         message: String,
     },
-    /// The transaction was aborted (e.g. TPC-C NewOrder with an invalid item).
-    Aborted {
-        /// Reason for the abort.
-        reason: String,
-    },
 }
 
 impl fmt::Display for DbError {
@@ -57,7 +52,6 @@ impl fmt::Display for DbError {
             DbError::InvalidRid { message } => write!(f, "invalid record id: {message}"),
             DbError::Corrupted { message } => write!(f, "corrupted data: {message}"),
             DbError::Storage { message } => write!(f, "storage error: {message}"),
-            DbError::Aborted { reason } => write!(f, "transaction aborted: {reason}"),
         }
     }
 }

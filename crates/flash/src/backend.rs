@@ -204,7 +204,7 @@ pub trait FlashBackend: Send + Sync {
     fn die_touched(&self, die: DieId) -> bool;
 
     /// Downcast hook for callers that need the concrete backend — e.g.
-    /// crash harnesses snapshotting a [`NandDevice`] or arming its
+    /// crash harnesses imaging a [`NandDevice`] or arming its
     /// power-cut injector through an `Arc<dyn FlashBackend>` handle.
     fn as_any(&self) -> &dyn std::any::Any;
 

@@ -10,7 +10,7 @@
 //! allocating a new one, so a device in steady state (blocks cycling
 //! through program and erase) allocates nothing for its payloads.  What
 //! can be observed is unchanged: an erased block holds no payload — it
-//! reads, snapshots and images exactly as a block that never had one.
+//! reads and images exactly as a block that never had one.
 
 use crate::metadata::PageMetadata;
 
@@ -108,53 +108,6 @@ impl Block {
     }
 }
 
-/// Full image of one erase block, as captured by `NandDevice::snapshot`
-/// and rebuilt by `NandDevice::from_snapshot`.  Unlike [`BlockInfo`] it
-/// carries the page payloads and OOB metadata, so a device rebuilt from a
-/// snapshot serves byte-identical reads — the basis of the power-cycle
-/// ("reboot") simulation in the crash-consistency tests.  It holds state
-/// only: the valid-page count is derived from `pages` on rebuild.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BlockSnapshot {
-    /// Lifecycle state.
-    pub state: BlockState,
-    /// Next programmable page index.
-    pub write_ptr: u32,
-    /// Completed erase cycles (wear).
-    pub erase_count: u64,
-    /// Per-page lifecycle states.
-    pub pages: Vec<PageState>,
-    /// Per-page OOB metadata.
-    pub meta: Vec<Option<PageMetadata>>,
-    /// Page payloads (`None` if never programmed since the last erase).
-    pub data: Option<Vec<u8>>,
-}
-
-impl Block {
-    pub(crate) fn to_snapshot(&self) -> BlockSnapshot {
-        BlockSnapshot {
-            state: self.state,
-            write_ptr: self.write_ptr,
-            erase_count: self.erase_count,
-            pages: self.pages.clone(),
-            meta: self.meta.clone(),
-            data: (!self.data.is_empty()).then(|| self.data.clone()),
-        }
-    }
-
-    pub(crate) fn from_snapshot(s: &BlockSnapshot) -> Self {
-        Block {
-            state: s.state,
-            write_ptr: s.write_ptr,
-            erase_count: s.erase_count,
-            pages: s.pages.clone(),
-            meta: s.meta.clone(),
-            data: s.data.clone().unwrap_or_default(),
-            valid_pages: s.pages.iter().filter(|p| **p == PageState::Valid).count() as u32,
-        }
-    }
-}
-
 /// Read-only snapshot of a block's state, exposed to flash management
 /// layers (the NoFTL storage manager and the FTL) for victim selection,
 /// wear leveling and free-space accounting.
@@ -219,7 +172,6 @@ mod tests {
         assert!(b.pages.iter().all(|p| *p == PageState::Free));
         assert!(b.data.is_empty(), "an erased block holds no payload");
         assert_eq!(b.data.capacity(), 4 * 16, "and keeps its buffer");
-        assert!(b.to_snapshot().data.is_none());
     }
 
     #[test]

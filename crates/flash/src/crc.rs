@@ -5,7 +5,7 @@
 //! subsystem: the NoFTL storage manager stamps a payload CRC into each
 //! page's OOB metadata so that a program interrupted by power loss (a
 //! *torn page*) is detectable on remount, and the device image format
-//! uses the same CRC to reject truncated or corrupted snapshot files.
+//! uses the same CRC to reject truncated or corrupted images.
 //!
 //! The kernel is slicing-by-16 (Kounavis & Berry, "A Systematic Approach
 //! to Building High Performance Software-Based CRC Generators", ISCC

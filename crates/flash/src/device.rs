@@ -10,7 +10,7 @@
 //! [`NandDevice`] is spelled once: every method the storage manager calls
 //! is a method of its [`FlashBackend`] implementation, and the inherent
 //! methods are only what a plain device has beyond the trait (power
-//! cuts, snapshots, replica programs).
+//! cuts, images, replica programs).
 //!
 //! Every timed command — the five [`FlashCommand`] variants — enters
 //! through [`FlashBackend::execute`] and runs the same phases, each
@@ -47,11 +47,12 @@ use crate::addr::{BlockAddr, DieId, PageAddr};
 use crate::arbiter::{ArbiterConfig, IoTag, ServiceClass, TokenBucket};
 use crate::backend::FlashBackend;
 use crate::badblock::BadBlockPolicy;
-use crate::block::{Block, BlockInfo, BlockSnapshot, BlockState, PageState};
+use crate::block::{Block, BlockInfo, BlockState, PageState};
 use crate::command::{CmdOutput, FlashCommand};
 use crate::die::{Die, Timeline};
 use crate::error::FlashError;
 use crate::geometry::FlashGeometry;
+use crate::image;
 use crate::lockorder::{self, LockClass, TrackedGuard};
 use crate::metadata::PageMetadata;
 use crate::obs::{ArbiterObs, DeviceObs};
@@ -258,27 +259,6 @@ impl DeviceState {
     }
 }
 
-/// The NAND array's state and nothing else: the persistence unit of the
-/// crash-consistency subsystem.  The snapshot captures every block's
-/// pages, payloads, OOB metadata and wear, can be saved to / loaded from
-/// an `NFLIMG03` image (see [`DeviceSnapshot::encode`]) and turned back
-/// into a live device with [`NandDevice::from_snapshot`] — the
-/// simulator's equivalent of power-cycling the board.  Run counters are
-/// not state: they stay on the live device
-/// ([`FlashBackend::stats`], [`FlashBackend::die_stats`],
-/// [`FlashBackend::wear_summary`]).
-#[derive(Debug, Clone)]
-pub struct DeviceSnapshot {
-    /// The device geometry (needed to rebuild the device).
-    pub geometry: FlashGeometry,
-    /// Device-wide write epoch counter at capture time.
-    pub epoch: u64,
-    /// Per-block endurance budget.
-    pub endurance: u64,
-    /// Every block of the device in `(die, plane, block)` row-major order.
-    pub blocks: Vec<BlockSnapshot>,
-}
-
 /// The simulated native NAND flash device.
 ///
 /// Every command takes the host's issue time and returns an [`OpOutcome`]
@@ -463,7 +443,7 @@ impl NandDevice {
                 } else if ratchet {
                     // Caller-assigned epoch (a mirror stamping a shared
                     // sequence): ratchet the counter so `current_epoch` —
-                    // and the snapshot that persists it — reports the
+                    // and the image that persists it — reports the
                     // newest epoch this device has stored as part of its
                     // consistent history.  Rebuild replays
                     // (`program_replica`) deliberately skip this.
@@ -728,8 +708,8 @@ impl NandDevice {
     /// * a torn **copyback** behaves like a torn program of the destination
     ///   and leaves the source untouched.
     ///
-    /// After the cut, capture the device with [`NandDevice::snapshot`] and
-    /// "reboot" it with [`NandDevice::from_snapshot`].
+    /// After the cut, image the device with [`NandDevice::image`] and
+    /// "reboot" it with [`NandDevice::from_image`].
     pub fn arm_power_cut(&self, at: SimTime) {
         self.lock_device().power_cut = Some(at);
     }
@@ -744,82 +724,33 @@ impl NandDevice {
         self.lock_device().power_cut = None;
     }
 
-    /// Full snapshot: the complete per-block state (page payloads, OOB
-    /// metadata, wear, bad blocks), captured under the device lock so it
-    /// is a consistent point-in-time image.
-    /// The snapshot can be persisted with [`DeviceSnapshot::save`] and
-    /// rebuilt into a live device with [`NandDevice::from_snapshot`].
-    pub fn snapshot(&self) -> DeviceSnapshot {
+    /// The device's `NFLIMG03` image ([`crate::image`]): the NAND array's
+    /// state — every block's pages, payloads, OOB records and wear, the
+    /// bad blocks and the write epoch — encoded under the device lock, so
+    /// it is a consistent point-in-time image.  Boot it with
+    /// [`NandDevice::from_image`].
+    pub fn image(&self) -> Vec<u8> {
         let state = self.lock_device();
-        DeviceSnapshot {
-            geometry: self.geometry,
-            epoch: state.epoch,
-            endurance: self.endurance,
-            blocks: state.blocks().map(Block::to_snapshot).collect(),
-        }
+        image::encode(&self.geometry, state.epoch, self.endurance, state.blocks())
     }
 
-    /// Rebuild a device from a snapshot — the simulator's power cycle.
+    /// Boot a device from an image — the simulator's power cycle.
     ///
     /// Block contents, wear, bad-block marks and the write-epoch counter
-    /// come back exactly; the rebuilt device's counters start from zero,
+    /// come back exactly; the booted device's counters start from zero,
     /// its die/channel timelines start empty (a rebooted device has no
-    /// operations in flight) and no power cut is armed.  The caller
-    /// supplies the timing model, which is a property of the simulation
-    /// rather than of the persisted state.
-    pub fn from_snapshot(snap: &DeviceSnapshot, timing: TimingModel) -> Result<NandDevice> {
-        let g = snap.geometry;
-        g.validate().map_err(|e| FlashError::Image { message: format!("bad geometry: {e}") })?;
-        if snap.blocks.len() as u64 != g.total_blocks() {
-            return Err(FlashError::Image {
-                message: format!(
-                    "snapshot holds {} blocks, geometry needs {}",
-                    snap.blocks.len(),
-                    g.total_blocks()
-                ),
-            });
-        }
-        let psz = g.page_size as usize;
-        let ppb = g.pages_per_block as usize;
-        for (i, b) in snap.blocks.iter().enumerate() {
-            // A block holds a whole block's payload exactly when it holds
-            // programmed pages.
-            let payload = (b.write_ptr > 0).then_some(ppb * psz);
-            if b.pages.len() != ppb
-                || b.meta.len() != ppb
-                || b.data.as_ref().map(Vec::len) != payload
-            {
-                return Err(FlashError::Image {
-                    message: format!("block {i} does not match the geometry"),
-                });
-            }
-        }
-        // `total_blocks == total_dies * blocks_per_die` was validated
-        // above, so chunking yields exactly one full chunk per die.
-        let dies: Vec<Die> = snap
-            .blocks
-            .chunks(g.blocks_per_die() as usize)
-            .map(|chunk| {
-                let mut die = Die::new(g.planes_per_die, g.blocks_per_plane, g.pages_per_block);
-                for (slot, snapshot) in
-                    die.planes.iter_mut().flat_map(|p| p.blocks.iter_mut()).zip(chunk)
-                {
-                    *slot = Block::from_snapshot(snapshot);
-                }
-                // A die counts as touched if any of its blocks ever left
-                // the pristine state — the same condition under which the
-                // mount scan could find anything.
-                die.touched = chunk
-                    .iter()
-                    .any(|b| b.write_ptr > 0 || b.erase_count > 0 || b.state != BlockState::Free);
-                die
-            })
-            .collect();
+    /// operations in flight), no power cut is armed, no arbiter runs and
+    /// it records into a fresh registry.  The caller supplies the timing
+    /// model, which is a property of the simulation rather than of the
+    /// persisted state.  A truncated, corrupted or inconsistent image is
+    /// a [`FlashError::Image`].
+    pub fn from_image(bytes: &[u8], timing: TimingModel) -> Result<NandDevice> {
+        let (geometry, epoch, endurance, dies) = image::decode(bytes)?;
         Ok(NandDevice {
-            geometry: g,
+            geometry,
             timing,
-            endurance: snap.endurance,
-            state: Mutex::new(DeviceState::new(&g, dies, snap.epoch)),
+            endurance,
+            state: Mutex::new(DeviceState::new(&geometry, dies, epoch)),
             obs: DeviceObs::new(Arc::new(MetricsRegistry::new())),
             arbiter: None,
         })
@@ -1305,8 +1236,8 @@ mod tests {
         let d = dev();
         let b = BlockAddr::new(DieId(0), 0, 0);
         d.erase_block(b, SimTime::ZERO).unwrap();
-        let snap = d.snapshot();
-        assert_eq!(snap.blocks[0].erase_count, 1);
+        let booted = NandDevice::from_image(&d.image(), *d.timing()).unwrap();
+        assert_eq!(booted.block_info(b).unwrap().erase_count, 1);
         assert_eq!(d.stats().block_erases, 1);
         assert_eq!(d.wear_summary().total_erases, 1);
         let die_stats = d.die_stats();
@@ -1407,7 +1338,7 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrip_restores_byte_identical_reads() {
-        // Satellite requirement: snapshot → restore → byte-identical reads,
+        // Image → boot → byte-identical reads,
         // including bad-block and wear state.
         let d =
             DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build();
@@ -1427,8 +1358,7 @@ mod tests {
         d.retire_block(BlockAddr::new(DieId(3), 0, 2)).unwrap();
         d.mark_invalid(written[0].0).unwrap();
 
-        let snap = d.snapshot();
-        let rebooted = NandDevice::from_snapshot(&snap, TimingModel::mlc_2015()).unwrap();
+        let rebooted = NandDevice::from_image(&d.image(), TimingModel::mlc_2015()).unwrap();
         for (addr, data) in &written[1..] {
             let (read, meta, _) = rebooted.read_page(*addr, SimTime::ZERO).unwrap();
             assert_eq!(&read, data);
@@ -1459,7 +1389,7 @@ mod tests {
         d.retire_block(BlockAddr::new(DieId(2), 0, 1)).unwrap();
         d.read_page(page(0, 0, 0), SimTime::ZERO).unwrap_err();
         assert_eq!((d.stats().total_ops(), d.stats().errors), (3, 1));
-        let rebooted = NandDevice::from_snapshot(&d.snapshot(), *d.timing()).unwrap();
+        let rebooted = NandDevice::from_image(&d.image(), *d.timing()).unwrap();
         assert_eq!(rebooted.stats(), DeviceStats::default(), "counters are not state");
         let die_stats = rebooted.die_stats();
         assert!(die_stats.iter().all(|s| (s.ops, s.busy_time) == (0, Duration::ZERO)));
@@ -1494,8 +1424,7 @@ mod tests {
         assert!(d.program_page(torn, &payload(9, &d), meta, at).unwrap_err().is_power_loss());
         d.clear_power_cut();
 
-        let image = DeviceSnapshot::decode(&d.snapshot().encode()).unwrap();
-        let rebuilt = NandDevice::from_snapshot(&image, timing).unwrap();
+        let rebuilt = NandDevice::from_image(&d.image(), timing).unwrap();
         let g = *d.geometry();
         for die in 0..g.total_dies() {
             for block in 0..g.blocks_per_plane {
@@ -1592,7 +1521,7 @@ mod tests {
 
     /// An erase keeps the block's payload buffer, and nothing can tell:
     /// fill a block, erase it, tear an erase of the erased block, program
-    /// page 0 — the block then snapshots and images exactly as on a fresh
+    /// page 0 — the block then images exactly as on a fresh
     /// device given only the last two commands (the counters of the longer
     /// history aside).
     #[test]
@@ -1600,13 +1529,13 @@ mod tests {
         let timing = TimingModel::mlc_2015();
         let build = || DeviceBuilder::new(FlashGeometry::small_test()).timing(timing).build();
         let b = BlockAddr::new(DieId(0), 0, 0);
-        let image = |d: &NandDevice| d.snapshot().blocks[0].clone();
+        let data = |d: &NandDevice| d.lock_device().dies[0].block(b).data.clone();
         // The last two commands, issued on an idle die at `at`.
         let tear_then_program = |d: &NandDevice, at: SimTime| {
             d.arm_power_cut(at + Duration::from_us(1));
             assert!(d.erase_block(b, at).unwrap_err().is_power_loss());
             d.clear_power_cut();
-            assert!(image(d).data.is_none(), "a torn erase of an erased block writes no payload");
+            assert!(data(d).is_empty(), "a torn erase of an erased block writes no payload");
             let meta = PageMetadata::with_epoch(7, 0, 1_000);
             d.program_page(b.page(0), &payload(0x3C, d), meta, d.quiesce_time()).unwrap();
         };
@@ -1616,22 +1545,19 @@ mod tests {
             let meta = PageMetadata::new(1, u64::from(i));
             d.program_page(b.page(i), &payload(0xEE, &d), meta, SimTime::ZERO).unwrap();
         }
-        assert!(image(&d).data.is_some());
+        assert!(!data(&d).is_empty());
         d.erase_block(b, d.quiesce_time()).unwrap();
-        assert!(image(&d).data.is_none(), "an erased block holds no payload");
+        assert!(data(&d).is_empty(), "an erased block holds no payload");
         tear_then_program(&d, d.quiesce_time());
         let fresh = build();
         tear_then_program(&fresh, SimTime::ZERO);
 
-        let (mut kept, fresh) = (d.snapshot(), fresh.snapshot());
         let psz = d.geometry().page_size as usize;
-        let data = kept.blocks[0].data.as_deref().unwrap();
-        assert_eq!(&data[..psz], &payload(0x3C, &d)[..]);
-        assert!(data[psz..].iter().all(|&byte| byte == 0), "pages 1.. read as zeros");
-        kept.blocks[0].erase_count = fresh.blocks[0].erase_count;
-        assert_eq!(kept.epoch, fresh.epoch);
-        assert_eq!(kept.blocks, fresh.blocks);
-        assert_eq!(kept.encode(), fresh.encode(), "NFLIMG03 bytes");
+        let kept = data(&d);
+        assert_eq!(&kept[..psz], &payload(0x3C, &d)[..]);
+        assert!(kept[psz..].iter().all(|&byte| byte == 0), "pages 1.. read as zeros");
+        d.lock_device().dies[0].block_mut(b).erase_count = 0;
+        assert_eq!(d.image(), fresh.image(), "NFLIMG03 bytes");
     }
 
     /// The device lock is not re-entrant: a device method called with

@@ -152,10 +152,15 @@ pub(crate) struct Die {
 
 impl Die {
     pub(crate) fn new(planes_per_die: u32, blocks_per_plane: u32, pages_per_block: u32) -> Self {
+        Die::of(
+            (0..planes_per_die).map(|_| Plane::new(blocks_per_plane, pages_per_block)).collect(),
+        )
+    }
+
+    /// An idle, untouched die over `planes`.
+    pub(crate) fn of(planes: Vec<Plane>) -> Self {
         Die {
-            planes: (0..planes_per_die)
-                .map(|_| Plane::new(blocks_per_plane, pages_per_block))
-                .collect(),
+            planes,
             timeline: Timeline::default(),
             busy_time: Duration::ZERO,
             ops: 0,

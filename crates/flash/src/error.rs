@@ -63,16 +63,6 @@ pub enum FlashError {
         /// Length of the supplied buffer.
         got: usize,
     },
-    /// A simulated transient read failure (bit errors beyond ECC).
-    ReadFailure {
-        /// The page that failed.
-        addr: PageAddr,
-    },
-    /// A simulated program failure; the block should be retired.
-    ProgramFailure {
-        /// The page that failed.
-        addr: PageAddr,
-    },
     /// A simulated power cut: the device lost power at `at` and rejects
     /// every operation issued at or after that instant (operations still in
     /// flight at `at` are torn — see `NandDevice::arm_power_cut`).
@@ -100,7 +90,7 @@ pub enum FlashError {
         /// Human-readable description.
         message: String,
     },
-    /// A persistent device image could not be written, read or decoded.
+    /// A device image could not be decoded.
     Image {
         /// Human-readable description.
         message: String,
@@ -129,8 +119,6 @@ impl fmt::Display for FlashError {
             FlashError::BadPageSize { expected, got } => {
                 write!(f, "bad page buffer size: expected {expected} bytes, got {got}")
             }
-            FlashError::ReadFailure { addr } => write!(f, "uncorrectable read error at {addr}"),
-            FlashError::ProgramFailure { addr } => write!(f, "program failure at {addr}"),
             FlashError::PowerLoss { at } => {
                 write!(f, "power lost at t={} ns; device requires reboot", at.as_nanos())
             }
@@ -155,19 +143,14 @@ impl FlashError {
     }
 
     /// True if the error reports a simulated power loss (the device must be
-    /// rebooted via a snapshot before it accepts further operations).
+    /// rebooted from its image before it accepts further operations).
     pub fn is_power_loss(&self) -> bool {
         matches!(self, FlashError::PowerLoss { .. })
     }
 
     /// True if the error indicates a permanently unusable block.
     pub fn is_permanent(&self) -> bool {
-        matches!(
-            self,
-            FlashError::BadBlock { .. }
-                | FlashError::WornOut { .. }
-                | FlashError::ProgramFailure { .. }
-        )
+        matches!(self, FlashError::BadBlock { .. } | FlashError::WornOut { .. })
     }
 }
 

@@ -167,8 +167,9 @@ impl FlashGeometry {
     }
 
     /// Perform a basic sanity check of the geometry (all counts non-zero,
-    /// page size a power of two).  Returns a human-readable error string on
-    /// failure; used by the device builder.
+    /// the die count and the blocks per die within `u32`, page size a
+    /// power of two).  Returns a human-readable error string on failure;
+    /// used by the device builder and the image decoder.
     pub fn validate(&self) -> std::result::Result<(), String> {
         if self.channels == 0
             || self.chips_per_channel == 0
@@ -178,6 +179,11 @@ impl FlashGeometry {
             || self.pages_per_block == 0
         {
             return Err("all geometry counts must be non-zero".to_string());
+        }
+        let dies = self.channels.checked_mul(self.chips_per_channel);
+        let dies = dies.and_then(|d| d.checked_mul(self.dies_per_chip));
+        if dies.is_none() || self.planes_per_die.checked_mul(self.blocks_per_plane).is_none() {
+            return Err("the die count and the blocks per die must fit in 32 bits".to_string());
         }
         if self.page_size == 0 || !self.page_size.is_power_of_two() {
             return Err(format!("page_size must be a power of two, got {}", self.page_size));

@@ -20,7 +20,7 @@
 //! the per-command methods of [`FlashBackend`] are adapters over it.
 //! [`NandDevice`] is spelled once: [`FlashBackend`] is its command and
 //! probe surface (import the trait to call it on the concrete device),
-//! and the inherent methods are only power cuts, snapshots and replica
+//! and the inherent methods are only power cuts, images and replica
 //! programs.  There is no submission queue above it: commands issued at
 //! the same simulated instant to different dies overlap, which is how
 //! batched and concurrent clients exploit the device's die-level
@@ -73,11 +73,13 @@
 //! blob.  The fixed 24-byte OOB record ([`PageMetadata`]) is not streamed
 //! and keeps its own fixed-offset encoding.
 //!
-//! The device image (`NFLIMG03`, a [`DeviceSnapshot`]) is the NAND
-//! array's state: geometry, write epoch, endurance and every block's
-//! pages, OOB records, payloads and wear.  It holds no run counters — a
-//! device rebuilt from it counts from zero and keeps its wear — and no
-//! derived values such as a block's valid-page count.
+//! The device image (`NFLIMG03`: [`NandDevice::image`] writes it,
+//! [`NandDevice::from_image`] boots it) is the one persisted form of a
+//! device: the NAND array's state — geometry, write epoch, endurance and
+//! every block's pages, OOB records, payloads and wear — and nothing
+//! else.  It holds no run counters — a device booted from it counts from
+//! zero and keeps its wear — and no derived values such as a block's
+//! valid-page count.
 //!
 //! ## What this substitutes for
 //!
@@ -117,10 +119,10 @@ pub use addr::{BlockAddr, DieId, PageAddr, PlaneAddr};
 pub use arbiter::{ArbiterConfig, IoTag, ServiceClass};
 pub use backend::FlashBackend;
 pub use badblock::BadBlockPolicy;
-pub use block::{BlockInfo, BlockSnapshot, BlockState, PageState};
+pub use block::{BlockInfo, BlockState, PageState};
 pub use command::{CmdOutput, FlashCommand, OpKind};
 pub use crc::crc32;
-pub use device::{DeviceBuilder, DeviceSnapshot, DieLoad, NandDevice, OpOutcome};
+pub use device::{DeviceBuilder, DieLoad, NandDevice, OpOutcome};
 pub use error::FlashError;
 pub use fault::DeviceLossInjector;
 pub use geometry::FlashGeometry;

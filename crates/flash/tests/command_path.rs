@@ -9,8 +9,9 @@
 //! half-way OOB rule.  Each run is folded into two digests:
 //!
 //! * **state** — everything that is not an instant: each result's
-//!   `Ok` / `Err` variant with payload and metadata, every block image,
-//!   the epoch, and the operation / byte / error counts of `DeviceStats`;
+//!   `Ok` / `Err` variant with payload and metadata, the operation /
+//!   byte / error counts of `DeviceStats`, and the device's `NFLIMG03`
+//!   image (every block, the epoch);
 //! * **timing** — everything that is: each outcome's start and
 //!   completion, the latency sums and queue depths of `DeviceStats`, the
 //!   per-die statistics, `quiesce_time`, the registry tracer's events
@@ -30,7 +31,13 @@
 //! folded, took the same protocol: on the parent tree that term was
 //! replaced by the registry tracer's events and the three timing goldens
 //! were re-recorded there, then held unchanged on the change
-//! (`GOLDEN_STATE` did not move).
+//! (`GOLDEN_STATE` did not move).  Folding the device image instead of
+//! its blocks' fields, once the image became the device's one persisted
+//! form, took it again with the roles swapped: on the parent tree the
+//! block fields were replaced by the bytes of the image that tree wrote,
+//! `GOLDEN_STATE` and `GOLDEN_CUTS` (which folds the cut runs' state)
+//! were re-recorded there, and both hold on the change; the two
+//! `GOLDEN_*_TIMING` constants did not move.
 //!
 //! Every golden must hold through the `FlashBackend` verbs (adapters),
 //! through `FlashBackend::execute` on the device, and through a backend that forwards
@@ -48,19 +55,22 @@ use flash_sim::{
 };
 use noftl_obs::MetricsRegistry;
 
-/// Recorded on PR 18's parent tree and unchanged by it.  One value for
-/// the arbiter-off and the arbiter-on run: the arbiter moves instants,
-/// never state.
-const GOLDEN_STATE: u64 = 14_091_992_286_656_848_606;
+/// One value for the arbiter-off and the arbiter-on run: the arbiter
+/// moves instants, never state.  Re-recorded with the image term on the
+/// parent tree of the image's becoming the device's one persisted form
+/// (folding the block fields: 14_091_992_286_656_848_606, recorded on
+/// PR 18's parent tree).
+const GOLDEN_STATE: u64 = 4_039_417_071_969_857_716;
 /// Re-recorded with the tracer term on the parent tree of the trace's
 /// deletion (folding the deleted trace: 15_872_030_341_653_916_134).
 const GOLDEN_PLAIN_TIMING: u64 = 2_623_791_418_031_635_320;
 /// Re-recorded likewise (folding the deleted trace:
 /// 6_140_367_934_666_672_634).
 const GOLDEN_ARBITER_TIMING: u64 = 2_019_465_470_576_111_629;
-/// Re-recorded likewise (folding the deleted trace:
-/// 10_789_030_694_904_977_424).
-const GOLDEN_CUTS: u64 = 2_680_319_460_121_286_272;
+/// Re-recorded with the image term like `GOLDEN_STATE`, whose cut runs
+/// it folds (folding the block fields: 2_680_319_460_121_286_272; before
+/// that, folding the deleted trace: 10_789_030_694_904_977_424).
+const GOLDEN_CUTS: u64 = 13_071_127_773_244_043_789;
 
 const STREAM_SEED: u64 = 0x5EED_C0DE_2016;
 const STREAM_LEN: usize = 2_400;
@@ -579,7 +589,6 @@ fn run(device: NandDevice, stream: &[Cmd], way: Way) -> Run {
             }
         }
     }
-    let snapshot = device.snapshot();
     let stats = device.stats();
     // The counts of `DeviceStats` are state; its latency sums and queue
     // depth are timing.
@@ -591,13 +600,8 @@ fn run(device: NandDevice, stream: &[Cmd], way: Way) -> Run {
         queue_depth_hwm: 0,
         ..stats.clone()
     };
-    state.debug(&(&counts, snapshot.epoch));
-    for block in &snapshot.blocks {
-        let valid = block.pages.iter().filter(|p| **p == PageState::Valid).count() as u32;
-        state.debug(&(block.state, block.write_ptr, block.erase_count, valid));
-        state.debug(&(&block.pages, &block.meta));
-        state.bytes(block.data.as_deref().unwrap_or_default());
-    }
+    state.debug(&counts);
+    state.bytes(&device.image());
     timing.debug(&stats);
     timing.debug(&device.die_stats());
     timing.debug(&device.quiesce_time());

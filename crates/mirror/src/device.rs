@@ -49,7 +49,7 @@
 //! `epoch == 0` is stamped from the mirror's counter before fan-out, so
 //! every child stores the *same* epoch for the same logical write and
 //! each child's own counter ratchets to the maximum it has stored
-//! (persisted via device snapshots).  After a reboot the child with the
+//! (persisted in each child's device image).  After a reboot the child with the
 //! highest epoch is therefore guaranteed to hold every acknowledged
 //! write, which is how [`MirrorDevice::restore_replication`] picks its
 //! rebuild source.
@@ -232,7 +232,7 @@ impl MirrorDevice {
         best
     }
 
-    /// The mirror's children (test harnesses snapshot them and arm their
+    /// The mirror's children (test harnesses image them and arm their
     /// power-cut injectors through this).
     pub fn children(&self) -> &[Arc<NandDevice>] {
         &self.children

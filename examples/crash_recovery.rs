@@ -19,11 +19,11 @@ fn main() {
         println!(
             "cut at {:>12} ns ({}):",
             outcome.cut_at.as_nanos(),
-            if outcome.cut_during_commit { "during a commit" } else { "between commits" },
+            if outcome.cut_in_flight { "during a commit" } else { "between commits" },
         );
         println!(
             "  before: {} committed txns, WAL {} pages",
-            outcome.committed_txns, outcome.wal_pages_at_crash
+            outcome.report.committed_txns, outcome.report.wal_pages
         );
         println!(
             "  mount : checkpoint #{}, {} pages scanned, {} torn discarded, {} remapped from OOB",
@@ -40,7 +40,7 @@ fn main() {
         );
         println!(
             "  verify: {} rows intact{}\n",
-            outcome.rows_verified,
+            outcome.recovered.len(),
             if outcome.in_flight_survived { " (in-flight commit survived whole)" } else { "" },
         );
     }

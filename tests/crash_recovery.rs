@@ -4,7 +4,7 @@
 //! TPC-C-ish workload (inserts, updates, deletes, read-only transactions
 //! and rollbacks over an indexed table with checkpoints and WAL
 //! truncations firing mid-run).
-//! After every cut the device is rebooted from its snapshot, the storage
+//! After every cut the device is rebooted from its image, the storage
 //! manager remounted (`NoFtl::mount`) and the database recovered
 //! (`Database::recover`); the harness then verifies that
 //!
@@ -21,7 +21,7 @@ use common::property_rounds;
 use noftl_regions::dbms::crash_harness::{run_crash_cycle, CrashHarnessConfig, KEYS};
 use noftl_regions::dbms::{Database, DatabaseConfig, NoFtlBackend};
 use noftl_regions::flash::{
-    DeviceBuilder, DeviceSnapshot, Duration, FlashBackend, FlashGeometry, SimTime, TimingModel,
+    DeviceBuilder, Duration, FlashBackend, FlashGeometry, NandDevice, SimTime, TimingModel,
 };
 use noftl_regions::noftl::crash::{power_cycle, SplitMix64};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementConfig};
@@ -46,14 +46,14 @@ fn fifty_random_power_cuts_recover_committed_data_only() {
         let fraction = (rng.next_u64() % 1_000) as f64 / 1_000.0;
         let outcome = run_crash_cycle(&cfg, fraction)
             .unwrap_or_else(|e| panic!("round {round} (fraction {fraction:.3}) failed: {e}"));
-        committed_total += outcome.committed_txns;
-        read_only_total += outcome.read_only_txns;
+        committed_total += outcome.report.committed_txns;
+        read_only_total += outcome.report.read_only_txns;
         in_flight_survivals += u64::from(outcome.in_flight_survived);
         torn_discards += outcome.mount.torn_pages_discarded;
         // The mount always replays a checkpoint (setup takes one) and the
         // recovered table view is bounded by the key universe.
         assert!(outcome.mount.checkpoint_seq > 0, "round {round}");
-        assert!(outcome.rows_verified <= KEYS as u64, "round {round}");
+        assert!(outcome.recovered.len() <= KEYS as usize, "round {round}");
     }
     // Across the cuts the workload must have made real progress…
     assert!(
@@ -79,14 +79,15 @@ fn device_image_file_roundtrip_reboots_the_full_stack() {
     // boot the image" path).
     let cfg = CrashHarnessConfig { txns: 60, ..CrashHarnessConfig::default() };
     let outcome = run_crash_cycle(&cfg, 0.42).expect("reboot cycle through the image");
-    assert!(outcome.committed_txns > 0);
+    assert!(outcome.report.committed_txns > 0);
     assert_eq!(outcome.recovery.tables_recovered, 1);
     assert_eq!(outcome.recovery.indexes_recovered, 1);
 }
 
 #[test]
 fn snapshot_restore_preserves_wear_and_bad_blocks() {
-    // DeviceSnapshot round-trip through encode/decode at the facade level.
+    // A device image boots a device that images to the same bytes, at the
+    // facade level.
     let device = Arc::new(
         DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build(),
     );
@@ -100,12 +101,9 @@ fn snapshot_restore_preserves_wear_and_bad_blocks() {
         t = noftl.write(obj, p % 8, &vec![p as u8; 4096], t).unwrap();
     }
     noftl.checkpoint(t).unwrap();
-    let snap = device.snapshot();
-    let decoded = DeviceSnapshot::decode(&snap.encode()).unwrap();
-    assert_eq!(
-        (decoded.epoch, decoded.endurance, &decoded.blocks),
-        (snap.epoch, snap.endurance, &snap.blocks)
-    );
+    let image = device.image();
+    let booted = NandDevice::from_image(&image, *device.timing()).unwrap();
+    assert!(booted.image() == image, "the booted device images to other bytes");
     // The same round trip, as a power cycle.
     let device2 = power_cycle(&device).unwrap();
     let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();

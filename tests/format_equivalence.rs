@@ -13,7 +13,7 @@
 //! format onto `flash_sim::codec`, before any codec was touched, so a
 //! codec change that moves one byte of any format fails here.  The image
 //! golden moved twice since, each time recorded on the parent of the
-//! change by encoding its snapshot in the `NFLIMG03` layout with a
+//! change by encoding its device in the `NFLIMG03` layout with a
 //! test-local encoder: once for the format (`0x11C5_F3D3`, epoch 68, with
 //! a KV compaction threshold of 2) and once when the threshold became a
 //! constant 4.  Regenerate with `NOFTL_PRINT_GOLDEN=1 cargo test --test
@@ -107,7 +107,7 @@ fn scripted_image() -> (u32, u64) {
     }
     assert!(store.stats().compactions >= 1, "the script compacted");
 
-    (trailer(&device.snapshot().encode()), device.current_epoch())
+    (trailer(&device.image()), device.current_epoch())
 }
 
 fn sample_mirror_blob() -> Vec<u8> {

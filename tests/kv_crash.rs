@@ -6,7 +6,7 @@
 //! pages* of a run whose tail spans several pages — alternately a
 //! flush's and a merge's) across a put/delete workload whose memtable
 //! flushes and size-tiered compactions fire continuously.
-//! After every cut the device is rebooted from its snapshot, the storage
+//! After every cut the device is rebooted from its image, the storage
 //! manager remounted (`NoFtl::mount`) and the store reopened
 //! (`KvStore::open`); the harness then verifies that
 //!

@@ -188,8 +188,8 @@ fn tracing_never_perturbs_crash_recovery() {
     let traced = run_crash_cycle(&traced_cfg, 0.5).expect("traced cycle recovers");
     assert_eq!(quiet.mount, traced.mount, "mount reports must be identical tracer on/off");
     assert_eq!(quiet.cut_at, traced.cut_at);
-    assert_eq!(quiet.committed_txns, traced.committed_txns);
-    assert_eq!(quiet.rows_verified, traced.rows_verified);
+    assert_eq!(quiet.report.committed_txns, traced.report.committed_txns);
+    assert_eq!(quiet.recovered.len(), traced.recovered.len());
     assert_eq!(quiet.in_flight_survived, traced.in_flight_survived);
 }
 

@@ -11,7 +11,7 @@
 //! values ever since.
 //!
 //! Each golden carries two digests.  The **placement** digest is the CRC
-//! of the `NFLIMG03` image (`DeviceSnapshot::encode`): every block's page
+//! of the `NFLIMG03` image (`NandDevice::image`): every block's page
 //! states, payloads, OOB records and wear plus the device epoch.  The
 //! **timing** digest is a CRC of the live device's counters
 //! (`stats()` and `die_stats()`), which hold latency sums and queue
@@ -30,7 +30,7 @@
 //!
 //! The move to `NFLIMG03` (an image without counters) moved both digests
 //! without moving a page: their values were recorded on that change's
-//! parent, by encoding its snapshot in the `NFLIMG03` layout with a
+//! parent, by encoding its device in the `NFLIMG03` layout with a
 //! test-local encoder and hashing its live counters as below, and the
 //! change reproduces them.
 //!
@@ -121,7 +121,7 @@ fn run_workload(seed: u64, config: NoFtlConfig) -> WorkloadRun {
     // The image format ends with a CRC-32 over the entire payload; that
     // trailer *is* the digest of the device state.  (Hashing the whole
     // image would always yield the CRC residue constant.)
-    let image = device.snapshot().encode();
+    let image = device.image();
     let placement = u32::from_le_bytes(image[image.len() - 4..].try_into().expect("4 bytes"));
     let timing = crc32(format!("{:?}", (device.stats(), device.die_stats())).as_bytes());
     let epoch = device.current_epoch();

@@ -26,8 +26,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use noftl_regions::flash::{
-    DeviceBuilder, DeviceSnapshot, DeviceStats, DieId, FlashBackend, FlashCommand, FlashGeometry,
-    IoTag, NandDevice, PageAddr, PageMetadata, SimTime, TimingModel,
+    DeviceBuilder, DeviceStats, DieId, FlashBackend, FlashCommand, FlashGeometry, IoTag,
+    NandDevice, PageAddr, PageMetadata, SimTime, TimingModel,
 };
 use noftl_regions::noftl::crash::{self, SplitMix64};
 use noftl_regions::noftl::{
@@ -235,9 +235,9 @@ fn outcome(
     dev: &NandDevice,
     noftl: &NoFtl,
     regions: [RegionId; 2],
-) -> (DeviceSnapshot, DeviceStats, Vec<RegionStats>) {
+) -> (Vec<u8>, DeviceStats, Vec<RegionStats>) {
     let regions = regions.iter().map(|r| noftl.region_stats(*r).unwrap()).collect();
-    (dev.snapshot(), dev.stats(), regions)
+    (dev.image(), dev.stats(), regions)
 }
 
 proptest! {
@@ -271,9 +271,8 @@ proptest! {
             bregions.iter().map(|r| batched.region_stats(*r).unwrap().gc_runs).sum();
         prop_assert!(gc_runs > 0, "the workload must make GC fire");
         let (a, b) = (outcome(&bdev, &batched, bregions), outcome(&sdev, &single, sregions));
-        prop_assert_eq!(a.0.blocks, b.0.blocks);
+        prop_assert!(a.0 == b.0, "device images differ");
         prop_assert_eq!(a.1, b.1);
-        prop_assert_eq!(a.0.epoch, b.0.epoch);
         prop_assert_eq!(a.2, b.2);
     }
 
@@ -316,7 +315,7 @@ proptest! {
             prop_assert_eq!(wt, ct);
         }
         let (a, b) = (outcome(&wdev, &windowed, wregions), outcome(&cdev, &chained, cregions));
-        prop_assert_eq!(a.0.blocks, b.0.blocks);
+        prop_assert!(a.0 == b.0, "device images differ");
         prop_assert_eq!(a.1, b.1);
         prop_assert_eq!(a.2, b.2);
     }
