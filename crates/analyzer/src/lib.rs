@@ -3,10 +3,11 @@
 //! A hand-rolled token scanner (no external parser) over the workspace's
 //! Rust sources, with three pluggable rules:
 //!
-//! * [`rules::lock_order`] — acquisitions of the manager lock in
-//!   `crates/core`, the mirror lock in `crates/mirror` and the device
-//!   lock in `crates/flash` must follow the documented total order and go
-//!   through the named choke points.
+//! * [`rules::lock_order`] — acquisitions of the engine locks (a
+//!   database in `crates/dbms`, a KV store in `crates/core`), the manager
+//!   lock in `crates/core`, the mirror lock in `crates/mirror` and the
+//!   device lock in `crates/flash` must follow the documented total order
+//!   and go through the named choke points.
 //! * [`rules::panic_freedom`] — no `unwrap`/`expect`/`panic!`-family code
 //!   in production paths of `crates/flash` and `crates/core`; direct
 //!   indexing is additionally denied on the per-command hot path.
@@ -135,8 +136,13 @@ fn collect_rs_files(path: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> 
 
 /// Default analysis roots, relative to the workspace root: the crates
 /// whose invariants the rules model.
-pub const DEFAULT_ROOTS: &[&str] =
-    &["crates/flash/src", "crates/core/src", "crates/obs/src", "crates/mirror/src"];
+pub const DEFAULT_ROOTS: &[&str] = &[
+    "crates/flash/src",
+    "crates/core/src",
+    "crates/obs/src",
+    "crates/mirror/src",
+    "crates/dbms/src",
+];
 
 /// Seeded-violation fixtures: each embeds a known bug class with the
 /// virtual path that puts it in the corresponding rule's scope.

@@ -4,7 +4,7 @@
 //! (`flash_sim::lockorder::LockClass`):
 //!
 //! ```text
-//! Manager < Mirror < Device
+//! Engine < Manager < Mirror < Device
 //! ```
 //!
 //! All acquisitions go through named choke points, so a token-level scan
@@ -26,17 +26,19 @@ pub const RULE: &str = "lock_order";
 /// Choke-point names and their rank in the documented order: one per
 /// layer.
 const RANKS: &[(&str, u8)] = &[
-    ("lock_inner", 0),   // LockClass::Manager
-    ("mirror_shard", 1), // LockClass::Mirror
-    ("lock_device", 2),  // LockClass::Device
+    ("lock_engine", 0),  // LockClass::Engine: a database
+    ("lock_store", 0),   // LockClass::Engine: a KV store
+    ("lock_inner", 1),   // LockClass::Manager
+    ("mirror_shard", 2), // LockClass::Mirror
+    ("lock_device", 3),  // LockClass::Device
 ];
 
 /// The documented order, as the violation message spells it.
-const ORDER: &str = "Manager < Mirror < Device";
+const ORDER: &str = "Engine < Manager < Mirror < Device";
 
 /// Files in which raw `.lock(` calls are forbidden outside the choke
 /// points themselves (matched by path suffix).
-pub const CHOKE_FILES: &[&str] = &["device.rs", "manager.rs"];
+pub const CHOKE_FILES: &[&str] = &["device.rs", "manager.rs", "db.rs", "store.rs"];
 
 fn rank_of(name: &str) -> Option<u8> {
     RANKS.iter().find(|(n, _)| *n == name).map(|(_, r)| *r)
@@ -137,8 +139,33 @@ mod tests {
         let f = run("crates/mirror/src/rebuild.rs", bad);
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("lock-order violation"));
-        assert!(f[0].message.contains("`mirror_shard` (rank 1) acquired after `lock_device`"));
+        assert!(f[0].message.contains("`mirror_shard` (rank 2) acquired after `lock_device`"));
         assert!(f[0].message.contains(ORDER));
+    }
+
+    #[test]
+    fn an_engine_comes_before_the_manager() {
+        let clean = "fn f(&self) { let e = self.lock_engine(); let m = self.lock_inner(); }";
+        assert!(run("crates/dbms/src/db.rs", clean).is_empty());
+        let bad = "fn f(&self) { let m = self.lock_inner(); let s = self.lock_store(); }";
+        let f = run("crates/core/src/kv/store.rs", bad);
+        assert_eq!(f.len(), 1);
+        assert!(f[0].message.contains("`lock_store` (rank 0) acquired after `lock_inner`"));
+        let raw = "fn f(&self) { let g = self.engine.lock(); }";
+        assert!(run("crates/dbms/src/db.rs", raw)[0].message.contains("raw `.lock()`"));
+    }
+
+    #[test]
+    fn the_seeded_fixture_reverses_both_ends_of_the_order() {
+        let f = run(
+            "crates/flash/src/device.rs",
+            include_str!("../../fixtures/reversed_lock_order.rs"),
+        );
+        let names: Vec<bool> = ["`mirror_shard`", "`lock_engine`"]
+            .iter()
+            .map(|name| f.iter().any(|f| f.message.contains(name)))
+            .collect();
+        assert_eq!((f.len(), names), (2, vec![true, true]), "{f:?}");
     }
 
     #[test]

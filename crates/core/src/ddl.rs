@@ -17,12 +17,10 @@
 
 use std::collections::HashMap;
 
-use parking_lot::Mutex;
-
 use crate::error::NoFtlError;
 use crate::manager::NoFtl;
 use crate::object::ObjectId;
-use flash_sim::ServiceClass;
+use flash_sim::{ServiceClass, SimTime};
 
 use crate::region::{RegionId, RegionSpec};
 use crate::Result;
@@ -260,93 +258,80 @@ pub struct Tablespace {
 }
 
 /// DDL executor: applies parsed statements to a [`NoFtl`] instance and
-/// keeps the tablespace catalog.
+/// keeps the tablespace catalog.  Tables are the manager's objects, found
+/// by name through [`NoFtl::object_id`].
 pub struct Ddl<'a> {
     noftl: &'a NoFtl,
-    tablespaces: Mutex<HashMap<String, Tablespace>>,
-    tables: Mutex<HashMap<String, ObjectId>>,
+    tablespaces: HashMap<String, Tablespace>,
 }
 
 impl<'a> Ddl<'a> {
     /// Create an executor bound to a storage manager.
     pub fn new(noftl: &'a NoFtl) -> Self {
-        Ddl { noftl, tablespaces: Mutex::new(HashMap::new()), tables: Mutex::new(HashMap::new()) }
+        Ddl { noftl, tablespaces: HashMap::new() }
     }
 
-    /// Execute a single parsed statement.
-    pub fn execute(&self, stmt: &DdlStatement) -> Result<()> {
+    /// Execute a single parsed statement at `at` and return its
+    /// completion: `at` itself, except for `DROP REGION`, whose erases
+    /// are issued at `at` and take device time.
+    pub fn execute(&mut self, stmt: &DdlStatement, at: SimTime) -> Result<SimTime> {
         match stmt {
             DdlStatement::CreateRegion(spec) => {
                 self.noftl.create_region(spec.clone())?;
-                Ok(())
             }
             DdlStatement::CreateTablespace { name, region, extent_size_bytes } => {
                 let rid = self
                     .noftl
                     .region_id(region)
                     .ok_or_else(|| NoFtlError::UnknownRegion { region: region.clone() })?;
-                let mut tablespaces = self.tablespaces.lock();
-                if tablespaces.contains_key(name) {
+                if self.tablespaces.contains_key(name) {
                     return Err(ddl_err(format!("tablespace '{name}' already exists")));
                 }
-                tablespaces.insert(
-                    name.clone(),
-                    Tablespace {
-                        name: name.clone(),
-                        region: rid,
-                        extent_size_bytes: *extent_size_bytes,
-                    },
-                );
-                Ok(())
+                let extent_size_bytes = *extent_size_bytes;
+                let ts = Tablespace { name: name.clone(), region: rid, extent_size_bytes };
+                self.tablespaces.insert(name.clone(), ts);
             }
             DdlStatement::CreateTable { name, tablespace, .. } => {
-                let region = {
-                    let tablespaces = self.tablespaces.lock();
-                    tablespaces
-                        .get(tablespace)
-                        .map(|ts| ts.region)
-                        .ok_or_else(|| ddl_err(format!("unknown tablespace '{tablespace}'")))?
-                };
-                let obj = self.noftl.create_object(name, region)?;
-                self.tables.lock().insert(name.clone(), obj);
-                Ok(())
+                let region = self
+                    .tablespaces
+                    .get(tablespace)
+                    .map(|ts| ts.region)
+                    .ok_or_else(|| ddl_err(format!("unknown tablespace '{tablespace}'")))?;
+                self.noftl.create_object(name, region)?;
             }
             DdlStatement::DropRegion { name } => {
                 let rid = self
                     .noftl
                     .region_id(name)
                     .ok_or_else(|| NoFtlError::UnknownRegion { region: name.clone() })?;
-                self.noftl.drop_region(rid, flash_sim::SimTime::ZERO)?;
-                self.tablespaces.lock().retain(|_, ts| ts.region != rid);
-                Ok(())
+                let done = self.noftl.drop_region(rid, at)?;
+                self.tablespaces.retain(|_, ts| ts.region != rid);
+                return Ok(done);
             }
             DdlStatement::DropTable { name } => {
                 let obj = self
-                    .tables
-                    .lock()
-                    .remove(name)
+                    .table(name)
                     .ok_or_else(|| NoFtlError::UnknownObject { object: name.clone() })?;
-                self.noftl.drop_object(obj)
+                self.noftl.drop_object(obj)?;
             }
         }
+        Ok(at)
     }
 
-    /// Parse and execute a script of statements.
-    pub fn run_script(&self, sql: &str) -> Result<()> {
-        for stmt in parse_script(sql)? {
-            self.execute(&stmt)?;
-        }
-        Ok(())
+    /// Parse and execute a script of statements, each at the completion
+    /// of the one before, the first at `at`.  Returns the last completion.
+    pub fn run_script(&mut self, sql: &str, at: SimTime) -> Result<SimTime> {
+        parse_script(sql)?.iter().try_fold(at, |t, stmt| self.execute(stmt, t))
     }
 
     /// Look up a tablespace by name.
     pub fn tablespace(&self, name: &str) -> Option<Tablespace> {
-        self.tablespaces.lock().get(name).cloned()
+        self.tablespaces.get(name).cloned()
     }
 
     /// Look up a table's object id by name.
     pub fn table(&self, name: &str) -> Option<ObjectId> {
-        self.tables.lock().get(name).copied()
+        self.noftl.object_id(name)
     }
 }
 
@@ -354,7 +339,7 @@ impl<'a> Ddl<'a> {
 mod tests {
     use super::*;
     use crate::config::NoFtlConfig;
-    use flash_sim::{DeviceBuilder, FlashGeometry};
+    use flash_sim::{DeviceBuilder, FlashBackend, FlashGeometry, TimingModel};
     use std::sync::Arc;
 
     #[test]
@@ -470,9 +455,10 @@ mod tests {
     #[test]
     fn executor_applies_paper_script() {
         let noftl = noftl();
-        let ddl = Ddl::new(&noftl);
+        let mut ddl = Ddl::new(&noftl);
         ddl.run_script(
             "CREATE REGION rgHotTbl (DIES=2);\n             CREATE TABLESPACE tsHotTbl (REGION=rgHotTbl, EXTENT_SIZE=128K);\n             CREATE TABLE T (t_id NUMBER(3)) TABLESPACE tsHotTbl;",
+            SimTime::ZERO,
         )
         .unwrap();
         let ts = ddl.tablespace("tsHotTbl").unwrap();
@@ -481,55 +467,102 @@ mod tests {
         assert_eq!(noftl.object_id("T"), Some(obj));
         assert_eq!(noftl.region_dies(ts.region).unwrap().len(), 2);
         // The object is usable through the storage manager.
-        noftl.write(obj, 0, &vec![1u8; 4096], flash_sim::SimTime::ZERO).unwrap();
+        noftl.write(obj, 0, &vec![1u8; 4096], SimTime::ZERO).unwrap();
     }
 
     #[test]
     fn executor_error_paths() {
         let noftl = noftl();
-        let ddl = Ddl::new(&noftl);
+        let mut ddl = Ddl::new(&noftl);
         // Unknown region in tablespace.
         assert!(ddl
-            .execute(&DdlStatement::CreateTablespace {
-                name: "ts".into(),
-                region: "nope".into(),
-                extent_size_bytes: None,
-            })
+            .execute(
+                &DdlStatement::CreateTablespace {
+                    name: "ts".into(),
+                    region: "nope".into(),
+                    extent_size_bytes: None,
+                },
+                SimTime::ZERO
+            )
             .is_err());
         // Unknown tablespace in table.
         assert!(ddl
-            .execute(&DdlStatement::CreateTable {
-                name: "t".into(),
-                columns: vec![],
-                tablespace: "nope".into(),
-            })
+            .execute(
+                &DdlStatement::CreateTable {
+                    name: "t".into(),
+                    columns: vec![],
+                    tablespace: "nope".into(),
+                },
+                SimTime::ZERO
+            )
             .is_err());
         // Drop of unknown things.
-        assert!(ddl.execute(&DdlStatement::DropRegion { name: "nope".into() }).is_err());
-        assert!(ddl.execute(&DdlStatement::DropTable { name: "nope".into() }).is_err());
-        // Duplicate tablespace.
-        ddl.run_script("CREATE REGION rg (DIES=1); CREATE TABLESPACE ts (REGION=rg);").unwrap();
         assert!(ddl
-            .execute(&DdlStatement::CreateTablespace {
-                name: "ts".into(),
-                region: "rg".into(),
-                extent_size_bytes: None,
-            })
+            .execute(&DdlStatement::DropRegion { name: "nope".into() }, SimTime::ZERO)
+            .is_err());
+        assert!(ddl
+            .execute(&DdlStatement::DropTable { name: "nope".into() }, SimTime::ZERO)
+            .is_err());
+        // Duplicate tablespace.
+        ddl.run_script(
+            "CREATE REGION rg (DIES=1); CREATE TABLESPACE ts (REGION=rg);",
+            SimTime::ZERO,
+        )
+        .unwrap();
+        assert!(ddl
+            .execute(
+                &DdlStatement::CreateTablespace {
+                    name: "ts".into(),
+                    region: "rg".into(),
+                    extent_size_bytes: None,
+                },
+                SimTime::ZERO
+            )
             .is_err());
     }
 
     #[test]
     fn drop_table_and_region_through_ddl() {
         let noftl = noftl();
-        let ddl = Ddl::new(&noftl);
+        let mut ddl = Ddl::new(&noftl);
         ddl.run_script(
             "CREATE REGION rg (DIES=1); CREATE TABLESPACE ts (REGION=rg); CREATE TABLE t (a INT) TABLESPACE ts;",
+            SimTime::ZERO,
         )
         .unwrap();
-        ddl.execute(&DdlStatement::DropTable { name: "t".into() }).unwrap();
+        ddl.execute(&DdlStatement::DropTable { name: "t".into() }, SimTime::ZERO).unwrap();
         assert!(ddl.table("t").is_none());
-        ddl.execute(&DdlStatement::DropRegion { name: "rg".into() }).unwrap();
+        ddl.execute(&DdlStatement::DropRegion { name: "rg".into() }, SimTime::ZERO).unwrap();
         assert!(noftl.region_id("rg").is_none());
         assert!(ddl.tablespace("ts").is_none());
+    }
+
+    #[test]
+    fn drop_region_erases_at_the_callers_instant() {
+        let device = Arc::new(
+            DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build(),
+        );
+        let erase = device.timing().erase_time();
+        let noftl = NoFtl::new(device.clone(), NoFtlConfig::default());
+        let mut ddl = Ddl::new(&noftl);
+        let script = "CREATE REGION rg (DIES=1); CREATE TABLESPACE ts (REGION=rg); \
+                      CREATE TABLE t (a INT) TABLESPACE ts;";
+        ddl.run_script(script, SimTime::ZERO).unwrap();
+        // The die idles for longer than an erase before the first write, so
+        // erases issued at an earlier instant would fit in front of it.
+        let obj = ddl.table("t").unwrap();
+        let mut at = SimTime::ZERO + erase + erase;
+        for page in 0..4 {
+            at = noftl.write(obj, page, &vec![page as u8; 4096], at).unwrap();
+        }
+        ddl.execute(&DdlStatement::DropTable { name: "t".into() }, at).unwrap();
+        let tracer = device.metrics().tracer();
+        tracer.set_enabled(true);
+        let done = ddl.execute(&DdlStatement::DropRegion { name: "rg".into() }, at).unwrap();
+        let erases: Vec<u64> =
+            tracer.events().iter().filter(|e| e.name == "erase").map(|e| e.ts_ns).collect();
+        assert!(!erases.is_empty(), "the region's written block is erased");
+        assert!(erases.iter().all(|&ts| ts >= at.as_nanos()), "erase before {at:?}: {erases:?}");
+        assert!(done >= at + erase, "completion {done:?} of an erase issued at {at:?}");
     }
 }

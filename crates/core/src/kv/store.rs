@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use flash_sim::lockorder::{self, LockClass, TrackedGuard};
 use flash_sim::{ServiceClass, SimTime};
 
 use crate::error::NoFtlError;
@@ -154,7 +155,7 @@ pub struct KvStore {
 
 impl std::fmt::Debug for KvStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
+        let inner = self.lock_store();
         f.debug_struct("KvStore")
             .field("name", &self.name)
             .field("region", &self.region)
@@ -183,6 +184,13 @@ impl KvStore {
     /// Name prefix of this store's run objects.
     fn run_prefix(name: &str) -> String {
         format!("__kv_{name}_r")
+    }
+
+    /// The one way to the store's state: its mutex, taken as
+    /// [`LockClass::Engine`] — a KV store is an engine over the manager,
+    /// as a database is.
+    fn lock_store(&self) -> TrackedGuard<'_, KvInner> {
+        lockorder::lock_tracked(LockClass::Engine, &self.inner)
     }
 
     fn run_name(&self, level: u32, seq_lo: u64, seq_hi: u64) -> String {
@@ -405,12 +413,12 @@ impl KvStore {
 
     /// Snapshot of the operation counters.
     pub fn stats(&self) -> KvStats {
-        self.inner.lock().stats.clone()
+        self.lock_store().stats.clone()
     }
 
     /// Number of live runs (all levels).
     pub fn run_count(&self) -> usize {
-        self.inner.lock().runs.len()
+        self.lock_store().runs.len()
     }
 
     fn check_entry_size(&self, key: &[u8], value_len: usize) -> Result<()> {
@@ -435,7 +443,7 @@ impl KvStore {
     /// Returns the completion time (`at` if the write stayed in memory).
     pub fn put(&self, key: &[u8], value: &[u8], at: SimTime) -> Result<SimTime> {
         self.check_entry_size(key, value.len())?;
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock_store();
         inner.stats.puts += 1;
         inner.memtable.insert(key.to_vec(), Some(value.to_vec()));
         let now = self.maybe_flush(&mut inner, at)?;
@@ -446,7 +454,7 @@ impl KvStore {
     /// Delete a key (a tombstone that shadows older run versions).
     pub fn delete(&self, key: &[u8], at: SimTime) -> Result<SimTime> {
         self.check_entry_size(key, 0)?;
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock_store();
         inner.stats.deletes += 1;
         inner.memtable.insert(key.to_vec(), None);
         self.maybe_flush(&mut inner, at)
@@ -454,7 +462,7 @@ impl KvStore {
 
     /// Point lookup: memtable first, then runs newest-to-oldest.
     pub fn get(&self, key: &[u8], at: SimTime) -> Result<(Option<Vec<u8>>, SimTime)> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock_store();
         let inner = &mut *inner;
         inner.stats.gets += 1;
         if let Some(hit) = inner.memtable.get(key) {
@@ -507,7 +515,7 @@ impl KvStore {
         if limit == 0 || lo.zip(hi).is_some_and(|(lo, hi)| lo > hi) {
             return Ok((Vec::new(), at));
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock_store();
         let inner = &mut *inner;
         inner.stats.scans += 1;
         let mut now = at;
@@ -585,7 +593,7 @@ impl KvStore {
     /// the store's durability point: on return the run's pages are on
     /// flash and the run directory is checkpointed.
     pub fn flush(&self, at: SimTime) -> Result<SimTime> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock_store();
         let now = self.flush_locked(&mut inner, at)?;
         self.maybe_compact(&mut inner, now)
     }
@@ -847,7 +855,7 @@ mod tests {
         if lo.zip(hi).is_some_and(|(lo, hi)| lo > hi) {
             return Vec::new();
         }
-        let inner = kv.inner.lock();
+        let inner = kv.lock_store();
         let in_range = |key: &[u8]| lo.is_none_or(|lo| key >= lo) && hi.is_none_or(|hi| key <= hi);
         let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
         for run_meta in inner.runs.iter().rev() {
@@ -1170,7 +1178,7 @@ mod tests {
         let stats = kv.stats();
         assert!(stats.compactions > 0);
         assert_eq!(kv.run_count(), 1);
-        let merged_entries = { kv.inner.lock().runs[0].entries };
+        let merged_entries = { kv.lock_store().runs[0].entries };
         assert_eq!(merged_entries, 0, "all entries were tombstoned and dropped at the bottom");
         let (rows, _) = kv.scan(None, None, usize::MAX, t).unwrap();
         assert!(rows.is_empty());
@@ -1294,7 +1302,7 @@ mod tests {
             t = kv.put(&key(i), &value(i, 0), t).unwrap();
         }
         t = kv.flush(t).unwrap();
-        let spilled = kv.inner.lock().runs.iter().filter(|r| r.tail_pages >= 2).count();
+        let spilled = kv.lock_store().runs.iter().filter(|r| r.tail_pages >= 2).count();
         assert!(spilled > 0, "the load must build runs large enough to spill their tail");
         let (present, missing, t2) = measure(&kv, t, &|i| value(i, 0));
         t = t2;

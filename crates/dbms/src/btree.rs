@@ -40,8 +40,6 @@
 
 use std::ops::ControlFlow;
 
-use parking_lot::Mutex;
-
 use flash_sim::codec::{put_bytes16, put_u16, put_u64, put_u8};
 use flash_sim::SimTime;
 
@@ -297,8 +295,10 @@ struct Split {
     carry: Vec<u8>,
 }
 
-#[derive(Debug, Default)]
-struct BTreeInner {
+/// A B+-tree index over a storage object.
+#[derive(Debug)]
+pub struct BTree {
+    obj: ObjectId,
     root: u64,
     page_count: u64,
     entries: u64,
@@ -307,17 +307,11 @@ struct BTreeInner {
     split: Split,
 }
 
-/// A B+-tree index over a storage object.
-#[derive(Debug)]
-pub struct BTree {
-    obj: ObjectId,
-    inner: Mutex<BTreeInner>,
-}
-
 impl BTree {
     /// Create a (lazily initialised) B+-tree over storage object `obj`.
     pub fn new(obj: ObjectId) -> Self {
-        BTree { obj, inner: Mutex::new(BTreeInner { page_count: 1, ..BTreeInner::default() }) }
+        let (path, split) = (Path::default(), Split::default());
+        BTree { obj, root: 0, page_count: 1, entries: 0, initialized: false, path, split }
     }
 
     /// The storage object backing this index.
@@ -334,7 +328,7 @@ impl BTree {
     /// completion time of the structure scan.
     pub fn attach(
         obj: ObjectId,
-        pool: &BufferPool,
+        pool: &mut BufferPool,
         extent: u64,
         now: SimTime,
     ) -> Result<(BTree, SimTime)> {
@@ -360,19 +354,12 @@ impl BTree {
             present.extend(parsed.then_some(page_no));
         }
         let root = present.into_iter().filter(|p| !referenced.contains(p)).max().unwrap_or(0);
-        let inner = BTreeInner {
-            root,
-            page_count: extent,
-            entries,
-            initialized: true,
-            ..BTreeInner::default()
-        };
-        Ok((BTree { obj, inner: Mutex::new(inner) }, t))
+        Ok((BTree { root, page_count: extent, entries, initialized: true, ..BTree::new(obj) }, t))
     }
 
     /// Number of entries currently in the index.
     pub fn len(&self) -> u64 {
-        self.inner.lock().entries
+        self.entries
     }
 
     /// True if the index holds no entries.
@@ -382,7 +369,7 @@ impl BTree {
 
     /// Number of pages allocated by the index.
     pub fn page_count(&self) -> u64 {
-        self.inner.lock().page_count
+        self.page_count
     }
 
     /// Walk the leaf chain from `page`, handing every entry to `visit`
@@ -396,7 +383,7 @@ impl BTree {
     /// or two leaves, the YCSB-style short scans at most 50 rows.
     fn walk_leaves(
         &self,
-        pool: &BufferPool,
+        pool: &mut BufferPool,
         mut page: u64,
         now: SimTime,
         mut visit: impl FnMut(&[u8], RecordId) -> bool,
@@ -416,19 +403,14 @@ impl BTree {
         }
     }
 
-    fn ensure_init(
-        &self,
-        inner: &mut BTreeInner,
-        pool: &BufferPool,
-        now: SimTime,
-    ) -> Result<SimTime> {
-        if inner.initialized {
+    fn ensure_init(&mut self, pool: &mut BufferPool, now: SimTime) -> Result<SimTime> {
+        if self.initialized {
             return Ok(now);
         }
-        let leaf = &mut inner.split.halves[0];
+        let leaf = &mut self.split.halves[0];
         encode_node(leaf, true, NONE_PAGE, 0, std::iter::empty());
         let t = pool.write_page(self.obj, 0, leaf, now)?;
-        inner.initialized = true;
+        self.initialized = true;
         Ok(t)
     }
 
@@ -441,8 +423,8 @@ impl BTree {
     /// further down evicted it.  Returns `at_leaf`'s result, the leaf's
     /// page and the completion time.
     fn descend<R>(
-        &self,
-        pool: &BufferPool,
+        obj: ObjectId,
+        pool: &mut BufferPool,
         root: u64,
         key: &[u8],
         now: SimTime,
@@ -451,7 +433,7 @@ impl BTree {
     ) -> Result<(R, u64, SimTime)> {
         let (mut page, mut t, mut at_leaf) = (root, now, Some(at_leaf));
         loop {
-            let (step, t2) = pool.with_page_mut(self.obj, page, t, |frame| {
+            let (step, t2) = pool.with_page_mut(obj, page, t, |frame| {
                 if frame[0] != 0 {
                     let at_leaf = at_leaf.take().expect("a descent reaches one leaf");
                     let done = at_leaf(frame);
@@ -475,8 +457,8 @@ impl BTree {
 
     /// Insert (or overwrite) `key` → `rid`.  Returns the completion time.
     pub fn insert(
-        &self,
-        pool: &BufferPool,
+        &mut self,
+        pool: &mut BufferPool,
         key: &[u8],
         rid: RecordId,
         now: SimTime,
@@ -484,14 +466,13 @@ impl BTree {
         if key.is_empty() || key.len() + 12 + HEADER > PAGE_SIZE / 4 {
             return Err(DbError::TooLarge { message: format!("index key of {} bytes", key.len()) });
         }
-        let mut guard = self.inner.lock();
-        let t = self.ensure_init(&mut guard, pool, now)?;
-        let BTreeInner { root, page_count, entries, path, split, .. } = &mut *guard;
+        let t = self.ensure_init(pool, now)?;
+        let BTree { obj, root, page_count, entries, path, split, .. } = self;
         let Split { leaf, halves, sep, carry } = split;
         path.pages.clear();
         path.images.clear();
         let (outcome, leaf_page, mut t) =
-            self.descend(pool, *root, key, t, Some(path), |frame| {
+            Self::descend(*obj, pool, *root, key, t, Some(path), |frame| {
                 let outcome = insert_in_leaf(frame, key, rid)?;
                 let full = matches!(outcome, LeafInsert::Full(_));
                 if full {
@@ -517,8 +498,8 @@ impl BTree {
             *page_count += 1;
             let entry = (&carry[..], &payload[..len]);
             split_node(NodeView::parse(image)?, pos, entry, right_page, halves, sep);
-            t = pool.write_page(self.obj, page, &halves[0], t)?;
-            t = pool.write_page(self.obj, right_page, &halves[1], t)?;
+            t = pool.write_page(*obj, page, &halves[0], t)?;
+            t = pool.write_page(*obj, right_page, &halves[1], t)?;
             std::mem::swap(carry, sep);
             len = payload_len(false);
             payload[..len].copy_from_slice(&right_page.to_le_bytes());
@@ -528,13 +509,13 @@ impl BTree {
                 encode_node(&mut halves[0], false, *root, 1, std::iter::once(entry));
                 *root = *page_count;
                 *page_count += 1;
-                return pool.write_page(self.obj, *root, &halves[0], t);
+                return pool.write_page(*obj, *root, &halves[0], t);
             };
             let node = NodeView::parse(parent_image)?;
             pos = node.iter().take_while(|(k, _)| *k <= &carry[..]).count();
             if HEADER + node.entries.len() + 2 + carry.len() + len <= PAGE_SIZE {
                 encode_node(&mut halves[0], false, node.extra, node.n + 1, node.with(pos, entry));
-                return pool.write_page(self.obj, parent, &halves[0], t);
+                return pool.write_page(*obj, parent, &halves[0], t);
             }
             (page, image) = (parent, parent_image);
         }
@@ -542,14 +523,13 @@ impl BTree {
 
     /// Exact-match lookup.
     pub fn search(
-        &self,
-        pool: &BufferPool,
+        &mut self,
+        pool: &mut BufferPool,
         key: &[u8],
         now: SimTime,
     ) -> Result<(Option<RecordId>, SimTime)> {
-        let mut inner = self.inner.lock();
-        let t = self.ensure_init(&mut inner, pool, now)?;
-        let (found, _, t) = self.descend(pool, inner.root, key, t, None, |leaf| {
+        let t = self.ensure_init(pool, now)?;
+        let (found, _, t) = Self::descend(self.obj, pool, self.root, key, t, None, |leaf| {
             Ok((NodeView::parse(leaf)?.search(key), false))
         })?;
         Ok((found, t))
@@ -558,11 +538,10 @@ impl BTree {
     /// Range scan: hand the first `limit` `(key, rid)` pairs with
     /// `low <= key < high` to `visit`, in key order (`high == None`: no
     /// upper bound; `limit == usize::MAX`: no limit).  The key is
-    /// borrowed from the leaf, under the pool lock: `visit` must not call
-    /// back into the pool.  Returns the completion time.
+    /// borrowed from the leaf.  Returns the completion time.
     pub fn range(
-        &self,
-        pool: &BufferPool,
+        &mut self,
+        pool: &mut BufferPool,
         low: &[u8],
         high: Option<&[u8]>,
         limit: usize,
@@ -576,23 +555,22 @@ impl BTree {
     /// holds, which must fail from some key on — a range scan below a
     /// high bound, or a prefix scan while keys start with the prefix.  The
     /// walk stops at the first key out of range or at `limit` pairs,
-    /// whichever comes first, and reads nothing for `limit == 0`.  Same
-    /// borrowing rule as [`BTree::range`].
+    /// whichever comes first, and reads nothing for `limit == 0`.  The
+    /// key is borrowed from the leaf, as in [`BTree::range`].
     pub fn scan(
-        &self,
-        pool: &BufferPool,
+        &mut self,
+        pool: &mut BufferPool,
         low: &[u8],
         in_range: impl Fn(&[u8]) -> bool,
         limit: usize,
         now: SimTime,
         mut visit: impl FnMut(&[u8], RecordId),
     ) -> Result<SimTime> {
-        let mut inner = self.inner.lock();
-        let t = self.ensure_init(&mut inner, pool, now)?;
+        let t = self.ensure_init(pool, now)?;
         if limit == 0 {
             return Ok(t);
         }
-        let ((), leaf, t) = self.descend(pool, inner.root, low, t, None, |leaf| {
+        let ((), leaf, t) = Self::descend(self.obj, pool, self.root, low, t, None, |leaf| {
             Ok((NodeView::parse(leaf).map(drop)?, false))
         })?;
         let mut left = limit;
@@ -610,15 +588,19 @@ impl BTree {
     }
 
     /// Remove `key`.  Returns whether the key existed.
-    pub fn delete(&self, pool: &BufferPool, key: &[u8], now: SimTime) -> Result<(bool, SimTime)> {
-        let mut inner = self.inner.lock();
-        let t = self.ensure_init(&mut inner, pool, now)?;
-        let (deleted, _, t) = self.descend(pool, inner.root, key, t, None, |leaf| {
+    pub fn delete(
+        &mut self,
+        pool: &mut BufferPool,
+        key: &[u8],
+        now: SimTime,
+    ) -> Result<(bool, SimTime)> {
+        let t = self.ensure_init(pool, now)?;
+        let (deleted, _, t) = Self::descend(self.obj, pool, self.root, key, t, None, |leaf| {
             let deleted = delete_from_leaf(leaf, key)?;
             Ok((deleted, deleted))
         })?;
         if deleted {
-            inner.entries = inner.entries.saturating_sub(1);
+            self.entries = self.entries.saturating_sub(1);
         }
         Ok((deleted, t))
     }
@@ -739,8 +721,8 @@ mod tests {
 
     /// The pairs `BTree::range` hands out, collected.
     fn range(
-        tree: &BTree,
-        pool: &BufferPool,
+        tree: &mut BTree,
+        pool: &mut BufferPool,
         low: &[u8],
         high: Option<&[u8]>,
         limit: usize,
@@ -752,7 +734,12 @@ mod tests {
     }
 
     /// The pairs a prefix scan hands out, collected.
-    fn prefix_scan(tree: &BTree, pool: &BufferPool, prefix: &[u8], t: SimTime) -> (Pairs, SimTime) {
+    fn prefix_scan(
+        tree: &mut BTree,
+        pool: &mut BufferPool,
+        prefix: &[u8],
+        t: SimTime,
+    ) -> (Pairs, SimTime) {
         let mut pairs = Vec::new();
         let in_range = |key: &[u8]| key.starts_with(prefix);
         let t =
@@ -761,13 +748,13 @@ mod tests {
         (pairs, t)
     }
 
-    fn node_at(pool: &BufferPool, tree: &BTree, page: u64, t: SimTime) -> Node {
+    fn node_at(pool: &mut BufferPool, tree: &BTree, page: u64, t: SimTime) -> Node {
         pool.with_page(tree.obj, page, t, Node::decode).unwrap().0.unwrap()
     }
 
     /// The tree's depth (1 = a lone leaf) and its leaves in chain order.
-    fn shape(pool: &BufferPool, tree: &BTree, t: SimTime) -> (u64, Vec<Node>) {
-        let root = tree.inner.lock().root;
+    fn shape(pool: &mut BufferPool, tree: &BTree, t: SimTime) -> (u64, Vec<Node>) {
+        let root = tree.root;
         let (mut node, mut depth) = (node_at(pool, tree, root, t), 1);
         while !node.leaf {
             node = node_at(pool, tree, node.extra, t);
@@ -797,14 +784,14 @@ mod tests {
 
     #[test]
     fn ascending_inserts_fill_every_leaf_but_the_last() {
-        let (pool, tree) = setup(256);
+        let (mut pool, mut tree) = setup(256);
         let mut t = SimTime::ZERO;
         // Wide keys, so the inner level splits too.
         let key = |i: i64| composite_key(&[i, 0, 0, 0, 0, 0]);
         for i in 0..10_000i64 {
-            t = tree.insert(&pool, &key(i), rid(i as u64), t).unwrap();
+            t = tree.insert(&mut pool, &key(i), rid(i as u64), t).unwrap();
         }
-        let (depth, leaves) = shape(&pool, &tree, t);
+        let (depth, leaves) = shape(&mut pool, &tree, t);
         assert!(depth >= 3, "depth {depth}: the inner level never split");
         for (i, leaf) in leaves[..leaves.len() - 1].iter().enumerate() {
             assert!(fill(leaf) >= 0.95, "leaf {i} of {} is {:.3} full", leaves.len(), fill(leaf));
@@ -818,21 +805,21 @@ mod tests {
         // the run's districts take turns appending.
         let key = |g: i64, o: i64| composite_key(&[g / 10 + 1, g % 10 + 1, o]);
         let full = |leaves: &[Node]| leaves.iter().all(|l| fill(l) >= 0.95);
-        let (pool, tree) = setup(256);
+        let (mut pool, mut tree) = setup(256);
         let mut t = SimTime::ZERO;
         for g in 0..20 {
             for o in 0..1_000 {
-                t = tree.insert(&pool, &key(g, o), rid(o as u64), t).unwrap();
+                t = tree.insert(&mut pool, &key(g, o), rid(o as u64), t).unwrap();
             }
         }
-        let (_, loaded) = shape(&pool, &tree, t);
+        let (_, loaded) = shape(&mut pool, &tree, t);
         assert!(full(&loaded[..loaded.len() - 1]), "a loaded leaf is not full");
         for o in 1_000..1_300 {
             for g in 0..20 {
-                t = tree.insert(&pool, &key(g, o), rid(o as u64), t).unwrap();
+                t = tree.insert(&mut pool, &key(g, o), rid(o as u64), t).unwrap();
             }
         }
-        let (_, leaves) = shape(&pool, &tree, t);
+        let (_, leaves) = shape(&mut pool, &tree, t);
         // The last district appends at the end of the tree, from the
         // leaf its load ended in: every leaf but its open one is full.
         let last = leaves.iter().position(|l| l.keys.contains(&key(19, 999))).unwrap();
@@ -853,12 +840,12 @@ mod tests {
         // 50/50 on its next insert.
         let mut pages = 0;
         for seed in 1..=5 {
-            let (pool, tree) = setup(256);
+            let (mut pool, mut tree) = setup(256);
             let mut keys: Vec<i64> = (0..20_000).collect();
             shuffle(&mut keys, seed);
             let mut t = SimTime::ZERO;
             for k in keys {
-                t = tree.insert(&pool, &composite_key(&[k]), rid(k as u64), t).unwrap();
+                t = tree.insert(&mut pool, &composite_key(&[k]), rid(k as u64), t).unwrap();
             }
             pages += tree.page_count();
         }
@@ -870,86 +857,83 @@ mod tests {
 
     #[test]
     fn empty_tree_lookups() {
-        let (pool, tree) = setup(64);
+        let (mut pool, mut tree) = setup(64);
         assert!(tree.is_empty());
-        let (found, _) = tree.search(&pool, &composite_key(&[1]), SimTime::ZERO).unwrap();
+        let (found, _) = tree.search(&mut pool, &composite_key(&[1]), SimTime::ZERO).unwrap();
         assert_eq!(found, None);
         let (low, high) = (composite_key(&[0]), composite_key(&[100]));
-        let (pairs, _) = range(&tree, &pool, &low, Some(&high), usize::MAX, SimTime::ZERO);
+        let (pairs, _) = range(&mut tree, &mut pool, &low, Some(&high), usize::MAX, SimTime::ZERO);
         assert!(pairs.is_empty());
-        let (deleted, _) = tree.delete(&pool, &composite_key(&[1]), SimTime::ZERO).unwrap();
+        let (deleted, _) = tree.delete(&mut pool, &composite_key(&[1]), SimTime::ZERO).unwrap();
         assert!(!deleted);
     }
 
     #[test]
     fn insert_search_roundtrip_with_splits() {
-        let (pool, tree) = setup(256);
+        let (mut pool, mut tree) = setup(256);
         let mut t = SimTime::ZERO;
         let n = 5_000i64;
         // Insert in a shuffled-ish order to exercise splits on both sides.
         for i in 0..n {
             let k = (i * 2_654_435_761i64).rem_euclid(n);
-            t = tree.insert(&pool, &composite_key(&[k]), rid(k as u64), t).unwrap();
+            t = tree.insert(&mut pool, &composite_key(&[k]), rid(k as u64), t).unwrap();
         }
         assert_eq!(tree.len(), n as u64);
         assert!(tree.page_count() > 1, "tree must have split");
         for i in 0..n {
-            let (found, t2) = tree.search(&pool, &composite_key(&[i]), t).unwrap();
+            let (found, t2) = tree.search(&mut pool, &composite_key(&[i]), t).unwrap();
             t = t2;
             assert_eq!(found, Some(rid(i as u64)), "key {i}");
         }
         // Missing keys are not found.
-        let (missing, _) = tree.search(&pool, &composite_key(&[n + 10]), t).unwrap();
+        let (missing, _) = tree.search(&mut pool, &composite_key(&[n + 10]), t).unwrap();
         assert_eq!(missing, None);
     }
 
     #[test]
     fn attach_finds_the_root_and_counts_the_entries_from_the_images() {
-        let (pool, tree) = setup(64);
+        let (mut pool, mut tree) = setup(64);
         let mut t = SimTime::ZERO;
         for i in 0..3_000i64 {
             let k = (i * 2_654_435_761i64).rem_euclid(3_000);
-            t = tree.insert(&pool, &composite_key(&[k]), rid(k as u64), t).unwrap();
+            t = tree.insert(&mut pool, &composite_key(&[k]), rid(k as u64), t).unwrap();
         }
         for k in (0..3_000i64).step_by(3) {
-            t = tree.delete(&pool, &composite_key(&[k]), t).unwrap().1;
+            t = tree.delete(&mut pool, &composite_key(&[k]), t).unwrap().1;
         }
         t = pool.flush_all(t).unwrap();
         // A cold pool over the same object, as recovery has.
-        let cold = BufferPool::new(pool.backend().clone(), 64);
-        let (attached, t) = BTree::attach(tree.obj, &cold, tree.page_count(), t).unwrap();
-        let shape = |tree: &BTree| {
-            let inner = tree.inner.lock();
-            (inner.root, inner.page_count, inner.entries)
-        };
+        let mut cold = BufferPool::new(pool.backend().clone(), 64);
+        let (mut attached, t) = BTree::attach(tree.obj, &mut cold, tree.page_count(), t).unwrap();
+        let shape = |tree: &BTree| (tree.root, tree.page_count, tree.entries);
         assert_eq!(shape(&attached), shape(&tree));
         assert_eq!(attached.len(), 2_000);
         for k in 0..3_000i64 {
-            let (found, _) = attached.search(&cold, &composite_key(&[k]), t).unwrap();
+            let (found, _) = attached.search(&mut cold, &composite_key(&[k]), t).unwrap();
             assert_eq!(found, (k % 3 != 0).then(|| rid(k as u64)), "key {k}");
         }
     }
 
     #[test]
     fn upsert_replaces_payload_without_growing() {
-        let (pool, tree) = setup(64);
+        let (mut pool, mut tree) = setup(64);
         let key = composite_key(&[7, 8]);
-        let t = tree.insert(&pool, &key, rid(1), SimTime::ZERO).unwrap();
-        let t = tree.insert(&pool, &key, rid(2), t).unwrap();
+        let t = tree.insert(&mut pool, &key, rid(1), SimTime::ZERO).unwrap();
+        let t = tree.insert(&mut pool, &key, rid(2), t).unwrap();
         assert_eq!(tree.len(), 1);
-        let (found, _) = tree.search(&pool, &key, t).unwrap();
+        let (found, _) = tree.search(&mut pool, &key, t).unwrap();
         assert_eq!(found, Some(rid(2)));
     }
 
     #[test]
     fn range_scans_return_sorted_results() {
-        let (pool, tree) = setup(256);
+        let (mut pool, mut tree) = setup(256);
         let mut t = SimTime::ZERO;
         for i in 0..2_000i64 {
-            t = tree.insert(&pool, &composite_key(&[i]), rid(i as u64), t).unwrap();
+            t = tree.insert(&mut pool, &composite_key(&[i]), rid(i as u64), t).unwrap();
         }
         let (low, high) = (composite_key(&[100]), composite_key(&[120]));
-        let (results, _) = range(&tree, &pool, &low, Some(&high), usize::MAX, t);
+        let (results, _) = range(&mut tree, &mut pool, &low, Some(&high), usize::MAX, t);
         assert_eq!(results.len(), 20);
         let keys: Vec<i64> =
             results.iter().map(|(k, _)| crate::value::decode_key_int(&k[..8])).collect();
@@ -963,11 +947,11 @@ mod tests {
         // ones do not; either way a scan fetches a node when it gets there.
         let orders: [fn(i64) -> i64; 2] = [|i| i, |i| (i * 2_654_435_761i64).rem_euclid(2_000)];
         for order in orders {
-            let (pool, tree) = setup(256);
+            let (mut pool, mut tree) = setup(256);
             let mut t = SimTime::ZERO;
             for i in 0..2_000i64 {
                 let k = order(i);
-                t = tree.insert(&pool, &composite_key(&[k]), rid(k as u64), t).unwrap();
+                t = tree.insert(&mut pool, &composite_key(&[k]), rid(k as u64), t).unwrap();
             }
             t = pool.flush_all(t).unwrap();
             assert!(tree.page_count() > 8, "scan must cross several leaves");
@@ -977,19 +961,19 @@ mod tests {
             // from the one holding 300 to the one holding 900, where it
             // meets the bound.
             let (low, high) = (composite_key(&[300]), composite_key(&[900]));
-            let (depth, leaves) = shape(&pool, &tree, t);
+            let (depth, leaves) = shape(&mut pool, &tree, t);
             let leaf_of = |key: &Vec<u8>| leaves.iter().position(|l| l.keys.contains(key)).unwrap();
             let expected = depth - 1 + (leaf_of(&high) - leaf_of(&low) + 1) as u64;
             assert!(expected < tree.page_count(), "the range covers the whole tree");
             let visits_before = pool.stats().logical_reads;
-            let (warm_rows, _) = range(&tree, &pool, &low, Some(&high), usize::MAX, t);
+            let (warm_rows, _) = range(&mut tree, &mut pool, &low, Some(&high), usize::MAX, t);
             // The walk looks at its first leaf a second time.
             let nodes = pool.stats().logical_reads - visits_before - 1;
 
             // A cold pool over the same backing object.
-            let cold = BufferPool::new(pool.backend().clone(), 256);
+            let mut cold = BufferPool::new(pool.backend().clone(), 256);
             let reads_before = cold.backend().io_counts().0;
-            let (cold_rows, _) = range(&tree, &cold, &low, Some(&high), usize::MAX, t);
+            let (cold_rows, _) = range(&mut tree, &mut cold, &low, Some(&high), usize::MAX, t);
             assert_eq!(warm_rows.len(), 600);
             assert_eq!(warm_rows, cold_rows);
             assert_eq!(nodes, expected, "{nodes} nodes visited of {}", tree.page_count());
@@ -1000,7 +984,7 @@ mod tests {
 
     #[test]
     fn prefix_scan_composite_keys() {
-        let (pool, tree) = setup(256);
+        let (mut pool, mut tree) = setup(256);
         let mut t = SimTime::ZERO;
         // Keys (warehouse, district, order): scan one district.
         for w in 1..=2i64 {
@@ -1008,7 +992,7 @@ mod tests {
                 for o in 1..=50i64 {
                     t = tree
                         .insert(
-                            &pool,
+                            &mut pool,
                             &composite_key(&[w, d, o]),
                             rid((w * 1000 + d * 100 + o) as u64),
                             t,
@@ -1017,7 +1001,7 @@ mod tests {
                 }
             }
         }
-        let (results, _) = prefix_scan(&tree, &pool, &composite_key(&[1, 2]), t);
+        let (results, _) = prefix_scan(&mut tree, &mut pool, &composite_key(&[1, 2]), t);
         assert_eq!(results.len(), 50);
         for (k, _) in &results {
             assert_eq!(crate::value::decode_key_int(&k[0..8]), 1);
@@ -1027,19 +1011,19 @@ mod tests {
 
     #[test]
     fn delete_removes_entries() {
-        let (pool, tree) = setup(256);
+        let (mut pool, mut tree) = setup(256);
         let mut t = SimTime::ZERO;
         for i in 0..500i64 {
-            t = tree.insert(&pool, &composite_key(&[i]), rid(i as u64), t).unwrap();
+            t = tree.insert(&mut pool, &composite_key(&[i]), rid(i as u64), t).unwrap();
         }
         for i in (0..500i64).step_by(2) {
-            let (deleted, t2) = tree.delete(&pool, &composite_key(&[i]), t).unwrap();
+            let (deleted, t2) = tree.delete(&mut pool, &composite_key(&[i]), t).unwrap();
             t = t2;
             assert!(deleted);
         }
         assert_eq!(tree.len(), 250);
         for i in 0..500i64 {
-            let (found, t2) = tree.search(&pool, &composite_key(&[i]), t).unwrap();
+            let (found, t2) = tree.search(&mut pool, &composite_key(&[i]), t).unwrap();
             t = t2;
             assert_eq!(found.is_some(), i % 2 == 1, "key {i}");
         }
@@ -1047,23 +1031,23 @@ mod tests {
 
     #[test]
     fn oversized_keys_are_rejected() {
-        let (pool, tree) = setup(64);
+        let (mut pool, mut tree) = setup(64);
         let huge = vec![1u8; PAGE_SIZE];
-        assert!(tree.insert(&pool, &huge, rid(0), SimTime::ZERO).is_err());
-        assert!(tree.insert(&pool, &[], rid(0), SimTime::ZERO).is_err());
+        assert!(tree.insert(&mut pool, &huge, rid(0), SimTime::ZERO).is_err());
+        assert!(tree.insert(&mut pool, &[], rid(0), SimTime::ZERO).is_err());
     }
 
     #[test]
     fn works_under_buffer_pressure() {
         // A tiny pool forces every level of the tree to be re-read from
         // flash constantly; correctness must not depend on caching.
-        let (pool, tree) = setup(4);
+        let (mut pool, mut tree) = setup(4);
         let mut t = SimTime::ZERO;
         for i in 0..800i64 {
-            t = tree.insert(&pool, &composite_key(&[i]), rid(i as u64), t).unwrap();
+            t = tree.insert(&mut pool, &composite_key(&[i]), rid(i as u64), t).unwrap();
         }
         for i in 0..800i64 {
-            let (found, t2) = tree.search(&pool, &composite_key(&[i]), t).unwrap();
+            let (found, t2) = tree.search(&mut pool, &composite_key(&[i]), t).unwrap();
             t = t2;
             assert_eq!(found, Some(rid(i as u64)));
         }
@@ -1395,20 +1379,20 @@ mod tests {
             prefixes in prop::collection::vec(prop::collection::vec(0u8..4, 0..4), 1..8),
         ) {
             let bytes = |k: &[u8]| -> Vec<u8> { k.iter().map(|b| [0x00, 0x01, 0xFE, 0xFF][*b as usize]).collect() };
-            let (pool, tree) = setup(64);
+            let (mut pool, mut tree) = setup(64);
             let mut model = std::collections::BTreeMap::new();
             let mut t = SimTime::ZERO;
             for (i, key) in keys.iter().enumerate() {
-                t = tree.insert(&pool, &bytes(key), rid(i as u64), t).unwrap();
+                t = tree.insert(&mut pool, &bytes(key), rid(i as u64), t).unwrap();
                 model.insert(bytes(key), rid(i as u64));
             }
             for prefix in prefixes.iter().map(|p| bytes(p)) {
                 let reads = pool.stats().logical_reads;
-                let (scanned, _) = prefix_scan(&tree, &pool, &prefix, t);
+                let (scanned, _) = prefix_scan(&mut tree, &mut pool, &prefix, t);
                 let reads = pool.stats().logical_reads - reads;
                 let bounded_reads = pool.stats().logical_reads;
                 let high = successor(&prefix);
-                let (bounded, _) = range(&tree, &pool, &prefix, high.as_deref(), usize::MAX, t);
+                let (bounded, _) = range(&mut tree, &mut pool, &prefix, high.as_deref(), usize::MAX, t);
                 prop_assert_eq!(pool.stats().logical_reads - bounded_reads, reads);
                 prop_assert_eq!(&scanned, &bounded);
                 let expected: Pairs =
@@ -1424,30 +1408,30 @@ mod tests {
         /// interleavings.
         #[test]
         fn behaves_like_btreemap(ops in prop::collection::vec((0i64..300, any::<bool>()), 1..400)) {
-            let (pool, tree) = setup(128);
+            let (mut pool, mut tree) = setup(128);
             let mut model = std::collections::BTreeMap::new();
             let mut t = SimTime::ZERO;
             for (i, (k, is_insert)) in ops.iter().enumerate() {
                 let key = composite_key(&[*k]);
                 if *is_insert {
                     let r = rid(i as u64);
-                    t = tree.insert(&pool, &key, r, t).unwrap();
+                    t = tree.insert(&mut pool, &key, r, t).unwrap();
                     model.insert(*k, r);
                 } else {
-                    let (deleted, t2) = tree.delete(&pool, &key, t).unwrap();
+                    let (deleted, t2) = tree.delete(&mut pool, &key, t).unwrap();
                     t = t2;
                     prop_assert_eq!(deleted, model.remove(k).is_some());
                 }
             }
             prop_assert_eq!(tree.len(), model.len() as u64);
             for (k, r) in &model {
-                let (found, t2) = tree.search(&pool, &composite_key(&[*k]), t).unwrap();
+                let (found, t2) = tree.search(&mut pool, &composite_key(&[*k]), t).unwrap();
                 t = t2;
                 prop_assert_eq!(found, Some(*r));
             }
             // A full range scan returns exactly the model's keys in order.
             let (low, high) = (composite_key(&[-1]), composite_key(&[301]));
-            let (all, _) = range(&tree, &pool, &low, Some(&high), usize::MAX, t);
+            let (all, _) = range(&mut tree, &mut pool, &low, Some(&high), usize::MAX, t);
             let scanned: Vec<i64> = all.iter().map(|(k, _)| crate::value::decode_key_int(&k[..8])).collect();
             let expected: Vec<i64> = model.keys().copied().collect();
             prop_assert_eq!(scanned, expected);
@@ -1474,12 +1458,12 @@ mod tests {
                 2 => shuffle(&mut keys, seed),
                 _ => {}
             }
-            let (pool, tree) = setup(64);
+            let (mut pool, mut tree) = setup(64);
             let mut model = std::collections::BTreeMap::new();
             let (mut t, mut rng) = (SimTime::ZERO, SplitMix64(seed));
             for (i, &(g, s)) in keys.iter().enumerate() {
                 let mut put = |g: i64, s: i64, payload: u64| {
-                    t = tree.insert(&pool, &composite_key(&[g, s]), rid(payload), t).unwrap();
+                    t = tree.insert(&mut pool, &composite_key(&[g, s]), rid(payload), t).unwrap();
                     model.insert((g, s), rid(payload));
                 };
                 put(g, s, i as u64);
@@ -1491,7 +1475,7 @@ mod tests {
             }
             prop_assert_eq!(tree.len(), model.len() as u64);
             for ((g, s), r) in &model {
-                let (found, t2) = tree.search(&pool, &composite_key(&[*g, *s]), t).unwrap();
+                let (found, t2) = tree.search(&mut pool, &composite_key(&[*g, *s]), t).unwrap();
                 t = t2;
                 prop_assert_eq!(found, Some(*r));
             }
@@ -1512,19 +1496,19 @@ mod tests {
                 rows
             };
             let (low, high) = (composite_key(&[0]), composite_key(&[groups]));
-            let (all, t2) = range(&tree, &pool, &low, Some(&high), usize::MAX, t);
+            let (all, t2) = range(&mut tree, &mut pool, &low, Some(&high), usize::MAX, t);
             t = t2;
             prop_assert_eq!(decode(&all), groups_of(0, groups));
-            let (rows, t2) = range(&tree, &pool, &low, Some(&high), limit, t);
+            let (rows, t2) = range(&mut tree, &mut pool, &low, Some(&high), limit, t);
             t = t2;
             prop_assert_eq!(decode(&rows), first(groups_of(0, groups)));
             // No upper bound: only the limit stops the walk.
             let middle = composite_key(&[groups / 2]);
-            let (rows, t2) = range(&tree, &pool, &middle, None, limit, t);
+            let (rows, t2) = range(&mut tree, &mut pool, &middle, None, limit, t);
             t = t2;
             prop_assert_eq!(decode(&rows), first(groups_of(groups / 2, groups)));
             for g in 0..groups {
-                let (rows, t2) = prefix_scan(&tree, &pool, &composite_key(&[g]), t);
+                let (rows, t2) = prefix_scan(&mut tree, &mut pool, &composite_key(&[g]), t);
                 t = t2;
                 prop_assert_eq!(decode(&rows), groups_of(g, g + 1));
             }

@@ -33,9 +33,7 @@
 //! miss allocates nothing, whether its victim was clean or written back.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::Mutex;
+use std::sync::Arc;
 
 use flash_sim::SimTime;
 use noftl_obs::{Histogram, Unit};
@@ -99,7 +97,19 @@ struct Capture {
     seen: HashSet<(ObjectId, u64)>,
 }
 
-struct PoolInner {
+/// Bound on in-flight pages of the [`BufferPool::flush_all`] pipeline:
+/// the die count of the largest preset geometry
+/// (`FlashGeometry::edbt_paper` has 64 dies), so it saturates every
+/// preset's die-level parallelism while still bounding outstanding I/O.
+pub const DEFAULT_FLUSH_WINDOW: usize = 64;
+
+/// A fixed-capacity buffer pool over a [`StorageBackend`].
+pub struct BufferPool {
+    backend: Arc<dyn StorageBackend>,
+    /// No-steal policy: dirty frames are never evicted, so uncommitted
+    /// data cannot reach storage behind the WAL's back.  Required for the
+    /// redo-only (no undo pass) recovery protocol.
+    no_steal: bool,
     frames: Vec<Frame>,
     /// Indices of the free frames, which hold no page (and are never
     /// dirty).  An eviction pushes its frame, the fill that caused it pops
@@ -115,25 +125,8 @@ struct PoolInner {
     /// When capturing, the pages dirtied since the capture began (the
     /// write set the WAL logs as after-images at commit).
     capture: Option<Capture>,
-}
-
-/// Bound on in-flight pages of the [`BufferPool::flush_all`] pipeline:
-/// the die count of the largest preset geometry
-/// (`FlashGeometry::edbt_paper` has 64 dies), so it saturates every
-/// preset's die-level parallelism while still bounding outstanding I/O.
-pub const DEFAULT_FLUSH_WINDOW: usize = 64;
-
-/// A fixed-capacity buffer pool over a [`StorageBackend`].
-pub struct BufferPool {
-    backend: Arc<dyn StorageBackend>,
-    capacity: usize,
-    /// No-steal policy: dirty frames are never evicted, so uncommitted
-    /// data cannot reach storage behind the WAL's back.  Required for the
-    /// redo-only (no undo pass) recovery protocol.
-    no_steal: bool,
-    inner: Mutex<PoolInner>,
-    /// `dbms.buffer.flush_ns` handle, bound lazily on the first flush.
-    flush_hist: OnceLock<Histogram>,
+    /// `dbms.buffer.flush_ns` handle, bound on the first flush.
+    flush_hist: Option<Histogram>,
 }
 
 impl BufferPool {
@@ -150,18 +143,15 @@ impl BufferPool {
         let capacity = capacity.max(4);
         BufferPool {
             backend,
-            capacity,
             no_steal,
-            flush_hist: OnceLock::new(),
-            inner: Mutex::new(PoolInner {
-                frames: (0..capacity).map(|_| Frame::default()).collect(),
-                // Popped from the back: frame 0 fills first.
-                free: (0..capacity).rev().collect(),
-                map: HashMap::with_capacity(2 * capacity + 2),
-                hand: 0,
-                stats: BufferStats::default(),
-                capture: None,
-            }),
+            frames: (0..capacity).map(|_| Frame::default()).collect(),
+            // Popped from the back: frame 0 fills first.
+            free: (0..capacity).rev().collect(),
+            map: HashMap::with_capacity(2 * capacity + 2),
+            hand: 0,
+            stats: BufferStats::default(),
+            capture: None,
+            flush_hist: None,
         }
     }
 
@@ -172,12 +162,12 @@ impl BufferPool {
 
     /// Pool capacity in pages.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.frames.len()
     }
 
     /// Current statistics.
     pub fn stats(&self) -> BufferStats {
-        self.inner.lock().stats
+        self.stats
     }
 
     /// The free frame the next page goes into, evicting one by the
@@ -185,16 +175,16 @@ impl BufferPool {
     /// [`Self::occupy`] takes it, so a fill that fails gives it back.
     /// Dirty victims are written back at `now` without charging the
     /// caller.
-    fn make_room(&self, inner: &mut PoolInner, now: SimTime) -> Result<usize> {
-        if let Some(&idx) = inner.free.last() {
+    fn make_room(&mut self, now: SimTime) -> Result<usize> {
+        if let Some(&idx) = self.free.last() {
             return Ok(idx);
         }
         // Clock sweep: a referenced frame loses its bit, a dirty one is
         // passed over once more, so three turns reach any frame.
-        for _ in 0..inner.frames.len() * 3 + 1 {
-            let idx = inner.hand;
-            inner.hand = (inner.hand + 1) % inner.frames.len();
-            let frame = &mut inner.frames[idx];
+        for _ in 0..self.frames.len() * 3 + 1 {
+            let idx = self.hand;
+            self.hand = (self.hand + 1) % self.frames.len();
+            let frame = &mut self.frames[idx];
             if frame.ref_bit {
                 frame.ref_bit = false;
                 continue;
@@ -214,11 +204,11 @@ impl BufferPool {
             if frame.dirty {
                 self.backend.write_page(key.0, key.1, &frame.data, now)?;
                 frame.dirty = false;
-                inner.stats.dirty_writebacks += 1;
+                self.stats.dirty_writebacks += 1;
             }
-            inner.stats.evictions += 1;
-            inner.map.remove(&key);
-            inner.free.push(idx);
+            self.stats.evictions += 1;
+            self.map.remove(&key);
+            self.free.push(idx);
             return Ok(idx);
         }
         Err(DbError::Storage {
@@ -232,11 +222,11 @@ impl BufferPool {
 
     /// Take the free frame [`Self::make_room`] chose, whose buffer now
     /// holds the page `key`, and return its index.
-    fn occupy(inner: &mut PoolInner, key: (ObjectId, u64), dirty: bool) -> usize {
-        let idx = inner.free.pop().expect("the caller made room");
-        let frame = &mut inner.frames[idx];
+    fn occupy(&mut self, key: (ObjectId, u64), dirty: bool) -> usize {
+        let idx = self.free.pop().expect("the caller made room");
+        let frame = &mut self.frames[idx];
         (frame.key, frame.dirty, frame.ref_bit, frame.spared) = (key, dirty, true, false);
-        inner.map.insert(key, idx);
+        self.map.insert(key, idx);
         idx
     }
 
@@ -244,31 +234,23 @@ impl BufferPool {
     /// read, find the page's frame or charge the flash read into a free
     /// frame's buffer, and mark it referenced.  Returns the frame's index
     /// and the time at which its data was available.
-    fn lend(
-        &self,
-        inner: &mut PoolInner,
-        obj: ObjectId,
-        page: u64,
-        now: SimTime,
-    ) -> Result<(usize, SimTime)> {
-        inner.stats.logical_reads += 1;
-        let (idx, done) = match inner.map.get(&(obj, page)) {
+    fn lend(&mut self, obj: ObjectId, page: u64, now: SimTime) -> Result<(usize, SimTime)> {
+        self.stats.logical_reads += 1;
+        let (idx, done) = match self.map.get(&(obj, page)) {
             Some(&idx) => {
-                inner.stats.hits += 1;
+                self.stats.hits += 1;
                 (idx, now)
             }
             None => {
-                inner.stats.misses += 1;
-                let free = self.make_room(inner, now)?;
-                // The read is a pure simulated-time computation, so it
-                // runs under the lock: simple and deterministic.
-                let data = &mut inner.frames[free].data;
+                self.stats.misses += 1;
+                let free = self.make_room(now)?;
+                let data = &mut self.frames[free].data;
                 data.resize(PAGE_SIZE, 0);
                 let done = self.backend.read_page_into(obj, page, data, now)?;
-                (Self::occupy(inner, (obj, page), false), done)
+                (self.occupy((obj, page), false), done)
             }
         };
-        let frame = &mut inner.frames[idx];
+        let frame = &mut self.frames[idx];
         frame.ref_bit = true;
         frame.spared = false;
         Ok((idx, done))
@@ -278,20 +260,15 @@ impl BufferPool {
     /// copying it; a miss charges the flash read, which fills a free (or
     /// just evicted) frame's buffer.  Returns `f`'s result and the time
     /// at which the data was available.
-    ///
-    /// `f` runs under the pool lock, so it must not call back into the
-    /// pool (the lock is not re-entrant): extract what is needed — a
-    /// child pointer, a record's bytes — and return.
     pub fn with_page<R>(
-        &self,
+        &mut self,
         obj: ObjectId,
         page: u64,
         now: SimTime,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<(R, SimTime)> {
-        let mut inner = self.inner.lock();
-        let (idx, done) = self.lend(&mut inner, obj, page, now)?;
-        Ok((f(&inner.frames[idx].data), done))
+        let (idx, done) = self.lend(obj, page, now)?;
+        Ok((f(&self.frames[idx].data), done))
     }
 
     /// Lend a page to `f` for editing in place: the read of
@@ -301,30 +278,29 @@ impl BufferPool {
     /// so the call counts what a copy-out read plus a
     /// [`BufferPool::write_page`] of the edited copy would.  A closure
     /// that reports no write must leave the frame as it found it; the
-    /// frame then stays clean.  Same locking rule as `with_page`.
+    /// frame then stays clean.
     pub fn with_page_mut<R>(
-        &self,
+        &mut self,
         obj: ObjectId,
         page: u64,
         now: SimTime,
         f: impl FnOnce(&mut [u8]) -> (R, bool),
     ) -> Result<(R, SimTime)> {
-        let mut inner = self.inner.lock();
-        let (idx, done) = self.lend(&mut inner, obj, page, now)?;
-        let frame = &mut inner.frames[idx];
+        let (idx, done) = self.lend(obj, page, now)?;
+        let frame = &mut self.frames[idx];
         let (result, wrote) = f(&mut frame.data);
         if wrote {
             frame.dirty = true;
-            Self::count_write(&mut inner, obj, page);
+            self.count_write(obj, page);
         }
         Ok((result, done))
     }
 
     /// Count a logical write of `(obj, page)` and add the page to the
     /// write set being captured, if any.
-    fn count_write(inner: &mut PoolInner, obj: ObjectId, page: u64) {
-        inner.stats.logical_writes += 1;
-        if let Some(capture) = inner.capture.as_mut() {
+    fn count_write(&mut self, obj: ObjectId, page: u64) {
+        self.stats.logical_writes += 1;
+        if let Some(capture) = self.capture.as_mut() {
             if capture.seen.insert((obj, page)) {
                 capture.order.push((obj, page));
             }
@@ -337,7 +313,7 @@ impl BufferPool {
     /// explicit flush.  Returns `now` unchanged — the caller is not
     /// charged.
     pub fn write_page(
-        &self,
+        &mut self,
         obj: ObjectId,
         page: u64,
         data: &[u8],
@@ -348,42 +324,40 @@ impl BufferPool {
                 message: format!("page write of {} bytes, expected {PAGE_SIZE}", data.len()),
             });
         }
-        let mut inner = self.inner.lock();
-        Self::count_write(&mut inner, obj, page);
-        if let Some(&idx) = inner.map.get(&(obj, page)) {
-            let frame = &mut inner.frames[idx];
+        self.count_write(obj, page);
+        if let Some(&idx) = self.map.get(&(obj, page)) {
+            let frame = &mut self.frames[idx];
             frame.data.copy_from_slice(data);
             frame.dirty = true;
             frame.ref_bit = true;
             frame.spared = false;
             return Ok(now);
         }
-        let free = self.make_room(&mut inner, now)?;
-        let buf = &mut inner.frames[free].data;
+        let free = self.make_room(now)?;
+        let buf = &mut self.frames[free].data;
         buf.clear();
         buf.extend_from_slice(data);
-        Self::occupy(&mut inner, (obj, page), true);
+        self.occupy((obj, page), true);
         Ok(now)
     }
 
     /// Begin recording the keys of every page written through the pool
     /// (the write set of the transaction being executed).  Any capture in
     /// progress is discarded.
-    pub fn begin_capture(&self) {
-        self.inner.lock().capture = Some(Capture { order: Vec::new(), seen: HashSet::new() });
+    pub fn begin_capture(&mut self) {
+        self.capture = Some(Capture { order: Vec::new(), seen: HashSet::new() });
     }
 
     /// Stop capturing and return the dirtied page keys in first-write
     /// order; empty if no capture was active.
-    pub fn take_capture(&self) -> Vec<(ObjectId, u64)> {
-        self.inner.lock().capture.take().map(|c| c.order).unwrap_or_default()
+    pub fn take_capture(&mut self) -> Vec<(ObjectId, u64)> {
+        self.capture.take().map(|c| c.order).unwrap_or_default()
     }
 
     /// Current contents of a page if it is resident in the pool (no I/O,
     /// no statistics impact).  Used by commit to snapshot after-images.
     pub fn page_image(&self, obj: ObjectId, page: u64) -> Option<Vec<u8>> {
-        let inner = self.inner.lock();
-        inner.map.get(&(obj, page)).map(|&idx| inner.frames[idx].data.clone())
+        self.map.get(&(obj, page)).map(|&idx| self.frames[idx].data.clone())
     }
 
     /// Write back every dirty page through the backend's
@@ -393,9 +367,8 @@ impl BufferPool {
     /// parallelism (per-die command queues under NoFTL).  The returned
     /// time is the maximum completion over the whole window.  On failure
     /// the frames stay dirty so a later flush retries them.
-    pub fn flush_all(&self, now: SimTime) -> Result<SimTime> {
-        let mut inner = self.inner.lock();
-        let batch: Vec<(ObjectId, u64, Vec<u8>)> = inner
+    pub fn flush_all(&mut self, now: SimTime) -> Result<SimTime> {
+        let batch: Vec<(ObjectId, u64, Vec<u8>)> = self
             .frames
             .iter()
             .filter(|f| f.dirty)
@@ -408,7 +381,7 @@ impl BufferPool {
         if let Some(registry) = self.backend.metrics() {
             let hist = self
                 .flush_hist
-                .get_or_init(|| registry.histogram("dbms.buffer.flush_ns", Unit::SimNanos));
+                .get_or_insert_with(|| registry.histogram("dbms.buffer.flush_ns", Unit::SimNanos));
             hist.record(done.since(now).as_nanos());
             // Track 102: buffer-pool spans (see the core obs track map).
             registry.tracer().span(
@@ -421,19 +394,19 @@ impl BufferPool {
             );
         }
         let mut flushed = 0u64;
-        for frame in inner.frames.iter_mut() {
+        for frame in self.frames.iter_mut() {
             if frame.dirty {
                 frame.dirty = false;
                 flushed += 1;
             }
         }
-        inner.stats.flushed += flushed;
+        self.stats.flushed += flushed;
         Ok(done)
     }
 
     /// Number of dirty pages currently in the pool.
     pub fn dirty_pages(&self) -> usize {
-        self.inner.lock().frames.iter().filter(|f| f.dirty).count()
+        self.frames.iter().filter(|f| f.dirty).count()
     }
 }
 
@@ -461,7 +434,7 @@ mod tests {
     fn writes_are_buffered_and_reads_hit() {
         let backend = backend();
         let obj = backend.create_object("t").unwrap();
-        let pool = BufferPool::new(backend.clone(), 8);
+        let mut pool = BufferPool::new(backend.clone(), 8);
         let t0 = SimTime::ZERO;
         // A logical write costs the caller nothing.
         let t1 = pool.write_page(obj, 0, &page(1), t0).unwrap();
@@ -484,13 +457,13 @@ mod tests {
     fn misses_charge_read_latency() {
         let backend = backend();
         let obj = backend.create_object("t").unwrap();
-        let pool = BufferPool::new(backend.clone(), 8);
+        let mut pool = BufferPool::new(backend.clone(), 8);
         pool.write_page(obj, 0, &page(7), SimTime::ZERO).unwrap();
         let done = pool.flush_all(SimTime::ZERO).unwrap();
         assert!(done > SimTime::ZERO);
         assert_eq!(pool.dirty_pages(), 0);
         // Build a second pool so the page is not cached.
-        let pool2 = BufferPool::new(backend.clone(), 8);
+        let mut pool2 = BufferPool::new(backend.clone(), 8);
         let (data, t) = pool2.with_page(obj, 0, done, <[u8]>::to_vec).unwrap();
         assert_eq!(data, page(7));
         assert!(t > done, "a miss must pay the flash read latency");
@@ -501,10 +474,10 @@ mod tests {
     fn with_page_lends_the_frame_a_later_read_copies() {
         let backend = backend();
         let obj = backend.create_object("t").unwrap();
-        let pool = BufferPool::new(backend.clone(), 8);
+        let mut pool = BufferPool::new(backend.clone(), 8);
         pool.write_page(obj, 0, &page(7), SimTime::ZERO).unwrap();
         let done = pool.flush_all(SimTime::ZERO).unwrap();
-        let cold = BufferPool::new(backend, 8);
+        let mut cold = BufferPool::new(backend, 8);
         // Miss: charged, filled; the closure sees the page.
         let (first, t) = cold.with_page(obj, 0, done, |p| (p.len(), p[0])).unwrap();
         assert_eq!(first, (PAGE_SIZE, 7));
@@ -524,14 +497,14 @@ mod tests {
         let cold = || {
             let backend = backend();
             let obj = backend.create_object("t").unwrap();
-            let seed = BufferPool::new(backend.clone(), 8);
+            let mut seed = BufferPool::new(backend.clone(), 8);
             seed.write_page(obj, 0, &page(7), SimTime::ZERO).unwrap();
             let done = seed.flush_all(SimTime::ZERO).unwrap();
-            let pool = BufferPool::new(backend, 8);
+            let mut pool = BufferPool::new(backend, 8);
             pool.begin_capture();
             (pool, obj, done)
         };
-        let ((copying, obj, done), (editing, _, _)) = (cold(), cold());
+        let ((mut copying, obj, done), (mut editing, _, _)) = (cold(), cold());
         // A miss, then a hit, each writing the page once.
         for value in [8u8, 9] {
             let (mut copy, t_copy) = copying.with_page(obj, 0, done, <[u8]>::to_vec).unwrap();
@@ -555,7 +528,7 @@ mod tests {
 
         // A closure that reports no write, or fails, leaves the frame clean
         // and the capture empty; it still counts its read.
-        let (reader, obj, done) = cold();
+        let (mut reader, obj, done) = cold();
         reader.with_page_mut(obj, 0, done, |frame| (frame[0], false)).unwrap();
         let (failed, _) = reader
             .with_page_mut(obj, 0, done, |_| {
@@ -573,7 +546,7 @@ mod tests {
     fn a_failed_read_gives_its_frame_back() {
         let backend = backend();
         let obj = backend.create_object("t").unwrap();
-        let pool = BufferPool::new(backend, 4);
+        let mut pool = BufferPool::new(backend, 4);
         // Reads of never-written pages fail after room was made for them…
         for p in 0..10u64 {
             assert!(pool.with_page(obj, 100 + p, SimTime::ZERO, <[u8]>::to_vec).is_err());
@@ -591,7 +564,7 @@ mod tests {
     fn eviction_writes_back_dirty_pages() {
         let backend = backend();
         let obj = backend.create_object("t").unwrap();
-        let pool = BufferPool::new(backend.clone(), 4);
+        let mut pool = BufferPool::new(backend.clone(), 4);
         // Dirty more pages than the pool holds.
         for p in 0..10u64 {
             pool.write_page(obj, p, &page(p as u8), SimTime::ZERO).unwrap();
@@ -614,12 +587,12 @@ mod tests {
     fn two_dirty_two_clean(no_steal: bool) -> (BufferPool, ObjectId, SimTime) {
         let backend = backend();
         let obj = backend.create_object("t").unwrap();
-        let pool = BufferPool::with_policy(backend, 4, no_steal);
+        let mut pool = BufferPool::with_policy(backend, 4, no_steal);
         for p in 0..4u64 {
             pool.write_page(obj, p, &page(p as u8), SimTime::ZERO).unwrap();
         }
         let done = pool.flush_all(SimTime::ZERO).unwrap();
-        let cold = BufferPool::new(pool.backend().clone(), 4);
+        let mut cold = BufferPool::new(pool.backend().clone(), 4);
         cold.write_page(obj, 4, &page(4), done).unwrap();
         let done = cold.flush_all(done).unwrap();
         for p in 0..2u64 {
@@ -636,7 +609,7 @@ mod tests {
     fn a_clean_frame_is_evicted_before_a_dirty_one() {
         // The hand starts at frame 0, which is dirty: the clock passes
         // over both dirty frames and takes the first clean one.
-        let (pool, obj, t) = two_dirty_two_clean(false);
+        let (mut pool, obj, t) = two_dirty_two_clean(false);
         let (data, _) = pool.with_page(obj, 4, t, <[u8]>::to_vec).unwrap();
         assert_eq!(data, page(4));
         assert_eq!(resident(&pool, obj), [0, 1, 3, 4]);
@@ -657,7 +630,7 @@ mod tests {
 
     #[test]
     fn no_steal_evicts_only_clean_frames_and_asks_for_a_checkpoint() {
-        let (pool, obj, t) = two_dirty_two_clean(true);
+        let (mut pool, obj, t) = two_dirty_two_clean(true);
         // Two clean frames: both can go, the dirty ones stay.
         pool.with_page(obj, 4, t, <[u8]>::to_vec).unwrap();
         pool.write_page(obj, 4, &page(14), t).unwrap();
@@ -680,7 +653,7 @@ mod tests {
     fn bad_page_size_rejected() {
         let backend = backend();
         let obj = backend.create_object("t").unwrap();
-        let pool = BufferPool::new(backend, 8);
+        let mut pool = BufferPool::new(backend, 8);
         assert!(pool.write_page(obj, 0, &[1, 2, 3], SimTime::ZERO).is_err());
     }
 

@@ -1,9 +1,7 @@
-//! The catalog: tables, their schemas, heaps and indexes.
+//! The catalog's entries: tables, their schemas, heaps and indexes.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-
-use parking_lot::RwLock;
 
 use crate::btree::BTree;
 use crate::error::DbError;
@@ -30,63 +28,24 @@ pub struct TableDef {
     /// The heap file holding the rows.
     pub heap: HeapFile,
     /// Indexes on the table, by name.
-    pub indexes: RwLock<HashMap<String, Arc<IndexDef>>>,
+    pub indexes: HashMap<String, IndexDef>,
 }
 
 impl TableDef {
     /// Look up an index of this table.
-    pub fn index(&self, name: &str) -> Result<Arc<IndexDef>> {
-        self.indexes
-            .read()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| DbError::not_found(format!("index '{name}' on table '{}'", self.name)))
+    pub fn index(&self, name: &str) -> Result<&IndexDef> {
+        self.indexes.get(name).ok_or_else(|| no_index(&self.name, name))
+    }
+
+    /// [`TableDef::index`], to write to.
+    pub(crate) fn index_mut(&mut self, name: &str) -> Result<&mut IndexDef> {
+        let table = &self.name;
+        self.indexes.get_mut(name).ok_or_else(|| no_index(table, name))
     }
 }
 
-/// The database catalog.
-#[derive(Debug, Default)]
-pub struct Catalog {
-    tables: RwLock<HashMap<String, Arc<TableDef>>>,
-}
-
-impl Catalog {
-    /// Create an empty catalog.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register a table.
-    pub fn add_table(&self, table: TableDef) -> Result<Arc<TableDef>> {
-        let mut tables = self.tables.write();
-        if tables.contains_key(&table.name) {
-            return Err(DbError::AlreadyExists { what: format!("table '{}'", table.name) });
-        }
-        let arc = Arc::new(table);
-        tables.insert(arc.name.clone(), Arc::clone(&arc));
-        Ok(arc)
-    }
-
-    /// Look up a table.
-    pub fn table(&self, name: &str) -> Result<Arc<TableDef>> {
-        self.tables
-            .read()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| DbError::not_found(format!("table '{name}'")))
-    }
-
-    /// Names of all tables.
-    pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tables.read().keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    /// Number of tables.
-    pub fn table_count(&self) -> usize {
-        self.tables.read().len()
-    }
+fn no_index(table: &str, index: &str) -> DbError {
+    DbError::not_found(format!("index '{index}' on table '{table}'"))
 }
 
 #[cfg(test)]
@@ -94,37 +53,19 @@ mod tests {
     use super::*;
     use crate::schema::ColumnType;
 
-    fn table(name: &str) -> TableDef {
-        TableDef {
-            name: name.to_string(),
-            schema: Arc::new(Schema::new(vec![("id", ColumnType::Int)])),
-            heap: HeapFile::new(1),
-            indexes: RwLock::new(HashMap::new()),
-        }
-    }
-
-    #[test]
-    fn add_and_lookup_tables() {
-        let catalog = Catalog::new();
-        catalog.add_table(table("customer")).unwrap();
-        catalog.add_table(table("stock")).unwrap();
-        assert!(catalog.table("customer").is_ok());
-        assert!(catalog.table("nope").is_err());
-        assert_eq!(catalog.table_count(), 2);
-        assert_eq!(catalog.table_names(), vec!["customer".to_string(), "stock".to_string()]);
-        // Duplicates rejected.
-        assert!(matches!(catalog.add_table(table("stock")), Err(DbError::AlreadyExists { .. })));
-    }
-
     #[test]
     fn index_lookup_on_table() {
-        let catalog = Catalog::new();
-        let t = catalog.add_table(table("orders")).unwrap();
+        let mut t = TableDef {
+            name: "orders".to_string(),
+            schema: Arc::new(Schema::new(vec![("id", ColumnType::Int)])),
+            heap: HeapFile::new(1),
+            indexes: HashMap::new(),
+        };
         assert!(t.index("o_idx").is_err());
-        t.indexes.write().insert(
-            "o_idx".to_string(),
-            Arc::new(IndexDef { name: "o_idx".to_string(), tree: BTree::new(2) }),
-        );
+        assert!(t.index_mut("o_idx").is_err());
+        let tree = BTree::new(2);
+        t.indexes.insert("o_idx".to_string(), IndexDef { name: "o_idx".to_string(), tree });
         assert!(t.index("o_idx").is_ok());
+        assert!(t.index_mut("o_idx").is_ok());
     }
 }

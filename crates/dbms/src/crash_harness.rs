@@ -248,7 +248,7 @@ impl Contract for CrashHarnessConfig {
                 actual.insert(key, record.int(1));
             }
         }
-        let (heap, index) = (db.table(TABLE)?.heap.record_count(), actual.len());
+        let (heap, index) = (db.with_table(TABLE, |t| t.heap.record_count())?, actual.len());
         if heap != index as u64 {
             return Err(corrupted(format!("heap holds {heap} records, the index sees {index}")));
         }

@@ -1,17 +1,17 @@
 //! The `Database` facade used by workloads.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 
 use flash_sim::codec::{put_bytes16, put_u32, put_u64, Reader};
+use flash_sim::lockorder::{self, LockClass, TrackedGuard};
 use flash_sim::{crc32, Duration, SimTime};
 
 use crate::btree::BTree;
 use crate::buffer::{BufferPool, BufferStats};
-use crate::catalog::{Catalog, IndexDef, TableDef};
+use crate::catalog::{IndexDef, TableDef};
 use crate::error::DbError;
 use crate::heap::{HeapFile, RecordId};
 use crate::row::{AsRecord, Row};
@@ -112,25 +112,39 @@ pub struct RecoveryReport {
 /// Every instance keeps a write-ahead log: the commit of a transaction
 /// that wrote forces it, a read-only commit never touches it (see
 /// [`Database::commit`]).
+///
+/// What never changes after [`Database::open`] lies outside the lock;
+/// everything that does — the pool, the log, the catalog with its heaps
+/// and trees, the counters — is one `Engine` behind one mutex, taken
+/// once per call at `Database::lock_engine`.  The closures of
+/// [`Database::read`], [`Database::update_with`] and
+/// [`Database::index_read`] run under it, so they must not call back
+/// into the database: in debug builds the lock-order sanitizer panics
+/// ("recursive acquisition of engine") where release builds deadlock.
 pub struct Database {
     backend: Arc<dyn StorageBackend>,
-    pool: BufferPool,
-    catalog: Catalog,
-    wal: Wal,
     metadata_obj: ObjectId,
     catalog_obj: ObjectId,
-    catalog_seq: AtomicU64,
-    metadata_pages: AtomicU64,
-    next_txn: AtomicU64,
-    commits: AtomicU64,
-    read_only_commits: AtomicU64,
-    rollbacks: AtomicU64,
+    config: DatabaseConfig,
+    engine: Mutex<Engine>,
+}
+
+/// The mutable state of a [`Database`].
+struct Engine {
+    pool: BufferPool,
+    wal: Wal,
+    tables: HashMap<String, TableDef>,
+    catalog_seq: u64,
+    metadata_pages: u64,
+    next_txn: u64,
+    commits: u64,
+    read_only_commits: u64,
+    rollbacks: u64,
     /// Set when a commit's log force fails under redo logging: the pool
     /// then holds effects of a transaction that is neither durable nor
     /// undoable, so all further mutation (which could flush them at a
     /// checkpoint) is refused until the instance is recovered.
-    poisoned: std::sync::atomic::AtomicBool,
-    config: DatabaseConfig,
+    poisoned: bool,
 }
 
 fn ensure_object(backend: &Arc<dyn StorageBackend>, name: &str) -> Result<ObjectId> {
@@ -140,34 +154,201 @@ fn ensure_object(backend: &Arc<dyn StorageBackend>, name: &str) -> Result<Object
     }
 }
 
+impl Engine {
+    /// An engine with an empty catalog and a fresh pool and log (`open`
+    /// and `recover` alike).
+    fn new(backend: &Arc<dyn StorageBackend>, log_obj: ObjectId, config: &DatabaseConfig) -> Self {
+        let pool =
+            BufferPool::with_policy(Arc::clone(backend), config.buffer_pages, config.redo_logging);
+        Engine {
+            pool,
+            // Without redo logging the log is I/O ballast (the paper's
+            // experiments): spilled pages stay volatile, exactly one page
+            // write per force, as in the original engine.
+            wal: Wal::new(log_obj).with_durable_spill(config.redo_logging),
+            tables: HashMap::new(),
+            catalog_seq: 0,
+            metadata_pages: 0,
+            next_txn: 1,
+            commits: 0,
+            read_only_commits: 0,
+            rollbacks: 0,
+            poisoned: false,
+        }
+    }
+
+    fn check_usable(&self) -> Result<()> {
+        if self.poisoned {
+            return Err(DbError::Storage {
+                message: "database is poisoned by a failed commit force; \
+                          restart and recover before writing again"
+                    .to_string(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Table `name`, with the pool and the log beside it.
+    fn parts(&mut self, name: &str) -> Result<(&mut TableDef, &mut BufferPool, &mut Wal)> {
+        let table = self
+            .tables
+            .get_mut(name)
+            .ok_or_else(|| DbError::not_found(format!("table '{name}'")))?;
+        Ok((table, &mut self.pool, &mut self.wal))
+    }
+
+    /// Register a table.
+    fn add_table(&mut self, table: TableDef) -> Result<()> {
+        if self.tables.contains_key(&table.name) {
+            return Err(DbError::AlreadyExists { what: format!("table '{}'", table.name) });
+        }
+        self.tables.insert(table.name.clone(), table);
+        Ok(())
+    }
+
+    /// Write a small catalog-change record into the metadata object.  This
+    /// keeps the `DBMS-metadata` object realistically non-empty (it is one
+    /// of the objects the paper's Figure 2 places in its own region).
+    fn record_metadata_change(
+        &mut self,
+        db: &Database,
+        description: &str,
+        now: SimTime,
+    ) -> Result<()> {
+        let page_no = self.metadata_pages;
+        self.metadata_pages += 1;
+        let bytes = description.as_bytes();
+        let mut page = Vec::with_capacity(PAGE_SIZE);
+        put_bytes16(&mut page, &bytes[..bytes.len().min(PAGE_SIZE - 2)]);
+        page.resize(PAGE_SIZE, 0);
+        self.pool.write_page(db.metadata_obj, page_no, &page, now)?;
+        Ok(())
+    }
+
+    /// [`Database::read`].
+    fn read<R>(
+        &mut self,
+        txn: &mut Txn,
+        table: &str,
+        rid: RecordId,
+        f: impl FnOnce(&Row<&[u8]>) -> R,
+    ) -> Result<R> {
+        let (table_def, pool, _) = self.parts(table)?;
+        let schema = &table_def.schema;
+        let (read, t) = table_def.heap.read(pool, rid, txn.now, |bytes| {
+            Row::new(Arc::clone(schema), bytes).map(|row| f(&row))
+        })?;
+        charge(txn, t, false);
+        read
+    }
+
+    /// [`Database::index_lookup`].
+    fn lookup(
+        &mut self,
+        txn: &mut Txn,
+        table: &str,
+        index: &str,
+        key: &[u8],
+    ) -> Result<Option<RecordId>> {
+        let (table_def, pool, _) = self.parts(table)?;
+        let (found, t) = table_def.index_mut(index)?.tree.search(pool, key, txn.now)?;
+        charge(txn, t, false);
+        Ok(found)
+    }
+
+    /// Drop the write-set capture [`Database::begin`] opened, so it can
+    /// never leak into a later transaction's log images.
+    fn discard_capture(&mut self) {
+        self.pool.take_capture();
+    }
+
+    /// Names of all tables, sorted.
+    fn table_names(&self) -> Vec<String> {
+        let mut names: Vec<String> = self.tables.keys().cloned().collect();
+        names.sort();
+        names
+    }
+
+    /// Serialise the catalog (table names, schemas, index names).
+    fn encode_catalog(&self, seq: u64) -> Vec<u8> {
+        let mut blob = Vec::with_capacity(256);
+        put_u64(&mut blob, seq);
+        let names = self.table_names();
+        put_u32(&mut blob, names.len() as u32);
+        for name in names {
+            let table = &self.tables[&name];
+            put_bytes16(&mut blob, name.as_bytes());
+            table.schema.encode_def(&mut blob);
+            let mut index_names: Vec<String> = table.indexes.keys().cloned().collect();
+            index_names.sort();
+            put_u32(&mut blob, index_names.len() as u32);
+            for index in index_names {
+                put_bytes16(&mut blob, index.as_bytes());
+            }
+        }
+        blob
+    }
+
+    /// Write a versioned catalog snapshot into slot `seq % 2` of the
+    /// catalog object.  Page 0 of the slot carries a header
+    /// (magic, seq, length, CRC); the blob continues on the following
+    /// pages.  A torn snapshot fails its CRC on recovery and the previous
+    /// slot is used instead.
+    fn write_catalog_snapshot(&mut self, db: &Database, now: SimTime) -> Result<SimTime> {
+        let seq = self.catalog_seq + 1;
+        let blob = self.encode_catalog(seq);
+        if blob.len() > CATALOG_SLOT_PAGES as usize * PAGE_SIZE - CATALOG_HEADER {
+            return Err(DbError::TooLarge {
+                message: format!("catalog snapshot of {} bytes exceeds slot", blob.len()),
+            });
+        }
+        let base = (seq % 2) * CATALOG_SLOT_PAGES;
+        let (head, tail) = blob.split_at(blob.len().min(PAGE_SIZE - CATALOG_HEADER));
+        let mut first = Vec::with_capacity(PAGE_SIZE);
+        put_u32(&mut first, CATALOG_MAGIC);
+        put_u64(&mut first, seq);
+        put_u32(&mut first, blob.len() as u32);
+        put_u32(&mut first, crc32(&blob));
+        put_u32(&mut first, 0);
+        first.extend_from_slice(head);
+        first.resize(PAGE_SIZE, 0);
+        let mut done = db.backend.write_page(db.catalog_obj, base, &first, now)?;
+        for (page_no, chunk) in (base + 1..).zip(tail.chunks(PAGE_SIZE)) {
+            let mut page = Vec::with_capacity(PAGE_SIZE);
+            page.extend_from_slice(chunk);
+            page.resize(PAGE_SIZE, 0);
+            done = done.max(db.backend.write_page(db.catalog_obj, page_no, &page, now)?);
+        }
+        self.catalog_seq = seq;
+        Ok(done)
+    }
+
+    /// [`Database::checkpoint`].
+    fn checkpoint(&mut self, db: &Database, now: SimTime) -> Result<SimTime> {
+        self.check_usable()?;
+        let data_done = self.pool.flush_all(now)?;
+        let mut done = data_done.max(self.wal.force(&*db.backend, now)?);
+        done = done.max(self.write_catalog_snapshot(db, done)?);
+        done = done.max(db.backend.checkpoint(done)?);
+        self.wal.truncate(&*db.backend)?;
+        self.wal.append(&WalRecord::Checkpoint);
+        Ok(done)
+    }
+}
+
 impl Database {
     /// Open a database over a storage backend.
     pub fn open(backend: Arc<dyn StorageBackend>, config: DatabaseConfig) -> Result<Self> {
         let metadata_obj = backend.create_object(METADATA_OBJECT)?;
         let catalog_obj = backend.create_object(CATALOG_OBJECT)?;
-        // Without redo logging the log is I/O ballast (the paper's
-        // experiments): spilled pages stay volatile, exactly one page
-        // write per force, as in the original engine.
-        let wal =
-            Wal::new(backend.create_object(LOG_OBJECT)?).with_durable_spill(config.redo_logging);
-        let pool =
-            BufferPool::with_policy(Arc::clone(&backend), config.buffer_pages, config.redo_logging);
-        Ok(Database {
-            backend,
-            pool,
-            catalog: Catalog::new(),
-            wal,
-            metadata_obj,
-            catalog_obj,
-            catalog_seq: AtomicU64::new(0),
-            metadata_pages: AtomicU64::new(0),
-            next_txn: AtomicU64::new(1),
-            commits: AtomicU64::new(0),
-            read_only_commits: AtomicU64::new(0),
-            rollbacks: AtomicU64::new(0),
-            poisoned: std::sync::atomic::AtomicBool::new(false),
-            config,
-        })
+        let engine = Mutex::new(Engine::new(&backend, backend.create_object(LOG_OBJECT)?, &config));
+        Ok(Database { backend, metadata_obj, catalog_obj, config, engine })
+    }
+
+    /// The one way to the engine: its mutex, taken as
+    /// [`LockClass::Engine`], the first class of the sanitizer's order.
+    fn lock_engine(&self) -> TrackedGuard<'_, Engine> {
+        lockorder::lock_tracked(LockClass::Engine, &self.engine)
     }
 
     /// The storage backend.
@@ -182,53 +363,29 @@ impl Database {
 
     /// Buffer-pool statistics.
     pub fn buffer_stats(&self) -> BufferStats {
-        self.pool.stats()
+        self.lock_engine().pool.stats()
     }
 
     /// WAL statistics.
     pub fn wal_stats(&self) -> WalStats {
-        self.wal.stats()
+        self.lock_engine().wal.stats()
     }
 
     /// Committed transaction count (read-only commits included).
     pub fn commit_count(&self) -> u64 {
-        self.commits.load(Ordering::Relaxed)
+        self.lock_engine().commits
     }
 
     /// Commits of transactions that wrote nothing: counted in
     /// [`Database::commit_count`], but they appended no log record and
     /// forced nothing.
     pub fn read_only_commit_count(&self) -> u64 {
-        self.read_only_commits.load(Ordering::Relaxed)
+        self.lock_engine().read_only_commits
     }
 
     /// Rolled-back transaction count.
     pub fn rollback_count(&self) -> u64 {
-        self.rollbacks.load(Ordering::Relaxed)
-    }
-
-    fn check_usable(&self) -> Result<()> {
-        if self.poisoned.load(Ordering::Relaxed) {
-            return Err(DbError::Storage {
-                message: "database is poisoned by a failed commit force; \
-                          restart and recover before writing again"
-                    .to_string(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Write a small catalog-change record into the metadata object.  This
-    /// keeps the `DBMS-metadata` object realistically non-empty (it is one
-    /// of the objects the paper's Figure 2 places in its own region).
-    fn record_metadata_change(&self, description: &str, now: SimTime) -> Result<()> {
-        let page_no = self.metadata_pages.fetch_add(1, Ordering::Relaxed);
-        let bytes = description.as_bytes();
-        let mut page = Vec::with_capacity(PAGE_SIZE);
-        put_bytes16(&mut page, &bytes[..bytes.len().min(PAGE_SIZE - 2)]);
-        page.resize(PAGE_SIZE, 0);
-        self.pool.write_page(self.metadata_obj, page_no, &page, now)?;
-        Ok(())
+        self.lock_engine().rollbacks
     }
 
     /// Create a table.
@@ -238,44 +395,38 @@ impl Database {
                 message: format!("table '{name}' needs columns"),
             });
         }
+        let mut e = self.lock_engine();
         let obj = self.backend.create_object(name)?;
-        let table = TableDef {
-            name: name.to_string(),
-            schema: Arc::new(schema),
-            heap: HeapFile::new(obj),
-            indexes: RwLock::new(HashMap::new()),
-        };
-        self.catalog.add_table(table)?;
-        self.record_metadata_change(&format!("CREATE TABLE {name}"), now)
+        let heap = HeapFile::new(obj);
+        let schema = Arc::new(schema);
+        e.add_table(TableDef { name: name.to_string(), schema, heap, indexes: HashMap::new() })?;
+        e.record_metadata_change(self, &format!("CREATE TABLE {name}"), now)
     }
 
     /// Create a named index on a table.  Key bytes are provided by the
     /// caller on every insert/delete (see [`Database::insert`]), so the
     /// index definition itself carries no column list.
     pub fn create_index(&self, table: &str, index: &str, now: SimTime) -> Result<()> {
-        let table_def = self.catalog.table(table)?;
+        let mut e = self.lock_engine();
+        let (table_def, ..) = e.parts(table)?;
         let obj = self.backend.create_object(index)?;
-        {
-            let mut indexes = table_def.indexes.write();
-            if indexes.contains_key(index) {
-                return Err(DbError::AlreadyExists { what: format!("index '{index}'") });
-            }
-            indexes.insert(
-                index.to_string(),
-                Arc::new(IndexDef { name: index.to_string(), tree: crate::btree::BTree::new(obj) }),
-            );
+        if table_def.indexes.contains_key(index) {
+            return Err(DbError::AlreadyExists { what: format!("index '{index}'") });
         }
-        self.record_metadata_change(&format!("CREATE INDEX {index} ON {table}"), now)
+        let def = IndexDef { name: index.to_string(), tree: BTree::new(obj) };
+        table_def.indexes.insert(index.to_string(), def);
+        e.record_metadata_change(self, &format!("CREATE INDEX {index} ON {table}"), now)
     }
 
-    /// Table definition lookup (schema, heap size, ...).
-    pub fn table(&self, name: &str) -> Result<Arc<TableDef>> {
-        self.catalog.table(name)
+    /// Lend table `name`'s definition (schema, heap size, indexes, ...)
+    /// to `f`, under the engine lock as [`Database::read`] lends a row.
+    pub fn with_table<R>(&self, name: &str, f: impl FnOnce(&TableDef) -> R) -> Result<R> {
+        Ok(f(self.lock_engine().parts(name)?.0))
     }
 
     /// Names of all tables.
     pub fn table_names(&self) -> Vec<String> {
-        self.catalog.table_names()
+        self.lock_engine().table_names()
     }
 
     /// Begin a new transaction at simulated time `now`.
@@ -285,10 +436,12 @@ impl Database {
     /// engine's lightweight transaction model, redo logging assumes one
     /// transaction executes at a time (the TPC-C driver's model).
     pub fn begin(&self, now: SimTime) -> Txn {
+        let mut e = self.lock_engine();
         if self.config.redo_logging {
-            self.pool.begin_capture();
+            e.pool.begin_capture();
         }
-        Txn::begin(self.next_txn.fetch_add(1, Ordering::Relaxed), now)
+        e.next_txn += 1;
+        Txn::begin(e.next_txn - 1, now)
     }
 
     /// Insert a record — values or a [`Row`] — into a table and register
@@ -300,18 +453,18 @@ impl Database {
         record: &(impl AsRecord + ?Sized),
         index_keys: &[(&str, impl AsRef<[u8]>)],
     ) -> Result<RecordId> {
-        self.check_usable()?;
-        let table_def = self.catalog.table(table)?;
+        let mut e = self.lock_engine();
+        e.check_usable()?;
+        let (table_def, pool, wal) = e.parts(table)?;
         let encoded = record.encoded(&table_def.schema)?;
-        let (rid, t) = table_def.heap.insert(&self.pool, &encoded, txn.now)?;
+        let (rid, t) = table_def.heap.insert(pool, &encoded, txn.now)?;
         charge(txn, t, true);
         for (index, key) in index_keys {
-            let idx = table_def.index(index)?;
-            let t = idx.tree.insert(&self.pool, key.as_ref(), rid, txn.now)?;
+            let t = table_def.index_mut(index)?.tree.insert(pool, key.as_ref(), rid, txn.now)?;
             txn.advance_to(t);
             txn.writes += 1;
         }
-        self.wal.append_note(txn.id, format_args!("INSERT {table} {}:{}", rid.page, rid.slot));
+        wal.append_note(txn.id, format_args!("INSERT {table} {}:{}", rid.page, rid.slot));
         Ok(rid)
     }
 
@@ -323,7 +476,7 @@ impl Database {
 
     /// Lend the record at `rid` to `f` as a row over its bytes, where the
     /// buffer frame holds them: nothing is copied.  `f` runs under the
-    /// pool lock and must not call back into the database.
+    /// engine lock and must not call back into the database.
     pub fn read<R>(
         &self,
         txn: &mut Txn,
@@ -331,12 +484,7 @@ impl Database {
         rid: RecordId,
         f: impl FnOnce(&Row<&[u8]>) -> R,
     ) -> Result<R> {
-        let table_def = self.catalog.table(table)?;
-        let (read, t) = table_def.heap.read(&self.pool, rid, txn.now, |bytes| {
-            Row::new(Arc::clone(&table_def.schema), bytes).map(|row| f(&row))
-        })?;
-        charge(txn, t, false);
-        read
+        self.lock_engine().read(txn, table, rid, f)
     }
 
     /// Overwrite a record in place (the schema's fixed layout guarantees
@@ -348,12 +496,13 @@ impl Database {
         rid: RecordId,
         record: &(impl AsRecord + ?Sized),
     ) -> Result<()> {
-        self.check_usable()?;
-        let table_def = self.catalog.table(table)?;
+        let mut e = self.lock_engine();
+        e.check_usable()?;
+        let (table_def, pool, wal) = e.parts(table)?;
         let encoded = record.encoded(&table_def.schema)?;
-        let t = table_def.heap.update(&self.pool, rid, &encoded, txn.now)?;
+        let t = table_def.heap.update(pool, rid, &encoded, txn.now)?;
         charge(txn, t, true);
-        self.wal.append_note(txn.id, format_args!("UPDATE {table} {}:{}", rid.page, rid.slot));
+        wal.append_note(txn.id, format_args!("UPDATE {table} {}:{}", rid.page, rid.slot));
         Ok(())
     }
 
@@ -368,14 +517,16 @@ impl Database {
         rid: RecordId,
         f: impl FnOnce(&mut Row<&mut [u8]>) -> R,
     ) -> Result<R> {
-        self.check_usable()?;
-        let table_def = self.catalog.table(table)?;
-        let (edited, t) = table_def.heap.edit(&self.pool, rid.page, txn.now, |page| {
-            let mut row = Row::new(Arc::clone(&table_def.schema), page.get_mut(rid.slot)?)?;
+        let mut e = self.lock_engine();
+        e.check_usable()?;
+        let (table_def, pool, wal) = e.parts(table)?;
+        let schema = &table_def.schema;
+        let (edited, t) = table_def.heap.edit(pool, rid.page, txn.now, |page| {
+            let mut row = Row::new(Arc::clone(schema), page.get_mut(rid.slot)?)?;
             Ok((f(&mut row), true))
         })?;
         charge(txn, t, true);
-        self.wal.append_note(txn.id, format_args!("UPDATE {table} {}:{}", rid.page, rid.slot));
+        wal.append_note(txn.id, format_args!("UPDATE {table} {}:{}", rid.page, rid.slot));
         Ok(edited)
     }
 
@@ -387,17 +538,17 @@ impl Database {
         rid: RecordId,
         index_keys: &[(&str, impl AsRef<[u8]>)],
     ) -> Result<()> {
-        self.check_usable()?;
-        let table_def = self.catalog.table(table)?;
-        let t = table_def.heap.delete(&self.pool, rid, txn.now)?;
+        let mut e = self.lock_engine();
+        e.check_usable()?;
+        let (table_def, pool, wal) = e.parts(table)?;
+        let t = table_def.heap.delete(pool, rid, txn.now)?;
         charge(txn, t, true);
         for (index, key) in index_keys {
-            let idx = table_def.index(index)?;
-            let (_, t) = idx.tree.delete(&self.pool, key.as_ref(), txn.now)?;
+            let (_, t) = table_def.index_mut(index)?.tree.delete(pool, key.as_ref(), txn.now)?;
             txn.advance_to(t);
             txn.writes += 1;
         }
-        self.wal.append_note(txn.id, format_args!("DELETE {table} {}:{}", rid.page, rid.slot));
+        wal.append_note(txn.id, format_args!("DELETE {table} {}:{}", rid.page, rid.slot));
         Ok(())
     }
 
@@ -409,10 +560,7 @@ impl Database {
         index: &str,
         key: &[u8],
     ) -> Result<Option<RecordId>> {
-        let idx = self.catalog.table(table)?.index(index)?;
-        let (found, t) = idx.tree.search(&self.pool, key, txn.now)?;
-        charge(txn, t, false);
-        Ok(found)
+        self.lock_engine().lookup(txn, table, index, key)
     }
 
     /// Index lookup followed by a heap fetch: [`Database::index_read`],
@@ -437,8 +585,9 @@ impl Database {
         key: &[u8],
         f: impl FnOnce(&Row<&[u8]>) -> R,
     ) -> Result<Option<(RecordId, R)>> {
-        let found = self.index_lookup(txn, table, index, key)?;
-        found.map(|rid| Ok((rid, self.read(txn, table, rid, f)?))).transpose()
+        let mut e = self.lock_engine();
+        let found = e.lookup(txn, table, index, key)?;
+        found.map(|rid| Ok((rid, e.read(txn, table, rid, f)?))).transpose()
     }
 
     /// Range scan over an index: the record ids of the first `limit` keys
@@ -456,9 +605,11 @@ impl Database {
         limit: usize,
         rids: &mut Vec<RecordId>,
     ) -> Result<()> {
-        let idx = self.catalog.table(table)?.index(index)?;
+        let mut e = self.lock_engine();
+        let (table_def, pool, _) = e.parts(table)?;
+        let tree = &mut table_def.index_mut(index)?.tree;
         rids.clear();
-        let t = idx.tree.range(&self.pool, low, high, limit, txn.now, |_, rid| rids.push(rid))?;
+        let t = tree.range(pool, low, high, limit, txn.now, |_, rid| rids.push(rid))?;
         charge(txn, t, false);
         Ok(())
     }
@@ -473,11 +624,13 @@ impl Database {
         prefix: &[u8],
         rids: &mut Vec<RecordId>,
     ) -> Result<()> {
-        let idx = self.catalog.table(table)?.index(index)?;
+        let mut e = self.lock_engine();
+        let (table_def, pool, _) = e.parts(table)?;
+        let tree = &mut table_def.index_mut(index)?.tree;
         rids.clear();
         let in_range = |key: &[u8]| key.starts_with(prefix);
         let push = |_: &[u8], rid| rids.push(rid);
-        let t = idx.tree.scan(&self.pool, prefix, in_range, usize::MAX, txn.now, push)?;
+        let t = tree.scan(pool, prefix, in_range, usize::MAX, txn.now, push)?;
         charge(txn, t, false);
         Ok(())
     }
@@ -497,50 +650,40 @@ impl Database {
     /// commit additionally triggers a checkpoint (flush, catalog
     /// snapshot, backend metadata journal) and truncates the log.
     pub fn commit(&self, txn: &mut Txn) -> Result<TxnOutcome> {
-        self.check_usable()?;
+        let mut e = self.lock_engine();
+        e.check_usable()?;
         if txn.writes == 0 {
-            self.discard_capture();
-            self.commits.fetch_add(1, Ordering::Relaxed);
-            self.read_only_commits.fetch_add(1, Ordering::Relaxed);
+            e.discard_capture();
+            e.commits += 1;
+            e.read_only_commits += 1;
             return Ok(TxnOutcome::Committed);
         }
-        if self.config.redo_logging {
-            for (obj, page) in self.pool.take_capture() {
-                if let Some(image) = self.pool.page_image(obj, page) {
-                    self.wal.append(&WalRecord::PageImage { txn: txn.id, obj, page, image });
-                }
+        let Engine { pool, wal, .. } = &mut *e;
+        for (obj, page) in pool.take_capture() {
+            if let Some(image) = pool.page_image(obj, page) {
+                wal.append(&WalRecord::PageImage { txn: txn.id, obj, page, image });
             }
         }
-        self.wal.append(&WalRecord::Commit { txn: txn.id });
-        let t = match self.wal.force(&*self.backend, txn.now) {
+        wal.append(&WalRecord::Commit { txn: txn.id });
+        let t = match wal.force(&*self.backend, txn.now) {
             Ok(t) => t,
-            Err(e) => {
+            Err(err) => {
                 // The transaction's pool pages are neither durable nor
                 // undoable: refuse further mutation so a checkpoint can
                 // never flush them (atomicity would be lost).
-                if self.config.redo_logging {
-                    self.poisoned.store(true, Ordering::Relaxed);
-                }
-                return Err(e);
+                e.poisoned = self.config.redo_logging;
+                return Err(err);
             }
         };
         txn.advance_to(t);
-        self.commits.fetch_add(1, Ordering::Relaxed);
+        e.commits += 1;
         let pool_pressure =
-            self.config.redo_logging && self.pool.dirty_pages() * 4 >= self.pool.capacity() * 3;
-        if self.wal.needs_truncation(self.config.wal_segment_pages) || pool_pressure {
-            let t = self.checkpoint(txn.now)?;
+            self.config.redo_logging && e.pool.dirty_pages() * 4 >= e.pool.capacity() * 3;
+        if e.wal.needs_truncation(self.config.wal_segment_pages) || pool_pressure {
+            let t = e.checkpoint(self, txn.now)?;
             txn.advance_to(t);
         }
         Ok(TxnOutcome::Committed)
-    }
-
-    /// Drop the write-set capture [`Database::begin`] opened, so it can
-    /// never leak into a later transaction's log images.
-    fn discard_capture(&self) {
-        if self.config.redo_logging {
-            let _ = self.pool.take_capture();
-        }
     }
 
     /// Roll back a transaction.  The engine's workloads pre-validate their
@@ -549,17 +692,18 @@ impl Database {
     /// and the captured write set discarded.  A transaction that wrote
     /// nothing leaves no trace in the log either.
     pub fn rollback(&self, txn: &mut Txn) -> TxnOutcome {
-        self.discard_capture();
+        let mut e = self.lock_engine();
+        e.discard_capture();
         if txn.writes > 0 {
-            self.wal.append(&WalRecord::Rollback { txn: txn.id });
+            e.wal.append(&WalRecord::Rollback { txn: txn.id });
         }
-        self.rollbacks.fetch_add(1, Ordering::Relaxed);
+        e.rollbacks += 1;
         TxnOutcome::RolledBack
     }
 
     /// Write back every dirty buffered page (checkpoint).
     pub fn flush_all(&self, now: SimTime) -> Result<SimTime> {
-        self.pool.flush_all(now)
+        self.lock_engine().pool.flush_all(now)
     }
 
     /// Snapshot the metrics registry of the storage stack underneath,
@@ -577,26 +721,6 @@ impl Database {
     // Crash consistency: checkpoint & recover
     // ------------------------------------------------------------------
 
-    /// Serialise the catalog (table names, schemas, index names).
-    fn encode_catalog(&self, seq: u64) -> Vec<u8> {
-        let mut blob = Vec::with_capacity(256);
-        put_u64(&mut blob, seq);
-        let names = self.catalog.table_names();
-        put_u32(&mut blob, names.len() as u32);
-        for name in names {
-            let table = self.catalog.table(&name).expect("listed table exists");
-            put_bytes16(&mut blob, name.as_bytes());
-            table.schema.encode_def(&mut blob);
-            let mut index_names: Vec<String> = table.indexes.read().keys().cloned().collect();
-            index_names.sort();
-            put_u32(&mut blob, index_names.len() as u32);
-            for index in index_names {
-                put_bytes16(&mut blob, index.as_bytes());
-            }
-        }
-        blob
-    }
-
     /// Decode a catalog blob into `(seq, tables)`.
     fn decode_catalog(blob: &[u8]) -> Option<(u64, CatalogTables)> {
         let mut r = Reader::new(blob);
@@ -611,40 +735,6 @@ impl Database {
             })
             .collect::<Option<_>>()?;
         Some((seq, tables))
-    }
-
-    /// Write a versioned catalog snapshot into slot `seq % 2` of the
-    /// catalog object.  Page 0 of the slot carries a header
-    /// (magic, seq, length, CRC); the blob continues on the following
-    /// pages.  A torn snapshot fails its CRC on recovery and the previous
-    /// slot is used instead.
-    fn write_catalog_snapshot(&self, now: SimTime) -> Result<SimTime> {
-        let seq = self.catalog_seq.load(Ordering::Relaxed) + 1;
-        let blob = self.encode_catalog(seq);
-        if blob.len() > CATALOG_SLOT_PAGES as usize * PAGE_SIZE - CATALOG_HEADER {
-            return Err(DbError::TooLarge {
-                message: format!("catalog snapshot of {} bytes exceeds slot", blob.len()),
-            });
-        }
-        let base = (seq % 2) * CATALOG_SLOT_PAGES;
-        let (head, tail) = blob.split_at(blob.len().min(PAGE_SIZE - CATALOG_HEADER));
-        let mut first = Vec::with_capacity(PAGE_SIZE);
-        put_u32(&mut first, CATALOG_MAGIC);
-        put_u64(&mut first, seq);
-        put_u32(&mut first, blob.len() as u32);
-        put_u32(&mut first, crc32(&blob));
-        put_u32(&mut first, 0);
-        first.extend_from_slice(head);
-        first.resize(PAGE_SIZE, 0);
-        let mut done = self.backend.write_page(self.catalog_obj, base, &first, now)?;
-        for (page_no, chunk) in (base + 1..).zip(tail.chunks(PAGE_SIZE)) {
-            let mut page = Vec::with_capacity(PAGE_SIZE);
-            page.extend_from_slice(chunk);
-            page.resize(PAGE_SIZE, 0);
-            done = done.max(self.backend.write_page(self.catalog_obj, page_no, &page, now)?);
-        }
-        self.catalog_seq.store(seq, Ordering::Relaxed);
-        Ok(done)
     }
 
     /// Read the newest intact catalog snapshot from storage (`(0, [])`
@@ -709,14 +799,7 @@ impl Database {
     /// after the flush, the catalog snapshot and the backend checkpoint
     /// are all durable.
     pub fn checkpoint(&self, now: SimTime) -> Result<SimTime> {
-        self.check_usable()?;
-        let data_done = self.pool.flush_all(now)?;
-        let mut done = data_done.max(self.wal.force(&*self.backend, now)?);
-        done = done.max(self.write_catalog_snapshot(done)?);
-        done = done.max(self.backend.checkpoint(done)?);
-        self.wal.truncate(&*self.backend)?;
-        self.wal.append(&WalRecord::Checkpoint);
-        Ok(done)
+        self.lock_engine().checkpoint(self, now)
     }
 
     /// Recover a database from a crashed (and remounted) storage backend:
@@ -771,28 +854,25 @@ impl Database {
         // ---- Catalog rebuild ------------------------------------------
         let (catalog_seq, tables) = Self::read_catalog_snapshot(&backend, catalog_obj, t);
         report.catalog_seq = catalog_seq;
-        let pool =
-            BufferPool::with_policy(Arc::clone(&backend), config.buffer_pages, config.redo_logging);
-        let catalog = Catalog::new();
+        let mut e = Engine::new(&backend, log_obj, &config);
         for (name, schema, index_names) in tables {
             let Some(heap_obj) = backend.lookup_object(&name) else {
                 report.tables_lost += 1;
                 continue;
             };
             let extent = backend.object_extent(heap_obj)?;
-            let (heap, t_attach) = HeapFile::attach(heap_obj, &pool, extent, t)?;
+            let (heap, t_attach) = HeapFile::attach(heap_obj, &mut e.pool, extent, t)?;
             t = t.max(t_attach);
             let mut indexes = HashMap::new();
             for index in index_names {
                 let Some(index_obj) = backend.lookup_object(&index) else { continue };
                 let extent = backend.object_extent(index_obj)?;
-                let (tree, t_attach) = BTree::attach(index_obj, &pool, extent, t)?;
+                let (tree, t_attach) = BTree::attach(index_obj, &mut e.pool, extent, t)?;
                 t = t.max(t_attach);
-                indexes.insert(index.clone(), Arc::new(IndexDef { name: index, tree }));
+                indexes.insert(index.clone(), IndexDef { name: index, tree });
                 report.indexes_recovered += 1;
             }
-            let schema = Arc::new(schema);
-            catalog.add_table(TableDef { name, schema, heap, indexes: RwLock::new(indexes) })?;
+            e.add_table(TableDef { name, schema: Arc::new(schema), heap, indexes })?;
             report.tables_recovered += 1;
         }
 
@@ -801,25 +881,10 @@ impl Database {
         for page_no in 0..backend.object_extent(log_obj)? {
             let _ = backend.free_page(log_obj, page_no);
         }
-        let wal = Wal::new(log_obj).with_durable_spill(config.redo_logging);
-        let metadata_extent = backend.object_extent(metadata_obj)?;
-
-        let db = Database {
-            backend,
-            pool,
-            catalog,
-            wal,
-            metadata_obj,
-            catalog_obj,
-            catalog_seq: AtomicU64::new(catalog_seq),
-            metadata_pages: AtomicU64::new(metadata_extent),
-            next_txn: AtomicU64::new(max_txn + 1),
-            commits: AtomicU64::new(0),
-            read_only_commits: AtomicU64::new(0),
-            rollbacks: AtomicU64::new(0),
-            poisoned: std::sync::atomic::AtomicBool::new(false),
-            config,
-        };
+        let metadata_pages = backend.object_extent(metadata_obj)?;
+        let engine = Engine { catalog_seq, metadata_pages, next_txn: max_txn + 1, ..e };
+        let db =
+            Database { backend, metadata_obj, catalog_obj, config, engine: Mutex::new(engine) };
         // Make the recovered state durable right away.
         db.checkpoint(t)?;
         Ok((db, report))
@@ -1019,7 +1084,7 @@ mod tests {
             db.index_get(&mut reader, "customer", "c_idx", &composite_key(&[1, 1])).unwrap();
             // A page written outside any transaction while the reader's
             // capture is open must not surface in the next writer's log.
-            db.record_metadata_change("NOTE", reader.now).unwrap();
+            db.lock_engine().record_metadata_change(&db, "NOTE", reader.now).unwrap();
             db.commit(&mut reader).unwrap();
             now = reader.now;
         }
@@ -1059,7 +1124,7 @@ mod tests {
         let db = open_db(64);
         db.create_table("customer", customer_schema(), SimTime::ZERO).unwrap();
         db.create_index("customer", "c_idx", SimTime::ZERO).unwrap();
-        let blob = db.encode_catalog(5);
+        let blob = db.lock_engine().encode_catalog(5);
         let tables = vec![("customer".to_string(), customer_schema(), vec!["c_idx".to_string()])];
         assert_eq!(Database::decode_catalog(&blob), Some((5, tables.clone())));
         for n in 0..blob.len() {
@@ -1071,13 +1136,27 @@ mod tests {
 
         // On storage the CRC in the `DBCT` header catches any flipped byte.
         let backend = db.backend();
-        let t = db.write_catalog_snapshot(SimTime::ZERO).unwrap();
+        let t = db.lock_engine().write_catalog_snapshot(&db, SimTime::ZERO).unwrap();
         assert_eq!(Database::read_catalog_snapshot(backend, db.catalog_obj, t), (1, tables));
         let slot = CATALOG_SLOT_PAGES; // seq 1 lives in slot 1
         let (mut page, _) = backend.read_page(db.catalog_obj, slot, t).unwrap();
         page[CATALOG_HEADER] ^= 0x01;
         let t = backend.write_page(db.catalog_obj, slot, &page, t).unwrap();
         assert_eq!(Database::read_catalog_snapshot(backend, db.catalog_obj, t), (0, Vec::new()));
+    }
+
+    /// A closure lent a row runs under the engine lock: calling back into
+    /// the database is a recursive acquisition, which the sanitizer turns
+    /// into a panic instead of a self-deadlock.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "recursive acquisition of engine")]
+    fn a_read_closure_that_calls_back_into_the_database_panics() {
+        let db = open_db(64);
+        db.create_table("t", customer_schema(), SimTime::ZERO).unwrap();
+        let mut txn = db.begin(SimTime::ZERO);
+        let rid = db.insert(&mut txn, "t", &customer(1, 1, 0.0, "X"), NO_KEYS).unwrap();
+        let _ = db.read(&mut txn, "t", rid, |_| db.buffer_stats());
     }
 
     #[test]
@@ -1213,7 +1292,7 @@ mod tests {
         let mut txn2 = db.begin(done);
         assert_eq!(db.get(&mut txn2, "t", rid).unwrap().int(0), 1);
         assert_eq!(db.table_names(), vec!["t".to_string()]);
-        assert!(db.table("t").is_ok());
+        assert_eq!(db.with_table("t", |t| t.heap.record_count()).unwrap(), 1);
         assert!(db.buffer_stats().logical_writes > 0);
     }
 }

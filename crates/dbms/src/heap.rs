@@ -1,7 +1,5 @@
 //! Heap files: unordered collections of records in slotted pages.
 
-use parking_lot::Mutex;
-
 use flash_sim::SimTime;
 
 use crate::buffer::BufferPool;
@@ -46,16 +44,6 @@ impl RecordId {
     }
 }
 
-#[derive(Debug)]
-struct HeapInner {
-    /// Number of pages allocated so far.
-    page_count: u64,
-    /// The page currently being filled by inserts.
-    fill_page: Option<u64>,
-    /// Live record estimate.
-    records: u64,
-}
-
 /// A heap file storing fixed-schema records in slotted pages.
 ///
 /// Deleted record space is reclaimed when new inserts land on the same
@@ -65,16 +53,18 @@ struct HeapInner {
 #[derive(Debug)]
 pub struct HeapFile {
     obj: ObjectId,
-    inner: Mutex<HeapInner>,
+    /// Number of pages allocated so far.
+    page_count: u64,
+    /// The page currently being filled by inserts.
+    fill_page: Option<u64>,
+    /// Live record estimate.
+    records: u64,
 }
 
 impl HeapFile {
     /// Create an empty heap over storage object `obj`.
     pub fn new(obj: ObjectId) -> Self {
-        HeapFile {
-            obj,
-            inner: Mutex::new(HeapInner { page_count: 0, fill_page: None, records: 0 }),
-        }
+        HeapFile { obj, page_count: 0, fill_page: None, records: 0 }
     }
 
     /// The storage object backing this heap.
@@ -89,7 +79,7 @@ impl HeapFile {
     /// record-count scan finished.
     pub fn attach(
         obj: ObjectId,
-        pool: &BufferPool,
+        pool: &mut BufferPool,
         extent: u64,
         now: SimTime,
     ) -> Result<(HeapFile, SimTime)> {
@@ -104,73 +94,68 @@ impl HeapFile {
             t = t_read;
             records += live;
         }
-        let heap = HeapFile {
-            obj,
-            inner: Mutex::new(HeapInner {
-                page_count: extent,
-                fill_page: extent.checked_sub(1),
-                records,
-            }),
-        };
-        Ok((heap, t))
+        Ok((HeapFile { obj, page_count: extent, fill_page: extent.checked_sub(1), records }, t))
     }
 
     /// Number of pages allocated.
     pub fn page_count(&self) -> u64 {
-        self.inner.lock().page_count
+        self.page_count
     }
 
     /// Approximate number of live records.
     pub fn record_count(&self) -> u64 {
-        self.inner.lock().records
+        self.records
     }
 
     /// Insert a record, returning its id.
     pub fn insert(
-        &self,
-        pool: &BufferPool,
+        &mut self,
+        pool: &mut BufferPool,
         record: &[u8],
         now: SimTime,
     ) -> Result<(RecordId, SimTime)> {
-        let mut inner = self.inner.lock();
         let mut t = now;
         // Try the current fill page first; a record that does not fit
         // leaves it as it was.
-        if let Some(page_no) = inner.fill_page {
+        if let Some(page_no) = self.fill_page {
             let (slot, t_read) = self.edit(pool, page_no, t, |page| {
                 let slot = page.insert(record);
                 Ok((slot, slot.is_some()))
             })?;
             t = t_read;
             if let Some(slot) = slot {
-                inner.records += 1;
+                self.records += 1;
                 return Ok((RecordId::new(page_no, slot), t));
             }
         }
         // Allocate a fresh page.
-        let page_no = inner.page_count;
-        inner.page_count += 1;
-        inner.fill_page = Some(page_no);
+        let page_no = self.page_count;
+        self.page_count += 1;
+        self.fill_page = Some(page_no);
         let mut frame = [0u8; PAGE_SIZE];
         let slot =
             SlottedPage::init(&mut frame[..])?.insert(record).ok_or_else(|| DbError::TooLarge {
                 message: format!("record of {} bytes does not fit in an empty page", record.len()),
             })?;
         let t_write = pool.write_page(self.obj, page_no, &frame, t)?;
-        inner.records += 1;
+        self.records += 1;
         Ok((RecordId::new(page_no, slot), t_write))
     }
 
     /// Read the record at `rid`: a copy of its bytes.
-    pub fn get(&self, pool: &BufferPool, rid: RecordId, t: SimTime) -> Result<(Vec<u8>, SimTime)> {
+    pub fn get(
+        &self,
+        pool: &mut BufferPool,
+        rid: RecordId,
+        t: SimTime,
+    ) -> Result<(Vec<u8>, SimTime)> {
         self.read(pool, rid, t, <[u8]>::to_vec)
     }
 
-    /// Lend the record at `rid` to `f` where the buffer pool holds it,
-    /// under the pool lock: `f` must not call back into the pool.
+    /// Lend the record at `rid` to `f` where the buffer pool holds it.
     pub fn read<R>(
         &self,
-        pool: &BufferPool,
+        pool: &mut BufferPool,
         rid: RecordId,
         now: SimTime,
         f: impl FnOnce(&[u8]) -> R,
@@ -184,7 +169,7 @@ impl HeapFile {
     /// Overwrite the record at `rid` in place.
     pub fn update(
         &self,
-        pool: &BufferPool,
+        pool: &mut BufferPool,
         rid: RecordId,
         record: &[u8],
         now: SimTime,
@@ -195,10 +180,14 @@ impl HeapFile {
     }
 
     /// Delete the record at `rid`.
-    pub fn delete(&self, pool: &BufferPool, rid: RecordId, now: SimTime) -> Result<SimTime> {
+    pub fn delete(
+        &mut self,
+        pool: &mut BufferPool,
+        rid: RecordId,
+        now: SimTime,
+    ) -> Result<SimTime> {
         let ((), t) = self.edit(pool, rid.page, now, |page| Ok((page.delete(rid.slot)?, true)))?;
-        let mut inner = self.inner.lock();
-        inner.records = inner.records.saturating_sub(1);
+        self.records = self.records.saturating_sub(1);
         Ok(t)
     }
 
@@ -208,7 +197,7 @@ impl HeapFile {
     /// then stays clean.
     pub(crate) fn edit<R>(
         &self,
-        pool: &BufferPool,
+        pool: &mut BufferPool,
         page_no: u64,
         now: SimTime,
         f: impl FnOnce(&mut SlottedPage<&mut [u8]>) -> Result<(R, bool)>,
@@ -225,13 +214,12 @@ impl HeapFile {
     /// record.  Returns the time at which the scan completes.
     pub fn scan<F: FnMut(RecordId, &[u8])>(
         &self,
-        pool: &BufferPool,
+        pool: &mut BufferPool,
         now: SimTime,
         mut f: F,
     ) -> Result<SimTime> {
-        let page_count = self.inner.lock().page_count;
         let mut t = now;
-        for page_no in 0..page_count {
+        for page_no in 0..self.page_count {
             let (scanned, t_read) = pool.with_page(self.obj, page_no, t, |frame| {
                 for (slot, rec) in SlottedPage::new(frame)?.iter() {
                     f(RecordId::new(page_no, slot), rec);
@@ -274,37 +262,37 @@ mod tests {
 
     #[test]
     fn insert_get_update_delete() {
-        let (_, pool, heap) = setup();
+        let (_, mut pool, mut heap) = setup();
         let t = SimTime::ZERO;
-        let (rid, t) = heap.insert(&pool, b"record-one", t).unwrap();
-        let (data, t) = heap.get(&pool, rid, t).unwrap();
+        let (rid, t) = heap.insert(&mut pool, b"record-one", t).unwrap();
+        let (data, t) = heap.get(&mut pool, rid, t).unwrap();
         assert_eq!(data, b"record-one");
-        let t = heap.update(&pool, rid, b"record-two", t).unwrap();
-        let (data, t) = heap.get(&pool, rid, t).unwrap();
+        let t = heap.update(&mut pool, rid, b"record-two", t).unwrap();
+        let (data, t) = heap.get(&mut pool, rid, t).unwrap();
         assert_eq!(data, b"record-two");
         // An edit where the record lies, and a read that lends it.
         let ((), t) = heap
-            .edit(&pool, rid.page, t, |page| {
+            .edit(&mut pool, rid.page, t, |page| {
                 page.get_mut(rid.slot)?[..6].copy_from_slice(b"RECORD");
                 Ok(((), true))
             })
             .unwrap();
-        let (data, t) = heap.read(&pool, rid, t, |rec| rec == b"RECORD-two").unwrap();
+        let (data, t) = heap.read(&mut pool, rid, t, |rec| rec == b"RECORD-two").unwrap();
         assert!(data);
         assert_eq!(heap.record_count(), 1);
-        heap.delete(&pool, rid, t).unwrap();
-        assert!(heap.get(&pool, rid, t).is_err());
+        heap.delete(&mut pool, rid, t).unwrap();
+        assert!(heap.get(&mut pool, rid, t).is_err());
         assert_eq!(heap.record_count(), 0);
     }
 
     #[test]
     fn inserts_spill_to_new_pages() {
-        let (_, pool, heap) = setup();
+        let (_, mut pool, mut heap) = setup();
         let record = vec![9u8; 500];
         let mut t = SimTime::ZERO;
         let mut rids = Vec::new();
         for _ in 0..50 {
-            let (rid, t2) = heap.insert(&pool, &record, t).unwrap();
+            let (rid, t2) = heap.insert(&mut pool, &record, t).unwrap();
             rids.push(rid);
             t = t2;
         }
@@ -312,38 +300,38 @@ mod tests {
         assert!(heap.page_count() >= 6, "page_count = {}", heap.page_count());
         assert_eq!(heap.record_count(), 50);
         for rid in rids {
-            assert_eq!(heap.get(&pool, rid, t).unwrap().0, record);
+            assert_eq!(heap.get(&mut pool, rid, t).unwrap().0, record);
         }
     }
 
     #[test]
     fn oversized_record_is_rejected() {
-        let (_, pool, heap) = setup();
+        let (_, mut pool, mut heap) = setup();
         let record = vec![0u8; crate::PAGE_SIZE];
         assert!(matches!(
-            heap.insert(&pool, &record, SimTime::ZERO),
+            heap.insert(&mut pool, &record, SimTime::ZERO),
             Err(DbError::TooLarge { .. })
         ));
     }
 
     #[test]
     fn scan_visits_all_live_records() {
-        let (_, pool, heap) = setup();
+        let (_, mut pool, mut heap) = setup();
         let mut t = SimTime::ZERO;
         let mut expected = Vec::new();
         for i in 0..30u8 {
             let rec = vec![i; 200];
-            let (rid, t2) = heap.insert(&pool, &rec, t).unwrap();
+            let (rid, t2) = heap.insert(&mut pool, &rec, t).unwrap();
             t = t2;
             expected.push((rid, rec));
         }
         // Delete a few.
-        heap.delete(&pool, expected[3].0, t).unwrap();
-        heap.delete(&pool, expected[17].0, t).unwrap();
+        heap.delete(&mut pool, expected[3].0, t).unwrap();
+        heap.delete(&mut pool, expected[17].0, t).unwrap();
         expected.remove(17);
         expected.remove(3);
         let mut seen = Vec::new();
-        heap.scan(&pool, t, |rid, rec| seen.push((rid, rec.to_vec()))).unwrap();
+        heap.scan(&mut pool, t, |rid, rec| seen.push((rid, rec.to_vec()))).unwrap();
         seen.sort();
         let mut expected_sorted = expected.clone();
         expected_sorted.sort();
@@ -360,17 +348,17 @@ mod tests {
         let backend = Arc::new(NoFtlBackend::new(noftl, &placement).unwrap());
         let obj = backend.create_object("heap").unwrap();
         // Tiny pool: constant evictions.
-        let pool = BufferPool::new(backend.clone(), 4);
-        let heap = HeapFile::new(obj);
+        let mut pool = BufferPool::new(backend.clone(), 4);
+        let mut heap = HeapFile::new(obj);
         let mut t = SimTime::ZERO;
         let mut rids = Vec::new();
         for i in 0..40u8 {
-            let (rid, t2) = heap.insert(&pool, &vec![i; 900], t).unwrap();
+            let (rid, t2) = heap.insert(&mut pool, &vec![i; 900], t).unwrap();
             rids.push((rid, i));
             t = t2;
         }
         for (rid, i) in rids {
-            let (data, _) = heap.get(&pool, rid, t).unwrap();
+            let (data, _) = heap.get(&mut pool, rid, t).unwrap();
             assert_eq!(data, vec![i; 900]);
         }
         assert!(pool.stats().evictions > 0);

@@ -24,15 +24,11 @@
 //! which frees the old segment's pages and restarts the stream at a fresh
 //! page boundary.
 
-use std::fmt::{self, Display};
-use std::io::Write as _;
-use std::sync::OnceLock;
-
-use parking_lot::Mutex;
-
 use flash_sim::codec::{put_bytes, put_u32, put_u64, put_u8, Reader};
 use flash_sim::{crc32, SimTime};
 use noftl_obs::{Histogram, Unit};
+use std::fmt::{self, Display};
+use std::io::Write as _;
 
 use crate::storage::{ObjectId, StorageBackend};
 use crate::Result;
@@ -161,68 +157,6 @@ fn put_note(out: &mut Vec<u8>, txn: u64, text: impl Display) {
     put_text(out, text);
 }
 
-struct WalInner {
-    /// LSN handed to the next appended record.
-    next_lsn: Lsn,
-    /// Page number the partial payload below will be written to.
-    cur_page: u64,
-    /// Payload of the current (partial) page; always shorter than
-    /// `PAGE_CAP`.
-    cur_payload: Vec<u8>,
-    /// The pages the next force writes: `batch[..sealed]` are the
-    /// completed pages not yet forced (none for a volatile log, which
-    /// never writes a completed page), sealed as they fill up; the force
-    /// seals the current page behind them.  The batch keeps its page
-    /// buffers from force to force.
-    batch: Vec<(ObjectId, u64, Vec<u8>)>,
-    sealed: usize,
-    /// First page of the current segment (everything before it has been
-    /// freed by truncation).
-    segment_start: u64,
-    records: u64,
-    forces: u64,
-    appended_bytes: u64,
-    truncations: u64,
-    /// Pages freed by truncation over the log's lifetime (feeds the
-    /// cumulative `pages` statistic now that page numbers are reused).
-    pages_retired: u64,
-    /// The frame of the record being appended, reused by every append.
-    frame: Vec<u8>,
-}
-
-impl WalInner {
-    /// Stream `bytes` into the current page, moving on to the next page
-    /// number whenever one fills up.  A full page is sealed for the next
-    /// force of object `spill`, if given; a volatile log (`None`) drops it.
-    fn stream(&mut self, mut bytes: &[u8], spill: Option<ObjectId>) {
-        while !bytes.is_empty() {
-            let take = (PAGE_CAP - self.cur_payload.len()).min(bytes.len());
-            let (head, rest) = bytes.split_at(take);
-            self.cur_payload.extend_from_slice(head);
-            bytes = rest;
-            if self.cur_payload.len() == PAGE_CAP {
-                if let Some(obj) = spill {
-                    self.seal_current(obj);
-                    self.sealed += 1;
-                }
-                self.cur_payload.clear();
-                self.cur_page += 1;
-            }
-        }
-    }
-
-    /// Seal the current page of log object `obj` into the batch slot
-    /// behind the sealed pages, reusing the slot's page buffer.
-    fn seal_current(&mut self, obj: ObjectId) {
-        if self.batch.len() == self.sealed {
-            self.batch.push((obj, 0, Vec::with_capacity(PAGE_SIZE)));
-        }
-        let (_, page_no, page) = &mut self.batch[self.sealed];
-        *page_no = self.cur_page;
-        Wal::seal(self.cur_page, &self.cur_payload, page);
-    }
-}
-
 /// Statistics of the log.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
@@ -252,10 +186,35 @@ pub struct Wal {
     /// the current page as a rolling commit marker — which the paper's
     /// space-management experiments measure.
     durable_spill: bool,
-    inner: Mutex<WalInner>,
-    /// `dbms.wal.force_ns` handle, bound lazily on the first force (the
+    /// LSN handed to the next appended record.
+    next_lsn: Lsn,
+    /// Page number the partial payload below will be written to.
+    cur_page: u64,
+    /// Payload of the current (partial) page; always shorter than
+    /// `PAGE_CAP`.
+    cur_payload: Vec<u8>,
+    /// The pages the next force writes: `batch[..sealed]` are the
+    /// completed pages not yet forced (none for a volatile log, which
+    /// never writes a completed page), sealed as they fill up; the force
+    /// seals the current page behind them.  The batch keeps its page
+    /// buffers from force to force.
+    batch: Vec<(ObjectId, u64, Vec<u8>)>,
+    sealed: usize,
+    /// First page of the current segment (everything before it has been
+    /// freed by truncation).
+    segment_start: u64,
+    records: u64,
+    forces: u64,
+    appended_bytes: u64,
+    truncations: u64,
+    /// Pages freed by truncation over the log's lifetime (feeds the
+    /// cumulative `pages` statistic now that page numbers are reused).
+    pages_retired: u64,
+    /// The frame of the record being appended, reused by every append.
+    frame: Vec<u8>,
+    /// `dbms.wal.force_ns` handle, bound on the first force (the
     /// registry lives behind the backend, which `new` does not see).
-    force_hist: OnceLock<Histogram>,
+    force_hist: Option<Histogram>,
 }
 
 impl Wal {
@@ -264,21 +223,19 @@ impl Wal {
         Wal {
             obj,
             durable_spill: true,
-            force_hist: OnceLock::new(),
-            inner: Mutex::new(WalInner {
-                next_lsn: 1,
-                cur_page: 0,
-                cur_payload: Vec::with_capacity(PAGE_CAP),
-                batch: Vec::new(),
-                sealed: 0,
-                segment_start: 0,
-                records: 0,
-                forces: 0,
-                appended_bytes: 0,
-                truncations: 0,
-                pages_retired: 0,
-                frame: Vec::new(),
-            }),
+            next_lsn: 1,
+            cur_page: 0,
+            cur_payload: Vec::with_capacity(PAGE_CAP),
+            batch: Vec::new(),
+            sealed: 0,
+            segment_start: 0,
+            records: 0,
+            forces: 0,
+            appended_bytes: 0,
+            truncations: 0,
+            pages_retired: 0,
+            frame: Vec::new(),
+            force_hist: None,
         }
     }
 
@@ -296,26 +253,25 @@ impl Wal {
 
     /// Append a typed record (buffered; not durable until [`Wal::force`]).
     /// Returns the record's LSN.
-    pub fn append(&self, record: &WalRecord) -> Lsn {
+    pub fn append(&mut self, record: &WalRecord) -> Lsn {
         self.append_with(|out| record.encode_body(out), record)
     }
 
     /// Append a [`WalRecord::Note`] whose text is `text` as [`Display`]
     /// formats it — `format_args!` formats straight into the log's frame
     /// buffer, with no `String` in between.
-    pub fn append_note(&self, txn: u64, text: impl Display) -> Lsn {
+    pub fn append_note(&mut self, txn: u64, text: impl Display) -> Lsn {
         self.append_with(|out| put_note(out, txn, &text), &text)
     }
 
     /// Append one record into the reused frame buffer: `body` writes its
     /// encoded body (durable log), `text` is its textual form (volatile
     /// log, see [`WalRecord`]'s `Display`).
-    fn append_with(&self, body: impl FnOnce(&mut Vec<u8>), text: impl Display) -> Lsn {
-        let mut inner = self.inner.lock();
-        let lsn = inner.next_lsn;
-        inner.next_lsn += 1;
-        inner.records += 1;
-        let mut frame = std::mem::take(&mut inner.frame);
+    fn append_with(&mut self, body: impl FnOnce(&mut Vec<u8>), text: impl Display) -> Lsn {
+        let lsn = self.next_lsn;
+        self.next_lsn += 1;
+        self.records += 1;
+        let mut frame = std::mem::take(&mut self.frame);
         frame.clear();
         if self.durable_spill {
             // Frame: len:4 | crc:4 | lsn:8 | body.  `len` counts lsn + body.
@@ -326,16 +282,47 @@ impl Wal {
             let (len, crc) = (checked.len() as u32, crc32(checked));
             frame[..4].copy_from_slice(&len.to_le_bytes());
             frame[4..8].copy_from_slice(&crc.to_le_bytes());
-            inner.appended_bytes += u64::from(len) - 8;
+            self.appended_bytes += u64::from(len) - 8;
         } else {
             // Volatile log: the original engine's compact length-prefixed
             // text records (pure I/O ballast; never scanned back).
             put_text(&mut frame, text);
-            inner.appended_bytes += frame.len() as u64 - 4;
+            self.appended_bytes += frame.len() as u64 - 4;
         }
-        inner.stream(&frame, self.durable_spill.then_some(self.obj));
-        inner.frame = frame;
+        self.stream(&frame);
+        self.frame = frame;
         lsn
+    }
+
+    /// Stream `bytes` into the current page, moving on to the next page
+    /// number whenever one fills up.  A full page is sealed for the next
+    /// force of a durable log; a volatile log drops it.
+    fn stream(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let take = (PAGE_CAP - self.cur_payload.len()).min(bytes.len());
+            let (head, rest) = bytes.split_at(take);
+            self.cur_payload.extend_from_slice(head);
+            bytes = rest;
+            if self.cur_payload.len() == PAGE_CAP {
+                if self.durable_spill {
+                    self.seal_current();
+                    self.sealed += 1;
+                }
+                self.cur_payload.clear();
+                self.cur_page += 1;
+            }
+        }
+    }
+
+    /// Seal the current page into the batch slot behind the sealed
+    /// pages, reusing the slot's page buffer.
+    fn seal_current(&mut self) {
+        if self.batch.len() == self.sealed {
+            self.batch.push((self.obj, 0, Vec::with_capacity(PAGE_SIZE)));
+        }
+        let (_, page_no, page) = &mut self.batch[self.sealed];
+        *page_no = self.cur_page;
+        Wal::seal(self.cur_page, &self.cur_payload, page);
     }
 
     /// Frame a payload as log page `page_no` into `page`: the `WALP`
@@ -369,17 +356,16 @@ impl Wal {
     /// multi-page force overlaps across the log region's dies; the
     /// returned time — the part of a commit the transaction must wait
     /// for — is the completion of the slowest page.
-    pub fn force(&self, backend: &dyn StorageBackend, now: SimTime) -> Result<SimTime> {
-        let mut inner = self.inner.lock();
-        inner.forces += 1;
-        inner.seal_current(self.obj);
-        let pages = std::mem::take(&mut inner.sealed) + 1;
-        let batch = &inner.batch[..pages];
+    pub fn force(&mut self, backend: &dyn StorageBackend, now: SimTime) -> Result<SimTime> {
+        self.forces += 1;
+        self.seal_current();
+        let pages = std::mem::take(&mut self.sealed) + 1;
+        let batch = &self.batch[..pages];
         let done = backend.write_batch(batch, now)?;
         if let Some(registry) = backend.metrics() {
             let hist = self
                 .force_hist
-                .get_or_init(|| registry.histogram("dbms.wal.force_ns", Unit::SimNanos));
+                .get_or_insert_with(|| registry.histogram("dbms.wal.force_ns", Unit::SimNanos));
             hist.record(done.since(now).as_nanos());
             // Track 101: WAL spans (see the core obs module's track map).
             registry.tracer().span(
@@ -396,8 +382,7 @@ impl Wal {
 
     /// Pages in the current segment.
     pub fn segment_pages(&self) -> u64 {
-        let inner = self.inner.lock();
-        inner.cur_page - inner.segment_start + 1
+        self.cur_page - self.segment_start + 1
     }
 
     /// True once the current segment exceeds `limit` pages — the signal
@@ -413,35 +398,33 @@ impl Wal {
     /// storage manager's per-page map — bounded by the segment budget).
     /// The caller must have forced the log (and made all logged state
     /// durable elsewhere) first.  Returns the number of pages freed.
-    pub fn truncate(&self, backend: &dyn StorageBackend) -> Result<u64> {
-        let mut inner = self.inner.lock();
+    pub fn truncate(&mut self, backend: &dyn StorageBackend) -> Result<u64> {
         // Anything still buffered belongs to the pre-checkpoint world the
         // caller just made durable; it is dropped with the segment.
-        inner.sealed = 0;
-        inner.cur_payload.clear();
+        self.sealed = 0;
+        self.cur_payload.clear();
         let mut freed = 0u64;
-        for page_no in inner.segment_start..=inner.cur_page {
+        for page_no in self.segment_start..=self.cur_page {
             backend.free_page(self.obj, page_no)?;
             freed += 1;
         }
-        inner.pages_retired += inner.cur_page - inner.segment_start + 1;
-        inner.segment_start = 0;
-        inner.cur_page = 0;
-        inner.truncations += 1;
+        self.pages_retired += self.cur_page - self.segment_start + 1;
+        self.segment_start = 0;
+        self.cur_page = 0;
+        self.truncations += 1;
         Ok(freed)
     }
 
     /// Current statistics.
     pub fn stats(&self) -> WalStats {
-        let inner = self.inner.lock();
         WalStats {
-            records: inner.records,
-            forces: inner.forces,
-            appended_bytes: inner.appended_bytes,
-            pages: inner.pages_retired + inner.cur_page + 1,
-            segment_pages: inner.cur_page - inner.segment_start + 1,
-            truncations: inner.truncations,
-            next_lsn: inner.next_lsn,
+            records: self.records,
+            forces: self.forces,
+            appended_bytes: self.appended_bytes,
+            pages: self.pages_retired + self.cur_page + 1,
+            segment_pages: self.segment_pages(),
+            truncations: self.truncations,
+            next_lsn: self.next_lsn,
         }
     }
 
@@ -511,7 +494,7 @@ mod tests {
     fn append_and_force() {
         let backend = backend();
         let obj = backend.create_object("log").unwrap();
-        let wal = Wal::new(obj);
+        let mut wal = Wal::new(obj);
         let l1 = wal.append_note(1, "begin;update;commit");
         let l2 = wal.append(&WalRecord::Commit { txn: 1 });
         assert!(l2 > l1, "LSNs are monotonic");
@@ -529,7 +512,7 @@ mod tests {
     fn log_spills_to_new_pages_and_scan_recovers_records() {
         let backend = backend();
         let obj = backend.create_object("log").unwrap();
-        let wal = Wal::new(obj);
+        let mut wal = Wal::new(obj);
         let mut appended = Vec::new();
         for i in 0..50u64 {
             let rec = WalRecord::Note { txn: i, text: "x".repeat(400) };
@@ -546,7 +529,7 @@ mod tests {
     fn scan_recovers_page_images_spanning_pages() {
         let backend = backend();
         let obj = backend.create_object("log").unwrap();
-        let wal = Wal::new(obj);
+        let mut wal = Wal::new(obj);
         let img = WalRecord::PageImage {
             txn: 9,
             obj: 3,
@@ -566,7 +549,7 @@ mod tests {
     fn unforced_records_are_not_recovered() {
         let backend = backend();
         let obj = backend.create_object("log").unwrap();
-        let wal = Wal::new(obj);
+        let mut wal = Wal::new(obj);
         wal.append_note(1, "durable");
         wal.force(&*backend, SimTime::ZERO).unwrap();
         wal.append_note(2, "volatile");
@@ -581,7 +564,7 @@ mod tests {
         // checkpoint-triggered truncation.
         let backend = backend();
         let obj = backend.create_object("log").unwrap();
-        let wal = Wal::new(obj);
+        let mut wal = Wal::new(obj);
         for i in 0..40u64 {
             wal.append(&WalRecord::Note { txn: i, text: "y".repeat(400) });
         }
@@ -640,9 +623,9 @@ mod tests {
         flipped[PAGE_HEADER] ^= 0x01;
         assert_eq!(Wal::unseal(4, &flipped), None, "payload fails its CRC");
 
-        let wal = Wal::new(1);
+        let mut wal = Wal::new(1);
         wal.append(&WalRecord::Commit { txn: 3 });
-        let stream = wal.inner.lock().cur_payload.clone();
+        let stream = wal.cur_payload.clone();
         assert_eq!(Wal::frame(&mut Reader::new(&stream)), Some((1, WalRecord::Commit { txn: 3 })));
         for n in 0..stream.len() {
             assert_eq!(Wal::frame(&mut Reader::new(&stream[..n])), None, "frame prefix of {n}");
@@ -698,21 +681,20 @@ mod tests {
             WalRecord::Checkpoint,
         ];
         for durable in [true, false] {
-            let wal = Wal::new(1).with_durable_spill(durable);
+            let mut wal = Wal::new(1).with_durable_spill(durable);
             wal.append_note(5, format_args!("UPDATE {table} {page}:{slot}"));
             for record in &records[1..] {
                 wal.append(record);
             }
-            let inner = wal.inner.lock();
-            let sealed = inner.batch[..inner.sealed].iter();
+            let sealed = wal.batch[..wal.sealed].iter();
             let mut streamed: Vec<u8> = sealed
                 .flat_map(|(_, no, page)| Wal::unseal(*no, page).unwrap().iter().copied())
                 .collect();
-            streamed.extend_from_slice(&inner.cur_payload);
+            streamed.extend_from_slice(&wal.cur_payload);
             // The durable stream spills (the page image), the volatile one
             // stays on its first page: both are here in full.
             assert_eq!(streamed, reference_stream(&records, durable), "durable: {durable}");
-            assert_eq!(inner.cur_page, u64::from(durable));
+            assert_eq!(wal.cur_page, u64::from(durable));
         }
     }
 
@@ -720,12 +702,12 @@ mod tests {
     fn a_volatile_log_spills_by_page_number_and_writes_only_the_tail() {
         let backend = backend();
         let obj = backend.create_object("log").unwrap();
-        let wal = Wal::new(obj).with_durable_spill(false);
+        let mut wal = Wal::new(obj).with_durable_spill(false);
         for i in 0..300u64 {
             wal.append_note(i, format!("INSERT t {i}:0"));
         }
         assert_eq!(wal.stats().segment_pages, 2, "the notes spilled into a second page");
-        assert_eq!(wal.inner.lock().sealed, 0, "a volatile log keeps no full page");
+        assert_eq!(wal.sealed, 0, "a volatile log keeps no full page");
         let programs = |b: &NoFtlBackend| b.noftl().device().stats().page_programs;
         let before = programs(&backend);
         wal.force(&*backend, SimTime::ZERO).unwrap();

@@ -152,7 +152,7 @@ fn loaded_db_with_pool(buffer_pages: usize) -> (Database, SimTime) {
     }
     // More leaves than one internal node can address ⇒ at least 3 levels.
     let max_children = (PAGE_SIZE - 11) / (2 + KEY_LEN + 8) + 1;
-    let index_pages = db.table("t").unwrap().index("i").unwrap().tree.page_count();
+    let index_pages = db.with_table("t", |t| t.index("i").unwrap().tree.page_count()).unwrap();
     assert!(index_pages as usize > max_children + 1, "tree of {index_pages} pages is too shallow");
     (db, now)
 }
@@ -301,13 +301,13 @@ fn warm_range_scan_allocates_nothing_per_row() {
 fn warm_writes_copy_no_page() {
     const OPS: u64 = 20;
     let (db, now) = loaded_db();
-    let table = db.table("t").unwrap();
-    let tree = &table.index("i").unwrap().tree;
+    let heap_pages = || db.with_table("t", |t| t.heap.page_count()).unwrap();
+    let tree_pages = || db.with_table("t", |t| t.index("i").unwrap().tree.page_count()).unwrap();
     let mut txn = db.begin(now);
     // Start a fresh heap fill page, so the counted inserts all land in
     // it (a page holds about 30 of these records).
-    let (pages, mut id) = (table.heap.page_count(), RECORDS);
-    while table.heap.page_count() == pages {
+    let (pages, mut id) = (heap_pages(), RECORDS);
+    while heap_pages() == pages {
         db.insert(&mut txn, "t", &row(id), &[("i", key(id))]).unwrap();
         id += 1;
     }
@@ -321,7 +321,7 @@ fn warm_writes_copy_no_page() {
     let rows: Vec<Record> = ids.iter().map(|&i| row(i)).collect();
     let keys: Vec<[(&str, Vec<u8>); 1]> = ids.iter().map(|&i| [("i", key(i))]).collect();
     let stored: Vec<_> = rids.iter().map(|rid| db.get(&mut txn, "t", *rid).unwrap()).collect();
-    let (misses, tree_pages) = (db.buffer_stats().misses, tree.page_count());
+    let (misses, index_pages) = (db.buffer_stats().misses, tree_pages());
 
     let update = counted(|| {
         for (rid, row) in rids.iter().zip(&stored) {
@@ -346,7 +346,7 @@ fn warm_writes_copy_no_page() {
     db.commit(&mut txn).unwrap();
 
     assert_eq!(db.buffer_stats().misses, misses, "the writes were meant to be warm");
-    assert_eq!(tree.page_count(), tree_pages, "an insert split its leaf");
+    assert_eq!(tree_pages(), index_pages, "an insert split its leaf");
     let ops = [
         ("update", update, 0),
         ("update_with", update_with, 0),
@@ -380,18 +380,19 @@ fn splits_allocate_nothing_once_the_tree_has_split_at_that_depth() {
     let noftl = Arc::new(NoFtl::new(device, NoFtlConfig::default()));
     let placement = PlacementConfig::traditional(8, ["i".to_string()]);
     let backend = Arc::new(NoFtlBackend::new(noftl, &placement).unwrap());
-    let pool = BufferPool::new(backend.clone(), 32);
-    let tree = BTree::new(backend.create_object("i").unwrap());
+    let mut pool = BufferPool::new(backend.clone(), 32);
+    let mut tree = BTree::new(backend.create_object("i").unwrap());
     let mut t = SimTime::ZERO;
     for id in 0..RECORDS {
-        t = tree.insert(&pool, &key(2 * id), RecordId::new(id, 0), t).unwrap();
+        t = tree.insert(&mut pool, &key(2 * id), RecordId::new(id, 0), t).unwrap();
     }
     let odd: Vec<Vec<u8>> = (0..400).map(|i| key(2 * (i * 4_099 % RECORDS) + 1)).collect();
     let (mut leaf_splits, mut inner_splits) = (0, 0);
     for (i, k) in odd.iter().enumerate() {
         t = pool.flush_all(t).unwrap();
         let pages = tree.page_count();
-        let window = counted(|| t = tree.insert(&pool, k, RecordId::new(i as u64, 1), t).unwrap());
+        let window =
+            counted(|| t = tree.insert(&mut pool, k, RecordId::new(i as u64, 1), t).unwrap());
         match tree.page_count() - pages {
             0 => continue,
             1 => leaf_splits += 1,
@@ -410,6 +411,6 @@ fn splits_allocate_nothing_once_the_tree_has_split_at_that_depth() {
         "{leaf_splits} leaf and {inner_splits} inner splits"
     );
     for (i, k) in odd.iter().enumerate() {
-        assert_eq!(tree.search(&pool, k, t).unwrap().0, Some(RecordId::new(i as u64, 1)));
+        assert_eq!(tree.search(&mut pool, k, t).unwrap().0, Some(RecordId::new(i as u64, 1)));
     }
 }

@@ -4,20 +4,23 @@
 //! nest in one total order:
 //!
 //! ```text
-//! manager → mirror → device
+//! engine → manager → mirror → device
 //! ```
 //!
 //! The stack is driven from one host thread, so a finer grain would buy
 //! nothing: the parallelism the paper measures — dies and channels — is
 //! simulated time on the device's timelines, not host threads.  Every
 //! acquisition goes through one choke point per class ([`lock_tracked`]
-//! behind `lock_inner`, `mirror_shard` and `lock_device`), so in debug
+//! behind `lock_engine` / `lock_store`, `lock_inner`, `mirror_shard` and
+//! `lock_device`), so in debug
 //! builds each acquisition is recorded on a thread-local held-lock stack
 //! and checked against the order *before* the thread blocks on the
 //! mutex: a would-be deadlock — or a re-entry of a lock the thread
 //! already holds — panics with a message naming both locks instead of
 //! hanging the test suite.  The children of a mirror are two locks of one
-//! class; nothing holds one while it takes the other.
+//! class; nothing holds one while it takes the other.  So are the engines
+//! over one manager — a database (`lock_engine`) and a KV store
+//! (`lock_store`) — and nothing holds one engine while it takes another.
 //!
 //! In release builds [`LockToken`] is a zero-sized type with no `Drop`
 //! impl and [`acquire`] compiles down to nothing — the sanitizer adds zero
@@ -47,6 +50,11 @@ use parking_lot::{Mutex, MutexGuard};
 /// acquired while every currently-held lock compares strictly smaller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LockClass {
+    /// An engine over the storage manager: a `dbms_engine::Database`'s
+    /// pool, log, catalog, heaps and trees, or a `noftl_core::KvStore`'s
+    /// memtable and runs.  The first class: an engine calls down into
+    /// the manager and the device while it is held.
+    Engine,
     /// `noftl-core`'s manager state (`NoFtl::inner`).
     Manager,
     /// `noftl-mirror`'s replica state (health machine, segment maps, the
@@ -63,6 +71,7 @@ pub enum LockClass {
 impl fmt::Display for LockClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            LockClass::Engine => write!(f, "engine"),
             LockClass::Manager => write!(f, "manager"),
             LockClass::Mirror => write!(f, "mirror"),
             LockClass::Device => write!(f, "device"),
@@ -118,7 +127,7 @@ pub fn acquire(class: LockClass) -> LockToken {
                     // analyzer:allow(panic_freedom) the sanitizer's entire purpose is to panic on a violation; debug builds only
                     panic!(
                         "lock-order violation: acquiring {class} while holding {h}; \
-                         the documented order is manager -> mirror -> device"
+                         the documented order is engine -> manager -> mirror -> device"
                     );
                 }
             }
@@ -203,6 +212,7 @@ mod tests {
 
     #[test]
     fn lock_classes_order_matches_documentation() {
+        assert!(LockClass::Engine < LockClass::Manager);
         assert!(LockClass::Manager < LockClass::Mirror);
         assert!(LockClass::Mirror < LockClass::Device);
     }
@@ -265,6 +275,25 @@ mod tests {
         fn device_before_manager_panics() {
             let _d = acquire(LockClass::Device);
             let _m = acquire(LockClass::Manager);
+        }
+
+        #[test]
+        fn engine_may_nest_the_manager() {
+            let _e = acquire(LockClass::Engine);
+            let _m = acquire(LockClass::Manager);
+            assert_eq!(held_depth(), 2);
+        }
+
+        #[test]
+        #[should_panic(expected = "acquiring engine while holding manager")]
+        fn manager_before_engine_panics() {
+            let _m = acquire(LockClass::Manager);
+            let _e = acquire(LockClass::Engine);
+        }
+
+        #[test]
+        fn engine_displays_as_engine() {
+            assert_eq!(LockClass::Engine.to_string(), "engine");
         }
 
         #[test]

@@ -447,13 +447,13 @@ mod tests {
     fn payment_updates_balances_and_history() {
         let (db, scale, t0) = setup();
         let mut rng = StdRng::seed_from_u64(2);
-        let history_before = db.table("HISTORY").unwrap().heap.record_count();
+        let history_before = db.with_table("HISTORY", |t| t.heap.record_count()).unwrap();
         for i in 0..10 {
             let mut txn = db.begin(t0 + flash_sim::Duration::from_us(i));
             let outcome = payment(&db, &scale, &mut rng, &mut txn, 1).unwrap();
             assert_eq!(outcome, TxnOutcome::Committed);
         }
-        let history_after = db.table("HISTORY").unwrap().heap.record_count();
+        let history_after = db.with_table("HISTORY", |t| t.heap.record_count()).unwrap();
         assert_eq!(history_after, history_before + 10);
         // Warehouse YTD grew.
         let mut txn = db.begin(t0);
@@ -489,14 +489,15 @@ mod tests {
     fn delivery_clears_new_orders() {
         let (db, scale, t0) = setup();
         let mut rng = StdRng::seed_from_u64(4);
-        let pending_before = db.table("NEW_ORDER").unwrap().heap.record_count();
+        let pending_before = db.with_table("NEW_ORDER", |t| t.heap.record_count()).unwrap();
         assert!(pending_before > 0);
         let mut txn = db.begin(t0);
         delivery(&db, &scale, &mut rng, &mut txn, 1).unwrap();
-        let pending_after = db.table("NEW_ORDER").unwrap().heap.record_count();
+        let pending_after = db.with_table("NEW_ORDER", |t| t.heap.record_count()).unwrap();
         // One order per district is delivered, and its NO_IDX entry with it.
         assert_eq!(pending_after, pending_before - scale.districts_per_warehouse as u64);
-        let entries = db.table("NEW_ORDER").unwrap().index("NO_IDX").unwrap().tree.len();
+        let entries =
+            db.with_table("NEW_ORDER", |t| t.index("NO_IDX").unwrap().tree.len()).unwrap();
         assert_eq!(entries, pending_after);
         // Delivered orders have a carrier assigned.
         let mut orders = Vec::new();

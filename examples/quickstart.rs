@@ -27,11 +27,12 @@ fn main() {
     let noftl = NoFtl::new(device.clone(), NoFtlConfig::paper_defaults());
 
     // 3. The DBA speaks plain DDL — exactly the statements from the paper.
-    let ddl = Ddl::new(&noftl);
+    let mut ddl = Ddl::new(&noftl);
     ddl.run_script(
         "CREATE REGION rgHotTbl (MAX_CHIPS=8, MAX_CHANNELS=4, MAX_SIZE=1280M);
          CREATE TABLESPACE tsHotTbl (REGION=rgHotTbl, EXTENT_SIZE=128K);
          CREATE TABLE T (t_id NUMBER(3)) TABLESPACE tsHotTbl;",
+        SimTime::ZERO,
     )
     .expect("DDL executes");
 

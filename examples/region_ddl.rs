@@ -25,7 +25,7 @@ fn main() {
     println!("parsed: {stmt:?}");
 
     // Execute a small administration script.
-    let executor = Ddl::new(&noftl);
+    let mut executor = Ddl::new(&noftl);
     executor
         .run_script(
             "CREATE REGION rgHot (DIES=8);
@@ -34,6 +34,7 @@ fn main() {
              CREATE TABLESPACE tsCold (REGION=rgCold, EXTENT_SIZE=1M);
              CREATE TABLE orders (o_id NUMBER(8), o_entry_d DATE) TABLESPACE tsHot;
              CREATE TABLE archive (a_id NUMBER(8), a_blob VARCHAR(256)) TABLESPACE tsCold;",
+            SimTime::ZERO,
         )
         .expect("script executes");
     println!("free dies after CREATE REGION: {}", noftl.free_die_count());
@@ -81,6 +82,10 @@ fn main() {
     }
 
     // Clean up: drop the table and its region.
-    executor.run_script("DROP TABLE archive; DROP REGION rgCold;").expect("cleanup");
-    println!("free dies after DROP REGION: {}", noftl.free_die_count());
+    let dropped =
+        executor.run_script("DROP TABLE archive; DROP REGION rgCold;", done).expect("cleanup");
+    println!(
+        "free dies after DROP REGION: {} (its erases finished at {dropped})",
+        noftl.free_die_count()
+    );
 }

@@ -10,12 +10,13 @@ use noftl_regions::noftl::{Ddl, NoFtl, NoFtlConfig};
 fn paper_ddl_example_end_to_end() {
     let device = Arc::new(DeviceBuilder::new(FlashGeometry::edbt_paper()).build());
     let noftl = NoFtl::new(device.clone(), NoFtlConfig::paper_defaults());
-    let ddl = Ddl::new(&noftl);
+    let mut ddl = Ddl::new(&noftl);
     // Verbatim from Section 2 of the paper (EXTENT SIZE spelled with '_').
     ddl.run_script(
         "CREATE REGION rgHotTbl (MAX_CHIPS=8, MAX_CHANNELS=4, MAX_SIZE=1280M);
          CREATE TABLESPACE tsHotTbl (REGION=rgHotTbl, EXTENT_SIZE=128K);
          CREATE TABLE T (t_id NUMBER(3)) TABLESPACE tsHotTbl;",
+        SimTime::ZERO,
     )
     .expect("the paper's example DDL must execute");
 
@@ -42,12 +43,12 @@ fn paper_ddl_example_end_to_end() {
 
     // Die selection inside a region is not a DDL option: the clause is
     // refused by name and creates nothing.
-    let err = ddl.run_script("CREATE REGION rg (DIES=2, PLACEMENT=QUEUE_AWARE)").unwrap_err();
+    let err = ddl.run_script("CREATE REGION rg (DIES=2, PLACEMENT=QUEUE_AWARE)", now).unwrap_err();
     assert!(err.to_string().contains("unknown CREATE REGION option 'PLACEMENT'"), "{err}");
     assert!(noftl.region_id("rg").is_none());
 
     // Dropping the table frees its pages; dropping the region returns the dies.
-    ddl.run_script("DROP TABLE T; DROP REGION rgHotTbl;").unwrap();
+    ddl.run_script("DROP TABLE T; DROP REGION rgHotTbl;", now).unwrap();
     assert!(noftl.region_id("rgHotTbl").is_none());
     assert_eq!(noftl.free_die_count(), device.geometry().total_dies());
 }

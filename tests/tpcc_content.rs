@@ -16,6 +16,7 @@
 
 use std::sync::Arc;
 
+use noftl_regions::dbms::btree::BTree;
 use noftl_regions::dbms::{BufferPool, Database, DatabaseConfig, NoFtlBackend};
 use noftl_regions::flash::{crc32, DeviceBuilder, FlashGeometry, SimTime, TimingModel};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig};
@@ -42,27 +43,34 @@ fn digest() -> (u32, u64, u64) {
     assert_eq!(report.committed + report.rolled_back, 2_000);
     let t = db.flush_all(loaded + report.makespan).unwrap();
 
-    let pool = BufferPool::new(Arc::clone(db.backend()), 256);
+    let mut pool = BufferPool::new(Arc::clone(db.backend()), 256);
     let (mut bytes, mut records, mut entries) = (Vec::new(), 0u64, 0u64);
     for table in schema::table_names() {
-        let def = db.table(&table).unwrap();
-        def.heap
-            .scan(&pool, t, |rid, record| {
+        db.with_table(&table, |def| {
+            def.heap.scan(&mut pool, t, |rid, record| {
                 bytes.extend_from_slice(&rid.encode());
                 bytes.extend_from_slice(record);
                 records += 1;
             })
-            .unwrap();
+        })
+        .unwrap()
+        .unwrap();
     }
     for index in schema::index_names() {
-        let def = db.table(schema::index_table(&index)).unwrap().index(&index).unwrap();
-        def.tree
-            .range(&pool, &[], None, usize::MAX, t, |key, rid| {
-                bytes.extend_from_slice(key);
-                bytes.extend_from_slice(&rid.encode());
-                entries += 1;
+        // The tree as the flushed pages hold it, attached to the cold pool.
+        let (obj, pages) = db
+            .with_table(schema::index_table(&index), |def| {
+                let tree = &def.index(&index).unwrap().tree;
+                (tree.object_id(), tree.page_count())
             })
             .unwrap();
+        let (mut tree, _) = BTree::attach(obj, &mut pool, pages, t).unwrap();
+        tree.range(&mut pool, &[], None, usize::MAX, t, |key, rid| {
+            bytes.extend_from_slice(key);
+            bytes.extend_from_slice(&rid.encode());
+            entries += 1;
+        })
+        .unwrap();
     }
     (crc32(&bytes), records, entries)
 }
