@@ -15,8 +15,8 @@
 //!   [`FlashBackend::execute`](flash_sim::FlashBackend::execute).  GC,
 //!   region shrink, checkpoint chunks and the mount scan issue their
 //!   physical commands through it too, so everything the arbiter polices
-//!   passes one function (`noftl-analyzer`'s `command_path` rule keeps
-//!   it that way).
+//!   passes one function (`crates/core/clippy.toml` bans every timed
+//!   device verb elsewhere in the crate).
 //!
 //! The public page I/O is four verbs over the core: [`NoFtl::read`] and
 //! [`NoFtl::write`] for one page, [`NoFtl::execute`] for many — a windowed
@@ -82,6 +82,7 @@ impl<'a> IoRequest<'a> {
 impl Env {
     /// Issue one physical flash command at `at`: the crate's single
     /// device choke point.
+    #[expect(clippy::disallowed_methods, reason = "the crate's one request path to the device")]
     pub(crate) fn exec(
         &self,
         command: FlashCommand<'_>,

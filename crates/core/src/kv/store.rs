@@ -978,8 +978,7 @@ mod tests {
         t = kv.flush(t).unwrap();
         assert!(kv.stats().compactions > 0, "workload must exercise the merge path");
         let pages: Vec<(ObjectId, u64)> = kv
-            .inner
-            .lock()
+            .lock_store()
             .runs
             .iter()
             .flat_map(|r| {

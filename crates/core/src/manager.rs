@@ -162,14 +162,11 @@ impl NoFtl {
     pub fn with_single_region(
         device: Arc<dyn FlashBackend>,
         config: NoFtlConfig,
-    ) -> (Self, RegionId) {
+    ) -> Result<(Self, RegionId)> {
         let total = device.geometry().total_dies();
         let noftl = Self::new(device, config);
-        let rid = noftl
-            .create_region(RegionSpec::named("rgAll").with_die_count(total))
-            // analyzer:allow(panic_freedom) a fresh manager has every die free, so one region spanning them all always fits
-            .expect("single region over all dies always fits");
-        (noftl, rid)
+        let rid = noftl.create_region(RegionSpec::named("rgAll").with_die_count(total))?;
+        Ok((noftl, rid))
     }
 
     /// The underlying native flash device.
@@ -529,7 +526,7 @@ mod tests {
     #[test]
     fn with_single_region_spans_all_dies() {
         let device = Arc::new(DeviceBuilder::new(FlashGeometry::small_test()).build());
-        let (noftl, rid) = NoFtl::with_single_region(device, NoFtlConfig::default());
+        let (noftl, rid) = NoFtl::with_single_region(device, NoFtlConfig::default()).unwrap();
         assert_eq!(noftl.region_dies(rid).unwrap().len(), 4);
         assert_eq!(noftl.free_die_count(), 0);
         assert_eq!(noftl.region_name(rid).unwrap(), "rgAll");

@@ -440,6 +440,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "wears blocks of the bare device directly")]
     fn a_frontier_opens_the_least_worn_free_block() {
         let device = DeviceBuilder::new(FlashGeometry::small_test()).build();
         let geo = *device.geometry();

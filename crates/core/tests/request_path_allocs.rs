@@ -80,6 +80,11 @@ fn payload(round: u8, p: u64) -> Vec<u8> {
 /// [`PAGES`] pages written over three rounds: each die has filled its
 /// first block and written half its second, so the measured round below
 /// fills the second without opening a third.
+#[expect(
+    clippy::unwrap_used,
+    clippy::disallowed_methods,
+    reason = "cycles the bare device before a manager owns it; a failed step fails the test"
+)]
 fn cycled_stack() -> (NoFtlBackend, ObjectId, SimTime) {
     let device = Arc::new(
         DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build(),

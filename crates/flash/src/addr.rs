@@ -17,28 +17,6 @@ impl fmt::Display for DieId {
     }
 }
 
-/// A plane within a specific die.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct PlaneAddr {
-    /// Owning die.
-    pub die: DieId,
-    /// Plane index within the die.
-    pub plane: u32,
-}
-
-impl PlaneAddr {
-    /// Create a plane address.
-    pub fn new(die: DieId, plane: u32) -> Self {
-        PlaneAddr { die, plane }
-    }
-}
-
-impl fmt::Display for PlaneAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/p{}", self.die, self.plane)
-    }
-}
-
 /// Physical address of an erase block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockAddr {
@@ -54,11 +32,6 @@ impl BlockAddr {
     /// Create a block address.
     pub fn new(die: DieId, plane: u32, block: u32) -> Self {
         BlockAddr { die, plane, block }
-    }
-
-    /// The plane this block belongs to.
-    pub fn plane_addr(&self) -> PlaneAddr {
-        PlaneAddr::new(self.die, self.plane)
     }
 
     /// The address of a page inside this block.
@@ -95,11 +68,6 @@ impl PageAddr {
     /// The block this page belongs to.
     pub fn block(&self) -> BlockAddr {
         BlockAddr { die: self.die, plane: self.plane, block: self.block }
-    }
-
-    /// The plane this page belongs to.
-    pub fn plane_addr(&self) -> PlaneAddr {
-        PlaneAddr::new(self.die, self.plane)
     }
 
     /// Pack the address into a single `u64` (useful for compact mapping
@@ -142,7 +110,6 @@ mod tests {
         let p = PageAddr::new(DieId(3), 1, 42, 7);
         assert_eq!(p.to_string(), "die3/p1/b42/pg7");
         assert_eq!(p.block().to_string(), "die3/p1/b42");
-        assert_eq!(p.plane_addr().to_string(), "die3/p1");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! deferral leaves idle is ordinary free time on the channel's occupancy
 //! timeline, which every transfer — any class, arbiter on or off — may
 //! claim (first fit into idle windows is the device's one reservation
-//! rule, see the `die` module).  With the arbiter disabled every tag is
+//! rule, see the `sched` module).  With the arbiter disabled every tag is
 //! ignored and scheduling is byte-identical to the untagged path.
 
 use crate::time::SimTime;

@@ -49,14 +49,14 @@ use crate::backend::FlashBackend;
 use crate::badblock::BadBlockPolicy;
 use crate::block::{Block, BlockInfo, BlockState, PageState};
 use crate::command::{CmdOutput, FlashCommand};
-use crate::die::{Die, Timeline};
+use crate::die::Die;
 use crate::error::FlashError;
 use crate::geometry::FlashGeometry;
 use crate::image;
 use crate::lockorder::{self, LockClass, TrackedGuard};
 use crate::metadata::PageMetadata;
 use crate::obs::{ArbiterObs, DeviceObs};
-use crate::sched::{self, Scheduled, Shape};
+use crate::sched::{self, Scheduled, Shape, Timeline};
 use crate::stats::{DeviceStats, DieStats, WearSummary};
 use crate::time::{Duration, SimTime};
 use crate::timing::TimingModel;
@@ -165,8 +165,8 @@ impl DeviceBuilder {
     /// # Panics
     /// Panics if the geometry fails validation; geometry errors are
     /// programming errors, not runtime conditions.
+    #[expect(clippy::panic, reason = "a bad geometry is a programming error, see `# Panics`")]
     pub fn build(self) -> NandDevice {
-        // analyzer:allow(panic_freedom) geometry failures are programming errors, documented under `# Panics`
         self.geometry.validate().unwrap_or_else(|e| panic!("invalid flash geometry: {e}"));
         let g = self.geometry;
         let mut dies: Vec<Die> = (0..g.total_dies())
@@ -413,6 +413,7 @@ impl NandDevice {
     /// armed power cut catches the command in flight) or apply →
     /// accounting.  `ratchet` is [`Self::program_replica`]'s one
     /// difference.
+    #[expect(clippy::disallowed_methods, reason = "the device's one reservation site")]
     fn phases(
         &self,
         state: &mut DeviceState,
@@ -712,11 +713,6 @@ impl NandDevice {
     /// "reboot" it with [`NandDevice::from_image`].
     pub fn arm_power_cut(&self, at: SimTime) {
         self.lock_device().power_cut = Some(at);
-    }
-
-    /// The armed power-cut instant, if any.
-    pub fn power_cut_at(&self) -> Option<SimTime> {
-        self.lock_device().power_cut
     }
 
     /// Disarm a previously armed power cut.
@@ -1443,7 +1439,6 @@ mod tests {
         d.program_page(p, &payload(1, &d), PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
         let cut = d.quiesce_time();
         d.arm_power_cut(cut);
-        assert_eq!(d.power_cut_at(), Some(cut));
         let err = d.read_page(p, cut).unwrap_err();
         assert!(err.is_power_loss());
         assert!(d

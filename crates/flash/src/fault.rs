@@ -11,8 +11,8 @@
 //! `Faulted` without perturbing the device simulation itself.
 //!
 //! The injector is deterministic (a fixed schedule, no wall clock) and
-//! lock-free: slots are atomics, so consulting it adds no lock the
-//! sanitizer or analyzer would need to order.
+//! lock-free: slots are atomics, so consulting it adds no lock to the
+//! lock order.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

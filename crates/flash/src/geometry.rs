@@ -133,12 +133,6 @@ impl FlashGeometry {
         self.pages_per_die() * self.page_size as u64
     }
 
-    /// Capacity of a single erase block in bytes.
-    #[inline]
-    pub fn block_capacity_bytes(&self) -> u64 {
-        self.pages_per_block as u64 * self.page_size as u64
-    }
-
     /// The channel a given die is attached to.
     ///
     /// Dies are numbered channel-major: die `d` lives on channel
@@ -222,7 +216,6 @@ mod tests {
         assert_eq!(g.blocks_per_die(), 16);
         assert_eq!(g.pages_per_die(), 128);
         assert_eq!(g.total_pages(), 512);
-        assert_eq!(g.block_capacity_bytes(), 8 * 4096);
     }
 
     #[test]

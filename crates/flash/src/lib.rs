@@ -115,7 +115,7 @@ pub mod stats;
 pub mod time;
 pub mod timing;
 
-pub use addr::{BlockAddr, DieId, PageAddr, PlaneAddr};
+pub use addr::{BlockAddr, DieId, PageAddr};
 pub use arbiter::{ArbiterConfig, IoTag, ServiceClass};
 pub use backend::FlashBackend;
 pub use badblock::BadBlockPolicy;

@@ -26,10 +26,13 @@
 //! impl and [`acquire`] compiles down to nothing — the sanitizer adds zero
 //! overhead to the benchmarked hot path.
 //!
-//! The static companion of this module is the `noftl-analyzer` crate,
-//! whose lock-order rule checks the same total order on the acquisition
-//! sites at lint time; this module validates the model dynamically on
-//! every tier-1 and crash-harness run.
+//! The order across layers is also held at compile time: the crate
+//! graph (flash ← mirror ← core ← dbms) keeps a lower layer from naming
+//! a higher one, each choke point is private to its layer, and
+//! `clippy.toml` bans a raw `parking_lot::Mutex::lock` everywhere but
+//! [`lock_tracked`].  What the compiler cannot see — a re-entry, or two
+//! locks of one layer nested — this module checks dynamically on every
+//! tier-1 and crash-harness run.
 //!
 //! ```
 //! use flash_sim::lockorder::{acquire, LockClass};
@@ -110,6 +113,7 @@ pub struct LockToken {
 /// every held lock (out-of-order acquisition).  Release builds never
 /// panic — the function is a no-op.
 #[inline]
+#[cfg_attr(debug_assertions, expect(clippy::panic, reason = "the sanitizer panics on a violation"))]
 pub fn acquire(class: LockClass) -> LockToken {
     #[cfg(debug_assertions)]
     {
@@ -117,14 +121,12 @@ pub fn acquire(class: LockClass) -> LockToken {
             let held = held.borrow();
             for &h in held.iter() {
                 if h == class {
-                    // analyzer:allow(panic_freedom) the sanitizer's entire purpose is to panic on a violation; debug builds only
                     panic!(
                         "lock-order violation: recursive acquisition of {class} \
                          (already held by this thread)"
                     );
                 }
                 if class < h {
-                    // analyzer:allow(panic_freedom) the sanitizer's entire purpose is to panic on a violation; debug builds only
                     panic!(
                         "lock-order violation: acquiring {class} while holding {h}; \
                          the documented order is engine -> manager -> mirror -> device"
@@ -201,6 +203,7 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for TrackedGuard<'_, T> {
 /// stack recording happen **before** blocking on the mutex, so a
 /// would-be deadlock panics (debug builds) instead of hanging.
 #[inline]
+#[expect(clippy::disallowed_methods, reason = "the one choke point every layer lock goes through")]
 pub fn lock_tracked<'a, T: ?Sized>(class: LockClass, mutex: &'a Mutex<T>) -> TrackedGuard<'a, T> {
     let token = acquire(class);
     TrackedGuard { guard: mutex.lock(), _token: token }
@@ -297,6 +300,10 @@ mod tests {
         }
 
         #[test]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "reads the mutex behind the guard's back to see it released"
+        )]
         fn tracked_guard_releases_mutex_before_unrecording() {
             let m = Mutex::new(5u32);
             {

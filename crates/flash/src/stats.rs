@@ -98,15 +98,6 @@ impl DeviceStats {
         }
     }
 
-    /// Mean end-to-end erase latency in microseconds.
-    pub fn avg_erase_latency_us(&self) -> f64 {
-        if self.block_erases == 0 {
-            0.0
-        } else {
-            self.erase_latency_sum.as_us_f64() / self.block_erases as f64
-        }
-    }
-
     /// Total array operations.
     pub fn total_ops(&self) -> u64 {
         self.page_reads
@@ -216,7 +207,6 @@ mod tests {
         let s = DeviceStats::default();
         assert_eq!(s.avg_read_latency_us(), 0.0);
         assert_eq!(s.avg_program_latency_us(), 0.0);
-        assert_eq!(s.avg_erase_latency_us(), 0.0);
         assert_eq!(s.total_ops(), 0);
     }
 

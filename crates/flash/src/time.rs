@@ -86,12 +86,6 @@ impl Duration {
     /// A zero-length duration.
     pub const ZERO: Duration = Duration(0);
 
-    /// Construct from nanoseconds.
-    #[inline]
-    pub fn from_nanos(ns: u64) -> Self {
-        Duration(ns)
-    }
-
     /// Construct from whole microseconds.
     #[inline]
     pub fn from_us(us: u64) -> Self {
@@ -132,12 +126,6 @@ impl Duration {
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Saturating addition of two durations.
-    #[inline]
-    pub fn saturating_add(self, other: Duration) -> Duration {
-        Duration(self.0.saturating_add(other.0))
     }
 }
 
@@ -240,7 +228,7 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        assert_eq!(format!("{}", Duration::from_nanos(500)), "500ns");
+        assert_eq!(format!("{}", Duration(500)), "500ns");
         assert_eq!(format!("{}", Duration::from_us(2)), "2.00us");
         assert_eq!(format!("{}", Duration::from_ms(3)), "3.00ms");
         assert_eq!(format!("{}", Duration(2_500_000_000)), "2.500s");

@@ -135,6 +135,7 @@ impl Client {
 
     /// Issue one command at the client's clock and advance the clock to
     /// its completion plus the think time.
+    #[expect(clippy::expect_used, reason = "a test helper: a failed step fails the test")]
     fn step(&mut self, device: &NandDevice, run: &mut Run) {
         let op = self.next_op(device.geometry());
         let command = match op {
@@ -168,6 +169,7 @@ struct Run {
 /// Run the closed loop, the furthest-behind client stepping `stride`
 /// commands at a time.  Returns mean command latency (ns), makespan (ns)
 /// and the sorted command multiset.
+#[expect(clippy::expect_used, reason = "a test helper: a failed step fails the test")]
 fn closed_loop(stride: usize) -> (f64, u64, Vec<(u32, Op)>) {
     let device = DeviceBuilder::new(FlashGeometry::example()).build();
     let geo = *device.geometry();

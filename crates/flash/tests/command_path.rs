@@ -219,6 +219,7 @@ fn random_tag(rng: &mut u64) -> IoTag {
     }
 }
 
+#[expect(clippy::unwrap_used, reason = "a test helper: a failed step fails the test")]
 fn build_stream() -> Vec<Cmd> {
     let probe = builder().build();
     let geo = *probe.geometry();

@@ -48,6 +48,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Issue `command` at `*now` and move `*now` to its completion.
+#[expect(clippy::unwrap_used, reason = "a test helper: a failed step fails the test")]
 fn run(device: &NandDevice, now: &mut SimTime, command: FlashCommand<'_>) {
     *now = device.execute(command, *now, IoTag::default()).unwrap().outcome.completed_at;
 }

@@ -13,12 +13,14 @@ use noftl_core::{crash, NoFtl, NoFtlConfig, ObjectId};
 use noftl_mirror::{ChildHealth, MirrorDevice};
 
 /// Logical page `page` of `obj` as the manager reads it at `at`.
+#[expect(clippy::unwrap_used, reason = "a test helper: a failed step fails the test")]
 fn read(noftl: &NoFtl, obj: ObjectId, page: u64, at: SimTime) -> Vec<u8> {
     let mut data = vec![0; 4096];
     noftl.read(obj, page, &mut data, at).unwrap();
     data
 }
 
+#[expect(clippy::unwrap_used, reason = "a test helper: a failed step fails the test")]
 fn fresh_mirror() -> Arc<MirrorDevice> {
     Arc::new(
         MirrorDevice::new_fresh(2, FlashGeometry::small_test(), TimingModel::default()).unwrap(),
@@ -27,6 +29,7 @@ fn fresh_mirror() -> Arc<MirrorDevice> {
 
 /// Power-cycle every child and reassemble the mirror — a box with two
 /// flash devices in it, rebooted.
+#[expect(clippy::unwrap_used, reason = "a test helper: a failed step fails the test")]
 fn reboot(mirror: &MirrorDevice) -> Arc<MirrorDevice> {
     let children: Vec<Arc<NandDevice>> =
         mirror.children().iter().map(|c| crash::power_cycle(c).unwrap()).collect();
@@ -37,7 +40,7 @@ fn reboot(mirror: &MirrorDevice) -> Arc<MirrorDevice> {
 #[test]
 fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirty() {
     let mirror = fresh_mirror();
-    let (noftl, _rid) = NoFtl::with_single_region(mirror.clone(), NoFtlConfig::default());
+    let (noftl, _rid) = NoFtl::with_single_region(mirror.clone(), NoFtlConfig::default()).unwrap();
     let obj = noftl.create_object_in("t", "rgAll").unwrap();
     let mut t = SimTime::ZERO;
     for p in 0..12u64 {
@@ -106,7 +109,7 @@ fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirt
 #[test]
 fn mount_with_child_still_missing_serves_degraded_and_rebuilds_later() {
     let mirror = fresh_mirror();
-    let (noftl, _rid) = NoFtl::with_single_region(mirror.clone(), NoFtlConfig::default());
+    let (noftl, _rid) = NoFtl::with_single_region(mirror.clone(), NoFtlConfig::default()).unwrap();
     let obj = noftl.create_object_in("t", "rgAll").unwrap();
     let mut t = SimTime::ZERO;
     for p in 0..8u64 {
@@ -140,7 +143,7 @@ fn mount_with_child_still_missing_serves_degraded_and_rebuilds_later() {
 #[test]
 fn power_cut_during_mount_recovers_on_retry() {
     let mirror = fresh_mirror();
-    let (noftl, _rid) = NoFtl::with_single_region(mirror.clone(), NoFtlConfig::default());
+    let (noftl, _rid) = NoFtl::with_single_region(mirror.clone(), NoFtlConfig::default()).unwrap();
     let obj = noftl.create_object_in("t", "rgAll").unwrap();
     let mut t = SimTime::ZERO;
     for p in 0..10u64 {
@@ -181,7 +184,7 @@ mod props {
             degraded_writes in 1u64..10,
         ) {
             let mirror = fresh_mirror();
-            let (noftl, _rid) = NoFtl::with_single_region(mirror.clone(), NoFtlConfig::default());
+            let (noftl, _rid) = NoFtl::with_single_region(mirror.clone(), NoFtlConfig::default()).unwrap();
             let obj = noftl.create_object_in("t", "rgAll").unwrap();
             let mut t = SimTime::ZERO;
             let mut expected = std::collections::HashMap::new();

@@ -83,7 +83,8 @@ fn randomized_loss_and_crash_sweep_loses_no_acknowledged_write() {
             MirrorDevice::new_fresh(2, FlashGeometry::small_test(), TimingModel::default())
                 .unwrap(),
         );
-        let (noftl, _rid) = NoFtl::with_single_region(mirror.clone(), NoFtlConfig::default());
+        let (noftl, _rid) =
+            NoFtl::with_single_region(mirror.clone(), NoFtlConfig::default()).unwrap();
         let obj = noftl.create_object_in("t", "rgAll").unwrap();
         let mut t = SimTime(1_000);
         let mut acked: HashMap<u64, Vec<u8>> = HashMap::new();
