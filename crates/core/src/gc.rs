@@ -68,8 +68,8 @@ impl GcCandidate {
 /// Greedy victim selection: the candidate with the fewest valid pages
 /// (the fewest copybacks), ties broken toward the less-worn block, then
 /// the lower slot.
-pub fn select_victim(candidates: &[GcCandidate]) -> Option<usize> {
-    candidates.iter().min_by_key(|c| (c.valid_pages, c.erase_count, c.slot)).map(|c| c.slot)
+pub fn select_victim(candidates: impl IntoIterator<Item = GcCandidate>) -> Option<GcCandidate> {
+    candidates.into_iter().min_by_key(|c| (c.valid_pages, c.erase_count, c.slot))
 }
 
 /// One region's allocator and garbage collector at work: the region's
@@ -241,15 +241,13 @@ impl Space<'_> {
         let device = &self.env.device;
         let pages_per_block = device.geometry().pages_per_block;
         let used_blocks = &self.region.dies[die_idx].used_blocks;
-        let candidates: Vec<GcCandidate> = used_blocks
+        let candidates = used_blocks
             .iter()
             .enumerate()
-            .filter_map(|(slot, b)| GcCandidate::from_info(slot, &device.block_info(*b).ok()?))
-            .collect();
-        let slot = select_victim(&candidates)?;
-        let chosen = candidates.iter().find(|c| c.slot == slot)?;
+            .filter_map(|(slot, b)| GcCandidate::from_info(slot, &device.block_info(*b).ok()?));
+        let chosen = select_victim(candidates)?;
         Some(Victim {
-            block: used_blocks[slot],
+            block: used_blocks[chosen.slot],
             cursor: 0,
             quantum: chosen.valid_pages.div_ceil(pages_per_block - chosen.valid_pages) + 1,
             moved: 0,
@@ -276,12 +274,12 @@ mod tests {
     #[test]
     fn greedy_minimises_copy_cost() {
         let cands = vec![cand(0, 6, 2), cand(1, 1, 7), cand(2, 3, 5)];
-        assert_eq!(select_victim(&cands), Some(1));
+        assert_eq!(select_victim(cands).map(|c| c.slot), Some(1));
     }
 
     #[test]
     fn empty_input_gives_none() {
-        assert_eq!(select_victim(&[]), None);
+        assert_eq!(select_victim(std::iter::empty()), None);
     }
 
     #[test]
@@ -314,9 +312,8 @@ mod tests {
                 .collect();
             prop_assume!(!cands.is_empty());
             let min_valid = cands.iter().map(|c| c.valid_pages).min().unwrap();
-            let chosen = select_victim(&cands).unwrap();
-            let chosen_valid = cands.iter().find(|c| c.slot == chosen).unwrap().valid_pages;
-            prop_assert_eq!(chosen_valid, min_valid);
+            let chosen = select_victim(cands.iter().copied()).unwrap();
+            prop_assert_eq!(chosen.valid_pages, min_valid);
         }
 
         /// Selection always returns a slot that exists among the candidates.
@@ -329,8 +326,8 @@ mod tests {
                 .filter(|c| c.invalid_pages > 0)
                 .collect();
             prop_assume!(!cands.is_empty());
-            let chosen = select_victim(&cands).unwrap();
-            prop_assert!(cands.iter().any(|c| c.slot == chosen));
+            let chosen = select_victim(cands.iter().copied()).unwrap();
+            prop_assert!(cands.contains(&chosen));
         }
     }
 

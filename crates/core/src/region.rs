@@ -151,19 +151,6 @@ pub(crate) struct RegionDie {
 }
 
 impl RegionDie {
-    fn empty(die: DieId) -> Self {
-        RegionDie {
-            die,
-            free_blocks: Vec::new(),
-            active: None,
-            gc_active: None,
-            used_blocks: Vec::new(),
-            collecting: false,
-            victim: None,
-            nothing_to_collect: false,
-        }
-    }
-
     /// Build the allocation state of a die from its physical block states:
     /// erased blocks go to the free pool, partially programmed blocks
     /// become write frontiers (continuing at their hardware write pointer)
@@ -171,10 +158,22 @@ impl RegionDie {
     /// halfway through included.  Bad blocks are dropped from tracking.
     /// Every die a region takes is built this way: a die a mount returned
     /// to the free pool may still hold the pages of a region the power cut
-    /// lost, and on an erased die this is every non-bad block, free.
+    /// lost, and on an erased die this is every non-bad block, free.  Both
+    /// block lists have room for every block of the die, so a block that
+    /// fills up or is erased never grows one.
     pub(crate) fn rebuild(device: &dyn FlashBackend, die: DieId) -> Self {
         let geo = device.geometry();
-        let mut out = Self::empty(die);
+        let blocks = (geo.planes_per_die * geo.blocks_per_plane) as usize;
+        let mut out = RegionDie {
+            die,
+            free_blocks: Vec::with_capacity(blocks),
+            active: None,
+            gc_active: None,
+            used_blocks: Vec::with_capacity(blocks),
+            collecting: false,
+            victim: None,
+            nothing_to_collect: false,
+        };
         for plane in 0..geo.planes_per_die {
             for block in 0..geo.blocks_per_plane {
                 let addr = BlockAddr::new(die, plane, block);

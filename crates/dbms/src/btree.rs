@@ -276,12 +276,17 @@ fn split_node(
 
 /// The internal nodes an insert descended through, root first: their
 /// page numbers and, back to back, their images as read.  Kept across
-/// inserts, so a descent allocates nothing once it has been this deep.
-#[derive(Debug, Default)]
+/// inserts, with room for [`PATH_LEVELS`] from the start, so a descent
+/// allocates nothing, not even the first after the tree grew a level.
+#[derive(Debug)]
 struct Path {
     pages: Vec<u64>,
     images: Vec<u8>,
 }
+
+/// The internal levels a [`Path`] has room for when its tree is built:
+/// with 32-byte keys, four hold some 10^8 leaves.
+const PATH_LEVELS: usize = 4;
 
 /// The page buffers a split writes from, kept across inserts as [`Path`]
 /// is: the full leaf as the descent found it, the two halves (the left
@@ -310,7 +315,11 @@ pub struct BTree {
 impl BTree {
     /// Create a (lazily initialised) B+-tree over storage object `obj`.
     pub fn new(obj: ObjectId) -> Self {
-        let (path, split) = (Path::default(), Split::default());
+        let path = Path {
+            pages: Vec::with_capacity(PATH_LEVELS),
+            images: Vec::with_capacity(PATH_LEVELS * PAGE_SIZE),
+        };
+        let split = Split::default();
         BTree { obj, root: 0, page_count: 1, entries: 0, initialized: false, path, split }
     }
 

@@ -590,10 +590,11 @@ impl Database {
         found.map(|rid| Ok((rid, e.read(txn, table, rid, f)?))).transpose()
     }
 
-    /// Range scan over an index: the record ids of the first `limit` keys
-    /// in `[low, high)`, in key order, into `rids` (cleared first) —
+    /// Range scan over an index: hand `visit` the record ids of the first
+    /// `limit` keys in `[low, high)`, in key order —
     /// [`crate::btree::BTree::range`]: `high == None` has no upper bound
-    /// (a YCSB-style short scan), `limit == usize::MAX` no limit.
+    /// (a YCSB-style short scan), `limit == usize::MAX` no limit.  `visit`
+    /// runs under the engine lock, as [`Database::read`]'s closure does.
     #[allow(clippy::too_many_arguments)]
     pub fn index_range(
         &self,
@@ -603,34 +604,32 @@ impl Database {
         low: &[u8],
         high: Option<&[u8]>,
         limit: usize,
-        rids: &mut Vec<RecordId>,
+        mut visit: impl FnMut(RecordId),
     ) -> Result<()> {
         let mut e = self.lock_engine();
         let (table_def, pool, _) = e.parts(table)?;
         let tree = &mut table_def.index_mut(index)?.tree;
-        rids.clear();
-        let t = tree.range(pool, low, high, limit, txn.now, |_, rid| rids.push(rid))?;
+        let t = tree.range(pool, low, high, limit, txn.now, |_, rid| visit(rid))?;
         charge(txn, t, false);
         Ok(())
     }
 
-    /// Prefix scan over an index: the record ids of every key starting
-    /// with `prefix`, in key order, into `rids` (cleared first).
+    /// Prefix scan over an index: hand `visit` the record id of every key
+    /// starting with `prefix`, in key order, as [`Database::index_range`]
+    /// does.
     pub fn index_prefix(
         &self,
         txn: &mut Txn,
         table: &str,
         index: &str,
         prefix: &[u8],
-        rids: &mut Vec<RecordId>,
+        mut visit: impl FnMut(RecordId),
     ) -> Result<()> {
         let mut e = self.lock_engine();
         let (table_def, pool, _) = e.parts(table)?;
         let tree = &mut table_def.index_mut(index)?.tree;
-        rids.clear();
         let in_range = |key: &[u8]| key.starts_with(prefix);
-        let push = |_: &[u8], rid| rids.push(rid);
-        let t = tree.scan(pool, prefix, in_range, usize::MAX, txn.now, push)?;
+        let t = tree.scan(pool, prefix, in_range, usize::MAX, txn.now, |_, rid| visit(rid))?;
         charge(txn, t, false);
         Ok(())
     }
@@ -1182,25 +1181,32 @@ mod tests {
                     .unwrap();
             }
         }
-        // All lines of order 7, into one vector every scan reuses.
+        // All lines of order 7, handed out in key order.
         let mut rids = Vec::new();
         let prefix = composite_key(&[1, 1, 7]);
-        db.index_prefix(&mut txn, "orderline", "ol_idx", &prefix, &mut rids).unwrap();
+        db.index_prefix(&mut txn, "orderline", "ol_idx", &prefix, |rid| rids.push(rid)).unwrap();
         assert_eq!(rids.len(), 5);
         let lines: Vec<i64> = rids
             .iter()
             .map(|rid| db.read(&mut txn, "orderline", *rid, |r| r.int(1)).unwrap())
             .collect();
         assert_eq!(lines, [1, 2, 3, 4, 5]);
-        // Orders 5..10 (exclusive): the scan clears what the last one left.
+        // Orders 5..10 (exclusive), then the first 3 keys from order 5 on.
         let (low, high) = (composite_key(&[1, 1, 5]), composite_key(&[1, 1, 10]));
-        db.index_range(&mut txn, "orderline", "ol_idx", &low, Some(&high), usize::MAX, &mut rids)
+        let mut all = Vec::new();
+        db.index_range(&mut txn, "orderline", "ol_idx", &low, Some(&high), usize::MAX, |rid| {
+            all.push(rid)
+        })
+        .unwrap();
+        assert_eq!(all.len(), 25);
+        let mut first = Vec::new();
+        db.index_range(&mut txn, "orderline", "ol_idx", &low, None, 3, |rid| first.push(rid))
             .unwrap();
-        assert_eq!(rids.len(), 25);
-        db.index_range(&mut txn, "orderline", "ol_idx", &low, None, 3, &mut rids).unwrap();
-        assert_eq!(rids.len(), 3);
-        db.index_prefix(&mut txn, "orderline", "ol_idx", &composite_key(&[2]), &mut rids).unwrap();
-        assert!(rids.is_empty());
+        assert_eq!(first, all[..3]);
+        let mut none = 0;
+        db.index_prefix(&mut txn, "orderline", "ol_idx", &composite_key(&[2]), |_| none += 1)
+            .unwrap();
+        assert_eq!(none, 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::Result;
 use crate::PAGE_SIZE;
 
 /// Physical address of a record: page number within the heap plus slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RecordId {
     /// Logical page number within the heap object.
     pub page: u64,

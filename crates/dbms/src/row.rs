@@ -255,7 +255,10 @@ mod tests {
         /// edits, and a short buffer or an over-long string length is
         /// `Corrupted` — for an owned row and for one borrowed, and one
         /// mutably borrowed, from a frame that holds the record followed
-        /// by bytes that are not the row's and stay as they are.
+        /// by bytes that are not the row's and stay as they are.  And a
+        /// row that starts as zero bytes and gets a random subset of its
+        /// columns set holds what `encode` writes for the same values,
+        /// with each unset column `Int(0)`, `Float(0.0)` or empty.
         #[test]
         fn row_bytes_equal_the_value_round_trip(seed in any::<u64>(), edits in 0usize..24) {
             let mut rng = SplitMix64(seed);
@@ -292,6 +295,23 @@ mod tests {
             let lent = Row::new(Arc::clone(&schema), &frame[..]).unwrap();
             prop_assert_eq!(&*lent.encoded(&schema).unwrap(), row.bytes());
             prop_assert_eq!(lent.owned().bytes(), row.bytes());
+
+            let mut zeroed = vec![0; len];
+            let mut built = Row::new(Arc::clone(&schema), &mut zeroed[..]).unwrap();
+            let mut values = Record::new();
+            for (col, ty) in types.iter().enumerate() {
+                values.push(match ty {
+                    _ if rng.below(2) == 0 => {
+                        let v = value(&mut rng, *ty);
+                        set(&mut built, col, &v);
+                        v
+                    }
+                    ColumnType::Int => Value::Int(0),
+                    ColumnType::Float => Value::Float(0.0),
+                    ColumnType::Str(_) => Value::Str(String::new()),
+                });
+            }
+            prop_assert_eq!(built.bytes(), &schema.encode(&values).unwrap()[..]);
 
             // A buffer one byte short, or shorter: owned, borrowed and
             // mutably borrowed.

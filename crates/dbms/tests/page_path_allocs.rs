@@ -13,11 +13,12 @@
 //! `crates/obs/tests/no_alloc.rs`, so parallel tests do not charge each
 //! other) holds the paths to that, and records the sizes of the first
 //! allocations of each counted window, so a budget that fails says what
-//! it saw.  `Database::index_range` over resident leaves copies no key:
-//! it fills the caller's `Vec<RecordId>`, which allocates while it grows
-//! and never once it has grown.  The writes edit the heap page and the
-//! leaf in their buffer frames and copy no page either: an update of a
-//! `Row`, or one made in the frame by `Database::update_with`, allocates
+//! it saw.  `Database::index_range` and `index_prefix` over resident
+//! leaves copy no key and collect nothing: they hand each record id to
+//! the caller's closure, and allocate nothing.  The writes edit the heap
+//! page and the leaf in their buffer frames and copy no page either: an
+//! update of a `Row`, one made in the frame by `Database::update_with`,
+//! and an insert of a `Row` built over the caller's bytes allocate
 //! nothing.  A B+-tree split writes its halves, and the widened parent or
 //! new root, from page buffers the tree keeps, so once the tree has split
 //! at a depth a leaf or an internal split there allocates nothing.  CI
@@ -30,7 +31,7 @@ use std::sync::Arc;
 
 use dbms_engine::btree::BTree;
 use dbms_engine::{
-    BufferPool, ColumnType, Database, DatabaseConfig, NoFtlBackend, Record, RecordId, Schema,
+    BufferPool, ColumnType, Database, DatabaseConfig, NoFtlBackend, Record, RecordId, Row, Schema,
     StorageBackend, Value, PAGE_SIZE,
 };
 use flash_sim::{DeviceBuilder, FlashGeometry, SimTime, TimingModel};
@@ -242,8 +243,8 @@ fn cold_index_get_reads_into_the_victims_buffer() {
     assert_eq!(window.allocs, keys.len() as u64, "{} cold reads: {window}", keys.len());
 }
 
-/// A scan into an empty vector allocates its doublings, and one into a
-/// vector that has already grown nothing.
+/// A range scan over a hundred warm leaves, and a prefix scan, hand
+/// their record ids to a closure and allocate nothing at all.
 #[test]
 fn warm_range_scan_allocates_nothing_per_row() {
     let (db, now) = loaded_db();
@@ -252,35 +253,31 @@ fn warm_range_scan_allocates_nothing_per_row() {
     let rows_wanted = 100 * rows_per_leaf + 1;
     let before = db.buffer_stats();
     let mut txn = db.begin(now);
-    let (low, prefix, mut rids) = (key(1_000), key(1_000)[..KEY_LEN - 2].to_vec(), Vec::new());
-    let first = counted(|| {
-        db.index_range(&mut txn, "t", "i", &low, None, rows_wanted, &mut rids).unwrap();
+    let (low, prefix) = (key(1_000), key(1_000)[..KEY_LEN - 2].to_vec());
+    let (mut rows, mut last, mut prefixed) = (0, None, 0);
+    let range = counted(|| {
+        db.index_range(&mut txn, "t", "i", &low, None, rows_wanted, |rid| {
+            rows += 1;
+            last = Some(rid);
+        })
+        .unwrap();
     });
     let after = db.buffer_stats();
-    assert_eq!(rids.len(), rows_wanted);
-    let grown = rids.clone();
-    // The same scan again, and a shorter one, into the vector as it is.
-    let again = counted(|| {
-        db.index_range(&mut txn, "t", "i", &low, None, rows_wanted, &mut rids).unwrap();
-        assert_eq!(rids, grown);
-        db.index_prefix(&mut txn, "t", "i", &prefix, &mut rids).unwrap();
+    let prefix_scan = counted(|| {
+        db.index_prefix(&mut txn, "t", "i", &prefix, |_| prefixed += 1).unwrap();
     });
+    let last_key = key(1_000 + rows_wanted as u64 - 1);
+    assert_eq!(last, db.index_lookup(&mut txn, "t", "i", &last_key).unwrap());
     db.commit(&mut txn).unwrap();
 
-    assert_eq!(rids, grown[..100]);
+    assert_eq!((rows, prefixed), (rows_wanted, 100));
     assert_eq!(db.buffer_stats().misses, before.misses, "warm");
     // Three logical reads are the descent (root, inner node, first leaf);
     // the walk then reads one node per leaf of the chain.
     let leaves = after.logical_reads - before.logical_reads - 3;
     assert!(leaves >= 100, "the scan crossed only {leaves} leaves");
-    // The result vector's doublings, one per power of two up to the row
-    // count, and no key copy.
-    let doublings = u64::from(usize::BITS - rows_wanted.leading_zeros()) + 1;
-    assert!(
-        first.allocs <= doublings,
-        "{rows_wanted} rows over {leaves} warm leaves, budget {doublings}: {first}"
-    );
-    assert_eq!(again.allocs, 0, "scans into a grown vector: {again}");
+    assert_eq!(range.allocs, 0, "{rows_wanted} rows over {leaves} warm leaves: {range}");
+    assert_eq!(prefix_scan.allocs, 0, "a prefix scan of 100 rows: {prefix_scan}");
 }
 
 /// Warm writes edit their pages where the pool holds them.  Per
@@ -293,6 +290,8 @@ fn warm_range_scan_allocates_nothing_per_row() {
 ///   index key arrives built, the B+-tree descent copies its internal
 ///   nodes into the tree's reused path buffer, and the log note is
 ///   formatted into the log's reused frame buffer;
+/// * `insert` of a `Row` whose columns are set over zeroed bytes on the
+///   stack: nothing — 0.  The row lends its bytes;
 /// * `delete`: nothing — 0.
 ///
 /// The commit forces the log, which seals a page of its own; it runs
@@ -312,8 +311,11 @@ fn warm_writes_copy_no_page() {
         id += 1;
     }
     // Rows spread over the tree: each delete makes room in its leaf for
-    // the insert of the same key that follows, so no insert splits.
+    // the insert of the same key that follows, so no insert splits.  The
+    // first half is inserted as values, the second as rows.
     let ids: Vec<u64> = (0..OPS).map(|i| 1 + i * 997 % RECORDS).collect();
+    let half = OPS as usize / 2;
+    let schema = db.with_table("t", |t| Arc::clone(&t.schema)).unwrap();
     let rids: Vec<RecordId> = ids
         .iter()
         .map(|&i| db.index_lookup(&mut txn, "t", "i", &key(i)).unwrap().expect("loaded key"))
@@ -339,26 +341,43 @@ fn warm_writes_copy_no_page() {
         }
     });
     let insert = counted(|| {
-        for (row, keys) in rows.iter().zip(&keys) {
+        for (row, keys) in rows.iter().zip(&keys).take(half) {
             db.insert(&mut txn, "t", row, keys).unwrap();
+        }
+    });
+    let insert_row = counted(|| {
+        for keys in &keys[half..] {
+            let mut bytes = [0; 2 + KEY_LEN + 2 + 100];
+            let mut row = Row::new(Arc::clone(&schema), &mut bytes[..]).unwrap();
+            row.set_str(0, std::str::from_utf8(&keys[0].1).unwrap());
+            row.set_str(1, "v");
+            db.insert(&mut txn, "t", &row, keys).unwrap();
         }
     });
     db.commit(&mut txn).unwrap();
 
     assert_eq!(db.buffer_stats().misses, misses, "the writes were meant to be warm");
     assert_eq!(tree_pages(), index_pages, "an insert split its leaf");
+    // A row built in its bytes stores what the values encode to.
+    let mut txn = db.begin(txn.now);
+    for (&id, keys) in ids.iter().zip(&keys) {
+        let (_, stored) = db.index_get(&mut txn, "t", "i", &keys[0].1).unwrap().expect("key");
+        assert_eq!(stored.bytes(), schema.encode(&row(id)).unwrap(), "row {id}");
+    }
+    let half = half as u64;
     let ops = [
-        ("update", update, 0),
-        ("update_with", update_with, 0),
-        ("delete", delete, 0),
-        ("insert", insert, 1),
+        ("update", update, OPS, 0),
+        ("update_with", update_with, OPS, 0),
+        ("delete", delete, OPS, 0),
+        ("insert of values", insert, half, 1),
+        ("insert of a row", insert_row, OPS - half, 0),
     ];
-    for (op, window, per_op) in ops {
+    for (op, window, count, per_op) in ops {
         assert!(window.largest < PAGE_SIZE, "a warm {op} copied a page: {window}");
         assert!(
-            window.allocs <= per_op * OPS,
-            "{OPS} warm {op}s, budget {}: {window}",
-            per_op * OPS
+            window.allocs <= per_op * count,
+            "{count} warm {op}s, budget {}: {window}",
+            per_op * count
         );
     }
 }

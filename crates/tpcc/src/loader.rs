@@ -5,12 +5,11 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dbms_engine::value::Value;
-use dbms_engine::{Database, Record, NO_KEYS};
+use dbms_engine::{Database, NO_KEYS};
 use flash_sim::SimTime;
 
 use crate::random;
-use crate::schema;
+use crate::schema::{self, insert_row};
 
 /// Cardinalities of the generated database.
 ///
@@ -91,7 +90,11 @@ pub struct LoadStats {
 
 impl LoadStats {
     fn bump(&mut self, table: &str) {
-        *self.rows.entry(table.to_string()).or_insert(0) += 1;
+        if let Some(rows) = self.rows.get_mut(table) {
+            *rows += 1;
+        } else {
+            self.rows.insert(table.to_string(), 1);
+        }
     }
 
     /// Total rows inserted.
@@ -124,14 +127,13 @@ impl Loader {
 
         // ITEM (global).
         for i_id in 1..=s.items {
-            let rec: Record = vec![
-                Value::Int(i_id),
-                Value::Int(random::uniform(&mut rng, 1, 10_000)),
-                Value::Str(random::a_string(&mut rng, 14, 24)),
-                Value::Float(random::uniform(&mut rng, 100, 10_000) as f64 / 100.0),
-                Value::Str(random::a_string(&mut rng, 26, 50)),
-            ];
-            db.insert(&mut txn, "ITEM", &rec, &[("I_IDX", schema::item_key(i_id))])?;
+            insert_row(db, &mut txn, "ITEM", &[("I_IDX", schema::item_key(i_id))], |row| {
+                row.int(i_id)
+                    .int(random::uniform(&mut rng, 1, 10_000))
+                    .str(&random::a_string(&mut rng, 14, 24))
+                    .float(random::uniform(&mut rng, 100, 10_000) as f64 / 100.0)
+                    .str(&random::a_string(&mut rng, 26, 50));
+            })?;
             stats.bump("ITEM");
         }
 
@@ -152,32 +154,29 @@ impl Loader {
         w_id: i64,
     ) -> dbms_engine::Result<()> {
         let s = &self.scale;
-        let rec: Record = vec![
-            Value::Int(w_id),
-            Value::Str(random::a_string(rng, 6, 10)),
-            Value::Str(random::a_string(rng, 10, 20)),
-            Value::Str(random::a_string(rng, 10, 20)),
-            Value::Str(random::a_string(rng, 10, 20)),
-            Value::Str(random::a_string(rng, 2, 2)),
-            Value::Str(random::zip(rng)),
-            Value::Float(random::uniform(rng, 0, 2000) as f64 / 10_000.0),
-            Value::Float(300_000.0),
-        ];
-        db.insert(txn, "WAREHOUSE", &rec, &[("W_IDX", schema::warehouse_key(w_id))])?;
+        insert_row(db, txn, "WAREHOUSE", &[("W_IDX", schema::warehouse_key(w_id))], |row| {
+            row.int(w_id)
+                .str(&random::a_string(rng, 6, 10))
+                .str(&random::a_string(rng, 10, 20))
+                .str(&random::a_string(rng, 10, 20))
+                .str(&random::a_string(rng, 10, 20))
+                .str(&random::a_string(rng, 2, 2))
+                .str(&random::zip(rng))
+                .float(random::uniform(rng, 0, 2000) as f64 / 10_000.0)
+                .float(300_000.0);
+        })?;
         stats.bump("WAREHOUSE");
 
         // STOCK: one row per item.
         for i_id in 1..=s.items {
-            let mut rec: Record =
-                vec![Value::Int(i_id), Value::Int(w_id), Value::Int(random::uniform(rng, 10, 100))];
-            for _ in 0..10 {
-                rec.push(Value::Str(random::a_string(rng, 24, 24)));
-            }
-            rec.push(Value::Float(0.0));
-            rec.push(Value::Int(0));
-            rec.push(Value::Int(0));
-            rec.push(Value::Str(random::a_string(rng, 26, 50)));
-            db.insert(txn, "STOCK", &rec, &[("S_IDX", schema::stock_key(w_id, i_id))])?;
+            insert_row(db, txn, "STOCK", &[("S_IDX", schema::stock_key(w_id, i_id))], |row| {
+                row.int(i_id).int(w_id).int(random::uniform(rng, 10, 100));
+                for _ in 0..10 {
+                    row.str(&random::a_string(rng, 24, 24));
+                }
+                // S_YTD, S_ORDER_CNT and S_REMOTE_CNT start at zero.
+                row.skip(3).str(&random::a_string(rng, 26, 50));
+            })?;
             stats.bump("STOCK");
         }
 
@@ -198,20 +197,19 @@ impl Loader {
         d_id: i64,
     ) -> dbms_engine::Result<()> {
         let s = &self.scale;
-        let rec: Record = vec![
-            Value::Int(d_id),
-            Value::Int(w_id),
-            Value::Str(random::a_string(rng, 6, 10)),
-            Value::Str(random::a_string(rng, 10, 20)),
-            Value::Str(random::a_string(rng, 10, 20)),
-            Value::Str(random::a_string(rng, 10, 20)),
-            Value::Str(random::a_string(rng, 2, 2)),
-            Value::Str(random::zip(rng)),
-            Value::Float(random::uniform(rng, 0, 2000) as f64 / 10_000.0),
-            Value::Float(30_000.0),
-            Value::Int(s.initial_orders_per_district + 1),
-        ];
-        db.insert(txn, "DISTRICT", &rec, &[("D_IDX", schema::district_key(w_id, d_id))])?;
+        insert_row(db, txn, "DISTRICT", &[("D_IDX", schema::district_key(w_id, d_id))], |row| {
+            row.int(d_id)
+                .int(w_id)
+                .str(&random::a_string(rng, 6, 10))
+                .str(&random::a_string(rng, 10, 20))
+                .str(&random::a_string(rng, 10, 20))
+                .str(&random::a_string(rng, 10, 20))
+                .str(&random::a_string(rng, 2, 2))
+                .str(&random::zip(rng))
+                .float(random::uniform(rng, 0, 2000) as f64 / 10_000.0)
+                .float(30_000.0)
+                .int(s.initial_orders_per_district + 1);
+        })?;
         stats.bump("DISTRICT");
 
         // CUSTOMER + HISTORY.
@@ -222,51 +220,45 @@ impl Loader {
                 random::random_last_name(rng)
             };
             let credit = if random::uniform(rng, 1, 10) == 1 { "BC" } else { "GC" };
-            let rec: Record = vec![
-                Value::Int(c_id),
-                Value::Int(d_id),
-                Value::Int(w_id),
-                Value::Str(random::a_string(rng, 8, 16)),
-                Value::Str("OE".into()),
-                Value::Str(last.clone()),
-                Value::Str(random::a_string(rng, 10, 20)),
-                Value::Str(random::a_string(rng, 10, 20)),
-                Value::Str(random::a_string(rng, 10, 20)),
-                Value::Str(random::a_string(rng, 2, 2)),
-                Value::Str(random::zip(rng)),
-                Value::Str(random::n_string(rng, 16, 16)),
-                Value::Str("20151001000000".into()),
-                Value::Str(credit.into()),
-                Value::Float(50_000.0),
-                Value::Float(random::uniform(rng, 0, 5000) as f64 / 10_000.0),
-                Value::Float(-10.0),
-                Value::Float(10.0),
-                Value::Int(1),
-                Value::Int(0),
-                Value::Str(random::a_string(rng, 300, 500)),
+            let keys = [
+                ("C_IDX", &schema::customer_key(w_id, d_id, c_id)[..]),
+                ("C_NAME_IDX", &schema::customer_name_key(w_id, d_id, &last, c_id)[..]),
             ];
-            db.insert(
-                txn,
-                "CUSTOMER",
-                &rec,
-                &[
-                    ("C_IDX", &schema::customer_key(w_id, d_id, c_id)[..]),
-                    ("C_NAME_IDX", &schema::customer_name_key(w_id, d_id, &last, c_id)[..]),
-                ],
-            )?;
+            insert_row(db, txn, "CUSTOMER", &keys, |row| {
+                row.int(c_id)
+                    .int(d_id)
+                    .int(w_id)
+                    .str(&random::a_string(rng, 8, 16))
+                    .str("OE")
+                    .str(&last)
+                    .str(&random::a_string(rng, 10, 20))
+                    .str(&random::a_string(rng, 10, 20))
+                    .str(&random::a_string(rng, 10, 20))
+                    .str(&random::a_string(rng, 2, 2))
+                    .str(&random::zip(rng))
+                    .str(&random::n_string(rng, 16, 16))
+                    .str("20151001000000")
+                    .str(credit)
+                    .float(50_000.0)
+                    .float(random::uniform(rng, 0, 5000) as f64 / 10_000.0)
+                    .float(-10.0)
+                    .float(10.0)
+                    .int(1)
+                    .int(0)
+                    .str(&random::a_string(rng, 300, 500));
+            })?;
             stats.bump("CUSTOMER");
 
-            let hist: Record = vec![
-                Value::Int(c_id),
-                Value::Int(d_id),
-                Value::Int(w_id),
-                Value::Int(d_id),
-                Value::Int(w_id),
-                Value::Str("20151001000000".into()),
-                Value::Float(10.0),
-                Value::Str(random::a_string(rng, 12, 24)),
-            ];
-            db.insert(txn, "HISTORY", &hist, NO_KEYS)?;
+            insert_row(db, txn, "HISTORY", NO_KEYS, |row| {
+                row.int(c_id)
+                    .int(d_id)
+                    .int(w_id)
+                    .int(d_id)
+                    .int(w_id)
+                    .str("20151001000000")
+                    .float(10.0)
+                    .str(&random::a_string(rng, 12, 24));
+            })?;
             stats.bump("HISTORY");
         }
 
@@ -283,61 +275,48 @@ impl Loader {
             let ol_cnt = random::uniform(rng, 5, 15);
             let is_new = o_id >= new_order_start;
             let carrier = if is_new { 0 } else { random::uniform(rng, 1, 10) };
-            let order: Record = vec![
-                Value::Int(o_id),
-                Value::Int(d_id),
-                Value::Int(w_id),
-                Value::Int(c_id),
-                Value::Str("20151001000000".into()),
-                Value::Int(carrier),
-                Value::Int(ol_cnt),
-                Value::Int(1),
+            let keys = [
+                ("O_IDX", &schema::order_key(w_id, d_id, o_id)[..]),
+                ("O_CUST_IDX", &schema::order_customer_key(w_id, d_id, c_id, o_id)[..]),
             ];
-            db.insert(
-                txn,
-                "ORDER",
-                &order,
-                &[
-                    ("O_IDX", &schema::order_key(w_id, d_id, o_id)[..]),
-                    ("O_CUST_IDX", &schema::order_customer_key(w_id, d_id, c_id, o_id)[..]),
-                ],
-            )?;
+            insert_row(db, txn, "ORDER", &keys, |row| {
+                row.int(o_id)
+                    .int(d_id)
+                    .int(w_id)
+                    .int(c_id)
+                    .str("20151001000000")
+                    .int(carrier)
+                    .int(ol_cnt)
+                    .int(1);
+            })?;
             stats.bump("ORDER");
             for ol_number in 1..=ol_cnt {
                 let i_id = random::uniform(rng, 1, s.items);
                 let (delivery_d, amount) = if is_new {
-                    ("".to_string(), random::uniform(rng, 1, 999_999) as f64 / 100.0)
+                    ("", random::uniform(rng, 1, 999_999) as f64 / 100.0)
                 } else {
-                    ("20151001000000".to_string(), 0.0)
+                    ("20151001000000", 0.0)
                 };
-                let ol: Record = vec![
-                    Value::Int(o_id),
-                    Value::Int(d_id),
-                    Value::Int(w_id),
-                    Value::Int(ol_number),
-                    Value::Int(i_id),
-                    Value::Int(w_id),
-                    Value::Str(delivery_d),
-                    Value::Int(5),
-                    Value::Float(amount),
-                    Value::Str(random::a_string(rng, 24, 24)),
-                ];
-                db.insert(
-                    txn,
-                    "ORDERLINE",
-                    &ol,
-                    &[("OL_IDX", schema::orderline_key(w_id, d_id, o_id, ol_number))],
-                )?;
+                let keys = [("OL_IDX", schema::orderline_key(w_id, d_id, o_id, ol_number))];
+                insert_row(db, txn, "ORDERLINE", &keys, |row| {
+                    row.int(o_id)
+                        .int(d_id)
+                        .int(w_id)
+                        .int(ol_number)
+                        .int(i_id)
+                        .int(w_id)
+                        .str(delivery_d)
+                        .int(5)
+                        .float(amount)
+                        .str(&random::a_string(rng, 24, 24));
+                })?;
                 stats.bump("ORDERLINE");
             }
             if is_new {
-                let no: Record = vec![Value::Int(o_id), Value::Int(d_id), Value::Int(w_id)];
-                db.insert(
-                    txn,
-                    "NEW_ORDER",
-                    &no,
-                    &[("NO_IDX", schema::new_order_key(w_id, d_id, o_id))],
-                )?;
+                let keys = [("NO_IDX", schema::new_order_key(w_id, d_id, o_id))];
+                insert_row(db, txn, "NEW_ORDER", &keys, |row| {
+                    row.int(o_id).int(d_id).int(w_id);
+                })?;
                 stats.bump("NEW_ORDER");
             }
         }

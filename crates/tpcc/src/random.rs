@@ -1,5 +1,8 @@
 //! TPC-C input generation: NURand, last names, random strings.
 
+use std::fmt;
+use std::ops::Deref;
+
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -35,42 +38,119 @@ pub fn nurand_item_id(rng: &mut StdRng, items: i64) -> i64 {
     nurand(rng, 8191, C_ITEM_ID, 1, items.max(1))
 }
 
+/// The longest string a TPC-C column holds (`C_DATA`).
+pub const TEXT_BYTES: usize = 500;
+
+/// A string of at most [`TEXT_BYTES`] bytes, kept on the stack: what the
+/// generators return and what a transaction formats a column into.  A
+/// write past its end is cut at the last whole character that fits.
+#[derive(Clone, Copy)]
+pub struct Text {
+    len: usize,
+    bytes: [u8; TEXT_BYTES],
+}
+
+impl Text {
+    /// An empty text.
+    pub const fn new() -> Self {
+        Text { len: 0, bytes: [0; TEXT_BYTES] }
+    }
+
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len]).expect("only whole characters are kept")
+    }
+
+    /// Append `s`, cut to what fits.
+    pub fn push_str(&mut self, s: &str) {
+        let take = s.floor_char_boundary(TEXT_BYTES - self.len);
+        self.bytes[self.len..self.len + take].copy_from_slice(&s.as_bytes()[..take]);
+        self.len += take;
+    }
+
+    /// Append the ASCII character `byte`, if it fits.
+    fn push_ascii(&mut self, byte: u8) {
+        debug_assert!(byte.is_ascii());
+        if self.len < TEXT_BYTES {
+            self.bytes[self.len] = byte;
+            self.len += 1;
+        }
+    }
+}
+
+impl Default for Text {
+    fn default() -> Self {
+        Text::new()
+    }
+}
+
+impl Deref for Text {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+/// Formatting into a text never fails: what does not fit is cut.
+impl fmt::Write for Text {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.push_str(s);
+        Ok(())
+    }
+}
+
 /// The TPC-C last-name syllables.
 const SYLLABLES: [&str; 10] =
     ["BAR", "OUGHT", "ABLE", "PRI", "PRES", "ESE", "ANTI", "CALLY", "ATION", "EING"];
 
 /// Build the last name for a number in `[0, 999]`.
-pub fn last_name(num: i64) -> String {
+pub fn last_name(num: i64) -> Text {
     let num = num.clamp(0, 999);
-    format!(
-        "{}{}{}",
-        SYLLABLES[(num / 100) as usize],
-        SYLLABLES[((num / 10) % 10) as usize],
-        SYLLABLES[(num % 10) as usize]
-    )
+    let mut name = Text::new();
+    for digit in [num / 100, (num / 10) % 10, num % 10] {
+        name.push_str(SYLLABLES[digit as usize]);
+    }
+    name
 }
 
 /// A random last name for transaction input (NURand(255) over [0, 999]).
-pub fn random_last_name(rng: &mut StdRng) -> String {
+pub fn random_last_name(rng: &mut StdRng) -> Text {
     last_name(nurand(rng, 255, C_LAST, 0, 999))
 }
 
 /// Random alphanumeric string with length in `[lo, hi]`.
-pub fn a_string(rng: &mut StdRng, lo: usize, hi: usize) -> String {
+pub fn a_string(rng: &mut StdRng, lo: usize, hi: usize) -> Text {
     const CHARS: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789";
     let len = uniform(rng, lo as i64, hi as i64) as usize;
-    (0..len).map(|_| CHARS[rng.random_range(0..CHARS.len())] as char).collect()
+    let mut text = Text::new();
+    for _ in 0..len {
+        text.push_ascii(CHARS[rng.random_range(0..CHARS.len())]);
+    }
+    text
 }
 
 /// Random numeric string with length in `[lo, hi]`.
-pub fn n_string(rng: &mut StdRng, lo: usize, hi: usize) -> String {
+pub fn n_string(rng: &mut StdRng, lo: usize, hi: usize) -> Text {
     let len = uniform(rng, lo as i64, hi as i64) as usize;
-    (0..len).map(|_| char::from(b'0' + rng.random_range(0..10) as u8)).collect()
+    let mut text = Text::new();
+    for _ in 0..len {
+        text.push_ascii(b'0' + rng.random_range(0..10) as u8);
+    }
+    text
 }
 
 /// Random zip code: 4 digits followed by "11111".
-pub fn zip(rng: &mut StdRng) -> String {
-    format!("{}11111", n_string(rng, 4, 4))
+pub fn zip(rng: &mut StdRng) -> Text {
+    let mut zip = n_string(rng, 4, 4);
+    zip.push_str("11111");
+    zip
 }
 
 #[cfg(test)]
@@ -111,11 +191,11 @@ mod tests {
 
     #[test]
     fn last_names_follow_the_syllable_table() {
-        assert_eq!(last_name(0), "BARBARBAR");
-        assert_eq!(last_name(371), "PRICALLYOUGHT");
-        assert_eq!(last_name(999), "EINGEINGEING");
-        assert_eq!(last_name(-5), "BARBARBAR", "clamped");
-        assert_eq!(last_name(5000), "EINGEINGEING", "clamped");
+        assert_eq!(last_name(0).as_str(), "BARBARBAR");
+        assert_eq!(last_name(371).as_str(), "PRICALLYOUGHT");
+        assert_eq!(last_name(999).as_str(), "EINGEINGEING");
+        assert_eq!(last_name(-5).as_str(), "BARBARBAR", "clamped");
+        assert_eq!(last_name(5000).as_str(), "EINGEINGEING", "clamped");
         let mut r = rng();
         let name = random_last_name(&mut r);
         assert!(name.len() >= 9 && name.len() <= 15);
@@ -132,6 +212,19 @@ mod tests {
             assert!(n.chars().all(|c| c.is_ascii_digit()));
         }
         assert_eq!(zip(&mut r).len(), 9);
+    }
+
+    #[test]
+    fn a_text_is_cut_at_its_size() {
+        use std::fmt::Write;
+        let mut text = Text::new();
+        write!(text, "{:>1$}", 7, TEXT_BYTES - 1).unwrap();
+        text.push_str("€ and more");
+        assert_eq!(text.len(), TEXT_BYTES - 1, "no half of a three-byte character");
+        assert!(text.ends_with(" 7"));
+        text.push_str("xyz");
+        assert_eq!((text.len(), text.as_bytes()[TEXT_BYTES - 1]), (TEXT_BYTES, b'x'));
+        assert_eq!(a_string(&mut rng(), 600, 600).len(), TEXT_BYTES);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! `C_NAME_IDX`, `I_IDX`, `S_IDX`, `O_IDX`, `O_CUST_IDX`, `NO_IDX`,
 //! `OL_IDX` (plus the engine's own `DBMS-metadata` and `DBMS-log`).
 
+use std::sync::Arc;
+
 use dbms_engine::value::encode_key_int;
-use dbms_engine::{ColumnType, Database, Schema};
+use dbms_engine::{ColumnType, Database, RecordId, Row, Schema, Txn};
 use flash_sim::SimTime;
 
 /// Width of the padded last-name component in `C_NAME_IDX` keys.
@@ -247,6 +249,64 @@ pub fn create_schema(db: &Database, now: SimTime) -> dbms_engine::Result<()> {
 }
 
 // ---------------------------------------------------------------------
+// Row builder
+// ---------------------------------------------------------------------
+
+/// Bytes enough for any TPC-C row: CUSTOMER's, the longest, is 733.
+pub const ROW_BYTES: usize = 1024;
+
+/// A row's columns, set in schema order from the first, straight into
+/// the row's bytes.
+pub struct Columns<'r, 'b> {
+    row: &'r mut Row<&'b mut [u8]>,
+    col: usize,
+}
+
+impl Columns<'_, '_> {
+    /// Set the next column to the integer `v`.
+    pub fn int(&mut self, v: i64) -> &mut Self {
+        self.row.set_int(self.col, v);
+        self.skip(1)
+    }
+
+    /// Set the next column to the float `v`.
+    pub fn float(&mut self, v: f64) -> &mut Self {
+        self.row.set_float(self.col, v);
+        self.skip(1)
+    }
+
+    /// Set the next column to the string `s`, cut to the column's size.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.row.set_str(self.col, s);
+        self.skip(1)
+    }
+
+    /// Leave the next `n` columns unset, so zero: `Int(0)`, `Float(0.0)`
+    /// or an empty string, as `Schema::encode` writes them.
+    pub fn skip(&mut self, n: usize) -> &mut Self {
+        self.col += n;
+        self
+    }
+}
+
+/// Insert into `table` the row `build` sets, over zeroed bytes on the
+/// stack, and register it under `keys`: the row lends its bytes to
+/// [`Database::insert`], so nothing is built on the heap.
+pub fn insert_row(
+    db: &Database,
+    txn: &mut Txn,
+    table: &str,
+    keys: &[(&str, impl AsRef<[u8]>)],
+    build: impl FnOnce(&mut Columns<'_, '_>),
+) -> dbms_engine::Result<RecordId> {
+    let schema = db.with_table(table, |t| Arc::clone(&t.schema))?;
+    let mut bytes = [0; ROW_BYTES];
+    let mut row = Row::new(schema, &mut bytes[..])?;
+    build(&mut Columns { row: &mut row, col: 0 });
+    db.insert(txn, table, &row, keys)
+}
+
+// ---------------------------------------------------------------------
 // Key builders
 // ---------------------------------------------------------------------
 //
@@ -343,6 +403,24 @@ mod tests {
         assert!(orderline_schema().record_len() <= 120, "orderline rows are small");
         assert!(new_order_schema().record_len() <= 32);
         assert!(item_schema().record_len() >= 80);
+    }
+
+    #[test]
+    fn every_row_fits_the_row_builder() {
+        let schemas = [
+            warehouse_schema(),
+            district_schema(),
+            customer_schema(),
+            history_schema(),
+            new_order_schema(),
+            order_schema(),
+            orderline_schema(),
+            item_schema(),
+            stock_schema(),
+        ];
+        let longest = schemas.iter().map(Schema::record_len).max().unwrap();
+        assert_eq!((longest, customer_schema().record_len()), (733, 733));
+        assert!(longest <= ROW_BYTES);
     }
 
     #[test]

@@ -7,23 +7,25 @@
 //! their buffer frames hold them: a read ([`Database::read`],
 //! [`Database::index_read`]) returns the columns the transaction uses and
 //! copies no row, an update ([`Database::update_with`]) sets its columns
-//! in the frame, and every scan of a transaction fills the one vector of
-//! record ids it keeps.  Only the rows a transaction inserts start as
-//! values.  Each read-then-update pair makes the calls, in the order and
-//! at the simulated instants, that reading a copy and storing it back
-//! made, so every simulated figure is unchanged.
+//! in the frame, and a scan hands its record ids to a closure that keeps
+//! the few the transaction needs on the stack.  A row a transaction
+//! inserts is built in its bytes on the stack ([`schema::insert_row`]),
+//! and its inputs are formatted into stack buffers ([`random::Text`]), so
+//! a transaction allocates nothing.  Each read-then-update pair makes the
+//! calls, in the order and at the simulated instants, that reading a copy
+//! and storing it back made, so every simulated figure is unchanged.
 
 use std::fmt::Write;
+use std::ops::{Deref, DerefMut};
 
 use rand::rngs::StdRng;
 
 use dbms_engine::txn::TxnOutcome;
-use dbms_engine::value::Value;
-use dbms_engine::{Database, Record, RecordId, Row, Txn, NO_KEYS};
+use dbms_engine::{Database, RecordId, Row, Txn, NO_KEYS};
 
 use crate::loader::ScaleConfig;
-use crate::random;
-use crate::schema;
+use crate::random::{self, Text};
+use crate::schema::{self, insert_row};
 
 // Column positions used by the transactions (see `schema.rs`).
 const W_TAX: usize = 7;
@@ -48,24 +50,74 @@ const S_YTD: usize = 13;
 const S_ORDER_CNT: usize = 14;
 const I_PRICE: usize = 3;
 
+/// The most lines an order has.
+const MAX_LINES: usize = 15;
+
+/// Up to `N` values in place, and all of them in a vector past that:
+/// what a scan keeps when it almost always finds few.
+struct Few<T, const N: usize> {
+    len: usize,
+    inline: [T; N],
+    spilled: Vec<T>,
+}
+
+impl<T: Copy + Default, const N: usize> Few<T, N> {
+    fn new() -> Self {
+        Few { len: 0, inline: [T::default(); N], spilled: Vec::new() }
+    }
+
+    fn push(&mut self, v: T) {
+        if self.len < N {
+            self.inline[self.len] = v;
+        } else {
+            if self.len == N {
+                self.spilled.extend_from_slice(&self.inline);
+            }
+            self.spilled.push(v);
+        }
+        self.len += 1;
+    }
+}
+
+impl<T, const N: usize> Deref for Few<T, N> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        if self.len <= N {
+            &self.inline[..self.len]
+        } else {
+            &self.spilled
+        }
+    }
+}
+
+impl<T, const N: usize> DerefMut for Few<T, N> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        if self.len <= N {
+            &mut self.inline[..self.len]
+        } else {
+            &mut self.spilled
+        }
+    }
+}
+
 /// Select a customer either by id (40 %) or by last name (60 %), as the
-/// spec prescribes for Payment and OrderStatus, and read it with `f`.  A
-/// by-name selection scans into `rids`.  Returns the record id and what
-/// `f` returned.
+/// spec prescribes for Payment and OrderStatus, and read it with `f`.
+/// Returns the record id and what `f` returned.
 fn select_customer<R>(
     db: &Database,
     scale: &ScaleConfig,
     rng: &mut StdRng,
     txn: &mut Txn,
     (w_id, d_id): (i64, i64),
-    rids: &mut Vec<RecordId>,
     f: impl FnOnce(&Row<&[u8]>) -> R,
 ) -> dbms_engine::Result<Option<(RecordId, R)>> {
     if random::uniform(rng, 1, 100) <= 60 {
         // By last name: take the middle customer with that name.
         let last = random::random_last_name(rng);
         let prefix = schema::customer_name_prefix(w_id, d_id, &last);
-        db.index_prefix(txn, "CUSTOMER", "C_NAME_IDX", &prefix, rids)?;
+        let mut rids = Few::<RecordId, 16>::new();
+        db.index_prefix(txn, "CUSTOMER", "C_NAME_IDX", &prefix, |rid| rids.push(rid))?;
         if let Some(&rid) = rids.get(rids.len() / 2) {
             return Ok(Some((rid, db.read(txn, "CUSTOMER", rid, f)?)));
         }
@@ -86,20 +138,21 @@ pub fn new_order(
 ) -> dbms_engine::Result<TxnOutcome> {
     let d_id = random::uniform(rng, 1, scale.districts_per_warehouse);
     let c_id = random::nurand_customer_id(rng, scale.customers_per_district);
-    let ol_cnt = random::uniform(rng, 5, 15);
+    let ol_cnt = random::uniform(rng, 5, MAX_LINES as i64);
     let rollback = random::uniform(rng, 1, 100) == 1;
 
     // Generate the order lines up front so the "unused item" case can be
     // detected before any write happens (the engine's rollback model).
-    let mut lines = Vec::with_capacity(ol_cnt as usize);
-    for line in 1..=ol_cnt {
+    let mut lines = [(0, 0, 0); MAX_LINES];
+    let lines = &mut lines[..ol_cnt as usize];
+    for (line, slot) in (1..).zip(lines.iter_mut()) {
         let i_id = if rollback && line == ol_cnt {
             scale.items + 1 // guaranteed unused
         } else {
             random::nurand_item_id(rng, scale.items)
         };
         let quantity = random::uniform(rng, 1, 10);
-        lines.push((line, i_id, quantity));
+        *slot = (line, i_id, quantity);
     }
 
     // Warehouse, district and customer reads.
@@ -118,10 +171,10 @@ pub fn new_order(
         .ok_or_else(|| dbms_engine::DbError::not_found(format!("customer {c_id}")))?;
 
     // Validate the items; an unused item number aborts the transaction.
-    let mut item_prices = Vec::with_capacity(lines.len());
-    for (_, i_id, _) in &lines {
+    let mut item_prices = [0.0; MAX_LINES];
+    for ((_, i_id, _), price) in lines.iter().zip(&mut item_prices) {
         match db.index_read(txn, "ITEM", "I_IDX", &schema::item_key(*i_id), |i| i.float(I_PRICE))? {
-            Some((_, price)) => item_prices.push(price),
+            Some((_, found)) => *price = found,
             None => {
                 return Ok(db.rollback(txn));
             }
@@ -131,30 +184,28 @@ pub fn new_order(
     // All inputs valid: perform the writes.
     db.update_with(txn, "DISTRICT", d_rid, |d| d.set_int(D_NEXT_O_ID, o_id + 1))?;
 
-    let order: Record = vec![
-        Value::Int(o_id),
-        Value::Int(d_id),
-        Value::Int(w_id),
-        Value::Int(c_id),
-        Value::Str("20160315120000".into()),
-        Value::Int(0),
-        Value::Int(ol_cnt),
-        Value::Int(1),
+    let keys = [
+        ("O_IDX", &schema::order_key(w_id, d_id, o_id)[..]),
+        ("O_CUST_IDX", &schema::order_customer_key(w_id, d_id, c_id, o_id)[..]),
     ];
-    db.insert(
-        txn,
-        "ORDER",
-        &order,
-        &[
-            ("O_IDX", &schema::order_key(w_id, d_id, o_id)[..]),
-            ("O_CUST_IDX", &schema::order_customer_key(w_id, d_id, c_id, o_id)[..]),
-        ],
-    )?;
-    let no: Record = vec![Value::Int(o_id), Value::Int(d_id), Value::Int(w_id)];
-    db.insert(txn, "NEW_ORDER", &no, &[("NO_IDX", schema::new_order_key(w_id, d_id, o_id))])?;
+    insert_row(db, txn, "ORDER", &keys, |row| {
+        // O_CARRIER_ID stays zero until Delivery.
+        row.int(o_id)
+            .int(d_id)
+            .int(w_id)
+            .int(c_id)
+            .str("20160315120000")
+            .skip(1)
+            .int(ol_cnt)
+            .int(1);
+    })?;
+    let keys = [("NO_IDX", schema::new_order_key(w_id, d_id, o_id))];
+    insert_row(db, txn, "NEW_ORDER", &keys, |row| {
+        row.int(o_id).int(d_id).int(w_id);
+    })?;
 
     let mut total = 0.0;
-    for ((line, i_id, quantity), price) in lines.iter().zip(item_prices.iter()) {
+    for ((line, i_id, quantity), price) in lines.iter().zip(&item_prices) {
         let (s_rid, mut s_quantity) = db
             .index_read(txn, "STOCK", "S_IDX", &schema::stock_key(w_id, *i_id), |s| {
                 s.int(S_QUANTITY)
@@ -173,24 +224,12 @@ pub fn new_order(
 
         let amount = *quantity as f64 * price * (1.0 + w_tax + d_tax) * (1.0 - c_discount);
         total += amount;
-        let ol: Record = vec![
-            Value::Int(o_id),
-            Value::Int(d_id),
-            Value::Int(w_id),
-            Value::Int(*line),
-            Value::Int(*i_id),
-            Value::Int(w_id),
-            Value::Str(String::new()),
-            Value::Int(*quantity),
-            Value::Float(amount),
-            Value::Str("distinfo-distinfo-dist".into()),
-        ];
-        db.insert(
-            txn,
-            "ORDERLINE",
-            &ol,
-            &[("OL_IDX", schema::orderline_key(w_id, d_id, o_id, *line))],
-        )?;
+        let keys = [("OL_IDX", schema::orderline_key(w_id, d_id, o_id, *line))];
+        insert_row(db, txn, "ORDERLINE", &keys, |row| {
+            // OL_DELIVERY_D stays empty until Delivery.
+            row.int(o_id).int(d_id).int(w_id).int(*line).int(*i_id).int(w_id).skip(1);
+            row.int(*quantity).float(amount).str("distinfo-distinfo-dist");
+        })?;
     }
     debug_assert!(total >= 0.0);
     db.commit(txn)
@@ -229,9 +268,7 @@ pub fn payment(
     db.update_with(txn, "DISTRICT", d_rid, |d| d.set_float(D_YTD, d.float(D_YTD) + amount))?;
 
     // Customer update.
-    let mut rids = Vec::new();
-    let Some((c_rid, c_id)) =
-        select_customer(db, scale, rng, txn, (c_w_id, c_d_id), &mut rids, |c| c.int(0))?
+    let Some((c_rid, c_id)) = select_customer(db, scale, rng, txn, (c_w_id, c_d_id), |c| c.int(0))?
     else {
         return Ok(db.rollback(txn));
     };
@@ -240,28 +277,21 @@ pub fn payment(
         c.set_float(C_YTD_PAYMENT, c.float(C_YTD_PAYMENT) + amount);
         c.set_int(C_PAYMENT_CNT, c.int(C_PAYMENT_CNT) + 1);
         if c.str(C_CREDIT) == "BC" {
-            // One buffer, sized for the old data behind the new entry.
+            // The new entry, then the old data, cut where the column ends.
+            let mut new_data = Text::new();
             let old = c.str(C_DATA);
-            let mut new_data = String::with_capacity(64 + old.len());
             let entry =
                 write!(new_data, "{c_id} {c_d_id} {c_w_id} {d_id} {w_id} {amount:.2}|{old}");
-            entry.expect("a String takes any write");
+            entry.expect("a Text takes any write");
             c.set_str(C_DATA, &new_data);
         }
     })?;
 
     // History row (no index).
-    let hist: Record = vec![
-        Value::Int(c_id),
-        Value::Int(c_d_id),
-        Value::Int(c_w_id),
-        Value::Int(d_id),
-        Value::Int(w_id),
-        Value::Str("20160315120000".into()),
-        Value::Float(amount),
-        Value::Str("payment-history-data".into()),
-    ];
-    db.insert(txn, "HISTORY", &hist, NO_KEYS)?;
+    insert_row(db, txn, "HISTORY", NO_KEYS, |row| {
+        row.int(c_id).int(c_d_id).int(c_w_id).int(d_id).int(w_id);
+        row.str("20160315120000").float(amount).str("payment-history-data");
+    })?;
     db.commit(txn)
 }
 
@@ -274,21 +304,20 @@ pub fn order_status(
     w_id: i64,
 ) -> dbms_engine::Result<TxnOutcome> {
     let d_id = random::uniform(rng, 1, scale.districts_per_warehouse);
-    let mut rids = Vec::new();
-    let Some((_, c_id)) =
-        select_customer(db, scale, rng, txn, (w_id, d_id), &mut rids, |c| c.int(0))?
-    else {
+    let Some((_, c_id)) = select_customer(db, scale, rng, txn, (w_id, d_id), |c| c.int(0))? else {
         return Ok(db.rollback(txn));
     };
     // Most recent order of the customer.
     let customer_key = schema::customer_key(w_id, d_id, c_id);
-    db.index_prefix(txn, "ORDER", "O_CUST_IDX", &customer_key, &mut rids)?;
-    if let Some(&o_rid) = rids.last() {
+    let mut last = None;
+    db.index_prefix(txn, "ORDER", "O_CUST_IDX", &customer_key, |rid| last = Some(rid))?;
+    if let Some(o_rid) = last {
         let o_id = db.read(txn, "ORDER", o_rid, |o| o.int(0))?;
         // Read all of its order lines.
         let order_key = schema::order_key(w_id, d_id, o_id);
-        db.index_prefix(txn, "ORDERLINE", "OL_IDX", &order_key, &mut rids)?;
-        for &ol_rid in &rids {
+        let mut lines = Few::<RecordId, MAX_LINES>::new();
+        db.index_prefix(txn, "ORDERLINE", "OL_IDX", &order_key, |rid| lines.push(rid))?;
+        for &ol_rid in lines.iter() {
             db.read(txn, "ORDERLINE", ol_rid, |ol| debug_assert_eq!(ol.int(0), o_id))?;
         }
     }
@@ -305,12 +334,14 @@ pub fn delivery(
     w_id: i64,
 ) -> dbms_engine::Result<TxnOutcome> {
     let carrier = random::uniform(rng, 1, 10);
-    let mut rids = Vec::new();
     for d_id in 1..=scale.districts_per_warehouse {
         // Oldest undelivered order of the district.
         let district_key = schema::district_key(w_id, d_id);
-        db.index_prefix(txn, "NEW_ORDER", "NO_IDX", &district_key, &mut rids)?;
-        let Some(&no_rid) = rids.first() else {
+        let mut oldest = None;
+        db.index_prefix(txn, "NEW_ORDER", "NO_IDX", &district_key, |rid| {
+            oldest.get_or_insert(rid);
+        })?;
+        let Some(no_rid) = oldest else {
             continue;
         };
         let o_id = db.read(txn, "NEW_ORDER", no_rid, |no| no.int(0))?;
@@ -332,9 +363,10 @@ pub fn delivery(
         db.update_with(txn, "ORDER", o_rid, |o| o.set_int(O_CARRIER_ID, carrier))?;
 
         // Stamp every order line and sum the amounts.
-        db.index_prefix(txn, "ORDERLINE", "OL_IDX", &order_key, &mut rids)?;
+        let mut lines = Few::<RecordId, MAX_LINES>::new();
+        db.index_prefix(txn, "ORDERLINE", "OL_IDX", &order_key, |rid| lines.push(rid))?;
         let mut total = 0.0;
-        for &ol_rid in &rids {
+        for &ol_rid in lines.iter() {
             total += db.read(txn, "ORDERLINE", ol_rid, |ol| ol.float(OL_AMOUNT))?;
             db.update_with(txn, "ORDERLINE", ol_rid, |ol| {
                 ol.set_str(OL_DELIVERY_D, "20160315130000")
@@ -370,14 +402,18 @@ pub fn stock_level(
     // Order lines of the last 20 orders.
     let low = schema::orderline_key(w_id, d_id, (next_o_id - 20).max(1), 0);
     let high = schema::orderline_key(w_id, d_id, next_o_id, 0);
-    let mut rids = Vec::new();
-    db.index_range(txn, "ORDERLINE", "OL_IDX", &low, Some(&high), usize::MAX, &mut rids)?;
-    let mut items = std::collections::BTreeSet::new();
-    for &ol_rid in &rids {
-        items.insert(db.read(txn, "ORDERLINE", ol_rid, |ol| ol.int(OL_I_ID))?);
+    let mut lines = Few::<RecordId, { 20 * MAX_LINES }>::new();
+    db.index_range(txn, "ORDERLINE", "OL_IDX", &low, Some(&high), usize::MAX, |rid| {
+        lines.push(rid)
+    })?;
+    // The distinct items, in ascending order.
+    let mut items = Few::<i64, { 20 * MAX_LINES }>::new();
+    for &ol_rid in lines.iter() {
+        items.push(db.read(txn, "ORDERLINE", ol_rid, |ol| ol.int(OL_I_ID))?);
     }
+    items.sort_unstable();
     let mut low_stock = 0u64;
-    for i_id in items {
+    for i_id in items.chunk_by(i64::eq).map(|run| run[0]) {
         let stock_key = schema::stock_key(w_id, i_id);
         if let Some((_, quantity)) =
             db.index_read(txn, "STOCK", "S_IDX", &stock_key, |s| s.int(S_QUANTITY))?
@@ -501,8 +537,10 @@ mod tests {
         assert_eq!(entries, pending_after);
         // Delivered orders have a carrier assigned.
         let mut orders = Vec::new();
-        db.index_prefix(&mut txn, "ORDER", "O_IDX", &schema::district_key(1, 1), &mut orders)
-            .unwrap();
+        db.index_prefix(&mut txn, "ORDER", "O_IDX", &schema::district_key(1, 1), |rid| {
+            orders.push(rid)
+        })
+        .unwrap();
         let mut delivered = 0;
         for rid in orders {
             if db.read(&mut txn, "ORDER", rid, |o| o.int(O_CARRIER_ID)).unwrap() > 0 {

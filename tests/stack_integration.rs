@@ -45,7 +45,8 @@ fn exercise(db: &Database) {
     // Range scan.
     let (low, high) = (composite_key(&[100]), composite_key(&[110]));
     let mut hits = Vec::new();
-    db.index_range(&mut txn, "t", "t_pk", &low, Some(&high), usize::MAX, &mut hits).unwrap();
+    db.index_range(&mut txn, "t", "t_pk", &low, Some(&high), usize::MAX, |rid| hits.push(rid))
+        .unwrap();
     assert_eq!(hits, rids[100..110]);
     db.commit(&mut txn).unwrap();
     // Everything survives a checkpoint.
