@@ -6,8 +6,10 @@
 //! mechanics are expressed as *region-local* operations against the NoFTL
 //! storage manager:
 //!
-//! * **Memtable** ([`memtable`]) — an in-memory sorted write buffer with a
-//!   size threshold.  Puts and deletes (tombstones) land here first.
+//! * **Memtable** (`memtable`) — an in-memory sorted write buffer with a
+//!   size threshold.  Puts and deletes (tombstones) land here first: their
+//!   bytes in one arena, their order in a vector of slots, both kept
+//!   across flushes.
 //! * **Sorted runs** ([`run`]) — a flushed memtable becomes one immutable
 //!   sorted run: an ordinary NoFTL *object* whose data pages are written
 //!   through one [`NoFtl::execute`], so the whole flush fans out across
@@ -23,6 +25,20 @@
 //!   one queued batch; the source runs are then retired through the
 //!   existing object-drop path, whose invalidations feed the region's
 //!   normal GC/erase machinery.
+//!
+//! **Nothing is allocated per entry or page.**  A get lends the value it
+//! finds ([`KvStore::get_with`]) from the memtable's arena or from the one
+//! run page the store keeps for gets; a flush encodes the memtable's slots
+//! into a page buffer the store keeps ([`run::RunWriter`]); a compaction
+//! reads its sources into a page arena the store keeps and merges their
+//! entries where they lie ([`run::merge`]).  What a flush or merge does
+//! allocate is a constant per run: its name, directory entry, page map
+//! and [`RunMeta`].
+//!
+//! **A lending closure must not re-enter the store.**  `get_with` runs
+//! its closure under the store's lock (class `Engine`), so a closure that
+//! calls back into the same store panics in a debug build ("recursive
+//! acquisition of engine") and deadlocks in a release build.
 //! * **Crash safety rides the checkpoint/mount path** — the run directory
 //!   and sequence numbers are exactly the storage manager's object
 //!   directory, journalled by [`NoFtl::checkpoint`] chunk pages: the
@@ -51,7 +67,7 @@
 //! [`KvStore::open`]: store::KvStore::open
 
 pub mod harness;
-pub mod memtable;
+mod memtable;
 pub mod run;
 pub mod store;
 

@@ -37,14 +37,14 @@
 //! with one fence per 32 pages and ~10 page reads per get.
 //!
 //! **Memory.**  [`RunMeta`] keeps the whole index and filter resident:
-//! one first key (its bytes plus a 24-byte `Vec` header) per data page
-//! and 10 bits per entry — about 1 % of the run's size, bounded by the
+//! one first key per data page (its bytes, its 2-byte length and a 4-byte
+//! offset, all in two buffers, [`Fences`]) and 10 bits per entry — about 1 % of the run's size, bounded by the
 //! data itself.  That is why the filter density and probe count are
 //! constants rather than [`KvConfig`](super::store::KvConfig) fields:
 //! there is no budget to trade against, and a format whose readers must
 //! agree on the probe sequence is not a tuning surface.
 
-use flash_sim::codec::{put_bytes, put_bytes16, put_u16, put_u32, put_u64, Reader};
+use flash_sim::codec::{put_bytes16, put_u16, put_u32, put_u64, Reader};
 use flash_sim::SimTime;
 
 use crate::object::ObjectId;
@@ -71,6 +71,10 @@ const BLOOM_PROBES: u64 = 7;
 /// One key/value-or-tombstone entry.
 pub type Entry = (Vec<u8>, Option<Vec<u8>>);
 
+/// One entry borrowed from where it lies: a key and its value, `None` for
+/// a tombstone.
+pub type EntryRef<'a> = (&'a [u8], Option<&'a [u8]>);
+
 /// Bloom filter over the keys of one run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bloom {
@@ -91,25 +95,37 @@ impl Bloom {
         h ^ (h >> 33)
     }
 
-    /// Bit positions of `hash`: double hashing over the filter's width.
-    fn positions(&self, hash: u64) -> impl Iterator<Item = usize> {
-        let width = self.bits.len() as u64 * 8;
+    /// Bit positions of `hash` in a filter of `bytes` bytes: double
+    /// hashing over the filter's width.
+    fn positions(bytes: usize, hash: u64) -> impl Iterator<Item = usize> {
+        let width = bytes as u64 * 8;
         let step = (hash >> 32) | 1;
         (0..BLOOM_PROBES).map(move |i| (hash.wrapping_add(i.wrapping_mul(step)) % width) as usize)
     }
 
-    fn insert(&mut self, hash: u64) {
-        for pos in self.positions(hash) {
-            self.bits[pos / 8] |= 1 << (pos % 8);
+    /// Set the bits of `hash` in the filter bytes `bits`.
+    fn insert(bits: &mut [u8], hash: u64) {
+        for pos in Self::positions(bits.len(), hash) {
+            bits[pos / 8] |= 1 << (pos % 8);
         }
     }
 
     /// Whether a key hashing to `hash` ([`Bloom::hash`]) may have been
     /// inserted: never `false` for one that was.
     pub fn may_contain(&self, hash: u64) -> bool {
-        !self.bits.is_empty()
-            && self.positions(hash).all(|pos| self.bits[pos / 8] & (1 << (pos % 8)) != 0)
+        let bits = &self.bits;
+        !bits.is_empty()
+            && Self::positions(bits.len(), hash).all(|pos| bits[pos / 8] & (1 << (pos % 8)) != 0)
     }
+}
+
+/// The fence index of a run: the first key of every data page, packed as
+/// the tail stores them (`[klen u16][key]` per page) in one buffer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fences {
+    bytes: Vec<u8>,
+    /// Where each page's fence starts in `bytes`.
+    starts: Vec<u32>,
 }
 
 /// In-memory descriptor of one on-flash run, rebuilt from the tail.
@@ -132,9 +148,9 @@ pub struct RunMeta {
     pub tail_pages: u32,
     /// Largest key in the run (empty for an entry-less run).
     pub max_key: Vec<u8>,
-    /// Fence index: `index[i]` is the first key of data page `i`, so
-    /// `index.len() == data_pages` and `index[0]` is the smallest key.
-    pub index: Vec<Vec<u8>>,
+    /// Fence index: one fence per data page, its first key, so the first
+    /// fence is the smallest key.
+    pub index: Fences,
     /// Filter over every key of the run.
     pub filter: Bloom,
     /// Device time when the run became durable.
@@ -150,7 +166,10 @@ impl RunMeta {
 
     /// Data pages whose first key is `<= key`.
     fn pages_starting_at_or_before(&self, key: &[u8]) -> u32 {
-        self.index.partition_point(|first| first.as_slice() <= key) as u32
+        let Fences { bytes, starts } = &self.index;
+        let fence =
+            |start: u32| Reader::new(&bytes[start as usize..]).bytes16().unwrap_or_default();
+        starts.partition_point(|&start| fence(start) <= key) as u32
     }
 
     /// The one data page a point lookup of `key` must read: the last page
@@ -172,131 +191,122 @@ impl RunMeta {
     }
 }
 
-/// Everything `encode_run` produces: the page images (data pages followed
-/// by the tail) and the descriptor matching them.
-#[derive(Debug)]
-pub struct EncodedRun {
-    /// Page payloads, each exactly `page_size` bytes: `meta.data_pages`
-    /// data pages, then `meta.tail_pages` tail pages.
-    pub pages: Vec<Vec<u8>>,
-    /// Descriptor (with `object` left as 0 for the caller to fill in).
-    pub meta: RunMeta,
-}
-
 /// Largest key+value payload a single entry may carry for `page_size`.
 pub fn max_entry_payload(page_size: usize) -> usize {
     page_size - DATA_HEADER - ENTRY_HEADER
 }
 
-/// Serialise sorted `entries` into run pages.
-///
-/// # Panics
-/// Panics if an entry exceeds [`max_entry_payload`] or a tail page cannot
-/// hold its header — both are programming errors the store's put path
-/// rejects much earlier.
-pub fn encode_run(
-    store: &str,
-    level: u32,
-    seq_lo: u64,
-    seq_hi: u64,
-    entries: &[Entry],
+/// Encodes runs into page images held in buffers it keeps, so a warm
+/// writer allocates only what decoding a run's tail does: the store name
+/// and the [`RunMeta`]'s largest key, fences and filter, each sized
+/// exactly, once.
+#[derive(Debug)]
+pub struct RunWriter {
     page_size: usize,
-) -> EncodedRun {
-    assert!(page_size > TAIL_HEADER, "a tail page must hold more than its header");
-    let mut pages: Vec<Vec<u8>> = Vec::new();
-    let mut index: Vec<Vec<u8>> = Vec::new();
-    let mut filter = Bloom { bits: vec![0; (entries.len() * BLOOM_BITS_PER_KEY).div_ceil(8)] };
-    let mut page: Vec<u8> = Vec::new();
-    let mut count = 0u32;
-    let flush = |pages: &mut Vec<Vec<u8>>, page: &mut Vec<u8>, count: &mut u32| {
-        if *count == 0 {
+    /// The last run's page images: its data pages, then its tail.
+    pages: Vec<u8>,
+    /// A data page's entries, then the tail bytes, before framing.
+    scratch: Vec<u8>,
+}
+
+impl RunWriter {
+    /// A writer of `page_size`-byte pages.
+    pub fn new(page_size: usize) -> Self {
+        RunWriter { page_size, pages: Vec::new(), scratch: Vec::new() }
+    }
+
+    /// The page images of the run last encoded, `page_size` bytes each:
+    /// its `data_pages` data pages, then its `tail_pages` tail pages.
+    pub fn pages(&self) -> std::slice::Chunks<'_, u8> {
+        self.pages.chunks(self.page_size)
+    }
+
+    /// Frame the entries in `scratch` as the next data page.
+    fn seal_data_page(&mut self, count: u32) {
+        if count == 0 {
             return;
         }
-        let mut full = Vec::with_capacity(page_size);
-        put_u32(&mut full, DATA_MAGIC);
-        put_u32(&mut full, *count);
-        full.extend_from_slice(page);
-        full.resize(page_size, 0);
-        pages.push(full);
-        page.clear();
-        *count = 0;
-    };
-    for (key, value) in entries {
-        let vlen = value.as_ref().map_or(0, Vec::len);
-        // The same bound `KvStore::check_entry_size` enforces at put time:
-        // a maximum-size entry occupies a data page exactly.
-        assert!(
-            key.len() + vlen <= max_entry_payload(page_size),
-            "entry of {} payload bytes exceeds the page budget",
-            key.len() + vlen
-        );
-        let need = ENTRY_HEADER + key.len() + vlen;
-        if DATA_HEADER + page.len() + need > page_size {
-            flush(&mut pages, &mut page, &mut count);
-        }
-        if count == 0 {
-            index.push(key.clone());
-        }
-        filter.insert(Bloom::hash(key));
-        put_u16(&mut page, key.len() as u16);
-        put_u32(&mut page, value.as_ref().map_or(TOMBSTONE, |v| v.len() as u32));
-        page.extend_from_slice(key);
-        if let Some(v) = value {
-            page.extend_from_slice(v);
-        }
-        count += 1;
-    }
-    flush(&mut pages, &mut page, &mut count);
-
-    let data_pages = pages.len() as u32;
-    let max_key = entries.last().map(|(k, _)| k.clone()).unwrap_or_default();
-
-    // The tail bytes, sized exactly: 40 bytes of fixed-width fields, the
-    // three variable ones, a length prefix per fence key.
-    let fences: usize = index.iter().map(|first| 2 + first.len()).sum();
-    let tail_len = 40 + store.len() + max_key.len() + fences + filter.bits.len();
-    let mut tail = Vec::with_capacity(tail_len);
-    put_bytes16(&mut tail, store.as_bytes());
-    put_u32(&mut tail, level);
-    put_u64(&mut tail, seq_lo);
-    put_u64(&mut tail, seq_hi);
-    put_u64(&mut tail, entries.len() as u64);
-    put_u32(&mut tail, data_pages);
-    put_bytes16(&mut tail, &max_key);
-    for first in &index {
-        put_bytes16(&mut tail, first);
-    }
-    put_bytes(&mut tail, &filter.bits);
-    debug_assert_eq!(tail.len(), tail_len, "the size computed above is exact");
-
-    let chunks = tail.chunks(page_size - TAIL_HEADER);
-    let tail_pages = chunks.len() as u32;
-    for (seq, chunk) in chunks.enumerate() {
-        let mut full = Vec::with_capacity(page_size);
-        put_u32(&mut full, TAIL_MAGIC);
-        put_u16(&mut full, FORMAT_VERSION);
-        put_u32(&mut full, seq as u32);
-        put_u32(&mut full, tail_pages);
-        full.extend_from_slice(chunk);
-        full.resize(page_size, 0);
-        pages.push(full);
+        put_u32(&mut self.pages, DATA_MAGIC);
+        put_u32(&mut self.pages, count);
+        self.pages.extend_from_slice(&self.scratch);
+        self.pages.resize(self.pages.len().next_multiple_of(self.page_size), 0);
+        self.scratch.clear();
     }
 
-    EncodedRun {
-        pages,
-        meta: RunMeta {
-            object: 0,
-            level,
-            seq_lo,
-            seq_hi,
-            entries: entries.len() as u64,
-            data_pages,
-            tail_pages,
-            max_key,
-            index,
-            filter,
-            written_at: SimTime::ZERO,
-        },
+    /// Serialise sorted `entries` into run pages, replacing the last run's
+    /// ([`pages`](Self::pages)), and return the descriptor a remount would
+    /// decode from them (with `object` and `written_at` left for the
+    /// caller to fill in); `None` only if that tail does not decode.
+    ///
+    /// # Panics
+    /// Panics if an entry exceeds [`max_entry_payload`] or a tail page
+    /// cannot hold its header — both are programming errors the store's
+    /// put path rejects much earlier.
+    pub fn encode<'a>(
+        &mut self,
+        store: &str,
+        level: u32,
+        (seq_lo, seq_hi): (u64, u64),
+        entries: impl IntoIterator<Item = EntryRef<'a>>,
+    ) -> Option<RunMeta> {
+        let page_size = self.page_size;
+        assert!(page_size > TAIL_HEADER, "a tail page must hold more than its header");
+        self.pages.clear();
+        self.scratch.clear();
+        let (mut count, mut total, mut last) = (0u32, 0u64, &[][..]);
+        for (key, value) in entries {
+            let vlen = value.map_or(0, <[u8]>::len);
+            // The same bound `KvStore::check_entry_size` enforces at put
+            // time: a maximum-size entry occupies a data page exactly.
+            assert!(
+                key.len() + vlen <= max_entry_payload(page_size),
+                "entry of {} payload bytes exceeds the page budget",
+                key.len() + vlen
+            );
+            if DATA_HEADER + self.scratch.len() + ENTRY_HEADER + key.len() + vlen > page_size {
+                self.seal_data_page(count);
+                count = 0;
+            }
+            put_u16(&mut self.scratch, key.len() as u16);
+            put_u32(&mut self.scratch, value.map_or(TOMBSTONE, |v| v.len() as u32));
+            self.scratch.extend_from_slice(key);
+            self.scratch.extend_from_slice(value.unwrap_or_default());
+            (count, total, last) = (count + 1, total + 1, key);
+        }
+        self.seal_data_page(count);
+
+        // The tail bytes; the fences and the filter come from the data
+        // pages just framed, the filter's bits set where they lie.
+        let data = self.pages.chunks(page_size);
+        let tail = &mut self.scratch;
+        put_bytes16(tail, store.as_bytes());
+        put_u32(tail, level);
+        put_u64(tail, seq_lo);
+        put_u64(tail, seq_hi);
+        put_u64(tail, total);
+        put_u32(tail, data.len() as u32);
+        put_bytes16(tail, last);
+        for page in data {
+            data_entries(page, page_size).take(1).for_each(|(first, _)| put_bytes16(tail, first));
+        }
+        let filter_len = (total as usize * BLOOM_BITS_PER_KEY).div_ceil(8);
+        put_u32(tail, filter_len as u32);
+        let filter = tail.len();
+        tail.resize(filter + filter_len, 0);
+        for (key, _) in data_entries(&self.pages, page_size) {
+            Bloom::insert(&mut tail[filter..], Bloom::hash(key));
+        }
+        let chunk = page_size - TAIL_HEADER;
+        let tail_pages = tail.len().div_ceil(chunk) as u32;
+        for (seq, part) in self.scratch.chunks(chunk).enumerate() {
+            put_u32(&mut self.pages, TAIL_MAGIC);
+            put_u16(&mut self.pages, FORMAT_VERSION);
+            put_u32(&mut self.pages, seq as u32);
+            put_u32(&mut self.pages, tail_pages);
+            self.pages.extend_from_slice(part);
+            self.pages.resize(self.pages.len().next_multiple_of(page_size), 0);
+        }
+        decode_tail_bytes(&self.scratch, tail_pages).map(|(_, meta)| meta)
     }
 }
 
@@ -333,8 +343,8 @@ pub fn tail_page(page: &[u8]) -> Result<(u32, u32, &[u8]), TailError> {
 
 /// Decode a complete tail from its pages, in object order: the name of
 /// the store the run belongs to and the run's descriptor (like
-/// [`encode_run`]'s, with `object` and `written_at` left for the caller
-/// to fill in).
+/// [`RunWriter::encode`]'s, with `object` and `written_at` left for the
+/// caller to fill in).
 pub fn decode_tail<P: AsRef<[u8]>>(pages: &[P]) -> Result<(String, RunMeta), TailError> {
     let mut bytes = Vec::new();
     for (i, page) in pages.iter().enumerate() {
@@ -364,17 +374,19 @@ fn decode_tail_bytes(bytes: &[u8], tail_pages: u32) -> Option<(String, RunMeta)>
     if data_pages as usize > bytes.len() / 2 {
         return None;
     }
-    let mut index = Vec::with_capacity(data_pages as usize);
+    let fences = r.rest();
+    let mut starts = Vec::with_capacity(data_pages as usize);
     for _ in 0..data_pages {
-        index.push(r.bytes16()?.to_vec());
+        starts.push((fences.len() - r.rest().len()) as u32);
+        r.bytes16()?;
     }
+    let index = Fences { bytes: fences[..fences.len() - r.rest().len()].to_vec(), starts };
     let bits = r.bytes()?;
     let sized_for = usize::try_from(entries).ok()?.checked_mul(BLOOM_BITS_PER_KEY)?.div_ceil(8);
     if bits.len() != sized_for {
         return None;
     }
     let filter = Bloom { bits: bits.to_vec() };
-    let written_at = SimTime::ZERO;
     let meta = RunMeta {
         object: 0,
         level,
@@ -386,13 +398,10 @@ fn decode_tail_bytes(bytes: &[u8], tail_pages: u32) -> Option<(String, RunMeta)>
         max_key,
         index,
         filter,
-        written_at,
+        written_at: SimTime::ZERO,
     };
     Some((store, meta))
 }
-
-/// One framed entry of a data page, borrowed from the page.
-type EntryRef<'a> = (&'a [u8], Option<&'a [u8]>);
 
 /// Walk a data page's framing: its entry count and an iterator over the
 /// borrowed entries, each `None` where the framing runs off the page.
@@ -411,6 +420,40 @@ fn data_page_entries(page: &[u8]) -> Option<impl Iterator<Item = Option<EntryRef
     }))
 }
 
+/// Whether `page` is a data page whose framing holds all its entries.
+pub fn is_data_page(page: &[u8]) -> bool {
+    data_page_entries(page).is_some_and(|mut entries| entries.all(|entry| entry.is_some()))
+}
+
+/// The entries of consecutive `page_size`-byte data pages in order,
+/// borrowed from the pages.  A page that [`is_data_page`] rejects ends its
+/// entries where its framing breaks.
+pub fn data_entries(pages: &[u8], page_size: usize) -> impl Iterator<Item = EntryRef<'_>> {
+    pages
+        .chunks(page_size)
+        .flat_map(|page| data_page_entries(page).into_iter().flatten().map_while(|e| e))
+}
+
+/// Merge sorted entry streams, oldest first, into one sorted stream that
+/// borrows from them: each key once, smallest first, its newest version
+/// (from the last stream that holds it) winning.  `drop_tombstones` leaves
+/// out keys whose newest version is a tombstone — right at the bottom
+/// level, where no older run can hold a version the tombstone shadows.
+pub fn merge<'a, I: Iterator<Item = EntryRef<'a>>>(
+    streams: impl IntoIterator<Item = I>,
+    drop_tombstones: bool,
+) -> impl Iterator<Item = EntryRef<'a>> {
+    let mut streams: Vec<_> = streams.into_iter().map(Iterator::peekable).collect();
+    std::iter::from_fn(move || loop {
+        let key = streams.iter_mut().filter_map(|s| s.peek().map(|&(key, _)| key)).min()?;
+        // Every stream's version of the key is taken; the last is newest.
+        let newest = streams.iter_mut().filter_map(|s| s.next_if(|&(k, _)| k == key)).last();
+        if !drop_tombstones || newest.is_some_and(|(_, value)| value.is_some()) {
+            return newest;
+        }
+    })
+}
+
 /// Decode a data page into its sorted entries; `None` if malformed.
 pub fn decode_data_page(page: &[u8]) -> Option<Vec<Entry>> {
     data_page_entries(page)?
@@ -425,22 +468,37 @@ pub type Lookup<'a> = Option<Option<&'a [u8]>>;
 
 /// Find `key` in a data page without materialising it.  `None` if the
 /// page is malformed — exactly when [`decode_data_page`] says so, because
-/// the whole framing is walked either way.
+/// the whole framing is checked either way.
 pub fn lookup_in_page<'a>(page: &'a [u8], key: &[u8]) -> Option<Lookup<'a>> {
-    let mut found = None;
-    for entry in data_page_entries(page)? {
-        let (k, value) = entry?;
-        if k == key {
-            found = Some(value);
-        }
-    }
-    Some(found)
+    let found = data_page_entries(page)?.map_while(|entry| entry).find(|&(k, _)| k == key);
+    is_data_page(page).then_some(found.map(|(_, value)| value))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::crash::SplitMix64;
+
+    /// A run's page images, one vector per page, and its descriptor.
+    pub(crate) struct EncodedRun {
+        pub pages: Vec<Vec<u8>>,
+        pub meta: RunMeta,
+    }
+
+    /// Encode owned `entries` with a fresh [`RunWriter`].
+    pub(crate) fn encode_run(
+        store: &str,
+        level: u32,
+        seq_lo: u64,
+        seq_hi: u64,
+        entries: &[Entry],
+        page_size: usize,
+    ) -> EncodedRun {
+        let mut writer = RunWriter::new(page_size);
+        let borrowed = entries.iter().map(|(k, v)| (k.as_slice(), v.as_deref()));
+        let meta = writer.encode(store, level, (seq_lo, seq_hi), borrowed).unwrap();
+        EncodedRun { pages: writer.pages().map(<[u8]>::to_vec).collect(), meta }
+    }
 
     fn kv(i: u32) -> Entry {
         (format!("key-{i:06}").into_bytes(), Some(vec![i as u8; 40]))
@@ -473,7 +531,7 @@ mod tests {
         let entries: Vec<Entry> = (0..400).map(kv).collect();
         let run = encode_run("s", 1, 1, 4, &entries, 4096);
         assert!(run.meta.data_pages > 2);
-        assert_eq!(run.meta.index.len(), run.meta.data_pages as usize);
+        assert_eq!(run.meta.index.starts.len(), run.meta.data_pages as usize);
         for (i, (key, value)) in entries.iter().enumerate().step_by(37) {
             let page = run.meta.page_window(key).unwrap_or_else(|| panic!("entry {i}: no page"));
             let hit = lookup_in_page(&run.pages[page as usize], key).unwrap();
@@ -520,7 +578,7 @@ mod tests {
             .collect();
         let run = encode_run("s", 0, 1, 1, &entries, 4096);
         assert!(run.meta.tail_pages >= 2, "got {} tail pages", run.meta.tail_pages);
-        assert_eq!(run.meta.index.len(), run.meta.data_pages as usize);
+        assert_eq!(run.meta.index.starts.len(), run.meta.data_pages as usize);
         assert_eq!(run.pages.len(), (run.meta.data_pages + run.meta.tail_pages) as usize);
         for (key, value) in &entries {
             let page = run.meta.page_window(key).expect("every stored key has its page");

@@ -8,8 +8,7 @@
 //! region-metadata journal.  The checkpoint names the run; which
 //! physical pages hold it is read back from their OOB records on mount.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::ops::Bound;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -26,7 +25,7 @@ use crate::region::RegionId;
 use crate::Result;
 
 use super::memtable::Memtable;
-use super::run::{self, Bloom, Entry, RunMeta, TailError};
+use super::run::{self, Bloom, Entry, RunMeta, RunWriter, TailError};
 
 /// Maximum reads in flight when scans, compaction merges and `open`'s tail
 /// reads pull run pages through the windowed pipeline ([`NoFtl::execute`]).
@@ -97,11 +96,6 @@ pub struct KvStats {
 /// Rows returned by [`KvStore::scan`]: live key/value pairs in key order.
 pub type ScanResult = Vec<(Vec<u8>, Vec<u8>)>;
 
-/// An inclusive scan bound (`None` = unbounded).
-fn bound(key: Option<&[u8]>) -> Bound<&[u8]> {
-    key.map_or(Bound::Unbounded, Bound::Included)
-}
-
 /// What [`KvStore::open`] found while rebuilding the run directory.
 #[derive(Debug, Clone, Default)]
 pub struct KvOpenReport {
@@ -140,6 +134,10 @@ struct KvInner {
     stats: KvStats,
     /// The page a get reads a run page into, reused by every get.
     page: Vec<u8>,
+    /// The pages of the run being written, encoded by flushes and merges.
+    writer: RunWriter,
+    /// The data pages a compaction merges, its sources' oldest first.
+    arena: Vec<u8>,
 }
 
 /// A log-structured key-value store over one NoFTL region.
@@ -219,22 +217,30 @@ impl KvStore {
         Self::validate_name(name)?;
         noftl.create_object(&Self::marker_name(name), region)?;
         let now = noftl.checkpoint(at)?;
+        Ok((Self::with_runs(noftl, region, name, config, Vec::new(), 1), now))
+    }
+
+    /// A store over `runs` (newest first) with an empty memtable.
+    fn with_runs(
+        noftl: Arc<NoFtl>,
+        region: RegionId,
+        name: &str,
+        config: KvConfig,
+        runs: Vec<RunMeta>,
+        next_seq: u64,
+    ) -> KvStore {
         let page = noftl.env.page_buf();
-        let store = KvStore {
-            obs: KvObs::new(Arc::clone(noftl.metrics())),
-            noftl,
-            region,
-            name: name.to_string(),
-            config,
-            inner: Mutex::new(KvInner {
-                memtable: Memtable::new(),
-                runs: Vec::new(),
-                next_seq: 1,
-                stats: KvStats::default(),
-                page,
-            }),
+        let inner = KvInner {
+            memtable: Memtable::default(),
+            runs,
+            next_seq,
+            stats: KvStats::default(),
+            writer: RunWriter::new(page.len()),
+            page,
+            arena: Vec::new(),
         };
-        Ok((store, now))
+        let obs = KvObs::new(Arc::clone(noftl.metrics()));
+        KvStore { noftl, region, name: name.to_string(), config, inner: Mutex::new(inner), obs }
     }
 
     /// Re-open a store on a freshly mounted storage manager.
@@ -281,18 +287,13 @@ impl KvStore {
         }
         let mut runs: Vec<RunMeta> = Vec::new();
         for (obj, orphan, meta) in judged {
-            match meta {
-                Some(meta) if !orphan => runs.push(meta),
-                Some(_) => {
-                    // A complete run that never made it into the directory:
-                    // its flush was not acknowledged.  Discard.
-                    noftl.drop_object(obj)?;
-                    report.torn_runs_discarded += 1;
-                }
-                None if orphan => {
-                    // Not ours (or not a run at all) — leave it alone.
-                }
-                None => {
+            match (meta, orphan) {
+                (Some(meta), false) => runs.push(meta),
+                // Not ours (or not a run at all) — leave it alone.
+                (None, true) => {}
+                // A torn run, or a complete one that never made it into the
+                // directory: its flush was not acknowledged.  Discard.
+                _ => {
                     noftl.drop_object(obj)?;
                     report.torn_runs_discarded += 1;
                 }
@@ -300,42 +301,21 @@ impl KvStore {
         }
 
         // Supersession: a durable merge covers its sources' entire
-        // sequence range at a higher level.
-        let covered: Vec<ObjectId> = runs
-            .iter()
-            .filter(|b| {
-                runs.iter()
-                    .any(|a| a.level > b.level && a.seq_lo <= b.seq_lo && b.seq_hi <= a.seq_hi)
-            })
-            .map(|b| b.object)
-            .collect();
-        for obj in &covered {
-            noftl.drop_object(*obj)?;
+        // sequence range at a higher level, and so whatever they cover.
+        let covers = |a: &RunMeta, b: &RunMeta| {
+            a.level > b.level && a.seq_lo <= b.seq_lo && b.seq_hi <= a.seq_hi
+        };
+        while let Some(pos) = runs.iter().position(|b| runs.iter().any(|a| covers(a, b))) {
+            noftl.drop_object(runs.remove(pos).object)?;
             report.superseded_runs_discarded += 1;
         }
-        runs.retain(|r| !covered.contains(&r.object));
         report.entries_recovered = runs.iter().map(|r| r.entries).sum();
 
         runs.sort_by_key(|r| std::cmp::Reverse(r.seq_hi));
         report.runs_recovered = runs.len();
         report.next_seq = runs.iter().map(|r| r.seq_hi).max().unwrap_or(0) + 1;
         report.completed_at = now;
-        let page = noftl.env.page_buf();
-        let store = KvStore {
-            obs: KvObs::new(Arc::clone(noftl.metrics())),
-            noftl,
-            region,
-            name: name.to_string(),
-            config,
-            inner: Mutex::new(KvInner {
-                memtable: Memtable::new(),
-                runs,
-                next_seq: report.next_seq,
-                stats: KvStats::default(),
-                page,
-            }),
-        };
-        Ok((store, report))
+        Ok((Self::with_runs(noftl, region, name, config, runs, report.next_seq), report))
     }
 
     /// Validate one candidate run object and decode its tail into a
@@ -391,24 +371,13 @@ impl KvStore {
         *now = (*now).max(t);
         report.tail_pages_read += u64::from(total - 1);
         tail.extend_from_slice(&last);
-        let pages: Vec<&[u8]> = tail.chunks(last.len()).collect();
-        match run::decode_tail(&pages) {
+        match run::decode_tail(&tail.chunks(last.len()).collect::<Vec<_>>()) {
             Ok((name, meta)) if name == store && u64::from(meta.data_pages) == first => {
                 Ok(Some(RunMeta { object: obj, written_at: *now, ..meta }))
             }
             Ok(_) | Err(TailError::Torn) => Ok(None),
             Err(TailError::Version(found)) => Err(other_version(found)),
         }
-    }
-
-    /// The store's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The region hosting the store's runs.
-    pub fn region(&self) -> RegionId {
-        self.region
     }
 
     /// Snapshot of the operation counters.
@@ -422,18 +391,14 @@ impl KvStore {
     }
 
     fn check_entry_size(&self, key: &[u8], value_len: usize) -> Result<()> {
-        let page_size = self.noftl.device().geometry().page_size as usize;
+        let budget = run::max_entry_payload(self.noftl.device().geometry().page_size as usize);
+        let size = key.len() + value_len;
         if key.is_empty() {
             return Err(kv_err("empty keys are not supported"));
         }
-        if key.len() > u16::MAX as usize
-            || key.len() + value_len > run::max_entry_payload(page_size)
-        {
-            return Err(kv_err(format!(
-                "entry of {} bytes exceeds the per-page budget of {}",
-                key.len() + value_len,
-                run::max_entry_payload(page_size)
-            )));
+        if key.len() > u16::MAX as usize || size > budget {
+            let message = format!("entry of {size} bytes exceeds the per-page budget of {budget}");
+            return Err(kv_err(message));
         }
         Ok(())
     }
@@ -445,7 +410,7 @@ impl KvStore {
         self.check_entry_size(key, value.len())?;
         let mut inner = self.lock_store();
         inner.stats.puts += 1;
-        inner.memtable.insert(key.to_vec(), Some(value.to_vec()));
+        inner.memtable.insert(key, Some(value));
         let now = self.maybe_flush(&mut inner, at)?;
         self.obs.note_put(at, now);
         Ok(now)
@@ -456,18 +421,37 @@ impl KvStore {
         self.check_entry_size(key, 0)?;
         let mut inner = self.lock_store();
         inner.stats.deletes += 1;
-        inner.memtable.insert(key.to_vec(), None);
+        inner.memtable.insert(key, None);
         self.maybe_flush(&mut inner, at)
     }
 
-    /// Point lookup: memtable first, then runs newest-to-oldest.
+    /// Point lookup: memtable first, then runs newest-to-oldest.  The
+    /// value is a copy: [`get_with`](Self::get_with) lends it instead.
     pub fn get(&self, key: &[u8], at: SimTime) -> Result<(Option<Vec<u8>>, SimTime)> {
+        self.get_with(key, at, |value| value.map(<[u8]>::to_vec))
+    }
+
+    /// Point lookup that lends the value to `f`: memtable first, then runs
+    /// newest-to-oldest.  `f` sees the live value where it lies — in the
+    /// memtable's arena or in the run page the lookup read — or `None`
+    /// for a key that is absent or deleted, and its result is returned
+    /// with the completion time.
+    ///
+    /// `f` runs under the store lock, so it must not call back into the
+    /// store: a debug build panics ("recursive acquisition of engine"), a
+    /// release build deadlocks.
+    pub fn get_with<R>(
+        &self,
+        key: &[u8],
+        at: SimTime,
+        f: impl FnOnce(Option<&[u8]>) -> R,
+    ) -> Result<(R, SimTime)> {
         let mut inner = self.lock_store();
         let inner = &mut *inner;
         inner.stats.gets += 1;
         if let Some(hit) = inner.memtable.get(key) {
             inner.stats.memtable_hits += 1;
-            return Ok((hit.map(<[u8]>::to_vec), at));
+            return Ok((f(hit), at));
         }
         let hash = Bloom::hash(key);
         let mut now = at;
@@ -479,17 +463,16 @@ impl KvStore {
                 inner.stats.bloom_skips += 1;
                 continue;
             }
-            now = self.noftl.read(run_meta.object, u64::from(page), &mut inner.page, now)?;
+            let req = IoRequest::read(run_meta.object, u64::from(page));
+            now = self.noftl.read(req.object, req.page, &mut inner.page, now)?;
             inner.stats.run_page_reads += 1;
             inner.stats.get_page_reads += 1;
-            let hit = run::lookup_in_page(&inner.page, key).ok_or_else(|| {
-                kv_err(format!("run object {} page {page} is not a data page", run_meta.object))
-            })?;
+            let hit = run::lookup_in_page(&inner.page, key).ok_or_else(|| not_data(&req))?;
             if let Some(value) = hit {
-                return Ok((value.map(<[u8]>::to_vec), now));
+                return Ok((f(value), now));
             }
         }
-        Ok((None, now))
+        Ok((f(None), now))
     }
 
     /// Range scan: up to `limit` live entries with keys in `[lo, hi]`
@@ -540,7 +523,7 @@ impl KvStore {
             .collect();
         let window = READ_WINDOW as u32;
         // The memtable: the newest source of all.
-        let mut mem = inner.memtable.range(bound(lo), bound(hi)).peekable();
+        let mut mem = inner.memtable.iter().filter(|&(key, _)| in_range(key)).peekable();
         let mut out: ScanResult = Vec::new();
         loop {
             // Refill every drained cursor that still has pages.
@@ -561,12 +544,8 @@ impl KvStore {
                 }
             }
             // Smallest key across all sources.
-            let mut min_key: Option<&[u8]> = mem.peek().map(|&(k, _)| k);
-            for (k, _) in cursors.iter().filter_map(|c| c.buf.front()) {
-                if min_key.is_none_or(|m| k.as_slice() < m) {
-                    min_key = Some(k);
-                }
-            }
+            let fronts = cursors.iter().filter_map(|c| c.buf.front()).map(|(k, _)| k.as_slice());
+            let min_key = mem.peek().map(|&(k, _)| k).into_iter().chain(fronts).min();
             let Some(min_key) = min_key.map(<[u8]>::to_vec) else { break };
             // Newest version wins: the memtable first, then the runs in
             // `inner.runs` order; every older version of the key is
@@ -607,75 +586,68 @@ impl KvStore {
     }
 
     fn flush_locked(&self, inner: &mut KvInner, at: SimTime) -> Result<SimTime> {
-        if inner.memtable.is_empty() {
+        if inner.memtable.len() == 0 {
             return Ok(at);
         }
         let seq = inner.next_seq;
-        let entries = inner.memtable.take_sorted();
-        let now = self.write_run(inner, 0, (seq, seq), &entries, at, None)?;
+        let entries = inner.memtable.len() as u64;
+        let meta = inner.writer.encode(&self.name, 0, (seq, seq), inner.memtable.iter());
+        inner.memtable.clear();
+        let now = self.write_run(inner, meta, at, None)?;
         inner.next_seq = seq + 1;
         inner.stats.flushes += 1;
-        self.obs.note_flush(entries.len() as u64, at, now);
+        self.obs.note_flush(entries, at, now);
         Ok(now)
     }
 
-    /// Write one run (pages fanned out through the queued batch path),
-    /// checkpoint the directory and install the [`RunMeta`].
+    /// Write the run `inner.writer` encoded (pages fanned out through the
+    /// queued batch path), checkpoint the directory and install its
+    /// descriptor `meta` (`None`: the run's tail did not decode).
     fn write_run(
         &self,
         inner: &mut KvInner,
-        level: u32,
-        (seq_lo, seq_hi): (u64, u64),
-        entries: &[Entry],
+        meta: Option<RunMeta>,
         at: SimTime,
         class: Option<ServiceClass>,
     ) -> Result<SimTime> {
-        let page_size = self.noftl.device().geometry().page_size as usize;
-        let encoded = run::encode_run(&self.name, level, seq_lo, seq_hi, entries, page_size);
-        let obj = self.noftl.create_object(&self.run_name(level, seq_lo, seq_hi), self.region)?;
-        let page_count = encoded.pages.len() as u64;
-        let requests = encoded
-            .pages
-            .iter()
+        let mut meta = meta.ok_or_else(|| kv_err("an encoded run tail does not decode"))?;
+        let name = self.run_name(meta.level, meta.seq_lo, meta.seq_hi);
+        let obj = self.noftl.create_object(&name, self.region)?;
+        let page_count = u64::from(meta.data_pages + meta.tail_pages);
+        let requests = inner
+            .writer
+            .pages()
             .enumerate()
             .map(|(i, page)| IoRequest::write(obj, i as u64, page).with_class(class));
         // The whole run issues at one shared time and fans across the
         // region's dies.
         let mut now = self.noftl.execute(requests, at, usize::MAX, |_, _| Ok(()))?;
-        if encoded.meta.tail_pages >= 2 {
+        if meta.tail_pages >= 2 {
             inner.stats.tail_windows.push((at.as_nanos(), now.as_nanos()));
         }
         now = self.noftl.checkpoint(now)?;
-        let mut meta = encoded.meta;
         meta.object = obj;
         meta.written_at = now;
-        let pos = inner.runs.partition_point(|r| r.seq_hi > meta.seq_hi);
-        inner.runs.insert(pos, meta);
-        if level == 0 {
+        if meta.level == 0 {
             inner.stats.flushed_pages += page_count;
         } else {
             inner.stats.compacted_pages += page_count;
         }
+        let pos = inner.runs.partition_point(|r| r.seq_hi > meta.seq_hi);
+        inner.runs.insert(pos, meta);
         Ok(now)
     }
 
     /// Run size-tiered compactions until no level holds
-    /// [`COMPACTION_THRESHOLD`] runs or more.
+    /// [`COMPACTION_THRESHOLD`] runs or more, lowest level first.
     fn maybe_compact(&self, inner: &mut KvInner, at: SimTime) -> Result<SimTime> {
         let mut now = at;
         // Each merge strictly shrinks the run count, so this terminates.
         loop {
-            let mut by_level: BTreeMap<u32, usize> = BTreeMap::new();
-            for r in &inner.runs {
-                *by_level.entry(r.level).or_default() += 1;
-            }
-            let Some(level) = by_level
-                .iter()
-                .find(|(_, count)| **count >= COMPACTION_THRESHOLD)
-                .map(|(level, _)| *level)
-            else {
-                return Ok(now);
-            };
+            let full =
+                |l| inner.runs.iter().filter(|r| r.level == l).count() >= COMPACTION_THRESHOLD;
+            let level = inner.runs.iter().map(|r| r.level).filter(|&l| full(l)).min();
+            let Some(level) = level else { return Ok(now) };
             now = self.compact_level(inner, level, now)?;
         }
     }
@@ -686,72 +658,67 @@ impl KvStore {
     /// the sources are retired through the object-drop path, so a crash
     /// at any instant leaves either the sources or the merge — never
     /// neither.
+    ///
+    /// The sources' data pages are read into the store's page arena and
+    /// merged where they lie, into the store's run writer: a merge
+    /// allocates nothing per entry or page.
     fn compact_level(&self, inner: &mut KvInner, level: u32, at: SimTime) -> Result<SimTime> {
-        // (seq_lo, seq_hi, object, data pages) of the level's runs, newest
-        // first like `inner.runs`.
-        let sources: Vec<(u64, u64, ObjectId, u32)> = inner
-            .runs
-            .iter()
-            .filter(|r| r.level == level)
-            .map(|r| (r.seq_lo, r.seq_hi, r.object, r.data_pages))
-            .collect();
-        if sources.len() < 2 {
+        let KvInner { runs, stats, writer, arena, .. } = &mut *inner;
+        // The level's runs, oldest first (`runs` is newest first).
+        let sources = || runs.iter().rev().filter(|r| r.level == level);
+        if sources().count() < 2 {
             return Ok(at);
         }
-        inner.stats.compactions_started += 1;
-        let started = at;
-        // `sources.len() >= 2` was checked above, so the fold always sees
-        // at least one run.
+        stats.compactions_started += 1;
         let (seq_lo, seq_hi) =
-            sources.iter().fold((u64::MAX, 0), |(lo, hi), s| (lo.min(s.0), hi.max(s.1)));
+            sources().fold((u64::MAX, 0), |(lo, hi), r| (lo.min(r.seq_lo), hi.max(r.seq_hi)));
         // Tombstones may be dropped once no older run could still hold a
         // shadowed version of the key.
-        let bottom = !inner.runs.iter().any(|r| r.seq_hi < seq_lo);
+        let bottom = !runs.iter().any(|r| r.seq_hi < seq_lo);
 
-        // Merge: read sources oldest-first so newer versions win.
-        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
+        // Read the sources oldest first, each through the bounded pipeline:
+        // up to `READ_WINDOW` of its pages in flight at once.  Compaction
+        // merge input is maintenance traffic.
+        let background = Some(ServiceClass::Background);
+        let page_size = self.noftl.device().geometry().page_size as usize;
+        arena.clear();
         let mut now = at;
-        for &(_, _, object, data_pages) in sources.iter().rev() {
-            if data_pages == 0 {
-                continue;
-            }
-            // Merge input is read through the bounded pipeline: up to
-            // `READ_WINDOW` pages of the source run in flight at once.
-            // Compaction merge input is maintenance traffic.
-            let background = Some(ServiceClass::Background);
-            let reads = (0..data_pages)
-                .map(|page| IoRequest::read(object, u64::from(page)).with_class(background));
+        for source in sources().filter(|r| r.data_pages > 0) {
+            let reads = (0..source.data_pages)
+                .map(|page| IoRequest::read(source.object, u64::from(page)).with_class(background));
             let t = self.noftl.execute(reads, now, READ_WINDOW, |req, payload| {
-                merged.extend(run::decode_data_page(payload).ok_or_else(|| not_data(req))?);
+                if !run::is_data_page(payload) {
+                    return Err(not_data(req));
+                }
+                arena.extend_from_slice(payload);
                 Ok(())
             })?;
             now = now.max(t);
-            inner.stats.run_page_reads += u64::from(data_pages);
+            stats.run_page_reads += u64::from(source.data_pages);
         }
-        if bottom {
-            merged.retain(|_, v| v.is_some());
-        }
-        let entries: Vec<Entry> = merged.into_iter().collect();
-        now = self.write_run(
-            inner,
-            level + 1,
-            (seq_lo, seq_hi),
-            &entries,
-            now,
-            Some(ServiceClass::Background),
-        )?;
+        // Newer versions win: each source's entries, where they lie.
+        let mut rest = arena.as_slice();
+        let streams = sources().map(|r| {
+            let (pages, later) = rest.split_at(r.data_pages as usize * page_size);
+            rest = later;
+            run::data_entries(pages, page_size)
+        });
+        let merged = run::merge(streams, bottom);
+        let meta = writer.encode(&self.name, level + 1, (seq_lo, seq_hi), merged);
+        now = self.write_run(inner, meta, now, background)?;
 
-        // Retire the sources through the normal drop path: their pages
-        // become invalid and the region's GC reclaims the blocks.
-        for &(_, _, object, _) in &sources {
-            self.noftl.drop_object(object)?;
-            inner.runs.retain(|r| r.object != object);
+        // Retire the sources, newest first, through the normal drop path:
+        // their pages become invalid and the region's GC reclaims the
+        // blocks.
+        while let Some(pos) = inner.runs.iter().position(|r| r.level == level) {
+            self.noftl.drop_object(inner.runs[pos].object)?;
+            inner.runs.remove(pos);
             inner.stats.compacted_runs += 1;
         }
         now = self.noftl.checkpoint(now)?;
         inner.stats.compactions += 1;
-        inner.stats.compaction_windows.push((started.as_nanos(), now.as_nanos()));
-        self.obs.note_compact(u64::from(level), started, now);
+        inner.stats.compaction_windows.push((at.as_nanos(), now.as_nanos()));
+        self.obs.note_compact(u64::from(level), at, now);
         Ok(now)
     }
 }
@@ -763,6 +730,7 @@ mod tests {
     use crate::testutil::read_page;
     use crate::NoFtlConfig;
     use flash_sim::{DeviceBuilder, FlashBackend, FlashGeometry, NandDevice, TimingModel};
+    use std::collections::BTreeMap;
 
     fn stack(timing: TimingModel) -> (Arc<NandDevice>, Arc<NoFtl>, RegionId) {
         let device =
@@ -870,7 +838,7 @@ mod tests {
                 }
             }
         }
-        for (key, value) in inner.memtable.range(bound(lo), bound(hi)) {
+        for (key, value) in inner.memtable.iter().filter(|&(key, _)| in_range(key)) {
             merged.insert(key.to_vec(), value.map(<[u8]>::to_vec));
         }
         merged.into_iter().filter_map(|(k, v)| Some((k, v?))).collect()
@@ -923,6 +891,69 @@ mod tests {
                 let (rows, _) = kv.scan(lo.as_deref(), hi.as_deref(), limit, t).unwrap();
                 let expected: ScanResult = reference.into_iter().take(limit).collect();
                 proptest::prop_assert_eq!(rows, expected);
+            }
+        }
+    }
+
+    /// The merge compaction made before it merged in place, kept as the
+    /// reference of [`run::merge`]: every source's data pages decoded,
+    /// oldest source first, into one map, so a newer version replaces an
+    /// older one; at the bottom level the tombstones are dropped at the
+    /// end.
+    fn btree_merge(sources: &[Vec<u8>], page_size: usize, bottom: bool) -> Vec<Entry> {
+        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
+        for page in sources.iter().flat_map(|pages| pages.chunks(page_size)) {
+            merged.extend(run::decode_data_page(page).unwrap());
+        }
+        if bottom {
+            merged.retain(|_, v| v.is_some());
+        }
+        merged.into_iter().collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Over random put / delete / flush histories, each flush encoded
+        /// as one run the way the store encodes it, the k-way merge over
+        /// the runs' pages yields the reference merge's entries, with and
+        /// without the bottom-level tombstone drop, and encodes to the
+        /// same run bytes.
+        #[test]
+        fn the_borrowed_merge_equals_the_btreemap_merge(
+            history in proptest::collection::vec((0u8..10, 0u64..60, 0usize..300), 1..300),
+        ) {
+            const PAGE: usize = 4096;
+            let mut memtable = Memtable::default();
+            let mut writer = RunWriter::new(PAGE);
+            // Each run's data pages, oldest run first.
+            let mut runs: Vec<Vec<u8>> = Vec::new();
+            let mut flush = |memtable: &mut Memtable, runs: &mut Vec<Vec<u8>>| {
+                let meta = writer.encode("s", 0, (1, 1), memtable.iter()).unwrap();
+                runs.push(writer.pages().take(meta.data_pages as usize).flatten().copied().collect());
+                memtable.clear();
+            };
+            for (round, &(op, i, len)) in history.iter().enumerate() {
+                match op {
+                    0..=5 => memtable.insert(&key(i), Some(&vec![round as u8; len])),
+                    6..=8 => memtable.insert(&key(i), None),
+                    _ => flush(&mut memtable, &mut runs),
+                }
+            }
+            flush(&mut memtable, &mut runs);
+            for bottom in [false, true] {
+                let streams = runs.iter().map(|pages| run::data_entries(pages, PAGE));
+                let merged: Vec<Entry> = run::merge(streams.clone(), bottom)
+                    .map(|(k, v)| (k.to_vec(), v.map(<[u8]>::to_vec)))
+                    .collect();
+                let reference = btree_merge(&runs, PAGE, bottom);
+                proptest::prop_assert_eq!(&merged, &reference);
+                let mut writer = RunWriter::new(PAGE);
+                let meta = writer.encode("s", 1, (1, 9), run::merge(streams, bottom)).unwrap();
+                let pages: Vec<Vec<u8>> = writer.pages().map(<[u8]>::to_vec).collect();
+                let expected = run::tests::encode_run("s", 1, 1, 9, &reference, PAGE);
+                proptest::prop_assert_eq!(meta, expected.meta);
+                proptest::prop_assert_eq!(pages, expected.pages);
             }
         }
     }
@@ -1226,7 +1257,7 @@ mod tests {
         // A run as a v1 build left it: one data page, then a single
         // footer page with the tail magic and version 1.
         let page_size = noftl.device().geometry().page_size as usize;
-        let encoded = run::encode_run("s", 0, 9, 9, &[(key(1), Some(val(1, 1)))], page_size);
+        let encoded = run::tests::encode_run("s", 0, 9, 9, &[(key(1), Some(val(1, 1)))], page_size);
         let mut footer = encoded.pages[1].clone();
         footer[4..6].copy_from_slice(&1u16.to_le_bytes());
         let old = noftl.create_object("__kv_s_r0_9_9", rid).unwrap();

@@ -198,27 +198,25 @@ impl KvObs {
 
     /// Record one memtable flush as a histogram sample and tracer span.
     pub(crate) fn note_flush(&self, entries: u64, issued: SimTime, done: SimTime) {
-        self.flush_latency.record(done.since(issued).as_nanos());
-        self.registry.tracer().span(
-            "kv",
-            "memtable_flush",
-            TRACK_KV,
-            issued.as_nanos(),
-            done.as_nanos(),
-            &[("entries", entries)],
-        );
+        self.note(&self.flush_latency, "memtable_flush", ("entries", entries), (issued, done));
     }
 
     /// Record one level compaction as a histogram sample and tracer span.
     pub(crate) fn note_compact(&self, level: u64, issued: SimTime, done: SimTime) {
-        self.compact_latency.record(done.since(issued).as_nanos());
-        self.registry.tracer().span(
-            "kv",
-            "compaction",
-            TRACK_KV,
-            issued.as_nanos(),
-            done.as_nanos(),
-            &[("level", level)],
-        );
+        self.note(&self.compact_latency, "compaction", ("level", level), (issued, done));
+    }
+
+    /// Record `issued → done` into `latency` and as span `name` carrying
+    /// `arg` on the KV track.
+    fn note(
+        &self,
+        latency: &Histogram,
+        name: &'static str,
+        arg: (&'static str, u64),
+        (issued, done): (SimTime, SimTime),
+    ) {
+        latency.record(done.since(issued).as_nanos());
+        let (issued, done) = (issued.as_nanos(), done.as_nanos());
+        self.registry.tracer().span("kv", name, TRACK_KV, issued, done, &[arg]);
     }
 }

@@ -1,0 +1,187 @@
+//! Allocation budget of the NoFTL-KV data path.
+//!
+//! The memtable keeps every entry's bytes in one arena and its order in a
+//! vector of slots, and both keep their capacity across flushes.  A get
+//! lends the value to a closure, borrowed from the memtable or from the
+//! run page the store keeps for gets (`KvStore::get_with`).  A flush
+//! encodes the memtable's slots into a page buffer the store keeps, and a
+//! compaction reads its sources into a page arena the store keeps and
+//! merges their entries where they lie, into that same buffer.  So, once
+//! a warm-up has flushed and compacted:
+//!
+//! * a get that hits the memtable, hits a run or misses allocates nothing;
+//! * a put that does not flush allocates nothing;
+//! * a flush allocates a constant per run it writes — the run's name and
+//!   directory entry, its descriptor (largest key, fences, filter), its
+//!   page map — plus what its checkpoint allocates, which depends on the
+//!   directory and not on the run, and a compaction adds a constant per
+//!   source it reads (the read pipeline's page buffer).  So two like
+//!   stores whose flushes differ only in size allocate the same count.
+//!
+//! Two things the data grows are kept out of the counted windows.  Every
+//! block of the device has held a payload once before the store is built,
+//! so no program allocates a block's payload buffer.  And the storage
+//! manager's page map of a run object doubles as the run's pages are
+//! mapped, so the runs measured against each other fill the same number
+//! of doublings.
+//!
+//! The counting allocator is per thread, as in `request_path_allocs.rs`.
+//! CI runs this in `--release`, where the claim matters.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use flash_sim::{
+    BlockAddr, DeviceBuilder, FlashBackend, FlashCommand, FlashGeometry, IoTag, PageMetadata,
+    SimTime, TimingModel,
+};
+use noftl_core::{KvConfig, KvStore, NoFtl, NoFtlConfig, RegionSpec};
+
+struct CountingAlloc;
+
+thread_local! {
+    /// Allocations made by the current thread.  Const-initialised and
+    /// without a destructor, so touching it from inside the allocator
+    /// neither allocates nor trips thread teardown.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the only addition
+// is a thread-local cell update that does not allocate.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// What `f` returned and the allocations it made on this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Key `i` of the workload.
+fn key(i: u64) -> [u8; 12] {
+    let mut key = *b"user00000000";
+    for (pos, digit) in key[4..].iter_mut().rev().enumerate() {
+        *digit = b'0' + (i / 10u64.pow(pos as u32) % 10) as u8;
+    }
+    key
+}
+
+/// The value of key `i` written in `round`.
+fn value(i: u64, round: u64) -> [u8; 100] {
+    let mut value = [b'v'; 100];
+    value[..8].copy_from_slice(&i.to_le_bytes());
+    value[8..16].copy_from_slice(&round.to_le_bytes());
+    value
+}
+
+/// A store on a device whose every block has held a payload once, with a
+/// threshold no test reaches, so only explicit flushes write runs.  The
+/// warm-up flushes ten runs: two compactions have merged eight of them
+/// into level 1, and two runs of keys `0..40` are left in level 0.
+#[expect(
+    clippy::unwrap_used,
+    clippy::disallowed_methods,
+    reason = "cycles the bare device before a manager owns it; a failed step fails the test"
+)]
+fn warm_store() -> (KvStore, SimTime) {
+    let geometry = FlashGeometry { blocks_per_plane: 64, ..FlashGeometry::small_test() };
+    let device = Arc::new(DeviceBuilder::new(geometry).timing(TimingModel::mlc_2015()).build());
+    let page = vec![0xC3; geometry.page_size as usize];
+    let mut t = SimTime::ZERO;
+    for die in geometry.dies() {
+        for block in (0..geometry.blocks_per_plane).map(|b| BlockAddr::new(die, 0, b)) {
+            let meta = PageMetadata::new(1, 0);
+            let program = FlashCommand::Program { addr: block.page(0), data: &page, meta };
+            t = device.execute(program, t, IoTag::default()).unwrap().outcome.completed_at;
+            let erase = FlashCommand::Erase { block };
+            t = device.execute(erase, t, IoTag::default()).unwrap().outcome.completed_at;
+        }
+    }
+    let noftl = Arc::new(NoFtl::new(device, NoFtlConfig::default()));
+    let rid = noftl.create_region(RegionSpec::named("rgKv").with_die_count(3)).unwrap();
+    let config = KvConfig { memtable_bytes: 1 << 20 };
+    let (kv, mut t) = KvStore::create(noftl, rid, "s", config, t).unwrap();
+    // The first run is the largest: it grows the kept buffers to what the
+    // measured flushes and compactions need.
+    flush_of(&kv, 0..100, 0, &mut t);
+    for round in 1..10 {
+        flush_of(&kv, 0..40, round, &mut t);
+    }
+    let stats = kv.stats();
+    assert_eq!((stats.flushes, stats.compactions, kv.run_count()), (10, 2, 4));
+    (kv, t)
+}
+
+/// Put keys `keys` with `round`'s values, then flush: the allocations of
+/// the flush alone.
+#[expect(clippy::unwrap_used, reason = "a failed put or flush fails the test")]
+fn flush_of(kv: &KvStore, keys: std::ops::Range<u64>, round: u64, t: &mut SimTime) -> u64 {
+    for i in keys {
+        *t = kv.put(&key(i), &value(i, round), *t).unwrap();
+    }
+    let (done, allocs) = counted(|| kv.flush(*t));
+    *t = done.unwrap();
+    allocs
+}
+
+#[test]
+fn warm_gets_and_puts_allocate_nothing() {
+    let (kv, mut t) = warm_store();
+    t = kv.put(&key(3), &value(3, 99), t).unwrap();
+    let gets: [(&[u8], &str, Option<u8>); 3] = [
+        (&key(3), "a memtable hit", Some(99)),
+        (&key(7), "a run hit", Some(9)),
+        (b"user00000007+", "a miss", None),
+    ];
+    let reads = kv.stats().get_page_reads;
+    for (k, what, expected) in gets {
+        let (got, allocs) = counted(|| kv.get_with(k, t, |v| v.map(|v| v[8])));
+        let (round, done) = got.unwrap();
+        t = done;
+        assert_eq!(round, expected, "the value of {what}");
+        assert_eq!(allocs, 0, "allocations of {what}");
+    }
+    assert!(kv.stats().get_page_reads > reads, "the run hit read a page");
+    for (i, what) in [(5, "a key in the runs"), (41, "a new key"), (3, "a key in the memtable")] {
+        let (done, allocs) = counted(|| kv.put(&key(i), &value(i, 99), t));
+        t = done.unwrap();
+        assert_eq!(allocs, 0, "allocations of a put of {what} that does not flush");
+    }
+}
+
+#[test]
+fn a_flush_and_its_compaction_allocate_the_same_whatever_their_sizes() {
+    // Each of two like stores writes a third level-0 run, then a fourth,
+    // which compacts level 0; the first store's runs hold fewer keys.  The
+    // merged runs keep within the page map's first four pages.
+    let [small, large] = [(0..10, 100..110), (0..40, 100..150)].map(|(third, fourth)| {
+        let (kv, mut t) = warm_store();
+        let flush = flush_of(&kv, third, 10, &mut t);
+        assert_eq!(kv.stats().compactions, 2, "the third run does not compact");
+        let compacting = flush_of(&kv, fourth, 11, &mut t);
+        let stats = kv.stats();
+        assert_eq!(stats.compactions, 3, "the fourth run compacts");
+        (flush, compacting, stats.flushed_pages, stats.compacted_pages)
+    });
+    assert!(small.2 < large.2 && small.3 < large.3, "{small:?} vs {large:?}: sizes differ");
+    assert_eq!(small.0, large.0, "allocations of flushes of 10 and 40 keys");
+    assert_eq!(small.1, large.1, "allocations of flushes and compactions of 50 and 90 keys");
+}

@@ -118,8 +118,7 @@ impl WorkloadBackend for KvBackend {
     }
 
     fn read(&self, key: &[u8], at: SimTime) -> Result<(bool, SimTime)> {
-        let (hit, t) = self.store.get(key, at)?;
-        Ok((hit.is_some(), t))
+        Ok(self.store.get_with(key, at, |value| value.is_some())?)
     }
 
     fn delete(&self, key: &[u8], at: SimTime) -> Result<SimTime> {
