@@ -32,7 +32,7 @@ use crate::manager::NoFtl;
 use crate::region::RegionSpec;
 use crate::{NoFtlConfig, Result};
 
-use super::store::{KvConfig, KvOpenReport, KvStore};
+use super::store::{KvConfig, KvOpenReport, KvStore, COMPACTION_THRESHOLD};
 
 /// Distinct keys in the working set.
 pub const KEYS: u64 = 48;
@@ -80,6 +80,12 @@ impl KvCrashConfig {
             ..KvCrashConfig::default()
         }
     }
+
+    /// A workload that flushes every dozen or so operations, often enough
+    /// that some merges retire runs from two levels (level 0 and level 1).
+    pub fn two_level_merges() -> Self {
+        KvCrashConfig { kv: KvConfig { memtable_bytes: 640 }, ..KvCrashConfig::default() }
+    }
 }
 
 /// Outcome of one workload → cut → reboot → open → verify cycle: the
@@ -112,6 +118,9 @@ pub struct KvRunReport {
     pub cut_during_compaction: bool,
     /// `(start, end)` of every compaction merge, in ns.
     pub compaction_windows: Vec<(u64, u64)>,
+    /// The windows of `compaction_windows` whose merge retired runs from
+    /// two levels or more.
+    pub two_level_merges: Vec<(u64, u64)>,
     /// `(issued, completed)` of every run written with a multi-page tail,
     /// in ns.
     pub tail_windows: Vec<(u64, u64)>,
@@ -148,6 +157,8 @@ impl Contract for KvCrashConfig {
         let mut rng = SplitMix64(self.seed);
         let mut pending = World::new();
         let mut flushes_seen = 0u64;
+        let mut retired_seen = 0u64;
+        let mut two_level_merges = Vec::new();
         let mut now = stack.setup_end;
         for op in 0..OPS {
             let k = rng.below(KEYS);
@@ -163,13 +174,19 @@ impl Contract for KvCrashConfig {
             match result {
                 Ok(t) => {
                     now = t;
-                    let flushes = store.stats().flushes;
-                    if flushes > flushes_seen {
+                    let stats = store.stats();
+                    if stats.flushes > flushes_seen {
                         // The operation triggered a flush and it was
                         // acknowledged: everything so far is durable.
-                        flushes_seen = flushes;
+                        flushes_seen = stats.flushes;
                         ledger.commit(pending.clone());
                     }
+                    // A level holds fewer runs than the threshold, so a
+                    // merge that retired that many took two levels' runs.
+                    if stats.compacted_runs - retired_seen >= COMPACTION_THRESHOLD as u64 {
+                        two_level_merges.extend(stats.compaction_windows.last());
+                    }
+                    retired_seen = stats.compacted_runs;
                 }
                 Err(_) => {
                     // Power cut.  The erroring operation entered the
@@ -185,6 +202,7 @@ impl Contract for KvCrashConfig {
             flushes_acknowledged: flushes_seen,
             cut_during_compaction: stats.compactions_started > stats.compactions,
             compaction_windows: stats.compaction_windows,
+            two_level_merges,
             tail_windows: stats.tail_windows,
         };
         Ok((now, report))
@@ -227,15 +245,19 @@ pub fn run_kv_crash_cycle(cfg: &KvCrashConfig, fraction: f64) -> Result<KvCrashO
 }
 
 /// Execute one crash cycle with the cut aimed *inside a compaction
-/// merge* (the `fraction`-th window of the dry run, midpoint).  Returns
-/// `Ok(None)` if the dry run never compacted — callers should then grow
-/// the workload.
+/// merge* (the `fraction`-th window of the dry run, or with `two_levels`
+/// the `fraction`-th of those that retired runs from two levels).
+/// Returns `Ok(None)` if the dry run never made such a merge — callers
+/// should then grow the workload.
 pub fn run_kv_crash_cycle_in_compaction(
     cfg: &KvCrashConfig,
     fraction: f64,
+    two_levels: bool,
 ) -> Result<Option<KvCrashOutcome>> {
     let dry = crash::dry_run(cfg)?;
-    let Some((start, end)) = pick(&dry.report.compaction_windows, fraction) else {
+    let report = &dry.report;
+    let windows = if two_levels { &report.two_level_merges } else { &report.compaction_windows };
+    let Some((start, end)) = pick(windows, fraction) else {
         return Ok(None);
     };
     // Aim at the merge's queued batch: somewhere strictly inside the
@@ -347,12 +369,23 @@ mod tests {
 
     #[test]
     fn cut_inside_a_compaction_never_loses_sources() {
-        let outcome = run_kv_crash_cycle_in_compaction(&KvCrashConfig::default(), 0.4)
+        let outcome = run_kv_crash_cycle_in_compaction(&KvCrashConfig::default(), 0.4, false)
             .unwrap()
             .expect("default workload compacts");
         assert!(
             outcome.report.cut_during_compaction,
             "the cut was aimed into a merge window but missed"
         );
+    }
+
+    #[test]
+    fn a_cut_aimed_at_a_two_level_merge_lands_inside_one() {
+        let cfg = KvCrashConfig::two_level_merges();
+        let (_, run) = uncut(&cfg);
+        assert!(!run.two_level_merges.is_empty(), "the workload must merge two levels");
+        let outcome = run_kv_crash_cycle_in_compaction(&cfg, 0.5, true).unwrap().unwrap();
+        assert!(outcome.report.cut_during_compaction);
+        let cut = outcome.cut_at.as_nanos();
+        assert!(run.two_level_merges.iter().any(|&(start, end)| start < cut && cut < end));
     }
 }

@@ -19,38 +19,43 @@
 //!   runs to skip and which single page of the others to read.  Index
 //!   and filter stay resident in [`RunMeta`] — about 1 % of the run's
 //!   size, bounded by the data, hence fixed constants and no option.
-//! * **Compaction as region-local GC** ([`store`]) — when a level
-//!   accumulates enough runs they are merged (newest version wins,
-//!   tombstones dropped at the bottom) and the merged run is written as
-//!   one queued batch; the source runs are then retired through the
-//!   existing object-drop path, whose invalidations feed the region's
-//!   normal GC/erase machinery.
+//! * **The cascade: compaction as region-local GC** ([`store`]) — a level
+//!   never holds four runs.  A flush that would give level 0 its fourth
+//!   run instead merges, in one pass, the memtable, level 0's runs and
+//!   the runs of every next level that would fill in turn, into one run
+//!   at the first level that stays below four (newest version wins,
+//!   tombstones dropped at the bottom), written as one queued batch.  So
+//!   after `n` flushes level `l` holds the `l`-th base-4 digit of `n`
+//!   runs, and no run is written only to be merged away.  The source runs
+//!   are then retired through the existing object-drop path, whose
+//!   invalidations feed the region's normal GC/erase machinery.
+//! * **Crash safety rides the checkpoint/mount path** — the run directory
+//!   and sequence numbers are exactly the storage manager's object
+//!   directory, journalled by [`NoFtl::checkpoint`] chunk pages: the
+//!   runs' names, not their page maps (those are the run pages' own OOB
+//!   records), so a commit costs one chunk page whatever it covers.  A
+//!   merge checkpoints its run before it retires the sources, then again.
+//!   After a power cut, [`NoFtl::mount`] discards torn pages via the OOB
+//!   payload checksum and [`KvStore::open`] then discards incomplete runs
+//!   (a page missing, or a tail without all its members) and runs
+//!   superseded by a durable merge; a tail of another format version
+//!   fails the open instead of being taken for torn.  A flush is
+//!   *committed* once `flush` returns: run pages durable and the
+//!   directory checkpointed.
 //!
-//! **Nothing is allocated per entry or page.**  A get lends the value it
-//! finds ([`KvStore::get_with`]) from the memtable's arena or from the one
-//! run page the store keeps for gets; a flush encodes the memtable's slots
-//! into a page buffer the store keeps ([`run::RunWriter`]); a compaction
-//! reads its sources into a page arena the store keeps and merges their
-//! entries where they lie ([`run::merge`]).  What a flush or merge does
-//! allocate is a constant per run: its name, directory entry, page map
-//! and [`RunMeta`].
+//! **Nothing is allocated per entry, page or source.**  A get lends the
+//! value it finds ([`KvStore::get_with`]) from the memtable's arena or
+//! from the one run page the store keeps for gets.  A merge reads its
+//! source runs, through one read pipeline, into a page arena the store
+//! keeps, and merges their entries and the memtable's where they lie
+//! ([`run::merge`]) into a page buffer the store keeps
+//! ([`run::RunWriter`]).  What a merge does allocate is a constant per
+//! run it writes: its name, directory entry, page map and [`RunMeta`].
 //!
 //! **A lending closure must not re-enter the store.**  `get_with` runs
 //! its closure under the store's lock (class `Engine`), so a closure that
 //! calls back into the same store panics in a debug build ("recursive
 //! acquisition of engine") and deadlocks in a release build.
-//! * **Crash safety rides the checkpoint/mount path** — the run directory
-//!   and sequence numbers are exactly the storage manager's object
-//!   directory, journalled by [`NoFtl::checkpoint`] chunk pages: the
-//!   runs' names, not their page maps (those are the run pages' own OOB
-//!   records), so a commit costs one chunk page whatever it covers.  After a
-//!   power cut, [`NoFtl::mount`] discards torn pages via the OOB payload
-//!   checksum and [`KvStore::open`] then discards incomplete runs (a
-//!   page missing, or a tail without all its members) and runs
-//!   superseded by a durable merge; a tail of another format version
-//!   fails the open instead of being taken for torn.  A flush is
-//!   *committed* once `flush` returns: run pages durable and the
-//!   directory checkpointed.
 //!
 //! [`harness`] is the store's crash contract for the one crash driver,
 //! [`crate::crash`]: it builds the store, runs a put/delete workload,

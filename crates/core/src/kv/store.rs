@@ -31,9 +31,10 @@ use super::run::{self, Bloom, Entry, RunMeta, RunWriter, TailError};
 /// reads pull run pages through the windowed pipeline ([`NoFtl::execute`]).
 const READ_WINDOW: usize = 8;
 
-/// Number of runs in one level that triggers a size-tiered merge into the
-/// next level.
-const COMPACTION_THRESHOLD: usize = 4;
+/// A level never holds this many runs: a flush that would give a level its
+/// `COMPACTION_THRESHOLD`-th run merges that level into the next instead
+/// (the cascade rule of `KvStore::cascade`).
+pub(crate) const COMPACTION_THRESHOLD: usize = 4;
 
 /// Configuration of a [`KvStore`].
 #[derive(Debug, Clone, Copy)]
@@ -70,20 +71,21 @@ pub struct KvStats {
     pub run_probes: u64,
     /// Probed runs a get skipped because the filter ruled the key out.
     pub bloom_skips: u64,
-    /// Memtable flushes completed.
+    /// Memtable flushes completed: every merge, which each commits the memtable.
     pub flushes: u64,
-    /// Pages written by flushes (data + tail).
+    /// Pages (data + tail) written by flushes that merged no run.
     pub flushed_pages: u64,
-    /// Compaction merges started.
+    /// Flushes started that also merge runs (cascades of depth 1 or more).
     pub compactions_started: u64,
-    /// Compaction merges completed.
+    /// Flushes completed that also merged runs: each is one of `flushes`.
     pub compactions: u64,
     /// Source runs retired by completed compactions.
     pub compacted_runs: u64,
-    /// Pages written by completed compactions.
+    /// Pages written by completed compactions (never also in `flushed_pages`).
     pub compacted_pages: u64,
     /// Simulated-time windows `(start_ns, end_ns)` of completed
-    /// compaction merges — the crash harness aims power cuts into these.
+    /// compactions, flush start to the checkpoint that retired the
+    /// sources — the crash harness aims power cuts into these.
     pub compaction_windows: Vec<(u64, u64)>,
     /// Simulated-time windows `(issue_ns, done_ns)` of the page batches
     /// of runs written with two or more tail pages.  The pages issue
@@ -136,7 +138,7 @@ struct KvInner {
     page: Vec<u8>,
     /// The pages of the run being written, encoded by flushes and merges.
     writer: RunWriter,
-    /// The data pages a compaction merges, its sources' oldest first.
+    /// The data pages a merge reads, its sources' oldest first.
     arena: Vec<u8>,
 }
 
@@ -403,9 +405,10 @@ impl KvStore {
         Ok(())
     }
 
-    /// Insert or overwrite a key.  May trigger a memtable flush (and
-    /// cascading compactions) when the buffer crosses its threshold.
-    /// Returns the completion time (`at` if the write stayed in memory).
+    /// Insert or overwrite a key.  Flushes the memtable when it crosses
+    /// its threshold — a flush that merges the levels it would fill, by
+    /// the cascade rule of [`flush`](Self::flush).  Returns the completion
+    /// time (`at` if the write stayed in memory).
     pub fn put(&self, key: &[u8], value: &[u8], at: SimTime) -> Result<SimTime> {
         self.check_entry_size(key, value.len())?;
         let mut inner = self.lock_store();
@@ -568,157 +571,136 @@ impl KvStore {
         Ok((out, now))
     }
 
-    /// Flush the memtable to a level-0 run (no-op when empty).  This is
-    /// the store's durability point: on return the run's pages are on
-    /// flash and the run directory is checkpointed.
+    /// Flush the memtable (no-op when empty) by the cascade rule: a flush
+    /// that would give level 0 its fourth run instead merges the
+    /// memtable, level 0's runs and the runs of every next level that
+    /// would fill in turn, in one pass, into one run at the first level
+    /// that stays below four runs.  This is the store's durability point:
+    /// on return the run's pages are on flash and the run directory is
+    /// checkpointed.
     pub fn flush(&self, at: SimTime) -> Result<SimTime> {
-        let mut inner = self.lock_store();
-        let now = self.flush_locked(&mut inner, at)?;
-        self.maybe_compact(&mut inner, now)
+        self.cascade(&mut self.lock_store(), at)
     }
 
     fn maybe_flush(&self, inner: &mut KvInner, at: SimTime) -> Result<SimTime> {
         if inner.memtable.approx_bytes() < self.config.memtable_bytes {
             return Ok(at);
         }
-        let now = self.flush_locked(inner, at)?;
-        self.maybe_compact(inner, now)
+        self.cascade(inner, at)
     }
 
-    fn flush_locked(&self, inner: &mut KvInner, at: SimTime) -> Result<SimTime> {
-        if inner.memtable.len() == 0 {
-            return Ok(at);
-        }
-        let seq = inner.next_seq;
-        let entries = inner.memtable.len() as u64;
-        let meta = inner.writer.encode(&self.name, 0, (seq, seq), inner.memtable.iter());
-        inner.memtable.clear();
-        let now = self.write_run(inner, meta, at, None)?;
-        inner.next_seq = seq + 1;
-        inner.stats.flushes += 1;
-        self.obs.note_flush(entries, at, now);
-        Ok(now)
-    }
-
-    /// Write the run `inner.writer` encoded (pages fanned out through the
-    /// queued batch path), checkpoint the directory and install its
-    /// descriptor `meta` (`None`: the run's tail did not decode).
-    fn write_run(
-        &self,
-        inner: &mut KvInner,
-        meta: Option<RunMeta>,
-        at: SimTime,
-        class: Option<ServiceClass>,
-    ) -> Result<SimTime> {
-        let mut meta = meta.ok_or_else(|| kv_err("an encoded run tail does not decode"))?;
-        let name = self.run_name(meta.level, meta.seq_lo, meta.seq_hi);
-        let obj = self.noftl.create_object(&name, self.region)?;
-        let page_count = u64::from(meta.data_pages + meta.tail_pages);
-        let requests = inner
-            .writer
-            .pages()
-            .enumerate()
-            .map(|(i, page)| IoRequest::write(obj, i as u64, page).with_class(class));
-        // The whole run issues at one shared time and fans across the
-        // region's dies.
-        let mut now = self.noftl.execute(requests, at, usize::MAX, |_, _| Ok(()))?;
-        if meta.tail_pages >= 2 {
-            inner.stats.tail_windows.push((at.as_nanos(), now.as_nanos()));
-        }
-        now = self.noftl.checkpoint(now)?;
-        meta.object = obj;
-        meta.written_at = now;
-        if meta.level == 0 {
-            inner.stats.flushed_pages += page_count;
-        } else {
-            inner.stats.compacted_pages += page_count;
-        }
-        let pos = inner.runs.partition_point(|r| r.seq_hi > meta.seq_hi);
-        inner.runs.insert(pos, meta);
-        Ok(now)
-    }
-
-    /// Run size-tiered compactions until no level holds
-    /// [`COMPACTION_THRESHOLD`] runs or more, lowest level first.
-    fn maybe_compact(&self, inner: &mut KvInner, at: SimTime) -> Result<SimTime> {
-        let mut now = at;
-        // Each merge strictly shrinks the run count, so this terminates.
-        loop {
-            let full =
-                |l| inner.runs.iter().filter(|r| r.level == l).count() >= COMPACTION_THRESHOLD;
-            let level = inner.runs.iter().map(|r| r.level).filter(|&l| full(l)).min();
-            let Some(level) = level else { return Ok(now) };
-            now = self.compact_level(inner, level, now)?;
-        }
-    }
-
-    /// Merge every run of `level` into one run at `level + 1`: the
-    /// region-local GC expression of LSM compaction.  The merged run is
-    /// written as one queued batch and made durable (checkpoint) *before*
-    /// the sources are retired through the object-drop path, so a crash
-    /// at any instant leaves either the sources or the merge — never
-    /// neither.
+    /// The one merge, which flushes the memtable (no-op when empty).  A
+    /// flush that would give level 0 its [`COMPACTION_THRESHOLD`]-th run
+    /// instead merges, in one pass, the memtable, level 0's runs and the
+    /// runs of every next level that would fill in turn, into one run at
+    /// the first level that stays below the threshold: the *cascade* rule,
+    /// LSM compaction as region-local GC.  A depth-0 merge is a plain
+    /// flush to level 0.  The run directory it leaves is the one a flush
+    /// followed by level-by-level compactions would leave; the runs in
+    /// between are never written, read back or erased.
     ///
-    /// The sources' data pages are read into the store's page arena and
-    /// merged where they lie, into the store's run writer: a merge
-    /// allocates nothing per entry or page.
-    fn compact_level(&self, inner: &mut KvInner, level: u32, at: SimTime) -> Result<SimTime> {
-        let KvInner { runs, stats, writer, arena, .. } = &mut *inner;
-        // The level's runs, oldest first (`runs` is newest first).
-        let sources = || runs.iter().rev().filter(|r| r.level == level);
-        if sources().count() < 2 {
+    /// The merged run is written as one queued batch and made durable
+    /// (checkpoint) *before* the sources are retired through the
+    /// object-drop path (and checkpointed again), so a crash at any
+    /// instant leaves either the sources or the merge — never neither.
+    ///
+    /// The sources' data pages are read, through one bounded pipeline,
+    /// into the store's page arena.  Their entries and, as the newest
+    /// source, the memtable's are merged where they lie into the store's
+    /// run writer: a merge allocates nothing per entry, page or source.
+    fn cascade(&self, inner: &mut KvInner, at: SimTime) -> Result<SimTime> {
+        let KvInner { memtable, runs, next_seq, stats, writer, arena, .. } = inner;
+        if memtable.len() == 0 {
             return Ok(at);
         }
-        stats.compactions_started += 1;
-        let (seq_lo, seq_hi) =
-            sources().fold((u64::MAX, 0), |(lo, hi), r| (lo.min(r.seq_lo), hi.max(r.seq_hi)));
+        let mut depth = 0;
+        while runs.iter().filter(|r| r.level == depth).count() + 1 >= COMPACTION_THRESHOLD {
+            depth += 1;
+        }
+        // Levels only rise from the newest run to the oldest (a merge
+        // replaces the runs below `depth`, the newest, by one at `depth`),
+        // so the sources are the first `k` runs; oldest first, they are
+        // these reversed.
+        let k = runs.iter().take_while(|r| r.level < depth).count();
+        let sources = || runs[..k].iter().rev();
+        let seq = *next_seq;
+        let seq_lo = runs[..k].last().map_or(seq, |r| r.seq_lo);
         // Tombstones may be dropped once no older run could still hold a
-        // shadowed version of the key.
-        let bottom = !runs.iter().any(|r| r.seq_hi < seq_lo);
+        // shadowed version of the key; a plain flush keeps them all.
+        let bottom = depth > 0 && !runs.iter().any(|r| r.seq_hi < seq_lo);
+        // Merge reads and the merged run are maintenance traffic; a plain
+        // flush keeps the region's class.
+        let class = (depth > 0).then_some(ServiceClass::Background);
+        stats.compactions_started += u64::from(depth > 0);
 
-        // Read the sources oldest first, each through the bounded pipeline:
-        // up to `READ_WINDOW` of its pages in flight at once.  Compaction
-        // merge input is maintenance traffic.
-        let background = Some(ServiceClass::Background);
         let page_size = self.noftl.device().geometry().page_size as usize;
         arena.clear();
-        let mut now = at;
-        for source in sources().filter(|r| r.data_pages > 0) {
-            let reads = (0..source.data_pages)
-                .map(|page| IoRequest::read(source.object, u64::from(page)).with_class(background));
-            let t = self.noftl.execute(reads, now, READ_WINDOW, |req, payload| {
-                if !run::is_data_page(payload) {
-                    return Err(not_data(req));
-                }
-                arena.extend_from_slice(payload);
-                Ok(())
-            })?;
-            now = now.max(t);
-            stats.run_page_reads += u64::from(source.data_pages);
-        }
-        // Newer versions win: each source's entries, where they lie.
+        let reads = sources().flat_map(|r| {
+            (0..r.data_pages)
+                .map(move |p| IoRequest::read(r.object, u64::from(p)).with_class(class))
+        });
+        let mut now = self.noftl.execute(reads, at, READ_WINDOW, |req, payload| {
+            if !run::is_data_page(payload) {
+                return Err(not_data(req));
+            }
+            arena.extend_from_slice(payload);
+            stats.run_page_reads += 1;
+            Ok(())
+        })?;
+        // Newer versions win: each source's entries where they lie, then
+        // the memtable's, each stream of one type (a run's entries, or the
+        // memtable's).
         let mut rest = arena.as_slice();
-        let streams = sources().map(|r| {
+        let run_entries = sources().map(|r| {
             let (pages, later) = rest.split_at(r.data_pages as usize * page_size);
             rest = later;
             run::data_entries(pages, page_size)
         });
-        let merged = run::merge(streams, bottom);
-        let meta = writer.encode(&self.name, level + 1, (seq_lo, seq_hi), merged);
-        now = self.write_run(inner, meta, now, background)?;
+        let streams = run_entries.map(Some).chain([None]).map(|run| {
+            let mem = run.is_none().then(|| memtable.iter());
+            run.into_iter().flatten().chain(mem.into_iter().flatten())
+        });
+        let meta = writer.encode(&self.name, depth, (seq_lo, seq), run::merge(streams, bottom));
+        let mut meta = meta.ok_or_else(|| kv_err("an encoded run tail does not decode"))?;
+        let entries = memtable.len() as u64;
+        memtable.clear();
 
-        // Retire the sources, newest first, through the normal drop path:
-        // their pages become invalid and the region's GC reclaims the
-        // blocks.
-        while let Some(pos) = inner.runs.iter().position(|r| r.level == level) {
-            self.noftl.drop_object(inner.runs[pos].object)?;
-            inner.runs.remove(pos);
-            inner.stats.compacted_runs += 1;
+        // The whole run issues at one shared time and fans across the
+        // region's dies.
+        let obj = self.noftl.create_object(&self.run_name(depth, seq_lo, seq), self.region)?;
+        let requests = writer
+            .pages()
+            .enumerate()
+            .map(|(i, page)| IoRequest::write(obj, i as u64, page).with_class(class));
+        let issued = now;
+        now = self.noftl.execute(requests, issued, usize::MAX, |_, _| Ok(()))?;
+        if meta.tail_pages >= 2 {
+            stats.tail_windows.push((issued.as_nanos(), now.as_nanos()));
         }
         now = self.noftl.checkpoint(now)?;
-        inner.stats.compactions += 1;
-        inner.stats.compaction_windows.push((at.as_nanos(), now.as_nanos()));
-        self.obs.note_compact(u64::from(level), at, now);
+        *next_seq = seq + 1;
+        let pages = u64::from(meta.data_pages + meta.tail_pages);
+        (meta.object, meta.written_at) = (obj, now);
+        // The newest run of all.
+        runs.insert(0, meta);
+        if depth == 0 {
+            stats.flushed_pages += pages;
+        } else {
+            // Retire the sources, newest first, through the normal drop
+            // path: their pages become invalid and the region's GC
+            // reclaims the blocks.
+            for source in runs.drain(1..=k) {
+                self.noftl.drop_object(source.object)?;
+                stats.compacted_runs += 1;
+            }
+            now = self.noftl.checkpoint(now)?;
+            stats.compactions += 1;
+            stats.compacted_pages += pages;
+            stats.compaction_windows.push((at.as_nanos(), now.as_nanos()));
+            self.obs.note_compact(u64::from(depth), at, now);
+        }
+        stats.flushes += 1;
+        self.obs.note_flush(entries, at, now);
         Ok(now)
     }
 }
@@ -892,6 +874,67 @@ mod tests {
                 let expected: ScanResult = reference.into_iter().take(limit).collect();
                 proptest::prop_assert_eq!(rows, expected);
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// Over random put / delete / flush histories with a memtable of a
+        /// few entries, after every step: the `n` flushes so far leave
+        /// level `l` holding the `l`-th base-4 digit of `n` runs, each run
+        /// of level `l` covering `4^l` flushes, and the runs' sequence
+        /// ranges partition `1..=n`.  At the end, point gets and a full
+        /// scan equal a model of the history.
+        #[test]
+        fn the_cascade_counts_flushes_in_base_4(
+            history in proptest::collection::vec((0u8..10, 0u64..40), 1..400),
+        ) {
+            let (_d, noftl, rid) = stack(TimingModel::instant());
+            let config = KvConfig { memtable_bytes: 256 };
+            let (kv, mut t) =
+                KvStore::create(Arc::clone(&noftl), rid, "s", config, SimTime::ZERO).unwrap();
+            let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+            for (round, &(op, i)) in history.iter().enumerate() {
+                t = match op {
+                    0..=5 => {
+                        model.insert(key(i), val(i, round as u64));
+                        kv.put(&key(i), &val(i, round as u64), t).unwrap()
+                    }
+                    6..=8 => {
+                        model.remove(&key(i));
+                        kv.delete(&key(i), t).unwrap()
+                    }
+                    _ => kv.flush(t).unwrap(),
+                };
+                let n = kv.stats().flushes;
+                let inner = kv.lock_store();
+                for level in 0..5u32 {
+                    let runs = inner.runs.iter().filter(|r| r.level == level);
+                    let digit = n / 4u64.pow(level) % 4;
+                    proptest::prop_assert_eq!(runs.clone().count() as u64, digit, "level {}", level);
+                    for r in runs {
+                        proptest::prop_assert_eq!(r.seq_hi - r.seq_lo + 1, 4u64.pow(level));
+                    }
+                }
+                let mut ranges: Vec<(u64, u64)> =
+                    inner.runs.iter().map(|r| (r.seq_lo, r.seq_hi)).collect();
+                ranges.sort_unstable();
+                let mut next = 1;
+                for (lo, hi) in ranges {
+                    proptest::prop_assert_eq!(lo, next, "the ranges leave no gap");
+                    next = hi + 1;
+                }
+                proptest::prop_assert_eq!(next, n + 1, "the ranges end at the last flush");
+            }
+            for i in 0..40u64 {
+                let (got, t2) = kv.get(&key(i), t).unwrap();
+                t = t2;
+                proptest::prop_assert_eq!(got.as_ref(), model.get(&key(i)), "key {}", i);
+            }
+            let (rows, _) = kv.scan(None, None, usize::MAX, t).unwrap();
+            let modelled: ScanResult = model.into_iter().collect();
+            proptest::prop_assert_eq!(rows, modelled);
         }
     }
 
@@ -1137,14 +1180,14 @@ mod tests {
             }
             t = kv.flush(t).unwrap();
         }
-        // A flush commits with one checkpoint, a merge with two (the
-        // merged run, then the retired sources), and a checkpoint is the
-        // run directory — one chunk page — however many run pages are
+        // Every flush commits with one checkpoint (its run), and one that
+        // merged runs with a second (the retired sources); a checkpoint is
+        // the run directory — one chunk page — however many run pages are
         // mapped by then.
         let stats = kv.stats();
         assert!(stats.flushes >= 9 && stats.compactions > 0);
         let checkpoints = counter("core.checkpoint.count") - checkpoints_before;
-        assert_eq!(checkpoints, stats.flushes + 2 * stats.compactions);
+        assert_eq!(checkpoints, stats.flushes + stats.compactions);
         assert_eq!(counter("core.checkpoint.pages"), counter("core.checkpoint.count"));
         assert_eq!(
             device.stats().page_programs - programs_before,

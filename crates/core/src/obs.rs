@@ -201,7 +201,8 @@ impl KvObs {
         self.note(&self.flush_latency, "memtable_flush", ("entries", entries), (issued, done));
     }
 
-    /// Record one level compaction as a histogram sample and tracer span.
+    /// Record one compaction — a flush that merged runs, its run landing
+    /// at `level` — as a histogram sample and tracer span.
     pub(crate) fn note_compact(&self, level: u64, issued: SimTime, done: SimTime) {
         self.note(&self.compact_latency, "compaction", ("level", level), (issued, done));
     }

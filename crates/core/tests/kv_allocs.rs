@@ -3,20 +3,22 @@
 //! The memtable keeps every entry's bytes in one arena and its order in a
 //! vector of slots, and both keep their capacity across flushes.  A get
 //! lends the value to a closure, borrowed from the memtable or from the
-//! run page the store keeps for gets (`KvStore::get_with`).  A flush
-//! encodes the memtable's slots into a page buffer the store keeps, and a
-//! compaction reads its sources into a page arena the store keeps and
-//! merges their entries where they lie, into that same buffer.  So, once
-//! a warm-up has flushed and compacted:
+//! run page the store keeps for gets (`KvStore::get_with`).  A flush is
+//! one merge: it reads the runs it merges, through one read pipeline, into
+//! a page arena the store keeps, and merges their entries and the
+//! memtable's where they lie into a page buffer the store keeps.  So,
+//! once a warm-up has flushed and compacted:
 //!
 //! * a get that hits the memtable, hits a run or misses allocates nothing;
 //! * a put that does not flush allocates nothing;
 //! * a flush allocates a constant per run it writes — the run's name and
 //!   directory entry, its descriptor (largest key, fences, filter), its
-//!   page map — plus what its checkpoint allocates, which depends on the
-//!   directory and not on the run, and a compaction adds a constant per
-//!   source it reads (the read pipeline's page buffer).  So two like
-//!   stores whose flushes differ only in size allocate the same count.
+//!   page map — plus what its checkpoints allocate, which depends on the
+//!   directory and not on the run, and a flush that merges runs adds a
+//!   constant, whatever the number of runs or levels it merges (the read
+//!   pipeline's page buffer and window, the merge's cursors).  So two like
+//!   stores whose flushes differ only in size allocate the same count, and
+//!   so do a merge of one level and one of two, net of their checkpoints.
 //!
 //! Two things the data grows are kept out of the counted windows.  Every
 //! block of the device has held a payload once before the store is built,
@@ -93,15 +95,14 @@ fn value(i: u64, round: u64) -> [u8; 100] {
 }
 
 /// A store on a device whose every block has held a payload once, with a
-/// threshold no test reaches, so only explicit flushes write runs.  The
-/// warm-up flushes ten runs: two compactions have merged eight of them
-/// into level 1, and two runs of keys `0..40` are left in level 0.
+/// threshold no test reaches, so only explicit flushes write runs, and
+/// the storage manager under it.
 #[expect(
     clippy::unwrap_used,
     clippy::disallowed_methods,
     reason = "cycles the bare device before a manager owns it; a failed step fails the test"
 )]
-fn warm_store() -> (KvStore, SimTime) {
+fn cold_store() -> (Arc<NoFtl>, KvStore, SimTime) {
     let geometry = FlashGeometry { blocks_per_plane: 64, ..FlashGeometry::small_test() };
     let device = Arc::new(DeviceBuilder::new(geometry).timing(TimingModel::mlc_2015()).build());
     let page = vec![0xC3; geometry.page_size as usize];
@@ -118,7 +119,15 @@ fn warm_store() -> (KvStore, SimTime) {
     let noftl = Arc::new(NoFtl::new(device, NoFtlConfig::default()));
     let rid = noftl.create_region(RegionSpec::named("rgKv").with_die_count(3)).unwrap();
     let config = KvConfig { memtable_bytes: 1 << 20 };
-    let (kv, mut t) = KvStore::create(noftl, rid, "s", config, t).unwrap();
+    let (kv, t) = KvStore::create(Arc::clone(&noftl), rid, "s", config, t).unwrap();
+    (noftl, kv, t)
+}
+
+/// [`cold_store`] warmed up by ten flushes: two compactions have merged
+/// eight of them into level 1, and two runs of keys `0..40` are left in
+/// level 0.
+fn warm_store() -> (KvStore, SimTime) {
+    let (_, kv, mut t) = cold_store();
     // The first run is the largest: it grows the kept buffers to what the
     // measured flushes and compactions need.
     flush_of(&kv, 0..100, 0, &mut t);
@@ -184,4 +193,40 @@ fn a_flush_and_its_compaction_allocate_the_same_whatever_their_sizes() {
     assert!(small.2 < large.2 && small.3 < large.3, "{small:?} vs {large:?}: sizes differ");
     assert_eq!(small.0, large.0, "allocations of flushes of 10 and 40 keys");
     assert_eq!(small.1, large.1, "allocations of flushes and compactions of 50 and 90 keys");
+}
+
+#[test]
+fn a_cascade_allocates_the_same_whatever_its_depth() {
+    // Two like stores whose first flush is the largest and every later one
+    // puts keys `0..80`.  After 43 flushes levels 0, 1 and 2 hold 3, 2 and
+    // 2 runs (43 is 223 in base 4), so the 44th merges level 0 into level
+    // 1; after 31 (133 in base 4) the 32nd merges levels 0 and 1 into
+    // level 2.  Both merges read more pages than the read window holds,
+    // write a run of four pages and checkpoint a directory of nine objects
+    // before they retire their sources.  The checkpoint after that names
+    // three runs fewer after the deeper merge, so each flush is counted
+    // net of what a checkpoint of the directory it leaves allocates.
+    let [shallow, deep] = [(43, 1), (31, 2)].map(|(flushes, depth)| {
+        let (noftl, kv, mut t) = cold_store();
+        // The manager's object table holds one object per run ever
+        // written; one more keeps the 32nd run off its doubling.
+        assert!(noftl.create_object_in("pad", "rgKv").is_ok());
+        flush_of(&kv, 0..100, 0, &mut t);
+        for round in 1..flushes {
+            flush_of(&kv, 0..80, round, &mut t);
+        }
+        let before = kv.stats();
+        let cascade = flush_of(&kv, 0..80, flushes, &mut t);
+        let after = kv.stats();
+        assert_eq!(after.compacted_runs - before.compacted_runs, 3 * depth, "depth {depth}");
+        let (done, checkpoint) = counted(|| noftl.checkpoint(t));
+        assert!(done.is_ok());
+        (cascade, checkpoint)
+    });
+    assert_eq!(
+        shallow.0 - shallow.1,
+        deep.0 - deep.1,
+        "allocations (flush, checkpoint after it) of a depth-1 cascade {shallow:?} and a \
+         depth-2 one {deep:?}"
+    );
 }

@@ -40,7 +40,8 @@ fn main() {
     println!("created store 'users' over a 6-die region\n");
 
     // Load three rounds of the same working set: the memtable threshold
-    // flushes level-0 runs, and every fourth run triggers a merge.
+    // flushes level-0 runs, and every fourth flush merges the memtable
+    // and level 0's three runs into one level-1 run.
     for round in 1..=3u64 {
         for i in 0..400u64 {
             t = store.put(&key(i), &val(i, round), t).unwrap();

@@ -2,10 +2,11 @@
 //! consistency.
 //!
 //! The property test sweeps ≥ 25 random power-cut instants (every fifth
-//! cut aimed *inside a compaction merge*, every fifth *between the tail
-//! pages* of a run whose tail spans several pages — alternately a
+//! cut aimed *inside a compaction merge* — every other one of those into
+//! a merge that retires runs from two levels — and every fifth *between
+//! the tail pages* of a run whose tail spans several pages, alternately a
 //! flush's and a merge's) across a put/delete workload whose memtable
-//! flushes and size-tiered compactions fire continuously.
+//! flushes and cascading merges fire continuously.
 //! After every cut the device is rebooted from its image, the storage
 //! manager remounted (`NoFtl::mount`) and the store reopened
 //! (`KvStore::open`); the harness then verifies that
@@ -42,6 +43,7 @@ fn random_power_cuts_recover_every_committed_key() {
     let mut committed_total = 0u64;
     let mut torn_total = 0u64;
     let mut compaction_cuts = 0u64;
+    let mut two_level_cuts = 0u64;
     let mut in_flight_survivals = 0u64;
     let mut tail_cuts = [0u64; 2]; // [in a flush's run, in a merge's run]
     for round in 0..rounds {
@@ -49,8 +51,16 @@ fn random_power_cuts_recover_every_committed_key() {
         // need the workload whose runs have multi-page tails.
         let tail_aimed = round % 5 == 2;
         let in_merge = round % 10 == 7;
-        let base =
-            if tail_aimed { KvCrashConfig::multi_page_tail() } else { KvCrashConfig::default() };
+        // Rounds 9, 19, … cut inside a merge of two levels' runs; they
+        // need the workload that flushes often enough to make one.
+        let two_levels = round % 10 == 9;
+        let base = if tail_aimed {
+            KvCrashConfig::multi_page_tail()
+        } else if two_levels {
+            KvCrashConfig::two_level_merges()
+        } else {
+            KvCrashConfig::default()
+        };
         let cfg = KvCrashConfig {
             // Vary the workload itself every few rounds so the cuts do
             // not all land in identical histories.
@@ -70,9 +80,11 @@ fn random_power_cuts_recover_every_committed_key() {
             tail_cuts[usize::from(in_merge)] += 1;
             outcome
         } else if round % 5 == 4 {
-            run_kv_crash_cycle_in_compaction(&cfg, fraction)
+            let outcome = run_kv_crash_cycle_in_compaction(&cfg, fraction, two_levels)
                 .unwrap_or_else(|e| panic!("round {round} (compaction-aimed) failed: {e}"))
-                .expect("the default workload compacts")
+                .expect("the workload makes the merges the round aims at");
+            two_level_cuts += u64::from(two_levels && outcome.report.cut_during_compaction);
+            outcome
         } else {
             run_kv_crash_cycle(&cfg, fraction)
                 .unwrap_or_else(|e| panic!("round {round} (fraction {fraction:.3}) failed: {e}"))
@@ -94,14 +106,15 @@ fn random_power_cuts_recover_every_committed_key() {
         compaction_cuts > 0,
         "no cut ever landed inside a compaction — the aimed rounds missed"
     );
+    assert!(two_level_cuts > 0, "no cut ever landed inside a merge of two levels");
     assert!(
         tail_cuts.iter().all(|n| *n > 0),
         "the sweep must cut inside a flush's and a merge's multi-page tail (got {tail_cuts:?})"
     );
     println!(
         "{rounds} cuts: {flushes_total} flushes acknowledged, {committed_total} committed keys \
-         verified, {torn_total} torn runs discarded, {compaction_cuts} cuts during compaction, \
-         {in_flight_survivals} in-flight flushes survived, {tail_cuts:?} cuts between the tail \
+         verified, {torn_total} torn runs discarded, {compaction_cuts} cuts during compaction \
+         ({two_level_cuts} in a merge of two levels), {in_flight_survivals} in-flight flushes survived, {tail_cuts:?} cuts between the tail \
          pages of a flushed / merged run"
     );
 }
@@ -109,14 +122,19 @@ fn random_power_cuts_recover_every_committed_key() {
 #[test]
 fn cut_during_compaction_merge_loses_nothing() {
     // Deterministic: aim straight into the first compaction window of
-    // the default workload.  The harness fails the test internally if
-    // any committed key is lost or a torn run half-survives.
-    let outcome = run_kv_crash_cycle_in_compaction(&KvCrashConfig::default(), 0.0)
-        .expect("cycle runs")
-        .expect("the default workload compacts");
-    assert!(outcome.report.cut_during_compaction, "the cut must land inside the merge");
-    assert!(outcome.report.flushes_acknowledged > 0);
-    assert!(outcome.committed.len() as u64 > 0);
+    // the default workload, then into the first merge that retires runs
+    // from two levels.  The harness fails the test internally if any
+    // committed key is lost or a torn run half-survives.
+    for (cfg, two_levels) in
+        [(KvCrashConfig::default(), false), (KvCrashConfig::two_level_merges(), true)]
+    {
+        let outcome = run_kv_crash_cycle_in_compaction(&cfg, 0.0, two_levels)
+            .expect("cycle runs")
+            .expect("the workload makes the merge aimed at");
+        assert!(outcome.report.cut_during_compaction, "the cut must land inside the merge");
+        assert!(outcome.report.flushes_acknowledged > 0);
+        assert!(outcome.committed.len() as u64 > 0);
+    }
 }
 
 #[test]
