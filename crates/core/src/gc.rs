@@ -116,7 +116,7 @@ impl Space<'_> {
                 return Ok(ppa);
             }
         }
-        Err(NoFtlError::RegionFull { region: self.region.id, name: self.region.name.clone() })
+        Err(NoFtlError::RegionFull { region: self.region.id, name: self.region.spec.name.clone() })
     }
 
     /// Update the owner's translation after a page move (GC copyback or

@@ -140,7 +140,7 @@ impl Inner {
             return IoTag::default();
         };
         let class = class.unwrap_or(region.service_class());
-        if region.name == META_REGION_NAME {
+        if region.spec.name == META_REGION_NAME {
             IoTag::durability(class, Some(rid.0))
         } else {
             IoTag::new(class, Some(rid.0))

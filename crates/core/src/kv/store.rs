@@ -9,9 +9,7 @@
 //! physical pages hold it is read back from their OOB records on mount.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use flash_sim::lockorder::{self, LockClass, TrackedGuard};
 use flash_sim::{ServiceClass, SimTime};

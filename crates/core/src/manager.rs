@@ -19,9 +19,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, DefaultHasher};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use flash_sim::lockorder::{self, LockClass, TrackedGuard};
 use flash_sim::{DieId, FlashBackend, FlashCommand, IoTag, PageState, SimTime};
@@ -109,6 +107,15 @@ impl Inner {
             .get_mut(obj as usize)
             .and_then(|o| o.as_mut())
             .ok_or_else(|| NoFtlError::UnknownObject { object: obj.to_string() })
+    }
+
+    /// The objects placed in region `rid`, by ascending id: the object
+    /// directory is the one record of region membership.
+    pub(crate) fn objects_in(&self, rid: RegionId) -> impl Iterator<Item = ObjectId> + '_ {
+        let live = self.objects.iter().enumerate();
+        live.filter_map(move |(id, o)| {
+            o.as_ref().filter(|o| o.region == rid).map(|_| id as ObjectId)
+        })
     }
 }
 
@@ -270,9 +277,10 @@ impl NoFtl {
                 ),
             });
         }
+        let objects = inner.objects_in(rid).count();
         let region = inner.region_mut(rid)?;
-        if !region.objects.is_empty() {
-            return Err(NoFtlError::RegionNotEmpty { region: rid, objects: region.objects.len() });
+        if objects > 0 {
+            return Err(NoFtlError::RegionNotEmpty { region: rid, objects });
         }
         let mut done = at;
         let mut dies = Vec::new();
@@ -283,7 +291,7 @@ impl NoFtl {
             done = done.max(self.env.erase_into_pool(die, blocks, at)?);
             dies.push(die.die);
         }
-        let name = region.name.clone();
+        let name = region.spec.name.clone();
         inner.region_by_name.remove(&name);
         inner.regions[rid.0 as usize] = None;
         inner.free_dies.extend(dies);
@@ -302,7 +310,7 @@ impl NoFtl {
 
     /// Name of a region.
     pub fn region_name(&self, rid: RegionId) -> Result<String> {
-        Ok(self.lock_inner().region(rid)?.name.clone())
+        Ok(self.lock_inner().region(rid)?.spec.name.clone())
     }
 
     /// Dies currently owned by a region.
@@ -318,7 +326,8 @@ impl NoFtl {
     /// Configuration/occupancy snapshot of a region.
     pub fn region_info(&self, rid: RegionId) -> Result<crate::region::RegionInfo> {
         let inner = self.lock_inner();
-        Ok(inner.region(rid)?.info(self.env.device.geometry()))
+        let objects = inner.objects_in(rid).collect();
+        Ok(inner.region(rid)?.info(self.env.device.geometry(), objects))
     }
 
     /// Number of dies still unassigned.
@@ -360,7 +369,7 @@ impl NoFtl {
             return Err(NoFtlError::Ddl {
                 message: format!(
                     "cannot remove {remove_dies} die(s) from region '{}' with only {} die(s)",
-                    region.name,
+                    region.spec.name,
                     region.dies.len()
                 ),
             });

@@ -19,7 +19,10 @@ use crate::Result;
 /// metadata.
 pub type ObjectId = u32;
 
-/// Per-object access counters used for hot/cold classification.
+/// Per-object access counters used for hot/cold classification.  They
+/// count from the object's creation or from the mount that rebuilt it: a
+/// checkpoint does not persist them, so after a mount both start at 0,
+/// as the device's own counters do.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObjectCounters {
     /// Logical page reads served for this object.
@@ -104,8 +107,8 @@ impl NoFtl {
         if inner.object_by_name.contains_key(name) {
             return Err(NoFtlError::ObjectExists { name: name.to_string() });
         }
+        inner.region(region)?;
         let id = inner.objects.len() as ObjectId;
-        inner.region_mut(region)?.objects.push(id);
         inner.objects.push(Some(ObjectState::new(name, region)));
         inner.object_by_name.insert(name.to_string(), id);
         Ok(id)
@@ -134,7 +137,6 @@ impl NoFtl {
             .ok_or_else(|| NoFtlError::UnknownObject { object: obj.to_string() })?;
         inner.object_by_name.remove(&state.name);
         if let Ok(region) = inner.region_mut(state.region) {
-            region.objects.retain(|o| *o != obj);
             for ppa in state.map.iter().flatten() {
                 let _ = self.env.device.mark_invalid(*ppa);
                 region.record_invalidation(*ppa);

@@ -72,11 +72,6 @@ impl PlacementConfig {
         self.regions.iter().map(|r| r.dies).sum()
     }
 
-    /// Number of regions.
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
-    }
-
     /// Find the region an object is assigned to.
     pub fn region_of(&self, object: &str) -> Option<&RegionAssignment> {
         self.regions.iter().find(|r| r.objects.iter().any(|o| o == object))
@@ -223,7 +218,7 @@ mod tests {
     #[test]
     fn traditional_config_uses_one_region() {
         let cfg = PlacementConfig::traditional(64, ["a".to_string(), "b".to_string()]);
-        assert_eq!(cfg.region_count(), 1);
+        assert_eq!(cfg.regions.len(), 1);
         assert_eq!(cfg.total_dies(), 64);
         assert_eq!(cfg.region_of("a").unwrap().region_name, "rgAll");
         assert!(cfg.region_of("zzz").is_none());
@@ -233,7 +228,7 @@ mod tests {
     fn die_shares_sum_to_total_and_respect_minimum() {
         let cfg = assign_dies(&groups(), 64);
         assert_eq!(cfg.total_dies(), 64);
-        assert_eq!(cfg.region_count(), 6);
+        assert_eq!(cfg.regions.len(), 6);
         assert!(cfg.regions.iter().all(|r| r.dies >= 1));
         // The biggest, most I/O-intensive group (stock) gets the most dies.
         let stock = cfg.regions.iter().find(|r| r.region_name == "rgStock").unwrap();

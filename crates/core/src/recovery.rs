@@ -8,16 +8,19 @@
 //! this module persists only what those records cannot say:
 //!
 //! * **Checkpoints** — `NoFtl::checkpoint` serialises the *directory* —
-//!   region specs, the die assignment, the free-die pool and every
-//!   object's entry (name, region, counters), no page map — into a compact
-//!   blob, splits it into page-sized chunks (one, for all but the largest
-//!   directories) and programs them into a dedicated metadata region under
-//!   the reserved [`META_OBJECT_ID`].  Its cost is O(regions + objects),
+//!   each region's spec and dies, and each object's name and region — into
+//!   a compact blob, splits it into page-sized chunks (one, for all but
+//!   the largest directories) and programs them into a dedicated metadata
+//!   region under the reserved [`META_OBJECT_ID`].  Its cost is O(regions + objects),
 //!   independent of how many pages are mapped.  Chunks are self-describing
 //!   (sequence number, index, count, CRC via the OOB checksum), so a mount
 //!   can always find the newest *complete* checkpoint even if a later one
 //!   was torn mid-write.  Blob and chunk pages are written and read with
-//!   [`flash_sim::codec`]; the blob is sealed by a CRC-32 trailer.
+//!   [`flash_sim::codec`]; the blob is sealed by a CRC-32 trailer.  A
+//!   checkpoint holds nothing a mount can derive: no page map (the OOB
+//!   records), no free-die pool (the dies no region owns), no list of a
+//!   region's objects (each object names its region) and no access
+//!   counters (they count from build or mount).
 //! * **Mount** — `NoFtl::mount` scans the device's out-of-band metadata,
 //!   rebuilds regions and objects from the newest complete checkpoint and
 //!   *every* mapping, written before that checkpoint or after it, from the
@@ -38,7 +41,7 @@ use flash_sim::{
 use crate::config::NoFtlConfig;
 use crate::error::NoFtlError;
 use crate::manager::{Env, Inner, NoFtl, ObjectNames};
-use crate::object::{ObjectCounters, ObjectId, ObjectState};
+use crate::object::{ObjectId, ObjectState};
 use crate::region::{RegionId, RegionRuntime, RegionSpec};
 use crate::Result;
 
@@ -63,10 +66,12 @@ pub(crate) const CHUNK_HEADER: usize = 24;
 /// blob (mirror health + per-child dirty-segment maps); version 04 the
 /// per-region service-class tag; version 05 dropped the per-object page
 /// maps and the dirty-die list, neither of which mount ever read;
-/// version 06 dropped the placement-policy tag again.  Each bump makes
+/// version 06 dropped the placement-policy tag again; version 07 dropped
+/// the free-die pool, each region's object list and each object's access
+/// counters, none of which mount needs.  Each bump makes
 /// blobs written by older code decode as "no checkpoint" instead of
 /// mis-aligning the cursor on the changed fields.
-const BLOB_MAGIC: &[u8; 8] = b"NFCKPT06";
+const BLOB_MAGIC: &[u8; 8] = b"NFCKPT07";
 
 /// In-memory state of the region-metadata journal: where checkpoint chunk
 /// pages currently live.  The chunks themselves carry all recovery
@@ -118,8 +123,8 @@ pub struct MountReport {
     pub unreadable_metadata_pages: u64,
     /// Total valid pages scanned.
     pub pages_scanned: u64,
-    /// Dies whose OOB scan was skipped because the device's touched flags
-    /// recorded no program or erase on them.
+    /// Dies whose OOB scan was skipped because every block of theirs is
+    /// still in its factory state ([`FlashBackend::die_touched`]).
     pub dies_skipped: u64,
     /// Simulated time at which the mount completed.
     pub completed_at: SimTime,
@@ -131,17 +136,15 @@ pub(crate) struct RegionImage {
     pub id: RegionId,
     pub spec: RegionSpec,
     pub dies: Vec<DieId>,
-    pub objects: Vec<ObjectId>,
 }
 
-/// One object directory entry as recorded in a checkpoint: identity and
-/// counters only — its page map is rebuilt from OOB records on mount.
+/// One object directory entry as recorded in a checkpoint: its identity
+/// and region only — its page map is rebuilt from OOB records on mount.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ObjectImage {
     pub id: ObjectId,
     pub name: String,
     pub region: RegionId,
-    pub counters: ObjectCounters,
 }
 
 /// A decoded checkpoint.
@@ -152,7 +155,6 @@ pub(crate) struct CheckpointImage {
     /// were written after this checkpoint.
     pub epoch_watermark: u64,
     pub meta_region: Option<RegionId>,
-    pub free_dies: Vec<DieId>,
     /// Opaque replication state ([`flash_sim::FlashBackend::replication_blob`]):
     /// the mirror's child health and dirty-segment maps.  `None` for
     /// unreplicated backends.
@@ -168,7 +170,6 @@ impl CheckpointImage {
             put_u64(out, self.seq);
             put_u64(out, self.epoch_watermark);
             put_opt(out, self.meta_region.map(|r| r.0), put_u32);
-            put_dies(out, &self.free_dies);
             put_opt(out, self.replication.as_deref(), put_bytes);
             put_u32(out, self.regions.len() as u32);
             for r in &self.regions {
@@ -180,10 +181,9 @@ impl CheckpointImage {
                 put_opt(out, r.spec.max_size_bytes, put_u64);
                 // 0 = no class, otherwise `ServiceClass::code() + 1`.
                 put_u8(out, r.spec.service_class.map_or(0, |c| c.code() + 1));
-                put_dies(out, &r.dies);
-                put_u32(out, r.objects.len() as u32);
-                for o in &r.objects {
-                    put_u32(out, *o);
+                put_u32(out, r.dies.len() as u32);
+                for d in &r.dies {
+                    put_u32(out, d.0);
                 }
             }
             put_u32(out, self.objects.len() as u32);
@@ -191,8 +191,6 @@ impl CheckpointImage {
                 put_u32(out, o.id);
                 put_bytes(out, o.name.as_bytes());
                 put_u32(out, o.region.0);
-                put_u64(out, o.counters.reads);
-                put_u64(out, o.counters.writes);
             }
         })
     }
@@ -204,7 +202,6 @@ impl CheckpointImage {
         let seq = r.u64()?;
         let epoch_watermark = r.u64()?;
         let meta_region = r.opt(Reader::u32)?.map(RegionId);
-        let free_dies = dies(&mut r)?;
         let replication = r.opt(|r| r.bytes().map(<[u8]>::to_vec))?;
         let regions = (0..r.u32()?)
             .map(|_| {
@@ -218,9 +215,8 @@ impl CheckpointImage {
                     0 => None,
                     code => Some(ServiceClass::from_code(code - 1)?),
                 };
-                let dies = dies(&mut r)?;
-                let objects = (0..r.u32()?).map(|_| r.u32()).collect::<Option<_>>()?;
-                Some(RegionImage { id, spec, dies, objects })
+                let dies = (0..r.u32()?).map(|_| r.u32().map(DieId)).collect::<Option<_>>()?;
+                Some(RegionImage { id, spec, dies })
             })
             .collect::<Option<_>>()?;
         let objects = (0..r.u32()?)
@@ -229,7 +225,6 @@ impl CheckpointImage {
                     id: r.u32()?,
                     name: r.str()?.to_owned(),
                     region: RegionId(r.u32()?),
-                    counters: ObjectCounters { reads: r.u64()?, writes: r.u64()? },
                 })
             })
             .collect::<Option<_>>()?;
@@ -237,23 +232,11 @@ impl CheckpointImage {
             seq,
             epoch_watermark,
             meta_region,
-            free_dies,
             replication,
             regions,
             objects,
         })
     }
-}
-
-fn put_dies(out: &mut Vec<u8>, dies: &[DieId]) {
-    put_u32(out, dies.len() as u32);
-    for d in dies {
-        put_u32(out, d.0);
-    }
-}
-
-fn dies(r: &mut Reader<'_>) -> Option<Vec<DieId>> {
-    (0..r.u32()?).map(|_| r.u32().map(DieId)).collect()
 }
 
 /// Build one checkpoint chunk page: header + blob slice, zero-padded to
@@ -292,18 +275,12 @@ impl Inner {
             seq,
             epoch_watermark: device.current_epoch(),
             meta_region: Some(meta_region),
-            free_dies: self.free_dies.clone(),
             replication: device.replication_blob(),
             regions: self
                 .regions
                 .iter()
                 .flatten()
-                .map(|r| RegionImage {
-                    id: r.id,
-                    spec: r.spec.clone(),
-                    dies: r.die_ids(),
-                    objects: r.objects.clone(),
-                })
+                .map(|r| RegionImage { id: r.id, spec: r.spec.clone(), dies: r.die_ids() })
                 .collect(),
             objects: self
                 .objects
@@ -314,7 +291,6 @@ impl Inner {
                         id: id as ObjectId,
                         name: state.name.clone(),
                         region: state.region,
-                        counters: state.counters,
                     })
                 })
                 .collect(),
@@ -383,9 +359,8 @@ impl Scan {
         let mut payload = env.page_buf();
         let mut scan = Scan::default();
         for die in geo.dies() {
-            // Partial-device mount: a die that was never programmed or
-            // erased (per the device's touched flags, which a device
-            // booted from an image derives from its blocks) holds no
+            // Partial-device mount: a die none of whose blocks left its
+            // factory state (`die_touched`, read off the blocks) holds no
             // pages, no chunks and no allocation state worth scanning —
             // `RegionDie::rebuild` reconstructs it from block states
             // without OOB reads.
@@ -565,9 +540,8 @@ impl NoFtl {
         Ok(rid)
     }
 
-    /// Checkpoint the region metadata: region specs and die assignment,
-    /// the free-die pool and the object directory (names, regions, access
-    /// counters) are serialised and programmed into the metadata region as
+    /// Checkpoint the region metadata: region specs and die assignment and
+    /// the object directory (names and regions) are serialised and programmed into the metadata region as
     /// self-describing chunk pages under the reserved [`META_OBJECT_ID`].
     /// Page maps are not part of it, so a checkpoint costs O(regions +
     /// objects) — typically one page — however much data is mapped.
@@ -662,16 +636,16 @@ impl NoFtl {
             device.restore_replication(image.replication.as_deref(), report.completed_at)?;
         report.completed_at = report.completed_at.max(replicated);
 
-        // Rebuild regions, objects and the free pool from the directory.
+        // Rebuild regions and objects from the directory; the free pool is
+        // every die no region owns.
         let max_region = image.regions.iter().map(|r| r.id.0).max().unwrap_or(0) as usize;
         let mut regions: Vec<Option<RegionRuntime>> = (0..=max_region).map(|_| None).collect();
         let mut region_by_name = HashMap::new();
         let mut die_owner: HashMap<DieId, RegionId> = HashMap::new();
         for rimg in &image.regions {
             die_owner.extend(rimg.dies.iter().map(|die| (*die, rimg.id)));
-            let mut rt = RegionRuntime::new(rimg.id, rimg.spec.clone(), device, rimg.dies.clone());
-            rt.objects = rimg.objects.clone();
-            region_by_name.insert(rt.name.clone(), rimg.id);
+            let rt = RegionRuntime::new(rimg.id, rimg.spec.clone(), device, rimg.dies.clone());
+            region_by_name.insert(rimg.spec.name.clone(), rimg.id);
             regions[rimg.id.0 as usize] = Some(rt);
         }
         let free_dies: Vec<DieId> =
@@ -687,10 +661,8 @@ impl NoFtl {
         let mut objects: Vec<Option<ObjectState>> = (0..=max_obj).map(|_| None).collect();
         let mut object_by_name = ObjectNames::default();
         for oimg in &image.objects {
-            let mut state = ObjectState::new(oimg.name.clone(), oimg.region);
-            state.counters = oimg.counters;
             object_by_name.insert(oimg.name.clone(), oimg.id);
-            objects[oimg.id as usize] = Some(state);
+            objects[oimg.id as usize] = Some(ObjectState::new(oimg.name.clone(), oimg.region));
         }
 
         // Install the winning mappings; synthesise directory entries for
@@ -709,9 +681,6 @@ impl NoFtl {
                 let name = format!("__orphan_{obj}");
                 objects[obj as usize] = Some(ObjectState::new(name.clone(), rid));
                 object_by_name.insert(name, obj);
-                if let Some(region) = regions[rid.0 as usize].as_mut() {
-                    region.objects.push(obj);
-                }
                 report.orphaned_objects.push(obj);
             }
             // The entry was installed just above when missing; a `None`
@@ -757,7 +726,6 @@ mod tests {
             seq: 7,
             epoch_watermark: 991,
             meta_region: Some(RegionId(2)),
-            free_dies: vec![DieId(6), DieId(7)],
             replication: Some(vec![0xAB; 17]),
             regions: vec![RegionImage {
                 id: RegionId(0),
@@ -766,14 +734,8 @@ mod tests {
                     .with_max_channels(1)
                     .with_service_class(ServiceClass::Latency),
                 dies: vec![DieId(0), DieId(1)],
-                objects: vec![1, 2],
             }],
-            objects: vec![ObjectImage {
-                id: 1,
-                name: "orders".to_string(),
-                region: RegionId(0),
-                counters: ObjectCounters { reads: 10, writes: 20 },
-            }],
+            objects: vec![ObjectImage { id: 1, name: "orders".to_string(), region: RegionId(0) }],
         }
     }
 
@@ -900,8 +862,16 @@ mod tests {
         let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
         assert_eq!(report.orphaned_objects, vec![b]);
         assert_eq!(noftl2.object_id(&format!("__orphan_{b}")), Some(b));
+        // The region's members come from the object directory, the orphan
+        // among them.
+        assert_eq!(noftl2.region_info(r).unwrap().objects, vec![a, b]);
+        // Access counters are not checkpointed: they count from the mount.
+        assert_eq!(noftl.object_stats(a).unwrap().writes, 1);
+        let stats = noftl2.object_stats(a).unwrap();
+        assert_eq!((stats.reads, stats.writes), (0, 0));
         assert_eq!(read_page(&noftl2, b, 3, report.completed_at).unwrap().0, page(9));
         assert_eq!(read_page(&noftl2, a, 0, report.completed_at).unwrap().0, page(1));
+        assert_eq!(noftl2.object_stats(a).unwrap().reads, 1);
     }
 
     #[test]
@@ -1073,7 +1043,7 @@ mod tests {
         let (small, large) = (cost(10), cost(2_000));
         assert_eq!(small, large);
         assert_eq!(small.0, small.1, "a checkpoint programs its chunks and nothing else");
-        assert_eq!(small.0, 2, "40 x ~150 B of directory is two chunks, mapped pages or not");
+        assert_eq!(small.0, 2, "40 x ~130 B of directory is two chunks, mapped pages or not");
     }
 
     #[test]
@@ -1082,7 +1052,7 @@ mod tests {
         // A blob under an earlier format version's magic — intact CRC,
         // whatever follows — must decode as "no checkpoint" rather than
         // have the cursor run over fields that are no longer there.
-        for magic in [b"NFCKPT04", b"NFCKPT05"] {
+        for magic in [b"NFCKPT04", b"NFCKPT05", b"NFCKPT06"] {
             let mut old = sample_image().encode();
             old.truncate(old.len() - 4);
             old[..8].copy_from_slice(magic);
@@ -1115,7 +1085,7 @@ mod tests {
         let (noftl, rid) = NoFtl::with_single_region(device, NoFtlConfig::default()).unwrap();
         let filler = noftl.create_object("filler", rid).unwrap();
         noftl.checkpoint(SimTime::ZERO).unwrap();
-        let wide = widen_directory(&noftl, rid, 60);
+        let wide = widen_directory(&noftl, rid, 70);
         let capacity = FlashGeometry::small_test().total_pages();
         let mut t = SimTime::ZERO;
         for p in 0..capacity - 3 {

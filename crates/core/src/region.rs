@@ -293,7 +293,8 @@ pub struct RegionInfo {
     pub spec: RegionSpec,
     /// Dies currently owned by the region.
     pub dies: Vec<DieId>,
-    /// Objects currently placed in the region (ids).
+    /// Objects currently placed in the region (ids, ascending), read off
+    /// the object directory.
     pub objects: Vec<u32>,
     /// Erased blocks currently available across the region's dies.
     pub free_blocks: u64,
@@ -308,16 +309,12 @@ pub struct RegionInfo {
 pub(crate) struct RegionRuntime {
     /// Region id.
     pub id: RegionId,
-    /// Region name.
-    pub name: String,
-    /// The spec the region was created from.
+    /// The spec the region was created from; its name is the region's.
     pub spec: RegionSpec,
     /// Per-die allocation state.
     pub dies: Vec<RegionDie>,
     /// Round-robin pointer for write striping.
     pub next_die: usize,
-    /// Objects currently placed in this region (by id).
-    pub objects: Vec<u32>,
     /// Region-level statistics.
     pub stats: RegionStats,
 }
@@ -329,14 +326,11 @@ impl RegionRuntime {
         device: &dyn FlashBackend,
         dies: Vec<DieId>,
     ) -> Self {
-        let name = spec.name.clone();
         RegionRuntime {
             id,
-            name,
             spec,
             dies: dies.into_iter().map(|d| RegionDie::rebuild(device, d)).collect(),
             next_die: 0,
-            objects: Vec::new(),
             stats: RegionStats::default(),
         }
     }
@@ -372,14 +366,15 @@ impl RegionRuntime {
         self.dies.len() as u64 * geo.pages_per_die()
     }
 
-    /// Build the public snapshot of this region.
-    pub(crate) fn info(&self, geo: &FlashGeometry) -> RegionInfo {
+    /// Build the public snapshot of this region, given the objects the
+    /// object directory places in it.
+    pub(crate) fn info(&self, geo: &FlashGeometry, objects: Vec<u32>) -> RegionInfo {
         RegionInfo {
             id: self.id,
-            name: self.name.clone(),
+            name: self.spec.name.clone(),
             spec: self.spec.clone(),
             dies: self.die_ids(),
-            objects: self.objects.clone(),
+            objects,
             free_blocks: self.total_free_blocks() as u64,
             tracked_blocks: self.dies.iter().map(|d| d.tracked_blocks() as u64).sum(),
             capacity_pages: self.capacity_pages(geo),

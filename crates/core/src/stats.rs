@@ -84,9 +84,9 @@ pub struct ObjectStats {
     pub region: crate::region::RegionId,
     /// Number of mapped (live) pages.
     pub pages: u64,
-    /// Logical page reads served.
+    /// Logical page reads served since the object was created or mounted.
     pub reads: u64,
-    /// Logical page writes served.
+    /// Logical page writes served since the object was created or mounted.
     pub writes: u64,
 }
 

@@ -1,9 +1,7 @@
 //! The `Database` facade used by workloads.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use flash_sim::codec::{put_bytes16, put_u32, put_u64, Reader};
 use flash_sim::lockorder::{self, LockClass, TrackedGuard};

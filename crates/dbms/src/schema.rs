@@ -69,11 +69,6 @@ impl Schema {
         self.columns.is_empty()
     }
 
-    /// Index of a column by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|(n, _)| n == name)
-    }
-
     /// Name and type of the column at `idx`.
     pub fn column(&self, idx: usize) -> Option<(&str, ColumnType)> {
         self.columns.get(idx).map(|(n, t)| (n.as_str(), *t))
@@ -215,8 +210,7 @@ mod tests {
         let s = schema();
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
-        assert_eq!(s.column_index("balance"), Some(1));
-        assert_eq!(s.column_index("nope"), None);
+        assert_eq!(s.column(1).unwrap().0, "balance");
         assert_eq!(s.column(2).unwrap().0, "name");
         assert!(s.column(9).is_none());
     }

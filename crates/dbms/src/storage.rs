@@ -8,11 +8,10 @@
 //! The trait remains so that a decorator can sit on the seam (the
 //! benchmark's per-layer tracer does).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use flash_sim::SimTime;
-use noftl_core::{IoRequest, NoFtl, PlacementConfig, RegionAssignment, RegionId, RegionSpec};
+use noftl_core::{IoRequest, NoFtl, PlacementConfig, RegionId, RegionSpec};
 
 use crate::error::DbError;
 use crate::Result;
@@ -115,12 +114,12 @@ pub trait StorageBackend: Send + Sync {
     fn io_counts(&self) -> (u64, u64);
 }
 
-/// Storage backend that places objects into NoFTL regions.
+/// Storage backend that places objects into NoFTL regions.  It keeps the
+/// placement configuration only: a region's id is the manager's, looked
+/// up by name.
 pub struct NoFtlBackend {
     noftl: Arc<NoFtl>,
     placement: PlacementConfig,
-    regions: HashMap<String, RegionId>,
-    default_region: RegionId,
 }
 
 impl NoFtlBackend {
@@ -129,46 +128,27 @@ impl NoFtlBackend {
     /// Objects whose name does not appear in the configuration fall back
     /// to the first region.
     pub fn new(noftl: Arc<NoFtl>, placement: &PlacementConfig) -> Result<Self> {
-        Self::resolve(noftl, placement, |noftl, assignment| {
+        for assignment in &placement.regions {
             let mut spec =
                 RegionSpec::named(&assignment.region_name).with_die_count(assignment.dies);
             spec.service_class = assignment.service_class;
-            noftl.create_region(spec).map_err(DbError::storage)
-        })
+            noftl.create_region(spec).map_err(DbError::storage)?;
+        }
+        Self::attach(noftl, placement)
     }
 
     /// Attach to a *mounted* NoFTL manager whose regions already exist
-    /// (after `NoFtl::mount`), resolving the placement configuration's
-    /// regions by name instead of creating them.
+    /// (after `NoFtl::mount`): every region of the placement configuration
+    /// must be there, by name.
     pub fn attach(noftl: Arc<NoFtl>, placement: &PlacementConfig) -> Result<Self> {
-        Self::resolve(noftl, placement, |noftl, assignment| {
-            noftl.region_id(&assignment.region_name).ok_or_else(|| DbError::Storage {
-                message: format!(
-                    "mounted device has no region '{}' required by the placement configuration",
-                    assignment.region_name
-                ),
-            })
-        })
-    }
-
-    /// Obtain the id of every region of `placement` with `region`, in
-    /// declaration order; the first one is the default region.
-    fn resolve(
-        noftl: Arc<NoFtl>,
-        placement: &PlacementConfig,
-        region: impl Fn(&NoFtl, &RegionAssignment) -> Result<RegionId>,
-    ) -> Result<Self> {
-        let mut regions = HashMap::new();
-        let mut default_region = None;
-        for assignment in &placement.regions {
-            let rid = region(&noftl, assignment)?;
-            default_region.get_or_insert(rid);
-            regions.insert(assignment.region_name.clone(), rid);
+        if placement.regions.is_empty() {
+            return Err(no_regions());
         }
-        let default_region = default_region.ok_or_else(|| DbError::Storage {
-            message: "placement configuration has no regions".to_string(),
-        })?;
-        Ok(NoFtlBackend { noftl, placement: placement.clone(), regions, default_region })
+        let backend = NoFtlBackend { noftl, placement: placement.clone() };
+        for assignment in &placement.regions {
+            backend.region(&assignment.region_name)?;
+        }
+        Ok(backend)
     }
 
     /// The underlying NoFTL storage manager.
@@ -176,13 +156,26 @@ impl NoFtlBackend {
         &self.noftl
     }
 
-    /// The region an object with `name` would be placed in.
-    pub fn region_for(&self, name: &str) -> RegionId {
-        self.placement
-            .region_of(name)
-            .and_then(|a| self.regions.get(&a.region_name).copied())
-            .unwrap_or(self.default_region)
+    /// The region an object with `name` would be placed in: its placement
+    /// entry's, or the first region's for a name the configuration does
+    /// not list.
+    pub fn region_for(&self, name: &str) -> Result<RegionId> {
+        let assignment = self.placement.region_of(name).or(self.placement.regions.first());
+        self.region(&assignment.ok_or_else(no_regions)?.region_name)
     }
+
+    /// The id of the placement region `name`.
+    fn region(&self, name: &str) -> Result<RegionId> {
+        self.noftl.region_id(name).ok_or_else(|| DbError::Storage {
+            message: format!(
+                "device has no region '{name}' required by the placement configuration"
+            ),
+        })
+    }
+}
+
+fn no_regions() -> DbError {
+    DbError::Storage { message: "placement configuration has no regions".to_string() }
 }
 
 impl StorageBackend for NoFtlBackend {
@@ -195,7 +188,7 @@ impl StorageBackend for NoFtlBackend {
     }
 
     fn create_object(&self, name: &str) -> Result<ObjectId> {
-        let region = self.region_for(name);
+        let region = self.region_for(name)?;
         self.noftl.create_object(name, region).map_err(Into::into)
     }
 
@@ -316,7 +309,7 @@ mod tests {
         assert_eq!(noftl.object_stats(history).unwrap().region, rg_cold);
         // Unknown objects fall back to the first region.
         assert_eq!(noftl.object_stats(other).unwrap().region, rg_hot);
-        assert_eq!(backend.region_for("history"), rg_cold);
+        assert_eq!(backend.region_for("history").unwrap(), rg_cold);
     }
 
     #[test]
@@ -337,5 +330,14 @@ mod tests {
         let noftl = Arc::new(NoFtl::new(device, NoFtlConfig::default()));
         let placement = PlacementConfig { regions: vec![] };
         assert!(NoFtlBackend::new(noftl, &placement).is_err());
+    }
+
+    #[test]
+    fn attach_names_a_missing_region() {
+        let backend = noftl_backend();
+        let mut placement = backend.placement.clone();
+        placement.regions[1].region_name = "rgGone".into();
+        let err = NoFtlBackend::attach(Arc::clone(backend.noftl()), &placement).err().unwrap();
+        assert!(err.to_string().contains("'rgGone'"), "{err}");
     }
 }

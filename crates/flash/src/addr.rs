@@ -69,29 +69,6 @@ impl PageAddr {
     pub fn block(&self) -> BlockAddr {
         BlockAddr { die: self.die, plane: self.plane, block: self.block }
     }
-
-    /// Pack the address into a single `u64` (useful for compact mapping
-    /// tables).  Layout: die(16) | plane(8) | block(24) | page(16).
-    pub fn pack(&self) -> u64 {
-        debug_assert!(self.die.0 < (1 << 16));
-        debug_assert!(self.plane < (1 << 8));
-        debug_assert!(self.block < (1 << 24));
-        debug_assert!(self.page < (1 << 16));
-        ((self.die.0 as u64) << 48)
-            | ((self.plane as u64) << 40)
-            | ((self.block as u64) << 16)
-            | (self.page as u64)
-    }
-
-    /// Inverse of [`PageAddr::pack`].
-    pub fn unpack(v: u64) -> Self {
-        PageAddr {
-            die: DieId(((v >> 48) & 0xFFFF) as u32),
-            plane: ((v >> 40) & 0xFF) as u32,
-            block: ((v >> 16) & 0xFF_FFFF) as u32,
-            page: (v & 0xFFFF) as u32,
-        }
-    }
 }
 
 impl fmt::Display for PageAddr {
@@ -103,7 +80,6 @@ impl fmt::Display for PageAddr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn display_formats() {
@@ -118,30 +94,5 @@ mod tests {
         let p = b.page(5);
         assert_eq!(p.block(), b);
         assert_eq!(p.page, 5);
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip_basic() {
-        let p = PageAddr::new(DieId(63), 1, 511, 63);
-        assert_eq!(PageAddr::unpack(p.pack()), p);
-    }
-
-    proptest! {
-        #[test]
-        fn pack_unpack_roundtrip(die in 0u32..u16::MAX as u32,
-                                 plane in 0u32..256,
-                                 block in 0u32..(1 << 24),
-                                 page in 0u32..u16::MAX as u32) {
-            let p = PageAddr::new(DieId(die), plane, block, page);
-            prop_assert_eq!(PageAddr::unpack(p.pack()), p);
-        }
-
-        #[test]
-        fn pack_is_injective(a_die in 0u32..64, a_block in 0u32..512, a_page in 0u32..64,
-                             b_die in 0u32..64, b_block in 0u32..512, b_page in 0u32..64) {
-            let a = PageAddr::new(DieId(a_die), 0, a_block, a_page);
-            let b = PageAddr::new(DieId(b_die), 0, b_block, b_page);
-            prop_assert_eq!(a == b, a.pack() == b.pack());
-        }
     }
 }

@@ -199,8 +199,18 @@ pub trait FlashBackend: Send + Sync {
     /// benchmark's `bench-trace` decorator implements it.
     fn stores_data(&self) -> bool;
 
-    /// Has this die ever been programmed or erased?  `NoFtl::mount` skips
-    /// the full OOB scan of untouched dies.
+    /// Has any block of this die left its factory state?  The one rule,
+    /// read off the die's blocks: a block with `write_ptr > 0`,
+    /// `erase_count > 0` or a state other than `Free` touches its die.  A
+    /// live device and the same device after a power cycle (its image
+    /// decoded) therefore always agree, and a `false` answer is a
+    /// guarantee that a scan of the die finds nothing, so `NoFtl::mount`
+    /// skips it.  A command the device rejects changes no block and
+    /// touches nothing.  A factory-bad block is not `Free`, so a die that
+    /// holds one counts as touched: the mount scans its block states (and
+    /// issues no OOB read, since nothing is written), and a
+    /// `MirrorDevice::new` over such children is not pristine, just as it
+    /// already was over the same children after a power cycle.
     fn die_touched(&self, die: DieId) -> bool;
 
     /// Downcast hook for callers that need the concrete backend — e.g.

@@ -28,11 +28,6 @@ impl BadBlockPolicy {
         BadBlockPolicy { factory_bad_fraction: 0.0, endurance_cycles: u64::MAX, seed: 0 }
     }
 
-    /// Realistic MLC policy: 1 % factory-bad blocks, 3 000 P/E cycles.
-    pub fn mlc() -> Self {
-        BadBlockPolicy { factory_bad_fraction: 0.01, endurance_cycles: 3_000, seed: 0x0bad_b10c }
-    }
-
     /// Decide (deterministically, given the policy seed) which block
     /// indices out of `total_blocks` are factory-bad.
     pub fn factory_bad_blocks(&self, total_blocks: u64) -> Vec<u64> {
@@ -67,9 +62,14 @@ mod tests {
         assert_eq!(p.endurance_cycles, u64::MAX);
     }
 
+    /// 1 % factory-bad blocks, 3 000 P/E cycles.
+    fn one_percent() -> BadBlockPolicy {
+        BadBlockPolicy { factory_bad_fraction: 0.01, endurance_cycles: 3_000, seed: 0x0bad_b10c }
+    }
+
     #[test]
-    fn mlc_policy_marks_roughly_one_percent() {
-        let p = BadBlockPolicy::mlc();
+    fn a_one_percent_policy_marks_roughly_one_percent() {
+        let p = one_percent();
         let bad = p.factory_bad_blocks(100_000);
         let frac = bad.len() as f64 / 100_000.0;
         assert!(frac > 0.005 && frac < 0.02, "got fraction {frac}");
@@ -77,19 +77,19 @@ mod tests {
 
     #[test]
     fn factory_bad_blocks_are_deterministic() {
-        let p = BadBlockPolicy::mlc();
+        let p = one_percent();
         assert_eq!(p.factory_bad_blocks(5_000), p.factory_bad_blocks(5_000));
     }
 
     #[test]
     fn different_seeds_give_different_patterns() {
-        let a = BadBlockPolicy { seed: 1, ..BadBlockPolicy::mlc() };
-        let b = BadBlockPolicy { seed: 2, ..BadBlockPolicy::mlc() };
+        let a = BadBlockPolicy { seed: 1, ..one_percent() };
+        let b = BadBlockPolicy { seed: 2, ..one_percent() };
         assert_ne!(a.factory_bad_blocks(10_000), b.factory_bad_blocks(10_000));
     }
 
     #[test]
     fn zero_blocks_edge_case() {
-        assert!(BadBlockPolicy::mlc().factory_bad_blocks(0).is_empty());
+        assert!(one_percent().factory_bad_blocks(0).is_empty());
     }
 }

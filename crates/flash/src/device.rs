@@ -38,10 +38,9 @@
 //! which host thread called or when.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use noftl_obs::MetricsRegistry;
-use parking_lot::Mutex;
 
 use crate::addr::{BlockAddr, DieId, PageAddr};
 use crate::arbiter::{ArbiterConfig, IoTag, ServiceClass, TokenBucket};
@@ -246,13 +245,6 @@ impl DeviceState {
         }
     }
 
-    /// Record that a die's contents may have changed.
-    fn note_touched(&mut self, die: DieId) {
-        if let Some(die) = self.dies.get_mut(die.0 as usize) {
-            die.touched = true;
-        }
-    }
-
     /// Every block of the device in `(die, plane, block)` row-major order.
     fn blocks(&self) -> impl Iterator<Item = &Block> {
         self.dies.iter().flat_map(|d| d.planes.iter()).flat_map(|p| p.blocks.iter())
@@ -422,7 +414,7 @@ impl NandDevice {
         tag: IoTag,
         ratchet: bool,
     ) -> Result<CmdOutput> {
-        self.check_static(state, &cmd)?;
+        self.check_static(&cmd)?;
         state.check_powered(at)?;
         // Admission: only a command that moves data over the channel is
         // the arbiter's business; a die-only command issues at `at`.
@@ -474,10 +466,10 @@ impl NandDevice {
         Ok(out)
     }
 
-    /// Static checks: the command against the geometry, no device state
-    /// beyond marking the die it may change as touched.  A payload — a
-    /// program's source, a read's destination — is one page or empty.
-    fn check_static(&self, state: &mut DeviceState, cmd: &FlashCommand<'_>) -> Result<()> {
+    /// Static checks: the command against the geometry, no device state.
+    /// A payload — a program's source, a read's destination — is one page
+    /// or empty.
+    fn check_static(&self, cmd: &FlashCommand<'_>) -> Result<()> {
         let expected = self.geometry.page_size;
         let payload = |len: usize| {
             if len != 0 && len != expected as usize {
@@ -493,18 +485,12 @@ impl NandDevice {
             FlashCommand::MetadataRead { addr } => self.check_page(addr),
             FlashCommand::Program { addr, data, .. } => {
                 self.check_page(addr)?;
-                state.note_touched(addr.die);
                 payload(data.len())
             }
-            FlashCommand::Erase { block } => {
-                self.check_block(block)?;
-                state.note_touched(block.die);
-                Ok(())
-            }
+            FlashCommand::Erase { block } => self.check_block(block),
             FlashCommand::Copyback { src, dst } => {
                 self.check_page(src)?;
                 self.check_page(dst)?;
-                state.note_touched(dst.die);
                 if src.die != dst.die {
                     return Err(FlashError::CopybackCrossDie { src, dst });
                 }
@@ -813,7 +799,6 @@ impl FlashBackend for NandDevice {
     fn retire_block(&self, addr: BlockAddr) -> Result<()> {
         self.check_block(addr)?;
         let mut state = self.lock_device();
-        state.note_touched(addr.die);
         state.dies[addr.die.0 as usize].block_mut(addr).state = BlockState::Bad;
         Ok(())
     }
@@ -890,11 +875,8 @@ impl FlashBackend for NandDevice {
         true
     }
 
-    /// Has this die ever been programmed, erased or retired?  A `false`
-    /// answer is a guarantee: every block of the die is still in its
-    /// factory state, so a mount scan of it cannot find anything.
     fn die_touched(&self, die: DieId) -> bool {
-        self.lock_device().dies.get(die.0 as usize).is_some_and(|d| d.touched)
+        self.lock_device().dies.get(die.0 as usize).is_some_and(Die::touched)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -1322,6 +1304,28 @@ mod tests {
             d.program_page(page(0, 0, 0), &[], PageMetadata::new(1, 0), SimTime::ZERO).unwrap_err();
         assert!(matches!(err, FlashError::BadBlock { .. }));
         assert!(d.wear_summary().bad_blocks > 0);
+    }
+
+    /// `die_touched` is read off the blocks, so a device answers as its
+    /// power-cycled image does: a die holding only factory-bad blocks is
+    /// touched, a die that only saw a rejected program is not.
+    #[test]
+    fn a_power_cycle_keeps_every_die_touched_answer() {
+        let power_cycle = |d: &NandDevice| NandDevice::from_image(&d.image(), *d.timing()).unwrap();
+        let all_bad = BadBlockPolicy { factory_bad_fraction: 1.0, endurance_cycles: 9, seed: 1 };
+        let bad = DeviceBuilder::new(FlashGeometry::small_test()).bad_blocks(all_bad).build();
+        let rejected = dev();
+        let err = rejected
+            .program_page(page(0, 0, 0), &[0; 7], PageMetadata::new(1, 0), SimTime::ZERO)
+            .unwrap_err();
+        assert!(matches!(err, FlashError::BadPageSize { .. }));
+        for (d, touched) in [(&bad, true), (&rejected, false)] {
+            let rebooted = power_cycle(d);
+            for die in d.geometry().dies() {
+                assert_eq!(d.die_touched(die), touched, "live, {die:?}");
+                assert_eq!(rebooted.die_touched(die), touched, "power-cycled, {die:?}");
+            }
+        }
     }
 
     #[test]

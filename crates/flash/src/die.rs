@@ -7,7 +7,7 @@
 //! independent block arrays.
 
 use crate::addr::BlockAddr;
-use crate::block::Block;
+use crate::block::{Block, BlockState};
 use crate::sched::Timeline;
 use crate::time::Duration;
 
@@ -37,9 +37,6 @@ pub(crate) struct Die {
     /// Deepest the die's command queue has ever been (including the
     /// operation being issued).
     pub queue_depth_hwm: u32,
-    /// Ever programmed, erased or retired: `NoFtl::mount` skips the OOB
-    /// scan of a die that never held data.
-    pub touched: bool,
 }
 
 impl Die {
@@ -49,7 +46,7 @@ impl Die {
         )
     }
 
-    /// An idle, untouched die over `planes`.
+    /// An idle die over `planes`.
     pub(crate) fn of(planes: Vec<Plane>) -> Self {
         Die {
             planes,
@@ -57,8 +54,16 @@ impl Die {
             busy_time: Duration::ZERO,
             ops: 0,
             queue_depth_hwm: 0,
-            touched: false,
         }
+    }
+
+    /// Whether any block of the die has left its factory state: written,
+    /// erased or bad.  The one definition behind
+    /// `FlashBackend::die_touched`, for a live device and a decoded image
+    /// alike.
+    pub(crate) fn touched(&self) -> bool {
+        let mut blocks = self.planes.iter().flat_map(|p| &p.blocks);
+        blocks.any(|b| b.write_ptr > 0 || b.erase_count > 0 || b.state != BlockState::Free)
     }
 
     /// The block at `addr` (bounds-checked against the geometry by the

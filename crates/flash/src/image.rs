@@ -150,21 +150,16 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(FlashGeometry, u64, u64, Vec<Die>)
     // costs no more memory than the image's own bytes.
     let (mut dies, mut index) = (Vec::new(), 0);
     for _ in 0..g.total_dies() {
-        // A die counts as touched if any of its blocks ever left the
-        // pristine state — the same condition under which the mount scan
-        // could find anything.
-        let (mut planes, mut touched) = (Vec::new(), false);
+        let mut planes = Vec::new();
         for _ in 0..g.planes_per_die {
             let mut blocks = Vec::new();
             for _ in 0..g.blocks_per_plane {
-                let b = decode_block(&mut r, &g, index)?;
-                touched |= b.write_ptr > 0 || b.erase_count > 0 || b.state != BlockState::Free;
-                blocks.push(b);
+                blocks.push(decode_block(&mut r, &g, index)?);
                 index += 1;
             }
             planes.push(Plane { blocks });
         }
-        dies.push(Die { touched, ..Die::of(planes) });
+        dies.push(Die::of(planes));
     }
     match r.rest().len() {
         0 => Ok((g, epoch, endurance, dies)),

@@ -29,7 +29,7 @@
 //! The order across layers is also held at compile time: the crate
 //! graph (flash ← mirror ← core ← dbms) keeps a lower layer from naming
 //! a higher one, each choke point is private to its layer, and
-//! `clippy.toml` bans a raw `parking_lot::Mutex::lock` everywhere but
+//! `clippy.toml` bans a raw `std::sync::Mutex::lock` everywhere but
 //! [`lock_tracked`].  What the compiler cannot see — a re-entry, or two
 //! locks of one layer nested — this module checks dynamically on every
 //! tier-1 and crash-harness run.
@@ -46,7 +46,7 @@
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
-use parking_lot::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The lock classes of the workspace, in their documented acquisition
 /// order.  The derived `Ord` **is** the lock order: a lock may only be
@@ -201,12 +201,14 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for TrackedGuard<'_, T> {
 
 /// Acquire `mutex` as lock class `class`: the order check and the held
 /// stack recording happen **before** blocking on the mutex, so a
-/// would-be deadlock panics (debug builds) instead of hanging.
+/// would-be deadlock panics (debug builds) instead of hanging.  A mutex
+/// a panicking holder poisoned is taken as it stands
+/// ([`PoisonError::into_inner`]).
 #[inline]
 #[expect(clippy::disallowed_methods, reason = "the one choke point every layer lock goes through")]
 pub fn lock_tracked<'a, T: ?Sized>(class: LockClass, mutex: &'a Mutex<T>) -> TrackedGuard<'a, T> {
     let token = acquire(class);
-    TrackedGuard { guard: mutex.lock(), _token: token }
+    TrackedGuard { guard: mutex.lock().unwrap_or_else(PoisonError::into_inner), _token: token }
 }
 
 #[cfg(test)]
@@ -312,7 +314,7 @@ mod tests {
                 assert_eq!(held_depth(), 1);
             }
             assert_eq!(held_depth(), 0);
-            assert_eq!(*m.lock(), 6);
+            assert_eq!(*m.lock().unwrap(), 6);
         }
     }
 

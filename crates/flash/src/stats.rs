@@ -187,15 +187,6 @@ impl WearSummary {
             bad_blocks,
         }
     }
-
-    /// Wear imbalance: max/mean erase count (1.0 = perfectly even).
-    pub fn imbalance(&self) -> f64 {
-        if self.mean_erase_count <= f64::EPSILON {
-            1.0
-        } else {
-            self.max_erase_count as f64 / self.mean_erase_count
-        }
-    }
 }
 
 #[cfg(test)]
@@ -290,14 +281,12 @@ mod tests {
         assert!((w.mean_erase_count - 2.5).abs() < 1e-9);
         assert!(w.stddev_erase_count > 1.0 && w.stddev_erase_count < 1.2);
         assert_eq!(w.bad_blocks, 2);
-        assert!((w.imbalance() - 1.6).abs() < 1e-9);
     }
 
     #[test]
     fn wear_summary_empty_input() {
         let w = WearSummary::from_counts(std::iter::empty(), 0);
         assert_eq!(w.total_erases, 0);
-        assert_eq!(w.imbalance(), 1.0);
     }
 
     #[test]

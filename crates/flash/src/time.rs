@@ -31,12 +31,6 @@ impl SimTime {
         SimTime(ms * 1_000_000)
     }
 
-    /// Construct from whole seconds.
-    #[inline]
-    pub fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000_000)
-    }
-
     /// Nanoseconds since the start of the run.
     #[inline]
     pub fn as_nanos(self) -> u64 {
@@ -195,8 +189,7 @@ mod tests {
     fn construction_and_conversion() {
         assert_eq!(SimTime::from_us(5).as_nanos(), 5_000);
         assert_eq!(SimTime::from_ms(2).as_us(), 2_000);
-        assert_eq!(SimTime::from_secs(1).as_nanos(), 1_000_000_000);
-        assert!((SimTime::from_secs(2).as_secs_f64() - 2.0).abs() < 1e-12);
+        assert!((SimTime::from_ms(2_000).as_secs_f64() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -55,9 +55,7 @@
 //! rebuild source.
 
 use std::any::Any;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use flash_sim::lockorder::{self, LockClass, TrackedGuard};
 use flash_sim::{

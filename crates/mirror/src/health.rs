@@ -34,13 +34,6 @@ pub enum ChildHealth {
 }
 
 impl ChildHealth {
-    /// Whether a child in this state is a candidate for serving reads
-    /// (for `Rebuilding` only from segments that are clean and not
-    /// currently being copied — the caller checks the segment map).
-    pub fn may_serve_reads(self) -> bool {
-        !matches!(self, ChildHealth::Faulted)
-    }
-
     /// Validate the transition `self → to`, returning it on success.
     pub fn check_transition(self, to: ChildHealth) -> Result<ChildHealth, FlashError> {
         let ok = matches!(
@@ -113,12 +106,5 @@ mod tests {
         assert_eq!(ChildHealth::decode(0), Some(ChildHealth::Online));
         assert_eq!(ChildHealth::decode(1), Some(ChildHealth::Faulted));
         assert_eq!(ChildHealth::decode(2), None);
-    }
-
-    #[test]
-    fn read_candidacy() {
-        assert!(ChildHealth::Online.may_serve_reads());
-        assert!(ChildHealth::Rebuilding.may_serve_reads());
-        assert!(!ChildHealth::Faulted.may_serve_reads());
     }
 }

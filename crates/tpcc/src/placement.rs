@@ -161,7 +161,7 @@ mod tests {
     #[test]
     fn traditional_uses_one_region() {
         let cfg = traditional(64);
-        assert_eq!(cfg.region_count(), 1);
+        assert_eq!(cfg.regions.len(), 1);
         assert_eq!(cfg.total_dies(), 64);
         assert!(cfg.region_of("STOCK").is_some());
         assert!(cfg.region_of("DBMS-log").is_some());
@@ -170,7 +170,7 @@ mod tests {
     #[test]
     fn figure2_reproduces_paper_die_counts() {
         let cfg = figure2(64);
-        assert_eq!(cfg.region_count(), 6);
+        assert_eq!(cfg.regions.len(), 6);
         assert_eq!(cfg.total_dies(), 64);
         let dies: Vec<u32> = cfg.regions.iter().map(|r| r.dies).collect();
         assert_eq!(dies, vec![2, 11, 10, 29, 6, 6]);
@@ -185,7 +185,7 @@ mod tests {
         for dies in [6u32, 8, 16, 32, 128] {
             let cfg = figure2(dies);
             assert_eq!(cfg.total_dies(), dies, "total for {dies} dies");
-            assert_eq!(cfg.region_count(), 6);
+            assert_eq!(cfg.regions.len(), 6);
             assert!(cfg.regions.iter().all(|r| r.dies >= 1));
             // Relative ordering is preserved: the stock region is the largest.
             let stock = cfg.region_of("STOCK").unwrap().dies;

@@ -22,9 +22,15 @@
 //! that a merge then read back and erased, so fewer pages were programmed
 //! and erased although no format changed.  The level-1 run's three pages
 //! (`__kv_kv_r1_1_4`) have page CRCs `4da16027 afeb2777 1e2fe72a` on
-//! both sides of that change.  Regenerate with `NOFTL_PRINT_GOLDEN=1 cargo
-//! test --test format_equivalence -- --nocapture` only beside a format
-//! version bump.
+//! both sides of that change.  It moved last from `(0x05A8_51A4, 55)`
+//! beside the checkpoint blob's bump to `NFCKPT07`, which dropped the
+//! free-die pool, each region's object list and each object's counters.
+//! A page-by-page dump of the script's device on both sides differed in
+//! the eleven checkpoint chunk pages only (`META_OBJECT_ID` in their OOB,
+//! same addresses and epochs); every other page, every block's state,
+//! write pointer and erase count, and the epoch (55) were equal.
+//! Regenerate with `NOFTL_PRINT_GOLDEN=1 cargo test --test
+//! format_equivalence -- --nocapture` only beside a format version bump.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -37,7 +43,7 @@ use noftl_regions::noftl::kv::{KvConfig, KvStore};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementConfig, RegionSpec};
 
 /// CRC of the scripted device image, and its epoch.
-const GOLDEN_IMAGE: (u32, u64) = (0x05A8_51A4, 55);
+const GOLDEN_IMAGE: (u32, u64) = (0x22C8_4A25, 55);
 /// Length and CRC trailer of the sample mirror blob.
 const GOLDEN_MIRROR: (usize, u32) = (135, 0xBF83_E692);
 
