@@ -245,15 +245,16 @@ pub fn parse_script(sql: &str) -> Result<Vec<DdlStatement>> {
     sql.split(';').map(str::trim).filter(|s| !s.is_empty()).map(parse_statement).collect()
 }
 
-/// A tablespace: a named binding to a region (plus the declared extent
-/// size, which the DBMS layer uses for its own extent allocation).
+/// A tablespace: a named binding to a region, plus the declared extent
+/// size.  The extent size is recorded and not interpreted, as `CREATE
+/// TABLE`'s column list is: nothing allocates by it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tablespace {
     /// Tablespace name.
     pub name: String,
     /// The region the tablespace maps to.
     pub region: RegionId,
-    /// Declared extent size in bytes (None = engine default).
+    /// Declared extent size in bytes, if given (recorded only).
     pub extent_size_bytes: Option<u64>,
 }
 

@@ -32,7 +32,6 @@ use flash_sim::{
 use crate::error::NoFtlError;
 use crate::manager::{Env, Inner, NoFtl};
 use crate::object::ObjectId;
-use crate::recovery::META_REGION_NAME;
 use crate::region::{RegionDie, RegionId};
 use crate::Result;
 
@@ -132,19 +131,12 @@ impl Env {
 impl Inner {
     /// The arbiter tag for traffic of region `rid`: the region's service
     /// class unless `class` forces another, keyed by region id so the
-    /// device meters each region's channel budget separately.  Traffic of
-    /// the metadata-journal region is durability-exempt — checkpoints are
-    /// never budget-deferred.
+    /// device meters each region's channel budget separately.
     pub(crate) fn tag(&self, rid: RegionId, class: Option<ServiceClass>) -> IoTag {
         let Ok(region) = self.region(rid) else {
             return IoTag::default();
         };
-        let class = class.unwrap_or(region.service_class());
-        if region.spec.name == META_REGION_NAME {
-            IoTag::durability(class, Some(rid.0))
-        } else {
-            IoTag::new(class, Some(rid.0))
-        }
+        IoTag::new(class.unwrap_or(region.service_class()), Some(rid.0))
     }
 
     /// Carry out one request issued at `at` and return its completion

@@ -130,7 +130,6 @@ struct KvInner {
     /// Live runs, newest first (descending `seq_hi`; live runs always
     /// cover pairwise-disjoint sequence ranges).
     runs: Vec<RunMeta>,
-    next_seq: u64,
     stats: KvStats,
     /// The page a get reads a run page into, reused by every get.
     page: Vec<u8>,
@@ -161,6 +160,11 @@ impl std::fmt::Debug for KvStore {
             .field("memtable_entries", &inner.memtable.len())
             .finish_non_exhaustive()
     }
+}
+
+/// The sequence number of the next flush over `runs` (newest first).
+fn next_seq(runs: &[RunMeta]) -> u64 {
+    runs.first().map_or(1, |r| r.seq_hi + 1)
 }
 
 fn kv_err(message: impl Into<String>) -> NoFtlError {
@@ -217,7 +221,7 @@ impl KvStore {
         Self::validate_name(name)?;
         noftl.create_object(&Self::marker_name(name), region)?;
         let now = noftl.checkpoint(at)?;
-        Ok((Self::with_runs(noftl, region, name, config, Vec::new(), 1), now))
+        Ok((Self::with_runs(noftl, region, name, config, Vec::new()), now))
     }
 
     /// A store over `runs` (newest first) with an empty memtable.
@@ -227,13 +231,11 @@ impl KvStore {
         name: &str,
         config: KvConfig,
         runs: Vec<RunMeta>,
-        next_seq: u64,
     ) -> KvStore {
         let page = noftl.env.page_buf();
         let inner = KvInner {
             memtable: Memtable::default(),
             runs,
-            next_seq,
             stats: KvStats::default(),
             writer: RunWriter::new(page.len()),
             page,
@@ -313,9 +315,9 @@ impl KvStore {
 
         runs.sort_by_key(|r| std::cmp::Reverse(r.seq_hi));
         report.runs_recovered = runs.len();
-        report.next_seq = runs.iter().map(|r| r.seq_hi).max().unwrap_or(0) + 1;
+        report.next_seq = next_seq(&runs);
         report.completed_at = now;
-        Ok((Self::with_runs(noftl, region, name, config, runs, report.next_seq), report))
+        Ok((Self::with_runs(noftl, region, name, config, runs), report))
     }
 
     /// Validate one candidate run object and decode its tail into a
@@ -607,7 +609,7 @@ impl KvStore {
     /// source, the memtable's are merged where they lie into the store's
     /// run writer: a merge allocates nothing per entry, page or source.
     fn cascade(&self, inner: &mut KvInner, at: SimTime) -> Result<SimTime> {
-        let KvInner { memtable, runs, next_seq, stats, writer, arena, .. } = inner;
+        let KvInner { memtable, runs, stats, writer, arena, .. } = inner;
         if memtable.len() == 0 {
             return Ok(at);
         }
@@ -621,7 +623,7 @@ impl KvStore {
         // these reversed.
         let k = runs.iter().take_while(|r| r.level < depth).count();
         let sources = || runs[..k].iter().rev();
-        let seq = *next_seq;
+        let seq = next_seq(runs);
         let seq_lo = runs[..k].last().map_or(seq, |r| r.seq_lo);
         // Tombstones may be dropped once no older run could still hold a
         // shadowed version of the key; a plain flush keeps them all.
@@ -676,7 +678,6 @@ impl KvStore {
             stats.tail_windows.push((issued.as_nanos(), now.as_nanos()));
         }
         now = self.noftl.checkpoint(now)?;
-        *next_seq = seq + 1;
         let pages = u64::from(meta.data_pages + meta.tail_pages);
         (meta.object, meta.written_at) = (obj, now);
         // The newest run of all.

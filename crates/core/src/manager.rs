@@ -17,12 +17,10 @@
 //! * [`crate::recovery`] — the **metadata journal** (checkpoint) and
 //!   **mount**.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::sync::{Arc, Mutex};
 
 use flash_sim::lockorder::{self, LockClass, TrackedGuard};
-use flash_sim::{DieId, FlashBackend, FlashCommand, IoTag, PageState, SimTime};
+use flash_sim::{DieId, FlashBackend, FlashCommand, FlashGeometry, IoTag, PageState, SimTime};
 
 use noftl_obs::{MetricsRegistry, MetricsSnapshot};
 
@@ -51,37 +49,41 @@ impl Env {
     }
 }
 
-/// Object ids by name, hashed with fixed keys.  KV run objects come and
-/// go, and each removal can leave a tombstone; with a per-process random
-/// hasher, when the table ran out of room and whether it then grew varied
-/// from run to run — one allocation now and then.  Fixed keys make it a
-/// function of the names.
-pub(crate) type ObjectNames = HashMap<String, ObjectId, BuildHasherDefault<DefaultHasher>>;
-
-/// The state behind the manager lock.
+/// The state behind the manager lock.  Each fact is held once: a die is
+/// free when no region holds it, and a name is looked up in the table
+/// that stores it.
 pub(crate) struct Inner {
     pub(crate) regions: Vec<Option<RegionRuntime>>,
-    pub(crate) region_by_name: HashMap<String, RegionId>,
-    pub(crate) free_dies: Vec<DieId>,
     /// Indexed by `ObjectId`; slot 0 is unused so object ids can be stored
     /// directly in flash page metadata (where 0 means "no object").
     pub(crate) objects: Vec<Option<ObjectState>>,
-    pub(crate) object_by_name: ObjectNames,
     /// Region-metadata journal state.
     pub(crate) meta: MetaDirectory,
 }
 
 impl Inner {
     /// The state of a manager over an empty device: every die free.
-    pub(crate) fn fresh(device: &dyn FlashBackend) -> Self {
-        Inner {
-            regions: Vec::new(),
-            region_by_name: HashMap::new(),
-            free_dies: device.geometry().dies().collect(),
-            objects: vec![None],
-            object_by_name: ObjectNames::default(),
-            meta: MetaDirectory::default(),
-        }
+    pub(crate) fn fresh() -> Self {
+        Inner { regions: Vec::new(), objects: vec![None], meta: MetaDirectory::default() }
+    }
+
+    /// The dies no region holds, in id order.
+    pub(crate) fn free_dies(&self, geo: &FlashGeometry) -> Vec<DieId> {
+        let held = |die: &DieId| {
+            self.regions.iter().flatten().any(|r| r.dies.iter().any(|d| d.die == *die))
+        };
+        geo.dies().filter(|die| !held(die)).collect()
+    }
+
+    /// The live region named `name`.
+    pub(crate) fn region_named(&self, name: &str) -> Option<RegionId> {
+        self.regions.iter().flatten().find(|r| r.spec.name == name).map(|r| r.id)
+    }
+
+    /// The live object named `name`.
+    pub(crate) fn object_named(&self, name: &str) -> Option<ObjectId> {
+        let slot = self.objects.iter().position(|o| o.as_ref().is_some_and(|o| o.name == name));
+        slot.map(|id| id as ObjectId)
     }
 
     pub(crate) fn region(&self, rid: RegionId) -> Result<&RegionRuntime> {
@@ -142,9 +144,9 @@ impl std::fmt::Debug for NoFtl {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.lock_inner();
         f.debug_struct("NoFtl")
-            .field("regions", &inner.region_by_name.len())
-            .field("objects", &inner.object_by_name.len())
-            .field("free_dies", &inner.free_dies.len())
+            .field("regions", &inner.regions.iter().flatten().count())
+            .field("objects", &inner.objects.iter().flatten().count())
+            .field("free_dies", &inner.free_dies(self.env.device.geometry()).len())
             .finish_non_exhaustive()
     }
 }
@@ -154,8 +156,7 @@ impl NoFtl {
     /// pool; create regions to make them usable.  The configuration has
     /// no settings ([`NoFtlConfig`]).
     pub fn new(device: Arc<dyn FlashBackend>, _config: NoFtlConfig) -> Self {
-        let inner = Inner::fresh(device.as_ref());
-        Self::assemble(Env::new(device), inner)
+        Self::assemble(Env::new(device), Inner::fresh())
     }
 
     /// Put a manager together from its two halves (fresh in [`NoFtl::new`],
@@ -221,26 +222,25 @@ impl NoFtl {
     /// `max_channels` if the spec limits them).
     pub fn create_region(&self, spec: RegionSpec) -> Result<RegionId> {
         let mut inner = self.lock_inner();
-        if inner.region_by_name.contains_key(&spec.name) {
+        if inner.region_named(&spec.name).is_some() {
             return Err(NoFtlError::RegionExists { name: spec.name });
         }
         let geo = self.env.device.geometry();
         let want = spec.resolve_die_count(geo);
         // Group the free dies by channel so we can stripe across channels.
         let mut by_channel: Vec<Vec<DieId>> = vec![Vec::new(); geo.channels as usize];
-        for die in &inner.free_dies {
-            by_channel[geo.channel_of_die(*die) as usize].push(*die);
+        for die in inner.free_dies(geo) {
+            by_channel[geo.channel_of_die(die) as usize].push(die);
         }
         let channel_limit = spec.max_channels.unwrap_or(geo.channels).max(1) as usize;
-        let usable: Vec<&mut Vec<DieId>> =
-            by_channel.iter_mut().filter(|v| !v.is_empty()).take(channel_limit).collect();
-        let available: u32 = usable.iter().map(|v| v.len() as u32).sum();
+        let mut lanes: Vec<Vec<DieId>> =
+            by_channel.into_iter().filter(|v| !v.is_empty()).take(channel_limit).collect();
+        let available: u32 = lanes.iter().map(|v| v.len() as u32).sum();
         if available < want {
             return Err(NoFtlError::NotEnoughDies { requested: want, available });
         }
         // Round-robin over the usable channels.
         let mut chosen: Vec<DieId> = Vec::with_capacity(want as usize);
-        let mut lanes: Vec<Vec<DieId>> = usable.into_iter().map(std::mem::take).collect();
         let lane_count = lanes.len();
         let mut lane = 0usize;
         while (chosen.len() as u32) < want {
@@ -249,24 +249,14 @@ impl NoFtl {
             }
             lane += 1;
         }
-        // Return unchosen dies to the pool.
-        let mut remaining: Vec<DieId> = lanes.into_iter().flatten().collect();
-        // Dies on channels beyond the channel limit stayed in `by_channel`
-        // only if they were never moved into `lanes`; rebuild the pool from
-        // what's left plus the untouched channels.
-        for v in by_channel {
-            remaining.extend(v);
-        }
-        inner.free_dies = remaining;
         let rid = RegionId(inner.regions.len() as u32);
-        let runtime = RegionRuntime::new(rid, spec.clone(), self.env.device.as_ref(), chosen);
-        inner.region_by_name.insert(spec.name, rid);
+        let runtime = RegionRuntime::new(rid, spec, self.env.device.as_ref(), chosen);
         inner.regions.push(Some(runtime));
         Ok(rid)
     }
 
-    /// Drop an empty region, erasing any blocks it dirtied and returning
-    /// its dies to the free pool.  Returns the time at which the erases
+    /// Drop an empty region, erasing any blocks it dirtied; its dies are
+    /// free once no region holds them.  Returns the time at which the erases
     /// complete.
     pub fn drop_region(&self, rid: RegionId, at: SimTime) -> Result<SimTime> {
         let mut inner = self.lock_inner();
@@ -283,24 +273,19 @@ impl NoFtl {
             return Err(NoFtlError::RegionNotEmpty { region: rid, objects });
         }
         let mut done = at;
-        let mut dies = Vec::new();
         for die in &mut region.dies {
             // Erase everything that is not already erased so the die goes
             // back to the pool clean.
             let blocks = die.take_data_blocks();
             done = done.max(self.env.erase_into_pool(die, blocks, at)?);
-            dies.push(die.die);
         }
-        let name = region.spec.name.clone();
-        inner.region_by_name.remove(&name);
         inner.regions[rid.0 as usize] = None;
-        inner.free_dies.extend(dies);
         Ok(done)
     }
 
     /// Look up a region id by name.
     pub fn region_id(&self, name: &str) -> Option<RegionId> {
-        self.lock_inner().region_by_name.get(name).copied()
+        self.lock_inner().region_named(name)
     }
 
     /// Ids of all live regions.
@@ -332,24 +317,20 @@ impl NoFtl {
 
     /// Number of dies still unassigned.
     pub fn free_die_count(&self) -> u32 {
-        self.lock_inner().free_dies.len() as u32
+        self.lock_inner().free_dies(self.env.device.geometry()).len() as u32
     }
 
-    /// Add `additional_dies` dies from the free pool to a region.
+    /// Add `additional_dies` dies from the free pool to a region: the
+    /// highest free ids, highest first.
     pub fn grow_region(&self, rid: RegionId, additional_dies: u32) -> Result<()> {
         let mut inner = self.lock_inner();
-        if (inner.free_dies.len() as u32) < additional_dies {
-            return Err(NoFtlError::NotEnoughDies {
-                requested: additional_dies,
-                available: inner.free_dies.len() as u32,
-            });
+        let free = inner.free_dies(self.env.device.geometry());
+        let available = free.len() as u32;
+        if available < additional_dies {
+            return Err(NoFtlError::NotEnoughDies { requested: additional_dies, available });
         }
-        // Take from the tail in the same order repeated `pop()`s would.
-        let keep = inner.free_dies.len() - additional_dies as usize;
-        let mut taken = inner.free_dies.split_off(keep);
-        taken.reverse();
         let region = inner.region_mut(rid)?;
-        for die in taken {
+        for die in free.into_iter().rev().take(additional_dies as usize) {
             region.dies.push(RegionDie::rebuild(self.env.device.as_ref(), die));
         }
         Ok(())
@@ -404,7 +385,6 @@ impl NoFtl {
             }
             // Erase everything on the die before returning it to the pool.
             done = env.erase_into_pool(&mut die, blocks, done)?;
-            inner.free_dies.push(die.die);
         }
         Ok(done)
     }

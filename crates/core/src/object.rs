@@ -104,13 +104,12 @@ impl NoFtl {
     /// Register a new database object in a region.
     pub fn create_object(&self, name: &str, region: RegionId) -> Result<ObjectId> {
         let mut inner = self.lock_inner();
-        if inner.object_by_name.contains_key(name) {
+        if inner.object_named(name).is_some() {
             return Err(NoFtlError::ObjectExists { name: name.to_string() });
         }
         inner.region(region)?;
         let id = inner.objects.len() as ObjectId;
         inner.objects.push(Some(ObjectState::new(name, region)));
-        inner.object_by_name.insert(name.to_string(), id);
         Ok(id)
     }
 
@@ -124,7 +123,7 @@ impl NoFtl {
 
     /// Look up an object id by name.
     pub fn object_id(&self, name: &str) -> Option<ObjectId> {
-        self.lock_inner().object_by_name.get(name).copied()
+        self.lock_inner().object_named(name)
     }
 
     /// Drop an object: all of its pages become invalid (reclaimable by GC).
@@ -135,7 +134,6 @@ impl NoFtl {
             .get_mut(obj as usize)
             .and_then(|o| o.take())
             .ok_or_else(|| NoFtlError::UnknownObject { object: obj.to_string() })?;
-        inner.object_by_name.remove(&state.name);
         if let Ok(region) = inner.region_mut(state.region) {
             for ppa in state.map.iter().flatten() {
                 let _ = self.env.device.mark_invalid(*ppa);

@@ -40,7 +40,7 @@ use flash_sim::{
 
 use crate::config::NoFtlConfig;
 use crate::error::NoFtlError;
-use crate::manager::{Env, Inner, NoFtl, ObjectNames};
+use crate::manager::{Env, Inner, NoFtl};
 use crate::object::{ObjectId, ObjectState};
 use crate::region::{RegionId, RegionRuntime, RegionSpec};
 use crate::Result;
@@ -501,7 +501,7 @@ impl NoFtl {
             if let Some(rid) = inner.meta.region {
                 return Ok(rid);
             }
-            if inner.free_dies.is_empty() {
+            if inner.free_dies(self.env.device.geometry()).is_empty() {
                 // Journal and checkpoint programs are die-time injected
                 // into whichever region hosts them, so prefer the least
                 // latency-sensitive one.  Ties keep declaration order,
@@ -619,8 +619,7 @@ impl NoFtl {
         let Some((image, chunk_pages)) = scan.newest_checkpoint() else {
             if scan.winners.is_empty() {
                 // Pristine device: a fresh manager.
-                let inner = Inner::fresh(device);
-                return Ok((NoFtl::assemble(env, inner), report));
+                return Ok((NoFtl::assemble(env, Inner::fresh()), report));
             }
             return Err(NoFtlError::NoCheckpoint);
         };
@@ -636,20 +635,15 @@ impl NoFtl {
             device.restore_replication(image.replication.as_deref(), report.completed_at)?;
         report.completed_at = report.completed_at.max(replicated);
 
-        // Rebuild regions and objects from the directory; the free pool is
-        // every die no region owns.
+        // Rebuild regions and objects from the directory.
         let max_region = image.regions.iter().map(|r| r.id.0).max().unwrap_or(0) as usize;
         let mut regions: Vec<Option<RegionRuntime>> = (0..=max_region).map(|_| None).collect();
-        let mut region_by_name = HashMap::new();
         let mut die_owner: HashMap<DieId, RegionId> = HashMap::new();
         for rimg in &image.regions {
             die_owner.extend(rimg.dies.iter().map(|die| (*die, rimg.id)));
             let rt = RegionRuntime::new(rimg.id, rimg.spec.clone(), device, rimg.dies.clone());
-            region_by_name.insert(rimg.spec.name.clone(), rimg.id);
             regions[rimg.id.0 as usize] = Some(rt);
         }
-        let free_dies: Vec<DieId> =
-            device.geometry().dies().filter(|d| !die_owner.contains_key(d)).collect();
 
         let max_obj = image
             .objects
@@ -659,9 +653,7 @@ impl NoFtl {
             .max()
             .unwrap_or(0) as usize;
         let mut objects: Vec<Option<ObjectState>> = (0..=max_obj).map(|_| None).collect();
-        let mut object_by_name = ObjectNames::default();
         for oimg in &image.objects {
-            object_by_name.insert(oimg.name.clone(), oimg.id);
             objects[oimg.id as usize] = Some(ObjectState::new(oimg.name.clone(), oimg.region));
         }
 
@@ -678,9 +670,7 @@ impl NoFtl {
                     losers.push(ppa);
                     continue;
                 };
-                let name = format!("__orphan_{obj}");
-                objects[obj as usize] = Some(ObjectState::new(name.clone(), rid));
-                object_by_name.insert(name, obj);
+                objects[obj as usize] = Some(ObjectState::new(format!("__orphan_{obj}"), rid));
                 report.orphaned_objects.push(obj);
             }
             // The entry was installed just above when missing; a `None`
@@ -710,7 +700,7 @@ impl NoFtl {
         };
         report.regions = image.regions.len();
         report.objects = image.objects.len();
-        let inner = Inner { regions, region_by_name, free_dies, objects, object_by_name, meta };
+        let inner = Inner { regions, objects, meta };
         Ok((NoFtl::assemble(env, inner), report))
     }
 }
@@ -853,6 +843,12 @@ mod tests {
         let r = noftl.create_region(RegionSpec::named("rg").with_die_count(2)).unwrap();
         let a = noftl.create_object("a", r).unwrap();
         let mut t = noftl.write(a, 0, &page(1), SimTime::ZERO).unwrap();
+        // Dropped before the checkpoint: gone from the directory.
+        let gone = noftl.create_object("gone", r).unwrap();
+        t = noftl.write(gone, 0, &page(2), t).unwrap();
+        noftl.drop_object(gone).unwrap();
+        let rg_gone = noftl.create_region(RegionSpec::named("rgGone").with_die_count(1)).unwrap();
+        t = noftl.drop_region(rg_gone, t).unwrap();
         t = noftl.checkpoint(t).unwrap();
         // Object created after the checkpoint: its directory entry is lost
         // but its data must survive under a synthesised name.
@@ -861,7 +857,17 @@ mod tests {
         let device2 = reboot(&noftl);
         let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
         assert_eq!(report.orphaned_objects, vec![b]);
+        // Names are read off the rebuilt tables: checkpointed and orphan
+        // names are found, dropped ones are not.
         assert_eq!(noftl2.object_id(&format!("__orphan_{b}")), Some(b));
+        assert_eq!(noftl2.object_id("a"), Some(a));
+        assert_eq!(noftl2.region_id("rg"), Some(r));
+        assert_eq!(noftl2.object_id("b"), None, "b's name was never checkpointed");
+        assert_eq!(noftl2.object_id("gone"), None);
+        assert_eq!(noftl2.region_id("rgGone"), None);
+        assert!(matches!(noftl2.create_object("a", r), Err(NoFtlError::ObjectExists { .. })));
+        let rg_again = noftl2.create_region(RegionSpec::named("rg").with_die_count(1));
+        assert!(matches!(rg_again, Err(NoFtlError::RegionExists { .. })));
         // The region's members come from the object directory, the orphan
         // among them.
         assert_eq!(noftl2.region_info(r).unwrap().objects, vec![a, b]);
@@ -872,6 +878,39 @@ mod tests {
         assert_eq!(read_page(&noftl2, b, 3, report.completed_at).unwrap().0, page(9));
         assert_eq!(read_page(&noftl2, a, 0, report.completed_at).unwrap().0, page(1));
         assert_eq!(noftl2.object_stats(a).unwrap().reads, 1);
+        // A dropped object's name is free to take again.
+        let again = noftl2.create_object("gone", r).unwrap();
+        assert_eq!(noftl2.object_id("gone"), Some(again));
+    }
+
+    /// The free pool is the dies no region holds, in id order, so a live
+    /// manager and its remount choose the same dies after a `DROP REGION`.
+    #[test]
+    fn a_live_manager_and_its_remount_choose_the_same_dies() {
+        // The journal takes die 1; a three-die region on dies 0, 3 and 2
+        // is dropped and the drop checkpointed.
+        let dropped = || {
+            let noftl = make_noftl();
+            let t = noftl.checkpoint(SimTime::ZERO).unwrap();
+            let rg = noftl.create_region(RegionSpec::named("rgGone").with_die_count(3)).unwrap();
+            let t = noftl.drop_region(rg, t).unwrap();
+            let t = noftl.checkpoint(t).unwrap();
+            let (mounted, _) = NoFtl::mount(reboot(&noftl), NoFtlConfig::default(), t).unwrap();
+            [noftl, mounted]
+        };
+        let [live, mounted] = dropped().map(|m| {
+            let rg = m.create_region(RegionSpec::named("rgNew").with_die_count(2)).unwrap();
+            m.region_dies(rg).unwrap()
+        });
+        assert_eq!(live, mounted, "CREATE REGION");
+        assert_eq!(live, vec![DieId(0), DieId(3)]);
+        let [live, mounted] = dropped().map(|m| {
+            let meta = m.meta_region().unwrap();
+            m.grow_region(meta, 1).unwrap();
+            m.region_dies(meta).unwrap()
+        });
+        assert_eq!(live, mounted, "grow");
+        assert_eq!(live, vec![DieId(1), DieId(3)], "grow takes the highest free die");
     }
 
     #[test]

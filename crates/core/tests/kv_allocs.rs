@@ -11,9 +11,9 @@
 //!
 //! * a get that hits the memtable, hits a run or misses allocates nothing;
 //! * a put that does not flush allocates nothing;
-//! * a flush allocates a constant per run it writes — the run's name and
-//!   directory entry, its descriptor (largest key, fences, filter), its
-//!   page map — plus what its checkpoints allocate, which depends on the
+//! * a flush allocates a constant per run it writes — the run's name,
+//!   formatted and then copied into its object-directory entry, its
+//!   descriptor (largest key, fences, filter), its page map — plus what its checkpoints allocate, which depends on the
 //!   directory and not on the run, and a flush that merges runs adds a
 //!   constant, whatever the number of runs or levels it merges (the read
 //!   pipeline's page buffer and window, the merge's cursors).  So two like

@@ -9,15 +9,6 @@ use crate::heap::HeapFile;
 use crate::schema::Schema;
 use crate::Result;
 
-/// Definition of a secondary (or primary) index.
-#[derive(Debug)]
-pub struct IndexDef {
-    /// Index name (unique within the database).
-    pub name: String,
-    /// The B+-tree storing the index.
-    pub tree: BTree,
-}
-
 /// A table: schema, heap file and indexes.
 #[derive(Debug)]
 pub struct TableDef {
@@ -27,18 +18,19 @@ pub struct TableDef {
     pub schema: Arc<Schema>,
     /// The heap file holding the rows.
     pub heap: HeapFile,
-    /// Indexes on the table, by name.
-    pub indexes: HashMap<String, IndexDef>,
+    /// The B+-tree of each index on the table, by index name (unique
+    /// within the database).
+    pub indexes: HashMap<String, BTree>,
 }
 
 impl TableDef {
     /// Look up an index of this table.
-    pub fn index(&self, name: &str) -> Result<&IndexDef> {
+    pub fn index(&self, name: &str) -> Result<&BTree> {
         self.indexes.get(name).ok_or_else(|| no_index(&self.name, name))
     }
 
     /// [`TableDef::index`], to write to.
-    pub(crate) fn index_mut(&mut self, name: &str) -> Result<&mut IndexDef> {
+    pub(crate) fn index_mut(&mut self, name: &str) -> Result<&mut BTree> {
         let table = &self.name;
         self.indexes.get_mut(name).ok_or_else(|| no_index(table, name))
     }
@@ -63,8 +55,7 @@ mod tests {
         };
         assert!(t.index("o_idx").is_err());
         assert!(t.index_mut("o_idx").is_err());
-        let tree = BTree::new(2);
-        t.indexes.insert("o_idx".to_string(), IndexDef { name: "o_idx".to_string(), tree });
+        t.indexes.insert("o_idx".to_string(), BTree::new(2));
         assert!(t.index("o_idx").is_ok());
         assert!(t.index_mut("o_idx").is_ok());
     }

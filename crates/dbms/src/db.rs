@@ -9,7 +9,7 @@ use flash_sim::{crc32, Duration, SimTime};
 
 use crate::btree::BTree;
 use crate::buffer::{BufferPool, BufferStats};
-use crate::catalog::{IndexDef, TableDef};
+use crate::catalog::TableDef;
 use crate::error::DbError;
 use crate::heap::{HeapFile, RecordId};
 use crate::row::{AsRecord, Row};
@@ -249,7 +249,7 @@ impl Engine {
         key: &[u8],
     ) -> Result<Option<RecordId>> {
         let (table_def, pool, _) = self.parts(table)?;
-        let (found, t) = table_def.index_mut(index)?.tree.search(pool, key, txn.now)?;
+        let (found, t) = table_def.index_mut(index)?.search(pool, key, txn.now)?;
         charge(txn, t, false);
         Ok(found)
     }
@@ -411,8 +411,7 @@ impl Database {
         if table_def.indexes.contains_key(index) {
             return Err(DbError::AlreadyExists { what: format!("index '{index}'") });
         }
-        let def = IndexDef { name: index.to_string(), tree: BTree::new(obj) };
-        table_def.indexes.insert(index.to_string(), def);
+        table_def.indexes.insert(index.to_string(), BTree::new(obj));
         e.record_metadata_change(self, &format!("CREATE INDEX {index} ON {table}"), now)
     }
 
@@ -458,7 +457,7 @@ impl Database {
         let (rid, t) = table_def.heap.insert(pool, &encoded, txn.now)?;
         charge(txn, t, true);
         for (index, key) in index_keys {
-            let t = table_def.index_mut(index)?.tree.insert(pool, key.as_ref(), rid, txn.now)?;
+            let t = table_def.index_mut(index)?.insert(pool, key.as_ref(), rid, txn.now)?;
             txn.advance_to(t);
             txn.writes += 1;
         }
@@ -542,7 +541,7 @@ impl Database {
         let t = table_def.heap.delete(pool, rid, txn.now)?;
         charge(txn, t, true);
         for (index, key) in index_keys {
-            let (_, t) = table_def.index_mut(index)?.tree.delete(pool, key.as_ref(), txn.now)?;
+            let (_, t) = table_def.index_mut(index)?.delete(pool, key.as_ref(), txn.now)?;
             txn.advance_to(t);
             txn.writes += 1;
         }
@@ -606,7 +605,7 @@ impl Database {
     ) -> Result<()> {
         let mut e = self.lock_engine();
         let (table_def, pool, _) = e.parts(table)?;
-        let tree = &mut table_def.index_mut(index)?.tree;
+        let tree = table_def.index_mut(index)?;
         let t = tree.range(pool, low, high, limit, txn.now, |_, rid| visit(rid))?;
         charge(txn, t, false);
         Ok(())
@@ -625,7 +624,7 @@ impl Database {
     ) -> Result<()> {
         let mut e = self.lock_engine();
         let (table_def, pool, _) = e.parts(table)?;
-        let tree = &mut table_def.index_mut(index)?.tree;
+        let tree = table_def.index_mut(index)?;
         let in_range = |key: &[u8]| key.starts_with(prefix);
         let t = tree.scan(pool, prefix, in_range, usize::MAX, txn.now, |_, rid| visit(rid))?;
         charge(txn, t, false);
@@ -866,7 +865,7 @@ impl Database {
                 let extent = backend.object_extent(index_obj)?;
                 let (tree, t_attach) = BTree::attach(index_obj, &mut e.pool, extent, t)?;
                 t = t.max(t_attach);
-                indexes.insert(index.clone(), IndexDef { name: index, tree });
+                indexes.insert(index, tree);
                 report.indexes_recovered += 1;
             }
             e.add_table(TableDef { name, schema: Arc::new(schema), heap, indexes })?;

@@ -40,7 +40,7 @@ pub mod value;
 pub mod wal;
 
 pub use buffer::{BufferPool, BufferStats};
-pub use catalog::{IndexDef, TableDef};
+pub use catalog::TableDef;
 pub use crash_harness::{run_crash_cycle, CrashHarnessConfig, CrashOutcome};
 pub use db::{Database, DatabaseConfig, RecoveryReport, NO_KEYS};
 pub use error::DbError;

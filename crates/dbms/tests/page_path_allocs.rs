@@ -153,7 +153,7 @@ fn loaded_db_with_pool(buffer_pages: usize) -> (Database, SimTime) {
     }
     // More leaves than one internal node can address ⇒ at least 3 levels.
     let max_children = (PAGE_SIZE - 11) / (2 + KEY_LEN + 8) + 1;
-    let index_pages = db.with_table("t", |t| t.index("i").unwrap().tree.page_count()).unwrap();
+    let index_pages = db.with_table("t", |t| t.index("i").unwrap().page_count()).unwrap();
     assert!(index_pages as usize > max_children + 1, "tree of {index_pages} pages is too shallow");
     (db, now)
 }
@@ -301,7 +301,7 @@ fn warm_writes_copy_no_page() {
     const OPS: u64 = 20;
     let (db, now) = loaded_db();
     let heap_pages = || db.with_table("t", |t| t.heap.page_count()).unwrap();
-    let tree_pages = || db.with_table("t", |t| t.index("i").unwrap().tree.page_count()).unwrap();
+    let tree_pages = || db.with_table("t", |t| t.index("i").unwrap().page_count()).unwrap();
     let mut txn = db.begin(now);
     // Start a fresh heap fill page, so the counted inserts all land in
     // it (a page holds about 30 of these records).

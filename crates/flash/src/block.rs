@@ -56,8 +56,6 @@ pub(crate) struct Block {
     /// whole block's worth from then on.  An erase clears it and keeps
     /// its capacity for the next cycle.
     pub data: Vec<u8>,
-    /// Number of pages currently in `Valid` state.
-    pub valid_pages: u32,
 }
 
 impl Block {
@@ -69,7 +67,6 @@ impl Block {
             pages: vec![PageState::Free; pages_per_block as usize],
             meta: vec![None; pages_per_block as usize],
             data: Vec::new(),
-            valid_pages: 0,
         }
     }
 
@@ -85,7 +82,6 @@ impl Block {
             *m = None;
         }
         self.data.clear();
-        self.valid_pages = 0;
     }
 
     /// Turn a valid page invalid (superseded, or moved away by a
@@ -93,13 +89,12 @@ impl Block {
     pub(crate) fn invalidate(&mut self, page: u32) {
         if self.pages[page as usize] == PageState::Valid {
             self.pages[page as usize] = PageState::Invalid;
-            self.valid_pages = self.valid_pages.saturating_sub(1);
         }
     }
 
-    /// Number of invalid (reclaimable) pages.
-    pub(crate) fn invalid_pages(&self) -> u32 {
-        self.pages.iter().filter(|p| **p == PageState::Invalid).count() as u32
+    /// Number of pages in `state`.
+    pub(crate) fn count(&self, state: PageState) -> u32 {
+        self.pages.iter().filter(|p| **p == state).count() as u32
     }
 
     /// Number of still-free pages.
@@ -133,8 +128,8 @@ impl BlockInfo {
             state: b.state,
             write_ptr: b.write_ptr,
             erase_count: b.erase_count,
-            valid_pages: b.valid_pages,
-            invalid_pages: b.invalid_pages(),
+            valid_pages: b.count(PageState::Valid),
+            invalid_pages: b.count(PageState::Invalid),
             free_pages: b.free_pages(),
         }
     }
@@ -149,9 +144,9 @@ mod tests {
         let b = Block::new(8);
         assert_eq!(b.state, BlockState::Free);
         assert_eq!(b.write_ptr, 0);
-        assert_eq!(b.valid_pages, 0);
+        assert_eq!(b.count(PageState::Valid), 0);
         assert_eq!(b.free_pages(), 8);
-        assert_eq!(b.invalid_pages(), 0);
+        assert_eq!(b.count(PageState::Invalid), 0);
         assert!(b.data.is_empty());
     }
 
@@ -162,12 +157,11 @@ mod tests {
         b.write_ptr = 4;
         b.erase_count = 3;
         b.pages = vec![PageState::Valid, PageState::Invalid, PageState::Valid, PageState::Valid];
-        b.valid_pages = 3;
         b.data = vec![1u8; 4 * 16];
         b.reset_erased();
         assert_eq!(b.state, BlockState::Free);
         assert_eq!(b.write_ptr, 0);
-        assert_eq!(b.valid_pages, 0);
+        assert_eq!(b.count(PageState::Valid), 0);
         assert_eq!(b.erase_count, 3, "erase_count is managed by the caller");
         assert!(b.pages.iter().all(|p| *p == PageState::Free));
         assert!(b.data.is_empty(), "an erased block holds no payload");
@@ -179,7 +173,6 @@ mod tests {
         let mut b = Block::new(4);
         b.pages = vec![PageState::Valid, PageState::Invalid, PageState::Invalid, PageState::Free];
         b.write_ptr = 3;
-        b.valid_pages = 1;
         b.state = BlockState::Open;
         let info = BlockInfo::from_block(&b);
         assert_eq!(info.valid_pages, 1);

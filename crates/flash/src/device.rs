@@ -172,15 +172,9 @@ impl DeviceBuilder {
             .map(|_| Die::new(g.planes_per_die, g.blocks_per_plane, g.pages_per_block))
             .collect();
         // Mark factory-bad blocks.
-        let total_blocks = g.total_blocks();
-        for idx in self.bad_blocks.factory_bad_blocks(total_blocks) {
-            let blocks_per_die = g.blocks_per_die() as u64;
-            let die = (idx / blocks_per_die) as u32;
-            let within = idx % blocks_per_die;
-            let plane = (within / g.blocks_per_plane as u64) as u32;
-            let block = (within % g.blocks_per_plane as u64) as u32;
-            dies[die as usize].planes[plane as usize].blocks[block as usize].state =
-                BlockState::Bad;
+        for index in self.bad_blocks.factory_bad_blocks(g.total_blocks()) {
+            let block = g.block_at(index);
+            dies[block.die.0 as usize].block_mut(block).state = BlockState::Bad;
         }
         let registry = self.metrics.unwrap_or_else(|| Arc::new(MetricsRegistry::new()));
         let arbiter =
@@ -652,7 +646,6 @@ impl NandDevice {
         block.data = buf;
         block.meta[page] = meta;
         block.pages[page] = PageState::Valid;
-        block.valid_pages += 1;
         block.write_ptr = addr.page + 1;
         block.state =
             if block.write_ptr == pages_per_block { BlockState::Full } else { BlockState::Open };

@@ -148,6 +148,22 @@ impl FlashGeometry {
         (0..self.total_dies()).map(DieId)
     }
 
+    /// The linear index of a block, `(die * planes_per_die + plane) *
+    /// blocks_per_plane + block`: 0 up to [`FlashGeometry::total_blocks`].
+    pub fn block_index(&self, b: BlockAddr) -> u64 {
+        let plane = u64::from(b.die.0) * u64::from(self.planes_per_die) + u64::from(b.plane);
+        plane * u64::from(self.blocks_per_plane) + u64::from(b.block)
+    }
+
+    /// The block at linear index `index` (inverse of
+    /// [`FlashGeometry::block_index`]).
+    pub fn block_at(&self, index: u64) -> BlockAddr {
+        let bpp = u64::from(self.blocks_per_plane);
+        let plane = index / bpp;
+        let ppd = u64::from(self.planes_per_die);
+        BlockAddr::new(DieId((plane / ppd) as u32), (plane % ppd) as u32, (index % bpp) as u32)
+    }
+
     /// Validate that a block address lies inside the device.
     pub fn contains_block(&self, b: BlockAddr) -> bool {
         b.die.0 < self.total_dies()
@@ -239,6 +255,23 @@ mod tests {
         assert!(!g.contains_page(bad_die));
         assert!(!g.contains_page(bad_block));
         assert!(!g.contains_page(bad_page));
+    }
+
+    #[test]
+    fn block_index_round_trips_every_block() {
+        let g = FlashGeometry::small_test();
+        let mut next = 0;
+        for die in g.dies() {
+            for plane in 0..g.planes_per_die {
+                for block in 0..g.blocks_per_plane {
+                    let addr = BlockAddr::new(die, plane, block);
+                    assert_eq!(g.block_index(addr), next, "{addr:?}");
+                    assert_eq!(g.block_at(next), addr);
+                    next += 1;
+                }
+            }
+        }
+        assert_eq!(next, g.total_blocks());
     }
 
     #[test]

@@ -204,8 +204,7 @@ fn decode_block(r: &mut Reader<'_>, g: &FlashGeometry, index: u64) -> Result<Blo
         Some(len) => next(r.take(len as usize))?.to_vec(),
         None => Vec::new(),
     };
-    let valid_pages = pages.iter().filter(|p| **p == PageState::Valid).count() as u32;
-    Ok(Block { state, write_ptr, erase_count, pages, meta, data, valid_pages })
+    Ok(Block { state, write_ptr, erase_count, pages, meta, data })
 }
 
 #[cfg(test)]

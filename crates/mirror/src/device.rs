@@ -246,23 +246,14 @@ impl MirrorDevice {
         self.geometry.total_blocks()
     }
 
-    /// Linear segment index of a block.
+    /// Linear segment index of a block ([`FlashGeometry::block_index`]).
     pub fn segment_of(&self, block: BlockAddr) -> u64 {
-        (block.die.0 as u64 * self.geometry.planes_per_die as u64 + block.plane as u64)
-            * self.geometry.blocks_per_plane as u64
-            + block.block as u64
+        self.geometry.block_index(block)
     }
 
-    /// The block a segment index denotes (inverse of
-    /// [`MirrorDevice::segment_of`]).
+    /// The block a segment index denotes ([`FlashGeometry::block_at`]).
     pub fn block_of(&self, seg: u64) -> BlockAddr {
-        let bpp = self.geometry.blocks_per_plane as u64;
-        let ppd = self.geometry.planes_per_die as u64;
-        BlockAddr::new(
-            DieId((seg / (bpp * ppd)) as u32),
-            ((seg / bpp) % ppd) as u32,
-            (seg % bpp) as u32,
-        )
+        self.geometry.block_at(seg)
     }
 
     /// Current health of `child`.

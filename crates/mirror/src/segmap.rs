@@ -1,7 +1,7 @@
 //! Dirty-segment tracking and its persisted form.
 //!
 //! A *segment* is one erase block, addressed by its linear block index
-//! `(die * planes_per_die + plane) * blocks_per_plane + block`.  While a
+//! ([`FlashGeometry::block_index`](flash_sim::FlashGeometry::block_index)).  While a
 //! child is faulted, every write that would have reached it marks the
 //! targeted segment dirty in that child's [`SegmentMap`]; the rebuild
 //! engine later copies exactly the dirty segments and nothing else.
@@ -24,14 +24,13 @@ pub const BLOB_MAGIC: &[u8; 8] = b"NFMIRR01";
 pub struct SegmentMap {
     segments: u64,
     words: Vec<u64>,
-    dirty: u64,
 }
 
 impl SegmentMap {
     /// A map over `segments` segments, all clean.
     pub fn all_clean(segments: u64) -> Self {
         let words = segments.div_ceil(64) as usize;
-        SegmentMap { segments, words: vec![0; words], dirty: 0 }
+        SegmentMap { segments, words: vec![0; words] }
     }
 
     /// A map over `segments` segments, all dirty (the fail-safe state).
@@ -50,12 +49,12 @@ impl SegmentMap {
 
     /// Number of dirty segments.
     pub fn dirty_count(&self) -> u64 {
-        self.dirty
+        self.words.iter().map(|w| u64::from(w.count_ones())).sum()
     }
 
     /// True when no segment is dirty.
     pub fn is_all_clean(&self) -> bool {
-        self.dirty == 0
+        self.words.iter().all(|w| *w == 0)
     }
 
     /// Is `seg` dirty?  Out-of-range segments report clean.
@@ -73,7 +72,6 @@ impl SegmentMap {
             return false;
         }
         self.words[(seg / 64) as usize] |= 1u64 << (seg % 64);
-        self.dirty += 1;
         true
     }
 
@@ -83,7 +81,6 @@ impl SegmentMap {
             return false;
         }
         self.words[(seg / 64) as usize] &= !(1u64 << (seg % 64));
-        self.dirty -= 1;
         true
     }
 
@@ -133,8 +130,7 @@ impl SegmentMap {
                 }
             }
         }
-        let dirty = words.iter().map(|w| w.count_ones() as u64).sum();
-        Some(SegmentMap { segments, words, dirty })
+        Some(SegmentMap { segments, words })
     }
 }
 
