@@ -6,7 +6,7 @@
 //! whose device and buffer pool counters cover only the measured run (not
 //! the initial load).  [`ComparisonReport`] sets two results side by side
 //! in the shape of the paper's Figure 3.  Nothing here prints: the
-//! `noftl` binary (`noftl fig2 | fig3 | ablation`) does.
+//! `noftl` binary (`noftl fig2 | fig3`) does.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -58,8 +58,8 @@ impl Experiment {
         }
     }
 
-    /// Default experiment skeleton of `noftl fig3`, `fig2` and
-    /// `ablation`; the placement and label are filled in by the caller.
+    /// Default experiment skeleton of `noftl fig3` and `fig2`; the
+    /// placement and label are filled in by the caller.
     pub fn figure3_base(placement: PlacementConfig, label: &str) -> Self {
         Experiment {
             label: label.to_string(),
@@ -212,7 +212,7 @@ impl ExperimentResult {
                 info.dies.iter().map(|d| self.die_busy[d.0 as usize].as_ms_f64()).collect();
             out.push_str(&format!(
                 "{:<16} {:>5} {:>12} {:>12} {:>10} {:>10} {:>8.3} {:>12.0} {:>12.0}\n",
-                info.name,
+                info.spec.name,
                 info.dies.len(),
                 stats.host_reads,
                 stats.host_writes,

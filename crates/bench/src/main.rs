@@ -3,7 +3,6 @@
 //! ```text
 //! noftl fig3 [--txns N] [--seed N]   # Figure 3: TPC-C, traditional vs. six-region placement
 //! noftl fig2 [--txns N] [--dies N]   # Figure 2: the six-region placement, and the advisor's
-//! noftl ablation [--txns N]          # 1 / 2 / 6 regions: throughput and GC cost
 //! ```
 //! e.g. `cargo run --release -p noftl-bench -- fig3 --seed 7`.
 //!
@@ -21,10 +20,6 @@
 //! knowledge of object sizes and I/O rates (the mechanism §2 of the paper
 //! describes).
 //!
-//! `ablation` sweeps the region count (1 = the traditional baseline,
-//! 2 = hot/cold split, 6 = the paper's Figure 2), exposing where the
-//! benefit of placement comes from.
-//!
 //! A run does not silently ignore what it was told: an unknown flag, a
 //! flag the subcommand does not read, a value that is not a non-negative
 //! integer, or a `--dies` the device cannot hold six regions on ends the
@@ -38,15 +33,13 @@ use noftl_core::PlacementConfig;
 use tpcc_workload::placement;
 
 const USAGE: &str = "usage: noftl fig3 [--txns N] [--seed N]\n       \
-                     noftl fig2 [--txns N] [--dies N]\n       \
-                     noftl ablation [--txns N]";
+                     noftl fig2 [--txns N] [--dies N]";
 
 /// A subcommand with the values of its flags.
 #[derive(Debug, PartialEq)]
 enum Command {
     Fig3 { txns: u64, seed: u64 },
     Fig2 { txns: u64, dies: u32 },
-    Ablation { txns: u64 },
 }
 
 impl Command {
@@ -69,10 +62,6 @@ impl Command {
                          (one die per region at least, and the device has {max})"
                     )),
                 }
-            }
-            "ablation" => {
-                let [txns] = flags("ablation", args, [("--txns", 6_000)])?;
-                Ok(Command::Ablation { txns })
             }
             other => Err(format!("unknown subcommand {other:?}\n{USAGE}")),
         }
@@ -208,43 +197,12 @@ fn fig2(txns: u64, dies: u32) {
     }
 }
 
-fn ablation(txns: u64) {
-    let dies = Experiment::figure3_geometry().total_dies();
-    println!("== Ablation: region count vs. throughput and GC cost ==\n");
-    println!(
-        "{:<26} {:>10} {:>12} {:>12} {:>12} {:>8}",
-        "Placement", "TPS", "HostWrites", "Copybacks", "Erases", "WA"
-    );
-    run_arms(
-        [
-            arm(placement::traditional(dies), "1 region (traditional)", txns),
-            arm(placement::hot_cold(dies), "2 regions (hot/cold)", txns),
-            arm(placement::figure2(dies), "6 regions (Figure 2)", txns),
-        ],
-        26,
-        |_| {},
-        |exp, result| {
-            let d = &result.device_stats;
-            println!(
-                "{:<26} {:>10.1} {:>12} {:>12} {:>12} {:>8.3}",
-                exp.label,
-                result.report.tps,
-                d.page_programs,
-                d.copybacks,
-                d.block_erases,
-                result.write_amplification()
-            );
-        },
-    );
-}
-
 fn main() {
     let args: Vec<String> =
         std::env::args_os().skip(1).map(|arg| arg.to_string_lossy().into_owned()).collect();
     match Command::parse(&args) {
         Ok(Command::Fig3 { txns, seed }) => fig3(txns, seed),
         Ok(Command::Fig2 { txns, dies }) => fig2(txns, dies),
-        Ok(Command::Ablation { txns }) => ablation(txns),
         Err(message) => {
             eprintln!("{message}");
             std::process::exit(2)
@@ -264,7 +222,6 @@ mod tests {
     fn flags_parse_default_and_refuse_what_they_cannot_use() {
         assert_eq!(parse(&["fig3"]), Ok(Command::Fig3 { txns: 12_000, seed: 20_160_315 }));
         assert_eq!(parse(&["fig2"]), Ok(Command::Fig2 { txns: 4_000, dies: 64 }));
-        assert_eq!(parse(&["ablation"]), Ok(Command::Ablation { txns: 6_000 }));
         assert_eq!(
             parse(&["fig2", "--dies", "16", "--txns", "200"]),
             Ok(Command::Fig2 { txns: 200, dies: 16 })
@@ -272,9 +229,9 @@ mod tests {
         // The environment passes by: the knobs the figure binaries read
         // set nothing.
         std::env::set_var("FIG3_TXNS", "5");
-        std::env::set_var("ABL_TXNS", "x");
         assert_eq!(parse(&["fig3", "--seed", "7"]), Ok(Command::Fig3 { txns: 12_000, seed: 7 }));
-        assert_eq!(parse(&["ablation"]), Ok(Command::Ablation { txns: 6_000 }));
+        // The region-count sweep is gone: an unknown subcommand.
+        assert!(parse(&["ablation"]).unwrap_err().starts_with("unknown subcommand \"ablation\""));
         // Not a number: refused, naming the flag — not the default.
         let err = parse(&["fig3", "--txns", "12k"]).unwrap_err();
         assert!(err.contains("--txns") && err.contains("12k"), "{err}");

@@ -250,8 +250,6 @@ pub fn parse_script(sql: &str) -> Result<Vec<DdlStatement>> {
 /// TABLE`'s column list is: nothing allocates by it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tablespace {
-    /// Tablespace name.
-    pub name: String,
     /// The region the tablespace maps to.
     pub region: RegionId,
     /// Declared extent size in bytes, if given (recorded only).
@@ -289,8 +287,8 @@ impl<'a> Ddl<'a> {
                     return Err(ddl_err(format!("tablespace '{name}' already exists")));
                 }
                 let extent_size_bytes = *extent_size_bytes;
-                let ts = Tablespace { name: name.clone(), region: rid, extent_size_bytes };
-                self.tablespaces.insert(name.clone(), ts);
+                self.tablespaces
+                    .insert(name.clone(), Tablespace { region: rid, extent_size_bytes });
             }
             DdlStatement::CreateTable { name, tablespace, .. } => {
                 let region = self

@@ -18,16 +18,14 @@
 //!   passes one function (`crates/core/clippy.toml` bans every timed
 //!   device verb elsewhere in the crate).
 //!
-//! The public page I/O is four verbs over the core: [`NoFtl::read`] and
-//! [`NoFtl::write`] for one page, [`NoFtl::execute`] for many — a windowed
-//! pipeline of reads and writes that hands each page read to the caller —
-//! and [`NoFtl::write_atomic`] for all-or-nothing batches.
+//! The public page I/O is three verbs over the core: [`NoFtl::read`] and
+//! [`NoFtl::write`] for one page, and [`NoFtl::execute`] for many — a
+//! windowed pipeline of reads and writes that hands each page read to the
+//! caller.
 
 use std::collections::VecDeque;
 
-use flash_sim::{
-    BlockAddr, CmdOutput, FlashCommand, IoTag, PageAddr, PageMetadata, ServiceClass, SimTime,
-};
+use flash_sim::{BlockAddr, CmdOutput, FlashCommand, IoTag, PageMetadata, ServiceClass, SimTime};
 
 use crate::error::NoFtlError;
 use crate::manager::{Env, Inner, NoFtl};
@@ -167,55 +165,27 @@ impl Inner {
                 Ok(completed)
             }
             IoKind::Write(data) => {
-                let (ppa, completed) = self.stage_write(env, req, data, at)?;
-                self.commit_write(env, req, ppa, at, completed)?;
+                env.check_page_size(data)?;
+                let rid = self.object(req.object)?.region;
+                // The one allocation site of host writes.
+                let ppa = self.space(env, rid)?.allocate(at)?;
+                let meta = PageMetadata::new(req.object, req.page).with_payload_checksum(data);
+                let tag = self.tag(rid, req.class);
+                let out = env.exec(FlashCommand::Program { addr: ppa, data, meta }, at, tag)?;
+                let completed = out.outcome.completed_at;
+                let state = self.object_mut(req.object)?;
+                state.counters.writes += 1;
+                let old = state.set_translation(req.page, ppa);
+                let region = self.region_mut(rid)?;
+                if let Some(old) = old {
+                    let _ = env.device.mark_invalid(old);
+                    region.record_invalidation(old);
+                }
+                region.stats.host_writes += 1;
+                region.stats.write_latency_sum += completed - at;
                 Ok(completed)
             }
         }
-    }
-
-    /// First half of a write: allocate the next page of the object's
-    /// region (the one allocation site of host writes) and program it.
-    /// The new version stays invisible until [`Inner::commit_write`].
-    fn stage_write(
-        &mut self,
-        env: &Env,
-        req: &IoRequest<'_>,
-        data: &[u8],
-        at: SimTime,
-    ) -> Result<(PageAddr, SimTime)> {
-        env.check_page_size(data)?;
-        let rid = self.object(req.object)?.region;
-        let ppa = self.space(env, rid)?.allocate(at)?;
-        let meta = PageMetadata::new(req.object, req.page).with_payload_checksum(data);
-        let tag = self.tag(rid, req.class);
-        let out = env.exec(FlashCommand::Program { addr: ppa, data, meta }, at, tag)?;
-        Ok((ppa, out.outcome.completed_at))
-    }
-
-    /// Second half of a write: switch the object's translation to `ppa`,
-    /// invalidate the superseded version and account the write in the
-    /// owning region's statistics.
-    fn commit_write(
-        &mut self,
-        env: &Env,
-        req: &IoRequest<'_>,
-        ppa: PageAddr,
-        at: SimTime,
-        completed: SimTime,
-    ) -> Result<()> {
-        let state = self.object_mut(req.object)?;
-        state.counters.writes += 1;
-        let old = state.set_translation(req.page, ppa);
-        let rid = state.region;
-        let region = self.region_mut(rid)?;
-        if let Some(old) = old {
-            let _ = env.device.mark_invalid(old);
-            region.record_invalidation(old);
-        }
-        region.stats.host_writes += 1;
-        region.stats.write_latency_sum += completed - at;
-        Ok(())
     }
 }
 
@@ -331,47 +301,6 @@ impl NoFtl {
             if count > 0 {
                 window_obs.note_done(count, at, done);
             }
-        }
-        Ok(done)
-    }
-
-    /// Atomically write a batch of pages: either all of them become
-    /// visible or none does.
-    ///
-    /// This exploits NoFTL's direct control over out-of-place updates
-    /// (advantage (iv) in the paper): the new versions are programmed to
-    /// freshly allocated pages first, and only if *all* programs succeed
-    /// are the address translations switched and the old versions
-    /// invalidated.  On any failure the freshly written pages are marked
-    /// invalid and the previous versions remain visible.
-    pub fn write_atomic(
-        &self,
-        writes: &[(ObjectId, u64, Vec<u8>)],
-        at: SimTime,
-    ) -> Result<SimTime> {
-        for (_, _, data) in writes {
-            self.env.check_page_size(data)?;
-        }
-        let mut inner = self.lock_inner();
-        let requests = writes.iter().map(|(obj, page, data)| IoRequest::write(*obj, *page, data));
-        let mut staged: Vec<(PageAddr, SimTime)> = Vec::with_capacity(writes.len());
-        for (req, (_, _, data)) in requests.clone().zip(writes) {
-            match inner.stage_write(&self.env, &req, data, at) {
-                Ok(programmed) => staged.push(programmed),
-                Err(e) => {
-                    // Abort: the staged versions never become visible.
-                    for (ppa, _) in staged {
-                        let _ = self.env.device.mark_invalid(ppa);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        // Commit: switch the translations.
-        let mut done = at;
-        for (req, (ppa, completed)) in requests.zip(staged) {
-            done = done.max(completed);
-            inner.commit_write(&self.env, &req, ppa, at, completed)?;
         }
         Ok(done)
     }
@@ -576,8 +505,8 @@ mod tests {
         let (_, t) = read_page(&noftl, obj, 0, t).unwrap();
         assert_eq!(submitted(), 2, "read");
         let batch = vec![(obj, 0u64, page(2)), (obj, 1u64, page(2))];
-        noftl.write_atomic(&batch, t).unwrap();
-        assert_eq!(submitted(), 4, "write_atomic");
+        write_pages(&noftl, &batch, t, 2).unwrap();
+        assert_eq!(submitted(), 4, "execute");
     }
 
     /// A read the device fails is not a served read: neither the object's
@@ -729,25 +658,6 @@ mod tests {
             done
         };
         assert_eq!(run(0), run(1));
-    }
-
-    #[test]
-    fn atomic_write_commits_all_or_nothing() {
-        let noftl = make_noftl();
-        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(2)).unwrap();
-        let obj = noftl.create_object("t", r).unwrap();
-        let t0 = SimTime::ZERO;
-        noftl.write(obj, 0, &page(1), t0).unwrap();
-        noftl.write(obj, 1, &page(1), t0).unwrap();
-        // Successful atomic batch.
-        let batch = vec![(obj, 0u64, page(2)), (obj, 1u64, page(2))];
-        let done = noftl.write_atomic(&batch, t0).unwrap();
-        assert_eq!(read_page(&noftl, obj, 0, done).unwrap().0, page(2));
-        assert_eq!(read_page(&noftl, obj, 1, done).unwrap().0, page(2));
-        // Failing atomic batch (unknown object in the middle): nothing changes.
-        let bad = vec![(obj, 0u64, page(3)), (999u32, 0u64, page(3))];
-        assert!(noftl.write_atomic(&bad, done).is_err());
-        assert_eq!(read_page(&noftl, obj, 0, done).unwrap().0, page(2));
     }
 
     #[test]

@@ -29,9 +29,9 @@
 //!   configurations such as the paper's Figure 2;
 //! * a small **DDL dialect** ([`ddl`]): `CREATE REGION`,
 //!   `CREATE TABLESPACE`, `CREATE TABLE ... TABLESPACE`;
-//! * **windowed page I/O** ([`NoFtl::execute`]) and **short atomic
-//!   writes** ([`NoFtl::write_atomic`]) exploiting direct control of
-//!   out-of-place updates (advantage (iv) in the paper's introduction);
+//! * **page I/O** through one request path: [`NoFtl::read`] and
+//!   [`NoFtl::write`] for one page, [`NoFtl::execute`] for a windowed
+//!   pipeline of many;
 //! * **NoFTL-KV** ([`kv`]) — a log-structured key-value layer whose
 //!   memtable flushes and compactions are region-local queued multi-die
 //!   batches, with crash safety riding the checkpoint/mount path.

@@ -529,7 +529,7 @@ mod tests {
         let obj = noftl.create_object("t", r).unwrap();
         noftl.write(obj, 10, &page(1), SimTime::ZERO).unwrap();
         let info = noftl.region_info(r).unwrap();
-        assert_eq!(info.name, "rg");
+        assert_eq!(info.spec.name, "rg");
         assert_eq!(info.dies.len(), 2);
         assert_eq!(info.objects, vec![obj]);
         assert_eq!(info.capacity_pages, 2 * geo.pages_per_die());

@@ -148,22 +148,11 @@ pub fn assign_dies(groups: &[(String, Vec<ObjectStats>)], total_dies: u32) -> Pl
                 }
             })
             .collect();
-        let floors: Vec<u32> = shares.iter().map(|s| s.floor() as u32).collect();
-        let mut assigned: u32 = floors.iter().sum();
-        for (d, f) in dies.iter_mut().zip(floors.iter()) {
-            *d += *f;
+        for (d, s) in dies.iter_mut().zip(&shares) {
+            *d += s.floor() as u32;
         }
-        // Largest remainder: hand out the leftover dies to the groups
-        // with the largest fractional parts.
-        let mut remainders: Vec<(usize, f64)> =
-            shares.iter().enumerate().map(|(i, s)| (i, s - s.floor())).collect();
-        remainders.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        let mut i = 0;
-        while assigned < distributable {
-            dies[remainders[i % remainders.len()].0] += 1;
-            assigned += 1;
-            i += 1;
-        }
+        let assigned: u32 = dies.iter().sum();
+        hand_out_remainders(&mut dies, &shares, total_dies.saturating_sub(assigned));
     }
     PlacementConfig {
         regions: groups
@@ -176,6 +165,19 @@ pub fn assign_dies(groups: &[(String, Vec<ObjectStats>)], total_dies: u32) -> Pl
                 service_class: None,
             })
             .collect(),
+    }
+}
+
+/// The largest-remainder step: hand `leftover` dies out one at a time to
+/// `dies[i]`, in order of the fractional part of `shares[i]`, largest
+/// first (equal parts keep index order), cycling if `leftover` exceeds
+/// the entry count.
+pub fn hand_out_remainders(dies: &mut [u32], shares: &[f64], leftover: u32) {
+    let mut order: Vec<(usize, f64)> =
+        shares.iter().enumerate().map(|(i, s)| (i, s - s.floor())).collect();
+    order.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    for &(i, _) in order.iter().cycle().take(leftover as usize) {
+        dies[i] += 1;
     }
 }
 
@@ -266,6 +268,55 @@ mod tests {
         assert!(cfg.regions.iter().all(|r| r.dies >= 1));
     }
 
+    /// `assign_dies`'s die counts before the largest-remainder step moved
+    /// to [`hand_out_remainders`], loop for loop.
+    fn assign_dies_reference(groups: &[(String, Vec<ObjectStats>)], total_dies: u32) -> Vec<u32> {
+        let min_total = MIN_DIES_PER_REGION * groups.len() as u32;
+        let total_io: u64 = groups.iter().flat_map(|(_, os)| os.iter()).map(|o| o.io_total()).sum();
+        let total_pages: u64 = groups.iter().flat_map(|(_, os)| os.iter()).map(|o| o.pages).sum();
+        let weights: Vec<f64> = groups
+            .iter()
+            .map(|(_, os)| {
+                let io: u64 = os.iter().map(|o| o.io_total()).sum();
+                let pages: u64 = os.iter().map(|o| o.pages).sum();
+                let io_share = if total_io == 0 { 0.0 } else { io as f64 / total_io as f64 };
+                let size_share =
+                    if total_pages == 0 { 0.0 } else { pages as f64 / total_pages as f64 };
+                IO_WEIGHT * io_share + SIZE_WEIGHT * size_share
+            })
+            .collect();
+        let weight_sum: f64 = weights.iter().sum();
+        let distributable = total_dies - min_total;
+        let mut dies: Vec<u32> = vec![MIN_DIES_PER_REGION; groups.len()];
+        if distributable > 0 {
+            let shares: Vec<f64> = weights
+                .iter()
+                .map(|w| {
+                    if weight_sum <= f64::EPSILON {
+                        distributable as f64 / groups.len() as f64
+                    } else {
+                        w / weight_sum * distributable as f64
+                    }
+                })
+                .collect();
+            let floors: Vec<u32> = shares.iter().map(|s| s.floor() as u32).collect();
+            let mut assigned: u32 = floors.iter().sum();
+            for (d, f) in dies.iter_mut().zip(floors.iter()) {
+                *d += *f;
+            }
+            let mut remainders: Vec<(usize, f64)> =
+                shares.iter().enumerate().map(|(i, s)| (i, s - s.floor())).collect();
+            remainders.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+            let mut i = 0;
+            while assigned < distributable {
+                dies[remainders[i % remainders.len()].0] += 1;
+                assigned += 1;
+                i += 1;
+            }
+        }
+        dies
+    }
+
     proptest! {
         #[test]
         fn apportionment_always_sums_to_total(
@@ -282,6 +333,8 @@ mod tests {
             let cfg = assign_dies(&gs, dies);
             prop_assert_eq!(cfg.total_dies(), dies);
             prop_assert!(cfg.regions.iter().all(|r| r.dies >= 1));
+            let got: Vec<u32> = cfg.regions.iter().map(|r| r.dies).collect();
+            prop_assert_eq!(got, assign_dies_reference(&gs, dies));
         }
     }
 }

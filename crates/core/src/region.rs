@@ -287,9 +287,7 @@ impl RegionDie {
 pub struct RegionInfo {
     /// Region id.
     pub id: RegionId,
-    /// Region name.
-    pub name: String,
-    /// The spec the region was created from.
+    /// The spec the region was created from; its name is the region's.
     pub spec: RegionSpec,
     /// Dies currently owned by the region.
     pub dies: Vec<DieId>,
@@ -371,7 +369,6 @@ impl RegionRuntime {
     pub(crate) fn info(&self, geo: &FlashGeometry, objects: Vec<u32>) -> RegionInfo {
         RegionInfo {
             id: self.id,
-            name: self.spec.name.clone(),
             spec: self.spec.clone(),
             dies: self.die_ids(),
             objects,

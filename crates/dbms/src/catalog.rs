@@ -12,8 +12,6 @@ use crate::Result;
 /// A table: schema, heap file and indexes.
 #[derive(Debug)]
 pub struct TableDef {
-    /// Table name.
-    pub name: String,
     /// Column schema, shared with every [`crate::Row`] read from the table.
     pub schema: Arc<Schema>,
     /// The heap file holding the rows.
@@ -26,18 +24,19 @@ pub struct TableDef {
 impl TableDef {
     /// Look up an index of this table.
     pub fn index(&self, name: &str) -> Result<&BTree> {
-        self.indexes.get(name).ok_or_else(|| no_index(&self.name, name))
+        self.indexes.get(name).ok_or_else(|| no_index(name))
     }
 
     /// [`TableDef::index`], to write to.
     pub(crate) fn index_mut(&mut self, name: &str) -> Result<&mut BTree> {
-        let table = &self.name;
-        self.indexes.get_mut(name).ok_or_else(|| no_index(table, name))
+        self.indexes.get_mut(name).ok_or_else(|| no_index(name))
     }
 }
 
-fn no_index(table: &str, index: &str) -> DbError {
-    DbError::not_found(format!("index '{index}' on table '{table}'"))
+/// Index names are unique within the database, so the name alone says
+/// which index is missing.
+fn no_index(index: &str) -> DbError {
+    DbError::not_found(format!("index '{index}'"))
 }
 
 #[cfg(test)]
@@ -48,7 +47,6 @@ mod tests {
     #[test]
     fn index_lookup_on_table() {
         let mut t = TableDef {
-            name: "orders".to_string(),
             schema: Arc::new(Schema::new(vec![("id", ColumnType::Int)])),
             heap: HeapFile::new(1),
             indexes: HashMap::new(),

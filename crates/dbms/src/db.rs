@@ -195,12 +195,12 @@ impl Engine {
         Ok((table, &mut self.pool, &mut self.wal))
     }
 
-    /// Register a table.
-    fn add_table(&mut self, table: TableDef) -> Result<()> {
-        if self.tables.contains_key(&table.name) {
-            return Err(DbError::AlreadyExists { what: format!("table '{}'", table.name) });
+    /// Register table `name`.
+    fn add_table(&mut self, name: String, table: TableDef) -> Result<()> {
+        if self.tables.contains_key(&name) {
+            return Err(DbError::AlreadyExists { what: format!("table '{name}'") });
         }
-        self.tables.insert(table.name.clone(), table);
+        self.tables.insert(name, table);
         Ok(())
     }
 
@@ -397,7 +397,7 @@ impl Database {
         let obj = self.backend.create_object(name)?;
         let heap = HeapFile::new(obj);
         let schema = Arc::new(schema);
-        e.add_table(TableDef { name: name.to_string(), schema, heap, indexes: HashMap::new() })?;
+        e.add_table(name.to_string(), TableDef { schema, heap, indexes: HashMap::new() })?;
         e.record_metadata_change(self, &format!("CREATE TABLE {name}"), now)
     }
 
@@ -868,7 +868,7 @@ impl Database {
                 indexes.insert(index, tree);
                 report.indexes_recovered += 1;
             }
-            e.add_table(TableDef { name, schema: Arc::new(schema), heap, indexes })?;
+            e.add_table(name, TableDef { schema: Arc::new(schema), heap, indexes })?;
             report.tables_recovered += 1;
         }
 

@@ -200,9 +200,6 @@ pub struct Wal {
     /// buffers from force to force.
     batch: Vec<(ObjectId, u64, Vec<u8>)>,
     sealed: usize,
-    /// First page of the current segment (everything before it has been
-    /// freed by truncation).
-    segment_start: u64,
     records: u64,
     forces: u64,
     appended_bytes: u64,
@@ -228,7 +225,6 @@ impl Wal {
             cur_payload: Vec::with_capacity(PAGE_CAP),
             batch: Vec::new(),
             sealed: 0,
-            segment_start: 0,
             records: 0,
             forces: 0,
             appended_bytes: 0,
@@ -380,9 +376,9 @@ impl Wal {
         Ok(done)
     }
 
-    /// Pages in the current segment.
+    /// Pages in the current segment, which always starts at page 0.
     pub fn segment_pages(&self) -> u64 {
-        self.cur_page - self.segment_start + 1
+        self.cur_page + 1
     }
 
     /// True once the current segment exceeds `limit` pages — the signal
@@ -403,13 +399,11 @@ impl Wal {
         // caller just made durable; it is dropped with the segment.
         self.sealed = 0;
         self.cur_payload.clear();
-        let mut freed = 0u64;
-        for page_no in self.segment_start..=self.cur_page {
+        for page_no in 0..=self.cur_page {
             backend.free_page(self.obj, page_no)?;
-            freed += 1;
         }
-        self.pages_retired += self.cur_page - self.segment_start + 1;
-        self.segment_start = 0;
+        let freed = self.segment_pages();
+        self.pages_retired += freed;
         self.cur_page = 0;
         self.truncations += 1;
         Ok(freed)

@@ -17,9 +17,7 @@
 //!   and per-transaction response times (the device counters of the
 //!   paper's Figure 3 are the device's own, read by `noftl-bench`);
 //! * the **placement configurations**: traditional (one region over all
-//!   dies), the paper's six-region assignment ([`placement::figure2`])
-//!   and the two-region hot/cold split of the region-count ablation
-//!   ([`placement::hot_cold`]).
+//!   dies) and the paper's six-region assignment ([`placement::figure2`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -51,22 +49,6 @@ mod lib_tests {
                 cfg.region_of(&name).is_some(),
                 "object {name} is missing from the Figure 2 placement"
             );
-        }
-    }
-
-    /// An object missing from both lists would silently land in the
-    /// first region, `rgHot`.
-    #[test]
-    fn hot_cold_covers_all_objects() {
-        for dies in [8, 64] {
-            let cfg = placement::hot_cold(dies);
-            assert_eq!(cfg.total_dies(), dies);
-            for name in object_names() {
-                assert!(
-                    cfg.region_of(&name).is_some(),
-                    "object {name} is missing from the hot/cold placement"
-                );
-            }
         }
     }
 }

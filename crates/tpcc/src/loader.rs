@@ -66,19 +66,6 @@ impl ScaleConfig {
             initial_orders_per_district: 10,
         }
     }
-
-    /// Total number of customers in the database.
-    pub fn total_customers(&self) -> i64 {
-        self.warehouses * self.districts_per_warehouse * self.customers_per_district
-    }
-
-    /// Approximate number of rows the loader creates.
-    pub fn approximate_rows(&self) -> i64 {
-        let per_wh = self.districts_per_warehouse
-            * (self.customers_per_district * 2 + self.initial_orders_per_district * 12)
-            + self.items;
-        self.items + self.warehouses * per_wh
-    }
 }
 
 /// Row counts produced by the loader.
@@ -346,10 +333,6 @@ mod tests {
     fn scale_presets() {
         let full = ScaleConfig::full(2);
         assert_eq!(full.items, 100_000);
-        assert_eq!(full.total_customers(), 60_000);
-        assert!(full.approximate_rows() > 500_000);
-        let small = ScaleConfig::small(1);
-        assert!(small.approximate_rows() < full.approximate_rows());
         assert_eq!(ScaleConfig::full(0).warehouses, 1, "clamped to at least one warehouse");
     }
 

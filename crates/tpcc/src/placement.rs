@@ -16,7 +16,7 @@
 //! measures against the paper's Figure 3 is recorded in the "Figure 3
 //! reference" block of `benchmark/README.md`.
 
-use noftl_core::placement::assign_dies;
+use noftl_core::placement::{assign_dies, hand_out_remainders};
 use noftl_core::{ObjectStats, PlacementConfig, RegionAssignment};
 
 use crate::schema::object_names;
@@ -61,16 +61,9 @@ pub fn figure2(total_dies: u32) -> PlacementConfig {
     let shares: Vec<f64> =
         groups.iter().map(|(_, _, d)| *d as f64 / paper_total as f64 * total_dies as f64).collect();
     let mut dies: Vec<u32> = shares.iter().map(|s| (s.floor() as u32).max(1)).collect();
+    let floors: u32 = dies.iter().sum();
+    hand_out_remainders(&mut dies, &shares, total_dies.saturating_sub(floors));
     let mut assigned: u32 = dies.iter().sum();
-    let mut order: Vec<(usize, f64)> =
-        shares.iter().enumerate().map(|(i, s)| (i, s - s.floor())).collect();
-    order.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    let mut i = 0;
-    while assigned < total_dies {
-        dies[order[i % order.len()].0] += 1;
-        assigned += 1;
-        i += 1;
-    }
     while assigned > total_dies {
         // Remove from the largest region(s) but never below one die.
         let max_idx = (0..dies.len()).max_by_key(|&i| dies[i]).expect("non-empty");
@@ -92,45 +85,6 @@ fn region(name: &str, objects: &[&str], dies: u32) -> RegionAssignment {
         objects: objects.iter().map(|s| s.to_string()).collect(),
         dies,
         service_class: None,
-    }
-}
-
-/// A two-region hot/cold split over `total_dies` dies: the update-heavy
-/// objects (order streams, STOCK, WAREHOUSE, DISTRICT, their indexes and
-/// the log) on three quarters of the dies, everything else on the rest.
-/// The middle arm of the region-count ablation (`noftl ablation`).
-pub fn hot_cold(total_dies: u32) -> PlacementConfig {
-    let hot = [
-        "STOCK",
-        "ORDERLINE",
-        "NEW_ORDER",
-        "ORDER",
-        "DISTRICT",
-        "WAREHOUSE",
-        "OL_IDX",
-        "NO_IDX",
-        "O_IDX",
-        "O_CUST_IDX",
-        "DBMS-log",
-    ];
-    let cold = [
-        "CUSTOMER",
-        "C_IDX",
-        "C_NAME_IDX",
-        "ITEM",
-        "I_IDX",
-        "S_IDX",
-        "W_IDX",
-        "D_IDX",
-        "HISTORY",
-        "DBMS-metadata",
-    ];
-    let hot_dies = (total_dies * 3 / 4).max(1);
-    PlacementConfig {
-        regions: vec![
-            region("rgHot", &hot, hot_dies),
-            region("rgCold", &cold, total_dies - hot_dies),
-        ],
     }
 }
 
@@ -190,6 +144,42 @@ mod tests {
             // Relative ordering is preserved: the stock region is the largest.
             let stock = cfg.region_of("STOCK").unwrap().dies;
             assert!(cfg.regions.iter().all(|r| r.dies <= stock));
+        }
+    }
+
+    /// `figure2`'s die counts before the largest-remainder step moved to
+    /// `noftl_core::placement::hand_out_remainders`, loop for loop.
+    fn figure2_dies_reference(total_dies: u32) -> Vec<u32> {
+        let paper = [2u32, 11, 10, 29, 6, 6];
+        let shares: Vec<f64> = paper.iter().map(|d| *d as f64 / 64.0 * total_dies as f64).collect();
+        let mut dies: Vec<u32> = shares.iter().map(|s| (s.floor() as u32).max(1)).collect();
+        let mut assigned: u32 = dies.iter().sum();
+        let mut order: Vec<(usize, f64)> =
+            shares.iter().enumerate().map(|(i, s)| (i, s - s.floor())).collect();
+        order.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        let mut i = 0;
+        while assigned < total_dies {
+            dies[order[i % order.len()].0] += 1;
+            assigned += 1;
+            i += 1;
+        }
+        while assigned > total_dies {
+            let max_idx = (0..dies.len()).max_by_key(|&i| dies[i]).unwrap();
+            if dies[max_idx] > 1 {
+                dies[max_idx] -= 1;
+                assigned -= 1;
+            } else {
+                break;
+            }
+        }
+        dies
+    }
+
+    #[test]
+    fn figure2_matches_its_reference_at_every_size() {
+        for total in 6..=128 {
+            let dies: Vec<u32> = figure2(total).regions.iter().map(|r| r.dies).collect();
+            assert_eq!(dies, figure2_dies_reference(total), "{total} dies");
         }
     }
 

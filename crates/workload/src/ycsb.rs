@@ -228,16 +228,10 @@ pub struct OpStream {
     ops: KeyedRng,
     scans: KeyedRng,
     chooser: KeyChooser,
+    /// Keys live after the ops emitted so far (initial records plus
+    /// inserts).
     live: u64,
     emitted: u64,
-}
-
-impl OpStream {
-    /// Number of keys live after the ops emitted so far (initial records
-    /// plus inserts).
-    pub fn live_keys(&self) -> u64 {
-        self.live
-    }
 }
 
 impl Iterator for OpStream {

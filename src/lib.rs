@@ -13,7 +13,7 @@
 //! * [`workload`] — deterministic YCSB A–F generators and the NoFTL-KV /
 //!   B+-tree backends they drive (`noftl-workload`);
 //! * [`bench`](mod@bench) — the experiment harness behind the `noftl`
-//!   binary, `noftl fig2 | fig3 | ablation` (`noftl-bench`);
+//!   binary, `noftl fig2 | fig3` (`noftl-bench`);
 //! * [`obs`] — the cross-layer observability layer: metrics registry,
 //!   latency histograms and the event tracer (`noftl-obs`).
 //!
