@@ -27,55 +27,20 @@
 //! mapped, so the runs measured against each other fill the same number
 //! of doublings.
 //!
-//! The counting allocator is per thread, as in `request_path_allocs.rs`.
+//! The counting allocator is `tests/common/counting_alloc.rs` (per thread).
 //! CI runs this in `--release`, where the claim matters.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "../../../tests/common/counting_alloc.rs"]
+pub mod counting_alloc;
+
 use std::sync::Arc;
 
+use counting_alloc::counted;
 use flash_sim::{
     BlockAddr, DeviceBuilder, FlashBackend, FlashCommand, FlashGeometry, IoTag, PageMetadata,
     SimTime, TimingModel,
 };
 use noftl_core::{KvConfig, KvStore, NoFtl, NoFtlConfig, RegionSpec};
-
-struct CountingAlloc;
-
-thread_local! {
-    /// Allocations made by the current thread.  Const-initialised and
-    /// without a destructor, so touching it from inside the allocator
-    /// neither allocates nor trips thread teardown.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the only addition
-// is a thread-local cell update that does not allocate.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// What `f` returned and the allocations it made on this thread.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
-}
 
 /// Key `i` of the workload.
 fn key(i: u64) -> [u8; 12] {
@@ -146,9 +111,9 @@ fn flush_of(kv: &KvStore, keys: std::ops::Range<u64>, round: u64, t: &mut SimTim
     for i in keys {
         *t = kv.put(&key(i), &value(i, round), *t).unwrap();
     }
-    let (done, allocs) = counted(|| kv.flush(*t));
+    let (done, used) = counted(|| kv.flush(*t));
     *t = done.unwrap();
-    allocs
+    used.allocs
 }
 
 #[test]
@@ -162,17 +127,17 @@ fn warm_gets_and_puts_allocate_nothing() {
     ];
     let reads = kv.stats().get_page_reads;
     for (k, what, expected) in gets {
-        let (got, allocs) = counted(|| kv.get_with(k, t, |v| v.map(|v| v[8])));
+        let (got, used) = counted(|| kv.get_with(k, t, |v| v.map(|v| v[8])));
         let (round, done) = got.unwrap();
         t = done;
         assert_eq!(round, expected, "the value of {what}");
-        assert_eq!(allocs, 0, "allocations of {what}");
+        assert_eq!(used.allocs, 0, "allocations of {what}");
     }
     assert!(kv.stats().get_page_reads > reads, "the run hit read a page");
     for (i, what) in [(5, "a key in the runs"), (41, "a new key"), (3, "a key in the memtable")] {
-        let (done, allocs) = counted(|| kv.put(&key(i), &value(i, 99), t));
+        let (done, used) = counted(|| kv.put(&key(i), &value(i, 99), t));
         t = done.unwrap();
-        assert_eq!(allocs, 0, "allocations of a put of {what} that does not flush");
+        assert_eq!(used.allocs, 0, "allocations of a put of {what} that does not flush");
     }
 }
 
@@ -221,7 +186,7 @@ fn a_cascade_allocates_the_same_whatever_its_depth() {
         assert_eq!(after.compacted_runs - before.compacted_runs, 3 * depth, "depth {depth}");
         let (done, checkpoint) = counted(|| noftl.checkpoint(t));
         assert!(done.is_ok());
-        (cascade, checkpoint)
+        (cascade, checkpoint.allocs)
     });
     assert_eq!(
         shallow.0 - shallow.1,

@@ -8,64 +8,22 @@
 //! block keeps its buffer), a write-only `execute` — the WAL force of every
 //! writing commit, through `NoFtlBackend::write_batch` — allocates nothing,
 //! and an N-page read `execute` with window W allocates one page buffer,
-//! plus the deque when N > W.  A counting global allocator (per thread, as
-//! in `crates/flash/tests/page_path_allocs.rs`) holds the path to that.
+//! plus the deque when N > W.  The counting global allocator of
+//! `tests/common/counting_alloc.rs` (per thread) holds the path to that.
 //! CI runs this in `--release`, where the claim matters.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "../../../tests/common/counting_alloc.rs"]
+pub mod counting_alloc;
+
 use std::sync::Arc;
 
+use counting_alloc::counted;
 use dbms_engine::{NoFtlBackend, StorageBackend};
 use flash_sim::{
     BlockAddr, DeviceBuilder, FlashBackend, FlashCommand, FlashGeometry, IoTag, PageMetadata,
     SimTime, TimingModel,
 };
 use noftl_core::{IoRequest, NoFtl, NoFtlConfig, ObjectId, PlacementConfig};
-
-struct CountingAlloc;
-
-thread_local! {
-    /// Allocations made by the current thread and the largest of them.
-    /// Const-initialised and without destructors, so touching them from
-    /// inside the allocator neither allocates nor trips thread teardown.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count(size: usize) {
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the only addition
-// is a pair of thread-local cell updates that do not allocate.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Allocations `f` made on this thread, and the largest of them.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, usize) {
-    LARGEST.with(|l| l.set(0));
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before, LARGEST.with(Cell::get))
-}
 
 /// Logical pages of the object: four per die of its region.
 const PAGES: u64 = 16;
@@ -120,16 +78,16 @@ fn write_only_execute_and_write_batch_allocate_nothing() {
         let (backend, obj, now) = cycled_stack();
         let writes: Vec<_> = (0..PAGES).map(|p| (obj, p, payload(3, p))).collect();
         let requests = writes.iter().map(|(obj, p, data)| IoRequest::write(*obj, *p, data));
-        let (done, allocs, _) =
+        let (done, used) =
             counted(|| backend.noftl().execute(requests, now, window, |_, _| Ok(())));
         assert!(done.unwrap() > now);
-        assert_eq!(allocs, 0, "allocations of a write-only execute, window {window}");
+        assert_eq!(used.allocs, 0, "allocations of a write-only execute, window {window}");
     }
     let (backend, obj, now) = cycled_stack();
     let writes: Vec<_> = (0..PAGES).map(|p| (obj, p, payload(3, p))).collect();
-    let (done, allocs, _) = counted(|| backend.write_batch(&writes, now));
+    let (done, used) = counted(|| backend.write_batch(&writes, now));
     assert!(done.unwrap() > now);
-    assert_eq!(allocs, 0, "allocations of NoFtlBackend::write_batch");
+    assert_eq!(used.allocs, 0, "allocations of NoFtlBackend::write_batch");
 }
 
 #[test]
@@ -140,7 +98,7 @@ fn a_read_execute_allocates_one_page_and_the_deque_once_the_window_binds() {
         let (backend, obj, now) = cycled_stack();
         let requests = (0..PAGES).map(|p| IoRequest::read(obj, p));
         let mut matched = 0;
-        let (done, allocs, largest) = counted(|| {
+        let (done, used) = counted(|| {
             backend.noftl().execute(requests, now, window, |req, data| {
                 matched += usize::from(data == expected[req.page as usize]);
                 Ok(())
@@ -148,7 +106,7 @@ fn a_read_execute_allocates_one_page_and_the_deque_once_the_window_binds() {
         });
         assert!(done.unwrap() > now);
         assert_eq!(matched, PAGES as usize, "every page reaches the closure, window {window}");
-        assert_eq!(allocs, budget, "allocations of a {PAGES}-page read, window {window}");
-        assert_eq!(largest, page_size, "the largest is the page buffer, window {window}");
+        assert_eq!(used.allocs, budget, "allocations of a {PAGES}-page read, window {window}");
+        assert_eq!(used.largest, page_size, "the largest is the page buffer, window {window}");
     }
 }

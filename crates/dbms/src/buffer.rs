@@ -7,7 +7,15 @@
 //! frame once more than over a clean one — GCLOCK with weight 2 for dirty
 //! frames, in the spirit of CFLRU (Park et al., CASES 2006).  The weight
 //! is not a knob: a dirty frame is still the victim when no clean one is
-//! left, and under no-steal dirty frames are never victims at all.
+//! left.
+//!
+//! No steal, said once: a frame is **pinned** while its page is in the
+//! open write set ([`BufferPool::begin_capture`] opens it, the transaction's
+//! commit releases it with [`BufferPool::take_capture`] once its log force
+//! returned).  No write-back path takes a pinned frame — not eviction, not
+//! [`BufferPool::flush_all`] — so uncommitted data never reaches storage,
+//! while the committed pages of earlier transactions are written back like
+//! any others.  Without an open write set nothing is pinned.
 //!
 //! The time model mirrors a DBMS with background flushers (paper, Figure 1):
 //!
@@ -32,7 +40,7 @@
 //! ([`StorageBackend::read_page_into`]), so once the pool has filled up a
 //! miss allocates nothing, whether its victim was clean or written back.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use flash_sim::SimTime;
@@ -89,12 +97,8 @@ struct Frame {
     /// The sweep found this frame dirty and unreferenced and passed over
     /// it once; cleared on every reference.
     spared: bool,
-}
-
-/// Ordered, deduplicated write set recorded while a capture is active.
-struct Capture {
-    order: Vec<(ObjectId, u64)>,
-    seen: HashSet<(ObjectId, u64)>,
+    /// The page is in the open write set: no write-back path takes it.
+    pinned: bool,
 }
 
 /// Bound on in-flight pages of the [`BufferPool::flush_all`] pipeline:
@@ -106,10 +110,6 @@ pub const DEFAULT_FLUSH_WINDOW: usize = 64;
 /// A fixed-capacity buffer pool over a [`StorageBackend`].
 pub struct BufferPool {
     backend: Arc<dyn StorageBackend>,
-    /// No-steal policy: dirty frames are never evicted, so uncommitted
-    /// data cannot reach storage behind the WAL's back.  Required for the
-    /// redo-only (no undo pass) recovery protocol.
-    no_steal: bool,
     frames: Vec<Frame>,
     /// Indices of the free frames, which hold no page (and are never
     /// dirty).  An eviction pushes its frame, the fill that caused it pops
@@ -122,9 +122,10 @@ pub struct BufferPool {
     map: HashMap<(ObjectId, u64), usize>,
     hand: usize,
     stats: BufferStats,
-    /// When capturing, the pages dirtied since the capture began (the
-    /// write set the WAL logs as after-images at commit).
-    capture: Option<Capture>,
+    /// When capturing, the pages dirtied since the capture began, in
+    /// first-write order (the write set the WAL logs as after-images at
+    /// commit); each one's frame is pinned.
+    capture: Option<Vec<(ObjectId, u64)>>,
     /// `dbms.buffer.flush_ns` handle, bound on the first flush.
     flush_hist: Option<Histogram>,
 }
@@ -132,18 +133,9 @@ pub struct BufferPool {
 impl BufferPool {
     /// Create a pool holding at most `capacity` pages.
     pub fn new(backend: Arc<dyn StorageBackend>, capacity: usize) -> Self {
-        Self::with_policy(backend, capacity, false)
-    }
-
-    /// Create a pool with an explicit eviction policy.  With
-    /// `no_steal = true` dirty frames are pinned until an explicit flush;
-    /// the pool reports an error (asking for a checkpoint) if every frame
-    /// is dirty.
-    pub fn with_policy(backend: Arc<dyn StorageBackend>, capacity: usize, no_steal: bool) -> Self {
         let capacity = capacity.max(4);
         BufferPool {
             backend,
-            no_steal,
             frames: (0..capacity).map(|_| Frame::default()).collect(),
             // Popped from the back: frame 0 fills first.
             free: (0..capacity).rev().collect(),
@@ -174,7 +166,7 @@ impl BufferPool {
     /// clean-first clock if none is free; it stays free until
     /// [`Self::occupy`] takes it, so a fill that fails gives it back.
     /// Dirty victims are written back at `now` without charging the
-    /// caller.
+    /// caller; a pinned frame is never a victim.
     fn make_room(&mut self, now: SimTime) -> Result<usize> {
         if let Some(&idx) = self.free.last() {
             return Ok(idx);
@@ -189,8 +181,7 @@ impl BufferPool {
                 frame.ref_bit = false;
                 continue;
             }
-            if frame.dirty && self.no_steal {
-                // Dirty frames are pinned under no-steal; keep sweeping.
+            if frame.pinned {
                 continue;
             }
             if frame.dirty && !frame.spared {
@@ -212,20 +203,17 @@ impl BufferPool {
             return Ok(idx);
         }
         Err(DbError::Storage {
-            message: if self.no_steal {
-                "buffer pool full of dirty pages under no-steal; a checkpoint is required".into()
-            } else {
-                "buffer pool could not find an evictable frame".into()
-            },
+            message: "buffer pool full: every frame holds a page of the open write set".into(),
         })
     }
 
     /// Take the free frame [`Self::make_room`] chose, whose buffer now
-    /// holds the page `key`, and return its index.
-    fn occupy(&mut self, key: (ObjectId, u64), dirty: bool) -> usize {
+    /// holds the page `key`, and return its index.  A free frame is clean
+    /// and unpinned; a write dirties it after.
+    fn occupy(&mut self, key: (ObjectId, u64)) -> usize {
         let idx = self.free.pop().expect("the caller made room");
         let frame = &mut self.frames[idx];
-        (frame.key, frame.dirty, frame.ref_bit, frame.spared) = (key, dirty, true, false);
+        (frame.key, frame.ref_bit, frame.spared) = (key, true, false);
         self.map.insert(key, idx);
         idx
     }
@@ -247,7 +235,7 @@ impl BufferPool {
                 let data = &mut self.frames[free].data;
                 data.resize(PAGE_SIZE, 0);
                 let done = self.backend.read_page_into(obj, page, data, now)?;
-                (self.occupy((obj, page), false), done)
+                (self.occupy((obj, page)), done)
             }
         };
         let frame = &mut self.frames[idx];
@@ -287,22 +275,23 @@ impl BufferPool {
         f: impl FnOnce(&mut [u8]) -> (R, bool),
     ) -> Result<(R, SimTime)> {
         let (idx, done) = self.lend(obj, page, now)?;
-        let frame = &mut self.frames[idx];
-        let (result, wrote) = f(&mut frame.data);
+        let (result, wrote) = f(&mut self.frames[idx].data);
         if wrote {
-            frame.dirty = true;
-            self.count_write(obj, page);
+            self.count_write(idx);
         }
         Ok((result, done))
     }
 
-    /// Count a logical write of `(obj, page)` and add the page to the
-    /// write set being captured, if any.
-    fn count_write(&mut self, obj: ObjectId, page: u64) {
+    /// Count a logical write of frame `idx`'s page, dirty the frame and,
+    /// while a write set is open, pin it into the set.
+    fn count_write(&mut self, idx: usize) {
         self.stats.logical_writes += 1;
-        if let Some(capture) = self.capture.as_mut() {
-            if capture.seen.insert((obj, page)) {
-                capture.order.push((obj, page));
+        let frame = &mut self.frames[idx];
+        frame.dirty = true;
+        if let Some(set) = self.capture.as_mut() {
+            if !frame.pinned {
+                frame.pinned = true;
+                set.push(frame.key);
             }
         }
     }
@@ -324,34 +313,47 @@ impl BufferPool {
                 message: format!("page write of {} bytes, expected {PAGE_SIZE}", data.len()),
             });
         }
-        self.count_write(obj, page);
-        if let Some(&idx) = self.map.get(&(obj, page)) {
-            let frame = &mut self.frames[idx];
-            frame.data.copy_from_slice(data);
-            frame.dirty = true;
-            frame.ref_bit = true;
-            frame.spared = false;
-            return Ok(now);
-        }
-        let free = self.make_room(now)?;
-        let buf = &mut self.frames[free].data;
-        buf.clear();
-        buf.extend_from_slice(data);
-        self.occupy((obj, page), true);
+        let idx = match self.map.get(&(obj, page)) {
+            Some(&idx) => {
+                let frame = &mut self.frames[idx];
+                frame.data.copy_from_slice(data);
+                (frame.ref_bit, frame.spared) = (true, false);
+                idx
+            }
+            None => {
+                let free = self.make_room(now)?;
+                let buf = &mut self.frames[free].data;
+                buf.clear();
+                buf.extend_from_slice(data);
+                self.occupy((obj, page))
+            }
+        };
+        self.count_write(idx);
         Ok(now)
     }
 
-    /// Begin recording the keys of every page written through the pool
-    /// (the write set of the transaction being executed).  Any capture in
-    /// progress is discarded.
+    /// Open a write set: record the key of every page written through the
+    /// pool from now on (the write set of the transaction being executed)
+    /// and pin its frame.  A write set already open is released first.
     pub fn begin_capture(&mut self) {
-        self.capture = Some(Capture { order: Vec::new(), seen: HashSet::new() });
+        self.take_capture();
+        self.capture = Some(Vec::new());
     }
 
-    /// Stop capturing and return the dirtied page keys in first-write
-    /// order; empty if no capture was active.
+    /// The open write set in first-write order; empty if none is open.
+    pub fn write_set(&self) -> &[(ObjectId, u64)] {
+        self.capture.as_deref().unwrap_or_default()
+    }
+
+    /// Close the write set, unpin its frames and return its page keys in
+    /// first-write order; empty if no write set was open.
     pub fn take_capture(&mut self) -> Vec<(ObjectId, u64)> {
-        self.capture.take().map(|c| c.order).unwrap_or_default()
+        let set = self.capture.take().unwrap_or_default();
+        for key in &set {
+            // A pinned frame is never evicted: the page is still resident.
+            self.frames[self.map[key]].pinned = false;
+        }
+        set
     }
 
     /// Current contents of a page if it is resident in the pool (no I/O,
@@ -360,7 +362,7 @@ impl BufferPool {
         self.map.get(&(obj, page)).map(|&idx| self.frames[idx].data.clone())
     }
 
-    /// Write back every dirty page through the backend's
+    /// Write back every dirty page that is not pinned through the backend's
     /// completion-driven pipeline: at most [`DEFAULT_FLUSH_WINDOW`]
     /// pages in flight, each further page issued the instant the oldest
     /// outstanding one completes, overlapping the backend's internal
@@ -371,7 +373,7 @@ impl BufferPool {
         let batch: Vec<(ObjectId, u64, Vec<u8>)> = self
             .frames
             .iter()
-            .filter(|f| f.dirty)
+            .filter(|f| f.dirty && !f.pinned)
             .map(|f| (f.key.0, f.key.1, f.data.clone()))
             .collect();
         if batch.is_empty() {
@@ -393,20 +395,11 @@ impl BufferPool {
                 &[("pages", batch.len() as u64)],
             );
         }
-        let mut flushed = 0u64;
-        for frame in self.frames.iter_mut() {
-            if frame.dirty {
-                frame.dirty = false;
-                flushed += 1;
-            }
+        for frame in self.frames.iter_mut().filter(|f| f.dirty && !f.pinned) {
+            frame.dirty = false;
         }
-        self.stats.flushed += flushed;
+        self.stats.flushed += batch.len() as u64;
         Ok(done)
-    }
-
-    /// Number of dirty pages currently in the pool.
-    pub fn dirty_pages(&self) -> usize {
-        self.frames.iter().filter(|f| f.dirty).count()
     }
 }
 
@@ -430,6 +423,10 @@ mod tests {
         vec![b; PAGE_SIZE]
     }
 
+    fn dirty_pages(pool: &BufferPool) -> usize {
+        pool.frames.iter().filter(|f| f.dirty).count()
+    }
+
     #[test]
     fn writes_are_buffered_and_reads_hit() {
         let backend = backend();
@@ -439,7 +436,7 @@ mod tests {
         // A logical write costs the caller nothing.
         let t1 = pool.write_page(obj, 0, &page(1), t0).unwrap();
         assert_eq!(t1, t0);
-        assert_eq!(pool.dirty_pages(), 1);
+        assert_eq!(dirty_pages(&pool), 1);
         // Reading it back is a hit: also free.
         let (data, t2) = pool.with_page(obj, 0, t1, <[u8]>::to_vec).unwrap();
         assert_eq!(data, page(1));
@@ -461,7 +458,7 @@ mod tests {
         pool.write_page(obj, 0, &page(7), SimTime::ZERO).unwrap();
         let done = pool.flush_all(SimTime::ZERO).unwrap();
         assert!(done > SimTime::ZERO);
-        assert_eq!(pool.dirty_pages(), 0);
+        assert_eq!(dirty_pages(&pool), 0);
         // Build a second pool so the page is not cached.
         let mut pool2 = BufferPool::new(backend.clone(), 8);
         let (data, t) = pool2.with_page(obj, 0, done, <[u8]>::to_vec).unwrap();
@@ -522,7 +519,7 @@ mod tests {
         }
         let s = editing.stats();
         assert_eq!((s.logical_reads, s.logical_writes, s.misses, s.hits), (2, 2, 1, 1));
-        assert_eq!(editing.dirty_pages(), 1);
+        assert_eq!(dirty_pages(&editing), 1);
         assert_eq!(editing.take_capture(), [(obj, 0)]);
         assert_eq!(copying.take_capture(), [(obj, 0)]);
 
@@ -538,7 +535,7 @@ mod tests {
         assert!(failed.is_err());
         let s = reader.stats();
         assert_eq!((s.logical_reads, s.logical_writes, s.misses, s.hits), (2, 0, 1, 1));
-        assert_eq!(reader.dirty_pages(), 0);
+        assert_eq!(dirty_pages(&reader), 0);
         assert!(reader.take_capture().is_empty());
     }
 
@@ -557,7 +554,7 @@ mod tests {
             pool.write_page(obj, p, &page(p as u8), SimTime::ZERO).unwrap();
         }
         assert_eq!(pool.stats().evictions, 0);
-        assert_eq!(pool.dirty_pages(), 4);
+        assert_eq!(dirty_pages(&pool), 4);
     }
 
     #[test]
@@ -583,11 +580,12 @@ mod tests {
 
     /// A pool of four frames over pages 0..3, all referenced: pages 0 and
     /// 1 dirty, 2 and 3 clean (written, flushed, read back).  Page 4 is on
-    /// flash, not in the pool.
-    fn two_dirty_two_clean(no_steal: bool) -> (BufferPool, ObjectId, SimTime) {
+    /// flash, not in the pool.  With `pin` a write set is open before
+    /// pages 0 and 1 are written: it holds them, and every later write.
+    fn two_dirty_two_clean(pin: bool) -> (BufferPool, ObjectId, SimTime) {
         let backend = backend();
         let obj = backend.create_object("t").unwrap();
-        let mut pool = BufferPool::with_policy(backend, 4, no_steal);
+        let mut pool = BufferPool::new(backend, 4);
         for p in 0..4u64 {
             pool.write_page(obj, p, &page(p as u8), SimTime::ZERO).unwrap();
         }
@@ -595,6 +593,9 @@ mod tests {
         let mut cold = BufferPool::new(pool.backend().clone(), 4);
         cold.write_page(obj, 4, &page(4), done).unwrap();
         let done = cold.flush_all(done).unwrap();
+        if pin {
+            pool.begin_capture();
+        }
         for p in 0..2u64 {
             pool.write_page(obj, p, &page(10 + p as u8), done).unwrap();
         }
@@ -629,20 +630,39 @@ mod tests {
     }
 
     #[test]
-    fn no_steal_evicts_only_clean_frames_and_asks_for_a_checkpoint() {
+    fn the_open_write_set_is_never_a_victim_until_it_is_released() {
         let (mut pool, obj, t) = two_dirty_two_clean(true);
-        // Two clean frames: both can go, the dirty ones stay.
+        // Two clean frames: both can go, the pinned ones stay.
         pool.with_page(obj, 4, t, <[u8]>::to_vec).unwrap();
         pool.write_page(obj, 4, &page(14), t).unwrap();
         pool.write_page(obj, 3, &page(13), t).unwrap();
         assert_eq!(resident(&pool, obj), [0, 1, 3, 4]);
+        assert_eq!(pool.write_set(), [(obj, 0), (obj, 1), (obj, 4), (obj, 3)]);
         assert_eq!(pool.stats().dirty_writebacks, 0);
-        // Every frame dirty: nothing can go.
+        // Every frame pinned: nothing can go, and a flush writes nothing.
         let err = pool.with_page(obj, 2, t, <[u8]>::to_vec).unwrap_err();
-        assert!(err.to_string().contains("checkpoint"), "{err}");
-        let t = pool.flush_all(t).unwrap();
+        assert!(err.to_string().contains("buffer pool full"), "{err}");
+        let flushed = pool.stats().flushed;
+        assert_eq!(pool.flush_all(t).unwrap(), t);
+        assert_eq!((dirty_pages(&pool), pool.stats().flushed), (4, flushed));
+        // Released, the same miss writes one dirty victim back.
+        assert_eq!(pool.take_capture(), [(obj, 0), (obj, 1), (obj, 4), (obj, 3)]);
         assert_eq!(pool.with_page(obj, 2, t, <[u8]>::to_vec).unwrap().0, page(2));
-        assert_eq!(pool.stats().dirty_writebacks, 0);
+        let s = pool.stats();
+        assert_eq!((s.evictions, s.dirty_writebacks), (2, 1));
+    }
+
+    #[test]
+    fn a_flush_writes_back_everything_but_the_open_write_set() {
+        let (mut pool, obj, t) = two_dirty_two_clean(false);
+        pool.begin_capture();
+        pool.write_page(obj, 2, &page(12), t).unwrap();
+        let flushed = pool.stats().flushed;
+        let t = pool.flush_all(t).unwrap();
+        assert_eq!((dirty_pages(&pool), pool.stats().flushed), (1, flushed + 2));
+        assert_eq!(pool.take_capture(), [(obj, 2)]);
+        pool.flush_all(t).unwrap();
+        assert_eq!((dirty_pages(&pool), pool.stats().flushed), (0, flushed + 3));
     }
 
     fn pool_quiesce(backend: &Arc<NoFtlBackend>) -> SimTime {

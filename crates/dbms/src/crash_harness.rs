@@ -42,10 +42,12 @@ const TABLE: &str = "acct";
 const INDEX: &str = "acct_idx";
 /// Distinct keys in the working set.
 pub const KEYS: i64 = 32;
-/// A 64-page buffer pool, redo logging, and a WAL segment budget of 8
-/// pages, small so checkpoints and truncations happen mid-workload.
+/// A buffer pool of 4 frames, the pool's floor, so committed pages are
+/// evicted and written back mid-workload; redo logging; and a WAL segment
+/// budget of 8 pages, small so checkpoints and truncations happen
+/// mid-workload.
 const DB_CONFIG: DatabaseConfig =
-    DatabaseConfig { buffer_pages: 64, redo_logging: true, wal_segment_pages: 8 };
+    DatabaseConfig { buffer_pages: 4, redo_logging: true, wal_segment_pages: 8 };
 
 /// Harness configuration.  The device is the tiny unit-test geometry with
 /// the MLC timing model.
@@ -87,8 +89,10 @@ fn row(key: i64, val: i64) -> Vec<Value> {
     vec![Value::Int(key), Value::Int(val), Value::Str(format!("pad-{val:016x}"))]
 }
 
+/// Rows of about 1 kB: the keys span some eight heap pages, twice the pool.
 fn schema() -> Schema {
-    Schema::new(vec![("k", ColumnType::Int), ("v", ColumnType::Int), ("pad", ColumnType::Str(32))])
+    let pad = ColumnType::Str(1000);
+    Schema::new(vec![("k", ColumnType::Int), ("v", ColumnType::Int), ("pad", pad)])
 }
 
 /// The table and its index on two dies, log and catalog on one.
@@ -290,6 +294,8 @@ mod tests {
         assert_eq!(stack.engine.read_only_commit_count(), run.read_only_txns);
         assert!(!ledger.committed.is_empty());
         assert!(stack.engine.wal_stats().truncations > 0, "segment guard must fire");
+        let pool = stack.engine.buffer_stats();
+        assert!(pool.dirty_writebacks > 0, "the pool must write committed pages back");
     }
 
     #[test]

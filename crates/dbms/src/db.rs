@@ -63,11 +63,12 @@ fn charge(txn: &mut Txn, t: SimTime, write: bool) {
 pub struct DatabaseConfig {
     /// Buffer pool capacity in pages.
     pub buffer_pages: usize,
-    /// ARIES-lite redo logging: commits append full after-images of the
-    /// transaction's dirtied pages before the commit record, the buffer
-    /// pool runs **no-steal** (uncommitted data never reaches storage),
-    /// and [`Database::recover`] can rebuild all committed state from the
-    /// log tail.  Off by default — the paper's space-management
+    /// ARIES-lite redo logging: [`Database::begin`] opens a write set in
+    /// the buffer pool, whose frames stay pinned (uncommitted data never
+    /// reaches storage — no steal); commits append full after-images of
+    /// its pages before the commit record, the log's spilled pages are
+    /// durable, and [`Database::recover`] can rebuild all committed state
+    /// from the log tail.  Off by default — the paper's space-management
     /// experiments only need the WAL's I/O behaviour.
     pub redo_logging: bool,
     /// Segment-size guard: once the WAL's current segment exceeds this
@@ -140,8 +141,9 @@ struct Engine {
     rollbacks: u64,
     /// Set when a commit's log force fails under redo logging: the pool
     /// then holds effects of a transaction that is neither durable nor
-    /// undoable, so all further mutation (which could flush them at a
-    /// checkpoint) is refused until the instance is recovered.
+    /// undoable.  Its write set stays pinned (no later `begin` or
+    /// `rollback` releases it, so no write-back takes its pages), and all
+    /// further mutation is refused until the instance is recovered.
     poisoned: bool,
 }
 
@@ -156,10 +158,8 @@ impl Engine {
     /// An engine with an empty catalog and a fresh pool and log (`open`
     /// and `recover` alike).
     fn new(backend: &Arc<dyn StorageBackend>, log_obj: ObjectId, config: &DatabaseConfig) -> Self {
-        let pool =
-            BufferPool::with_policy(Arc::clone(backend), config.buffer_pages, config.redo_logging);
         Engine {
-            pool,
+            pool: BufferPool::new(Arc::clone(backend), config.buffer_pages),
             // Without redo logging the log is I/O ballast (the paper's
             // experiments): spilled pages stay volatile, exactly one page
             // write per force, as in the original engine.
@@ -254,10 +254,13 @@ impl Engine {
         Ok(found)
     }
 
-    /// Drop the write-set capture [`Database::begin`] opened, so it can
-    /// never leak into a later transaction's log images.
+    /// Release the write set [`Database::begin`] opened, so it can never
+    /// leak into a later transaction's log images — unless a failed
+    /// commit force poisoned the instance, whose write set stays pinned.
     fn discard_capture(&mut self) {
-        self.pool.take_capture();
+        if !self.poisoned {
+            self.pool.take_capture();
+        }
     }
 
     /// Names of all tables, sorted.
@@ -328,8 +331,12 @@ impl Engine {
         let mut done = data_done.max(self.wal.force(&*db.backend, now)?);
         done = done.max(self.write_catalog_snapshot(db, done)?);
         done = done.max(db.backend.checkpoint(done)?);
-        self.wal.truncate(&*db.backend)?;
-        self.wal.append(&WalRecord::Checkpoint);
+        // A pinned page stayed in the pool, and it may also hold committed
+        // changes whose only durable copy is their image in the log.
+        if self.pool.write_set().is_empty() {
+            self.wal.truncate(&*db.backend)?;
+            self.wal.append(&WalRecord::Checkpoint);
+        }
         Ok(done)
     }
 }
@@ -428,13 +435,16 @@ impl Database {
 
     /// Begin a new transaction at simulated time `now`.
     ///
-    /// With [`DatabaseConfig::redo_logging`] enabled the pool starts
-    /// capturing the transaction's write set here; like the rest of the
-    /// engine's lightweight transaction model, redo logging assumes one
-    /// transaction executes at a time (the TPC-C driver's model).
+    /// With [`DatabaseConfig::redo_logging`] enabled the pool opens the
+    /// transaction's write set here, and pins every page the transaction
+    /// writes until its commit's log force returned.  A poisoned instance
+    /// opens none: the failed transaction's write set stays pinned.  Like
+    /// the rest of the engine's lightweight transaction model, redo
+    /// logging assumes one transaction executes at a time (the TPC-C
+    /// driver's model).
     pub fn begin(&self, now: SimTime) -> Txn {
         let mut e = self.lock_engine();
-        if self.config.redo_logging {
+        if self.config.redo_logging && !e.poisoned {
             e.pool.begin_capture();
         }
         e.next_txn += 1;
@@ -639,12 +649,14 @@ impl Database {
     /// the page fetches of its misses and nothing else.
     ///
     /// A transaction that wrote appends — with redo logging — the
-    /// after-images of every page it dirtied, then the commit record,
-    /// and forces the log.  The force is the synchronous part of the
-    /// commit and is charged to the transaction's response time.  Once
-    /// the current WAL segment exceeds the configured page budget the
-    /// commit additionally triggers a checkpoint (flush, catalog
-    /// snapshot, backend metadata journal) and truncates the log.
+    /// after-images of every page of its write set, then the commit
+    /// record, and forces the log.  The force is the synchronous part of
+    /// the commit and is charged to the transaction's response time.  Only
+    /// once it returned does the pool release the write set, so its pages
+    /// may be written back; if it fails, they stay pinned and the instance
+    /// is poisoned.  Once the current WAL segment exceeds the configured
+    /// page budget the commit additionally triggers a checkpoint (flush,
+    /// catalog snapshot, backend metadata journal) and truncates the log.
     pub fn commit(&self, txn: &mut Txn) -> Result<TxnOutcome> {
         let mut e = self.lock_engine();
         e.check_usable()?;
@@ -655,7 +667,7 @@ impl Database {
             return Ok(TxnOutcome::Committed);
         }
         let Engine { pool, wal, .. } = &mut *e;
-        for (obj, page) in pool.take_capture() {
+        for &(obj, page) in pool.write_set() {
             if let Some(image) = pool.page_image(obj, page) {
                 wal.append(&WalRecord::PageImage { txn: txn.id, obj, page, image });
             }
@@ -665,17 +677,15 @@ impl Database {
             Ok(t) => t,
             Err(err) => {
                 // The transaction's pool pages are neither durable nor
-                // undoable: refuse further mutation so a checkpoint can
-                // never flush them (atomicity would be lost).
+                // undoable: keep them pinned and refuse further mutation.
                 e.poisoned = self.config.redo_logging;
                 return Err(err);
             }
         };
+        e.discard_capture();
         txn.advance_to(t);
         e.commits += 1;
-        let pool_pressure =
-            self.config.redo_logging && e.pool.dirty_pages() * 4 >= e.pool.capacity() * 3;
-        if e.wal.needs_truncation(self.config.wal_segment_pages) || pool_pressure {
+        if e.wal.needs_truncation(self.config.wal_segment_pages) {
             let t = e.checkpoint(self, txn.now)?;
             txn.advance_to(t);
         }
@@ -697,7 +707,7 @@ impl Database {
         TxnOutcome::RolledBack
     }
 
-    /// Write back every dirty buffered page (checkpoint).
+    /// Write back every dirty buffered page outside the open write set.
     pub fn flush_all(&self, now: SimTime) -> Result<SimTime> {
         self.lock_engine().pool.flush_all(now)
     }
@@ -776,19 +786,21 @@ impl Database {
         Self::decode_catalog(&blob).filter(|(decoded_seq, _)| *decoded_seq == seq)
     }
 
-    /// Take a full checkpoint: flush every dirty page, write a catalog
-    /// snapshot, journal the backend's metadata (the NoFTL region
-    /// checkpoint) and finally truncate the WAL.  The ordering matters: a
-    /// crash at any point leaves either the previous checkpoint plus an
-    /// intact log tail, or the new checkpoint — never a state recovery
-    /// cannot handle.
+    /// Take a full checkpoint: flush every dirty page outside the open
+    /// write set, write a catalog snapshot, journal the backend's metadata
+    /// (the NoFTL region checkpoint) and finally truncate the WAL.  The
+    /// ordering matters: a crash at any point leaves either the previous
+    /// checkpoint plus an intact log tail, or the new checkpoint — never a
+    /// state recovery cannot handle.  While the open write set pins a page
+    /// the log is not truncated: that page stayed in the pool, and the
+    /// committed changes it may also hold are durable only in the log.
     ///
     /// The data-page flush and the WAL force are *both issued at `now`*:
-    /// the pending log records belong to already-committed transactions
-    /// (commit forces the log, and the pool is no-steal under redo
-    /// logging), so forcing them early can only move the log further
-    /// ahead of the data — the WAL invariant — while the log and data
-    /// objects live on different dies and overlap in simulated time.
+    /// the flush leaves the open write set alone, and a commit forces its
+    /// log records before it releases its write set, so forcing the log
+    /// early can only move it further ahead of the data — the WAL
+    /// invariant — while the log and data objects live on different dies
+    /// and overlap in simulated time.
     /// This is the group-commit shape of the completion-driven flush
     /// redesign: a checkpoint no longer serialises "all data, then the
     /// log".  Truncation still waits for everything: it only happens
@@ -1032,14 +1044,19 @@ mod tests {
         PlacementConfig::traditional(8, [METADATA_OBJECT.to_string()])
     }
 
-    /// A redo-logging database with an indexed `customer` table on a
-    /// fresh device, checkpointed after the DDL.
-    fn open_redo_customer_db() -> (Arc<flash_sim::NandDevice>, Database, SimTime) {
+    /// A fresh device and the NoFTL backend of [`restart_placement`] on it.
+    fn redo_backend() -> (Arc<flash_sim::NandDevice>, Arc<NoFtlBackend>) {
         let device = Arc::new(
             DeviceBuilder::new(FlashGeometry::example()).timing(TimingModel::mlc_2015()).build(),
         );
         let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
-        let backend = Arc::new(NoFtlBackend::new(noftl, &restart_placement()).unwrap());
+        (device, Arc::new(NoFtlBackend::new(noftl, &restart_placement()).unwrap()))
+    }
+
+    /// A redo-logging database with an indexed `customer` table on a
+    /// fresh device, checkpointed after the DDL.
+    fn open_redo_customer_db() -> (Arc<flash_sim::NandDevice>, Database, SimTime) {
+        let (device, backend) = redo_backend();
         let db = Database::open(backend, redo_config()).unwrap();
         db.create_table("customer", customer_schema(), SimTime::ZERO).unwrap();
         db.create_index("customer", "c_idx", SimTime::ZERO).unwrap();
@@ -1113,6 +1130,205 @@ mod tests {
         );
         assert_eq!(balances_r, balances);
         assert_eq!(balances, vec![1.0, 2.0]);
+    }
+
+    /// A table of two rows per page: an `Int` key and an 1 800-byte pad.
+    fn wide_schema() -> Schema {
+        Schema::new(vec![("k", ColumnType::Int), ("pad", ColumnType::Str(1800))])
+    }
+
+    /// Insert rows `keys` of [`wide_schema`] in one transaction begun at
+    /// `now`, and commit it.
+    fn insert_wide(db: &Database, keys: std::ops::Range<i64>, now: SimTime) -> Result<Txn> {
+        let mut txn = db.begin(now);
+        for k in keys {
+            db.insert(&mut txn, "wide", &vec![Value::Int(k), Value::Str("p".into())], NO_KEYS)?;
+        }
+        db.commit(&mut txn)?;
+        Ok(txn)
+    }
+
+    #[test]
+    fn a_transaction_whose_write_set_fits_the_pool_commits() {
+        let (device, backend) = redo_backend();
+        let config = DatabaseConfig { buffer_pages: 8, ..redo_config() };
+        let db = Database::open(backend, config).unwrap();
+        db.create_table("wide", wide_schema(), SimTime::ZERO).unwrap();
+        let t = db.checkpoint(SimTime::ZERO).unwrap();
+        // Five dirty committed pages, then a write set of four more: the
+        // committed ones make room for it.
+        let a = insert_wide(&db, 0..10, t).unwrap();
+        let b = insert_wide(&db, 10..18, a.now).unwrap();
+        assert!(db.buffer_stats().dirty_writebacks > 0, "committed pages are written back");
+        let (db2, report, _) = reboot_and_recover(&device, b.now);
+        assert_eq!(report.committed_txns, 2);
+        assert_eq!(db2.with_table("wide", |t| t.heap.record_count()).unwrap(), 18);
+    }
+
+    #[test]
+    fn an_uncommitted_row_never_survives_a_write_back() {
+        for checkpoint in [false, true] {
+            let (device, db, t) = open_redo_customer_db();
+            let mut txn = db.begin(t);
+            let key = composite_key(&[1, 9]);
+            db.insert(&mut txn, "customer", &customer(9, 1, 9.0, "OPEN"), &[("c_idx", &key)])
+                .unwrap();
+            let written = if checkpoint { db.checkpoint(txn.now) } else { db.flush_all(txn.now) };
+            txn.advance_to(written.unwrap());
+            let (db2, report, at) = reboot_and_recover(&device, txn.now);
+            assert_eq!(report.committed_txns, 0, "checkpoint: {checkpoint}");
+            let mut reader = db2.begin(at);
+            let found = db2.index_lookup(&mut reader, "customer", "c_idx", &key).unwrap();
+            assert_eq!(found, None, "checkpoint: {checkpoint}");
+            assert_eq!(db2.with_table("customer", |t| t.heap.record_count()).unwrap(), 0);
+            // Committed, the row survives the next reboot.
+            db.commit(&mut txn).unwrap();
+            let (db3, _, at) = reboot_and_recover(&device, txn.now);
+            let mut reader = db3.begin(at);
+            let found = db3.index_get(&mut reader, "customer", "c_idx", &key).unwrap();
+            assert_eq!(found.map(|(_, row)| row.int(0)), Some(9), "checkpoint: {checkpoint}");
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_inside_a_transaction_keeps_the_log_of_the_pages_it_pinned() {
+        let (device, db, t) = open_redo_customer_db();
+        let insert = |txn: &mut Txn, id: i64| {
+            let key = composite_key(&[1, id]);
+            db.insert(txn, "customer", &customer(id, 1, 0.0, "X"), &[("c_idx", key)]).unwrap();
+        };
+        let mut committed = db.begin(t);
+        insert(&mut committed, 1);
+        db.commit(&mut committed).unwrap();
+        // The open transaction pins the heap page and the leaf that also
+        // hold the committed row, so the checkpoint cannot write them.
+        let mut open = db.begin(committed.now);
+        insert(&mut open, 2);
+        let done = db.checkpoint(open.now).unwrap();
+        let (db2, report, at) = reboot_and_recover(&device, done);
+        assert_eq!(report.committed_txns, 1, "the committed images are still in the log");
+        let mut reader = db2.begin(at);
+        let mut found = |id| {
+            db2.index_lookup(&mut reader, "customer", "c_idx", &composite_key(&[1, id])).unwrap()
+        };
+        assert!(found(1).is_some());
+        assert!(found(2).is_none());
+    }
+
+    /// [`NoFtlBackend`] whose log writes fail while `fail` is set, on a
+    /// device that stays powered.
+    struct FailingLog {
+        inner: NoFtlBackend,
+        fail: std::sync::atomic::AtomicBool,
+    }
+
+    impl StorageBackend for FailingLog {
+        fn page_size(&self) -> u32 {
+            self.inner.page_size()
+        }
+        fn create_object(&self, name: &str) -> Result<ObjectId> {
+            self.inner.create_object(name)
+        }
+        fn lookup_object(&self, name: &str) -> Option<ObjectId> {
+            self.inner.lookup_object(name)
+        }
+        fn object_extent(&self, obj: ObjectId) -> Result<u64> {
+            self.inner.object_extent(obj)
+        }
+        fn checkpoint(&self, at: SimTime) -> Result<SimTime> {
+            self.inner.checkpoint(at)
+        }
+        fn read_page(&self, obj: ObjectId, page: u64, at: SimTime) -> Result<(Vec<u8>, SimTime)> {
+            self.inner.read_page(obj, page, at)
+        }
+        fn read_windowed(
+            &self,
+            reads: &[(ObjectId, u64)],
+            at: SimTime,
+            window: usize,
+        ) -> Result<(Vec<Vec<u8>>, SimTime)> {
+            self.inner.read_windowed(reads, at, window)
+        }
+        fn write_page(
+            &self,
+            obj: ObjectId,
+            page: u64,
+            data: &[u8],
+            at: SimTime,
+        ) -> Result<SimTime> {
+            self.inner.write_page(obj, page, data, at)
+        }
+        fn write_batch(&self, writes: &[(ObjectId, u64, Vec<u8>)], at: SimTime) -> Result<SimTime> {
+            let log = self.inner.lookup_object(LOG_OBJECT);
+            let failing = self.fail.load(std::sync::atomic::Ordering::Relaxed);
+            if failing && writes.iter().any(|w| Some(w.0) == log) {
+                return Err(DbError::Storage { message: "log write failed".into() });
+            }
+            self.inner.write_batch(writes, at)
+        }
+        fn write_windowed(
+            &self,
+            writes: &[(ObjectId, u64, Vec<u8>)],
+            at: SimTime,
+            window: usize,
+        ) -> Result<SimTime> {
+            self.inner.write_windowed(writes, at, window)
+        }
+        fn metrics(&self) -> Option<&Arc<noftl_obs::MetricsRegistry>> {
+            self.inner.metrics()
+        }
+        fn free_page(&self, obj: ObjectId, page: u64) -> Result<()> {
+            self.inner.free_page(obj, page)
+        }
+        fn io_counts(&self) -> (u64, u64) {
+            self.inner.io_counts()
+        }
+    }
+
+    #[test]
+    fn a_failed_commit_force_keeps_the_write_set_pinned() {
+        let device = Arc::new(
+            DeviceBuilder::new(FlashGeometry::example()).timing(TimingModel::mlc_2015()).build(),
+        );
+        let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
+        let inner = NoFtlBackend::new(noftl, &restart_placement()).unwrap();
+        let backend = Arc::new(FailingLog { inner, fail: false.into() });
+        let config = DatabaseConfig { buffer_pages: 8, ..redo_config() };
+        let db = Database::open(backend.clone(), config).unwrap();
+        db.create_table("wide", wide_schema(), SimTime::ZERO).unwrap();
+        // Sixteen committed rows on eight pages, all of them on flash.
+        let mut txn = db.begin(SimTime::ZERO);
+        let rids: Vec<RecordId> = (0..16)
+            .map(|k| {
+                let row = vec![Value::Int(k), Value::Str("p".into())];
+                db.insert(&mut txn, "wide", &row, NO_KEYS).unwrap()
+            })
+            .collect();
+        db.commit(&mut txn).unwrap();
+        let t = db.checkpoint(txn.now).unwrap();
+        // The force of a transaction that wrote two pages fails.
+        backend.fail.store(true, std::sync::atomic::Ordering::Relaxed);
+        assert!(insert_wide(&db, 16..20, t).is_err());
+        let before = db.buffer_stats();
+        // Reads that miss in the full pool leave the failed pages alone,
+        // and so does the next transaction after a rollback.
+        let mut now = t;
+        for _ in 0..2 {
+            let mut reader = db.begin(now);
+            for rid in &rids {
+                assert!(db.read(&mut reader, "wide", *rid, |row| row.int(0)).is_ok());
+            }
+            db.rollback(&mut reader);
+            now = reader.now;
+        }
+        let after = db.buffer_stats();
+        assert!(after.misses > before.misses, "the reads missed");
+        assert_eq!(after.dirty_writebacks, before.dirty_writebacks);
+        // Nor does a flush, and the reboot finds the committed rows only.
+        let done = db.flush_all(now).unwrap();
+        let (db2, report, _) = reboot_and_recover(&device, done);
+        assert_eq!(report.committed_txns, 0);
+        assert_eq!(db2.with_table("wide", |t| t.heap.record_count()).unwrap(), 16);
     }
 
     #[test]
@@ -1239,7 +1455,7 @@ mod tests {
     fn clean_restart_recovers_catalog_and_data() {
         let (device, db, t) = open_redo_customer_db();
         // A committed transaction after the checkpoint lives only in the
-        // WAL tail (no-steal keeps its pages out of storage).
+        // WAL tail: nothing wrote its pages back before the reboot.
         let mut txn = db.begin(t);
         let key = composite_key(&[1, 7]);
         db.insert(&mut txn, "customer", &customer(7, 1, 12.5, "TAIL"), &[("c_idx", key.clone())])

@@ -9,11 +9,11 @@
 //! `index_get` are the same read plus one copy, the row's bytes, and
 //! allocate exactly that, warm or cold: a point read that misses in a
 //! full pool reads each page into the buffer of the frame it evicts,
-//! clean or written back.  A counting global allocator (per thread, as in
-//! `crates/obs/tests/no_alloc.rs`, so parallel tests do not charge each
-//! other) holds the paths to that, and records the sizes of the first
-//! allocations of each counted window, so a budget that fails says what
-//! it saw.  `Database::index_range` and `index_prefix` over resident
+//! clean or written back.  The counting global allocator of
+//! `tests/common/counting_alloc.rs` (per thread, so parallel tests do not
+//! charge each other) holds the paths to that, and records the sizes of
+//! the first allocations of each counted window, so a budget that fails
+//! says what it saw.  `Database::index_range` and `index_prefix` over resident
 //! leaves copy no key and collect nothing: they hand each record id to
 //! the caller's closure, and allocate nothing.  The writes edit the heap
 //! page and the leaf in their buffer frames and copy no page either: an
@@ -24,11 +24,12 @@
 //! at a depth a leaf or an internal split there allocates nothing.  CI
 //! runs this in `--release`, where the claim matters.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::fmt;
+#[path = "../../../tests/common/counting_alloc.rs"]
+pub mod counting_alloc;
+
 use std::sync::Arc;
 
+use counting_alloc::counted;
 use dbms_engine::btree::BTree;
 use dbms_engine::{
     BufferPool, ColumnType, Database, DatabaseConfig, NoFtlBackend, Record, RecordId, Row, Schema,
@@ -36,82 +37,6 @@ use dbms_engine::{
 };
 use flash_sim::{DeviceBuilder, FlashGeometry, SimTime, TimingModel};
 use noftl_core::{NoFtl, NoFtlConfig, PlacementConfig};
-
-struct CountingAlloc;
-
-/// How many allocation sizes a counted window records.
-const SEEN: usize = 32;
-
-thread_local! {
-    /// Allocations made by the current thread since the counted window
-    /// opened, the largest of them and the sizes of the first [`SEEN`].
-    /// Const-initialised and without destructors, so touching them from
-    /// inside the allocator neither allocates nor trips thread teardown.
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-    static SIZES: [Cell<usize>; SEEN] = const { [const { Cell::new(0) }; SEEN] };
-}
-
-fn count(size: usize) {
-    let _ = ALLOCATIONS.try_with(|n| {
-        let _ = SIZES.try_with(|sizes| sizes.get(n.get()).map(|seen| seen.set(size)));
-        n.set(n.get() + 1);
-    });
-    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the only addition
-// is a few thread-local cell updates that do not allocate.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// What a counted window allocated.
-struct Counted {
-    allocs: u64,
-    largest: usize,
-    /// The sizes of the first [`SEEN`] allocations, in order.
-    sizes: Vec<usize>,
-}
-
-impl fmt::Display for Counted {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} allocations (largest {} B; sizes {:?}",
-            self.allocs, self.largest, self.sizes
-        )?;
-        if self.allocs > SEEN as u64 {
-            write!(f, " and {} more", self.allocs - SEEN as u64)?;
-        }
-        write!(f, ")")
-    }
-}
-
-/// What `f` allocates on this thread.
-fn counted(f: impl FnOnce()) -> Counted {
-    LARGEST.with(|l| l.set(0));
-    ALLOCATIONS.with(|n| n.set(0));
-    f();
-    let (allocs, largest) = (ALLOCATIONS.with(Cell::get), LARGEST.with(Cell::get));
-    let sizes = SIZES.with(|sizes| sizes[..allocs.min(SEEN)].iter().map(Cell::get).collect());
-    Counted { allocs: allocs as u64, largest, sizes }
-}
 
 const RECORDS: u64 = 20_000;
 const KEY_LEN: usize = 24;
@@ -172,13 +97,13 @@ fn warm_index_get_copies_no_page_and_allocates_only_the_rows_bytes() {
     let keys = spread_keys();
     let misses_before = db.buffer_stats().misses;
     let mut txn = db.begin(now);
-    let get = counted(|| {
+    let ((), get) = counted(|| {
         for k in &keys {
             db.index_get(&mut txn, "t", "i", k).unwrap().expect("loaded key");
         }
     });
     let mut rids = Vec::with_capacity(keys.len());
-    let index_read = counted(|| {
+    let ((), index_read) = counted(|| {
         for k in &keys {
             let (rid, len) =
                 db.index_read(&mut txn, "t", "i", k, |row| row.str(0).len()).unwrap().unwrap();
@@ -186,7 +111,7 @@ fn warm_index_get_copies_no_page_and_allocates_only_the_rows_bytes() {
             rids.push(rid);
         }
     });
-    let read = counted(|| {
+    let ((), read) = counted(|| {
         for (rid, k) in rids.iter().zip(&keys) {
             assert!(db.read(&mut txn, "t", *rid, |row| row.str(0).as_bytes() == &k[..]).unwrap());
         }
@@ -223,7 +148,7 @@ fn cold_index_get_reads_into_the_victims_buffer() {
     db.commit(&mut txn).unwrap();
     let before = db.buffer_stats();
     let mut txn = db.begin(txn.now);
-    let window = counted(|| {
+    let ((), window) = counted(|| {
         for k in &keys {
             db.index_get(&mut txn, "t", "i", k).unwrap().expect("loaded key");
         }
@@ -255,7 +180,7 @@ fn warm_range_scan_allocates_nothing_per_row() {
     let mut txn = db.begin(now);
     let (low, prefix) = (key(1_000), key(1_000)[..KEY_LEN - 2].to_vec());
     let (mut rows, mut last, mut prefixed) = (0, None, 0);
-    let range = counted(|| {
+    let ((), range) = counted(|| {
         db.index_range(&mut txn, "t", "i", &low, None, rows_wanted, |rid| {
             rows += 1;
             last = Some(rid);
@@ -263,7 +188,7 @@ fn warm_range_scan_allocates_nothing_per_row() {
         .unwrap();
     });
     let after = db.buffer_stats();
-    let prefix_scan = counted(|| {
+    let ((), prefix_scan) = counted(|| {
         db.index_prefix(&mut txn, "t", "i", &prefix, |_| prefixed += 1).unwrap();
     });
     let last_key = key(1_000 + rows_wanted as u64 - 1);
@@ -325,27 +250,27 @@ fn warm_writes_copy_no_page() {
     let stored: Vec<_> = rids.iter().map(|rid| db.get(&mut txn, "t", *rid).unwrap()).collect();
     let (misses, index_pages) = (db.buffer_stats().misses, tree_pages());
 
-    let update = counted(|| {
+    let ((), update) = counted(|| {
         for (rid, row) in rids.iter().zip(&stored) {
             db.update(&mut txn, "t", *rid, row).unwrap();
         }
     });
-    let update_with = counted(|| {
+    let ((), update_with) = counted(|| {
         for rid in &rids {
             db.update_with(&mut txn, "t", *rid, |row| row.set_str(1, "w")).unwrap();
         }
     });
-    let delete = counted(|| {
+    let ((), delete) = counted(|| {
         for (rid, keys) in rids.iter().zip(&keys) {
             db.delete(&mut txn, "t", *rid, keys).unwrap();
         }
     });
-    let insert = counted(|| {
+    let ((), insert) = counted(|| {
         for (row, keys) in rows.iter().zip(&keys).take(half) {
             db.insert(&mut txn, "t", row, keys).unwrap();
         }
     });
-    let insert_row = counted(|| {
+    let ((), insert_row) = counted(|| {
         for keys in &keys[half..] {
             let mut bytes = [0; 2 + KEY_LEN + 2 + 100];
             let mut row = Row::new(Arc::clone(&schema), &mut bytes[..]).unwrap();
@@ -410,7 +335,7 @@ fn splits_allocate_nothing_once_the_tree_has_split_at_that_depth() {
     for (i, k) in odd.iter().enumerate() {
         t = pool.flush_all(t).unwrap();
         let pages = tree.page_count();
-        let window =
+        let ((), window) =
             counted(|| t = tree.insert(&mut pool, k, RecordId::new(i as u64, 1), t).unwrap());
         match tree.page_count() - pages {
             0 => continue,

@@ -37,15 +37,17 @@
 //! vector, doubles when a write first maps a page past its end, so a
 //! transaction may allocate once for each object whose extent it grew.
 //!
-//! The counting allocator is per thread, as in
-//! `crates/dbms/tests/page_path_allocs.rs`, and records the sizes of the
-//! first allocations of each transaction, so one that allocates says
+//! The counting allocator (`tests/common/counting_alloc.rs`, per thread)
+//! watches the size of a block's payload buffer and records the sizes of
+//! the first allocations of each transaction, so one that allocates says
 //! what it saw.  CI runs this in `--release`, where the claim matters.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "../../../tests/common/counting_alloc.rs"]
+pub mod counting_alloc;
+
 use std::sync::Arc;
 
+use counting_alloc::{counted, watch};
 use dbms_engine::{Database, DatabaseConfig, NoFtlBackend};
 use flash_sim::{
     BlockAddr, DeviceBuilder, DieId, FlashBackend, FlashGeometry, NandDevice, SimTime, TimingModel,
@@ -55,55 +57,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tpcc_workload::{placement, transactions, Loader, ScaleConfig, TxnMix, TxnType};
 
-struct CountingAlloc;
-
-/// How many allocation sizes a counted window records.
-const SEEN: usize = 128;
-
 /// The payload buffer of a block of `FlashGeometry::example()`.
 const BLOCK_BYTES: usize = 32 * 4096;
-
-thread_local! {
-    /// Allocations made by the current thread since the counted window
-    /// opened, those of a block's payload buffer, and the sizes of the
-    /// first [`SEEN`].  Const-initialised and without destructors, so
-    /// touching them from inside the allocator neither allocates nor
-    /// trips thread teardown.
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-    static BLOCK_BUFFERS: Cell<usize> = const { Cell::new(0) };
-    static SIZES: [Cell<usize>; SEEN] = const { [const { Cell::new(0) }; SEEN] };
-}
-
-fn count(size: usize) {
-    let _ = ALLOCATIONS.try_with(|n| {
-        let _ = SIZES.try_with(|sizes| sizes.get(n.get()).map(|seen| seen.set(size)));
-        n.set(n.get() + 1);
-    });
-    if size == BLOCK_BYTES {
-        let _ = BLOCK_BUFFERS.try_with(|n| n.set(n.get() + 1));
-    }
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the only addition
-// is a few thread-local cell updates that do not allocate.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Customers per district.
 const CUSTOMERS: i64 = 60;
@@ -152,27 +107,25 @@ fn standard_mix_transactions_stay_within_their_allocation_budgets() {
     let objects: Vec<_> = noftl.all_object_stats().iter().map(|o| o.object_id).collect();
     let extents =
         || -> Vec<u64> { objects.iter().map(|&obj| noftl.object_extent(obj).unwrap()).collect() };
-    let mut run = |counted: bool| {
+    watch(BLOCK_BYTES);
+    let mut run = |measured: bool| {
         let kind = mix.pick(&mut rng);
         let mut txn = db.begin(now);
         let before = extents();
-        ALLOCATIONS.with(|n| n.set(0));
-        BLOCK_BUFFERS.with(|n| n.set(0));
-        let outcome = match kind {
+        let (outcome, used) = counted(|| match kind {
             TxnType::NewOrder => transactions::new_order(&db, &scale, &mut rng, &mut txn, 1),
             TxnType::Payment => transactions::payment(&db, &scale, &mut rng, &mut txn, 1),
             TxnType::OrderStatus => transactions::order_status(&db, &scale, &mut rng, &mut txn, 1),
             TxnType::Delivery => transactions::delivery(&db, &scale, &mut rng, &mut txn, 1),
             TxnType::StockLevel => transactions::stock_level(&db, &scale, &mut rng, &mut txn, 1),
-        };
-        let (allocs, blocks) = (ALLOCATIONS.with(Cell::get), BLOCK_BUFFERS.with(Cell::get));
-        let sizes: Vec<usize> =
-            SIZES.with(|sizes| sizes[..allocs.min(SEEN)].iter().map(Cell::get).collect());
+        });
+        let (allocs, blocks) = (used.allocs as usize, used.watched as usize);
+        let sizes = used.sizes;
         outcome.unwrap();
         now = txn.now;
         let grown = extents().iter().zip(&before).filter(|(after, before)| after > before).count();
         assert!(
-            !counted || allocs - blocks <= grown,
+            !measured || allocs - blocks <= grown,
             "a {} allocated {allocs} times, {blocks} of them block buffers, and grew {grown} \
              objects; sizes {sizes:?}",
             kind.name()
