@@ -25,7 +25,7 @@
 //! page boundary.
 
 use flash_sim::codec::{put_bytes, put_u32, put_u64, put_u8, Reader};
-use flash_sim::{crc32, SimTime};
+use flash_sim::{crc32, crc32_update, SimTime};
 use noftl_obs::{Histogram, Unit};
 use std::fmt::{self, Display};
 use std::io::Write as _;
@@ -193,6 +193,9 @@ pub struct Wal {
     /// Payload of the current (partial) page; always shorter than
     /// `PAGE_CAP`.
     cur_payload: Vec<u8>,
+    /// `crc32(cur_payload)`, extended as bytes are streamed in, so a
+    /// force does not checksum the growing page again.
+    cur_crc: u32,
     /// The pages the next force writes: `batch[..sealed]` are the
     /// completed pages not yet forced (none for a volatile log, which
     /// never writes a completed page), sealed as they fill up; the force
@@ -223,6 +226,7 @@ impl Wal {
             next_lsn: 1,
             cur_page: 0,
             cur_payload: Vec::with_capacity(PAGE_CAP),
+            cur_crc: 0,
             batch: Vec::new(),
             sealed: 0,
             records: 0,
@@ -298,6 +302,7 @@ impl Wal {
             let take = (PAGE_CAP - self.cur_payload.len()).min(bytes.len());
             let (head, rest) = bytes.split_at(take);
             self.cur_payload.extend_from_slice(head);
+            self.cur_crc = crc32_update(self.cur_crc, head);
             bytes = rest;
             if self.cur_payload.len() == PAGE_CAP {
                 if self.durable_spill {
@@ -305,6 +310,7 @@ impl Wal {
                     self.sealed += 1;
                 }
                 self.cur_payload.clear();
+                self.cur_crc = 0;
                 self.cur_page += 1;
             }
         }
@@ -318,19 +324,19 @@ impl Wal {
         }
         let (_, page_no, page) = &mut self.batch[self.sealed];
         *page_no = self.cur_page;
-        Wal::seal(self.cur_page, &self.cur_payload, page);
+        Wal::seal(self.cur_page, &self.cur_payload, self.cur_crc, page);
     }
 
-    /// Frame a payload as log page `page_no` into `page`: the `WALP`
-    /// header (magic:4 | page_no:8 | used:4 | crc:4 | reserved:4), the
-    /// payload, zero padding.
-    fn seal(page_no: u64, payload: &[u8], page: &mut Vec<u8>) {
-        debug_assert!(payload.len() <= PAGE_CAP);
+    /// Frame a payload, whose CRC is `crc`, as log page `page_no` into
+    /// `page`: the `WALP` header (magic:4 | page_no:8 | used:4 | crc:4 |
+    /// reserved:4), the payload, zero padding.
+    fn seal(page_no: u64, payload: &[u8], crc: u32, page: &mut Vec<u8>) {
+        debug_assert!(payload.len() <= PAGE_CAP && crc == crc32(payload));
         page.clear();
         put_u32(page, PAGE_MAGIC);
         put_u64(page, page_no);
         put_u32(page, payload.len() as u32);
-        put_u32(page, crc32(payload));
+        put_u32(page, crc);
         put_u32(page, 0);
         page.extend_from_slice(payload);
         page.resize(PAGE_SIZE, 0);
@@ -399,6 +405,7 @@ impl Wal {
         // caller just made durable; it is dropped with the segment.
         self.sealed = 0;
         self.cur_payload.clear();
+        self.cur_crc = 0;
         for page_no in 0..=self.cur_page {
             backend.free_page(self.obj, page_no)?;
         }
@@ -607,7 +614,7 @@ mod tests {
     fn torn_pages_and_frames_end_the_log() {
         let payload = b"frames".to_vec();
         let mut page = Vec::new();
-        Wal::seal(4, &payload, &mut page);
+        Wal::seal(4, &payload, crc32(&payload), &mut page);
         assert_eq!(Wal::unseal(4, &page), Some(&payload[..]));
         assert_eq!(Wal::unseal(5, &page), None, "another page number");
         for n in 0..PAGE_HEADER + payload.len() {
@@ -689,6 +696,7 @@ mod tests {
             // stays on its first page: both are here in full.
             assert_eq!(streamed, reference_stream(&records, durable), "durable: {durable}");
             assert_eq!(wal.cur_page, u64::from(durable));
+            assert_eq!(wal.cur_crc, crc32(&wal.cur_payload), "the running page CRC");
         }
     }
 

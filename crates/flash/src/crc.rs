@@ -42,9 +42,16 @@ static TABLES: [[u32; 256]; 16] = build_tables();
 
 /// CRC-32 (IEEE) of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_update(0, data)
+}
+
+/// The CRC-32 of `a ‖ data`, given `crc == crc32(a)` (zlib's `crc32`
+/// update): a checksum extended as its bytes arrive.
+/// `crc32_update(0, data) == crc32(data)`.
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     let [t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15] = &TABLES;
     let (blocks, tail) = data.as_chunks::<16>();
-    let mut crc = 0xFFFF_FFFFu32;
+    let mut crc = !crc;
     for &[b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15] in blocks {
         let [c0, c1, c2, c3] = crc.to_le_bytes();
         let x = t15[(b0 ^ c0) as usize] ^ t14[(b1 ^ c1) as usize] ^ t13[(b2 ^ c2) as usize];
@@ -143,6 +150,24 @@ mod tests {
         #[test]
         fn matches_bytewise_on_random_buffers(data in prop::collection::vec(any::<u8>(), 0..8193)) {
             prop_assert_eq!(crc32(&data), bytewise(&data));
+        }
+
+        /// A checksum extended piece by piece is the checksum of the
+        /// whole, wherever the bytes are cut.
+        #[test]
+        fn crc32_update_extends_a_checksum(
+            data in prop::collection::vec(any::<u8>(), 0..4200),
+            cuts in prop::collection::vec(0usize..4200, 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+            cuts.sort_unstable();
+            let (mut crc, mut from) = (0, 0);
+            for cut in cuts.into_iter().chain([data.len()]) {
+                crc = crc32_update(crc, &data[from..cut]);
+                from = cut;
+            }
+            prop_assert_eq!(crc, crc32(&data));
+            prop_assert_eq!(crc32_update(0, &data), crc32(&data));
         }
     }
 }
