@@ -40,7 +40,7 @@
 
 use std::ops::ControlFlow;
 
-use flash_sim::codec::{put_bytes16, put_u16, put_u64, put_u8};
+use flash_sim::codec::{put_u16, put_u64, put_u8};
 use flash_sim::SimTime;
 
 use crate::buffer::BufferPool;
@@ -51,7 +51,12 @@ use crate::Result;
 use crate::PAGE_SIZE;
 
 const NONE_PAGE: u64 = u64::MAX;
+/// The flag byte, the entry count and `extra`.
 const HEADER: usize = 1 + 2 + 8;
+/// The flag byte of an internal node and of a leaf.  The layout before
+/// the slot directory flagged them 0 and 1: such a page is refused.
+const INTERNAL: u8 = 2;
+const LEAF: u8 = 3;
 
 /// A node entry, `(key, payload)`.
 type Entry<'e> = (&'e [u8], &'e [u8]);
@@ -59,11 +64,7 @@ type Entry<'e> = (&'e [u8], &'e [u8]);
 /// Bytes after an entry's key: a record id in a leaf, a child page in an
 /// internal node.
 const fn payload_len(leaf: bool) -> usize {
-    if leaf {
-        10
-    } else {
-        8
-    }
+    8 + 2 * leaf as usize
 }
 
 /// The child page an internal node's entry points to.
@@ -72,11 +73,13 @@ fn child_page(payload: &[u8]) -> u64 {
 }
 
 /// A borrowed view of a serialized node, nothing decoded ahead of use:
-/// a leaf flag, the entry count, `extra`, then each key behind its `u16`
-/// length and its payload; zeros after the entries.  Every descent
-/// searches the page image where the buffer pool holds it, inserts and
-/// deletes edit a leaf there ([`insert_in_leaf`], [`delete_from_leaf`]),
-/// and a split writes its halves from it ([`split_node`]).
+/// the flag byte, the entry count `n`, `extra`, the slot directory — `n`
+/// `u16` end offsets, entry `i` ending where entry `i + 1` starts — then
+/// the entries back to back, each a key and its payload, in key order;
+/// zeros after them.  Every descent binary-searches the page image where
+/// the buffer pool holds it, inserts and deletes edit a leaf there
+/// ([`insert_in_leaf`], [`delete_from_leaf`]), and a split writes its
+/// halves from it ([`split_node`]).
 #[derive(Clone, Copy)]
 struct NodeView<'a> {
     leaf: bool,
@@ -84,86 +87,98 @@ struct NodeView<'a> {
     /// For a leaf: the next leaf in key order (`NONE_PAGE` = last leaf).
     /// For an internal node: the child covering the keys below its first.
     extra: u64,
-    /// The `n` entries and nothing after them, validated by
-    /// [`NodeView::parse`].
-    entries: &'a [u8],
+    /// The slot directory, validated by [`NodeView::parse`].
+    dir: &'a [u8],
+    /// The `n` entries and nothing after them: the directory's offsets
+    /// count from here.
+    heap: &'a [u8],
 }
 
 impl<'a> NodeView<'a> {
-    /// Validate `buf` as a node.  Walks all `n` entries, so the
-    /// accessors below can slice without checking again.
+    /// Validate `buf` as a node: each entry ends at least a payload after
+    /// the one before it, the last inside the page — one pass of
+    /// independent loads, so the accessors below slice without checking.
     fn parse(buf: &'a [u8]) -> Result<Self> {
-        if buf.len() < HEADER {
-            return Err(DbError::Corrupted { message: "B+-tree node too short".into() });
+        let corrupted = || DbError::Corrupted { message: "not an intact B+-tree node".into() };
+        let Some(&[flag @ (INTERNAL | LEAF), n0, n1, ref extra @ ..]) = buf.get(..HEADER) else {
+            return Err(corrupted());
+        };
+        let (leaf, n) = (flag == LEAF, usize::from(u16::from_le_bytes([n0, n1])));
+        let (dir, heap) = buf[HEADER..].split_at_checked(2 * n).ok_or_else(corrupted)?;
+        let (ordered, end) = dir.chunks_exact(2).fold((true, 0), |(ordered, start), end| {
+            let end = usize::from(u16::from_le_bytes([end[0], end[1]]));
+            (ordered & (end >= start + payload_len(leaf)), end)
+        });
+        if !ordered || end > heap.len() {
+            return Err(corrupted());
         }
-        let leaf = buf[0] != 0;
-        let n = u16::from_le_bytes(buf[1..3].try_into().expect("2 bytes")) as usize;
-        let extra = u64::from_le_bytes(buf[3..11].try_into().expect("8 bytes"));
-        let entries = &buf[HEADER..];
-        let truncated = || DbError::Corrupted { message: "truncated B+-tree entry".into() };
-        let mut off = 0usize;
-        for _ in 0..n {
-            let klen = entries.get(off..off + 2).ok_or_else(truncated)?;
-            off += 2
-                + u16::from_le_bytes(klen.try_into().expect("2 bytes")) as usize
-                + payload_len(leaf);
-            if off > entries.len() {
-                return Err(truncated());
-            }
-        }
-        Ok(NodeView { leaf, n, extra, entries: &entries[..off] })
+        let extra = u64::from_le_bytes(extra.try_into().expect("8 bytes"));
+        Ok(NodeView { leaf, n, extra, dir, heap: &heap[..end] })
     }
 
-    /// Where `key` is, or would go: the page offset of its entry (or of
-    /// the first entry after it), that entry's index, and whether the
-    /// entry holds `key`.
-    fn seek(&self, key: &[u8]) -> (usize, usize, bool) {
-        let mut at = HEADER;
-        for (i, (k, payload)) in self.iter().enumerate() {
-            match k.cmp(key) {
-                std::cmp::Ordering::Less => at += 2 + k.len() + payload.len(),
-                found => return (at, i, found.is_eq()),
-            }
-        }
-        (at, self.n, false)
+    /// Where entry `i` ends in `heap`, and entry `i + 1` starts.
+    fn end(&self, i: usize) -> usize {
+        usize::from(u16::from_le_bytes([self.dir[2 * i], self.dir[2 * i + 1]]))
     }
 
-    /// The entries in key order as `(key, payload)`: the payload is the
-    /// 10-byte record id in a leaf, the 8-byte child page in an internal
-    /// node.
-    fn iter(self) -> impl Iterator<Item = Entry<'a>> + Clone {
-        let payload = payload_len(self.leaf);
-        let mut rest = self.entries;
-        (0..self.n).map(move |_| {
-            let klen = u16::from_le_bytes(rest[..2].try_into().expect("2 bytes")) as usize;
-            let (entry, tail) = rest.split_at(2 + klen + payload);
-            rest = tail;
-            (&entry[2..2 + klen], &entry[2 + klen..])
-        })
+    /// Entry `i` as `(key, payload)`: the payload is the 10-byte record
+    /// id in a leaf, the 8-byte child page in an internal node.
+    fn entry(&self, i: usize) -> Entry<'a> {
+        let (start, end) = (i.checked_sub(1).map_or(0, |i| self.end(i)), self.end(i));
+        self.heap[start..end].split_at(end - start - payload_len(self.leaf))
+    }
+
+    /// The page bytes up to the end of the last entry.
+    fn used(&self) -> usize {
+        HEADER + self.dir.len() + self.heap.len()
+    }
+
+    /// Where `key` is, or would go: the index of its entry (or of the
+    /// first entry after it), and whether the entry holds `key`.  A
+    /// binary search over the directory: at most ⌈log2(n + 1)⌉ compares.
+    fn seek(&self, key: &[u8]) -> (usize, bool) {
+        let (mut low, mut high) = (0, self.n);
+        while low < high {
+            let mid = low + (high - low) / 2;
+            #[cfg(test)]
+            tests::COMPARES.set(tests::COMPARES.get() + 1);
+            match self.entry(mid).0.cmp(key) {
+                std::cmp::Ordering::Less => low = mid + 1,
+                std::cmp::Ordering::Greater => high = mid,
+                std::cmp::Ordering::Equal => return (mid, true),
+            }
+        }
+        (low, false)
+    }
+
+    /// The entries in key order from entry `from` on.
+    fn iter(self, from: usize) -> impl Iterator<Item = Entry<'a>> + Clone {
+        (from..self.n).map(move |i| self.entry(i))
     }
 
     /// The entries with `entry` inserted as entry `pos`.
     fn with(self, pos: usize, entry: Entry<'a>) -> impl Iterator<Item = Entry<'a>> + Clone {
-        self.iter().take(pos).chain(std::iter::once(entry)).chain(self.iter().skip(pos))
+        self.iter(0).take(pos).chain(std::iter::once(entry)).chain(self.iter(pos))
     }
 
-    /// Leaf entries as `(key, record id)`.
-    fn rids(self) -> impl Iterator<Item = (&'a [u8], RecordId)> {
-        self.iter().filter_map(|(key, payload)| Some((key, RecordId::decode(payload)?)))
+    /// Leaf entries from entry `from` on, as `(key, record id)`.
+    fn rids(self, from: usize) -> impl Iterator<Item = (&'a [u8], RecordId)> {
+        self.iter(from).filter_map(|(key, payload)| Some((key, RecordId::decode(payload)?)))
     }
 
     /// Exact-match lookup in a leaf.
     fn search(&self, key: &[u8]) -> Option<RecordId> {
-        self.rids().take_while(|(k, _)| *k <= key).find(|(k, _)| *k == key).map(|(_, rid)| rid)
+        let (pos, found) = self.seek(key);
+        found.then(|| RecordId::decode(self.entry(pos).1)).flatten()
     }
 
     /// Page of the child to follow for `key` in an internal node: the
     /// child of the last separator `<= key`, or `extra` below the first.
     fn child_for(&self, key: &[u8]) -> u64 {
-        self.iter()
-            .take_while(|(k, _)| *k <= key)
-            .last()
-            .map_or(self.extra, |(_, child)| child_page(child))
+        let (pos, found) = self.seek(key);
+        (pos + usize::from(found))
+            .checked_sub(1)
+            .map_or(self.extra, |i| child_page(self.entry(i).1))
     }
 }
 
@@ -178,53 +193,71 @@ enum LeafInsert {
     Full(usize),
 }
 
+/// Add `delta` (modulo 2^16) to the end offsets of directory `slots`.
+fn shift_ends(page: &mut [u8], slots: std::ops::Range<usize>, delta: u16) {
+    for end in page[HEADER + 2 * slots.start..HEADER + 2 * slots.end].chunks_exact_mut(2) {
+        let moved = u16::from_le_bytes([end[0], end[1]]).wrapping_add(delta);
+        end.copy_from_slice(&moved.to_le_bytes());
+    }
+}
+
 /// Insert or overwrite `key` → `rid` in the leaf image `page` where it
-/// lies: an upsert overwrites the entry's 10-byte record id, an insert
-/// shifts the entries after the key right and writes it into the gap.
-/// The page ends up as [`encode_node`] would write the edited node.
+/// lies: an upsert overwrites the entry's 10-byte record id; an insert
+/// moves the entries after the key on by a slot and the entry, the
+/// directory from slot `pos` and the entries before the key by a slot,
+/// and writes the slot and the entry into the gaps.  The page ends up as
+/// [`encode_node`] would write the edited node.
 fn insert_in_leaf(page: &mut [u8], key: &[u8], rid: RecordId) -> Result<LeafInsert> {
     let node = NodeView::parse(page)?;
     debug_assert!(node.leaf);
-    let (at, pos, found) = node.seek(key);
-    let (n, end) = (node.n, HEADER + node.entries.len());
-    let rid_at = at + 2 + key.len();
+    let (pos, found) = node.seek(key);
+    let (n, base, end) = (node.n, HEADER + 2 * node.n, node.used());
     if found {
+        let rid_at = base + node.end(pos) - payload_len(true);
         page[rid_at..rid_at + 10].copy_from_slice(&rid.encode());
         return Ok(LeafInsert::Upserted);
     }
-    let size = 2 + key.len() + payload_len(true);
-    if end + size > PAGE_SIZE {
+    let (slot, size) = (HEADER + 2 * pos, key.len() + payload_len(true));
+    let at = base + pos.checked_sub(1).map_or(0, |i| node.end(i));
+    if end + 2 + size > PAGE_SIZE {
         return Ok(LeafInsert::Full(pos));
     }
-    page.copy_within(at..end, at + size);
-    page[at..at + 2].copy_from_slice(&(key.len() as u16).to_le_bytes());
-    page[at + 2..rid_at].copy_from_slice(key);
-    page[rid_at..rid_at + 10].copy_from_slice(&rid.encode());
+    page.copy_within(at..end, at + 2 + size);
+    page.copy_within(slot..at, slot + 2);
+    page[slot..slot + 2].copy_from_slice(&((at - base + size) as u16).to_le_bytes());
+    shift_ends(page, pos + 1..n + 1, size as u16);
+    page[at + 2..at + 2 + key.len()].copy_from_slice(key);
+    page[at + 2 + key.len()..at + 2 + size].copy_from_slice(&rid.encode());
     page[1..3].copy_from_slice(&(n as u16 + 1).to_le_bytes());
     Ok(LeafInsert::Inserted)
 }
 
-/// Remove `key` from the leaf image `page` where it lies: shift the
-/// entries after it left and zero the bytes that leaves unused at the
-/// tail, so the page ends up as [`encode_node`] would write it.
-/// Returns whether `key` was there (the page is untouched if not).
+/// Remove `key` from the leaf image `page` where it lies: move the
+/// directory after its slot and the entries before it back by a slot,
+/// those after it by the slot and the entry, and zero the bytes that
+/// leaves unused at the tail, so the page ends up as [`encode_node`]
+/// would write it.  Returns whether `key` was there (the page is
+/// untouched if not).
 fn delete_from_leaf(page: &mut [u8], key: &[u8]) -> Result<bool> {
     let node = NodeView::parse(page)?;
     debug_assert!(node.leaf);
-    let (at, _, found) = node.seek(key);
-    let (n, end) = (node.n, HEADER + node.entries.len());
+    let (pos, found) = node.seek(key);
     if !found {
         return Ok(false);
     }
-    let size = 2 + key.len() + payload_len(true);
-    page.copy_within(at + size..end, at);
-    page[end - size..end].fill(0);
+    let (n, slot, size, end) = (node.n, HEADER + 2 * pos, key.len() + 10, node.used());
+    let at = HEADER + 2 * n + node.end(pos) - size;
+    page.copy_within(slot + 2..at, slot);
+    page.copy_within(at + size..end, at - 2);
+    shift_ends(page, pos..n - 1, (size as u16).wrapping_neg());
+    page[end - 2 - size..end].fill(0);
     page[1..3].copy_from_slice(&(n as u16 - 1).to_le_bytes());
     Ok(true)
 }
 
 /// Write into `out` the image of a node of `n` entries, the first `n`
-/// of `entries`: leaf flag, entry count, `extra`, the entries, zeros.
+/// of `entries`: flag byte, entry count, `extra`, the slot directory, the
+/// entries, zeros.
 fn encode_node<'e>(
     out: &mut Vec<u8>,
     leaf: bool,
@@ -233,12 +266,15 @@ fn encode_node<'e>(
     entries: impl Iterator<Item = Entry<'e>>,
 ) {
     out.clear();
-    put_u8(out, u8::from(leaf));
+    put_u8(out, if leaf { LEAF } else { INTERNAL });
     put_u16(out, n as u16);
     put_u64(out, extra);
-    for (key, payload) in entries.take(n) {
-        put_bytes16(out, key);
+    out.resize(HEADER + 2 * n, 0);
+    for (slot, (key, payload)) in entries.take(n).enumerate() {
+        out.extend_from_slice(key);
         out.extend_from_slice(payload);
+        let end = ((out.len() - HEADER - 2 * n) as u16).to_le_bytes();
+        out[HEADER + 2 * slot..HEADER + 2 * slot + 2].copy_from_slice(&end);
     }
     out.resize(PAGE_SIZE, 0);
 }
@@ -353,7 +389,7 @@ impl BTree {
                     entries += node.n as u64;
                 } else {
                     referenced.insert(node.extra);
-                    referenced.extend(node.iter().map(|(_, child)| child_page(child)));
+                    referenced.extend(node.iter(0).map(|(_, child)| child_page(child)));
                 }
                 true
             }) else {
@@ -379,37 +415,6 @@ impl BTree {
     /// Number of pages allocated by the index.
     pub fn page_count(&self) -> u64 {
         self.page_count
-    }
-
-    /// Walk the leaf chain from `page`, handing every entry to `visit`
-    /// in key order until it returns `false` or the chain ends.
-    ///
-    /// The chain is a pointer chase: the next leaf is only known after
-    /// reading the current one, and the walk reads nothing ahead of it.
-    /// Readahead by page number would be a guess (the leaves of a tree
-    /// grown by random inserts are not in file order), and no workload in
-    /// the repo scans far enough for one to pay: TPC-C's scans touch one
-    /// or two leaves, the YCSB-style short scans at most 50 rows.
-    fn walk_leaves(
-        &self,
-        pool: &mut BufferPool,
-        mut page: u64,
-        now: SimTime,
-        mut visit: impl FnMut(&[u8], RecordId) -> bool,
-    ) -> Result<SimTime> {
-        let mut t = now;
-        loop {
-            let (next, t2) = pool.with_page(self.obj, page, t, |buf| {
-                let node = NodeView::parse(buf)?;
-                let more = node.rids().all(|(key, rid)| visit(key, rid));
-                Ok::<_, DbError>(more.then_some(node.extra))
-            })?;
-            t = t2;
-            match next? {
-                Some(next) if next != NONE_PAGE => page = next,
-                _ => return Ok(t),
-            }
-        }
     }
 
     fn ensure_init(&mut self, pool: &mut BufferPool, now: SimTime) -> Result<SimTime> {
@@ -443,7 +448,7 @@ impl BTree {
         let (mut page, mut t, mut at_leaf) = (root, now, Some(at_leaf));
         loop {
             let (step, t2) = pool.with_page_mut(obj, page, t, |frame| {
-                if frame[0] != 0 {
+                if frame[0] == LEAF {
                     let at_leaf = at_leaf.take().expect("a descent reaches one leaf");
                     let done = at_leaf(frame);
                     let wrote = matches!(done, Ok((_, true)));
@@ -521,8 +526,9 @@ impl BTree {
                 return pool.write_page(*obj, *root, &halves[0], t);
             };
             let node = NodeView::parse(parent_image)?;
-            pos = node.iter().take_while(|(k, _)| *k <= &carry[..]).count();
-            if HEADER + node.entries.len() + 2 + carry.len() + len <= PAGE_SIZE {
+            let (at, found) = node.seek(carry);
+            pos = at + usize::from(found);
+            if node.used() + 2 + carry.len() + len <= PAGE_SIZE {
                 encode_node(&mut halves[0], false, node.extra, node.n + 1, node.with(pos, entry));
                 return pool.write_page(*obj, parent, &halves[0], t);
             }
@@ -566,6 +572,14 @@ impl BTree {
     /// walk stops at the first key out of range or at `limit` pairs,
     /// whichever comes first, and reads nothing for `limit == 0`.  The
     /// key is borrowed from the leaf, as in [`BTree::range`].
+    ///
+    /// The walk starts at `low`'s place in its leaf and follows the leaf
+    /// chain: a pointer chase, the next leaf only known after reading the
+    /// current one, and nothing read ahead of it.  Readahead by page
+    /// number would be a guess (the leaves of a tree grown by random
+    /// inserts are not in file order), and no workload in the repo scans
+    /// far enough for one to pay: TPC-C's scans touch one or two leaves,
+    /// the YCSB-style short scans at most 50 rows.
     pub fn scan(
         &mut self,
         pool: &mut BufferPool,
@@ -579,21 +593,30 @@ impl BTree {
         if limit == 0 {
             return Ok(t);
         }
-        let ((), leaf, t) = Self::descend(self.obj, pool, self.root, low, t, None, |leaf| {
-            Ok((NodeView::parse(leaf).map(drop)?, false))
-        })?;
+        let (mut from, mut page, mut t) =
+            Self::descend(self.obj, pool, self.root, low, t, None, |leaf| {
+                Ok((NodeView::parse(leaf)?.seek(low).0, false))
+            })?;
         let mut left = limit;
-        self.walk_leaves(pool, leaf, t, |key, rid| {
-            if key < low {
-                return true;
+        loop {
+            let (next, t2) = pool.with_page(self.obj, page, t, |buf| {
+                let node = NodeView::parse(buf)?;
+                let more = node.rids(std::mem::take(&mut from)).all(|(key, rid)| {
+                    if !in_range(key) {
+                        return false;
+                    }
+                    visit(key, rid);
+                    left -= 1;
+                    left > 0
+                });
+                Ok::<_, DbError>(more.then_some(node.extra))
+            })?;
+            t = t2;
+            match next? {
+                Some(next) if next != NONE_PAGE => page = next,
+                _ => return Ok(t),
             }
-            if !in_range(key) {
-                return false;
-            }
-            visit(key, rid);
-            left -= 1;
-            left > 0
-        })
+        }
     }
 
     /// Remove `key`.  Returns whether the key existed.
@@ -624,7 +647,13 @@ mod tests {
     use noftl_core::crash::SplitMix64;
     use noftl_core::{NoFtl, NoFtlConfig, PlacementConfig};
     use proptest::prelude::*;
+    use std::cell::Cell;
     use std::sync::Arc;
+
+    thread_local! {
+        /// The key compares [`NodeView::seek`] made on this thread.
+        pub(super) static COMPARES: Cell<usize> = const { Cell::new(0) };
+    }
 
     /// The owned node: the reference every in-place edit and split is held
     /// to, byte for byte, through [`Node::encode`].
@@ -652,15 +681,21 @@ mod tests {
             HEADER + self.keys.iter().map(|k| 2 + k.len() + payload).sum::<usize>()
         }
 
-        /// The page image: leaf flag, entry count, `extra`, then each key
-        /// behind its `u16` length and its payload; zeros after the entries.
+        /// The page image: flag byte, entry count, `extra`, the slot
+        /// directory (each entry's end, counted from the first entry's
+        /// start), then each key and its payload; zeros after them.
         fn encode(&self) -> Vec<u8> {
             let mut out = Vec::with_capacity(PAGE_SIZE);
-            put_u8(&mut out, u8::from(self.leaf));
+            put_u8(&mut out, if self.leaf { LEAF } else { INTERNAL });
             put_u16(&mut out, self.keys.len() as u16);
             put_u64(&mut out, self.extra);
+            let mut end = 0;
+            for key in &self.keys {
+                end += key.len() + payload_len(self.leaf);
+                put_u16(&mut out, end as u16);
+            }
             for (i, key) in self.keys.iter().enumerate() {
-                put_bytes16(&mut out, key);
+                out.extend_from_slice(key);
                 if self.leaf {
                     out.extend_from_slice(&self.rids[i].encode());
                 } else {
@@ -671,17 +706,33 @@ mod tests {
             out
         }
 
-        /// Decode a node image — the images [`NodeView::parse`] accepts.
+        /// Decode a node image slot by slot, each entry sliced from where
+        /// the one before it ended — the reference [`NodeView::parse`] must
+        /// accept and reject pages with.
         fn decode(buf: &[u8]) -> Result<Self> {
-            let view = NodeView::parse(buf)?;
-            let mut node = Node::new(view.leaf, view.extra);
-            for (key, payload) in view.iter() {
+            let bad = || DbError::Corrupted { message: "not a node".into() };
+            let header = buf.get(..HEADER).ok_or_else(bad)?;
+            let leaf = match header[0] {
+                LEAF => true,
+                INTERNAL => false,
+                _ => return Err(bad()),
+            };
+            let n = u16::from_le_bytes([header[1], header[2]]) as usize;
+            let mut node = Node::new(leaf, u64::from_le_bytes(header[3..].try_into().unwrap()));
+            let (heap, mut start) = (HEADER + 2 * n, 0);
+            for slot in 0..n {
+                let end = buf.get(HEADER + 2 * slot..HEADER + 2 * slot + 2).ok_or_else(bad)?;
+                let end = u16::from_le_bytes([end[0], end[1]]) as usize;
+                let entry = buf.get(heap + start..heap + end).ok_or_else(bad)?;
+                let key_len = entry.len().checked_sub(payload_len(leaf)).ok_or_else(bad)?;
+                let (key, payload) = entry.split_at(key_len);
                 node.keys.push(key.to_vec());
-                if view.leaf {
+                if leaf {
                     node.rids.extend(RecordId::decode(payload));
                 } else {
                     node.children.push(child_page(payload));
                 }
+                start = end;
             }
             Ok(node)
         }
@@ -1080,11 +1131,11 @@ mod tests {
         assert_eq!((node.leaf, node.extra, node.keys.len()), (view.leaf, view.extra, view.n));
         let keys = node.keys.iter().map(Vec::as_slice);
         if node.leaf {
-            let scanned: Vec<_> = view.rids().collect();
+            let scanned: Vec<_> = view.rids(0).collect();
             assert_eq!(scanned, keys.zip(node.rids.iter().copied()).collect::<Vec<_>>());
         } else {
             let children: Vec<_> =
-                view.iter().map(|(k, c)| (k, u64::from_le_bytes(c.try_into().unwrap()))).collect();
+                view.iter(0).map(|(k, c)| (k, u64::from_le_bytes(c.try_into().unwrap()))).collect();
             assert_eq!(children, keys.zip(node.children.iter().copied()).collect::<Vec<_>>());
         }
         if !node.keys.windows(2).all(|w| w[0] < w[1]) {
@@ -1106,8 +1157,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
         /// The borrowed view is the owned node: same answers as a
         /// `BTreeMap` model on intact images, same verdict as
-        /// `Node::decode` on every truncation and on every corrupted
-        /// length field (entry count and each key length).
+        /// `Node::decode` on every truncation, on every flag byte and on
+        /// every corrupted length field (entry count and each directory
+        /// slot).
         #[test]
         fn node_view_agrees_with_node_decode_and_the_model(
             leaf in any::<bool>(),
@@ -1154,14 +1206,15 @@ mod tests {
             for len in 0..(node.serialized_size() + 2).min(PAGE_SIZE) {
                 assert_view_matches_node(&image[..len], &probes);
             }
-            // Every length field, nudged and maxed.
-            let mut fields = vec![1usize];
-            let mut off = HEADER;
-            for key in &node.keys {
-                fields.push(off);
-                off += 2 + key.len() + payload_len(leaf);
+            // The flag byte: the key-length layout's 0 and 1 are refused.
+            for flag in [0, 1, INTERNAL, LEAF, 0xFF] {
+                let mut corrupt = image.clone();
+                corrupt[0] = flag;
+                assert_view_matches_node(&corrupt, &probes);
             }
-            for field in fields {
+            // The entry count and every directory slot, nudged and maxed.
+            let slots = (0..node.keys.len()).map(|slot| HEADER + 2 * slot);
+            for field in std::iter::once(1).chain(slots) {
                 let stored = u16::from_le_bytes(image[field..field + 2].try_into().unwrap());
                 for bad in [stored.wrapping_add(1), stored.wrapping_sub(1), 0, u16::MAX] {
                     let mut corrupt = image.clone();
@@ -1169,6 +1222,136 @@ mod tests {
                     assert_view_matches_node(&corrupt, &probes);
                 }
             }
+        }
+    }
+
+    /// A node of sorted, distinct random keys of 1 to `max_len` bytes,
+    /// `count` of them or as many as fit one page, and its image.
+    fn random_node(leaf: bool, count: usize, max_len: u64, rng: &mut SplitMix64) -> Node {
+        let mut keys = std::collections::BTreeSet::new();
+        let mut size = HEADER;
+        while keys.len() < count {
+            let key: Vec<u8> = (0..=rng.below(max_len)).map(|_| rng.next_u64() as u8).collect();
+            let entry = 2 + key.len() + payload_len(leaf);
+            if size + entry > PAGE_SIZE {
+                break;
+            }
+            size += if keys.insert(key) { entry } else { 0 };
+        }
+        let mut node = Node::new(leaf, rng.next_u64());
+        node.rids = (0..keys.len()).map(|_| rid(rng.next_u64())).collect();
+        node.children = (0..keys.len()).map(|_| rng.next_u64()).collect();
+        node.keys = keys.into_iter().collect();
+        node
+    }
+
+    /// Probes below, equal to, between and above every key of `node`.
+    fn probes(node: &Node) -> Vec<Vec<u8>> {
+        let mut probes = vec![Vec::new(), vec![0xFF; 65]];
+        for key in &node.keys {
+            let mut below = key.clone();
+            below.pop();
+            let mut above = key.clone();
+            above.push(0);
+            probes.extend([key.clone(), below, above]);
+        }
+        probes
+    }
+
+    proptest! {
+        /// The binary searches answer what a linear scan over the entries
+        /// answers: `seek` the first entry `>= key`, `search` the entry
+        /// `== key`, `child_for` the child of the last separator `<= key`
+        /// — for leaves and internal nodes of 0 entries up to a full page.
+        #[test]
+        fn binary_searches_match_a_linear_scan(
+            leaf in any::<bool>(),
+            count in 0usize..400,
+            short in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = SplitMix64(seed);
+            let node = random_node(leaf, count, if short { 4 } else { 64 }, &mut rng);
+            let image = node.encode();
+            let view = NodeView::parse(&image).unwrap();
+            for probe in probes(&node) {
+                let probe = &probe[..];
+                let pos = view.iter(0).position(|(k, _)| k >= probe).unwrap_or(view.n);
+                let found = pos < view.n && view.entry(pos).0 == probe;
+                prop_assert_eq!(view.seek(probe), (pos, found));
+                if leaf {
+                    let linear = view.rids(0).find(|(k, _)| *k == probe).map(|(_, r)| r);
+                    prop_assert_eq!(view.search(probe), linear);
+                } else {
+                    let below = view.iter(0).take_while(|(k, _)| *k <= probe).last();
+                    prop_assert_eq!(view.child_for(probe), below.map_or(view.extra, |(_, c)| child_page(c)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_lookup_in_a_full_node_compares_at_most_log2_n_plus_one_keys() {
+        for leaf in [true, false] {
+            // 4-byte keys up to the last byte that takes one.
+            let n = (PAGE_SIZE - HEADER) / (2 + 4 + payload_len(leaf));
+            let mut node = Node::new(leaf, 0);
+            node.keys = (0..n as u32).map(|rank| (2 * rank + 1).to_be_bytes().to_vec()).collect();
+            node.rids = (0..n as u64).map(rid).collect();
+            node.children = (0..n as u64).collect();
+            let image = node.encode();
+            let view = NodeView::parse(&image).unwrap();
+            // ⌈log2(n + 1)⌉, plus one.
+            let bound = (usize::BITS - view.n.leading_zeros()) as usize + 1;
+            for probe in probes(&node) {
+                COMPARES.set(0);
+                if leaf {
+                    view.search(&probe);
+                } else {
+                    view.child_for(&probe);
+                }
+                let compares = COMPARES.get();
+                assert!(compares <= bound, "{compares} compares among {} keys", view.n);
+            }
+        }
+    }
+
+    /// The image the key-length layout wrote for `node`: a flag byte of 0
+    /// or 1, then each key behind its `u16` length and its payload.
+    fn key_length_image(node: &Node) -> Vec<u8> {
+        let mut out = vec![u8::from(node.leaf)];
+        put_u16(&mut out, node.keys.len() as u16);
+        put_u64(&mut out, node.extra);
+        for (i, key) in node.keys.iter().enumerate() {
+            flash_sim::codec::put_bytes16(&mut out, key);
+            match node.leaf {
+                true => out.extend_from_slice(&node.rids[i].encode()),
+                false => put_u64(&mut out, node.children[i]),
+            }
+        }
+        out.resize(PAGE_SIZE, 0);
+        out
+    }
+
+    #[test]
+    fn a_page_in_the_key_length_layout_is_refused_and_never_searched() {
+        let corrupted = |r: Result<_>| matches!(r, Err(DbError::Corrupted { .. }));
+        let mut rng = SplitMix64(11);
+        for leaf in [true, false] {
+            let node = random_node(leaf, 50, 16, &mut rng);
+            let old = key_length_image(&node);
+            assert!(corrupted(NodeView::parse(&old).map(drop)));
+            assert!(corrupted(Node::decode(&old).map(drop)));
+            // The old page as a tree's root: every operation refuses it.
+            let (mut pool, mut tree) = setup(16);
+            let t = tree.insert(&mut pool, &node.keys[0], rid(1), SimTime::ZERO).unwrap();
+            let t = pool.write_page(tree.obj, tree.root, &old, t).unwrap();
+            COMPARES.set(0);
+            assert!(corrupted(tree.search(&mut pool, &node.keys[0], t).map(drop)));
+            assert!(corrupted(tree.insert(&mut pool, &node.keys[1], rid(2), t).map(drop)));
+            assert!(corrupted(tree.delete(&mut pool, &node.keys[0], t).map(drop)));
+            assert!(corrupted(tree.range(&mut pool, &[], None, 1, t, |_, _| {}).map(drop)));
+            assert_eq!(COMPARES.get(), 0, "a refused page was searched");
         }
     }
 
@@ -1246,14 +1429,14 @@ mod tests {
                     _ => {}
                 }
                 // Top the leaf up to its last byte with one absent key.
-                let end = HEADER + NodeView::parse(&page).unwrap().entries.len();
+                let end = NodeView::parse(&page).unwrap().used();
                 if n % 5 == 0 && PAGE_SIZE - end >= 2 + 1 + 10 {
                     let mut filler = vec![0xFF; PAGE_SIZE - end - 12];
                     while Node::decode(&page).unwrap().keys.contains(&filler) {
                         *filler.last_mut().unwrap() -= 1;
                     }
                     edit_matches_reference(&mut page, &filler, Some(rid(n)));
-                    prop_assert_eq!(NodeView::parse(&page).unwrap().entries.len(), PAGE_SIZE - HEADER);
+                    prop_assert_eq!(NodeView::parse(&page).unwrap().used(), PAGE_SIZE);
                 }
             }
         }

@@ -148,10 +148,7 @@ struct Engine {
 }
 
 fn ensure_object(backend: &Arc<dyn StorageBackend>, name: &str) -> Result<ObjectId> {
-    match backend.lookup_object(name) {
-        Some(obj) => Ok(obj),
-        None => backend.create_object(name),
-    }
+    backend.lookup_object(name).map_or_else(|| backend.create_object(name), Ok)
 }
 
 impl Engine {

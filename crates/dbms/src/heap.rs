@@ -34,13 +34,8 @@ impl RecordId {
 
     /// Inverse of [`RecordId::encode`]; `None` if the buffer is too short.
     pub fn decode(buf: &[u8]) -> Option<Self> {
-        if buf.len() < 10 {
-            return None;
-        }
-        Some(RecordId {
-            page: u64::from_le_bytes(buf[..8].try_into().ok()?),
-            slot: u16::from_le_bytes(buf[8..10].try_into().ok()?),
-        })
+        let page = u64::from_le_bytes(buf.get(..8)?.try_into().ok()?);
+        Some(RecordId { page, slot: u16::from_le_bytes(buf.get(8..10)?.try_into().ok()?) })
     }
 }
 
@@ -140,16 +135,6 @@ impl HeapFile {
         let t_write = pool.write_page(self.obj, page_no, &frame, t)?;
         self.records += 1;
         Ok((RecordId::new(page_no, slot), t_write))
-    }
-
-    /// Read the record at `rid`: a copy of its bytes.
-    pub fn get(
-        &self,
-        pool: &mut BufferPool,
-        rid: RecordId,
-        t: SimTime,
-    ) -> Result<(Vec<u8>, SimTime)> {
-        self.read(pool, rid, t, <[u8]>::to_vec)
     }
 
     /// Lend the record at `rid` to `f` where the buffer pool holds it.
@@ -265,10 +250,10 @@ mod tests {
         let (_, mut pool, mut heap) = setup();
         let t = SimTime::ZERO;
         let (rid, t) = heap.insert(&mut pool, b"record-one", t).unwrap();
-        let (data, t) = heap.get(&mut pool, rid, t).unwrap();
+        let (data, t) = heap.read(&mut pool, rid, t, <[u8]>::to_vec).unwrap();
         assert_eq!(data, b"record-one");
         let t = heap.update(&mut pool, rid, b"record-two", t).unwrap();
-        let (data, t) = heap.get(&mut pool, rid, t).unwrap();
+        let (data, t) = heap.read(&mut pool, rid, t, <[u8]>::to_vec).unwrap();
         assert_eq!(data, b"record-two");
         // An edit where the record lies, and a read that lends it.
         let ((), t) = heap
@@ -281,7 +266,7 @@ mod tests {
         assert!(data);
         assert_eq!(heap.record_count(), 1);
         heap.delete(&mut pool, rid, t).unwrap();
-        assert!(heap.get(&mut pool, rid, t).is_err());
+        assert!(heap.read(&mut pool, rid, t, <[u8]>::to_vec).is_err());
         assert_eq!(heap.record_count(), 0);
     }
 
@@ -300,7 +285,7 @@ mod tests {
         assert!(heap.page_count() >= 6, "page_count = {}", heap.page_count());
         assert_eq!(heap.record_count(), 50);
         for rid in rids {
-            assert_eq!(heap.get(&mut pool, rid, t).unwrap().0, record);
+            assert_eq!(heap.read(&mut pool, rid, t, <[u8]>::to_vec).unwrap().0, record);
         }
     }
 
@@ -358,7 +343,7 @@ mod tests {
             t = t2;
         }
         for (rid, i) in rids {
-            let (data, _) = heap.get(&mut pool, rid, t).unwrap();
+            let (data, _) = heap.read(&mut pool, rid, t, <[u8]>::to_vec).unwrap();
             assert_eq!(data, vec![i; 900]);
         }
         assert!(pool.stats().evictions > 0);

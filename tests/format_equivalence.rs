@@ -28,7 +28,16 @@
 //! A page-by-page dump of the script's device on both sides differed in
 //! the eleven checkpoint chunk pages only (`META_OBJECT_ID` in their OOB,
 //! same addresses and epochs); every other page, every block's state,
-//! write pointer and erase count, and the epoch (55) were equal.
+//! write pointer and erase count, and the epoch (55) were equal.  It
+//! moved last from `(0x22C8_4A25, 55)` when B+-tree nodes took a slot
+//! directory of `u16` entry end offsets in place of each key's `u16`
+//! length (same bytes per entry, so the same splits and page numbers).
+//! A page-by-page dump of the script's device on both sides differed in
+//! eight pages only, at the same addresses, logical pages and epochs:
+//! six `acct_pk` node pages, and two durable-log pages whose page-image
+//! records carry `acct_pk` nodes.  Every other page, every block's
+//! state, write pointer, erase count and valid / invalid counts, and the
+//! epoch (55) were equal.
 //! Regenerate with `NOFTL_PRINT_GOLDEN=1 cargo test --test
 //! format_equivalence -- --nocapture` only beside a format version bump.
 
@@ -43,7 +52,7 @@ use noftl_regions::noftl::kv::{KvConfig, KvStore};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementConfig, RegionSpec};
 
 /// CRC of the scripted device image, and its epoch.
-const GOLDEN_IMAGE: (u32, u64) = (0x22C8_4A25, 55);
+const GOLDEN_IMAGE: (u32, u64) = (0x6E92_437C, 55);
 /// Length and CRC trailer of the sample mirror blob.
 const GOLDEN_MIRROR: (usize, u32) = (135, 0xBF83_E692);
 
