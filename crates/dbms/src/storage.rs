@@ -88,6 +88,24 @@ pub trait StorageBackend: Send + Sync {
     /// overlap the writes.
     fn write_batch(&self, writes: &[(ObjectId, u64, Vec<u8>)], at: SimTime) -> Result<SimTime>;
 
+    /// [`StorageBackend::write_batch`] with each page's CRC-32 handed
+    /// down, `crcs[i]` that of `writes[i]`: the WAL's force, which builds
+    /// its pages' CRCs from parts it already has, so the program path
+    /// need not checksum them again.  The method is provided so that no
+    /// implementor has to know of it: the default drops the CRCs and
+    /// forwards to `write_batch` (a forward-only decorator, such as the
+    /// benchmark's frozen tracer, inherits it, and under it log pages are
+    /// checksummed in the storage manager as before); [`NoFtlBackend`]
+    /// stamps them into the pages' OOB metadata.
+    fn write_batch_checksummed(
+        &self,
+        writes: &[(ObjectId, u64, Vec<u8>)],
+        _crcs: &[u32],
+        at: SimTime,
+    ) -> Result<SimTime> {
+        self.write_batch(writes, at)
+    }
+
     /// Write a batch through a bounded completion-driven pipeline: at
     /// most `window` pages in flight, each further page issued at the
     /// completion of the oldest outstanding one, returning the maximum
@@ -172,6 +190,22 @@ impl NoFtlBackend {
             ),
         })
     }
+
+    /// The one request builder of the write verbs: `writes` through
+    /// [`NoFtl::execute`], `crcs[i]` handed down with `writes[i]` where
+    /// there is one.
+    fn execute_writes(
+        &self,
+        writes: &[(ObjectId, u64, Vec<u8>)],
+        crcs: &[u32],
+        at: SimTime,
+        window: usize,
+    ) -> Result<SimTime> {
+        let requests = writes.iter().enumerate().map(|(i, (obj, page, data))| {
+            IoRequest::write(*obj, *page, data).with_crc(crcs.get(i).copied())
+        });
+        Ok(self.noftl.execute(requests, at, window, |_, _| Ok(()))?)
+    }
 }
 
 fn no_regions() -> DbError {
@@ -243,14 +277,22 @@ impl StorageBackend for NoFtlBackend {
         self.write_windowed(writes, at, usize::MAX)
     }
 
+    fn write_batch_checksummed(
+        &self,
+        writes: &[(ObjectId, u64, Vec<u8>)],
+        crcs: &[u32],
+        at: SimTime,
+    ) -> Result<SimTime> {
+        self.execute_writes(writes, crcs, at, usize::MAX)
+    }
+
     fn write_windowed(
         &self,
         writes: &[(ObjectId, u64, Vec<u8>)],
         at: SimTime,
         window: usize,
     ) -> Result<SimTime> {
-        let requests = writes.iter().map(|(obj, page, data)| IoRequest::write(*obj, *page, data));
-        Ok(self.noftl.execute(requests, at, window, |_, _| Ok(()))?)
+        self.execute_writes(writes, &[], at, window)
     }
 
     fn free_page(&self, obj: ObjectId, page: u64) -> Result<()> {

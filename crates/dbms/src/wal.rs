@@ -23,9 +23,19 @@
 //! budget, the database takes a checkpoint and calls [`Wal::truncate`],
 //! which frees the old segment's pages and restarts the stream at a fresh
 //! page boundary.
+//!
+//! A log page is the 24-byte `WALP` header (magic, page number, payload
+//! length, payload CRC), the payload and zero padding.  The current page
+//! is built in place, in the page buffer the force writes: records are
+//! streamed straight into it, and a force writes only its header.  The
+//! page's own CRC, which the storage manager stamps into its OOB metadata
+//! for torn-page detection on remount, is handed down with it, built from
+//! parts the log already has — the header's CRC, the running payload CRC
+//! and the length of the padding ([`flash_sim::crc32_combine`],
+//! [`flash_sim::crc32_zeros`]) — so a force makes no pass over the page.
 
 use flash_sim::codec::{put_bytes, put_u32, put_u64, put_u8, Reader};
-use flash_sim::{crc32, crc32_update, SimTime};
+use flash_sim::{crc32, crc32_combine, crc32_update, crc32_zeros, SimTime};
 use noftl_obs::{Histogram, Unit};
 use std::fmt::{self, Display};
 use std::io::Write as _;
@@ -188,20 +198,24 @@ pub struct Wal {
     durable_spill: bool,
     /// LSN handed to the next appended record.
     next_lsn: Lsn,
-    /// Page number the partial payload below will be written to.
+    /// Page number of the current page, `batch[sealed]`.
     cur_page: u64,
-    /// Payload of the current (partial) page; always shorter than
-    /// `PAGE_CAP`.
-    cur_payload: Vec<u8>,
-    /// `crc32(cur_payload)`, extended as bytes are streamed in, so a
-    /// force does not checksum the growing page again.
+    /// Payload bytes in the current page; always below `PAGE_CAP`.
+    cur_used: usize,
+    /// CRC of the current page's payload, extended as bytes are streamed
+    /// in, so a force does not checksum the growing page again.
     cur_crc: u32,
     /// The pages the next force writes: `batch[..sealed]` are the
     /// completed pages not yet forced (none for a volatile log, which
-    /// never writes a completed page), sealed as they fill up; the force
-    /// seals the current page behind them.  The batch keeps its page
-    /// buffers from force to force.
+    /// never writes a completed page), sealed as they fill up, and
+    /// `batch[sealed]` is the current page, `PAGE_SIZE` long and zero
+    /// past its payload, which the force seals behind them and then moves
+    /// to slot 0 to keep filling.  A slot is zeroed once, when a page
+    /// starts in it; the batch keeps its page buffers from force to
+    /// force.
     batch: Vec<(ObjectId, u64, Vec<u8>)>,
+    /// The CRC of each sealed page of `batch`, handed down with it.
+    crcs: Vec<u32>,
     sealed: usize,
     records: u64,
     forces: u64,
@@ -225,9 +239,10 @@ impl Wal {
             durable_spill: true,
             next_lsn: 1,
             cur_page: 0,
-            cur_payload: Vec::with_capacity(PAGE_CAP),
+            cur_used: 0,
             cur_crc: 0,
-            batch: Vec::new(),
+            batch: vec![(obj, 0, vec![0; PAGE_SIZE])],
+            crcs: vec![0],
             sealed: 0,
             records: 0,
             forces: 0,
@@ -299,47 +314,52 @@ impl Wal {
     /// force of a durable log; a volatile log drops it.
     fn stream(&mut self, mut bytes: &[u8]) {
         while !bytes.is_empty() {
-            let take = (PAGE_CAP - self.cur_payload.len()).min(bytes.len());
+            let take = (PAGE_CAP - self.cur_used).min(bytes.len());
             let (head, rest) = bytes.split_at(take);
-            self.cur_payload.extend_from_slice(head);
+            let at = PAGE_HEADER + self.cur_used;
+            self.batch[self.sealed].2[at..at + take].copy_from_slice(head);
+            self.cur_used += take;
             self.cur_crc = crc32_update(self.cur_crc, head);
             bytes = rest;
-            if self.cur_payload.len() == PAGE_CAP {
+            if self.cur_used == PAGE_CAP {
                 if self.durable_spill {
                     self.seal_current();
                     self.sealed += 1;
                 }
-                self.cur_payload.clear();
-                self.cur_crc = 0;
                 self.cur_page += 1;
+                self.start_page();
             }
         }
     }
 
-    /// Seal the current page into the batch slot behind the sealed
-    /// pages, reusing the slot's page buffer.
-    fn seal_current(&mut self) {
+    /// Start page `cur_page`, empty, in the batch slot behind the sealed
+    /// pages.
+    fn start_page(&mut self) {
+        (self.cur_used, self.cur_crc) = (0, 0);
         if self.batch.len() == self.sealed {
-            self.batch.push((self.obj, 0, Vec::with_capacity(PAGE_SIZE)));
+            self.batch.push((self.obj, 0, vec![0; PAGE_SIZE]));
+            self.crcs.push(0);
         }
         let (_, page_no, page) = &mut self.batch[self.sealed];
         *page_no = self.cur_page;
-        Wal::seal(self.cur_page, &self.cur_payload, self.cur_crc, page);
+        page.fill(0);
     }
 
-    /// Frame a payload, whose CRC is `crc`, as log page `page_no` into
-    /// `page`: the `WALP` header (magic:4 | page_no:8 | used:4 | crc:4 |
-    /// reserved:4), the payload, zero padding.
-    fn seal(page_no: u64, payload: &[u8], crc: u32, page: &mut Vec<u8>) {
-        debug_assert!(payload.len() <= PAGE_CAP && crc == crc32(payload));
-        page.clear();
-        put_u32(page, PAGE_MAGIC);
-        put_u64(page, page_no);
-        put_u32(page, payload.len() as u32);
-        put_u32(page, crc);
-        put_u32(page, 0);
-        page.extend_from_slice(payload);
-        page.resize(PAGE_SIZE, 0);
+    /// Seal the current page: write its `WALP` header (magic:4 |
+    /// page_no:8 | used:4 | crc:4 | reserved:4) in front of the payload
+    /// and note the CRC of the whole page, built from the header's CRC,
+    /// the payload's and the zero padding behind it.
+    fn seal_current(&mut self) {
+        let (used, crc) = (self.cur_used, self.cur_crc);
+        let (_, page_no, page) = &mut self.batch[self.sealed];
+        let mut header = &mut page[..PAGE_HEADER];
+        let (magic, len) = (PAGE_MAGIC.to_le_bytes(), (used as u32).to_le_bytes());
+        for field in [&magic[..], &page_no.to_le_bytes(), &len, &crc.to_le_bytes()] {
+            // Writing into the header's slice cannot fail.
+            let _ = header.write_all(field);
+        }
+        let page_crc = crc32_combine(crc32(&page[..PAGE_HEADER]), crc, used);
+        self.crcs[self.sealed] = crc32_zeros(page_crc, PAGE_CAP - used);
     }
 
     /// The payload of log page `page_no`; `None` unless it is an intact
@@ -354,16 +374,19 @@ impl Wal {
     }
 
     /// Force every unforced log page to storage (the durability point of
-    /// a writing transaction's commit, and of a checkpoint).  The pages are submitted as one queued batch issued at `now`, so a
-    /// multi-page force overlaps across the log region's dies; the
-    /// returned time — the part of a commit the transaction must wait
-    /// for — is the completion of the slowest page.
+    /// a writing transaction's commit, and of a checkpoint).  Sealing the
+    /// current page writes its header only, and each page goes down with
+    /// its CRC.  The pages are submitted as one queued batch issued at
+    /// `now`, so a multi-page force overlaps across the log region's
+    /// dies; the returned time — the part of a commit the transaction
+    /// must wait for — is the completion of the slowest page.
     pub fn force(&mut self, backend: &dyn StorageBackend, now: SimTime) -> Result<SimTime> {
         self.forces += 1;
         self.seal_current();
-        let pages = std::mem::take(&mut self.sealed) + 1;
-        let batch = &self.batch[..pages];
-        let done = backend.write_batch(batch, now)?;
+        let pages = self.sealed + 1;
+        let done = backend.write_batch_checksummed(&self.batch[..pages], &self.crcs[..pages], now);
+        self.batch.swap(0, std::mem::take(&mut self.sealed));
+        let done = done?;
         if let Some(registry) = backend.metrics() {
             let hist = self
                 .force_hist
@@ -376,7 +399,7 @@ impl Wal {
                 101,
                 now.as_nanos(),
                 done.as_nanos(),
-                &[("pages", batch.len() as u64)],
+                &[("pages", pages as u64)],
             );
         }
         Ok(done)
@@ -403,15 +426,14 @@ impl Wal {
     pub fn truncate(&mut self, backend: &dyn StorageBackend) -> Result<u64> {
         // Anything still buffered belongs to the pre-checkpoint world the
         // caller just made durable; it is dropped with the segment.
+        let freed = self.segment_pages();
         self.sealed = 0;
-        self.cur_payload.clear();
-        self.cur_crc = 0;
-        for page_no in 0..=self.cur_page {
+        self.cur_page = 0;
+        self.start_page();
+        for page_no in 0..freed {
             backend.free_page(self.obj, page_no)?;
         }
-        let freed = self.segment_pages();
         self.pages_retired += freed;
-        self.cur_page = 0;
         self.truncations += 1;
         Ok(freed)
     }
@@ -476,8 +498,9 @@ impl Wal {
 mod tests {
     use super::*;
     use crate::storage::NoFtlBackend;
-    use flash_sim::{DeviceBuilder, FlashGeometry, TimingModel};
-    use noftl_core::{NoFtl, NoFtlConfig, PlacementConfig};
+    use flash_sim::{DeviceBuilder, Duration, FlashBackend, FlashGeometry, TimingModel};
+    use flash_sim::{IoTag, PageMetadata, PageState};
+    use noftl_core::{crash::power_cycle, NoFtl, NoFtlConfig, PlacementConfig};
     use std::sync::Arc;
 
     fn backend() -> Arc<NoFtlBackend> {
@@ -489,6 +512,11 @@ mod tests {
             NoFtlBackend::new(noftl, &PlacementConfig::traditional(8, ["log".to_string()]))
                 .unwrap(),
         )
+    }
+
+    /// The payload of the log's current page.
+    fn cur_payload(wal: &Wal) -> &[u8] {
+        &wal.batch[wal.sealed].2[PAGE_HEADER..PAGE_HEADER + wal.cur_used]
     }
 
     #[test]
@@ -613,8 +641,13 @@ mod tests {
     #[test]
     fn torn_pages_and_frames_end_the_log() {
         let payload = b"frames".to_vec();
-        let mut page = Vec::new();
-        Wal::seal(4, &payload, crc32(&payload), &mut page);
+        let mut wal = Wal::new(1);
+        wal.cur_page = 4;
+        wal.start_page();
+        wal.stream(&payload);
+        wal.seal_current();
+        let page = wal.batch[0].2.clone();
+        assert_eq!(wal.crcs[0], crc32(&page), "the page CRC handed down");
         assert_eq!(Wal::unseal(4, &page), Some(&payload[..]));
         assert_eq!(Wal::unseal(5, &page), None, "another page number");
         for n in 0..PAGE_HEADER + payload.len() {
@@ -626,7 +659,7 @@ mod tests {
 
         let mut wal = Wal::new(1);
         wal.append(&WalRecord::Commit { txn: 3 });
-        let stream = wal.cur_payload.clone();
+        let stream = cur_payload(&wal).to_vec();
         assert_eq!(Wal::frame(&mut Reader::new(&stream)), Some((1, WalRecord::Commit { txn: 3 })));
         for n in 0..stream.len() {
             assert_eq!(Wal::frame(&mut Reader::new(&stream[..n])), None, "frame prefix of {n}");
@@ -691,12 +724,12 @@ mod tests {
             let mut streamed: Vec<u8> = sealed
                 .flat_map(|(_, no, page)| Wal::unseal(*no, page).unwrap().iter().copied())
                 .collect();
-            streamed.extend_from_slice(&wal.cur_payload);
+            streamed.extend_from_slice(cur_payload(&wal));
             // The durable stream spills (the page image), the volatile one
             // stays on its first page: both are here in full.
             assert_eq!(streamed, reference_stream(&records, durable), "durable: {durable}");
             assert_eq!(wal.cur_page, u64::from(durable));
-            assert_eq!(wal.cur_crc, crc32(&wal.cur_payload), "the running page CRC");
+            assert_eq!(wal.cur_crc, crc32(cur_payload(&wal)), "the running page CRC");
         }
     }
 
@@ -714,5 +747,98 @@ mod tests {
         let before = programs(&backend);
         wal.force(&*backend, SimTime::ZERO).unwrap();
         assert_eq!(programs(&backend) - before, 1, "one force, one page: the current one");
+    }
+
+    /// Every live page of `obj` with its OOB metadata, read off the
+    /// device.
+    fn live_pages(backend: &NoFtlBackend, obj: ObjectId) -> Vec<(PageMetadata, Vec<u8>)> {
+        let device = backend.noftl().device();
+        let g = device.geometry();
+        let addrs = (0..g.total_blocks())
+            .flat_map(|b| (0..g.pages_per_block).map(move |p| g.block_at(b).page(p)));
+        let live = addrs.filter(|&a| device.page_state(a).ok() == Some(PageState::Valid));
+        live.filter_map(|addr| {
+            let (data, meta, _) =
+                device.read_page_tagged(addr, SimTime::ZERO, IoTag::default()).unwrap();
+            meta.filter(|m| m.object_id == obj).map(|m| (m, data))
+        })
+        .collect()
+    }
+
+    /// The log hands each page's CRC down to the program path: every log
+    /// page on the device carries the CRC of its whole content, through
+    /// spills, many forces of one growing tail page, a truncation and the
+    /// volatile mode, and the log scans back what was appended.
+    #[test]
+    fn every_log_page_carries_its_own_crc() {
+        for durable in [true, false] {
+            let backend = backend();
+            let obj = backend.create_object("log").unwrap();
+            let mut wal = Wal::new(obj).with_durable_spill(durable);
+            let mut appended = Vec::new();
+            let check = |wal: &mut Wal, appended: &mut Vec<_>, notes: u64, len: usize| {
+                for txn in 0..notes {
+                    let record = WalRecord::Note { txn, text: "n".repeat(len) };
+                    appended.push((wal.append(&record), record));
+                }
+                wal.force(&*backend, SimTime::ZERO).unwrap();
+                let pages = live_pages(&backend, obj);
+                for (meta, page) in &pages {
+                    assert_eq!(meta.checksum, crc32(page), "page {}", meta.logical_page);
+                    assert!(Wal::unseal(meta.logical_page, page).is_some());
+                }
+                if durable {
+                    assert_eq!(pages.len() as u64, wal.segment_pages(), "every page is live");
+                    let (scanned, _) = Wal::scan(&*backend, obj, SimTime::ZERO).unwrap();
+                    assert_eq!(&scanned, appended);
+                }
+            };
+            check(&mut wal, &mut appended, 24, 400);
+            assert!(wal.segment_pages() >= 3, "the log spilled");
+            for _ in 0..20 {
+                check(&mut wal, &mut appended, 1, 50);
+            }
+            wal.truncate(&*backend).unwrap();
+            appended.clear();
+            check(&mut wal, &mut appended, 3, 30);
+            check(&mut wal, &mut appended, 14, 400);
+        }
+    }
+
+    /// A power cut inside the second force of one log page tears that
+    /// copy only: the mount discards it by its CRC and the log scans back
+    /// the first force's records from the copy before.
+    #[test]
+    fn a_torn_tail_force_falls_back_to_the_previous_copy() {
+        let device = Arc::new(
+            DeviceBuilder::new(FlashGeometry::example()).timing(TimingModel::mlc_2015()).build(),
+        );
+        let placement = PlacementConfig::traditional(8, ["log".to_string()]);
+        let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
+        let backend = NoFtlBackend::new(noftl, &placement).unwrap();
+        let obj = backend.create_object("log").unwrap();
+        backend.checkpoint(SimTime::ZERO).unwrap();
+        let mut wal = Wal::new(obj);
+        let note = |txn, len| WalRecord::Note { txn, text: "t".repeat(len) };
+        let first: Vec<_> =
+            (0..4).map(|txn| (wal.append(&note(txn, 100)), note(txn, 100))).collect();
+        let first_at = device.quiesce_time();
+        let span = wal.force(&backend, first_at).unwrap() - first_at;
+        // The second copy's payload runs well past the prefix the cut
+        // leaves (60 %, with the OOB area written).
+        for txn in 4..12 {
+            wal.append(&note(txn, 300));
+        }
+        assert_eq!(wal.segment_pages(), 1, "both forces write page 0");
+        let second_at = device.quiesce_time();
+        let cut = second_at + Duration(span.0 * 6 / 10);
+        device.arm_power_cut(cut);
+        assert!(wal.force(&backend, second_at).is_err());
+        let (noftl, report) =
+            NoFtl::mount(power_cycle(&device).unwrap(), NoFtlConfig::default(), cut).unwrap();
+        assert_eq!(report.torn_pages_discarded, 1);
+        let backend = NoFtlBackend::attach(Arc::new(noftl), &placement).unwrap();
+        let (scanned, _) = Wal::scan(&backend, obj, report.completed_at).unwrap();
+        assert_eq!(scanned, first);
     }
 }
