@@ -5,12 +5,14 @@
 //! block therefore behaves like an append-only log segment, which is what
 //! forces out-of-place updates at the layers above.
 //!
-//! A block's payload buffer outlives its erases.  The first program after
-//! an erase zero-fills the buffer the block already holds instead of
-//! allocating a new one, so a device in steady state (blocks cycling
-//! through program and erase) allocates nothing for its payloads.  What
+//! A block's payload buffer outlives its erases.  It grows with the write
+//! pointer: each program appends its page to the buffer the block already
+//! holds instead of allocating a new one, so a device in steady state
+//! (blocks cycling through program and erase) allocates nothing for its
+//! payloads, and nothing zeroes pages that are not programmed yet.  What
 //! can be observed is unchanged: an erased block holds no payload — it
-//! reads and images exactly as a block that never had one.
+//! reads and images exactly as a block that never had one — and an image
+//! pads a partly programmed block's payload with zeros to a whole block.
 
 use crate::metadata::PageMetadata;
 
@@ -52,9 +54,10 @@ pub(crate) struct Block {
     pub pages: Vec<PageState>,
     /// Per-page OOB metadata (None until programmed).
     pub meta: Vec<Option<PageMetadata>>,
-    /// Page payloads: empty until the first program after an erase, a
-    /// whole block's worth from then on.  An erase clears it and keeps
-    /// its capacity for the next cycle.
+    /// Page payloads: empty until the first program after an erase, then
+    /// every page up to the write pointer (a whole block's worth once
+    /// decoded from an image or torn by an erase).  An erase clears it and
+    /// keeps its capacity for the next cycle.
     pub data: Vec<u8>,
 }
 
@@ -92,11 +95,6 @@ impl Block {
         }
     }
 
-    /// Number of pages in `state`.
-    pub(crate) fn count(&self, state: PageState) -> u32 {
-        self.pages.iter().filter(|p| **p == state).count() as u32
-    }
-
     /// Number of still-free pages.
     pub(crate) fn free_pages(&self) -> u32 {
         (self.pages.len() as u32).saturating_sub(self.write_ptr)
@@ -124,12 +122,17 @@ pub struct BlockInfo {
 
 impl BlockInfo {
     pub(crate) fn from_block(b: &Block) -> Self {
+        let (mut valid_pages, mut invalid_pages) = (0, 0);
+        for p in &b.pages {
+            valid_pages += u32::from(*p == PageState::Valid);
+            invalid_pages += u32::from(*p == PageState::Invalid);
+        }
         BlockInfo {
             state: b.state,
             write_ptr: b.write_ptr,
             erase_count: b.erase_count,
-            valid_pages: b.count(PageState::Valid),
-            invalid_pages: b.count(PageState::Invalid),
+            valid_pages,
+            invalid_pages,
             free_pages: b.free_pages(),
         }
     }
@@ -144,9 +147,9 @@ mod tests {
         let b = Block::new(8);
         assert_eq!(b.state, BlockState::Free);
         assert_eq!(b.write_ptr, 0);
-        assert_eq!(b.count(PageState::Valid), 0);
+        let info = BlockInfo::from_block(&b);
+        assert_eq!((info.valid_pages, info.invalid_pages), (0, 0));
         assert_eq!(b.free_pages(), 8);
-        assert_eq!(b.count(PageState::Invalid), 0);
         assert!(b.data.is_empty());
     }
 
@@ -157,11 +160,12 @@ mod tests {
         b.write_ptr = 4;
         b.erase_count = 3;
         b.pages = vec![PageState::Valid, PageState::Invalid, PageState::Valid, PageState::Valid];
-        b.data = vec![1u8; 4 * 16];
+        b.data = Vec::with_capacity(4 * 16);
+        b.data.extend_from_slice(&[1u8; 3 * 16]);
         b.reset_erased();
         assert_eq!(b.state, BlockState::Free);
         assert_eq!(b.write_ptr, 0);
-        assert_eq!(b.count(PageState::Valid), 0);
+        assert_eq!(BlockInfo::from_block(&b).valid_pages, 0);
         assert_eq!(b.erase_count, 3, "erase_count is managed by the caller");
         assert!(b.pages.iter().all(|p| *p == PageState::Free));
         assert!(b.data.is_empty(), "an erased block holds no payload");

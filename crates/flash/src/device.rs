@@ -554,8 +554,12 @@ impl NandDevice {
             // unchanged, so it must be erased again after reboot before it
             // can be programmed).  The wear counter is not charged for the
             // incomplete cycle.
+            let whole = self.geometry.pages_per_block as usize * self.geometry.page_size as usize;
             let block = die.block_mut(block);
-            block.data.fill(0xFF);
+            if !block.data.is_empty() {
+                block.data.clear();
+                block.data.resize(whole, 0xFF);
+            }
             block.meta.fill(None);
         }
     }
@@ -576,8 +580,8 @@ impl NandDevice {
             FlashCommand::Read { addr, data } => {
                 let block = die.block(addr.block());
                 let page = addr.page as usize;
-                // A readable page lies in a block holding a whole block's
-                // payload.
+                // A readable page was programmed, so the block's payload
+                // reaches past it.
                 if !data.is_empty() {
                     data.copy_from_slice(&block.data[page * psz..(page + 1) * psz]);
                 }
@@ -608,9 +612,12 @@ impl NandDevice {
     /// the page, or all of it for an empty payload, reads as zeros) and
     /// `meta` in its OOB area: the page turns valid and the block's write
     /// pointer moves past it.  A full program passes the page size, a
-    /// torn one how far it got.  The first program after an erase
-    /// zero-fills the buffer the block kept; a copyback's payload moves
-    /// from its source block's buffer straight into it.
+    /// torn one how far it got.  The page is appended to the block's
+    /// payload, in the buffer it kept across erases (reserved for a whole
+    /// block on its first program); a copyback's payload moves from its
+    /// source block's buffer straight into it.  A payload that already
+    /// reaches past the page (a decoded image's, a torn erase's) is
+    /// written in place.
     fn write_page(
         &self,
         die: &mut Die,
@@ -625,23 +632,33 @@ impl NandDevice {
         // Out of its block while the page is written, so a copyback can
         // read its source block (or this one) beside it.
         let mut buf = std::mem::take(&mut die.block_mut(addr.block()).data);
-        if buf.is_empty() {
-            buf.resize(pages_per_block as usize * psz, 0);
-        }
+        buf.reserve_exact(pages_per_block as usize * psz - buf.len());
         let at = page * psz;
         let n = match source {
             Source::Bytes(payload) => len.min(payload.len()),
             Source::Page(_) => len.min(psz),
         };
         let from = |src: PageAddr| src.page as usize * psz..src.page as usize * psz + n;
-        match source {
-            Source::Bytes(payload) => buf[at..at + n].copy_from_slice(&payload[..n]),
-            Source::Page(src) if src.block() == addr.block() => buf.copy_within(from(src), at),
-            Source::Page(src) => {
-                buf[at..at + n].copy_from_slice(&die.block(src.block()).data[from(src)]);
+        if buf.len() <= at {
+            buf.resize(at, 0);
+            match source {
+                Source::Bytes(payload) => buf.extend_from_slice(&payload[..n]),
+                Source::Page(src) if src.block() == addr.block() => {
+                    buf.extend_from_within(from(src))
+                }
+                Source::Page(src) => buf.extend_from_slice(&die.block(src.block()).data[from(src)]),
             }
+            buf.resize(at + psz, 0);
+        } else {
+            match source {
+                Source::Bytes(payload) => buf[at..at + n].copy_from_slice(&payload[..n]),
+                Source::Page(src) if src.block() == addr.block() => buf.copy_within(from(src), at),
+                Source::Page(src) => {
+                    buf[at..at + n].copy_from_slice(&die.block(src.block()).data[from(src)]);
+                }
+            }
+            buf[at + n..at + psz].fill(0);
         }
-        buf[at + n..at + psz].fill(0);
         let block = die.block_mut(addr.block());
         block.data = buf;
         block.meta[page] = meta;
@@ -1487,25 +1504,31 @@ mod tests {
         let d =
             DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build();
         let b = BlockAddr::new(DieId(0), 0, 0);
-        for i in 0..d.geometry().pages_per_block {
-            d.program_page(
-                b.page(i),
-                &payload(i as u8, &d),
-                PageMetadata::new(1, i as u64),
-                SimTime::ZERO,
-            )
-            .unwrap();
+        let data = |d: &NandDevice| d.lock_device().dies[0].block(b).data.clone();
+        let psz = d.geometry().page_size as usize;
+        let whole = d.geometry().pages_per_block as usize * psz;
+        for i in 0..2 {
+            let meta = PageMetadata::new(1, u64::from(i));
+            d.program_page(b.page(i), &payload(i as u8, &d), meta, SimTime::ZERO).unwrap();
         }
+        assert_eq!(data(&d).len(), 2 * psz, "the payload ends at the write pointer");
         let idle = d.quiesce_time();
         // Cut shortly after the erase starts.
         d.arm_power_cut(idle + crate::time::Duration::from_us(1));
         assert!(d.erase_block(b, idle).unwrap_err().is_power_loss());
         d.clear_power_cut();
         let info = d.block_info(b).unwrap();
-        assert_eq!(info.state, BlockState::Full, "interrupted erase does not free the block");
+        assert_eq!(info.state, BlockState::Open, "interrupted erase does not free the block");
         assert_eq!(info.erase_count, 0, "incomplete erase is not charged to wear");
         let (_, meta, _) = d.read_page(b.page(0), d.quiesce_time()).unwrap();
         assert!(meta.is_none(), "metadata is destroyed");
+        assert_eq!(data(&d), vec![0xFF; whole], "the whole block's payload is destroyed");
+        // The next page still programs, in place among the destroyed ones.
+        let meta = PageMetadata::new(1, 2);
+        d.program_page(b.page(2), &payload(0x3C, &d), meta, d.quiesce_time()).unwrap();
+        let kept = data(&d);
+        assert_eq!(&kept[2 * psz..3 * psz], &payload(0x3C, &d)[..]);
+        assert!(kept[..2 * psz].iter().chain(&kept[3 * psz..]).all(|&byte| byte == 0xFF));
         // A full erase after "reboot" makes the block usable again.
         d.erase_block(b, d.quiesce_time()).unwrap();
         assert_eq!(d.block_info(b).unwrap().state, BlockState::Free);
@@ -1544,10 +1567,7 @@ mod tests {
         let fresh = build();
         tear_then_program(&fresh, SimTime::ZERO);
 
-        let psz = d.geometry().page_size as usize;
-        let kept = data(&d);
-        assert_eq!(&kept[..psz], &payload(0x3C, &d)[..]);
-        assert!(kept[psz..].iter().all(|&byte| byte == 0), "pages 1.. read as zeros");
+        assert_eq!(data(&d), payload(0x3C, &d), "the payload ends at the write pointer");
         d.lock_device().dies[0].block_mut(b).erase_count = 0;
         assert_eq!(d.image(), fresh.image(), "NFLIMG03 bytes");
     }

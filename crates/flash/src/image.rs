@@ -89,6 +89,7 @@ pub(crate) fn encode<'a>(
     blocks: impl Iterator<Item = &'a Block>,
 ) -> Vec<u8> {
     let count = g.total_blocks() as u32;
+    let block_len = g.pages_per_block as usize * g.page_size as usize;
     seal(MAGIC, 1024 + count as usize * 64, |out| {
         for v in [
             g.channels,
@@ -117,8 +118,10 @@ pub(crate) fn encode<'a>(
                 put_opt(out, m.as_ref(), |out, m| out.extend_from_slice(&m.encode()));
             }
             put_opt(out, (!b.data.is_empty()).then_some(&b.data), |out, data| {
-                put_u64(out, data.len() as u64);
+                let pad = block_len.saturating_sub(data.len());
+                put_u64(out, (data.len() + pad) as u64);
                 out.extend_from_slice(data);
+                out.resize(out.len() + pad, 0);
             });
         }
     })
@@ -413,8 +416,8 @@ mod tests {
             ),
             (
                 "payload length",
-                programmed(1, block_len - 1),
-                "block 0: payload of 2047 bytes, a block holds 2048",
+                programmed(1, block_len + 1),
+                "block 0: payload of 2049 bytes, a block holds 2048",
             ),
             (
                 "trailing bytes",
