@@ -9,27 +9,32 @@
 //!
 //! Two kernels give the same bits. On x86_64, when the CPU has PCLMULQDQ
 //! and SSE4.1 (detected at run time; std caches the check) and the input
-//! holds at least one 16-byte block, [`crc32_update`] folds it by
+//! holds at least two 16-byte blocks, [`crc32_update`] folds it by
 //! carry-less multiplication (Gopal et al., "Fast CRC Computation for
 //! Generic Polynomials Using PCLMULQDQ Instruction", Intel, 2009; zlib
 //! and Linux's `crc32-pclmul` use the same method): four 128-bit lanes
 //! while 64 bytes remain, one lane per 16-byte block after, a Barrett
 //! reduction to 32 bits, and the last `len % 16` bytes sliced. Everywhere
 //! else — other targets, a CPU without the instructions, an input under
-//! 16 bytes — the kernel is slicing-by-16 (Kounavis & Berry, "A
+//! 32 bytes — the kernel is slicing-by-16 (Kounavis & Berry, "A
 //! Systematic Approach to Building High Performance Software-Based CRC
 //! Generators", ISCC 2005): table `k` holds the CRC of byte `i` followed
 //! by `k` zero bytes, so one step folds 16 input bytes with 16
 //! independent lookups instead of 16 dependent ones, and the classic
 //! bytewise loop finishes the last `len % 16` bytes. That is the only
-//! selection; 16 bytes is one fold block, not a tuned threshold. The
-//! 16 KiB of tables are built at compile time, so neither kernel does any
-//! set-up or allocates.
+//! selection, and the folding kernel makes it: with one block there is
+//! nothing to fold, only the reduction to pay. The 16 KiB of tables are
+//! built at compile time, so neither kernel does any set-up or allocates.
 //!
-//! Host time per call on a 2-core Xeon VM (release build, rustc 1.95,
-//! best of 7), slicing-by-16 → folding: 16 B 10.5 → 12.7 ns, 32 B 20.1 →
-//! 15.1 ns, 64 B 39.5 → 18.2 ns, 256 B 155 → 30 ns, 4 KiB 2.49 → 0.27 µs
-//! (the bytewise loop: 13.9 µs per 4 KiB).
+//! Host time per call on a 2-core Xeon VM at PR 55 (release build, rustc
+//! 1.95, best of 7), slicing-by-16 → folding: 16 B 10.5 → 12.7 ns, 32 B
+//! 20.1 → 15.1 ns, 64 B 39.5 → 18.2 ns, 256 B 155 → 30 ns, 4 KiB 2.49 →
+//! 0.27 µs (the bytewise loop: 13.9 µs per 4 KiB). Across 16–31 B
+//! folding was 1–2 ns slower, and the log's record CRCs and per-frame
+//! extensions are that short: 1.67 M of the 1.81 M calls in a
+//! `btree_read_mostly` benchmark run (`--seconds 2`, default seed) and
+//! 1.14 M of 1.34 M in `tpcc_traditional`'s are 16–31 B long, so those
+//! stay sliced.
 //!
 //! [`crc32_combine`] and [`crc32_zeros`] give the CRC of `a ‖ b` and of
 //! `a ‖ 0ⁿ` from the parts' CRCs without touching the bytes (zlib's
@@ -134,8 +139,8 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// `crc32_update(0, data) == crc32(data)`.
 pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     match folding() {
-        Some(folded) if data.len() >= 16 => folded(crc, data),
-        _ => sliced(crc, data),
+        Some(folded) => folded(crc, data),
+        None => sliced(crc, data),
     }
 }
 
@@ -203,11 +208,12 @@ mod fold {
     }
 
     /// [`super::crc32_update`] on a CPU with PCLMULQDQ and SSE4.1: the
-    /// whole 16-byte blocks folded, the tail sliced.
+    /// whole 16-byte blocks folded, the tail sliced; an input with
+    /// fewer than two blocks, nothing to fold, sliced whole.
     #[target_feature(enable = "pclmulqdq,sse4.1")]
     pub(super) fn update(crc: u32, data: &[u8]) -> u32 {
         let (blocks, tail) = data.as_chunks::<16>();
-        let Some((first, _)) = blocks.split_first() else { return super::sliced(crc, data) };
+        let [first, _, ..] = blocks else { return super::sliced(crc, data) };
         let seed = _mm_xor_si128(load(first), _mm_cvtsi32_si128(!crc as i32));
         let k3k4 = _mm_set_epi64x(0x0_ccaa_009e, 0x1_7519_97d0);
         let (lanes, singles) = blocks.as_chunks::<4>();

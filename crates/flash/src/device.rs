@@ -612,12 +612,10 @@ impl NandDevice {
     /// the page, or all of it for an empty payload, reads as zeros) and
     /// `meta` in its OOB area: the page turns valid and the block's write
     /// pointer moves past it.  A full program passes the page size, a
-    /// torn one how far it got.  The page is appended to the block's
-    /// payload, in the buffer it kept across erases (reserved for a whole
-    /// block on its first program); a copyback's payload moves from its
-    /// source block's buffer straight into it.  A payload that already
-    /// reaches past the page (a decoded image's, a torn erase's) is
-    /// written in place.
+    /// torn one how far it got.  A payload that ends before the page
+    /// grows to take it in, in the buffer the block kept across erases
+    /// (reserved for a whole block on its first program); a copyback's
+    /// payload moves from its source block's buffer straight into it.
     fn write_page(
         &self,
         die: &mut Die,
@@ -632,33 +630,24 @@ impl NandDevice {
         // Out of its block while the page is written, so a copyback can
         // read its source block (or this one) beside it.
         let mut buf = std::mem::take(&mut die.block_mut(addr.block()).data);
-        buf.reserve_exact(pages_per_block as usize * psz - buf.len());
         let at = page * psz;
+        if buf.len() < at + psz {
+            buf.reserve_exact(pages_per_block as usize * psz - buf.len());
+            buf.resize(at + psz, 0);
+        }
         let n = match source {
             Source::Bytes(payload) => len.min(payload.len()),
             Source::Page(_) => len.min(psz),
         };
         let from = |src: PageAddr| src.page as usize * psz..src.page as usize * psz + n;
-        if buf.len() <= at {
-            buf.resize(at, 0);
-            match source {
-                Source::Bytes(payload) => buf.extend_from_slice(&payload[..n]),
-                Source::Page(src) if src.block() == addr.block() => {
-                    buf.extend_from_within(from(src))
-                }
-                Source::Page(src) => buf.extend_from_slice(&die.block(src.block()).data[from(src)]),
+        match source {
+            Source::Bytes(payload) => buf[at..at + n].copy_from_slice(&payload[..n]),
+            Source::Page(src) if src.block() == addr.block() => buf.copy_within(from(src), at),
+            Source::Page(src) => {
+                buf[at..at + n].copy_from_slice(&die.block(src.block()).data[from(src)]);
             }
-            buf.resize(at + psz, 0);
-        } else {
-            match source {
-                Source::Bytes(payload) => buf[at..at + n].copy_from_slice(&payload[..n]),
-                Source::Page(src) if src.block() == addr.block() => buf.copy_within(from(src), at),
-                Source::Page(src) => {
-                    buf[at..at + n].copy_from_slice(&die.block(src.block()).data[from(src)]);
-                }
-            }
-            buf[at + n..at + psz].fill(0);
         }
+        buf[at + n..at + psz].fill(0);
         let block = die.block_mut(addr.block());
         block.data = buf;
         block.meta[page] = meta;
