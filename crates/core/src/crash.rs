@@ -302,8 +302,10 @@ pub fn cycle<C: Contract>(contract: &C, cut_at: SimTime) -> Result<Outcome<C>, C
 }
 
 /// The power cycle: image `device` as the cut left it and boot a fresh
-/// device from the `NFLIMG03` bytes with the same timing model.  The new
-/// device has no operation in flight and no cut armed.
+/// device from the `NFLIMG04` bytes with the same timing model: each
+/// block's bad flag, write pointer, wear, invalid flags, OOB records and
+/// programmed pages come back.  The new device has no operation in flight
+/// and no cut armed.
 pub fn power_cycle(device: &NandDevice) -> Result<Arc<NandDevice>> {
     Ok(Arc::new(NandDevice::from_image(&device.image(), *device.timing())?))
 }

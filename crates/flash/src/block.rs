@@ -5,14 +5,18 @@
 //! block therefore behaves like an append-only log segment, which is what
 //! forces out-of-place updates at the layers above.
 //!
+//! A block records how far it is programmed once, in its write pointer:
+//! its [`BlockState`] follows from that and its bad mark, and each page's
+//! [`PageState`] from that and the host's invalidation mark.  Its payload
+//! is exactly the pages below the write pointer.
+//!
 //! A block's payload buffer outlives its erases.  It grows with the write
 //! pointer: each program appends its page to the buffer the block already
 //! holds instead of allocating a new one, so a device in steady state
 //! (blocks cycling through program and erase) allocates nothing for its
 //! payloads, and nothing zeroes pages that are not programmed yet.  What
 //! can be observed is unchanged: an erased block holds no payload — it
-//! reads and images exactly as a block that never had one — and an image
-//! pads a partly programmed block's payload with zeros to a whole block.
+//! reads and images exactly as a block that never had one.
 
 use crate::metadata::PageMetadata;
 
@@ -45,59 +49,74 @@ pub enum BlockState {
 /// Per-block bookkeeping kept by the simulated device.
 #[derive(Debug, Clone)]
 pub(crate) struct Block {
-    pub state: BlockState,
-    /// Index of the next page that may be programmed (sequential rule).
+    /// Factory-bad or retired due to wear; unusable.
+    pub bad: bool,
+    /// Index of the next page that may be programmed (sequential rule):
+    /// the pages below it are programmed, the rest erased.
     pub write_ptr: u32,
     /// Number of completed program/erase cycles.
     pub erase_count: u64,
-    /// Per-page states.
-    pub pages: Vec<PageState>,
+    /// Per-page invalidation marks, set only below the write pointer.
+    pub invalid: Vec<bool>,
     /// Per-page OOB metadata (None until programmed).
     pub meta: Vec<Option<PageMetadata>>,
-    /// Page payloads: empty until the first program after an erase, then
-    /// every page up to the write pointer (a whole block's worth once
-    /// decoded from an image or torn by an erase).  An erase clears it and
-    /// keeps its capacity for the next cycle.
+    /// Page payloads: every page below the write pointer.  An erase
+    /// clears it and keeps its capacity for the next cycle.
     pub data: Vec<u8>,
 }
 
 impl Block {
     pub(crate) fn new(pages_per_block: u32) -> Self {
         Block {
-            state: BlockState::Free,
+            bad: false,
             write_ptr: 0,
             erase_count: 0,
-            pages: vec![PageState::Free; pages_per_block as usize],
+            invalid: vec![false; pages_per_block as usize],
             meta: vec![None; pages_per_block as usize],
             data: Vec::new(),
+        }
+    }
+
+    /// Lifecycle state: bad, else how far the write pointer got.
+    pub(crate) fn state(&self) -> BlockState {
+        match self.write_ptr {
+            _ if self.bad => BlockState::Bad,
+            0 => BlockState::Free,
+            p if p < self.invalid.len() as u32 => BlockState::Open,
+            _ => BlockState::Full,
+        }
+    }
+
+    /// State of `page`: free at or above the write pointer, else valid
+    /// unless marked invalid.
+    pub(crate) fn page_state(&self, page: u32) -> PageState {
+        match page {
+            p if p >= self.write_ptr => PageState::Free,
+            p if self.invalid[p as usize] => PageState::Invalid,
+            _ => PageState::Valid,
         }
     }
 
     /// Reset the block to the erased state (does not touch `erase_count`;
     /// the caller increments it so failed erases can be modelled).
     pub(crate) fn reset_erased(&mut self) {
-        self.state = BlockState::Free;
         self.write_ptr = 0;
-        for p in &mut self.pages {
-            *p = PageState::Free;
-        }
-        for m in &mut self.meta {
-            *m = None;
-        }
+        self.invalid.fill(false);
+        self.meta.fill(None);
         self.data.clear();
     }
 
-    /// Turn a valid page invalid (superseded, or moved away by a
-    /// copyback); a page in any other state is left as it is.
+    /// Turn a programmed page invalid (superseded, or moved away by a
+    /// copyback); a free page is left as it is.
     pub(crate) fn invalidate(&mut self, page: u32) {
-        if self.pages[page as usize] == PageState::Valid {
-            self.pages[page as usize] = PageState::Invalid;
+        if page < self.write_ptr {
+            self.invalid[page as usize] = true;
         }
     }
 
     /// Number of still-free pages.
     pub(crate) fn free_pages(&self) -> u32 {
-        (self.pages.len() as u32).saturating_sub(self.write_ptr)
+        (self.invalid.len() as u32).saturating_sub(self.write_ptr)
     }
 }
 
@@ -122,16 +141,12 @@ pub struct BlockInfo {
 
 impl BlockInfo {
     pub(crate) fn from_block(b: &Block) -> Self {
-        let (mut valid_pages, mut invalid_pages) = (0, 0);
-        for p in &b.pages {
-            valid_pages += u32::from(*p == PageState::Valid);
-            invalid_pages += u32::from(*p == PageState::Invalid);
-        }
+        let invalid_pages = b.invalid.iter().filter(|&&invalid| invalid).count() as u32;
         BlockInfo {
-            state: b.state,
+            state: b.state(),
             write_ptr: b.write_ptr,
             erase_count: b.erase_count,
-            valid_pages,
+            valid_pages: b.write_ptr - invalid_pages,
             invalid_pages,
             free_pages: b.free_pages(),
         }
@@ -145,7 +160,7 @@ mod tests {
     #[test]
     fn new_block_is_free() {
         let b = Block::new(8);
-        assert_eq!(b.state, BlockState::Free);
+        assert_eq!(b.state(), BlockState::Free);
         assert_eq!(b.write_ptr, 0);
         let info = BlockInfo::from_block(&b);
         assert_eq!((info.valid_pages, info.invalid_pages), (0, 0));
@@ -156,18 +171,19 @@ mod tests {
     #[test]
     fn reset_clears_everything_but_wear() {
         let mut b = Block::new(4);
-        b.state = BlockState::Full;
         b.write_ptr = 4;
         b.erase_count = 3;
-        b.pages = vec![PageState::Valid, PageState::Invalid, PageState::Valid, PageState::Valid];
+        b.invalidate(1);
         b.data = Vec::with_capacity(4 * 16);
-        b.data.extend_from_slice(&[1u8; 3 * 16]);
+        b.data.extend_from_slice(&[1u8; 4 * 16]);
+        assert_eq!(b.state(), BlockState::Full);
         b.reset_erased();
-        assert_eq!(b.state, BlockState::Free);
+        assert_eq!(b.state(), BlockState::Free);
         assert_eq!(b.write_ptr, 0);
         assert_eq!(BlockInfo::from_block(&b).valid_pages, 0);
         assert_eq!(b.erase_count, 3, "erase_count is managed by the caller");
-        assert!(b.pages.iter().all(|p| *p == PageState::Free));
+        assert!((0..4).all(|p| b.page_state(p) == PageState::Free));
+        assert!(b.invalid.iter().all(|&i| !i), "no mark survives the erase");
         assert!(b.data.is_empty(), "an erased block holds no payload");
         assert_eq!(b.data.capacity(), 4 * 16, "and keeps its buffer");
     }
@@ -175,13 +191,20 @@ mod tests {
     #[test]
     fn block_info_snapshot_counts() {
         let mut b = Block::new(4);
-        b.pages = vec![PageState::Valid, PageState::Invalid, PageState::Invalid, PageState::Free];
         b.write_ptr = 3;
-        b.state = BlockState::Open;
+        b.invalidate(1);
+        b.invalidate(2);
+        b.invalidate(3);
+        let pages: Vec<PageState> = (0..4).map(|p| b.page_state(p)).collect();
+        assert_eq!(
+            pages,
+            [PageState::Valid, PageState::Invalid, PageState::Invalid, PageState::Free],
+            "a free page takes no mark"
+        );
         let info = BlockInfo::from_block(&b);
-        assert_eq!(info.valid_pages, 1);
-        assert_eq!(info.invalid_pages, 2);
-        assert_eq!(info.free_pages, 1);
+        assert_eq!((info.valid_pages, info.invalid_pages, info.free_pages), (1, 2, 1));
         assert_eq!(info.state, BlockState::Open);
+        b.bad = true;
+        assert_eq!(BlockInfo::from_block(&b).state, BlockState::Bad);
     }
 }

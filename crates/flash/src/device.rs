@@ -46,7 +46,7 @@ use crate::addr::{BlockAddr, DieId, PageAddr};
 use crate::arbiter::{ArbiterConfig, IoTag, ServiceClass, TokenBucket};
 use crate::backend::FlashBackend;
 use crate::badblock::BadBlockPolicy;
-use crate::block::{Block, BlockInfo, BlockState, PageState};
+use crate::block::{Block, BlockInfo, PageState};
 use crate::command::{CmdOutput, FlashCommand};
 use crate::die::Die;
 use crate::error::FlashError;
@@ -174,7 +174,7 @@ impl DeviceBuilder {
         // Mark factory-bad blocks.
         for index in self.bad_blocks.factory_bad_blocks(g.total_blocks()) {
             let block = g.block_at(index);
-            dies[block.die.0 as usize].block_mut(block).state = BlockState::Bad;
+            dies[block.die.0 as usize].block_mut(block).bad = true;
         }
         let registry = self.metrics.unwrap_or_else(|| Arc::new(MetricsRegistry::new()));
         let arbiter =
@@ -507,7 +507,7 @@ impl NandDevice {
                 let block = die.block_mut(addr);
                 usable(block, addr)?;
                 if block.erase_count >= self.endurance {
-                    block.state = BlockState::Bad;
+                    block.bad = true;
                     return Err(FlashError::WornOut { addr, erase_count: block.erase_count });
                 }
             }
@@ -554,12 +554,8 @@ impl NandDevice {
             // unchanged, so it must be erased again after reboot before it
             // can be programmed).  The wear counter is not charged for the
             // incomplete cycle.
-            let whole = self.geometry.pages_per_block as usize * self.geometry.page_size as usize;
             let block = die.block_mut(block);
-            if !block.data.is_empty() {
-                block.data.clear();
-                block.data.resize(whole, 0xFF);
-            }
+            block.data.fill(0xFF);
             block.meta.fill(None);
         }
     }
@@ -612,10 +608,11 @@ impl NandDevice {
     /// the page, or all of it for an empty payload, reads as zeros) and
     /// `meta` in its OOB area: the page turns valid and the block's write
     /// pointer moves past it.  A full program passes the page size, a
-    /// torn one how far it got.  A payload that ends before the page
-    /// grows to take it in, in the buffer the block kept across erases
-    /// (reserved for a whole block on its first program); a copyback's
-    /// payload moves from its source block's buffer straight into it.
+    /// torn one how far it got.  The block's payload, which ends at the
+    /// write pointer, grows by the page in the buffer the block kept
+    /// across erases (reserved for a whole block on its first program); a
+    /// copyback's payload moves from its source block's buffer straight
+    /// into it.
     fn write_page(
         &self,
         die: &mut Die,
@@ -631,10 +628,8 @@ impl NandDevice {
         // read its source block (or this one) beside it.
         let mut buf = std::mem::take(&mut die.block_mut(addr.block()).data);
         let at = page * psz;
-        if buf.len() < at + psz {
-            buf.reserve_exact(pages_per_block as usize * psz - buf.len());
-            buf.resize(at + psz, 0);
-        }
+        buf.reserve_exact(pages_per_block as usize * psz - at);
+        buf.resize(at + psz, 0);
         let n = match source {
             Source::Bytes(payload) => len.min(payload.len()),
             Source::Page(_) => len.min(psz),
@@ -647,14 +642,10 @@ impl NandDevice {
                 buf[at..at + n].copy_from_slice(&die.block(src.block()).data[from(src)]);
             }
         }
-        buf[at + n..at + psz].fill(0);
         let block = die.block_mut(addr.block());
         block.data = buf;
         block.meta[page] = meta;
-        block.pages[page] = PageState::Valid;
         block.write_ptr = addr.page + 1;
-        block.state =
-            if block.write_ptr == pages_per_block { BlockState::Full } else { BlockState::Open };
     }
 
     fn die_stats_from(die: &Die) -> DieStats {
@@ -705,11 +696,11 @@ impl NandDevice {
         self.lock_device().power_cut = None;
     }
 
-    /// The device's `NFLIMG03` image ([`crate::image`]): the NAND array's
-    /// state — every block's pages, payloads, OOB records and wear, the
-    /// bad blocks and the write epoch — encoded under the device lock, so
-    /// it is a consistent point-in-time image.  Boot it with
-    /// [`NandDevice::from_image`].
+    /// The device's `NFLIMG04` image ([`crate::image`]): the NAND array's
+    /// state — every block's bad flag, write pointer, erase count, invalid
+    /// flags, OOB records and programmed pages' payload, and the write
+    /// epoch — encoded under the device lock, so it is a consistent
+    /// point-in-time image.  Boot it with [`NandDevice::from_image`].
     pub fn image(&self) -> Vec<u8> {
         let state = self.lock_device();
         image::encode(&self.geometry, state.epoch, self.endurance, state.blocks())
@@ -724,7 +715,8 @@ impl NandDevice {
     /// it records into a fresh registry.  The caller supplies the timing
     /// model, which is a property of the simulation rather than of the
     /// persisted state.  A truncated, corrupted or inconsistent image is
-    /// a [`FlashError::Image`].
+    /// a [`FlashError::Image`]; an image that boots holds nothing above a
+    /// block's write pointer.
     pub fn from_image(bytes: &[u8], timing: TimingModel) -> Result<NandDevice> {
         let (geometry, epoch, endurance, dies) = image::decode(bytes)?;
         Ok(NandDevice {
@@ -788,7 +780,7 @@ impl FlashBackend for NandDevice {
         self.check_page(addr)?;
         let mut state = self.lock_device();
         let block = state.dies[addr.die.0 as usize].block_mut(addr.block());
-        if block.pages[addr.page as usize] == PageState::Free {
+        if addr.page >= block.write_ptr {
             return Err(FlashError::UnwrittenPage { addr });
         }
         block.invalidate(addr.page);
@@ -798,7 +790,7 @@ impl FlashBackend for NandDevice {
     fn retire_block(&self, addr: BlockAddr) -> Result<()> {
         self.check_block(addr)?;
         let mut state = self.lock_device();
-        state.dies[addr.die.0 as usize].block_mut(addr).state = BlockState::Bad;
+        state.dies[addr.die.0 as usize].block_mut(addr).bad = true;
         Ok(())
     }
 
@@ -811,7 +803,7 @@ impl FlashBackend for NandDevice {
     fn page_state(&self, addr: PageAddr) -> Result<PageState> {
         self.check_page(addr)?;
         let state = self.lock_device();
-        Ok(state.dies[addr.die.0 as usize].block(addr.block()).pages[addr.page as usize])
+        Ok(state.dies[addr.die.0 as usize].block(addr.block()).page_state(addr.page))
     }
 
     fn stats(&self) -> DeviceStats {
@@ -824,7 +816,7 @@ impl FlashBackend for NandDevice {
 
     fn wear_summary(&self) -> WearSummary {
         let state = self.lock_device();
-        let bad = state.blocks().filter(|b| b.state == BlockState::Bad).count() as u64;
+        let bad = state.blocks().filter(|b| b.bad).count() as u64;
         WearSummary::from_counts(state.blocks().map(|b| b.erase_count), bad)
     }
 
@@ -885,7 +877,7 @@ impl FlashBackend for NandDevice {
 
 /// A block that is not retired (factory-bad, worn out or failed).
 fn usable(block: &Block, addr: BlockAddr) -> Result<()> {
-    if block.state == BlockState::Bad {
+    if block.bad {
         return Err(FlashError::BadBlock { addr });
     }
     Ok(())
@@ -895,7 +887,7 @@ fn usable(block: &Block, addr: BlockAddr) -> Result<()> {
 /// programmed since its last erase.
 fn readable(block: &Block, addr: PageAddr) -> Result<()> {
     usable(block, addr.block())?;
-    if block.pages[addr.page as usize] == PageState::Free {
+    if addr.page >= block.write_ptr {
         return Err(FlashError::UnwrittenPage { addr });
     }
     Ok(())
@@ -905,7 +897,7 @@ fn readable(block: &Block, addr: PageAddr) -> Result<()> {
 /// next sequential page is `addr`, still erased.
 fn programmable(block: &Block, addr: PageAddr) -> Result<()> {
     usable(block, addr.block())?;
-    if block.pages[addr.page as usize] != PageState::Free {
+    if addr.page < block.write_ptr {
         return Err(FlashError::PageNotErased { addr });
     }
     if addr.page != block.write_ptr {
@@ -917,6 +909,7 @@ fn programmable(block: &Block, addr: PageAddr) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockState;
 
     fn dev() -> NandDevice {
         DeviceBuilder::new(FlashGeometry::small_test()).build()
@@ -1495,7 +1488,6 @@ mod tests {
         let b = BlockAddr::new(DieId(0), 0, 0);
         let data = |d: &NandDevice| d.lock_device().dies[0].block(b).data.clone();
         let psz = d.geometry().page_size as usize;
-        let whole = d.geometry().pages_per_block as usize * psz;
         for i in 0..2 {
             let meta = PageMetadata::new(1, u64::from(i));
             d.program_page(b.page(i), &payload(i as u8, &d), meta, SimTime::ZERO).unwrap();
@@ -1511,13 +1503,14 @@ mod tests {
         assert_eq!(info.erase_count, 0, "incomplete erase is not charged to wear");
         let (_, meta, _) = d.read_page(b.page(0), d.quiesce_time()).unwrap();
         assert!(meta.is_none(), "metadata is destroyed");
-        assert_eq!(data(&d), vec![0xFF; whole], "the whole block's payload is destroyed");
-        // The next page still programs, in place among the destroyed ones.
+        assert_eq!(data(&d), vec![0xFF; 2 * psz], "the programmed pages' payload is destroyed");
+        // The next page still programs, after the destroyed ones.
         let meta = PageMetadata::new(1, 2);
         d.program_page(b.page(2), &payload(0x3C, &d), meta, d.quiesce_time()).unwrap();
         let kept = data(&d);
-        assert_eq!(&kept[2 * psz..3 * psz], &payload(0x3C, &d)[..]);
-        assert!(kept[..2 * psz].iter().chain(&kept[3 * psz..]).all(|&byte| byte == 0xFF));
+        assert_eq!(kept.len(), 3 * psz, "the payload ends at the write pointer");
+        assert_eq!(&kept[2 * psz..], &payload(0x3C, &d)[..]);
+        assert!(kept[..2 * psz].iter().all(|&byte| byte == 0xFF));
         // A full erase after "reboot" makes the block usable again.
         d.erase_block(b, d.quiesce_time()).unwrap();
         assert_eq!(d.block_info(b).unwrap().state, BlockState::Free);
@@ -1558,7 +1551,7 @@ mod tests {
 
         assert_eq!(data(&d), payload(0x3C, &d), "the payload ends at the write pointer");
         d.lock_device().dies[0].block_mut(b).erase_count = 0;
-        assert_eq!(d.image(), fresh.image(), "NFLIMG03 bytes");
+        assert_eq!(d.image(), fresh.image(), "NFLIMG04 bytes");
     }
 
     /// The device lock is not re-entrant: a device method called with

@@ -7,7 +7,7 @@
 //! independent block arrays.
 
 use crate::addr::BlockAddr;
-use crate::block::{Block, BlockState};
+use crate::block::Block;
 use crate::sched::Timeline;
 use crate::time::Duration;
 
@@ -63,7 +63,7 @@ impl Die {
     /// alike.
     pub(crate) fn touched(&self) -> bool {
         let mut blocks = self.planes.iter().flat_map(|p| &p.blocks);
-        blocks.any(|b| b.write_ptr > 0 || b.erase_count > 0 || b.state != BlockState::Free)
+        blocks.any(|b| b.write_ptr > 0 || b.erase_count > 0 || b.bad)
     }
 
     /// The block at `addr` (bounds-checked against the geometry by the
@@ -86,6 +86,6 @@ mod tests {
     fn plane_holds_blocks() {
         let p = Plane::new(16, 8);
         assert_eq!(p.blocks.len(), 16);
-        assert_eq!(p.blocks[0].pages.len(), 8);
+        assert_eq!(p.blocks[0].free_pages(), 8);
     }
 }

@@ -1,17 +1,20 @@
 //! Device images: the one persisted form of a device.
 //!
 //! [`crate::NandDevice::image`] encodes the live device into an
-//! `NFLIMG03` image, and [`crate::NandDevice::from_image`] boots a new
+//! `NFLIMG04` image, and [`crate::NandDevice::from_image`] boots a new
 //! device from one.  This is the simulator's equivalent of persisting the
 //! NAND array across a power cycle: the crash harness images the
 //! (possibly torn) device at the cut instant, boots a fresh device from
 //! the bytes, and hands it to `NoFtl::mount` for recovery.  An image file
 //! is these bytes, written and read with `std::fs`.
 //!
-//! An `NFLIMG03` image holds the NAND array's state and nothing else: the
-//! geometry, the write epoch, the endurance budget and every block's
-//! state, write pointer, erase count, page states, OOB records and
-//! payload.  It holds no run counters (operation statistics, per-die
+//! An `NFLIMG04` image holds the NAND array's state and nothing else,
+//! each fact once: the geometry, the write epoch, the endurance budget
+//! and, per block, its bad flag, its write pointer, its erase count, one
+//! invalid flag per programmed page, each page's optional OOB record and
+//! exactly the payload of its programmed pages.  A block's state and its
+//! pages' states follow from the write pointer, so they are not stored.
+//! The image holds no run counters (operation statistics, per-die
 //! utilisation, queue depths) and no derived value (a block's valid-page
 //! count, the wear summary): a booted device counts from zero and
 //! derives the rest from the blocks.
@@ -20,9 +23,11 @@
 //! CRC-32 over the entire payload.  Decoding is one pass straight into
 //! the device's blocks and dies, and each check is made once: a
 //! truncated, corrupted or inconsistent image is rejected with an error
-//! naming what is wrong, never half-booted.
+//! naming what is wrong, never half-booted.  No image it accepts holds
+//! an invalid mark, OOB record or payload byte above a write pointer,
+//! where a live block never holds one.
 
-use crate::block::{Block, BlockState, PageState};
+use crate::block::Block;
 use crate::codec::{open, put_opt, put_u32, put_u64, put_u8, seal, Reader};
 use crate::die::{Die, Plane};
 use crate::error::FlashError;
@@ -30,9 +35,13 @@ use crate::geometry::FlashGeometry;
 use crate::metadata::PageMetadata;
 use crate::Result;
 
-// Format version 03: version 02 without the store-data flag, the device
-// and per-die statistics and each block's valid-page count.
-const MAGIC: &[u8; 8] = b"NFLIMG03";
+// Format version 04: version 03 without each block's state tag, its page
+// count and page state tags (one invalid flag per programmed page instead)
+// and its payload's presence byte, length and padding.
+const MAGIC: &[u8; 8] = b"NFLIMG04";
+
+/// A block record's fixed head: bad flag, write pointer, erase count.
+const BLOCK_HEAD: u64 = 1 + 4 + 8;
 
 fn err(message: impl Into<String>) -> FlashError {
     FlashError::Image { message: message.into() }
@@ -43,40 +52,13 @@ fn next<T>(value: Option<T>) -> Result<T> {
     value.ok_or_else(|| err("image ends early"))
 }
 
-fn block_state_tag(s: BlockState) -> u8 {
-    match s {
-        BlockState::Free => 0,
-        BlockState::Open => 1,
-        BlockState::Full => 2,
-        BlockState::Bad => 3,
+/// A flag byte: 0 or 1.
+fn flag(byte: u8) -> Option<bool> {
+    match byte {
+        0 => Some(false),
+        1 => Some(true),
+        _ => None,
     }
-}
-
-fn block_state_from(tag: u8) -> Option<BlockState> {
-    Some(match tag {
-        0 => BlockState::Free,
-        1 => BlockState::Open,
-        2 => BlockState::Full,
-        3 => BlockState::Bad,
-        _ => return None,
-    })
-}
-
-fn page_state_tag(s: PageState) -> u8 {
-    match s {
-        PageState::Free => 0,
-        PageState::Valid => 1,
-        PageState::Invalid => 2,
-    }
-}
-
-fn page_state_from(tag: u8) -> Option<PageState> {
-    Some(match tag {
-        0 => PageState::Free,
-        1 => PageState::Valid,
-        2 => PageState::Invalid,
-        _ => return None,
-    })
 }
 
 /// The image of a device of geometry `g` with write epoch `epoch` and
@@ -89,7 +71,6 @@ pub(crate) fn encode<'a>(
     blocks: impl Iterator<Item = &'a Block>,
 ) -> Vec<u8> {
     let count = g.total_blocks() as u32;
-    let block_len = g.pages_per_block as usize * g.page_size as usize;
     seal(MAGIC, 1024 + count as usize * 64, |out| {
         for v in [
             g.channels,
@@ -107,22 +88,16 @@ pub(crate) fn encode<'a>(
         put_u64(out, endurance);
         put_u32(out, count);
         for b in blocks {
-            put_u8(out, block_state_tag(b.state));
+            put_u8(out, u8::from(b.bad));
             put_u32(out, b.write_ptr);
             put_u64(out, b.erase_count);
-            put_u32(out, b.pages.len() as u32);
-            for p in &b.pages {
-                put_u8(out, page_state_tag(*p));
+            for &invalid in b.invalid.iter().take(b.write_ptr as usize) {
+                put_u8(out, u8::from(invalid));
             }
             for m in &b.meta {
                 put_opt(out, m.as_ref(), |out, m| out.extend_from_slice(&m.encode()));
             }
-            put_opt(out, (!b.data.is_empty()).then_some(&b.data), |out, data| {
-                let pad = block_len.saturating_sub(data.len());
-                put_u64(out, (data.len() + pad) as u64);
-                out.extend_from_slice(data);
-                out.resize(out.len() + pad, 0);
-            });
+            out.extend_from_slice(&b.data);
         }
     })
 }
@@ -131,7 +106,7 @@ pub(crate) fn encode<'a>(
 /// (idle, their blocks as imaged).
 pub(crate) fn decode(bytes: &[u8]) -> Result<(FlashGeometry, u64, u64, Vec<Die>)> {
     let mut r = open(bytes, MAGIC)
-        .ok_or_else(|| err("not an intact NFLIMG03 image (truncated or corrupted file)"))?;
+        .ok_or_else(|| err("not an intact NFLIMG04 image (truncated or corrupted file)"))?;
     let mut field = || next(r.u32());
     let g = FlashGeometry {
         channels: field()?,
@@ -149,8 +124,14 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(FlashGeometry, u64, u64, Vec<Die>)
     if u64::from(count) != blocks {
         return Err(err(format!("image holds {count} blocks, geometry needs {blocks}")));
     }
-    // Every vector grows as its blocks decode, so a crafted geometry
-    // costs no more memory than the image's own bytes.
+    // Each block record holds at least its head and one OOB presence byte
+    // per page, so a geometry the bytes cannot hold ends here, before any
+    // block is allocated: a crafted geometry costs no more memory than
+    // the image's own bytes.
+    let least = u128::from(count) * u128::from(BLOCK_HEAD + u64::from(g.pages_per_block));
+    if least > r.rest().len() as u128 {
+        return Err(err(format!("image ends early: {count} blocks need {least} bytes")));
+    }
     let (mut dies, mut index) = (Vec::new(), 0);
     for _ in 0..g.total_dies() {
         let mut planes = Vec::new();
@@ -172,42 +153,32 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(FlashGeometry, u64, u64, Vec<Die>)
 
 /// Decode block `index` of an image of geometry `g`.
 fn decode_block(r: &mut Reader<'_>, g: &FlashGeometry, index: u64) -> Result<Block> {
-    let bad = |what: String| err(format!("block {index}: {what}"));
-    let state = next(r.u8())?;
-    let state = block_state_from(state).ok_or_else(|| bad(format!("state tag {state}")))?;
-    let (write_ptr, erase_count, count) = (next(r.u32())?, next(r.u64())?, next(r.u32())?);
-    let ppb = g.pages_per_block;
-    if count != ppb {
-        return Err(bad(format!("{count} pages, geometry needs {ppb}")));
+    let fail = |what: String| err(format!("block {index}: {what}"));
+    let mut block = Block::new(g.pages_per_block);
+    let bad = next(r.u8())?;
+    block.bad = flag(bad).ok_or_else(|| fail(format!("bad flag {bad}")))?;
+    let (write_ptr, erase_count) = (next(r.u32())?, next(r.u64())?);
+    if write_ptr > g.pages_per_block {
+        let ppb = g.pages_per_block;
+        return Err(fail(format!("write pointer {write_ptr} past the block's {ppb} pages")));
     }
-    let pages: Vec<PageState> = (0..ppb)
-        .map(|p| {
-            let tag = next(r.u8())?;
-            page_state_from(tag).ok_or_else(|| bad(format!("page {p}: state tag {tag}")))
-        })
-        .collect::<Result<_>>()?;
-    let meta = (0..ppb)
-        .map(|p| {
-            r.opt(|r| PageMetadata::decode(r.take(PageMetadata::ENCODED_LEN)?))
-                .ok_or_else(|| bad(format!("page {p}: OOB record does not decode")))
-        })
-        .collect::<Result<_>>()?;
-    // A block holds a whole block's payload exactly when it holds
-    // programmed pages.
-    let len = next(r.opt(Reader::u64))?;
-    if len.is_some() != (write_ptr > 0) {
-        let payload = if len.is_some() { "present" } else { "absent" };
-        return Err(bad(format!("write pointer {write_ptr}, payload {payload}")));
+    for (p, invalid) in block.invalid.iter_mut().take(write_ptr as usize).enumerate() {
+        let byte = next(r.u8())?;
+        *invalid = flag(byte).ok_or_else(|| fail(format!("page {p}: invalid flag {byte}")))?;
     }
-    let block_len = u64::from(ppb) * u64::from(g.page_size);
-    let data = match len {
-        Some(len) if len != block_len => {
-            return Err(bad(format!("payload of {len} bytes, a block holds {block_len}")))
+    for (p, meta) in block.meta.iter_mut().enumerate() {
+        *meta = r
+            .opt(|r| PageMetadata::decode(r.take(PageMetadata::ENCODED_LEN)?))
+            .ok_or_else(|| fail(format!("page {p}: OOB record does not decode")))?;
+        if meta.is_some() && p >= write_ptr as usize {
+            return Err(fail(format!("page {p}: OOB record above write pointer {write_ptr}")));
         }
-        Some(len) => next(r.take(len as usize))?.to_vec(),
-        None => Vec::new(),
-    };
-    Ok(Block { state, write_ptr, erase_count, pages, meta, data })
+    }
+    let len = usize::try_from(u64::from(write_ptr) * u64::from(g.page_size)).ok();
+    block.data = next(len.and_then(|len| r.take(len)))?.to_vec();
+    block.write_ptr = write_ptr;
+    block.erase_count = erase_count;
+    Ok(block)
 }
 
 #[cfg(test)]
@@ -217,6 +188,7 @@ mod tests {
     use super::*;
     use crate::addr::{BlockAddr, DieId};
     use crate::backend::FlashBackend;
+    use crate::block::BlockState;
     use crate::device::{DeviceBuilder, NandDevice};
     use crate::time::{Duration, SimTime};
     use crate::timing::TimingModel;
@@ -293,9 +265,29 @@ mod tests {
         encode(g, 7, 100, blocks.iter())
     }
 
-    /// Where in the body the first block starts, and its page tags.
+    /// Where in the body the first block starts.
     const FIRST_BLOCK: usize = 8 * 4 + 8 + 8 + 4;
-    const FIRST_PAGE_TAG: usize = FIRST_BLOCK + 1 + 4 + 8 + 4;
+
+    /// What a block of `d` that breaks the `BlockInfo` identity or whose
+    /// state disagrees with its write pointer does wrong, one line each.
+    fn broken_blocks(d: &NandDevice) -> Vec<String> {
+        let g = *d.geometry();
+        let ppb = g.pages_per_block;
+        (0..g.total_blocks())
+            .filter_map(|i| {
+                let info = d.block_info(g.block_at(i)).unwrap();
+                let pages = info.valid_pages + info.invalid_pages + info.free_pages;
+                let state = match info.write_ptr {
+                    _ if info.state == BlockState::Bad => BlockState::Bad,
+                    0 => BlockState::Free,
+                    p if p < ppb => BlockState::Open,
+                    _ => BlockState::Full,
+                };
+                (pages != ppb || info.state != state || info.write_ptr > ppb)
+                    .then(|| format!("block {i}: {info:?}"))
+            })
+            .collect()
+    }
 
     #[test]
     fn encode_decode_roundtrip() {
@@ -359,23 +351,28 @@ mod tests {
     #[test]
     fn each_malformed_image_fails_its_own_check() {
         let g = geometry();
-        let (ppb, block_len) = (g.pages_per_block, (g.pages_per_block * g.page_size) as usize);
-        let free = vec![Block::new(ppb); g.total_blocks() as usize];
+        let free = vec![Block::new(g.pages_per_block); g.total_blocks() as usize];
         let valid = image_of(&g, &free);
         assert!(boot(&valid).is_ok());
-        // Block 0 with one programmed page and a payload of `len` bytes.
-        let programmed = |write_ptr, len| {
+        // Block 0 with one programmed page, its OOB record on `meta_page`.
+        let programmed = |meta_page: usize| {
             let mut blocks = free.clone();
-            blocks[0].write_ptr = write_ptr;
-            blocks[0].data = vec![0; len];
+            blocks[0].write_ptr = 1;
+            blocks[0].meta[meta_page] = Some(PageMetadata::new(1, 0));
+            blocks[0].data = vec![0; g.page_size as usize];
             image_of(&g, &blocks)
         };
+        assert!(boot(&programmed(0)).is_ok());
         let mut flipped = valid.clone();
         flipped[MAGIC.len() + FIRST_BLOCK] ^= 0x01;
         let no_channels = FlashGeometry { channels: 0, ..g };
+        // A million pages a block: the image's 16 blocks would need 16 MiB
+        // of OOB presence bytes alone.
+        let huge = FlashGeometry { pages_per_block: 1 << 20, ..g };
+        let last_page = valid.len() - MAGIC.len() - 4 - 1;
         let cases: Vec<(&str, Vec<u8>, &str)> = vec![
-            ("truncated", valid[..valid.len() - 1].to_vec(), "not an intact NFLIMG03 image"),
-            ("flipped byte", flipped, "not an intact NFLIMG03 image"),
+            ("truncated", valid[..valid.len() - 1].to_vec(), "not an intact NFLIMG04 image"),
+            ("flipped byte", flipped, "not an intact NFLIMG04 image"),
             ("body ends early", resealed(&valid, |b| b.truncate(FIRST_BLOCK - 2)), "ends early"),
             ("bad geometry", image_of(&no_channels, &[]), "bad geometry"),
             (
@@ -388,36 +385,32 @@ mod tests {
                 resealed(&valid, |b| b[FIRST_BLOCK - 4] += 1),
                 "image holds 17 blocks, geometry needs 16",
             ),
-            ("block state tag", resealed(&valid, |b| b[FIRST_BLOCK] = 9), "block 0: state tag 9"),
             (
-                "page count",
-                resealed(&valid, |b| b[FIRST_PAGE_TAG - 4] += 1),
-                "block 0: 5 pages, geometry needs 4",
+                "geometry the bytes cannot hold",
+                image_of(&huge, &free),
+                "image ends early: 16 blocks need 16777424 bytes",
+            ),
+            ("bad flag", resealed(&valid, |b| b[FIRST_BLOCK] = 2), "block 0: bad flag 2"),
+            (
+                "write pointer past the block",
+                resealed(&valid, |b| b[FIRST_BLOCK + 1] = 5),
+                "block 0: write pointer 5 past the block's 4 pages",
             ),
             (
-                "page state tag",
-                resealed(&valid, |b| b[FIRST_PAGE_TAG + 2] = 3),
-                "block 0: page 2: state tag 3",
+                "invalid flag",
+                resealed(&programmed(0), |b| b[FIRST_BLOCK + 13] = 2),
+                "block 0: page 0: invalid flag 2",
+            ),
+            (
+                "OOB record above the write pointer",
+                programmed(1),
+                "block 0: page 1: OOB record above write pointer 1",
             ),
             (
                 "OOB record",
-                resealed(&valid, |b| {
-                    // Page 0's record present, its 24 bytes cut to 4.
-                    b.truncate(FIRST_PAGE_TAG + ppb as usize);
-                    b.extend_from_slice(&[1, 0, 0, 0, 0]);
-                }),
-                "block 0: page 0: OOB record does not decode",
-            ),
-            ("payload missing", programmed(1, 0), "block 0: write pointer 1, payload absent"),
-            (
-                "payload on a free block",
-                programmed(0, block_len),
-                "write pointer 0, payload present",
-            ),
-            (
-                "payload length",
-                programmed(1, block_len + 1),
-                "block 0: payload of 2049 bytes, a block holds 2048",
+                // The last page's record present, none of its 24 bytes there.
+                resealed(&valid, |b| b[last_page] = 1),
+                "block 15: page 3: OOB record does not decode",
             ),
             (
                 "trailing bytes",
@@ -437,16 +430,22 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
         /// Booting an image and imaging the booted device gives back the
-        /// same bytes, whatever history wrote them.
+        /// same bytes, whatever history wrote them; every block of both
+        /// devices holds `pages_per_block` pages between its valid,
+        /// invalid and free ones, and its state agrees with its write
+        /// pointer.
         #[test]
         fn an_image_boots_a_device_that_images_to_the_same_bytes(
             ops in prop::collection::vec((0u8..5, 0u32..2, 0u32..4), 0..48)
         ) {
-            let image = populated(&ops).image();
+            let d = populated(&ops);
+            let broken = broken_blocks(&d);
+            prop_assert!(broken.is_empty(), "populated: {broken:#?}");
+            let image = d.image();
             let booted = boot(&image).unwrap();
+            let broken = broken_blocks(&booted);
+            prop_assert!(broken.is_empty(), "booted: {broken:#?}");
             prop_assert!(booted.image() == image);
         }
     }

@@ -73,13 +73,14 @@
 //! blob.  The fixed 24-byte OOB record ([`PageMetadata`]) is not streamed
 //! and keeps its own fixed-offset encoding.
 //!
-//! The device image (`NFLIMG03`: [`NandDevice::image`] writes it,
+//! The device image (`NFLIMG04`: [`NandDevice::image`] writes it,
 //! [`NandDevice::from_image`] boots it) is the one persisted form of a
-//! device: the NAND array's state — geometry, write epoch, endurance and
-//! every block's pages, OOB records, payloads and wear — and nothing
-//! else.  It holds no run counters — a device booted from it counts from
-//! zero and keeps its wear — and no derived values such as a block's
-//! valid-page count.
+//! device: the NAND array's state — geometry, write epoch, endurance and,
+//! per block, its bad flag, write pointer, erase count, one invalid flag
+//! per programmed page, OOB records and the programmed pages' payload —
+//! and nothing else.  It holds no run counters — a device booted from it
+//! counts from zero and keeps its wear — and no derived values such as a
+//! block's state, its pages' states or its valid-page count.
 //!
 //! ## What this substitutes for
 //!

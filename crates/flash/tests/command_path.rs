@@ -10,7 +10,7 @@
 //!
 //! * **state** — everything that is not an instant: each result's
 //!   `Ok` / `Err` variant with payload and metadata, the operation /
-//!   byte / error counts of `DeviceStats`, and the device's `NFLIMG03`
+//!   byte / error counts of `DeviceStats`, and the device's `NFLIMG04`
 //!   image (every block, the epoch);
 //! * **timing** — everything that is: each outcome's start and
 //!   completion, the latency sums and queue depths of `DeviceStats`, the
@@ -37,7 +37,13 @@
 //! block fields were replaced by the bytes of the image that tree wrote,
 //! `GOLDEN_STATE` and `GOLDEN_CUTS` (which folds the cut runs' state)
 //! were re-recorded there, and both hold on the change; the two
-//! `GOLDEN_*_TIMING` constants did not move.
+//! `GOLDEN_*_TIMING` constants did not move.  The image's bump to
+//! `NFLIMG04` (no block or page state tags, no payload length or
+//! padding) moved `GOLDEN_STATE` and `GOLDEN_CUTS` again, by the same
+//! proof: on the parent tree a digest of every imaged device's
+//! `block_info`, page states and readable pages' bytes and OOB equalled
+//! the change's, and the parent's devices encoded in the `NFLIMG04`
+//! layout gave the values below; the timing goldens did not move.
 //!
 //! Every golden must hold through the `FlashBackend` verbs (adapters),
 //! through `FlashBackend::execute` on the device, and through a backend that forwards
@@ -59,8 +65,9 @@ use noftl_obs::MetricsRegistry;
 /// moves instants, never state.  Re-recorded with the image term on the
 /// parent tree of the image's becoming the device's one persisted form
 /// (folding the block fields: 14_091_992_286_656_848_606, recorded on
-/// PR 18's parent tree).
-const GOLDEN_STATE: u64 = 4_039_417_071_969_857_716;
+/// PR 18's parent tree), and again for `NFLIMG04` (folding the
+/// `NFLIMG03` image: 4_039_417_071_969_857_716).
+const GOLDEN_STATE: u64 = 13_164_441_415_182_249_024;
 /// Re-recorded with the tracer term on the parent tree of the trace's
 /// deletion (folding the deleted trace: 15_872_030_341_653_916_134).
 const GOLDEN_PLAIN_TIMING: u64 = 2_623_791_418_031_635_320;
@@ -68,9 +75,10 @@ const GOLDEN_PLAIN_TIMING: u64 = 2_623_791_418_031_635_320;
 /// 6_140_367_934_666_672_634).
 const GOLDEN_ARBITER_TIMING: u64 = 2_019_465_470_576_111_629;
 /// Re-recorded with the image term like `GOLDEN_STATE`, whose cut runs
-/// it folds (folding the block fields: 2_680_319_460_121_286_272; before
-/// that, folding the deleted trace: 10_789_030_694_904_977_424).
-const GOLDEN_CUTS: u64 = 13_071_127_773_244_043_789;
+/// it folds (folding the `NFLIMG03` image: 13_071_127_773_244_043_789;
+/// before that the block fields: 2_680_319_460_121_286_272; before that,
+/// the deleted trace: 10_789_030_694_904_977_424).
+const GOLDEN_CUTS: u64 = 8_790_835_514_097_242_911;
 
 const STREAM_SEED: u64 = 0x5EED_C0DE_2016;
 const STREAM_LEN: usize = 2_400;

@@ -83,7 +83,7 @@ fn fifty_random_power_cuts_recover_committed_data_only() {
 #[test]
 fn device_image_file_roundtrip_reboots_the_full_stack() {
     // One cycle through the device's image: every power cycle boots from
-    // the `NFLIMG03` bytes of the cut device (the "pull the SSD, image it,
+    // the `NFLIMG04` bytes of the cut device (the "pull the SSD, image it,
     // boot the image" path).
     let cfg = CrashHarnessConfig { txns: 60, ..CrashHarnessConfig::default() };
     let outcome = run_crash_cycle(&cfg, 0.42).expect("reboot cycle through the image");

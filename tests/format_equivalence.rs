@@ -4,9 +4,10 @@
 //! page payloads onto one device: WAL pages in both log modes (the
 //! durable redo log and the volatile one TPC-C runs with), catalog
 //! snapshots, NoFTL checkpoint chunks, and a KV store's data and tail
-//! pages across a flush and a compaction.  The `NFLIMG03` device image —
-//! page states, payloads, OOB records, wear and the epoch, as
-//! `placement_equivalence.rs` digests it — must hash to the golden below,
+//! pages across a flush and a compaction.  The `NFLIMG04` device image —
+//! bad flags, write pointers, invalid flags, payloads, OOB records, wear
+//! and the epoch, as `placement_equivalence.rs` digests it — must hash to
+//! the golden below,
 //! and a sample `MirrorBlob` must encode to the golden bytes beside it.
 //!
 //! The goldens were recorded on the parent of the change that moved every
@@ -37,7 +38,13 @@
 //! six `acct_pk` node pages, and two durable-log pages whose page-image
 //! records carry `acct_pk` nodes.  Every other page, every block's
 //! state, write pointer, erase count and valid / invalid counts, and the
-//! epoch (55) were equal.
+//! epoch (55) were equal.  It moved last from `(0x6E92_437C, 55)` with
+//! the image's bump to `NFLIMG04`, which stores no block or page state
+//! tags (they follow from the write pointer) and no payload length or
+//! padding: on the parent of that change, a digest of every block's
+//! `block_info`, every page state and the bytes and OOB of every
+//! readable page was equal to the change's, and the parent's device
+//! encoded by an `NFLIMG04` encoder gave the golden below.
 //! Regenerate with `NOFTL_PRINT_GOLDEN=1 cargo test --test
 //! format_equivalence -- --nocapture` only beside a format version bump.
 
@@ -52,7 +59,7 @@ use noftl_regions::noftl::kv::{KvConfig, KvStore};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementConfig, RegionSpec};
 
 /// CRC of the scripted device image, and its epoch.
-const GOLDEN_IMAGE: (u32, u64) = (0x6E92_437C, 55);
+const GOLDEN_IMAGE: (u32, u64) = (0xE954_4F0B, 55);
 /// Length and CRC trailer of the sample mirror blob.
 const GOLDEN_MIRROR: (usize, u32) = (135, 0xBF83_E692);
 
