@@ -24,8 +24,8 @@
 //! the device's blocks and dies, and each check is made once: a
 //! truncated, corrupted or inconsistent image is rejected with an error
 //! naming what is wrong, never half-booted.  No image it accepts holds
-//! an invalid mark, OOB record or payload byte above a write pointer,
-//! where a live block never holds one.
+//! an invalid mark, OOB record or payload byte above a write pointer, or
+//! an erase count above the endurance budget: a live block holds none.
 
 use crate::block::Block;
 use crate::codec::{open, put_opt, put_u32, put_u64, put_u8, seal, Reader};
@@ -138,7 +138,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(FlashGeometry, u64, u64, Vec<Die>)
         for _ in 0..g.planes_per_die {
             let mut blocks = Vec::new();
             for _ in 0..g.blocks_per_plane {
-                blocks.push(decode_block(&mut r, &g, index)?);
+                blocks.push(decode_block(&mut r, &g, endurance, index)?);
                 index += 1;
             }
             planes.push(Plane { blocks });
@@ -151,8 +151,9 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(FlashGeometry, u64, u64, Vec<Die>)
     }
 }
 
-/// Decode block `index` of an image of geometry `g`.
-fn decode_block(r: &mut Reader<'_>, g: &FlashGeometry, index: u64) -> Result<Block> {
+/// Decode block `index` of an image of geometry `g` and endurance budget
+/// `budget`.
+fn decode_block(r: &mut Reader<'_>, g: &FlashGeometry, budget: u64, index: u64) -> Result<Block> {
     let fail = |what: String| err(format!("block {index}: {what}"));
     let mut block = Block::new(g.pages_per_block);
     let bad = next(r.u8())?;
@@ -161,6 +162,11 @@ fn decode_block(r: &mut Reader<'_>, g: &FlashGeometry, index: u64) -> Result<Blo
     if write_ptr > g.pages_per_block {
         let ppb = g.pages_per_block;
         return Err(fail(format!("write pointer {write_ptr} past the block's {ppb} pages")));
+    }
+    // An erase at the budget fails and retires its block, so a live
+    // device never counts more erases than the budget.
+    if erase_count > budget {
+        return Err(fail(format!("{erase_count} erases above the endurance budget {budget}")));
     }
     for (p, invalid) in block.invalid.iter_mut().take(write_ptr as usize).enumerate() {
         let byte = next(r.u8())?;
@@ -363,6 +369,9 @@ mod tests {
             image_of(&g, &blocks)
         };
         assert!(boot(&programmed(0)).is_ok());
+        // A block worn exactly to its budget of 100 erases is a state the
+        // live device reaches.
+        assert!(boot(&resealed(&valid, |b| b[FIRST_BLOCK + 5] = 100)).is_ok());
         let mut flipped = valid.clone();
         flipped[MAGIC.len() + FIRST_BLOCK] ^= 0x01;
         let no_channels = FlashGeometry { channels: 0, ..g };
@@ -395,6 +404,11 @@ mod tests {
                 "write pointer past the block",
                 resealed(&valid, |b| b[FIRST_BLOCK + 1] = 5),
                 "block 0: write pointer 5 past the block's 4 pages",
+            ),
+            (
+                "erases above the budget",
+                resealed(&valid, |b| b[FIRST_BLOCK + 5] = 101),
+                "block 0: 101 erases above the endurance budget 100",
             ),
             (
                 "invalid flag",

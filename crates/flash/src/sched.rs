@@ -24,6 +24,14 @@
 //! happened to make its calls in.  There is one reservation rule — for
 //! dies and channels, with the arbiter on or off.
 //!
+//! The first-fit search walks only the part of a timeline that can hold
+//! a hole.  A timeline knows the last reservation with idle time before
+//! it; every later one starts where the one before it ends, so a
+//! reservation that finds no hole up to there goes to the tail without
+//! walking the back-to-back queue (a KV flush issues a whole run's pages
+//! at one instant, and each page would otherwise walk all the pages
+//! ahead of it).
+//!
 //! `schedule` is the device's one reservation site.  `Timeline::reserve`
 //! and the die counters updated around it are private to this module, so
 //! a second site does not compile, and `clippy.toml` lets only
@@ -69,6 +77,9 @@ pub(crate) struct Slot {
 #[derive(Debug)]
 pub(crate) struct Timeline {
     busy: VecDeque<(SimTime, SimTime)>,
+    /// Every interval past this index starts exactly where the one before
+    /// it ends: only the intervals up to it can have a hole before them.
+    dense_from: usize,
     /// Nothing is placed before this instant: the end of the newest
     /// forgotten reservation.  Forgetting can only make a later
     /// reservation start later, never overlap.
@@ -82,6 +93,7 @@ impl Default for Timeline {
         // Sized once, so a steady-state reservation never allocates.
         Timeline {
             busy: VecDeque::with_capacity(HISTORY + 1),
+            dense_from: 0,
             floor: SimTime::ZERO,
             history: HISTORY,
         }
@@ -101,24 +113,33 @@ impl Timeline {
 
     /// Where a reservation of `dur` issued at `at` would land, and the
     /// index it would be inserted at: binary search to the first interval
-    /// ending after `at`, then forward to the first hole of `dur`.
-    /// Purely observational.
+    /// ending after `at`, then forward to the first hole of `dur`.  The
+    /// walk stops at `dense_from`: past it the intervals lie back to back,
+    /// so a reservation that has not fitted by then goes to the tail (one
+    /// of zero length, as under `TimingModel::instant`, walks on: it fits
+    /// between any two).  Purely observational.
     pub(crate) fn probe(&self, at: SimTime, dur: Duration) -> (usize, Slot) {
         let mut start = at.max(self.floor);
         let first = self.busy.partition_point(|&(_, end)| end <= start);
+        let len = self.busy.len();
+        let holes = if dur == Duration::ZERO { len } else { len.min(self.dense_from + 1) };
         let mut index = first;
-        while let Some(&(next, end)) = self.busy.get(index) {
+        while let Some(&(next, end)) = self.busy.get(index).filter(|_| index < holes) {
             if start + dur <= next {
                 break;
             }
             start = start.max(end);
             index += 1;
         }
+        if index >= holes {
+            start = start.max(self.end());
+            index = len;
+        }
         let slot = Slot {
             start,
             end: start + dur,
             depth: (index - first) as u32 + 1,
-            backfilled: index < self.busy.len(),
+            backfilled: index < len,
             clamped: at < self.floor,
         };
         (index, slot)
@@ -130,10 +151,18 @@ impl Timeline {
     /// through [`claim`]).
     fn reserve(&mut self, at: SimTime, dur: Duration) -> Slot {
         let (index, slot) = self.probe(at, dur);
+        // A backfill shifts the intervals from `index` on by one; an append
+        // after idle time is the last interval with a hole before it.
+        if slot.backfilled && index <= self.dense_from {
+            self.dense_from += 1;
+        } else if slot.start > self.end() {
+            self.dense_from = index;
+        }
         self.busy.insert(index, (slot.start, slot.end));
         if self.busy.len() > self.history {
             if let Some((_, end)) = self.busy.pop_front() {
                 self.floor = end;
+                self.dense_from = self.dense_from.saturating_sub(1);
             }
         }
         slot
@@ -372,7 +401,86 @@ mod tests {
 
     /// A timeline that remembers `history` reservations.
     fn timeline(history: usize) -> Timeline {
-        Timeline { busy: VecDeque::new(), floor: SimTime::ZERO, history }
+        Timeline { busy: VecDeque::new(), dense_from: 0, floor: SimTime::ZERO, history }
+    }
+
+    /// The reference first fit: forward from the first interval ending
+    /// after `at`, one interval at a time over the whole timeline, to the
+    /// first hole of `dur` or the tail.
+    fn probe_by_walk(t: &Timeline, at: SimTime, dur: Duration) -> (usize, Slot) {
+        let mut start = at.max(t.floor);
+        let first = t.busy.partition_point(|&(_, end)| end <= start);
+        let mut index = first;
+        while let Some(&(next, end)) = t.busy.get(index) {
+            if start + dur <= next {
+                break;
+            }
+            start = start.max(end);
+            index += 1;
+        }
+        let slot = Slot {
+            start,
+            end: start + dur,
+            depth: (index - first) as u32 + 1,
+            backfilled: index < t.busy.len(),
+            clamped: at < t.floor,
+        };
+        (index, slot)
+    }
+
+    /// Reserve through [`probe_by_walk`]: the reference timeline, which
+    /// never reads its `dense_from`.
+    fn reserve_by_walk(t: &mut Timeline, at: SimTime, dur: Duration) -> (usize, Slot) {
+        let (index, slot) = probe_by_walk(t, at, dur);
+        t.busy.insert(index, (slot.start, slot.end));
+        if t.busy.len() > t.history {
+            t.floor = t.busy.pop_front().expect("over history").1;
+        }
+        (index, slot)
+    }
+
+    /// Every interval past `dense_from` starts where the one before it
+    /// ends.
+    fn dense_tail_is_back_to_back(t: &Timeline) -> bool {
+        let tail = t.busy.iter().skip(t.dense_from);
+        tail.clone().zip(tail.skip(1)).all(|(a, b)| a.1 == b.0)
+    }
+
+    #[test]
+    fn a_long_back_to_back_queue_is_skipped_but_counted() {
+        let mut t = timeline(usize::MAX);
+        let mut walked = timeline(usize::MAX);
+        let both = |t: &mut Timeline, walked: &mut Timeline, at: u64, dur: u64| {
+            let (at, dur) = (SimTime(at), Duration(dur));
+            let want = reserve_by_walk(walked, at, dur).1;
+            let slot = t.reserve(at, dur);
+            assert_eq!(slot, want, "issued at {at:?} for {dur:?}");
+            slot
+        };
+        // [1000, 1010), leaving [0, 1000) idle.
+        both(&mut t, &mut walked, 1_000, 10);
+        // 4 100 reservations issued at one instant queue back to back
+        // behind it; each counts every one ahead of it.
+        for k in 0..4_100u64 {
+            let slot = both(&mut t, &mut walked, 1_000, 10);
+            assert_eq!(slot.start, SimTime(1_010 + k * 10));
+            assert_eq!(slot.depth as u64, k + 2);
+            assert!(!slot.backfilled);
+        }
+        assert_eq!(t.dense_from, 0, "the only hole lies before the first interval");
+        // A short one still finds the early hole.
+        let short = both(&mut t, &mut walked, 0, 5);
+        assert_eq!((short.start, short.depth, short.backfilled), (SimTime(0), 1, true));
+        assert_eq!(t.dense_from, 1, "the backfill moved the holed interval up by one");
+        // And what is left of it: [5, 1000).
+        let after = both(&mut t, &mut walked, 0, 995);
+        assert_eq!((after.start, after.depth, after.backfilled), (SimTime(5), 2, true));
+        // Now the whole timeline lies back to back: nothing fits before
+        // the tail, however early it is issued.
+        let tail = both(&mut t, &mut walked, 0, 1);
+        assert_eq!((tail.start, tail.depth), (SimTime(42_010), 4_104));
+        assert!(dense_tail_is_back_to_back(&t));
+        assert_eq!(t.busy, walked.busy);
     }
 
     /// Brute force over integer instants: which are claimed, by anyone,
@@ -497,9 +605,13 @@ mod tests {
         prop::collection::vec((0u64..60, 1u64..12), 1..80)
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+    /// Batches `(issue offset, duration, size)`: `size` reservations of
+    /// `duration` at one instant, durations of 0 included.
+    fn batches() -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
+        prop::collection::vec((0u64..60, 0u64..12, 1u64..9), 1..40)
+    }
 
+    proptest! {
         /// Against the brute-force model: reservations never overlap,
         /// none starts before its issue instant, and none passes over an
         /// idle window it would have fitted (first fit is exact).
@@ -523,6 +635,37 @@ mod tests {
                 model.claim(slot.start.0, slot.end.0);
             }
             prop_assert!(t.busy.iter().zip(t.busy.iter().skip(1)).all(|(a, b)| a.1 <= b.0));
+        }
+
+        /// Stopping the walk at `dense_from` changes nothing: against the
+        /// walk over every interval, each reservation lands at the same
+        /// index with the same slot, and the two timelines stay equal.
+        /// Issue instants run forward and back, in batches at one
+        /// instant, under short and unbounded histories.
+        #[test]
+        fn the_dense_tail_skip_matches_the_full_walk(
+            batches in batches(),
+            drift in 0u64..20,
+            history in 1usize..6,
+            unbounded in any::<bool>(),
+        ) {
+            let history = if unbounded { usize::MAX } else { history };
+            let (mut t, mut walked) = (timeline(history), timeline(history));
+            for (i, (offset, dur, size)) in batches.into_iter().enumerate() {
+                let at = SimTime(offset + i as u64 * drift);
+                for _ in 0..size {
+                    let want = reserve_by_walk(&mut walked, at, Duration(dur));
+                    prop_assert_eq!(t.probe(at, Duration(dur)), want);
+                    prop_assert_eq!(t.reserve(at, Duration(dur)), want.1);
+                    prop_assert_eq!(&t.busy, &walked.busy);
+                    prop_assert_eq!(t.floor, walked.floor);
+                    prop_assert!(dense_tail_is_back_to_back(&t));
+                    prop_assert!(t.dense_from < t.busy.len());
+                    for probe_at in [SimTime::ZERO, at, want.1.start, want.1.end] {
+                        prop_assert_eq!(t.pending_at(probe_at), walked.pending_at(probe_at));
+                    }
+                }
+            }
         }
 
         /// A stream in which every issue instant is at or after the start

@@ -49,26 +49,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// The later of two instants.
-    #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The earlier of two instants.
-    #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
     /// Time elapsed since `earlier`, saturating at zero.
     #[inline]
     pub fn since(self, earlier: SimTime) -> Duration {

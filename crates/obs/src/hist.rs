@@ -109,8 +109,14 @@ impl Histogram {
         }
         self.inner.count.fetch_add(1, Relaxed);
         self.inner.sum.fetch_add(v, Relaxed);
-        self.inner.max.fetch_max(v, Relaxed);
-        self.inner.min.fetch_min(v, Relaxed);
+        // A max only rises and a min only falls: a sample that moves
+        // neither skips its compare-and-swap loop.
+        if v > self.inner.max.load(Relaxed) {
+            self.inner.max.fetch_max(v, Relaxed);
+        }
+        if v < self.inner.min.load(Relaxed) {
+            self.inner.min.fetch_min(v, Relaxed);
+        }
     }
 
     /// Observations recorded so far.

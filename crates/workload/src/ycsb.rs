@@ -72,7 +72,21 @@ pub struct Op {
 /// Render a key id as its on-disk key (`user` + 12 decimal digits, so
 /// lexicographic order equals numeric order).
 pub fn key_bytes(id: u64) -> Vec<u8> {
-    format!("user{id:012}").into_bytes()
+    let digits = id.checked_ilog10().map_or(1, |log| log as usize + 1).max(12);
+    let mut key = Vec::with_capacity(4 + digits);
+    key.extend_from_slice(b"user");
+    key.resize(4 + digits, b'0');
+    let mut rest = id;
+    for digit in key.iter_mut().rev().take(digits) {
+        *digit = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    key
+}
+
+/// `v` as 16 lower-case hex digits, most significant first.
+fn hex16(v: u64) -> [u8; 16] {
+    std::array::from_fn(|i| b"0123456789abcdef"[(v >> (60 - 4 * i)) as usize & 0xf])
 }
 
 /// Render a key id in *scrambled* mode: the id is FNV-hashed before
@@ -80,7 +94,10 @@ pub fn key_bytes(id: u64) -> Vec<u8> {
 /// space — YCSB's `insertorder=hashed` setting.  Still a pure function
 /// of the id, so both backends agree on every key.
 pub fn scrambled_key_bytes(id: u64) -> Vec<u8> {
-    format!("user{:016x}", fnv64(&id.to_le_bytes())).into_bytes()
+    let mut key = Vec::with_capacity(20);
+    key.extend_from_slice(b"user");
+    key.extend_from_slice(&hex16(fnv64(&id.to_le_bytes())));
+    key
 }
 
 /// A YCSB workload description.
@@ -211,11 +228,11 @@ impl YcsbSpec {
     /// survives string-typed columns) sized by the spec, tagged with the
     /// key so reads can be sanity-checked.
     pub fn value_for(&self, key: u64) -> Vec<u8> {
-        let tag = format!("{key:016x}");
+        let tag = hex16(key);
         let mut v = Vec::with_capacity(self.value_len);
         while v.len() < self.value_len {
             let take = (self.value_len - v.len()).min(tag.len());
-            v.extend_from_slice(&tag.as_bytes()[..take]);
+            v.extend_from_slice(&tag[..take]);
         }
         v
     }
@@ -339,6 +356,25 @@ mod tests {
         for op in spec.stream() {
             if op.kind == OpKind::Scan {
                 assert!(op.scan_len >= 1 && op.scan_len <= spec.max_scan_len);
+            }
+        }
+    }
+
+    #[test]
+    fn record_bytes_match_their_format_forms() {
+        for id in [0, 1, 999_999_999_999, 1_000_000_000_000, u64::MAX] {
+            assert_eq!(key_bytes(id), format!("user{id:012}").into_bytes());
+            let hashed = fnv64(&id.to_le_bytes());
+            assert_eq!(scrambled_key_bytes(id), format!("user{hashed:016x}").into_bytes());
+            assert_eq!(key_bytes(id).len(), key_bytes(id).capacity());
+            assert_eq!(scrambled_key_bytes(id).capacity(), 20);
+            for value_len in [0, 7, 16, 400] {
+                let spec = YcsbSpec { value_len, ..YcsbSpec::base(KeyDistribution::Uniform) };
+                let tag = format!("{id:016x}");
+                let want: Vec<u8> = tag.bytes().cycle().take(value_len).collect();
+                let value = spec.value_for(id);
+                assert_eq!(value, want, "id {id}, value_len {value_len}");
+                assert_eq!(value.capacity(), value_len);
             }
         }
     }
