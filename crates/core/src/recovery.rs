@@ -32,7 +32,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use flash_sim::codec::{open, put_bytes, put_opt, put_u32, put_u64, put_u8, seal, Reader};
+use flash_sim::codec::{open, put_bytes, put_opt, put_u32, put_u64, put_u8, seal_into, Reader};
 use flash_sim::{
     BlockAddr, BlockState, DieId, FlashBackend, FlashCommand, IoTag, PageAddr, PageMetadata,
     PageState, ServiceClass, SimTime,
@@ -91,6 +91,11 @@ pub(crate) struct MetaDirectory {
     pub(crate) staging: Vec<Option<PageAddr>>,
     /// Sequence number of the newest completed checkpoint.
     pub(crate) seq: u64,
+    /// The blob and the chunk page a checkpoint encodes into, kept from
+    /// checkpoint to checkpoint so that one of an unchanged directory
+    /// allocates nothing.
+    pub(crate) blob: Vec<u8>,
+    pub(crate) page: Vec<u8>,
 }
 
 /// Summary of what `NoFtl::mount` found and rebuilt.
@@ -163,40 +168,50 @@ pub(crate) struct CheckpointImage {
     pub objects: Vec<ObjectImage>,
 }
 
-impl CheckpointImage {
-    /// Serialise into the blob format (magic ... crc32).
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        seal(BLOB_MAGIC, 256, |out| {
-            put_u64(out, self.seq);
-            put_u64(out, self.epoch_watermark);
-            put_opt(out, self.meta_region.map(|r| r.0), put_u32);
-            put_opt(out, self.replication.as_deref(), put_bytes);
-            put_u32(out, self.regions.len() as u32);
-            for r in &self.regions {
-                put_u32(out, r.id.0);
-                put_bytes(out, r.spec.name.as_bytes());
-                put_opt(out, r.spec.die_count, put_u32);
-                put_opt(out, r.spec.max_chips, put_u32);
-                put_opt(out, r.spec.max_channels, put_u32);
-                put_opt(out, r.spec.max_size_bytes, put_u64);
-                // 0 = no class, otherwise `ServiceClass::code() + 1`.
-                put_u8(out, r.spec.service_class.map_or(0, |c| c.code() + 1));
-                put_u32(out, r.dies.len() as u32);
-                for d in &r.dies {
-                    put_u32(out, d.0);
-                }
+/// Write a checkpoint blob (magic ... crc32) into `out`, which it clears
+/// first: the one encoder of the format, over borrowed parts — the header
+/// (sequence number, epoch watermark, metadata region), the replication
+/// state, each region's id, spec and dies and each object's id, name and
+/// region.
+fn put_blob<'a, D: ExactSizeIterator<Item = DieId>>(
+    out: &mut Vec<u8>,
+    (seq, epoch_watermark, meta_region): (u64, u64, Option<RegionId>),
+    replication: Option<&[u8]>,
+    regions: impl Iterator<Item = (RegionId, &'a RegionSpec, D)> + Clone,
+    objects: impl Iterator<Item = (ObjectId, &'a str, RegionId)> + Clone,
+) {
+    seal_into(out, BLOB_MAGIC, |out| {
+        put_u64(out, seq);
+        put_u64(out, epoch_watermark);
+        put_opt(out, meta_region.map(|r| r.0), put_u32);
+        put_opt(out, replication, put_bytes);
+        put_u32(out, regions.clone().count() as u32);
+        for (id, spec, dies) in regions {
+            put_u32(out, id.0);
+            put_bytes(out, spec.name.as_bytes());
+            put_opt(out, spec.die_count, put_u32);
+            put_opt(out, spec.max_chips, put_u32);
+            put_opt(out, spec.max_channels, put_u32);
+            put_opt(out, spec.max_size_bytes, put_u64);
+            // 0 = no class, otherwise `ServiceClass::code() + 1`.
+            put_u8(out, spec.service_class.map_or(0, |c| c.code() + 1));
+            put_u32(out, dies.len() as u32);
+            for d in dies {
+                put_u32(out, d.0);
             }
-            put_u32(out, self.objects.len() as u32);
-            for o in &self.objects {
-                put_u32(out, o.id);
-                put_bytes(out, o.name.as_bytes());
-                put_u32(out, o.region.0);
-            }
-        })
-    }
+        }
+        put_u32(out, objects.clone().count() as u32);
+        for (id, name, region) in objects {
+            put_u32(out, id);
+            put_bytes(out, name.as_bytes());
+            put_u32(out, region.0);
+        }
+    });
+}
 
-    /// Decode a blob produced by [`CheckpointImage::encode`]; `None` on
-    /// any corruption (bad magic, bad CRC, truncation).
+impl CheckpointImage {
+    /// Decode a blob [`put_blob`] wrote; `None` on any corruption (bad
+    /// magic, bad CRC, truncation).
     pub(crate) fn decode(buf: &[u8]) -> Option<CheckpointImage> {
         let mut r = open(buf, BLOB_MAGIC)?;
         let seq = r.u64()?;
@@ -239,24 +254,22 @@ impl CheckpointImage {
     }
 }
 
-/// Build one checkpoint chunk page: header + blob slice, zero-padded to
-/// `page_size`.
-pub(crate) fn encode_chunk(
-    seq: u64,
-    index: u32,
-    count: u32,
+/// Build one checkpoint chunk page in `page`, which it clears first:
+/// header + blob slice, zero-padded to `page_size`.
+pub(crate) fn put_chunk(
+    page: &mut Vec<u8>,
+    (seq, index, count): (u64, u32, u32),
     chunk: &[u8],
     page_size: usize,
-) -> Vec<u8> {
+) {
     debug_assert!(CHUNK_HEADER + chunk.len() <= page_size);
-    let mut page = Vec::with_capacity(page_size);
-    put_u32(&mut page, CHUNK_MAGIC);
-    put_u64(&mut page, seq);
-    put_u32(&mut page, index);
-    put_u32(&mut page, count);
-    put_bytes(&mut page, chunk);
+    page.clear();
+    put_u32(page, CHUNK_MAGIC);
+    put_u64(page, seq);
+    put_u32(page, index);
+    put_u32(page, count);
+    put_bytes(page, chunk);
     page.resize(page_size, 0);
-    page
 }
 
 /// Parse a checkpoint chunk page; `None` if the page is not a chunk.
@@ -269,47 +282,32 @@ pub(crate) fn decode_chunk(page: &[u8]) -> Option<(u64, u32, u32, &[u8])> {
 }
 
 impl Inner {
-    /// Everything a checkpoint persists, as of now.
-    fn image(&self, device: &dyn FlashBackend, seq: u64, meta_region: RegionId) -> CheckpointImage {
-        CheckpointImage {
-            seq,
-            epoch_watermark: device.current_epoch(),
-            meta_region: Some(meta_region),
-            replication: device.replication_blob(),
-            regions: self
-                .regions
-                .iter()
-                .flatten()
-                .map(|r| RegionImage { id: r.id, spec: r.spec.clone(), dies: r.die_ids() })
-                .collect(),
-            objects: self
-                .objects
-                .iter()
-                .enumerate()
-                .filter_map(|(id, o)| {
-                    o.as_ref().map(|state| ObjectImage {
-                        id: id as ObjectId,
-                        name: state.name.clone(),
-                        region: state.region,
-                    })
-                })
-                .collect(),
-        }
+    /// Encode everything a checkpoint persists, as of now, into
+    /// `meta.blob`, borrowing every name.
+    fn encode_checkpoint(&mut self, device: &dyn FlashBackend, seq: u64, meta_region: RegionId) {
+        let replication = device.replication_blob();
+        let regions = self.regions.iter().flatten();
+        let objects = self.objects.iter().enumerate().filter_map(|(id, o)| {
+            o.as_ref().map(|state| (id as ObjectId, state.name.as_str(), state.region))
+        });
+        put_blob(
+            &mut self.meta.blob,
+            (seq, device.current_epoch(), Some(meta_region)),
+            replication.as_deref(),
+            regions.map(|r| (r.id, &r.spec, r.dies.iter().map(|d| d.die))),
+            objects,
+        );
     }
 
-    /// Program checkpoint `seq`'s blob into `meta.staging`, one chunk page
-    /// at a time; returns the completion time of the slowest program.  GC
-    /// may relocate staged or current chunks meanwhile (`retranslate`
-    /// tracks both).  On an error `meta.staging` holds the chunks
-    /// programmed so far.
-    fn stage_chunks(
-        &mut self,
-        env: &Env,
-        rid: RegionId,
-        seq: u64,
-        blob: &[u8],
-        at: SimTime,
-    ) -> Result<SimTime> {
+    /// Program checkpoint `seq`'s blob, `meta.blob`, into `meta.staging`,
+    /// one chunk page at a time, built in `meta.page`; returns the
+    /// completion time of the slowest program.  GC may relocate staged or
+    /// current chunks meanwhile (`retranslate` tracks both).  On an error
+    /// `meta.staging` holds the chunks programmed so far, and the next
+    /// checkpoint encodes into new buffers.
+    fn stage_chunks(&mut self, env: &Env, rid: RegionId, seq: u64, at: SimTime) -> Result<SimTime> {
+        let (blob, mut page) =
+            (std::mem::take(&mut self.meta.blob), std::mem::take(&mut self.meta.page));
         let page_size = env.device.geometry().page_size as usize;
         let cap = page_size - CHUNK_HEADER;
         let chunk_count = blob.len().div_ceil(cap).max(1);
@@ -317,15 +315,17 @@ impl Inner {
         // falls back to a regular region: never budget-defer.
         let tag = IoTag { exempt: true, ..self.tag(rid, None) };
         let mut done = at;
-        self.meta.staging = vec![None; chunk_count];
+        self.meta.staging.clear();
+        self.meta.staging.resize(chunk_count, None);
         for (index, body) in blob.chunks(cap).enumerate() {
-            let page = encode_chunk(seq, index as u32, chunk_count as u32, body, page_size);
+            put_chunk(&mut page, (seq, index as u32, chunk_count as u32), body, page_size);
             let addr = self.space(env, rid)?.allocate(at)?;
             let meta = PageMetadata::new(META_OBJECT_ID, index as u64).with_payload_checksum(&page);
             let out = env.exec(FlashCommand::Program { addr, data: &page, meta }, at, tag)?;
             done = done.max(out.outcome.completed_at);
             self.meta.staging[index] = Some(addr);
         }
+        (self.meta.blob, self.meta.page) = (blob, page);
         Ok(done)
     }
 }
@@ -567,26 +567,29 @@ impl NoFtl {
         let mut inner = self.lock_inner();
         let inner = &mut *inner;
         let seq = inner.meta.seq + 1;
-        let blob = inner.image(env.device.as_ref(), seq, rid).encode();
+        inner.encode_checkpoint(env.device.as_ref(), seq, rid);
         // Phase 1: program every new chunk into staging.  `meta.map` (the
         // previous checkpoint) is left untouched so its pages stay valid —
         // a crash anywhere in this phase loses only the half-written new
         // checkpoint, never the old one.
-        let staged = inner.stage_chunks(env, rid, seq, &blob, at);
+        let staged = inner.stage_chunks(env, rid, seq, at);
         // Phase 2: if the new checkpoint is fully durable, promote the
         // staged chunks and retire the old ones; if it failed, retire
         // whatever it staged — left valid, those pages would be copied
         // forward by GC for good, and a leftover chunk with a higher index
-        // would make mount reject the retry that reuses `seq`.
+        // would make mount reject the retry that reuses `seq`.  The
+        // retired list goes back to `meta.staging`, empty, for the next
+        // checkpoint to fill.
         let mut retired = std::mem::take(&mut inner.meta.staging);
         if staged.is_ok() {
             std::mem::swap(&mut retired, &mut inner.meta.map);
         }
         let region = inner.region_mut(rid)?;
-        for page in retired.into_iter().flatten() {
+        for page in retired.drain(..).flatten() {
             let _ = env.device.mark_invalid(page);
             region.record_invalidation(page);
         }
+        inner.meta.staging = retired;
         let done = staged?;
         inner.meta.seq = seq;
         env.obs.note_checkpoint(inner.meta.map.len() as u64, at, done);
@@ -695,8 +698,8 @@ impl NoFtl {
         let meta = MetaDirectory {
             region: image.meta_region,
             map: chunk_pages,
-            staging: Vec::new(),
             seq: image.seq,
+            ..MetaDirectory::default()
         };
         report.regions = image.regions.len();
         report.objects = image.objects.len();
@@ -710,6 +713,19 @@ mod tests {
     use super::*;
     use crate::testutil::{make_noftl, page, raw_device, read_page, reboot};
     use flash_sim::{DeviceBuilder, FlashGeometry, TimingModel};
+
+    /// `img` in the blob format, through the checkpoint's own encoder.
+    fn encode(img: &CheckpointImage) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_blob(
+            &mut out,
+            (img.seq, img.epoch_watermark, img.meta_region),
+            img.replication.as_deref(),
+            img.regions.iter().map(|r| (r.id, &r.spec, r.dies.iter().copied())),
+            img.objects.iter().map(|o| (o.id, o.name.as_str(), o.region)),
+        );
+        out
+    }
 
     fn sample_image() -> CheckpointImage {
         CheckpointImage {
@@ -732,13 +748,13 @@ mod tests {
     #[test]
     fn blob_roundtrip() {
         let img = sample_image();
-        let blob = img.encode();
+        let blob = encode(&img);
         assert_eq!(CheckpointImage::decode(&blob), Some(img));
     }
 
     #[test]
     fn corrupted_blob_is_rejected() {
-        let blob = sample_image().encode();
+        let blob = encode(&sample_image());
         for n in 0..blob.len() {
             assert_eq!(CheckpointImage::decode(&blob[..n]), None, "prefix of {n} bytes");
         }
@@ -749,8 +765,9 @@ mod tests {
 
     #[test]
     fn chunk_roundtrip_and_rejection() {
-        let blob = sample_image().encode();
-        let page = encode_chunk(3, 0, 1, &blob, 4096);
+        let blob = encode(&sample_image());
+        let mut page = Vec::new();
+        put_chunk(&mut page, (3, 0, 1), &blob, 4096);
         let (seq, idx, count, body) = decode_chunk(&page).unwrap();
         assert_eq!((seq, idx, count), (3, 0, 1));
         assert_eq!(body, &blob[..]);
@@ -1092,7 +1109,7 @@ mod tests {
         // whatever follows — must decode as "no checkpoint" rather than
         // have the cursor run over fields that are no longer there.
         for magic in [b"NFCKPT04", b"NFCKPT05", b"NFCKPT06"] {
-            let mut old = sample_image().encode();
+            let mut old = encode(&sample_image());
             old.truncate(old.len() - 4);
             old[..8].copy_from_slice(magic);
             let crc = flash_sim::crc32(&old);
@@ -1104,7 +1121,8 @@ mod tests {
             let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
             let obj = noftl.create_object("t", r).unwrap();
             let t = noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
-            let chunk = encode_chunk(1, 0, 1, &old, 4096);
+            let mut chunk = Vec::new();
+            put_chunk(&mut chunk, (1, 0, 1), &old, 4096);
             let addr = PageAddr::new(noftl.region_dies(r).unwrap()[0], 0, 5, 0);
             let meta = PageMetadata::new(META_OBJECT_ID, 0).with_payload_checksum(&chunk);
             raw_device(&noftl).program_page(addr, &chunk, meta, t).unwrap();

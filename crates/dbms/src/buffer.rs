@@ -41,6 +41,7 @@
 //! miss allocates nothing, whether its victim was clean or written back.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use flash_sim::SimTime;
@@ -101,6 +102,39 @@ struct Frame {
     pinned: bool,
 }
 
+/// The hasher of the pool's page map: one multiply-rotate step per word
+/// of the key (the FxHash of rustc).  The keys are the engine's own object
+/// ids and page numbers, not an adversary's, so there is no flooding to
+/// resist, and nothing observes the map's iteration order.
+#[derive(Default)]
+struct PageKeyHasher(u64);
+
+impl PageKeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for PageKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.add(byte.into());
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.add(word.into());
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.add(word);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Bound on in-flight pages of the [`BufferPool::flush_all`] pipeline:
 /// the die count of the largest preset geometry
 /// (`FlashGeometry::edbt_paper` has 64 dies), so it saturates every
@@ -119,13 +153,18 @@ pub struct BufferPool {
     /// Sized for twice the frames: evictions leave tombstones, and a
     /// table at most half full reclaims them in place instead of
     /// reallocating, so a miss never allocates here.
-    map: HashMap<(ObjectId, u64), usize>,
+    map: HashMap<(ObjectId, u64), usize, BuildHasherDefault<PageKeyHasher>>,
     hand: usize,
     stats: BufferStats,
     /// When capturing, the pages dirtied since the capture began, in
     /// first-write order (the write set the WAL logs as after-images at
     /// commit); each one's frame is pinned.
     capture: Option<Vec<(ObjectId, u64)>>,
+    /// The pages [`BufferPool::flush_all`] hands the backend, sized for
+    /// every frame once: a flush moves each dirty frame's buffer in and
+    /// back out, so it copies no page and allocates nothing.  Empty
+    /// between calls.
+    batch: Vec<(ObjectId, u64, Vec<u8>)>,
     /// `dbms.buffer.flush_ns` handle, bound on the first flush.
     flush_hist: Option<Histogram>,
 }
@@ -139,10 +178,11 @@ impl BufferPool {
             frames: (0..capacity).map(|_| Frame::default()).collect(),
             // Popped from the back: frame 0 fills first.
             free: (0..capacity).rev().collect(),
-            map: HashMap::with_capacity(2 * capacity + 2),
+            map: HashMap::with_capacity_and_hasher(2 * capacity + 2, Default::default()),
             hand: 0,
             stats: BufferStats::default(),
             capture: None,
+            batch: Vec::with_capacity(capacity),
             flush_hist: None,
         }
     }
@@ -367,19 +407,26 @@ impl BufferPool {
     /// pages in flight, each further page issued the instant the oldest
     /// outstanding one completes, overlapping the backend's internal
     /// parallelism (per-die command queues under NoFTL).  The returned
-    /// time is the maximum completion over the whole window.  On failure
-    /// the frames stay dirty so a later flush retries them.
+    /// time is the maximum completion over the whole window.  The frames
+    /// lend their buffers to the batch for the write and take them back
+    /// whether it succeeded or not; on failure they stay dirty, so a later
+    /// flush retries them.
     pub fn flush_all(&mut self, now: SimTime) -> Result<SimTime> {
-        let batch: Vec<(ObjectId, u64, Vec<u8>)> = self
-            .frames
-            .iter()
-            .filter(|f| f.dirty && !f.pinned)
-            .map(|f| (f.key.0, f.key.1, f.data.clone()))
-            .collect();
-        if batch.is_empty() {
+        let flushing = |f: &&mut Frame| f.dirty && !f.pinned;
+        for frame in self.frames.iter_mut().filter(flushing) {
+            self.batch.push((frame.key.0, frame.key.1, std::mem::take(&mut frame.data)));
+        }
+        if self.batch.is_empty() {
             return Ok(now);
         }
-        let done = self.backend.write_windowed(&batch, now, DEFAULT_FLUSH_WINDOW)?;
+        let pages = self.batch.len();
+        let written = self.backend.write_windowed(&self.batch, now, DEFAULT_FLUSH_WINDOW);
+        // The same frames in the same order: nothing touched them meanwhile.
+        let lenders = self.frames.iter_mut().filter(flushing);
+        for (frame, (.., data)) in lenders.zip(self.batch.drain(..)) {
+            (frame.data, frame.dirty) = (data, written.is_err());
+        }
+        let done = written?;
         if let Some(registry) = self.backend.metrics() {
             let hist = self
                 .flush_hist
@@ -392,13 +439,10 @@ impl BufferPool {
                 102,
                 now.as_nanos(),
                 done.as_nanos(),
-                &[("pages", batch.len() as u64)],
+                &[("pages", pages as u64)],
             );
         }
-        for frame in self.frames.iter_mut().filter(|f| f.dirty && !f.pinned) {
-            frame.dirty = false;
-        }
-        self.stats.flushed += batch.len() as u64;
+        self.stats.flushed += pages as u64;
         Ok(done)
     }
 }
@@ -407,16 +451,26 @@ impl BufferPool {
 mod tests {
     use super::*;
     use crate::storage::NoFtlBackend;
-    use flash_sim::{DeviceBuilder, FlashGeometry, TimingModel};
-    use noftl_core::{NoFtl, NoFtlConfig, PlacementConfig};
+    use flash_sim::{
+        DeviceBuilder, Duration, FlashBackend, FlashGeometry, NandDevice, TimingModel,
+    };
+    use noftl_core::{crash::power_cycle, NoFtl, NoFtlConfig, PlacementConfig};
+    use std::sync::OnceLock;
 
-    fn backend() -> Arc<NoFtlBackend> {
-        let device = Arc::new(
+    fn device() -> Arc<NandDevice> {
+        Arc::new(
             DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build(),
-        );
+        )
+    }
+
+    fn backend_on(device: Arc<NandDevice>) -> Arc<NoFtlBackend> {
         let noftl = Arc::new(NoFtl::new(device, NoFtlConfig::default()));
         let placement = PlacementConfig::traditional(4, ["t".to_string()]);
         Arc::new(NoFtlBackend::new(noftl, &placement).unwrap())
+    }
+
+    fn backend() -> Arc<NoFtlBackend> {
+        backend_on(device())
     }
 
     fn page(b: u8) -> Vec<u8> {
@@ -663,6 +717,119 @@ mod tests {
         assert_eq!(pool.take_capture(), [(obj, 2)]);
         pool.flush_all(t).unwrap();
         assert_eq!((dirty_pages(&pool), pool.stats().flushed), (0, flushed + 3));
+    }
+
+    /// A backend that forwards to the stack it was built over until
+    /// [`Rebooted::reboot`] hands it the remounted one — so a pool can
+    /// live through its device's power cycle.
+    struct Rebooted {
+        before: Arc<NoFtlBackend>,
+        after: OnceLock<NoFtlBackend>,
+    }
+
+    impl Rebooted {
+        fn live(&self) -> &NoFtlBackend {
+            self.after.get().unwrap_or(&self.before)
+        }
+
+        /// Power-cycle the device, mount it and forward to the mount.
+        fn reboot(&self, device: &NandDevice, at: SimTime) {
+            let (noftl, _) =
+                NoFtl::mount(power_cycle(device).unwrap(), Default::default(), at).unwrap();
+            let placement = PlacementConfig::traditional(4, ["t".to_string()]);
+            let after = NoFtlBackend::attach(Arc::new(noftl), &placement).unwrap();
+            assert!(self.after.set(after).is_ok(), "one reboot");
+        }
+    }
+
+    impl StorageBackend for Rebooted {
+        fn page_size(&self) -> u32 {
+            self.live().page_size()
+        }
+        fn create_object(&self, name: &str) -> Result<ObjectId> {
+            self.live().create_object(name)
+        }
+        fn lookup_object(&self, name: &str) -> Option<ObjectId> {
+            self.live().lookup_object(name)
+        }
+        fn object_extent(&self, obj: ObjectId) -> Result<u64> {
+            self.live().object_extent(obj)
+        }
+        fn checkpoint(&self, at: SimTime) -> Result<SimTime> {
+            self.live().checkpoint(at)
+        }
+        fn read_page(&self, obj: ObjectId, page: u64, at: SimTime) -> Result<(Vec<u8>, SimTime)> {
+            self.live().read_page(obj, page, at)
+        }
+        fn read_windowed(
+            &self,
+            reads: &[(ObjectId, u64)],
+            at: SimTime,
+            window: usize,
+        ) -> Result<(Vec<Vec<u8>>, SimTime)> {
+            self.live().read_windowed(reads, at, window)
+        }
+        fn write_page(
+            &self,
+            obj: ObjectId,
+            page: u64,
+            data: &[u8],
+            at: SimTime,
+        ) -> Result<SimTime> {
+            self.live().write_page(obj, page, data, at)
+        }
+        fn write_batch(&self, writes: &[(ObjectId, u64, Vec<u8>)], at: SimTime) -> Result<SimTime> {
+            self.live().write_batch(writes, at)
+        }
+        fn write_windowed(
+            &self,
+            writes: &[(ObjectId, u64, Vec<u8>)],
+            at: SimTime,
+            window: usize,
+        ) -> Result<SimTime> {
+            self.live().write_windowed(writes, at, window)
+        }
+        fn metrics(&self) -> Option<&Arc<noftl_obs::MetricsRegistry>> {
+            self.live().metrics()
+        }
+        fn free_page(&self, obj: ObjectId, page: u64) -> Result<()> {
+            self.live().free_page(obj, page)
+        }
+        fn io_counts(&self) -> (u64, u64) {
+            self.live().io_counts()
+        }
+    }
+
+    #[test]
+    fn a_failed_flush_leaves_every_frame_dirty_with_its_bytes_and_the_retry_writes_them() {
+        let device = device();
+        let before = backend_on(device.clone());
+        let obj = before.create_object("t").unwrap();
+        before.checkpoint(SimTime::ZERO).unwrap();
+        let backend = Arc::new(Rebooted { before, after: OnceLock::new() });
+        let mut pool = BufferPool::new(backend.clone(), 8);
+        for p in 0..8u64 {
+            pool.write_page(obj, p, &page(p as u8 + 1), SimTime::ZERO).unwrap();
+        }
+        // The power fails 1 µs into the flush: no program of the batch
+        // completes.
+        let at = device.quiesce_time();
+        let cut = at + Duration::from_us(1);
+        device.arm_power_cut(cut);
+        assert!(pool.flush_all(at).is_err());
+        assert_eq!((dirty_pages(&pool), pool.stats().flushed), (8, 0));
+        for p in 0..8u64 {
+            assert_eq!(pool.page_image(obj, p), Some(page(p as u8 + 1)), "page {p}");
+        }
+        // The pool outlives the power cycle; its retry writes every page.
+        backend.reboot(&device, cut);
+        let done = pool.flush_all(cut).unwrap();
+        assert_eq!((dirty_pages(&pool), pool.stats().flushed), (0, 8));
+        let mut cold = BufferPool::new(backend, 8);
+        for p in 0..8u64 {
+            let (data, _) = cold.with_page(obj, p, done, <[u8]>::to_vec).unwrap();
+            assert_eq!(data, page(p as u8 + 1), "page {p}");
+        }
     }
 
     fn pool_quiesce(backend: &Arc<NoFtlBackend>) -> SimTime {

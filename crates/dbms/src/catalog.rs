@@ -1,6 +1,6 @@
 //! The catalog's entries: tables, their schemas, heaps and indexes.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::btree::BTree;
@@ -18,7 +18,7 @@ pub struct TableDef {
     pub heap: HeapFile,
     /// The B+-tree of each index on the table, by index name (unique
     /// within the database).
-    pub indexes: HashMap<String, BTree>,
+    pub indexes: BTreeMap<String, BTree>,
 }
 
 impl TableDef {
@@ -49,7 +49,7 @@ mod tests {
         let mut t = TableDef {
             schema: Arc::new(Schema::new(vec![("id", ColumnType::Int)])),
             heap: HeapFile::new(1),
-            indexes: HashMap::new(),
+            indexes: BTreeMap::new(),
         };
         assert!(t.index("o_idx").is_err());
         assert!(t.index_mut("o_idx").is_err());

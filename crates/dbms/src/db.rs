@@ -1,6 +1,7 @@
 //! The `Database` facade used by workloads.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::io::Write as _;
 use std::sync::{Arc, Mutex};
 
 use flash_sim::codec::{put_bytes16, put_u32, put_u64, Reader};
@@ -132,8 +133,14 @@ pub struct Database {
 struct Engine {
     pool: BufferPool,
     wal: Wal,
-    tables: HashMap<String, TableDef>,
+    /// The catalog, by table name; a catalog snapshot lists the tables in
+    /// this (name) order.
+    tables: BTreeMap<String, TableDef>,
     catalog_seq: u64,
+    /// A catalog snapshot's slot bytes (header, blob and the zeros to the
+    /// end of its last page), kept from snapshot to snapshot so a
+    /// checkpoint of an unchanged catalog allocates nothing.
+    catalog_slot: Vec<u8>,
     metadata_pages: u64,
     next_txn: u64,
     commits: u64,
@@ -145,6 +152,21 @@ struct Engine {
     /// `rollback` releases it, so no write-back takes its pages), and all
     /// further mutation is refused until the instance is recovered.
     poisoned: bool,
+}
+
+/// Append the catalog — table names, schemas, index names, each list in
+/// name order — to `blob`.
+fn encode_catalog(tables: &BTreeMap<String, TableDef>, seq: u64, blob: &mut Vec<u8>) {
+    put_u64(blob, seq);
+    put_u32(blob, tables.len() as u32);
+    for (name, table) in tables {
+        put_bytes16(blob, name.as_bytes());
+        table.schema.encode_def(blob);
+        put_u32(blob, table.indexes.len() as u32);
+        for index in table.indexes.keys() {
+            put_bytes16(blob, index.as_bytes());
+        }
+    }
 }
 
 fn ensure_object(backend: &Arc<dyn StorageBackend>, name: &str) -> Result<ObjectId> {
@@ -161,8 +183,9 @@ impl Engine {
             // experiments): spilled pages stay volatile, exactly one page
             // write per force, as in the original engine.
             wal: Wal::new(log_obj).with_durable_spill(config.redo_logging),
-            tables: HashMap::new(),
+            tables: BTreeMap::new(),
             catalog_seq: 0,
+            catalog_slot: Vec::new(),
             metadata_pages: 0,
             next_txn: 1,
             commits: 0,
@@ -260,62 +283,32 @@ impl Engine {
         }
     }
 
-    /// Names of all tables, sorted.
-    fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tables.keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    /// Serialise the catalog (table names, schemas, index names).
-    fn encode_catalog(&self, seq: u64) -> Vec<u8> {
-        let mut blob = Vec::with_capacity(256);
-        put_u64(&mut blob, seq);
-        let names = self.table_names();
-        put_u32(&mut blob, names.len() as u32);
-        for name in names {
-            let table = &self.tables[&name];
-            put_bytes16(&mut blob, name.as_bytes());
-            table.schema.encode_def(&mut blob);
-            let mut index_names: Vec<String> = table.indexes.keys().cloned().collect();
-            index_names.sort();
-            put_u32(&mut blob, index_names.len() as u32);
-            for index in index_names {
-                put_bytes16(&mut blob, index.as_bytes());
-            }
-        }
-        blob
-    }
-
     /// Write a versioned catalog snapshot into slot `seq % 2` of the
-    /// catalog object.  Page 0 of the slot carries a header
-    /// (magic, seq, length, CRC); the blob continues on the following
-    /// pages.  A torn snapshot fails its CRC on recovery and the previous
-    /// slot is used instead.
+    /// catalog object: a header (magic, seq, length, CRC), then the blob,
+    /// from page 0 of the slot on.  A torn snapshot fails its CRC on
+    /// recovery and the previous slot is used instead.
     fn write_catalog_snapshot(&mut self, db: &Database, now: SimTime) -> Result<SimTime> {
         let seq = self.catalog_seq + 1;
-        let blob = self.encode_catalog(seq);
+        let Engine { tables, catalog_slot: slot, .. } = self;
+        slot.clear();
+        slot.resize(CATALOG_HEADER, 0);
+        encode_catalog(tables, seq, slot);
+        let (mut header, blob) = slot.split_at_mut(CATALOG_HEADER);
         if blob.len() > CATALOG_SLOT_PAGES as usize * PAGE_SIZE - CATALOG_HEADER {
             return Err(DbError::TooLarge {
                 message: format!("catalog snapshot of {} bytes exceeds slot", blob.len()),
             });
         }
+        let (len, crc) = ((blob.len() as u32).to_le_bytes(), crc32(blob).to_le_bytes());
+        for field in [&CATALOG_MAGIC.to_le_bytes()[..], &seq.to_le_bytes(), &len, &crc] {
+            // Writing into the header's slice cannot fail; the pad stays 0.
+            let _ = header.write_all(field);
+        }
+        slot.resize(slot.len().next_multiple_of(PAGE_SIZE), 0);
         let base = (seq % 2) * CATALOG_SLOT_PAGES;
-        let (head, tail) = blob.split_at(blob.len().min(PAGE_SIZE - CATALOG_HEADER));
-        let mut first = Vec::with_capacity(PAGE_SIZE);
-        put_u32(&mut first, CATALOG_MAGIC);
-        put_u64(&mut first, seq);
-        put_u32(&mut first, blob.len() as u32);
-        put_u32(&mut first, crc32(&blob));
-        put_u32(&mut first, 0);
-        first.extend_from_slice(head);
-        first.resize(PAGE_SIZE, 0);
-        let mut done = db.backend.write_page(db.catalog_obj, base, &first, now)?;
-        for (page_no, chunk) in (base + 1..).zip(tail.chunks(PAGE_SIZE)) {
-            let mut page = Vec::with_capacity(PAGE_SIZE);
-            page.extend_from_slice(chunk);
-            page.resize(PAGE_SIZE, 0);
-            done = done.max(db.backend.write_page(db.catalog_obj, page_no, &page, now)?);
+        let mut done = now;
+        for (page_no, page) in (base..).zip(slot.chunks(PAGE_SIZE)) {
+            done = done.max(db.backend.write_page(db.catalog_obj, page_no, page, now)?);
         }
         self.catalog_seq = seq;
         Ok(done)
@@ -401,7 +394,7 @@ impl Database {
         let obj = self.backend.create_object(name)?;
         let heap = HeapFile::new(obj);
         let schema = Arc::new(schema);
-        e.add_table(name.to_string(), TableDef { schema, heap, indexes: HashMap::new() })?;
+        e.add_table(name.to_string(), TableDef { schema, heap, indexes: BTreeMap::new() })?;
         e.record_metadata_change(self, &format!("CREATE TABLE {name}"), now)
     }
 
@@ -427,7 +420,7 @@ impl Database {
 
     /// Names of all tables.
     pub fn table_names(&self) -> Vec<String> {
-        self.lock_engine().table_names()
+        self.lock_engine().tables.keys().cloned().collect()
     }
 
     /// Begin a new transaction at simulated time `now`.
@@ -468,7 +461,7 @@ impl Database {
             txn.advance_to(t);
             txn.writes += 1;
         }
-        wal.append_note(txn.id, format_args!("INSERT {table} {}:{}", rid.page, rid.slot));
+        wal.append_row_note(txn.id, "INSERT", table, rid);
         Ok(rid)
     }
 
@@ -506,7 +499,7 @@ impl Database {
         let encoded = record.encoded(&table_def.schema)?;
         let t = table_def.heap.update(pool, rid, &encoded, txn.now)?;
         charge(txn, t, true);
-        wal.append_note(txn.id, format_args!("UPDATE {table} {}:{}", rid.page, rid.slot));
+        wal.append_row_note(txn.id, "UPDATE", table, rid);
         Ok(())
     }
 
@@ -530,7 +523,7 @@ impl Database {
             Ok((f(&mut row), true))
         })?;
         charge(txn, t, true);
-        wal.append_note(txn.id, format_args!("UPDATE {table} {}:{}", rid.page, rid.slot));
+        wal.append_row_note(txn.id, "UPDATE", table, rid);
         Ok(edited)
     }
 
@@ -552,7 +545,7 @@ impl Database {
             txn.advance_to(t);
             txn.writes += 1;
         }
-        wal.append_note(txn.id, format_args!("DELETE {table} {}:{}", rid.page, rid.slot));
+        wal.append_row_note(txn.id, "DELETE", table, rid);
         Ok(())
     }
 
@@ -868,7 +861,7 @@ impl Database {
             let extent = backend.object_extent(heap_obj)?;
             let (heap, t_attach) = HeapFile::attach(heap_obj, &mut e.pool, extent, t)?;
             t = t.max(t_attach);
-            let mut indexes = HashMap::new();
+            let mut indexes = BTreeMap::new();
             for index in index_names {
                 let Some(index_obj) = backend.lookup_object(&index) else { continue };
                 let extent = backend.object_extent(index_obj)?;
@@ -1333,7 +1326,8 @@ mod tests {
         let db = open_db(64);
         db.create_table("customer", customer_schema(), SimTime::ZERO).unwrap();
         db.create_index("customer", "c_idx", SimTime::ZERO).unwrap();
-        let blob = db.lock_engine().encode_catalog(5);
+        let mut blob = Vec::new();
+        encode_catalog(&db.lock_engine().tables, 5, &mut blob);
         let tables = vec![("customer".to_string(), customer_schema(), vec!["c_idx".to_string()])];
         assert_eq!(Database::decode_catalog(&blob), Some((5, tables.clone())));
         for n in 0..blob.len() {
@@ -1352,6 +1346,28 @@ mod tests {
         page[CATALOG_HEADER] ^= 0x01;
         let t = backend.write_page(db.catalog_obj, slot, &page, t).unwrap();
         assert_eq!(Database::read_catalog_snapshot(backend, db.catalog_obj, t), (0, Vec::new()));
+    }
+
+    /// A catalog of three pages, in both slots: each snapshot reads back
+    /// whole, and the newest wins.
+    #[test]
+    fn a_catalog_snapshot_spanning_pages_reads_back() {
+        let db = open_db(64);
+        let mut tables = Vec::new();
+        for i in 0..40 {
+            let name = format!("table_{i:02}_{}", "x".repeat(100));
+            db.create_table(&name, customer_schema(), SimTime::ZERO).unwrap();
+            db.create_index(&name, &format!("{name}_idx"), SimTime::ZERO).unwrap();
+            tables.push((name.clone(), customer_schema(), vec![format!("{name}_idx")]));
+        }
+        let mut t = SimTime::ZERO;
+        for seq in 1..=2 {
+            t = db.lock_engine().write_catalog_snapshot(&db, t).unwrap();
+            let slot = db.lock_engine().catalog_slot.len();
+            assert_eq!(slot, 3 * PAGE_SIZE, "snapshot {seq} spans three pages");
+            let read = Database::read_catalog_snapshot(db.backend(), db.catalog_obj, t);
+            assert_eq!(read, (seq, tables.clone()));
+        }
     }
 
     /// A closure lent a row runs under the engine lock: calling back into

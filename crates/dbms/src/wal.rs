@@ -40,6 +40,7 @@ use noftl_obs::{Histogram, Unit};
 use std::fmt::{self, Display};
 use std::io::Write as _;
 
+use crate::heap::RecordId;
 use crate::storage::{ObjectId, StorageBackend};
 use crate::Result;
 use crate::PAGE_SIZE;
@@ -112,7 +113,9 @@ impl WalRecord {
     /// Append the record body: a tag byte, then the variant's fields.
     fn encode_body(&self, out: &mut Vec<u8>) {
         match self {
-            WalRecord::Note { txn, text } => put_note(out, *txn, text),
+            WalRecord::Note { txn, text } => {
+                put_note(out, *txn, |out: &mut Vec<u8>| out.extend_from_slice(text.as_bytes()));
+            }
             WalRecord::PageImage { txn, obj, page, image } => {
                 put_u8(out, 2);
                 put_u64(out, *txn);
@@ -149,22 +152,45 @@ impl WalRecord {
     }
 }
 
-/// Append `text` as [`Display`] formats it behind its `u32` length: the
-/// layout of [`put_bytes`], with no `String` in between.
-fn put_text(out: &mut Vec<u8>, text: impl Display) {
+/// Append the bytes `text` writes behind their `u32` length: the layout of
+/// [`put_bytes`], with no `String` in between.
+fn put_text(out: &mut Vec<u8>, text: impl FnOnce(&mut Vec<u8>)) {
     let at = out.len();
     put_u32(out, 0);
-    // Writing into a `Vec` cannot fail.
-    let _ = write!(out, "{text}");
+    text(out);
     let len = (out.len() - at - 4) as u32;
     out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Append a [`WalRecord::Note`] body: tag, transaction, the text.
-fn put_note(out: &mut Vec<u8>, txn: u64, text: impl Display) {
+fn put_note(out: &mut Vec<u8>, txn: u64, text: impl FnOnce(&mut Vec<u8>)) {
     put_u8(out, 1);
     put_u64(out, txn);
     put_text(out, text);
+}
+
+/// Append a row note's text, `"{verb} {table} {page}:{slot}"`, with the
+/// digits put down by hand rather than through `core::fmt`.
+fn put_row_note(out: &mut Vec<u8>, verb: &str, table: &str, rid: RecordId) {
+    out.extend_from_slice(verb.as_bytes());
+    out.push(b' ');
+    out.extend_from_slice(table.as_bytes());
+    out.push(b' ');
+    put_decimal(out, rid.page);
+    out.push(b':');
+    put_decimal(out, rid.slot.into());
+}
+
+/// Append `v` in decimal, without leading zeros.
+fn put_decimal(out: &mut Vec<u8>, v: u64) {
+    let digits = v.checked_ilog10().map_or(1, |log| log as usize + 1);
+    let at = out.len();
+    out.resize(at + digits, b'0');
+    let mut rest = v;
+    for digit in out[at..].iter_mut().rev() {
+        *digit = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
 }
 
 /// Statistics of the log.
@@ -269,20 +295,28 @@ impl Wal {
     /// Append a typed record (buffered; not durable until [`Wal::force`]).
     /// Returns the record's LSN.
     pub fn append(&mut self, record: &WalRecord) -> Lsn {
-        self.append_with(|out| record.encode_body(out), record)
+        // Writing into a `Vec` cannot fail.
+        let text = |out: &mut Vec<u8>| drop(write!(out, "{record}"));
+        self.append_with(|out| record.encode_body(out), text)
     }
 
-    /// Append a [`WalRecord::Note`] whose text is `text` as [`Display`]
-    /// formats it — `format_args!` formats straight into the log's frame
-    /// buffer, with no `String` in between.
-    pub fn append_note(&mut self, txn: u64, text: impl Display) -> Lsn {
-        self.append_with(|out| put_note(out, txn, &text), &text)
+    /// Append the [`WalRecord::Note`] of a row operation, `"{verb}
+    /// {table} {page}:{slot}"` (`INSERT customer 3:12`), written straight
+    /// into the log's frame buffer, with no `String` and no `core::fmt`
+    /// in between.
+    pub fn append_row_note(&mut self, txn: u64, verb: &str, table: &str, rid: RecordId) -> Lsn {
+        let text = |out: &mut Vec<u8>| put_row_note(out, verb, table, rid);
+        self.append_with(|out| put_note(out, txn, text), text)
     }
 
     /// Append one record into the reused frame buffer: `body` writes its
-    /// encoded body (durable log), `text` is its textual form (volatile
-    /// log, see [`WalRecord`]'s `Display`).
-    fn append_with(&mut self, body: impl FnOnce(&mut Vec<u8>), text: impl Display) -> Lsn {
+    /// encoded body (durable log), `text` its textual form (volatile log,
+    /// see [`WalRecord`]'s `Display`).
+    fn append_with(
+        &mut self,
+        body: impl FnOnce(&mut Vec<u8>),
+        text: impl FnOnce(&mut Vec<u8>),
+    ) -> Lsn {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
         self.records += 1;
@@ -524,7 +558,7 @@ mod tests {
         let backend = backend();
         let obj = backend.create_object("log").unwrap();
         let mut wal = Wal::new(obj);
-        let l1 = wal.append_note(1, "begin;update;commit");
+        let l1 = wal.append(&WalRecord::Note { txn: 1, text: "begin;update;commit".into() });
         let l2 = wal.append(&WalRecord::Commit { txn: 1 });
         assert!(l2 > l1, "LSNs are monotonic");
         let done = wal.force(&*backend, SimTime::ZERO).unwrap();
@@ -579,9 +613,9 @@ mod tests {
         let backend = backend();
         let obj = backend.create_object("log").unwrap();
         let mut wal = Wal::new(obj);
-        wal.append_note(1, "durable");
+        wal.append(&WalRecord::Note { txn: 1, text: "durable".into() });
         wal.force(&*backend, SimTime::ZERO).unwrap();
-        wal.append_note(2, "volatile");
+        wal.append(&WalRecord::Note { txn: 2, text: "volatile".into() });
         let (scanned, _) = Wal::scan(&*backend, obj, SimTime::ZERO).unwrap();
         assert_eq!(scanned.len(), 1);
         assert!(matches!(&scanned[0].1, WalRecord::Note { txn: 1, .. }));
@@ -704,7 +738,21 @@ mod tests {
     }
 
     #[test]
-    fn notes_formatted_in_place_stream_the_same_bytes() {
+    fn row_notes_write_the_bytes_of_their_format_form() {
+        let long = "t".repeat(64);
+        for table in ["", long.as_str()] {
+            for page in [0, 1, u64::MAX] {
+                for slot in [0, u16::MAX] {
+                    let mut out = vec![7];
+                    put_row_note(&mut out, "UPDATE", table, RecordId { page, slot });
+                    assert_eq!(out[1..], *format!("UPDATE {table} {page}:{slot}").as_bytes());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_notes_written_in_place_stream_the_same_bytes() {
         let (table, page, slot) = ("stock", 41u64, 7u16);
         let records = [
             WalRecord::Note { txn: 5, text: format!("UPDATE {table} {page}:{slot}") },
@@ -716,7 +764,7 @@ mod tests {
         ];
         for durable in [true, false] {
             let mut wal = Wal::new(1).with_durable_spill(durable);
-            wal.append_note(5, format_args!("UPDATE {table} {page}:{slot}"));
+            wal.append_row_note(5, "UPDATE", table, RecordId { page, slot });
             for record in &records[1..] {
                 wal.append(record);
             }
@@ -739,7 +787,7 @@ mod tests {
         let obj = backend.create_object("log").unwrap();
         let mut wal = Wal::new(obj).with_durable_spill(false);
         for i in 0..300u64 {
-            wal.append_note(i, format!("INSERT t {i}:0"));
+            wal.append_row_note(i, "INSERT", "t", RecordId { page: i, slot: 0 });
         }
         assert_eq!(wal.stats().segment_pages, 2, "the notes spilled into a second page");
         assert_eq!(wal.sealed, 0, "a volatile log keeps no full page");

@@ -29,13 +29,15 @@ pub mod counting_alloc;
 
 use std::sync::Arc;
 
-use counting_alloc::counted;
+use counting_alloc::{counted, watch};
 use dbms_engine::btree::BTree;
 use dbms_engine::{
     BufferPool, ColumnType, Database, DatabaseConfig, NoFtlBackend, Record, RecordId, Row, Schema,
     StorageBackend, Value, PAGE_SIZE,
 };
-use flash_sim::{DeviceBuilder, FlashGeometry, SimTime, TimingModel};
+use flash_sim::{
+    BlockAddr, DeviceBuilder, DieId, FlashBackend, FlashGeometry, NandDevice, SimTime, TimingModel,
+};
 use noftl_core::{NoFtl, NoFtlConfig, PlacementConfig};
 
 const RECORDS: u64 = 20_000;
@@ -57,10 +59,16 @@ fn loaded_db() -> (Database, SimTime) {
 
 /// [`loaded_db`] with a pool of `buffer_pages` frames.
 fn loaded_db_with_pool(buffer_pages: usize) -> (Database, SimTime) {
+    let (_, db, now) = loaded_device(buffer_pages);
+    (db, now)
+}
+
+/// [`loaded_db_with_pool`], and the device underneath.
+fn loaded_device(buffer_pages: usize) -> (Arc<NandDevice>, Database, SimTime) {
     let device = Arc::new(
         DeviceBuilder::new(FlashGeometry::example()).timing(TimingModel::instant()).build(),
     );
-    let noftl = Arc::new(NoFtl::new(device, NoFtlConfig::default()));
+    let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
     let placement = PlacementConfig::traditional(8, ["t".to_string()]);
     let backend = Arc::new(NoFtlBackend::new(noftl, &placement).unwrap());
     let config = DatabaseConfig { buffer_pages, ..DatabaseConfig::default() };
@@ -80,7 +88,7 @@ fn loaded_db_with_pool(buffer_pages: usize) -> (Database, SimTime) {
     let max_children = (PAGE_SIZE - 11) / (2 + KEY_LEN + 8) + 1;
     let index_pages = db.with_table("t", |t| t.index("i").unwrap().page_count()).unwrap();
     assert!(index_pages as usize > max_children + 1, "tree of {index_pages} pages is too shallow");
-    (db, now)
+    (device, db, now)
 }
 
 /// The keys of 200 point reads spread over the table.
@@ -357,4 +365,58 @@ fn splits_allocate_nothing_once_the_tree_has_split_at_that_depth() {
     for (i, k) in odd.iter().enumerate() {
         assert_eq!(tree.search(&mut pool, k, t).unwrap().0, Some(RecordId::new(i as u64, 1)));
     }
+}
+
+/// The blocks `device` has programmed since it was built.
+fn programmed_blocks(device: &NandDevice) -> usize {
+    let g = device.geometry();
+    let blocks = (0..g.total_dies()).flat_map(|die| {
+        (0..g.planes_per_die)
+            .flat_map(move |plane| (0..g.blocks_per_plane).map(move |b| (die, plane, b)))
+    });
+    let programmed = |&(die, plane, block): &(u32, u32, u32)| {
+        let info = device.block_info(BlockAddr::new(DieId(die), plane, block)).unwrap();
+        info.write_ptr > 0 || info.erase_count > 0
+    };
+    blocks.filter(programmed).count()
+}
+
+/// A checkpoint of a warm database — one that has checkpointed before —
+/// writes its dirty pages back from their buffer frames, its catalog
+/// snapshot and the storage manager's directory from buffers their owners
+/// keep, and truncates the log: it allocates nothing.  Only the first
+/// program of a block since the device was built allocates, that block's
+/// payload buffer; those are counted apart, and the run must hold
+/// checkpoints that programmed no fresh block and so allocated 0.
+#[test]
+fn a_checkpoint_of_a_warm_database_allocates_nothing() {
+    let (device, db, mut now) = loaded_device(4_096);
+    let g = *device.geometry();
+    watch(g.pages_per_block as usize * g.page_size as usize);
+    now = db.checkpoint(now).unwrap();
+    let mut quiet = 0;
+    for round in 0..8u64 {
+        // Twenty rows spread over the heap: twenty dirty pages and a log
+        // force to write back.
+        let mut txn = db.begin(now);
+        for id in (round..RECORDS).step_by(1_000) {
+            let rid = db.index_lookup(&mut txn, "t", "i", &key(id)).unwrap().expect("loaded key");
+            db.update_with(&mut txn, "t", rid, |row| row.set_str(1, "w")).unwrap();
+        }
+        db.commit(&mut txn).unwrap();
+        let (flushed, fresh) = (db.buffer_stats().flushed, programmed_blocks(&device));
+        let (done, window) = counted(|| db.checkpoint(txn.now).unwrap());
+        let fresh = programmed_blocks(&device) - fresh;
+        assert!(db.buffer_stats().flushed - flushed >= 20, "round {round} wrote too little back");
+        if round == 0 {
+            // The second checkpoint writes the other catalog slot first.
+            now = done;
+            continue;
+        }
+        assert_eq!(window.allocs, window.watched, "round {round}: {window}");
+        assert!(window.watched as usize <= fresh, "round {round}: {fresh} fresh blocks, {window}");
+        quiet += usize::from(window.allocs == 0);
+        now = done;
+    }
+    assert!(quiet > 0, "every checkpoint programmed a fresh block");
 }

@@ -68,11 +68,18 @@ pub fn put_opt<T>(out: &mut Vec<u8>, v: Option<T>, put: impl FnOnce(&mut Vec<u8>
 /// `capacity` presizes the buffer.
 pub fn seal(magic: &[u8], capacity: usize, write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut out = Vec::with_capacity(capacity);
-    out.extend_from_slice(magic);
-    write(&mut out);
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
+    seal_into(&mut out, magic, write);
     out
+}
+
+/// [`seal`] into `out`, which it clears first, so a buffer kept from blob
+/// to blob allocates only to grow.
+pub fn seal_into(out: &mut Vec<u8>, magic: &[u8], write: impl FnOnce(&mut Vec<u8>)) {
+    out.clear();
+    out.extend_from_slice(magic);
+    write(out);
+    let crc = crc32(out);
+    put_u32(out, crc);
 }
 
 /// A reader over the body of a blob [`seal`]ed under `magic`; `None` for

@@ -628,20 +628,20 @@ impl NandDevice {
         // read its source block (or this one) beside it.
         let mut buf = std::mem::take(&mut die.block_mut(addr.block()).data);
         let at = page * psz;
+        debug_assert_eq!(buf.len(), at, "the payload ends at the write pointer");
         buf.reserve_exact(pages_per_block as usize * psz - at);
-        buf.resize(at + psz, 0);
         let n = match source {
             Source::Bytes(payload) => len.min(payload.len()),
             Source::Page(_) => len.min(psz),
         };
+        // One pass: the payload's `n` bytes, then zeros for a short tail.
         let from = |src: PageAddr| src.page as usize * psz..src.page as usize * psz + n;
         match source {
-            Source::Bytes(payload) => buf[at..at + n].copy_from_slice(&payload[..n]),
-            Source::Page(src) if src.block() == addr.block() => buf.copy_within(from(src), at),
-            Source::Page(src) => {
-                buf[at..at + n].copy_from_slice(&die.block(src.block()).data[from(src)]);
-            }
+            Source::Bytes(payload) => buf.extend_from_slice(&payload[..n]),
+            Source::Page(src) if src.block() == addr.block() => buf.extend_from_within(from(src)),
+            Source::Page(src) => buf.extend_from_slice(&die.block(src.block()).data[from(src)]),
         }
+        buf.resize(at + psz, 0);
         let block = die.block_mut(addr.block());
         block.data = buf;
         block.meta[page] = meta;
@@ -1479,6 +1479,46 @@ mod tests {
         d2.clear_power_cut();
         let (_, rmeta, _) = d2.read_page(p, d2.quiesce_time()).unwrap();
         assert!(rmeta.is_none(), "early tear loses the OOB metadata");
+    }
+
+    /// A program writes its page in one pass, the payload and then zeros,
+    /// into the buffer its block kept across the erase: neither an empty
+    /// program nor a torn one shows a byte of the block's earlier cycle.
+    #[test]
+    fn a_short_or_torn_program_after_an_erase_reads_zeros_past_its_prefix() {
+        let build = || {
+            DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build()
+        };
+        let d = build();
+        let b = BlockAddr::new(DieId(0), 0, 0);
+        let psz = d.geometry().page_size as usize;
+        for i in 0..d.geometry().pages_per_block {
+            let meta = PageMetadata::new(1, u64::from(i));
+            d.program_page(b.page(i), &payload(0xEE, &d), meta, SimTime::ZERO).unwrap();
+        }
+        d.erase_block(b, d.quiesce_time()).unwrap();
+        // An empty payload programs a page of zeros.
+        d.program_page(b.page(0), &[], PageMetadata::new(1, 0), d.quiesce_time()).unwrap();
+        let (read, _, _) = d.read_page(b.page(0), d.quiesce_time()).unwrap();
+        assert_eq!(read, vec![0; psz]);
+        // A program torn three quarters through keeps a prefix of its
+        // payload; the rest of the page reads as zeros.
+        let data = payload(0xAB, &d);
+        let meta = PageMetadata::new(1, 1);
+        let probe = build().program_page(b.page(0), &data, meta, SimTime::ZERO).unwrap();
+        let lead = probe.started_at.as_nanos();
+        let span = probe.completed_at.as_nanos() - lead;
+        let at = d.quiesce_time();
+        d.arm_power_cut(SimTime(at.as_nanos() + lead + span * 3 / 4));
+        assert!(d.program_page(b.page(1), &data, meta, at).unwrap_err().is_power_loss());
+        d.clear_power_cut();
+        let (read, _, _) = d.read_page(b.page(1), d.quiesce_time()).unwrap();
+        let prefix = read.iter().take_while(|&&byte| byte == 0xAB).count();
+        assert!(0 < prefix && prefix < psz, "a torn prefix of {prefix} bytes");
+        assert!(read[prefix..].iter().all(|&byte| byte == 0), "zeros past the prefix");
+        let kept = d.lock_device().dies[0].block(b).data.clone();
+        assert_eq!(kept.len(), 2 * psz, "the payload ends at the write pointer");
+        assert!(!kept.contains(&0xEE), "a byte of the erased cycle shows");
     }
 
     #[test]

@@ -28,8 +28,19 @@
 //!
 //! An array a scan outgrows moves into a vector, which would show here.
 //!
+//! A commit that finds the log's segment past its page budget takes a
+//! checkpoint, and is held to the same budget.  The buffer pool writes
+//! its dirty pages back from their frames, lending each frame's buffer to
+//! one batch sized at construction; the catalog snapshot and the storage
+//! manager's directory are encoded into buffers their owners keep, from
+//! borrowed names; the log is truncated in place.  The default segment
+//! budget never fills during the run, so a second run with a budget of
+//! 16 log pages checkpoints during the warm-up and at least three times
+//! in the measured window.
+//!
 //! Besides, two structures grow with the data, and any transaction can
-//! make them grow (a dirty eviction, the log force, a GC relocation).
+//! make them grow (a dirty eviction, the log force, a checkpoint, a GC
+//! relocation).
 //! The first program of a block since the device was built allocates
 //! that block's payload buffer; those allocations are counted apart and
 //! must not outnumber the blocks the device programmed for the first time
@@ -84,8 +95,11 @@ fn programmed_blocks(device: &NandDevice) -> usize {
         .count()
 }
 
-#[test]
-fn standard_mix_transactions_stay_within_their_allocation_budgets() {
+/// Run the standard mix on a database whose log checkpoints once its
+/// segment passes `wal_segment_pages` pages, and hold every measured
+/// transaction to its budget.  Returns the checkpoints taken during the
+/// warm-up and during the measured window.
+fn run_standard_mix(wal_segment_pages: u64) -> (u64, u64) {
     let geometry = FlashGeometry::example();
     assert_eq!(geometry.pages_per_block as usize * geometry.page_size as usize, BLOCK_BYTES);
     let device = Arc::new(DeviceBuilder::new(geometry).timing(TimingModel::mlc_2015()).build());
@@ -93,7 +107,8 @@ fn standard_mix_transactions_stay_within_their_allocation_budgets() {
     let placement = placement::traditional(geometry.total_dies());
     let backend = Arc::new(NoFtlBackend::new(noftl.clone(), &placement).unwrap());
     // A pool well below the database, so reads miss and evictions write.
-    let config = DatabaseConfig { buffer_pages: 256, ..DatabaseConfig::default() };
+    let config =
+        DatabaseConfig { buffer_pages: 256, wal_segment_pages, ..DatabaseConfig::default() };
     let db = Database::open(backend, config).unwrap();
     let scale = ScaleConfig {
         warehouses: 1,
@@ -107,6 +122,7 @@ fn standard_mix_transactions_stay_within_their_allocation_budgets() {
     let objects: Vec<_> = noftl.all_object_stats().iter().map(|o| o.object_id).collect();
     let extents =
         || -> Vec<u64> { objects.iter().map(|&obj| noftl.object_extent(obj).unwrap()).collect() };
+    let checkpoints = || db.wal_stats().truncations;
     watch(BLOCK_BYTES);
     let mut run = |measured: bool| {
         let kind = mix.pick(&mut rng);
@@ -135,7 +151,7 @@ fn standard_mix_transactions_stay_within_their_allocation_budgets() {
     for _ in 0..WARM_UP {
         run(false);
     }
-    let blocks_before = programmed_blocks(&device);
+    let (warm_up_checkpoints, blocks_before) = (checkpoints(), programmed_blocks(&device));
     let (mut block_buffers, mut page_maps) = (0, 0);
     for _ in WARM_UP..RUN {
         let (blocks, maps) = run(true);
@@ -144,9 +160,27 @@ fn standard_mix_transactions_stay_within_their_allocation_budgets() {
     }
     let fresh = programmed_blocks(&device) - blocks_before;
     assert!(block_buffers <= fresh, "{block_buffers} block buffers for {fresh} fresh blocks");
+    let measured_checkpoints = checkpoints() - warm_up_checkpoints;
     eprintln!(
-        "{} transactions: {block_buffers} block buffers for {fresh} blocks programmed for the \
-         first time, {page_maps} page maps grown, and no other allocation",
+        "{} transactions, {measured_checkpoints} checkpoints: {block_buffers} block buffers for \
+         {fresh} blocks programmed for the first time, {page_maps} page maps grown, and no \
+         other allocation",
         RUN - WARM_UP
     );
+    (warm_up_checkpoints, measured_checkpoints)
+}
+
+#[test]
+fn standard_mix_transactions_stay_within_their_allocation_budgets() {
+    // The default segment budget: no checkpoint during the run.
+    assert_eq!(run_standard_mix(DatabaseConfig::default().wal_segment_pages), (0, 0));
+}
+
+#[test]
+fn checkpointing_commits_stay_within_the_same_budget() {
+    // A segment of 16 log pages: commits checkpoint every few dozen
+    // transactions, in the warm-up and in the measured window.
+    let (warm_up, measured) = run_standard_mix(16);
+    assert!(warm_up >= 1, "the warm-up checkpointed {warm_up} times");
+    assert!(measured >= 3, "the measured window checkpointed {measured} times");
 }
