@@ -27,14 +27,17 @@
 //! * the recovered world equals the committed world or, when a commit or
 //!   flush was in flight, the in-flight world.
 //!
-//! A violation is an `Err` naming it, never a panic.  Power cut is the
-//! only fault the driver knows.
+//! A violation is an `Err` naming it, never a panic.  A power cut is the
+//! only fault the driver knows, and the only one of the workspace: a
+//! mirror loses a child when that child's power is cut
+//! (`NandDevice::arm_power_cut` on one child), and learns of it from the
+//! child's own `PowerLoss`.
 
 use std::sync::Arc;
 
 use flash_sim::{Duration, FlashBackend, NandDevice, SimTime};
 
-use crate::{MountReport, NoFtl, NoFtlConfig, NoFtlError};
+use crate::{MountReport, NoFtl, NoFtlError};
 
 /// Results of the storage manager, or of a contract's own error type.
 type Result<T, E = NoFtlError> = std::result::Result<T, E>;
@@ -363,7 +366,7 @@ pub fn mount<M: Bootable>(
     let mut torn_mounts = 0;
     for &(cut, retry) in torn {
         machine.cut_power(at + cut);
-        match NoFtl::mount(machine.backend(), NoFtlConfig::default(), at) {
+        match NoFtl::mount(machine.backend(), at) {
             Err(NoFtlError::Flash(e)) if e.is_power_loss() => torn_mounts += 1,
             Err(e) => return Err(e),
             // The cut landed after the scan finished: legal, and the power
@@ -373,7 +376,7 @@ pub fn mount<M: Bootable>(
         machine = machine.reboot()?;
         at += retry;
     }
-    let (noftl, report) = NoFtl::mount(machine.backend(), NoFtlConfig::default(), at)?;
+    let (noftl, report) = NoFtl::mount(machine.backend(), at)?;
     Ok(Mounted { machine, noftl: Arc::new(noftl), report, torn_mounts })
 }
 
@@ -381,7 +384,7 @@ pub fn mount<M: Bootable>(
 mod tests {
     use super::*;
     use crate::testutil::read_page;
-    use crate::RegionSpec;
+    use crate::{NoFtlConfig, RegionSpec};
     use flash_sim::{DeviceBuilder, FlashGeometry, TimingModel};
     use std::collections::BTreeMap;
 

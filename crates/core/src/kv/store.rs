@@ -1268,7 +1268,7 @@ mod tests {
         let runs_before = kv.run_count();
         // Clean reboot: power cycle → mount → open.
         let device2 = crate::crash::power_cycle(&device).unwrap();
-        let (noftl2, mount) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
+        let (noftl2, mount) = NoFtl::mount(device2, t).unwrap();
         let (kv2, report) =
             KvStore::open(Arc::new(noftl2), "s", small_config(), mount.completed_at).unwrap();
         assert_eq!(report.runs_recovered, runs_before);

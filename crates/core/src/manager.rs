@@ -167,12 +167,9 @@ impl NoFtl {
 
     /// Convenience constructor for the "traditional data placement"
     /// baseline: one region named `rgAll` spanning every die of the device.
-    pub fn with_single_region(
-        device: Arc<dyn FlashBackend>,
-        config: NoFtlConfig,
-    ) -> Result<(Self, RegionId)> {
+    pub fn with_single_region(device: Arc<dyn FlashBackend>) -> Result<(Self, RegionId)> {
         let total = device.geometry().total_dies();
-        let noftl = Self::new(device, config);
+        let noftl = Self::assemble(Env::new(device), Inner::fresh());
         let rid = noftl.create_region(RegionSpec::named("rgAll").with_die_count(total))?;
         Ok((noftl, rid))
     }
@@ -515,7 +512,7 @@ mod tests {
     #[test]
     fn with_single_region_spans_all_dies() {
         let device = Arc::new(DeviceBuilder::new(FlashGeometry::small_test()).build());
-        let (noftl, rid) = NoFtl::with_single_region(device, NoFtlConfig::default()).unwrap();
+        let (noftl, rid) = NoFtl::with_single_region(device).unwrap();
         assert_eq!(noftl.region_dies(rid).unwrap().len(), 4);
         assert_eq!(noftl.free_die_count(), 0);
         assert_eq!(noftl.region_name(rid).unwrap(), "rgAll");

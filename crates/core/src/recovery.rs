@@ -38,7 +38,6 @@ use flash_sim::{
     PageState, ServiceClass, SimTime,
 };
 
-use crate::config::NoFtlConfig;
 use crate::error::NoFtlError;
 use crate::manager::{Env, Inner, NoFtl};
 use crate::object::{ObjectId, ObjectState};
@@ -610,11 +609,7 @@ impl NoFtl {
     ///
     /// An empty device mounts as a fresh manager; a device that holds data
     /// but no complete checkpoint fails with [`NoFtlError::NoCheckpoint`].
-    pub fn mount(
-        device: Arc<dyn FlashBackend>,
-        _config: NoFtlConfig,
-        at: SimTime,
-    ) -> Result<(NoFtl, MountReport)> {
+    pub fn mount(device: Arc<dyn FlashBackend>, at: SimTime) -> Result<(NoFtl, MountReport)> {
         let env = Env::new(device);
         let device = env.device.as_ref();
         let mut report = MountReport { completed_at: at, ..MountReport::default() };
@@ -712,6 +707,7 @@ impl NoFtl {
 mod tests {
     use super::*;
     use crate::testutil::{make_noftl, page, raw_device, read_page, reboot};
+    use crate::NoFtlConfig;
     use flash_sim::{DeviceBuilder, FlashGeometry, TimingModel};
 
     /// `img` in the blob format, through the checkpoint's own encoder.
@@ -801,7 +797,7 @@ mod tests {
             t = noftl.write(orders, p, &page(0x40 + p as u8), t).unwrap();
         }
         let device2 = reboot(&noftl);
-        let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
+        let (noftl2, report) = NoFtl::mount(device2, t).unwrap();
         assert_eq!(report.checkpoint_seq, 1);
         assert_eq!(report.regions, 3, "rgHot, rgCold and the meta region");
         assert_eq!(report.objects, 2);
@@ -834,7 +830,7 @@ mod tests {
     #[test]
     fn mount_of_pristine_device_is_fresh() {
         let device = Arc::new(DeviceBuilder::new(FlashGeometry::small_test()).build());
-        let (noftl, report) = NoFtl::mount(device, NoFtlConfig::default(), SimTime::ZERO).unwrap();
+        let (noftl, report) = NoFtl::mount(device, SimTime::ZERO).unwrap();
         assert_eq!(report.checkpoint_seq, 0);
         assert_eq!(report.pages_scanned, 0);
         assert_eq!(noftl.free_die_count(), 4);
@@ -848,10 +844,7 @@ mod tests {
         let obj = noftl.create_object("t", r).unwrap();
         noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
         let device2 = reboot(&noftl);
-        assert!(matches!(
-            NoFtl::mount(device2, NoFtlConfig::default(), SimTime::ZERO),
-            Err(NoFtlError::NoCheckpoint)
-        ));
+        assert!(matches!(NoFtl::mount(device2, SimTime::ZERO), Err(NoFtlError::NoCheckpoint)));
     }
 
     #[test]
@@ -872,7 +865,7 @@ mod tests {
         let b = noftl.create_object("b", r).unwrap();
         t = noftl.write(b, 3, &page(9), t).unwrap();
         let device2 = reboot(&noftl);
-        let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
+        let (noftl2, report) = NoFtl::mount(device2, t).unwrap();
         assert_eq!(report.orphaned_objects, vec![b]);
         // Names are read off the rebuilt tables: checkpointed and orphan
         // names are found, dropped ones are not.
@@ -912,7 +905,7 @@ mod tests {
             let rg = noftl.create_region(RegionSpec::named("rgGone").with_die_count(3)).unwrap();
             let t = noftl.drop_region(rg, t).unwrap();
             let t = noftl.checkpoint(t).unwrap();
-            let (mounted, _) = NoFtl::mount(reboot(&noftl), NoFtlConfig::default(), t).unwrap();
+            let (mounted, _) = NoFtl::mount(reboot(&noftl), t).unwrap();
             [noftl, mounted]
         };
         let [live, mounted] = dropped().map(|m| {
@@ -941,7 +934,7 @@ mod tests {
         }
         t = noftl.checkpoint(t).unwrap();
         let device2 = reboot(&noftl);
-        let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
+        let (noftl2, report) = NoFtl::mount(device2, t).unwrap();
         // One die holds the region, one the metadata journal; the other
         // two of small_test's four dies were never written and their OOB
         // scan is skipped entirely.
@@ -970,7 +963,7 @@ mod tests {
         let err = noftl.write(obj, 0, &page(0x22), quiesce).unwrap_err();
         assert!(matches!(err, NoFtlError::Flash(e) if e.is_power_loss()));
         let device2 = reboot(&noftl);
-        let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
+        let (noftl2, report) = NoFtl::mount(device2, t).unwrap();
         assert_eq!(report.torn_pages_discarded, 1);
         // The pre-crash committed version is still readable.
         assert_eq!(read_page(&noftl2, obj, 0, report.completed_at).unwrap().0, page(0x11));
@@ -1059,7 +1052,7 @@ mod tests {
             // recover every page (including the post-checkpoint
             // overwrites, which come from the OOB scan).
             let device2 = reboot(&noftl);
-            let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
+            let (noftl2, report) = NoFtl::mount(device2, t).unwrap();
             assert_eq!(report.checkpoint_seq, 1, "torn checkpoint #2 is ignored");
             assert!(report.torn_pages_discarded >= 1, "chunk {torn_chunk} was torn, not completed");
             assert_eq!(report.objects, 101);
@@ -1126,10 +1119,7 @@ mod tests {
             let addr = PageAddr::new(noftl.region_dies(r).unwrap()[0], 0, 5, 0);
             let meta = PageMetadata::new(META_OBJECT_ID, 0).with_payload_checksum(&chunk);
             raw_device(&noftl).program_page(addr, &chunk, meta, t).unwrap();
-            assert!(matches!(
-                NoFtl::mount(reboot(&noftl), NoFtlConfig::default(), t),
-                Err(NoFtlError::NoCheckpoint)
-            ));
+            assert!(matches!(NoFtl::mount(reboot(&noftl), t), Err(NoFtlError::NoCheckpoint)));
         }
     }
 
@@ -1139,7 +1129,7 @@ mod tests {
         // its last two pages: chunks 0 and 1 of a three-chunk checkpoint
         // fit, chunk 2 hits `RegionFull`.
         let device = Arc::new(DeviceBuilder::new(FlashGeometry::small_test()).build());
-        let (noftl, rid) = NoFtl::with_single_region(device, NoFtlConfig::default()).unwrap();
+        let (noftl, rid) = NoFtl::with_single_region(device).unwrap();
         let filler = noftl.create_object("filler", rid).unwrap();
         noftl.checkpoint(SimTime::ZERO).unwrap();
         let wide = widen_directory(&noftl, rid, 70);
@@ -1167,7 +1157,7 @@ mod tests {
         t = noftl.checkpoint(t).unwrap();
         assert_eq!(noftl.checkpoint_seq(), 2);
         let device2 = reboot(&noftl);
-        let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
+        let (noftl2, report) = NoFtl::mount(device2, t).unwrap();
         assert_eq!(report.checkpoint_seq, 2, "the retried checkpoint is the newest complete one");
         assert_eq!(report.objects, 1);
         let current = current_chunks(&noftl2);
@@ -1205,7 +1195,7 @@ mod tests {
         for p in 0..2 * u64::from(free) {
             t = noftl.write(obj, p, &page(p as u8), t).unwrap();
         }
-        let (noftl2, report) = NoFtl::mount(reboot(&noftl), NoFtlConfig::default(), t).unwrap();
+        let (noftl2, report) = NoFtl::mount(reboot(&noftl), t).unwrap();
         assert_eq!(noftl2.free_die_count(), free, "the late region's dies are free again");
         let again = noftl2.create_region(RegionSpec::named("rgLate").with_die_count(free)).unwrap();
         let obj2 = noftl2.create_object("late", again).unwrap();
@@ -1216,13 +1206,13 @@ mod tests {
     #[test]
     fn checkpoint_without_free_dies_uses_first_region() {
         let device = Arc::new(DeviceBuilder::new(FlashGeometry::small_test()).build());
-        let (noftl, rid) = NoFtl::with_single_region(device, NoFtlConfig::default()).unwrap();
+        let (noftl, rid) = NoFtl::with_single_region(device).unwrap();
         let obj = noftl.create_object("t", rid).unwrap();
         let t = noftl.write(obj, 0, &page(5), SimTime::ZERO).unwrap();
         noftl.checkpoint(t).unwrap();
         assert_eq!(noftl.meta_region(), Some(rid));
         let device2 = reboot(&noftl);
-        let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
+        let (noftl2, report) = NoFtl::mount(device2, t).unwrap();
         assert_eq!(report.checkpoint_seq, 1);
         assert_eq!(read_page(&noftl2, obj, 0, report.completed_at).unwrap().0, page(5));
     }

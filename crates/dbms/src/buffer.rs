@@ -396,10 +396,11 @@ impl BufferPool {
         set
     }
 
-    /// Current contents of a page if it is resident in the pool (no I/O,
-    /// no statistics impact).  Used by commit to snapshot after-images.
-    pub fn page_image(&self, obj: ObjectId, page: u64) -> Option<Vec<u8>> {
-        self.map.get(&(obj, page)).map(|&idx| self.frames[idx].data.clone())
+    /// Current contents of a page if it is resident in the pool, borrowed
+    /// from its frame (no I/O, no statistics impact).  Commit logs the
+    /// write set's after-images from here.
+    pub fn resident(&self, obj: ObjectId, page: u64) -> Option<&[u8]> {
+        self.map.get(&(obj, page)).map(|&idx| self.frames[idx].data.as_slice())
     }
 
     /// Write back every dirty page that is not pinned through the backend's
@@ -569,7 +570,7 @@ mod tests {
                 .unwrap();
             assert_eq!(t_edit, t_copy);
             assert_eq!(editing.stats(), copying.stats());
-            assert_eq!(editing.page_image(obj, 0), copying.page_image(obj, 0));
+            assert_eq!(editing.resident(obj, 0), copying.resident(obj, 0));
         }
         let s = editing.stats();
         assert_eq!((s.logical_reads, s.logical_writes, s.misses, s.hits), (2, 2, 1, 1));
@@ -657,7 +658,7 @@ mod tests {
     }
 
     fn resident(pool: &BufferPool, obj: ObjectId) -> Vec<u64> {
-        (0..5).filter(|&p| pool.page_image(obj, p).is_some()).collect()
+        (0..5).filter(|&p| pool.resident(obj, p).is_some()).collect()
     }
 
     #[test]
@@ -734,8 +735,7 @@ mod tests {
 
         /// Power-cycle the device, mount it and forward to the mount.
         fn reboot(&self, device: &NandDevice, at: SimTime) {
-            let (noftl, _) =
-                NoFtl::mount(power_cycle(device).unwrap(), Default::default(), at).unwrap();
+            let (noftl, _) = NoFtl::mount(power_cycle(device).unwrap(), at).unwrap();
             let placement = PlacementConfig::traditional(4, ["t".to_string()]);
             let after = NoFtlBackend::attach(Arc::new(noftl), &placement).unwrap();
             assert!(self.after.set(after).is_ok(), "one reboot");
@@ -819,7 +819,7 @@ mod tests {
         assert!(pool.flush_all(at).is_err());
         assert_eq!((dirty_pages(&pool), pool.stats().flushed), (8, 0));
         for p in 0..8u64 {
-            assert_eq!(pool.page_image(obj, p), Some(page(p as u8 + 1)), "page {p}");
+            assert_eq!(pool.resident(obj, p), Some(&page(p as u8 + 1)[..]), "page {p}");
         }
         // The pool outlives the power cycle; its retry writes every page.
         backend.reboot(&device, cut);

@@ -658,8 +658,8 @@ impl Database {
         }
         let Engine { pool, wal, .. } = &mut *e;
         for &(obj, page) in pool.write_set() {
-            if let Some(image) = pool.page_image(obj, page) {
-                wal.append(&WalRecord::PageImage { txn: txn.id, obj, page, image });
+            if let Some(image) = pool.resident(obj, page) {
+                wal.append_page_image(txn.id, obj, page, image);
             }
         }
         wal.append(&WalRecord::Commit { txn: txn.id });
@@ -1060,7 +1060,7 @@ mod tests {
         at: SimTime,
     ) -> (Database, RecoveryReport, SimTime) {
         let device2 = noftl_core::crash::power_cycle(device).unwrap();
-        let (noftl2, mount) = NoFtl::mount(device2, NoFtlConfig::default(), at).unwrap();
+        let (noftl2, mount) = NoFtl::mount(device2, at).unwrap();
         let backend2 =
             Arc::new(NoFtlBackend::attach(Arc::new(noftl2), &restart_placement()).unwrap());
         let (db2, report) = Database::recover(backend2, redo_config(), mount.completed_at).unwrap();

@@ -117,11 +117,7 @@ impl WalRecord {
                 put_note(out, *txn, |out: &mut Vec<u8>| out.extend_from_slice(text.as_bytes()));
             }
             WalRecord::PageImage { txn, obj, page, image } => {
-                put_u8(out, 2);
-                put_u64(out, *txn);
-                put_u32(out, *obj);
-                put_u64(out, *page);
-                put_bytes(out, image);
+                put_page_image(out, *txn, *obj, *page, image);
             }
             WalRecord::Commit { txn } => {
                 put_u8(out, 3);
@@ -160,6 +156,16 @@ fn put_text(out: &mut Vec<u8>, text: impl FnOnce(&mut Vec<u8>)) {
     text(out);
     let len = (out.len() - at - 4) as u32;
     out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Append a [`WalRecord::PageImage`] body: tag, transaction, object, page,
+/// the image.
+fn put_page_image(out: &mut Vec<u8>, txn: u64, obj: ObjectId, page: u64, image: &[u8]) {
+    put_u8(out, 2);
+    put_u64(out, txn);
+    put_u32(out, obj);
+    put_u64(out, page);
+    put_bytes(out, image);
 }
 
 /// Append a [`WalRecord::Note`] body: tag, transaction, the text.
@@ -307,6 +313,14 @@ impl Wal {
     pub fn append_row_note(&mut self, txn: u64, verb: &str, table: &str, rid: RecordId) -> Lsn {
         let text = |out: &mut Vec<u8>| put_row_note(out, verb, table, rid);
         self.append_with(|out| put_note(out, txn, text), text)
+    }
+
+    /// Append the [`WalRecord::PageImage`] of `image`, the after-image of
+    /// `page` of `obj`, borrowed from wherever it lives (a buffer frame),
+    /// straight into the log's frame buffer.
+    pub fn append_page_image(&mut self, txn: u64, obj: ObjectId, page: u64, image: &[u8]) -> Lsn {
+        let text = |out: &mut Vec<u8>| drop(write!(out, "IMG {obj} {page}"));
+        self.append_with(|out| put_page_image(out, txn, obj, page, image), text)
     }
 
     /// Append one record into the reused frame buffer: `body` writes its
@@ -752,7 +766,7 @@ mod tests {
     }
 
     #[test]
-    fn row_notes_written_in_place_stream_the_same_bytes() {
+    fn records_written_in_place_stream_the_same_bytes() {
         let (table, page, slot) = ("stock", 41u64, 7u16);
         let records = [
             WalRecord::Note { txn: 5, text: format!("UPDATE {table} {page}:{slot}") },
@@ -766,7 +780,12 @@ mod tests {
             let mut wal = Wal::new(1).with_durable_spill(durable);
             wal.append_row_note(5, "UPDATE", table, RecordId { page, slot });
             for record in &records[1..] {
-                wal.append(record);
+                match record {
+                    WalRecord::PageImage { txn, obj, page, image } => {
+                        wal.append_page_image(*txn, *obj, *page, image)
+                    }
+                    _ => wal.append(record),
+                };
             }
             let sealed = wal.batch[..wal.sealed].iter();
             let mut streamed: Vec<u8> = sealed
@@ -882,8 +901,7 @@ mod tests {
         let cut = second_at + Duration(span.0 * 6 / 10);
         device.arm_power_cut(cut);
         assert!(wal.force(&backend, second_at).is_err());
-        let (noftl, report) =
-            NoFtl::mount(power_cycle(&device).unwrap(), NoFtlConfig::default(), cut).unwrap();
+        let (noftl, report) = NoFtl::mount(power_cycle(&device).unwrap(), cut).unwrap();
         assert_eq!(report.torn_pages_discarded, 1);
         let backend = NoFtlBackend::attach(Arc::new(noftl), &placement).unwrap();
         let (scanned, _) = Wal::scan(&backend, obj, report.completed_at).unwrap();

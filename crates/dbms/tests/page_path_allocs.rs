@@ -21,8 +21,11 @@
 //! and an insert of a `Row` built over the caller's bytes allocate
 //! nothing.  A B+-tree split writes its halves, and the widened parent or
 //! new root, from page buffers the tree keeps, so once the tree has split
-//! at a depth a leaf or an internal split there allocates nothing.  CI
-//! runs this in `--release`, where the claim matters.
+//! at a depth a leaf or an internal split there allocates nothing.  A
+//! commit under redo logging appends each after-image of its write set
+//! from the page's frame into the log's reused frame buffer, and a warm
+//! one allocates nothing either.  CI runs this in `--release`, where the
+//! claim matters.
 
 #[path = "../../../tests/common/counting_alloc.rs"]
 pub mod counting_alloc;
@@ -419,4 +422,72 @@ fn a_checkpoint_of_a_warm_database_allocates_nothing() {
         now = done;
     }
     assert!(quiet > 0, "every checkpoint programmed a fresh block");
+}
+
+/// A commit under redo logging appends the after-image of each page of
+/// its write set borrowed from the page's buffer frame, straight into the
+/// log's reused frame buffer, and forces the log: a warm commit that
+/// updated ten heap pages copies no page and allocates nothing.  Warm
+/// means that the log has wrapped: its segment starts at page 0 again
+/// after a checkpoint, so the storage manager's page map of the log no
+/// longer grows.  A commit that checkpoints is not counted (a warm
+/// checkpoint has a test of its own).  Only the first program of a block
+/// since the device was built allocates, that block's payload buffer;
+/// those are counted apart, and the run must hold commits that programmed
+/// no fresh block and so allocated 0.
+#[test]
+fn a_warm_redo_commit_allocates_nothing() {
+    const PAGES: usize = 10;
+    let device = Arc::new(
+        DeviceBuilder::new(FlashGeometry::example()).timing(TimingModel::instant()).build(),
+    );
+    let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
+    let placement = PlacementConfig::traditional(8, ["t".to_string()]);
+    let backend = Arc::new(NoFtlBackend::new(noftl, &placement).unwrap());
+    let config = DatabaseConfig { buffer_pages: 256, redo_logging: true, wal_segment_pages: 32 };
+    let db = Database::open(backend, config).unwrap();
+    let schema =
+        Schema::new(vec![("k", ColumnType::Str(KEY_LEN as u16)), ("v", ColumnType::Str(100))]);
+    db.create_table("t", schema, SimTime::ZERO).unwrap();
+    // One row on each of ten heap pages.
+    let mut txn = db.begin(SimTime::ZERO);
+    let mut rids: Vec<RecordId> = Vec::new();
+    for id in 0.. {
+        let rid = db.insert(&mut txn, "t", &row(id), dbms_engine::NO_KEYS).unwrap();
+        if rids.last().is_none_or(|last| last.page != rid.page) {
+            if rids.len() == PAGES {
+                break;
+            }
+            rids.push(rid);
+        }
+    }
+    db.commit(&mut txn).unwrap();
+    let g = *device.geometry();
+    watch(g.pages_per_block as usize * g.page_size as usize);
+    let mut now = txn.now;
+    let (mut wrapped, mut counted_commits, mut quiet) = (false, 0, 0);
+    for round in 0..16 {
+        let mut txn = db.begin(now);
+        for rid in &rids {
+            db.update_with(&mut txn, "t", *rid, |row| row.set_str(1, "w")).unwrap();
+        }
+        let (fresh, truncations) = (programmed_blocks(&device), db.wal_stats().truncations);
+        let (_, window) = counted(|| db.commit(&mut txn).unwrap());
+        let fresh = programmed_blocks(&device) - fresh;
+        now = txn.now;
+        if db.wal_stats().truncations > truncations {
+            wrapped = true;
+            continue;
+        }
+        if !wrapped {
+            continue;
+        }
+        assert!(window.largest < PAGE_SIZE, "round {round}: a commit copied a page: {window}");
+        assert_eq!(window.allocs, window.watched, "round {round}: {window}");
+        assert!(window.watched as usize <= fresh, "round {round}: {fresh} fresh blocks, {window}");
+        counted_commits += 1;
+        quiet += usize::from(window.allocs == 0);
+    }
+    assert!(counted_commits >= 4, "{counted_commits} warm commits that did not checkpoint");
+    assert!(quiet > 0, "every commit programmed a fresh block");
 }

@@ -696,6 +696,11 @@ impl NandDevice {
         self.lock_device().power_cut = None;
     }
 
+    /// The instant of the armed power cut, if one is armed.
+    pub fn power_cut(&self) -> Option<SimTime> {
+        self.lock_device().power_cut
+    }
+
     /// The device's `NFLIMG04` image ([`crate::image`]): the NAND array's
     /// state — every block's bad flag, write pointer, erase count, invalid
     /// flags, OOB records and programmed pages' payload, and the write

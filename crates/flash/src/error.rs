@@ -70,15 +70,6 @@ pub enum FlashError {
         /// The simulated instant at which power was lost.
         at: SimTime,
     },
-    /// A whole simulated device disappeared (hot-unplug injected through
-    /// `fault::DeviceLossInjector`): every operation issued to it at or
-    /// after `at` is rejected until the device is reattached or replaced.
-    DeviceLost {
-        /// Index of the lost device within its mirror (0 standalone).
-        child: usize,
-        /// The simulated instant at which the device disappeared.
-        at: SimTime,
-    },
     /// A replicated operation found no healthy child to serve it.
     NoHealthyChild {
         /// The simulated instant of the failed operation.
@@ -121,9 +112,6 @@ impl fmt::Display for FlashError {
             }
             FlashError::PowerLoss { at } => {
                 write!(f, "power lost at t={} ns; device requires reboot", at.as_nanos())
-            }
-            FlashError::DeviceLost { child, at } => {
-                write!(f, "device (mirror child {child}) lost at t={} ns", at.as_nanos())
             }
             FlashError::NoHealthyChild { at } => {
                 write!(f, "no healthy mirror child available at t={} ns", at.as_nanos())

@@ -105,7 +105,6 @@ pub mod crc;
 pub mod device;
 pub mod die;
 pub mod error;
-pub mod fault;
 pub mod geometry;
 pub mod image;
 pub mod lockorder;
@@ -125,7 +124,6 @@ pub use command::{CmdOutput, FlashCommand, OpKind};
 pub use crc::{crc32, crc32_combine, crc32_update, crc32_zeros};
 pub use device::{DeviceBuilder, DieLoad, NandDevice, OpOutcome};
 pub use error::FlashError;
-pub use fault::DeviceLossInjector;
 pub use geometry::FlashGeometry;
 pub use lockorder::{LockClass, TrackedGuard};
 pub use metadata::PageMetadata;

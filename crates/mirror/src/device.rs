@@ -5,11 +5,26 @@
 //! segment, all issued at the caller's instant so the children stay
 //! page-for-page identical.  Reads are served by any in-sync child,
 //! chosen queue-aware (earliest start on the target die) with a
-//! round-robin tie-break.  Device loss is injected through the shared
-//! [`DeviceLossInjector`]: at every timed command the mirror faults each
-//! child whose loss instant has been reached (driving its health machine
-//! to [`ChildHealth::Faulted`]) and keeps serving from the survivors
-//! while the child's [`SegmentMap`] records every write it misses.
+//! round-robin tie-break.  A child is lost the way any device is: it
+//! loses power ([`NandDevice::arm_power_cut`]), rejects the commands
+//! issued at or after its cut and tears the one in flight.  The mirror
+//! learns of it from that child's own [`FlashError::PowerLoss`]: the
+//! child goes [`ChildHealth::Faulted`], the survivors keep serving, and
+//! the child's [`SegmentMap`] records every write it misses.
+//!
+//! # A child's power loss
+//!
+//! * A write that at least one child took is acknowledged with the
+//!   survivors' merged outcome; each child that failed it with
+//!   `PowerLoss` goes `Faulted` at the cut the error carries, stale for
+//!   the segments the write reads and writes.  A write no child took
+//!   returns its error and changes no health.
+//! * A read tries its candidates in the queue-aware order: a `PowerLoss`
+//!   moves on to the next one, and the candidates that failed before the
+//!   one that served it go `Faulted`.  A device rejects a command before
+//!   reserving any time for it, so a failed attempt costs none.  When
+//!   every candidate has lost power, so has the box: the read returns
+//!   `PowerLoss`.
 //!
 //! # The in-sync rule
 //!
@@ -59,9 +74,9 @@ use std::sync::{Arc, Mutex};
 
 use flash_sim::lockorder::{self, LockClass, TrackedGuard};
 use flash_sim::{
-    BlockAddr, BlockInfo, CmdOutput, DeviceLossInjector, DeviceStats, DieId, DieLoad, DieStats,
-    FlashBackend, FlashCommand, FlashError, FlashGeometry, IoTag, NandDevice, OpOutcome, PageAddr,
-    PageState, Result, SimTime, TimingModel, WearSummary,
+    BlockAddr, BlockInfo, CmdOutput, DeviceStats, DieId, DieLoad, DieStats, FlashBackend,
+    FlashCommand, FlashError, FlashGeometry, IoTag, NandDevice, OpOutcome, PageAddr, PageState,
+    Result, SimTime, TimingModel, WearSummary,
 };
 use noftl_obs::MetricsRegistry;
 
@@ -104,6 +119,24 @@ impl ChildState {
     pub(crate) fn map(&mut self, segments: u64) -> &mut SegmentMap {
         self.dirty.get_or_insert_with(|| SegmentMap::all_dirty(segments))
     }
+
+    /// The child lost power at `cut`: it goes `Faulted`, stale for
+    /// `segments`.
+    fn lose_power(&mut self, cut: SimTime, segments: &[u64]) {
+        // Online -> Faulted and Rebuilding -> Faulted are both legal, and
+        // only a child that took a command can fail it, so the transition
+        // cannot fail here; were it ever refused, keeping the old health
+        // is safer than panicking mid-I/O.
+        if let Ok(next) = self.health.check_transition(ChildHealth::Faulted) {
+            self.health = next;
+        }
+        self.faulted_at = Some(cut);
+        if let Some(map) = &mut self.dirty {
+            for &seg in segments {
+                map.mark(seg);
+            }
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -119,7 +152,6 @@ pub(crate) struct MirrorState {
 pub struct MirrorDevice {
     geometry: FlashGeometry,
     children: Vec<Arc<NandDevice>>,
-    injector: Arc<DeviceLossInjector>,
     state: Mutex<MirrorState>,
     pub(crate) obs: MirrorObs,
 }
@@ -138,7 +170,7 @@ impl std::fmt::Debug for MirrorDevice {
 
 impl MirrorDevice {
     /// Assemble a mirror over `children`, which must be at least two
-    /// devices of identical geometry, with a loss injector sized to match.
+    /// devices of identical geometry.
     ///
     /// Pristine children all start `Online`.  If any child already holds
     /// data, the child with the highest stored write epoch becomes the
@@ -146,22 +178,10 @@ impl MirrorDevice {
     /// no staleness map — every segment counts as stale — until
     /// [`MirrorDevice::restore_replication`] (or a full rebuild)
     /// establishes what they actually hold.
-    pub fn new(
-        children: Vec<Arc<NandDevice>>,
-        injector: Arc<DeviceLossInjector>,
-    ) -> Result<MirrorDevice> {
+    pub fn new(children: Vec<Arc<NandDevice>>) -> Result<MirrorDevice> {
         if children.len() < 2 {
             return Err(FlashError::MirrorConfig {
                 message: format!("a mirror needs at least 2 children, got {}", children.len()),
-            });
-        }
-        if injector.children() != children.len() {
-            return Err(FlashError::MirrorConfig {
-                message: format!(
-                    "loss injector covers {} children, mirror has {}",
-                    injector.children(),
-                    children.len()
-                ),
             });
         }
         let geometry = *children[0].geometry();
@@ -188,7 +208,6 @@ impl MirrorDevice {
         let obs = MirrorObs::new(Arc::clone(children[0].metrics()), children.len());
         Ok(MirrorDevice {
             geometry,
-            injector,
             state: Mutex::new(MirrorState { children: states, epoch, rr: 0 }),
             obs,
             children,
@@ -213,8 +232,7 @@ impl MirrorDevice {
                 )
             })
             .collect();
-        let injector = Arc::new(DeviceLossInjector::new(replicas));
-        MirrorDevice::new(children, injector)
+        MirrorDevice::new(children)
     }
 
     /// The child holding the highest stored write epoch — the only
@@ -230,15 +248,11 @@ impl MirrorDevice {
         best
     }
 
-    /// The mirror's children (test harnesses image them and arm their
-    /// power-cut injectors through this).
+    /// The mirror's children.  Losing child `i` at `t` is
+    /// `children()[i].arm_power_cut(t)`, reattaching it
+    /// `clear_power_cut()`; crash harnesses image them through this too.
     pub fn children(&self) -> &[Arc<NandDevice>] {
         &self.children
-    }
-
-    /// The shared device-loss injector.
-    pub fn injector(&self) -> &Arc<DeviceLossInjector> {
-        &self.injector
     }
 
     /// Number of rebuild segments (one per erase block).
@@ -277,24 +291,6 @@ impl MirrorDevice {
         lockorder::lock_tracked(LockClass::Mirror, &self.state)
     }
 
-    /// Fault every child whose scheduled loss instant has been reached
-    /// by `at`.  Called at the top of every timed operation.
-    pub(crate) fn sweep_losses(&self, state: &mut MirrorState, at: SimTime) {
-        for (i, child) in state.children.iter_mut().enumerate() {
-            if child.health != ChildHealth::Faulted && self.injector.is_lost(i, at) {
-                // Online -> Faulted and Rebuilding -> Faulted are both
-                // legal, so the transition cannot fail here; if the
-                // machine ever changed, keeping the old health is safer
-                // than panicking mid-I/O.
-                if let Ok(next) = child.health.check_transition(ChildHealth::Faulted) {
-                    child.health = next;
-                }
-                child.faulted_at = Some(self.injector.loss_at(i).unwrap_or(at));
-                self.obs.note_fault(i, at);
-            }
-        }
-    }
-
     /// Route a command that reads segment `r` and writes segment `w`
     /// (the same segment unless it is a copyback) by the in-sync rule:
     /// return the children that take it.  Every other child goes stale
@@ -313,9 +309,10 @@ impl MirrorDevice {
     }
 
     /// Execute `cmd` (with the caller's arbiter `tag`), which reads
-    /// segment `r` and writes segment `w`, on the children that take it.
-    /// A program whose `meta.epoch` is zero is stamped from the mirror's
-    /// sequence first; one that carries an epoch ratchets the sequence.
+    /// segment `r` and writes segment `w`, on the children that take it,
+    /// and fault those that lost power (module docs).  A program whose
+    /// `meta.epoch` is zero is stamped from the mirror's sequence first;
+    /// one that carries an epoch ratchets the sequence.
     fn fan_out(
         &self,
         r: u64,
@@ -333,7 +330,6 @@ impl MirrorDevice {
                 state.epoch = state.epoch.max(meta.epoch);
             }
         }
-        self.sweep_losses(&mut state, at);
         let targets = Self::route(&mut state, r, w);
         for i in (0..self.children.len()).filter(|i| !targets.contains(i)) {
             self.obs.note_write_skip(i);
@@ -342,6 +338,7 @@ impl MirrorDevice {
         // no rebuild step can copy a segment between plan and execution.
         let mut merged: Option<OpOutcome> = None;
         let mut first_err: Option<FlashError> = None;
+        let mut cuts = Vec::new();
         for i in targets {
             let result = match cmd {
                 // A `Rebuilding` child takes programs on the replica path,
@@ -361,15 +358,23 @@ impl MirrorDevice {
                     m.started_at = m.started_at.min(out.started_at);
                     m.completed_at = m.completed_at.max(out.completed_at);
                 }
+                Err(FlashError::PowerLoss { at: cut }) => cuts.push((i, cut)),
                 Err(e) => {
                     first_err.get_or_insert(e);
                 }
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => merged.ok_or(FlashError::NoHealthyChild { at }),
+        let Some(merged) = merged else {
+            // No child took it: the box lost power, or no child was in
+            // sync.  Nothing is known that was not known before.
+            let lost = cuts.first().map(|&(_, cut)| FlashError::PowerLoss { at: cut });
+            return Err(first_err.or(lost).unwrap_or(FlashError::NoHealthyChild { at }));
+        };
+        for (i, cut) in cuts {
+            state.children[i].lose_power(cut, &[r, w]);
+            self.obs.note_fault(i, at);
         }
+        first_err.map_or(Ok(merged), Err)
     }
 
     /// Apply an untimed mutation of segment `seg` to the children that
@@ -383,41 +388,52 @@ impl MirrorDevice {
     }
 
     /// Serve `read` — a read or metadata read of `addr` — from the best
-    /// in-sync child.
+    /// in-sync child that has power (module docs).
     fn read_from_best(
         &self,
         addr: PageAddr,
         at: SimTime,
-        read: FlashCommand<'_>,
+        mut read: FlashCommand<'_>,
         tag: IoTag,
     ) -> Result<CmdOutput> {
         let seg = self.segment_of(addr.block());
         let mut state = self.mirror_shard();
-        self.sweep_losses(&mut state, at);
         let candidates: Vec<usize> =
             (0..self.children.len()).filter(|i| state.children[*i].takes(seg, seg)).collect();
         if candidates.is_empty() {
             return Err(FlashError::NoHealthyChild { at });
         }
         let degraded = candidates.len() < self.children.len();
-        // Queue-aware selection: earliest start on the target die wins;
-        // the round-robin cursor rotates the scan order so ties spread
-        // over the replica set.
+        // Queue-aware order: earliest start on the target die first; the
+        // round-robin cursor rotates the candidates, and the stable sort
+        // keeps that rotation among equals, so ties spread over the
+        // replica set.
         let rr = state.rr;
         state.rr = rr.wrapping_add(1);
-        let mut best = candidates[rr % candidates.len()];
-        let mut best_start = self.children[best].die_load(addr.die, at).earliest_start(at);
-        for off in 1..candidates.len() {
-            let i = candidates[(rr + off) % candidates.len()];
-            let start = self.children[i].die_load(addr.die, at).earliest_start(at);
-            if start < best_start {
-                best = i;
-                best_start = start;
+        let n = candidates.len();
+        let mut order: Vec<(SimTime, usize)> = (0..n)
+            .map(|off| candidates[(rr + off) % n])
+            .map(|i| (self.children[i].die_load(addr.die, at).earliest_start(at), i))
+            .collect();
+        order.sort_by_key(|&(start, _)| start);
+        let mut cuts: Vec<(usize, SimTime)> = Vec::new();
+        for &(_, i) in &order {
+            match self.children[i].execute(read.reborrow(), at, tag) {
+                Ok(out) => {
+                    for &(j, cut) in &cuts {
+                        state.children[j].lose_power(cut, &[]);
+                        self.obs.note_fault(j, at);
+                    }
+                    let degraded = degraded || !cuts.is_empty();
+                    self.obs.note_read(i, degraded, at, out.outcome.completed_at);
+                    return Ok(out);
+                }
+                Err(FlashError::PowerLoss { at: cut }) => cuts.push((i, cut)),
+                Err(e) => return Err(e),
             }
         }
-        let out = self.children[best].execute(read, at, tag)?;
-        self.obs.note_read(best, degraded, at, out.outcome.completed_at);
-        Ok(out)
+        // Every candidate lost power: so did the box.
+        Err(FlashError::PowerLoss { at: cuts.first().map_or(at, |&(_, cut)| cut) })
     }
 
     /// The child untimed state probes are served from: the first
@@ -671,10 +687,11 @@ impl FlashBackend for MirrorDevice {
                 plans.push((ChildHealth::Online, Some(SegmentMap::all_clean(segments))));
                 continue;
             }
-            // A lost child cannot be verified, and a missing or torn blob
-            // leaves nothing to trust: rebuild everything, never risk
-            // silent staleness.
-            let Some(blob) = decoded.as_ref().filter(|_| !self.injector.is_lost(i, at)) else {
+            // A child without power cannot be verified, and a missing or
+            // torn blob leaves nothing to trust: rebuild everything, never
+            // risk silent staleness.
+            let powered = self.children[i].power_cut().is_none_or(|cut| cut > at);
+            let Some(blob) = decoded.as_ref().filter(|_| powered) else {
                 plans.push((ChildHealth::Faulted, None));
                 continue;
             };

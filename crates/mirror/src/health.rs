@@ -3,11 +3,11 @@
 //! Each child of a mirror is in exactly one of three states:
 //!
 //! ```text
-//!            device loss
+//!            power loss
 //!   Online ──────────────▶ Faulted
-//!      ▲                      │ start_rebuild (loss cleared)
+//!      ▲                      │ start_rebuild (power back)
 //!      │ rebuild drains       ▼
-//!      └────────────────── Rebuilding ──▶ Faulted (lost again)
+//!      └────────────────── Rebuilding ──▶ Faulted (power lost again)
 //! ```
 //!
 //! The transitions are validated centrally by
@@ -25,8 +25,8 @@ use flash_sim::FlashError;
 pub enum ChildHealth {
     /// In sync: receives every write, may serve any read.
     Online,
-    /// Lost or known stale: writes are recorded in its dirty segment map,
-    /// reads never touch it.
+    /// Without power or known stale: writes are recorded in its dirty
+    /// segment map, reads never touch it.
     Faulted,
     /// A rebuild is draining its dirty segments: receives foreground
     /// writes to clean segments and may serve reads from them.

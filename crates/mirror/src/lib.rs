@@ -16,12 +16,15 @@
 //! * **Reads** are served by a child that would take a write of the
 //!   page's segment, picked queue-aware (earliest start on the target
 //!   die) with a round-robin tie-break.
-//! * **Device loss** (via [`flash_sim::DeviceLossInjector`]) drives a
-//!   per-child health machine `Online → Faulted → Rebuilding → Online`:
-//!   the first timed command at or after a child's loss instant faults
-//!   it.  While a child is out, a [`SegmentMap`] — a bitmap with one bit
-//!   per erase block — records exactly which segments it missed; a child
-//!   with unknown history has no map, and every segment counts as stale.
+//! * **A lost child is a child without power**
+//!   ([`flash_sim::NandDevice::arm_power_cut`]): the mirror learns of the
+//!   loss from the child's own `PowerLoss`, which drives a per-child
+//!   health machine `Online → Faulted → Rebuilding → Online`.  A write
+//!   the survivors took is acknowledged, and a read falls back to the
+//!   next in-sync child.  While a child is out, a [`SegmentMap`] — a
+//!   bitmap with one bit per erase block — records exactly which
+//!   segments it missed; a child with unknown history has no map, and
+//!   every segment counts as stale.
 //! * **Online rebuild** drains the dirty map segment by segment while
 //!   foreground traffic continues: a step holds the mirror lock across
 //!   its copy, so a write into an already-copied segment is applied and
@@ -53,8 +56,8 @@ mod tests {
     use std::sync::Arc;
 
     use flash_sim::{
-        DeviceLossInjector, FlashBackend, FlashError, FlashGeometry, NandDevice, PageAddr,
-        PageMetadata, SimTime, TimingModel,
+        FlashBackend, FlashError, FlashGeometry, NandDevice, PageAddr, PageMetadata, SimTime,
+        TimingModel,
     };
 
     use super::*;
@@ -73,24 +76,10 @@ mod tests {
     }
 
     #[test]
-    fn needs_two_children_and_matching_injector() {
-        let g = FlashGeometry::small_test();
-        let t = TimingModel::default();
-        let registry = Arc::new(noftl_obs::MetricsRegistry::new());
-        let one = vec![Arc::new(
-            flash_sim::DeviceBuilder::new(g).timing(t).metrics(registry.clone()).build(),
-        )];
-        let err = MirrorDevice::new(one, Arc::new(DeviceLossInjector::new(1))).unwrap_err();
-        assert!(matches!(err, FlashError::MirrorConfig { .. }));
-
-        let two: Vec<Arc<NandDevice>> = (0..2)
-            .map(|_| {
-                Arc::new(
-                    flash_sim::DeviceBuilder::new(g).timing(t).metrics(registry.clone()).build(),
-                )
-            })
-            .collect();
-        let err = MirrorDevice::new(two, Arc::new(DeviceLossInjector::new(3))).unwrap_err();
+    fn needs_two_children() {
+        let one =
+            vec![Arc::new(flash_sim::DeviceBuilder::new(FlashGeometry::small_test()).build())];
+        let err = MirrorDevice::new(one).unwrap_err();
         assert!(matches!(err, FlashError::MirrorConfig { .. }));
     }
 
@@ -137,7 +126,7 @@ mod tests {
                 )
             })
             .collect();
-        let m = MirrorDevice::new(children, Arc::new(DeviceLossInjector::new(2))).unwrap();
+        let m = MirrorDevice::new(children).unwrap();
         let count = |name: &str| registry.snapshot().counter(name).unwrap_or(0);
         let background = flash_sim::IoTag::background(Some(0));
         let mut t = SimTime::ZERO;
@@ -179,7 +168,7 @@ mod tests {
         for child in &children {
             child.metrics().tracer().set_enabled(true);
         }
-        let m = MirrorDevice::new(children, Arc::new(DeviceLossInjector::new(2))).unwrap();
+        let m = MirrorDevice::new(children).unwrap();
         let n = 6u32;
         let mut t = SimTime::ZERO;
         for p in 0..n {
@@ -235,7 +224,7 @@ mod tests {
     fn lost_child_goes_faulted_and_accrues_dirt() {
         let m = mirror(2);
         m.program_page(page(0, 0, 0), &payload(1), PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
-        m.injector().arm(1, SimTime(10));
+        m.children()[1].arm_power_cut(SimTime(10));
         let at = SimTime(1_000_000);
         m.program_page(page(0, 1, 0), &payload(2), PageMetadata::new(1, 1), at).unwrap();
         assert_eq!(m.health(1), ChildHealth::Faulted);
@@ -249,7 +238,7 @@ mod tests {
     fn degraded_reads_avoid_the_lost_child() {
         let m = mirror(2);
         m.program_page(page(0, 0, 0), &payload(9), PageMetadata::new(3, 0), SimTime::ZERO).unwrap();
-        m.injector().arm(1, SimTime(10));
+        m.children()[1].arm_power_cut(SimTime(10));
         // Every read must come from child 0 even with the round-robin
         // cursor pointing at child 1.
         for _ in 0..8 {
@@ -262,18 +251,74 @@ mod tests {
         assert_eq!(c1, 0);
     }
 
+    /// A box whose every device lost power has lost power: a read and a
+    /// write that no child took both say so, and neither faults a child.
     #[test]
     fn no_healthy_child_surfaces() {
         let m = mirror(2);
         m.program_page(page(0, 0, 0), &payload(1), PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
-        m.injector().arm(0, SimTime(5));
-        m.injector().arm(1, SimTime(5));
+        m.children()[0].arm_power_cut(SimTime(5));
+        m.children()[1].arm_power_cut(SimTime(5));
         let err = m.read_page(page(0, 0, 0), SimTime(1_000_000)).unwrap_err();
-        assert!(matches!(err, FlashError::NoHealthyChild { .. }));
+        assert!(err.is_power_loss(), "{err}");
         let err = m
             .program_page(page(0, 0, 1), &payload(2), PageMetadata::new(1, 1), SimTime(1_000_000))
             .unwrap_err();
-        assert!(matches!(err, FlashError::NoHealthyChild { .. }));
+        assert!(err.is_power_loss(), "{err}");
+        assert!(m.fully_online());
+    }
+
+    /// A program in flight on a child at its cut tears there, and the
+    /// survivor's copy acknowledges it: the child goes `Faulted` at its
+    /// cut, stale for the segment, and the rebuild brings the segment
+    /// over so that the verify scan finds the children equal.
+    #[test]
+    fn a_program_in_flight_at_a_childs_cut_is_acknowledged_from_the_survivor() {
+        let m = mirror(2);
+        let at = SimTime(1_000);
+        let cut = SimTime(at.as_nanos() + 100);
+        m.children()[1].arm_power_cut(cut);
+        let done = m.program_page(page(0, 2, 0), &payload(5), PageMetadata::new(1, 0), at).unwrap();
+        assert!(done.completed_at > cut, "the program was not in flight at the cut");
+        assert_eq!(m.health(1), ChildHealth::Faulted);
+        assert_eq!(m.health(0), ChildHealth::Online);
+        assert_eq!(m.dirty_segments(1), 1);
+        // The child holds a torn page: programmed, with a bad checksum.
+        let torn = m.children()[1].block_info(flash_sim::BlockAddr::new(flash_sim::DieId(0), 0, 2));
+        assert_eq!(torn.unwrap().write_ptr, 1);
+
+        m.children()[1].clear_power_cut();
+        m.start_rebuild(1, done.completed_at).unwrap();
+        let report = m.rebuild(1, 4, done.completed_at).unwrap();
+        assert!(report.child_online);
+        assert_eq!((report.segments_copied, report.pages_copied), (1, 1));
+        let blob = m.replication_blob().unwrap();
+        m.restore_replication(Some(&blob), m.quiesce_time()).unwrap();
+        assert!(m.fully_online(), "the verify scan found the rebuilt segment stale");
+        let (data, _, _) = m.children()[1].read_page(page(0, 2, 0), m.quiesce_time()).unwrap();
+        assert_eq!(data, payload(5));
+    }
+
+    /// A read first routed to a child without power falls back to its
+    /// sibling: the child rejects it before reserving any time, so the
+    /// read costs one page read, and the child is `Faulted` after it.
+    #[test]
+    fn a_read_routed_to_an_unpowered_child_is_served_by_its_sibling() {
+        let m = mirror(2);
+        m.program_page(page(0, 0, 0), &payload(3), PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
+        // Both dies are idle, so the round-robin cursor decides: child 0
+        // first, then child 1.
+        let at = SimTime(1_000_000);
+        m.read_page(page(0, 0, 0), at).unwrap();
+        m.children()[1].arm_power_cut(at);
+        let reads = m.stats().page_reads;
+        let (data, _, _) = m.read_page(page(0, 0, 0), at).unwrap();
+        assert_eq!(data, payload(3));
+        assert_eq!(m.children()[1].stats().errors, 1, "the read did not try child 1 first");
+        assert_eq!(m.stats().page_reads, reads + 1);
+        assert_eq!(m.children()[1].stats().page_reads, 0);
+        assert_eq!(m.health(1), ChildHealth::Faulted);
+        assert_eq!(m.dirty_segments(1), 0, "a read makes nothing stale");
     }
 
     #[test]
@@ -291,14 +336,14 @@ mod tests {
             .unwrap();
         }
         // Lose child 1, then touch exactly 2 segments.
-        m.injector().arm(1, SimTime(100));
+        m.children()[1].arm_power_cut(SimTime(100));
         let at = SimTime(10_000_000);
         m.program_page(page(1, 0, 0), &payload(41), PageMetadata::new(2, 100), at).unwrap();
         m.program_page(page(1, 1, 0), &payload(42), PageMetadata::new(2, 101), at).unwrap();
         assert_eq!(m.dirty_segments(1), 2);
 
         let programs_before = m.children()[1].stats().page_programs;
-        m.injector().clear(1);
+        m.children()[1].clear_power_cut();
         m.start_rebuild(1, SimTime(20_000_000)).unwrap();
         let report = m.rebuild(1, 4, SimTime(20_000_000)).unwrap();
         assert!(report.child_online);
@@ -313,18 +358,18 @@ mod tests {
     }
 
     #[test]
-    fn start_rebuild_requires_cleared_injector_and_faulted_child() {
+    fn start_rebuild_requires_power_and_a_faulted_child() {
         let m = mirror(2);
         m.program_page(page(0, 0, 0), &payload(1), PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
         // Not faulted yet.
         assert!(m.start_rebuild(1, SimTime(1)).is_err());
-        m.injector().arm(1, SimTime(10));
+        m.children()[1].arm_power_cut(SimTime(10));
         m.program_page(page(0, 1, 0), &payload(2), PageMetadata::new(1, 1), SimTime(1_000))
             .unwrap();
-        // Faulted but still lost.
+        // Faulted, and its cut is still armed.
         let err = m.start_rebuild(1, SimTime(2_000)).unwrap_err();
         assert!(matches!(err, FlashError::MirrorConfig { .. }));
-        m.injector().clear(1);
+        m.children()[1].clear_power_cut();
         m.start_rebuild(1, SimTime(3_000)).unwrap();
         assert_eq!(m.health(1), ChildHealth::Rebuilding);
     }
@@ -358,7 +403,7 @@ mod tests {
                     m.program_page(page(die, block, 0), &payload(1), meta, SimTime::ZERO).unwrap();
                 }
             }
-            m.injector().arm(1, SimTime(10));
+            m.children()[1].arm_power_cut(SimTime(10));
             for die in 0..g.total_dies() {
                 for block in (0..g.blocks_per_plane).step_by(4) {
                     let meta = PageMetadata::new(2, u64::from(block));
@@ -366,7 +411,7 @@ mod tests {
                         .unwrap();
                 }
             }
-            m.injector().clear(1);
+            m.children()[1].clear_power_cut();
             m.start_rebuild(1, SimTime(2_000_000)).unwrap();
 
             // Both threads start together; from there the host picks the
@@ -464,7 +509,7 @@ mod tests {
     fn a_skipped_copyback_leaves_the_child_stale_for_source_and_destination() {
         let m = mirror(2);
         m.program_page(page(0, 2, 0), &payload(1), PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
-        m.injector().arm(1, SimTime(10));
+        m.children()[1].arm_power_cut(SimTime(10));
         m.copyback(page(0, 2, 0), page(0, 3, 0), SimTime(1_000_000)).unwrap();
         assert_eq!(m.health(1), ChildHealth::Faulted);
         assert_eq!(m.dirty_segments(1), 2, "the source segment was left clean");
@@ -474,10 +519,10 @@ mod tests {
     fn rebuilding_child_serves_reads_only_from_clean_segments() {
         let m = mirror(2);
         m.program_page(page(0, 0, 0), &payload(1), PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
-        m.injector().arm(1, SimTime(10));
+        m.children()[1].arm_power_cut(SimTime(10));
         m.program_page(page(0, 3, 0), &payload(2), PageMetadata::new(1, 1), SimTime(1_000))
             .unwrap();
-        m.injector().clear(1);
+        m.children()[1].clear_power_cut();
         m.start_rebuild(1, SimTime(2_000)).unwrap();
         // Dirty segment: every read must hit child 0.
         let r0 = m.children()[0].stats().page_reads;
@@ -491,7 +536,7 @@ mod tests {
     fn blob_roundtrip_through_backend_hooks() {
         let m = mirror(2);
         m.program_page(page(0, 0, 0), &payload(1), PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
-        m.injector().arm(1, SimTime(10));
+        m.children()[1].arm_power_cut(SimTime(10));
         m.program_page(page(0, 1, 0), &payload(2), PageMetadata::new(1, 1), SimTime(1_000))
             .unwrap();
         let blob = m.replication_blob().unwrap();
@@ -524,10 +569,10 @@ mod tests {
         let blob = m.replication_blob().unwrap();
         // Writes after the blob reach only child 0 (child 1 lost), so at
         // restore time the blob alone would claim child 1 is clean.
-        m.injector().arm(1, SimTime(10));
+        m.children()[1].arm_power_cut(SimTime(10));
         m.program_page(page(2, 5, 0), &payload(7), PageMetadata::new(4, 9), SimTime(1_000_000))
             .unwrap();
-        m.injector().clear(1);
+        m.children()[1].clear_power_cut();
         let now = m.restore_replication(Some(&blob), SimTime(2_000_000)).unwrap();
         assert!(now >= SimTime(2_000_000));
         // The verify scan catches the divergence the blob missed.
@@ -547,8 +592,8 @@ mod tests {
     fn three_way_mirror_survives_double_fault() {
         let m = mirror(3);
         m.program_page(page(0, 0, 0), &payload(1), PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
-        m.injector().arm(1, SimTime(10));
-        m.injector().arm(2, SimTime(10));
+        m.children()[1].arm_power_cut(SimTime(10));
+        m.children()[2].arm_power_cut(SimTime(10));
         let (data, _, _) = m.read_page(page(0, 0, 0), SimTime(1_000_000)).unwrap();
         assert_eq!(data, payload(1));
         m.program_page(page(0, 1, 0), &payload(2), PageMetadata::new(1, 1), SimTime(1_000_000))
@@ -582,10 +627,10 @@ mod tests {
                 };
                 for step in 0..24u64 {
                     if step == lose_at_step {
-                        m.injector().arm(1, clock);
+                        m.children()[1].arm_power_cut(clock);
                     }
                     if step == rebuild_at_step {
-                        m.injector().clear(1);
+                        m.children()[1].clear_power_cut();
                         m.start_rebuild(1, clock).unwrap();
                         let report = m.rebuild(1, 4, clock).unwrap();
                         prop_assert!(report.child_online);

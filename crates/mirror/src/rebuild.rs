@@ -16,7 +16,9 @@
 //! metadata preserved, so after the copy the two blocks compare
 //! identical shape-and-OOB in [the verify scan].  Source pages that are
 //! `Invalid` are re-invalidated on the target, and a source block gone
-//! `Bad` retires the target block instead of copying.
+//! `Bad` retires the target block instead of copying.  A source or a
+//! target that loses power mid-copy ends the step with its `PowerLoss`,
+//! and the segment stays dirty.
 //!
 //! [the verify scan]: crate::MirrorDevice::restore_replication
 
@@ -69,19 +71,19 @@ impl MirrorDevice {
     /// Transition a faulted child to `Rebuilding` so
     /// [`MirrorDevice::rebuild_step`] can start draining its dirty map.
     ///
-    /// Fails if the child is not `Faulted`, is still lost at `at`,
-    /// another child is already rebuilding, or no online source exists.
+    /// Fails if the child is not `Faulted`, has a power cut armed at or
+    /// before `at`, another child is already rebuilding, or no online
+    /// source exists.
     pub fn start_rebuild(&self, child: usize, at: SimTime) -> Result<()> {
         let mut state = self.mirror_shard();
-        self.sweep_losses(&mut state, at);
-        if child >= state.children.len() {
+        let Some(device) = self.children().get(child) else {
             return Err(FlashError::MirrorConfig {
                 message: format!("no child {child} in a {}-way mirror", state.children.len()),
             });
-        }
-        if self.injector().is_lost(child, at) {
+        };
+        if device.power_cut().is_some_and(|cut| cut <= at) {
             return Err(FlashError::MirrorConfig {
-                message: format!("child {child} is still lost; clear the injector first"),
+                message: format!("child {child} has no power; clear its power cut first"),
             });
         }
         if state.children.iter().any(|c| c.health == ChildHealth::Rebuilding) {
@@ -118,15 +120,12 @@ impl MirrorDevice {
         at: SimTime,
     ) -> Result<Option<SegmentCopy>> {
         let mut state = self.mirror_shard();
-        self.sweep_losses(&mut state, at);
         match state.children[child].health {
             ChildHealth::Rebuilding => {}
             ChildHealth::Faulted => {
-                // Lost again mid-rebuild.
-                return Err(FlashError::DeviceLost {
-                    child,
-                    at: state.children[child].faulted_at.unwrap_or(at),
-                });
+                // A foreground command found it without power mid-rebuild.
+                let cut = state.children[child].faulted_at.unwrap_or(at);
+                return Err(FlashError::PowerLoss { at: cut });
             }
             ChildHealth::Online => {
                 return Err(FlashError::MirrorConfig {
@@ -269,9 +268,6 @@ impl MirrorDevice {
         let mut slot_free = clock;
         loop {
             while pending.len() < window && next < sb.write_ptr {
-                if self.injector().is_lost(source, slot_free) {
-                    break;
-                }
                 let mut data = spare.pop().unwrap_or_else(|| vec![0; page_size]);
                 let read = FlashCommand::Read { addr: block.page(next), data: &mut data };
                 let out = src_dev.execute(read, slot_free, IoTag::default());
@@ -279,17 +275,10 @@ impl MirrorDevice {
                 next += 1;
             }
             let Some((page, data, read)) = pending.pop_front() else {
-                if next < sb.write_ptr {
-                    // Loop exited early: the source disappeared.
-                    return Err(FlashError::DeviceLost { child: source, at: slot_free });
-                }
                 break;
             };
             let out = read?;
             let read_done = out.outcome.completed_at;
-            if self.injector().is_lost(child, read_done) {
-                return Err(FlashError::DeviceLost { child, at: read_done });
-            }
             // A torn source OOB area (power cut mid-program before the
             // blob was cut) still gets its payload copied; the metadata
             // placeholder keeps the page readable and the verify scan

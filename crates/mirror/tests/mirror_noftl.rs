@@ -6,10 +6,8 @@
 
 use std::sync::Arc;
 
-use flash_sim::{
-    DeviceLossInjector, FlashBackend, FlashGeometry, NandDevice, SimTime, TimingModel,
-};
-use noftl_core::{crash, NoFtl, NoFtlConfig, ObjectId};
+use flash_sim::{FlashBackend, FlashGeometry, NandDevice, SimTime, TimingModel};
+use noftl_core::{crash, NoFtl, ObjectId};
 use noftl_mirror::{ChildHealth, MirrorDevice};
 
 /// Logical page `page` of `obj` as the manager reads it at `at`.
@@ -33,14 +31,13 @@ fn fresh_mirror() -> Arc<MirrorDevice> {
 fn reboot(mirror: &MirrorDevice) -> Arc<MirrorDevice> {
     let children: Vec<Arc<NandDevice>> =
         mirror.children().iter().map(|c| crash::power_cycle(c).unwrap()).collect();
-    let injector = Arc::new(DeviceLossInjector::new(children.len()));
-    Arc::new(MirrorDevice::new(children, injector).unwrap())
+    Arc::new(MirrorDevice::new(children).unwrap())
 }
 
 #[test]
 fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirty() {
     let mirror = fresh_mirror();
-    let (noftl, _rid) = NoFtl::with_single_region(mirror.clone(), NoFtlConfig::default()).unwrap();
+    let (noftl, _rid) = NoFtl::with_single_region(mirror.clone()).unwrap();
     let obj = noftl.create_object_in("t", "rgAll").unwrap();
     let mut t = SimTime::ZERO;
     for p in 0..12u64 {
@@ -49,7 +46,7 @@ fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirt
     t = noftl.checkpoint(t).unwrap();
 
     // Lose child 1, keep writing: only these writes may be stale on it.
-    mirror.injector().arm(1, t);
+    mirror.children()[1].arm_power_cut(t);
     t = SimTime(t.as_nanos() + 1_000);
     for p in 0..4u64 {
         t = noftl.write(obj, p, &vec![0xA0 + p as u8; 4096], t).unwrap();
@@ -64,7 +61,7 @@ fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirt
 
     // Reboot and remount through the standard path.
     let mirror2 = reboot(&mirror);
-    let (noftl2, report) = NoFtl::mount(mirror2.clone(), NoFtlConfig::default(), t).unwrap();
+    let (noftl2, report) = NoFtl::mount(mirror2.clone(), t).unwrap();
     assert!(report.checkpoint_seq >= 2);
     t = report.completed_at;
 
@@ -96,7 +93,7 @@ fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirt
 
     t = noftl2.checkpoint(t).unwrap();
     let mirror3 = reboot(&mirror2);
-    let (noftl3, report) = NoFtl::mount(mirror3.clone(), NoFtlConfig::default(), t).unwrap();
+    let (noftl3, report) = NoFtl::mount(mirror3.clone(), t).unwrap();
     // …which the verify scan confirms: a clean roundtrip mounts fully
     // online with nothing left to copy.
     assert!(mirror3.fully_online(), "verify scan found divergence after a completed rebuild");
@@ -109,7 +106,7 @@ fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirt
 #[test]
 fn mount_with_child_still_missing_serves_degraded_and_rebuilds_later() {
     let mirror = fresh_mirror();
-    let (noftl, _rid) = NoFtl::with_single_region(mirror.clone(), NoFtlConfig::default()).unwrap();
+    let (noftl, _rid) = NoFtl::with_single_region(mirror.clone()).unwrap();
     let obj = noftl.create_object_in("t", "rgAll").unwrap();
     let mut t = SimTime::ZERO;
     for p in 0..8u64 {
@@ -121,10 +118,9 @@ fn mount_with_child_still_missing_serves_degraded_and_rebuilds_later() {
     // must fail safe ("assume everything stale"), yet the mount serves.
     let children: Vec<Arc<NandDevice>> =
         mirror.children().iter().map(|c| crash::power_cycle(c).unwrap()).collect();
-    let injector = Arc::new(DeviceLossInjector::new(children.len()));
-    injector.arm(1, SimTime::ZERO);
-    let mirror2 = Arc::new(MirrorDevice::new(children, injector).unwrap());
-    let (noftl2, report) = NoFtl::mount(mirror2.clone(), NoFtlConfig::default(), t).unwrap();
+    children[1].arm_power_cut(SimTime::ZERO);
+    let mirror2 = Arc::new(MirrorDevice::new(children).unwrap());
+    let (noftl2, report) = NoFtl::mount(mirror2.clone(), t).unwrap();
     t = report.completed_at;
     assert_eq!(mirror2.health(1), ChildHealth::Faulted);
     assert_eq!(mirror2.dirty_segments(1), mirror2.segment_count());
@@ -132,8 +128,8 @@ fn mount_with_child_still_missing_serves_degraded_and_rebuilds_later() {
         assert_eq!(read(&noftl2, obj, p, t), vec![p as u8 + 10; 4096]);
     }
 
-    // The device reattaches: clear the loss, rebuild, fully online.
-    mirror2.injector().clear(1);
+    // The device reattaches: its power is back, rebuild, fully online.
+    mirror2.children()[1].clear_power_cut();
     mirror2.start_rebuild(1, t).unwrap();
     let report = mirror2.rebuild(1, 8, t).unwrap();
     assert!(report.child_online);
@@ -143,7 +139,7 @@ fn mount_with_child_still_missing_serves_degraded_and_rebuilds_later() {
 #[test]
 fn power_cut_during_mount_recovers_on_retry() {
     let mirror = fresh_mirror();
-    let (noftl, _rid) = NoFtl::with_single_region(mirror.clone(), NoFtlConfig::default()).unwrap();
+    let (noftl, _rid) = NoFtl::with_single_region(mirror.clone()).unwrap();
     let obj = noftl.create_object_in("t", "rgAll").unwrap();
     let mut t = SimTime::ZERO;
     for p in 0..10u64 {
@@ -156,14 +152,14 @@ fn power_cut_during_mount_recovers_on_retry() {
     for child in mirror2.children() {
         child.arm_power_cut(SimTime(t.as_nanos() + 50_000));
     }
-    let err = NoFtl::mount(mirror2.clone(), NoFtlConfig::default(), t).unwrap_err();
+    let err = NoFtl::mount(mirror2.clone(), t).unwrap_err();
     assert!(format!("{err}").contains("power"), "mount failed for the wrong reason: {err}");
 
     // Power returns: the same devices mount cleanly with all data.
     for child in mirror2.children() {
         child.clear_power_cut();
     }
-    let (noftl2, report) = NoFtl::mount(mirror2, NoFtlConfig::default(), t).unwrap();
+    let (noftl2, report) = NoFtl::mount(mirror2, t).unwrap();
     for p in 0..10u64 {
         assert_eq!(read(&noftl2, obj, p, report.completed_at), vec![p as u8 + 3; 4096]);
     }
@@ -184,7 +180,7 @@ mod props {
             degraded_writes in 1u64..10,
         ) {
             let mirror = fresh_mirror();
-            let (noftl, _rid) = NoFtl::with_single_region(mirror.clone(), NoFtlConfig::default()).unwrap();
+            let (noftl, _rid) = NoFtl::with_single_region(mirror.clone()).unwrap();
             let obj = noftl.create_object_in("t", "rgAll").unwrap();
             let mut t = SimTime::ZERO;
             let mut expected = std::collections::HashMap::new();
@@ -198,7 +194,7 @@ mod props {
                 expected.insert(i, read(&noftl, obj, i, t));
             }
             t = noftl.checkpoint(t).unwrap();
-            mirror.injector().arm(1, t);
+            mirror.children()[1].arm_power_cut(t);
             t = SimTime(t.as_nanos() + 1_000);
             for _ in 0..degraded_writes {
                 let page = rand() % 8;
@@ -214,7 +210,7 @@ mod props {
             }
             let mirror2 = reboot(&mirror);
             let (noftl2, report) =
-                NoFtl::mount(mirror2.clone(), NoFtlConfig::default(), t).unwrap();
+                NoFtl::mount(mirror2.clone(), t).unwrap();
             t = report.completed_at;
             prop_assert_eq!(mirror2.health(0), ChildHealth::Online);
             prop_assert_eq!(mirror2.health(1), ChildHealth::Faulted);

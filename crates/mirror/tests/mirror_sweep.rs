@@ -1,5 +1,6 @@
-//! Acceptance sweep: 25+ randomized cycles combining device loss,
-//! power cuts mid-rebuild and crashes during mount, verifying that no
+//! Acceptance sweep: 25+ randomized cycles combining the loss of one
+//! child (its own power cut), power cuts mid-rebuild and crashes during
+//! mount, verifying that no
 //! acknowledged write is ever lost and that rebuilds only ever copy
 //! segments the lost child actually missed.
 //!
@@ -7,8 +8,8 @@
 //!
 //! 1. writes a random workload through NoFTL over a 2-way mirror and
 //!    checkpoints it;
-//! 2. loses a random child and keeps writing (degraded mode), possibly
-//!    checkpointing the degraded state;
+//! 2. cuts a random child's power and keeps writing (degraded mode),
+//!    possibly checkpointing the degraded state;
 //! 3. sometimes reattaches the child and rebuilds — and sometimes cuts
 //!    power *mid-rebuild*, leaving torn copies for recovery to discard;
 //! 4. power-cycles the box through the crash driver, sometimes cutting
@@ -22,11 +23,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use flash_sim::{
-    DeviceLossInjector, Duration, FlashBackend, FlashError, FlashGeometry, SimTime, TimingModel,
-};
+use flash_sim::{Duration, FlashBackend, FlashError, FlashGeometry, SimTime, TimingModel};
 use noftl_core::crash::{self, Bootable, Directory};
-use noftl_core::{NoFtl, NoFtlConfig};
+use noftl_core::NoFtl;
 use noftl_mirror::{ChildHealth, MirrorDevice};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -34,9 +33,9 @@ const CYCLES: u64 = 25;
 const PAGES: u64 = 24;
 
 /// The box under test: a mirror, the child that stays absent across
-/// reboots, if any, and how long after a cut's instant each child loses
-/// power.  Staggered cuts let one child die during the mount scan while
-/// the other keeps serving.
+/// reboots, if any (it boots without power), and how long after a cut's
+/// instant each other child loses power.  Staggered cuts let one child
+/// die during the mount scan while the other keeps serving.
 struct Mirror {
     device: Arc<MirrorDevice>,
     absent: Option<usize>,
@@ -49,8 +48,10 @@ impl Bootable for Mirror {
     }
 
     fn cut_power(&self, at: SimTime) {
-        for (child, &lag) in self.device.children().iter().zip(&self.stagger) {
-            child.arm_power_cut(at + lag);
+        for (i, (child, &lag)) in self.device.children().iter().zip(&self.stagger).enumerate() {
+            if self.absent != Some(i) {
+                child.arm_power_cut(at + lag);
+            }
         }
     }
 
@@ -62,11 +63,10 @@ impl Bootable for Mirror {
             .iter()
             .map(|c| crash::power_cycle(c))
             .collect::<noftl_core::Result<Vec<_>>>()?;
-        let injector = Arc::new(DeviceLossInjector::new(children.len()));
         if let Some(child) = self.absent {
-            injector.arm(child, SimTime::ZERO);
+            children[child].arm_power_cut(SimTime::ZERO);
         }
-        let device = Arc::new(MirrorDevice::new(children, injector)?);
+        let device = Arc::new(MirrorDevice::new(children)?);
         Ok(Mirror { device, absent: self.absent, stagger: self.stagger.clone() })
     }
 }
@@ -83,8 +83,7 @@ fn randomized_loss_and_crash_sweep_loses_no_acknowledged_write() {
             MirrorDevice::new_fresh(2, FlashGeometry::small_test(), TimingModel::default())
                 .unwrap(),
         );
-        let (noftl, _rid) =
-            NoFtl::with_single_region(mirror.clone(), NoFtlConfig::default()).unwrap();
+        let (noftl, _rid) = NoFtl::with_single_region(mirror.clone()).unwrap();
         let obj = noftl.create_object_in("t", "rgAll").unwrap();
         let mut t = SimTime(1_000);
         let mut acked: HashMap<u64, Vec<u8>> = HashMap::new();
@@ -105,9 +104,9 @@ fn randomized_loss_and_crash_sweep_loses_no_acknowledged_write() {
         }
         t = noftl.checkpoint(t).unwrap();
 
-        // Phase 2: lose a child, keep writing degraded.
+        // Phase 2: lose a child (cut its power), keep writing degraded.
         let lost_child = rng.random_range(0..2usize);
-        mirror.injector().arm(lost_child, t);
+        mirror.children()[lost_child].arm_power_cut(t);
         t = SimTime(t.as_nanos() + 1);
         for _ in 0..rng.random_range(5..20u32) {
             write(&noftl, &mut t, &mut rng, &mut acked);
@@ -122,7 +121,7 @@ fn randomized_loss_and_crash_sweep_loses_no_acknowledged_write() {
         // cut landing mid-rebuild.
         let mut cut_armed = false;
         if rng.random_range(0..100) < 60 {
-            mirror.injector().clear(lost_child);
+            mirror.children()[lost_child].clear_power_cut();
             mirror.start_rebuild(lost_child, t).unwrap();
             if rng.random_range(0..100) < 50 {
                 // Cut power a little into the copy stream.
@@ -221,7 +220,7 @@ fn randomized_loss_and_crash_sweep_loses_no_acknowledged_write() {
             let stale: Vec<usize> =
                 (0..2).filter(|&c| mirror2.health(c) != ChildHealth::Online).collect();
             for child in stale {
-                mirror2.injector().clear(child);
+                mirror2.children()[child].clear_power_cut();
                 let dirty = mirror2.dirty_segments(child);
                 mirror2.start_rebuild(child, t2).unwrap();
                 let report = mirror2.rebuild(child, 4, t2).unwrap();

@@ -40,18 +40,26 @@
 //!
 //! Besides, two structures grow with the data, and any transaction can
 //! make them grow (a dirty eviction, the log force, a checkpoint, a GC
-//! relocation).
+//! relocation), and one buffer comes with a large write-back.
 //! The first program of a block since the device was built allocates
 //! that block's payload buffer; those allocations are counted apart and
 //! must not outnumber the blocks the device programmed for the first time
 //! during the run.  And the storage manager's page map of an object, a
-//! vector, doubles when a write first maps a page past its end, so a
-//! transaction may allocate once for each object whose extent it grew.
+//! vector, grows when a write first maps a page past its capacity; such a
+//! growth is told by its size, a whole number of map entries above the
+//! object's extent before the transaction and below twice its extent
+//! after it.  And a checkpoint that writes back more pages than its
+//! window ([`DEFAULT_FLUSH_WINDOW`]) holds in flight allocates the
+//! storage manager's queue of their completions, a deque of that many
+//! instants.  A measured transaction allocates exactly its block buffers,
+//! its page-map growths and the completion queue of each checkpoint it
+//! took.
 //!
 //! The counting allocator (`tests/common/counting_alloc.rs`, per thread)
 //! watches the size of a block's payload buffer and records the sizes of
-//! the first allocations of each transaction, so one that allocates says
-//! what it saw.  CI runs this in `--release`, where the claim matters.
+//! the first allocations of each transaction, which tell the page-map
+//! growths apart and let one that allocates say what it saw.  CI runs
+//! this in `--release`, where the claim matters.
 
 #[path = "../../../tests/common/counting_alloc.rs"]
 pub mod counting_alloc;
@@ -59,9 +67,11 @@ pub mod counting_alloc;
 use std::sync::Arc;
 
 use counting_alloc::{counted, watch};
+use dbms_engine::buffer::DEFAULT_FLUSH_WINDOW;
 use dbms_engine::{Database, DatabaseConfig, NoFtlBackend};
 use flash_sim::{
-    BlockAddr, DeviceBuilder, DieId, FlashBackend, FlashGeometry, NandDevice, SimTime, TimingModel,
+    BlockAddr, DeviceBuilder, DieId, FlashBackend, FlashGeometry, NandDevice, PageAddr, SimTime,
+    TimingModel,
 };
 use noftl_core::{NoFtl, NoFtlConfig};
 use rand::rngs::StdRng;
@@ -70,6 +80,13 @@ use tpcc_workload::{placement, transactions, Loader, ScaleConfig, TxnMix, TxnTyp
 
 /// The payload buffer of a block of `FlashGeometry::example()`.
 const BLOCK_BYTES: usize = 32 * 4096;
+
+/// An entry of the storage manager's page map of an object.
+const MAP_ENTRY: usize = std::mem::size_of::<Option<PageAddr>>();
+
+/// The storage manager's queue of the completions a write-back holds in
+/// flight.
+const FLUSH_QUEUE: usize = DEFAULT_FLUSH_WINDOW * std::mem::size_of::<SimTime>();
 
 /// Customers per district.
 const CUSTOMERS: i64 = 60;
@@ -93,6 +110,15 @@ fn programmed_blocks(device: &NandDevice) -> usize {
             info.write_ptr > 0 || info.erase_count > 0
         })
         .count()
+}
+
+/// Is an allocation of `size` bytes the growth of the page map of an
+/// object whose extent went from `before` to `after` pages?  The map is at
+/// least as long as the extent, and a vector grows to twice its capacity,
+/// to the length it needs or to 4 entries, whichever is largest.
+fn grows_page_map(size: usize, before: u64, after: u64) -> bool {
+    let entries = (size / MAP_ENTRY) as u64;
+    size.is_multiple_of(MAP_ENTRY) && before < entries && (entries < 2 * after || entries == 4)
 }
 
 /// Run the standard mix on a database whose log checkpoints once its
@@ -127,7 +153,7 @@ fn run_standard_mix(wal_segment_pages: u64) -> (u64, u64) {
     let mut run = |measured: bool| {
         let kind = mix.pick(&mut rng);
         let mut txn = db.begin(now);
-        let before = extents();
+        let (before, took) = (extents(), checkpoints());
         let (outcome, used) = counted(|| match kind {
             TxnType::NewOrder => transactions::new_order(&db, &scale, &mut rng, &mut txn, 1),
             TxnType::Payment => transactions::payment(&db, &scale, &mut rng, &mut txn, 1),
@@ -139,32 +165,41 @@ fn run_standard_mix(wal_segment_pages: u64) -> (u64, u64) {
         let sizes = used.sizes;
         outcome.unwrap();
         now = txn.now;
-        let grown = extents().iter().zip(&before).filter(|(after, before)| after > before).count();
+        let grown: Vec<(u64, u64)> =
+            before.into_iter().zip(extents()).filter(|(before, after)| after > before).collect();
+        let maps = sizes
+            .iter()
+            .filter(|&&size| grown.iter().any(|&(b, a)| grows_page_map(size, b, a)))
+            .count();
+        let queues = sizes.iter().filter(|&&size| size == FLUSH_QUEUE).count();
+        let queues = queues.min((checkpoints() - took) as usize);
         assert!(
-            !measured || allocs - blocks <= grown,
-            "a {} allocated {allocs} times, {blocks} of them block buffers, and grew {grown} \
-             objects; sizes {sizes:?}",
+            !measured || allocs == blocks + maps + queues,
+            "a {} allocated {allocs} times, {blocks} of them block buffers, {maps} page-map \
+             growths and {queues} completion queues, and grew the extents {grown:?}; sizes \
+             {sizes:?}",
             kind.name()
         );
-        (blocks, allocs - blocks)
+        (blocks, maps, queues)
     };
     for _ in 0..WARM_UP {
         run(false);
     }
     let (warm_up_checkpoints, blocks_before) = (checkpoints(), programmed_blocks(&device));
-    let (mut block_buffers, mut page_maps) = (0, 0);
+    let (mut block_buffers, mut page_maps, mut completion_queues) = (0, 0, 0);
     for _ in WARM_UP..RUN {
-        let (blocks, maps) = run(true);
+        let (blocks, maps, queues) = run(true);
         block_buffers += blocks;
         page_maps += maps;
+        completion_queues += queues;
     }
     let fresh = programmed_blocks(&device) - blocks_before;
     assert!(block_buffers <= fresh, "{block_buffers} block buffers for {fresh} fresh blocks");
     let measured_checkpoints = checkpoints() - warm_up_checkpoints;
     eprintln!(
         "{} transactions, {measured_checkpoints} checkpoints: {block_buffers} block buffers for \
-         {fresh} blocks programmed for the first time, {page_maps} page maps grown, and no \
-         other allocation",
+         {fresh} blocks programmed for the first time, {page_maps} page maps grown, \
+         {completion_queues} completion queues, and no other allocation",
         RUN - WARM_UP
     );
     (warm_up_checkpoints, measured_checkpoints)

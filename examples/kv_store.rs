@@ -85,7 +85,7 @@ fn main() {
     }
 
     let device2 = crash::power_cycle(&device).unwrap();
-    let (noftl2, mount) = NoFtl::mount(device2, NoFtlConfig::default(), quiesce).unwrap();
+    let (noftl2, mount) = NoFtl::mount(device2, quiesce).unwrap();
     println!(
         "mounted: checkpoint #{}, {} torn pages discarded",
         mount.checkpoint_seq, mount.torn_pages_discarded

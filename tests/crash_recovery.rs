@@ -114,7 +114,7 @@ fn snapshot_restore_preserves_wear_and_bad_blocks() {
     assert!(booted.image() == image, "the booted device images to other bytes");
     // The same round trip, as a power cycle.
     let device2 = power_cycle(&device).unwrap();
-    let (noftl2, report) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
+    let (noftl2, report) = NoFtl::mount(device2, t).unwrap();
     assert_eq!(report.checkpoint_seq, 1);
     for p in 0..8u64 {
         let expected = 24 + p; // last round of writes wins
@@ -169,8 +169,7 @@ fn power_cut_between_two_gc_steps_of_one_victim_loses_nothing() {
     let idle = t + Duration::from_ms(100);
     device.arm_power_cut(idle);
     assert!(noftl.write(obj, 0, &vec![0xEE; 4096], idle + Duration::from_ms(1)).is_err());
-    let (noftl, report) =
-        NoFtl::mount(power_cycle(&device).unwrap(), NoFtlConfig::default(), idle).unwrap();
+    let (noftl, report) = NoFtl::mount(power_cycle(&device).unwrap(), idle).unwrap();
     assert_eq!(report.mapped_pages, pages, "one version of every acknowledged page");
     let mut t = report.completed_at;
     for p in 0..pages {
@@ -230,7 +229,7 @@ fn recovery_reports_scale_with_wal_length() {
         // Reboot + recover after each chunk; the WAL tail has grown, so
         // redo replays more images.
         let device2 = power_cycle(&device).unwrap();
-        let (noftl2, mount) = NoFtl::mount(device2, NoFtlConfig::default(), t).unwrap();
+        let (noftl2, mount) = NoFtl::mount(device2, t).unwrap();
         let backend2 = Arc::new(NoFtlBackend::attach(Arc::new(noftl2), &placement).unwrap());
         let (_db2, report) = Database::recover(backend2, config, mount.completed_at).unwrap();
         redo_applied.push(report.redo_pages_applied);

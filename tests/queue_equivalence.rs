@@ -176,7 +176,7 @@ fn queued_write_batch_under_power_cut_mounts_cleanly() {
 
     // Power-cycle and mount.
     let dev2 = crash::power_cycle(&dev).unwrap();
-    let (mounted, report) = NoFtl::mount(dev2, NoFtlConfig::default(), t).unwrap();
+    let (mounted, report) = NoFtl::mount(dev2, t).unwrap();
     assert!(report.torn_pages_discarded > 0, "the cut must have torn part of the batch");
     // Every page reads as either its base version or its batch version —
     // never a torn mix (the checksum would have discarded it).
