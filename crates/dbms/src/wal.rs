@@ -101,12 +101,17 @@ impl Display for WalRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WalRecord::Note { text, .. } => f.write_str(text),
-            WalRecord::PageImage { obj, page, .. } => write!(f, "IMG {obj} {page}"),
+            WalRecord::PageImage { obj, page, .. } => image_text(*obj, *page).fmt(f),
             WalRecord::Commit { txn } => write!(f, "COMMIT {txn}"),
             WalRecord::Rollback { txn } => write!(f, "ROLLBACK {txn}"),
             WalRecord::Checkpoint => f.write_str("CHECKPOINT"),
         }
     }
+}
+
+/// The text form of the [`WalRecord::PageImage`] of `page` of `obj`.
+fn image_text(obj: ObjectId, page: u64) -> impl Display {
+    fmt::from_fn(move |f| write!(f, "IMG {obj} {page}"))
 }
 
 impl WalRecord {
@@ -319,7 +324,7 @@ impl Wal {
     /// `page` of `obj`, borrowed from wherever it lives (a buffer frame),
     /// straight into the log's frame buffer.
     pub fn append_page_image(&mut self, txn: u64, obj: ObjectId, page: u64, image: &[u8]) -> Lsn {
-        let text = |out: &mut Vec<u8>| drop(write!(out, "IMG {obj} {page}"));
+        let text = |out: &mut Vec<u8>| drop(write!(out, "{}", image_text(obj, page)));
         self.append_with(|out| put_page_image(out, txn, obj, page, image), text)
     }
 

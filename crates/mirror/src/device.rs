@@ -14,11 +14,15 @@
 //!
 //! # A child's power loss
 //!
-//! * A write that at least one child took is acknowledged with the
-//!   survivors' merged outcome; each child that failed it with
+//! * A write that at least one `Online` child took is acknowledged with
+//!   the survivors' merged outcome; each child that failed it with
 //!   `PowerLoss` goes `Faulted` at the cut the error carries, stale for
-//!   the segments the write reads and writes.  A write no child took
-//!   returns its error and changes no health.
+//!   the segments the write reads and writes.  The lost child may have
+//!   stored the write's epoch before it tore, so the `Online` survivors'
+//!   epoch counters step one past it: after a reboot the highest epoch
+//!   still names a child that holds the write.  A write that only a
+//!   `Rebuilding` child took returns `PowerLoss`, as does one no child
+//!   took; the latter changes no health.
 //! * A read tries its candidates in the queue-aware order: a `PowerLoss`
 //!   moves on to the next one, and the candidates that failed before the
 //!   one that served it go `Faulted`.  A device rejects a command before
@@ -339,7 +343,7 @@ impl MirrorDevice {
         let mut merged: Option<OpOutcome> = None;
         let mut first_err: Option<FlashError> = None;
         let mut cuts = Vec::new();
-        for i in targets {
+        for &i in &targets {
             let result = match cmd {
                 // A `Rebuilding` child takes programs on the replica path,
                 // so its epoch counter — the marker of its consistent
@@ -370,9 +374,26 @@ impl MirrorDevice {
             let lost = cuts.first().map(|&(_, cut)| FlashError::PowerLoss { at: cut });
             return Err(first_err.or(lost).unwrap_or(FlashError::NoHealthyChild { at }));
         };
-        for (i, cut) in cuts {
+        for &(i, cut) in &cuts {
             state.children[i].lose_power(cut, &[r, w]);
             self.obs.note_fault(i, at);
+        }
+        if let Some(&(_, cut)) = cuts.first() {
+            // A child that lost power in the command may have stored its
+            // epoch before tearing it.  The `Online` children, which took
+            // it, step one epoch past, so after a reboot the source — the
+            // highest epoch — holds the command.  A `Rebuilding` child's
+            // counter stays put, so without an `Online` one the command is
+            // not acknowledged.
+            state.epoch += 1;
+            let mut held = false;
+            for &i in targets.iter().filter(|&&i| state.children[i].health == ChildHealth::Online) {
+                self.children[i].ratchet_epoch(state.epoch);
+                held = true;
+            }
+            if !held {
+                return Err(FlashError::PowerLoss { at: cut });
+            }
         }
         first_err.map_or(Ok(merged), Err)
     }
@@ -398,7 +419,7 @@ impl MirrorDevice {
     ) -> Result<CmdOutput> {
         let seg = self.segment_of(addr.block());
         let mut state = self.mirror_shard();
-        let candidates: Vec<usize> =
+        let mut candidates: Vec<usize> =
             (0..self.children.len()).filter(|i| state.children[*i].takes(seg, seg)).collect();
         if candidates.is_empty() {
             return Err(FlashError::NoHealthyChild { at });
@@ -411,13 +432,10 @@ impl MirrorDevice {
         let rr = state.rr;
         state.rr = rr.wrapping_add(1);
         let n = candidates.len();
-        let mut order: Vec<(SimTime, usize)> = (0..n)
-            .map(|off| candidates[(rr + off) % n])
-            .map(|i| (self.children[i].die_load(addr.die, at).earliest_start(at), i))
-            .collect();
-        order.sort_by_key(|&(start, _)| start);
+        candidates.rotate_left(rr % n);
+        candidates.sort_by_key(|&i| self.children[i].die_load(addr.die, at).earliest_start(at));
         let mut cuts: Vec<(usize, SimTime)> = Vec::new();
-        for &(_, i) in &order {
+        for &i in &candidates {
             match self.children[i].execute(read.reborrow(), at, tag) {
                 Ok(out) => {
                     for &(j, cut) in &cuts {

@@ -20,8 +20,8 @@
 //!   ([`flash_sim::NandDevice::arm_power_cut`]): the mirror learns of the
 //!   loss from the child's own `PowerLoss`, which drives a per-child
 //!   health machine `Online → Faulted → Rebuilding → Online`.  A write
-//!   the survivors took is acknowledged, and a read falls back to the
-//!   next in-sync child.  While a child is out, a [`SegmentMap`] — a
+//!   an `Online` survivor took is acknowledged, and a read falls back to
+//!   the next in-sync child.  While a child is out, a [`SegmentMap`] — a
 //!   bitmap with one bit per erase block — records exactly which
 //!   segments it missed; a child with unknown history has no map, and
 //!   every segment counts as stale.
@@ -286,6 +286,10 @@ mod tests {
         // The child holds a torn page: programmed, with a bad checksum.
         let torn = m.children()[1].block_info(flash_sim::BlockAddr::new(flash_sim::DieId(0), 0, 2));
         assert_eq!(torn.unwrap().write_ptr, 1);
+        // It stored the program's epoch before it tore; the survivor's
+        // counter is past it, so a reboot takes the survivor as source.
+        assert_eq!(m.children()[1].current_epoch(), 1);
+        assert_eq!(m.children()[0].current_epoch(), 2);
 
         m.children()[1].clear_power_cut();
         m.start_rebuild(1, done.completed_at).unwrap();
@@ -297,6 +301,28 @@ mod tests {
         assert!(m.fully_online(), "the verify scan found the rebuilt segment stale");
         let (data, _, _) = m.children()[1].read_page(page(0, 2, 0), m.quiesce_time()).unwrap();
         assert_eq!(data, payload(5));
+    }
+
+    /// A `Rebuilding` child's epoch counter does not move with the
+    /// programs it takes, so a program that only it survived is not
+    /// acknowledged: the `Online` child that lost power in it goes
+    /// `Faulted`, and the program returns `PowerLoss`.
+    #[test]
+    fn a_program_only_a_rebuilding_child_survived_is_not_acknowledged() {
+        let m = mirror(2);
+        m.children()[1].arm_power_cut(SimTime(10));
+        m.program_page(page(0, 0, 0), &payload(1), PageMetadata::new(1, 0), SimTime(1_000))
+            .unwrap();
+        m.children()[1].clear_power_cut();
+        m.start_rebuild(1, SimTime(2_000_000)).unwrap();
+        // Segment 1 is clean on the rebuilding child: it takes the program.
+        let at = SimTime(3_000_000);
+        m.children()[0].arm_power_cut(SimTime(at.as_nanos() + 100));
+        let err =
+            m.program_page(page(0, 1, 0), &payload(2), PageMetadata::new(1, 1), at).unwrap_err();
+        assert!(err.is_power_loss(), "{err}");
+        assert_eq!(m.health(0), ChildHealth::Faulted);
+        assert_eq!(m.children()[1].stats().page_programs, 1, "the rebuilding child skipped it");
     }
 
     /// A read first routed to a child without power falls back to its

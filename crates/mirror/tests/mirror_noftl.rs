@@ -136,6 +136,38 @@ fn mount_with_child_still_missing_serves_degraded_and_rebuilds_later() {
     assert!(mirror2.fully_online());
 }
 
+/// A write in flight on child 0 at its cut tears there and is
+/// acknowledged from child 1.  The box then loses power before child 1
+/// writes again, so child 0 holds the write's epoch (or tore under it)
+/// and child 1 holds nothing newer: the remount must still take child 1
+/// as its source and serve the acknowledged page.
+#[test]
+fn a_write_acknowledged_past_a_childs_cut_survives_a_reboot() {
+    let mirror = fresh_mirror();
+    let (noftl, _rid) = NoFtl::with_single_region(mirror.clone()).unwrap();
+    let obj = noftl.create_object_in("t", "rgAll").unwrap();
+    let mut t = SimTime::ZERO;
+    for p in 0..6u64 {
+        t = noftl.write(obj, p, &vec![p as u8 + 1; 4096], t).unwrap();
+    }
+    t = noftl.checkpoint(t).unwrap();
+
+    let cut = SimTime(t.as_nanos() + 1_000);
+    mirror.children()[0].arm_power_cut(cut);
+    let done = noftl.write(obj, 2, &[0xEE; 4096], t).unwrap();
+    assert!(done > cut, "the write was not in flight at child 0's cut");
+    assert_eq!(mirror.health(0), ChildHealth::Faulted);
+    assert_eq!(mirror.health(1), ChildHealth::Online);
+
+    let mirror2 = reboot(&mirror);
+    let (noftl2, report) = NoFtl::mount(mirror2.clone(), done).unwrap();
+    assert_eq!(mirror2.health(1), ChildHealth::Online, "the remount took the torn child");
+    assert_eq!(read(&noftl2, obj, 2, report.completed_at), vec![0xEE; 4096]);
+    for p in (0..6u64).filter(|&p| p != 2) {
+        assert_eq!(read(&noftl2, obj, p, report.completed_at), vec![p as u8 + 1; 4096]);
+    }
+}
+
 #[test]
 fn power_cut_during_mount_recovers_on_retry() {
     let mirror = fresh_mirror();

@@ -31,6 +31,9 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const CYCLES: u64 = 25;
 const PAGES: u64 = 24;
+/// How far into a write's issue the lost child's cut lands in the
+/// in-flight cycles: inside the page transfer or program (700 µs).
+const IN_FLIGHT: Duration = Duration(100_000);
 
 /// The box under test: a mirror, the child that stays absent across
 /// reboots, if any (it boots without power), and how long after a cut's
@@ -76,6 +79,7 @@ fn randomized_loss_and_crash_sweep_loses_no_acknowledged_write() {
     let mut torn_mounts = 0u64;
     let mut interrupted_rebuilds = 0u64;
     let mut absent_boots = 0u64;
+    let mut in_flight_cuts = 0u64;
     let mut total_copied = 0u64;
     for cycle in 0..CYCLES {
         let mut rng = StdRng::seed_from_u64(0x5EED_0000 + cycle);
@@ -95,6 +99,7 @@ fn randomized_loss_and_crash_sweep_loses_no_acknowledged_write() {
             let val = vec![rng.random_range(1..=255u32) as u8; 4096];
             *t = noftl.write(obj, page, &val, *t).unwrap();
             acked.insert(page, val);
+            page
         };
 
         // Phase 1: healthy writes + checkpoint (always, so a mount target
@@ -105,11 +110,36 @@ fn randomized_loss_and_crash_sweep_loses_no_acknowledged_write() {
         t = noftl.checkpoint(t).unwrap();
 
         // Phase 2: lose a child (cut its power), keep writing degraded.
+        // Every third cycle the cut lands inside the first degraded
+        // write's program window, and every third one inside the last
+        // write's: the child tears the write, the survivor acknowledges
+        // it, and the box may lose power before the survivor writes
+        // again.  The cycle number picks, so the random draws are the
+        // same in every mode.
         let lost_child = rng.random_range(0..2usize);
-        mirror.children()[lost_child].arm_power_cut(t);
+        let mut in_flight: Option<(u64, Vec<u8>)> = None;
+        let writes = rng.random_range(5..20u32);
+        let in_flight_at = match cycle % 3 {
+            0 => None,
+            1 => Some(0),
+            _ => Some(writes - 1),
+        };
+        if in_flight_at.is_none() {
+            mirror.children()[lost_child].arm_power_cut(t);
+        }
         t = SimTime(t.as_nanos() + 1);
-        for _ in 0..rng.random_range(5..20u32) {
-            write(&noftl, &mut t, &mut rng, &mut acked);
+        for i in 0..writes {
+            if in_flight_at != Some(i) {
+                write(&noftl, &mut t, &mut rng, &mut acked);
+                continue;
+            }
+            let cut = SimTime(t.as_nanos() + IN_FLIGHT.0);
+            mirror.children()[lost_child].arm_power_cut(cut);
+            let page = write(&noftl, &mut t, &mut rng, &mut acked);
+            in_flight = Some((page, acked[&page].clone()));
+            assert!(t > cut, "cycle {cycle}: the write was not in flight at the cut");
+            assert_eq!(mirror.health(lost_child), ChildHealth::Faulted, "cycle {cycle}");
+            in_flight_cuts += 1;
         }
         assert_eq!(mirror.health(lost_child), ChildHealth::Faulted, "cycle {cycle}");
         if rng.random_range(0..100) < 50 {
@@ -207,6 +237,12 @@ fn randomized_loss_and_crash_sweep_loses_no_acknowledged_write() {
         let (mirror2, noftl2, report) = (mounted.machine.device, mounted.noftl, mounted.report);
         let mut t2 = report.completed_at;
 
+        // The write the lost child tore, unless a later one replaced it.
+        if let Some((page, val)) = in_flight.filter(|(page, val)| acked[page] == *val) {
+            let mut data = vec![0; 4096];
+            t2 = t2.max(noftl2.read(obj, page, &mut data, t2).unwrap());
+            assert_eq!(data, val, "cycle {cycle}: the write in flight at the cut is lost");
+        }
         // Zero acknowledged-write loss, served possibly degraded.
         for (page, val) in &acked {
             let mut data = vec![0; 4096];
@@ -247,8 +283,10 @@ fn randomized_loss_and_crash_sweep_loses_no_acknowledged_write() {
     assert!(torn_mounts > 0, "no cycle crashed during mount");
     assert!(interrupted_rebuilds > 0, "no cycle cut power mid-rebuild");
     assert!(absent_boots > 0, "no cycle booted with the child still absent");
+    assert!(in_flight_cuts > 0, "no cycle cut the child with a write in flight");
     println!(
         "{CYCLES} cycles: {torn_mounts} mounts crashed, {interrupted_rebuilds} rebuilds \
-         interrupted, {absent_boots} boots with an absent child, {total_copied} segments copied"
+         interrupted, {absent_boots} boots with an absent child, {in_flight_cuts} writes \
+         in flight at the child's cut, {total_copied} segments copied"
     );
 }

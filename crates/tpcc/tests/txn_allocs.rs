@@ -51,9 +51,10 @@
 //! after it.  And a checkpoint that writes back more pages than its
 //! window ([`DEFAULT_FLUSH_WINDOW`]) holds in flight allocates the
 //! storage manager's queue of their completions, a deque of that many
-//! instants.  A measured transaction allocates exactly its block buffers,
-//! its page-map growths and the completion queue of each checkpoint it
-//! took.
+//! instants; the pool's count of flushed pages bounds how many of the
+//! transaction's checkpoints can have done so.  A measured transaction
+//! allocates exactly its block buffers, its page-map growths and the
+//! completion queue of each checkpoint that outran its window.
 //!
 //! The counting allocator (`tests/common/counting_alloc.rs`, per thread)
 //! watches the size of a block's payload buffer and records the sizes of
@@ -153,7 +154,7 @@ fn run_standard_mix(wal_segment_pages: u64) -> (u64, u64) {
     let mut run = |measured: bool| {
         let kind = mix.pick(&mut rng);
         let mut txn = db.begin(now);
-        let (before, took) = (extents(), checkpoints());
+        let (before, took, flushed) = (extents(), checkpoints(), db.buffer_stats().flushed);
         let (outcome, used) = counted(|| match kind {
             TxnType::NewOrder => transactions::new_order(&db, &scale, &mut rng, &mut txn, 1),
             TxnType::Payment => transactions::payment(&db, &scale, &mut rng, &mut txn, 1),
@@ -171,8 +172,12 @@ fn run_standard_mix(wal_segment_pages: u64) -> (u64, u64) {
             .iter()
             .filter(|&&size| grown.iter().any(|&(b, a)| grows_page_map(size, b, a)))
             .count();
+        // Each checkpoint whose write-back outran its window: no more than
+        // the checkpoints taken, nor than the pages flushed can fill.
+        let flushed = db.buffer_stats().flushed - flushed;
+        let overflows = (checkpoints() - took).min(flushed / (DEFAULT_FLUSH_WINDOW as u64 + 1));
         let queues = sizes.iter().filter(|&&size| size == FLUSH_QUEUE).count();
-        let queues = queues.min((checkpoints() - took) as usize);
+        let queues = queues.min(overflows as usize);
         assert!(
             !measured || allocs == blocks + maps + queues,
             "a {} allocated {allocs} times, {blocks} of them block buffers, {maps} page-map \
