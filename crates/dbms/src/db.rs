@@ -44,6 +44,9 @@ const CATALOG_HEADER: usize = 24;
 /// A decoded catalog: `(name, schema, index names)` per table.
 type CatalogTables = Vec<(String, Schema, Vec<String>)>;
 
+/// A table and the engine state an operation on it borrows beside it.
+type Parts<'e> = (&'e mut TableDef, &'e mut BufferPool, &'e mut Wal, &'e mut Vec<u8>);
+
 /// No index keys: for [`Database::insert`] / [`Database::delete`] on a
 /// table without indexes.
 pub const NO_KEYS: &[(&str, &[u8])] = &[];
@@ -141,6 +144,9 @@ struct Engine {
     /// end of its last page), kept from snapshot to snapshot so a
     /// checkpoint of an unchanged catalog allocates nothing.
     catalog_slot: Vec<u8>,
+    /// The bytes a [`crate::Record`] of values is encoded into on insert
+    /// and update, kept from write to write so none allocates.
+    record_buf: Vec<u8>,
     metadata_pages: u64,
     next_txn: u64,
     commits: u64,
@@ -186,6 +192,7 @@ impl Engine {
             tables: BTreeMap::new(),
             catalog_seq: 0,
             catalog_slot: Vec::new(),
+            record_buf: Vec::new(),
             metadata_pages: 0,
             next_txn: 1,
             commits: 0,
@@ -206,13 +213,13 @@ impl Engine {
         Ok(())
     }
 
-    /// Table `name`, with the pool and the log beside it.
-    fn parts(&mut self, name: &str) -> Result<(&mut TableDef, &mut BufferPool, &mut Wal)> {
+    /// Table `name`, with the pool, the log and the record buffer beside it.
+    fn parts(&mut self, name: &str) -> Result<Parts<'_>> {
         let table = self
             .tables
             .get_mut(name)
             .ok_or_else(|| DbError::not_found(format!("table '{name}'")))?;
-        Ok((table, &mut self.pool, &mut self.wal))
+        Ok((table, &mut self.pool, &mut self.wal, &mut self.record_buf))
     }
 
     /// Register table `name`.
@@ -251,7 +258,7 @@ impl Engine {
         rid: RecordId,
         f: impl FnOnce(&Row<&[u8]>) -> R,
     ) -> Result<R> {
-        let (table_def, pool, _) = self.parts(table)?;
+        let (table_def, pool, ..) = self.parts(table)?;
         let schema = &table_def.schema;
         let (read, t) = table_def.heap.read(pool, rid, txn.now, |bytes| {
             Row::new(Arc::clone(schema), bytes).map(|row| f(&row))
@@ -268,7 +275,7 @@ impl Engine {
         index: &str,
         key: &[u8],
     ) -> Result<Option<RecordId>> {
-        let (table_def, pool, _) = self.parts(table)?;
+        let (table_def, pool, ..) = self.parts(table)?;
         let (found, t) = table_def.index_mut(index)?.search(pool, key, txn.now)?;
         charge(txn, t, false);
         Ok(found)
@@ -443,6 +450,8 @@ impl Database {
 
     /// Insert a record — values or a [`Row`] — into a table and register
     /// it under the given index keys (`(index name, key bytes)` pairs).
+    /// Values are encoded into a buffer the engine keeps; a row is
+    /// stored from its bytes.
     pub fn insert(
         &self,
         txn: &mut Txn,
@@ -452,9 +461,9 @@ impl Database {
     ) -> Result<RecordId> {
         let mut e = self.lock_engine();
         e.check_usable()?;
-        let (table_def, pool, wal) = e.parts(table)?;
-        let encoded = record.encoded(&table_def.schema)?;
-        let (rid, t) = table_def.heap.insert(pool, &encoded, txn.now)?;
+        let (table_def, pool, wal, buf) = e.parts(table)?;
+        let encoded = record.encoded(&table_def.schema, buf)?;
+        let (rid, t) = table_def.heap.insert(pool, encoded, txn.now)?;
         charge(txn, t, true);
         for (index, key) in index_keys {
             let t = table_def.index_mut(index)?.insert(pool, key.as_ref(), rid, txn.now)?;
@@ -466,7 +475,9 @@ impl Database {
     }
 
     /// Fetch a record by its id: [`Database::read`], copied into an
-    /// owned row.
+    /// owned row, which holds a record of up to
+    /// [`crate::row::INLINE_RECORD`] bytes inline and allocates nothing
+    /// for it (a longer one takes one heap buffer).
     pub fn get(&self, txn: &mut Txn, table: &str, rid: RecordId) -> Result<Row> {
         self.read(txn, table, rid, |row| row.owned())
     }
@@ -485,7 +496,8 @@ impl Database {
     }
 
     /// Overwrite a record in place (the schema's fixed layout guarantees
-    /// the new version fits).  A [`Row`] is stored as it is, unencoded.
+    /// the new version fits).  A [`Row`] is stored as it is, unencoded;
+    /// values as [`Database::insert`] encodes them.
     pub fn update(
         &self,
         txn: &mut Txn,
@@ -495,9 +507,9 @@ impl Database {
     ) -> Result<()> {
         let mut e = self.lock_engine();
         e.check_usable()?;
-        let (table_def, pool, wal) = e.parts(table)?;
-        let encoded = record.encoded(&table_def.schema)?;
-        let t = table_def.heap.update(pool, rid, &encoded, txn.now)?;
+        let (table_def, pool, wal, buf) = e.parts(table)?;
+        let encoded = record.encoded(&table_def.schema, buf)?;
+        let t = table_def.heap.update(pool, rid, encoded, txn.now)?;
         charge(txn, t, true);
         wal.append_row_note(txn.id, "UPDATE", table, rid);
         Ok(())
@@ -516,7 +528,7 @@ impl Database {
     ) -> Result<R> {
         let mut e = self.lock_engine();
         e.check_usable()?;
-        let (table_def, pool, wal) = e.parts(table)?;
+        let (table_def, pool, wal, _) = e.parts(table)?;
         let schema = &table_def.schema;
         let (edited, t) = table_def.heap.edit(pool, rid.page, txn.now, |page| {
             let mut row = Row::new(Arc::clone(schema), page.get_mut(rid.slot)?)?;
@@ -537,7 +549,7 @@ impl Database {
     ) -> Result<()> {
         let mut e = self.lock_engine();
         e.check_usable()?;
-        let (table_def, pool, wal) = e.parts(table)?;
+        let (table_def, pool, wal, _) = e.parts(table)?;
         let t = table_def.heap.delete(pool, rid, txn.now)?;
         charge(txn, t, true);
         for (index, key) in index_keys {
@@ -561,7 +573,7 @@ impl Database {
     }
 
     /// Index lookup followed by a heap fetch: [`Database::index_read`],
-    /// copied into an owned row.
+    /// copied into an owned row as [`Database::get`] copies it.
     pub fn index_get(
         &self,
         txn: &mut Txn,
@@ -604,7 +616,7 @@ impl Database {
         mut visit: impl FnMut(RecordId),
     ) -> Result<()> {
         let mut e = self.lock_engine();
-        let (table_def, pool, _) = e.parts(table)?;
+        let (table_def, pool, ..) = e.parts(table)?;
         let tree = table_def.index_mut(index)?;
         let t = tree.range(pool, low, high, limit, txn.now, |_, rid| visit(rid))?;
         charge(txn, t, false);
@@ -623,7 +635,7 @@ impl Database {
         mut visit: impl FnMut(RecordId),
     ) -> Result<()> {
         let mut e = self.lock_engine();
-        let (table_def, pool, _) = e.parts(table)?;
+        let (table_def, pool, ..) = e.parts(table)?;
         let tree = table_def.index_mut(index)?;
         let in_range = |key: &[u8]| key.starts_with(prefix);
         let t = tree.scan(pool, prefix, in_range, usize::MAX, txn.now, |_, rid| visit(rid))?;
@@ -949,7 +961,9 @@ mod tests {
         rec.set_str(3, "FOO");
         db.update(&mut txn, "customer", rid, &rec).unwrap();
         let rec = db.get(&mut txn, "customer", rid).unwrap();
-        assert_eq!(rec.bytes(), customer_schema().encode(&customer(42, 1, 99.5, "FOO")).unwrap());
+        let mut encoded = Vec::new();
+        customer_schema().encode(&customer(42, 1, 99.5, "FOO"), &mut encoded).unwrap();
+        assert_eq!(rec.bytes(), encoded);
         // A read lends the row where it lies; an edit in place is an
         // update as `update` counts one, and stores what `update` would.
         let (reads, writes) = (txn.reads, txn.writes);
@@ -967,7 +981,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(old, 99.5);
-        let encoded = customer_schema().encode(&customer(42, 1, 100.0, "BARBAZ")).unwrap();
+        customer_schema().encode(&customer(42, 1, 100.0, "BARBAZ"), &mut encoded).unwrap();
         assert!(db.read(&mut txn, "customer", rid, |r| r.bytes() == encoded).unwrap());
         assert_eq!((txn.reads, txn.writes), (reads + 3, writes + 1));
         assert!(db.update_with(&mut txn, "customer", RecordId::new(0, 99), |_| ()).is_err());

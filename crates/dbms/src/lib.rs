@@ -45,7 +45,7 @@ pub use crash_harness::{run_crash_cycle, CrashHarnessConfig, CrashOutcome};
 pub use db::{Database, DatabaseConfig, RecoveryReport, NO_KEYS};
 pub use error::DbError;
 pub use heap::RecordId;
-pub use row::{AsRecord, Row};
+pub use row::{AsRecord, Row, RowBytes};
 pub use schema::{ColumnType, Schema};
 pub use storage::{NoFtlBackend, ObjectId, StorageBackend};
 pub use txn::Txn;

@@ -4,14 +4,17 @@
 //! where every column starts ([`Schema::field`]).  A getter reads a
 //! column where it lies; a setter writes it there, exactly as
 //! [`Schema::encode`] would.  The bytes are whatever the row is over: a
-//! `Row` owns a copy, a `Row<&[u8]>` is the record in its buffer frame,
-//! lent by [`crate::Database::read`], and a `Row<&mut [u8]>` edits it
-//! there, lent by [`crate::Database::update_with`].  So a read decodes
-//! and copies nothing and an update encodes nothing.  A [`Record`]
+//! `Row` owns a copy in [`RowBytes`] (inline up to [`INLINE_RECORD`]
+//! bytes, so copying a YCSB or most TPC-C records allocates nothing), a
+//! `Row<&[u8]>` is the record in its buffer frame, lent by
+//! [`crate::Database::read`], and a `Row<&mut [u8]>` edits it there,
+//! lent by [`crate::Database::update_with`].  So a read decodes and
+//! copies nothing and an update encodes nothing.  A [`Record`]
 //! (`Vec<Value>`) is still what an insert usually starts from: both are
-//! [`AsRecord`].
+//! [`AsRecord`], and values are encoded into a buffer the engine keeps.
 
 use std::borrow::Cow;
+use std::fmt;
 use std::mem::discriminant;
 use std::ops::Range;
 use std::sync::Arc;
@@ -27,9 +30,63 @@ use crate::Result;
 /// does not exist or is of another type (a float column also takes
 /// [`Row::set_int`], as [`Schema::encode`] takes an `Int` there).
 #[derive(Debug, Clone)]
-pub struct Row<B = Vec<u8>> {
+pub struct Row<B = RowBytes> {
     schema: Arc<Schema>,
     bytes: B,
+}
+
+/// The longest record an owned [`Row`] keeps inline: the YCSB record
+/// (128 bytes) and every TPC-C table's but CUSTOMER's and STOCK's.
+pub const INLINE_RECORD: usize = 256;
+
+/// The bytes of an owned [`Row`]: a record of up to [`INLINE_RECORD`]
+/// bytes inline, a longer one in one heap buffer of its length.
+#[derive(Clone)]
+pub struct RowBytes(Repr);
+
+#[derive(Clone)]
+#[expect(clippy::large_enum_variant, reason = "the inline record is the point of the type")]
+enum Repr {
+    /// The record's length, at most [`INLINE_RECORD`], and its bytes in
+    /// front of the array.
+    Inline(usize, [u8; INLINE_RECORD]),
+    /// A record longer than [`INLINE_RECORD`].
+    Spilled(Box<[u8]>),
+}
+
+impl From<&[u8]> for RowBytes {
+    fn from(bytes: &[u8]) -> RowBytes {
+        if bytes.len() > INLINE_RECORD {
+            return RowBytes(Repr::Spilled(bytes.into()));
+        }
+        let mut inline = [0; INLINE_RECORD];
+        inline[..bytes.len()].copy_from_slice(bytes);
+        RowBytes(Repr::Inline(bytes.len(), inline))
+    }
+}
+
+impl AsRef<[u8]> for RowBytes {
+    fn as_ref(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline(len, inline) => &inline[..*len],
+            Repr::Spilled(bytes) => bytes,
+        }
+    }
+}
+
+impl AsMut<[u8]> for RowBytes {
+    fn as_mut(&mut self) -> &mut [u8] {
+        match &mut self.0 {
+            Repr::Inline(len, inline) => &mut inline[..*len],
+            Repr::Spilled(bytes) => bytes,
+        }
+    }
+}
+
+impl fmt::Debug for RowBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_ref().fmt(f)
+    }
 }
 
 impl<B: AsRef<[u8]>> Row<B> {
@@ -64,9 +121,10 @@ impl<B: AsRef<[u8]>> Row<B> {
         &self.bytes.as_ref()[..self.schema.record_len()]
     }
 
-    /// An owned copy: the record's bytes, copied once.
+    /// An owned copy: the record's bytes, copied once, into the row
+    /// itself up to [`INLINE_RECORD`] bytes, else into one heap buffer.
     pub fn owned(&self) -> Row {
-        Row { schema: Arc::clone(&self.schema), bytes: self.bytes().to_vec() }
+        Row { schema: Arc::clone(&self.schema), bytes: RowBytes::from(self.bytes()) }
     }
 
     /// The bytes of column `col`, which must be of `kind`'s type (a
@@ -130,24 +188,26 @@ impl<B: AsRef<[u8]> + AsMut<[u8]>> Row<B> {
 /// A record [`crate::Database::insert`] and [`crate::Database::update`]
 /// can store.
 pub trait AsRecord {
-    /// The record's bytes for `schema`, borrowed where they already are.
-    fn encoded(&self, schema: &Schema) -> Result<Cow<'_, [u8]>>;
+    /// The record's bytes for `schema`: borrowed where they already are,
+    /// else encoded into `buf`, a buffer the caller keeps.
+    fn encoded<'a>(&'a self, schema: &Schema, buf: &'a mut Vec<u8>) -> Result<&'a [u8]>;
 }
 
-/// Values are encoded ([`Schema::encode`]).
+/// Values are encoded ([`Schema::encode`]) into the buffer.
 impl AsRecord for Record {
-    fn encoded(&self, schema: &Schema) -> Result<Cow<'_, [u8]>> {
-        schema.encode(self).map(Cow::Owned)
+    fn encoded<'a>(&'a self, schema: &Schema, buf: &'a mut Vec<u8>) -> Result<&'a [u8]> {
+        schema.encode(self, buf)?;
+        Ok(buf)
     }
 }
 
 /// A row lends its bytes; a row of another schema is a `SchemaMismatch`.
 impl<B: AsRef<[u8]>> AsRecord for Row<B> {
-    fn encoded(&self, schema: &Schema) -> Result<Cow<'_, [u8]>> {
+    fn encoded<'a>(&'a self, schema: &Schema, _: &'a mut Vec<u8>) -> Result<&'a [u8]> {
         if !std::ptr::eq(&*self.schema, schema) && *self.schema != *schema {
             return Err(DbError::SchemaMismatch { message: "row of another schema".into() });
         }
-        Ok(Cow::Borrowed(self.bytes()))
+        Ok(self.bytes())
     }
 }
 
@@ -218,12 +278,18 @@ mod tests {
                 let ty = match rng.below(3) {
                     0 => ColumnType::Int,
                     1 => ColumnType::Float,
-                    _ => ColumnType::Str(rng.below(40) as u16),
+                    _ => ColumnType::Str(rng.below(120) as u16),
                 };
                 (names[i], ty)
             })
             .collect();
         Schema::new(columns)
+    }
+
+    /// The bytes [`Schema::encode`] writes for `record`.
+    fn encode(schema: &Schema, record: &Record) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        schema.encode(record, &mut out).map(|()| out)
     }
 
     /// Each getter reads what `decode` decoded.
@@ -255,7 +321,9 @@ mod tests {
         /// edits, and a short buffer or an over-long string length is
         /// `Corrupted` — for an owned row and for one borrowed, and one
         /// mutably borrowed, from a frame that holds the record followed
-        /// by bytes that are not the row's and stay as they are.  And a
+        /// by bytes that are not the row's and stay as they are.  The
+        /// records run from a few bytes to about 500, so owned rows lie
+        /// inline and spilled alike, each as its length says.  And a
         /// row that starts as zero bytes and gets a random subset of its
         /// columns set holds what `encode` writes for the same values,
         /// with each unset column `Int(0)`, `Float(0.0)` or empty.
@@ -265,9 +333,11 @@ mod tests {
             let schema = Arc::new(random_schema(&mut rng));
             let types: Vec<ColumnType> = (0..schema.len()).map(|c| schema.field(c).1).collect();
             let mut record: Record = types.iter().map(|ty| value(&mut rng, *ty)).collect();
-            let bytes = schema.encode(&record).unwrap();
-            let mut row = Row::new(Arc::clone(&schema), bytes.clone()).unwrap();
+            let bytes = encode(&schema, &record).unwrap();
+            let mut row = Row::new(Arc::clone(&schema), &bytes[..]).unwrap().owned();
             let len = schema.record_len();
+            let inline = matches!(row.bytes.0, Repr::Inline(..));
+            prop_assert_eq!(inline, len <= INLINE_RECORD, "a {}-byte record", len);
             let tail: Vec<u8> = (0..rng.below(5)).map(|_| rng.next_u64() as u8).collect();
             let mut frame = [&bytes[..], &tail].concat();
             let borrowed = |frame: &[u8]| Row::new(Arc::clone(&schema), frame).unwrap().bytes().to_vec();
@@ -282,7 +352,7 @@ mod tests {
                 set(&mut row, col, &edit);
                 set(&mut Row::new(Arc::clone(&schema), &mut frame[..]).unwrap(), col, &edit);
                 record[col] = edit;
-                let bytes = schema.encode(&record).unwrap();
+                let bytes = encode(&schema, &record).unwrap();
                 prop_assert_eq!(row.bytes(), &bytes[..]);
                 prop_assert_eq!(&frame[..len], &bytes[..]);
                 prop_assert_eq!(&frame[len..], &tail[..]);
@@ -291,10 +361,17 @@ mod tests {
                 assert_getters_match(&Row::new(Arc::clone(&schema), &frame[..]).unwrap(), &reference);
                 assert_getters_match(&Row::new(Arc::clone(&schema), &mut frame[..]).unwrap(), &reference);
             }
-            prop_assert_eq!(&*row.encoded(&schema).unwrap(), row.bytes());
+            // Values encode into the caller's buffer, rows lend their bytes.
+            let mut buf = tail.clone();
+            prop_assert_eq!(record.encoded(&schema, &mut buf).unwrap(), row.bytes());
+            prop_assert_eq!(row.encoded(&schema, &mut buf).unwrap(), row.bytes());
             let lent = Row::new(Arc::clone(&schema), &frame[..]).unwrap();
-            prop_assert_eq!(&*lent.encoded(&schema).unwrap(), row.bytes());
+            prop_assert_eq!(lent.encoded(&schema, &mut buf).unwrap(), row.bytes());
             prop_assert_eq!(lent.owned().bytes(), row.bytes());
+            // The bound itself: a record of `INLINE_RECORD` bytes is inline.
+            let edge = vec![seed as u8; INLINE_RECORD + 1];
+            prop_assert!(matches!(RowBytes::from(&edge[1..]).0, Repr::Inline(INLINE_RECORD, _)));
+            prop_assert!(matches!(RowBytes::from(&edge[..]).0, Repr::Spilled(b) if *b == *edge));
 
             let mut zeroed = vec![0; len];
             let mut built = Row::new(Arc::clone(&schema), &mut zeroed[..]).unwrap();
@@ -311,13 +388,13 @@ mod tests {
                     ColumnType::Str(_) => Value::Str(String::new()),
                 });
             }
-            prop_assert_eq!(built.bytes(), &schema.encode(&values).unwrap()[..]);
+            prop_assert_eq!(built.bytes(), &encode(&schema, &values).unwrap()[..]);
 
             // A buffer one byte short, or shorter: owned, borrowed and
             // mutably borrowed.
             let short = rng.below(len as u64) as usize;
             let corrupted = |r: Result<Vec<u8>>| matches!(r, Err(DbError::Corrupted { .. }));
-            let owned = |bytes: &[u8]| Row::new(Arc::clone(&schema), bytes.to_vec()).map(|r| r.bytes().to_vec());
+            let owned = |bytes: &[u8]| Row::new(Arc::clone(&schema), RowBytes::from(bytes)).map(|r| r.bytes().to_vec());
             let lent = |bytes: &[u8]| Row::new(Arc::clone(&schema), bytes).map(|r| r.bytes().to_vec());
             let lent_mut = |bytes: &mut [u8]| Row::new(Arc::clone(&schema), bytes).map(|r| r.bytes().to_vec());
             prop_assert!(corrupted(owned(&row.bytes()[..short])));
@@ -345,11 +422,14 @@ mod tests {
     fn a_row_of_another_schema_is_refused() {
         let schema = Schema::new(vec![("id", ColumnType::Int), ("name", ColumnType::Str(4))]);
         let record = vec![Value::Int(3), Value::Str("abc".into())];
-        let row = Row::new(Arc::new(schema.clone()), schema.encode(&record).unwrap()).unwrap();
+        let row = Row::new(Arc::new(schema.clone()), encode(&schema, &record).unwrap()).unwrap();
         // An equal schema is the same layout.
-        assert_eq!(&*row.encoded(&schema).unwrap(), row.bytes());
+        assert_eq!(row.encoded(&schema, &mut Vec::new()).unwrap(), row.bytes());
         let other = Schema::new(vec![("id", ColumnType::Int), ("name", ColumnType::Str(5))]);
-        assert!(matches!(row.encoded(&other), Err(DbError::SchemaMismatch { .. })));
+        assert!(matches!(
+            row.encoded(&other, &mut Vec::new()),
+            Err(DbError::SchemaMismatch { .. })
+        ));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Table schemas and fixed-layout record encoding.
 //!
 //! A record stays in its bytes.  [`Schema::encode`] lays a [`Record`] of
-//! values out once, when it is inserted; from then on the engine hands
+//! values out once, when it is inserted, into a buffer the engine keeps
+//! (so no record write allocates); from then on the engine hands
 //! out and takes back [`crate::Row`]s, which read and write each column
 //! at the offset [`Schema::field`] gives, computed once per schema.
 //! There is no decoder: with reads and updates left in their bytes,
@@ -120,8 +121,9 @@ impl Schema {
         Some(Self::from_columns(columns))
     }
 
-    /// Encode a record according to the schema.
-    pub fn encode(&self, record: &Record) -> Result<Vec<u8>> {
+    /// Encode a record according to the schema into `out`, replacing
+    /// what it held; `out` keeps its capacity from record to record.
+    pub fn encode(&self, record: &Record, out: &mut Vec<u8>) -> Result<()> {
         if record.len() != self.columns.len() {
             return Err(DbError::SchemaMismatch {
                 message: format!(
@@ -131,7 +133,7 @@ impl Schema {
                 ),
             });
         }
-        let mut out = Vec::with_capacity(self.record_len());
+        out.clear();
         for ((name, ty), value) in self.columns.iter().zip(record.iter()) {
             match (ty, value) {
                 (ColumnType::Int, Value::Int(v)) => out.extend_from_slice(&v.to_le_bytes()),
@@ -154,7 +156,7 @@ impl Schema {
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -170,14 +172,22 @@ mod tests {
         ])
     }
 
+    fn encode(s: &Schema, record: &Record) -> Result<Vec<u8>> {
+        let mut out = vec![7; 3];
+        s.encode(record, &mut out).map(|()| out)
+    }
+
     #[test]
     fn fixed_record_length_is_independent_of_content() {
         let s = schema();
-        let a = s.encode(&vec![Value::Int(1), Value::Float(0.0), Value::Str("".into())]).unwrap();
-        let b = s
-            .encode(&vec![Value::Int(2), Value::Float(1.5), Value::Str("sixteen-chars!!!".into())])
-            .unwrap();
+        let a = encode(&s, &vec![Value::Int(1), Value::Float(0.0), Value::Str("".into())]);
+        let long = vec![Value::Int(2), Value::Float(1.5), Value::Str("sixteen-chars!!!".into())];
+        let (a, b) = (a.unwrap(), encode(&s, &long).unwrap());
         assert_eq!((a.len(), b.len()), (s.record_len(), s.record_len()));
+        // Encoded into a buffer that held a longer record: replaced.
+        let mut buf = b.clone();
+        s.encode(&vec![Value::Int(1), Value::Float(0.0), Value::Str("".into())], &mut buf).unwrap();
+        assert_eq!(buf, a);
         assert_eq!(s.record_len(), 8 + 8 + 2 + 16);
         assert_eq!(s.field(2), (16, ColumnType::Str(16)));
     }
@@ -185,10 +195,9 @@ mod tests {
     #[test]
     fn schema_mismatch_errors() {
         let s = schema();
-        assert!(s.encode(&vec![Value::Int(1)]).is_err());
-        assert!(s
-            .encode(&vec![Value::Str("x".into()), Value::Float(0.0), Value::Str("y".into())])
-            .is_err());
+        assert!(encode(&s, &vec![Value::Int(1)]).is_err());
+        let swapped = vec![Value::Str("x".into()), Value::Float(0.0), Value::Str("y".into())];
+        assert!(encode(&s, &swapped).is_err());
     }
 
     #[test]

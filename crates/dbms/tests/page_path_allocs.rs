@@ -6,8 +6,10 @@
 //! their way down the B+-tree and into the heap page and lend the row to
 //! the caller where its frame holds it: no page, node or record is
 //! copied or decoded, and they allocate nothing.  `Database::get` and
-//! `index_get` are the same read plus one copy, the row's bytes, and
-//! allocate exactly that, warm or cold: a point read that misses in a
+//! `index_get` are the same read plus one copy, the row's bytes, into
+//! the owned row itself: a record of up to `INLINE_RECORD` (256) bytes,
+//! such as the 128-byte one here, allocates nothing, warm or cold, and a
+//! longer one exactly its heap buffer.  A point read that misses in a
 //! full pool reads each page into the buffer of the frame it evicts,
 //! clean or written back.  The counting global allocator of
 //! `tests/common/counting_alloc.rs` (per thread, so parallel tests do not
@@ -19,7 +21,8 @@
 //! page and the leaf in their buffer frames and copy no page either: an
 //! update of a `Row`, one made in the frame by `Database::update_with`,
 //! and an insert of a `Row` built over the caller's bytes allocate
-//! nothing.  A B+-tree split writes its halves, and the widened parent or
+//! nothing, and neither does an insert or update of values, which the
+//! engine encodes into a buffer it keeps.  A B+-tree split writes its halves, and the widened parent or
 //! new root, from page buffers the tree keeps, so once the tree has split
 //! at a depth a leaf or an internal split there allocates nothing.  A
 //! commit under redo logging appends each after-image of its write set
@@ -34,6 +37,7 @@ use std::sync::Arc;
 
 use counting_alloc::{counted, watch};
 use dbms_engine::btree::BTree;
+use dbms_engine::row::INLINE_RECORD;
 use dbms_engine::{
     BufferPool, ColumnType, Database, DatabaseConfig, NoFtlBackend, Record, RecordId, Row, Schema,
     StorageBackend, Value, PAGE_SIZE,
@@ -54,6 +58,25 @@ fn row(id: u64) -> Record {
     vec![Value::Str(String::from_utf8(key(id)).unwrap()), Value::Str("v".into())]
 }
 
+/// The test table's schema: a 128-byte record, kept inline by an owned
+/// row, or with a value column of `value_len` bytes.
+fn schema(value_len: u16) -> Schema {
+    Schema::new(vec![("k", ColumnType::Str(KEY_LEN as u16)), ("v", ColumnType::Str(value_len))])
+}
+
+/// A database configured by `config`, over a fresh manager on `device`.
+fn open_db(device: &Arc<NandDevice>, config: DatabaseConfig) -> Database {
+    let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
+    let placement = PlacementConfig::traditional(8, ["t".to_string()]);
+    let backend = Arc::new(NoFtlBackend::new(noftl, &placement).unwrap());
+    Database::open(backend, config).unwrap()
+}
+
+/// A fresh `FlashGeometry::example()` device with instant timing.
+fn example_device() -> Arc<NandDevice> {
+    Arc::new(DeviceBuilder::new(FlashGeometry::example()).timing(TimingModel::instant()).build())
+}
+
 /// A database of `RECORDS` rows behind a three-level index, all of it
 /// resident: the reads of the warm tests are hits.
 fn loaded_db() -> (Database, SimTime) {
@@ -68,17 +91,10 @@ fn loaded_db_with_pool(buffer_pages: usize) -> (Database, SimTime) {
 
 /// [`loaded_db_with_pool`], and the device underneath.
 fn loaded_device(buffer_pages: usize) -> (Arc<NandDevice>, Database, SimTime) {
-    let device = Arc::new(
-        DeviceBuilder::new(FlashGeometry::example()).timing(TimingModel::instant()).build(),
-    );
-    let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
-    let placement = PlacementConfig::traditional(8, ["t".to_string()]);
-    let backend = Arc::new(NoFtlBackend::new(noftl, &placement).unwrap());
-    let config = DatabaseConfig { buffer_pages, ..DatabaseConfig::default() };
-    let db = Database::open(backend, config).unwrap();
-    let schema =
-        Schema::new(vec![("k", ColumnType::Str(KEY_LEN as u16)), ("v", ColumnType::Str(100))]);
-    db.create_table("t", schema, SimTime::ZERO).unwrap();
+    let device = example_device();
+    let db = open_db(&device, DatabaseConfig { buffer_pages, ..DatabaseConfig::default() });
+    assert_eq!(schema(100).record_len(), 128);
+    db.create_table("t", schema(100), SimTime::ZERO).unwrap();
     db.create_index("t", "i", SimTime::ZERO).unwrap();
     let mut now = SimTime::ZERO;
     for id in 0..RECORDS {
@@ -99,18 +115,20 @@ fn spread_keys() -> Vec<Vec<u8>> {
     (0..200).map(|i| key(i * 97 % RECORDS)).collect()
 }
 
-/// A warm `index_get` allocates the row's bytes and nothing else; the
-/// same reads through `index_read`, and then by record id through
-/// `read`, borrow the row and allocate nothing.
+/// A warm `index_get` copies the 128-byte row into the owned row itself
+/// and allocates nothing, and so does `get`; the same reads through
+/// `index_read`, and then by record id through `read`, borrow the row
+/// and allocate nothing either.
 #[test]
-fn warm_index_get_copies_no_page_and_allocates_only_the_rows_bytes() {
+fn warm_point_reads_copy_no_page_and_allocate_nothing() {
     let (db, now) = loaded_db();
     let keys = spread_keys();
     let misses_before = db.buffer_stats().misses;
     let mut txn = db.begin(now);
-    let ((), get) = counted(|| {
+    let ((), index_get) = counted(|| {
         for k in &keys {
-            db.index_get(&mut txn, "t", "i", k).unwrap().expect("loaded key");
+            let (_, row) = db.index_get(&mut txn, "t", "i", k).unwrap().expect("loaded key");
+            assert_eq!(row.str(0).as_bytes(), &k[..]);
         }
     });
     let mut rids = Vec::with_capacity(keys.len());
@@ -127,24 +145,59 @@ fn warm_index_get_copies_no_page_and_allocates_only_the_rows_bytes() {
             assert!(db.read(&mut txn, "t", *rid, |row| row.str(0).as_bytes() == &k[..]).unwrap());
         }
     });
+    let ((), get) = counted(|| {
+        for (rid, k) in rids.iter().zip(&keys) {
+            assert_eq!(db.get(&mut txn, "t", *rid).unwrap().str(0).as_bytes(), &k[..]);
+        }
+    });
     db.commit(&mut txn).unwrap();
 
     assert_eq!(db.buffer_stats().misses, misses_before, "the reads were meant to be warm");
-    let reads = keys.len() as u64;
-    // Per read: the row's bytes for `index_get`, and nothing for a
-    // borrowed row.  Nothing for the descent, nothing to decode.
-    for (op, window, per_read) in
-        [("index_get", get, 1), ("index_read", index_read, 0), ("read", read, 0)]
-    {
-        assert!(window.largest < PAGE_SIZE, "a warm {op} copied a page: {window}");
-        assert_eq!(window.allocs, per_read * reads, "{reads} warm {op}s: {window}");
+    // Nothing for the descent, nothing to decode, nothing for the copy.
+    let ops = [("index_get", index_get), ("index_read", index_read), ("read", read), ("get", get)];
+    for (op, window) in ops {
+        assert_eq!(window.allocs, 0, "{} warm {op}s: {window}", keys.len());
+    }
+}
+
+/// A record longer than `INLINE_RECORD` spills to one heap buffer of its
+/// length: a warm `get` or `index_get` of it allocates exactly that.
+#[test]
+fn a_point_read_of_a_record_above_the_inline_bound_allocates_its_bytes() {
+    let db = open_db(&example_device(), DatabaseConfig::default());
+    let wide = schema(300);
+    assert!(wide.record_len() > INLINE_RECORD);
+    db.create_table("t", wide.clone(), SimTime::ZERO).unwrap();
+    db.create_index("t", "i", SimTime::ZERO).unwrap();
+    let mut txn = db.begin(SimTime::ZERO);
+    for id in 0..200 {
+        db.insert(&mut txn, "t", &row(id), &[("i", key(id))]).unwrap();
+    }
+    let keys: Vec<Vec<u8>> = (0..200).map(|i| key(i * 7 % 200)).collect();
+    let mut rids = Vec::with_capacity(keys.len());
+    let ((), index_get) = counted(|| {
+        for k in &keys {
+            let (rid, row) = db.index_get(&mut txn, "t", "i", k).unwrap().expect("inserted key");
+            assert_eq!(row.str(0).as_bytes(), &k[..]);
+            rids.push(rid);
+        }
+    });
+    let ((), get) = counted(|| {
+        for (rid, k) in rids.iter().zip(&keys) {
+            assert_eq!(db.get(&mut txn, "t", *rid).unwrap().str(0).as_bytes(), &k[..]);
+        }
+    });
+    db.commit(&mut txn).unwrap();
+    for (op, window) in [("index_get", index_get), ("get", get)] {
+        assert_eq!(window.allocs, keys.len() as u64, "{} {op}s: {window}", keys.len());
+        assert_eq!(window.largest, wide.record_len(), "{op}: {window}");
     }
 }
 
 /// With the pool full, point reads whose leaf and heap page miss read
 /// each page into the buffer of the frame they evict — a clean one, or a
-/// dirty one written back first — and allocate what a warm read does: the
-/// row's bytes, and nothing of a page's size.
+/// dirty one written back first — and allocate what a warm read does:
+/// nothing.  Every other key is read by `index_lookup` and `get`.
 #[test]
 fn cold_index_get_reads_into_the_victims_buffer() {
     let (db, now) = loaded_db_with_pool(32);
@@ -160,8 +213,15 @@ fn cold_index_get_reads_into_the_victims_buffer() {
     let before = db.buffer_stats();
     let mut txn = db.begin(txn.now);
     let ((), window) = counted(|| {
-        for k in &keys {
-            db.index_get(&mut txn, "t", "i", k).unwrap().expect("loaded key");
+        for (i, k) in keys.iter().enumerate() {
+            let row = match i % 2 {
+                0 => db.index_get(&mut txn, "t", "i", k).unwrap().expect("loaded key").1,
+                _ => {
+                    let rid = db.index_lookup(&mut txn, "t", "i", k).unwrap().expect("loaded key");
+                    db.get(&mut txn, "t", rid).unwrap()
+                }
+            };
+            assert_eq!(row.str(0).as_bytes(), &k[..]);
         }
     });
     db.commit(&mut txn).unwrap();
@@ -175,8 +235,7 @@ fn cold_index_get_reads_into_the_victims_buffer() {
         "{misses} misses: leaf and heap were meant to miss"
     );
     assert!(written_back > 0 && clean > 0, "{written_back} dirty and {clean} clean victims");
-    assert!(window.largest < PAGE_SIZE, "a cold read allocated a page: {window}");
-    assert_eq!(window.allocs, keys.len() as u64, "{} cold reads: {window}", keys.len());
+    assert_eq!(window.allocs, 0, "{} cold reads: {window}", keys.len());
 }
 
 /// A range scan over a hundred warm leaves, and a prefix scan, hand
@@ -216,24 +275,24 @@ fn warm_range_scan_allocates_nothing_per_row() {
     assert_eq!(prefix_scan.allocs, 0, "a prefix scan of 100 rows: {prefix_scan}");
 }
 
-/// Warm writes edit their pages where the pool holds them.  Per
-/// operation, what is left to allocate is:
+/// Warm writes edit their pages where the pool holds them, and none of
+/// them allocates:
 ///
-/// * `update` of a row read before: nothing — 0.  Its bytes are stored
-///   as they are;
-/// * `update_with`, which sets a column in the frame: nothing — 0;
-/// * `insert` of values: the record `Schema::encode` builds — 1.  The
-///   index key arrives built, the B+-tree descent copies its internal
-///   nodes into the tree's reused path buffer, and the log note is
-///   formatted into the log's reused frame buffer;
+/// * `update` of a row read before: its bytes are stored as they are;
+/// * `update` of values, and `insert` of values: `Schema::encode` writes
+///   the record into the engine's kept buffer.  The index key arrives
+///   built, the B+-tree descent copies its internal nodes into the tree's
+///   reused path buffer, and the log note is formatted into the log's
+///   reused frame buffer;
+/// * `update_with`, which sets a column in the frame;
 /// * `insert` of a `Row` whose columns are set over zeroed bytes on the
-///   stack: nothing — 0.  The row lends its bytes;
-/// * `delete`: nothing — 0.
+///   stack: the row lends its bytes;
+/// * `delete`.
 ///
 /// The commit forces the log, which seals a page of its own; it runs
 /// outside the counted windows.
 #[test]
-fn warm_writes_copy_no_page() {
+fn warm_writes_copy_no_page_and_allocate_nothing() {
     const OPS: u64 = 20;
     let (db, now) = loaded_db();
     let heap_pages = || db.with_table("t", |t| t.heap.page_count()).unwrap();
@@ -263,6 +322,11 @@ fn warm_writes_copy_no_page() {
 
     let ((), update) = counted(|| {
         for (rid, row) in rids.iter().zip(&stored) {
+            db.update(&mut txn, "t", *rid, row).unwrap();
+        }
+    });
+    let ((), update_values) = counted(|| {
+        for (rid, row) in rids.iter().zip(&rows) {
             db.update(&mut txn, "t", *rid, row).unwrap();
         }
     });
@@ -298,23 +362,21 @@ fn warm_writes_copy_no_page() {
     let mut txn = db.begin(txn.now);
     for (&id, keys) in ids.iter().zip(&keys) {
         let (_, stored) = db.index_get(&mut txn, "t", "i", &keys[0].1).unwrap().expect("key");
-        assert_eq!(stored.bytes(), schema.encode(&row(id)).unwrap(), "row {id}");
+        let mut encoded = Vec::new();
+        schema.encode(&row(id), &mut encoded).unwrap();
+        assert_eq!(stored.bytes(), encoded, "row {id}");
     }
     let half = half as u64;
     let ops = [
-        ("update", update, OPS, 0),
-        ("update_with", update_with, OPS, 0),
-        ("delete", delete, OPS, 0),
-        ("insert of values", insert, half, 1),
-        ("insert of a row", insert_row, OPS - half, 0),
+        ("update of a row", update, OPS),
+        ("update of values", update_values, OPS),
+        ("update_with", update_with, OPS),
+        ("delete", delete, OPS),
+        ("insert of values", insert, half),
+        ("insert of a row", insert_row, OPS - half),
     ];
-    for (op, window, count, per_op) in ops {
-        assert!(window.largest < PAGE_SIZE, "a warm {op} copied a page: {window}");
-        assert!(
-            window.allocs <= per_op * count,
-            "{count} warm {op}s, budget {}: {window}",
-            per_op * count
-        );
+    for (op, window, count) in ops {
+        assert_eq!(window.allocs, 0, "{count} warm {op}s: {window}");
     }
 }
 
@@ -329,10 +391,7 @@ fn warm_writes_copy_no_page() {
 /// allocates nothing.
 #[test]
 fn splits_allocate_nothing_once_the_tree_has_split_at_that_depth() {
-    let device = Arc::new(
-        DeviceBuilder::new(FlashGeometry::example()).timing(TimingModel::instant()).build(),
-    );
-    let noftl = Arc::new(NoFtl::new(device, NoFtlConfig::default()));
+    let noftl = Arc::new(NoFtl::new(example_device(), NoFtlConfig::default()));
     let placement = PlacementConfig::traditional(8, ["i".to_string()]);
     let backend = Arc::new(NoFtlBackend::new(noftl, &placement).unwrap());
     let mut pool = BufferPool::new(backend.clone(), 32);
@@ -438,17 +497,10 @@ fn a_checkpoint_of_a_warm_database_allocates_nothing() {
 #[test]
 fn a_warm_redo_commit_allocates_nothing() {
     const PAGES: usize = 10;
-    let device = Arc::new(
-        DeviceBuilder::new(FlashGeometry::example()).timing(TimingModel::instant()).build(),
-    );
-    let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
-    let placement = PlacementConfig::traditional(8, ["t".to_string()]);
-    let backend = Arc::new(NoFtlBackend::new(noftl, &placement).unwrap());
+    let device = example_device();
     let config = DatabaseConfig { buffer_pages: 256, redo_logging: true, wal_segment_pages: 32 };
-    let db = Database::open(backend, config).unwrap();
-    let schema =
-        Schema::new(vec![("k", ColumnType::Str(KEY_LEN as u16)), ("v", ColumnType::Str(100))]);
-    db.create_table("t", schema, SimTime::ZERO).unwrap();
+    let db = open_db(&device, config);
+    db.create_table("t", schema(100), SimTime::ZERO).unwrap();
     // One row on each of ten heap pages.
     let mut txn = db.begin(SimTime::ZERO);
     let mut rids: Vec<RecordId> = Vec::new();
