@@ -14,8 +14,10 @@
 //!    recovered world back, with one check of its own.
 //!
 //! The driver owns the rest.  The simulator is deterministic, so a
-//! [`dry_run`] learns the workload's span and [`DryRun::cut_at`] maps a
-//! fraction of it to a cut instant.  [`cycle`] then rebuilds an identical
+//! [`dry_run`] learns the workload's span and its device commands:
+//! [`DryRun::cut_at`] maps a fraction of the span to a cut instant, and
+//! [`cut_points`] lists every instant a command can be cut at, which
+//! [`sweep`] cuts in turn.  [`cycle`] then rebuilds an identical
 //! stack, arms the cut, runs the workload into it, [`power_cycle`]s the
 //! device through its image bytes and [`mount`]s it,
 //! surviving the cuts a contract lands during the mount itself.  After
@@ -211,6 +213,9 @@ pub struct DryRun<R> {
     pub setup_end: SimTime,
     /// End of the workload, device quiesced.
     pub end: SimTime,
+    /// `(issue, completion)` of every device command of the workload (the
+    /// setup's excluded), in host order.
+    pub commands: Vec<(SimTime, SimTime)>,
     /// The run's report.
     pub report: R,
 }
@@ -257,16 +262,92 @@ fn violation(message: String) -> NoFtlError {
 
 /// Run the workload once without a cut.  A dry run that stops at a
 /// device error is an error.
+///
+/// The device's commands are read off the tracer of its metrics registry,
+/// which holds one `flash.op` span per completed command, so the device
+/// keeps no record of its own.  A workload whose events overflow the
+/// tracer's ring is an error: its command list would miss the oldest.
 pub fn dry_run<C: Contract>(contract: &C) -> Result<DryRun<C::Report>, C::Error> {
     let stack = contract.build()?;
+    let tracer = stack.device.metrics().tracer();
+    let dropped = tracer.dropped();
+    tracer.clear();
+    tracer.set_enabled(true);
     let mut ledger = Ledger::new(&stack.noftl);
     let (stopped, report) = contract.run(&stack, &mut ledger)?;
     if ledger.cut {
         let at = stopped.as_nanos();
         return Err(violation(format!("the dry run failed at {at} ns with no cut armed")).into());
     }
+    if tracer.dropped() != dropped {
+        let message = format!("the dry run overflowed the tracer's {} events", tracer.capacity());
+        return Err(violation(message).into());
+    }
+    let commands = tracer
+        .events()
+        .into_iter()
+        .filter(|e| e.cat == "flash.op")
+        .filter_map(|e| Some((SimTime(e.ts_ns), SimTime(e.ts_ns + e.dur_ns?))))
+        .collect();
     let end = stopped.max(stack.device.quiesce_time());
-    Ok(DryRun { setup_end: stack.setup_end, end, report })
+    Ok(DryRun { setup_end: stack.setup_end, end, commands, report })
+}
+
+/// One power cut of a sweep: its instant, and the `(issue, completion)`
+/// of the dry run's command it cuts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cut {
+    /// The armed power-cut instant.
+    pub at: SimTime,
+    /// The command the instant was taken from.
+    pub command: (SimTime, SimTime),
+}
+
+/// Every instant a command of `dry` can be cut at: its issue (it never
+/// starts), its midpoint (it may tear) and its completion (it lands), in
+/// time order.  An instant two commands share is listed once, with the
+/// first command issued.
+pub fn cut_points<R>(dry: &DryRun<R>) -> Vec<Cut> {
+    let mut cuts: Vec<Cut> = dry
+        .commands
+        .iter()
+        .flat_map(|&(issue, done)| {
+            let mid = SimTime(issue.as_nanos() + (done.as_nanos() - issue.as_nanos()) / 2);
+            [issue, mid, done].map(|at| Cut { at, command: (issue, done) })
+        })
+        .collect();
+    cuts.sort_by_key(|cut| cut.at);
+    cuts.dedup_by_key(|cut| cut.at);
+    cuts
+}
+
+/// A cut whose crash cycle failed its checks.
+#[derive(Debug, Clone)]
+pub struct Violation {
+    /// The cut.
+    pub cut: Cut,
+    /// What the cycle reported.
+    pub message: String,
+}
+
+/// Run one crash [`cycle`] at each of `cuts`, handing each verified
+/// outcome to `visit`.  Returns every violation, not only the first.
+pub fn sweep<C: Contract>(
+    contract: &C,
+    cuts: &[Cut],
+    mut visit: impl FnMut(&Outcome<C>),
+) -> Vec<Violation>
+where
+    C::Error: std::fmt::Display,
+{
+    let mut violations = Vec::new();
+    for cut in cuts {
+        match cycle(contract, cut.at) {
+            Ok(outcome) => visit(&outcome),
+            Err(e) => violations.push(Violation { cut: *cut, message: e.to_string() }),
+        }
+    }
+    violations
 }
 
 /// One crash cycle with the power cut at `cut_at`: build, run into the
@@ -493,6 +574,26 @@ mod tests {
             assert!(outcome.mount.checkpoint_seq > 0);
         }
         assert!(survived < 6, "a cut that tears its write loses it");
+    }
+
+    #[test]
+    fn a_sweep_cuts_every_command_and_reports_every_violation() {
+        let contract = Pages { writes: 12, fail: Fail::Never };
+        let dry = dry_run(&contract).unwrap();
+        assert_eq!(dry.commands.len(), 12, "one program per write, none of the setup's");
+        let cuts = cut_points(&dry);
+        assert!(cuts.windows(2).all(|w| w[0].at < w[1].at), "in time order, once each");
+        assert!(dry.commands.len() < cuts.len() && cuts.len() <= 3 * dry.commands.len());
+        assert!(cuts.iter().all(|cut| cut.command.0 <= cut.at && cut.at <= cut.command.1));
+        let mut cycles = 0;
+        assert!(sweep(&contract, &cuts, |_| cycles += 1).is_empty());
+        assert_eq!(cycles, cuts.len());
+        let violations = sweep(&Pages { writes: 12, fail: Fail::Violation }, &cuts, |_| {});
+        assert_eq!(violations.len(), cuts.len(), "every violation, not only the first");
+        for (violation, cut) in violations.iter().zip(&cuts) {
+            assert_eq!(violation.cut, *cut);
+            assert!(violation.message.contains("uncommitted"), "{}", violation.message);
+        }
     }
 
     #[test]

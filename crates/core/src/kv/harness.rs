@@ -10,10 +10,16 @@
 //! * **no lost committed keys** — every key state covered by an
 //!   *acknowledged* flush is fully present with its exact value;
 //! * **flush atomicity** — the one flush that may have been in flight at
-//!   the cut is either completely visible (its checkpoint landed) or
-//!   completely absent (its torn run was discarded on open);
+//!   the cut is either completely visible (its pages and the checkpoint
+//!   issued beside them both landed) or completely absent (its run was
+//!   discarded on open: torn, whether or not the checkpoint had named it,
+//!   or complete but unnamed);
 //! * **scan/get agreement** — a full range scan of the reopened store
 //!   returns exactly the point-lookup view.
+//!
+//! A merge retires its sources once its run is durable, and the next
+//! flush's checkpoint records that; a cut in between leaves sources the
+//! directory still names, which `KvStore::open` drops as superseded.
 //!
 //! The dry run also yields the simulated-time windows of the compaction
 //! merges, so cuts can be aimed *into a compaction* to prove that a torn
@@ -191,7 +197,8 @@ impl Contract for KvCrashConfig {
                 Err(_) => {
                     // Power cut.  The erroring operation entered the
                     // memtable before the flush attempt, so if its flush's
-                    // checkpoint landed the recovered world includes it.
+                    // pages and checkpoint landed the recovered world
+                    // includes it.
                     ledger.cut(Some(pending));
                     break;
                 }

@@ -33,14 +33,15 @@
 //!   and sequence numbers are exactly the storage manager's object
 //!   directory, journalled by [`NoFtl::checkpoint`] chunk pages: the
 //!   runs' names, not their page maps (those are the run pages' own OOB
-//!   records), so a commit costs one chunk page whatever it covers.  A
-//!   merge checkpoints its run before it retires the sources, then again.
+//!   records), so a commit costs one chunk page whatever it covers.  The
+//!   checkpoint naming a run issues at the instant its pages do, and a
+//!   merge retires its sources without one: the next flush's records it.
 //!   After a power cut, [`NoFtl::mount`] discards torn pages via the OOB
 //!   payload checksum and [`KvStore::open`] then discards incomplete runs
-//!   (a page missing, or a tail without all its members) and runs
-//!   superseded by a durable merge; a tail of another format version
-//!   fails the open instead of being taken for torn.  A flush is
-//!   *committed* once `flush` returns: run pages durable and the
+//!   (a page missing, or a tail without all its members), named or not,
+//!   and runs a durable merge retired or supersedes; a tail of another
+//!   format version fails the open instead of being taken for torn.  A
+//!   flush is *committed* once `flush` returns: run pages durable and the
 //!   directory checkpointed.
 //!
 //! **Nothing is allocated per entry, page or source.**  A get lends the

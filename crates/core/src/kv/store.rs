@@ -5,8 +5,9 @@
 //! contract in one line: **a put is committed once a flush covering it
 //! returns** — run pages written (as one queued multi-die batch) *and*
 //! the object directory checkpointed through the storage manager's
-//! region-metadata journal.  The checkpoint names the run; which
-//! physical pages hold it is read back from their OOB records on mount.
+//! region-metadata journal, the checkpoint issued beside the pages.  The
+//! checkpoint names the run; which physical pages hold it is read back
+//! from their OOB records on mount.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -82,8 +83,9 @@ pub struct KvStats {
     /// Pages written by completed compactions (never also in `flushed_pages`).
     pub compacted_pages: u64,
     /// Simulated-time windows `(start_ns, end_ns)` of completed
-    /// compactions, flush start to the checkpoint that retired the
-    /// sources — the crash harness aims power cuts into these.
+    /// compactions, flush start to the merged run's durability point (its
+    /// last page and its checkpoint both landed) — the crash harness aims
+    /// power cuts into these.
     pub compaction_windows: Vec<(u64, u64)>,
     /// Simulated-time windows `(issue_ns, done_ns)` of the page batches
     /// of runs written with two or more tail pages.  The pages issue
@@ -102,10 +104,14 @@ pub struct KvOpenReport {
     /// Valid runs adopted into the directory.
     pub runs_recovered: usize,
     /// Incomplete runs discarded (torn by a power cut before their flush
-    /// or merge was acknowledged).
+    /// or merge was acknowledged), and complete runs no checkpoint named.
     pub torn_runs_discarded: usize,
-    /// Runs dropped because a durable merged run covers their sequence
-    /// range (crash landed between a merge commit and the source drops).
+    /// Of `torn_runs_discarded`, the runs the directory named: the cut
+    /// fell after their flush's checkpoint and before their last page.
+    pub named_runs_torn: usize,
+    /// Runs a durable merge had retired: sources the directory still
+    /// named because no checkpoint had recorded their drop (their pages
+    /// are gone), or runs a merged run's sequence range covers.
     pub superseded_runs_discarded: usize,
     /// Candidates that end in a tail page yet are not complete runs —
     /// pages missing below it, or the tail's own last member missing: the
@@ -253,9 +259,10 @@ impl KvStore {
     /// checksum scan, or a missing or incomplete tail) are discarded —
     /// they belong to flushes that were never acknowledged.  So are
     /// orphan objects that decode as this store's runs (same situation,
-    /// crash during the directory checkpoint) and runs whose sequence
-    /// range is covered by a durable higher-level merge (crash between a
-    /// merge commit and its source drops).
+    /// crash during the directory checkpoint), and the sources a durable
+    /// merge retired: a merge drops them without a checkpoint of its own,
+    /// so until the next flush's checkpoint the directory still names
+    /// them.
     ///
     /// A tail page of another format version is *not* a torn run: it is
     /// data another build wrote, and discarding it would erase the store.
@@ -288,14 +295,17 @@ impl KvStore {
             judged.push((obj, obj_name.starts_with("__orphan_"), meta));
         }
         let mut runs: Vec<RunMeta> = Vec::new();
+        let mut incomplete = Vec::new();
         for (obj, orphan, meta) in judged {
             match (meta, orphan) {
                 (Some(meta), false) => runs.push(meta),
+                // Named, but not a complete run: judged below.
+                (None, false) => incomplete.push(obj),
                 // Not ours (or not a run at all) — leave it alone.
                 (None, true) => {}
-                // A torn run, or a complete one that never made it into the
-                // directory: its flush was not acknowledged.  Discard.
-                _ => {
+                // A complete run that never made it into the directory:
+                // its flush was not acknowledged.  Discard.
+                (Some(_), true) => {
                     noftl.drop_object(obj)?;
                     report.torn_runs_discarded += 1;
                 }
@@ -310,6 +320,19 @@ impl KvStore {
         while let Some(pos) = runs.iter().position(|b| runs.iter().any(|a| covers(a, b))) {
             noftl.drop_object(runs.remove(pos).object)?;
             report.superseded_runs_discarded += 1;
+        }
+        // A named run that is not complete yet older than one that is (ids
+        // are never reused) is a source a durable merge retired.  The
+        // newest is the run of a flush whose checkpoint landed before its
+        // last page: that flush was not acknowledged.
+        for obj in incomplete {
+            noftl.drop_object(obj)?;
+            if runs.iter().any(|r| r.object > obj) {
+                report.superseded_runs_discarded += 1;
+            } else {
+                report.torn_runs_discarded += 1;
+                report.named_runs_torn += 1;
+            }
         }
         report.entries_recovered = runs.iter().map(|r| r.entries).sum();
 
@@ -576,8 +599,8 @@ impl KvStore {
     /// memtable, level 0's runs and the runs of every next level that
     /// would fill in turn, in one pass, into one run at the first level
     /// that stays below four runs.  This is the store's durability point:
-    /// on return the run's pages are on flash and the run directory is
-    /// checkpointed.
+    /// on return the run's pages are on flash and the run directory naming
+    /// the run is checkpointed.
     pub fn flush(&self, at: SimTime) -> Result<SimTime> {
         self.cascade(&mut self.lock_store(), at)
     }
@@ -599,10 +622,18 @@ impl KvStore {
     /// followed by level-by-level compactions would leave; the runs in
     /// between are never written, read back or erased.
     ///
-    /// The merged run is written as one queued batch and made durable
-    /// (checkpoint) *before* the sources are retired through the
-    /// object-drop path (and checkpointed again), so a crash at any
-    /// instant leaves either the sources or the merge — never neither.
+    /// The run is written as one queued batch across the region's dies,
+    /// and the directory checkpoint that names it issues at the same
+    /// instant (first, in host order) on the metadata region, so a flush
+    /// costs its pages and not a checkpoint after them: it completes when
+    /// both have landed.  A cut between the two leaves a named run that is
+    /// not complete, which [`open`](Self::open) discards, or a complete
+    /// run no checkpoint names, which it discards too.  A merge retires
+    /// its sources through the object-drop path only once the merged run
+    /// is durable, and takes no checkpoint of its own for that: the next
+    /// flush's checkpoint records the drop, and until then `open` drops
+    /// the sources the durable merge covers.  So a crash at any instant
+    /// leaves either the sources or the merge — never neither.
     ///
     /// The sources' data pages are read, through one bounded pipeline,
     /// into the store's page arena.  Their entries and, as the newest
@@ -666,18 +697,19 @@ impl KvStore {
         memtable.clear();
 
         // The whole run issues at one shared time and fans across the
-        // region's dies.
+        // region's dies, beside the checkpoint that names it.
         let obj = self.noftl.create_object(&self.run_name(depth, seq_lo, seq), self.region)?;
         let requests = writer
             .pages()
             .enumerate()
             .map(|(i, page)| IoRequest::write(obj, i as u64, page).with_class(class));
         let issued = now;
-        now = self.noftl.execute(requests, issued, usize::MAX, |_, _| Ok(()))?;
+        let checkpointed = self.noftl.checkpoint(issued);
+        let written = self.noftl.execute(requests, issued, usize::MAX, |_, _| Ok(()))?;
+        now = written.max(checkpointed?);
         if meta.tail_pages >= 2 {
-            stats.tail_windows.push((issued.as_nanos(), now.as_nanos()));
+            stats.tail_windows.push((issued.as_nanos(), written.as_nanos()));
         }
-        now = self.noftl.checkpoint(now)?;
         let pages = u64::from(meta.data_pages + meta.tail_pages);
         (meta.object, meta.written_at) = (obj, now);
         // The newest run of all.
@@ -687,12 +719,11 @@ impl KvStore {
         } else {
             // Retire the sources, newest first, through the normal drop
             // path: their pages become invalid and the region's GC
-            // reclaims the blocks.
+            // reclaims the blocks.  The next flush's checkpoint records it.
             for source in runs.drain(1..=k) {
                 self.noftl.drop_object(source.object)?;
                 stats.compacted_runs += 1;
             }
-            now = self.noftl.checkpoint(now)?;
             stats.compactions += 1;
             stats.compacted_pages += pages;
             stats.compaction_windows.push((at.as_nanos(), now.as_nanos()));
@@ -1179,19 +1210,135 @@ mod tests {
             }
             t = kv.flush(t).unwrap();
         }
-        // Every flush commits with one checkpoint (its run), and one that
-        // merged runs with a second (the retired sources); a checkpoint is
-        // the run directory — one chunk page — however many run pages are
-        // mapped by then.
+        // Every flush commits with one checkpoint, which names its run; a
+        // merge is a flush, and the sources it retires ride the next
+        // flush's checkpoint.  A checkpoint is the run directory — one
+        // chunk page — however many run pages are mapped by then.
         let stats = kv.stats();
         assert!(stats.flushes >= 9 && stats.compactions > 0);
         let checkpoints = counter("core.checkpoint.count") - checkpoints_before;
-        assert_eq!(checkpoints, stats.flushes + stats.compactions);
+        assert_eq!(checkpoints, stats.flushes);
         assert_eq!(counter("core.checkpoint.pages"), counter("core.checkpoint.count"));
         assert_eq!(
             device.stats().page_programs - programs_before,
             stats.flushed_pages + stats.compacted_pages + checkpoints,
         );
+    }
+
+    /// Keys each round of [`primed`] puts: a flush of them is a run of
+    /// eight pages over the region's three dies.
+    const PRIMED_KEYS: u64 = 600;
+
+    fn primed_config() -> KvConfig {
+        KvConfig { memtable_bytes: 1 << 20 }
+    }
+
+    /// A store on an MLC device whose metadata region has the fourth die
+    /// to itself, after `flushes` acknowledged flushes (round `r` puts
+    /// `val(i, r)` for every key), with round `flushes` in the memtable.
+    fn primed(flushes: u64) -> (Arc<NandDevice>, KvStore, SimTime) {
+        let (device, noftl, rid) = stack(TimingModel::mlc_2015());
+        let (kv, mut t) =
+            KvStore::create(Arc::clone(&noftl), rid, "s", primed_config(), SimTime::ZERO).unwrap();
+        for round in 0..=flushes {
+            if round > 0 {
+                t = kv.flush(t).unwrap();
+            }
+            for i in 0..PRIMED_KEYS {
+                t = kv.put(&key(i), &val(i, round), t).unwrap();
+            }
+        }
+        (device, kv, t)
+    }
+
+    /// When the next flush of [`primed`]`(flushes)` lands its checkpoint
+    /// and each of its run pages (in time order), read off the command
+    /// trace, and when it returns.
+    fn traced_flush(flushes: u64) -> (SimTime, Vec<SimTime>, SimTime) {
+        let (device, kv, t) = primed(flushes);
+        let tracer = device.metrics().tracer();
+        tracer.set_enabled(true);
+        let done = kv.flush(t).unwrap();
+        let meta_dies = kv.noftl.region_dies(kv.noftl.meta_region().unwrap()).unwrap();
+        let (mut checkpoint, mut pages) = (SimTime::ZERO, Vec::new());
+        for e in tracer.events().iter().filter(|e| e.cat == "flash.op" && e.name == "program") {
+            let end = SimTime(e.ts_ns + e.dur_ns.unwrap());
+            if meta_dies.iter().any(|die| u64::from(die.0) == e.track) {
+                checkpoint = checkpoint.max(end);
+            } else {
+                pages.push(end);
+            }
+        }
+        pages.sort_unstable();
+        (checkpoint, pages, done)
+    }
+
+    #[test]
+    fn a_flush_completes_with_its_last_run_page() {
+        // The checkpoint issues beside the run on a die of its own: it
+        // lands first and costs the flush nothing.
+        let (checkpoint, pages, done) = traced_flush(0);
+        let last_page = *pages.last().unwrap();
+        assert!(checkpoint < last_page, "checkpoint {checkpoint:?}, last page {last_page:?}");
+        assert_eq!(done, last_page);
+    }
+
+    #[test]
+    fn a_cut_between_the_checkpoint_and_the_last_page_drops_the_named_run() {
+        // A plain flush after one run, and a merge of three level-0 runs
+        // into `__kv_s_r1_1_4`.  The cut lands after the checkpoint naming
+        // the new run and before the next run page lands, while each
+        // die's later pages are still far from programmed.  (A cut late in
+        // a page can leave a run that is all there: a torn page whose lost
+        // suffix was padding still verifies.)
+        for (flushes, named) in [(1, "__kv_s_r0_2_2"), (3, "__kv_s_r1_1_4")] {
+            let (checkpoint, pages, _) = traced_flush(flushes);
+            let next = pages.into_iter().find(|&page| page > checkpoint).unwrap();
+            let cut = SimTime((checkpoint.as_nanos() + next.as_nanos()) / 2);
+            assert!(checkpoint < cut && cut < next);
+            let (device, kv, t) = primed(flushes);
+            device.arm_power_cut(cut);
+            assert!(kv.flush(t).is_err(), "the cut tears the flush");
+            let (noftl, mount) = NoFtl::mount(crate::crash::power_cycle(&device).unwrap(), cut)
+                .map(|(noftl, mount)| (Arc::new(noftl), mount))
+                .unwrap();
+            assert!(noftl.object_id(named).is_some(), "the checkpoint named {named}");
+            let (kv, report) =
+                KvStore::open(Arc::clone(&noftl), "s", primed_config(), mount.completed_at)
+                    .unwrap();
+            assert_eq!((report.named_runs_torn, report.torn_runs_discarded), (1, 1));
+            assert_eq!(report.superseded_runs_discarded, 0);
+            assert_eq!(report.runs_recovered, flushes as usize, "every source is kept");
+            assert_eq!(noftl.object_id(named), None);
+            let mut t = report.completed_at;
+            for i in 0..PRIMED_KEYS {
+                let (got, t2) = kv.get(&key(i), t).unwrap();
+                t = t2;
+                assert_eq!(got, Some(val(i, flushes - 1)), "acknowledged key {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_merge_s_retired_sources_ride_the_next_checkpoint() {
+        let (device, kv, mut t) = primed(3);
+        t = kv.flush(t).unwrap(); // merges level 0 into `__kv_s_r1_1_4`
+        assert_eq!((kv.stats().compactions, kv.run_count()), (1, 1));
+        let sources = ["__kv_s_r0_1_1", "__kv_s_r0_2_2", "__kv_s_r0_3_3"];
+        // A reboot now finds the sources named but retired: `open` drops
+        // them, as the merged run covers them.
+        let (noftl, mount) = NoFtl::mount(crate::crash::power_cycle(&device).unwrap(), t).unwrap();
+        assert!(sources.iter().all(|name| noftl.object_id(name).is_some()));
+        let (_, report) =
+            KvStore::open(Arc::new(noftl), "s", primed_config(), mount.completed_at).unwrap();
+        assert_eq!(report.superseded_runs_discarded, 3);
+        assert_eq!((report.runs_recovered, report.torn_runs_discarded), (1, 0));
+        // The next flush's checkpoint no longer names them.
+        t = kv.put(&key(0), &val(0, 4), t).unwrap();
+        t = kv.flush(t).unwrap();
+        let (noftl, _) = NoFtl::mount(crate::crash::power_cycle(&device).unwrap(), t).unwrap();
+        assert!(sources.iter().all(|name| noftl.object_id(name).is_none()));
+        assert!(noftl.object_id("__kv_s_r1_1_4").is_some());
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //! * a put that does not flush allocates nothing;
 //! * a flush allocates a constant per run it writes — the run's name,
 //!   formatted and then copied into its object-directory entry, its
-//!   descriptor (largest key, fences, filter), its page map — plus what its checkpoints allocate, which depends on the
+//!   descriptor (largest key, fences, filter), its page map — plus what its checkpoint allocates, which depends on the
 //!   directory and not on the run, and a flush that merges runs adds a
 //!   constant, whatever the number of runs or levels it merges (the read
 //!   pipeline's page buffer and window, the merge's cursors).  So two like
 //!   stores whose flushes differ only in size allocate the same count, and
-//!   so do a merge of one level and one of two, net of their checkpoints.
+//!   so do a merge of one level and one of two.
 //!
 //! Two things the data grows are kept out of the counted windows.  Every
 //! block of the device has held a payload once before the store is built,
@@ -168,9 +168,8 @@ fn a_cascade_allocates_the_same_whatever_its_depth() {
     // 1; after 31 (133 in base 4) the 32nd merges levels 0 and 1 into
     // level 2.  Both merges read more pages than the read window holds,
     // write a run of four pages and checkpoint a directory of nine objects
-    // before they retire their sources.  The checkpoint after that names
-    // three runs fewer after the deeper merge, so each flush is counted
-    // net of what a checkpoint of the directory it leaves allocates.
+    // (the sources are retired after it, and the next flush's checkpoint
+    // records that).
     let [shallow, deep] = [(43, 1), (31, 2)].map(|(flushes, depth)| {
         let (noftl, kv, mut t) = cold_store();
         // The manager's object table holds one object per run ever
@@ -184,14 +183,7 @@ fn a_cascade_allocates_the_same_whatever_its_depth() {
         let cascade = flush_of(&kv, 0..80, flushes, &mut t);
         let after = kv.stats();
         assert_eq!(after.compacted_runs - before.compacted_runs, 3 * depth, "depth {depth}");
-        let (done, checkpoint) = counted(|| noftl.checkpoint(t));
-        assert!(done.is_ok());
-        (cascade, checkpoint.allocs)
+        cascade
     });
-    assert_eq!(
-        shallow.0 - shallow.1,
-        deep.0 - deep.1,
-        "allocations (flush, checkpoint after it) of a depth-1 cascade {shallow:?} and a \
-         depth-2 one {deep:?}"
-    );
+    assert_eq!(shallow, deep, "allocations of a depth-1 cascade and a depth-2 one");
 }

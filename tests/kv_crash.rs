@@ -1,7 +1,9 @@
 //! NoFTL-KV acceptance tests: queued multi-die batches and crash
 //! consistency.
 //!
-//! The property test sweeps ≥ 25 random power-cut instants (every fifth
+//! The enumerated sweep (release builds) cuts every device command of
+//! three workloads at its issue, its midpoint and its completion.  The
+//! property test sweeps ≥ 25 random power-cut instants (every fifth
 //! cut aimed *inside a compaction merge* — every other one of those into
 //! a merge that retires runs from two levels — and every fifth *between
 //! the tail pages* of a run whose tail spans several pages, alternately a
@@ -13,11 +15,14 @@
 //!
 //! * every key covered by an acknowledged flush is present with its
 //!   exact value (no lost committed keys);
-//! * torn tail runs and merge results whose directory checkpoint never
-//!   landed are discarded — never half-adopted, and a run that got the
-//!   first pages of its tail onto flash but not the last is not a run;
+//! * the run of the flush or merge in flight at the cut is adopted whole
+//!   or discarded — never half-adopted — whether or not the checkpoint
+//!   issued beside its pages named it, and a run that got the first
+//!   pages of its tail onto flash but not the last is not a run;
 //! * a cut inside a compaction merge loses nothing: the source runs
-//!   survive until the merged run is durable *and* checkpointed;
+//!   survive until the merged run's pages and its checkpoint have both
+//!   landed, and sources a merge retired that the directory still names
+//!   are dropped on open;
 //! * a full scan of the reopened store agrees with the point-lookup
 //!   view.
 
@@ -27,7 +32,7 @@ use std::sync::Arc;
 
 use common::property_rounds;
 use noftl_regions::flash::{DeviceBuilder, FlashGeometry, SimTime, TimingModel};
-use noftl_regions::noftl::crash::SplitMix64;
+use noftl_regions::noftl::crash::{self, SplitMix64};
 use noftl_regions::noftl::kv::harness::KEYS;
 use noftl_regions::noftl::kv::{
     run_kv_crash_cycle, run_kv_crash_cycle_in_compaction, run_kv_crash_cycle_in_tail, KvConfig,
@@ -117,6 +122,46 @@ fn random_power_cuts_recover_every_committed_key() {
          ({two_level_cuts} in a merge of two levels), {in_flight_survivals} in-flight flushes survived, {tail_cuts:?} cuts between the tail \
          pages of a flushed / merged run"
     );
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a crash cycle at every command of three workloads")]
+fn every_cut_point_recovers_every_acknowledged_key() {
+    // Each device command of each workload is cut at its issue, its
+    // midpoint and its completion.  The driver checks every cycle; the
+    // sweep collects every violation before the test fails.
+    let workloads = [
+        ("default", KvCrashConfig::default()),
+        ("multi_page_tail", KvCrashConfig::multi_page_tail()),
+        ("two_level_merges", KvCrashConfig::two_level_merges()),
+    ];
+    let started = std::time::Instant::now();
+    let mut violations = Vec::new();
+    let [mut cuts_total, mut torn, mut superseded, mut named_torn] = [0usize; 4];
+    for (name, cfg) in workloads {
+        let dry = crash::dry_run(&cfg).unwrap();
+        let cuts = crash::cut_points(&dry);
+        let found = crash::sweep(&cfg, &cuts, |outcome| {
+            torn += outcome.recovery.torn_runs_discarded;
+            superseded += outcome.recovery.superseded_runs_discarded;
+            named_torn += usize::from(outcome.recovery.named_runs_torn > 0);
+        });
+        println!(
+            "{name}: {} commands, {} cuts, {} violations",
+            dry.commands.len(),
+            cuts.len(),
+            found.len()
+        );
+        cuts_total += cuts.len();
+        violations.extend(found.into_iter().map(|v| (name, v)));
+    }
+    println!(
+        "{cuts_total} cuts in {:.1} s: {torn} torn and {superseded} superseded runs discarded, \
+         {named_torn} cuts where the new run was named but not complete",
+        started.elapsed().as_secs_f64()
+    );
+    assert!(violations.is_empty(), "{} violations: {violations:#?}", violations.len());
+    assert!(named_torn >= 1, "no cut fell between a run's checkpoint and its last page");
 }
 
 #[test]
