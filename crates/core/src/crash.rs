@@ -13,15 +13,16 @@
 //! 3. **recover**: reopen the engine on the remounted manager and read the
 //!    recovered world back, with one check of its own.
 //!
-//! The driver owns the rest.  The simulator is deterministic, so a
-//! [`dry_run`] learns the workload's span and its device commands:
-//! [`DryRun::cut_at`] maps a fraction of the span to a cut instant, and
-//! [`cut_points`] lists every instant a command can be cut at, which
-//! [`sweep`] cuts in turn.  [`cycle`] then rebuilds an identical
+//! The driver owns the rest, and [`sweep`] is its one way to cut power.
+//! The simulator is deterministic, so one [`dry_run`] per workload learns
+//! its span and its device commands, and every cut of that workload is
+//! taken from it: [`cut_points`] lists every instant a command can be cut
+//! at, and [`DryRun::cut_at`] maps a random draw to an instant and the
+//! command it falls in.  For each [`Cut`] the sweep rebuilds an identical
 //! stack, arms the cut, runs the workload into it, [`power_cycle`]s the
-//! device through its image bytes and [`mount`]s it,
-//! surviving the cuts a contract lands during the mount itself.  After
-//! the contract recovers, it verifies that
+//! device through its image bytes and [`mount`]s it, surviving the cuts a
+//! contract lands during the mount itself.  After the contract recovers,
+//! it verifies that
 //!
 //! * the manager has the regions and objects it had before the cut: the
 //!   mount lost none ([`check_mounted`]) and recovery left no phantom
@@ -29,11 +30,11 @@
 //! * the recovered world equals the committed world or, when a commit or
 //!   flush was in flight, the in-flight world.
 //!
-//! A violation is an `Err` naming it, never a panic.  A power cut is the
-//! only fault the driver knows, and the only one of the workspace: a
-//! mirror loses a child when that child's power is cut
-//! (`NandDevice::arm_power_cut` on one child), and learns of it from the
-//! child's own `PowerLoss`.
+//! A violation is an `Err` naming it, never a panic, and a sweep returns
+//! every one.  A power cut is the only fault the driver knows, and the
+//! only one of the workspace: a mirror loses a child when that child's
+//! power is cut (`NandDevice::arm_power_cut` on one child), and learns of
+//! it from the child's own `PowerLoss`.
 
 use std::sync::Arc;
 
@@ -221,17 +222,18 @@ pub struct DryRun<R> {
 }
 
 impl<R> DryRun<R> {
-    /// The instant `setup_end + fraction · span`, `fraction` clamped to
-    /// `[0, 1)`.
-    pub fn cut_at(&self, fraction: f64) -> SimTime {
+    /// The cut at `setup_end + fraction · span`, `fraction` clamped to
+    /// `[0, 1)`.  It names the first command, in host order, not complete
+    /// at that instant: one the cut interrupts or, in an idle gap, the
+    /// next to issue (the last command when every one has completed, and
+    /// the instant itself when the dry run issued none).
+    pub fn cut_at(&self, fraction: f64) -> Cut {
         let span = self.end.as_nanos().saturating_sub(self.setup_end.as_nanos()).max(1);
-        SimTime(self.setup_end.as_nanos() + (span as f64 * clamp(fraction)) as u64)
+        let offset = span as f64 * fraction.clamp(0.0, 0.999_999);
+        let at = SimTime(self.setup_end.as_nanos() + offset as u64);
+        let open = self.commands.iter().find(|&&(_, done)| at < done);
+        Cut { at, command: open.or(self.commands.last()).copied().unwrap_or((at, at)) }
     }
-}
-
-/// `fraction` clamped to `[0, 1)`.
-pub(crate) fn clamp(fraction: f64) -> f64 {
-    fraction.clamp(0.0, 0.999_999)
 }
 
 /// One verified crash cycle.
@@ -294,7 +296,8 @@ pub fn dry_run<C: Contract>(contract: &C) -> Result<DryRun<C::Report>, C::Error>
 }
 
 /// One power cut of a sweep: its instant, and the `(issue, completion)`
-/// of the dry run's command it cuts.
+/// of the dry run's command it cuts.  [`cut_points`] and
+/// [`DryRun::cut_at`] make them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cut {
     /// The armed power-cut instant.
@@ -330,8 +333,9 @@ pub struct Violation {
     pub message: String,
 }
 
-/// Run one crash [`cycle`] at each of `cuts`, handing each verified
-/// outcome to `visit`.  Returns every violation, not only the first.
+/// Run one crash cycle at each of `cuts` — build, run into the cut,
+/// power-cycle, mount, recover, verify — handing each verified outcome to
+/// `visit`.  Returns every violation, not only the first.
 pub fn sweep<C: Contract>(
     contract: &C,
     cuts: &[Cut],
@@ -350,9 +354,8 @@ where
     violations
 }
 
-/// One crash cycle with the power cut at `cut_at`: build, run into the
-/// cut, power-cycle, mount, recover, verify.
-pub fn cycle<C: Contract>(contract: &C, cut_at: SimTime) -> Result<Outcome<C>, C::Error> {
+/// One crash cycle with the power cut at `cut_at`.
+fn cycle<C: Contract>(contract: &C, cut_at: SimTime) -> Result<Outcome<C>, C::Error> {
     let stack = contract.build()?;
     stack.device.arm_power_cut(cut_at);
     let mut ledger = Ledger::new(&stack.noftl);
@@ -564,15 +567,22 @@ mod tests {
     fn cuts_across_the_span_recover_the_committed_or_in_flight_world() {
         let contract = Pages { writes: 40, fail: Fail::Never };
         let dry = dry_run(&contract).unwrap();
-        assert!(dry.cut_at(5.0) < dry.end, "the fraction is clamped below 1");
-        assert_eq!(dry.cut_at(-1.0), dry.setup_end);
+        assert!(dry.cut_at(5.0).at < dry.end, "the fraction is clamped below 1");
+        assert_eq!(dry.cut_at(-1.0).at, dry.setup_end);
+        let cuts: Vec<Cut> =
+            [0.0, 0.1, 0.35, 0.6, 0.85, 0.99].into_iter().map(|f| dry.cut_at(f)).collect();
+        for cut in &cuts {
+            // The writes run back to back, so each draw falls in one.
+            assert!(dry.commands.contains(&cut.command), "{cut:?} names no command");
+            assert!(cut.command.0 <= cut.at && cut.at < cut.command.1, "{cut:?}");
+        }
         let mut survived = 0;
-        for fraction in [0.0, 0.1, 0.35, 0.6, 0.85, 0.99] {
-            let outcome = cycle(&contract, dry.cut_at(fraction)).unwrap();
+        let violations = sweep(&contract, &cuts, |outcome| {
             assert!(outcome.cut_in_flight, "every cut lands in the write stream");
             survived += u64::from(outcome.in_flight_survived);
             assert!(outcome.mount.checkpoint_seq > 0);
-        }
+        });
+        assert!(violations.is_empty(), "{violations:?}");
         assert!(survived < 6, "a cut that tears its write loses it");
     }
 

@@ -21,11 +21,11 @@
 //! flush's checkpoint records that; a cut in between leaves sources the
 //! directory still names, which `KvStore::open` drops as superseded.
 //!
-//! The dry run also yields the simulated-time windows of the compaction
-//! merges, so cuts can be aimed *into a compaction* to prove that a torn
-//! merge never loses source data, and (with
-//! [`KvCrashConfig::multi_page_tail`]) *between the tail pages* of a run
-//! to prove that a partial tail is never adopted.
+//! The run's report says whether the cut fell inside a compaction merge,
+//! and lists the merge windows and, apart, those of merges of two levels,
+//! so a sweep over [`crate::crash::cut_points`] can count the cuts inside
+//! either kind.  [`KvCrashConfig::multi_page_tail`] writes runs whose
+//! tails span several pages, so some of its cuts leave a partial tail.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -47,11 +47,6 @@ const OPS: u64 = 400;
 /// Dies of the store's region.
 const REGION_DIES: u32 = 2;
 const STORE: &str = "kvcrash";
-
-/// The device's timing model.
-fn timing() -> TimingModel {
-    TimingModel::mlc_2015()
-}
 
 /// Harness configuration.  The device is the tiny unit-test geometry with
 /// the MLC timing model.
@@ -127,9 +122,6 @@ pub struct KvRunReport {
     /// The windows of `compaction_windows` whose merge retired runs from
     /// two levels or more.
     pub two_level_merges: Vec<(u64, u64)>,
-    /// `(issued, completed)` of every run written with a multi-page tail,
-    /// in ns.
-    pub tail_windows: Vec<(u64, u64)>,
 }
 
 /// The store's side of the crash driver.
@@ -141,8 +133,9 @@ impl Contract for KvCrashConfig {
     type Error = NoFtlError;
 
     fn build(&self) -> Result<Stack<KvStore>> {
-        let device =
-            Arc::new(DeviceBuilder::new(FlashGeometry::small_test()).timing(timing()).build());
+        let device = Arc::new(
+            DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build(),
+        );
         let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
         let rid = noftl.create_region(RegionSpec::named("rgKv").with_die_count(REGION_DIES))?;
         let (store, created_at) =
@@ -210,7 +203,6 @@ impl Contract for KvCrashConfig {
             cut_during_compaction: stats.compactions_started > stats.compactions,
             compaction_windows: stats.compaction_windows,
             two_level_merges,
-            tail_windows: stats.tail_windows,
         };
         Ok((now, report))
     }
@@ -240,159 +232,30 @@ impl Contract for KvCrashConfig {
     }
 }
 
-/// The `fraction`-th of `windows`.
-fn pick(windows: &[(u64, u64)], fraction: f64) -> Option<(u64, u64)> {
-    windows.get(((windows.len() as f64) * crash::clamp(fraction)) as usize).copied()
-}
-
-/// Execute one full crash cycle with the cut at
-/// `setup_end + fraction · span`.  `fraction` is clamped to `[0, 1)`.
-pub fn run_kv_crash_cycle(cfg: &KvCrashConfig, fraction: f64) -> Result<KvCrashOutcome> {
-    crash::cycle(cfg, crash::dry_run(cfg)?.cut_at(fraction))
-}
-
-/// Execute one crash cycle with the cut aimed *inside a compaction
-/// merge* (the `fraction`-th window of the dry run, or with `two_levels`
-/// the `fraction`-th of those that retired runs from two levels).
-/// Returns `Ok(None)` if the dry run never made such a merge — callers
-/// should then grow the workload.
-pub fn run_kv_crash_cycle_in_compaction(
-    cfg: &KvCrashConfig,
-    fraction: f64,
-    two_levels: bool,
-) -> Result<Option<KvCrashOutcome>> {
-    let dry = crash::dry_run(cfg)?;
-    let report = &dry.report;
-    let windows = if two_levels { &report.two_level_merges } else { &report.compaction_windows };
-    let Some((start, end)) = pick(windows, fraction) else {
-        return Ok(None);
-    };
-    // Aim at the merge's queued batch: somewhere strictly inside the
-    // window, biased by the fraction so repeated calls sweep it.
-    let bias = 0.2 + 0.6 * crash::clamp(fraction);
-    let inside = start + ((end.saturating_sub(start)) as f64 * bias) as u64;
-    crash::cycle(cfg, SimTime(inside.max(start + 1))).map(Some)
-}
-
-/// Execute crash cycles with the cut aimed *between the first and the
-/// last tail page* of a run written with two or more tail pages: the
-/// `fraction`-th such run a flush wrote, or with `in_compaction` the
-/// `fraction`-th a compaction merge wrote.
-///
-/// The run's pages issue together and the tail goes last, so shortly
-/// before the batch completes some tail pages have landed and others are
-/// in flight.  Exactly when is the dies' business (completion order is
-/// not page order, and a torn page whose lost suffix was padding still
-/// verifies), so the instant is found rather than predicted: the cut
-/// steps back from the batch's completion, a quarter program time per
-/// cycle, until the reopened store reports a rejected partial tail
-/// ([`KvOpenReport::partial_tails_rejected`]).  Every step is a full,
-/// verified crash cycle; the last one's outcome is returned — a hit,
-/// unless the whole batch was walked without one.  `Ok(None)` if the dry
-/// run wrote no such run (use [`KvCrashConfig::multi_page_tail`]).
-pub fn run_kv_crash_cycle_in_tail(
-    cfg: &KvCrashConfig,
-    fraction: f64,
-    in_compaction: bool,
-) -> Result<Option<KvCrashOutcome>> {
-    let dry = crash::dry_run(cfg)?;
-    let merges = &dry.report.compaction_windows;
-    let eligible: Vec<(u64, u64)> = dry
-        .report
-        .tail_windows
-        .iter()
-        .filter(|(issued, done)| {
-            merges.iter().any(|(start, end)| start <= issued && done <= end) == in_compaction
-        })
-        .copied()
-        .collect();
-    let Some((issued, done)) = pick(&eligible, fraction) else {
-        return Ok(None);
-    };
-    let step = ((timing().program_page_us * 250.0) as u64).max(1); // tPROG / 4, in ns
-    let mut cut_at = done.saturating_sub(step).max(issued + 1);
-    loop {
-        let outcome = crash::cycle(cfg, SimTime(cut_at))?;
-        if outcome.recovery.partial_tails_rejected > 0 || cut_at <= issued + step {
-            return Ok(Some(outcome));
-        }
-        cut_at -= step;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The uncut workload's committed world and report.
-    fn uncut(cfg: &KvCrashConfig) -> (World, KvRunReport) {
-        assert!(crash::dry_run(cfg).is_ok(), "dry run must not crash");
-        let stack = cfg.build().unwrap();
-        let mut ledger = Ledger::new(&stack.noftl);
-        let (_, report) = cfg.run(&stack, &mut ledger).unwrap();
-        (ledger.committed, report)
-    }
-
     #[test]
     fn dry_run_produces_flushes_and_compactions() {
-        let (committed, run) = uncut(&KvCrashConfig::default());
+        let run = crash::dry_run(&KvCrashConfig::default()).unwrap().report;
         assert!(run.flushes_acknowledged >= 5, "got {}", run.flushes_acknowledged);
         assert!(!run.compaction_windows.is_empty(), "workload must compact");
-        assert!(!committed.is_empty());
     }
 
     #[test]
     fn mid_workload_cut_recovers_committed_keys() {
-        let outcome = run_kv_crash_cycle(&KvCrashConfig::default(), 0.5).unwrap();
-        assert!(outcome.report.flushes_acknowledged > 0);
-        assert!(outcome.mount.checkpoint_seq > 0);
-        assert!(outcome.recovered.len() as u64 <= KEYS);
-    }
-
-    #[test]
-    fn multi_page_tail_workload_spills_tails_in_flushes_and_merges() {
-        let (_, run) = uncut(&KvCrashConfig::multi_page_tail());
-        let in_merge = |(issued, done): &(u64, u64)| {
-            run.compaction_windows.iter().any(|(start, end)| start <= issued && done <= end)
-        };
-        let merged = run.tail_windows.iter().filter(|w| in_merge(w)).count();
-        assert!(merged > 0, "no merge wrote a multi-page tail");
-        assert!(run.tail_windows.len() > merged, "no flush wrote a multi-page tail");
-    }
-
-    #[test]
-    fn cut_between_tail_pages_never_adopts_the_partial_tail() {
-        for in_compaction in [false, true] {
-            let outcome =
-                run_kv_crash_cycle_in_tail(&KvCrashConfig::multi_page_tail(), 0.5, in_compaction)
-                    .unwrap()
-                    .expect("the workload writes multi-page tails");
-            let partial = outcome.recovery.partial_tails_rejected;
-            assert!(partial > 0, "in_compaction={in_compaction}: the cut missed");
-            assert_eq!(outcome.report.cut_during_compaction, in_compaction);
-            assert!(outcome.recovery.tail_pages_read > 0);
-        }
-    }
-
-    #[test]
-    fn cut_inside_a_compaction_never_loses_sources() {
-        let outcome = run_kv_crash_cycle_in_compaction(&KvCrashConfig::default(), 0.4, false)
-            .unwrap()
-            .expect("default workload compacts");
-        assert!(
-            outcome.report.cut_during_compaction,
-            "the cut was aimed into a merge window but missed"
-        );
-    }
-
-    #[test]
-    fn a_cut_aimed_at_a_two_level_merge_lands_inside_one() {
-        let cfg = KvCrashConfig::two_level_merges();
-        let (_, run) = uncut(&cfg);
-        assert!(!run.two_level_merges.is_empty(), "the workload must merge two levels");
-        let outcome = run_kv_crash_cycle_in_compaction(&cfg, 0.5, true).unwrap().unwrap();
-        assert!(outcome.report.cut_during_compaction);
-        let cut = outcome.cut_at.as_nanos();
-        assert!(run.two_level_merges.iter().any(|&(start, end)| start < cut && cut < end));
+        let cfg = KvCrashConfig::default();
+        let cut = crash::dry_run(&cfg).unwrap().cut_at(0.5);
+        let mut cycles = 0;
+        let violations = crash::sweep(&cfg, &[cut], |outcome| {
+            assert!(outcome.report.flushes_acknowledged > 0);
+            assert!(outcome.mount.checkpoint_seq > 0);
+            assert!(!outcome.committed.is_empty());
+            assert!(outcome.recovered.len() as u64 <= KEYS);
+            cycles += 1;
+        });
+        assert!(violations.is_empty(), "{violations:?}");
+        assert_eq!(cycles, 1);
     }
 }

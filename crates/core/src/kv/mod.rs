@@ -61,10 +61,10 @@
 //! [`harness`] is the store's crash contract for the one crash driver,
 //! [`crate::crash`]: it builds the store, runs a put/delete workload,
 //! reopens with [`KvStore::open`] and reads back (a full scan must match
-//! the point lookups), and it aims cuts into compaction merges and between
-//! the tail pages of a run.  The driver does the dry run, the cut, the
-//! power cycle, the mount and the checks every stack owes — the KV
-//! analogue of `dbms::crash_harness`, over the same loop.
+//! the point lookups), and it reports whether a cut fell inside a
+//! compaction merge.  The driver does the dry run, the cuts, the power
+//! cycle, the mount and the checks every stack owes — the KV analogue of
+//! `dbms::crash_harness`, over the same loop.
 //!
 //! [`NoFtl`]: crate::NoFtl
 //! [`NoFtl::execute`]: crate::NoFtl::execute
@@ -77,9 +77,6 @@ mod memtable;
 pub mod run;
 pub mod store;
 
-pub use harness::{
-    run_kv_crash_cycle, run_kv_crash_cycle_in_compaction, run_kv_crash_cycle_in_tail,
-    KvCrashConfig, KvCrashOutcome, KvRunReport,
-};
+pub use harness::{KvCrashConfig, KvCrashOutcome, KvRunReport};
 pub use run::RunMeta;
 pub use store::{KvConfig, KvOpenReport, KvStats, KvStore};

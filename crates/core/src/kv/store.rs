@@ -84,15 +84,9 @@ pub struct KvStats {
     pub compacted_pages: u64,
     /// Simulated-time windows `(start_ns, end_ns)` of completed
     /// compactions, flush start to the merged run's durability point (its
-    /// last page and its checkpoint both landed) — the crash harness aims
-    /// power cuts into these.
+    /// last page and its checkpoint both landed) — the crash sweep counts
+    /// the cuts that fall into these.
     pub compaction_windows: Vec<(u64, u64)>,
-    /// Simulated-time windows `(issue_ns, done_ns)` of the page batches
-    /// of runs written with two or more tail pages.  The pages issue
-    /// together and the tail goes last, so just before `done_ns` the last
-    /// tail page is in flight behind earlier ones that already landed —
-    /// where the crash harness aims to leave a partial tail.
-    pub tail_windows: Vec<(u64, u64)>,
 }
 
 /// Rows returned by [`KvStore::scan`]: live key/value pairs in key order.
@@ -633,7 +627,10 @@ impl KvStore {
     /// is durable, and takes no checkpoint of its own for that: the next
     /// flush's checkpoint records the drop, and until then `open` drops
     /// the sources the durable merge covers.  So a crash at any instant
-    /// leaves either the sources or the merge — never neither.
+    /// leaves either the sources or the merge — never neither.  A flush
+    /// that fails keeps its memtable, so every acknowledged put stays
+    /// readable; unless the device lost power, it also drops its run
+    /// object, so that a retry can take its name.
     ///
     /// The sources' data pages are read, through one bounded pipeline,
     /// into the store's page arena.  Their entries and, as the newest
@@ -693,8 +690,6 @@ impl KvStore {
         });
         let meta = writer.encode(&self.name, depth, (seq_lo, seq), run::merge(streams, bottom));
         let mut meta = meta.ok_or_else(|| kv_err("an encoded run tail does not decode"))?;
-        let entries = memtable.len() as u64;
-        memtable.clear();
 
         // The whole run issues at one shared time and fans across the
         // region's dies, beside the checkpoint that names it.
@@ -703,13 +698,20 @@ impl KvStore {
             .pages()
             .enumerate()
             .map(|(i, page)| IoRequest::write(obj, i as u64, page).with_class(class));
-        let issued = now;
-        let checkpointed = self.noftl.checkpoint(issued);
-        let written = self.noftl.execute(requests, issued, usize::MAX, |_, _| Ok(()))?;
-        now = written.max(checkpointed?);
-        if meta.tail_pages >= 2 {
-            stats.tail_windows.push((issued.as_nanos(), written.as_nanos()));
-        }
+        let checkpointed = self.noftl.checkpoint(now);
+        let written = self.noftl.execute(requests, now, usize::MAX, |_, _| Ok(()));
+        now = match (written, checkpointed) {
+            (Ok(written), Ok(checkpointed)) => written.max(checkpointed),
+            // A store that lost power is gone and must change nothing.
+            (Err(e), _) | (_, Err(e)) => {
+                if !matches!(&e, NoFtlError::Flash(f) if f.is_power_loss()) {
+                    self.noftl.drop_object(obj)?;
+                }
+                return Err(e);
+            }
+        };
+        let entries = memtable.len() as u64;
+        memtable.clear();
         let pages = u64::from(meta.data_pages + meta.tail_pages);
         (meta.object, meta.written_at) = (obj, now);
         // The newest run of all.
@@ -1339,6 +1341,49 @@ mod tests {
         let (noftl, _) = NoFtl::mount(crate::crash::power_cycle(&device).unwrap(), t).unwrap();
         assert!(sources.iter().all(|name| noftl.object_id(name).is_none()));
         assert!(noftl.object_id("__kv_s_r1_1_4").is_some());
+    }
+
+    #[test]
+    fn a_flush_that_fails_keeps_every_acknowledged_put() {
+        // One die fills with runs of distinct keys until a flush finds
+        // the region out of space.
+        let device = Arc::new(
+            DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::instant()).build(),
+        );
+        let noftl = Arc::new(NoFtl::new(device, NoFtlConfig::default()));
+        let rid = noftl.create_region(RegionSpec::named("rgKv").with_die_count(1)).unwrap();
+        let (kv, mut t) =
+            KvStore::create(Arc::clone(&noftl), rid, "s", small_config(), SimTime::ZERO).unwrap();
+        let mut since_flush = Vec::new();
+        let err = (0..100_000u64)
+            .find_map(|i| {
+                let flushes = kv.stats().flushes;
+                since_flush.push(i);
+                match kv.put(&key(i), &[b'v'; 1000], t) {
+                    Ok(done) => {
+                        t = done;
+                        if kv.stats().flushes > flushes {
+                            since_flush.clear();
+                        }
+                        None
+                    }
+                    Err(e) => Some(e),
+                }
+            })
+            .expect("the region fills");
+        assert!(err.to_string().contains("out of space"), "{err}");
+        assert!(since_flush.len() > 1);
+        let lost: Vec<u64> = since_flush
+            .iter()
+            .copied()
+            .filter(|&i| {
+                let (got, t2) = kv.get(&key(i), t).unwrap();
+                t = t2;
+                got.as_deref() != Some([b'v'; 1000].as_slice())
+            })
+            .collect();
+        let put = since_flush.len();
+        assert!(lost.is_empty(), "{} of the {put} keys put since the last flush lost", lost.len());
     }
 
     #[test]

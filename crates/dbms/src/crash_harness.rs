@@ -5,10 +5,12 @@
 //! The workload is a mixed, TPC-C-ish key-value mix (inserts, updates,
 //! deletes, read-only transactions and occasional rollbacks over an
 //! indexed table) with checkpoints and WAL truncations firing mid-run.
-//! The driver cuts power anywhere in it — commits, checkpoints, GC and WAL
-//! forces alike — and checks that the remounted manager has the pre-crash
-//! regions and objects and that the recovered table is the committed one,
-//! or the one in-flight commit whole.  That is the ACID contract:
+//! The driver's sweep cuts power anywhere in it — at random draws or at
+//! every command's cut points: commits, checkpoints, write-backs, GC and
+//! WAL forces alike — and checks that the remounted manager has the
+//! pre-crash regions and objects and that the recovered table is the
+//! committed one, or the one in-flight commit whole.  That is the ACID
+//! contract:
 //!
 //! * **no torn pages** — every surviving page passed its checksum;
 //! * **no lost committed writes** — every transaction whose commit was
@@ -123,6 +125,10 @@ pub struct RunReport {
     pub read_only_txns: u64,
     /// WAL pages when the run stopped.
     pub wal_pages: u64,
+    /// Dirty pages the buffer pool wrote back.
+    pub dirty_writebacks: u64,
+    /// Pages the device copied (GC moves) during the run.
+    pub copybacks: u64,
 }
 
 /// The database's side of the crash driver.
@@ -163,6 +169,7 @@ impl Contract for CrashHarnessConfig {
         let mut committed_txns = 0;
         let mut read_only_txns = 0;
         let mut now = stack.setup_end;
+        let copybacks_before = stack.device.stats().copybacks;
         'txns: for _ in 0..self.txns {
             let mut txn = db.begin(now);
             let mut pending = ledger.committed.clone();
@@ -232,7 +239,13 @@ impl Contract for CrashHarnessConfig {
             }
             now = txn.now;
         }
-        let report = RunReport { committed_txns, read_only_txns, wal_pages: db.wal_stats().pages };
+        let report = RunReport {
+            committed_txns,
+            read_only_txns,
+            wal_pages: db.wal_stats().pages,
+            dirty_writebacks: db.buffer_stats().dirty_writebacks,
+            copybacks: stack.device.stats().copybacks - copybacks_before,
+        };
         Ok((now, report))
     }
 
@@ -269,15 +282,6 @@ fn corrupted(message: String) -> DbError {
     DbError::Corrupted { message }
 }
 
-/// Execute one full crash cycle: workload, power cut at
-/// `setup_end + fraction · span`, reboot, mount, recover, verify.
-///
-/// `fraction` is clamped to `[0, 1)`.  Returns an error if any of the
-/// crash-consistency guarantees is violated.
-pub fn run_crash_cycle(cfg: &CrashHarnessConfig, fraction: f64) -> Result<CrashOutcome> {
-    crash::cycle(cfg, crash::dry_run(cfg)?.cut_at(fraction))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,33 +298,41 @@ mod tests {
         assert_eq!(stack.engine.read_only_commit_count(), run.read_only_txns);
         assert!(!ledger.committed.is_empty());
         assert!(stack.engine.wal_stats().truncations > 0, "segment guard must fire");
-        let pool = stack.engine.buffer_stats();
-        assert!(pool.dirty_writebacks > 0, "the pool must write committed pages back");
+        assert!(run.dirty_writebacks > 0, "the pool must write committed pages back");
+    }
+
+    /// Sweep the one cut at `fraction` of `cfg`'s span, checking its
+    /// outcome with `check`.
+    fn one_cut(cfg: &CrashHarnessConfig, fraction: f64, check: impl Fn(&CrashOutcome)) {
+        let cut = crash::dry_run(cfg).unwrap().cut_at(fraction);
+        let mut cycles = 0;
+        let violations = crash::sweep(cfg, &[cut], |outcome| {
+            check(outcome);
+            cycles += 1;
+        });
+        assert!(violations.is_empty(), "{violations:?}");
+        assert_eq!(cycles, 1);
     }
 
     #[test]
     fn mid_workload_cut_recovers() {
         let cfg = CrashHarnessConfig { txns: 60, ..CrashHarnessConfig::default() };
-        let outcome = run_crash_cycle(&cfg, 0.5).unwrap();
-        assert!(outcome.report.committed_txns > 0);
-        assert!(outcome.mount.checkpoint_seq > 0);
+        one_cut(&cfg, 0.5, |outcome| {
+            assert!(outcome.report.committed_txns > 0);
+            assert!(outcome.mount.checkpoint_seq > 0);
+            assert!(outcome.recovered.len() <= KEYS as usize);
+        });
     }
 
     #[test]
     fn cut_during_recovery_mount_retries_and_recovers() {
+        // At least one of the two armed cuts must actually land inside the
+        // mount scan; recovery after the retries still passes every ACID
+        // check (the sweep reports a violation otherwise).
         let cfg = CrashHarnessConfig { txns: 50, mount_cuts: 2, ..CrashHarnessConfig::default() };
-        let outcome = run_crash_cycle(&cfg, 0.6).unwrap();
-        // At least one of the two armed cuts must actually have landed
-        // inside the mount scan; recovery after the retries still passes
-        // every ACID check (run_crash_cycle errors otherwise).
-        assert!(outcome.torn_mounts > 0, "no mount was interrupted");
-        assert!(outcome.report.committed_txns > 0);
-    }
-
-    #[test]
-    fn cut_through_file_backed_image_recovers() {
-        let cfg = CrashHarnessConfig { txns: 40, ..CrashHarnessConfig::default() };
-        let outcome = run_crash_cycle(&cfg, 0.7).unwrap();
-        assert!(outcome.recovered.len() <= KEYS as usize);
+        one_cut(&cfg, 0.6, |outcome| {
+            assert!(outcome.torn_mounts > 0, "no mount was interrupted");
+            assert!(outcome.report.committed_txns > 0);
+        });
     }
 }

@@ -41,7 +41,7 @@ pub mod wal;
 
 pub use buffer::{BufferPool, BufferStats};
 pub use catalog::TableDef;
-pub use crash_harness::{run_crash_cycle, CrashHarnessConfig, CrashOutcome};
+pub use crash_harness::{CrashHarnessConfig, CrashOutcome};
 pub use db::{Database, DatabaseConfig, RecoveryReport, NO_KEYS};
 pub use error::DbError;
 pub use heap::RecordId;

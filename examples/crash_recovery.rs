@@ -6,16 +6,19 @@
 //! cargo run --example crash_recovery
 //! ```
 
-use noftl_regions::dbms::crash_harness::{run_crash_cycle, CrashHarnessConfig};
+use noftl_regions::dbms::crash_harness::CrashHarnessConfig;
+use noftl_regions::noftl::crash;
 
 fn main() {
     // The harness drives a mixed insert/update/delete workload over an
     // indexed table, with checkpoints and WAL truncations firing along
-    // the way.  `fraction` places the power cut within the workload's
-    // simulated time span.
-    for fraction in [0.25, 0.5, 0.85] {
-        let cfg = CrashHarnessConfig { txns: 120, ..CrashHarnessConfig::default() };
-        let outcome = run_crash_cycle(&cfg, fraction).expect("recovery verifies");
+    // the way.  One dry run learns the workload's simulated time span and
+    // its device commands; each fraction places a power cut within that
+    // span, and the sweep runs one verified crash cycle per cut.
+    let cfg = CrashHarnessConfig { txns: 120, ..CrashHarnessConfig::default() };
+    let dry = crash::dry_run(&cfg).expect("the uncut workload runs");
+    let cuts: Vec<_> = [0.25, 0.5, 0.85].into_iter().map(|f| dry.cut_at(f)).collect();
+    let violations = crash::sweep(&cfg, &cuts, |outcome| {
         println!(
             "cut at {:>12} ns ({}):",
             outcome.cut_at.as_nanos(),
@@ -43,6 +46,7 @@ fn main() {
             outcome.recovered.len(),
             if outcome.in_flight_survived { " (in-flight commit survived whole)" } else { "" },
         );
-    }
+    });
+    assert!(violations.is_empty(), "recovery failed its checks: {violations:#?}");
     println!("all cuts recovered: no torn pages served, no committed writes lost");
 }

@@ -1,9 +1,14 @@
 //! Crash-consistency acceptance tests.
 //!
-//! The property test sweeps 50 random power-cut instants across a mixed
-//! TPC-C-ish workload (inserts, updates, deletes, read-only transactions
-//! and rollbacks over an indexed table with checkpoints and WAL
-//! truncations firing mid-run).
+//! Every power cut of the database workload goes through the crash
+//! driver's sweep, over cuts taken from one dry run per workload.  The
+//! enumerated sweep (release builds) cuts every device command of an
+//! 80-transaction workload and of a 400-transaction one whose pages GC
+//! moves at its issue, its midpoint and its completion.  The property
+//! test sweeps 50 random power-cut instants across a mixed TPC-C-ish
+//! workload (inserts, updates, deletes, read-only transactions and
+//! rollbacks over an indexed table with checkpoints and WAL truncations
+//! firing mid-run).
 //! After every cut the device is rebooted from its image, the storage
 //! manager remounted (`NoFtl::mount`) and the database recovered
 //! (`Database::recover`); the harness then verifies that
@@ -18,12 +23,12 @@
 mod common;
 
 use common::property_rounds;
-use noftl_regions::dbms::crash_harness::{run_crash_cycle, CrashHarnessConfig, KEYS};
+use noftl_regions::dbms::crash_harness::{CrashHarnessConfig, KEYS};
 use noftl_regions::dbms::{Database, DatabaseConfig, NoFtlBackend};
 use noftl_regions::flash::{
     DeviceBuilder, Duration, FlashBackend, FlashGeometry, NandDevice, SimTime, TimingModel,
 };
-use noftl_regions::noftl::crash::{power_cycle, Contract, Ledger, SplitMix64};
+use noftl_regions::noftl::crash::{self, power_cycle, SplitMix64};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementConfig};
 use std::sync::Arc;
 
@@ -35,33 +40,34 @@ fn fifty_random_power_cuts_recover_committed_data_only() {
     let mut read_only_total = 0u64;
     let mut in_flight_survivals = 0u64;
     let mut torn_discards = 0u64;
-    for round in 0..rounds {
+    // Five rounds share a workload seed, so they share its dry run.
+    for first in (0..rounds).step_by(5) {
         let cfg = CrashHarnessConfig {
             txns: 80,
             // Vary the workload itself every few rounds so the cuts do not
             // all land in identical histories.
-            seed: 0xC0FFEE ^ (round / 5),
+            seed: 0xC0FFEE ^ (first / 5),
             ..CrashHarnessConfig::default()
         };
-        if round % 5 == 0 {
-            // Each workload's dry run writes committed pages back, so the
-            // cuts land among evictions as well as commits and checkpoints.
-            let stack = cfg.build().unwrap();
-            cfg.run(&stack, &mut Ledger::new(&stack.noftl)).unwrap();
-            let writebacks = stack.engine.buffer_stats().dirty_writebacks;
-            assert!(writebacks > 0, "round {round}: the dry run wrote nothing back");
-        }
-        let fraction = (rng.next_u64() % 1_000) as f64 / 1_000.0;
-        let outcome = run_crash_cycle(&cfg, fraction)
-            .unwrap_or_else(|e| panic!("round {round} (fraction {fraction:.3}) failed: {e}"));
-        committed_total += outcome.report.committed_txns;
-        read_only_total += outcome.report.read_only_txns;
-        in_flight_survivals += u64::from(outcome.in_flight_survived);
-        torn_discards += outcome.mount.torn_pages_discarded;
-        // The mount always replays a checkpoint (setup takes one) and the
-        // recovered table view is bounded by the key universe.
-        assert!(outcome.mount.checkpoint_seq > 0, "round {round}");
-        assert!(outcome.recovered.len() <= KEYS as usize, "round {round}");
+        let dry = crash::dry_run(&cfg).unwrap();
+        // Each workload's dry run writes committed pages back, so the cuts
+        // land among evictions as well as commits and checkpoints.
+        let writebacks = dry.report.dirty_writebacks;
+        assert!(writebacks > 0, "rounds from {first}: the dry run wrote nothing back");
+        let cuts: Vec<_> = (first..rounds.min(first + 5))
+            .map(|_| dry.cut_at((rng.next_u64() % 1_000) as f64 / 1_000.0))
+            .collect();
+        let violations = crash::sweep(&cfg, &cuts, |outcome| {
+            committed_total += outcome.report.committed_txns;
+            read_only_total += outcome.report.read_only_txns;
+            in_flight_survivals += u64::from(outcome.in_flight_survived);
+            torn_discards += outcome.mount.torn_pages_discarded;
+            // The mount always replays a checkpoint (setup takes one) and
+            // the recovered table view is bounded by the key universe.
+            assert!(outcome.mount.checkpoint_seq > 0);
+            assert!(outcome.recovered.len() <= KEYS as usize);
+        });
+        assert!(violations.is_empty(), "rounds from {first}: {violations:#?}");
     }
     // Across the cuts the workload must have made real progress…
     assert!(
@@ -81,15 +87,55 @@ fn fifty_random_power_cuts_recover_committed_data_only() {
 }
 
 #[test]
+#[cfg_attr(debug_assertions, ignore = "a crash cycle at every command of two workloads")]
+fn every_cut_point_recovers_committed_data_only() {
+    // Each device command is cut at its issue, its midpoint and its
+    // completion.  At 400 transactions GC moves pages, so cuts land
+    // inside copybacks and the erases behind them too.
+    let started = std::time::Instant::now();
+    let mut violations = Vec::new();
+    for txns in [80, 400] {
+        let cfg = CrashHarnessConfig { txns, ..CrashHarnessConfig::default() };
+        let dry = crash::dry_run(&cfg).unwrap();
+        let cuts = crash::cut_points(&dry);
+        let [mut committed, mut torn, mut in_flight] = [0u64; 3];
+        let found = crash::sweep(&cfg, &cuts, |outcome| {
+            committed += outcome.report.committed_txns;
+            torn += outcome.mount.torn_pages_discarded;
+            in_flight += u64::from(outcome.in_flight_survived);
+        });
+        let copybacks = dry.report.copybacks;
+        println!(
+            "{txns} txns: {} commands ({copybacks} copybacks), {} cuts, {} violations, \
+             {committed} committed txns, {torn} torn pages discarded, {in_flight} in-flight \
+             commits survived",
+            dry.commands.len(),
+            cuts.len(),
+            found.len()
+        );
+        assert!(txns < 400 || copybacks > 0, "the {txns}-transaction dry run copied no page");
+        violations.extend(found.into_iter().map(|v| (txns, v)));
+    }
+    println!("swept in {:.1} s", started.elapsed().as_secs_f64());
+    assert!(violations.is_empty(), "{} violations: {violations:#?}", violations.len());
+}
+
+#[test]
 fn device_image_file_roundtrip_reboots_the_full_stack() {
     // One cycle through the device's image: every power cycle boots from
     // the `NFLIMG04` bytes of the cut device (the "pull the SSD, image it,
     // boot the image" path).
     let cfg = CrashHarnessConfig { txns: 60, ..CrashHarnessConfig::default() };
-    let outcome = run_crash_cycle(&cfg, 0.42).expect("reboot cycle through the image");
-    assert!(outcome.report.committed_txns > 0);
-    assert_eq!(outcome.recovery.tables_recovered, 1);
-    assert_eq!(outcome.recovery.indexes_recovered, 1);
+    let cut = crash::dry_run(&cfg).unwrap().cut_at(0.42);
+    let mut cycles = 0;
+    let violations = crash::sweep(&cfg, &[cut], |outcome| {
+        assert!(outcome.report.committed_txns > 0);
+        assert_eq!(outcome.recovery.tables_recovered, 1);
+        assert_eq!(outcome.recovery.indexes_recovered, 1);
+        cycles += 1;
+    });
+    assert!(violations.is_empty(), "reboot cycle through the image: {violations:?}");
+    assert_eq!(cycles, 1);
 }
 
 #[test]

@@ -1,14 +1,15 @@
 //! NoFTL-KV acceptance tests: queued multi-die batches and crash
 //! consistency.
 //!
-//! The enumerated sweep (release builds) cuts every device command of
-//! three workloads at its issue, its midpoint and its completion.  The
-//! property test sweeps ≥ 25 random power-cut instants (every fifth
-//! cut aimed *inside a compaction merge* — every other one of those into
-//! a merge that retires runs from two levels — and every fifth *between
-//! the tail pages* of a run whose tail spans several pages, alternately a
-//! flush's and a merge's) across a put/delete workload whose memtable
-//! flushes and cascading merges fire continuously.
+//! Every power cut goes through the crash driver's sweep, over cuts taken
+//! from one dry run per workload.  The enumerated sweep cuts every device
+//! command of three workloads at its issue, its midpoint and its
+//! completion, and counts what those cuts hit: a partial tail left in a
+//! flush's run and in a merge's run, a cut inside a compaction merge and
+//! inside a merge of two levels, and a torn merge whose sources survived.
+//! The property test sweeps ≥ 25 uniformly drawn power-cut instants
+//! across a put/delete workload whose memtable flushes and cascading
+//! merges fire continuously.
 //! After every cut the device is rebooted from its image, the storage
 //! manager remounted (`NoFtl::mount`) and the store reopened
 //! (`KvStore::open`); the harness then verifies that
@@ -34,10 +35,7 @@ use common::property_rounds;
 use noftl_regions::flash::{DeviceBuilder, FlashGeometry, SimTime, TimingModel};
 use noftl_regions::noftl::crash::{self, SplitMix64};
 use noftl_regions::noftl::kv::harness::KEYS;
-use noftl_regions::noftl::kv::{
-    run_kv_crash_cycle, run_kv_crash_cycle_in_compaction, run_kv_crash_cycle_in_tail, KvConfig,
-    KvCrashConfig, KvStore,
-};
+use noftl_regions::noftl::kv::{KvConfig, KvCrashConfig, KvStore};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, RegionSpec};
 
 #[test]
@@ -48,84 +46,38 @@ fn random_power_cuts_recover_every_committed_key() {
     let mut committed_total = 0u64;
     let mut torn_total = 0u64;
     let mut compaction_cuts = 0u64;
-    let mut two_level_cuts = 0u64;
     let mut in_flight_survivals = 0u64;
-    let mut tail_cuts = [0u64; 2]; // [in a flush's run, in a merge's run]
-    for round in 0..rounds {
-        // Rounds 2, 7, 12, … cut between the tail pages of a run; they
-        // need the workload whose runs have multi-page tails.
-        let tail_aimed = round % 5 == 2;
-        let in_merge = round % 10 == 7;
-        // Rounds 9, 19, … cut inside a merge of two levels' runs; they
-        // need the workload that flushes often enough to make one.
-        let two_levels = round % 10 == 9;
-        let base = if tail_aimed {
-            KvCrashConfig::multi_page_tail()
-        } else if two_levels {
-            KvCrashConfig::two_level_merges()
-        } else {
-            KvCrashConfig::default()
-        };
-        let cfg = KvCrashConfig {
-            // Vary the workload itself every few rounds so the cuts do
-            // not all land in identical histories.
-            seed: 0x5EED_4B56 ^ (round / 5),
-            ..base
-        };
-        let fraction = (rng.next_u64() % 1_000) as f64 / 1_000.0;
-        // Every fifth round aims the cut inside a compaction merge so
-        // the crash-during-compaction path is guaranteed coverage.
-        let outcome = if tail_aimed {
-            let outcome = run_kv_crash_cycle_in_tail(&cfg, fraction, in_merge)
-                .unwrap_or_else(|e| panic!("round {round} (tail-aimed) failed: {e}"))
-                .expect("the multi-page-tail workload spills tails in flushes and merges");
-            let partial = outcome.recovery.partial_tails_rejected;
-            assert!(partial > 0, "round {round}: no cut left a partial tail");
-            assert_eq!(outcome.report.cut_during_compaction, in_merge, "round {round}");
-            tail_cuts[usize::from(in_merge)] += 1;
-            outcome
-        } else if round % 5 == 4 {
-            let outcome = run_kv_crash_cycle_in_compaction(&cfg, fraction, two_levels)
-                .unwrap_or_else(|e| panic!("round {round} (compaction-aimed) failed: {e}"))
-                .expect("the workload makes the merges the round aims at");
-            two_level_cuts += u64::from(two_levels && outcome.report.cut_during_compaction);
-            outcome
-        } else {
-            run_kv_crash_cycle(&cfg, fraction)
-                .unwrap_or_else(|e| panic!("round {round} (fraction {fraction:.3}) failed: {e}"))
-        };
-        flushes_total += outcome.report.flushes_acknowledged;
-        committed_total += outcome.committed.len() as u64;
-        torn_total += outcome.recovery.torn_runs_discarded as u64;
-        compaction_cuts += u64::from(outcome.report.cut_during_compaction);
-        in_flight_survivals += u64::from(outcome.in_flight_survived);
-        assert!(outcome.mount.checkpoint_seq > 0, "round {round}: setup checkpoint must exist");
-        assert!(outcome.recovered.len() as u64 <= KEYS, "round {round}");
+    // Five rounds share a workload seed, so they share its dry run.
+    for first in (0..rounds).step_by(5) {
+        let cfg = KvCrashConfig { seed: 0x5EED_4B56 ^ (first / 5), ..KvCrashConfig::default() };
+        let dry = crash::dry_run(&cfg).unwrap();
+        let cuts: Vec<_> = (first..rounds.min(first + 5))
+            .map(|_| dry.cut_at((rng.next_u64() % 1_000) as f64 / 1_000.0))
+            .collect();
+        let violations = crash::sweep(&cfg, &cuts, |outcome| {
+            flushes_total += outcome.report.flushes_acknowledged;
+            committed_total += outcome.committed.len() as u64;
+            torn_total += outcome.recovery.torn_runs_discarded as u64;
+            compaction_cuts += u64::from(outcome.report.cut_during_compaction);
+            in_flight_survivals += u64::from(outcome.in_flight_survived);
+            assert!(outcome.mount.checkpoint_seq > 0, "the setup checkpoint must exist");
+            assert!(outcome.recovered.len() as u64 <= KEYS);
+        });
+        assert!(violations.is_empty(), "rounds from {first}: {violations:#?}");
     }
     assert!(
         flushes_total > rounds,
         "cuts landed too early: only {flushes_total} flushes over {rounds} rounds"
     );
     assert!(committed_total > 0);
-    assert!(
-        compaction_cuts > 0,
-        "no cut ever landed inside a compaction — the aimed rounds missed"
-    );
-    assert!(two_level_cuts > 0, "no cut ever landed inside a merge of two levels");
-    assert!(
-        tail_cuts.iter().all(|n| *n > 0),
-        "the sweep must cut inside a flush's and a merge's multi-page tail (got {tail_cuts:?})"
-    );
     println!(
         "{rounds} cuts: {flushes_total} flushes acknowledged, {committed_total} committed keys \
-         verified, {torn_total} torn runs discarded, {compaction_cuts} cuts during compaction \
-         ({two_level_cuts} in a merge of two levels), {in_flight_survivals} in-flight flushes survived, {tail_cuts:?} cuts between the tail \
-         pages of a flushed / merged run"
+         verified, {torn_total} torn runs discarded, {compaction_cuts} cuts during compaction, \
+         {in_flight_survivals} in-flight flushes survived"
     );
 }
 
 #[test]
-#[cfg_attr(debug_assertions, ignore = "a crash cycle at every command of three workloads")]
 fn every_cut_point_recovers_every_acknowledged_key() {
     // Each device command of each workload is cut at its issue, its
     // midpoint and its completion.  The driver checks every cycle; the
@@ -138,13 +90,34 @@ fn every_cut_point_recovers_every_acknowledged_key() {
     let started = std::time::Instant::now();
     let mut violations = Vec::new();
     let [mut cuts_total, mut torn, mut superseded, mut named_torn] = [0usize; 4];
+    // [in a flush's run, in a merge's run]
+    let mut partial_tails = [0usize; 2];
+    let [mut in_merge, mut in_two_level_merge, mut sources_kept] = [0usize; 3];
     for (name, cfg) in workloads {
         let dry = crash::dry_run(&cfg).unwrap();
         let cuts = crash::cut_points(&dry);
+        let two_level = &dry.report.two_level_merges;
         let found = crash::sweep(&cfg, &cuts, |outcome| {
-            torn += outcome.recovery.torn_runs_discarded;
-            superseded += outcome.recovery.superseded_runs_discarded;
-            named_torn += usize::from(outcome.recovery.named_runs_torn > 0);
+            let (report, recovery) = (&outcome.report, &outcome.recovery);
+            torn += recovery.torn_runs_discarded;
+            superseded += recovery.superseded_runs_discarded;
+            named_torn += usize::from(recovery.named_runs_torn > 0);
+            if recovery.partial_tails_rejected > 0 {
+                partial_tails[usize::from(report.cut_during_compaction)] += 1;
+            }
+            if report.cut_during_compaction {
+                in_merge += 1;
+                let cut = outcome.cut_at.as_nanos();
+                in_two_level_merge +=
+                    usize::from(two_level.iter().any(|&(start, end)| start < cut && cut < end));
+                // The merged run was torn, so the acknowledged keys came
+                // back from the sources.
+                sources_kept += usize::from(
+                    recovery.torn_runs_discarded > 0
+                        && recovery.runs_recovered >= 2
+                        && !outcome.committed.is_empty(),
+                );
+            }
         });
         println!(
             "{name}: {} commands, {} cuts, {} violations",
@@ -157,54 +130,18 @@ fn every_cut_point_recovers_every_acknowledged_key() {
     }
     println!(
         "{cuts_total} cuts in {:.1} s: {torn} torn and {superseded} superseded runs discarded, \
-         {named_torn} cuts where the new run was named but not complete",
+         {named_torn} cuts where the new run was named but not complete, {partial_tails:?} \
+         partial tails rejected in a flush's / a merge's run, {in_merge} cuts inside a merge \
+         ({in_two_level_merge} of two levels, {sources_kept} keeping its sources)",
         started.elapsed().as_secs_f64()
     );
     assert!(violations.is_empty(), "{} violations: {violations:#?}", violations.len());
     assert!(named_torn >= 1, "no cut fell between a run's checkpoint and its last page");
-}
-
-#[test]
-fn cut_during_compaction_merge_loses_nothing() {
-    // Deterministic: aim straight into the first compaction window of
-    // the default workload, then into the first merge that retires runs
-    // from two levels.  The harness fails the test internally if any
-    // committed key is lost or a torn run half-survives.
-    for (cfg, two_levels) in
-        [(KvCrashConfig::default(), false), (KvCrashConfig::two_level_merges(), true)]
-    {
-        let outcome = run_kv_crash_cycle_in_compaction(&cfg, 0.0, two_levels)
-            .expect("cycle runs")
-            .expect("the workload makes the merge aimed at");
-        assert!(outcome.report.cut_during_compaction, "the cut must land inside the merge");
-        assert!(outcome.report.flushes_acknowledged > 0);
-        assert!(outcome.committed.len() as u64 > 0);
-    }
-}
-
-#[test]
-fn cut_between_tail_pages_discards_the_run_and_keeps_merge_sources() {
-    // Deterministic: the first flush and the first merge that write a
-    // multi-page tail, cut after their first tail page landed and before
-    // their last.  The harness fails internally if the partial tail is
-    // adopted, an acknowledged write is lost or — for the merge — the
-    // sources do not survive.
-    for in_merge in [false, true] {
-        let outcome = run_kv_crash_cycle_in_tail(&KvCrashConfig::multi_page_tail(), 0.0, in_merge)
-            .expect("cycle runs")
-            .expect("the workload writes multi-page tails");
-        let partial = outcome.recovery.partial_tails_rejected;
-        assert!(partial > 0, "in_merge={in_merge}: no partial tail was left");
-        assert_eq!(outcome.report.cut_during_compaction, in_merge);
-        assert!(outcome.recovery.tail_pages_read > 0);
-        if in_merge {
-            assert!(
-                outcome.committed.len() as u64 > 0,
-                "the merge's sources hold acknowledged keys"
-            );
-            assert!(outcome.recovery.runs_recovered >= 2, "the unfinished merge's sources survive");
-        }
-    }
+    assert!(partial_tails[0] > 0, "no cut left a partial tail in a flush's run");
+    assert!(partial_tails[1] > 0, "no cut left a partial tail in a merge's run");
+    assert!(in_merge > 0, "no cut fell inside a compaction merge");
+    assert!(in_two_level_merge > 0, "no cut fell inside a merge of two levels");
+    assert!(sources_kept > 0, "no cut tore a merge and recovered its sources");
 }
 
 #[test]

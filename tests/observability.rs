@@ -15,12 +15,13 @@
 
 use std::sync::Arc;
 
-use noftl_regions::dbms::crash_harness::{run_crash_cycle, CrashHarnessConfig};
+use noftl_regions::dbms::crash_harness::CrashHarnessConfig;
 use noftl_regions::dbms::{
     ColumnType, Database, DatabaseConfig, NoFtlBackend, Schema, Value, NO_KEYS,
 };
 use noftl_regions::dump;
 use noftl_regions::flash::{DeviceBuilder, FlashBackend, FlashGeometry, SimTime, TimingModel};
+use noftl_regions::noftl::crash;
 use noftl_regions::noftl::kv::{KvConfig, KvStore};
 use noftl_regions::noftl::{
     IoRequest, NoFtl, NoFtlConfig, PlacementConfig, RegionSpec, RegionStats,
@@ -183,15 +184,21 @@ fn every_execute_samples_the_windows_of_its_directions() {
 
 #[test]
 fn tracing_never_perturbs_crash_recovery() {
-    let base = CrashHarnessConfig { txns: 60, ..CrashHarnessConfig::default() };
-    let quiet = run_crash_cycle(&base, 0.5).expect("untraced cycle recovers");
-    let traced_cfg = CrashHarnessConfig { trace: true, ..base };
-    let traced = run_crash_cycle(&traced_cfg, 0.5).expect("traced cycle recovers");
-    assert_eq!(quiet.mount, traced.mount, "mount reports must be identical tracer on/off");
-    assert_eq!(quiet.cut_at, traced.cut_at);
-    assert_eq!(quiet.report.committed_txns, traced.report.committed_txns);
-    assert_eq!(quiet.recovered.len(), traced.recovered.len());
-    assert_eq!(quiet.in_flight_survived, traced.in_flight_survived);
+    // The same cut of the same workload, tracer off and on.
+    let cycle = |trace| {
+        let cfg = CrashHarnessConfig { txns: 60, trace, ..CrashHarnessConfig::default() };
+        let cut = crash::dry_run(&cfg).unwrap().cut_at(0.5);
+        let mut seen = Vec::new();
+        let violations = crash::sweep(&cfg, &[cut], |o| {
+            let report = (o.report.committed_txns, o.recovered.len(), o.in_flight_survived);
+            seen.push((o.mount.clone(), o.cut_at, report));
+        });
+        assert!(violations.is_empty(), "trace {trace}: {violations:?}");
+        (cut, seen)
+    };
+    let (quiet, traced) = (cycle(false), cycle(true));
+    assert_eq!(quiet.1.len(), 1);
+    assert_eq!(quiet, traced, "cuts, mount reports and recoveries must be identical tracer on/off");
 }
 
 #[test]
