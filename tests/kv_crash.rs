@@ -7,6 +7,10 @@
 //! completion, and counts what those cuts hit: a partial tail left in a
 //! flush's run and in a merge's run, a cut inside a compaction merge and
 //! inside a merge of two levels, and a torn merge whose sources survived.
+//! Two deterministic tests sweep chosen cut points of a dry run: those
+//! inside the first merge (and the first merge of two levels), and those
+//! up to the first cut that leaves a partial tail in a flush's run and in
+//! a merge's run.
 //! The property test sweeps ≥ 25 uniformly drawn power-cut instants
 //! across a put/delete workload whose memtable flushes and cascading
 //! merges fire continuously.
@@ -142,6 +146,81 @@ fn every_cut_point_recovers_every_acknowledged_key() {
     assert!(in_merge > 0, "no cut fell inside a compaction merge");
     assert!(in_two_level_merge > 0, "no cut fell inside a merge of two levels");
     assert!(sources_kept > 0, "no cut tore a merge and recovered its sources");
+}
+
+/// Whether `cut` falls strictly inside one of `windows`.
+fn inside(windows: &[(u64, u64)], cut: &crash::Cut) -> bool {
+    let at = cut.at.as_nanos();
+    windows.iter().any(|&(start, end)| start < at && at < end)
+}
+
+#[test]
+fn cut_during_compaction_merge_loses_nothing() {
+    // Deterministic: every cut point inside the first compaction merge
+    // of the default workload, then inside the first merge that retires
+    // runs from two levels.  The driver fails a cycle if any committed
+    // key is lost or a torn run half-survives.
+    for (cfg, two_levels) in
+        [(KvCrashConfig::default(), false), (KvCrashConfig::two_level_merges(), true)]
+    {
+        let dry = crash::dry_run(&cfg).unwrap();
+        let windows =
+            if two_levels { &dry.report.two_level_merges } else { &dry.report.compaction_windows };
+        let first = windows.first().copied().expect("the workload makes the merge aimed at");
+        let cuts: Vec<_> =
+            crash::cut_points(&dry).into_iter().filter(|cut| inside(&[first], cut)).collect();
+        assert!(!cuts.is_empty(), "two_levels={two_levels}: no command inside the merge");
+        let mut landed = 0;
+        let violations = crash::sweep(&cfg, &cuts, |outcome| {
+            landed += usize::from(outcome.report.cut_during_compaction);
+            assert!(outcome.report.flushes_acknowledged > 0);
+            assert!(!outcome.committed.is_empty());
+        });
+        assert!(violations.is_empty(), "two_levels={two_levels}: {violations:#?}");
+        assert!(landed > 0, "two_levels={two_levels}: no cut landed inside the merge");
+    }
+}
+
+#[test]
+fn cut_between_tail_pages_discards_the_run_and_keeps_merge_sources() {
+    // Deterministic: walk the cut points of the multi-page-tail workload
+    // in time order — those outside every merge, then those inside one —
+    // up to the first cut that leaves a partial tail: after a run's first
+    // tail page landed and before its last.  The driver fails a cycle if
+    // the partial tail is adopted or an acknowledged write is lost; for
+    // the merge, its sources must survive.
+    let cfg = KvCrashConfig::multi_page_tail();
+    let dry = crash::dry_run(&cfg).unwrap();
+    let merges = &dry.report.compaction_windows;
+    let cuts = crash::cut_points(&dry);
+    for in_merge in [false, true] {
+        let mut hit = false;
+        for cut in cuts.iter().filter(|cut| inside(merges, cut) == in_merge) {
+            let violations = crash::sweep(&cfg, std::slice::from_ref(cut), |outcome| {
+                if outcome.recovery.partial_tails_rejected == 0 {
+                    return;
+                }
+                hit = true;
+                assert_eq!(outcome.report.cut_during_compaction, in_merge);
+                assert!(outcome.recovery.tail_pages_read > 0);
+                if in_merge {
+                    assert!(
+                        !outcome.committed.is_empty(),
+                        "the merge's sources hold acknowledged keys"
+                    );
+                    assert!(
+                        outcome.recovery.runs_recovered >= 2,
+                        "the unfinished merge's sources survive"
+                    );
+                }
+            });
+            assert!(violations.is_empty(), "in_merge={in_merge}: {violations:#?}");
+            if hit {
+                break;
+            }
+        }
+        assert!(hit, "in_merge={in_merge}: no cut left a partial tail");
+    }
 }
 
 #[test]
