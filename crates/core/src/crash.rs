@@ -6,21 +6,23 @@
 //! this workspace, and every crash test checks it with the same loop.  A
 //! [`Contract`] supplies only what is stack-specific:
 //!
-//! 1. **build** device → manager → engine, finishing the setup with a
+//! 1. **build** machine → manager → engine, finishing the setup with a
 //!    checkpoint;
 //! 2. **run** the workload, recording every acknowledged commit — and the
-//!    operation in flight when the device failed — in a [`Ledger`];
+//!    operation in flight when the machine failed — in a [`Ledger`];
 //! 3. **recover**: reopen the engine on the remounted manager and read the
 //!    recovered world back, with one check of its own.
 //!
+//! The machine is a [`Bootable`]: one device, or a mirror of several.
 //! The driver owns the rest, and [`sweep`] is its one way to cut power.
 //! The simulator is deterministic, so one [`dry_run`] per workload learns
 //! its span and its device commands, and every cut of that workload is
 //! taken from it: [`cut_points`] lists every instant a command can be cut
 //! at, and [`DryRun::cut_at`] maps a random draw to an instant and the
 //! command it falls in.  For each [`Cut`] the sweep rebuilds an identical
-//! stack, arms the cut, runs the workload into it, [`power_cycle`]s the
-//! device through its image bytes and [`mount`]s it, surviving the cuts a
+//! stack, arms the cut on its machine, runs the workload into it,
+//! reboots the machine from its persistent state (a device from its
+//! image bytes, [`power_cycle`]) and [`mount`]s it, surviving the cuts a
 //! contract lands during the mount itself.  After the contract recovers,
 //! it verifies that
 //!
@@ -34,11 +36,12 @@
 //! every one.  A power cut is the only fault the driver knows, and the
 //! only one of the workspace: a mirror loses a child when that child's
 //! power is cut (`NandDevice::arm_power_cut` on one child), and learns of
-//! it from the child's own `PowerLoss`.
+//! it from the child's own `PowerLoss`.  Its workload cuts the child; the
+//! driver's cut takes the whole box.
 
 use std::sync::Arc;
 
-use flash_sim::{Duration, FlashBackend, NandDevice, SimTime};
+use flash_sim::{Duration, FlashBackend, NandDevice, OpKind, SimTime};
 
 use crate::{MountReport, NoFtl, NoFtlError};
 
@@ -155,9 +158,9 @@ impl<W: Default> Ledger<W> {
 }
 
 /// A freshly built stack.
-pub struct Stack<E> {
-    /// The device the cut is armed on.
-    pub device: Arc<NandDevice>,
+pub struct Stack<M, E> {
+    /// The machine the cut is armed on.
+    pub machine: M,
     /// The storage manager on it.
     pub noftl: Arc<NoFtl>,
     /// The engine over the manager.
@@ -168,6 +171,8 @@ pub struct Stack<E> {
 
 /// What one stack under crash test supplies to the driver.
 pub trait Contract {
+    /// The machine the manager runs on: one device, or a mirror.
+    type Machine: Bootable;
     /// The engine over the storage manager.
     type Engine;
     /// The application-visible state a run commits and recovery restores.
@@ -180,16 +185,16 @@ pub trait Contract {
     /// [`NoFtlError::Recovery`].
     type Error: From<NoFtlError>;
 
-    /// Build device → manager → engine on a fresh device and run the
+    /// Build machine → manager → engine on a fresh machine and run the
     /// setup, ending in a checkpoint.
-    fn build(&self) -> Result<Stack<Self::Engine>, Self::Error>;
+    fn build(&self) -> Result<Stack<Self::Machine, Self::Engine>, Self::Error>;
 
-    /// Run the workload on `stack` until it ends or the device fails,
+    /// Run the workload on `stack` until it ends or the machine fails,
     /// recording commits and the cut in `ledger`.  Returns the instant it
     /// stopped and its report; an `Err` is a violation, not a cut.
     fn run(
         &self,
-        stack: &Stack<Self::Engine>,
+        stack: &Stack<Self::Machine, Self::Engine>,
         ledger: &mut Ledger<Self::World>,
     ) -> Result<(SimTime, Self::Report), Self::Error>;
 
@@ -208,31 +213,47 @@ pub trait Contract {
     }
 }
 
-/// The uncut workload: when it started and ended, and what it did.
-pub struct DryRun<R> {
-    /// End of the setup.
-    pub setup_end: SimTime,
-    /// End of the workload, device quiesced.
-    pub end: SimTime,
-    /// `(issue, completion)` of every device command of the workload (the
-    /// setup's excluded), in host order.
-    pub commands: Vec<(SimTime, SimTime)>,
-    /// The run's report.
-    pub report: R,
+/// One device command of a dry run: its kind, issue and completion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Command {
+    /// What the command does.
+    pub kind: OpKind,
+    /// When it was issued.
+    pub issue: SimTime,
+    /// When it completed.
+    pub done: SimTime,
 }
 
-impl<R> DryRun<R> {
-    /// The cut at `setup_end + fraction · span`, `fraction` clamped to
+/// The uncut workload: when it ended, what it did, and the stack it ran
+/// on.
+pub struct DryRun<C: Contract> {
+    /// End of the workload, machine quiesced.
+    pub end: SimTime,
+    /// Every device command of the workload (the setup's excluded), in
+    /// host order.
+    pub commands: Vec<Command>,
+    /// The stack after the workload; the workload starts at its
+    /// `setup_end`.
+    pub stack: Stack<C::Machine, C::Engine>,
+    /// The world as of the last acknowledged commit.
+    pub committed: C::World,
+    /// The run's report.
+    pub report: C::Report,
+}
+
+impl<C: Contract> DryRun<C> {
+    /// The cut at `stack.setup_end + fraction · span`, `fraction` clamped to
     /// `[0, 1)`.  It names the first command, in host order, not complete
     /// at that instant: one the cut interrupts or, in an idle gap, the
     /// next to issue (the last command when every one has completed, and
-    /// the instant itself when the dry run issued none).
+    /// an empty read at the instant itself when the dry run issued none).
     pub fn cut_at(&self, fraction: f64) -> Cut {
-        let span = self.end.as_nanos().saturating_sub(self.setup_end.as_nanos()).max(1);
-        let offset = span as f64 * fraction.clamp(0.0, 0.999_999);
-        let at = SimTime(self.setup_end.as_nanos() + offset as u64);
-        let open = self.commands.iter().find(|&&(_, done)| at < done);
-        Cut { at, command: open.or(self.commands.last()).copied().unwrap_or((at, at)) }
+        let start = self.stack.setup_end.as_nanos();
+        let span = self.end.as_nanos().saturating_sub(start).max(1);
+        let at = SimTime(start + (span as f64 * fraction.clamp(0.0, 0.999_999)) as u64);
+        let open = self.commands.iter().find(|command| at < command.done);
+        let none = Command { kind: OpKind::Read, issue: at, done: at };
+        Cut { at, command: open.or(self.commands.last()).copied().unwrap_or(none) }
     }
 }
 
@@ -265,13 +286,15 @@ fn violation(message: String) -> NoFtlError {
 /// Run the workload once without a cut.  A dry run that stops at a
 /// device error is an error.
 ///
-/// The device's commands are read off the tracer of its metrics registry,
-/// which holds one `flash.op` span per completed command, so the device
-/// keeps no record of its own.  A workload whose events overflow the
-/// tracer's ring is an error: its command list would miss the oldest.
-pub fn dry_run<C: Contract>(contract: &C) -> Result<DryRun<C::Report>, C::Error> {
+/// The machine's commands are read off the tracer of its metrics
+/// registry, which holds one `flash.op` span per completed command, named
+/// after its kind, so the device keeps no record of its own.  A workload
+/// whose events overflow the tracer's ring is an error: its command list
+/// would miss the oldest.
+pub fn dry_run<C: Contract>(contract: &C) -> Result<DryRun<C>, C::Error> {
     let stack = contract.build()?;
-    let tracer = stack.device.metrics().tracer();
+    let backend = stack.machine.backend();
+    let tracer = backend.metrics().tracer();
     let dropped = tracer.dropped();
     tracer.clear();
     tracer.set_enabled(true);
@@ -289,34 +312,36 @@ pub fn dry_run<C: Contract>(contract: &C) -> Result<DryRun<C::Report>, C::Error>
         .events()
         .into_iter()
         .filter(|e| e.cat == "flash.op")
-        .filter_map(|e| Some((SimTime(e.ts_ns), SimTime(e.ts_ns + e.dur_ns?))))
+        .filter_map(|e| {
+            let kind = OpKind::ALL.into_iter().find(|kind| kind.name() == e.name)?;
+            Some(Command { kind, issue: SimTime(e.ts_ns), done: SimTime(e.ts_ns + e.dur_ns?) })
+        })
         .collect();
-    let end = stopped.max(stack.device.quiesce_time());
-    Ok(DryRun { setup_end: stack.setup_end, end, commands, report })
+    let end = stopped.max(backend.quiesce_time());
+    Ok(DryRun { end, commands, stack, committed: ledger.committed, report })
 }
 
-/// One power cut of a sweep: its instant, and the `(issue, completion)`
-/// of the dry run's command it cuts.  [`cut_points`] and
-/// [`DryRun::cut_at`] make them.
+/// One power cut of a sweep: its instant, and the dry run's command it
+/// cuts.  [`cut_points`] and [`DryRun::cut_at`] make them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cut {
     /// The armed power-cut instant.
     pub at: SimTime,
     /// The command the instant was taken from.
-    pub command: (SimTime, SimTime),
+    pub command: Command,
 }
 
 /// Every instant a command of `dry` can be cut at: its issue (it never
 /// starts), its midpoint (it may tear) and its completion (it lands), in
 /// time order.  An instant two commands share is listed once, with the
 /// first command issued.
-pub fn cut_points<R>(dry: &DryRun<R>) -> Vec<Cut> {
+pub fn cut_points<C: Contract>(dry: &DryRun<C>) -> Vec<Cut> {
     let mut cuts: Vec<Cut> = dry
         .commands
         .iter()
-        .flat_map(|&(issue, done)| {
-            let mid = SimTime(issue.as_nanos() + (done.as_nanos() - issue.as_nanos()) / 2);
-            [issue, mid, done].map(|at| Cut { at, command: (issue, done) })
+        .flat_map(|&command| {
+            let mid = SimTime((command.issue.as_nanos() + command.done.as_nanos()) / 2);
+            [command.issue, mid, command.done].map(|at| Cut { at, command })
         })
         .collect();
     cuts.sort_by_key(|cut| cut.at);
@@ -357,12 +382,11 @@ where
 /// One crash cycle with the power cut at `cut_at`.
 fn cycle<C: Contract>(contract: &C, cut_at: SimTime) -> Result<Outcome<C>, C::Error> {
     let stack = contract.build()?;
-    stack.device.arm_power_cut(cut_at);
+    stack.machine.cut_power(cut_at);
     let mut ledger = Ledger::new(&stack.noftl);
     let (_, report) = contract.run(&stack, &mut ledger)?;
     let at_cut = Directory::of(&stack.noftl);
-    let device = power_cycle(&stack.device)?;
-    let mounted = mount(device, cut_at, &contract.torn_mounts())?;
+    let mounted = mount(stack.machine.reboot()?, cut_at, &contract.torn_mounts())?;
     check_mounted(&mounted.noftl, &ledger.directory, &at_cut)?;
     let at = mounted.report.completed_at;
     let (recovery, recovered) = contract.recover(Arc::clone(&mounted.noftl), at)?;
@@ -400,11 +424,14 @@ pub fn power_cycle(device: &NandDevice) -> Result<Arc<NandDevice>> {
 /// A machine the driver can cut and power-cycle: one device, or a mirror
 /// of several.
 pub trait Bootable: Sized {
-    /// The backend a manager mounts.
+    /// The backend a manager mounts.  Its metrics registry must see
+    /// every command of the machine: a dry run reads them off its tracer
+    /// (a mirror's children share one registry).
     fn backend(&self) -> Arc<dyn FlashBackend>;
-    /// Arm a power cut at `at`.
+    /// Arm a power cut of the whole machine at `at`.
     fn cut_power(&self, at: SimTime);
-    /// Boot a fresh machine from this one's persistent state.
+    /// Boot a fresh machine from this one's persistent state, with no
+    /// operation in flight.
     fn reboot(&self) -> Result<Self>;
 }
 
@@ -422,10 +449,8 @@ impl Bootable for Arc<NandDevice> {
     }
 }
 
-/// A mounted manager and the machine it runs on.
-pub struct Mounted<M> {
-    /// The machine after its last power cycle.
-    pub machine: M,
+/// A mounted manager.
+pub struct Mounted {
     /// The mounted manager.
     pub noftl: Arc<NoFtl>,
     /// The final mount's summary.
@@ -435,7 +460,7 @@ pub struct Mounted<M> {
 }
 
 /// Mount `machine` at `at`, surviving the cuts that land during the
-/// mount itself.
+/// mount itself; the manager keeps the machine's backend.
 ///
 /// Each `(cut, retry)` of `torn` is one boot that loses power `cut` after
 /// its mount starts.  A mount that dies of the cut counts as torn; any
@@ -446,7 +471,7 @@ pub fn mount<M: Bootable>(
     mut machine: M,
     mut at: SimTime,
     torn: &[(Duration, Duration)],
-) -> Result<Mounted<M>> {
+) -> Result<Mounted> {
     let mut torn_mounts = 0;
     for &(cut, retry) in torn {
         machine.cut_power(at + cut);
@@ -461,7 +486,7 @@ pub fn mount<M: Bootable>(
         at += retry;
     }
     let (noftl, report) = NoFtl::mount(machine.backend(), at)?;
-    Ok(Mounted { machine, noftl: Arc::new(noftl), report, torn_mounts })
+    Ok(Mounted { noftl: Arc::new(noftl), report, torn_mounts })
 }
 
 #[cfg(test)]
@@ -491,13 +516,14 @@ mod tests {
     }
 
     impl Contract for Pages {
+        type Machine = Arc<NandDevice>;
         type Engine = ();
         type World = BTreeMap<u64, u8>;
         type Report = ();
         type Recovery = ();
         type Error = NoFtlError;
 
-        fn build(&self) -> Result<Stack<()>, NoFtlError> {
+        fn build(&self) -> Result<Stack<Arc<NandDevice>, ()>, NoFtlError> {
             let device = Arc::new(
                 DeviceBuilder::new(FlashGeometry::small_test())
                     .timing(TimingModel::mlc_2015())
@@ -510,12 +536,12 @@ mod tests {
             if self.fail == Fail::Device {
                 device.arm_power_cut(setup_end);
             }
-            Ok(Stack { device, noftl, engine: (), setup_end })
+            Ok(Stack { machine: device, noftl, engine: (), setup_end })
         }
 
         fn run(
             &self,
-            stack: &Stack<()>,
+            stack: &Stack<Arc<NandDevice>, ()>,
             ledger: &mut Ledger<Self::World>,
         ) -> Result<(SimTime, ()), NoFtlError> {
             if self.fail == Fail::Violation {
@@ -568,13 +594,13 @@ mod tests {
         let contract = Pages { writes: 40, fail: Fail::Never };
         let dry = dry_run(&contract).unwrap();
         assert!(dry.cut_at(5.0).at < dry.end, "the fraction is clamped below 1");
-        assert_eq!(dry.cut_at(-1.0).at, dry.setup_end);
+        assert_eq!(dry.cut_at(-1.0).at, dry.stack.setup_end);
         let cuts: Vec<Cut> =
             [0.0, 0.1, 0.35, 0.6, 0.85, 0.99].into_iter().map(|f| dry.cut_at(f)).collect();
         for cut in &cuts {
             // The writes run back to back, so each draw falls in one.
             assert!(dry.commands.contains(&cut.command), "{cut:?} names no command");
-            assert!(cut.command.0 <= cut.at && cut.at < cut.command.1, "{cut:?}");
+            assert!(cut.command.issue <= cut.at && cut.at < cut.command.done, "{cut:?}");
         }
         let mut survived = 0;
         let violations = sweep(&contract, &cuts, |outcome| {
@@ -594,7 +620,7 @@ mod tests {
         let cuts = cut_points(&dry);
         assert!(cuts.windows(2).all(|w| w[0].at < w[1].at), "in time order, once each");
         assert!(dry.commands.len() < cuts.len() && cuts.len() <= 3 * dry.commands.len());
-        assert!(cuts.iter().all(|cut| cut.command.0 <= cut.at && cut.at <= cut.command.1));
+        assert!(cuts.iter().all(|cut| cut.command.issue <= cut.at && cut.at <= cut.command.done));
         let mut cycles = 0;
         assert!(sweep(&contract, &cuts, |_| cycles += 1).is_empty());
         assert_eq!(cycles, cuts.len());
@@ -613,7 +639,7 @@ mod tests {
         let mut ledger = Ledger::new(&stack.noftl);
         let (end, ()) = contract.run(&stack, &mut ledger).unwrap();
         let torn = [(Duration(40_000), Duration(100_000)), (Duration(65_000), Duration(100_000))];
-        let device = power_cycle(&stack.device).unwrap();
+        let device = power_cycle(&stack.machine).unwrap();
         let mounted = mount(device, end, &torn).unwrap();
         assert!(mounted.torn_mounts > 0, "no cut landed inside a mount");
         let directory = Directory::of(&stack.noftl);
@@ -640,7 +666,7 @@ mod tests {
         // legal only when the run itself changed the directory.
         let obj = stack.noftl.create_object_in("u", "rg").unwrap();
         let at = stack.noftl.write(obj, 0, &[7; 4096], stack.setup_end).unwrap();
-        let mounted = mount(power_cycle(&stack.device).unwrap(), at, &[]).unwrap();
+        let mounted = mount(power_cycle(&stack.machine).unwrap(), at, &[]).unwrap();
         assert_eq!(mounted.report.orphaned_objects, vec![obj]);
         assert!(check_recovered(&mounted.noftl, &directory, true).is_ok());
         let err = check_recovered(&mounted.noftl, &directory, false).unwrap_err();

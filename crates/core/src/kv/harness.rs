@@ -30,7 +30,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use flash_sim::{DeviceBuilder, FlashBackend, FlashGeometry, SimTime, TimingModel};
+use flash_sim::{DeviceBuilder, FlashBackend, FlashGeometry, NandDevice, SimTime, TimingModel};
 
 use crate::crash::{self, Contract, Ledger, SplitMix64, Stack};
 use crate::error::NoFtlError;
@@ -126,13 +126,14 @@ pub struct KvRunReport {
 
 /// The store's side of the crash driver.
 impl Contract for KvCrashConfig {
+    type Machine = Arc<NandDevice>;
     type Engine = KvStore;
     type World = World;
     type Report = KvRunReport;
     type Recovery = KvOpenReport;
     type Error = NoFtlError;
 
-    fn build(&self) -> Result<Stack<KvStore>> {
+    fn build(&self) -> Result<Stack<Self::Machine, KvStore>> {
         let device = Arc::new(
             DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build(),
         );
@@ -141,14 +142,14 @@ impl Contract for KvCrashConfig {
         let (store, created_at) =
             KvStore::create(Arc::clone(&noftl), rid, STORE, self.kv, SimTime::ZERO)?;
         let setup_end = created_at.max(device.quiesce_time());
-        Ok(Stack { device, noftl, engine: store, setup_end })
+        Ok(Stack { machine: device, noftl, engine: store, setup_end })
     }
 
     /// Run the put/delete workload until `OPS` operations complete or the
     /// device loses power.
     fn run(
         &self,
-        stack: &Stack<KvStore>,
+        stack: &Stack<Self::Machine, KvStore>,
         ledger: &mut Ledger<World>,
     ) -> Result<(SimTime, KvRunReport)> {
         let store = &stack.engine;

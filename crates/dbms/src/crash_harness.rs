@@ -127,12 +127,11 @@ pub struct RunReport {
     pub wal_pages: u64,
     /// Dirty pages the buffer pool wrote back.
     pub dirty_writebacks: u64,
-    /// Pages the device copied (GC moves) during the run.
-    pub copybacks: u64,
 }
 
 /// The database's side of the crash driver.
 impl Contract for CrashHarnessConfig {
+    type Machine = Arc<flash_sim::NandDevice>;
     type Engine = Database;
     type World = World;
     type Report = RunReport;
@@ -141,7 +140,7 @@ impl Contract for CrashHarnessConfig {
 
     /// Device → NoFTL → backend → database, then the DDL setup, finishing
     /// with a checkpoint.
-    fn build(&self) -> Result<Stack<Database>> {
+    fn build(&self) -> Result<Stack<Self::Machine, Database>> {
         let device = Arc::new(
             DeviceBuilder::new(FlashGeometry::small_test()).timing(TimingModel::mlc_2015()).build(),
         );
@@ -152,7 +151,7 @@ impl Contract for CrashHarnessConfig {
         db.create_table(TABLE, schema(), SimTime::ZERO)?;
         db.create_index(TABLE, INDEX, SimTime::ZERO)?;
         let setup_end = db.checkpoint(SimTime::ZERO)?.max(device.quiesce_time());
-        Ok(Stack { device, noftl, engine: db, setup_end })
+        Ok(Stack { machine: device, noftl, engine: db, setup_end })
     }
 
     /// Run the workload until `txns` transactions complete or the device
@@ -161,7 +160,7 @@ impl Contract for CrashHarnessConfig {
     /// or a key the transaction knows missing from the index.
     fn run(
         &self,
-        stack: &Stack<Database>,
+        stack: &Stack<Self::Machine, Database>,
         ledger: &mut Ledger<World>,
     ) -> Result<(SimTime, RunReport)> {
         let db = &stack.engine;
@@ -169,7 +168,6 @@ impl Contract for CrashHarnessConfig {
         let mut committed_txns = 0;
         let mut read_only_txns = 0;
         let mut now = stack.setup_end;
-        let copybacks_before = stack.device.stats().copybacks;
         'txns: for _ in 0..self.txns {
             let mut txn = db.begin(now);
             let mut pending = ledger.committed.clone();
@@ -239,14 +237,9 @@ impl Contract for CrashHarnessConfig {
             }
             now = txn.now;
         }
-        let report = RunReport {
-            committed_txns,
-            read_only_txns,
-            wal_pages: db.wal_stats().pages,
-            dirty_writebacks: db.buffer_stats().dirty_writebacks,
-            copybacks: stack.device.stats().copybacks - copybacks_before,
-        };
-        Ok((now, report))
+        let (wal_pages, dirty_writebacks) =
+            (db.wal_stats().pages, db.buffer_stats().dirty_writebacks);
+        Ok((now, RunReport { committed_txns, read_only_txns, wal_pages, dirty_writebacks }))
     }
 
     /// Reopen on the remounted manager, then read every key of the
@@ -289,15 +282,13 @@ mod tests {
     #[test]
     fn dry_run_without_cut_is_clean() {
         let cfg = CrashHarnessConfig { txns: 30, ..CrashHarnessConfig::default() };
-        assert!(crash::dry_run(&cfg).is_ok(), "dry run must not crash");
-        let stack = cfg.build().unwrap();
-        let mut ledger = Ledger::new(&stack.noftl);
-        let (_, run) = cfg.run(&stack, &mut ledger).unwrap();
+        let dry = crash::dry_run(&cfg).expect("dry run must not crash");
+        let (run, db) = (&dry.report, &dry.stack.engine);
         assert!(run.committed_txns > 15, "committed {}", run.committed_txns);
         assert!(run.read_only_txns > 0, "the mix must contain read-only transactions");
-        assert_eq!(stack.engine.read_only_commit_count(), run.read_only_txns);
-        assert!(!ledger.committed.is_empty());
-        assert!(stack.engine.wal_stats().truncations > 0, "segment guard must fire");
+        assert_eq!(db.read_only_commit_count(), run.read_only_txns);
+        assert!(!dry.committed.is_empty());
+        assert!(db.wal_stats().truncations > 0, "segment guard must fire");
         assert!(run.dirty_writebacks > 0, "the pool must write committed pages back");
     }
 

@@ -39,7 +39,8 @@ use crate::device::OpOutcome;
 use crate::metadata::PageMetadata;
 
 /// Kind of a flash command: what the device's counters, latency
-/// histograms and `flash.op` tracer spans are filed under.
+/// histograms and `flash.op` tracer spans are filed under.  The variants
+/// are in slot order: `kind as usize` indexes per-kind tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
     /// Page read (array read + channel transfer out).
@@ -52,6 +53,23 @@ pub enum OpKind {
     Copyback,
     /// OOB metadata read.
     MetadataRead,
+}
+
+impl OpKind {
+    /// Every kind, in slot order.
+    pub const ALL: [OpKind; 5] =
+        [OpKind::Read, OpKind::Program, OpKind::Erase, OpKind::Copyback, OpKind::MetadataRead];
+
+    /// The stable name its metrics and `flash.op` tracer spans carry.
+    pub fn name(self) -> &'static str {
+        match self {
+            OpKind::Read => "read",
+            OpKind::Program => "program",
+            OpKind::Erase => "erase",
+            OpKind::Copyback => "copyback",
+            OpKind::MetadataRead => "metadata_read",
+        }
+    }
 }
 
 /// One command of the device's native interface: the argument of

@@ -32,31 +32,6 @@ use crate::command::OpKind;
 use crate::sched::Scheduled;
 use crate::time::SimTime;
 
-/// Every op kind, in slot order.
-const OPS: [OpKind; 5] =
-    [OpKind::Read, OpKind::Program, OpKind::Erase, OpKind::Copyback, OpKind::MetadataRead];
-
-/// Stable metric-name fragment per op kind.
-pub(crate) fn op_name(kind: OpKind) -> &'static str {
-    match kind {
-        OpKind::Read => "read",
-        OpKind::Program => "program",
-        OpKind::Erase => "erase",
-        OpKind::Copyback => "copyback",
-        OpKind::MetadataRead => "metadata_read",
-    }
-}
-
-fn op_slot(kind: OpKind) -> usize {
-    match kind {
-        OpKind::Read => 0,
-        OpKind::Program => 1,
-        OpKind::Erase => 2,
-        OpKind::Copyback => 3,
-        OpKind::MetadataRead => 4,
-    }
-}
-
 /// Handles the device records into on every native command.
 #[derive(Debug)]
 pub(crate) struct DeviceObs {
@@ -67,10 +42,10 @@ pub(crate) struct DeviceObs {
 
 impl DeviceObs {
     pub(crate) fn new(registry: Arc<MetricsRegistry>) -> Self {
-        let latency = OPS
+        let latency = OpKind::ALL
             .iter()
             .map(|k| {
-                registry.histogram(&format!("flash.op.{}.latency_ns", op_name(*k)), Unit::SimNanos)
+                registry.histogram(&format!("flash.op.{}.latency_ns", k.name()), Unit::SimNanos)
             })
             .collect();
         let clamped = registry.counter("flash.timeline.clamped");
@@ -85,7 +60,7 @@ impl DeviceObs {
     /// one place a command is traced, however many backends are stacked
     /// above the device — a span on the die's track.
     pub(crate) fn note_op(&self, kind: OpKind, die: DieId, sched: &Scheduled, at: SimTime) {
-        if let Some(h) = self.latency.get(op_slot(kind)) {
+        if let Some(h) = self.latency.get(kind as usize) {
             h.record(sched.latency(at).as_nanos());
         }
         let clamped = [Some(sched.array), sched.bus].iter().flatten().filter(|s| s.clamped).count();
@@ -94,7 +69,7 @@ impl DeviceObs {
         }
         self.registry.tracer().span(
             "flash.op",
-            op_name(kind),
+            kind.name(),
             u64::from(die.0),
             at.as_nanos(),
             sched.complete.as_nanos(),

@@ -488,12 +488,14 @@ impl MirrorDevice {
 
     /// Compare `child` against `source` and return the exact set of
     /// segments where they differ: block shape (state, write pointer,
-    /// valid/invalid counts) first, then per-page OOB metadata for
-    /// blocks whose shape matches.  Erase counts are deliberately
-    /// ignored — a rebuilt block has extra erases but identical content.
+    /// valid/invalid counts) first, then, for blocks whose shape matches,
+    /// per-page OOB metadata and the child's payload against its OOB
+    /// checksum.  Erase counts are deliberately ignored — a rebuilt block
+    /// has extra erases but identical content.
     ///
-    /// Timed metadata reads advance `*now`; both devices are probed at
-    /// the same instants so the scans overlap like the hardware would.
+    /// Timed reads (the source's metadata, the child's page) advance
+    /// `*now`; both devices are probed at the same instants so the scans
+    /// overlap like the hardware would.
     fn verify_dirty(&self, source: usize, child: usize, now: &mut SimTime) -> Result<SegmentMap> {
         let src = self.children[source].as_ref();
         let tgt = self.children[child].as_ref();
@@ -519,12 +521,14 @@ impl MirrorDevice {
                     for page in 0..sb.write_ptr {
                         let p = addr.page(page);
                         let (sm, so) = src.read_metadata(p, *now)?;
-                        let (tm, to) = tgt.read_metadata(p, *now)?;
+                        let (data, tm, to) = tgt.read_page(p, *now)?;
                         *now = (*now).max(so.completed_at).max(to.completed_at);
                         // Identical OOB (object, page, epoch, checksum)
-                        // implies identical payload; anything else —
-                        // including both sides torn — is stale.
-                        if sm.is_none() || sm != tm {
+                        // over a payload that matches its checksum implies
+                        // identical payload.  Anything else is stale: a
+                        // program torn after its OOB landed keeps the OOB,
+                        // and both sides may have torn.
+                        if sm != tm || !tm.is_some_and(|m| m.payload_matches(&data)) {
                             map.mark(self.segment_of(addr));
                             break;
                         }

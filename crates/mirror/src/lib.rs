@@ -34,8 +34,10 @@
 //!   the checkpoint as an opaque replication blob ([`MirrorBlob`],
 //!   CRC-guarded).  A torn blob degrades to "rebuild everything" —
 //!   never to silent staleness — and a valid one is cross-checked
-//!   against the devices at mount by a shape-and-OOB verify scan, so
-//!   writes that landed after the checkpoint are found too.
+//!   against the devices at mount by a verify scan (block shape, OOB,
+//!   and the stale child's payload against its OOB checksum), so writes
+//!   that landed after the checkpoint are found too, and so is a copy
+//!   torn after its OOB landed.
 
 #![warn(missing_docs)]
 
@@ -605,6 +607,26 @@ mod tests {
         assert_eq!(m.health(1), ChildHealth::Faulted);
         assert_eq!(m.dirty_segments(1), 1);
         assert_eq!(m.health(0), ChildHealth::Online);
+    }
+
+    /// A program torn after its OOB landed keeps the whole page's OOB:
+    /// the verify scan finds the torn copy by its payload checksum.
+    #[test]
+    fn restore_finds_a_torn_copy_that_kept_its_oob() {
+        let m = mirror(2);
+        let blob = m.replication_blob().unwrap();
+        let meta = PageMetadata::with_epoch(1, 0, 1).with_payload_checksum(&payload(3));
+        let addr = page(0, 0, 0);
+        let whole = m.children()[0].program_page(addr, &payload(3), meta, SimTime::ZERO).unwrap();
+        // Child 1 loses power a nanosecond before the same program ends.
+        let end = whole.completed_at;
+        m.children()[1].arm_power_cut(SimTime(end.as_nanos() - 1));
+        assert!(m.children()[1].program_page(addr, &payload(3), meta, SimTime::ZERO).is_err());
+        m.children()[1].clear_power_cut();
+        assert_eq!(m.children()[1].read_metadata(addr, end).unwrap().0, Some(meta));
+        m.restore_replication(Some(&blob), end).unwrap();
+        assert_eq!(m.health(1), ChildHealth::Faulted, "the torn copy passed the verify scan");
+        assert_eq!(m.dirty_segments(1), 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! window of reads (`window` in flight), programming each page on
 //! the target at its read-completion instant with the source's OOB
 //! metadata preserved, so after the copy the two blocks compare
-//! identical shape-and-OOB in [the verify scan].  Source pages that are
+//! identical shape and OOB in [the verify scan].  Source pages that are
 //! `Invalid` are re-invalidated on the target, and a source block gone
 //! `Bad` retires the target block instead of copying.  A source or a
 //! target that loses power mid-copy ends the step with its `PowerLoss`,

@@ -4,11 +4,13 @@
 //! maps (refined by the verify scan) so a rebuild provably copies only
 //! the segments the lost child actually missed.
 
-use std::sync::Arc;
+mod common;
 
-use flash_sim::{FlashBackend, FlashGeometry, NandDevice, SimTime, TimingModel};
-use noftl_core::{crash, NoFtl, ObjectId};
-use noftl_mirror::{ChildHealth, MirrorDevice};
+use common::Mirror;
+use flash_sim::{Duration, FlashBackend, SimTime};
+use noftl_core::crash::{self, Bootable};
+use noftl_core::{NoFtl, ObjectId};
+use noftl_mirror::ChildHealth;
 
 /// Logical page `page` of `obj` as the manager reads it at `at`.
 #[expect(clippy::unwrap_used, reason = "a test helper: a failed step fails the test")]
@@ -18,25 +20,10 @@ fn read(noftl: &NoFtl, obj: ObjectId, page: u64, at: SimTime) -> Vec<u8> {
     data
 }
 
-#[expect(clippy::unwrap_used, reason = "a test helper: a failed step fails the test")]
-fn fresh_mirror() -> Arc<MirrorDevice> {
-    Arc::new(
-        MirrorDevice::new_fresh(2, FlashGeometry::small_test(), TimingModel::default()).unwrap(),
-    )
-}
-
-/// Power-cycle every child and reassemble the mirror — a box with two
-/// flash devices in it, rebooted.
-#[expect(clippy::unwrap_used, reason = "a test helper: a failed step fails the test")]
-fn reboot(mirror: &MirrorDevice) -> Arc<MirrorDevice> {
-    let children: Vec<Arc<NandDevice>> =
-        mirror.children().iter().map(|c| crash::power_cycle(c).unwrap()).collect();
-    Arc::new(MirrorDevice::new(children).unwrap())
-}
-
 #[test]
 fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirty() {
-    let mirror = fresh_mirror();
+    let machine = Mirror::fresh();
+    let mirror = &machine.device;
     let (noftl, _rid) = NoFtl::with_single_region(mirror.clone()).unwrap();
     let obj = noftl.create_object_in("t", "rgAll").unwrap();
     let mut t = SimTime::ZERO;
@@ -46,7 +33,7 @@ fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirt
     t = noftl.checkpoint(t).unwrap();
 
     // Lose child 1, keep writing: only these writes may be stale on it.
-    mirror.children()[1].arm_power_cut(t);
+    machine.lose(1, t);
     t = SimTime(t.as_nanos() + 1_000);
     for p in 0..4u64 {
         t = noftl.write(obj, p, &vec![0xA0 + p as u8; 4096], t).unwrap();
@@ -60,7 +47,8 @@ fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirt
     );
 
     // Reboot and remount through the standard path.
-    let mirror2 = reboot(&mirror);
+    let machine2 = machine.reboot().unwrap();
+    let mirror2 = &machine2.device;
     let (noftl2, report) = NoFtl::mount(mirror2.clone(), t).unwrap();
     assert!(report.checkpoint_seq >= 2);
     t = report.completed_at;
@@ -92,7 +80,8 @@ fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirt
     t = report.completed_at;
 
     t = noftl2.checkpoint(t).unwrap();
-    let mirror3 = reboot(&mirror2);
+    let machine3 = machine2.reboot().unwrap();
+    let mirror3 = &machine3.device;
     let (noftl3, report) = NoFtl::mount(mirror3.clone(), t).unwrap();
     // …which the verify scan confirms: a clean roundtrip mounts fully
     // online with nothing left to copy.
@@ -105,8 +94,8 @@ fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirt
 
 #[test]
 fn mount_with_child_still_missing_serves_degraded_and_rebuilds_later() {
-    let mirror = fresh_mirror();
-    let (noftl, _rid) = NoFtl::with_single_region(mirror.clone()).unwrap();
+    let machine = Mirror::fresh();
+    let (noftl, _rid) = NoFtl::with_single_region(machine.device.clone()).unwrap();
     let obj = noftl.create_object_in("t", "rgAll").unwrap();
     let mut t = SimTime::ZERO;
     for p in 0..8u64 {
@@ -116,10 +105,9 @@ fn mount_with_child_still_missing_serves_degraded_and_rebuilds_later() {
 
     // Reboot with the child still absent: restore cannot verify it and
     // must fail safe ("assume everything stale"), yet the mount serves.
-    let children: Vec<Arc<NandDevice>> =
-        mirror.children().iter().map(|c| crash::power_cycle(c).unwrap()).collect();
-    children[1].arm_power_cut(SimTime::ZERO);
-    let mirror2 = Arc::new(MirrorDevice::new(children).unwrap());
+    let machine2 = machine.reboot().unwrap();
+    machine2.lose(1, SimTime::ZERO);
+    let mirror2 = &machine2.device;
     let (noftl2, report) = NoFtl::mount(mirror2.clone(), t).unwrap();
     t = report.completed_at;
     assert_eq!(mirror2.health(1), ChildHealth::Faulted);
@@ -129,7 +117,7 @@ fn mount_with_child_still_missing_serves_degraded_and_rebuilds_later() {
     }
 
     // The device reattaches: its power is back, rebuild, fully online.
-    mirror2.children()[1].clear_power_cut();
+    machine2.reattach(1);
     mirror2.start_rebuild(1, t).unwrap();
     let report = mirror2.rebuild(1, 8, t).unwrap();
     assert!(report.child_online);
@@ -143,7 +131,8 @@ fn mount_with_child_still_missing_serves_degraded_and_rebuilds_later() {
 /// as its source and serve the acknowledged page.
 #[test]
 fn a_write_acknowledged_past_a_childs_cut_survives_a_reboot() {
-    let mirror = fresh_mirror();
+    let machine = Mirror::fresh();
+    let mirror = &machine.device;
     let (noftl, _rid) = NoFtl::with_single_region(mirror.clone()).unwrap();
     let obj = noftl.create_object_in("t", "rgAll").unwrap();
     let mut t = SimTime::ZERO;
@@ -153,15 +142,15 @@ fn a_write_acknowledged_past_a_childs_cut_survives_a_reboot() {
     t = noftl.checkpoint(t).unwrap();
 
     let cut = SimTime(t.as_nanos() + 1_000);
-    mirror.children()[0].arm_power_cut(cut);
+    machine.lose(0, cut);
     let done = noftl.write(obj, 2, &[0xEE; 4096], t).unwrap();
     assert!(done > cut, "the write was not in flight at child 0's cut");
     assert_eq!(mirror.health(0), ChildHealth::Faulted);
     assert_eq!(mirror.health(1), ChildHealth::Online);
 
-    let mirror2 = reboot(&mirror);
-    let (noftl2, report) = NoFtl::mount(mirror2.clone(), done).unwrap();
-    assert_eq!(mirror2.health(1), ChildHealth::Online, "the remount took the torn child");
+    let machine2 = machine.reboot().unwrap();
+    let (noftl2, report) = NoFtl::mount(machine2.device.clone(), done).unwrap();
+    assert_eq!(machine2.device.health(1), ChildHealth::Online, "the remount took the torn child");
     assert_eq!(read(&noftl2, obj, 2, report.completed_at), vec![0xEE; 4096]);
     for p in (0..6u64).filter(|&p| p != 2) {
         assert_eq!(read(&noftl2, obj, p, report.completed_at), vec![p as u8 + 1; 4096]);
@@ -170,8 +159,8 @@ fn a_write_acknowledged_past_a_childs_cut_survives_a_reboot() {
 
 #[test]
 fn power_cut_during_mount_recovers_on_retry() {
-    let mirror = fresh_mirror();
-    let (noftl, _rid) = NoFtl::with_single_region(mirror.clone()).unwrap();
+    let machine = Mirror::fresh();
+    let (noftl, _rid) = NoFtl::with_single_region(machine.device.clone()).unwrap();
     let obj = noftl.create_object_in("t", "rgAll").unwrap();
     let mut t = SimTime::ZERO;
     for p in 0..10u64 {
@@ -179,21 +168,17 @@ fn power_cut_during_mount_recovers_on_retry() {
     }
     t = noftl.checkpoint(t).unwrap();
 
-    let mirror2 = reboot(&mirror);
-    // Cut power again while the mount itself is scanning the device.
-    for child in mirror2.children() {
-        child.arm_power_cut(SimTime(t.as_nanos() + 50_000));
-    }
-    let err = NoFtl::mount(mirror2.clone(), t).unwrap_err();
-    assert!(format!("{err}").contains("power"), "mount failed for the wrong reason: {err}");
-
-    // Power returns: the same devices mount cleanly with all data.
-    for child in mirror2.children() {
-        child.clear_power_cut();
-    }
-    let (noftl2, report) = NoFtl::mount(mirror2, t).unwrap();
+    // Cut the box's power again while the mount itself is scanning the
+    // devices: the mount dies of the cut, and the box reboots and mounts
+    // cleanly with all data.
+    let torn = [(Duration(50_000), Duration::ZERO)];
+    let mounted = crash::mount(machine.reboot().unwrap(), t, &torn).unwrap();
+    assert_eq!(mounted.torn_mounts, 1, "the cut did not land inside the mount");
     for p in 0..10u64 {
-        assert_eq!(read(&noftl2, obj, p, report.completed_at), vec![p as u8 + 3; 4096]);
+        assert_eq!(
+            read(&mounted.noftl, obj, p, mounted.report.completed_at),
+            vec![p as u8 + 3; 4096]
+        );
     }
 }
 
@@ -211,7 +196,8 @@ mod props {
             seed in any::<u64>(),
             degraded_writes in 1u64..10,
         ) {
-            let mirror = fresh_mirror();
+            let machine = Mirror::fresh();
+            let mirror = &machine.device;
             let (noftl, _rid) = NoFtl::with_single_region(mirror.clone()).unwrap();
             let obj = noftl.create_object_in("t", "rgAll").unwrap();
             let mut t = SimTime::ZERO;
@@ -226,7 +212,7 @@ mod props {
                 expected.insert(i, read(&noftl, obj, i, t));
             }
             t = noftl.checkpoint(t).unwrap();
-            mirror.children()[1].arm_power_cut(t);
+            machine.lose(1, t);
             t = SimTime(t.as_nanos() + 1_000);
             for _ in 0..degraded_writes {
                 let page = rand() % 8;
@@ -240,7 +226,8 @@ mod props {
             if seed.is_multiple_of(2) {
                 t = noftl.checkpoint(t).unwrap();
             }
-            let mirror2 = reboot(&mirror);
+            let machine2 = machine.reboot().unwrap();
+            let mirror2 = &machine2.device;
             let (noftl2, report) =
                 NoFtl::mount(mirror2.clone(), t).unwrap();
             t = report.completed_at;

@@ -1,292 +1,291 @@
-//! Acceptance sweep: 25+ randomized cycles combining the loss of one
-//! child (its own power cut), power cuts mid-rebuild and crashes during
-//! mount, verifying that no
-//! acknowledged write is ever lost and that rebuilds only ever copy
-//! segments the lost child actually missed.
+//! Acceptance sweep: a two-way mirror under NoFTL loses a child (its own
+//! power cut) while the crash driver cuts the whole box; no acknowledged
+//! write may be lost, and a rebuild copies only the segments the child
+//! missed.
 //!
-//! Each cycle:
-//!
-//! 1. writes a random workload through NoFTL over a 2-way mirror and
-//!    checkpoints it;
-//! 2. cuts a random child's power and keeps writing (degraded mode),
-//!    possibly checkpointing the degraded state;
-//! 3. sometimes reattaches the child and rebuilds — and sometimes cuts
-//!    power *mid-rebuild*, leaving torn copies for recovery to discard;
-//! 4. power-cycles the box through the crash driver, sometimes cutting
-//!    power again *while the mount is scanning*, each child at its own
-//!    instant (the box is then power-cycled once more before the retry),
-//!    and sometimes booting with the lost child still absent;
-//! 5. remounts, checks the directory and every acknowledged write,
-//!    rebuilds to fully online and verifies again from the rebuilt
-//!    mirror.
+//! Each seed draws its workload: healthy writes and a checkpoint; the
+//! child's cut, before the first degraded write or inside the first or
+//! the last, which the child tears and its sibling acknowledges; degraded
+//! writes and maybe a checkpoint; maybe a rebuild and more writes; whether
+//! the lost child stays absent across reboots, and whether the recovery
+//! mount is torn.  Recovery reads every page, rebuilds every stale child
+//! and reads every page again.
 
-use std::collections::HashMap;
+mod common;
+
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use flash_sim::{Duration, FlashBackend, FlashError, FlashGeometry, SimTime, TimingModel};
-use noftl_core::crash::{self, Bootable, Directory};
-use noftl_core::NoFtl;
+use common::Mirror;
+use flash_sim::{Duration, OpKind, SimTime};
+use noftl_core::crash::{self, Contract, DryRun, Ledger, SplitMix64, Stack};
+use noftl_core::{NoFtl, NoFtlError, ObjectId};
 use noftl_mirror::{ChildHealth, MirrorDevice};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-const CYCLES: u64 = 25;
+const SEEDS: u64 = 25;
 const PAGES: u64 = 24;
 /// How far into a write's issue the lost child's cut lands in the
-/// in-flight cycles: inside the page transfer or program (700 µs).
+/// in-flight modes: inside the page transfer or program (700 µs).
 const IN_FLIGHT: Duration = Duration(100_000);
 
-/// The box under test: a mirror, the child that stays absent across
-/// reboots, if any (it boots without power), and how long after a cut's
-/// instant each other child loses power.  Staggered cuts let one child
-/// die during the mount scan while the other keeps serving.
-struct Mirror {
-    device: Arc<MirrorDevice>,
-    absent: Option<usize>,
-    stagger: Vec<Duration>,
+/// Page → the byte its 4 KiB hold.
+type World = BTreeMap<u64, u8>;
+
+/// One step of a workload after its setup.
+#[derive(Clone, Copy, PartialEq)]
+enum Step {
+    /// Cut the lost child's power this long into the next write (zero:
+    /// before it issues).
+    Lose(Duration),
+    Write(u64, u8),
+    Checkpoint,
+    /// Reattach the lost child and rebuild it.
+    Rebuild,
 }
 
-impl Bootable for Mirror {
-    fn backend(&self) -> Arc<dyn FlashBackend> {
-        self.device.clone()
+/// One seed's workload.
+struct Plan {
+    healthy: Vec<(u64, u8)>,
+    lost: usize,
+    steps: Vec<Step>,
+    absent: bool,
+    /// The children's lags behind the cut of a torn recovery mount.
+    torn: Option<Vec<Duration>>,
+}
+
+impl Plan {
+    /// The workload of `seed`: every third seed the child's cut lands
+    /// inside the first degraded write, every third inside the last.
+    fn new(seed: u64) -> Plan {
+        let mut rng = StdRng::seed_from_u64(0x5EED_0000 + seed);
+        let writes = |rng: &mut StdRng, range: std::ops::Range<u32>| {
+            let n = rng.random_range(range);
+            let mut write = || (rng.random_range(0..PAGES), rng.random_range(1..=255u32) as u8);
+            (0..n).map(|_| write()).collect::<Vec<_>>()
+        };
+        let healthy = writes(&mut rng, 10..30u32);
+        let lost = rng.random_range(0..2usize);
+        let mut steps: Vec<Step> =
+            writes(&mut rng, 5..20u32).into_iter().map(|(p, v)| Step::Write(p, v)).collect();
+        let cut_inside = [None, Some(0), Some(steps.len() - 1)][(seed % 3) as usize];
+        let lose = Step::Lose(cut_inside.map_or(Duration::ZERO, |_| IN_FLIGHT));
+        steps.insert(cut_inside.unwrap_or(0), lose);
+        if rng.random_range(0..100) < 50 {
+            steps.push(Step::Checkpoint);
+        }
+        if rng.random_range(0..100) < 60 {
+            steps.push(Step::Rebuild);
+            steps.extend(writes(&mut rng, 1..6u32).into_iter().map(|(p, v)| Step::Write(p, v)));
+        }
+        let absent = rng.random_range(0..100) < 30;
+        let torn = (rng.random_range(0..100) < 40)
+            .then(|| (0..2).map(|_| Duration(rng.random_range(1_000..100_000u64))).collect());
+        Plan { healthy, lost, steps, absent, torn }
+    }
+}
+
+/// The mirror's crash contract for one seed.
+struct Seed(u64);
+
+/// What a run did besides committing writes.
+#[derive(Default)]
+struct Run {
+    acked: u64,
+    /// The child lost power inside a write its sibling acknowledged.
+    in_flight_cut: bool,
+    /// The box cut landed inside the rebuild.
+    rebuild_cut: bool,
+}
+
+/// What recovery did before it read the pages again.
+#[derive(Default)]
+struct Rebuilt {
+    /// A child booted without power.
+    absent: bool,
+    segments_copied: u64,
+}
+
+fn violation(message: &str) -> NoFtlError {
+    NoFtlError::Recovery { message: message.into() }
+}
+
+/// Every page of `obj` at `at`, and when the reads completed.
+fn read_all(noftl: &NoFtl, obj: ObjectId, mut at: SimTime) -> Result<(World, SimTime), NoFtlError> {
+    let mut world = World::new();
+    let mut data = vec![0; 4096];
+    for page in 0..PAGES {
+        match noftl.read(obj, page, &mut data, at) {
+            Ok(done) if data.iter().all(|&b| b == data[0]) => {
+                world.insert(page, data[0]);
+                at = at.max(done);
+            }
+            Ok(_) => return Err(violation(&format!("page {page} reads mixed bytes"))),
+            Err(NoFtlError::PageNotWritten { .. }) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok((world, at))
+}
+
+impl Contract for Seed {
+    type Machine = Mirror;
+    type Engine = (Plan, ObjectId);
+    type World = World;
+    type Report = Run;
+    type Recovery = Rebuilt;
+    type Error = NoFtlError;
+
+    /// A fresh box, the healthy writes and their checkpoint.
+    fn build(&self) -> Result<Stack<Mirror, (Plan, ObjectId)>, NoFtlError> {
+        let plan = Plan::new(self.0);
+        let mut machine = Mirror::fresh();
+        machine.absent = plan.absent.then_some(plan.lost);
+        if let Some(stagger) = &plan.torn {
+            machine.stagger.clone_from(stagger);
+        }
+        let (noftl, _) = NoFtl::with_single_region(machine.device.clone())?;
+        let obj = noftl.create_object_in("t", "rgAll")?;
+        let mut t = SimTime(1_000);
+        for &(page, val) in &plan.healthy {
+            t = noftl.write(obj, page, &[val; 4096], t)?;
+        }
+        let setup_end = noftl.checkpoint(t)?;
+        Ok(Stack { machine, noftl: Arc::new(noftl), engine: (plan, obj), setup_end })
     }
 
-    fn cut_power(&self, at: SimTime) {
-        for (i, (child, &lag)) in self.device.children().iter().zip(&self.stagger).enumerate() {
-            if self.absent != Some(i) {
-                child.arm_power_cut(at + lag);
+    /// Take the steps until the box loses power; every acknowledged write
+    /// commits.
+    fn run(
+        &self,
+        stack: &Stack<Mirror, (Plan, ObjectId)>,
+        ledger: &mut Ledger<World>,
+    ) -> Result<(SimTime, Run), NoFtlError> {
+        let (machine, noftl, (plan, obj)) = (&stack.machine, &stack.noftl, &stack.engine);
+        let mut world: World = plan.healthy.iter().copied().collect();
+        ledger.commit(world.clone());
+        let (mut t, mut run, mut child_cut) = (stack.setup_end, Run::default(), None);
+        for &step in &plan.steps {
+            let done = match step {
+                Step::Lose(after) => {
+                    machine.lose(plan.lost, t + after);
+                    child_cut = (after > Duration::ZERO).then_some(t + after);
+                    continue;
+                }
+                Step::Write(page, val) => {
+                    world.insert(page, val);
+                    noftl.write(*obj, page, &[val; 4096], t)
+                }
+                Step::Checkpoint => noftl.checkpoint(t),
+                Step::Rebuild => {
+                    let (mirror, child) = (&machine.device, plan.lost);
+                    machine.reattach(child);
+                    let rebuilt = mirror.start_rebuild(child, t);
+                    let rebuilt = rebuilt.and_then(|()| mirror.rebuild(child, 4, t));
+                    rebuilt.map(|report| t.max(report.completed_at)).map_err(NoFtlError::from)
+                }
+            };
+            let Ok(done) = done else {
+                ledger.cut(matches!(step, Step::Write(..)).then_some(world));
+                run.rebuild_cut = step == Step::Rebuild;
+                return Ok((t, run));
+            };
+            t = done;
+            if let Step::Write(..) = step {
+                ledger.commit(world.clone());
+                run.acked += 1;
+                let lost = machine.device.health(plan.lost) == ChildHealth::Faulted;
+                run.in_flight_cut |= child_cut.take().is_some_and(|cut| cut < t && lost);
             }
         }
+        Ok((t, run))
     }
 
-    /// Power-cycle every child and reassemble the mirror.
-    fn reboot(&self) -> noftl_core::Result<Mirror> {
-        let children = self
-            .device
-            .children()
-            .iter()
-            .map(|c| crash::power_cycle(c))
-            .collect::<noftl_core::Result<Vec<_>>>()?;
-        if let Some(child) = self.absent {
-            children[child].arm_power_cut(SimTime::ZERO);
+    /// Read every page, rebuild every stale child, and read every page
+    /// again: the rebuilt mirror must serve the same world.
+    fn recover(&self, noftl: Arc<NoFtl>, at: SimTime) -> Result<(Rebuilt, World), NoFtlError> {
+        let mirror = noftl.device().as_any().downcast_ref::<MirrorDevice>();
+        let mirror = mirror.ok_or_else(|| violation("the box mounted no mirror"))?;
+        let obj = noftl.object_id("t").ok_or_else(|| violation("the mount lost `t`"))?;
+        let (world, mut t) = read_all(&noftl, obj, at)?;
+        let mut rebuilt = Rebuilt::default();
+        for child in (0..2).filter(|&c| mirror.health(c) != ChildHealth::Online) {
+            let device = &mirror.children()[child];
+            rebuilt.absent |= device.power_cut().is_some();
+            device.clear_power_cut();
+            let dirty = mirror.dirty_segments(child);
+            mirror.start_rebuild(child, t)?;
+            let report = mirror.rebuild(child, 4, t)?;
+            if report.segments_copied != dirty {
+                let copied = report.segments_copied;
+                return Err(violation(&format!("child {child}: copied {copied} of {dirty}")));
+            }
+            rebuilt.segments_copied += report.segments_copied;
+            t = t.max(report.completed_at);
         }
-        let device = Arc::new(MirrorDevice::new(children)?);
-        Ok(Mirror { device, absent: self.absent, stagger: self.stagger.clone() })
+        if !mirror.fully_online() || read_all(&noftl, obj, t)?.0 != world {
+            return Err(violation("the rebuilt mirror serves another world"));
+        }
+        Ok((rebuilt, world))
     }
+
+    fn torn_mounts(&self) -> Vec<(Duration, Duration)> {
+        let torn = Plan::new(self.0).torn.map(|_| (Duration::ZERO, Duration(1_000_000)));
+        torn.into_iter().collect()
+    }
+}
+
+/// What a sweep's cycles exercised.
+#[derive(Debug, Default)]
+struct Tally {
+    cuts: usize,
+    in_copyback: usize,
+    acked: u64,
+    torn_mounts: u64,
+    rebuild_cuts: u64,
+    absent_boots: u64,
+    in_flight_cuts: u64,
+    segments_copied: u64,
+}
+
+/// Sweep the cuts `pick` takes from each seed's dry run.  Fails on any
+/// violation, and when a failure mode went unexercised.
+#[expect(clippy::unwrap_used, reason = "a test helper: a failed step fails the test")]
+fn sweep_seeds(mut pick: impl FnMut(&DryRun<Seed>) -> Vec<crash::Cut>) {
+    let started = std::time::Instant::now();
+    let mut tally = Tally::default();
+    let mut violations = Vec::new();
+    for seed in 0..SEEDS {
+        let cuts = pick(&crash::dry_run(&Seed(seed)).unwrap());
+        tally.cuts += cuts.len();
+        tally.in_copyback += cuts.iter().filter(|c| c.command.kind == OpKind::Copyback).count();
+        let found = crash::sweep(&Seed(seed), &cuts, |outcome| {
+            tally.acked += outcome.report.acked;
+            tally.torn_mounts += outcome.torn_mounts;
+            tally.rebuild_cuts += u64::from(outcome.report.rebuild_cut);
+            tally.absent_boots += u64::from(outcome.recovery.absent);
+            tally.in_flight_cuts += u64::from(outcome.report.in_flight_cut);
+            tally.segments_copied += outcome.recovery.segments_copied;
+        });
+        violations.extend(found.into_iter().map(|v| (seed, v)));
+    }
+    let secs = started.elapsed().as_secs_f64();
+    println!("{SEEDS} seeds in {secs:.1} s, {} violations: {tally:?}", violations.len());
+    assert!(violations.is_empty(), "{violations:#?}");
+    assert!(tally.torn_mounts > 0, "no cycle crashed during mount");
+    assert!(tally.rebuild_cuts > 0, "no cut landed mid-rebuild");
+    assert!(tally.absent_boots > 0, "no cycle booted with the child still absent");
+    assert!(tally.in_flight_cuts > 0, "no child cut landed inside an acknowledged write");
 }
 
 #[test]
 fn randomized_loss_and_crash_sweep_loses_no_acknowledged_write() {
-    let mut torn_mounts = 0u64;
-    let mut interrupted_rebuilds = 0u64;
-    let mut absent_boots = 0u64;
-    let mut in_flight_cuts = 0u64;
-    let mut total_copied = 0u64;
-    for cycle in 0..CYCLES {
-        let mut rng = StdRng::seed_from_u64(0x5EED_0000 + cycle);
-        let mirror = Arc::new(
-            MirrorDevice::new_fresh(2, FlashGeometry::small_test(), TimingModel::default())
-                .unwrap(),
-        );
-        let (noftl, _rid) = NoFtl::with_single_region(mirror.clone()).unwrap();
-        let obj = noftl.create_object_in("t", "rgAll").unwrap();
-        let mut t = SimTime(1_000);
-        let mut acked: HashMap<u64, Vec<u8>> = HashMap::new();
-        let write = |noftl: &NoFtl,
-                     t: &mut SimTime,
-                     rng: &mut StdRng,
-                     acked: &mut HashMap<u64, Vec<u8>>| {
-            let page = rng.random_range(0..PAGES);
-            let val = vec![rng.random_range(1..=255u32) as u8; 4096];
-            *t = noftl.write(obj, page, &val, *t).unwrap();
-            acked.insert(page, val);
-            page
-        };
+    let mut rng = SplitMix64(0x5EED_C0DE);
+    sweep_seeds(|dry| vec![dry.cut_at((rng.next_u64() % 1_000) as f64 / 1_000.0)]);
+}
 
-        // Phase 1: healthy writes + checkpoint (always, so a mount target
-        // exists).
-        for _ in 0..rng.random_range(10..30u32) {
-            write(&noftl, &mut t, &mut rng, &mut acked);
-        }
-        t = noftl.checkpoint(t).unwrap();
-
-        // Phase 2: lose a child (cut its power), keep writing degraded.
-        // Every third cycle the cut lands inside the first degraded
-        // write's program window, and every third one inside the last
-        // write's: the child tears the write, the survivor acknowledges
-        // it, and the box may lose power before the survivor writes
-        // again.  The cycle number picks, so the random draws are the
-        // same in every mode.
-        let lost_child = rng.random_range(0..2usize);
-        let mut in_flight: Option<(u64, Vec<u8>)> = None;
-        let writes = rng.random_range(5..20u32);
-        let in_flight_at = match cycle % 3 {
-            0 => None,
-            1 => Some(0),
-            _ => Some(writes - 1),
-        };
-        if in_flight_at.is_none() {
-            mirror.children()[lost_child].arm_power_cut(t);
-        }
-        t = SimTime(t.as_nanos() + 1);
-        for i in 0..writes {
-            if in_flight_at != Some(i) {
-                write(&noftl, &mut t, &mut rng, &mut acked);
-                continue;
-            }
-            let cut = SimTime(t.as_nanos() + IN_FLIGHT.0);
-            mirror.children()[lost_child].arm_power_cut(cut);
-            let page = write(&noftl, &mut t, &mut rng, &mut acked);
-            in_flight = Some((page, acked[&page].clone()));
-            assert!(t > cut, "cycle {cycle}: the write was not in flight at the cut");
-            assert_eq!(mirror.health(lost_child), ChildHealth::Faulted, "cycle {cycle}");
-            in_flight_cuts += 1;
-        }
-        assert_eq!(mirror.health(lost_child), ChildHealth::Faulted, "cycle {cycle}");
-        if rng.random_range(0..100) < 50 {
-            // Persist the degraded state (blob carries the dirty map).
-            t = noftl.checkpoint(t).unwrap();
-        }
-
-        // Phase 3: sometimes reattach and rebuild, sometimes with a power
-        // cut landing mid-rebuild.
-        let mut cut_armed = false;
-        if rng.random_range(0..100) < 60 {
-            mirror.children()[lost_child].clear_power_cut();
-            mirror.start_rebuild(lost_child, t).unwrap();
-            if rng.random_range(0..100) < 50 {
-                // Cut power a little into the copy stream.
-                let cut_at = SimTime(t.as_nanos() + rng.random_range(10_000..200_000u64));
-                for child in mirror.children() {
-                    child.arm_power_cut(cut_at);
-                }
-                cut_armed = true;
-                let mut clock = t;
-                let outcome = loop {
-                    match mirror.rebuild_step(lost_child, 4, clock) {
-                        Ok(None) => break Ok(()),
-                        Ok(Some(copy)) => clock = clock.max(copy.completed_at),
-                        Err(e) => break Err(e),
-                    }
-                };
-                match outcome {
-                    Ok(()) => {} // the cut landed after the rebuild drained
-                    Err(e) => {
-                        assert!(
-                            e.is_power_loss(),
-                            "cycle {cycle}: rebuild died of the wrong cause: {e}"
-                        );
-                        interrupted_rebuilds += 1;
-                    }
-                }
-            } else {
-                let report = mirror.rebuild(lost_child, 4, t).unwrap();
-                assert!(report.child_online, "cycle {cycle}");
-                t = t.max(report.completed_at);
-                // A few more healthy writes after the rebuild.
-                for _ in 0..rng.random_range(1..6u32) {
-                    write(&noftl, &mut t, &mut rng, &mut acked);
-                }
-            }
-        }
-        if !cut_armed {
-            // Crash now (all acknowledged writes have completed by `t`).
-            for child in mirror.children() {
-                child.arm_power_cut(t);
-            }
-        }
-        // The mirror is genuinely dead from here on.
-        let err = noftl.write(obj, 0, &[0u8; 4096], SimTime(t.as_nanos() + 1)).unwrap_err();
-        let ferr: FlashError = match err {
-            noftl_core::NoFtlError::Flash(f) => f,
-            other => panic!("cycle {cycle}: expected a flash error, got {other}"),
-        };
-        assert!(
-            ferr.is_power_loss() || matches!(ferr, FlashError::NoHealthyChild { .. }),
-            "cycle {cycle}: post-crash write failed for the wrong reason: {ferr}"
-        );
-
-        // Phase 4: reboot. Sometimes the lost child is still absent;
-        // sometimes power dies again during the mount itself, each child
-        // at its own instant, and the box is power-cycled once more for
-        // the real mount.
-        let still_absent =
-            mirror.health(lost_child) == ChildHealth::Faulted && rng.random_range(0..100) < 30;
-        let absent = still_absent.then_some(lost_child);
-        let stagger = vec![Duration::ZERO; 2];
-        let mut rebooted = Mirror { device: mirror.clone(), absent, stagger }.reboot().unwrap();
-        if still_absent {
-            absent_boots += 1;
-        }
-        let torn: Vec<(Duration, Duration)> = if rng.random_range(0..100) < 40 {
-            rebooted.stagger =
-                (0..2).map(|_| Duration(rng.random_range(1_000..100_000u64))).collect();
-            vec![(Duration::ZERO, Duration(1_000_000))]
-        } else {
-            Vec::new()
-        };
-        let mount_at = SimTime(t.as_nanos() + 10_000);
-        let mounted = crash::mount(rebooted, mount_at, &torn)
-            .unwrap_or_else(|e| panic!("cycle {cycle}: mount failed: {e}"));
-        // No object or region was created or dropped after the first
-        // checkpoint, so the directory at the crash is the committed one.
-        let directory = Directory::of(&noftl);
-        crash::check_mounted(&mounted.noftl, &directory, &directory)
-            .and_then(|()| crash::check_recovered(&mounted.noftl, &directory, false))
-            .unwrap_or_else(|e| panic!("cycle {cycle}: {e}"));
-        torn_mounts += mounted.torn_mounts;
-        let (mirror2, noftl2, report) = (mounted.machine.device, mounted.noftl, mounted.report);
-        let mut t2 = report.completed_at;
-
-        // The write the lost child tore, unless a later one replaced it.
-        if let Some((page, val)) = in_flight.filter(|(page, val)| acked[page] == *val) {
-            let mut data = vec![0; 4096];
-            t2 = t2.max(noftl2.read(obj, page, &mut data, t2).unwrap());
-            assert_eq!(data, val, "cycle {cycle}: the write in flight at the cut is lost");
-        }
-        // Zero acknowledged-write loss, served possibly degraded.
-        for (page, val) in &acked {
-            let mut data = vec![0; 4096];
-            let done = noftl2.read(obj, *page, &mut data, t2).unwrap();
-            assert_eq!(&data, val, "cycle {cycle}: page {page} lost after remount");
-            t2 = t2.max(done);
-        }
-
-        // Phase 5: bring the mirror fully online and verify once more.
-        if !mirror2.fully_online() {
-            let stale: Vec<usize> =
-                (0..2).filter(|&c| mirror2.health(c) != ChildHealth::Online).collect();
-            for child in stale {
-                mirror2.children()[child].clear_power_cut();
-                let dirty = mirror2.dirty_segments(child);
-                mirror2.start_rebuild(child, t2).unwrap();
-                let report = mirror2.rebuild(child, 4, t2).unwrap();
-                assert!(report.child_online, "cycle {cycle}");
-                // The rebuild copies exactly what the reloaded map said
-                // was stale.
-                assert_eq!(
-                    report.segments_copied, dirty,
-                    "cycle {cycle}: rebuild copied a different segment count than the map held"
-                );
-                total_copied += report.segments_copied;
-                t2 = t2.max(report.completed_at);
-            }
-        }
-        assert!(mirror2.fully_online(), "cycle {cycle}");
-        for (page, val) in &acked {
-            let mut data = vec![0; 4096];
-            let done = noftl2.read(obj, *page, &mut data, t2).unwrap();
-            assert_eq!(&data, val, "cycle {cycle}: page {page} lost after rebuild");
-            t2 = t2.max(done);
-        }
-    }
-    // The sweep must actually have exercised its failure modes.
-    assert!(torn_mounts > 0, "no cycle crashed during mount");
-    assert!(interrupted_rebuilds > 0, "no cycle cut power mid-rebuild");
-    assert!(absent_boots > 0, "no cycle booted with the child still absent");
-    assert!(in_flight_cuts > 0, "no cycle cut the child with a write in flight");
-    println!(
-        "{CYCLES} cycles: {torn_mounts} mounts crashed, {interrupted_rebuilds} rebuilds \
-         interrupted, {absent_boots} boots with an absent child, {in_flight_cuts} writes \
-         in flight at the child's cut, {total_copied} segments copied"
-    );
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a crash cycle at every command of 25 workloads")]
+fn every_cut_point_loses_no_acknowledged_write() {
+    sweep_seeds(crash::cut_points);
 }

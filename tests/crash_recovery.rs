@@ -26,7 +26,7 @@ use common::property_rounds;
 use noftl_regions::dbms::crash_harness::{CrashHarnessConfig, KEYS};
 use noftl_regions::dbms::{Database, DatabaseConfig, NoFtlBackend};
 use noftl_regions::flash::{
-    DeviceBuilder, Duration, FlashBackend, FlashGeometry, NandDevice, SimTime, TimingModel,
+    DeviceBuilder, Duration, FlashBackend, FlashGeometry, NandDevice, OpKind, SimTime, TimingModel,
 };
 use noftl_regions::noftl::crash::{self, power_cycle, SplitMix64};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementConfig};
@@ -104,11 +104,12 @@ fn every_cut_point_recovers_committed_data_only() {
             torn += outcome.mount.torn_pages_discarded;
             in_flight += u64::from(outcome.in_flight_survived);
         });
-        let copybacks = dry.report.copybacks;
+        let copybacks = dry.commands.iter().filter(|c| c.kind == OpKind::Copyback).count();
+        let in_copyback = cuts.iter().filter(|cut| cut.command.kind == OpKind::Copyback).count();
         println!(
-            "{txns} txns: {} commands ({copybacks} copybacks), {} cuts, {} violations, \
-             {committed} committed txns, {torn} torn pages discarded, {in_flight} in-flight \
-             commits survived",
+            "{txns} txns: {} commands ({copybacks} copybacks), {} cuts ({in_copyback} in a \
+             copyback), {} violations, {committed} committed txns, {torn} torn pages discarded, \
+             {in_flight} in-flight commits survived",
             dry.commands.len(),
             cuts.len(),
             found.len()

@@ -36,7 +36,7 @@ mod common;
 use std::sync::Arc;
 
 use common::property_rounds;
-use noftl_regions::flash::{DeviceBuilder, FlashGeometry, SimTime, TimingModel};
+use noftl_regions::flash::{DeviceBuilder, FlashGeometry, OpKind, SimTime, TimingModel};
 use noftl_regions::noftl::crash::{self, SplitMix64};
 use noftl_regions::noftl::kv::harness::KEYS;
 use noftl_regions::noftl::kv::{KvConfig, KvCrashConfig, KvStore};
@@ -123,8 +123,9 @@ fn every_cut_point_recovers_every_acknowledged_key() {
                 );
             }
         });
+        let in_copyback = cuts.iter().filter(|cut| cut.command.kind == OpKind::Copyback).count();
         println!(
-            "{name}: {} commands, {} cuts, {} violations",
+            "{name}: {} commands, {} cuts ({in_copyback} in a copyback), {} violations",
             dry.commands.len(),
             cuts.len(),
             found.len()
