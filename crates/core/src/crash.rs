@@ -246,14 +246,13 @@ impl<C: Contract> DryRun<C> {
     /// `[0, 1)`.  It names the first command, in host order, not complete
     /// at that instant: one the cut interrupts or, in an idle gap, the
     /// next to issue (the last command when every one has completed, and
-    /// an empty read at the instant itself when the dry run issued none).
+    /// none when the dry run issued none).
     pub fn cut_at(&self, fraction: f64) -> Cut {
         let start = self.stack.setup_end.as_nanos();
         let span = self.end.as_nanos().saturating_sub(start).max(1);
         let at = SimTime(start + (span as f64 * fraction.clamp(0.0, 0.999_999)) as u64);
         let open = self.commands.iter().find(|command| at < command.done);
-        let none = Command { kind: OpKind::Read, issue: at, done: at };
-        Cut { at, command: open.or(self.commands.last()).copied().unwrap_or(none) }
+        Cut { at, command: open.or(self.commands.last()).copied() }
     }
 }
 
@@ -327,8 +326,9 @@ pub fn dry_run<C: Contract>(contract: &C) -> Result<DryRun<C>, C::Error> {
 pub struct Cut {
     /// The armed power-cut instant.
     pub at: SimTime,
-    /// The command the instant was taken from.
-    pub command: Command,
+    /// The command the instant was taken from, if the dry run issued
+    /// any.
+    pub command: Option<Command>,
 }
 
 /// Every instant a command of `dry` can be cut at: its issue (it never
@@ -341,7 +341,7 @@ pub fn cut_points<C: Contract>(dry: &DryRun<C>) -> Vec<Cut> {
         .iter()
         .flat_map(|&command| {
             let mid = SimTime((command.issue.as_nanos() + command.done.as_nanos()) / 2);
-            [command.issue, mid, command.done].map(|at| Cut { at, command })
+            [command.issue, mid, command.done].map(|at| Cut { at, command: Some(command) })
         })
         .collect();
     cuts.sort_by_key(|cut| cut.at);
@@ -599,8 +599,8 @@ mod tests {
             [0.0, 0.1, 0.35, 0.6, 0.85, 0.99].into_iter().map(|f| dry.cut_at(f)).collect();
         for cut in &cuts {
             // The writes run back to back, so each draw falls in one.
-            assert!(dry.commands.contains(&cut.command), "{cut:?} names no command");
-            assert!(cut.command.issue <= cut.at && cut.at < cut.command.done, "{cut:?}");
+            let command = cut.command.filter(|c| dry.commands.contains(c));
+            assert!(command.is_some_and(|c| c.issue <= cut.at && cut.at < c.done), "{cut:?}");
         }
         let mut survived = 0;
         let violations = sweep(&contract, &cuts, |outcome| {
@@ -620,7 +620,8 @@ mod tests {
         let cuts = cut_points(&dry);
         assert!(cuts.windows(2).all(|w| w[0].at < w[1].at), "in time order, once each");
         assert!(dry.commands.len() < cuts.len() && cuts.len() <= 3 * dry.commands.len());
-        assert!(cuts.iter().all(|cut| cut.command.issue <= cut.at && cut.at <= cut.command.done));
+        let within = |cut: &Cut| cut.command.is_some_and(|c| c.issue <= cut.at && cut.at <= c.done);
+        assert!(cuts.iter().all(within));
         let mut cycles = 0;
         assert!(sweep(&contract, &cuts, |_| cycles += 1).is_empty());
         assert_eq!(cycles, cuts.len());

@@ -11,7 +11,7 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
-use flash_sim::{Duration, FlashBackend, FlashGeometry, SimTime, TimingModel};
+use flash_sim::{Duration, FlashBackend, FlashError, FlashGeometry, SimTime, TimingModel};
 use noftl_core::crash::{self, Bootable};
 use noftl_mirror::{ChildHealth, MirrorDevice};
 
@@ -60,12 +60,17 @@ impl Mirror {
         device.arm_power_cut(device.power_cut().map_or(at, |armed| armed.min(at)));
     }
 
-    /// Give `child` its power back, until the box cut if one is armed.
-    pub fn reattach(&self, child: usize) {
-        self.device.children()[child].clear_power_cut();
-        if let Some(at) = self.cut.get() {
-            self.lose(child, self.reaches(child, at));
+    /// Give `child` its power back at `at`, until the box cut if one is
+    /// armed.  A box whose cut has passed by `at` stays dark: `PowerLoss`.
+    pub fn reattach(&self, child: usize, at: SimTime) -> Result<(), FlashError> {
+        if let Some(cut) = self.cut.get().filter(|&cut| cut <= at) {
+            return Err(FlashError::PowerLoss { at: cut });
         }
+        self.device.children()[child].clear_power_cut();
+        if let Some(cut) = self.cut.get() {
+            self.lose(child, self.reaches(child, cut));
+        }
+        Ok(())
     }
 }
 

@@ -117,7 +117,7 @@ fn mount_with_child_still_missing_serves_degraded_and_rebuilds_later() {
     }
 
     // The device reattaches: its power is back, rebuild, fully online.
-    machine2.reattach(1);
+    machine2.reattach(1, t).unwrap();
     mirror2.start_rebuild(1, t).unwrap();
     let report = mirror2.rebuild(1, 8, t).unwrap();
     assert!(report.child_online);

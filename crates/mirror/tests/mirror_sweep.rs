@@ -1,23 +1,23 @@
 //! Acceptance sweep: a two-way mirror under NoFTL loses a child (its own
 //! power cut) while the crash driver cuts the whole box; no acknowledged
-//! write may be lost, and a rebuild copies only the segments the child
-//! missed.
+//! write may be lost, and a rebuild copies only what the child missed.
 //!
-//! Each seed draws its workload: healthy writes and a checkpoint; the
-//! child's cut, before the first degraded write or inside the first or
-//! the last, which the child tears and its sibling acknowledges; degraded
-//! writes and maybe a checkpoint; maybe a rebuild and more writes; whether
-//! the lost child stays absent across reboots, and whether the recovery
-//! mount is torn.  Recovery reads every page, rebuilds every stale child
-//! and reads every page again.
+//! Each seed's [`Plan`] draws healthy writes and a checkpoint; the child's
+//! cut, before the first degraded write or inside the first or the last
+//! (the child tears it, its sibling acknowledges it); degraded writes and
+//! maybe a checkpoint; maybe a rebuild and more writes; whether the lost
+//! child stays absent across reboots, and whether the recovery mount is
+//! torn.  Recovery reads every page, rebuilds every stale child and reads
+//! every page again.
 
 mod common;
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 use common::Mirror;
-use flash_sim::{Duration, OpKind, SimTime};
+use flash_sim::{Duration, FlashError, OpKind, SimTime};
 use noftl_core::crash::{self, Contract, DryRun, Ledger, SplitMix64, Stack};
 use noftl_core::{NoFtl, NoFtlError, ObjectId};
 use noftl_mirror::{ChildHealth, MirrorDevice};
@@ -25,18 +25,16 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const SEEDS: u64 = 25;
 const PAGES: u64 = 24;
-/// How far into a write's issue the lost child's cut lands in the
-/// in-flight modes: inside the page transfer or program (700 µs).
+/// How far into a write the child's cut lands in the in-flight modes.
 const IN_FLIGHT: Duration = Duration(100_000);
 
 /// Page → the byte its 4 KiB hold.
 type World = BTreeMap<u64, u8>;
 
 /// One step of a workload after its setup.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 enum Step {
-    /// Cut the lost child's power this long into the next write (zero:
-    /// before it issues).
+    /// Cut the lost child's power this long after the next write issues.
     Lose(Duration),
     Write(u64, u8),
     Checkpoint,
@@ -44,7 +42,7 @@ enum Step {
     Rebuild,
 }
 
-/// One seed's workload.
+/// One seed's workload: the mirror's crash contract.
 struct Plan {
     healthy: Vec<(u64, u8)>,
     lost: usize,
@@ -71,9 +69,7 @@ impl Plan {
         let cut_inside = [None, Some(0), Some(steps.len() - 1)][(seed % 3) as usize];
         let lose = Step::Lose(cut_inside.map_or(Duration::ZERO, |_| IN_FLIGHT));
         steps.insert(cut_inside.unwrap_or(0), lose);
-        if rng.random_range(0..100) < 50 {
-            steps.push(Step::Checkpoint);
-        }
+        steps.extend((rng.random_range(0..100) < 50).then_some(Step::Checkpoint));
         if rng.random_range(0..100) < 60 {
             steps.push(Step::Rebuild);
             steps.extend(writes(&mut rng, 1..6u32).into_iter().map(|(p, v)| Step::Write(p, v)));
@@ -84,9 +80,6 @@ impl Plan {
         Plan { healthy, lost, steps, absent, torn }
     }
 }
-
-/// The mirror's crash contract for one seed.
-struct Seed(u64);
 
 /// What a run did besides committing writes.
 #[derive(Default)]
@@ -128,73 +121,75 @@ fn read_all(noftl: &NoFtl, obj: ObjectId, mut at: SimTime) -> Result<(World, Sim
     Ok((world, at))
 }
 
-impl Contract for Seed {
+impl Contract for Plan {
     type Machine = Mirror;
-    type Engine = (Plan, ObjectId);
+    type Engine = ObjectId;
     type World = World;
     type Report = Run;
     type Recovery = Rebuilt;
     type Error = NoFtlError;
 
     /// A fresh box, the healthy writes and their checkpoint.
-    fn build(&self) -> Result<Stack<Mirror, (Plan, ObjectId)>, NoFtlError> {
-        let plan = Plan::new(self.0);
+    fn build(&self) -> Result<Stack<Mirror, ObjectId>, NoFtlError> {
         let mut machine = Mirror::fresh();
-        machine.absent = plan.absent.then_some(plan.lost);
-        if let Some(stagger) = &plan.torn {
-            machine.stagger.clone_from(stagger);
-        }
+        machine.absent = self.absent.then_some(self.lost);
+        machine.stagger = self.torn.clone().unwrap_or_else(|| vec![Duration::ZERO; 2]);
         let (noftl, _) = NoFtl::with_single_region(machine.device.clone())?;
         let obj = noftl.create_object_in("t", "rgAll")?;
         let mut t = SimTime(1_000);
-        for &(page, val) in &plan.healthy {
+        for &(page, val) in &self.healthy {
             t = noftl.write(obj, page, &[val; 4096], t)?;
         }
         let setup_end = noftl.checkpoint(t)?;
-        Ok(Stack { machine, noftl: Arc::new(noftl), engine: (plan, obj), setup_end })
+        Ok(Stack { machine, noftl: Arc::new(noftl), engine: obj, setup_end })
     }
 
     /// Take the steps until the box loses power; every acknowledged write
     /// commits.
     fn run(
         &self,
-        stack: &Stack<Mirror, (Plan, ObjectId)>,
+        stack: &Stack<Mirror, ObjectId>,
         ledger: &mut Ledger<World>,
     ) -> Result<(SimTime, Run), NoFtlError> {
-        let (machine, noftl, (plan, obj)) = (&stack.machine, &stack.noftl, &stack.engine);
-        let mut world: World = plan.healthy.iter().copied().collect();
+        let (machine, noftl, obj) = (&stack.machine, &stack.noftl, stack.engine);
+        let mut world: World = self.healthy.iter().copied().collect();
         ledger.commit(world.clone());
         let (mut t, mut run, mut child_cut) = (stack.setup_end, Run::default(), None);
-        for &step in &plan.steps {
+        for &step in &self.steps {
             let done = match step {
                 Step::Lose(after) => {
-                    machine.lose(plan.lost, t + after);
+                    machine.lose(self.lost, t + after);
                     child_cut = (after > Duration::ZERO).then_some(t + after);
                     continue;
                 }
                 Step::Write(page, val) => {
                     world.insert(page, val);
-                    noftl.write(*obj, page, &[val; 4096], t)
+                    noftl.write(obj, page, &[val; 4096], t)
                 }
                 Step::Checkpoint => noftl.checkpoint(t),
                 Step::Rebuild => {
-                    let (mirror, child) = (&machine.device, plan.lost);
-                    machine.reattach(child);
-                    let rebuilt = mirror.start_rebuild(child, t);
-                    let rebuilt = rebuilt.and_then(|()| mirror.rebuild(child, 4, t));
+                    let (mirror, child) = (&machine.device, self.lost);
+                    let rebuilt = machine.reattach(child, t).and_then(|()| {
+                        mirror.start_rebuild(child, t)?;
+                        let rebuilt = mirror.rebuild(child, 4, t);
+                        run.rebuild_cut = rebuilt.as_ref().is_err_and(FlashError::is_power_loss);
+                        rebuilt
+                    });
                     rebuilt.map(|report| t.max(report.completed_at)).map_err(NoFtlError::from)
                 }
             };
-            let Ok(done) = done else {
-                ledger.cut(matches!(step, Step::Write(..)).then_some(world));
-                run.rebuild_cut = step == Step::Rebuild;
-                return Ok((t, run));
-            };
-            t = done;
+            match done {
+                Ok(done) => t = done,
+                Err(NoFtlError::Flash(e)) if e.is_power_loss() => {
+                    ledger.cut(matches!(step, Step::Write(..)).then_some(world));
+                    return Ok((t, run));
+                }
+                Err(e) => return Err(e),
+            }
             if let Step::Write(..) = step {
                 ledger.commit(world.clone());
                 run.acked += 1;
-                let lost = machine.device.health(plan.lost) == ChildHealth::Faulted;
+                let lost = machine.device.health(self.lost) == ChildHealth::Faulted;
                 run.in_flight_cut |= child_cut.take().is_some_and(|cut| cut < t && lost);
             }
         }
@@ -216,11 +211,11 @@ impl Contract for Seed {
             let dirty = mirror.dirty_segments(child);
             mirror.start_rebuild(child, t)?;
             let report = mirror.rebuild(child, 4, t)?;
-            if report.segments_copied != dirty {
-                let copied = report.segments_copied;
+            let copied = report.segments_copied;
+            if copied != dirty {
                 return Err(violation(&format!("child {child}: copied {copied} of {dirty}")));
             }
-            rebuilt.segments_copied += report.segments_copied;
+            rebuilt.segments_copied += copied;
             t = t.max(report.completed_at);
         }
         if !mirror.fully_online() || read_all(&noftl, obj, t)?.0 != world {
@@ -230,8 +225,7 @@ impl Contract for Seed {
     }
 
     fn torn_mounts(&self) -> Vec<(Duration, Duration)> {
-        let torn = Plan::new(self.0).torn.map(|_| (Duration::ZERO, Duration(1_000_000)));
-        torn.into_iter().collect()
+        self.torn.iter().map(|_| (Duration::ZERO, Duration(1_000_000))).collect()
     }
 }
 
@@ -251,15 +245,15 @@ struct Tally {
 /// Sweep the cuts `pick` takes from each seed's dry run.  Fails on any
 /// violation, and when a failure mode went unexercised.
 #[expect(clippy::unwrap_used, reason = "a test helper: a failed step fails the test")]
-fn sweep_seeds(mut pick: impl FnMut(&DryRun<Seed>) -> Vec<crash::Cut>) {
-    let started = std::time::Instant::now();
-    let mut tally = Tally::default();
-    let mut violations = Vec::new();
+fn sweep_seeds(mut pick: impl FnMut(&DryRun<Plan>) -> Vec<crash::Cut>) {
+    let (started, mut tally, mut violations) = (Instant::now(), Tally::default(), Vec::new());
     for seed in 0..SEEDS {
-        let cuts = pick(&crash::dry_run(&Seed(seed)).unwrap());
+        let plan = Plan::new(seed);
+        let cuts = pick(&crash::dry_run(&plan).unwrap());
         tally.cuts += cuts.len();
-        tally.in_copyback += cuts.iter().filter(|c| c.command.kind == OpKind::Copyback).count();
-        let found = crash::sweep(&Seed(seed), &cuts, |outcome| {
+        let copyback = |cut: &&crash::Cut| cut.command.is_some_and(|c| c.kind == OpKind::Copyback);
+        tally.in_copyback += cuts.iter().filter(copyback).count();
+        let found = crash::sweep(&plan, &cuts, |outcome| {
             tally.acked += outcome.report.acked;
             tally.torn_mounts += outcome.torn_mounts;
             tally.rebuild_cuts += u64::from(outcome.report.rebuild_cut);
@@ -269,8 +263,8 @@ fn sweep_seeds(mut pick: impl FnMut(&DryRun<Seed>) -> Vec<crash::Cut>) {
         });
         violations.extend(found.into_iter().map(|v| (seed, v)));
     }
-    let secs = started.elapsed().as_secs_f64();
-    println!("{SEEDS} seeds in {secs:.1} s, {} violations: {tally:?}", violations.len());
+    let (secs, found) = (started.elapsed().as_secs_f64(), violations.len());
+    println!("{SEEDS} seeds in {secs:.1} s, {found} violations: {tally:?}");
     assert!(violations.is_empty(), "{violations:#?}");
     assert!(tally.torn_mounts > 0, "no cycle crashed during mount");
     assert!(tally.rebuild_cuts > 0, "no cut landed mid-rebuild");
@@ -278,10 +272,15 @@ fn sweep_seeds(mut pick: impl FnMut(&DryRun<Seed>) -> Vec<crash::Cut>) {
     assert!(tally.in_flight_cuts > 0, "no child cut landed inside an acknowledged write");
 }
 
+/// A uniform draw per seed, and its command's completion: a write that has
+/// just landed on the survivor alone is where a lost write's epoch tie shows.
 #[test]
 fn randomized_loss_and_crash_sweep_loses_no_acknowledged_write() {
     let mut rng = SplitMix64(0x5EED_C0DE);
-    sweep_seeds(|dry| vec![dry.cut_at((rng.next_u64() % 1_000) as f64 / 1_000.0)]);
+    sweep_seeds(|dry| {
+        let cut = dry.cut_at((rng.next_u64() % 1_000) as f64 / 1_000.0);
+        vec![cut, crash::Cut { at: cut.command.map_or(cut.at, |c| c.done), ..cut }]
+    });
 }
 
 #[test]

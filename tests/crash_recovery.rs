@@ -105,7 +105,11 @@ fn every_cut_point_recovers_committed_data_only() {
             in_flight += u64::from(outcome.in_flight_survived);
         });
         let copybacks = dry.commands.iter().filter(|c| c.kind == OpKind::Copyback).count();
-        let in_copyback = cuts.iter().filter(|cut| cut.command.kind == OpKind::Copyback).count();
+        let in_copyback = cuts
+            .iter()
+            .filter_map(|cut| cut.command)
+            .filter(|c| c.kind == OpKind::Copyback)
+            .count();
         println!(
             "{txns} txns: {} commands ({copybacks} copybacks), {} cuts ({in_copyback} in a \
              copyback), {} violations, {committed} committed txns, {torn} torn pages discarded, \

@@ -123,7 +123,11 @@ fn every_cut_point_recovers_every_acknowledged_key() {
                 );
             }
         });
-        let in_copyback = cuts.iter().filter(|cut| cut.command.kind == OpKind::Copyback).count();
+        let in_copyback = cuts
+            .iter()
+            .filter_map(|cut| cut.command)
+            .filter(|c| c.kind == OpKind::Copyback)
+            .count();
         println!(
             "{name}: {} commands, {} cuts ({in_copyback} in a copyback), {} violations",
             dry.commands.len(),
