@@ -18,6 +18,14 @@
 //! device — in front of the one write that found it at the low mark.
 //! The work is the same; what a host read or write can find queued ahead
 //! of it on the die is a few copybacks, not two blocks' worth.
+//!
+//! A GC step delays no page of its own: each die carries the die time the
+//! region has issued on it, the step is charged to the die that runs it,
+//! and the page whose allocation ran the step goes to the least-charged
+//! die — another one whenever the step's time puts the collecting die
+//! ahead.  So a collecting die takes no host page until the other dies of
+//! the region have done as much work, and a page never queues behind the
+//! copybacks and the erase its own allocation has just issued.
 
 use flash_sim::{
     BlockInfo, BlockState, FlashCommand, IoTag, PageAddr, PageMetadata, PageState, SimTime,
@@ -95,28 +103,56 @@ impl Space<'_> {
     /// Allocate the next physical page of the region.  Fails with
     /// `RegionFull` (naming the region) when no die can yield a page.
     ///
-    /// Pages are striped over the region's dies: the probe starts at the
-    /// die after the previous allocation's (`next_die`) and takes the
-    /// first die able to yield a page, so a full or failing die never
-    /// blocks allocation while any die in the region has space.  Host
-    /// writes (through the request path's single call site), rebalancing
-    /// and the metadata journal all allocate here, and an allocation on a
-    /// collecting die pays for one quantum of its GC first (`pace_gc`).
+    /// Pages are striped over the region's dies by die time.  The dies are
+    /// tried least charged first, ties in round-robin order from the stripe
+    /// position (`next_die`); the first die tried that is collecting runs
+    /// one GC step (`pace_gc`), which is charged to it, and the page then
+    /// goes to the least-charged die able to yield one.  That die's charge
+    /// is subtracted from every die (a die passed over for want of space
+    /// stops at zero: it banks no credit while it cannot take a page) and
+    /// the page's program is charged to it.  With no GC step every die is
+    /// charged one program per round, so the stripe is round-robin.  A
+    /// full or failing die never blocks allocation while any die in the
+    /// region has space.  Host writes (through the request path's single
+    /// call site), rebalancing and the metadata journal all allocate here.
     pub(crate) fn allocate(&mut self, at: SimTime) -> Result<PageAddr> {
-        let Env { device, obs, .. } = self.env;
-        let device = device.as_ref();
+        let device = self.env.device.as_ref();
         let pages_per_block = device.geometry().pages_per_block;
         let die_count = self.region.dies.len();
-        for attempt in 0..die_count {
-            let idx = (self.region.next_die + attempt) % die_count;
-            self.pace_gc(idx, at);
-            if let Some(ppa) = self.region.dies[idx].next_host_page(device, pages_per_block) {
-                self.region.next_die = (idx + 1) % die_count;
-                obs.note_allocation(attempt as u64 + 1);
-                return Ok(ppa);
+        let start = self.region.next_die;
+        // `passed` is the key of the last die that could not yield a page:
+        // every die keyed at or below it has been tried.
+        let (mut passed, mut stepped, mut probes) = (None, false, 0);
+        while let Some(key) = self.least_charged_above(passed) {
+            let idx = (start + key.1) % die_count;
+            if !stepped && self.pace_gc(idx, at) {
+                stepped = true;
+                continue;
             }
+            probes += 1;
+            let Some(ppa) = self.region.dies[idx].next_host_page(device, pages_per_block) else {
+                passed = Some(key);
+                continue;
+            };
+            let dies = &mut self.region.dies;
+            let least = dies[idx].charge;
+            dies.iter_mut().for_each(|d| d.charge = d.charge.saturating_sub(least));
+            dies[idx].charge += device.timing().program_array_time().as_nanos();
+            self.region.next_die = (idx + 1) % die_count;
+            self.env.obs.note_allocation(probes, idx != start);
+            return Ok(ppa);
         }
         Err(NoFtlError::RegionFull { region: self.region.id, name: self.region.spec.name.clone() })
+    }
+
+    /// The least stripe key — `(charge, distance from the stripe
+    /// position)` — above `passed`, over the region's dies.
+    fn least_charged_above(&self, passed: Option<(u64, usize)>) -> Option<(u64, usize)> {
+        let (dies, start) = (&self.region.dies, self.region.next_die);
+        (0..dies.len())
+            .map(|k| (dies[(start + k) % dies.len()].charge, k))
+            .filter(|key| passed.is_none_or(|p| *key > p))
+            .min()
     }
 
     /// Update the owner's translation after a page move (GC copyback or
@@ -139,18 +175,19 @@ impl Space<'_> {
 
     /// GC paced by host writes.  A die is *collecting* from the moment its
     /// free-block pool falls to the low watermark until it is back at the
-    /// high one; while it is, every allocation on it runs one [`step`]
-    /// first, so the die never owes a host write more than one quantum of
-    /// copybacks (and one erase).  Only a die a step leaves without a
-    /// single free block repeats the step until it has one.
+    /// high one; while it is, an allocation that tries it first runs one
+    /// [`step`], so the die never owes a host write more than one quantum
+    /// of copybacks (and one erase).  Only a die a step leaves without a
+    /// single free block repeats the step until it has one.  Returns
+    /// whether a step ran.
     ///
     /// [`step`]: Self::step
-    fn pace_gc(&mut self, die_idx: usize, at: SimTime) {
+    fn pace_gc(&mut self, die_idx: usize, at: SimTime) -> bool {
         let obs = &self.env.obs;
         let die = &mut self.region.dies[die_idx];
         die.collecting |= die.free_blocks.len() as u32 <= GC_LOW_WATERMARK;
         if !die.collecting || die.nothing_to_collect {
-            return;
+            return false;
         }
         let before = self.region.stats.gc_copybacks;
         let mut forced = false;
@@ -158,6 +195,7 @@ impl Space<'_> {
             forced = true;
         }
         obs.note_gc_step(self.region.stats.gc_copybacks - before, forced);
+        true
     }
 
     /// The one collector primitive: relocate up to one quantum of valid
@@ -167,11 +205,13 @@ impl Space<'_> {
     /// chooses one; its quantum is `ceil(v / (P - v)) + 1` for `v` valid
     /// of `P` pages — the rate at which the block is reclaimed exactly as
     /// fast as host writes use up the `P - v` pages it frees, plus one to
-    /// get ahead.  Returns `false` when nothing was or could be collected.
+    /// get ahead.  Every command it issues is charged to the die.  Returns
+    /// `false` when nothing was or could be collected.
     fn step(&mut self, die_idx: usize, at: SimTime) -> bool {
         let Env { device, obs } = self.env;
         let device = device.as_ref();
         let pages_per_block = device.geometry().pages_per_block;
+        let timing = *device.timing();
         let Some(mut victim) =
             self.region.dies[die_idx].victim.take().or_else(|| self.choose_victim(die_idx))
         else {
@@ -200,6 +240,7 @@ impl Space<'_> {
             let Ok(read) = self.env.exec(FlashCommand::MetadataRead { addr: src }, at, tag) else {
                 return false;
             };
+            self.region.dies[die_idx].charge += timing.read_array_time().as_nanos();
             if let Some(meta) = read.meta {
                 let Some(dst) = self.region.dies[die_idx].next_gc_page(device, pages_per_block)
                 else {
@@ -208,6 +249,7 @@ impl Space<'_> {
                 if self.env.exec(FlashCommand::Copyback { src, dst }, at, tag).is_err() {
                     return false;
                 }
+                self.region.dies[die_idx].charge += timing.copyback_time().as_nanos();
                 self.region.stats.gc_copybacks += 1;
                 victim.moved += 1;
                 budget -= 1;
@@ -216,6 +258,7 @@ impl Space<'_> {
             victim.cursor += 1;
         }
         let erased = self.env.exec(FlashCommand::Erase { block: victim.block }, at, tag);
+        self.region.dies[die_idx].charge += timing.erase_time().as_nanos();
         let die = &mut self.region.dies[die_idx];
         if let Err(e) = erased {
             if e.is_permanent() {
@@ -465,6 +508,102 @@ mod tests {
         let obj = noftl.create_object("t2", all).unwrap();
         for p in 0..4 * noftl.device().geometry().pages_per_die() * 9 / 10 {
             t = noftl.write(obj, p, &page(p as u8), t).unwrap();
+        }
+    }
+
+    /// The die that holds logical page `p` of `obj`.
+    fn die_of(noftl: &NoFtl, obj: crate::ObjectId, p: u64) -> flash_sim::DieId {
+        noftl.lock_inner().object(obj).unwrap().translate(p).unwrap().die
+    }
+
+    #[test]
+    fn without_a_gc_step_the_stripe_is_round_robin() {
+        // Timed programs, so every page charges its die.
+        let noftl = make_noftl();
+        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(3)).unwrap();
+        let obj = noftl.create_object("t", r).unwrap();
+        let dies = noftl.region_dies(r).unwrap();
+        // Ten of each die's sixteen blocks: no die reaches the low mark.
+        let pages = 3 * 10 * u64::from(noftl.device().geometry().pages_per_block);
+        let mut t = SimTime::ZERO;
+        for p in 0..pages {
+            t = noftl.write(obj, p, &page(p as u8), t).unwrap();
+        }
+        assert_eq!(noftl.region_stats(r).unwrap().gc_runs, 0);
+        for p in 0..pages {
+            assert_eq!(die_of(&noftl, obj, p), dies[(p % 3) as usize], "page {p}");
+        }
+    }
+
+    #[test]
+    fn a_gc_step_delays_no_page_of_its_own() {
+        let noftl = make_noftl();
+        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(3)).unwrap();
+        let obj = noftl.create_object("t", r).unwrap();
+        let erase = noftl.device().timing().erase_time();
+        let pages = 3 * noftl.device().geometry().pages_per_die() * 6 / 10;
+        let erases = || noftl.device().die_stats().iter().map(|d| d.total_erases).collect();
+        // Each write is issued a second after the previous one completed,
+        // on an idle device: all it can wait for is what its own
+        // allocation issued.
+        let (mut at, mut x, mut checked) = (SimTime::ZERO, 7u64, 0);
+        for i in 0..4 * pages {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let p = if i < pages { i } else { (x >> 33) % pages };
+            let before: Vec<u64> = erases();
+            let done = noftl.write(obj, p, &page(i as u8), at).unwrap();
+            let after: Vec<u64> = erases();
+            if let Some(gc_die) = (0..after.len()).find(|&d| after[d] > before[d]) {
+                assert_ne!(die_of(&noftl, obj, p).0 as usize, gc_die, "write {i}");
+                assert!(done < at + erase, "write {i} waited for its own step's erase");
+                checked += 1;
+            }
+            at = done + flash_sim::Duration::from_ms(1_000);
+        }
+        assert!(checked > 0, "no allocation ran a step that erased");
+    }
+
+    #[test]
+    fn every_die_collecting_at_once_still_reaches_the_high_watermark() {
+        let noftl = make_noftl();
+        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(3)).unwrap();
+        let obj = noftl.create_object("t", r).unwrap();
+        let pages = 3 * noftl.device().geometry().pages_per_die() * 7 / 10;
+        let mut latest: Vec<u8> = (0..pages).map(|p| p as u8).collect();
+        let mut t = SimTime::ZERO;
+        for p in 0..pages {
+            t = noftl.write(obj, p, &page(latest[p as usize]), t).unwrap();
+        }
+        // `(collecting, free blocks)` of each die of the region.
+        let dies = || -> Vec<(bool, usize)> {
+            let inner = noftl.lock_inner();
+            let region = inner.region(r).unwrap();
+            region.dies.iter().map(|d| (d.collecting, d.free_blocks.len())).collect()
+        };
+        // Once every die is collecting, each must get back to the high
+        // mark while the overwrites go on.
+        let (mut all_collecting, mut recovered) = (false, [false; 3]);
+        let mut x = 11u64;
+        for i in 0..20_000u32 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let p = (x >> 33) % pages;
+            latest[p as usize] = i as u8;
+            t = noftl.write(obj, p, &page(i as u8), t).unwrap();
+            let state = dies();
+            all_collecting |= state.iter().all(|(collecting, _)| *collecting);
+            if all_collecting {
+                for (seen, (_, free)) in recovered.iter_mut().zip(&state) {
+                    *seen |= *free >= GC_HIGH_WATERMARK as usize;
+                }
+            }
+            if recovered.iter().all(|seen| *seen) {
+                break;
+            }
+        }
+        assert!(all_collecting, "the overwrites must make every die collect at once");
+        assert_eq!(recovered, [true; 3], "a die stayed below the high watermark");
+        for p in 0..pages {
+            assert_eq!(read_page(&noftl, obj, p, t).unwrap().0, page(latest[p as usize]));
         }
     }
 

@@ -19,7 +19,8 @@
 //! * object management — database objects (heaps, indexes, logs, catalog)
 //!   are registered in a region and addressed by `(ObjectId, logical page)`;
 //! * **out-of-place updates** with per-region write allocation that stripes
-//!   pages round-robin over the region's dies for I/O parallelism;
+//!   pages over the region's dies by die time for I/O parallelism
+//!   (round-robin while no GC runs);
 //! * **per-region garbage collection** ([`gc`]) using greedy victim
 //!   selection and die-internal copybacks;
 //! * **dynamic wear leveling** inside regions ([`region`]): a die opens

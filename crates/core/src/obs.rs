@@ -11,11 +11,12 @@
 //!
 //! * `core.placement.allocations` — pages handed out by the region
 //!   allocator;
-//! * `core.placement.probes_total` — dies probed before one yielded a
-//!   page (1 per allocation when the stripe position works, so
-//!   `probes_total - allocations` full dies were skipped);
-//! * `core.placement.steered` — allocations that skipped at least one
-//!   full die and so landed off the stripe position;
+//! * `core.placement.probes_total` — dies tried for a page, the one that
+//!   yielded it included (so `probes_total - allocations` dies were
+//!   passed over for want of space);
+//! * `core.placement.steered` — pages that landed off the stripe position
+//!   (`next_die`): a die ahead in die time, by a GC step, or passed over
+//!   for want of space (0 on a run without GC and without a full die);
 //! * `core.flush.window_occupancy` — in-flight depth of `NoFtl::execute`'s
 //!   pipeline, sampled at every write it submits;
 //! * `core.flush.window_ns` — issue→drain latency of every `execute`
@@ -133,12 +134,12 @@ impl CoreObs {
         &self.registry
     }
 
-    /// Record one successful page allocation that probed `probes` dies
-    /// (1 = the stripe position yielded the page).
-    pub(crate) fn note_allocation(&self, probes: u64) {
+    /// Record one successful page allocation that tried `probes` dies,
+    /// `steered` when its page landed off the stripe position.
+    pub(crate) fn note_allocation(&self, probes: u64, steered: bool) {
         self.allocations.inc();
         self.probes_total.add(probes);
-        if probes > 1 {
+        if steered {
             self.steered.inc();
         }
     }

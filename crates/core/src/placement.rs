@@ -11,7 +11,8 @@
 //!
 //! That is the only placement decision there is.  *Inside* a region pages
 //! are striped over the region's dies by the allocator
-//! (`Space::allocate` in [`crate::gc`]), deliberately blind to die load:
+//! (`Space::allocate` in [`crate::gc`]) by the die time the region itself
+//! has issued on each die, deliberately blind to the device's live load:
 //! where a page is written decides which die serves its reads, and
 //! steering fresh data toward idle dies cost `tpcc_traditional` 18 % of
 //! its throughput on the repo benchmark (README, "Placement inside a

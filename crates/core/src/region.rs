@@ -1,8 +1,9 @@
 //! Regions: the paper's physical storage structure.
 //!
 //! A region owns a set of flash dies.  Within a region, writes are striped
-//! round-robin over the dies (each die maintains its own append point), so
-//! a region with more dies offers more I/O parallelism.  All space
+//! over the dies by die time (each die maintains its own append point and
+//! the die time the region has issued on it; see `gc.rs`), so a region
+//! with more dies offers more I/O parallelism.  All space
 //! reclamation (GC) and wear leveling happen region-locally.
 
 use flash_sim::{BlockAddr, DieId, FlashBackend, FlashGeometry, PageAddr, ServiceClass};
@@ -148,6 +149,12 @@ pub(crate) struct RegionDie {
     /// The last victim search found no candidate, and neither an
     /// invalidation nor a frontier roll-over has happened on the die since.
     pub nothing_to_collect: bool,
+    /// Die time, in nanoseconds, the region has issued on the die — host
+    /// programs and GC steps — relative to its other dies (only the
+    /// differences matter, and `Space::allocate` keeps the least near
+    /// zero): the stripe key.  Volatile, like `collecting`: a mounted or
+    /// newly added die starts at zero.
+    pub charge: u64,
 }
 
 impl RegionDie {
@@ -173,6 +180,7 @@ impl RegionDie {
             collecting: false,
             victim: None,
             nothing_to_collect: false,
+            charge: 0,
         };
         for plane in 0..geo.planes_per_die {
             for block in 0..geo.blocks_per_plane {
@@ -311,7 +319,8 @@ pub(crate) struct RegionRuntime {
     pub spec: RegionSpec,
     /// Per-die allocation state.
     pub dies: Vec<RegionDie>,
-    /// Round-robin pointer for write striping.
+    /// Stripe position: the die after the previous allocation's, which
+    /// breaks ties between equally charged dies.
     pub next_die: usize,
     /// Region-level statistics.
     pub stats: RegionStats,

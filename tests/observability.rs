@@ -12,6 +12,7 @@
 //! * Counts live in each layer's stats struct, not in the registry, and
 //!   the layers' ledgers add up: the regions' host and GC work is the
 //!   device's command count.
+//! * A page lands off its region's stripe position only once GC runs.
 
 use std::sync::Arc;
 
@@ -97,6 +98,31 @@ fn gc_pacing_is_visible_in_the_registry() {
     assert_eq!(snap.counter("core.gc.forced_steps"), Some(0), "no die ever ran dry");
     // Each victim is a `core.gc` instant on its die's track.
     assert!(dump::chrome_trace(noftl.metrics()).contains("\"cat\": \"core.gc\""));
+}
+
+#[test]
+fn pages_leave_the_stripe_position_only_once_gc_runs() {
+    // Dies differ in die time only by GC steps: while the region fills no
+    // page lands off the stripe position, once it collects some do.
+    let (noftl, obj) = stack();
+    let rid = noftl.region_ids()[0];
+    let counter = |name: &str| noftl.metrics_snapshot().counter(name).expect("registered");
+    let pages = 2 * noftl.device().geometry().pages_per_die() * 6 / 10;
+    let mut t = SimTime::ZERO;
+    for p in 0..pages {
+        t = noftl.write(obj, p, &vec![p as u8; 4096], t).unwrap();
+    }
+    assert_eq!(noftl.region_stats(rid).unwrap().gc_runs, 0);
+    assert_eq!(counter("core.placement.steered"), 0);
+    assert_eq!(counter("core.placement.probes_total"), pages, "one die tried per page");
+    let mut rng = 0x57EE_u64;
+    for i in 0..4 * pages {
+        rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        t = noftl.write(obj, (rng >> 33) % pages, &vec![i as u8; 4096], t).unwrap();
+    }
+    assert!(noftl.region_stats(rid).unwrap().gc_runs > 0, "the overwrites must make GC run");
+    assert!(counter("core.placement.steered") > 0);
+    assert!(counter("core.placement.probes_total") >= counter("core.placement.allocations"));
 }
 
 #[test]
