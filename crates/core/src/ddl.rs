@@ -30,7 +30,8 @@ use crate::Result;
 pub enum DdlStatement {
     /// `CREATE REGION name (MAX_CHIPS=.., MAX_CHANNELS=.., MAX_SIZE=..,
     /// DIES=.., CLASS=..)`: the options fill the region's [`RegionSpec`]
-    /// (`DIES` is its die count, `CLASS` its service class).
+    /// (`DIES` is its die count, `CLASS` its service class: `LATENCY`,
+    /// the foreground default, or `BACKGROUND`).
     CreateRegion(RegionSpec),
     /// `CREATE TABLESPACE name (REGION=.., EXTENT_SIZE=..)`
     CreateTablespace {
@@ -190,9 +191,7 @@ fn parse_create_region(rest: &str) -> Result<DdlStatement> {
             "MAX_SIZE" => spec.max_size_bytes = Some(parse_size(&v)?),
             "CLASS" => {
                 spec.service_class = Some(ServiceClass::parse(&v).ok_or_else(|| {
-                    ddl_err(format!(
-                        "bad CLASS value '{v}' (expected LATENCY, THROUGHPUT or BACKGROUND)"
-                    ))
+                    ddl_err(format!("bad CLASS value '{v}' (expected LATENCY or BACKGROUND)"))
                 })?)
             }
             other => return Err(ddl_err(format!("unknown CREATE REGION option '{other}'"))),
@@ -383,6 +382,7 @@ mod tests {
             )
         );
         assert!(parse_statement("CREATE REGION rgBad (CLASS=URGENT)").is_err());
+        assert!(parse_statement("CREATE REGION rgBad (CLASS=THROUGHPUT)").is_err());
         let s = parse_statement("CREATE TABLESPACE tsHotTbl (REGION=rgHotTbl, EXTENT_SIZE=128K)")
             .unwrap();
         assert_eq!(

@@ -616,7 +616,7 @@ mod tests {
             noftl.metrics_snapshot().counter(&name).unwrap_or(0)
         };
         assert_eq!(class_ops("background"), 2);
-        assert_eq!(class_ops("throughput"), 4);
+        assert_eq!(class_ops("latency"), 4);
     }
 
     #[test]
@@ -754,13 +754,13 @@ mod tests {
         }
 
         #[test]
-        fn unclassed_regions_fall_back_to_the_manager_default() {
+        fn unclassed_regions_are_foreground() {
             let noftl = make_arbiter_noftl(NoFtlConfig::default());
             let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
             let obj = noftl.create_object("t", r).unwrap();
             noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
-            assert_eq!(counter(&noftl, "flash.arbiter.class.throughput.ops"), 1);
-            assert_eq!(counter(&noftl, "flash.arbiter.class.latency.ops"), 0);
+            assert_eq!(counter(&noftl, "flash.arbiter.class.latency.ops"), 1);
+            assert_eq!(counter(&noftl, "flash.arbiter.class.background.ops"), 0);
         }
 
         #[test]
@@ -797,27 +797,56 @@ mod tests {
         }
 
         #[test]
-        fn checkpoint_and_meta_journal_writes_are_exempt() {
+        fn checkpoint_chunks_are_foreground() {
             let noftl = make_arbiter_noftl(NoFtlConfig::default());
             let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
             let obj = noftl.create_object("t", r).unwrap();
             let t = noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
-            let before = counter(&noftl, "flash.arbiter.exempt");
+            let before = counter(&noftl, "flash.arbiter.class.latency.ops");
             let t = noftl.checkpoint(t).unwrap();
-            let after_ckpt = counter(&noftl, "flash.arbiter.exempt");
-            assert!(after_ckpt > before, "checkpoint chunk programs must be exempt");
-            assert_eq!(
-                counter(&noftl, "flash.arbiter.deferred"),
-                0,
-                "durability traffic is never budget-deferred"
-            );
-            // Further checkpoints keep riding the __noftl_meta region
-            // exempt — durability traffic is never inverted behind the
-            // background budget.
+            let after_ckpt = counter(&noftl, "flash.arbiter.class.latency.ops");
+            assert!(after_ckpt > before, "checkpoint chunk programs are foreground");
+            assert_eq!(counter(&noftl, "flash.arbiter.class.background.ops"), 0);
+            assert_eq!(counter(&noftl, "flash.arbiter.deferred"), 0);
+            // Further checkpoints keep riding the __noftl_meta region in
+            // the foreground.
             let t = noftl.write(obj, 1, &page(2), t).unwrap();
             noftl.checkpoint(t).unwrap();
-            assert!(counter(&noftl, "flash.arbiter.exempt") > after_ckpt);
+            assert!(counter(&noftl, "flash.arbiter.class.latency.ops") > after_ckpt);
+            assert_eq!(counter(&noftl, "flash.arbiter.class.background.ops"), 0);
             assert_eq!(counter(&noftl, "flash.arbiter.deferred"), 0);
+        }
+
+        /// With every die in a region, the journal falls back to the
+        /// `Background` region, whose channel budget its own host reads
+        /// have drained: the checkpoint chunks still issue undeferred.
+        #[test]
+        fn a_checkpoint_into_a_drained_background_region_is_not_deferred() {
+            let noftl = make_arbiter_noftl(NoFtlConfig::default());
+            let oltp = RegionSpec::named("rgOltp")
+                .with_die_count(2)
+                .with_service_class(ServiceClass::Latency);
+            noftl.create_region(oltp).unwrap();
+            let bulk = RegionSpec::named("rgBulk")
+                .with_die_count(2)
+                .with_service_class(ServiceClass::Background);
+            let r = noftl.create_region(bulk).unwrap();
+            let obj = noftl.create_object("t", r).unwrap();
+            let writes: Vec<_> = (0..4u64).map(|p| (obj, p, page(p as u8))).collect();
+            let t = write_pages(&noftl, &writes, SimTime::ZERO, usize::MAX).unwrap();
+            // A same-instant burst of reads overdraws the budget on every
+            // channel the region spans.
+            let reads: Vec<_> = (0..160u64).map(|p| (obj, p % 4)).collect();
+            read_pages(&noftl, &reads, t, usize::MAX).unwrap();
+            let deferred = counter(&noftl, "flash.arbiter.deferred");
+            assert!(deferred > 0, "the burst must drain the region's budget");
+            noftl.checkpoint(t).unwrap();
+            assert_eq!(noftl.meta_region(), Some(r), "the journal falls back to rgBulk");
+            assert_eq!(
+                counter(&noftl, "flash.arbiter.deferred"),
+                deferred,
+                "checkpoint chunks are never budget-deferred"
+            );
         }
     }
 }

@@ -310,9 +310,9 @@ impl Inner {
         let page_size = env.device.geometry().page_size as usize;
         let cap = page_size - CHUNK_HEADER;
         let chunk_count = blob.len().div_ceil(cap).max(1);
-        // Checkpoint chunks are durability traffic even when the journal
-        // falls back to a regular region: never budget-defer.
-        let tag = IoTag { exempt: true, ..self.tag(rid, None) };
+        // Checkpoint chunks are foreground even when the journal falls
+        // back to a `Background` region: never budget-deferred.
+        let tag = self.tag(rid, Some(ServiceClass::Latency));
         let mut done = at;
         self.meta.staging.clear();
         self.meta.staging.resize(chunk_count, None);
@@ -493,7 +493,7 @@ impl NoFtl {
 
     /// Pick (and if necessary create) the region hosting checkpoint
     /// chunks: a dedicated one-die region when unassigned dies exist,
-    /// otherwise the least latency-sensitive live region.
+    /// otherwise a `Background` region, else the first declared.
     fn ensure_meta_region(&self) -> Result<RegionId> {
         {
             let mut inner = self.lock_inner();
@@ -501,21 +501,14 @@ impl NoFtl {
                 return Ok(rid);
             }
             if inner.free_dies(self.env.device.geometry()).is_empty() {
-                // Journal and checkpoint programs are die-time injected
-                // into whichever region hosts them, so prefer the least
-                // latency-sensitive one.  Ties keep declaration order,
-                // which on a device without service classes reduces to
-                // "the first live region" — the pre-arbiter behavior.
-                let rank = |class: ServiceClass| match class {
-                    ServiceClass::Background => 0u8,
-                    ServiceClass::Throughput => 1,
-                    ServiceClass::Latency => 2,
-                };
-                let picked = inner
-                    .regions
-                    .iter()
-                    .flatten()
-                    .min_by_key(|r| rank(r.service_class()))
+                // Journal and checkpoint programs take die time from
+                // whichever region hosts them, so prefer one whose own
+                // traffic is background.
+                let mut live = inner.regions.iter().flatten();
+                let picked = live
+                    .clone()
+                    .find(|r| r.service_class() == ServiceClass::Background)
+                    .or_else(|| live.next())
                     .map(|r| r.id)
                     .ok_or_else(|| NoFtlError::Recovery {
                         message: "no free die and no region available for the metadata journal"

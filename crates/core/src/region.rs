@@ -35,9 +35,9 @@ pub struct RegionSpec {
     pub max_channels: Option<u32>,
     /// Upper bound on the region's raw capacity in bytes.
     pub max_size_bytes: Option<u64>,
-    /// I/O service class of this region; `None` is `Throughput`, which
-    /// leaves the arbiter neutral.  Persisted through region checkpoints,
-    /// so a remounted region keeps its class.
+    /// I/O service class of this region; `None` is `Latency`, the
+    /// foreground class.  Persisted through region checkpoints, so a
+    /// remounted region keeps its class.
     pub service_class: Option<ServiceClass>,
 }
 
@@ -78,9 +78,10 @@ impl RegionSpec {
         self
     }
 
-    /// Set the I/O service class of this region (DDL:
-    /// `CLASS=LATENCY`).  The class rides on every flash command the
-    /// region submits and drives the device arbiter's admission.
+    /// Set the I/O service class of this region (DDL: `CLASS=LATENCY`
+    /// or `CLASS=BACKGROUND`).  The class rides on every flash command
+    /// the region submits; an arbiter-enabled device meters the
+    /// `Background` ones against the region's channel budget.
     pub fn with_service_class(mut self, class: ServiceClass) -> Self {
         self.service_class = Some(class);
         self
@@ -346,7 +347,7 @@ impl RegionRuntime {
     /// traffic (GC relocation, KV compaction, rebuild copies) is tagged
     /// `Background` whatever this says.
     pub(crate) fn service_class(&self) -> ServiceClass {
-        self.spec.service_class.unwrap_or(ServiceClass::Throughput)
+        self.spec.service_class.unwrap_or_default()
     }
 
     /// Record that the page at `ppa` has been invalidated: its die has

@@ -59,10 +59,11 @@ pub struct CrashHarnessConfig {
     pub txns: u64,
     /// Workload RNG seed.
     pub seed: u64,
-    /// Enable the stack's cross-layer event tracer for the cycle.  The
-    /// determinism tests run identical cycles with this on and off and
-    /// require byte-identical mount reports — tracing must never perturb
-    /// recovery.
+    /// Enable the device's tracer on each stack this config builds, so
+    /// a sweep's cut runs are traced too (a dry run always is: it reads
+    /// its commands off the tracer).  `tracing_never_perturbs_crash_recovery`
+    /// runs one cut with this on and off and requires identical mount
+    /// reports — tracing must never perturb recovery.
     pub trace: bool,
     /// Crash-during-recovery schedule: number of *additional* power cuts
     /// to land while the recovery mount itself is scanning the device.

@@ -18,8 +18,9 @@
 //!   aging): a `Background` op never waits longer than the aging window,
 //!   no matter how saturated the channel budget is.
 //!
-//! Foreground (`Latency`/`Throughput`) and [`IoTag::exempt`] traffic is
-//! never metered.  Pacing is all the arbiter does: the channel time a
+//! Foreground (`Latency`) traffic is never metered.  Durability traffic
+//! (checkpoint chunks, the metadata journal) is foreground: the host
+//! waits for it.  Pacing is all the arbiter does: the channel time a
 //! deferral leaves idle is ordinary free time on the channel's occupancy
 //! timeline, which every transfer — any class, arbiter on or off — may
 //! claim (first fit into idle windows is the device's one reservation
@@ -28,35 +29,32 @@
 
 use crate::time::SimTime;
 
-/// Priority class of one submitted flash command.
+/// Whether the host waits for one submitted flash command: the one
+/// distinction the device acts on.
 ///
 /// The class travels with the command down the device's issue path; the
-/// region layer above resolves it from the region's spec (or the
-/// manager-wide default) and overrides it for maintenance I/O (GC
-/// relocation, compaction merges, rebuild copies are `Background`
-/// regardless of the region's class).
+/// region layer above resolves it from the region's spec and overrides
+/// it for maintenance I/O (GC relocation, compaction merges and rebuild
+/// copies are `Background` regardless of the region's class).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ServiceClass {
-    /// Tail-latency sensitive (OLTP point I/O): never metered.
-    Latency,
-    /// Ordinary throughput-oriented traffic — the default.
+    /// Foreground — every command the host waits for, durability traffic
+    /// included: never metered.  The default.
     #[default]
-    Throughput,
+    Latency,
     /// Maintenance traffic (GC, compaction, rebuild): subject to the
     /// per-region channel-bandwidth budget.
     Background,
 }
 
 impl ServiceClass {
-    /// Every class, in codec/slot order.
-    pub const ALL: [ServiceClass; 3] =
-        [ServiceClass::Latency, ServiceClass::Throughput, ServiceClass::Background];
+    /// Every class, in slot order.
+    pub const ALL: [ServiceClass; 2] = [ServiceClass::Latency, ServiceClass::Background];
 
     /// Stable lower-case name (metric fragments, DDL rendering).
     pub fn name(self) -> &'static str {
         match self {
             ServiceClass::Latency => "latency",
-            ServiceClass::Throughput => "throughput",
             ServiceClass::Background => "background",
         }
     }
@@ -65,17 +63,17 @@ impl ServiceClass {
     pub fn parse(s: &str) -> Option<ServiceClass> {
         match s.to_ascii_lowercase().as_str() {
             "latency" => Some(ServiceClass::Latency),
-            "throughput" => Some(ServiceClass::Throughput),
             "background" => Some(ServiceClass::Background),
             _ => None,
         }
     }
 
-    /// Stable codec byte (checkpoint persistence).
+    /// Stable codec byte (checkpoint persistence).  Code 1 named a
+    /// third class that scheduled exactly like `Latency`; it is refused
+    /// like any unknown code.
     pub fn code(self) -> u8 {
         match self {
             ServiceClass::Latency => 0,
-            ServiceClass::Throughput => 1,
             ServiceClass::Background => 2,
         }
     }
@@ -84,21 +82,21 @@ impl ServiceClass {
     pub fn from_code(code: u8) -> Option<ServiceClass> {
         match code {
             0 => Some(ServiceClass::Latency),
-            1 => Some(ServiceClass::Throughput),
             2 => Some(ServiceClass::Background),
             _ => None,
         }
     }
 
-    /// Dense slot index (obs arrays).
+    /// Dense slot index (obs arrays): the class's position in
+    /// [`ServiceClass::ALL`].
     pub fn slot(self) -> usize {
-        self.code() as usize
+        self as usize
     }
 }
 
 /// Per-command arbiter tag: who is doing this I/O and how it should be
-/// treated.  The default tag (`Throughput`, no region, not exempt)
-/// reproduces pre-arbiter behavior on every path.
+/// treated.  The default tag (`Latency`, no region) reproduces
+/// pre-arbiter behavior on every path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IoTag {
     /// Priority class.
@@ -106,25 +104,17 @@ pub struct IoTag {
     /// Originating region id (`None` for raw-device traffic); the bucket
     /// key, so each region is budgeted independently per channel.
     pub region: Option<u32>,
-    /// Exempt from budget throttling regardless of class — durability
-    /// traffic (metadata-journal and checkpoint writes) is never deferred.
-    pub exempt: bool,
 }
 
 impl IoTag {
     /// Tag for regular traffic of `class` from `region`.
     pub fn new(class: ServiceClass, region: Option<u32>) -> Self {
-        IoTag { class, region, exempt: false }
+        IoTag { class, region }
     }
 
     /// Background (maintenance) traffic from `region`.
     pub fn background(region: Option<u32>) -> Self {
-        IoTag { class: ServiceClass::Background, region, exempt: false }
-    }
-
-    /// Durability traffic: never metered, whatever its class.
-    pub fn durability(class: ServiceClass, region: Option<u32>) -> Self {
-        IoTag { class, region, exempt: true }
+        IoTag::new(ServiceClass::Background, region)
     }
 }
 
@@ -247,12 +237,17 @@ mod tests {
             assert_eq!(ServiceClass::parse(class.name()), Some(class));
             assert_eq!(ServiceClass::parse(&class.name().to_ascii_uppercase()), Some(class));
         }
+        for (slot, class) in ServiceClass::ALL.into_iter().enumerate() {
+            assert_eq!(class.slot(), slot);
+        }
+        // Code 1 and "throughput" named a class that scheduled exactly
+        // like `Latency`; both are refused like any unknown value.
+        assert_eq!(ServiceClass::from_code(1), None);
+        assert_eq!(ServiceClass::parse("throughput"), None);
         assert_eq!(ServiceClass::from_code(9), None);
         assert_eq!(ServiceClass::parse("bogus"), None);
-        assert_eq!(ServiceClass::default(), ServiceClass::Throughput);
-        assert_eq!(IoTag::default().class, ServiceClass::Throughput);
-        assert!(!IoTag::default().exempt);
-        assert!(IoTag::durability(ServiceClass::Throughput, Some(3)).exempt);
+        assert_eq!(ServiceClass::default(), ServiceClass::Latency);
+        assert_eq!(IoTag::default().class, ServiceClass::Latency);
     }
 
     #[test]

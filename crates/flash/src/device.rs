@@ -311,10 +311,6 @@ impl NandDevice {
             return at;
         };
         slot.obs.note_class(tag.class);
-        if tag.exempt {
-            slot.obs.exempt.inc();
-            return at;
-        }
         if tag.class != ServiceClass::Background {
             return at;
         }
@@ -1707,7 +1703,7 @@ mod tests {
         #[test]
         fn arbiter_off_tagged_path_is_byte_identical_to_untagged() {
             // The PR 9 equivalence guarantee: with no arbiter configured,
-            // every tag (any class, exempt or not) schedules exactly like
+            // every tag (any class, any region) schedules exactly like
             // the untagged API.
             let tagged = builder().build();
             let plain = builder().build();
@@ -1717,7 +1713,7 @@ mod tests {
                 IoTag::new(ServiceClass::Latency, Some(1)),
                 IoTag::default(),
                 IoTag::background(Some(2)),
-                IoTag::durability(ServiceClass::Throughput, None),
+                IoTag::background(None),
             ];
             let mut at = t0;
             for (i, tag) in tags.iter().cycle().take(24).enumerate() {
@@ -1768,24 +1764,25 @@ mod tests {
         }
 
         #[test]
-        fn exempt_durability_traffic_is_never_deferred() {
+        fn foreground_traffic_of_a_drained_region_is_never_deferred() {
             let d = builder().arbiter(ArbiterConfig::default()).build();
             let t0 = seed_pages(&d);
-            // Drain the budget with a background burst first.
+            // Drain region 3's budget with a background burst first.
             let bg = IoTag::background(Some(3));
             for _ in 0..120 {
                 d.read_page_tagged(page(0, 0, 0), t0, bg).unwrap();
             }
             let deferred = counter(&d, "flash.arbiter.deferred");
             assert!(deferred > 0);
-            // Durability traffic from the *same* region sails past the
-            // drained bucket (no new deferrals), counted as exempt.
-            let meta = IoTag::durability(ServiceClass::Throughput, Some(3));
+            // Foreground traffic from the *same* region sails past the
+            // drained bucket: no new deferrals.
+            let fg = IoTag::new(ServiceClass::Latency, Some(3));
+            let foreground = counter(&d, "flash.arbiter.class.latency.ops");
             for _ in 0..8 {
-                d.read_page_tagged(page(0, 0, 0), t0, meta).unwrap();
+                d.read_page_tagged(page(0, 0, 0), t0, fg).unwrap();
             }
-            assert_eq!(counter(&d, "flash.arbiter.exempt"), 8);
-            assert_eq!(counter(&d, "flash.arbiter.deferred"), deferred, "exempt ops never metered");
+            assert_eq!(counter(&d, "flash.arbiter.class.latency.ops"), foreground + 8);
+            assert_eq!(counter(&d, "flash.arbiter.deferred"), deferred, "foreground never metered");
         }
 
         #[test]
@@ -1825,12 +1822,12 @@ mod tests {
             /// Fairness: on any mixed-class read sequence, the arbiter
             /// delays no op's start by more than `max_defer_ns` beyond
             /// where the arbiter-off device would have started it — the
-            /// anti-starvation aging window is a hard bound, and exempt
-            /// (`__noftl_meta`-style) traffic is never inverted behind
-            /// the background budget.
+            /// anti-starvation aging window is a hard bound, and
+            /// foreground traffic is never inverted behind the background
+            /// budget.
             #[test]
             fn no_op_starts_more_than_the_aging_window_late(
-                classes in prop::collection::vec(0u8..4, 1..48),
+                classes in prop::collection::vec(0u8..3, 1..48),
                 gaps in prop::collection::vec(0u64..40_000, 1..48),
             ) {
                 let cfg = ArbiterConfig::default();
@@ -1843,8 +1840,7 @@ mod tests {
                     let tag = match class {
                         0 => IoTag::new(ServiceClass::Latency, Some(1)),
                         1 => IoTag::default(),
-                        2 => IoTag::background(Some(2)),
-                        _ => IoTag::durability(ServiceClass::Throughput, Some(1)),
+                        _ => IoTag::background(Some(2)),
                     };
                     let die = (i as u32) % arb.geometry().total_dies();
                     let (_, _, a) = arb.read_page_tagged(page(die, 0, 0), at, tag).unwrap();

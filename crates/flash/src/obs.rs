@@ -19,8 +19,7 @@
 //!   `class.<class>.ops` admissions per class, `deferred`/`deferral_ns`
 //!   budget deferrals, `aging_capped` deferrals clipped by the
 //!   anti-starvation bound, `backfills` transfers that landed before
-//!   their channel's last reserved end, `exempt` durability ops waved
-//!   through.
+//!   their channel's last reserved end.
 
 use std::sync::Arc;
 
@@ -97,8 +96,6 @@ pub(crate) struct ArbiterObs {
     pub aging_capped: Counter,
     /// Transfers that landed before their channel's last reserved end.
     pub backfills: Counter,
-    /// Exempt (durability) ops waved past the budget.
-    pub exempt: Counter,
 }
 
 impl ArbiterObs {
@@ -112,7 +109,6 @@ impl ArbiterObs {
             deferral_ns: registry.counter("flash.arbiter.deferral_ns"),
             aging_capped: registry.counter("flash.arbiter.aging_capped"),
             backfills: registry.counter("flash.arbiter.backfills"),
-            exempt: registry.counter("flash.arbiter.exempt"),
         }
     }
 

@@ -112,7 +112,7 @@ mod tests {
 
     /// The mirror is transparent to the arbiter: a tag handed to the
     /// `_tagged` calls reaches every child's admission, so `Background`
-    /// traffic is budgeted (and durability traffic exempt) on a mirror
+    /// traffic is budgeted (and foreground traffic not) on a mirror
     /// exactly as on a single device.
     #[test]
     fn io_tags_reach_the_children_arbiters() {
@@ -144,13 +144,13 @@ mod tests {
         m.read_page_tagged(page(0, 0, 0), t, background).unwrap();
         m.read_metadata_tagged(page(0, 0, 1), t, background).unwrap();
         assert_eq!(count("flash.arbiter.class.background.ops"), 10);
-        let durable = flash_sim::IoTag::durability(flash_sim::ServiceClass::Background, Some(0));
-        m.program_page_tagged(page(1, 0, 0), &payload(9), PageMetadata::new(1, 9), t, durable)
+        let foreground = flash_sim::IoTag::new(flash_sim::ServiceClass::Latency, Some(0));
+        m.program_page_tagged(page(1, 0, 0), &payload(9), PageMetadata::new(1, 9), t, foreground)
             .unwrap();
-        assert_eq!(count("flash.arbiter.exempt"), 2);
+        assert_eq!(count("flash.arbiter.class.latency.ops"), 2);
         // Untagged calls keep the default class.
         m.read_page(page(0, 0, 2), t).unwrap();
-        assert_eq!(count("flash.arbiter.class.throughput.ops"), 1);
+        assert_eq!(count("flash.arbiter.class.latency.ops"), 3);
         // `execute` is the same path: its tag reaches the child too.
         let before = count("flash.arbiter.class.background.ops");
         let read = flash_sim::FlashCommand::Read { addr: page(0, 0, 3), data: &mut [] };
