@@ -67,7 +67,8 @@ fn ddl_err(msg: impl Into<String>) -> NoFtlError {
     NoFtlError::Ddl { message: msg.into() }
 }
 
-/// Parse a size literal such as `1280M`, `128K`, `4G`, or `4096`.
+/// Parse a size literal such as `1280M`, `128K`, `4G`, or `4096`.  A
+/// literal of 2⁶⁴ bytes or more is refused.
 pub fn parse_size(s: &str) -> Result<u64> {
     let s = s.trim();
     if s.is_empty() {
@@ -82,8 +83,9 @@ pub fn parse_size(s: &str) -> Result<u64> {
     digits
         .trim()
         .parse::<u64>()
-        .map(|v| v * suffix)
-        .map_err(|_| ddl_err(format!("invalid size literal '{s}'")))
+        .ok()
+        .and_then(|v| v.checked_mul(suffix))
+        .ok_or_else(|| ddl_err(format!("invalid size literal '{s}'")))
 }
 
 /// Split a statement's parenthesised body into top-level comma-separated
@@ -449,6 +451,33 @@ mod tests {
     fn noftl() -> NoFtl {
         let device = Arc::new(DeviceBuilder::new(FlashGeometry::small_test()).build());
         NoFtl::new(device, NoFtlConfig::default())
+    }
+
+    #[test]
+    fn an_out_of_range_size_literal_is_refused() {
+        assert_eq!(parse_size("17179869183G").unwrap(), u64::MAX - (1 << 30) + 1);
+        for literal in ["17179869184G", "18446744073709551616", "17592186044416M"] {
+            let err = parse_size(literal).unwrap_err();
+            assert!(matches!(err, NoFtlError::Ddl { .. }), "{literal}: {err}");
+        }
+        let err = parse_statement("CREATE REGION rg (MAX_SIZE=17179869184G)").unwrap_err();
+        assert!(err.to_string().contains("invalid size literal '17179869184G'"), "{err}");
+    }
+
+    #[test]
+    fn an_oversized_region_wants_more_dies_than_the_device_has() {
+        let noftl = noftl();
+        let per_die = noftl.device().geometry().die_capacity_bytes();
+        // 2³² + 1 dies' worth of bytes: the die count does not fit a u32.
+        let size = per_die * ((1 << 32) + 1);
+        let err = Ddl::new(&noftl)
+            .run_script(&format!("CREATE REGION rgHuge (MAX_SIZE={size})"), SimTime::ZERO)
+            .unwrap_err();
+        assert!(
+            matches!(err, NoFtlError::NotEnoughDies { requested: u32::MAX, available: 4 }),
+            "{err}"
+        );
+        assert!(noftl.region_id("rgHuge").is_none());
     }
 
     #[test]

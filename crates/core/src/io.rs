@@ -4,8 +4,7 @@
 //! native flash through one small command set.  This module is that path:
 //!
 //! * [`IoRequest`] describes one host page operation — which object and
-//!   logical page, read or write, and optionally a forced service class
-//!   and a write's page CRC;
+//!   logical page, read or write, and optionally a forced service class;
 //! * `Inner::io` is the **only** code in the crate that resolves a logical
 //!   page, builds the arbiter tag, and updates translations, object
 //!   counters and [`RegionStats`](crate::RegionStats) — under one hold of
@@ -26,9 +25,7 @@
 
 use std::collections::VecDeque;
 
-use flash_sim::{
-    crc32, BlockAddr, CmdOutput, FlashCommand, IoTag, PageMetadata, ServiceClass, SimTime,
-};
+use flash_sim::{BlockAddr, CmdOutput, FlashCommand, IoTag, PageMetadata, ServiceClass, SimTime};
 
 use crate::error::NoFtlError;
 use crate::manager::{Env, Inner, NoFtl};
@@ -59,33 +56,22 @@ pub struct IoRequest<'a> {
     /// owning region's class.  Maintenance paths (KV compaction) tag
     /// their traffic `Background` this way regardless of the region.
     pub class: Option<ServiceClass>,
-    /// The write payload's CRC-32 when the caller already has it (the
-    /// WAL builds it from the parts of its tail page); `None` has the
-    /// program path checksum the page.
-    pub crc: Option<u32>,
 }
 
 impl<'a> IoRequest<'a> {
     /// A read of `page` of `object`, in the region's class.
     pub fn read(object: ObjectId, page: u64) -> Self {
-        IoRequest { object, page, kind: IoKind::Read, class: None, crc: None }
+        IoRequest { object, page, kind: IoKind::Read, class: None }
     }
 
     /// An out-of-place write of `page` of `object`, in the region's class.
     pub fn write(object: ObjectId, page: u64, data: &'a [u8]) -> Self {
-        IoRequest { object, page, kind: IoKind::Write(data), class: None, crc: None }
+        IoRequest { object, page, kind: IoKind::Write(data), class: None }
     }
 
     /// Force (or, with `None`, un-force) the command's service class.
     pub fn with_class(mut self, class: Option<ServiceClass>) -> Self {
         self.class = class;
-        self
-    }
-
-    /// Hand down the write payload's CRC-32, stamped into the page's OOB
-    /// metadata instead of one computed from the payload.
-    pub fn with_crc(mut self, crc: Option<u32>) -> Self {
-        self.crc = crc;
         self
     }
 }
@@ -183,11 +169,9 @@ impl Inner {
                 let rid = self.object(req.object)?.region;
                 // The one allocation site of host writes.
                 let ppa = self.space(env, rid)?.allocate(at)?;
-                // The OOB checksum: a handed-down CRC as given (checked in
-                // debug builds), or the payload's, computed here.
-                debug_assert!(req.crc.is_none_or(|crc| crc == crc32(data)), "a wrong page CRC");
-                let checksum = req.crc.unwrap_or_else(|| crc32(data));
-                let meta = PageMetadata { checksum, ..PageMetadata::new(req.object, req.page) };
+                // The OOB checksum of every host page, from the bytes
+                // programmed.
+                let meta = PageMetadata::new(req.object, req.page).with_payload_checksum(data);
                 let tag = self.tag(rid, req.class);
                 let out = env.exec(FlashCommand::Program { addr: ppa, data, meta }, at, tag)?;
                 let completed = out.outcome.completed_at;

@@ -90,27 +90,21 @@ impl RegionSpec {
     /// Resolve the spec to a concrete number of dies for `geometry`.
     ///
     /// The most restrictive of the given limits wins; a spec with no limits
-    /// at all resolves to a single die.
+    /// at all resolves to a single die.  A limit of more dies than a `u32`
+    /// counts saturates at `u32::MAX`, which no device has.
     pub fn resolve_die_count(&self, geometry: &FlashGeometry) -> u32 {
         if let Some(n) = self.die_count {
             return n.max(1);
         }
-        let mut bound = u32::MAX;
-        if let Some(chips) = self.max_chips {
-            bound = bound.min(chips.saturating_mul(geometry.dies_per_chip));
-        }
-        if let Some(channels) = self.max_channels {
-            bound = bound.min(channels.saturating_mul(geometry.dies_per_channel()));
-        }
-        if let Some(size) = self.max_size_bytes {
-            let per_die = geometry.die_capacity_bytes().max(1);
-            bound = bound.min(size.div_ceil(per_die) as u32);
-        }
-        if bound == u32::MAX {
-            1
-        } else {
-            bound.max(1)
-        }
+        let bounds = [
+            self.max_chips.map(|chips| chips.saturating_mul(geometry.dies_per_chip)),
+            self.max_channels.map(|channels| channels.saturating_mul(geometry.dies_per_channel())),
+            self.max_size_bytes.map(|size| {
+                let per_die = geometry.die_capacity_bytes().max(1);
+                u32::try_from(size.div_ceil(per_die)).unwrap_or(u32::MAX)
+            }),
+        ];
+        bounds.into_iter().flatten().min().map_or(1, |n| n.max(1))
     }
 }
 
@@ -411,6 +405,11 @@ mod tests {
         assert_eq!(RegionSpec::named("x").with_die_count(11).resolve_die_count(&geo), 11);
         assert_eq!(RegionSpec::named("x").with_max_chips(2).resolve_die_count(&geo), 8);
         assert_eq!(RegionSpec::named("x").with_max_channels(1).resolve_die_count(&geo), 16);
+        // A limit past what a u32 counts saturates: never the one-die default.
+        assert_eq!(
+            RegionSpec::named("x").with_max_chips(u32::MAX).resolve_die_count(&geo),
+            u32::MAX
+        );
     }
 
     #[test]

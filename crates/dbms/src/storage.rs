@@ -6,7 +6,10 @@
 //! directly with the NoFTL storage manager and placed into **regions**
 //! according to a [`PlacementConfig`]; the flash is addressed natively.
 //! The trait remains so that a decorator can sit on the seam (the
-//! benchmark's per-layer tracer does).
+//! benchmark's per-layer tracer does).  Pages go down bare, log pages
+//! too: the storage manager checksums each page where it programs it,
+//! so a decorator that forwards only the required methods writes the
+//! same bytes as the bare backend.
 
 use std::sync::Arc;
 
@@ -87,24 +90,6 @@ pub trait StorageBackend: Send + Sync {
     /// time of the slowest one.  The NoFTL stack's per-die command queues
     /// overlap the writes.
     fn write_batch(&self, writes: &[(ObjectId, u64, Vec<u8>)], at: SimTime) -> Result<SimTime>;
-
-    /// [`StorageBackend::write_batch`] with each page's CRC-32 handed
-    /// down, `crcs[i]` that of `writes[i]`: the WAL's force, which builds
-    /// its pages' CRCs from parts it already has, so the program path
-    /// need not checksum them again.  The method is provided so that no
-    /// implementor has to know of it: the default drops the CRCs and
-    /// forwards to `write_batch` (a forward-only decorator, such as the
-    /// benchmark's frozen tracer, inherits it, and under it log pages are
-    /// checksummed in the storage manager as before); [`NoFtlBackend`]
-    /// stamps them into the pages' OOB metadata.
-    fn write_batch_checksummed(
-        &self,
-        writes: &[(ObjectId, u64, Vec<u8>)],
-        _crcs: &[u32],
-        at: SimTime,
-    ) -> Result<SimTime> {
-        self.write_batch(writes, at)
-    }
 
     /// Write a batch through a bounded completion-driven pipeline: at
     /// most `window` pages in flight, each further page issued at the
@@ -190,22 +175,6 @@ impl NoFtlBackend {
             ),
         })
     }
-
-    /// The one request builder of the write verbs: `writes` through
-    /// [`NoFtl::execute`], `crcs[i]` handed down with `writes[i]` where
-    /// there is one.
-    fn execute_writes(
-        &self,
-        writes: &[(ObjectId, u64, Vec<u8>)],
-        crcs: &[u32],
-        at: SimTime,
-        window: usize,
-    ) -> Result<SimTime> {
-        let requests = writes.iter().enumerate().map(|(i, (obj, page, data))| {
-            IoRequest::write(*obj, *page, data).with_crc(crcs.get(i).copied())
-        });
-        Ok(self.noftl.execute(requests, at, window, |_, _| Ok(()))?)
-    }
 }
 
 fn no_regions() -> DbError {
@@ -277,22 +246,14 @@ impl StorageBackend for NoFtlBackend {
         self.write_windowed(writes, at, usize::MAX)
     }
 
-    fn write_batch_checksummed(
-        &self,
-        writes: &[(ObjectId, u64, Vec<u8>)],
-        crcs: &[u32],
-        at: SimTime,
-    ) -> Result<SimTime> {
-        self.execute_writes(writes, crcs, at, usize::MAX)
-    }
-
     fn write_windowed(
         &self,
         writes: &[(ObjectId, u64, Vec<u8>)],
         at: SimTime,
         window: usize,
     ) -> Result<SimTime> {
-        self.execute_writes(writes, &[], at, window)
+        let requests = writes.iter().map(|(obj, page, data)| IoRequest::write(*obj, *page, data));
+        Ok(self.noftl.execute(requests, at, window, |_, _| Ok(()))?)
     }
 
     fn free_page(&self, obj: ObjectId, page: u64) -> Result<()> {

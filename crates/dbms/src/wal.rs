@@ -28,14 +28,13 @@
 //! length, payload CRC), the payload and zero padding.  The current page
 //! is built in place, in the page buffer the force writes: records are
 //! streamed straight into it, and a force writes only its header.  The
-//! page's own CRC, which the storage manager stamps into its OOB metadata
-//! for torn-page detection on remount, is handed down with it, built from
-//! parts the log already has — the header's CRC, the running payload CRC
-//! and the length of the padding ([`flash_sim::crc32_combine`],
-//! [`flash_sim::crc32_zeros`]) — so a force makes no pass over the page.
+//! header's payload CRC is extended as records arrive; the page's own
+//! CRC, which the storage manager stamps into its OOB metadata for
+//! torn-page detection on remount, is taken there from the bytes it
+//! programs, as for every other page.
 
 use flash_sim::codec::{put_bytes, put_u32, put_u64, put_u8, Reader};
-use flash_sim::{crc32, crc32_combine, crc32_update, crc32_zeros, SimTime};
+use flash_sim::{crc32, crc32_update, SimTime};
 use noftl_obs::{Histogram, Unit};
 use std::fmt::{self, Display};
 use std::io::Write as _;
@@ -251,8 +250,6 @@ pub struct Wal {
     /// starts in it; the batch keeps its page buffers from force to
     /// force.
     batch: Vec<(ObjectId, u64, Vec<u8>)>,
-    /// The CRC of each sealed page of `batch`, handed down with it.
-    crcs: Vec<u32>,
     sealed: usize,
     records: u64,
     forces: u64,
@@ -279,7 +276,6 @@ impl Wal {
             cur_used: 0,
             cur_crc: 0,
             batch: vec![(obj, 0, vec![0; PAGE_SIZE])],
-            crcs: vec![0],
             sealed: 0,
             records: 0,
             forces: 0,
@@ -391,7 +387,6 @@ impl Wal {
         (self.cur_used, self.cur_crc) = (0, 0);
         if self.batch.len() == self.sealed {
             self.batch.push((self.obj, 0, vec![0; PAGE_SIZE]));
-            self.crcs.push(0);
         }
         let (_, page_no, page) = &mut self.batch[self.sealed];
         *page_no = self.cur_page;
@@ -399,9 +394,7 @@ impl Wal {
     }
 
     /// Seal the current page: write its `WALP` header (magic:4 |
-    /// page_no:8 | used:4 | crc:4 | reserved:4) in front of the payload
-    /// and note the CRC of the whole page, built from the header's CRC,
-    /// the payload's and the zero padding behind it.
+    /// page_no:8 | used:4 | crc:4 | reserved:4) in front of the payload.
     fn seal_current(&mut self) {
         let (used, crc) = (self.cur_used, self.cur_crc);
         let (_, page_no, page) = &mut self.batch[self.sealed];
@@ -411,8 +404,6 @@ impl Wal {
             // Writing into the header's slice cannot fail.
             let _ = header.write_all(field);
         }
-        let page_crc = crc32_combine(crc32(&page[..PAGE_HEADER]), crc, used);
-        self.crcs[self.sealed] = crc32_zeros(page_crc, PAGE_CAP - used);
     }
 
     /// The payload of log page `page_no`; `None` unless it is an intact
@@ -428,16 +419,15 @@ impl Wal {
 
     /// Force every unforced log page to storage (the durability point of
     /// a writing transaction's commit, and of a checkpoint).  Sealing the
-    /// current page writes its header only, and each page goes down with
-    /// its CRC.  The pages are submitted as one queued batch issued at
-    /// `now`, so a multi-page force overlaps across the log region's
-    /// dies; the returned time — the part of a commit the transaction
+    /// current page writes its header only.  The pages are submitted as
+    /// one queued batch issued at `now`, so a multi-page force overlaps
+    /// across the log region's dies; the returned time — the part of a commit the transaction
     /// must wait for — is the completion of the slowest page.
     pub fn force(&mut self, backend: &dyn StorageBackend, now: SimTime) -> Result<SimTime> {
         self.forces += 1;
         self.seal_current();
         let pages = self.sealed + 1;
-        let done = backend.write_batch_checksummed(&self.batch[..pages], &self.crcs[..pages], now);
+        let done = backend.write_batch(&self.batch[..pages], now);
         self.batch.swap(0, std::mem::take(&mut self.sealed));
         let done = done?;
         if let Some(registry) = backend.metrics() {
@@ -700,7 +690,6 @@ mod tests {
         wal.stream(&payload);
         wal.seal_current();
         let page = wal.batch[0].2.clone();
-        assert_eq!(wal.crcs[0], crc32(&page), "the page CRC handed down");
         assert_eq!(Wal::unseal(4, &page), Some(&payload[..]));
         assert_eq!(Wal::unseal(5, &page), None, "another page number");
         for n in 0..PAGE_HEADER + payload.len() {
@@ -837,10 +826,10 @@ mod tests {
         .collect()
     }
 
-    /// The log hands each page's CRC down to the program path: every log
-    /// page on the device carries the CRC of its whole content, through
-    /// spills, many forces of one growing tail page, a truncation and the
-    /// volatile mode, and the log scans back what was appended.
+    /// Every log page on the device carries the CRC of its whole content
+    /// in its OOB metadata, through spills, many forces of one growing
+    /// tail page, a truncation and the volatile mode, and the log scans
+    /// back what was appended.
     #[test]
     fn every_log_page_carries_its_own_crc() {
         for durable in [true, false] {

@@ -195,9 +195,11 @@ pub trait FlashBackend: Send + Sync {
 
     /// Whether page payloads are stored (and can be read back): always
     /// `true`, since every device stores what it is programmed with.
-    /// Nothing in the workspace asks; the method stays only because the
-    /// benchmark's `bench-trace` decorator implements it.
-    fn stores_data(&self) -> bool;
+    /// Nothing in the workspace asks or overrides it; the method stays
+    /// only because the benchmark's `bench-trace` decorator implements it.
+    fn stores_data(&self) -> bool {
+        true
+    }
 
     /// Has any block of this die left its factory state?  The one rule,
     /// read off the die's blocks: a block with `write_ptr > 0`,

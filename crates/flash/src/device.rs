@@ -863,10 +863,6 @@ impl FlashBackend for NandDevice {
         self.lock_device().epoch
     }
 
-    fn stores_data(&self) -> bool {
-        true
-    }
-
     fn die_touched(&self, die: DieId) -> bool {
         self.lock_device().dies.get(die.0 as usize).is_some_and(Die::touched)
     }

@@ -121,7 +121,7 @@ pub use backend::FlashBackend;
 pub use badblock::BadBlockPolicy;
 pub use block::{BlockInfo, BlockState, PageState};
 pub use command::{CmdOutput, FlashCommand, OpKind};
-pub use crc::{crc32, crc32_combine, crc32_update, crc32_zeros};
+pub use crc::{crc32, crc32_update};
 pub use device::{DeviceBuilder, DieLoad, NandDevice, OpOutcome};
 pub use error::FlashError;
 pub use geometry::FlashGeometry;

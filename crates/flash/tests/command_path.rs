@@ -509,9 +509,6 @@ impl FlashBackend for ForwardOnly {
     fn current_epoch(&self) -> u64 {
         FlashBackend::current_epoch(&*self.0)
     }
-    fn stores_data(&self) -> bool {
-        FlashBackend::stores_data(&*self.0)
-    }
     fn die_touched(&self, die: DieId) -> bool {
         FlashBackend::die_touched(&*self.0, die)
     }

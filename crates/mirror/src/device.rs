@@ -664,10 +664,6 @@ impl FlashBackend for MirrorDevice {
         self.mirror_shard().epoch
     }
 
-    fn stores_data(&self) -> bool {
-        true
-    }
-
     fn die_touched(&self, die: DieId) -> bool {
         self.children.iter().any(|c| c.die_touched(die))
     }

@@ -4,9 +4,12 @@
 use std::sync::Arc;
 
 use noftl_regions::dbms::value::{composite_key, Value};
-use noftl_regions::dbms::{ColumnType, Database, DatabaseConfig, NoFtlBackend, Schema};
+use noftl_regions::dbms::{
+    ColumnType, Database, DatabaseConfig, NoFtlBackend, ObjectId, Result, Schema, StorageBackend,
+};
 use noftl_regions::flash::{DeviceBuilder, FlashBackend, FlashGeometry, SimTime, TimingModel};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementConfig};
+use noftl_regions::obs::MetricsRegistry;
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -71,4 +74,94 @@ fn engine_on_noftl_regions_backend() {
     let stats = device.stats();
     assert!(stats.page_programs > 0);
     assert!(stats.total_ops() > 0);
+}
+
+/// A decorator on the storage seam that implements only the required
+/// methods and forwards each one, the shape of a per-layer tracer: every
+/// provided method runs its default above the inner backend.
+struct Forward(Arc<dyn StorageBackend>);
+
+impl StorageBackend for Forward {
+    fn page_size(&self) -> u32 {
+        self.0.page_size()
+    }
+    fn create_object(&self, name: &str) -> Result<ObjectId> {
+        self.0.create_object(name)
+    }
+    fn lookup_object(&self, name: &str) -> Option<ObjectId> {
+        self.0.lookup_object(name)
+    }
+    fn object_extent(&self, obj: ObjectId) -> Result<u64> {
+        self.0.object_extent(obj)
+    }
+    fn checkpoint(&self, at: SimTime) -> Result<SimTime> {
+        self.0.checkpoint(at)
+    }
+    fn read_page(&self, obj: ObjectId, page: u64, at: SimTime) -> Result<(Vec<u8>, SimTime)> {
+        self.0.read_page(obj, page, at)
+    }
+    fn read_windowed(
+        &self,
+        reads: &[(ObjectId, u64)],
+        at: SimTime,
+        window: usize,
+    ) -> Result<(Vec<Vec<u8>>, SimTime)> {
+        self.0.read_windowed(reads, at, window)
+    }
+    fn write_page(&self, obj: ObjectId, page: u64, data: &[u8], at: SimTime) -> Result<SimTime> {
+        self.0.write_page(obj, page, data, at)
+    }
+    fn write_batch(&self, writes: &[(ObjectId, u64, Vec<u8>)], at: SimTime) -> Result<SimTime> {
+        self.0.write_batch(writes, at)
+    }
+    fn write_windowed(
+        &self,
+        writes: &[(ObjectId, u64, Vec<u8>)],
+        at: SimTime,
+        window: usize,
+    ) -> Result<SimTime> {
+        self.0.write_windowed(writes, at, window)
+    }
+    fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
+        self.0.metrics()
+    }
+    fn free_page(&self, obj: ObjectId, page: u64) -> Result<()> {
+        self.0.free_page(obj, page)
+    }
+    fn io_counts(&self) -> (u64, u64) {
+        self.0.io_counts()
+    }
+}
+
+/// The device image after `exercise` on a fresh device, with the
+/// backend wrapped in `Forward` or not.
+fn image_after_exercise(redo_logging: bool, decorated: bool) -> Vec<u8> {
+    let device = Arc::new(
+        DeviceBuilder::new(FlashGeometry::example()).timing(TimingModel::mlc_2015()).build(),
+    );
+    let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::paper_defaults()));
+    let placement = PlacementConfig::traditional(8, ["t".to_string(), "t_pk".to_string()]);
+    let mut backend: Arc<dyn StorageBackend> =
+        Arc::new(NoFtlBackend::new(noftl, &placement).unwrap());
+    if decorated {
+        backend = Arc::new(Forward(backend));
+    }
+    let config = DatabaseConfig { buffer_pages: 64, redo_logging, ..Default::default() };
+    exercise(&Database::open(backend, config).unwrap());
+    device.image()
+}
+
+/// A forward-only decorator on the storage seam changes no byte on
+/// flash, payloads and OOB metadata alike, with the log durable or not:
+/// no provided method of `StorageBackend` does what the bare backend's
+/// own implementation would not.
+#[test]
+fn a_forward_only_storage_decorator_changes_no_byte_on_flash() {
+    let images = [false, true].map(|redo_logging| {
+        let bare = image_after_exercise(redo_logging, false);
+        let decorated = image_after_exercise(redo_logging, true);
+        assert!(bare == decorated, "redo_logging {redo_logging}: the images differ");
+        bare
+    });
+    assert!(images[0] != images[1], "the durable log reaches flash");
 }
