@@ -19,8 +19,10 @@
 //!   [`flash_sim::codec`]; the blob is sealed by a CRC-32 trailer.  A
 //!   checkpoint holds nothing a mount can derive: no page map (the OOB
 //!   records), no free-die pool (the dies no region owns), no list of a
-//!   region's objects (each object names its region) and no access
-//!   counters (they count from build or mount).
+//!   region's objects (each object names its region), no access
+//!   counters (they count from build or mount) and no replication state
+//!   (a mirror's verify scan reads each child's staleness off the
+//!   children).
 //! * **Mount** — `NoFtl::mount` scans the device's out-of-band metadata,
 //!   rebuilds regions and objects from the newest complete checkpoint and
 //!   *every* mapping, written before that checkpoint or after it, from the
@@ -67,10 +69,12 @@ pub(crate) const CHUNK_HEADER: usize = 24;
 /// maps and the dirty-die list, neither of which mount ever read;
 /// version 06 dropped the placement-policy tag again; version 07 dropped
 /// the free-die pool, each region's object list and each object's access
-/// counters, none of which mount needs.  Each bump makes
+/// counters, none of which mount needs; version 08 dropped the
+/// replication blob again, since a mirror reads its children's staleness
+/// off the children at mount.  Each bump makes
 /// blobs written by older code decode as "no checkpoint" instead of
 /// mis-aligning the cursor on the changed fields.
-const BLOB_MAGIC: &[u8; 8] = b"NFCKPT07";
+const BLOB_MAGIC: &[u8; 8] = b"NFCKPT08";
 
 /// In-memory state of the region-metadata journal: where checkpoint chunk
 /// pages currently live.  The chunks themselves carry all recovery
@@ -159,23 +163,17 @@ pub(crate) struct CheckpointImage {
     /// were written after this checkpoint.
     pub epoch_watermark: u64,
     pub meta_region: Option<RegionId>,
-    /// Opaque replication state ([`flash_sim::FlashBackend::replication_blob`]):
-    /// the mirror's child health and dirty-segment maps.  `None` for
-    /// unreplicated backends.
-    pub replication: Option<Vec<u8>>,
     pub regions: Vec<RegionImage>,
     pub objects: Vec<ObjectImage>,
 }
 
 /// Write a checkpoint blob (magic ... crc32) into `out`, which it clears
 /// first: the one encoder of the format, over borrowed parts — the header
-/// (sequence number, epoch watermark, metadata region), the replication
-/// state, each region's id, spec and dies and each object's id, name and
-/// region.
+/// (sequence number, epoch watermark, metadata region), each region's id,
+/// spec and dies and each object's id, name and region.
 fn put_blob<'a, D: ExactSizeIterator<Item = DieId>>(
     out: &mut Vec<u8>,
     (seq, epoch_watermark, meta_region): (u64, u64, Option<RegionId>),
-    replication: Option<&[u8]>,
     regions: impl Iterator<Item = (RegionId, &'a RegionSpec, D)> + Clone,
     objects: impl Iterator<Item = (ObjectId, &'a str, RegionId)> + Clone,
 ) {
@@ -183,7 +181,6 @@ fn put_blob<'a, D: ExactSizeIterator<Item = DieId>>(
         put_u64(out, seq);
         put_u64(out, epoch_watermark);
         put_opt(out, meta_region.map(|r| r.0), put_u32);
-        put_opt(out, replication, put_bytes);
         put_u32(out, regions.clone().count() as u32);
         for (id, spec, dies) in regions {
             put_u32(out, id.0);
@@ -216,7 +213,6 @@ impl CheckpointImage {
         let seq = r.u64()?;
         let epoch_watermark = r.u64()?;
         let meta_region = r.opt(Reader::u32)?.map(RegionId);
-        let replication = r.opt(|r| r.bytes().map(<[u8]>::to_vec))?;
         let regions = (0..r.u32()?)
             .map(|_| {
                 let id = RegionId(r.u32()?);
@@ -246,7 +242,6 @@ impl CheckpointImage {
             seq,
             epoch_watermark,
             meta_region,
-            replication,
             regions,
             objects,
         })
@@ -284,7 +279,6 @@ impl Inner {
     /// Encode everything a checkpoint persists, as of now, into
     /// `meta.blob`, borrowing every name.
     fn encode_checkpoint(&mut self, device: &dyn FlashBackend, seq: u64, meta_region: RegionId) {
-        let replication = device.replication_blob();
         let regions = self.regions.iter().flatten();
         let objects = self.objects.iter().enumerate().filter_map(|(id, o)| {
             o.as_ref().map(|state| (id as ObjectId, state.name.as_str(), state.region))
@@ -292,7 +286,6 @@ impl Inner {
         put_blob(
             &mut self.meta.blob,
             (seq, device.current_epoch(), Some(meta_region)),
-            replication.as_deref(),
             regions.map(|r| (r.id, &r.spec, r.dies.iter().map(|d| d.die))),
             objects,
         );
@@ -617,13 +610,9 @@ impl NoFtl {
         let Scan { winners, mut losers, .. } = scan;
         report.checkpoint_seq = image.seq;
 
-        // Hand the persisted replication state (mirror health + dirty
-        // segment maps) back to the backend.  A checkpoint written before
-        // replication existed carries no blob; the backend then treats
-        // every non-source child as stale ("rebuild everything") rather
-        // than trusting it silently.
-        let replicated =
-            device.restore_replication(image.replication.as_deref(), report.completed_at)?;
+        // A replicated backend reads each child's staleness off its
+        // children (a mirror's verify scan); the checkpoint holds none.
+        let replicated = device.restore_replication(None, report.completed_at)?;
         report.completed_at = report.completed_at.max(replicated);
 
         // Rebuild regions and objects from the directory.
@@ -709,7 +698,6 @@ mod tests {
         put_blob(
             &mut out,
             (img.seq, img.epoch_watermark, img.meta_region),
-            img.replication.as_deref(),
             img.regions.iter().map(|r| (r.id, &r.spec, r.dies.iter().copied())),
             img.objects.iter().map(|o| (o.id, o.name.as_str(), o.region)),
         );
@@ -721,7 +709,6 @@ mod tests {
             seq: 7,
             epoch_watermark: 991,
             meta_region: Some(RegionId(2)),
-            replication: Some(vec![0xAB; 17]),
             regions: vec![RegionImage {
                 id: RegionId(0),
                 spec: RegionSpec::named("rgHot")
@@ -1094,7 +1081,7 @@ mod tests {
         // A blob under an earlier format version's magic — intact CRC,
         // whatever follows — must decode as "no checkpoint" rather than
         // have the cursor run over fields that are no longer there.
-        for magic in [b"NFCKPT04", b"NFCKPT05", b"NFCKPT06"] {
+        for magic in [b"NFCKPT04", b"NFCKPT05", b"NFCKPT06", b"NFCKPT07"] {
             let mut old = encode(&sample_image());
             old.truncate(old.len() - 4);
             old[..8].copy_from_slice(magic);

@@ -8,15 +8,13 @@
 //! region manager's GC and mount scan need, and the load/metrics probes
 //! the mirror's read selection and the observability layer read.
 //!
-//! Two hooks exist purely for replicated backends and default to no-ops
-//! on a plain device:
-//!
-//! * [`FlashBackend::replication_blob`] — opaque state the checkpoint
-//!   path persists alongside the region directory (the mirror's health +
-//!   dirty-segment map);
-//! * [`FlashBackend::restore_replication`] — handed back at mount so a
-//!   rebooted mirror knows which children are stale.  A missing or torn
-//!   blob must degrade to "rebuild everything", never silent staleness.
+//! One hook exists purely for replicated backends and defaults to a no-op
+//! on a plain device: [`FlashBackend::restore_replication`], which
+//! `NoFtl::mount` calls so a rebooted mirror reads which children are
+//! stale off the children themselves.  Nothing about replication is
+//! persisted: [`FlashBackend::replication_blob`] and the hook's `blob`
+//! parameter stay only because the benchmark's `bench-trace` decorator
+//! implements them.
 
 use std::sync::Arc;
 
@@ -220,17 +218,21 @@ pub trait FlashBackend: Send + Sync {
     /// power-cut injector through an `Arc<dyn FlashBackend>` handle.
     fn as_any(&self) -> &dyn std::any::Any;
 
-    /// Opaque replication state for the checkpoint path to persist, or
-    /// `None` for unreplicated backends.
+    /// Replication state to persist: always `None`, since no backend
+    /// persists any (a mirror reads its children's staleness off the
+    /// children at mount).  Nothing in the workspace calls or overrides
+    /// it; the method stays only because the benchmark's `bench-trace`
+    /// decorator implements it.
     fn replication_blob(&self) -> Option<Vec<u8>> {
         None
     }
 
-    /// Restore replication state persisted by [`Self::replication_blob`].
-    /// `blob` is `None` when the mounted checkpoint predates replication
-    /// or no checkpoint exists; implementations must treat that (and any
-    /// undecodable blob) as "every non-source child may be stale".
-    /// Returns the completion time of any scanning the restore performed.
+    /// Re-establish replication state at mount, issuing any scan at `at`,
+    /// and return the completion time of that scan: a mirror compares
+    /// each child that has power against its source and treats one
+    /// without power as stale everywhere.  `blob` is always `None` and
+    /// is ignored; the parameter stays only because the benchmark's
+    /// `bench-trace` decorator implements the method with it.
     fn restore_replication(&self, blob: Option<&[u8]>, at: SimTime) -> Result<SimTime> {
         let _ = blob;
         Ok(at)
@@ -312,12 +314,8 @@ mod tests {
         assert_eq!(device.geometry().page_size, 4096);
         assert!(device.stores_data());
         assert_eq!(device.quiesce_time(), SimTime::ZERO);
-        // Plain devices have no replication state and accept any blob.
-        assert!(device.replication_blob().is_none());
-        assert_eq!(
-            device.restore_replication(Some(b"junk"), SimTime::ZERO).unwrap(),
-            SimTime::ZERO
-        );
+        // Plain devices have no replication state to restore.
+        assert_eq!(device.restore_replication(None, SimTime::ZERO).unwrap(), SimTime::ZERO);
         assert!(!device.die_touched(DieId(0)));
         let addr = PageAddr::new(DieId(0), 0, 0, 0);
         let data = vec![7u8; 4096];

@@ -3,9 +3,8 @@
 //! Under NoFTL the DBMS owns the flash address space, so everything
 //! durable beyond page payloads is a format this workspace defines and
 //! must read back after a power cut: the device image, the region
-//! checkpoint blob and its chunk pages, KV run pages, the mirror blob,
-//! WAL frames and pages, and the catalog snapshot.  They all share these
-//! three parts:
+//! checkpoint blob and its chunk pages, KV run pages, WAL frames and
+//! pages, and the catalog snapshot.  They all share these three parts:
 //!
 //! * `put_*` writers appending little-endian integers and length-prefixed
 //!   byte strings to a `Vec<u8>`;
@@ -13,7 +12,7 @@
 //!   `None` where the bytes run out, so a torn or truncated format decodes
 //!   to "absent", never to a panic — and never allocates;
 //! * [`seal`] / [`open`]: `magic | body | crc32`, the framing of the
-//!   three self-validating blobs (image, checkpoint, mirror).
+//!   two self-validating blobs (image, checkpoint).
 //!
 //! Fixed-offset page views (the heap's slotted page, the B+-tree node)
 //! and the 24-byte OOB record are read in place and do not use it.

@@ -69,9 +69,9 @@
 //! workspace: little-endian `put_*` writers, the bounds-checked
 //! [`codec::Reader`] that answers `None` instead of panicking on a torn
 //! buffer, and the magic + CRC-32 [`codec::seal`] / [`codec::open`] of
-//! the device image ([`image`]), the NoFTL checkpoint blob and the mirror
-//! blob.  The fixed 24-byte OOB record ([`PageMetadata`]) is not streamed
-//! and keeps its own fixed-offset encoding.
+//! the device image ([`image`]) and the NoFTL checkpoint blob.  The fixed
+//! 24-byte OOB record ([`PageMetadata`]) is not streamed and keeps its
+//! own fixed-offset encoding.
 //!
 //! The device image (`NFLIMG04`: [`NandDevice::image`] writes it,
 //! [`NandDevice::from_image`] boots it) is the one persisted form of a

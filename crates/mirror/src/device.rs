@@ -47,8 +47,9 @@
 //!   page's segment.
 //!
 //! A child's staleness is one value: its map, or none when nothing
-//! trustworthy is known (torn blob, unknown history), in which case
-//! every segment counts as stale.
+//! trustworthy is known (a child without power at mount, or one a new
+//! mirror could not yet verify), in which case every segment counts as
+//! stale.
 //!
 //! # Locking
 //!
@@ -86,16 +87,17 @@ use noftl_obs::MetricsRegistry;
 
 use crate::health::ChildHealth;
 use crate::obs::MirrorObs;
-use crate::segmap::{ChildBlob, MirrorBlob, SegmentMap};
+use crate::segmap::SegmentMap;
 
 /// Replication state of one child.
 #[derive(Debug)]
 pub(crate) struct ChildState {
     pub(crate) health: ChildHealth,
     /// Segments this child is stale for, or `None` when no trustworthy
-    /// staleness information exists (torn blob, child attached with
-    /// unknown history): then every segment counts as stale, until a
-    /// rebuild materialises the map or a restore verifies the child.
+    /// staleness information exists (a child attached with unknown
+    /// history, or without power at mount): then every segment counts as
+    /// stale, until a rebuild materialises the map or a restore verifies
+    /// the child.
     pub(crate) dirty: Option<SegmentMap>,
     /// When the child left `Online`, for the degraded-mode trace span.
     pub(crate) faulted_at: Option<SimTime>,
@@ -179,9 +181,9 @@ impl MirrorDevice {
     /// Pristine children all start `Online`.  If any child already holds
     /// data, the child with the highest stored write epoch becomes the
     /// only `Online` member and every other child starts `Faulted` with
-    /// no staleness map — every segment counts as stale — until
-    /// [`MirrorDevice::restore_replication`] (or a full rebuild)
-    /// establishes what they actually hold.
+    /// no staleness map — every segment counts as stale — until the
+    /// verify scan of [`MirrorDevice::restore_replication`] (or a full
+    /// rebuild) reads what they actually hold off the children.
     pub fn new(children: Vec<Arc<NandDevice>>) -> Result<MirrorDevice> {
         if children.len() < 2 {
             return Err(FlashError::MirrorConfig {
@@ -672,31 +674,17 @@ impl FlashBackend for MirrorDevice {
         self
     }
 
-    fn replication_blob(&self) -> Option<Vec<u8>> {
-        let state = self.mirror_shard();
-        let children = state
-            .children
-            .iter()
-            .map(|c| {
-                let dirty =
-                    c.dirty.clone().unwrap_or_else(|| SegmentMap::all_dirty(self.segment_count()));
-                ChildBlob { health: c.health, dirty }
-            })
-            .collect();
-        let blob = MirrorBlob { watermark: state.epoch, children };
-        Some(blob.encode())
-    }
-
-    fn restore_replication(&self, blob: Option<&[u8]>, at: SimTime) -> Result<SimTime> {
+    /// Read every child's staleness off the children: the source (the
+    /// highest stored epoch) is `Online`; a non-source child that has
+    /// power gets the verify scan's map, unioned with the map it accrued
+    /// since construction; one without power stays `Faulted` with no map.
+    /// `blob` is ignored: nothing is persisted beside the children.
+    fn restore_replication(&self, _blob: Option<&[u8]>, at: SimTime) -> Result<SimTime> {
         let mut now = at;
         // Nothing written anywhere: a fresh mirror stays fully online.
         let pristine = self.geometry.dies().all(|d| !self.die_touched(d));
         let source = Self::pick_source(&self.children);
         let segments = self.segment_count();
-        let decoded = blob
-            .and_then(MirrorBlob::decode)
-            .filter(|b| b.children.len() == self.children.len())
-            .filter(|b| b.children.iter().all(|c| c.dirty.segments() == segments));
         // Compute every child's staleness before mutating any state.
         let mut state = self.mirror_shard();
         let mut plans = Vec::with_capacity(self.children.len());
@@ -705,22 +693,16 @@ impl FlashBackend for MirrorDevice {
                 plans.push((ChildHealth::Online, Some(SegmentMap::all_clean(segments))));
                 continue;
             }
-            // A child without power cannot be verified, and a missing or
-            // torn blob leaves nothing to trust: rebuild everything, never
-            // risk silent staleness.
-            let powered = self.children[i].power_cut().is_none_or(|cut| cut > at);
-            let Some(blob) = decoded.as_ref().filter(|_| powered) else {
+            // A child without power cannot be verified: every segment
+            // counts as stale, never risk silent staleness.
+            if self.children[i].power_cut().is_some_and(|cut| cut <= at) {
                 plans.push((ChildHealth::Faulted, None));
                 continue;
-            };
-            // Persisted map ∪ anything accrued since construction ∪ the
-            // scan's ground truth (covers writes after the checkpoint
-            // that persisted the blob).
-            let mut dirty = blob.children[i].dirty.clone();
+            }
+            let mut dirty = self.verify_dirty(source, i, &mut now)?;
             if let Some(accrued) = &state.children[i].dirty {
                 dirty.union(accrued);
             }
-            dirty.union(&self.verify_dirty(source, i, &mut now)?);
             let health =
                 if dirty.is_all_clean() { ChildHealth::Online } else { ChildHealth::Faulted };
             plans.push((health, Some(dirty)));

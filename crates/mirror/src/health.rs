@@ -13,10 +13,11 @@
 //! The transitions are validated centrally by
 //! [`ChildHealth::check_transition`] so an illegal hop (e.g. `Faulted →
 //! Online` without a rebuild) is a [`FlashError::MirrorConfig`] instead of
-//! silent state corruption.  `Rebuilding` is a volatile state: the
-//! persisted segment-map blob stores it as [`ChildHealth::Faulted`], so a
-//! crash mid-rebuild resumes from "stale child with a dirty map", never
-//! from "child that pretends its interrupted copies landed".
+//! silent state corruption.  No health is persisted: after a reboot the
+//! mount's verify scan sets every child's health afresh from what the
+//! children hold, so a crash mid-rebuild resumes from "stale child with
+//! the segments the scan found different", never from "child that
+//! pretends its interrupted copies landed".
 
 use flash_sim::FlashError;
 
@@ -51,25 +52,6 @@ impl ChildHealth {
             })
         }
     }
-
-    /// Persisted encoding.  `Rebuilding` deliberately collapses to the
-    /// `Faulted` byte: an interrupted rebuild must restart from its dirty
-    /// map, not resume an in-memory state that died with the process.
-    pub fn encode(self) -> u8 {
-        match self {
-            ChildHealth::Online => 0,
-            ChildHealth::Faulted | ChildHealth::Rebuilding => 1,
-        }
-    }
-
-    /// Decode a persisted health byte.
-    pub fn decode(b: u8) -> Option<ChildHealth> {
-        match b {
-            0 => Some(ChildHealth::Online),
-            1 => Some(ChildHealth::Faulted),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -98,13 +80,5 @@ mod tests {
             let err = from.check_transition(to).unwrap_err();
             assert!(matches!(err, FlashError::MirrorConfig { .. }), "{from:?}->{to:?}");
         }
-    }
-
-    #[test]
-    fn rebuilding_persists_as_faulted() {
-        assert_eq!(ChildHealth::Rebuilding.encode(), ChildHealth::Faulted.encode());
-        assert_eq!(ChildHealth::decode(0), Some(ChildHealth::Online));
-        assert_eq!(ChildHealth::decode(1), Some(ChildHealth::Faulted));
-        assert_eq!(ChildHealth::decode(2), None);
     }
 }

@@ -30,14 +30,12 @@
 //!   its copy, so a write into an already-copied segment is applied and
 //!   one into a segment not yet copied skips the child, which the copy
 //!   then brings over.
-//! * **Persistence**: the mirror's health + segment maps travel inside
-//!   the checkpoint as an opaque replication blob ([`MirrorBlob`],
-//!   CRC-guarded).  A torn blob degrades to "rebuild everything" —
-//!   never to silent staleness — and a valid one is cross-checked
-//!   against the devices at mount by a verify scan (block shape, OOB,
-//!   and the stale child's payload against its OOB checksum), so writes
-//!   that landed after the checkpoint are found too, and so is a copy
-//!   torn after its OOB landed.
+//! * **Persistence**: none of its own.  A child's staleness is read off
+//!   the children at mount by a verify scan (block shape, OOB, and the
+//!   stale child's payload against its OOB checksum), which finds what
+//!   each child missed — writes after any checkpoint included, and a
+//!   copy torn after its OOB landed — and a child without power at mount
+//!   counts as stale everywhere, never silently trusted.
 
 #![warn(missing_docs)]
 
@@ -51,7 +49,7 @@ pub use device::MirrorDevice;
 pub use health::ChildHealth;
 pub use obs::TRACK_MIRROR;
 pub use rebuild::{RebuildReport, SegmentCopy};
-pub use segmap::{ChildBlob, MirrorBlob, SegmentMap, BLOB_MAGIC};
+pub use segmap::SegmentMap;
 
 #[cfg(test)]
 mod tests {
@@ -298,8 +296,7 @@ mod tests {
         let report = m.rebuild(1, 4, done.completed_at).unwrap();
         assert!(report.child_online);
         assert_eq!((report.segments_copied, report.pages_copied), (1, 1));
-        let blob = m.replication_blob().unwrap();
-        m.restore_replication(Some(&blob), m.quiesce_time()).unwrap();
+        m.restore_replication(None, m.quiesce_time()).unwrap();
         assert!(m.fully_online(), "the verify scan found the rebuilt segment stale");
         let (data, _, _) = m.children()[1].read_page(page(0, 2, 0), m.quiesce_time()).unwrap();
         assert_eq!(data, payload(5));
@@ -503,9 +500,8 @@ mod tests {
 
             assert_eq!(m.health(1), ChildHealth::Online, "seed {seed}");
             assert_eq!(m.dirty_segments(1), 0, "seed {seed}");
-            let blob = m.replication_blob().unwrap();
             let at = m.quiesce_time();
-            m.restore_replication(Some(&blob), at).unwrap();
+            m.restore_replication(None, at).unwrap();
             assert!(m.fully_online(), "seed {seed}: the verify scan found a stale segment");
             assert_eq!(m.dirty_segments(1), 0, "seed {seed}");
 
@@ -561,49 +557,17 @@ mod tests {
     }
 
     #[test]
-    fn blob_roundtrip_through_backend_hooks() {
+    fn restore_finds_writes_the_child_missed() {
         let m = mirror(2);
         m.program_page(page(0, 0, 0), &payload(1), PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
-        m.children()[1].arm_power_cut(SimTime(10));
-        m.program_page(page(0, 1, 0), &payload(2), PageMetadata::new(1, 1), SimTime(1_000))
-            .unwrap();
-        let blob = m.replication_blob().unwrap();
-        let decoded = MirrorBlob::decode(&blob).unwrap();
-        assert_eq!(decoded.children.len(), 2);
-        assert_eq!(decoded.children[0].health, ChildHealth::Online);
-        assert_eq!(decoded.children[1].health, ChildHealth::Faulted);
-        assert_eq!(decoded.children[1].dirty.dirty_count(), 1);
-        assert_eq!(decoded.watermark, m.current_epoch());
-    }
-
-    #[test]
-    fn torn_blob_restores_to_rebuild_everything() {
-        let m = mirror(2);
-        m.program_page(page(0, 0, 0), &payload(1), PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
-        let mut blob = m.replication_blob().unwrap();
-        let last = blob.len() - 1;
-        blob[last] ^= 0x40;
-        m.restore_replication(Some(&blob), SimTime(1_000_000)).unwrap();
-        assert_eq!(m.health(0), ChildHealth::Online);
-        assert_eq!(m.health(1), ChildHealth::Faulted);
-        assert_eq!(m.dirty_segments(1), m.segment_count());
-    }
-
-    #[test]
-    fn restore_verifies_post_blob_writes() {
-        let m = mirror(2);
-        m.program_page(page(0, 0, 0), &payload(1), PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
-        // Blob cut while fully in sync: both children clean.
-        let blob = m.replication_blob().unwrap();
-        // Writes after the blob reach only child 0 (child 1 lost), so at
-        // restore time the blob alone would claim child 1 is clean.
+        // Writes after the cut reach only child 0.
         m.children()[1].arm_power_cut(SimTime(10));
         m.program_page(page(2, 5, 0), &payload(7), PageMetadata::new(4, 9), SimTime(1_000_000))
             .unwrap();
         m.children()[1].clear_power_cut();
-        let now = m.restore_replication(Some(&blob), SimTime(2_000_000)).unwrap();
+        let now = m.restore_replication(None, SimTime(2_000_000)).unwrap();
         assert!(now >= SimTime(2_000_000));
-        // The verify scan catches the divergence the blob missed.
+        // The verify scan finds the one segment child 1 missed.
         assert_eq!(m.health(1), ChildHealth::Faulted);
         assert_eq!(m.dirty_segments(1), 1);
         assert_eq!(m.health(0), ChildHealth::Online);
@@ -614,7 +578,6 @@ mod tests {
     #[test]
     fn restore_finds_a_torn_copy_that_kept_its_oob() {
         let m = mirror(2);
-        let blob = m.replication_blob().unwrap();
         let meta = PageMetadata::with_epoch(1, 0, 1).with_payload_checksum(&payload(3));
         let addr = page(0, 0, 0);
         let whole = m.children()[0].program_page(addr, &payload(3), meta, SimTime::ZERO).unwrap();
@@ -624,7 +587,7 @@ mod tests {
         assert!(m.children()[1].program_page(addr, &payload(3), meta, SimTime::ZERO).is_err());
         m.children()[1].clear_power_cut();
         assert_eq!(m.children()[1].read_metadata(addr, end).unwrap().0, Some(meta));
-        m.restore_replication(Some(&blob), end).unwrap();
+        m.restore_replication(None, end).unwrap();
         assert_eq!(m.health(1), ChildHealth::Faulted, "the torn copy passed the verify scan");
         assert_eq!(m.dirty_segments(1), 1);
     }

@@ -279,8 +279,8 @@ impl MirrorDevice {
             };
             let out = read?;
             let read_done = out.outcome.completed_at;
-            // A torn source OOB area (power cut mid-program before the
-            // blob was cut) still gets its payload copied; the metadata
+            // A torn source OOB area (power cut mid-program) still gets
+            // its payload copied; the metadata
             // placeholder keeps the page readable and the verify scan
             // conservative about it.
             let meta = out.meta.unwrap_or_else(|| PageMetadata::with_epoch(0, 0, 1));

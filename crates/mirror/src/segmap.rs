@@ -1,4 +1,4 @@
-//! Dirty-segment tracking and its persisted form.
+//! Dirty-segment tracking.
 //!
 //! A *segment* is one erase block, addressed by its linear block index
 //! ([`FlashGeometry::block_index`](flash_sim::FlashGeometry::block_index)).  While a
@@ -6,18 +6,10 @@
 //! targeted segment dirty in that child's [`SegmentMap`]; the rebuild
 //! engine later copies exactly the dirty segments and nothing else.
 //!
-//! [`MirrorBlob`] is the persisted form carried inside the NoFTL
-//! checkpoint (`CheckpointImage::replication`): per-child health byte and
-//! bitmap plus the mirror's epoch watermark, framed by a magic and a
-//! CRC-32 trailer.  A torn or truncated blob decodes to `None`, which the
-//! restore path treats as "every non-source child may be entirely stale"
-//! — the mandated fail-safe direction.
-
-use crate::health::ChildHealth;
-use flash_sim::codec::{open, put_u32, put_u64, put_u8, seal, Reader};
-
-/// Magic prefix of the persisted mirror blob.
-pub const BLOB_MAGIC: &[u8; 8] = b"NFMIRR01";
+//! A map lives in memory only: after a reboot the mount's verify scan
+//! ([`MirrorDevice::restore_replication`](crate::MirrorDevice::restore_replication))
+//! reads a child's staleness off the children themselves, so nothing
+//! persists it.
 
 /// A fixed-size bitmap over the segments of one child.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,11 +32,6 @@ impl SegmentMap {
             map.mark(seg);
         }
         map
-    }
-
-    /// Number of segments the map covers.
-    pub fn segments(&self) -> u64 {
-        self.segments
     }
 
     /// Number of dirty segments.
@@ -106,81 +93,6 @@ impl SegmentMap {
             self.mark(seg);
         }
     }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.segments);
-        put_u32(out, self.words.len() as u32);
-        for w in &self.words {
-            put_u64(out, *w);
-        }
-    }
-
-    fn decode_from(r: &mut Reader<'_>) -> Option<SegmentMap> {
-        let segments = r.u64()?;
-        let word_count = r.u32()?;
-        if u64::from(word_count) != segments.div_ceil(64) {
-            return None;
-        }
-        let words: Vec<u64> = (0..word_count).map(|_| r.u64()).collect::<Option<_>>()?;
-        // Bits beyond `segments` must be zero or the blob is corrupt.
-        if segments % 64 != 0 {
-            if let Some(last) = words.last() {
-                if last >> (segments % 64) != 0 {
-                    return None;
-                }
-            }
-        }
-        Some(SegmentMap { segments, words })
-    }
-}
-
-/// Persisted health + dirty map of one child.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChildBlob {
-    /// Health at blob time (`Rebuilding` collapses to `Faulted`).
-    pub health: ChildHealth,
-    /// Dirty segments at blob time, including any copy that was still in
-    /// flight (a crash mid-copy must re-copy, never trust it landed).
-    pub dirty: SegmentMap,
-}
-
-/// The persisted replication state of a whole mirror.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MirrorBlob {
-    /// Mirror write epoch when the blob was taken (diagnostic watermark;
-    /// source selection at restore re-derives from the devices).
-    pub watermark: u64,
-    /// Per-child state, indexed like the mirror's children.
-    pub children: Vec<ChildBlob>,
-}
-
-impl MirrorBlob {
-    /// Serialise: magic | watermark | child count | children | crc32.
-    pub fn encode(&self) -> Vec<u8> {
-        seal(BLOB_MAGIC, 0, |out| {
-            put_u64(out, self.watermark);
-            put_u32(out, self.children.len() as u32);
-            for child in &self.children {
-                put_u8(out, child.health.encode());
-                child.dirty.encode_into(out);
-            }
-        })
-    }
-
-    /// Decode a blob produced by [`MirrorBlob::encode`].  Any framing,
-    /// length or checksum mismatch yields `None` — the caller must then
-    /// assume every non-source child is entirely stale.
-    pub fn decode(buf: &[u8]) -> Option<MirrorBlob> {
-        let mut r = open(buf, BLOB_MAGIC)?;
-        let watermark = r.u64()?;
-        let children = (0..r.u32()?)
-            .map(|_| {
-                let health = ChildHealth::decode(r.u8()?)?;
-                Some(ChildBlob { health, dirty: SegmentMap::decode_from(&mut r)? })
-            })
-            .collect::<Option<_>>()?;
-        r.rest().is_empty().then_some(MirrorBlob { watermark, children })
-    }
 }
 
 #[cfg(test)]
@@ -222,79 +134,7 @@ mod tests {
         assert_eq!(a.iter_dirty().collect::<Vec<_>>(), vec![3, 69]);
     }
 
-    #[test]
-    fn blob_roundtrip() {
-        let mut dirty0 = SegmentMap::all_clean(64);
-        dirty0.mark(7);
-        dirty0.mark(63);
-        let blob = MirrorBlob {
-            watermark: 12345,
-            children: vec![
-                ChildBlob { health: ChildHealth::Online, dirty: SegmentMap::all_clean(64) },
-                ChildBlob { health: ChildHealth::Faulted, dirty: dirty0 },
-            ],
-        };
-        let enc = blob.encode();
-        assert_eq!(MirrorBlob::decode(&enc), Some(blob));
-    }
-
-    #[test]
-    fn rebuilding_child_persists_as_faulted() {
-        let blob = MirrorBlob {
-            watermark: 1,
-            children: vec![ChildBlob {
-                health: ChildHealth::Rebuilding,
-                dirty: SegmentMap::all_clean(8),
-            }],
-        };
-        let dec = MirrorBlob::decode(&blob.encode()).unwrap();
-        assert_eq!(dec.children[0].health, ChildHealth::Faulted);
-    }
-
-    #[test]
-    fn torn_blobs_decode_to_none() {
-        let blob = MirrorBlob {
-            watermark: 99,
-            children: vec![ChildBlob {
-                health: ChildHealth::Online,
-                dirty: SegmentMap::all_dirty(130),
-            }],
-        };
-        let enc = blob.encode();
-        // Truncations at every length.
-        for n in 0..enc.len() {
-            assert_eq!(MirrorBlob::decode(&enc[..n]), None, "truncated to {n}");
-        }
-        // Any single-byte corruption breaks the CRC (or the framing).
-        for i in 0..enc.len() {
-            let mut bad = enc.clone();
-            bad[i] ^= 0x40;
-            assert_eq!(MirrorBlob::decode(&bad), None, "flipped byte {i}");
-        }
-        assert_eq!(MirrorBlob::decode(b"junk"), None);
-        assert_eq!(MirrorBlob::decode(&[]), None);
-    }
-
     proptest! {
-        #[test]
-        fn roundtrip_any(watermark in any::<u64>(), segs in 1u64..300, seed in any::<u64>()) {
-            let mut dirty = SegmentMap::all_clean(segs);
-            // Deterministic pseudo-random dirtying from the seed.
-            let mut x = seed | 1;
-            for _ in 0..(segs / 2) {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                dirty.mark(x % segs);
-            }
-            let blob = MirrorBlob {
-                watermark,
-                children: vec![
-                    ChildBlob { health: ChildHealth::Faulted, dirty },
-                    ChildBlob { health: ChildHealth::Online, dirty: SegmentMap::all_clean(segs) },
-                ],
-            };
-            prop_assert_eq!(MirrorBlob::decode(&blob.encode()), Some(blob));
-        }
-
         #[test]
         fn dirty_count_tracks_bits(segs in 1u64..200, seed in any::<u64>()) {
             let mut m = SegmentMap::all_clean(segs);

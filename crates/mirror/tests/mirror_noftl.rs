@@ -1,8 +1,8 @@
 //! NoFTL-over-mirror integration: the storage manager mounts a
-//! [`MirrorDevice`] exactly like a bare device, the checkpoint carries
-//! the mirror's replication blob, and a remount restores health + dirty
-//! maps (refined by the verify scan) so a rebuild provably copies only
-//! the segments the lost child actually missed.
+//! [`MirrorDevice`] exactly like a bare device, and a remount reads each
+//! child's health and dirty map off the children (the verify scan), so a
+//! rebuild provably copies only the segments the lost child actually
+//! missed.
 
 mod common;
 
@@ -53,8 +53,8 @@ fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirt
     assert!(report.checkpoint_seq >= 2);
     t = report.completed_at;
 
-    // The persisted blob (plus verify scan) brought back exactly the stale
-    // set — not "everything", which is what a torn blob would force.
+    // The verify scan brought back exactly the stale set — not
+    // "everything", which is what an unverifiable child would force.
     assert_eq!(mirror2.health(1), ChildHealth::Faulted);
     let dirty_restored = mirror2.dirty_segments(1);
     assert!(dirty_restored > 0 && dirty_restored < mirror2.segment_count());
@@ -124,6 +124,48 @@ fn mount_with_child_still_missing_serves_degraded_and_rebuilds_later() {
     assert!(mirror2.fully_online());
 }
 
+/// A rebuild that finished after the last checkpoint is not redone: the
+/// remount reads the rebuilt child's staleness off the children, which
+/// agree, so it comes back `Online` with nothing to copy.
+#[test]
+fn a_rebuild_finished_after_the_last_checkpoint_is_not_redone() {
+    let machine = Mirror::fresh();
+    let mirror = &machine.device;
+    let (noftl, _rid) = NoFtl::with_single_region(mirror.clone()).unwrap();
+    let obj = noftl.create_object_in("t", "rgAll").unwrap();
+    let mut t = SimTime::ZERO;
+    for p in 0..8u64 {
+        t = noftl.write(obj, p, &vec![p as u8 + 1; 4096], t).unwrap();
+    }
+    t = noftl.checkpoint(t).unwrap();
+
+    machine.lose(1, t);
+    t = SimTime(t.as_nanos() + 1_000);
+    for p in 0..4u64 {
+        t = noftl.write(obj, p, &vec![0xB0 + p as u8; 4096], t).unwrap();
+    }
+    t = noftl.checkpoint(t).unwrap();
+    assert_eq!(mirror.health(1), ChildHealth::Faulted);
+    assert!(mirror.dirty_segments(1) > 0);
+
+    // The child comes back and is rebuilt; no checkpoint follows.
+    machine.reattach(1, t).unwrap();
+    mirror.start_rebuild(1, t).unwrap();
+    let report = mirror.rebuild(1, 4, t).unwrap();
+    assert!(report.child_online);
+    t = report.completed_at;
+
+    let machine2 = machine.reboot().unwrap();
+    let mirror2 = &machine2.device;
+    let (noftl2, report) = NoFtl::mount(mirror2.clone(), t).unwrap();
+    assert_eq!(mirror2.health(1), ChildHealth::Online, "the finished rebuild is redone");
+    assert_eq!(mirror2.dirty_segments(1), 0);
+    for p in 0..8u64 {
+        let expected = if p < 4 { 0xB0 + p as u8 } else { p as u8 + 1 };
+        assert_eq!(read(&noftl2, obj, p, report.completed_at), vec![expected; 4096]);
+    }
+}
+
 /// A write in flight on child 0 at its cut tears there and is
 /// acknowledged from child 1.  The box then loses power before child 1
 /// writes again, so child 0 holds the write's epoch (or tore under it)
@@ -187,10 +229,10 @@ mod props {
     use proptest::prelude::*;
 
     proptest! {
-        /// Checkpoint → crash → mount round-trips the mirror config and
-        /// segment map for arbitrary degraded write patterns: the
-        /// reloaded dirty set covers exactly the blocks the lost child
-        /// missed and every acknowledged write survives.
+        /// Checkpoint → crash → mount restores the mirror's health and
+        /// segment map for arbitrary degraded write patterns: the dirty
+        /// set the verify scan reads covers exactly the blocks the lost
+        /// child missed and every acknowledged write survives.
         #[test]
         fn roundtrip_restores_exact_staleness(
             seed in any::<u64>(),
@@ -220,9 +262,9 @@ mod props {
                 t = noftl.write(obj, page, &val, t).unwrap();
                 expected.insert(page, val);
             }
-            // Half the cases persist the degraded state in a second
-            // checkpoint (blob path), half crash with only the clean
-            // pre-loss blob (verify-scan path).
+            // Half the cases take a second checkpoint while degraded, half
+            // crash with only the pre-loss one: the verify scan finds the
+            // same staleness either way.
             if seed.is_multiple_of(2) {
                 t = noftl.checkpoint(t).unwrap();
             }
