@@ -513,7 +513,9 @@ impl NoFtl {
         }
         let rid = match self.create_region(RegionSpec::named(META_REGION_NAME).with_die_count(1)) {
             Ok(rid) => rid,
-            // Present from a previous incarnation (e.g. after a remount).
+            // A region the caller itself named `__noftl_meta`: adopt it.
+            // A remount never gets here, since `NoFtl::mount` restores
+            // `meta.region` from the checkpoint, which always names it.
             Err(NoFtlError::RegionExists { .. }) => {
                 self.region_id(META_REGION_NAME).ok_or_else(|| NoFtlError::Recovery {
                     message: format!("region '{META_REGION_NAME}' exists but has no id entry"),

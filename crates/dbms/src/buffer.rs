@@ -778,9 +778,6 @@ mod tests {
         ) -> Result<SimTime> {
             self.live().write_page(obj, page, data, at)
         }
-        fn write_batch(&self, writes: &[(ObjectId, u64, Vec<u8>)], at: SimTime) -> Result<SimTime> {
-            self.live().write_batch(writes, at)
-        }
         fn write_windowed(
             &self,
             writes: &[(ObjectId, u64, Vec<u8>)],

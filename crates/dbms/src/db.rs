@@ -412,9 +412,6 @@ impl Database {
         let mut e = self.lock_engine();
         let (table_def, ..) = e.parts(table)?;
         let obj = self.backend.create_object(index)?;
-        if table_def.indexes.contains_key(index) {
-            return Err(DbError::AlreadyExists { what: format!("index '{index}'") });
-        }
         table_def.indexes.insert(index.to_string(), BTree::new(obj));
         e.record_metadata_change(self, &format!("CREATE INDEX {index} ON {table}"), now)
     }
@@ -1262,20 +1259,17 @@ mod tests {
         ) -> Result<SimTime> {
             self.inner.write_page(obj, page, data, at)
         }
-        fn write_batch(&self, writes: &[(ObjectId, u64, Vec<u8>)], at: SimTime) -> Result<SimTime> {
-            let log = self.inner.lookup_object(LOG_OBJECT);
-            let failing = self.fail.load(std::sync::atomic::Ordering::Relaxed);
-            if failing && writes.iter().any(|w| Some(w.0) == log) {
-                return Err(DbError::Storage { message: "log write failed".into() });
-            }
-            self.inner.write_batch(writes, at)
-        }
         fn write_windowed(
             &self,
             writes: &[(ObjectId, u64, Vec<u8>)],
             at: SimTime,
             window: usize,
         ) -> Result<SimTime> {
+            let log = self.inner.lookup_object(LOG_OBJECT);
+            let failing = self.fail.load(std::sync::atomic::Ordering::Relaxed);
+            if failing && writes.iter().any(|w| Some(w.0) == log) {
+                return Err(DbError::Storage { message: "log write failed".into() });
+            }
             self.inner.write_windowed(writes, at, window)
         }
         fn metrics(&self) -> Option<&Arc<noftl_obs::MetricsRegistry>> {
@@ -1396,6 +1390,20 @@ mod tests {
         let mut txn = db.begin(SimTime::ZERO);
         let rid = db.insert(&mut txn, "t", &customer(1, 1, 0.0, "X"), NO_KEYS).unwrap();
         let _ = db.read(&mut txn, "t", rid, |_| db.buffer_stats());
+    }
+
+    /// A second table or index of a taken name is refused as such: the
+    /// storage manager's duplicate object surfaces as `AlreadyExists`.
+    #[test]
+    fn a_duplicate_table_or_index_name_is_already_exists() {
+        let db = open_db(64);
+        let t0 = SimTime::ZERO;
+        db.create_table("customer", customer_schema(), t0).unwrap();
+        db.create_index("customer", "c_idx", t0).unwrap();
+        let err = db.create_table("customer", customer_schema(), t0).unwrap_err();
+        assert!(matches!(err, DbError::AlreadyExists { .. }), "{err}");
+        let err = db.create_index("customer", "c_idx", t0).unwrap_err();
+        assert!(matches!(err, DbError::AlreadyExists { .. }), "{err}");
     }
 
     #[test]

@@ -72,7 +72,12 @@ impl DbError {
 
 impl From<noftl_core::NoFtlError> for DbError {
     fn from(e: noftl_core::NoFtlError) -> Self {
-        DbError::storage(e)
+        match e {
+            noftl_core::NoFtlError::ObjectExists { name } => {
+                DbError::AlreadyExists { what: format!("object '{name}'") }
+            }
+            e => DbError::storage(e),
+        }
     }
 }
 
@@ -91,6 +96,8 @@ mod tests {
         let e: DbError = noftl_core::NoFtlError::UnknownObject { object: "x".into() }.into();
         assert!(matches!(e, DbError::Storage { .. }));
         assert!(e.to_string().contains("storage error"));
+        let e: DbError = noftl_core::NoFtlError::ObjectExists { name: "x".into() }.into();
+        assert_eq!(e, DbError::AlreadyExists { what: "object 'x'".into() });
         assert!(DbError::not_found("table t").to_string().contains("table t"));
         let e: DbError = flash_sim::FlashError::oob("addr").into();
         assert!(e.to_string().contains("out of bounds"));

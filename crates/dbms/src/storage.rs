@@ -89,7 +89,9 @@ pub trait StorageBackend: Send + Sync {
     /// Write a batch of pages, all issued at `at`; returns the completion
     /// time of the slowest one.  The NoFTL stack's per-die command queues
     /// overlap the writes.
-    fn write_batch(&self, writes: &[(ObjectId, u64, Vec<u8>)], at: SimTime) -> Result<SimTime>;
+    fn write_batch(&self, writes: &[(ObjectId, u64, Vec<u8>)], at: SimTime) -> Result<SimTime> {
+        self.write_windowed(writes, at, usize::MAX)
+    }
 
     /// Write a batch through a bounded completion-driven pipeline: at
     /// most `window` pages in flight, each further page issued at the
@@ -239,11 +241,6 @@ impl StorageBackend for NoFtlBackend {
 
     fn write_page(&self, obj: ObjectId, page: u64, data: &[u8], at: SimTime) -> Result<SimTime> {
         self.noftl.write(obj, page, data, at).map_err(Into::into)
-    }
-
-    fn write_batch(&self, writes: &[(ObjectId, u64, Vec<u8>)], at: SimTime) -> Result<SimTime> {
-        // Fans the batch across the dies of each target region.
-        self.write_windowed(writes, at, usize::MAX)
     }
 
     fn write_windowed(

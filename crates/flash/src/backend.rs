@@ -186,7 +186,9 @@ pub trait FlashBackend: Send + Sync {
     fn die_load(&self, die: DieId, at: SimTime) -> DieLoad;
 
     /// Load snapshots of every die as of `at`, indexed by die id.
-    fn die_loads(&self, at: SimTime) -> Vec<DieLoad>;
+    fn die_loads(&self, at: SimTime) -> Vec<DieLoad> {
+        self.geometry().dies().map(|die| self.die_load(die, at)).collect()
+    }
 
     /// Current device-wide write epoch (checkpoint watermark).
     fn current_epoch(&self) -> u64;

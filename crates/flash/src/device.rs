@@ -849,12 +849,6 @@ impl FlashBackend for NandDevice {
         state.dies.get(die.0 as usize).map_or(DieLoad::default(), |d| self.load_of(d, at))
     }
 
-    /// Load snapshots of every die as of `at`, indexed by die id, all
-    /// read under one acquisition of the device lock.
-    fn die_loads(&self, at: SimTime) -> Vec<DieLoad> {
-        self.lock_device().dies.iter().map(|d| self.load_of(d, at)).collect()
-    }
-
     /// Current device-wide write epoch (the stamp given to the most recent
     /// program that did not supply its own).  Recovery uses this as the
     /// checkpoint watermark: pages with a larger epoch were written after

@@ -503,9 +503,6 @@ impl FlashBackend for ForwardOnly {
     fn die_load(&self, die: DieId, at: SimTime) -> DieLoad {
         FlashBackend::die_load(&*self.0, die, at)
     }
-    fn die_loads(&self, at: SimTime) -> Vec<DieLoad> {
-        FlashBackend::die_loads(&*self.0, at)
-    }
     fn current_epoch(&self) -> u64 {
         FlashBackend::current_epoch(&*self.0)
     }

@@ -46,10 +46,18 @@
 //! * a read of a page goes to a child that would take a write of the
 //!   page's segment.
 //!
-//! A child's staleness is one value: its map, or none when nothing
-//! trustworthy is known (a child without power at mount, or one a new
-//! mirror could not yet verify), in which case every segment counts as
-//! stale.
+//! A child's staleness is one map.  A child whose history is unknown (a
+//! child without power at mount, or one a new mirror could not yet
+//! verify) has every segment dirty.
+//!
+//! # The starting rule
+//!
+//! [`MirrorDevice::new`] and [`MirrorDevice::restore_replication`] start
+//! from one rule: a pristine set, and the source (the child with the
+//! highest stored epoch), start `Online` with a clean map; every other
+//! child starts `Faulted` with every segment dirty.  A restore then
+//! replaces the map of each such child that has power with the verify
+//! scan's.
 //!
 //! # Locking
 //!
@@ -93,37 +101,24 @@ use crate::segmap::SegmentMap;
 #[derive(Debug)]
 pub(crate) struct ChildState {
     pub(crate) health: ChildHealth,
-    /// Segments this child is stale for, or `None` when no trustworthy
-    /// staleness information exists (a child attached with unknown
-    /// history, or without power at mount): then every segment counts as
-    /// stale, until a rebuild materialises the map or a restore verifies
-    /// the child.
-    pub(crate) dirty: Option<SegmentMap>,
+    /// Segments this child is stale for: every segment while its history
+    /// is unknown (a child attached with data, or without power at
+    /// mount), until a rebuild copies them or a restore verifies the
+    /// child.
+    pub(crate) dirty: SegmentMap,
     /// When the child left `Online`, for the degraded-mode trace span.
     pub(crate) faulted_at: Option<SimTime>,
 }
 
 impl ChildState {
-    fn new(health: ChildHealth, dirty: Option<SegmentMap>) -> ChildState {
-        ChildState { health, dirty, faulted_at: None }
-    }
-
     /// The in-sync rule (module docs): may this child take a command
     /// that reads segment `r` and writes segment `w`?
     fn takes(&self, r: u64, w: u64) -> bool {
         match self.health {
             ChildHealth::Online => true,
             ChildHealth::Faulted => false,
-            ChildHealth::Rebuilding => {
-                [r, w].iter().all(|s| self.dirty.as_ref().is_some_and(|m| !m.is_dirty(*s)))
-            }
+            ChildHealth::Rebuilding => [r, w].iter().all(|s| !self.dirty.is_dirty(*s)),
         }
-    }
-
-    /// The staleness map, materialised as "every segment" if nothing
-    /// was known, so rebuild progress is trackable.
-    pub(crate) fn map(&mut self, segments: u64) -> &mut SegmentMap {
-        self.dirty.get_or_insert_with(|| SegmentMap::all_dirty(segments))
     }
 
     /// The child lost power at `cut`: it goes `Faulted`, stale for
@@ -137,10 +132,8 @@ impl ChildState {
             self.health = next;
         }
         self.faulted_at = Some(cut);
-        if let Some(map) = &mut self.dirty {
-            for &seg in segments {
-                map.mark(seg);
-            }
+        for &seg in segments {
+            self.dirty.mark(seg);
         }
     }
 }
@@ -178,12 +171,11 @@ impl MirrorDevice {
     /// Assemble a mirror over `children`, which must be at least two
     /// devices of identical geometry.
     ///
-    /// Pristine children all start `Online`.  If any child already holds
-    /// data, the child with the highest stored write epoch becomes the
-    /// only `Online` member and every other child starts `Faulted` with
-    /// no staleness map — every segment counts as stale — until the
-    /// verify scan of [`MirrorDevice::restore_replication`] (or a full
-    /// rebuild) reads what they actually hold off the children.
+    /// The children start by the starting rule (module docs): if any
+    /// child already holds data, every child but the source is `Faulted`
+    /// with every segment dirty until the verify scan of
+    /// [`MirrorDevice::restore_replication`] (or a full rebuild) reads
+    /// what it actually holds off the children.
     pub fn new(children: Vec<Arc<NandDevice>>) -> Result<MirrorDevice> {
         if children.len() < 2 {
             return Err(FlashError::MirrorConfig {
@@ -199,18 +191,7 @@ impl MirrorDevice {
             }
         }
         let epoch = children.iter().map(|c| c.current_epoch()).max().unwrap_or(0);
-        let pristine = geometry.dies().all(|d| children.iter().all(|c| !c.die_touched(d)));
-        let source = Self::pick_source(&children);
-        let states = (0..children.len())
-            .map(|i| {
-                if pristine || i == source {
-                    let clean = SegmentMap::all_clean(geometry.total_blocks());
-                    ChildState::new(ChildHealth::Online, Some(clean))
-                } else {
-                    ChildState::new(ChildHealth::Faulted, None)
-                }
-            })
-            .collect();
+        let (_, states) = Self::starting_states(&children);
         let obs = MirrorObs::new(Arc::clone(children[0].metrics()), children.len());
         Ok(MirrorDevice {
             geometry,
@@ -241,17 +222,29 @@ impl MirrorDevice {
         MirrorDevice::new(children)
     }
 
-    /// The child holding the highest stored write epoch — the only
-    /// device guaranteed to hold every acknowledged write (ties prefer
-    /// the lowest index).
-    fn pick_source(children: &[Arc<NandDevice>]) -> usize {
-        let mut best = 0;
+    /// Every child's starting state (module docs), and the source: the
+    /// child holding the highest stored write epoch — the only device
+    /// guaranteed to hold every acknowledged write (ties prefer the
+    /// lowest index).
+    fn starting_states(children: &[Arc<NandDevice>]) -> (usize, Vec<ChildState>) {
+        let mut source = 0;
         for (i, c) in children.iter().enumerate().skip(1) {
-            if c.current_epoch() > children[best].current_epoch() {
-                best = i;
+            if c.current_epoch() > children[source].current_epoch() {
+                source = i;
             }
         }
-        best
+        let geometry = children[0].geometry();
+        let pristine = geometry.dies().all(|d| children.iter().all(|c| !c.die_touched(d)));
+        let segments = geometry.total_blocks();
+        let states = (0..children.len()).map(|i| {
+            let (health, dirty) = if pristine || i == source {
+                (ChildHealth::Online, SegmentMap::all_clean(segments))
+            } else {
+                (ChildHealth::Faulted, SegmentMap::all_dirty(segments))
+            };
+            ChildState { health, dirty, faulted_at: None }
+        });
+        (source, states.collect())
     }
 
     /// The mirror's children.  Losing child `i` at `t` is
@@ -282,10 +275,9 @@ impl MirrorDevice {
     }
 
     /// Number of segments `child` is stale for (the full segment count
-    /// while nothing trustworthy is known about it).
+    /// while its history is unknown).
     pub fn dirty_segments(&self, child: usize) -> u64 {
-        let state = self.mirror_shard();
-        state.children[child].dirty.as_ref().map_or(self.segment_count(), SegmentMap::dirty_count)
+        self.mirror_shard().children[child].dirty.dirty_count()
     }
 
     /// True when every child is `Online`.
@@ -306,9 +298,9 @@ impl MirrorDevice {
         for (i, child) in state.children.iter_mut().enumerate() {
             if child.takes(r, w) {
                 targets.push(i);
-            } else if let Some(map) = &mut child.dirty {
-                map.mark(w);
-                map.mark(r);
+            } else {
+                child.dirty.mark(w);
+                child.dirty.mark(r);
             }
         }
         targets
@@ -658,10 +650,6 @@ impl FlashBackend for MirrorDevice {
         load
     }
 
-    fn die_loads(&self, at: SimTime) -> Vec<DieLoad> {
-        self.geometry.dies().map(|die| self.die_load(die, at)).collect()
-    }
-
     fn current_epoch(&self) -> u64 {
         self.mirror_shard().epoch
     }
@@ -674,43 +662,32 @@ impl FlashBackend for MirrorDevice {
         self
     }
 
-    /// Read every child's staleness off the children: the source (the
-    /// highest stored epoch) is `Online`; a non-source child that has
-    /// power gets the verify scan's map, unioned with the map it accrued
-    /// since construction; one without power stays `Faulted` with no map.
+    /// Read every child's staleness off the children, from the starting
+    /// rule (module docs): a child that starts `Faulted` and has power
+    /// gets the verify scan's map, and nothing else, and is `Online` when
+    /// that map is clean; one without power stays stale everywhere.
     /// `blob` is ignored: nothing is persisted beside the children.
     fn restore_replication(&self, _blob: Option<&[u8]>, at: SimTime) -> Result<SimTime> {
         let mut now = at;
-        // Nothing written anywhere: a fresh mirror stays fully online.
-        let pristine = self.geometry.dies().all(|d| !self.die_touched(d));
-        let source = Self::pick_source(&self.children);
-        let segments = self.segment_count();
+        let (source, mut plans) = Self::starting_states(&self.children);
         // Compute every child's staleness before mutating any state.
         let mut state = self.mirror_shard();
-        let mut plans = Vec::with_capacity(self.children.len());
-        for i in 0..self.children.len() {
-            if pristine || i == source {
-                plans.push((ChildHealth::Online, Some(SegmentMap::all_clean(segments))));
+        for (i, plan) in plans.iter_mut().enumerate() {
+            // A child without power cannot be verified: it stays stale
+            // everywhere, never silently trusted.
+            let unpowered = self.children[i].power_cut().is_some_and(|cut| cut <= at);
+            if plan.health == ChildHealth::Online || unpowered {
                 continue;
             }
-            // A child without power cannot be verified: every segment
-            // counts as stale, never risk silent staleness.
-            if self.children[i].power_cut().is_some_and(|cut| cut <= at) {
-                plans.push((ChildHealth::Faulted, None));
-                continue;
+            plan.dirty = self.verify_dirty(source, i, &mut now)?;
+            if plan.dirty.is_all_clean() {
+                plan.health = ChildHealth::Online;
             }
-            let mut dirty = self.verify_dirty(source, i, &mut now)?;
-            if let Some(accrued) = &state.children[i].dirty {
-                dirty.union(accrued);
-            }
-            let health =
-                if dirty.is_all_clean() { ChildHealth::Online } else { ChildHealth::Faulted };
-            plans.push((health, Some(dirty)));
         }
-        for (child, (health, dirty)) in state.children.iter_mut().zip(plans) {
-            child.health = health;
-            child.dirty = dirty;
-            if health == ChildHealth::Online {
+        for (child, plan) in state.children.iter_mut().zip(plans) {
+            child.health = plan.health;
+            child.dirty = plan.dirty;
+            if plan.health == ChildHealth::Online {
                 child.faulted_at = None;
             }
         }

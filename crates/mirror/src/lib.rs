@@ -23,8 +23,8 @@
 //!   an `Online` survivor took is acknowledged, and a read falls back to
 //!   the next in-sync child.  While a child is out, a [`SegmentMap`] — a
 //!   bitmap with one bit per erase block — records exactly which
-//!   segments it missed; a child with unknown history has no map, and
-//!   every segment counts as stale.
+//!   segments it missed; a child with unknown history has every segment
+//!   dirty.
 //! * **Online rebuild** drains the dirty map segment by segment while
 //!   foreground traffic continues: a step holds the mirror lock across
 //!   its copy, so a write into an already-copied segment is applied and
@@ -590,6 +590,23 @@ mod tests {
         m.restore_replication(None, end).unwrap();
         assert_eq!(m.health(1), ChildHealth::Faulted, "the torn copy passed the verify scan");
         assert_eq!(m.dirty_segments(1), 1);
+    }
+
+    /// An erase of an erased block changes nothing the verify scan
+    /// compares (erase counts are left out), so a child that skipped one
+    /// comes back in sync: the restore trusts the scan alone, not the
+    /// map the mirror kept.
+    #[test]
+    fn restore_does_not_count_a_skipped_erase_of_an_erased_block_as_stale() {
+        let m = mirror(2);
+        m.children()[1].arm_power_cut(SimTime(10));
+        let block = flash_sim::BlockAddr::new(flash_sim::DieId(0), 0, 4);
+        m.erase_block(block, SimTime(1_000)).unwrap();
+        assert_eq!((m.health(1), m.dirty_segments(1)), (ChildHealth::Faulted, 1));
+        m.children()[1].clear_power_cut();
+        m.restore_replication(None, m.quiesce_time()).unwrap();
+        assert_eq!(m.health(1), ChildHealth::Online);
+        assert_eq!(m.dirty_segments(1), 0);
     }
 
     #[test]

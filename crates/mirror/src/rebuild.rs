@@ -99,10 +99,9 @@ impl MirrorDevice {
         {
             return Err(FlashError::NoHealthyChild { at });
         }
-        let segments = self.segment_count();
         let c = &mut state.children[child];
         c.health = c.health.check_transition(ChildHealth::Rebuilding)?;
-        self.obs.set_segments_remaining(c.map(segments).dirty_count());
+        self.obs.set_segments_remaining(c.dirty.dirty_count());
         Ok(())
     }
 
@@ -143,7 +142,7 @@ impl MirrorDevice {
         };
         let epoch = state.epoch;
         let c = &mut state.children[child];
-        let Some(seg) = c.map(self.segment_count()).first_dirty() else {
+        let Some(seg) = c.dirty.first_dirty() else {
             // Drained: the child is in sync again.  Commit the rebuilt
             // history by ratcheting the child's epoch counter up to the
             // mirror's (replica programs left it at its stale pre-loss
@@ -156,11 +155,10 @@ impl MirrorDevice {
             return Ok(None);
         };
         let copy = self.copy_segment(source, child, seg, window, at)?;
-        let dirty = c.map(self.segment_count());
-        dirty.clear(seg);
+        c.dirty.clear(seg);
         let copy_ns = copy.completed_at.as_nanos().saturating_sub(at.as_nanos());
         self.obs.note_segment_copied(copy_ns);
-        self.obs.set_segments_remaining(dirty.dirty_count());
+        self.obs.set_segments_remaining(c.dirty.dirty_count());
         Ok(Some(copy))
     }
 

@@ -4,7 +4,9 @@
 //! ([`FlashGeometry::block_index`](flash_sim::FlashGeometry::block_index)).  While a
 //! child is faulted, every write that would have reached it marks the
 //! targeted segment dirty in that child's [`SegmentMap`]; the rebuild
-//! engine later copies exactly the dirty segments and nothing else.
+//! engine later copies exactly the dirty segments and nothing else.  A
+//! child whose history is unknown has every segment dirty
+//! ([`SegmentMap::all_dirty`]).
 //!
 //! A map lives in memory only: after a reboot the mount's verify scan
 //! ([`MirrorDevice::restore_replication`](crate::MirrorDevice::restore_replication))
@@ -86,13 +88,6 @@ impl SegmentMap {
     pub fn iter_dirty(&self) -> impl Iterator<Item = u64> + '_ {
         (0..self.segments).filter(|&s| self.is_dirty(s))
     }
-
-    /// Mark every segment that is dirty in `other`.
-    pub fn union(&mut self, other: &SegmentMap) {
-        for seg in other.iter_dirty() {
-            self.mark(seg);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -121,17 +116,10 @@ mod tests {
     }
 
     #[test]
-    fn all_dirty_and_union() {
+    fn all_dirty() {
         let m = SegmentMap::all_dirty(70);
         assert_eq!(m.dirty_count(), 70);
         assert_eq!(m.first_dirty(), Some(0));
-        let mut a = SegmentMap::all_clean(70);
-        a.mark(3);
-        let mut b = SegmentMap::all_clean(70);
-        b.mark(3);
-        b.mark(69);
-        a.union(&b);
-        assert_eq!(a.iter_dirty().collect::<Vec<_>>(), vec![3, 69]);
     }
 
     proptest! {

@@ -111,9 +111,6 @@ impl StorageBackend for Forward {
     fn write_page(&self, obj: ObjectId, page: u64, data: &[u8], at: SimTime) -> Result<SimTime> {
         self.0.write_page(obj, page, data, at)
     }
-    fn write_batch(&self, writes: &[(ObjectId, u64, Vec<u8>)], at: SimTime) -> Result<SimTime> {
-        self.0.write_batch(writes, at)
-    }
     fn write_windowed(
         &self,
         writes: &[(ObjectId, u64, Vec<u8>)],
