@@ -212,7 +212,7 @@ impl ExperimentResult {
                 info.dies.iter().map(|d| self.die_busy[d.0 as usize].as_ms_f64()).collect();
             out.push_str(&format!(
                 "{:<16} {:>5} {:>12} {:>12} {:>10} {:>10} {:>8.3} {:>12.0} {:>12.0}\n",
-                info.spec.name,
+                info.name,
                 info.dies.len(),
                 stats.host_reads,
                 stats.host_writes,

@@ -665,7 +665,7 @@ mod tests {
         assert!(check_recovered(&stack.noftl, &directory, false).is_ok());
         // An object created after the checkpoint comes back as an orphan:
         // legal only when the run itself changed the directory.
-        let obj = stack.noftl.create_object_in("u", "rg").unwrap();
+        let obj = stack.noftl.create_object("u", stack.noftl.region_id("rg").unwrap()).unwrap();
         let at = stack.noftl.write(obj, 0, &[7; 4096], stack.setup_end).unwrap();
         let mounted = mount(power_cycle(&stack.machine).unwrap(), at, &[]).unwrap();
         assert_eq!(mounted.report.orphaned_objects, vec![obj]);

@@ -493,7 +493,7 @@ mod tests {
         assert_eq!(ts.extent_size_bytes, Some(128 * 1024));
         let obj = ddl.table("T").unwrap();
         assert_eq!(noftl.object_id("T"), Some(obj));
-        assert_eq!(noftl.region_dies(ts.region).unwrap().len(), 2);
+        assert_eq!(noftl.region_info(ts.region).unwrap().dies.len(), 2);
         // The object is usable through the storage manager.
         noftl.write(obj, 0, &vec![1u8; 4096], SimTime::ZERO).unwrap();
     }

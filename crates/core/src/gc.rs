@@ -142,7 +142,7 @@ impl Space<'_> {
             self.env.obs.note_allocation(probes, idx != start);
             return Ok(ppa);
         }
-        Err(NoFtlError::RegionFull { region: self.region.id, name: self.region.spec.name.clone() })
+        Err(NoFtlError::RegionFull { region: self.region.id, name: self.region.name.clone() })
     }
 
     /// The least stripe key — `(charge, distance from the stripe
@@ -522,7 +522,7 @@ mod tests {
         let noftl = make_noftl();
         let r = noftl.create_region(RegionSpec::named("rg").with_die_count(3)).unwrap();
         let obj = noftl.create_object("t", r).unwrap();
-        let dies = noftl.region_dies(r).unwrap();
+        let dies = noftl.region_info(r).unwrap().dies;
         // Ten of each die's sixteen blocks: no die reaches the low mark.
         let pages = 3 * 10 * u64::from(noftl.device().geometry().pages_per_block);
         let mut t = SimTime::ZERO;

@@ -117,9 +117,11 @@ impl Env {
         vec![0; self.device.geometry().page_size as usize]
     }
 
+    /// A host write is one whole page, never an empty payload: every page
+    /// the manager programs carries the checksum of what it stores.
     fn check_page_size(&self, data: &[u8]) -> Result<()> {
         let expected = self.device.geometry().page_size;
-        if !data.is_empty() && data.len() != expected as usize {
+        if data.len() != expected as usize {
             return Err(NoFtlError::BadPageSize { expected, got: data.len() });
         }
         Ok(())
@@ -134,7 +136,7 @@ impl Inner {
         let Ok(region) = self.region(rid) else {
             return IoTag::default();
         };
-        IoTag::new(class.unwrap_or(region.service_class()), Some(rid.0))
+        IoTag::new(class.unwrap_or(region.class), Some(rid.0))
     }
 
     /// Carry out one request issued at `at` and return its completion

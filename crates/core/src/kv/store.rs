@@ -1155,7 +1155,7 @@ mod tests {
         let delta = |die: &flash_sim::DieId| {
             dies_after[die.0 as usize].ops - dies_before[die.0 as usize].ops
         };
-        let region_dies = noftl.region_dies(rid).unwrap();
+        let region_dies = noftl.region_info(rid).unwrap().dies;
         let on_region: u64 = region_dies.iter().map(delta).sum();
         assert_eq!(on_region, pages, "exactly the run pages land on the region's dies");
         let dies_hit = region_dies.iter().filter(|d| delta(d) > 0).count();
@@ -1261,7 +1261,7 @@ mod tests {
         let tracer = device.metrics().tracer();
         tracer.set_enabled(true);
         let done = kv.flush(t).unwrap();
-        let meta_dies = kv.noftl.region_dies(kv.noftl.meta_region().unwrap()).unwrap();
+        let meta_dies = kv.noftl.region_info(kv.noftl.meta_region().unwrap()).unwrap().dies;
         let (mut checkpoint, mut pages) = (SimTime::ZERO, Vec::new());
         for e in tracer.events().iter().filter(|e| e.cat == "flash.op" && e.name == "program") {
             let end = SimTime(e.ts_ns + e.dur_ns.unwrap());

@@ -77,7 +77,7 @@ impl Inner {
 
     /// The live region named `name`.
     pub(crate) fn region_named(&self, name: &str) -> Option<RegionId> {
-        self.regions.iter().flatten().find(|r| r.spec.name == name).map(|r| r.id)
+        self.regions.iter().flatten().find(|r| r.name == name).map(|r| r.id)
     }
 
     /// The live object named `name`.
@@ -216,7 +216,8 @@ impl NoFtl {
 
     /// Create a region from a spec (`CREATE REGION`).  Dies are taken from
     /// the free pool, spread over as many channels as possible (or at most
-    /// `max_channels` if the spec limits them).
+    /// `max_channels` if the spec limits them).  The region keeps the
+    /// spec's name and class and the dies chosen, and none of its limits.
     pub fn create_region(&self, spec: RegionSpec) -> Result<RegionId> {
         let mut inner = self.lock_inner();
         if inner.region_named(&spec.name).is_some() {
@@ -247,7 +248,8 @@ impl NoFtl {
             lane += 1;
         }
         let rid = RegionId(inner.regions.len() as u32);
-        let runtime = RegionRuntime::new(rid, spec, self.env.device.as_ref(), chosen);
+        let class = spec.service_class.unwrap_or_default();
+        let runtime = RegionRuntime::new(rid, spec.name, class, self.env.device.as_ref(), chosen);
         inner.regions.push(Some(runtime));
         Ok(rid)
     }
@@ -292,12 +294,7 @@ impl NoFtl {
 
     /// Name of a region.
     pub fn region_name(&self, rid: RegionId) -> Result<String> {
-        Ok(self.lock_inner().region(rid)?.spec.name.clone())
-    }
-
-    /// Dies currently owned by a region.
-    pub fn region_dies(&self, rid: RegionId) -> Result<Vec<DieId>> {
-        Ok(self.lock_inner().region(rid)?.die_ids())
+        Ok(self.lock_inner().region(rid)?.name.clone())
     }
 
     /// Statistics of a region.
@@ -347,7 +344,7 @@ impl NoFtl {
             return Err(NoFtlError::Ddl {
                 message: format!(
                     "cannot remove {remove_dies} die(s) from region '{}' with only {} die(s)",
-                    region.spec.name,
+                    region.name,
                     region.dies.len()
                 ),
             });
@@ -399,7 +396,7 @@ mod tests {
         assert_eq!(noftl.free_die_count(), 4);
         let r = noftl.create_region(RegionSpec::named("rgA").with_die_count(3)).unwrap();
         assert_eq!(noftl.free_die_count(), 1);
-        assert_eq!(noftl.region_dies(r).unwrap().len(), 3);
+        assert_eq!(noftl.region_info(r).unwrap().dies.len(), 3);
         assert_eq!(noftl.region_name(r).unwrap(), "rgA");
         assert_eq!(noftl.region_ids(), vec![r]);
     }
@@ -424,7 +421,7 @@ mod tests {
         let noftl = make_noftl();
         let geo = *noftl.device().geometry();
         let r = noftl.create_region(RegionSpec::named("rg").with_die_count(2)).unwrap();
-        let dies = noftl.region_dies(r).unwrap();
+        let dies = noftl.region_info(r).unwrap().dies;
         let channels: std::collections::HashSet<u32> =
             dies.iter().map(|d| geo.channel_of_die(*d)).collect();
         assert_eq!(channels.len(), 2, "two dies should land on two channels");
@@ -437,7 +434,7 @@ mod tests {
         let r = noftl
             .create_region(RegionSpec::named("rg").with_die_count(2).with_max_channels(1))
             .unwrap();
-        let dies = noftl.region_dies(r).unwrap();
+        let dies = noftl.region_info(r).unwrap().dies;
         let channels: std::collections::HashSet<u32> =
             dies.iter().map(|d| geo.channel_of_die(*d)).collect();
         assert_eq!(channels.len(), 1);
@@ -452,7 +449,6 @@ mod tests {
         ));
         assert!(noftl.region_stats(RegionId(9)).is_err());
         assert!(noftl.create_object("x", RegionId(9)).is_err());
-        assert!(noftl.create_object_in("x", "nope").is_err());
         assert!(noftl.object_id("nope").is_none());
     }
 
@@ -487,7 +483,7 @@ mod tests {
             t = noftl.write(obj, p, &page(p as u8), t).unwrap();
         }
         noftl.grow_region(r, 2).unwrap();
-        assert_eq!(noftl.region_dies(r).unwrap().len(), 3);
+        assert_eq!(noftl.region_info(r).unwrap().dies.len(), 3);
         assert_eq!(noftl.free_die_count(), 1);
         for p in 20..40u64 {
             t = noftl.write(obj, p, &page(p as u8), t).unwrap();
@@ -495,7 +491,7 @@ mod tests {
         // Shrink back down to one die; the data written on the removed dies
         // must be migrated and stay readable.
         let done = noftl.shrink_region(r, 2, t).unwrap();
-        assert_eq!(noftl.region_dies(r).unwrap().len(), 1);
+        assert_eq!(noftl.region_info(r).unwrap().dies.len(), 1);
         assert_eq!(noftl.free_die_count(), 3);
         for p in 0..40u64 {
             let (data, _) = read_page(&noftl, obj, p, done).unwrap();
@@ -513,7 +509,7 @@ mod tests {
     fn with_single_region_spans_all_dies() {
         let device = Arc::new(DeviceBuilder::new(FlashGeometry::small_test()).build());
         let (noftl, rid) = NoFtl::with_single_region(device).unwrap();
-        assert_eq!(noftl.region_dies(rid).unwrap().len(), 4);
+        assert_eq!(noftl.region_info(rid).unwrap().dies.len(), 4);
         assert_eq!(noftl.free_die_count(), 0);
         assert_eq!(noftl.region_name(rid).unwrap(), "rgAll");
     }
@@ -526,7 +522,7 @@ mod tests {
         let obj = noftl.create_object("t", r).unwrap();
         noftl.write(obj, 10, &page(1), SimTime::ZERO).unwrap();
         let info = noftl.region_info(r).unwrap();
-        assert_eq!(info.spec.name, "rg");
+        assert_eq!((info.name.as_str(), info.class), ("rg", flash_sim::ServiceClass::Latency));
         assert_eq!(info.dies.len(), 2);
         assert_eq!(info.objects, vec![obj]);
         assert_eq!(info.capacity_pages, 2 * geo.pages_per_die());

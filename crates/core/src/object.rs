@@ -113,14 +113,6 @@ impl NoFtl {
         Ok(id)
     }
 
-    /// Register a new object in a region identified by name.
-    pub fn create_object_in(&self, name: &str, region_name: &str) -> Result<ObjectId> {
-        let rid = self
-            .region_id(region_name)
-            .ok_or_else(|| NoFtlError::UnknownRegion { region: region_name.to_string() })?;
-        self.create_object(name, rid)
-    }
-
     /// Look up an object id by name.
     pub fn object_id(&self, name: &str) -> Option<ObjectId> {
         self.lock_inner().object_named(name)

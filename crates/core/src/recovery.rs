@@ -8,11 +8,12 @@
 //! this module persists only what those records cannot say:
 //!
 //! * **Checkpoints** — `NoFtl::checkpoint` serialises the *directory* —
-//!   each region's spec and dies, and each object's name and region — into
-//!   a compact blob, splits it into page-sized chunks (one, for all but
-//!   the largest directories) and programs them into a dedicated metadata
-//!   region under the reserved [`META_OBJECT_ID`].  Its cost is O(regions + objects),
-//!   independent of how many pages are mapped.  Chunks are self-describing
+//!   each region's name, service class and dies, and each object's name
+//!   and region — into a compact blob, splits it into page-sized chunks
+//!   (one, for all but the largest directories) and programs them into a
+//!   dedicated metadata region under the reserved [`META_OBJECT_ID`].  Its
+//!   cost is O(regions + objects), independent of how many pages are
+//!   mapped.  Chunks are self-describing
 //!   (sequence number, index, count, CRC via the OOB checksum), so a mount
 //!   can always find the newest *complete* checkpoint even if a later one
 //!   was torn mid-write.  Blob and chunk pages are written and read with
@@ -23,12 +24,14 @@
 //!   counters (they count from build or mount) and no replication state
 //!   (a mirror's verify scan reads each child's staleness off the
 //!   children).
-//! * **Mount** — `NoFtl::mount` scans the device's out-of-band metadata,
-//!   rebuilds regions and objects from the newest complete checkpoint and
-//!   *every* mapping, written before that checkpoint or after it, from the
-//!   per-page OOB records (newest write epoch wins); torn pages are
-//!   detected via the payload checksum and discarded.  The outcome is
-//!   summarised in a [`MountReport`].
+//! * **Mount** — `NoFtl::mount` reads every valid page once, payload and
+//!   OOB record in one command, and checks it one way: its payload's
+//!   CRC-32 against the OOB checksum, which every page the manager
+//!   programs carries.  A page that fails is torn and discarded, whatever
+//!   object it names.  The mount rebuilds regions and objects from the
+//!   newest complete checkpoint and *every* mapping, written before that
+//!   checkpoint or after it, from the intact pages' OOB records (newest
+//!   write epoch wins).  The outcome is summarised in a [`MountReport`].
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -71,10 +74,13 @@ pub(crate) const CHUNK_HEADER: usize = 24;
 /// the free-die pool, each region's object list and each object's access
 /// counters, none of which mount needs; version 08 dropped the
 /// replication blob again, since a mirror reads its children's staleness
-/// off the children at mount.  Each bump makes
+/// off the children at mount; version 09 dropped each region's creation
+/// limits (die count, chips, channels, size), which are resolved once at
+/// creation and contradict the dies after a grow or shrink, and stores its
+/// service class as `ServiceClass::code`.  Each bump makes
 /// blobs written by older code decode as "no checkpoint" instead of
 /// mis-aligning the cursor on the changed fields.
-const BLOB_MAGIC: &[u8; 8] = b"NFCKPT08";
+const BLOB_MAGIC: &[u8; 8] = b"NFCKPT09";
 
 /// In-memory state of the region-metadata journal: where checkpoint chunk
 /// pages currently live.  The chunks themselves carry all recovery
@@ -142,7 +148,8 @@ pub struct MountReport {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct RegionImage {
     pub id: RegionId,
-    pub spec: RegionSpec,
+    pub name: String,
+    pub class: ServiceClass,
     pub dies: Vec<DieId>,
 }
 
@@ -170,11 +177,11 @@ pub(crate) struct CheckpointImage {
 /// Write a checkpoint blob (magic ... crc32) into `out`, which it clears
 /// first: the one encoder of the format, over borrowed parts — the header
 /// (sequence number, epoch watermark, metadata region), each region's id,
-/// spec and dies and each object's id, name and region.
+/// name, class and dies and each object's id, name and region.
 fn put_blob<'a, D: ExactSizeIterator<Item = DieId>>(
     out: &mut Vec<u8>,
     (seq, epoch_watermark, meta_region): (u64, u64, Option<RegionId>),
-    regions: impl Iterator<Item = (RegionId, &'a RegionSpec, D)> + Clone,
+    regions: impl Iterator<Item = (RegionId, &'a str, ServiceClass, D)> + Clone,
     objects: impl Iterator<Item = (ObjectId, &'a str, RegionId)> + Clone,
 ) {
     seal_into(out, BLOB_MAGIC, |out| {
@@ -182,15 +189,10 @@ fn put_blob<'a, D: ExactSizeIterator<Item = DieId>>(
         put_u64(out, epoch_watermark);
         put_opt(out, meta_region.map(|r| r.0), put_u32);
         put_u32(out, regions.clone().count() as u32);
-        for (id, spec, dies) in regions {
+        for (id, name, class, dies) in regions {
             put_u32(out, id.0);
-            put_bytes(out, spec.name.as_bytes());
-            put_opt(out, spec.die_count, put_u32);
-            put_opt(out, spec.max_chips, put_u32);
-            put_opt(out, spec.max_channels, put_u32);
-            put_opt(out, spec.max_size_bytes, put_u64);
-            // 0 = no class, otherwise `ServiceClass::code() + 1`.
-            put_u8(out, spec.service_class.map_or(0, |c| c.code() + 1));
+            put_bytes(out, name.as_bytes());
+            put_u8(out, class.code());
             put_u32(out, dies.len() as u32);
             for d in dies {
                 put_u32(out, d.0);
@@ -216,17 +218,10 @@ impl CheckpointImage {
         let regions = (0..r.u32()?)
             .map(|_| {
                 let id = RegionId(r.u32()?);
-                let mut spec = RegionSpec::named(r.str()?);
-                spec.die_count = r.opt(Reader::u32)?;
-                spec.max_chips = r.opt(Reader::u32)?;
-                spec.max_channels = r.opt(Reader::u32)?;
-                spec.max_size_bytes = r.opt(Reader::u64)?;
-                spec.service_class = match r.u8()? {
-                    0 => None,
-                    code => Some(ServiceClass::from_code(code - 1)?),
-                };
+                let name = r.str()?.to_owned();
+                let class = ServiceClass::from_code(r.u8()?)?;
                 let dies = (0..r.u32()?).map(|_| r.u32().map(DieId)).collect::<Option<_>>()?;
-                Some(RegionImage { id, spec, dies })
+                Some(RegionImage { id, name, class, dies })
             })
             .collect::<Option<_>>()?;
         let objects = (0..r.u32()?)
@@ -286,7 +281,7 @@ impl Inner {
         put_blob(
             &mut self.meta.blob,
             (seq, device.current_epoch(), Some(meta_region)),
-            regions.map(|r| (r.id, &r.spec, r.dies.iter().map(|d| d.die))),
+            regions.map(|r| (r.id, r.name.as_str(), r.class, r.dies.iter().map(|d| d.die))),
             objects,
         );
     }
@@ -342,9 +337,10 @@ struct Scan {
 }
 
 impl Scan {
-    /// Read the OOB area of every valid page (and the payload wherever a
-    /// checksum must be verified), all issued at `at`; `report.completed_at`
-    /// advances to the slowest read.  Torn pages are discarded on the spot.
+    /// Read every valid page — payload and OOB record in one command —
+    /// all issued at `at`; `report.completed_at` advances to the slowest
+    /// read.  A page whose payload does not match its OOB checksum is torn
+    /// and discarded on the spot.
     fn run(env: &Env, at: SimTime, report: &mut MountReport) -> Result<Scan> {
         let device = env.device.as_ref();
         let geo = *device.geometry();
@@ -355,7 +351,7 @@ impl Scan {
             // factory state (`die_touched`, read off the blocks) holds no
             // pages, no chunks and no allocation state worth scanning —
             // `RegionDie::rebuild` reconstructs it from block states
-            // without OOB reads.
+            // without reads.
             if !device.die_touched(die) {
                 report.dies_skipped += 1;
                 continue;
@@ -373,27 +369,18 @@ impl Scan {
                         continue;
                     }
                     report.pages_scanned += 1;
-                    let oob =
-                        env.exec(FlashCommand::MetadataRead { addr }, at, IoTag::default())?;
-                    report.completed_at = report.completed_at.max(oob.outcome.completed_at);
-                    let Some(meta) = oob.meta else {
+                    let read = FlashCommand::Read { addr, data: &mut payload };
+                    let read = env.exec(read, at, IoTag::default())?;
+                    report.completed_at = report.completed_at.max(read.outcome.completed_at);
+                    let Some(meta) = read.meta else {
                         // OOB destroyed (early tear / interrupted erase):
                         // nothing recoverable here.
                         report.unreadable_metadata_pages += 1;
                         continue;
                     };
-                    let is_chunk = meta.object_id == META_OBJECT_ID;
-                    // A chunk's payload is the checkpoint itself; a data
-                    // page's is read only to verify its checksum.
-                    let must_read = is_chunk || meta.checksum != 0;
-                    if must_read {
-                        let read = FlashCommand::Read { addr, data: &mut payload };
-                        let read = env.exec(read, at, IoTag::default())?;
-                        report.completed_at = report.completed_at.max(read.outcome.completed_at);
-                    }
-                    let filed = if must_read && !meta.payload_matches(&payload) {
+                    let filed = if !meta.payload_matches(&payload) {
                         false
-                    } else if is_chunk {
+                    } else if meta.object_id == META_OBJECT_ID {
                         scan.note_chunk(&meta, addr, &payload)
                     } else {
                         scan.note_page(&meta, addr);
@@ -500,7 +487,7 @@ impl NoFtl {
                 let mut live = inner.regions.iter().flatten();
                 let picked = live
                     .clone()
-                    .find(|r| r.service_class() == ServiceClass::Background)
+                    .find(|r| r.class == ServiceClass::Background)
                     .or_else(|| live.next())
                     .map(|r| r.id)
                     .ok_or_else(|| NoFtlError::Recovery {
@@ -527,9 +514,10 @@ impl NoFtl {
         Ok(rid)
     }
 
-    /// Checkpoint the region metadata: region specs and die assignment and
-    /// the object directory (names and regions) are serialised and programmed into the metadata region as
-    /// self-describing chunk pages under the reserved [`META_OBJECT_ID`].
+    /// Checkpoint the region metadata: each region's name, class and dies
+    /// and the object directory (names and regions) are serialised and
+    /// programmed into the metadata region as self-describing chunk pages
+    /// under the reserved [`META_OBJECT_ID`].
     /// Page maps are not part of it, so a checkpoint costs O(regions +
     /// objects) — typically one page — however much data is mapped.
     ///
@@ -587,10 +575,10 @@ impl NoFtl {
     /// newest complete checkpoint (regions, objects) plus the out-of-band
     /// metadata of every valid page (the page maps).
     ///
-    /// The mount performs a full OOB scan (reading page payloads where a
-    /// checksum must be verified), discards torn pages, breaks duplicate
-    /// mappings by write epoch and reconstructs per-die allocation state
-    /// from the physical block states.  Objects created after the last
+    /// The mount reads every valid page once (payload and OOB record in
+    /// one command), discards the pages that fail their checksum, breaks
+    /// duplicate mappings by write epoch and reconstructs per-die
+    /// allocation state from the physical block states.  Objects created after the last
     /// checkpoint have no directory entry; their pages are preserved under
     /// a synthesised `__orphan_<id>` name and reported in the
     /// [`MountReport`].
@@ -621,9 +609,10 @@ impl NoFtl {
         let max_region = image.regions.iter().map(|r| r.id.0).max().unwrap_or(0) as usize;
         let mut regions: Vec<Option<RegionRuntime>> = (0..=max_region).map(|_| None).collect();
         let mut die_owner: HashMap<DieId, RegionId> = HashMap::new();
-        for rimg in &image.regions {
+        report.regions = image.regions.len();
+        for rimg in image.regions {
             die_owner.extend(rimg.dies.iter().map(|die| (*die, rimg.id)));
-            let rt = RegionRuntime::new(rimg.id, rimg.spec.clone(), device, rimg.dies.clone());
+            let rt = RegionRuntime::new(rimg.id, rimg.name, rimg.class, device, rimg.dies);
             regions[rimg.id.0 as usize] = Some(rt);
         }
 
@@ -680,7 +669,6 @@ impl NoFtl {
             seq: image.seq,
             ..MetaDirectory::default()
         };
-        report.regions = image.regions.len();
         report.objects = image.objects.len();
         let inner = Inner { regions, objects, meta };
         Ok((NoFtl::assemble(env, inner), report))
@@ -700,7 +688,7 @@ mod tests {
         put_blob(
             &mut out,
             (img.seq, img.epoch_watermark, img.meta_region),
-            img.regions.iter().map(|r| (r.id, &r.spec, r.dies.iter().copied())),
+            img.regions.iter().map(|r| (r.id, r.name.as_str(), r.class, r.dies.iter().copied())),
             img.objects.iter().map(|o| (o.id, o.name.as_str(), o.region)),
         );
         out
@@ -713,10 +701,8 @@ mod tests {
             meta_region: Some(RegionId(2)),
             regions: vec![RegionImage {
                 id: RegionId(0),
-                spec: RegionSpec::named("rgHot")
-                    .with_die_count(2)
-                    .with_max_channels(1)
-                    .with_service_class(ServiceClass::Latency),
+                name: "rgHot".to_string(),
+                class: ServiceClass::Background,
                 dies: vec![DieId(0), DieId(1)],
             }],
             objects: vec![ObjectImage { id: 1, name: "orders".to_string(), region: RegionId(0) }],
@@ -789,7 +775,7 @@ mod tests {
         assert_eq!(noftl2.region_id("rgCold"), Some(rg_cold));
         assert_eq!(noftl2.object_id("orders"), Some(orders));
         assert_eq!(noftl2.object_id("history"), Some(history));
-        assert_eq!(noftl2.region_dies(rg_hot).unwrap().len(), 2);
+        assert_eq!(noftl2.region_info(rg_hot).unwrap().dies.len(), 2);
         let done = report.completed_at;
         for p in 0..5u64 {
             assert_eq!(read_page(&noftl2, orders, p, done).unwrap().0, page(p as u8), "page {p}");
@@ -892,14 +878,14 @@ mod tests {
         };
         let [live, mounted] = dropped().map(|m| {
             let rg = m.create_region(RegionSpec::named("rgNew").with_die_count(2)).unwrap();
-            m.region_dies(rg).unwrap()
+            m.region_info(rg).unwrap().dies
         });
         assert_eq!(live, mounted, "CREATE REGION");
         assert_eq!(live, vec![DieId(0), DieId(3)]);
         let [live, mounted] = dropped().map(|m| {
             let meta = m.meta_region().unwrap();
             m.grow_region(meta, 1).unwrap();
-            m.region_dies(meta).unwrap()
+            m.region_info(meta).unwrap().dies
         });
         assert_eq!(live, mounted, "grow");
         assert_eq!(live, vec![DieId(1), DieId(3)], "grow takes the highest free die");
@@ -929,6 +915,64 @@ mod tests {
         // pool and can host a new region.
         assert_eq!(noftl2.free_die_count(), 2);
         noftl2.create_region(RegionSpec::named("rg2").with_die_count(2)).unwrap();
+    }
+
+    /// One `Read` per valid page returns its payload and its OOB record
+    /// together: the mount issues no metadata read.
+    #[test]
+    fn the_mount_reads_each_valid_page_once() {
+        let noftl = make_noftl();
+        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(2)).unwrap();
+        let obj = noftl.create_object("t", r).unwrap();
+        let mut t = SimTime::ZERO;
+        for p in 0..12u64 {
+            t = noftl.write(obj, p % 8, &page(p as u8), t).unwrap();
+        }
+        t = noftl.checkpoint(t).unwrap();
+        let device = reboot(&noftl);
+        let (_, report) = NoFtl::mount(Arc::clone(&device), t).unwrap();
+        assert_eq!(report.pages_scanned, 8 + 1, "eight live pages and one chunk");
+        let stats = device.stats();
+        assert_eq!(stats.metadata_reads, 0);
+        assert_eq!(stats.page_reads, report.pages_scanned);
+    }
+
+    /// A page whose OOB record carries no checksum fails the one check
+    /// like any torn page: it is discarded, not mapped.
+    #[test]
+    #[expect(clippy::disallowed_methods, reason = "plants a page behind the manager's back")]
+    fn a_page_stored_without_a_checksum_is_discarded_at_mount() {
+        let noftl = make_noftl();
+        let r = noftl.create_region(RegionSpec::named("rg").with_die_count(1)).unwrap();
+        let obj = noftl.create_object("t", r).unwrap();
+        let mut t = noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
+        t = noftl.checkpoint(t).unwrap();
+        let addr = PageAddr::new(noftl.region_info(r).unwrap().dies[0], 0, 5, 0);
+        raw_device(&noftl).program_page(addr, &page(2), PageMetadata::new(obj, 7), t).unwrap();
+        let (noftl2, report) = NoFtl::mount(reboot(&noftl), t).unwrap();
+        assert_eq!(report.torn_pages_discarded, 1);
+        assert_eq!(report.mapped_pages, 1);
+        let err = read_page(&noftl2, obj, 7, report.completed_at).unwrap_err();
+        assert!(matches!(err, NoFtlError::PageNotWritten { page: 7, .. }), "got {err:?}");
+    }
+
+    /// A region is its name, class and dies: a `Background` region grown
+    /// by one die comes back from a remount with all three.
+    #[test]
+    fn a_remounted_region_keeps_its_name_class_and_dies() {
+        let noftl = make_noftl();
+        let spec = RegionSpec::named("rgBulk")
+            .with_die_count(1)
+            .with_service_class(ServiceClass::Background);
+        let r = noftl.create_region(spec).unwrap();
+        noftl.grow_region(r, 1).unwrap();
+        let t = noftl.checkpoint(SimTime::ZERO).unwrap();
+        let before = noftl.region_info(r).unwrap();
+        assert_eq!(before.dies.len(), 2);
+        let (noftl2, _) = NoFtl::mount(reboot(&noftl), t).unwrap();
+        let after = noftl2.region_info(r).unwrap();
+        assert_eq!((after.name.as_str(), after.class), ("rgBulk", ServiceClass::Background));
+        assert_eq!(after.dies, before.dies);
     }
 
     #[test]
@@ -1083,7 +1127,7 @@ mod tests {
         // A blob under an earlier format version's magic — intact CRC,
         // whatever follows — must decode as "no checkpoint" rather than
         // have the cursor run over fields that are no longer there.
-        for magic in [b"NFCKPT04", b"NFCKPT05", b"NFCKPT06", b"NFCKPT07"] {
+        for magic in [b"NFCKPT04", b"NFCKPT05", b"NFCKPT06", b"NFCKPT07", b"NFCKPT08"] {
             let mut old = encode(&sample_image());
             old.truncate(old.len() - 4);
             old[..8].copy_from_slice(magic);
@@ -1098,7 +1142,7 @@ mod tests {
             let t = noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
             let mut chunk = Vec::new();
             put_chunk(&mut chunk, (1, 0, 1), &old, 4096);
-            let addr = PageAddr::new(noftl.region_dies(r).unwrap()[0], 0, 5, 0);
+            let addr = PageAddr::new(noftl.region_info(r).unwrap().dies[0], 0, 5, 0);
             let meta = PageMetadata::new(META_OBJECT_ID, 0).with_payload_checksum(&chunk);
             raw_device(&noftl).program_page(addr, &chunk, meta, t).unwrap();
             assert!(matches!(NoFtl::mount(reboot(&noftl), t), Err(NoFtlError::NoCheckpoint)));

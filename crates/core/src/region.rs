@@ -21,7 +21,9 @@ pub struct RegionId(pub u32);
 /// ```
 ///
 /// The storage manager resolves the spec against the device geometry and
-/// the pool of unassigned dies when the region is created.
+/// the pool of unassigned dies when the region is created, and keeps only
+/// the name, the service class and the dies it chose: the limits are not
+/// kept, so `grow_region` and `shrink_region` contradict nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionSpec {
     /// Region name (unique).
@@ -36,8 +38,7 @@ pub struct RegionSpec {
     /// Upper bound on the region's raw capacity in bytes.
     pub max_size_bytes: Option<u64>,
     /// I/O service class of this region; `None` is `Latency`, the
-    /// foreground class.  Persisted through region checkpoints, so a
-    /// remounted region keeps its class.
+    /// foreground class.
     pub service_class: Option<ServiceClass>,
 }
 
@@ -290,8 +291,10 @@ impl RegionDie {
 pub struct RegionInfo {
     /// Region id.
     pub id: RegionId,
-    /// The spec the region was created from; its name is the region's.
-    pub spec: RegionSpec,
+    /// Region name (unique).
+    pub name: String,
+    /// I/O service class of the region's host traffic.
+    pub class: ServiceClass,
     /// Dies currently owned by the region.
     pub dies: Vec<DieId>,
     /// Objects currently placed in the region (ids, ascending), read off
@@ -310,8 +313,12 @@ pub struct RegionInfo {
 pub(crate) struct RegionRuntime {
     /// Region id.
     pub id: RegionId,
-    /// The spec the region was created from; its name is the region's.
-    pub spec: RegionSpec,
+    /// Region name (unique).
+    pub name: String,
+    /// I/O service class of the region's host traffic.  Maintenance
+    /// traffic (GC relocation, KV compaction, rebuild copies) is tagged
+    /// `Background` whatever this says.
+    pub class: ServiceClass,
     /// Per-die allocation state.
     pub dies: Vec<RegionDie>,
     /// Stripe position: the die after the previous allocation's, which
@@ -324,24 +331,19 @@ pub(crate) struct RegionRuntime {
 impl RegionRuntime {
     pub(crate) fn new(
         id: RegionId,
-        spec: RegionSpec,
+        name: String,
+        class: ServiceClass,
         device: &dyn FlashBackend,
         dies: Vec<DieId>,
     ) -> Self {
         RegionRuntime {
             id,
-            spec,
+            name,
+            class,
             dies: dies.into_iter().map(|d| RegionDie::rebuild(device, d)).collect(),
             next_die: 0,
             stats: RegionStats::default(),
         }
-    }
-
-    /// The I/O service class in effect for this region.  Maintenance
-    /// traffic (GC relocation, KV compaction, rebuild copies) is tagged
-    /// `Background` whatever this says.
-    pub(crate) fn service_class(&self) -> ServiceClass {
-        self.spec.service_class.unwrap_or_default()
     }
 
     /// Record that the page at `ppa` has been invalidated: its die has
@@ -373,7 +375,8 @@ impl RegionRuntime {
     pub(crate) fn info(&self, geo: &FlashGeometry, objects: Vec<u32>) -> RegionInfo {
         RegionInfo {
             id: self.id,
-            spec: self.spec.clone(),
+            name: self.name.clone(),
+            class: self.class,
             dies: self.die_ids(),
             objects,
             free_blocks: self.total_free_blocks() as u64,
@@ -500,7 +503,8 @@ mod tests {
         let geo = *device.geometry();
         let rt = RegionRuntime::new(
             RegionId(0),
-            RegionSpec::named("r"),
+            "r".to_string(),
+            ServiceClass::Latency,
             &device,
             vec![DieId(0), DieId(1)],
         );

@@ -174,7 +174,7 @@ fn a_cascade_allocates_the_same_whatever_its_depth() {
         let (noftl, kv, mut t) = cold_store();
         // The manager's object table holds one object per run ever
         // written; one more keeps the 32nd run off its doubling.
-        assert!(noftl.create_object_in("pad", "rgKv").is_ok());
+        assert!(noftl.create_object("pad", noftl.region_id("rgKv").unwrap()).is_ok());
         flush_of(&kv, 0..100, 0, &mut t);
         for round in 1..flushes {
             flush_of(&kv, 0..80, round, &mut t);

@@ -21,10 +21,10 @@ pub struct PageMetadata {
     pub logical_page: u64,
     /// Monotonically increasing write sequence number (device-wide).
     pub epoch: u64,
-    /// CRC-32 of the page payload, or `0` when the writer did not compute
-    /// one.  Recovery uses it to detect *torn pages*: a program interrupted
-    /// by power loss leaves a partially written payload whose CRC no longer
-    /// matches, so the page is discarded on remount.
+    /// CRC-32 of the page payload.  Recovery uses it to detect *torn
+    /// pages*: a program interrupted by power loss leaves a partially
+    /// written payload whose CRC no longer matches, so the page is
+    /// discarded on remount.
     pub checksum: u32,
 }
 
@@ -41,19 +41,16 @@ impl PageMetadata {
         PageMetadata { object_id, logical_page, epoch, checksum: 0 }
     }
 
-    /// Stamp the CRC-32 of `payload` into the metadata (no-op for an empty
-    /// payload, which stands for an all-zero page in the simulator).
+    /// Stamp the CRC-32 of `payload` into the metadata.
     pub fn with_payload_checksum(mut self, payload: &[u8]) -> Self {
-        if !payload.is_empty() {
-            self.checksum = crate::crc::crc32(payload);
-        }
+        self.checksum = crate::crc::crc32(payload);
         self
     }
 
-    /// Verify `payload` against the stored checksum.  Returns `true` when
-    /// no checksum was stored (`0`) or the payload is unavailable.
+    /// Verify `payload` against the stored checksum: the one check of a
+    /// page's integrity, with no exemption.
     pub fn payload_matches(&self, payload: &[u8]) -> bool {
-        self.checksum == 0 || payload.is_empty() || crate::crc::crc32(payload) == self.checksum
+        crate::crc::crc32(payload) == self.checksum
     }
 
     /// Serialised size in bytes; must fit in the geometry's OOB area.
@@ -105,10 +102,6 @@ mod tests {
         let mut torn = payload.clone();
         torn[2048..].fill(0);
         assert!(!m.payload_matches(&torn));
-        // No checksum stored → verification is vacuous.
-        assert!(PageMetadata::new(3, 7).payload_matches(&torn));
-        // Empty payloads never carry a checksum.
-        assert_eq!(PageMetadata::new(1, 0).with_payload_checksum(&[]).checksum, 0);
     }
 
     #[test]

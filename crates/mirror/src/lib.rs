@@ -278,7 +278,8 @@ mod tests {
         let at = SimTime(1_000);
         let cut = SimTime(at.as_nanos() + 100);
         m.children()[1].arm_power_cut(cut);
-        let done = m.program_page(page(0, 2, 0), &payload(5), PageMetadata::new(1, 0), at).unwrap();
+        let meta = PageMetadata::new(1, 0).with_payload_checksum(&payload(5));
+        let done = m.program_page(page(0, 2, 0), &payload(5), meta, at).unwrap();
         assert!(done.completed_at > cut, "the program was not in flight at the cut");
         assert_eq!(m.health(1), ChildHealth::Faulted);
         assert_eq!(m.health(0), ChildHealth::Online);
@@ -424,14 +425,16 @@ mod tests {
             // then misses a page in a quarter of the blocks.
             for die in 0..g.total_dies() {
                 for block in (0..g.blocks_per_plane).step_by(2) {
-                    let meta = PageMetadata::new(1, u64::from(block));
+                    let meta =
+                        PageMetadata::new(1, u64::from(block)).with_payload_checksum(&payload(1));
                     m.program_page(page(die, block, 0), &payload(1), meta, SimTime::ZERO).unwrap();
                 }
             }
             m.children()[1].arm_power_cut(SimTime(10));
             for die in 0..g.total_dies() {
                 for block in (0..g.blocks_per_plane).step_by(4) {
-                    let meta = PageMetadata::new(2, u64::from(block));
+                    let meta =
+                        PageMetadata::new(2, u64::from(block)).with_payload_checksum(&payload(2));
                     m.program_page(page(die, block, 1), &payload(2), meta, SimTime(1_000_000))
                         .unwrap();
                 }
@@ -461,8 +464,8 @@ mod tests {
                         let written = m.block_info(block_at(die, block)).unwrap().write_ptr;
                         match (r >> 16) % 3 {
                             0 if written < ppb => {
-                                let meta = PageMetadata::new(3, step);
                                 let data = payload(step as u8);
+                                let meta = PageMetadata::new(3, step).with_payload_checksum(&data);
                                 m.program_page(page(die, block, written), &data, meta, clock)
                                     .unwrap();
                             }
@@ -559,11 +562,12 @@ mod tests {
     #[test]
     fn restore_finds_writes_the_child_missed() {
         let m = mirror(2);
-        m.program_page(page(0, 0, 0), &payload(1), PageMetadata::new(1, 0), SimTime::ZERO).unwrap();
+        let meta = PageMetadata::new(1, 0).with_payload_checksum(&payload(1));
+        m.program_page(page(0, 0, 0), &payload(1), meta, SimTime::ZERO).unwrap();
         // Writes after the cut reach only child 0.
         m.children()[1].arm_power_cut(SimTime(10));
-        m.program_page(page(2, 5, 0), &payload(7), PageMetadata::new(4, 9), SimTime(1_000_000))
-            .unwrap();
+        let meta = PageMetadata::new(4, 9).with_payload_checksum(&payload(7));
+        m.program_page(page(2, 5, 0), &payload(7), meta, SimTime(1_000_000)).unwrap();
         m.children()[1].clear_power_cut();
         let now = m.restore_replication(None, SimTime(2_000_000)).unwrap();
         assert!(now >= SimTime(2_000_000));

@@ -278,9 +278,9 @@ impl MirrorDevice {
             let out = read?;
             let read_done = out.outcome.completed_at;
             // A torn source OOB area (power cut mid-program) still gets
-            // its payload copied; the metadata
-            // placeholder keeps the page readable and the verify scan
-            // conservative about it.
+            // its payload copied under a placeholder record: its checksum
+            // does not match, so a mount discards the copy as torn, as it
+            // does the source, and the verify scan finds it stale.
             let meta = out.meta.unwrap_or_else(|| PageMetadata::with_epoch(0, 0, 1));
             // Replica programs preserve the source epoch in OOB without
             // ratcheting the target's epoch counter: until this rebuild

@@ -24,8 +24,8 @@ fn read(noftl: &NoFtl, obj: ObjectId, page: u64, at: SimTime) -> Vec<u8> {
 fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirty() {
     let machine = Mirror::fresh();
     let mirror = &machine.device;
-    let (noftl, _rid) = NoFtl::with_single_region(mirror.clone()).unwrap();
-    let obj = noftl.create_object_in("t", "rgAll").unwrap();
+    let (noftl, rid) = NoFtl::with_single_region(mirror.clone()).unwrap();
+    let obj = noftl.create_object("t", rid).unwrap();
     let mut t = SimTime::ZERO;
     for p in 0..12u64 {
         t = noftl.write(obj, p, &vec![p as u8 + 1; 4096], t).unwrap();
@@ -95,8 +95,8 @@ fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirt
 #[test]
 fn mount_with_child_still_missing_serves_degraded_and_rebuilds_later() {
     let machine = Mirror::fresh();
-    let (noftl, _rid) = NoFtl::with_single_region(machine.device.clone()).unwrap();
-    let obj = noftl.create_object_in("t", "rgAll").unwrap();
+    let (noftl, rid) = NoFtl::with_single_region(machine.device.clone()).unwrap();
+    let obj = noftl.create_object("t", rid).unwrap();
     let mut t = SimTime::ZERO;
     for p in 0..8u64 {
         t = noftl.write(obj, p, &vec![p as u8 + 10; 4096], t).unwrap();
@@ -131,8 +131,8 @@ fn mount_with_child_still_missing_serves_degraded_and_rebuilds_later() {
 fn a_rebuild_finished_after_the_last_checkpoint_is_not_redone() {
     let machine = Mirror::fresh();
     let mirror = &machine.device;
-    let (noftl, _rid) = NoFtl::with_single_region(mirror.clone()).unwrap();
-    let obj = noftl.create_object_in("t", "rgAll").unwrap();
+    let (noftl, rid) = NoFtl::with_single_region(mirror.clone()).unwrap();
+    let obj = noftl.create_object("t", rid).unwrap();
     let mut t = SimTime::ZERO;
     for p in 0..8u64 {
         t = noftl.write(obj, p, &vec![p as u8 + 1; 4096], t).unwrap();
@@ -175,8 +175,8 @@ fn a_rebuild_finished_after_the_last_checkpoint_is_not_redone() {
 fn a_write_acknowledged_past_a_childs_cut_survives_a_reboot() {
     let machine = Mirror::fresh();
     let mirror = &machine.device;
-    let (noftl, _rid) = NoFtl::with_single_region(mirror.clone()).unwrap();
-    let obj = noftl.create_object_in("t", "rgAll").unwrap();
+    let (noftl, rid) = NoFtl::with_single_region(mirror.clone()).unwrap();
+    let obj = noftl.create_object("t", rid).unwrap();
     let mut t = SimTime::ZERO;
     for p in 0..6u64 {
         t = noftl.write(obj, p, &vec![p as u8 + 1; 4096], t).unwrap();
@@ -202,8 +202,8 @@ fn a_write_acknowledged_past_a_childs_cut_survives_a_reboot() {
 #[test]
 fn power_cut_during_mount_recovers_on_retry() {
     let machine = Mirror::fresh();
-    let (noftl, _rid) = NoFtl::with_single_region(machine.device.clone()).unwrap();
-    let obj = noftl.create_object_in("t", "rgAll").unwrap();
+    let (noftl, rid) = NoFtl::with_single_region(machine.device.clone()).unwrap();
+    let obj = noftl.create_object("t", rid).unwrap();
     let mut t = SimTime::ZERO;
     for p in 0..10u64 {
         t = noftl.write(obj, p, &vec![p as u8 + 3; 4096], t).unwrap();
@@ -240,8 +240,8 @@ mod props {
         ) {
             let machine = Mirror::fresh();
             let mirror = &machine.device;
-            let (noftl, _rid) = NoFtl::with_single_region(mirror.clone()).unwrap();
-            let obj = noftl.create_object_in("t", "rgAll").unwrap();
+            let (noftl, rid) = NoFtl::with_single_region(mirror.clone()).unwrap();
+            let obj = noftl.create_object("t", rid).unwrap();
             let mut t = SimTime::ZERO;
             let mut expected = std::collections::HashMap::new();
             let mut x = seed | 1;

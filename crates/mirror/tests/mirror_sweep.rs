@@ -134,8 +134,8 @@ impl Contract for Plan {
         let mut machine = Mirror::fresh();
         machine.absent = self.absent.then_some(self.lost);
         machine.stagger = self.torn.clone().unwrap_or_else(|| vec![Duration::ZERO; 2]);
-        let (noftl, _) = NoFtl::with_single_region(machine.device.clone())?;
-        let obj = noftl.create_object_in("t", "rgAll")?;
+        let (noftl, rid) = NoFtl::with_single_region(machine.device.clone())?;
+        let obj = noftl.create_object("t", rid)?;
         let mut t = SimTime(1_000);
         for &(page, val) in &self.healthy {
             t = noftl.write(obj, page, &[val; 4096], t)?;

@@ -1,13 +1,8 @@
-//! One-stop dump helpers: turn a registry into something a human (or a
-//! scraper, or Chrome) can read.  Re-exported at the workspace facade as
+//! One-stop dump helpers: turn a registry into something a human (or
+//! Chrome) can read.  Re-exported at the workspace facade as
 //! `noftl_regions::obs::dump`.
 
 use crate::metrics::MetricsRegistry;
-
-/// Prometheus text exposition of the registry's current state.
-pub fn prometheus(registry: &MetricsRegistry) -> String {
-    registry.snapshot().to_prometheus()
-}
 
 /// Chrome `trace_event` JSON of the registry's tracer ring.  Load the
 /// output at `chrome://tracing` or <https://ui.perfetto.dev>.

@@ -11,7 +11,7 @@
 //!   exportable as Chrome `trace_event` JSON
 //!   ([`Tracer::to_chrome_json`]) and validated by
 //!   [`validate_chrome_trace`];
-//! * [`dump`] — Prometheus text exposition and human-readable tables.
+//! * [`dump`] — a human-readable table and the Chrome trace, one call each.
 //!
 //! Design constraints, both load-bearing:
 //!
@@ -41,7 +41,6 @@ pub mod dump;
 pub mod hist;
 pub mod json;
 pub mod metrics;
-pub mod prom;
 pub mod tracer;
 
 pub use hist::{Histogram, HistogramSnapshot};

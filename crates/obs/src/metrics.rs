@@ -201,11 +201,6 @@ impl MetricsSnapshot {
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.iter().find(|h| h.name == name)
     }
-
-    /// Render as Prometheus text exposition (see [`crate::prom`]).
-    pub fn to_prometheus(&self) -> String {
-        crate::prom::render(self)
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! End-to-end observability tour: run a mixed KV + OLTP workload on one
 //! flash device, then look at everything the stack recorded about it —
-//! the metrics table, the Prometheus text exposition, and a Chrome
-//! `trace_event` JSON you can load in `chrome://tracing` or Perfetto.
+//! the metrics table and a Chrome `trace_event` JSON you can load in
+//! `chrome://tracing` or Perfetto.
 //!
 //! ```text
 //! cargo run --example observe [-- <trace-output-path>]
@@ -101,10 +101,6 @@ fn main() {
         kv.flushes, kv.compactions, kv.get_page_reads, kv.run_probes, kv.bloom_skips
     );
     println!();
-
-    let prom = dump::prometheus(registry);
-    let excerpt: Vec<&str> = prom.lines().take(12).collect();
-    println!("== prometheus exposition (first lines) ==\n{}\n...", excerpt.join("\n"));
 
     let trace = dump::chrome_trace(registry);
     let events = validate_chrome_trace(&trace).expect("trace must be valid trace_event JSON");

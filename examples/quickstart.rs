@@ -40,7 +40,7 @@ fn main() {
     let info = noftl.region_info(region).unwrap();
     println!(
         "region {} owns {} dies ({} pages of raw capacity)",
-        info.spec.name,
+        info.name,
         info.dies.len(),
         info.capacity_pages
     );

@@ -73,7 +73,7 @@ fn main() {
         let stats = noftl.region_stats(rid).unwrap();
         println!(
             "region {:<8} dies={:<2} host_writes={:<6} gc_copybacks={:<6} gc_erases={}",
-            info.spec.name,
+            info.name,
             info.dies.len(),
             stats.host_writes,
             stats.gc_copybacks,

@@ -30,6 +30,6 @@ pub use noftl_obs as obs;
 pub use noftl_workload as workload;
 pub use tpcc_workload as tpcc;
 
-// The one-call rendering facade (`obs::dump::{table, prometheus,
-// chrome_trace}`) is what examples reach for, so it gets a root alias.
+// The one-call rendering facade (`obs::dump::{table, chrome_trace}`) is
+// what examples reach for, so it gets a root alias.
 pub use noftl_obs::dump;

@@ -22,7 +22,7 @@ fn paper_ddl_example_end_to_end() {
 
     let ts = ddl.tablespace("tsHotTbl").expect("tablespace registered");
     let info = noftl.region_info(ts.region).expect("region exists");
-    assert_eq!(info.spec.name, "rgHotTbl");
+    assert_eq!(info.name, "rgHotTbl");
     // MAX_SIZE=1280M on 256 MiB dies resolves to 5 dies; MAX_CHIPS / MAX_CHANNELS
     // are looser bounds on this geometry.
     assert_eq!(info.dies.len(), 5);

@@ -67,7 +67,14 @@
 //! OOB checksum moved); every other page, every block's state, write
 //! pointer, erase count and valid / invalid counts, and the epoch (54)
 //! were equal.  The sample mirror blob and its golden went with the
-//! mirror's blob format.
+//! mirror's blob format.  It moved last from `(0x254F_A713, 54)` beside
+//! the checkpoint blob's bump to `NFCKPT09`, which dropped each region's
+//! creation limits and stores its service class as its code.  A
+//! page-by-page dump of the script's device on both sides differed in
+//! the same ten checkpoint chunk pages only (`META_OBJECT_ID`, same
+//! addresses and epochs, payload and OOB checksum moved); every other
+//! page, every block's state, write pointer, erase count and valid /
+//! invalid counts, and the epoch (54) were equal.
 //! Regenerate with `NOFTL_PRINT_GOLDEN=1 cargo test --test
 //! format_equivalence -- --nocapture` only beside a format version bump.
 
@@ -81,7 +88,7 @@ use noftl_regions::noftl::kv::{KvConfig, KvStore};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementConfig, RegionSpec};
 
 /// CRC of the scripted device image, and its epoch.
-const GOLDEN_IMAGE: (u32, u64) = (0x254F_A713, 54);
+const GOLDEN_IMAGE: (u32, u64) = (0x5911_64DF, 54);
 
 fn schema() -> Schema {
     Schema::new(vec![

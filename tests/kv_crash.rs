@@ -262,7 +262,7 @@ fn flush_and_compaction_issue_queued_multi_die_batches() {
         total_after_flush - total_before >= flushed,
         "every flush page (and the checkpoint behind it) must be a device command"
     );
-    let region_dies = noftl.region_dies(rid).unwrap();
+    let region_dies = noftl.region_info(rid).unwrap().dies;
     let per_die: Vec<u64> = region_dies
         .iter()
         .map(|d| dies_after_flush[d.0 as usize].ops - dies_before[d.0 as usize].ops)

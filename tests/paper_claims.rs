@@ -53,7 +53,7 @@ fn tpcc_runs_on_both_placements_and_regions_stay_inside_the_copyback_budget() {
     let mut over_budget = false;
     let mut per_region = String::new();
     for rid in regions.noftl.region_ids() {
-        let name = regions.noftl.region_info(rid).expect("region exists").spec.name;
+        let name = regions.noftl.region_info(rid).expect("region exists").name;
         let stats = regions.noftl.region_stats(rid).expect("region exists");
         let bound = stats.host_writes / 10;
         over_budget |= stats.gc_copybacks > bound;
