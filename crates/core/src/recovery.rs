@@ -13,17 +13,19 @@
 //!   (one, for all but the largest directories) and programs them into a
 //!   dedicated metadata region under the reserved [`META_OBJECT_ID`].  Its
 //!   cost is O(regions + objects), independent of how many pages are
-//!   mapped.  Chunks are self-describing
-//!   (sequence number, index, count, CRC via the OOB checksum), so a mount
-//!   can always find the newest *complete* checkpoint even if a later one
-//!   was torn mid-write.  Blob and chunk pages are written and read with
-//!   [`flash_sim::codec`]; the blob is sealed by a CRC-32 trailer.  A
-//!   checkpoint holds nothing a mount can derive: no page map (the OOB
-//!   records), no free-die pool (the dies no region owns), no list of a
-//!   region's objects (each object names its region), no access
-//!   counters (they count from build or mount) and no replication state
-//!   (a mirror's verify scan reads each child's staleness off the
-//!   children).
+//!   mapped.  Chunks are self-describing (sequence number and count in
+//!   the chunk header, index as the OOB logical page, CRC via the OOB
+//!   checksum), so a mount can always find the newest *complete*
+//!   checkpoint even if a later one was torn mid-write.  Blob and chunk
+//!   pages are written and read with [`flash_sim::codec`]; the blob is
+//!   sealed by a CRC-32 trailer.  A checkpoint holds nothing a mount can
+//!   derive: no page map (the OOB records), no sequence number (its
+//!   chunks' headers), no epoch watermark (its first chunk's OOB epoch),
+//!   no journal region (the region that owns its chunks' dies), no
+//!   free-die pool (the dies no region owns), no list of a region's
+//!   objects (each object names its region), no access counters (they
+//!   count from build or mount) and no replication state (a mirror's
+//!   verify scan reads each child's staleness off the children).
 //! * **Mount** — `NoFtl::mount` reads every valid page once, payload and
 //!   OOB record in one command, and checks it one way: its payload's
 //!   CRC-32 against the OOB checksum, which every page the manager
@@ -37,7 +39,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use flash_sim::codec::{open, put_bytes, put_opt, put_u32, put_u64, put_u8, seal_into, Reader};
+use flash_sim::codec::{open, put_bytes, put_u32, put_u64, put_u8, seal_into, Reader};
 use flash_sim::{
     BlockAddr, BlockState, DieId, FlashBackend, FlashCommand, IoTag, PageAddr, PageMetadata,
     PageState, ServiceClass, SimTime,
@@ -62,8 +64,9 @@ pub const META_REGION_NAME: &str = "__noftl_meta";
 const CHUNK_MAGIC: u32 = 0x4E46_434B; // "NFCK"
 
 /// Bytes of chunk header at the start of each checkpoint page:
-/// magic:4 | seq:8 | index:4 | count:4 | len:4.
-pub(crate) const CHUNK_HEADER: usize = 24;
+/// magic:4 | seq:8 | count:4 | len:4.  A chunk's index is its OOB logical
+/// page, which GC's `retranslate` reads too.
+pub(crate) const CHUNK_HEADER: usize = 20;
 
 /// Magic prefix of the checkpoint blob itself.  Version 02 added the
 /// per-region placement-policy tag; version 03 the opaque replication
@@ -77,10 +80,12 @@ pub(crate) const CHUNK_HEADER: usize = 24;
 /// off the children at mount; version 09 dropped each region's creation
 /// limits (die count, chips, channels, size), which are resolved once at
 /// creation and contradict the dies after a grow or shrink, and stores its
-/// service class as `ServiceClass::code`.  Each bump makes
+/// service class as `ServiceClass::code`; version 10 dropped the sequence
+/// number, the epoch watermark and the metadata region, which the mount
+/// reads off the chunk pages.  Each bump makes
 /// blobs written by older code decode as "no checkpoint" instead of
 /// mis-aligning the cursor on the changed fields.
-const BLOB_MAGIC: &[u8; 8] = b"NFCKPT09";
+const BLOB_MAGIC: &[u8; 8] = b"NFCKPT10";
 
 /// In-memory state of the region-metadata journal: where checkpoint chunk
 /// pages currently live.  The chunks themselves carry all recovery
@@ -122,9 +127,11 @@ pub struct MountReport {
     pub orphaned_objects: Vec<ObjectId>,
     /// Live logical pages mapped after recovery.
     pub mapped_pages: u64,
-    /// Mapped pages whose write epoch postdates the checkpoint watermark,
-    /// i.e. pages programmed after the checkpoint was taken.  A page GC
-    /// relocated after the checkpoint keeps its epoch and is not counted.
+    /// Mapped pages whose write epoch is above the checkpoint's first
+    /// chunk's, i.e. pages programmed after the checkpoint was taken (the
+    /// manager stamps no page between encoding the checkpoint and
+    /// programming that chunk).  A page GC relocated after the checkpoint
+    /// keeps its epoch and is not counted.
     pub pages_after_checkpoint: u64,
     /// Pages discarded because their payload checksum did not match
     /// (torn writes).
@@ -162,32 +169,23 @@ pub(crate) struct ObjectImage {
     pub region: RegionId,
 }
 
-/// A decoded checkpoint.
+/// A decoded checkpoint: the directory.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CheckpointImage {
-    pub seq: u64,
-    /// Device write epoch at checkpoint time; pages with a larger epoch
-    /// were written after this checkpoint.
-    pub epoch_watermark: u64,
-    pub meta_region: Option<RegionId>,
     pub regions: Vec<RegionImage>,
     pub objects: Vec<ObjectImage>,
 }
 
 /// Write a checkpoint blob (magic ... crc32) into `out`, which it clears
-/// first: the one encoder of the format, over borrowed parts — the header
-/// (sequence number, epoch watermark, metadata region), each region's id,
-/// name, class and dies and each object's id, name and region.
+/// first: the one encoder of the format, over borrowed parts — each
+/// region's id, name, class and dies and each object's id, name and
+/// region.
 fn put_blob<'a, D: ExactSizeIterator<Item = DieId>>(
     out: &mut Vec<u8>,
-    (seq, epoch_watermark, meta_region): (u64, u64, Option<RegionId>),
     regions: impl Iterator<Item = (RegionId, &'a str, ServiceClass, D)> + Clone,
     objects: impl Iterator<Item = (ObjectId, &'a str, RegionId)> + Clone,
 ) {
     seal_into(out, BLOB_MAGIC, |out| {
-        put_u64(out, seq);
-        put_u64(out, epoch_watermark);
-        put_opt(out, meta_region.map(|r| r.0), put_u32);
         put_u32(out, regions.clone().count() as u32);
         for (id, name, class, dies) in regions {
             put_u32(out, id.0);
@@ -212,9 +210,6 @@ impl CheckpointImage {
     /// magic, bad CRC, truncation).
     pub(crate) fn decode(buf: &[u8]) -> Option<CheckpointImage> {
         let mut r = open(buf, BLOB_MAGIC)?;
-        let seq = r.u64()?;
-        let epoch_watermark = r.u64()?;
-        let meta_region = r.opt(Reader::u32)?.map(RegionId);
         let regions = (0..r.u32()?)
             .map(|_| {
                 let id = RegionId(r.u32()?);
@@ -233,13 +228,7 @@ impl CheckpointImage {
                 })
             })
             .collect::<Option<_>>()?;
-        r.rest().is_empty().then_some(CheckpointImage {
-            seq,
-            epoch_watermark,
-            meta_region,
-            regions,
-            objects,
-        })
+        r.rest().is_empty().then_some(CheckpointImage { regions, objects })
     }
 }
 
@@ -247,7 +236,7 @@ impl CheckpointImage {
 /// header + blob slice, zero-padded to `page_size`.
 pub(crate) fn put_chunk(
     page: &mut Vec<u8>,
-    (seq, index, count): (u64, u32, u32),
+    (seq, count): (u64, u32),
     chunk: &[u8],
     page_size: usize,
 ) {
@@ -255,32 +244,31 @@ pub(crate) fn put_chunk(
     page.clear();
     put_u32(page, CHUNK_MAGIC);
     put_u64(page, seq);
-    put_u32(page, index);
     put_u32(page, count);
     put_bytes(page, chunk);
     page.resize(page_size, 0);
 }
 
-/// Parse a checkpoint chunk page; `None` if the page is not a chunk.
-pub(crate) fn decode_chunk(page: &[u8]) -> Option<(u64, u32, u32, &[u8])> {
+/// Parse a checkpoint chunk page into its sequence number, chunk count
+/// and blob slice; `None` if the page is not a chunk.
+pub(crate) fn decode_chunk(page: &[u8]) -> Option<(u64, u32, &[u8])> {
     let mut r = Reader::new(page);
     if r.u32()? != CHUNK_MAGIC {
         return None;
     }
-    Some((r.u64()?, r.u32()?, r.u32()?, r.bytes()?))
+    Some((r.u64()?, r.u32()?, r.bytes()?))
 }
 
 impl Inner {
     /// Encode everything a checkpoint persists, as of now, into
     /// `meta.blob`, borrowing every name.
-    fn encode_checkpoint(&mut self, device: &dyn FlashBackend, seq: u64, meta_region: RegionId) {
+    fn encode_checkpoint(&mut self) {
         let regions = self.regions.iter().flatten();
         let objects = self.objects.iter().enumerate().filter_map(|(id, o)| {
             o.as_ref().map(|state| (id as ObjectId, state.name.as_str(), state.region))
         });
         put_blob(
             &mut self.meta.blob,
-            (seq, device.current_epoch(), Some(meta_region)),
             regions.map(|r| (r.id, r.name.as_str(), r.class, r.dies.iter().map(|d| d.die))),
             objects,
         );
@@ -305,7 +293,7 @@ impl Inner {
         self.meta.staging.clear();
         self.meta.staging.resize(chunk_count, None);
         for (index, body) in blob.chunks(cap).enumerate() {
-            put_chunk(&mut page, (seq, index as u32, chunk_count as u32), body, page_size);
+            put_chunk(&mut page, (seq, chunk_count as u32), body, page_size);
             let addr = self.space(env, rid)?.allocate(at)?;
             let meta = PageMetadata::new(META_OBJECT_ID, index as u64).with_payload_checksum(&page);
             let out = env.exec(FlashCommand::Program { addr, data: &page, meta }, at, tag)?;
@@ -333,7 +321,7 @@ struct Scan {
     /// Superseded or unreachable pages to invalidate.
     losers: Vec<PageAddr>,
     /// Checkpoint chunks by sequence number, then chunk index.
-    chunks: HashMap<u64, HashMap<u32, ScannedChunk>>,
+    chunks: HashMap<u64, HashMap<u64, ScannedChunk>>,
 }
 
 impl Scan {
@@ -396,12 +384,13 @@ impl Scan {
         Ok(scan)
     }
 
-    /// File one checkpoint chunk page whose checksum matched; of two
-    /// copies of the same chunk the higher write epoch wins.  Returns
-    /// `false` for a payload that is not a chunk after all.
+    /// File one checkpoint chunk page whose checksum matched under its
+    /// index, the OOB logical page; of two copies of the same chunk the
+    /// higher write epoch wins.  Returns `false` for a payload that is not
+    /// a chunk after all.
     fn note_chunk(&mut self, meta: &PageMetadata, addr: PageAddr, payload: &[u8]) -> bool {
-        let Some((seq, index, count, _)) = decode_chunk(payload) else { return false };
-        let by_idx = self.chunks.entry(seq).or_default();
+        let Some((seq, count, _)) = decode_chunk(payload) else { return false };
+        let (by_idx, index) = (self.chunks.entry(seq).or_default(), meta.logical_page);
         if by_idx.get(&index).is_some_and(|c| c.epoch >= meta.epoch) {
             self.losers.push(addr);
         } else {
@@ -430,9 +419,11 @@ impl Scan {
         }
     }
 
-    /// Pick the newest *complete*, decodable checkpoint and the pages of
-    /// its chunks; every other chunk page becomes a loser.
-    fn newest_checkpoint(&mut self) -> Option<(CheckpointImage, Vec<Option<PageAddr>>)> {
+    /// Pick the newest *complete*, decodable checkpoint: its sequence
+    /// number, its chunks' lowest write epoch (its first chunk's: a GC
+    /// copy keeps its epoch), its image and the pages of its chunks.
+    /// Every other chunk page becomes a loser.
+    fn newest_checkpoint(&mut self) -> Option<(u64, u64, CheckpointImage, Vec<Option<PageAddr>>)> {
         let mut seqs: Vec<u64> = self.chunks.keys().copied().collect();
         seqs.sort_unstable_by(|a, b| b.cmp(a));
         let best = seqs.into_iter().find_map(|seq| {
@@ -441,17 +432,18 @@ impl Scan {
             if count == 0 || by_idx.len() != count as usize {
                 return None;
             }
-            let mut blob = Vec::new();
+            let (mut blob, mut epoch) = (Vec::new(), u64::MAX);
             let mut addrs = Vec::with_capacity(count as usize);
-            for index in 0..count {
+            for index in 0..u64::from(count) {
                 let chunk = by_idx.get(&index)?;
-                blob.extend_from_slice(decode_chunk(&chunk.payload)?.3);
+                blob.extend_from_slice(decode_chunk(&chunk.payload)?.2);
+                epoch = epoch.min(chunk.epoch);
                 addrs.push(Some(chunk.addr));
             }
-            Some((CheckpointImage::decode(&blob)?, addrs))
+            Some((seq, epoch, CheckpointImage::decode(&blob)?, addrs))
         });
         let chosen: HashSet<PageAddr> =
-            best.iter().flat_map(|(_, addrs)| addrs.iter().flatten().copied()).collect();
+            best.iter().flat_map(|(.., addrs)| addrs.iter().flatten().copied()).collect();
         let stale = self.chunks.values().flat_map(|by_idx| by_idx.values().map(|c| c.addr));
         self.losers.extend(stale.filter(|addr| !chosen.contains(addr)));
         best
@@ -502,7 +494,7 @@ impl NoFtl {
             Ok(rid) => rid,
             // A region the caller itself named `__noftl_meta`: adopt it.
             // A remount never gets here, since `NoFtl::mount` restores
-            // `meta.region` from the checkpoint, which always names it.
+            // `meta.region` as the region that owns its chunks' dies.
             Err(NoFtlError::RegionExists { .. }) => {
                 self.region_id(META_REGION_NAME).ok_or_else(|| NoFtlError::Recovery {
                     message: format!("region '{META_REGION_NAME}' exists but has no id entry"),
@@ -542,7 +534,7 @@ impl NoFtl {
         let mut inner = self.lock_inner();
         let inner = &mut *inner;
         let seq = inner.meta.seq + 1;
-        inner.encode_checkpoint(env.device.as_ref(), seq, rid);
+        inner.encode_checkpoint();
         // Phase 1: program every new chunk into staging.  `meta.map` (the
         // previous checkpoint) is left untouched so its pages stay valid —
         // a crash anywhere in this phase loses only the half-written new
@@ -590,7 +582,7 @@ impl NoFtl {
         let device = env.device.as_ref();
         let mut report = MountReport { completed_at: at, ..MountReport::default() };
         let mut scan = Scan::run(&env, at, &mut report)?;
-        let Some((image, chunk_pages)) = scan.newest_checkpoint() else {
+        let Some((seq, first_epoch, image, chunk_pages)) = scan.newest_checkpoint() else {
             if scan.winners.is_empty() {
                 // Pristine device: a fresh manager.
                 return Ok((NoFtl::assemble(env, Inner::fresh()), report));
@@ -598,7 +590,7 @@ impl NoFtl {
             return Err(NoFtlError::NoCheckpoint);
         };
         let Scan { winners, mut losers, .. } = scan;
-        report.checkpoint_seq = image.seq;
+        report.checkpoint_seq = seq;
 
         // A replicated backend reads each child's staleness off its
         // children (a mirror's verify scan); the checkpoint holds none.
@@ -650,7 +642,7 @@ impl NoFtl {
             let Some(state) = objects[obj as usize].as_mut() else { continue };
             state.set_translation(lp, ppa);
             report.mapped_pages += 1;
-            report.pages_after_checkpoint += u64::from(epoch > image.epoch_watermark);
+            report.pages_after_checkpoint += u64::from(epoch > first_epoch);
         }
 
         // Invalidate superseded physical pages.
@@ -663,10 +655,14 @@ impl NoFtl {
             report.stale_pages_invalidated += 1;
         }
 
+        // The journal is the region that owns its chunks' dies: a GC copy
+        // stays on its die, and a shrink moves pages only onto dies the
+        // checkpoint already recorded for that region.
+        let region = chunk_pages.iter().flatten().find_map(|addr| die_owner.get(&addr.die));
         let meta = MetaDirectory {
-            region: image.meta_region,
+            region: region.copied(),
             map: chunk_pages,
-            seq: image.seq,
+            seq,
             ..MetaDirectory::default()
         };
         report.objects = image.objects.len();
@@ -687,7 +683,6 @@ mod tests {
         let mut out = Vec::new();
         put_blob(
             &mut out,
-            (img.seq, img.epoch_watermark, img.meta_region),
             img.regions.iter().map(|r| (r.id, r.name.as_str(), r.class, r.dies.iter().copied())),
             img.objects.iter().map(|o| (o.id, o.name.as_str(), o.region)),
         );
@@ -696,9 +691,6 @@ mod tests {
 
     fn sample_image() -> CheckpointImage {
         CheckpointImage {
-            seq: 7,
-            epoch_watermark: 991,
-            meta_region: Some(RegionId(2)),
             regions: vec![RegionImage {
                 id: RegionId(0),
                 name: "rgHot".to_string(),
@@ -731,9 +723,9 @@ mod tests {
     fn chunk_roundtrip_and_rejection() {
         let blob = encode(&sample_image());
         let mut page = Vec::new();
-        put_chunk(&mut page, (3, 0, 1), &blob, 4096);
-        let (seq, idx, count, body) = decode_chunk(&page).unwrap();
-        assert_eq!((seq, idx, count), (3, 0, 1));
+        put_chunk(&mut page, (3, 1), &blob, 4096);
+        let (seq, count, body) = decode_chunk(&page).unwrap();
+        assert_eq!((seq, count), (3, 1));
         assert_eq!(body, &blob[..]);
         for n in 0..CHUNK_HEADER + blob.len() {
             assert!(decode_chunk(&page[..n]).is_none(), "prefix of {n} bytes");
@@ -769,7 +761,7 @@ mod tests {
         assert_eq!(report.checkpoint_seq, 1);
         assert_eq!(report.regions, 3, "rgHot, rgCold and the meta region");
         assert_eq!(report.objects, 2);
-        assert!(report.pages_after_checkpoint >= 10);
+        assert_eq!(report.pages_after_checkpoint, 10);
         assert!(report.orphaned_objects.is_empty());
         assert_eq!(noftl2.region_id("rgHot"), Some(rg_hot));
         assert_eq!(noftl2.region_id("rgCold"), Some(rg_cold));
@@ -975,6 +967,76 @@ mod tests {
         assert_eq!(after.dies, before.dies);
     }
 
+    /// A chunk page is a 20-byte header (magic, sequence number, chunk
+    /// count, blob length), then the blob — magic, the directory, CRC —
+    /// and zeros: the sequence number is stored once, and nothing a mount
+    /// reads off the chunk pages is in the blob.
+    #[test]
+    #[expect(clippy::disallowed_methods, reason = "reads a chunk page behind the manager's back")]
+    fn a_chunk_page_is_its_header_then_the_directory() {
+        let device = Arc::new(DeviceBuilder::new(FlashGeometry::small_test()).build());
+        let (noftl, rid) = NoFtl::with_single_region(device).unwrap();
+        let obj = noftl.create_object("t", rid).unwrap();
+        let t = noftl.checkpoint(SimTime::ZERO).unwrap();
+        let info = noftl.region_info(rid).unwrap();
+        let mut blob = Vec::new();
+        seal_into(&mut blob, BLOB_MAGIC, |out| {
+            put_u32(out, 1);
+            put_u32(out, rid.0);
+            put_bytes(out, info.name.as_bytes());
+            put_u8(out, info.class.code());
+            put_u32(out, info.dies.len() as u32);
+            info.dies.iter().for_each(|d| put_u32(out, d.0));
+            put_u32(out, 1);
+            put_u32(out, obj);
+            put_bytes(out, b"t");
+            put_u32(out, rid.0);
+        });
+        let mut expected = Vec::new();
+        put_u32(&mut expected, CHUNK_MAGIC);
+        put_u64(&mut expected, 1);
+        put_u32(&mut expected, 1);
+        put_u32(&mut expected, blob.len() as u32);
+        assert_eq!(expected.len(), 20);
+        expected.extend_from_slice(&blob);
+        expected.resize(4096, 0);
+        let chunks = current_chunks(&noftl);
+        assert_eq!(chunks.len(), 1);
+        let (data, ..) = raw_device(&noftl).read_page(chunks[0], t).unwrap();
+        assert_eq!(data[..20], expected[..20], "the header");
+        assert_eq!(data, expected);
+    }
+
+    /// With no free die the journal falls back to a `Background` region.
+    /// A remount finds it on the dies its chunks lie on, and the next
+    /// checkpoint writes there and retires the mounted checkpoint's chunks.
+    #[test]
+    fn a_remount_keeps_the_journal_where_its_chunks_lie() {
+        let noftl = make_noftl();
+        let fg = noftl.create_region(RegionSpec::named("rgFg").with_die_count(2)).unwrap();
+        let bulk = RegionSpec::named("rgBulk")
+            .with_die_count(2)
+            .with_service_class(ServiceClass::Background);
+        let bulk = noftl.create_region(bulk).unwrap();
+        assert_eq!(noftl.free_die_count(), 0);
+        let obj = noftl.create_object("t", fg).unwrap();
+        let t = noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
+        let t = noftl.checkpoint(t).unwrap();
+        assert_eq!(noftl.meta_region(), Some(bulk));
+        let (noftl2, report) = NoFtl::mount(reboot(&noftl), t).unwrap();
+        assert_eq!(noftl2.meta_region(), Some(bulk));
+        let first = current_chunks(&noftl2);
+        assert_eq!(first, current_chunks(&noftl));
+        noftl2.checkpoint(report.completed_at).unwrap();
+        assert_eq!(noftl2.checkpoint_seq(), 2);
+        let dies = noftl2.region_info(bulk).unwrap().dies;
+        let second = current_chunks(&noftl2);
+        assert!(!second.is_empty() && second.iter().all(|addr| dies.contains(&addr.die)));
+        for addr in first {
+            assert_eq!(raw_device(&noftl2).page_state(addr).unwrap(), PageState::Invalid);
+        }
+    }
+
     #[test]
     fn torn_write_is_discarded_on_mount_and_old_version_survives() {
         let noftl = make_noftl();
@@ -1127,7 +1189,8 @@ mod tests {
         // A blob under an earlier format version's magic — intact CRC,
         // whatever follows — must decode as "no checkpoint" rather than
         // have the cursor run over fields that are no longer there.
-        for magic in [b"NFCKPT04", b"NFCKPT05", b"NFCKPT06", b"NFCKPT07", b"NFCKPT08"] {
+        let magics = [b"NFCKPT04", b"NFCKPT05", b"NFCKPT06", b"NFCKPT07", b"NFCKPT08", b"NFCKPT09"];
+        for magic in magics {
             let mut old = encode(&sample_image());
             old.truncate(old.len() - 4);
             old[..8].copy_from_slice(magic);
@@ -1141,7 +1204,7 @@ mod tests {
             let obj = noftl.create_object("t", r).unwrap();
             let t = noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
             let mut chunk = Vec::new();
-            put_chunk(&mut chunk, (1, 0, 1), &old, 4096);
+            put_chunk(&mut chunk, (1, 1), &old, 4096);
             let addr = PageAddr::new(noftl.region_info(r).unwrap().dies[0], 0, 5, 0);
             let meta = PageMetadata::new(META_OBJECT_ID, 0).with_payload_checksum(&chunk);
             raw_device(&noftl).program_page(addr, &chunk, meta, t).unwrap();

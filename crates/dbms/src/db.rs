@@ -38,8 +38,9 @@ const CATALOG_SLOT_PAGES: u64 = 64;
 /// Magic of a catalog snapshot's first page (`"DBCT"`).
 const CATALOG_MAGIC: u32 = 0x4442_4354;
 
-/// Catalog snapshot header: magic:4 | seq:8 | len:4 | crc:4 | pad:4.
-const CATALOG_HEADER: usize = 24;
+/// Catalog snapshot header: magic:4 | len:4 | crc:4.  The sequence
+/// number is the blob's first field, where the CRC covers it.
+const CATALOG_HEADER: usize = 12;
 
 /// A decoded catalog: `(name, schema, index names)` per table.
 type CatalogTables = Vec<(String, Schema, Vec<String>)>;
@@ -291,9 +292,9 @@ impl Engine {
     }
 
     /// Write a versioned catalog snapshot into slot `seq % 2` of the
-    /// catalog object: a header (magic, seq, length, CRC), then the blob,
-    /// from page 0 of the slot on.  A torn snapshot fails its CRC on
-    /// recovery and the previous slot is used instead.
+    /// catalog object: a header (magic, length, CRC), then the blob (the
+    /// sequence number first), from page 0 of the slot on.  A torn snapshot
+    /// fails its CRC on recovery and the previous slot is used instead.
     fn write_catalog_snapshot(&mut self, db: &Database, now: SimTime) -> Result<SimTime> {
         let seq = self.catalog_seq + 1;
         let Engine { tables, catalog_slot: slot, .. } = self;
@@ -307,8 +308,8 @@ impl Engine {
             });
         }
         let (len, crc) = ((blob.len() as u32).to_le_bytes(), crc32(blob).to_le_bytes());
-        for field in [&CATALOG_MAGIC.to_le_bytes()[..], &seq.to_le_bytes(), &len, &crc] {
-            // Writing into the header's slice cannot fail; the pad stays 0.
+        for field in [&CATALOG_MAGIC.to_le_bytes()[..], &len, &crc] {
+            // Writing into the header's slice cannot fail.
             let _ = header.write_all(field);
         }
         slot.resize(slot.len().next_multiple_of(PAGE_SIZE), 0);
@@ -768,7 +769,7 @@ impl Database {
         if r.u32()? != CATALOG_MAGIC {
             return None;
         }
-        let (seq, len, crc, _pad) = (r.u64()?, r.u32()? as usize, r.u32()?, r.u32()?);
+        let (len, crc) = (r.u32()? as usize, r.u32()?);
         if len > CATALOG_SLOT_PAGES as usize * PAGE_SIZE - CATALOG_HEADER {
             return None;
         }
@@ -782,7 +783,7 @@ impl Database {
         if crc32(&blob) != crc {
             return None;
         }
-        Self::decode_catalog(&blob).filter(|(decoded_seq, _)| *decoded_seq == seq)
+        Self::decode_catalog(&blob)
     }
 
     /// Take a full checkpoint: flush every dirty page outside the open

@@ -190,7 +190,7 @@ pub trait FlashBackend: Send + Sync {
         self.geometry().dies().map(|die| self.die_load(die, at)).collect()
     }
 
-    /// Current device-wide write epoch (checkpoint watermark).
+    /// Current device-wide write epoch: the newest this device stamped.
     fn current_epoch(&self) -> u64;
 
     /// Whether page payloads are stored (and can be read back): always

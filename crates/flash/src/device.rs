@@ -850,9 +850,8 @@ impl FlashBackend for NandDevice {
     }
 
     /// Current device-wide write epoch (the stamp given to the most recent
-    /// program that did not supply its own).  Recovery uses this as the
-    /// checkpoint watermark: pages with a larger epoch were written after
-    /// the checkpoint was taken.
+    /// program that did not supply its own).  A mirror reads it off its
+    /// children to find the one that holds every acknowledged write.
     fn current_epoch(&self) -> u64 {
         self.lock_device().epoch
     }

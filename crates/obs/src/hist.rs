@@ -158,19 +158,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An empty snapshot (identity element for [`merge`](Self::merge)).
-    pub fn empty(name: &str, unit: Unit) -> Self {
-        HistogramSnapshot {
-            name: name.to_string(),
-            unit,
-            count: 0,
-            sum: 0,
-            max: 0,
-            min: u64::MAX,
-            buckets: vec![0; BUCKETS],
-        }
-    }
-
     /// The value at quantile `q` in `[0, 1]`: the upper edge of the first
     /// bucket whose cumulative count reaches `ceil(q * count)`, clamped
     /// to the exactly-tracked maximum.  Within `1/8` relative error of
@@ -199,27 +186,6 @@ impl HistogramSnapshot {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// Fold another snapshot into this one.  Associative and commutative
-    /// on counts/sum/max/min/buckets; the name and unit of `self` win.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        self.count = self.count.wrapping_add(other.count);
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.max = self.max.max(other.max);
-        self.min = self.min.min(other.min);
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a = a.wrapping_add(*b);
-        }
-    }
-
-    /// Iterate non-empty buckets as `(lo, hi, count)` ranges.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .map(|(i, c)| (bucket_lo(i), bucket_hi(i), *c))
     }
 }
 
@@ -268,21 +234,5 @@ mod tests {
         assert_eq!(s.percentile(1.0), 1000);
         assert_eq!(s.max, 1000);
         assert_eq!(s.min, 1);
-    }
-
-    #[test]
-    fn merge_identity_and_sum() {
-        let h = hist();
-        for v in [3u64, 300, 30_000] {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        let mut m = HistogramSnapshot::empty("t", Unit::SimNanos);
-        m.merge(&s);
-        m.merge(&s);
-        assert_eq!(m.count, 6);
-        assert_eq!(m.sum, 2 * s.sum);
-        assert_eq!(m.max, 30_000);
-        assert_eq!(m.min, 3);
     }
 }

@@ -79,12 +79,6 @@ impl Gauge {
         self.value.store(v, Relaxed);
     }
 
-    /// Raise the value to `v` if larger (high-water marks).
-    #[inline]
-    pub fn set_max(&self, v: u64) {
-        self.value.fetch_max(v, Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Relaxed)
@@ -216,9 +210,7 @@ mod tests {
         assert_eq!(r.counter("a.b").get(), 5);
         let g = r.gauge("a.g");
         g.set(7);
-        g.set_max(3);
-        g.set_max(11);
-        assert_eq!(r.gauge("a.g").get(), 11);
+        assert_eq!(r.gauge("a.g").get(), 7);
     }
 
     #[test]

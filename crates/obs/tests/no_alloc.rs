@@ -43,7 +43,7 @@ fn enabled_counters_and_histograms_stay_allocation_free_too() {
     let ((), window) = counted(|| {
         for i in 0..10_000u64 {
             counter.inc();
-            gauge.set_max(i);
+            gauge.set(i);
             hist.record(i * 91);
         }
     });

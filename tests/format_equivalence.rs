@@ -9,72 +9,25 @@
 //! and the epoch, as `placement_equivalence.rs` digests it — must hash to
 //! the golden below.
 //!
-//! The goldens were recorded on the parent of the change that moved every
-//! format onto `flash_sim::codec`, before any codec was touched, so a
-//! codec change that moves one byte of any format fails here.  The image
-//! golden moved twice since, each time recorded on the parent of the
-//! change by encoding its device in the `NFLIMG03` layout with a
-//! test-local encoder: once for the format (`0x11C5_F3D3`, epoch 68, with
-//! a KV compaction threshold of 2) and once when the threshold became a
-//! constant 4.  It moved once more, from `(0x399E_912E, 58)`, when a KV
-//! flush began to merge straight into the level it fills: the script's
-//! fourth flush writes its level-1 run directly instead of a level-0 run
-//! that a merge then read back and erased, so fewer pages were programmed
-//! and erased although no format changed.  The level-1 run's three pages
-//! (`__kv_kv_r1_1_4`) have page CRCs `4da16027 afeb2777 1e2fe72a` on
-//! both sides of that change.  It moved last from `(0x05A8_51A4, 55)`
-//! beside the checkpoint blob's bump to `NFCKPT07`, which dropped the
-//! free-die pool, each region's object list and each object's counters.
-//! A page-by-page dump of the script's device on both sides differed in
-//! the eleven checkpoint chunk pages only (`META_OBJECT_ID` in their OOB,
-//! same addresses and epochs); every other page, every block's state,
-//! write pointer and erase count, and the epoch (55) were equal.  It
-//! moved last from `(0x22C8_4A25, 55)` when B+-tree nodes took a slot
-//! directory of `u16` entry end offsets in place of each key's `u16`
-//! length (same bytes per entry, so the same splits and page numbers).
-//! A page-by-page dump of the script's device on both sides differed in
-//! eight pages only, at the same addresses, logical pages and epochs:
-//! six `acct_pk` node pages, and two durable-log pages whose page-image
-//! records carry `acct_pk` nodes.  Every other page, every block's
-//! state, write pointer, erase count and valid / invalid counts, and the
-//! epoch (55) were equal.  It moved last from `(0x6E92_437C, 55)` with
-//! the image's bump to `NFLIMG04`, which stores no block or page state
-//! tags (they follow from the write pointer) and no payload length or
-//! padding: on the parent of that change, a digest of every block's
-//! `block_info`, every page state and the bytes and OOB of every
-//! readable page was equal to the change's, and the parent's device
-//! encoded by an `NFLIMG04` encoder gave the golden below.  It moved
-//! last from `(0xE954_4F0B, 55)` when a KV flush began to issue the
-//! checkpoint that names its run beside the run's pages (first, in host
-//! order), and a merge stopped taking a second checkpoint for the sources
-//! it retires.  A page-by-page dump of the script's device on both sides
-//! differed in these pages only: the eleven KV run pages (objects 7 to
-//! 10) kept their bytes, addresses and states, each one epoch later; the
-//! KV checkpoints 7 to 10 (die 1, block 0, pages 6 to 9) kept their
-//! addresses, each programmed before its run's pages, so with epochs 40,
-//! 44, 47 and 51 in place of 43, 46, 50 and 54; the epoch watermark in
-//! each blob (one below its chunk's epoch on both sides) moved with them,
-//! and nothing else (the page CRCs are equal: each blob ends in its own
-//! CRC).  The merge's second checkpoint (page 10, epoch 55) is gone, so
-//! page 9 is the valid chunk and the block's write pointer is 10.  Every
-//! other page and block, and the erase counts, were equal; the epoch is
-//! 54.  It moved last from `(0x152F_6633, 54)` beside the checkpoint
-//! blob's bump to `NFCKPT08`, which dropped the replication blob (one
-//! byte, its empty option, in every blob the script writes).  A
-//! page-by-page dump of the script's device on both sides differed in
-//! the ten checkpoint chunk pages only (die 1, block 0, pages 0 to 9;
-//! `META_OBJECT_ID` in their OOB, same addresses and epochs, payload and
-//! OOB checksum moved); every other page, every block's state, write
-//! pointer, erase count and valid / invalid counts, and the epoch (54)
-//! were equal.  The sample mirror blob and its golden went with the
-//! mirror's blob format.  It moved last from `(0x254F_A713, 54)` beside
-//! the checkpoint blob's bump to `NFCKPT09`, which dropped each region's
-//! creation limits and stores its service class as its code.  A
-//! page-by-page dump of the script's device on both sides differed in
-//! the same ten checkpoint chunk pages only (`META_OBJECT_ID`, same
-//! addresses and epochs, payload and OOB checksum moved); every other
-//! page, every block's state, write pointer, erase count and valid /
-//! invalid counts, and the epoch (54) were equal.
+//! The rule: a byte this gate catches moves only with a format version
+//! bump, and the golden is re-recorded only after a page-by-page dump of
+//! the script's device on the parent and on the change shows that the
+//! pages of the bumped formats, and no other, differ — at the same
+//! addresses, logical pages and epochs.
+//!
+//! The current golden moved from `(0x5911_64DF, 54)` beside the
+//! checkpoint blob's bump to `NFCKPT10`, which dropped the blob's
+//! sequence number, epoch watermark and metadata region and each chunk
+//! header's index, and beside the catalog snapshot header's loss of its
+//! sequence number and pad.  A page-by-page dump of the script's device
+//! on both sides differed in fifteen pages only: the ten checkpoint chunk
+//! pages (die 1, block 0, pages 0 to 9; `META_OBJECT_ID` in their OOB)
+//! and five `DBMS-catalog` snapshot pages, at the same addresses, logical
+//! pages and epochs, payload and OOB checksum moved.  Every other page,
+//! every block's state, write pointer, erase count and valid / invalid
+//! counts, and the epoch (54) were equal.  The earlier re-records are in
+//! EXPERIMENTS.md, "The format golden's history".
+//!
 //! Regenerate with `NOFTL_PRINT_GOLDEN=1 cargo test --test
 //! format_equivalence -- --nocapture` only beside a format version bump.
 
@@ -88,7 +41,7 @@ use noftl_regions::noftl::kv::{KvConfig, KvStore};
 use noftl_regions::noftl::{NoFtl, NoFtlConfig, PlacementConfig, RegionSpec};
 
 /// CRC of the scripted device image, and its epoch.
-const GOLDEN_IMAGE: (u32, u64) = (0x5911_64DF, 54);
+const GOLDEN_IMAGE: (u32, u64) = (0x8440_2C66, 54);
 
 fn schema() -> Schema {
     Schema::new(vec![
