@@ -43,6 +43,7 @@ use std::sync::Arc;
 
 use flash_sim::{Duration, FlashBackend, NandDevice, OpKind, SimTime};
 
+use crate::recovery::ORPHAN_PREFIX;
 use crate::{MountReport, NoFtl, NoFtlError};
 
 /// Results of the storage manager, or of a contract's own error type.
@@ -113,7 +114,9 @@ pub fn check_mounted(noftl: &NoFtl, committed: &Directory, at_cut: &Directory) -
 /// the engine's reopen must retire them again.
 pub fn check_recovered(noftl: &NoFtl, at_cut: &Directory, ddl: bool) -> Result<()> {
     let Directory(now) = Directory::of(noftl);
-    let orphan = |name: &str| ddl && name.starts_with("object __orphan_");
+    let orphan = |name: &str| {
+        ddl && name.strip_prefix("object ").is_some_and(|n| n.starts_with(ORPHAN_PREFIX))
+    };
     let phantom: Vec<_> = now.iter().filter(|n| !orphan(n) && !at_cut.0.contains(n)).collect();
     if phantom.is_empty() {
         return Ok(());

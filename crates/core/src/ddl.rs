@@ -360,12 +360,12 @@ mod tests {
         .unwrap();
         assert_eq!(
             s,
-            DdlStatement::CreateRegion(
-                RegionSpec::named("rgHotTbl")
-                    .with_max_chips(8)
-                    .with_max_channels(4)
-                    .with_max_size_bytes(1280 * 1024 * 1024)
-            )
+            DdlStatement::CreateRegion(RegionSpec {
+                max_chips: Some(8),
+                max_channels: Some(4),
+                max_size_bytes: Some(1280 * 1024 * 1024),
+                ..RegionSpec::named("rgHotTbl")
+            })
         );
         // Die selection inside a region is not a DDL option: the clause is
         // refused by name, never silently accepted.

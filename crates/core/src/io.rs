@@ -827,7 +827,7 @@ mod tests {
             let deferred = counter(&noftl, "flash.arbiter.deferred");
             assert!(deferred > 0, "the burst must drain the region's budget");
             noftl.checkpoint(t).unwrap();
-            assert_eq!(noftl.meta_region(), Some(r), "the journal falls back to rgBulk");
+            assert_eq!(noftl.lock_inner().meta.region, Some(r), "the journal falls back to rgBulk");
             assert_eq!(
                 counter(&noftl, "flash.arbiter.deferred"),
                 deferred,

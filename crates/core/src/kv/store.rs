@@ -20,6 +20,7 @@ use crate::io::IoRequest;
 use crate::manager::NoFtl;
 use crate::object::ObjectId;
 use crate::obs::KvObs;
+use crate::recovery::ORPHAN_PREFIX;
 use crate::region::RegionId;
 use crate::Result;
 
@@ -280,13 +281,13 @@ impl KvStore {
         // Candidate run objects: properly named runs plus orphans (objects
         // that lost their directory entry to a crash mid-checkpoint).
         let mut candidates = noftl.objects_with_prefix(&Self::run_prefix(name));
-        candidates.extend(noftl.objects_with_prefix("__orphan_"));
+        candidates.extend(noftl.objects_with_prefix(ORPHAN_PREFIX));
         // Judge every candidate before touching any: a run of another
         // format version must fail the open with the image as it was.
         let mut judged = Vec::with_capacity(candidates.len());
         for (obj, obj_name) in candidates {
             let meta = Self::load_run(&noftl, name, obj, &mut now, &mut report)?;
-            judged.push((obj, obj_name.starts_with("__orphan_"), meta));
+            judged.push((obj, obj_name.starts_with(ORPHAN_PREFIX), meta));
         }
         let mut runs: Vec<RunMeta> = Vec::new();
         let mut incomplete = Vec::new();
@@ -1261,7 +1262,8 @@ mod tests {
         let tracer = device.metrics().tracer();
         tracer.set_enabled(true);
         let done = kv.flush(t).unwrap();
-        let meta_dies = kv.noftl.region_info(kv.noftl.meta_region().unwrap()).unwrap().dies;
+        let meta = kv.noftl.lock_inner().meta.region.unwrap();
+        let meta_dies = kv.noftl.region_info(meta).unwrap().dies;
         let (mut checkpoint, mut pages) = (SimTime::ZERO, Vec::new());
         for e in tracer.events().iter().filter(|e| e.cat == "flash.op" && e.name == "program") {
             let end = SimTime(e.ts_ns + e.dur_ns.unwrap());

@@ -432,7 +432,10 @@ mod tests {
         let noftl = make_noftl();
         let geo = *noftl.device().geometry();
         let r = noftl
-            .create_region(RegionSpec::named("rg").with_die_count(2).with_max_channels(1))
+            .create_region(RegionSpec {
+                max_channels: Some(1),
+                ..RegionSpec::named("rg").with_die_count(2)
+            })
             .unwrap();
         let dies = noftl.region_info(r).unwrap().dies;
         let channels: std::collections::HashSet<u32> =

@@ -60,6 +60,10 @@ pub const META_OBJECT_ID: ObjectId = u32::MAX;
 /// checkpoint when unassigned dies are available.
 pub const META_REGION_NAME: &str = "__noftl_meta";
 
+/// Name prefix of an object the mount synthesises for pages whose object
+/// was created after the newest checkpoint: `__orphan_<id>`.
+pub const ORPHAN_PREFIX: &str = "__orphan_";
+
 /// Magic number of a checkpoint chunk page.
 const CHUNK_MAGIC: u32 = 0x4E46_434B; // "NFCK"
 
@@ -451,18 +455,6 @@ impl Scan {
 }
 
 impl NoFtl {
-    /// Sequence number of the newest completed region-metadata checkpoint
-    /// (0 if none has been taken yet).
-    pub fn checkpoint_seq(&self) -> u64 {
-        self.lock_inner().meta.seq
-    }
-
-    /// The region hosting the region-metadata journal, if a checkpoint has
-    /// been taken.
-    pub fn meta_region(&self) -> Option<RegionId> {
-        self.lock_inner().meta.region
-    }
-
     /// Pick (and if necessary create) the region hosting checkpoint
     /// chunks: a dedicated one-die region when unassigned dies exist,
     /// otherwise a `Background` region, else the first declared.
@@ -633,7 +625,8 @@ impl NoFtl {
                     losers.push(ppa);
                     continue;
                 };
-                objects[obj as usize] = Some(ObjectState::new(format!("__orphan_{obj}"), rid));
+                objects[obj as usize] =
+                    Some(ObjectState::new(format!("{ORPHAN_PREFIX}{obj}"), rid));
                 report.orphaned_objects.push(obj);
             }
             // The entry was installed just above when missing; a `None`
@@ -751,7 +744,7 @@ mod tests {
         }
         t = noftl.write(history, 0, &page(0xCC), t).unwrap();
         t = noftl.checkpoint(t).unwrap();
-        assert_eq!(noftl.checkpoint_seq(), 1);
+        assert_eq!(noftl.lock_inner().meta.seq, 1);
         // Post-checkpoint writes are recovered from OOB metadata alone.
         for p in 5..15u64 {
             t = noftl.write(orders, p, &page(0x40 + p as u8), t).unwrap();
@@ -784,7 +777,7 @@ mod tests {
         let t2 = noftl2.write(orders, 99, &page(0x77), done).unwrap();
         assert_eq!(read_page(&noftl2, orders, 99, t2).unwrap().0, page(0x77));
         noftl2.checkpoint(t2).unwrap();
-        assert_eq!(noftl2.checkpoint_seq(), 2);
+        assert_eq!(noftl2.lock_inner().meta.seq, 2);
     }
 
     #[test]
@@ -875,7 +868,7 @@ mod tests {
         assert_eq!(live, mounted, "CREATE REGION");
         assert_eq!(live, vec![DieId(0), DieId(3)]);
         let [live, mounted] = dropped().map(|m| {
-            let meta = m.meta_region().unwrap();
+            let meta = m.lock_inner().meta.region.unwrap();
             m.grow_region(meta, 1).unwrap();
             m.region_info(meta).unwrap().dies
         });
@@ -1022,13 +1015,13 @@ mod tests {
         let obj = noftl.create_object("t", fg).unwrap();
         let t = noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
         let t = noftl.checkpoint(t).unwrap();
-        assert_eq!(noftl.meta_region(), Some(bulk));
+        assert_eq!(noftl.lock_inner().meta.region, Some(bulk));
         let (noftl2, report) = NoFtl::mount(reboot(&noftl), t).unwrap();
-        assert_eq!(noftl2.meta_region(), Some(bulk));
+        assert_eq!(noftl2.lock_inner().meta.region, Some(bulk));
         let first = current_chunks(&noftl2);
         assert_eq!(first, current_chunks(&noftl));
         noftl2.checkpoint(report.completed_at).unwrap();
-        assert_eq!(noftl2.checkpoint_seq(), 2);
+        assert_eq!(noftl2.lock_inner().meta.seq, 2);
         let dies = noftl2.region_info(bulk).unwrap().dies;
         let second = current_chunks(&noftl2);
         assert!(!second.is_empty() && second.iter().all(|addr| dies.contains(&addr.die)));
@@ -1120,7 +1113,7 @@ mod tests {
                 t = noftl.write(obj, p, &page(p as u8), t).unwrap();
             }
             t = noftl.checkpoint(t).unwrap();
-            assert_eq!(noftl.checkpoint_seq(), 1, "first checkpoint completed");
+            assert_eq!(noftl.lock_inner().meta.seq, 1, "first checkpoint completed");
             assert!(current_chunks(&noftl).len() >= 3, "the directory spans several chunks");
             // Post-checkpoint overwrites, then a power cut 90 % into the
             // program of one of checkpoint #2's leading chunks.  Those are
@@ -1229,7 +1222,7 @@ mod tests {
         }
         let err = noftl.checkpoint(t).unwrap_err();
         assert!(matches!(err, NoFtlError::RegionFull { .. }), "got {err:?}");
-        assert_eq!(noftl.checkpoint_seq(), 1);
+        assert_eq!(noftl.lock_inner().meta.seq, 1);
         assert_eq!(
             valid_chunk_pages(&noftl),
             current_chunks(&noftl),
@@ -1244,7 +1237,7 @@ mod tests {
             noftl.free_page(filler, p).unwrap();
         }
         t = noftl.checkpoint(t).unwrap();
-        assert_eq!(noftl.checkpoint_seq(), 2);
+        assert_eq!(noftl.lock_inner().meta.seq, 2);
         let device2 = reboot(&noftl);
         let (noftl2, report) = NoFtl::mount(device2, t).unwrap();
         assert_eq!(report.checkpoint_seq, 2, "the retried checkpoint is the newest complete one");
@@ -1266,7 +1259,7 @@ mod tests {
         let obj = noftl.create_object("t", r).unwrap();
         noftl.write(obj, 0, &page(1), SimTime::ZERO).unwrap();
         noftl.checkpoint(SimTime::ZERO).unwrap();
-        let meta = noftl.meta_region().unwrap();
+        let meta = noftl.lock_inner().meta.region.unwrap();
         assert!(matches!(noftl.drop_region(meta, SimTime::ZERO), Err(NoFtlError::Recovery { .. })));
     }
 
@@ -1299,7 +1292,7 @@ mod tests {
         let obj = noftl.create_object("t", rid).unwrap();
         let t = noftl.write(obj, 0, &page(5), SimTime::ZERO).unwrap();
         noftl.checkpoint(t).unwrap();
-        assert_eq!(noftl.meta_region(), Some(rid));
+        assert_eq!(noftl.lock_inner().meta.region, Some(rid));
         let device2 = reboot(&noftl);
         let (noftl2, report) = NoFtl::mount(device2, t).unwrap();
         assert_eq!(report.checkpoint_seq, 1);

@@ -43,7 +43,7 @@ pub struct RegionSpec {
 }
 
 impl RegionSpec {
-    /// A spec with only a name; limits can be added with the builder methods.
+    /// A spec with only a name; the limits are its public fields.
     pub fn named(name: impl Into<String>) -> Self {
         RegionSpec {
             name: name.into(),
@@ -58,24 +58,6 @@ impl RegionSpec {
     /// Request an explicit number of dies.
     pub fn with_die_count(mut self, dies: u32) -> Self {
         self.die_count = Some(dies);
-        self
-    }
-
-    /// Limit the number of chips the region spans (paper: `MAX_CHIPS`).
-    pub fn with_max_chips(mut self, chips: u32) -> Self {
-        self.max_chips = Some(chips);
-        self
-    }
-
-    /// Limit the number of channels the region spans (paper: `MAX_CHANNELS`).
-    pub fn with_max_channels(mut self, channels: u32) -> Self {
-        self.max_channels = Some(channels);
-        self
-    }
-
-    /// Limit the region's raw size in bytes (paper: `MAX_SIZE`).
-    pub fn with_max_size_bytes(mut self, bytes: u64) -> Self {
-        self.max_size_bytes = Some(bytes);
         self
     }
 
@@ -397,22 +379,23 @@ mod tests {
     #[test]
     fn spec_builder_and_resolution() {
         let geo = FlashGeometry::edbt_paper(); // 64 dies, 4 per chip, 16 per channel
-        let spec = RegionSpec::named("rgHotTbl")
-            .with_max_chips(8)
-            .with_max_channels(4)
-            .with_max_size_bytes(1280 * 1024 * 1024);
+        let spec = RegionSpec {
+            max_chips: Some(8),
+            max_channels: Some(4),
+            max_size_bytes: Some(1280 * 1024 * 1024),
+            ..RegionSpec::named("rgHotTbl")
+        };
         // MAX_CHIPS=8 → 32 dies; MAX_CHANNELS=4 → 64 dies;
         // MAX_SIZE=1280M with 256 MiB dies → 5 dies; most restrictive wins.
         assert_eq!(spec.resolve_die_count(&geo), 5);
         assert_eq!(RegionSpec::named("x").resolve_die_count(&geo), 1);
         assert_eq!(RegionSpec::named("x").with_die_count(11).resolve_die_count(&geo), 11);
-        assert_eq!(RegionSpec::named("x").with_max_chips(2).resolve_die_count(&geo), 8);
-        assert_eq!(RegionSpec::named("x").with_max_channels(1).resolve_die_count(&geo), 16);
+        let chips = |n| RegionSpec { max_chips: Some(n), ..RegionSpec::named("x") };
+        assert_eq!(chips(2).resolve_die_count(&geo), 8);
+        let channels = RegionSpec { max_channels: Some(1), ..RegionSpec::named("x") };
+        assert_eq!(channels.resolve_die_count(&geo), 16);
         // A limit past what a u32 counts saturates: never the one-die default.
-        assert_eq!(
-            RegionSpec::named("x").with_max_chips(u32::MAX).resolve_die_count(&geo),
-            u32::MAX
-        );
+        assert_eq!(chips(u32::MAX).resolve_die_count(&geo), u32::MAX);
     }
 
     #[test]

@@ -83,6 +83,10 @@ const fn payload_len(leaf: bool) -> usize {
 }
 
 /// The child page an internal node's entry points to.
+#[expect(
+    clippy::expect_used,
+    reason = "an internal node's payload is 8 bytes: `NodeView::entry` cuts it at its end"
+)]
 fn child_page(payload: &[u8]) -> u64 {
     u64::from_le_bytes(payload.try_into().expect("8 bytes"))
 }
@@ -115,7 +119,8 @@ impl<'a> NodeView<'a> {
     /// independent loads, so the accessors below slice without checking.
     fn parse(buf: &'a [u8]) -> Result<Self> {
         let corrupted = || DbError::Corrupted { message: "not an intact B+-tree node".into() };
-        let Some(&[flag @ (INTERNAL | LEAF), n0, n1, ref extra @ ..]) = buf.get(..HEADER) else {
+        let header = buf.first_chunk::<HEADER>();
+        let Some(&[flag @ (INTERNAL | LEAF), n0, n1, extra @ ..]) = header else {
             return Err(corrupted());
         };
         let (leaf, n) = (flag == LEAF, usize::from(u16::from_le_bytes([n0, n1])));
@@ -127,8 +132,7 @@ impl<'a> NodeView<'a> {
         if !ordered || end > heap.len() {
             return Err(corrupted());
         }
-        let extra = u64::from_le_bytes(extra.try_into().expect("8 bytes"));
-        Ok(NodeView { leaf, n, extra, dir, heap: &heap[..end] })
+        Ok(NodeView { leaf, n, extra: u64::from_le_bytes(extra), dir, heap: &heap[..end] })
     }
 
     /// Where entry `i` ends in `heap`, and entry `i + 1` starts.
@@ -308,11 +312,13 @@ fn split_node(
     right_page: u64,
     halves: &mut [Vec<u8>; 2],
     sep: &mut Vec<u8>,
-) {
+) -> Result<()> {
     // `n` entries with the new one, which is the last at `pos == node.n`.
     let (entries, n) = (node.with(pos, entry), node.n + 1);
     let mid = if pos < node.n { n / 2 } else { node.n - usize::from(!node.leaf) };
-    let (up, child) = entries.clone().nth(mid).expect("mid is an entry");
+    let (up, child) = entries.clone().nth(mid).ok_or_else(|| DbError::Corrupted {
+        message: format!("split point {mid} past a node of {n} entries"),
+    })?;
     sep.clear();
     sep.extend_from_slice(up);
     let (left_extra, right_extra, skip) = match node.leaf {
@@ -322,6 +328,7 @@ fn split_node(
     let [left, right] = halves;
     encode_node(left, node.leaf, left_extra, mid, entries.clone());
     encode_node(right, node.leaf, right_extra, n - skip, entries.skip(skip));
+    Ok(())
 }
 
 /// The internal nodes an insert descended through, root first: their
@@ -463,7 +470,10 @@ impl BTree {
         loop {
             let (step, t2) = pool.with_page_mut(obj, page, t, |frame| {
                 if frame[0] == LEAF {
-                    let at_leaf = at_leaf.take().expect("a descent reaches one leaf");
+                    let Some(at_leaf) = at_leaf.take() else {
+                        let message = "a descent reached a second leaf".into();
+                        return (Err(DbError::Corrupted { message }), false);
+                    };
                     let done = at_leaf(frame);
                     let wrote = matches!(done, Ok((_, true)));
                     return (done.map(|(done, _)| ControlFlow::Break(done)), wrote);
@@ -525,7 +535,7 @@ impl BTree {
             let right_page = *page_count;
             *page_count += 1;
             let entry = (&carry[..], &payload[..len]);
-            split_node(NodeView::parse(image)?, pos, entry, right_page, halves, sep);
+            split_node(NodeView::parse(image)?, pos, entry, right_page, halves, sep)?;
             t = pool.write_page(*obj, page, &halves[0], t)?;
             t = pool.write_page(*obj, right_page, &halves[1], t)?;
             std::mem::swap(carry, sep);
@@ -1009,8 +1019,10 @@ mod tests {
         let (low, high) = (composite_key(&[100]), composite_key(&[120]));
         let (results, _) = range(&mut tree, &mut pool, &low, Some(&high), usize::MAX, t);
         assert_eq!(results.len(), 20);
-        let keys: Vec<i64> =
-            results.iter().map(|(k, _)| crate::value::decode_key_int(&k[..8])).collect();
+        let keys: Vec<i64> = results
+            .iter()
+            .map(|(k, _)| crate::value::decode_key_int(*k.first_chunk().unwrap()))
+            .collect();
         assert_eq!(keys, (100..120).collect::<Vec<_>>());
         assert!(results.windows(2).all(|w| w[0].0 < w[1].0));
     }
@@ -1078,8 +1090,8 @@ mod tests {
         let (results, _) = prefix_scan(&mut tree, &mut pool, &composite_key(&[1, 2]), t);
         assert_eq!(results.len(), 50);
         for (k, _) in &results {
-            assert_eq!(crate::value::decode_key_int(&k[0..8]), 1);
-            assert_eq!(crate::value::decode_key_int(&k[8..16]), 2);
+            assert_eq!(crate::value::decode_key_int(k[0..8].try_into().unwrap()), 1);
+            assert_eq!(crate::value::decode_key_int(k[8..16].try_into().unwrap()), 2);
         }
     }
 
@@ -1536,7 +1548,7 @@ mod tests {
                 prop_assert!(reference.serialized_size() > PAGE_SIZE);
                 let (expected_sep, right) = reference.split(pos, right_page);
                 let view = NodeView::parse(&image).unwrap();
-                split_node(view, pos, (&key, &value), right_page, &mut halves, &mut sep);
+                split_node(view, pos, (&key, &value), right_page, &mut halves, &mut sep).unwrap();
                 prop_assert_eq!(&sep, &expected_sep, "separator, entry {} of {}", pos, n + 1);
                 prop_assert_eq!(&halves[0], &reference.encode(), "left half, entry {}", pos);
                 prop_assert_eq!(&halves[1], &right.encode(), "right half, entry {}", pos);
@@ -1641,7 +1653,7 @@ mod tests {
             // A full range scan returns exactly the model's keys in order.
             let (low, high) = (composite_key(&[-1]), composite_key(&[301]));
             let (all, _) = range(&mut tree, &mut pool, &low, Some(&high), usize::MAX, t);
-            let scanned: Vec<i64> = all.iter().map(|(k, _)| crate::value::decode_key_int(&k[..8])).collect();
+            let scanned: Vec<i64> = all.iter().map(|(k, _)| crate::value::decode_key_int(*k.first_chunk().unwrap())).collect();
             let expected: Vec<i64> = model.keys().copied().collect();
             prop_assert_eq!(scanned, expected);
         }
@@ -1691,7 +1703,7 @@ mod tests {
             let decode = |rows: &[(Vec<u8>, RecordId)]| -> Vec<((i64, i64), RecordId)> {
                 rows.iter()
                     .map(|(k, r)| {
-                        let col = |c: usize| crate::value::decode_key_int(&k[8 * c..8 * c + 8]);
+                        let col = |c: usize| crate::value::decode_key_int(k[8 * c..8 * c + 8].try_into().unwrap());
                         ((col(0), col(1)), *r)
                     })
                     .collect()

@@ -75,18 +75,6 @@ pub struct BufferStats {
     pub prefetched: u64,
 }
 
-impl BufferStats {
-    /// Hit ratio in [0, 1]; 1.0 when no page was ever requested.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Default)]
 struct Frame {
     key: (ObjectId, u64),
@@ -250,12 +238,14 @@ impl BufferPool {
     /// Take the free frame [`Self::make_room`] chose, whose buffer now
     /// holds the page `key`, and return its index.  A free frame is clean
     /// and unpinned; a write dirties it after.
-    fn occupy(&mut self, key: (ObjectId, u64)) -> usize {
-        let idx = self.free.pop().expect("the caller made room");
+    fn occupy(&mut self, key: (ObjectId, u64)) -> Result<usize> {
+        let idx = self.free.pop().ok_or_else(|| DbError::Storage {
+            message: "buffer pool has no free frame to fill".into(),
+        })?;
         let frame = &mut self.frames[idx];
         (frame.key, frame.ref_bit, frame.spared) = (key, true, false);
         self.map.insert(key, idx);
-        idx
+        Ok(idx)
     }
 
     /// The one lookup / miss / fill path of the pool: count a logical
@@ -275,7 +265,7 @@ impl BufferPool {
                 let data = &mut self.frames[free].data;
                 data.resize(PAGE_SIZE, 0);
                 let done = self.backend.read_page_into(obj, page, data, now)?;
-                (self.occupy((obj, page)), done)
+                (self.occupy((obj, page))?, done)
             }
         };
         let frame = &mut self.frames[idx];
@@ -365,7 +355,7 @@ impl BufferPool {
                 let buf = &mut self.frames[free].data;
                 buf.clear();
                 buf.extend_from_slice(data);
-                self.occupy((obj, page))
+                self.occupy((obj, page))?
             }
         };
         self.count_write(idx);
@@ -500,7 +490,6 @@ mod tests {
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 0);
         assert_eq!(s.logical_writes, 1);
-        assert_eq!(s.hit_ratio(), 1.0);
         // No flash write has happened yet.
         assert_eq!(backend.io_counts().1, 0);
     }

@@ -22,12 +22,7 @@ pub struct TableDef {
 }
 
 impl TableDef {
-    /// Look up an index of this table.
-    pub fn index(&self, name: &str) -> Result<&BTree> {
-        self.indexes.get(name).ok_or_else(|| no_index(name))
-    }
-
-    /// [`TableDef::index`], to write to.
+    /// Look up an index of this table, to write to.
     pub(crate) fn index_mut(&mut self, name: &str) -> Result<&mut BTree> {
         self.indexes.get_mut(name).ok_or_else(|| no_index(name))
     }
@@ -51,10 +46,8 @@ mod tests {
             heap: HeapFile::new(1),
             indexes: BTreeMap::new(),
         };
-        assert!(t.index("o_idx").is_err());
         assert!(t.index_mut("o_idx").is_err());
         t.indexes.insert("o_idx".to_string(), BTree::new(2));
-        assert!(t.index("o_idx").is_ok());
         assert!(t.index_mut("o_idx").is_ok());
     }
 }

@@ -49,7 +49,8 @@ impl<B: AsRef<[u8]>> SlottedPage<B> {
     }
 
     fn u16_at(&self, at: usize) -> u16 {
-        u16::from_le_bytes(self.as_bytes()[at..at + 2].try_into().expect("2 bytes"))
+        let b = self.as_bytes();
+        u16::from_le_bytes([b[at], b[at + 1]])
     }
 
     fn slot_count(&self) -> u16 {

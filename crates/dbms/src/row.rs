@@ -135,6 +135,7 @@ impl<B: AsRef<[u8]>> Row<B> {
         at..at + ty.encoded_len()
     }
 
+    #[expect(clippy::expect_used, reason = "an integer or float column spans 8 bytes")]
     fn word(&self, col: usize, kind: ColumnType) -> [u8; 8] {
         self.bytes.as_ref()[self.span(col, kind)].try_into().expect("8 bytes")
     }
@@ -226,7 +227,7 @@ mod tests {
         let mut record = Vec::with_capacity(schema.len());
         let mut off = 0usize;
         for col in 0..schema.len() {
-            match schema.column(col).unwrap().1 {
+            match schema.field(col).1 {
                 ColumnType::Int => {
                     record.push(Value::Int(i64::from_le_bytes(
                         buf[off..off + 8].try_into().unwrap(),

@@ -70,11 +70,6 @@ impl Schema {
         self.columns.is_empty()
     }
 
-    /// Name and type of the column at `idx`.
-    pub fn column(&self, idx: usize) -> Option<(&str, ColumnType)> {
-        self.columns.get(idx).map(|(n, t)| (n.as_str(), *t))
-    }
-
     /// The fixed on-disk size of a record of this schema.
     pub fn record_len(&self) -> usize {
         self.offsets[self.columns.len()]
@@ -219,8 +214,7 @@ mod tests {
         let s = schema();
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
-        assert_eq!(s.column(1).unwrap().0, "balance");
-        assert_eq!(s.column(2).unwrap().0, "name");
-        assert!(s.column(9).is_none());
+        assert_eq!(s.columns[1].0, "balance");
+        assert_eq!(s.columns[2].0, "name");
     }
 }

@@ -68,12 +68,12 @@ mod tests {
     fn clock_is_monotonic() {
         let mut txn = Txn::begin(1, SimTime::from_us(100));
         txn.advance_to(SimTime::from_us(150));
-        assert_eq!(txn.now.as_us(), 150);
+        assert_eq!(txn.now, SimTime::from_us(150));
         // Going backwards is ignored.
         txn.advance_to(SimTime::from_us(120));
-        assert_eq!(txn.now.as_us(), 150);
+        assert_eq!(txn.now, SimTime::from_us(150));
         txn.add_cpu(Duration::from_us(10));
-        assert_eq!(txn.now.as_us(), 160);
+        assert_eq!(txn.now, SimTime::from_us(160));
         assert_eq!(txn.elapsed().as_us_f64(), 60.0);
         assert_eq!(txn.id, 1);
     }

@@ -35,9 +35,8 @@ pub fn encode_key_int(v: i64) -> [u8; 8] {
 }
 
 /// Decode a key component produced by [`encode_key_int`].
-pub fn decode_key_int(b: &[u8]) -> i64 {
-    let raw = u64::from_be_bytes(b[..8].try_into().expect("8 bytes"));
-    (raw ^ (1u64 << 63)) as i64
+pub fn decode_key_int(b: [u8; 8]) -> i64 {
+    (u64::from_be_bytes(b) ^ (1u64 << 63)) as i64
 }
 
 /// Build a composite, order-preserving key from integer components
@@ -66,7 +65,7 @@ mod tests {
         encoded.sort_unstable();
         assert_eq!(encoded, resorted);
         for v in values {
-            assert_eq!(decode_key_int(&encode_key_int(v)), v);
+            assert_eq!(decode_key_int(encode_key_int(v)), v);
         }
     }
 

@@ -54,6 +54,7 @@ fn key(id: u64) -> Vec<u8> {
     format!("user{id:020}").into_bytes()
 }
 
+#[expect(clippy::unwrap_used, reason = "a test helper: a failed step fails the test")]
 fn row(id: u64) -> Record {
     vec![Value::Str(String::from_utf8(key(id)).unwrap()), Value::Str("v".into())]
 }
@@ -65,6 +66,7 @@ fn schema(value_len: u16) -> Schema {
 }
 
 /// A database configured by `config`, over a fresh manager on `device`.
+#[expect(clippy::unwrap_used, reason = "a test helper: a failed step fails the test")]
 fn open_db(device: &Arc<NandDevice>, config: DatabaseConfig) -> Database {
     let noftl = Arc::new(NoFtl::new(device.clone(), NoFtlConfig::default()));
     let placement = PlacementConfig::traditional(8, ["t".to_string()]);
@@ -90,6 +92,7 @@ fn loaded_db_with_pool(buffer_pages: usize) -> (Database, SimTime) {
 }
 
 /// [`loaded_db_with_pool`], and the device underneath.
+#[expect(clippy::unwrap_used, reason = "a test helper: a failed step fails the test")]
 fn loaded_device(buffer_pages: usize) -> (Arc<NandDevice>, Database, SimTime) {
     let device = example_device();
     let db = open_db(&device, DatabaseConfig { buffer_pages, ..DatabaseConfig::default() });
@@ -105,7 +108,7 @@ fn loaded_device(buffer_pages: usize) -> (Arc<NandDevice>, Database, SimTime) {
     }
     // More leaves than one internal node can address ⇒ at least 3 levels.
     let max_children = (PAGE_SIZE - 11) / (2 + KEY_LEN + 8) + 1;
-    let index_pages = db.with_table("t", |t| t.index("i").unwrap().page_count()).unwrap();
+    let index_pages = db.with_table("t", |t| t.indexes["i"].page_count()).unwrap();
     assert!(index_pages as usize > max_children + 1, "tree of {index_pages} pages is too shallow");
     (device, db, now)
 }
@@ -296,7 +299,7 @@ fn warm_writes_copy_no_page_and_allocate_nothing() {
     const OPS: u64 = 20;
     let (db, now) = loaded_db();
     let heap_pages = || db.with_table("t", |t| t.heap.page_count()).unwrap();
-    let tree_pages = || db.with_table("t", |t| t.index("i").unwrap().page_count()).unwrap();
+    let tree_pages = || db.with_table("t", |t| t.indexes["i"].page_count()).unwrap();
     let mut txn = db.begin(now);
     // Start a fresh heap fill page, so the counted inserts all land in
     // it (a page holds about 30 of these records).
@@ -430,6 +433,7 @@ fn splits_allocate_nothing_once_the_tree_has_split_at_that_depth() {
 }
 
 /// The blocks `device` has programmed since it was built.
+#[expect(clippy::unwrap_used, reason = "a test helper: a failed step fails the test")]
 fn programmed_blocks(device: &NandDevice) -> usize {
     let g = device.geometry();
     let blocks = (0..g.total_dies()).flat_map(|die| {

@@ -176,11 +176,6 @@ impl TokenBucket {
         TokenBucket { tokens: config.burst_ns(), last: SimTime::ZERO }
     }
 
-    /// Current token balance (busy-ns; negative = in debt).
-    pub fn tokens(&self) -> f64 {
-        self.tokens
-    }
-
     /// Admit a transfer costing `cost_ns` of channel busy time at `at`.
     ///
     /// Refills the bucket for the simulated time elapsed since the last
@@ -307,7 +302,7 @@ mod tests {
             let a = b.admit(&cfg, SimTime::ZERO, 400);
             assert!(a.issue.as_nanos() <= cfg.max_defer_ns, "deferral bounded");
         }
-        assert!(b.tokens() >= -cfg.burst_ns() - 1e-9, "debt clamped at one burst");
+        assert!(b.tokens >= -cfg.burst_ns() - 1e-9, "debt clamped at one burst");
     }
 
     #[test]
@@ -315,10 +310,10 @@ mod tests {
         let cfg = config();
         let mut b = TokenBucket::new(&cfg);
         b.admit(&cfg, SimTime(10_000), 500);
-        let before = b.tokens();
+        let before = b.tokens;
         // An earlier-timestamped admission must not produce a negative
         // elapsed refill.
         b.admit(&cfg, SimTime(5_000), 100);
-        assert!(b.tokens() <= before, "no retroactive refill");
+        assert!(b.tokens <= before, "no retroactive refill");
     }
 }

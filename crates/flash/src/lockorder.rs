@@ -159,19 +159,6 @@ impl Drop for LockToken {
     }
 }
 
-/// Number of locks the current thread holds (always 0 in release builds,
-/// where nothing is recorded).  Exposed for tests.
-pub fn held_depth() -> usize {
-    #[cfg(debug_assertions)]
-    {
-        HELD.with(|held| held.borrow().len())
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        0
-    }
-}
-
 /// A [`MutexGuard`] bundled with its [`LockToken`]: dropping the guard
 /// releases the mutex first, then unrecords the acquisition.
 pub struct TrackedGuard<'a, T: ?Sized> {
@@ -225,6 +212,11 @@ mod tests {
     #[cfg(debug_assertions)]
     mod debug_build {
         use super::*;
+
+        /// Number of locks the current thread holds.
+        fn held_depth() -> usize {
+            HELD.with(|held| held.borrow().len())
+        }
 
         #[test]
         fn ascending_acquisitions_are_recorded_and_released() {
@@ -330,7 +322,6 @@ mod tests {
             assert_eq!(std::mem::size_of::<LockToken>(), 0);
             let _device = acquire(LockClass::Device);
             let _mirror = acquire(LockClass::Mirror);
-            assert_eq!(held_depth(), 0);
         }
     }
 }

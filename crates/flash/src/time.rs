@@ -25,22 +25,10 @@ impl SimTime {
         SimTime(us * 1_000)
     }
 
-    /// Construct from whole milliseconds.
-    #[inline]
-    pub fn from_ms(ms: u64) -> Self {
-        SimTime(ms * 1_000_000)
-    }
-
     /// Nanoseconds since the start of the run.
     #[inline]
     pub fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Microseconds since the start of the run (truncating).
-    #[inline]
-    pub fn as_us(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// Seconds since the start of the run, as a float.
@@ -168,15 +156,14 @@ mod tests {
     #[test]
     fn construction_and_conversion() {
         assert_eq!(SimTime::from_us(5).as_nanos(), 5_000);
-        assert_eq!(SimTime::from_ms(2).as_us(), 2_000);
-        assert!((SimTime::from_ms(2_000).as_secs_f64() - 2.0).abs() < 1e-12);
+        assert!((SimTime(2_000_000_000).as_secs_f64() - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn duration_arithmetic() {
         let t = SimTime::from_us(10);
         let t2 = t + Duration::from_us(15);
-        assert_eq!(t2.as_us(), 25);
+        assert_eq!(t2, SimTime::from_us(25));
         assert_eq!((t2 - t).as_us_f64(), 15.0);
         // Saturating subtraction never goes negative.
         assert_eq!((t - t2).as_nanos(), 0);

@@ -83,11 +83,6 @@ impl SegmentMap {
         }
         None
     }
-
-    /// Iterate over the dirty segments in ascending order.
-    pub fn iter_dirty(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.segments).filter(|&s| self.is_dirty(s))
-    }
 }
 
 #[cfg(test)]
@@ -112,7 +107,7 @@ mod tests {
         assert!(!m.clear(63));
         assert_eq!(m.dirty_count(), 3);
         assert_eq!(m.first_dirty(), Some(0));
-        assert_eq!(m.iter_dirty().collect::<Vec<_>>(), vec![0, 64, 99]);
+        assert_eq!((0..100).filter(|&s| m.is_dirty(s)).collect::<Vec<_>>(), vec![0, 64, 99]);
     }
 
     #[test]
@@ -131,7 +126,7 @@ mod tests {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 let s = x % segs;
                 if x & 1 == 0 { m.mark(s); } else { m.clear(s); }
-                prop_assert_eq!(m.dirty_count(), m.iter_dirty().count() as u64);
+                prop_assert_eq!(m.dirty_count(), (0..segs).filter(|&s| m.is_dirty(s)).count() as u64);
             }
         }
     }

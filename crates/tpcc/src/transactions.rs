@@ -532,7 +532,7 @@ mod tests {
         let pending_after = db.with_table("NEW_ORDER", |t| t.heap.record_count()).unwrap();
         // One order per district is delivered, and its NO_IDX entry with it.
         assert_eq!(pending_after, pending_before - scale.districts_per_warehouse as u64);
-        let entries = db.with_table("NEW_ORDER", |t| t.index("NO_IDX").unwrap().len()).unwrap();
+        let entries = db.with_table("NEW_ORDER", |t| t.indexes["NO_IDX"].len()).unwrap();
         assert_eq!(entries, pending_after);
         // Delivered orders have a carrier assigned.
         let mut orders = Vec::new();

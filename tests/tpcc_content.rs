@@ -60,7 +60,7 @@ fn digest() -> (u32, u64, u64) {
         // The tree as the flushed pages hold it, attached to the cold pool.
         let (obj, pages) = db
             .with_table(schema::index_table(&index), |def| {
-                let tree = def.index(&index).unwrap();
+                let tree = &def.indexes[&index];
                 (tree.object_id(), tree.page_count())
             })
             .unwrap();
