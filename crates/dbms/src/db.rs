@@ -189,7 +189,7 @@ impl Engine {
             // Without redo logging the log is I/O ballast (the paper's
             // experiments): spilled pages stay volatile, exactly one page
             // write per force, as in the original engine.
-            wal: Wal::new(log_obj).with_durable_spill(config.redo_logging),
+            wal: Wal::new(log_obj, config.redo_logging),
             tables: BTreeMap::new(),
             catalog_seq: 0,
             catalog_slot: Vec::new(),
@@ -458,7 +458,7 @@ impl Database {
             txn.advance_to(t);
             txn.writes += 1;
         }
-        wal.append_row_note(txn.id, "INSERT", table, rid);
+        wal.append(&WalRecord::RowNote { txn: txn.id, verb: "INSERT", table, rid });
         Ok(rid)
     }
 
@@ -499,7 +499,7 @@ impl Database {
         let encoded = record.encoded(&table_def.schema, buf)?;
         let t = table_def.heap.update(pool, rid, encoded, txn.now)?;
         charge(txn, t, true);
-        wal.append_row_note(txn.id, "UPDATE", table, rid);
+        wal.append(&WalRecord::RowNote { txn: txn.id, verb: "UPDATE", table, rid });
         Ok(())
     }
 
@@ -523,7 +523,7 @@ impl Database {
             Ok((f(&mut row), true))
         })?;
         charge(txn, t, true);
-        wal.append_row_note(txn.id, "UPDATE", table, rid);
+        wal.append(&WalRecord::RowNote { txn: txn.id, verb: "UPDATE", table, rid });
         Ok(edited)
     }
 
@@ -545,7 +545,7 @@ impl Database {
             txn.advance_to(t);
             txn.writes += 1;
         }
-        wal.append_row_note(txn.id, "DELETE", table, rid);
+        wal.append(&WalRecord::RowNote { txn: txn.id, verb: "DELETE", table, rid });
         Ok(())
     }
 
@@ -662,7 +662,7 @@ impl Database {
         let Engine { pool, wal, .. } = &mut *e;
         for &(obj, page) in pool.write_set() {
             if let Some(image) = pool.resident(obj, page) {
-                wal.append_page_image(txn.id, obj, page, image);
+                wal.append(&WalRecord::PageImage { txn: txn.id, obj, page, image });
             }
         }
         wal.append(&WalRecord::Commit { txn: txn.id });
@@ -823,27 +823,29 @@ impl Database {
         let log_obj = ensure_object(&backend, LOG_OBJECT)?;
 
         // ---- Redo pass -------------------------------------------------
-        let (records, mut t) = Wal::scan(&*backend, log_obj, now)?;
+        let (stream, mut t) = Wal::scan(&*backend, log_obj, now)?;
+        let records: Vec<_> = Wal::records(&stream).collect();
         report.wal_records_scanned = records.len() as u64;
         let mut max_txn = 0u64;
         let mut committed = std::collections::HashSet::new();
         for (_, record) in &records {
-            match record {
+            match *record {
                 WalRecord::Commit { txn } => {
-                    committed.insert(*txn);
-                    max_txn = max_txn.max(*txn);
+                    committed.insert(txn);
+                    max_txn = max_txn.max(txn);
                 }
                 WalRecord::Note { txn, .. }
+                | WalRecord::RowNote { txn, .. }
                 | WalRecord::PageImage { txn, .. }
-                | WalRecord::Rollback { txn } => max_txn = max_txn.max(*txn),
+                | WalRecord::Rollback { txn } => max_txn = max_txn.max(txn),
                 WalRecord::Checkpoint => {}
             }
         }
         report.committed_txns = committed.len() as u64;
         for (_, record) in &records {
-            if let WalRecord::PageImage { txn, obj, page, image } = record {
-                if committed.contains(txn) {
-                    let t_w = backend.write_page(*obj, *page, image, t)?;
+            if let WalRecord::PageImage { txn, obj, page, image } = *record {
+                if committed.contains(&txn) {
+                    let t_w = backend.write_page(obj, page, image, t)?;
                     t = t.max(t_w);
                     report.redo_pages_applied += 1;
                 } else {

@@ -5,16 +5,19 @@
 //! the intact prefix of the log can be recovered and the torn tail
 //! discarded.  Only transactions that wrote reach the log: a read-only
 //! commit (or rollback) has nothing to redo, so [`crate::Database`]
-//! appends no record and forces nothing for it.  Two kinds of payload
-//! flow through the log:
+//! appends no record and forces nothing for it.
 //!
-//! * **Note** records — the small logical operation records the space-
-//!   management experiments measure (one per DML statement, as before);
-//! * **PageImage** records — full after-images of the pages a transaction
-//!   dirtied, appended at commit time.  The redo pass of
-//!   [`crate::Database::recover`] replays the images of *committed*
-//!   transactions in LSN order; because an after-image overwrite is
-//!   idempotent, redo is safe to repeat.
+//! The log has one record type, [`WalRecord`], which borrows what it
+//! logs, and one [`Wal::append`].  A record has two forms: the durable
+//! body that a recovering log streams and [`Wal::records`] reads back in
+//! place, and the compact text the volatile log (no recovery) streams as
+//! the original engine's I/O ballast.  The redo pass of
+//! [`crate::Database::recover`] replays one kind, the **PageImage**: the
+//! full after-image of a page a transaction dirtied, appended at commit
+//! time.  It replays the images of *committed* transactions in LSN order;
+//! because an after-image overwrite is idempotent, redo is safe to
+//! repeat.  The notes (one per DML statement) are kept for the paper
+//! experiments' I/O footprint.
 //!
 //! The log is just another storage object, so under NoFTL it lives in
 //! whatever region the placement configuration assigns (the paper's
@@ -36,7 +39,6 @@
 use flash_sim::codec::{put_bytes, put_u32, put_u64, put_u8, Reader};
 use flash_sim::{crc32, crc32_update, SimTime};
 use noftl_obs::{Histogram, Unit};
-use std::fmt::{self, Display};
 use std::io::Write as _;
 
 use crate::heap::RecordId;
@@ -56,16 +58,29 @@ const PAGE_HEADER: usize = 24;
 /// Log payload bytes per page.
 const PAGE_CAP: usize = PAGE_SIZE - PAGE_HEADER;
 
-/// A typed log record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalRecord {
+/// A log record, borrowing what it logs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WalRecord<'a> {
     /// A small logical operation record (kept for I/O-behaviour parity
     /// with the paper experiments; not replayed).
     Note {
         /// Transaction id.
         txn: u64,
         /// Free-form description, e.g. `INSERT customer 3:12`.
-        text: String,
+        text: &'a str,
+    },
+    /// The note of a row operation, `"{verb} {table} {page}:{slot}"`,
+    /// written with no `String` in between; it reads back as that
+    /// [`WalRecord::Note`].
+    RowNote {
+        /// Transaction id.
+        txn: u64,
+        /// `INSERT`, `UPDATE` or `DELETE`.
+        verb: &'a str,
+        /// The table the row belongs to.
+        table: &'a str,
+        /// The row.
+        rid: RecordId,
     },
     /// Full after-image of one page dirtied by a transaction.
     PageImage {
@@ -76,7 +91,7 @@ pub enum WalRecord {
         /// Logical page number.
         page: u64,
         /// The page contents after the transaction's writes.
-        image: Vec<u8>,
+        image: &'a [u8],
     },
     /// The transaction committed; its images must be redone.
     Commit {
@@ -93,56 +108,63 @@ pub enum WalRecord {
     Checkpoint,
 }
 
-/// The record's compact textual form, which the *volatile* log mode (no
-/// recovery) streams to reproduce the original engine's log byte stream,
-/// whose I/O footprint the paper's experiments measure.
-impl Display for WalRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WalRecord::Note { text, .. } => f.write_str(text),
-            WalRecord::PageImage { obj, page, .. } => image_text(*obj, *page).fmt(f),
-            WalRecord::Commit { txn } => write!(f, "COMMIT {txn}"),
-            WalRecord::Rollback { txn } => write!(f, "ROLLBACK {txn}"),
-            WalRecord::Checkpoint => f.write_str("CHECKPOINT"),
-        }
-    }
-}
-
-/// The text form of the [`WalRecord::PageImage`] of `page` of `obj`.
-fn image_text(obj: ObjectId, page: u64) -> impl Display {
-    fmt::from_fn(move |f| write!(f, "IMG {obj} {page}"))
-}
-
-impl WalRecord {
-    /// Append the record body: a tag byte, then the variant's fields.
-    fn encode_body(&self, out: &mut Vec<u8>) {
-        match self {
-            WalRecord::Note { txn, text } => {
-                put_note(out, *txn, |out: &mut Vec<u8>| out.extend_from_slice(text.as_bytes()));
+impl<'a> WalRecord<'a> {
+    /// Append the durable body: a tag byte, then the variant's fields.
+    fn put_body(&self, out: &mut Vec<u8>) {
+        match *self {
+            WalRecord::Note { txn, .. } | WalRecord::RowNote { txn, .. } => {
+                put_u8(out, 1);
+                put_u64(out, txn);
+                self.put_text(out);
             }
             WalRecord::PageImage { txn, obj, page, image } => {
-                put_page_image(out, *txn, *obj, *page, image);
+                put_u8(out, 2);
+                put_u64(out, txn);
+                put_u32(out, obj);
+                put_u64(out, page);
+                put_bytes(out, image);
             }
             WalRecord::Commit { txn } => {
                 put_u8(out, 3);
-                put_u64(out, *txn);
+                put_u64(out, txn);
             }
             WalRecord::Rollback { txn } => {
                 put_u8(out, 4);
-                put_u64(out, *txn);
+                put_u64(out, txn);
             }
             WalRecord::Checkpoint => put_u8(out, 5),
         }
     }
 
-    fn decode_body(r: &mut Reader<'_>) -> Option<WalRecord> {
+    /// Append the record's compact text behind its `u32` length (the
+    /// layout of [`put_bytes`], with no `String` in between): the volatile
+    /// log streams it to reproduce the original engine's log byte stream,
+    /// whose I/O footprint the paper's experiments measure.
+    fn put_text(&self, out: &mut Vec<u8>) {
+        let at = out.len();
+        put_u32(out, 0);
+        // Writing into a `Vec` cannot fail.
+        match *self {
+            WalRecord::Note { text, .. } => out.extend_from_slice(text.as_bytes()),
+            WalRecord::RowNote { verb, table, rid, .. } => put_row_note(out, verb, table, rid),
+            WalRecord::PageImage { obj, page, .. } => drop(write!(out, "IMG {obj} {page}")),
+            WalRecord::Commit { txn } => drop(write!(out, "COMMIT {txn}")),
+            WalRecord::Rollback { txn } => drop(write!(out, "ROLLBACK {txn}")),
+            WalRecord::Checkpoint => out.extend_from_slice(b"CHECKPOINT"),
+        }
+        let len = (out.len() - at - 4) as u32;
+        out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    }
+
+    /// Read a durable body back, borrowing from the stream.
+    fn read(r: &mut Reader<'a>) -> Option<Self> {
         Some(match r.u8()? {
-            1 => WalRecord::Note { txn: r.u64()?, text: r.str()?.to_owned() },
+            1 => WalRecord::Note { txn: r.u64()?, text: r.str()? },
             2 => WalRecord::PageImage {
                 txn: r.u64()?,
                 obj: r.u32()?,
                 page: r.u64()?,
-                image: r.bytes()?.to_vec(),
+                image: r.bytes()?,
             },
             3 => WalRecord::Commit { txn: r.u64()? },
             4 => WalRecord::Rollback { txn: r.u64()? },
@@ -150,33 +172,6 @@ impl WalRecord {
             _ => return None,
         })
     }
-}
-
-/// Append the bytes `text` writes behind their `u32` length: the layout of
-/// [`put_bytes`], with no `String` in between.
-fn put_text(out: &mut Vec<u8>, text: impl FnOnce(&mut Vec<u8>)) {
-    let at = out.len();
-    put_u32(out, 0);
-    text(out);
-    let len = (out.len() - at - 4) as u32;
-    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
-}
-
-/// Append a [`WalRecord::PageImage`] body: tag, transaction, object, page,
-/// the image.
-fn put_page_image(out: &mut Vec<u8>, txn: u64, obj: ObjectId, page: u64, image: &[u8]) {
-    put_u8(out, 2);
-    put_u64(out, txn);
-    put_u32(out, obj);
-    put_u64(out, page);
-    put_bytes(out, image);
-}
-
-/// Append a [`WalRecord::Note`] body: tag, transaction, the text.
-fn put_note(out: &mut Vec<u8>, txn: u64, text: impl FnOnce(&mut Vec<u8>)) {
-    put_u8(out, 1);
-    put_u64(out, txn);
-    put_text(out, text);
 }
 
 /// Append a row note's text, `"{verb} {table} {page}:{slot}"`, with the
@@ -226,12 +221,13 @@ pub struct WalStats {
 /// An append-only, force-at-commit, CRC-framed redo log.
 pub struct Wal {
     obj: ObjectId,
-    /// Whether completed (spilled) pages are written out by `force`.
-    /// `true` is required for recovery; `false` reproduces the original
-    /// engine's I/O behaviour — exactly one page write per force, with
-    /// the current page as a rolling commit marker — which the paper's
-    /// space-management experiments measure.
-    durable_spill: bool,
+    /// Whether the log is recoverable: it streams each record's durable
+    /// body in a CRC'd frame and a force writes out every completed
+    /// (spilled) page.  A volatile log streams each record's text and
+    /// reproduces the original engine's I/O behaviour — exactly one page
+    /// write per force, with the current page as a rolling commit marker —
+    /// which the paper's space-management experiments measure.
+    durable: bool,
     /// LSN handed to the next appended record.
     next_lsn: Lsn,
     /// Page number of the current page, `batch[sealed]`.
@@ -266,11 +262,12 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Create a log writing to storage object `obj`.
-    pub fn new(obj: ObjectId) -> Self {
+    /// Create a log writing to storage object `obj`, recoverable when
+    /// `durable` (see the field docs; a volatile log is pure I/O ballast).
+    pub fn new(obj: ObjectId, durable: bool) -> Self {
         Wal {
             obj,
-            durable_spill: true,
+            durable,
             next_lsn: 1,
             cur_page: 0,
             cur_used: 0,
@@ -287,61 +284,25 @@ impl Wal {
         }
     }
 
-    /// Configure whether spilled pages are made durable (see the field
-    /// docs; disable only when the log is pure I/O ballast).
-    pub fn with_durable_spill(mut self, durable: bool) -> Self {
-        self.durable_spill = durable;
-        self
-    }
-
     /// The storage object backing the log.
     pub fn object_id(&self) -> ObjectId {
         self.obj
     }
 
-    /// Append a typed record (buffered; not durable until [`Wal::force`]).
-    /// Returns the record's LSN.
-    pub fn append(&mut self, record: &WalRecord) -> Lsn {
-        // Writing into a `Vec` cannot fail.
-        let text = |out: &mut Vec<u8>| drop(write!(out, "{record}"));
-        self.append_with(|out| record.encode_body(out), text)
-    }
-
-    /// Append the [`WalRecord::Note`] of a row operation, `"{verb}
-    /// {table} {page}:{slot}"` (`INSERT customer 3:12`), written straight
-    /// into the log's frame buffer, with no `String` and no `core::fmt`
-    /// in between.
-    pub fn append_row_note(&mut self, txn: u64, verb: &str, table: &str, rid: RecordId) -> Lsn {
-        let text = |out: &mut Vec<u8>| put_row_note(out, verb, table, rid);
-        self.append_with(|out| put_note(out, txn, text), text)
-    }
-
-    /// Append the [`WalRecord::PageImage`] of `image`, the after-image of
-    /// `page` of `obj`, borrowed from wherever it lives (a buffer frame),
-    /// straight into the log's frame buffer.
-    pub fn append_page_image(&mut self, txn: u64, obj: ObjectId, page: u64, image: &[u8]) -> Lsn {
-        let text = |out: &mut Vec<u8>| drop(write!(out, "{}", image_text(obj, page)));
-        self.append_with(|out| put_page_image(out, txn, obj, page, image), text)
-    }
-
-    /// Append one record into the reused frame buffer: `body` writes its
-    /// encoded body (durable log), `text` its textual form (volatile log,
-    /// see [`WalRecord`]'s `Display`).
-    fn append_with(
-        &mut self,
-        body: impl FnOnce(&mut Vec<u8>),
-        text: impl FnOnce(&mut Vec<u8>),
-    ) -> Lsn {
+    /// Append a record (buffered; not durable until [`Wal::force`]),
+    /// written straight into the log's reused frame buffer from what it
+    /// borrows.  Returns the record's LSN.
+    pub fn append(&mut self, record: &WalRecord<'_>) -> Lsn {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
         self.records += 1;
         let mut frame = std::mem::take(&mut self.frame);
         frame.clear();
-        if self.durable_spill {
+        if self.durable {
             // Frame: len:4 | crc:4 | lsn:8 | body.  `len` counts lsn + body.
             put_u64(&mut frame, 0); // len and crc, filled in below
             put_u64(&mut frame, lsn);
-            body(&mut frame);
+            record.put_body(&mut frame);
             let checked = &frame[8..];
             let (len, crc) = (checked.len() as u32, crc32(checked));
             frame[..4].copy_from_slice(&len.to_le_bytes());
@@ -350,7 +311,7 @@ impl Wal {
         } else {
             // Volatile log: the original engine's compact length-prefixed
             // text records (pure I/O ballast; never scanned back).
-            put_text(&mut frame, text);
+            record.put_text(&mut frame);
             self.appended_bytes += frame.len() as u64 - 4;
         }
         self.stream(&frame);
@@ -371,7 +332,7 @@ impl Wal {
             self.cur_crc = crc32_update(self.cur_crc, head);
             bytes = rest;
             if self.cur_used == PAGE_CAP {
-                if self.durable_spill {
+                if self.durable {
                     self.seal_current();
                     self.sealed += 1;
                 }
@@ -494,14 +455,16 @@ impl Wal {
         }
     }
 
-    /// Scan a log object on storage and return the intact record prefix in
-    /// LSN order.  Unreadable or corrupt pages end the scan (the torn
-    /// tail); freed pages before the surviving segment are skipped.
+    /// Scan a log object on storage and return its intact stream: the
+    /// payloads of the surviving segment's pages, in page order, for
+    /// [`Wal::records`] to read.  Unreadable or corrupt pages end the scan
+    /// (the torn tail); freed pages before the surviving segment are
+    /// skipped.
     pub fn scan(
         backend: &dyn StorageBackend,
         obj: ObjectId,
         at: SimTime,
-    ) -> Result<(Vec<(Lsn, WalRecord)>, SimTime)> {
+    ) -> Result<(Vec<u8>, SimTime)> {
         let extent = backend.object_extent(obj)?;
         let mut now = at;
         // Find the surviving segment: the first readable, valid page.
@@ -522,18 +485,24 @@ impl Wal {
                 None => continue,        // truncated prefix
             }
         }
-        let mut r = Reader::new(&stream);
-        let records = std::iter::from_fn(|| Self::frame(&mut r)).collect();
-        Ok((records, now))
+        Ok((stream, now))
+    }
+
+    /// The records of a [`Wal::scan`]ned stream in LSN order, read in
+    /// place: a note's text and a page image borrow from `stream`.
+    pub fn records(stream: &[u8]) -> impl Iterator<Item = (Lsn, WalRecord<'_>)> {
+        let mut r = Reader::new(stream);
+        std::iter::from_fn(move || Self::frame(&mut r))
     }
 
     /// The next record of a log stream: `None` where the stream runs dry
     /// or at the first frame that is short, fails its CRC or does not
-    /// decode.
-    fn frame(r: &mut Reader<'_>) -> Option<(Lsn, WalRecord)> {
+    /// decode.  The frame CRC catches what each page's own checks cannot:
+    /// a frame spliced from two copies of a log page.
+    fn frame<'a>(r: &mut Reader<'a>) -> Option<(Lsn, WalRecord<'a>)> {
         let (len, crc) = (r.u32()?, r.u32()?);
         let mut checked = Reader::new(r.take(len as usize).filter(|c| crc32(c) == crc)?);
-        Some((checked.u64()?, WalRecord::decode_body(&mut checked)?))
+        Some((checked.u64()?, WalRecord::read(&mut checked)?))
     }
 }
 
@@ -562,12 +531,22 @@ mod tests {
         &wal.batch[wal.sealed].2[PAGE_HEADER..PAGE_HEADER + wal.cur_used]
     }
 
+    /// The intact stream of log object `obj`.
+    fn scan(backend: &dyn StorageBackend, obj: ObjectId) -> Vec<u8> {
+        Wal::scan(backend, obj, SimTime::ZERO).unwrap().0
+    }
+
+    /// Every record of `stream`.
+    fn records(stream: &[u8]) -> Vec<(Lsn, WalRecord<'_>)> {
+        Wal::records(stream).collect()
+    }
+
     #[test]
     fn append_and_force() {
         let backend = backend();
         let obj = backend.create_object("log").unwrap();
-        let mut wal = Wal::new(obj);
-        let l1 = wal.append(&WalRecord::Note { txn: 1, text: "begin;update;commit".into() });
+        let mut wal = Wal::new(obj, true);
+        let l1 = wal.append(&WalRecord::Note { txn: 1, text: "begin;update;commit" });
         let l2 = wal.append(&WalRecord::Commit { txn: 1 });
         assert!(l2 > l1, "LSNs are monotonic");
         let done = wal.force(&*backend, SimTime::ZERO).unwrap();
@@ -584,50 +563,43 @@ mod tests {
     fn log_spills_to_new_pages_and_scan_recovers_records() {
         let backend = backend();
         let obj = backend.create_object("log").unwrap();
-        let mut wal = Wal::new(obj);
+        let mut wal = Wal::new(obj, true);
+        let text = "x".repeat(400);
         let mut appended = Vec::new();
         for i in 0..50u64 {
-            let rec = WalRecord::Note { txn: i, text: "x".repeat(400) };
+            let rec = WalRecord::Note { txn: i, text: &text };
             let lsn = wal.append(&rec);
             appended.push((lsn, rec));
         }
         assert!(wal.stats().pages >= 4, "pages = {}", wal.stats().pages);
         wal.force(&*backend, SimTime::ZERO).unwrap();
-        let (scanned, _) = Wal::scan(&*backend, obj, SimTime::ZERO).unwrap();
-        assert_eq!(scanned, appended);
+        assert_eq!(records(&scan(&*backend, obj)), appended);
     }
 
     #[test]
     fn scan_recovers_page_images_spanning_pages() {
         let backend = backend();
         let obj = backend.create_object("log").unwrap();
-        let mut wal = Wal::new(obj);
-        let img = WalRecord::PageImage {
-            txn: 9,
-            obj: 3,
-            page: 17,
-            image: (0..PAGE_SIZE).map(|i| i as u8).collect(),
-        };
+        let mut wal = Wal::new(obj, true);
+        let image: Vec<u8> = (0..PAGE_SIZE).map(|i| i as u8).collect();
+        let img = WalRecord::PageImage { txn: 9, obj: 3, page: 17, image: &image };
         wal.append(&img);
         wal.append(&WalRecord::Commit { txn: 9 });
         wal.force(&*backend, SimTime::ZERO).unwrap();
-        let (scanned, _) = Wal::scan(&*backend, obj, SimTime::ZERO).unwrap();
-        assert_eq!(scanned.len(), 2);
-        assert_eq!(scanned[0].1, img);
-        assert_eq!(scanned[1].1, WalRecord::Commit { txn: 9 });
+        let stream = scan(&*backend, obj);
+        assert_eq!(records(&stream), [(1, img), (2, WalRecord::Commit { txn: 9 })]);
     }
 
     #[test]
     fn unforced_records_are_not_recovered() {
         let backend = backend();
         let obj = backend.create_object("log").unwrap();
-        let mut wal = Wal::new(obj);
-        wal.append(&WalRecord::Note { txn: 1, text: "durable".into() });
+        let mut wal = Wal::new(obj, true);
+        wal.append(&WalRecord::Note { txn: 1, text: "durable" });
         wal.force(&*backend, SimTime::ZERO).unwrap();
-        wal.append(&WalRecord::Note { txn: 2, text: "volatile".into() });
-        let (scanned, _) = Wal::scan(&*backend, obj, SimTime::ZERO).unwrap();
-        assert_eq!(scanned.len(), 1);
-        assert!(matches!(&scanned[0].1, WalRecord::Note { txn: 1, .. }));
+        wal.append(&WalRecord::Note { txn: 2, text: "volatile" });
+        let stream = scan(&*backend, obj);
+        assert_eq!(records(&stream), [(1, WalRecord::Note { txn: 1, text: "durable" })]);
     }
 
     #[test]
@@ -636,9 +608,10 @@ mod tests {
         // checkpoint-triggered truncation.
         let backend = backend();
         let obj = backend.create_object("log").unwrap();
-        let mut wal = Wal::new(obj);
+        let mut wal = Wal::new(obj, true);
+        let text = "y".repeat(400);
         for i in 0..40u64 {
-            wal.append(&WalRecord::Note { txn: i, text: "y".repeat(400) });
+            wal.append(&WalRecord::Note { txn: i, text: &text });
         }
         wal.force(&*backend, SimTime::ZERO).unwrap();
         assert!(wal.needs_truncation(2));
@@ -653,38 +626,44 @@ mod tests {
         // correctly.
         wal.append(&WalRecord::Commit { txn: 99 });
         wal.force(&*backend, SimTime::ZERO).unwrap();
-        let (scanned, _) = Wal::scan(&*backend, obj, SimTime::ZERO).unwrap();
-        assert_eq!(scanned.len(), 1);
-        assert_eq!(scanned[0].1, WalRecord::Commit { txn: 99 });
+        assert_eq!(records(&scan(&*backend, obj)), [(41, WalRecord::Commit { txn: 99 })]);
     }
 
     #[test]
     fn record_codec_rejects_garbage() {
-        let decode = |bytes: &[u8]| WalRecord::decode_body(&mut Reader::new(bytes));
+        fn decode(bytes: &[u8]) -> Option<WalRecord<'_>> {
+            WalRecord::read(&mut Reader::new(bytes))
+        }
         assert!(decode(&[9, 0, 0]).is_none());
+        let image = [0xA5; 40];
         let records = [
-            WalRecord::Note { txn: 7, text: "INSERT t 3:12".into() },
-            WalRecord::PageImage { txn: 7, obj: 3, page: 17, image: vec![0xA5; 40] },
+            WalRecord::Note { txn: 7, text: "INSERT t 3:12" },
+            WalRecord::PageImage { txn: 7, obj: 3, page: 17, image: &image },
             WalRecord::Commit { txn: 7 },
             WalRecord::Rollback { txn: 8 },
             WalRecord::Checkpoint,
         ];
         for record in records {
             let mut body = Vec::new();
-            record.encode_body(&mut body);
-            assert_eq!(decode(&body), Some(record.clone()));
+            record.put_body(&mut body);
+            assert_eq!(decode(&body), Some(record));
             for n in 0..body.len() {
                 assert_eq!(decode(&body[..n]), None, "{record:?}: prefix of {n} bytes");
             }
             body[0] ^= 0x08;
             assert_eq!(decode(&body), None, "{record:?}: flipped tag");
         }
+        let (mut note, mut row_note) = (Vec::new(), Vec::new());
+        records[0].put_body(&mut note);
+        let rid = RecordId { page: 3, slot: 12 };
+        WalRecord::RowNote { txn: 7, verb: "INSERT", table: "t", rid }.put_body(&mut row_note);
+        assert_eq!(row_note, note, "a row note reads back as the note it writes");
     }
 
     #[test]
     fn torn_pages_and_frames_end_the_log() {
         let payload = b"frames".to_vec();
-        let mut wal = Wal::new(1);
+        let mut wal = Wal::new(1, true);
         wal.cur_page = 4;
         wal.start_page();
         wal.stream(&payload);
@@ -699,7 +678,7 @@ mod tests {
         flipped[PAGE_HEADER] ^= 0x01;
         assert_eq!(Wal::unseal(4, &flipped), None, "payload fails its CRC");
 
-        let mut wal = Wal::new(1);
+        let mut wal = Wal::new(1, true);
         wal.append(&WalRecord::Commit { txn: 3 });
         let stream = cur_payload(&wal).to_vec();
         assert_eq!(Wal::frame(&mut Reader::new(&stream)), Some((1, WalRecord::Commit { txn: 3 })));
@@ -709,38 +688,87 @@ mod tests {
         let mut flipped = stream.clone();
         flipped[8] ^= 0x01;
         assert_eq!(Wal::frame(&mut Reader::new(&flipped)), None, "lsn fails the frame CRC");
+
+        // The rolling-tail splice: the older copy of page 0, forced after
+        // two notes, then the newer page 1, which continues a frame begun
+        // in the newer copy of page 0 that a power cut tore.  Each page
+        // passes its own checks, and the continued bytes are forged to
+        // look like a frame: a checkpoint whose CRC is wrong.
+        let mut wal = Wal::new(1, true);
+        wal.append(&WalRecord::Note { txn: 1, text: "older" });
+        wal.append(&WalRecord::Note { txn: 2, text: "copy" });
+        wal.seal_current();
+        let older = wal.batch[0].2.clone();
+        // The image's first byte is 41 bytes into its frame: len, crc,
+        // lsn, tag, txn, obj, page and the image's length.
+        let mut image = vec![0; PAGE_SIZE];
+        let forged = &mut image[PAGE_CAP - wal.cur_used - 41..];
+        forged[..4].copy_from_slice(&9u32.to_le_bytes());
+        forged[8..16].copy_from_slice(&3u64.to_le_bytes());
+        forged[16] = 5;
+        wal.append(&WalRecord::PageImage { txn: 3, obj: 2, page: 0, image: &image });
+        wal.seal_current();
+        assert_eq!((wal.sealed, wal.cur_page), (1, 1), "the image spilled into page 1");
+        let mut stream = Wal::unseal(0, &older).unwrap().to_vec();
+        let splice = stream.len();
+        stream.extend_from_slice(Wal::unseal(1, &wal.batch[1].2).unwrap());
+        let lsns: Vec<Lsn> = Wal::records(&stream).map(|(lsn, _)| lsn).collect();
+        assert_eq!(lsns, [1, 2], "the stream ends at the splice");
+        let mut r = Reader::new(&stream[splice..]);
+        let (len, _crc) = (r.u32().unwrap(), r.u32().unwrap());
+        let mut body = Reader::new(r.take(len as usize).unwrap());
+        let unchecked = (body.u64(), WalRecord::read(&mut body));
+        assert_eq!(unchecked, (Some(3), Some(WalRecord::Checkpoint)), "only the CRC ends it");
     }
 
-    /// The frames the log streamed before notes were formatted in place:
-    /// durable `len | crc | lsn | body` with the note text behind
-    /// `put_bytes`, volatile `put_bytes` of the record's text.
-    fn reference_stream(records: &[WalRecord], durable: bool) -> Vec<u8> {
+    /// The frames the log streamed before it had one record type, spelled
+    /// out field by field: durable `len | crc | lsn | body`, volatile
+    /// `put_bytes` of the record's text.
+    fn reference_stream(records: &[WalRecord<'_>], durable: bool) -> Vec<u8> {
         let mut stream = Vec::new();
         for (lsn, record) in (1u64..).zip(records) {
-            if durable {
-                let mut checked = Vec::new();
-                put_u64(&mut checked, lsn);
-                match record {
-                    WalRecord::Note { txn, text } => {
-                        put_u8(&mut checked, 1);
-                        put_u64(&mut checked, *txn);
-                        put_bytes(&mut checked, text.as_bytes());
-                    }
-                    other => other.encode_body(&mut checked),
+            let text = match *record {
+                WalRecord::Note { text, .. } => text.to_string(),
+                WalRecord::RowNote { verb, table, rid, .. } => {
+                    format!("{verb} {table} {}:{}", rid.page, rid.slot)
                 }
-                put_u32(&mut stream, checked.len() as u32);
-                put_u32(&mut stream, crc32(&checked));
-                stream.extend_from_slice(&checked);
-            } else {
-                let text = match record {
-                    WalRecord::Note { text, .. } => text.clone(),
-                    WalRecord::PageImage { obj, page, .. } => format!("IMG {obj} {page}"),
-                    WalRecord::Commit { txn } => format!("COMMIT {txn}"),
-                    WalRecord::Rollback { txn } => format!("ROLLBACK {txn}"),
-                    WalRecord::Checkpoint => "CHECKPOINT".to_string(),
-                };
+                WalRecord::PageImage { obj, page, .. } => format!("IMG {obj} {page}"),
+                WalRecord::Commit { txn } => format!("COMMIT {txn}"),
+                WalRecord::Rollback { txn } => format!("ROLLBACK {txn}"),
+                WalRecord::Checkpoint => "CHECKPOINT".to_string(),
+            };
+            if !durable {
                 put_bytes(&mut stream, text.as_bytes());
+                continue;
             }
+            let mut checked = Vec::new();
+            put_u64(&mut checked, lsn);
+            match *record {
+                WalRecord::Note { txn, .. } | WalRecord::RowNote { txn, .. } => {
+                    put_u8(&mut checked, 1);
+                    put_u64(&mut checked, txn);
+                    put_bytes(&mut checked, text.as_bytes());
+                }
+                WalRecord::PageImage { txn, obj, page, image } => {
+                    put_u8(&mut checked, 2);
+                    put_u64(&mut checked, txn);
+                    put_u32(&mut checked, obj);
+                    put_u64(&mut checked, page);
+                    put_bytes(&mut checked, image);
+                }
+                WalRecord::Commit { txn } => {
+                    put_u8(&mut checked, 3);
+                    put_u64(&mut checked, txn);
+                }
+                WalRecord::Rollback { txn } => {
+                    put_u8(&mut checked, 4);
+                    put_u64(&mut checked, txn);
+                }
+                WalRecord::Checkpoint => put_u8(&mut checked, 5),
+            }
+            put_u32(&mut stream, checked.len() as u32);
+            put_u32(&mut stream, crc32(&checked));
+            stream.extend_from_slice(&checked);
         }
         stream
     }
@@ -761,25 +789,20 @@ mod tests {
 
     #[test]
     fn records_written_in_place_stream_the_same_bytes() {
-        let (table, page, slot) = ("stock", 41u64, 7u16);
+        let (text, image) = ("é".repeat(300), vec![0x5A; PAGE_SIZE]);
+        let rid = RecordId { page: 41, slot: 7 };
         let records = [
-            WalRecord::Note { txn: 5, text: format!("UPDATE {table} {page}:{slot}") },
-            WalRecord::Note { txn: 5, text: "é".repeat(300) },
-            WalRecord::PageImage { txn: 5, obj: 3, page: 9, image: vec![0x5A; PAGE_SIZE] },
+            WalRecord::RowNote { txn: 5, verb: "UPDATE", table: "stock", rid },
+            WalRecord::Note { txn: 5, text: &text },
+            WalRecord::PageImage { txn: 5, obj: 3, page: 9, image: &image },
             WalRecord::Commit { txn: 5 },
             WalRecord::Rollback { txn: 6 },
             WalRecord::Checkpoint,
         ];
         for durable in [true, false] {
-            let mut wal = Wal::new(1).with_durable_spill(durable);
-            wal.append_row_note(5, "UPDATE", table, RecordId { page, slot });
-            for record in &records[1..] {
-                match record {
-                    WalRecord::PageImage { txn, obj, page, image } => {
-                        wal.append_page_image(*txn, *obj, *page, image)
-                    }
-                    _ => wal.append(record),
-                };
+            let mut wal = Wal::new(1, durable);
+            for record in &records {
+                wal.append(record);
             }
             let sealed = wal.batch[..wal.sealed].iter();
             let mut streamed: Vec<u8> = sealed
@@ -798,9 +821,10 @@ mod tests {
     fn a_volatile_log_spills_by_page_number_and_writes_only_the_tail() {
         let backend = backend();
         let obj = backend.create_object("log").unwrap();
-        let mut wal = Wal::new(obj).with_durable_spill(false);
+        let mut wal = Wal::new(obj, false);
         for i in 0..300u64 {
-            wal.append_row_note(i, "INSERT", "t", RecordId { page: i, slot: 0 });
+            let rid = RecordId { page: i, slot: 0 };
+            wal.append(&WalRecord::RowNote { txn: i, verb: "INSERT", table: "t", rid });
         }
         assert_eq!(wal.stats().segment_pages, 2, "the notes spilled into a second page");
         assert_eq!(wal.sealed, 0, "a volatile log keeps no full page");
@@ -832,14 +856,15 @@ mod tests {
     /// back what was appended.
     #[test]
     fn every_log_page_carries_its_own_crc() {
+        let text = "n".repeat(400);
         for durable in [true, false] {
             let backend = backend();
             let obj = backend.create_object("log").unwrap();
-            let mut wal = Wal::new(obj).with_durable_spill(durable);
+            let mut wal = Wal::new(obj, durable);
             let mut appended = Vec::new();
             let check = |wal: &mut Wal, appended: &mut Vec<_>, notes: u64, len: usize| {
                 for txn in 0..notes {
-                    let record = WalRecord::Note { txn, text: "n".repeat(len) };
+                    let record = WalRecord::Note { txn, text: &text[..len] };
                     appended.push((wal.append(&record), record));
                 }
                 wal.force(&*backend, SimTime::ZERO).unwrap();
@@ -850,8 +875,8 @@ mod tests {
                 }
                 if durable {
                     assert_eq!(pages.len() as u64, wal.segment_pages(), "every page is live");
-                    let (scanned, _) = Wal::scan(&*backend, obj, SimTime::ZERO).unwrap();
-                    assert_eq!(&scanned, appended);
+                    let stream = scan(&*backend, obj);
+                    assert_eq!(records(&stream), *appended);
                 }
             };
             check(&mut wal, &mut appended, 24, 400);
@@ -879,8 +904,9 @@ mod tests {
         let backend = NoFtlBackend::new(noftl, &placement).unwrap();
         let obj = backend.create_object("log").unwrap();
         backend.checkpoint(SimTime::ZERO).unwrap();
-        let mut wal = Wal::new(obj);
-        let note = |txn, len| WalRecord::Note { txn, text: "t".repeat(len) };
+        let mut wal = Wal::new(obj, true);
+        let text = "t".repeat(300);
+        let note = |txn, len| WalRecord::Note { txn, text: &text[..len] };
         let first: Vec<_> =
             (0..4).map(|txn| (wal.append(&note(txn, 100)), note(txn, 100))).collect();
         let first_at = device.quiesce_time();
@@ -898,7 +924,7 @@ mod tests {
         let (noftl, report) = NoFtl::mount(power_cycle(&device).unwrap(), cut).unwrap();
         assert_eq!(report.torn_pages_discarded, 1);
         let backend = NoFtlBackend::attach(Arc::new(noftl), &placement).unwrap();
-        let (scanned, _) = Wal::scan(&backend, obj, report.completed_at).unwrap();
-        assert_eq!(scanned, first);
+        let (stream, _) = Wal::scan(&backend, obj, report.completed_at).unwrap();
+        assert_eq!(records(&stream), first);
     }
 }

@@ -149,7 +149,7 @@ impl Driver {
                 .enumerate()
                 .min_by_key(|(_, c)| c.clock)
                 .map(|(i, _)| i)
-                .expect("at least one client");
+                .ok_or_else(|| dbms_engine::DbError::not_found("a client to run"))?;
             let client = &mut clients[idx];
             let txn_type = mix.pick(&mut client.rng);
             let mut txn = db.begin(client.clock);
@@ -172,7 +172,7 @@ impl Driver {
                 }
             };
             let response = txn.elapsed();
-            let stats = per_type.get_mut(&txn_type).expect("all types present");
+            let stats = per_type.entry(txn_type).or_default();
             stats.count += 1;
             stats.total_response += response;
             match outcome {

@@ -173,7 +173,6 @@ impl Loader {
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn load_district(
         &self,
         db: &Database,

@@ -66,7 +66,7 @@ pub fn figure2(total_dies: u32) -> PlacementConfig {
     let mut assigned: u32 = dies.iter().sum();
     while assigned > total_dies {
         // Remove from the largest region(s) but never below one die.
-        let max_idx = (0..dies.len()).max_by_key(|&i| dies[i]).expect("non-empty");
+        let Some(max_idx) = (0..dies.len()).max_by_key(|&i| dies[i]) else { break };
         if dies[max_idx] > 1 {
             dies[max_idx] -= 1;
             assigned -= 1;

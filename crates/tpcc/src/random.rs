@@ -57,6 +57,10 @@ impl Text {
     }
 
     /// The text.
+    #[expect(
+        clippy::expect_used,
+        reason = "`push_str` keeps whole characters and `push_ascii` ASCII only, so the bytes are UTF-8"
+    )]
     pub fn as_str(&self) -> &str {
         std::str::from_utf8(&self.bytes[..self.len]).expect("only whole characters are kept")
     }

@@ -34,48 +34,33 @@ pub fn table_names() -> Vec<String> {
     .collect()
 }
 
-/// Names of all TPC-C indexes.
-pub fn index_names() -> Vec<String> {
-    [
-        "W_IDX",
-        "D_IDX",
-        "C_IDX",
-        "C_NAME_IDX",
-        "I_IDX",
-        "S_IDX",
-        "O_IDX",
-        "O_CUST_IDX",
-        "NO_IDX",
-        "OL_IDX",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect()
-}
+/// Every TPC-C index with the table it belongs to, in creation order.
+pub const INDEXES: [(&str, &str); 10] = [
+    ("W_IDX", "WAREHOUSE"),
+    ("D_IDX", "DISTRICT"),
+    ("C_IDX", "CUSTOMER"),
+    ("C_NAME_IDX", "CUSTOMER"),
+    ("I_IDX", "ITEM"),
+    ("S_IDX", "STOCK"),
+    ("O_IDX", "ORDER"),
+    ("O_CUST_IDX", "ORDER"),
+    ("NO_IDX", "NEW_ORDER"),
+    ("OL_IDX", "ORDERLINE"),
+];
 
 /// All storage object names the workload creates (tables, indexes and the
 /// engine's metadata/log objects).
 pub fn object_names() -> Vec<String> {
     let mut names = table_names();
-    names.extend(index_names());
+    names.extend(INDEXES.iter().map(|(index, _)| index.to_string()));
     names.push(dbms_engine::db::METADATA_OBJECT.to_string());
     names.push(dbms_engine::db::LOG_OBJECT.to_string());
     names
 }
 
-/// Which table each index belongs to.
-pub fn index_table(index: &str) -> &'static str {
-    match index {
-        "W_IDX" => "WAREHOUSE",
-        "D_IDX" => "DISTRICT",
-        "C_IDX" | "C_NAME_IDX" => "CUSTOMER",
-        "I_IDX" => "ITEM",
-        "S_IDX" => "STOCK",
-        "O_IDX" | "O_CUST_IDX" => "ORDER",
-        "NO_IDX" => "NEW_ORDER",
-        "OL_IDX" => "ORDERLINE",
-        other => panic!("unknown index {other}"),
-    }
+/// The table `index` belongs to; `None` for a name [`INDEXES`] lacks.
+pub fn index_table(index: &str) -> Option<&'static str> {
+    INDEXES.iter().find(|(name, _)| *name == index).map(|(_, table)| *table)
 }
 
 /// Schema of the WAREHOUSE table.
@@ -242,8 +227,8 @@ pub fn create_schema(db: &Database, now: SimTime) -> dbms_engine::Result<()> {
     db.create_table("ORDERLINE", orderline_schema(), now)?;
     db.create_table("ITEM", item_schema(), now)?;
     db.create_table("STOCK", stock_schema(), now)?;
-    for index in index_names() {
-        db.create_index(index_table(&index), &index, now)?;
+    for (index, table) in INDEXES {
+        db.create_index(table, index, now)?;
     }
     Ok(())
 }
@@ -425,17 +410,16 @@ mod tests {
 
     #[test]
     fn every_index_maps_to_a_table() {
-        for index in index_names() {
-            let table = index_table(&index);
+        for (index, table) in INDEXES {
             assert!(table_names().contains(&table.to_string()));
+            assert_eq!(index_table(index), Some(table));
         }
         assert_eq!(object_names().len(), 9 + 10 + 2);
     }
 
     #[test]
-    #[should_panic(expected = "unknown index")]
-    fn unknown_index_panics() {
-        index_table("NOT_AN_INDEX");
+    fn an_unknown_index_has_no_table() {
+        assert_eq!(index_table("NOT_AN_INDEX"), None);
     }
 
     #[test]

@@ -272,7 +272,7 @@ pub fn payment(
     else {
         return Ok(db.rollback(txn));
     };
-    db.update_with(txn, "CUSTOMER", c_rid, |c| {
+    let entry = db.update_with(txn, "CUSTOMER", c_rid, |c| -> std::fmt::Result {
         c.set_float(C_BALANCE, c.float(C_BALANCE) - amount);
         c.set_float(C_YTD_PAYMENT, c.float(C_YTD_PAYMENT) + amount);
         c.set_int(C_PAYMENT_CNT, c.int(C_PAYMENT_CNT) + 1);
@@ -280,12 +280,13 @@ pub fn payment(
             // The new entry, then the old data, cut where the column ends.
             let mut new_data = Text::new();
             let old = c.str(C_DATA);
-            let entry =
-                write!(new_data, "{c_id} {c_d_id} {c_w_id} {d_id} {w_id} {amount:.2}|{old}");
-            entry.expect("a Text takes any write");
+            write!(new_data, "{c_id} {c_d_id} {c_w_id} {d_id} {w_id} {amount:.2}|{old}")?;
             c.set_str(C_DATA, &new_data);
         }
+        Ok(())
     })?;
+    // A `Text` takes any write, cut where it ends.
+    entry.map_err(dbms_engine::DbError::storage)?;
 
     // History row (no index).
     insert_row(db, txn, "HISTORY", NO_KEYS, |row| {

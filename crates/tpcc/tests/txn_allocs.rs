@@ -99,6 +99,7 @@ const RUN: u64 = 1_000;
 const WARM_UP: u64 = 300;
 
 /// The blocks `device` has programmed since it was built.
+#[expect(clippy::unwrap_used, reason = "a test helper: a failed step fails the test")]
 fn programmed_blocks(device: &NandDevice) -> usize {
     let g = device.geometry();
     let blocks = (0..g.total_dies()).flat_map(|die| {
@@ -126,6 +127,7 @@ fn grows_page_map(size: usize, before: u64, after: u64) -> bool {
 /// segment passes `wal_segment_pages` pages, and hold every measured
 /// transaction to its budget.  Returns the checkpoints taken during the
 /// warm-up and during the measured window.
+#[expect(clippy::unwrap_used, reason = "a test helper: a failed step fails the test")]
 fn run_standard_mix(wal_segment_pages: u64) -> (u64, u64) {
     let geometry = FlashGeometry::example();
     assert_eq!(geometry.pages_per_block as usize * geometry.page_size as usize, BLOCK_BYTES);

@@ -8,6 +8,8 @@
 //! differently named streams (op chooser vs key chooser vs scan-length
 //! chooser) are decorrelated without sharing mutable state.
 
+use noftl_core::crash::SplitMix64;
+
 /// 64-bit FNV-1a — the stream-name and key-scramble hash.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -20,40 +22,31 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 
 /// A deterministic SplitMix64 stream keyed by `(seed, stream name)`.
 #[derive(Debug, Clone)]
-pub struct KeyedRng {
-    state: u64,
-}
+pub struct KeyedRng(SplitMix64);
 
 impl KeyedRng {
     /// Derive a stream from the workload `seed` and a `stream` label.
     pub fn new(seed: u64, stream: &str) -> Self {
         // Golden-ratio offset keeps seed 0 / empty-name away from the
         // all-zero state.
-        KeyedRng { state: seed ^ fnv64(stream.as_bytes()) ^ 0x9e37_79b9_7f4a_7c15 }
-    }
-
-    /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        KeyedRng(SplitMix64(seed ^ fnv64(stream.as_bytes()) ^ 0x9e37_79b9_7f4a_7c15))
     }
 
     /// Uniform draw in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        (self.0.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Uniform draw in `[0, bound)`; `bound` 0 yields 0.
     pub fn below(&mut self, bound: u64) -> u64 {
+        // `SplitMix64::below` spends a draw on a bound of 0; this stream
+        // does not.
         if bound == 0 {
             return 0;
         }
         // The modulo bias is < 2^-40 for every bound the generators use
         // (record counts are millions at most); not worth a reject loop.
-        self.next_u64() % bound
+        self.0.below(bound)
     }
 }
 
@@ -182,15 +175,15 @@ mod tests {
     fn keyed_streams_are_deterministic_and_decorrelated() {
         let a: Vec<u64> = {
             let mut r = KeyedRng::new(42, "ops");
-            (0..32).map(|_| r.next_u64()).collect()
+            (0..32).map(|_| r.0.next_u64()).collect()
         };
         let b: Vec<u64> = {
             let mut r = KeyedRng::new(42, "ops");
-            (0..32).map(|_| r.next_u64()).collect()
+            (0..32).map(|_| r.0.next_u64()).collect()
         };
         let c: Vec<u64> = {
             let mut r = KeyedRng::new(42, "keys");
-            (0..32).map(|_| r.next_u64()).collect()
+            (0..32).map(|_| r.0.next_u64()).collect()
         };
         assert_eq!(a, b, "same (seed, stream) must replay identically");
         assert_ne!(a, c, "different stream names must decorrelate");

@@ -56,11 +56,11 @@ fn digest() -> (u32, u64, u64) {
         .unwrap()
         .unwrap();
     }
-    for index in schema::index_names() {
+    for (index, table) in schema::INDEXES {
         // The tree as the flushed pages hold it, attached to the cold pool.
         let (obj, pages) = db
-            .with_table(schema::index_table(&index), |def| {
-                let tree = &def.indexes[&index];
+            .with_table(table, |def| {
+                let tree = &def.indexes[index];
                 (tree.object_id(), tree.page_count())
             })
             .unwrap();
