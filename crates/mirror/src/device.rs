@@ -10,7 +10,7 @@
 //! issued at or after its cut and tears the one in flight.  The mirror
 //! learns of it from that child's own [`FlashError::PowerLoss`]: the
 //! child goes [`ChildHealth::Faulted`], the survivors keep serving, and
-//! the child's [`SegmentMap`] records every write it misses.
+//! the child's dirty set records the segment of every write it misses.
 //!
 //! # A child's power loss
 //!
@@ -46,23 +46,25 @@
 //! * a read of a page goes to a child that would take a write of the
 //!   page's segment.
 //!
-//! A child's staleness is one map.  A child whose history is unknown (a
-//! child without power at mount, or one a new mirror could not yet
-//! verify) has every segment dirty.
+//! A child's staleness is one set of segment indices, a segment being
+//! one erase block ([`FlashGeometry::block_index`]).  A child whose
+//! history is unknown (a child without power at mount, or one a new
+//! mirror could not yet verify) has every segment dirty.  A command
+//! outside the geometry changes no child, so it marks nothing.
 //!
 //! # The starting rule
 //!
 //! [`MirrorDevice::new`] and [`MirrorDevice::restore_replication`] start
 //! from one rule: a pristine set, and the source (the child with the
-//! highest stored epoch), start `Online` with a clean map; every other
-//! child starts `Faulted` with every segment dirty.  A restore then
-//! replaces the map of each such child that has power with the verify
+//! highest stored epoch), start `Online` and clean; every other child
+//! starts `Faulted` with every segment dirty.  A restore then replaces
+//! the dirty set of each such child that has power with the verify
 //! scan's.
 //!
 //! # Locking
 //!
 //! The mirror has one lock, [`LockClass::Mirror`], over health states,
-//! dirty maps, the epoch sequence and the read cursor.  It sits between
+//! dirty sets, the epoch sequence and the read cursor.  It sits between
 //! the manager's and the children's in the workspace's total order
 //! `manager < mirror < device`, and every command holds it across the
 //! children's `execute`: planning a fan-out and executing it are atomic.
@@ -83,6 +85,7 @@
 //! rebuild source.
 
 use std::any::Any;
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 use flash_sim::lockorder::{self, LockClass, TrackedGuard};
@@ -95,7 +98,6 @@ use noftl_obs::MetricsRegistry;
 
 use crate::health::ChildHealth;
 use crate::obs::MirrorObs;
-use crate::segmap::SegmentMap;
 
 /// Replication state of one child.
 #[derive(Debug)]
@@ -105,7 +107,7 @@ pub(crate) struct ChildState {
     /// is unknown (a child attached with data, or without power at
     /// mount), until a rebuild copies them or a restore verifies the
     /// child.
-    pub(crate) dirty: SegmentMap,
+    pub(crate) dirty: BTreeSet<u64>,
     /// When the child left `Online`, for the degraded-mode trace span.
     pub(crate) faulted_at: Option<SimTime>,
 }
@@ -113,17 +115,17 @@ pub(crate) struct ChildState {
 impl ChildState {
     /// The in-sync rule (module docs): may this child take a command
     /// that reads segment `r` and writes segment `w`?
-    fn takes(&self, r: u64, w: u64) -> bool {
+    fn takes(&self, r: Option<u64>, w: Option<u64>) -> bool {
         match self.health {
             ChildHealth::Online => true,
             ChildHealth::Faulted => false,
-            ChildHealth::Rebuilding => [r, w].iter().all(|s| !self.dirty.is_dirty(*s)),
+            ChildHealth::Rebuilding => [r, w].iter().flatten().all(|s| !self.dirty.contains(s)),
         }
     }
 
     /// The child lost power at `cut`: it goes `Faulted`, stale for
     /// `segments`.
-    fn lose_power(&mut self, cut: SimTime, segments: &[u64]) {
+    fn lose_power(&mut self, cut: SimTime, segments: &[Option<u64>]) {
         // Online -> Faulted and Rebuilding -> Faulted are both legal, and
         // only a child that took a command can fail it, so the transition
         // cannot fail here; were it ever refused, keeping the old health
@@ -132,9 +134,7 @@ impl ChildState {
             self.health = next;
         }
         self.faulted_at = Some(cut);
-        for &seg in segments {
-            self.dirty.mark(seg);
-        }
+        self.dirty.extend(segments.iter().flatten());
     }
 }
 
@@ -235,12 +235,11 @@ impl MirrorDevice {
         }
         let geometry = children[0].geometry();
         let pristine = geometry.dies().all(|d| children.iter().all(|c| !c.die_touched(d)));
-        let segments = geometry.total_blocks();
         let states = (0..children.len()).map(|i| {
             let (health, dirty) = if pristine || i == source {
-                (ChildHealth::Online, SegmentMap::all_clean(segments))
+                (ChildHealth::Online, BTreeSet::new())
             } else {
-                (ChildHealth::Faulted, SegmentMap::all_dirty(segments))
+                (ChildHealth::Faulted, (0..geometry.total_blocks()).collect())
             };
             ChildState { health, dirty, faulted_at: None }
         });
@@ -254,19 +253,10 @@ impl MirrorDevice {
         &self.children
     }
 
-    /// Number of rebuild segments (one per erase block).
-    pub fn segment_count(&self) -> u64 {
-        self.geometry.total_blocks()
-    }
-
-    /// Linear segment index of a block ([`FlashGeometry::block_index`]).
-    pub fn segment_of(&self, block: BlockAddr) -> u64 {
-        self.geometry.block_index(block)
-    }
-
-    /// The block a segment index denotes ([`FlashGeometry::block_at`]).
-    pub fn block_of(&self, seg: u64) -> BlockAddr {
-        self.geometry.block_at(seg)
+    /// The segment of `block`, its linear index, or `None` outside the
+    /// geometry: every child rejects a command there, so none goes stale.
+    fn segment_of(&self, block: BlockAddr) -> Option<u64> {
+        self.geometry.contains_block(block).then(|| self.geometry.block_index(block))
     }
 
     /// Current health of `child`.
@@ -277,7 +267,7 @@ impl MirrorDevice {
     /// Number of segments `child` is stale for (the full segment count
     /// while its history is unknown).
     pub fn dirty_segments(&self, child: usize) -> u64 {
-        self.mirror_shard().children[child].dirty.dirty_count()
+        self.mirror_shard().children[child].dirty.len() as u64
     }
 
     /// True when every child is `Online`.
@@ -293,14 +283,13 @@ impl MirrorDevice {
     /// (the same segment unless it is a copyback) by the in-sync rule:
     /// return the children that take it.  Every other child goes stale
     /// for `w` and `r` (a copyback invalidates its source page).
-    fn route(state: &mut MirrorState, r: u64, w: u64) -> Vec<usize> {
+    fn route(state: &mut MirrorState, r: Option<u64>, w: Option<u64>) -> Vec<usize> {
         let mut targets = Vec::new();
         for (i, child) in state.children.iter_mut().enumerate() {
             if child.takes(r, w) {
                 targets.push(i);
             } else {
-                child.dirty.mark(w);
-                child.dirty.mark(r);
+                child.dirty.extend(r.into_iter().chain(w));
             }
         }
         targets
@@ -313,8 +302,8 @@ impl MirrorDevice {
     /// one that carries an epoch ratchets the sequence.
     fn fan_out(
         &self,
-        r: u64,
-        w: u64,
+        r: Option<u64>,
+        w: Option<u64>,
         at: SimTime,
         mut cmd: FlashCommand<'_>,
         tag: IoTag,
@@ -394,7 +383,11 @@ impl MirrorDevice {
 
     /// Apply an untimed mutation of segment `seg` to the children that
     /// take it.
-    fn apply_untimed(&self, seg: u64, op: impl Fn(&NandDevice) -> Result<()>) -> Result<()> {
+    fn apply_untimed(
+        &self,
+        seg: Option<u64>,
+        op: impl Fn(&NandDevice) -> Result<()>,
+    ) -> Result<()> {
         let mut state = self.mirror_shard();
         for i in Self::route(&mut state, seg, seg) {
             op(&self.children[i])?;
@@ -490,10 +483,15 @@ impl MirrorDevice {
     /// Timed reads (the source's metadata, the child's page) advance
     /// `*now`; both devices are probed at the same instants so the scans
     /// overlap like the hardware would.
-    fn verify_dirty(&self, source: usize, child: usize, now: &mut SimTime) -> Result<SegmentMap> {
+    fn verify_dirty(
+        &self,
+        source: usize,
+        child: usize,
+        now: &mut SimTime,
+    ) -> Result<BTreeSet<u64>> {
         let src = self.children[source].as_ref();
         let tgt = self.children[child].as_ref();
-        let mut map = SegmentMap::all_clean(self.segment_count());
+        let mut dirty = BTreeSet::new();
         for die in self.geometry.dies() {
             if !src.die_touched(die) && !tgt.die_touched(die) {
                 continue;
@@ -506,7 +504,7 @@ impl MirrorDevice {
                     let shape =
                         |b: &BlockInfo| (b.state, b.write_ptr, b.valid_pages, b.invalid_pages);
                     if shape(&sb) != shape(&tb) {
-                        map.mark(self.segment_of(addr));
+                        dirty.insert(self.geometry.block_index(addr));
                         continue;
                     }
                     if sb.write_ptr == 0 || sb.state == flash_sim::BlockState::Bad {
@@ -523,14 +521,14 @@ impl MirrorDevice {
                         // program torn after its OOB landed keeps the OOB,
                         // and both sides may have torn.
                         if sm != tm || !tm.is_some_and(|m| m.payload_matches(&data)) {
-                            map.mark(self.segment_of(addr));
+                            dirty.insert(self.geometry.block_index(addr));
                             break;
                         }
                     }
                 }
             }
         }
-        Ok(map)
+        Ok(dirty)
     }
 }
 
@@ -664,8 +662,8 @@ impl FlashBackend for MirrorDevice {
 
     /// Read every child's staleness off the children, from the starting
     /// rule (module docs): a child that starts `Faulted` and has power
-    /// gets the verify scan's map, and nothing else, and is `Online` when
-    /// that map is clean; one without power stays stale everywhere.
+    /// gets the verify scan's dirty set, and nothing else, and is `Online`
+    /// when that set is empty; one without power stays stale everywhere.
     /// `blob` is ignored: nothing is persisted beside the children.
     fn restore_replication(&self, _blob: Option<&[u8]>, at: SimTime) -> Result<SimTime> {
         let mut now = at;
@@ -680,7 +678,7 @@ impl FlashBackend for MirrorDevice {
                 continue;
             }
             plan.dirty = self.verify_dirty(source, i, &mut now)?;
-            if plan.dirty.is_all_clean() {
+            if plan.dirty.is_empty() {
                 plan.health = ChildHealth::Online;
             }
         }

@@ -27,7 +27,7 @@ pub enum ChildHealth {
     /// In sync: receives every write, may serve any read.
     Online,
     /// Without power or known stale: writes are recorded in its dirty
-    /// segment map, reads never touch it.
+    /// set, reads never touch it.
     Faulted,
     /// A rebuild is draining its dirty segments: receives foreground
     /// writes to clean segments and may serve reads from them.

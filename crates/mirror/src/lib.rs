@@ -21,11 +21,10 @@
 //!   loss from the child's own `PowerLoss`, which drives a per-child
 //!   health machine `Online → Faulted → Rebuilding → Online`.  A write
 //!   an `Online` survivor took is acknowledged, and a read falls back to
-//!   the next in-sync child.  While a child is out, a [`SegmentMap`] — a
-//!   bitmap with one bit per erase block — records exactly which
-//!   segments it missed; a child with unknown history has every segment
-//!   dirty.
-//! * **Online rebuild** drains the dirty map segment by segment while
+//!   the next in-sync child.  While a child is out, its dirty set — a
+//!   `BTreeSet` of erase-block indices — records exactly which segments
+//!   it missed; a child with unknown history has every segment dirty.
+//! * **Online rebuild** drains the dirty set segment by segment while
 //!   foreground traffic continues: a step holds the mirror lock across
 //!   its copy, so a write into an already-copied segment is applied and
 //!   one into a segment not yet copied skips the child, which the copy
@@ -43,13 +42,11 @@ mod device;
 mod health;
 mod obs;
 mod rebuild;
-mod segmap;
 
 pub use device::MirrorDevice;
 pub use health::ChildHealth;
 pub use obs::TRACK_MIRROR;
-pub use rebuild::{RebuildReport, SegmentCopy};
-pub use segmap::SegmentMap;
+pub use rebuild::RebuildReport;
 
 #[cfg(test)]
 mod tests {
@@ -234,6 +231,26 @@ mod tests {
         assert!(m.children()[1].read_page(page(0, 1, 0), SimTime(2_000_000)).is_err());
     }
 
+    /// A command outside the geometry changes no child, so it leaves a
+    /// lost child's staleness as it was: block 16 of die 0 is no block,
+    /// although its linear index is die 1's block 0.  The `Online` child
+    /// still receives each command and rejects it.
+    #[test]
+    fn an_out_of_range_command_leaves_a_lost_childs_staleness_alone() {
+        let m = mirror(2);
+        m.children()[1].arm_power_cut(SimTime(10));
+        let at = SimTime(1_000_000);
+        m.program_page(page(0, 1, 0), &payload(2), PageMetadata::new(1, 1), at).unwrap();
+        assert_eq!((m.health(1), m.dirty_segments(1)), (ChildHealth::Faulted, 1));
+        let beyond = FlashGeometry::small_test().blocks_per_plane;
+        let meta = PageMetadata::new(1, 2);
+        assert!(m.program_page(page(0, beyond, 0), &payload(3), meta, at).is_err());
+        let block = flash_sim::BlockAddr::new(flash_sim::DieId(0), 0, beyond);
+        assert!(m.erase_block(block, at).is_err());
+        assert_eq!(m.dirty_segments(1), 1, "an out-of-range command marked a segment");
+        assert_eq!(m.children()[0].stats().errors, 2);
+    }
+
     #[test]
     fn degraded_reads_avoid_the_lost_child() {
         let m = mirror(2);
@@ -294,7 +311,7 @@ mod tests {
 
         m.children()[1].clear_power_cut();
         m.start_rebuild(1, done.completed_at).unwrap();
-        let report = m.rebuild(1, 4, done.completed_at).unwrap();
+        let report = m.rebuild(1, done.completed_at).unwrap();
         assert!(report.child_online);
         assert_eq!((report.segments_copied, report.pages_copied), (1, 1));
         m.restore_replication(None, m.quiesce_time()).unwrap();
@@ -371,7 +388,7 @@ mod tests {
         let programs_before = m.children()[1].stats().page_programs;
         m.children()[1].clear_power_cut();
         m.start_rebuild(1, SimTime(20_000_000)).unwrap();
-        let report = m.rebuild(1, 4, SimTime(20_000_000)).unwrap();
+        let report = m.rebuild(1, SimTime(20_000_000)).unwrap();
         assert!(report.child_online);
         assert_eq!(report.segments_copied, 2);
         assert_eq!(report.pages_copied, 2);
@@ -405,8 +422,8 @@ mod tests {
     /// child leaves the two children identical, at every seed.
     ///
     /// It holds under every interleaving the host picks.  A rebuild step
-    /// holds the mirror lock from choosing its segment to clearing the
-    /// segment's dirty bit, and every foreground command holds it across
+    /// holds the mirror lock from choosing its segment to removing it
+    /// from the dirty set, and every foreground command holds it across
     /// its fan-out.  So each command lands either before a segment's copy
     /// — the rebuilding child skips it, the segment stays dirty and the
     /// copy brings the command's effect over — or after it, when the
@@ -492,10 +509,9 @@ mod tests {
             };
             let rebuild = {
                 let m = Arc::clone(&m);
-                let window = 1 + (seed % 4) as usize;
                 std::thread::spawn(move || {
                     start.wait();
-                    m.rebuild(1, window, SimTime(2_000_000)).unwrap()
+                    m.rebuild(1, SimTime(2_000_000)).unwrap()
                 })
             };
             foreground.join().unwrap();
@@ -510,8 +526,8 @@ mod tests {
 
             let at = m.quiesce_time();
             let [a, b] = [&m.children()[0], &m.children()[1]];
-            for seg in 0..m.segment_count() {
-                let block = m.block_of(seg);
+            for seg in 0..g.total_blocks() {
+                let block = g.block_at(seg);
                 let info = |d: &NandDevice| flash_sim::BlockInfo {
                     erase_count: 0,
                     ..d.block_info(block).unwrap()
@@ -599,7 +615,7 @@ mod tests {
     /// An erase of an erased block changes nothing the verify scan
     /// compares (erase counts are left out), so a child that skipped one
     /// comes back in sync: the restore trusts the scan alone, not the
-    /// map the mirror kept.
+    /// dirty set the mirror kept.
     #[test]
     fn restore_does_not_count_a_skipped_erase_of_an_erased_block_as_stale() {
         let m = mirror(2);
@@ -664,7 +680,7 @@ mod tests {
                     if step == rebuild_at_step {
                         m.children()[1].clear_power_cut();
                         m.start_rebuild(1, clock).unwrap();
-                        let report = m.rebuild(1, 4, clock).unwrap();
+                        let report = m.rebuild(1, clock).unwrap();
                         prop_assert!(report.child_online);
                         clock = clock.max(report.completed_at);
                     }

@@ -5,15 +5,17 @@
 //!
 //! * `mirror.child<i>.{reads,programs,write_skips}` — per-child I/O
 //!   counters (a write skip is a program recorded in the child's dirty
-//!   map instead of submitted);
+//!   set instead of submitted);
 //! * `mirror.child_faults` — health transitions into `Faulted`;
 //! * `mirror.read.latency_ns` / `mirror.read.degraded_latency_ns` —
 //!   mirrored read latency, split by whether the full replica set was
 //!   available;
-//! * `mirror.rebuild.copy_ns` — per-segment rebuild copy latency;
-//! * `mirror.rebuild.segments_remaining` — dirty segments left on the
-//!   child currently rebuilding (gauge);
-//! * `mirror.rebuild.segments_copied` — rebuild progress counter.
+//! * `mirror.rebuild.copy_ns` — per-segment rebuild copy latency.
+//!
+//! A rebuild's progress is no metric: the dirty set is
+//! [`MirrorDevice::dirty_segments`](crate::MirrorDevice::dirty_segments)
+//! and what a run copied its
+//! [`RebuildReport`](crate::RebuildReport).
 //!
 //! Trace events land on [`TRACK_MIRROR`]: an instant per child fault and
 //! a `mirror.degraded` span covering each child's fault → back-online
@@ -21,7 +23,7 @@
 
 use std::sync::Arc;
 
-use noftl_obs::{Counter, Gauge, Histogram, MetricsRegistry, Unit};
+use noftl_obs::{Counter, Histogram, MetricsRegistry, Unit};
 
 use flash_sim::SimTime;
 
@@ -45,8 +47,6 @@ pub(crate) struct MirrorObs {
     read_latency: Histogram,
     degraded_read_latency: Histogram,
     rebuild_copy: Histogram,
-    segments_remaining: Gauge,
-    segments_copied: Counter,
 }
 
 impl MirrorObs {
@@ -64,8 +64,6 @@ impl MirrorObs {
             degraded_read_latency: registry
                 .histogram("mirror.read.degraded_latency_ns", Unit::SimNanos),
             rebuild_copy: registry.histogram("mirror.rebuild.copy_ns", Unit::SimNanos),
-            segments_remaining: registry.gauge("mirror.rebuild.segments_remaining"),
-            segments_copied: registry.counter("mirror.rebuild.segments_copied"),
             children: per_child,
             registry,
         }
@@ -119,10 +117,5 @@ impl MirrorObs {
 
     pub(crate) fn note_segment_copied(&self, copy_ns: u64) {
         self.rebuild_copy.record(copy_ns);
-        self.segments_copied.inc();
-    }
-
-    pub(crate) fn set_segments_remaining(&self, n: u64) {
-        self.segments_remaining.set(n);
     }
 }

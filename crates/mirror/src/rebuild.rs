@@ -1,17 +1,17 @@
-//! Online rebuild: drain a faulted child's dirty segment map while
-//! foreground traffic continues.
+//! Online rebuild: drain a faulted child's dirty set while foreground
+//! traffic continues.
 //!
 //! A rebuild copies one segment (erase block) per step and holds the
 //! mirror lock for the whole step: it picks the lowest dirty segment,
-//! copies it and clears its dirty bit.  A foreground command waits for a
-//! step in flight; between steps it runs under the mirror's in-sync rule,
-//! so a write into a segment not yet copied skips the child and leaves
-//! the segment dirty, and one into a copied segment lands on the child
-//! as on every other.  The stack is driven from one host thread, so
+//! copies it and removes it from the set.  A foreground command waits
+//! for a step in flight; between steps it runs under the mirror's in-sync
+//! rule, so a write into a segment not yet copied skips the child and
+//! leaves the segment dirty, and one into a copied segment lands on the
+//! child as on every other.  The stack is driven from one host thread, so
 //! nothing ever actually waits.
 //!
-//! The per-segment copy streams the source block through a bounded
-//! window of reads (`window` in flight), programming each page on
+//! The per-segment copy streams the source block through a window of
+//! `READ_WINDOW` (4) reads in flight, programming each page on
 //! the target at its read-completion instant with the source's OOB
 //! metadata preserved, so after the copy the two blocks compare
 //! identical shape and OOB in [the verify scan].  Source pages that are
@@ -30,37 +30,18 @@ use flash_sim::{
 use crate::device::MirrorDevice;
 use crate::health::ChildHealth;
 
-/// What one [`MirrorDevice::rebuild_step`] call did to its segment.
-#[derive(Debug, Clone, Copy)]
-pub struct SegmentCopy {
-    /// Segment that was copied.
-    pub segment: u64,
-    /// Pages programmed on the target.
-    pub pages_copied: u32,
-    /// Pages re-marked `Invalid` on the target after the copy.
-    pub pages_invalidated: u32,
-    /// The source block was `Bad`, so the target block was retired
-    /// instead of copied.
-    pub retired: bool,
-    /// Simulated instant the copy (and its bookkeeping) finished.
-    pub completed_at: SimTime,
-}
+/// Source reads in flight while a segment is copied.
+const READ_WINDOW: usize = 4;
 
 /// Summary of a full [`MirrorDevice::rebuild`] run.
 #[derive(Debug, Clone, Copy)]
 pub struct RebuildReport {
     /// Child that was rebuilt.
     pub child: usize,
-    /// Segments whose copy landed and cleared their dirty bit.
+    /// Segments whose copy landed and left the dirty set.
     pub segments_copied: u64,
     /// Total pages programmed on the target.
     pub pages_copied: u64,
-    /// Pages re-invalidated on the target.
-    pub pages_invalidated: u64,
-    /// Target blocks retired because the source block was bad.
-    pub blocks_retired: u64,
-    /// Simulated instant the rebuild started.
-    pub started_at: SimTime,
     /// Simulated instant the child came back online (or the run stopped).
     pub completed_at: SimTime,
     /// Whether the child finished the run `Online`.
@@ -69,7 +50,7 @@ pub struct RebuildReport {
 
 impl MirrorDevice {
     /// Transition a faulted child to `Rebuilding` so
-    /// [`MirrorDevice::rebuild_step`] can start draining its dirty map.
+    /// [`MirrorDevice::rebuild`] can drain its dirty set.
     ///
     /// Fails if the child is not `Faulted`, has a power cut armed at or
     /// before `at`, another child is already rebuilding, or no online
@@ -101,23 +82,33 @@ impl MirrorDevice {
         }
         let c = &mut state.children[child];
         c.health = c.health.check_transition(ChildHealth::Rebuilding)?;
-        self.obs.set_segments_remaining(c.dirty.dirty_count());
         Ok(())
     }
 
-    /// Copy the lowest-numbered dirty segment of `child`, holding the
-    /// mirror lock from planning to clearing the segment's dirty bit.
+    /// Drain `child`'s dirty set to completion, advancing the simulated
+    /// clock copy by copy.
+    pub fn rebuild(&self, child: usize, at: SimTime) -> Result<RebuildReport> {
+        let mut report = RebuildReport {
+            child,
+            segments_copied: 0,
+            pages_copied: 0,
+            completed_at: at,
+            child_online: false,
+        };
+        while self.rebuild_step(child, &mut report)? {}
+        report.child_online = true;
+        Ok(report)
+    }
+
+    /// Copy the lowest dirty segment of `child` at `report.completed_at`,
+    /// holding the mirror lock from choosing the segment to removing it
+    /// from the dirty set, and add the copy to `report`.
     ///
-    /// Returns `Ok(None)` once the map is drained — at which point the
-    /// child has transitioned back to `Online`.  `window` bounds the
-    /// number of source reads in flight during the copy.  A failed copy
-    /// leaves the segment dirty.
-    pub fn rebuild_step(
-        &self,
-        child: usize,
-        window: usize,
-        at: SimTime,
-    ) -> Result<Option<SegmentCopy>> {
+    /// Returns `false` once the set is drained — at which point the child
+    /// has transitioned back to `Online`.  A failed copy leaves the
+    /// segment dirty.
+    fn rebuild_step(&self, child: usize, report: &mut RebuildReport) -> Result<bool> {
+        let at = report.completed_at;
         let mut state = self.mirror_shard();
         match state.children[child].health {
             ChildHealth::Rebuilding => {}
@@ -142,7 +133,7 @@ impl MirrorDevice {
         };
         let epoch = state.epoch;
         let c = &mut state.children[child];
-        let Some(seg) = c.dirty.first_dirty() else {
+        let Some(seg) = c.dirty.first().copied() else {
             // Drained: the child is in sync again.  Commit the rebuilt
             // history by ratcheting the child's epoch counter up to the
             // mirror's (replica programs left it at its stale pre-loss
@@ -151,72 +142,31 @@ impl MirrorDevice {
             self.children()[child].ratchet_epoch(epoch);
             let faulted_at = c.faulted_at.take().unwrap_or(SimTime::ZERO);
             self.obs.note_back_online(child, faulted_at, at);
-            self.obs.set_segments_remaining(0);
-            return Ok(None);
+            return Ok(false);
         };
-        let copy = self.copy_segment(source, child, seg, window, at)?;
-        c.dirty.clear(seg);
-        let copy_ns = copy.completed_at.as_nanos().saturating_sub(at.as_nanos());
-        self.obs.note_segment_copied(copy_ns);
-        self.obs.set_segments_remaining(c.dirty.dirty_count());
-        Ok(Some(copy))
+        let (pages, done) = self.copy_segment(source, child, seg, at)?;
+        c.dirty.remove(&seg);
+        self.obs.note_segment_copied(done.as_nanos().saturating_sub(at.as_nanos()));
+        report.segments_copied += 1;
+        report.pages_copied += u64::from(pages);
+        report.completed_at = at.max(done);
+        Ok(true)
     }
 
-    /// Drain `child`'s dirty map to completion, advancing the simulated
-    /// clock copy by copy.
-    pub fn rebuild(&self, child: usize, window: usize, at: SimTime) -> Result<RebuildReport> {
-        let mut report = RebuildReport {
-            child,
-            segments_copied: 0,
-            pages_copied: 0,
-            pages_invalidated: 0,
-            blocks_retired: 0,
-            started_at: at,
-            completed_at: at,
-            child_online: false,
-        };
-        let mut clock = at;
-        loop {
-            match self.rebuild_step(child, window, clock)? {
-                None => {
-                    report.completed_at = clock;
-                    report.child_online = true;
-                    return Ok(report);
-                }
-                Some(copy) => {
-                    report.segments_copied += 1;
-                    report.pages_copied += copy.pages_copied as u64;
-                    report.pages_invalidated += copy.pages_invalidated as u64;
-                    if copy.retired {
-                        report.blocks_retired += 1;
-                    }
-                    clock = clock.max(copy.completed_at);
-                }
-            }
-        }
-    }
-
-    /// Stream one segment from `source` to `child` through a bounded
-    /// read window.  The caller holds the mirror lock, so this takes no
-    /// mirror-level lock itself.
+    /// Stream one segment from `source` to `child` through the read
+    /// window, and return the pages programmed on `child` and the instant
+    /// the copy finished.  The caller holds the mirror lock, so this
+    /// takes no mirror-level lock itself.
     fn copy_segment(
         &self,
         source: usize,
         child: usize,
         seg: u64,
-        window: usize,
         at: SimTime,
-    ) -> Result<SegmentCopy> {
-        let block = self.block_of(seg);
+    ) -> Result<(u32, SimTime)> {
+        let block = self.geometry().block_at(seg);
         let src_dev = self.children()[source].as_ref();
         let tgt_dev = self.children()[child].as_ref();
-        let mut copy = SegmentCopy {
-            segment: seg,
-            pages_copied: 0,
-            pages_invalidated: 0,
-            retired: false,
-            completed_at: at,
-        };
         let sb = src_dev.block_info(block)?;
         let tb = tgt_dev.block_info(block)?;
         if sb.state == BlockState::Bad {
@@ -225,16 +175,14 @@ impl MirrorDevice {
             if tb.state != BlockState::Bad {
                 tgt_dev.retire_block(block)?;
             }
-            copy.retired = true;
-            return Ok(copy);
+            return Ok((0, at));
         }
         if tb.state == BlockState::Bad {
             // The target block wore out: the source alone carries this
             // segment.  Nothing can be copied; the block is unusable on
             // the target, which future foreground programs surface as
             // mirror-wide retirement.
-            copy.retired = true;
-            return Ok(copy);
+            return Ok((0, at));
         }
         let mut clock = at;
         if tb.state != BlockState::Free {
@@ -242,8 +190,7 @@ impl MirrorDevice {
             clock = tgt_dev.execute(erase, clock, IoTag::default())?.outcome.completed_at;
         }
         if sb.write_ptr == 0 {
-            copy.completed_at = clock;
-            return Ok(copy);
+            return Ok((0, clock));
         }
         // Snapshot per-page validity up front: with the mirror lock held
         // no foreground command changes the source block meanwhile.
@@ -253,19 +200,18 @@ impl MirrorDevice {
                 invalid_pages.push(page);
             }
         }
-        let window = window.max(1);
         // Each read in flight fills a page buffer of its own, handed back
         // to `spare` once the page is programmed on the target.
         let mut pending: std::collections::VecDeque<(u32, Vec<u8>, Result<CmdOutput>)> =
-            std::collections::VecDeque::with_capacity(window);
-        let mut spare: Vec<Vec<u8>> = Vec::with_capacity(window);
+            std::collections::VecDeque::with_capacity(READ_WINDOW);
+        let mut spare: Vec<Vec<u8>> = Vec::with_capacity(READ_WINDOW);
         let page_size = src_dev.geometry().page_size as usize;
         let mut next = 0u32;
-        // `slot_free` paces the window: the first `window` reads issue at
-        // the step time, each further read when a slot frees up.
+        // `slot_free` paces the window: the first `READ_WINDOW` reads issue
+        // at the step time, each further read when a slot frees up.
         let mut slot_free = clock;
         loop {
-            while pending.len() < window && next < sb.write_ptr {
+            while pending.len() < READ_WINDOW && next < sb.write_ptr {
                 let mut data = spare.pop().unwrap_or_else(|| vec![0; page_size]);
                 let read = FlashCommand::Read { addr: block.page(next), data: &mut data };
                 let out = src_dev.execute(read, slot_free, IoTag::default());
@@ -289,14 +235,11 @@ impl MirrorDevice {
             let programmed = tgt_dev.program_replica(block.page(page), &data, meta, read_done)?;
             spare.push(data);
             clock = clock.max(programmed.completed_at);
-            copy.pages_copied += 1;
             slot_free = slot_free.max(read_done);
         }
         for page in invalid_pages {
             tgt_dev.mark_invalid(block.page(page))?;
-            copy.pages_invalidated += 1;
         }
-        copy.completed_at = clock;
-        Ok(copy)
+        Ok((sb.write_ptr, clock))
     }
 }

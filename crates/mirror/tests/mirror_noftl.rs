@@ -1,6 +1,6 @@
 //! NoFTL-over-mirror integration: the storage manager mounts a
 //! [`MirrorDevice`] exactly like a bare device, and a remount reads each
-//! child's health and dirty map off the children (the verify scan), so a
+//! child's health and dirty set off the children (the verify scan), so a
 //! rebuild provably copies only the segments the lost child actually
 //! missed.
 
@@ -42,7 +42,7 @@ fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirt
     assert_eq!(mirror.health(1), ChildHealth::Faulted);
     let dirty_before = mirror.dirty_segments(1);
     assert!(
-        dirty_before > 0 && dirty_before < mirror.segment_count(),
+        dirty_before > 0 && dirty_before < mirror.geometry().total_blocks(),
         "degraded writes must dirty some but not all segments (got {dirty_before})"
     );
 
@@ -57,7 +57,7 @@ fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirt
     // "everything", which is what an unverifiable child would force.
     assert_eq!(mirror2.health(1), ChildHealth::Faulted);
     let dirty_restored = mirror2.dirty_segments(1);
-    assert!(dirty_restored > 0 && dirty_restored < mirror2.segment_count());
+    assert!(dirty_restored > 0 && dirty_restored < mirror2.geometry().total_blocks());
 
     // Degraded reads already serve the freshest data.
     for p in 0..4u64 {
@@ -70,7 +70,7 @@ fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirt
     // Rebuild copies exactly the reloaded dirty segments.
     let programs_before = mirror2.children()[1].stats().page_programs;
     mirror2.start_rebuild(1, t).unwrap();
-    let report = mirror2.rebuild(1, 4, t).unwrap();
+    let report = mirror2.rebuild(1, t).unwrap();
     assert!(report.child_online);
     assert_eq!(report.segments_copied, dirty_restored);
     assert!(mirror2.fully_online());
@@ -111,7 +111,7 @@ fn mount_with_child_still_missing_serves_degraded_and_rebuilds_later() {
     let (noftl2, report) = NoFtl::mount(mirror2.clone(), t).unwrap();
     t = report.completed_at;
     assert_eq!(mirror2.health(1), ChildHealth::Faulted);
-    assert_eq!(mirror2.dirty_segments(1), mirror2.segment_count());
+    assert_eq!(mirror2.dirty_segments(1), mirror2.geometry().total_blocks());
     for p in 0..8u64 {
         assert_eq!(read(&noftl2, obj, p, t), vec![p as u8 + 10; 4096]);
     }
@@ -119,7 +119,7 @@ fn mount_with_child_still_missing_serves_degraded_and_rebuilds_later() {
     // The device reattaches: its power is back, rebuild, fully online.
     machine2.reattach(1, t).unwrap();
     mirror2.start_rebuild(1, t).unwrap();
-    let report = mirror2.rebuild(1, 8, t).unwrap();
+    let report = mirror2.rebuild(1, t).unwrap();
     assert!(report.child_online);
     assert!(mirror2.fully_online());
 }
@@ -151,7 +151,7 @@ fn a_rebuild_finished_after_the_last_checkpoint_is_not_redone() {
     // The child comes back and is rebuilt; no checkpoint follows.
     machine.reattach(1, t).unwrap();
     mirror.start_rebuild(1, t).unwrap();
-    let report = mirror.rebuild(1, 4, t).unwrap();
+    let report = mirror.rebuild(1, t).unwrap();
     assert!(report.child_online);
     t = report.completed_at;
 
@@ -230,7 +230,7 @@ mod props {
 
     proptest! {
         /// Checkpoint → crash → mount restores the mirror's health and
-        /// segment map for arbitrary degraded write patterns: the dirty
+        /// dirty set for arbitrary degraded write patterns: the dirty
         /// set the verify scan reads covers exactly the blocks the lost
         /// child missed and every acknowledged write survives.
         #[test]
@@ -277,12 +277,12 @@ mod props {
             prop_assert_eq!(mirror2.health(1), ChildHealth::Faulted);
             let dirty = mirror2.dirty_segments(1);
             prop_assert!(dirty > 0);
-            prop_assert!(dirty < mirror2.segment_count());
+            prop_assert!(dirty < mirror2.geometry().total_blocks());
             for (page, val) in &expected {
                 prop_assert_eq!(&read(&noftl2, obj, *page, t), val);
             }
             mirror2.start_rebuild(1, t).unwrap();
-            let report = mirror2.rebuild(1, 4, t).unwrap();
+            let report = mirror2.rebuild(1, t).unwrap();
             prop_assert!(report.child_online);
             prop_assert_eq!(report.segments_copied, dirty);
             prop_assert!(mirror2.fully_online());

@@ -171,7 +171,7 @@ impl Contract for Plan {
                     let (mirror, child) = (&machine.device, self.lost);
                     let rebuilt = machine.reattach(child, t).and_then(|()| {
                         mirror.start_rebuild(child, t)?;
-                        let rebuilt = mirror.rebuild(child, 4, t);
+                        let rebuilt = mirror.rebuild(child, t);
                         run.rebuild_cut = rebuilt.as_ref().is_err_and(FlashError::is_power_loss);
                         rebuilt
                     });
@@ -210,7 +210,7 @@ impl Contract for Plan {
             device.clear_power_cut();
             let dirty = mirror.dirty_segments(child);
             mirror.start_rebuild(child, t)?;
-            let report = mirror.rebuild(child, 4, t)?;
+            let report = mirror.rebuild(child, t)?;
             let copied = report.segments_copied;
             if copied != dirty {
                 return Err(violation(&format!("child {child}: copied {copied} of {dirty}")));

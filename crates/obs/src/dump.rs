@@ -10,16 +10,13 @@ pub fn chrome_trace(registry: &MetricsRegistry) -> String {
     registry.tracer().to_chrome_json()
 }
 
-/// A plain-text table of every metric: counters and gauges one per
-/// line, histograms with count / mean / p50 / p99 / p999 / max.
+/// A plain-text table of every metric: counters one per line,
+/// histograms with count / mean / p50 / p99 / p999 / max.
 pub fn table(registry: &MetricsRegistry) -> String {
     let snap = registry.snapshot();
     let mut out = String::new();
     for (name, value) in &snap.counters {
         out.push_str(&format!("{name:<44} {value}\n"));
-    }
-    for (name, value) in &snap.gauges {
-        out.push_str(&format!("{name:<44} {value} (gauge)\n"));
     }
     for h in &snap.histograms {
         out.push_str(&format!(
@@ -46,11 +43,9 @@ mod tests {
     fn table_lists_every_metric_kind() {
         let r = MetricsRegistry::new();
         r.counter("x.ops").add(2);
-        r.gauge("x.hwm").set(9);
         r.histogram("x.lat_ns", Unit::SimNanos).record(1_000);
         let text = table(&r);
         assert!(text.contains("x.ops"));
-        assert!(text.contains("(gauge)"));
         assert!(text.contains("p999="));
         assert!(text.contains("[sim_ns]"));
     }

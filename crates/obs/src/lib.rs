@@ -4,9 +4,9 @@
 //! interference, die utilisation — so the workspace needs one substrate
 //! every layer can record into.  This crate provides it:
 //!
-//! * [`MetricsRegistry`] — named [`Counter`]s, [`Gauge`]s and
-//!   log-bucketed latency [`Histogram`]s (p50/p90/p99/p999 + max,
-//!   mergeable, in simulated time or plain counts);
+//! * [`MetricsRegistry`] — named [`Counter`]s and log-bucketed latency
+//!   [`Histogram`]s (p50/p90/p99/p999 + max, mergeable, in simulated
+//!   time or plain counts);
 //! * [`Tracer`] — a bounded ring of typed span/instant [`TraceEvent`]s,
 //!   exportable as Chrome `trace_event` JSON
 //!   ([`Tracer::to_chrome_json`]) and validated by
@@ -21,7 +21,7 @@
 //!   lock without touching the documented lock order.  (The tracer's ring
 //!   mutex and the registry's registration lock are plain-`std` leaf
 //!   locks on cold paths only.)
-//! * **No allocation on update.**  A counter, gauge or histogram update
+//! * **No allocation on update.**  A counter or histogram update
 //!   allocates nothing, and a disabled tracer costs one relaxed load per
 //!   call site — both asserted by the release-mode no-allocation test in
 //!   `tests/no_alloc.rs`.
@@ -44,5 +44,5 @@ pub mod metrics;
 pub mod tracer;
 
 pub use hist::{Histogram, HistogramSnapshot};
-pub use metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, Unit};
+pub use metrics::{Counter, MetricsRegistry, MetricsSnapshot, Unit};
 pub use tracer::{validate_chrome_trace, TraceEvent, Tracer};

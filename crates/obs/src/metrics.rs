@@ -1,7 +1,7 @@
-//! The metrics registry: named counters, gauges and histograms.
+//! The metrics registry: named counters and histograms.
 //!
 //! A [`MetricsRegistry`] is a name → handle table.  Registration
-//! (`counter`/`gauge`/`histogram`) is the cold path and takes a plain
+//! (`counter`/`histogram`) is the cold path and takes a plain
 //! `std::sync::RwLock`; the handles it returns are `Arc`s over atomics,
 //! so every *update* is lock-free and never participates in the
 //! workspace's tracked lock order (`flash_sim::lockorder`).  An update
@@ -66,29 +66,9 @@ impl Counter {
     }
 }
 
-/// A last-value / high-water-mark gauge handle.
-#[derive(Debug, Clone)]
-pub struct Gauge {
-    value: Arc<AtomicU64>,
-}
-
-impl Gauge {
-    /// Overwrite the value.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Relaxed)
-    }
-}
-
 #[derive(Debug, Default)]
 struct Tables {
     counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, Gauge>,
     hists: BTreeMap<String, Histogram>,
 }
 
@@ -134,15 +114,6 @@ impl MetricsRegistry {
             .clone()
     }
 
-    /// Get or register a gauge.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        if let Some(g) = self.read_tables(|t| t.gauges.get(name).cloned()) {
-            return g;
-        }
-        let mut t = self.tables.write().unwrap_or_else(PoisonError::into_inner);
-        t.gauges.entry(name.to_string()).or_insert_with(|| Gauge { value: Arc::default() }).clone()
-    }
-
     /// Get or register a histogram.  The unit is fixed at first
     /// registration; later callers get the existing handle regardless of
     /// the unit they pass.
@@ -163,7 +134,6 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.read_tables(|t| MetricsSnapshot {
             counters: t.counters.iter().map(|(n, c)| (n.clone(), c.get())).collect(),
-            gauges: t.gauges.iter().map(|(n, g)| (n.clone(), g.get())).collect(),
             histograms: t.hists.values().map(Histogram::snapshot).collect(),
         })
     }
@@ -174,8 +144,6 @@ impl MetricsRegistry {
 pub struct MetricsSnapshot {
     /// `(name, value)` for every counter, name-sorted.
     pub counters: Vec<(String, u64)>,
-    /// `(name, value)` for every gauge, name-sorted.
-    pub gauges: Vec<(String, u64)>,
     /// Every histogram, name-sorted.
     pub histograms: Vec<HistogramSnapshot>,
 }
@@ -184,11 +152,6 @@ impl MetricsSnapshot {
     /// Counter value by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    }
-
-    /// Gauge value by name.
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
     /// Histogram by name.
@@ -202,15 +165,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_gauge_roundtrip() {
+    fn counter_roundtrip() {
         let r = MetricsRegistry::new();
         let c = r.counter("a.b");
         c.inc();
         c.add(4);
         assert_eq!(r.counter("a.b").get(), 5);
-        let g = r.gauge("a.g");
-        g.set(7);
-        assert_eq!(r.gauge("a.g").get(), 7);
     }
 
     #[test]
