@@ -18,7 +18,7 @@ use flash_sim::{
     DeviceBuilder, DeviceStats, Duration, FlashBackend, FlashGeometry, NandDevice, SimTime,
     TimingModel,
 };
-use noftl_core::{NoFtl, NoFtlConfig, ObjectStats, PlacementConfig};
+use noftl_core::{NoFtl, NoFtlConfig, ObjectStats, PlacementConfig, RegionStats};
 use tpcc_workload::{Driver, DriverConfig, Loader, RunReport, ScaleConfig, TxnType};
 
 /// One end-to-end TPC-C experiment configuration.
@@ -112,8 +112,21 @@ impl Experiment {
         let device_before = device.stats();
         let busy_before = device.die_stats();
         let buffer_before = db.buffer_stats();
+        let regions = || -> noftl_core::Result<Vec<RegionStats>> {
+            noftl.region_ids().into_iter().map(|rid| noftl.region_stats(rid)).collect()
+        };
+        let regions_before = regions()?;
         let report = Driver::new(self.driver).run(&db, &self.scale, loaded_at)?;
         let device_stats = device.stats().delta_since(&device_before);
+        let region_stats = (regions()?.iter().zip(&regions_before))
+            .map(|(after, before)| RegionStats {
+                host_reads: after.host_reads - before.host_reads,
+                host_writes: after.host_writes - before.host_writes,
+                gc_copybacks: after.gc_copybacks - before.gc_copybacks,
+                gc_erases: after.gc_erases - before.gc_erases,
+                ..RegionStats::default()
+            })
+            .collect();
         let buffer_stats = buffer_delta(&db.buffer_stats(), &buffer_before);
         let die_busy = (device.die_stats().iter().zip(&busy_before))
             .map(|(after, before)| Duration(after.busy_time.0 - before.busy_time.0))
@@ -128,6 +141,7 @@ impl Experiment {
             object_profiles,
             loaded_rows: load_stats.total_rows(),
             die_busy,
+            region_stats,
         })
     }
 }
@@ -165,6 +179,9 @@ pub struct ExperimentResult {
     pub loaded_rows: u64,
     /// Busy time of each die over the measured phase, by die id.
     pub die_busy: Vec<Duration>,
+    /// Host reads, host writes, GC copybacks and GC erases of each region
+    /// over the measured phase, in `noftl.region_ids()` order.
+    pub region_stats: Vec<RegionStats>,
 }
 
 impl ExperimentResult {
@@ -188,11 +205,12 @@ impl ExperimentResult {
         }
     }
 
-    /// Render per-region statistics as a small table; the two busy
-    /// columns are the busiest and the mean die of the region over the
-    /// measured phase, in ms of die time.
+    /// Render per-region statistics over the measured phase (the load
+    /// excluded) as a small table: the counters and WA are the region's
+    /// own, the two busy columns the busiest and the mean die of the
+    /// region, in ms of die time.
     pub fn region_table(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::from("Per region, measured phase only (the load excluded):\n");
         out.push_str(&format!(
             "{:<16} {:>5} {:>12} {:>12} {:>10} {:>10} {:>8} {:>12} {:>12}\n",
             "Region",
@@ -205,9 +223,8 @@ impl ExperimentResult {
             "BusyMax_ms",
             "BusyMean_ms"
         ));
-        for rid in self.noftl.region_ids() {
+        for (rid, stats) in self.noftl.region_ids().into_iter().zip(&self.region_stats) {
             let info = self.noftl.region_info(rid).expect("region exists");
-            let stats = self.noftl.region_stats(rid).expect("region exists");
             let busy: Vec<f64> =
                 info.dies.iter().map(|d| self.die_busy[d.0 as usize].as_ms_f64()).collect();
             out.push_str(&format!(
@@ -311,6 +328,14 @@ mod tests {
         assert!(result.buffer_stats.misses > 0);
         assert!(result.report.tps > 0.0);
         assert!(result.loaded_rows > 300);
+        // The region table covers the measured phase, like the device
+        // counters: on one region with no checkpoint they are the same.
+        let [rg_all] = &result.region_stats[..] else { panic!("one region") };
+        let d = &result.device_stats;
+        assert_eq!(
+            (rg_all.host_reads, rg_all.host_writes, rg_all.gc_copybacks, rg_all.gc_erases),
+            (d.page_reads, d.page_programs, d.copybacks, d.block_erases)
+        );
         assert!(!result.object_profiles.is_empty());
         assert!(result.region_table().contains("rgAll"));
     }
@@ -417,6 +442,7 @@ mod tests {
             object_profiles: Vec::new(),
             loaded_rows: 0,
             die_busy: Vec::new(),
+            region_stats: Vec::new(),
         }
     }
 

@@ -132,7 +132,8 @@ pub struct Ledger<W> {
     setup: Directory,
     directory: Directory,
     in_flight: Option<W>,
-    cut: bool,
+    /// The error the run stopped at, once the device failed.
+    cut: Option<String>,
 }
 
 impl<W: Default> Ledger<W> {
@@ -141,7 +142,7 @@ impl<W: Default> Ledger<W> {
         let setup = Directory::of(noftl);
         let directory = setup.clone();
         let noftl = Arc::clone(noftl);
-        Ledger { noftl, committed: W::default(), setup, directory, in_flight: None, cut: false }
+        Ledger { noftl, committed: W::default(), setup, directory, in_flight: None, cut: None }
     }
 
     /// A commit was acknowledged: `world`, and the manager's directory as
@@ -151,12 +152,12 @@ impl<W: Default> Ledger<W> {
         self.directory = Directory::of(&self.noftl);
     }
 
-    /// The device failed under the workload.  `in_flight` is the world with
-    /// the interrupted operation applied, when its commit or flush may have
-    /// landed before the power went out.
-    pub fn cut(&mut self, in_flight: Option<W>) {
+    /// The device failed under the workload with `cause`.  `in_flight` is
+    /// the world with the interrupted operation applied, when its commit
+    /// or flush may have landed before the power went out.
+    pub fn cut(&mut self, in_flight: Option<W>, cause: impl std::fmt::Display) {
         self.in_flight = in_flight;
-        self.cut = true;
+        self.cut = Some(cause.to_string());
     }
 }
 
@@ -302,9 +303,10 @@ pub fn dry_run<C: Contract>(contract: &C) -> Result<DryRun<C>, C::Error> {
     tracer.set_enabled(true);
     let mut ledger = Ledger::new(&stack.noftl);
     let (stopped, report) = contract.run(&stack, &mut ledger)?;
-    if ledger.cut {
+    if let Some(cause) = ledger.cut {
         let at = stopped.as_nanos();
-        return Err(violation(format!("the dry run failed at {at} ns with no cut armed")).into());
+        let message = format!("the dry run failed at {at} ns with no cut armed: {cause}");
+        return Err(violation(message).into());
     }
     if tracer.dropped() != dropped {
         let message = format!("the dry run overflowed the tracer's {} events", tracer.capacity());
@@ -560,8 +562,8 @@ mod tests {
                         now = t;
                         ledger.commit(world.clone());
                     }
-                    Err(_) => {
-                        ledger.cut(Some(world));
+                    Err(e) => {
+                        ledger.cut(Some(world), e);
                         break;
                     }
                 }
@@ -590,6 +592,18 @@ mod tests {
         for fail in [Fail::Violation, Fail::Device] {
             assert!(dry_run(&Pages { writes: 20, fail }).is_err());
         }
+    }
+
+    /// A dry run that stops at a device error names that error, not only
+    /// the instant.
+    #[test]
+    fn a_dry_run_that_fails_names_its_cause() {
+        let Err(err) = dry_run(&Pages { writes: 20, fail: Fail::Device }) else {
+            panic!("the device fails under the workload");
+        };
+        let message = err.to_string();
+        assert!(message.contains("with no cut armed: "), "{message}");
+        assert!(message.contains("power lost at t="), "the cause is the power loss: {message}");
     }
 
     #[test]

@@ -188,12 +188,12 @@ impl Contract for KvCrashConfig {
                     }
                     retired_seen = stats.compacted_runs;
                 }
-                Err(_) => {
+                Err(e) => {
                     // Power cut.  The erroring operation entered the
                     // memtable before the flush attempt, so if its flush's
                     // pages and checkpoint landed the recovered world
                     // includes it.
-                    ledger.cut(Some(pending));
+                    ledger.cut(Some(pending), e);
                     break;
                 }
             }

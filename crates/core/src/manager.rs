@@ -185,8 +185,8 @@ impl NoFtl {
         self.env.obs.registry()
     }
 
-    /// Snapshot every counter, gauge and histogram of the shared
-    /// registry at this instant.
+    /// Snapshot every counter and histogram of the shared registry at
+    /// this instant.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.env.obs.registry().snapshot()
     }

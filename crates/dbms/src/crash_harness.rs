@@ -220,15 +220,15 @@ impl Contract for CrashHarnessConfig {
                         }
                     }
                 };
-                if step.is_err() {
-                    ledger.cut(None);
+                if let Err(e) = step {
+                    ledger.cut(None, e);
                     break 'txns;
                 }
             }
             if rollback {
                 db.rollback(&mut txn);
-            } else if db.commit(&mut txn).is_err() {
-                ledger.cut((!read_only).then_some(pending));
+            } else if let Err(e) = db.commit(&mut txn) {
+                ledger.cut((!read_only).then_some(pending), e);
                 break;
             } else if read_only {
                 read_only_txns += 1;

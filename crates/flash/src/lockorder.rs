@@ -60,7 +60,7 @@ pub enum LockClass {
     Engine,
     /// `noftl-core`'s manager state (`NoFtl::inner`).
     Manager,
-    /// `noftl-mirror`'s replica state (health machine, segment maps, the
+    /// `noftl-mirror`'s replica state (health machine, dirty sets, the
     /// mirror's epoch).  Sits above the device because the mirror fans
     /// out to its children — and copies rebuild segments — while holding
     /// it.

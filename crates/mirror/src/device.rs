@@ -253,10 +253,12 @@ impl MirrorDevice {
         &self.children
     }
 
-    /// The segment of `block`, its linear index, or `None` outside the
-    /// geometry: every child rejects a command there, so none goes stale.
-    fn segment_of(&self, block: BlockAddr) -> Option<u64> {
-        self.geometry.contains_block(block).then(|| self.geometry.block_index(block))
+    /// The segment of `page`'s block, its linear index, or `None` when the
+    /// page lies outside the geometry (its block or its page number):
+    /// every child rejects a command there, so none goes stale.  A
+    /// block-addressed command asks for its block's page 0.
+    fn segment_of(&self, page: PageAddr) -> Option<u64> {
+        self.geometry.contains_page(page).then(|| self.geometry.block_index(page.block()))
     }
 
     /// Current health of `child`.
@@ -404,7 +406,7 @@ impl MirrorDevice {
         mut read: FlashCommand<'_>,
         tag: IoTag,
     ) -> Result<CmdOutput> {
-        let seg = self.segment_of(addr.block());
+        let seg = self.segment_of(addr);
         let mut state = self.mirror_shard();
         let mut candidates: Vec<usize> =
             (0..self.children.len()).filter(|i| state.children[*i].takes(seg, seg)).collect();
@@ -556,26 +558,26 @@ impl FlashBackend for MirrorDevice {
                 self.read_from_best(addr, at, command, tag)
             }
             FlashCommand::Program { addr, .. } => {
-                let seg = self.segment_of(addr.block());
+                let seg = self.segment_of(addr);
                 self.fan_out(seg, seg, at, command, tag).map(written)
             }
             FlashCommand::Erase { block } => {
-                let seg = self.segment_of(block);
+                let seg = self.segment_of(block.page(0));
                 self.fan_out(seg, seg, at, command, tag).map(written)
             }
             FlashCommand::Copyback { src, dst } => {
-                let (r, w) = (self.segment_of(src.block()), self.segment_of(dst.block()));
+                let (r, w) = (self.segment_of(src), self.segment_of(dst));
                 self.fan_out(r, w, at, command, tag).map(written)
             }
         }
     }
 
     fn mark_invalid(&self, addr: PageAddr) -> Result<()> {
-        self.apply_untimed(self.segment_of(addr.block()), |c| c.mark_invalid(addr))
+        self.apply_untimed(self.segment_of(addr), |c| c.mark_invalid(addr))
     }
 
     fn retire_block(&self, addr: BlockAddr) -> Result<()> {
-        self.apply_untimed(self.segment_of(addr), |c| c.retire_block(addr))
+        self.apply_untimed(self.segment_of(addr.page(0)), |c| c.retire_block(addr))
     }
 
     fn block_info(&self, addr: BlockAddr) -> Result<BlockInfo> {

@@ -251,6 +251,25 @@ mod tests {
         assert_eq!(m.children()[0].stats().errors, 2);
     }
 
+    /// A page number past `pages_per_block` in a block inside the
+    /// geometry is out of range too: every child rejects the program, the
+    /// copyback and the invalidation, so the lost child stays stale for
+    /// segment 1 only.
+    #[test]
+    fn a_page_past_its_block_leaves_a_lost_childs_staleness_alone() {
+        let m = mirror(2);
+        m.children()[1].arm_power_cut(SimTime(10));
+        let at = SimTime(1_000_000);
+        m.program_page(page(0, 1, 0), &payload(2), PageMetadata::new(1, 1), at).unwrap();
+        assert_eq!((m.health(1), m.dirty_segments(1)), (ChildHealth::Faulted, 1));
+        let beyond = FlashGeometry::small_test().pages_per_block;
+        let meta = PageMetadata::new(1, 2);
+        assert!(m.program_page(page(0, 2, beyond), &payload(3), meta, at).is_err());
+        assert!(m.copyback(page(0, 1, 0), page(0, 3, beyond), at).is_err());
+        assert!(m.mark_invalid(page(0, 4, beyond)).is_err());
+        assert_eq!(m.dirty_segments(1), 1, "an out-of-range page marked a segment");
+    }
+
     #[test]
     fn degraded_reads_avoid_the_lost_child() {
         let m = mirror(2);
@@ -312,7 +331,7 @@ mod tests {
         m.children()[1].clear_power_cut();
         m.start_rebuild(1, done.completed_at).unwrap();
         let report = m.rebuild(1, done.completed_at).unwrap();
-        assert!(report.child_online);
+        assert_eq!(m.health(1), ChildHealth::Online);
         assert_eq!((report.segments_copied, report.pages_copied), (1, 1));
         m.restore_replication(None, m.quiesce_time()).unwrap();
         assert!(m.fully_online(), "the verify scan found the rebuilt segment stale");
@@ -389,7 +408,7 @@ mod tests {
         m.children()[1].clear_power_cut();
         m.start_rebuild(1, SimTime(20_000_000)).unwrap();
         let report = m.rebuild(1, SimTime(20_000_000)).unwrap();
-        assert!(report.child_online);
+        assert_eq!(m.health(1), ChildHealth::Online);
         assert_eq!(report.segments_copied, 2);
         assert_eq!(report.pages_copied, 2);
         // The rebuild programmed exactly the missed pages, nothing else.
@@ -515,7 +534,7 @@ mod tests {
                 })
             };
             foreground.join().unwrap();
-            assert!(rebuild.join().unwrap().child_online, "seed {seed}");
+            rebuild.join().unwrap();
 
             assert_eq!(m.health(1), ChildHealth::Online, "seed {seed}");
             assert_eq!(m.dirty_segments(1), 0, "seed {seed}");
@@ -681,7 +700,7 @@ mod tests {
                         m.children()[1].clear_power_cut();
                         m.start_rebuild(1, clock).unwrap();
                         let report = m.rebuild(1, clock).unwrap();
-                        prop_assert!(report.child_online);
+                        prop_assert_eq!(m.health(1), ChildHealth::Online);
                         clock = clock.max(report.completed_at);
                     }
                     let r = next_rand();

@@ -36,16 +36,12 @@ const READ_WINDOW: usize = 4;
 /// Summary of a full [`MirrorDevice::rebuild`] run.
 #[derive(Debug, Clone, Copy)]
 pub struct RebuildReport {
-    /// Child that was rebuilt.
-    pub child: usize,
     /// Segments whose copy landed and left the dirty set.
     pub segments_copied: u64,
     /// Total pages programmed on the target.
     pub pages_copied: u64,
-    /// Simulated instant the child came back online (or the run stopped).
+    /// Simulated instant the child came back online.
     pub completed_at: SimTime,
-    /// Whether the child finished the run `Online`.
-    pub child_online: bool,
 }
 
 impl MirrorDevice {
@@ -88,15 +84,8 @@ impl MirrorDevice {
     /// Drain `child`'s dirty set to completion, advancing the simulated
     /// clock copy by copy.
     pub fn rebuild(&self, child: usize, at: SimTime) -> Result<RebuildReport> {
-        let mut report = RebuildReport {
-            child,
-            segments_copied: 0,
-            pages_copied: 0,
-            completed_at: at,
-            child_online: false,
-        };
+        let mut report = RebuildReport { segments_copied: 0, pages_copied: 0, completed_at: at };
         while self.rebuild_step(child, &mut report)? {}
-        report.child_online = true;
         Ok(report)
     }
 

@@ -71,7 +71,7 @@ fn checkpoint_mount_roundtrip_restores_mirror_state_and_rebuild_copies_only_dirt
     let programs_before = mirror2.children()[1].stats().page_programs;
     mirror2.start_rebuild(1, t).unwrap();
     let report = mirror2.rebuild(1, t).unwrap();
-    assert!(report.child_online);
+    assert_eq!(mirror2.health(1), ChildHealth::Online);
     assert_eq!(report.segments_copied, dirty_restored);
     assert!(mirror2.fully_online());
     assert_eq!(mirror2.dirty_segments(1), 0);
@@ -119,8 +119,8 @@ fn mount_with_child_still_missing_serves_degraded_and_rebuilds_later() {
     // The device reattaches: its power is back, rebuild, fully online.
     machine2.reattach(1, t).unwrap();
     mirror2.start_rebuild(1, t).unwrap();
-    let report = mirror2.rebuild(1, t).unwrap();
-    assert!(report.child_online);
+    mirror2.rebuild(1, t).unwrap();
+    assert_eq!(mirror2.health(1), ChildHealth::Online);
     assert!(mirror2.fully_online());
 }
 
@@ -152,7 +152,7 @@ fn a_rebuild_finished_after_the_last_checkpoint_is_not_redone() {
     machine.reattach(1, t).unwrap();
     mirror.start_rebuild(1, t).unwrap();
     let report = mirror.rebuild(1, t).unwrap();
-    assert!(report.child_online);
+    assert_eq!(mirror.health(1), ChildHealth::Online);
     t = report.completed_at;
 
     let machine2 = machine.reboot().unwrap();
@@ -283,7 +283,7 @@ mod props {
             }
             mirror2.start_rebuild(1, t).unwrap();
             let report = mirror2.rebuild(1, t).unwrap();
-            prop_assert!(report.child_online);
+            prop_assert_eq!(mirror2.health(1), ChildHealth::Online);
             prop_assert_eq!(report.segments_copied, dirty);
             prop_assert!(mirror2.fully_online());
         }

@@ -181,7 +181,7 @@ impl Contract for Plan {
             match done {
                 Ok(done) => t = done,
                 Err(NoFtlError::Flash(e)) if e.is_power_loss() => {
-                    ledger.cut(matches!(step, Step::Write(..)).then_some(world));
+                    ledger.cut(matches!(step, Step::Write(..)).then_some(world), e);
                     return Ok((t, run));
                 }
                 Err(e) => return Err(e),

@@ -1,10 +1,11 @@
 //! Storage backends the YCSB generators drive.
 //!
-//! [`WorkloadBackend`] is the surface every YCSB mix needs — insert,
-//! update, point read, delete, bounded scan, flush — expressed in
-//! simulated time: every verb takes the issue instant and returns the
-//! completion instant, so the loop that issues the ops (the benchmark's
-//! closed and open loops) times each one without a clock of its own.
+//! [`WorkloadBackend`] is the surface the YCSB mixes and their load need
+//! — insert, update, point read, flush — plus delete and bounded scan,
+//! which no mix issues, expressed in simulated time: every verb takes
+//! the issue instant and returns the completion instant, so the loop
+//! that issues the ops (the benchmark's closed and open loops) times
+//! each one without a clock of its own.
 //! [`KvBackend`] over the NoFTL-KV LSM store ships here; the benchmark's
 //! B+-tree table implements the trait itself.  The generators never look
 //! at the backend, so every backend consumes the *identical* key stream.

@@ -5,13 +5,14 @@
 //! measure: `benchmark/` drives these generators (closed- and open-loop)
 //! and is the one instrument that turns them into numbers.
 //!
-//! * [`rng`] — keyed SplitMix64 streams and the uniform / Zipfian /
-//!   latest key distributions.  Same `(seed, stream)` ⇒ byte-identical
-//!   draws on every run and machine.
-//! * [`ycsb`] — the six YCSB core workloads A–F as pure-function op
-//!   streams ([`ycsb::YcsbSpec::core`]); backends never influence the
-//!   stream, so every backend consumes *identical* keys, which
-//!   [`stream_digest`] proves.
+//! * [`rng`] — keyed SplitMix64 streams and the bounded Zipfian sampler.
+//!   Same `(seed, stream)` ⇒ byte-identical draws on every run and
+//!   machine.
+//! * [`ycsb`] — the three YCSB core workloads the benchmark runs (A, B
+//!   and C: reads and updates of loaded keys, Zipfian 0.99) as
+//!   pure-function op streams ([`ycsb::YcsbSpec::core`]); backends never
+//!   influence the stream, so every backend consumes *identical* keys,
+//!   which [`stream_digest`] proves.
 //! * [`backend`] — the [`backend::WorkloadBackend`] surface, its
 //!   implementation over NoFTL-KV ([`backend::KvBackend`]) and
 //!   [`load_phase`].  The benchmark's B+-tree table (the dbms heap + key
@@ -29,5 +30,5 @@ pub mod rng;
 pub mod ycsb;
 
 pub use backend::{load_phase, KvBackend, Result, WorkloadBackend, WorkloadError};
-pub use rng::{KeyDistribution, KeyedRng, Zipfian};
+pub use rng::{KeyedRng, Zipfian};
 pub use ycsb::{key_bytes, stream_digest, Op, OpKind, YcsbSpec};

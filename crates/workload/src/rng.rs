@@ -1,17 +1,17 @@
-//! Deterministic keyed random numbers and the key-choice distributions.
+//! Deterministic keyed random numbers and the Zipfian key sampler.
 //!
 //! Every generator of this crate derives from [`KeyedRng`]: a SplitMix64
 //! stream whose initial state is the workload seed mixed with an FNV hash
 //! of a *stream name*.  Two generators keyed with the same `(seed, name)`
 //! pair produce byte-identical streams on every run and every machine —
 //! the property the cross-backend determinism tests pin down — while
-//! differently named streams (op chooser vs key chooser vs scan-length
-//! chooser) are decorrelated without sharing mutable state.
+//! differently named streams (op mix vs key chooser) are decorrelated
+//! without sharing mutable state.
 
 use noftl_core::crash::SplitMix64;
 
-/// 64-bit FNV-1a — the stream-name and key-scramble hash.
-pub fn fnv64(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a — the stream-name and stream-digest hash.
+pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -44,26 +44,10 @@ impl KeyedRng {
         if bound == 0 {
             return 0;
         }
-        // The modulo bias is < 2^-40 for every bound the generators use
-        // (record counts are millions at most); not worth a reject loop.
+        // The modulo bias is < 2^-40 for every bound a workload draws
+        // (key counts are millions at most); not worth a reject loop.
         self.0.below(bound)
     }
-}
-
-/// How a workload picks the key of the next operation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum KeyDistribution {
-    /// Every live key equally likely.
-    Uniform,
-    /// YCSB-style Zipfian with the given `theta` (0 < theta < 1;
-    /// YCSB's default is 0.99).  Rank 0 is the hottest key.
-    Zipfian {
-        /// Skew parameter; larger is more skewed.
-        theta: f64,
-    },
-    /// Zipfian over recency: the most recently inserted key is the
-    /// hottest (YCSB workload D's distribution).
-    Latest,
 }
 
 /// Incremental zeta: `sum_{i=1..n} 1/i^theta`.
@@ -100,11 +84,6 @@ impl Zipfian {
         Zipfian { items, theta, zeta_n, alpha, eta }
     }
 
-    /// Number of items the sampler draws from.
-    pub fn items(&self) -> u64 {
-        self.items
-    }
-
     /// Probability of the hottest item (rank 0) — `1 / zeta(n, theta)`.
     pub fn top_probability(&self) -> f64 {
         1.0 / self.zeta_n.max(f64::MIN_POSITIVE)
@@ -122,48 +101,6 @@ impl Zipfian {
         }
         let rank = (self.items as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         rank.min(self.items - 1)
-    }
-}
-
-/// A key chooser over a (possibly growing) ordered key space.
-#[derive(Debug, Clone)]
-pub struct KeyChooser {
-    dist: KeyDistribution,
-    zipf: Option<Zipfian>,
-    rng: KeyedRng,
-}
-
-impl KeyChooser {
-    /// Build a chooser for `live` initial keys.
-    pub fn new(dist: KeyDistribution, live: u64, seed: u64) -> Self {
-        let zipf = match dist {
-            KeyDistribution::Zipfian { theta } => Some(Zipfian::new(live, theta)),
-            // Latest re-ranks by recency with YCSB's default skew.
-            KeyDistribution::Latest => Some(Zipfian::new(live, 0.99)),
-            KeyDistribution::Uniform => None,
-        };
-        KeyChooser { dist, zipf, rng: KeyedRng::new(seed, "key-chooser") }
-    }
-
-    /// Choose the id of the next key given `live` keys exist (ids
-    /// `0..live`, id `live - 1` newest).
-    pub fn next(&mut self, live: u64) -> u64 {
-        let live = live.max(1);
-        match self.dist {
-            KeyDistribution::Uniform => self.rng.below(live),
-            KeyDistribution::Zipfian { .. } => {
-                // The sampler is sized for the initial key count; ranks for
-                // later inserts fold back uniformly (YCSB's behavior when
-                // the insert fraction is small).
-                let z = self.zipf.as_ref().expect("zipfian chooser has a sampler");
-                z.next(&mut self.rng) % live
-            }
-            KeyDistribution::Latest => {
-                let z = self.zipf.as_ref().expect("latest chooser has a sampler");
-                let rank = z.next(&mut self.rng) % live;
-                live - 1 - rank
-            }
-        }
     }
 }
 
@@ -212,17 +149,5 @@ mod tests {
         let max = *counts.iter().max().unwrap();
         assert_eq!(counts[0], max, "rank 0 must be the most frequent");
         assert!(counts[0] > counts[50] * 5, "theta=0.99 must be visibly skewed");
-    }
-
-    #[test]
-    fn latest_prefers_the_newest_key() {
-        let mut chooser = KeyChooser::new(KeyDistribution::Latest, 100, 3);
-        let mut newest = 0u64;
-        for _ in 0..5_000 {
-            if chooser.next(100) == 99 {
-                newest += 1;
-            }
-        }
-        assert!(newest > 200, "the newest key must dominate a latest stream ({newest})");
     }
 }

@@ -10,8 +10,8 @@
 //! * [`dbms`] — the storage engine that runs on NoFTL regions (`dbms-engine`);
 //! * [`tpcc`] — the TPC-C workload and placement configurations
 //!   (`tpcc-workload`);
-//! * [`workload`] — deterministic YCSB A–F generators and the NoFTL-KV /
-//!   B+-tree backends they drive (`noftl-workload`);
+//! * [`workload`] — deterministic YCSB A, B and C generators and the
+//!   NoFTL-KV backend they drive (`noftl-workload`);
 //! * [`bench`](mod@bench) — the experiment harness behind the `noftl`
 //!   binary, `noftl fig2 | fig3` (`noftl-bench`);
 //! * [`obs`] — the cross-layer observability layer: metrics registry,
